@@ -138,7 +138,14 @@ type Engine struct {
 	nIngested    atomic.Int64
 	nCompactions atomic.Int64
 	nCompactErrs atomic.Int64
-	nFolds       atomic.Int64
+
+	// Epoch-pyramid accounting: delta folds that patched their base, folds
+	// a gate refused (answered by a full rebuild), and the time spent in
+	// either kind of build.
+	nFolds         atomic.Int64
+	nFoldFallbacks atomic.Int64
+	foldNanos      atomic.Int64
+	rebuildNanos   atomic.Int64
 
 	// Serving counters (atomic; snapshot via Stats). Queries counts every
 	// answered request, single or batched.
@@ -186,8 +193,15 @@ type EngineStats struct {
 	Compactions      int64 `json:"compactions"`
 	CompactionErrors int64 `json:"compaction_errors"`
 	// PyramidFolds counts epoch pyramids produced by the delta fold
-	// (BuildPyramidDelta fast path) rather than a full rebuild.
-	PyramidFolds int64 `json:"pyramid_folds"`
+	// (patching the previous epoch's pyramid) rather than a full rebuild;
+	// PyramidFoldFallbacks counts folds an exactness gate refused, which
+	// rebuilt instead. PyramidFoldMs and PyramidRebuildMs are the
+	// cumulative build times of the two kinds — folds that patched, and
+	// full builds (fallbacks and first builds alike).
+	PyramidFolds         int64   `json:"pyramid_folds"`
+	PyramidFoldFallbacks int64   `json:"pyramid_fold_fallbacks"`
+	PyramidFoldMs        float64 `json:"pyramid_fold_ms"`
+	PyramidRebuildMs     float64 `json:"pyramid_rebuild_ms"`
 	// LatencyCount counts latency observations — one per executed
 	// search (batched duplicates ride their canonical's observation) —
 	// and the percentiles estimate the executed-search latency
@@ -209,22 +223,25 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Unlock()
 	lc, p50, p95, p99 := e.lat.summary()
 	return EngineStats{
-		Queries:          e.nQueries.Load(),
-		Batches:          e.nBatches.Load(),
-		DedupHits:        e.nDedup.Load(),
-		PreparedShared:   e.nShared.Load(),
-		Errors:           e.nErrors.Load(),
-		Cancelled:        e.nCancelled.Load(),
-		Indexes:          ni,
-		Pyramids:         np,
-		Ingested:         e.nIngested.Load(),
-		Compactions:      e.nCompactions.Load(),
-		CompactionErrors: e.nCompactErrs.Load(),
-		PyramidFolds:     e.nFolds.Load(),
-		LatencyCount:     lc,
-		LatencyP50Ms:     p50,
-		LatencyP95Ms:     p95,
-		LatencyP99Ms:     p99,
+		Queries:              e.nQueries.Load(),
+		Batches:              e.nBatches.Load(),
+		DedupHits:            e.nDedup.Load(),
+		PreparedShared:       e.nShared.Load(),
+		Errors:               e.nErrors.Load(),
+		Cancelled:            e.nCancelled.Load(),
+		Indexes:              ni,
+		Pyramids:             np,
+		Ingested:             e.nIngested.Load(),
+		Compactions:          e.nCompactions.Load(),
+		CompactionErrors:     e.nCompactErrs.Load(),
+		PyramidFolds:         e.nFolds.Load(),
+		PyramidFoldFallbacks: e.nFoldFallbacks.Load(),
+		PyramidFoldMs:        float64(e.foldNanos.Load()) / 1e6,
+		PyramidRebuildMs:     float64(e.rebuildNanos.Load()) / 1e6,
+		LatencyCount:         lc,
+		LatencyP50Ms:         p50,
+		LatencyP95Ms:         p95,
+		LatencyP99Ms:         p99,
 	}
 }
 
@@ -322,9 +339,12 @@ func (e *Engine) currentView() *engineView {
 }
 
 // materializeView builds the next epoch: a combined dataset (seed ++
-// staged), fresh cache maps, and the previous epoch's completed
-// pyramids as delta-fold bases. Serialized by viewMu; concurrent
-// queries keep the old view until the swap.
+// staged, one O(n) copy of the object array), fresh cache maps, and the
+// previous epoch's completed pyramids as delta-fold bases. The view is
+// assembled here from the immutable seed and from objects InsertBatch
+// validated, which is what lets pyramidFor skip the fold's precondition
+// checks. Serialized by viewMu; concurrent queries keep the old view
+// until the swap.
 func (e *Engine) materializeView() *engineView {
 	e.viewMu.Lock()
 	defer e.viewMu.Unlock()
@@ -421,10 +441,12 @@ func (e *Engine) Pyramid(f *Composite) (*Pyramid, error) {
 
 // pyramidFor returns the view's cached pyramid for the composite. When
 // the view inherited the previous epoch's pyramid for this composite,
-// the build is a delta fold (BuildPyramidDelta): only the inserted tail
-// is sorted and merged into the base's master order, bit-identical to a
-// from-scratch rebuild (which the fold falls back to when its exactness
-// gates refuse). The base is released as soon as the build lands.
+// the build is a delta fold (dssearch.FoldPyramid): the inserted tail is
+// spliced into a copy of the base, bit-identical to a from-scratch
+// rebuild (which the fold falls back to when its exactness gates
+// refuse). The view's dataset is the base's plus objects InsertBatch
+// validated, so the fold's O(n) precondition checks are skipped. The
+// base is released as soon as the build lands.
 func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {
 	if e.opt.DisablePyramid {
 		return nil, nil
@@ -437,11 +459,16 @@ func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
+		start := time.Now()
+		spent := &e.rebuildNanos
 		if ent.base != nil {
-			p, stats, err := dssearch.BuildPyramidDelta(ent.base, v.ds)
-			ent.p, ent.err = p, err
-			if err == nil && stats.Folded {
+			var stats *dssearch.DeltaStats
+			ent.p, stats, ent.err = dssearch.FoldPyramid(ent.base, v.ds)
+			if ent.err == nil && stats.Folded {
 				e.nFolds.Add(1)
+				spent = &e.foldNanos
+			} else {
+				e.nFoldFallbacks.Add(1)
 			}
 			ent.base = nil
 			e.mu.Lock()
@@ -450,6 +477,7 @@ func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {
 		} else {
 			ent.p, ent.err = dssearch.BuildPyramid(v.ds, f)
 		}
+		spent.Add(int64(time.Since(start)))
 		ent.done.Store(true)
 	})
 	return ent.p, ent.err

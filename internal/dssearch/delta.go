@@ -1,56 +1,89 @@
 package dssearch
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
-	"asrs/internal/asp"
+	"asrs/internal/agg"
 	"asrs/internal/attr"
 	"asrs/internal/geom"
 )
 
-// Delta fold: building the pyramid for a grown dataset from an existing
-// base pyramid without re-sorting the whole master (DESIGN.md §10).
+// Delta fold: producing the pyramid of a grown dataset by patching a
+// copy of the base pyramid instead of re-deriving it (DESIGN.md §10).
 //
-// The expensive step of BuildPyramid is the O(n log n) master sort;
-// every other pass is linear. buildTables skips both its sort and the
-// post-sort re-flatten when the incoming master is already in anchor
-// order — so the fold constructs the merged master directly in sorted
-// order (the base pyramid's order array gives the seed objects' sorted
-// anchor sequence; the delta is sorted on its own, O(d log d)) and runs
-// the identical build passes over it.
+// A pyramid is a handful of flat arrays indexed by master id (the
+// position in anchor order). Appending d objects to a dataset of n
+// changes them in three ways, and the fold does exactly those:
 //
-// Bit-identity with a from-scratch BuildPyramid(combined, f) demands
-// that the merged master order EQUAL the rebuild's, not merely sort
-// under the same comparator: PointRepresentation re-accumulates a
-// region's raw float values in master order, so even with every sum
-// certificate exact, a different permutation of anchor-tied objects
-// reaches the answer's representation in its last ulp. The fold
-// therefore gates on the sorted order being UNIQUE — every adjacent
-// anchor pair strictly increasing, which also proves the base's own
-// master was sorted — plus sortExact on the merged core (when a channel
-// fails both certificates the rebuild would have left the master in
-// dataset order, which is not the merged order). Either gate failing
-// falls back to the classic build, replicating the rebuild computation
-// byte for byte; answers never depend on the fast path being taken.
-// (The certificate's |v| accumulation is order-sensitive in its last
-// ulp, so at the exact 2^52 boundary the merged order could certify
-// where the dataset order would not; both sides of that boundary are
-// exact over the sums actually taken, and the property tests pin the
-// fold against the rebuild oracle across seeds.)
+//   - spliced: the d objects are flattened, certified and scaled on
+//     their own, sorted by anchor, and their rows are inserted into the
+//     base's CSR arrays (contributions, scaled contributions, min/max
+//     contributions, the order permutation) at their merge positions —
+//     bulk copies of the base's runs in between;
+//   - id-remapped: every array that NAMES master ids (yAscIds, each
+//     level's binIds and threshold arrays) is rewritten through the
+//     monotone old-id → new-id shift in one pass, with the d new ids
+//     merged in;
+//   - re-prefix-summed: each SAT level's planes are the base's planes
+//     plus the 2D prefix sum of the delta's contributions, accumulated
+//     in one pass over the grid; the min/max companion is refreshed from
+//     the base's retained per-bin values.
+//
+// So a fold costs O(d log n) comparisons plus a few linear copies, where
+// the rebuild costs a sort, a flatten and a certificate pass over all n.
+// The base is never written to: queries of the previous epoch keep
+// reading it while the next epoch folds.
+//
+// Bit-identity with BuildPyramid(combined, f) is held by three gates;
+// when one refuses, the fold returns nothing and the caller rebuilds —
+// the only fallback:
+//
+//   - order: PointRepresentation re-accumulates a region's raw values in
+//     master order, so the folded order must be one the rebuild's sort
+//     could not have arranged differently. With a two-float channel in
+//     the composite that means strictly increasing anchors throughout.
+//     When every channel is plainly certified, all partial sums are
+//     exact in any order and anchor ties are admitted (seed first, then
+//     dataset order) — swapping tied objects only relabels ids.
+//   - certificate: the base's running sums (Σ|v| per channel, Σ|hi| and
+//     Σ|lo| per two-float channel) are extended by the delta's values in
+//     dataset order, which is how the rebuild accumulates them, so the
+//     outcome the rebuild would reach is known exactly. While it is the
+//     base's own, the base's scales and SAT planes are reused as they
+//     are. When it moves — a finer shift, a two-float hi grid following
+//     the channel's grown mass — the fold re-runs the certificate pass
+//     over the retained values (recertify) and refuses only if the new
+//     outcome is not sortExact.
+//   - sortExact on the base: without it the rebuild leaves the master in
+//     dataset order and there is no anchor order to merge into.
+//
+// SAT levels are patched in the base's bin grid: an appended anchor
+// outside the grid lands in an edge bin (satLevel.binOf). A fresh build
+// would lay the grid over the grown hull instead; both are valid levels
+// of the same corpus and fill cells identically, because the threshold
+// arrays certify through actual anchor coordinates and the ring scan is
+// exact. Only when the granularity ladder a fresh build would choose
+// (levelGrids) differs from the base's, or the certificate moved, are
+// the levels raised anew.
+
+// DeltaStats reports what a delta build did.
 type DeltaStats struct {
-	Folded   bool // fast path taken (vs full rebuild fallback)
+	Folded   bool // the base was patched (vs full rebuild fallback)
 	Appended int  // objects beyond the base pyramid
 }
 
 // BuildPyramidDelta builds the pyramid for combined — a dataset that
-// extends the base pyramid's dataset with appended objects — reusing
-// the base's master order to skip the full sort. The first base.n
-// objects of combined must sit at the same locations as the base
-// dataset's (values may differ; every contribution is recomputed from
-// combined). Answers through the returned pyramid are bit-identical to
-// BuildPyramid(combined, f): the merged fast path is gated on full
-// exact certification and otherwise falls back to the classic build.
+// extends the base pyramid's dataset with appended objects. The first
+// base.n objects of combined must be the base dataset's objects
+// (locations are checked; values are trusted to be equal, the base's
+// contributions are reused for them). Answers through the returned
+// pyramid are bit-identical to BuildPyramid(combined, f): the fold is
+// gated on its exactness certificates and otherwise falls back to the
+// classic build.
 func BuildPyramidDelta(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaStats, error) {
 	if base == nil {
 		return nil, nil, fmt.Errorf("dssearch: delta build requires a base pyramid")
@@ -61,8 +94,7 @@ func BuildPyramidDelta(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaS
 	if err := combined.Validate(); err != nil {
 		return nil, nil, err
 	}
-	n := len(combined.Objects)
-	if n < base.n {
+	if n := len(combined.Objects); n < base.n {
 		return nil, nil, fmt.Errorf("dssearch: delta build: combined dataset has %d objects, base pyramid covers %d", n, base.n)
 	}
 	if combined.Schema != base.ds.Schema {
@@ -74,80 +106,562 @@ func BuildPyramidDelta(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaS
 				i, combined.Objects[i].Loc, base.ds.Objects[i].Loc)
 		}
 	}
-	stats := &DeltaStats{Appended: n - base.n}
-
-	// Sort the appended tail by anchor, ties by dataset index — a total
-	// order, so the fold is deterministic regardless of callers.
-	deltaIds := make([]int32, 0, n-base.n)
-	for i := base.n; i < n; i++ {
-		deltaIds = append(deltaIds, int32(i))
-	}
-	sort.Slice(deltaIds, func(a, b int) bool {
-		oa, ob := &combined.Objects[deltaIds[a]], &combined.Objects[deltaIds[b]]
-		if oa.Loc.X != ob.Loc.X {
-			return oa.Loc.X < ob.Loc.X
-		}
-		if oa.Loc.Y != ob.Loc.Y {
-			return oa.Loc.Y < ob.Loc.Y
-		}
-		return deltaIds[a] < deltaIds[b]
-	})
-
-	// Merge the base's sorted anchor sequence with the sorted delta into
-	// the synthetic master (the same degenerate location-anchored rects
-	// as BuildPyramid), seed-first on full anchor ties. If the base was
-	// itself never sorted (its channels failed certification), the merge
-	// output is not sorted either — buildTables detects that and sorts,
-	// so nothing is ever wrong, only slower.
-	synth := make([]asp.RectObject, 0, n)
-	rect := func(idx int32) asp.RectObject {
-		o := &combined.Objects[idx]
-		return asp.RectObject{
-			Rect: geom.Rect{MinX: o.Loc.X, MinY: o.Loc.Y, MaxX: o.Loc.X, MaxY: o.Loc.Y},
-			Obj:  o,
-		}
-	}
-	bi, di := 0, 0
-	for bi < base.n && di < len(deltaIds) {
-		sb := &base.ds.Objects[base.order[bi]]
-		sd := &combined.Objects[deltaIds[di]]
-		if sb.Loc.X < sd.Loc.X || (sb.Loc.X == sd.Loc.X && sb.Loc.Y <= sd.Loc.Y) {
-			synth = append(synth, rect(base.order[bi]))
-			bi++
-		} else {
-			synth = append(synth, rect(deltaIds[di]))
-			di++
-		}
-	}
-	for ; bi < base.n; bi++ {
-		synth = append(synth, rect(base.order[bi]))
-	}
-	for ; di < len(deltaIds); di++ {
-		synth = append(synth, rect(deltaIds[di]))
-	}
-
-	// Unique-order gate: any anchor tie (or an unsorted base) means the
-	// rebuild's unstable sort could place the tied objects differently,
-	// and that permutation reaches Rep through float re-accumulation.
-	for i := 1; i < n; i++ {
-		a, b := &synth[i-1].Rect, &synth[i].Rect
-		if a.MinX > b.MinX || (a.MinX == b.MinX && a.MinY >= b.MinY) {
-			return rebuildFallback(base, combined, stats)
-		}
-	}
-
-	core := &tables{}
-	master := buildTables(core, synth, base.f, true)
-	if !core.sortExact {
-		return rebuildFallback(base, combined, stats)
-	}
-	stats.Folded = true
-	return finishPyramid(combined, base.f, core, master), stats, nil
+	return FoldPyramid(base, combined)
 }
 
-// rebuildFallback is the gate-refused path: the classic build over the
-// combined dataset, byte-for-byte the rebuild computation.
-func rebuildFallback(base *Pyramid, combined *attr.Dataset, stats *DeltaStats) (*Pyramid, *DeltaStats, error) {
+// FoldPyramid is BuildPyramidDelta without the O(n) precondition checks,
+// for callers that assembled combined themselves as the base's dataset
+// followed by validated objects (the Engine's epoch views).
+func FoldPyramid(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaStats, error) {
+	stats := &DeltaStats{Appended: len(combined.Objects) - base.n}
+	if p := base.fold(combined); p != nil {
+		stats.Folded = true
+		return p, stats, nil
+	}
 	p, err := BuildPyramid(combined, base.f)
 	return p, stats, err
+}
+
+// certSums are computeCertificate's running sums, accumulated over the
+// raw contributions in dataset order: Σ|v| per logical channel, and
+// Σ|hi|, Σ|lo| under the channel's split for two-float channels.
+type certSums struct {
+	abs, hi, lo []float64
+}
+
+// certSums copies the sums out of the scratch computeCertificate left.
+func (t *tables) certSums() *certSums {
+	cs := &certSums{
+		abs: append([]float64(nil), t.certSum[:t.chans]...),
+		hi:  make([]float64, t.chans),
+		lo:  make([]float64, t.chans),
+	}
+	for ch, sh := range t.twoOf {
+		if sh >= 0 {
+			cs.hi[ch], cs.lo[ch] = t.certTwo[ch].sumHi, t.certTwo[ch].sumLo
+		}
+	}
+	return cs
+}
+
+// rawDataset returns the pyramid's raw contributions in dataset order —
+// the sequence BuildPyramid certified — with room for extra more.
+func (p *Pyramid) rawDataset(extra int) []agg.Contrib {
+	dst := make([]agg.Contrib, 0, len(p.core.contribs)+extra)
+	idOf := make([]int32, p.n) // dataset index -> master id
+	for id, oi := range p.order {
+		idOf[oi] = int32(id)
+	}
+	for _, id := range idOf {
+		dst = p.core.rawRow(id, dst)
+	}
+	return dst
+}
+
+// certSums returns the pyramid's certificate sums, re-deriving them
+// from the retained values when no fold has carried them forward yet (a
+// freshly built or loaded pyramid). Under a plain certificate every
+// partial sum of |v| is exact, so any order gives the sums the dataset
+// order gave; with two-float channels the certificate pass is re-run in
+// dataset order.
+func (p *Pyramid) certSums() *certSums {
+	if p.cert != nil {
+		return p.cert
+	}
+	c := p.core
+	if c.allExact {
+		cs := &certSums{abs: make([]float64, c.chans), hi: make([]float64, c.chans), lo: make([]float64, c.chans)}
+		for _, cb := range c.contribs {
+			cs.abs[cb.Ch] += math.Abs(cb.V)
+		}
+		return cs
+	}
+	t := &tables{f: p.f, chans: c.chans, contribs: p.rawDataset(0)}
+	t.computeCertificate()
+	return t.certSums()
+}
+
+// deltaRows are the appended objects' flattened rows in dataset order
+// (row j belongs to combined.Objects[base.n+j]): raw as AppendContribs
+// emits them, and — once certifyDelta has passed — split and scaled
+// under the base's certificate.
+type deltaRows struct {
+	rawOff []int32
+	raw    []agg.Contrib
+	mOff   []int32
+	mms    []agg.MMContrib
+
+	cOff []int32
+	con  []agg.Contrib
+	conI []int64
+}
+
+func (base *Pyramid) flattenDelta(objs []attr.Object) *deltaRows {
+	f := base.f
+	rows := &deltaRows{rawOff: make([]int32, 1, len(objs)+1)}
+	for i := range objs {
+		rows.raw = f.AppendContribs(&objs[i], rows.raw)
+		rows.rawOff = append(rows.rawOff, int32(len(rows.raw)))
+	}
+	if base.mmSlots > 0 {
+		rows.mOff = make([]int32, 1, len(objs)+1)
+		for i := range objs {
+			rows.mms = f.AppendMM(&objs[i], rows.mms)
+			rows.mOff = append(rows.mOff, int32(len(rows.mms)))
+		}
+	}
+	return rows
+}
+
+// certifyDelta extends the base's certificate sums by the appended rows
+// and, when the certificate a rebuild would compute is the base's own —
+// every shift, every two-float split, every headroom check unchanged —
+// fills in the rows' split and scaled form and returns the new sums.
+func (base *Pyramid) certifyDelta(rows *deltaRows) (*certSums, bool) {
+	c := base.core
+	old := base.certSums()
+	sums := &certSums{
+		abs: append([]float64(nil), old.abs...),
+		hi:  append([]float64(nil), old.hi...),
+		lo:  append([]float64(nil), old.lo...),
+	}
+	// A power-of-two scale's exponent is the largest fraction-bit count
+	// the channel's values may carry without moving the scale.
+	shift := make([]int, c.eff)
+	for ch, s := range c.chScale {
+		_, e := math.Frexp(s)
+		shift[ch] = e - 1
+	}
+	for _, cb := range rows.raw {
+		sums.abs[cb.Ch] += math.Abs(cb.V)
+		sh := c.twoOf[cb.Ch]
+		if sh < 0 {
+			if fracBits(cb.V) > shift[cb.Ch] {
+				return nil, false
+			}
+			continue
+		}
+		hi, lo := twoSplit(cb.V, c.chScale[cb.Ch], c.chInv[cb.Ch])
+		if hi+lo != cb.V || math.IsNaN(hi) || math.IsInf(hi, 0) || fracBits(lo) > shift[sh] {
+			return nil, false
+		}
+		sums.hi[cb.Ch] += math.Abs(hi)
+		sums.lo[cb.Ch] += math.Abs(lo)
+	}
+	for ch := 0; ch < c.chans; ch++ {
+		sh := c.twoOf[ch]
+		if sh < 0 {
+			if !(sums.abs[ch]*c.chScale[ch] <= maxScaledSum) {
+				return nil, false
+			}
+			continue
+		}
+		// The plain certificate cannot come back (its shift and mass only
+		// grow); the two-float one must pick the same hi grid again and
+		// keep both halves within headroom.
+		if math.IsInf(sums.abs[ch], 0) || math.IsNaN(sums.abs[ch]) {
+			return nil, false
+		}
+		_, e := math.Frexp(sums.abs[ch])
+		if math.Ldexp(1, min(51-e, maxShift)) != c.chScale[ch] ||
+			!(sums.hi[ch]*c.chScale[ch] <= maxScaledSum) || !(sums.lo[ch]*c.chScale[sh] <= maxScaledSum) {
+			return nil, false
+		}
+	}
+
+	// Split under the base's certificate, exactly as flattenContribs does.
+	t := &tables{twoCount: c.twoCount, twoOf: c.twoOf, chScale: c.chScale, chInv: c.chInv}
+	t.cOff = make([]int32, 1, len(rows.rawOff))
+	for j := 0; j+1 < len(rows.rawOff); j++ {
+		start := len(t.contribs)
+		t.contribs = append(t.contribs, rows.raw[rows.rawOff[j]:rows.rawOff[j+1]]...)
+		if t.twoCount > 0 {
+			t.splitTail(start)
+		}
+		t.cOff = append(t.cOff, int32(len(t.contribs)))
+	}
+	rows.cOff, rows.con = t.cOff, t.contribs
+	rows.conI = make([]int64, len(rows.con))
+	for k, cb := range rows.con {
+		rows.conI[k] = int64(cb.V * c.chScale[cb.Ch])
+	}
+	return sums, true
+}
+
+// recertify is the fold's slow lane, taken when the appended values
+// move the certificate (a finer shift, a two-float hi grid following the
+// channel's grown mass, …): it re-runs the certificate pass over every
+// retained value plus the appended ones, in dataset order like a
+// rebuild, and re-splits and re-scales all rows under the outcome, in
+// folded master order. Still no sort and no pass over the objects. nil
+// when the outcome is not sortExact: the rebuild would not sort at all.
+func (base *Pyramid) recertify(rows *deltaRows, ents []deltaEnt) (*tables, *certSums) {
+	c := base.core
+	t := &tables{f: c.f, chans: c.chans}
+	t.contribs = append(base.rawDataset(len(rows.raw)), rows.raw...)
+	t.computeCertificate()
+	if !t.sortExact {
+		return nil, nil
+	}
+	sums := t.certSums()
+
+	t.contribs = t.contribs[:0]
+	t.cOff = make([]int32, 1, base.n+len(ents)+1)
+	split := func(start int) {
+		if t.twoCount > 0 {
+			t.splitTail(start)
+		}
+		t.cOff = append(t.cOff, int32(len(t.contribs)))
+	}
+	next := int32(0)
+	baseRows := func(upto int32) {
+		for ; next < upto; next++ {
+			start := len(t.contribs)
+			t.contribs = c.rawRow(next, t.contribs)
+			split(start)
+		}
+	}
+	for _, e := range ents {
+		baseRows(e.pos)
+		start := len(t.contribs)
+		t.contribs = append(t.contribs, rows.raw[rows.rawOff[e.row]:rows.rawOff[e.row+1]]...)
+		split(start)
+	}
+	baseRows(int32(base.n))
+	t.sorted = true
+	t.scaleContribs()
+	return t, sums
+}
+
+// deltaEnt is one appended object placed in the folded master order.
+type deltaEnt struct {
+	row int32 // its row in deltaRows; dataset index base.n+row
+	pos int32 // base master ids below pos precede it, pos and above follow
+	id  int32 // its master id in the folded pyramid
+	loc geom.Point
+}
+
+// placeDelta sorts the appended objects by anchor (ties by dataset
+// index) and finds their merge positions in the base's master order,
+// seed first on ties. strict reports whether the merged order is still
+// strictly increasing; ok=false when the order gate refuses.
+func (base *Pyramid) placeDelta(objs []attr.Object) (ents []deltaEnt, strict, ok bool) {
+	ties := base.core.allExact
+	strict = base.strict
+	if !strict && !ties {
+		return nil, false, false
+	}
+	ents = make([]deltaEnt, len(objs))
+	for j := range ents {
+		ents[j] = deltaEnt{row: int32(j), loc: objs[j].Loc}
+	}
+	slices.SortFunc(ents, func(a, b deltaEnt) int {
+		return cmp.Or(cmp.Compare(a.loc.X, b.loc.X), cmp.Compare(a.loc.Y, b.loc.Y), cmp.Compare(a.row, b.row))
+	})
+	for t := range ents {
+		e := &ents[t]
+		e.pos = int32(sort.Search(base.n, func(i int) bool { return anchorLess(e.loc, base.anchor(int32(i))) }))
+		e.id = e.pos + int32(t)
+		// The merged predecessor: the previous appended object when it
+		// shares the slot, else the base object below the slot.
+		var prev geom.Point
+		switch {
+		case t > 0 && ents[t-1].pos == e.pos:
+			prev = ents[t-1].loc
+		case e.pos > 0:
+			prev = base.anchor(e.pos - 1)
+		default:
+			continue
+		}
+		// Written so that a NaN coordinate refuses.
+		if !anchorLess(prev, e.loc) {
+			if !ties || prev != e.loc {
+				return nil, false, false
+			}
+			strict = false
+		}
+	}
+	return ents, strict, true
+}
+
+// spliceOffs merges CSR offset arrays: the base's rows in order, with
+// each appended object's row inserted at its merge position.
+func spliceOffs(bOff, dOff []int32, ents []deltaEnt) []int32 {
+	n0 := len(bOff) - 1
+	off := make([]int32, 0, n0+len(ents)+1)
+	var added int32 // appended values spliced in so far
+	next := 0       // next base row
+	for _, e := range ents {
+		for ; next < int(e.pos); next++ {
+			off = append(off, bOff[next]+added)
+		}
+		off = append(off, bOff[next]+added)
+		added += dOff[e.row+1] - dOff[e.row]
+	}
+	for ; next <= n0; next++ {
+		off = append(off, bOff[next]+added)
+	}
+	return off
+}
+
+// spliceVals merges the value arrays behind spliceOffs' offsets: bulk
+// copies of the base's runs with the appended rows in between.
+func spliceVals[T any](bOff []int32, b []T, dOff []int32, d []T, ents []deltaEnt) []T {
+	out := make([]T, 0, len(b)+len(d))
+	next := int32(0) // next base value
+	for _, e := range ents {
+		out = append(out, b[next:bOff[e.pos]]...)
+		next = bOff[e.pos]
+		out = append(out, d[dOff[e.row]:dOff[e.row+1]]...)
+	}
+	return append(out, b[next:]...)
+}
+
+// fold patches a copy of the base into the pyramid of combined, or
+// returns nil when a gate refuses (see the file comment).
+func (base *Pyramid) fold(combined *attr.Dataset) *Pyramid {
+	c := base.core
+	n0, n := base.n, len(combined.Objects)
+	if n0 == 0 || n < n0 || !c.sortExact || !c.sorted {
+		return nil
+	}
+	delta := combined.Objects[n0:]
+	ents, strict, ok := base.placeDelta(delta)
+	if !ok {
+		return nil
+	}
+	rows := base.flattenDelta(delta)
+
+	// The fast lane keeps the base's certificate (shared, read-only)
+	// over the spliced contribution tables, and with it the base's SAT
+	// planes stay valid to patch.
+	var core *tables
+	sums, sameCert := base.certifyDelta(rows)
+	if sameCert {
+		core = &tables{
+			f: c.f, chans: c.chans, eff: c.eff,
+			chOK: c.chOK, chScale: c.chScale, chInv: c.chInv, twoOf: c.twoOf, twoCount: c.twoCount,
+			allExact: c.allExact, sortExact: c.sortExact, anyExact: c.anyExact, sorted: c.sorted,
+			cOff:      spliceOffs(c.cOff, rows.cOff, ents),
+			contribs:  spliceVals(c.cOff, c.contribs, rows.cOff, rows.con, ents),
+			contribsI: spliceVals(c.cOff, c.contribsI, rows.cOff, rows.conI, ents),
+		}
+	} else if core, sums = base.recertify(rows, ents); core == nil || (!strict && !core.allExact) {
+		return nil // not sortExact, or ties admitted under an allExact that no longer holds
+	}
+	if base.mmSlots > 0 {
+		core.mOff = spliceOffs(c.mOff, rows.mOff, ents)
+		core.mms = spliceVals(c.mOff, c.mms, rows.mOff, rows.mms, ents)
+	}
+
+	p := &Pyramid{
+		ds: combined, f: base.f, n: n, mmSlots: base.mmSlots,
+		core: core, strict: strict, cert: sums,
+		order:   make([]int32, 0, n),
+		xAscIds: make([]int32, n),
+	}
+	next := int32(0)
+	for _, e := range ents {
+		p.order = append(p.order, base.order[next:e.pos]...)
+		next = e.pos
+		p.order = append(p.order, int32(n0)+e.row)
+	}
+	p.order = append(p.order, base.order[next:]...)
+	// The master is sorted by (x, y), so ascending x with ties by id is
+	// the identity.
+	for id := range p.xAscIds {
+		p.xAscIds[id] = int32(id)
+	}
+
+	newID := make([]int32, n0) // base master id -> folded master id
+	t := 0
+	for id := range newID {
+		for t < len(ents) && int(ents[t].pos) <= id {
+			t++
+		}
+		newID[id] = int32(id + t)
+	}
+	p.yAscIds = base.mergeYAsc(ents, newID)
+
+	// Patch the base's levels while the certificate (hence the planes'
+	// scales) and the granularity ladder of a fresh build stand.
+	grids := levelGrids(n, p.mmSlots)
+	patch := sameCert && len(grids) == len(base.lvls)
+	for i := 0; patch && i < len(grids); i++ {
+		patch = base.lvls[i].gx == grids[i]
+	}
+	if patch {
+		for _, l := range base.lvls {
+			p.lvls = append(p.lvls, l.patch(p, ents, newID, rows))
+		}
+		return p
+	}
+	xs := make([]float64, n)
+	ys := make([]float64, n)
+	for id := range xs {
+		loc := p.anchor(int32(id))
+		xs[id], ys[id] = loc.X, loc.Y
+	}
+	p.raiseLevels(xs, ys)
+	return p
+}
+
+// mergeYAsc merges the appended ids into the base's y-ascending id
+// order (ties by id), remapping the base's ids on the way.
+func (base *Pyramid) mergeYAsc(ents []deltaEnt, newID []int32) []int32 {
+	byY := slices.Clone(ents)
+	slices.SortFunc(byY, func(a, b deltaEnt) int {
+		return cmp.Or(cmp.Compare(a.loc.Y, b.loc.Y), cmp.Compare(a.id, b.id))
+	})
+	out := make([]int32, 0, base.n+len(ents))
+	rest := base.yAscIds
+	for i := range byY {
+		e := &byY[i]
+		k := sort.Search(len(rest), func(i int) bool {
+			y := base.anchor(rest[i]).Y
+			return y > e.loc.Y || (y == e.loc.Y && newID[rest[i]] > e.id)
+		})
+		for _, id := range rest[:k] {
+			out = append(out, newID[id])
+		}
+		out = append(out, e.id)
+		rest = rest[k:]
+	}
+	for _, id := range rest {
+		out = append(out, newID[id])
+	}
+	return out
+}
+
+// patch returns the level of the folded pyramid p that keeps l's bin
+// grid: l's arrays with the base's ids remapped and the appended
+// objects' ids, contributions and min/max values folded into their bins.
+func (l *satLevel) patch(p *Pyramid, ents []deltaEnt, newID []int32, rows *deltaRows) *satLevel {
+	g := l.gx
+	nl := &satLevel{
+		gx: l.gx, gy: l.gy, bw: l.bw, bh: l.bh, bx0: l.bx0, by0: l.by0,
+		eff: l.eff, hasMM: l.hasMM,
+	}
+
+	// The appended objects in bin order (row-major), ascending id within
+	// a bin.
+	type binned struct {
+		e      *deltaEnt
+		bi, bj int
+	}
+	bs := make([]binned, len(ents))
+	for t := range ents {
+		bi, bj := l.binOf(ents[t].loc.X, ents[t].loc.Y)
+		bs[t] = binned{&ents[t], bi, bj}
+	}
+	slices.SortFunc(bs, func(a, b binned) int {
+		return cmp.Or(cmp.Compare(a.bj, b.bj), cmp.Compare(a.bi, b.bi), cmp.Compare(a.e.id, b.e.id))
+	})
+
+	// CSR bins: offsets shift by the appended objects in earlier bins;
+	// ids are remapped run by run, each appended id merged into its bin.
+	nl.binStart = make([]int32, len(l.binStart))
+	k := 0
+	for b := range nl.binStart {
+		for k < len(bs) && bs[k].bj*g+bs[k].bi < b {
+			k++
+		}
+		nl.binStart[b] = l.binStart[b] + int32(k)
+	}
+	nl.binIds = make([]int32, 0, len(l.binIds)+len(bs))
+	next := int32(0) // next base entry of l.binIds
+	for _, d := range bs {
+		b := d.bj*g + d.bi
+		seg := l.binIds[max(next, l.binStart[b]):l.binStart[b+1]]
+		upto := l.binStart[b+1] - int32(len(seg)) +
+			int32(sort.Search(len(seg), func(i int) bool { return newID[seg[i]] > d.e.id }))
+		for _, id := range l.binIds[next:upto] {
+			nl.binIds = append(nl.binIds, newID[id])
+		}
+		nl.binIds = append(nl.binIds, d.e.id)
+		next = upto
+	}
+	for _, id := range l.binIds[next:] {
+		nl.binIds = append(nl.binIds, newID[id])
+	}
+
+	// Threshold arrays: remap, then let each appended anchor claim the
+	// part of a prefix-max / suffix-min run it beats. Along a run the
+	// extreme is monotone, so the first bin that holds out ends the walk.
+	remap := func(run []int32) []int32 {
+		out := make([]int32, len(run))
+		for i, id := range run {
+			out[i] = -1
+			if id >= 0 {
+				out[i] = newID[id]
+			}
+		}
+		return out
+	}
+	claim := func(run []int32, from, step int, id int32, beats func(cur geom.Point) bool) {
+		for i := from; i >= 0 && i < len(run); i += step {
+			if cur := run[i]; cur >= 0 && !beats(p.anchor(cur)) {
+				return
+			}
+			run[i] = id
+		}
+	}
+	nl.xMaxUpTo, nl.xMinFrom = remap(l.xMaxUpTo), remap(l.xMinFrom)
+	nl.yMaxUpTo, nl.yMinFrom = remap(l.yMaxUpTo), remap(l.yMinFrom)
+	for _, d := range bs {
+		loc := d.e.loc
+		claim(nl.xMaxUpTo, d.bi, +1, d.e.id, func(cur geom.Point) bool { return loc.X > cur.X })
+		claim(nl.xMinFrom, d.bi, -1, d.e.id, func(cur geom.Point) bool { return loc.X < cur.X })
+		claim(nl.yMaxUpTo, d.bj, +1, d.e.id, func(cur geom.Point) bool { return loc.Y > cur.Y })
+		claim(nl.yMinFrom, d.bj, -1, d.e.id, func(cur geom.Point) bool { return loc.Y < cur.Y })
+	}
+
+	// Planes: the base's plus the 2D prefix sum of the delta grid, added
+	// row by row. acc holds the delta's column totals over the bin rows
+	// done so far and pre its running sum along the row — that row of the
+	// prefix sum — recomputed only where a row brings new objects. Rows
+	// above the first touched one are the base's.
+	C := l.eff + 1
+	w := g + 1
+	nl.sat = append([]int64(nil), l.sat...)
+	acc := make([]int64, w*C)
+	pre := make([]int64, w*C)
+	k = 0
+	for j := 1; j <= g && len(bs) > 0; j++ {
+		if k < len(bs) && bs[k].bj+1 == j {
+			for ; k < len(bs) && bs[k].bj+1 == j; k++ {
+				at := (bs[k].bi + 1) * C
+				acc[at]++
+				r := bs[k].e.row
+				cbs := rows.con[rows.cOff[r]:rows.cOff[r+1]]
+				scaled := rows.conI[rows.cOff[r]:rows.cOff[r+1]]
+				for q := range cbs {
+					acc[at+1+cbs[q].Ch] += scaled[q]
+				}
+			}
+			for x := C; x < len(pre); x++ {
+				pre[x] = pre[x-C] + acc[x]
+			}
+		}
+		if j > bs[0].bj {
+			row := nl.sat[j*w*C : (j+1)*w*C]
+			for x, v := range pre {
+				row[x] += v
+			}
+		}
+	}
+
+	// Min/max companion: the base's per-bin folds plus the appended
+	// values, upper levels rebuilt from the leaves.
+	if l.hasMM {
+		nl.mm.ResetFrom(&l.mm)
+		for _, d := range bs {
+			r := d.e.row
+			for _, m := range rows.mms[rows.mOff[r]:rows.mOff[r+1]] {
+				nl.mm.Fold(d.bj, d.bi, m.Slot, m.V)
+			}
+		}
+		nl.mm.Build()
+	}
+	return nl
 }

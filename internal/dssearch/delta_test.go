@@ -1,10 +1,15 @@
 package dssearch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"asrs/internal/agg"
+	"asrs/internal/asp"
 	"asrs/internal/attr"
 	"asrs/internal/geom"
 )
@@ -155,5 +160,342 @@ func TestDeltaFoldRejectsMismatch(t *testing.T) {
 	other, _ := pyramidDataset(t, rng, 120, func() float64 { return 1 }, false)
 	if _, _, err := BuildPyramidDelta(base, other); err == nil {
 		t.Fatal("foreign schema accepted")
+	}
+}
+
+// assertSameAnswers pins a folded pyramid against the rebuild and the
+// unassisted oracle for one query extent: region, point and the bits of
+// distance and representation, at workers 1 and 3 and through Prepare.
+// (The rebuild and the oracle are solved once each, at one worker.)
+func assertSameAnswers(t *testing.T, tag string, ds *attr.Dataset, f *agg.Composite, a, b float64, folded, rebuilt *Pyramid) {
+	t.Helper()
+	target := make([]float64, f.Dims())
+	for i := range target {
+		target[i] = float64(2 + i)
+	}
+	oracleRegion, oracle := solvePyr(t, ds, f, a, b, target, nil, nil, 1)
+	wantRegion, want := solvePyr(t, ds, f, a, b, target, rebuilt, nil, 1)
+	same := func(who string, gotRegion geom.Rect, got asp.Result, wantRegion geom.Rect, want asp.Result) {
+		t.Helper()
+		if gotRegion != wantRegion || got.Point != want.Point ||
+			math.Float64bits(got.Dist) != math.Float64bits(want.Dist) {
+			t.Fatalf("%s a=%g b=%g: %s answered %v@%v (region %v), want %v@%v (region %v)",
+				tag, a, b, who, got.Dist, got.Point, gotRegion, want.Dist, want.Point, wantRegion)
+		}
+		for i := range want.Rep {
+			if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
+				t.Fatalf("%s a=%g b=%g: %s rep[%d] %v != %v", tag, a, b, who, i, got.Rep[i], want.Rep[i])
+			}
+		}
+	}
+	same("rebuild vs oracle", wantRegion, want, oracleRegion, oracle)
+	prep, prepOK := folded.Prepare(a, b)
+	for _, workers := range []int{1, 3} {
+		gotRegion, got := solvePyr(t, ds, f, a, b, target, folded, nil, workers)
+		same(fmt.Sprintf("folded w=%d", workers), gotRegion, got, wantRegion, want)
+	}
+	if prepOK {
+		gotRegion, got := solvePyr(t, ds, f, a, b, target, folded, prep, 3)
+		same("prepared folded w=3", gotRegion, got, wantRegion, want)
+	}
+}
+
+// TestDeltaFoldChain folds 72 deltas of 1–128 objects one onto the
+// other — the pyramid of epoch k is only ever the fold of epoch k-1's,
+// as in a serving engine — and pins every epoch against a from-scratch
+// rebuild and the unassisted oracle. Scripted deltas cover the edges of
+// the patch: anchors below master position 0 and above n-1, outside the
+// base's bin grid on both axes (edge-bin clamp), a value that moves a
+// channel's shift (the recertify lane), an anchor tie — admitted when
+// every channel is plainly certified; with a two-float channel a
+// fallback, after which the corpus holds a tie and the chain goes on
+// rebuilding — and a value no certificate admits (a fallback that leaves
+// an unsorted pyramid, likewise). Across the chain the granularity
+// ladder must both hold (levels patched) and move (levels raised anew).
+func TestDeltaFoldChain(t *testing.T) {
+	old := satMinIds
+	satMinIds = 64
+	defer func() { satMinIds = old }()
+
+	const (
+		stepBelow, stepAbove = 5, 9 // anchors outside the hull
+		stepShift            = 21   // a value finer than the channel's grid
+		stepFallback         = 66   // the first delta that must fall back
+		steps                = 72
+	)
+	kinds := []struct {
+		name     string
+		num      func(*rand.Rand) float64
+		withMM   bool
+		allExact bool
+		finer    float64 // a value below the resolution of every other
+	}{
+		{"integer", func(r *rand.Rand) float64 { return float64(r.Intn(11) - 5) }, false, true, 1.0 / 1024},
+		{"decimal", func(r *rand.Rand) float64 { return 0.1 * float64(1+r.Intn(99)) }, false, false, 0.1 / 16},
+		{"minmax", func(r *rand.Rand) float64 { return float64(r.Intn(2001)) * 0.5 }, true, true, 1.0 / 1024},
+	}
+	extents := [][2]float64{{3, 2.5}, {0.37, 0.91}, {400, 400}}
+	for _, kind := range kinds {
+		rng := rand.New(rand.NewSource(20260927))
+		seed, f := pyramidDataset(t, rng, 120, func() float64 { return kind.num(rng) }, kind.withMM)
+		uniqueLocs(rng, seed)
+		cur, err := BuildPyramid(seed, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs := seed.Objects
+		folds, patched, raised := 0, 0, 0
+		for step := 0; step < steps; step++ {
+			d := 1 + rng.Intn(6)
+			if step%6 == 3 {
+				d = 1 + rng.Intn(128)
+			}
+			delta := make([]attr.Object, d)
+			for i := range delta {
+				delta[i] = attr.Object{
+					Loc:    geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100},
+					Values: []attr.Value{{Cat: rng.Intn(3)}, {Num: kind.num(rng)}},
+				}
+			}
+			// An existing location again: folded in when sums are
+			// order-free, the first fallback otherwise. Then a denormal.
+			stepTie, stepUncertified := stepFallback-6, stepFallback
+			if !kind.allExact {
+				stepTie, stepUncertified = stepFallback, stepFallback+3
+			}
+			switch step {
+			case stepBelow:
+				delta[0].Loc = geom.Point{X: -40, Y: 130}
+			case stepAbove:
+				delta[0].Loc = geom.Point{X: 170, Y: -25}
+			case stepTie:
+				delta[0].Loc = objs[17].Loc
+			case stepShift:
+				delta[0].Values[1].Num = kind.finer
+			case stepUncertified:
+				delta[0].Values[1].Num = 5e-324
+			}
+			wantFold := step < stepFallback
+			combined := &attr.Dataset{Schema: seed.Schema, Objects: append(append([]attr.Object(nil), objs...), delta...)}
+			tag := fmt.Sprintf("%s step %d (n=%d, d=%d)", kind.name, step, len(objs), d)
+
+			next, stats, err := BuildPyramidDelta(cur, combined)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if stats.Folded != wantFold || stats.Appended != d {
+				t.Fatalf("%s: Folded=%v Appended=%d, want %v and %d", tag, stats.Folded, stats.Appended, wantFold, d)
+			}
+			if stats.Folded {
+				folds++
+				if slices.Equal(levelGrids(cur.n, cur.mmSlots), levelGrids(next.n, next.mmSlots)) && step != stepShift {
+					patched++
+				} else {
+					raised++
+				}
+			}
+			rebuilt, err := BuildPyramid(combined, f)
+			if err != nil {
+				t.Fatalf("%s: rebuild: %v", tag, err)
+			}
+			ab := extents[step%len(extents)]
+			assertSameAnswers(t, tag, combined, f, ab[0], ab[1], next, rebuilt)
+			assertSoundPyramid(t, tag, next, rebuilt, rng)
+			cur, objs = next, combined.Objects
+		}
+		if folds < 64 || patched == 0 || raised == 0 {
+			t.Fatalf("%s: %d folds (%d patched their levels, %d raised them anew); want at least 64, and both kinds",
+				kind.name, folds, patched, raised)
+		}
+	}
+}
+
+// TestDeltaFoldLeavesBaseAlone runs epoch-k queries on a pyramid while
+// two epoch-k+1 folds patch copies of it: under -race any write to the
+// shared base is a failure, and the queries' answers must not move.
+func TestDeltaFoldLeavesBaseAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ds, f := pyramidDataset(t, rng, 600, func() float64 { return 0.1 * float64(1+rng.Intn(99)) }, true)
+	uniqueLocs(rng, ds)
+	base, err := BuildPyramid(ds, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := make([]float64, f.Dims())
+	target[0] = 40
+	_, want := solvePyr(t, ds, f, 9, 8, target, base, nil, 1)
+
+	combined := &attr.Dataset{Schema: ds.Schema, Objects: append([]attr.Object(nil), ds.Objects...)}
+	for i := 0; i < 40; i++ {
+		combined.Objects = append(combined.Objects, attr.Object{
+			Loc:    geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100},
+			Values: []attr.Value{{Cat: rng.Intn(3)}, {Num: 0.1 * float64(1+rng.Intn(99))}},
+		})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if _, stats, err := BuildPyramidDelta(base, combined); err != nil || !stats.Folded {
+					t.Errorf("fold: Folded=%v err=%v", stats != nil && stats.Folded, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			q := asp.Query{F: f, Target: target}
+			for i := 0; i < 4; i++ {
+				_, got, _, err := SolveASRS(ds, 9, 8, q, Options{Workers: 2, Pyramid: base})
+				if err != nil || math.Float64bits(got.Dist) != math.Float64bits(want.Dist) || got.Point != want.Point {
+					t.Errorf("query during fold: %v@%v (err %v), want %v@%v", got.Dist, got.Point, err, want.Dist, want.Point)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// filled returns n copies of v.
+func filled(n int, v float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// assertSoundPyramid checks a folded pyramid structurally — answers
+// alone let a stale plane or threshold slip through whenever the search
+// happens not to lean on it. The core and the id orders must equal the
+// rebuild's outright (when the order is unique; tied objects may sit
+// either way round). Each level must describe one assignment of anchors
+// to bins consistently: whatever grid it keeps, its CSR lists, planes,
+// threshold arrays and min/max companion are re-derived here from that
+// assignment and compared.
+func assertSoundPyramid(t *testing.T, tag string, p, rebuilt *Pyramid, rng *rand.Rand) {
+	t.Helper()
+	if p.strict != rebuilt.strict {
+		t.Fatalf("%s: strict=%v, rebuild says %v", tag, p.strict, rebuilt.strict)
+	}
+	if c, r := p.core, rebuilt.core; p.strict && !(slices.Equal(p.order, rebuilt.order) &&
+		slices.Equal(p.xAscIds, rebuilt.xAscIds) && slices.Equal(p.yAscIds, rebuilt.yAscIds) &&
+		slices.Equal(c.cOff, r.cOff) && slices.Equal(c.contribs, r.contribs) && slices.Equal(c.contribsI, r.contribsI) &&
+		slices.Equal(c.mOff, r.mOff) && slices.Equal(c.mms, r.mms) &&
+		slices.Equal(c.chOK, r.chOK) && slices.Equal(c.chScale, r.chScale) && slices.Equal(c.chInv, r.chInv) &&
+		slices.Equal(c.twoOf, r.twoOf) && c.eff == r.eff && c.twoCount == r.twoCount &&
+		c.allExact == r.allExact && c.sortExact == r.sortExact && c.anyExact == r.anyExact && c.sorted == r.sorted) {
+		t.Fatalf("%s: folded core or id orders differ from the rebuild's", tag)
+	}
+	if got, want := len(p.lvls), len(rebuilt.lvls); got != want {
+		t.Fatalf("%s: %d levels, rebuild has %d", tag, got, want)
+	}
+	c := p.core
+	for li, l := range p.lvls {
+		g, C := l.gx, l.eff+1
+		if g != rebuilt.lvls[li].gx || l.eff != c.eff {
+			t.Fatalf("%s level %d: g=%d eff=%d, rebuild has g=%d eff=%d", tag, li, g, l.eff, rebuilt.lvls[li].gx, c.eff)
+		}
+		fail := func(what string) { t.Helper(); t.Fatalf("%s level %d (g=%d): %s", tag, li, g, what) }
+		if len(l.binStart) != g*g+1 || l.binStart[0] != 0 || int(l.binStart[g*g]) != p.n || len(l.binIds) != p.n {
+			fail("CSR bounds")
+		}
+		w := g + 1
+		sat := make([]int64, w*w*C)
+		inf, ninf := math.Inf(1), math.Inf(-1)
+		colMax, colMin := filled(g, ninf), filled(g, inf)
+		rowMax, rowMin := filled(g, ninf), filled(g, inf)
+		binMn := filled(g*g*max(p.mmSlots, 1), inf)
+		binMx := filled(g*g*max(p.mmSlots, 1), ninf)
+		for b := 0; b < g*g; b++ {
+			ids := l.binIds[l.binStart[b]:l.binStart[b+1]]
+			for k, id := range ids {
+				loc := p.anchor(id)
+				if bi, bj := l.binOf(loc.X, loc.Y); bj*g+bi != b || (k > 0 && ids[k-1] >= id) {
+					fail(fmt.Sprintf("id %d misplaced in bin %d", id, b))
+				}
+				bi, bj := b%g, b/g
+				at := ((bj+1)*w + bi + 1) * C
+				sat[at]++
+				for q, cb := range c.rectContribs(id) {
+					sat[at+1+cb.Ch] += c.rectContribsI(id)[q]
+				}
+				colMax[bi], colMin[bi] = max(colMax[bi], loc.X), min(colMin[bi], loc.X)
+				rowMax[bj], rowMin[bj] = max(rowMax[bj], loc.Y), min(rowMin[bj], loc.Y)
+				if p.mmSlots > 0 {
+					for _, m := range c.rectMM(id) {
+						binMn[b*p.mmSlots+m.Slot] = min(binMn[b*p.mmSlots+m.Slot], m.V)
+						binMx[b*p.mmSlots+m.Slot] = max(binMx[b*p.mmSlots+m.Slot], m.V)
+					}
+				}
+			}
+		}
+		for j := 0; j <= g; j++ {
+			for i := 0; i <= g; i++ {
+				for ch := 0; ch < C; ch++ {
+					at := (j*w+i)*C + ch
+					if i > 0 {
+						sat[at] += sat[at-C]
+					}
+					if j > 0 {
+						sat[at] += sat[at-w*C]
+					}
+					if i > 0 && j > 0 {
+						sat[at] -= sat[at-w*C-C]
+					}
+				}
+			}
+		}
+		if !slices.Equal(sat, l.sat) {
+			fail("planes are not the prefix sums of the bins")
+		}
+		// Threshold runs, by value: ids may differ where anchors tie.
+		val := func(id int32, y bool, empty float64) float64 {
+			if id < 0 {
+				return empty
+			}
+			if y {
+				return p.anchor(id).Y
+			}
+			return p.anchor(id).X
+		}
+		up, down := ninf, inf
+		upY, downY := ninf, inf
+		for i := 0; i < g; i++ {
+			up, upY = max(up, colMax[i]), max(upY, rowMax[i])
+			down, downY = min(down, colMin[g-1-i]), min(downY, rowMin[g-1-i])
+			if val(l.xMaxUpTo[i], false, ninf) != up || val(l.yMaxUpTo[i], true, ninf) != upY ||
+				val(l.xMinFrom[g-1-i], false, inf) != down || val(l.yMinFrom[g-1-i], true, inf) != downY {
+				fail(fmt.Sprintf("threshold run at bin %d", i))
+			}
+		}
+		if l.hasMM != (p.mmSlots > 0) {
+			fail("min/max companion presence")
+		}
+		for trial := 0; l.hasMM && trial < 64; trial++ {
+			// Single bins first, then random rectangles of bins.
+			j0, i0 := rng.Intn(g), rng.Intn(g)
+			j1, i1 := j0+1, i0+1
+			if trial >= 16 {
+				j1, i1 = j0+1+rng.Intn(g-j0), i0+1+rng.Intn(g-i0)
+			}
+			mn, mx := filled(p.mmSlots, inf), filled(p.mmSlots, ninf)
+			wantMn, wantMx := slices.Clone(mn), slices.Clone(mx)
+			l.mm.QueryRegion(j0, j1, i0, i1, mn, mx)
+			for j := j0; j < j1; j++ {
+				for i := i0; i < i1; i++ {
+					for s := 0; s < p.mmSlots; s++ {
+						wantMn[s] = min(wantMn[s], binMn[(j*g+i)*p.mmSlots+s])
+						wantMx[s] = max(wantMx[s], binMx[(j*g+i)*p.mmSlots+s])
+					}
+				}
+			}
+			if !slices.Equal(mn, wantMn) || !slices.Equal(mx, wantMx) {
+				fail(fmt.Sprintf("min/max over bins [%d,%d)x[%d,%d)", j0, j1, i0, i1))
+			}
+		}
 	}
 }

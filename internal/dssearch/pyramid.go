@@ -53,6 +53,14 @@ type Pyramid struct {
 	order            []int32     // master position -> dataset object index
 	xAscIds, yAscIds []int32     // master ids sorted by anchor x / y (accuracy)
 	lvls             []*satLevel // SAT hierarchy, finest first (empty when nothing certifies)
+
+	// Delta-fold state (delta.go). strict: the master anchors increase
+	// strictly, i.e. the canonical order is the only one the comparator
+	// admits. cert: the certificate's running sums over the dataset, which
+	// a fold extends by the appended objects; nil until a fold needs them
+	// (derived from the core then).
+	strict bool
+	cert   *certSums
 }
 
 // BuildPyramid constructs the pyramid for one composite over a dataset.
@@ -85,17 +93,6 @@ func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
 	}
 	core := &tables{}
 	master := buildTables(core, synth, f, true)
-	return finishPyramid(ds, f, core, master), nil
-}
-
-// finishPyramid assembles a Pyramid from a frozen aggregation core and
-// its master array: recovers the sort permutation, derives the
-// accuracy-walk id orders, and raises the SAT hierarchy. Shared by
-// BuildPyramid and BuildPyramidDelta — everything downstream of
-// buildTables is a pure function of (core, master), regardless of how
-// the master order was produced.
-func finishPyramid(ds *attr.Dataset, f *agg.Composite, core *tables, master []asp.RectObject) *Pyramid {
-	n := len(ds.Objects)
 
 	// Recover the sort permutation via object identity.
 	idxOf := make(map[*attr.Object]int32, n)
@@ -108,6 +105,7 @@ func finishPyramid(ds *attr.Dataset, f *agg.Composite, core *tables, master []as
 	}
 
 	p := &Pyramid{ds: ds, f: f, n: n, mmSlots: f.MinMaxSlots(), core: core, order: order}
+	p.strict = p.anchorsStrict()
 
 	xs := make([]float64, n)
 	ys := make([]float64, n)
@@ -117,36 +115,69 @@ func finishPyramid(ds *attr.Dataset, f *agg.Composite, core *tables, master []as
 	}
 	p.xAscIds = sortedIdsByValue(xs)
 	p.yAscIds = sortedIdsByValue(ys)
+	p.raiseLevels(xs, ys)
+	return p, nil
+}
 
-	if core.anyExact {
-		// The persistent hierarchy can afford finer levels than the
-		// per-query SAT: ring-scan work shrinks linearly with the bin
-		// width, and the cost-based pickLevel chooses per
-		// discretization. Min/max companions are memory-heavy (2D sparse
-		// tables), so composites with min/max slots cap lower.
-		g := satGrid(n)
-		cap := 256
-		if p.mmSlots > 0 {
-			cap = 128
+// levelGrids returns the bin granularities of the SAT hierarchy a fresh
+// build raises over n anchors, finest first. The persistent hierarchy
+// can afford finer levels than the per-query SAT: ring-scan work shrinks
+// linearly with the bin width, and the cost-based pickLevel chooses per
+// discretization. Min/max companions are memory-heavy (2D sparse
+// tables), so composites with min/max slots cap lower.
+func levelGrids(n, mmSlots int) []int {
+	g := satGrid(n)
+	cap := 256
+	if mmSlots > 0 {
+		cap = 128
+	}
+	for 2*g <= cap && g*g < n {
+		g *= 2
+	}
+	var grids []int
+	for {
+		grids = append(grids, g)
+		if g <= 8 {
+			return grids
 		}
-		for 2*g <= cap && g*g < n {
-			g *= 2
-		}
-		for {
-			l := &satLevel{}
-			buildSATLevel(l, g, xs, ys, core.eff,
-				core.cOff, core.contribs, core.contribsI, core.mOff, core.mms, p.mmSlots)
-			p.lvls = append(p.lvls, l)
-			if g <= 8 {
-				break
-			}
-			g /= 2
-			if g < 8 {
-				g = 8
-			}
+		g /= 2
+		if g < 8 {
+			g = 8
 		}
 	}
-	return p
+}
+
+// raiseLevels builds the SAT hierarchy from scratch over the stored
+// anchors xs/ys (master order). No levels when nothing certifies.
+func (p *Pyramid) raiseLevels(xs, ys []float64) {
+	core := p.core
+	if !core.anyExact {
+		return
+	}
+	for _, g := range levelGrids(p.n, p.mmSlots) {
+		l := &satLevel{}
+		buildSATLevel(l, g, xs, ys, core.eff,
+			core.cOff, core.contribs, core.contribsI, core.mOff, core.mms, p.mmSlots)
+		p.lvls = append(p.lvls, l)
+	}
+}
+
+// anchor returns the stored anchor (the object location) of master id.
+func (p *Pyramid) anchor(id int32) geom.Point { return p.ds.Objects[p.order[id]].Loc }
+
+// anchorLess is the master comparator over stored anchors.
+func anchorLess(a, b geom.Point) bool {
+	return a.X < b.X || (a.X == b.X && a.Y < b.Y)
+}
+
+// anchorsStrict reports whether the master anchors increase strictly.
+func (p *Pyramid) anchorsStrict() bool {
+	for id := 1; id < p.n; id++ {
+		if !anchorLess(p.anchor(int32(id-1)), p.anchor(int32(id))) {
+			return false
+		}
+	}
+	return true
 }
 
 // sortedIdsByValue returns the indices of vs in ascending value order
@@ -538,6 +569,13 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 		ds: ds, f: f, n: n, mmSlots: s.MMSlots,
 		core: core, order: s.Order, xAscIds: s.XAscIds, yAscIds: s.YAscIds,
 	}
+	p.strict = p.anchorsStrict()
+	// The file does not carry the bin grid origin: a level is only ever
+	// saved as built, with its origin at the hull's lower-left corner.
+	var origin geom.Point
+	if n > 0 {
+		origin = geom.Point{X: p.anchor(s.XAscIds[0]).X, Y: p.anchor(s.YAscIds[0]).Y}
+	}
 	for li := range s.Levels {
 		ls := &s.Levels[li]
 		g := ls.G
@@ -566,7 +604,7 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 			}
 		}
 		l := &satLevel{
-			gx: g, gy: g, bw: ls.BW, bh: ls.BH, eff: s.Eff,
+			gx: g, gy: g, bw: ls.BW, bh: ls.BH, bx0: origin.X, by0: origin.Y, eff: s.Eff,
 			sat: ls.Sat, binStart: ls.BinStart, binIds: ls.BinIds,
 			xMaxUpTo: ls.XMaxUpTo, xMinFrom: ls.XMinFrom,
 			yMaxUpTo: ls.YMaxUpTo, yMinFrom: ls.YMinFrom,

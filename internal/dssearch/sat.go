@@ -131,8 +131,9 @@ const maxShift = 62
 // uncertain, so cell totals depend only on the true predicate sets, not
 // on the bin geometry or level choice.
 type satLevel struct {
-	gx, gy int
-	bw, bh float64 // bin extents in stored space (level selection only)
+	gx, gy   int
+	bw, bh   float64 // bin extents in stored space (level selection only)
+	bx0, by0 float64 // bin grid origin in stored space (binning only, see binOf)
 
 	sat      []int64 // (gx+1)*(gy+1)*(eff+1) prefix sums; plane 0 = count
 	binStart []int32 // gx*gy+1 CSR offsets
@@ -261,6 +262,31 @@ func (l *satLevel) countRegion(i0, i1, j0, j1 int) int64 {
 	return l.sat[(j1*w+i1)*C] - l.sat[(j0*w+i1)*C] - l.sat[(j1*w+i0)*C] + l.sat[(j0*w+i0)*C]
 }
 
+// binOf maps a stored anchor to its bin column and row: a uniform grid
+// of bw×bh bins from the origin (bx0, by0), anchors outside it clamped
+// into the edge bins. Nothing a level answers depends on WHICH bin an
+// anchor sits in — only on binIds/binStart, the sat planes, the
+// threshold arrays and the min/max companion describing one and the
+// same assignment — so a level patched by a delta fold (delta.go) keeps
+// its base's grid even after the corpus has outgrown it.
+func (l *satLevel) binOf(x, y float64) (bi, bj int) {
+	bi = int((x - l.bx0) / l.bw)
+	if bi < 0 {
+		bi = 0
+	}
+	if bi >= l.gx {
+		bi = l.gx - 1
+	}
+	bj = int((y - l.by0) / l.bh)
+	if bj < 0 {
+		bj = 0
+	}
+	if bj >= l.gy {
+		bj = l.gy - 1
+	}
+	return bi, bj
+}
+
 // buildSATLevel fills l with a g×g bin grid over the stored anchor
 // coordinates xs/ys (aligned with master ids 0..n-1), the scaled
 // channel planes, the id-anchored threshold arrays, and — when
@@ -288,6 +314,7 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64, eff int,
 			by1 = ys[i]
 		}
 	}
+	l.bx0, l.by0 = bx0, by0
 	l.bw = (bx1 - bx0) / float64(g)
 	l.bh = (by1 - by0) / float64(g)
 	if !(l.bw > 0) {
@@ -295,26 +322,6 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64, eff int,
 	}
 	if !(l.bh > 0) {
 		l.bh = 1
-	}
-	binx := func(x float64) int {
-		v := int((x - bx0) / l.bw)
-		if v < 0 {
-			v = 0
-		}
-		if v >= g {
-			v = g - 1
-		}
-		return v
-	}
-	biny := func(y float64) int {
-		v := int((y - by0) / l.bh)
-		if v < 0 {
-			v = 0
-		}
-		if v >= g {
-			v = g - 1
-		}
-		return v
 	}
 
 	// CSR bins via counting sort (stable: ids ascend within each bin).
@@ -324,7 +331,8 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64, eff int,
 		l.binStart[i] = 0
 	}
 	for i := 0; i < n; i++ {
-		l.binStart[biny(ys[i])*g+binx(xs[i])+1]++
+		bi, bj := l.binOf(xs[i], ys[i])
+		l.binStart[bj*g+bi+1]++
 	}
 	for b := 0; b < nb; b++ {
 		l.binStart[b+1] += l.binStart[b]
@@ -332,7 +340,8 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64, eff int,
 	l.binIds = resizeInt32(l.binIds, n)
 	fill := append([]int32(nil), l.binStart[:nb]...)
 	for i := 0; i < n; i++ {
-		b := biny(ys[i])*g + binx(xs[i])
+		bi, bj := l.binOf(xs[i], ys[i])
+		b := bj*g + bi
 		l.binIds[fill[b]] = int32(i)
 		fill[b]++
 	}
@@ -351,7 +360,7 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64, eff int,
 		colMax[i], colMin[i], rowMax[i], rowMin[i] = -1, -1, -1, -1
 	}
 	for i := 0; i < n; i++ {
-		bi, bj := binx(xs[i]), biny(ys[i])
+		bi, bj := l.binOf(xs[i], ys[i])
 		if colMax[bi] < 0 || xs[i] > xs[colMax[bi]] {
 			colMax[bi] = int32(i)
 		}
@@ -406,7 +415,7 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64, eff int,
 		l.sat[i] = 0
 	}
 	for i := 0; i < n; i++ {
-		bi, bj := binx(xs[i]), biny(ys[i])
+		bi, bj := l.binOf(xs[i], ys[i])
 		at := ((bj+1)*w + bi + 1) * C
 		l.sat[at]++
 		cbs := contribs[cOff[i]:cOff[i+1]]
@@ -439,7 +448,7 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64, eff int,
 	if l.hasMM {
 		l.mm.Reset(g, g, mmSlots)
 		for i := 0; i < n; i++ {
-			bi, bj := binx(xs[i]), biny(ys[i])
+			bi, bj := l.binOf(xs[i], ys[i])
 			for _, m := range mms[mOff[i]:mOff[i+1]] {
 				l.mm.Fold(bj, bi, m.Slot, m.V)
 			}
@@ -936,15 +945,7 @@ func (t *tables) flattenContribs(master []asp.RectObject) {
 		start := len(t.contribs)
 		t.contribs = t.f.AppendContribs(master[i].Obj, t.contribs)
 		if t.twoCount > 0 {
-			end := len(t.contribs)
-			for k := start; k < end; k++ {
-				cb := &t.contribs[k]
-				if sh := t.twoOf[cb.Ch]; sh >= 0 {
-					hi, lo := twoSplit(cb.V, t.chScale[cb.Ch], t.chInv[cb.Ch])
-					cb.V = hi
-					t.contribs = append(t.contribs, agg.Contrib{Ch: int(sh), V: lo})
-				}
-			}
+			t.splitTail(start)
 		}
 		t.cOff = append(t.cOff, int32(len(t.contribs)))
 	}
@@ -956,6 +957,39 @@ func (t *tables) flattenContribs(master []asp.RectObject) {
 			t.mOff = append(t.mOff, int32(len(t.mms)))
 		}
 	}
+}
+
+// splitTail rewrites the raw contributions t.contribs[start:] — one
+// rectangle's, just appended — into the eff-space layout: each one on a
+// two-float channel becomes its hi part (logical slot), with the lo part
+// (shadow slot) appended behind the rectangle's logical contributions.
+func (t *tables) splitTail(start int) {
+	for k, end := start, len(t.contribs); k < end; k++ {
+		cb := &t.contribs[k]
+		if sh := t.twoOf[cb.Ch]; sh >= 0 {
+			hi, lo := twoSplit(cb.V, t.chScale[cb.Ch], t.chInv[cb.Ch])
+			cb.V = hi
+			t.contribs = append(t.contribs, agg.Contrib{Ch: int(sh), V: lo})
+		}
+	}
+}
+
+// rawRow appends master[id]'s contributions to dst with the two-float
+// split undone (hi + lo == v was certified, so v comes back exactly).
+func (t *tables) rawRow(id int32, dst []agg.Contrib) []agg.Contrib {
+	cbs := t.rectContribs(id)
+	shadow := len(cbs)
+	for shadow > 0 && cbs[shadow-1].Ch >= t.chans {
+		shadow--
+	}
+	for _, cb := range cbs[:shadow] {
+		if t.twoOf[cb.Ch] >= 0 {
+			cb.V += cbs[shadow].V
+			shadow++
+		}
+		dst = append(dst, cb)
+	}
+	return dst
 }
 
 // fold collapses an eff-space cell vector into the logical channel

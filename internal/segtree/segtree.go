@@ -184,6 +184,17 @@ func (t *Sparse2D) Reset(rows, width, slots int) {
 	}
 }
 
+// ResetFrom re-dimensions the table like src and copies src's leaf
+// level — the per-cell folds — leaving the upper levels to Build. Since
+// folding is monotone (a cell's min only falls, its max only rises), a
+// table whose cells absorb further values is refreshed from the retained
+// leaves alone: ResetFrom, Fold the new values, Build. src is only read.
+func (t *Sparse2D) ResetFrom(src *Sparse2D) {
+	t.Reset(src.rows, src.width, src.slots)
+	copy(t.mn[:t.plane], src.mn[:src.plane])
+	copy(t.mx[:t.plane], src.mx[:src.plane])
+}
+
 func log2floor(n int) int {
 	l := 0
 	for n > 1 {

@@ -860,7 +860,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // draining (load balancers stop sending work before the listener
 // closes) and while warming (eagerly-loaded shards and WAL recovery
 // haven't finished — see SetReady); 200 once the server should receive
-// traffic.
+// traffic. A sharded server turns ready even when a shard failed to load
+// (its breaker isolates it and the next request retries), so the 200's
+// payload names every shard that has no engine yet.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
@@ -870,7 +872,19 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "warming"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+	payload := map[string]any{"status": "ready"}
+	if s.router != nil {
+		var unloaded []string
+		for _, sh := range s.router.Catalog().Shards() {
+			if sh.Loaded() == nil {
+				unloaded = append(unloaded, sh.Name())
+			}
+		}
+		if len(unloaded) > 0 {
+			payload["unloaded_shards"] = unloaded
+		}
+	}
+	writeJSON(w, http.StatusOK, payload)
 }
 
 // Stats is the GET /stats document: server-level serving counters plus

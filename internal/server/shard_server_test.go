@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -246,17 +247,19 @@ func TestServerShardUnavailable(t *testing.T) {
 }
 
 // TestServerReadyz: a StartUnready server reports warming on /readyz
-// (while /healthz stays live) until SetReady flips the gate.
+// (while /healthz stays live) until SetReady flips the gate; once ready,
+// the payload names exactly the shards that have no engine.
 func TestServerReadyz(t *testing.T) {
-	s, ts, _, _, _ := newShardServer(t, server.Config{StartUnready: true}, shard.BreakerConfig{})
+	s, ts, rt, _, _ := newShardServer(t, server.Config{StartUnready: true}, shard.BreakerConfig{})
 
+	var pl map[string]any
 	check := func(path string, wantStatus int, wantState string) {
 		t.Helper()
+		pl = nil
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var pl map[string]any
 		if err := json.NewDecoder(resp.Body).Decode(&pl); err != nil {
 			t.Fatal(err)
 		}
@@ -267,6 +270,19 @@ func TestServerReadyz(t *testing.T) {
 	}
 	check("/readyz", http.StatusServiceUnavailable, "warming")
 	check("/healthz", http.StatusOK, "ok")
+	if err := rt.Catalog().WarmAll(); err != nil {
+		t.Fatal(err)
+	}
 	s.SetReady(true)
 	check("/readyz", http.StatusOK, "ready")
+	if _, listed := pl["unloaded_shards"]; listed {
+		t.Fatalf("every shard is loaded, yet /readyz lists %v", pl["unloaded_shards"])
+	}
+	if err := rt.Catalog().Shards()[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("/readyz", http.StatusOK, "ready")
+	if got := fmt.Sprint(pl["unloaded_shards"]); got != "[shard-1]" {
+		t.Fatalf("/readyz unloaded_shards = %s, want [shard-1]", got)
+	}
 }

@@ -377,3 +377,67 @@ func TestRouterInsertRouting(t *testing.T) {
 		}
 	}
 }
+
+// TestShardReloadTwoCompositesAfterCrash: a shard with two registered
+// composites, persisted pyramids and un-compacted WAL records must come
+// back after a crash. The pyramid files describe the seed slab, so every
+// one of them has to be installed before the first Warm materialises
+// the epoch holding the recovered inserts (bench/README finding 2: the
+// second composite's SetPyramid used to fail with "pyramid was built for
+// a different dataset" and the shard stayed unloaded).
+func TestShardReloadTwoCompositesAfterCrash(t *testing.T) {
+	ds, f, q := corpus(t, 80, 23)
+	counts := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Count})
+	qCount := asrs.Query{F: counts, Target: []float64{4}}
+	dir := t.TempDir()
+	cfg := shard.Config{
+		Shards:      2,
+		Composites:  map[string]*asrs.Composite{"q": f, "n": counts},
+		Names:       []string{"q", "n"},
+		PyramidBase: dir + "/pyr",
+		WALRoot:     dir + "/wal",
+		Engine:      asrs.EngineOptions{Ingest: asrs.IngestOptions{CompactAt: -1}},
+	}
+	cat, err := shard.New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}})
+	extra := dataset.Random(30, 100, 24).Objects
+	if err := rt.Insert(extra); err != nil {
+		t.Fatal(err)
+	}
+	merged := cat.CurrentDataset()
+	// Closing syncs and releases the WALs without compacting them: what
+	// the next boot finds is what a SIGKILL after the last ack leaves.
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cat, err = shard.New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	if err := cat.WarmAll(); err != nil {
+		t.Fatalf("reload after crash: %v", err)
+	}
+	if got := len(cat.CurrentDataset().Objects); got != len(merged.Objects) {
+		t.Fatalf("reloaded corpus has %d objects, want %d", got, len(merged.Objects))
+	}
+	rt = shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}})
+	extent := asrs.Rect{MinX: 3, MinY: 3, MaxX: 97, MaxY: 97}
+	for name, query := range map[string]asrs.Query{"q": q, "n": qCount} {
+		_, want, _, err := asrs.SearchWithin(merged, 6, 6, query, extent, nil, asrs.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := rt.Query(context.Background(), shard.Request{Query: query, A: 6, B: 6, Extent: &extent})
+		if resp.Err != nil {
+			t.Fatalf("composite %s after reload: %v", name, resp.Err)
+		}
+		if !sameBits(resp.Results[0].Dist, want.Dist) {
+			t.Fatalf("composite %s after reload: dist %g, oracle %g", name, resp.Results[0].Dist, want.Dist)
+		}
+	}
+}

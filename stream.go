@@ -14,13 +14,19 @@ import (
 // served corpus while queries keep running (DESIGN.md §10).
 //
 // The logical dataset is the seed corpus followed by every ingested
-// object in append (LSN) order. Inserts are O(delta): validate, append
-// one WAL record (when durable), and stage the objects in memory. The
-// first query after an insert materializes a fresh immutable epoch view
-// — a combined dataset plus per-composite index and pyramid caches —
-// and the pyramid is produced by folding the appended tail into the
-// previous epoch's pyramid (BuildPyramidDelta), bit-identical to a
-// from-scratch rebuild. Queries in flight keep their captured view;
+// object in append (LSN) order. An insert itself is O(delta): validate,
+// append one WAL record (when durable), and stage the objects in memory.
+// The first query after an insert pays for the new epoch: it
+// materializes a fresh immutable view — one copy of the object array
+// plus per-composite index and pyramid caches — and the pyramid is the
+// previous epoch's with the appended tail folded in
+// (dssearch.FoldPyramid): the tail is flattened, certified and sorted on
+// its own, spliced into copies of the base's arrays, and added to the
+// SAT planes as one prefix-summed delta grid. That is O(d log n) work
+// plus a few linear copies of int32/int64 arrays — no sort, flatten or
+// certificate pass over the n old objects — and bit-identical to a
+// from-scratch rebuild, which remains the fallback when the fold's
+// exactness gates refuse. Queries in flight keep their captured view;
 // they answer against the epoch that was current when they arrived.
 //
 // Durability (IngestOptions.WALDir set):

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"asrs"
+	"asrs/internal/dataset"
 )
 
 // streamFixture splits the batch fixture's corpus into a seed prefix and
@@ -447,4 +448,59 @@ func TestConcurrentInsertQueryCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = full
+}
+
+// TestPyramidFoldStats: Stats tells folds from rebuilds, by count and by
+// time. The first pyramid is a full build; an insert of certifiable
+// objects is folded into it; an insert carrying a value no certificate
+// admits (a denormal) makes the fold's gate refuse, which counts as a
+// fallback and as rebuild time — and answers stay those of a fresh
+// engine throughout.
+func TestPyramidFoldStats(t *testing.T) {
+	full := dataset.Random(260, 100, 3)
+	for i := range full.Objects {
+		full.Objects[i].Values[1].Num = math.Round(full.Objects[i].Values[1].Num)
+	}
+	f, err := asrs.NewComposite(full.Schema,
+		asrs.AggSpec{Kind: asrs.Distribution, Attr: "cat"},
+		asrs.AggSpec{Kind: asrs.Sum, Attr: "val"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := asrs.QueryRequest{Query: asrs.Query{F: f, Target: []float64{2, 1, 2, 6}}, A: 7, B: 6}
+	eng, err := asrs.NewEngine(&asrs.Dataset{Schema: full.Schema, Objects: full.Objects[:200]},
+		asrs.EngineOptions{Search: asrs.Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(tag string, n int, folds, fallbacks int64) asrs.EngineStats {
+		t.Helper()
+		oracle, err := asrs.NewEngine(&asrs.Dataset{Schema: full.Schema, Objects: full.Objects[:n]},
+			asrs.EngineOptions{Search: asrs.Options{Workers: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		respEqual(t, tag, 0, eng.Query(req), oracle.Query(req))
+		st := eng.Stats()
+		if st.PyramidFolds != folds || st.PyramidFoldFallbacks != fallbacks ||
+			(st.PyramidFoldMs > 0) != (folds > 0) || !(st.PyramidRebuildMs > 0) {
+			t.Fatalf("%s: folds=%d fallbacks=%d fold_ms=%g rebuild_ms=%g, want %d folds and %d fallbacks",
+				tag, st.PyramidFolds, st.PyramidFoldFallbacks, st.PyramidFoldMs, st.PyramidRebuildMs, folds, fallbacks)
+		}
+		return st
+	}
+	check("seed", 200, 0, 0)
+	if err := eng.InsertBatch(full.Objects[200:240]); err != nil {
+		t.Fatal(err)
+	}
+	before := check("folded", 240, 1, 0)
+	full.Objects[240].Values[1].Num = 5e-324
+	if err := eng.InsertBatch(full.Objects[240:260]); err != nil {
+		t.Fatal(err)
+	}
+	after := check("fallback", 260, 1, 1)
+	if !(after.PyramidRebuildMs > before.PyramidRebuildMs) || after.PyramidFoldMs != before.PyramidFoldMs {
+		t.Fatalf("fallback time went to the wrong counter: before %+v, after %+v", before, after)
+	}
 }
