@@ -102,6 +102,12 @@ func debugStats(stats asrs.SearchStats) {
 		stats.Discretizations, stats.SATFills, stats.Splits, stats.Bisections)
 	infof("cells: %d clean, %d dirty (%d pruned, %d refined, %d center probes)\n",
 		stats.CleanCells, stats.DirtyCells, stats.PrunedCells, stats.RefinedCells, stats.CenterProbes)
+	if stats.CleanCells > 0 {
+		// The clean-cell memo's bet is that clean cells come in runs of
+		// identical totals; this is how often it paid.
+		infof("clean cells evaluated: %d (%.1f%% of clean; the rest repeated the previous cell's totals)\n",
+			stats.CleanEvals, 100*float64(stats.CleanEvals)/float64(stats.CleanCells))
+	}
 	infof("mini-sweeps: %d over %d rects; strip evaluator: %d flat, %d fenwick\n",
 		stats.MiniSweeps, stats.MiniSweepRects, stats.FlatStrips, stats.FenwickStrips)
 	infof("heap: %d pushes (max %d), steals: %d\n", stats.HeapPushes, stats.MaxHeapSize, stats.Steals)

@@ -217,12 +217,18 @@ func TestDeltaFoldChain(t *testing.T) {
 	satMinIds = 64
 	defer func() { satMinIds = old }()
 
-	const (
-		stepBelow, stepAbove = 5, 9 // anchors outside the hull
-		stepShift            = 21   // a value finer than the channel's grid
-		stepFallback         = 66   // the first delta that must fall back
-		steps                = 72
+	const stepBelow, stepAbove = 5, 9 // anchors outside the hull
+	var (
+		stepShift    = 21 // a value finer than the channel's grid
+		stepFallback = 66 // the first delta that must fall back
+		steps        = 72
 	)
+	if testing.Short() {
+		// The same script over a third of the folds: under -race the full
+		// chain takes over a minute, nearly all of it in the per-epoch
+		// rebuilds and soundness checks the detector has nothing to see in.
+		stepShift, stepFallback, steps = 13, 18, 24
+	}
 	kinds := []struct {
 		name     string
 		num      func(*rand.Rand) float64
@@ -303,9 +309,9 @@ func TestDeltaFoldChain(t *testing.T) {
 			assertSoundPyramid(t, tag, next, rebuilt, rng)
 			cur, objs = next, combined.Objects
 		}
-		if folds < 64 || patched == 0 || raised == 0 {
-			t.Fatalf("%s: %d folds (%d patched their levels, %d raised them anew); want at least 64, and both kinds",
-				kind.name, folds, patched, raised)
+		if folds < stepFallback-2 || patched == 0 || raised == 0 {
+			t.Fatalf("%s: %d folds (%d patched their levels, %d raised them anew); want at least %d, and both kinds",
+				kind.name, folds, patched, raised, stepFallback-2)
 		}
 	}
 }

@@ -165,6 +165,7 @@ type Stats struct {
 	Splits          int // Split invocations
 	Bisections      int // forced bisections (progress guard)
 	CleanCells      int // clean cells evaluated
+	CleanEvals      int // clean cells finalized anew; the rest repeated their predecessor's totals
 	DirtyCells      int // dirty cells bounded
 	PrunedCells     int // dirty cells pruned by Equation 1
 	MiniSweeps      int // safety-net sweeps run
@@ -186,6 +187,7 @@ func (s *Stats) add(o Stats) {
 	s.Splits += o.Splits
 	s.Bisections += o.Bisections
 	s.CleanCells += o.CleanCells
+	s.CleanEvals += o.CleanEvals
 	s.DirtyCells += o.DirtyCells
 	s.PrunedCells += o.PrunedCells
 	s.MiniSweeps += o.MiniSweeps

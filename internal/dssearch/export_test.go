@@ -1,0 +1,56 @@
+package dssearch
+
+import (
+	"asrs/internal/asp"
+	"asrs/internal/geom"
+)
+
+// DiscretizeHarness drives Function Discretize on one worker from the
+// external test package, which — unlike this one — may import
+// internal/dataset for the benchmark corpora.
+type DiscretizeHarness struct {
+	s    *Searcher
+	w    *worker
+	best asp.Result
+
+	Space geom.Rect
+	Ids   []int32
+}
+
+// NewDiscretizeHarness solves the instance once, so the incumbent every
+// Run starts from is the one a search holds while it closes in on the
+// optimum, and grows a space around the answer point until it holds
+// wantIds rectangles.
+func NewDiscretizeHarness(rects []asp.RectObject, q asp.Query, a, b float64, wantIds int) (*DiscretizeHarness, error) {
+	s, err := NewSearcher(rects, q, Options{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	h := &DiscretizeHarness{s: s, w: s.workers[0], best: s.Solve()}
+	s.ensureScratch()
+	p := h.best.Point
+	for m := 0.01; len(h.Ids) < wantIds && m < 8; m += 0.01 {
+		h.Space = geom.Rect{MinX: p.X - m*a, MinY: p.Y - m*b, MaxX: p.X + m*a, MaxY: p.Y + m*b}
+		h.Ids = s.AppendWindowIDs(h.Space, h.Ids[:0])
+	}
+	return h, nil
+}
+
+// Crossing counts the rectangles with an edge strictly inside the space.
+func (h *DiscretizeHarness) Crossing() int {
+	n := 0
+	for _, id := range h.Ids {
+		if !h.s.rects[id].Rect.ContainsRect(h.Space) {
+			n++
+		}
+	}
+	return n
+}
+
+// Run discretizes the space once from the solved incumbent and returns
+// the number of surviving dirty cells.
+func (h *DiscretizeHarness) Run() int {
+	h.w.beginItem(h.best)
+	dirty, _ := h.w.discretize(h.Space, h.Space, h.Ids)
+	return len(dirty)
+}

@@ -59,6 +59,9 @@ type gridBuffers struct {
 	refineBase    []float64
 	refineCh      []float64
 	refinePartial []int32
+
+	rowSum     []float64 // integRow's running sum along one row
+	dirtyCells []int32   // pass 1 output: flat indices (cellIdx) of the dirty cells, row-major
 }
 
 // gridFloatSize returns the float-slab footprint of one gridBuffers.
@@ -67,12 +70,16 @@ type gridBuffers struct {
 func gridFloatSize(ncol, nrow int, f *agg.Composite, eff int) int {
 	pad := (nrow + 1) * (ncol + 1)
 	mmSlots, dims := f.MinMaxSlots(), f.Dims()
-	return 2*pad*eff + pad + 2*nrow*ncol*mmSlots + (ncol + 1) + (nrow + 1) + 3*dims + 2*eff + 2*f.Channels()
+	return 2*pad*eff + pad + 2*nrow*ncol*mmSlots + (ncol + 1) + (nrow + 1) + 3*dims + 2*eff + 2*f.Channels() + ncol*eff
 }
 
 // gridInt64Size returns the int64-slab footprint of one gridBuffers:
 // the two per-cell SAT accumulators.
 func gridInt64Size(eff int) int { return 2 * (eff + 1) }
+
+// gridInt32Size returns the int32-slab footprint of one gridBuffers: the
+// SAT fill's sixteen bin-range arrays and the dirty-cell list.
+func gridInt32Size(ncol, nrow int) int { return 8*ncol + 8*nrow + ncol*nrow }
 
 // newGridBuffersBatch builds n independent gridBuffers out of shared
 // slab allocations — one float slab, one int32 slab, one int64 slab,
@@ -85,7 +92,7 @@ func newGridBuffersBatch(n, ncol, nrow int, f *agg.Composite, eff int) []gridBuf
 	}
 	gs := make([]gridBuffers, n)
 	fper := gridFloatSize(ncol, nrow, f, eff)
-	iper := 8*ncol + 8*nrow
+	iper := gridInt32Size(ncol, nrow)
 	i64per := gridInt64Size(eff)
 	fslab := make([]float64, n*fper)
 	islab := make([]int32, n*iper)
@@ -101,7 +108,7 @@ func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
 }
 
 // init carves g's buffers from the provided slabs (sized by
-// gridFloatSize, 8*ncol+8*nrow, and gridInt64Size respectively).
+// gridFloatSize, gridInt32Size, and gridInt64Size respectively).
 func (g *gridBuffers) init(ncol, nrow int, f *agg.Composite, eff int, slab []float64, cols []int32, i64s []int64) {
 	*g = gridBuffers{
 		ncol:    ncol,
@@ -143,7 +150,8 @@ func (g *gridBuffers) init(ncol, nrow int, f *agg.Composite, eff int, slab []flo
 	g.oyIn0, cols = cols[:nrow], cols[nrow:]
 	g.oyIn1, cols = cols[:nrow], cols[nrow:]
 	g.oyOut0, cols = cols[:nrow], cols[nrow:]
-	g.oyOut1 = cols[:nrow]
+	g.oyOut1, cols = cols[:nrow], cols[nrow:]
+	g.dirtyCells = cols[: 0 : ncol*nrow]
 	g.rep = carve(g.dims)
 	g.lo = carve(g.dims)
 	g.hi = carve(g.dims)
@@ -151,26 +159,32 @@ func (g *gridBuffers) init(ncol, nrow int, f *agg.Composite, eff int, slab []flo
 	g.foldPart = carve(g.lchans)
 	g.refineBase = carve(g.chans)
 	g.refineCh = carve(g.chans)
+	g.rowSum = carve(ncol * g.chans)
 }
 
-func (g *gridBuffers) reset() {
-	clearF(g.diffFull)
-	clearF(g.diffPart)
-	clearF(g.diffCnt)
+// reset prepares the buffers for one fill, clearing only what that fill
+// accumulates into: the channel grids when a difference-array pass will
+// add to them, the counter grid when that pass owns it as well (the SAT
+// fill assigns every cell it owns instead of adding), and the min/max
+// fold identities always.
+func (g *gridBuffers) reset(channels, counts bool) {
+	if channels {
+		clear(g.diffFull)
+		clear(g.diffPart)
+	}
+	if counts {
+		clear(g.diffCnt)
+	}
 	for i := range g.mmMin {
 		g.mmMin[i] = math.Inf(1)
 		g.mmMax[i] = math.Inf(-1)
 	}
 }
 
-func clearF(v []float64) {
-	for i := range v {
-		v[i] = 0
-	}
-}
-
 // rangeAdd applies the sparse contributions to the 2D difference array
 // diff over cell rows [r0,r1] × cols [c0,c1] (inclusive, assumed valid).
+// Closing corners past the last column or row land in the pad, which no
+// cell's prefix sum includes.
 func (g *gridBuffers) rangeAdd(diff []float64, contribs []agg.Contrib, c0, r0, c1, r1 int) {
 	w := g.ncol + 1
 	a := (r0*w + c0) * g.chans
@@ -215,35 +229,73 @@ func (g *gridBuffers) mmUpdate(mm []agg.MMContrib, c0, r0, c1, r1 int) {
 	}
 }
 
-// integrate turns the difference arrays into per-cell values via a 2D
-// prefix sum (in place; cell (c,r) value lands at index (r*(ncol+1)+c)).
-func (g *gridBuffers) integrate() {
-	w := g.ncol + 1
-	h := g.nrow + 1
-	integ2D(g.diffFull, w, h, g.chans)
-	integ2D(g.diffPart, w, h, g.chans)
-	integ2D(g.diffCnt, w, h, 1)
+// integrateRow turns row r of the difference arrays into per-cell values
+// (in place; cell (c,r) lands at cellIdx(c,r)), given that every row
+// below r already holds them. Rows are integrated one at a time so pass 1
+// can evaluate each while it is still in L1; counts selects whether the
+// counter grid is integrated too (the hybrid fill's is SAT-owned).
+func (g *gridBuffers) integrateRow(r int, counts bool) {
+	integRow(g.diffFull, g.rowSum, r, g.ncol, g.chans)
+	integRow(g.diffPart, g.rowSum, r, g.ncol, g.chans)
+	if counts {
+		integRow(g.diffCnt, g.rowSum, r, g.ncol, 1)
+	}
 }
 
-func integ2D(v []float64, w, h, chans int) {
-	// Prefix along columns within each row.
-	for r := 0; r < h; r++ {
-		row := r * w * chans
-		for c := 1; c < w; c++ {
-			a := row + c*chans
-			b := a - chans
-			for ch := 0; ch < chans; ch++ {
-				v[a+ch] += v[b+ch]
-			}
+// integRow is one row of a 2D prefix sum over a (ncol+1)-cell-wide,
+// chans-deep array: the running sum along the row's ncol cells (kept in
+// sum, ncol*chans long), with the integrated row below added on. Per
+// element these are the two additions of the textbook form (all rows
+// prefixed, then rows accumulated) with the same operands, so the cell
+// values are the same bit for bit; the pad column and row are skipped,
+// since no cell reads them.
+func integRow(v, sum []float64, r, ncol, chans int) {
+	n := ncol * chans
+	stride := n + chans
+	row := v[r*stride:][:n]
+	if r == 0 {
+		lead := row[chans:]
+		lag := row[:len(lead)]
+		for i := range lead {
+			lead[i] += lag[i]
 		}
+		return
 	}
-	// Prefix along rows within each column.
-	for r := 1; r < h; r++ {
-		cur := r * w * chans
-		prev := cur - w*chans
-		for i := 0; i < w*chans; i++ {
-			v[cur+i] += v[prev+i]
+	below := v[(r-1)*stride:][:n]
+	if chans == 1 {
+		// A lag of one element would chain every addition through a
+		// store; carry the sum in a register instead.
+		run := row[0]
+		row[0] += below[0]
+		for i := 1; i < len(row); i++ {
+			run += row[i]
+			row[i] = run + below[i]
 		}
+		return
+	}
+	copy(sum, row[:chans])
+	for ch := range row[:chans] {
+		row[ch] += below[ch]
+	}
+	x := row[chans:]
+	lag := sum[:len(x)]
+	lead := sum[chans:][:len(x)]
+	under := below[chans:][:len(x)]
+	for i, xi := range x {
+		s := lag[i] + xi
+		lead[i] = s
+		x[i] = s + under[i]
+	}
+}
+
+// setEdges precomputes the cell edge coordinates of a grid over space
+// with cells of cw × chh.
+func (g *gridBuffers) setEdges(space geom.Rect, cw, chh float64) {
+	for i := range g.xe {
+		g.xe[i] = space.MinX + float64(i)*cw
+	}
+	for j := range g.ye {
+		g.ye[j] = space.MinY + float64(j)*chh
 	}
 }
 
@@ -259,9 +311,10 @@ func (g *gridBuffers) cellIdx(c, r int) int { return r*(g.ncol+1) + c }
 //
 // Cell totals come from one of two fills that produce bit-identical
 // grids for the integer-exact composites both support: the per-rectangle
-// difference-array fill (fillGridDiff), and — for spaces holding at
-// least satMinIds rectangles — the query-level summed-area-table fill
-// (fillGridSAT), whose cost is independent of the rectangle count.
+// difference-array fill (fillRects, integrated row by row inside pass
+// 1), and — for spaces holding at least satMinIds rectangles — the
+// query-level summed-area-table fill (fillGridFast), whose cost is
+// independent of the rectangle count.
 func (w *worker) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, bool) {
 	if w.grid == nil {
 		// Acquired lazily at first use: GI-DS runs SolveWithinIDs once
@@ -270,7 +323,6 @@ func (w *worker) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, boo
 		w.grid = newGridBuffers(w.s.opt.NCol, w.s.opt.NRow, w.s.query.F, w.s.tab.eff)
 	}
 	g := w.grid
-	query := &w.s.query
 	ncol, nrow := g.ncol, g.nrow
 	cw := space.Width() / float64(ncol)
 	chh := space.Height() / float64(nrow)
@@ -280,12 +332,7 @@ func (w *worker) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, boo
 		w.miniSweep(w.one[:], ids)
 		return nil, true
 	}
-	for i := 0; i <= ncol; i++ {
-		g.xe[i] = space.MinX + float64(i)*cw
-	}
-	for j := 0; j <= nrow; j++ {
-		g.ye[j] = space.MinY + float64(j)*chh
-	}
+	g.setEdges(space, cw, chh)
 
 	tab := w.s.tab
 	var satLvl *satLevel
@@ -306,96 +353,145 @@ func (w *worker) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, boo
 		w.fillGridFast(space, clip, ids, cw, chh, satLvl)
 		w.stats.SATFills++
 	} else {
-		w.fillGridDiff(space, ids, cw, chh)
+		g.reset(true, true)
+		w.fillRects(space, ids, cw, chh, false)
 	}
 
-	// Pass 1: clean cells refine the incumbent so that pass 2 prunes
-	// against the tightest d_opt.
-	for r := 0; r < nrow; r++ {
-		for c := 0; c < ncol; c++ {
-			idx := g.cellIdx(c, r)
-			if g.diffCnt[idx] != 0 {
-				continue
-			}
-			w.stats.CleanCells++
-			full := tab.fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
-			query.F.FinalizeExact(full, g.rep)
-			if d := query.Distance(g.rep); d <= w.cur.Dist {
-				w.improve(d, geom.Point{X: g.xe[c] + cw/2, Y: g.ye[r] + chh/2}, g.rep)
-			}
-		}
-	}
-
-	// Pass 2: bound and filter dirty cells.
-	dirty := w.dirty[:0]
-	thresh := w.threshold()
-	scanBudget := refineScanBudget
-	for r := 0; r < nrow; r++ {
-		for c := 0; c < ncol; c++ {
-			idx := g.cellIdx(c, r)
-			if g.diffCnt[idx] == 0 {
-				continue
-			}
-			w.stats.DirtyCells++
-			full := tab.fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
-			part := tab.fold(g.foldPart, g.diffPart[idx*g.chans:(idx+1)*g.chans])
-			var mmMin, mmMax []float64
-			if g.mmSlots > 0 {
-				mi := (r*ncol + c) * g.mmSlots
-				mmMin = g.mmMin[mi : mi+g.mmSlots]
-				mmMax = g.mmMax[mi : mi+g.mmSlots]
-			}
-			query.F.FinalizeBounds(full, part, mmMin, mmMax, g.lo, g.hi)
-			lb := query.LowerBoundInt(g.lo, g.hi, w.s.isInt)
-			cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
-			if lb < thresh && !w.s.opt.DisableRefinement {
-				cost := w.refineCost(cell, len(ids))
-				if scanBudget >= cost {
-					scanBudget -= cost
-					// Interval bounds admit unachievable mixtures (Equation
-					// 1's slack); for cells with few partial rectangles an
-					// exact minimum over all subset completions is affordable
-					// and prunes the boundary-of-optimum tail. Sound: the
-					// achievable covering sets are a subset of the enumerated
-					// ones. The cell's partial-cover count is exactly the
-					// size of the partial set the enumeration would collect,
-					// so cells over the gate skip the scan outright — the
-					// same outcome the scan's own bail would reach.
-					if g.diffCnt[idx] <= refineMaxPartial {
-						if rlb, ok := w.refineCellLB(cell, clip, ids, g.diffFull[idx*g.chans:(idx+1)*g.chans]); ok {
-							w.stats.RefinedCells++
-							if rlb > lb {
-								lb = rlb
-							}
-							if lb >= thresh {
-								w.stats.RefinePruned++
-							}
-						}
-					}
-				}
-			}
-			if lb < thresh {
-				dirty = append(dirty, cellInfo{rect: cell, lb: lb})
-			} else {
-				w.stats.PrunedCells++
-			}
-		}
-	}
-	w.dirty = dirty
+	w.cleanPass(cw, chh, satLvl == nil)
+	dirty := w.boundPass(clip, ids)
 
 	drop := 2*cw < w.s.acc.DX && 2*chh < w.s.acc.DY
 	w.probeCellCenters(dirty, clip, ids)
 	return dirty, drop
 }
 
-// fillGridDiff is the per-rectangle difference-array fill: each
-// rectangle's channel contributions are range-added into the full- and
-// partial-cover grids, then one 2D prefix pass produces per-cell totals.
-func (w *worker) fillGridDiff(space geom.Rect, ids []int32, cw, chh float64) {
+// cleanPass is pass 1 of Function Discretize: clean cells refine the
+// incumbent so that pass 2 prunes against the tightest d_opt, and the
+// dirty cells are listed in g.dirtyCells (row-major) for pass 2 to walk.
+// integrate says the grids still hold the difference arrays of
+// fillRects; each row is then integrated just before it is evaluated.
+//
+// Clean cells come in runs covered by the same rectangles (a covering
+// set changes only where a rectangle edge crosses), so a cell whose
+// eff-space totals repeat the last evaluated cell's bit for bit reuses
+// its representation and distance — both are pure functions of those
+// bits. The incumbent test still runs for every cell, so ties move the
+// incumbent point exactly as a cell-by-cell evaluation would.
+func (w *worker) cleanPass(cw, chh float64, integrate bool) {
 	g := w.grid
-	g.reset()
-	w.fillRects(space, ids, cw, chh, false)
-	g.integrate()
+	tab := w.s.tab
+	query := &w.s.query
+	chans := g.chans
+	dirty := g.dirtyCells[:0]
+	var last []float64 // totals of the cell g.rep and dist were computed from
+	var dist float64
+	for r := 0; r < g.nrow; r++ {
+		if integrate {
+			g.integrateRow(r, true)
+		}
+		row := g.cellIdx(0, r)
+		for c, partials := range g.diffCnt[row : row+g.ncol] {
+			idx := row + c
+			if partials != 0 {
+				dirty = append(dirty, int32(idx))
+				continue
+			}
+			full := g.diffFull[idx*chans:][:chans]
+			if last == nil || !sameBits(full, last) {
+				w.stats.CleanEvals++
+				query.F.FinalizeExact(tab.fold(g.foldFull, full), g.rep)
+				dist = query.Distance(g.rep)
+				last = full
+			}
+			if dist <= w.cur.Dist {
+				// A cell thinner than the float spacing at its coordinates
+				// holds no representable point: its centre rounds onto an
+				// edge, where the covering set — and the distance — is
+				// another. Such a cell has no candidate to offer.
+				p := geom.Point{X: g.xe[c] + cw/2, Y: g.ye[r] + chh/2}
+				if g.xe[c] < p.X && p.X < g.xe[c+1] && g.ye[r] < p.Y && p.Y < g.ye[r+1] {
+					w.improve(dist, p, g.rep)
+				}
+			}
+		}
+	}
+	g.dirtyCells = dirty
+	w.stats.CleanCells += g.nrow*g.ncol - len(dirty)
+}
+
+// sameBits reports whether two equally long vectors hold identical bit
+// patterns (so ±0 differ and a NaN equals itself, unlike ==).
+func sameBits(a, b []float64) bool {
+	b = b[:len(a)]
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// boundPass is pass 2 of Function Discretize: it bounds the dirty cells
+// cleanPass listed and returns those whose lower bound stays under the
+// pruning threshold.
+func (w *worker) boundPass(clip geom.Rect, ids []int32) []cellInfo {
+	g := w.grid
+	tab := w.s.tab
+	query := &w.s.query
+	dirty := w.dirty[:0]
+	thresh := w.threshold()
+	scanBudget := refineScanBudget
+	w.stats.DirtyCells += len(g.dirtyCells)
+	for _, di := range g.dirtyCells {
+		idx := int(di)
+		r := idx / (g.ncol + 1)
+		c := idx - r*(g.ncol+1)
+		cellFull := g.diffFull[idx*g.chans : (idx+1)*g.chans]
+		full := tab.fold(g.foldFull, cellFull)
+		part := tab.fold(g.foldPart, g.diffPart[idx*g.chans:(idx+1)*g.chans])
+		var mmMin, mmMax []float64
+		if g.mmSlots > 0 {
+			mi := (r*g.ncol + c) * g.mmSlots
+			mmMin = g.mmMin[mi : mi+g.mmSlots]
+			mmMax = g.mmMax[mi : mi+g.mmSlots]
+		}
+		query.F.FinalizeBounds(full, part, mmMin, mmMax, g.lo, g.hi)
+		lb := query.LowerBoundInt(g.lo, g.hi, w.s.isInt)
+		cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
+		if lb < thresh && !w.s.opt.DisableRefinement {
+			cost := w.refineCost(cell, len(ids))
+			if scanBudget >= cost {
+				scanBudget -= cost
+				// Interval bounds admit unachievable mixtures (Equation
+				// 1's slack); for cells with few partial rectangles an
+				// exact minimum over all subset completions is affordable
+				// and prunes the boundary-of-optimum tail. Sound: the
+				// achievable covering sets are a subset of the enumerated
+				// ones. The cell's partial-cover count is exactly the
+				// size of the partial set the enumeration would collect,
+				// so cells over the gate skip the scan outright — the
+				// same outcome the scan's own bail would reach.
+				if g.diffCnt[idx] <= refineMaxPartial {
+					if rlb, ok := w.refineCellLB(cell, clip, ids, cellFull); ok {
+						w.stats.RefinedCells++
+						if rlb > lb {
+							lb = rlb
+						}
+						if lb >= thresh {
+							w.stats.RefinePruned++
+						}
+					}
+				}
+			}
+		}
+		if lb < thresh {
+			dirty = append(dirty, cellInfo{rect: cell, lb: lb})
+		} else {
+			w.stats.PrunedCells++
+		}
+	}
+	w.dirty = dirty
+	return dirty
 }
 
 // fillRects is the difference-array pass shared by the classic fill and
@@ -405,10 +501,25 @@ func (w *worker) fillGridDiff(space geom.Rect, ids []int32, cw, chh float64) {
 // channels that failed the fixed-point certificate and skips the
 // counter grid and min/max folds — in the hybrid fill the SAT side owns
 // those — so both fills share one copy of the coverage semantics.
+//
+// The cell ranges are decided by exact edge comparisons (overlapRange);
+// all that varies is where the comparison walks start. On sorted masters
+// ids ascend in MinX, so a rectangle's column range starts at or right
+// of its predecessor's and the walks resume there; rows, and columns on
+// unsorted masters, start from a reciprocal-multiply guess.
 func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64, failOnly bool) {
 	g := w.grid
 	tab := w.s.tab
 	master := w.s.rects
+	perW, perH := 1/cw, 1/chh
+	// A rectangle that contains the space fully covers every cell — two
+	// thirds of a deep space's rectangles do — provided the outermost
+	// cells have width: on a collapsed edge cell "contains" stops
+	// implying "overlaps", and the general classification must decide.
+	ncol, nrow := g.ncol, g.nrow
+	x0, xn, y0, yn := g.xe[0], g.xe[ncol], g.ye[0], g.ye[nrow]
+	wide := x0 < g.xe[1] && g.xe[ncol-1] < xn && y0 < g.ye[1] && g.ye[nrow-1] < yn
+	c0, c1 := 0, 0
 	for _, id := range ids {
 		var contribs []agg.Contrib
 		var mm []agg.MMContrib
@@ -423,10 +534,18 @@ func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64, failOn
 				mm = tab.rectMM(id)
 			}
 		}
-		r := master[id].Rect
+		r := &master[id].Rect
+		if wide && r.MinX <= x0 && r.MaxX >= xn && r.MinY <= y0 && r.MaxY >= yn {
+			g.rangeAdd(g.diffFull, contribs, 0, 0, ncol-1, nrow-1)
+			c0, c1 = 0, ncol-1
+			continue
+		}
+		if !tab.sorted {
+			c0, c1 = int((r.MinX-space.MinX)*perW), int((r.MaxX-space.MinX)*perW)
+		}
 		// Columns whose open interior intersects the rect interior.
-		c0, c1 := overlapRange(r.MinX, r.MaxX, space.MinX, cw, g.xe)
-		r0, r1 := overlapRange(r.MinY, r.MaxY, space.MinY, chh, g.ye)
+		c0, c1 = overlapRange(r.MinX, r.MaxX, c0, c1, g.xe)
+		r0, r1 := overlapRange(r.MinY, r.MaxY, int((r.MinY-space.MinY)*perH), int((r.MaxY-space.MinY)*perH), g.ye)
 		if c0 > c1 || r0 > r1 {
 			continue
 		}
@@ -456,28 +575,22 @@ func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64, failOn
 // order-statistic companion; channels that failed the certificate come
 // from a difference-array pass restricted to just those channels, run
 // over the ids in unchanged master order so their float summation order
-// — and hence every bit of their totals — matches fillGridDiff.
+// — and hence every bit of their totals — matches the plain
+// difference-array fill. It leaves the grids integrated.
 func (w *worker) fillGridFast(space, clip geom.Rect, ids []int32, cw, chh float64, l *satLevel) {
 	g := w.grid
-	t := w.s.tab
-	if t.sortExact {
-		// Every cell value is written by the SAT fill; only the min/max
-		// fold identities need re-arming.
-		for i := range g.mmMin {
-			g.mmMin[i] = math.Inf(1)
-			g.mmMax[i] = math.Inf(-1)
-		}
-	} else {
-		g.reset()
+	hybrid := !w.s.tab.sortExact
+	g.reset(hybrid, false)
+	if hybrid {
 		w.fillRects(space, ids, cw, chh, true)
-		// Integrate only the channel grids: the SAT fill rewrites the
-		// counter grid for every cell, so its prefix pass would be dead
-		// work. (Certified channels are all-zero here and integrate to
-		// zero before being overwritten — a per-channel skip would cost
-		// the inner loops a branch for no measured win.)
-		pad := g.ncol + 1
-		integ2D(g.diffFull, pad, g.nrow+1, g.chans)
-		integ2D(g.diffPart, pad, g.nrow+1, g.chans)
+		// Integrate only the channel grids: the SAT fill assigns the
+		// counter grid for every cell. (Certified channels are all-zero
+		// here and integrate to zero before being overwritten — a
+		// per-channel skip would cost the inner loops a branch for no
+		// measured win.)
+		for r := 0; r < g.nrow; r++ {
+			g.integrateRow(r, false)
+		}
 	}
 	w.fillGridSAT(clip, l)
 }
@@ -800,7 +913,7 @@ func (w *worker) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32)
 	ch := g.refineCh[:g.chans]
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
-		clearF(ch)
+		clear(ch)
 		if t.sorted {
 			// The rectangles covering p form a binary-searched window of
 			// the master order: MinX ∈ (p.X − wmax, p.X). The clip clause
@@ -855,19 +968,15 @@ func (w *worker) applyPartial(contribs []agg.Contrib, mm []agg.MMContrib, cntMM 
 // overlapRange returns the inclusive range [i0, i1] of cells whose open
 // interior intersects the open interval (lo, hi); i0 > i1 signals no
 // overlap. Cell edges are precomputed in edges (edges[i] == min+i*step
-// bit-for-bit). The float guess only seeds the exact-comparison walks,
-// so the result is consistent with every other edge computation in the
-// package.
-func overlapRange(lo, hi, min, step float64, edges []float64) (int, int) {
+// bit-for-bit, non-decreasing). s0 and s1 only say where the
+// exact-comparison walks start: i0 comes out as the number of right
+// edges at or below lo and i1 as one less than the number of left edges
+// below hi whatever the seeds, so the result is consistent with every
+// other edge computation in the package.
+func overlapRange(lo, hi float64, s0, s1 int, edges []float64) (int, int) {
 	n := len(edges) - 1
 	// i0: smallest cell with right edge strictly greater than lo.
-	i0 := int(math.Floor((lo - min) / step))
-	if i0 < 0 {
-		i0 = 0
-	}
-	if i0 > n-1 {
-		i0 = n - 1
-	}
+	i0 := min(max(s0, 0), n-1)
 	for i0 > 0 && edges[i0] > lo {
 		i0--
 	}
@@ -875,13 +984,7 @@ func overlapRange(lo, hi, min, step float64, edges []float64) (int, int) {
 		i0++
 	}
 	// i1: largest cell with left edge strictly smaller than hi.
-	i1 := int(math.Floor((hi - min) / step))
-	if i1 < 0 {
-		i1 = 0
-	}
-	if i1 > n-1 {
-		i1 = n - 1
-	}
+	i1 := min(max(s1, 0), n-1)
 	for i1 < n-1 && edges[i1+1] < hi {
 		i1++
 	}
@@ -990,7 +1093,7 @@ func (w *worker) refineCellLB(cell, clip geom.Rect, ids []int32, cellFull []floa
 		}
 	} else {
 		base = g.refineBase[:g.chans]
-		clearF(base)
+		clear(base)
 		consider := func(id int32) bool {
 			r := master[id].Rect
 			// Only rectangles whose interior meets the cell interior

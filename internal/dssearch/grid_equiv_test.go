@@ -1,0 +1,334 @@
+package dssearch
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"asrs/internal/agg"
+	"asrs/internal/asp"
+	"asrs/internal/attr"
+	"asrs/internal/geom"
+)
+
+// equivCase is one composite of TestDiscretizeMatchesReference with the
+// values its objects draw and the aggregation-layer regime it must land in.
+type equivCase struct {
+	name   string
+	schema []attr.Attribute
+	specs  []agg.Spec
+	values func(rng *rand.Rand, i int) []attr.Value
+	regime func(t *tables) bool
+}
+
+func (tc equivCase) composite(t *testing.T) *agg.Composite {
+	t.Helper()
+	schema, err := attr.NewSchema(tc.schema...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := agg.New(schema, tc.specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func equivCases() []equivCase {
+	f2Schema := []attr.Attribute{{Name: "rating", Kind: attr.Numeric}, {Name: "visits", Kind: attr.Numeric}}
+	f2Specs := []agg.Spec{{Kind: agg.Sum, Attr: "visits"}, {Kind: agg.Average, Attr: "rating"}}
+	return []equivCase{
+		{
+			// Tweet F1: seven integer fD channels, sorted master, plain SAT.
+			name:   "integer-fD",
+			schema: []attr.Attribute{{Name: "day", Kind: attr.Categorical, Domain: []string{"mo", "tu", "we", "th", "fr", "sa", "su"}}},
+			specs:  []agg.Spec{{Kind: agg.Distribution, Attr: "day"}},
+			values: func(rng *rand.Rand, _ int) []attr.Value { return []attr.Value{{Cat: rng.Intn(7)}} },
+			regime: func(t *tables) bool { return t.allExact && t.sorted && t.twoCount == 0 },
+		},
+		{
+			// F2 over decimal tenths: not dyadic, so the sums ride the
+			// two-float planes and every cell vector is folded.
+			name:   "two-float-decimal",
+			schema: f2Schema,
+			specs:  f2Specs,
+			values: func(rng *rand.Rand, _ int) []attr.Value {
+				return []attr.Value{{Num: float64(rng.Intn(101)) / 10}, {Num: 1 + float64(rng.Intn(5000))/10}}
+			},
+			regime: func(t *tables) bool { return t.sortExact && t.sorted && t.twoCount > 0 },
+		},
+		{
+			// F2 salted with denormals and a negative zero: the sum
+			// channels fail both certificates, the master keeps its input
+			// order (no monotone columns) and the fast fill is the hybrid.
+			name:   "failing-channel",
+			schema: f2Schema,
+			specs:  f2Specs,
+			values: func(rng *rand.Rand, i int) []attr.Value {
+				v := rng.NormFloat64() * 40
+				switch i % 9 {
+				case 0:
+					v = 5e-324
+				case 4:
+					v = -5e-324
+				case 7:
+					v = math.Copysign(0, -1)
+				}
+				return []attr.Value{{Num: rng.NormFloat64()}, {Num: v}}
+			},
+			regime: func(t *tables) bool { return t.anyExact && !t.sortExact && !t.sorted },
+		},
+	}
+}
+
+// gridCells copies out what the passes read of the grids: full, partial
+// and count values and the min/max slots of every cell (pads excluded).
+func gridCells(g *gridBuffers) (out [5][]float64) {
+	for r := 0; r < g.nrow; r++ {
+		for c := 0; c < g.ncol; c++ {
+			idx := g.cellIdx(c, r)
+			out[0] = append(out[0], g.diffFull[idx*g.chans:(idx+1)*g.chans]...)
+			out[1] = append(out[1], g.diffPart[idx*g.chans:(idx+1)*g.chans]...)
+			out[2] = append(out[2], g.diffCnt[idx])
+		}
+	}
+	out[3] = append(out[3], g.mmMin...)
+	out[4] = append(out[4], g.mmMax...)
+	return out
+}
+
+func sameResult(a, b asp.Result) bool {
+	return a.Point == b.Point && math.Float64bits(a.Dist) == math.Float64bits(b.Dist) && sameBits(a.Rep, b.Rep) && len(a.Rep) == len(b.Rep)
+}
+
+// TestDiscretizeMatchesReference holds the production loops of grid.go —
+// seeded edge walks, row-streamed integration, the clean-cell memo, the
+// dirty-cell list — to the straightforward forms of grid_ref_test.go:
+// the grids every pass reads, the incumbent after pass 1, the surviving
+// dirty cells (order, extents, bounds), the incumbent after the probes,
+// the drop flag and every work counter must agree bit for bit, for the
+// difference-array fill and the SAT/hybrid fill feeding the same passes,
+// on lattice-aligned edges, zero-extent rectangles, sub-ulp sliver
+// spaces and ancestor clips.
+func TestDiscretizeMatchesReference(t *testing.T) {
+	old := satMinIds
+	satMinIds = 48 // let the cost model pick the SAT fill on test-sized spaces
+	defer func() { satMinIds = old }()
+
+	for _, tc := range equivCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.composite(t)
+			rng := rand.New(rand.NewSource(2024))
+			satFills, diffFills, memoHits := 0, 0, 0
+			for trial := 0; trial < 36; trial++ {
+				n := 200 + rng.Intn(500)
+				rw := []float64{7.5, 5, 12.3, 0}[trial%4] // 0: zero-extent rectangles
+				rh := []float64{6, 5, 0.7, 0}[trial%4]
+				objs := make([]attr.Object, n)
+				rects := make([]asp.RectObject, n)
+				for i := range rects {
+					x, y := rng.Float64()*100, rng.Float64()*100
+					if rng.Intn(2) == 0 { // rect edges collide with each other and with cell edges
+						x, y = float64(rng.Intn(20))*5, float64(rng.Intn(20))*5
+					}
+					objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: tc.values(rng, i)}
+					rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - rw, MinY: y - rh, MaxX: x, MaxY: y}, Obj: &objs[i]}
+				}
+				target := make([]float64, f.Dims())
+				weights := make([]float64, f.Dims())
+				for d := range target {
+					target[d] = float64(rng.Intn(40))
+					weights[d] = 0.1 + rng.Float64()
+				}
+				q := asp.Query{F: f, Target: target, W: weights, Norm: agg.Norm(trial % 2)}
+				ncol, nrow := 2+rng.Intn(29), 2+rng.Intn(29)
+				opt := Options{NCol: ncol, NRow: nrow, Workers: 1}
+				sNew, err := NewSearcher(rects, q, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sRef, err := NewSearcher(rects, q, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !tc.regime(sNew.tab) {
+					t.Fatalf("trial %d: composite landed in the wrong regime: %+v", trial, sNew.tab.chOK)
+				}
+				sNew.ensureScratch()
+				sRef.ensureScratch()
+				wNew, wRef := sNew.workers[0], sRef.workers[0]
+
+				spaces := []geom.Rect{
+					asp.Space(rects),
+					{MinX: 10, MinY: 5, MaxX: 70, MaxY: 65},
+					{MinX: rng.Float64() * 40, MinY: rng.Float64() * 40, MaxX: 60 + rng.Float64()*40, MaxY: 60 + rng.Float64()*40},
+					{MinX: 30 + rng.Float64()*30, MinY: 30 + rng.Float64()*30},
+					{MinX: 5, MinY: 40 - 1e-13, MaxX: 95, MaxY: 40 + 1e-13},
+				}
+				spaces[3].MaxX, spaces[3].MaxY = spaces[3].MinX+rw*0.3+1, spaces[3].MinY+rh*0.3+1 // mostly whole-space covers
+				for si, space := range spaces {
+					clip := space
+					if si%2 == 1 { // an ancestor clip tighter than the space (kernel.Item.Clip)
+						clip.MaxX = space.MaxX - space.Width()*1e-13
+						clip.MaxY = space.MaxY - space.Height()*5e-14
+					}
+					ids := sNew.AppendWindowIDs(clip, nil)
+					// A loose incumbent keeps every dirty cell alive; a tight
+					// one sends most of them through refinement and pruning.
+					seed := sNew.emptyResult(space)
+					if (trial+si)%2 == 1 {
+						seed.Dist *= 0.35
+					}
+					fail := func(format string, args ...any) {
+						t.Helper()
+						t.Fatalf("trial %d space %d (%dx%d grid, %d ids): "+format, append([]any{trial, si, ncol, nrow, len(ids)}, args...)...)
+					}
+
+					// Reference, with the state between its scans kept.
+					var refMid asp.Result
+					var refGrids [5][]float64
+					wRef.beginItem(seed)
+					refBefore := wRef.stats
+					refDirty, refDrop := wRef.refDiscretize(space, clip, ids, func() {
+						refMid = asp.Result{Point: wRef.cur.Point, Dist: wRef.cur.Dist, Rep: append([]float64(nil), wRef.cur.Rep...)}
+						refGrids = gridCells(wRef.grid)
+					})
+					refDirty = append([]cellInfo(nil), refDirty...)
+					fast := wRef.stats.SATFills > refBefore.SATFills
+					if fast {
+						satFills++
+					} else {
+						diffFills++
+					}
+
+					// Production, step by step, for the same state.
+					g := wNew.grid
+					cw, chh := space.Width()/float64(ncol), space.Height()/float64(nrow)
+					g.setEdges(space, cw, chh)
+					wNew.beginItem(seed)
+					if fast {
+						sNew.tab.ensureLevels(sNew.rects)
+						wNew.fillGridFast(space, clip, ids, cw, chh, nil)
+					} else {
+						g.reset(true, true)
+						wNew.fillRects(space, ids, cw, chh, false)
+					}
+					wNew.cleanPass(cw, chh, !fast)
+					newGrids := gridCells(g)
+					for k, name := range [5]string{"full", "part", "cnt", "mmMin", "mmMax"} {
+						if len(newGrids[k]) != len(refGrids[k]) {
+							fail("%s grid: %d values, reference %d", name, len(newGrids[k]), len(refGrids[k]))
+						}
+						for i := range newGrids[k] {
+							if math.Float64bits(newGrids[k][i]) != math.Float64bits(refGrids[k][i]) {
+								fail("fast=%v %s[%d] = %v, reference %v", fast, name, i, newGrids[k][i], refGrids[k][i])
+							}
+						}
+					}
+					if !sameResult(wNew.cur, refMid) {
+						fail("incumbent after pass 1 = %+v, reference %+v", wNew.cur, refMid)
+					}
+					for i := 1; i < len(g.dirtyCells); i++ {
+						if g.dirtyCells[i-1] >= g.dirtyCells[i] {
+							fail("dirty-cell list not in row-major order at %d", i)
+						}
+					}
+
+					// Production, as one call.
+					wNew.beginItem(seed)
+					newBefore := wNew.stats
+					newDirty, newDrop := wNew.discretize(space, clip, ids)
+					if newDrop != refDrop || len(newDirty) != len(refDirty) {
+						fail("drop=%v with %d dirty cells, reference drop=%v with %d", newDrop, len(newDirty), refDrop, len(refDirty))
+					}
+					for i := range newDirty {
+						if newDirty[i].rect != refDirty[i].rect || math.Float64bits(newDirty[i].lb) != math.Float64bits(refDirty[i].lb) {
+							fail("dirty[%d] = %+v, reference %+v", i, newDirty[i], refDirty[i])
+						}
+					}
+					if !sameResult(wNew.cur, wRef.cur) {
+						fail("incumbent = %+v, reference %+v", wNew.cur, wRef.cur)
+					}
+					// Every counter the reference keeps must come out the
+					// same; CleanEvals is new and bounded by CleanCells.
+					evals := wNew.stats.CleanEvals - newBefore.CleanEvals
+					clean := wNew.stats.CleanCells - newBefore.CleanCells
+					if evals > clean || (clean > 0 && evals == 0) {
+						fail("%d evaluations for %d clean cells", evals, clean)
+					}
+					memoHits += clean - evals
+					if got, want := delta(wNew.stats, newBefore), delta(wRef.stats, refBefore); got != want {
+						fail("work counters %+v, reference %+v", got, want)
+					}
+				}
+			}
+			if satFills == 0 || diffFills == 0 {
+				t.Fatalf("fills exercised: %d SAT, %d difference-array; want both", satFills, diffFills)
+			}
+			if memoHits == 0 {
+				t.Fatal("the clean-cell memo never hit")
+			}
+		})
+	}
+}
+
+// delta returns the counters a worker added since before (the counters
+// compared are the additive ones; MaxHeapSize is not a worker's).
+func delta(after, before Stats) Stats {
+	return Stats{
+		Discretizations: after.Discretizations - before.Discretizations,
+		SATFills:        after.SATFills - before.SATFills,
+		CleanCells:      after.CleanCells - before.CleanCells,
+		DirtyCells:      after.DirtyCells - before.DirtyCells,
+		PrunedCells:     after.PrunedCells - before.PrunedCells,
+		MiniSweeps:      after.MiniSweeps - before.MiniSweeps,
+		MiniSweepRects:  after.MiniSweepRects - before.MiniSweepRects,
+		RefinedCells:    after.RefinedCells - before.RefinedCells,
+		RefinePruned:    after.RefinePruned - before.RefinePruned,
+		CenterProbes:    after.CenterProbes - before.CenterProbes,
+	}
+}
+
+// TestCleanCellCandidateIsInsideCell: whatever point pass 1 installs as
+// the incumbent must achieve the distance it was installed with. On a
+// space a few ulps tall the grid's cells hold no representable point;
+// their computed centres round onto cell edges — here the line y = 40
+// that half of the rectangles end on — and used to be installed with the
+// cell interior's distance (bench finding 1: GI-DS and DS-Search
+// answering 0.3988 where the optimum is 0.2208).
+func TestCleanCellCandidateIsInsideCell(t *testing.T) {
+	tc := equivCases()[0]
+	f := tc.composite(t)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		n := 200 + rng.Intn(200)
+		objs := make([]attr.Object, n)
+		rects := make([]asp.RectObject, n)
+		for i := range rects {
+			x, y := rng.Float64()*100, float64(rng.Intn(20))*5
+			objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: tc.values(rng, i)}
+			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 7.5, MinY: y - 5, MaxX: x, MaxY: y}, Obj: &objs[i]}
+		}
+		target := make([]float64, f.Dims())
+		for d := range target {
+			target[d] = float64(rng.Intn(12))
+		}
+		s, err := NewSearcher(rects, asp.Query{F: f, Target: target}, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ensureScratch()
+		w := s.workers[0]
+		ulp := math.Nextafter(40, 41) - 40
+		space := geom.Rect{MinX: 5, MinY: 40 - 2*ulp, MaxX: 95, MaxY: 40 + float64(1+trial%5)*ulp}
+		ids := s.AppendWindowIDs(space, nil)
+		w.beginItem(asp.Result{Point: asp.EmptyCandidate(space), Dist: math.Inf(1), Rep: make([]float64, f.Dims())})
+		w.discretize(space, space, ids)
+		if math.IsInf(w.cur.Dist, 1) {
+			continue
+		}
+		if got := s.query.Distance(s.PointRepresentation(w.cur.Point)); got != w.cur.Dist {
+			t.Fatalf("trial %d: incumbent %v installed at distance %v, but the point's own distance is %v", trial, w.cur.Point, w.cur.Dist, got)
+		}
+	}
+}

@@ -1,0 +1,346 @@
+package dssearch
+
+import (
+	"math"
+
+	"asrs/internal/agg"
+	"asrs/internal/geom"
+)
+
+// This file keeps the straightforward form of Function Discretize's
+// inner loops — clear everything, float-seeded edge walks, four-corner
+// range adds, a two-sweep 2D prefix sum over the padded arrays, two full
+// scans of the grid with every clean cell finalized on its own — as the
+// oracle the production loops of grid.go are held to bit for bit
+// (TestDiscretizeMatchesReference). It shares with production only what
+// production did not rewrite: mmUpdate, fullRange, fillGridSAT,
+// refineCellLB and probeCellCenters.
+
+func (g *gridBuffers) refReset() {
+	clear(g.diffFull)
+	clear(g.diffPart)
+	clear(g.diffCnt)
+	for i := range g.mmMin {
+		g.mmMin[i] = math.Inf(1)
+		g.mmMax[i] = math.Inf(-1)
+	}
+}
+
+// refRangeAdd writes all four corners, pad column and row included.
+func (g *gridBuffers) refRangeAdd(diff []float64, contribs []agg.Contrib, c0, r0, c1, r1 int) {
+	w := g.ncol + 1
+	a := (r0*w + c0) * g.chans
+	b := (r0*w + c1 + 1) * g.chans
+	c := ((r1+1)*w + c0) * g.chans
+	d := ((r1+1)*w + c1 + 1) * g.chans
+	for _, cb := range contribs {
+		diff[a+cb.Ch] += cb.V
+		diff[b+cb.Ch] -= cb.V
+		diff[c+cb.Ch] -= cb.V
+		diff[d+cb.Ch] += cb.V
+	}
+}
+
+// refRangeAddCnt is refRangeAdd for the counter grid.
+func (g *gridBuffers) refRangeAddCnt(c0, r0, c1, r1 int) {
+	w := g.ncol + 1
+	g.diffCnt[r0*w+c0]++
+	g.diffCnt[r0*w+c1+1]--
+	g.diffCnt[(r1+1)*w+c0]--
+	g.diffCnt[(r1+1)*w+c1+1]++
+}
+
+// refIntegrate is the two-sweep 2D prefix sum over the whole padded
+// arrays: every row prefixed along its columns, then rows accumulated.
+func (g *gridBuffers) refIntegrate() {
+	w := g.ncol + 1
+	h := g.nrow + 1
+	integ2D(g.diffFull, w, h, g.chans)
+	integ2D(g.diffPart, w, h, g.chans)
+	integ2D(g.diffCnt, w, h, 1)
+}
+
+func integ2D(v []float64, w, h, chans int) {
+	// Prefix along columns within each row.
+	for r := 0; r < h; r++ {
+		row := r * w * chans
+		for c := 1; c < w; c++ {
+			a := row + c*chans
+			b := a - chans
+			for ch := 0; ch < chans; ch++ {
+				v[a+ch] += v[b+ch]
+			}
+		}
+	}
+	// Prefix along rows within each column.
+	for r := 1; r < h; r++ {
+		cur := r * w * chans
+		prev := cur - w*chans
+		for i := 0; i < w*chans; i++ {
+			v[cur+i] += v[prev+i]
+		}
+	}
+}
+
+// refDiscretize is Function Discretize as two full scans of the grid:
+// every clean cell finalized on its own, then every cell revisited for
+// the dirty ones. afterPass1, when non-nil, runs between the scans.
+func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 func()) ([]cellInfo, bool) {
+	if w.grid == nil {
+		// Acquired lazily at first use: GI-DS runs SolveWithinIDs once
+		// per index cell, and cells at or below the sweep cutoff never
+		// discretize at all.
+		w.grid = newGridBuffers(w.s.opt.NCol, w.s.opt.NRow, w.s.query.F, w.s.tab.eff)
+	}
+	g := w.grid
+	query := &w.s.query
+	ncol, nrow := g.ncol, g.nrow
+	cw := space.Width() / float64(ncol)
+	chh := space.Height() / float64(nrow)
+	if cw <= 0 || chh <= 0 {
+		// Degenerate (zero-area) space: fall back to an exact line sweep.
+		w.one[0] = cellInfo{rect: space}
+		w.miniSweep(w.one[:], ids)
+		return nil, true
+	}
+	g.setEdges(space, cw, chh)
+
+	tab := w.s.tab
+	var satLvl *satLevel
+	if tab.satUsable() && !w.s.opt.DisableSAT && len(ids) >= satMinIds {
+		// Cost-based fill selection: the SAT fill's boundary-ring work is
+		// independent of the subset size, so it loses on mid-size subsets
+		// (GI-DS cells) where the difference-array fill touches only the
+		// subset. Both fills are bit-identical and the estimate depends
+		// only on deterministic quantities, so this is purely a
+		// performance choice.
+		tab.ensureLevels(w.s.rects)
+		lvl, satCost := tab.pickLevel(w.s.rects, space, ncol, nrow, cw, chh)
+		if satCost < tab.diffCost(len(ids), ncol, nrow) {
+			satLvl = lvl
+		}
+	}
+	if satLvl != nil {
+		w.refFillGridFast(space, clip, ids, cw, chh, satLvl)
+		w.stats.SATFills++
+	} else {
+		w.refFillGridDiff(space, ids, cw, chh)
+	}
+
+	// Pass 1: clean cells refine the incumbent so that pass 2 prunes
+	// against the tightest d_opt.
+	for r := 0; r < nrow; r++ {
+		for c := 0; c < ncol; c++ {
+			idx := g.cellIdx(c, r)
+			if g.diffCnt[idx] != 0 {
+				continue
+			}
+			w.stats.CleanCells++
+			full := tab.fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
+			query.F.FinalizeExact(full, g.rep)
+			if d := query.Distance(g.rep); d <= w.cur.Dist {
+				// Only a centre strictly inside the cell is a candidate
+				// (see cleanPass): the one behaviour this form does not
+				// keep from before the rewrite.
+				p := geom.Point{X: g.xe[c] + cw/2, Y: g.ye[r] + chh/2}
+				if g.xe[c] < p.X && p.X < g.xe[c+1] && g.ye[r] < p.Y && p.Y < g.ye[r+1] {
+					w.improve(d, p, g.rep)
+				}
+			}
+		}
+	}
+
+	if afterPass1 != nil {
+		afterPass1()
+	}
+
+	// Pass 2: bound and filter dirty cells.
+	dirty := w.dirty[:0]
+	thresh := w.threshold()
+	scanBudget := refineScanBudget
+	for r := 0; r < nrow; r++ {
+		for c := 0; c < ncol; c++ {
+			idx := g.cellIdx(c, r)
+			if g.diffCnt[idx] == 0 {
+				continue
+			}
+			w.stats.DirtyCells++
+			full := tab.fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
+			part := tab.fold(g.foldPart, g.diffPart[idx*g.chans:(idx+1)*g.chans])
+			var mmMin, mmMax []float64
+			if g.mmSlots > 0 {
+				mi := (r*ncol + c) * g.mmSlots
+				mmMin = g.mmMin[mi : mi+g.mmSlots]
+				mmMax = g.mmMax[mi : mi+g.mmSlots]
+			}
+			query.F.FinalizeBounds(full, part, mmMin, mmMax, g.lo, g.hi)
+			lb := query.LowerBoundInt(g.lo, g.hi, w.s.isInt)
+			cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
+			if lb < thresh && !w.s.opt.DisableRefinement {
+				cost := w.refineCost(cell, len(ids))
+				if scanBudget >= cost {
+					scanBudget -= cost
+					// Interval bounds admit unachievable mixtures (Equation
+					// 1's slack); for cells with few partial rectangles an
+					// exact minimum over all subset completions is affordable
+					// and prunes the boundary-of-optimum tail. Sound: the
+					// achievable covering sets are a subset of the enumerated
+					// ones. The cell's partial-cover count is exactly the
+					// size of the partial set the enumeration would collect,
+					// so cells over the gate skip the scan outright — the
+					// same outcome the scan's own bail would reach.
+					if g.diffCnt[idx] <= refineMaxPartial {
+						if rlb, ok := w.refineCellLB(cell, clip, ids, g.diffFull[idx*g.chans:(idx+1)*g.chans]); ok {
+							w.stats.RefinedCells++
+							if rlb > lb {
+								lb = rlb
+							}
+							if lb >= thresh {
+								w.stats.RefinePruned++
+							}
+						}
+					}
+				}
+			}
+			if lb < thresh {
+				dirty = append(dirty, cellInfo{rect: cell, lb: lb})
+			} else {
+				w.stats.PrunedCells++
+			}
+		}
+	}
+	w.dirty = dirty
+
+	drop := 2*cw < w.s.acc.DX && 2*chh < w.s.acc.DY
+	w.probeCellCenters(dirty, clip, ids)
+	return dirty, drop
+}
+
+// refFillGridDiff clears everything, fills and integrates.
+func (w *worker) refFillGridDiff(space geom.Rect, ids []int32, cw, chh float64) {
+	g := w.grid
+	g.refReset()
+	w.refFillRects(space, ids, cw, chh, false)
+	g.refIntegrate()
+}
+
+// refFillRects seeds each rectangle's four edge walks from a divide and
+// a Floor.
+func (w *worker) refFillRects(space geom.Rect, ids []int32, cw, chh float64, failOnly bool) {
+	g := w.grid
+	tab := w.s.tab
+	master := w.s.rects
+	for _, id := range ids {
+		var contribs []agg.Contrib
+		var mm []agg.MMContrib
+		if failOnly {
+			contribs = tab.rectFailContribs(id)
+			if len(contribs) == 0 {
+				continue
+			}
+		} else {
+			contribs = tab.rectContribs(id)
+			if g.mmSlots > 0 {
+				mm = tab.rectMM(id)
+			}
+		}
+		r := master[id].Rect
+		// Columns whose open interior intersects the rect interior.
+		c0, c1 := refOverlapRange(r.MinX, r.MaxX, space.MinX, cw, g.xe)
+		r0, r1 := refOverlapRange(r.MinY, r.MaxY, space.MinY, chh, g.ye)
+		if c0 > c1 || r0 > r1 {
+			continue
+		}
+		// Fully covered sub-range: every point of the cell interior is
+		// strictly inside the rect (closed cell ⊆ closed rect suffices for
+		// interiors; see DESIGN.md "Coverage semantics").
+		fc0, fc1 := fullRange(c0, c1, r.MinX, r.MaxX, g.xe)
+		fr0, fr1 := fullRange(r0, r1, r.MinY, r.MaxY, g.ye)
+
+		if fc0 <= fc1 && fr0 <= fr1 {
+			g.refRangeAdd(g.diffFull, contribs, fc0, fr0, fc1, fr1)
+			// Partial ring: the overlap range minus the full range, as up
+			// to four rectangles.
+			w.refApplyPartial(contribs, mm, !failOnly, c0, r0, c1, fr0-1) // bottom rows
+			w.refApplyPartial(contribs, mm, !failOnly, c0, fr1+1, c1, r1) // top rows
+			w.refApplyPartial(contribs, mm, !failOnly, c0, fr0, fc0-1, fr1)
+			w.refApplyPartial(contribs, mm, !failOnly, fc1+1, fr0, c1, fr1)
+		} else {
+			w.refApplyPartial(contribs, mm, !failOnly, c0, r0, c1, r1)
+		}
+	}
+}
+
+// refFillGridFast is the hybrid fill over refFillRects and integ2D.
+func (w *worker) refFillGridFast(space, clip geom.Rect, ids []int32, cw, chh float64, l *satLevel) {
+	g := w.grid
+	t := w.s.tab
+	if t.sortExact {
+		// Every cell value is written by the SAT fill; only the min/max
+		// fold identities need re-arming.
+		for i := range g.mmMin {
+			g.mmMin[i] = math.Inf(1)
+			g.mmMax[i] = math.Inf(-1)
+		}
+	} else {
+		g.refReset()
+		w.refFillRects(space, ids, cw, chh, true)
+		// Integrate only the channel grids: the SAT fill rewrites the
+		// counter grid for every cell, so its prefix pass would be dead
+		// work. (Certified channels are all-zero here and integrate to
+		// zero before being overwritten — a per-channel skip would cost
+		// the inner loops a branch for no measured win.)
+		pad := g.ncol + 1
+		integ2D(g.diffFull, pad, g.nrow+1, g.chans)
+		integ2D(g.diffPart, pad, g.nrow+1, g.chans)
+	}
+	w.fillGridSAT(clip, l)
+}
+
+// refApplyPartial marks a (possibly empty) cell range as partially
+// covered.
+func (w *worker) refApplyPartial(contribs []agg.Contrib, mm []agg.MMContrib, cntMM bool, c0, r0, c1, r1 int) {
+	if c0 > c1 || r0 > r1 {
+		return
+	}
+	g := w.grid
+	g.refRangeAdd(g.diffPart, contribs, c0, r0, c1, r1)
+	if cntMM {
+		g.refRangeAddCnt(c0, r0, c1, r1)
+		g.mmUpdate(mm, c0, r0, c1, r1)
+	}
+}
+
+// refOverlapRange starts its exact-comparison walks from a float guess.
+func refOverlapRange(lo, hi, min, step float64, edges []float64) (int, int) {
+	n := len(edges) - 1
+	// i0: smallest cell with right edge strictly greater than lo.
+	i0 := int(math.Floor((lo - min) / step))
+	if i0 < 0 {
+		i0 = 0
+	}
+	if i0 > n-1 {
+		i0 = n - 1
+	}
+	for i0 > 0 && edges[i0] > lo {
+		i0--
+	}
+	for i0 < n && edges[i0+1] <= lo {
+		i0++
+	}
+	// i1: largest cell with left edge strictly smaller than hi.
+	i1 := int(math.Floor((hi - min) / step))
+	if i1 < 0 {
+		i1 = 0
+	}
+	if i1 > n-1 {
+		i1 = n - 1
+	}
+	for i1 < n-1 && edges[i1+1] < hi {
+		i1++
+	}
+	for i1 >= 0 && edges[i1] >= hi {
+		i1--
+	}
+	return i0, i1
+}

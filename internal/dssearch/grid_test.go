@@ -20,7 +20,8 @@ func mkEdges(min, step float64, n int) []float64 {
 }
 
 // TestOverlapRange: exhaustive validation against the definition — cell i
-// overlaps (lo, hi) iff x_i < hi and x_{i+1} > lo.
+// overlaps (lo, hi) iff x_i < hi and x_{i+1} > lo — from arbitrary walk
+// seeds, in and out of range: the seeds must not show in the result.
 func TestOverlapRange(t *testing.T) {
 	const (
 		min  = 10.0
@@ -33,7 +34,7 @@ func TestOverlapRange(t *testing.T) {
 	for trial := 0; trial < 5000; trial++ {
 		lo := min - 5 + rng.Float64()*30
 		hi := lo + rng.Float64()*20
-		i0, i1 := overlapRange(lo, hi, min, step, edges)
+		i0, i1 := overlapRange(lo, hi, rng.Intn(n+6)-3, rng.Intn(n+6)-3, edges)
 		for i := 0; i < n; i++ {
 			overlaps := cellX(i) < hi && cellX(i+1) > lo
 			inRange := i >= i0 && i <= i1
@@ -48,20 +49,20 @@ func TestOverlapRange(t *testing.T) {
 func TestOverlapRangeEdgeAligned(t *testing.T) {
 	// Cells [0,1], [1,2], [2,3], [3,4].
 	edges := mkEdges(0, 1, 4)
-	i0, i1 := overlapRange(1, 3, 0, 1, edges)
+	i0, i1 := overlapRange(1, 3, 0, 3, edges)
 	if i0 != 1 || i1 != 2 {
 		t.Fatalf("aligned (1,3): [%d,%d], want [1,2]", i0, i1)
 	}
 	// Degenerate open interval on an edge overlaps nothing.
-	i0, i1 = overlapRange(2, 2, 0, 1, edges)
+	i0, i1 = overlapRange(2, 2, 3, 0, edges)
 	if i0 <= i1 {
 		t.Fatalf("degenerate interval: [%d,%d] non-empty", i0, i1)
 	}
 	// Entirely left/right of the grid.
-	if i0, i1 := overlapRange(-5, -1, 0, 1, edges); i0 <= i1 {
+	if i0, i1 := overlapRange(-5, -1, 2, 2, edges); i0 <= i1 {
 		t.Fatalf("left of grid: [%d,%d]", i0, i1)
 	}
-	if i0, i1 := overlapRange(6, 9, 0, 1, edges); i0 <= i1 {
+	if i0, i1 := overlapRange(6, 9, 0, 0, edges); i0 <= i1 {
 		t.Fatalf("right of grid: [%d,%d]", i0, i1)
 	}
 }
@@ -79,7 +80,7 @@ func TestFullRange(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		lo := rng.Float64() * 8
 		hi := lo + rng.Float64()*5
-		c0, c1 := overlapRange(lo, hi, min, step, edges)
+		c0, c1 := overlapRange(lo, hi, 0, n-1, edges)
 		if c0 > c1 {
 			continue
 		}

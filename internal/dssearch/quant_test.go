@@ -284,34 +284,13 @@ func fillBothQuant(t *testing.T, rects []asp.RectObject, f *agg.Composite, space
 
 	cw := space.Width() / float64(ncol)
 	chh := space.Height() / float64(nrow)
-	for i := 0; i <= ncol; i++ {
-		g.xe[i] = space.MinX + float64(i)*cw
-	}
-	for j := 0; j <= nrow; j++ {
-		g.ye[j] = space.MinY + float64(j)*chh
-	}
+	g.setEdges(space, cw, chh)
 
-	grab := func() (out [5][]float64) {
-		for r := 0; r < nrow; r++ {
-			for c := 0; c < ncol; c++ {
-				idx := g.cellIdx(c, r)
-				out[0] = append(out[0], g.diffFull[idx*g.chans:(idx+1)*g.chans]...)
-				out[1] = append(out[1], g.diffPart[idx*g.chans:(idx+1)*g.chans]...)
-				out[2] = append(out[2], g.diffCnt[idx])
-				if g.mmSlots > 0 {
-					mi := (r*ncol + c) * g.mmSlots
-					out[3] = append(out[3], g.mmMin[mi:mi+g.mmSlots]...)
-					out[4] = append(out[4], g.mmMax[mi:mi+g.mmSlots]...)
-				}
-			}
-		}
-		return
-	}
-	w.fillGridDiff(space, ids, cw, chh)
-	d = grab()
+	w.refFillGridDiff(space, ids, cw, chh)
+	d = gridCells(g)
 	sr.tab.ensureLevels(sr.rects)
 	w.fillGridFast(space, clip, ids, cw, chh, nil)
-	s = grab()
+	s = gridCells(g)
 	return
 }
 

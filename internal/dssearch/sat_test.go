@@ -87,25 +87,13 @@ func fillBoth(t *testing.T, rects []asp.RectObject, f *agg.Composite, space, cli
 
 	cw := space.Width() / float64(ncol)
 	chh := space.Height() / float64(nrow)
-	for i := 0; i <= ncol; i++ {
-		g.xe[i] = space.MinX + float64(i)*cw
-	}
-	for j := 0; j <= nrow; j++ {
-		g.ye[j] = space.MinY + float64(j)*chh
-	}
+	g.setEdges(space, cw, chh)
 
 	grab := func() (fu, pa, cn []float64) {
-		for r := 0; r < nrow; r++ {
-			for c := 0; c < ncol; c++ {
-				idx := g.cellIdx(c, r)
-				fu = append(fu, g.diffFull[idx*g.chans:(idx+1)*g.chans]...)
-				pa = append(pa, g.diffPart[idx*g.chans:(idx+1)*g.chans]...)
-				cn = append(cn, g.diffCnt[idx])
-			}
-		}
-		return
+		cells := gridCells(g)
+		return cells[0], cells[1], cells[2]
 	}
-	w.fillGridDiff(space, ids, cw, chh)
+	w.refFillGridDiff(space, ids, cw, chh)
 	diffFull, diffPart, diffCnt = grab()
 	s.tab.ensureLevels(s.rects)
 	w.fillGridSAT(clip, nil)

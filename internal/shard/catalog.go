@@ -44,8 +44,11 @@ type Config struct {
 	// WALRoot, when non-empty, gives each shard a durable ingest WAL at
 	// <WALRoot>/<shard-name>.
 	WALRoot string
-	// Lazy defers engine construction (index + pyramid + WAL recovery)
-	// to first traffic; WarmAll still forces everything eagerly.
+	// Lazy is never read: a shard's engine (index + pyramid + WAL
+	// recovery) is always built on the first Shard.Engine call, whatever
+	// this says, and eager loading is the caller's WarmAll — asrsd warms
+	// in the background unless -shard-lazy. The field stays because
+	// callers set it.
 	Lazy bool
 	// Logf, when non-nil, receives operational one-liners (pyramid
 	// quarantine warnings, lazy-load timings).
