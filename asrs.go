@@ -238,7 +238,8 @@ func SearchExcluding(ds *Dataset, a, b float64, q Query, exclude Rect, opt Optio
 // and so on). The exclude rectangles — typically the example region —
 // are avoided by every answer. An extension beyond the paper.
 func SearchTopK(ds *Dataset, a, b float64, q Query, k int, exclude []Rect, opt Options) ([]Rect, []Result, error) {
-	return dssearch.SolveASRSTopK(ds, a, b, q, k, exclude, opt)
+	regions, results, _, err := dssearch.SolveASRSTopK(ds, a, b, q, k, exclude, opt)
+	return regions, results, err
 }
 
 // Typed windowed-search errors, surfaced by SearchWithin and the shard
@@ -316,15 +317,56 @@ func NewDynamicIndex(f *Composite, bounds Rect, sx, sy int) (*DynamicIndex, erro
 // cells are lower-bounded and searched best-first by DS-Search.
 // Options.Delta > 0 selects app-GIDS.
 func SearchWithIndex(idx *Index, ds *Dataset, a, b float64, q Query, opt Options) (Rect, Result, IndexStats, error) {
-	rects, err := dssearch.ReduceForSearch(ds, a, b, q.F, opt)
-	if err != nil {
-		return Rect{}, Result{}, IndexStats{}, err
-	}
-	res, stats, err := gridindex.Solve(idx, rects, q, a, b, opt)
+	regions, results, stats, err := SearchTopKWithIndex(idx, ds, a, b, q, 1, nil, opt)
 	if err != nil {
 		return Rect{}, Result{}, stats, err
 	}
-	return asp.AnchorTR.RegionFor(res.Point, a, b), res, stats, nil
+	return regions[0], results[0], stats, nil
+}
+
+// SearchTopKWithIndex is SearchTopK through GI-DS: the same greedy
+// sequence — best region, best region not overlapping the first, … —
+// with every round, excluding ones included, driven best-first over the
+// index cells, cut around what the round must avoid (DESIGN.md §5). The
+// distances equal SearchTopK's bit for bit; among equally distant
+// regions the two may pick different ones. The returned stats sum the
+// rounds. The Engine answers every un-windowed request this way when it
+// holds an index, one-shot or streamed round by round.
+func SearchTopKWithIndex(idx *Index, ds *Dataset, a, b float64, q Query, k int, exclude []Rect, opt Options) ([]Rect, []Result, IndexStats, error) {
+	if k <= 0 {
+		return nil, nil, IndexStats{}, fmt.Errorf("asrs: top-k requires k >= 1, got %d", k)
+	}
+	rects, err := dssearch.ReduceForSearch(ds, a, b, q.F, opt)
+	if err != nil {
+		return nil, nil, IndexStats{}, err
+	}
+	var stats IndexStats
+	excl := exclude[:len(exclude):len(exclude)] // rounds append their regions to a copy
+	regions := make([]Rect, 0, k)
+	results := make([]Result, 0, k)
+	for i := 0; i < k; i++ {
+		// Each round's searcher takes the reduction over (it may sort it in
+		// place), so handing the same slice to the next round is safe. The
+		// last round — the only one of a plain query — gets the only
+		// reference: a searcher that binds a pyramid copies the rectangles
+		// it keeps, and the n-rectangle reduction can go while it searches.
+		round := rects
+		if i+1 == k {
+			rects = nil
+		}
+		res, st, err := gridindex.Solve(idx, round, q, a, b, excl, opt)
+		stats.Add(st)
+		if err != nil {
+			return nil, nil, stats, err
+		}
+		region := asp.AnchorTR.RegionFor(res.Point, a, b)
+		regions = append(regions, region)
+		results = append(results, res)
+		if i+1 < k {
+			excl = append(excl, region)
+		}
+	}
+	return regions, results, stats, nil
 }
 
 // MaxRS solves the maximizing-range-sum problem with the DS-Search

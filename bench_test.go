@@ -317,3 +317,49 @@ func BenchmarkCaseStudy(b *testing.B) {
 		}
 	}
 }
+
+// ---- Top-k rounds: the f2-stream shape, one engine request ----
+
+// BenchmarkTopKRounds times one Engine top-3 request in the regime of the
+// zoo's f2-stream workload — POISyn n = 5 000, the paper's F2 composite
+// (sum of visits + average rating: a real-valued, unsorted master), a
+// 30-unit region — with the grid index (every round a GI-DS run, rounds
+// 2 and 3 cut around the earlier answers) and with indexing off (plain
+// DS-Search over space minus exclusions). The same distances either way.
+func BenchmarkTopKRounds(b *testing.B) {
+	ds := poiDS(5000)
+	q, qa, qb := poiQuery(b, ds, 30)
+	req := asrs.QueryRequest{Query: q, A: qa, B: qb, TopK: 3}
+	var want []asrs.Result
+	for _, g := range []int{64, 0} {
+		b.Run(fmt.Sprintf("grid=%d", g), func(b *testing.B) {
+			eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: g, Search: asrs.Options{Workers: 1}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.Warm(q.F); err != nil {
+				b.Fatal(err)
+			}
+			resp := eng.Query(req) // fills the slab cache
+			if resp.Err != nil || len(resp.Results) != 3 {
+				b.Fatalf("top-3 answered %d rows, err %v", len(resp.Results), resp.Err)
+			}
+			if want == nil {
+				want = resp.Results
+			}
+			for i, r := range resp.Results {
+				if r.Dist != want[i].Dist {
+					b.Fatalf("row %d at distance %v, the other configuration answered %v", i, r.Dist, want[i].Dist)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if resp = eng.Query(req); resp.Err != nil {
+					b.Fatal(resp.Err)
+				}
+			}
+			b.ReportMetric(float64(eng.Stats().IndexedExclusionRounds)/float64(b.N+1), "indexed-excl-rounds/op")
+		})
+	}
+}

@@ -9,6 +9,7 @@
 //	asrsquery -dataset singapore                        # query-by-example: Orchard → ?
 //	asrsquery -dataset tweet -algo base -n 3000         # sweep-line baseline
 //	asrsquery -dataset tweet -algo gids -grid 128       # grid-index accelerated
+//	asrsquery -dataset singapore -algo gids -grid 64 -debug # Orchard → ? through GI-DS cut around the example, with its counters
 //	asrsquery -dataset tweet -workers 8                 # explicit search worker pool
 //	asrsquery -dataset tweet -pyramid tweet.pyr         # bind the aggregate pyramid (built+saved on first use)
 //	asrsquery -dataset singapore -json                  # machine-readable output (the asrsd wire schema)
@@ -113,6 +114,18 @@ func debugStats(stats asrs.SearchStats) {
 	infof("heap: %d pushes (max %d), steals: %d\n", stats.HeapPushes, stats.MaxHeapSize, stats.Steals)
 }
 
+// indexStats prints the GI-DS cell counters; with debug also how the
+// searched area was cut: pieces actually handed to DS-Search (margin
+// strips and cells, each cut around the exclusions) and cells passed over
+// because exclusions forbid them whole.
+func indexStats(grid int, stats asrs.IndexStats, debug bool) {
+	infof("index: %dx%d, %d/%d cells searched\n", grid, grid, stats.CellsSearched, stats.Cells)
+	if debug {
+		infof("index pieces: %d searched (%d on the margins), %d cells wholly excluded\n",
+			stats.Pieces, stats.MarginRuns, stats.CellsExcluded)
+	}
+}
+
 func run(dsName string, n, k int, algo string, grid int, delta float64, seed int64, workers int, pyrPath string, jsonOut, debug bool) error {
 	if jsonOut {
 		infoOut = os.Stderr
@@ -134,7 +147,7 @@ func run(dsName string, n, k int, algo string, grid int, delta float64, seed int
 		a, b = scaledSize(ds, k)
 		q, err = dataset.F2(ds, a, b)
 	case "singapore":
-		return runSingapore(seed, workers, jsonOut, debug)
+		return runSingapore(seed, workers, algo, grid, jsonOut, debug)
 	default:
 		return fmt.Errorf("unknown dataset %q", dsName)
 	}
@@ -174,7 +187,7 @@ func run(dsName string, n, k int, algo string, grid int, delta float64, seed int
 		var stats asrs.IndexStats
 		region, res, stats, err = asrs.SearchWithIndex(idx, ds, a, b, q, opt)
 		if err == nil {
-			infof("index: %dx%d, %d/%d cells searched\n", grid, grid, stats.CellsSearched, stats.Cells)
+			indexStats(grid, stats, debug)
 			dstats = stats.DS
 		}
 	case "base":
@@ -279,7 +292,7 @@ func runExpr(dsName string, n int, seed int64, workers int, src string, jsonOut 
 	return nil
 }
 
-func runSingapore(seed int64, workers int, jsonOut, debug bool) error {
+func runSingapore(seed int64, workers int, algo string, grid int, jsonOut, debug bool) error {
 	ds := dataset.SingaporePOI(seed)
 	f, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "category"})
 	if err != nil {
@@ -290,8 +303,33 @@ func runSingapore(seed int64, workers int, jsonOut, debug bool) error {
 	if err != nil {
 		return err
 	}
+	a, b := orchard.Rect.Width(), orchard.Rect.Height()
+	opt := asrs.Options{Workers: workers}
 	start := time.Now()
-	region, res, dstats, err := asrs.SearchExcluding(ds, orchard.Rect.Width(), orchard.Rect.Height(), q, orchard.Rect, asrs.Options{Workers: workers})
+	var (
+		region asrs.Rect
+		res    asrs.Result
+		dstats asrs.SearchStats
+	)
+	switch algo {
+	case "ds":
+		region, res, dstats, err = asrs.SearchExcluding(ds, a, b, q, orchard.Rect, opt)
+	case "gids":
+		// The engine's path for an excluding request: GI-DS with the
+		// margins and cells cut around the example region.
+		var idx *asrs.Index
+		if idx, err = asrs.NewIndex(ds, f, grid, grid); err != nil {
+			return err
+		}
+		regions, results, stats, serr := asrs.SearchTopKWithIndex(idx, ds, a, b, q, 1, []asrs.Rect{orchard.Rect}, opt)
+		if serr != nil {
+			return serr
+		}
+		region, res, dstats = regions[0], results[0], stats.DS
+		indexStats(grid, stats, debug)
+	default:
+		return fmt.Errorf("the singapore case study runs -algo ds or gids, not %q", algo)
+	}
 	if err != nil {
 		return err
 	}

@@ -155,6 +155,9 @@ type Engine struct {
 	nShared    atomic.Int64
 	nErrors    atomic.Int64
 	nCancelled atomic.Int64
+	// nIndexedExcl counts GI-DS rounds that ran under a non-empty
+	// exclusion list (EngineStats.IndexedExclusionRounds).
+	nIndexedExcl atomic.Int64
 
 	// lat is the executed-search latency histogram behind the Stats
 	// percentiles. One observation per search actually run: batched
@@ -180,6 +183,11 @@ type EngineStats struct {
 	// Cancelled counts responses whose Err was a context error
 	// (deadline exceeded or cancellation); also included in Errors.
 	Cancelled int64 `json:"cancelled"`
+	// IndexedExclusionRounds counts completed search rounds that went
+	// through the grid index under a non-empty exclusion list: rounds
+	// 2…k of a top-k, and every round of a request that excludes
+	// something itself. Zero with indexing off or windowed traffic only.
+	IndexedExclusionRounds int64 `json:"indexed_exclusion_rounds"`
 	// Indexes and Pyramids count the per-composite caches of the current
 	// epoch view.
 	Indexes  int `json:"indexes"`
@@ -223,25 +231,26 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Unlock()
 	lc, p50, p95, p99 := e.lat.summary()
 	return EngineStats{
-		Queries:              e.nQueries.Load(),
-		Batches:              e.nBatches.Load(),
-		DedupHits:            e.nDedup.Load(),
-		PreparedShared:       e.nShared.Load(),
-		Errors:               e.nErrors.Load(),
-		Cancelled:            e.nCancelled.Load(),
-		Indexes:              ni,
-		Pyramids:             np,
-		Ingested:             e.nIngested.Load(),
-		Compactions:          e.nCompactions.Load(),
-		CompactionErrors:     e.nCompactErrs.Load(),
-		PyramidFolds:         e.nFolds.Load(),
-		PyramidFoldFallbacks: e.nFoldFallbacks.Load(),
-		PyramidFoldMs:        float64(e.foldNanos.Load()) / 1e6,
-		PyramidRebuildMs:     float64(e.rebuildNanos.Load()) / 1e6,
-		LatencyCount:         lc,
-		LatencyP50Ms:         p50,
-		LatencyP95Ms:         p95,
-		LatencyP99Ms:         p99,
+		Queries:                e.nQueries.Load(),
+		Batches:                e.nBatches.Load(),
+		DedupHits:              e.nDedup.Load(),
+		PreparedShared:         e.nShared.Load(),
+		Errors:                 e.nErrors.Load(),
+		Cancelled:              e.nCancelled.Load(),
+		IndexedExclusionRounds: e.nIndexedExcl.Load(),
+		Indexes:                ni,
+		Pyramids:               np,
+		Ingested:               e.nIngested.Load(),
+		Compactions:            e.nCompactions.Load(),
+		CompactionErrors:       e.nCompactErrs.Load(),
+		PyramidFolds:           e.nFolds.Load(),
+		PyramidFoldFallbacks:   e.nFoldFallbacks.Load(),
+		PyramidFoldMs:          float64(e.foldNanos.Load()) / 1e6,
+		PyramidRebuildMs:       float64(e.rebuildNanos.Load()) / 1e6,
+		LatencyCount:           lc,
+		LatencyP50Ms:           p50,
+		LatencyP95Ms:           p95,
+		LatencyP99Ms:           p99,
 	}
 }
 
@@ -566,10 +575,11 @@ func (e *Engine) options(v *engineView, req QueryRequest) Options {
 	return opt
 }
 
-// Query answers one request. Plain single-region requests ride the cached
-// grid index (GI-DS) when indexing is enabled; TopK and exclusion
-// requests use the DS-Search greedy machinery directly. Safe for
-// concurrent use.
+// Query answers one request. With indexing enabled every un-windowed
+// request rides the cached grid index (GI-DS) — TopK and exclusion
+// requests as greedy rounds of the same driver, each cut around what it
+// must avoid; without an index they run plain DS-Search. Windowed
+// requests (Within) always do. Safe for concurrent use.
 func (e *Engine) Query(req QueryRequest) QueryResponse {
 	return e.QueryCtx(context.Background(), req)
 }
@@ -649,37 +659,44 @@ func (e *Engine) queryIntoPrep(ctx context.Context, v *engineView, req QueryRequ
 		resp.Results = append(resp.Results, res)
 		return
 	}
-	if req.TopK > 1 || len(req.Exclude) > 0 {
-		k := req.TopK
-		if k < 1 {
-			k = 1
-		}
-		regions, results, err := SearchTopK(v.ds, req.A, req.B, req.Query, k, req.Exclude, opt)
-		resp.Regions = append(resp.Regions, regions...)
-		resp.Results = append(resp.Results, results...)
-		resp.Err = err
-		return
-	}
 	idx, err := e.indexFor(v, req.Query.F)
 	if err != nil {
 		resp.Err = err
 		return
 	}
-	var (
-		region Rect
-		res    Result
-	)
-	if idx != nil {
-		region, res, _, err = SearchWithIndex(idx, v.ds, req.A, req.B, req.Query, opt)
-	} else {
-		region, res, _, err = Search(v.ds, req.A, req.B, req.Query, opt)
-	}
-	if err != nil {
+	k := max(req.TopK, 1)
+	switch {
+	case idx != nil:
+		// One driver for every indexed request: a plain query is its k = 1
+		// round without exclusions, a top-k its k rounds, and a streamed
+		// round (query.Stream.Next) the single round its accumulated
+		// exclusions ask for — so one-shot and streamed rows are the same
+		// rows.
+		regions, results, _, err := SearchTopKWithIndex(idx, v.ds, req.A, req.B, req.Query, k, req.Exclude, opt)
+		resp.Regions = append(resp.Regions, regions...)
+		resp.Results = append(resp.Results, results...)
 		resp.Err = err
-		return
+		rounds := len(regions)
+		if len(req.Exclude) == 0 {
+			rounds-- // the first round of a bare top-k avoids nothing
+		}
+		if rounds > 0 {
+			e.nIndexedExcl.Add(int64(rounds))
+		}
+	case k > 1 || len(req.Exclude) > 0:
+		regions, results, err := SearchTopK(v.ds, req.A, req.B, req.Query, k, req.Exclude, opt)
+		resp.Regions = append(resp.Regions, regions...)
+		resp.Results = append(resp.Results, results...)
+		resp.Err = err
+	default:
+		region, res, _, err := Search(v.ds, req.A, req.B, req.Query, opt)
+		if err != nil {
+			resp.Err = err
+			return
+		}
+		resp.Regions = append(resp.Regions, region)
+		resp.Results = append(resp.Results, res)
 	}
-	resp.Regions = append(resp.Regions, region)
-	resp.Results = append(resp.Results, res)
 }
 
 // QueryBatch answers a batch of requests, running up to
@@ -980,8 +997,9 @@ func (e *Engine) QueryBatchIntoCtx(ctx context.Context, dst []QueryResponse, req
 // TopK and exclusion requests participate in dedup — the greedy search
 // is just as deterministic, and query-by-example traffic (region +
 // exclude-the-example, the serving layer's flagship form) dedups
-// constantly — but not in Prepared sharing, which only the plain
-// single-region path binds.
+// constantly — but not in Prepared sharing: their rounds go through the
+// same GI-DS driver as plain requests, but only plain single-region
+// requests are grouped by shape here.
 func (e *Engine) groupBatch(v *engineView, reqs []QueryRequest) ([]*dssearch.Prepared, []int) {
 	preps := make([]*dssearch.Prepared, len(reqs))
 	dupOf := make([]int, len(reqs))

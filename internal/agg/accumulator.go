@@ -57,6 +57,25 @@ func (a *Accumulator) Remove(o *attr.Object) {
 	a.n--
 }
 
+// AddContribs inserts an object given its contributions as AppendContribs
+// returned them: the same additions in the same order as Add, without
+// re-evaluating the object's selectors. For callers that add and remove
+// the same objects many times (the sweep's strips).
+func (a *Accumulator) AddContribs(cbs []Contrib) {
+	for _, cb := range cbs {
+		a.ch[cb.Ch] += cb.V
+	}
+	a.n++
+}
+
+// RemoveContribs is Remove for an object given its contributions.
+func (a *Accumulator) RemoveContribs(cbs []Contrib) {
+	for _, cb := range cbs {
+		a.ch[cb.Ch] -= cb.V
+	}
+	a.n--
+}
+
 // Len returns the number of objects currently accumulated.
 func (a *Accumulator) Len() int { return a.n }
 

@@ -155,6 +155,9 @@ func (o Options) validate() error {
 	if o.NCol < 2 || o.NRow < 2 {
 		return fmt.Errorf("dssearch: grid must be at least 2x2, got %dx%d", o.NCol, o.NRow)
 	}
+	if o.NCol > maxGridDim || o.NRow > maxGridDim {
+		return fmt.Errorf("dssearch: grid must be at most %dx%d, got %dx%d", maxGridDim, maxGridDim, o.NCol, o.NRow)
+	}
 	return nil
 }
 
@@ -180,8 +183,9 @@ type Stats struct {
 	Steals          int // superstep items drained from another worker's deque
 }
 
-// add folds another stats record into s (worker merge).
-func (s *Stats) add(o Stats) {
+// Add folds another stats record into s (worker merge; the rounds of a
+// top-k).
+func (s *Stats) Add(o Stats) {
 	s.Discretizations += o.Discretizations
 	s.SATFills += o.SATFills
 	s.Splits += o.Splits
@@ -739,7 +743,7 @@ func (s *Searcher) SolveWithinIDs(space geom.Rect, seedLB float64, ids []int32) 
 		s.Stats.MaxHeapSize = maxHeap
 	}
 	for _, w := range s.workers {
-		s.Stats.add(w.stats)
+		s.Stats.Add(w.stats)
 		w.stats = Stats{}
 	}
 }
@@ -948,83 +952,55 @@ func (s *Searcher) Rects() []asp.RectObject { return s.rects }
 // that do not overlap the exclude rectangle (beyond shared boundary).
 // This supports query-by-example with a real query region, where the
 // query region itself would otherwise be the trivial zero-distance
-// answer (§7.6's case study: query "Orchard", answer "Marina Bay").
-// Requires the default top-right-corner anchor.
+// answer (§7.6's case study: query "Orchard", answer "Marina Bay"). It is
+// the k = 1 case of SolveASRSTopK and requires the default
+// top-right-corner anchor.
 func SolveASRSExcluding(ds *attr.Dataset, a, b float64, q asp.Query, exclude geom.Rect, opt Options) (geom.Rect, asp.Result, Stats, error) {
-	if opt.Anchor != asp.AnchorTR {
-		return geom.Rect{}, asp.Result{}, Stats{}, fmt.Errorf("dssearch: exclusion requires the top-right-corner anchor")
-	}
-	rects, err := asp.Reduce(ds, a, b, opt.Anchor)
+	regions, results, stats, err := SolveASRSTopK(ds, a, b, q, 1, []geom.Rect{exclude}, opt)
 	if err != nil {
-		return geom.Rect{}, asp.Result{}, Stats{}, err
+		return geom.Rect{}, asp.Result{}, stats, err
 	}
-	s, err := NewSearcherOwning(rects, q, opt)
-	if err != nil {
-		return geom.Rect{}, asp.Result{}, Stats{}, err
-	}
-	defer s.Release()
-	space := asp.Space(s.rects)
-	s.best = s.emptyResult(space)
-	if len(s.rects) > 0 {
-		// Bottom-left corners whose region would overlap the excluded
-		// rectangle form its Minkowski expansion by (a, b) toward min.
-		forbidden := geom.Rect{MinX: exclude.MinX - a, MinY: exclude.MinY - b, MaxX: exclude.MaxX, MaxY: exclude.MaxY}
-		for _, sub := range subtractRect(space, forbidden) {
-			s.SolveWithin(sub, 0)
-		}
-	}
-	if err := s.Err(); err != nil {
-		return geom.Rect{}, asp.Result{}, s.Stats, err
-	}
-	s.best.Rep = s.PointRepresentation(s.best.Point)
-	s.best.Dist = s.query.Distance(s.best.Rep)
-	region := opt.Anchor.RegionFor(s.best.Point, a, b)
-	return region, s.best, s.Stats, nil
+	return regions[0], results[0], stats, nil
 }
 
 // SolveASRSTopK returns up to k non-overlapping similar regions in
 // increasing distance order: the greedy sequence "best region, best
-// region not overlapping the first, …". An optional extra exclusion
-// (typically the example query region) applies to every answer. This is
-// an extension beyond the paper, built from the same machinery.
-func SolveASRSTopK(ds *attr.Dataset, a, b float64, q asp.Query, k int, exclude []geom.Rect, opt Options) ([]geom.Rect, []asp.Result, error) {
+// region not overlapping the first, …". The optional extra exclusions
+// (typically the example query region) apply to every answer. Each round
+// searches the space minus the forbidden boxes of everything excluded so
+// far (pieces.go), piece by piece; the returned Stats sum the rounds.
+// This is an extension beyond the paper, built from the same machinery.
+func SolveASRSTopK(ds *attr.Dataset, a, b float64, q asp.Query, k int, exclude []geom.Rect, opt Options) ([]geom.Rect, []asp.Result, Stats, error) {
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("dssearch: top-k requires k >= 1, got %d", k)
+		return nil, nil, Stats{}, fmt.Errorf("dssearch: top-k requires k >= 1, got %d", k)
 	}
 	if opt.Anchor != asp.AnchorTR {
-		return nil, nil, fmt.Errorf("dssearch: top-k requires the top-right-corner anchor")
+		return nil, nil, Stats{}, fmt.Errorf("dssearch: top-k and exclusions require the top-right-corner anchor")
 	}
-	rects, err := asp.Reduce(ds, a, b, opt.Anchor)
+	rects, err := ReduceForSearch(ds, a, b, q.F, opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, Stats{}, err
 	}
-	space := asp.Space(rects)
+	s, err := NewSearcherOwning(rects, q, opt)
+	if err != nil {
+		return nil, nil, Stats{}, err
+	}
+	defer s.Release()
+	space := asp.Space(s.rects)
 	excl := append([]geom.Rect(nil), exclude...)
-	var regions []geom.Rect
-	var results []asp.Result
+	regions := make([]geom.Rect, 0, k)
+	results := make([]asp.Result, 0, k)
+	var pieces []geom.Rect
 	for i := 0; i < k; i++ {
-		s, err := NewSearcherOwning(rects, q, opt)
-		if err != nil {
-			return nil, nil, err
-		}
 		s.best = s.emptyResult(space)
-		if len(rects) > 0 {
-			pieces := []geom.Rect{space}
-			for _, e := range excl {
-				forbidden := geom.Rect{MinX: e.MinX - a, MinY: e.MinY - b, MaxX: e.MaxX, MaxY: e.MaxY}
-				var next []geom.Rect
-				for _, p := range pieces {
-					next = append(next, subtractRect(p, forbidden)...)
-				}
-				pieces = next
-			}
+		if len(s.rects) > 0 {
+			pieces = AppendPieces(pieces[:0], space, ForbiddenBoxes(excl, a, b))
 			for _, p := range pieces {
 				s.SolveWithin(p, 0)
 			}
 		}
 		if err := s.Err(); err != nil {
-			s.Release()
-			return nil, nil, err
+			return nil, nil, s.Stats, err
 		}
 		s.best.Rep = s.PointRepresentation(s.best.Point)
 		s.best.Dist = s.query.Distance(s.best.Rep)
@@ -1032,29 +1008,8 @@ func SolveASRSTopK(ds *attr.Dataset, a, b float64, q asp.Query, k int, exclude [
 		regions = append(regions, region)
 		results = append(results, s.best)
 		excl = append(excl, region)
-		s.Release()
 	}
-	return regions, results, nil
-}
-
-// subtractRect returns up to four rectangles covering space minus the
-// open interior of f.
-func subtractRect(space, f geom.Rect) []geom.Rect {
-	if !space.IntersectsOpen(f) {
-		return []geom.Rect{space}
-	}
-	var out []geom.Rect
-	add := func(r geom.Rect) {
-		if r.IsValid() && !r.IsEmpty() {
-			out = append(out, r)
-		}
-	}
-	add(geom.Rect{MinX: space.MinX, MinY: space.MinY, MaxX: f.MinX, MaxY: space.MaxY}) // left
-	add(geom.Rect{MinX: f.MaxX, MinY: space.MinY, MaxX: space.MaxX, MaxY: space.MaxY}) // right
-	mid := geom.Rect{MinX: max(space.MinX, f.MinX), MaxX: min(space.MaxX, f.MaxX)}
-	add(geom.Rect{MinX: mid.MinX, MinY: space.MinY, MaxX: mid.MaxX, MaxY: f.MinY}) // bottom
-	add(geom.Rect{MinX: mid.MinX, MinY: f.MaxY, MaxX: mid.MaxX, MaxY: space.MaxY}) // top
-	return out
+	return regions, results, s.Stats, nil
 }
 
 // ReduceForSearch performs the ASP reduction for a search unless a

@@ -62,7 +62,39 @@ type gridBuffers struct {
 
 	rowSum     []float64 // integRow's running sum along one row
 	dirtyCells []int32   // pass 1 output: flat indices (cellIdx) of the dirty cells, row-major
+
+	// Unsorted masters only: per position in the space's id list, the
+	// classification fillRects made of that rectangle, kept for pass 2
+	// and the centre probes of the same Discretize.
+	spans []idSpan
 }
+
+// idSpan is one rectangle's classification against the cell grid, as
+// fillRects makes it: the inclusive ranges of columns and rows whose open
+// interior meets the rectangle's (c0 > c1 or r0 > r1: none), and inside
+// them the ranges the rectangle covers whole (fc0 > fc1 or fr0 > fr1:
+// none). A cell is fully covered when it is in both full ranges and
+// partially covered when it is in both overlap ranges otherwise. Cell
+// edges being non-decreasing, asking the ranges about cell (c, r) is
+// asking the rectangle itself: c0 ≤ c ≤ c1 ⇔ xe[c+1] > MinX ∧ xe[c] < MaxX,
+// and inside that range fc0 ≤ c ≤ fc1 ⇔ xe[c] ≥ MinX ∧ xe[c+1] ≤ MaxX;
+// rows alike.
+type idSpan struct {
+	c0, c1, r0, r1     int16
+	fc0, fc1, fr0, fr1 int16
+}
+
+// setSpan records the classification of the k-th id.
+func (g *gridBuffers) setSpan(k, c0, c1, r0, r1, fc0, fc1, fr0, fr1 int) {
+	g.spans[k] = idSpan{
+		c0: int16(c0), c1: int16(c1), r0: int16(r0), r1: int16(r1),
+		fc0: int16(fc0), fc1: int16(fc1), fr0: int16(fr0), fr1: int16(fr1),
+	}
+}
+
+// maxGridDim bounds NCol and NRow so that every cell range, the
+// one-past-the-end values of overlapRange included, fits idSpan's int16.
+const maxGridDim = math.MaxInt16 - 1
 
 // gridFloatSize returns the float-slab footprint of one gridBuffers.
 // eff is the grid channel stride (logical channels plus two-float
@@ -472,7 +504,7 @@ func (w *worker) boundPass(clip geom.Rect, ids []int32) []cellInfo {
 				// so cells over the gate skip the scan outright — the
 				// same outcome the scan's own bail would reach.
 				if g.diffCnt[idx] <= refineMaxPartial {
-					if rlb, ok := w.refineCellLB(cell, clip, ids, cellFull); ok {
+					if rlb, ok := w.refineCellLB(c, r, cell, clip, ids, cellFull); ok {
 						w.stats.RefinedCells++
 						if rlb > lb {
 							lb = rlb
@@ -492,6 +524,20 @@ func (w *worker) boundPass(clip geom.Rect, ids []int32) []cellInfo {
 	}
 	w.dirty = dirty
 	return dirty
+}
+
+// cellAt recovers the column and row of a cell from its extent, which
+// must have been cut from the current edges. Collapsed edges can give
+// several cells one extent; they then share one classification too
+// (idSpan asks about nothing but the cell's edges), so any of them serves.
+func (g *gridBuffers) cellAt(cell geom.Rect) (c, r int) {
+	for g.xe[c] != cell.MinX || g.xe[c+1] != cell.MaxX {
+		c++
+	}
+	for g.ye[r] != cell.MinY || g.ye[r+1] != cell.MaxY {
+		r++
+	}
+	return c, r
 }
 
 // fillRects is the difference-array pass shared by the classic fill and
@@ -519,14 +565,24 @@ func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64, failOn
 	ncol, nrow := g.ncol, g.nrow
 	x0, xn, y0, yn := g.xe[0], g.xe[ncol], g.ye[0], g.ye[nrow]
 	wide := x0 < g.xe[1] && g.xe[ncol-1] < xn && y0 < g.ye[1] && g.ye[nrow-1] < yn
+	// On an unsorted master pass 2 and the centre probes have no window
+	// to find a cell's rectangles in; they walk these classifications
+	// instead of comparing every rectangle against every cell they visit.
+	record := !tab.sorted
+	if record {
+		if cap(g.spans) < len(ids) {
+			g.spans = make([]idSpan, len(ids), max(len(ids), 2*cap(g.spans)))
+		}
+		g.spans = g.spans[:len(ids)]
+	}
 	c0, c1 := 0, 0
-	for _, id := range ids {
+	for k, id := range ids {
 		var contribs []agg.Contrib
 		var mm []agg.MMContrib
 		if failOnly {
 			contribs = tab.rectFailContribs(id)
-			if len(contribs) == 0 {
-				continue
+			if len(contribs) == 0 && !record {
+				continue // nothing to add; a recording pass still classifies it
 			}
 		} else {
 			contribs = tab.rectContribs(id)
@@ -538,6 +594,9 @@ func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64, failOn
 		if wide && r.MinX <= x0 && r.MaxX >= xn && r.MinY <= y0 && r.MaxY >= yn {
 			g.rangeAdd(g.diffFull, contribs, 0, 0, ncol-1, nrow-1)
 			c0, c1 = 0, ncol-1
+			if record {
+				g.setSpan(k, 0, ncol-1, 0, nrow-1, 0, ncol-1, 0, nrow-1)
+			}
 			continue
 		}
 		if !tab.sorted {
@@ -547,6 +606,9 @@ func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64, failOn
 		c0, c1 = overlapRange(r.MinX, r.MaxX, c0, c1, g.xe)
 		r0, r1 := overlapRange(r.MinY, r.MaxY, int((r.MinY-space.MinY)*perH), int((r.MaxY-space.MinY)*perH), g.ye)
 		if c0 > c1 || r0 > r1 {
+			if record {
+				g.setSpan(k, 1, 0, 0, 0, 0, 0, 0, 0) // c0 > c1: overlaps no cell
+			}
 			continue
 		}
 		// Fully covered sub-range: every point of the cell interior is
@@ -554,6 +616,9 @@ func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64, failOn
 		// interiors; see DESIGN.md "Coverage semantics").
 		fc0, fc1 := fullRange(c0, c1, r.MinX, r.MaxX, g.xe)
 		fr0, fr1 := fullRange(r0, r1, r.MinY, r.MaxY, g.ye)
+		if record {
+			g.setSpan(k, c0, c1, r0, r1, fc0, fc1, fr0, fr1)
+		}
 
 		if fc0 <= fc1 && fr0 <= fr1 {
 			g.rangeAdd(g.diffFull, contribs, fc0, fr0, fc1, fr1)
@@ -933,8 +998,16 @@ func (w *worker) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32)
 				}
 			}
 		} else {
-			for _, id := range ids {
-				if master[id].Rect.ContainsOpen(p) {
+			// A centre lies within its cell's closed extent, so only the
+			// rectangles the table has overlapping the cell can contain it;
+			// those are asked exactly, in id order.
+			c, r := g.cellAt(dirty[di].rect)
+			c16, r16 := int16(c), int16(r)
+			for k, sp := range g.spans[:len(ids)] {
+				if c16 < sp.c0 || c16 > sp.c1 || r16 < sp.r0 || r16 > sp.r1 {
+					continue
+				}
+				if id := ids[k]; master[id].Rect.ContainsOpen(p) {
 					for _, cb := range t.rectContribs(id) {
 						ch[cb.Ch] += cb.V
 					}
@@ -1033,7 +1106,7 @@ func (w *worker) refineCost(cell geom.Rect, nIds int) int {
 // refinement decisions — and with them the whole search trajectory —
 // are identical to the scan path's; the fast path only makes each
 // decision cheaper to execute.
-func (w *worker) refineCellLB(cell, clip geom.Rect, ids []int32, cellFull []float64) (float64, bool) {
+func (w *worker) refineCellLB(c, r int, cell, clip geom.Rect, ids []int32, cellFull []float64) (float64, bool) {
 	g := w.grid
 	t := w.s.tab
 	master := w.s.rects
@@ -1094,14 +1167,11 @@ func (w *worker) refineCellLB(cell, clip geom.Rect, ids []int32, cellFull []floa
 	} else {
 		base = g.refineBase[:g.chans]
 		clear(base)
-		consider := func(id int32) bool {
-			r := master[id].Rect
-			// Only rectangles whose interior meets the cell interior
-			// matter.
-			if !(r.MinX < cell.MaxX && cell.MinX < r.MaxX && r.MinY < cell.MaxY && cell.MinY < r.MaxY) {
-				return true
-			}
-			if r.ContainsRect(cell) {
+		// Fully covering rectangles sum into the base and partial ones are
+		// listed, both in id order — the order the grid fill accumulates
+		// in, which the channels that failed the certificate are held to.
+		consider := func(id int32, full bool) bool {
+			if full {
 				for _, cb := range t.rectContribs(id) {
 					base[cb.Ch] += cb.V
 				}
@@ -1114,19 +1184,29 @@ func (w *worker) refineCellLB(cell, clip geom.Rect, ids []int32, cellFull []floa
 			lo := t.windowLo(cell.MinX - t.wmax)
 			hi := t.windowHi(cell.MaxX)
 			for id := lo; id < hi; id++ {
-				r := &master[id].Rect
-				if !(r.MinX < clip.MaxX && clip.MinX < r.MaxX &&
-					r.MinY < clip.MaxY && clip.MinY < r.MaxY) {
+				rc := &master[id].Rect
+				if !(rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
+					rc.MinY < clip.MaxY && clip.MinY < rc.MaxY) {
 					continue // outside the space's chain-filtered subset
 				}
-				if !consider(int32(id)) {
+				// Only rectangles whose interior meets the cell interior
+				// matter.
+				if !(rc.MinX < cell.MaxX && cell.MinX < rc.MaxX && rc.MinY < cell.MaxY && cell.MinY < rc.MaxY) {
+					continue
+				}
+				if !consider(int32(id), rc.ContainsRect(cell)) {
 					g.refinePartial = partial[:0]
 					return 0, false
 				}
 			}
 		} else {
-			for _, id := range ids {
-				if !consider(id) {
+			c16, r16 := int16(c), int16(r)
+			for k, sp := range g.spans[:len(ids)] {
+				if c16 < sp.c0 || c16 > sp.c1 || r16 < sp.r0 || r16 > sp.r1 {
+					continue
+				}
+				full := sp.fc0 <= c16 && c16 <= sp.fc1 && sp.fr0 <= r16 && r16 <= sp.fr1
+				if !consider(ids[k], full) {
 					g.refinePartial = partial[:0]
 					return 0, false
 				}

@@ -109,7 +109,10 @@ func sameResult(a, b asp.Result) bool {
 // the drop flag and every work counter must agree bit for bit, for the
 // difference-array fill and the SAT/hybrid fill feeding the same passes,
 // on lattice-aligned edges, zero-extent rectangles, sub-ulp sliver
-// spaces and ancestor clips.
+// spaces and ancestor clips. On the unsorted master (failing-channel) the
+// classification table is additionally asked about every dirty cell of
+// every grid — collapsed edge cells of the sliver spaces included — and
+// must give the per-cell scan's bound, bail-out and probe incumbent.
 func TestDiscretizeMatchesReference(t *testing.T) {
 	old := satMinIds
 	satMinIds = 48 // let the cost model pick the SAT fill on test-sized spaces

@@ -13,8 +13,11 @@ import (
 // scans of the grid with every clean cell finalized on its own — as the
 // oracle the production loops of grid.go are held to bit for bit
 // (TestDiscretizeMatchesReference). It shares with production only what
-// production did not rewrite: mmUpdate, fullRange, fillGridSAT,
-// refineCellLB and probeCellCenters.
+// production did not rewrite: mmUpdate, fullRange and fillGridSAT. The
+// refinement and the centre probes are kept in the form that compares
+// every candidate rectangle against the cell itself (refRefineCellLB,
+// refProbeCellCenters), the oracle for the per-Discretize classification
+// table production walks on unsorted masters.
 
 func (g *gridBuffers) refReset() {
 	clear(g.diffFull)
@@ -190,7 +193,7 @@ func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 fu
 					// so cells over the gate skip the scan outright — the
 					// same outcome the scan's own bail would reach.
 					if g.diffCnt[idx] <= refineMaxPartial {
-						if rlb, ok := w.refineCellLB(cell, clip, ids, g.diffFull[idx*g.chans:(idx+1)*g.chans]); ok {
+						if rlb, ok := w.refRefineCellLB(cell, clip, ids, g.diffFull[idx*g.chans:(idx+1)*g.chans]); ok {
 							w.stats.RefinedCells++
 							if rlb > lb {
 								lb = rlb
@@ -212,7 +215,7 @@ func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 fu
 	w.dirty = dirty
 
 	drop := 2*cw < w.s.acc.DX && 2*chh < w.s.acc.DY
-	w.probeCellCenters(dirty, clip, ids)
+	w.refProbeCellCenters(dirty, clip, ids)
 	return dirty, drop
 }
 
@@ -343,4 +346,215 @@ func refOverlapRange(lo, hi, min, step float64, edges []float64) (int, int) {
 		i1--
 	}
 	return i0, i1
+}
+
+// refProbeCellCenters is probeCellCenters with every candidate rectangle
+// asked on its own (on unsorted masters: all of ids per probe). It evaluates the centers of the most promising surviving
+// dirty cells as genuine candidate points. This does not affect
+// exactness — any point's distance is a valid incumbent — but it makes
+// d_opt converge early on flat distance landscapes, which is what lets
+// Equation 1 prune aggressively on workloads like F2 where many regions
+// are near-ties.
+func (w *worker) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32) {
+	const probes = 4
+	if len(dirty) == 0 {
+		return
+	}
+	// Partial selection of the `probes` lowest lower bounds.
+	idx := make([]int, 0, probes)
+	for i := range dirty {
+		if len(idx) < probes {
+			idx = append(idx, i)
+			continue
+		}
+		worst := 0
+		for j := 1; j < len(idx); j++ {
+			if dirty[idx[j]].lb > dirty[idx[worst]].lb {
+				worst = j
+			}
+		}
+		if dirty[i].lb < dirty[idx[worst]].lb {
+			idx[worst] = i
+		}
+	}
+	g := w.grid
+	t := w.s.tab
+	master := w.s.rects
+	query := &w.s.query
+	ch := g.refineCh[:g.chans]
+	for _, di := range idx {
+		p := dirty[di].rect.Center()
+		clear(ch)
+		if t.sorted {
+			// The rectangles covering p form a binary-searched window of
+			// the master order: MinX ∈ (p.X − wmax, p.X). The clip clause
+			// restricts the window to the space's chain-filtered subset
+			// (a probe point in a boundary cell can poke an ulp outside
+			// the clip; see Item.Clip).
+			lo := t.windowLo(p.X - t.wmax)
+			hi := t.windowHi(p.X)
+			for id := lo; id < hi; id++ {
+				rc := &master[id].Rect
+				if rc.ContainsOpen(p) &&
+					rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
+					rc.MinY < clip.MaxY && clip.MinY < rc.MaxY {
+					for _, cb := range t.rectContribs(int32(id)) {
+						ch[cb.Ch] += cb.V
+					}
+				}
+			}
+		} else {
+			for _, id := range ids {
+				if master[id].Rect.ContainsOpen(p) {
+					for _, cb := range t.rectContribs(id) {
+						ch[cb.Ch] += cb.V
+					}
+				}
+			}
+		}
+		query.F.FinalizeExact(t.fold(g.foldFull, ch), g.rep)
+		if d := query.Distance(g.rep); d <= w.cur.Dist {
+			w.improve(d, p, g.rep)
+		}
+	}
+	w.stats.CenterProbes += len(idx)
+}
+
+// refRefineCellLB is refineCellLB with the per-cell scan: on unsorted
+// masters every id of the space is re-compared against the cell. It computes an exact lower bound for a dirty cell by
+// enumerating every completion of the full covering set with a subset of
+// the partial rectangles. Returns ok=false when the cell exceeds the
+// enumeration gates. cellFull is the cell's full-cover channel totals
+// from the grid fill, which the fully certified fast path reuses as the
+// enumeration base (exact sums make it bit-identical to re-accumulating
+// the containing rectangles) while finding the partial rectangles in
+// the cell's 2D anchor-bin box — a fraction of the 1D master-window
+// scan, whose x-range spans the full y extent. The budget accounting
+// (refineCost) deliberately still charges the window cost, so the
+// refinement decisions — and with them the whole search trajectory —
+// are identical to the scan path's; the fast path only makes each
+// decision cheaper to execute.
+func (w *worker) refRefineCellLB(cell, clip geom.Rect, ids []int32, cellFull []float64) (float64, bool) {
+	g := w.grid
+	t := w.s.tab
+	master := w.s.rects
+	query := &w.s.query
+	var base []float64
+	partial := g.refinePartial[:0]
+	if t.sortExact && !w.s.opt.DisableSAT {
+		t.ensureLevels(master)
+		l, _ := t.pickLevel(master, cell, 1, 1, cell.MaxX-cell.MinX, cell.MaxY-cell.MinY)
+		base = cellFull
+		// All possibly-overlapping anchors have MinX ∈ (cell.MinX − wmax,
+		// cell.MaxX) and MinY ∈ (cell.MinY − hmax, cell.MaxY); each bin
+		// row of that box is a contiguous CSR run. Bins certainly inside
+		// the cell's full-cover box hold only rectangles that closed-
+		// contain the cell — already summed into cellFull (if in the
+		// subset) or excluded everywhere (if not) — so the scan skips
+		// that interior and walks only the ring where partials can live.
+		xo0, xo1 := l.xBinLE(master, cell.MinX-t.wmax, true), l.xBinGT(master, cell.MaxX, true)
+		yo0, yo1 := l.yBinLE(master, cell.MinY-t.hmax, true), l.yBinGT(master, cell.MaxY, true)
+		fi0, fi1 := l.xBinGT(master, cell.MaxX-t.wmin, false), l.xBinLE(master, cell.MinX, false)
+		fj0, fj1 := l.yBinGT(master, cell.MaxY-t.hmin, false), l.yBinLE(master, cell.MinY, false)
+		scan := func(lo, hi, row int) bool {
+			if lo >= hi {
+				return true
+			}
+			for _, id := range l.binIds[l.binStart[row+lo]:l.binStart[row+hi]] {
+				r := &master[id].Rect
+				if !(r.MinX < clip.MaxX && clip.MinX < r.MaxX &&
+					r.MinY < clip.MaxY && clip.MinY < r.MaxY) {
+					continue // outside the space's chain-filtered subset
+				}
+				if !(r.MinX < cell.MaxX && cell.MinX < r.MaxX && r.MinY < cell.MaxY && cell.MinY < r.MaxY) {
+					continue // interior does not meet the cell interior
+				}
+				if r.ContainsRect(cell) {
+					continue // already summed into cellFull by the fill
+				}
+				partial = append(partial, id)
+				if len(partial) > refineMaxPartial {
+					return false
+				}
+			}
+			return true
+		}
+		for bj := yo0; bj < yo1; bj++ {
+			row := bj * l.gx
+			ok := true
+			if bj >= fj0 && bj < fj1 && fi0 < fi1 {
+				ok = scan(xo0, min(fi0, xo1), row) && scan(max(xo0, fi1), xo1, row)
+			} else {
+				ok = scan(xo0, xo1, row)
+			}
+			if !ok {
+				g.refinePartial = partial[:0]
+				return 0, false
+			}
+		}
+	} else {
+		base = g.refineBase[:g.chans]
+		clear(base)
+		consider := func(id int32) bool {
+			r := master[id].Rect
+			// Only rectangles whose interior meets the cell interior
+			// matter.
+			if !(r.MinX < cell.MaxX && cell.MinX < r.MaxX && r.MinY < cell.MaxY && cell.MinY < r.MaxY) {
+				return true
+			}
+			if r.ContainsRect(cell) {
+				for _, cb := range t.rectContribs(id) {
+					base[cb.Ch] += cb.V
+				}
+				return true
+			}
+			partial = append(partial, id)
+			return len(partial) <= refineMaxPartial
+		}
+		if t.sorted {
+			lo := t.windowLo(cell.MinX - t.wmax)
+			hi := t.windowHi(cell.MaxX)
+			for id := lo; id < hi; id++ {
+				r := &master[id].Rect
+				if !(r.MinX < clip.MaxX && clip.MinX < r.MaxX &&
+					r.MinY < clip.MaxY && clip.MinY < r.MaxY) {
+					continue // outside the space's chain-filtered subset
+				}
+				if !consider(int32(id)) {
+					g.refinePartial = partial[:0]
+					return 0, false
+				}
+			}
+		} else {
+			for _, id := range ids {
+				if !consider(id) {
+					g.refinePartial = partial[:0]
+					return 0, false
+				}
+			}
+		}
+	}
+	g.refinePartial = partial[:0]
+
+	best := math.Inf(1)
+	ch := g.refineCh[:g.chans]
+	for mask := 0; mask < 1<<len(partial); mask++ {
+		copy(ch, base)
+		for i := range partial {
+			if mask&(1<<i) == 0 {
+				continue
+			}
+			for _, cb := range t.rectContribs(partial[i]) {
+				ch[cb.Ch] += cb.V
+			}
+		}
+		// ch is an eff-space vector (base and contributions carry the
+		// two-float hi/lo planes separately); fold before finalizing or
+		// the lo planes would be dropped from the bound.
+		query.F.FinalizeExact(t.fold(g.foldFull, ch), g.rep)
+		if d := query.Distance(g.rep); d < best {
+			best = d
+		}
+	}
+	return best, true
 }

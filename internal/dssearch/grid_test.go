@@ -146,7 +146,7 @@ func TestSubtractRect(t *testing.T) {
 	for trial := 0; trial < 1000; trial++ {
 		space := geom.NewRect(rng.Float64()*10, rng.Float64()*10, 10+rng.Float64()*10, 10+rng.Float64()*10)
 		f := geom.NewRect(rng.Float64()*25, rng.Float64()*25, rng.Float64()*25, rng.Float64()*25)
-		parts := subtractRect(space, f)
+		parts := appendSubtract(nil, space, f)
 		for probe := 0; probe < 50; probe++ {
 			p := geom.Point{
 				X: space.MinX + rng.Float64()*space.Width(),

@@ -22,7 +22,7 @@ func TestTopKNonOverlappingAndOrdered(t *testing.T) {
 		target := []float64{float64(rng.Intn(5)), float64(rng.Intn(5)), float64(rng.Intn(5))}
 		q := asp.Query{F: f, Target: target}
 		const k = 4
-		regions, results, err := dssearch.SolveASRSTopK(ds, 7, 7, q, k, nil, dssearch.Options{NCol: 10, NRow: 10})
+		regions, results, _, err := dssearch.SolveASRSTopK(ds, 7, 7, q, k, nil, dssearch.Options{NCol: 10, NRow: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestTopKRespectsExternalExclusion(t *testing.T) {
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
 	q := asp.Query{F: f, Target: []float64{3, 3, 3}}
 	avoid := geom.Rect{MinX: 10, MinY: 10, MaxX: 30, MaxY: 30}
-	regions, _, err := dssearch.SolveASRSTopK(ds, 6, 6, q, 3, []geom.Rect{avoid}, dssearch.Options{})
+	regions, _, _, err := dssearch.SolveASRSTopK(ds, 6, 6, q, 3, []geom.Rect{avoid}, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +70,10 @@ func TestTopKValidation(t *testing.T) {
 	ds := dataset.Random(5, 10, 52)
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
 	q := asp.Query{F: f, Target: []float64{0, 0, 0}}
-	if _, _, err := dssearch.SolveASRSTopK(ds, 2, 2, q, 0, nil, dssearch.Options{}); err == nil {
+	if _, _, _, err := dssearch.SolveASRSTopK(ds, 2, 2, q, 0, nil, dssearch.Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := dssearch.SolveASRSTopK(ds, 2, 2, q, 2, nil, dssearch.Options{Anchor: asp.AnchorBL}); err == nil {
+	if _, _, _, err := dssearch.SolveASRSTopK(ds, 2, 2, q, 2, nil, dssearch.Options{Anchor: asp.AnchorBL}); err == nil {
 		t.Error("non-TR anchor accepted")
 	}
 }

@@ -32,24 +32,6 @@ func AnchorWindow(within geom.Rect, a, b float64) geom.Rect {
 	return geom.Rect{MinX: within.MinX, MinY: within.MinY, MaxX: within.MaxX - a, MaxY: within.MaxY - b}
 }
 
-// withinPieces carves the anchor window into search pieces by
-// subtracting the Minkowski expansion of every excluded rectangle —
-// the same piece algebra SolveASRSTopK uses over the full space, so a
-// windowed search and a full-space search that happen to visit the
-// same geometry take bit-identical trajectories.
-func withinPieces(win geom.Rect, a, b float64, exclude []geom.Rect) []geom.Rect {
-	pieces := []geom.Rect{win}
-	for _, e := range exclude {
-		forbidden := geom.Rect{MinX: e.MinX - a, MinY: e.MinY - b, MaxX: e.MaxX, MaxY: e.MaxY}
-		var next []geom.Rect
-		for _, p := range pieces {
-			next = append(next, subtractRect(p, forbidden)...)
-		}
-		pieces = next
-	}
-	return pieces
-}
-
 // solveWithinPieces runs the searcher over the pieces from a +Inf
 // infeasible-sentinel seed and returns the best feasible candidate.
 // The sentinel (not the out-of-space empty candidate Solve uses) is
@@ -113,7 +95,10 @@ func SolveASRSWithin(ds *attr.Dataset, a, b float64, q asp.Query, within geom.Re
 		return geom.Rect{}, asp.Result{}, Stats{}, err
 	}
 	defer s.Release()
-	pieces := withinPieces(win, a, b, exclude)
+	// The same piece algebra SolveASRSTopK applies to the full space, so
+	// a windowed search and a full-space search that happen to visit the
+	// same geometry take bit-identical trajectories.
+	pieces := AppendPieces(nil, win, ForbiddenBoxes(exclude, a, b))
 	if len(pieces) == 0 {
 		return geom.Rect{}, asp.Result{}, s.Stats, ErrNoFeasibleRegion
 	}

@@ -43,11 +43,11 @@ func TestDynamicSnapshotMatchesStatic(t *testing.T) {
 	}
 
 	rects, _ := asp.Reduce(ds, a, b, asp.AnchorTR)
-	r1, _, err := gridindex.Solve(static, rects, q, a, b, dssearch.Options{})
+	r1, _, err := gridindex.Solve(static, rects, q, a, b, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := gridindex.Solve(snap, rects, q, a, b, dssearch.Options{})
+	r2, _, err := gridindex.Solve(snap, rects, q, a, b, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDynamicStreamingSearch(t *testing.T) {
 		snap := dyn.Snapshot()
 		prefix := &attr.Dataset{Schema: ds.Schema, Objects: ds.Objects[:hi]}
 		rects, _ := asp.Reduce(prefix, a, b, asp.AnchorTR)
-		got, _, err := gridindex.Solve(snap, rects, q, a, b, dssearch.Options{})
+		got, _, err := gridindex.Solve(snap, rects, q, a, b, nil, dssearch.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,8 +20,20 @@ import (
 type Stats struct {
 	Cells         int // index cells considered
 	CellsSearched int // cells handed to DS-Search
+	CellsExcluded int // cells reached by the best-first loop but wholly forbidden by exclusions (not in CellsSearched)
 	MarginRuns    int // DS-Search runs on the reduction margins
+	Pieces        int // sub-rectangles actually searched: margin runs plus every piece of every searched cell
 	DS            dssearch.Stats
+}
+
+// Add folds another run's counters into s (the rounds of a top-k).
+func (s *Stats) Add(o Stats) {
+	s.Cells += o.Cells
+	s.CellsSearched += o.CellsSearched
+	s.CellsExcluded += o.CellsExcluded
+	s.MarginRuns += o.MarginRuns
+	s.Pieces += o.Pieces
+	s.DS.Add(o.DS)
 }
 
 type cellCand struct {
@@ -35,7 +47,17 @@ type cellCand struct {
 // opt.Delta > 0 selects the approximate variant (app-GIDS). The cell
 // lower-bound pass and the per-cell DS-Search refinement both use
 // opt.Workers; the answer is independent of the worker count.
-func Solve(idx *Index, rects []asp.RectObject, q asp.Query, a, b float64, opt dssearch.Options) (asp.Result, Stats, error) {
+//
+// exclude lists rectangles the answer region may not overlap (beyond a
+// shared boundary); an empty list is Algorithm 2 as published. Each
+// exclusion forbids an open box of answer points
+// (dssearch.ForbiddenBoxes), and everything searched — the margin strips
+// and each cell the best-first loop reaches — is first cut into the
+// pieces that avoid every box. A cell's lower bound bounds every answer
+// point in the cell and so every point of a piece of it: the loop's
+// order and stopping rule stand as they are. A wholly forbidden cell has
+// no piece and is passed over.
+func Solve(idx *Index, rects []asp.RectObject, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options) (asp.Result, Stats, error) {
 	if opt.Anchor != asp.AnchorTR {
 		return asp.Result{}, Stats{}, fmt.Errorf("gridindex: GI-DS requires the top-right-corner reduction (AnchorTR)")
 	}
@@ -63,6 +85,9 @@ func Solve(idx *Index, rects []asp.RectObject, q asp.Query, a, b float64, opt ds
 	searcher.SeedBest(asp.Result{Point: emptyP, Dist: q.Distance(emptyRep), Rep: emptyRep})
 
 	if len(rects) > 0 {
+		forbidden := dssearch.ForbiddenBoxes(exclude, a, b)
+		var pieces []geom.Rect
+
 		// The reduction extends the candidate space below/left of the
 		// indexed bounds by (a, b); those thin margins are searched
 		// directly (no index cells bucket them).
@@ -72,9 +97,14 @@ func Solve(idx *Index, rects []asp.RectObject, q asp.Query, a, b float64, opt ds
 			{MinX: bounds.MinX, MinY: space.MinY, MaxX: space.MaxX, MaxY: bounds.MinY},
 		}
 		for _, m := range margins {
-			if m.IsValid() && !m.IsEmpty() {
+			if !m.IsValid() || m.IsEmpty() {
+				continue
+			}
+			pieces = dssearch.AppendPieces(pieces[:0], m, forbidden)
+			for _, p := range pieces {
 				stats.MarginRuns++
-				searcher.SolveWithin(m, 0)
+				stats.Pieces++
+				searcher.SolveWithin(p, 0)
 			}
 		}
 
@@ -88,7 +118,7 @@ func Solve(idx *Index, rects []asp.RectObject, q asp.Query, a, b float64, opt ds
 			}
 		}
 
-		// Lines 5–7: best-first refinement. Rectangle id subsets per cell
+		// Lines 5–7: best-first refinement. Rectangle id subsets per piece
 		// come from the searcher's binary-searched master window, not a
 		// linear scan.
 		var sub []int32
@@ -101,9 +131,17 @@ func Solve(idx *Index, rects []asp.RectObject, q asp.Query, a, b float64, opt ds
 			if top.lb >= thresh {
 				break
 			}
+			pieces = dssearch.AppendPieces(pieces[:0], top.rect, forbidden)
+			if len(pieces) == 0 {
+				stats.CellsExcluded++
+				continue
+			}
 			stats.CellsSearched++
-			sub = searcher.AppendWindowIDs(top.rect, sub[:0])
-			searcher.SolveWithinIDs(top.rect, top.lb, sub)
+			for _, p := range pieces {
+				stats.Pieces++
+				sub = searcher.AppendWindowIDs(p, sub[:0])
+				searcher.SolveWithinIDs(p, top.lb, sub)
+			}
 		}
 	}
 	if err := searcher.Err(); err != nil {

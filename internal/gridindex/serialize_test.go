@@ -45,11 +45,11 @@ func TestIndexSerializeRoundTrip(t *testing.T) {
 		}
 	}
 	rects, _ := asp.Reduce(ds, a, b, asp.AnchorTR)
-	r1, _, err := gridindex.Solve(idx, rects, q, a, b, dssearch.Options{})
+	r1, _, err := gridindex.Solve(idx, rects, q, a, b, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := gridindex.Solve(loaded, rects, q, a, b, dssearch.Options{})
+	r2, _, err := gridindex.Solve(loaded, rects, q, a, b, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

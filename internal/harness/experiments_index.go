@@ -21,7 +21,7 @@ func runGIDS(w workload, k int, idx *gridindex.Index, delta float64) (float64, f
 		if err != nil {
 			return err
 		}
-		res, st, err := gridindex.Solve(idx, rects, q, a, b, dssearch.Options{Delta: delta, Workers: 1})
+		res, st, err := gridindex.Solve(idx, rects, q, a, b, nil, dssearch.Options{Delta: delta, Workers: 1})
 		stats = st
 		dist = res.Dist
 		return err

@@ -25,9 +25,11 @@ type Row struct {
 // have run at all. The greedy round sequence — single-best search with
 // the accumulated exclusion set, each round's region appended whether
 // or not a filter accepts it — is exactly the loop inside the engine's
-// one-shot top-k (dssearch.SolveASRSTopK) and the router's
-// scatter-round gather, which is why an unfiltered stream's rows are
-// Float64bits-identical to the one-shot answer.
+// one-shot top-k (asrs.SearchTopKWithIndex with a grid index,
+// dssearch.SolveASRSTopK without) and the router's scatter-round
+// gather, and each round goes through the function that loop calls,
+// which is why an unfiltered stream's rows — regions included — are
+// the one-shot answer's.
 //
 // A Stream is single-goroutine; it holds no locks and no background
 // work. Abandoning it mid-iteration leaks nothing.

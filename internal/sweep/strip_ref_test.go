@@ -1,0 +1,240 @@
+package sweep
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"asrs/internal/agg"
+	"asrs/internal/asp"
+	"asrs/internal/attr"
+	"asrs/internal/geom"
+)
+
+// This file keeps the classic strip in the form it had before its
+// contributions were flattened — every crossing hands the rectangle's
+// object to Accumulator.Add/Remove, which evaluates the composite's
+// selectors anew — as the oracle scanStrip is held to bit for bit
+// (TestScanStripFlatMatchesAccumulator).
+
+// refSolveWithin is SolveWithin's classic strip loop over refScanStrip.
+func (s *Solver) refSolveWithin(space geom.Rect) (asp.Result, bool) {
+	ys := []float64{space.MinY, space.MaxY}
+	for _, r := range s.rects {
+		if r.Rect.MinY > space.MinY && r.Rect.MinY < space.MaxY {
+			ys = append(ys, r.Rect.MinY)
+		}
+		if r.Rect.MaxY > space.MinY && r.Rect.MaxY < space.MaxY {
+			ys = append(ys, r.Rect.MaxY)
+		}
+	}
+	sort.Float64s(ys)
+	ys = dedup(ys)
+	best := asp.Result{Dist: math.Inf(1)}
+	found := false
+	acc := agg.NewAccumulator(s.query.F)
+	rep := make([]float64, s.query.F.Dims())
+	for si := 0; si+1 < len(ys); si++ {
+		if ys[si+1] <= ys[si] {
+			continue
+		}
+		if s.refScanStrip((ys[si]+ys[si+1])/2, space, acc, rep, &best) {
+			found = true
+		}
+	}
+	if space.MinY == space.MaxY {
+		if s.refScanStrip(space.MinY, space, acc, rep, &best) {
+			found = true
+		}
+	}
+	return best, found
+}
+
+// refScanStrip is the strip walk over the object accumulator.
+func (s *Solver) refScanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, rep []float64, best *asp.Result) bool {
+	acc.Reset()
+	active := func(i int) bool {
+		r := s.rects[i].Rect
+		return r.MinY < ym && ym < r.MaxY
+	}
+	found := false
+	ins, outs := s.byMinX, s.byMaxX
+	ii, oi := 0, 0
+	prevX := space.MinX
+	evaluate := func(upToX float64) {
+		l := math.Max(prevX, space.MinX)
+		r := math.Min(upToX, space.MaxX)
+		if l > r {
+			return
+		}
+		xm := l
+		if l != r {
+			xm = (l + r) / 2
+		}
+		acc.Representation(rep)
+		bnd := best.Dist
+		if s.evalCap < bnd {
+			bnd = s.evalCap
+		}
+		if d, ok := s.query.DistanceUnder(rep, bnd); ok {
+			best.Dist = d
+			best.Point = geom.Point{X: xm, Y: ym}
+			best.Rep = append(best.Rep[:0], rep...)
+		}
+		found = true
+	}
+	if space.MinX == space.MaxX {
+		for _, i := range ins {
+			r := s.rects[i].Rect
+			if r.MinX < space.MinX && space.MinX < r.MaxX && active(i) {
+				acc.Add(s.rects[i].Obj)
+			}
+		}
+		evaluate(space.MaxX)
+		return found
+	}
+	for ii < len(ins) || oi < len(outs) {
+		var x float64
+		takeIn := false
+		switch {
+		case ii >= len(ins):
+			x = s.rects[outs[oi]].Rect.MaxX
+		case oi >= len(outs):
+			x = s.rects[ins[ii]].Rect.MinX
+			takeIn = true
+		default:
+			xi := s.rects[ins[ii]].Rect.MinX
+			xo := s.rects[outs[oi]].Rect.MaxX
+			if xi < xo {
+				x, takeIn = xi, true
+			} else {
+				x = xo
+			}
+		}
+		if x > prevX && x > space.MinX {
+			evaluate(x)
+			prevX = x
+		}
+		if prevX >= space.MaxX {
+			break
+		}
+		if takeIn {
+			if active(ins[ii]) {
+				acc.Add(s.rects[ins[ii]].Obj)
+			}
+			ii++
+		} else {
+			if active(outs[oi]) {
+				acc.Remove(s.rects[outs[oi]].Obj)
+			}
+			oi++
+		}
+	}
+	if prevX < space.MaxX {
+		evaluate(space.MaxX)
+	}
+	return found
+}
+
+// TestScanStripFlatMatchesAccumulator: the classic sweep over flattened
+// contributions returns the object-accumulator sweep's answer — distance,
+// point, representation — bit for bit, on a real-valued composite whose
+// sums round (no fixed-point certificate would pass) and whose selectors
+// reject part of the objects, over whole, random, zero-width and
+// zero-height spaces, with and without an evaluation cap, through one
+// solver rebound from trial to trial (a stale table would answer for the
+// previous rectangles).
+func TestScanStripFlatMatchesAccumulator(t *testing.T) {
+	schema, err := attr.NewSchema(
+		attr.Attribute{Name: "rating", Kind: attr.Numeric},
+		attr.Attribute{Name: "visits", Kind: attr.Numeric},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := agg.New(schema,
+		agg.Spec{Kind: agg.Sum, Attr: "visits", Select: attr.SelectNumRange(0, 2, 9)},
+		agg.Spec{Kind: agg.Average, Attr: "rating"},
+		agg.Spec{Kind: agg.Count, Select: attr.SelectNumRange(1, -50, 400)},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(97))
+	var s *Solver
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(150)
+		objs := make([]attr.Object, n)
+		rects := make([]asp.RectObject, n)
+		w, h := 4+rng.Float64()*10, 3+rng.Float64()*10
+		for i := range rects {
+			x, y := rng.Float64()*100, rng.Float64()*100
+			if rng.Intn(3) == 0 {
+				x, y = float64(rng.Intn(20))*5, float64(rng.Intn(20))*5
+			}
+			objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{{Num: rng.Float64() * 10}, {Num: rng.NormFloat64() * 300}}}
+			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - w, MinY: y - h, MaxX: x, MaxY: y}, Obj: &objs[i]}
+		}
+		q := asp.Query{F: f, Target: []float64{500 * rng.Float64(), 10 * rng.Float64(), float64(rng.Intn(8))}, Norm: agg.Norm(trial % 2)}
+		if s == nil {
+			if s, err = New(rects, q); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			s.query = q
+			s.Rebind(rects)
+		}
+		x, y := float64(rng.Intn(20))*5, float64(rng.Intn(20))*5
+		spaces := []geom.Rect{
+			asp.Space(rects),
+			{MinX: rng.Float64() * 50, MinY: rng.Float64() * 50, MaxX: 50 + rng.Float64()*50, MaxY: 50 + rng.Float64()*50},
+			{MinX: x, MinY: 5, MaxX: x, MaxY: 95},                        // zero width, on shared edges
+			{MinX: 5, MinY: y, MaxX: 95, MaxY: y},                        // zero height, on shared edges
+			{MinX: x - w/2, MinY: y - h/2, MaxX: x - w/2, MaxY: y - h/2}, // a point
+		}
+		for si, space := range spaces {
+			for _, capDist := range []float64{math.Inf(1), 3} {
+				s.evalCap = capDist
+				want, wok := s.refSolveWithin(space)
+				got, gok := s.SolveWithin(space)
+				s.evalCap = math.Inf(1)
+				expectSame(t, fmt.Sprintf("trial %d space %d cap %v", trial, si, capDist), want, got, wok, gok)
+			}
+		}
+	}
+}
+
+// TestRebindOrderMatchesSortSlice: Rebind's edge orders are the
+// permutations sort.Slice produced, ties included — rectangles that share
+// an edge coordinate enter and leave the accumulator in that order.
+func TestRebindOrderMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	f := agg.MustNew(attr.MustSchema(attr.Attribute{Name: "v", Kind: attr.Numeric}), agg.Spec{Kind: agg.Sum, Attr: "v"})
+	q := asp.Query{F: f, Target: []float64{0}}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(700)
+		rects := make([]asp.RectObject, n)
+		grid := 1 + rng.Intn(40) // few distinct coordinates: many ties
+		for i := range rects {
+			x := float64(rng.Intn(grid))
+			rects[i].Rect = geom.Rect{MinX: x, MinY: 0, MaxX: x + float64(rng.Intn(grid)), MaxY: 1}
+		}
+		s, err := New(rects, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byMinX, byMaxX := make([]int, n), make([]int, n)
+		for i := range rects {
+			byMinX[i], byMaxX[i] = i, i
+		}
+		sort.Slice(byMinX, func(a, b int) bool { return rects[byMinX[a]].Rect.MinX < rects[byMinX[b]].Rect.MinX })
+		sort.Slice(byMaxX, func(a, b int) bool { return rects[byMaxX[a]].Rect.MaxX < rects[byMaxX[b]].Rect.MaxX })
+		for i := range rects {
+			if s.byMinX[i] != byMinX[i] || s.byMaxX[i] != byMaxX[i] {
+				t.Fatalf("trial %d (n=%d): position %d holds rects %d/%d, sort.Slice put %d/%d there", trial, n, i, s.byMinX[i], s.byMaxX[i], byMinX[i], byMaxX[i])
+			}
+		}
+	}
+}

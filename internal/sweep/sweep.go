@@ -11,6 +11,7 @@ package sweep
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"asrs/internal/agg"
@@ -21,7 +22,7 @@ import (
 // Stats reports work counters of one sweep run.
 type Stats struct {
 	Strips    int // horizontal strips examined
-	Intervals int // candidate x-intervals evaluated
+	Intervals int // candidate x-intervals enumerated (the classic strip scores one only where the covering set moved)
 	// Strip-evaluator selection counters of the incremental sweep:
 	// dirty strips resolved by the flat merge pass vs. by Fenwick tree
 	// walks (seeded ranges or, in StripFenwickOnly, per-point).
@@ -46,6 +47,14 @@ type Solver struct {
 	acc  *agg.Accumulator
 	rep  []float64
 	cbuf []agg.Contrib
+
+	// Every rectangle's channel contributions, flattened once per Rebind
+	// at the first classic strip (flatten): a strip adds and removes each
+	// active rectangle once, and a sweep has about two strips per
+	// rectangle. The incremental sweep never asks for them.
+	flat    []agg.Contrib
+	flatOff []int32 // rect i contributes flat[flatOff[i]:flatOff[i+1]]
+	flatOK  bool
 
 	// incremental selects the Fenwick-backed delta sweep for large
 	// inputs (see incremental.go); inc is its reusable scratch, and
@@ -183,14 +192,47 @@ func (s *Solver) SetQuery(q asp.Query) bool {
 // Rebind. Stats keep accumulating across rebinds.
 func (s *Solver) Rebind(rects []asp.RectObject) {
 	s.rects = rects
+	s.flatOK = false
 	s.byMinX = resizeInts(s.byMinX, len(rects))
 	s.byMaxX = resizeInts(s.byMaxX, len(rects))
 	for i := range rects {
 		s.byMinX[i] = i
 		s.byMaxX[i] = i
 	}
-	sort.Slice(s.byMinX, func(a, b int) bool { return rects[s.byMinX[a]].Rect.MinX < rects[s.byMinX[b]].Rect.MinX })
-	sort.Slice(s.byMaxX, func(a, b int) bool { return rects[s.byMaxX[a]].Rect.MaxX < rects[s.byMaxX[b]].Rect.MaxX })
+	// slices.SortFunc is sort.Slice's pdqsort without its per-call
+	// allocations, and puts equal keys in the same order — the order
+	// rectangles sharing an edge coordinate are added in, which real-valued
+	// sums can see (TestRebindOrderMatchesSortSlice).
+	slices.SortFunc(s.byMinX, func(a, b int) int { return cmpLess(rects[a].Rect.MinX, rects[b].Rect.MinX) })
+	slices.SortFunc(s.byMaxX, func(a, b int) int { return cmpLess(rects[a].Rect.MaxX, rects[b].Rect.MaxX) })
+}
+
+// cmpLess is the three-way comparison whose "< 0" is exactly x < y.
+func cmpLess(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
+}
+
+// flatten evaluates every bound rectangle's contributions (selectors
+// included) into the solver's retained table.
+func (s *Solver) flatten() {
+	s.flat = s.flat[:0]
+	s.flatOff = append(s.flatOff[:0], 0)
+	for i := range s.rects {
+		s.flat = s.query.F.AppendContribs(s.rects[i].Obj, s.flat)
+		s.flatOff = append(s.flatOff, int32(len(s.flat)))
+	}
+	s.flatOK = true
+}
+
+// contribs returns rect i's flattened contributions.
+func (s *Solver) contribs(i int) []agg.Contrib {
+	return s.flat[s.flatOff[i]:s.flatOff[i+1]]
 }
 
 // resizeInts returns a slice of length n, reusing capacity when possible.
@@ -300,6 +342,9 @@ func (s *Solver) SolveWithin(space geom.Rect) (asp.Result, bool) {
 // scanStrip sweeps the x-intervals of the strip at height ym, updating
 // best. Returns true if at least one candidate was evaluated.
 func (s *Solver) scanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, rep []float64, best *asp.Result) bool {
+	if !s.flatOK {
+		s.flatten()
+	}
 	acc.Reset()
 	// Merge-walk the two pre-sorted edge lists, keeping only rects active
 	// in this strip (open coverage in y).
@@ -313,19 +358,30 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, re
 	// prevX is the left end of the current candidate interval, clipped to
 	// the space.
 	prevX := space.MinX
+	// changed says the covering set moved since the strip's last scored
+	// interval. Edges of rectangles not active in the strip delimit
+	// intervals too, but an interval under the covering set of its
+	// predecessor scores the same distance, which already failed (or set)
+	// the strict improvement test against a bound that has only tightened.
+	changed := true
 	evaluate := func(upToX float64) {
 		l := math.Max(prevX, space.MinX)
 		r := math.Min(upToX, space.MaxX)
 		if l > r {
 			return
 		}
+		s.Stats.Intervals++
+		found = true
+		if !changed {
+			return
+		}
+		changed = false
 		var xm float64
 		if l == r {
 			xm = l
 		} else {
 			xm = (l + r) / 2
 		}
-		s.Stats.Intervals++
 		acc.Representation(rep)
 		bnd := best.Dist
 		if s.evalCap < bnd {
@@ -336,7 +392,6 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, re
 			best.Point = geom.Point{X: xm, Y: ym}
 			best.Rep = append(best.Rep[:0], rep...)
 		}
-		found = true
 	}
 	if space.MinX == space.MaxX {
 		// Degenerate zero-width space: a single candidate column. The
@@ -346,7 +401,7 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, re
 		for _, i := range ins {
 			r := s.rects[i].Rect
 			if r.MinX < space.MinX && space.MinX < r.MaxX && active(i) {
-				acc.Add(s.rects[i].Obj)
+				acc.AddContribs(s.contribs(i))
 			}
 		}
 		evaluate(space.MaxX)
@@ -384,12 +439,14 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, re
 		}
 		if takeIn {
 			if active(ins[ii]) {
-				acc.Add(s.rects[ins[ii]].Obj)
+				acc.AddContribs(s.contribs(ins[ii]))
+				changed = true
 			}
 			ii++
 		} else {
 			if active(outs[oi]) {
-				acc.Remove(s.rects[outs[oi]].Obj)
+				acc.RemoveContribs(s.contribs(outs[oi]))
+				changed = true
 			}
 			oi++
 		}

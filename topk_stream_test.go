@@ -1,0 +1,81 @@
+package asrs_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"asrs"
+	"asrs/internal/dataset"
+	"asrs/internal/query"
+)
+
+// TestTopKOneShotEqualsStream: a one-shot top-3 (Engine.Query{TopK: 3})
+// and the same plan streamed round by round (query.Stream.Next, one
+// engine request per row, each excluding the rows before it) go through
+// one search path, so they return the same rows — regions and points,
+// not only distances, which tie-broken searches would also agree on. On
+// the paper's F2 over POISyn, where most optima are ties; with the grid
+// index (every round a GI-DS run) and without it (plain DS-Search).
+func TestTopKOneShotEqualsStream(t *testing.T) {
+	ds := dataset.POISyn(2500, 42)
+	ua, ub := dataset.QueryUnit(ds.Bounds())
+	visits := ds.Schema.Index("visits")
+	planner := query.NewPlanner(ds.Schema, nil)
+	for _, grid := range []int{32, 0} {
+		eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: grid, Search: asrs.Options{Workers: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := 0
+		for _, k := range []float64{20, 45} {
+			a, b := k*ua, k*ub
+			vmax := dataset.MaxWindowStat(ds, a, b, func(o *asrs.Object) float64 { return o.Values[visits].Num })
+			for _, norm := range []string{"l1", "l2"} {
+				// Terms compile in canonical order (avg before sum), so the
+				// target literal is (rating, visits).
+				src := fmt.Sprintf("find top 3 size %v x %v similar to target(%v,%v) under %v*sum(visits) + 0.1*avg(rating) norm %s",
+					a, b, 7.5, 0.8*vmax, 1/vmax, norm)
+				plan, err := planner.ParseAndPlan(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req, err := plan.Request(eng.CurrentDataset())
+				if err != nil {
+					t.Fatal(err)
+				}
+				oneShot := eng.Query(req)
+				if oneShot.Err != nil || len(oneShot.Regions) != 3 {
+					t.Fatalf("grid %d, %s: one-shot answered %d rows, err %v", grid, src, len(oneShot.Regions), oneShot.Err)
+				}
+				st, err := query.Exec(context.Background(), plan, query.EngineBinding{E: eng})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range oneShot.Regions {
+					row, ok := st.Next()
+					if !ok {
+						t.Fatalf("grid %d, %s: stream ended after %d rows: %v", grid, src, i, st.Err())
+					}
+					want := oneShot.Results[i]
+					if row.Region != oneShot.Regions[i] || row.Result.Point != want.Point ||
+						math.Float64bits(row.Result.Dist) != math.Float64bits(want.Dist) {
+						t.Fatalf("grid %d, %s: row %d streamed %v (point %v, distance %v), one-shot %v (point %v, distance %v)",
+							grid, src, i+1, row.Region, row.Result.Point, row.Result.Dist, oneShot.Regions[i], want.Point, want.Dist)
+					}
+				}
+				queries++
+			}
+		}
+		// Rounds 2 and 3 of every query, one-shot and streamed, excluded
+		// something; with an index they went through it.
+		want := int64(0)
+		if grid > 0 {
+			want = int64(4 * queries)
+		}
+		if got := eng.Stats().IndexedExclusionRounds; got != want {
+			t.Fatalf("grid %d: %d indexed exclusion rounds, want %d", grid, got, want)
+		}
+	}
+}
