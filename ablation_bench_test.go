@@ -74,18 +74,3 @@ func BenchmarkAblationGranularity(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkIndexBuildParallel quantifies the parallel binning pass.
-func BenchmarkIndexBuildParallel(b *testing.B) {
-	ds := tweetDS(200000)
-	q, _, _ := tweetQuery(b, ds, 10)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := asrs.NewIndexParallel(ds, q.F, 128, 128, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -298,13 +298,6 @@ func BuildPyramid(ds *Dataset, f *Composite) (*Pyramid, error) {
 	return dssearch.BuildPyramid(ds, f)
 }
 
-// NewIndexParallel is NewIndex with a parallel binning pass (workers <= 0
-// selects GOMAXPROCS-many). Summaries are identical up to floating-point
-// summation order.
-func NewIndexParallel(ds *Dataset, f *Composite, sx, sy, workers int) (*Index, error) {
-	return gridindex.NewParallel(ds, f, sx, sy, workers)
-}
-
 // NewDynamicIndex creates an empty append-only index over a declared
 // extent for streaming workloads: Insert objects as they arrive
 // (O(log² grid) each), query live region aggregates with RegionChannels,

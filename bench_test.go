@@ -161,8 +161,7 @@ func BenchmarkFig10Base(b *testing.B) {
 // BenchmarkWorkersSweep measures the concurrent kernel across worker
 // counts on the Fig. 10 workload. Answers are identical for every count
 // (the kernel's superstep schedule is deterministic); only throughput
-// varies. cmd/asrsbench -parallel-json runs the same sweep at 100k and
-// records it in BENCH_PR1.json.
+// varies.
 func BenchmarkWorkersSweep(b *testing.B) {
 	ds := tweetDS(50000)
 	q, qa, qb := tweetQuery(b, ds, 10)

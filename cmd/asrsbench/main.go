@@ -1,22 +1,17 @@
-// Command asrsbench regenerates the paper's tables and figures, and
-// benchmarks the concurrent search kernel.
+// Command asrsbench regenerates the paper's tables and figures.
 //
 // Usage:
 //
 //	asrsbench -list
 //	asrsbench -exp fig8 [-scale 2] [-seed 7]
 //	asrsbench -exp all
-//	asrsbench -parallel-json BENCH_PR3.json [-n 100000] [-workers 1,2,4,8] [-batch 32] [-workload f1|f2q]
-//	asrsbench -parallel-json BENCH_PR6.json -workload scaling [-max-workers 8]
 //	asrsbench -exp fig10 -cpuprofile cpu.prof -memprofile mem.prof
 //
 // Each experiment prints the rows/series of the corresponding paper
 // artifact. Cardinalities default to laptop-scale; -scale multiplies them
-// toward the paper's sizes. -parallel-json runs the kernel worker sweep
-// (DS-Search on the tweet workload) and writes a machine-readable report
-// with ops/sec, allocs/op and speedup per worker count. -cpuprofile and
-// -memprofile write pprof profiles of whatever ran, so perf changes can
-// ship with attached evidence.
+// toward the paper's sizes. -cpuprofile and -memprofile write pprof
+// profiles of whatever ran. The serving stack is measured end to end by
+// bench/ (bash bench/run.sh), not here.
 package main
 
 import (
@@ -25,31 +20,18 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"asrs/internal/harness"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id (fig8, fig9, fig10, fig11, table1, fig12, table2, fig13a, fig13b, casestudy) or 'all'")
-		scale    = flag.Float64("scale", 1, "cardinality multiplier relative to defaults")
-		seed     = flag.Int64("seed", 42, "dataset seed")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		parJSON  = flag.String("parallel-json", "", "run the kernel worker sweep and write the JSON report to this file ('-' for stdout)")
-		n        = flag.Int("n", 100000, "dataset cardinality for -parallel-json")
-		workers  = flag.String("workers", "1,2,4,8", "comma-separated worker counts for -parallel-json")
-		batch    = flag.Int("batch", 0, "kernel superstep batch size for -parallel-json (0 = kernel default)")
-		workload = flag.String("workload", "f1", "composite workload for -parallel-json: f1 (integer fD on tweet), f2q (real-valued fS+fA on the dyadic-quantized POI corpus), batch (multi-query batch of overlapping Singapore extents: PR-3 per-query path vs the pyramid-amortized batched path), serve (closed-loop HTTP serving: coalescing window collector vs per-request dispatch at equal workers), scaling (strip-evaluator A/B at workers=1 plus the workers=1..max-workers curve on both the batched and serve workloads), ingest (durable streaming ingest: WAL throughput per sync policy, staged-delta vs static query cost, boot-time recovery replay), query (declarative frontend: parse+plan cost vs hand-wired structs, and streaming time-to-first-result vs one-shot top-k), or shard (multi-shard routing: contained vs straddling extent mixes routed vs single-engine, plus the breaker trip/recovery timeline under injected shard panics)")
-		queries  = flag.Int("queries", 24, "requests per batch for -workload batch/scaling; requests per client for -workload serve/scaling; extents per mode for -workload shard")
-		clients  = flag.Int("clients", 32, "concurrent closed-loop clients for -workload serve (-workload scaling defaults to 8, -workload shard to 8)")
-		shards   = flag.Int("shards", 4, "shard count for -workload shard")
-		maxW     = flag.Int("max-workers", 0, "top of the workers=1..N sweep for -workload scaling (0 = max(NumCPU, 2))")
-		baseNs   = flag.Int64("baseline-ns", 0, "externally measured reference ns/op for the same workload, recorded in the report")
-		note     = flag.String("note", "", "free-form provenance recorded in the report")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		exp     = flag.String("exp", "", "experiment id (fig8, fig9, fig10, fig11, table1, fig12, table2, fig13a, fig13b, casestudy) or 'all'")
+		scale   = flag.Float64("scale", 1, "cardinality multiplier relative to defaults")
+		seed    = flag.Int64("seed", 42, "dataset seed")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
 
@@ -81,14 +63,6 @@ func main() {
 		}()
 	}
 
-	if *parJSON != "" {
-		if err := runParallelBench(*parJSON, *n, *seed, *workers, *batch, *workload, *queries, *clients, *shards, *maxW, *baseNs, *note); err != nil {
-			fmt.Fprintln(os.Stderr, "asrsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *list || *exp == "" {
 		fmt.Println("experiments:")
 		for _, e := range harness.Experiments() {
@@ -112,76 +86,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "asrsbench:", err)
 		os.Exit(1)
 	}
-}
-
-// runParallelBench parses the worker sweep and writes the JSON report.
-func runParallelBench(path string, n int, seed int64, workerList string, batch int, workload string, queries, clients, shards, maxWorkers int, baseNs int64, note string) error {
-	var sweep []int
-	for _, tok := range strings.Split(workerList, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		w, err := strconv.Atoi(tok)
-		if err != nil || w < 1 {
-			return fmt.Errorf("invalid worker count %q", tok)
-		}
-		sweep = append(sweep, w)
-	}
-	run := func(out *os.File) error {
-		if workload == "scaling" {
-			// -clients keeps its serve-bench default of 32, but the scaling
-			// sweep runs the closed loop once per worker count, so only an
-			// explicit non-default value is passed through.
-			sc := harness.ScalingBenchConfig{N: n, Queries: queries, Seed: seed, MaxWorkers: maxWorkers, BaselineNs: baseNs, Note: note}
-			if clients != 32 {
-				sc.Clients = clients
-			}
-			return harness.RunScalingBench(out, sc)
-		}
-		if workload == "shard" {
-			// -clients keeps its serve-bench default of 32; the shard bench
-			// defaults to 8, so only an explicit non-default value passes.
-			cfg := harness.ShardBenchConfig{N: n, Shards: shards, Queries: queries, Seed: seed, BaselineNs: baseNs, Note: note}
-			if clients != 32 {
-				cfg.Clients = clients
-			}
-			return harness.RunShardBench(out, cfg)
-		}
-		if workload == "query" {
-			// -queries keeps its batch default of 24; the frontend bench's
-			// top-k depth defaults to 8, so only explicit values pass.
-			cfg := harness.QueryBenchConfig{N: n, Seed: seed, BaselineNs: baseNs, Note: note}
-			if queries != 24 {
-				cfg.K = queries
-			}
-			return harness.RunQueryBench(out, cfg)
-		}
-		if workload == "ingest" {
-			cfg := harness.IngestBenchConfig{N: n, Batch: batch, Queries: queries, Seed: seed, BaselineNs: baseNs, Note: note}
-			return harness.RunIngestBench(out, cfg)
-		}
-		if workload == "serve" {
-			cfg := harness.ServeBenchConfig{N: n, Clients: clients, PerClient: queries, Seed: seed, Workers: sweep, BaselineNs: baseNs, Note: note}
-			return harness.RunServeBench(out, cfg)
-		}
-		if workload == "batch" {
-			cfg := harness.BatchBenchConfig{N: n, Queries: queries, Seed: seed, Workers: sweep, BaselineNs: baseNs, Note: note}
-			return harness.RunBatchBench(out, cfg)
-		}
-		cfg := harness.ParallelBenchConfig{N: n, Seed: seed, Workers: sweep, Batch: batch, Workload: workload, BaselineNs: baseNs, Note: note}
-		return harness.RunParallelBench(out, cfg)
-	}
-	if path == "-" {
-		return run(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := run(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -97,10 +97,10 @@ func loadOrBuildPyramid(path string, ds *asrs.Dataset, f *asrs.Composite) (*asrs
 
 // debugStats prints the per-search work counters: how the space was
 // processed, and which evaluator the strip cost model picked per dirty
-// strip of the mini-sweeps (the PR-6 flat-vs-Fenwick selection).
+// strip of the mini-sweeps.
 func debugStats(stats asrs.SearchStats) {
-	infof("discretizations: %d (%d SAT-filled), splits: %d, bisections: %d\n",
-		stats.Discretizations, stats.SATFills, stats.Splits, stats.Bisections)
+	infof("discretizations: %d, splits: %d, bisections: %d\n",
+		stats.Discretizations, stats.Splits, stats.Bisections)
 	infof("cells: %d clean, %d dirty (%d pruned, %d refined, %d center probes)\n",
 		stats.CleanCells, stats.DirtyCells, stats.PrunedCells, stats.RefinedCells, stats.CenterProbes)
 	if stats.CleanCells > 0 {
@@ -175,10 +175,6 @@ func run(dsName string, n, k int, algo string, grid int, delta float64, seed int
 	case "ds":
 		region, res, dstats, err = asrs.Search(ds, a, b, q, opt)
 	case "gids":
-		// The index is built sequentially on purpose: NewIndexParallel's
-		// shard merge reorders float summation with the worker count,
-		// which would break this command's promise that -workers never
-		// changes the printed answer.
 		var idx *asrs.Index
 		idx, err = asrs.NewIndex(ds, q.F, grid, grid)
 		if err != nil {

@@ -185,15 +185,11 @@ func TestApproximateDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSATLayerDeterministicAcrossWorkers: the query-level summed-area
-// table engages on spaces holding thousands of rectangles (integer-exact
-// composites only). Answers must be bit-identical across worker counts
-// AND across the SAT/difference-array fills — the two fills produce
-// identical cell grids by construction, so any divergence is a bug in
-// the SAT layer.
+// TestSATLayerDeterministicAcrossWorkers: on a corpus large enough that
+// the root spaces of an un-indexed search hold thousands of rectangles —
+// the sizes the aggregation layer's sorted master, windows and anchor
+// bins exist for — answers must be bit-identical across worker counts.
 func TestSATLayerDeterministicAcrossWorkers(t *testing.T) {
-	// Large enough that the cost-based fill selection picks the SAT at
-	// the root spaces (the difference-array fill wins on smaller sets).
 	ds := dataset.Tweet(32000, 42)
 	f, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "day"})
 	if err != nil {
@@ -213,30 +209,19 @@ func TestSATLayerDeterministicAcrossWorkers(t *testing.T) {
 		dist   float64
 	}
 	var want answer
-	first := true
-	satCovered := false
-	for _, disableSAT := range []bool{false, true} {
-		for _, w := range workerSweep {
-			region, res, st, err := asrs.Search(ds, a, bb, q, asrs.Options{Workers: w, DisableSAT: disableSAT})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !disableSAT && st.SATFills > 0 {
-				satCovered = true
-			}
-			got := answer{region: region, point: res.Point, dist: res.Dist}
-			if first {
-				want = got
-				first = false
-				continue
-			}
-			if got != want {
-				t.Fatalf("disableSAT=%v workers=%d answered %+v, want %+v", disableSAT, w, got, want)
-			}
+	for i, w := range workerSweep {
+		region, res, _, err := asrs.Search(ds, a, bb, q, asrs.Options{Workers: w})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !satCovered {
-		t.Fatal("SAT fill never engaged — the test no longer covers the SAT layer")
+		got := answer{region: region, point: res.Point, dist: res.Dist}
+		if i == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("workers=%d answered %+v, want %+v", w, got, want)
+		}
 	}
 }
 

@@ -429,11 +429,10 @@ func (e *Engine) indexFor(v *engineView, f *Composite) (*Index, error) {
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
-		// Sequential build on purpose: NewIndexParallel's shard merge
-		// reorders float summation with the worker count, which would
-		// make engine answers depend on Options.Workers through last-ulp
-		// differences in cell bounds. The build runs once per composite,
-		// so determinism wins over build latency here.
+		// One sequential pass in dataset order: a build sharded over
+		// workers would merge partial float sums in a worker-dependent
+		// order and make engine answers depend on Options.Workers through
+		// last-ulp differences in cell bounds.
 		ent.idx, ent.err = NewIndex(v.ds, f, g, g)
 	})
 	return ent.idx, ent.err

@@ -108,27 +108,6 @@ func TestFacadeCountAggregator(t *testing.T) {
 	}
 }
 
-func TestFacadeParallelIndex(t *testing.T) {
-	ds := dataset.Random(10000, 100, 93)
-	f, _ := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "cat"})
-	idx, err := asrs.NewIndexParallel(ds, f, 32, 32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := asrs.QueryFromTarget(f, []float64{5, 5, 5}, nil)
-	_, parRes, _, err := asrs.SearchWithIndex(idx, ds, 8, 8, q, asrs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, seqRes, _, err := asrs.Search(ds, 8, 8, q, asrs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(parRes.Dist-seqRes.Dist) > 1e-9 {
-		t.Fatalf("parallel-index GI-DS %g != DS %g", parRes.Dist, seqRes.Dist)
-	}
-}
-
 func TestFacadeAccuracyOverride(t *testing.T) {
 	ds := dataset.Random(30, 40, 94)
 	f, _ := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "cat"})

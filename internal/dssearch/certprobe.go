@@ -9,14 +9,13 @@ import (
 
 // CertProbe summarizes the fixed-point quantization certificate a
 // (dataset, composite) pair would earn: how many channels the plain
-// shared-shift certificate admits to the SAT fast path, how many need
-// the two-float split, and how many fall back to the per-channel
-// difference-array fill. It mirrors computeCertificate's passes over
-// the same per-object contributions, without building tables — the
-// query planner's EXPLAIN uses it to predict the fill path. Advisory:
-// the kernel re-derives the authoritative certificate per prepared
-// table (windowed subsets can only tighten the sums, so a channel the
-// probe admits stays admitted).
+// shared-shift certificate admits, how many need the two-float split,
+// and how many neither admits. It mirrors computeCertificate's passes
+// over the same per-object contributions, without building tables — the
+// query planner's EXPLAIN uses it to predict how a search will find its
+// rectangles. Advisory: the kernel re-derives the authoritative
+// certificate per prepared table (windowed subsets can only tighten the
+// sums, so a channel the probe admits stays admitted).
 type CertProbe struct {
 	// Channels is the composite's internal channel count.
 	Channels int
@@ -24,12 +23,17 @@ type CertProbe struct {
 	Plain int
 	// TwoFloat counts channels rescued by the two-float split.
 	TwoFloat int
-	// Fallback counts channels neither pass admits: they fill through
-	// the exact difference-array path.
+	// Fallback counts channels neither pass admits; one is enough to
+	// keep the master in dataset order.
 	Fallback int
 }
 
-// Path names the predicted fill path.
+// Path names the certificate class. The labels are EXPLAIN's wire
+// vocabulary and are pinned by its golden tests: "sat" and
+// "sat+two-float" are the fully certified classes — sorted master,
+// windows and anchor-bin levels, and for "sat" the fixed-point
+// mini-sweep as well; the other two leave the master in dataset order.
+// Every class fills its grids with the same difference-array pass.
 func (p CertProbe) Path() string {
 	switch {
 	case p.Fallback == 0 && p.TwoFloat == 0:

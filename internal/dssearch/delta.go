@@ -17,21 +17,17 @@ import (
 //
 // A pyramid is a handful of flat arrays indexed by master id (the
 // position in anchor order). Appending d objects to a dataset of n
-// changes them in three ways, and the fold does exactly those:
+// changes them in two ways, and the fold does exactly those:
 //
-//   - spliced: the d objects are flattened, certified and scaled on
-//     their own, sorted by anchor, and their rows are inserted into the
-//     base's CSR arrays (contributions, scaled contributions, min/max
-//     contributions, the order permutation) at their merge positions —
-//     bulk copies of the base's runs in between;
+//   - spliced: the d objects are flattened and certified on their own,
+//     sorted by anchor, and their rows are inserted into the base's CSR
+//     arrays (contributions, min/max contributions, the order
+//     permutation) at their merge positions — bulk copies of the base's
+//     runs in between;
 //   - id-remapped: every array that NAMES master ids (yAscIds, each
 //     level's binIds and threshold arrays) is rewritten through the
 //     monotone old-id → new-id shift in one pass, with the d new ids
-//     merged in;
-//   - re-prefix-summed: each SAT level's planes are the base's planes
-//     plus the 2D prefix sum of the delta's contributions, accumulated
-//     in one pass over the grid; the min/max companion is refreshed from
-//     the base's retained per-bin values.
+//     merged in; a level's count plane is re-derived from its offsets.
 //
 // So a fold costs O(d log n) comparisons plus a few linear copies, where
 // the rebuild costs a sort, a flatten and a certificate pass over all n.
@@ -53,22 +49,22 @@ import (
 //     Σ|lo| per two-float channel) are extended by the delta's values in
 //     dataset order, which is how the rebuild accumulates them, so the
 //     outcome the rebuild would reach is known exactly. While it is the
-//     base's own, the base's scales and SAT planes are reused as they
-//     are. When it moves — a finer shift, a two-float hi grid following
-//     the channel's grown mass — the fold re-runs the certificate pass
-//     over the retained values (recertify) and refuses only if the new
-//     outcome is not sortExact.
+//     base's own, the base's scales are reused as they are. When it
+//     moves — a finer shift, a two-float hi grid following the channel's
+//     grown mass — the fold re-runs the certificate pass over the
+//     retained values (recertify) and refuses only if the new outcome is
+//     not sortExact.
 //   - sortExact on the base: without it the rebuild leaves the master in
 //     dataset order and there is no anchor order to merge into.
 //
-// SAT levels are patched in the base's bin grid: an appended anchor
-// outside the grid lands in an edge bin (satLevel.binOf). A fresh build
-// would lay the grid over the grown hull instead; both are valid levels
-// of the same corpus and fill cells identically, because the threshold
-// arrays certify through actual anchor coordinates and the ring scan is
-// exact. Only when the granularity ladder a fresh build would choose
-// (levelGrids) differs from the base's, or the certificate moved, are
-// the levels raised anew.
+// Levels are patched in the base's bin grid: an appended anchor outside
+// the grid lands in an edge bin (satLevel.binOf). A fresh build would lay
+// the grid over the grown hull instead; both are valid levels of the same
+// corpus and name the same rectangles, because the threshold arrays
+// certify through actual anchor coordinates and the ring scan is exact.
+// Only when the granularity ladder a fresh build would choose
+// (levelGrids) differs from the base's are the levels raised anew; a
+// moved certificate changes scales, not bins.
 
 // DeltaStats reports what a delta build did.
 type DeltaStats struct {
@@ -183,8 +179,8 @@ func (p *Pyramid) certSums() *certSums {
 
 // deltaRows are the appended objects' flattened rows in dataset order
 // (row j belongs to combined.Objects[base.n+j]): raw as AppendContribs
-// emits them, and — once certifyDelta has passed — split and scaled
-// under the base's certificate.
+// emits them, and — once certifyDelta has passed — split under the
+// base's certificate.
 type deltaRows struct {
 	rawOff []int32
 	raw    []agg.Contrib
@@ -193,7 +189,6 @@ type deltaRows struct {
 
 	cOff []int32
 	con  []agg.Contrib
-	conI []int64
 }
 
 func (base *Pyramid) flattenDelta(objs []attr.Object) *deltaRows {
@@ -216,7 +211,7 @@ func (base *Pyramid) flattenDelta(objs []attr.Object) *deltaRows {
 // certifyDelta extends the base's certificate sums by the appended rows
 // and, when the certificate a rebuild would compute is the base's own —
 // every shift, every two-float split, every headroom check unchanged —
-// fills in the rows' split and scaled form and returns the new sums.
+// fills in the rows' split form and returns the new sums.
 func (base *Pyramid) certifyDelta(rows *deltaRows) (*certSums, bool) {
 	c := base.core
 	old := base.certSums()
@@ -281,10 +276,6 @@ func (base *Pyramid) certifyDelta(rows *deltaRows) (*certSums, bool) {
 		t.cOff = append(t.cOff, int32(len(t.contribs)))
 	}
 	rows.cOff, rows.con = t.cOff, t.contribs
-	rows.conI = make([]int64, len(rows.con))
-	for k, cb := range rows.con {
-		rows.conI[k] = int64(cb.V * c.chScale[cb.Ch])
-	}
 	return sums, true
 }
 
@@ -329,7 +320,6 @@ func (base *Pyramid) recertify(rows *deltaRows, ents []deltaEnt) (*tables, *cert
 	}
 	baseRows(int32(base.n))
 	t.sorted = true
-	t.scaleContribs()
 	return t, sums
 }
 
@@ -433,18 +423,16 @@ func (base *Pyramid) fold(combined *attr.Dataset) *Pyramid {
 	rows := base.flattenDelta(delta)
 
 	// The fast lane keeps the base's certificate (shared, read-only)
-	// over the spliced contribution tables, and with it the base's SAT
-	// planes stay valid to patch.
+	// over the spliced contribution tables.
 	var core *tables
 	sums, sameCert := base.certifyDelta(rows)
 	if sameCert {
 		core = &tables{
 			f: c.f, chans: c.chans, eff: c.eff,
 			chOK: c.chOK, chScale: c.chScale, chInv: c.chInv, twoOf: c.twoOf, twoCount: c.twoCount,
-			allExact: c.allExact, sortExact: c.sortExact, anyExact: c.anyExact, sorted: c.sorted,
-			cOff:      spliceOffs(c.cOff, rows.cOff, ents),
-			contribs:  spliceVals(c.cOff, c.contribs, rows.cOff, rows.con, ents),
-			contribsI: spliceVals(c.cOff, c.contribsI, rows.cOff, rows.conI, ents),
+			allExact: c.allExact, sortExact: c.sortExact, sorted: c.sorted,
+			cOff:     spliceOffs(c.cOff, rows.cOff, ents),
+			contribs: spliceVals(c.cOff, c.contribs, rows.cOff, rows.con, ents),
 		}
 	} else if core, sums = base.recertify(rows, ents); core == nil || (!strict && !core.allExact) {
 		return nil // not sortExact, or ties admitted under an allExact that no longer holds
@@ -483,16 +471,16 @@ func (base *Pyramid) fold(combined *attr.Dataset) *Pyramid {
 	}
 	p.yAscIds = base.mergeYAsc(ents, newID)
 
-	// Patch the base's levels while the certificate (hence the planes'
-	// scales) and the granularity ladder of a fresh build stand.
-	grids := levelGrids(n, p.mmSlots)
-	patch := sameCert && len(grids) == len(base.lvls)
+	// Patch the base's levels while the granularity ladder of a fresh
+	// build stands.
+	grids := levelGrids(n)
+	patch := len(grids) == len(base.lvls)
 	for i := 0; patch && i < len(grids); i++ {
 		patch = base.lvls[i].gx == grids[i]
 	}
 	if patch {
 		for _, l := range base.lvls {
-			p.lvls = append(p.lvls, l.patch(p, ents, newID, rows))
+			p.lvls = append(p.lvls, l.patch(p, ents, newID))
 		}
 		return p
 	}
@@ -535,13 +523,10 @@ func (base *Pyramid) mergeYAsc(ents []deltaEnt, newID []int32) []int32 {
 
 // patch returns the level of the folded pyramid p that keeps l's bin
 // grid: l's arrays with the base's ids remapped and the appended
-// objects' ids, contributions and min/max values folded into their bins.
-func (l *satLevel) patch(p *Pyramid, ents []deltaEnt, newID []int32, rows *deltaRows) *satLevel {
+// objects' ids merged into their bins.
+func (l *satLevel) patch(p *Pyramid, ents []deltaEnt, newID []int32) *satLevel {
 	g := l.gx
-	nl := &satLevel{
-		gx: l.gx, gy: l.gy, bw: l.bw, bh: l.bh, bx0: l.bx0, by0: l.by0,
-		eff: l.eff, hasMM: l.hasMM,
-	}
+	nl := &satLevel{gx: l.gx, gy: l.gy, bw: l.bw, bh: l.bh, bx0: l.bx0, by0: l.by0}
 
 	// The appended objects in bin order (row-major), ascending id within
 	// a bin.
@@ -584,6 +569,7 @@ func (l *satLevel) patch(p *Pyramid, ents []deltaEnt, newID []int32, rows *delta
 	for _, id := range l.binIds[next:] {
 		nl.binIds = append(nl.binIds, newID[id])
 	}
+	nl.sumCounts()
 
 	// Threshold arrays: remap, then let each appended anchor claim the
 	// part of a prefix-max / suffix-min run it beats. Along a run the
@@ -614,54 +600,6 @@ func (l *satLevel) patch(p *Pyramid, ents []deltaEnt, newID []int32, rows *delta
 		claim(nl.xMinFrom, d.bi, -1, d.e.id, func(cur geom.Point) bool { return loc.X < cur.X })
 		claim(nl.yMaxUpTo, d.bj, +1, d.e.id, func(cur geom.Point) bool { return loc.Y > cur.Y })
 		claim(nl.yMinFrom, d.bj, -1, d.e.id, func(cur geom.Point) bool { return loc.Y < cur.Y })
-	}
-
-	// Planes: the base's plus the 2D prefix sum of the delta grid, added
-	// row by row. acc holds the delta's column totals over the bin rows
-	// done so far and pre its running sum along the row — that row of the
-	// prefix sum — recomputed only where a row brings new objects. Rows
-	// above the first touched one are the base's.
-	C := l.eff + 1
-	w := g + 1
-	nl.sat = append([]int64(nil), l.sat...)
-	acc := make([]int64, w*C)
-	pre := make([]int64, w*C)
-	k = 0
-	for j := 1; j <= g && len(bs) > 0; j++ {
-		if k < len(bs) && bs[k].bj+1 == j {
-			for ; k < len(bs) && bs[k].bj+1 == j; k++ {
-				at := (bs[k].bi + 1) * C
-				acc[at]++
-				r := bs[k].e.row
-				cbs := rows.con[rows.cOff[r]:rows.cOff[r+1]]
-				scaled := rows.conI[rows.cOff[r]:rows.cOff[r+1]]
-				for q := range cbs {
-					acc[at+1+cbs[q].Ch] += scaled[q]
-				}
-			}
-			for x := C; x < len(pre); x++ {
-				pre[x] = pre[x-C] + acc[x]
-			}
-		}
-		if j > bs[0].bj {
-			row := nl.sat[j*w*C : (j+1)*w*C]
-			for x, v := range pre {
-				row[x] += v
-			}
-		}
-	}
-
-	// Min/max companion: the base's per-bin folds plus the appended
-	// values, upper levels rebuilt from the leaves.
-	if l.hasMM {
-		nl.mm.ResetFrom(&l.mm)
-		for _, d := range bs {
-			r := d.e.row
-			for _, m := range rows.mms[rows.mOff[r]:rows.mOff[r+1]] {
-				nl.mm.Fold(d.bj, d.bi, m.Slot, m.V)
-			}
-		}
-		nl.mm.Build()
 	}
 	return nl
 }

@@ -35,10 +35,6 @@ func uniqueLocs(rng *rand.Rand, ds *attr.Dataset) {
 // anchors, certifying composite) and must refuse it for uncertified
 // composites and for datasets with anchor ties.
 func TestDeltaFoldBitIdentical(t *testing.T) {
-	old := satMinIds
-	satMinIds = 64
-	defer func() { satMinIds = old }()
-
 	for _, seed := range []int64{7, 1801, 90210} {
 		rng := rand.New(rand.NewSource(seed))
 		kinds := []struct {
@@ -211,12 +207,9 @@ func assertSameAnswers(t *testing.T, tag string, ds *attr.Dataset, f *agg.Compos
 // fallback, after which the corpus holds a tie and the chain goes on
 // rebuilding — and a value no certificate admits (a fallback that leaves
 // an unsorted pyramid, likewise). Across the chain the granularity
-// ladder must both hold (levels patched) and move (levels raised anew).
+// ladder must both hold (levels patched, the recertified epoch's
+// included) and move (levels raised anew).
 func TestDeltaFoldChain(t *testing.T) {
-	old := satMinIds
-	satMinIds = 64
-	defer func() { satMinIds = old }()
-
 	const stepBelow, stepAbove = 5, 9 // anchors outside the hull
 	var (
 		stepShift    = 21 // a value finer than the channel's grid
@@ -294,7 +287,7 @@ func TestDeltaFoldChain(t *testing.T) {
 			}
 			if stats.Folded {
 				folds++
-				if slices.Equal(levelGrids(cur.n, cur.mmSlots), levelGrids(next.n, next.mmSlots)) && step != stepShift {
+				if slices.Equal(levelGrids(cur.n), levelGrids(next.n)) {
 					patched++
 				} else {
 					raised++
@@ -306,7 +299,7 @@ func TestDeltaFoldChain(t *testing.T) {
 			}
 			ab := extents[step%len(extents)]
 			assertSameAnswers(t, tag, combined, f, ab[0], ab[1], next, rebuilt)
-			assertSoundPyramid(t, tag, next, rebuilt, rng)
+			assertSoundPyramid(t, tag, next, rebuilt)
 			cur, objs = next, combined.Objects
 		}
 		if folds < stepFallback-2 || patched == 0 || raised == 0 {
@@ -375,88 +368,67 @@ func filled(n int, v float64) []float64 {
 }
 
 // assertSoundPyramid checks a folded pyramid structurally — answers
-// alone let a stale plane or threshold slip through whenever the search
+// alone let a stale count or threshold slip through whenever the search
 // happens not to lean on it. The core and the id orders must equal the
 // rebuild's outright (when the order is unique; tied objects may sit
 // either way round). Each level must describe one assignment of anchors
-// to bins consistently: whatever grid it keeps, its CSR lists, planes,
-// threshold arrays and min/max companion are re-derived here from that
-// assignment and compared.
-func assertSoundPyramid(t *testing.T, tag string, p, rebuilt *Pyramid, rng *rand.Rand) {
+// to bins consistently: whatever grid it keeps, its CSR lists, count
+// plane and threshold arrays are re-derived here from the anchors and
+// compared.
+func assertSoundPyramid(t *testing.T, tag string, p, rebuilt *Pyramid) {
 	t.Helper()
 	if p.strict != rebuilt.strict {
 		t.Fatalf("%s: strict=%v, rebuild says %v", tag, p.strict, rebuilt.strict)
 	}
 	if c, r := p.core, rebuilt.core; p.strict && !(slices.Equal(p.order, rebuilt.order) &&
 		slices.Equal(p.xAscIds, rebuilt.xAscIds) && slices.Equal(p.yAscIds, rebuilt.yAscIds) &&
-		slices.Equal(c.cOff, r.cOff) && slices.Equal(c.contribs, r.contribs) && slices.Equal(c.contribsI, r.contribsI) &&
+		slices.Equal(c.cOff, r.cOff) && slices.Equal(c.contribs, r.contribs) &&
 		slices.Equal(c.mOff, r.mOff) && slices.Equal(c.mms, r.mms) &&
 		slices.Equal(c.chOK, r.chOK) && slices.Equal(c.chScale, r.chScale) && slices.Equal(c.chInv, r.chInv) &&
 		slices.Equal(c.twoOf, r.twoOf) && c.eff == r.eff && c.twoCount == r.twoCount &&
-		c.allExact == r.allExact && c.sortExact == r.sortExact && c.anyExact == r.anyExact && c.sorted == r.sorted) {
+		c.allExact == r.allExact && c.sortExact == r.sortExact && c.sorted == r.sorted) {
 		t.Fatalf("%s: folded core or id orders differ from the rebuild's", tag)
 	}
 	if got, want := len(p.lvls), len(rebuilt.lvls); got != want {
 		t.Fatalf("%s: %d levels, rebuild has %d", tag, got, want)
 	}
-	c := p.core
 	for li, l := range p.lvls {
-		g, C := l.gx, l.eff+1
-		if g != rebuilt.lvls[li].gx || l.eff != c.eff {
-			t.Fatalf("%s level %d: g=%d eff=%d, rebuild has g=%d eff=%d", tag, li, g, l.eff, rebuilt.lvls[li].gx, c.eff)
+		g := l.gx
+		if g != rebuilt.lvls[li].gx {
+			t.Fatalf("%s level %d: g=%d, rebuild has g=%d", tag, li, g, rebuilt.lvls[li].gx)
 		}
 		fail := func(what string) { t.Helper(); t.Fatalf("%s level %d (g=%d): %s", tag, li, g, what) }
 		if len(l.binStart) != g*g+1 || l.binStart[0] != 0 || int(l.binStart[g*g]) != p.n || len(l.binIds) != p.n {
 			fail("CSR bounds")
 		}
-		w := g + 1
-		sat := make([]int64, w*w*C)
+		// The bins, from the anchors: master ids ascend, so appending in
+		// id order gives each bin's list as the level must hold it.
+		bins := make([][]int32, g*g)
 		inf, ninf := math.Inf(1), math.Inf(-1)
 		colMax, colMin := filled(g, ninf), filled(g, inf)
 		rowMax, rowMin := filled(g, ninf), filled(g, inf)
-		binMn := filled(g*g*max(p.mmSlots, 1), inf)
-		binMx := filled(g*g*max(p.mmSlots, 1), ninf)
-		for b := 0; b < g*g; b++ {
-			ids := l.binIds[l.binStart[b]:l.binStart[b+1]]
-			for k, id := range ids {
-				loc := p.anchor(id)
-				if bi, bj := l.binOf(loc.X, loc.Y); bj*g+bi != b || (k > 0 && ids[k-1] >= id) {
-					fail(fmt.Sprintf("id %d misplaced in bin %d", id, b))
-				}
-				bi, bj := b%g, b/g
-				at := ((bj+1)*w + bi + 1) * C
-				sat[at]++
-				for q, cb := range c.rectContribs(id) {
-					sat[at+1+cb.Ch] += c.rectContribsI(id)[q]
-				}
-				colMax[bi], colMin[bi] = max(colMax[bi], loc.X), min(colMin[bi], loc.X)
-				rowMax[bj], rowMin[bj] = max(rowMax[bj], loc.Y), min(rowMin[bj], loc.Y)
-				if p.mmSlots > 0 {
-					for _, m := range c.rectMM(id) {
-						binMn[b*p.mmSlots+m.Slot] = min(binMn[b*p.mmSlots+m.Slot], m.V)
-						binMx[b*p.mmSlots+m.Slot] = max(binMx[b*p.mmSlots+m.Slot], m.V)
-					}
-				}
+		for id := int32(0); int(id) < p.n; id++ {
+			loc := p.anchor(id)
+			bi, bj := l.binOf(loc.X, loc.Y)
+			bins[bj*g+bi] = append(bins[bj*g+bi], id)
+			colMax[bi], colMin[bi] = max(colMax[bi], loc.X), min(colMin[bi], loc.X)
+			rowMax[bj], rowMin[bj] = max(rowMax[bj], loc.Y), min(rowMin[bj], loc.Y)
+		}
+		w := g + 1
+		cnt := make([]int32, w*w)
+		for b, ids := range bins {
+			if !slices.Equal(l.binIds[l.binStart[b]:l.binStart[b+1]], ids) {
+				fail(fmt.Sprintf("bin %d does not hold the ids anchored in it", b))
+			}
+			cnt[(b/g+1)*w+b%g+1] = int32(len(ids))
+		}
+		for j := 1; j <= g; j++ {
+			for i := 1; i <= g; i++ {
+				cnt[j*w+i] += cnt[j*w+i-1] + cnt[(j-1)*w+i] - cnt[(j-1)*w+i-1]
 			}
 		}
-		for j := 0; j <= g; j++ {
-			for i := 0; i <= g; i++ {
-				for ch := 0; ch < C; ch++ {
-					at := (j*w+i)*C + ch
-					if i > 0 {
-						sat[at] += sat[at-C]
-					}
-					if j > 0 {
-						sat[at] += sat[at-w*C]
-					}
-					if i > 0 && j > 0 {
-						sat[at] -= sat[at-w*C-C]
-					}
-				}
-			}
-		}
-		if !slices.Equal(sat, l.sat) {
-			fail("planes are not the prefix sums of the bins")
+		if !slices.Equal(cnt, l.cnt) {
+			fail("count plane is not the prefix sums of the bin sizes")
 		}
 		// Threshold runs, by value: ids may differ where anchors tie.
 		val := func(id int32, y bool, empty float64) float64 {
@@ -476,31 +448,6 @@ func assertSoundPyramid(t *testing.T, tag string, p, rebuilt *Pyramid, rng *rand
 			if val(l.xMaxUpTo[i], false, ninf) != up || val(l.yMaxUpTo[i], true, ninf) != upY ||
 				val(l.xMinFrom[g-1-i], false, inf) != down || val(l.yMinFrom[g-1-i], true, inf) != downY {
 				fail(fmt.Sprintf("threshold run at bin %d", i))
-			}
-		}
-		if l.hasMM != (p.mmSlots > 0) {
-			fail("min/max companion presence")
-		}
-		for trial := 0; l.hasMM && trial < 64; trial++ {
-			// Single bins first, then random rectangles of bins.
-			j0, i0 := rng.Intn(g), rng.Intn(g)
-			j1, i1 := j0+1, i0+1
-			if trial >= 16 {
-				j1, i1 = j0+1+rng.Intn(g-j0), i0+1+rng.Intn(g-i0)
-			}
-			mn, mx := filled(p.mmSlots, inf), filled(p.mmSlots, ninf)
-			wantMn, wantMx := slices.Clone(mn), slices.Clone(mx)
-			l.mm.QueryRegion(j0, j1, i0, i1, mn, mx)
-			for j := j0; j < j1; j++ {
-				for i := i0; i < i1; i++ {
-					for s := 0; s < p.mmSlots; s++ {
-						wantMn[s] = min(wantMn[s], binMn[(j*g+i)*p.mmSlots+s])
-						wantMx[s] = max(wantMx[s], binMx[(j*g+i)*p.mmSlots+s])
-					}
-				}
-			}
-			if !slices.Equal(mn, wantMn) || !slices.Equal(mx, wantMx) {
-				fail(fmt.Sprintf("min/max over bins [%d,%d)x[%d,%d)", j0, j1, i0, i1))
 			}
 		}
 	}

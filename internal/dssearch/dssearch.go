@@ -16,13 +16,14 @@
 // batches, processed concurrently against a shared atomic pruning bound,
 // and merged so the final answer is bit-identical for every worker count.
 //
-// Per-query state is concentrated in the incremental-aggregation layer of
-// sat.go: the master rectangle array (sorted for integer-exact
-// composites), flattened channel contributions, and the query-level
-// summed-area table that large discretizations read instead of rebuilding
-// difference arrays. Rectangle subsets flow through the kernel heap as
-// 4-byte id slices recycled by per-worker arenas, so the steady state
-// allocates almost nothing per space.
+// Per-query state is concentrated in the aggregation layer of sat.go: the
+// master rectangle array (sorted for grid-exact composites), flattened
+// channel contributions, and the anchor-bin levels that refinement and
+// id collection walk on sorted masters. Every Discretize fills its grid
+// the same way — one difference-array pass over the space's rectangles
+// (grid.go). Rectangle subsets flow through the kernel heap as 4-byte id
+// slices recycled by per-worker arenas, so the steady state allocates
+// almost nothing per space.
 package dssearch
 
 import (
@@ -84,21 +85,8 @@ type Options struct {
 	// splitting down to the drop condition — the ablation benchmarks
 	// quantify the cost. Results stay exact either way.
 	DisableRefinement bool
-	// DisableSAT turns off the query-level summed-area-table fill for
-	// large discretizations (DESIGN.md §2), forcing the difference-array
-	// path everywhere. Cell totals are bit-identical either way for the
-	// integer-exact composites the SAT serves; the switch exists for
-	// ablation and as the oracle for the SAT property tests.
-	DisableSAT bool
-	// DisableFlatStrip forces the mini-sweep's incremental path onto the
-	// legacy per-point Fenwick strip evaluator, bypassing the flat
-	// prefix-scan evaluator and its cost-model selection (DESIGN.md §8).
-	// Answers are bit-identical either way; the switch exists for
-	// ablation (BENCH_PR6's strip A/B) and as the oracle for the
-	// strip-evaluator property tests.
-	DisableFlatStrip bool
 	// Slabs, when non-nil, recycles the per-query table slabs (sorted
-	// coordinate arrays, contribution tables, SAT grids, discretization
+	// coordinate arrays, contribution tables, anchor bins, discretization
 	// grids, sweep solvers, id arenas) across searches. Callers that set
 	// it must call Searcher.Release (the package front doors do) when
 	// the search is done.
@@ -107,7 +95,7 @@ type Options struct {
 	// same master cardinality, binds the searcher to the persistent
 	// dataset-level aggregate pyramid instead of rebuilding the
 	// per-query aggregation layer: master order, contributions,
-	// certificates and SAT levels are aliased, leaving only O(n)
+	// certificates and anchor-bin levels are aliased, leaving only O(n)
 	// per-query work (DESIGN.md §6). Answers are bit-identical to the
 	// unassisted path; the binding silently falls back to the classic
 	// build when it cannot guarantee that (wrong composite, wrong
@@ -164,7 +152,7 @@ func (o Options) validate() error {
 // Stats reports the work performed by one search.
 type Stats struct {
 	Discretizations int // Discretize invocations (spaces processed)
-	SATFills        int // discretizations served by the summed-area table
+	SATFills        int // always 0: the summed-area-table fill is gone; bench/ still reads the field
 	Splits          int // Split invocations
 	Bisections      int // forced bisections (progress guard)
 	CleanCells      int // clean cells evaluated
@@ -187,7 +175,6 @@ type Stats struct {
 // top-k).
 func (s *Stats) Add(o Stats) {
 	s.Discretizations += o.Discretizations
-	s.SATFills += o.SATFills
 	s.Splits += o.Splits
 	s.Bisections += o.Bisections
 	s.CleanCells += o.CleanCells
@@ -407,7 +394,6 @@ func (s *Searcher) ensureScratch() {
 				} else {
 					w.sw.SetFixedPoint(nil, nil)
 				}
-				w.sw.SetStripMode(s.stripMode())
 				w.sw.SetStripCost(stripCostModel())
 			}
 			w.rep = reps[i*dims : i*dims : (i+1)*dims]
@@ -611,12 +597,12 @@ func (s *Searcher) SolveWithin(space geom.Rect, seedLB float64) {
 // AppendWindowIDs appends the master ids of every rectangle whose open
 // interior intersects the closed space (only those can cover a candidate
 // point in the space) and returns dst. On sorted masters the candidates
-// come from a binary-searched window rather than a full scan; when a SAT
-// level is available (bound pyramid, or lazily built) and the window is
-// much larger than the space's 2D anchor box, the ids are collected from
-// the level's bins instead — certain bins bulk-append, boundary bins
-// test exactly, and a final sort restores the ascending contract, so the
-// result slice is identical either way.
+// come from a binary-searched window rather than a full scan; when an
+// anchor-bin level is available (bound pyramid, or lazily built) and the
+// window is much larger than the space's 2D anchor box, the ids are
+// collected from the level's bins instead — certain bins bulk-append,
+// boundary bins test exactly, and a final sort restores the ascending
+// contract, so the result slice is identical either way.
 func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 	master := s.rects
 	t := s.tab
@@ -639,7 +625,7 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 	return dst
 }
 
-// appendBinIDs is the SAT-backed id collection of AppendWindowIDs: it
+// appendBinIDs is the bin-backed id collection of AppendWindowIDs: it
 // walks the space's anchor box on the best level — the 2D region that
 // can hold anchors of intersecting rectangles — instead of the 1D MinX
 // window, whose x-range spans the full y extent. ok=false means the
@@ -648,7 +634,7 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, window int) ([]int32, bool) {
 	t := s.tab
 	master := s.rects
-	l, _ := t.pickLevel(master, space, 1, 1, space.MaxX-space.MinX, space.MaxY-space.MinY)
+	l := t.pickLevel(master, space)
 	i0 := l.xBinLE(master, space.MinX-t.wmax, true)
 	i1 := l.xBinGT(master, space.MaxX, true)
 	j0 := l.yBinLE(master, space.MinY-t.hmax, true)
@@ -660,7 +646,7 @@ func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, window int) ([]int
 	// versus the 1D window scan.
 	box := l.countRegion(i0, i1, j0, j1)
 	bins := (i1 - i0) * (j1 - j0)
-	if int64(window) < 2*(box+int64(bins)) {
+	if window < 2*(box+bins) {
 		return dst, false
 	}
 	// Certainly-intersecting bins (bulk append, CSR runs are contiguous
@@ -882,7 +868,6 @@ func (w *worker) miniSweep(dirty []cellInfo, ids []int32) {
 		if w.s.tab.allExact {
 			w.sw.SetFixedPoint(w.s.tab.chScale, w.s.tab.chInv)
 		}
-		w.sw.SetStripMode(w.s.stripMode())
 		w.sw.SetStripCost(stripCostModel())
 	} else {
 		w.sw.Rebind(w.swSub)

@@ -17,10 +17,10 @@ type cellInfo struct {
 // gridBuffers holds the reusable scratch memory of Function Discretize:
 // 2D difference arrays for the full- and partial-cover channel grids, a
 // partial-cover counter grid, per-cell min/max slots for average
-// aggregators, the precomputed cell edge coordinates, and the SAT fill's
-// per-column/row bin ranges. One gridBuffers is owned by one kernel
-// worker for the lifetime of its Searcher — per-worker arena scratch, not
-// a global pool, so allocation counts stay flat in the worker count.
+// aggregators and the precomputed cell edge coordinates. One gridBuffers
+// is owned by one kernel worker for the lifetime of its Searcher —
+// per-worker arena scratch, not a global pool, so allocation counts stay
+// flat in the worker count.
 type gridBuffers struct {
 	ncol, nrow int
 	chans      int // grid channel stride: eff space (logical + two-float shadows)
@@ -36,16 +36,6 @@ type gridBuffers struct {
 
 	xe []float64 // cell edge x coordinates: xe[i] = space.MinX + i*cw
 	ye []float64
-
-	// SAT fill scratch: per-cell count+channel accumulators (scaled
-	// int64, matching the int64 SAT) and the per-column (x) / per-row
-	// (y) interior and outer bin ranges of the full-cover and overlap
-	// anchor boxes.
-	fullVec, ovVec               []int64
-	fxIn0, fxIn1, fxOut0, fxOut1 []int32
-	oxIn0, oxIn1, oxOut0, oxOut1 []int32
-	fyIn0, fyIn1, fyOut0, fyOut1 []int32
-	oyIn0, oyIn1, oyOut0, oyOut1 []int32
 
 	rep []float64
 	lo  []float64
@@ -105,19 +95,15 @@ func gridFloatSize(ncol, nrow int, f *agg.Composite, eff int) int {
 	return 2*pad*eff + pad + 2*nrow*ncol*mmSlots + (ncol + 1) + (nrow + 1) + 3*dims + 2*eff + 2*f.Channels() + ncol*eff
 }
 
-// gridInt64Size returns the int64-slab footprint of one gridBuffers:
-// the two per-cell SAT accumulators.
-func gridInt64Size(eff int) int { return 2 * (eff + 1) }
-
 // gridInt32Size returns the int32-slab footprint of one gridBuffers: the
-// SAT fill's sixteen bin-range arrays and the dirty-cell list.
-func gridInt32Size(ncol, nrow int) int { return 8*ncol + 8*nrow + ncol*nrow }
+// dirty-cell list.
+func gridInt32Size(ncol, nrow int) int { return ncol * nrow }
 
 // newGridBuffersBatch builds n independent gridBuffers out of shared
-// slab allocations — one float slab, one int32 slab, one int64 slab,
-// one struct array — so a worker pool's discretization scratch costs
-// O(1) allocations instead of O(workers), keeping per-op allocation
-// counts flat across worker counts.
+// slab allocations — one float slab, one int32 slab, one struct array —
+// so a worker pool's discretization scratch costs O(1) allocations
+// instead of O(workers), keeping per-op allocation counts flat across
+// worker counts.
 func newGridBuffersBatch(n, ncol, nrow int, f *agg.Composite, eff int) []gridBuffers {
 	if eff < f.Channels() {
 		eff = f.Channels()
@@ -125,12 +111,10 @@ func newGridBuffersBatch(n, ncol, nrow int, f *agg.Composite, eff int) []gridBuf
 	gs := make([]gridBuffers, n)
 	fper := gridFloatSize(ncol, nrow, f, eff)
 	iper := gridInt32Size(ncol, nrow)
-	i64per := gridInt64Size(eff)
 	fslab := make([]float64, n*fper)
 	islab := make([]int32, n*iper)
-	i64slab := make([]int64, n*i64per)
 	for i := range gs {
-		gs[i].init(ncol, nrow, f, eff, fslab[i*fper:(i+1)*fper], islab[i*iper:(i+1)*iper], i64slab[i*i64per:(i+1)*i64per])
+		gs[i].init(ncol, nrow, f, eff, fslab[i*fper:(i+1)*fper], islab[i*iper:(i+1)*iper])
 	}
 	return gs
 }
@@ -140,8 +124,8 @@ func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
 }
 
 // init carves g's buffers from the provided slabs (sized by
-// gridFloatSize, gridInt32Size, and gridInt64Size respectively).
-func (g *gridBuffers) init(ncol, nrow int, f *agg.Composite, eff int, slab []float64, cols []int32, i64s []int64) {
+// gridFloatSize and gridInt32Size respectively).
+func (g *gridBuffers) init(ncol, nrow int, f *agg.Composite, eff int, slab []float64, cells []int32) {
 	*g = gridBuffers{
 		ncol:    ncol,
 		nrow:    nrow,
@@ -165,25 +149,7 @@ func (g *gridBuffers) init(ncol, nrow int, f *agg.Composite, eff int, slab []flo
 	}
 	g.xe = carve(ncol + 1)
 	g.ye = carve(nrow + 1)
-	g.fullVec = i64s[:g.chans+1]
-	g.ovVec = i64s[g.chans+1 : 2*(g.chans+1)]
-	g.fxIn0, cols = cols[:ncol], cols[ncol:]
-	g.fxIn1, cols = cols[:ncol], cols[ncol:]
-	g.fxOut0, cols = cols[:ncol], cols[ncol:]
-	g.fxOut1, cols = cols[:ncol], cols[ncol:]
-	g.oxIn0, cols = cols[:ncol], cols[ncol:]
-	g.oxIn1, cols = cols[:ncol], cols[ncol:]
-	g.oxOut0, cols = cols[:ncol], cols[ncol:]
-	g.oxOut1, cols = cols[:ncol], cols[ncol:]
-	g.fyIn0, cols = cols[:nrow], cols[nrow:]
-	g.fyIn1, cols = cols[:nrow], cols[nrow:]
-	g.fyOut0, cols = cols[:nrow], cols[nrow:]
-	g.fyOut1, cols = cols[:nrow], cols[nrow:]
-	g.oyIn0, cols = cols[:nrow], cols[nrow:]
-	g.oyIn1, cols = cols[:nrow], cols[nrow:]
-	g.oyOut0, cols = cols[:nrow], cols[nrow:]
-	g.oyOut1, cols = cols[:nrow], cols[nrow:]
-	g.dirtyCells = cols[: 0 : ncol*nrow]
+	g.dirtyCells = cells[: 0 : ncol*nrow]
 	g.rep = carve(g.dims)
 	g.lo = carve(g.dims)
 	g.hi = carve(g.dims)
@@ -194,19 +160,12 @@ func (g *gridBuffers) init(ncol, nrow int, f *agg.Composite, eff int, slab []flo
 	g.rowSum = carve(ncol * g.chans)
 }
 
-// reset prepares the buffers for one fill, clearing only what that fill
-// accumulates into: the channel grids when a difference-array pass will
-// add to them, the counter grid when that pass owns it as well (the SAT
-// fill assigns every cell it owns instead of adding), and the min/max
-// fold identities always.
-func (g *gridBuffers) reset(channels, counts bool) {
-	if channels {
-		clear(g.diffFull)
-		clear(g.diffPart)
-	}
-	if counts {
-		clear(g.diffCnt)
-	}
+// reset prepares the buffers for one fill: zeroed difference arrays and
+// the min/max fold identities.
+func (g *gridBuffers) reset() {
+	clear(g.diffFull)
+	clear(g.diffPart)
+	clear(g.diffCnt)
 	for i := range g.mmMin {
 		g.mmMin[i] = math.Inf(1)
 		g.mmMax[i] = math.Inf(-1)
@@ -264,14 +223,11 @@ func (g *gridBuffers) mmUpdate(mm []agg.MMContrib, c0, r0, c1, r1 int) {
 // integrateRow turns row r of the difference arrays into per-cell values
 // (in place; cell (c,r) lands at cellIdx(c,r)), given that every row
 // below r already holds them. Rows are integrated one at a time so pass 1
-// can evaluate each while it is still in L1; counts selects whether the
-// counter grid is integrated too (the hybrid fill's is SAT-owned).
-func (g *gridBuffers) integrateRow(r int, counts bool) {
+// can evaluate each while it is still in L1.
+func (g *gridBuffers) integrateRow(r int) {
 	integRow(g.diffFull, g.rowSum, r, g.ncol, g.chans)
 	integRow(g.diffPart, g.rowSum, r, g.ncol, g.chans)
-	if counts {
-		integRow(g.diffCnt, g.rowSum, r, g.ncol, 1)
-	}
+	integRow(g.diffCnt, g.rowSum, r, g.ncol, 1)
 }
 
 // integRow is one row of a 2D prefix sum over a (ncol+1)-cell-wide,
@@ -341,12 +297,8 @@ func (g *gridBuffers) cellIdx(c, r int) int { return r*(g.ncol+1) + c }
 // space satisfies the drop condition (Definition 8). The returned slice
 // is worker-owned scratch, valid until the next discretize call.
 //
-// Cell totals come from one of two fills that produce bit-identical
-// grids for the integer-exact composites both support: the per-rectangle
-// difference-array fill (fillRects, integrated row by row inside pass
-// 1), and — for spaces holding at least satMinIds rectangles — the
-// query-level summed-area-table fill (fillGridFast), whose cost is
-// independent of the rectangle count.
+// Cell totals come from the per-rectangle difference-array fill
+// (fillRects), integrated row by row inside pass 1.
 func (w *worker) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, bool) {
 	if w.grid == nil {
 		// Acquired lazily at first use: GI-DS runs SolveWithinIDs once
@@ -366,30 +318,9 @@ func (w *worker) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, boo
 	}
 	g.setEdges(space, cw, chh)
 
-	tab := w.s.tab
-	var satLvl *satLevel
-	if tab.satUsable() && !w.s.opt.DisableSAT && len(ids) >= satMinIds {
-		// Cost-based fill selection: the SAT fill's boundary-ring work is
-		// independent of the subset size, so it loses on mid-size subsets
-		// (GI-DS cells) where the difference-array fill touches only the
-		// subset. Both fills are bit-identical and the estimate depends
-		// only on deterministic quantities, so this is purely a
-		// performance choice.
-		tab.ensureLevels(w.s.rects)
-		lvl, satCost := tab.pickLevel(w.s.rects, space, ncol, nrow, cw, chh)
-		if satCost < tab.diffCost(len(ids), ncol, nrow) {
-			satLvl = lvl
-		}
-	}
-	if satLvl != nil {
-		w.fillGridFast(space, clip, ids, cw, chh, satLvl)
-		w.stats.SATFills++
-	} else {
-		g.reset(true, true)
-		w.fillRects(space, ids, cw, chh, false)
-	}
-
-	w.cleanPass(cw, chh, satLvl == nil)
+	g.reset()
+	w.fillRects(space, ids, cw, chh)
+	w.cleanPass(cw, chh)
 	dirty := w.boundPass(clip, ids)
 
 	drop := 2*cw < w.s.acc.DX && 2*chh < w.s.acc.DY
@@ -400,8 +331,8 @@ func (w *worker) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, boo
 // cleanPass is pass 1 of Function Discretize: clean cells refine the
 // incumbent so that pass 2 prunes against the tightest d_opt, and the
 // dirty cells are listed in g.dirtyCells (row-major) for pass 2 to walk.
-// integrate says the grids still hold the difference arrays of
-// fillRects; each row is then integrated just before it is evaluated.
+// The grids arrive holding the difference arrays of fillRects; each row
+// is integrated just before it is evaluated.
 //
 // Clean cells come in runs covered by the same rectangles (a covering
 // set changes only where a rectangle edge crosses), so a cell whose
@@ -409,7 +340,7 @@ func (w *worker) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, boo
 // its representation and distance — both are pure functions of those
 // bits. The incumbent test still runs for every cell, so ties move the
 // incumbent point exactly as a cell-by-cell evaluation would.
-func (w *worker) cleanPass(cw, chh float64, integrate bool) {
+func (w *worker) cleanPass(cw, chh float64) {
 	g := w.grid
 	tab := w.s.tab
 	query := &w.s.query
@@ -418,9 +349,7 @@ func (w *worker) cleanPass(cw, chh float64, integrate bool) {
 	var last []float64 // totals of the cell g.rep and dist were computed from
 	var dist float64
 	for r := 0; r < g.nrow; r++ {
-		if integrate {
-			g.integrateRow(r, true)
-		}
+		g.integrateRow(r)
 		row := g.cellIdx(0, r)
 		for c, partials := range g.diffCnt[row : row+g.ncol] {
 			idx := row + c
@@ -540,20 +469,16 @@ func (g *gridBuffers) cellAt(cell geom.Rect) (c, r int) {
 	return c, r
 }
 
-// fillRects is the difference-array pass shared by the classic fill and
-// the hybrid fast fill: each rectangle is classified against the cell
-// grid once (overlap range, fully-covered sub-range, partial ring) and
-// its contributions range-added. failOnly restricts the pass to the
-// channels that failed the fixed-point certificate and skips the
-// counter grid and min/max folds — in the hybrid fill the SAT side owns
-// those — so both fills share one copy of the coverage semantics.
+// fillRects is the difference-array fill: each rectangle is classified
+// against the cell grid once (overlap range, fully-covered sub-range,
+// partial ring) and its contributions range-added.
 //
 // The cell ranges are decided by exact edge comparisons (overlapRange);
 // all that varies is where the comparison walks start. On sorted masters
 // ids ascend in MinX, so a rectangle's column range starts at or right
 // of its predecessor's and the walks resume there; rows, and columns on
 // unsorted masters, start from a reciprocal-multiply guess.
-func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64, failOnly bool) {
+func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 	g := w.grid
 	tab := w.s.tab
 	master := w.s.rects
@@ -577,18 +502,10 @@ func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64, failOn
 	}
 	c0, c1 := 0, 0
 	for k, id := range ids {
-		var contribs []agg.Contrib
+		contribs := tab.rectContribs(id)
 		var mm []agg.MMContrib
-		if failOnly {
-			contribs = tab.rectFailContribs(id)
-			if len(contribs) == 0 && !record {
-				continue // nothing to add; a recording pass still classifies it
-			}
-		} else {
-			contribs = tab.rectContribs(id)
-			if g.mmSlots > 0 {
-				mm = tab.rectMM(id)
-			}
+		if g.mmSlots > 0 {
+			mm = tab.rectMM(id)
 		}
 		r := &master[id].Rect
 		if wide && r.MinX <= x0 && r.MaxX >= xn && r.MinY <= y0 && r.MaxY >= yn {
@@ -624,321 +541,12 @@ func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64, failOn
 			g.rangeAdd(g.diffFull, contribs, fc0, fr0, fc1, fr1)
 			// Partial ring: the overlap range minus the full range, as up
 			// to four rectangles.
-			w.applyPartial(contribs, mm, !failOnly, c0, r0, c1, fr0-1) // bottom rows
-			w.applyPartial(contribs, mm, !failOnly, c0, fr1+1, c1, r1) // top rows
-			w.applyPartial(contribs, mm, !failOnly, c0, fr0, fc0-1, fr1)
-			w.applyPartial(contribs, mm, !failOnly, fc1+1, fr0, c1, fr1)
+			w.applyPartial(contribs, mm, c0, r0, c1, fr0-1) // bottom rows
+			w.applyPartial(contribs, mm, c0, fr1+1, c1, r1) // top rows
+			w.applyPartial(contribs, mm, c0, fr0, fc0-1, fr1)
+			w.applyPartial(contribs, mm, fc1+1, fr0, c1, fr1)
 		} else {
-			w.applyPartial(contribs, mm, !failOnly, c0, r0, c1, r1)
-		}
-	}
-}
-
-// fillGridFast is the SAT-backed hybrid fill. Channels carrying the
-// fixed-point certificate (plus the partial-cover counts and the
-// min/max slots) come from the query-level summed-area table and its
-// order-statistic companion; channels that failed the certificate come
-// from a difference-array pass restricted to just those channels, run
-// over the ids in unchanged master order so their float summation order
-// — and hence every bit of their totals — matches the plain
-// difference-array fill. It leaves the grids integrated.
-func (w *worker) fillGridFast(space, clip geom.Rect, ids []int32, cw, chh float64, l *satLevel) {
-	g := w.grid
-	hybrid := !w.s.tab.sortExact
-	g.reset(hybrid, false)
-	if hybrid {
-		w.fillRects(space, ids, cw, chh, true)
-		// Integrate only the channel grids: the SAT fill assigns the
-		// counter grid for every cell. (Certified channels are all-zero
-		// here and integrate to zero before being overwritten — a
-		// per-channel skip would cost the inner loops a branch for no
-		// measured win.)
-		for r := 0; r < g.nrow; r++ {
-			g.integrateRow(r, false)
-		}
-	}
-	w.fillGridSAT(clip, l)
-}
-
-// fillGridSAT computes per-cell totals from a level of the summed-area
-// table: for each cell, the covering rectangles are exactly the anchors
-// inside an axis-aligned box in (MinX, MinY) space, so the totals are
-// four-corner SAT lookups over the bins certainly inside the box plus
-// an exact scan of the boundary bins. It writes the partial-cover
-// counts, the certified channels (converted back from scaled int64 at
-// emit — exact, so bit-identical to fillGridDiff), and the min/max
-// slots (via the order-statistic companion); channels that failed the
-// certificates are left untouched for the hybrid difference-array pass.
-//
-// The SAT counts over the whole master set while the difference-array
-// fill only sees the space's subset, so every predicate also carries the
-// subset's defining clause — open intersection with the space. This is
-// not redundant with the cell conditions: the grid's upper edges are
-// space.MinX + i*cw floats that can overshoot space.MaxX, letting a
-// boundary cell poke out of the space and "overlap" rectangles the
-// subset excludes.
-//
-// Bin ranges come from the level's id-anchored threshold searches
-// (satLevel.xBinLE and friends): a rectangle fully covers column c's
-// cells in x iff MinX ≤ xe[c] and MaxX ≥ xe[c+1]; it overlaps them iff
-// MinX < xe[c+1] and MaxX > xe[c]. The MaxX conditions translate to
-// MinX thresholds through the width range [wmin, wmax]: certainly-true
-// and certainly-false bands whose gap lands in the outer-minus-interior
-// ring scanned exactly. Every certification is one-sided conservative,
-// so the fill result is independent of the level geometry.
-func (w *worker) fillGridSAT(clip geom.Rect, l *satLevel) {
-	g := w.grid
-	t := w.s.tab
-	master := w.s.rects
-	if l == nil {
-		// Callers that made the fill decision already pass the level in;
-		// this re-pick exists for direct (test) invocations.
-		space := geom.Rect{MinX: g.xe[0], MinY: g.ye[0], MaxX: g.xe[g.ncol], MaxY: g.ye[g.nrow]}
-		l, _ = t.pickLevel(master, space, g.ncol, g.nrow, g.xe[1]-g.xe[0], g.ye[1]-g.ye[0])
-	}
-	ncol, nrow := g.ncol, g.nrow
-	chans := g.chans
-
-	// Subset-clause caps, shared by every column/row.
-	capLTx := l.xBinLE(master, clip.MaxX, true) // bins < capLTx: MinX < clip.MaxX
-	capGEx := l.xBinGT(master, clip.MaxX, true) // bins ≥ capGEx: MinX ≥ clip.MaxX
-	capLTy := l.yBinLE(master, clip.MaxY, true)
-	capGEy := l.yBinGT(master, clip.MaxY, true)
-	for c := 0; c < ncol; c++ {
-		g.fxIn1[c] = int32(min(l.xBinLE(master, g.xe[c], false), capLTx))
-		g.fxOut1[c] = int32(min(l.xBinGT(master, g.xe[c], false), capGEx))
-		g.fxIn0[c] = int32(l.xBinGT(master, g.xe[c+1]-t.wmin, false))
-		g.fxOut0[c] = int32(l.xBinLE(master, g.xe[c+1]-t.wmax, true))
-		g.oxIn1[c] = int32(min(l.xBinLE(master, g.xe[c+1], true), capLTx))
-		g.oxOut1[c] = int32(min(l.xBinGT(master, g.xe[c+1], true), capGEx))
-		g.oxIn0[c] = int32(l.xBinGT(master, g.xe[c]-t.wmin, false))
-		g.oxOut0[c] = int32(l.xBinLE(master, g.xe[c]-t.wmax, true))
-	}
-	for r := 0; r < nrow; r++ {
-		g.fyIn1[r] = int32(min(l.yBinLE(master, g.ye[r], false), capLTy))
-		g.fyOut1[r] = int32(min(l.yBinGT(master, g.ye[r], false), capGEy))
-		g.fyIn0[r] = int32(l.yBinGT(master, g.ye[r+1]-t.hmin, false))
-		g.fyOut0[r] = int32(l.yBinLE(master, g.ye[r+1]-t.hmax, true))
-		g.oyIn1[r] = int32(min(l.yBinLE(master, g.ye[r+1], true), capLTy))
-		g.oyOut1[r] = int32(min(l.yBinGT(master, g.ye[r+1], true), capGEy))
-		g.oyIn0[r] = int32(l.yBinGT(master, g.ye[r]-t.hmin, false))
-		g.oyOut0[r] = int32(l.yBinLE(master, g.ye[r]-t.hmax, true))
-	}
-
-	full := g.fullVec
-	ov := g.ovVec
-	for r := 0; r < nrow; r++ {
-		for c := 0; c < ncol; c++ {
-			clearI64(full)
-			clearI64(ov)
-			l.satRegion(int(g.fxIn0[c]), int(g.fxIn1[c]), int(g.fyIn0[r]), int(g.fyIn1[r]), full)
-			w.satRing(l, clip, c, r, true, full)
-			l.satRegion(int(g.oxIn0[c]), int(g.oxIn1[c]), int(g.oyIn0[r]), int(g.oyIn1[r]), ov)
-			w.satRing(l, clip, c, r, false, ov)
-
-			idx := g.cellIdx(c, r)
-			g.diffCnt[idx] = float64(ov[0] - full[0])
-			df := g.diffFull[idx*chans : (idx+1)*chans]
-			dp := g.diffPart[idx*chans : (idx+1)*chans]
-			for ch := 0; ch < chans; ch++ {
-				if !t.chOK[ch] {
-					continue // hybrid pass owns this channel
-				}
-				// Exact emit: |scaled| ≤ 2^52 so the int64→float64
-				// conversion is lossless, and the power-of-two inverse
-				// only shifts the exponent.
-				df[ch] = float64(full[1+ch]) * t.chInv[ch]
-				dp[ch] = float64(ov[1+ch]-full[1+ch]) * t.chInv[ch]
-			}
-			if g.mmSlots > 0 && ov[0] != full[0] {
-				// Clean cells (no partial cover) have nothing to fold —
-				// the difference-array path's mmUpdate would leave the
-				// ±Inf identities too — and their min/max slots are
-				// never read, so skip the companion work entirely.
-				w.satCellMM(l, clip, c, r)
-			}
-		}
-	}
-}
-
-func clearI64(v []int64) { clear(v) }
-
-// satRing scans the boundary bins of cell (c, r)'s anchor box — the bins
-// inside the outer range but not certainly inside the box — testing each
-// anchor's rectangle exactly against the cell's full-cover (full=true)
-// or overlap condition plus the space-subset clause, and accumulates
-// count+scaled channels into acc.
-func (w *worker) satRing(l *satLevel, clip geom.Rect, c, r int, full bool, acc []int64) {
-	g := w.grid
-	t := w.s.tab
-	var xi0, xi1, xo0, xo1, yi0, yi1, yo0, yo1 int
-	if full {
-		xi0, xi1 = int(g.fxIn0[c]), int(g.fxIn1[c])
-		xo0, xo1 = int(g.fxOut0[c]), int(g.fxOut1[c])
-		yi0, yi1 = int(g.fyIn0[r]), int(g.fyIn1[r])
-		yo0, yo1 = int(g.fyOut0[r]), int(g.fyOut1[r])
-	} else {
-		xi0, xi1 = int(g.oxIn0[c]), int(g.oxIn1[c])
-		xo0, xo1 = int(g.oxOut0[c]), int(g.oxOut1[c])
-		yi0, yi1 = int(g.oyIn0[r]), int(g.oyIn1[r])
-		yo0, yo1 = int(g.oyOut0[r]), int(g.oyOut1[r])
-	}
-	if xo0 < 0 {
-		xo0 = 0
-	}
-	if yo0 < 0 {
-		yo0 = 0
-	}
-	if xo1 > l.gx {
-		xo1 = l.gx
-	}
-	if yo1 > l.gy {
-		yo1 = l.gy
-	}
-	cellL, cellR := g.xe[c], g.xe[c+1]
-	cellB, cellT := g.ye[r], g.ye[r+1]
-	master := w.s.rects
-	for bj := yo0; bj < yo1; bj++ {
-		inJ := bj >= yi0 && bj < yi1
-		row := bj * l.gx
-		for bi := xo0; bi < xo1; bi++ {
-			if inJ && bi >= xi0 && bi < xi1 {
-				bi = xi1 - 1 // skip the interior run (already in the SAT sum)
-				continue
-			}
-			for _, id := range l.binIds[l.binStart[row+bi]:l.binStart[row+bi+1]] {
-				rc := &master[id].Rect
-				if !(rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
-					rc.MinY < clip.MaxY && clip.MinY < rc.MaxY) {
-					continue // not in the chain-filtered subset
-				}
-				if !(rc.MinX < cellR && rc.MaxX > cellL && rc.MinY < cellT && rc.MaxY > cellB) {
-					// Not overlapping the cell. The overlap clause guards the
-					// full test too: the difference-array fill only applies
-					// full cover inside the overlap range, which differs
-					// exactly on degenerate zero-extent cells, where a
-					// rectangle can satisfy the closed full conditions while
-					// failing the open overlap ones. (Interior bins imply
-					// overlap automatically: a < cellL ≤ cellR, etc.)
-					continue
-				}
-				if full && !(rc.MinX <= cellL && rc.MaxX >= cellR && rc.MinY <= cellB && rc.MaxY >= cellT) {
-					continue
-				}
-				acc[0]++
-				contribs := t.rectContribs(id)
-				scaled := t.rectContribsI(id)
-				for k := range contribs {
-					acc[1+contribs[k].Ch] += scaled[k]
-				}
-			}
-		}
-	}
-}
-
-// satCellMM fills cell (c, r)'s min/max slots from the order-statistic
-// companion: the partially covering rectangles are the anchors in the
-// cell's overlap box minus its full-cover box, so the certainly-partial
-// bins — certainly inside the overlap interior and certainly outside
-// the full-cover outer box — fold their pre-reduced per-bin min/max via
-// O(1) sparse-table region queries, and the remaining boundary bins are
-// scanned exactly against the same predicates the difference-array path
-// applies per rectangle (overlap, not closed-full, in the clip-filtered
-// subset). Min/max folds are order-independent, so the result is
-// identical to fillGridDiff's mmUpdate regardless of visit order.
-func (w *worker) satCellMM(l *satLevel, clip geom.Rect, c, r int) {
-	g := w.grid
-	mi := (r*g.ncol + c) * g.mmSlots
-	mmMin := g.mmMin[mi : mi+g.mmSlots]
-	mmMax := g.mmMax[mi : mi+g.mmSlots]
-
-	ai0, ai1 := int(g.oxIn0[c]), int(g.oxIn1[c]) // certainly-overlap interior box
-	aj0, aj1 := int(g.oyIn0[r]), int(g.oyIn1[r])
-	if ai0 < 0 {
-		ai0 = 0
-	}
-	if aj0 < 0 {
-		aj0 = 0
-	}
-	bi0, bi1 := int(g.fxOut0[c]), int(g.fxOut1[c]) // full-cover outer box
-	bj0, bj1 := int(g.fyOut0[r]), int(g.fyOut1[r])
-
-	// Certainly-partial region: the overlap interior minus the
-	// full-cover outer box, decomposed into at most four rectangles,
-	// each one O(1) sparse-table region query.
-	if bj0 > aj0 { // rows below the full-cover outer box
-		l.mm.QueryRegion(aj0, min(aj1, bj0), ai0, ai1, mmMin, mmMax)
-	}
-	if bj1 < aj1 { // rows above it
-		l.mm.QueryRegion(max(aj0, bj1), aj1, ai0, ai1, mmMin, mmMax)
-	}
-	jm0, jm1 := max(aj0, bj0), min(aj1, bj1) // rows crossing it
-	if jm0 < jm1 {
-		l.mm.QueryRegion(jm0, jm1, ai0, min(ai1, bi0), mmMin, mmMax)
-		l.mm.QueryRegion(jm0, jm1, max(ai0, bi1), ai1, mmMin, mmMax)
-	}
-
-	// Boundary bins: everything in the overlap outer box not already
-	// folded above and not certainly fully covering (full ⇒ not
-	// partial), tested rectangle by rectangle.
-	xo0, xo1 := int(g.oxOut0[c]), int(g.oxOut1[c])
-	yo0, yo1 := int(g.oyOut0[r]), int(g.oyOut1[r])
-	if xo0 < 0 {
-		xo0 = 0
-	}
-	if yo0 < 0 {
-		yo0 = 0
-	}
-	if xo1 > l.gx {
-		xo1 = l.gx
-	}
-	if yo1 > l.gy {
-		yo1 = l.gy
-	}
-	fi0, fi1 := int(g.fxIn0[c]), int(g.fxIn1[c]) // certainly-full interior box
-	fj0, fj1 := int(g.fyIn0[r]), int(g.fyIn1[r])
-	cellL, cellR := g.xe[c], g.xe[c+1]
-	cellB, cellT := g.ye[r], g.ye[r+1]
-	master := w.s.rects
-	for bj := yo0; bj < yo1; bj++ {
-		inAJ := bj >= aj0 && bj < aj1
-		clearBJ := inAJ && (bj < bj0 || bj >= bj1) // whole row-run of A is certain
-		inFJ := bj >= fj0 && bj < fj1
-		row := bj * l.gx
-		for bi := xo0; bi < xo1; bi++ {
-			if inAJ && bi >= ai0 && bi < ai1 {
-				if clearBJ || bi < bi0 || bi >= bi1 {
-					if clearBJ && bi1 <= ai0 { // no B overlap ahead in this row
-						bi = ai1 - 1
-						continue
-					}
-					continue // folded by the region queries
-				}
-			}
-			if inFJ && bi >= fi0 && bi < fi1 {
-				continue // certainly fully covering: never partial
-			}
-			for _, id := range l.binIds[l.binStart[row+bi]:l.binStart[row+bi+1]] {
-				rc := &master[id].Rect
-				if !(rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
-					rc.MinY < clip.MaxY && clip.MinY < rc.MaxY) {
-					continue // not in the chain-filtered subset
-				}
-				if !(rc.MinX < cellR && rc.MaxX > cellL && rc.MinY < cellT && rc.MaxY > cellB) {
-					continue // does not overlap the cell interior
-				}
-				if rc.MinX <= cellL && rc.MaxX >= cellR && rc.MinY <= cellB && rc.MaxY >= cellT {
-					continue // fully covers the cell: not partial
-				}
-				for _, m := range w.s.tab.rectMM(id) {
-					if m.V < mmMin[m.Slot] {
-						mmMin[m.Slot] = m.V
-					}
-					if m.V > mmMax[m.Slot] {
-						mmMax[m.Slot] = m.V
-					}
-				}
-			}
+			w.applyPartial(contribs, mm, c0, r0, c1, r1)
 		}
 	}
 }
@@ -1022,20 +630,15 @@ func (w *worker) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32)
 	w.stats.CenterProbes += len(idx)
 }
 
-// applyPartial marks a (possibly empty) cell range as partially
-// covered; cntMM additionally bumps the counter grid and folds the
-// min/max slots (false on the hybrid fill's failing-channel pass,
-// where the SAT owns both).
-func (w *worker) applyPartial(contribs []agg.Contrib, mm []agg.MMContrib, cntMM bool, c0, r0, c1, r1 int) {
+// applyPartial marks a (possibly empty) cell range as partially covered.
+func (w *worker) applyPartial(contribs []agg.Contrib, mm []agg.MMContrib, c0, r0, c1, r1 int) {
 	if c0 > c1 || r0 > r1 {
 		return
 	}
 	g := w.grid
 	g.rangeAdd(g.diffPart, contribs, c0, r0, c1, r1)
-	if cntMM {
-		g.rangeAddCnt(c0, r0, c1, r1)
-		g.mmUpdate(mm, c0, r0, c1, r1)
-	}
+	g.rangeAddCnt(c0, r0, c1, r1)
+	g.mmUpdate(mm, c0, r0, c1, r1)
 }
 
 // overlapRange returns the inclusive range [i0, i1] of cells whose open
@@ -1067,10 +670,10 @@ func overlapRange(lo, hi float64, s0, s1 int, edges []float64) (int, int) {
 	return i0, i1
 }
 
-// Gates for the subset-enumeration refinement. Each refined cell scans
-// the candidate rectangles for its cell (the space's rectangle list, or
-// the cell's binary-searched window on sorted masters), so one
-// discretize gets a total scan budget; once exhausted, remaining cells
+// Gates for the subset-enumeration refinement. Each refined cell is
+// charged the candidate rectangles of its cell (the space's rectangle
+// list, or the cell's binary-searched window on sorted masters) against
+// one discretize's total scan budget; once exhausted, remaining cells
 // keep their interval bound (sound, just looser). Cells with many
 // partial rectangles skip the enumeration (O(2^#partial)).
 const (
@@ -1079,7 +682,7 @@ const (
 )
 
 // refineCost returns the number of rectangles a refineCellLB call for
-// this cell will scan, for budget accounting.
+// this cell is charged in the budget accounting.
 func (w *worker) refineCost(cell geom.Rect, nIds int) int {
 	t := w.s.tab
 	if !t.sorted {
@@ -1097,15 +700,15 @@ func (w *worker) refineCost(cell geom.Rect, nIds int) int {
 // enumerating every completion of the full covering set with a subset of
 // the partial rectangles. Returns ok=false when the cell exceeds the
 // enumeration gates. cellFull is the cell's full-cover channel totals
-// from the grid fill, which the fully certified fast path reuses as the
-// enumeration base (exact sums make it bit-identical to re-accumulating
-// the containing rectangles) while finding the partial rectangles in
-// the cell's 2D anchor-bin box — a fraction of the 1D master-window
-// scan, whose x-range spans the full y extent. The budget accounting
-// (refineCost) deliberately still charges the window cost, so the
-// refinement decisions — and with them the whole search trajectory —
-// are identical to the scan path's; the fast path only makes each
-// decision cheaper to execute.
+// from the grid fill. On a sorted master every grid sum is exact, so
+// cellFull is the enumeration base as it stands (bit-identical to
+// re-accumulating the containing rectangles) and only the partial
+// rectangles are looked for, in the ring of the cell's 2D anchor-bin box
+// — a fraction of the 1D master window, whose x-range spans the full y
+// extent. The budget accounting (refineCost) charges the window all the
+// same: which cells get refined must not depend on how the bins happen
+// to be laid out. On an unsorted master the base is re-accumulated from
+// the classifications fillRects recorded.
 func (w *worker) refineCellLB(c, r int, cell, clip geom.Rect, ids []int32, cellFull []float64) (float64, bool) {
 	g := w.grid
 	t := w.s.tab
@@ -1113,9 +716,9 @@ func (w *worker) refineCellLB(c, r int, cell, clip geom.Rect, ids []int32, cellF
 	query := &w.s.query
 	var base []float64
 	partial := g.refinePartial[:0]
-	if t.sortExact && !w.s.opt.DisableSAT {
+	if t.sorted {
 		t.ensureLevels(master)
-		l, _ := t.pickLevel(master, cell, 1, 1, cell.MaxX-cell.MinX, cell.MaxY-cell.MinY)
+		l := t.pickLevel(master, cell)
 		base = cellFull
 		// All possibly-overlapping anchors have MinX ∈ (cell.MinX − wmax,
 		// cell.MaxX) and MinY ∈ (cell.MinY − hmax, cell.MaxY); each bin
@@ -1170,46 +773,21 @@ func (w *worker) refineCellLB(c, r int, cell, clip geom.Rect, ids []int32, cellF
 		// Fully covering rectangles sum into the base and partial ones are
 		// listed, both in id order — the order the grid fill accumulates
 		// in, which the channels that failed the certificate are held to.
-		consider := func(id int32, full bool) bool {
-			if full {
-				for _, cb := range t.rectContribs(id) {
+		c16, r16 := int16(c), int16(r)
+		for k, sp := range g.spans[:len(ids)] {
+			if c16 < sp.c0 || c16 > sp.c1 || r16 < sp.r0 || r16 > sp.r1 {
+				continue
+			}
+			if sp.fc0 <= c16 && c16 <= sp.fc1 && sp.fr0 <= r16 && r16 <= sp.fr1 {
+				for _, cb := range t.rectContribs(ids[k]) {
 					base[cb.Ch] += cb.V
 				}
-				return true
+				continue
 			}
-			partial = append(partial, id)
-			return len(partial) <= refineMaxPartial
-		}
-		if t.sorted {
-			lo := t.windowLo(cell.MinX - t.wmax)
-			hi := t.windowHi(cell.MaxX)
-			for id := lo; id < hi; id++ {
-				rc := &master[id].Rect
-				if !(rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
-					rc.MinY < clip.MaxY && clip.MinY < rc.MaxY) {
-					continue // outside the space's chain-filtered subset
-				}
-				// Only rectangles whose interior meets the cell interior
-				// matter.
-				if !(rc.MinX < cell.MaxX && cell.MinX < rc.MaxX && rc.MinY < cell.MaxY && cell.MinY < rc.MaxY) {
-					continue
-				}
-				if !consider(int32(id), rc.ContainsRect(cell)) {
-					g.refinePartial = partial[:0]
-					return 0, false
-				}
-			}
-		} else {
-			c16, r16 := int16(c), int16(r)
-			for k, sp := range g.spans[:len(ids)] {
-				if c16 < sp.c0 || c16 > sp.c1 || r16 < sp.r0 || r16 > sp.r1 {
-					continue
-				}
-				full := sp.fc0 <= c16 && c16 <= sp.fc1 && sp.fr0 <= r16 && r16 <= sp.fr1
-				if !consider(ids[k], full) {
-					g.refinePartial = partial[:0]
-					return 0, false
-				}
+			partial = append(partial, ids[k])
+			if len(partial) > refineMaxPartial {
+				g.refinePartial = partial[:0]
+				return 0, false
 			}
 		}
 	}

@@ -39,7 +39,7 @@ func equivCases() []equivCase {
 	f2Specs := []agg.Spec{{Kind: agg.Sum, Attr: "visits"}, {Kind: agg.Average, Attr: "rating"}}
 	return []equivCase{
 		{
-			// Tweet F1: seven integer fD channels, sorted master, plain SAT.
+			// Tweet F1: seven integer fD channels, sorted master.
 			name:   "integer-fD",
 			schema: []attr.Attribute{{Name: "day", Kind: attr.Categorical, Domain: []string{"mo", "tu", "we", "th", "fr", "sa", "su"}}},
 			specs:  []agg.Spec{{Kind: agg.Distribution, Attr: "day"}},
@@ -59,8 +59,8 @@ func equivCases() []equivCase {
 		},
 		{
 			// F2 salted with denormals and a negative zero: the sum
-			// channels fail both certificates, the master keeps its input
-			// order (no monotone columns) and the fast fill is the hybrid.
+			// channels fail both certificates and the master keeps its
+			// input order (no monotone columns, no windows, no levels).
 			name:   "failing-channel",
 			schema: f2Schema,
 			specs:  f2Specs,
@@ -76,7 +76,19 @@ func equivCases() []equivCase {
 				}
 				return []attr.Value{{Num: rng.NormFloat64()}, {Num: v}}
 			},
-			regime: func(t *tables) bool { return t.anyExact && !t.sortExact && !t.sorted },
+			regime: func(t *tables) bool { return !t.sortExact && !t.sorted },
+		},
+		{
+			// F2 over dyadic values (rating quarters, visits halves): every
+			// channel plainly certified, with fA's min/max slot riding the
+			// sorted master.
+			name:   "avg-minmax",
+			schema: f2Schema,
+			specs:  f2Specs,
+			values: func(rng *rand.Rand, _ int) []attr.Value {
+				return []attr.Value{{Num: float64(rng.Intn(41)) * 0.25}, {Num: 1 + float64(rng.Intn(999))*0.5}}
+			},
+			regime: func(t *tables) bool { return t.allExact && t.sorted && t.f.MinMaxSlots() > 0 },
 		},
 	}
 }
@@ -106,25 +118,27 @@ func sameResult(a, b asp.Result) bool {
 // dirty-cell list — to the straightforward forms of grid_ref_test.go:
 // the grids every pass reads, the incumbent after pass 1, the surviving
 // dirty cells (order, extents, bounds), the incumbent after the probes,
-// the drop flag and every work counter must agree bit for bit, for the
-// difference-array fill and the SAT/hybrid fill feeding the same passes,
-// on lattice-aligned edges, zero-extent rectangles, sub-ulp sliver
-// spaces and ancestor clips. On the unsorted master (failing-channel) the
-// classification table is additionally asked about every dirty cell of
-// every grid — collapsed edge cells of the sliver spaces included — and
-// must give the per-cell scan's bound, bail-out and probe incumbent.
+// the drop flag and every work counter must agree bit for bit, on
+// lattice-aligned edges, zero-extent rectangles, sub-ulp sliver spaces
+// and ancestor clips, from mini-sweep-sized spaces up to the
+// thousands-of-rectangles roots of a search. Pass 2 finds a cell's
+// rectangles in the anchor-bin ring on the sorted masters and in the
+// classification table on the unsorted one (failing-channel) — for every
+// dirty cell of every grid, collapsed edge cells of the sliver spaces
+// included — and must give the per-cell scan's bound, bail-out and probe
+// incumbent either way.
 func TestDiscretizeMatchesReference(t *testing.T) {
-	old := satMinIds
-	satMinIds = 48 // let the cost model pick the SAT fill on test-sized spaces
-	defer func() { satMinIds = old }()
-
+	const rootIds = 2048 // a space this full is a windowed search's root
 	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			f := tc.composite(t)
 			rng := rand.New(rand.NewSource(2024))
-			satFills, diffFills, memoHits := 0, 0, 0
+			rootSpaces, memoHits := 0, 0
 			for trial := 0; trial < 36; trial++ {
 				n := 200 + rng.Intn(500)
+				if trial%9 == 8 {
+					n = 2600 + rng.Intn(1200)
+				}
 				rw := []float64{7.5, 5, 12.3, 0}[trial%4] // 0: zero-extent rectangles
 				rh := []float64{6, 5, 0.7, 0}[trial%4]
 				objs := make([]attr.Object, n)
@@ -176,6 +190,9 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 						clip.MaxY = space.MaxY - space.Height()*5e-14
 					}
 					ids := sNew.AppendWindowIDs(clip, nil)
+					if len(ids) >= rootIds {
+						rootSpaces++
+					}
 					// A loose incumbent keeps every dirty cell alive; a tight
 					// one sends most of them through refinement and pruning.
 					seed := sNew.emptyResult(space)
@@ -197,26 +214,15 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 						refGrids = gridCells(wRef.grid)
 					})
 					refDirty = append([]cellInfo(nil), refDirty...)
-					fast := wRef.stats.SATFills > refBefore.SATFills
-					if fast {
-						satFills++
-					} else {
-						diffFills++
-					}
 
 					// Production, step by step, for the same state.
 					g := wNew.grid
 					cw, chh := space.Width()/float64(ncol), space.Height()/float64(nrow)
 					g.setEdges(space, cw, chh)
 					wNew.beginItem(seed)
-					if fast {
-						sNew.tab.ensureLevels(sNew.rects)
-						wNew.fillGridFast(space, clip, ids, cw, chh, nil)
-					} else {
-						g.reset(true, true)
-						wNew.fillRects(space, ids, cw, chh, false)
-					}
-					wNew.cleanPass(cw, chh, !fast)
+					g.reset()
+					wNew.fillRects(space, ids, cw, chh)
+					wNew.cleanPass(cw, chh)
 					newGrids := gridCells(g)
 					for k, name := range [5]string{"full", "part", "cnt", "mmMin", "mmMax"} {
 						if len(newGrids[k]) != len(refGrids[k]) {
@@ -224,7 +230,7 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 						}
 						for i := range newGrids[k] {
 							if math.Float64bits(newGrids[k][i]) != math.Float64bits(refGrids[k][i]) {
-								fail("fast=%v %s[%d] = %v, reference %v", fast, name, i, newGrids[k][i], refGrids[k][i])
+								fail("%s[%d] = %v, reference %v", name, i, newGrids[k][i], refGrids[k][i])
 							}
 						}
 					}
@@ -265,8 +271,8 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if satFills == 0 || diffFills == 0 {
-				t.Fatalf("fills exercised: %d SAT, %d difference-array; want both", satFills, diffFills)
+			if rootSpaces == 0 {
+				t.Fatalf("no space of at least %d rectangles was exercised", rootIds)
 			}
 			if memoHits == 0 {
 				t.Fatal("the clean-cell memo never hit")
@@ -280,7 +286,6 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 func delta(after, before Stats) Stats {
 	return Stats{
 		Discretizations: after.Discretizations - before.Discretizations,
-		SATFills:        after.SATFills - before.SATFills,
 		CleanCells:      after.CleanCells - before.CleanCells,
 		DirtyCells:      after.DirtyCells - before.DirtyCells,
 		PrunedCells:     after.PrunedCells - before.PrunedCells,

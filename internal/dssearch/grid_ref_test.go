@@ -13,11 +13,12 @@ import (
 // scans of the grid with every clean cell finalized on its own — as the
 // oracle the production loops of grid.go are held to bit for bit
 // (TestDiscretizeMatchesReference). It shares with production only what
-// production did not rewrite: mmUpdate, fullRange and fillGridSAT. The
-// refinement and the centre probes are kept in the form that compares
-// every candidate rectangle against the cell itself (refRefineCellLB,
-// refProbeCellCenters), the oracle for the per-Discretize classification
-// table production walks on unsorted masters.
+// production did not rewrite: mmUpdate and fullRange. The refinement
+// compares every rectangle of the space against the cell itself and
+// re-accumulates its base (refRefineCellLB) — the oracle for the
+// anchor-bin ring production walks on sorted masters and for the
+// per-Discretize classification table it walks on unsorted ones, which
+// the centre probes (refProbeCellCenters) are held to as well.
 
 func (g *gridBuffers) refReset() {
 	clear(g.diffFull)
@@ -109,26 +110,7 @@ func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 fu
 	g.setEdges(space, cw, chh)
 
 	tab := w.s.tab
-	var satLvl *satLevel
-	if tab.satUsable() && !w.s.opt.DisableSAT && len(ids) >= satMinIds {
-		// Cost-based fill selection: the SAT fill's boundary-ring work is
-		// independent of the subset size, so it loses on mid-size subsets
-		// (GI-DS cells) where the difference-array fill touches only the
-		// subset. Both fills are bit-identical and the estimate depends
-		// only on deterministic quantities, so this is purely a
-		// performance choice.
-		tab.ensureLevels(w.s.rects)
-		lvl, satCost := tab.pickLevel(w.s.rects, space, ncol, nrow, cw, chh)
-		if satCost < tab.diffCost(len(ids), ncol, nrow) {
-			satLvl = lvl
-		}
-	}
-	if satLvl != nil {
-		w.refFillGridFast(space, clip, ids, cw, chh, satLvl)
-		w.stats.SATFills++
-	} else {
-		w.refFillGridDiff(space, ids, cw, chh)
-	}
+	w.refFillGridDiff(space, ids, cw, chh)
 
 	// Pass 1: clean cells refine the incumbent so that pass 2 prunes
 	// against the tightest d_opt.
@@ -193,7 +175,7 @@ func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 fu
 					// so cells over the gate skip the scan outright — the
 					// same outcome the scan's own bail would reach.
 					if g.diffCnt[idx] <= refineMaxPartial {
-						if rlb, ok := w.refRefineCellLB(cell, clip, ids, g.diffFull[idx*g.chans:(idx+1)*g.chans]); ok {
+						if rlb, ok := w.refRefineCellLB(cell, ids); ok {
 							w.stats.RefinedCells++
 							if rlb > lb {
 								lb = rlb
@@ -223,29 +205,21 @@ func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 fu
 func (w *worker) refFillGridDiff(space geom.Rect, ids []int32, cw, chh float64) {
 	g := w.grid
 	g.refReset()
-	w.refFillRects(space, ids, cw, chh, false)
+	w.refFillRects(space, ids, cw, chh)
 	g.refIntegrate()
 }
 
 // refFillRects seeds each rectangle's four edge walks from a divide and
 // a Floor.
-func (w *worker) refFillRects(space geom.Rect, ids []int32, cw, chh float64, failOnly bool) {
+func (w *worker) refFillRects(space geom.Rect, ids []int32, cw, chh float64) {
 	g := w.grid
 	tab := w.s.tab
 	master := w.s.rects
 	for _, id := range ids {
-		var contribs []agg.Contrib
+		contribs := tab.rectContribs(id)
 		var mm []agg.MMContrib
-		if failOnly {
-			contribs = tab.rectFailContribs(id)
-			if len(contribs) == 0 {
-				continue
-			}
-		} else {
-			contribs = tab.rectContribs(id)
-			if g.mmSlots > 0 {
-				mm = tab.rectMM(id)
-			}
+		if g.mmSlots > 0 {
+			mm = tab.rectMM(id)
 		}
 		r := master[id].Rect
 		// Columns whose open interior intersects the rect interior.
@@ -264,54 +238,26 @@ func (w *worker) refFillRects(space geom.Rect, ids []int32, cw, chh float64, fai
 			g.refRangeAdd(g.diffFull, contribs, fc0, fr0, fc1, fr1)
 			// Partial ring: the overlap range minus the full range, as up
 			// to four rectangles.
-			w.refApplyPartial(contribs, mm, !failOnly, c0, r0, c1, fr0-1) // bottom rows
-			w.refApplyPartial(contribs, mm, !failOnly, c0, fr1+1, c1, r1) // top rows
-			w.refApplyPartial(contribs, mm, !failOnly, c0, fr0, fc0-1, fr1)
-			w.refApplyPartial(contribs, mm, !failOnly, fc1+1, fr0, c1, fr1)
+			w.refApplyPartial(contribs, mm, c0, r0, c1, fr0-1) // bottom rows
+			w.refApplyPartial(contribs, mm, c0, fr1+1, c1, r1) // top rows
+			w.refApplyPartial(contribs, mm, c0, fr0, fc0-1, fr1)
+			w.refApplyPartial(contribs, mm, fc1+1, fr0, c1, fr1)
 		} else {
-			w.refApplyPartial(contribs, mm, !failOnly, c0, r0, c1, r1)
+			w.refApplyPartial(contribs, mm, c0, r0, c1, r1)
 		}
 	}
-}
-
-// refFillGridFast is the hybrid fill over refFillRects and integ2D.
-func (w *worker) refFillGridFast(space, clip geom.Rect, ids []int32, cw, chh float64, l *satLevel) {
-	g := w.grid
-	t := w.s.tab
-	if t.sortExact {
-		// Every cell value is written by the SAT fill; only the min/max
-		// fold identities need re-arming.
-		for i := range g.mmMin {
-			g.mmMin[i] = math.Inf(1)
-			g.mmMax[i] = math.Inf(-1)
-		}
-	} else {
-		g.refReset()
-		w.refFillRects(space, ids, cw, chh, true)
-		// Integrate only the channel grids: the SAT fill rewrites the
-		// counter grid for every cell, so its prefix pass would be dead
-		// work. (Certified channels are all-zero here and integrate to
-		// zero before being overwritten — a per-channel skip would cost
-		// the inner loops a branch for no measured win.)
-		pad := g.ncol + 1
-		integ2D(g.diffFull, pad, g.nrow+1, g.chans)
-		integ2D(g.diffPart, pad, g.nrow+1, g.chans)
-	}
-	w.fillGridSAT(clip, l)
 }
 
 // refApplyPartial marks a (possibly empty) cell range as partially
 // covered.
-func (w *worker) refApplyPartial(contribs []agg.Contrib, mm []agg.MMContrib, cntMM bool, c0, r0, c1, r1 int) {
+func (w *worker) refApplyPartial(contribs []agg.Contrib, mm []agg.MMContrib, c0, r0, c1, r1 int) {
 	if c0 > c1 || r0 > r1 {
 		return
 	}
 	g := w.grid
 	g.refRangeAdd(g.diffPart, contribs, c0, r0, c1, r1)
-	if cntMM {
-		g.refRangeAddCnt(c0, r0, c1, r1)
-		g.mmUpdate(mm, c0, r0, c1, r1)
-	}
+	g.refRangeAddCnt(c0, r0, c1, r1)
+	g.mmUpdate(mm, c0, r0, c1, r1)
 }
 
 // refOverlapRange starts its exact-comparison walks from a float guess.
@@ -420,118 +366,37 @@ func (w *worker) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int
 	w.stats.CenterProbes += len(idx)
 }
 
-// refRefineCellLB is refineCellLB with the per-cell scan: on unsorted
-// masters every id of the space is re-compared against the cell. It computes an exact lower bound for a dirty cell by
-// enumerating every completion of the full covering set with a subset of
-// the partial rectangles. Returns ok=false when the cell exceeds the
-// enumeration gates. cellFull is the cell's full-cover channel totals
-// from the grid fill, which the fully certified fast path reuses as the
-// enumeration base (exact sums make it bit-identical to re-accumulating
-// the containing rectangles) while finding the partial rectangles in
-// the cell's 2D anchor-bin box — a fraction of the 1D master-window
-// scan, whose x-range spans the full y extent. The budget accounting
-// (refineCost) deliberately still charges the window cost, so the
-// refinement decisions — and with them the whole search trajectory —
-// are identical to the scan path's; the fast path only makes each
-// decision cheaper to execute.
-func (w *worker) refRefineCellLB(cell, clip geom.Rect, ids []int32, cellFull []float64) (float64, bool) {
+// refRefineCellLB is refineCellLB with the per-cell scan: every id of the
+// space is compared against the cell, the fully covering rectangles are
+// re-accumulated into the base and the partial ones listed, both in id
+// order. It computes an exact lower bound for a dirty cell by enumerating
+// every completion of the full covering set with a subset of the partial
+// rectangles, and returns ok=false when the cell exceeds the enumeration
+// gates. (ids is the space's chain-filtered subset, so no clip is asked.)
+func (w *worker) refRefineCellLB(cell geom.Rect, ids []int32) (float64, bool) {
 	g := w.grid
 	t := w.s.tab
 	master := w.s.rects
 	query := &w.s.query
-	var base []float64
+	base := g.refineBase[:g.chans]
+	clear(base)
 	partial := g.refinePartial[:0]
-	if t.sortExact && !w.s.opt.DisableSAT {
-		t.ensureLevels(master)
-		l, _ := t.pickLevel(master, cell, 1, 1, cell.MaxX-cell.MinX, cell.MaxY-cell.MinY)
-		base = cellFull
-		// All possibly-overlapping anchors have MinX ∈ (cell.MinX − wmax,
-		// cell.MaxX) and MinY ∈ (cell.MinY − hmax, cell.MaxY); each bin
-		// row of that box is a contiguous CSR run. Bins certainly inside
-		// the cell's full-cover box hold only rectangles that closed-
-		// contain the cell — already summed into cellFull (if in the
-		// subset) or excluded everywhere (if not) — so the scan skips
-		// that interior and walks only the ring where partials can live.
-		xo0, xo1 := l.xBinLE(master, cell.MinX-t.wmax, true), l.xBinGT(master, cell.MaxX, true)
-		yo0, yo1 := l.yBinLE(master, cell.MinY-t.hmax, true), l.yBinGT(master, cell.MaxY, true)
-		fi0, fi1 := l.xBinGT(master, cell.MaxX-t.wmin, false), l.xBinLE(master, cell.MinX, false)
-		fj0, fj1 := l.yBinGT(master, cell.MaxY-t.hmin, false), l.yBinLE(master, cell.MinY, false)
-		scan := func(lo, hi, row int) bool {
-			if lo >= hi {
-				return true
-			}
-			for _, id := range l.binIds[l.binStart[row+lo]:l.binStart[row+hi]] {
-				r := &master[id].Rect
-				if !(r.MinX < clip.MaxX && clip.MinX < r.MaxX &&
-					r.MinY < clip.MaxY && clip.MinY < r.MaxY) {
-					continue // outside the space's chain-filtered subset
-				}
-				if !(r.MinX < cell.MaxX && cell.MinX < r.MaxX && r.MinY < cell.MaxY && cell.MinY < r.MaxY) {
-					continue // interior does not meet the cell interior
-				}
-				if r.ContainsRect(cell) {
-					continue // already summed into cellFull by the fill
-				}
-				partial = append(partial, id)
-				if len(partial) > refineMaxPartial {
-					return false
-				}
-			}
-			return true
+	for _, id := range ids {
+		r := master[id].Rect
+		// Only rectangles whose interior meets the cell interior matter.
+		if !(r.MinX < cell.MaxX && cell.MinX < r.MaxX && r.MinY < cell.MaxY && cell.MinY < r.MaxY) {
+			continue
 		}
-		for bj := yo0; bj < yo1; bj++ {
-			row := bj * l.gx
-			ok := true
-			if bj >= fj0 && bj < fj1 && fi0 < fi1 {
-				ok = scan(xo0, min(fi0, xo1), row) && scan(max(xo0, fi1), xo1, row)
-			} else {
-				ok = scan(xo0, xo1, row)
+		if r.ContainsRect(cell) {
+			for _, cb := range t.rectContribs(id) {
+				base[cb.Ch] += cb.V
 			}
-			if !ok {
-				g.refinePartial = partial[:0]
-				return 0, false
-			}
+			continue
 		}
-	} else {
-		base = g.refineBase[:g.chans]
-		clear(base)
-		consider := func(id int32) bool {
-			r := master[id].Rect
-			// Only rectangles whose interior meets the cell interior
-			// matter.
-			if !(r.MinX < cell.MaxX && cell.MinX < r.MaxX && r.MinY < cell.MaxY && cell.MinY < r.MaxY) {
-				return true
-			}
-			if r.ContainsRect(cell) {
-				for _, cb := range t.rectContribs(id) {
-					base[cb.Ch] += cb.V
-				}
-				return true
-			}
-			partial = append(partial, id)
-			return len(partial) <= refineMaxPartial
-		}
-		if t.sorted {
-			lo := t.windowLo(cell.MinX - t.wmax)
-			hi := t.windowHi(cell.MaxX)
-			for id := lo; id < hi; id++ {
-				r := &master[id].Rect
-				if !(r.MinX < clip.MaxX && clip.MinX < r.MaxX &&
-					r.MinY < clip.MaxY && clip.MinY < r.MaxY) {
-					continue // outside the space's chain-filtered subset
-				}
-				if !consider(int32(id)) {
-					g.refinePartial = partial[:0]
-					return 0, false
-				}
-			}
-		} else {
-			for _, id := range ids {
-				if !consider(id) {
-					g.refinePartial = partial[:0]
-					return 0, false
-				}
-			}
+		partial = append(partial, id)
+		if len(partial) > refineMaxPartial {
+			g.refinePartial = partial[:0]
+			return 0, false
 		}
 	}
 	g.refinePartial = partial[:0]

@@ -19,26 +19,25 @@ import (
 // reduction, every rectangle's anchor (MinX, MinY) is the object's
 // location translated by the constant (-a, -b): the master sort order,
 // the flattened channel contributions, the fixed-point / two-float
-// certificates, the SAT bin partition and the min/max companion are all
-// functions of (dataset, composite) alone — only the rectangle
-// materialization, the width/height ranges and the accuracy merge walks
-// depend on the query's (a, b), and those are O(n) passes. Binding a
-// pyramid to a Searcher therefore replaces the per-query O(R log R)
-// sort, the O(contribs) flatten/certify passes and the O(R + g²·C) SAT
-// build with aliased reads of shared immutable state (DESIGN.md §6).
+// certificates and the anchor-bin partition are all functions of
+// (dataset, composite) alone — only the rectangle materialization, the
+// width/height ranges and the accuracy merge walks depend on the query's
+// (a, b), and those are O(n) passes. Binding a pyramid to a Searcher
+// therefore replaces the per-query O(R log R) sort, the O(contribs)
+// flatten/certify passes and the O(R + g²) level build with aliased
+// reads of shared immutable state (DESIGN.md §6).
 //
 // Bit-identity with the unassisted path is preserved by construction:
 // the pyramid's master order is produced by the *same* sort over the
 // *same* initial order (translation is monotone, so the comparator
 // outcomes — and with them the unstable sort's permutation — are
-// identical), the SAT planes carry the same exact scaled int64 sums,
-// and the id-anchored threshold arrays bound the translated per-query
-// anchors through actual rectangle coordinates rather than bin
-// geometry. The single case translation can break — two distinct anchor
-// x coordinates collapsing onto one float (a sub-ulp event that changes
-// the tie structure the sort saw) — is detected at bind time and falls
-// back to the classic per-query build, so answers never depend on the
-// pyramid being bindable.
+// identical), and the levels' id-anchored threshold arrays bound the
+// translated per-query anchors through actual rectangle coordinates
+// rather than bin geometry. The single case translation can break — two
+// distinct anchor x coordinates collapsing onto one float (a sub-ulp
+// event that changes the tie structure the sort saw) — is detected at
+// bind time and falls back to the classic per-query build, so answers
+// never depend on the pyramid being bindable.
 //
 // A Pyramid is immutable after construction and safe for any number of
 // concurrent binds; the Engine caches one per composite, and
@@ -52,7 +51,7 @@ type Pyramid struct {
 	core             *tables     // frozen canonical aggregation core (master order)
 	order            []int32     // master position -> dataset object index
 	xAscIds, yAscIds []int32     // master ids sorted by anchor x / y (accuracy)
-	lvls             []*satLevel // SAT hierarchy, finest first (empty when nothing certifies)
+	lvls             []*satLevel // anchor-bin hierarchy, finest first (none unless the master is sorted)
 
 	// Delta-fold state (delta.go). strict: the master anchors increase
 	// strictly, i.e. the canonical order is the only one the comparator
@@ -82,7 +81,7 @@ func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
 	// master: their (MinX, MinY) are the object locations, i.e. the
 	// anchors of every real reduction up to translation, so buildTables
 	// runs the exact per-query code path — flatten, certify (plain +
-	// two-float), sort, scale — and its outputs ARE the shared core.
+	// two-float), sort — and its outputs ARE the shared core.
 	synth := make([]asp.RectObject, n)
 	for i := range ds.Objects {
 		o := &ds.Objects[i]
@@ -119,19 +118,13 @@ func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
 	return p, nil
 }
 
-// levelGrids returns the bin granularities of the SAT hierarchy a fresh
+// levelGrids returns the bin granularities of the hierarchy a fresh
 // build raises over n anchors, finest first. The persistent hierarchy
-// can afford finer levels than the per-query SAT: ring-scan work shrinks
-// linearly with the bin width, and the cost-based pickLevel chooses per
-// discretization. Min/max companions are memory-heavy (2D sparse
-// tables), so composites with min/max slots cap lower.
-func levelGrids(n, mmSlots int) []int {
+// can afford finer levels than the per-query grid: ring-scan work shrinks
+// linearly with the bin width, and pickLevel chooses per walk.
+func levelGrids(n int) []int {
 	g := satGrid(n)
-	cap := 256
-	if mmSlots > 0 {
-		cap = 128
-	}
-	for 2*g <= cap && g*g < n {
+	for 2*g <= 256 && g*g < n {
 		g *= 2
 	}
 	var grids []int
@@ -147,17 +140,15 @@ func levelGrids(n, mmSlots int) []int {
 	}
 }
 
-// raiseLevels builds the SAT hierarchy from scratch over the stored
-// anchors xs/ys (master order). No levels when nothing certifies.
+// raiseLevels builds the hierarchy from scratch over the stored anchors
+// xs/ys (master order). Only a sorted master's searches read levels.
 func (p *Pyramid) raiseLevels(xs, ys []float64) {
-	core := p.core
-	if !core.anyExact {
+	if !p.core.sorted {
 		return
 	}
-	for _, g := range levelGrids(p.n, p.mmSlots) {
+	for _, g := range levelGrids(p.n) {
 		l := &satLevel{}
-		buildSATLevel(l, g, xs, ys, core.eff,
-			core.cOff, core.contribs, core.contribsI, core.mOff, core.mms, p.mmSlots)
+		buildSATLevel(l, g, xs, ys)
 		p.lvls = append(p.lvls, l)
 	}
 }
@@ -209,7 +200,7 @@ func (p *Pyramid) Composite() *agg.Composite { return p.f }
 // Objects returns the master cardinality.
 func (p *Pyramid) Objects() int { return p.n }
 
-// Levels returns the number of SAT resolutions in the hierarchy.
+// Levels returns the number of resolutions in the anchor-bin hierarchy.
 func (p *Pyramid) Levels() int { return len(p.lvls) }
 
 // bindCore aliases the pyramid's frozen aggregation core into a
@@ -220,11 +211,10 @@ func (p *Pyramid) bindCore(t *tables) {
 	t.f, t.chans, t.eff = c.f, c.chans, c.eff
 	t.chOK, t.chScale, t.chInv, t.twoOf = c.chOK, c.chScale, c.chInv, c.twoOf
 	t.twoCount = c.twoCount
-	t.allExact, t.sortExact, t.anyExact = c.allExact, c.sortExact, c.anyExact
+	t.allExact, t.sortExact = c.allExact, c.sortExact
 	t.sorted = c.sorted
-	t.cOff, t.contribs, t.contribsI = c.cOff, c.contribs, c.contribsI
+	t.cOff, t.contribs = c.cOff, c.contribs
 	t.mOff, t.mms = c.mOff, c.mms
-	t.cOffF, t.contribsF = c.cOffF, c.contribsF
 	t.lvls = append(t.lvls[:0], p.lvls...)
 	t.satBuilt.Store(len(p.lvls) > 0)
 	t.shared = true
@@ -414,14 +404,16 @@ func (prep *Prepared) For(ds *attr.Dataset, f *agg.Composite, a, b float64) bool
 
 // PyramidSnapshot is the exported, codec-friendly image of a Pyramid.
 // internal/persist encodes and decodes it; PyramidFromSnapshot
-// validates it and rebuilds the derived state (scaled contributions,
-// min/max sparse tables) that is cheaper to recompute than to store.
+// validates it and rebuilds the derived state (each level's count
+// plane) that is cheaper to recompute than to store.
 type PyramidSnapshot struct {
 	N          int
 	Chans, Eff int
 	MMSlots    int
 
-	AllExact, SortExact, AnyExact, Sorted bool
+	// SortExact is also "the master is sorted": a master is sorted
+	// exactly when its certificate allows it.
+	AllExact, SortExact bool
 
 	ChOK    []bool
 	ChScale []float64
@@ -433,18 +425,15 @@ type PyramidSnapshot struct {
 	Contribs         []agg.Contrib
 	MOff             []int32
 	MMs              []agg.MMContrib
-	COffF            []int32
-	ContribsF        []agg.Contrib
 	XAscIds, YAscIds []int32
 
 	Levels []PyramidLevelSnapshot
 }
 
-// PyramidLevelSnapshot is one SAT resolution.
+// PyramidLevelSnapshot is one anchor-bin resolution.
 type PyramidLevelSnapshot struct {
 	G                  int
 	BW, BH             float64
-	Sat                []int64
 	BinStart, BinIds   []int32
 	XMaxUpTo, XMinFrom []int32
 	YMaxUpTo, YMinFrom []int32
@@ -456,15 +445,15 @@ func (p *Pyramid) Snapshot() *PyramidSnapshot {
 	c := p.core
 	s := &PyramidSnapshot{
 		N: p.n, Chans: c.chans, Eff: c.eff, MMSlots: p.mmSlots,
-		AllExact: c.allExact, SortExact: c.sortExact, AnyExact: c.anyExact, Sorted: c.sorted,
+		AllExact: c.allExact, SortExact: c.sortExact,
 		ChOK: c.chOK, ChScale: c.chScale, ChInv: c.chInv, TwoOf: c.twoOf,
 		Order: p.order, COff: c.cOff, Contribs: c.contribs,
-		MOff: c.mOff, MMs: c.mms, COffF: c.cOffF, ContribsF: c.contribsF,
+		MOff: c.mOff, MMs: c.mms,
 		XAscIds: p.xAscIds, YAscIds: p.yAscIds,
 	}
 	for _, l := range p.lvls {
 		s.Levels = append(s.Levels, PyramidLevelSnapshot{
-			G: l.gx, BW: l.bw, BH: l.bh, Sat: l.sat,
+			G: l.gx, BW: l.bw, BH: l.bh,
 			BinStart: l.binStart, BinIds: l.binIds,
 			XMaxUpTo: l.xMaxUpTo, XMinFrom: l.xMinFrom,
 			YMaxUpTo: l.yMaxUpTo, YMinFrom: l.yMinFrom,
@@ -476,9 +465,8 @@ func (p *Pyramid) Snapshot() *PyramidSnapshot {
 // PyramidFromSnapshot reconstructs a pyramid over (ds, f) from a
 // decoded snapshot, validating structural consistency (a corrupt or
 // mismatched file must produce an error, never a panic) and rebuilding
-// the derived state: scaled int64 contributions and the per-level
-// min/max sparse tables. The snapshot's contribution values are trusted
-// to describe ds — like ReadIndex, the dataset identity is part of the
+// the derived state. The snapshot's contribution values are trusted to
+// describe ds — like ReadIndex, the dataset identity is part of the
 // file's contract.
 func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot) (*Pyramid, error) {
 	if ds == nil || f == nil || s == nil {
@@ -543,27 +531,15 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 			}
 		}
 	}
-	if !s.SortExact {
-		if err := checkOffsets(s.COffF, n, len(s.ContribsF)); err != nil {
-			return nil, fmt.Errorf("dssearch: pyramid snapshot fallback contributions: %w", err)
-		}
-		for i := range s.ContribsF {
-			if ch := s.ContribsF[i].Ch; ch < 0 || ch >= s.Eff {
-				return nil, fmt.Errorf("dssearch: pyramid snapshot fallback channel %d out of range", ch)
-			}
-		}
-	}
 
 	core := &tables{
 		f: f, chans: s.Chans, eff: s.Eff,
 		chOK: s.ChOK, chScale: s.ChScale, chInv: s.ChInv, twoOf: s.TwoOf,
 		twoCount: twoCount,
-		allExact: s.AllExact, sortExact: s.SortExact, anyExact: s.AnyExact, sorted: s.Sorted,
+		allExact: s.AllExact, sortExact: s.SortExact, sorted: s.SortExact,
 		cOff: s.COff, contribs: s.Contribs,
 		mOff: s.MOff, mms: s.MMs,
-		cOffF: s.COffF, contribsF: s.ContribsF,
 	}
-	core.scaleContribsForSnapshot()
 
 	p := &Pyramid{
 		ds: ds, f: f, n: n, mmSlots: s.MMSlots,
@@ -582,8 +558,7 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 		if g < 1 || g > 1<<14 {
 			return nil, fmt.Errorf("dssearch: pyramid snapshot level %d granularity %d out of range", li, g)
 		}
-		if len(ls.Sat) != (g+1)*(g+1)*(s.Eff+1) ||
-			len(ls.BinStart) != g*g+1 || len(ls.BinIds) != n ||
+		if len(ls.BinStart) != g*g+1 || len(ls.BinIds) != n ||
 			len(ls.XMaxUpTo) != g || len(ls.XMinFrom) != g ||
 			len(ls.YMaxUpTo) != g || len(ls.YMinFrom) != g {
 			return nil, fmt.Errorf("dssearch: pyramid snapshot level %d arrays inconsistent", li)
@@ -604,43 +579,18 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 			}
 		}
 		l := &satLevel{
-			gx: g, gy: g, bw: ls.BW, bh: ls.BH, bx0: origin.X, by0: origin.Y, eff: s.Eff,
-			sat: ls.Sat, binStart: ls.BinStart, binIds: ls.BinIds,
+			gx: g, gy: g, bw: ls.BW, bh: ls.BH, bx0: origin.X, by0: origin.Y,
+			binStart: ls.BinStart, binIds: ls.BinIds,
 			xMaxUpTo: ls.XMaxUpTo, xMinFrom: ls.XMinFrom,
 			yMaxUpTo: ls.YMaxUpTo, yMinFrom: ls.YMinFrom,
 		}
-		l.hasMM = s.MMSlots > 0
-		if l.hasMM {
-			l.mm.Reset(g, g, s.MMSlots)
-			for b := 0; b < g*g; b++ {
-				row, col := b/g, b%g
-				for _, id := range l.binIds[l.binStart[b]:l.binStart[b+1]] {
-					for _, m := range core.mms[core.mOff[id]:core.mOff[id+1]] {
-						l.mm.Fold(row, col, m.Slot, m.V)
-					}
-				}
-			}
-			l.mm.Build()
-		}
+		l.sumCounts()
 		p.lvls = append(p.lvls, l)
 	}
-	if s.AnyExact && len(p.lvls) == 0 {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot certifies channels but carries no SAT levels")
+	if s.SortExact && len(p.lvls) == 0 {
+		return nil, fmt.Errorf("dssearch: pyramid snapshot has a sorted master but carries no anchor-bin levels")
 	}
 	return p, nil
-}
-
-// scaleContribsForSnapshot rebuilds contribsI from the loaded
-// contributions and certificate (the exact inverse of what Snapshot
-// omitted).
-func (t *tables) scaleContribsForSnapshot() {
-	t.contribsI = make([]int64, len(t.contribs))
-	for i := range t.contribs {
-		cb := &t.contribs[i]
-		if t.chOK[cb.Ch] {
-			t.contribsI[i] = int64(cb.V * t.chScale[cb.Ch])
-		}
-	}
 }
 
 // checkPermutation verifies ids is a permutation of [0, n).

@@ -80,10 +80,6 @@ func solvePyr(t *testing.T, ds *attr.Dataset, f *agg.Composite, a, b float64, ta
 // per-query build at every worker count, with and without the
 // group-shared Prepared shape.
 func TestPyramidAnswersBitIdentical(t *testing.T) {
-	old := satMinIds
-	satMinIds = 64 // force the SAT paths onto test-sized spaces
-	defer func() { satMinIds = old }()
-
 	rng := rand.New(rand.NewSource(4242))
 	kinds := []struct {
 		name   string

@@ -99,9 +99,6 @@ func TestCertificatePerChannel(t *testing.T) {
 	if tab.allExact {
 		t.Fatal("decimal channel should fail the plain certificate")
 	}
-	if !tab.anyExact || !tab.satUsable() {
-		t.Fatal("dyadic and count channels should pass the certificate")
-	}
 	// Channel layout: fS(dyadic)=0..2, fS(decimal)=3..5, fC=6.
 	if !tab.chOK[0] {
 		t.Error("dyadic sum channel should pass")
@@ -240,8 +237,7 @@ func quantRects(rng *rand.Rand, n int, w, h float64) []asp.RectObject {
 
 // realSchemaF2 compiles the F2-shaped composite (fS + fA) against the
 // two-numeric-attribute schema used by quantRects. Its fA component
-// carries a min/max slot, so the fast path must exercise the
-// order-statistic companion.
+// carries a min/max slot.
 func realSchemaF2(t *testing.T) *agg.Composite {
 	t.Helper()
 	schema, err := attr.NewSchema(
@@ -261,152 +257,10 @@ func realSchemaF2(t *testing.T) *agg.Composite {
 	return f
 }
 
-// fillBothQuant runs the difference-array fill and the SAT-backed fast
-// fill on the same space and returns each fill's cell totals (full and
-// partial channels, partial counts) plus the min/max slot grids.
-func fillBothQuant(t *testing.T, rects []asp.RectObject, f *agg.Composite, space, clip geom.Rect, ncol, nrow int, wantSorted bool) (d, s [5][]float64) {
-	t.Helper()
-	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
-	sr, err := NewSearcher(rects, q, Options{NCol: ncol, NRow: nrow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sr.tab.satUsable() {
-		t.Fatal("composite should be fast-path usable")
-	}
-	if sr.tab.sorted != wantSorted {
-		t.Fatalf("sorted = %v, want %v", sr.tab.sorted, wantSorted)
-	}
-	w := sr.workers[0]
-	w.grid = newGridBuffers(ncol, nrow, f, sr.tab.eff)
-	g := w.grid
-	ids := sr.AppendWindowIDs(clip, nil)
-
-	cw := space.Width() / float64(ncol)
-	chh := space.Height() / float64(nrow)
-	g.setEdges(space, cw, chh)
-
-	w.refFillGridDiff(space, ids, cw, chh)
-	d = gridCells(g)
-	sr.tab.ensureLevels(sr.rects)
-	w.fillGridFast(space, clip, ids, cw, chh, nil)
-	s = gridCells(g)
-	return
-}
-
-// TestFastFillBitIdenticalRealValued is the tentpole property test: on
-// randomized rectangle sets over a *real-valued* composite with min/max
-// slots whose values carry the fixed-point certificate, the SAT-backed
-// fast fill's per-cell full/partial channel totals, partial counts, and
-// min/max slots are bit-identical to the difference-array fill's —
-// including degenerate zero-extent rectangles, lattice-aligned edges,
-// sub-ulp sliver spaces, and ancestor-clip variants.
-func TestFastFillBitIdenticalRealValued(t *testing.T) {
-	f := realSchemaF2(t)
-	rng := rand.New(rand.NewSource(77))
-	names := [5]string{"full", "part", "cnt", "mmMin", "mmMax"}
-	for trial := 0; trial < 60; trial++ {
-		n := 30 + rng.Intn(400)
-		w := []float64{7.5, 5, 12.3, 0}[trial%4]
-		h := []float64{6, 5, 0.7, 0}[trial%4]
-		rects := quantRects(rng, n, w, h)
-		spaces := []geom.Rect{
-			asp.Space(rects),
-			{MinX: 10, MinY: 5, MaxX: 70, MaxY: 65},
-			{MinX: rng.Float64() * 40, MinY: rng.Float64() * 40, MaxX: 60 + rng.Float64()*40, MaxY: 60 + rng.Float64()*40},
-			{MinX: 5, MinY: 40 - 1e-13, MaxX: 95, MaxY: 40 + 1e-13},
-		}
-		ncol := 2 + rng.Intn(12)
-		nrow := 2 + rng.Intn(12)
-		for si, space := range spaces {
-			clip := space
-			if si%2 == 1 {
-				clip.MaxX = space.MaxX - space.Width()*1e-13
-				clip.MaxY = space.MaxY - space.Height()*5e-14
-			}
-			d, s := fillBothQuant(t, rects, f, space, clip, ncol, nrow, true)
-			for k := range d {
-				for i := range d[k] {
-					if math.Float64bits(d[k][i]) != math.Float64bits(s[k][i]) {
-						t.Fatalf("trial %d space %d: %s[%d] diff=%v fast=%v",
-							trial, si, names[k], i, d[k][i], s[k][i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFastFillMixedComposite: composites where some channels fail the
-// certificate still get the fast path for the passing channels, with
-// the hybrid difference-array pass covering the failing ones in
-// unchanged master order — the combined grids stay bit-identical to the
-// pure difference-array fill.
-func TestFastFillMixedComposite(t *testing.T) {
-	schema, err := attr.NewSchema(
-		attr.Attribute{Name: "cat", Kind: attr.Categorical, Domain: []string{"a", "b", "c"}},
-		attr.Attribute{Name: "raw", Kind: attr.Numeric},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// fA over reals salted with ±denormals: the avg-sum channels fail
-	// both certificates (the denormal tails are unsplittable), the count
-	// channel passes, and the min/max companion must still serve the fA
-	// slot exactly.
-	f, err := agg.New(schema,
-		agg.Spec{Kind: agg.Distribution, Attr: "cat"},
-		agg.Spec{Kind: agg.Average, Attr: "raw"},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	names := [5]string{"full", "part", "cnt", "mmMin", "mmMax"}
-	for trial := 0; trial < 40; trial++ {
-		n := 30 + rng.Intn(300)
-		w := []float64{7.5, 5, 0}[trial%3]
-		h := []float64{6, 0.7, 0}[trial%3]
-		objs := make([]attr.Object, n)
-		rects := make([]asp.RectObject, n)
-		for i := range rects {
-			x, y := rng.Float64()*100, rng.Float64()*100
-			v := rng.NormFloat64()
-			switch i % 9 {
-			case 0:
-				v = 5e-324
-			case 4:
-				v = -5e-324
-			}
-			objs[i] = attr.Object{
-				Loc: geom.Point{X: x, Y: y},
-				Values: []attr.Value{
-					{Cat: rng.Intn(3)},
-					{Num: v},
-				},
-			}
-			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - w, MinY: y - h, MaxX: x, MaxY: y}, Obj: &objs[i]}
-		}
-		space := asp.Space(rects)
-		clip := space
-		if trial%2 == 1 {
-			clip.MaxX -= space.Width() * 1e-13
-		}
-		d, s := fillBothQuant(t, rects, f, space, clip, 2+rng.Intn(10), 2+rng.Intn(10), false)
-		for k := range d {
-			for i := range d[k] {
-				if math.Float64bits(d[k][i]) != math.Float64bits(s[k][i]) {
-					t.Fatalf("trial %d: %s[%d] diff=%v fast=%v", trial, names[k], i, d[k][i], s[k][i])
-				}
-			}
-		}
-	}
-}
-
 // TestUnquantizableTakesOldPath: a composite whose every channel fails
-// both certificates silently keeps the pre-SAT behavior — no sort, no
-// fast path, original master order. Denormal tails on both signs defeat
-// the two-float fallback on every sum channel.
+// both certificates silently keeps the seed behavior — no sort, original
+// master order. Denormal tails on both signs defeat the two-float
+// fallback on every sum channel.
 func TestUnquantizableTakesOldPath(t *testing.T) {
 	schema, err := attr.NewSchema(attr.Attribute{Name: "v", Kind: attr.Numeric})
 	if err != nil {
@@ -432,7 +286,7 @@ func TestUnquantizableTakesOldPath(t *testing.T) {
 		rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: y - 1, MaxX: x, MaxY: y}, Obj: &objs[i]}
 	}
 	s := quantSearcher(t, rects, f)
-	if s.tab.anyExact || s.tab.allExact || s.tab.sorted || s.tab.satUsable() {
+	if s.tab.allExact || s.tab.sortExact || s.tab.sorted {
 		t.Fatalf("unquantizable composite must fall back: %+v", s.tab.chOK)
 	}
 	for i := range rects {
@@ -444,16 +298,11 @@ func TestUnquantizableTakesOldPath(t *testing.T) {
 
 // TestSearchEquivalenceRealValued runs whole searches over the
 // real-valued min/max composite and asserts the determinism contract:
-// for any fixed batch size, the fast path's answer is bit-identical to
-// the difference-array oracle (DisableSAT) for every worker count; and
-// across batch sizes — which legitimately change the pruning trajectory
-// and may therefore resolve ties between equally-distant optima
-// differently — the answer distance is identical (exactness).
+// for any fixed batch size the answer is bit-identical for every worker
+// count; and across batch sizes — which legitimately change the pruning
+// trajectory and may therefore resolve ties between equally-distant
+// optima differently — the answer distance is identical (exactness).
 func TestSearchEquivalenceRealValued(t *testing.T) {
-	old := satMinIds
-	satMinIds = 64 // force the fast path onto test-sized spaces
-	defer func() { satMinIds = old }()
-
 	f := realSchemaF2(t)
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 6; trial++ {
@@ -463,34 +312,33 @@ func TestSearchEquivalenceRealValued(t *testing.T) {
 		target[1] = 10
 		q := asp.Query{F: f, Target: target}
 
-		solve := func(disableSAT bool, workers, batch int) asp.Result {
-			opt := Options{Workers: workers, BatchSize: batch, DisableSAT: disableSAT}
-			s, err := NewSearcher(rects, q, opt)
+		solve := func(workers, batch int) asp.Result {
+			s, err := NewSearcher(rects, q, Options{Workers: workers, BatchSize: batch})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s.Solve()
 		}
 		for _, batch := range []int{0, 1, 8} {
-			want := solve(true, 1, batch) // difference-array oracle
-			for _, cfg := range [][2]int{{1, 0}, {3, 0}, {2, 1}} {
-				got := solve(cfg[1] == 1, cfg[0], batch)
+			want := solve(1, batch)
+			for _, workers := range []int{2, 3} {
+				got := solve(workers, batch)
 				if got.Dist != want.Dist || got.Point != want.Point {
-					t.Fatalf("trial %d batch %d cfg %v: got %v@%v, want %v@%v",
-						trial, batch, cfg, got.Dist, got.Point, want.Dist, want.Point)
+					t.Fatalf("trial %d batch %d workers %d: got %v@%v, want %v@%v",
+						trial, batch, workers, got.Dist, got.Point, want.Dist, want.Point)
 				}
 				for i := range want.Rep {
 					if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
-						t.Fatalf("trial %d batch %d cfg %v: rep[%d] %v != %v", trial, batch, cfg, i, got.Rep[i], want.Rep[i])
+						t.Fatalf("trial %d batch %d workers %d: rep[%d] %v != %v", trial, batch, workers, i, got.Rep[i], want.Rep[i])
 					}
 				}
 			}
 		}
 		// Across batch sizes the distance is exact and identical; the
 		// answer point may differ only between equally-distant optima.
-		base := solve(false, 1, 0)
+		base := solve(1, 0)
 		for _, batch := range []int{1, 8, 100} {
-			if got := solve(false, 1, batch); got.Dist != base.Dist {
+			if got := solve(1, batch); got.Dist != base.Dist {
 				t.Fatalf("trial %d: batch %d changed the answer distance: %v != %v",
 					trial, batch, got.Dist, base.Dist)
 			}

@@ -10,12 +10,11 @@ import (
 	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/geom"
-	"asrs/internal/segtree"
 	"asrs/internal/sweep"
 )
 
-// This file implements the per-query incremental-aggregation layer of
-// DS-Search: one `tables` value is built per Searcher and owns
+// This file implements the per-query aggregation layer of DS-Search: one
+// `tables` value is built per Searcher and owns
 //
 //   - the master rectangle array, sorted by (MinX, MinY) when every
 //     channel carries an exact-summation certificate, so that every
@@ -26,36 +25,33 @@ import (
 //   - the GPS-accuracy computation (Definition 7), derived from the
 //     sorted coordinate arrays by a merge walk instead of re-sorting the
 //     edge multiset per query;
-//   - the query-level summed-area table (SAT) levels: 2D prefix sums of
-//     rectangle-anchor counts and channel contributions over bin grids,
-//     plus CSR per-bin id lists. Discretize uses them to compute a cell's
-//     full-/partial-cover totals with four-corner lookups plus an exact
-//     scan of the boundary bins, instead of re-integrating difference
-//     arrays over the whole space (see DESIGN.md §2).
+//   - on sorted masters, the anchor-bin levels: CSR per-bin id lists over
+//     a grid of (MinX, MinY) anchors, with a prefix-summed count plane.
+//     A dirty cell's refinement finds its partial rectangles in the ring
+//     of the cell's 2D anchor box instead of the 1D MinX window, and
+//     AppendWindowIDs collects a space's ids the same way (DESIGN.md §2).
 //
 // When Options.Pyramid carries the dataset-level aggregate pyramid
 // (pyramid.go), the whole layer is *bound* instead of built: the master
-// order, contributions, certificate and SAT levels are aliased from the
+// order, contributions, certificate and levels are aliased from the
 // persistent per-composite structure and only the O(n) per-query parts
 // (rectangle materialization, width ranges, accuracy merge walks) are
 // recomputed, converting the per-query O(R log R) setup into amortized
 // shared state (DESIGN.md §6).
 //
-// The SAT path is gated per channel by the *fixed-point certificate*:
-// a channel participates when all of its contributions quantize
-// losslessly onto a shared power-of-two grid (value · 2^shift is an
-// integer for every contribution) and the channel's total absolute
-// scaled mass stays within the exact summation headroom (Σ|v|·2^shift ≤
-// 2^52). Under the certificate every float64 partial sum the
-// difference-array fill can form is an integer multiple of 2^-shift
-// with a ≤53-bit numerator — exactly representable — so channel sums
-// are exact and independent of summation order, and the SAT can carry
-// the channel as scaled int64, converting back only at cell-grid emit,
-// bit-identical to the difference-array totals (the property tests
-// assert this). Integer channels (fD, fC, fS/fA over integer values)
-// pass trivially with shift 0; real-valued channels pass whenever the
-// data lives on a dyadic grid (halves, quarters, float32-sourced
-// values, …).
+// Sorting is gated per channel by the *fixed-point certificate*: a
+// channel passes when all of its contributions quantize losslessly onto
+// a shared power-of-two grid (value · 2^shift is an integer for every
+// contribution) and the channel's total absolute scaled mass stays
+// within the exact summation headroom (Σ|v|·2^shift ≤ 2^52). Under the
+// certificate every float64 partial sum the difference-array fill can
+// form is an integer multiple of 2^-shift with a ≤53-bit numerator —
+// exactly representable — so channel sums are exact and independent of
+// summation order: the master may be sorted, and the incremental
+// mini-sweep may carry the channel as scaled int64. Integer channels
+// (fD, fC, fS/fA over integer values) pass trivially with shift 0;
+// real-valued channels pass whenever the data lives on a dyadic grid
+// (halves, quarters, float32-sourced values, …).
 //
 // Channels that fail the plain certificate get a second chance through
 // the *two-float (compensated-sum) fallback*: each contribution v is
@@ -65,36 +61,20 @@ import (
 // v − hi is exact because hi agrees with v in its leading bits). The hi
 // parts live on a coarse dyadic grid with huge headroom, the lo parts
 // are tiny with huge headroom, so BOTH halves pass the fixed-point
-// certificate individually and ride the SAT as two exact int64 planes —
-// the channel's grid totals become fl(Σhi + Σlo), one rounding of the
-// exactly-represented true sum, identical in every fill path and
-// independent of summation order. This is what lets decimal-grid
-// (base-10) channels — 0.1-steped prices, percentages — use the fast
-// path instead of the classic difference-array fallback. Two-float
-// channels are "grid-exact" (order-free grid fills, sorting allowed)
-// but not "plain-exact": the Fenwick mini-sweep keeps its naive
-// accumulation for them, exactly like any real-valued channel.
+// certificate individually and fill the grids as two exact planes — the
+// channel's grid totals become fl(Σhi + Σlo), one rounding of the
+// exactly-represented true sum, independent of summation order. This is
+// what lets decimal-grid (base-10) channels — 0.1-steped prices,
+// percentages — sort. Two-float channels are "grid-exact" (order-free
+// grid fills, sorting allowed) but not "plain-exact": the Fenwick
+// mini-sweep keeps its naive accumulation for them, exactly like any
+// real-valued channel.
 //
-// Channels that fail both certificates — full-mantissa reals,
-// denormal-adjacent values, NaN/Inf — fall back to a difference-array
-// pass restricted to just those channels, in unchanged master order, so
-// mixed composites still get partial fast-path coverage and fully
-// failing composites keep the pre-SAT behavior byte-for-byte.
-//
-// Min/max slots (fA components) do not telescope through prefix sums;
-// they are served by an order-statistic companion over the same anchor
-// bins: per-bin pre-reduced min/max behind a 2D sparse table
-// (segtree.Sparse2D, O(1) rectangular range queries) over the
-// certainly-partial bin regions, plus an exact scan of the boundary
-// bins — min/max are order-independent, so the companion is usable
-// regardless of the channel certificates.
-
-// satMinIds is the rectangle count at which discretize switches from the
-// per-rectangle difference-array fill to SAT lookups: the SAT fill costs
-// O(cells · boundary-bin density) independent of the rectangle count, so
-// it wins exactly on the large spaces near the root of the split tree.
-// A variable so tests can force the SAT path onto small inputs.
-var satMinIds = 2048
+// A composite with a channel that fails both certificates — full-mantissa
+// reals, denormal-adjacent values, NaN/Inf — keeps its master in input
+// order, so every float sum is formed in the order the seed algorithm
+// forms it; pass 2 then finds a cell's rectangles in the per-Discretize
+// classification table (grid.go) instead of a window.
 
 // maxScaledSum bounds a channel's total absolute scaled contribution
 // mass under the fixed-point certificate. 2^52 leaves a factor-2 margin
@@ -103,18 +83,18 @@ var satMinIds = 2048
 // the float accumulation slack of the certificate's own Σ|v| estimate.
 const maxScaledSum = 1 << 52
 
-// maxShift caps the fixed-point scale exponent so the scaled int64
-// contributions (and the certificate arithmetic) stay well-defined;
-// denormal-adjacent values, which would need shifts near 1074, fail.
+// maxShift caps the fixed-point scale exponent so the mini-sweep's
+// scaled int64 contributions (and the certificate arithmetic) stay
+// well-defined; denormal-adjacent values, which would need shifts near
+// 1074, fail.
 const maxShift = 62
 
-// ---- SAT levels ----
+// ---- Anchor-bin levels ----
 
-// satLevel is one resolution of the summed-area-table hierarchy: 2D
-// prefix sums of anchor counts and scaled channel contributions over a
-// g×g bin grid, CSR per-bin id lists for the exact boundary scans, the
-// order-statistic min/max companion, and the conservative threshold
-// arrays that map coordinate predicates to bin ranges.
+// satLevel is one resolution of the anchor-bin hierarchy: CSR per-bin id
+// lists over a g×g grid of rectangle anchors, the summed-area table of
+// the bin sizes (the count plane), and the conservative threshold arrays
+// that map coordinate predicates to bin ranges.
 //
 // The threshold arrays are *id-anchored*: xMaxUpTo[i] is the master id
 // whose anchor attains the maximum anchor x over bin columns [0, i]
@@ -125,27 +105,22 @@ const maxShift = 62
 // dataset-level pyramid stores bins over object locations, and the same
 // arrays bound the translated per-query anchors (MinX = x − a) exactly,
 // because translation by a constant is monotone and preserves argmax /
-// argmin. Lookups are O(log g) binary searches — the "pyramid lookup" —
-// and every interior/exterior claim they certify is conservative; the
-// exact boundary-bin scan owns whatever the certification leaves
-// uncertain, so cell totals depend only on the true predicate sets, not
-// on the bin geometry or level choice.
+// argmin. Lookups are O(log g) binary searches, and every
+// interior/exterior claim they certify is conservative; the readers test
+// each anchor of the bins left uncertain exactly, so what they collect
+// depends only on the true predicate sets, not on the bin geometry or
+// level choice.
 type satLevel struct {
 	gx, gy   int
 	bw, bh   float64 // bin extents in stored space (level selection only)
 	bx0, by0 float64 // bin grid origin in stored space (binning only, see binOf)
 
-	sat      []int64 // (gx+1)*(gy+1)*(eff+1) prefix sums; plane 0 = count
 	binStart []int32 // gx*gy+1 CSR offsets
 	binIds   []int32 // master ids grouped by bin, ascending within a bin
+	cnt      []int32 // (gx+1)*(gy+1) prefix sums of the bin sizes, derived from binStart
 
 	xMaxUpTo, xMinFrom []int32 // len gx, id-anchored prefix extremes (x)
 	yMaxUpTo, yMinFrom []int32 // len gy, id-anchored prefix extremes (y)
-
-	mm    segtree.Sparse2D // order-statistic min/max companion
-	hasMM bool
-
-	eff int // channel planes carried by sat (excluding the count plane)
 }
 
 // xBinLE returns the largest h in [0, gx] such that every anchor in bin
@@ -209,66 +184,41 @@ func (l *satLevel) yBinGT(master []asp.RectObject, y float64, orEq bool) int {
 	})
 }
 
-// satRegion adds the count+channel totals of anchors in bins
-// [i0,i1)×[j0,j1) into out (length eff+1, scaled int64) via a
-// four-corner lookup.
-func (l *satLevel) satRegion(i0, i1, j0, j1 int, out []int64) {
-	if i0 < 0 {
-		i0 = 0
-	}
-	if j0 < 0 {
-		j0 = 0
-	}
-	if i1 > l.gx {
-		i1 = l.gx
-	}
-	if j1 > l.gy {
-		j1 = l.gy
-	}
-	if i0 >= i1 || j0 >= j1 {
-		return
-	}
-	C := l.eff + 1
-	w := l.gx + 1
-	a := (j1*w + i1) * C
-	b := (j0*w + i1) * C
-	c := (j1*w + i0) * C
-	d := (j0*w + i0) * C
-	for ch := 0; ch < C; ch++ {
-		out[ch] += l.sat[a+ch] - l.sat[b+ch] - l.sat[c+ch] + l.sat[d+ch]
-	}
-}
-
 // countRegion returns the number of anchors in bins [i0,i1)×[j0,j1)
 // via a four-corner lookup on the count plane.
-func (l *satLevel) countRegion(i0, i1, j0, j1 int) int64 {
-	if i0 < 0 {
-		i0 = 0
-	}
-	if j0 < 0 {
-		j0 = 0
-	}
-	if i1 > l.gx {
-		i1 = l.gx
-	}
-	if j1 > l.gy {
-		j1 = l.gy
-	}
+func (l *satLevel) countRegion(i0, i1, j0, j1 int) int {
+	i0, j0 = max(i0, 0), max(j0, 0)
+	i1, j1 = min(i1, l.gx), min(j1, l.gy)
 	if i0 >= i1 || j0 >= j1 {
 		return 0
 	}
-	C := l.eff + 1
 	w := l.gx + 1
-	return l.sat[(j1*w+i1)*C] - l.sat[(j0*w+i1)*C] - l.sat[(j1*w+i0)*C] + l.sat[(j0*w+i0)*C]
+	return int(l.cnt[j1*w+i1] - l.cnt[j0*w+i1] - l.cnt[j1*w+i0] + l.cnt[j0*w+i0])
+}
+
+// sumCounts derives the count plane from the CSR offsets: cnt[j*(gx+1)+i]
+// is the number of anchors in bins [0,i)×[0,j). Bins are stored row-major,
+// so a bin row's running count is a difference of two offsets.
+func (l *satLevel) sumCounts() {
+	w := l.gx + 1
+	l.cnt = resizeInt32(l.cnt, w*(l.gy+1))
+	clear(l.cnt[:w])
+	for j := 1; j <= l.gy; j++ {
+		row, below := l.cnt[j*w:][:w], l.cnt[(j-1)*w:][:w]
+		start := l.binStart[(j-1)*l.gx:][:w]
+		for i := range row {
+			row[i] = below[i] + start[i] - start[0]
+		}
+	}
 }
 
 // binOf maps a stored anchor to its bin column and row: a uniform grid
 // of bw×bh bins from the origin (bx0, by0), anchors outside it clamped
 // into the edge bins. Nothing a level answers depends on WHICH bin an
-// anchor sits in — only on binIds/binStart, the sat planes, the
-// threshold arrays and the min/max companion describing one and the
-// same assignment — so a level patched by a delta fold (delta.go) keeps
-// its base's grid even after the corpus has outgrown it.
+// anchor sits in — only on binIds/binStart, the count plane and the
+// threshold arrays describing one and the same assignment — so a level
+// patched by a delta fold (delta.go) keeps its base's grid even after
+// the corpus has outgrown it.
 func (l *satLevel) binOf(x, y float64) (bi, bj int) {
 	bi = int((x - l.bx0) / l.bw)
 	if bi < 0 {
@@ -288,15 +238,11 @@ func (l *satLevel) binOf(x, y float64) (bi, bj int) {
 }
 
 // buildSATLevel fills l with a g×g bin grid over the stored anchor
-// coordinates xs/ys (aligned with master ids 0..n-1), the scaled
-// channel planes, the id-anchored threshold arrays, and — when
-// mmSlots > 0 — the min/max companion. Slabs are reused across builds.
-func buildSATLevel(l *satLevel, g int, xs, ys []float64, eff int,
-	cOff []int32, contribs []agg.Contrib, contribsI []int64,
-	mOff []int32, mms []agg.MMContrib, mmSlots int) {
+// coordinates xs/ys (aligned with master ids 0..n-1), its count plane
+// and the id-anchored threshold arrays. Slabs are reused across builds.
+func buildSATLevel(l *satLevel, g int, xs, ys []float64) {
 	n := len(xs)
 	l.gx, l.gy = g, g
-	l.eff = eff
 
 	bx0, by0 := math.Inf(1), math.Inf(1)
 	bx1, by1 := math.Inf(-1), math.Inf(-1)
@@ -345,6 +291,7 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64, eff int,
 		l.binIds[fill[b]] = int32(i)
 		fill[b]++
 	}
+	l.sumCounts()
 
 	// Id-anchored threshold arrays: per-column / per-row extreme anchor,
 	// then prefix-max / suffix-min runs.
@@ -402,65 +349,13 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64, eff int,
 		}
 		rowMin[i] = run
 	}
-
-	// Prefix-summed count+channel grid: sat[(j*(g+1)+i)*C+c] holds the
-	// totals of anchors in bins [0,i)×[0,j); plane 0 is the anchor count,
-	// planes 1..eff the certified channels as scaled int64 (failing
-	// channels stay zero). Integer arithmetic, so the prefix telescoping
-	// and four-corner differences are exact by construction.
-	C := eff + 1
-	w := g + 1
-	l.sat = resizeI64(l.sat, w*w*C)
-	for i := range l.sat {
-		l.sat[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		bi, bj := l.binOf(xs[i], ys[i])
-		at := ((bj+1)*w + bi + 1) * C
-		l.sat[at]++
-		cbs := contribs[cOff[i]:cOff[i+1]]
-		scaled := contribsI[cOff[i]:cOff[i+1]]
-		for k := range cbs {
-			l.sat[at+1+cbs[k].Ch] += scaled[k]
-		}
-	}
-	for j := 0; j <= g; j++ {
-		row := j * w * C
-		for i := 1; i <= g; i++ {
-			a := row + i*C
-			for c := 0; c < C; c++ {
-				l.sat[a+c] += l.sat[a-C+c]
-			}
-		}
-	}
-	for j := 1; j <= g; j++ {
-		cur := j * w * C
-		prev := cur - w*C
-		for i := 0; i < w*C; i++ {
-			l.sat[cur+i] += l.sat[prev+i]
-		}
-	}
-
-	// Order-statistic companion: per-bin pre-reduced min/max slot values
-	// behind a 2D sparse table, queried by the fast fill over the
-	// certainly-partial bin regions of each cell.
-	l.hasMM = mmSlots > 0
-	if l.hasMM {
-		l.mm.Reset(g, g, mmSlots)
-		for i := 0; i < n; i++ {
-			bi, bj := l.binOf(xs[i], ys[i])
-			for _, m := range mms[mOff[i]:mOff[i+1]] {
-				l.mm.Fold(bj, bi, m.Slot, m.V)
-			}
-		}
-		l.mm.Build()
-	}
 }
 
 // tables is the per-query aggregation layer described above. It is built
 // by newSearcher and shared read-only by all kernel workers; the lazily
-// built SAT level is protected by satMu. With a pyramid bound the level
-// slices alias the persistent per-composite structure (shared == true).
+// built anchor-bin level is protected by satMu. With a pyramid bound the
+// level slices alias the persistent per-composite structure (shared ==
+// true).
 type tables struct {
 	f     *agg.Composite
 	chans int // logical channels (f.Channels())
@@ -473,8 +368,8 @@ type tables struct {
 	// shadow slot in [chans, eff) (lo part); twoOf maps logical channel
 	// -> shadow slot or -1. allExact = every channel plainly certified
 	// (gates the fixed-point mini-sweep); sortExact = every channel
-	// plainly or two-float certified (gates the master sort, windows,
-	// and full SAT coverage); anyExact gates the SAT fast path at all.
+	// plainly or two-float certified (gates the master sort, the windows
+	// and the anchor-bin levels).
 	chOK      []bool
 	chScale   []float64
 	chInv     []float64
@@ -482,20 +377,11 @@ type tables struct {
 	twoCount  int
 	allExact  bool
 	sortExact bool
-	anyExact  bool
-	contribsI []int64
 	certShift []int // certificate scratch (slab reuse)
 	certSum   []float64
 	certOK    []bool
 	certTwo   []twoState
 	certCands []twoCand
-
-	// CSR of the contributions on channels that FAIL both certificates
-	// (built only for mixed composites): the hybrid fill's
-	// difference-array pass iterates these instead of filtering
-	// contribs per rect.
-	cOffF     []int32
-	contribsF []agg.Contrib
 
 	wmin, wmax float64 // range of rect widths (MaxX-MinX) over the master set
 	hmin, hmax float64
@@ -513,9 +399,9 @@ type tables struct {
 	// Accuracy scratch (kept for slab reuse).
 	axs, bxs []float64
 
-	// SAT hierarchy. With a pyramid bound, lvls aliases the pyramid's
-	// prebuilt levels (fine -> coarse); otherwise ensureLevels lazily
-	// builds the single query-level ownLvl. minYs is build scratch.
+	// Anchor-bin hierarchy. With a pyramid bound, lvls aliases the
+	// pyramid's prebuilt levels (fine -> coarse); otherwise ensureLevels
+	// lazily builds the single query-level ownLvl. minYs is build scratch.
 	satMu    sync.Mutex
 	satBuilt atomic.Bool // lock-free fast path for per-cell callers
 	lvls     []*satLevel
@@ -549,8 +435,8 @@ type tables struct {
 }
 
 // reset prepares a recycled tables value for a new query, keeping every
-// slice's capacity (the quantization-certificate and SAT slabs ride the
-// SlabCache across queries on the same composite).
+// slice's capacity (the quantization-certificate and level slabs ride
+// the SlabCache across queries on the same composite).
 func (t *tables) reset() {
 	t.satBuilt.Store(false)
 	t.lvls = t.lvls[:0]
@@ -560,9 +446,8 @@ func (t *tables) reset() {
 	if t.shared {
 		// Aliased pyramid/prepared memory: drop, never truncate.
 		t.shared = false
-		t.cOff, t.contribs, t.contribsI = nil, nil, nil
+		t.cOff, t.contribs = nil, nil
 		t.mOff, t.mms = nil, nil
-		t.cOffF, t.contribsF = nil, nil
 		t.chOK, t.chScale, t.chInv, t.twoOf = nil, nil, nil, nil
 		return
 	}
@@ -570,9 +455,6 @@ func (t *tables) reset() {
 	t.contribs = t.contribs[:0]
 	t.mOff = t.mOff[:0]
 	t.mms = t.mms[:0]
-	t.contribsI = t.contribsI[:0]
-	t.cOffF = t.cOffF[:0]
-	t.contribsF = t.contribsF[:0]
 }
 
 // buildTables constructs the layer over master for the composite f.
@@ -632,7 +514,6 @@ func buildTables(t *tables, master []asp.RectObject, f *agg.Composite, own bool)
 	} else if t.sortExact {
 		t.sorted = true // 0- and 1-element masters are trivially sorted
 	}
-	t.scaleContribs()
 	t.fillMinXs(master)
 	return master
 }
@@ -870,66 +751,12 @@ func (t *tables) computeCertificate() {
 		t.chScale[sh], t.chInv[sh] = cd.scaleLo, cd.invLo
 	}
 
-	t.allExact, t.sortExact, t.anyExact = true, true, false
+	t.allExact, t.sortExact = true, true
 	for ch := 0; ch < c; ch++ {
 		t.allExact = t.allExact && plainOK[ch]
 		t.sortExact = t.sortExact && t.chOK[ch]
-		t.anyExact = t.anyExact || t.chOK[ch]
 	}
 	t.certCands = cands[:0] // retain capacity for the next build
-}
-
-// scaleContribs materializes the scaled int64 contributions (aligned
-// with contribs, valid wherever chOK) and, for mixed composites, the
-// failing-channel CSR the hybrid fill's difference-array pass iterates.
-// Must run after any master re-sort so the alignment holds.
-func (t *tables) scaleContribs() {
-	if !t.anyExact {
-		return
-	}
-	if cap(t.contribsI) < len(t.contribs) {
-		t.contribsI = make([]int64, 0, cap(t.contribs))
-	}
-	t.contribsI = t.contribsI[:len(t.contribs)]
-	for i := range t.contribs {
-		cb := &t.contribs[i]
-		if t.chOK[cb.Ch] {
-			// Exact: cb.V is an integer multiple of 2^-shift with a
-			// ≤52-bit numerator, and the power-of-two multiply only
-			// shifts the exponent.
-			t.contribsI[i] = int64(cb.V * t.chScale[cb.Ch])
-		} else {
-			t.contribsI[i] = 0
-		}
-	}
-	if t.sortExact {
-		t.cOffF = t.cOffF[:0]
-		t.contribsF = t.contribsF[:0]
-		return
-	}
-	t.cOffF = append(t.cOffF[:0], 0)
-	t.contribsF = t.contribsF[:0]
-	n := len(t.cOff) - 1
-	for i := 0; i < n; i++ {
-		for _, cb := range t.contribs[t.cOff[i]:t.cOff[i+1]] {
-			if !t.chOK[cb.Ch] {
-				t.contribsF = append(t.contribsF, cb)
-			}
-		}
-		t.cOffF = append(t.cOffF, int32(len(t.contribsF)))
-	}
-}
-
-// rectFailContribs returns master[id]'s contributions on channels that
-// failed both certificates (mixed composites only).
-func (t *tables) rectFailContribs(id int32) []agg.Contrib {
-	return t.contribsF[t.cOffF[id]:t.cOffF[id+1]]
-}
-
-// rectContribsI returns master[id]'s scaled int64 contributions,
-// aligned with rectContribs (entries on failing channels are zero).
-func (t *tables) rectContribsI(id int32) []int64 {
-	return t.contribsI[t.cOff[id]:t.cOff[id+1]]
 }
 
 // flattenContribs (re)fills the per-rect contribution tables in master
@@ -1021,20 +848,12 @@ func (t *tables) rectMM(id int32) []agg.MMContrib {
 	return t.mms[t.mOff[id]:t.mOff[id+1]]
 }
 
-// satUsable reports whether discretize may use the SAT-backed fast
-// fill: at least one channel must carry a certificate (counts and the
-// min/max companion then ride along; channels that failed are filled by
-// the hybrid difference-array pass in unchanged master order).
-// Composites whose every channel fails keep the classic
-// difference-array path, byte-for-byte the pre-SAT behavior.
-func (t *tables) satUsable() bool { return t.anyExact }
-
 // accuracy computes the Definition 7 GPS accuracies: the minimum
 // separation of the distinct x (resp. y) edge coordinates. The edge
 // multiset {MinX} ∪ {MaxX} is enumerated in sorted order by merging two
 // sorted halves, so the result is bit-identical to sorting the combined
-// multiset (the pre-SAT geom.ComputeAccuracy path) at half the sort work
-// and none of the allocation.
+// multiset (geom.ComputeAccuracy) at half the sort work and none of the
+// allocation.
 func (t *tables) accuracy(master []asp.RectObject) geom.Accuracy {
 	t.axs = t.axs[:0]
 	t.bxs = t.bxs[:0]
@@ -1106,7 +925,7 @@ func (t *tables) window(x0, x1 float64) (int, int) {
 	return lo, hi
 }
 
-// ---- SAT level management ----
+// ---- Level management ----
 
 // satGrid picks the bin granularity for n anchors.
 func satGrid(n int) int {
@@ -1120,13 +939,13 @@ func satGrid(n int) int {
 	return g
 }
 
-// ensureLevels lazily provides the SAT hierarchy. With a pyramid bound
-// the levels were aliased at construction and this is a no-op; otherwise
-// one query-level SAT is built over the master anchors on first demand.
-// Many queries never pop a space large enough to want it, so the build
-// cost is deferred to the first large discretization. Safe for
-// concurrent workers; the build result is deterministic, so it does not
-// matter which worker wins the race for the lock.
+// ensureLevels lazily provides the anchor-bin hierarchy of a sorted
+// master. With a pyramid bound the levels were aliased at construction
+// and this is a no-op; otherwise one query-level grid is built over the
+// master anchors on first demand. Many queries never refine a cell, so
+// the build cost is deferred to the first that does. Safe for concurrent
+// workers; the build result is deterministic, so it does not matter
+// which worker wins the race for the lock.
 func (t *tables) ensureLevels(master []asp.RectObject) {
 	if t.satBuilt.Load() {
 		return
@@ -1144,9 +963,7 @@ func (t *tables) ensureLevels(master []asp.RectObject) {
 	for i := range master {
 		t.minYs = append(t.minYs, master[i].Rect.MinY)
 	}
-	mmSlots := t.f.MinMaxSlots()
-	buildSATLevel(&t.ownLvl, satGrid(n), t.minXs, t.minYs, t.eff,
-		t.cOff, t.contribs, t.contribsI, t.mOff, t.mms, mmSlots)
+	buildSATLevel(&t.ownLvl, satGrid(n), t.minXs, t.minYs)
 	t.lvls = append(t.lvls[:0], &t.ownLvl)
 	t.satBuilt.Store(true)
 }
@@ -1174,52 +991,35 @@ func (t *tables) spaceDensity(master []asp.RectObject, space geom.Rect) float64 
 	return float64(cnt) / area
 }
 
-// levelCost estimates the SAT-fill work for one discretization at this
-// level: per cell, the boundary ring is a band of ~one bin around the
-// anchor box, so it holds ≈ ρ·(bw·boxH + bh·boxW) anchors (ρ = local
-// anchor density) spread over ≈ boxH/bh + boxW/bw bins, all doubled for
-// the full + overlap rings, plus a constant per cell for the binary
-// searches and four-corner lookups. The constants weight an anchor test
-// against a bin visit (an anchor test walks contributions; a bin visit
-// is two loads).
-func (t *tables) levelCost(l *satLevel, rho float64, ncol, nrow int, cw, chh float64) float64 {
-	boxW := cw + t.wmax - t.wmin + 2*l.bw
-	boxH := chh + t.hmax - t.hmin + 2*l.bh
+// levelCost estimates the work of scanning the ring of a space's anchor
+// box at this level: the ring is a band of ~one bin around the box, so
+// it holds ≈ ρ·(bw·boxH + bh·boxW) anchors (ρ = local anchor density)
+// spread over ≈ boxH/bh + boxW/bw bins. The constants weight an anchor
+// test against a bin visit (an anchor test compares a rectangle; a bin
+// visit is two loads).
+func (t *tables) levelCost(l *satLevel, rho float64, space geom.Rect) float64 {
+	boxW := space.Width() + t.wmax - t.wmin + 2*l.bw
+	boxH := space.Height() + t.hmax - t.hmin + 2*l.bh
 	ringAnchors := rho * 2 * (l.bw*boxH + l.bh*boxW)
 	ringBins := 2 * (boxH/l.bh + boxW/l.bw)
-	perCell := 2*(2*ringAnchors+0.3*ringBins) + 16
-	return float64(ncol*nrow) * perCell
+	return 2*ringAnchors + 0.3*ringBins
 }
 
-// pickLevel selects the SAT resolution for a discretization of the
-// space with cell extents (cw, chh): the level whose estimated ring
-// work is smallest, and that estimate (for the caller's
-// SAT-vs-difference-array decision). Any level yields bit-identical
-// fills — the threshold certification is conservative and the ring scan
-// exact — so this is purely a performance choice, and it depends only
-// on deterministic quantities, so the answer trajectory stays
-// reproducible.
-func (t *tables) pickLevel(master []asp.RectObject, space geom.Rect, ncol, nrow int, cw, chh float64) (*satLevel, float64) {
+// pickLevel selects the resolution at which a space's anchor box is
+// walked: the level whose estimated ring work is smallest. Any level
+// yields the same ids — the threshold certification is conservative and
+// the ring scan exact — so this is purely a performance choice, and it
+// depends only on deterministic quantities.
+func (t *tables) pickLevel(master []asp.RectObject, space geom.Rect) *satLevel {
 	rho := t.spaceDensity(master, space)
 	best := t.lvls[0]
-	bestCost := t.levelCost(best, rho, ncol, nrow, cw, chh)
+	bestCost := t.levelCost(best, rho, space)
 	for _, l := range t.lvls[1:] {
-		if c := t.levelCost(l, rho, ncol, nrow, cw, chh); c < bestCost {
+		if c := t.levelCost(l, rho, space); c < bestCost {
 			best, bestCost = l, c
 		}
 	}
-	return best, bestCost
-}
-
-// diffCost estimates the difference-array fill's work for a subset of
-// the given size: each rectangle range-adds its contributions at four
-// corners, plus the prefix integration over the padded grid.
-func (t *tables) diffCost(ids, ncol, nrow int) float64 {
-	avgContribs := 1.0
-	if n := len(t.cOff) - 1; n > 0 {
-		avgContribs = float64(len(t.contribs)) / float64(n)
-	}
-	return float64(ids)*(4*avgContribs+8) + float64((ncol+1)*(nrow+1)*(t.eff+1))
+	return best
 }
 
 // resizeInt32 returns a slice of length n reusing capacity.
@@ -1230,18 +1030,10 @@ func resizeInt32(v []int32, n int) []int32 {
 	return make([]int32, n)
 }
 
-// resizeI64 returns a slice of length n reusing capacity.
-func resizeI64(v []int64, n int) []int64 {
-	if cap(v) >= n {
-		return v[:n]
-	}
-	return make([]int64, n)
-}
-
 // ---- Slab cache ----
 
 // SlabCache recycles the per-query table slabs (sorted coordinate
-// arrays, contribution tables, SAT grids, discretization grids, sweep
+// arrays, contribution tables, anchor bins, discretization grids, sweep
 // solvers, id-slice arenas) across searches. An Engine holds one per
 // composite so that steady-state serving rebuilds table *contents* each
 // query but reallocates nothing — and batches of queries reuse the same

@@ -1,8 +1,7 @@
 // Strip-evaluator cost model for the mini-sweep (DESIGN.md §8): the
 // per-unit weights internal/sweep's StripAuto selection uses to choose,
 // per solve and per strip, between the flat prefix-scan evaluator and
-// the Fenwick tree. Same discipline as the SAT-vs-difference-array fill
-// selector (sat.go): the weights are profiled constants, the inputs are
+// the Fenwick tree. The weights are profiled constants, the inputs are
 // deterministic shape quantities, and the choice can never change
 // answers — only speed.
 package dssearch
@@ -21,7 +20,7 @@ import "asrs/internal/sweep"
 //   - a difference-array update is ~2 units: two scattered writes, but
 //     paid once per contribution instead of per level.
 //
-// The constants were fit on the BENCH_PR4 warm batched workload (30×30
+// The constants were fit on a warm batched workload (30×30
 // grids, 5-channel composites, mini-sweeps of 48..2048 rects) and only
 // their ratios matter; they bias toward the flat evaluator for the
 // dense dirty sets the safety net produces, which is where the measured
@@ -33,14 +32,4 @@ func stripCostModel() sweep.StripCost {
 		FlatStep:   0.35,
 		DiffUpdate: 2.0,
 	}
-}
-
-// stripMode maps the searcher's options onto the solver's strip-
-// evaluator mode: the ablation switch forces the legacy per-point
-// Fenwick evaluator, everything else lets the cost model pick.
-func (s *Searcher) stripMode() sweep.StripMode {
-	if s.opt.DisableFlatStrip {
-		return sweep.StripFenwickOnly
-	}
-	return sweep.StripAuto
 }

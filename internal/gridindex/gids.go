@@ -3,6 +3,8 @@ package gridindex
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"asrs/internal/asp"
 	"asrs/internal/dssearch"
@@ -67,7 +69,7 @@ func Solve(idx *Index, rects []asp.RectObject, q asp.Query, a, b float64, exclud
 	if err := q.Validate(); err != nil {
 		return asp.Result{}, Stats{}, err
 	}
-	// Ownership of rects passes to the searcher, whose incremental layer
+	// Ownership of rects passes to the searcher, whose aggregation layer
 	// may re-sort them by MinX; every use below goes through the searcher
 	// or is order-independent.
 	searcher, err := dssearch.NewSearcherOwning(rects, q, opt)
@@ -204,6 +206,38 @@ func (x *Index) CellLowerBounds(q asp.Query, a, b float64) []float64 {
 		x.rowLowerBounds(q, a, b, j, out[j*x.sx:(j+1)*x.sx], sc)
 	}
 	x.putLBScratch(sc)
+	return out
+}
+
+// ParallelCellLowerBounds computes CellLowerBounds with row-parallelism;
+// results are identical for every worker count (rows are computed
+// independently). workers <= 0 selects runtime.GOMAXPROCS(0).
+func (x *Index) ParallelCellLowerBounds(q asp.Query, a, b float64, workers int) []float64 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 || x.sy < 2*workers {
+		return x.CellLowerBounds(q, a, b)
+	}
+	out := make([]float64, x.sx*x.sy)
+	var wg sync.WaitGroup
+	rows := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := x.getLBScratch()
+			for j := range rows {
+				x.rowLowerBounds(q, a, b, j, out[j*x.sx:(j+1)*x.sx], sc)
+			}
+			x.putLBScratch(sc)
+		}()
+	}
+	for j := 0; j < x.sy; j++ {
+		rows <- j
+	}
+	close(rows)
+	wg.Wait()
 	return out
 }
 

@@ -69,7 +69,7 @@ func runDS(w workload, k, ncol, nrow int) (float64, float64, dssearch.Stats, err
 		// Workers pinned to 1: these experiments reproduce the paper's
 		// single-threaded algorithm comparison, so kernel parallelism
 		// must not inflate DS-Search against the sequential Base. The
-		// worker sweep lives in RunParallelBench.
+		// worker sweep lives in BenchmarkWorkersSweep.
 		_, res, st, err := dssearch.SolveASRS(w.ds, a, b, q, dssearch.Options{NCol: ncol, NRow: nrow, Workers: 1})
 		stats = st
 		dist = res.Dist

@@ -17,7 +17,7 @@ import (
 // Binary pyramid format (little endian):
 //
 //	magic "ASRSPYR1"
-//	u32 version (currently 1)
+//	u32 version (currently 2)
 //	u32 len(fingerprint), fingerprint bytes
 //	u32 n, chans, eff, mmSlots, flags, nLevels
 //	bool  chOK[eff]
@@ -26,21 +26,23 @@ import (
 //	i32   order[n], xAscIds[n], yAscIds[n]
 //	i32   cOff[n+1]; {u32 ch, f64 v} contribs[cOff[n]]
 //	i32   mOff[n+1]; {u32 slot, f64 v} mms[mOff[n]]            (mmSlots > 0)
-//	i32   cOffF[n+1]; {u32 ch, f64 v} contribsF[cOffF[n]]      (!sortExact)
-//	per level: u32 g; f64 bw, bh; i64 sat[(g+1)²(eff+1)];
+//	per level: u32 g; f64 bw, bh;
 //	           i32 binStart[g²+1], binIds[n],
 //	           xMaxUpTo[g], xMinFrom[g], yMaxUpTo[g], yMinFrom[g]
 //	u64 fnv-64a of every byte after the magic
 //
-// Derived state — scaled int64 contributions and the per-level min/max
-// sparse tables — is rebuilt at load (cheaper than storing it). The
+// A level is its anchor bins and threshold arrays; its count plane is a
+// prefix sum of binStart and is rebuilt at load (cheaper than storing
+// it). A file of another version — version 1 carried summed-area planes
+// per level — is reported as ErrCorrupt, so asrs.LoadOrBuildPyramidFile
+// quarantines and rebuilds it like any other unusable artifact. The
 // composite aggregator is re-bound by the caller and verified via
 // structural fingerprint; like ReadIndex, the dataset identity and the
 // composite's selection functions are part of the file's contract.
 
 var pyramidMagic = [8]byte{'A', 'S', 'R', 'S', 'P', 'Y', 'R', '1'}
 
-const pyramidVersion = 1
+const pyramidVersion = 2
 
 // Error taxonomy for pyramid files. Every ReadPyramid/LoadPyramid
 // failure wraps exactly one of these, so callers can decide the
@@ -74,8 +76,6 @@ func mismatchf(format string, args ...any) error {
 const (
 	pyrFlagAllExact = 1 << iota
 	pyrFlagSortExact
-	pyrFlagAnyExact
-	pyrFlagSorted
 )
 
 // hashingWriter tees every written byte into an fnv-64a sum.
@@ -122,12 +122,6 @@ func WritePyramid(w io.Writer, p *dssearch.Pyramid) (int64, error) {
 	if s.SortExact {
 		flags |= pyrFlagSortExact
 	}
-	if s.AnyExact {
-		flags |= pyrFlagAnyExact
-	}
-	if s.Sorted {
-		flags |= pyrFlagSorted
-	}
 	for _, v := range []uint32{uint32(s.N), uint32(s.Chans), uint32(s.Eff), uint32(s.MMSlots), flags, uint32(len(s.Levels))} {
 		if err := write(v); err != nil {
 			return hw.n, err
@@ -138,22 +132,16 @@ func WritePyramid(w io.Writer, p *dssearch.Pyramid) (int64, error) {
 			return hw.n, err
 		}
 	}
-	writeContribs := func(off []int32, cs []agg.Contrib) error {
-		if err := write(off); err != nil {
-			return err
-		}
-		for i := range cs {
-			if err := write(uint32(cs[i].Ch)); err != nil {
-				return err
-			}
-			if err := write(cs[i].V); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeContribs(s.COff, s.Contribs); err != nil {
+	if err := write(s.COff); err != nil {
 		return hw.n, err
+	}
+	for i := range s.Contribs {
+		if err := write(uint32(s.Contribs[i].Ch)); err != nil {
+			return hw.n, err
+		}
+		if err := write(s.Contribs[i].V); err != nil {
+			return hw.n, err
+		}
 	}
 	if s.MMSlots > 0 {
 		if err := write(s.MOff); err != nil {
@@ -168,17 +156,12 @@ func WritePyramid(w io.Writer, p *dssearch.Pyramid) (int64, error) {
 			}
 		}
 	}
-	if !s.SortExact {
-		if err := writeContribs(s.COffF, s.ContribsF); err != nil {
-			return hw.n, err
-		}
-	}
 	for li := range s.Levels {
 		l := &s.Levels[li]
 		if err := write(uint32(l.G)); err != nil {
 			return hw.n, err
 		}
-		for _, v := range []any{l.BW, l.BH, l.Sat, l.BinStart, l.BinIds,
+		for _, v := range []any{l.BW, l.BH, l.BinStart, l.BinIds,
 			l.XMaxUpTo, l.XMinFrom, l.YMaxUpTo, l.YMinFrom} {
 			if err := write(v); err != nil {
 				return hw.n, err
@@ -271,8 +254,6 @@ func ReadPyramid(r io.Reader, ds *attr.Dataset, f *agg.Composite) (*dssearch.Pyr
 		N: int(n), Chans: int(chans), Eff: int(eff), MMSlots: int(mmSlots),
 		AllExact:  flags&pyrFlagAllExact != 0,
 		SortExact: flags&pyrFlagSortExact != 0,
-		AnyExact:  flags&pyrFlagAnyExact != 0,
-		Sorted:    flags&pyrFlagSorted != 0,
 	}
 	s.ChOK = make([]bool, eff)
 	s.ChScale = make([]float64, eff)
@@ -286,31 +267,24 @@ func ReadPyramid(r io.Reader, ds *attr.Dataset, f *agg.Composite) (*dssearch.Pyr
 			return nil, corruptf("reading pyramid certificate/orders: %w", err)
 		}
 	}
-	readContribs := func(what string) ([]int32, []agg.Contrib, error) {
-		off := make([]int32, n+1)
-		if err := read(off); err != nil {
-			return nil, nil, corruptf("reading %s offsets: %w", what, err)
-		}
-		total := int64(off[n])
-		if total < 0 || total > int64(n)*int64(eff)+1 {
-			return nil, nil, corruptf("implausible %s count %d", what, total)
-		}
-		cs := make([]agg.Contrib, total)
-		for i := range cs {
-			var ch uint32
-			if err := read(&ch); err != nil {
-				return nil, nil, fmt.Errorf("persist: reading %s: %w", what, err)
-			}
-			cs[i].Ch = int(ch)
-			if err := read(&cs[i].V); err != nil {
-				return nil, nil, fmt.Errorf("persist: reading %s: %w", what, err)
-			}
-		}
-		return off, cs, nil
+	s.COff = make([]int32, n+1)
+	if err := read(s.COff); err != nil {
+		return nil, corruptf("reading contributions offsets: %w", err)
 	}
-	var err error
-	if s.COff, s.Contribs, err = readContribs("contributions"); err != nil {
-		return nil, err
+	total := int64(s.COff[n])
+	if total < 0 || total > int64(n)*int64(eff)+1 {
+		return nil, corruptf("implausible contributions count %d", total)
+	}
+	s.Contribs = make([]agg.Contrib, total)
+	for i := range s.Contribs {
+		var ch uint32
+		if err := read(&ch); err != nil {
+			return nil, corruptf("reading contributions: %w", err)
+		}
+		s.Contribs[i].Ch = int(ch)
+		if err := read(&s.Contribs[i].V); err != nil {
+			return nil, corruptf("reading contributions: %w", err)
+		}
 	}
 	if mmSlots > 0 {
 		s.MOff = make([]int32, n+1)
@@ -325,17 +299,12 @@ func ReadPyramid(r io.Reader, ds *attr.Dataset, f *agg.Composite) (*dssearch.Pyr
 		for i := range s.MMs {
 			var slot uint32
 			if err := read(&slot); err != nil {
-				return nil, fmt.Errorf("persist: reading min/max contributions: %w", err)
+				return nil, corruptf("reading min/max contributions: %w", err)
 			}
 			s.MMs[i].Slot = int(slot)
 			if err := read(&s.MMs[i].V); err != nil {
-				return nil, fmt.Errorf("persist: reading min/max contributions: %w", err)
+				return nil, corruptf("reading min/max contributions: %w", err)
 			}
-		}
-	}
-	if !s.SortExact {
-		if s.COffF, s.ContribsF, err = readContribs("fallback contributions"); err != nil {
-			return nil, err
 		}
 	}
 	for li := 0; li < int(nLevels); li++ {
@@ -346,19 +315,18 @@ func ReadPyramid(r io.Reader, ds *attr.Dataset, f *agg.Composite) (*dssearch.Pyr
 		// BuildPyramid never emits levels beyond 256 bins per side; the
 		// guard is deliberately far below the format's theoretical range
 		// so a corrupted granularity field fails here, before it can size
-		// a multi-gigabyte SAT slab (the checksum only runs at the end).
+		// a giant bin table (the checksum only runs at the end).
 		if g == 0 || g > 1024 {
 			return nil, corruptf("implausible level %d granularity %d", li, g)
 		}
 		l := dssearch.PyramidLevelSnapshot{G: int(g)}
-		l.Sat = make([]int64, (g+1)*(g+1)*(eff+1))
 		l.BinStart = make([]int32, g*g+1)
 		l.BinIds = make([]int32, n)
 		l.XMaxUpTo = make([]int32, g)
 		l.XMinFrom = make([]int32, g)
 		l.YMaxUpTo = make([]int32, g)
 		l.YMinFrom = make([]int32, g)
-		for _, v := range []any{&l.BW, &l.BH, l.Sat, l.BinStart, l.BinIds,
+		for _, v := range []any{&l.BW, &l.BH, l.BinStart, l.BinIds,
 			l.XMaxUpTo, l.XMinFrom, l.YMaxUpTo, l.YMinFrom} {
 			if err := read(v); err != nil {
 				return nil, corruptf("reading level %d: %w", li, err)

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -87,8 +88,10 @@ func TestPyramidRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPyramidTruncated: every truncation of the file must produce a
-// clean error, never a panic.
+// TestPyramidTruncated: every truncation of the file — inside the
+// header, an offset array, a contribution record, a level — must read
+// as ErrCorrupt (the class a boot quarantines and rebuilds), never as a
+// panic or an unclassified error.
 func TestPyramidTruncated(t *testing.T) {
 	ds, f, p := pyrFixture(t, 8)
 	var buf bytes.Buffer
@@ -96,12 +99,13 @@ func TestPyramidTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	for _, frac := range []int{0, 4, 16, len(data) / 3, len(data) / 2, len(data) - 9, len(data) - 1} {
-		if frac < 0 {
-			continue
-		}
-		if _, err := ReadPyramid(bytes.NewReader(data[:frac]), ds, f); err == nil {
-			t.Fatalf("truncation at %d/%d bytes did not error", frac, len(data))
+	cuts := []int{0, 4, 16, len(data) / 3, len(data) / 2, len(data) - 9, len(data) - 1}
+	for at := 0; at < len(data); at += 97 {
+		cuts = append(cuts, at)
+	}
+	for _, at := range cuts {
+		if _, err := ReadPyramid(bytes.NewReader(data[:at]), ds, f); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation at %d/%d bytes: err = %v, want ErrCorrupt", at, len(data), err)
 		}
 	}
 }

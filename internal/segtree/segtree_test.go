@@ -1,7 +1,6 @@
 package segtree_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -136,149 +135,5 @@ func TestValuePanics(t *testing.T) {
 func TestLen(t *testing.T) {
 	if segtree.New(17).Len() != 17 {
 		t.Fatal("Len")
-	}
-}
-
-// TestSparse2D validates the static range-min/max sparse table against
-// a brute-force scan, including empty, clamped, full-width, and
-// single-column queries, fold accumulation across multiple regions, and
-// slab reuse through Reset.
-func TestSparse2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	var bank segtree.Sparse2D
-	for trial := 0; trial < 40; trial++ {
-		rows := 1 + rng.Intn(6)
-		width := 1 + rng.Intn(40)
-		slots := 1 + rng.Intn(3)
-		bank.Reset(rows, width, slots)
-		inf := math.Inf(1)
-		refMin := make([]float64, rows*width*slots)
-		refMax := make([]float64, rows*width*slots)
-		for i := range refMin {
-			refMin[i] = inf
-			refMax[i] = -inf
-		}
-		for op := 0; op < 5*width; op++ {
-			row, i, s := rng.Intn(rows), rng.Intn(width), rng.Intn(slots)
-			v := float64(rng.Intn(201) - 100)
-			bank.Fold(row, i, s, v)
-			at := (row*width+i)*slots + s
-			if v < refMin[at] {
-				refMin[at] = v
-			}
-			if v > refMax[at] {
-				refMax[at] = v
-			}
-		}
-		bank.Build()
-		mn := make([]float64, slots)
-		mx := make([]float64, slots)
-		wantMin := make([]float64, slots)
-		wantMax := make([]float64, slots)
-		for q := 0; q < 30; q++ {
-			row := rng.Intn(rows)
-			l := rng.Intn(width+4) - 2
-			r := rng.Intn(width+4) - 2
-			for s := 0; s < slots; s++ {
-				mn[s], wantMin[s] = inf, inf
-				mx[s], wantMax[s] = -inf, -inf
-			}
-			// Fold two regions to exercise accumulation.
-			bank.Query(row, l, r, mn, mx)
-			bank.Query(row, r, r+2, mn, mx)
-			for _, span := range [][2]int{{l, r}, {r, r + 2}} {
-				lo, hi := span[0], span[1]
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > width {
-					hi = width
-				}
-				for i := lo; i < hi; i++ {
-					for s := 0; s < slots; s++ {
-						at := (row*width+i)*slots + s
-						if refMin[at] < wantMin[s] {
-							wantMin[s] = refMin[at]
-						}
-						if refMax[at] > wantMax[s] {
-							wantMax[s] = refMax[at]
-						}
-					}
-				}
-			}
-			for s := 0; s < slots; s++ {
-				if mn[s] != wantMin[s] || mx[s] != wantMax[s] {
-					t.Fatalf("trial %d row %d [%d,%d): slot %d got (%v,%v) want (%v,%v)",
-						trial, row, l, r, s, mn[s], mx[s], wantMin[s], wantMax[s])
-				}
-			}
-		}
-	}
-}
-
-// TestSparse2DRegion validates the O(1) rectangular queries against a
-// brute-force scan, including clamped and empty regions.
-func TestSparse2DRegion(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	var bank segtree.Sparse2D
-	inf := math.Inf(1)
-	for trial := 0; trial < 40; trial++ {
-		rows := 1 + rng.Intn(10)
-		width := 1 + rng.Intn(40)
-		slots := 1 + rng.Intn(3)
-		bank.Reset(rows, width, slots)
-		refMin := make([]float64, rows*width*slots)
-		refMax := make([]float64, rows*width*slots)
-		for i := range refMin {
-			refMin[i] = inf
-			refMax[i] = -inf
-		}
-		for op := 0; op < 4*rows*width; op++ {
-			row, i, s := rng.Intn(rows), rng.Intn(width), rng.Intn(slots)
-			v := float64(rng.Intn(201) - 100)
-			bank.Fold(row, i, s, v)
-			at := (row*width+i)*slots + s
-			if v < refMin[at] {
-				refMin[at] = v
-			}
-			if v > refMax[at] {
-				refMax[at] = v
-			}
-		}
-		bank.Build()
-		mn := make([]float64, slots)
-		mx := make([]float64, slots)
-		wantMin := make([]float64, slots)
-		wantMax := make([]float64, slots)
-		for q := 0; q < 50; q++ {
-			j0 := rng.Intn(rows+4) - 2
-			j1 := rng.Intn(rows+4) - 2
-			i0 := rng.Intn(width+4) - 2
-			i1 := rng.Intn(width+4) - 2
-			for s := 0; s < slots; s++ {
-				mn[s], wantMin[s] = inf, inf
-				mx[s], wantMax[s] = -inf, -inf
-			}
-			bank.QueryRegion(j0, j1, i0, i1, mn, mx)
-			for j := max(j0, 0); j < min(j1, rows); j++ {
-				for i := max(i0, 0); i < min(i1, width); i++ {
-					for s := 0; s < slots; s++ {
-						at := (j*width+i)*slots + s
-						if refMin[at] < wantMin[s] {
-							wantMin[s] = refMin[at]
-						}
-						if refMax[at] > wantMax[s] {
-							wantMax[s] = refMax[at]
-						}
-					}
-				}
-			}
-			for s := 0; s < slots; s++ {
-				if mn[s] != wantMin[s] || mx[s] != wantMax[s] {
-					t.Fatalf("trial %d region [%d,%d)x[%d,%d) slot %d: got (%v,%v) want (%v,%v)",
-						trial, j0, j1, i0, i1, s, mn[s], mx[s], wantMin[s], wantMax[s])
-				}
-			}
-		}
 	}
 }

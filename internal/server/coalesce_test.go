@@ -11,16 +11,38 @@ import (
 
 	"asrs"
 	"asrs/internal/dataset"
-	"asrs/internal/harness"
 	"asrs/internal/server"
 )
 
+// serveQueries builds k distinct requests: overlapping query-by-example
+// extents sharing one (a, b) shape, with inflated virtual targets so
+// every request runs a real search.
+func serveQueries(ds *asrs.Dataset, f *asrs.Composite, k int, seed int64) ([]asrs.QueryRequest, error) {
+	bounds := ds.Bounds()
+	a := bounds.Width() / 32
+	b := bounds.Height() / 32
+	rng := rand.New(rand.NewSource(seed ^ 0x5e12e))
+	reqs := make([]asrs.QueryRequest, k)
+	for i := range reqs {
+		cx := bounds.MinX + bounds.Width()*(0.15+0.65*rng.Float64())
+		cy := bounds.MinY + bounds.Height()*(0.15+0.65*rng.Float64())
+		rq := asrs.Rect{MinX: cx, MinY: cy, MaxX: cx + a, MaxY: cy + b}
+		q, err := asrs.QueryFromRegion(ds, f, nil, rq)
+		if err != nil {
+			return nil, err
+		}
+		for j := range q.Target {
+			q.Target[j] = math.Trunc(q.Target[j]*1.1) + 0.5
+		}
+		reqs[i] = asrs.QueryRequest{Query: q, A: a, B: b}
+	}
+	return reqs, nil
+}
+
 // testCorpus builds the shared serving fixture once: a Singapore-shaped
 // corpus, the serving composite, and a request mix of overlapping
-// query-by-example extents (harness.ServeQueries — the same generator
-// the acceptance bench uses, so tests and bench exercise one workload
-// shape) expanded with exact repeats (the dedup-heavy shape real
-// serving traffic has).
+// query-by-example extents expanded with exact repeats (the dedup-heavy
+// shape real serving traffic has).
 var testCorpus struct {
 	once sync.Once
 	ds   *asrs.Dataset
@@ -41,7 +63,7 @@ func corpus(t *testing.T) (*asrs.Dataset, *asrs.Composite, []asrs.QueryRequest) 
 			testCorpus.err = err
 			return
 		}
-		_, distinct, err := harness.ServeQueries(ds, f, "poi", 16, 11)
+		distinct, err := serveQueries(ds, f, 16, 11)
 		if err != nil {
 			testCorpus.err = err
 			return

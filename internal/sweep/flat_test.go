@@ -11,23 +11,27 @@ import (
 	"asrs/internal/geom"
 )
 
-// stripModes enumerates every evaluator the selection can pick, plus a
-// deliberately invalid cost model (must fall back to the default, not
-// change answers) and a skewed-but-valid one (must change only speed).
+// treeCost is a valid cost model skewed so far toward the tree that
+// StripAuto maintains it and seeds every dirty range from it.
+var treeCost = StripCost{TreeUpdate: 0.01, TreeProbe: 0.01, FlatStep: 50, DiffUpdate: 0.01}
+
+// stripModes enumerates every evaluator the selection can pick — the
+// flat pass forced by mode, the seeded tree walk forced by the skewed
+// cost model — plus a deliberately invalid cost model (must fall back to
+// the default, not change answers).
 var stripModeCases = []struct {
 	name string
 	prep func(s *Solver)
 }{
 	{"auto", func(s *Solver) { s.SetStripMode(StripAuto) }},
 	{"flat-only", func(s *Solver) { s.SetStripMode(StripFlatOnly) }},
-	{"fenwick-only", func(s *Solver) { s.SetStripMode(StripFenwickOnly) }},
 	{"auto-invalid-cost", func(s *Solver) {
 		s.SetStripMode(StripAuto)
 		s.SetStripCost(StripCost{TreeUpdate: -1})
 	}},
 	{"auto-skewed-cost", func(s *Solver) {
 		s.SetStripMode(StripAuto)
-		s.SetStripCost(StripCost{TreeUpdate: 0.01, TreeProbe: 0.01, FlatStep: 50, DiffUpdate: 0.01})
+		s.SetStripCost(treeCost)
 	}},
 }
 
@@ -54,8 +58,8 @@ func expectSame(t *testing.T, label string, want, got asp.Result, wok, gok bool)
 }
 
 // TestFlatStripBitIdentical: every strip mode — flat merge pass, seeded
-// Fenwick, legacy per-point Fenwick, auto under default, invalid, and
-// adversarially skewed cost models — returns the classic rescan's
+// Fenwick, auto under default, invalid, and adversarially skewed cost
+// models — returns the classic rescan's
 // answer bit for bit on the integer-valued float64 instantiation. The
 // fixture snaps a third of the points to a coarse grid, so duplicate
 // edge positions (deduplicated into shared interval boundaries) and the
@@ -93,7 +97,7 @@ func TestFlatStripBitIdentical(t *testing.T) {
 }
 
 // TestFlatStripFixedPoint: the int64 fixed-point instantiation rides
-// the same three evaluators; quarter- and half-grid real channels must
+// the same evaluators; quarter- and half-grid real channels must
 // come back bit-identical to the classic float64 rescan in every mode.
 func TestFlatStripFixedPoint(t *testing.T) {
 	schema, err := attr.NewSchema(
@@ -186,33 +190,34 @@ func TestFlatStripDegenerateSpaces(t *testing.T) {
 	}
 }
 
-// TestStripModeCounters: the mode pins the evaluator, and the Stats
-// counters must say so — FlatOnly touches no Fenwick strip and
-// FenwickOnly no flat strip; Auto accounts every dirty strip to exactly
-// one side.
+// TestStripModeCounters: the mode and the cost model pin the evaluator,
+// and the Stats counters must say so — FlatOnly touches no Fenwick strip
+// and the tree-skewed model no flat strip; Auto accounts every dirty
+// strip to exactly one side.
 func TestStripModeCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	rects, q := incrFixture(t, rng, incrMinRects+150)
 	space := asp.Space(rects)
-	run := func(m StripMode) Stats {
+	run := func(m StripMode, c StripCost) Stats {
 		s, err := New(rects, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.SetIncremental(true)
 		s.SetStripMode(m)
+		s.SetStripCost(c)
 		s.SolveWithin(space)
 		return s.Stats
 	}
-	flat := run(StripFlatOnly)
+	flat := run(StripFlatOnly, DefaultStripCost())
 	if flat.FlatStrips == 0 || flat.FenwickStrips != 0 {
 		t.Fatalf("flat-only: %+v", flat)
 	}
-	fen := run(StripFenwickOnly)
+	fen := run(StripAuto, treeCost)
 	if fen.FenwickStrips == 0 || fen.FlatStrips != 0 {
-		t.Fatalf("fenwick-only: %+v", fen)
+		t.Fatalf("tree-skewed auto: %+v", fen)
 	}
-	auto := run(StripAuto)
+	auto := run(StripAuto, DefaultStripCost())
 	if auto.FlatStrips+auto.FenwickStrips == 0 {
 		t.Fatalf("auto accounted no strips: %+v", auto)
 	}

@@ -50,7 +50,7 @@ import (
 // composites whose channel contributions all sum exactly in float64 —
 // integers, or reals carrying a fixed-point certificate supplied via
 // SetFixedPoint (the caller's responsibility; DS-Search gates it on its
-// incremental layer's per-channel certificate) — because both
+// aggregation layer's per-channel certificate) — because both
 // evaluators sum contributions in a different order than the classic
 // accumulator walk. Every intermediate is exact by construction, and
 // the power-of-two conversion back at evaluation reproduces the classic
@@ -72,11 +72,6 @@ const (
 	// StripFlatOnly always uses the flat merge pass (no tree is
 	// maintained at all).
 	StripFlatOnly
-	// StripFenwickOnly reproduces the legacy evaluator: every dirty
-	// interval is resolved by its own O(log k) tree walk. Kept as the
-	// ablation baseline (BENCH_PR6 strip A/B) and as a property-test
-	// oracle; it exercises none of the flat machinery.
-	StripFenwickOnly
 )
 
 // StripCost is the per-unit cost model behind the strip-evaluator
@@ -84,8 +79,7 @@ const (
 // depend on nothing but the input shape — the selection then depends
 // only on deterministic quantities, keeping the answer trajectory
 // reproducible. internal/dssearch seeds the model from its profiled
-// constants (same discipline as its SAT-vs-difference-array fill
-// selector); standalone solvers get DefaultStripCost.
+// constants; standalone solvers get DefaultStripCost.
 type StripCost struct {
 	// TreeUpdate is one Fenwick RangeAdd, per contribution per log2(k)
 	// level (two tree traversals of cache-hostile strided adds).
@@ -182,11 +176,8 @@ func (s *Solver) SetStripCost(c StripCost) {
 // composites this path serves).
 func (s *Solver) stripPlan(ns, k, chans int) (maintainTree bool) {
 	inc := &s.inc
-	switch s.stripMode {
-	case StripFlatOnly:
+	if s.stripMode == StripFlatOnly {
 		return false
-	case StripFenwickOnly:
-		return true
 	}
 	cost := s.stripCost
 	if !cost.valid() {
@@ -318,13 +309,10 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 
 	chans := s.query.F.Channels()
 	maintainTree := s.stripPlan(ns, k, chans)
-	legacy := s.stripMode == StripFenwickOnly
 	if maintainTree {
 		inc.bit.Reset(k, chans)
 	}
-	if !legacy {
-		inc.dif.Reset(k, chans)
-	}
+	inc.dif.Reset(k, chans)
 	if cap(inc.ch) < chans {
 		inc.ch = make([]float64, chans)
 		inc.chI = make([]int64, chans)
@@ -345,9 +333,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 
 	// apply folds one entering/leaving rectangle into the difference
 	// array (two writes per contribution) and, when live, the Fenwick
-	// tree, recording the dirtied span. StripFenwickOnly skips the
-	// difference array entirely so the ablation baseline pays exactly
-	// the legacy evaluator's costs.
+	// tree, recording the dirtied span.
 	apply := func(id int32, sign int64) {
 		o := s.rects[id].Obj
 		s.cbuf = s.query.F.AppendContribs(o, s.cbuf[:0])
@@ -358,9 +344,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 				v *= s.fpScale[cb.Ch] // exact power-of-two shift
 			}
 			d := sign * int64(v)
-			if !legacy {
-				inc.dif.RangeAdd(l, r, cb.Ch, d)
-			}
+			inc.dif.RangeAdd(l, r, cb.Ch, d)
 			if maintainTree {
 				inc.bit.RangeAdd(l, r, cb.Ch, d)
 			}
@@ -438,12 +422,9 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		// from position 0 to lastDirty, versus one tree seed per merged
 		// range (the within-range marching is common to both). With no
 		// tree live the flat pass is the only evaluator.
-		useFlat := !maintainTree
-		if maintainTree && !legacy && s.stripMode == StripAuto {
-			useFlat = float64(lastDirty+1)*cost.FlatStep < float64(len(merged))*logK*cost.TreeProbe
-		}
-		switch {
-		case useFlat:
+		useFlat := !maintainTree ||
+			float64(lastDirty+1)*cost.FlatStep < float64(len(merged))*logK*cost.TreeProbe
+		if useFlat {
 			// The flat merge pass: one running prefix sum over the
 			// sorted deltas (cursor 1) and the merged dirty ranges
 			// (cursor 2), both advancing monotonically. Deltas of
@@ -462,16 +443,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 				}
 				pos = cur[1]
 			}
-		case legacy:
-			// Legacy evaluator: one tree walk per dirty interval.
-			s.Stats.FenwickStrips++
-			for _, cur := range merged {
-				for j := cur[0]; j <= cur[1]; j++ {
-					inc.bit.PointInto(int(j), chI)
-					evalAt(j, y, chI)
-				}
-			}
-		default:
+		} else {
 			// Sparse regime: seed each merged range with one tree walk,
 			// then march within the range on the difference array.
 			s.Stats.FenwickStrips++

@@ -24,8 +24,8 @@ type Stats struct {
 	Strips    int // horizontal strips examined
 	Intervals int // candidate x-intervals enumerated (the classic strip scores one only where the covering set moved)
 	// Strip-evaluator selection counters of the incremental sweep:
-	// dirty strips resolved by the flat merge pass vs. by Fenwick tree
-	// walks (seeded ranges or, in StripFenwickOnly, per-point).
+	// dirty strips resolved by the flat merge pass vs. by Fenwick-seeded
+	// range walks.
 	FlatStrips    int
 	FenwickStrips int
 }

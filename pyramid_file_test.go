@@ -1,6 +1,8 @@
 package asrs_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -76,6 +78,51 @@ func TestLoadOrBuildPyramidFileLifecycle(t *testing.T) {
 	_, status, err = asrs.LoadOrBuildPyramidFile(path, ds, f)
 	if err != nil || status != asrs.PyramidLoaded {
 		t.Fatalf("post-rebuild boot: status=%v err=%v, want loaded", status, err)
+	}
+}
+
+// TestPyramidFileVersion1IsRebuilt: a file left by a build that wrote
+// format version 1 (summed-area planes per level) is not decodable any
+// more. Its header must read as corrupt, and a boot that finds it must
+// set it aside and come up on a rebuilt pyramid.
+func TestPyramidFileVersion1IsRebuilt(t *testing.T) {
+	ds, f := pyrFileFixture(t)
+	p, err := asrs.BuildPyramid(ds, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := asrs.WritePyramid(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	old := buf.Bytes()
+	if got := binary.LittleEndian.Uint32(old[8:12]); got != 2 {
+		t.Fatalf("current format version is %d; this test pins the 1 -> 2 step", got)
+	}
+	binary.LittleEndian.PutUint32(old[8:12], 1) // the u32 after the 8-byte magic
+
+	if _, err := asrs.ReadPyramid(bytes.NewReader(old), ds, f); !errors.Is(err, asrs.ErrPyramidCorrupt) {
+		t.Fatalf("ReadPyramid of a version-1 header: err = %v, want ErrPyramidCorrupt", err)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pyr.bin")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, status, err := asrs.LoadOrBuildPyramidFile(path, ds, f)
+	if err != nil || status != asrs.PyramidRebuilt || got == nil {
+		t.Fatalf("boot on a version-1 file: status=%v err=%v, want rebuilt", status, err)
+	}
+	kept, err := filepath.Glob(path + ".corrupt-*")
+	if err != nil || len(kept) != 1 {
+		t.Fatalf("want the version-1 file kept as one .corrupt-* sibling, found %v (err %v)", kept, err)
+	}
+	if b, err := os.ReadFile(kept[0]); err != nil || !bytes.Equal(b, old) {
+		t.Fatalf("quarantined file differs from the version-1 file (err %v)", err)
+	}
+	if _, status, err = asrs.LoadOrBuildPyramidFile(path, ds, f); err != nil || status != asrs.PyramidLoaded {
+		t.Fatalf("boot after the rebuild: status=%v err=%v, want loaded", status, err)
 	}
 }
 
