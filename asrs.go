@@ -12,32 +12,37 @@
 //
 //   - the attribute model (Schema, Object, Dataset) and composite
 //     aggregators (fD, fA, fS over selections),
-//   - Search: the exact DS-Search algorithm (the paper's contribution),
-//   - SearchApprox via Options.Delta: the (1+δ)-approximate variant,
-//   - NewIndex / SearchWithIndex: the grid-index-accelerated GI-DS,
-//   - SearchBaseline: the O(n²) sweep-line baseline,
+//   - QueryRequest and Answer: the one description of a search — query,
+//     a×b size, top-k, exclusions, extent — and the one driver that
+//     answers it, with DS-Search (the paper's contribution; Options.Delta
+//     selects the (1+δ)-approximate variant) or, given a grid index from
+//     NewIndex, with GI-DS,
+//   - Search / SearchWithin / SearchWithIndex: argument-list conveniences
+//     over Answer for the plain, windowed and indexed request,
+//   - SearchBaseline: the O(n²) sweep-line baseline, answering the same
+//     requests,
 //   - MaxRS / MaxRSBaseline: the MaxRS adaptation and the OE sweep,
 //   - Engine: the serving-layer facade — one dataset, lazily built cached
 //     per-composite indexes, safe concurrent Query/QueryBatch.
 //
 // # Concurrent search kernel
 //
-// Every search front door (Search, SearchWithIndex, MaxRS, …) runs on the
-// shared best-first kernel of internal/kernel: a worker pool
-// (Options.Workers; values <= 0 select GOMAXPROCS) pulls candidate spaces
-// from a min-heap in fixed-size deterministic batches, processes them
-// concurrently, and publishes improved incumbents through an atomic
-// shared pruning bound merged at batch barriers under a total order
-// (distance, then point). Because every structural decision depends only
-// on deterministic state, the answer — region, point and distance — is
-// bit-identical for every Workers setting and goroutine schedule, so the
-// paper's exactness theorems and the (1+δ) guarantee carry over
-// unchanged. Rectangle subsets travel the heap as compact id slices
-// recycled through per-worker arenas, discretization scratch and
-// mini-sweep solvers are batch-built per worker, and large spaces are
-// discretized from a query-level summed-area table instead of rebuilt
-// difference arrays, so steady-state searches allocate almost nothing
-// per space. See DESIGN.md §2 and §4 for the full protocol.
+// Every search (Answer, MaxRS, an Engine query) runs on the shared
+// best-first kernel of internal/kernel: a worker pool (Options.Workers;
+// values <= 0 select GOMAXPROCS) pulls candidate spaces from a min-heap
+// in fixed-size deterministic batches, processes them concurrently, and
+// publishes improved incumbents through an atomic shared pruning bound
+// merged at batch barriers under a total order (distance, then point).
+// Because every structural decision depends only on deterministic state,
+// the answer — region, point and distance — is bit-identical for every
+// Workers setting and goroutine schedule, so the paper's exactness
+// theorems and the (1+δ) guarantee carry over unchanged. Rectangle
+// subsets travel the heap as compact id slices recycled through
+// per-worker arenas, discretization scratch and mini-sweep solvers are
+// batch-built per worker, and every space is discretized by one
+// difference-array pass over its own rectangles into that scratch, so
+// steady-state searches allocate almost nothing per space. See DESIGN.md
+// §2 and §4 for the full protocol.
 //
 // Quick start:
 //
@@ -64,7 +69,6 @@ import (
 	"asrs/internal/gridindex"
 	"asrs/internal/maxrs"
 	"asrs/internal/persist"
-	"asrs/internal/sweep"
 )
 
 // Geometry.
@@ -142,7 +146,7 @@ type (
 	// default reduction), its distance, and its representation.
 	Result = asp.Result
 	// Options configures DS-Search (grid granularity, approximation δ,
-	// accuracy override, reduction anchor).
+	// worker pool, accuracy override).
 	Options = dssearch.Options
 	// SearchStats reports the work DS-Search performed.
 	SearchStats = dssearch.Stats
@@ -150,16 +154,13 @@ type (
 	Index = gridindex.Index
 	// Pyramid is the persistent per-composite aggregate pyramid: the
 	// dataset-level aggregation layer (canonical master order, channel
-	// contributions, exactness certificates, hierarchical summed-area
-	// tables and the min/max companion) built once per (dataset,
-	// composite) and bound by every query instead of rebuilt (DESIGN.md
-	// §6). Engines build and cache one per composite automatically.
+	// contributions, exactness certificates, the hierarchy of anchor-bin
+	// levels) built once per (dataset, composite) and bound by every
+	// query instead of rebuilt (DESIGN.md §6). Engines build and cache
+	// one per composite automatically.
 	Pyramid = dssearch.Pyramid
 	// IndexStats reports the work of one GI-DS run.
 	IndexStats = gridindex.Stats
-	// DynamicIndex is an append-only grid index over a live object
-	// stream; Snapshot() materializes a queryable Index.
-	DynamicIndex = gridindex.Dynamic
 )
 
 // MaxRS types.
@@ -217,38 +218,16 @@ func QueryFromTarget(f *Composite, target, w []float64) (Query, error) {
 	return q, q.Validate()
 }
 
-// Search solves the ASRS problem exactly with DS-Search: it returns the
-// a×b region minimizing the distance to the query target, the answer
-// details, and search statistics. Options.Delta > 0 switches to the
-// (1+δ)-approximate algorithm.
+// Search solves the ASRS problem exactly with DS-Search (the paper's
+// Algorithm 1): it returns the a×b region minimizing the distance to the
+// query target, the answer details, and search statistics. Options.Delta
+// > 0 switches to the (1+δ)-approximate algorithm. A convenience over
+// Answer for the plain request.
 func Search(ds *Dataset, a, b float64, q Query, opt Options) (Rect, Result, SearchStats, error) {
-	return dssearch.SolveASRS(ds, a, b, q, opt)
+	resp, stats := Answer(ds, nil, QueryRequest{Query: q, A: a, B: b, Options: &opt})
+	region, res := resp.Best()
+	return region, res, stats.DS, resp.Err
 }
-
-// SearchExcluding is Search restricted to answer regions that do not
-// overlap the exclude rectangle (beyond a shared boundary). Use it for
-// query-by-example with a real query region, which would otherwise be its
-// own zero-distance answer.
-func SearchExcluding(ds *Dataset, a, b float64, q Query, exclude Rect, opt Options) (Rect, Result, SearchStats, error) {
-	return dssearch.SolveASRSExcluding(ds, a, b, q, exclude, opt)
-}
-
-// SearchTopK returns up to k non-overlapping similar regions in
-// increasing distance order (greedy: best, then best avoiding the first,
-// and so on). The exclude rectangles — typically the example region —
-// are avoided by every answer. An extension beyond the paper.
-func SearchTopK(ds *Dataset, a, b float64, q Query, k int, exclude []Rect, opt Options) ([]Rect, []Result, error) {
-	regions, results, _, err := dssearch.SolveASRSTopK(ds, a, b, q, k, exclude, opt)
-	return regions, results, err
-}
-
-// Typed windowed-search errors, surfaced by SearchWithin and the shard
-// router: an extent too small to hold an a×b region, and an extent whose
-// every feasible region is excluded.
-var (
-	ErrExtentTooSmall   = dssearch.ErrExtentTooSmall
-	ErrNoFeasibleRegion = dssearch.ErrNoFeasibleRegion
-)
 
 // SearchWithin is Search restricted to answer regions contained in the
 // closed extent `within`, additionally avoiding the exclude rectangles.
@@ -256,31 +235,11 @@ var (
 // whose anchor rectangles can reach it — never on the rest of the
 // corpus — which is what lets the shard router answer extent-contained
 // queries from a single shard bit-identically to a merged-corpus run
-// (DESIGN.md §11).
+// (DESIGN.md §11). A convenience over Answer for the windowed request.
 func SearchWithin(ds *Dataset, a, b float64, q Query, within Rect, exclude []Rect, opt Options) (Rect, Result, SearchStats, error) {
-	return dssearch.SolveASRSWithin(ds, a, b, q, within, exclude, opt)
-}
-
-// SearchTopKWithin is SearchTopK restricted to regions contained in the
-// extent; rounds stop early once no feasible region remains.
-func SearchTopKWithin(ds *Dataset, a, b float64, q Query, k int, exclude []Rect, within Rect, opt Options) ([]Rect, []Result, error) {
-	return dssearch.SolveASRSTopKWithin(ds, a, b, q, k, exclude, within, opt)
-}
-
-// SearchBaseline solves the ASRS problem with the O(n²) sweep-line
-// baseline ("Base" in the paper's experiments). Intended for validation
-// and benchmarking.
-func SearchBaseline(ds *Dataset, a, b float64, q Query) (Rect, Result, error) {
-	rects, err := asp.Reduce(ds, a, b, asp.AnchorTR)
-	if err != nil {
-		return Rect{}, Result{}, err
-	}
-	s, err := sweep.New(rects, q)
-	if err != nil {
-		return Rect{}, Result{}, err
-	}
-	res := s.Solve()
-	return asp.AnchorTR.RegionFor(res.Point, a, b), res, nil
+	resp, stats := Answer(ds, nil, QueryRequest{Query: q, A: a, B: b, Exclude: exclude, Within: &within, Options: &opt})
+	region, res := resp.Best()
+	return region, res, stats.DS, resp.Err
 }
 
 // NewIndex builds a grid index with granularity sx×sy over the dataset for
@@ -298,68 +257,14 @@ func BuildPyramid(ds *Dataset, f *Composite) (*Pyramid, error) {
 	return dssearch.BuildPyramid(ds, f)
 }
 
-// NewDynamicIndex creates an empty append-only index over a declared
-// extent for streaming workloads: Insert objects as they arrive
-// (O(log² grid) each), query live region aggregates with RegionChannels,
-// and Snapshot() an immutable Index for SearchWithIndex bursts.
-func NewDynamicIndex(f *Composite, bounds Rect, sx, sy int) (*DynamicIndex, error) {
-	return gridindex.NewDynamic(f, bounds, sx, sy)
-}
-
-// SearchWithIndex solves the ASRS problem with GI-DS (Algorithm 2): index
-// cells are lower-bounded and searched best-first by DS-Search.
-// Options.Delta > 0 selects app-GIDS.
+// SearchWithIndex solves the ASRS problem with GI-DS (the paper's
+// Algorithm 2): index cells are lower-bounded and searched best-first by
+// DS-Search. Options.Delta > 0 selects app-GIDS. A convenience over
+// Answer for the plain request with an index.
 func SearchWithIndex(idx *Index, ds *Dataset, a, b float64, q Query, opt Options) (Rect, Result, IndexStats, error) {
-	regions, results, stats, err := SearchTopKWithIndex(idx, ds, a, b, q, 1, nil, opt)
-	if err != nil {
-		return Rect{}, Result{}, stats, err
-	}
-	return regions[0], results[0], stats, nil
-}
-
-// SearchTopKWithIndex is SearchTopK through GI-DS: the same greedy
-// sequence — best region, best region not overlapping the first, … —
-// with every round, excluding ones included, driven best-first over the
-// index cells, cut around what the round must avoid (DESIGN.md §5). The
-// distances equal SearchTopK's bit for bit; among equally distant
-// regions the two may pick different ones. The returned stats sum the
-// rounds. The Engine answers every un-windowed request this way when it
-// holds an index, one-shot or streamed round by round.
-func SearchTopKWithIndex(idx *Index, ds *Dataset, a, b float64, q Query, k int, exclude []Rect, opt Options) ([]Rect, []Result, IndexStats, error) {
-	if k <= 0 {
-		return nil, nil, IndexStats{}, fmt.Errorf("asrs: top-k requires k >= 1, got %d", k)
-	}
-	rects, err := dssearch.ReduceForSearch(ds, a, b, q.F, opt)
-	if err != nil {
-		return nil, nil, IndexStats{}, err
-	}
-	var stats IndexStats
-	excl := exclude[:len(exclude):len(exclude)] // rounds append their regions to a copy
-	regions := make([]Rect, 0, k)
-	results := make([]Result, 0, k)
-	for i := 0; i < k; i++ {
-		// Each round's searcher takes the reduction over (it may sort it in
-		// place), so handing the same slice to the next round is safe. The
-		// last round — the only one of a plain query — gets the only
-		// reference: a searcher that binds a pyramid copies the rectangles
-		// it keeps, and the n-rectangle reduction can go while it searches.
-		round := rects
-		if i+1 == k {
-			rects = nil
-		}
-		res, st, err := gridindex.Solve(idx, round, q, a, b, excl, opt)
-		stats.Add(st)
-		if err != nil {
-			return nil, nil, stats, err
-		}
-		region := asp.AnchorTR.RegionFor(res.Point, a, b)
-		regions = append(regions, region)
-		results = append(results, res)
-		if i+1 < k {
-			excl = append(excl, region)
-		}
-	}
-	return regions, results, stats, nil
+	resp, stats := Answer(ds, idx, QueryRequest{Query: q, A: a, B: b, Options: &opt})
+	region, res := resp.Best()
+	return region, res, stats, resp.Err
 }
 
 // MaxRS solves the maximizing-range-sum problem with the DS-Search

@@ -96,10 +96,11 @@ func TestFacadeConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, base, err := asrs.SearchBaseline(ds, a, b, q)
-	if err != nil {
-		t.Fatal(err)
+	baseResp := asrs.SearchBaseline(ds, asrs.QueryRequest{Query: q, A: a, B: b})
+	if baseResp.Err != nil {
+		t.Fatal(baseResp.Err)
 	}
+	_, base := baseResp.Best()
 	idx, err := asrs.NewIndex(ds, f, 16, 16)
 	if err != nil {
 		t.Fatal(err)

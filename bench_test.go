@@ -100,7 +100,7 @@ func BenchmarkFig8Base(b *testing.B) {
 			q, qa, qb := tweetQuery(b, ds, k)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := asrs.SearchBaseline(ds, qa, qb, q); err != nil {
+				if err := asrs.SearchBaseline(ds, asrs.QueryRequest{Query: q, A: qa, B: qb}).Err; err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -148,7 +148,7 @@ func BenchmarkFig10Base(b *testing.B) {
 			q, qa, qb := tweetQuery(b, ds, 10)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := asrs.SearchBaseline(ds, qa, qb, q); err != nil {
+				if err := asrs.SearchBaseline(ds, asrs.QueryRequest{Query: q, A: qa, B: qb}).Err; err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -310,9 +310,9 @@ func BenchmarkCaseStudy(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _, err := asrs.SearchExcluding(ds, orchard.Rect.Width(), orchard.Rect.Height(), q, orchard.Rect, asrs.Options{})
-		if err != nil {
-			b.Fatal(err)
+		resp, _ := asrs.Answer(ds, nil, asrs.QueryRequest{Query: q, A: orchard.Rect.Width(), B: orchard.Rect.Height(), Exclude: []asrs.Rect{orchard.Rect}})
+		if resp.Err != nil {
+			b.Fatal(resp.Err)
 		}
 	}
 }

@@ -1,12 +1,15 @@
 // Command asrsquery runs a single attribute-aware similar region search
 // over a generated corpus and prints the answer. It demonstrates the
-// library end to end without needing external data.
+// library end to end without needing external data: every canned query
+// is one asrs.QueryRequest, and -algo only decides whether the library's
+// one driver is handed a grid index (gids), none (ds), or the request
+// goes to the sweep-line oracle (base).
 //
 // Usage:
 //
 //	asrsquery -dataset tweet -n 100000 -k 10            # weekend-hotspot query (F1)
 //	asrsquery -dataset poisyn -n 100000 -k 7 -delta 0.2 # popular-and-good query (F2), approximate
-//	asrsquery -dataset singapore                        # query-by-example: Orchard → ?
+//	asrsquery -dataset singapore                        # query-by-example: Orchard → ? (the example region excluded)
 //	asrsquery -dataset tweet -algo base -n 3000         # sweep-line baseline
 //	asrsquery -dataset tweet -algo gids -grid 128       # grid-index accelerated
 //	asrsquery -dataset singapore -algo gids -grid 64 -debug # Orchard → ? through GI-DS cut around the example, with its counters
@@ -64,8 +67,7 @@ func main() {
 // emitJSON prints the answer in the server wire schema — the same
 // document shape POST /v1/query returns for this query (indented here
 // for terminals; elapsed_ms naturally differs per run).
-func emitJSON(region asrs.Rect, res asrs.Result, elapsed time.Duration) error {
-	resp := asrs.QueryResponse{Regions: []asrs.Rect{region}, Results: []asrs.Result{res}}
+func emitJSON(resp asrs.QueryResponse, elapsed time.Duration) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(wire.ResponseWire(resp, elapsed))
@@ -126,84 +128,96 @@ func indexStats(grid int, stats asrs.IndexStats, debug bool) {
 	}
 }
 
+// run builds the canned request of the chosen dataset — for singapore the
+// §7.6 case study, query by example with the example region excluded —
+// and answers it: DS-Search and GI-DS through the library's one driver
+// (with and without an index), the baseline through its own sweep.
 func run(dsName string, n, k int, algo string, grid int, delta float64, seed int64, workers int, pyrPath string, jsonOut, debug bool) error {
 	if jsonOut {
 		infoOut = os.Stderr
 	}
 	var (
 		ds  *asrs.Dataset
-		q   asrs.Query
-		a   float64
-		b   float64
+		req asrs.QueryRequest
 		err error
 	)
 	switch dsName {
 	case "tweet":
 		ds = dataset.Tweet(n, seed)
-		a, b = scaledSize(ds, k)
-		q, err = dataset.F1(ds, a, b)
+		req.A, req.B = scaledSize(ds, k)
+		req.Query, err = dataset.F1(ds, req.A, req.B)
 	case "poisyn":
 		ds = dataset.POISyn(n, seed)
-		a, b = scaledSize(ds, k)
-		q, err = dataset.F2(ds, a, b)
+		req.A, req.B = scaledSize(ds, k)
+		req.Query, err = dataset.F2(ds, req.A, req.B)
 	case "singapore":
-		return runSingapore(seed, workers, algo, grid, jsonOut, debug)
+		ds = dataset.SingaporePOI(seed)
+		orchard := dataset.SingaporeDistricts()[0].Rect
+		var f *asrs.Composite
+		if f, err = asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "category"}); err != nil {
+			return err
+		}
+		req.A, req.B, req.Exclude = orchard.Width(), orchard.Height(), []asrs.Rect{orchard}
+		req.Query, err = asrs.QueryFromRegion(ds, f, nil, orchard)
+		infof("query region (Orchard): %v\n", orchard)
 	default:
 		return fmt.Errorf("unknown dataset %q", dsName)
 	}
 	if err != nil {
 		return err
 	}
-	infof("dataset=%s n=%d query=%.4gx%.4g algo=%s δ=%g\n", dsName, len(ds.Objects), a, b, algo, delta)
+	infof("dataset=%s n=%d query=%.4gx%.4g algo=%s δ=%g\n", dsName, len(ds.Objects), req.A, req.B, algo, delta)
 
 	opt := asrs.Options{Delta: delta, Workers: workers}
 	if pyrPath != "" && algo != "base" {
-		p, err := loadOrBuildPyramid(pyrPath, ds, q.F)
-		if err != nil {
+		if opt.Pyramid, err = loadOrBuildPyramid(pyrPath, ds, req.Query.F); err != nil {
 			return err
 		}
-		opt.Pyramid = p
 	}
+	req.Options = &opt
 
 	start := time.Now()
-	var (
-		region asrs.Rect
-		res    asrs.Result
-		dstats asrs.SearchStats
-	)
+	var resp asrs.QueryResponse
 	switch algo {
-	case "ds":
-		region, res, dstats, err = asrs.Search(ds, a, b, q, opt)
-	case "gids":
+	case "ds", "gids":
 		var idx *asrs.Index
-		idx, err = asrs.NewIndex(ds, q.F, grid, grid)
-		if err != nil {
-			return err
+		if algo == "gids" {
+			if idx, err = asrs.NewIndex(ds, req.Query.F, grid, grid); err != nil {
+				return err
+			}
 		}
 		var stats asrs.IndexStats
-		region, res, stats, err = asrs.SearchWithIndex(idx, ds, a, b, q, opt)
-		if err == nil {
+		if resp, stats = asrs.Answer(ds, idx, req); resp.Err != nil {
+			return resp.Err
+		}
+		if idx != nil {
 			indexStats(grid, stats, debug)
-			dstats = stats.DS
+		}
+		if debug {
+			debugStats(stats.DS)
 		}
 	case "base":
-		region, res, err = asrs.SearchBaseline(ds, a, b, q)
+		if resp = asrs.SearchBaseline(ds, req); resp.Err != nil {
+			return resp.Err
+		}
 	default:
 		return fmt.Errorf("unknown algorithm %q", algo)
 	}
-	if err != nil {
-		return err
-	}
-	if debug && algo != "base" {
-		debugStats(dstats)
-	}
 	if jsonOut {
-		return emitJSON(region, res, time.Since(start))
+		return emitJSON(resp, time.Since(start))
 	}
+	region, res := resp.Best()
 	fmt.Printf("answer region:  %v\n", region)
 	fmt.Printf("distance:       %.4f\n", res.Dist)
 	fmt.Printf("representation: %.4g\n", res.Rep)
 	fmt.Printf("elapsed:        %v\n", time.Since(start).Round(time.Millisecond))
+	if dsName == "singapore" {
+		for _, d := range dataset.SingaporeDistricts()[1:] {
+			if region.Intersects(d.Rect) {
+				fmt.Printf("→ that's %q\n", d.Name)
+			}
+		}
+	}
 	return nil
 }
 
@@ -285,64 +299,6 @@ func runExpr(dsName string, n int, seed int64, workers int, src string, jsonOut 
 			ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3})
 	}
 	infof("%d rows in %v\n", count, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-func runSingapore(seed int64, workers int, algo string, grid int, jsonOut, debug bool) error {
-	ds := dataset.SingaporePOI(seed)
-	f, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "category"})
-	if err != nil {
-		return err
-	}
-	orchard := dataset.SingaporeDistricts()[0]
-	q, err := asrs.QueryFromRegion(ds, f, nil, orchard.Rect)
-	if err != nil {
-		return err
-	}
-	a, b := orchard.Rect.Width(), orchard.Rect.Height()
-	opt := asrs.Options{Workers: workers}
-	start := time.Now()
-	var (
-		region asrs.Rect
-		res    asrs.Result
-		dstats asrs.SearchStats
-	)
-	switch algo {
-	case "ds":
-		region, res, dstats, err = asrs.SearchExcluding(ds, a, b, q, orchard.Rect, opt)
-	case "gids":
-		// The engine's path for an excluding request: GI-DS with the
-		// margins and cells cut around the example region.
-		var idx *asrs.Index
-		if idx, err = asrs.NewIndex(ds, f, grid, grid); err != nil {
-			return err
-		}
-		regions, results, stats, serr := asrs.SearchTopKWithIndex(idx, ds, a, b, q, 1, []asrs.Rect{orchard.Rect}, opt)
-		if serr != nil {
-			return serr
-		}
-		region, res, dstats = regions[0], results[0], stats.DS
-		indexStats(grid, stats, debug)
-	default:
-		return fmt.Errorf("the singapore case study runs -algo ds or gids, not %q", algo)
-	}
-	if err != nil {
-		return err
-	}
-	if debug {
-		debugStats(dstats)
-	}
-	if jsonOut {
-		return emitJSON(region, res, time.Since(start))
-	}
-	fmt.Printf("query region (Orchard): %v\n", orchard.Rect)
-	fmt.Printf("most similar region:    %v (distance %.2f)\n", region, res.Dist)
-	fmt.Printf("elapsed:                %v\n", time.Since(start).Round(time.Millisecond))
-	for _, d := range dataset.SingaporeDistricts()[1:] {
-		if region.Intersects(d.Rect) {
-			fmt.Printf("→ that's %q\n", d.Name)
-		}
-	}
 	return nil
 }
 

@@ -19,8 +19,8 @@ import (
 // EngineOptions configures an Engine.
 type EngineOptions struct {
 	// IndexGranularity selects the grid granularity g (g×g cells) of the
-	// lazily built per-composite indexes used by plain single-region
-	// queries. Zero disables indexing: every query runs plain DS-Search.
+	// lazily built per-composite indexes every un-windowed request rides
+	// (GI-DS). Zero disables indexing: every query runs plain DS-Search.
 	IndexGranularity int
 	// Search supplies the default search options (grid granularity,
 	// Workers, Delta, …) for requests that do not carry their own.
@@ -43,59 +43,6 @@ type EngineOptions struct {
 	// durability; see IngestOptions. The zero value serves a static
 	// dataset with memory-only inserts.
 	Ingest IngestOptions
-}
-
-// QueryRequest is one unit of Engine work.
-type QueryRequest struct {
-	// Query is the compiled similarity query (see QueryFromRegion /
-	// QueryFromTarget).
-	Query Query
-	// A, B are the answer region's width and height.
-	A, B float64
-	// TopK requests the k best non-overlapping regions; 0 or 1 returns
-	// the single best.
-	TopK int
-	// Exclude lists rectangles no answer region may overlap (beyond a
-	// shared boundary) — typically the example query region.
-	Exclude []Rect
-	// Within, when non-nil, restricts answer regions to those contained
-	// in the closed extent (the shard router's routing primitive; also a
-	// first-class query feature). Windowed requests bypass the grid
-	// index — the window itself already narrows the search — and surface
-	// ErrExtentTooSmall / ErrNoFeasibleRegion as typed request errors.
-	Within *Rect
-	// Options overrides the engine's default search options for this
-	// request when non-nil.
-	Options *Options
-	// Ctx, when non-nil, bounds this request individually (per-query
-	// deadline or cancellation): the search kernel checks it at superstep
-	// boundaries and the response's Err becomes context.Canceled /
-	// context.DeadlineExceeded. It takes precedence over the batch-level
-	// context of QueryBatchCtx, except that a request deduplicated with
-	// byte-identical peers executes once under the group's latest member
-	// deadline (shared work must not die with one member, nor outlive
-	// every member's budget); a member already expired at dispatch, or
-	// whose group search itself ended in a context error, is stamped
-	// with its own context error.
-	Ctx context.Context
-}
-
-// QueryResponse is the Engine's answer to one QueryRequest. Regions and
-// Results are parallel slices (length 1 unless TopK > 1); Err reports a
-// per-request failure without failing the rest of the batch.
-type QueryResponse struct {
-	Regions []Rect
-	Results []Result
-	Err     error
-}
-
-// Best returns the first (best) region and result of a successful
-// response.
-func (r QueryResponse) Best() (Rect, Result) {
-	if len(r.Regions) == 0 {
-		return Rect{}, Result{}
-	}
-	return r.Regions[0], r.Results[0]
 }
 
 // Engine is the serving-layer entry point: it owns a dataset plus lazily
@@ -170,7 +117,7 @@ type Engine struct {
 type EngineStats struct {
 	// Queries counts answered requests, batched or not.
 	Queries int64 `json:"queries"`
-	// Batches counts QueryBatch/QueryBatchInto calls.
+	// Batches counts QueryBatch/QueryBatchCtx calls.
 	Batches int64 `json:"batches"`
 	// DedupHits counts batched requests answered by copying a
 	// byte-identical peer's response instead of searching.
@@ -538,8 +485,8 @@ func (e *Engine) Warm(f *Composite) error {
 
 // options resolves a request's effective search options and attaches the
 // engine's per-composite slab cache, so the per-query search tables
-// (sorted coordinate arrays, contribution tables, int64 SAT grids, the
-// min/max companion trees, the fixed-point quantization-certificate
+// (sorted coordinate arrays, contribution tables, anchor bins,
+// discretization grids, the fixed-point quantization-certificate
 // vectors, id arenas) are recycled across queries instead of
 // reallocated. The cache is engine-level (it survives epoch changes —
 // a recycled tables value retains only capacities, every content is
@@ -574,11 +521,12 @@ func (e *Engine) options(v *engineView, req QueryRequest) Options {
 	return opt
 }
 
-// Query answers one request. With indexing enabled every un-windowed
-// request rides the cached grid index (GI-DS) — TopK and exclusion
-// requests as greedy rounds of the same driver, each cut around what it
-// must avoid; without an index they run plain DS-Search. Windowed
-// requests (Within) always do. Safe for concurrent use.
+// Query answers one request through the one search driver (Answer):
+// with indexing enabled every un-windowed request rides the cached grid
+// index (GI-DS) — TopK and exclusion requests as greedy rounds, each cut
+// around what it must avoid; without an index, and for every windowed
+// request (Within), the rounds are plain DS-Search. Safe for concurrent
+// use.
 func (e *Engine) Query(req QueryRequest) QueryResponse {
 	return e.QueryCtx(context.Background(), req)
 }
@@ -589,8 +537,7 @@ func (e *Engine) Query(req QueryRequest) QueryResponse {
 // the response's Err is the context error. Answers of searches that
 // complete are bit-identical to an unbounded Query.
 func (e *Engine) QueryCtx(ctx context.Context, req QueryRequest) QueryResponse {
-	var resp QueryResponse
-	e.queryIntoPrep(ctx, e.currentView(), req, &resp, nil)
+	resp := e.answer(ctx, e.currentView(), req, nil)
 	e.nQueries.Add(1)
 	e.countResponse(&resp)
 	return resp
@@ -607,17 +554,17 @@ func (e *Engine) countResponse(resp *QueryResponse) {
 	}
 }
 
-// queryIntoPrep answers one request into resp against the captured
-// epoch view v, reusing resp's Regions and Results slice capacity (the
-// per-response buffer reuse QueryBatchInto relies on), with an optional
-// group-shared prepared query shape (QueryBatchInto's grouping pass
-// builds one per overlapping-extent group).
-func (e *Engine) queryIntoPrep(ctx context.Context, v *engineView, req QueryRequest, resp *QueryResponse, prep *dssearch.Prepared) {
+// answer runs one request against the captured epoch view v: it resolves
+// the request's context and options, binds the view's caches — the
+// pyramid, an optional group-shared prepared query shape (QueryBatchCtx's
+// grouping pass builds one per overlapping-extent group), and for an
+// un-windowed request the grid index — and hands the rest to Answer. A
+// streamed round (query.Stream.Next) arrives here as the single-best
+// request its accumulated exclusions ask for and takes the same path,
+// which is why one-shot and streamed rows are the same rows.
+func (e *Engine) answer(ctx context.Context, v *engineView, req QueryRequest, prep *dssearch.Prepared) QueryResponse {
 	start := time.Now()
 	defer func() { e.lat.observe(time.Since(start)) }()
-	resp.Regions = resp.Regions[:0]
-	resp.Results = resp.Results[:0]
-	resp.Err = nil
 	if req.Ctx != nil {
 		ctx = req.Ctx
 	}
@@ -626,76 +573,30 @@ func (e *Engine) queryIntoPrep(ctx context.Context, v *engineView, req QueryRequ
 		// coalescing window) must not pay index lookup and searcher
 		// construction for an answer that is guaranteed to be discarded.
 		if cerr := ctx.Err(); cerr != nil {
-			resp.Err = cerr
-			return
+			return QueryResponse{Err: cerr}
 		}
 	}
 	opt := e.options(v, req)
-	if opt.Ctx == nil && ctx != nil {
+	if opt.Ctx == nil {
 		opt.Ctx = ctx
 	}
 	if prep != nil {
 		opt.Prepared = prep
 	}
-	if req.Within != nil {
-		// Windowed requests bypass the grid index: the index enumerates
-		// whole-corpus cells and knows nothing about extents, while the
-		// windowed front door already restricts the search space to the
-		// extent's anchor window.
-		if req.TopK > 1 {
-			regions, results, err := SearchTopKWithin(v.ds, req.A, req.B, req.Query, req.TopK, req.Exclude, *req.Within, opt)
-			resp.Regions = append(resp.Regions, regions...)
-			resp.Results = append(resp.Results, results...)
-			resp.Err = err
-			return
+	req.Options = &opt
+	var idx *Index
+	if req.Within == nil {
+		// Only un-windowed requests can use the index (see Answer), and an
+		// epoch that serves windowed traffic alone — a shard under ingest —
+		// must not pay an index build per epoch for nothing.
+		var err error
+		if idx, err = e.indexFor(v, req.Query.F); err != nil {
+			return QueryResponse{Err: err}
 		}
-		region, res, _, err := SearchWithin(v.ds, req.A, req.B, req.Query, *req.Within, req.Exclude, opt)
-		if err != nil {
-			resp.Err = err
-			return
-		}
-		resp.Regions = append(resp.Regions, region)
-		resp.Results = append(resp.Results, res)
-		return
 	}
-	idx, err := e.indexFor(v, req.Query.F)
-	if err != nil {
-		resp.Err = err
-		return
-	}
-	k := max(req.TopK, 1)
-	switch {
-	case idx != nil:
-		// One driver for every indexed request: a plain query is its k = 1
-		// round without exclusions, a top-k its k rounds, and a streamed
-		// round (query.Stream.Next) the single round its accumulated
-		// exclusions ask for — so one-shot and streamed rows are the same
-		// rows.
-		regions, results, _, err := SearchTopKWithIndex(idx, v.ds, req.A, req.B, req.Query, k, req.Exclude, opt)
-		resp.Regions = append(resp.Regions, regions...)
-		resp.Results = append(resp.Results, results...)
-		resp.Err = err
-		rounds := len(regions)
-		if len(req.Exclude) == 0 {
-			rounds-- // the first round of a bare top-k avoids nothing
-		}
-		if rounds > 0 {
-			e.nIndexedExcl.Add(int64(rounds))
-		}
-	case k > 1 || len(req.Exclude) > 0:
-		regions, results, err := SearchTopK(v.ds, req.A, req.B, req.Query, k, req.Exclude, opt)
-		resp.Regions = append(resp.Regions, regions...)
-		resp.Results = append(resp.Results, results...)
-		resp.Err = err
-	default:
-		region, res, _, err := Search(v.ds, req.A, req.B, req.Query, opt)
-		if err != nil {
-			resp.Err = err
-			return
-		}
-		resp.Regions = append(resp.Regions, region)
-		resp.Results = append(resp.Results, res)
-	}
+	resp, stats := Answer(v.ds, idx, req)
+	e.nIndexedExcl.Add(int64(stats.ExcludingRuns))
+	return resp
 }
 
 // QueryBatch answers a batch of requests, running up to
@@ -703,20 +604,10 @@ func (e *Engine) queryIntoPrep(ctx context.Context, v *engineView, req QueryRequ
 // is index-aligned with the requests; per-request failures land in the
 // corresponding response's Err.
 func (e *Engine) QueryBatch(reqs []QueryRequest) []QueryResponse {
-	return e.QueryBatchInto(nil, reqs)
+	return e.QueryBatchCtx(context.Background(), reqs)
 }
 
-// QueryBatchCtx is QueryBatch bounded by a batch-level context (see
-// QueryBatchIntoCtx for the per-request deadline semantics).
-func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []QueryResponse {
-	return e.QueryBatchIntoCtx(ctx, nil, reqs)
-}
-
-// QueryBatchInto is QueryBatch reusing a caller-provided response
-// buffer: the returned slice aliases dst when it has the capacity, and
-// each retained response's Regions/Results backing arrays are reused
-// too. Serving loops that answer batch after batch hold allocations
-// steady by passing the previous batch's slice back in.
+// QueryBatchCtx is QueryBatch bounded by a batch-level context.
 //
 // Before dispatch the batch goes through a grouping pass (unless
 // EngineOptions.DisableBatchGrouping): bitwise-identical requests —
@@ -726,11 +617,7 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []Query
 // share one prepared query shape (master rectangles, accuracy, pyramid
 // binding) built once per group instead of once per query. Per-request
 // answers are bit-identical with grouping on or off.
-func (e *Engine) QueryBatchInto(dst []QueryResponse, reqs []QueryRequest) []QueryResponse {
-	return e.QueryBatchIntoCtx(context.Background(), dst, reqs)
-}
-
-// QueryBatchIntoCtx is QueryBatchInto bounded by a batch-level context.
+//
 // Each request additionally honors its own QueryRequest.Ctx (per-query
 // deadline), with one dedup subtlety: a group of byte-identical requests
 // is answered by a single search that runs under the group's latest
@@ -738,19 +625,14 @@ func (e *Engine) QueryBatchInto(dst []QueryResponse, reqs []QueryRequest) []Quer
 // other members still need, and a group where every member is bounded
 // never runs unbounded. Members whose own context has expired by
 // delivery time get their context error instead of the shared answer.
-func (e *Engine) QueryBatchIntoCtx(ctx context.Context, dst []QueryResponse, reqs []QueryRequest) []QueryResponse {
+func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []QueryResponse {
 	if ctx == nil {
 		// The dedup-group contexts below derive from ctx and would panic
 		// on nil; the single-query path merely tolerates it. Accept nil
 		// uniformly across the Ctx entry points.
 		ctx = context.Background()
 	}
-	var out []QueryResponse
-	if cap(dst) >= len(reqs) {
-		out = dst[:len(reqs)]
-	} else {
-		out = make([]QueryResponse, len(reqs))
-	}
+	out := make([]QueryResponse, len(reqs))
 	if len(reqs) == 0 {
 		return out
 	}
@@ -856,7 +738,7 @@ func (e *Engine) QueryBatchIntoCtx(ctx context.Context, dst []QueryResponse, req
 		}
 	}
 	// Member contexts already dead at entry are noted now: those members
-	// get their error (matching queryIntoPrep's solo early-exit), while
+	// get their error (matching answer's solo early-exit), while
 	// members whose deadline merely passes later in the batch — after
 	// their group's answer was already computed — keep the answer, the
 	// batch analogue of the kernel's completed-answer-wins rule.
@@ -882,7 +764,7 @@ func (e *Engine) QueryBatchIntoCtx(ctx context.Context, dst []QueryResponse, req
 		if hasDup != nil && hasDup[i] {
 			req.Ctx = groupCtx[i] // nil → the batch context
 		}
-		e.queryIntoPrep(ctx, v, req, &out[i], prepFor(i))
+		out[i] = e.answer(ctx, v, req, prepFor(i))
 	}
 	finish := func() []QueryResponse {
 		if dupOf != nil {
@@ -911,9 +793,7 @@ func (e *Engine) QueryBatchIntoCtx(ctx context.Context, dst []QueryResponse, req
 					continue
 				}
 				if cerr := reqs[i].Ctx.Err(); cerr != nil {
-					out[i].Regions = out[i].Regions[:0]
-					out[i].Results = out[i].Results[:0]
-					out[i].Err = cerr
+					out[i] = QueryResponse{Err: cerr}
 				}
 			}
 		}
@@ -1091,24 +971,13 @@ func dedupKey(kb *strings.Builder, req *QueryRequest) {
 }
 
 // copyResponse deep-copies a canonical response into a duplicate
-// request's slot, reusing the destination's backing arrays — including
-// each retained result's Rep buffer, so dedup-heavy serving loops hold
-// allocations steady batch after batch.
+// request's slot — each result's Rep included, so no two responses of a
+// batch alias one buffer.
 func copyResponse(dst, src *QueryResponse) {
-	dst.Regions = append(dst.Regions[:0], src.Regions...)
-	n := len(src.Results)
-	if cap(dst.Results) >= n {
-		dst.Results = dst.Results[:n]
-	} else {
-		dst.Results = make([]Result, n)
-	}
-	for i := range src.Results {
-		// Read the slot's previous Rep buffer before overwriting the
-		// struct; it is slot-owned (earlier copies detached it), never an
-		// alias of the canonical's.
-		rep := append(dst.Results[i].Rep[:0], src.Results[i].Rep...)
-		dst.Results[i] = src.Results[i]
-		dst.Results[i].Rep = rep
+	dst.Regions = append([]Rect(nil), src.Regions...)
+	dst.Results = append([]Result(nil), src.Results...)
+	for i := range dst.Results {
+		dst.Results[i].Rep = append([]float64(nil), dst.Results[i].Rep...)
 	}
 	dst.Err = src.Err
 }

@@ -162,7 +162,7 @@ func TestEnginePyramidRoundTripServing(t *testing.T) {
 
 // TestBatchSteadyStateAllocs is the alloc-regression assertion of the
 // batch path: once the engine is warm (pyramid built, slabs populated),
-// answering a whole batch through QueryBatchInto must stay under a
+// answering a whole batch through QueryBatch must stay under a
 // small per-query allocation budget — the per-worker scratch is reused
 // across the queries of a batch instead of re-acquired.
 func TestBatchSteadyStateAllocs(t *testing.T) {
@@ -174,11 +174,10 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp []asrs.QueryResponse
-	resp = eng.QueryBatchInto(resp, reqs) // warm: builds pyramid, slabs, scratch
-	resp = eng.QueryBatchInto(resp, reqs)
+	eng.QueryBatch(reqs) // warm: builds pyramid, slabs, scratch
+	eng.QueryBatch(reqs)
 	allocs := testing.AllocsPerRun(5, func() {
-		resp = eng.QueryBatchInto(resp, reqs)
+		eng.QueryBatch(reqs)
 	})
 	perQuery := allocs / float64(len(reqs))
 	// The budget is deliberately loose (kernel heap growth, response Rep

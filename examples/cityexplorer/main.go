@@ -38,11 +38,14 @@ func main() {
 
 	// Search for the most similar region of the same size, excluding the
 	// example itself (it would trivially match with distance 0).
-	region, res, _, err := asrs.SearchExcluding(ds,
-		orchard.Rect.Width(), orchard.Rect.Height(), q, orchard.Rect, asrs.Options{})
-	if err != nil {
-		log.Fatal(err)
+	resp, _ := asrs.Answer(ds, nil, asrs.QueryRequest{
+		Query: q, A: orchard.Rect.Width(), B: orchard.Rect.Height(),
+		Exclude: []asrs.Rect{orchard.Rect},
+	})
+	if resp.Err != nil {
+		log.Fatal(resp.Err)
 	}
+	region, res := resp.Best()
 
 	fmt.Printf("you liked:            %s %v\n", orchard.Name, orchard.Rect)
 	fmt.Printf("you might also like:  %v (distance %.0f)\n", region, res.Dist)

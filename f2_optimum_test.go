@@ -49,10 +49,11 @@ func TestF2OptimumOnClampedEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Norm = asrs.L2
-	_, base, err := asrs.SearchBaseline(ds, a, b, q)
-	if err != nil {
-		t.Fatal(err)
+	baseResp := asrs.SearchBaseline(ds, asrs.QueryRequest{Query: q, A: a, B: b})
+	if baseResp.Err != nil {
+		t.Fatal(baseResp.Err)
 	}
+	_, base := baseResp.Best()
 	_, plain, _, err := asrs.Search(ds, a, b, q, asrs.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -16,10 +16,11 @@ func TestFacadeTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := asrs.QueryFromTarget(f, []float64{3, 2, 1}, nil)
-	regions, results, err := asrs.SearchTopK(ds, 8, 8, q, 3, nil, asrs.Options{})
-	if err != nil {
-		t.Fatal(err)
+	resp, _ := asrs.Answer(ds, nil, asrs.QueryRequest{Query: q, A: 8, B: 8, TopK: 3})
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
 	}
+	regions, results := resp.Regions, resp.Results
 	if len(regions) != 3 {
 		t.Fatalf("regions = %d", len(regions))
 	}

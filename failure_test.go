@@ -132,9 +132,6 @@ func TestInconsistentQueries(t *testing.T) {
 	if _, _, _, err := asrs.Search(ds, 1, 1, q, asrs.Options{Delta: -0.5}); err == nil {
 		t.Error("negative delta accepted")
 	}
-	if _, _, err := asrs.SearchTopK(ds, 1, 1, q, -2, nil, asrs.Options{}); err == nil {
-		t.Error("negative k accepted")
-	}
 }
 
 func TestQueryRegionOutsideData(t *testing.T) {

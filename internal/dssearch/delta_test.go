@@ -347,7 +347,7 @@ func TestDeltaFoldLeavesBaseAlone(t *testing.T) {
 			defer wg.Done()
 			q := asp.Query{F: f, Target: target}
 			for i := 0; i < 4; i++ {
-				_, got, _, err := SolveASRS(ds, 9, 8, q, Options{Workers: 2, Pyramid: base})
+				_, got, _, err := SolveASRS(ds, 9, 8, q, nil, nil, Options{Workers: 2, Pyramid: base})
 				if err != nil || math.Float64bits(got.Dist) != math.Float64bits(want.Dist) || got.Point != want.Point {
 					t.Errorf("query during fold: %v@%v (err %v), want %v@%v", got.Dist, got.Point, err, want.Dist, want.Point)
 					return

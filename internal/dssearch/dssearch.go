@@ -1,8 +1,8 @@
 // Package dssearch implements the paper's primary contribution: the
 // Discretize-and-Split search (DS-Search) algorithm for the ASP problem
 // (paper §4), its (1+δ)-approximate variant (§6), and the ASRS front door
-// that reduces a region query to ASP and maps the answer point back to a
-// region (Theorem 1).
+// (Request, request.go) that reduces a region request to ASP and maps each
+// round's answer point back to a region (Theorem 1).
 //
 // DS-Search repeatedly discretizes a space into an n_row×n_col grid,
 // evaluates clean cells exactly, lower-bounds dirty cells via Equation 1,
@@ -88,8 +88,8 @@ type Options struct {
 	// Slabs, when non-nil, recycles the per-query table slabs (sorted
 	// coordinate arrays, contribution tables, anchor bins, discretization
 	// grids, sweep solvers, id arenas) across searches. Callers that set
-	// it must call Searcher.Release (the package front doors do) when
-	// the search is done.
+	// it must call Searcher.Release (Request.Close does) when the search
+	// is done.
 	Slabs *SlabCache
 	// Pyramid, when non-nil and built for the query's composite over the
 	// same master cardinality, binds the searcher to the persistent
@@ -99,15 +99,13 @@ type Options struct {
 	// per-query work (DESIGN.md §6). Answers are bit-identical to the
 	// unassisted path; the binding silently falls back to the classic
 	// build when it cannot guarantee that (wrong composite, wrong
-	// cardinality, non-TR anchor, or anchor collapse under translation).
+	// cardinality, or anchor collapse under translation).
 	Pyramid *Pyramid
 	// Prepared, when non-nil, additionally shares the per-query-shape
 	// state (materialized master rectangles, GPS accuracy) across every
 	// query with the same (a, b) extent — the Engine's batch grouping
 	// builds one Prepared per group. Implies Pyramid (it carries one).
 	Prepared *Prepared
-	// Anchor picks the reduction anchor (default: top-right corner).
-	Anchor asp.Anchor
 	// SharedCap, when non-nil, attaches a cross-search shared pruning
 	// cap to every bound this search creates: merge barriers publish the
 	// running best distance into it, and the threshold folds sibling
@@ -258,8 +256,7 @@ func newSearcher(rects []asp.RectObject, q asp.Query, opt Options, own bool) (*S
 	tab := opt.Slabs.get()
 	var master []asp.RectObject
 	prepBound, bound := false, false
-	if prep := opt.Prepared; prep != nil && prep.p != nil && rects == nil &&
-		opt.Anchor == asp.AnchorTR && prep.p.f == q.F {
+	if prep := opt.Prepared; prep != nil && prep.p != nil && rects == nil && prep.p.f == q.F {
 		// Group-shared shape: the master materialization and accuracy were
 		// computed once by Pyramid.Prepare and are shared read-only by
 		// every query in the group. The Prepared binds through its OWN
@@ -273,7 +270,7 @@ func newSearcher(rects []asp.RectObject, q asp.Query, opt Options, own bool) (*S
 		master = prep.master
 		prep.p.bindPrepared(tab, prep)
 		prepBound, bound = true, true
-	} else if p := opt.Pyramid; p != nil && opt.Anchor == asp.AnchorTR && p.f == q.F && len(rects) == p.n {
+	} else if p := opt.Pyramid; p != nil && p.f == q.F && len(rects) == p.n {
 		if m, ok := p.bind(tab, rects); ok {
 			master = m
 			bound = true
@@ -933,101 +930,16 @@ func (s *Searcher) SeedBest(r asp.Result) { s.best = r }
 // layer sorted it).
 func (s *Searcher) Rects() []asp.RectObject { return s.rects }
 
-// SolveASRSExcluding solves the ASRS problem restricted to answer regions
-// that do not overlap the exclude rectangle (beyond shared boundary).
-// This supports query-by-example with a real query region, where the
-// query region itself would otherwise be the trivial zero-distance
-// answer (§7.6's case study: query "Orchard", answer "Marina Bay"). It is
-// the k = 1 case of SolveASRSTopK and requires the default
-// top-right-corner anchor.
-func SolveASRSExcluding(ds *attr.Dataset, a, b float64, q asp.Query, exclude geom.Rect, opt Options) (geom.Rect, asp.Result, Stats, error) {
-	regions, results, stats, err := SolveASRSTopK(ds, a, b, q, 1, []geom.Rect{exclude}, opt)
-	if err != nil {
-		return geom.Rect{}, asp.Result{}, stats, err
-	}
-	return regions[0], results[0], stats, nil
-}
-
-// SolveASRSTopK returns up to k non-overlapping similar regions in
-// increasing distance order: the greedy sequence "best region, best
-// region not overlapping the first, …". The optional extra exclusions
-// (typically the example query region) apply to every answer. Each round
-// searches the space minus the forbidden boxes of everything excluded so
-// far (pieces.go), piece by piece; the returned Stats sum the rounds.
-// This is an extension beyond the paper, built from the same machinery.
-func SolveASRSTopK(ds *attr.Dataset, a, b float64, q asp.Query, k int, exclude []geom.Rect, opt Options) ([]geom.Rect, []asp.Result, Stats, error) {
-	if k <= 0 {
-		return nil, nil, Stats{}, fmt.Errorf("dssearch: top-k requires k >= 1, got %d", k)
-	}
-	if opt.Anchor != asp.AnchorTR {
-		return nil, nil, Stats{}, fmt.Errorf("dssearch: top-k and exclusions require the top-right-corner anchor")
-	}
-	rects, err := ReduceForSearch(ds, a, b, q.F, opt)
-	if err != nil {
-		return nil, nil, Stats{}, err
-	}
-	s, err := NewSearcherOwning(rects, q, opt)
-	if err != nil {
-		return nil, nil, Stats{}, err
-	}
-	defer s.Release()
-	space := asp.Space(s.rects)
-	excl := append([]geom.Rect(nil), exclude...)
-	regions := make([]geom.Rect, 0, k)
-	results := make([]asp.Result, 0, k)
-	var pieces []geom.Rect
-	for i := 0; i < k; i++ {
-		s.best = s.emptyResult(space)
-		if len(s.rects) > 0 {
-			pieces = AppendPieces(pieces[:0], space, ForbiddenBoxes(excl, a, b))
-			for _, p := range pieces {
-				s.SolveWithin(p, 0)
-			}
-		}
-		if err := s.Err(); err != nil {
-			return nil, nil, s.Stats, err
-		}
-		s.best.Rep = s.PointRepresentation(s.best.Point)
-		s.best.Dist = s.query.Distance(s.best.Rep)
-		region := opt.Anchor.RegionFor(s.best.Point, a, b)
-		regions = append(regions, region)
-		results = append(results, s.best)
-		excl = append(excl, region)
-	}
-	return regions, results, s.Stats, nil
-}
-
-// ReduceForSearch performs the ASP reduction for a search unless a
-// valid Prepared shape (Options.Prepared built by Pyramid.Prepare for
-// exactly this dataset, composite and extent) short-circuits it: the
-// prepared master is bound inside newSearcher, so no per-query
-// rectangle array is materialized at all. The returned slice is nil
-// exactly when the Prepared shape applies.
+// ReduceForSearch performs the ASP reduction for a search (Definition 5,
+// top-right-corner anchor: the answer point is the region's bottom-left
+// corner) unless a valid Prepared shape (Options.Prepared built by
+// Pyramid.Prepare for exactly this dataset, composite and extent)
+// short-circuits it: the prepared master is bound inside newSearcher, so
+// no per-query rectangle array is materialized at all. The returned
+// slice is nil exactly when the Prepared shape applies.
 func ReduceForSearch(ds *attr.Dataset, a, b float64, f *agg.Composite, opt Options) ([]asp.RectObject, error) {
-	if opt.Prepared.For(ds, f, a, b) && opt.Anchor == asp.AnchorTR {
+	if opt.Prepared.For(ds, f, a, b) {
 		return nil, nil
 	}
-	return asp.Reduce(ds, a, b, opt.Anchor)
-}
-
-// SolveASRS is the package front door: it solves the ASRS problem for a
-// dataset directly. It reduces to ASP (Definition 5), runs DS-Search, and
-// returns the answer region (Theorem 1) along with the answer
-// representation and distance.
-func SolveASRS(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (geom.Rect, asp.Result, Stats, error) {
-	rects, err := ReduceForSearch(ds, a, b, q.F, opt)
-	if err != nil {
-		return geom.Rect{}, asp.Result{}, Stats{}, err
-	}
-	s, err := NewSearcherOwning(rects, q, opt)
-	if err != nil {
-		return geom.Rect{}, asp.Result{}, Stats{}, err
-	}
-	defer s.Release()
-	res := s.Solve()
-	if err := s.Err(); err != nil {
-		return geom.Rect{}, asp.Result{}, s.Stats, err
-	}
-	region := opt.Anchor.RegionFor(res.Point, a, b)
-	return region, res, s.Stats, nil
+	return asp.Reduce(ds, a, b, asp.AnchorTR)
 }

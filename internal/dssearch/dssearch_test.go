@@ -135,7 +135,7 @@ func TestSolveASRSRoundTrip(t *testing.T) {
 	ds := dataset.Random(50, 40, 7)
 	q := randomQuery(t, ds, rng)
 	a, b := 6.0, 5.0
-	region, res, stats, err := dssearch.SolveASRS(ds, a, b, q, dssearch.Options{})
+	region, res, stats, err := dssearch.SolveASRS(ds, a, b, q, nil, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +152,23 @@ func TestSolveASRSRoundTrip(t *testing.T) {
 }
 
 // TestAnchorsAgree: the optimum distance is independent of the reduction
-// anchor.
+// anchor (searches always reduce with the top-right corner; the others
+// are reduced here and handed to a searcher directly).
 func TestAnchorsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ds := dataset.Random(35, 40, 17)
 	q := randomQuery(t, ds, rng)
 	var dists []float64
 	for _, an := range []asp.Anchor{asp.AnchorTR, asp.AnchorTL, asp.AnchorBR, asp.AnchorBL, asp.AnchorCenter} {
-		_, res, _, err := dssearch.SolveASRS(ds, 7, 6, q, dssearch.Options{Anchor: an})
+		rects, err := asp.Reduce(ds, 7, 6, an)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dists = append(dists, res.Dist)
+		s, err := dssearch.NewSearcher(rects, q, dssearch.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dists = append(dists, s.Solve().Dist)
 	}
 	for i := 1; i < len(dists); i++ {
 		if math.Abs(dists[i]-dists[0]) > 1e-9 {

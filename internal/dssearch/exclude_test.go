@@ -29,7 +29,7 @@ func TestSearchExcludingAvoidsRegion(t *testing.T) {
 		rq := geom.Rect{MinX: center.X - a/2, MinY: center.Y - b/2, MaxX: center.X + a/2, MaxY: center.Y + b/2}
 		q := asp.Query{F: f, Target: f.Representation(ds, agg.OpenRect{MinX: rq.MinX, MinY: rq.MinY, MaxX: rq.MaxX, MaxY: rq.MaxY})}
 
-		region, res, _, err := dssearch.SolveASRSExcluding(ds, a, b, q, rq, dssearch.Options{NCol: 10, NRow: 10})
+		region, res, _, err := dssearch.SolveASRS(ds, a, b, q, nil, []geom.Rect{rq}, dssearch.Options{NCol: 10, NRow: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,26 +59,16 @@ func TestSearchExcludingDisjoint(t *testing.T) {
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
 	q := asp.Query{F: f, Target: []float64{2, 2, 2}}
 	a, b := 6.0, 6.0
-	_, want, _, err := dssearch.SolveASRS(ds, a, b, q, dssearch.Options{})
+	_, want, _, err := dssearch.SolveASRS(ds, a, b, q, nil, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	far := geom.Rect{MinX: -500, MinY: -500, MaxX: -490, MaxY: -490}
-	_, got, _, err := dssearch.SolveASRSExcluding(ds, a, b, q, far, dssearch.Options{})
+	_, got, _, err := dssearch.SolveASRS(ds, a, b, q, nil, []geom.Rect{far}, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got.Dist-want.Dist) > 1e-9 {
 		t.Fatalf("disjoint exclusion changed answer: %g vs %g", got.Dist, want.Dist)
-	}
-}
-
-func TestSearchExcludingRejectsNonTRAnchor(t *testing.T) {
-	ds := dataset.Random(5, 10, 32)
-	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
-	q := asp.Query{F: f, Target: []float64{0, 0, 0}}
-	_, _, _, err := dssearch.SolveASRSExcluding(ds, 2, 2, q, geom.Rect{}, dssearch.Options{Anchor: asp.AnchorBL})
-	if err == nil {
-		t.Fatal("non-TR anchor accepted")
 	}
 }

@@ -2,8 +2,22 @@ package dssearch
 
 import (
 	"asrs/internal/asp"
+	"asrs/internal/attr"
 	"asrs/internal/geom"
 )
+
+// SolveASRS answers one single-best request through the package front
+// door — whole space or extent, one round under the exclusions — for the
+// tests that check what a round answers rather than how rounds chain.
+func SolveASRS(ds *attr.Dataset, a, b float64, q asp.Query, within *geom.Rect, exclude []geom.Rect, opt Options) (geom.Rect, asp.Result, Stats, error) {
+	r, err := Open(ds, a, b, q, within, opt)
+	if err != nil {
+		return geom.Rect{}, asp.Result{}, Stats{}, err
+	}
+	defer r.Close()
+	region, res, err := r.Best(exclude)
+	return region, res, r.Stats(), err
+}
 
 // DiscretizeHarness drives Function Discretize on one worker from the
 // external test package, which — unlike this one — may import

@@ -2,11 +2,12 @@ package dssearch
 
 import "asrs/internal/geom"
 
-// The exclusion geometry every front door shares — SolveASRSTopK over the
-// whole space, the windowed searches of within.go, and GI-DS cutting its
-// margins and index cells (internal/gridindex): an excluded rectangle
-// forbids an open box of answer points, and a search space minus those
-// boxes is a list of closed pieces, each searched on its own.
+// The exclusion geometry every search shares — a Request's rounds over the
+// whole space or an anchor window (request.go), GI-DS cutting its margins
+// and index cells (internal/gridindex), and the baseline oracle: an
+// excluded rectangle forbids an open box of answer points, and a search
+// space minus those boxes is a list of closed pieces, each searched on
+// its own.
 
 // ForbiddenBoxes returns, per excluded rectangle, the box of answer
 // points whose a×b region would overlap it: under the top-right anchor

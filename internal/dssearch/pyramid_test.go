@@ -64,7 +64,7 @@ func solvePyr(t *testing.T, ds *attr.Dataset, f *agg.Composite, a, b float64, ta
 	t.Helper()
 	q := asp.Query{F: f, Target: target}
 	opt := Options{Workers: workers, Pyramid: p, Prepared: prep}
-	region, res, _, err := SolveASRS(ds, a, b, q, opt)
+	region, res, _, err := SolveASRS(ds, a, b, q, nil, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestPreparedForeignPyramid(t *testing.T) {
 	target := make([]float64, f.Dims())
 	target[0] = 3
 	q := asp.Query{F: f, Target: target}
-	_, want, _, err := SolveASRS(ds, 5, 4, q, Options{})
+	_, want, _, err := SolveASRS(ds, 5, 4, q, nil, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, _, err := SolveASRS(ds, 5, 4, q, Options{Prepared: prep, Pyramid: p2})
+	_, got, _, err := SolveASRS(ds, 5, 4, q, nil, nil, Options{Prepared: prep, Pyramid: p2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestPyramidSlabReuse(t *testing.T) {
 	slabs := &SlabCache{}
 	q := asp.Query{F: f, Target: target}
 
-	_, want, _, err := SolveASRS(ds, 6, 5, q, Options{})
+	_, want, _, err := SolveASRS(ds, 6, 5, q, nil, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestPyramidSlabReuse(t *testing.T) {
 		if round%2 == 0 {
 			opt.Pyramid = p
 		}
-		_, got, _, err := SolveASRS(ds, 6, 5, q, opt)
+		_, got, _, err := SolveASRS(ds, 6, 5, q, nil, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

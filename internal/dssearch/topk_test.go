@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"asrs"
 	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/dataset"
@@ -22,10 +23,11 @@ func TestTopKNonOverlappingAndOrdered(t *testing.T) {
 		target := []float64{float64(rng.Intn(5)), float64(rng.Intn(5)), float64(rng.Intn(5))}
 		q := asp.Query{F: f, Target: target}
 		const k = 4
-		regions, results, _, err := dssearch.SolveASRSTopK(ds, 7, 7, q, k, nil, dssearch.Options{NCol: 10, NRow: 10})
-		if err != nil {
-			t.Fatal(err)
+		resp, _ := asrs.Answer(ds, nil, asrs.QueryRequest{Query: q, A: 7, B: 7, TopK: k, Options: &dssearch.Options{NCol: 10, NRow: 10}})
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
 		}
+		regions, results := resp.Regions, resp.Results
 		if len(regions) != k || len(results) != k {
 			t.Fatalf("got %d regions, want %d", len(regions), k)
 		}
@@ -40,7 +42,7 @@ func TestTopKNonOverlappingAndOrdered(t *testing.T) {
 			}
 		}
 		// The first answer must match the unconstrained optimum.
-		_, best, _, err := dssearch.SolveASRS(ds, 7, 7, q, dssearch.Options{NCol: 10, NRow: 10})
+		_, best, _, err := dssearch.SolveASRS(ds, 7, 7, q, nil, nil, dssearch.Options{NCol: 10, NRow: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,25 +57,13 @@ func TestTopKRespectsExternalExclusion(t *testing.T) {
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
 	q := asp.Query{F: f, Target: []float64{3, 3, 3}}
 	avoid := geom.Rect{MinX: 10, MinY: 10, MaxX: 30, MaxY: 30}
-	regions, _, _, err := dssearch.SolveASRSTopK(ds, 6, 6, q, 3, []geom.Rect{avoid}, dssearch.Options{})
-	if err != nil {
-		t.Fatal(err)
+	resp, _ := asrs.Answer(ds, nil, asrs.QueryRequest{Query: q, A: 6, B: 6, TopK: 3, Exclude: []geom.Rect{avoid}})
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
 	}
-	for i, r := range regions {
+	for i, r := range resp.Regions {
 		if r.IntersectsOpen(avoid) {
 			t.Fatalf("region %d (%v) overlaps exclusion %v", i, r, avoid)
 		}
-	}
-}
-
-func TestTopKValidation(t *testing.T) {
-	ds := dataset.Random(5, 10, 52)
-	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
-	q := asp.Query{F: f, Target: []float64{0, 0, 0}}
-	if _, _, _, err := dssearch.SolveASRSTopK(ds, 2, 2, q, 0, nil, dssearch.Options{}); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, _, _, err := dssearch.SolveASRSTopK(ds, 2, 2, q, 2, nil, dssearch.Options{Anchor: asp.AnchorBL}); err == nil {
-		t.Error("non-TR anchor accepted")
 	}
 }

@@ -34,7 +34,7 @@ func TestSolveWithinContainsAnswer(t *testing.T) {
 			q.Target[i] = rng.Float64() * 4
 		}
 
-		region, res, _, err := dssearch.SolveASRSWithin(ds, a, b, q, within, nil, dssearch.Options{NCol: 10, NRow: 10})
+		region, res, _, err := dssearch.SolveASRS(ds, a, b, q, &within, nil, dssearch.Options{NCol: 10, NRow: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,13 +67,13 @@ func TestSolveWithinTypedErrors(t *testing.T) {
 	opt := dssearch.Options{NCol: 8, NRow: 8}
 
 	small := geom.Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}
-	if _, _, _, err := dssearch.SolveASRSWithin(ds, 8, 8, q, small, nil, opt); !errors.Is(err, dssearch.ErrExtentTooSmall) {
+	if _, _, _, err := dssearch.SolveASRS(ds, 8, 8, q, &small, nil, opt); !errors.Is(err, dssearch.ErrExtentTooSmall) {
 		t.Fatalf("small extent: err = %v, want ErrExtentTooSmall", err)
 	}
 
 	within := geom.Rect{MinX: 0, MinY: 0, MaxX: 20, MaxY: 20}
 	blocker := geom.Rect{MinX: -10, MinY: -10, MaxX: 40, MaxY: 40}
-	if _, _, _, err := dssearch.SolveASRSWithin(ds, 8, 8, q, within, []geom.Rect{blocker}, opt); !errors.Is(err, dssearch.ErrNoFeasibleRegion) {
+	if _, _, _, err := dssearch.SolveASRS(ds, 8, 8, q, &within, []geom.Rect{blocker}, opt); !errors.Is(err, dssearch.ErrNoFeasibleRegion) {
 		t.Fatalf("blocked extent: err = %v, want ErrNoFeasibleRegion", err)
 	}
 }
@@ -86,7 +86,7 @@ func TestSolveWithinExactFit(t *testing.T) {
 	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
 	a, b := 7.0, 5.0
 	within := geom.Rect{MinX: 11, MinY: 13, MaxX: 11 + a, MaxY: 13 + b}
-	region, res, _, err := dssearch.SolveASRSWithin(ds, a, b, q, within, nil, dssearch.Options{NCol: 8, NRow: 8})
+	region, res, _, err := dssearch.SolveASRS(ds, a, b, q, &within, nil, dssearch.Options{NCol: 8, NRow: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSolveWithinEmptyCorpus(t *testing.T) {
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
 	q := asp.Query{F: f, Target: []float64{1, 2, 3}}
 	within := geom.Rect{MinX: 0, MinY: 0, MaxX: 30, MaxY: 30}
-	region, res, _, err := dssearch.SolveASRSWithin(ds, 8, 8, q, within, nil, dssearch.Options{NCol: 8, NRow: 8})
+	region, res, _, err := dssearch.SolveASRS(ds, 8, 8, q, &within, nil, dssearch.Options{NCol: 8, NRow: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +149,8 @@ func TestSolveWithinCorpusIndependence(t *testing.T) {
 			q.Target[i] = rng.Float64() * 3
 		}
 		opt := dssearch.Options{NCol: 10, NRow: 10}
-		r1, res1, _, err1 := dssearch.SolveASRSWithin(full, a, b, q, within, nil, opt)
-		r2, res2, _, err2 := dssearch.SolveASRSWithin(&subset, a, b, q, within, nil, opt)
+		r1, res1, _, err1 := dssearch.SolveASRS(full, a, b, q, &within, nil, opt)
+		r2, res2, _, err2 := dssearch.SolveASRS(&subset, a, b, q, &within, nil, opt)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}

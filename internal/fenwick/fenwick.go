@@ -1,9 +1,8 @@
-// Package fenwick provides a two-dimensional Fenwick (binary indexed)
-// tree over a fixed grid with multiple value channels: O(log²) point
-// updates and rectangular prefix/region sums. It is the substrate that
-// makes the dynamic grid index (gridindex.Dynamic) able to answer the
-// Lemma 8 region-channel queries on a live object stream, where the
-// static index's precomputed suffix tables would need O(grid) per update.
+// Package fenwick provides the one-dimensional range-add / point-query
+// structures, each position carrying several value channels, behind the
+// incremental sweep's strip evaluators (internal/sweep): a Fenwick
+// (binary indexed) tree with O(log n) updates and reads, and its flat
+// difference-array counterpart read by one ascending march.
 package fenwick
 
 import "fmt"
@@ -190,144 +189,4 @@ func (d *Diff1D[T]) PointInto(i int, out []T) {
 		out[c] = 0
 	}
 	d.Advance(-1, i, out)
-}
-
-// Tree2D is a 2D Fenwick tree over an sx×sy grid, each cell carrying
-// `chans` float64 channels. The zero value is not usable; construct with
-// New2D.
-type Tree2D struct {
-	sx, sy, chans int
-	// data is 1-based in both axes: (j*(sx+1)+i)*chans.
-	data []float64
-}
-
-// New2D returns a tree over an sx×sy grid with the given channel count.
-func New2D(sx, sy, chans int) *Tree2D {
-	if sx < 1 || sy < 1 || chans < 1 {
-		panic(fmt.Sprintf("fenwick: invalid dimensions %dx%dx%d", sx, sy, chans))
-	}
-	return &Tree2D{
-		sx:    sx,
-		sy:    sy,
-		chans: chans,
-		data:  make([]float64, (sx+1)*(sy+1)*chans),
-	}
-}
-
-// Dims returns (sx, sy, chans).
-func (t *Tree2D) Dims() (int, int, int) { return t.sx, t.sy, t.chans }
-
-// Add adds delta to channel ch of cell (i, j). Panics on out-of-range
-// positions (callers clamp).
-func (t *Tree2D) Add(i, j, ch int, delta float64) {
-	if i < 0 || i >= t.sx || j < 0 || j >= t.sy {
-		panic(fmt.Sprintf("fenwick: cell (%d,%d) out of %dx%d", i, j, t.sx, t.sy))
-	}
-	if ch < 0 || ch >= t.chans {
-		panic(fmt.Sprintf("fenwick: channel %d out of %d", ch, t.chans))
-	}
-	for x := i + 1; x <= t.sx; x += x & (-x) {
-		for y := j + 1; y <= t.sy; y += y & (-y) {
-			t.data[(y*(t.sx+1)+x)*t.chans+ch] += delta
-		}
-	}
-}
-
-// PrefixInto writes into out the per-channel sums over cells
-// [0, i) × [0, j). out must have length chans; i/j are clamped to the
-// grid.
-func (t *Tree2D) PrefixInto(i, j int, out []float64) {
-	for c := range out {
-		out[c] = 0
-	}
-	if i > t.sx {
-		i = t.sx
-	}
-	if j > t.sy {
-		j = t.sy
-	}
-	if i <= 0 || j <= 0 {
-		return
-	}
-	for x := i; x > 0; x -= x & (-x) {
-		for y := j; y > 0; y -= y & (-y) {
-			base := (y*(t.sx+1) + x) * t.chans
-			for c := 0; c < t.chans; c++ {
-				out[c] += t.data[base+c]
-			}
-		}
-	}
-}
-
-// RegionInto writes into out the per-channel sums over cells
-// [l, r) × [b, tp), via four prefix queries. Empty ranges yield zeros.
-func (t *Tree2D) RegionInto(l, r, b, tp int, out []float64) {
-	if l < 0 {
-		l = 0
-	}
-	if b < 0 {
-		b = 0
-	}
-	if r > t.sx {
-		r = t.sx
-	}
-	if tp > t.sy {
-		tp = t.sy
-	}
-	for c := range out {
-		out[c] = 0
-	}
-	if l >= r || b >= tp {
-		return
-	}
-	tmp := make([]float64, t.chans)
-	t.PrefixInto(r, tp, out)
-	t.PrefixInto(l, tp, tmp)
-	for c := range out {
-		out[c] -= tmp[c]
-	}
-	t.PrefixInto(r, b, tmp)
-	for c := range out {
-		out[c] -= tmp[c]
-	}
-	t.PrefixInto(l, b, tmp)
-	for c := range out {
-		out[c] += tmp[c]
-	}
-}
-
-// RegionIntoBuf is RegionInto with a caller-provided scratch buffer (hot
-// paths avoid the allocation).
-func (t *Tree2D) RegionIntoBuf(l, r, b, tp int, out, tmp []float64) {
-	if l < 0 {
-		l = 0
-	}
-	if b < 0 {
-		b = 0
-	}
-	if r > t.sx {
-		r = t.sx
-	}
-	if tp > t.sy {
-		tp = t.sy
-	}
-	for c := range out {
-		out[c] = 0
-	}
-	if l >= r || b >= tp {
-		return
-	}
-	t.PrefixInto(r, tp, out)
-	t.PrefixInto(l, tp, tmp)
-	for c := range out {
-		out[c] -= tmp[c]
-	}
-	t.PrefixInto(r, b, tmp)
-	for c := range out {
-		out[c] -= tmp[c]
-	}
-	t.PrefixInto(l, b, tmp)
-	for c := range out {
-		out[c] += tmp[c]
-	}
 }

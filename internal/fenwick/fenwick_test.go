@@ -1,162 +1,43 @@
 package fenwick_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"asrs/internal/fenwick"
 )
 
-// naive2D is the reference: a plain cell grid.
-type naive2D struct {
-	sx, sy, chans int
-	cells         []float64
-}
-
-func newNaive(sx, sy, chans int) *naive2D {
-	return &naive2D{sx: sx, sy: sy, chans: chans, cells: make([]float64, sx*sy*chans)}
-}
-
-func (n *naive2D) add(i, j, ch int, d float64) {
-	n.cells[(j*n.sx+i)*n.chans+ch] += d
-}
-
-func (n *naive2D) region(l, r, b, t int, out []float64) {
-	for c := range out {
-		out[c] = 0
-	}
-	if l < 0 {
-		l = 0
-	}
-	if b < 0 {
-		b = 0
-	}
-	if r > n.sx {
-		r = n.sx
-	}
-	if t > n.sy {
-		t = n.sy
-	}
-	for j := b; j < t; j++ {
-		for i := l; i < r; i++ {
-			for c := 0; c < n.chans; c++ {
-				out[c] += n.cells[(j*n.sx+i)*n.chans+c]
-			}
-		}
-	}
-}
-
-func TestAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		sx := 1 + rng.Intn(20)
-		sy := 1 + rng.Intn(20)
-		chans := 1 + rng.Intn(4)
-		tree := fenwick.New2D(sx, sy, chans)
-		ref := newNaive(sx, sy, chans)
-		got := make([]float64, chans)
-		want := make([]float64, chans)
-		for op := 0; op < 200; op++ {
-			i, j, ch := rng.Intn(sx), rng.Intn(sy), rng.Intn(chans)
-			d := rng.NormFloat64()
-			tree.Add(i, j, ch, d)
-			ref.add(i, j, ch, d)
-
-			l, r := rng.Intn(sx+1), rng.Intn(sx+1)
-			b, tp := rng.Intn(sy+1), rng.Intn(sy+1)
-			if l > r {
-				l, r = r, l
-			}
-			if b > tp {
-				b, tp = tp, b
-			}
-			tree.RegionInto(l, r, b, tp, got)
-			ref.region(l, r, b, tp, want)
-			for c := range got {
-				if math.Abs(got[c]-want[c]) > 1e-9 {
-					t.Fatalf("trial %d op %d: region [%d,%d)x[%d,%d) ch %d: %g vs %g",
-						trial, op, l, r, b, tp, c, got[c], want[c])
-				}
-			}
-		}
-	}
-}
-
-func TestQuickPrefix(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const sx, sy = 9, 7
-		tree := fenwick.New2D(sx, sy, 1)
-		ref := newNaive(sx, sy, 1)
-		for op := 0; op < 40; op++ {
-			i, j := rng.Intn(sx), rng.Intn(sy)
-			d := float64(rng.Intn(11) - 5)
-			tree.Add(i, j, 0, d)
-			ref.add(i, j, 0, d)
-		}
-		got := make([]float64, 1)
-		want := make([]float64, 1)
-		for i := 0; i <= sx; i++ {
-			for j := 0; j <= sy; j++ {
-				tree.PrefixInto(i, j, got)
-				ref.region(0, i, 0, j, want)
-				if got[0] != want[0] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestClampsAndEmpty: out-of-range ends clamp to the positions that
+// exist, and an empty range changes nothing — on the tree and on its flat
+// counterpart alike.
 func TestClampsAndEmpty(t *testing.T) {
-	tree := fenwick.New2D(4, 4, 2)
-	tree.Add(2, 2, 0, 5)
-	out := make([]float64, 2)
-	tree.RegionInto(-3, 99, -3, 99, out)
-	if out[0] != 5 || out[1] != 0 {
-		t.Fatalf("clamped full region = %v", out)
+	tree := fenwick.New1D[float64](4, 2)
+	var diff fenwick.Diff1D[float64]
+	diff.Reset(4, 2)
+	for _, add := range []func(l, r, ch int, d float64){tree.RangeAdd, diff.RangeAdd} {
+		add(-3, 99, 0, 5) // every position
+		add(3, 1, 0, 7)   // empty
+		add(2, 9, 1, 1)   // positions 2 and 3
 	}
-	tree.RegionInto(3, 1, 0, 4, out)
-	if out[0] != 0 {
-		t.Fatalf("empty region = %v", out)
-	}
-	tree.PrefixInto(0, 4, out)
-	if out[0] != 0 {
-		t.Fatalf("zero-width prefix = %v", out)
-	}
-}
-
-func TestRegionIntoBuf(t *testing.T) {
-	tree := fenwick.New2D(6, 6, 3)
-	rng := rand.New(rand.NewSource(5))
-	for op := 0; op < 100; op++ {
-		tree.Add(rng.Intn(6), rng.Intn(6), rng.Intn(3), rng.NormFloat64())
-	}
-	a := make([]float64, 3)
-	b := make([]float64, 3)
-	tmp := make([]float64, 3)
-	tree.RegionInto(1, 5, 2, 6, a)
-	tree.RegionIntoBuf(1, 5, 2, 6, b, tmp)
-	for c := range a {
-		if a[c] != b[c] {
-			t.Fatalf("buffered variant differs: %v vs %v", a, b)
+	got, flat := make([]float64, 2), make([]float64, 2)
+	for i, want := range [][2]float64{{5, 0}, {5, 0}, {5, 1}, {5, 1}} {
+		tree.PointInto(i, got)
+		diff.PointInto(i, flat)
+		if [2]float64(got) != want || [2]float64(flat) != want {
+			t.Fatalf("position %d: tree %v, flat %v, want %v", i, got, flat, want)
 		}
 	}
 }
 
+// TestPanics: dimensions that cannot hold a position or a channel are a
+// caller bug, reported at construction.
 func TestPanics(t *testing.T) {
+	var diff fenwick.Diff1D[int64]
 	for _, fn := range []func(){
-		func() { fenwick.New2D(0, 3, 1) },
-		func() { fenwick.New2D(3, 3, 0) },
-		func() { fenwick.New2D(3, 3, 1).Add(3, 0, 0, 1) },
-		func() { fenwick.New2D(3, 3, 1).Add(0, -1, 0, 1) },
-		func() { fenwick.New2D(3, 3, 1).Add(0, 0, 1, 1) },
+		func() { fenwick.New1D[float64](0, 1) },
+		func() { fenwick.New1D[int64](3, 0) },
+		func() { diff.Reset(0, 1) },
+		func() { diff.Reset(3, 0) },
 	} {
 		func() {
 			defer func() {
@@ -166,13 +47,6 @@ func TestPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestDims(t *testing.T) {
-	sx, sy, ch := fenwick.New2D(3, 5, 2).Dims()
-	if sx != 3 || sy != 5 || ch != 2 {
-		t.Fatal("Dims")
 	}
 }
 

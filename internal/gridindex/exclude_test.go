@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"asrs"
 	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/attr"
@@ -15,8 +16,8 @@ import (
 )
 
 // TestGIDSExcludingMatchesPlain holds GI-DS under exclusions to plain
-// DS-Search over space minus the same exclusions (dssearch.SolveASRSTopK,
-// k = 1), round by round of a greedy top-4 whose exclusion chain both
+// DS-Search over space minus the same exclusions (asrs.Answer without an
+// index, k = 1), round by round of a greedy top-4 whose exclusion chain both
 // sides are handed, at workers 1 and 3: the distances must agree bit for
 // bit. Small corpora are also held to a brute-force sweep over the
 // un-excluded anchors. Each corpus runs bare and under explicit
@@ -130,14 +131,14 @@ func TestGIDSExcludingMatchesPlain(t *testing.T) {
 					var want asp.Result
 					var wantRegion geom.Rect
 					for _, workers := range []int{1, 3} {
-						regions, results, _, err := dssearch.SolveASRSTopK(ds, a, b, q, 1, excl, dssearch.Options{Workers: workers})
-						if err != nil {
-							t.Fatal(err)
+						plain, _ := asrs.Answer(ds, nil, asrs.QueryRequest{Query: q, A: a, B: b, Exclude: excl, Options: &dssearch.Options{Workers: workers}})
+						if plain.Err != nil {
+							t.Fatal(plain.Err)
 						}
-						if workers == 1 {
-							want, wantRegion = results[0], regions[0]
-						} else if math.Float64bits(results[0].Dist) != math.Float64bits(want.Dist) {
-							t.Fatalf("%s round %d: plain DS-Search answers %v with 3 workers, %v with 1", ex.name, round, results[0].Dist, want.Dist)
+						if region, res := plain.Best(); workers == 1 {
+							want, wantRegion = res, region
+						} else if math.Float64bits(res.Dist) != math.Float64bits(want.Dist) {
+							t.Fatalf("%s round %d: plain DS-Search answers %v with 3 workers, %v with 1", ex.name, round, res.Dist, want.Dist)
 						}
 						got, st := gids(excl, workers)
 						if math.Float64bits(got.Dist) != math.Float64bits(want.Dist) {

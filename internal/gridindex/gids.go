@@ -25,6 +25,7 @@ type Stats struct {
 	CellsExcluded int // cells reached by the best-first loop but wholly forbidden by exclusions (not in CellsSearched)
 	MarginRuns    int // DS-Search runs on the reduction margins
 	Pieces        int // sub-rectangles actually searched: margin runs plus every piece of every searched cell
+	ExcludingRuns int // completed runs that searched under a non-empty exclusion list
 	DS            dssearch.Stats
 }
 
@@ -35,6 +36,7 @@ func (s *Stats) Add(o Stats) {
 	s.CellsExcluded += o.CellsExcluded
 	s.MarginRuns += o.MarginRuns
 	s.Pieces += o.Pieces
+	s.ExcludingRuns += o.ExcludingRuns
 	s.DS.Add(o.DS)
 }
 
@@ -60,9 +62,6 @@ type cellCand struct {
 // order and stopping rule stand as they are. A wholly forbidden cell has
 // no piece and is passed over.
 func Solve(idx *Index, rects []asp.RectObject, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options) (asp.Result, Stats, error) {
-	if opt.Anchor != asp.AnchorTR {
-		return asp.Result{}, Stats{}, fmt.Errorf("gridindex: GI-DS requires the top-right-corner reduction (AnchorTR)")
-	}
 	if idx.f != q.F {
 		return asp.Result{}, Stats{}, fmt.Errorf("gridindex: index was built for a different composite aggregator")
 	}
@@ -155,6 +154,9 @@ func Solve(idx *Index, rects []asp.RectObject, q asp.Query, a, b float64, exclud
 	best.Rep = searcher.PointRepresentation(best.Point)
 	best.Dist = q.Distance(best.Rep)
 	stats.DS = searcher.Stats
+	if len(exclude) > 0 {
+		stats.ExcludingRuns = 1
+	}
 	return best, stats, nil
 }
 

@@ -3,10 +3,10 @@ package harness
 import (
 	"fmt"
 
+	"asrs"
 	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/dataset"
-	"asrs/internal/dssearch"
 	"asrs/internal/geom"
 )
 
@@ -38,10 +38,14 @@ func runCaseStudy(cfg Config) error {
 		return err
 	}
 
-	region, res, _, err := dssearch.SolveASRSExcluding(ds, a, b, q, orchard.Rect, dssearch.Options{Workers: 1})
-	if err != nil {
-		return err
+	// A search plus an exclusion: the example region would otherwise be
+	// its own zero-distance answer.
+	resp, _ := asrs.Answer(ds, nil, asrs.QueryRequest{Query: q, A: a, B: b,
+		Exclude: []geom.Rect{orchard.Rect}, Options: &asrs.Options{Workers: 1}})
+	if resp.Err != nil {
+		return resp.Err
 	}
+	region, res := resp.Best()
 
 	// Identify which named district (if any) the answer matches.
 	found := "(unnamed area)"

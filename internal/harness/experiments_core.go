@@ -3,10 +3,10 @@ package harness
 import (
 	"fmt"
 
+	"asrs"
 	"asrs/internal/asp"
 	"asrs/internal/attr"
 	"asrs/internal/dataset"
-	"asrs/internal/dssearch"
 	"asrs/internal/sweep"
 )
 
@@ -57,25 +57,27 @@ func runBase(w workload, k int) (float64, float64, error) {
 	return ms, dist, err
 }
 
-func runDS(w workload, k, ncol, nrow int) (float64, float64, dssearch.Stats, error) {
+// runSearch times one plain request through the library's one driver
+// (asrs.Answer): DS-Search without an index, GI-DS with one. Workers is
+// pinned to 1: these experiments reproduce the paper's single-threaded
+// algorithm comparison, so kernel parallelism must not inflate either
+// against the sequential Base. The worker sweep lives in
+// BenchmarkWorkersSweep.
+func runSearch(w workload, k int, idx *asrs.Index, opt asrs.Options) (float64, float64, asrs.IndexStats, error) {
 	a, b := querySize(w.ds, k)
 	q, err := w.query(a, b)
 	if err != nil {
-		return 0, 0, dssearch.Stats{}, err
+		return 0, 0, asrs.IndexStats{}, err
 	}
-	var dist float64
-	var stats dssearch.Stats
+	opt.Workers = 1
+	var resp asrs.QueryResponse
+	var stats asrs.IndexStats
 	ms, err := timeIt(func() error {
-		// Workers pinned to 1: these experiments reproduce the paper's
-		// single-threaded algorithm comparison, so kernel parallelism
-		// must not inflate DS-Search against the sequential Base. The
-		// worker sweep lives in BenchmarkWorkersSweep.
-		_, res, st, err := dssearch.SolveASRS(w.ds, a, b, q, dssearch.Options{NCol: ncol, NRow: nrow, Workers: 1})
-		stats = st
-		dist = res.Dist
-		return err
+		resp, stats = asrs.Answer(w.ds, idx, asrs.QueryRequest{Query: q, A: a, B: b, Options: &opt})
+		return resp.Err
 	})
-	return ms, dist, stats, err
+	_, res := resp.Best()
+	return ms, res.Dist, stats, err
 }
 
 func init() {
@@ -93,7 +95,7 @@ func init() {
 					if err != nil {
 						return err
 					}
-					dsMS, dsDist, _, err := runDS(w, k, 30, 30)
+					dsMS, dsDist, _, err := runSearch(w, k, nil, asrs.Options{NCol: 30, NRow: 30})
 					if err != nil {
 						return err
 					}
@@ -117,7 +119,7 @@ func init() {
 					cells := make([]any, 0, 5)
 					cells = append(cells, g)
 					for _, k := range []int{1, 4, 7, 10} {
-						ms, _, _, err := runDS(w, k, g, g)
+						ms, _, _, err := runSearch(w, k, nil, asrs.Options{NCol: g, NRow: g})
 						if err != nil {
 							return err
 						}
@@ -146,7 +148,7 @@ func init() {
 					if err != nil {
 						return err
 					}
-					dsMS, dsDist, _, err := runDS(w, 10, 30, 30)
+					dsMS, dsDist, _, err := runSearch(w, 10, nil, asrs.Options{NCol: 30, NRow: 30})
 					if err != nil {
 						return err
 					}

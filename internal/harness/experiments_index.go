@@ -3,31 +3,10 @@ package harness
 import (
 	"fmt"
 
+	"asrs"
 	"asrs/internal/asp"
-	"asrs/internal/dssearch"
 	"asrs/internal/gridindex"
 )
-
-func runGIDS(w workload, k int, idx *gridindex.Index, delta float64) (float64, float64, gridindex.Stats, error) {
-	a, b := querySize(w.ds, k)
-	q, err := w.query(a, b)
-	if err != nil {
-		return 0, 0, gridindex.Stats{}, err
-	}
-	var dist float64
-	var stats gridindex.Stats
-	ms, err := timeIt(func() error {
-		rects, err := asp.Reduce(w.ds, a, b, asp.AnchorTR)
-		if err != nil {
-			return err
-		}
-		res, st, err := gridindex.Solve(idx, rects, q, a, b, nil, dssearch.Options{Delta: delta, Workers: 1})
-		stats = st
-		dist = res.Dist
-		return err
-	})
-	return ms, dist, stats, err
-}
 
 // buildIndex constructs the index for a workload's composite aggregator.
 // The composite comes from the workload query at a nominal size (the
@@ -93,13 +72,13 @@ func init() {
 					iws = append(iws, iw)
 				}
 				for _, k := range []int{1, 4, 7, 10} {
-					dsMS, dsDist, _, err := runDS(w, k, 30, 30)
+					dsMS, dsDist, _, err := runSearch(w, k, nil, asrs.Options{NCol: 30, NRow: 30})
 					if err != nil {
 						return err
 					}
 					cells := []any{fmt.Sprintf("%dq", k), dsMS}
 					for _, iw := range iws {
-						ms, dist, _, err := runGIDS(iw.workload, k, iw.idx, 0)
+						ms, dist, _, err := runSearch(iw.workload, k, iw.idx, asrs.Options{Delta: 0})
 						if err != nil {
 							return err
 						}
@@ -130,7 +109,7 @@ func init() {
 				}
 				cells := []any{fmt.Sprintf("%dx%d", g, g)}
 				for _, k := range []int{1, 4, 7, 10} {
-					_, _, stats, err := runGIDS(iw.workload, k, iw.idx, 0)
+					_, _, stats, err := runSearch(iw.workload, k, iw.idx, asrs.Options{Delta: 0})
 					if err != nil {
 						return err
 					}
@@ -169,7 +148,7 @@ func init() {
 					}
 					cells := []any{mult * unit}
 					for _, delta := range []float64{0.1, 0.2, 0.3, 0.4} {
-						ms, _, _, err := runGIDS(iw.workload, 10, iw.idx, delta)
+						ms, _, _, err := runSearch(iw.workload, 10, iw.idx, asrs.Options{Delta: delta})
 						if err != nil {
 							return err
 						}
@@ -195,13 +174,13 @@ func init() {
 				if err != nil {
 					return err
 				}
-				_, dopt, _, err := runGIDS(iw.workload, 10, iw.idx, 0)
+				_, dopt, _, err := runSearch(iw.workload, 10, iw.idx, asrs.Options{Delta: 0})
 				if err != nil {
 					return err
 				}
 				cells := []any{mult * unit}
 				for _, delta := range []float64{0.1, 0.2, 0.3, 0.4} {
-					_, dapp, _, err := runGIDS(iw.workload, 10, iw.idx, delta)
+					_, dapp, _, err := runSearch(iw.workload, 10, iw.idx, asrs.Options{Delta: delta})
 					if err != nil {
 						return err
 					}

@@ -186,11 +186,16 @@ func DS(points []Point, a, b float64, opt dssearch.Options) (Result, dssearch.St
 		}
 	}
 	q := asp.Query{F: f, Target: []float64{posSum + 1}}
-	region, res, stats, err := dssearch.SolveASRS(ds, a, b, q, opt)
+	req, err := dssearch.Open(ds, a, b, q, nil, opt)
 	if err != nil {
-		return Result{}, stats, err
+		return Result{}, dssearch.Stats{}, err
 	}
-	return Result{Corner: region.BL(), Weight: res.Rep[0], Region: region}, stats, nil
+	defer req.Close()
+	region, res, err := req.Best(nil)
+	if err != nil {
+		return Result{}, req.Stats(), err
+	}
+	return Result{Corner: region.BL(), Weight: res.Rep[0], Region: region}, req.Stats(), nil
 }
 
 // BruteForce enumerates every disjoint region; the test oracle.

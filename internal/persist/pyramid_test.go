@@ -57,7 +57,12 @@ func answer(t *testing.T, ds *attr.Dataset, f *agg.Composite, p *dssearch.Pyrami
 	target := make([]float64, f.Dims())
 	target[0] = 4
 	q := asp.Query{F: f, Target: target}
-	region, res, _, err := dssearch.SolveASRS(ds, 6, 7, q, dssearch.Options{Pyramid: p})
+	req, err := dssearch.Open(ds, 6, 7, q, nil, dssearch.Options{Pyramid: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer req.Close()
+	region, res, err := req.Best(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

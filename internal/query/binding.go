@@ -58,21 +58,8 @@ type RouterBinding struct {
 
 // Query implements Binding.
 func (b RouterBinding) Query(ctx context.Context, req asrs.QueryRequest) (asrs.QueryResponse, *wire.Coverage) {
-	resp := b.R.Query(ctx, shard.Request{
-		Query:   req.Query,
-		A:       req.A,
-		B:       req.B,
-		TopK:    req.TopK,
-		Exclude: req.Exclude,
-		Extent:  req.Within,
-		Policy:  b.Policy,
-		Options: req.Options,
-	})
-	cov := &wire.Coverage{Shards: resp.Coverage.Shards, Searched: resp.Coverage.Searched}
-	for _, sk := range resp.Coverage.Skipped {
-		cov.Skipped = append(cov.Skipped, wire.SkippedShard{Shard: sk.Shard, Reason: sk.Reason})
-	}
-	return asrs.QueryResponse{Regions: resp.Regions, Results: resp.Results, Err: resp.Err}, cov
+	resp := b.R.Answer(ctx, req, b.Policy)
+	return asrs.QueryResponse{Regions: resp.Regions, Results: resp.Results, Err: resp.Err}, &resp.Coverage
 }
 
 // Dataset implements Binding.

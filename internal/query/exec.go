@@ -22,14 +22,15 @@ type Row struct {
 // Stream is a lazy result iterator: each Next issues at most the
 // backend work needed for ONE more answer (one greedy round per
 // candidate), so the first result is on the wire before later rounds
-// have run at all. The greedy round sequence — single-best search with
-// the accumulated exclusion set, each round's region appended whether
-// or not a filter accepts it — is exactly the loop inside the engine's
-// one-shot top-k (asrs.SearchTopKWithIndex with a grid index,
-// dssearch.SolveASRSTopK without) and the router's scatter-round
-// gather, and each round goes through the function that loop calls,
-// which is why an unfiltered stream's rows — regions included — are
-// the one-shot answer's.
+// have run at all. It is the lazy form of asrs.Greedy, the one eager
+// definition of a top-k — a single-best search under the accumulated
+// exclusion set, the round's region appended, the same stop rule — kept
+// apart because it interleaves post-filters (a rejected region still
+// joins the exclusions) and row flushes between rounds. Each round is
+// the single-best request its exclusions ask for, answered by the same
+// driver a one-shot top-k's rounds go through (asrs.Answer, or the
+// router's scatter pass), which is why an unfiltered stream's rows —
+// regions included — are the one-shot answer's.
 //
 // A Stream is single-goroutine; it holds no locks and no background
 // work. Abandoning it mid-iteration leaks nothing.
@@ -111,9 +112,8 @@ func (s *Stream) Next() (Row, bool) {
 		s.mergeCoverage(cov)
 		if resp.Err != nil {
 			if errors.Is(resp.Err, asrs.ErrNoFeasibleRegion) && s.emitted > 0 {
-				// The window ran out of non-overlapping candidates: the
-				// one-shot greedy loop breaks here too, returning the
-				// answers so far.
+				// The window ran out of non-overlapping candidates:
+				// asrs.Greedy's stop rule, returning the answers so far.
 				s.done = true
 				return Row{}, false
 			}

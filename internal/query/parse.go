@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"asrs"
 )
 
 // Parser bounds: a query is typed by a human or templated by a client,
 // never corpus-sized. The caps keep arbitrary input (fuzzing, abuse)
 // from allocating unbounded ASTs before the planner ever sees them.
 const (
-	maxTopK       = 4096
+	maxTopK       = asrs.MaxTopK // the bound the daemon's top_k field shares
 	maxScan       = 1 << 20
 	maxTargetDims = 4096
 	maxTerms      = 256

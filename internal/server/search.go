@@ -52,7 +52,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if pl.Explain {
-		writeJSON(w, http.StatusOK, pl.Report(s.currentDataset(), s.router != nil))
+		writeJSON(w, http.StatusOK, pl.Report(s.binding(policy).Dataset(), s.router != nil))
 		return
 	}
 
@@ -90,13 +90,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.drainMu.RUnlock()
 	defer s.inflight.Done()
 
-	var b query.Binding
-	if s.router != nil {
-		b = query.RouterBinding{R: s.router, Policy: policy}
-	} else {
-		b = query.EngineBinding{E: s.eng}
-	}
-	st, err := query.Exec(ctx, pl, b)
+	st, err := query.Exec(ctx, pl, s.binding(policy))
 	if err != nil {
 		s.nBadReqs.Add(1)
 		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)

@@ -267,7 +267,7 @@ func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, 
 		}
 		// The current logical dataset (seed + ingested), so an example
 		// region's representation includes objects inserted into it.
-		q, err = asrs.QueryFromRegion(s.currentDataset(), f, wq.Weights, rq)
+		q, err = asrs.QueryFromRegion(s.binding("").Dataset(), f, wq.Weights, rq)
 		if err != nil {
 			return asrs.QueryRequest{}, nil, err
 		}
@@ -286,8 +286,8 @@ func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, 
 	if a <= 0 || b <= 0 {
 		return asrs.QueryRequest{}, nil, fmt.Errorf("region size must be positive, got %g x %g", a, b)
 	}
-	if wq.TopK < 0 {
-		return asrs.QueryRequest{}, nil, fmt.Errorf("top_k must be non-negative, got %d", wq.TopK)
+	if wq.TopK < 0 || wq.TopK > asrs.MaxTopK {
+		return asrs.QueryRequest{}, nil, fmt.Errorf("top_k must be between 0 and %d, got %d", asrs.MaxTopK, wq.TopK)
 	}
 	if wq.Delta < 0 {
 		return asrs.QueryRequest{}, nil, fmt.Errorf("delta must be non-negative, got %g", wq.Delta)
@@ -300,14 +300,8 @@ func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, 
 		}
 		req.Within = &ext
 	}
-	switch wq.Partial {
-	case "":
-	case string(shard.Strict), string(shard.BestEffort):
-		if s.router == nil {
-			return asrs.QueryRequest{}, nil, fmt.Errorf("partial is only valid on a sharded server")
-		}
-	default:
-		return asrs.QueryRequest{}, nil, fmt.Errorf("unknown partial policy %q (want strict or best_effort)", wq.Partial)
+	if _, err := s.searchPolicy(wq.Partial); err != nil {
+		return asrs.QueryRequest{}, nil, err
 	}
 	if wq.Delta > 0 {
 		// Pinning per-request options opts this query out of batch
@@ -315,7 +309,7 @@ func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, 
 		// exact request); the search still coalesces into the superstep.
 		// Start from the engine's defaults so only δ changes — the
 		// operator's worker bound and grid settings must survive the pin.
-		opt := s.searchOptions()
+		opt := s.binding("").SearchOptions()
 		opt.Delta = wq.Delta
 		req.Options = &opt
 	}
@@ -334,20 +328,15 @@ func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, 
 	return req, cancel, nil
 }
 
-// currentDataset is the live logical corpus in either serving mode.
-func (s *Server) currentDataset() *asrs.Dataset {
+// binding is the serving backend behind the query.Binding seam: every
+// /v1/search round in either mode, and in router mode every /v1/query and
+// /v1/batch answer, goes through it. It also names the live logical
+// corpus and the serving default search options of either mode.
+func (s *Server) binding(policy shard.PartialPolicy) query.Binding {
 	if s.router != nil {
-		return s.router.Catalog().CurrentDataset()
+		return query.RouterBinding{R: s.router, Policy: policy}
 	}
-	return s.eng.CurrentDataset()
-}
-
-// searchOptions is the serving default search options in either mode.
-func (s *Server) searchOptions() asrs.Options {
-	if s.router != nil {
-		return s.router.Catalog().SearchOptions()
-	}
-	return s.eng.SearchOptions()
+	return query.EngineBinding{E: s.eng}
 }
 
 // schema is the serving schema in either mode.
@@ -358,49 +347,20 @@ func (s *Server) schema() *asrs.Schema {
 	return s.eng.Dataset().Schema
 }
 
-// routedRequest lifts a compiled engine request into the router's form.
-func (s *Server) routedRequest(wq Query, req asrs.QueryRequest) shard.Request {
-	partial := wq.Partial
-	if partial == "" {
-		partial = s.cfg.DefaultPartial
+// answerRouted answers one compiled request through the router binding
+// and renders it, returning the HTTP status alongside. Coverage always
+// rides along, failures included — partial best_effort answers are only
+// trustworthy with their skip list.
+func (s *Server) answerRouted(wq Query, req asrs.QueryRequest, start time.Time) (Response, int) {
+	policy, _ := s.searchPolicy(wq.Partial) // buildRequest validated it
+	resp, cov := s.binding(policy).Query(req.Ctx, req)
+	out := ResponseWire(resp, time.Since(start))
+	out.Coverage = cov
+	status := statusFor(resp.Err)
+	if status == http.StatusGatewayTimeout {
+		s.nTimeouts.Add(1)
 	}
-	return shard.Request{
-		Query:   req.Query,
-		A:       req.A,
-		B:       req.B,
-		TopK:    req.TopK,
-		Exclude: req.Exclude,
-		Extent:  req.Within,
-		Policy:  shard.PartialPolicy(partial),
-		Options: req.Options,
-	}
-}
-
-// routedResponseWire converts a router response to the wire schema,
-// returning the HTTP status alongside. Coverage always rides along —
-// partial best_effort answers are only trustworthy with their skip list.
-func routedResponseWire(resp shard.Response, elapsed time.Duration) (Response, int) {
-	out := Response{ElapsedMS: float64(elapsed.Microseconds()) / 1e3}
-	cov := Coverage{Shards: resp.Coverage.Shards, Searched: resp.Coverage.Searched}
-	for _, sk := range resp.Coverage.Skipped {
-		cov.Skipped = append(cov.Skipped, SkippedShard{Shard: sk.Shard, Reason: sk.Reason})
-	}
-	out.Coverage = &cov
-	if resp.Err != nil {
-		status, code, retryable := classify(resp.Err)
-		out.Error, out.Code, out.Retryable = resp.Err.Error(), code, retryable
-		return out, status
-	}
-	out.Results = make([]Result, len(resp.Regions))
-	for i := range resp.Regions {
-		out.Results[i] = Result{
-			Region: RectWire(resp.Regions[i]),
-			Point:  Point{X: resp.Results[i].Point.X, Y: resp.Results[i].Point.Y},
-			Dist:   resp.Results[i].Dist,
-			Rep:    resp.Results[i].Rep,
-		}
-	}
-	return out, http.StatusOK
+	return out, status
 }
 
 // statusFor maps an engine response error to its HTTP status (the
@@ -525,12 +485,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.inflight.Add(1)
 		s.drainMu.RUnlock()
 		defer s.inflight.Done()
-		resp := s.router.Query(req.Ctx, s.routedRequest(wq, req))
+		wresp, status := s.answerRouted(wq, req, start)
 		s.ewma.Observe(time.Since(start))
-		wresp, status := routedResponseWire(resp, time.Since(start))
-		if status == http.StatusGatewayTimeout {
-			s.nTimeouts.Add(1)
-		}
 		writeJSON(w, status, wresp)
 		return
 	}
@@ -673,11 +629,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// is across shards, not across queries, and sequential rounds
 			// keep per-shard deadline budgets meaningful.
 			for k, i := range run {
-				resp := s.router.Query(sub[k].Ctx, s.routedRequest(wb.Queries[i], sub[k]))
-				wresp, status := routedResponseWire(resp, time.Since(start))
-				if status == http.StatusGatewayTimeout {
-					s.nTimeouts.Add(1)
-				}
+				wresp, status := s.answerRouted(wb.Queries[i], sub[k], start)
 				wresp.Status = status
 				resps[i] = wresp
 			}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"asrs"
+	"asrs/internal/dataset"
 	"asrs/internal/server"
 )
 
@@ -434,5 +435,61 @@ func TestServerDrain(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("draining 503 Retry-After = %q, want >= 1", ra)
+	}
+}
+
+// TestServerTopKBound: top_k arrives from outside the program, so both
+// struct front doors refuse more than asrs.MaxTopK — the bound the query
+// language applies to `top k` — with 400 bad_request before any search is
+// started, and at the bound a 50-object corpus answers with the rows that
+// exist: a top-k is sized by the rounds that ran, not by k.
+func TestServerTopKBound(t *testing.T) {
+	ds := dataset.Random(50, 100, 5)
+	f, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "cat"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.New(server.Config{Engine: eng, Composites: map[string]*asrs.Composite{"cat": f}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	q := server.Query{Composite: "cat", A: 20, B: 20, Target: []float64{2, 2, 2},
+		Extent: &server.Rect{MaxX: 100, MaxY: 100}, TopK: asrs.MaxTopK + 1}
+
+	resp, body := postJSON(t, ts.URL+"/v1/query", q)
+	var single server.Response
+	if err := json.Unmarshal(body, &single); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || single.Code != server.CodeBadRequest {
+		t.Fatalf("/v1/query top_k %d: status %d, body %s; want 400 bad_request", q.TopK, resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/batch", server.Batch{Queries: []server.Query{q}})
+	var batch server.BatchResponse
+	if err := json.Unmarshal(body, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(batch.Responses) != 1 ||
+		batch.Responses[0].Status != http.StatusBadRequest || batch.Responses[0].Code != server.CodeBadRequest {
+		t.Fatalf("/v1/batch top_k %d: status %d, body %s; want a 400 bad_request member", q.TopK, resp.StatusCode, body)
+	}
+	if st := eng.Stats(); st.Queries != 0 {
+		t.Fatalf("oversize top_k reached the engine: %+v", st)
+	}
+
+	q.TopK = asrs.MaxTopK
+	resp, body = postJSON(t, ts.URL+"/v1/query", q)
+	if err := json.Unmarshal(body, &single); err != nil {
+		t.Fatal(err)
+	}
+	// A 100×100 extent holds at most 25 disjoint 20×20 regions.
+	if n := len(single.Results); resp.StatusCode != http.StatusOK || n == 0 || n > 25 {
+		t.Fatalf("/v1/query top_k %d: status %d with %d rows, want 200 with the 1–25 rows that exist; body %s", q.TopK, resp.StatusCode, n, body)
 	}
 }

@@ -30,7 +30,9 @@ const (
 	BestEffort PartialPolicy = "best_effort"
 )
 
-// Request is one routed query.
+// Request is one routed query: an asrs.QueryRequest under the router's
+// field names (Extent is its Within) plus the partial-result policy.
+// Query converts it; everything below works on the asrs form.
 type Request struct {
 	Query asrs.Query
 	// A, B are the answer region's width and height.
@@ -174,22 +176,41 @@ func (r *Router) Insert(objs []asrs.Object) error {
 
 // Query answers one routed request.
 func (r *Router) Query(ctx context.Context, req Request) Response {
+	return r.Answer(ctx, asrs.QueryRequest{
+		Query:   req.Query,
+		A:       req.A,
+		B:       req.B,
+		TopK:    req.TopK,
+		Exclude: req.Exclude,
+		Within:  req.Extent,
+		Options: req.Options,
+	}, req.Policy)
+}
+
+// Answer answers one request in the library's own form under a partial
+// policy ("" selects Strict). Within is the routing key; nil means the
+// whole corpus (see Request.Extent). Pyramid and Slabs bindings of the
+// request's Options are discarded: each shard binds its own.
+func (r *Router) Answer(ctx context.Context, req asrs.QueryRequest, pol PartialPolicy) Response {
+	if req.Ctx != nil {
+		ctx = req.Ctx
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pol := req.Policy
+	req.Ctx = nil // sub-searches run under per-shard budgets carved from ctx
 	if pol == "" {
 		pol = Strict
 	}
 	if pol != Strict && pol != BestEffort {
-		return Response{Err: fmt.Errorf("shard: unknown partial policy %q", req.Policy)}
+		return Response{Err: fmt.Errorf("shard: unknown partial policy %q", pol)}
 	}
 	if !(req.A > 0) || !(req.B > 0) {
 		return Response{Err: fmt.Errorf("shard: region dimensions must be positive, got %g x %g", req.A, req.B)}
 	}
 	var e asrs.Rect
-	if req.Extent != nil {
-		e = *req.Extent
+	if req.Within != nil {
+		e = *req.Within
 		if !e.IsValid() {
 			return Response{Err: fmt.Errorf("shard: invalid extent %v", e)}
 		}
@@ -201,7 +222,7 @@ func (r *Router) Query(ctx context.Context, req Request) Response {
 	}
 	for _, sh := range r.cat.Shards() {
 		if sh.lo <= e.MinX && e.MaxX <= sh.hi {
-			return r.containedQuery(ctx, sh, e, req, pol)
+			return r.containedQuery(ctx, sh, e, req)
 		}
 	}
 	return r.straddlingQuery(ctx, e, req, pol)
@@ -234,7 +255,7 @@ func (r *Router) defaultExtent(a, b float64) asrs.Rect {
 // the request's override or the catalog's engine template, stripped of
 // any cross-corpus bindings (each shard binds its own pyramid and slab
 // cache; a band search binds none), with the shared cap installed.
-func (r *Router) subOptions(req Request, cap *kernel.ExtCap) asrs.Options {
+func (r *Router) subOptions(req asrs.QueryRequest, cap *kernel.ExtCap) asrs.Options {
 	opt := r.cat.cfg.Engine.Search
 	if req.Options != nil {
 		opt = *req.Options
@@ -356,7 +377,7 @@ func isPanic(err error) bool {
 // containedQuery answers an extent contained in one shard's closed slab
 // from that shard alone — the full request (TopK, excludes) passes
 // through, so the answer carries every bit of a merged-corpus run.
-func (r *Router) containedQuery(ctx context.Context, sh *Shard, e asrs.Rect, req Request, pol PartialPolicy) Response {
+func (r *Router) containedQuery(ctx context.Context, sh *Shard, e asrs.Rect, req asrs.QueryRequest) Response {
 	cov := Coverage{Shards: len(r.cat.Shards())}
 	if !sh.breaker.Allow() {
 		cov.Skipped = []SkippedShard{{Shard: sh.Name(), Reason: "breaker_open"}}
@@ -373,15 +394,8 @@ func (r *Router) containedQuery(ctx context.Context, sh *Shard, e asrs.Rect, req
 		bctx, cancel := r.budgetCtx(ctx)
 		defer cancel()
 		opt := r.subOptions(req, nil)
-		resp = eng.QueryCtx(bctx, asrs.QueryRequest{
-			Query:   req.Query,
-			A:       req.A,
-			B:       req.B,
-			TopK:    req.TopK,
-			Exclude: req.Exclude,
-			Within:  &e,
-			Options: &opt,
-		})
+		req.Within, req.Options = &e, &opt
+		resp = eng.QueryCtx(bctx, req)
 		return resp.Err
 	})
 	r.classify(ctx, &o, err)
@@ -391,12 +405,9 @@ func (r *Router) containedQuery(ctx context.Context, sh *Shard, e asrs.Rect, req
 	case o.skipReason != "":
 		cov.Skipped = []SkippedShard{{Shard: o.name, Reason: o.skipReason}}
 		return Response{Coverage: cov, Err: &UnavailableError{Skipped: cov.Skipped}}
-	case o.infeasible:
-		cov.Searched = []string{o.name}
-		return Response{Coverage: cov, Err: err}
 	}
 	cov.Searched = []string{o.name}
-	return Response{Regions: resp.Regions, Results: resp.Results, Coverage: cov, Err: nil}
+	return Response{Regions: resp.Regions, Results: resp.Results, Coverage: cov, Err: resp.Err}
 }
 
 // subTask is one scatter target: a shard's slab sub-extent (engine
@@ -417,9 +428,9 @@ type subTask struct {
 // Every candidate region of E lies in some sub-extent, each sub-extent
 // is inside E, and each sub-search returns its kernel.Better-minimum —
 // so the gathered minimum equals the merged-corpus windowed answer.
-// TopK runs as k gather rounds with accumulated exclusions, mirroring
-// the single-engine greedy rounds.
-func (r *Router) straddlingQuery(ctx context.Context, e asrs.Rect, req Request, pol PartialPolicy) Response {
+// TopK is asrs.Greedy — the single-engine greedy rounds — with one
+// scatter–gather pass as its round.
+func (r *Router) straddlingQuery(ctx context.Context, e asrs.Rect, req asrs.QueryRequest, pol PartialPolicy) Response {
 	shards := r.cat.Shards()
 	tasks := make([]subTask, 0, 2*len(shards))
 	for _, sh := range shards {
@@ -457,18 +468,11 @@ func (r *Router) straddlingQuery(ctx context.Context, e asrs.Rect, req Request, 
 		})
 	}
 
-	k := req.TopK
-	if k < 1 {
-		k = 1
-	}
-	excl := append([]asrs.Rect(nil), req.Exclude...)
 	cov := Coverage{Shards: len(shards)}
 	searched := map[string]bool{}
 	skipped := map[string]string{}
-	var regions []asrs.Rect
-	var results []asrs.Result
-	for round := 0; round < k; round++ {
-		region, best, roundCov, err := r.scatterRound(ctx, tasks, req, excl)
+	regions, results, err := asrs.Greedy(req.TopK, req.Exclude, func(excl []asrs.Rect) (asrs.Rect, asrs.Result, error) {
+		region, best, roundCov, err := r.scatterRound(ctx, tasks, req, pol, excl)
 		for _, n := range roundCov.Searched {
 			searched[n] = true
 		}
@@ -477,17 +481,9 @@ func (r *Router) straddlingQuery(ctx context.Context, e asrs.Rect, req Request, 
 				skipped[s.Shard] = s.Reason
 			}
 		}
-		if err != nil {
-			if errors.Is(err, asrs.ErrNoFeasibleRegion) && round > 0 {
-				break
-			}
-			return Response{Regions: regions, Results: results, Coverage: finishCoverage(cov, searched, skipped), Err: err}
-		}
-		regions = append(regions, region)
-		results = append(results, best)
-		excl = append(excl, region)
-	}
-	return Response{Regions: regions, Results: results, Coverage: finishCoverage(cov, searched, skipped)}
+		return region, best, err
+	})
+	return Response{Regions: regions, Results: results, Coverage: finishCoverage(cov, searched, skipped), Err: err}
 }
 
 func finishCoverage(cov Coverage, searched map[string]bool, skipped map[string]string) Coverage {
@@ -506,13 +502,9 @@ func finishCoverage(cov Coverage, searched map[string]bool, skipped map[string]s
 
 // scatterRound runs one scatter–gather pass and returns the
 // kernel.Better-minimum across the sub-searches.
-func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req Request, excl []asrs.Rect) (asrs.Rect, asrs.Result, Coverage, error) {
+func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req asrs.QueryRequest, pol PartialPolicy, excl []asrs.Rect) (asrs.Rect, asrs.Result, Coverage, error) {
 	var sharedCap *kernel.ExtCap
-	base := r.cat.cfg.Engine.Search
-	if req.Options != nil {
-		base = *req.Options
-	}
-	if len(tasks) > 1 && base.Delta == 0 && !r.opt.DisableBoundShare {
+	if len(tasks) > 1 && r.subOptions(req, nil).Delta == 0 && !r.opt.DisableBoundShare {
 		sharedCap = kernel.NewExtCap()
 	}
 	outs := make([]subOutcome, len(tasks))
@@ -529,8 +521,19 @@ func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req Request,
 		go func() {
 			defer wg.Done()
 			err := guardPanics(func() error {
+				// One single-best windowed request per sub-search: a shard's
+				// engine answers it from its own caches, a band the library's
+				// driver straight over the band's corpus slice.
 				opt := r.subOptions(req, sharedCap)
-				if t.sh != nil {
+				sub := req
+				sub.TopK, sub.Exclude, sub.Within, sub.Options = 0, excl, &t.win, &opt
+				var resp asrs.QueryResponse
+				if t.sh == nil {
+					bctx, cancel := r.budgetCtx(ctx)
+					defer cancel()
+					sub.Ctx = bctx
+					resp, _ = asrs.Answer(t.band, nil, sub)
+				} else {
 					fireShardFaults()
 					eng, lerr := t.sh.Engine()
 					if lerr != nil {
@@ -538,27 +541,10 @@ func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req Request,
 					}
 					bctx, cancel := r.budgetCtx(ctx)
 					defer cancel()
-					resp := eng.QueryCtx(bctx, asrs.QueryRequest{
-						Query: req.Query, A: req.A, B: req.B,
-						Exclude: excl, Within: &t.win, Options: &opt,
-					})
-					if resp.Err != nil {
-						return resp.Err
-					}
-					o.region, o.res = resp.Regions[0], resp.Results[0]
-					return nil
+					resp = eng.QueryCtx(bctx, sub)
 				}
-				bctx, cancel := r.budgetCtx(ctx)
-				defer cancel()
-				if opt.Ctx == nil {
-					opt.Ctx = bctx
-				}
-				region, res, _, serr := asrs.SearchWithin(t.band, req.A, req.B, req.Query, t.win, excl, opt)
-				if serr != nil {
-					return serr
-				}
-				o.region, o.res = region, res
-				return nil
+				o.region, o.res = resp.Best()
+				return resp.Err
 			})
 			r.classify(ctx, o, err)
 		}()
@@ -588,10 +574,6 @@ func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req Request,
 				best, bestRegion, found = o.res, o.region, true
 			}
 		}
-	}
-	pol := req.Policy
-	if pol == "" {
-		pol = Strict
 	}
 	if len(cov.Skipped) > 0 && (pol == Strict || completed == 0) {
 		return asrs.Rect{}, asrs.Result{}, cov, &UnavailableError{Skipped: cov.Skipped}

@@ -191,10 +191,11 @@ func TestRoutedStraddlingTopK(t *testing.T) {
 	ds, f, q := corpus(t, 50, 7)
 	a, b := 8.0, 8.0
 	extent := asrs.Rect{MinX: 1, MinY: 1, MaxX: 99, MaxY: 99}
-	oregions, oresults, oerr := asrs.SearchTopKWithin(ds, a, b, q, 3, nil, extent, asrs.Options{})
-	if oerr != nil {
-		t.Fatal(oerr)
+	oracle, _ := asrs.Answer(ds, nil, asrs.QueryRequest{Query: q, A: a, B: b, TopK: 3, Within: &extent})
+	if oracle.Err != nil {
+		t.Fatal(oracle.Err)
 	}
+	oregions, oresults := oracle.Regions, oracle.Results
 	cat := newCatalog(t, ds, f, 3)
 	rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}, DisableBoundShare: true})
 	resp := rt.Query(context.Background(), shard.Request{Query: q, A: a, B: b, TopK: 3, Extent: &extent})

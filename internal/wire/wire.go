@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"asrs"
+	"asrs/internal/shard"
 )
 
 // Rect is the wire form of an axis-parallel rectangle.
@@ -107,18 +108,13 @@ type Response struct {
 	ElapsedMS float64   `json:"elapsed_ms"`
 }
 
-// Coverage is the wire form of a routed answer's shard coverage.
-type Coverage struct {
-	Shards   int            `json:"shards"`
-	Searched []string       `json:"searched,omitempty"`
-	Skipped  []SkippedShard `json:"skipped,omitempty"`
-}
-
-// SkippedShard names one shard a routed answer had to skip, and why.
-type SkippedShard struct {
-	Shard  string `json:"shard"`
-	Reason string `json:"reason"`
-}
+// Coverage is a routed answer's shard coverage and SkippedShard one
+// shard it had to skip, and why: the router's own types, which carry the
+// wire field names.
+type (
+	Coverage     = shard.Coverage
+	SkippedShard = shard.SkippedShard
+)
 
 // Batch is the POST /v1/batch request body.
 type Batch struct {

@@ -1,0 +1,302 @@
+package asrs_test
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"asrs"
+	"asrs/internal/asp"
+	"asrs/internal/dataset"
+	"asrs/internal/dssearch"
+)
+
+// TestRequestShapes is the one differential test of what a request
+// means. Every shape a QueryRequest can take — k ∈ {1, 3} × exclusions
+// (none, an example region, a blocker over the whole space) × extent
+// (none, a sub-extent, an exact a×b fit, one too small) — is answered by
+// every configuration of the one driver (grid index or none × pyramid or
+// none × 1 or 3 workers) and held, row by row, to SearchBaseline: the
+// same typed error, or for each row the distance of the baseline's best
+// region under the exclusions and the rows before it. The comparison is
+// per row under the configuration's own earlier rows because equally
+// distant regions are tie-broken by search path: after a tie two correct
+// greedy sequences diverge. The baseline's own top-k seeds the oracle, so
+// its rows are reused wherever a configuration took the same path.
+// Distances compare bit for bit on the integer composites and between any
+// two configurations; to a relative 1e-9 against the sweep on F2, whose
+// real-valued channels it accumulates in another order. Random probes in
+// the window (or space) are the check that shares no piece algebra with
+// either side.
+func TestRequestShapes(t *testing.T) {
+	orchard := dataset.SingaporeDistricts()[0].Rect
+	n := 600
+	if testing.Short() {
+		n = 300 // the oracle is O(n²) per sweep, ×10 under the race detector
+	}
+	tweet, poi, sg := dataset.Tweet(n, 7), dataset.POISyn(n, 3), dataset.SingaporeScaled(n, 42)
+	unit := func(ds *asrs.Dataset, k float64) (float64, float64) {
+		ua, ub := dataset.QueryUnit(ds.Bounds())
+		return k * ua, k * ub
+	}
+	ta, tb := unit(tweet, 40)
+	pa, pb := unit(poi, 60)
+	f1, err1 := dataset.F1(tweet, ta, tb)
+	f2, err2 := dataset.F2(poi, pa, pb)
+	category, err3 := asrs.NewComposite(sg.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "category"})
+	if err := errors.Join(err1, err2, err3); err != nil {
+		t.Fatal(err)
+	}
+	byExample, err := asrs.QueryFromRegion(sg, category, nil, orchard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpora := []struct {
+		name    string
+		ds      *asrs.Dataset
+		q       asrs.Query
+		a, b    float64
+		exact   bool       // integer channels: the sweep agrees bit for bit
+		example *asrs.Rect // nil: the unconstrained optimum stands in
+	}{
+		{"tweet-f1", tweet, f1, ta, tb, true, nil},
+		{"singapore-category", sg, byExample, orchard.Width(), orchard.Height(), true, &orchard},
+		{"poisyn-f2", poi, f2, pa, pb, false, nil},
+	}
+	for _, c := range corpora {
+		t.Run(c.name, func(t *testing.T) {
+			ds, a, b := c.ds, c.a, c.b
+			free := asrs.SearchBaseline(ds, asrs.QueryRequest{Query: c.q, A: a, B: b})
+			if free.Err != nil {
+				t.Fatal(free.Err)
+			}
+			optimum, _ := free.Best()
+			example := optimum
+			if c.example != nil {
+				example = *c.example
+			}
+			bounds := ds.Bounds()
+			w, h := bounds.Width(), bounds.Height()
+			exclusions := []struct {
+				name string
+				excl []asrs.Rect
+			}{
+				{"none", nil},
+				{"example", []asrs.Rect{example}},
+				{"blocker", []asrs.Rect{{MinX: bounds.MinX - 2*a, MinY: bounds.MinY - 2*b, MaxX: bounds.MaxX + 2*a, MaxY: bounds.MaxY + 2*b}}},
+			}
+			extents := []struct {
+				name   string
+				within *asrs.Rect
+			}{
+				{"nil", nil},
+				{"extent", &asrs.Rect{MinX: bounds.MinX + 0.2*w, MinY: bounds.MinY + 0.15*h, MaxX: bounds.MaxX - 0.25*w, MaxY: bounds.MaxY - 0.2*h}},
+				{"exact-fit", &optimum},
+				{"too-small", &asrs.Rect{MinX: optimum.MinX, MinY: optimum.MinY, MaxX: optimum.MinX + a/2, MaxY: optimum.MaxY}},
+			}
+			idx, err := asrs.NewIndex(ds, c.q.F, 16, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pyr, err := asrs.BuildPyramid(ds, c.q.F)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rects, err := asp.Reduce(ds, a, b, asp.AnchorTR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The empty covering set outside the whole space: the one answer
+			// of an un-windowed request that no exclusion can forbid.
+			outside := asp.AnchorTR.RegionFor(asp.EmptyCandidate(asp.Space(rects)), a, b)
+			rng := rand.New(rand.NewSource(18))
+			for _, k := range []int{1, 3} {
+				for _, ex := range exclusions {
+					for _, in := range extents {
+						shape := fmt.Sprintf("k=%d/excl=%s/within=%s", k, ex.name, in.name)
+						req := asrs.QueryRequest{Query: c.q, A: a, B: b, TopK: k, Exclude: ex.excl, Within: in.within}
+						or := newRowOracle(ds, req, c.exact, outside)
+						for _, cfgIdx := range []*asrs.Index{nil, idx} {
+							for _, cfgPyr := range []*asrs.Pyramid{nil, pyr} {
+								for _, workers := range []int{1, 3} {
+									req.Options = &asrs.Options{Workers: workers, Pyramid: cfgPyr}
+									got, _ := asrs.Answer(ds, cfgIdx, req)
+									cfg := fmt.Sprintf("%s index=%v pyramid=%v workers=%d", shape, cfgIdx != nil, cfgPyr != nil, workers)
+									if msg := or.check(got); msg != "" {
+										t.Fatalf("%s: %s", cfg, msg)
+									}
+									if msg := probeRows(rng, rects, req, got); msg != "" {
+										t.Fatalf("%s: %s", cfg, msg)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// rowOracle answers "what is the best distance under these exclusions"
+// for one request shape from SearchBaseline, remembering every answer by
+// its exclusion list, and remembers the first fast answer per list so
+// configurations are also held to each other bit for bit.
+type rowOracle struct {
+	ds      *asrs.Dataset
+	req     asrs.QueryRequest
+	exact   bool
+	outside asrs.Rect
+	base    map[string]asrs.QueryResponse // exclusion list → the baseline's single best under it
+	fast    map[string]float64            // exclusion list → the first configuration's distance
+}
+
+func newRowOracle(ds *asrs.Dataset, req asrs.QueryRequest, exact bool, outside asrs.Rect) *rowOracle {
+	or := &rowOracle{ds: ds, req: req, exact: exact, outside: outside, base: map[string]asrs.QueryResponse{}, fast: map[string]float64{}}
+	// The baseline's own greedy top-k, taken apart into its rounds.
+	want := asrs.SearchBaseline(ds, req)
+	excl := req.Exclude[:len(req.Exclude):len(req.Exclude)]
+	for i := range want.Regions {
+		or.base[fmt.Sprint(excl)] = asrs.QueryResponse{Regions: want.Regions[i : i+1], Results: want.Results[i : i+1]}
+		excl = append(excl, want.Regions[i])
+	}
+	if want.Err != nil {
+		or.base[fmt.Sprint(excl)] = want
+	} else if len(want.Regions) < max(req.TopK, 1) {
+		or.base[fmt.Sprint(excl)] = asrs.QueryResponse{Err: asrs.ErrNoFeasibleRegion}
+	}
+	return or
+}
+
+// best is the baseline's single best under the exclusion list.
+func (or *rowOracle) best(excl []asrs.Rect) asrs.QueryResponse {
+	key := fmt.Sprint(excl)
+	resp, ok := or.base[key]
+	if !ok {
+		single := or.req
+		single.TopK, single.Exclude, single.Options = 0, excl, nil
+		resp = asrs.SearchBaseline(or.ds, single)
+		or.base[key] = resp
+	}
+	return resp
+}
+
+// check holds one configuration's answer to the oracle and returns what
+// is wrong with it, or "".
+func (or *rowOracle) check(got asrs.QueryResponse) string {
+	excl := or.req.Exclude[:len(or.req.Exclude):len(or.req.Exclude)]
+	k := max(or.req.TopK, 1)
+	for i := 0; i < k; i++ {
+		want := or.best(excl)
+		if i == len(got.Regions) {
+			// The sequence ended here: with an error before the first row,
+			// silently after it, and only because nothing feasible is left.
+			if !errors.Is(want.Err, asrs.ErrNoFeasibleRegion) && !errors.Is(want.Err, asrs.ErrExtentTooSmall) {
+				return fmt.Sprintf("answered %d rows (err %v), the baseline answers row %d: %v (err %v)", i, got.Err, i+1, want.Results, want.Err)
+			}
+			if i == 0 && !errors.Is(got.Err, want.Err) {
+				return fmt.Sprintf("failed with %v, the baseline with %v", got.Err, want.Err)
+			}
+			if i > 0 && got.Err != nil {
+				return fmt.Sprintf("ran dry after %d rows with error %v, want none", i, got.Err)
+			}
+			return ""
+		}
+		if want.Err != nil {
+			return fmt.Sprintf("row %d at %v, the baseline fails with %v", i+1, got.Regions[i], want.Err)
+		}
+		region, d, wd := got.Regions[i], got.Results[i].Dist, want.Results[0].Dist
+		if or.exact && math.Float64bits(d) != math.Float64bits(wd) || math.Abs(d-wd) > 1e-9*math.Max(1, math.Abs(wd)) {
+			return fmt.Sprintf("row %d at distance %v, the baseline's best under the same exclusions %v", i+1, d, wd)
+		}
+		key := fmt.Sprint(excl)
+		if first, ok := or.fast[key]; !ok {
+			or.fast[key] = d
+		} else if math.Float64bits(first) != math.Float64bits(d) {
+			return fmt.Sprintf("row %d at distance %v, another configuration under the same exclusions %v", i+1, d, first)
+		}
+		if or.req.Within != nil && !or.req.Within.ContainsRect(region) {
+			return fmt.Sprintf("row %d region %v escapes the extent %v", i+1, region, *or.req.Within)
+		}
+		for _, e := range excl {
+			if region.IntersectsOpen(e) && (or.req.Within != nil || region != or.outside) {
+				return fmt.Sprintf("row %d region %v overlaps %v", i+1, region, e)
+			}
+		}
+		excl = append(excl, region)
+	}
+	if len(got.Regions) > k || got.Err != nil {
+		return fmt.Sprintf("answered %d rows with error %v, want %d and none", len(got.Regions), got.Err, k)
+	}
+	return ""
+}
+
+// probeRows samples anchors of the request's window (or of the space, a
+// little beyond the rectangles' hull) and reports one that beats a row
+// it could have been: feasible under the exclusions and the rows before.
+func probeRows(rng *rand.Rand, rects []asp.RectObject, req asrs.QueryRequest, got asrs.QueryResponse) string {
+	space := asp.Space(rects)
+	if req.Within != nil {
+		space = dssearch.AnchorWindow(*req.Within, req.A, req.B)
+	}
+	excl := req.Exclude[:len(req.Exclude):len(req.Exclude)]
+	for i, region := range got.Regions {
+	probes:
+		for n := 0; n < 60; n++ {
+			p := asrs.Point{X: space.MinX + rng.Float64()*space.Width(), Y: space.MinY + rng.Float64()*space.Height()}
+			cand := asp.AnchorTR.RegionFor(p, req.A, req.B)
+			for _, e := range excl {
+				if cand.IntersectsOpen(e) {
+					continue probes
+				}
+			}
+			d := req.Query.Distance(asp.PointRepresentation(rects, req.Query.F, p))
+			if d < got.Results[i].Dist-1e-9*math.Max(1, d) {
+				return fmt.Sprintf("probe %v beats row %d: %v < %v", p, i+1, d, got.Results[i].Dist)
+			}
+		}
+		excl = append(excl, region)
+	}
+	return ""
+}
+
+// TestGreedyStopRule pins the one top-k policy: each round sees the
+// caller's exclusions plus the regions before it (the caller's slice is
+// left alone); running dry after an answer ends the sequence without
+// error while running dry at once, or any other failure, fails the
+// request; and answers are sized by the rounds run — k here is beyond
+// anything a slice could be made for.
+func TestGreedyStopRule(t *testing.T) {
+	own := make([]asrs.Rect, 1, 8)
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		rows    int   // rounds that answer before the sequence fails
+		fail    error // what the round after them returns
+		wantErr error
+	}{
+		{3, asrs.ErrNoFeasibleRegion, nil},
+		{0, asrs.ErrNoFeasibleRegion, asrs.ErrNoFeasibleRegion},
+		{2, boom, boom},
+	} {
+		calls := 0
+		regions, results, err := asrs.Greedy(math.MaxInt, own, func(excl []asrs.Rect) (asrs.Rect, asrs.Result, error) {
+			if len(excl) != 1+calls || (calls > 0 && excl[calls].MinX != float64(calls)) {
+				t.Fatalf("round %d sees exclusions %v", calls+1, excl)
+			}
+			if calls == tc.rows {
+				return asrs.Rect{}, asrs.Result{}, tc.fail
+			}
+			calls++
+			return asrs.Rect{MinX: float64(calls)}, asrs.Result{Dist: float64(calls)}, nil
+		})
+		if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && (err != nil || len(regions) != tc.rows || len(results) != tc.rows)) ||
+			(tc.wantErr != nil && regions != nil) {
+			t.Fatalf("%d rows then %v: got %d regions, %d results, err %v", tc.rows, tc.fail, len(regions), len(results), err)
+		}
+	}
+	if own = own[:2]; own[1] != (asrs.Rect{}) {
+		t.Fatalf("Greedy wrote into the caller's exclusion slice: %v", own)
+	}
+}

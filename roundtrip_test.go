@@ -33,11 +33,11 @@ func TestCSVRoundTripPreservesAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		region, res, _, err := asrs.SearchExcluding(d, orchard.Rect.Width(), orchard.Rect.Height(), q, orchard.Rect, asrs.Options{})
-		if err != nil {
-			t.Fatal(err)
+		resp, _ := asrs.Answer(d, nil, asrs.QueryRequest{Query: q, A: orchard.Rect.Width(), B: orchard.Rect.Height(), Exclude: []asrs.Rect{orchard.Rect}})
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
 		}
-		return region, res
+		return resp.Best()
 	}
 
 	r1, res1 := build(ds)
