@@ -8,6 +8,7 @@ package asrs_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"asrs"
@@ -360,5 +361,68 @@ func BenchmarkTopKRounds(b *testing.B) {
 			}
 			b.ReportMetric(float64(eng.Stats().IndexedExclusionRounds)/float64(b.N+1), "indexed-excl-rounds/op")
 		})
+	}
+}
+
+// BenchmarkF1Indexed is the count tripwire of the terminal sweep rule
+// (DESIGN.md §3): one indexed F1 query of the serving benchmark's
+// f1-distinct shape — Tweet 20k, an 8-unit answer, grid 64, the pyramid
+// bound, a target at 0.8 of the most weekend tweets a window can hold,
+// which many regions come close to. Its discretizations repeat exactly
+// run to run: 11 with spaces swept as soon as few rectangles have an edge
+// inside them, 1 044 when overlapping rectangles were counted. It fails
+// above 100, or on a distance plain DS-Search does not answer.
+func BenchmarkF1Indexed(b *testing.B) {
+	ds := tweetDS(20000)
+	qa, qb := sizeK(ds, 8)
+	f, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "day"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	day := ds.Schema.Index("day")
+	most := func(d int) float64 {
+		return dataset.MaxWindowStat(ds, qa, qb, func(o *asrs.Object) float64 {
+			if o.Values[day].Cat == d {
+				return 1
+			}
+			return 0
+		})
+	}
+	q, err := asrs.QueryFromTarget(f,
+		[]float64{0, 0, 0, 0, 0, math.Trunc(0.8*most(5)) + 0.5, math.Trunc(0.8*most(6)) + 0.5},
+		[]float64{0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := asrs.NewIndex(ds, f, 64, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pyr, err := asrs.BuildPyramid(ds, f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := asrs.QueryRequest{Query: q, A: qa, B: qb, Options: &asrs.Options{Workers: 1, Pyramid: pyr}}
+	plain, _ := asrs.Answer(ds, nil, req)
+	if plain.Err != nil {
+		b.Fatal(plain.Err)
+	}
+	discretizations := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, stats := asrs.Answer(ds, idx, req)
+		if resp.Err != nil {
+			b.Fatal(resp.Err)
+		}
+		if d, want := resp.Results[0].Dist, plain.Results[0].Dist; math.Float64bits(d) != math.Float64bits(want) {
+			b.Fatalf("distance %v with the grid index, %v without", d, want)
+		}
+		discretizations += stats.DS.Discretizations
+	}
+	perQuery := float64(discretizations) / float64(b.N)
+	b.ReportMetric(perQuery, "discretizations/query")
+	if perQuery > 100 {
+		b.Fatalf("%v discretizations per query, want at most 100", perQuery)
 	}
 }

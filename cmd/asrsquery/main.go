@@ -111,8 +111,8 @@ func debugStats(stats asrs.SearchStats) {
 		infof("clean cells evaluated: %d (%.1f%% of clean; the rest repeated the previous cell's totals)\n",
 			stats.CleanEvals, 100*float64(stats.CleanEvals)/float64(stats.CleanCells))
 	}
-	infof("mini-sweeps: %d over %d rects; strip evaluator: %d flat, %d fenwick\n",
-		stats.MiniSweeps, stats.MiniSweepRects, stats.FlatStrips, stats.FenwickStrips)
+	infof("mini-sweeps: %d over %d rects (+%d containing the swept space, folded into its base vector); strip evaluator: %d flat, %d fenwick\n",
+		stats.MiniSweeps, stats.MiniSweepRects, stats.SweepBaseRects, stats.FlatStrips, stats.FenwickStrips)
 	infof("heap: %d pushes (max %d), steals: %d\n", stats.HeapPushes, stats.MaxHeapSize, stats.Steals)
 }
 

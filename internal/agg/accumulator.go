@@ -87,6 +87,16 @@ func (a *Accumulator) Reset() {
 	a.n = 0
 }
 
+// ResetTo empties the accumulator and starts its channel vector from ch
+// (length Channels()) instead of zero: every object added afterwards is
+// summed on top of it. For callers that know a fixed set underlies every
+// set they are about to accumulate (the sweep's base vector). Len counts
+// only the objects added since.
+func (a *Accumulator) ResetTo(ch []float64) {
+	copy(a.ch, ch)
+	a.n = 0
+}
+
 // Representation writes the aggregate representation of the current set
 // into out, which must have length Dims().
 func (a *Accumulator) Representation(out []float64) {

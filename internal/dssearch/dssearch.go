@@ -159,6 +159,7 @@ type Stats struct {
 	PrunedCells     int // dirty cells pruned by Equation 1
 	MiniSweeps      int // safety-net sweeps run
 	MiniSweepRects  int // rectangles handed to safety-net sweeps
+	SweepBaseRects  int // rectangles containing a swept space, folded into the sweep's base vector instead
 	FlatStrips      int // mini-sweep strips resolved by the flat prefix scan
 	FenwickStrips   int // mini-sweep strips resolved by Fenwick tree walks
 	RefinedCells    int // dirty cells tightened by subset enumeration
@@ -181,6 +182,7 @@ func (s *Stats) Add(o Stats) {
 	s.PrunedCells += o.PrunedCells
 	s.MiniSweeps += o.MiniSweeps
 	s.MiniSweepRects += o.MiniSweepRects
+	s.SweepBaseRects += o.SweepBaseRects
 	s.FlatStrips += o.FlatStrips
 	s.FenwickStrips += o.FenwickStrips
 	s.RefinedCells += o.RefinedCells
@@ -355,9 +357,12 @@ func (s *Searcher) ensureScratch() {
 		dims := f.Dims()
 		cells := ncol * nrow
 		const swCap = 1024
-		if len(t.scratchF) < nw*dims || len(t.scratchCells) < nw*cells ||
+		// Per worker: the incumbent's representation, then the mini-sweep
+		// base vector in eff space and its logical fold.
+		perF := dims + t.eff + t.chans
+		if len(t.scratchF) < nw*perF || len(t.scratchCells) < nw*cells ||
 			len(t.scratchRects) < nw*swCap {
-			t.scratchF = make([]float64, nw*dims)
+			t.scratchF = make([]float64, nw*perF)
 			t.scratchCells = make([]cellInfo, nw*cells)
 			t.scratchRects = make([]asp.RectObject, nw*swCap)
 		}
@@ -393,7 +398,8 @@ func (s *Searcher) ensureScratch() {
 				}
 				w.sw.SetStripCost(stripCostModel())
 			}
-			w.rep = reps[i*dims : i*dims : (i+1)*dims]
+			w.rep = reps[i*perF : i*perF : i*perF+dims]
+			w.swBase = reps[i*perF+dims : (i+1)*perF]
 			w.dirty = dirt[i*cells : i*cells : (i+1)*cells]
 			w.swSub = swBack[i*swCap : i*swCap : (i+1)*swCap]
 		}
@@ -440,16 +446,17 @@ func (s *Searcher) Release() {
 // incumbent for the space being processed, and private work counters
 // merged after each run.
 type worker struct {
-	s     *Searcher
-	grid  *gridBuffers
-	sw    *sweep.Solver
-	swSub []asp.RectObject // mini-sweep rect scratch (materialized from ids)
-	dirty []cellInfo       // discretize output scratch
-	one   [1]cellInfo      // single-cell scratch for degenerate sweeps
-	cur   asp.Result       // local incumbent; Rep aliases repBuf
-	rep   []float64        // owned backing store for cur.Rep
-	arena [][]int32        // recycled id slices, touched only by this worker
-	stats Stats
+	s      *Searcher
+	grid   *gridBuffers
+	sw     *sweep.Solver
+	swSub  []asp.RectObject // mini-sweep rect scratch (materialized from ids)
+	swBase []float64        // mini-sweep base vector scratch: eff space, then its logical fold
+	dirty  []cellInfo       // discretize output scratch
+	one    [1]cellInfo      // single-cell scratch for degenerate sweeps
+	cur    asp.Result       // local incumbent; Rep aliases repBuf
+	rep    []float64        // owned backing store for cur.Rep
+	arena  [][]int32        // recycled id slices, touched only by this worker
+	stats  Stats
 }
 
 // getIds returns a recycled id slice with capacity >= n (length 0),
@@ -731,18 +738,41 @@ func (s *Searcher) SolveWithinIDs(space geom.Rect, seedLB float64, ids []int32) 
 	}
 }
 
-// sweepCutoff is the rectangle count below which a space is solved
-// directly by the exact sweep instead of further discretize/split rounds:
-// an O(m²) sweep on m rectangles this small is cheaper than even one more
-// grid pass and terminates the whole subtree.
+// sweepCutoff is the number of rectangles with an edge inside a space at
+// or below which the space is solved directly by the exact sweep instead
+// of further discretize/split rounds: an O(m²) sweep on m rectangles this
+// small is cheaper than even one more grid pass and terminates the whole
+// subtree. Rectangles that contain the space are not counted — the sweep
+// does not pay for them (miniSweep) — and they are what a deep space
+// mostly holds: an a×b rectangle is larger than the spaces the search
+// ends in, so shrinking a space sheds edges, not overlapping rectangles.
 const sweepCutoff = 160
+
+// sweepable is the terminal rule: at most sweepCutoff of the space's
+// rectangles have an edge inside it. A rectangle has none when the space
+// lies in its open interior: it then covers every point of the closed
+// space, and no edge of it can delimit a strip or an interval of a sweep
+// over the space. One that shares an edge coordinate with the space
+// counts as edged.
+func (w *worker) sweepable(space geom.Rect, ids []int32) bool {
+	master := w.s.rects
+	edged := 0
+	for _, id := range ids {
+		if !master[id].Rect.ContainsRectOpen(space) {
+			if edged++; edged > sweepCutoff {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // processSpace discretizes one space, prunes, and either stops (drop
 // condition / nothing left), runs the safety net, or splits and emits the
 // two sub-spaces.
 func (w *worker) processSpace(it kernel.Item, emit func(kernel.Item)) {
 	w.s.ensureScratch()
-	if len(it.Ids) <= sweepCutoff && !w.s.opt.DisableSafetyNet {
+	if !w.s.opt.DisableSafetyNet && w.sweepable(it.Space, it.Ids) {
 		w.one[0] = cellInfo{rect: it.Space}
 		w.miniSweep(w.one[:], it.Ids)
 		return
@@ -835,40 +865,54 @@ func (w *worker) push(emit func(kernel.Item), child geom.Rect, lb float64, paren
 }
 
 // miniSweep runs the Base algorithm restricted to the MBR of the surviving
-// dirty cells; see DESIGN.md §3 "Exactness safety net". The worker's
-// sweep solver is rebound in place, so steady-state sweeps reuse all of
-// their scratch.
+// dirty cells; see DESIGN.md §3 "Exactness safety net". The rectangles
+// that contain the MBR cover every candidate the sweep enumerates and add
+// the same vector to each: their table contributions are summed once, in
+// id order like the grid fill's, into a base the solver starts from, and
+// only the rectangles with an edge inside are swept. The worker's sweep
+// solver is rebound in place, so steady-state sweeps reuse all of their
+// scratch.
 func (w *worker) miniSweep(dirty []cellInfo, ids []int32) {
 	mbr := geom.EmptyRect()
 	for _, c := range dirty {
 		mbr = mbr.Union(c.rect)
 	}
 	master := w.s.rects
+	tab := w.s.tab
 	w.swSub = w.swSub[:0]
+	base := w.swBase[:tab.eff]
+	clear(base)
+	covering := 0
 	for _, id := range ids {
 		r := &master[id].Rect
-		if r.MinX < mbr.MaxX && mbr.MinX < r.MaxX && r.MinY < mbr.MaxY && mbr.MinY < r.MaxY {
+		if r.ContainsRectOpen(mbr) {
+			for _, cb := range tab.rectContribs(id) {
+				base[cb.Ch] += cb.V
+			}
+			covering++
+		} else if r.MinX < mbr.MaxX && mbr.MinX < r.MaxX && r.MinY < mbr.MaxY && mbr.MinY < r.MaxY {
 			w.swSub = append(w.swSub, master[id])
 		}
 	}
+	base = tab.fold(w.swBase[tab.eff:], base)
 	w.stats.MiniSweeps++
 	w.stats.MiniSweepRects += len(w.swSub)
+	w.stats.SweepBaseRects += covering
 	if w.sw == nil {
 		// Fallback when the batch pool could not be built; the pool path
 		// assigns solvers in ensureScratch.
-		sw, err := sweep.New(w.swSub, w.s.query)
+		sw, err := sweep.New(nil, w.s.query)
 		if err != nil {
 			return // query was validated at construction; unreachable
 		}
 		w.sw = sw
-		w.sw.SetIncremental(w.s.tab.allExact)
-		if w.s.tab.allExact {
-			w.sw.SetFixedPoint(w.s.tab.chScale, w.s.tab.chInv)
+		w.sw.SetIncremental(tab.allExact)
+		if tab.allExact {
+			w.sw.SetFixedPoint(tab.chScale, tab.chInv)
 		}
 		w.sw.SetStripCost(stripCostModel())
-	} else {
-		w.sw.Rebind(w.swSub)
 	}
+	w.sw.RebindWithBase(w.swSub, base)
 	// The solver's counters accumulate across rebinds (pooled solvers
 	// serve many sweeps); fold only this sweep's strip-evaluator deltas
 	// into the worker stats.
@@ -883,6 +927,11 @@ func (w *worker) miniSweep(dirty []cellInfo, ids []int32) {
 	}
 	w.stats.FlatStrips += w.sw.Stats.FlatStrips - before.FlatStrips
 	w.stats.FenwickStrips += w.sw.Stats.FenwickStrips - before.FenwickStrips
+	// The scratch is recycled across queries with the slabs, and the next
+	// sweeps rewrite only as much of it as they are large. Object pointers
+	// left in it would keep this query's dataset alive — under ingest a
+	// whole past view per stale pointer.
+	clear(w.swSub)
 }
 
 // PointRepresentation computes F(p) exactly over the master set,

@@ -1,0 +1,115 @@
+package dssearch_test
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"asrs"
+	"asrs/internal/agg"
+	"asrs/internal/asp"
+	"asrs/internal/attr"
+	"asrs/internal/dataset"
+	"asrs/internal/dssearch"
+	"asrs/internal/geom"
+)
+
+// TestTerminalSweepRule: a cluster of 450 objects (every fifth a duplicate
+// location) inside an 0.8a×0.8b box puts hundreds of reduction rectangles
+// over every space near the optimum, however small — counting overlapping
+// rectangles, such a space could only end at the drop condition — while
+// the rectangles with an edge inside it thin out with the space. The rule
+// that counts those sweeps the space as soon as they are few: same
+// distance as SearchBaseline for every worker count, with and without the
+// pyramid, in 9 and 10 discretizations where the overlap-counting rule
+// took 1 668 and 1 514.
+func TestTerminalSweepRule(t *testing.T) {
+	const a, b = 8.0, 6.0
+	rng := rand.New(rand.NewSource(19))
+	ds := dataset.Random(300, 100, 23)
+	for i := 0; i < 450; i++ {
+		loc := geom.Point{X: 41 + rng.Float64()*0.8*a, Y: 57 + rng.Float64()*0.8*b}
+		if i%5 == 4 {
+			loc = ds.Objects[len(ds.Objects)-1-rng.Intn(4)].Loc
+		}
+		ds.Objects = append(ds.Objects, attr.Object{
+			Loc:    loc,
+			Values: []attr.Value{attr.CatValue(rng.Intn(3)), attr.NumValue(rng.Float64()*20 - 10)},
+		})
+	}
+	for _, tc := range []struct {
+		name      string
+		specs     []agg.Spec
+		target, w []float64
+		exact     bool // integer channels: the sweep agrees bit for bit
+	}{
+		{"integer", []agg.Spec{{Kind: agg.Distribution, Attr: "cat"}}, []float64{61, 47, 55}, nil, true},
+		// Full-mantissa sums keep the master unsorted and the sweep classic.
+		{"real", []agg.Spec{{Kind: agg.Distribution, Attr: "cat"}, {Kind: agg.Sum, Attr: "val"}}, []float64{61, 47, 55, 12.25}, []float64{1, 1, 1, 0.05}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := agg.MustNew(ds.Schema, tc.specs...)
+			req := asrs.QueryRequest{Query: asp.Query{F: f, Target: tc.target, W: tc.w}, A: a, B: b}
+			want := asrs.SearchBaseline(ds, req)
+			if want.Err != nil {
+				t.Fatal(want.Err)
+			}
+			wd := want.Results[0].Dist
+			pyr, err := asrs.BuildPyramid(ds, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []*asrs.Pyramid{nil, pyr} {
+				for _, workers := range []int{1, 3} {
+					req.Options = &asrs.Options{Workers: workers, Pyramid: p}
+					got, stats := asrs.Answer(ds, nil, req)
+					if got.Err != nil {
+						t.Fatal(got.Err)
+					}
+					d := got.Results[0].Dist
+					if tc.exact && math.Float64bits(d) != math.Float64bits(wd) || math.Abs(d-wd) > 1e-9*math.Max(1, wd) {
+						t.Fatalf("pyramid=%v workers=%d: distance %v, the baseline's %v", p != nil, workers, d, wd)
+					}
+					if st := stats.DS; st.Discretizations > 30 || st.SweepBaseRects < 400 {
+						t.Fatalf("pyramid=%v workers=%d: %d discretizations (want at most 30), %d rectangles folded into sweep bases (want the cluster's 400 and more)",
+							p != nil, workers, st.Discretizations, st.SweepBaseRects)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReleasedSlabsLetTheDatasetGo: the slabs a search hands back to the
+// cache keep nothing of the dataset it ran over alive. The mini-sweep's
+// rectangle scratch is the one recycled buffer with object pointers in it
+// (scrubbed after each sweep); the next query rewrites only as much of it
+// as its sweeps are large, so under ingest — a new dataset view per batch
+// — a stale tail used to hold on to whole past views (10 MiB of
+// shard-ingest's peak RSS).
+func TestReleasedSlabsLetTheDatasetGo(t *testing.T) {
+	var slabs dssearch.SlabCache
+	collected := make(chan struct{})
+	func() {
+		ds := dataset.Random(400, 40, 31)
+		runtime.SetFinalizer(&ds.Objects[0], func(*attr.Object) { close(collected) })
+		f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
+		q := asp.Query{F: f, Target: []float64{9, 9, 9}}
+		_, _, st, err := dssearch.SolveASRS(ds, 6, 6, q, nil, nil, dssearch.Options{Workers: 1, Slabs: &slabs})
+		if err != nil || st.MiniSweepRects == 0 {
+			t.Fatalf("no mini-sweep ran (err %v, stats %+v)", err, st)
+		}
+	}()
+	defer runtime.KeepAlive(&slabs)
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the slab cache still references the dataset of a closed search")
+}

@@ -111,6 +111,7 @@ func Solve(idx *Index, rects []asp.RectObject, q asp.Query, a, b float64, exclud
 
 		// Lines 2–4: lower-bound every cell and heap them.
 		h := kernel.NewHeap[cellCand](func(x, y cellCand) bool { return x.lb < y.lb })
+		h.Grow(idx.sx * idx.sy)
 		lbs := idx.ParallelCellLowerBounds(q, a, b, kernel.Workers(opt.Workers))
 		for j := 0; j < idx.sy; j++ {
 			for i := 0; i < idx.sx; i++ {

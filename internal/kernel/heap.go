@@ -1,5 +1,7 @@
 package kernel
 
+import "slices"
+
 // Heap is a small generic binary min-heap, replacing the pre-generics
 // container/heap Push/Pop boilerplate that the search packages used to
 // carry. The ordering is supplied at construction; ties keep the sift
@@ -14,6 +16,10 @@ type Heap[T any] struct {
 func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{less: less}
 }
+
+// Grow makes room for n more elements, so that pushing them does not
+// reallocate the backing storage along the way.
+func (h *Heap[T]) Grow(n int) { h.data = slices.Grow(h.data, n) }
 
 // Len returns the number of elements.
 func (h *Heap[T]) Len() int { return len(h.data) }

@@ -117,9 +117,9 @@ func Workers(n int) int {
 }
 
 // outcome collects one item's deterministic processing result. emit is
-// the slot's reusable child-collector closure, created once per Run —
-// allocating it per processed item would dominate the steady-state
-// allocation count.
+// the slot's reusable child-collector closure, created when a batch first
+// reaches the slot and kept for the rest of the Run — allocating it per
+// processed item would dominate the steady-state allocation count.
 type outcome struct {
 	best     asp.Result
 	children []Item
@@ -199,12 +199,13 @@ func RunCtx(ctx context.Context, workers, batchSize int, seeds []Item, bound *Bo
 	pushes = len(seeds)
 	workers = Workers(workers)
 
-	batch := make([]Item, 0, batchSize)
-	outs := make([]outcome, batchSize)
-	for i := range outs {
-		o := &outs[i]
-		o.emit = func(c Item) { o.children = append(o.children, c) }
-	}
+	// The batch and its outcome slots grow to the widest batch popped, not
+	// to batchSize: most runs (a GI-DS cell, a space swept at once) pop
+	// one to three items in all, and what a run allocates up front is then
+	// most of what it costs. A slot's closure finds the slot by index,
+	// since growing outs moves the slots.
+	var batch []Item
+	var outs []outcome
 
 	// Persistent worker pool: goroutines are spawned once per Run (lazily,
 	// at the first multi-item round) and parked between supersteps, so the
@@ -318,6 +319,9 @@ func RunCtx(ctx context.Context, workers, batchSize int, seeds []Item, bound *Bo
 			batch = append(batch, h.Pop())
 		}
 		n = len(batch)
+		for i := len(outs); i < n; i++ {
+			outs = append(outs, outcome{emit: func(c Item) { outs[i].children = append(outs[i].children, c) }})
+		}
 		for i := 0; i < n; i++ {
 			outs[i].children = outs[i].children[:0]
 		}

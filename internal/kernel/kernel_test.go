@@ -367,3 +367,19 @@ func TestWorkersResolution(t *testing.T) {
 		t.Fatal("auto worker count must be at least 1")
 	}
 }
+
+// TestRunOneItemAllocs pins what a run costs before it does anything: a
+// GI-DS cell or a space swept at once is a run of one item, and a search
+// makes hundreds of them. Batch and outcome slots are built as batches
+// reach them, so a one-item run pays for one of each — not for the
+// DefaultBatchSize of them it never uses (46 allocations that way).
+func TestRunOneItemAllocs(t *testing.T) {
+	seeds := []Item{{}}
+	process := func(_ int, _ Item, incumbent asp.Result, _ func(Item)) asp.Result { return incumbent }
+	allocs := testing.AllocsPerRun(20, func() {
+		Run(1, 0, seeds, NewBound(0, asp.Result{Dist: math.Inf(1)}), process, nil)
+	})
+	if allocs > 16 {
+		t.Fatalf("a one-seed one-item run allocates %v times, want at most 16", allocs)
+	}
+}

@@ -121,6 +121,12 @@ func (s *Stream) Next() (Row, bool) {
 			return Row{}, false
 		}
 		region, res := resp.Best()
+		if asrs.OverlapsAny(region, s.excl[len(s.base.Exclude):]) {
+			// The space is used up and the round fell back on a region it
+			// had answered before: asrs.Greedy's other stop rule.
+			s.done = true
+			return Row{}, false
+		}
 		// The region joins the exclusion set whether or not a filter
 		// accepts it — the greedy sequence is defined over candidates,
 		// and re-finding a rejected region would loop forever.

@@ -1,0 +1,205 @@
+package sweep
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"asrs/internal/agg"
+	"asrs/internal/asp"
+	"asrs/internal/attr"
+	"asrs/internal/geom"
+)
+
+// baseComposites are the three exactness classes a base vector meets:
+// integer channels, real channels under a fixed-point certificate (both
+// may take the incremental sweep and must come back bit for bit), and
+// full-mantissa reals, where base + Σ is one more summation order of the
+// classic walk and only closeness can be asked.
+var baseComposites = []struct {
+	name        string
+	incremental bool
+	scale, inv  []float64
+	num         func(rng *rand.Rand) (visits, rating float64)
+}{
+	{"integer", true, nil, nil, func(rng *rand.Rand) (float64, float64) {
+		return float64(rng.Intn(9) - 4), float64(rng.Intn(6))
+	}},
+	{"certified", true, []float64{2, 2, 2, 4, 1, 1}, []float64{0.5, 0.5, 0.5, 0.25, 1, 1}, func(rng *rand.Rand) (float64, float64) {
+		return float64(rng.Intn(999))*0.5 - 200, float64(rng.Intn(41)) * 0.25
+	}},
+	{"uncertified", false, nil, nil, func(rng *rand.Rand) (float64, float64) {
+		return rng.NormFloat64() * 100, rng.Float64() * 5
+	}},
+}
+
+// baseSpaces: an ordinary space, then a zero-width, a zero-height and a
+// point space.
+var baseSpaces = []geom.Rect{
+	{MinX: 40, MinY: 35, MaxX: 62, MaxY: 55},
+	{MinX: 50, MinY: 35, MaxX: 50, MaxY: 55},
+	{MinX: 40, MinY: 45, MaxX: 62, MaxY: 45},
+	{MinX: 50, MinY: 45, MaxX: 50, MaxY: 45},
+}
+
+// baseFixture draws rectangles around space in four kinds, shuffled: ones
+// with an edge inside it, ones that contain it strictly, ones that would
+// contain it but share an edge coordinate with it, and ones outside it.
+func baseFixture(rng *rand.Rand, space geom.Rect, num func(*rand.Rand) (float64, float64), edged int) []asp.RectObject {
+	var rects []asp.RectObject
+	add := func(r geom.Rect) {
+		visits, rating := num(rng)
+		o := &attr.Object{
+			Loc:    geom.Point{X: r.MaxX, Y: r.MaxY},
+			Values: []attr.Value{{Num: visits}, {Num: rating}},
+		}
+		rects = append(rects, asp.RectObject{Rect: r, Obj: o})
+	}
+	for i := 0; i < edged; i++ {
+		x, y := 30+rng.Float64()*45, 25+rng.Float64()*42
+		if rng.Intn(3) == 0 {
+			x, y = 30+float64(rng.Intn(15))*3, 25+float64(rng.Intn(14))*3
+		}
+		add(geom.Rect{MinX: x - 9, MinY: y - 8, MaxX: x, MaxY: y})
+	}
+	out := func() float64 { return 0.5 + rng.Float64()*20 }
+	for i := 20 + rng.Intn(60); i > 0; i-- {
+		add(geom.Rect{MinX: space.MinX - out(), MinY: space.MinY - out(), MaxX: space.MaxX + out(), MaxY: space.MaxY + out()})
+	}
+	for i := 0; i < 12; i++ {
+		r := geom.Rect{MinX: space.MinX - out(), MinY: space.MinY - out(), MaxX: space.MaxX + out(), MaxY: space.MaxY + out()}
+		switch i % 4 {
+		case 0:
+			r.MinX = space.MinX
+		case 1:
+			r.MaxX = space.MaxX
+		case 2:
+			r.MinY = space.MinY
+		case 3:
+			r.MaxY = space.MaxY
+		}
+		add(r)
+	}
+	for i := 0; i < 10; i++ {
+		add(geom.Rect{MinX: space.MaxX + out(), MinY: space.MinY - out(), MaxX: space.MaxX + 30, MaxY: space.MaxY + out()})
+	}
+	rng.Shuffle(len(rects), func(i, j int) { rects[i], rects[j] = rects[j], rects[i] })
+	return rects
+}
+
+// TestSolveWithinBaseMatchesUnfolded: sweeping only the rectangles with an
+// edge inside the space, on the summed contributions of those that contain
+// it strictly, is sweeping them all — point, distance and representation
+// bit for bit wherever channel sums are exact, through the classic walk,
+// the flat incremental pass and the Fenwick walk, capped and uncapped, on
+// degenerate spaces too. Rectangles sharing an edge coordinate with the
+// space stay swept.
+func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
+	schema, err := attr.NewSchema(
+		attr.Attribute{Name: "visits", Kind: attr.Numeric},
+		attr.Attribute{Name: "rating", Kind: attr.Numeric},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := agg.New(schema,
+		agg.Spec{Kind: agg.Sum, Attr: "visits"},
+		agg.Spec{Kind: agg.Average, Attr: "rating"},
+		agg.Spec{Kind: agg.Count},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []struct {
+		name        string
+		incremental bool
+		prep        func(s *Solver)
+	}{
+		{"classic", false, func(*Solver) {}},
+		{"flat", true, func(s *Solver) { s.SetStripMode(StripFlatOnly) }},
+		{"fenwick", true, func(s *Solver) { s.SetStripCost(treeCost) }},
+	}
+	rng := rand.New(rand.NewSource(97))
+	for _, comp := range baseComposites {
+		for trial := 0; trial < 8; trial++ {
+			space := baseSpaces[trial%len(baseSpaces)]
+			// Under and over incrMinRects swept rectangles.
+			all := baseFixture(rng, space, comp.num, []int{incrMinRects + 80, 30}[trial/len(baseSpaces)%2])
+			q := asp.Query{F: f, Target: []float64{rng.Float64() * 400, rng.Float64() * 5, float64(20 + rng.Intn(80))}}
+
+			var edged []asp.RectObject
+			base := make([]float64, f.Channels())
+			var cbuf []agg.Contrib
+			for _, r := range all {
+				if r.Rect.ContainsRectOpen(space) {
+					cbuf = f.AppendContribs(r.Obj, cbuf[:0])
+					for _, cb := range cbuf {
+						base[cb.Ch] += cb.V
+					}
+					continue
+				}
+				edged = append(edged, r)
+			}
+			if len(edged) == len(all) {
+				t.Fatal("fixture has no containing rectangle")
+			}
+
+			for _, m := range modes {
+				if m.incremental && !comp.incremental {
+					continue
+				}
+				newSolver := func() *Solver {
+					s, err := New(nil, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.SetIncremental(m.incremental)
+					if m.incremental {
+						s.SetFixedPoint(comp.scale, comp.inv)
+					}
+					m.prep(s)
+					return s
+				}
+				unfolded, folded := newSolver(), newSolver()
+				unfolded.Rebind(all)
+				folded.RebindWithBase(edged, base)
+				label := comp.name + "/" + m.name
+				want, wok := unfolded.SolveWithin(space)
+				if !wok {
+					t.Fatalf("%s: unfolded sweep found nothing", label)
+				}
+				unfolded.Stats = Stats{}
+				caps := []float64{math.Inf(1), want.Dist * 2, want.Dist, math.Nextafter(want.Dist, math.Inf(-1))}
+				if !comp.incremental {
+					// A cap within rounding of the optimum may fall between
+					// the two summation orders.
+					caps = []float64{math.Inf(1), want.Dist * 2, want.Dist / 2}
+				}
+				for _, c := range caps {
+					want, wok := unfolded.SolveWithinCapped(space, c)
+					got, gok := folded.SolveWithinCapped(space, c)
+					if comp.incremental {
+						expectSame(t, label, want, got, wok, gok)
+					} else if wok != gok || math.Abs(want.Dist-got.Dist) > 1e-9*math.Max(1, math.Abs(want.Dist)) {
+						// Inf-Inf is NaN, which compares false: two untouched
+						// sentinels pass.
+						t.Fatalf("%s: cap %g: %g (%v) vs %g (%v)", label, c, want.Dist, wok, got.Dist, gok)
+					}
+				}
+				if us, fs := unfolded.Stats, folded.Stats; us != fs {
+					t.Fatalf("%s: the two sweeps walked different strips or intervals: %+v vs %+v", label, us, fs)
+				}
+				degenerate := space.MinX == space.MaxX || space.MinY == space.MaxY
+				if m.incremental && !degenerate && len(edged) >= incrMinRects {
+					if st := folded.Stats; (m.name == "flat") != (st.FlatStrips > 0) || (m.name == "fenwick") != (st.FenwickStrips > 0) {
+						t.Fatalf("%s: evaluator not exercised: %+v", label, st)
+					}
+				}
+				// A plain Rebind drops the base.
+				folded.Rebind(all)
+				got, gok := folded.SolveWithin(space)
+				expectSame(t, label+"/rebound", want, got, wok, gok)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"asrs/internal/fenwick"
@@ -313,6 +314,19 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		inc.bit.Reset(k, chans)
 	}
 	inc.dif.Reset(k, chans)
+	// The base is one more covering set, spanning every interval of every
+	// strip: a scaled int64 like the contributions apply folds in (exact
+	// under the same certificate), so both evaluators' totals carry it.
+	for c, v := range s.base {
+		if s.fpScale != nil {
+			v *= s.fpScale[c]
+		}
+		d := int64(v)
+		inc.dif.RangeAdd(0, k-1, c, d)
+		if maintainTree {
+			inc.bit.RangeAdd(0, k-1, c, d)
+		}
+	}
 	if cap(inc.ch) < chans {
 		inc.ch = make([]float64, chans)
 		inc.chI = make([]int64, chans)
@@ -401,8 +415,10 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		// Merge the dirty ranges so intervals are visited ascending —
 		// the same (strip, interval) visit order as the classic scan on
 		// the intervals that could have changed. The merge in place
-		// leaves the coalesced ranges in inc.ranges[:nm].
-		sort.Slice(inc.ranges, func(a, b int) bool { return inc.ranges[a][0] < inc.ranges[b][0] })
+		// leaves the coalesced ranges in inc.ranges[:nm], whatever order
+		// ranges with one start come in. (slices.SortFunc: sort.Slice
+		// allocates per call, and this is one call per dirty strip.)
+		slices.SortFunc(inc.ranges, func(a, b [2]int32) int { return int(a[0]) - int(b[0]) })
 		nm := 0
 		for i := 1; i < len(inc.ranges); i++ {
 			if inc.ranges[i][0] <= inc.ranges[nm][1]+1 {

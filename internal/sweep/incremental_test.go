@@ -194,3 +194,42 @@ func TestIncrementalSweepFixedPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalSweepSteadyStateAllocs: a pooled solver rebound to a new
+// rectangle set sweeps it incrementally out of the scratch it already
+// holds; all it allocates is the answer's representation. (Sorting each
+// strip's dirty ranges through sort.Slice allocated per dirty strip on
+// top: 200 times for sweeps like these.)
+func TestIncrementalSweepSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	rects, q := incrFixture(t, rng, incrMinRects+100)
+	rects2, _ := incrFixture(t, rng, incrMinRects+60)
+	space := geom.Rect{MinX: 5, MinY: 5, MaxX: 95, MaxY: 95}
+	for _, mc := range stripModeCases {
+		pool, err := NewPool(1, q, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &pool[0]
+		s.SetIncremental(true)
+		mc.prep(s)
+		sets := [][]asp.RectObject{rects, rects2}
+		i := 0
+		solve := func() {
+			s.Rebind(sets[i%2])
+			i++
+			if _, ok := s.SolveWithin(space); !ok {
+				t.Fatal("nothing found")
+			}
+		}
+		solve()
+		solve()
+		before := s.Stats
+		if allocs := testing.AllocsPerRun(10, solve); allocs > 1 {
+			t.Fatalf("%s: a rebound incremental sweep allocates %v times, want the answer's representation only", mc.name, allocs)
+		}
+		if s.Stats.FlatStrips+s.Stats.FenwickStrips == before.FlatStrips+before.FenwickStrips {
+			t.Fatalf("%s: the incremental sweep did not run", mc.name)
+		}
+	}
+}

@@ -35,6 +35,9 @@ type Stats struct {
 type Solver struct {
 	rects []asp.RectObject
 	query asp.Query
+	// base is the channel vector of a set that covers every candidate of
+	// the spaces about to be solved (RebindWithBase); nil means none.
+	base []float64
 
 	byMinX []int // rect indices sorted by Rect.MinX
 	byMaxX []int // rect indices sorted by Rect.MaxX
@@ -190,8 +193,24 @@ func (s *Solver) SetQuery(q asp.Query) bool {
 // (sorted-edge orders, strip buffers, accumulator). The query is
 // unchanged; the rects slice is only read, never retained past the next
 // Rebind. Stats keep accumulating across rebinds.
-func (s *Solver) Rebind(rects []asp.RectObject) {
+func (s *Solver) Rebind(rects []asp.RectObject) { s.RebindWithBase(rects, nil) }
+
+// RebindWithBase is Rebind for a caller that has factored out the
+// rectangles covering every candidate of the spaces it is about to solve:
+// rects holds only the others, and base (length Channels(), nil for none;
+// read, never retained past the next rebind) the summed contributions of
+// the covering ones. No edge of a covering rectangle delimits a strip or
+// an interval, so the candidates are those of sweeping all the rectangles
+// and every one is scored on base plus what the sweep accumulates: the
+// classic walk starts each strip's accumulator from base, the incremental
+// sweep range-adds it across all intervals. Where channel sums are exact
+// (integer channels, or reals under SetFixedPoint) the answer is that of
+// the unfactored sweep bit for bit; elsewhere base + Σ is one more
+// summation order. The caller vouches for the covering — for SolveWithin
+// over a space, rectangles whose open interior contains the closed space.
+func (s *Solver) RebindWithBase(rects []asp.RectObject, base []float64) {
 	s.rects = rects
+	s.base = base
 	s.flatOK = false
 	s.byMinX = resizeInts(s.byMinX, len(rects))
 	s.byMaxX = resizeInts(s.byMaxX, len(rects))
@@ -345,7 +364,11 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, re
 	if !s.flatOK {
 		s.flatten()
 	}
-	acc.Reset()
+	if s.base != nil {
+		acc.ResetTo(s.base)
+	} else {
+		acc.Reset()
+	}
 	// Merge-walk the two pre-sorted edge lists, keeping only rects active
 	// in this strip (open coverage in y).
 	active := func(i int) bool {

@@ -88,11 +88,14 @@ var (
 // so on — each found by one call of round under the exclusions so far
 // (the caller's own, typically the example region, apply to every
 // round). The stop rule: a round that finds no feasible region after at
-// least one answer ends the sequence without error; any other failure,
-// and infeasibility of the first round, fails the request. Answers are
-// sized by the rounds run, never by k. The Engine's one-shot top-k, the
-// router's straddling top-k and SearchBaseline all run through it;
-// query.Stream.Next is its lazy form.
+// least one answer ends the sequence without error, and so does a round
+// whose region overlaps an earlier one — an un-windowed round always has
+// an answer, the empty region outside the space, which no exclusion
+// forbids: once the space is used up it comes back round after round.
+// Any other failure, and infeasibility of the first round, fails the
+// request. Answers are sized by the rounds run, never by k. The Engine's
+// one-shot top-k, the router's straddling top-k and SearchBaseline all
+// run through it; query.Stream.Next is its lazy form.
 func Greedy(k int, exclude []Rect, round func(exclude []Rect) (Rect, Result, error)) ([]Rect, []Result, error) {
 	excl := exclude[:len(exclude):len(exclude)] // rounds append their regions to a copy
 	var regions []Rect
@@ -105,11 +108,26 @@ func Greedy(k int, exclude []Rect, round func(exclude []Rect) (Rect, Result, err
 		if err != nil {
 			return nil, nil, err
 		}
+		if OverlapsAny(region, regions) {
+			break
+		}
 		regions = append(regions, region)
 		results = append(results, res)
 		excl = append(excl, region)
 	}
 	return regions, results, nil
+}
+
+// OverlapsAny reports whether region overlaps one of earlier beyond a
+// shared boundary: the test that ends a greedy sequence, here and in its
+// lazy form.
+func OverlapsAny(region Rect, earlier []Rect) bool {
+	for _, e := range earlier {
+		if region.IntersectsOpen(e) {
+			return true
+		}
+	}
+	return false
 }
 
 // Answer is the one search driver: it answers a request over a dataset

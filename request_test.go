@@ -265,7 +265,8 @@ func probeRows(rng *rand.Rand, rects []asp.RectObject, req asrs.QueryRequest, go
 // TestGreedyStopRule pins the one top-k policy: each round sees the
 // caller's exclusions plus the regions before it (the caller's slice is
 // left alone); running dry after an answer ends the sequence without
-// error while running dry at once, or any other failure, fails the
+// error, and so does a round that answers a region overlapping an earlier
+// row, while running dry at once, or any other failure, fails the
 // request; and answers are sized by the rounds run — k here is beyond
 // anything a slice could be made for.
 func TestGreedyStopRule(t *testing.T) {
@@ -295,6 +296,17 @@ func TestGreedyStopRule(t *testing.T) {
 			(tc.wantErr != nil && regions != nil) {
 			t.Fatalf("%d rows then %v: got %d regions, %d results, err %v", tc.rows, tc.fail, len(regions), len(results), err)
 		}
+	}
+	// The un-windowed fallback: with the space used up a round answers the
+	// empty region outside it again, exclusions or not.
+	unit := func(x float64) asrs.Rect { return asrs.Rect{MinX: x, MinY: 0, MaxX: x + 1, MaxY: 1} }
+	calls := 0
+	regions, _, err := asrs.Greedy(12, own, func([]asrs.Rect) (asrs.Rect, asrs.Result, error) {
+		calls++
+		return unit(float64(min(calls, 3))), asrs.Result{}, nil
+	})
+	if err != nil || len(regions) != 3 || calls != 4 {
+		t.Fatalf("a repeated region: %d rows after %d rounds, err %v; want 3 after 4 and none", len(regions), calls, err)
 	}
 	if own = own[:2]; own[1] != (asrs.Rect{}) {
 		t.Fatalf("Greedy wrote into the caller's exclusion slice: %v", own)

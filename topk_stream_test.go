@@ -18,7 +18,54 @@ import (
 // not only distances, which tie-broken searches would also agree on. On
 // the paper's F2 over POISyn, where most optima are ties; with the grid
 // index (every round a GI-DS run) and without it (plain DS-Search).
+//
+// And they end on the same row when the space is used up before k: with
+// regions half the bounds wide a top-12 over 30 tweets has room for a few
+// rows and the empty region outside the space, which every later round
+// falls back on again — both forms stop there instead of repeating it.
 func TestTopKOneShotEqualsStream(t *testing.T) {
+	t.Run("space-used-up", func(t *testing.T) {
+		ds := dataset.Tweet(30, 7)
+		bounds := ds.Bounds()
+		a, b := bounds.Width()/2, bounds.Height()/2
+		for _, grid := range []int{8, 0} {
+			eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: grid, Search: asrs.Options{Workers: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := fmt.Sprintf("find top 12 size %v x %v similar to target(0,0,0,0,0,3,3) under dist(day)", a, b)
+			plan, err := query.NewPlanner(ds.Schema, nil).ParseAndPlan(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, err := plan.Request(eng.CurrentDataset())
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneShot := eng.Query(req)
+			if n := len(oneShot.Regions); oneShot.Err != nil || n < 2 || n >= 12 {
+				t.Fatalf("grid %d: one-shot answered %d rows, err %v; want a few and none", grid, n, oneShot.Err)
+			}
+			for i, r := range oneShot.Regions {
+				if asrs.OverlapsAny(r, oneShot.Regions[:i]) {
+					t.Fatalf("grid %d: row %d (%v) overlaps an earlier row of %v", grid, i+1, r, oneShot.Regions)
+				}
+			}
+			st, err := query.Exec(context.Background(), plan, query.EngineBinding{E: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range oneShot.Regions {
+				if row, ok := st.Next(); !ok || row.Region != want {
+					t.Fatalf("grid %d: row %d streamed %v (ok %v, err %v), one-shot %v", grid, i+1, row.Region, ok, st.Err(), want)
+				}
+			}
+			if row, ok := st.Next(); ok || st.Err() != nil {
+				t.Fatalf("grid %d: stream went on after the one-shot's %d rows: %v (err %v)", grid, len(oneShot.Regions), row.Region, st.Err())
+			}
+		}
+	})
+
 	ds := dataset.POISyn(2500, 42)
 	ua, ub := dataset.QueryUnit(ds.Bounds())
 	visits := ds.Schema.Index("visits")
