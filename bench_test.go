@@ -364,14 +364,18 @@ func BenchmarkTopKRounds(b *testing.B) {
 	}
 }
 
-// BenchmarkF1Indexed is the count tripwire of the terminal sweep rule
-// (DESIGN.md §3): one indexed F1 query of the serving benchmark's
-// f1-distinct shape — Tweet 20k, an 8-unit answer, grid 64, the pyramid
-// bound, a target at 0.8 of the most weekend tweets a window can hold,
-// which many regions come close to. Its discretizations repeat exactly
-// run to run: 11 with spaces swept as soon as few rectangles have an edge
-// inside them, 1 044 when overlapping rectangles were counted. It fails
-// above 100, or on a distance plain DS-Search does not answer.
+// BenchmarkF1Indexed is the count tripwire of an indexed query's
+// trajectory: one F1 query of the serving benchmark's f1-distinct shape —
+// Tweet 20k, an 8-unit answer, grid 64, the pyramid bound, a target at 0.8
+// of the most weekend tweets a window can hold, which many regions come
+// close to. Its counts repeat exactly run to run. Discretizations: 15
+// with spaces swept as soon as few rectangles have an edge inside them
+// (DESIGN.md §3; 1 044 when overlapping rectangles were counted, 11 while
+// both margin strips were searched ahead of the first cell and handed it
+// an incumbent); it fails above 100. Cells searched: 8 of 4 096, pinned —
+// what the best-first order over cells and strips is held to (§5). Margin
+// runs: 1, reported. And it fails on a distance plain DS-Search does not
+// answer.
 func BenchmarkF1Indexed(b *testing.B) {
 	ds := tweetDS(20000)
 	qa, qb := sizeK(ds, 8)
@@ -407,7 +411,7 @@ func BenchmarkF1Indexed(b *testing.B) {
 	if plain.Err != nil {
 		b.Fatal(plain.Err)
 	}
-	discretizations := 0
+	discretizations, marginRuns := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -418,10 +422,15 @@ func BenchmarkF1Indexed(b *testing.B) {
 		if d, want := resp.Results[0].Dist, plain.Results[0].Dist; math.Float64bits(d) != math.Float64bits(want) {
 			b.Fatalf("distance %v with the grid index, %v without", d, want)
 		}
+		if stats.CellsSearched != 8 {
+			b.Fatalf("%d cells searched, want 8", stats.CellsSearched)
+		}
 		discretizations += stats.DS.Discretizations
+		marginRuns += stats.MarginRuns
 	}
 	perQuery := float64(discretizations) / float64(b.N)
 	b.ReportMetric(perQuery, "discretizations/query")
+	b.ReportMetric(float64(marginRuns)/float64(b.N), "margin_runs/query")
 	if perQuery > 100 {
 		b.Fatalf("%v discretizations per query, want at most 100", perQuery)
 	}

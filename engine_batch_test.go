@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"asrs"
@@ -161,34 +162,74 @@ func TestEnginePyramidRoundTripServing(t *testing.T) {
 }
 
 // TestBatchSteadyStateAllocs is the alloc-regression assertion of the
-// batch path: once the engine is warm (pyramid built, slabs populated),
-// answering a whole batch through QueryBatch must stay under a
-// small per-query allocation budget — the per-worker scratch is reused
-// across the queries of a batch instead of re-acquired.
+// serving paths: once the engine is warm (pyramid built, slabs populated),
+// answering a whole batch through QueryBatch must stay under a small
+// per-query allocation budget, in count and in bytes — the per-worker
+// scratch is reused across the queries of a batch instead of re-acquired,
+// and a query binds its shape into retained memory instead of reducing
+// the corpus anew. So must the batch's plain requests sent one by one to
+// an engine with a grid index, in bytes: GI-DS recycles its bound array
+// and cell heap.
 func TestBatchSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
 	}
 	ds, _, reqs := batchFixture(t, 8, 55)
+	measure := func(n int, run func()) (allocs, bytes float64) {
+		run() // warm: builds index and pyramid, slabs, scratch
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(5, run)
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun runs once more than it counts, to warm up.
+		return allocs / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(6*n)
+	}
+	const bytesBudget = 64 << 10
+
 	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{BatchParallelism: 1, Search: asrs.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.QueryBatch(reqs) // warm: builds pyramid, slabs, scratch
-	eng.QueryBatch(reqs)
-	allocs := testing.AllocsPerRun(5, func() {
-		eng.QueryBatch(reqs)
-	})
-	perQuery := allocs / float64(len(reqs))
+	allocs, bytes := measure(len(reqs), func() { eng.QueryBatch(reqs) })
 	// Measured 130: a query here is a dozen kernel runs of one to three
 	// items (16 allocations each before the first item), response Rep
 	// detaches and the TopK path of the excluding half. The budget leaves
 	// half as much again for a pool the collector emptied mid-run; it was
 	// 1 172 while spaces split down to the drop condition and every run
 	// built a full batch of slots, and re-building per-worker scratch per
-	// query costs thousands.
-	if perQuery > 200 {
-		t.Fatalf("steady-state batch allocations: %.0f allocs/query (budget 200)", perQuery)
+	// query costs thousands. Bytes: 44 KiB measured, most of it the one
+	// Prepared master the grouped half shares; 113 KiB while every other
+	// query reduced the corpus into a fresh rectangle array.
+	if allocs > 200 {
+		t.Fatalf("steady-state batch allocations: %.0f allocs/query (budget 200)", allocs)
 	}
-	t.Logf("steady-state batch: %.0f allocs/query", perQuery)
+	if bytes > bytesBudget {
+		t.Fatalf("steady-state batch allocations: %.0f bytes/query (budget %d)", bytes, bytesBudget)
+	}
+	t.Logf("steady-state batch: %.0f allocs/query, %.0f bytes/query", allocs, bytes)
+
+	var plain []asrs.QueryRequest
+	for _, req := range reqs {
+		if len(req.Exclude) == 0 {
+			plain = append(plain, req)
+		}
+	}
+	indexed, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: 64, Search: asrs.Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, bytes = measure(len(plain), func() {
+		for _, req := range plain {
+			indexed.Query(req)
+		}
+	})
+	// Measured 52 KiB, all of it the kernel runs of the cells searched (a
+	// thousand small allocations); 429 KiB with a reduction and a permuted
+	// copy per query, and 96 KiB more than now while every query grew a
+	// 4 096-entry heap and a bound array of its own.
+	if bytes > bytesBudget {
+		t.Fatalf("steady-state indexed queries: %.0f bytes/query (budget %d)", bytes, bytesBudget)
+	}
+	t.Logf("steady-state indexed queries: %.0f bytes/query", bytes)
 }

@@ -91,20 +91,20 @@ type Options struct {
 	// it must call Searcher.Release (Request.Close does) when the search
 	// is done.
 	Slabs *SlabCache
-	// Pyramid, when non-nil and built for the query's composite over the
-	// same master cardinality, binds the searcher to the persistent
-	// dataset-level aggregate pyramid instead of rebuilding the
+	// Pyramid, when non-nil and built for exactly the request's dataset
+	// and composite, binds the searcher (NewRegionSearcher) to the
+	// persistent dataset-level aggregate pyramid instead of rebuilding the
 	// per-query aggregation layer: master order, contributions,
-	// certificates and anchor-bin levels are aliased, leaving only O(n)
-	// per-query work (DESIGN.md §6). Answers are bit-identical to the
+	// certificates and anchor-bin levels are aliased, leaving one O(n)
+	// pass per query (DESIGN.md §6). Answers are bit-identical to the
 	// unassisted path; the binding silently falls back to the classic
-	// build when it cannot guarantee that (wrong composite, wrong
-	// cardinality, or anchor collapse under translation).
+	// build when it cannot guarantee that (another dataset or composite,
+	// or anchor collapse under translation).
 	Pyramid *Pyramid
-	// Prepared, when non-nil, additionally shares the per-query-shape
-	// state (materialized master rectangles, GPS accuracy) across every
-	// query with the same (a, b) extent — the Engine's batch grouping
-	// builds one Prepared per group. Implies Pyramid (it carries one).
+	// Prepared, when non-nil, additionally shares the materialized master
+	// rectangles of a query shape across every query with the same (a, b)
+	// extent — the Engine's batch grouping builds one Prepared per group.
+	// Implies Pyramid (it carries one).
 	Prepared *Prepared
 	// SharedCap, when non-nil, attaches a cross-search shared pruning
 	// cap to every bound this search creates: merge barriers publish the
@@ -202,6 +202,7 @@ func (s *Stats) Add(o Stats) {
 // through the kernel worker pool.
 type Searcher struct {
 	rects []asp.RectObject // master array; sorted by (MinX, MinY) for integer-exact composites
+	space geom.Rect        // the master's MBR
 	query asp.Query
 	opt   Options
 	acc   geom.Accuracy
@@ -230,66 +231,99 @@ type Searcher struct {
 	sharedIds [][]int32
 }
 
-// NewSearcher validates inputs and prepares per-worker state. The rects
-// slice is only read; if the master order needs resorting (integer-exact
-// composites), a copy is sorted instead.
+// NewSearcher validates inputs and builds the aggregation layer over an
+// arbitrary ASP instance. The rects slice is only read; if the master
+// order needs resorting (integer-exact composites), a copy is sorted
+// instead. A search for an a×b region over a dataset goes through
+// NewRegionSearcher, which is also the only way to bind a pyramid.
 func NewSearcher(rects []asp.RectObject, q asp.Query, opt Options) (*Searcher, error) {
-	return newSearcher(rects, q, opt, false)
-}
-
-// NewSearcherOwning is NewSearcher for callers that hand over ownership
-// of the rects slice: it may be re-sorted in place, which the hot paths
-// prefer over copying. The slice must not be concurrently read elsewhere.
-func NewSearcherOwning(rects []asp.RectObject, q asp.Query, opt Options) (*Searcher, error) {
-	return newSearcher(rects, q, opt, true)
-}
-
-func newSearcher(rects []asp.RectObject, q asp.Query, opt Options, own bool) (*Searcher, error) {
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
+	opt, err := opt.checked(q)
+	if err != nil {
 		return nil, err
 	}
-	if err := q.Validate(); err != nil {
-		return nil, err
+	tab := opt.Slabs.get()
+	return newSearcher(tab, buildTables(tab, rects, q.F, false), q, opt, nil), nil
+}
+
+// NewRegionSearcher is the searcher of an ASRS request: the a×b
+// top-right-corner reduction of ds (Definition 5: the answer point is the
+// region's bottom-left corner) under the cheapest aggregation layer the
+// options allow. A group's Prepared shape for exactly (ds, q.F, a, b) is
+// aliased whole. Else a pyramid built for (ds, q.F) is bound: the master
+// is materialized in pyramid order straight from the objects into the
+// slab's retained buffer — one pass, no reduction, no permuting copy — and
+// the shape's O(n)-derived facts come from the pyramid's memo
+// (Pyramid.shape). Else, or when the shape's anchors collapse, the
+// dataset is reduced and the layer built per query. Answers are
+// bit-identical on all three paths.
+func NewRegionSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Searcher, error) {
+	if !(a > 0) || !(b > 0) {
+		return nil, fmt.Errorf("dssearch: region extent must be positive, got %g x %g", a, b)
 	}
-	if opt.Prepared != nil && opt.Pyramid == nil {
-		opt.Pyramid = opt.Prepared.p
+	opt, err := opt.checked(q)
+	if err != nil {
+		return nil, err
 	}
 	tab := opt.Slabs.get()
 	var master []asp.RectObject
-	prepBound, bound := false, false
-	if prep := opt.Prepared; prep != nil && prep.p != nil && rects == nil && prep.p.f == q.F {
-		// Group-shared shape: the master materialization and accuracy were
-		// computed once by Pyramid.Prepare and are shared read-only by
-		// every query in the group. The Prepared binds through its OWN
-		// pyramid — opt.Pyramid may legitimately point at a different
-		// instance (an engine cache refreshed by SetPyramid, or a
-		// caller-supplied shape) and must not be allowed to strand the
-		// query on an empty master. A *nil* rects slice is the sentinel
-		// ReduceForSearch returns after validating the shape against
-		// (ds, a, b); an empty-but-non-nil reduction (empty dataset) is a
-		// real master and must NOT bind a foreign shape.
-		master = prep.master
-		prep.p.bindPrepared(tab, prep)
-		prepBound, bound = true, true
-	} else if p := opt.Pyramid; p != nil && p.f == q.F && len(rects) == p.n {
-		if m, ok := p.bind(tab, rects); ok {
-			master = m
-			bound = true
+	var facts shapeFacts
+	if prep := opt.Prepared; prep.For(ds, q.F, a, b) {
+		// The Prepared binds through its OWN pyramid: opt.Pyramid may
+		// legitimately point at a different instance (an engine cache
+		// refreshed by SetPyramid, or a caller-supplied shape).
+		master, facts = prep.master, prep.facts
+		prep.p.bindCore(tab)
+		tab.minXs = prep.minXs
+	} else {
+		p := opt.Pyramid
+		if p == nil && prep != nil {
+			p = prep.p
+		}
+		if p.Matches(ds, q.F) {
+			if cap(tab.masterBuf) < p.n {
+				tab.masterBuf = make([]asp.RectObject, p.n)
+			}
+			if cap(tab.minXsBuf) < p.n {
+				tab.minXsBuf = make([]float64, p.n)
+			}
+			tab.minXsBuf = tab.minXsBuf[:p.n]
+			if facts = p.shape(a, b, tab.masterBuf[:p.n], tab.minXsBuf); facts.ok {
+				master = tab.masterBuf[:p.n]
+				p.bindCore(tab)
+				tab.minXs = tab.minXsBuf
+			}
 		}
 	}
-	if !bound {
-		master = buildTables(tab, rects, q.F, own)
+	if !facts.ok {
+		rects, err := asp.Reduce(ds, a, b, asp.AnchorTR)
+		if err != nil {
+			return nil, err
+		}
+		return newSearcher(tab, buildTables(tab, rects, q.F, true), q, opt, nil), nil
 	}
+	tab.wmin, tab.wmax, tab.hmin, tab.hmax = facts.wmin, facts.wmax, facts.hmin, facts.hmax
+	return newSearcher(tab, master, q, opt, &facts), nil
+}
+
+// checked resolves the defaults and validates the options and the query.
+func (o Options) checked(q asp.Query) (Options, error) {
+	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return o, err
+	}
+	return o, q.Validate()
+}
+
+// newSearcher assembles a searcher over a built (facts == nil) or bound
+// aggregation layer; a bound shape's accuracy and space come from its
+// facts instead of a walk over the master.
+func newSearcher(tab *tables, master []asp.RectObject, q asp.Query, opt Options, facts *shapeFacts) *Searcher {
 	acc := opt.Accuracy
 	if acc.DX <= 0 || acc.DY <= 0 {
 		var computed geom.Accuracy
-		switch {
-		case prepBound:
-			computed = opt.Prepared.acc
-		case bound:
-			computed = tab.pyr.accuracyIds(master)
-		default:
+		if facts != nil {
+			computed = facts.acc
+		} else {
 			computed = tab.accuracy(master)
 		}
 		if acc.DX <= 0 {
@@ -307,6 +341,11 @@ func newSearcher(rects []asp.RectObject, q asp.Query, opt Options, own bool) (*S
 		isInt: q.F.IntegerDims(),
 		tab:   tab,
 	}
+	if facts != nil {
+		s.space = facts.space
+	} else {
+		s.space = asp.Space(master)
+	}
 	// Recycled id slices from a previous query using the same slab cache.
 	s.sharedIds, tab.idFree = tab.idFree, nil
 	nw := kernel.Workers(opt.Workers)
@@ -316,7 +355,7 @@ func newSearcher(rects []asp.RectObject, q asp.Query, opt Options, own bool) (*S
 		ws[i].s = s
 		s.workers[i] = &ws[i]
 	}
-	return s, nil
+	return s
 }
 
 // ensureScratch lazily batch-builds the per-worker scratch at the first
@@ -569,10 +608,9 @@ func (w *worker) improve(dist float64, p geom.Point, rep []float64) {
 // Solve runs DS-Search over the full plane: the space of all rectangle
 // objects plus the empty-cover candidate outside it.
 func (s *Searcher) Solve() asp.Result {
-	space := asp.Space(s.rects)
-	s.best = s.emptyResult(space)
+	s.best = s.emptyResult(s.space)
 	if len(s.rects) > 0 {
-		s.SolveWithin(space, 0)
+		s.SolveWithin(s.space, 0)
 	}
 	s.best.Rep = s.PointRepresentation(s.best.Point)
 	s.best.Dist = s.query.Distance(s.best.Rep)
@@ -979,13 +1017,16 @@ func (s *Searcher) SeedBest(r asp.Result) { s.best = r }
 // layer sorted it).
 func (s *Searcher) Rects() []asp.RectObject { return s.rects }
 
-// ReduceForSearch performs the ASP reduction for a search (Definition 5,
-// top-right-corner anchor: the answer point is the region's bottom-left
-// corner) unless a valid Prepared shape (Options.Prepared built by
-// Pyramid.Prepare for exactly this dataset, composite and extent)
-// short-circuits it: the prepared master is bound inside newSearcher, so
-// no per-query rectangle array is materialized at all. The returned
-// slice is nil exactly when the Prepared shape applies.
+// Space returns the search space of the whole instance: the minimum
+// bounding rectangle of the master rectangles (asp.Space).
+func (s *Searcher) Space() geom.Rect { return s.space }
+
+// ReduceForSearch performs the ASP reduction of a search (Definition 5,
+// top-right-corner anchor), or returns nil when a Prepared shape built
+// for exactly this dataset, composite and extent already holds it. No
+// search calls it any more (NewRegionSearcher reduces only when it has
+// nothing to bind); bench/trace.go samples a workload's rectangles
+// through it.
 func ReduceForSearch(ds *attr.Dataset, a, b float64, f *agg.Composite, opt Options) ([]asp.RectObject, error) {
 	if opt.Prepared.For(ds, f, a, b) {
 		return nil, nil

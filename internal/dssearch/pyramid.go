@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
@@ -20,9 +21,11 @@ import (
 // location translated by the constant (-a, -b): the master sort order,
 // the flattened channel contributions, the fixed-point / two-float
 // certificates and the anchor-bin partition are all functions of
-// (dataset, composite) alone — only the rectangle materialization, the
-// width/height ranges and the accuracy merge walks depend on the query's
-// (a, b), and those are O(n) passes. Binding a pyramid to a Searcher
+// (dataset, composite) alone — only the rectangle materialization
+// depends on the query's (a, b), one O(n) pass, and with it a few facts
+// of O(1) size (width/height ranges, accuracy, space, whether the order
+// survived the translation) that the first query of a shape derives and
+// the pyramid remembers (shape.go). Binding a pyramid to a Searcher
 // therefore replaces the per-query O(R log R) sort, the O(contribs)
 // flatten/certify passes and the O(R + g²) level build with aliased
 // reads of shared immutable state (DESIGN.md §6).
@@ -35,13 +38,15 @@ import (
 // translated per-query anchors through actual rectangle coordinates
 // rather than bin geometry. The single case translation can break — two
 // distinct anchor x coordinates collapsing onto one float (a sub-ulp
-// event that changes the tie structure the sort saw) — is detected at
-// bind time and falls back to the classic per-query build, so answers
-// never depend on the pyramid being bindable.
+// event that changes the tie structure the sort saw) — is detected when
+// a shape is first bound, remembered with its facts, and falls back to
+// the classic per-query build, so answers never depend on the pyramid
+// being bindable.
 //
-// A Pyramid is immutable after construction and safe for any number of
-// concurrent binds; the Engine caches one per composite, and
-// internal/persist gives it a durable on-disk form.
+// A Pyramid is immutable after construction, but for the memo of shape
+// facts below, and safe for any number of concurrent binds; the Engine
+// caches one per composite, and internal/persist gives it a durable
+// on-disk form.
 type Pyramid struct {
 	ds      *attr.Dataset
 	f       *agg.Composite
@@ -60,6 +65,13 @@ type Pyramid struct {
 	// (derived from the core then).
 	strict bool
 	cert   *certSums
+
+	// Shape facts remembered per (a, b) (shape.go): like Index.lbPool the
+	// memo is the pyramid's only mutable state. An epoch's fold is a new
+	// pyramid with an empty memo.
+	factsMu      sync.Mutex
+	facts        map[shapeKey]shapeFacts
+	factsDerived int // derivations so far (tests)
 }
 
 // BuildPyramid constructs the pyramid for one composite over a dataset.
@@ -221,54 +233,6 @@ func (p *Pyramid) bindCore(t *tables) {
 	t.pyr = p
 }
 
-// bind rebinds a per-query reduction (rects, in dataset order) onto the
-// pyramid: the master is permuted into the pyramid's canonical order
-// (reusing the tables' retained master slab), the shared core is
-// aliased, and the per-query O(n) parts (width/height ranges, minXs)
-// are recomputed. ok=false signals an anchor collapse — the translated
-// anchors no longer realize the pyramid's tie structure — and the
-// caller must fall back to the classic build.
-func (p *Pyramid) bind(t *tables, rects []asp.RectObject) ([]asp.RectObject, bool) {
-	var master []asp.RectObject
-	if p.core.sorted && p.n > 0 {
-		if cap(t.masterBuf) < p.n {
-			t.masterBuf = make([]asp.RectObject, p.n)
-		}
-		master = t.masterBuf[:p.n]
-		for i, oi := range p.order {
-			r := rects[oi]
-			if r.Obj != &p.ds.Objects[oi] {
-				// rects is not the dataset-order reduction (e.g. a slice an
-				// earlier fallback searcher re-sorted in place): the
-				// permutation would misalign the shared contributions.
-				return nil, false
-			}
-			master[i] = r
-		}
-		if !masterSortedNoCollapse(master) {
-			return nil, false
-		}
-	} else {
-		for i := range rects {
-			if rects[i].Obj != &p.ds.Objects[i] {
-				return nil, false // contribution tables assume dataset order
-			}
-		}
-		master = rects
-	}
-	p.bindMaster(t, master)
-	return master, true
-}
-
-// bindMaster aliases the core and recomputes the per-query O(n) parts
-// (width/height ranges, the sorted MinX array) for a master already in
-// pyramid order.
-func (p *Pyramid) bindMaster(t *tables, master []asp.RectObject) {
-	p.bindCore(t)
-	t.measureExtents(master)
-	t.fillMinXs(master)
-}
-
 // masterSortedNoCollapse verifies that the translated master realizes
 // the pyramid's canonical order: (MinX, MinY) must be non-decreasing,
 // and anchors may coincide only for rectangles that are bitwise equal
@@ -338,66 +302,6 @@ func minGapMergedIds(master []asp.RectObject, ids []int32, yAxis bool) float64 {
 		prev = v
 	}
 	return minGap
-}
-
-// Prepared is the per-query-shape state shared by every query with the
-// same (a, b) extent over one pyramid: the materialized master
-// rectangle array (read-only for all concurrent searchers in a batch
-// group) and the GPS accuracy. Build with Pyramid.Prepare; attach via
-// Options.Prepared.
-type Prepared struct {
-	p      *Pyramid
-	a, b   float64
-	master []asp.RectObject
-	acc    geom.Accuracy
-	// Shared per-shape O(n) derivations: the sorted MinX array and the
-	// width/height ranges, computed once per group instead of once per
-	// query.
-	minXs                  []float64
-	wmin, wmax, hmin, hmax float64
-}
-
-// Prepare materializes the query-shape state for an a×b query: the
-// master rectangles in pyramid order (built straight from the objects —
-// bit-identical to reducing and permuting, with no intermediate copy)
-// and the accuracy. ok=false signals an anchor collapse under this
-// particular (a, b); callers fall back to unshared per-query execution.
-func (p *Pyramid) Prepare(a, b float64) (*Prepared, bool) {
-	if p == nil || a <= 0 || b <= 0 {
-		return nil, false
-	}
-	master := make([]asp.RectObject, p.n)
-	for i, oi := range p.order {
-		o := &p.ds.Objects[oi]
-		master[i] = asp.RectObject{Rect: asp.AnchorTR.RectFor(o.Loc, a, b), Obj: o}
-	}
-	if p.core.sorted && !masterSortedNoCollapse(master) {
-		return nil, false
-	}
-	prep := &Prepared{p: p, a: a, b: b, master: master, acc: p.accuracyIds(master)}
-	var t tables
-	t.measureExtents(master)
-	prep.wmin, prep.wmax, prep.hmin, prep.hmax = t.wmin, t.wmax, t.hmin, t.hmax
-	prep.minXs = make([]float64, len(master))
-	for i := range master {
-		prep.minXs[i] = master[i].Rect.MinX
-	}
-	return prep, true
-}
-
-// bindPrepared is bindMaster for a group-shared shape: the extents and
-// the sorted MinX array are aliased from the Prepared instead of
-// recomputed per query.
-func (p *Pyramid) bindPrepared(t *tables, prep *Prepared) {
-	p.bindCore(t)
-	t.wmin, t.wmax, t.hmin, t.hmax = prep.wmin, prep.wmax, prep.hmin, prep.hmax
-	t.minXs = prep.minXs
-}
-
-// For reports whether the prepared shape serves exactly this
-// (dataset, composite, a, b) combination.
-func (prep *Prepared) For(ds *attr.Dataset, f *agg.Composite, a, b float64) bool {
-	return prep != nil && prep.p.Matches(ds, f) && prep.a == a && prep.b == b
 }
 
 // ---- Serialization snapshot ----

@@ -156,7 +156,7 @@ func TestPyramidAccuracyBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pyr, err := NewSearcher(rects, asp.Query{F: f, Target: make([]float64, f.Dims())}, Options{Pyramid: p})
+		pyr, err := NewRegionSearcher(ds, a, b, asp.Query{F: f, Target: make([]float64, f.Dims())}, Options{Pyramid: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,8 +172,9 @@ func TestPyramidAccuracyBitIdentical(t *testing.T) {
 }
 
 // TestPyramidBindRejections: binds that cannot guarantee bit-identity
-// must fall back, never mis-bind — foreign rect slices, re-sorted
-// slices, wrong cardinalities.
+// must fall back, never mis-bind — another dataset holding equal objects
+// (the pyramid's order and contributions describe its own object array),
+// another composite of the same shape.
 func TestPyramidBindRejections(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds, f := pyramidDataset(t, rng, 80, func() float64 { return float64(rng.Intn(5)) }, false)
@@ -181,33 +182,24 @@ func TestPyramidBindRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rects, err := asp.Reduce(ds, 3, 4, asp.AnchorTR)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var tab tables
-	if _, ok := p.bind(&tab, rects); !ok {
-		t.Fatal("dataset-order reduction should bind")
-	}
-
-	// A slice an earlier searcher re-sorted in place is not in dataset
-	// order; the permutation would misalign the shared contributions.
-	shuffled := append([]asp.RectObject(nil), rects...)
-	shuffled[0], shuffled[len(shuffled)-1] = shuffled[len(shuffled)-1], shuffled[0]
-	var tab2 tables
-	if _, ok := p.bind(&tab2, shuffled); ok {
-		t.Fatal("reordered rects must not bind")
-	}
-
-	// Wrong cardinality is guarded at the newSearcher call site.
 	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
-	s, err := NewSearcher(rects[:len(rects)-1], q, Options{Pyramid: p})
-	if err != nil {
-		t.Fatal(err)
+	bound := func(ds *attr.Dataset, q asp.Query) bool {
+		s, err := NewRegionSearcher(ds, 3, 4, q, Options{Pyramid: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.tab.pyr == p
 	}
-	if s.tab.pyr != nil {
-		t.Fatal("short rect slice must not bind the pyramid")
+	if !bound(ds, q) {
+		t.Fatal("the pyramid's own dataset and composite should bind")
+	}
+	foreign := &attr.Dataset{Schema: ds.Schema, Objects: append([]attr.Object(nil), ds.Objects[:len(ds.Objects)-1]...)}
+	if bound(foreign, q) {
+		t.Fatal("a foreign dataset must not bind the pyramid")
+	}
+	_, f2 := pyramidDataset(t, rng, 1, func() float64 { return 0 }, false)
+	if bound(ds, asp.Query{F: f2, Target: make([]float64, f2.Dims())}) {
+		t.Fatal("another composite must not bind the pyramid")
 	}
 }
 

@@ -50,8 +50,8 @@ type Request struct {
 	pieces   []geom.Rect
 }
 
-// Open validates a request's shape, reduces the dataset and builds the
-// searcher its rounds share. A nil within searches the whole space. The
+// Open validates a request's shape and builds the searcher its rounds
+// share (NewRegionSearcher). A nil within searches the whole space. The
 // caller must Close the request.
 func Open(ds *attr.Dataset, a, b float64, q asp.Query, within *geom.Rect, opt Options) (*Request, error) {
 	if !(a > 0) || !(b > 0) {
@@ -65,19 +65,13 @@ func Open(ds *attr.Dataset, a, b float64, q asp.Query, within *geom.Rect, opt Op
 			return nil, ErrExtentTooSmall
 		}
 	}
-	rects, err := ReduceForSearch(ds, a, b, q.F, opt)
+	s, err := NewRegionSearcher(ds, a, b, q, opt)
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewSearcherOwning(rects, q, opt)
-	if err != nil {
-		return nil, err
-	}
-	r := &Request{s: s, a: a, b: b, windowed: within != nil}
+	r := &Request{s: s, a: a, b: b, space: s.space, windowed: within != nil}
 	if r.windowed {
 		r.space = AnchorWindow(*within, a, b)
-	} else {
-		r.space = asp.Space(s.rects)
 	}
 	return r, nil
 }

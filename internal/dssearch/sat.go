@@ -34,10 +34,9 @@ import (
 // When Options.Pyramid carries the dataset-level aggregate pyramid
 // (pyramid.go), the whole layer is *bound* instead of built: the master
 // order, contributions, certificate and levels are aliased from the
-// persistent per-composite structure and only the O(n) per-query parts
-// (rectangle materialization, width ranges, accuracy merge walks) are
-// recomputed, converting the per-query O(R log R) setup into amortized
-// shared state (DESIGN.md §6).
+// persistent per-composite structure and only the rectangles are
+// materialized per query, in one O(n) pass (shape.go), converting the
+// per-query O(R log R) setup into amortized shared state (DESIGN.md §6).
 //
 // Sorting is gated per channel by the *fixed-point certificate*: a
 // channel passes when all of its contributions quantize losslessly onto
@@ -415,7 +414,7 @@ type tables struct {
 	pyr    *Pyramid
 
 	// Retained heavy per-query scratch, recycled across queries through
-	// the SlabCache: the permuted master copy (pyramid binds), the
+	// the SlabCache: the master a pyramid bind materializes, the
 	// per-worker discretization grids, sweep solvers and worker buffers.
 	// Keys record the shape they were built for.
 	masterBuf                           []asp.RectObject

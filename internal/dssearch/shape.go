@@ -1,0 +1,130 @@
+package dssearch
+
+import (
+	"math"
+
+	"asrs/internal/agg"
+	"asrs/internal/asp"
+	"asrs/internal/attr"
+	"asrs/internal/geom"
+)
+
+// A query shape is an answer size (a, b) over one pyramid. Binding a
+// shape costs one pass over the corpus — the a×b master materialized in
+// pyramid order — plus the facts below, which the shape's first query
+// derives and every later one reads from the pyramid's memo.
+
+// shapeFacts is everything about a shape that is O(1) in size but O(n)
+// to derive from (pyramid, a, b): whether the translated anchors still
+// realize the pyramid's order, the width/height ranges, the Definition 7
+// accuracy and the space (the master's MBR). When ok is false the rest
+// is unset: the shape does not bind and its queries build classically.
+type shapeFacts struct {
+	ok                     bool
+	wmin, wmax, hmin, hmax float64
+	acc                    geom.Accuracy
+	space                  geom.Rect
+}
+
+// shapeKey identifies a shape by the bits of (a, b).
+type shapeKey [2]uint64
+
+// maxShapeFacts bounds the memo. A serving workload has a handful of
+// shapes; one that sweeps (a, b) continuously gains nothing from a memo,
+// and its map is dropped whenever it fills.
+const maxShapeFacts = 64
+
+func (p *Pyramid) knownFacts(k shapeKey) (shapeFacts, bool) {
+	p.factsMu.Lock()
+	defer p.factsMu.Unlock()
+	f, ok := p.facts[k]
+	return f, ok
+}
+
+func (p *Pyramid) rememberFacts(k shapeKey, f shapeFacts) {
+	p.factsMu.Lock()
+	defer p.factsMu.Unlock()
+	if len(p.facts) >= maxShapeFacts {
+		p.facts = nil
+	}
+	if p.facts == nil {
+		p.facts = make(map[shapeKey]shapeFacts)
+	}
+	p.facts[k] = f
+	p.factsDerived++
+}
+
+// deriveFacts computes a shape's facts from its materialized master.
+func (p *Pyramid) deriveFacts(master []asp.RectObject) shapeFacts {
+	if p.core.sorted && !masterSortedNoCollapse(master) {
+		return shapeFacts{}
+	}
+	var t tables
+	t.measureExtents(master)
+	return shapeFacts{
+		ok:   true,
+		wmin: t.wmin, wmax: t.wmax, hmin: t.hmin, hmax: t.hmax,
+		acc:   p.accuracyIds(master),
+		space: asp.Space(master),
+	}
+}
+
+// shape materializes the a×b master in pyramid order into master, and
+// its MinX column into minXs (both of length p.n), straight from the
+// objects: bit-identical to reducing the dataset and permuting the
+// reduction, in one pass and with no intermediate copy. It returns the
+// shape's facts, derived from the master by the first caller of a shape
+// (concurrent first callers each derive the same values) and remembered.
+// Facts that are not ok signal an anchor collapse under this (a, b):
+// master and minXs then hold nothing of use and the caller falls back to
+// the classic build. A shape known to collapse returns before the pass.
+func (p *Pyramid) shape(a, b float64, master []asp.RectObject, minXs []float64) shapeFacts {
+	k := shapeKey{math.Float64bits(a), math.Float64bits(b)}
+	facts, known := p.knownFacts(k)
+	if known && !facts.ok {
+		return facts
+	}
+	for i, oi := range p.order {
+		o := &p.ds.Objects[oi]
+		r := asp.AnchorTR.RectFor(o.Loc, a, b)
+		master[i] = asp.RectObject{Rect: r, Obj: o}
+		minXs[i] = r.MinX
+	}
+	if !known {
+		facts = p.deriveFacts(master)
+		p.rememberFacts(k, facts)
+	}
+	return facts
+}
+
+// Prepared is a shape's state shared by every query of a batch group: the
+// materialized master rectangle array and its MinX column (read-only for
+// all concurrent searchers of the group) beside the shape's facts. Build
+// with Pyramid.Prepare; attach via Options.Prepared.
+type Prepared struct {
+	p      *Pyramid
+	a, b   float64
+	master []asp.RectObject
+	minXs  []float64
+	facts  shapeFacts
+}
+
+// Prepare materializes the shape of an a×b query into memory of its own.
+// ok=false signals an anchor collapse under this particular (a, b);
+// callers fall back to unshared per-query execution.
+func (p *Pyramid) Prepare(a, b float64) (*Prepared, bool) {
+	if p == nil || a <= 0 || b <= 0 {
+		return nil, false
+	}
+	prep := &Prepared{p: p, a: a, b: b, master: make([]asp.RectObject, p.n), minXs: make([]float64, p.n)}
+	if prep.facts = p.shape(a, b, prep.master, prep.minXs); !prep.facts.ok {
+		return nil, false
+	}
+	return prep, true
+}
+
+// For reports whether the prepared shape serves exactly this
+// (dataset, composite, a, b) combination.
+func (prep *Prepared) For(ds *attr.Dataset, f *agg.Composite, a, b float64) bool {
+	return prep != nil && prep.p.Matches(ds, f) && prep.a == a && prep.b == b
+}

@@ -1,0 +1,283 @@
+package dssearch
+
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"asrs/internal/asp"
+	"asrs/internal/attr"
+	"asrs/internal/geom"
+)
+
+// classicFacts derives a shape's facts the per-query way: reduce, build
+// the tables, walk the master.
+func classicFacts(t *testing.T, ds *attr.Dataset, q asp.Query, a, b float64) shapeFacts {
+	t.Helper()
+	rects, err := asp.Reduce(ds, a, b, asp.AnchorTR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tab tables
+	master := buildTables(&tab, rects, q.F, true)
+	return shapeFacts{
+		ok:   true,
+		wmin: tab.wmin, wmax: tab.wmax, hmin: tab.hmin, hmax: tab.hmax,
+		acc:   tab.accuracy(master),
+		space: asp.Space(master),
+	}
+}
+
+// searcherFacts reads back what a searcher was built with.
+func searcherFacts(s *Searcher) shapeFacts {
+	return shapeFacts{
+		ok:   true,
+		wmin: s.tab.wmin, wmax: s.tab.wmax, hmin: s.tab.hmin, hmax: s.tab.hmax,
+		acc:   s.acc,
+		space: s.space,
+	}
+}
+
+func sameFacts(x, y shapeFacts) bool {
+	bits := func(f shapeFacts) [10]uint64 {
+		vs := [10]float64{f.wmin, f.wmax, f.hmin, f.hmax, f.acc.DX, f.acc.DY, f.space.MinX, f.space.MinY, f.space.MaxX, f.space.MaxY}
+		var out [10]uint64
+		for i, v := range vs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	return x.ok == y.ok && bits(x) == bits(y)
+}
+
+// TestShapeFacts holds the pyramid's per-shape memo to the per-query
+// derivations it replaces. On a sorted and an unsorted core, for shapes
+// that bind and — two anchors an ulp apart under an extent that absorbs
+// the ulp — one that collapses: what a bound searcher holds (extents,
+// accuracy, space) equals tables.accuracy, measureExtents and asp.Space
+// over the classic build bit for bit; the verdict is
+// masterSortedNoCollapse's; a collapsing shape falls back and answers as
+// the pyramid-less path does; and the second query of a shape derives
+// nothing.
+func TestShapeFacts(t *testing.T) {
+	rng := rand.New(rand.NewSource(2020))
+	kinds := []struct {
+		name   string
+		num    func() float64
+		sorted bool
+	}{
+		{"sorted", func() float64 { return float64(rng.Intn(11) - 5) }, true},
+		// Denormal tails on both signs fail both certificates: the master
+		// stays in dataset order, where no order can collapse.
+		{"unsorted", func() float64 {
+			switch rng.Intn(10) {
+			case 0:
+				return 5e-324
+			case 5:
+				return -5e-324
+			}
+			return rng.NormFloat64()
+		}, false},
+	}
+	for _, kind := range kinds {
+		ds, f := pyramidDataset(t, rng, 200, kind.num, false)
+		// Distinct anchors that any a ≥ 1 translates onto one float.
+		ds.Objects[0].Loc = geom.Point{X: 1, Y: 3}
+		ds.Objects[1].Loc = geom.Point{X: math.Nextafter(1, 2), Y: 2}
+		p, err := BuildPyramid(ds, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.core.sorted != kind.sorted {
+			t.Fatalf("%s: core sorted=%v", kind.name, p.core.sorted)
+		}
+		target := make([]float64, f.Dims())
+		target[0] = 3
+		q := asp.Query{F: f, Target: target}
+		shapes := []struct {
+			a, b      float64
+			collapses bool
+		}{
+			{0.37, 0.91, false},
+			{0.5, 8, false},
+			{1e-13, 1e-13, false}, // sub-ulp: zero-extent rectangles, anchors untouched
+			{9, 8, kind.sorted},
+			{400, 400, kind.sorted},
+		}
+		for _, sh := range shapes {
+			a, b := sh.a, sh.b
+			want := classicFacts(t, ds, q, a, b)
+			master := make([]asp.RectObject, p.n)
+			for i, oi := range p.order {
+				o := &ds.Objects[oi]
+				master[i] = asp.RectObject{Rect: asp.AnchorTR.RectFor(o.Loc, a, b), Obj: o}
+			}
+			if verdict := !p.core.sorted || masterSortedNoCollapse(master); verdict == sh.collapses {
+				t.Fatalf("%s %gx%g: the translated master keeps the pyramid's order: %v; the test wants collapse=%v", kind.name, a, b, verdict, sh.collapses)
+			}
+			_, wantRes, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 2; round++ {
+				before := p.factsDerived
+				s, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if derived := p.factsDerived - before; derived != 1-round {
+					t.Fatalf("%s %gx%g query %d: %d derivations, want %d", kind.name, a, b, round+1, derived, 1-round)
+				}
+				if bound := s.tab.pyr == p; bound == sh.collapses {
+					t.Fatalf("%s %gx%g query %d: pyramid bound=%v, collapse=%v", kind.name, a, b, round+1, bound, sh.collapses)
+				}
+				if got := searcherFacts(s); !sameFacts(got, want) {
+					t.Fatalf("%s %gx%g query %d: searcher holds %+v, the classic derivations give %+v", kind.name, a, b, round+1, got, want)
+				}
+				memo, known := p.knownFacts(shapeKey{math.Float64bits(a), math.Float64bits(b)})
+				if !known || memo.ok == sh.collapses || memo.ok && !sameFacts(memo, want) {
+					t.Fatalf("%s %gx%g: memo holds %+v (known=%v), want %+v", kind.name, a, b, memo, known, want)
+				}
+				_, got, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{Workers: 1, Pyramid: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got.Dist) != math.Float64bits(wantRes.Dist) || got.Point != wantRes.Point {
+					t.Fatalf("%s %gx%g query %d: %v at %v through the pyramid, %v at %v without", kind.name, a, b, round+1, got.Dist, got.Point, wantRes.Dist, wantRes.Point)
+				}
+			}
+			if prep, ok := p.Prepare(a, b); ok == sh.collapses || ok && !sameFacts(prep.facts, want) {
+				t.Fatalf("%s %gx%g: Prepare ok=%v, collapse=%v", kind.name, a, b, ok, sh.collapses)
+			}
+		}
+	}
+}
+
+// TestShapeFactsMemoBounded: a client that never repeats a shape cannot
+// grow the memo past its bound, and what the memo forgot is derived again
+// to the same values.
+func TestShapeFactsMemoBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	ds, f := pyramidDataset(t, rng, 60, func() float64 { return float64(rng.Intn(5)) }, false)
+	p, err := BuildPyramid(ds, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, ok := p.Prepare(2, 3)
+	if !ok {
+		t.Fatal("Prepare failed")
+	}
+	for i := 0; i < 3*maxShapeFacts; i++ {
+		if _, ok := p.Prepare(2+float64(i+1)/16, 3); !ok {
+			t.Fatal("Prepare failed")
+		}
+		if n := len(p.facts); n > maxShapeFacts {
+			t.Fatalf("memo holds %d shapes, bound %d", n, maxShapeFacts)
+		}
+	}
+	if _, known := p.knownFacts(shapeKey{math.Float64bits(2), math.Float64bits(3)}); known {
+		t.Fatal("the first shape outlived three fillings of the memo")
+	}
+	if again, ok := p.Prepare(2, 3); !ok || !sameFacts(again.facts, first.facts) {
+		t.Fatalf("re-derived facts %+v differ from the first derivation %+v", again.facts, first.facts)
+	}
+	if p.factsDerived != 3*maxShapeFacts+2 {
+		t.Fatalf("%d derivations for %d distinct bindings", p.factsDerived, 3*maxShapeFacts+2)
+	}
+}
+
+// TestShapeFactsFoldedEpoch: an epoch's fold is a new pyramid with a memo
+// of its own. Inserts that open a smaller coordinate gap change a shape's
+// accuracy, and the folded pyramid reports the new one while the base,
+// which learned the shape before the fold, keeps reporting its own.
+func TestShapeFactsFoldedEpoch(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	ds, f := pyramidDataset(t, rng, 40, func() float64 { return float64(rng.Intn(5)) }, false)
+	xs, ys := rng.Perm(len(ds.Objects)), rng.Perm(len(ds.Objects))
+	for i := range ds.Objects {
+		ds.Objects[i].Loc = geom.Point{X: 2 * float64(xs[i]), Y: 2 * float64(ys[i])}
+	}
+	base, err := BuildPyramid(ds, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
+	const a, b = 5, 7
+	accuracy := func(ds *attr.Dataset, p *Pyramid) geom.Accuracy {
+		s, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.tab.pyr != p {
+			t.Fatal("pyramid did not bind")
+		}
+		return s.acc
+	}
+	if got := accuracy(ds, base); got != (geom.Accuracy{DX: 1, DY: 1}) {
+		t.Fatalf("base accuracy %+v, want 1 on both axes (even anchors, odd extents)", got)
+	}
+	insert := ds.Objects[0]
+	insert.Loc = geom.Point{X: 20.25, Y: 30.5}
+	combined := &attr.Dataset{Schema: ds.Schema, Objects: append(append([]attr.Object(nil), ds.Objects...), insert)}
+	folded, stats, err := BuildPyramidDelta(base, combined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Folded {
+		t.Fatal("distinct anchors under an integer composite should fold")
+	}
+	if got, want := accuracy(combined, folded), classicFacts(t, combined, q, a, b).acc; got != want || got != (geom.Accuracy{DX: 0.25, DY: 0.5}) {
+		t.Fatalf("folded accuracy %+v, classic %+v, want the insert's gaps 0.25 and 0.5", got, want)
+	}
+	if got := accuracy(ds, base); got != (geom.Accuracy{DX: 1, DY: 1}) {
+		t.Fatalf("base accuracy after the fold %+v, want it unchanged", got)
+	}
+}
+
+// TestShapeFactsConcurrent binds four shapes the memo knows and four it
+// does not from eight goroutines at once (run under -race): every
+// searcher holds the classic derivations.
+func TestShapeFactsConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(88))
+	ds, f := pyramidDataset(t, rng, 120, func() float64 { return float64(rng.Intn(7)) }, false)
+	p, err := BuildPyramid(ds, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
+	shapes := make([][2]float64, 8)
+	want := make([]shapeFacts, len(shapes))
+	for i := range shapes {
+		shapes[i] = [2]float64{0.3 + 0.05*float64(i), 0.7}
+		want[i] = classicFacts(t, ds, q, shapes[i][0], shapes[i][1])
+		if i < 4 {
+			if _, ok := p.Prepare(shapes[i][0], shapes[i][1]); !ok {
+				t.Fatal("Prepare failed")
+			}
+		}
+	}
+	slabs := &SlabCache{}
+	var wg sync.WaitGroup
+	for i := range shapes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				s, err := NewRegionSearcher(ds, shapes[i][0], shapes[i][1], q, Options{Pyramid: p, Slabs: slabs})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := searcherFacts(s); s.tab.pyr != p || !sameFacts(got, want[i]) {
+					t.Errorf("shape %d round %d: bound=%v, searcher holds %+v, want %+v", i, round, s.tab.pyr == p, got, want[i])
+				}
+				s.Release()
+			}
+		}(i)
+	}
+	wg.Wait()
+	if p.factsDerived < 8 || len(p.facts) != 8 {
+		t.Fatalf("%d derivations, %d shapes remembered; want at least 8 and exactly 8", p.factsDerived, len(p.facts))
+	}
+}

@@ -85,7 +85,7 @@ func TestGIDSExcludingMatchesPlain(t *testing.T) {
 			}
 			space := asp.Space(reduce())
 			gids := func(excl []geom.Rect, workers int) (asp.Result, gridindex.Stats) {
-				res, st, err := gridindex.Solve(idx, reduce(), q, a, b, excl, dssearch.Options{Workers: workers})
+				res, st, err := gridindex.Solve(idx, ds, q, a, b, excl, dssearch.Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -154,7 +154,7 @@ func TestGIDSMatchesSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, stats, err := gridindex.Solve(idx, rects, q, a, b, nil, dssearch.Options{NCol: 10, NRow: 10})
+			got, stats, err := gridindex.Solve(idx, ds, q, a, b, nil, dssearch.Options{NCol: 10, NRow: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,12 +174,11 @@ func TestGIDSPrunes(t *testing.T) {
 	ds := dataset.Random(800, 100, 9)
 	f := testComposite(t, ds)
 	a, b := 5.0, 5.0
-	rects, _ := asp.Reduce(ds, a, b, asp.AnchorTR)
 	// Target the empty region: distance 0 is found immediately, so cells
 	// with any object nearby are pruned.
 	q := asp.Query{F: f, Target: make([]float64, f.Dims()), W: agg.UnitWeights(f.Dims())}
 	idx, _ := gridindex.New(ds, f, 32, 32)
-	_, stats, err := gridindex.Solve(idx, rects, q, a, b, nil, dssearch.Options{})
+	_, stats, err := gridindex.Solve(idx, ds, q, a, b, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +200,7 @@ func TestGIDSApproxGuarantee(t *testing.T) {
 		opt := sw.Solve().Dist
 		idx, _ := gridindex.New(ds, f, 8, 8)
 		for _, delta := range []float64{0.1, 0.3} {
-			got, _, err := gridindex.Solve(idx, rects, q, a, b, nil, dssearch.Options{Delta: delta})
+			got, _, err := gridindex.Solve(idx, ds, q, a, b, nil, dssearch.Options{Delta: delta})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,10 +230,9 @@ func TestSolveValidation(t *testing.T) {
 	ds := dataset.Random(10, 10, 13)
 	f := testComposite(t, ds)
 	idx, _ := gridindex.New(ds, f, 4, 4)
-	rects, _ := asp.Reduce(ds, 2, 2, asp.AnchorTR)
 	other := testComposite(t, ds)
 	q2 := randomTarget(other, rand.New(rand.NewSource(2)))
-	if _, _, err := gridindex.Solve(idx, rects, q2, 2, 2, nil, dssearch.Options{}); err == nil {
+	if _, _, err := gridindex.Solve(idx, ds, q2, 2, 2, nil, dssearch.Options{}); err == nil {
 		t.Error("mismatched composite accepted")
 	}
 }
@@ -247,7 +245,7 @@ func TestEmptyDatasetIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
-	res, _, err := gridindex.Solve(idx, nil, q, 1, 1, nil, dssearch.Options{})
+	res, _, err := gridindex.Solve(idx, ds, q, 1, 1, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,11 +65,21 @@ func New(ds *attr.Dataset, f *agg.Composite, sx, sy int) (*Index, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
-	bounds := ds.Bounds()
-	if len(ds.Objects) == 0 || bounds.IsEmpty() {
-		// Degenerate datasets get a unit bounds so that cell geometry stays
-		// finite; every summary is zero.
-		bounds = geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	bounds := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1} // no objects: any finite cell geometry will do
+	if len(ds.Objects) > 0 {
+		// GI-DS covers the candidate space with the cells and the two
+		// margin strips left of and below bounds.Min: the minimum must be
+		// the corpus's own. An axis the corpus does not extend along (one
+		// object, objects on a line) gets a positive extent anchored there,
+		// so that cell geometry stays finite; every cell past the first
+		// column or row is empty.
+		bounds = ds.Bounds()
+		if bounds.MaxX == bounds.MinX {
+			bounds.MaxX += unitAt(bounds.MinX)
+		}
+		if bounds.MaxY == bounds.MinY {
+			bounds.MaxY += unitAt(bounds.MinY)
+		}
 	}
 	idx := &Index{
 		f:       f,
@@ -132,6 +142,11 @@ func New(ds *attr.Dataset, f *agg.Composite, sx, sy int) (*Index, error) {
 	}
 	return idx, nil
 }
+
+// unitAt returns an extent for a degenerate axis at coordinate v: 1, or
+// where v is large enough to absorb that, a 2⁻⁴⁰ share of |v| — wide
+// enough that the cell edges along the axis stay distinct floats.
+func unitAt(v float64) float64 { return math.Max(1, math.Abs(v)*0x1p-40) }
 
 // cellOf maps a location to its cell, clamping boundary points inward.
 func (x *Index) cellOf(p geom.Point) (int, int) {

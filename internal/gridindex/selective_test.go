@@ -44,7 +44,7 @@ func TestGIDSSelectiveGamma(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := gridindex.Solve(idx, rects, q, a, b, nil, dssearch.Options{NCol: 10, NRow: 10})
+		got, _, err := gridindex.Solve(idx, ds, q, a, b, nil, dssearch.Options{NCol: 10, NRow: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestGIDSCountComposite(t *testing.T) {
 	a, b := 10.0, 10.0
 	rects, _ := asp.Reduce(ds, a, b, asp.AnchorTR)
 	idx, _ := gridindex.New(ds, f, 16, 16)
-	got, _, err := gridindex.Solve(idx, rects, q, a, b, nil, dssearch.Options{})
+	got, _, err := gridindex.Solve(idx, ds, q, a, b, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

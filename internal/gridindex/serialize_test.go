@@ -44,12 +44,11 @@ func TestIndexSerializeRoundTrip(t *testing.T) {
 			t.Fatalf("lower bound %d differs: %g vs %g", i, lbs1[i], lbs2[i])
 		}
 	}
-	rects, _ := asp.Reduce(ds, a, b, asp.AnchorTR)
-	r1, _, err := gridindex.Solve(idx, rects, q, a, b, nil, dssearch.Options{})
+	r1, _, err := gridindex.Solve(idx, ds, q, a, b, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := gridindex.Solve(loaded, rects, q, a, b, nil, dssearch.Options{})
+	r2, _, err := gridindex.Solve(loaded, ds, q, a, b, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

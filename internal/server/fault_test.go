@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"asrs"
 	"asrs/internal/faultinject"
 	"asrs/internal/server"
 )
@@ -69,18 +70,29 @@ func TestDispatchPanicFailpointIsolated(t *testing.T) {
 // item boundary, *kernel.PanicError through Searcher.Err and the
 // engine, classify() in the server — and arrive as a 500 with code
 // internal_panic. Recovery is per-query: disarm and the server
-// answers again.
+// answers again. The fault point is visited only by a search that runs a
+// kernel item, and an indexed query whose every bound is at or above the
+// empty region's distance runs none: the request is checked to search a
+// cell.
 func TestKernelPanicSurfacesThrough(t *testing.T) {
 	_, ts, eng := newTestServer(t, server.Config{Window: server.DefaultWindow})
-	_, _, reqs := corpus(t)
-	want := eng.Query(reqs[1])
+	ds, f, reqs := corpus(t)
+	req := reqs[4]
+	want := eng.Query(req)
 	if want.Err != nil {
 		t.Fatal(want.Err)
+	}
+	idx, err := eng.Index(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, stats := asrs.Answer(ds, idx, req); stats.CellsSearched == 0 {
+		t.Fatal("the request searches no index cell: kernel.process.panic would go unvisited")
 	}
 
 	faultinject.Activate(faultinject.NewPlan(9,
 		faultinject.Spec{Point: "kernel.process.panic", Action: faultinject.ActPanic, MaxEvery: 1}))
-	resp, body := postJSON(t, ts.URL+"/v1/query", wireFor(reqs[1]))
+	resp, body := postJSON(t, ts.URL+"/v1/query", wireFor(req))
 	faultinject.Deactivate()
 
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -91,7 +103,7 @@ func TestKernelPanicSurfacesThrough(t *testing.T) {
 		t.Fatalf("code=%q retryable=%v, want internal_panic/terminal", wr.Code, wr.Retryable)
 	}
 
-	resp, body = postJSON(t, ts.URL+"/v1/query", wireFor(reqs[1]))
+	resp, body = postJSON(t, ts.URL+"/v1/query", wireFor(req))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-fault status = %d, body %s", resp.StatusCode, body)
 	}

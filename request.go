@@ -152,22 +152,8 @@ func Answer(ds *Dataset, idx *Index, req QueryRequest) (QueryResponse, IndexStat
 	var stats IndexStats
 	var round func([]Rect) (Rect, Result, error)
 	if idx != nil && req.Within == nil {
-		rects, err := dssearch.ReduceForSearch(ds, req.A, req.B, req.Query.F, opt)
-		if err != nil {
-			return QueryResponse{Err: err}, stats
-		}
-		left := max(req.TopK, 1)
 		round = func(excl []Rect) (Rect, Result, error) {
-			// Each run's searcher takes the reduction over (it may sort it in
-			// place), so handing the same slice to the next run is safe. The
-			// last run — the only one of a plain query — gets the only
-			// reference: a searcher that binds a pyramid copies the rectangles
-			// it keeps, and the n-rectangle reduction can go while it searches.
-			run := rects
-			if left--; left == 0 {
-				rects = nil
-			}
-			res, st, err := gridindex.Solve(idx, run, req.Query, req.A, req.B, excl, opt)
+			res, st, err := gridindex.Solve(idx, ds, req.Query, req.A, req.B, excl, opt)
 			stats.Add(st)
 			return asp.AnchorTR.RegionFor(res.Point, req.A, req.B), res, err
 		}

@@ -312,3 +312,80 @@ func TestGreedyStopRule(t *testing.T) {
 		t.Fatalf("Greedy wrote into the caller's exclusion slice: %v", own)
 	}
 }
+
+// TestIndexedSearchOnDegenerateBounds: a corpus that does not extend along
+// an axis — objects on a vertical or a horizontal line, or a single
+// object, which is what an engine that starts from one object serves until
+// its second insert — is answered through the grid index as SearchBaseline
+// answers it, bit for bit. The index used to replace such bounds by the
+// unit square, after which neither its cells nor the margin strips
+// covered the candidate space (distance 6 for the empty region, where the
+// line holds regions at distance 0).
+func TestIndexedSearchOnDegenerateBounds(t *testing.T) {
+	schema := asrs.MustSchema(asrs.Attribute{Name: "kind", Kind: asrs.Categorical, Domain: []string{"a", "b"}})
+	line := func(n int, at func(i int) asrs.Point) *asrs.Dataset {
+		ds := &asrs.Dataset{Schema: schema}
+		for i := 0; i < n; i++ {
+			ds.Objects = append(ds.Objects, asrs.Object{Loc: at(i), Values: []asrs.Value{{Cat: i % 2}}})
+		}
+		return ds
+	}
+	corpora := []struct {
+		name string
+		ds   *asrs.Dataset
+	}{
+		{"vertical-line", line(40, func(i int) asrs.Point { return asrs.Point{X: 5, Y: 10 + 0.1*float64(i)} })},
+		{"horizontal-line", line(40, func(i int) asrs.Point { return asrs.Point{X: 10 + 0.1*float64(i), Y: 7} })},
+		// y is large enough to absorb +1: the index must still give the
+		// axis an extent.
+		{"one-object", line(1, func(int) asrs.Point { return asrs.Point{X: 30, Y: 1e17} })},
+	}
+	for _, c := range corpora {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := asrs.NewComposite(schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "kind"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := []float64{3, 3}
+			if len(c.ds.Objects) == 1 {
+				target = []float64{1, 0}
+			}
+			q, err := asrs.QueryFromTarget(f, target, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := asrs.QueryRequest{Query: q, A: 1, B: 0.65}
+			switch c.name {
+			case "horizontal-line":
+				req.A, req.B = 0.65, 1
+			case "one-object":
+				req.B = 64
+			}
+			want := asrs.SearchBaseline(c.ds, req)
+			if want.Err != nil {
+				t.Fatal(want.Err)
+			}
+			if want.Results[0].Dist != 0 {
+				t.Fatalf("baseline distance %v: the corpus was built to hold the target", want.Results[0].Dist)
+			}
+			idx, err := asrs.NewIndex(c.ds, f, 8, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := asrs.NewEngine(c.ds, asrs.EngineOptions{IndexGranularity: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			direct, _ := asrs.Answer(c.ds, idx, req)
+			for name, got := range map[string]asrs.QueryResponse{"Answer": direct, "Engine": eng.Query(req)} {
+				if got.Err != nil {
+					t.Fatalf("%s: %v", name, got.Err)
+				}
+				if g, w := got.Results[0].Dist, want.Results[0].Dist; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s with the grid index answers %v at %v, SearchBaseline %v at %v", name, g, got.Regions[0], w, want.Regions[0])
+				}
+			}
+		})
+	}
+}
