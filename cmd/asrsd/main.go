@@ -1,16 +1,16 @@
 // Command asrsd is the ASRS serving daemon: an HTTP JSON API over
-// asrs.Engine that coalesces concurrent queries into batch supersteps
-// (request dedup + shared prepared query shapes across independent
-// clients), sheds load beyond a bounded in-flight queue, and enforces
-// per-query deadlines cancelled cooperatively at kernel superstep
-// boundaries. See DESIGN.md §7 for the architecture.
+// asrs.Engine that starts each query's search on arrival (a request
+// identical to one already in flight joins it, searches beyond the
+// machine's cores queue in arrival order), sheds load beyond a bounded
+// in-flight queue, and enforces per-query deadlines cancelled
+// cooperatively at kernel superstep boundaries. See DESIGN.md §7 for the
+// architecture.
 //
 // Usage:
 //
 //	asrsd -dataset singapore -addr :8080
 //	asrsd -dataset singapore -n 100000 -pyramid sg.pyr   # warm-load (build+save on first run)
-//	asrsd -dataset tweet -n 200000 -window 5ms -batch-max 64
-//	asrsd -window 0                                      # coalescing off (ablation)
+//	asrsd -dataset tweet -n 200000 -queue 512
 //	asrsd -dataset singapore -wal-dir /var/lib/asrs/wal  # durable streaming ingest
 //	asrsd -dataset singapore -shards 4                   # multi-shard serving (scatter–gather router)
 //	asrsd -shards 4 -partial best_effort -shard-lazy     # partial answers; shards load on first traffic
@@ -40,10 +40,9 @@
 // /readyz reports 503 "warming" until they have — and a corrupt shard
 // pyramid is quarantined and rebuilt without blocking siblings.
 //
-// SIGTERM/SIGINT starts a graceful drain: /readyz flips to 503, the
-// pending coalescing window is flushed so waiting clients get answers,
-// and in-flight searches get a grace period before cooperative
-// cancellation.
+// SIGTERM/SIGINT starts a graceful drain: /readyz flips to 503, new
+// queries are refused, and in-flight searches get a grace period before
+// cooperative cancellation.
 package main
 
 import (
@@ -74,8 +73,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "dataset seed")
 		workers    = flag.Int("workers", 0, "kernel worker pool per search (<=0 = GOMAXPROCS); answers are identical for any setting")
 		grid       = flag.Int("grid", 64, "grid index granularity (0 disables GI-DS)")
-		window     = flag.Duration("window", server.DefaultWindow, "coalescing window (how long the first request of a batch waits for company; 0 disables coalescing)")
-		batchMax   = flag.Int("batch-max", server.DefaultMaxBatch, "max requests per coalesced batch")
 		queue      = flag.Int("queue", server.DefaultMaxInFlight, "admission bound: max in-flight requests before 429 load shedding")
 		pyrPath    = flag.String("pyramid", "", "aggregate-pyramid file: loaded at startup, or built and saved on first run; secondary composites persist beside it as <path>.<name>")
 		timeout    = flag.Duration("timeout", server.DefaultTimeout, "default per-query deadline")
@@ -94,7 +91,7 @@ func main() {
 
 	if err := run(runConfig{
 		addr: *addr, dsName: *dsName, n: *n, seed: *seed, workers: *workers,
-		grid: *grid, window: *window, batchMax: *batchMax, queue: *queue,
+		grid: *grid, queue: *queue,
 		pyrPath: *pyrPath, timeout: *timeout, maxTimeout: *maxTimeout,
 		grace: *grace, verbose: *verbose, walDir: *walDir, walSync: *walSync,
 		compactAt: *compactAt, shards: *shards, shardCuts: *shardCuts,
@@ -111,8 +108,7 @@ type runConfig struct {
 	n                   int
 	seed                int64
 	workers, grid       int
-	window              time.Duration
-	batchMax, queue     int
+	queue               int
 	pyrPath             string
 	timeout, maxTimeout time.Duration
 	grace               time.Duration
@@ -219,6 +215,26 @@ func pyramidPath(base string, i int, name string) string {
 	return base + "." + name
 }
 
+// Connection-level timeouts. Admission (MaxInFlight) is taken in the
+// handler, so a socket that never finishes its request headers, or sits
+// idle between requests, is invisible to it and must be bounded here.
+// There is deliberately no ReadTimeout or WriteTimeout: a search, and a
+// streamed /v1/search above all, is bounded by its own deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's http.Server.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(rc runConfig) error {
 	ds, composites, names, err := buildServing(rc.dsName, rc.n, rc.seed)
 	if err != nil {
@@ -247,8 +263,6 @@ func run(rc runConfig) error {
 
 	scfg := server.Config{
 		Composites:  composites,
-		Window:      rc.window,
-		MaxBatch:    rc.batchMax,
 		MaxInFlight: rc.queue,
 		Timeout:     rc.timeout,
 		MaxTimeout:  rc.maxTimeout,
@@ -332,13 +346,13 @@ func run(rc runConfig) error {
 	if rc.verbose {
 		handler = server.LogMiddleware(handler)
 	}
-	httpSrv := &http.Server{Addr: rc.addr, Handler: handler}
+	httpSrv := newHTTPServer(rc.addr, handler)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s (window=%v batch-max=%d queue=%d)", rc.addr, rc.window, rc.batchMax, rc.queue)
+		log.Printf("listening on %s (queue=%d)", rc.addr, rc.queue)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}
@@ -352,8 +366,8 @@ func run(rc runConfig) error {
 	log.Printf("draining (grace %v)…", rc.grace)
 	graceCtx, cancel := context.WithTimeout(context.Background(), rc.grace)
 	defer cancel()
-	// Drain order: the serving layer first (flush the pending window,
-	// answer waiting clients, refuse new queries with 503), then the
+	// Drain order: the serving layer first (refuse new queries with 503,
+	// answer the clients whose searches are in flight), then the
 	// HTTP listener (close idle connections, wait out active handlers).
 	drainErr := srv.Shutdown(graceCtx)
 	if err := httpSrv.Shutdown(graceCtx); err != nil && drainErr == nil {

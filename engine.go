@@ -26,7 +26,9 @@ type EngineOptions struct {
 	// Workers, Delta, …) for requests that do not carry their own.
 	Search Options
 	// BatchParallelism caps the number of requests one QueryBatch call
-	// runs concurrently; values <= 0 select runtime.GOMAXPROCS(0).
+	// runs concurrently, and the number of searches Query/QueryCtx calls
+	// run at once engine-wide (the rest queue in arrival order); values
+	// <= 0 select runtime.GOMAXPROCS(0).
 	BatchParallelism int
 	// DisablePyramid turns off the lazily built per-composite aggregate
 	// pyramid (the dataset-level SAT hierarchy every query binds instead
@@ -69,6 +71,9 @@ type Engine struct {
 	mu    sync.Mutex
 	slabs map[*Composite]*dssearch.SlabCache
 
+	// slots bounds the searches QueryCtx runs at once (flight.go).
+	slots slots
+
 	// Streaming-ingest state (stream.go). staged grows append-only under
 	// ingestMu; stagedLen mirrors its length for lock-free staleness
 	// checks in currentView.
@@ -105,6 +110,9 @@ type Engine struct {
 	// nIndexedExcl counts GI-DS rounds that ran under a non-empty
 	// exclusion list (EngineStats.IndexedExclusionRounds).
 	nIndexedExcl atomic.Int64
+	// Searches that queued for an execution slot, and their total wait.
+	nSlotWaits    atomic.Int64
+	slotWaitNanos atomic.Int64
 
 	// lat is the executed-search latency histogram behind the Stats
 	// percentiles. One observation per search actually run: batched
@@ -119,8 +127,10 @@ type EngineStats struct {
 	Queries int64 `json:"queries"`
 	// Batches counts QueryBatch/QueryBatchCtx calls.
 	Batches int64 `json:"batches"`
-	// DedupHits counts batched requests answered by copying a
-	// byte-identical peer's response instead of searching.
+	// DedupHits counts requests answered by copying a byte-identical
+	// peer's response instead of searching: duplicates inside one
+	// QueryBatch, and Query/QueryCtx calls that joined a search already in
+	// flight.
 	DedupHits int64 `json:"dedup_hits"`
 	// PreparedShared counts batched requests that rode a group-shared
 	// prepared query shape (composite, a, b grouping).
@@ -135,6 +145,13 @@ type EngineStats struct {
 	// 2…k of a top-k, and every round of a request that excludes
 	// something itself. Zero with indexing off or windowed traffic only.
 	IndexedExclusionRounds int64 `json:"indexed_exclusion_rounds"`
+	// SlotWaits counts Query/QueryCtx searches that found every execution
+	// slot taken and queued for one; SlotWaitMs is their cumulative wait.
+	// Together with the latency percentiles (which start when a search
+	// does) they tell "slow because it waited" from "slow because it
+	// searched".
+	SlotWaits  int64   `json:"slot_waits"`
+	SlotWaitMs float64 `json:"slot_wait_ms"`
 	// Indexes and Pyramids count the per-composite caches of the current
 	// epoch view.
 	Indexes  int `json:"indexes"`
@@ -185,6 +202,8 @@ func (e *Engine) Stats() EngineStats {
 		Errors:                 e.nErrors.Load(),
 		Cancelled:              e.nCancelled.Load(),
 		IndexedExclusionRounds: e.nIndexedExcl.Load(),
+		SlotWaits:              e.nSlotWaits.Load(),
+		SlotWaitMs:             float64(e.slotWaitNanos.Load()) / 1e6,
 		Indexes:                ni,
 		Pyramids:               np,
 		Ingested:               e.nIngested.Load(),
@@ -226,13 +245,15 @@ type pyramidEntry struct {
 // per-composite caches bound to exactly that dataset. The maps are
 // guarded by Engine.mu; entries build under their own once. basePyrs
 // holds completed pyramids inherited from the previous epoch, consumed
-// (and released) by the first delta fold per composite.
+// (and released) by the first delta fold per composite. flights holds the
+// QueryCtx searches in progress on this epoch, by dedupKey (flight.go).
 type engineView struct {
 	ds       *Dataset
 	deltaLen int
 	indexes  map[*Composite]*indexEntry
 	pyramids map[*Composite]*pyramidEntry
 	basePyrs map[*Composite]*Pyramid
+	flights  map[string]*flight
 }
 
 // NewEngine validates the dataset and returns an engine serving it.
@@ -255,6 +276,7 @@ func NewEngine(ds *Dataset, opt EngineOptions) (*Engine, error) {
 		opt:   opt,
 		slabs: make(map[*Composite]*dssearch.SlabCache),
 	}
+	e.slots.free = e.parallelism()
 	// Epoch zero IS the seed dataset (same pointer), so pyramids built
 	// or loaded for the seed — SetPyramid after a LoadPyramidFile —
 	// match it by identity even when recovery staged objects: those fold
@@ -264,6 +286,7 @@ func NewEngine(ds *Dataset, opt EngineOptions) (*Engine, error) {
 		indexes:  make(map[*Composite]*indexEntry),
 		pyramids: make(map[*Composite]*pyramidEntry),
 		basePyrs: make(map[*Composite]*Pyramid),
+		flights:  make(map[string]*flight),
 	})
 	if opt.Ingest.WALDir != "" {
 		if err := e.initIngest(); err != nil {
@@ -320,6 +343,7 @@ func (e *Engine) materializeView() *engineView {
 		deltaLen: n,
 		indexes:  make(map[*Composite]*indexEntry),
 		pyramids: make(map[*Composite]*pyramidEntry),
+		flights:  make(map[string]*flight),
 	}
 	// Harvest fold bases: completed pyramids of the previous epoch win
 	// (largest prefix), else whatever base it inherited and never used.
@@ -536,11 +560,32 @@ func (e *Engine) Query(req QueryRequest) QueryResponse {
 // search stops cooperatively at the next kernel superstep boundary and
 // the response's Err is the context error. Answers of searches that
 // complete are bit-identical to an unbounded Query.
+//
+// Concurrent calls share work and cores (flight.go): a request
+// byte-identical to a search already in flight on the same epoch waits
+// for that search and receives a deep copy of its answer, and at most
+// EngineOptions.BatchParallelism searches run at once, the rest queueing
+// in arrival order. Both waits end with the request's own context, and
+// nothing is kept once a search has ended.
 func (e *Engine) QueryCtx(ctx context.Context, req QueryRequest) QueryResponse {
-	resp := e.answer(ctx, e.currentView(), req, nil)
+	if req.Ctx != nil {
+		ctx = req.Ctx
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	resp := e.fly(ctx, e.currentView(), req)
 	e.nQueries.Add(1)
 	e.countResponse(&resp)
 	return resp
+}
+
+// parallelism resolves EngineOptions.BatchParallelism.
+func (e *Engine) parallelism() int {
+	if e.opt.BatchParallelism > 0 {
+		return e.opt.BatchParallelism
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // countResponse folds one delivered response into the serving counters.
@@ -569,8 +614,8 @@ func (e *Engine) answer(ctx context.Context, v *engineView, req QueryRequest, pr
 		ctx = req.Ctx
 	}
 	if ctx != nil {
-		// An already-dead request (deadline passed while it queued in a
-		// coalescing window) must not pay index lookup and searcher
+		// An already-dead request (deadline passed while it queued for a
+		// slot or behind a batch) must not pay index lookup and searcher
 		// construction for an answer that is guaranteed to be discarded.
 		if cerr := ctx.Err(); cerr != nil {
 			return QueryResponse{Err: cerr}
@@ -817,10 +862,7 @@ func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []Query
 			}
 		}
 	}
-	par := e.opt.BatchParallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+	par := e.parallelism()
 	if par > work {
 		par = work
 	}

@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"asrs"
 	"asrs/internal/dataset"
@@ -281,7 +280,6 @@ func TestIngestServerKillAndRequery(t *testing.T) {
 	srv, err := server.New(server.Config{
 		Engine:     eng,
 		Composites: map[string]*asrs.Composite{"f2": f},
-		Window:     2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +335,6 @@ func TestIngestServerKillAndRequery(t *testing.T) {
 	srv2, err := server.New(server.Config{
 		Engine:     rec,
 		Composites: map[string]*asrs.Composite{"f2": f},
-		Window:     2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

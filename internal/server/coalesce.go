@@ -13,60 +13,43 @@ import (
 	"asrs/internal/faultinject"
 )
 
-// Coalescer is the bounded-latency window collector that turns
-// concurrent single queries into engine batch supersteps. The first
-// request to arrive opens a window; requests landing inside it pile
-// into one pending batch, and when the window elapses — or the batch
-// reaches MaxBatch first — the whole batch drains into a single
-// Engine.QueryBatchCtx call. The engine's grouping pass then dedups
-// byte-identical requests and shares one prepared query shape per
-// (composite, a, b) group across what were independent clients
-// (DESIGN.md §6), which is where the serving throughput win comes from.
+// Coalescer dispatches each /v1/query on arrival: Submit starts the
+// request's search on a goroutine of its own and the answer is delivered
+// when that search ends — no window, no batch, nobody waits for a slower
+// neighbour. What used to need a batch happens in the engine while the
+// searches run (asrs.Engine.QueryCtx, DESIGN.md §7): a request
+// byte-identical to one already in flight joins it, and searches beyond
+// the engine's parallelism queue for a core in arrival order.
 //
-// Grouping is arrival-time-driven and therefore nondeterministic — two
-// runs of the same traffic can batch differently — but answers are not:
-// the engine promises per-request answers bit-identical to individual
-// Query calls for any batch composition (the coalescer property test
-// pins this).
-//
-// A window of zero (or MaxBatch ≤ 1) disables coalescing: every request
-// dispatches alone, which is the ablation baseline the serve benchmark
-// compares against.
+// What the type owns is the off-handler goroutine — engine work runs
+// where recoverMiddleware cannot see it, so a panicking search is
+// converted to one failed request here — the dispatch failpoints, the
+// drain (Close waits for every dispatched search) and the service-time
+// feed behind Retry-After.
 type Coalescer struct {
 	eng *asrs.Engine
-	// base is the coalescer's lifetime context: batch searches run under
-	// it (per-request deadlines ride QueryRequest.Ctx), so cancelling it
+	// base is the coalescer's lifetime context: searches run under it
+	// (per-request deadlines ride QueryRequest.Ctx), so cancelling it
 	// aborts all in-flight engine work at the next superstep boundary.
 	base context.Context
-	// window (nanoseconds) and maxBatch are atomics: the degradation
-	// ladder (degrade.go) steps them down under sustained shedding and
-	// back up when calm returns, concurrently with Submits.
-	window   atomic.Int64
-	maxBatch atomic.Int64
-	// onService, when set, observes each dispatch's engine service time
-	// (the Retry-After EWMA feed). Set before serving; not synchronized.
+	// onService, when set, observes each dispatch's service time, slot
+	// and join waits included (the Retry-After EWMA feed). Set before
+	// serving; not synchronized.
 	onService func(time.Duration)
 
-	mu      sync.Mutex
-	pending []*waiter
-	gen     uint64 // increments whenever pending is taken; stales old timers
-	closed  bool
-
-	wg sync.WaitGroup // in-flight dispatch goroutines
+	mu     sync.Mutex // orders wg.Add against Close
+	closed bool
+	wg     sync.WaitGroup // in-flight dispatch goroutines
 
 	// Counters (atomic; see Stats).
-	nBatches   atomic.Int64
-	nRequests  atomic.Int64
-	nMaxFlush  atomic.Int64 // batches flushed by hitting MaxBatch
-	widest     atomic.Int64 // largest batch dispatched
-	nSingles   atomic.Int64 // uncoalesced dispatches (window=0 path)
-	nRejected  atomic.Int64 // submits refused because the coalescer closed
-	nDelivered atomic.Int64 // responses handed to waiters
+	nDispatched atomic.Int64 // searches started
+	nRejected   atomic.Int64 // submits refused because the coalescer closed
+	nDelivered  atomic.Int64 // responses handed to waiters
 }
 
 // checkDispatchFaults probes the dispatch failpoints: a slow dispatch
-// stalls the whole batch (deadline-pressure simulation), a panicking
-// one exercises recoverDeliver's conversion to per-waiter errors.
+// stalls its request (deadline-pressure simulation), a panicking one
+// exercises recoverDeliver's conversion to an error response.
 func (c *Coalescer) checkDispatchFaults() {
 	if f, ok := faultinject.Check("server.dispatch.slow"); ok && f.Action == faultinject.ActSleep {
 		f.Sleep()
@@ -84,221 +67,82 @@ func (c *Coalescer) observeService(d time.Duration) {
 	}
 }
 
-// waiter carries one request and its delivery channel (buffered, so a
-// dispatch never blocks on a client that stopped listening).
-type waiter struct {
-	req  asrs.QueryRequest
-	done chan asrs.QueryResponse
-}
-
 // NewCoalescer builds a coalescer over the engine. base bounds every
-// batch search (typically the server's drain context); window and
-// maxBatch bound the added latency and the superstep width.
-func NewCoalescer(base context.Context, eng *asrs.Engine, window time.Duration, maxBatch int) *Coalescer {
+// search (typically the server's drain context).
+func NewCoalescer(base context.Context, eng *asrs.Engine) *Coalescer {
 	if base == nil {
 		base = context.Background()
 	}
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	c := &Coalescer{eng: eng, base: base}
-	c.window.Store(int64(window))
-	c.maxBatch.Store(int64(maxBatch))
-	return c
+	return &Coalescer{eng: eng, base: base}
 }
 
-// SetLimits installs new coalescing limits; in-flight windows keep the
-// geometry they started with, later Submits see the new one.
-func (c *Coalescer) SetLimits(window time.Duration, maxBatch int) {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	c.window.Store(int64(window))
-	c.maxBatch.Store(int64(maxBatch))
-}
-
-// Limits reports the current coalescing limits.
-func (c *Coalescer) Limits() (time.Duration, int) {
-	return time.Duration(c.window.Load()), int(c.maxBatch.Load())
-}
-
-// Submit enqueues one request and returns the channel its response will
-// arrive on (buffered; a response is always delivered unless the
-// coalescer was already closed, in which case the channel is closed).
-// The request's own Ctx still bounds its search individually.
+// Submit starts the request's search and returns the channel its
+// response will arrive on (buffered, so a delivery never blocks on a
+// client that stopped listening; a response is always delivered unless
+// the coalescer was already closed, in which case the channel is
+// closed). The request's own Ctx bounds its search.
 func (c *Coalescer) Submit(req asrs.QueryRequest) <-chan asrs.QueryResponse {
-	w := &waiter{req: req, done: make(chan asrs.QueryResponse, 1)}
-	window, maxBatch := c.Limits()
-	if window <= 0 || maxBatch <= 1 {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			c.nRejected.Add(1)
-			close(w.done)
-			return w.done
-		}
-		c.wg.Add(1)
-		c.mu.Unlock()
-		c.nSingles.Add(1)
-		go func() {
-			defer c.wg.Done()
-			defer c.recoverDeliver([]*waiter{w})
-			c.checkDispatchFaults()
-			started := time.Now()
-			resp := c.eng.QueryCtx(c.base, w.req)
-			c.observeService(time.Since(started))
-			// Counter before delivery, matching dispatch: a stats reader
-			// triggered by the response must see it counted.
-			c.nDelivered.Add(1)
-			w.done <- resp
-		}()
-		return w.done
-	}
-
+	done := make(chan asrs.QueryResponse, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		c.nRejected.Add(1)
-		close(w.done)
-		return w.done
+		close(done)
+		return done
 	}
-	c.pending = append(c.pending, w)
-	if len(c.pending) >= maxBatch {
-		batch := c.takeLocked()
-		c.mu.Unlock()
-		c.nMaxFlush.Add(1)
-		c.dispatch(batch)
-		return w.done
-	}
-	if len(c.pending) == 1 {
-		// First request of a fresh window: arm its flush timer. The
-		// generation check makes the timer a no-op if the batch already
-		// drained through the MaxBatch path (or a later window owns
-		// pending by the time the timer fires).
-		gen := c.gen
-		time.AfterFunc(window, func() { c.flushGen(gen) })
-	}
-	c.mu.Unlock()
-	return w.done
-}
-
-// takeLocked detaches the pending batch (caller holds mu) and bumps the
-// generation so stale timers recognize their window is gone. The
-// dispatch goroutine is registered before the lock is released so a
-// concurrent Close cannot miss it.
-func (c *Coalescer) takeLocked() []*waiter {
-	batch := c.pending
-	c.pending = nil
-	c.gen++
 	c.wg.Add(1)
-	return batch
-}
-
-// flushGen drains the pending batch if it still belongs to generation
-// gen (the window timer's path).
-func (c *Coalescer) flushGen(gen uint64) {
-	c.mu.Lock()
-	if c.gen != gen || len(c.pending) == 0 {
-		c.mu.Unlock()
-		return
-	}
-	batch := c.takeLocked()
 	c.mu.Unlock()
-	c.dispatch(batch)
+	c.nDispatched.Add(1)
+	go func() {
+		defer c.wg.Done()
+		defer c.recoverDeliver(done)
+		c.checkDispatchFaults()
+		started := time.Now()
+		resp := c.eng.QueryCtx(c.base, req)
+		c.observeService(time.Since(started))
+		// Counter before delivery: a stats reader triggered by the
+		// response (the bench does exactly that) must see it counted.
+		c.nDelivered.Add(1)
+		done <- resp
+	}()
+	return done
 }
 
-// dispatch answers one detached batch through a single engine batch
-// call and delivers each response to its waiter. The caller has already
-// registered the dispatch with wg (takeLocked / the window=0 path).
-// recoverDeliver converts a panic on a dispatch goroutine into error
-// responses for the batch's waiters. Engine work runs off the handler
-// goroutines here, so recoverMiddleware cannot catch it — without this,
-// one panicking query would kill the whole daemon instead of failing
-// one batch with 500s. Sends are non-blocking: waiters already served
-// before the panic keep their answers (their buffered channel is full).
-func (c *Coalescer) recoverDeliver(batch []*waiter) {
+// recoverDeliver converts a panic on a dispatch goroutine into an error
+// response for its request. Engine work runs off the handler goroutines
+// here, so recoverMiddleware cannot catch it — without this, one
+// panicking query would kill the whole daemon instead of failing with a
+// 500.
+func (c *Coalescer) recoverDeliver(done chan<- asrs.QueryResponse) {
 	v := recover()
 	if v == nil {
 		return
 	}
 	log.Printf("server: panic in coalescer dispatch: %v\n%s", v, debug.Stack())
-	err := fmt.Errorf("%w: %v", errDispatchPanic, v)
-	for _, w := range batch {
-		select {
-		case w.done <- asrs.QueryResponse{Err: err}:
-			c.nDelivered.Add(1)
-		default:
-		}
-	}
+	c.nDelivered.Add(1)
+	done <- asrs.QueryResponse{Err: fmt.Errorf("%w: %v", errDispatchPanic, v)}
 }
 
-func (c *Coalescer) dispatch(batch []*waiter) {
-	go func() {
-		defer c.wg.Done()
-		defer c.recoverDeliver(batch)
-		c.checkDispatchFaults()
-		reqs := make([]asrs.QueryRequest, len(batch))
-		for i, w := range batch {
-			reqs[i] = w.req
-		}
-		started := time.Now()
-		resps := c.eng.QueryBatchCtx(c.base, reqs)
-		c.observeService(time.Since(started))
-		// Counters before delivery: a stats reader triggered by the last
-		// response (the bench does exactly that) must see this batch.
-		c.nBatches.Add(1)
-		c.nRequests.Add(int64(len(batch)))
-		c.nDelivered.Add(int64(len(batch)))
-		for {
-			cur := c.widest.Load()
-			if int64(len(batch)) <= cur || c.widest.CompareAndSwap(cur, int64(len(batch))) {
-				break
-			}
-		}
-		for i, w := range batch {
-			w.done <- resps[i]
-		}
-	}()
-}
-
-// Close drains the coalescer: the pending window is flushed immediately
-// (waiting requests get answers, not errors), new submits are refused,
-// and Close blocks until every in-flight dispatch has delivered — the
-// graceful half of shutdown. Cancelling the base context instead (or
-// additionally, after a drain deadline) aborts in-flight searches at
-// the next kernel superstep boundary.
+// Close drains the coalescer: new submits are refused and Close blocks
+// until every dispatched search has delivered — the graceful half of
+// shutdown. Cancelling the base context instead (or additionally, after
+// a drain deadline) aborts in-flight searches at the next kernel
+// superstep boundary.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.wg.Wait()
-		return
-	}
 	c.closed = true
-	var batch []*waiter
-	if len(c.pending) > 0 {
-		batch = c.takeLocked()
-	}
 	c.mu.Unlock()
-	if batch != nil {
-		c.dispatch(batch)
-	}
 	c.wg.Wait()
 }
 
 // CoalescerStats is a point-in-time snapshot of the coalescer counters.
 type CoalescerStats struct {
-	// Batches and BatchedRequests count coalesced dispatches; their
-	// ratio is the realized average batch width.
+	// Batches counts dispatched searches and BatchedRequests delivered
+	// requests — one request per dispatch, so their ratio is 1 once
+	// traffic settles; what requests share is Engine.DedupHits. The names
+	// are the ones the benchmark reads.
 	Batches         int64 `json:"batches"`
 	BatchedRequests int64 `json:"batched_requests"`
-	// FullFlushes counts batches flushed by reaching MaxBatch before the
-	// window elapsed (the overload-side flush path).
-	FullFlushes int64 `json:"full_flushes"`
-	// WidestBatch is the largest batch dispatched so far.
-	WidestBatch int64 `json:"widest_batch"`
-	// Singles counts uncoalesced dispatches (window=0 configuration).
-	Singles int64 `json:"singles"`
 	// Rejected counts submits refused after Close.
 	Rejected int64 `json:"rejected"`
 	// Delivered counts responses handed to waiters.
@@ -307,13 +151,11 @@ type CoalescerStats struct {
 
 // Stats snapshots the coalescer counters.
 func (c *Coalescer) Stats() CoalescerStats {
+	delivered := c.nDelivered.Load()
 	return CoalescerStats{
-		Batches:         c.nBatches.Load(),
-		BatchedRequests: c.nRequests.Load(),
-		FullFlushes:     c.nMaxFlush.Load(),
-		WidestBatch:     c.widest.Load(),
-		Singles:         c.nSingles.Load(),
+		Batches:         c.nDispatched.Load(),
+		BatchedRequests: delivered,
 		Rejected:        c.nRejected.Load(),
-		Delivered:       c.nDelivered.Load(),
+		Delivered:       delivered,
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"asrs"
 	"asrs/internal/dataset"
+	"asrs/internal/faultinject"
 	"asrs/internal/server"
 )
 
@@ -89,11 +91,11 @@ func corpus(t *testing.T) (*asrs.Dataset, *asrs.Composite, []asrs.QueryRequest) 
 	return testCorpus.ds, testCorpus.f, testCorpus.reqs
 }
 
-// TestCoalescerBitIdentical is the coalescer property test: N
-// concurrent clients submitting through the window collector must get
-// distances bit-identical to N sequential Engine.Query calls — for any
-// coalescing window, batch cap and worker count, including window=0
-// (no coalescing at all).
+// TestCoalescerBitIdentical is the coalescer property test: concurrent
+// clients submitting through the coalescer must get distances
+// bit-identical to sequential Engine.Query calls — for any number of
+// clients and kernel workers, and when a client fires a burst of identical
+// requests at once (which join one search in the engine).
 func TestCoalescerBitIdentical(t *testing.T) {
 	ds, _, reqs := corpus(t)
 
@@ -111,19 +113,9 @@ func TestCoalescerBitIdentical(t *testing.T) {
 		want[i] = resp.Results[0].Dist
 	}
 
-	cases := []struct {
-		window   time.Duration
-		maxBatch int
-		workers  int
-	}{
-		{0, 0, 1},                      // no coalescing
-		{200 * time.Microsecond, 2, 1}, // tiny windows, tiny batches
-		{2 * time.Millisecond, 8, 1},
-		{5 * time.Millisecond, 64, 2}, // one wide batch, multi-worker kernel
-	}
-	for _, tc := range cases {
-		name := fmt.Sprintf("window=%s/batch=%d/workers=%d", tc.window, tc.maxBatch, tc.workers)
-		t.Run(name, func(t *testing.T) {
+	const burst = 4 // every sixth request is sent this many times at once
+	for _, tc := range []struct{ clients, workers int }{{4, 1}, {4, 2}, {24, 1}, {24, 2}} {
+		t.Run(fmt.Sprintf("clients=%d/workers=%d", tc.clients, tc.workers), func(t *testing.T) {
 			eng, err := asrs.NewEngine(ds, asrs.EngineOptions{
 				IndexGranularity: 32,
 				Search:           asrs.Options{Workers: tc.workers},
@@ -131,94 +123,70 @@ func TestCoalescerBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coal := server.NewCoalescer(context.Background(), eng, tc.window, tc.maxBatch)
+			coal := server.NewCoalescer(context.Background(), eng)
 			defer coal.Close()
 
-			got := make([]float64, len(reqs))
-			errs := make([]error, len(reqs))
+			var submitted atomic.Int64
 			var wg sync.WaitGroup
-			for i := range reqs {
+			for c := 0; c < tc.clients; c++ {
 				wg.Add(1)
-				go func(i int) {
+				go func(c int) {
 					defer wg.Done()
-					resp := <-coal.Submit(reqs[i])
-					if resp.Err != nil {
-						errs[i] = resp.Err
-						return
+					for i := c; i < len(reqs); i += tc.clients {
+						n := 1
+						if i%6 == 0 {
+							n = burst
+						}
+						chans := make([]<-chan asrs.QueryResponse, n)
+						for k := range chans {
+							chans[k] = coal.Submit(reqs[i])
+						}
+						submitted.Add(int64(n))
+						for _, ch := range chans {
+							resp := <-ch
+							if resp.Err != nil {
+								t.Errorf("request %d failed: %v", i, resp.Err)
+								continue
+							}
+							if got := resp.Results[0].Dist; math.Float64bits(got) != math.Float64bits(want[i]) {
+								t.Errorf("request %d: dispatched answer %v != sequential %v", i, got, want[i])
+							}
+						}
 					}
-					got[i] = resp.Results[0].Dist
-				}(i)
+				}(c)
 			}
 			wg.Wait()
-			for i := range reqs {
-				if errs[i] != nil {
-					t.Fatalf("client %d failed: %v", i, errs[i])
-				}
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("client %d: coalesced answer %v != sequential %v", i, got[i], want[i])
-				}
+			n := submitted.Load()
+			if st := coal.Stats(); st.Batches != n || st.BatchedRequests != n || st.Delivered != n {
+				t.Fatalf("coalescer stats after %d submits: %+v", n, st)
 			}
-			if tc.window > 0 {
-				st := coal.Stats()
-				if st.Batches == 0 || st.BatchedRequests != int64(len(reqs)) {
-					t.Fatalf("coalescer stats inconsistent: %+v", st)
-				}
+			if es := eng.Stats(); es.LatencyCount+es.DedupHits != n {
+				t.Fatalf("%d searches + %d joined != %d submits", es.LatencyCount, es.DedupHits, n)
 			}
 		})
 	}
 }
 
-// TestCoalescerMaxBatchFlush: a burst larger than MaxBatch must flush
-// early instead of waiting out a long window.
-func TestCoalescerMaxBatchFlush(t *testing.T) {
-	ds, _, reqs := corpus(t)
-	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A window far longer than the test timeout: only the MaxBatch path
-	// can deliver in time.
-	coal := server.NewCoalescer(context.Background(), eng, time.Hour, 4)
-	defer coal.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp := <-coal.Submit(reqs[i])
-			if resp.Err != nil {
-				t.Errorf("client %d: %v", i, resp.Err)
-			}
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("full batch never flushed before the window elapsed")
-	}
-	if st := coal.Stats(); st.FullFlushes != 1 {
-		t.Fatalf("full flushes = %d, want 1", st.FullFlushes)
-	}
-}
-
-// TestCoalescerCloseFlushesPending: requests sitting in an open window
-// at Close time must still get answers (graceful drain), and submits
-// after Close must be refused with a closed channel.
+// TestCoalescerCloseFlushesPending: Close waits for every dispatched
+// search to deliver (graceful drain) — a request still held at its
+// dispatch when Close is called gets its answer, not an error — and
+// submits after Close are refused with a closed channel.
 func TestCoalescerCloseFlushesPending(t *testing.T) {
 	ds, _, reqs := corpus(t)
 	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coal := server.NewCoalescer(context.Background(), eng, time.Hour, 64)
+	faultinject.Activate(faultinject.NewPlan(5,
+		faultinject.Spec{Point: "server.dispatch.slow", Action: faultinject.ActSleep, MaxEvery: 1, Delay: 50 * time.Millisecond}))
+	defer faultinject.Deactivate()
+	coal := server.NewCoalescer(context.Background(), eng)
 	ch := coal.Submit(reqs[0])
 	coal.Close()
 	select {
 	case resp, ok := <-ch:
 		if !ok {
-			t.Fatal("pending request dropped by Close instead of flushed")
+			t.Fatal("pending request dropped by Close instead of answered")
 		}
 		if resp.Err != nil {
 			t.Fatalf("drained request failed: %v", resp.Err)

@@ -10,26 +10,28 @@ import (
 // Degradation ladder: how the server behaves between "healthy" and
 // "shedding everything". Two mechanisms compose (DESIGN.md §9):
 //
-//   - Retry-After on every 429 is derived from the observed batch
+//   - Retry-After on every 429 is derived from the observed request
 //     service time (EWMA) with client-spreading jitter, so shed
 //     clients come back roughly when the work they were shed behind
 //     has cleared — not in lockstep, and never "0".
-//   - Brownout: sustained shedding steps the coalescing window and
-//     max batch DOWN a level at a time (halving both), trading
-//     amortization for faster individual turnaround and finer-grained
-//     admission; sustained calm steps back up. The ladder is advisory
-//     — answers stay bit-identical, only batching geometry changes.
+//   - Brownout: sustained shedding steps a level DOWN at a time and
+//     sustained calm steps back up. Any level above zero sheds inserts
+//     first (deferrable work nobody is waiting on) and shows as
+//     "degraded" on /healthz; the level says for how long shedding has
+//     been sustained. The ladder is advisory — answers stay
+//     bit-identical.
 
-// ewmaAlpha weights the newest observation; ~5 batches of memory.
+// ewmaAlpha weights the newest observation; ~5 requests of memory.
 const ewmaAlpha = 0.2
 
 // serviceEWMA is a lock-free exponentially weighted moving average of
-// batch service times, stored as float64 bits in an atomic word.
+// request service times (dispatch to answer), stored as float64 bits in
+// an atomic word.
 type serviceEWMA struct {
 	bits atomic.Uint64
 }
 
-// Observe folds one batch service time into the average.
+// Observe folds one service time into the average.
 func (e *serviceEWMA) Observe(d time.Duration) {
 	if d < 0 {
 		return
@@ -79,8 +81,7 @@ const (
 	ladderStepSheds = 8
 	// ladderCalmBuckets consecutive shed-free buckets step back up.
 	ladderCalmBuckets = 2
-	// ladderMaxLevel bounds the descent: window and batch are halved
-	// per level, so level 3 is window/8, batch/8.
+	// ladderMaxLevel bounds the descent.
 	ladderMaxLevel = 3
 )
 
@@ -89,10 +90,6 @@ const (
 // so an idle server holds its level until traffic returns (documented:
 // recovery requires observed calm, not elapsed wall clock).
 type ladder struct {
-	baseWindow   time.Duration
-	baseMaxBatch int
-	// apply installs the level's effective limits (Coalescer.SetLimits).
-	apply func(window time.Duration, maxBatch int)
 	// now is the clock; replaceable in tests.
 	now func() time.Time
 
@@ -106,14 +103,7 @@ type ladder struct {
 	downSteps int64     // total step-downs
 }
 
-func newLadder(window time.Duration, maxBatch int, apply func(time.Duration, int)) *ladder {
-	return &ladder{
-		baseWindow:   window,
-		baseMaxBatch: maxBatch,
-		apply:        apply,
-		now:          time.Now,
-	}
-}
+func newLadder() *ladder { return &ladder{now: time.Now} }
 
 // note records one admission-path event (shed or served) and runs any
 // due transitions. Called on every request; the critical section is a
@@ -156,7 +146,7 @@ func (l *ladder) note(shed bool) {
 	}
 }
 
-// setLevelLocked moves to a level and installs its limits.
+// setLevelLocked moves to a level.
 func (l *ladder) setLevelLocked(level int) {
 	if level > l.level {
 		l.downSteps++
@@ -165,14 +155,6 @@ func (l *ladder) setLevelLocked(level int) {
 		}
 	}
 	l.level = level
-	window := l.baseWindow >> level
-	maxBatch := l.baseMaxBatch >> level
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	if l.apply != nil {
-		l.apply(window, maxBatch)
-	}
 }
 
 // Level reports the current brownout level (0 = healthy).
@@ -180,18 +162,6 @@ func (l *ladder) Level() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.level
-}
-
-// Current reports the effective coalescing limits at this level.
-func (l *ladder) Current() (time.Duration, int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	window := l.baseWindow >> l.level
-	maxBatch := l.baseMaxBatch >> l.level
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	return window, maxBatch
 }
 
 // Entries reports how many times brownout was entered from healthy.

@@ -64,23 +64,18 @@ func TestServiceEWMAConverges(t *testing.T) {
 	}
 }
 
-// fakeClockLadder builds a ladder on a controllable clock and records
-// every applied limit change.
-func fakeClockLadder(window time.Duration, maxBatch int) (*ladder, *time.Time, *[][2]int64) {
+// fakeClockLadder builds a ladder on a controllable clock.
+func fakeClockLadder() (*ladder, *time.Time) {
 	now := time.Unix(1000, 0)
-	var applied [][2]int64
-	l := newLadder(window, maxBatch, func(w time.Duration, mb int) {
-		applied = append(applied, [2]int64{int64(w), int64(mb)})
-	})
+	l := newLadder()
 	l.now = func() time.Time { return now }
-	return l, &now, &applied
+	return l, &now
 }
 
 // TestLadderStepsDownUnderSustainedShedding: enough sheds inside one
-// bucket halve the coalescing limits, once per bucket, down to the
-// floor level.
+// bucket step the level down, once per bucket, to the floor level.
 func TestLadderStepsDownUnderSustainedShedding(t *testing.T) {
-	l, now, applied := fakeClockLadder(2*time.Millisecond, 32)
+	l, now := fakeClockLadder()
 	for i := 0; i < ladderStepSheds; i++ {
 		l.note(true)
 	}
@@ -104,23 +99,15 @@ func TestLadderStepsDownUnderSustainedShedding(t *testing.T) {
 	if l.Level() != ladderMaxLevel {
 		t.Fatalf("level = %d, want cap %d", l.Level(), ladderMaxLevel)
 	}
-	w, mb := l.Current()
-	if w != 2*time.Millisecond>>ladderMaxLevel || mb != 32>>ladderMaxLevel {
-		t.Fatalf("effective limits %v/%d at level %d", w, mb, l.Level())
-	}
-	if len(*applied) != ladderMaxLevel {
-		t.Fatalf("apply called %d times, want %d", len(*applied), ladderMaxLevel)
-	}
 	if l.Entries() != 1 {
 		t.Fatalf("brownout entries = %d, want 1", l.Entries())
 	}
 }
 
 // TestLadderRecoversAfterCalm: shed-free buckets step back up one
-// level per calm streak until healthy, restoring the configured
-// limits.
+// level per calm streak until healthy.
 func TestLadderRecoversAfterCalm(t *testing.T) {
-	l, now, _ := fakeClockLadder(2*time.Millisecond, 32)
+	l, now := fakeClockLadder()
 	for b := 0; b < 2; b++ {
 		for i := 0; i < ladderStepSheds; i++ {
 			l.note(true)
@@ -141,16 +128,12 @@ func TestLadderRecoversAfterCalm(t *testing.T) {
 	if l.Level() != 0 {
 		t.Fatalf("never recovered: level %d after %d calm buckets", l.Level(), steps)
 	}
-	w, mb := l.Current()
-	if w != 2*time.Millisecond || mb != 32 {
-		t.Fatalf("recovered limits %v/%d, want configured 2ms/32", w, mb)
-	}
 }
 
 // TestLadderMixedBucketsHoldLevel: buckets with a few sheds (below the
 // step threshold) neither deepen brownout nor count as calm.
 func TestLadderMixedBucketsHoldLevel(t *testing.T) {
-	l, now, _ := fakeClockLadder(2*time.Millisecond, 32)
+	l, now := fakeClockLadder()
 	for i := 0; i < ladderStepSheds; i++ {
 		l.note(true)
 	}
@@ -160,20 +143,5 @@ func TestLadderMixedBucketsHoldLevel(t *testing.T) {
 	}
 	if l.Level() != 1 {
 		t.Fatalf("level drifted to %d under light shedding, want 1", l.Level())
-	}
-}
-
-// TestCoalescerSetLimits: dynamic limits apply to later submits and
-// are what Limits reports.
-func TestCoalescerSetLimits(t *testing.T) {
-	c := NewCoalescer(nil, nil, 4*time.Millisecond, 16)
-	w, mb := c.Limits()
-	if w != 4*time.Millisecond || mb != 16 {
-		t.Fatalf("initial limits %v/%d", w, mb)
-	}
-	c.SetLimits(time.Millisecond, 0) // maxBatch floors at 1
-	w, mb = c.Limits()
-	if w != time.Millisecond || mb != 1 {
-		t.Fatalf("after SetLimits: %v/%d, want 1ms/1", w, mb)
 	}
 }

@@ -33,9 +33,9 @@ func decodeJSONBody(t *testing.T, resp *http.Response, v any) {
 // TestDispatchPanicFailpointIsolated: a panic injected into coalescer
 // dispatch must come back as a typed 500 (code internal_panic, not
 // retryable) — and the NEXT query, with the fault disarmed, must
-// answer bit-identically. One poisoned batch, not a dead daemon.
+// answer bit-identically. One failed request, not a dead daemon.
 func TestDispatchPanicFailpointIsolated(t *testing.T) {
-	_, ts, eng := newTestServer(t, server.Config{Window: server.DefaultWindow})
+	_, ts, eng := newTestServer(t, server.Config{})
 	_, _, reqs := corpus(t)
 	want := eng.Query(reqs[0])
 	if want.Err != nil {
@@ -75,7 +75,7 @@ func TestDispatchPanicFailpointIsolated(t *testing.T) {
 // empty region's distance runs none: the request is checked to search a
 // cell.
 func TestKernelPanicSurfacesThrough(t *testing.T) {
-	_, ts, eng := newTestServer(t, server.Config{Window: server.DefaultWindow})
+	_, ts, eng := newTestServer(t, server.Config{})
 	ds, f, reqs := corpus(t)
 	req := reqs[4]
 	want := eng.Query(req)
@@ -117,13 +117,10 @@ func TestKernelPanicSurfacesThrough(t *testing.T) {
 // one-token admission bound, concurrent traffic sheds with 429s whose
 // Retry-After is a positive integer and whose body carries the
 // overloaded/retryable taxonomy; sustained shedding steps the brownout
-// ladder down, visible in /healthz and /stats.
+// ladder down, visible in /healthz and /stats, and a stepped-down server
+// sheds inserts first.
 func TestShedCarriesRetryAfterAndBrownout(t *testing.T) {
-	_, ts, _ := newTestServer(t, server.Config{
-		Window:      server.DefaultWindow,
-		MaxBatch:    8,
-		MaxInFlight: 1,
-	})
+	_, ts, _ := newTestServer(t, server.Config{MaxInFlight: 1})
 	_, _, reqs := corpus(t)
 
 	// Every dispatch stalls 300ms, so one admitted query holds the only
@@ -168,11 +165,24 @@ func TestShedCarriesRetryAfterAndBrownout(t *testing.T) {
 	if !st.Degraded || st.DegradeLevel < 1 {
 		t.Fatalf("stats degraded=%v level=%d after %d sheds, want brownout", st.Degraded, st.DegradeLevel, sheds)
 	}
-	if st.EffectiveMaxBatch >= st.MaxBatch {
-		t.Fatalf("effective max batch %d not stepped below configured %d", st.EffectiveMaxBatch, st.MaxBatch)
-	}
 	if st.BrownoutEntries < 1 {
 		t.Fatalf("brownout entries = %d, want >= 1", st.BrownoutEntries)
+	}
+	if st.Shed < int64(sheds) {
+		t.Fatalf("stats count %d sheds, clients saw %d", st.Shed, sheds)
+	}
+
+	// A degraded server sheds inserts first, before admission, with the
+	// same Retry-After contract.
+	iresp, ibody := postJSON(t, ts.URL+"/v1/insert", server.Insert{Objects: []server.InsertObject{{}}})
+	if iresp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("insert under brownout = %d, body %s — want 429", iresp.StatusCode, ibody)
+	}
+	if secs, err := strconv.Atoi(iresp.Header.Get("Retry-After")); err != nil || secs < 1 {
+		t.Fatalf("shed insert Retry-After = %q, want integer >= 1", iresp.Header.Get("Retry-After"))
+	}
+	if wr := decodeResponse(t, ibody); wr.Code != server.CodeOverloaded || !wr.Retryable {
+		t.Fatalf("shed insert code=%q retryable=%v, want overloaded/retryable", wr.Code, wr.Retryable)
 	}
 
 	resp, err := http.Get(ts.URL + "/healthz")

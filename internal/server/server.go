@@ -20,14 +20,11 @@ import (
 
 // Defaults for Config zero values.
 const (
-	// DefaultWindow is the coalescing window: how long the first request
-	// of a batch may wait for company. It bounds the latency tax of
-	// coalescing; 2ms is far below a search's own cost on serving-scale
-	// corpora.
+	// DefaultWindow is inert: /v1/query dispatches on arrival and there
+	// is no coalescing window. The name remains because the benchmark
+	// module compiles against it (ROADMAP, "signatures to release").
 	DefaultWindow = 2 * time.Millisecond
-	// DefaultMaxBatch caps requests per coalesced superstep.
-	DefaultMaxBatch = 32
-	// DefaultMaxInFlight bounds admitted requests (queued in a window +
+	// DefaultMaxInFlight bounds admitted requests (queued for a core +
 	// executing); beyond it the server sheds load with 429.
 	DefaultMaxInFlight = 256
 	// DefaultTimeout bounds queries that do not pick their own.
@@ -59,15 +56,9 @@ type Config struct {
 	// long-lived singletons the engine's caches are keyed by (required,
 	// at least one entry).
 	Composites map[string]*asrs.Composite
-	// Window is the coalescing window. Zero or negative disables
-	// coalescing — every request dispatches alone (the ablation
-	// baseline). Callers that want the default must say
-	// server.DefaultWindow; a silent zero→default rewrite would make
-	// the no-coalescing configuration unreachable by the obvious value.
+	// Window is inert (see DefaultWindow): read by nothing, kept for the
+	// benchmark module's struct literal.
 	Window time.Duration
-	// MaxBatch caps requests per coalesced superstep (0 selects
-	// DefaultMaxBatch).
-	MaxBatch int
 	// MaxInFlight bounds admitted requests before 429 load shedding
 	// (0 selects DefaultMaxInFlight).
 	MaxInFlight int
@@ -97,7 +88,7 @@ type Server struct {
 	planner *query.Planner
 
 	// sem is the admission semaphore: one token per admitted request,
-	// covering its whole life (window wait + search). Acquisition is
+	// covering its whole life (slot wait + search). Acquisition is
 	// non-blocking — a full queue sheds with 429 + Retry-After rather
 	// than stacking latency.
 	sem chan struct{}
@@ -116,9 +107,9 @@ type Server struct {
 	drainMu  sync.RWMutex
 	inflight sync.WaitGroup
 
-	// ewma tracks batch service time (the Retry-After feed); ladder is
-	// the brownout state machine stepping the coalescer's limits under
-	// sustained shedding. See degrade.go.
+	// ewma tracks request service time (the Retry-After feed); ladder is
+	// the brownout state machine stepped by sustained shedding. See
+	// degrade.go.
 	ewma   serviceEWMA
 	ladder *ladder
 
@@ -150,9 +141,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: composite %q is nil", name)
 		}
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
@@ -173,14 +161,10 @@ func New(cfg Config) (*Server, error) {
 		start:  time.Now(),
 	}
 	s.ready.Store(!cfg.StartUnready)
+	s.ladder = newLadder()
 	if cfg.Engine != nil {
-		s.coal = NewCoalescer(base, cfg.Engine, cfg.Window, cfg.MaxBatch)
+		s.coal = NewCoalescer(base, cfg.Engine)
 		s.coal.onService = s.ewma.Observe
-		s.ladder = newLadder(cfg.Window, cfg.MaxBatch, s.coal.SetLimits)
-	} else {
-		// Router mode has no coalescer to throttle; the ladder still runs
-		// so insert shedding and the degraded /healthz signal work.
-		s.ladder = newLadder(cfg.Window, cfg.MaxBatch, func(time.Duration, int) {})
 	}
 	s.planner = query.NewPlanner(s.schema(), cfg.Composites)
 	mux := http.NewServeMux()
@@ -204,9 +188,9 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // middleware (panic recovery) applied.
 func (s *Server) Handler() http.Handler { return recoverMiddleware(s.mux) }
 
-// Shutdown drains the server gracefully: liveness flips to 503 and new
-// queries are refused immediately, the pending coalescing window is
-// flushed, and in-flight searches get until ctx's deadline to finish
+// Shutdown drains the server gracefully: readiness flips to 503 and new
+// queries are refused immediately, and in-flight searches (queued for a
+// core or running) get until ctx's deadline to finish
 // before the serving context is cancelled — which stops stragglers
 // cooperatively at their next kernel superstep boundary. Always returns
 // after in-flight work has stopped; the error reports whether the grace
@@ -304,11 +288,11 @@ func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, 
 		return asrs.QueryRequest{}, nil, err
 	}
 	if wq.Delta > 0 {
-		// Pinning per-request options opts this query out of batch
-		// grouping (a δ-approximate answer must never be shared with an
-		// exact request); the search still coalesces into the superstep.
-		// Start from the engine's defaults so only δ changes — the
-		// operator's worker bound and grid settings must survive the pin.
+		// Pinning per-request options opts this query out of joining a
+		// search in flight (a δ-approximate answer must never be shared
+		// with an exact request); it still queues for a core. Start from
+		// the engine's defaults so only δ changes — the operator's worker
+		// bound and grid settings must survive the pin.
 		opt := s.binding("").SearchOptions()
 		opt.Delta = wq.Delta
 		req.Options = &opt
@@ -410,7 +394,7 @@ func (s *Server) admit(w http.ResponseWriter, n int) bool {
 			s.release(got)
 			s.nShed.Add(1)
 			s.ladder.note(true)
-			// Retry-After derives from the batch service-time EWMA with
+			// Retry-After derives from the service-time EWMA with
 			// client-spreading jitter (degrade.go): shed clients come
 			// back roughly when the work they were shed behind clears,
 			// and never in lockstep. Never zero.
@@ -434,7 +418,7 @@ func (s *Server) release(n int) {
 	}
 }
 
-// handleQuery serves POST /v1/query: decode, admit, coalesce, respond.
+// handleQuery serves POST /v1/query: admit, decode, dispatch, respond.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.nReceived.Add(1)
@@ -507,8 +491,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		deliver(resp)
 	case <-req.Ctx.Done():
-		// The request's context fired while it sat in a window or behind
-		// a long batch: its own deadline passed, or the drain grace
+		// The request's context fired while it queued for a core or
+		// searched: its own deadline passed, or the drain grace
 		// period expired and cancelled the serving context. Both select
 		// cases may be ready at once — prefer an answer that already
 		// arrived over discarding it as a timeout.
@@ -522,11 +506,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		// The search is still running; it stops cooperatively at its
 		// next superstep and the buffered done channel absorbs the late
-		// delivery. Peers in the same batch are unaffected. The
-		// admission token follows the orphaned search — MaxInFlight
-		// bounds *engine* work, not handler lifetimes, or a stream of
-		// short-deadline requests could stack unbounded concurrent
-		// batches behind freed tokens. statusFor distinguishes the two
+		// delivery. Requests that joined it are unaffected (they go on
+		// to search for themselves). The admission token follows the
+		// orphaned search — MaxInFlight bounds *engine* work, not handler
+		// lifetimes, or a stream of short-deadline requests could stack
+		// unbounded concurrent searches behind freed tokens. statusFor distinguishes the two
 		// causes (504 deadline vs 503 drain), matching what the
 		// done-channel path would have reported.
 		handedOff = true
@@ -544,8 +528,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch serves POST /v1/batch: an explicit client-built batch.
-// It bypasses the window (the client already batched) and goes straight
-// to the engine's grouped batch path; per-query deadlines still apply.
+// It goes straight to the engine's grouped batch path (the client
+// already batched); per-query deadlines still apply.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.nReceived.Add(1)
@@ -857,17 +841,9 @@ type Stats struct {
 	InFlight    int  `json:"in_flight"`
 	MaxInFlight int  `json:"max_in_flight"`
 	Draining    bool `json:"draining"`
-	// WindowMS and MaxBatch echo the configured coalescing limits;
-	// EffectiveWindowMS and EffectiveMaxBatch are the limits currently
-	// in force (lower than configured while the brownout ladder is
-	// stepped down).
-	WindowMS          float64 `json:"window_ms"`
-	MaxBatch          int     `json:"max_batch"`
-	EffectiveWindowMS float64 `json:"effective_window_ms"`
-	EffectiveMaxBatch int     `json:"effective_max_batch"`
 	// Degraded/DegradeLevel report the brownout ladder (degrade.go);
 	// BrownoutEntries counts healthy→brownout transitions and
-	// ServiceEWMAMS is the batch service-time average behind
+	// ServiceEWMAMS is the request service-time average behind
 	// Retry-After.
 	Degraded        bool    `json:"degraded"`
 	DegradeLevel    int     `json:"degrade_level"`
@@ -889,11 +865,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	effWindow, effBatch := s.cfg.Window, s.cfg.MaxBatch
 	var cstats CoalescerStats
 	var estats asrs.EngineStats
 	if s.coal != nil {
-		effWindow, effBatch = s.coal.Limits()
 		cstats = s.coal.Stats()
 	}
 	if s.eng != nil {
@@ -906,25 +880,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	level := s.ladder.Level()
 	writeJSON(w, http.StatusOK, Stats{
-		UptimeSeconds:     time.Since(s.start).Seconds(),
-		Received:          s.nReceived.Load(),
-		Shed:              s.nShed.Load(),
-		Timeouts:          s.nTimeouts.Load(),
-		BadRequests:       s.nBadReqs.Load(),
-		InFlight:          len(s.sem),
-		MaxInFlight:       s.cfg.MaxInFlight,
-		Draining:          s.draining.Load(),
-		WindowMS:          float64(s.cfg.Window.Microseconds()) / 1e3,
-		MaxBatch:          s.cfg.MaxBatch,
-		EffectiveWindowMS: float64(effWindow.Microseconds()) / 1e3,
-		EffectiveMaxBatch: effBatch,
-		Degraded:          level > 0,
-		DegradeLevel:      level,
-		BrownoutEntries:   s.ladder.Entries(),
-		ServiceEWMAMS:     float64(s.ewma.Value().Microseconds()) / 1e3,
-		Composites:        names,
-		Coalescer:         cstats,
-		Engine:            estats,
-		Shards:            rstats,
+		UptimeSeconds:   time.Since(s.start).Seconds(),
+		Received:        s.nReceived.Load(),
+		Shed:            s.nShed.Load(),
+		Timeouts:        s.nTimeouts.Load(),
+		BadRequests:     s.nBadReqs.Load(),
+		InFlight:        len(s.sem),
+		MaxInFlight:     s.cfg.MaxInFlight,
+		Draining:        s.draining.Load(),
+		Degraded:        level > 0,
+		DegradeLevel:    level,
+		BrownoutEntries: s.ladder.Entries(),
+		ServiceEWMAMS:   float64(s.ewma.Value().Microseconds()) / 1e3,
+		Composites:      names,
+		Coalescer:       cstats,
+		Engine:          estats,
+		Shards:          rstats,
 	})
 }

@@ -46,7 +46,9 @@ type QueryRequest struct {
 	// deadline (shared work must not die with one member, nor outlive
 	// every member's budget); a member already expired at dispatch, or
 	// whose group search itself ended in a context error, is stamped
-	// with its own context error.
+	// with its own context error. A QueryCtx call that joins an identical
+	// search in flight waits under its own Ctx and, should that search
+	// fail, runs its own.
 	Ctx context.Context
 }
 
