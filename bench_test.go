@@ -9,6 +9,8 @@ package asrs_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"asrs"
@@ -433,5 +435,96 @@ func BenchmarkF1Indexed(b *testing.B) {
 	b.ReportMetric(float64(marginRuns)/float64(b.N), "margin_runs/query")
 	if perQuery > 100 {
 		b.Fatalf("%v discretizations per query, want at most 100", perQuery)
+	}
+}
+
+// BenchmarkBatchSameShape is the instrument behind the deletion of the
+// batch grouping pass (DESIGN.md §6): 16 plain requests of one (a, b) on
+// Singapore 50k — the case sharing a prepared shape was built for — none
+// or a quarter of them exact duplicates, answered as one QueryBatch and
+// as 16 concurrent Query calls, with a grid index and without, at one
+// kernel worker and at the default. It fails on an answer that differs
+// from the solo query's or when searches + joins ≠ 16, and reports
+// ms/batch, searches/batch and dedup/batch (B/op, with -benchmem, is per
+// batch).
+func BenchmarkBatchSameShape(b *testing.B) {
+	const n = 16
+	ds := dataset.SingaporeScaled(50000, 1)
+	f, err := asrs.NewComposite(ds.Schema,
+		asrs.AggSpec{Kind: asrs.Distribution, Attr: "category"}, asrs.AggSpec{Kind: asrs.Count})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bounds := ds.Bounds()
+	qa, qb := bounds.Width()/24, bounds.Height()/24
+	rng := rand.New(rand.NewSource(1))
+	distinct := make([]asrs.QueryRequest, n)
+	for i := range distinct {
+		// A target no region matches exactly (as bench/workloads.go draws
+		// them), so every request runs a full search.
+		o := ds.Objects[rng.Intn(len(ds.Objects))]
+		target := asrs.Represent(ds, f, asrs.Rect{MinX: o.Loc.X - qa/2, MinY: o.Loc.Y - qb/2, MaxX: o.Loc.X + qa/2, MaxY: o.Loc.Y + qb/2})
+		for j := range target {
+			target[j] = math.Trunc(target[j]*1.1) + 0.5
+		}
+		q, err := asrs.QueryFromTarget(f, target, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		distinct[i] = asrs.QueryRequest{Query: q, A: qa, B: qb}
+	}
+	for _, cfg := range []struct{ workers, grid int }{{1, 64}, {1, 0}, {0, 64}} {
+		eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: cfg.grid, Search: asrs.Options{Workers: cfg.workers}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		solo := eng.QueryBatch(distinct) // also warms index, pyramid and slabs
+		for _, dup := range []float64{0, 0.25} {
+			reqs, want := append([]asrs.QueryRequest(nil), distinct...), append([]asrs.QueryResponse(nil), solo...)
+			for i := 3; dup > 0 && i < n; i += 4 {
+				reqs[i], want[i] = reqs[i-1], want[i-1] // every fourth repeats its neighbour
+			}
+			arms := []struct {
+				name string
+				run  func() []asrs.QueryResponse
+			}{
+				{"QueryBatch", func() []asrs.QueryResponse { return eng.QueryBatch(reqs) }},
+				{"Query", func() []asrs.QueryResponse {
+					out := make([]asrs.QueryResponse, n)
+					var wg sync.WaitGroup
+					for i := range reqs {
+						wg.Add(1)
+						go func(i int) {
+							defer wg.Done()
+							out[i] = eng.Query(reqs[i])
+						}(i)
+					}
+					wg.Wait()
+					return out
+				}},
+			}
+			for _, arm := range arms {
+				b.Run(fmt.Sprintf("workers=%d/grid=%d/dup=%v/%s", cfg.workers, cfg.grid, dup, arm.name), func(b *testing.B) {
+					before := eng.Stats()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for it := 0; it < b.N; it++ {
+						for i, resp := range arm.run() {
+							if resp.Err != nil || math.Float64bits(resp.Results[0].Dist) != math.Float64bits(want[i].Results[0].Dist) {
+								b.Fatalf("request %d: %v (err %v), solo %v", i, resp.Results, resp.Err, want[i].Results[0].Dist)
+							}
+						}
+					}
+					st := eng.Stats()
+					searches, joins := st.LatencyCount-before.LatencyCount, st.DedupHits-before.DedupHits
+					if searches+joins != int64(n*b.N) {
+						b.Fatalf("%d searches + %d joins over %d batches of %d", searches, joins, b.N, n)
+					}
+					b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/batch")
+					b.ReportMetric(float64(searches)/float64(b.N), "searches/batch")
+					b.ReportMetric(float64(joins)/float64(b.N), "dedup/batch")
+				})
+			}
+		}
 	}
 }

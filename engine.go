@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"asrs/internal/dssearch"
+	"asrs/internal/kernel"
 	"asrs/internal/wal"
 )
 
@@ -25,10 +27,10 @@ type EngineOptions struct {
 	// Search supplies the default search options (grid granularity,
 	// Workers, Delta, …) for requests that do not carry their own.
 	Search Options
-	// BatchParallelism caps the number of requests one QueryBatch call
-	// runs concurrently, and the number of searches Query/QueryCtx calls
-	// run at once engine-wide (the rest queue in arrival order); values
-	// <= 0 select runtime.GOMAXPROCS(0).
+	// BatchParallelism caps the number of searches the engine runs at
+	// once, whichever calls they came from — Query, QueryCtx, the members
+	// of a QueryBatch; the rest queue in arrival order. Values <= 0 select
+	// runtime.GOMAXPROCS(0).
 	BatchParallelism int
 	// DisablePyramid turns off the lazily built per-composite aggregate
 	// pyramid (the dataset-level SAT hierarchy every query binds instead
@@ -36,10 +38,10 @@ type EngineOptions struct {
 	// bit-identical either way; the switch exists for ablation and as
 	// the oracle side of the pyramid property tests.
 	DisablePyramid bool
-	// DisableBatchGrouping turns off QueryBatch's grouping pass
-	// (deduplicating identical requests and sharing one prepared query
-	// shape per (composite, a, b) group). Answers are bit-identical
-	// either way.
+	// DisableBatchGrouping is inert: the batch grouping pass it switched
+	// off is gone (a batch's members join identical searches in flight
+	// like any other request). The field stays until bench/, which sets
+	// it, can change (ROADMAP, signatures to release).
 	DisableBatchGrouping bool
 	// Ingest configures streaming ingest (Insert/InsertBatch) and its
 	// durability; see IngestOptions. The zero value serves a static
@@ -62,16 +64,16 @@ type Engine struct {
 	// view is the current epoch: an immutable combined dataset
 	// (seed ++ staged inserts) with its per-composite index and pyramid
 	// caches. Queries capture one view per request (or per batch) so
-	// every binding — dataset, index, pyramid, prepared shape — is
-	// coherent. viewMu serializes materialization of new epochs; lock
-	// order is viewMu → ingestMu → mu.
+	// every binding — dataset, index, pyramid — is coherent. viewMu
+	// serializes materialization of new epochs; lock order is viewMu →
+	// ingestMu → mu.
 	view   atomic.Pointer[engineView]
 	viewMu sync.Mutex
 
 	mu    sync.Mutex
 	slabs map[*Composite]*dssearch.SlabCache
 
-	// slots bounds the searches QueryCtx runs at once (flight.go).
+	// slots bounds the searches the engine runs at once (flight.go).
 	slots slots
 
 	// Streaming-ingest state (stream.go). staged grows append-only under
@@ -104,7 +106,6 @@ type Engine struct {
 	nQueries   atomic.Int64
 	nBatches   atomic.Int64
 	nDedup     atomic.Int64
-	nShared    atomic.Int64
 	nErrors    atomic.Int64
 	nCancelled atomic.Int64
 	// nIndexedExcl counts GI-DS rounds that ran under a non-empty
@@ -115,8 +116,9 @@ type Engine struct {
 	slotWaitNanos atomic.Int64
 
 	// lat is the executed-search latency histogram behind the Stats
-	// percentiles. One observation per search actually run: batched
-	// duplicates ride their canonical's search and are not re-counted.
+	// percentiles. One observation per search actually run: a request
+	// that joined a search in flight, or was dead before its search could
+	// start, adds none.
 	lat latencyHist
 }
 
@@ -127,13 +129,13 @@ type EngineStats struct {
 	Queries int64 `json:"queries"`
 	// Batches counts QueryBatch/QueryBatchCtx calls.
 	Batches int64 `json:"batches"`
-	// DedupHits counts requests answered by copying a byte-identical
-	// peer's response instead of searching: duplicates inside one
-	// QueryBatch, and Query/QueryCtx calls that joined a search already in
-	// flight.
+	// DedupHits counts requests — single or members of a batch — answered
+	// by copying the response of a byte-identical search already in flight
+	// instead of searching.
 	DedupHits int64 `json:"dedup_hits"`
-	// PreparedShared counts batched requests that rode a group-shared
-	// prepared query shape (composite, a, b grouping).
+	// PreparedShared is always 0: batches no longer share prepared query
+	// shapes. The field stays until bench/, which reads it, can change
+	// (ROADMAP, signatures to release).
 	PreparedShared int64 `json:"prepared_shared"`
 	// Errors counts responses delivered with a non-nil Err.
 	Errors int64 `json:"errors"`
@@ -145,8 +147,8 @@ type EngineStats struct {
 	// 2…k of a top-k, and every round of a request that excludes
 	// something itself. Zero with indexing off or windowed traffic only.
 	IndexedExclusionRounds int64 `json:"indexed_exclusion_rounds"`
-	// SlotWaits counts Query/QueryCtx searches that found every execution
-	// slot taken and queued for one; SlotWaitMs is their cumulative wait.
+	// SlotWaits counts searches that found every execution slot taken and
+	// queued for one; SlotWaitMs is their cumulative wait.
 	// Together with the latency percentiles (which start when a search
 	// does) they tell "slow because it waited" from "slow because it
 	// searched".
@@ -175,10 +177,10 @@ type EngineStats struct {
 	PyramidFoldMs        float64 `json:"pyramid_fold_ms"`
 	PyramidRebuildMs     float64 `json:"pyramid_rebuild_ms"`
 	// LatencyCount counts latency observations — one per executed
-	// search (batched duplicates ride their canonical's observation) —
-	// and the percentiles estimate the executed-search latency
-	// distribution from a log₂ histogram (±50% bucket resolution,
-	// linearly interpolated).
+	// search (a request that joined one, or whose context was dead before
+	// its search could start, adds none) — and the percentiles estimate
+	// the executed-search latency distribution from a log₂ histogram
+	// (±50% bucket resolution, linearly interpolated).
 	LatencyCount int64   `json:"latency_count"`
 	LatencyP50Ms float64 `json:"latency_p50_ms"`
 	LatencyP95Ms float64 `json:"latency_p95_ms"`
@@ -198,7 +200,6 @@ func (e *Engine) Stats() EngineStats {
 		Queries:                e.nQueries.Load(),
 		Batches:                e.nBatches.Load(),
 		DedupHits:              e.nDedup.Load(),
-		PreparedShared:         e.nShared.Load(),
 		Errors:                 e.nErrors.Load(),
 		Cancelled:              e.nCancelled.Load(),
 		IndexedExclusionRounds: e.nIndexedExcl.Load(),
@@ -246,7 +247,7 @@ type pyramidEntry struct {
 // guarded by Engine.mu; entries build under their own once. basePyrs
 // holds completed pyramids inherited from the previous epoch, consumed
 // (and released) by the first delta fold per composite. flights holds the
-// QueryCtx searches in progress on this epoch, by dedupKey (flight.go).
+// searches in progress on this epoch, by dedupKey (flight.go).
 type engineView struct {
 	ds       *Dataset
 	deltaLen int
@@ -568,16 +569,22 @@ func (e *Engine) Query(req QueryRequest) QueryResponse {
 // in arrival order. Both waits end with the request's own context, and
 // nothing is kept once a search has ended.
 func (e *Engine) QueryCtx(ctx context.Context, req QueryRequest) QueryResponse {
-	if req.Ctx != nil {
-		ctx = req.Ctx
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	resp := e.fly(ctx, e.currentView(), req)
+	resp := e.fly(requestCtx(ctx, &req), e.currentView(), req)
 	e.nQueries.Add(1)
 	e.countResponse(&resp)
 	return resp
+}
+
+// requestCtx resolves the context a request runs under: its own Ctx,
+// else the call's, else (nil is accepted at every Ctx entry point) none.
+func requestCtx(ctx context.Context, req *QueryRequest) context.Context {
+	if req.Ctx != nil {
+		return req.Ctx
+	}
+	if ctx == nil {
+		return context.Background()
+	}
+	return ctx
 }
 
 // parallelism resolves EngineOptions.BatchParallelism.
@@ -599,34 +606,25 @@ func (e *Engine) countResponse(resp *QueryResponse) {
 	}
 }
 
-// answer runs one request against the captured epoch view v: it resolves
-// the request's context and options, binds the view's caches — the
-// pyramid, an optional group-shared prepared query shape (QueryBatchCtx's
-// grouping pass builds one per overlapping-extent group), and for an
-// un-windowed request the grid index — and hands the rest to Answer. A
-// streamed round (query.Stream.Next) arrives here as the single-best
-// request its accumulated exclusions ask for and takes the same path,
-// which is why one-shot and streamed rows are the same rows.
-func (e *Engine) answer(ctx context.Context, v *engineView, req QueryRequest, prep *dssearch.Prepared) QueryResponse {
+// answer runs one request against the captured epoch view v under its
+// resolved context: it resolves the options, binds the view's caches — the
+// pyramid, and for an un-windowed request the grid index — and hands the
+// rest to Answer. A streamed round (query.Stream.Next) arrives here as the
+// single-best request its accumulated exclusions ask for and takes the
+// same path, which is why one-shot and streamed rows are the same rows.
+func (e *Engine) answer(ctx context.Context, v *engineView, req QueryRequest) QueryResponse {
+	// An already-dead request (deadline passed while it queued for a slot)
+	// must not pay index lookup and searcher construction for an answer
+	// that is guaranteed to be discarded — and it never searched, so the
+	// latency histogram does not hear of it.
+	if cerr := ctx.Err(); cerr != nil {
+		return QueryResponse{Err: cerr}
+	}
 	start := time.Now()
 	defer func() { e.lat.observe(time.Since(start)) }()
-	if req.Ctx != nil {
-		ctx = req.Ctx
-	}
-	if ctx != nil {
-		// An already-dead request (deadline passed while it queued for a
-		// slot or behind a batch) must not pay index lookup and searcher
-		// construction for an answer that is guaranteed to be discarded.
-		if cerr := ctx.Err(); cerr != nil {
-			return QueryResponse{Err: cerr}
-		}
-	}
 	opt := e.options(v, req)
 	if opt.Ctx == nil {
 		opt.Ctx = ctx
-	}
-	if prep != nil {
-		opt.Prepared = prep
 	}
 	req.Options = &opt
 	var idx *Index
@@ -644,328 +642,51 @@ func (e *Engine) answer(ctx context.Context, v *engineView, req QueryRequest, pr
 	return resp
 }
 
-// QueryBatch answers a batch of requests, running up to
-// EngineOptions.BatchParallelism of them concurrently. The response slice
-// is index-aligned with the requests; per-request failures land in the
+// QueryBatch answers a batch of requests. The response slice is
+// index-aligned with the requests; per-request failures land in the
 // corresponding response's Err.
 func (e *Engine) QueryBatch(reqs []QueryRequest) []QueryResponse {
 	return e.QueryBatchCtx(context.Background(), reqs)
 }
 
-// QueryBatchCtx is QueryBatch bounded by a batch-level context.
-//
-// Before dispatch the batch goes through a grouping pass (unless
-// EngineOptions.DisableBatchGrouping): bitwise-identical requests —
-// including TopK and exclusion requests, e.g. repeated query-by-example
-// traffic — are answered once and copied, and plain requests sharing a
-// (composite, a, b) shape — overlapping extents in the same corpus —
-// share one prepared query shape (master rectangles, accuracy, pyramid
-// binding) built once per group instead of once per query. Per-request
-// answers are bit-identical with grouping on or off.
-//
-// Each request additionally honors its own QueryRequest.Ctx (per-query
-// deadline), with one dedup subtlety: a group of byte-identical requests
-// is answered by a single search that runs under the group's latest
-// member deadline — one member's short deadline cannot kill work the
-// other members still need, and a group where every member is bounded
-// never runs unbounded. Members whose own context has expired by
-// delivery time get their context error instead of the shared answer.
+// QueryBatchCtx is QueryBatch bounded by a batch-level context. A batch
+// is its requests in flight together on one epoch view (so it stays
+// internally coherent under concurrent inserts): each member is answered
+// as QueryCtx would answer it — under its own Ctx if it has one, else the
+// batch's; joining a byte-identical search in flight, a fellow member's
+// or anyone else's, and queueing for one of the engine's execution slots
+// otherwise — so every answer is bit-identical to the solo Query and
+// batches and single requests share one CPU budget. A member whose
+// search panics fails alone, with a *kernel.PanicError.
 func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []QueryResponse {
-	if ctx == nil {
-		// The dedup-group contexts below derive from ctx and would panic
-		// on nil; the single-query path merely tolerates it. Accept nil
-		// uniformly across the Ctx entry points.
-		ctx = context.Background()
-	}
 	out := make([]QueryResponse, len(reqs))
 	if len(reqs) == 0 {
 		return out
 	}
 	e.nBatches.Add(1)
 	e.nQueries.Add(int64(len(reqs)))
-	// One view for the whole batch: every member — deduplicated, shared
-	// prepared shape or not — answers against the same epoch, so a batch
-	// racing concurrent inserts is internally coherent.
 	v := e.currentView()
-	var (
-		preps  []*dssearch.Prepared
-		dupOf  []int
-		hasDup []bool
-	)
-	if !e.opt.DisableBatchGrouping && len(reqs) > 1 {
-		preps, dupOf = e.groupBatch(v, reqs)
-		for i, c := range dupOf {
-			if c >= 0 {
-				if hasDup == nil {
-					hasDup = make([]bool, len(reqs))
-				}
-				hasDup[c] = true
-				e.nDedup.Add(1)
-			}
-			if preps[i] != nil {
-				e.nShared.Add(1)
-			}
-		}
-	}
-	// A canonical with duplicates must not run under any single member's
-	// context (one member's short deadline would kill work the others
-	// still need), but it must not escape its members' budgets either —
-	// on a serving path every member carries a deadline, and hot queries
-	// dedup constantly. The shared search therefore runs under the
-	// *latest* member deadline when every member has one, and is
-	// cancelled outright once every member's own context has fired (all
-	// clients gone — nobody is left to receive the answer). Only a
-	// member with no context at all makes the group unbounded.
-	var groupCtx map[int]context.Context
-	if hasDup != nil {
-		type group struct {
-			members     []context.Context // non-nil member contexts
-			unbounded   bool              // some member has no context
-			latest      time.Time
-			allDeadline bool
-		}
-		gs := make(map[int]*group, 4)
-		add := func(c int, memberCtx context.Context) {
-			g := gs[c]
-			if g == nil {
-				g = &group{allDeadline: true}
-				gs[c] = g
-			}
-			if memberCtx == nil {
-				g.unbounded = true
-				g.allDeadline = false
-				return
-			}
-			g.members = append(g.members, memberCtx)
-			if d, ok := memberCtx.Deadline(); ok {
-				if d.After(g.latest) {
-					g.latest = d
-				}
-			} else {
-				g.allDeadline = false
-			}
-		}
-		for i := range reqs {
-			if hasDup[i] {
-				add(i, reqs[i].Ctx)
-			}
-		}
-		for i, c := range dupOf {
-			if c >= 0 {
-				add(c, reqs[i].Ctx)
-			}
-		}
-		groupCtx = make(map[int]context.Context, len(gs))
-		for c, g := range gs {
-			parent := ctx
-			if g.allDeadline {
-				var cancel context.CancelFunc
-				parent, cancel = context.WithDeadline(ctx, g.latest)
-				defer cancel()
-			}
-			if g.unbounded {
-				groupCtx[c] = parent
-				continue
-			}
-			gc, cancel := context.WithCancel(parent)
-			defer cancel()
-			var left atomic.Int64
-			left.Store(int64(len(g.members)))
-			for _, m := range g.members {
-				stop := context.AfterFunc(m, func() {
-					if left.Add(-1) == 0 {
-						cancel()
-					}
-				})
-				defer stop()
-			}
-			groupCtx[c] = gc
-		}
-	}
-	// Member contexts already dead at entry are noted now: those members
-	// get their error (matching answer's solo early-exit), while
-	// members whose deadline merely passes later in the batch — after
-	// their group's answer was already computed — keep the answer, the
-	// batch analogue of the kernel's completed-answer-wins rule.
-	var expiredAtEntry []bool
-	if hasDup != nil { // only dedup-group members are ever stamped
-		expiredAtEntry = make([]bool, len(reqs))
-		for i := range reqs {
-			expiredAtEntry[i] = reqs[i].Ctx != nil && reqs[i].Ctx.Err() != nil
-		}
-	}
-	prepFor := func(i int) *dssearch.Prepared {
-		if preps == nil {
-			return nil
-		}
-		return preps[i]
-	}
-	canonical := func(i int) bool { return dupOf == nil || dupOf[i] < 0 }
-	// dispatch runs canonical request i. A canonical with duplicates is
-	// detached from its own per-request context and runs under the dedup
-	// group's context instead (see above and the stamping pass in
-	// finish).
-	dispatch := func(i int, req QueryRequest) {
-		if hasDup != nil && hasDup[i] {
-			req.Ctx = groupCtx[i] // nil → the batch context
-		}
-		out[i] = e.answer(ctx, v, req, prepFor(i))
-	}
-	finish := func() []QueryResponse {
-		if dupOf != nil {
-			for i, c := range dupOf {
-				if c >= 0 {
-					copyResponse(&out[i], &out[c])
-				}
-			}
-			// Deadline stamping for dedup groups: their shared search ran
-			// under the group context, not any one member's, so each
-			// member's own context error is applied here — after the
-			// copy, never perturbing a surviving peer — but only when
-			// the member was already dead at dispatch or the shared
-			// search itself ended in a context error (then every member
-			// reports its own error class). A member whose deadline
-			// passed while OTHER searches of the batch ran keeps the
-			// answer its group computed in time.
-			for i := range reqs {
-				inGroup := dupOf[i] >= 0 || (hasDup != nil && hasDup[i])
-				if !inGroup || reqs[i].Ctx == nil {
-					continue
-				}
-				sharedCtxErr := out[i].Err != nil &&
-					(errors.Is(out[i].Err, context.Canceled) || errors.Is(out[i].Err, context.DeadlineExceeded))
-				if !expiredAtEntry[i] && !sharedCtxErr {
-					continue
-				}
-				if cerr := reqs[i].Ctx.Err(); cerr != nil {
-					out[i] = QueryResponse{Err: cerr}
-				}
-			}
-		}
-		for i := range out {
-			e.countResponse(&out[i])
-		}
-		return out
-	}
-
-	// Size the dispatch pool by the number of searches that will actually
-	// run: on dedup-heavy serving batches (the coalesced hot path) most
-	// requests are duplicates, and splitting the kernel-worker budget by
-	// the raw request count would leave most of the machine idle behind
-	// a handful of canonical searches.
-	work := len(reqs)
-	if dupOf != nil {
-		work = 0
-		for _, c := range dupOf {
-			if c < 0 {
-				work++
-			}
-		}
-	}
-	par := e.parallelism()
-	if par > work {
-		par = work
-	}
-	if par == 1 {
-		for i := range reqs {
-			if canonical(i) {
-				dispatch(i, reqs[i])
-			}
-		}
-		return finish()
-	}
-	// Batch- and kernel-level parallelism share one CPU budget: with par
-	// queries in flight, letting each default to GOMAXPROCS kernel
-	// workers would oversubscribe par-fold. Requests that do not pin
-	// their own options get GOMAXPROCS/par workers instead (answers are
-	// worker-count independent, so this is purely a scheduling choice).
-	perQuery := runtime.GOMAXPROCS(0) / par
-	if perQuery < 1 {
-		perQuery = 1
-	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
+	for i := range reqs {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
+			// The search runs on this goroutine up to the kernel's item
+			// boundary; nothing above it would catch a panic in, say, a
+			// caller-supplied selection function.
+			defer func() {
+				if p := recover(); p != nil {
+					out[i] = QueryResponse{Err: &kernel.PanicError{Value: p, Stack: debug.Stack()}}
 				}
-				if !canonical(i) {
-					continue
-				}
-				req := reqs[i]
-				if req.Options == nil && e.opt.Search.Workers <= 0 {
-					opt := e.opt.Search
-					opt.Workers = perQuery
-					req.Options = &opt
-				}
-				dispatch(i, req)
-			}
-		}()
+			}()
+			out[i] = e.fly(requestCtx(ctx, &reqs[i]), v, reqs[i])
+		}(i)
 	}
 	wg.Wait()
-	return finish()
-}
-
-// groupBatch runs the batch grouping pass: it marks duplicate requests
-// (dupOf[i] = canonical index, -1 otherwise) and builds one Prepared
-// query shape per (composite, a, b) group with at least two distinct
-// members. Requests that pin their own Options are left out entirely;
-// TopK and exclusion requests participate in dedup — the greedy search
-// is just as deterministic, and query-by-example traffic (region +
-// exclude-the-example, the serving layer's flagship form) dedups
-// constantly — but not in Prepared sharing: their rounds go through the
-// same GI-DS driver as plain requests, but only plain single-region
-// requests are grouped by shape here.
-func (e *Engine) groupBatch(v *engineView, reqs []QueryRequest) ([]*dssearch.Prepared, []int) {
-	preps := make([]*dssearch.Prepared, len(reqs))
-	dupOf := make([]int, len(reqs))
-	type gkey struct {
-		f    *Composite
-		a, b float64
+	for i := range out {
+		e.countResponse(&out[i])
 	}
-	groups := make(map[gkey][]int)
-	seen := make(map[string]int)
-	var kb strings.Builder
-	for i := range reqs {
-		dupOf[i] = -1
-		req := &reqs[i]
-		if req.Options != nil || req.Query.F == nil {
-			continue
-		}
-		kb.Reset()
-		dedupKey(&kb, req)
-		k := kb.String()
-		if j, ok := seen[k]; ok {
-			dupOf[i] = j
-			continue
-		}
-		seen[k] = i
-		if req.TopK > 1 || len(req.Exclude) > 0 {
-			continue // dedup only; no prepared-shape group
-		}
-		gk := gkey{req.Query.F, req.A, req.B}
-		groups[gk] = append(groups[gk], i)
-	}
-	for gk, idxs := range groups {
-		if len(idxs) < 2 {
-			continue
-		}
-		p, err := e.pyramidFor(v, gk.f)
-		if err != nil || p == nil {
-			continue
-		}
-		if prep, ok := p.Prepare(gk.a, gk.b); ok {
-			for _, i := range idxs {
-				preps[i] = prep
-			}
-		}
-	}
-	return preps, dupOf
+	return out
 }
 
 // dedupKey writes a byte-exact identity key for a request: composite

@@ -12,8 +12,8 @@ import (
 )
 
 // batchFixture builds a Singapore-flavored dataset, a composite, and a
-// set of overlapping query-by-example requests (the serving shape the
-// batch grouping pass targets).
+// set of overlapping query-by-example requests (the serving shape:
+// shared extents, some exact duplicates).
 func batchFixture(t *testing.T, nQueries int, seed int64) (*asrs.Dataset, *asrs.Composite, []asrs.QueryRequest) {
 	t.Helper()
 	ds := dataset.SingaporePOI(seed)
@@ -40,12 +40,12 @@ func batchFixture(t *testing.T, nQueries int, seed int64) (*asrs.Dataset, *asrs.
 		}
 		reqs[i] = asrs.QueryRequest{Query: q, A: a, B: b, Exclude: []asrs.Rect{rq}}
 		if i%2 == 0 {
-			// Half the batch is plain (groupable); the excluded half rides
-			// the TopK machinery and must coexist untouched.
+			// Half the batch is plain; the excluded half rides the TopK
+			// machinery and must coexist untouched.
 			reqs[i].Exclude = nil
 		}
 		if i > 0 && i%5 == 0 {
-			reqs[i] = reqs[i-1] // exact duplicates exercise the dedup pass
+			reqs[i] = reqs[i-1] // exact duplicates may join one search
 		}
 	}
 	return ds, f, reqs
@@ -73,21 +73,20 @@ func respEqual(t *testing.T, tag string, i int, a, b asrs.QueryResponse) {
 	}
 }
 
-// TestBatchGroupingDeterminism: per-request answers are bit-identical
-// across (a) grouping on/off, (b) pyramid on/off, (c) batch parallelism
-// and kernel worker counts — the acceptance contract of the batched
-// serving path.
-func TestBatchGroupingDeterminism(t *testing.T) {
+// TestBatchDeterminism: per-request answers are bit-identical across
+// pyramid on/off, batch parallelism and kernel worker counts — the
+// acceptance contract of the batched serving path.
+func TestBatchDeterminism(t *testing.T) {
 	ds, _, reqs := batchFixture(t, 14, 21)
 	configs := []struct {
 		tag string
 		opt asrs.EngineOptions
 	}{
-		{"baseline", asrs.EngineOptions{BatchParallelism: 1, DisablePyramid: true, DisableBatchGrouping: true, Search: asrs.Options{Workers: 1}}},
-		{"pyramid", asrs.EngineOptions{BatchParallelism: 1, DisableBatchGrouping: true, Search: asrs.Options{Workers: 1}}},
-		{"grouped", asrs.EngineOptions{BatchParallelism: 1, Search: asrs.Options{Workers: 1}}},
-		{"grouped-par", asrs.EngineOptions{BatchParallelism: 4, Search: asrs.Options{Workers: 1}}},
-		{"grouped-workers", asrs.EngineOptions{BatchParallelism: 2, Search: asrs.Options{Workers: 3}}},
+		{"baseline", asrs.EngineOptions{BatchParallelism: 1, DisablePyramid: true, Search: asrs.Options{Workers: 1}}},
+		{"pyramid", asrs.EngineOptions{BatchParallelism: 1, Search: asrs.Options{Workers: 1}}},
+		{"par2-nopyramid-workers", asrs.EngineOptions{BatchParallelism: 2, DisablePyramid: true, Search: asrs.Options{Workers: 3}}},
+		{"par4", asrs.EngineOptions{BatchParallelism: 4, Search: asrs.Options{Workers: 1}}},
+		{"par2-workers", asrs.EngineOptions{BatchParallelism: 2, Search: asrs.Options{Workers: 3}}},
 	}
 	var want []asrs.QueryResponse
 	for ci, cfg := range configs {
@@ -111,8 +110,8 @@ func TestBatchGroupingDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchGroupingMatchesSingleQueries: a grouped batch answers every
-// request exactly as the same engine answers it alone.
+// TestBatchGroupingMatchesSingleQueries: a batch answers every request
+// exactly as the same engine answers it alone.
 func TestBatchGroupingMatchesSingleQueries(t *testing.T) {
 	ds, _, reqs := batchFixture(t, 10, 33)
 	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{BatchParallelism: 2})
@@ -192,15 +191,14 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs, bytes := measure(len(reqs), func() { eng.QueryBatch(reqs) })
-	// Measured 130: a query here is a dozen kernel runs of one to three
+	// Measured 133: a query here is a dozen kernel runs of one to three
 	// items (16 allocations each before the first item), response Rep
 	// detaches and the TopK path of the excluding half. The budget leaves
 	// half as much again for a pool the collector emptied mid-run; it was
 	// 1 172 while spaces split down to the drop condition and every run
 	// built a full batch of slots, and re-building per-worker scratch per
-	// query costs thousands. Bytes: 44 KiB measured, most of it the one
-	// Prepared master the grouped half shares; 113 KiB while every other
-	// query reduced the corpus into a fresh rectangle array.
+	// query costs thousands. Bytes: 17 KiB measured; 113 KiB while every
+	// other query reduced the corpus into a fresh rectangle array.
 	if allocs > 200 {
 		t.Fatalf("steady-state batch allocations: %.0f allocs/query (budget 200)", allocs)
 	}

@@ -33,7 +33,8 @@ func ctxEngine(t *testing.T, opt asrs.EngineOptions) (*asrs.Engine, asrs.QueryRe
 
 // TestQueryCtxExpiredDeadline: a context already past its deadline must
 // fail the request with context.DeadlineExceeded without producing a
-// region.
+// region — counted as cancelled, and not as a search in the latency
+// histogram.
 func TestQueryCtxExpiredDeadline(t *testing.T) {
 	eng, req := ctxEngine(t, asrs.EngineOptions{})
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -46,8 +47,8 @@ func TestQueryCtxExpiredDeadline(t *testing.T) {
 		t.Fatalf("cancelled query still returned %d regions", len(resp.Regions))
 	}
 	st := eng.Stats()
-	if st.Cancelled != 1 || st.Errors != 1 || st.Queries != 1 {
-		t.Fatalf("stats = %+v, want 1 cancelled/1 error/1 query", st)
+	if st.Cancelled != 1 || st.Errors != 1 || st.Queries != 1 || st.LatencyCount != 0 {
+		t.Fatalf("stats = %+v, want 1 cancelled/1 error/1 query/0 searches", st)
 	}
 }
 
@@ -122,14 +123,17 @@ func TestBatchDeadlineIsolation(t *testing.T) {
 	}
 }
 
-// TestBatchDedupSurvivesMemberDeadline: when byte-identical requests
-// dedup into one search, an expired member must get its own context
-// error while the surviving members still get the real answer (the
-// shared search runs under the batch context, not any one member's).
+// TestBatchDedupSurvivesMemberDeadline: among byte-identical members an
+// expired one gets its own context error — whether it led the flight or
+// not — while the live ones still get the real answer, from one search
+// between them (held open so the second finds it in flight).
 func TestBatchDedupSurvivesMemberDeadline(t *testing.T) {
 	eng, base := ctxEngine(t, asrs.EngineOptions{})
 	dead, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
+	ref := eng.Query(base)
+	before := eng.Stats()
+	holdSearches(t, 20*time.Millisecond)
 
 	reqs := []asrs.QueryRequest{base, base, base}
 	reqs[1].Ctx = dead // identical bytes, expired deadline
@@ -138,7 +142,6 @@ func TestBatchDedupSurvivesMemberDeadline(t *testing.T) {
 	if !errors.Is(resp[1].Err, context.DeadlineExceeded) {
 		t.Fatalf("expired member: Err = %v, want DeadlineExceeded", resp[1].Err)
 	}
-	ref := eng.Query(base)
 	for _, i := range []int{0, 2} {
 		if resp[i].Err != nil {
 			t.Fatalf("surviving member %d failed: %v", i, resp[i].Err)
@@ -147,15 +150,15 @@ func TestBatchDedupSurvivesMemberDeadline(t *testing.T) {
 			t.Fatalf("surviving member %d: %v != %v", i, resp[i].Results[0].Dist, ref.Results[0].Dist)
 		}
 	}
-	if st := eng.Stats(); st.DedupHits != 2 {
-		t.Fatalf("dedup hits = %d, want 2", st.DedupHits)
+	st := eng.Stats()
+	searches, joins := st.LatencyCount-before.LatencyCount, st.DedupHits-before.DedupHits
+	if searches+joins != 2 || joins < 1 {
+		t.Fatalf("%d searches and %d joins for 2 live members, want one of each", searches, joins)
 	}
 }
 
-// TestBatchDedupGroupDeadline: when every member of a dedup group
-// carries a deadline, the shared search must not escape them — it runs
-// under the latest member deadline, so a group of all-short-deadline
-// requests aborts instead of computing unbounded.
+// TestBatchDedupGroupDeadline: identical members that are all dead each
+// fail with their own context error, and nothing is searched for them.
 func TestBatchDedupGroupDeadline(t *testing.T) {
 	eng, base := ctxEngine(t, asrs.EngineOptions{})
 	c1, cancel1 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -169,8 +172,11 @@ func TestBatchDedupGroupDeadline(t *testing.T) {
 	resp := eng.QueryBatch(reqs)
 	for i := range resp {
 		if !errors.Is(resp[i].Err, context.DeadlineExceeded) {
-			t.Fatalf("member %d: Err = %v, want DeadlineExceeded (group must inherit the latest member deadline)", i, resp[i].Err)
+			t.Fatalf("member %d: Err = %v, want DeadlineExceeded", i, resp[i].Err)
 		}
+	}
+	if st := eng.Stats(); st.LatencyCount != 0 || st.Cancelled != 2 {
+		t.Fatalf("%d searches observed and %d cancelled for two dead members, want 0 and 2", st.LatencyCount, st.Cancelled)
 	}
 }
 

@@ -75,9 +75,10 @@ func main() {
 	fmt.Printf("batch of %d answered in %v (index built lazily on first use)\n",
 		len(reqs), elapsed.Round(time.Millisecond))
 
-	// Engine.Stats carries serving-side observability: dedup hits within
-	// batches, and the per-executed-search latency distribution (p50/p95/
-	// p99) the asrsd /stats endpoint exposes.
+	// Engine.Stats carries serving-side observability: dedup hits
+	// (requests that joined an identical search in flight), and the
+	// per-executed-search latency distribution (p50/p95/p99) the asrsd
+	// /stats endpoint exposes.
 	st := eng.Stats()
 	fmt.Printf("engine stats: %d searches, dedup hits %d, latency p50=%.2fms p95=%.2fms p99=%.2fms\n",
 		st.LatencyCount, st.DedupHits, st.LatencyP50Ms, st.LatencyP95Ms, st.LatencyP99Ms)

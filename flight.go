@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// flight is one QueryCtx search in progress that byte-identical requests
-// on the same epoch view may join instead of searching themselves. The
+// flight is one search in progress that byte-identical requests on the
+// same epoch view may join instead of searching themselves. The
 // leader registers it before it queues for a slot, so a latecomer joins a
 // search that has not started yet; it is removed from the view's table
 // before done closes, so nothing outlives the search it describes.
@@ -27,10 +27,10 @@ type flight struct {
 	ok   bool
 }
 
-// fly answers one QueryCtx request on the view it captured: join an
+// fly answers one request on the view its caller captured: join an
 // identical search in flight, or lead one. Requests that pin Options
 // (a δ-approximate answer must never be shared with an exact request)
-// neither lead nor join, as in groupBatch.
+// neither lead nor join.
 func (e *Engine) fly(ctx context.Context, v *engineView, req QueryRequest) QueryResponse {
 	if req.Options != nil || req.Query.F == nil {
 		return e.search(ctx, v, req)
@@ -109,7 +109,7 @@ func (e *Engine) search(ctx context.Context, v *engineView, req QueryRequest) Qu
 		// to be joined or to join. Let them run first.
 		runtime.Gosched()
 	}
-	return e.answer(ctx, v, req, nil)
+	return e.answer(ctx, v, req)
 }
 
 // slots admits at most a fixed number of holders at once; the rest wait

@@ -37,6 +37,25 @@ func flightFixture(t *testing.T, n int) (*asrs.Dataset, *asrs.Composite, []asrs.
 	return ds, f, reqs
 }
 
+// insertProbe returns a request no 1×1 region of flightFixture's corpus
+// answers exactly — seven objects of one category — and the cluster that,
+// once inserted, does: whoever sees the insert answers at distance 0.
+func insertProbe(t *testing.T, f *asrs.Composite) (asrs.QueryRequest, []asrs.Object) {
+	t.Helper()
+	q, err := asrs.QueryFromTarget(f, []float64{0, 0, 7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster := make([]asrs.Object, 7)
+	for i := range cluster {
+		cluster[i] = asrs.Object{
+			Loc:    asrs.Point{X: 250 + 0.1*float64(i), Y: 250.5},
+			Values: []asrs.Value{{Cat: 2}, {Num: 1}},
+		}
+	}
+	return asrs.QueryRequest{Query: q, A: 1, B: 1}, cluster
+}
+
 // holdSearches stalls every kernel superstep barrier by d until the test
 // ends: a search stays in flight long enough for others to meet it.
 func holdSearches(t *testing.T, d time.Duration) {
@@ -81,9 +100,15 @@ func sameAnswer(t *testing.T, tag string, got, want asrs.QueryResponse) {
 }
 
 // TestFlightJoinByCounts: with every slot held by a distinct search, 16
-// identical requests cost one search — P+1 executed, 15 joined — and
-// every one of the 16 gets the solo answer in buffers of its own.
+// identical requests — 16 Query calls, or the members of one QueryBatch —
+// cost one search — P+1 executed, 15 joined — and every one of the 16
+// gets the solo answer in buffers of its own.
 func TestFlightJoinByCounts(t *testing.T) {
+	t.Run("queries", func(t *testing.T) { joinByCounts(t, false) })
+	t.Run("batch", func(t *testing.T) { joinByCounts(t, true) })
+}
+
+func joinByCounts(t *testing.T, batched bool) {
 	const P, burst = 2, 16
 	ds, _, reqs := flightFixture(t, P+1)
 	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{BatchParallelism: P, Search: asrs.Options{Workers: 1}})
@@ -109,12 +134,20 @@ func TestFlightJoinByCounts(t *testing.T) {
 	}
 	waitFlights(t, eng, P, 0)
 	resps := make([]asrs.QueryResponse, burst)
-	for k := range resps {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			resps[k] = eng.Query(reqs[P])
-		}(k)
+	if batched {
+		copies := make([]asrs.QueryRequest, burst)
+		for k := range copies {
+			copies[k] = reqs[P]
+		}
+		resps = eng.QueryBatch(copies)
+	} else {
+		for k := range resps {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				resps[k] = eng.Query(reqs[P])
+			}(k)
+		}
 	}
 	wg.Wait()
 
@@ -154,13 +187,7 @@ func TestFlightPerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seven objects of one category: no 1×1 region of the seed corpus
-	// holds them, the inserted cluster does exactly.
-	q, err := asrs.QueryFromTarget(f, []float64{0, 0, 7}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := asrs.QueryRequest{Query: q, A: 1, B: 1}
+	req, cluster := insertProbe(t, f)
 	solo := eng.Query(req)
 	if solo.Err != nil || solo.Results[0].Dist == 0 {
 		t.Fatalf("seed corpus already answers the probe exactly: %+v", solo)
@@ -176,13 +203,6 @@ func TestFlightPerEpoch(t *testing.T) {
 		first = eng.Query(req)
 	}()
 	waitFlights(t, eng, 1, 0)
-	cluster := make([]asrs.Object, 7)
-	for i := range cluster {
-		cluster[i] = asrs.Object{
-			Loc:    asrs.Point{X: 250 + 0.1*float64(i), Y: 250.5},
-			Values: []asrs.Value{{Cat: 2}, {Num: 1}},
-		}
-	}
 	if err := eng.InsertBatch(cluster); err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +304,9 @@ func TestFlightDeadlines(t *testing.T) {
 // *kernel.PanicError — the joiners go round again and fail on their own —
 // and with a selection function that panics on the search goroutine
 // itself the leader's deferred clean-up still wakes its joiner, who then
-// answers. Either way no goroutine is left waiting and the view's flight
-// table is empty.
+// answers; the same panic on a batch member's goroutine becomes that
+// member's error and its peers answer. Either way no goroutine is left
+// waiting and the view's flight table is empty.
 func TestFlightLeaderFails(t *testing.T) {
 	settle := func(t *testing.T, eng *asrs.Engine, goroutines int) {
 		t.Helper()
@@ -392,10 +413,49 @@ func TestFlightLeaderFails(t *testing.T) {
 		sameAnswer(t, "joiner of a panicked leader", joiner, want)
 		settle(t, eng, goroutines)
 	})
+
+	t.Run("panic on a batch member's goroutine", func(t *testing.T) {
+		ds, _, reqs := flightFixture(t, 2)
+		var armed atomic.Bool
+		f, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{
+			Kind: asrs.Distribution, Attr: "cat",
+			Select: func(*asrs.Object) bool {
+				if armed.Load() {
+					panic("selector panicked")
+				}
+				return true
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := reqs[0]
+		bad.Query.F = f
+		eng, err := asrs.NewEngine(ds, asrs.EngineOptions{BatchParallelism: 2, DisablePyramid: true, Search: asrs.Options{Workers: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []asrs.QueryResponse{eng.Query(reqs[0]), eng.Query(reqs[1])}
+		goroutines := runtime.NumGoroutine()
+		armed.Store(true)
+		resps := eng.QueryBatch([]asrs.QueryRequest{reqs[0], bad, reqs[1]})
+		armed.Store(false)
+		var pe *kernel.PanicError
+		if !errors.As(resps[1].Err, &pe) || pe.Value != "selector panicked" || len(pe.Stack) == 0 {
+			t.Fatalf("panicking member: Err = %v, want a *kernel.PanicError with the value and a stack", resps[1].Err)
+		}
+		sameAnswer(t, "peer before the panicking member", resps[0], want[0])
+		sameAnswer(t, "peer after the panicking member", resps[2], want[1])
+		settle(t, eng, goroutines)
+		if st := eng.Stats(); st.Errors != 1 {
+			t.Fatalf("%d errors counted for one failed member", st.Errors)
+		}
+	})
 }
 
 // TestFlightPinnedOptionsNeverJoin: a request that pins its own Options
-// (δ) neither joins an identical search in flight nor can be joined.
+// (δ) neither joins an identical search in flight nor can be joined —
+// sent beside it, or as a member of the same batch.
 func TestFlightPinnedOptionsNeverJoin(t *testing.T) {
 	ds, _, reqs := flightFixture(t, 1)
 	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{Search: asrs.Options{Workers: 1}})
@@ -425,13 +485,96 @@ func TestFlightPinnedOptionsNeverJoin(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	resps = append(resps, eng.QueryBatch([]asrs.QueryRequest{reqs[0], pinned, pinned})...)
 	for k := range resps {
 		sameAnswer(t, "request", resps[k], want)
 	}
 	st := eng.Stats()
-	if st.LatencyCount-before.LatencyCount != 3 || st.DedupHits != before.DedupHits {
-		t.Fatalf("searches +%d, joined +%d; want 3 searches, nothing joined",
+	if st.LatencyCount-before.LatencyCount != 6 || st.DedupHits != before.DedupHits {
+		t.Fatalf("searches +%d, joined +%d; want 6 searches, nothing joined",
 			st.LatencyCount-before.LatencyCount, st.DedupHits-before.DedupHits)
+	}
+}
+
+// TestBatchQueuesOnOneView: a batch spends the engine's one slot budget,
+// on the one view it captured. With the P slots held — by searches whose
+// selection function parks them — all 2P members of a batch queue and
+// none runs until a holder ends; a cluster inserted while they queue is
+// seen by no member, and by the next call.
+func TestBatchQueuesOnOneView(t *testing.T) {
+	const P = 2
+	ds, f, reqs := flightFixture(t, 2*P-1)
+	probe, cluster := insertProbe(t, f)
+	reqs = append(reqs, probe)
+	var hold atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	unpark := sync.OnceFunc(func() { hold.Store(false); close(release) })
+	defer unpark()
+	fb, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Count, Select: func(*asrs.Object) bool {
+		if hold.Load() {
+			parked <- struct{}{}
+			<-release
+		}
+		return true
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No pyramid: each search evaluates the selection function itself.
+	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{BatchParallelism: P, DisablePyramid: true, Search: asrs.Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := eng.QueryBatch(reqs)
+	if last := want[len(want)-1]; last.Err != nil || last.Results[0].Dist == 0 {
+		t.Fatalf("seed corpus already answers the probe exactly: %+v", last)
+	}
+	hold.Store(true)
+	var wg sync.WaitGroup
+	for i := 0; i < P; i++ {
+		q, err := asrs.QueryFromTarget(fb, []float64{float64(i) + 0.5}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp := eng.Query(asrs.QueryRequest{Query: q, A: 10, B: 10}); resp.Err != nil {
+				t.Errorf("slot holder: %v", resp.Err)
+			}
+		}()
+		<-parked
+	}
+	before := eng.Stats()
+	var resps []asrs.QueryResponse
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resps = eng.QueryBatch(reqs)
+	}()
+	waitFor(t, "every member to queue", func() bool {
+		select {
+		case <-done:
+			t.Fatal("the batch ran while every slot was held")
+		default:
+		}
+		free, queued := eng.SlotState()
+		return free == 0 && queued == 2*P
+	})
+	if err := eng.InsertBatch(cluster); err != nil {
+		t.Fatal(err)
+	}
+	unpark()
+	<-done
+	wg.Wait()
+	for i := range resps {
+		sameAnswer(t, "member of a batch that queued through an insert", resps[i], want[i])
+	}
+	if after := eng.Query(probe); after.Err != nil || after.Results[0].Dist != 0 {
+		t.Fatalf("the call after the batch did not see the insert: %+v", after)
+	}
+	if got := eng.Stats().SlotWaits - before.SlotWaits; got != 2*P {
+		t.Errorf("SlotWaits +%d, want %d", got, 2*P)
 	}
 }
 

@@ -100,7 +100,7 @@ func combinedDataset(ds *asrs.Dataset, tail []asrs.Object) *asrs.Dataset {
 // tail written at the "kill" point. After each crash the engine
 // recovers and must hold exactly the acked objects and answer
 // bit-identically to a from-scratch rebuild — on even seeds at a
-// second engine configuration (parallel grouped batches) too.
+// second engine configuration (parallel batches) too.
 func TestIngestKillAndReplaySeeds(t *testing.T) {
 	ds, _, reqs, _ := fixture(t)
 	pool := insertPool(160, 901)
@@ -185,7 +185,7 @@ func TestIngestKillAndReplaySeeds(t *testing.T) {
 		}
 
 		// Even seeds: a second recovery at a different configuration
-		// (parallel grouped batch path) answers identically too.
+		// (parallel batch path) answers identically too.
 		if seed%2 == 0 {
 			rec2, err := asrs.NewEngine(ds, asrs.EngineOptions{
 				Ingest: ing, BatchParallelism: 2, Search: asrs.Options{Workers: 2},

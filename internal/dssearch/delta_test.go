@@ -30,8 +30,7 @@ func uniqueLocs(rng *rand.Rand, ds *attr.Dataset) {
 // the appended tail into the prefix pyramid answers bit-identically —
 // region, distance, point and representation — to a from-scratch
 // rebuild over the combined dataset AND to the unassisted oracle, at
-// multiple worker counts and through the shared Prepared shape. The
-// fold must actually take the fast path where it claims to (unique
+// multiple worker counts. The fold must actually take the fast path where it claims to (unique
 // anchors, certifying composite) and must refuse it for uncertified
 // composites and for datasets with anchor ties.
 func TestDeltaFoldBitIdentical(t *testing.T) {
@@ -97,15 +96,14 @@ func TestDeltaFoldBitIdentical(t *testing.T) {
 				}
 				for _, ab := range [][2]float64{{9, 8}, {0.37, 0.91}, {400, 400}} {
 					a, b := ab[0], ab[1]
-					_, oracle := solvePyr(t, ds, f, a, b, target, nil, nil, 1)
-					wantRegion, want := solvePyr(t, ds, f, a, b, target, rebuilt, nil, 1)
+					_, oracle := solvePyr(t, ds, f, a, b, target, nil, 1)
+					wantRegion, want := solvePyr(t, ds, f, a, b, target, rebuilt, 1)
 					if math.Float64bits(want.Dist) != math.Float64bits(oracle.Dist) {
 						t.Fatalf("%s/%d k=%d a=%g b=%g: rebuild disagrees with oracle: %v != %v",
 							kind.name, seed, k, a, b, want.Dist, oracle.Dist)
 					}
-					prep, prepOK := folded.Prepare(a, b)
 					for _, workers := range []int{1, 3} {
-						gotRegion, got := solvePyr(t, ds, f, a, b, target, folded, nil, workers)
+						gotRegion, got := solvePyr(t, ds, f, a, b, target, folded, workers)
 						if gotRegion != wantRegion || got.Dist != want.Dist || got.Point != want.Point {
 							t.Fatalf("%s/%d k=%d a=%g b=%g workers=%d: folded %v@%v (region %v), rebuild %v@%v (region %v)",
 								kind.name, seed, k, a, b, workers, got.Dist, got.Point, gotRegion,
@@ -115,13 +113,6 @@ func TestDeltaFoldBitIdentical(t *testing.T) {
 							if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
 								t.Fatalf("%s/%d k=%d a=%g b=%g workers=%d: rep[%d] %v != %v",
 									kind.name, seed, k, a, b, workers, i, got.Rep[i], want.Rep[i])
-							}
-						}
-						if prepOK {
-							gotRegion, got = solvePyr(t, ds, f, a, b, target, folded, prep, workers)
-							if gotRegion != wantRegion || got.Dist != want.Dist {
-								t.Fatalf("%s/%d k=%d a=%g b=%g workers=%d: prepared folded %v, want %v",
-									kind.name, seed, k, a, b, workers, got.Dist, want.Dist)
 							}
 						}
 					}
@@ -169,8 +160,8 @@ func assertSameAnswers(t *testing.T, tag string, ds *attr.Dataset, f *agg.Compos
 	for i := range target {
 		target[i] = float64(2 + i)
 	}
-	oracleRegion, oracle := solvePyr(t, ds, f, a, b, target, nil, nil, 1)
-	wantRegion, want := solvePyr(t, ds, f, a, b, target, rebuilt, nil, 1)
+	oracleRegion, oracle := solvePyr(t, ds, f, a, b, target, nil, 1)
+	wantRegion, want := solvePyr(t, ds, f, a, b, target, rebuilt, 1)
 	same := func(who string, gotRegion geom.Rect, got asp.Result, wantRegion geom.Rect, want asp.Result) {
 		t.Helper()
 		if gotRegion != wantRegion || got.Point != want.Point ||
@@ -185,14 +176,9 @@ func assertSameAnswers(t *testing.T, tag string, ds *attr.Dataset, f *agg.Compos
 		}
 	}
 	same("rebuild vs oracle", wantRegion, want, oracleRegion, oracle)
-	prep, prepOK := folded.Prepare(a, b)
 	for _, workers := range []int{1, 3} {
-		gotRegion, got := solvePyr(t, ds, f, a, b, target, folded, nil, workers)
+		gotRegion, got := solvePyr(t, ds, f, a, b, target, folded, workers)
 		same(fmt.Sprintf("folded w=%d", workers), gotRegion, got, wantRegion, want)
-	}
-	if prepOK {
-		gotRegion, got := solvePyr(t, ds, f, a, b, target, folded, prep, 3)
-		same("prepared folded w=3", gotRegion, got, wantRegion, want)
 	}
 }
 
@@ -322,7 +308,7 @@ func TestDeltaFoldLeavesBaseAlone(t *testing.T) {
 	}
 	target := make([]float64, f.Dims())
 	target[0] = 40
-	_, want := solvePyr(t, ds, f, 9, 8, target, base, nil, 1)
+	_, want := solvePyr(t, ds, f, 9, 8, target, base, 1)
 
 	combined := &attr.Dataset{Schema: ds.Schema, Objects: append([]attr.Object(nil), ds.Objects...)}
 	for i := 0; i < 40; i++ {

@@ -101,11 +101,6 @@ type Options struct {
 	// build when it cannot guarantee that (another dataset or composite,
 	// or anchor collapse under translation).
 	Pyramid *Pyramid
-	// Prepared, when non-nil, additionally shares the materialized master
-	// rectangles of a query shape across every query with the same (a, b)
-	// extent — the Engine's batch grouping builds one Prepared per group.
-	// Implies Pyramid (it carries one).
-	Prepared *Prepared
 	// SharedCap, when non-nil, attaches a cross-search shared pruning
 	// cap to every bound this search creates: merge barriers publish the
 	// running best distance into it, and the threshold folds sibling
@@ -248,14 +243,12 @@ func NewSearcher(rects []asp.RectObject, q asp.Query, opt Options) (*Searcher, e
 // NewRegionSearcher is the searcher of an ASRS request: the a×b
 // top-right-corner reduction of ds (Definition 5: the answer point is the
 // region's bottom-left corner) under the cheapest aggregation layer the
-// options allow. A group's Prepared shape for exactly (ds, q.F, a, b) is
-// aliased whole. Else a pyramid built for (ds, q.F) is bound: the master
-// is materialized in pyramid order straight from the objects into the
-// slab's retained buffer — one pass, no reduction, no permuting copy — and
-// the shape's O(n)-derived facts come from the pyramid's memo
-// (Pyramid.shape). Else, or when the shape's anchors collapse, the
-// dataset is reduced and the layer built per query. Answers are
-// bit-identical on all three paths.
+// options allow. A pyramid built for (ds, q.F) is bound: the master is
+// materialized in pyramid order straight from the objects into the slab's
+// retained buffer — one pass, no reduction, no permuting copy — and the
+// shape's O(n)-derived facts come from the pyramid's memo (Pyramid.shape).
+// Else, or when the shape's anchors collapse, the dataset is reduced and
+// the layer built per query. Answers are bit-identical on both paths.
 func NewRegionSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Searcher, error) {
 	if !(a > 0) || !(b > 0) {
 		return nil, fmt.Errorf("dssearch: region extent must be positive, got %g x %g", a, b)
@@ -267,31 +260,18 @@ func NewRegionSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options)
 	tab := opt.Slabs.get()
 	var master []asp.RectObject
 	var facts shapeFacts
-	if prep := opt.Prepared; prep.For(ds, q.F, a, b) {
-		// The Prepared binds through its OWN pyramid: opt.Pyramid may
-		// legitimately point at a different instance (an engine cache
-		// refreshed by SetPyramid, or a caller-supplied shape).
-		master, facts = prep.master, prep.facts
-		prep.p.bindCore(tab)
-		tab.minXs = prep.minXs
-	} else {
-		p := opt.Pyramid
-		if p == nil && prep != nil {
-			p = prep.p
+	if p := opt.Pyramid; p.Matches(ds, q.F) {
+		if cap(tab.masterBuf) < p.n {
+			tab.masterBuf = make([]asp.RectObject, p.n)
 		}
-		if p.Matches(ds, q.F) {
-			if cap(tab.masterBuf) < p.n {
-				tab.masterBuf = make([]asp.RectObject, p.n)
-			}
-			if cap(tab.minXsBuf) < p.n {
-				tab.minXsBuf = make([]float64, p.n)
-			}
-			tab.minXsBuf = tab.minXsBuf[:p.n]
-			if facts = p.shape(a, b, tab.masterBuf[:p.n], tab.minXsBuf); facts.ok {
-				master = tab.masterBuf[:p.n]
-				p.bindCore(tab)
-				tab.minXs = tab.minXsBuf
-			}
+		if cap(tab.minXsBuf) < p.n {
+			tab.minXsBuf = make([]float64, p.n)
+		}
+		tab.minXsBuf = tab.minXsBuf[:p.n]
+		if facts = p.shape(a, b, tab.masterBuf[:p.n], tab.minXsBuf); facts.ok {
+			master = tab.masterBuf[:p.n]
+			p.bindCore(tab)
+			tab.minXs = tab.minXsBuf
 		}
 	}
 	if !facts.ok {
@@ -455,8 +435,8 @@ func (s *Searcher) ensureScratch() {
 // per-worker scratch is rebound — not rebuilt — on reuse. Dropping the
 // slabs costs one rebuild on the composite's next query; recycling
 // poisoned scratch could silently perturb it. The shared caches the
-// tables merely alias (the engine pyramid, prepared shapes) are
-// read-only during search and stay valid.
+// tables merely alias (the engine pyramid) are read-only during search
+// and stay valid.
 func (s *Searcher) Release() {
 	if s.tab == nil || s.opt.Slabs == nil {
 		return
@@ -1022,14 +1002,10 @@ func (s *Searcher) Rects() []asp.RectObject { return s.rects }
 func (s *Searcher) Space() geom.Rect { return s.space }
 
 // ReduceForSearch performs the ASP reduction of a search (Definition 5,
-// top-right-corner anchor), or returns nil when a Prepared shape built
-// for exactly this dataset, composite and extent already holds it. No
-// search calls it any more (NewRegionSearcher reduces only when it has
-// nothing to bind); bench/trace.go samples a workload's rectangles
-// through it.
-func ReduceForSearch(ds *attr.Dataset, a, b float64, f *agg.Composite, opt Options) ([]asp.RectObject, error) {
-	if opt.Prepared.For(ds, f, a, b) {
-		return nil, nil
-	}
+// top-right-corner anchor). No search calls it (NewRegionSearcher reduces
+// only when it has nothing to bind); bench/trace.go samples a workload's
+// rectangles through it, which is also why the composite and options
+// arguments, now ignored, stay (ROADMAP, signatures to release).
+func ReduceForSearch(ds *attr.Dataset, a, b float64, _ *agg.Composite, _ Options) ([]asp.RectObject, error) {
 	return asp.Reduce(ds, a, b, asp.AnchorTR)
 }

@@ -57,13 +57,13 @@ func pyramidDataset(t *testing.T, rng *rand.Rand, n int, num func() float64, wit
 	return &attr.Dataset{Schema: schema, Objects: objs}, f
 }
 
-// solvePyr runs SolveASRS with or without the pyramid (and optionally a
-// Prepared shape) and returns the answer.
+// solvePyr runs SolveASRS with or without the pyramid and returns the
+// answer.
 func solvePyr(t *testing.T, ds *attr.Dataset, f *agg.Composite, a, b float64, target []float64,
-	p *Pyramid, prep *Prepared, workers int) (geom.Rect, asp.Result) {
+	p *Pyramid, workers int) (geom.Rect, asp.Result) {
 	t.Helper()
 	q := asp.Query{F: f, Target: target}
-	opt := Options{Workers: workers, Pyramid: p, Prepared: prep}
+	opt := Options{Workers: workers, Pyramid: p}
 	region, res, _, err := SolveASRS(ds, a, b, q, nil, nil, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +77,7 @@ func solvePyr(t *testing.T, ds *attr.Dataset, f *agg.Composite, a, b float64, ta
 // ulp of the coordinates, producing zero-extent rectangles) and
 // extents that dwarf the space, pyramid-bound answers — region, point,
 // distance and representation — are bit-identical to the classic
-// per-query build at every worker count, with and without the
-// group-shared Prepared shape.
+// per-query build at every worker count.
 func TestPyramidAnswersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	kinds := []struct {
@@ -110,10 +109,9 @@ func TestPyramidAnswersBitIdentical(t *testing.T) {
 		}
 		for _, ab := range extents {
 			a, b := ab[0], ab[1]
-			wantRegion, want := solvePyr(t, ds, f, a, b, target, nil, nil, 1)
-			prep, prepOK := p.Prepare(a, b)
+			wantRegion, want := solvePyr(t, ds, f, a, b, target, nil, 1)
 			for _, workers := range []int{1, 3} {
-				gotRegion, got := solvePyr(t, ds, f, a, b, target, p, nil, workers)
+				gotRegion, got := solvePyr(t, ds, f, a, b, target, p, workers)
 				if gotRegion != wantRegion || got.Dist != want.Dist || got.Point != want.Point {
 					t.Fatalf("%s a=%g b=%g workers=%d: pyramid answer %v@%v (region %v), want %v@%v (region %v)",
 						kind.name, a, b, workers, got.Dist, got.Point, gotRegion, want.Dist, want.Point, wantRegion)
@@ -122,13 +120,6 @@ func TestPyramidAnswersBitIdentical(t *testing.T) {
 					if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
 						t.Fatalf("%s a=%g b=%g workers=%d: rep[%d] %v != %v",
 							kind.name, a, b, workers, i, got.Rep[i], want.Rep[i])
-					}
-				}
-				if prepOK {
-					gotRegion, got = solvePyr(t, ds, f, a, b, target, p, prep, workers)
-					if gotRegion != wantRegion || got.Dist != want.Dist || got.Point != want.Point {
-						t.Fatalf("%s a=%g b=%g workers=%d: prepared answer %v@%v, want %v@%v",
-							kind.name, a, b, workers, got.Dist, got.Point, want.Dist, want.Point)
 					}
 				}
 			}
@@ -200,43 +191,6 @@ func TestPyramidBindRejections(t *testing.T) {
 	_, f2 := pyramidDataset(t, rng, 1, func() float64 { return 0 }, false)
 	if bound(ds, asp.Query{F: f2, Target: make([]float64, f2.Dims())}) {
 		t.Fatal("another composite must not bind the pyramid")
-	}
-}
-
-// TestPreparedForeignPyramid: a Prepared shape must bind through its
-// OWN pyramid even when Options.Pyramid points at a different instance
-// for the same dataset/composite (an engine cache refreshed between
-// grouping and dispatch, or a caller-built shape) — the query must
-// answer correctly, never run on an empty master.
-func TestPreparedForeignPyramid(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	ds, f := pyramidDataset(t, rng, 100, func() float64 { return float64(rng.Intn(7)) }, false)
-	p1, err := BuildPyramid(ds, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := BuildPyramid(ds, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, ok := p1.Prepare(5, 4)
-	if !ok {
-		t.Fatal("Prepare failed")
-	}
-	target := make([]float64, f.Dims())
-	target[0] = 3
-	q := asp.Query{F: f, Target: target}
-	_, want, _, err := SolveASRS(ds, 5, 4, q, nil, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, got, _, err := SolveASRS(ds, 5, 4, q, nil, nil, Options{Prepared: prep, Pyramid: p2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dist != want.Dist || got.Point != want.Point {
-		t.Fatalf("foreign-pyramid prepared answered %v@%v, want %v@%v",
-			got.Dist, got.Point, want.Dist, want.Point)
 	}
 }
 

@@ -385,8 +385,8 @@ type tables struct {
 	wmin, wmax float64 // range of rect widths (MaxX-MinX) over the master set
 	hmin, hmax float64
 
-	minXs    []float64 // master[i].Rect.MinX, aligned with master order (may alias a Prepared)
-	minXsBuf []float64 // owned backing slab for minXs when not aliased
+	minXs    []float64 // master[i].Rect.MinX, aligned with master order
+	minXsBuf []float64 // owned backing slab for minXs
 
 	// Flattened channel contributions in eff space: master[i] contributes
 	// contribs[cOff[i]:cOff[i+1]]; likewise mm contributions.
@@ -441,9 +441,9 @@ func (t *tables) reset() {
 	t.lvls = t.lvls[:0]
 	t.pyr = nil
 	t.twoCount = 0
-	t.minXs = nil // a view of minXsBuf or a Prepared's shared array
+	t.minXs = nil // a view of minXsBuf
 	if t.shared {
-		// Aliased pyramid/prepared memory: drop, never truncate.
+		// Aliased pyramid memory: drop, never truncate.
 		t.shared = false
 		t.cOff, t.contribs = nil, nil
 		t.mOff, t.mms = nil, nil

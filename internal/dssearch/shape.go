@@ -3,9 +3,7 @@ package dssearch
 import (
 	"math"
 
-	"asrs/internal/agg"
 	"asrs/internal/asp"
-	"asrs/internal/attr"
 	"asrs/internal/geom"
 )
 
@@ -97,34 +95,23 @@ func (p *Pyramid) shape(a, b float64, master []asp.RectObject, minXs []float64) 
 	return facts
 }
 
-// Prepared is a shape's state shared by every query of a batch group: the
-// materialized master rectangle array and its MinX column (read-only for
-// all concurrent searchers of the group) beside the shape's facts. Build
-// with Pyramid.Prepare; attach via Options.Prepared.
-type Prepared struct {
-	p      *Pyramid
-	a, b   float64
-	master []asp.RectObject
-	minXs  []float64
-	facts  shapeFacts
-}
+// Prepared is what is left of a shape bound into memory of its own: the
+// shape's facts. No search binds one (NewRegionSearcher materializes into
+// the slab's retained buffers); Prepare is what bench/trace.go times as
+// the cost of one bind and what shape_test.go reads a shape's facts
+// through (ROADMAP, signatures to release).
+type Prepared struct{ facts shapeFacts }
 
-// Prepare materializes the shape of an a×b query into memory of its own.
-// ok=false signals an anchor collapse under this particular (a, b);
-// callers fall back to unshared per-query execution.
+// Prepare materializes the shape of an a×b query into fresh memory.
+// ok=false signals an anchor collapse under this particular (a, b): such
+// a shape does not bind and its queries build classically.
 func (p *Pyramid) Prepare(a, b float64) (*Prepared, bool) {
 	if p == nil || a <= 0 || b <= 0 {
 		return nil, false
 	}
-	prep := &Prepared{p: p, a: a, b: b, master: make([]asp.RectObject, p.n), minXs: make([]float64, p.n)}
-	if prep.facts = p.shape(a, b, prep.master, prep.minXs); !prep.facts.ok {
+	facts := p.shape(a, b, make([]asp.RectObject, p.n), make([]float64, p.n))
+	if !facts.ok {
 		return nil, false
 	}
-	return prep, true
-}
-
-// For reports whether the prepared shape serves exactly this
-// (dataset, composite, a, b) combination.
-func (prep *Prepared) For(ds *attr.Dataset, f *agg.Composite, a, b float64) bool {
-	return prep != nil && prep.p.Matches(ds, f) && prep.a == a && prep.b == b
+	return &Prepared{facts: facts}, true
 }

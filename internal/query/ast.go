@@ -216,7 +216,7 @@ func (c DissimilarClause) canon() string {
 // byte-identical (the fixed-point property the tests assert), and
 // semantically identical queries written in different orders render
 // identically — which is what lets them compile to byte-identical
-// engine requests and hit the PR-4 dedup groups.
+// engine requests and join one another's searches in flight.
 func (q *AST) Canonical() string {
 	var b strings.Builder
 	if q.Explain {

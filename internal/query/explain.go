@@ -36,7 +36,7 @@ type ExplainFill struct {
 // of an answer. Stable field set — the golden tests pin its JSON form.
 type ExplainReport struct {
 	// Canonical is the canonical query text; semantically identical
-	// queries share it (and through it the engine's dedup groups).
+	// queries share it (and through it the engine's searches in flight).
 	Canonical string `json:"canonical"`
 	// Form is "find" or "maximize".
 	Form string `json:"form"`

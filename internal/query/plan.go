@@ -385,8 +385,8 @@ func (pl *Plan) target(ds *asrs.Dataset) ([]float64, error) {
 
 // ApplyOptions pins per-request options onto req exactly as the wire
 // layer does: a δ-approximate plan copies the serving defaults and sets
-// only Delta (opting the request out of dedup groups without losing the
-// operator's worker bound).
+// only Delta (opting the request out of joining searches in flight
+// without losing the operator's worker bound).
 func (pl *Plan) ApplyOptions(req *asrs.QueryRequest, base asrs.Options) {
 	if pl.Delta > 0 {
 		opt := base

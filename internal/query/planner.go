@@ -22,9 +22,9 @@ func planErrf(format string, args ...any) error {
 }
 
 // Planner compiles ASTs against one serving schema. It owns the
-// composite interner: the engine's index/pyramid/prepared-shape caches
-// are keyed by composite POINTER identity, so semantically identical
-// expressions must compile to the same long-lived *Composite — the
+// composite interner: the engine's index and pyramid caches are keyed
+// by composite POINTER identity, so semantically identical expressions
+// must compile to the same long-lived *Composite — the
 // interner guarantees one singleton per canonical spec list, and the
 // Named registry maps @name references to the daemon's registered
 // (pre-warmed) singletons. Safe for concurrent use.

@@ -54,7 +54,7 @@ func TestPlanErrors(t *testing.T) {
 
 // TestPlannerInterning: semantically identical expressions — whatever
 // their source order — compile to ONE composite singleton, so they
-// land in the same engine dedup and prepared-shape groups.
+// join the same searches in flight and bind the same engine caches.
 func TestPlannerInterning(t *testing.T) {
 	ds := dataset.Random(10, 100, 2)
 	p := query.NewPlanner(ds.Schema, nil)

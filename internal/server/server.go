@@ -84,7 +84,8 @@ type Server struct {
 	// planner compiles /v1/search query text against the serving schema,
 	// with the registered composites resolvable as @name references. Its
 	// interner means textually identical expressions share one composite
-	// singleton — and through it the engine's dedup/prepared groups.
+	// singleton — and through it the engine's caches and searches in
+	// flight.
 	planner *query.Planner
 
 	// sem is the admission semaphore: one token per admitted request,
@@ -528,8 +529,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch serves POST /v1/batch: an explicit client-built batch.
-// It goes straight to the engine's grouped batch path (the client
-// already batched); per-query deadlines still apply.
+// It goes straight to Engine.QueryBatchCtx — the members in flight
+// together on one epoch view, each under its own per-query deadline.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.nReceived.Add(1)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +21,8 @@ import (
 )
 
 // newTestServer builds a server over the shared corpus with the given
-// config overrides applied (Engine/Composites are filled in).
+// config overrides applied (Engine is filled in, and the corpus's
+// composite added as "poi").
 func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server, *asrs.Engine) {
 	t.Helper()
 	ds, f, _ := corpus(t)
@@ -29,7 +31,10 @@ func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.S
 		t.Fatal(err)
 	}
 	cfg.Engine = eng
-	cfg.Composites = map[string]*asrs.Composite{"poi": f}
+	if cfg.Composites == nil {
+		cfg.Composites = map[string]*asrs.Composite{}
+	}
+	cfg.Composites["poi"] = f
 	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -190,17 +195,33 @@ func TestServerConcurrentClientsBitIdentical(t *testing.T) {
 
 // TestServerBatchEndpoint: an explicit client batch must answer every
 // query, with per-query failures isolated in their slot and classed by
-// the per-response Status field.
+// the per-response Status field — a malformed member is its own 400, and
+// a member whose search panics outside the kernel's item boundary (here
+// in a composite's selection function) its own 500 internal_panic, not a
+// dead daemon.
 func TestServerBatchEndpoint(t *testing.T) {
-	_, ts, eng := newTestServer(t, server.Config{})
-	_, _, reqs := corpus(t)
+	ds, _, reqs := corpus(t)
+	var armed atomic.Bool
+	boom, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Count, Select: func(*asrs.Object) bool {
+		if armed.Load() {
+			panic("selector panicked")
+		}
+		return true
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, eng := newTestServer(t, server.Config{Composites: map[string]*asrs.Composite{"boom": boom}})
 
 	batch := server.Batch{Queries: []server.Query{
 		wireFor(reqs[0]),
 		{Composite: "nope", A: 1, B: 1, Target: []float64{1}},
 		wireFor(reqs[1]),
+		{Composite: "boom", A: reqs[0].A, B: reqs[0].B, Target: []float64{3}},
 	}}
+	armed.Store(true)
 	resp, body := postJSON(t, ts.URL+"/v1/batch", batch)
+	armed.Store(false)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -208,11 +229,14 @@ func TestServerBatchEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Responses) != 3 {
-		t.Fatalf("responses = %d, want 3", len(br.Responses))
+	if len(br.Responses) != 4 {
+		t.Fatalf("responses = %d, want 4", len(br.Responses))
 	}
 	if br.Responses[1].Error == "" || br.Responses[1].Status != http.StatusBadRequest {
 		t.Fatalf("unknown composite in slot 1: error %q status %d, want 400", br.Responses[1].Error, br.Responses[1].Status)
+	}
+	if m := br.Responses[3]; m.Code != server.CodeInternalPanic || m.Status != http.StatusInternalServerError {
+		t.Fatalf("panicking member in slot 3: code %q status %d, want internal_panic/500", m.Code, m.Status)
 	}
 	for slot, reqIdx := range map[int]int{0: 0, 2: 1} {
 		if br.Responses[slot].Error != "" {
@@ -225,6 +249,9 @@ func TestServerBatchEndpoint(t *testing.T) {
 		if math.Float64bits(br.Responses[slot].Results[0].Dist) != math.Float64bits(want.Results[0].Dist) {
 			t.Fatalf("slot %d: %v != %v", slot, br.Responses[slot].Results[0].Dist, want.Results[0].Dist)
 		}
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/query", wireFor(reqs[0])); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panicking batch: status = %d, body %s", resp.StatusCode, body)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package server is the HTTP serving layer over asrs.Engine: a JSON API
 // (POST /v1/query, POST /v1/batch, POST /v1/search, GET /healthz,
-// GET /stats) that coalesces concurrent single queries into engine batch
-// supersteps so the cross-query amortization of DESIGN.md §6 — request
-// dedup and shared prepared query shapes — applies across independent
-// clients, with admission control (bounded in-flight queue, 429 load
+// GET /stats) whose concurrent queries meet in the engine — identical
+// requests join one search in flight and searches queue for a core
+// (DESIGN.md §7) — with admission control (bounded in-flight queue, 429 load
 // shedding) and per-query deadlines (context cancellation checked
 // cooperatively at kernel superstep boundaries, surfaced as 504). See
 // DESIGN.md §7.

@@ -106,11 +106,11 @@ type RouterOptions struct {
 	// Breaker configures every shard's circuit breaker (per-shard seeds
 	// are derived from Breaker.Seed so jitter never aligns).
 	Breaker BreakerConfig
-	// DisableBoundShare turns off the cross-shard shared pruning cap on
+	// disableBoundShare turns off the cross-shard shared pruning cap on
 	// scatter–gather queries. Answers are dist/rep-identical either way
-	// (DESIGN.md §11); the switch is the oracle side of the property
-	// tests.
-	DisableBoundShare bool
+	// (DESIGN.md §11); it is the oracle side of the property tests, which
+	// set it through export_test.go.
+	disableBoundShare bool
 	// BudgetFraction is the fraction of the request's remaining deadline
 	// each sub-search may spend, so one slow shard cannot starve the
 	// gather of its siblings' answers. Defaults to 0.5; values outside
@@ -262,7 +262,6 @@ func (r *Router) subOptions(req asrs.QueryRequest, cap *kernel.ExtCap) asrs.Opti
 	}
 	opt.Pyramid = nil
 	opt.Slabs = nil
-	opt.Prepared = nil
 	opt.SharedCap = cap
 	return opt
 }
@@ -504,7 +503,7 @@ func finishCoverage(cov Coverage, searched map[string]bool, skipped map[string]s
 // kernel.Better-minimum across the sub-searches.
 func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req asrs.QueryRequest, pol PartialPolicy, excl []asrs.Rect) (asrs.Rect, asrs.Result, Coverage, error) {
 	var sharedCap *kernel.ExtCap
-	if len(tasks) > 1 && r.subOptions(req, nil).Delta == 0 && !r.opt.DisableBoundShare {
+	if len(tasks) > 1 && r.subOptions(req, nil).Delta == 0 && !r.opt.disableBoundShare {
 		sharedCap = kernel.NewExtCap()
 	}
 	outs := make([]subOutcome, len(tasks))

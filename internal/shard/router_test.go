@@ -147,10 +147,11 @@ func TestRoutedStraddlingBitIdentity(t *testing.T) {
 		for _, ns := range []int{2, 3, 4} {
 			cat := newCatalog(t, ds, f, ns)
 			for _, share := range []bool{false, true} {
-				rt := shard.NewRouter(cat, shard.RouterOptions{
-					Breaker:           shard.BreakerConfig{Disable: true},
-					DisableBoundShare: !share,
-				})
+				ropt := shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}}
+				if !share {
+					ropt = ropt.WithoutBoundShare()
+				}
+				rt := shard.NewRouter(cat, ropt)
 				for _, workers := range []int{1, 3} {
 					opt := asrs.Options{Workers: workers}
 					resp := rt.Query(context.Background(), shard.Request{
@@ -197,7 +198,7 @@ func TestRoutedStraddlingTopK(t *testing.T) {
 	}
 	oregions, oresults := oracle.Regions, oracle.Results
 	cat := newCatalog(t, ds, f, 3)
-	rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}, DisableBoundShare: true})
+	rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}}.WithoutBoundShare())
 	resp := rt.Query(context.Background(), shard.Request{Query: q, A: a, B: b, TopK: 3, Extent: &extent})
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
@@ -334,7 +335,7 @@ func TestRouterInsertRouting(t *testing.T) {
 	ds, f, q := corpus(t, 40, 17)
 	extra := dataset.Random(20, 100, 18).Objects
 	cat := newCatalog(t, ds, f, 3)
-	rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}, DisableBoundShare: true})
+	rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}}.WithoutBoundShare())
 	if err := rt.Insert(extra); err != nil {
 		t.Fatal(err)
 	}

@@ -40,15 +40,10 @@ type QueryRequest struct {
 	// Ctx, when non-nil, bounds this request individually (per-query
 	// deadline or cancellation): the search kernel checks it at superstep
 	// boundaries and the response's Err becomes context.Canceled /
-	// context.DeadlineExceeded. It takes precedence over the batch-level
-	// context of QueryBatchCtx, except that a request deduplicated with
-	// byte-identical peers executes once under the group's latest member
-	// deadline (shared work must not die with one member, nor outlive
-	// every member's budget); a member already expired at dispatch, or
-	// whose group search itself ended in a context error, is stamped
-	// with its own context error. A QueryCtx call that joins an identical
-	// search in flight waits under its own Ctx and, should that search
-	// fail, runs its own.
+	// context.DeadlineExceeded. It takes precedence over the context of
+	// the QueryCtx or QueryBatchCtx call. A request that joins an
+	// identical search in flight waits under its own Ctx and, should that
+	// search fail, runs its own: nobody inherits anybody's deadline.
 	Ctx context.Context
 }
 

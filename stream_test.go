@@ -48,9 +48,8 @@ func objectsEqual(t *testing.T, tag string, a, b []asrs.Object) {
 // TestInsertBitIdenticalToRebuild is the streaming-ingest acceptance
 // property: an engine that grew from a seed corpus through
 // Insert/InsertBatch answers every request bit-identically to an engine
-// built over the combined corpus from scratch — at every worker count,
-// batch-grouping setting and batch parallelism, through single queries
-// and batches alike. The ingesting engine's pyramid is produced by the
+// built over the combined corpus from scratch — at every worker count
+// and batch parallelism, through single queries and batches alike. The ingesting engine's pyramid is produced by the
 // delta fold (the corpus has unique anchors), which the test asserts
 // actually happened.
 func TestInsertBitIdenticalToRebuild(t *testing.T) {
@@ -60,8 +59,7 @@ func TestInsertBitIdenticalToRebuild(t *testing.T) {
 		opt asrs.EngineOptions
 	}{
 		{"w1", asrs.EngineOptions{BatchParallelism: 1, Search: asrs.Options{Workers: 1}}},
-		{"w2-grouped", asrs.EngineOptions{BatchParallelism: 2, Search: asrs.Options{Workers: 2}}},
-		{"w2-ungrouped", asrs.EngineOptions{BatchParallelism: 2, DisableBatchGrouping: true, Search: asrs.Options{Workers: 2}}},
+		{"w2-par2", asrs.EngineOptions{BatchParallelism: 2, Search: asrs.Options{Workers: 2}}},
 		{"indexed", asrs.EngineOptions{IndexGranularity: 24, BatchParallelism: 1, Search: asrs.Options{Workers: 1}}},
 	}
 	for _, cfg := range configs {
