@@ -1,10 +1,11 @@
 // Command asrsd is the ASRS serving daemon: an HTTP JSON API over
-// asrs.Engine that starts each query's search on arrival (a request
-// identical to one already in flight joins it, searches beyond the
-// machine's cores queue in arrival order), sheds load beyond a bounded
-// in-flight queue, and enforces per-query deadlines cancelled
-// cooperatively at kernel superstep boundaries. See DESIGN.md §7 for the
-// architecture.
+// asrs.Engine (or a shard router) that searches each request on the
+// goroutine that received it (a request identical to one already in
+// flight joins it, searches beyond the machine's cores queue in arrival
+// order), sheds load beyond a bounded in-flight queue, and enforces
+// per-query deadlines at the engine's cancellation points — the slot
+// queue, the join wait and the kernel superstep. See DESIGN.md §7 for
+// the architecture.
 //
 // Usage:
 //

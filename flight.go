@@ -103,10 +103,10 @@ func (e *Engine) search(ctx context.Context, v *engineView, req QueryRequest) Qu
 		// The slot came straight from a search that just ended, and the
 		// scheduler runs the goroutine it woke last — this one — first, on
 		// the same time slice: back-to-back searches would keep a core from
-		// everything queued behind that hand-over (the finished answer's
-		// delivery, the requests arriving meanwhile) for up to 10 ms at a
-		// time, and a request that cannot get scheduled registers too late
-		// to be joined or to join. Let them run first.
+		// everything queued behind that hand-over (the finished request's
+		// response write, the requests arriving meanwhile) for up to 10 ms
+		// at a time, and a request that cannot get scheduled registers too
+		// late to be joined or to join. Let them run first.
 		runtime.Gosched()
 	}
 	return e.answer(ctx, v, req)

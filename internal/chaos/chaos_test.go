@@ -238,8 +238,8 @@ func TestPersistChaosSeeds(t *testing.T) {
 	}
 }
 
-// TestSigtermDrainWithConcurrentSave delivers a real SIGTERM while a
-// coalesced batch is in flight and a pyramid save is running
+// TestSigtermDrainWithConcurrentSave delivers a real SIGTERM while
+// concurrent queries are in flight and a pyramid save is running
 // concurrently — the asrsd shutdown scenario. Contract: the drain
 // completes (in-flight queries get real answers, not errors), and the
 // pyramid file is never torn — afterwards it holds a complete
@@ -262,7 +262,7 @@ func TestSigtermDrainWithConcurrentSave(t *testing.T) {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM)
 	defer stop()
 
-	// In-flight coalesced batch: launched before the signal.
+	// In-flight concurrent queries: launched before the signal.
 	type outcome struct {
 		i    int
 		resp asrs.QueryResponse

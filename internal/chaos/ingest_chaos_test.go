@@ -29,7 +29,7 @@ import (
 //     was refused sneaks in (the recovered tail is exactly the acked
 //     objects, bit for bit);
 //   - post-recovery answers are bit-identical to an engine built over
-//     seed ++ recovered from scratch, at any worker/batch/coalescing
+//     seed ++ recovered from scratch, at any worker/batch/serving
 //     configuration;
 //   - every failure along the way is a typed error; the process never
 //     dies.
@@ -266,7 +266,7 @@ func TestIngestReplayFaultTyped(t *testing.T) {
 // TestIngestServerKillAndRequery runs the serving-layer config of the
 // crash matrix: objects ingested through POST /v1/insert, the server
 // and engine abandoned without drain (the SIGKILL shape), then a fresh
-// engine + coalescing server over the same WAL directory must answer
+// engine + server over the same WAL directory must answer
 // POST /v1/query bit-identically to a from-scratch rebuild.
 func TestIngestServerKillAndRequery(t *testing.T) {
 	ds, f, reqs, _ := fixture(t)

@@ -16,6 +16,9 @@ type Binding interface {
 	// Query answers one engine-shaped request. Coverage is nil on
 	// unsharded backends.
 	Query(ctx context.Context, req asrs.QueryRequest) (asrs.QueryResponse, *wire.Coverage)
+	// QueryBatch answers a client-built batch, index-aligned with reqs;
+	// each request runs under its own Ctx, else ctx.
+	QueryBatch(ctx context.Context, reqs []asrs.QueryRequest) ([]asrs.QueryResponse, []*wire.Coverage)
 	// Dataset is the current epoch's logical corpus — the snapshot
 	// region targets and post-filters are represented against.
 	Dataset() *asrs.Dataset
@@ -35,6 +38,12 @@ type EngineBinding struct {
 // Query implements Binding.
 func (b EngineBinding) Query(ctx context.Context, req asrs.QueryRequest) (asrs.QueryResponse, *wire.Coverage) {
 	return b.E.QueryCtx(ctx, req), nil
+}
+
+// QueryBatch implements Binding: the members in flight together on one
+// epoch view (Engine.QueryBatchCtx).
+func (b EngineBinding) QueryBatch(ctx context.Context, reqs []asrs.QueryRequest) ([]asrs.QueryResponse, []*wire.Coverage) {
+	return b.E.QueryBatchCtx(ctx, reqs), make([]*wire.Coverage, len(reqs))
 }
 
 // Dataset implements Binding.
@@ -60,6 +69,18 @@ type RouterBinding struct {
 func (b RouterBinding) Query(ctx context.Context, req asrs.QueryRequest) (asrs.QueryResponse, *wire.Coverage) {
 	resp := b.R.Answer(ctx, req, b.Policy)
 	return asrs.QueryResponse{Regions: resp.Regions, Results: resp.Results, Err: resp.Err}, &resp.Coverage
+}
+
+// QueryBatch implements Binding one request at a time: the router's
+// parallelism is across shards, not across requests, and sequential
+// rounds keep per-shard deadline budgets meaningful.
+func (b RouterBinding) QueryBatch(ctx context.Context, reqs []asrs.QueryRequest) ([]asrs.QueryResponse, []*wire.Coverage) {
+	out := make([]asrs.QueryResponse, len(reqs))
+	covs := make([]*wire.Coverage, len(reqs))
+	for i, req := range reqs {
+		out[i], covs[i] = b.Query(ctx, req)
+	}
+	return out, covs
 }
 
 // Dataset implements Binding.

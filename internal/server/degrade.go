@@ -25,7 +25,7 @@ import (
 const ewmaAlpha = 0.2
 
 // serviceEWMA is a lock-free exponentially weighted moving average of
-// request service times (dispatch to answer), stored as float64 bits in
+// request service times (arrival to answer), stored as float64 bits in
 // an atomic word.
 type serviceEWMA struct {
 	bits atomic.Uint64

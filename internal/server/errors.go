@@ -1,6 +1,8 @@
 package server
 
 import (
+	"net/http"
+
 	"asrs/internal/wire"
 )
 
@@ -20,12 +22,13 @@ const (
 	CodeInternal         = wire.CodeInternal
 )
 
-// errDispatchPanic marks coalescer-dispatch panics (recoverDeliver)
-// so classify can brand them internal_panic like kernel panics.
-var errDispatchPanic = wire.ErrDispatchPanic
-
-// classify maps an engine response error to its HTTP status, wire
-// code, and retryable bit.
-func classify(err error) (status int, code string, retryable bool) {
-	return wire.Classify(err)
+// classify maps an answer's error to its HTTP status, wire code and
+// retryable bit, and counts a 504: every front door counts its timeouts
+// here.
+func (s *Server) classify(err error) (status int, code string, retryable bool) {
+	status, code, retryable = wire.Classify(err)
+	if status == http.StatusGatewayTimeout {
+		s.nTimeouts.Add(1)
+	}
+	return status, code, retryable
 }

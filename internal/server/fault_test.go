@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,10 +31,11 @@ func decodeJSONBody(t *testing.T, resp *http.Response, v any) {
 	}
 }
 
-// TestDispatchPanicFailpointIsolated: a panic injected into coalescer
-// dispatch must come back as a typed 500 (code internal_panic, not
-// retryable) — and the NEXT query, with the fault disarmed, must
-// answer bit-identically. One failed request, not a dead daemon.
+// TestDispatchPanicFailpointIsolated: a panic injected into a /v1/query
+// handler just before its search — recoverMiddleware's to answer — must
+// come back as a typed 500 (code internal_panic, not retryable) — and
+// the NEXT query, with the fault disarmed, must answer bit-identically.
+// One failed request, not a dead daemon.
 func TestDispatchPanicFailpointIsolated(t *testing.T) {
 	_, ts, eng := newTestServer(t, server.Config{})
 	_, _, reqs := corpus(t)
@@ -62,6 +64,47 @@ func TestDispatchPanicFailpointIsolated(t *testing.T) {
 	wr = decodeResponse(t, body)
 	if math.Float64bits(wr.Results[0].Dist) != math.Float64bits(want.Results[0].Dist) {
 		t.Fatalf("post-fault answer %v, want %v", wr.Results[0].Dist, want.Results[0].Dist)
+	}
+}
+
+// TestQueryPanicOutsideKernel: a /v1/query whose search panics outside
+// the kernel's item boundary (in a composite's selection function)
+// panics its handler: it answers 500 internal_panic, gives back its
+// admission token and drain registration on the way out, and the next
+// query answers with the engine's own bits.
+func TestQueryPanicOutsideKernel(t *testing.T) {
+	ds, _, reqs := corpus(t)
+	var armed atomic.Bool
+	boom, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Count, Select: func(*asrs.Object) bool {
+		if armed.Load() {
+			panic("selector panicked")
+		}
+		return true
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, eng := newTestServer(t, server.Config{Composites: map[string]*asrs.Composite{"boom": boom}})
+	want := eng.Query(reqs[0])
+	if want.Err != nil {
+		t.Fatal(want.Err)
+	}
+
+	armed.Store(true)
+	resp, body := postJSON(t, ts.URL+"/v1/query", server.Query{Composite: "boom", A: reqs[0].A, B: reqs[0].B, Target: []float64{3}})
+	armed.Store(false)
+	if wr := decodeResponse(t, body); resp.StatusCode != http.StatusInternalServerError || wr.Code != server.CodeInternalPanic {
+		t.Fatalf("panicking query: status %d code %q, want 500 internal_panic", resp.StatusCode, wr.Code)
+	}
+	if st := getStats(t, ts.URL); st.InFlight != 0 {
+		t.Fatalf("in_flight = %d after the panic, want 0", st.InFlight)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/query", wireFor(reqs[0]))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after the panic: status = %d, body %s", resp.StatusCode, body)
+	}
+	if wr := decodeResponse(t, body); math.Float64bits(wr.Results[0].Dist) != math.Float64bits(want.Results[0].Dist) {
+		t.Fatalf("query after the panic: %v, want %v", wr.Results[0].Dist, want.Results[0].Dist)
 	}
 }
 

@@ -45,3 +45,7 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.status = status
 	w.ResponseWriter.WriteHeader(status)
 }
+
+// Unwrap lets http.NewResponseController reach the connection (the drain
+// moves a registered request's read deadline through it).
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

@@ -3,13 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
 	"asrs/internal/faultinject"
 	"asrs/internal/query"
-	"asrs/internal/shard"
 	"asrs/internal/wire"
 )
 
@@ -20,17 +18,18 @@ import (
 // then a terminal done row. The first row is on the wire before later
 // rounds have run: time-to-first-result is one round, not k.
 //
-// Search rounds bypass the coalescer (each round is its own engine or
-// router call under the stream's context) but register with the drain
-// like batch work, so Shutdown waits for an in-flight stream before
-// closing engines. Admission holds one token for the stream's lifetime.
+// Each round is one binding call under the stream's context, on this
+// goroutine. Admission holds one token and the drain registration for
+// the stream's lifetime, so Shutdown waits for an in-flight stream
+// before closing engines.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.nReceived.Add(1)
-	if !s.admit(w, 1) {
+	leave := s.enter(w)
+	if leave == nil {
 		return
 	}
-	defer s.release(1)
+	defer leave(1)
 	var sq wire.Search
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&sq); err != nil {
@@ -44,7 +43,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
 		return
 	}
-	policy, err := s.searchPolicy(sq.Partial)
+	backend, err := s.binding(sq.Partial)
 	if err != nil {
 		s.nBadReqs.Add(1)
 		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
@@ -52,7 +51,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if pl.Explain {
-		writeJSON(w, http.StatusOK, pl.Report(s.binding(policy).Dataset(), s.router != nil))
+		writeJSON(w, http.StatusOK, pl.Report(backend.Dataset(), backend.Routed()))
 		return
 	}
 
@@ -79,18 +78,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	stopWatch := context.AfterFunc(r.Context(), cancel)
 	defer stopWatch()
 
-	// Drain registration, like the batch and routed paths.
-	s.drainMu.RLock()
-	if s.draining.Load() {
-		s.drainMu.RUnlock()
-		s.writeDraining(w)
-		return
-	}
-	s.inflight.Add(1)
-	s.drainMu.RUnlock()
-	defer s.inflight.Done()
-
-	st, err := query.Exec(ctx, pl, s.binding(policy))
+	st, err := query.Exec(ctx, pl, backend)
 	if err != nil {
 		s.nBadReqs.Add(1)
 		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
@@ -124,19 +112,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			f.Sleep()
 		}
 	}
+	s.ewma.Observe(time.Since(start))
 	if err := st.Err(); err != nil {
 		// Headers are gone; the error travels as the terminal row.
-		status, code, retryable := classify(err)
-		if status == http.StatusGatewayTimeout {
-			s.nTimeouts.Add(1)
-		}
+		_, code, retryable := s.classify(err)
 		enc.Encode(wire.SearchRow{Error: err.Error(), Code: code, Retryable: retryable})
 		if flusher != nil {
 			flusher.Flush()
 		}
 		return
 	}
-	s.ewma.Observe(time.Since(start))
 	enc.Encode(wire.SearchRow{
 		Done:      true,
 		Count:     st.Emitted(),
@@ -146,24 +131,4 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-}
-
-// searchPolicy resolves the effective partial policy for a search
-// stream: the request's (router mode only, matching /v1/query), else
-// the server default, else strict.
-func (s *Server) searchPolicy(p string) (shard.PartialPolicy, error) {
-	switch p {
-	case "":
-	case string(shard.Strict), string(shard.BestEffort):
-		if s.router == nil {
-			return "", fmt.Errorf("partial is only valid on a sharded server")
-		}
-		return shard.PartialPolicy(p), nil
-	default:
-		return "", fmt.Errorf("unknown partial policy %q (want strict or best_effort)", p)
-	}
-	if s.cfg.DefaultPartial != "" {
-		return shard.PartialPolicy(s.cfg.DefaultPartial), nil
-	}
-	return shard.Strict, nil
 }

@@ -14,13 +14,14 @@ import (
 	"time"
 
 	"asrs"
+	"asrs/internal/faultinject"
 	"asrs/internal/query"
 	"asrs/internal/shard"
 )
 
 // Defaults for Config zero values.
 const (
-	// DefaultWindow is inert: /v1/query dispatches on arrival and there
+	// DefaultWindow is inert: /v1/query is searched on arrival and there
 	// is no coalescing window. The name remains because the benchmark
 	// module compiles against it (ROADMAP, "signatures to release").
 	DefaultWindow = 2 * time.Millisecond
@@ -43,7 +44,6 @@ type Config struct {
 	Engine *asrs.Engine
 	// Router serves the queries from a shard catalog (multi-shard mode):
 	// extent-routed scatter–gather with per-shard fault isolation.
-	// Queries bypass the coalescer — the router fans out internally.
 	Router *shard.Router
 	// StartUnready makes /readyz report 503 until SetReady(true) is
 	// called — the boot sequence for daemons that open their listener
@@ -70,14 +70,14 @@ type Config struct {
 	MaxTimeout time.Duration
 }
 
-// Server is the HTTP serving layer: handlers, the coalescer, admission
-// control and the drain lifecycle. Create with New, mount via Handler,
-// stop with Shutdown.
+// Server is the HTTP serving layer: handlers, admission control and the
+// drain lifecycle. Create with New, mount via Handler, stop with
+// Shutdown.
 type Server struct {
 	cfg    Config
 	eng    *asrs.Engine  // nil in router mode
 	router *shard.Router // nil in engine mode
-	coal   *Coalescer    // nil in router mode
+	schema *asrs.Schema  // the serving schema of either mode
 	mux    *http.ServeMux
 	ready  atomic.Bool
 
@@ -88,23 +88,23 @@ type Server struct {
 	// flight.
 	planner *query.Planner
 
-	// sem is the admission semaphore: one token per admitted request,
-	// covering its whole life (slot wait + search). Acquisition is
-	// non-blocking — a full queue sheds with 429 + Retry-After rather
-	// than stacking latency.
+	// sem is the admission semaphore: one token per admitted query,
+	// covering its handler's whole life (slot wait + search + response).
+	// Acquisition is non-blocking — a full queue sheds with 429 +
+	// Retry-After rather than stacking latency.
 	sem chan struct{}
 
 	// base is the serving context: every search runs under it. cancel
 	// fires at the end of Shutdown's grace period, aborting stragglers
-	// at their next kernel superstep boundary.
+	// at their next cancellation point.
 	base     context.Context
 	cancel   context.CancelFunc
 	draining atomic.Bool
-	// inflight tracks engine work running outside the coalescer (the
-	// /v1/batch path), so Shutdown's drain waits for it too. drainMu
-	// orders inflight.Add against the draining flip: handlers register
-	// under the read lock, Shutdown flips under the write lock, so no
-	// Add can race a Wait that already observed zero.
+	// inflight counts the requests that came in through enter and have not
+	// left, so Shutdown's drain waits for every one. drainMu orders
+	// inflight.Add against the draining flip: enter registers under the
+	// read lock, Shutdown flips under the write lock, so no Add can race
+	// a Wait that already observed zero.
 	drainMu  sync.RWMutex
 	inflight sync.WaitGroup
 
@@ -163,11 +163,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.ready.Store(!cfg.StartUnready)
 	s.ladder = newLadder()
-	if cfg.Engine != nil {
-		s.coal = NewCoalescer(base, cfg.Engine)
-		s.coal.onService = s.ewma.Observe
-	}
-	s.planner = query.NewPlanner(s.schema(), cfg.Composites)
+	b, _ := s.binding("") // the empty policy always binds
+	s.schema = b.Dataset().Schema
+	s.planner = query.NewPlanner(s.schema, cfg.Composites)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("POST /v1/search", s.handleSearch)
@@ -190,22 +188,19 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 func (s *Server) Handler() http.Handler { return recoverMiddleware(s.mux) }
 
 // Shutdown drains the server gracefully: readiness flips to 503 and new
-// queries are refused immediately, and in-flight searches (queued for a
-// core or running) get until ctx's deadline to finish
-// before the serving context is cancelled — which stops stragglers
-// cooperatively at their next kernel superstep boundary. Always returns
-// after in-flight work has stopped; the error reports whether the grace
-// period expired first.
+// requests are refused immediately, and admitted ones (queued for a core,
+// searching or writing their response) get until ctx's deadline to
+// finish before the serving context is cancelled — which stops
+// stragglers cooperatively at their next cancellation point. Always
+// returns after in-flight work has stopped; the error reports whether
+// the grace period expired first.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining.Store(true)
 	s.drainMu.Unlock()
 	done := make(chan struct{})
 	go func() {
-		if s.coal != nil {
-			s.coal.Close()
-		}
-		s.inflight.Wait() // batch and routed work runs outside the coalescer
+		s.inflight.Wait()
 		close(done)
 	}()
 	var err error
@@ -221,17 +216,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// buildRequest compiles a wire query into an engine request. The
-// returned cancel func releases the deadline timer and must be called
-// once the response is delivered.
-func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, error) {
+// buildRequest compiles a wire query into an engine request and the
+// binding that answers it. The returned cancel func releases the
+// deadline timer and must be called once the response is delivered.
+func (s *Server) buildRequest(wq Query) (query.Binding, asrs.QueryRequest, context.CancelFunc, error) {
+	backend, err := s.binding(wq.Partial)
+	if err != nil {
+		return nil, asrs.QueryRequest{}, nil, err
+	}
 	f, ok := s.cfg.Composites[wq.Composite]
 	if !ok {
-		return asrs.QueryRequest{}, nil, fmt.Errorf("unknown composite %q", wq.Composite)
+		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("unknown composite %q", wq.Composite)
 	}
 	norm, err := ParseNorm(wq.Norm)
 	if err != nil {
-		return asrs.QueryRequest{}, nil, err
+		return nil, asrs.QueryRequest{}, nil, err
 	}
 	a, b := wq.A, wq.B
 	var q asrs.Query
@@ -241,7 +240,7 @@ func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, 
 	}
 	switch {
 	case wq.Region != nil && wq.Target != nil:
-		return asrs.QueryRequest{}, nil, fmt.Errorf("set either target or region, not both")
+		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("set either target or region, not both")
 	case wq.Region != nil:
 		rq := RectLib(*wq.Region)
 		if a == 0 {
@@ -252,9 +251,9 @@ func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, 
 		}
 		// The current logical dataset (seed + ingested), so an example
 		// region's representation includes objects inserted into it.
-		q, err = asrs.QueryFromRegion(s.binding("").Dataset(), f, wq.Weights, rq)
+		q, err = asrs.QueryFromRegion(backend.Dataset(), f, wq.Weights, rq)
 		if err != nil {
-			return asrs.QueryRequest{}, nil, err
+			return nil, asrs.QueryRequest{}, nil, err
 		}
 		if wq.ExcludeRegion {
 			exclude = append(exclude, rq)
@@ -262,31 +261,28 @@ func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, 
 	case wq.Target != nil:
 		q, err = asrs.QueryFromTarget(f, wq.Target, wq.Weights)
 		if err != nil {
-			return asrs.QueryRequest{}, nil, err
+			return nil, asrs.QueryRequest{}, nil, err
 		}
 	default:
-		return asrs.QueryRequest{}, nil, fmt.Errorf("query requires a target or an example region")
+		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("query requires a target or an example region")
 	}
 	q.Norm = norm
 	if a <= 0 || b <= 0 {
-		return asrs.QueryRequest{}, nil, fmt.Errorf("region size must be positive, got %g x %g", a, b)
+		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("region size must be positive, got %g x %g", a, b)
 	}
 	if wq.TopK < 0 || wq.TopK > asrs.MaxTopK {
-		return asrs.QueryRequest{}, nil, fmt.Errorf("top_k must be between 0 and %d, got %d", asrs.MaxTopK, wq.TopK)
+		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("top_k must be between 0 and %d, got %d", asrs.MaxTopK, wq.TopK)
 	}
 	if wq.Delta < 0 {
-		return asrs.QueryRequest{}, nil, fmt.Errorf("delta must be non-negative, got %g", wq.Delta)
+		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("delta must be non-negative, got %g", wq.Delta)
 	}
 	req := asrs.QueryRequest{Query: q, A: a, B: b, TopK: wq.TopK, Exclude: exclude}
 	if wq.Extent != nil {
 		ext := RectLib(*wq.Extent)
 		if !ext.IsValid() {
-			return asrs.QueryRequest{}, nil, fmt.Errorf("invalid extent: min must not exceed max")
+			return nil, asrs.QueryRequest{}, nil, fmt.Errorf("invalid extent: min must not exceed max")
 		}
 		req.Within = &ext
-	}
-	if _, err := s.searchPolicy(wq.Partial); err != nil {
-		return asrs.QueryRequest{}, nil, err
 	}
 	if wq.Delta > 0 {
 		// Pinning per-request options opts this query out of joining a
@@ -294,12 +290,12 @@ func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, 
 		// with an exact request); it still queues for a core. Start from
 		// the engine's defaults so only δ changes — the operator's worker
 		// bound and grid settings must survive the pin.
-		opt := s.binding("").SearchOptions()
+		opt := backend.SearchOptions()
 		opt.Delta = wq.Delta
 		req.Options = &opt
 	}
 	if wq.TimeoutMS < 0 {
-		return asrs.QueryRequest{}, nil, fmt.Errorf("timeout_ms must be non-negative, got %d", wq.TimeoutMS)
+		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("timeout_ms must be non-negative, got %d", wq.TimeoutMS)
 	}
 	timeout := s.cfg.Timeout
 	if wq.TimeoutMS > 0 {
@@ -310,49 +306,41 @@ func (s *Server) buildRequest(wq Query) (asrs.QueryRequest, context.CancelFunc, 
 	}
 	ctx, cancel := context.WithTimeout(s.base, timeout)
 	req.Ctx = ctx
-	return req, cancel, nil
+	return backend, req, cancel, nil
 }
 
-// binding is the serving backend behind the query.Binding seam: every
-// /v1/search round in either mode, and in router mode every /v1/query and
-// /v1/batch answer, goes through it. It also names the live logical
-// corpus and the serving default search options of either mode.
-func (s *Server) binding(policy shard.PartialPolicy) query.Binding {
-	if s.router != nil {
-		return query.RouterBinding{R: s.router, Policy: policy}
+// binding resolves a request's partial-result policy — its own (router
+// mode only), else the server default, else strict — to the backend that
+// answers it: every /v1/query, /v1/batch member and /v1/search round goes
+// through the binding, which also names the live logical corpus and the
+// serving default search options. It is the one place that knows which
+// mode the server is in.
+func (s *Server) binding(partial string) (query.Binding, error) {
+	policy := shard.PartialPolicy(partial)
+	switch policy {
+	case "":
+		policy = shard.PartialPolicy(s.cfg.DefaultPartial) // "" is strict
+	case shard.Strict, shard.BestEffort:
+		if s.router == nil {
+			return nil, fmt.Errorf("partial is only valid on a sharded server")
+		}
+	default:
+		return nil, fmt.Errorf("unknown partial policy %q (want strict or best_effort)", partial)
 	}
-	return query.EngineBinding{E: s.eng}
-}
-
-// schema is the serving schema in either mode.
-func (s *Server) schema() *asrs.Schema {
-	if s.router != nil {
-		return s.router.Catalog().Seed().Schema
+	if s.router == nil {
+		return query.EngineBinding{E: s.eng}, nil
 	}
-	return s.eng.Dataset().Schema
+	return query.RouterBinding{R: s.router, Policy: policy}, nil
 }
 
-// answerRouted answers one compiled request through the router binding
-// and renders it, returning the HTTP status alongside. Coverage always
-// rides along, failures included — partial best_effort answers are only
-// trustworthy with their skip list.
-func (s *Server) answerRouted(wq Query, req asrs.QueryRequest, start time.Time) (Response, int) {
-	policy, _ := s.searchPolicy(wq.Partial) // buildRequest validated it
-	resp, cov := s.binding(policy).Query(req.Ctx, req)
+// reply renders one answer for the wire and returns its HTTP status.
+// Coverage always rides along, failures included — partial best_effort
+// answers are only trustworthy with their skip list.
+func (s *Server) reply(resp asrs.QueryResponse, cov *Coverage, start time.Time) (Response, int) {
 	out := ResponseWire(resp, time.Since(start))
 	out.Coverage = cov
-	status := statusFor(resp.Err)
-	if status == http.StatusGatewayTimeout {
-		s.nTimeouts.Add(1)
-	}
+	status, _, _ := s.classify(resp.Err)
 	return out, status
-}
-
-// statusFor maps an engine response error to its HTTP status (the
-// status leg of the classify taxonomy in errors.go).
-func statusFor(err error) int {
-	status, _, _ := classify(err)
-	return status
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -378,16 +366,49 @@ func (s *Server) writeDraining(w http.ResponseWriter) {
 	writeError(w, http.StatusServiceUnavailable, CodeDraining, true, "server is draining")
 }
 
+// enter is every front door's admission, run once per request before
+// its body is read — shedding must stay cheap under exactly the overload
+// it exists to protect against — and before any failpoint or search: it
+// registers the request with the drain and takes its first admission
+// token. It returns the request's leave, which the handler calls with
+// every token it holds once it has answered, on its panic path too; nil
+// means the 503 (draining) or 429 has been written.
+//
+// A registered request holds the drain, so nothing it waits on may
+// outlast the grace period. The body read has no deadline of its own
+// (the daemon bounds headers only), so when the serving context is
+// cancelled the connection's read deadline moves to now: a stalled body
+// fails its decode instead of holding Shutdown.
+func (s *Server) enter(w http.ResponseWriter) (leave func(tokens int)) {
+	s.drainMu.RLock()
+	draining := s.draining.Load()
+	if !draining {
+		s.inflight.Add(1)
+	}
+	s.drainMu.RUnlock()
+	if draining {
+		s.writeDraining(w)
+		return nil
+	}
+	if !s.admit(w, 1) {
+		s.inflight.Done()
+		return nil
+	}
+	rc := http.NewResponseController(w)
+	stop := context.AfterFunc(s.base, func() { _ = rc.SetReadDeadline(time.Now()) })
+	return func(tokens int) {
+		stop()
+		s.release(tokens)
+		s.inflight.Done()
+	}
+}
+
 // admit acquires n admission tokens — one per query, so a client batch
 // weighs what it costs and cannot sidestep MaxInFlight by bundling —
-// or sheds. ok=false means the 429 (or 503 during drain) has already
-// been written. The caller has already counted the request in
-// nReceived (at handler entry, so decode failures count too).
+// or sheds. ok=false means the 429 has already been written. The caller
+// has already counted the request in nReceived (at handler entry, so
+// decode failures count too).
 func (s *Server) admit(w http.ResponseWriter, n int) bool {
-	if s.draining.Load() {
-		s.writeDraining(w)
-		return false
-	}
 	for got := 0; got < n; got++ {
 		select {
 		case s.sem <- struct{}{}:
@@ -419,22 +440,21 @@ func (s *Server) release(n int) {
 	}
 }
 
-// handleQuery serves POST /v1/query: admit, decode, dispatch, respond.
+// handleQuery serves POST /v1/query: admit, decode, compile, then search
+// on this goroutine through the binding — the call every /v1/search round
+// makes — and respond. A panic is the handler's own (recoverMiddleware
+// answers it with 500 internal_panic; the deferred leave still runs). A
+// deadline is honoured where the engine honours it — the slot queue, the
+// join wait, the entry check before a search and the kernel superstep —
+// so a 504 is written at the search's next cancellation point.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.nReceived.Add(1)
-	// Admission before the body is even read: shedding must stay cheap
-	// under exactly the overload it exists to protect against — a 429
-	// costs no decode work.
-	if !s.admit(w, 1) {
+	leave := s.enter(w)
+	if leave == nil {
 		return
 	}
-	handedOff := false
-	defer func() {
-		if !handedOff {
-			s.release(1)
-		}
-	}()
+	defer leave(1)
 	var wq Query
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&wq); err != nil {
@@ -442,7 +462,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "invalid request body: %v", err)
 		return
 	}
-	req, cancel, err := s.buildRequest(wq)
+	backend, req, cancel, err := s.buildRequest(wq)
 	if err != nil {
 		s.nBadReqs.Add(1)
 		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
@@ -452,95 +472,39 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// A disconnected client cancels its search: the request context is
 	// derived from the serving context (drain), but net/http signals the
 	// client going away through r.Context() — propagate that into the
-	// search so abandoned work frees its workers and admission token
+	// search so abandoned work frees its core and admission token
 	// instead of running out its full deadline.
 	stopWatch := context.AfterFunc(r.Context(), cancel)
 	defer stopWatch()
 
-	if s.router != nil {
-		// Routed queries bypass the coalescer (the router fans out
-		// internally) but register with the drain like batch work, so
-		// Shutdown waits for them before closing shard engines.
-		s.drainMu.RLock()
-		if s.draining.Load() {
-			s.drainMu.RUnlock()
-			s.writeDraining(w)
-			return
-		}
-		s.inflight.Add(1)
-		s.drainMu.RUnlock()
-		defer s.inflight.Done()
-		wresp, status := s.answerRouted(wq, req, start)
-		s.ewma.Observe(time.Since(start))
-		writeJSON(w, status, wresp)
-		return
+	// Chaos hooks: a slow request (deadline pressure) and a panicking one.
+	if f, ok := faultinject.Check("server.dispatch.slow"); ok && f.Action == faultinject.ActSleep {
+		f.Sleep()
 	}
-
-	deliver := func(resp asrs.QueryResponse) {
-		status := statusFor(resp.Err)
-		if status == http.StatusGatewayTimeout {
-			s.nTimeouts.Add(1)
-		}
-		writeJSON(w, status, ResponseWire(resp, time.Since(start)))
+	if f, ok := faultinject.Check("server.dispatch.panic"); ok && f.Action == faultinject.ActPanic {
+		panic(f.PanicValue())
 	}
-	done := s.coal.Submit(req)
-	select {
-	case resp, ok := <-done:
-		if !ok { // coalescer closed between admit and submit
-			s.writeDraining(w)
-			return
-		}
-		deliver(resp)
-	case <-req.Ctx.Done():
-		// The request's context fired while it queued for a core or
-		// searched: its own deadline passed, or the drain grace
-		// period expired and cancelled the serving context. Both select
-		// cases may be ready at once — prefer an answer that already
-		// arrived over discarding it as a timeout.
-		select {
-		case resp, ok := <-done:
-			if ok {
-				deliver(resp)
-				return
-			}
-		default:
-		}
-		// The search is still running; it stops cooperatively at its
-		// next superstep and the buffered done channel absorbs the late
-		// delivery. Requests that joined it are unaffected (they go on
-		// to search for themselves). The admission token follows the
-		// orphaned search — MaxInFlight bounds *engine* work, not handler
-		// lifetimes, or a stream of short-deadline requests could stack
-		// unbounded concurrent searches behind freed tokens. statusFor distinguishes the two
-		// causes (504 deadline vs 503 drain), matching what the
-		// done-channel path would have reported.
-		handedOff = true
-		go func() {
-			<-done
-			s.release(1)
-		}()
-		cerr := req.Ctx.Err()
-		status, code, retryable := classify(cerr)
-		if status == http.StatusGatewayTimeout {
-			s.nTimeouts.Add(1)
-		}
-		writeError(w, status, code, retryable, "%v", cerr)
-	}
+	resp, cov := backend.Query(req.Ctx, req)
+	out, status := s.reply(resp, cov, start)
+	s.ewma.Observe(time.Since(start))
+	writeJSON(w, status, out)
 }
 
-// handleBatch serves POST /v1/batch: an explicit client-built batch.
-// It goes straight to Engine.QueryBatchCtx — the members in flight
-// together on one epoch view, each under its own per-query deadline.
+// handleBatch serves POST /v1/batch: an explicit client-built batch,
+// answered through the binding's QueryBatch — in engine mode the members
+// in flight together on one epoch view, each under its own per-query
+// deadline; routed, one member at a time.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.nReceived.Add(1)
 	// One token before the decode keeps overload-path shedding cheap;
 	// the batch's true weight is acquired after its size is known.
-	if !s.admit(w, 1) {
+	leave := s.enter(w)
+	if leave == nil {
 		return
 	}
 	took := 1
-	defer func() { s.release(took) }()
+	defer func() { leave(took) }()
 	var wb Batch
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&wb); err != nil {
@@ -564,27 +528,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		took += extra
 	}
-	// Register with the drain before searching: this path bypasses the
-	// coalescer, and Shutdown must wait for it like any other in-flight
-	// work instead of cancelling it the moment the (idle) coalescer
-	// closes. Re-checking draining under the read lock closes the race
-	// with a concurrent Shutdown flipping the flag after admit.
-	s.drainMu.RLock()
-	if s.draining.Load() {
-		s.drainMu.RUnlock()
-		s.writeDraining(w)
-		return
-	}
-	s.inflight.Add(1)
-	s.drainMu.RUnlock()
-	defer s.inflight.Done()
 
 	reqs := make([]asrs.QueryRequest, len(wb.Queries))
 	resps := make([]Response, len(wb.Queries))
-	run := make([]int, 0, len(wb.Queries))
+	backends := make([]query.Binding, len(wb.Queries)) // nil: answered 400
 	cancels := make([]context.CancelFunc, 0, len(wb.Queries))
 	for i, wq := range wb.Queries {
-		req, cancel, err := s.buildRequest(wq)
+		backend, req, cancel, err := s.buildRequest(wq)
 		if err != nil {
 			s.nBadReqs.Add(1)
 			resps[i] = Response{Error: err.Error(), Code: CodeBadRequest, Status: http.StatusBadRequest}
@@ -592,43 +542,47 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		defer cancel()
 		cancels = append(cancels, cancel)
-		reqs[i] = req
-		run = append(run, i)
+		reqs[i], backends[i] = req, backend
 	}
-	if len(run) > 0 {
+	// Like handleQuery, a disconnected client cancels its queries —
+	// each per-query context individually, since those take precedence
+	// over the batch-level context inside the engine.
+	stopWatch := context.AfterFunc(r.Context(), func() {
+		for _, c := range cancels {
+			c()
+		}
+	})
+	defer stopWatch()
+	// Members are answered in index order, one QueryBatch per run of them
+	// on the same binding: the whole batch in engine mode, and a new run
+	// at each change of partial policy on a sharded server.
+	var run []int
+	flush := func() {
+		if len(run) == 0 {
+			return
+		}
 		sub := make([]asrs.QueryRequest, len(run))
 		for k, i := range run {
 			sub[k] = reqs[i]
 		}
-		// Like handleQuery, a disconnected client cancels its queries —
-		// each per-query context individually, since those take
-		// precedence over the batch-level context inside the engine.
-		stopWatch := context.AfterFunc(r.Context(), func() {
-			for _, c := range cancels {
-				c()
-			}
-		})
-		defer stopWatch()
-		if s.router != nil {
-			// Routed batches run query-by-query: the router's parallelism
-			// is across shards, not across queries, and sequential rounds
-			// keep per-shard deadline budgets meaningful.
-			for k, i := range run {
-				wresp, status := s.answerRouted(wb.Queries[i], sub[k], start)
-				wresp.Status = status
-				resps[i] = wresp
-			}
-			s.ewma.Observe(time.Since(start))
-		} else {
-			out := s.eng.QueryBatchCtx(s.base, sub)
-			for k, i := range run {
-				if errors.Is(out[k].Err, context.DeadlineExceeded) {
-					s.nTimeouts.Add(1)
-				}
-				resps[i] = ResponseWire(out[k], time.Since(start))
-				resps[i].Status = statusFor(out[k].Err)
-			}
+		out, covs := backends[run[0]].QueryBatch(s.base, sub)
+		for k, i := range run {
+			resps[i], resps[i].Status = s.reply(out[k], covs[k], start)
 		}
+		run = nil
+	}
+	for i, backend := range backends {
+		if backend == nil {
+			continue
+		}
+		if len(run) > 0 && backend != backends[run[0]] {
+			flush()
+		}
+		run = append(run, i)
+	}
+	flush()
+	if len(cancels) > 0 { // a batch of 400s searched nothing
+		s.ewma.Observe(time.Since(start))
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{
 		Responses: resps,
@@ -646,8 +600,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // are deferrable background work nobody is waiting on, so a server
 // whose degradation ladder has stepped down AT ALL sheds them outright
 // (429 + Retry-After) — the remaining capacity serves queries first.
-// Healthy servers admit inserts through the same in-flight semaphore as
-// queries.
+// Healthy servers admit inserts through the same door as queries —
+// which registers them with the drain before they touch the engine:
+// Shutdown closes the engine's WAL after the drain, so an admitted insert
+// lands (and acks) before that, or the closed engine refuses it — never
+// concurrently with the close.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.nReceived.Add(1)
@@ -659,10 +616,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			"server degraded (brownout level %d); inserts are shed first", level)
 		return
 	}
-	if !s.admit(w, 1) {
+	leave := s.enter(w)
+	if leave == nil {
 		return
 	}
-	defer s.release(1)
+	defer leave(1)
 	var wi Insert
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&wi); err != nil {
@@ -681,20 +639,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
 		return
 	}
-	// Register with the drain before touching the engine: Shutdown closes
-	// the engine's WAL after the drain, and an insert that already passed
-	// admission must land (and ack) before that happens or after the
-	// closed engine refuses it — never concurrently with the close.
-	s.drainMu.RLock()
-	if s.draining.Load() {
-		s.drainMu.RUnlock()
-		s.writeDraining(w)
-		return
-	}
-	s.inflight.Add(1)
-	s.drainMu.RUnlock()
-	defer s.inflight.Done()
-
 	insert := s.insertBatch
 	if s.router != nil {
 		insert = s.router.Insert
@@ -738,7 +682,7 @@ func (s *Server) totalIngested() int64 {
 // the serving schema: every attribute must be present, categorical
 // values arrive as domain labels, numeric values as numbers.
 func (s *Server) decodeInsertObjects(in []InsertObject) ([]asrs.Object, error) {
-	schema := s.schema()
+	schema := s.schema
 	n := schema.Len()
 	out := make([]asrs.Object, len(in))
 	for i, wo := range in {
@@ -825,7 +769,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Stats is the GET /stats document: server-level serving counters plus
-// the engine's and coalescer's own.
+// the engine's own.
 type Stats struct {
 	// UptimeSeconds since the server was built.
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -851,12 +795,22 @@ type Stats struct {
 	BrownoutEntries int64   `json:"brownout_entries"`
 	ServiceEWMAMS   float64 `json:"service_ewma_ms"`
 	// Composites lists the registered composite names.
-	Composites []string         `json:"composites"`
-	Coalescer  CoalescerStats   `json:"coalescer"`
-	Engine     asrs.EngineStats `json:"engine"`
+	Composites []string `json:"composites"`
+	// Coalescer is inert (every field always 0): there is no coalescer.
+	// The benchmark module reads it (ROADMAP, "signatures to release").
+	Coalescer CoalescerStats   `json:"coalescer"`
+	Engine    asrs.EngineStats `json:"engine"`
 	// Shards is the per-shard breakdown (slab bounds, load state,
 	// breaker state, engine counters) on a sharded server; nil otherwise.
 	Shards *shard.RouterStats `json:"shards,omitempty"`
+}
+
+// CoalescerStats is inert: both fields are always 0. What requests share
+// is counted by Engine.DedupHits, and how many searches ran by
+// Engine.LatencyCount.
+type CoalescerStats struct {
+	Batches         int64 `json:"batches"`
+	BatchedRequests int64 `json:"batched_requests"`
 }
 
 // handleStats serves GET /stats.
@@ -866,11 +820,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var cstats CoalescerStats
 	var estats asrs.EngineStats
-	if s.coal != nil {
-		cstats = s.coal.Stats()
-	}
 	if s.eng != nil {
 		estats = s.eng.Stats()
 	}
@@ -894,7 +844,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		BrownoutEntries: s.ladder.Entries(),
 		ServiceEWMAMS:   float64(s.ewma.Value().Microseconds()) / 1e3,
 		Composites:      names,
-		Coalescer:       cstats,
 		Engine:          estats,
 		Shards:          rstats,
 	})

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,16 +23,20 @@ import (
 )
 
 // newTestServer builds a server over the shared corpus with the given
-// config overrides applied (Engine is filled in, and the corpus's
-// composite added as "poi").
+// config overrides applied (Engine is filled in unless set, and the
+// corpus's composite added as "poi"). Its clean-up drains the server and
+// fails the test on a goroutine the server left behind.
 func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server, *asrs.Engine) {
 	t.Helper()
+	before := runtime.NumGoroutine()
 	ds, f, _ := corpus(t)
-	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: 32})
-	if err != nil {
-		t.Fatal(err)
+	if cfg.Engine == nil {
+		eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Engine = eng
 	}
-	cfg.Engine = eng
 	if cfg.Composites == nil {
 		cfg.Composites = map[string]*asrs.Composite{}
 	}
@@ -40,13 +46,8 @@ func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.S
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
-	return s, ts, eng
+	t.Cleanup(func() { closeAndCheckLeaks(t, s, ts, before) })
+	return s, ts, cfg.Engine
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -140,9 +141,8 @@ func TestServerQueryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentClientsBitIdentical is the HTTP half of the
-// coalescer property test: N concurrent HTTP clients must get the same
-// answer bits as sequential engine queries.
+// TestServerConcurrentClientsBitIdentical: N concurrent HTTP clients
+// must get the same answer bits as sequential engine queries.
 func TestServerConcurrentClientsBitIdentical(t *testing.T) {
 	_, ts, eng := newTestServer(t, server.Config{})
 	_, _, reqs := corpus(t)
@@ -190,6 +190,92 @@ func TestServerConcurrentClientsBitIdentical(t *testing.T) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("client %d: served %v != engine %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestCoalescerBitIdentical is the coalescing property test, named for
+// the Coalescer it first held; identical requests now coalesce by joining
+// a search already in flight behind /v1/query. Concurrent HTTP clients
+// must get distances bit-identical to sequential Engine.Query calls — for
+// any number of clients and kernel workers, and when a client fires a
+// burst of identical requests at once (which join one search in the
+// engine). Every request either searches or joins one.
+func TestCoalescerBitIdentical(t *testing.T) {
+	ds, _, reqs := corpus(t)
+
+	// Sequential reference on a pristine engine.
+	refEng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(reqs))
+	for i, req := range reqs {
+		resp := refEng.Query(req)
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		want[i] = resp.Results[0].Dist
+	}
+
+	const burst = 4 // every sixth request is sent this many times at once
+	for _, tc := range []struct{ clients, workers int }{{4, 1}, {4, 2}, {24, 1}, {24, 2}} {
+		t.Run(fmt.Sprintf("clients=%d/workers=%d", tc.clients, tc.workers), func(t *testing.T) {
+			eng, err := asrs.NewEngine(ds, asrs.EngineOptions{
+				IndexGranularity: 32,
+				Search:           asrs.Options{Workers: tc.workers},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ts, _ := newTestServer(t, server.Config{Engine: eng})
+
+			post := func(i int) {
+				raw, _ := json.Marshal(wireFor(reqs[i]))
+				resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var wr server.Response
+				if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("request %d: status %d, %v %s", i, resp.StatusCode, err, wr.Error)
+					return
+				}
+				if got := wr.Results[0].Dist; math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Errorf("request %d: served %v != sequential %v", i, got, want[i])
+				}
+			}
+			var sent atomic.Int64
+			var wg sync.WaitGroup
+			for c := 0; c < tc.clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := c; i < len(reqs); i += tc.clients {
+						n := 1
+						if i%6 == 0 {
+							n = burst
+						}
+						sent.Add(int64(n))
+						var bw sync.WaitGroup
+						for k := 0; k < n; k++ {
+							bw.Add(1)
+							go func() {
+								defer bw.Done()
+								post(i)
+							}()
+						}
+						bw.Wait()
+					}
+				}()
+			}
+			wg.Wait()
+			n := sent.Load()
+			if es := eng.Stats(); es.LatencyCount+es.DedupHits != n {
+				t.Fatalf("%d searches + %d joined != %d requests", es.LatencyCount, es.DedupHits, n)
+			}
+		})
 	}
 }
 
@@ -290,10 +376,12 @@ func TestServerQueryByExample(t *testing.T) {
 }
 
 // TestServerDeadline504: a 1ms deadline on a real search must come back
-// 504 promptly, and a concurrent normal query must still answer with
-// the exact bits — a timed-out request never perturbs its peers. Every
-// dispatch is stalled well past that deadline: a search starts the moment
-// its request arrives, and this one can finish inside a millisecond.
+// 504, and a concurrent normal query must still answer with the exact
+// bits — a timed-out request never perturbs its peers. Every handler is
+// stalled at the failpoint before its search, well past that deadline:
+// a search starts the moment its request is compiled, and this one can
+// finish inside a millisecond. The 504 is written when the search meets
+// the dead context at its first cancellation point.
 func TestServerDeadline504(t *testing.T) {
 	_, ts, eng := newTestServer(t, server.Config{})
 	ds, f, reqs := corpus(t)
@@ -374,6 +462,30 @@ func TestServerBadRequests(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Queries != 0 {
 		t.Fatalf("bad requests reached the engine: %+v", st)
+	}
+}
+
+// TestBatchFeedsServiceEWMA: an answered /v1/batch observes its service
+// time like every front door, so a server taking only batches derives
+// Retry-After from that instead of sitting at the 1 s floor. A batch
+// whose every member is a 400 searched nothing and observes nothing.
+func TestBatchFeedsServiceEWMA(t *testing.T) {
+	_, ts, _ := newTestServer(t, server.Config{})
+	_, _, reqs := corpus(t)
+	bad := server.Query{Composite: "nope", A: 1, B: 1, Target: []float64{1}}
+	resp, body := postJSON(t, ts.URL+"/v1/batch", server.Batch{Queries: []server.Query{bad, bad}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("all-400 batch: status = %d, body %s", resp.StatusCode, body)
+	}
+	if st := getStats(t, ts.URL); st.ServiceEWMAMS != 0 {
+		t.Fatalf("service_ewma_ms = %v after a batch that searched nothing, want 0", st.ServiceEWMAMS)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/batch", server.Batch{Queries: []server.Query{wireFor(reqs[0]), wireFor(reqs[1])}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	}
+	if st := getStats(t, ts.URL); st.ServiceEWMAMS <= 0 {
+		t.Fatalf("service_ewma_ms = %v after a batch, want > 0", st.ServiceEWMAMS)
 	}
 }
 
@@ -471,6 +583,52 @@ func TestServerDrain(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("draining 503 Retry-After = %q, want >= 1", ra)
+	}
+}
+
+// TestServerDrainStalledBody: a request registers with the drain before
+// its body is read, so a client that sends headers and then stalls its
+// body must not hold Shutdown past the grace period — once the serving
+// context is cancelled the read fails and the request leaves.
+func TestServerDrainStalledBody(t *testing.T) {
+	s, ts, _ := newTestServer(t, server.Config{})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprint(conn, "POST /v1/query HTTP/1.1\r\nHost: test\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for getStats(t, ts.URL).InFlight < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled request never entered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(ctx) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Shutdown reported a clean drain with a stalled body in flight")
+		}
+		if el := time.Since(start); el > 5*time.Second {
+			t.Fatalf("Shutdown returned after %v, want shortly after its 200ms grace period", el)
+		}
+	case <-time.After(10 * time.Second):
+		conn.Close() // unblock the read so the clean-up can finish
+		<-done
+		t.Fatal("Shutdown blocked on a stalled request body past its grace period")
+	}
+	if st := getStats(t, ts.URL); st.InFlight != 0 {
+		t.Fatalf("in_flight = %d after the drain, want 0", st.InFlight)
 	}
 }
 

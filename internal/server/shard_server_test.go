@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -32,9 +33,11 @@ func shardCorpus(t *testing.T) (*asrs.Dataset, *asrs.Composite) {
 	return ds, f
 }
 
-// newShardServer builds a 3-shard router-mode server over shardCorpus.
+// newShardServer builds a 3-shard router-mode server over shardCorpus;
+// its clean-up is newTestServer's, leak check included.
 func newShardServer(t *testing.T, cfg server.Config, breaker shard.BreakerConfig) (*server.Server, *httptest.Server, *shard.Router, *asrs.Dataset, *asrs.Composite) {
 	t.Helper()
+	before := runtime.NumGoroutine()
 	ds, f := shardCorpus(t)
 	cat, err := shard.New(ds, shard.Config{
 		Shards:     3,
@@ -53,12 +56,7 @@ func newShardServer(t *testing.T, cfg server.Config, breaker shard.BreakerConfig
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
+	t.Cleanup(func() { closeAndCheckLeaks(t, s, ts, before) })
 	return s, ts, rt, ds, f
 }
 
@@ -132,6 +130,54 @@ func TestServerRouterEndToEnd(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus partial = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServerRouterBatch: a routed /v1/batch whose members mix partial
+// policies (and carry a malformed one) answers every member in place: the
+// 400 where it was sent, every other member with the merged-corpus bits
+// and full coverage.
+func TestServerRouterBatch(t *testing.T) {
+	_, ts, _, ds, f := newShardServer(t, server.Config{}, shard.BreakerConfig{})
+	q := asrs.Query{F: f, Target: []float64{1, 2, 1, 5}}
+	e := asrs.Rect{MinX: 2, MinY: 2, MaxX: 98, MaxY: 98}
+	_, want, _, err := asrs.SearchWithin(ds, 7, 7, q, e, nil, asrs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	we := server.RectWire(e)
+	policies := []string{"", "best_effort", "bogus", "strict", ""}
+	var wb server.Batch
+	for _, p := range policies {
+		wb.Queries = append(wb.Queries, server.Query{Composite: "q", A: 7, B: 7,
+			Target: append([]float64(nil), q.Target...), Extent: &we, Partial: p})
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/batch", wb)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	}
+	var br server.BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Responses) != len(policies) {
+		t.Fatalf("%d responses for %d members", len(br.Responses), len(policies))
+	}
+	for i, r := range br.Responses {
+		if policies[i] == "bogus" {
+			if r.Status != http.StatusBadRequest {
+				t.Fatalf("member %d (partial %q): status %d, want 400", i, policies[i], r.Status)
+			}
+			continue
+		}
+		if r.Status != http.StatusOK || len(r.Results) != 1 ||
+			math.Float64bits(r.Results[0].Dist) != math.Float64bits(want.Dist) {
+			t.Fatalf("member %d (partial %q): status %d results %+v, want 200 with dist %v",
+				i, policies[i], r.Status, r.Results, want.Dist)
+		}
+		if r.Coverage == nil || r.Coverage.Shards != 3 || len(r.Coverage.Skipped) != 0 {
+			t.Fatalf("member %d (partial %q): coverage %+v, want 3 shards, no skips", i, policies[i], r.Coverage)
+		}
 	}
 }
 

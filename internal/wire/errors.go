@@ -42,10 +42,6 @@ const (
 	CodeInternal         = "internal"
 )
 
-// ErrDispatchPanic marks coalescer-dispatch panics (recoverDeliver)
-// so Classify can brand them internal_panic like kernel panics.
-var ErrDispatchPanic = errors.New("server: panic in dispatch")
-
 // Classify maps an engine response error to its HTTP status, wire
 // code, and retryable bit. Client input is validated before the engine
 // is reached (400 in the handlers), so an unrecognized engine error
@@ -66,7 +62,7 @@ func Classify(err error) (status int, code string, retryable bool) {
 		return http.StatusGatewayTimeout, CodeDeadline, true
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable, CodeCanceled, true
-	case errors.As(err, &pe), errors.Is(err, ErrDispatchPanic):
+	case errors.As(err, &pe):
 		return http.StatusInternalServerError, CodeInternalPanic, false
 	default:
 		return http.StatusInternalServerError, CodeInternal, false
