@@ -25,24 +25,24 @@
 //   - Engine: the serving-layer facade — one dataset, lazily built cached
 //     per-composite indexes, safe concurrent Query/QueryBatch.
 //
-// # Concurrent search kernel
+// # Search kernel
 //
-// Every search (Answer, MaxRS, an Engine query) runs on the shared
-// best-first kernel of internal/kernel: a worker pool (Options.Workers;
-// values <= 0 select GOMAXPROCS) pulls candidate spaces from a min-heap
-// in fixed-size deterministic batches, processes them concurrently, and
-// publishes improved incumbents through an atomic shared pruning bound
-// merged at batch barriers under a total order (distance, then point).
-// Because every structural decision depends only on deterministic state,
-// the answer — region, point and distance — is bit-identical for every
-// Workers setting and goroutine schedule, so the paper's exactness
-// theorems and the (1+δ) guarantee carry over unchanged. Rectangle
-// subsets travel the heap as compact id slices recycled through
-// per-worker arenas, discretization scratch and mini-sweep solvers are
-// batch-built per worker, and every space is discretized by one
-// difference-array pass over its own rectangles into that scratch, so
-// steady-state searches allocate almost nothing per space. See DESIGN.md
-// §2 and §4 for the full protocol.
+// Every search (Answer, MaxRS, an Engine query) runs the shared
+// best-first kernel of internal/kernel, the paper's serial loop, on the
+// goroutine that asked for it: pop the candidate space of least lower
+// bound, stop if it cannot beat the incumbent, discretize, bound and
+// split it, and offer what it found to the pruning bound. Candidates are
+// ordered totally (distance, then point), and nothing depends on a
+// schedule, so the answer — region, point and distance — is deterministic
+// by construction and the paper's exactness theorems and the (1+δ)
+// guarantee carry over unchanged. Parallelism lives between searches: an
+// Engine runs one per request under a slot budget (BatchParallelism);
+// Options.Workers is inert. Rectangle subsets travel the heap as compact
+// id slices recycled through the searcher's free list, the
+// discretization grid and mini-sweep solver are recycled across queries,
+// and every space is discretized by one difference-array pass over its
+// own rectangles, so steady-state searches allocate almost nothing per
+// space. See DESIGN.md §2 and §4.
 //
 // Quick start:
 //
@@ -146,7 +146,7 @@ type (
 	// default reduction), its distance, and its representation.
 	Result = asp.Result
 	// Options configures DS-Search (grid granularity, approximation δ,
-	// worker pool, accuracy override).
+	// accuracy override, cancellation).
 	Options = dssearch.Options
 	// SearchStats reports the work DS-Search performed.
 	SearchStats = dssearch.Stats

@@ -159,27 +159,6 @@ func BenchmarkFig10Base(b *testing.B) {
 	}
 }
 
-// ---- Kernel worker sweep: parallel DS-Search scaling ----
-
-// BenchmarkWorkersSweep measures the concurrent kernel across worker
-// counts on the Fig. 10 workload. Answers are identical for every count
-// (the kernel's superstep schedule is deterministic); only throughput
-// varies.
-func BenchmarkWorkersSweep(b *testing.B) {
-	ds := tweetDS(50000)
-	q, qa, qb := tweetQuery(b, ds, 10)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := asrs.Search(ds, qa, qb, q, asrs.Options{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // ---- Figure 11 / Table 1: GI-DS vs DS-Search across index granularity ----
 
 func BenchmarkFig11GIDS(b *testing.B) {
@@ -442,11 +421,10 @@ func BenchmarkF1Indexed(b *testing.B) {
 // batch grouping pass (DESIGN.md §6): 16 plain requests of one (a, b) on
 // Singapore 50k — the case sharing a prepared shape was built for — none
 // or a quarter of them exact duplicates, answered as one QueryBatch and
-// as 16 concurrent Query calls, with a grid index and without, at one
-// kernel worker and at the default. It fails on an answer that differs
-// from the solo query's or when searches + joins ≠ 16, and reports
-// ms/batch, searches/batch and dedup/batch (B/op, with -benchmem, is per
-// batch).
+// as 16 concurrent Query calls, with a grid index and without. It fails
+// on an answer that differs from the solo query's or when searches +
+// joins ≠ 16, and reports ms/batch, searches/batch and dedup/batch (B/op,
+// with -benchmem, is per batch).
 func BenchmarkBatchSameShape(b *testing.B) {
 	const n = 16
 	ds := dataset.SingaporeScaled(50000, 1)
@@ -473,8 +451,8 @@ func BenchmarkBatchSameShape(b *testing.B) {
 		}
 		distinct[i] = asrs.QueryRequest{Query: q, A: qa, B: qb}
 	}
-	for _, cfg := range []struct{ workers, grid int }{{1, 64}, {1, 0}, {0, 64}} {
-		eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: cfg.grid, Search: asrs.Options{Workers: cfg.workers}})
+	for _, grid := range []int{64, 0} {
+		eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: grid})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -504,7 +482,7 @@ func BenchmarkBatchSameShape(b *testing.B) {
 				}},
 			}
 			for _, arm := range arms {
-				b.Run(fmt.Sprintf("workers=%d/grid=%d/dup=%v/%s", cfg.workers, cfg.grid, dup, arm.name), func(b *testing.B) {
+				b.Run(fmt.Sprintf("grid=%d/dup=%v/%s", grid, dup, arm.name), func(b *testing.B) {
 					before := eng.Stats()
 					b.ReportAllocs()
 					b.ResetTimer()

@@ -4,7 +4,7 @@
 // flight joins it, searches beyond the machine's cores queue in arrival
 // order), sheds load beyond a bounded in-flight queue, and enforces
 // per-query deadlines at the engine's cancellation points — the slot
-// queue, the join wait and the kernel superstep. See DESIGN.md §7 for
+// queue, the join wait and each space the kernel pops. See DESIGN.md §7 for
 // the architecture.
 //
 // Usage:
@@ -72,7 +72,7 @@ func main() {
 		dsName     = flag.String("dataset", "singapore", "singapore | tweet | poisyn")
 		n          = flag.Int("n", 0, "corpus cardinality (0 = dataset default)")
 		seed       = flag.Int64("seed", 42, "dataset seed")
-		workers    = flag.Int("workers", 0, "kernel worker pool per search (<=0 = GOMAXPROCS); answers are identical for any setting")
+		_          = flag.Int("workers", 0, "inert: each search runs on its request's goroutine; kept for scripts that pass it")
 		grid       = flag.Int("grid", 64, "grid index granularity (0 disables GI-DS)")
 		queue      = flag.Int("queue", server.DefaultMaxInFlight, "admission bound: max in-flight requests before 429 load shedding")
 		pyrPath    = flag.String("pyramid", "", "aggregate-pyramid file: loaded at startup, or built and saved on first run; secondary composites persist beside it as <path>.<name>")
@@ -91,7 +91,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(runConfig{
-		addr: *addr, dsName: *dsName, n: *n, seed: *seed, workers: *workers,
+		addr: *addr, dsName: *dsName, n: *n, seed: *seed,
 		grid: *grid, queue: *queue,
 		pyrPath: *pyrPath, timeout: *timeout, maxTimeout: *maxTimeout,
 		grace: *grace, verbose: *verbose, walDir: *walDir, walSync: *walSync,
@@ -108,7 +108,7 @@ type runConfig struct {
 	addr, dsName        string
 	n                   int
 	seed                int64
-	workers, grid       int
+	grid                int
 	queue               int
 	pyrPath             string
 	timeout, maxTimeout time.Duration
@@ -219,8 +219,9 @@ func pyramidPath(base string, i int, name string) string {
 // Connection-level timeouts. Admission (MaxInFlight) is taken in the
 // handler, so a socket that never finishes its request headers, or sits
 // idle between requests, is invisible to it and must be bounded here.
-// There is deliberately no ReadTimeout or WriteTimeout: a search, and a
-// streamed /v1/search above all, is bounded by its own deadline.
+// There is deliberately no ReadTimeout or WriteTimeout: an admitted
+// request's body read is bounded by the per-query -timeout in the handler,
+// and a search, a streamed /v1/search above all, by its own deadline.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
@@ -249,7 +250,6 @@ func run(rc runConfig) error {
 	}
 	engOpts := asrs.EngineOptions{
 		IndexGranularity: rc.grid,
-		Search:           asrs.Options{Workers: rc.workers},
 		Ingest: asrs.IngestOptions{
 			WALDir:    rc.walDir,
 			Sync:      syncPolicy,

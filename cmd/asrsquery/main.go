@@ -13,7 +13,6 @@
 //	asrsquery -dataset tweet -algo base -n 3000         # sweep-line baseline
 //	asrsquery -dataset tweet -algo gids -grid 128       # grid-index accelerated
 //	asrsquery -dataset singapore -algo gids -grid 64 -debug # Orchard → ? through GI-DS cut around the example, with its counters
-//	asrsquery -dataset tweet -workers 8                 # explicit search worker pool
 //	asrsquery -dataset tweet -pyramid tweet.pyr         # bind the aggregate pyramid (built+saved on first use)
 //	asrsquery -dataset singapore -json                  # machine-readable output (the asrsd wire schema)
 //	asrsquery -dataset singapore -q 'find top 3 similar to region(103.827,1.298,103.843,1.310) under @category excluding example'
@@ -43,7 +42,7 @@ func main() {
 		grid    = flag.Int("grid", 128, "grid index granularity (gids only)")
 		delta   = flag.Float64("delta", 0, "approximation parameter δ (0 = exact)")
 		seed    = flag.Int64("seed", 42, "dataset seed")
-		workers = flag.Int("workers", 0, "search worker pool size (<=0 = GOMAXPROCS); the answer is identical for any setting")
+		_       = flag.Int("workers", 0, "inert: the search runs on one goroutine; kept for scripts that pass it")
 		pyrPath = flag.String("pyramid", "", "aggregate-pyramid file: load the per-composite pyramid from this path instead of rebuilding the query's aggregation layer (the file is built and saved on first use); answers are identical either way")
 		jsonOut = flag.Bool("json", false, "emit the answer as JSON in the asrsd wire schema (one format for CLI and daemon)")
 		qText   = flag.String("q", "", "run a query-language expression over the chosen dataset instead of the canned query (see README \"Query language\"; 'explain …' prints the plan report). Results stream as they are found; with -json each row is one NDJSON line, the same rows POST /v1/search would send")
@@ -52,13 +51,13 @@ func main() {
 	flag.Parse()
 
 	if *qText != "" {
-		if err := runExpr(*dsName, *n, *seed, *workers, *qText, *jsonOut); err != nil {
+		if err := runExpr(*dsName, *n, *seed, *qText, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "asrsquery:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if err := run(*dsName, *n, *k, *algo, *grid, *delta, *seed, *workers, *pyrPath, *jsonOut, *debug); err != nil {
+	if err := run(*dsName, *n, *k, *algo, *grid, *delta, *seed, *pyrPath, *jsonOut, *debug); err != nil {
 		fmt.Fprintln(os.Stderr, "asrsquery:", err)
 		os.Exit(1)
 	}
@@ -113,7 +112,7 @@ func debugStats(stats asrs.SearchStats) {
 	}
 	infof("mini-sweeps: %d over %d rects (+%d containing the swept space, folded into its base vector); strip evaluator: %d flat, %d fenwick\n",
 		stats.MiniSweeps, stats.MiniSweepRects, stats.SweepBaseRects, stats.FlatStrips, stats.FenwickStrips)
-	infof("heap: %d pushes (max %d), steals: %d\n", stats.HeapPushes, stats.MaxHeapSize, stats.Steals)
+	infof("heap: %d pushes (max %d)\n", stats.HeapPushes, stats.MaxHeapSize)
 }
 
 // indexStats prints the GI-DS cell counters; with debug also how the
@@ -136,7 +135,7 @@ func indexStats(grid int, stats asrs.IndexStats, debug bool) {
 // §7.6 case study, query by example with the example region excluded —
 // and answers it: DS-Search and GI-DS through the library's one driver
 // (with and without an index), the baseline through its own sweep.
-func run(dsName string, n, k int, algo string, grid int, delta float64, seed int64, workers int, pyrPath string, jsonOut, debug bool) error {
+func run(dsName string, n, k int, algo string, grid int, delta float64, seed int64, pyrPath string, jsonOut, debug bool) error {
 	if jsonOut {
 		infoOut = os.Stderr
 	}
@@ -172,7 +171,7 @@ func run(dsName string, n, k int, algo string, grid int, delta float64, seed int
 	}
 	infof("dataset=%s n=%d query=%.4gx%.4g algo=%s δ=%g\n", dsName, len(ds.Objects), req.A, req.B, algo, delta)
 
-	opt := asrs.Options{Delta: delta, Workers: workers}
+	opt := asrs.Options{Delta: delta}
 	if pyrPath != "" && algo != "base" {
 		if opt.Pyramid, err = loadOrBuildPyramid(pyrPath, ds, req.Query.F); err != nil {
 			return err
@@ -228,7 +227,7 @@ func run(dsName string, n, k int, algo string, grid int, delta float64, seed int
 // runExpr serves a query-language expression from the CLI: the same
 // parse → plan → lazy-stream pipeline as POST /v1/search, over a local
 // engine. Rows print as each greedy round finishes.
-func runExpr(dsName string, n int, seed int64, workers int, src string, jsonOut bool) error {
+func runExpr(dsName string, n int, seed int64, src string, jsonOut bool) error {
 	if jsonOut {
 		infoOut = os.Stderr
 	}
@@ -257,7 +256,7 @@ func runExpr(dsName string, n int, seed int64, workers int, src string, jsonOut 
 	if err != nil {
 		return err
 	}
-	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{Search: asrs.Options{Workers: workers}})
+	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{})
 	if err != nil {
 		return err
 	}

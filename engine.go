@@ -55,8 +55,8 @@ type EngineOptions struct {
 // dataset must not be mutated while the engine serves it; growth goes
 // through Insert/InsertBatch, which stage objects for the next epoch
 // view. Views, indexes and pyramids are immutable once built, so any
-// number of goroutines may query in parallel, each search fanning out
-// over its own kernel worker pool (Options.Workers).
+// number of goroutines may query in parallel, each search running on the
+// goroutine that asked for it.
 type Engine struct {
 	ds  *Dataset // seed corpus (immutable)
 	opt EngineOptions
@@ -558,7 +558,7 @@ func (e *Engine) Query(req QueryRequest) QueryResponse {
 
 // QueryCtx is Query bounded by a context: when ctx (or the request's own
 // Ctx, which takes precedence) is cancelled or its deadline passes, the
-// search stops cooperatively at the next kernel superstep boundary and
+// search stops cooperatively before the next space the kernel pops and
 // the response's Err is the context error. Answers of searches that
 // complete are bit-identical to an unbounded Query.
 //

@@ -74,7 +74,7 @@ func respEqual(t *testing.T, tag string, i int, a, b asrs.QueryResponse) {
 }
 
 // TestBatchDeterminism: per-request answers are bit-identical across
-// pyramid on/off, batch parallelism and kernel worker counts — the
+// pyramid on/off, batch parallelism and the inert worker option — the
 // acceptance contract of the batched serving path.
 func TestBatchDeterminism(t *testing.T) {
 	ds, _, reqs := batchFixture(t, 14, 21)
@@ -163,7 +163,7 @@ func TestEnginePyramidRoundTripServing(t *testing.T) {
 // TestBatchSteadyStateAllocs is the alloc-regression assertion of the
 // serving paths: once the engine is warm (pyramid built, slabs populated),
 // answering a whole batch through QueryBatch must stay under a small
-// per-query allocation budget, in count and in bytes — the per-worker
+// per-query allocation budget, in count and in bytes — the search
 // scratch is reused across the queries of a batch instead of re-acquired,
 // and a query binds its shape into retained memory instead of reducing
 // the corpus anew. So must the batch's plain requests sent one by one to
@@ -191,16 +191,18 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs, bytes := measure(len(reqs), func() { eng.QueryBatch(reqs) })
-	// Measured 133: a query here is a dozen kernel runs of one to three
-	// items (16 allocations each before the first item), response Rep
-	// detaches and the TopK path of the excluding half. The budget leaves
+	// Measured 56: a query here is a dozen kernel runs of one to three
+	// items (a heap, a bound and a child collector each), response Rep
+	// copies and the TopK path of the excluding half. The budget leaves
 	// half as much again for a pool the collector emptied mid-run; it was
-	// 1 172 while spaces split down to the drop condition and every run
-	// built a full batch of slots, and re-building per-worker scratch per
-	// query costs thousands. Bytes: 17 KiB measured; 113 KiB while every
-	// other query reduced the corpus into a fresh rectangle array.
-	if allocs > 200 {
-		t.Fatalf("steady-state batch allocations: %.0f allocs/query (budget 200)", allocs)
+	// 133 while every run set up superstep slots (16 allocations before
+	// the first item), 1 172 while spaces split down to the drop condition
+	// and every run built a full batch of slots, and re-building the search
+	// scratch per query costs thousands. Bytes: 8 KiB measured; 17 KiB with
+	// the slots, 113 KiB while every other query reduced the corpus into a
+	// fresh rectangle array.
+	if allocs > 100 {
+		t.Fatalf("steady-state batch allocations: %.0f allocs/query (budget 100)", allocs)
 	}
 	if bytes > bytesBudget {
 		t.Fatalf("steady-state batch allocations: %.0f bytes/query (budget %d)", bytes, bytesBudget)

@@ -13,7 +13,7 @@ import (
 )
 
 // ctxEngine builds an engine over a corpus big enough that a search
-// spans many kernel supersteps (so mid-flight cancellation has
+// spans many kernel items (so mid-flight cancellation has
 // something to interrupt).
 func ctxEngine(t *testing.T, opt asrs.EngineOptions) (*asrs.Engine, asrs.QueryRequest) {
 	t.Helper()

@@ -34,12 +34,8 @@ func main() {
 	}
 
 	// The engine builds a 64×64 grid index for f on first use and serves
-	// every subsequent query from it; searches fan out over the kernel
-	// worker pool.
-	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{
-		IndexGranularity: 64,
-		Search:           asrs.Options{Workers: 0}, // 0 = GOMAXPROCS
-	})
+	// every subsequent query from it, one search per goroutine.
+	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: 64})
 	if err != nil {
 		log.Fatal(err)
 	}

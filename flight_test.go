@@ -18,7 +18,7 @@ import (
 
 // flightFixture builds a small corpus, a composite and n distinct plain
 // requests whose fractional targets no region attains, so every search
-// runs kernel supersteps (where kernel.barrier.slow can hold it open).
+// runs kernel items (where kernel.barrier.slow can hold it open).
 func flightFixture(t *testing.T, n int) (*asrs.Dataset, *asrs.Composite, []asrs.QueryRequest) {
 	t.Helper()
 	ds := dataset.Random(2000, 100, 3)
@@ -56,7 +56,7 @@ func insertProbe(t *testing.T, f *asrs.Composite) (asrs.QueryRequest, []asrs.Obj
 	return asrs.QueryRequest{Query: q, A: 1, B: 1}, cluster
 }
 
-// holdSearches stalls every kernel superstep barrier by d until the test
+// holdSearches stalls every kernel item's merge by d until the test
 // ends: a search stays in flight long enough for others to meet it.
 func holdSearches(t *testing.T, d time.Duration) {
 	t.Helper()

@@ -20,24 +20,6 @@ func NewAccumulator(c *Composite) *Accumulator {
 	return &Accumulator{c: c, ch: make([]float64, c.Channels()), cbuf: make([]Contrib, 0, 8)}
 }
 
-// NewAccumulators returns n independent empty accumulators for c whose
-// backing buffers come from shared slab allocations — callers that keep
-// per-worker accumulators (the sweep solver pool) stay at O(1)
-// allocations instead of O(workers).
-func NewAccumulators(c *Composite, n int) []Accumulator {
-	accs := make([]Accumulator, n)
-	chs := make([]float64, n*c.Channels())
-	cbufs := make([]Contrib, n*8)
-	for i := range accs {
-		accs[i] = Accumulator{
-			c:    c,
-			ch:   chs[i*c.Channels() : (i+1)*c.Channels()],
-			cbuf: cbufs[i*8 : i*8 : (i+1)*8],
-		}
-	}
-	return accs
-}
-
 // Add inserts object o into the set.
 func (a *Accumulator) Add(o *attr.Object) {
 	a.cbuf = a.c.AppendContribs(o, a.cbuf[:0])

@@ -111,8 +111,8 @@ func typedErr(err error) bool {
 }
 
 // TestEngineChaosSeeds replays the workload under 24 seeded kernel
-// fault schedules (injected worker panics at seed-varied rates plus
-// slow barriers). Per query: bracket with Fired() — if no fault fired
+// fault schedules (injected kernel panics at seed-varied rates plus
+// slow kernel merges). Per query: bracket with Fired() — if no fault fired
 // on its path, the answer must be bit-identical to the oracle; if the
 // query failed, the error must be typed. The process surviving all 24
 // schedules IS the no-process-death assertion.

@@ -29,7 +29,7 @@ import (
 //     was refused sneaks in (the recovered tail is exactly the acked
 //     objects, bit for bit);
 //   - post-recovery answers are bit-identical to an engine built over
-//     seed ++ recovered from scratch, at any worker/batch/serving
+//     seed ++ recovered from scratch, at any batch/serving
 //     configuration;
 //   - every failure along the way is a typed error; the process never
 //     dies.
@@ -188,7 +188,7 @@ func TestIngestKillAndReplaySeeds(t *testing.T) {
 		// (parallel batch path) answers identically too.
 		if seed%2 == 0 {
 			rec2, err := asrs.NewEngine(ds, asrs.EngineOptions{
-				Ingest: ing, BatchParallelism: 2, Search: asrs.Options{Workers: 2},
+				Ingest: ing, BatchParallelism: 2,
 			})
 			if err != nil {
 				t.Fatalf("seed %d: second recovery failed: %v", seed, err)
@@ -378,7 +378,7 @@ func TestIngestChaosConcurrent(t *testing.T) {
 	pool := insertPool(120, 904)
 	ing := asrs.IngestOptions{WALDir: t.TempDir(), Sync: asrs.SyncNever, SegmentBytes: 1024, CompactAt: -1}
 	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{
-		Ingest: ing, BatchParallelism: 2, Search: asrs.Options{Workers: 2},
+		Ingest: ing, BatchParallelism: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,8 +29,8 @@ func uniqueLocs(rng *rand.Rand, ds *attr.Dataset) {
 // over several seeds and split points, a pyramid produced by folding
 // the appended tail into the prefix pyramid answers bit-identically —
 // region, distance, point and representation — to a from-scratch
-// rebuild over the combined dataset AND to the unassisted oracle, at
-// multiple worker counts. The fold must actually take the fast path where it claims to (unique
+// rebuild over the combined dataset AND to the unassisted oracle. The
+// fold must actually take the fast path where it claims to (unique
 // anchors, certifying composite) and must refuse it for uncertified
 // composites and for datasets with anchor ties.
 func TestDeltaFoldBitIdentical(t *testing.T) {
@@ -96,24 +96,22 @@ func TestDeltaFoldBitIdentical(t *testing.T) {
 				}
 				for _, ab := range [][2]float64{{9, 8}, {0.37, 0.91}, {400, 400}} {
 					a, b := ab[0], ab[1]
-					_, oracle := solvePyr(t, ds, f, a, b, target, nil, 1)
-					wantRegion, want := solvePyr(t, ds, f, a, b, target, rebuilt, 1)
+					_, oracle := solvePyr(t, ds, f, a, b, target, nil)
+					wantRegion, want := solvePyr(t, ds, f, a, b, target, rebuilt)
 					if math.Float64bits(want.Dist) != math.Float64bits(oracle.Dist) {
 						t.Fatalf("%s/%d k=%d a=%g b=%g: rebuild disagrees with oracle: %v != %v",
 							kind.name, seed, k, a, b, want.Dist, oracle.Dist)
 					}
-					for _, workers := range []int{1, 3} {
-						gotRegion, got := solvePyr(t, ds, f, a, b, target, folded, workers)
-						if gotRegion != wantRegion || got.Dist != want.Dist || got.Point != want.Point {
-							t.Fatalf("%s/%d k=%d a=%g b=%g workers=%d: folded %v@%v (region %v), rebuild %v@%v (region %v)",
-								kind.name, seed, k, a, b, workers, got.Dist, got.Point, gotRegion,
-								want.Dist, want.Point, wantRegion)
-						}
-						for i := range want.Rep {
-							if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
-								t.Fatalf("%s/%d k=%d a=%g b=%g workers=%d: rep[%d] %v != %v",
-									kind.name, seed, k, a, b, workers, i, got.Rep[i], want.Rep[i])
-							}
+					gotRegion, got := solvePyr(t, ds, f, a, b, target, folded)
+					if gotRegion != wantRegion || got.Dist != want.Dist || got.Point != want.Point {
+						t.Fatalf("%s/%d k=%d a=%g b=%g: folded %v@%v (region %v), rebuild %v@%v (region %v)",
+							kind.name, seed, k, a, b, got.Dist, got.Point, gotRegion,
+							want.Dist, want.Point, wantRegion)
+					}
+					for i := range want.Rep {
+						if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
+							t.Fatalf("%s/%d k=%d a=%g b=%g: rep[%d] %v != %v",
+								kind.name, seed, k, a, b, i, got.Rep[i], want.Rep[i])
 						}
 					}
 				}
@@ -152,16 +150,15 @@ func TestDeltaFoldRejectsMismatch(t *testing.T) {
 
 // assertSameAnswers pins a folded pyramid against the rebuild and the
 // unassisted oracle for one query extent: region, point and the bits of
-// distance and representation, at workers 1 and 3 and through Prepare.
-// (The rebuild and the oracle are solved once each, at one worker.)
+// distance and representation.
 func assertSameAnswers(t *testing.T, tag string, ds *attr.Dataset, f *agg.Composite, a, b float64, folded, rebuilt *Pyramid) {
 	t.Helper()
 	target := make([]float64, f.Dims())
 	for i := range target {
 		target[i] = float64(2 + i)
 	}
-	oracleRegion, oracle := solvePyr(t, ds, f, a, b, target, nil, 1)
-	wantRegion, want := solvePyr(t, ds, f, a, b, target, rebuilt, 1)
+	oracleRegion, oracle := solvePyr(t, ds, f, a, b, target, nil)
+	wantRegion, want := solvePyr(t, ds, f, a, b, target, rebuilt)
 	same := func(who string, gotRegion geom.Rect, got asp.Result, wantRegion geom.Rect, want asp.Result) {
 		t.Helper()
 		if gotRegion != wantRegion || got.Point != want.Point ||
@@ -176,10 +173,8 @@ func assertSameAnswers(t *testing.T, tag string, ds *attr.Dataset, f *agg.Compos
 		}
 	}
 	same("rebuild vs oracle", wantRegion, want, oracleRegion, oracle)
-	for _, workers := range []int{1, 3} {
-		gotRegion, got := solvePyr(t, ds, f, a, b, target, folded, workers)
-		same(fmt.Sprintf("folded w=%d", workers), gotRegion, got, wantRegion, want)
-	}
+	gotRegion, got := solvePyr(t, ds, f, a, b, target, folded)
+	same("folded", gotRegion, got, wantRegion, want)
 }
 
 // TestDeltaFoldChain folds 72 deltas of 1–128 objects one onto the
@@ -308,7 +303,7 @@ func TestDeltaFoldLeavesBaseAlone(t *testing.T) {
 	}
 	target := make([]float64, f.Dims())
 	target[0] = 40
-	_, want := solvePyr(t, ds, f, 9, 8, target, base, 1)
+	_, want := solvePyr(t, ds, f, 9, 8, target, base)
 
 	combined := &attr.Dataset{Schema: ds.Schema, Objects: append([]attr.Object(nil), ds.Objects...)}
 	for i := 0; i < 40; i++ {

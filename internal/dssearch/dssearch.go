@@ -11,10 +11,8 @@
 // (Definition 8) or runs out of unpruned dirty cells. Spaces are processed
 // best-first from a min-heap keyed by lower bound.
 //
-// The best-first loop itself lives in internal/kernel and runs on a
-// worker pool (Options.Workers): spaces are popped in deterministic
-// batches, processed concurrently against a shared atomic pruning bound,
-// and merged so the final answer is bit-identical for every worker count.
+// The best-first loop itself is internal/kernel's, run serially on the
+// goroutine that asked for the search.
 //
 // Per-query state is concentrated in the aggregation layer of sat.go: the
 // master rectangle array (sorted for grid-exact composites), flattened
@@ -22,8 +20,8 @@
 // id collection walk on sorted masters. Every Discretize fills its grid
 // the same way — one difference-array pass over the space's rectangles
 // (grid.go). Rectangle subsets flow through the kernel heap as 4-byte id
-// slices recycled by per-worker arenas, so the steady state allocates
-// almost nothing per space.
+// slices recycled through the searcher's free list, so the steady state
+// allocates almost nothing per space.
 package dssearch
 
 import (
@@ -32,7 +30,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
@@ -45,32 +42,20 @@ import (
 // Options configures a DS-Search run.
 type Options struct {
 	// Ctx, when non-nil, cancels the search cooperatively: the kernel
-	// checks it at superstep boundaries and the front doors between
-	// sub-space solves, so a cancelled or deadline-expired context stops
-	// the search within one batch of work and surfaces
-	// context.Canceled / context.DeadlineExceeded from the front door.
-	// Cancellation never tears a superstep, so searches that complete
-	// keep the bit-identical-answers guarantee unchanged.
+	// checks it before each space and the front doors between sub-space
+	// solves, so a cancelled or deadline-expired context stops the search
+	// within one space of work and surfaces context.Canceled /
+	// context.DeadlineExceeded from the front door.
 	Ctx context.Context
 	// NCol, NRow control the discretization grid (paper default 30×30).
 	NCol, NRow int
 	// Delta is the approximation parameter δ of §6. Zero gives the exact
 	// algorithm; δ>0 returns a region within (1+δ) of the optimum.
 	Delta float64
-	// Workers is the size of the search worker pool; values <= 0 select
-	// runtime.GOMAXPROCS(0). The answer is independent of the setting —
-	// the kernel's superstep schedule is deterministic — so Workers is
-	// purely a throughput knob.
+	// Workers is inert: a search runs on the goroutine that asked for it
+	// (DESIGN.md §4). The field stays until bench/, which sets it, can
+	// change (ROADMAP, signatures to release).
 	Workers int
-	// BatchSize is the number of spaces the kernel pops per superstep;
-	// values <= 0 select kernel.DefaultBatchSize (32). Larger batches
-	// keep wide machines busier at the cost of staler pruning bounds
-	// within a round. For any fixed batch size the answer is fully
-	// deterministic and independent of Workers; changing the batch size
-	// keeps the answer *distance* exact and identical but may resolve
-	// ties between equally-distant optimum points differently (DESIGN.md
-	// §4; pinned by TestSearchEquivalenceRealValued).
-	BatchSize int
 	// Accuracy overrides the GPS accuracies (Definition 7) used by the
 	// drop condition. Zero values are computed from the rectangle edges.
 	Accuracy geom.Accuracy
@@ -87,7 +72,7 @@ type Options struct {
 	DisableRefinement bool
 	// Slabs, when non-nil, recycles the per-query table slabs (sorted
 	// coordinate arrays, contribution tables, anchor bins, discretization
-	// grids, sweep solvers, id arenas) across searches. Callers that set
+	// grid, sweep solver, id slices) across searches. Callers that set
 	// it must call Searcher.Release (Request.Close does) when the search
 	// is done.
 	Slabs *SlabCache
@@ -102,8 +87,8 @@ type Options struct {
 	// or anchor collapse under translation).
 	Pyramid *Pyramid
 	// SharedCap, when non-nil, attaches a cross-search shared pruning
-	// cap to every bound this search creates: merge barriers publish the
-	// running best distance into it, and the threshold folds sibling
+	// cap to every bound this search creates: each improvement publishes
+	// the running best distance into it, and the threshold folds sibling
 	// publications back in with open (strictly-worse-only) semantics, so
 	// cooperating sub-searches of one scatter–gather fan-out prune each
 	// other without ever suppressing a candidate at the global optimum
@@ -162,11 +147,10 @@ type Stats struct {
 	CenterProbes    int // dirty-cell centers evaluated as candidates
 	HeapPushes      int
 	MaxHeapSize     int
-	Steals          int // superstep items drained from another worker's deque
+	Steals          int // always 0: a search has no workers to steal between; bench/ still reads the field
 }
 
-// Add folds another stats record into s (worker merge; the rounds of a
-// top-k).
+// Add folds another stats record into s (the rounds of a top-k).
 func (s *Stats) Add(o Stats) {
 	s.Discretizations += o.Discretizations
 	s.Splits += o.Splits
@@ -184,17 +168,13 @@ func (s *Stats) Add(o Stats) {
 	s.RefinePruned += o.RefinePruned
 	s.CenterProbes += o.CenterProbes
 	s.HeapPushes += o.HeapPushes
-	s.Steals += o.Steals
-	if o.MaxHeapSize > s.MaxHeapSize {
-		s.MaxHeapSize = o.MaxHeapSize
-	}
+	s.MaxHeapSize = max(s.MaxHeapSize, o.MaxHeapSize)
 }
 
 // Searcher runs DS-Search over a fixed set of rectangle objects and a
 // query. Construct with NewSearcher; one Searcher is good for one query
-// (but may solve many sub-spaces, as GI-DS does). A Searcher must not be
-// used from multiple goroutines — concurrency happens inside each solve
-// through the kernel worker pool.
+// (but may solve many sub-spaces, as GI-DS does). A Searcher runs on the
+// goroutine that calls it and must not be shared between goroutines.
 type Searcher struct {
 	rects []asp.RectObject // master array; sorted by (MinX, MinY) for integer-exact composites
 	space geom.Rect        // the master's MBR
@@ -205,25 +185,20 @@ type Searcher struct {
 	tab   *tables // per-query aggregation layer (sat.go)
 	Stats Stats
 
-	best    asp.Result
-	err     error // first cancellation error; later solves become no-ops
-	workers []*worker
+	best asp.Result
+	err  error // first cancellation error; later solves become no-ops
 
-	// Batch-built per-worker scratch (ensureScratch): every worker's
-	// discretization grids, sweep solvers and result buffers come from a
-	// handful of shared slab allocations, so the allocation count stays
-	// flat in the worker count.
-	scratchOnce sync.Once
-	grids       []gridBuffers
-	sweepPool   []sweep.Solver
-
-	// sharedIds is the spill arena for recycled id slices: the kernel's
-	// merge barrier releases pruned children here, and workers fall back
-	// to it when their own arena has no fitting slice. The mutex sits on
-	// the miss path only — steady-state gets and puts stay within one
-	// worker's private arena (DESIGN.md §4).
-	sharedMu  sync.Mutex
-	sharedIds [][]int32
+	// Search scratch, built at the first processed space (ensureScratch)
+	// from the slabs the tables value retains across queries.
+	grid   *gridBuffers
+	sw     *sweep.Solver
+	swSub  []asp.RectObject // mini-sweep rect scratch (materialized from ids)
+	swBase []float64        // mini-sweep base vector scratch: eff space, then its logical fold
+	dirty  []cellInfo       // discretize output scratch
+	one    [1]cellInfo      // single-cell scratch for degenerate sweeps
+	cur    asp.Result       // incumbent of the space being processed; Rep aliases rep
+	rep    []float64        // owned backing store for cur.Rep
+	ids    [][]int32        // free list of recycled id slices
 }
 
 // NewSearcher validates inputs and builds the aggregation layer over an
@@ -327,102 +302,60 @@ func newSearcher(tab *tables, master []asp.RectObject, q asp.Query, opt Options,
 		s.space = asp.Space(master)
 	}
 	// Recycled id slices from a previous query using the same slab cache.
-	s.sharedIds, tab.idFree = tab.idFree, nil
-	nw := kernel.Workers(opt.Workers)
-	ws := make([]worker, nw)
-	s.workers = make([]*worker, nw)
-	for i := range ws {
-		ws[i].s = s
-		s.workers[i] = &ws[i]
-	}
+	s.ids, tab.idFree = tab.idFree, nil
 	return s
 }
 
-// ensureScratch lazily batch-builds the per-worker scratch at the first
-// processed space: all workers' discretization grids (one slab), sweep
-// solvers (sweep.NewPool), incumbent/dirty/mini-sweep buffers (one slab
-// each). The slabs are *retained on the tables value* and recycled
-// through the SlabCache, so batches of queries on the same composite
-// reuse every worker's scratch query after query instead of
-// reallocating it (the batch-bench alloc assertion pins this). Safe
-// under concurrent workers via the sync.Once.
+// ensureScratch builds the search scratch at the first processed space:
+// the discretization grid, the sweep solver and the incumbent, dirty-cell
+// and mini-sweep buffers. The slabs are *retained on the tables value*
+// and recycled through the SlabCache, so the queries on one composite
+// reuse them query after query instead of reallocating them (the
+// batch-bench alloc assertion pins this).
 func (s *Searcher) ensureScratch() {
-	s.scratchOnce.Do(func() {
-		nw := len(s.workers)
-		f := s.query.F
-		t := s.tab
-		ncol, nrow := s.opt.NCol, s.opt.NRow
-		if t.grids == nil || t.gridNW < nw || t.gridNCol != ncol || t.gridNRow != nrow ||
-			t.gridEff != t.eff || t.gridF != f {
-			t.grids = newGridBuffersBatch(nw, ncol, nrow, f, t.eff)
-			t.gridNW, t.gridNCol, t.gridNRow, t.gridEff, t.gridF = nw, ncol, nrow, t.eff, f
-		}
-		s.grids = t.grids
-		incrCap := 0
-		if t.allExact {
-			incrCap = 2048 // pre-size the Fenwick sweep scratch it will use
-		}
-		if t.sweepPool != nil && t.sweepN >= nw && t.sweepF == f && t.sweepCap == incrCap {
-			// Recycled solvers: rebind the query (same composite, new
-			// target/weights), keep all scratch.
-			for i := 0; i < nw; i++ {
-				t.sweepPool[i].SetQuery(s.query)
-			}
-			s.sweepPool = t.sweepPool
-		} else if pool, err := sweep.NewPool(nw, s.query, incrCap); err == nil {
-			t.sweepPool, t.sweepN, t.sweepF, t.sweepCap = pool, nw, f, incrCap
-			s.sweepPool = pool
-		}
-		dims := f.Dims()
-		cells := ncol * nrow
-		const swCap = 1024
-		// Per worker: the incumbent's representation, then the mini-sweep
-		// base vector in eff space and its logical fold.
-		perF := dims + t.eff + t.chans
-		if len(t.scratchF) < nw*perF || len(t.scratchCells) < nw*cells ||
-			len(t.scratchRects) < nw*swCap {
-			t.scratchF = make([]float64, nw*perF)
-			t.scratchCells = make([]cellInfo, nw*cells)
-			t.scratchRects = make([]asp.RectObject, nw*swCap)
-		}
-		reps := t.scratchF
-		dirt := t.scratchCells
-		swBack := t.scratchRects
-		// Prewarm each worker's private arena with two small id slices
-		// carved from one slab, so the first spaces a worker touches hit
-		// the arena instead of allocating. Recycled searchers skip this:
-		// their arenas are seeded from the slab cache's recycled id
-		// slices instead (which may alias an earlier query's warm slab —
-		// carving it again would hand the same memory out twice).
-		var warm []int32
-		if len(s.sharedIds) == 0 {
-			s.sharedIds = make([][]int32, 0, 64)
-			warm = make([]int32, nw*2*workerArenaMaxCap)
-		}
-		for i, w := range s.workers {
-			c := workerArenaMaxCap
-			if warm != nil {
-				w.arena = append(w.arena,
-					warm[(2*i)*c:(2*i)*c:(2*i+1)*c],
-					warm[(2*i+1)*c:(2*i+1)*c:(2*i+2)*c])
-			}
-			w.grid = &s.grids[i]
-			if s.sweepPool != nil {
-				w.sw = &s.sweepPool[i]
-				w.sw.SetIncremental(t.allExact)
-				if t.allExact {
-					w.sw.SetFixedPoint(t.chScale, t.chInv)
-				} else {
-					w.sw.SetFixedPoint(nil, nil)
-				}
-				w.sw.SetStripCost(stripCostModel())
-			}
-			w.rep = reps[i*perF : i*perF : i*perF+dims]
-			w.swBase = reps[i*perF+dims : (i+1)*perF]
-			w.dirty = dirt[i*cells : i*cells : (i+1)*cells]
-			w.swSub = swBack[i*swCap : i*swCap : (i+1)*swCap]
-		}
-	})
+	if s.grid != nil {
+		return
+	}
+	f := s.query.F
+	t := s.tab
+	ncol, nrow := s.opt.NCol, s.opt.NRow
+	if t.grid == nil || t.gridNCol != ncol || t.gridNRow != nrow || t.gridEff != t.eff || t.gridF != f {
+		t.grid = newGridBuffers(ncol, nrow, f, t.eff)
+		t.gridNCol, t.gridNRow, t.gridEff, t.gridF = ncol, nrow, t.eff, f
+	}
+	s.grid = t.grid
+	incrCap := 0
+	if t.allExact {
+		incrCap = 2048 // pre-size the Fenwick sweep scratch it will use
+	}
+	// A recycled solver is rebound to the query (same composite, new
+	// target/weights) and keeps all its scratch. NewSized cannot fail: the
+	// query was validated at construction.
+	if t.sw == nil || t.swCap != incrCap || !t.sw.SetQuery(s.query) {
+		t.sw, _ = sweep.NewSized(s.query, incrCap)
+		t.swCap = incrCap
+	}
+	s.sw = t.sw
+	s.sw.SetIncremental(t.allExact)
+	if t.allExact {
+		s.sw.SetFixedPoint(t.chScale, t.chInv)
+	} else {
+		s.sw.SetFixedPoint(nil, nil)
+	}
+	s.sw.SetStripCost(stripCostModel())
+	// One float slab: the incumbent's representation, then the mini-sweep
+	// base vector in eff space and its logical fold.
+	dims, cells := f.Dims(), ncol*nrow
+	const swCap = 1024
+	if nf := dims + t.eff + t.chans; len(t.scratchF) < nf || len(t.scratchCells) < cells || len(t.scratchRects) < swCap {
+		t.scratchF = make([]float64, nf)
+		t.scratchCells = make([]cellInfo, cells)
+		t.scratchRects = make([]asp.RectObject, swCap)
+	}
+	s.rep = t.scratchF[:0:dims]
+	s.swBase = t.scratchF[dims : dims+t.eff+t.chans]
+	s.dirty = t.scratchCells[:0:cells]
+	s.swSub = t.scratchRects[:0:swCap]
 }
 
 // Release hands the searcher's slab memory back to Options.Slabs for
@@ -430,13 +363,12 @@ func (s *Searcher) ensureScratch() {
 // A no-op when no slab cache was configured.
 //
 // A search that died in a kernel panic does NOT recycle: the panic may
-// have interrupted a worker mid-mutation (a sweep solver half way
-// through an incremental update, a grid buffer partially filled), and
-// per-worker scratch is rebound — not rebuilt — on reuse. Dropping the
-// slabs costs one rebuild on the composite's next query; recycling
-// poisoned scratch could silently perturb it. The shared caches the
-// tables merely alias (the engine pyramid) are read-only during search
-// and stay valid.
+// have interrupted it mid-mutation (a sweep solver half way through an
+// incremental update, a grid buffer partially filled), and the scratch
+// is rebound — not rebuilt — on reuse. Dropping the slabs costs one
+// rebuild on the composite's next query; recycling poisoned scratch could
+// silently perturb it. The shared caches the tables merely alias (the
+// engine pyramid) are read-only during search and stay valid.
 func (s *Searcher) Release() {
 	if s.tab == nil || s.opt.Slabs == nil {
 		return
@@ -447,142 +379,65 @@ func (s *Searcher) Release() {
 		return
 	}
 	t := s.tab
-	for _, w := range s.workers {
-		t.idFree = append(t.idFree, w.arena...)
-		w.arena = nil
-	}
-	t.idFree = append(t.idFree, s.sharedIds...)
-	s.sharedIds = nil
-	if len(t.idFree) > 64 {
-		t.idFree = t.idFree[:64]
-	}
+	t.idFree = s.ids[:min(len(s.ids), 64)]
+	s.ids = nil
 	s.opt.Slabs.put(t)
 	s.tab = nil
 }
 
-// worker is the per-goroutine state of one kernel worker: discretization
-// scratch, a rebindable mini-sweep solver, an id-slice arena, the local
-// incumbent for the space being processed, and private work counters
-// merged after each run.
-type worker struct {
-	s      *Searcher
-	grid   *gridBuffers
-	sw     *sweep.Solver
-	swSub  []asp.RectObject // mini-sweep rect scratch (materialized from ids)
-	swBase []float64        // mini-sweep base vector scratch: eff space, then its logical fold
-	dirty  []cellInfo       // discretize output scratch
-	one    [1]cellInfo      // single-cell scratch for degenerate sweeps
-	cur    asp.Result       // local incumbent; Rep aliases repBuf
-	rep    []float64        // owned backing store for cur.Rep
-	arena  [][]int32        // recycled id slices, touched only by this worker
-	stats  Stats
-}
-
-// getIds returns a recycled id slice with capacity >= n (length 0),
-// preferring the worker's own arena, then the searcher's shared spill
-// list, then a fresh allocation.
-func (w *worker) getIds(n int) []int32 {
-	a := w.arena
-	for i := len(a) - 1; i >= 0; i-- {
-		if cap(a[i]) >= n {
-			out := a[i][:0]
-			a[i] = a[len(a)-1]
-			w.arena = a[:len(a)-1]
-			return out
-		}
-	}
-	if out := w.s.sharedGetIds(n); out != nil {
-		return out
-	}
-	return make([]int32, 0, n)
-}
-
-// Arena routing: each worker's private (lock-free) arena holds a few
-// small slices — the common churn of deep, narrow spaces — while large
-// slices and surplus recirculate through the shared spill list so they
-// do not strand in one worker's arena while another allocates fresh.
-// That stranding is what would make allocs/op grow with the worker
-// count.
-const (
-	workerArenaCap    = 2
-	workerArenaMaxCap = 512 // slice capacity above which puts go shared
-)
-
-// putIds recycles an id slice into the worker's own arena, spilling
-// surplus and large slices to the shared list.
-func (w *worker) putIds(ids []int32) {
-	if cap(ids) == 0 {
-		return
-	}
-	if cap(ids) > workerArenaMaxCap || len(w.arena) >= workerArenaCap {
-		w.s.sharedPutIds(ids)
-		return
-	}
-	w.arena = append(w.arena, ids)
-}
-
-// sharedGetIds pops a fitting slice from the shared spill list,
-// preferring the smallest sufficient capacity so large slices stay
-// available for large requests. Workers may call it concurrently; the
-// list is short and the mutex sits on the miss path only.
-func (s *Searcher) sharedGetIds(n int) []int32 {
-	s.sharedMu.Lock()
-	defer s.sharedMu.Unlock()
-	a := s.sharedIds
+// getIds returns a recycled id slice with capacity >= n (length 0) — the
+// smallest that fits, so large slices stay for large requests — or a
+// fresh one.
+func (s *Searcher) getIds(n int) []int32 {
 	best := -1
-	for i := len(a) - 1; i >= 0; i-- {
-		if c := cap(a[i]); c >= n && (best < 0 || c < cap(a[best])) {
+	for i := len(s.ids) - 1; i >= 0; i-- {
+		if c := cap(s.ids[i]); c >= n && (best < 0 || c < cap(s.ids[best])) {
 			best = i
 		}
 	}
 	if best < 0 {
-		return nil
+		return make([]int32, 0, n)
 	}
-	out := a[best][:0]
-	a[best] = a[len(a)-1]
-	s.sharedIds = a[:len(a)-1]
+	out := s.ids[best][:0]
+	last := len(s.ids) - 1
+	s.ids[best] = s.ids[last]
+	s.ids = s.ids[:last]
 	return out
 }
 
-// sharedPutIds pushes a slice onto the shared spill list. It is called
-// from the kernel's merge barrier and heap-drain AND concurrently by
-// workers mid-round through the putIds spill path — the mutex is
-// load-bearing, not defensive.
-func (s *Searcher) sharedPutIds(ids []int32) {
-	if cap(ids) == 0 {
-		return
+// putIds hands an id slice back to the free list.
+func (s *Searcher) putIds(ids []int32) {
+	if cap(ids) > 0 {
+		s.ids = append(s.ids, ids)
 	}
-	s.sharedMu.Lock()
-	s.sharedIds = append(s.sharedIds, ids)
-	s.sharedMu.Unlock()
 }
 
 // threshold is the pruning cutoff: d_opt for the exact algorithm,
 // d_opt/(1+δ) for the approximate variant (§6), evaluated against the
-// worker's local incumbent.
-func (w *worker) threshold() float64 {
-	if w.s.opt.Delta > 0 {
-		return w.cur.Dist / (1 + w.s.opt.Delta)
+// incumbent of the space being processed.
+func (s *Searcher) threshold() float64 {
+	if s.opt.Delta > 0 {
+		return s.cur.Dist / (1 + s.opt.Delta)
 	}
-	return w.cur.Dist
+	return s.cur.Dist
 }
 
-// beginItem resets the worker's incumbent to the superstep snapshot. The
-// representation is copied into worker-owned storage so improvements
-// never write through to the shared bound's buffer.
-func (w *worker) beginItem(incumbent asp.Result) {
-	w.rep = append(w.rep[:0], incumbent.Rep...)
-	w.cur = asp.Result{Point: incumbent.Point, Dist: incumbent.Dist, Rep: w.rep}
+// beginItem starts a space from the bound's incumbent, copying its
+// representation into the searcher's own storage so that improvements
+// never write through to the bound's.
+func (s *Searcher) beginItem(incumbent asp.Result) {
+	s.rep = append(s.rep[:0], incumbent.Rep...)
+	s.cur = asp.Result{Point: incumbent.Point, Dist: incumbent.Dist, Rep: s.rep}
 }
 
-// improve installs a better local incumbent under the kernel's canonical
-// order, copying rep into worker-owned storage.
-func (w *worker) improve(dist float64, p geom.Point, rep []float64) {
-	if !kernel.Better(asp.Result{Point: p, Dist: dist}, w.cur) {
+// improve installs a better incumbent under the kernel's canonical
+// order, copying rep into the searcher's own storage.
+func (s *Searcher) improve(dist float64, p geom.Point, rep []float64) {
+	if !kernel.Better(asp.Result{Point: p, Dist: dist}, s.cur) {
 		return
 	}
-	w.rep = append(w.rep[:0], rep...)
-	w.cur = asp.Result{Point: p, Dist: dist, Rep: w.rep}
+	s.rep = append(s.rep[:0], rep...)
+	s.cur = asp.Result{Point: p, Dist: dist, Rep: s.rep}
 }
 
 // Solve runs DS-Search over the full plane: the space of all rectangle
@@ -611,9 +466,9 @@ func (s *Searcher) emptyResult(space geom.Rect) asp.Result {
 // initialized s.best (Solve does; gridindex seeds it with its own running
 // optimum).
 func (s *Searcher) SolveWithin(space geom.Rect, seedLB float64) {
-	ids := s.AppendWindowIDs(space, s.workers[0].getIds(len(s.rects)))
+	ids := s.AppendWindowIDs(space, s.getIds(len(s.rects)))
 	s.SolveWithinIDs(space, seedLB, ids)
-	s.workers[0].putIds(ids)
+	s.putIds(ids)
 }
 
 // AppendWindowIDs appends the master ids of every rectangle whose open
@@ -631,7 +486,7 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 	lo, hi := 0, len(master)
 	if t.sorted {
 		lo, hi = t.window(space.MinX, space.MaxX)
-		if t.satBuilt.Load() {
+		if len(t.lvls) > 0 {
 			if out, ok := s.appendBinIDs(space, dst, hi-lo); ok {
 				return out
 			}
@@ -718,42 +573,25 @@ func (s *Searcher) SolveWithinIDs(space geom.Rect, seedLB float64, ids []int32) 
 	bound := kernel.NewBound(s.opt.Delta, s.best)
 	bound.SetExternal(s.opt.SharedCap)
 	seed := kernel.Item{Space: space, Clip: space, LB: seedLB, Ids: ids}
-	pushes, maxHeap, steals, err := kernel.RunCtx(ctx, len(s.workers), s.opt.BatchSize, []kernel.Item{seed}, bound,
-		func(wid int, it kernel.Item, incumbent asp.Result, emit func(kernel.Item)) asp.Result {
-			w := s.workers[wid]
-			w.beginItem(incumbent)
-			w.processSpace(it, emit)
+	pushes, maxHeap, err := kernel.RunCtx(ctx, []kernel.Item{seed}, bound,
+		func(_ int, it kernel.Item, incumbent asp.Result, emit func(kernel.Item)) asp.Result {
+			s.processSpace(it, incumbent, emit)
 			if it.Pooled {
-				w.putIds(it.Ids)
+				s.putIds(it.Ids)
 			}
-			res := w.cur
-			if res.Point == incumbent.Point && res.Dist == incumbent.Dist {
-				// Unchanged: hand back the incumbent itself, whose Rep is
-				// bound-owned and immutable.
-				return incumbent
-			}
-			// Improved: detach Rep from the worker's scratch, which the
-			// next item of this superstep would otherwise overwrite before
-			// the merge barrier reads it.
-			res.Rep = append([]float64(nil), res.Rep...)
-			return res
+			// cur.Rep is scratch the next space overwrites; the kernel's
+			// Offer copies it before then.
+			return s.cur
 		},
 		func(it kernel.Item) {
 			if it.Pooled {
-				s.sharedPutIds(it.Ids)
+				s.putIds(it.Ids)
 			}
 		})
 	s.best = bound.Best()
 	s.err = err
 	s.Stats.HeapPushes += pushes
-	s.Stats.Steals += steals
-	if maxHeap > s.Stats.MaxHeapSize {
-		s.Stats.MaxHeapSize = maxHeap
-	}
-	for _, w := range s.workers {
-		s.Stats.Add(w.stats)
-		w.stats = Stats{}
-	}
+	s.Stats.MaxHeapSize = max(s.Stats.MaxHeapSize, maxHeap)
 }
 
 // sweepCutoff is the number of rectangles with an edge inside a space at
@@ -772,8 +610,8 @@ const sweepCutoff = 160
 // space, and no edge of it can delimit a strip or an interval of a sweep
 // over the space. One that shares an edge coordinate with the space
 // counts as edged.
-func (w *worker) sweepable(space geom.Rect, ids []int32) bool {
-	master := w.s.rects
+func (s *Searcher) sweepable(space geom.Rect, ids []int32) bool {
+	master := s.rects
 	edged := 0
 	for _, id := range ids {
 		if !master[id].Rect.ContainsRectOpen(space) {
@@ -785,42 +623,53 @@ func (w *worker) sweepable(space geom.Rect, ids []int32) bool {
 	return true
 }
 
-// processSpace discretizes one space, prunes, and either stops (drop
-// condition / nothing left), runs the safety net, or splits and emits the
-// two sub-spaces.
-func (w *worker) processSpace(it kernel.Item, emit func(kernel.Item)) {
-	w.s.ensureScratch()
-	if !w.s.opt.DisableSafetyNet && w.sweepable(it.Space, it.Ids) {
-		w.one[0] = cellInfo{rect: it.Space}
-		w.miniSweep(w.one[:], it.Ids)
+// processSpace discretizes one space against the incumbent, prunes, and
+// either stops (drop condition / nothing left), runs the safety net, or
+// splits and emits the two sub-spaces. The space's best candidate is left
+// in s.cur.
+func (s *Searcher) processSpace(it kernel.Item, incumbent asp.Result, emit func(kernel.Item)) {
+	s.ensureScratch()
+	s.beginItem(incumbent)
+	if s.swept(it) {
 		return
 	}
-	w.stats.Discretizations++
-	dirty, drop := w.discretize(it.Space, it.Clip, it.Ids)
+	s.Stats.Discretizations++
+	dirty, drop := s.discretize(it.Space, it.Clip, it.Ids)
 	if len(dirty) == 0 {
 		return
 	}
 	if drop {
-		if !w.s.opt.DisableSafetyNet {
-			w.miniSweep(dirty, it.Ids)
+		if !s.opt.DisableSafetyNet {
+			s.miniSweep(dirty, it.Ids)
 		}
 		return
 	}
 	if len(dirty) == 1 {
 		// Nothing to partition: recurse into the single cell's extent.
-		w.push(emit, dirty[0].rect, dirty[0].lb, it)
+		s.push(emit, dirty[0].rect, dirty[0].lb, it)
 		return
 	}
 	g1, lb1, g2, lb2 := split(dirty)
-	w.stats.Splits++
-	w.push(emit, g1, lb1, it)
-	w.push(emit, g2, lb2, it)
+	s.Stats.Splits++
+	s.push(emit, g1, lb1, it)
+	s.push(emit, g2, lb2, it)
+}
+
+// swept applies the terminal rule to a space: if it is sweepable, one
+// mini-sweep solves it and swept reports true.
+func (s *Searcher) swept(it kernel.Item) bool {
+	if s.opt.DisableSafetyNet || !s.sweepable(it.Space, it.Ids) {
+		return false
+	}
+	s.one[0] = cellInfo{rect: it.Space}
+	s.miniSweep(s.one[:], it.Ids)
+	return true
 }
 
 // childIds filters the parent's ids down to those intersecting space,
 // into a recycled slice sized by the binary-searched window.
-func (w *worker) childIds(parent []int32, space geom.Rect) []int32 {
-	t := w.s.tab
+func (s *Searcher) childIds(parent []int32, space geom.Rect) []int32 {
+	t := s.tab
 	lo, hi := 0, len(parent)
 	if t.sorted {
 		x0 := space.MinX - t.wmax
@@ -832,8 +681,8 @@ func (w *worker) childIds(parent []int32, space geom.Rect) []int32 {
 			lo = hi
 		}
 	}
-	out := w.getIds(hi - lo)
-	master := w.s.rects
+	out := s.getIds(hi - lo)
+	master := s.rects
 	for _, id := range parent[lo:hi] {
 		r := &master[id].Rect
 		if r.MinX < space.MaxX && space.MinX < r.MaxX &&
@@ -846,8 +695,16 @@ func (w *worker) childIds(parent []int32, space geom.Rect) []int32 {
 
 // push emits a child space, guarding against non-shrinking children
 // (which would never satisfy the drop condition) by bisecting instead.
-func (w *worker) push(emit func(kernel.Item), child geom.Rect, lb float64, parent kernel.Item) {
-	if lb >= w.threshold() {
+//
+// A child the terminal rule would sweep once popped is swept here
+// instead: it costs the same now, and what it finds is at once the
+// incumbent its sibling and every queued space are pruned against. The
+// loop pops by lower bound, and the thin strips a split peels off a
+// space — bounded above their wide sibling, yet holding its best
+// candidates — would otherwise wait while that sibling is split again
+// and again against a stale incumbent (DESIGN.md §4).
+func (s *Searcher) push(emit func(kernel.Item), child geom.Rect, lb float64, parent kernel.Item) {
+	if lb >= s.threshold() {
 		return
 	}
 	// The child's clip: lower edges coincide with the child space (cell
@@ -862,9 +719,17 @@ func (w *worker) push(emit func(kernel.Item), child geom.Rect, lb float64, paren
 		}
 		return cl
 	}
+	queue := func(space geom.Rect) {
+		it := kernel.Item{Space: space, Clip: clipOf(space), LB: lb, Ids: s.childIds(parent.Ids, space), Pooled: true}
+		if s.swept(it) {
+			s.putIds(it.Ids)
+			return
+		}
+		emit(it)
+	}
 	const shrink = 0.999 // child must be meaningfully smaller in some axis
 	if child.Width() > parent.Space.Width()*shrink && child.Height() > parent.Space.Height()*shrink {
-		w.stats.Bisections++
+		s.Stats.Bisections++
 		var left, right geom.Rect
 		if child.Width() >= child.Height() {
 			mid := (child.MinX + child.MaxX) / 2
@@ -875,11 +740,11 @@ func (w *worker) push(emit func(kernel.Item), child geom.Rect, lb float64, paren
 			left = geom.Rect{MinX: child.MinX, MinY: child.MinY, MaxX: child.MaxX, MaxY: mid}
 			right = geom.Rect{MinX: child.MinX, MinY: mid, MaxX: child.MaxX, MaxY: child.MaxY}
 		}
-		emit(kernel.Item{Space: left, Clip: clipOf(left), LB: lb, Ids: w.childIds(parent.Ids, left), Pooled: true})
-		emit(kernel.Item{Space: right, Clip: clipOf(right), LB: lb, Ids: w.childIds(parent.Ids, right), Pooled: true})
+		queue(left)
+		queue(right)
 		return
 	}
-	emit(kernel.Item{Space: child, Clip: clipOf(child), LB: lb, Ids: w.childIds(parent.Ids, child), Pooled: true})
+	queue(child)
 }
 
 // miniSweep runs the Base algorithm restricted to the MBR of the surviving
@@ -887,18 +752,18 @@ func (w *worker) push(emit func(kernel.Item), child geom.Rect, lb float64, paren
 // that contain the MBR cover every candidate the sweep enumerates and add
 // the same vector to each: their table contributions are summed once, in
 // id order like the grid fill's, into a base the solver starts from, and
-// only the rectangles with an edge inside are swept. The worker's sweep
+// only the rectangles with an edge inside are swept. The searcher's sweep
 // solver is rebound in place, so steady-state sweeps reuse all of their
 // scratch.
-func (w *worker) miniSweep(dirty []cellInfo, ids []int32) {
+func (s *Searcher) miniSweep(dirty []cellInfo, ids []int32) {
 	mbr := geom.EmptyRect()
 	for _, c := range dirty {
 		mbr = mbr.Union(c.rect)
 	}
-	master := w.s.rects
-	tab := w.s.tab
-	w.swSub = w.swSub[:0]
-	base := w.swBase[:tab.eff]
+	master := s.rects
+	tab := s.tab
+	s.swSub = s.swSub[:0]
+	base := s.swBase[:tab.eff]
 	clear(base)
 	covering := 0
 	for _, id := range ids {
@@ -909,47 +774,33 @@ func (w *worker) miniSweep(dirty []cellInfo, ids []int32) {
 			}
 			covering++
 		} else if r.MinX < mbr.MaxX && mbr.MinX < r.MaxX && r.MinY < mbr.MaxY && mbr.MinY < r.MaxY {
-			w.swSub = append(w.swSub, master[id])
+			s.swSub = append(s.swSub, master[id])
 		}
 	}
-	base = tab.fold(w.swBase[tab.eff:], base)
-	w.stats.MiniSweeps++
-	w.stats.MiniSweepRects += len(w.swSub)
-	w.stats.SweepBaseRects += covering
-	if w.sw == nil {
-		// Fallback when the batch pool could not be built; the pool path
-		// assigns solvers in ensureScratch.
-		sw, err := sweep.New(nil, w.s.query)
-		if err != nil {
-			return // query was validated at construction; unreachable
-		}
-		w.sw = sw
-		w.sw.SetIncremental(tab.allExact)
-		if tab.allExact {
-			w.sw.SetFixedPoint(tab.chScale, tab.chInv)
-		}
-		w.sw.SetStripCost(stripCostModel())
-	}
-	w.sw.RebindWithBase(w.swSub, base)
-	// The solver's counters accumulate across rebinds (pooled solvers
-	// serve many sweeps); fold only this sweep's strip-evaluator deltas
-	// into the worker stats.
-	before := w.sw.Stats
+	base = tab.fold(s.swBase[tab.eff:], base)
+	s.Stats.MiniSweeps++
+	s.Stats.MiniSweepRects += len(s.swSub)
+	s.Stats.SweepBaseRects += covering
+	s.sw.RebindWithBase(s.swSub, base)
+	// The solver's counters accumulate across rebinds (a recycled solver
+	// serves many searches); fold only this sweep's strip-evaluator deltas
+	// into the search stats.
+	before := s.sw.Stats
 	// The incumbent's distance caps candidate evaluation: improve()
 	// discards anything scoring above it (ties included — the cap is
 	// open at cur.Dist), so those candidates may abandon their distance
 	// march early. The returned result can then be the +Inf sentinel,
 	// which improve() rejects like any other loser.
-	if r, ok := w.sw.SolveWithinCapped(mbr, w.cur.Dist); ok && r.Rep != nil {
-		w.improve(r.Dist, r.Point, r.Rep)
+	if r, ok := s.sw.SolveWithinCapped(mbr, s.cur.Dist); ok && r.Rep != nil {
+		s.improve(r.Dist, r.Point, r.Rep)
 	}
-	w.stats.FlatStrips += w.sw.Stats.FlatStrips - before.FlatStrips
-	w.stats.FenwickStrips += w.sw.Stats.FenwickStrips - before.FenwickStrips
+	s.Stats.FlatStrips += s.sw.Stats.FlatStrips - before.FlatStrips
+	s.Stats.FenwickStrips += s.sw.Stats.FenwickStrips - before.FenwickStrips
 	// The scratch is recycled across queries with the slabs, and the next
 	// sweeps rewrite only as much of it as they are large. Object pointers
 	// left in it would keep this query's dataset alive — under ingest a
 	// whole past view per stale pointer.
-	clear(w.swSub)
+	clear(s.swSub)
 }
 
 // PointRepresentation computes F(p) exactly over the master set,

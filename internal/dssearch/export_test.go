@@ -19,12 +19,11 @@ func SolveASRS(ds *attr.Dataset, a, b float64, q asp.Query, within *geom.Rect, e
 	return region, res, r.Stats(), err
 }
 
-// DiscretizeHarness drives Function Discretize on one worker from the
+// DiscretizeHarness drives Function Discretize on one searcher from the
 // external test package, which — unlike this one — may import
 // internal/dataset for the benchmark corpora.
 type DiscretizeHarness struct {
 	s    *Searcher
-	w    *worker
 	best asp.Result
 
 	Space geom.Rect
@@ -40,7 +39,7 @@ func NewDiscretizeHarness(rects []asp.RectObject, q asp.Query, a, b float64, wan
 	if err != nil {
 		return nil, err
 	}
-	h := &DiscretizeHarness{s: s, w: s.workers[0], best: s.Solve()}
+	h := &DiscretizeHarness{s: s, best: s.Solve()}
 	s.ensureScratch()
 	p := h.best.Point
 	for m := 0.01; len(h.Ids) < wantIds && m < 8; m += 0.01 {
@@ -64,7 +63,7 @@ func (h *DiscretizeHarness) Crossing() int {
 // Run discretizes the space once from the solved incumbent and returns
 // the number of surviving dirty cells.
 func (h *DiscretizeHarness) Run() int {
-	h.w.beginItem(h.best)
-	dirty, _ := h.w.discretize(h.Space, h.Space, h.Ids)
+	h.s.beginItem(h.best)
+	dirty, _ := h.s.discretize(h.Space, h.Space, h.Ids)
 	return len(dirty)
 }

@@ -17,10 +17,8 @@ type cellInfo struct {
 // gridBuffers holds the reusable scratch memory of Function Discretize:
 // 2D difference arrays for the full- and partial-cover channel grids, a
 // partial-cover counter grid, per-cell min/max slots for average
-// aggregators and the precomputed cell edge coordinates. One gridBuffers
-// is owned by one kernel worker for the lifetime of its Searcher —
-// per-worker arena scratch, not a global pool, so allocation counts stay
-// flat in the worker count.
+// aggregators and the precomputed cell edge coordinates. A Searcher owns
+// one, recycled with its tables through the SlabCache.
 type gridBuffers struct {
 	ncol, nrow int
 	chans      int // grid channel stride: eff space (logical + two-float shadows)
@@ -86,56 +84,21 @@ func (g *gridBuffers) setSpan(k, c0, c1, r0, r1, fc0, fc1, fr0, fr1 int) {
 // one-past-the-end values of overlapRange included, fits idSpan's int16.
 const maxGridDim = math.MaxInt16 - 1
 
-// gridFloatSize returns the float-slab footprint of one gridBuffers.
-// eff is the grid channel stride (logical channels plus two-float
-// shadow planes).
-func gridFloatSize(ncol, nrow int, f *agg.Composite, eff int) int {
-	pad := (nrow + 1) * (ncol + 1)
-	mmSlots, dims := f.MinMaxSlots(), f.Dims()
-	return 2*pad*eff + pad + 2*nrow*ncol*mmSlots + (ncol + 1) + (nrow + 1) + 3*dims + 2*eff + 2*f.Channels() + ncol*eff
-}
-
-// gridInt32Size returns the int32-slab footprint of one gridBuffers: the
-// dirty-cell list.
-func gridInt32Size(ncol, nrow int) int { return ncol * nrow }
-
-// newGridBuffersBatch builds n independent gridBuffers out of shared
-// slab allocations — one float slab, one int32 slab, one struct array —
-// so a worker pool's discretization scratch costs O(1) allocations
-// instead of O(workers), keeping per-op allocation counts flat across
-// worker counts.
-func newGridBuffersBatch(n, ncol, nrow int, f *agg.Composite, eff int) []gridBuffers {
-	if eff < f.Channels() {
-		eff = f.Channels()
-	}
-	gs := make([]gridBuffers, n)
-	fper := gridFloatSize(ncol, nrow, f, eff)
-	iper := gridInt32Size(ncol, nrow)
-	fslab := make([]float64, n*fper)
-	islab := make([]int32, n*iper)
-	for i := range gs {
-		gs[i].init(ncol, nrow, f, eff, fslab[i*fper:(i+1)*fper], islab[i*iper:(i+1)*iper])
-	}
-	return gs
-}
-
+// newGridBuffers builds the buffers of an ncol×nrow grid for the
+// composite f, eff being the grid channel stride (logical channels plus
+// two-float shadow planes). The float buffers are carved from one slab.
 func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
-	return &newGridBuffersBatch(1, ncol, nrow, f, eff)[0]
-}
-
-// init carves g's buffers from the provided slabs (sized by
-// gridFloatSize and gridInt32Size respectively).
-func (g *gridBuffers) init(ncol, nrow int, f *agg.Composite, eff int, slab []float64, cells []int32) {
-	*g = gridBuffers{
-		ncol:    ncol,
-		nrow:    nrow,
-		chans:   eff,
-		lchans:  f.Channels(),
-		mmSlots: f.MinMaxSlots(),
-		dims:    f.Dims(),
+	g := &gridBuffers{
+		ncol:       ncol,
+		nrow:       nrow,
+		chans:      max(eff, f.Channels()),
+		lchans:     f.Channels(),
+		mmSlots:    f.MinMaxSlots(),
+		dims:       f.Dims(),
+		dirtyCells: make([]int32, 0, ncol*nrow),
 	}
 	pad := (nrow + 1) * (ncol + 1)
-	slab = slab[:0]
+	slab := make([]float64, 0, 2*pad*g.chans+pad+2*nrow*ncol*g.mmSlots+(ncol+1)+(nrow+1)+3*g.dims+2*g.lchans+2*g.chans+ncol*g.chans)
 	carve := func(n int) []float64 {
 		slab = slab[:len(slab)+n]
 		return slab[len(slab)-n:]
@@ -149,7 +112,6 @@ func (g *gridBuffers) init(ncol, nrow int, f *agg.Composite, eff int, slab []flo
 	}
 	g.xe = carve(ncol + 1)
 	g.ye = carve(nrow + 1)
-	g.dirtyCells = cells[: 0 : ncol*nrow]
 	g.rep = carve(g.dims)
 	g.lo = carve(g.dims)
 	g.hi = carve(g.dims)
@@ -158,6 +120,7 @@ func (g *gridBuffers) init(ncol, nrow int, f *agg.Composite, eff int, slab []flo
 	g.refineBase = carve(g.chans)
 	g.refineCh = carve(g.chans)
 	g.rowSum = carve(ncol * g.chans)
+	return g
 }
 
 // reset prepares the buffers for one fill: zeroed difference arrays and
@@ -292,39 +255,33 @@ func (g *gridBuffers) cellIdx(c, r int) int { return r*(g.ncol+1) + c }
 
 // discretize implements Function Discretize (paper §4.3): it grids the
 // space, classifies cells, evaluates clean cells exactly (updating the
-// worker's incumbent), bounds dirty cells, and returns the dirty cells
-// whose lower bound survives the pruning threshold, plus whether the
-// space satisfies the drop condition (Definition 8). The returned slice
-// is worker-owned scratch, valid until the next discretize call.
+// incumbent), bounds dirty cells, and returns the dirty cells whose lower
+// bound survives the pruning threshold, plus whether the space satisfies
+// the drop condition (Definition 8). The returned slice is the searcher's
+// scratch, valid until the next discretize call.
 //
 // Cell totals come from the per-rectangle difference-array fill
 // (fillRects), integrated row by row inside pass 1.
-func (w *worker) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, bool) {
-	if w.grid == nil {
-		// Acquired lazily at first use: GI-DS runs SolveWithinIDs once
-		// per index cell, and cells at or below the sweep cutoff never
-		// discretize at all.
-		w.grid = newGridBuffers(w.s.opt.NCol, w.s.opt.NRow, w.s.query.F, w.s.tab.eff)
-	}
-	g := w.grid
+func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, bool) {
+	g := s.grid
 	ncol, nrow := g.ncol, g.nrow
 	cw := space.Width() / float64(ncol)
 	chh := space.Height() / float64(nrow)
 	if cw <= 0 || chh <= 0 {
 		// Degenerate (zero-area) space: fall back to an exact line sweep.
-		w.one[0] = cellInfo{rect: space}
-		w.miniSweep(w.one[:], ids)
+		s.one[0] = cellInfo{rect: space}
+		s.miniSweep(s.one[:], ids)
 		return nil, true
 	}
 	g.setEdges(space, cw, chh)
 
 	g.reset()
-	w.fillRects(space, ids, cw, chh)
-	w.cleanPass(cw, chh)
-	dirty := w.boundPass(clip, ids)
+	s.fillRects(space, ids, cw, chh)
+	s.cleanPass(cw, chh)
+	dirty := s.boundPass(clip, ids)
 
-	drop := 2*cw < w.s.acc.DX && 2*chh < w.s.acc.DY
-	w.probeCellCenters(dirty, clip, ids)
+	drop := 2*cw < s.acc.DX && 2*chh < s.acc.DY
+	s.probeCellCenters(dirty, clip, ids)
 	return dirty, drop
 }
 
@@ -340,10 +297,10 @@ func (w *worker) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, boo
 // its representation and distance — both are pure functions of those
 // bits. The incumbent test still runs for every cell, so ties move the
 // incumbent point exactly as a cell-by-cell evaluation would.
-func (w *worker) cleanPass(cw, chh float64) {
-	g := w.grid
-	tab := w.s.tab
-	query := &w.s.query
+func (s *Searcher) cleanPass(cw, chh float64) {
+	g := s.grid
+	tab := s.tab
+	query := &s.query
 	chans := g.chans
 	dirty := g.dirtyCells[:0]
 	var last []float64 // totals of the cell g.rep and dist were computed from
@@ -359,25 +316,25 @@ func (w *worker) cleanPass(cw, chh float64) {
 			}
 			full := g.diffFull[idx*chans:][:chans]
 			if last == nil || !sameBits(full, last) {
-				w.stats.CleanEvals++
+				s.Stats.CleanEvals++
 				query.F.FinalizeExact(tab.fold(g.foldFull, full), g.rep)
 				dist = query.Distance(g.rep)
 				last = full
 			}
-			if dist <= w.cur.Dist {
+			if dist <= s.cur.Dist {
 				// A cell thinner than the float spacing at its coordinates
 				// holds no representable point: its centre rounds onto an
 				// edge, where the covering set — and the distance — is
 				// another. Such a cell has no candidate to offer.
 				p := geom.Point{X: g.xe[c] + cw/2, Y: g.ye[r] + chh/2}
 				if g.xe[c] < p.X && p.X < g.xe[c+1] && g.ye[r] < p.Y && p.Y < g.ye[r+1] {
-					w.improve(dist, p, g.rep)
+					s.improve(dist, p, g.rep)
 				}
 			}
 		}
 	}
 	g.dirtyCells = dirty
-	w.stats.CleanCells += g.nrow*g.ncol - len(dirty)
+	s.Stats.CleanCells += g.nrow*g.ncol - len(dirty)
 }
 
 // sameBits reports whether two equally long vectors hold identical bit
@@ -395,14 +352,14 @@ func sameBits(a, b []float64) bool {
 // boundPass is pass 2 of Function Discretize: it bounds the dirty cells
 // cleanPass listed and returns those whose lower bound stays under the
 // pruning threshold.
-func (w *worker) boundPass(clip geom.Rect, ids []int32) []cellInfo {
-	g := w.grid
-	tab := w.s.tab
-	query := &w.s.query
-	dirty := w.dirty[:0]
-	thresh := w.threshold()
+func (s *Searcher) boundPass(clip geom.Rect, ids []int32) []cellInfo {
+	g := s.grid
+	tab := s.tab
+	query := &s.query
+	dirty := s.dirty[:0]
+	thresh := s.threshold()
 	scanBudget := refineScanBudget
-	w.stats.DirtyCells += len(g.dirtyCells)
+	s.Stats.DirtyCells += len(g.dirtyCells)
 	for _, di := range g.dirtyCells {
 		idx := int(di)
 		r := idx / (g.ncol + 1)
@@ -417,10 +374,10 @@ func (w *worker) boundPass(clip geom.Rect, ids []int32) []cellInfo {
 			mmMax = g.mmMax[mi : mi+g.mmSlots]
 		}
 		query.F.FinalizeBounds(full, part, mmMin, mmMax, g.lo, g.hi)
-		lb := query.LowerBoundInt(g.lo, g.hi, w.s.isInt)
+		lb := query.LowerBoundInt(g.lo, g.hi, s.isInt)
 		cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
-		if lb < thresh && !w.s.opt.DisableRefinement {
-			cost := w.refineCost(cell, len(ids))
+		if lb < thresh && !s.opt.DisableRefinement {
+			cost := s.refineCost(cell, len(ids))
 			if scanBudget >= cost {
 				scanBudget -= cost
 				// Interval bounds admit unachievable mixtures (Equation
@@ -433,13 +390,13 @@ func (w *worker) boundPass(clip geom.Rect, ids []int32) []cellInfo {
 				// so cells over the gate skip the scan outright — the
 				// same outcome the scan's own bail would reach.
 				if g.diffCnt[idx] <= refineMaxPartial {
-					if rlb, ok := w.refineCellLB(c, r, cell, clip, ids, cellFull); ok {
-						w.stats.RefinedCells++
+					if rlb, ok := s.refineCellLB(c, r, cell, clip, ids, cellFull); ok {
+						s.Stats.RefinedCells++
 						if rlb > lb {
 							lb = rlb
 						}
 						if lb >= thresh {
-							w.stats.RefinePruned++
+							s.Stats.RefinePruned++
 						}
 					}
 				}
@@ -448,10 +405,10 @@ func (w *worker) boundPass(clip geom.Rect, ids []int32) []cellInfo {
 		if lb < thresh {
 			dirty = append(dirty, cellInfo{rect: cell, lb: lb})
 		} else {
-			w.stats.PrunedCells++
+			s.Stats.PrunedCells++
 		}
 	}
-	w.dirty = dirty
+	s.dirty = dirty
 	return dirty
 }
 
@@ -478,10 +435,10 @@ func (g *gridBuffers) cellAt(cell geom.Rect) (c, r int) {
 // ids ascend in MinX, so a rectangle's column range starts at or right
 // of its predecessor's and the walks resume there; rows, and columns on
 // unsorted masters, start from a reciprocal-multiply guess.
-func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
-	g := w.grid
-	tab := w.s.tab
-	master := w.s.rects
+func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
+	g := s.grid
+	tab := s.tab
+	master := s.rects
 	perW, perH := 1/cw, 1/chh
 	// A rectangle that contains the space fully covers every cell — two
 	// thirds of a deep space's rectangles do — provided the outermost
@@ -541,12 +498,12 @@ func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 			g.rangeAdd(g.diffFull, contribs, fc0, fr0, fc1, fr1)
 			// Partial ring: the overlap range minus the full range, as up
 			// to four rectangles.
-			w.applyPartial(contribs, mm, c0, r0, c1, fr0-1) // bottom rows
-			w.applyPartial(contribs, mm, c0, fr1+1, c1, r1) // top rows
-			w.applyPartial(contribs, mm, c0, fr0, fc0-1, fr1)
-			w.applyPartial(contribs, mm, fc1+1, fr0, c1, fr1)
+			s.applyPartial(contribs, mm, c0, r0, c1, fr0-1) // bottom rows
+			s.applyPartial(contribs, mm, c0, fr1+1, c1, r1) // top rows
+			s.applyPartial(contribs, mm, c0, fr0, fc0-1, fr1)
+			s.applyPartial(contribs, mm, fc1+1, fr0, c1, fr1)
 		} else {
-			w.applyPartial(contribs, mm, c0, r0, c1, r1)
+			s.applyPartial(contribs, mm, c0, r0, c1, r1)
 		}
 	}
 }
@@ -557,7 +514,7 @@ func (w *worker) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 // d_opt converge early on flat distance landscapes, which is what lets
 // Equation 1 prune aggressively on workloads like F2 where many regions
 // are near-ties.
-func (w *worker) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32) {
+func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32) {
 	const probes = 4
 	if len(dirty) == 0 {
 		return
@@ -579,10 +536,10 @@ func (w *worker) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32)
 			idx[worst] = i
 		}
 	}
-	g := w.grid
-	t := w.s.tab
-	master := w.s.rects
-	query := &w.s.query
+	g := s.grid
+	t := s.tab
+	master := s.rects
+	query := &s.query
 	ch := g.refineCh[:g.chans]
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
@@ -623,19 +580,19 @@ func (w *worker) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32)
 			}
 		}
 		query.F.FinalizeExact(t.fold(g.foldFull, ch), g.rep)
-		if d := query.Distance(g.rep); d <= w.cur.Dist {
-			w.improve(d, p, g.rep)
+		if d := query.Distance(g.rep); d <= s.cur.Dist {
+			s.improve(d, p, g.rep)
 		}
 	}
-	w.stats.CenterProbes += len(idx)
+	s.Stats.CenterProbes += len(idx)
 }
 
 // applyPartial marks a (possibly empty) cell range as partially covered.
-func (w *worker) applyPartial(contribs []agg.Contrib, mm []agg.MMContrib, c0, r0, c1, r1 int) {
+func (s *Searcher) applyPartial(contribs []agg.Contrib, mm []agg.MMContrib, c0, r0, c1, r1 int) {
 	if c0 > c1 || r0 > r1 {
 		return
 	}
-	g := w.grid
+	g := s.grid
 	g.rangeAdd(g.diffPart, contribs, c0, r0, c1, r1)
 	g.rangeAddCnt(c0, r0, c1, r1)
 	g.mmUpdate(mm, c0, r0, c1, r1)
@@ -683,8 +640,8 @@ const (
 
 // refineCost returns the number of rectangles a refineCellLB call for
 // this cell is charged in the budget accounting.
-func (w *worker) refineCost(cell geom.Rect, nIds int) int {
-	t := w.s.tab
+func (s *Searcher) refineCost(cell geom.Rect, nIds int) int {
+	t := s.tab
 	if !t.sorted {
 		return nIds
 	}
@@ -709,11 +666,11 @@ func (w *worker) refineCost(cell geom.Rect, nIds int) int {
 // same: which cells get refined must not depend on how the bins happen
 // to be laid out. On an unsorted master the base is re-accumulated from
 // the classifications fillRects recorded.
-func (w *worker) refineCellLB(c, r int, cell, clip geom.Rect, ids []int32, cellFull []float64) (float64, bool) {
-	g := w.grid
-	t := w.s.tab
-	master := w.s.rects
-	query := &w.s.query
+func (s *Searcher) refineCellLB(c, r int, cell, clip geom.Rect, ids []int32, cellFull []float64) (float64, bool) {
+	g := s.grid
+	t := s.tab
+	master := s.rects
+	query := &s.query
 	var base []float64
 	partial := g.refinePartial[:0]
 	if t.sorted {

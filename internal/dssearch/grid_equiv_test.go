@@ -173,7 +173,6 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 				}
 				sNew.ensureScratch()
 				sRef.ensureScratch()
-				wNew, wRef := sNew.workers[0], sRef.workers[0]
 
 				spaces := []geom.Rect{
 					asp.Space(rects),
@@ -207,22 +206,22 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					// Reference, with the state between its scans kept.
 					var refMid asp.Result
 					var refGrids [5][]float64
-					wRef.beginItem(seed)
-					refBefore := wRef.stats
-					refDirty, refDrop := wRef.refDiscretize(space, clip, ids, func() {
-						refMid = asp.Result{Point: wRef.cur.Point, Dist: wRef.cur.Dist, Rep: append([]float64(nil), wRef.cur.Rep...)}
-						refGrids = gridCells(wRef.grid)
+					sRef.beginItem(seed)
+					refBefore := sRef.Stats
+					refDirty, refDrop := sRef.refDiscretize(space, clip, ids, func() {
+						refMid = asp.Result{Point: sRef.cur.Point, Dist: sRef.cur.Dist, Rep: append([]float64(nil), sRef.cur.Rep...)}
+						refGrids = gridCells(sRef.grid)
 					})
 					refDirty = append([]cellInfo(nil), refDirty...)
 
 					// Production, step by step, for the same state.
-					g := wNew.grid
+					g := sNew.grid
 					cw, chh := space.Width()/float64(ncol), space.Height()/float64(nrow)
 					g.setEdges(space, cw, chh)
-					wNew.beginItem(seed)
+					sNew.beginItem(seed)
 					g.reset()
-					wNew.fillRects(space, ids, cw, chh)
-					wNew.cleanPass(cw, chh)
+					sNew.fillRects(space, ids, cw, chh)
+					sNew.cleanPass(cw, chh)
 					newGrids := gridCells(g)
 					for k, name := range [5]string{"full", "part", "cnt", "mmMin", "mmMax"} {
 						if len(newGrids[k]) != len(refGrids[k]) {
@@ -234,8 +233,8 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 							}
 						}
 					}
-					if !sameResult(wNew.cur, refMid) {
-						fail("incumbent after pass 1 = %+v, reference %+v", wNew.cur, refMid)
+					if !sameResult(sNew.cur, refMid) {
+						fail("incumbent after pass 1 = %+v, reference %+v", sNew.cur, refMid)
 					}
 					for i := 1; i < len(g.dirtyCells); i++ {
 						if g.dirtyCells[i-1] >= g.dirtyCells[i] {
@@ -244,9 +243,9 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					}
 
 					// Production, as one call.
-					wNew.beginItem(seed)
-					newBefore := wNew.stats
-					newDirty, newDrop := wNew.discretize(space, clip, ids)
+					sNew.beginItem(seed)
+					newBefore := sNew.Stats
+					newDirty, newDrop := sNew.discretize(space, clip, ids)
 					if newDrop != refDrop || len(newDirty) != len(refDirty) {
 						fail("drop=%v with %d dirty cells, reference drop=%v with %d", newDrop, len(newDirty), refDrop, len(refDirty))
 					}
@@ -255,18 +254,18 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 							fail("dirty[%d] = %+v, reference %+v", i, newDirty[i], refDirty[i])
 						}
 					}
-					if !sameResult(wNew.cur, wRef.cur) {
-						fail("incumbent = %+v, reference %+v", wNew.cur, wRef.cur)
+					if !sameResult(sNew.cur, sRef.cur) {
+						fail("incumbent = %+v, reference %+v", sNew.cur, sRef.cur)
 					}
 					// Every counter the reference keeps must come out the
 					// same; CleanEvals is new and bounded by CleanCells.
-					evals := wNew.stats.CleanEvals - newBefore.CleanEvals
-					clean := wNew.stats.CleanCells - newBefore.CleanCells
+					evals := sNew.Stats.CleanEvals - newBefore.CleanEvals
+					clean := sNew.Stats.CleanCells - newBefore.CleanCells
 					if evals > clean || (clean > 0 && evals == 0) {
 						fail("%d evaluations for %d clean cells", evals, clean)
 					}
 					memoHits += clean - evals
-					if got, want := delta(wNew.stats, newBefore), delta(wRef.stats, refBefore); got != want {
+					if got, want := delta(sNew.Stats, newBefore), delta(sRef.Stats, refBefore); got != want {
 						fail("work counters %+v, reference %+v", got, want)
 					}
 				}
@@ -281,8 +280,8 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 	}
 }
 
-// delta returns the counters a worker added since before (the counters
-// compared are the additive ones; MaxHeapSize is not a worker's).
+// delta returns the counters a discretize added since before (the
+// counters compared are the additive ones; MaxHeapSize is the kernel's).
 func delta(after, before Stats) Stats {
 	return Stats{
 		Discretizations: after.Discretizations - before.Discretizations,
@@ -326,17 +325,16 @@ func TestCleanCellCandidateIsInsideCell(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.ensureScratch()
-		w := s.workers[0]
 		ulp := math.Nextafter(40, 41) - 40
 		space := geom.Rect{MinX: 5, MinY: 40 - 2*ulp, MaxX: 95, MaxY: 40 + float64(1+trial%5)*ulp}
 		ids := s.AppendWindowIDs(space, nil)
-		w.beginItem(asp.Result{Point: asp.EmptyCandidate(space), Dist: math.Inf(1), Rep: make([]float64, f.Dims())})
-		w.discretize(space, space, ids)
-		if math.IsInf(w.cur.Dist, 1) {
+		s.beginItem(asp.Result{Point: asp.EmptyCandidate(space), Dist: math.Inf(1), Rep: make([]float64, f.Dims())})
+		s.discretize(space, space, ids)
+		if math.IsInf(s.cur.Dist, 1) {
 			continue
 		}
-		if got := s.query.Distance(s.PointRepresentation(w.cur.Point)); got != w.cur.Dist {
-			t.Fatalf("trial %d: incumbent %v installed at distance %v, but the point's own distance is %v", trial, w.cur.Point, w.cur.Dist, got)
+		if got := s.query.Distance(s.PointRepresentation(s.cur.Point)); got != s.cur.Dist {
+			t.Fatalf("trial %d: incumbent %v installed at distance %v, but the point's own distance is %v", trial, s.cur.Point, s.cur.Dist, got)
 		}
 	}
 }

@@ -89,28 +89,28 @@ func integ2D(v []float64, w, h, chans int) {
 // refDiscretize is Function Discretize as two full scans of the grid:
 // every clean cell finalized on its own, then every cell revisited for
 // the dirty ones. afterPass1, when non-nil, runs between the scans.
-func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 func()) ([]cellInfo, bool) {
-	if w.grid == nil {
+func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 func()) ([]cellInfo, bool) {
+	if s.grid == nil {
 		// Acquired lazily at first use: GI-DS runs SolveWithinIDs once
 		// per index cell, and cells at or below the sweep cutoff never
 		// discretize at all.
-		w.grid = newGridBuffers(w.s.opt.NCol, w.s.opt.NRow, w.s.query.F, w.s.tab.eff)
+		s.grid = newGridBuffers(s.opt.NCol, s.opt.NRow, s.query.F, s.tab.eff)
 	}
-	g := w.grid
-	query := &w.s.query
+	g := s.grid
+	query := &s.query
 	ncol, nrow := g.ncol, g.nrow
 	cw := space.Width() / float64(ncol)
 	chh := space.Height() / float64(nrow)
 	if cw <= 0 || chh <= 0 {
 		// Degenerate (zero-area) space: fall back to an exact line sweep.
-		w.one[0] = cellInfo{rect: space}
-		w.miniSweep(w.one[:], ids)
+		s.one[0] = cellInfo{rect: space}
+		s.miniSweep(s.one[:], ids)
 		return nil, true
 	}
 	g.setEdges(space, cw, chh)
 
-	tab := w.s.tab
-	w.refFillGridDiff(space, ids, cw, chh)
+	tab := s.tab
+	s.refFillGridDiff(space, ids, cw, chh)
 
 	// Pass 1: clean cells refine the incumbent so that pass 2 prunes
 	// against the tightest d_opt.
@@ -120,16 +120,16 @@ func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 fu
 			if g.diffCnt[idx] != 0 {
 				continue
 			}
-			w.stats.CleanCells++
+			s.Stats.CleanCells++
 			full := tab.fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
 			query.F.FinalizeExact(full, g.rep)
-			if d := query.Distance(g.rep); d <= w.cur.Dist {
+			if d := query.Distance(g.rep); d <= s.cur.Dist {
 				// Only a centre strictly inside the cell is a candidate
 				// (see cleanPass): the one behaviour this form does not
 				// keep from before the rewrite.
 				p := geom.Point{X: g.xe[c] + cw/2, Y: g.ye[r] + chh/2}
 				if g.xe[c] < p.X && p.X < g.xe[c+1] && g.ye[r] < p.Y && p.Y < g.ye[r+1] {
-					w.improve(d, p, g.rep)
+					s.improve(d, p, g.rep)
 				}
 			}
 		}
@@ -140,8 +140,8 @@ func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 fu
 	}
 
 	// Pass 2: bound and filter dirty cells.
-	dirty := w.dirty[:0]
-	thresh := w.threshold()
+	dirty := s.dirty[:0]
+	thresh := s.threshold()
 	scanBudget := refineScanBudget
 	for r := 0; r < nrow; r++ {
 		for c := 0; c < ncol; c++ {
@@ -149,7 +149,7 @@ func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 fu
 			if g.diffCnt[idx] == 0 {
 				continue
 			}
-			w.stats.DirtyCells++
+			s.Stats.DirtyCells++
 			full := tab.fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
 			part := tab.fold(g.foldPart, g.diffPart[idx*g.chans:(idx+1)*g.chans])
 			var mmMin, mmMax []float64
@@ -159,10 +159,10 @@ func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 fu
 				mmMax = g.mmMax[mi : mi+g.mmSlots]
 			}
 			query.F.FinalizeBounds(full, part, mmMin, mmMax, g.lo, g.hi)
-			lb := query.LowerBoundInt(g.lo, g.hi, w.s.isInt)
+			lb := query.LowerBoundInt(g.lo, g.hi, s.isInt)
 			cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
-			if lb < thresh && !w.s.opt.DisableRefinement {
-				cost := w.refineCost(cell, len(ids))
+			if lb < thresh && !s.opt.DisableRefinement {
+				cost := s.refineCost(cell, len(ids))
 				if scanBudget >= cost {
 					scanBudget -= cost
 					// Interval bounds admit unachievable mixtures (Equation
@@ -175,13 +175,13 @@ func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 fu
 					// so cells over the gate skip the scan outright — the
 					// same outcome the scan's own bail would reach.
 					if g.diffCnt[idx] <= refineMaxPartial {
-						if rlb, ok := w.refRefineCellLB(cell, ids); ok {
-							w.stats.RefinedCells++
+						if rlb, ok := s.refRefineCellLB(cell, ids); ok {
+							s.Stats.RefinedCells++
 							if rlb > lb {
 								lb = rlb
 							}
 							if lb >= thresh {
-								w.stats.RefinePruned++
+								s.Stats.RefinePruned++
 							}
 						}
 					}
@@ -190,31 +190,31 @@ func (w *worker) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 fu
 			if lb < thresh {
 				dirty = append(dirty, cellInfo{rect: cell, lb: lb})
 			} else {
-				w.stats.PrunedCells++
+				s.Stats.PrunedCells++
 			}
 		}
 	}
-	w.dirty = dirty
+	s.dirty = dirty
 
-	drop := 2*cw < w.s.acc.DX && 2*chh < w.s.acc.DY
-	w.refProbeCellCenters(dirty, clip, ids)
+	drop := 2*cw < s.acc.DX && 2*chh < s.acc.DY
+	s.refProbeCellCenters(dirty, clip, ids)
 	return dirty, drop
 }
 
 // refFillGridDiff clears everything, fills and integrates.
-func (w *worker) refFillGridDiff(space geom.Rect, ids []int32, cw, chh float64) {
-	g := w.grid
+func (s *Searcher) refFillGridDiff(space geom.Rect, ids []int32, cw, chh float64) {
+	g := s.grid
 	g.refReset()
-	w.refFillRects(space, ids, cw, chh)
+	s.refFillRects(space, ids, cw, chh)
 	g.refIntegrate()
 }
 
 // refFillRects seeds each rectangle's four edge walks from a divide and
 // a Floor.
-func (w *worker) refFillRects(space geom.Rect, ids []int32, cw, chh float64) {
-	g := w.grid
-	tab := w.s.tab
-	master := w.s.rects
+func (s *Searcher) refFillRects(space geom.Rect, ids []int32, cw, chh float64) {
+	g := s.grid
+	tab := s.tab
+	master := s.rects
 	for _, id := range ids {
 		contribs := tab.rectContribs(id)
 		var mm []agg.MMContrib
@@ -238,23 +238,23 @@ func (w *worker) refFillRects(space geom.Rect, ids []int32, cw, chh float64) {
 			g.refRangeAdd(g.diffFull, contribs, fc0, fr0, fc1, fr1)
 			// Partial ring: the overlap range minus the full range, as up
 			// to four rectangles.
-			w.refApplyPartial(contribs, mm, c0, r0, c1, fr0-1) // bottom rows
-			w.refApplyPartial(contribs, mm, c0, fr1+1, c1, r1) // top rows
-			w.refApplyPartial(contribs, mm, c0, fr0, fc0-1, fr1)
-			w.refApplyPartial(contribs, mm, fc1+1, fr0, c1, fr1)
+			s.refApplyPartial(contribs, mm, c0, r0, c1, fr0-1) // bottom rows
+			s.refApplyPartial(contribs, mm, c0, fr1+1, c1, r1) // top rows
+			s.refApplyPartial(contribs, mm, c0, fr0, fc0-1, fr1)
+			s.refApplyPartial(contribs, mm, fc1+1, fr0, c1, fr1)
 		} else {
-			w.refApplyPartial(contribs, mm, c0, r0, c1, r1)
+			s.refApplyPartial(contribs, mm, c0, r0, c1, r1)
 		}
 	}
 }
 
 // refApplyPartial marks a (possibly empty) cell range as partially
 // covered.
-func (w *worker) refApplyPartial(contribs []agg.Contrib, mm []agg.MMContrib, c0, r0, c1, r1 int) {
+func (s *Searcher) refApplyPartial(contribs []agg.Contrib, mm []agg.MMContrib, c0, r0, c1, r1 int) {
 	if c0 > c1 || r0 > r1 {
 		return
 	}
-	g := w.grid
+	g := s.grid
 	g.refRangeAdd(g.diffPart, contribs, c0, r0, c1, r1)
 	g.refRangeAddCnt(c0, r0, c1, r1)
 	g.mmUpdate(mm, c0, r0, c1, r1)
@@ -301,7 +301,7 @@ func refOverlapRange(lo, hi, min, step float64, edges []float64) (int, int) {
 // d_opt converge early on flat distance landscapes, which is what lets
 // Equation 1 prune aggressively on workloads like F2 where many regions
 // are near-ties.
-func (w *worker) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32) {
+func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32) {
 	const probes = 4
 	if len(dirty) == 0 {
 		return
@@ -323,10 +323,10 @@ func (w *worker) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int
 			idx[worst] = i
 		}
 	}
-	g := w.grid
-	t := w.s.tab
-	master := w.s.rects
-	query := &w.s.query
+	g := s.grid
+	t := s.tab
+	master := s.rects
+	query := &s.query
 	ch := g.refineCh[:g.chans]
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
@@ -359,11 +359,11 @@ func (w *worker) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int
 			}
 		}
 		query.F.FinalizeExact(t.fold(g.foldFull, ch), g.rep)
-		if d := query.Distance(g.rep); d <= w.cur.Dist {
-			w.improve(d, p, g.rep)
+		if d := query.Distance(g.rep); d <= s.cur.Dist {
+			s.improve(d, p, g.rep)
 		}
 	}
-	w.stats.CenterProbes += len(idx)
+	s.Stats.CenterProbes += len(idx)
 }
 
 // refRefineCellLB is refineCellLB with the per-cell scan: every id of the
@@ -373,11 +373,11 @@ func (w *worker) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int
 // every completion of the full covering set with a subset of the partial
 // rectangles, and returns ok=false when the cell exceeds the enumeration
 // gates. (ids is the space's chain-filtered subset, so no clip is asked.)
-func (w *worker) refRefineCellLB(cell geom.Rect, ids []int32) (float64, bool) {
-	g := w.grid
-	t := w.s.tab
-	master := w.s.rects
-	query := &w.s.query
+func (s *Searcher) refRefineCellLB(cell geom.Rect, ids []int32) (float64, bool) {
+	g := s.grid
+	t := s.tab
+	master := s.rects
+	query := &s.query
 	base := g.refineBase[:g.chans]
 	clear(base)
 	partial := g.refinePartial[:0]

@@ -228,7 +228,6 @@ func (p *Pyramid) bindCore(t *tables) {
 	t.cOff, t.contribs = c.cOff, c.contribs
 	t.mOff, t.mms = c.mOff, c.mms
 	t.lvls = append(t.lvls[:0], p.lvls...)
-	t.satBuilt.Store(len(p.lvls) > 0)
 	t.shared = true
 	t.pyr = p
 }

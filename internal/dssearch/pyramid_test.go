@@ -60,10 +60,10 @@ func pyramidDataset(t *testing.T, rng *rand.Rand, n int, num func() float64, wit
 // solvePyr runs SolveASRS with or without the pyramid and returns the
 // answer.
 func solvePyr(t *testing.T, ds *attr.Dataset, f *agg.Composite, a, b float64, target []float64,
-	p *Pyramid, workers int) (geom.Rect, asp.Result) {
+	p *Pyramid) (geom.Rect, asp.Result) {
 	t.Helper()
 	q := asp.Query{F: f, Target: target}
-	opt := Options{Workers: workers, Pyramid: p}
+	opt := Options{Pyramid: p}
 	region, res, _, err := SolveASRS(ds, a, b, q, nil, nil, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func solvePyr(t *testing.T, ds *attr.Dataset, f *agg.Composite, a, b float64, ta
 // ulp of the coordinates, producing zero-extent rectangles) and
 // extents that dwarf the space, pyramid-bound answers — region, point,
 // distance and representation — are bit-identical to the classic
-// per-query build at every worker count.
+// per-query build.
 func TestPyramidAnswersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	kinds := []struct {
@@ -109,18 +109,16 @@ func TestPyramidAnswersBitIdentical(t *testing.T) {
 		}
 		for _, ab := range extents {
 			a, b := ab[0], ab[1]
-			wantRegion, want := solvePyr(t, ds, f, a, b, target, nil, 1)
-			for _, workers := range []int{1, 3} {
-				gotRegion, got := solvePyr(t, ds, f, a, b, target, p, workers)
-				if gotRegion != wantRegion || got.Dist != want.Dist || got.Point != want.Point {
-					t.Fatalf("%s a=%g b=%g workers=%d: pyramid answer %v@%v (region %v), want %v@%v (region %v)",
-						kind.name, a, b, workers, got.Dist, got.Point, gotRegion, want.Dist, want.Point, wantRegion)
-				}
-				for i := range want.Rep {
-					if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
-						t.Fatalf("%s a=%g b=%g workers=%d: rep[%d] %v != %v",
-							kind.name, a, b, workers, i, got.Rep[i], want.Rep[i])
-					}
+			wantRegion, want := solvePyr(t, ds, f, a, b, target, nil)
+			gotRegion, got := solvePyr(t, ds, f, a, b, target, p)
+			if gotRegion != wantRegion || got.Dist != want.Dist || got.Point != want.Point {
+				t.Fatalf("%s a=%g b=%g: pyramid answer %v@%v (region %v), want %v@%v (region %v)",
+					kind.name, a, b, got.Dist, got.Point, gotRegion, want.Dist, want.Point, wantRegion)
+			}
+			for i := range want.Rep {
+				if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
+					t.Fatalf("%s a=%g b=%g: rep[%d] %v != %v",
+						kind.name, a, b, i, got.Rep[i], want.Rep[i])
 				}
 			}
 		}

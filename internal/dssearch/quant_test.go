@@ -9,6 +9,7 @@ import (
 	"asrs/internal/asp"
 	"asrs/internal/attr"
 	"asrs/internal/geom"
+	"asrs/internal/sweep"
 )
 
 // TestFracBits pins the fraction-bit computation at the heart of the
@@ -297,14 +298,14 @@ func TestUnquantizableTakesOldPath(t *testing.T) {
 }
 
 // TestSearchEquivalenceRealValued runs whole searches over the
-// real-valued min/max composite and asserts the determinism contract:
-// for any fixed batch size the answer is bit-identical for every worker
-// count; and across batch sizes — which legitimately change the pruning
-// trajectory and may therefore resolve ties between equally-distant
-// optima differently — the answer distance is identical (exactness).
+// real-valued min/max composite: a search is a pure function of its
+// input, so a repeated run answers bit for bit alike — point and
+// representation included, with the first run's scratch recycled — and
+// the distance is the sweep baseline's.
 func TestSearchEquivalenceRealValued(t *testing.T) {
 	f := realSchemaF2(t)
 	rng := rand.New(rand.NewSource(1234))
+	slabs := &SlabCache{}
 	for trial := 0; trial < 6; trial++ {
 		rects := quantRects(rng, 400+rng.Intn(400), 9, 8)
 		target := make([]float64, f.Dims())
@@ -312,36 +313,29 @@ func TestSearchEquivalenceRealValued(t *testing.T) {
 		target[1] = 10
 		q := asp.Query{F: f, Target: target}
 
-		solve := func(workers, batch int) asp.Result {
-			s, err := NewSearcher(rects, q, Options{Workers: workers, BatchSize: batch})
+		solve := func() asp.Result {
+			s, err := NewSearcher(rects, q, Options{Slabs: slabs})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer s.Release()
 			return s.Solve()
 		}
-		for _, batch := range []int{0, 1, 8} {
-			want := solve(1, batch)
-			for _, workers := range []int{2, 3} {
-				got := solve(workers, batch)
-				if got.Dist != want.Dist || got.Point != want.Point {
-					t.Fatalf("trial %d batch %d workers %d: got %v@%v, want %v@%v",
-						trial, batch, workers, got.Dist, got.Point, want.Dist, want.Point)
-				}
-				for i := range want.Rep {
-					if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
-						t.Fatalf("trial %d batch %d workers %d: rep[%d] %v != %v", trial, batch, workers, i, got.Rep[i], want.Rep[i])
-					}
-				}
+		want, got := solve(), solve()
+		if got.Dist != want.Dist || got.Point != want.Point {
+			t.Fatalf("trial %d: rerun got %v@%v, want %v@%v", trial, got.Dist, got.Point, want.Dist, want.Point)
+		}
+		for i := range want.Rep {
+			if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
+				t.Fatalf("trial %d: rerun rep[%d] %v != %v", trial, i, got.Rep[i], want.Rep[i])
 			}
 		}
-		// Across batch sizes the distance is exact and identical; the
-		// answer point may differ only between equally-distant optima.
-		base := solve(1, 0)
-		for _, batch := range []int{1, 8, 100} {
-			if got := solve(1, batch); got.Dist != base.Dist {
-				t.Fatalf("trial %d: batch %d changed the answer distance: %v != %v",
-					trial, batch, got.Dist, base.Dist)
-			}
+		sw, err := sweep.New(rects, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base := sw.Solve(); math.Abs(base.Dist-want.Dist) > 1e-9 {
+			t.Fatalf("trial %d: distance %v, sweep baseline %v", trial, want.Dist, base.Dist)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
@@ -350,11 +349,9 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64) {
 	}
 }
 
-// tables is the per-query aggregation layer described above. It is built
-// by newSearcher and shared read-only by all kernel workers; the lazily
-// built anchor-bin level is protected by satMu. With a pyramid bound the
-// level slices alias the persistent per-composite structure (shared ==
-// true).
+// tables is the per-query aggregation layer described above, built by
+// newSearcher. With a pyramid bound the level slices alias the persistent
+// per-composite structure (shared == true).
 type tables struct {
 	f     *agg.Composite
 	chans int // logical channels (f.Channels())
@@ -401,11 +398,9 @@ type tables struct {
 	// Anchor-bin hierarchy. With a pyramid bound, lvls aliases the
 	// pyramid's prebuilt levels (fine -> coarse); otherwise ensureLevels
 	// lazily builds the single query-level ownLvl. minYs is build scratch.
-	satMu    sync.Mutex
-	satBuilt atomic.Bool // lock-free fast path for per-cell callers
-	lvls     []*satLevel
-	ownLvl   satLevel
-	minYs    []float64
+	lvls   []*satLevel
+	ownLvl satLevel
+	minYs  []float64
 
 	// shared marks slices aliased from a Pyramid: reset must drop them
 	// instead of truncating, or later classic builds would append into
@@ -415,18 +410,17 @@ type tables struct {
 
 	// Retained heavy per-query scratch, recycled across queries through
 	// the SlabCache: the master a pyramid bind materializes, the
-	// per-worker discretization grids, sweep solvers and worker buffers.
-	// Keys record the shape they were built for.
-	masterBuf                           []asp.RectObject
-	grids                               []gridBuffers
-	gridNW, gridNCol, gridNRow, gridEff int
-	gridF                               *agg.Composite
-	sweepPool                           []sweep.Solver
-	sweepN, sweepCap                    int
-	sweepF                              *agg.Composite
-	scratchF                            []float64
-	scratchCells                        []cellInfo
-	scratchRects                        []asp.RectObject
+	// discretization grid, the sweep solver and the search buffers
+	// (Searcher.ensureScratch). Keys record the shape they were built for.
+	masterBuf                   []asp.RectObject
+	grid                        *gridBuffers
+	gridNCol, gridNRow, gridEff int
+	gridF                       *agg.Composite
+	sw                          *sweep.Solver
+	swCap                       int
+	scratchF                    []float64
+	scratchCells                []cellInfo
+	scratchRects                []asp.RectObject
 
 	// Recycled id slices handed back by a released Searcher (slab reuse
 	// across Engine queries).
@@ -437,7 +431,6 @@ type tables struct {
 // slice's capacity (the quantization-certificate and level slabs ride
 // the SlabCache across queries on the same composite).
 func (t *tables) reset() {
-	t.satBuilt.Store(false)
 	t.lvls = t.lvls[:0]
 	t.pyr = nil
 	t.twoCount = 0
@@ -942,16 +935,9 @@ func satGrid(n int) int {
 // master. With a pyramid bound the levels were aliased at construction
 // and this is a no-op; otherwise one query-level grid is built over the
 // master anchors on first demand. Many queries never refine a cell, so
-// the build cost is deferred to the first that does. Safe for concurrent
-// workers; the build result is deterministic, so it does not matter
-// which worker wins the race for the lock.
+// the build cost is deferred to the first that does.
 func (t *tables) ensureLevels(master []asp.RectObject) {
-	if t.satBuilt.Load() {
-		return
-	}
-	t.satMu.Lock()
-	defer t.satMu.Unlock()
-	if t.satBuilt.Load() {
+	if len(t.lvls) > 0 {
 		return
 	}
 	n := len(master)
@@ -964,7 +950,6 @@ func (t *tables) ensureLevels(master []asp.RectObject) {
 	}
 	buildSATLevel(&t.ownLvl, satGrid(n), t.minXs, t.minYs)
 	t.lvls = append(t.lvls[:0], &t.ownLvl)
-	t.satBuilt.Store(true)
 }
 
 // spaceDensity estimates the anchor density of the space's anchor box —
@@ -1032,12 +1017,11 @@ func resizeInt32(v []int32, n int) []int32 {
 // ---- Slab cache ----
 
 // SlabCache recycles the per-query table slabs (sorted coordinate
-// arrays, contribution tables, anchor bins, discretization grids, sweep
-// solvers, id-slice arenas) across searches. An Engine holds one per
+// arrays, contribution tables, anchor bins, the discretization grid, the
+// sweep solver, id slices) across searches. An Engine holds one per
 // composite so that steady-state serving rebuilds table *contents* each
-// query but reallocates nothing — and batches of queries reuse the same
-// per-worker scratch query after query. Safe for concurrent use; the
-// zero value is ready.
+// query but reallocates nothing. Safe for concurrent use; the zero value
+// is ready.
 type SlabCache struct {
 	mu   sync.Mutex
 	free []*tables

@@ -22,9 +22,9 @@ import (
 // rectangles, such a space could only end at the drop condition — while
 // the rectangles with an edge inside it thin out with the space. The rule
 // that counts those sweeps the space as soon as they are few: same
-// distance as SearchBaseline for every worker count, with and without the
-// pyramid, in 9 and 10 discretizations where the overlap-counting rule
-// took 1 668 and 1 514.
+// distance as SearchBaseline, with and without the pyramid, in 7 and 8
+// discretizations where the overlap-counting rule took 1 668 and 1 514,
+// with some 120 containing rectangles folded into each sweep's base.
 func TestTerminalSweepRule(t *testing.T) {
 	const a, b = 8.0, 6.0
 	rng := rand.New(rand.NewSource(19))
@@ -62,20 +62,18 @@ func TestTerminalSweepRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range []*asrs.Pyramid{nil, pyr} {
-				for _, workers := range []int{1, 3} {
-					req.Options = &asrs.Options{Workers: workers, Pyramid: p}
-					got, stats := asrs.Answer(ds, nil, req)
-					if got.Err != nil {
-						t.Fatal(got.Err)
-					}
-					d := got.Results[0].Dist
-					if tc.exact && math.Float64bits(d) != math.Float64bits(wd) || math.Abs(d-wd) > 1e-9*math.Max(1, wd) {
-						t.Fatalf("pyramid=%v workers=%d: distance %v, the baseline's %v", p != nil, workers, d, wd)
-					}
-					if st := stats.DS; st.Discretizations > 30 || st.SweepBaseRects < 400 {
-						t.Fatalf("pyramid=%v workers=%d: %d discretizations (want at most 30), %d rectangles folded into sweep bases (want the cluster's 400 and more)",
-							p != nil, workers, st.Discretizations, st.SweepBaseRects)
-					}
+				req.Options = &asrs.Options{Pyramid: p}
+				got, stats := asrs.Answer(ds, nil, req)
+				if got.Err != nil {
+					t.Fatal(got.Err)
+				}
+				d := got.Results[0].Dist
+				if tc.exact && math.Float64bits(d) != math.Float64bits(wd) || math.Abs(d-wd) > 1e-9*math.Max(1, wd) {
+					t.Fatalf("pyramid=%v: distance %v, the baseline's %v", p != nil, d, wd)
+				}
+				if st := stats.DS; st.Discretizations > 30 || st.MiniSweeps == 0 || st.SweepBaseRects < 100*st.MiniSweeps {
+					t.Fatalf("pyramid=%v: %d discretizations (want at most 30), %d rectangles folded into %d sweep bases (want 100 and more each)",
+						p != nil, st.Discretizations, st.SweepBaseRects, st.MiniSweeps)
 				}
 			}
 		})

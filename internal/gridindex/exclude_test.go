@@ -18,8 +18,7 @@ import (
 // TestGIDSExcludingMatchesPlain holds GI-DS under exclusions to plain
 // DS-Search over space minus the same exclusions (asrs.Answer without an
 // index, k = 1), round by round of a greedy top-4 whose exclusion chain both
-// sides are handed, at workers 1 and 3: the distances must agree bit for
-// bit. Small corpora are also held to a brute-force sweep over the
+// sides are handed: the distances must agree bit for bit. Small corpora are also held to a brute-force sweep over the
 // un-excluded anchors. Each corpus runs bare and under explicit
 // exclusions built from the index geometry: one covering a 3×3 block of
 // index cells around the unconstrained optimum and ending exactly on cell
@@ -84,8 +83,8 @@ func TestGIDSExcludingMatchesPlain(t *testing.T) {
 				return rects
 			}
 			space := asp.Space(reduce())
-			gids := func(excl []geom.Rect, workers int) (asp.Result, gridindex.Stats) {
-				res, st, err := gridindex.Solve(idx, ds, q, a, b, excl, dssearch.Options{Workers: workers})
+			gids := func(excl []geom.Rect) (asp.Result, gridindex.Stats) {
+				res, st, err := gridindex.Solve(idx, ds, q, a, b, excl, dssearch.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +92,7 @@ func TestGIDSExcludingMatchesPlain(t *testing.T) {
 			}
 
 			// The explicit exclusions.
-			free, _ := gids(nil, 1)
+			free, _ := gids(nil)
 			bounds := idx.Bounds()
 			cw, chh := bounds.Width()/float64(tc.grid), bounds.Height()/float64(tc.grid)
 			ci := min(max(int((free.Point.X-bounds.MinX)/cw), 1), tc.grid-2)
@@ -128,40 +127,30 @@ func TestGIDSExcludingMatchesPlain(t *testing.T) {
 					rounds = 1
 				}
 				for round := 0; round < rounds; round++ {
-					var want asp.Result
-					var wantRegion geom.Rect
-					for _, workers := range []int{1, 3} {
-						plain, _ := asrs.Answer(ds, nil, asrs.QueryRequest{Query: q, A: a, B: b, Exclude: excl, Options: &dssearch.Options{Workers: workers}})
-						if plain.Err != nil {
-							t.Fatal(plain.Err)
-						}
-						if region, res := plain.Best(); workers == 1 {
-							want, wantRegion = res, region
-						} else if math.Float64bits(res.Dist) != math.Float64bits(want.Dist) {
-							t.Fatalf("%s round %d: plain DS-Search answers %v with 3 workers, %v with 1", ex.name, round, res.Dist, want.Dist)
-						}
-						got, st := gids(excl, workers)
-						if math.Float64bits(got.Dist) != math.Float64bits(want.Dist) {
-							t.Fatalf("%s round %d, %d workers: GI-DS answers %v at %v, plain DS-Search %v at %v (stats %+v)",
-								ex.name, round, workers, got.Dist, got.Point, want.Dist, want.Point, st)
-						}
-						region := asp.AnchorTR.RegionFor(got.Point, a, b)
-						for _, e := range excl {
-							if region.IntersectsOpen(e) {
-								t.Fatalf("%s round %d: GI-DS region %v overlaps excluded %v", ex.name, round, region, e)
-							}
-						}
-						if st.Pieces < st.MarginRuns+st.CellsSearched {
-							t.Fatalf("%s round %d: %d pieces for %d margin runs and %d cells searched", ex.name, round, st.Pieces, st.MarginRuns, st.CellsSearched)
-						}
-						if ex.name == "whole-space" && (st.Pieces != 0 || got.Point != asp.EmptyCandidate(space)) {
-							t.Fatalf("whole space excluded: %d pieces searched, answer at %v, want the empty candidate %v", st.Pieces, got.Point, asp.EmptyCandidate(space))
-						}
-						if workers == 1 {
-							cellsExcluded += st.CellsExcluded
-							cellsCut += st.Pieces - st.MarginRuns - st.CellsSearched
+					plain, _ := asrs.Answer(ds, nil, asrs.QueryRequest{Query: q, A: a, B: b, Exclude: excl})
+					if plain.Err != nil {
+						t.Fatal(plain.Err)
+					}
+					wantRegion, want := plain.Best()
+					got, st := gids(excl)
+					if math.Float64bits(got.Dist) != math.Float64bits(want.Dist) {
+						t.Fatalf("%s round %d: GI-DS answers %v at %v, plain DS-Search %v at %v (stats %+v)",
+							ex.name, round, got.Dist, got.Point, want.Dist, want.Point, st)
+					}
+					region := asp.AnchorTR.RegionFor(got.Point, a, b)
+					for _, e := range excl {
+						if region.IntersectsOpen(e) {
+							t.Fatalf("%s round %d: GI-DS region %v overlaps excluded %v", ex.name, round, region, e)
 						}
 					}
+					if st.Pieces < st.MarginRuns+st.CellsSearched {
+						t.Fatalf("%s round %d: %d pieces for %d margin runs and %d cells searched", ex.name, round, st.Pieces, st.MarginRuns, st.CellsSearched)
+					}
+					if ex.name == "whole-space" && (st.Pieces != 0 || got.Point != asp.EmptyCandidate(space)) {
+						t.Fatalf("whole space excluded: %d pieces searched, answer at %v, want the empty candidate %v", st.Pieces, got.Point, asp.EmptyCandidate(space))
+					}
+					cellsExcluded += st.CellsExcluded
+					cellsCut += st.Pieces - st.MarginRuns - st.CellsSearched
 					if sw != nil {
 						// Brute force: the empty covering set, then every piece of
 						// the space the exclusions leave.

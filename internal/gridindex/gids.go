@@ -3,8 +3,6 @@ package gridindex
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"asrs/internal/asp"
 	"asrs/internal/attr"
@@ -67,9 +65,7 @@ type margin struct {
 // built over ds: the searcher is that of the request
 // (dssearch.NewRegionSearcher: the bl-corner bucketing of §5.3 assumes its
 // top-right-corner reduction). opt.Delta > 0 selects the approximate
-// variant (app-GIDS). The cell lower-bound pass and the per-cell DS-Search
-// refinement both use opt.Workers; the answer is independent of the
-// worker count.
+// variant (app-GIDS).
 //
 // The reduction extends the candidate space left of and below the indexed
 // bounds by (a, b). No cell buckets those two margin strips; each carries
@@ -116,10 +112,9 @@ func Solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []ge
 		if cap(sc.lbs) < n {
 			sc.lbs = make([]float64, n)
 			sc.heap = kernel.NewHeap[cellCand](func(x, y cellCand) bool { return x.lb < y.lb })
-			sc.heap.Grow(n)
 		}
 		lbs, h := sc.lbs[:n], sc.heap
-		idx.fillLowerBounds(lbs, q, a, b, kernel.Workers(opt.Workers))
+		idx.fillLowerBounds(lbs, q, a, b, sc)
 		h.Reset()
 		for j := 0; j < idx.sy; j++ {
 			for i := 0; i < idx.sx; i++ {
@@ -207,10 +202,9 @@ func Solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []ge
 // lbScratch bundles the per-query scratch of the cell lower-bound pass
 // — channel vectors, bound vectors, min/max slots and the integer-dim
 // flags — carved from one slab allocation, and what a Solve builds from
-// the bounds: the bound array and the cell heap's backing (absent from a
-// scratch only row workers have used so far). Scratches recycle through
-// the index's pool, so steady-state GI-DS queries reallocate nothing
-// here.
+// the bounds: the bound array and the cell heap (absent from a scratch
+// only CellLowerBounds has used so far). Scratches recycle through the
+// index's pool, so steady-state GI-DS queries reallocate nothing here.
 type lbScratch struct {
 	full, big, part []float64
 	lo, hi          []float64
@@ -250,49 +244,18 @@ func (x *Index) putLBScratch(sc *lbScratch) { x.lbPool.Put(sc) }
 // bounded region ⊆ every candidate region ⊆ bounding region, evaluated
 // with Lemma 8 and Equation 1. Returned in row-major order (j*sx+i).
 func (x *Index) CellLowerBounds(q asp.Query, a, b float64) []float64 {
-	return x.ParallelCellLowerBounds(q, a, b, 1)
-}
-
-// ParallelCellLowerBounds computes CellLowerBounds with row-parallelism;
-// results are identical for every worker count (rows are computed
-// independently). workers <= 0 selects runtime.GOMAXPROCS(0).
-func (x *Index) ParallelCellLowerBounds(q asp.Query, a, b float64, workers int) []float64 {
 	out := make([]float64, x.sx*x.sy)
-	x.fillLowerBounds(out, q, a, b, workers)
+	sc := x.getLBScratch()
+	x.fillLowerBounds(out, q, a, b, sc)
+	x.putLBScratch(sc)
 	return out
 }
 
-// fillLowerBounds is ParallelCellLowerBounds into a caller's array.
-func (x *Index) fillLowerBounds(out []float64, q asp.Query, a, b float64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || x.sy < 2*workers {
-		sc := x.getLBScratch()
-		for j := 0; j < x.sy; j++ {
-			x.rowLowerBounds(q, a, b, j, out[j*x.sx:(j+1)*x.sx], sc)
-		}
-		x.putLBScratch(sc)
-		return
-	}
-	var wg sync.WaitGroup
-	rows := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := x.getLBScratch()
-			for j := range rows {
-				x.rowLowerBounds(q, a, b, j, out[j*x.sx:(j+1)*x.sx], sc)
-			}
-			x.putLBScratch(sc)
-		}()
-	}
+// fillLowerBounds is CellLowerBounds into a caller's array.
+func (x *Index) fillLowerBounds(out []float64, q asp.Query, a, b float64, sc *lbScratch) {
 	for j := 0; j < x.sy; j++ {
-		rows <- j
+		x.rowLowerBounds(q, a, b, j, out[j*x.sx:(j+1)*x.sx], sc)
 	}
-	close(rows)
-	wg.Wait()
 }
 
 // span holds, along one axis, the §5.3 cell ranges of the candidate
@@ -312,9 +275,7 @@ func (x *Index) rowSpan(j int, b float64) span {
 	return span{ib, it, ob, ot}
 }
 
-// rowLowerBounds fills one row of CellLowerBounds using a pooled
-// scratch (so the parallel variant can shard by row, one scratch per
-// worker).
+// rowLowerBounds fills one row of CellLowerBounds.
 func (x *Index) rowLowerBounds(q asp.Query, a, b float64, j int, out []float64, sc *lbScratch) {
 	rows := x.rowSpan(j, b)
 	for i := 0; i < x.sx; i++ {

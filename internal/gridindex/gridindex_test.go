@@ -284,31 +284,3 @@ func TestCellRect(t *testing.T) {
 		t.Fatalf("cells union %v != bounds %v", union, b)
 	}
 }
-
-// TestParallelCellLowerBounds: identical results to the sequential
-// computation.
-func TestParallelCellLowerBounds(t *testing.T) {
-	ds := dataset.Random(5000, 80, 85)
-	f := testComposite(t, ds)
-	idx, err := gridindex.New(ds, f, 40, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := randomTarget(f, rand.New(rand.NewSource(86)))
-	want := idx.CellLowerBounds(q, 6, 6)
-	for _, workers := range []int{2, 5} {
-		got := idx.ParallelCellLowerBounds(q, 6, 6, workers)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("workers=%d: lb %d differs", workers, i)
-			}
-		}
-	}
-	// workers=1 falls back.
-	got := idx.ParallelCellLowerBounds(q, 6, 6, 1)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatal("workers=1 fallback differs")
-		}
-	}
-}

@@ -41,7 +41,7 @@ func runCaseStudy(cfg Config) error {
 	// A search plus an exclusion: the example region would otherwise be
 	// its own zero-distance answer.
 	resp, _ := asrs.Answer(ds, nil, asrs.QueryRequest{Query: q, A: a, B: b,
-		Exclude: []geom.Rect{orchard.Rect}, Options: &asrs.Options{Workers: 1}})
+		Exclude: []geom.Rect{orchard.Rect}})
 	if resp.Err != nil {
 		return resp.Err
 	}

@@ -58,18 +58,13 @@ func runBase(w workload, k int) (float64, float64, error) {
 }
 
 // runSearch times one plain request through the library's one driver
-// (asrs.Answer): DS-Search without an index, GI-DS with one. Workers is
-// pinned to 1: these experiments reproduce the paper's single-threaded
-// algorithm comparison, so kernel parallelism must not inflate either
-// against the sequential Base. The worker sweep lives in
-// BenchmarkWorkersSweep.
+// (asrs.Answer): DS-Search without an index, GI-DS with one.
 func runSearch(w workload, k int, idx *asrs.Index, opt asrs.Options) (float64, float64, asrs.IndexStats, error) {
 	a, b := querySize(w.ds, k)
 	q, err := w.query(a, b)
 	if err != nil {
 		return 0, 0, asrs.IndexStats{}, err
 	}
-	opt.Workers = 1
 	var resp asrs.QueryResponse
 	var stats asrs.IndexStats
 	ms, err := timeIt(func() error {

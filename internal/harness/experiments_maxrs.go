@@ -32,7 +32,7 @@ func runOE(pts []maxrs.Point, a, b float64) (float64, float64, error) {
 func runDSMaxRS(pts []maxrs.Point, a, b float64) (float64, float64, error) {
 	var weight float64
 	ms, err := timeIt(func() error {
-		res, _, err := maxrs.DS(pts, a, b, dssearch.Options{Workers: 1})
+		res, _, err := maxrs.DS(pts, a, b, dssearch.Options{})
 		weight = res.Weight
 		return err
 	})

@@ -7,106 +7,70 @@ import (
 	"asrs/internal/asp"
 )
 
-// Better is the canonical total order on candidate answers: smaller
-// distance wins, ties broken on the point (X, then Y). Because it is a
-// total order, the minimum of any candidate set is independent of the
-// order the candidates were merged in — this is what makes the concurrent
-// search's final answer schedule-independent.
+// Better is the total order on answers: by distance, then point X, then Y.
 func Better(a, b asp.Result) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
 	}
-	if a.Point.X != b.Point.X {
-		return a.Point.X < b.Point.X
-	}
-	return a.Point.Y < b.Point.Y
+	return a.Point.X < b.Point.X || a.Point.X == b.Point.X && a.Point.Y < b.Point.Y
 }
 
-// Bound is the shared pruning bound of a concurrent best-first search:
-// the best answer found so far. Under Run's superstep protocol it is
-// written only at merge barriers and snapshotted at round starts, so
-// workers prune against the round-start optimum; the atomic pointer and
-// the CAS Offer loop exist so that code *outside* the driver — progress
-// reporting, a future work-stealing variant, tests — can read or offer
-// concurrently without tearing. Offer uses the total Better order, so
-// the installed winner is independent of offer order.
-//
-// The threshold derived from the bound is the pruning cutoff of the
-// paper's Equation 1: d_opt for the exact algorithm, d_opt/(1+δ) for the
-// (1+δ)-approximate variant (§6).
+// Bound is a search's pruning bound: the best answer found so far.
 type Bound struct {
-	delta float64
-	cur   atomic.Pointer[asp.Result]
-	ext   *ExtCap
+	div  float64 // 1+δ for the (1+δ)-approximate variant (§6), else 1
+	best asp.Result
+	ext  *ExtCap
 }
 
-// NewBound returns a bound seeded with the given incumbent. delta > 0
-// selects the approximate threshold.
+// NewBound seeds a bound with an incumbent; delta > 0 selects (1+δ).
 func NewBound(delta float64, seed asp.Result) *Bound {
-	b := &Bound{delta: delta}
-	r := seed
-	r.Rep = append([]float64(nil), seed.Rep...)
-	b.cur.Store(&r)
+	seed.Rep = append([]float64(nil), seed.Rep...)
+	b := &Bound{div: 1, best: seed}
+	if delta > 0 {
+		b.div += delta
+	}
 	return b
 }
 
 // Best returns the current best answer.
-func (b *Bound) Best() asp.Result { return *b.cur.Load() }
+func (b *Bound) Best() asp.Result { return b.best }
 
-// Threshold returns the current pruning cutoff: spaces whose lower bound
-// reaches it cannot improve the answer (or cannot improve it by more than
-// the (1+δ) guarantee allows).
-//
-// When an external cap is attached (SetExternal), a sibling search's
-// published best folds in with OPEN semantics: the cutoff contributed by
-// the cap is nextafter(cap', +Inf) (cap' = cap/(1+δ) under the
-// approximate variant), so through the driver's closed `LB >= thresh`
-// comparisons a foreign cap only prunes spaces whose lower bound is
-// STRICTLY worse than a distance some sibling already achieved. A space
-// containing a candidate at distance ≤ the global optimum therefore can
-// never be pruned by a foreign cap — only by this search's own bound —
-// which keeps the gathered minimum across sibling searches exact (see
-// DESIGN.md §11).
-func (b *Bound) Threshold() float64 {
-	d := b.cur.Load().Dist
-	if b.delta > 0 {
-		d /= 1 + b.delta
+// Offer installs r (copying its representation) and publishes its
+// distance to the attached cap if it is Better than the current best.
+func (b *Bound) Offer(r asp.Result) bool {
+	if !Better(r, b.best) {
+		return false
 	}
+	r.Rep = append([]float64(nil), r.Rep...)
+	b.best = r
 	if b.ext != nil {
-		c := b.ext.Load()
-		if b.delta > 0 {
-			c /= 1 + b.delta
-		}
-		if c = math.Nextafter(c, math.Inf(1)); c < d {
+		b.ext.Publish(r.Dist)
+	}
+	return true
+}
+
+// SetExternal attaches a cap shared with sibling searches and publishes.
+func (b *Bound) SetExternal(c *ExtCap) {
+	if b.ext = c; c != nil {
+		c.Publish(b.best.Dist)
+	}
+}
+
+// Threshold is Equation 1's cutoff, d_opt or d_opt/(1+δ). A cap folds in
+// open, as nextafter(cap/(1+δ), +Inf): it prunes only spaces strictly
+// worse than a sibling's answer, so the gathered minimum stays exact.
+func (b *Bound) Threshold() float64 {
+	d := b.best.Dist / b.div
+	if b.ext != nil {
+		if c := math.Nextafter(b.ext.Load()/b.div, math.Inf(1)); c < d {
 			d = c
 		}
 	}
 	return d
 }
 
-// SetExternal attaches a cross-search shared cap. Call before the search
-// starts; the driver publishes into it at merge barriers and Threshold
-// folds it in with open semantics. A nil cap detaches.
-func (b *Bound) SetExternal(c *ExtCap) { b.ext = c }
-
-// PublishExternal offers the current best distance to the attached
-// external cap (no-op without one). The driver calls this at merge
-// barriers so sibling searches prune against this search's progress.
-func (b *Bound) PublishExternal() {
-	if b.ext != nil {
-		b.ext.Publish(b.cur.Load().Dist)
-	}
-}
-
-// ExtCap is a monotone-decreasing shared distance cap: the best answer
-// distance achieved so far across a set of cooperating searches (the
-// cross-shard scatter–gather bound). It starts at +Inf and Publish
-// CAS-mins achieved distances into it. Distinct searches attach the same
-// cap via Bound.SetExternal; each search's own bound stays authoritative
-// for its answer — the cap only tightens pruning.
-type ExtCap struct {
-	bits atomic.Uint64
-}
+// ExtCap is the least distance found by sibling searches, +Inf at first.
+type ExtCap struct{ bits atomic.Uint64 }
 
 // NewExtCap returns a cap initialized to +Inf.
 func NewExtCap() *ExtCap {
@@ -116,37 +80,13 @@ func NewExtCap() *ExtCap {
 }
 
 // Load returns the current cap value.
-func (c *ExtCap) Load() float64 {
-	return math.Float64frombits(c.bits.Load())
-}
+func (c *ExtCap) Load() float64 { return math.Float64frombits(c.bits.Load()) }
 
-// Publish lowers the cap to d if d is smaller. NaN is never installed
-// (an undefined distance must not suppress sibling work).
+// Publish lowers the cap to d if d is smaller. NaN is never installed.
 func (c *ExtCap) Publish(d float64) {
-	for {
-		cur := c.bits.Load()
-		if !(d < math.Float64frombits(cur)) {
-			return
-		}
+	for cur := c.bits.Load(); d < math.Float64frombits(cur); cur = c.bits.Load() {
 		if c.bits.CompareAndSwap(cur, math.Float64bits(d)) {
 			return
-		}
-	}
-}
-
-// Offer installs r as the new best if it beats the current one under
-// Better, copying the representation so the caller may keep reusing its
-// scratch buffer. It reports whether r was installed.
-func (b *Bound) Offer(r asp.Result) bool {
-	for {
-		cur := b.cur.Load()
-		if !Better(r, *cur) {
-			return false
-		}
-		nr := r
-		nr.Rep = append([]float64(nil), r.Rep...)
-		if b.cur.CompareAndSwap(cur, &nr) {
-			return true
 		}
 	}
 }

@@ -58,7 +58,10 @@ func TestBoundExternalThresholdOpen(t *testing.T) {
 	b.SetExternal(c)
 
 	if got := b.Threshold(); got != 10 {
-		t.Fatalf("threshold with +Inf cap = %v, want own 10", got)
+		t.Fatalf("threshold with the cap at the seed = %v, want own 10", got)
+	}
+	if got := c.Load(); got != 10 {
+		t.Fatalf("cap after attaching = %v, want the seed's 10", got)
 	}
 	c.Publish(4)
 	th := b.Threshold()
@@ -68,15 +71,14 @@ func TestBoundExternalThresholdOpen(t *testing.T) {
 	if 4 >= th {
 		t.Fatalf("LB == cap must survive the closed comparison: 4 >= %v", th)
 	}
-	// The own incumbent still prunes closed at its own distance.
+	// The own incumbent still prunes closed at its own distance, and the
+	// offer that installs it shares it through the cap.
 	b.Offer(asp.Result{Point: geom.Point{X: 0, Y: 0}, Dist: 3})
 	if got := b.Threshold(); got != 3 {
 		t.Fatalf("threshold after own offer 3 = %v, want 3", got)
 	}
-	// PublishExternal shares the new incumbent.
-	b.PublishExternal()
 	if got := c.Load(); got != 3 {
-		t.Fatalf("cap after PublishExternal = %v, want 3", got)
+		t.Fatalf("cap after the offer = %v, want 3", got)
 	}
 }
 

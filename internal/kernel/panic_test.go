@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,18 +14,17 @@ import (
 )
 
 // panicWorkload drives RunCtx over a deep synthetic tree whose process
-// func panics on the trigger-th processed item (counted atomically; -1
-// never panics). Returns the run error and the items actually
-// processed.
-func panicWorkload(t *testing.T, workers, batch, trigger int) (error, int) {
+// func panics on the trigger-th processed item (-1 never panics).
+// Returns the run error and the items actually processed.
+func panicWorkload(t *testing.T, trigger int) (error, int) {
 	t.Helper()
 	bound := NewBound(0, asp.Result{Dist: 1e18})
 	seed := Item{Space: geom.Rect{MinX: 0, MaxX: 1, MinY: 0, MaxY: 1}, LB: 0}
-	var processed atomic.Int64
-	_, _, _, err := RunCtx(context.Background(), workers, batch, []Item{seed}, bound,
+	processed := 0
+	_, _, err := RunCtx(context.Background(), []Item{seed}, bound,
 		func(w int, it Item, inc asp.Result, emit func(Item)) asp.Result {
-			n := int(processed.Add(1))
-			if trigger >= 0 && n == trigger {
+			processed++
+			if processed == trigger {
 				panic("boom: poisoned query")
 			}
 			lo, hi := it.Space.MinX, it.Space.MaxX
@@ -41,7 +39,7 @@ func panicWorkload(t *testing.T, workers, batch, trigger int) (error, int) {
 			}
 			return cand
 		}, nil)
-	return err, int(processed.Load())
+	return err, processed
 }
 
 // settleGoroutines waits (bounded) for the goroutine count to drop back
@@ -58,42 +56,39 @@ func settleGoroutines(base, slack int) int {
 }
 
 // A processor panic must surface as a typed *PanicError — the process
-// survives, the barrier completes, and the worker pool tears down
-// without leaking goroutines. Run under -race with workers>1 in CI.
+// survives and no goroutine is left behind.
 func TestPanicConvertsToTypedError(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		base := runtime.NumGoroutine()
-		err, _ := panicWorkload(t, workers, 8, 5)
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
-		}
-		if v, ok := pe.Value.(string); !ok || !strings.Contains(v, "boom") {
-			t.Fatalf("workers=%d: panic value %v lost", workers, pe.Value)
-		}
-		if len(pe.Stack) == 0 {
-			t.Fatalf("workers=%d: no stack captured", workers)
-		}
-		if got := settleGoroutines(base, 2); got > base+2 {
-			t.Fatalf("workers=%d: goroutines %d -> %d (leak)", workers, base, got)
-		}
+	base := runtime.NumGoroutine()
+	err, _ := panicWorkload(t, 5)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if v, ok := pe.Value.(string); !ok || !strings.Contains(v, "boom") {
+		t.Fatalf("panic value %v lost", pe.Value)
+	}
+	if len(pe.Stack) == 0 {
+		t.Fatal("no stack captured")
+	}
+	if got := settleGoroutines(base, 2); got > base+2 {
+		t.Fatalf("goroutines %d -> %d (leak)", base, got)
 	}
 }
 
-// A panic in one round must not lose the incumbent merged in earlier
-// rounds: the bound still holds the best fully merged result, so a
-// caller that wants a partial answer alongside the typed error has one.
+// A panic in one item must not lose the incumbent offered by earlier
+// ones: the bound still holds it, so a caller that wants a partial
+// answer alongside the typed error has one.
 func TestPanicKeepsMergedIncumbent(t *testing.T) {
 	bound := NewBound(0, asp.Result{Dist: 1e18})
 	processed := 0
-	_, _, _, err := RunCtx(context.Background(), 1, 1, []Item{{LB: 0, Space: unitSpace()}}, bound,
+	_, _, err := RunCtx(context.Background(), []Item{{LB: 0, Space: unitSpace()}}, bound,
 		func(w int, it Item, inc asp.Result, emit func(Item)) asp.Result {
 			processed++
 			if processed == 1 {
 				emit(Item{LB: 0.5, Space: unitSpace()})
 				return asp.Result{Dist: 1, Point: geom.Point{X: 0.25}}
 			}
-			panic("second round dies")
+			panic("the second item dies")
 		}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -104,28 +99,27 @@ func TestPanicKeepsMergedIncumbent(t *testing.T) {
 	}
 }
 
-// Every pooled child emitted before the panic — and every heap
-// leftover — must reach the release hook, so arena slices are not
-// stranded mid-crash.
+// Every pooled child the panicking item emitted before it died — and
+// every heap leftover — must reach the release hook, so pooled id slices
+// are not stranded mid-crash.
 func TestPanicReleasesChildrenAndHeap(t *testing.T) {
 	bound := NewBound(0, asp.Result{Dist: 1e18})
 	released := 0
 	processed := 0
-	_, _, _, err := RunCtx(context.Background(), 1, 2, []Item{{LB: 0, Space: unitSpace()}}, bound,
+	_, _, err := RunCtx(context.Background(), []Item{{LB: 0, Space: unitSpace()}}, bound,
 		func(w int, it Item, inc asp.Result, emit func(Item)) asp.Result {
 			processed++
 			switch processed {
 			case 1:
-				// Seed round: emit four children that form the next rounds.
+				// The seed emits four children at LB 0.1.
 				for i := 0; i < 4; i++ {
 					emit(Item{LB: 0.1, Pooled: true, Space: unitSpace()})
 				}
-				return inc
 			case 2:
 				emit(Item{LB: 0.2, Pooled: true, Space: unitSpace()})
-				return inc
 			case 3:
-				panic("die mid-round")
+				emit(Item{LB: 0.3, Pooled: true, Space: unitSpace()})
+				panic("die after emitting a child")
 			}
 			return inc
 		}, func(it Item) { released++ })
@@ -133,11 +127,11 @@ func TestPanicReleasesChildrenAndHeap(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
 	}
-	// Emitted pooled children: 4 (round 1) + 1 (round 2, discarded at the
-	// panic barrier). Two of round 1's children were processed (2 and 3);
-	// the other two are heap leftovers. Discarded = 1 + 2 = 3.
-	if released != 3 {
-		t.Fatalf("released = %d, want 3 (1 discarded child + 2 heap leftovers)", released)
+	// Items 2 and 3 were two of the seed's children. Left: the seed's
+	// other two children, item 2's child, and the child item 3 emitted
+	// before it died.
+	if released != 4 {
+		t.Fatalf("released = %d, want 4 (3 heap leftovers + 1 orphaned child)", released)
 	}
 }
 
@@ -147,7 +141,7 @@ func TestInjectedPanicFailpoint(t *testing.T) {
 	defer faultinject.Deactivate()
 	faultinject.Activate(faultinject.NewPlan(3,
 		faultinject.Spec{Point: "kernel.process.panic", Action: faultinject.ActPanic, MaxEvery: 1}))
-	err, processed := panicWorkload(t, 2, 4, -1)
+	err, processed := panicWorkload(t, -1)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -162,13 +156,13 @@ func TestInjectedPanicFailpoint(t *testing.T) {
 	}
 }
 
-// The kernel.barrier.slow failpoint must not change answers — only
-// stall rounds.
+// The kernel.barrier.slow failpoint must not change answers — only stall
+// the merges.
 func TestSlowBarrierKeepsAnswer(t *testing.T) {
 	run := func() asp.Result {
 		bound := NewBound(0, asp.Result{Dist: 1e18})
 		seed := Item{Space: geom.Rect{MinX: 0, MaxX: 1, MinY: 0, MaxY: 1}, LB: 0}
-		Run(2, 4, []Item{seed}, bound, func(w int, it Item, inc asp.Result, emit func(Item)) asp.Result {
+		Run(1, 0, []Item{seed}, bound, func(w int, it Item, inc asp.Result, emit func(Item)) asp.Result {
 			lo, hi := it.Space.MinX, it.Space.MaxX
 			mid := (lo + hi) / 2
 			if hi-lo > 1e-2 {

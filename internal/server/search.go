@@ -31,8 +31,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer leave(1)
 	var sq wire.Search
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&sq); err != nil {
+	if err := readBody(w, r, &sq); err != nil {
 		s.nBadReqs.Add(1)
 		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "invalid request body: %v", err)
 		return

@@ -374,11 +374,12 @@ func (s *Server) writeDraining(w http.ResponseWriter) {
 // every token it holds once it has answered, on its panic path too; nil
 // means the 503 (draining) or 429 has been written.
 //
-// A registered request holds the drain, so nothing it waits on may
-// outlast the grace period. The body read has no deadline of its own
-// (the daemon bounds headers only), so when the serving context is
-// cancelled the connection's read deadline moves to now: a stalled body
-// fails its decode instead of holding Shutdown.
+// A registered request holds a token and the drain, so nothing it waits
+// on may outlast its bounds. The body read gets a deadline of
+// Config.Timeout here (readBody clears it once the body is decoded), so
+// clients that stall their bodies cannot hold every token; and when the
+// serving context is cancelled the deadline moves to now, so a stalled
+// body fails its decode instead of holding Shutdown.
 func (s *Server) enter(w http.ResponseWriter) (leave func(tokens int)) {
 	s.drainMu.RLock()
 	draining := s.draining.Load()
@@ -394,13 +395,32 @@ func (s *Server) enter(w http.ResponseWriter) (leave func(tokens int)) {
 		s.inflight.Done()
 		return nil
 	}
+	// A writer with no connection under it (a handler test's recorder)
+	// has no deadline to set; the error says only that.
 	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(s.cfg.Timeout))
 	stop := context.AfterFunc(s.base, func() { _ = rc.SetReadDeadline(time.Now()) })
 	return func(tokens int) {
 		stop()
 		s.release(tokens)
 		s.inflight.Done()
 	}
+}
+
+// readBody decodes a request body into v under the read deadline enter
+// set, and clears it once the body is decoded: past the decode the
+// connection is read only by net/http's watch for a client going away,
+// which a deadline expiring mid-search would report as exactly that — so
+// a search or a stream stays bounded by its own deadline alone. A failed
+// decode keeps the deadline, which also bounds net/http's read of
+// whatever is left of the body before it answers.
+func readBody(w http.ResponseWriter, r *http.Request, v any) error {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		return err
+	}
+	_ = http.NewResponseController(w).SetReadDeadline(time.Time{}) // as in enter
+	return nil
 }
 
 // admit acquires n admission tokens — one per query, so a client batch
@@ -445,8 +465,8 @@ func (s *Server) release(n int) {
 // makes — and respond. A panic is the handler's own (recoverMiddleware
 // answers it with 500 internal_panic; the deferred leave still runs). A
 // deadline is honoured where the engine honours it — the slot queue, the
-// join wait, the entry check before a search and the kernel superstep —
-// so a 504 is written at the search's next cancellation point.
+// join wait, the entry check before a search and each space the kernel
+// pops — so a 504 is written at the search's next cancellation point.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.nReceived.Add(1)
@@ -456,8 +476,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer leave(1)
 	var wq Query
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&wq); err != nil {
+	if err := readBody(w, r, &wq); err != nil {
 		s.nBadReqs.Add(1)
 		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "invalid request body: %v", err)
 		return
@@ -506,8 +525,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	took := 1
 	defer func() { leave(took) }()
 	var wb Batch
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&wb); err != nil {
+	if err := readBody(w, r, &wb); err != nil {
 		s.nBadReqs.Add(1)
 		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "invalid request body: %v", err)
 		return
@@ -622,8 +640,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	defer leave(1)
 	var wi Insert
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&wi); err != nil {
+	if err := readBody(w, r, &wi); err != nil {
 		s.nBadReqs.Add(1)
 		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "invalid request body: %v", err)
 		return

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -197,9 +198,9 @@ func TestServerConcurrentClientsBitIdentical(t *testing.T) {
 // the Coalescer it first held; identical requests now coalesce by joining
 // a search already in flight behind /v1/query. Concurrent HTTP clients
 // must get distances bit-identical to sequential Engine.Query calls — for
-// any number of clients and kernel workers, and when a client fires a
-// burst of identical requests at once (which join one search in the
-// engine). Every request either searches or joins one.
+// any number of clients (and any value of the inert Workers option), and
+// when a client fires a burst of identical requests at once (which join
+// one search in the engine). Every request either searches or joins one.
 func TestCoalescerBitIdentical(t *testing.T) {
 	ds, _, reqs := corpus(t)
 
@@ -395,7 +396,7 @@ func TestServerDeadline504(t *testing.T) {
 	defer faultinject.Deactivate()
 
 	// The doomed query covers a quarter of the city: plenty of
-	// supersteps for the deadline to land inside.
+	// spaces for the deadline to land inside.
 	tgt := make([]float64, f.Dims())
 	for i := range tgt {
 		tgt[i] = 1e6
@@ -629,6 +630,57 @@ func TestServerDrainStalledBody(t *testing.T) {
 	}
 	if st := getStats(t, ts.URL); st.InFlight != 0 {
 		t.Fatalf("in_flight = %d after the drain, want 0", st.InFlight)
+	}
+}
+
+// TestServerStalledBodiesReleaseAdmission: a request takes its admission
+// token before its body is read, so clients that send headers and then
+// stall their bodies could hold every token and shed everyone else with
+// 429. The body read is bounded by the per-query timeout: the stalled
+// requests fail their decode with 400 and give their tokens back.
+func TestServerStalledBodiesReleaseAdmission(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	_, ts, _ := newTestServer(t, server.Config{MaxInFlight: 2, Timeout: timeout})
+	_, _, reqs := corpus(t)
+	sent := time.Now()
+	conns := make([]net.Conn, 2)
+	for i := range conns {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := fmt.Fprint(conn, "POST /v1/query HTTP/1.1\r\nHost: test\r\n"+
+			"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n{"); err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = conn
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for getStats(t, ts.URL).InFlight < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled requests never entered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/query", wireFor(reqs[0])); time.Since(sent) < timeout/2 &&
+		resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("with every token held by a stalled body: status %d, body %s — want 429", resp.StatusCode, body)
+	}
+
+	for i, conn := range conns {
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("stalled request %d: no response after %v: %v", i, time.Since(sent), err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("stalled request %d: status %d, want 400", i, resp.StatusCode)
+		}
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/query", wireFor(reqs[0])); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the stalled bodies timed out: status %d, body %s — want 200", resp.StatusCode, body)
 	}
 }
 

@@ -7,7 +7,7 @@
 // server's mode. Concurrent queries meet in the engine: identical
 // requests join one search in flight and searches queue for a core.
 // Per-query deadlines are honoured at the engine's cancellation points
-// (slot queue, join wait, kernel superstep) and surface as 504. See
+// (slot queue, join wait, each kernel space) and surface as 504. See
 // DESIGN.md §7.
 package server
 

@@ -64,7 +64,7 @@ func sameRep(a, b []float64) bool {
 // TestRoutedContainedBitIdentity: an extent contained in one shard's
 // closed slab must answer bit-identically — region, point, distance and
 // representation — to a single merged-corpus engine, for every shard
-// count, worker count, with top-k and exclusions in play. This is the
+// count, with top-k and exclusions in play. This is the
 // router's core exactness contract (DESIGN.md §11).
 func TestRoutedContainedBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
@@ -85,38 +85,36 @@ func TestRoutedContainedBitIdentity(t *testing.T) {
 					continue
 				}
 				extent := asrs.Rect{MinX: lo + 0.5, MinY: 5, MaxX: hi - 0.5, MaxY: 95}
-				for _, workers := range []int{1, 3} {
-					opt := asrs.Options{Workers: workers}
-					resp := rt.Query(context.Background(), shard.Request{
-						Query: q, A: a, B: b, TopK: 2,
-						Exclude: []asrs.Rect{{MinX: lo, MinY: 40, MaxX: lo + 3, MaxY: 44}},
-						Extent:  &extent, Options: &opt, Policy: shard.BestEffort,
-					})
-					oresp := oracle.Query(asrs.QueryRequest{
-						Query: q, A: a, B: b, TopK: 2,
-						Exclude: []asrs.Rect{{MinX: lo, MinY: 40, MaxX: lo + 3, MaxY: 44}},
-						Within:  &extent, Options: &opt,
-					})
-					if (resp.Err == nil) != (oresp.Err == nil) || (resp.Err != nil && !errors.Is(resp.Err, oresp.Err)) {
-						t.Fatalf("trial %d ns=%d shard %d: err mismatch: routed %v oracle %v", trial, ns, si, resp.Err, oresp.Err)
+				opt := asrs.Options{}
+				resp := rt.Query(context.Background(), shard.Request{
+					Query: q, A: a, B: b, TopK: 2,
+					Exclude: []asrs.Rect{{MinX: lo, MinY: 40, MaxX: lo + 3, MaxY: 44}},
+					Extent:  &extent, Options: &opt, Policy: shard.BestEffort,
+				})
+				oresp := oracle.Query(asrs.QueryRequest{
+					Query: q, A: a, B: b, TopK: 2,
+					Exclude: []asrs.Rect{{MinX: lo, MinY: 40, MaxX: lo + 3, MaxY: 44}},
+					Within:  &extent, Options: &opt,
+				})
+				if (resp.Err == nil) != (oresp.Err == nil) || (resp.Err != nil && !errors.Is(resp.Err, oresp.Err)) {
+					t.Fatalf("trial %d ns=%d shard %d: err mismatch: routed %v oracle %v", trial, ns, si, resp.Err, oresp.Err)
+				}
+				if resp.Err != nil {
+					continue
+				}
+				if len(resp.Coverage.Searched) != 1 || resp.Coverage.Searched[0] != sh.Name() {
+					t.Fatalf("trial %d ns=%d: contained extent searched %v, want exactly [%s]", trial, ns, resp.Coverage.Searched, sh.Name())
+				}
+				if len(resp.Regions) != len(oresp.Regions) {
+					t.Fatalf("trial %d ns=%d shard %d: %d regions vs oracle %d", trial, ns, si, len(resp.Regions), len(oresp.Regions))
+				}
+				for i := range resp.Regions {
+					if !sameRect(resp.Regions[i], oresp.Regions[i]) {
+						t.Fatalf("trial %d ns=%d shard %d k=%d: region %v vs oracle %v", trial, ns, si, i, resp.Regions[i], oresp.Regions[i])
 					}
-					if resp.Err != nil {
-						continue
-					}
-					if len(resp.Coverage.Searched) != 1 || resp.Coverage.Searched[0] != sh.Name() {
-						t.Fatalf("trial %d ns=%d: contained extent searched %v, want exactly [%s]", trial, ns, resp.Coverage.Searched, sh.Name())
-					}
-					if len(resp.Regions) != len(oresp.Regions) {
-						t.Fatalf("trial %d ns=%d shard %d: %d regions vs oracle %d", trial, ns, si, len(resp.Regions), len(oresp.Regions))
-					}
-					for i := range resp.Regions {
-						if !sameRect(resp.Regions[i], oresp.Regions[i]) {
-							t.Fatalf("trial %d ns=%d shard %d k=%d: region %v vs oracle %v", trial, ns, si, i, resp.Regions[i], oresp.Regions[i])
-						}
-						r, o := resp.Results[i], oresp.Results[i]
-						if !sameBits(r.Dist, o.Dist) || !sameBits(r.Point.X, o.Point.X) || !sameBits(r.Point.Y, o.Point.Y) || !sameRep(r.Rep, o.Rep) {
-							t.Fatalf("trial %d ns=%d shard %d k=%d: result %+v vs oracle %+v", trial, ns, si, i, r, o)
-						}
+					r, o := resp.Results[i], oresp.Results[i]
+					if !sameBits(r.Dist, o.Dist) || !sameBits(r.Point.X, o.Point.X) || !sameBits(r.Point.Y, o.Point.Y) || !sameRep(r.Rep, o.Rep) {
+						t.Fatalf("trial %d ns=%d shard %d k=%d: result %+v vs oracle %+v", trial, ns, si, i, r, o)
 					}
 				}
 			}
@@ -127,7 +125,7 @@ func TestRoutedContainedBitIdentity(t *testing.T) {
 // TestRoutedStraddlingBitIdentity: an extent spanning several slabs
 // must gather to the merged-corpus windowed optimum — distance and
 // representation bit-identical — whether or not the cross-shard shared
-// pruning cap is on, at any worker count. The routed region must be a
+// pruning cap is on. The routed region must be a
 // genuine optimum of the merged corpus: its anchor's representation,
 // recomputed over the full corpus, reproduces the routed distance.
 func TestRoutedStraddlingBitIdentity(t *testing.T) {
@@ -152,34 +150,32 @@ func TestRoutedStraddlingBitIdentity(t *testing.T) {
 					ropt = ropt.WithoutBoundShare()
 				}
 				rt := shard.NewRouter(cat, ropt)
-				for _, workers := range []int{1, 3} {
-					opt := asrs.Options{Workers: workers}
-					resp := rt.Query(context.Background(), shard.Request{
-						Query: q, A: a, B: b, Extent: &extent, Options: &opt, Policy: shard.Strict,
-					})
-					if resp.Err != nil {
-						t.Fatalf("trial %d ns=%d share=%v: %v", trial, ns, share, resp.Err)
-					}
-					res := resp.Results[0]
-					if !sameBits(res.Dist, ores.Dist) {
-						t.Fatalf("trial %d ns=%d share=%v w=%d: dist %x vs oracle %x (%g vs %g)",
-							trial, ns, share, workers, math.Float64bits(res.Dist), math.Float64bits(ores.Dist), res.Dist, ores.Dist)
-					}
-					if !sameRep(res.Rep, ores.Rep) {
-						t.Fatalf("trial %d ns=%d share=%v w=%d: rep %v vs oracle %v", trial, ns, share, workers, res.Rep, ores.Rep)
-					}
-					// Region validity on the merged corpus: recomputing the
-					// routed anchor's representation over the full corpus
-					// must reproduce the routed distance exactly.
-					if !extent.ContainsRect(resp.Regions[0]) {
-						t.Fatalf("trial %d: routed region %v escapes extent %v", trial, resp.Regions[0], extent)
-					}
-					rep := asp.PointRepresentation(rects, f, res.Point)
-					if d := q.Distance(rep); !sameBits(d, res.Dist) {
-						t.Fatalf("trial %d ns=%d share=%v: routed region not a merged-corpus answer: %g vs %g", trial, ns, share, d, res.Dist)
-					}
-					_ = oregion
+				opt := asrs.Options{}
+				resp := rt.Query(context.Background(), shard.Request{
+					Query: q, A: a, B: b, Extent: &extent, Options: &opt, Policy: shard.Strict,
+				})
+				if resp.Err != nil {
+					t.Fatalf("trial %d ns=%d share=%v: %v", trial, ns, share, resp.Err)
 				}
+				res := resp.Results[0]
+				if !sameBits(res.Dist, ores.Dist) {
+					t.Fatalf("trial %d ns=%d share=%v: dist %x vs oracle %x (%g vs %g)",
+						trial, ns, share, math.Float64bits(res.Dist), math.Float64bits(ores.Dist), res.Dist, ores.Dist)
+				}
+				if !sameRep(res.Rep, ores.Rep) {
+					t.Fatalf("trial %d ns=%d share=%v: rep %v vs oracle %v", trial, ns, share, res.Rep, ores.Rep)
+				}
+				// Region validity on the merged corpus: recomputing the
+				// routed anchor's representation over the full corpus
+				// must reproduce the routed distance exactly.
+				if !extent.ContainsRect(resp.Regions[0]) {
+					t.Fatalf("trial %d: routed region %v escapes extent %v", trial, resp.Regions[0], extent)
+				}
+				rep := asp.PointRepresentation(rects, f, res.Point)
+				if d := q.Distance(rep); !sameBits(d, res.Dist) {
+					t.Fatalf("trial %d ns=%d share=%v: routed region not a merged-corpus answer: %g vs %g", trial, ns, share, d, res.Dist)
+				}
+				_ = oregion
 			}
 		}
 	}

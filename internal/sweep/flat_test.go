@@ -227,9 +227,9 @@ func TestStripModeCounters(t *testing.T) {
 	}
 }
 
-// TestStripPoolModes: pool-built solvers (slab scratch, the production
-// path) agree with classic across modes after Rebind, and the pool's
-// pre-sized dif/run scratch survives reuse across solves.
+// TestStripPoolModes: a pre-sized solver (slab scratch, the production
+// path) agrees with classic across modes after Rebind, and its pre-sized
+// dif/run scratch survives reuse across solves.
 func TestStripPoolModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	rects, q := incrFixture(t, rng, incrMinRects+100)
@@ -247,11 +247,10 @@ func TestStripPoolModes(t *testing.T) {
 	want, wok := classic.SolveWithin(space)
 	want2, wok2 := classic2.SolveWithin(space2)
 	for _, mc := range stripModeCases {
-		pool, err := NewPool(2, q, 512)
+		s, err := NewSized(q, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &pool[1]
 		s.SetIncremental(true)
 		mc.prep(s)
 		s.Rebind(rects)

@@ -13,7 +13,7 @@ import (
 var sweepSink asp.Result
 
 // BenchmarkSweepGeneric times one DS-Search safety-net sweep as the
-// zoo's f2-stream workload runs them: a pooled solver rebound to the
+// zoo's f2-stream workload runs them: a pre-sized solver rebound to the
 // ≈ 150 rectangles of a small space (dssearch's sweepCutoff is 160) and
 // solved by the classic strip walk — POISyn's F2 (sum of visits + average
 // rating) carries no fixed-point certificate, so the incremental sweep
@@ -48,11 +48,10 @@ func BenchmarkSweepGeneric(b *testing.B) {
 			}
 		}
 	}
-	pool, err := sweep.NewPool(1, q, 0)
+	s, err := sweep.NewSized(q, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := &pool[0]
 	capDist := math.Inf(1)
 	run := func() {
 		s.Rebind(sub)

@@ -133,7 +133,7 @@ type incrState struct {
 // it for composites whose channel contributions sum exactly in float64;
 // results are bit-identical there (see the package note above). Real-
 // valued composites must additionally carry a fixed-point certificate
-// installed via SetFixedPoint. Solvers not built by NewPool get an
+// installed via SetFixedPoint. Solvers not built by NewSized get an
 // unbounded size cap.
 func (s *Solver) SetIncremental(on bool) {
 	s.incremental = on

@@ -195,7 +195,7 @@ func TestIncrementalSweepFixedPoint(t *testing.T) {
 	}
 }
 
-// TestIncrementalSweepSteadyStateAllocs: a pooled solver rebound to a new
+// TestIncrementalSweepSteadyStateAllocs: a pre-sized solver rebound to a new
 // rectangle set sweeps it incrementally out of the scratch it already
 // holds; all it allocates is the answer's representation. (Sorting each
 // strip's dirty ranges through sort.Slice allocated per dirty strip on
@@ -206,11 +206,10 @@ func TestIncrementalSweepSteadyStateAllocs(t *testing.T) {
 	rects2, _ := incrFixture(t, rng, incrMinRects+60)
 	space := geom.Rect{MinX: 5, MinY: 5, MaxX: 95, MaxY: 95}
 	for _, mc := range stripModeCases {
-		pool, err := NewPool(1, q, 512)
+		s, err := NewSized(q, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &pool[0]
 		s.SetIncremental(true)
 		mc.prep(s)
 		sets := [][]asp.RectObject{rects, rects2}

@@ -61,8 +61,8 @@ type Solver struct {
 
 	// incremental selects the Fenwick-backed delta sweep for large
 	// inputs (see incremental.go); inc is its reusable scratch, and
-	// incrCap bounds the input size it engages for (NewPool pre-sizes
-	// the scratch to this bound, so the path never regrows per worker).
+	// incrCap bounds the input size it engages for (NewSized pre-sizes
+	// the scratch to this bound, so the path never regrows).
 	// fpScale/fpInv are the optional per-channel fixed-point scales
 	// (SetFixedPoint) that let real-valued certified channels ride the
 	// int64 tree exactly.
@@ -102,76 +102,55 @@ func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 	return s, nil
 }
 
-// NewPool returns n unbound solvers for the query whose scratch comes
-// from shared slab allocations, so a worker pool's solvers cost O(1)
-// allocations rather than O(workers). incrCap > 0 additionally
-// pre-sizes each solver's incremental-sweep scratch for inputs up to
-// incrCap rectangles (larger inputs just regrow). Each solver must be
-// Rebind-ed before use; solvers are independent afterwards.
-func NewPool(n int, q asp.Query, incrCap int) ([]Solver, error) {
+// NewSized returns an unbound solver for the query whose scratch is
+// pre-sized from a few slab allocations: sorted edges and strips for 2048
+// rectangles, and, when incrCap > 0, the incremental sweep for inputs up
+// to incrCap rectangles (larger inputs just regrow). It must be
+// Rebind-ed before use.
+func NewSized(q asp.Query, incrCap int) (*Solver, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	const presort = 2048 // sorted-edge and strip capacity per solver
-	solvers := make([]Solver, n)
-	accs := agg.NewAccumulators(q.F, n)
-	reps := make([]float64, n*q.F.Dims())
-	ints := make([]int, 2*n*presort)
-	carveInt := func(sz int) []int {
-		out := ints[:sz:sz]
-		ints = ints[sz:]
-		return out[:0]
+	const presort = 2048
+	s := &Solver{
+		query:   q,
+		acc:     agg.NewAccumulator(q.F),
+		rep:     make([]float64, q.F.Dims()),
+		byMinX:  make([]int, 0, presort),
+		byMaxX:  make([]int, 0, presort),
+		ys:      make([]float64, 0, presort),
+		evalCap: math.Inf(1),
 	}
-	ysf := make([]float64, n*presort)
-	for i := range solvers {
-		solvers[i] = Solver{
-			query:   q,
-			acc:     &accs[i],
-			rep:     reps[i*q.F.Dims() : (i+1)*q.F.Dims()],
-			byMinX:  carveInt(presort),
-			byMaxX:  carveInt(presort),
-			ys:      ysf[i*presort : i*presort : (i+1)*presort],
-			evalCap: math.Inf(1),
-		}
-	}
-	if incrCap > 0 {
+	if m := incrCap; m > 0 {
 		chans := q.F.Channels()
-		m := incrCap
-		for i := range solvers {
-			solvers[i].incrCap = m
-		}
-		i32 := make([]int32, n*(14*m+12))
+		s.incrCap = m
+		i32 := make([]int32, 14*m+12)
 		carve32 := func(sz int) []int32 {
-			out := i32[:sz:sz]
+			out := i32[:0:sz]
 			i32 = i32[sz:]
-			return out[:0]
+			return out
 		}
-		fl := make([]float64, n*(2*m+2+chans))
-		i64 := make([]int64, n*2*chans)
-		rngs := make([][2]int32, n*64)
-		for i := range solvers {
-			inc := &solvers[i].inc
-			inc.ranges = rngs[i*64 : i*64 : (i+1)*64]
-			inc.xs = fl[: 0 : 2*m+2]
-			fl = fl[2*m+2:]
-			inc.ch = fl[:chans:chans]
-			fl = fl[chans:]
-			inc.chI = i64[2*i*chans : (2*i+1)*chans : (2*i+1)*chans]
-			inc.run = i64[(2*i+1)*chans : (2*i+2)*chans : (2*i+2)*chans]
-			inc.li = carve32(m)
-			inc.ri = carve32(m)
-			inc.sa = carve32(m)
-			inc.se = carve32(m)
-			inc.addStart = carve32(2*m + 3)
-			inc.remStart = carve32(2*m + 3)
-			inc.addIds = carve32(m)
-			inc.remIds = carve32(m)
-			inc.fill = carve32(4*m + 6)
-			inc.bit.Reset(2*m+1, chans)
-			inc.dif.Reset(2*m+1, chans)
-		}
+		fl := make([]float64, 2*m+2+chans)
+		i64 := make([]int64, 2*chans)
+		inc := &s.inc
+		inc.ranges = make([][2]int32, 0, 64)
+		inc.xs = fl[: 0 : 2*m+2]
+		inc.ch = fl[2*m+2:]
+		inc.chI = i64[:chans:chans]
+		inc.run = i64[chans:]
+		inc.li = carve32(m)
+		inc.ri = carve32(m)
+		inc.sa = carve32(m)
+		inc.se = carve32(m)
+		inc.addStart = carve32(2*m + 3)
+		inc.remStart = carve32(2*m + 3)
+		inc.addIds = carve32(m)
+		inc.remIds = carve32(m)
+		inc.fill = carve32(4*m + 6)
+		inc.bit.Reset(2*m+1, chans)
+		inc.dif.Reset(2*m+1, chans)
 	}
-	return solvers, nil
+	return s, nil
 }
 
 // SetQuery rebinds the solver to a new query that shares the current
@@ -179,8 +158,8 @@ func NewPool(n int, q asp.Query, incrCap int) ([]Solver, error) {
 // and every pre-sized scratch slab stay valid) and reports whether it
 // did. A query over a different composite returns false and leaves the
 // solver untouched — the caller must rebuild. This is what lets a slab
-// cache recycle whole solver pools across the queries of a serving
-// batch: per-query state is just the target/weights/norm.
+// cache recycle a solver across the queries on one composite: per-query
+// state is just the target/weights/norm.
 func (s *Solver) SetQuery(q asp.Query) bool {
 	if q.F != s.query.F {
 		return false

@@ -38,8 +38,8 @@ type QueryRequest struct {
 	// request when non-nil.
 	Options *Options
 	// Ctx, when non-nil, bounds this request individually (per-query
-	// deadline or cancellation): the search kernel checks it at superstep
-	// boundaries and the response's Err becomes context.Canceled /
+	// deadline or cancellation): the search kernel checks it before each
+	// space it pops and the response's Err becomes context.Canceled /
 	// context.DeadlineExceeded. It takes precedence over the context of
 	// the QueryCtx or QueryBatchCtx call. A request that joins an
 	// identical search in flight waits under its own Ctx and, should that

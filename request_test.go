@@ -18,7 +18,7 @@ import (
 // (none, an example region, a blocker over the whole space) × extent
 // (none, a sub-extent, an exact a×b fit, one too small) — is answered by
 // every configuration of the one driver (grid index or none × pyramid or
-// none × 1 or 3 workers) and held, row by row, to SearchBaseline: the
+// none) and held, row by row, to SearchBaseline: the
 // same typed error, or for each row the distance of the baseline's best
 // region under the exclusions and the rows before it. The comparison is
 // per row under the configuration's own earlier rows because equally
@@ -120,16 +120,14 @@ func TestRequestShapes(t *testing.T) {
 						or := newRowOracle(ds, req, c.exact, outside)
 						for _, cfgIdx := range []*asrs.Index{nil, idx} {
 							for _, cfgPyr := range []*asrs.Pyramid{nil, pyr} {
-								for _, workers := range []int{1, 3} {
-									req.Options = &asrs.Options{Workers: workers, Pyramid: cfgPyr}
-									got, _ := asrs.Answer(ds, cfgIdx, req)
-									cfg := fmt.Sprintf("%s index=%v pyramid=%v workers=%d", shape, cfgIdx != nil, cfgPyr != nil, workers)
-									if msg := or.check(got); msg != "" {
-										t.Fatalf("%s: %s", cfg, msg)
-									}
-									if msg := probeRows(rng, rects, req, got); msg != "" {
-										t.Fatalf("%s: %s", cfg, msg)
-									}
+								req.Options = &asrs.Options{Pyramid: cfgPyr}
+								got, _ := asrs.Answer(ds, cfgIdx, req)
+								cfg := fmt.Sprintf("%s index=%v pyramid=%v", shape, cfgIdx != nil, cfgPyr != nil)
+								if msg := or.check(got); msg != "" {
+									t.Fatalf("%s: %s", cfg, msg)
+								}
+								if msg := probeRows(rng, rects, req, got); msg != "" {
+									t.Fatalf("%s: %s", cfg, msg)
 								}
 							}
 						}
