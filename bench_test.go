@@ -1,9 +1,14 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§7) as testing.B benches. Each BenchmarkFigN/BenchmarkTableN
-// family mirrors one artifact; the full parameter sweeps with printed
-// rows live in cmd/asrsbench (internal/harness). Cardinalities are
-// laptop-scale — the shapes (who wins, by what factor) are what carry
-// over, not absolute times; see EXPERIMENTS.md.
+// evaluation (§7), one family per artifact: Figs 8–13, Tables 1–2 and the
+// Figs 14–15 case study. Regenerate them all with
+//
+//	go test -run '^$' -bench 'Fig|Table|CaseStudy' .
+//
+// (add -benchtime=1x for one pass). A family that times two algorithms
+// first answers once with each, untimed, and fails unless they agree:
+// Base = DS-Search, GI-DS = DS-Search, OE = DS MaxRS, and
+// d_app ≤ (1+δ)·d_opt. Cardinalities are laptop-scale — the shapes (who
+// wins, by what factor) are what carry over, not absolute times.
 package asrs_test
 
 import (
@@ -47,256 +52,279 @@ func sizeK(ds *asrs.Dataset, k int) (float64, float64) {
 	return float64(k) * b.Width() / 1000, float64(k) * b.Height() / 1000
 }
 
-func tweetQuery(b *testing.B, ds *asrs.Dataset, k int) (asrs.Query, float64, float64) {
+// workload is one of §7.1's two query families: Composite Aggregator 1
+// over Tweet and Composite Aggregator 2 over POISyn. Every figure the
+// paper draws for both runs both from this table. n is the corpus of the
+// fixed-cardinality figures and the top of the cardinality series: an F2
+// query costs far more per object than an F1 query, so POISyn's is
+// smaller.
+type workload struct {
+	name  string
+	n     int
+	ds    func(n int) *asrs.Dataset
+	query func(ds *asrs.Dataset, a, b float64) (asrs.Query, error)
+}
+
+var (
+	tweet     = workload{"Tweet", 100000, tweetDS, dataset.F1}
+	poisyn    = workload{"POISyn", 20000, poiDS, dataset.F2}
+	workloads = []workload{tweet, poisyn}
+	sizes     = []int{1, 4, 7, 10} // query sizes, in units of q
+)
+
+// at returns w's corpus of n objects and its query at size k·q, where q is
+// a thousandth of the corpus bounds on each axis.
+func (w workload) at(b *testing.B, n, k int) (*asrs.Dataset, asrs.Query, float64, float64) {
 	b.Helper()
+	ds := w.ds(n)
 	qa, qb := sizeK(ds, k)
-	q, err := dataset.F1(ds, qa, qb)
+	q, err := w.query(ds, qa, qb)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return q, qa, qb
+	return ds, q, qa, qb
 }
 
-func poiQuery(b *testing.B, ds *asrs.Dataset, k int) (asrs.Query, float64, float64) {
-	b.Helper()
-	qa, qb := sizeK(ds, k)
-	q, err := dataset.F2(ds, qa, qb)
-	if err != nil {
-		b.Fatal(err)
+// answer runs one plain request through the library's one driver —
+// DS-Search without an index, GI-DS with one — and returns its distance.
+func answer(b *testing.B, ds *asrs.Dataset, idx *asrs.Index, q asrs.Query, qa, qb float64, opt asrs.Options) (float64, asrs.IndexStats) {
+	resp, stats := asrs.Answer(ds, idx, asrs.QueryRequest{Query: q, A: qa, B: qb, Options: &opt})
+	if resp.Err != nil {
+		b.Fatal(resp.Err)
 	}
-	return q, qa, qb
+	return resp.Results[0].Dist, stats
 }
 
-// ---- Figure 8: runtime vs query rectangle size, DS-Search vs Base ----
+// side is one algorithm of a figure; run returns its answer's distance
+// (or MaxRS weight).
+type side struct {
+	name string
+	run  func(b *testing.B) float64
+}
 
-func BenchmarkFig8DSSearch(b *testing.B) {
-	for _, k := range []int{1, 4, 7, 10} {
-		b.Run(fmt.Sprintf("Tweet/size=%dq", k), func(b *testing.B) {
-			ds := tweetDS(20000)
-			q, qa, qb := tweetQuery(b, ds, k)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := asrs.Search(ds, qa, qb, q, asrs.Options{}); err != nil {
-					b.Fatal(err)
-				}
+// race answers once with every side, untimed, and fails unless each found
+// an answer as good as the first side's; then it times each side as a
+// sub-benchmark.
+func race(b *testing.B, sides ...side) {
+	if len(sides) > 1 {
+		want := sides[0].run(b)
+		for _, s := range sides[1:] {
+			if got := s.run(b); math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
+				b.Fatalf("%s answered %v, %s %v", s.name, got, sides[0].name, want)
 			}
-		})
-		b.Run(fmt.Sprintf("POISyn/size=%dq", k), func(b *testing.B) {
-			ds := poiDS(20000)
-			q, qa, qb := poiQuery(b, ds, k)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := asrs.Search(ds, qa, qb, q, asrs.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
 	}
-}
-
-func BenchmarkFig8Base(b *testing.B) {
-	// The baseline is O(n²); it gets a smaller corpus so the suite stays
-	// runnable. Compare per-object rates, not absolute times.
-	for _, k := range []int{1, 4, 7, 10} {
-		b.Run(fmt.Sprintf("Tweet/size=%dq", k), func(b *testing.B) {
-			ds := tweetDS(2000)
-			q, qa, qb := tweetQuery(b, ds, k)
-			b.ResetTimer()
+	for _, s := range sides {
+		b.Run(s.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := asrs.SearchBaseline(ds, asrs.QueryRequest{Query: q, A: qa, B: qb}).Err; err != nil {
-					b.Fatal(err)
-				}
+				s.run(b)
 			}
 		})
 	}
 }
 
-// ---- Figure 9: DS-Search runtime vs grid granularity ----
+func baseSide(ds *asrs.Dataset, q asrs.Query, qa, qb float64) side {
+	return side{"Base", func(b *testing.B) float64 {
+		resp := asrs.SearchBaseline(ds, asrs.QueryRequest{Query: q, A: qa, B: qb})
+		if resp.Err != nil {
+			b.Fatal(resp.Err)
+		}
+		return resp.Results[0].Dist
+	}}
+}
 
-func BenchmarkFig9Granularity(b *testing.B) {
-	ds := tweetDS(50000)
-	q, qa, qb := tweetQuery(b, ds, 10)
-	for _, g := range []int{10, 20, 30, 40, 50} {
-		b.Run(fmt.Sprintf("ncol=nrow=%d", g), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := asrs.Search(ds, qa, qb, q, asrs.Options{NCol: g, NRow: g}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+func dsSide(ds *asrs.Dataset, q asrs.Query, qa, qb float64, opt asrs.Options) side {
+	return side{"DS-Search", func(b *testing.B) float64 {
+		d, _ := answer(b, ds, nil, q, qa, qb, opt)
+		return d
+	}}
+}
+
+// ---- Figure 8: runtime vs query rectangle size, Base vs DS-Search ----
+
+// BenchmarkFig8 runs both algorithms on one corpus per workload, kept
+// small for the O(n²) baseline: compare the two, not absolute times.
+func BenchmarkFig8(b *testing.B) {
+	for _, w := range workloads {
+		for _, k := range sizes {
+			b.Run(fmt.Sprintf("%s/size=%dq", w.name, k), func(b *testing.B) {
+				ds, q, qa, qb := w.at(b, 2000, k)
+				race(b, baseSide(ds, q, qa, qb), dsSide(ds, q, qa, qb, asrs.Options{}))
+			})
+		}
 	}
 }
 
-// ---- Figure 10: scalability in dataset cardinality ----
+// ---- Figure 9: DS-Search runtime vs grid granularity n_col = n_row ----
 
-func BenchmarkFig10DSSearch(b *testing.B) {
-	for _, n := range []int{10000, 40000, 70000, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ds := tweetDS(n)
-			q, qa, qb := tweetQuery(b, ds, 10)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := asrs.Search(ds, qa, qb, q, asrs.Options{}); err != nil {
-					b.Fatal(err)
-				}
+// BenchmarkFig9 runs on half of each workload's corpus: at 10 × 10 cells
+// a query over all of it takes seconds.
+func BenchmarkFig9(b *testing.B) {
+	for _, w := range workloads {
+		for _, k := range sizes {
+			ds, q, qa, qb := w.at(b, w.n/2, k)
+			for _, g := range []int{10, 20, 30, 40, 50} {
+				b.Run(fmt.Sprintf("%s/size=%dq/ncol=nrow=%d", w.name, k, g), func(b *testing.B) {
+					race(b, dsSide(ds, q, qa, qb, asrs.Options{NCol: g, NRow: g}))
+				})
 			}
-		})
+		}
 	}
 }
 
-func BenchmarkFig10Base(b *testing.B) {
-	for _, n := range []int{1000, 2000, 4000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ds := tweetDS(n)
-			q, qa, qb := tweetQuery(b, ds, 10)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := asrs.SearchBaseline(ds, asrs.QueryRequest{Query: q, A: qa, B: qb}).Err; err != nil {
-					b.Fatal(err)
+// ---- Figure 10: runtime vs dataset cardinality, Base vs DS-Search ----
+
+// BenchmarkFig10 runs the baseline up to 4 000 objects, where one query
+// already takes a second, and DS-Search across the whole series.
+func BenchmarkFig10(b *testing.B) {
+	for _, w := range workloads {
+		for _, m := range []int{1, 2, 4, 10, 40, 70, 100} {
+			n := m * w.n / 100
+			b.Run(fmt.Sprintf("%s/n=%d", w.name, n), func(b *testing.B) {
+				ds, q, qa, qb := w.at(b, n, 10)
+				sides := []side{dsSide(ds, q, qa, qb, asrs.Options{})}
+				if n <= 4000 {
+					sides = append([]side{baseSide(ds, q, qa, qb)}, sides...)
 				}
-			}
-		})
+				race(b, sides...)
+			})
+		}
 	}
 }
 
 // ---- Figure 11 / Table 1: GI-DS vs DS-Search across index granularity ----
 
-func BenchmarkFig11GIDS(b *testing.B) {
-	ds := tweetDS(100000)
-	q, qa, qb := tweetQuery(b, ds, 10)
-	b.Run("DS-Search", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := asrs.Search(ds, qa, qb, q, asrs.Options{}); err != nil {
-				b.Fatal(err)
-			}
+// BenchmarkFig11Table1 times DS-Search and GI-DS over 64², 128² and 256²
+// grid indices; each GI-DS run reports Table 1's share of index cells
+// searched and the index's size.
+func BenchmarkFig11Table1(b *testing.B) {
+	for _, w := range workloads {
+		for _, k := range sizes {
+			b.Run(fmt.Sprintf("%s/size=%dq", w.name, k), func(b *testing.B) {
+				ds, q, qa, qb := w.at(b, w.n, k)
+				sides := []side{dsSide(ds, q, qa, qb, asrs.Options{})}
+				for _, g := range []int{64, 128, 256} {
+					idx, err := asrs.NewIndex(ds, q.F, g, g)
+					if err != nil {
+						b.Fatal(err)
+					}
+					mib := float64(idx.SizeBytes()) / (1 << 20)
+					sides = append(sides, side{fmt.Sprintf("GI-DS/grid=%d", g), func(b *testing.B) float64 {
+						d, st := answer(b, ds, idx, q, qa, qb, asrs.Options{})
+						b.ReportMetric(100*float64(st.CellsSearched)/float64(st.Cells), "cells-searched-%")
+						b.ReportMetric(mib, "index-MiB")
+						return d
+					}})
+				}
+				race(b, sides...)
+			})
 		}
-	})
-	for _, g := range []int{64, 128, 256} {
-		b.Run(fmt.Sprintf("GIDS/grid=%d", g), func(b *testing.B) {
-			idx, err := asrs.NewIndex(ds, q.F, g, g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := asrs.SearchWithIndex(idx, ds, qa, qb, q, asrs.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
-func BenchmarkTable1IndexBuild(b *testing.B) {
-	ds := tweetDS(100000)
-	q, _, _ := tweetQuery(b, ds, 10)
-	for _, g := range []int{64, 128, 256} {
-		b.Run(fmt.Sprintf("grid=%d", g), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := asrs.NewIndex(ds, q.F, g, g); err != nil {
+// ---- Figure 12 / Table 2: the approximate solution app-GIDS ----
+
+// BenchmarkFig12Table2 times GI-DS over a 128² index at δ = 0 (exact,
+// d_opt) and at δ = 0.1–0.4 (d_app) across cardinalities, reports Table
+// 2's d_app/d_opt, and fails when it exceeds 1+δ.
+func BenchmarkFig12Table2(b *testing.B) {
+	for _, w := range workloads {
+		for _, n := range []int{w.n / 2, w.n, w.n * 3 / 2} {
+			b.Run(fmt.Sprintf("%s/n=%d", w.name, n), func(b *testing.B) {
+				ds, q, qa, qb := w.at(b, n, 10)
+				idx, err := asrs.NewIndex(ds, q.F, 128, 128)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// ---- Figure 12 / Table 2: the approximate solution ----
-
-func BenchmarkFig12AppGIDS(b *testing.B) {
-	ds := tweetDS(100000)
-	q, qa, qb := tweetQuery(b, ds, 10)
-	idx, err := asrs.NewIndex(ds, q.F, 128, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, delta := range []float64{0.1, 0.2, 0.3, 0.4} {
-		b.Run(fmt.Sprintf("delta=%.1f", delta), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := asrs.SearchWithIndex(idx, ds, qa, qb, q, asrs.Options{Delta: delta}); err != nil {
-					b.Fatal(err)
+				var dOpt float64
+				for _, delta := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
+					opt := asrs.Options{Delta: delta}
+					dApp, _ := answer(b, ds, idx, q, qa, qb, opt)
+					if delta == 0 {
+						dOpt = dApp
+					}
+					quality := 1.0
+					if dOpt > 0 {
+						quality = dApp / dOpt
+					}
+					if quality > 1+delta+1e-9 {
+						b.Fatalf("δ=%v: d_app/d_opt = %v", delta, quality)
+					}
+					b.Run(fmt.Sprintf("delta=%.1f", delta), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							answer(b, ds, idx, q, qa, qb, opt)
+						}
+						b.ReportMetric(quality, "dapp/dopt")
+					})
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
 // ---- Figure 13: MaxRS, OE vs DS-Search ----
 
-func maxrsPts(n int) []asrs.MaxRSPoint {
+// maxrsRace times the OE plane sweep and DS-Search's MaxRS on weight-1
+// points sampled from Tweet, as the paper samples tweets.
+func maxrsRace(b *testing.B, n, k int) {
 	ds := tweetDS(n)
 	pts := make([]asrs.MaxRSPoint, len(ds.Objects))
 	for i := range ds.Objects {
 		pts[i] = asrs.MaxRSPoint{Loc: ds.Objects[i].Loc, Weight: 1}
 	}
-	return pts
+	bounds := dataset.USBounds()
+	qa, qb := float64(k)*bounds.Width()/1000, float64(k)*bounds.Height()/1000
+	race(b,
+		side{"OE", func(b *testing.B) float64 {
+			res, err := asrs.MaxRSBaseline(pts, qa, qb)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res.Weight
+		}},
+		side{"DS", func(b *testing.B) float64 {
+			res, _, err := asrs.MaxRS(pts, qa, qb, asrs.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res.Weight
+		}})
 }
 
 func BenchmarkFig13aMaxRSSize(b *testing.B) {
-	pts := maxrsPts(100000)
-	bounds := dataset.USBounds()
-	for _, k := range []int{1, 10, 30} {
-		qa := float64(k) * bounds.Width() / 1000
-		qb := float64(k) * bounds.Height() / 1000
-		b.Run(fmt.Sprintf("OE/size=%dq", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := asrs.MaxRSBaseline(pts, qa, qb); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("DS/size=%dq", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := asrs.MaxRS(pts, qa, qb, asrs.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for _, k := range []int{1, 10, 20, 30} {
+		b.Run(fmt.Sprintf("size=%dq", k), func(b *testing.B) { maxrsRace(b, 100000, k) })
 	}
 }
 
 func BenchmarkFig13bMaxRSScale(b *testing.B) {
-	bounds := dataset.USBounds()
-	qa, qb := 10*bounds.Width()/1000, 10*bounds.Height()/1000
-	for _, n := range []int{100000, 300000} {
-		pts := maxrsPts(n)
-		b.Run(fmt.Sprintf("OE/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := asrs.MaxRSBaseline(pts, qa, qb); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("DS/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := asrs.MaxRS(pts, qa, qb, asrs.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for _, n := range []int{100000, 200000, 300000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { maxrsRace(b, n, 10) })
 	}
 }
 
 // ---- Figures 14–15: the case study ----
 
+// BenchmarkCaseStudy reports the answer's distance beside Bugis's — the
+// instructive non-answer of Fig 15 — and logs Fig 14(b)'s category
+// distributions of Orchard, the answer and Bugis.
 func BenchmarkCaseStudy(b *testing.B) {
-	ds := dataset.SingaporePOI(42)
-	f, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "category"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	orchard := dataset.SingaporeDistricts()[0]
-	q, err := asrs.QueryFromRegion(ds, f, nil, orchard.Rect)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds, req := caseStudy(b)
+	var resp asrs.QueryResponse
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, _ := asrs.Answer(ds, nil, asrs.QueryRequest{Query: q, A: orchard.Rect.Width(), B: orchard.Rect.Height(), Exclude: []asrs.Rect{orchard.Rect}})
-		if resp.Err != nil {
+		if resp, _ = asrs.Answer(ds, nil, req); resp.Err != nil {
 			b.Fatal(resp.Err)
 		}
 	}
+	region, res := resp.Best()
+	bugis := asrs.Represent(ds, req.Query.F, dataset.SingaporeDistricts()[2].Rect)
+	b.ReportMetric(res.Dist, "dist")
+	b.ReportMetric(req.Query.Distance(bugis), "bugis-dist")
+	b.Logf("answer %v, mostly in %q; POIs per category %q:", region, district(region), dataset.POICategories)
+	b.Logf("Orchard %v", req.Query.Target)
+	b.Logf("answer  %v", res.Rep)
+	b.Logf("Bugis   %v", bugis)
 }
 
 // ---- Top-k rounds: the f2-stream shape, one engine request ----
@@ -308,8 +336,7 @@ func BenchmarkCaseStudy(b *testing.B) {
 // 2 and 3 cut around the earlier answers) and with indexing off (plain
 // DS-Search over space minus exclusions). The same distances either way.
 func BenchmarkTopKRounds(b *testing.B) {
-	ds := poiDS(5000)
-	q, qa, qb := poiQuery(b, ds, 30)
+	ds, q, qa, qb := poisyn.at(b, 5000, 30)
 	req := asrs.QueryRequest{Query: q, A: qa, B: qb, TopK: 3}
 	var want []asrs.Result
 	for _, g := range []int{64, 0} {

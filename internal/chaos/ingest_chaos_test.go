@@ -100,8 +100,16 @@ func combinedDataset(ds *asrs.Dataset, tail []asrs.Object) *asrs.Dataset {
 // tail written at the "kill" point. After each crash the engine
 // recovers and must hold exactly the acked objects and answer
 // bit-identically to a from-scratch rebuild — on even seeds at a
-// second engine configuration (parallel batches) too.
+// second engine configuration (parallel batches) too. The matrix runs
+// under both acknowledging sync policies: a batch refused under either
+// must never come back.
 func TestIngestKillAndReplaySeeds(t *testing.T) {
+	for _, policy := range []asrs.SyncPolicy{asrs.SyncAlways, asrs.SyncBatch} {
+		t.Run(policy.String(), func(t *testing.T) { killAndReplaySeeds(t, policy) })
+	}
+}
+
+func killAndReplaySeeds(t *testing.T, policy asrs.SyncPolicy) {
 	ds, _, reqs, _ := fixture(t)
 	pool := insertPool(160, 901)
 
@@ -109,7 +117,7 @@ func TestIngestKillAndReplaySeeds(t *testing.T) {
 	var appendFaults, compactFaults uint64
 	for seed := int64(1); seed <= 8; seed++ {
 		ing := asrs.IngestOptions{
-			WALDir: t.TempDir(), Sync: asrs.SyncAlways,
+			WALDir: t.TempDir(), Sync: policy,
 			SegmentBytes: 512, CompactAt: -1,
 		}
 		eng, err := asrs.NewEngine(ds, asrs.EngineOptions{Ingest: ing})

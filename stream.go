@@ -32,12 +32,12 @@ import (
 // Durability (IngestOptions.WALDir set):
 //
 //   - Every InsertBatch appends one checksummed WAL record and is
-//     acknowledged per the sync policy: SyncAlways fsyncs before the
-//     ack (no acknowledged insert is ever lost), SyncBatch fsyncs once
-//     per batch (same today — one record per batch — but the intent is
-//     amortization if batches ever split), SyncNever leaves flushing to
-//     the OS (a crash may lose the tail; replay still never yields a
-//     torn or reordered state).
+//     acknowledged per the sync policy: SyncAlways and SyncBatch fsync
+//     that record before the ack (no acknowledged insert is ever lost,
+//     and a batch whose fsync failed is rolled back, so it never comes
+//     back either), SyncNever leaves flushing to the OS (a crash may
+//     lose the tail; replay still never yields a torn or reordered
+//     state).
 //   - Background compaction folds the staged objects into an ingest
 //     snapshot (persist.SaveIngestSnapshot: temp + fsync + rename, the
 //     applied-LSN watermark INSIDE the file) and only then truncates
@@ -56,7 +56,8 @@ type SyncPolicy = wal.SyncPolicy
 const (
 	// SyncAlways fsyncs every WAL append before acknowledging it.
 	SyncAlways = wal.SyncAlways
-	// SyncBatch fsyncs once per InsertBatch.
+	// SyncBatch fsyncs once per InsertBatch. A batch is one WAL record,
+	// so this is SyncAlways.
 	SyncBatch = wal.SyncBatch
 	// SyncNever never fsyncs the WAL (the OS flushes eventually).
 	SyncNever = wal.SyncNever
@@ -115,7 +116,11 @@ func (e *Engine) initIngest() error {
 	}
 	snapObjs := len(staged) // the snapshot's own objects; replay only appends after them
 	firstReplayed := uint64(0)
-	l, err := wal.Open(dir, wal.Options{Sync: e.opt.Ingest.Sync, SegmentBytes: e.opt.Ingest.SegmentBytes},
+	policy := e.opt.Ingest.Sync
+	if policy == SyncBatch {
+		policy = SyncAlways // one record per batch: Append's fsync is the batch's
+	}
+	l, err := wal.Open(dir, wal.Options{Sync: policy, SegmentBytes: e.opt.Ingest.SegmentBytes},
 		func(lsn uint64, payload []byte) error {
 			if firstReplayed == 0 {
 				firstReplayed = lsn
@@ -187,12 +192,6 @@ func (e *Engine) InsertBatch(objs []Object) error {
 		if err != nil {
 			e.ingestMu.Unlock()
 			return fmt.Errorf("asrs: insert: %w", err)
-		}
-		if e.opt.Ingest.Sync == SyncBatch {
-			if err := e.wlog.Sync(); err != nil {
-				e.ingestMu.Unlock()
-				return fmt.Errorf("asrs: insert: %w", err)
-			}
 		}
 		e.lastLSN = lsn
 	}
