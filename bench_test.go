@@ -331,8 +331,9 @@ func BenchmarkCaseStudy(b *testing.B) {
 
 // BenchmarkTopKRounds times one Engine top-3 request in the regime of the
 // zoo's f2-stream workload — POISyn n = 5 000, the paper's F2 composite
-// (sum of visits + average rating: a real-valued, unsorted master), a
-// 30-unit region — with the grid index (every round a GI-DS run, rounds
+// (sum of visits + average rating: full-mantissa reals, their sums two
+// exact limbs each, on a sorted master), a 30-unit region — with the
+// grid index (every round a GI-DS run, rounds
 // 2 and 3 cut around the earlier answers) and with indexing off (plain
 // DS-Search over space minus exclusions). The same distances either way.
 func BenchmarkTopKRounds(b *testing.B) {

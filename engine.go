@@ -511,8 +511,8 @@ func (e *Engine) Warm(f *Composite) error {
 // options resolves a request's effective search options and attaches the
 // engine's per-composite slab cache, so the per-query search tables
 // (sorted coordinate arrays, contribution tables, anchor bins,
-// discretization grids, the fixed-point quantization-certificate
-// vectors, id arenas) are recycled across queries instead of
+// discretization grids, the limbs' certificate vectors, id arenas) are
+// recycled across queries instead of
 // reallocated. The cache is engine-level (it survives epoch changes —
 // a recycled tables value retains only capacities, every content is
 // rebuilt per query) and keyed by the composite: queries on the same

@@ -24,11 +24,10 @@ func main() {
 		total     = 120000
 		batchSize = 30000
 	)
-	// Seed 43 draws a stream with no exactly co-located tweets, so the
-	// delta fold's order gate passes at every tick whatever the composite.
-	// (A corpus with location ties would be just as correct: the fold
-	// admits them when every channel is plainly certified, as F1's integer
-	// counts are, and otherwise falls back to a bit-identical rebuild.)
+	// Seed 43 draws a stream with no exactly co-located tweets. (A corpus
+	// with location ties would fold just the same: every certified
+	// channel sums exactly in any order, so tied objects may sit either
+	// way round.)
 	full := dataset.Tweet(total, 43)
 	bounds := dataset.USBounds()
 	a, b := 10*bounds.Width()/1000, 10*bounds.Height()/1000

@@ -25,8 +25,8 @@ import (
 // reported what it really covers. Fixed in dssearch's cleanPass: a cell
 // offers its centre only when the centre is strictly inside it.
 //
-// The baseline accumulates in another order, so the distances are
-// compared to a relative 1e-9, not bit for bit.
+// The baseline and both searches sum F2's channels as exact limbs, so the
+// distances compare bit for bit.
 func TestF2OptimumOnClampedEdge(t *testing.T) {
 	ds := dataset.POISyn(5000, 42)
 	f, err := asrs.NewComposite(ds.Schema,
@@ -63,7 +63,7 @@ func TestF2OptimumOnClampedEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, got := range map[string]float64{"DS-Search": plain.Dist, "GI-DS": gids.Dist} {
-		if math.Abs(got-base.Dist) > 1e-9*base.Dist {
+		if math.Float64bits(got) != math.Float64bits(base.Dist) {
 			t.Errorf("%s answers %v, the baseline %v", name, got, base.Dist)
 		}
 	}

@@ -4,8 +4,9 @@ import "asrs/internal/attr"
 
 // Accumulator maintains the channel vector of a dynamic object set and
 // supports O(k) insertion and removal, where k is the number of channel
-// contributions of one object. The sweep-line baseline and the clean-cell
-// evaluation both run on Accumulators.
+// contributions of one object, summing them in float as they come.
+// Representation runs on one; the search evaluators sum in limbs
+// (Limbs) instead.
 //
 // The zero Accumulator is not usable; construct with NewAccumulator.
 type Accumulator struct {
@@ -39,25 +40,6 @@ func (a *Accumulator) Remove(o *attr.Object) {
 	a.n--
 }
 
-// AddContribs inserts an object given its contributions as AppendContribs
-// returned them: the same additions in the same order as Add, without
-// re-evaluating the object's selectors. For callers that add and remove
-// the same objects many times (the sweep's strips).
-func (a *Accumulator) AddContribs(cbs []Contrib) {
-	for _, cb := range cbs {
-		a.ch[cb.Ch] += cb.V
-	}
-	a.n++
-}
-
-// RemoveContribs is Remove for an object given its contributions.
-func (a *Accumulator) RemoveContribs(cbs []Contrib) {
-	for _, cb := range cbs {
-		a.ch[cb.Ch] -= cb.V
-	}
-	a.n--
-}
-
 // Len returns the number of objects currently accumulated.
 func (a *Accumulator) Len() int { return a.n }
 
@@ -69,22 +51,11 @@ func (a *Accumulator) Reset() {
 	a.n = 0
 }
 
-// ResetTo empties the accumulator and starts its channel vector from ch
-// (length Channels()) instead of zero: every object added afterwards is
-// summed on top of it. For callers that know a fixed set underlies every
-// set they are about to accumulate (the sweep's base vector). Len counts
-// only the objects added since.
-func (a *Accumulator) ResetTo(ch []float64) {
-	copy(a.ch, ch)
-	a.n = 0
-}
-
 // Representation writes the aggregate representation of the current set
 // into out, which must have length Dims().
 func (a *Accumulator) Representation(out []float64) {
 	a.c.FinalizeExact(a.ch, out)
 }
 
-// Channels exposes the raw channel vector (read-only by convention); used
-// by the grid machinery to seed difference arrays.
+// Channels exposes the raw channel vector (read-only by convention).
 func (a *Accumulator) Channels() []float64 { return a.ch }

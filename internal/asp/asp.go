@@ -181,16 +181,18 @@ func EmptyCandidate(space geom.Rect) geom.Point {
 }
 
 // PointRepresentation computes F(p) exactly: the representation of the set
-// of rectangles strictly covering p. O(n); used by tests and the empty
+// of rectangles strictly covering p, every channel its contributions
+// certify the correctly rounded exact sum (agg.ExactSum) — the value every
+// evaluator of a search forms. O(n); used by tests and the empty
 // candidate.
 func PointRepresentation(rects []RectObject, f *agg.Composite, p geom.Point) []float64 {
-	acc := agg.NewAccumulator(f)
+	var cbs []agg.Contrib
 	for _, r := range rects {
 		if r.Covers(p) {
-			acc.Add(r.Obj)
+			cbs = f.AppendContribs(r.Obj, cbs)
 		}
 	}
 	out := make([]float64, f.Dims())
-	acc.Representation(out)
+	f.FinalizeExact(agg.ExactSum(f.Channels(), cbs), out)
 	return out
 }

@@ -180,9 +180,9 @@ func POISyn(n int, seed int64) *attr.Dataset {
 // grids: ratings to quarter-point steps (half-star review scales) and
 // visit counts to half steps. Real-world numeric attributes frequently
 // live on such binary-fraction grids (half/quarter steps, float32-
-// sourced feeds), and they are exactly the values the fixed-point
-// channel certificate (dssearch DESIGN.md §2) accepts — this is the
-// benchmark workload for the real-valued composite fast path.
+// sourced feeds), and they are exactly the values the limb certificate
+// (DESIGN.md §2) sums as one limb per channel — this is the benchmark
+// workload for the real-valued composite fast path.
 func POIQuant(n int, seed int64) *attr.Dataset {
 	ds := POISyn(n, seed)
 	for i := range ds.Objects {

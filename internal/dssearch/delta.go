@@ -3,7 +3,6 @@ package dssearch
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -38,24 +37,22 @@ import (
 // when one refuses, the fold returns nothing and the caller rebuilds —
 // the only fallback:
 //
-//   - order: PointRepresentation re-accumulates a region's raw values in
-//     master order, so the folded order must be one the rebuild's sort
-//     could not have arranged differently. With a two-float channel in
-//     the composite that means strictly increasing anchors throughout.
-//     When every channel is plainly certified, all partial sums are
-//     exact in any order and anchor ties are admitted (seed first, then
-//     dataset order) — swapping tied objects only relabels ids.
+//   - order: every evaluator sums a certified corpus's limbs exactly, in
+//     any order, so anchor ties are admitted (seed first, then dataset
+//     order) — where the rebuild's sort puts tied objects the other way
+//     round, swapping them only relabels ids. Only an anchor the merge
+//     cannot place (a NaN coordinate) refuses.
 //   - certificate: the base's running sums (Σ|v| per channel, Σ|hi| and
-//     Σ|lo| per two-float channel) are extended by the delta's values in
+//     Σ|lo| per two-limb channel) are extended by the delta's values in
 //     dataset order, which is how the rebuild accumulates them, so the
-//     outcome the rebuild would reach is known exactly. While it is the
-//     base's own, the base's scales are reused as they are. When it
-//     moves — a finer shift, a two-float hi grid following the channel's
-//     grown mass — the fold re-runs the certificate pass over the
-//     retained values (recertify) and refuses only if the new outcome is
-//     not sortExact.
-//   - sortExact on the base: without it the rebuild leaves the master in
-//     dataset order and there is no anchor order to merge into.
+//     outcome the rebuild would reach is known exactly
+//     (agg.Limbs.Extend). While it is the base's own, the base's limbs
+//     are reused as they are. When it moves — a finer grid, a hi grid
+//     following the channel's grown mass — the fold certifies the
+//     dataset's values again (recertify) and refuses only if the new
+//     outcome is not exact.
+//   - an exact base: without it the rebuild leaves the master in dataset
+//     order and there is no anchor order to merge into.
 //
 // Levels are patched in the base's bin grid: an appended anchor outside
 // the grid lands in an edge bin (satLevel.binOf). A fresh build would lay
@@ -118,63 +115,28 @@ func FoldPyramid(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaStats, 
 	return p, stats, err
 }
 
-// certSums are computeCertificate's running sums, accumulated over the
-// raw contributions in dataset order: Σ|v| per logical channel, and
-// Σ|hi|, Σ|lo| under the channel's split for two-float channels.
-type certSums struct {
-	abs, hi, lo []float64
-}
-
-// certSums copies the sums out of the scratch computeCertificate left.
-func (t *tables) certSums() *certSums {
-	cs := &certSums{
-		abs: append([]float64(nil), t.certSum[:t.chans]...),
-		hi:  make([]float64, t.chans),
-		lo:  make([]float64, t.chans),
-	}
-	for ch, sh := range t.twoOf {
-		if sh >= 0 {
-			cs.hi[ch], cs.lo[ch] = t.certTwo[ch].sumHi, t.certTwo[ch].sumLo
-		}
-	}
-	return cs
-}
-
-// rawDataset returns the pyramid's raw contributions in dataset order —
-// the sequence BuildPyramid certified — with room for extra more.
+// rawDataset returns the contributions of the pyramid's dataset in
+// dataset order — the sequence BuildPyramid certified — with room for
+// extra more.
 func (p *Pyramid) rawDataset(extra int) []agg.Contrib {
 	dst := make([]agg.Contrib, 0, len(p.core.contribs)+extra)
-	idOf := make([]int32, p.n) // dataset index -> master id
-	for id, oi := range p.order {
-		idOf[oi] = int32(id)
-	}
-	for _, id := range idOf {
-		dst = p.core.rawRow(id, dst)
+	for i := range p.ds.Objects {
+		dst = p.f.AppendContribs(&p.ds.Objects[i], dst)
 	}
 	return dst
 }
 
-// certSums returns the pyramid's certificate sums, re-deriving them
-// from the retained values when no fold has carried them forward yet (a
-// freshly built or loaded pyramid). Under a plain certificate every
-// partial sum of |v| is exact, so any order gives the sums the dataset
-// order gave; with two-float channels the certificate pass is re-run in
+// certSums returns the running sums the pyramid's certificate was
+// decided on: kept from the build or carried by a fold, else — a loaded
+// pyramid — re-derived by certifying the dataset's values again, in
 // dataset order.
-func (p *Pyramid) certSums() *certSums {
+func (p *Pyramid) certSums() agg.LimbSums {
 	if p.cert != nil {
-		return p.cert
+		return *p.cert
 	}
-	c := p.core
-	if c.allExact {
-		cs := &certSums{abs: make([]float64, c.chans), hi: make([]float64, c.chans), lo: make([]float64, c.chans)}
-		for _, cb := range c.contribs {
-			cs.abs[cb.Ch] += math.Abs(cb.V)
-		}
-		return cs
-	}
-	t := &tables{f: p.f, chans: c.chans, contribs: p.rawDataset(0)}
-	t.computeCertificate()
-	return t.certSums()
+	var l agg.Limbs
+	l.Certify(p.core.chans, p.rawDataset(0))
+	return l.Sums()
 }
 
 // deltaRows are the appended objects' flattened rows in dataset order
@@ -209,118 +171,60 @@ func (base *Pyramid) flattenDelta(objs []attr.Object) *deltaRows {
 }
 
 // certifyDelta extends the base's certificate sums by the appended rows
-// and, when the certificate a rebuild would compute is the base's own —
-// every shift, every two-float split, every headroom check unchanged —
-// fills in the rows' split form and returns the new sums.
-func (base *Pyramid) certifyDelta(rows *deltaRows) (*certSums, bool) {
-	c := base.core
-	old := base.certSums()
-	sums := &certSums{
-		abs: append([]float64(nil), old.abs...),
-		hi:  append([]float64(nil), old.hi...),
-		lo:  append([]float64(nil), old.lo...),
+// and, when the certificate a rebuild would compute is the base's own,
+// fills in the rows' limb form and returns the new sums.
+func (base *Pyramid) certifyDelta(rows *deltaRows) (*agg.LimbSums, bool) {
+	l := &base.core.limbs
+	sums, ok := l.Extend(base.certSums(), rows.raw)
+	if !ok {
+		return nil, false
 	}
-	// A power-of-two scale's exponent is the largest fraction-bit count
-	// the channel's values may carry without moving the scale.
-	shift := make([]int, c.eff)
-	for ch, s := range c.chScale {
-		_, e := math.Frexp(s)
-		shift[ch] = e - 1
-	}
-	for _, cb := range rows.raw {
-		sums.abs[cb.Ch] += math.Abs(cb.V)
-		sh := c.twoOf[cb.Ch]
-		if sh < 0 {
-			if fracBits(cb.V) > shift[cb.Ch] {
-				return nil, false
-			}
-			continue
-		}
-		hi, lo := twoSplit(cb.V, c.chScale[cb.Ch], c.chInv[cb.Ch])
-		if hi+lo != cb.V || math.IsNaN(hi) || math.IsInf(hi, 0) || fracBits(lo) > shift[sh] {
-			return nil, false
-		}
-		sums.hi[cb.Ch] += math.Abs(hi)
-		sums.lo[cb.Ch] += math.Abs(lo)
-	}
-	for ch := 0; ch < c.chans; ch++ {
-		sh := c.twoOf[ch]
-		if sh < 0 {
-			if !(sums.abs[ch]*c.chScale[ch] <= maxScaledSum) {
-				return nil, false
-			}
-			continue
-		}
-		// The plain certificate cannot come back (its shift and mass only
-		// grow); the two-float one must pick the same hi grid again and
-		// keep both halves within headroom.
-		if math.IsInf(sums.abs[ch], 0) || math.IsNaN(sums.abs[ch]) {
-			return nil, false
-		}
-		_, e := math.Frexp(sums.abs[ch])
-		if math.Ldexp(1, min(51-e, maxShift)) != c.chScale[ch] ||
-			!(sums.hi[ch]*c.chScale[ch] <= maxScaledSum) || !(sums.lo[ch]*c.chScale[sh] <= maxScaledSum) {
-			return nil, false
-		}
-	}
-
-	// Split under the base's certificate, exactly as flattenContribs does.
-	t := &tables{twoCount: c.twoCount, twoOf: c.twoOf, chScale: c.chScale, chInv: c.chInv}
-	t.cOff = make([]int32, 1, len(rows.rawOff))
+	// Split under the base's limbs, exactly as flattenContribs does.
+	rows.cOff = make([]int32, 1, len(rows.rawOff))
 	for j := 0; j+1 < len(rows.rawOff); j++ {
-		start := len(t.contribs)
-		t.contribs = append(t.contribs, rows.raw[rows.rawOff[j]:rows.rawOff[j+1]]...)
-		if t.twoCount > 0 {
-			t.splitTail(start)
-		}
-		t.cOff = append(t.cOff, int32(len(t.contribs)))
+		start := len(rows.con)
+		rows.con = l.Split(append(rows.con, rows.raw[rows.rawOff[j]:rows.rawOff[j+1]]...), start)
+		rows.cOff = append(rows.cOff, int32(len(rows.con)))
 	}
-	rows.cOff, rows.con = t.cOff, t.contribs
-	return sums, true
+	return &sums, true
 }
 
 // recertify is the fold's slow lane, taken when the appended values
-// move the certificate (a finer shift, a two-float hi grid following the
-// channel's grown mass, …): it re-runs the certificate pass over every
-// retained value plus the appended ones, in dataset order like a
-// rebuild, and re-splits and re-scales all rows under the outcome, in
-// folded master order. Still no sort and no pass over the objects. nil
-// when the outcome is not sortExact: the rebuild would not sort at all.
-func (base *Pyramid) recertify(rows *deltaRows, ents []deltaEnt) (*tables, *certSums) {
+// move the certificate (a finer grid, a hi grid following the channel's
+// grown mass, …): it certifies the dataset's values plus the appended
+// ones, in dataset order like a rebuild, and splits every row under the
+// outcome, in folded master order. Still no sort. nil when the outcome
+// is not exact: the rebuild would not sort at all.
+func (base *Pyramid) recertify(rows *deltaRows, ents []deltaEnt) (*tables, *agg.LimbSums) {
 	c := base.core
 	t := &tables{f: c.f, chans: c.chans}
-	t.contribs = append(base.rawDataset(len(rows.raw)), rows.raw...)
-	t.computeCertificate()
-	if !t.sortExact {
+	t.limbs.Certify(c.chans, append(base.rawDataset(len(rows.raw)), rows.raw...))
+	if !t.limbs.Exact {
 		return nil, nil
 	}
-	sums := t.certSums()
+	sums := t.limbs.Sums()
 
-	t.contribs = t.contribs[:0]
 	t.cOff = make([]int32, 1, base.n+len(ents)+1)
-	split := func(start int) {
-		if t.twoCount > 0 {
-			t.splitTail(start)
-		}
+	row := func(raw []agg.Contrib) {
+		start := len(t.contribs)
+		t.contribs = t.limbs.Split(append(t.contribs, raw...), start)
 		t.cOff = append(t.cOff, int32(len(t.contribs)))
 	}
+	var buf []agg.Contrib
 	next := int32(0)
 	baseRows := func(upto int32) {
 		for ; next < upto; next++ {
-			start := len(t.contribs)
-			t.contribs = c.rawRow(next, t.contribs)
-			split(start)
+			buf = c.f.AppendContribs(&base.ds.Objects[base.order[next]], buf[:0])
+			row(buf)
 		}
 	}
 	for _, e := range ents {
 		baseRows(e.pos)
-		start := len(t.contribs)
-		t.contribs = append(t.contribs, rows.raw[rows.rawOff[e.row]:rows.rawOff[e.row+1]]...)
-		split(start)
+		row(rows.raw[rows.rawOff[e.row]:rows.rawOff[e.row+1]])
 	}
 	baseRows(int32(base.n))
-	t.sorted = true
-	return t, sums
+	t.freeze()
+	return t, &sums
 }
 
 // deltaEnt is one appended object placed in the folded master order.
@@ -333,14 +237,8 @@ type deltaEnt struct {
 
 // placeDelta sorts the appended objects by anchor (ties by dataset
 // index) and finds their merge positions in the base's master order,
-// seed first on ties. strict reports whether the merged order is still
-// strictly increasing; ok=false when the order gate refuses.
-func (base *Pyramid) placeDelta(objs []attr.Object) (ents []deltaEnt, strict, ok bool) {
-	ties := base.core.allExact
-	strict = base.strict
-	if !strict && !ties {
-		return nil, false, false
-	}
+// seed first on ties; ok=false when the order gate refuses.
+func (base *Pyramid) placeDelta(objs []attr.Object) (ents []deltaEnt, ok bool) {
 	ents = make([]deltaEnt, len(objs))
 	for j := range ents {
 		ents[j] = deltaEnt{row: int32(j), loc: objs[j].Loc}
@@ -364,14 +262,11 @@ func (base *Pyramid) placeDelta(objs []attr.Object) (ents []deltaEnt, strict, ok
 			continue
 		}
 		// Written so that a NaN coordinate refuses.
-		if !anchorLess(prev, e.loc) {
-			if !ties || prev != e.loc {
-				return nil, false, false
-			}
-			strict = false
+		if !anchorLess(prev, e.loc) && prev != e.loc {
+			return nil, false
 		}
 	}
-	return ents, strict, true
+	return ents, true
 }
 
 // spliceOffs merges CSR offset arrays: the base's rows in order, with
@@ -412,30 +307,29 @@ func spliceVals[T any](bOff []int32, b []T, dOff []int32, d []T, ents []deltaEnt
 func (base *Pyramid) fold(combined *attr.Dataset) *Pyramid {
 	c := base.core
 	n0, n := base.n, len(combined.Objects)
-	if n0 == 0 || n < n0 || !c.sortExact || !c.sorted {
+	if n0 == 0 || n < n0 || !c.limbs.Exact {
 		return nil
 	}
 	delta := combined.Objects[n0:]
-	ents, strict, ok := base.placeDelta(delta)
+	ents, ok := base.placeDelta(delta)
 	if !ok {
 		return nil
 	}
 	rows := base.flattenDelta(delta)
 
-	// The fast lane keeps the base's certificate (shared, read-only)
-	// over the spliced contribution tables.
+	// The fast lane keeps the base's limbs (shared, read-only) over the
+	// spliced contribution tables.
 	var core *tables
 	sums, sameCert := base.certifyDelta(rows)
 	if sameCert {
 		core = &tables{
-			f: c.f, chans: c.chans, eff: c.eff,
-			chOK: c.chOK, chScale: c.chScale, chInv: c.chInv, twoOf: c.twoOf, twoCount: c.twoCount,
-			allExact: c.allExact, sortExact: c.sortExact, sorted: c.sorted,
+			f: c.f, chans: c.chans,
+			limbs:    agg.Limbs{Scale: c.limbs.Scale, Inv: c.limbs.Inv, Lo: c.limbs.Lo, Exact: true},
 			cOff:     spliceOffs(c.cOff, rows.cOff, ents),
 			contribs: spliceVals(c.cOff, c.contribs, rows.cOff, rows.con, ents),
 		}
-	} else if core, sums = base.recertify(rows, ents); core == nil || (!strict && !core.allExact) {
-		return nil // not sortExact, or ties admitted under an allExact that no longer holds
+	} else if core, sums = base.recertify(rows, ents); core == nil {
+		return nil
 	}
 	if base.mmSlots > 0 {
 		core.mOff = spliceOffs(c.mOff, rows.mOff, ents)
@@ -444,7 +338,7 @@ func (base *Pyramid) fold(combined *attr.Dataset) *Pyramid {
 
 	p := &Pyramid{
 		ds: combined, f: base.f, n: n, mmSlots: base.mmSlots,
-		core: core, strict: strict, cert: sums,
+		core: core, cert: sums,
 		order:   make([]int32, 0, n),
 		xAscIds: make([]int32, n),
 	}

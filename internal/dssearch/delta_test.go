@@ -15,8 +15,8 @@ import (
 )
 
 // uniqueLocs re-draws every object location from the continuous square,
-// making anchor ties (practically) impossible — the precondition for
-// the delta fold's unique-order gate to admit the fast path.
+// making anchor ties (practically) impossible, so a fold's master order
+// is the rebuild's outright (assertSoundPyramid).
 func uniqueLocs(rng *rand.Rand, ds *attr.Dataset) {
 	for i := range ds.Objects {
 		ds.Objects[i].Loc = geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
@@ -25,14 +25,13 @@ func uniqueLocs(rng *rand.Rand, ds *attr.Dataset) {
 
 // TestDeltaFoldBitIdentical is the delta-pyramid property test: for
 // every composite kind the pyramid tests cover (integer-exact, dyadic,
-// decimal two-float, min/max) plus a certification-failing composite,
+// decimal two-limb, min/max) plus a certification-failing composite,
 // over several seeds and split points, a pyramid produced by folding
 // the appended tail into the prefix pyramid answers bit-identically —
 // region, distance, point and representation — to a from-scratch
 // rebuild over the combined dataset AND to the unassisted oracle. The
-// fold must actually take the fast path where it claims to (unique
-// anchors, certifying composite) and must refuse it for uncertified
-// composites and for datasets with anchor ties.
+// fold must actually take the fast path for every certified composite,
+// anchor ties included, and must refuse it for uncertified composites.
 func TestDeltaFoldBitIdentical(t *testing.T) {
 	for _, seed := range []int64{7, 1801, 90210} {
 		rng := rand.New(rand.NewSource(seed))
@@ -47,9 +46,9 @@ func TestDeltaFoldBitIdentical(t *testing.T) {
 			{"dyadic", func() float64 { return float64(rng.Intn(41)) * 0.25 }, false, false, 1},
 			{"decimal", func() float64 { return 0.1 * float64(1+rng.Intn(99)) }, false, false, 1},
 			{"minmax", func() float64 { return float64(rng.Intn(2001)) * 0.5 }, true, false, 1},
-			// Denormal tails on both signs defeat the two-float
-			// fallback too: the fold must refuse and take the classic
-			// rebuild (which for such composites never sorts at all).
+			// Denormal tails on both signs defeat two limbs too: the
+			// fold must refuse and take the classic rebuild (which for
+			// such composites never sorts at all).
 			{"uncertified", func() float64 {
 				switch rng.Intn(10) {
 				case 0:
@@ -60,11 +59,10 @@ func TestDeltaFoldBitIdentical(t *testing.T) {
 					return rng.NormFloat64()
 				}
 			}, false, false, 0},
-			// Lattice-snapped locations carry anchor ties, whose
-			// permutation reaches Rep: the unique-order gate decides
-			// (ties are near-certain but not guaranteed, so only the
-			// answers are pinned, not the path).
-			{"decimal_ties", func() float64 { return 0.1 * float64(1+rng.Intn(99)) }, false, true, -1},
+			// Lattice-snapped locations carry anchor ties: every limb
+			// sums exactly in any order, so tied objects may sit either
+			// way round and the fold admits them.
+			{"decimal_ties", func() float64 { return 0.1 * float64(1+rng.Intn(99)) }, false, true, 1},
 		}
 		for _, kind := range kinds {
 			n := 150 + rng.Intn(200)
@@ -183,13 +181,12 @@ func assertSameAnswers(t *testing.T, tag string, ds *attr.Dataset, f *agg.Compos
 // rebuild and the unassisted oracle. Scripted deltas cover the edges of
 // the patch: anchors below master position 0 and above n-1, outside the
 // base's bin grid on both axes (edge-bin clamp), a value that moves a
-// channel's shift (the recertify lane), an anchor tie — admitted when
-// every channel is plainly certified; with a two-float channel a
-// fallback, after which the corpus holds a tie and the chain goes on
-// rebuilding — and a value no certificate admits (a fallback that leaves
-// an unsorted pyramid, likewise). Across the chain the granularity
-// ladder must both hold (levels patched, the recertified epoch's
-// included) and move (levels raised anew).
+// channel's grid (the recertify lane), an anchor tie (admitted: limb sums
+// are order-free) and a value no certificate admits (a fallback that
+// leaves an unsorted pyramid, after which the chain goes on rebuilding).
+// Across the chain the granularity ladder must both hold (levels
+// patched, the recertified epoch's included) and move (levels raised
+// anew).
 func TestDeltaFoldChain(t *testing.T) {
 	const stepBelow, stepAbove = 5, 9 // anchors outside the hull
 	var (
@@ -204,15 +201,14 @@ func TestDeltaFoldChain(t *testing.T) {
 		stepShift, stepFallback, steps = 13, 18, 24
 	}
 	kinds := []struct {
-		name     string
-		num      func(*rand.Rand) float64
-		withMM   bool
-		allExact bool
-		finer    float64 // a value below the resolution of every other
+		name   string
+		num    func(*rand.Rand) float64
+		withMM bool
+		finer  float64 // a value below the resolution of every other
 	}{
-		{"integer", func(r *rand.Rand) float64 { return float64(r.Intn(11) - 5) }, false, true, 1.0 / 1024},
-		{"decimal", func(r *rand.Rand) float64 { return 0.1 * float64(1+r.Intn(99)) }, false, false, 0.1 / 16},
-		{"minmax", func(r *rand.Rand) float64 { return float64(r.Intn(2001)) * 0.5 }, true, true, 1.0 / 1024},
+		{"integer", func(r *rand.Rand) float64 { return float64(r.Intn(11) - 5) }, false, 1.0 / 1024},
+		{"decimal", func(r *rand.Rand) float64 { return 0.1 * float64(1+r.Intn(99)) }, false, 0.1 / 16},
+		{"minmax", func(r *rand.Rand) float64 { return float64(r.Intn(2001)) * 0.5 }, true, 1.0 / 1024},
 	}
 	extents := [][2]float64{{3, 2.5}, {0.37, 0.91}, {400, 400}}
 	for _, kind := range kinds {
@@ -237,12 +233,9 @@ func TestDeltaFoldChain(t *testing.T) {
 					Values: []attr.Value{{Cat: rng.Intn(3)}, {Num: kind.num(rng)}},
 				}
 			}
-			// An existing location again: folded in when sums are
-			// order-free, the first fallback otherwise. Then a denormal.
+			// An existing location again, folded in; later a denormal,
+			// the first fallback.
 			stepTie, stepUncertified := stepFallback-6, stepFallback
-			if !kind.allExact {
-				stepTie, stepUncertified = stepFallback, stepFallback+3
-			}
 			switch step {
 			case stepBelow:
 				delta[0].Loc = geom.Point{X: -40, Y: 130}
@@ -350,24 +343,27 @@ func filled(n int, v float64) []float64 {
 
 // assertSoundPyramid checks a folded pyramid structurally — answers
 // alone let a stale count or threshold slip through whenever the search
-// happens not to lean on it. The core and the id orders must equal the
-// rebuild's outright (when the order is unique; tied objects may sit
-// either way round). Each level must describe one assignment of anchors
-// to bins consistently: whatever grid it keeps, its CSR lists, count
-// plane and threshold arrays are re-derived here from the anchors and
-// compared.
+// happens not to lean on it. The limbs must be the rebuild's, and the
+// core and the id orders too when the order is unique (tied objects may
+// sit either way round). Each level must describe one assignment of
+// anchors to bins consistently: whatever grid it keeps, its CSR lists,
+// count plane and threshold arrays are re-derived here from the anchors
+// and compared.
 func assertSoundPyramid(t *testing.T, tag string, p, rebuilt *Pyramid) {
 	t.Helper()
-	if p.strict != rebuilt.strict {
-		t.Fatalf("%s: strict=%v, rebuild says %v", tag, p.strict, rebuilt.strict)
+	c, r := p.core, rebuilt.core
+	if !slices.Equal(c.limbs.Scale, r.limbs.Scale) || !slices.Equal(c.limbs.Inv, r.limbs.Inv) ||
+		!slices.Equal(c.limbs.Lo, r.limbs.Lo) || c.limbs.Exact != r.limbs.Exact {
+		t.Fatalf("%s: folded limbs %v differ from the rebuild's %v", tag, c.limbs.Scale, r.limbs.Scale)
 	}
-	if c, r := p.core, rebuilt.core; p.strict && !(slices.Equal(p.order, rebuilt.order) &&
+	unique := true
+	for id := 1; id < p.n; id++ {
+		unique = unique && anchorLess(p.anchor(int32(id-1)), p.anchor(int32(id)))
+	}
+	if unique && !(slices.Equal(p.order, rebuilt.order) &&
 		slices.Equal(p.xAscIds, rebuilt.xAscIds) && slices.Equal(p.yAscIds, rebuilt.yAscIds) &&
 		slices.Equal(c.cOff, r.cOff) && slices.Equal(c.contribs, r.contribs) &&
-		slices.Equal(c.mOff, r.mOff) && slices.Equal(c.mms, r.mms) &&
-		slices.Equal(c.chOK, r.chOK) && slices.Equal(c.chScale, r.chScale) && slices.Equal(c.chInv, r.chInv) &&
-		slices.Equal(c.twoOf, r.twoOf) && c.eff == r.eff && c.twoCount == r.twoCount &&
-		c.allExact == r.allExact && c.sortExact == r.sortExact && c.sorted == r.sorted) {
+		slices.Equal(c.mOff, r.mOff) && slices.Equal(c.mms, r.mms)) {
 		t.Fatalf("%s: folded core or id orders differ from the rebuild's", tag)
 	}
 	if got, want := len(p.lvls), len(rebuilt.lvls); got != want {

@@ -15,8 +15,8 @@
 // goroutine that asked for the search.
 //
 // Per-query state is concentrated in the aggregation layer of sat.go: the
-// master rectangle array (sorted for grid-exact composites), flattened
-// channel contributions, and the anchor-bin levels that refinement and
+// master rectangle array (sorted for certified composites), flattened
+// limb contributions, and the anchor-bin levels that refinement and
 // id collection walk on sorted masters. Every Discretize fills its grid
 // the same way — one difference-array pass over the space's rectangles
 // (grid.go). Rectangle subsets flow through the kernel heap as 4-byte id
@@ -79,8 +79,8 @@ type Options struct {
 	// Pyramid, when non-nil and built for exactly the request's dataset
 	// and composite, binds the searcher (NewRegionSearcher) to the
 	// persistent dataset-level aggregate pyramid instead of rebuilding the
-	// per-query aggregation layer: master order, contributions,
-	// certificates and anchor-bin levels are aliased, leaving one O(n)
+	// per-query aggregation layer: master order, contributions, limbs
+	// and anchor-bin levels are aliased, leaving one O(n)
 	// pass per query (DESIGN.md §6). Answers are bit-identical to the
 	// unassisted path; the binding silently falls back to the classic
 	// build when it cannot guarantee that (another dataset or composite,
@@ -176,7 +176,7 @@ func (s *Stats) Add(o Stats) {
 // (but may solve many sub-spaces, as GI-DS does). A Searcher runs on the
 // goroutine that calls it and must not be shared between goroutines.
 type Searcher struct {
-	rects []asp.RectObject // master array; sorted by (MinX, MinY) for integer-exact composites
+	rects []asp.RectObject // master array; sorted by (MinX, MinY) for certified composites
 	space geom.Rect        // the master's MBR
 	query asp.Query
 	opt   Options
@@ -193,7 +193,7 @@ type Searcher struct {
 	grid   *gridBuffers
 	sw     *sweep.Solver
 	swSub  []asp.RectObject // mini-sweep rect scratch (materialized from ids)
-	swBase []float64        // mini-sweep base vector scratch: eff space, then its logical fold
+	swBase []float64        // mini-sweep base vector scratch, in limbs
 	dirty  []cellInfo       // discretize output scratch
 	one    [1]cellInfo      // single-cell scratch for degenerate sweeps
 	cur    asp.Result       // incumbent of the space being processed; Rep aliases rep
@@ -203,7 +203,7 @@ type Searcher struct {
 
 // NewSearcher validates inputs and builds the aggregation layer over an
 // arbitrary ASP instance. The rects slice is only read; if the master
-// order needs resorting (integer-exact composites), a copy is sorted
+// order needs resorting (certified composites), a copy is sorted
 // instead. A search for an a×b region over a dataset goes through
 // NewRegionSearcher, which is also the only way to bind a pyramid.
 func NewSearcher(rects []asp.RectObject, q asp.Query, opt Options) (*Searcher, error) {
@@ -318,42 +318,39 @@ func (s *Searcher) ensureScratch() {
 	}
 	f := s.query.F
 	t := s.tab
+	eff := t.limbs.Eff()
 	ncol, nrow := s.opt.NCol, s.opt.NRow
-	if t.grid == nil || t.gridNCol != ncol || t.gridNRow != nrow || t.gridEff != t.eff || t.gridF != f {
-		t.grid = newGridBuffers(ncol, nrow, f, t.eff)
-		t.gridNCol, t.gridNRow, t.gridEff, t.gridF = ncol, nrow, t.eff, f
+	if t.grid == nil || t.gridNCol != ncol || t.gridNRow != nrow || t.gridEff != eff || t.gridF != f {
+		t.grid = newGridBuffers(ncol, nrow, f, eff)
+		t.gridNCol, t.gridNRow, t.gridEff, t.gridF = ncol, nrow, eff, f
 	}
 	s.grid = t.grid
 	incrCap := 0
-	if t.allExact {
-		incrCap = 2048 // pre-size the Fenwick sweep scratch it will use
+	if t.limbs.Exact {
+		incrCap = 2048 // the largest sweep the incremental evaluator takes
 	}
 	// A recycled solver is rebound to the query (same composite, new
-	// target/weights) and keeps all its scratch. NewSized cannot fail: the
-	// query was validated at construction.
-	if t.sw == nil || t.swCap != incrCap || !t.sw.SetQuery(s.query) {
-		t.sw, _ = sweep.NewSized(s.query, incrCap)
-		t.swCap = incrCap
+	// target/weights) and the limbs, and keeps all its scratch. NewSized
+	// cannot fail: the query was validated at construction.
+	if t.sw == nil || t.swCap != incrCap || t.swEff != eff || !t.sw.SetQuery(s.query) {
+		t.sw, _ = sweep.NewSized(s.query, &t.limbs, incrCap)
+		t.swCap, t.swEff = incrCap, eff
 	}
 	s.sw = t.sw
-	s.sw.SetIncremental(t.allExact)
-	if t.allExact {
-		s.sw.SetFixedPoint(t.chScale, t.chInv)
-	} else {
-		s.sw.SetFixedPoint(nil, nil)
-	}
+	s.sw.SetLimbs(&t.limbs)
+	s.sw.SetIncremental(t.limbs.Exact)
 	s.sw.SetStripCost(stripCostModel())
 	// One float slab: the incumbent's representation, then the mini-sweep
-	// base vector in eff space and its logical fold.
+	// base vector.
 	dims, cells := f.Dims(), ncol*nrow
 	const swCap = 1024
-	if nf := dims + t.eff + t.chans; len(t.scratchF) < nf || len(t.scratchCells) < cells || len(t.scratchRects) < swCap {
+	if nf := dims + eff; len(t.scratchF) < nf || len(t.scratchCells) < cells || len(t.scratchRects) < swCap {
 		t.scratchF = make([]float64, nf)
 		t.scratchCells = make([]cellInfo, cells)
 		t.scratchRects = make([]asp.RectObject, swCap)
 	}
 	s.rep = t.scratchF[:0:dims]
-	s.swBase = t.scratchF[dims : dims+t.eff+t.chans]
+	s.swBase = t.scratchF[dims : dims+eff]
 	s.dirty = t.scratchCells[:0:cells]
 	s.swSub = t.scratchRects[:0:swCap]
 }
@@ -484,7 +481,7 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 	master := s.rects
 	t := s.tab
 	lo, hi := 0, len(master)
-	if t.sorted {
+	if t.limbs.Exact {
 		lo, hi = t.window(space.MinX, space.MaxX)
 		if len(t.lvls) > 0 {
 			if out, ok := s.appendBinIDs(space, dst, hi-lo); ok {
@@ -671,7 +668,7 @@ func (s *Searcher) swept(it kernel.Item) bool {
 func (s *Searcher) childIds(parent []int32, space geom.Rect) []int32 {
 	t := s.tab
 	lo, hi := 0, len(parent)
-	if t.sorted {
+	if t.limbs.Exact {
 		x0 := space.MinX - t.wmax
 		lo = sort.Search(len(parent), func(k int) bool { return t.minXs[parent[k]] > x0 })
 		if h := sort.Search(len(parent), func(k int) bool { return t.minXs[parent[k]] >= space.MaxX }); h < hi {
@@ -750,11 +747,11 @@ func (s *Searcher) push(emit func(kernel.Item), child geom.Rect, lb float64, par
 // miniSweep runs the Base algorithm restricted to the MBR of the surviving
 // dirty cells; see DESIGN.md §3 "Exactness safety net". The rectangles
 // that contain the MBR cover every candidate the sweep enumerates and add
-// the same vector to each: their table contributions are summed once, in
+// the same vector to each: their limb contributions are summed once, in
 // id order like the grid fill's, into a base the solver starts from, and
-// only the rectangles with an edge inside are swept. The searcher's sweep
-// solver is rebound in place, so steady-state sweeps reuse all of their
-// scratch.
+// only the rectangles with an edge inside are swept. The solver sums in
+// the tables' limbs and is rebound in place, so steady-state sweeps reuse
+// all of their scratch.
 func (s *Searcher) miniSweep(dirty []cellInfo, ids []int32) {
 	mbr := geom.EmptyRect()
 	for _, c := range dirty {
@@ -763,7 +760,7 @@ func (s *Searcher) miniSweep(dirty []cellInfo, ids []int32) {
 	master := s.rects
 	tab := s.tab
 	s.swSub = s.swSub[:0]
-	base := s.swBase[:tab.eff]
+	base := s.swBase
 	clear(base)
 	covering := 0
 	for _, id := range ids {
@@ -777,7 +774,6 @@ func (s *Searcher) miniSweep(dirty []cellInfo, ids []int32) {
 			s.swSub = append(s.swSub, master[id])
 		}
 	}
-	base = tab.fold(s.swBase[tab.eff:], base)
 	s.Stats.MiniSweeps++
 	s.Stats.MiniSweepRects += len(s.swSub)
 	s.Stats.SweepBaseRects += covering
@@ -803,28 +799,31 @@ func (s *Searcher) miniSweep(dirty []cellInfo, ids []int32) {
 	clear(s.swSub)
 }
 
-// PointRepresentation computes F(p) exactly over the master set,
-// restricted to the binary-searched MinX window when the master is
-// sorted. Bit-identical to asp.PointRepresentation: the covering
-// rectangles are visited in the same master order, through the same
-// accumulator (the window merely skips rectangles that cannot cover p).
+// PointRepresentation computes F(p) over the master set, restricted to
+// the binary-searched MinX window when the master is sorted: the limb
+// contributions of the covering rectangles, summed in master order and
+// folded once — every certified channel the correctly rounded exact sum,
+// as the grid fill and the sweeps form it and asp.PointRepresentation
+// does; an uncertified one summed in dataset order.
 func (s *Searcher) PointRepresentation(p geom.Point) []float64 {
 	t := s.tab
-	out := make([]float64, s.query.F.Dims())
 	lo, hi := 0, len(s.rects)
-	if t.sorted {
+	if t.limbs.Exact {
 		lo, hi = t.windowLo(p.X-t.wmax), t.windowHi(p.X)
 		if lo > hi {
 			lo = hi
 		}
 	}
-	acc := agg.NewAccumulator(s.query.F)
+	ch := make([]float64, t.limbs.Eff())
 	for i := lo; i < hi; i++ {
 		if s.rects[i].Rect.ContainsOpen(p) {
-			acc.Add(s.rects[i].Obj)
+			for _, cb := range t.rectContribs(int32(i)) {
+				ch[cb.Ch] += cb.V
+			}
 		}
 	}
-	acc.Representation(out)
+	out := make([]float64, s.query.F.Dims())
+	s.query.F.FinalizeExact(t.limbs.Fold(make([]float64, t.chans), ch), out)
 	return out
 }
 

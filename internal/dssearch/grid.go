@@ -21,8 +21,8 @@ type cellInfo struct {
 // one, recycled with its tables through the SlabCache.
 type gridBuffers struct {
 	ncol, nrow int
-	chans      int // grid channel stride: eff space (logical + two-float shadows)
-	lchans     int // logical channel count (f.Channels())
+	chans      int // grid channel stride: the limb count (agg.Limbs)
+	lchans     int // channel count (f.Channels())
 	mmSlots    int
 	dims       int
 
@@ -39,8 +39,7 @@ type gridBuffers struct {
 	lo  []float64
 	hi  []float64
 
-	// Two-float fold scratch: logical-space views of eff-space cell
-	// vectors (tables.fold).
+	// Fold scratch: channel views of limb cell vectors (agg.Limbs.Fold).
 	foldFull []float64
 	foldPart []float64
 
@@ -85,13 +84,13 @@ func (g *gridBuffers) setSpan(k, c0, c1, r0, r1, fc0, fc1, fr0, fr1 int) {
 const maxGridDim = math.MaxInt16 - 1
 
 // newGridBuffers builds the buffers of an ncol×nrow grid for the
-// composite f, eff being the grid channel stride (logical channels plus
-// two-float shadow planes). The float buffers are carved from one slab.
+// composite f, eff being the grid channel stride (the limb count). The
+// float buffers are carved from one slab.
 func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
 	g := &gridBuffers{
 		ncol:       ncol,
 		nrow:       nrow,
-		chans:      max(eff, f.Channels()),
+		chans:      eff,
 		lchans:     f.Channels(),
 		mmSlots:    f.MinMaxSlots(),
 		dims:       f.Dims(),
@@ -293,7 +292,7 @@ func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, b
 //
 // Clean cells come in runs covered by the same rectangles (a covering
 // set changes only where a rectangle edge crosses), so a cell whose
-// eff-space totals repeat the last evaluated cell's bit for bit reuses
+// limb totals repeat the last evaluated cell's bit for bit reuses
 // its representation and distance — both are pure functions of those
 // bits. The incumbent test still runs for every cell, so ties move the
 // incumbent point exactly as a cell-by-cell evaluation would.
@@ -317,7 +316,7 @@ func (s *Searcher) cleanPass(cw, chh float64) {
 			full := g.diffFull[idx*chans:][:chans]
 			if last == nil || !sameBits(full, last) {
 				s.Stats.CleanEvals++
-				query.F.FinalizeExact(tab.fold(g.foldFull, full), g.rep)
+				query.F.FinalizeExact(tab.limbs.Fold(g.foldFull, full), g.rep)
 				dist = query.Distance(g.rep)
 				last = full
 			}
@@ -365,8 +364,8 @@ func (s *Searcher) boundPass(clip geom.Rect, ids []int32) []cellInfo {
 		r := idx / (g.ncol + 1)
 		c := idx - r*(g.ncol+1)
 		cellFull := g.diffFull[idx*g.chans : (idx+1)*g.chans]
-		full := tab.fold(g.foldFull, cellFull)
-		part := tab.fold(g.foldPart, g.diffPart[idx*g.chans:(idx+1)*g.chans])
+		full := tab.limbs.Fold(g.foldFull, cellFull)
+		part := tab.limbs.Fold(g.foldPart, g.diffPart[idx*g.chans:(idx+1)*g.chans])
 		var mmMin, mmMax []float64
 		if g.mmSlots > 0 {
 			mi := (r*g.ncol + c) * g.mmSlots
@@ -450,7 +449,7 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 	// On an unsorted master pass 2 and the centre probes have no window
 	// to find a cell's rectangles in; they walk these classifications
 	// instead of comparing every rectangle against every cell they visit.
-	record := !tab.sorted
+	record := !tab.limbs.Exact
 	if record {
 		if cap(g.spans) < len(ids) {
 			g.spans = make([]idSpan, len(ids), max(len(ids), 2*cap(g.spans)))
@@ -473,7 +472,7 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 			}
 			continue
 		}
-		if !tab.sorted {
+		if !tab.limbs.Exact {
 			c0, c1 = int((r.MinX-space.MinX)*perW), int((r.MaxX-space.MinX)*perW)
 		}
 		// Columns whose open interior intersects the rect interior.
@@ -544,7 +543,7 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int3
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
 		clear(ch)
-		if t.sorted {
+		if t.limbs.Exact {
 			// The rectangles covering p form a binary-searched window of
 			// the master order: MinX ∈ (p.X − wmax, p.X). The clip clause
 			// restricts the window to the space's chain-filtered subset
@@ -579,7 +578,7 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int3
 				}
 			}
 		}
-		query.F.FinalizeExact(t.fold(g.foldFull, ch), g.rep)
+		query.F.FinalizeExact(t.limbs.Fold(g.foldFull, ch), g.rep)
 		if d := query.Distance(g.rep); d <= s.cur.Dist {
 			s.improve(d, p, g.rep)
 		}
@@ -642,7 +641,7 @@ const (
 // this cell is charged in the budget accounting.
 func (s *Searcher) refineCost(cell geom.Rect, nIds int) int {
 	t := s.tab
-	if !t.sorted {
+	if !t.limbs.Exact {
 		return nIds
 	}
 	lo := t.windowLo(cell.MinX - t.wmax)
@@ -673,7 +672,7 @@ func (s *Searcher) refineCellLB(c, r int, cell, clip geom.Rect, ids []int32, cel
 	query := &s.query
 	var base []float64
 	partial := g.refinePartial[:0]
-	if t.sorted {
+	if t.limbs.Exact {
 		t.ensureLevels(master)
 		l := t.pickLevel(master, cell)
 		base = cellFull
@@ -762,10 +761,10 @@ func (s *Searcher) refineCellLB(c, r int, cell, clip geom.Rect, ids []int32, cel
 				ch[cb.Ch] += cb.V
 			}
 		}
-		// ch is an eff-space vector (base and contributions carry the
-		// two-float hi/lo planes separately); fold before finalizing or
+		// ch is a limb vector (base and contributions carry a two-limb
+		// channel's hi and lo planes apart); fold before finalizing or
 		// the lo planes would be dropped from the bound.
-		query.F.FinalizeExact(t.fold(g.foldFull, ch), g.rep)
+		query.F.FinalizeExact(t.limbs.Fold(g.foldFull, ch), g.rep)
 		if d := query.Distance(g.rep); d < best {
 			best = d
 		}

@@ -44,18 +44,18 @@ func equivCases() []equivCase {
 			schema: []attr.Attribute{{Name: "day", Kind: attr.Categorical, Domain: []string{"mo", "tu", "we", "th", "fr", "sa", "su"}}},
 			specs:  []agg.Spec{{Kind: agg.Distribution, Attr: "day"}},
 			values: func(rng *rand.Rand, _ int) []attr.Value { return []attr.Value{{Cat: rng.Intn(7)}} },
-			regime: func(t *tables) bool { return t.allExact && t.sorted && t.twoCount == 0 },
+			regime: func(t *tables) bool { return t.limbs.Exact && t.limbs.Eff() == t.chans },
 		},
 		{
-			// F2 over decimal tenths: not dyadic, so the sums ride the
-			// two-float planes and every cell vector is folded.
+			// F2 over decimal tenths: not dyadic, so the sums ride two
+			// limbs and every cell vector is folded.
 			name:   "two-float-decimal",
 			schema: f2Schema,
 			specs:  f2Specs,
 			values: func(rng *rand.Rand, _ int) []attr.Value {
 				return []attr.Value{{Num: float64(rng.Intn(101)) / 10}, {Num: 1 + float64(rng.Intn(5000))/10}}
 			},
-			regime: func(t *tables) bool { return t.sortExact && t.sorted && t.twoCount > 0 },
+			regime: func(t *tables) bool { return t.limbs.Exact && t.limbs.Eff() > t.chans },
 		},
 		{
 			// F2 salted with denormals and a negative zero: the sum
@@ -76,19 +76,19 @@ func equivCases() []equivCase {
 				}
 				return []attr.Value{{Num: rng.NormFloat64()}, {Num: v}}
 			},
-			regime: func(t *tables) bool { return !t.sortExact && !t.sorted },
+			regime: func(t *tables) bool { return !t.limbs.Exact },
 		},
 		{
 			// F2 over dyadic values (rating quarters, visits halves): every
-			// channel plainly certified, with fA's min/max slot riding the
-			// sorted master.
+			// channel one limb, with fA's min/max slot riding the sorted
+			// master.
 			name:   "avg-minmax",
 			schema: f2Schema,
 			specs:  f2Specs,
 			values: func(rng *rand.Rand, _ int) []attr.Value {
 				return []attr.Value{{Num: float64(rng.Intn(41)) * 0.25}, {Num: 1 + float64(rng.Intn(999))*0.5}}
 			},
-			regime: func(t *tables) bool { return t.allExact && t.sorted && t.f.MinMaxSlots() > 0 },
+			regime: func(t *tables) bool { return t.limbs.Exact && t.limbs.Eff() == t.chans && t.f.MinMaxSlots() > 0 },
 		},
 	}
 }
@@ -169,7 +169,7 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !tc.regime(sNew.tab) {
-					t.Fatalf("trial %d: composite landed in the wrong regime: %+v", trial, sNew.tab.chOK)
+					t.Fatalf("trial %d: composite landed in the wrong regime: %+v", trial, sNew.tab.limbs.Scale)
 				}
 				sNew.ensureScratch()
 				sRef.ensureScratch()

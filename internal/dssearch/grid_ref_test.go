@@ -94,7 +94,7 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 		// Acquired lazily at first use: GI-DS runs SolveWithinIDs once
 		// per index cell, and cells at or below the sweep cutoff never
 		// discretize at all.
-		s.grid = newGridBuffers(s.opt.NCol, s.opt.NRow, s.query.F, s.tab.eff)
+		s.grid = newGridBuffers(s.opt.NCol, s.opt.NRow, s.query.F, s.tab.limbs.Eff())
 	}
 	g := s.grid
 	query := &s.query
@@ -121,7 +121,7 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 				continue
 			}
 			s.Stats.CleanCells++
-			full := tab.fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
+			full := tab.limbs.Fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
 			query.F.FinalizeExact(full, g.rep)
 			if d := query.Distance(g.rep); d <= s.cur.Dist {
 				// Only a centre strictly inside the cell is a candidate
@@ -150,8 +150,8 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 				continue
 			}
 			s.Stats.DirtyCells++
-			full := tab.fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
-			part := tab.fold(g.foldPart, g.diffPart[idx*g.chans:(idx+1)*g.chans])
+			full := tab.limbs.Fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
+			part := tab.limbs.Fold(g.foldPart, g.diffPart[idx*g.chans:(idx+1)*g.chans])
 			var mmMin, mmMax []float64
 			if g.mmSlots > 0 {
 				mi := (r*ncol + c) * g.mmSlots
@@ -331,7 +331,7 @@ func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, ids []i
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
 		clear(ch)
-		if t.sorted {
+		if t.limbs.Exact {
 			// The rectangles covering p form a binary-searched window of
 			// the master order: MinX ∈ (p.X − wmax, p.X). The clip clause
 			// restricts the window to the space's chain-filtered subset
@@ -358,7 +358,7 @@ func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, ids []i
 				}
 			}
 		}
-		query.F.FinalizeExact(t.fold(g.foldFull, ch), g.rep)
+		query.F.FinalizeExact(t.limbs.Fold(g.foldFull, ch), g.rep)
 		if d := query.Distance(g.rep); d <= s.cur.Dist {
 			s.improve(d, p, g.rep)
 		}
@@ -413,10 +413,10 @@ func (s *Searcher) refRefineCellLB(cell geom.Rect, ids []int32) (float64, bool) 
 				ch[cb.Ch] += cb.V
 			}
 		}
-		// ch is an eff-space vector (base and contributions carry the
-		// two-float hi/lo planes separately); fold before finalizing or
+		// ch is a limb vector (base and contributions carry a two-limb
+		// channel's hi and lo planes apart); fold before finalizing or
 		// the lo planes would be dropped from the bound.
-		query.F.FinalizeExact(t.fold(g.foldFull, ch), g.rep)
+		query.F.FinalizeExact(t.limbs.Fold(g.foldFull, ch), g.rep)
 		if d := query.Distance(g.rep); d < best {
 			best = d
 		}

@@ -3,6 +3,7 @@ package dssearch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,8 +20,8 @@ import (
 // The hoist is possible because, under the default top-right-corner
 // reduction, every rectangle's anchor (MinX, MinY) is the object's
 // location translated by the constant (-a, -b): the master sort order,
-// the flattened channel contributions, the fixed-point / two-float
-// certificates and the anchor-bin partition are all functions of
+// the flattened limb contributions, the limbs' certificate and the
+// anchor-bin partition are all functions of
 // (dataset, composite) alone — only the rectangle materialization
 // depends on the query's (a, b), one O(n) pass, and with it a few facts
 // of O(1) size (width/height ranges, accuracy, space, whether the order
@@ -28,7 +29,10 @@ import (
 // the pyramid remembers (shape.go). Binding a pyramid to a Searcher
 // therefore replaces the per-query O(R log R) sort, the O(contribs)
 // flatten/certify passes and the O(R + g²) level build with aliased
-// reads of shared immutable state (DESIGN.md §6).
+// reads of shared immutable state (DESIGN.md §6). What the pyramid holds
+// that the dataset holds too — the contribution and min/max tables — is
+// not persisted: a loaded pyramid flattens them again from the objects
+// under the stored limbs (PyramidFromSnapshot).
 //
 // Bit-identity with the unassisted path is preserved by construction:
 // the pyramid's master order is produced by the *same* sort over the
@@ -58,13 +62,11 @@ type Pyramid struct {
 	xAscIds, yAscIds []int32     // master ids sorted by anchor x / y (accuracy)
 	lvls             []*satLevel // anchor-bin hierarchy, finest first (none unless the master is sorted)
 
-	// Delta-fold state (delta.go). strict: the master anchors increase
-	// strictly, i.e. the canonical order is the only one the comparator
-	// admits. cert: the certificate's running sums over the dataset, which
-	// a fold extends by the appended objects; nil until a fold needs them
-	// (derived from the core then).
-	strict bool
-	cert   *certSums
+	// Delta-fold state (delta.go): the certificate's running sums over
+	// the dataset, which a fold extends by the appended objects; nil on a
+	// loaded pyramid until a fold needs them (derived from the dataset
+	// then).
+	cert *agg.LimbSums
 
 	// Shape facts remembered per (a, b) (shape.go): like Index.lbPool the
 	// memo is the pyramid's only mutable state. An epoch's fold is a new
@@ -92,8 +94,8 @@ func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
 	// Degenerate location-anchored rectangles stand in for the reduced
 	// master: their (MinX, MinY) are the object locations, i.e. the
 	// anchors of every real reduction up to translation, so buildTables
-	// runs the exact per-query code path — flatten, certify (plain +
-	// two-float), sort — and its outputs ARE the shared core.
+	// runs the exact per-query code path — flatten, certify, sort — and
+	// its outputs ARE the shared core.
 	synth := make([]asp.RectObject, n)
 	for i := range ds.Objects {
 		o := &ds.Objects[i]
@@ -104,6 +106,7 @@ func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
 	}
 	core := &tables{}
 	master := buildTables(core, synth, f, true)
+	core.freeze()
 
 	// Recover the sort permutation via object identity.
 	idxOf := make(map[*attr.Object]int32, n)
@@ -115,8 +118,8 @@ func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
 		order[i] = idxOf[master[i].Obj]
 	}
 
-	p := &Pyramid{ds: ds, f: f, n: n, mmSlots: f.MinMaxSlots(), core: core, order: order}
-	p.strict = p.anchorsStrict()
+	sums := core.limbs.Sums()
+	p := &Pyramid{ds: ds, f: f, n: n, mmSlots: f.MinMaxSlots(), core: core, order: order, cert: &sums}
 
 	xs := make([]float64, n)
 	ys := make([]float64, n)
@@ -155,7 +158,7 @@ func levelGrids(n int) []int {
 // raiseLevels builds the hierarchy from scratch over the stored anchors
 // xs/ys (master order). Only a sorted master's searches read levels.
 func (p *Pyramid) raiseLevels(xs, ys []float64) {
-	if !p.core.sorted {
+	if !p.core.limbs.Exact {
 		return
 	}
 	for _, g := range levelGrids(p.n) {
@@ -165,22 +168,21 @@ func (p *Pyramid) raiseLevels(xs, ys []float64) {
 	}
 }
 
+// freeze trims a pyramid's core to what binds alias for the pyramid's
+// life: the tables at their exact lengths, without the slack their
+// appends left or the build's accuracy and MinX scratch.
+func (t *tables) freeze() {
+	t.cOff, t.contribs = slices.Clone(t.cOff), slices.Clone(t.contribs)
+	t.mOff, t.mms = slices.Clone(t.mOff), slices.Clone(t.mms)
+	t.axs, t.bxs, t.minXs, t.minXsBuf = nil, nil, nil, nil
+}
+
 // anchor returns the stored anchor (the object location) of master id.
 func (p *Pyramid) anchor(id int32) geom.Point { return p.ds.Objects[p.order[id]].Loc }
 
 // anchorLess is the master comparator over stored anchors.
 func anchorLess(a, b geom.Point) bool {
 	return a.X < b.X || (a.X == b.X && a.Y < b.Y)
-}
-
-// anchorsStrict reports whether the master anchors increase strictly.
-func (p *Pyramid) anchorsStrict() bool {
-	for id := 1; id < p.n; id++ {
-		if !anchorLess(p.anchor(int32(id-1)), p.anchor(int32(id))) {
-			return false
-		}
-	}
-	return true
 }
 
 // sortedIdsByValue returns the indices of vs in ascending value order
@@ -220,11 +222,9 @@ func (p *Pyramid) Levels() int { return len(p.lvls) }
 // truncates) the aliased slices.
 func (p *Pyramid) bindCore(t *tables) {
 	c := p.core
-	t.f, t.chans, t.eff = c.f, c.chans, c.eff
-	t.chOK, t.chScale, t.chInv, t.twoOf = c.chOK, c.chScale, c.chInv, c.twoOf
-	t.twoCount = c.twoCount
-	t.allExact, t.sortExact = c.allExact, c.sortExact
-	t.sorted = c.sorted
+	t.f, t.chans = c.f, c.chans
+	// The exported limbs only: t keeps its own certificate scratch.
+	t.limbs.Scale, t.limbs.Inv, t.limbs.Lo, t.limbs.Exact = c.limbs.Scale, c.limbs.Inv, c.limbs.Lo, c.limbs.Exact
 	t.cOff, t.contribs = c.cOff, c.contribs
 	t.mOff, t.mms = c.mOff, c.mms
 	t.lvls = append(t.lvls[:0], p.lvls...)
@@ -305,29 +305,23 @@ func minGapMergedIds(master []asp.RectObject, ids []int32, yAxis bool) float64 {
 
 // ---- Serialization snapshot ----
 
-// PyramidSnapshot is the exported, codec-friendly image of a Pyramid.
-// internal/persist encodes and decodes it; PyramidFromSnapshot
-// validates it and rebuilds the derived state (each level's count
-// plane) that is cheaper to recompute than to store.
+// PyramidSnapshot is the exported, codec-friendly image of a Pyramid:
+// what the dataset does not hold. internal/persist encodes and decodes
+// it; PyramidFromSnapshot validates it and re-derives the rest — the
+// limb inverses and the one flag from the scales, the contribution and
+// min/max tables from the objects, each level's count plane from its
+// bins.
 type PyramidSnapshot struct {
-	N          int
-	Chans, Eff int
-	MMSlots    int
+	N       int
+	Chans   int
+	MMSlots int
 
-	// SortExact is also "the master is sorted": a master is sorted
-	// exactly when its certificate allows it.
-	AllExact, SortExact bool
-
-	ChOK    []bool
-	ChScale []float64
-	ChInv   []float64
-	TwoOf   []int32
+	// Scale is every limb's power of two (agg.Limbs.Scale, 0 for an
+	// uncertified channel) and Lo every channel's lo limb or -1.
+	Scale []float64
+	Lo    []int32
 
 	Order            []int32
-	COff             []int32
-	Contribs         []agg.Contrib
-	MOff             []int32
-	MMs              []agg.MMContrib
 	XAscIds, YAscIds []int32
 
 	Levels []PyramidLevelSnapshot
@@ -347,11 +341,9 @@ type PyramidLevelSnapshot struct {
 func (p *Pyramid) Snapshot() *PyramidSnapshot {
 	c := p.core
 	s := &PyramidSnapshot{
-		N: p.n, Chans: c.chans, Eff: c.eff, MMSlots: p.mmSlots,
-		AllExact: c.allExact, SortExact: c.sortExact,
-		ChOK: c.chOK, ChScale: c.chScale, ChInv: c.chInv, TwoOf: c.twoOf,
-		Order: p.order, COff: c.cOff, Contribs: c.contribs,
-		MOff: c.mOff, MMs: c.mms,
+		N: p.n, Chans: c.chans, MMSlots: p.mmSlots,
+		Scale: c.limbs.Scale, Lo: c.limbs.Lo,
+		Order:   p.order,
 		XAscIds: p.xAscIds, YAscIds: p.yAscIds,
 	}
 	for _, l := range p.lvls {
@@ -367,10 +359,11 @@ func (p *Pyramid) Snapshot() *PyramidSnapshot {
 
 // PyramidFromSnapshot reconstructs a pyramid over (ds, f) from a
 // decoded snapshot, validating structural consistency (a corrupt or
-// mismatched file must produce an error, never a panic) and rebuilding
-// the derived state. The snapshot's contribution values are trusted to
-// describe ds — like ReadIndex, the dataset identity is part of the
-// file's contract.
+// mismatched file must produce an error, never a panic) and re-deriving
+// what it does not carry: the contribution tables are flattened from
+// ds.Objects[Order[i]] and split under the snapshot's limbs. Those limbs
+// are trusted to certify ds — like ReadIndex, the dataset identity is
+// part of the file's contract.
 func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot) (*Pyramid, error) {
 	if ds == nil || f == nil || s == nil {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot requires dataset, composite and data")
@@ -385,11 +378,9 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 	if s.MMSlots != f.MinMaxSlots() {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot has %d min/max slots, composite has %d", s.MMSlots, f.MinMaxSlots())
 	}
-	if s.Eff < s.Chans || s.Eff > 2*s.Chans {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot eff=%d inconsistent with chans=%d", s.Eff, s.Chans)
-	}
-	if len(s.ChOK) != s.Eff || len(s.ChScale) != s.Eff || len(s.ChInv) != s.Eff || len(s.TwoOf) != s.Chans {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot certificate arrays inconsistent")
+	limbs, err := snapshotLimbs(s.Chans, s.Scale, s.Lo)
+	if err != nil {
+		return nil, err
 	}
 	if len(s.Order) != n || len(s.XAscIds) != n || len(s.YAscIds) != n {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot id arrays inconsistent")
@@ -403,52 +394,15 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 	if err := checkPermutation(s.YAscIds, n); err != nil {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot y id order: %w", err)
 	}
-	if err := checkOffsets(s.COff, n, len(s.Contribs)); err != nil {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot contributions: %w", err)
-	}
-	for i := range s.Contribs {
-		if ch := s.Contribs[i].Ch; ch < 0 || ch >= s.Eff {
-			return nil, fmt.Errorf("dssearch: pyramid snapshot contribution channel %d out of range", ch)
-		}
-	}
-	twoCount := 0
-	for ch, sh := range s.TwoOf {
-		if sh < 0 {
-			continue
-		}
-		if int(sh) < s.Chans || int(sh) >= s.Eff {
-			return nil, fmt.Errorf("dssearch: pyramid snapshot shadow slot %d of channel %d out of range", sh, ch)
-		}
-		twoCount++
-	}
-	if s.Chans+twoCount != s.Eff {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot shadow count %d inconsistent with eff=%d", twoCount, s.Eff)
-	}
-	if s.MMSlots > 0 {
-		if err := checkOffsets(s.MOff, n, len(s.MMs)); err != nil {
-			return nil, fmt.Errorf("dssearch: pyramid snapshot min/max contributions: %w", err)
-		}
-		for i := range s.MMs {
-			if sl := s.MMs[i].Slot; sl < 0 || sl >= s.MMSlots {
-				return nil, fmt.Errorf("dssearch: pyramid snapshot min/max slot %d out of range", sl)
-			}
-		}
-	}
 
-	core := &tables{
-		f: f, chans: s.Chans, eff: s.Eff,
-		chOK: s.ChOK, chScale: s.ChScale, chInv: s.ChInv, twoOf: s.TwoOf,
-		twoCount: twoCount,
-		allExact: s.AllExact, sortExact: s.SortExact, sorted: s.SortExact,
-		cOff: s.COff, contribs: s.Contribs,
-		mOff: s.MOff, mms: s.MMs,
-	}
+	core := &tables{f: f, chans: s.Chans, limbs: limbs}
+	core.flattenObjects(n, func(id int) *attr.Object { return &ds.Objects[s.Order[id]] }, &core.limbs)
+	core.freeze()
 
 	p := &Pyramid{
 		ds: ds, f: f, n: n, mmSlots: s.MMSlots,
 		core: core, order: s.Order, xAscIds: s.XAscIds, yAscIds: s.YAscIds,
 	}
-	p.strict = p.anchorsStrict()
 	// The file does not carry the bin grid origin: a level is only ever
 	// saved as built, with its origin at the hull's lower-left corner.
 	var origin geom.Point
@@ -490,10 +444,46 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 		l.sumCounts()
 		p.lvls = append(p.lvls, l)
 	}
-	if s.SortExact && len(p.lvls) == 0 {
+	if limbs.Exact && len(p.lvls) == 0 {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot has a sorted master but carries no anchor-bin levels")
 	}
 	return p, nil
+}
+
+// snapshotLimbs rebuilds the limbs of a snapshot, checking that every
+// scale is 0 or an admissible power of two and that the lo limbs are
+// laid out as Certify lays them out: one per two-limb channel, in
+// channel order, right after the channels.
+func snapshotLimbs(chans int, scale []float64, lo []int32) (agg.Limbs, error) {
+	if len(lo) != chans || len(scale) < chans || len(scale) > 2*chans {
+		return agg.Limbs{}, fmt.Errorf("dssearch: pyramid snapshot has %d limbs and %d lo slots for %d channels", len(scale), len(lo), chans)
+	}
+	l := agg.Limbs{Scale: scale, Inv: make([]float64, len(scale)), Lo: lo, Exact: true}
+	for k, v := range scale {
+		if v == 0 {
+			l.Exact = false
+			continue
+		}
+		frac, e := math.Frexp(v)
+		if frac != 0.5 || e-1 < -1022 || e-1 > 1022 {
+			return agg.Limbs{}, fmt.Errorf("dssearch: pyramid snapshot limb %d scale %g is not an admissible power of two", k, v)
+		}
+		l.Inv[k] = math.Ldexp(1, 1-e)
+	}
+	next := int32(chans)
+	for ch, sh := range lo {
+		if sh < 0 {
+			continue
+		}
+		if sh != next || scale[ch] == 0 || scale[sh] == 0 {
+			return agg.Limbs{}, fmt.Errorf("dssearch: pyramid snapshot lo limb %d of channel %d out of place", sh, ch)
+		}
+		next++
+	}
+	if int(next) != len(scale) {
+		return agg.Limbs{}, fmt.Errorf("dssearch: pyramid snapshot has %d lo limbs, %d in use", len(scale)-chans, int(next)-chans)
+	}
+	return l, nil
 }
 
 // checkPermutation verifies ids is a permutation of [0, n).

@@ -72,7 +72,7 @@ func solvePyr(t *testing.T, ds *attr.Dataset, f *agg.Composite, a, b float64, ta
 }
 
 // TestPyramidAnswersBitIdentical is the tentpole property test: for
-// integer-exact, dyadic-real, decimal-grid (two-float) and min/max
+// integer-exact, dyadic-real, decimal-grid (two-limb) and min/max
 // composites, over query extents including sub-ulp slivers (a below one
 // ulp of the coordinates, producing zero-extent rectangles) and
 // extents that dwarf the space, pyramid-bound answers — region, point,

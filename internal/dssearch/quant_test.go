@@ -12,45 +12,6 @@ import (
 	"asrs/internal/sweep"
 )
 
-// TestFracBits pins the fraction-bit computation at the heart of the
-// fixed-point certificate.
-func TestFracBits(t *testing.T) {
-	cases := []struct {
-		v    float64
-		want int
-	}{
-		{0, 0},
-		{1, 0},
-		{-3, 0},
-		{1 << 30, 0},
-		{0.5, 1},
-		{-0.5, 1},
-		{2.25, 2},
-		{0.375, 3}, // 3/8
-		{1.0 / 1024, 10},
-		{math.Ldexp(1, -62), 62},
-	}
-	for _, c := range cases {
-		if got := fracBits(c.v); got != c.want {
-			t.Errorf("fracBits(%g) = %d, want %d", c.v, got, c.want)
-		}
-	}
-	// 0.1 is not 1/10 but the nearest double, m·2^-55 — exactly
-	// representable, so a *single* such value passes the plain
-	// certificate; it is the Σ|v|·2^55 headroom bound that rejects
-	// decimal-grid channels from the plain path in practice — they ride
-	// the two-float fallback instead (TestCertificatePerChannel).
-	if got := fracBits(0.1); got != 55 {
-		t.Errorf("fracBits(0.1) = %d, want 55", got)
-	}
-	// Unquantizable inputs must exceed the shift budget.
-	for _, v := range []float64{math.NaN(), math.Inf(1), 5e-324, 1e-308, math.Ldexp(1, -100)} {
-		if got := fracBits(v); got <= maxShift {
-			t.Errorf("fracBits(%g) = %d, want > maxShift", v, got)
-		}
-	}
-}
-
 // quantSearcher builds a Searcher over the given objects/composite and
 // returns it with its tables for certificate inspection.
 func quantSearcher(t *testing.T, rects []asp.RectObject, f *agg.Composite) *Searcher {
@@ -63,11 +24,10 @@ func quantSearcher(t *testing.T, rects []asp.RectObject, f *agg.Composite) *Sear
 	return s
 }
 
-// TestCertificatePerChannel: channels pass and fail the certificates
-// individually — dyadic reals pass the plain certificate, decimal-grid
-// (base-10) channels fail it but pass the two-float fallback (so the
-// whole composite is grid-exact and sorts), denormals and NaN fail
-// both.
+// TestCertificatePerChannel: channels are certified individually —
+// dyadic reals as one limb on their finest grid, decimal-grid (base-10)
+// channels as two limbs (so the whole composite is exact and sorts) —
+// and the split into limbs is error-free.
 func TestCertificatePerChannel(t *testing.T) {
 	schema, err := attr.NewSchema(
 		attr.Attribute{Name: "dyadic", Kind: attr.Numeric},
@@ -97,37 +57,28 @@ func TestCertificatePerChannel(t *testing.T) {
 	}
 	s := quantSearcher(t, rects, f)
 	tab := s.tab
-	if tab.allExact {
-		t.Fatal("decimal channel should fail the plain certificate")
-	}
+	l := &tab.limbs
 	// Channel layout: fS(dyadic)=0..2, fS(decimal)=3..5, fC=6.
-	if !tab.chOK[0] {
-		t.Error("dyadic sum channel should pass")
+	if l.Scale[0] == 0 || l.Lo[0] >= 0 {
+		t.Errorf("dyadic sum channel should be one limb (scale %g, lo %d)", l.Scale[0], l.Lo[0])
 	}
-	if !tab.chOK[3] || tab.twoOf[3] < 0 {
-		t.Errorf("decimal sum channel should pass via the two-float fallback (ok=%v two=%d)",
-			tab.chOK[3], tab.twoOf[3])
+	if l.Scale[3] == 0 || l.Lo[3] < 0 {
+		t.Errorf("decimal sum channel should be two limbs (scale %g, lo %d)", l.Scale[3], l.Lo[3])
 	}
-	if tab.twoOf[0] >= 0 {
-		t.Error("dyadic channel must not need the two-float fallback")
+	if l.Scale[6] != 1 || l.Lo[6] >= 0 {
+		t.Error("count channel should be one limb of scale 1")
 	}
-	if !tab.chOK[6] {
-		t.Error("count channel should pass")
+	if l.Scale[0] != 4 || l.Inv[0] != 0.25 {
+		t.Errorf("dyadic scale = %g/%g, want 4/0.25", l.Scale[0], l.Inv[0])
 	}
-	if tab.chScale[0] != 4 || tab.chInv[0] != 0.25 {
-		t.Errorf("dyadic scale = %g/%g, want 4/0.25", tab.chScale[0], tab.chInv[0])
+	// With every channel certified the composite is exact: the master
+	// sorts and the windows come on.
+	if !l.Exact {
+		t.Fatal("decimal+dyadic composite should be exact")
 	}
-	if tab.eff != tab.chans+tab.twoCount || tab.twoCount < 1 {
-		t.Errorf("eff=%d chans=%d twoCount=%d inconsistent", tab.eff, tab.chans, tab.twoCount)
-	}
-	// With every channel plain- or two-float-certified the composite is
-	// grid-exact: the master sorts and the windows come on.
-	if !tab.sortExact || !tab.sorted {
-		t.Fatal("decimal+dyadic composite should be grid-exact and sorted")
-	}
-	// The split is error-free: for every contribution on a two-float
-	// channel, the rewritten hi part plus its shadow lo part must equal
-	// the original contribution value bit-for-bit.
+	// The split is error-free: for every contribution on a two-limb
+	// channel, the rewritten hi part plus its lo part must equal the
+	// original contribution value bit-for-bit.
 	var orig []agg.Contrib
 	for id := int32(0); int(id) < len(s.rects); id++ {
 		orig = f.AppendContribs(s.rects[id].Obj, orig[:0])
@@ -144,11 +95,11 @@ func TestCertificatePerChannel(t *testing.T) {
 		oi := 0
 		for k := 0; k < len(cbs); k++ {
 			if cbs[k].Ch >= tab.chans {
-				continue // shadow entries are checked with their primary
+				continue // lo limbs are checked with their channel
 			}
 			want := orig[oi]
 			oi++
-			if sh := tab.twoOf[cbs[k].Ch]; sh >= 0 {
+			if sh := l.Lo[cbs[k].Ch]; sh >= 0 {
 				if got := cbs[k].V + shadow(sh); math.Float64bits(got) != math.Float64bits(want.V) {
 					t.Fatalf("rect %d ch %d: hi+lo = %v, original = %v", id, cbs[k].Ch, got, want.V)
 				}
@@ -159,8 +110,10 @@ func TestCertificatePerChannel(t *testing.T) {
 	}
 }
 
-// TestCertificateDenormalAndHeadroom: denormal-adjacent values and
-// channels whose scaled mass exceeds the 2^52 headroom fall back.
+// TestCertificateDenormalAndHeadroom: channels whose values span more
+// than one limb's headroom take two, on grids as fine as the normal
+// range allows; denormals, NaN, Inf and spreads beyond two limbs fall
+// back.
 func TestCertificateDenormalAndHeadroom(t *testing.T) {
 	schema, err := attr.NewSchema(attr.Attribute{Name: "v", Kind: attr.Numeric})
 	if err != nil {
@@ -170,7 +123,7 @@ func TestCertificateDenormalAndHeadroom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(vals []float64) *tables {
+	build := func(vals []float64) *agg.Limbs {
 		objs := make([]attr.Object, len(vals))
 		rects := make([]asp.RectObject, len(vals))
 		for i, v := range vals {
@@ -178,32 +131,35 @@ func TestCertificateDenormalAndHeadroom(t *testing.T) {
 			objs[i] = attr.Object{Loc: geom.Point{X: x, Y: x}, Values: []attr.Value{{Num: v}}}
 			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: x - 1, MaxX: x, MaxY: x}, Obj: &objs[i]}
 		}
-		return quantSearcher(t, rects, f).tab
+		return &quantSearcher(t, rects, f).tab.limbs
 	}
-	if tab := build([]float64{0.5, 5e-324}); tab.chOK[0] {
-		t.Error("denormal-bearing channel must fail both certificates")
+	for _, v := range []float64{5e-324, math.NaN(), math.Inf(1)} {
+		if l := build([]float64{0.5, v}); l.Scale[0] != 0 || l.Exact {
+			t.Errorf("a channel holding %g must fail both certificates", v)
+		}
 	}
-	if tab := build([]float64{0.5, math.NaN()}); tab.chOK[0] {
-		t.Error("NaN-bearing channel must fail both certificates")
+	// A tiny dyadic value forces a fine grid; a large one then blows the
+	// one-limb headroom — but two limbs split the spread across their hi
+	// and lo planes and serve the channel exactly.
+	for _, tiny := range []float64{math.Ldexp(1, -50), math.Ldexp(1, -100), math.Ldexp(1, -1000)} {
+		if l := build([]float64{tiny, 16}); l.Lo[0] < 0 || !l.Exact {
+			t.Errorf("a %g beside 16 should take two limbs", tiny)
+		}
 	}
-	if tab := build([]float64{0.5, math.Inf(1)}); tab.chOK[0] {
-		t.Error("Inf-bearing channel must fail both certificates")
-	}
-	// A tiny dyadic value forces a huge shift; a large one then blows the
-	// plain scaled-sum headroom — but the two-float fallback splits the
-	// spread across its hi/lo planes and serves the channel exactly.
-	if tab := build([]float64{math.Ldexp(1, -50), 16}); !tab.chOK[0] || tab.twoOf[0] < 0 {
-		t.Error("exponent-range overflow should ride the two-float fallback")
-	}
-	if tab := build([]float64{math.Ldexp(1, -50), math.Ldexp(1, -49)}); !tab.chOK[0] {
+	if l := build([]float64{math.Ldexp(1, -50), math.Ldexp(1, -49)}); l.Scale[0] == 0 {
 		t.Error("small dyadic values within headroom should pass")
-	} else if tab.twoOf[0] >= 0 {
-		t.Error("within-headroom dyadic values must pass plainly, not via two-float")
+	} else if l.Lo[0] >= 0 {
+		t.Error("within-headroom dyadic values must take one limb, not two")
 	}
-	// Spreads beyond even the two-float budget — a denormal-scale tail
-	// under a large head — must still fall back to the classic path.
-	if tab := build([]float64{math.Ldexp(1, -1060), 16}); tab.chOK[0] {
-		t.Error("beyond-two-float spread must fail both certificates")
+	// Full-mantissa reals down to POISyn's smallest ratings: the lo grid
+	// lies far below 2^-62, the bound the grids used to stop at.
+	if l := build([]float64{5.000000000000001e-05, 7.3, 0.1, 9.999999999999998}); l.Lo[0] < 0 || l.Scale[l.Lo[0]] <= math.Ldexp(1, 62) {
+		t.Errorf("full-mantissa reals should take two limbs with a lo grid finer than 2^-62 (lo %d, scales %v)", l.Lo[0], l.Scale)
+	}
+	// Spreads beyond even two limbs — a denormal-scale tail under a large
+	// head — must still fall back to the classic path.
+	if l := build([]float64{math.Ldexp(1, -1060), 16}); l.Scale[0] != 0 {
+		t.Error("beyond-two-limb spread must fail both certificates")
 	}
 }
 
@@ -260,8 +216,8 @@ func realSchemaF2(t *testing.T) *agg.Composite {
 
 // TestUnquantizableTakesOldPath: a composite whose every channel fails
 // both certificates silently keeps the seed behavior — no sort, original
-// master order. Denormal tails on both signs defeat the two-float
-// fallback on every sum channel.
+// master order. Denormal tails on both signs defeat two limbs on every
+// sum channel.
 func TestUnquantizableTakesOldPath(t *testing.T) {
 	schema, err := attr.NewSchema(attr.Attribute{Name: "v", Kind: attr.Numeric})
 	if err != nil {
@@ -287,8 +243,8 @@ func TestUnquantizableTakesOldPath(t *testing.T) {
 		rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: y - 1, MaxX: x, MaxY: y}, Obj: &objs[i]}
 	}
 	s := quantSearcher(t, rects, f)
-	if s.tab.allExact || s.tab.sortExact || s.tab.sorted {
-		t.Fatalf("unquantizable composite must fall back: %+v", s.tab.chOK)
+	if s.tab.limbs.Exact {
+		t.Fatalf("unquantizable composite must fall back: %+v", s.tab.limbs.Scale)
 	}
 	for i := range rects {
 		if s.rects[i].Obj != rects[i].Obj {
@@ -301,7 +257,7 @@ func TestUnquantizableTakesOldPath(t *testing.T) {
 // real-valued min/max composite: a search is a pure function of its
 // input, so a repeated run answers bit for bit alike — point and
 // representation included, with the first run's scratch recycled — and
-// the distance is the sweep baseline's.
+// the distance is the sweep baseline's, bit for bit.
 func TestSearchEquivalenceRealValued(t *testing.T) {
 	f := realSchemaF2(t)
 	rng := rand.New(rand.NewSource(1234))
@@ -334,7 +290,7 @@ func TestSearchEquivalenceRealValued(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if base := sw.Solve(); math.Abs(base.Dist-want.Dist) > 1e-9 {
+		if base := sw.Solve(); math.Float64bits(base.Dist) != math.Float64bits(want.Dist) {
 			t.Fatalf("trial %d: distance %v, sweep baseline %v", trial, want.Dist, base.Dist)
 		}
 	}

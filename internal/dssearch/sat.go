@@ -2,12 +2,12 @@ package dssearch
 
 import (
 	"math"
-	"math/bits"
 	"sort"
 	"sync"
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
+	"asrs/internal/attr"
 	"asrs/internal/geom"
 	"asrs/internal/sweep"
 )
@@ -16,11 +16,11 @@ import (
 // `tables` value is built per Searcher and owns
 //
 //   - the master rectangle array, sorted by (MinX, MinY) when every
-//     channel carries an exact-summation certificate, so that every
-//     space's relevant rectangles form a binary-searchable contiguous
-//     window;
-//   - the flattened per-rectangle channel contributions (AppendContribs
-//     evaluated once per query instead of once per discretization);
+//     channel is certified, so that every space's relevant rectangles
+//     form a binary-searchable contiguous window;
+//   - the flattened per-rectangle limb contributions (AppendContribs
+//     evaluated and split once per query instead of once per
+//     discretization);
 //   - the GPS-accuracy computation (Definition 7), derived from the
 //     sorted coordinate arrays by a merge walk instead of re-sorting the
 //     edge multiset per query;
@@ -32,60 +32,27 @@ import (
 //
 // When Options.Pyramid carries the dataset-level aggregate pyramid
 // (pyramid.go), the whole layer is *bound* instead of built: the master
-// order, contributions, certificate and levels are aliased from the
-// persistent per-composite structure and only the rectangles are
-// materialized per query, in one O(n) pass (shape.go), converting the
-// per-query O(R log R) setup into amortized shared state (DESIGN.md §6).
+// order, contributions, limbs and levels are aliased from the persistent
+// per-composite structure and only the rectangles are materialized per
+// query, in one O(n) pass (shape.go), converting the per-query
+// O(R log R) setup into amortized shared state (DESIGN.md §6).
 //
-// Sorting is gated per channel by the *fixed-point certificate*: a
-// channel passes when all of its contributions quantize losslessly onto
-// a shared power-of-two grid (value · 2^shift is an integer for every
-// contribution) and the channel's total absolute scaled mass stays
-// within the exact summation headroom (Σ|v|·2^shift ≤ 2^52). Under the
-// certificate every float64 partial sum the difference-array fill can
-// form is an integer multiple of 2^-shift with a ≤53-bit numerator —
-// exactly representable — so channel sums are exact and independent of
-// summation order: the master may be sorted, and the incremental
-// mini-sweep may carry the channel as scaled int64. Integer channels
-// (fD, fC, fS/fA over integer values) pass trivially with shift 0;
-// real-valued channels pass whenever the data lives on a dyadic grid
-// (halves, quarters, float32-sourced values, …).
+// Sorting is gated by the limbs' certificate (agg.Limbs): every channel
+// sums as one or two exact limbs, each on a power-of-two grid with its
+// total scaled mass within 2^52, so every float partial sum the
+// difference-array fill can form is exact and every channel's value over
+// a set is the correctly rounded exact sum, whatever the order. One flag
+// comes out, limbs.Exact: the master may be sorted, and the incremental
+// mini-sweep may carry every limb as a scaled int64. Integer channels
+// pass with scale 1, dyadic reals with their finest grid, decimal and
+// full-mantissa reals with two limbs.
 //
-// Channels that fail the plain certificate get a second chance through
-// the *two-float (compensated-sum) fallback*: each contribution v is
-// split error-free into v = hi + lo, where hi is v rounded to a coarse
-// power-of-two grid chosen from the channel's total mass and lo is the
-// exact float64 remainder (Veltkamp-style splitting: the subtraction
-// v − hi is exact because hi agrees with v in its leading bits). The hi
-// parts live on a coarse dyadic grid with huge headroom, the lo parts
-// are tiny with huge headroom, so BOTH halves pass the fixed-point
-// certificate individually and fill the grids as two exact planes — the
-// channel's grid totals become fl(Σhi + Σlo), one rounding of the
-// exactly-represented true sum, independent of summation order. This is
-// what lets decimal-grid (base-10) channels — 0.1-steped prices,
-// percentages — sort. Two-float channels are "grid-exact" (order-free
-// grid fills, sorting allowed) but not "plain-exact": the Fenwick
-// mini-sweep keeps its naive accumulation for them, exactly like any
-// real-valued channel.
-//
-// A composite with a channel that fails both certificates — full-mantissa
-// reals, denormal-adjacent values, NaN/Inf — keeps its master in input
-// order, so every float sum is formed in the order the seed algorithm
-// forms it; pass 2 then finds a cell's rectangles in the per-Discretize
-// classification table (grid.go) instead of a window.
-
-// maxScaledSum bounds a channel's total absolute scaled contribution
-// mass under the fixed-point certificate. 2^52 leaves a factor-2 margin
-// below float64's exact integer range (2^53), so every partial sum of
-// the float difference-array path is exactly representable even after
-// the float accumulation slack of the certificate's own Σ|v| estimate.
-const maxScaledSum = 1 << 52
-
-// maxShift caps the fixed-point scale exponent so the mini-sweep's
-// scaled int64 contributions (and the certificate arithmetic) stay
-// well-defined; denormal-adjacent values, which would need shifts near
-// 1074, fail.
-const maxShift = 62
+// A composite with a channel no certificate admits — NaN/Inf, values
+// next to the denormals, a spread two limbs cannot hold — keeps its
+// master in input order, so every float sum of that channel is formed in
+// the order the seed algorithm forms it; pass 2 then finds a cell's
+// rectangles in the per-Discretize classification table (grid.go)
+// instead of a window.
 
 // ---- Anchor-bin levels ----
 
@@ -354,30 +321,13 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64) {
 // per-composite structure (shared == true).
 type tables struct {
 	f     *agg.Composite
-	chans int // logical channels (f.Channels())
-	eff   int // grid channels including two-float shadow planes
+	chans int // channels (f.Channels())
 
-	sorted bool // master order is (MinX, MinY); windows are usable
-
-	// Certificates (see the package note). Indexed by eff channel;
-	// two-float channels occupy their logical slot (hi part) plus a
-	// shadow slot in [chans, eff) (lo part); twoOf maps logical channel
-	// -> shadow slot or -1. allExact = every channel plainly certified
-	// (gates the fixed-point mini-sweep); sortExact = every channel
-	// plainly or two-float certified (gates the master sort, the windows
-	// and the anchor-bin levels).
-	chOK      []bool
-	chScale   []float64
-	chInv     []float64
-	twoOf     []int32
-	twoCount  int
-	allExact  bool
-	sortExact bool
-	certShift []int // certificate scratch (slab reuse)
-	certSum   []float64
-	certOK    []bool
-	certTwo   []twoState
-	certCands []twoCand
+	// limbs is the certificate (see the file note): contributions are
+	// flattened in its limb layout, and limbs.Exact — every channel
+	// certified — is also "the master order is (MinX, MinY)", which
+	// makes windows and the anchor-bin levels usable.
+	limbs agg.Limbs
 
 	wmin, wmax float64 // range of rect widths (MaxX-MinX) over the master set
 	hmin, hmax float64
@@ -385,7 +335,7 @@ type tables struct {
 	minXs    []float64 // master[i].Rect.MinX, aligned with master order
 	minXsBuf []float64 // owned backing slab for minXs
 
-	// Flattened channel contributions in eff space: master[i] contributes
+	// Flattened limb contributions: master[i] contributes
 	// contribs[cOff[i]:cOff[i+1]]; likewise mm contributions.
 	cOff     []int32
 	contribs []agg.Contrib
@@ -417,7 +367,7 @@ type tables struct {
 	gridNCol, gridNRow, gridEff int
 	gridF                       *agg.Composite
 	sw                          *sweep.Solver
-	swCap                       int
+	swCap, swEff                int
 	scratchF                    []float64
 	scratchCells                []cellInfo
 	scratchRects                []asp.RectObject
@@ -433,14 +383,13 @@ type tables struct {
 func (t *tables) reset() {
 	t.lvls = t.lvls[:0]
 	t.pyr = nil
-	t.twoCount = 0
 	t.minXs = nil // a view of minXsBuf
 	if t.shared {
 		// Aliased pyramid memory: drop, never truncate.
 		t.shared = false
 		t.cOff, t.contribs = nil, nil
 		t.mOff, t.mms = nil, nil
-		t.chOK, t.chScale, t.chInv, t.twoOf = nil, nil, nil, nil
+		t.limbs.Scale, t.limbs.Inv, t.limbs.Lo = nil, nil, nil
 		return
 	}
 	t.cOff = t.cOff[:0]
@@ -467,44 +416,39 @@ func buildTables(t *tables, master []asp.RectObject, f *agg.Composite, own bool)
 		t.bxs = make([]float64, 0, len(master))
 	}
 
-	// Pass 1: extent ranges and contribution flattening in current order.
+	// Extent ranges, and the raw contributions in input order, which the
+	// certificate reads.
 	t.measureExtents(master)
-	t.flattenContribs(master)
-	t.computeCertificate()
-	if t.twoCount > 0 {
-		// The certificate added shadow channels; re-flatten so the
-		// contribution tables carry the split (hi, lo) pairs.
-		t.flattenContribs(master)
-	}
+	t.flattenContribs(master, nil)
+	t.limbs.Certify(t.chans, t.contribs)
 
-	// Grid-exact composites get the sorted master (and with it the
-	// window and probe machinery). Sorting reorders float summation,
-	// which is harmless exactly when every grid sum is order-free — what
-	// the plain and two-float certificates jointly guarantee.
-	t.sorted = false
-	if t.sortExact && len(master) > 1 {
-		if !sort.SliceIsSorted(master, func(a, b int) bool {
+	// Certified composites get the sorted master (and with it the window
+	// and probe machinery). Sorting reorders float summation, which is
+	// harmless exactly when every sum is order-free — what the certificate
+	// guarantees.
+	resorted := false
+	if t.limbs.Exact && !sort.SliceIsSorted(master, func(a, b int) bool {
+		ra, rb := &master[a].Rect, &master[b].Rect
+		if ra.MinX != rb.MinX {
+			return ra.MinX < rb.MinX
+		}
+		return ra.MinY < rb.MinY
+	}) {
+		if !own {
+			master = append([]asp.RectObject(nil), master...)
+		}
+		sort.Slice(master, func(a, b int) bool {
 			ra, rb := &master[a].Rect, &master[b].Rect
 			if ra.MinX != rb.MinX {
 				return ra.MinX < rb.MinX
 			}
 			return ra.MinY < rb.MinY
-		}) {
-			if !own {
-				master = append([]asp.RectObject(nil), master...)
-			}
-			sort.Slice(master, func(a, b int) bool {
-				ra, rb := &master[a].Rect, &master[b].Rect
-				if ra.MinX != rb.MinX {
-					return ra.MinX < rb.MinX
-				}
-				return ra.MinY < rb.MinY
-			})
-			t.flattenContribs(master) // realign with the new order
-		}
-		t.sorted = true
-	} else if t.sortExact {
-		t.sorted = true // 0- and 1-element masters are trivially sorted
+		})
+		resorted = true
+	}
+	if resorted || t.limbs.Eff() > t.chans {
+		// Realign with the new order, and split into limbs.
+		t.flattenContribs(master, &t.limbs)
 	}
 	t.fillMinXs(master)
 	return master
@@ -544,290 +488,32 @@ func (t *tables) measureExtents(master []asp.RectObject) {
 	}
 }
 
-// fracBits returns the number of binary fraction bits of v — the
-// smallest k with v·2^k integral — or a value above maxShift when v is
-// unquantizable within the certificate's budget (denormals would need
-// shifts near 1074; NaN/Inf never quantize).
-func fracBits(v float64) int {
-	if v == 0 {
-		return 0
-	}
-	b := math.Float64bits(v)
-	exp := int(b>>52) & 0x7ff
-	frac := b & (1<<52 - 1)
-	switch exp {
-	case 0x7ff: // Inf/NaN
-		return maxShift + 1
-	case 0: // denormal: v = frac·2^-1074
-		return 1074 - bits.TrailingZeros64(frac)
-	}
-	// v = (2^52 | frac) · 2^(exp-1075).
-	fb := 1075 - exp - bits.TrailingZeros64(frac|1<<52)
-	if fb < 0 {
-		return 0
-	}
-	return fb
-}
-
-// twoSplit is the error-free splitting used by the two-float fallback:
-// hi is v rounded to the nearest multiple of 2^-sHi, lo the remainder.
-// Both operations are exact when the certificate's guards hold
-// (|v|·2^sHi ≤ 2^52 keeps the rounded integer exact; v and hi agree in
-// their leading bits, so the subtraction is exact à la Sterbenz).
-func twoSplit(v, scaleHi, invHi float64) (hi, lo float64) {
-	hi = math.RoundToEven(v*scaleHi) * invHi
-	return hi, v - hi
-}
-
-// twoState is the per-channel accumulator of the two-float
-// certification pass; twoCand a channel that passed it. Both live on
-// retained tables scratch so the per-query classic build allocates
-// nothing here.
-type twoState struct {
-	scaleHi, invHi float64
-	sumHi, sumLo   float64
-	fbLo           int
-	ok             bool
-}
-
-type twoCand struct {
-	ch             int
-	scaleHi, invHi float64
-	scaleLo, invLo float64
-}
-
-// computeCertificate derives the per-channel fixed-point certificates
-// from the flattened contributions: first the plain certificate (the
-// shared power-of-two shift and the headroom check Σ|v|·2^shift ≤
-// 2^52), then the two-float fallback for channels the plain pass
-// rejects. Channels with no contributions pass trivially with shift 0.
-// On exit chOK/chScale/chInv cover the eff channel space (logical
-// channels plus one shadow per two-float channel) and twoOf maps each
-// logical channel to its shadow slot (-1 for none).
-func (t *tables) computeCertificate() {
-	c := t.chans
-	if cap(t.certShift) < c {
-		t.certShift = make([]int, c)
-		t.certSum = make([]float64, c)
-	}
-	if cap(t.twoOf) < c {
-		t.twoOf = make([]int32, c)
-	}
-	t.twoOf = t.twoOf[:c]
-	shift := t.certShift[:c]
-	sumAbs := t.certSum[:c]
-	for ch := range shift {
-		shift[ch] = 0
-		sumAbs[ch] = 0
-		t.twoOf[ch] = -1
-	}
-	for i := range t.contribs {
-		cb := &t.contribs[i]
-		if fb := fracBits(cb.V); fb > shift[cb.Ch] {
-			shift[cb.Ch] = fb
-		}
-		sumAbs[cb.Ch] += math.Abs(cb.V)
-	}
-
-	// Plain pass. plainOK is computed into retained scratch first because
-	// the two-float pass below needs per-channel outcomes before the eff
-	// layout (and with it chOK's final length) is known.
-	if cap(t.certOK) < c {
-		t.certOK = make([]bool, c)
-	}
-	plainOK := t.certOK[:c]
-	cands := t.certCands[:0]
-	for ch := 0; ch < c; ch++ {
-		ok := shift[ch] <= maxShift
-		if ok {
-			ok = sumAbs[ch]*math.Ldexp(1, shift[ch]) <= maxScaledSum
-		}
-		plainOK[ch] = ok
-	}
-
-	// Two-float fallback for failing channels: choose each channel's hi
-	// grid from its total mass, then verify — in ONE pass over the
-	// flattened contributions, not one per channel — that every value
-	// splits exactly and both halves fit their headroom.
-	var states []twoState
-	pending := 0
-	for ch := 0; ch < c; ch++ {
-		if plainOK[ch] || sumAbs[ch] == 0 ||
-			math.IsInf(sumAbs[ch], 0) || math.IsNaN(sumAbs[ch]) {
-			continue
-		}
-		_, e := math.Frexp(sumAbs[ch]) // sumAbs < 2^e
-		sHi := 51 - e
-		if sHi > maxShift {
-			sHi = maxShift
-		}
-		if sHi < -1000 {
-			continue
-		}
-		if states == nil {
-			if cap(t.certTwo) < c {
-				t.certTwo = make([]twoState, c)
-			}
-			states = t.certTwo[:c]
-			for i := range states {
-				states[i] = twoState{}
-			}
-		}
-		states[ch] = twoState{
-			scaleHi: math.Ldexp(1, sHi),
-			invHi:   math.Ldexp(1, -sHi),
-			ok:      true,
-		}
-		pending++
-	}
-	if pending > 0 {
-		for i := range t.contribs {
-			cb := &t.contribs[i]
-			st := &states[cb.Ch]
-			if !st.ok {
-				continue
-			}
-			hi, lo := twoSplit(cb.V, st.scaleHi, st.invHi)
-			if hi+lo != cb.V || math.IsNaN(hi) || math.IsInf(hi, 0) {
-				st.ok = false
-				continue
-			}
-			st.sumHi += math.Abs(hi)
-			st.sumLo += math.Abs(lo)
-			if fb := fracBits(lo); fb > st.fbLo {
-				st.fbLo = fb
-			}
-		}
-		for ch := 0; ch < c; ch++ {
-			st := &states[ch]
-			if !st.ok || st.scaleHi == 0 {
-				continue
-			}
-			if st.fbLo > maxShift ||
-				st.sumHi*st.scaleHi > maxScaledSum || st.sumLo*math.Ldexp(1, st.fbLo) > maxScaledSum {
-				continue
-			}
-			cands = append(cands, twoCand{
-				ch:      ch,
-				scaleHi: st.scaleHi, invHi: st.invHi,
-				scaleLo: math.Ldexp(1, st.fbLo), invLo: math.Ldexp(1, -st.fbLo),
-			})
-		}
-	}
-
-	t.twoCount = len(cands)
-	t.eff = c + t.twoCount
-	if cap(t.chOK) < t.eff {
-		t.chOK = make([]bool, t.eff)
-		t.chScale = make([]float64, t.eff)
-		t.chInv = make([]float64, t.eff)
-	}
-	t.chOK = t.chOK[:t.eff]
-	t.chScale = t.chScale[:t.eff]
-	t.chInv = t.chInv[:t.eff]
-	for ch := 0; ch < c; ch++ {
-		t.chOK[ch] = plainOK[ch]
-		if plainOK[ch] {
-			t.chScale[ch] = math.Ldexp(1, shift[ch])
-			t.chInv[ch] = math.Ldexp(1, -shift[ch])
-		} else {
-			t.chScale[ch], t.chInv[ch] = 1, 1
-		}
-	}
-	for k, cd := range cands {
-		sh := c + k
-		t.twoOf[cd.ch] = int32(sh)
-		t.chOK[cd.ch] = true
-		t.chScale[cd.ch], t.chInv[cd.ch] = cd.scaleHi, cd.invHi
-		t.chOK[sh] = true
-		t.chScale[sh], t.chInv[sh] = cd.scaleLo, cd.invLo
-	}
-
-	t.allExact, t.sortExact = true, true
-	for ch := 0; ch < c; ch++ {
-		t.allExact = t.allExact && plainOK[ch]
-		t.sortExact = t.sortExact && t.chOK[ch]
-	}
-	t.certCands = cands[:0] // retain capacity for the next build
-}
-
 // flattenContribs (re)fills the per-rect contribution tables in master
-// order. After computeCertificate has registered two-float channels
-// (twoCount > 0), each contribution on such a channel is split in place
-// into its hi part (logical slot) plus an appended lo part (shadow
-// slot), so every consumer of the flattened tables sees the eff-space
-// layout.
-func (t *tables) flattenContribs(master []asp.RectObject) {
+// order, split into the limbs l (nil: raw, as AppendContribs emits them).
+func (t *tables) flattenContribs(master []asp.RectObject, l *agg.Limbs) {
+	t.flattenObjects(len(master), func(i int) *attr.Object { return master[i].Obj }, l)
+}
+
+// flattenObjects is flattenContribs over the objects obj(0..n-1).
+func (t *tables) flattenObjects(n int, obj func(int) *attr.Object, l *agg.Limbs) {
 	t.cOff = append(t.cOff[:0], 0)
 	t.contribs = t.contribs[:0]
-	for i := range master {
+	for i := 0; i < n; i++ {
 		start := len(t.contribs)
-		t.contribs = t.f.AppendContribs(master[i].Obj, t.contribs)
-		if t.twoCount > 0 {
-			t.splitTail(start)
+		t.contribs = t.f.AppendContribs(obj(i), t.contribs)
+		if l != nil {
+			t.contribs = l.Split(t.contribs, start)
 		}
 		t.cOff = append(t.cOff, int32(len(t.contribs)))
 	}
 	if t.f.MinMaxSlots() > 0 {
 		t.mOff = append(t.mOff[:0], 0)
 		t.mms = t.mms[:0]
-		for i := range master {
-			t.mms = t.f.AppendMM(master[i].Obj, t.mms)
+		for i := 0; i < n; i++ {
+			t.mms = t.f.AppendMM(obj(i), t.mms)
 			t.mOff = append(t.mOff, int32(len(t.mms)))
 		}
 	}
-}
-
-// splitTail rewrites the raw contributions t.contribs[start:] — one
-// rectangle's, just appended — into the eff-space layout: each one on a
-// two-float channel becomes its hi part (logical slot), with the lo part
-// (shadow slot) appended behind the rectangle's logical contributions.
-func (t *tables) splitTail(start int) {
-	for k, end := start, len(t.contribs); k < end; k++ {
-		cb := &t.contribs[k]
-		if sh := t.twoOf[cb.Ch]; sh >= 0 {
-			hi, lo := twoSplit(cb.V, t.chScale[cb.Ch], t.chInv[cb.Ch])
-			cb.V = hi
-			t.contribs = append(t.contribs, agg.Contrib{Ch: int(sh), V: lo})
-		}
-	}
-}
-
-// rawRow appends master[id]'s contributions to dst with the two-float
-// split undone (hi + lo == v was certified, so v comes back exactly).
-func (t *tables) rawRow(id int32, dst []agg.Contrib) []agg.Contrib {
-	cbs := t.rectContribs(id)
-	shadow := len(cbs)
-	for shadow > 0 && cbs[shadow-1].Ch >= t.chans {
-		shadow--
-	}
-	for _, cb := range cbs[:shadow] {
-		if t.twoOf[cb.Ch] >= 0 {
-			cb.V += cbs[shadow].V
-			shadow++
-		}
-		dst = append(dst, cb)
-	}
-	return dst
-}
-
-// fold collapses an eff-space cell vector into the logical channel
-// space: two-float channels get their shadow (lo) plane added onto the
-// hi plane — one rounding of the exactly represented true sum — and
-// plain channels pass through. Returns src itself when there is nothing
-// to fold, so the common case costs nothing.
-func (t *tables) fold(dst, src []float64) []float64 {
-	if t.twoCount == 0 {
-		return src
-	}
-	dst = dst[:t.chans]
-	copy(dst, src[:t.chans])
-	for ch, sh := range t.twoOf {
-		if sh >= 0 {
-			dst[ch] += src[sh]
-		}
-	}
-	return dst
 }
 
 // rectContribs returns master[id]'s flattened channel contributions.
@@ -853,7 +539,7 @@ func (t *tables) accuracy(master []asp.RectObject) geom.Accuracy {
 		t.axs = append(t.axs, master[i].Rect.MinX)
 		t.bxs = append(t.bxs, master[i].Rect.MaxX)
 	}
-	if !t.sorted {
+	if !t.limbs.Exact {
 		sort.Float64s(t.axs)
 	}
 	sort.Float64s(t.bxs)

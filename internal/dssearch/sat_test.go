@@ -11,9 +11,9 @@ import (
 )
 
 // TestSATNotUsableForUnsplittableChannels: composites whose
-// contributions defeat both the plain fixed-point certificate and the
-// two-float fallback (denormal tails on both signs) must keep the
-// original master order, and with it raise no anchor-bin level.
+// contributions defeat both one limb and two (denormal tails on both
+// signs) must keep the original master order, and with it raise no
+// anchor-bin level.
 func TestSATNotUsableForUnsplittableChannels(t *testing.T) {
 	schema, err := attr.NewSchema(attr.Attribute{Name: "v", Kind: attr.Numeric})
 	if err != nil {
@@ -43,8 +43,8 @@ func TestSATNotUsableForUnsplittableChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.tab.allExact || s.tab.sortExact || s.tab.sorted {
-		t.Fatalf("unsplittable composite must not sort: allExact=%v sortExact=%v", s.tab.allExact, s.tab.sortExact)
+	if s.tab.limbs.Exact {
+		t.Fatalf("unsplittable composite must not sort: scales %v", s.tab.limbs.Scale)
 	}
 	for i := range rects {
 		if s.rects[i].Obj != rects[i].Obj {

@@ -54,7 +54,7 @@ func (p *Pyramid) rememberFacts(k shapeKey, f shapeFacts) {
 
 // deriveFacts computes a shape's facts from its materialized master.
 func (p *Pyramid) deriveFacts(master []asp.RectObject) shapeFacts {
-	if p.core.sorted && !masterSortedNoCollapse(master) {
+	if p.core.limbs.Exact && !masterSortedNoCollapse(master) {
 		return shapeFacts{}
 	}
 	var t tables

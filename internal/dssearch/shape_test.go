@@ -89,8 +89,8 @@ func TestShapeFacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.core.sorted != kind.sorted {
-			t.Fatalf("%s: core sorted=%v", kind.name, p.core.sorted)
+		if p.core.limbs.Exact != kind.sorted {
+			t.Fatalf("%s: core sorted=%v", kind.name, p.core.limbs.Exact)
 		}
 		target := make([]float64, f.Dims())
 		target[0] = 3
@@ -113,7 +113,7 @@ func TestShapeFacts(t *testing.T) {
 				o := &ds.Objects[oi]
 				master[i] = asp.RectObject{Rect: asp.AnchorTR.RectFor(o.Loc, a, b), Obj: o}
 			}
-			if verdict := !p.core.sorted || masterSortedNoCollapse(master); verdict == sh.collapses {
+			if verdict := !p.core.limbs.Exact || masterSortedNoCollapse(master); verdict == sh.collapses {
 				t.Fatalf("%s %gx%g: the translated master keeps the pyramid's order: %v; the test wants collapse=%v", kind.name, a, b, verdict, sh.collapses)
 			}
 			_, wantRes, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{Workers: 1})

@@ -43,11 +43,11 @@ func TestTerminalSweepRule(t *testing.T) {
 		name      string
 		specs     []agg.Spec
 		target, w []float64
-		exact     bool // integer channels: the sweep agrees bit for bit
 	}{
-		{"integer", []agg.Spec{{Kind: agg.Distribution, Attr: "cat"}}, []float64{61, 47, 55}, nil, true},
-		// Full-mantissa sums keep the master unsorted and the sweep classic.
-		{"real", []agg.Spec{{Kind: agg.Distribution, Attr: "cat"}, {Kind: agg.Sum, Attr: "val"}}, []float64{61, 47, 55, 12.25}, []float64{1, 1, 1, 0.05}, false},
+		{"integer", []agg.Spec{{Kind: agg.Distribution, Attr: "cat"}}, []float64{61, 47, 55}, nil},
+		// Full-mantissa sums ride two limbs: a sorted master and the
+		// incremental sweep, bit for bit with the baseline all the same.
+		{"real", []agg.Spec{{Kind: agg.Distribution, Attr: "cat"}, {Kind: agg.Sum, Attr: "val"}}, []float64{61, 47, 55, 12.25}, []float64{1, 1, 1, 0.05}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := agg.MustNew(ds.Schema, tc.specs...)
@@ -68,7 +68,7 @@ func TestTerminalSweepRule(t *testing.T) {
 					t.Fatal(got.Err)
 				}
 				d := got.Results[0].Dist
-				if tc.exact && math.Float64bits(d) != math.Float64bits(wd) || math.Abs(d-wd) > 1e-9*math.Max(1, wd) {
+				if math.Float64bits(d) != math.Float64bits(wd) {
 					t.Fatalf("pyramid=%v: distance %v, the baseline's %v", p != nil, d, wd)
 				}
 				if st := stats.DS; st.Discretizations > 30 || st.MiniSweeps == 0 || st.SweepBaseRects < 100*st.MiniSweeps {

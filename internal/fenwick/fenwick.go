@@ -9,7 +9,7 @@ import "fmt"
 
 // Value constrains the element types a Fenwick tree can carry. The
 // int64 instantiation exists for the fixed-point fast paths (DESIGN.md
-// §2): channel contributions certified to quantize losslessly onto a
+// §2): limb contributions certified to quantize losslessly onto a
 // power-of-two grid are carried as scaled integers, so every partial
 // sum is exact by construction rather than by float headroom argument.
 type Value interface {
@@ -31,7 +31,7 @@ type Tree1D[T Value] struct {
 	data []T
 }
 
-// Int64Tree1D carries scaled fixed-point channels.
+// Int64Tree1D carries scaled fixed-point limbs.
 type Int64Tree1D = Tree1D[int64]
 
 // New1D returns a tree over n positions with the given channel count.
@@ -45,19 +45,12 @@ func New1D[T Value](n, chans int) *Tree1D[T] {
 }
 
 // Reset re-dimensions the tree to n positions × chans channels and
-// zeroes it, reusing the backing array when it fits.
+// zeroes it, reusing the backing array when it fits and at least
+// doubling it when not.
 func (t *Tree1D[T]) Reset(n, chans int) {
 	t.n = n
 	t.chans = chans
-	need := (n + 1) * chans
-	if cap(t.data) >= need {
-		t.data = t.data[:need]
-		for i := range t.data {
-			t.data[i] = 0
-		}
-	} else {
-		t.data = make([]T, need)
-	}
+	t.data = zeroed(t.data, (n+1)*chans)
 }
 
 // Len returns the number of positions.
@@ -114,26 +107,30 @@ type Diff1D[T Value] struct {
 	data []T
 }
 
-// Int64Diff1D carries scaled fixed-point channels.
+// Int64Diff1D carries scaled fixed-point limbs.
 type Int64Diff1D = Diff1D[int64]
 
 // Reset re-dimensions the array to n positions × chans channels and
-// zeroes it, reusing the backing array when it fits.
+// zeroes it, reusing the backing array when it fits and at least
+// doubling it when not.
 func (d *Diff1D[T]) Reset(n, chans int) {
 	if n < 1 || chans < 1 {
 		panic(fmt.Sprintf("fenwick: invalid dimensions %dx%d", n, chans))
 	}
 	d.n = n
 	d.chans = chans
-	need := (n + 1) * chans
-	if cap(d.data) >= need {
-		d.data = d.data[:need]
-		for i := range d.data {
-			d.data[i] = 0
-		}
-	} else {
-		d.data = make([]T, need)
+	d.data = zeroed(d.data, (n+1)*chans)
+}
+
+// zeroed returns v with length need, all zero: v's backing array when it
+// fits, else a fresh one of at least twice its capacity.
+func zeroed[T Value](v []T, need int) []T {
+	if cap(v) >= need {
+		v = v[:need]
+		clear(v)
+		return v
 	}
+	return make([]T, need, max(need, 2*cap(v)))
 }
 
 // Len returns the number of positions.
@@ -159,11 +156,14 @@ func (d *Diff1D[T]) RangeAdd(l, r, ch int, delta T) {
 
 // StepInto folds position pos's delta row into acc (length chans):
 // if acc held the point value at pos-1, it now holds the value at pos.
-func (d *Diff1D[T]) StepInto(pos int, acc []T) {
+func (d *Diff1D[T]) StepInto(pos int, acc []T) (moved bool) {
 	base := pos * d.chans
 	for c := range acc {
-		acc[c] += d.data[base+c]
+		v := d.data[base+c]
+		acc[c] += v
+		moved = moved || v != 0
 	}
+	return moved
 }
 
 // Advance marches acc from the point value at position `from` to the

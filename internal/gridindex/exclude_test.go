@@ -48,14 +48,13 @@ func TestGIDSExcludingMatchesPlain(t *testing.T) {
 		size  func(*attr.Dataset) (float64, float64)
 		query func(ds *attr.Dataset, a, b float64) (asp.Query, error)
 		grid  int
-		exact bool       // integer channels: the brute-force sweep agrees bit for bit
 		also  *geom.Rect // excluded in every run (the example region)
 	}{
-		{name: "tweet-f1-600", ds: dataset.Tweet(600, 7), size: unit(40), query: f1, grid: 16, exact: true},
-		{name: "tweet-f1-3000", ds: dataset.Tweet(3000, 42), size: unit(16), query: f1, grid: 32, exact: true},
+		{name: "tweet-f1-600", ds: dataset.Tweet(600, 7), size: unit(40), query: f1, grid: 16},
+		{name: "tweet-f1-3000", ds: dataset.Tweet(3000, 42), size: unit(16), query: f1, grid: 32},
 		{name: "singapore-category-600", ds: dataset.SingaporeScaled(600, 42),
 			size:  func(*attr.Dataset) (float64, float64) { return orchard.Width(), orchard.Height() },
-			query: byExample, grid: 16, exact: true, also: &orchard},
+			query: byExample, grid: 16, also: &orchard},
 		{name: "poisyn-f2-600", ds: dataset.POISyn(600, 3), size: unit(60), query: f2, grid: 16},
 		{name: "poisyn-f2-2500", ds: dataset.POISyn(2500, 42), size: unit(30), query: f2, grid: 32},
 	}
@@ -160,10 +159,9 @@ func TestGIDSExcludingMatchesPlain(t *testing.T) {
 								best = r.Dist
 							}
 						}
-						// The sweep adds and removes where the search sums in master
-						// order: real-valued channels agree to rounding only.
-						if tc.exact && math.Float64bits(best) != math.Float64bits(want.Dist) ||
-							math.Abs(best-want.Dist) > 1e-9*math.Max(1, math.Abs(best)) {
+						// The sweep and the searches sum every channel as exact
+						// limbs, in whatever order: the distances agree bit for bit.
+						if math.Float64bits(best) != math.Float64bits(want.Dist) {
 							t.Fatalf("%s round %d: brute force over the un-excluded anchors finds %v, the searches %v", ex.name, round, best, want.Dist)
 						}
 					}

@@ -77,7 +77,7 @@ func stripMinimum(rects []asp.RectObject, q asp.Query, x0, x1, y0, y1 float64) f
 
 // TestMarginBoundsSound holds the bound GI-DS gives each margin strip to
 // the brute-force minimum distance over the strip's arrangement points —
-// integer, two-float decimal and min/max composites; grids 1 to 16; a and
+// integer, two-limb decimal and min/max composites; grids 1 to 16; a and
 // b below one cell, several cells wide and beyond the bounds — and every
 // answer, with and without exclusions that swallow part of a strip, to
 // SearchBaseline.
@@ -87,11 +87,10 @@ func TestMarginBoundsSound(t *testing.T) {
 		name  string
 		specs []agg.Spec
 		num   func() float64
-		exact bool // integer channels: GI-DS and the sweep agree bit for bit
 	}{
-		{"integer-fD", []agg.Spec{{Kind: agg.Distribution, Attr: "cat"}}, func() float64 { return 0 }, true},
-		{"decimal-fS", []agg.Spec{{Kind: agg.Sum, Attr: "val"}, {Kind: agg.Count}}, func() float64 { return 0.1 * float64(1+rng.Intn(99)) }, false},
-		{"fS+fA", []agg.Spec{{Kind: agg.Sum, Attr: "val"}, {Kind: agg.Average, Attr: "val"}}, func() float64 { return float64(rng.Intn(41)) * 0.25 }, false},
+		{"integer-fD", []agg.Spec{{Kind: agg.Distribution, Attr: "cat"}}, func() float64 { return 0 }},
+		{"decimal-fS", []agg.Spec{{Kind: agg.Sum, Attr: "val"}, {Kind: agg.Count}}, func() float64 { return 0.1 * float64(1+rng.Intn(99)) }},
+		{"fS+fA", []agg.Spec{{Kind: agg.Sum, Attr: "val"}, {Kind: agg.Average, Attr: "val"}}, func() float64 { return float64(rng.Intn(41)) * 0.25 }},
 	}
 	sizes := [][2]float64{{0.8, 1.7}, {4, 3}, {23, 31}, {9, 140}, {260, 120}}
 	if testing.Short() {
@@ -143,7 +142,7 @@ func TestMarginBoundsSound(t *testing.T) {
 						t.Fatal(want.Err)
 					}
 					w := want.Results[0].Dist
-					if kind.exact && math.Float64bits(got.Dist) != math.Float64bits(w) || math.Abs(got.Dist-w) > 1e-9*math.Max(1, w) {
+					if math.Float64bits(got.Dist) != math.Float64bits(w) {
 						t.Fatalf("%s excl %d: GI-DS answers %v at %v, SearchBaseline %v at %v (stats %+v)", name, ei, got.Dist, got.Point, w, want.Results[0].Point, st)
 					}
 					if st.MarginRuns+st.MarginsSkipped < 2 && len(excl) == 0 {

@@ -17,32 +17,39 @@ import (
 // Binary pyramid format (little endian):
 //
 //	magic "ASRSPYR1"
-//	u32 version (currently 2)
+//	u32 version (currently 3)
 //	u32 len(fingerprint), fingerprint bytes
-//	u32 n, chans, eff, mmSlots, flags, nLevels
-//	bool  chOK[eff]
-//	f64   chScale[eff], chInv[eff]
-//	i32   twoOf[chans]
+//	u32 n, chans, eff, mmSlots, nLevels
+//	f64   scale[eff]
+//	i32   lo[chans]
 //	i32   order[n], xAscIds[n], yAscIds[n]
-//	i32   cOff[n+1]; {u32 ch, f64 v} contribs[cOff[n]]
-//	i32   mOff[n+1]; {u32 slot, f64 v} mms[mOff[n]]            (mmSlots > 0)
 //	per level: u32 g; f64 bw, bh;
 //	           i32 binStart[g²+1], binIds[n],
 //	           xMaxUpTo[g], xMinFrom[g], yMaxUpTo[g], yMinFrom[g]
 //	u64 fnv-64a of every byte after the magic
 //
-// A level is its anchor bins and threshold arrays; its count plane is a
-// prefix sum of binStart and is rebuilt at load (cheaper than storing
-// it). A file of another version — version 1 carried summed-area planes
-// per level — is reported as ErrCorrupt, so asrs.LoadOrBuildPyramidFile
-// quarantines and rebuilds it like any other unusable artifact. The
-// composite aggregator is re-bound by the caller and verified via
-// structural fingerprint; like ReadIndex, the dataset identity and the
-// composite's selection functions are part of the file's contract.
+// The file stores nothing the dataset already holds. What it stores is
+// the limbs' certificate — each limb's power-of-two scale (0 for an
+// uncertified channel) and each channel's lo limb (-1 for none) — the
+// master order with the two anchor id orders, and the levels, each its
+// anchor bins and threshold arrays. What it does not is re-derived at
+// load (dssearch.PyramidFromSnapshot): the limb inverses and the one
+// exact flag from the scales, the contribution and min/max tables by
+// flattening ds.Objects[order[i]] and splitting under the stored scales,
+// a level's count plane as the prefix sums of its binStart.
+//
+// A file of another version — version 1 carried summed-area planes per
+// level, version 2 the contribution and min/max tables and per-channel
+// certificate flags — is reported as ErrCorrupt, so
+// asrs.LoadOrBuildPyramidFile quarantines and rebuilds it like any other
+// unusable artifact. The composite aggregator is re-bound by the caller
+// and verified via structural fingerprint; like ReadIndex, the dataset
+// identity and the composite's selection functions are part of the
+// file's contract.
 
 var pyramidMagic = [8]byte{'A', 'S', 'R', 'S', 'P', 'Y', 'R', '1'}
 
-const pyramidVersion = 2
+const pyramidVersion = 3
 
 // Error taxonomy for pyramid files. Every ReadPyramid/LoadPyramid
 // failure wraps exactly one of these, so callers can decide the
@@ -71,12 +78,6 @@ func corruptf(format string, args ...any) error {
 func mismatchf(format string, args ...any) error {
 	return fmt.Errorf("persist: "+format+": %w", append(args, ErrMismatch)...)
 }
-
-// flag bits of the header flags word.
-const (
-	pyrFlagAllExact = 1 << iota
-	pyrFlagSortExact
-)
 
 // hashingWriter tees every written byte into an fnv-64a sum.
 type hashingWriter struct {
@@ -115,45 +116,14 @@ func WritePyramid(w io.Writer, p *dssearch.Pyramid) (int64, error) {
 	if _, err := hw.Write(fp); err != nil {
 		return hw.n, err
 	}
-	flags := uint32(0)
-	if s.AllExact {
-		flags |= pyrFlagAllExact
-	}
-	if s.SortExact {
-		flags |= pyrFlagSortExact
-	}
-	for _, v := range []uint32{uint32(s.N), uint32(s.Chans), uint32(s.Eff), uint32(s.MMSlots), flags, uint32(len(s.Levels))} {
+	for _, v := range []uint32{uint32(s.N), uint32(s.Chans), uint32(len(s.Scale)), uint32(s.MMSlots), uint32(len(s.Levels))} {
 		if err := write(v); err != nil {
 			return hw.n, err
 		}
 	}
-	for _, v := range []any{s.ChOK, s.ChScale, s.ChInv, s.TwoOf, s.Order, s.XAscIds, s.YAscIds} {
+	for _, v := range []any{s.Scale, s.Lo, s.Order, s.XAscIds, s.YAscIds} {
 		if err := write(v); err != nil {
 			return hw.n, err
-		}
-	}
-	if err := write(s.COff); err != nil {
-		return hw.n, err
-	}
-	for i := range s.Contribs {
-		if err := write(uint32(s.Contribs[i].Ch)); err != nil {
-			return hw.n, err
-		}
-		if err := write(s.Contribs[i].V); err != nil {
-			return hw.n, err
-		}
-	}
-	if s.MMSlots > 0 {
-		if err := write(s.MOff); err != nil {
-			return hw.n, err
-		}
-		for i := range s.MMs {
-			if err := write(uint32(s.MMs[i].Slot)); err != nil {
-				return hw.n, err
-			}
-			if err := write(s.MMs[i].V); err != nil {
-				return hw.n, err
-			}
 		}
 	}
 	for li := range s.Levels {
@@ -231,8 +201,8 @@ func ReadPyramid(r io.Reader, ds *attr.Dataset, f *agg.Composite) (*dssearch.Pyr
 		return nil, mismatchf("composite mismatch: pyramid built for %q, got %q", fp, got)
 	}
 
-	var n, chans, eff, mmSlots, flags, nLevels uint32
-	for _, p := range []*uint32{&n, &chans, &eff, &mmSlots, &flags, &nLevels} {
+	var n, chans, eff, mmSlots, nLevels uint32
+	for _, p := range []*uint32{&n, &chans, &eff, &mmSlots, &nLevels} {
 		if err := read(p); err != nil {
 			return nil, corruptf("reading pyramid header: %w", err)
 		}
@@ -250,61 +220,15 @@ func ReadPyramid(r io.Reader, ds *attr.Dataset, f *agg.Composite) (*dssearch.Pyr
 	if int(chans) != f.Channels() || int(mmSlots) != f.MinMaxSlots() || eff < chans || eff > 2*chans {
 		return nil, mismatchf("pyramid channel layout mismatch (chans=%d eff=%d mm=%d)", chans, eff, mmSlots)
 	}
-	s := &dssearch.PyramidSnapshot{
-		N: int(n), Chans: int(chans), Eff: int(eff), MMSlots: int(mmSlots),
-		AllExact:  flags&pyrFlagAllExact != 0,
-		SortExact: flags&pyrFlagSortExact != 0,
-	}
-	s.ChOK = make([]bool, eff)
-	s.ChScale = make([]float64, eff)
-	s.ChInv = make([]float64, eff)
-	s.TwoOf = make([]int32, chans)
+	s := &dssearch.PyramidSnapshot{N: int(n), Chans: int(chans), MMSlots: int(mmSlots)}
+	s.Scale = make([]float64, eff)
+	s.Lo = make([]int32, chans)
 	s.Order = make([]int32, n)
 	s.XAscIds = make([]int32, n)
 	s.YAscIds = make([]int32, n)
-	for _, v := range []any{s.ChOK, s.ChScale, s.ChInv, s.TwoOf, s.Order, s.XAscIds, s.YAscIds} {
+	for _, v := range []any{s.Scale, s.Lo, s.Order, s.XAscIds, s.YAscIds} {
 		if err := read(v); err != nil {
-			return nil, corruptf("reading pyramid certificate/orders: %w", err)
-		}
-	}
-	s.COff = make([]int32, n+1)
-	if err := read(s.COff); err != nil {
-		return nil, corruptf("reading contributions offsets: %w", err)
-	}
-	total := int64(s.COff[n])
-	if total < 0 || total > int64(n)*int64(eff)+1 {
-		return nil, corruptf("implausible contributions count %d", total)
-	}
-	s.Contribs = make([]agg.Contrib, total)
-	for i := range s.Contribs {
-		var ch uint32
-		if err := read(&ch); err != nil {
-			return nil, corruptf("reading contributions: %w", err)
-		}
-		s.Contribs[i].Ch = int(ch)
-		if err := read(&s.Contribs[i].V); err != nil {
-			return nil, corruptf("reading contributions: %w", err)
-		}
-	}
-	if mmSlots > 0 {
-		s.MOff = make([]int32, n+1)
-		if err := read(s.MOff); err != nil {
-			return nil, corruptf("reading min/max offsets: %w", err)
-		}
-		total := int64(s.MOff[n])
-		if total < 0 || total > int64(n)*int64(mmSlots)+1 {
-			return nil, corruptf("implausible min/max count %d", total)
-		}
-		s.MMs = make([]agg.MMContrib, total)
-		for i := range s.MMs {
-			var slot uint32
-			if err := read(&slot); err != nil {
-				return nil, corruptf("reading min/max contributions: %w", err)
-			}
-			s.MMs[i].Slot = int(slot)
-			if err := read(&s.MMs[i].V); err != nil {
-				return nil, corruptf("reading min/max contributions: %w", err)
-			}
+			return nil, corruptf("reading pyramid limbs/orders: %w", err)
 		}
 	}
 	for li := 0; li < int(nLevels); li++ {

@@ -3,7 +3,9 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,13 +16,15 @@ import (
 	"asrs/internal/geom"
 )
 
-// pyrFixture builds a dataset with integer, decimal (two-float) and
-// min/max channels plus its pyramid, covering every serialized section.
+// pyrFixture builds a dataset with integer, decimal (two limbs), min/max
+// and full-mantissa (two limbs, the lo grid finer than 2^-62) channels
+// plus its pyramid, covering every serialized section.
 func pyrFixture(t testing.TB, seed int64) (*attr.Dataset, *agg.Composite, *dssearch.Pyramid) {
 	t.Helper()
 	schema, err := attr.NewSchema(
 		attr.Attribute{Name: "cat", Kind: attr.Categorical, Domain: []string{"x", "y"}},
 		attr.Attribute{Name: "price", Kind: attr.Numeric},
+		attr.Attribute{Name: "rating", Kind: attr.Numeric},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -28,6 +32,7 @@ func pyrFixture(t testing.TB, seed int64) (*attr.Dataset, *agg.Composite, *dssea
 	f, err := agg.New(schema,
 		agg.Spec{Kind: agg.Distribution, Attr: "cat"},
 		agg.Spec{Kind: agg.Average, Attr: "price"},
+		agg.Spec{Kind: agg.Sum, Attr: "rating"},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -35,11 +40,16 @@ func pyrFixture(t testing.TB, seed int64) (*attr.Dataset, *agg.Composite, *dssea
 	rng := rand.New(rand.NewSource(seed))
 	objs := make([]attr.Object, 180)
 	for i := range objs {
+		rating := rng.Float64() * 10 // full mantissa: two limbs, the small ones a fine lo grid
+		if i%8 == 0 {
+			rating = 5e-5 * (1 + rng.Float64())
+		}
 		objs[i] = attr.Object{
 			Loc: geom.Point{X: rng.Float64() * 50, Y: rng.Float64() * 50},
 			Values: []attr.Value{
 				{Cat: rng.Intn(2)},
-				{Num: 0.1 * float64(10+rng.Intn(990))}, // decimal grid: two-float channel
+				{Num: 0.1 * float64(10+rng.Intn(990))}, // decimal grid: two limbs
+				{Num: rating},
 			},
 		}
 	}
@@ -51,13 +61,14 @@ func pyrFixture(t testing.TB, seed int64) (*attr.Dataset, *agg.Composite, *dssea
 	return ds, f, p
 }
 
-// answer runs one pyramid-bound search.
-func answer(t *testing.T, ds *attr.Dataset, f *agg.Composite, p *dssearch.Pyramid) (geom.Rect, asp.Result) {
+// answer runs one pyramid-bound search for an a×b region.
+func answer(t *testing.T, ds *attr.Dataset, f *agg.Composite, p *dssearch.Pyramid, a, b float64) (geom.Rect, asp.Result) {
 	t.Helper()
 	target := make([]float64, f.Dims())
 	target[0] = 4
+	target[3] = 1
 	q := asp.Query{F: f, Target: target}
-	req, err := dssearch.Open(ds, 6, 7, q, nil, dssearch.Options{Pyramid: p})
+	req, err := dssearch.Open(ds, a, b, q, nil, dssearch.Options{Pyramid: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +80,11 @@ func answer(t *testing.T, ds *attr.Dataset, f *agg.Composite, p *dssearch.Pyrami
 	return region, res
 }
 
-// TestPyramidRoundTrip: a serialized-and-reloaded pyramid answers
-// queries bit-identically to the in-memory original.
+// TestPyramidRoundTrip: a format-3 file stores the limbs, the orders and
+// the levels and nothing the dataset holds; the pyramid loaded from it —
+// its contribution tables flattened again from the objects — answers
+// queries bit-identically to the in-memory original: region, point and
+// the bits of distance and representation, over several shapes.
 func TestPyramidRoundTrip(t *testing.T) {
 	ds, f, p := pyrFixture(t, 7)
 	var buf bytes.Buffer
@@ -81,20 +95,38 @@ func TestPyramidRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WritePyramid reported %d bytes, wrote %d", n, buf.Len())
 	}
+	s := p.Snapshot()
+	ids := 3*s.N + len(s.Lo) + 5
+	for _, l := range s.Levels {
+		ids += len(l.BinStart) + len(l.BinIds) + 4*l.G
+	}
+	if want := 8 + 4 + 4 + len(f.Fingerprint()) + 4*ids + 8*len(s.Scale) + 20*len(s.Levels) + 8; buf.Len() != want {
+		t.Fatalf("file is %d bytes, want %d: the limbs, the orders and the levels", buf.Len(), want)
+	}
+	if slices.Max(s.Scale) <= math.Ldexp(1, 62) {
+		t.Fatalf("no lo grid finer than 2^-62 in the fixture: %v", s.Scale)
+	}
 	loaded, err := ReadPyramid(bytes.NewReader(buf.Bytes()), ds, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRegion, want := answer(t, ds, f, p)
-	gotRegion, got := answer(t, ds, f, loaded)
-	if gotRegion != wantRegion || got.Dist != want.Dist || got.Point != want.Point {
-		t.Fatalf("loaded pyramid answered %v@%v (region %v), want %v@%v (region %v)",
-			got.Dist, got.Point, gotRegion, want.Dist, want.Point, wantRegion)
+	for _, ab := range [][2]float64{{6, 7}, {0.9, 1.3}, {30, 25}} {
+		wantRegion, want := answer(t, ds, f, p, ab[0], ab[1])
+		gotRegion, got := answer(t, ds, f, loaded, ab[0], ab[1])
+		if gotRegion != wantRegion || math.Float64bits(got.Dist) != math.Float64bits(want.Dist) || got.Point != want.Point {
+			t.Fatalf("%v: loaded pyramid answered %v@%v (region %v), want %v@%v (region %v)",
+				ab, got.Dist, got.Point, gotRegion, want.Dist, want.Point, wantRegion)
+		}
+		for i := range want.Rep {
+			if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
+				t.Fatalf("%v: loaded pyramid's rep[%d] %v, want %v", ab, i, got.Rep[i], want.Rep[i])
+			}
+		}
 	}
 }
 
 // TestPyramidTruncated: every truncation of the file — inside the
-// header, an offset array, a contribution record, a level — must read
+// header, the limbs, an id order, a level — must read
 // as ErrCorrupt (the class a boot quarantines and rebuilds), never as a
 // panic or an unclassified error.
 func TestPyramidTruncated(t *testing.T) {

@@ -26,8 +26,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRegion, want := answer(t, ds, f, p)
-	gotRegion, got := answer(t, ds, f, loaded)
+	wantRegion, want := answer(t, ds, f, p, 6, 7)
+	gotRegion, got := answer(t, ds, f, loaded, 6, 7)
 	if gotRegion != wantRegion || got.Dist != want.Dist || got.Point != want.Point {
 		t.Fatalf("answers diverge after save/load: %+v/%+v vs %+v/%+v",
 			gotRegion, got, wantRegion, want)

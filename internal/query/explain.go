@@ -22,8 +22,8 @@ type ExplainChannel struct {
 	Weight float64 `json:"weight"`
 }
 
-// ExplainFill is the predicted aggregation fill path, from the
-// fixed-point quantization certificate probe.
+// ExplainFill is the predicted aggregation fill path, from the limb
+// certificate probe (dssearch.ProbeCertificate).
 type ExplainFill struct {
 	Path     string `json:"path"`
 	Channels int    `json:"channels"`

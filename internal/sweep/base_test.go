@@ -3,6 +3,7 @@ package sweep
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"asrs/internal/agg"
@@ -11,24 +12,31 @@ import (
 	"asrs/internal/geom"
 )
 
-// baseComposites are the three exactness classes a base vector meets:
-// integer channels, real channels under a fixed-point certificate (both
-// may take the incremental sweep and must come back bit for bit), and
-// full-mantissa reals, where base + Σ is one more summation order of the
-// classic walk and only closeness can be asked.
+// baseComposites are the exactness classes a base vector meets: integer
+// channels, dyadic reals (one limb each) and full-mantissa reals down to
+// POISyn's smallest ratings (two limbs, the lo grid finer than 2^-62) all
+// sum exactly, may take the incremental sweep and must come back bit for
+// bit; a channel salted with denormals certifies in no form, base + Σ is
+// one more summation order of the classic walk and only closeness can be
+// asked.
 var baseComposites = []struct {
-	name        string
-	incremental bool
-	scale, inv  []float64
-	num         func(rng *rand.Rand) (visits, rating float64)
+	name  string
+	exact bool
+	num   func(rng *rand.Rand) (visits, rating float64)
 }{
-	{"integer", true, nil, nil, func(rng *rand.Rand) (float64, float64) {
+	{"integer", true, func(rng *rand.Rand) (float64, float64) {
 		return float64(rng.Intn(9) - 4), float64(rng.Intn(6))
 	}},
-	{"certified", true, []float64{2, 2, 2, 4, 1, 1}, []float64{0.5, 0.5, 0.5, 0.25, 1, 1}, func(rng *rand.Rand) (float64, float64) {
+	{"certified", true, func(rng *rand.Rand) (float64, float64) {
 		return float64(rng.Intn(999))*0.5 - 200, float64(rng.Intn(41)) * 0.25
 	}},
-	{"uncertified", false, nil, nil, func(rng *rand.Rand) (float64, float64) {
+	{"two-limb", true, func(rng *rand.Rand) (float64, float64) {
+		return 1 + rng.Float64()*499, smallRating(rng)
+	}},
+	{"uncertified", false, func(rng *rand.Rand) (float64, float64) {
+		if rng.Intn(8) == 0 {
+			return 5e-324, rng.Float64() * 5
+		}
 		return rng.NormFloat64() * 100, rng.Float64() * 5
 	}},
 }
@@ -88,12 +96,12 @@ func baseFixture(rng *rand.Rand, space geom.Rect, num func(*rand.Rand) (float64,
 }
 
 // TestSolveWithinBaseMatchesUnfolded: sweeping only the rectangles with an
-// edge inside the space, on the summed contributions of those that contain
-// it strictly, is sweeping them all — point, distance and representation
-// bit for bit wherever channel sums are exact, through the classic walk,
-// the flat incremental pass and the Fenwick walk, capped and uncapped, on
-// degenerate spaces too. Rectangles sharing an edge coordinate with the
-// space stay swept.
+// edge inside the space, on the summed limb contributions of those that
+// contain it strictly, is sweeping them all — point, distance and
+// representation bit for bit wherever limb sums are exact, through the
+// classic walk, the flat incremental pass and the Fenwick walk, capped
+// and uncapped, on degenerate spaces too. Rectangles sharing an edge
+// coordinate with the space stay swept.
 func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 	schema, err := attr.NewSchema(
 		attr.Attribute{Name: "visits", Kind: attr.Numeric},
@@ -127,13 +135,25 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 			all := baseFixture(rng, space, comp.num, []int{incrMinRects + 80, 30}[trial/len(baseSpaces)%2])
 			q := asp.Query{F: f, Target: []float64{rng.Float64() * 400, rng.Float64() * 5, float64(20 + rng.Intn(80))}}
 
-			var edged []asp.RectObject
-			base := make([]float64, f.Channels())
+			// The limbs of the whole set serve both solvers, as a search's
+			// serve all of its sweeps.
 			var cbuf []agg.Contrib
 			for _, r := range all {
+				cbuf = f.AppendContribs(r.Obj, cbuf)
+			}
+			limbs := &agg.Limbs{}
+			limbs.Certify(f.Channels(), cbuf)
+			if limbs.Exact != comp.exact {
+				t.Fatalf("%s: limbs %v, want exact=%v", comp.name, limbs.Scale, comp.exact)
+			}
+			if comp.name == "two-limb" && slices.Max(limbs.Scale) <= math.Ldexp(1, 62) {
+				t.Fatalf("%s: no lo grid finer than 2^-62: %v", comp.name, limbs.Scale)
+			}
+			var edged []asp.RectObject
+			base := make([]float64, limbs.Eff())
+			for _, r := range all {
 				if r.Rect.ContainsRectOpen(space) {
-					cbuf = f.AppendContribs(r.Obj, cbuf[:0])
-					for _, cb := range cbuf {
+					for _, cb := range limbs.Split(f.AppendContribs(r.Obj, cbuf[:0]), 0) {
 						base[cb.Ch] += cb.V
 					}
 					continue
@@ -145,7 +165,7 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 			}
 
 			for _, m := range modes {
-				if m.incremental && !comp.incremental {
+				if m.incremental && !comp.exact {
 					continue
 				}
 				newSolver := func() *Solver {
@@ -153,10 +173,8 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					s.SetLimbs(limbs)
 					s.SetIncremental(m.incremental)
-					if m.incremental {
-						s.SetFixedPoint(comp.scale, comp.inv)
-					}
 					m.prep(s)
 					return s
 				}
@@ -170,7 +188,7 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 				}
 				unfolded.Stats = Stats{}
 				caps := []float64{math.Inf(1), want.Dist * 2, want.Dist, math.Nextafter(want.Dist, math.Inf(-1))}
-				if !comp.incremental {
+				if !comp.exact {
 					// A cap within rounding of the optimum may fall between
 					// the two summation orders.
 					caps = []float64{math.Inf(1), want.Dist * 2, want.Dist / 2}
@@ -178,7 +196,7 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 				for _, c := range caps {
 					want, wok := unfolded.SolveWithinCapped(space, c)
 					got, gok := folded.SolveWithinCapped(space, c)
-					if comp.incremental {
+					if comp.exact {
 						expectSame(t, label, want, got, wok, gok)
 					} else if wok != gok || math.Abs(want.Dist-got.Dist) > 1e-9*math.Max(1, math.Abs(want.Dist)) {
 						// Inf-Inf is NaN, which compares false: two untouched

@@ -96,10 +96,37 @@ func TestFlatStripBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFlatStripFixedPoint: the int64 fixed-point instantiation rides
-// the same evaluators; quarter- and half-grid real channels must
-// come back bit-identical to the classic float64 rescan in every mode.
-func TestFlatStripFixedPoint(t *testing.T) {
+// realKinds are the values of the real-valued fixtures: dyadic steps
+// (rating quarters, visits halves: every channel one limb) and
+// full-mantissa reals down to POISyn's smallest ratings (two limbs, the
+// lo grid finer than 2^-62).
+var realKinds = []struct {
+	name string
+	num  func(rng *rand.Rand) (rating, visits float64)
+	fine bool // some lo limb's grid is finer than 2^-62
+}{
+	{"dyadic", func(rng *rand.Rand) (float64, float64) {
+		return float64(rng.Intn(41)) * 0.25, float64(rng.Intn(999))*0.5 - 200
+	}, false},
+	{"two-limb", func(rng *rand.Rand) (float64, float64) {
+		return smallRating(rng), 1 + rng.Float64()*499
+	}, true},
+}
+
+// smallRating draws a rating in (0, 10] as POISyn's reach down to 5e-5:
+// one in eight below 1e-4, the rest uniform.
+func smallRating(rng *rand.Rand) float64 {
+	if rng.Intn(8) == 0 {
+		return 5e-5 * (1 + rng.Float64())
+	}
+	return rng.Float64() * 10
+}
+
+// realFixture draws n rectangles of one size over (rating, visits)
+// objects of a kind, a quarter of them snapped to a coarse lattice, for
+// the F2-shaped composite fS(visits) + fA(rating).
+func realFixture(t *testing.T, rng *rand.Rand, n int, num func(*rand.Rand) (float64, float64)) ([]asp.RectObject, asp.Query) {
+	t.Helper()
 	schema, err := attr.NewSchema(
 		attr.Attribute{Name: "rating", Kind: attr.Numeric},
 		attr.Attribute{Name: "visits", Kind: attr.Numeric},
@@ -114,46 +141,74 @@ func TestFlatStripFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale := []float64{2, 2, 2, 4, 1}
-	inv := []float64{0.5, 0.5, 0.5, 0.25, 1}
+	objs := make([]attr.Object, n)
+	rects := make([]asp.RectObject, n)
+	w := 4 + rng.Float64()*8
+	h := 3 + rng.Float64()*8
+	for i := range rects {
+		x, y := rng.Float64()*100, rng.Float64()*100
+		if rng.Intn(4) == 0 {
+			x, y = float64(rng.Intn(20))*5, float64(rng.Intn(20))*5
+		}
+		rating, visits := num(rng)
+		objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{{Num: rating}, {Num: visits}}}
+		rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - w, MinY: y - h, MaxX: x, MaxY: y}, Obj: &objs[i]}
+	}
+	return rects, asp.Query{F: f, Target: []float64{3000, 10}}
+}
+
+// checkLimbs fails unless a solver that has solved certified its own
+// limbs exactly, with a lo grid finer than 2^-62 where the kind asks for
+// one.
+func checkLimbs(t *testing.T, s *Solver, fine bool) {
+	t.Helper()
+	l := s.limbs
+	if l == nil || !l.Exact {
+		t.Fatal("the fixture did not certify")
+	}
+	finest := 0.0
+	for _, sc := range l.Scale[len(l.Lo):] {
+		finest = math.Max(finest, sc)
+	}
+	if fine != (finest > math.Ldexp(1, 62)) {
+		t.Fatalf("finest lo grid 2^-%d, want finer than 2^-62: %v", shiftOf(finest), fine)
+	}
+}
+
+// shiftOf returns s for a power of two 2^s.
+func shiftOf(scale float64) int {
+	_, e := math.Frexp(scale)
+	return e - 1
+}
+
+// TestFlatStripFixedPoint: the int64 instantiation rides the same
+// evaluators; real channels as one limb or two must come back
+// bit-identical to the classic walk over float limbs in every mode.
+func TestFlatStripFixedPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 10; trial++ {
-		n := incrMinRects + rng.Intn(120)
-		objs := make([]attr.Object, n)
-		rects := make([]asp.RectObject, n)
-		w := 4 + rng.Float64()*8
-		h := 3 + rng.Float64()*8
-		for i := range rects {
-			x, y := rng.Float64()*100, rng.Float64()*100
-			if rng.Intn(4) == 0 {
-				x, y = float64(rng.Intn(20))*5, float64(rng.Intn(20))*5
-			}
-			objs[i] = attr.Object{
-				Loc: geom.Point{X: x, Y: y},
-				Values: []attr.Value{
-					{Num: float64(rng.Intn(41)) * 0.25},
-					{Num: float64(rng.Intn(999))*0.5 - 200},
-				},
-			}
-			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - w, MinY: y - h, MaxX: x, MaxY: y}, Obj: &objs[i]}
-		}
-		q := asp.Query{F: f, Target: []float64{3000, 10}}
-		classic, err := New(rects, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		space := asp.Space(rects)
-		want, wok := classic.SolveWithin(space)
-		for _, mc := range stripModeCases {
-			s, err := New(rects, q)
+	for _, kind := range realKinds {
+		for trial := 0; trial < 10; trial++ {
+			rects, q := realFixture(t, rng, incrMinRects+rng.Intn(120), kind.num)
+			classic, err := New(rects, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.SetIncremental(true)
-			s.SetFixedPoint(scale, inv)
-			mc.prep(s)
-			got, gok := s.SolveWithin(space)
-			expectSame(t, mc.name, want, got, wok, gok)
+			space := asp.Space(rects)
+			want, wok := classic.SolveWithin(space)
+			checkLimbs(t, classic, kind.fine)
+			for _, mc := range stripModeCases {
+				s, err := New(rects, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetIncremental(true)
+				mc.prep(s)
+				got, gok := s.SolveWithin(space)
+				expectSame(t, kind.name+"/"+mc.name, want, got, wok, gok)
+				if s.Stats.FlatStrips+s.Stats.FenwickStrips == 0 {
+					t.Fatalf("%s/%s: the incremental sweep did not run", kind.name, mc.name)
+				}
+			}
 		}
 	}
 }
@@ -247,7 +302,7 @@ func TestStripPoolModes(t *testing.T) {
 	want, wok := classic.SolveWithin(space)
 	want2, wok2 := classic2.SolveWithin(space2)
 	for _, mc := range stripModeCases {
-		s, err := NewSized(q, 512)
+		s, err := NewSized(q, nil, 512)
 		if err != nil {
 			t.Fatal(err)
 		}

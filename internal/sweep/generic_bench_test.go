@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/dataset"
 	"asrs/internal/geom"
@@ -12,15 +13,16 @@ import (
 
 var sweepSink asp.Result
 
-// BenchmarkSweepGeneric times one DS-Search safety-net sweep as the
-// zoo's f2-stream workload runs them: a pre-sized solver rebound to the
-// ≈ 150 rectangles of a small space (dssearch's sweepCutoff is 160) and
-// solved by the classic strip walk — POISyn's F2 (sum of visits + average
-// rating) carries no fixed-point certificate, so the incremental sweep
-// is off — against an incumbent a hair better than anything the space
-// holds, as most sweeps of a search near its optimum find it (a sweep that
-// does improve on its cap returns a representation it allocates). The
-// steady state must not allocate:
+// BenchmarkSweepGeneric times the classic strip walk — what
+// SearchBaseline runs, and DS-Search below the incremental sweep's
+// incrMinRects — on a real-valued composite: a pre-sized solver rebound
+// to the ≈ 150 rectangles of a small space (dssearch's sweepCutoff is
+// 160) of POISyn's F2 (sum of visits + average rating, three of its
+// channels two limbs), summing in the limbs of the whole reduction as a
+// search does, against an incumbent a hair better than anything the
+// space holds, as most sweeps of a search near its optimum find it (a
+// sweep that does improve on its cap returns a representation it
+// allocates). The steady state must not allocate:
 //
 //	go test -run '^$' -bench SweepGeneric -benchmem ./internal/sweep/
 func BenchmarkSweepGeneric(b *testing.B) {
@@ -48,7 +50,13 @@ func BenchmarkSweepGeneric(b *testing.B) {
 			}
 		}
 	}
-	s, err := sweep.NewSized(q, 0)
+	var cbs []agg.Contrib
+	for _, r := range rects {
+		cbs = q.F.AppendContribs(r.Obj, cbs)
+	}
+	var limbs agg.Limbs
+	limbs.Certify(q.F.Channels(), cbs)
+	s, err := sweep.NewSized(q, &limbs, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

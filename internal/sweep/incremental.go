@@ -47,15 +47,14 @@ import (
 //     marched with the difference array, so even this regime does one
 //     walk per range rather than one per interval.
 //
-// The mode is enabled by SetIncremental and must only be enabled for
-// composites whose channel contributions all sum exactly in float64 —
-// integers, or reals carrying a fixed-point certificate supplied via
-// SetFixedPoint (the caller's responsibility; DS-Search gates it on its
-// aggregation layer's per-channel certificate) — because both
-// evaluators sum contributions in a different order than the classic
-// accumulator walk. Every intermediate is exact by construction, and
-// the power-of-two conversion back at evaluation reproduces the classic
-// scan's floats bit for bit.
+// The mode is enabled by SetIncremental and runs only where every limb
+// sums exactly (agg.Limbs.Exact; without limbs the caller vouches that
+// every channel is integer-valued), because both evaluators sum
+// contributions in a different order than the classic walk. Each limb is
+// carried as a scaled int64 — a count of its grid 2^-s — so every
+// intermediate is exact, and the power-of-two conversion back plus the
+// one fold per channel at evaluation reproduce the classic walk's floats
+// bit for bit.
 
 // incrMinRects gates the incremental path: below it the classic scan's
 // lower constant factor wins.
@@ -123,33 +122,21 @@ type incrState struct {
 	remIds   []int32
 	fill     []int32
 	ranges   [][2]int32 // dirty interval ranges of the current strip
-	chI      []int64    // scaled channel scratch (point value / tree seed)
+	chI      []int64    // scaled limb scratch (point value / tree seed)
 	run      []int64    // running prefix accumulator of the flat pass
-	ch       []float64  // channel scratch
 }
 
 // SetIncremental switches the solver between the classic per-strip
-// rescan and the incremental delta sweep for large inputs. Only enable
-// it for composites whose channel contributions sum exactly in float64;
-// results are bit-identical there (see the package note above). Real-
-// valued composites must additionally carry a fixed-point certificate
-// installed via SetFixedPoint. Solvers not built by NewSized get an
-// unbounded size cap.
+// rescan and the incremental delta sweep for large inputs. The sweep runs
+// only under exact limbs — or, with none installed, over integer-valued
+// channels, which the caller vouches for — and answers bit-identically to
+// the classic walk there (see the package note above). Solvers not built
+// by NewSized get an unbounded size cap.
 func (s *Solver) SetIncremental(on bool) {
 	s.incremental = on
 	if s.incrCap == 0 {
 		s.incrCap = int(^uint(0) >> 1)
 	}
-}
-
-// SetFixedPoint installs the per-channel fixed-point scales the
-// incremental sweep uses to carry contributions as exact scaled int64:
-// scale[ch] and inv[ch] are the (power-of-two) multipliers to and from
-// the scaled domain. nil restores the default — all channels integer
-// (scale 1). The slices are retained and must not be mutated while the
-// solver is in use; both must have length Channels() when non-nil.
-func (s *Solver) SetFixedPoint(scale, inv []float64) {
-	s.fpScale, s.fpInv = scale, inv
 }
 
 // SetStripMode selects the strip evaluator (see StripMode). Answers are
@@ -172,10 +159,9 @@ func (s *Solver) SetStripCost(c StripCost) {
 // spans they dirty — is known exactly before the strip loop runs, so
 // the decision is made once from measured counts (delta count × probe
 // span versus the flat pass's march length), not guessed per strip.
-// Contribution counts per object are not known here; chans is the
-// proxy (a rect contributes to at most every channel once for the
-// composites this path serves).
-func (s *Solver) stripPlan(ns, k, chans int) (maintainTree bool) {
+// Contribution counts per object are not known here; the limb count is
+// the proxy (a rect contributes to at most every limb once).
+func (s *Solver) stripPlan(ns, k, limbs int) (maintainTree bool) {
 	inc := &s.inc
 	if s.stripMode == StripFlatOnly {
 		return false
@@ -188,7 +174,7 @@ func (s *Solver) stripPlan(ns, k, chans int) (maintainTree bool) {
 	if logK < 1 {
 		logK = 1
 	}
-	cf := float64(chans)
+	cf := float64(limbs)
 	var flatTotal, treeTotal float64
 	for si := 0; si < ns; si++ {
 		events := int(inc.remStart[si+1]-inc.remStart[si]) + int(inc.addStart[si+1]-inc.addStart[si])
@@ -308,18 +294,25 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		remFill[se]++
 	}
 
-	chans := s.query.F.Channels()
-	maintainTree := s.stripPlan(ns, k, chans)
-	if maintainTree {
-		inc.bit.Reset(k, chans)
+	limbs := s.eff()
+	// A limb value is carried as a count of its grid 2^-s: exact under
+	// the limbs' certificate (a power-of-two product of a value on the
+	// grid). Without limbs every channel is its own count.
+	var scale []float64
+	if s.limbs != nil {
+		scale = s.limbs.Scale
 	}
-	inc.dif.Reset(k, chans)
+	maintainTree := s.stripPlan(ns, k, limbs)
+	if maintainTree {
+		inc.bit.Reset(k, limbs)
+	}
+	inc.dif.Reset(k, limbs)
 	// The base is one more covering set, spanning every interval of every
-	// strip: a scaled int64 like the contributions apply folds in (exact
-	// under the same certificate), so both evaluators' totals carry it.
+	// strip: scaled like the contributions apply folds in, so both
+	// evaluators' totals carry it.
 	for c, v := range s.base {
-		if s.fpScale != nil {
-			v *= s.fpScale[c]
+		if scale != nil {
+			v *= scale[c]
 		}
 		d := int64(v)
 		inc.dif.RangeAdd(0, k-1, c, d)
@@ -327,14 +320,12 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 			inc.bit.RangeAdd(0, k-1, c, d)
 		}
 	}
-	if cap(inc.ch) < chans {
-		inc.ch = make([]float64, chans)
-		inc.chI = make([]int64, chans)
-		inc.run = make([]int64, chans)
+	if cap(inc.chI) < limbs {
+		inc.chI = make([]int64, limbs)
+		inc.run = make([]int64, limbs)
 	}
-	ch := inc.ch[:chans]
-	chI := inc.chI[:chans]
-	run := inc.run[:chans]
+	chI := inc.chI[:limbs]
+	run := inc.run[:limbs]
 	rep := s.rep
 	cost := s.stripCost
 	if !cost.valid() {
@@ -349,13 +340,11 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	// array (two writes per contribution) and, when live, the Fenwick
 	// tree, recording the dirtied span.
 	apply := func(id int32, sign int64) {
-		o := s.rects[id].Obj
-		s.cbuf = s.query.F.AppendContribs(o, s.cbuf[:0])
 		l, r := int(inc.li[id]), int(inc.ri[id])
-		for _, cb := range s.cbuf {
+		for _, cb := range s.contribs(int(id)) {
 			v := cb.V
-			if s.fpScale != nil {
-				v *= s.fpScale[cb.Ch] // exact power-of-two shift
+			if scale != nil {
+				v *= scale[cb.Ch]
 			}
 			d := sign * int64(v)
 			inc.dif.RangeAdd(l, r, cb.Ch, d)
@@ -367,24 +356,22 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	}
 
 	// evalAt scores the interval j of the strip at height y given its
-	// exact scaled channel totals. Identical arithmetic in every
-	// evaluator: the totals are int64 sums of the same deltas, so the
-	// floats below — and with them the answer — cannot depend on which
-	// structure produced them.
+	// exact scaled limb totals. Identical arithmetic in every evaluator:
+	// the totals are int64 sums of the same deltas, so the floats below —
+	// and with them the answer — cannot depend on which structure
+	// produced them. (Exact: |scaled| stays within 2^53 under the
+	// certificate, and every inverse is a power of two.)
 	evalAt := func(j int32, y float64, tot []int64) {
 		s.Stats.Intervals++
-		if s.fpInv != nil {
-			// Exact: |scaled| stays within 2^53 under the certificate,
-			// and the inverse is a power of two.
-			for c := 0; c < chans; c++ {
-				ch[c] = float64(tot[c]) * s.fpInv[c]
-			}
+		chans := s.fold
+		if s.limbs != nil {
+			chans = s.limbs.FoldCounts(chans, tot)
 		} else {
-			for c := 0; c < chans; c++ {
-				ch[c] = float64(tot[c])
+			for c := range chans {
+				chans[c] = float64(tot[c])
 			}
 		}
-		s.query.F.FinalizeExact(ch, rep)
+		s.query.F.FinalizeExact(chans, rep)
 		bnd := best.Dist
 		if s.evalCap < bnd {
 			bnd = s.evalCap
@@ -432,6 +419,17 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		}
 		merged := inc.ranges[:nm+1]
 		y := ym(si)
+		// march steps a dirty range's totals from interval j-1 to j and
+		// scores j — unless no limb moved: j is then under j-1's covering
+		// set, scores j-1's distance, and that already failed (or set) the
+		// strict improvement test, as in the classic walk.
+		march := func(j int32, tot []int64) {
+			if inc.dif.StepInto(int(j), tot) {
+				evalAt(j, y, tot)
+			} else {
+				s.Stats.Intervals++
+			}
+		}
 		lastDirty := merged[len(merged)-1][1]
 
 		// Read-path selection for this strip: marching the flat prefix
@@ -454,8 +452,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 				inc.dif.Advance(int(pos), int(cur[0]), run)
 				evalAt(cur[0], y, run)
 				for j := cur[0] + 1; j <= cur[1]; j++ {
-					inc.dif.StepInto(int(j), run)
-					evalAt(j, y, run)
+					march(j, run)
 				}
 				pos = cur[1]
 			}
@@ -467,8 +464,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 				inc.bit.PointInto(int(cur[0]), chI)
 				evalAt(cur[0], y, chI)
 				for j := cur[0] + 1; j <= cur[1]; j++ {
-					inc.dif.StepInto(int(j), chI)
-					evalAt(j, y, chI)
+					march(j, chI)
 				}
 			}
 		}
@@ -476,10 +472,11 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	return found
 }
 
-// resizeI32 returns a slice of length n, reusing capacity when possible.
+// resizeI32 returns a slice of length n, reusing capacity when possible
+// and at least doubling it when not.
 func resizeI32(v []int32, n int) []int32 {
 	if cap(v) >= n {
 		return v[:n]
 	}
-	return make([]int32, n)
+	return make([]int32, n, max(n, 2*cap(v)))
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,72 +126,31 @@ func TestIncrementalSweepSolve(t *testing.T) {
 	}
 }
 
-// TestIncrementalSweepFixedPoint: real-valued composites whose
-// contributions live on a dyadic grid ride the int64 Fenwick tree via
-// SetFixedPoint, and the answer — distance, point, representation bits
-// — must match the classic rescan exactly (every float sum is exact
-// under the certificate, so the different accumulation orders agree).
+// TestIncrementalSweepFixedPoint: real-valued composites ride the int64
+// Fenwick tree as scaled limbs — one per channel on a dyadic grid, two
+// for full-mantissa reals — and the answer — distance, point,
+// representation bits — must match the classic rescan exactly (every
+// limb sum is exact, so the different accumulation orders agree, and each
+// channel folds once).
 func TestIncrementalSweepFixedPoint(t *testing.T) {
-	schema, err := attr.NewSchema(
-		attr.Attribute{Name: "rating", Kind: attr.Numeric},
-		attr.Attribute{Name: "visits", Kind: attr.Numeric},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := agg.New(schema,
-		agg.Spec{Kind: agg.Sum, Attr: "visits"},
-		agg.Spec{Kind: agg.Average, Attr: "rating"},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scales mirror the dssearch certificate for quarter/half grids:
-	// fS(visits) channels carry halves, fA(rating) sum carries quarters.
-	scale := []float64{2, 2, 2, 4, 1}
-	inv := []float64{0.5, 0.5, 0.5, 0.25, 1}
 	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 15; trial++ {
-		n := incrMinRects + rng.Intn(150)
-		objs := make([]attr.Object, n)
-		rects := make([]asp.RectObject, n)
-		w := 4 + rng.Float64()*8
-		h := 3 + rng.Float64()*8
-		for i := range rects {
-			x, y := rng.Float64()*100, rng.Float64()*100
-			objs[i] = attr.Object{
-				Loc: geom.Point{X: x, Y: y},
-				Values: []attr.Value{
-					{Num: float64(rng.Intn(41)) * 0.25},
-					{Num: float64(rng.Intn(999))*0.5 - 200},
-				},
+	for _, kind := range realKinds {
+		for trial := 0; trial < 15; trial++ {
+			rects, q := realFixture(t, rng, incrMinRects+rng.Intn(150), kind.num)
+			classic, err := New(rects, q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - w, MinY: y - h, MaxX: x, MaxY: y}, Obj: &objs[i]}
-		}
-		q := asp.Query{F: f, Target: []float64{3000, 10}}
-		classic, err := New(rects, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		incr, err := New(rects, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		incr.SetIncremental(true)
-		incr.SetFixedPoint(scale, inv)
-		space := asp.Space(rects)
-		cr, cok := classic.SolveWithin(space)
-		ir, iok := incr.SolveWithin(space)
-		if cok != iok {
-			t.Fatalf("trial %d: found %v vs %v", trial, cok, iok)
-		}
-		if cr.Dist != ir.Dist || cr.Point != ir.Point {
-			t.Fatalf("trial %d: classic %g@%v, fixed-point %g@%v", trial, cr.Dist, cr.Point, ir.Dist, ir.Point)
-		}
-		for d := range cr.Rep {
-			if math.Float64bits(cr.Rep[d]) != math.Float64bits(ir.Rep[d]) {
-				t.Fatalf("trial %d: rep[%d] %v vs %v", trial, d, cr.Rep[d], ir.Rep[d])
+			incr, err := New(rects, q)
+			if err != nil {
+				t.Fatal(err)
 			}
+			incr.SetIncremental(true)
+			space := asp.Space(rects)
+			cr, cok := classic.SolveWithin(space)
+			ir, iok := incr.SolveWithin(space)
+			checkLimbs(t, incr, kind.fine)
+			expectSame(t, fmt.Sprintf("%s trial %d", kind.name, trial), cr, ir, cok, iok)
 		}
 	}
 }
@@ -206,7 +166,7 @@ func TestIncrementalSweepSteadyStateAllocs(t *testing.T) {
 	rects2, _ := incrFixture(t, rng, incrMinRects+60)
 	space := geom.Rect{MinX: 5, MinY: 5, MaxX: 95, MaxY: 95}
 	for _, mc := range stripModeCases {
-		s, err := NewSized(q, 512)
+		s, err := NewSized(q, nil, 512)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,13 +139,13 @@ func (s *Solver) refScanStrip(ym float64, space geom.Rect, acc *agg.Accumulator,
 }
 
 // TestScanStripFlatMatchesAccumulator: the classic sweep over flattened
-// contributions returns the object-accumulator sweep's answer — distance,
-// point, representation — bit for bit, on a real-valued composite whose
-// sums round (no fixed-point certificate would pass) and whose selectors
-// reject part of the objects, over whole, random, zero-width and
-// zero-height spaces, with and without an evaluation cap, through one
-// solver rebound from trial to trial (a stale table would answer for the
-// previous rectangles).
+// contributions, every channel one float limb (SetLimbs(nil)), returns
+// the object-accumulator sweep's answer — distance, point,
+// representation — bit for bit, on a real-valued composite whose sums
+// round and whose selectors reject part of the objects, over whole,
+// random, zero-width and zero-height spaces, with and without an
+// evaluation cap, through one solver rebound from trial to trial (a stale
+// table would answer for the previous rectangles).
 func TestScanStripFlatMatchesAccumulator(t *testing.T) {
 	schema, err := attr.NewSchema(
 		attr.Attribute{Name: "rating", Kind: attr.Numeric},
@@ -182,6 +182,7 @@ func TestScanStripFlatMatchesAccumulator(t *testing.T) {
 			if s, err = New(rects, q); err != nil {
 				t.Fatal(err)
 			}
+			s.SetLimbs(nil)
 		} else {
 			s.query = q
 			s.Rebind(rects)

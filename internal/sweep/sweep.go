@@ -22,7 +22,7 @@ import (
 // Stats reports work counters of one sweep run.
 type Stats struct {
 	Strips    int // horizontal strips examined
-	Intervals int // candidate x-intervals enumerated (the classic strip scores one only where the covering set moved)
+	Intervals int // candidate x-intervals enumerated (a strip scores one only where the covering set moved)
 	// Strip-evaluator selection counters of the incremental sweep:
 	// dirty strips resolved by the flat merge pass vs. by Fenwick-seeded
 	// range walks.
@@ -31,45 +31,47 @@ type Stats struct {
 }
 
 // Solver runs the Base algorithm. The zero value is not usable; construct
-// with New.
+// with New or NewSized.
 type Solver struct {
 	rects []asp.RectObject
 	query asp.Query
-	// base is the channel vector of a set that covers every candidate of
-	// the spaces about to be solved (RebindWithBase); nil means none.
+	// base is the limb vector of a set that covers every candidate of the
+	// spaces about to be solved (RebindWithBase); nil means none.
 	base []float64
+
+	// limbs is the layout channels are summed in (agg.Limbs): nil sums
+	// every channel as one float limb, as its contributions come. A solver
+	// built by New certifies its own (own) for every set it is bound to.
+	limbs   *agg.Limbs
+	own     agg.Limbs
+	certify bool
 
 	byMinX []int // rect indices sorted by Rect.MinX
 	byMaxX []int // rect indices sorted by Rect.MaxX
 
 	// Reusable per-solve scratch: DS-Search's safety net runs thousands
 	// of mini-sweeps per query through one Rebind-ed solver, so the strip
-	// coordinates, accumulator and representation buffers persist here
-	// instead of being allocated per call.
+	// coordinates, limb accumulator and representation buffers persist
+	// here instead of being allocated per call.
 	ys   []float64
-	acc  *agg.Accumulator
+	acc  []float64 // a strip's limb totals
+	fold []float64 // their channel fold
 	rep  []float64
-	cbuf []agg.Contrib
 
-	// Every rectangle's channel contributions, flattened once per Rebind
-	// at the first classic strip (flatten): a strip adds and removes each
-	// active rectangle once, and a sweep has about two strips per
-	// rectangle. The incremental sweep never asks for them.
+	// Every rectangle's limb contributions, flattened once per Rebind at
+	// the first strip walk (flatten): a strip adds and removes each active
+	// rectangle once, a sweep has about two strips per rectangle, and the
+	// incremental sweep applies each rectangle twice.
 	flat    []agg.Contrib
 	flatOff []int32 // rect i contributes flat[flatOff[i]:flatOff[i+1]]
 	flatOK  bool
 
 	// incremental selects the Fenwick-backed delta sweep for large
 	// inputs (see incremental.go); inc is its reusable scratch, and
-	// incrCap bounds the input size it engages for (NewSized pre-sizes
-	// the scratch to this bound, so the path never regrows).
-	// fpScale/fpInv are the optional per-channel fixed-point scales
-	// (SetFixedPoint) that let real-valued certified channels ride the
-	// int64 tree exactly.
-	incremental    bool
-	incrCap        int
-	fpScale, fpInv []float64
-	inc            incrState
+	// incrCap bounds the input size it engages for.
+	incremental bool
+	incrCap     int
+	inc         incrState
 
 	// stripMode/stripCost drive the incremental sweep's strip-evaluator
 	// selection (flat merge pass vs. Fenwick walks; see StripMode). The
@@ -86,70 +88,47 @@ type Solver struct {
 	Stats Stats
 }
 
-// New prepares a solver over the given rectangle objects. The pre-sorted
-// edge orders are shared across strips so each strip costs O(n).
+// New prepares a solver over the given rectangle objects, summing their
+// channels in the limbs they certify (agg.Limbs.Certify): every certified
+// channel of every candidate is the correctly rounded exact sum, so New's
+// answers are what DS-Search answers, bit for bit. It certifies every set
+// it is bound to, at the first solve; SetLimbs installs a caller's limbs
+// instead. The pre-sorted edge orders are shared across strips so each
+// strip costs O(n).
 func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Solver{
 		query:   q,
-		acc:     agg.NewAccumulator(q.F),
 		rep:     make([]float64, q.F.Dims()),
 		evalCap: math.Inf(1),
+		certify: true,
 	}
 	s.Rebind(rects)
 	return s, nil
 }
 
-// NewSized returns an unbound solver for the query whose scratch is
-// pre-sized from a few slab allocations: sorted edges and strips for 2048
-// rectangles, and, when incrCap > 0, the incremental sweep for inputs up
-// to incrCap rectangles (larger inputs just regrow). It must be
-// Rebind-ed before use.
-func NewSized(q asp.Query, incrCap int) (*Solver, error) {
+// NewSized returns an unbound solver for the query, summing in the limbs
+// l (nil: one float limb per channel), whose sorted edges and strips are
+// pre-sized for 2048 rectangles. The incremental sweep engages for inputs
+// up to incrCap rectangles; its scratch grows with the sweeps it runs,
+// doubling, and is kept. It must be Rebind-ed before use.
+func NewSized(q asp.Query, l *agg.Limbs, incrCap int) (*Solver, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	const presort = 2048
 	s := &Solver{
 		query:   q,
-		acc:     agg.NewAccumulator(q.F),
 		rep:     make([]float64, q.F.Dims()),
 		byMinX:  make([]int, 0, presort),
 		byMaxX:  make([]int, 0, presort),
 		ys:      make([]float64, 0, presort),
 		evalCap: math.Inf(1),
+		incrCap: incrCap,
 	}
-	if m := incrCap; m > 0 {
-		chans := q.F.Channels()
-		s.incrCap = m
-		i32 := make([]int32, 14*m+12)
-		carve32 := func(sz int) []int32 {
-			out := i32[:0:sz]
-			i32 = i32[sz:]
-			return out
-		}
-		fl := make([]float64, 2*m+2+chans)
-		i64 := make([]int64, 2*chans)
-		inc := &s.inc
-		inc.ranges = make([][2]int32, 0, 64)
-		inc.xs = fl[: 0 : 2*m+2]
-		inc.ch = fl[2*m+2:]
-		inc.chI = i64[:chans:chans]
-		inc.run = i64[chans:]
-		inc.li = carve32(m)
-		inc.ri = carve32(m)
-		inc.sa = carve32(m)
-		inc.se = carve32(m)
-		inc.addStart = carve32(2*m + 3)
-		inc.remStart = carve32(2*m + 3)
-		inc.addIds = carve32(m)
-		inc.remIds = carve32(m)
-		inc.fill = carve32(4*m + 6)
-		inc.bit.Reset(2*m+1, chans)
-		inc.dif.Reset(2*m+1, chans)
-	}
+	s.SetLimbs(l)
 	return s, nil
 }
 
@@ -168,6 +147,46 @@ func (s *Solver) SetQuery(q asp.Query) bool {
 	return true
 }
 
+// SetLimbs installs the limbs channels are summed in (nil: one float limb
+// per channel, as contributions come) and stops New's own certification.
+// The limbs must certify every set the solver is bound to — a caller's
+// limbs over a superset do — and are retained: they must not change while
+// the solver is in use.
+func (s *Solver) SetLimbs(l *agg.Limbs) {
+	s.certify, s.flatOK = false, false
+	s.useLimbs(l)
+}
+
+// useLimbs sums in l from now on, sizing the strip accumulator to it.
+func (s *Solver) useLimbs(l *agg.Limbs) {
+	s.limbs = l
+	eff, chans := s.eff(), s.query.F.Channels()
+	if cap(s.acc) < eff {
+		s.acc = make([]float64, eff)
+	}
+	if cap(s.fold) < chans {
+		s.fold = make([]float64, chans)
+	}
+	s.acc, s.fold = s.acc[:eff], s.fold[:chans]
+}
+
+// eff returns the number of limbs channels are summed in.
+func (s *Solver) eff() int {
+	if s.limbs == nil {
+		return s.query.F.Channels()
+	}
+	return s.limbs.Eff()
+}
+
+// channels folds a limb vector into the channel vector FinalizeExact
+// reads.
+func (s *Solver) channels(v []float64) []float64 {
+	if s.limbs == nil {
+		return v
+	}
+	return s.limbs.Fold(s.fold, v)
+}
+
 // Rebind points the solver at a new rectangle set, reusing all scratch
 // (sorted-edge orders, strip buffers, accumulator). The query is
 // unchanged; the rects slice is only read, never retained past the next
@@ -176,17 +195,17 @@ func (s *Solver) Rebind(rects []asp.RectObject) { s.RebindWithBase(rects, nil) }
 
 // RebindWithBase is Rebind for a caller that has factored out the
 // rectangles covering every candidate of the spaces it is about to solve:
-// rects holds only the others, and base (length Channels(), nil for none;
-// read, never retained past the next rebind) the summed contributions of
-// the covering ones. No edge of a covering rectangle delimits a strip or
-// an interval, so the candidates are those of sweeping all the rectangles
-// and every one is scored on base plus what the sweep accumulates: the
-// classic walk starts each strip's accumulator from base, the incremental
-// sweep range-adds it across all intervals. Where channel sums are exact
-// (integer channels, or reals under SetFixedPoint) the answer is that of
-// the unfactored sweep bit for bit; elsewhere base + Σ is one more
-// summation order. The caller vouches for the covering — for SolveWithin
-// over a space, rectangles whose open interior contains the closed space.
+// rects holds only the others, and base (the installed limbs' layout, nil
+// for none; read, never retained past the next rebind) the summed limb
+// contributions of the covering ones. No edge of a covering rectangle
+// delimits a strip or an interval, so the candidates are those of
+// sweeping all the rectangles and every one is scored on base plus what
+// the sweep accumulates: the classic walk starts each strip's accumulator
+// from base, the incremental sweep range-adds it across all intervals.
+// Where limb sums are exact the answer is that of the unfactored sweep
+// bit for bit; elsewhere base + Σ is one more summation order. The caller
+// vouches for the covering — for SolveWithin over a space, rectangles
+// whose open interior contains the closed space.
 func (s *Solver) RebindWithBase(rects []asp.RectObject, base []float64) {
 	s.rects = rects
 	s.base = base
@@ -217,18 +236,39 @@ func cmpLess(x, y float64) int {
 }
 
 // flatten evaluates every bound rectangle's contributions (selectors
-// included) into the solver's retained table.
+// included) into the solver's retained table, split into the installed
+// limbs. A solver built by New certifies its own first: the raw
+// contributions are the one-limb table, and are flattened again into
+// limbs if a channel takes two.
 func (s *Solver) flatten() {
+	if s.certify {
+		s.useLimbs(nil)
+		s.flattenLimbs()
+		s.own.Certify(s.query.F.Channels(), s.flat)
+		s.useLimbs(&s.own)
+		if s.own.Eff() == len(s.own.Lo) {
+			return
+		}
+	}
+	s.flattenLimbs()
+}
+
+// flattenLimbs is flatten under the installed limbs.
+func (s *Solver) flattenLimbs() {
 	s.flat = s.flat[:0]
 	s.flatOff = append(s.flatOff[:0], 0)
 	for i := range s.rects {
+		start := len(s.flat)
 		s.flat = s.query.F.AppendContribs(s.rects[i].Obj, s.flat)
+		if s.limbs != nil {
+			s.flat = s.limbs.Split(s.flat, start)
+		}
 		s.flatOff = append(s.flatOff, int32(len(s.flat)))
 	}
 	s.flatOK = true
 }
 
-// contribs returns rect i's flattened contributions.
+// contribs returns rect i's flattened limb contributions.
 func (s *Solver) contribs(i int) []agg.Contrib {
 	return s.flat[s.flatOff[i]:s.flatOff[i+1]]
 }
@@ -291,6 +331,9 @@ func (s *Solver) SolveWithin(space geom.Rect) (asp.Result, bool) {
 	if !space.IsValid() {
 		return asp.Result{}, false
 	}
+	if !s.flatOK {
+		s.flatten()
+	}
 	// Horizontal strips: distinct y edge coordinates clipped to the space,
 	// plus the space's own extent.
 	ys := append(s.ys[:0], space.MinY, space.MaxY)
@@ -306,12 +349,11 @@ func (s *Solver) SolveWithin(space geom.Rect) (asp.Result, bool) {
 	ys = dedup(ys)
 	s.ys = ys
 
-	acc := s.acc
-	rep := s.rep
 	best := asp.Result{Dist: math.Inf(1)}
 	found := false
 
-	if s.incremental && len(s.rects) >= incrMinRects && len(s.rects) <= s.incrCap &&
+	if s.incremental && (s.limbs == nil || s.limbs.Exact) &&
+		len(s.rects) >= incrMinRects && len(s.rects) <= s.incrCap &&
 		len(ys) >= 2 && space.MinY != space.MaxY && space.MinX != space.MaxX {
 		found = s.solveWithinIncremental(space, &best)
 		return best, found
@@ -323,14 +365,14 @@ func (s *Solver) SolveWithin(space geom.Rect) (asp.Result, bool) {
 			continue
 		}
 		s.Stats.Strips++
-		if s.scanStrip(ym, space, acc, rep, &best) {
+		if s.scanStrip(ym, space, &best) {
 			found = true
 		}
 	}
 	// Degenerate zero-height space: a single line strip.
 	if space.MinY == space.MaxY {
 		s.Stats.Strips++
-		if s.scanStrip(space.MinY, space, acc, rep, &best) {
+		if s.scanStrip(space.MinY, space, &best) {
 			found = true
 		}
 	}
@@ -338,16 +380,17 @@ func (s *Solver) SolveWithin(space geom.Rect) (asp.Result, bool) {
 }
 
 // scanStrip sweeps the x-intervals of the strip at height ym, updating
-// best. Returns true if at least one candidate was evaluated.
-func (s *Solver) scanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, rep []float64, best *asp.Result) bool {
-	if !s.flatOK {
-		s.flatten()
-	}
+// best. Returns true if at least one candidate was evaluated. The strip's
+// limb totals start from the base and follow the covering set as the walk
+// adds and removes rectangles; each scored interval folds them once.
+func (s *Solver) scanStrip(ym float64, space geom.Rect, best *asp.Result) bool {
+	acc, rep := s.acc, s.rep
 	if s.base != nil {
-		acc.ResetTo(s.base)
+		copy(acc, s.base)
 	} else {
-		acc.Reset()
+		clear(acc)
 	}
+
 	// Merge-walk the two pre-sorted edge lists, keeping only rects active
 	// in this strip (open coverage in y).
 	active := func(i int) bool {
@@ -384,7 +427,7 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, re
 		} else {
 			xm = (l + r) / 2
 		}
-		acc.Representation(rep)
+		s.query.F.FinalizeExact(s.channels(acc), rep)
 		bnd := best.Dist
 		if s.evalCap < bnd {
 			bnd = s.evalCap
@@ -403,7 +446,7 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, re
 		for _, i := range ins {
 			r := s.rects[i].Rect
 			if r.MinX < space.MinX && space.MinX < r.MaxX && active(i) {
-				acc.AddContribs(s.contribs(i))
+				s.add(acc, i)
 			}
 		}
 		evaluate(space.MaxX)
@@ -441,13 +484,13 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, re
 		}
 		if takeIn {
 			if active(ins[ii]) {
-				acc.AddContribs(s.contribs(ins[ii]))
+				s.add(acc, ins[ii])
 				changed = true
 			}
 			ii++
 		} else {
 			if active(outs[oi]) {
-				acc.RemoveContribs(s.contribs(outs[oi]))
+				s.remove(acc, outs[oi])
 				changed = true
 			}
 			oi++
@@ -458,6 +501,20 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, re
 		evaluate(space.MaxX)
 	}
 	return found
+}
+
+// add sums rect i's limb contributions into acc.
+func (s *Solver) add(acc []float64, i int) {
+	for _, cb := range s.contribs(i) {
+		acc[cb.Ch] += cb.V
+	}
+}
+
+// remove takes rect i's limb contributions out of acc.
+func (s *Solver) remove(acc []float64, i int) {
+	for _, cb := range s.contribs(i) {
+		acc[cb.Ch] -= cb.V
+	}
 }
 
 // dedup removes adjacent duplicates from a sorted slice in place.

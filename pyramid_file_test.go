@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,7 +86,15 @@ func TestLoadOrBuildPyramidFileLifecycle(t *testing.T) {
 // format version 1 (summed-area planes per level) is not decodable any
 // more. Its header must read as corrupt, and a boot that finds it must
 // set it aside and come up on a rebuilt pyramid.
-func TestPyramidFileVersion1IsRebuilt(t *testing.T) {
+func TestPyramidFileVersion1IsRebuilt(t *testing.T) { checkOldVersionRebuilt(t, 1) }
+
+// TestPyramidFileVersion2IsRebuilt: so is a file of format version 2,
+// which stored the contribution and min/max tables the dataset holds.
+func TestPyramidFileVersion2IsRebuilt(t *testing.T) { checkOldVersionRebuilt(t, 2) }
+
+// checkOldVersionRebuilt writes a current file under an older version
+// word and boots on it.
+func checkOldVersionRebuilt(t *testing.T, version uint32) {
 	ds, f := pyrFileFixture(t)
 	p, err := asrs.BuildPyramid(ds, f)
 	if err != nil {
@@ -96,13 +105,13 @@ func TestPyramidFileVersion1IsRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := buf.Bytes()
-	if got := binary.LittleEndian.Uint32(old[8:12]); got != 2 {
-		t.Fatalf("current format version is %d; this test pins the 1 -> 2 step", got)
+	if got := binary.LittleEndian.Uint32(old[8:12]); got != 3 {
+		t.Fatalf("current format version is %d; this test pins the step to 3", got)
 	}
-	binary.LittleEndian.PutUint32(old[8:12], 1) // the u32 after the 8-byte magic
+	binary.LittleEndian.PutUint32(old[8:12], version) // the u32 after the 8-byte magic
 
 	if _, err := asrs.ReadPyramid(bytes.NewReader(old), ds, f); !errors.Is(err, asrs.ErrPyramidCorrupt) {
-		t.Fatalf("ReadPyramid of a version-1 header: err = %v, want ErrPyramidCorrupt", err)
+		t.Fatalf("ReadPyramid of a version-%d header: err = %v, want ErrPyramidCorrupt", version, err)
 	}
 
 	dir := t.TempDir()
@@ -112,14 +121,14 @@ func TestPyramidFileVersion1IsRebuilt(t *testing.T) {
 	}
 	got, status, err := asrs.LoadOrBuildPyramidFile(path, ds, f)
 	if err != nil || status != asrs.PyramidRebuilt || got == nil {
-		t.Fatalf("boot on a version-1 file: status=%v err=%v, want rebuilt", status, err)
+		t.Fatalf("boot on a version-%d file: status=%v err=%v, want rebuilt", version, status, err)
 	}
 	kept, err := filepath.Glob(path + ".corrupt-*")
 	if err != nil || len(kept) != 1 {
-		t.Fatalf("want the version-1 file kept as one .corrupt-* sibling, found %v (err %v)", kept, err)
+		t.Fatalf("want the version-%d file kept as one .corrupt-* sibling, found %v (err %v)", version, kept, err)
 	}
 	if b, err := os.ReadFile(kept[0]); err != nil || !bytes.Equal(b, old) {
-		t.Fatalf("quarantined file differs from the version-1 file (err %v)", err)
+		t.Fatalf("quarantined file differs from the version-%d file (err %v)", version, err)
 	}
 	if _, status, err = asrs.LoadOrBuildPyramidFile(path, ds, f); err != nil || status != asrs.PyramidLoaded {
 		t.Fatalf("boot after the rebuild: status=%v err=%v, want loaded", status, err)
@@ -178,7 +187,7 @@ func TestSaveLoadPyramidFileAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 != r2 || res1.Dist != res2.Dist || res1.Point != res2.Point {
+	if r1 != r2 || math.Float64bits(res1.Dist) != math.Float64bits(res2.Dist) || res1.Point != res2.Point {
 		t.Fatalf("answers diverge: %v/%+v vs %v/%+v", r1, res1, r2, res2)
 	}
 }

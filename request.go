@@ -174,9 +174,11 @@ func Answer(ds *Dataset, idx *Index, req QueryRequest) (QueryResponse, IndexStat
 // ("Base" in the paper's experiments): each round sweeps, in full, every
 // piece of the search space — the reduction's whole space, or the
 // extent's anchor window, minus the forbidden boxes of the exclusions —
-// and keeps the minimum. Request options are ignored. Intended for
-// validation and benchmarking: it is the oracle the differential tests
-// hold every search configuration to.
+// and keeps the minimum. The sweep sums every channel in the limbs the
+// reduction certifies (sweep.New), so a distance is what every search
+// configuration computes for the same covering set, bit for bit. Request
+// options are ignored. Intended for validation and benchmarking: it is
+// the oracle the differential tests hold every search configuration to.
 func SearchBaseline(ds *Dataset, req QueryRequest) QueryResponse {
 	rects, err := asp.Reduce(ds, req.A, req.B, asp.AnchorTR)
 	if err != nil {

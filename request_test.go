@@ -25,11 +25,10 @@ import (
 // distant regions are tie-broken by search path: after a tie two correct
 // greedy sequences diverge. The baseline's own top-k seeds the oracle, so
 // its rows are reused wherever a configuration took the same path.
-// Distances compare bit for bit on the integer composites and between any
-// two configurations; to a relative 1e-9 against the sweep on F2, whose
-// real-valued channels it accumulates in another order. Random probes in
-// the window (or space) are the check that shares no piece algebra with
-// either side.
+// Distances compare bit for bit, F2's real-valued channels included: the
+// sweep, the searches and the probes all sum them as exact limbs.
+// Random probes in the window (or space) are the check that shares no
+// piece algebra with either side.
 func TestRequestShapes(t *testing.T) {
 	orchard := dataset.SingaporeDistricts()[0].Rect
 	n := 600
@@ -58,12 +57,11 @@ func TestRequestShapes(t *testing.T) {
 		ds      *asrs.Dataset
 		q       asrs.Query
 		a, b    float64
-		exact   bool       // integer channels: the sweep agrees bit for bit
 		example *asrs.Rect // nil: the unconstrained optimum stands in
 	}{
-		{"tweet-f1", tweet, f1, ta, tb, true, nil},
-		{"singapore-category", sg, byExample, orchard.Width(), orchard.Height(), true, &orchard},
-		{"poisyn-f2", poi, f2, pa, pb, false, nil},
+		{"tweet-f1", tweet, f1, ta, tb, nil},
+		{"singapore-category", sg, byExample, orchard.Width(), orchard.Height(), &orchard},
+		{"poisyn-f2", poi, f2, pa, pb, nil},
 	}
 	for _, c := range corpora {
 		t.Run(c.name, func(t *testing.T) {
@@ -117,7 +115,7 @@ func TestRequestShapes(t *testing.T) {
 					for _, in := range extents {
 						shape := fmt.Sprintf("k=%d/excl=%s/within=%s", k, ex.name, in.name)
 						req := asrs.QueryRequest{Query: c.q, A: a, B: b, TopK: k, Exclude: ex.excl, Within: in.within}
-						or := newRowOracle(ds, req, c.exact, outside)
+						or := newRowOracle(ds, req, outside)
 						for _, cfgIdx := range []*asrs.Index{nil, idx} {
 							for _, cfgPyr := range []*asrs.Pyramid{nil, pyr} {
 								req.Options = &asrs.Options{Pyramid: cfgPyr}
@@ -145,14 +143,13 @@ func TestRequestShapes(t *testing.T) {
 type rowOracle struct {
 	ds      *asrs.Dataset
 	req     asrs.QueryRequest
-	exact   bool
 	outside asrs.Rect
 	base    map[string]asrs.QueryResponse // exclusion list → the baseline's single best under it
 	fast    map[string]float64            // exclusion list → the first configuration's distance
 }
 
-func newRowOracle(ds *asrs.Dataset, req asrs.QueryRequest, exact bool, outside asrs.Rect) *rowOracle {
-	or := &rowOracle{ds: ds, req: req, exact: exact, outside: outside, base: map[string]asrs.QueryResponse{}, fast: map[string]float64{}}
+func newRowOracle(ds *asrs.Dataset, req asrs.QueryRequest, outside asrs.Rect) *rowOracle {
+	or := &rowOracle{ds: ds, req: req, outside: outside, base: map[string]asrs.QueryResponse{}, fast: map[string]float64{}}
 	// The baseline's own greedy top-k, taken apart into its rounds.
 	want := asrs.SearchBaseline(ds, req)
 	excl := req.Exclude[:len(req.Exclude):len(req.Exclude)]
@@ -206,7 +203,7 @@ func (or *rowOracle) check(got asrs.QueryResponse) string {
 			return fmt.Sprintf("row %d at %v, the baseline fails with %v", i+1, got.Regions[i], want.Err)
 		}
 		region, d, wd := got.Regions[i], got.Results[i].Dist, want.Results[0].Dist
-		if or.exact && math.Float64bits(d) != math.Float64bits(wd) || math.Abs(d-wd) > 1e-9*math.Max(1, math.Abs(wd)) {
+		if math.Float64bits(d) != math.Float64bits(wd) {
 			return fmt.Sprintf("row %d at distance %v, the baseline's best under the same exclusions %v", i+1, d, wd)
 		}
 		key := fmt.Sprint(excl)
@@ -251,7 +248,7 @@ func probeRows(rng *rand.Rand, rects []asp.RectObject, req asrs.QueryRequest, go
 				}
 			}
 			d := req.Query.Distance(asp.PointRepresentation(rects, req.Query.F, p))
-			if d < got.Results[i].Dist-1e-9*math.Max(1, d) {
+			if d < got.Results[i].Dist {
 				return fmt.Sprintf("probe %v beats row %d: %v < %v", p, i+1, d, got.Results[i].Dist)
 			}
 		}
