@@ -382,8 +382,10 @@ func BenchmarkTopKRounds(b *testing.B) {
 // (DESIGN.md §3; 1 044 when overlapping rectangles were counted, 11 while
 // both margin strips were searched ahead of the first cell and handed it
 // an incumbent); it fails above 100. Cells searched: 8 of 4 096, pinned —
-// what the best-first order over cells and strips is held to (§5). Margin
-// runs: 1, reported. And it fails on a distance plain DS-Search does not
+// what the best-first order over cells and strips is held to (§5). Cell
+// ranges bounded: 233, where every one of the 4 096 cells was bounded
+// before the loop split ranges lazily; it fails above 233. Margin runs:
+// 1, reported. And it fails on a distance plain DS-Search does not
 // answer.
 func BenchmarkF1Indexed(b *testing.B) {
 	ds := tweetDS(20000)
@@ -420,7 +422,7 @@ func BenchmarkF1Indexed(b *testing.B) {
 	if plain.Err != nil {
 		b.Fatal(plain.Err)
 	}
-	discretizations, marginRuns := 0, 0
+	discretizations, marginRuns, bounded := 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -436,12 +438,18 @@ func BenchmarkF1Indexed(b *testing.B) {
 		}
 		discretizations += stats.DS.Discretizations
 		marginRuns += stats.MarginRuns
+		bounded += stats.Bounded
 	}
 	perQuery := float64(discretizations) / float64(b.N)
 	b.ReportMetric(perQuery, "discretizations/query")
 	b.ReportMetric(float64(marginRuns)/float64(b.N), "margin_runs/query")
+	ranges := float64(bounded) / float64(b.N)
+	b.ReportMetric(ranges, "bounded/query")
 	if perQuery > 100 {
 		b.Fatalf("%v discretizations per query, want at most 100", perQuery)
+	}
+	if ranges > 233 {
+		b.Fatalf("%v cell ranges bounded per query, want at most 233", ranges)
 	}
 }
 

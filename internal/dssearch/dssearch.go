@@ -28,7 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sort"
 
 	"asrs/internal/agg"
@@ -220,8 +220,10 @@ func NewSearcher(rects []asp.RectObject, q asp.Query, opt Options) (*Searcher, e
 // region's bottom-left corner) under the cheapest aggregation layer the
 // options allow. A pyramid built for (ds, q.F) is bound: the master is
 // materialized in pyramid order straight from the objects into the slab's
-// retained buffer — one pass, no reduction, no permuting copy — and the
-// shape's O(n)-derived facts come from the pyramid's memo (Pyramid.shape).
+// retained buffer — one pass, no reduction, no permuting copy; a slab
+// that already holds the pyramid's objects in its order only moves each
+// rectangle's minimum corner — and the shape's O(n)-derived facts come
+// from the pyramid's memo (Pyramid.shape).
 // Else, or when the shape's anchors collapse, the dataset is reduced and
 // the layer built per query. Answers are bit-identical on both paths.
 func NewRegionSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Searcher, error) {
@@ -236,15 +238,8 @@ func NewRegionSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options)
 	var master []asp.RectObject
 	var facts shapeFacts
 	if p := opt.Pyramid; p.Matches(ds, q.F) {
-		if cap(tab.masterBuf) < p.n {
-			tab.masterBuf = make([]asp.RectObject, p.n)
-		}
-		if cap(tab.minXsBuf) < p.n {
-			tab.minXsBuf = make([]float64, p.n)
-		}
-		tab.minXsBuf = tab.minXsBuf[:p.n]
-		if facts = p.shape(a, b, tab.masterBuf[:p.n], tab.minXsBuf); facts.ok {
-			master = tab.masterBuf[:p.n]
+		if facts = p.shape(a, b, tab); facts.ok {
+			master = tab.masterBuf
 			p.bindCore(tab)
 			tab.minXs = tab.minXsBuf
 		}
@@ -474,9 +469,8 @@ func (s *Searcher) SolveWithin(space geom.Rect, seedLB float64) {
 // come from a binary-searched window rather than a full scan; when an
 // anchor-bin level is available (bound pyramid, or lazily built) and the
 // window is much larger than the space's 2D anchor box, the ids are
-// collected from the level's bins instead — certain bins bulk-append,
-// boundary bins test exactly, and a final sort restores the ascending
-// contract, so the result slice is identical either way.
+// collected from the level's bins instead (appendBinIDs), so the result
+// slice is identical either way.
 func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 	master := s.rects
 	t := s.tab
@@ -484,7 +478,7 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 	if t.limbs.Exact {
 		lo, hi = t.window(space.MinX, space.MaxX)
 		if len(t.lvls) > 0 {
-			if out, ok := s.appendBinIDs(space, dst, hi-lo); ok {
+			if out, ok := s.appendBinIDs(space, dst, lo, hi); ok {
 				return out
 			}
 		}
@@ -503,9 +497,16 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 // walks the space's anchor box on the best level — the 2D region that
 // can hold anchors of intersecting rectangles — instead of the 1D MinX
 // window, whose x-range spans the full y extent. ok=false means the
-// window scan is expected to be no slower (small windows, or boxes
-// covering most of the window).
-func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, window int) ([]int32, bool) {
+// window scan over [lo, hi) is expected to be no slower (small windows,
+// or boxes covering most of the window).
+//
+// Every id the box yields intersects the space and so lies in the window:
+// the ids are marked in a bitmap of the window, one bit per id, and a
+// word scan emits them ascending, each once — O(ids + window/64) where
+// sorting them was O(ids log ids). The bin path engages only when the
+// window is at least twice the box's anchors and bins, so the bitmap
+// stays small.
+func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int32, bool) {
 	t := s.tab
 	master := s.rects
 	l := t.pickLevel(master, space)
@@ -520,23 +521,31 @@ func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, window int) ([]int
 	// versus the 1D window scan.
 	box := l.countRegion(i0, i1, j0, j1)
 	bins := (i1 - i0) * (j1 - j0)
-	if window < 2*(box+bins) {
+	if hi-lo < 2*(box+bins) {
 		return dst, false
 	}
-	// Certainly-intersecting bins (bulk append, CSR runs are contiguous
-	// per row) versus boundary bins (exact test).
+	words := (hi - lo + 63) >> 6
+	if cap(t.idBits) < words {
+		t.idBits = make([]uint64, words)
+	}
+	marks := t.idBits[:words]
+	clear(marks)
+	// Certainly-intersecting bins (every id marked, CSR runs are
+	// contiguous per row) versus boundary bins (exact test).
 	ci0 := l.xBinGT(master, space.MinX-t.wmin, false)
 	ci1 := l.xBinLE(master, space.MaxX, true)
 	cj0 := l.yBinGT(master, space.MinY-t.hmin, false)
 	cj1 := l.yBinLE(master, space.MaxY, true)
-	start := len(dst)
 	for bj := j0; bj < j1; bj++ {
 		row := bj * l.gx
 		inJ := bj >= cj0 && bj < cj1
 		for bi := i0; bi < i1; bi++ {
 			if inJ && bi >= ci0 && bi < ci1 {
 				if ci0 < ci1 {
-					dst = append(dst, l.binIds[l.binStart[row+ci0]:l.binStart[row+ci1]]...)
+					for _, id := range l.binIds[l.binStart[row+ci0]:l.binStart[row+ci1]] {
+						k := int(id) - lo
+						marks[k>>6] |= 1 << (k & 63)
+					}
 					bi = ci1 - 1
 					continue
 				}
@@ -545,12 +554,17 @@ func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, window int) ([]int
 				r := &master[id].Rect
 				if r.MinX < space.MaxX && space.MinX < r.MaxX &&
 					r.MinY < space.MaxY && space.MinY < r.MaxY {
-					dst = append(dst, id)
+					k := int(id) - lo
+					marks[k>>6] |= 1 << (k & 63)
 				}
 			}
 		}
 	}
-	slices.Sort(dst[start:])
+	for w, word := range marks {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(lo+w<<6+bits.TrailingZeros64(word)))
+		}
+	}
 	return dst, true
 }
 

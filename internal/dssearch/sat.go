@@ -362,7 +362,15 @@ type tables struct {
 	// the SlabCache: the master a pyramid bind materializes, the
 	// discretization grid, the sweep solver and the search buffers
 	// (Searcher.ensureScratch). Keys record the shape they were built for.
+	// masterDS and masterOrder record what masterBuf holds — the objects
+	// masterDS.Objects[masterOrder[i]], put there by the last full pass of
+	// a bind — so that a bind of the same objects in the same order only
+	// moves the rectangles (Pyramid.shape). They name the dataset and the
+	// order array, never the pyramid, which a slab would keep alive past
+	// its epoch.
 	masterBuf                   []asp.RectObject
+	masterDS                    *attr.Dataset
+	masterOrder                 []int32
 	grid                        *gridBuffers
 	gridNCol, gridNRow, gridEff int
 	gridF                       *agg.Composite
@@ -371,6 +379,10 @@ type tables struct {
 	scratchF                    []float64
 	scratchCells                []cellInfo
 	scratchRects                []asp.RectObject
+
+	// idBits is the bitmap appendBinIDs marks a space's ids in, one bit
+	// per id of the MinX window.
+	idBits []uint64
 
 	// Recycled id slices handed back by a released Searcher (slab reuse
 	// across Engine queries).

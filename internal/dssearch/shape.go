@@ -9,8 +9,10 @@ import (
 
 // A query shape is an answer size (a, b) over one pyramid. Binding a
 // shape costs one pass over the corpus — the a×b master materialized in
-// pyramid order — plus the facts below, which the shape's first query
-// derives and every later one reads from the pyramid's memo.
+// pyramid order, or, in a slab that holds the pyramid's objects already,
+// two floats rewritten per rectangle — plus the facts below, which the
+// shape's first query derives and every later one reads from the
+// pyramid's memo.
 
 // shapeFacts is everything about a shape that is O(1) in size but O(n)
 // to derive from (pyramid, a, b): whether the translated anchors still
@@ -67,26 +69,48 @@ func (p *Pyramid) deriveFacts(master []asp.RectObject) shapeFacts {
 	}
 }
 
-// shape materializes the a×b master in pyramid order into master, and
-// its MinX column into minXs (both of length p.n), straight from the
-// objects: bit-identical to reducing the dataset and permuting the
-// reduction, in one pass and with no intermediate copy. It returns the
-// shape's facts, derived from the master by the first caller of a shape
-// (concurrent first callers each derive the same values) and remembered.
-// Facts that are not ok signal an anchor collapse under this (a, b):
-// master and minXs then hold nothing of use and the caller falls back to
-// the classic build. A shape known to collapse returns before the pass.
-func (p *Pyramid) shape(a, b float64, master []asp.RectObject, minXs []float64) shapeFacts {
+// shape materializes the a×b master in pyramid order into t.masterBuf,
+// and its MinX column into t.minXsBuf (both resliced to p.n), straight
+// from the objects: bit-identical to reducing the dataset and permuting
+// the reduction, in one pass and with no intermediate copy. The anchor
+// puts each object exactly at its rectangle's top-right corner
+// (geom.RectFromTR), so when the slab's master already holds this
+// pyramid's objects in this order — the dataset and order array its last
+// full pass bound — the pass only moves each rectangle's minimum corner
+// to (MaxX−a, MaxY−b): the same floats, with no object read and no
+// pointer stored. It returns the shape's facts, derived from the master
+// by the first caller of a shape (concurrent first callers each derive
+// the same values) and remembered. Facts that are not ok signal an
+// anchor collapse under this (a, b): the caller then falls back to the
+// classic build. A shape known to collapse returns before the pass.
+func (p *Pyramid) shape(a, b float64, t *tables) shapeFacts {
 	k := shapeKey{math.Float64bits(a), math.Float64bits(b)}
 	facts, known := p.knownFacts(k)
 	if known && !facts.ok {
 		return facts
 	}
-	for i, oi := range p.order {
-		o := &p.ds.Objects[oi]
-		r := asp.AnchorTR.RectFor(o.Loc, a, b)
-		master[i] = asp.RectObject{Rect: r, Obj: o}
-		minXs[i] = r.MinX
+	if cap(t.masterBuf) < p.n {
+		t.masterBuf = make([]asp.RectObject, p.n)
+	}
+	if cap(t.minXsBuf) < p.n {
+		t.minXsBuf = make([]float64, p.n)
+	}
+	master, minXs := t.masterBuf[:p.n], t.minXsBuf[:p.n]
+	t.masterBuf, t.minXsBuf = master, minXs
+	if t.masterDS == p.ds && len(t.masterOrder) == len(p.order) && (p.n == 0 || &t.masterOrder[0] == &p.order[0]) {
+		for i := range master {
+			r := &master[i].Rect
+			r.MinX, r.MinY = r.MaxX-a, r.MaxY-b
+			minXs[i] = r.MinX
+		}
+	} else {
+		for i, oi := range p.order {
+			o := &p.ds.Objects[oi]
+			r := asp.AnchorTR.RectFor(o.Loc, a, b)
+			master[i] = asp.RectObject{Rect: r, Obj: o}
+			minXs[i] = r.MinX
+		}
+		t.masterDS, t.masterOrder = p.ds, p.order
 	}
 	if !known {
 		facts = p.deriveFacts(master)
@@ -109,7 +133,7 @@ func (p *Pyramid) Prepare(a, b float64) (*Prepared, bool) {
 	if p == nil || a <= 0 || b <= 0 {
 		return nil, false
 	}
-	facts := p.shape(a, b, make([]asp.RectObject, p.n), make([]float64, p.n))
+	facts := p.shape(a, b, &tables{})
 	if !facts.ok {
 		return nil, false
 	}

@@ -281,3 +281,85 @@ func TestShapeFactsConcurrent(t *testing.T) {
 		t.Fatalf("%d derivations, %d shapes remembered; want at least 8 and exactly 8", p.factsDerived, len(p.facts))
 	}
 }
+
+// TestShapeRebind: one SlabCache binds (a1, b1), then (a2, b2), then
+// (a1, b1) again. The second and third binds find the slab tagged with the
+// pyramid's dataset and order and only move each rectangle's minimum
+// corner; every master equals a cold bind's — rectangles bit for bit,
+// object pointers identical, the MinX column too — and every answer the
+// pyramid-less path's. After an insert and its fold the pyramid's order
+// array is new, so the next bind takes the full pass: pointers into the
+// new epoch's objects, the tag renamed.
+func TestShapeRebind(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, withMM := range []bool{false, true} {
+		ds, f := pyramidDataset(t, rng, 300, func() float64 { return float64(rng.Intn(9)) * 0.5 }, withMM)
+		p, err := BuildPyramid(ds, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := make([]float64, f.Dims())
+		target[0] = 7
+		q := asp.Query{F: f, Target: target}
+		slabs := &SlabCache{}
+		bind := func(ds *attr.Dataset, p *Pyramid, a, b float64, rebind bool) {
+			t.Helper()
+			if n := len(slabs.free); rebind != (n == 1 && slabs.free[0].masterDS == ds && &slabs.free[0].masterOrder[0] == &p.order[0]) {
+				t.Fatalf("%gx%g: %d recycled slabs; want the slab tagged with this dataset and order: %v", a, b, n, rebind)
+			}
+			cold, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p, Slabs: slabs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.tab.pyr != p || warm.tab.pyr != p {
+				t.Fatalf("%gx%g: the pyramid did not bind", a, b)
+			}
+			for i := range cold.rects {
+				c, w := cold.rects[i], warm.rects[i]
+				if c.Obj != w.Obj || c.Obj != &ds.Objects[p.order[i]] || !sameRectBits(c.Rect, w.Rect) ||
+					math.Float64bits(cold.tab.minXs[i]) != math.Float64bits(warm.tab.minXs[i]) {
+					t.Fatalf("%gx%g master[%d]: warm %v (%p), cold %v (%p)", a, b, i, w.Rect, w.Obj, c.Rect, c.Obj)
+				}
+			}
+			if warm.tab.masterDS != ds || &warm.tab.masterOrder[0] != &p.order[0] {
+				t.Fatalf("%gx%g: the slab is not tagged with the dataset and order it holds", a, b)
+			}
+			warm.Release()
+			_, want, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, got, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{Pyramid: p, Slabs: slabs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.Dist) != math.Float64bits(want.Dist) || got.Point != want.Point {
+				t.Fatalf("%gx%g: %v at %v through the slab, %v at %v without a pyramid", a, b, got.Dist, got.Point, want.Dist, want.Point)
+			}
+		}
+		bind(ds, p, 6, 5, false)
+		bind(ds, p, 2.75, 9, true)
+		bind(ds, p, 6, 5, true)
+
+		extra := make([]attr.Object, 20)
+		for i := range extra {
+			extra[i] = attr.Object{Loc: geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, Values: ds.Objects[i].Values}
+		}
+		combined := &attr.Dataset{Schema: ds.Schema, Objects: append(append([]attr.Object(nil), ds.Objects...), extra...)}
+		folded, _, err := FoldPyramid(p, combined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bind(combined, folded, 6, 5, false)
+		bind(combined, folded, 6, 5, true)
+	}
+}
+
+func sameRectBits(x, y geom.Rect) bool {
+	return math.Float64bits(x.MinX) == math.Float64bits(y.MinX) && math.Float64bits(x.MinY) == math.Float64bits(y.MinY) &&
+		math.Float64bits(x.MaxX) == math.Float64bits(y.MaxX) && math.Float64bits(x.MaxY) == math.Float64bits(y.MaxY)
+}

@@ -1,0 +1,36 @@
+package gridindex
+
+import (
+	"asrs/internal/asp"
+	"asrs/internal/attr"
+	"asrs/internal/dssearch"
+	"asrs/internal/geom"
+)
+
+// CellLowerBounds returns the §5.3 bound of every index cell — a range of
+// one cell — in row-major order (j*sx+i): the flat pass the search
+// replaced with lazily split ranges, kept as the tests' oracle.
+func (x *Index) CellLowerBounds(q asp.Query, a, b float64) []float64 {
+	out := make([]float64, 0, x.sx*x.sy)
+	for j := 0; j < x.sy; j++ {
+		for i := 0; i < x.sx; i++ {
+			out = append(out, x.RangeLowerBound(q, a, b, i, i+1, j, j+1))
+		}
+	}
+	return out
+}
+
+// RangeLowerBound is the bound Solve gives the cells [i0,i1)×[j0,j1)
+// before any parent's bound is folded in. Columns and rows below 0 are
+// the virtual cells that tile the margin strips.
+func (x *Index) RangeLowerBound(q asp.Query, a, b float64, i0, i1, j0, j1 int) float64 {
+	sc := x.getLBScratch()
+	defer x.putLBScratch(sc)
+	return x.rangeLowerBound(q, a, b, cellRange{i0: int32(i0), i1: int32(i1), j0: int32(j0), j1: int32(j1)}, sc)
+}
+
+// SolveVisiting is Solve, calling visit with every cell the best-first
+// loop takes, in order.
+func SolveVisiting(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options, visit func(i, j int)) (asp.Result, Stats, error) {
+	return solve(idx, ds, q, a, b, exclude, opt, visit)
+}

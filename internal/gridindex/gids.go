@@ -11,12 +11,15 @@ import (
 	"asrs/internal/kernel"
 )
 
-// GI-DS (Algorithm 2): estimate a distance lower bound for the candidate
-// regions bl-corner-located in every index cell, then search the cells
-// best-first with DS-Search, stopping when the cheapest unsearched cell
-// cannot beat the incumbent (d_opt exactly, or d_opt/(1+δ) for app-GIDS).
-// The two margin strips the reduction adds left of and below the indexed
-// bounds are bounded the same way and take their place in that order.
+// GI-DS (Algorithm 2): lower-bound the distance of the candidate regions
+// bl-corner-located in the index cells, then search the cells best-first
+// with DS-Search, stopping when the cheapest unsearched cell cannot beat
+// the incumbent (d_opt exactly, or d_opt/(1+δ) for app-GIDS). Cells are
+// bounded lazily: one heap holds ranges of cells, seeded with the whole
+// grid, and a range is split into quarters, each bounded, only when the
+// loop reaches its bound. The two margin strips the reduction adds left
+// of and below the indexed bounds are bounded the same way and take
+// their place in that order.
 
 // Stats reports the work of one GI-DS run. CellsSearched/Cells is the
 // "ratio of cells searched" column of Table 1.
@@ -24,6 +27,7 @@ type Stats struct {
 	Cells          int // index cells considered
 	CellsSearched  int // cells handed to DS-Search
 	CellsExcluded  int // cells reached by the best-first loop but wholly forbidden by exclusions (not in CellsSearched)
+	Bounded        int // cell ranges bounded: the whole grid, then the quarters of every range the loop split
 	MarginRuns     int // DS-Search runs on the reduction margins
 	MarginsSkipped int // margin strips never searched: the search ended below their bound
 	Pieces         int // sub-rectangles actually searched: margin runs plus every piece of every searched cell
@@ -40,6 +44,7 @@ func (s *Stats) Add(o Stats) {
 	s.Cells += o.Cells
 	s.CellsSearched += o.CellsSearched
 	s.CellsExcluded += o.CellsExcluded
+	s.Bounded += o.Bounded
 	s.MarginRuns += o.MarginRuns
 	s.MarginsSkipped += o.MarginsSkipped
 	s.Pieces += o.Pieces
@@ -48,10 +53,31 @@ func (s *Stats) Add(o Stats) {
 	s.DS.Add(o.DS)
 }
 
-// cellCand is a heap entry: an index cell under its lower bound.
-type cellCand struct {
-	lb   float64
-	i, j int32
+// cellRange is a heap entry: the index cells [i0,i1)×[j0,j1) under a
+// lower bound on every candidate whose bl corner lies in one of them.
+type cellRange struct {
+	lb             float64
+	i0, i1, j0, j1 int32
+}
+
+func (r cellRange) cells() int { return int(r.i1-r.i0) * int(r.j1-r.j0) }
+
+// rangeFirst orders the heap: by bound, and at equal bounds a larger
+// range first, then the lower row, then the lower column. A range's bound
+// is at most its cells', so every range that could hold a cell tied with
+// the one on top has been split by the time that cell pops: cells come
+// out in (bound, row, column) order.
+func rangeFirst(x, y cellRange) bool {
+	if x.lb != y.lb {
+		return x.lb < y.lb
+	}
+	if cx, cy := x.cells(), y.cells(); cx != cy {
+		return cx > cy
+	}
+	if x.j0 != y.j0 {
+		return x.j0 < y.j0
+	}
+	return x.i0 < y.i0
 }
 
 // margin is one of the two strips no cell buckets, under the minimum
@@ -67,14 +93,15 @@ type margin struct {
 // top-right-corner reduction). opt.Delta > 0 selects the approximate
 // variant (app-GIDS).
 //
-// The reduction extends the candidate space left of and below the indexed
+// The heap starts with one range, the whole grid. Popping a range of more
+// than one cell splits it (split); popping a single cell searches it. The
+// reduction extends the candidate space left of and below the indexed
 // bounds by (a, b). No cell buckets those two margin strips; each carries
 // a bound of its own and is searched whole, in order: every step of the
 // best-first loop takes the pending strip with the smaller bound if that
-// bound is at most the cheapest cell's — a strip goes before a cell of
-// equal bound — and else pops the cell, and the search ends at the first
-// one taken whose bound cannot beat the incumbent. The cell heap is built
-// and popped exactly as if there were no strips.
+// bound is at most the heap top's — a strip goes before a range of equal
+// bound — and else pops the heap, and the search ends at the first strip
+// or range taken whose bound cannot beat the incumbent.
 //
 // exclude lists rectangles the answer region may not overlap (beyond a
 // shared boundary); an empty list is Algorithm 2 as published. Each
@@ -86,6 +113,12 @@ type margin struct {
 // stand as they are. A wholly forbidden cell has no piece and is passed
 // over.
 func Solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options) (asp.Result, Stats, error) {
+	return solve(idx, ds, q, a, b, exclude, opt, nil)
+}
+
+// solve is Solve, calling visit, when non-nil, with every cell the loop
+// takes, in the order it takes them.
+func solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options, visit func(i, j int)) (asp.Result, Stats, error) {
 	if idx.f != q.F {
 		return asp.Result{}, Stats{}, fmt.Errorf("gridindex: index was built for a different composite aggregator")
 	}
@@ -106,41 +139,16 @@ func Solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []ge
 		forbidden := dssearch.ForbiddenBoxes(exclude, a, b)
 		sc := idx.getLBScratch()
 		defer idx.putLBScratch(sc)
+		stats.Cells = idx.sx * idx.sy
+		pending := idx.strips(space, q, a, b, sc, &stats)
 
-		// Lines 2–4: lower-bound every cell and heap them.
-		n := idx.sx * idx.sy
-		if cap(sc.lbs) < n {
-			sc.lbs = make([]float64, n)
-			sc.heap = kernel.NewHeap[cellCand](func(x, y cellCand) bool { return x.lb < y.lb })
-		}
-		lbs, h := sc.lbs[:n], sc.heap
-		idx.fillLowerBounds(lbs, q, a, b, sc)
+		// Lines 2–4, lazily: the whole grid under its bound.
+		h := sc.heap
 		h.Reset()
-		for j := 0; j < idx.sy; j++ {
-			for i := 0; i < idx.sx; i++ {
-				h.Push(cellCand{lb: lbs[j*idx.sx+i], i: int32(i), j: int32(j)})
-			}
-		}
-		stats.Cells = n
-
-		// The strips, in the order they are taken in: by bound, the left one
-		// first at equal bounds. A space that does not reach past the bounds
-		// on a side (an extent below one ulp of the coordinates) has no
-		// strip there.
-		bounds := idx.bounds
-		left, bottom := idx.marginBounds(q, a, b, sc)
-		pending := make([]margin, 0, 2)
-		if r := (geom.Rect{MinX: space.MinX, MinY: space.MinY, MaxX: bounds.MinX, MaxY: space.MaxY}); r.IsValid() && !r.IsEmpty() {
-			pending = append(pending, margin{r, left})
-			stats.LeftMarginLB = left
-		}
-		if r := (geom.Rect{MinX: bounds.MinX, MinY: space.MinY, MaxX: space.MaxX, MaxY: bounds.MinY}); r.IsValid() && !r.IsEmpty() {
-			pending = append(pending, margin{r, bottom})
-			stats.BottomMarginLB = bottom
-		}
-		if len(pending) == 2 && pending[1].lb < pending[0].lb {
-			pending[0], pending[1] = pending[1], pending[0]
-		}
+		whole := cellRange{i1: int32(idx.sx), j1: int32(idx.sy)}
+		whole.lb = idx.rangeLowerBound(q, a, b, whole, sc)
+		stats.Bounded++
+		h.Push(whole)
 
 		// Lines 5–7: best-first refinement. Rectangle id subsets per piece
 		// of a cell come from the searcher's binary-searched master window,
@@ -170,7 +178,15 @@ func Solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []ge
 			if top.lb >= thresh {
 				break
 			}
-			pieces = dssearch.AppendPieces(pieces[:0], idx.CellRect(int(top.i), int(top.j)), forbidden)
+			if top.cells() > 1 {
+				stats.Bounded += idx.split(h, top, thresh, q, a, b, sc)
+				continue
+			}
+			i, j := int(top.i0), int(top.j0)
+			if visit != nil {
+				visit(i, j)
+			}
+			pieces = dssearch.AppendPieces(pieces[:0], idx.CellRect(i, j), forbidden)
 			if len(pieces) == 0 {
 				stats.CellsExcluded++
 				continue
@@ -199,20 +215,65 @@ func Solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []ge
 	return best, stats, nil
 }
 
-// lbScratch bundles the per-query scratch of the cell lower-bound pass
-// — channel vectors, bound vectors, min/max slots and the integer-dim
-// flags — carved from one slab allocation, and what a Solve builds from
-// the bounds: the bound array and the cell heap (absent from a scratch
-// only CellLowerBounds has used so far). Scratches recycle through the
-// index's pool, so steady-state GI-DS queries reallocate nothing here.
+// strips returns the margin strips of the space in the order they are
+// taken in: by bound, the left one first at equal bounds. A space that
+// does not reach past the bounds on a side (an extent below one ulp of
+// the coordinates) has no strip there. The bounds of the strips it has
+// are recorded in stats.
+func (x *Index) strips(space geom.Rect, q asp.Query, a, b float64, sc *lbScratch, stats *Stats) []margin {
+	bounds := x.bounds
+	left, bottom := x.marginBounds(q, a, b, sc)
+	pending := make([]margin, 0, 2)
+	if r := (geom.Rect{MinX: space.MinX, MinY: space.MinY, MaxX: bounds.MinX, MaxY: space.MaxY}); r.IsValid() && !r.IsEmpty() {
+		pending = append(pending, margin{r, left})
+		stats.LeftMarginLB = left
+	}
+	if r := (geom.Rect{MinX: bounds.MinX, MinY: space.MinY, MaxX: space.MaxX, MaxY: bounds.MinY}); r.IsValid() && !r.IsEmpty() {
+		pending = append(pending, margin{r, bottom})
+		stats.BottomMarginLB = bottom
+	}
+	if len(pending) == 2 && pending[1].lb < pending[0].lb {
+		pending[0], pending[1] = pending[1], pending[0]
+	}
+	return pending
+}
+
+// split bounds the quarters of a range of more than one cell — it is
+// halved at its midpoint along each axis longer than one cell — pushes
+// those below the threshold and returns how many it bounded. A quarter
+// takes the larger of its own bound and its parent's: both bound every
+// candidate in it, and the bounds the loop pops then never decrease.
+func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, q asp.Query, a, b float64, sc *lbScratch) int {
+	im, jm := (r.i0+r.i1)/2, (r.j0+r.j1)/2
+	n := 0
+	for _, rows := range [2][2]int32{{r.j0, jm}, {jm, r.j1}} {
+		for _, cols := range [2][2]int32{{r.i0, im}, {im, r.i1}} {
+			if rows[0] == rows[1] || cols[0] == cols[1] {
+				continue
+			}
+			c := cellRange{i0: cols[0], i1: cols[1], j0: rows[0], j1: rows[1]}
+			c.lb = max(x.rangeLowerBound(q, a, b, c, sc), r.lb)
+			n++
+			if c.lb < thresh {
+				h.Push(c)
+			}
+		}
+	}
+	return n
+}
+
+// lbScratch bundles the per-query scratch of the cell lower bounds —
+// channel vectors, bound vectors, min/max slots and the integer-dim flags
+// — carved from one slab allocation, and the range heap. Scratches
+// recycle through the index's pool, so steady-state GI-DS queries
+// reallocate nothing here.
 type lbScratch struct {
 	full, big, part []float64
 	lo, hi          []float64
 	mmMin, mmMax    []float64
 	isInt           []bool
 
-	lbs  []float64
-	heap *kernel.Heap[cellCand]
+	heap *kernel.Heap[cellRange]
 }
 
 func (x *Index) getLBScratch() *lbScratch {
@@ -235,59 +296,73 @@ func (x *Index) getLBScratch() *lbScratch {
 		mmMin: carve(x.mmSlots),
 		mmMax: carve(x.mmSlots),
 		isInt: x.f.IntegerDims(),
+		heap:  kernel.NewHeap(rangeFirst),
 	}
 }
 
 func (x *Index) putLBScratch(sc *lbScratch) { x.lbPool.Put(sc) }
 
-// CellLowerBounds computes the §5.3 lower bound for every index cell:
-// bounded region ⊆ every candidate region ⊆ bounding region, evaluated
-// with Lemma 8 and Equation 1. Returned in row-major order (j*sx+i).
-func (x *Index) CellLowerBounds(q asp.Query, a, b float64) []float64 {
-	out := make([]float64, x.sx*x.sy)
-	sc := x.getLBScratch()
-	x.fillLowerBounds(out, q, a, b, sc)
-	x.putLBScratch(sc)
-	return out
-}
-
-// fillLowerBounds is CellLowerBounds into a caller's array.
-func (x *Index) fillLowerBounds(out []float64, q asp.Query, a, b float64, sc *lbScratch) {
-	for j := 0; j < x.sy; j++ {
-		x.rowLowerBounds(q, a, b, j, out[j*x.sx:(j+1)*x.sx], sc)
-	}
+// rangeLowerBound is the §5.3 bound of the candidate regions whose bl
+// corner lies in any cell of r: bounded region ⊆ every such candidate
+// region ⊆ bounding region, evaluated with Lemma 8 and Equation 1. For a
+// single cell it is that cell's bound.
+func (x *Index) rangeLowerBound(q asp.Query, a, b float64, r cellRange, sc *lbScratch) float64 {
+	return x.spanLowerBound(q, x.colSpan(int(r.i0), int(r.i1), a), x.rowSpan(int(r.j0), int(r.j1), b), sc)
 }
 
 // span holds, along one axis, the §5.3 cell ranges of the candidate
-// regions whose bl corner lies in one bucket of that axis: [il, ir) are
-// covered by every such region, [ol, or) met by some.
+// regions whose bl corner lies in a range of buckets of that axis:
+// [il, ir) are covered by every such region, [ol, or) met by some.
 type span struct{ il, ir, ol, or int }
 
-func (x *Index) colSpan(i int, a float64) span {
-	il, ir := x.insideCols(i, a)
-	ol, or := x.boundCols(i, a)
-	return span{il, ir, ol, or}
+// colSpan is the span of the candidates bl-corner-located in columns
+// [i0, i1), and rowSpan that of rows [j0, j1) (axisSpan).
+func (x *Index) colSpan(i0, i1 int, a float64) span {
+	return axisSpan(x.bounds.MinX, x.cw, x.sx, i0, i1, a)
 }
 
-func (x *Index) rowSpan(j int, b float64) span {
-	ib, it := x.insideRows(j, b)
-	ob, ot := x.boundRows(j, b)
-	return span{ib, it, ob, ot}
+func (x *Index) rowSpan(j0, j1 int, b float64) span {
+	return axisSpan(x.bounds.MinY, x.chh, x.sy, j0, j1, b)
 }
 
-// rowLowerBounds fills one row of CellLowerBounds.
-func (x *Index) rowLowerBounds(q asp.Query, a, b float64, j int, out []float64, sc *lbScratch) {
-	rows := x.rowSpan(j, b)
-	for i := 0; i < x.sx; i++ {
-		out[i] = x.cellLowerBound(q, x.colSpan(i, a), rows, sc)
+// axisSpan computes a span along an axis of n buckets of width w from
+// origin, with edges X_c = origin + c·w, for regions of extent ext whose
+// corner lies in [X_{i0}, X_{i1}).
+//
+// Inside: the buckets c ≥ i1 with X_{c+1} ≤ X_{i0} + ext. Objects there
+// satisfy p < o < p+ext strictly for every corner p in the range because
+// binning is half-open too — except that boundary objects at the dataset
+// maximum are clamped into the last bucket, so an inside range reaching
+// it is shrunk by one (conservatively partial).
+//
+// Bounding: the buckets meeting [X_{i0}, X_{i1} + ext], from i0 to the
+// first bucket at or past i1 whose lower edge reaches X_{i1} + ext.
+//
+// The formulas are arithmetic in the bucket index, so they hold for the
+// virtual buckets before the origin too (marginBounds), and a range of
+// one bucket, i1 = i0+1, is that bucket's span.
+func axisSpan(origin, w float64, n, i0, i1 int, ext float64) span {
+	hi := origin + float64(i0)*w + ext
+	r := i1
+	for r < n && origin+float64(r+1)*w <= hi {
+		r++
 	}
+	if r == n && r > i1 {
+		r--
+	}
+	hi = origin + float64(i1)*w + ext
+	o := i1
+	for o < n && origin+float64(o)*w < hi {
+		o++
+	}
+	return span{il: i1, ir: r, ol: i0, or: o}
 }
 
-// cellLowerBound is the §5.3 bound of the candidate regions whose bl
-// corner lies in the bucket with these column and row spans. Ranges may
+// spanLowerBound is the §5.3 bound of the candidate regions whose bl
+// corner lies in the buckets with these column and row spans. Ranges may
 // reach outside the grid: there is nothing there, and RegionChannels and
 // RingMinMax clamp.
-func (x *Index) cellLowerBound(q asp.Query, cols, rows span, sc *lbScratch) float64 {
+func (x *Index) spanLowerBound(q asp.Query, cols, rows span, sc *lbScratch) float64 {
 	x.RegionChannels(cols.il, cols.ir, rows.il, rows.ir, sc.full)
 	x.RegionChannels(cols.ol, cols.or, rows.ol, rows.or, sc.big)
 	for ch := 0; ch < x.chans; ch++ {
@@ -335,76 +410,22 @@ func (x *Index) marginBounds(q asp.Query, a, b float64, sc *lbScratch) (left, bo
 	ny := int(math.Min(math.Ceil(b/x.chh), float64(x.sy)))
 	left, bottom = math.Inf(1), math.Inf(1)
 	for j := -ny; j < x.sy; j++ {
-		rows := x.rowSpan(j, b)
+		rows := x.rowSpan(j, j+1, b)
 		if j == -ny {
 			rows.ir = rows.il
 		}
 		for i := -nx; i < 0; i++ {
-			cols := x.colSpan(i, a)
+			cols := x.colSpan(i, i+1, a)
 			if i == -nx {
 				cols.ir = cols.il
 			}
-			left = math.Min(left, x.cellLowerBound(q, cols, rows, sc))
+			left = math.Min(left, x.spanLowerBound(q, cols, rows, sc))
 		}
 		if j < 0 {
 			for i := 0; i < x.sx; i++ {
-				bottom = math.Min(bottom, x.cellLowerBound(q, x.colSpan(i, a), rows, sc))
+				bottom = math.Min(bottom, x.spanLowerBound(q, x.colSpan(i, i+1, a), rows, sc))
 			}
 		}
 	}
 	return left, bottom
-}
-
-// insideCols returns the [l, r) column range of cells fully covered by
-// every candidate region whose bl corner lies in column i: columns inside
-// [X_{i+1}, X_i + a]. Objects in those cells satisfy p.x < x < p.x+a
-// strictly for every corner p in the half-open bucket [X_i, X_{i+1})
-// because binning is half-open too — except that boundary objects at the
-// dataset maximum are clamped into the last cell, so a range reaching the
-// last column is shrunk by one (conservatively partial).
-func (x *Index) insideCols(i int, a float64) (int, int) {
-	l := i + 1
-	hi := x.bounds.MinX + float64(i)*x.cw + a
-	r := l
-	for r < x.sx && x.bounds.MinX+float64(r+1)*x.cw <= hi {
-		r++
-	}
-	if r == x.sx && r > l {
-		r--
-	}
-	return l, r
-}
-
-func (x *Index) insideRows(j int, b float64) (int, int) {
-	bo := j + 1
-	hi := x.bounds.MinY + float64(j)*x.chh + b
-	t := bo
-	for t < x.sy && x.bounds.MinY+float64(t+1)*x.chh <= hi {
-		t++
-	}
-	if t == x.sy && t > bo {
-		t--
-	}
-	return bo, t
-}
-
-// boundCols returns the [l, r) column range of cells intersected by any
-// candidate region with bl corner in column i: columns meeting
-// [X_i, X_{i+1} + a].
-func (x *Index) boundCols(i int, a float64) (int, int) {
-	hi := x.bounds.MinX + float64(i+1)*x.cw + a
-	r := i + 1
-	for r < x.sx && x.bounds.MinX+float64(r)*x.cw < hi {
-		r++
-	}
-	return i, r
-}
-
-func (x *Index) boundRows(j int, b float64) (int, int) {
-	hi := x.bounds.MinY + float64(j+1)*x.chh + b
-	t := j + 1
-	for t < x.sy && x.bounds.MinY+float64(t)*x.chh < hi {
-		t++
-	}
-	return j, t
 }

@@ -96,40 +96,88 @@ func TestLemma8(t *testing.T) {
 	}
 }
 
-// TestCellLowerBoundsSound: for every index cell, the cell's lower bound
-// must not exceed the true distance of any candidate region bl-corner-
-// located in the cell.
+// TestCellLowerBoundsSound: the lower bound of an index cell, and of a
+// range of cells, must not exceed the true distance of any candidate
+// region whose bl corner lies in it. The ranges are sampled over the grid
+// continued left of and below its origin by the virtual cells that tile
+// the margin strips, and include ranges that reach the last column or
+// row, whose clamped boundary objects shrink the inside range; query
+// sizes run from below one cell to several.
 func TestCellLowerBoundsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds := dataset.Random(120, 60, 4)
 	f := testComposite(t, ds)
-	idx, err := gridindex.New(ds, f, 8, 8)
+	const g = 8
+	idx, err := gridindex.New(ds, f, g, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := 11.0, 13.0
-	q := randomTarget(f, rng)
-	rects, _ := asp.Reduce(ds, a, b, asp.AnchorTR)
-	lbs := idx.CellLowerBounds(q, a, b)
-
 	bounds := idx.Bounds()
-	for trial := 0; trial < 500; trial++ {
-		p := geom.Point{
-			X: bounds.MinX + rng.Float64()*bounds.Width(),
-			Y: bounds.MinY + rng.Float64()*bounds.Height(),
+	cw, ch := bounds.Width()/g, bounds.Height()/g
+	for _, ab := range [][2]float64{{11, 13}, {3, 4.5}, {26, 19}} {
+		a, b := ab[0], ab[1]
+		q := randomTarget(f, rng)
+		rects, _ := asp.Reduce(ds, a, b, asp.AnchorTR)
+		dist := func(p geom.Point) float64 { return q.Distance(asp.PointRepresentation(rects, f, p)) }
+
+		lbs := idx.CellLowerBounds(q, a, b)
+		for trial := 0; trial < 500; trial++ {
+			p := geom.Point{
+				X: bounds.MinX + rng.Float64()*bounds.Width(),
+				Y: bounds.MinY + rng.Float64()*bounds.Height(),
+			}
+			ci := min(int((p.X-bounds.MinX)/cw), g-1)
+			cj := min(int((p.Y-bounds.MinY)/ch), g-1)
+			if lb, d := lbs[cj*g+ci], dist(p); lb > d+1e-9 {
+				t.Fatalf("%gx%g cell (%d,%d): lb %g > true distance %g at %v", a, b, ci, cj, lb, d, p)
+			}
 		}
-		ci := int((p.X - bounds.MinX) / (bounds.Width() / 8))
-		cj := int((p.Y - bounds.MinY) / (bounds.Height() / 8))
-		if ci > 7 {
-			ci = 7
-		}
-		if cj > 7 {
-			cj = 7
-		}
-		rep := asp.PointRepresentation(rects, f, p)
-		d := q.Distance(rep)
-		if lb := lbs[cj*8+ci]; lb > d+1e-9 {
-			t.Fatalf("cell (%d,%d): lb %g > true distance %g at %v", ci, cj, lb, d, p)
+
+		// Ranges [i0,i1)×[j0,j1) with corners from three virtual columns
+		// (rows) left of (below) the grid to its last one; a third of them
+		// are made to reach the last column or row. Besides the random
+		// target, each range is bounded for the target one of its points
+		// attains exactly, which a bound that counts too much as covered
+		// by every region of the range exceeds.
+		for trial := 0; trial < 300; trial++ {
+			i0, j0 := rng.Intn(g+3)-3, rng.Intn(g+3)-3
+			i1, j1 := i0+1+rng.Intn(g-i0), j0+1+rng.Intn(g-j0)
+			switch trial % 3 {
+			case 1:
+				i1 = g
+			case 2:
+				j1 = g
+			}
+			x0, y0 := bounds.MinX+float64(i0)*cw, bounds.MinY+float64(j0)*ch
+			x1, y1 := bounds.MinX+float64(i1)*cw, bounds.MinY+float64(j1)*ch
+			sample := func(s int) geom.Point {
+				p := geom.Point{X: x0 + rng.Float64()*(x1-x0), Y: y0 + rng.Float64()*(y1-y0)}
+				switch s {
+				case 0:
+					p = geom.Point{X: x0, Y: y0}
+				case 1:
+					// The last cell of an axis is closed: its far edge is a
+					// candidate too.
+					if i1 == g {
+						p.X = bounds.MaxX
+					}
+					if j1 == g {
+						p.Y = bounds.MaxY
+					}
+				}
+				return p
+			}
+			lb := idx.RangeLowerBound(q, a, b, i0, i1, j0, j1)
+			for s := 0; s < 20; s++ {
+				if p := sample(s); lb > dist(p)+1e-9 {
+					t.Fatalf("%gx%g range [%d,%d)x[%d,%d): lb %g > true distance %g at %v", a, b, i0, i1, j0, j1, lb, dist(p), p)
+				}
+			}
+			p := sample(trial % 4)
+			exact := asp.Query{F: f, Target: asp.PointRepresentation(rects, f, p), W: q.W}
+			if lb := idx.RangeLowerBound(exact, a, b, i0, i1, j0, j1); lb > 1e-9 {
+				t.Fatalf("%gx%g range [%d,%d)x[%d,%d): lb %g for the target %v attains exactly", a, b, i0, i1, j0, j1, lb, p)
+			}
 		}
 	}
 }

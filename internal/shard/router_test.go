@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -40,6 +41,27 @@ func newCatalog(t *testing.T, ds *asrs.Dataset, f *asrs.Composite, shards int) *
 	return cat
 }
 
+// checkLeaks ends a test with a goroutine-leak check: its clean-up, which
+// runs after every clean-up registered later (the catalogs' Close), waits
+// for runtime.NumGoroutine to settle back to its count from before the
+// test built anything — a goroutine left over is one the router or a
+// shard leaked.
+func checkLeaks(t *testing.T) {
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines after clean-up, %d before the test:\n%s",
+					runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
+
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
@@ -67,6 +89,7 @@ func sameRep(a, b []float64) bool {
 // count, with top-k and exclusions in play. This is the
 // router's core exactness contract (DESIGN.md §11).
 func TestRoutedContainedBitIdentity(t *testing.T) {
+	checkLeaks(t)
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 4; trial++ {
 		ds, f, q := corpus(t, 60, rng.Int63())
@@ -129,6 +152,7 @@ func TestRoutedContainedBitIdentity(t *testing.T) {
 // genuine optimum of the merged corpus: its anchor's representation,
 // recomputed over the full corpus, reproduces the routed distance.
 func TestRoutedStraddlingBitIdentity(t *testing.T) {
+	checkLeaks(t)
 	rng := rand.New(rand.NewSource(92))
 	for trial := 0; trial < 4; trial++ {
 		ds, f, q := corpus(t, 60, rng.Int63())
@@ -185,6 +209,7 @@ func TestRoutedStraddlingBitIdentity(t *testing.T) {
 // single-engine rounds in distance; every returned region stays in the
 // extent and regions do not overlap.
 func TestRoutedStraddlingTopK(t *testing.T) {
+	checkLeaks(t)
 	ds, f, q := corpus(t, 50, 7)
 	a, b := 8.0, 8.0
 	extent := asrs.Rect{MinX: 1, MinY: 1, MaxX: 99, MaxY: 99}
@@ -220,6 +245,7 @@ func TestRoutedStraddlingTopK(t *testing.T) {
 // TestRoutedNilExtent: a nil extent means whole-corpus search; the
 // routed distance must match the plain merged-corpus engine optimum.
 func TestRoutedNilExtent(t *testing.T) {
+	checkLeaks(t)
 	ds, f, q := corpus(t, 40, 11)
 	oracle, err := asrs.NewEngine(ds, asrs.EngineOptions{})
 	if err != nil {
@@ -249,6 +275,7 @@ func TestRoutedNilExtent(t *testing.T) {
 // every breaker tripped fails with the typed retryable error under both
 // partial policies.
 func TestRouterEdgeCases(t *testing.T) {
+	checkLeaks(t)
 	ds, f, q := corpus(t, 50, 13)
 	a, b := 6.0, 6.0
 
@@ -328,6 +355,7 @@ func TestRouterEdgeCases(t *testing.T) {
 // their owning shards and become visible to routed queries with the
 // merged-corpus answer.
 func TestRouterInsertRouting(t *testing.T) {
+	checkLeaks(t)
 	ds, f, q := corpus(t, 40, 17)
 	extra := dataset.Random(20, 100, 18).Objects
 	cat := newCatalog(t, ds, f, 3)
@@ -384,6 +412,7 @@ func TestRouterInsertRouting(t *testing.T) {
 // second composite's SetPyramid used to fail with "pyramid was built for
 // a different dataset" and the shard stayed unloaded).
 func TestShardReloadTwoCompositesAfterCrash(t *testing.T) {
+	checkLeaks(t)
 	ds, f, q := corpus(t, 80, 23)
 	counts := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Count})
 	qCount := asrs.Query{F: counts, Target: []float64{4}}
