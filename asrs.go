@@ -287,16 +287,6 @@ func WriteDatasetCSV(w io.Writer, ds *Dataset) error { return persist.WriteCSV(w
 // hand-authored in the same dialect.
 func ReadDatasetCSV(r io.Reader) (*Dataset, error) { return persist.ReadCSV(r) }
 
-// WriteIndex serializes a grid index to a compact binary format; load it
-// back with ReadIndex. Returns the byte count written.
-func WriteIndex(w io.Writer, idx *Index) (int64, error) { return idx.WriteTo(w) }
-
-// ReadIndex loads an index written by WriteIndex, re-binding it to the
-// composite aggregator it was built with. The composite's structure is
-// verified via fingerprint; its selection functions cannot be verified,
-// so treat the composite definition as part of the index's identity.
-func ReadIndex(r io.Reader, f *Composite) (*Index, error) { return gridindex.Read(r, f) }
-
 // WritePyramid serializes an aggregate pyramid to a compact
 // checksummed binary format; load it back with ReadPyramid. Returns the
 // byte count written.
@@ -305,9 +295,9 @@ func WritePyramid(w io.Writer, p *Pyramid) (int64, error) { return persist.Write
 // ReadPyramid loads a pyramid written by WritePyramid, re-binding it to
 // the dataset and composite it was built with (fingerprint- and
 // checksum-verified; corrupt or mismatched files error out cleanly).
-// Install it into an Engine with Engine.SetPyramid. Like ReadIndex, the
-// dataset identity and the composite's selection functions are part of
-// the file's contract.
+// Install it into an Engine with Engine.SetPyramid. The dataset identity
+// and the composite's selection functions are part of the file's
+// contract.
 func ReadPyramid(r io.Reader, ds *Dataset, f *Composite) (*Pyramid, error) {
 	return persist.ReadPyramid(r, ds, f)
 }
@@ -323,6 +313,13 @@ var (
 	ErrPyramidCorrupt  = persist.ErrCorrupt
 	ErrPyramidMismatch = persist.ErrMismatch
 )
+
+// ErrInvalidObject is wrapped by every error Dataset.Validate returns — an
+// object without one value per attribute, a categorical value outside its
+// domain, a location that is not finite, a numeric value that is neither
+// 0 nor of magnitude in [2^-970, 2^960) — and so by the refusals of
+// NewEngine, InsertBatch and ReadDatasetCSV.
+var ErrInvalidObject = attr.ErrInvalid
 
 // PyramidLoad reports how LoadOrBuildPyramidFile obtained its pyramid.
 type PyramidLoad int

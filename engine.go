@@ -168,8 +168,9 @@ type EngineStats struct {
 	CompactionErrors int64 `json:"compaction_errors"`
 	// PyramidFolds counts epoch pyramids produced by the delta fold
 	// (patching the previous epoch's pyramid) rather than a full rebuild;
-	// PyramidFoldFallbacks counts folds an exactness gate refused, which
-	// rebuilt instead. PyramidFoldMs and PyramidRebuildMs are the
+	// PyramidFoldFallbacks counts epochs that had a base and rebuilt anyway
+	// (only a base of no objects does: it has no order to fold into).
+	// PyramidFoldMs and PyramidRebuildMs are the
 	// cumulative build times of the two kinds — folds that patched, and
 	// full builds (fallbacks and first builds alike).
 	PyramidFolds         int64   `json:"pyramid_folds"`
@@ -378,10 +379,10 @@ func (e *Engine) SearchOptions() Options { return e.opt.Search }
 //
 // The cache is keyed by composite identity (the pointer), not structure:
 // two composites with equal specs but different selection functions must
-// not share an index, and selectors cannot be fingerprinted (see
-// ReadIndex). Treat composites as long-lived singletons — one per query
-// shape, compiled once at startup — or the cache rebuilds per call and
-// grows without bound.
+// not share an index, and selectors cannot be fingerprinted. Treat
+// composites as long-lived singletons — one per query shape, compiled
+// once at startup — or the cache rebuilds per call and grows without
+// bound.
 func (e *Engine) Index(f *Composite) (*Index, error) {
 	return e.indexFor(e.currentView(), f)
 }
@@ -401,10 +402,6 @@ func (e *Engine) indexFor(v *engineView, f *Composite) (*Index, error) {
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
-		// One sequential pass in dataset order: a build sharded over
-		// workers would merge partial float sums in a worker-dependent
-		// order and make engine answers depend on Options.Workers through
-		// last-ulp differences in cell bounds.
 		ent.idx, ent.err = NewIndex(v.ds, f, g, g)
 	})
 	return ent.idx, ent.err
@@ -423,8 +420,8 @@ func (e *Engine) Pyramid(f *Composite) (*Pyramid, error) {
 // the view inherited the previous epoch's pyramid for this composite,
 // the build is a delta fold (dssearch.FoldPyramid): the inserted tail is
 // spliced into a copy of the base, bit-identical to a from-scratch
-// rebuild (which the fold falls back to when its exactness gates
-// refuse). The view's dataset is the base's plus objects InsertBatch
+// rebuild (which only a base of no objects takes instead). The view's
+// dataset is the base's plus objects InsertBatch
 // validated, so the fold's O(n) precondition checks are skipped. The
 // base is released as soon as the build lands.
 func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {

@@ -1,60 +1,57 @@
 package agg
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Limbs is the exact form of a composite's channel sums over one object
 // set, the one representation every evaluator of a search consumes: the
 // difference-array grid fill, the sweep's strip walks, point
-// representations.
+// representations, the grid index's suffix tables.
 //
-// Each channel is summed as one limb or as two. A limb carries values
-// that are integer multiples of its grid 2^-s, and Certify bounds its
-// total mass, Σ|v|·2^s ≤ 2^52. Every partial sum a limb can form — in the
-// grid's difference arrays, in a strip's add-and-remove walk — is then an
-// integer multiple of 2^-s below 2^53 in magnitude: exact in float64 in
-// any order, and exact as an int64 count of 2^-s. A channel whose values
-// share no such grid (full-mantissa reals, decimal steps) is split
-// error-free into v = hi + lo: hi is v rounded to a coarse grid chosen
-// from the channel's mass (hiShift), lo the exact remainder on a fine
-// grid of its own. Its two limbs are summed apart and folded once,
-// fl(Σhi + Σlo) — the correctly rounded exact sum (Fold).
+// A limb carries values that are integer multiples of its grid 2^-s, and
+// Certify bounds its total mass, Σ|v|·2^s ≤ 2^52. Every partial sum a limb
+// can form — in the grid's difference arrays, in a strip's add-and-remove
+// walk — is then an integer multiple of 2^-s below 2^53 in magnitude:
+// exact in float64 in any order, and exact as an int64 count of 2^-s. A
+// channel whose values share such a grid is one limb. Any other channel is
+// a chain: v is split error-free into v = hi + rest, hi being v rounded to
+// a coarse grid chosen from the channel's mass (hiShift), and the rests
+// are certified the same way in turn — one more limb on the grid their own
+// mass picks, until a rest fits one limb on its finest grid. Fold adds a
+// channel's limb sums once each, coarse to fine.
 //
-// So the value of every certified channel over a set is the correctly
-// rounded exact sum of its contributions, whatever the order and
-// whichever evaluator formed it. A channel neither form certifies — NaN,
-// ±Inf, values next to the denormals, a spread two limbs cannot hold —
-// has Scale 0 and is summed in float as its contributions come; Exact is
-// then false, and callers keep the seed algorithm's summation order.
+// So the value of a channel over a set is a function of its exact limb
+// sums: the same whatever the order and whichever evaluator formed it. A
+// channel of one or two limbs is the correctly rounded exact sum of its
+// contributions (fl(Σhi + Σlo) rounds once); a longer chain rounds once
+// per extra limb and is within one ulp of it.
+//
+// Every finite value that is 0 or at least 2^-970 in magnitude has a
+// chain (attr.Dataset.Validate admits nothing else); Certify refuses the
+// rest — NaN, ±Inf, values next to the denormals.
 type Limbs struct {
-	// Scale and Inv are each limb's power of two 2^s and 2^-s (0 for an
-	// uncertified channel). Limbs [0, channels) are the channels
-	// themselves — a two-limb channel's hi part — and limbs
-	// [channels, Eff()) the lo parts.
+	// Scale and Inv are each limb's power of two 2^s and 2^-s. Limbs
+	// [0, channels) are the channels' first limbs and limbs
+	// [channels, Eff()) their extra ones: each channel's contiguous,
+	// coarse to fine, the channels' runs in channel order.
 	Scale, Inv []float64
-	// Lo maps each channel to its lo limb, or -1 for a one-limb channel.
+	// Lo maps each channel to its first extra limb, or -1 for a one-limb
+	// channel.
 	Lo []int32
-	// Exact reports that every channel is certified.
-	Exact bool
 
-	sums LimbSums    // the running sums the last Certify decided on
-	cert []limbState // Certify's per-channel scratch
+	owner []int32  // owner[k-channels]: the channel extra limb k belongs to
+	sums  LimbSums // the running sums the last Certify decided on
 }
 
-// LimbSums are the running sums a certificate is decided on, accumulated
-// in the order the contributions came: Σ|v| per channel and, per
-// two-limb channel, Σ|hi| and Σ|lo| (0 elsewhere).
-type LimbSums struct {
-	Abs, Hi, Lo []float64
-}
-
-// limbState is one channel's progress through Certify.
-type limbState struct {
-	shift, hiShift, loShift int
-	plain, two              bool
-}
+// LimbSums are the running sums a certificate is decided on, one per limb,
+// accumulated in the order the contributions came: Σ|v| over the values
+// the limb's level receives — a channel's contributions for its first
+// limb, the rests the limb before it leaves for an extra one.
+type LimbSums []float64
 
 // maxScaledSum bounds a limb's total absolute scaled mass. 2^52 leaves a
 // factor-2 margin below float64's exact integer range (2^53), so every
@@ -88,17 +85,14 @@ func fracBits(v float64) int {
 	return max(0, 1075-exp-bits.TrailingZeros64(frac|1<<52))
 }
 
-// hiShift is the scale rule of a two-limb channel: its hi limb takes the
-// finest grid 2^-s on which the channel's mass abs (< 2^e) stays below
+// hiShift is the scale rule of a split level: it takes the finest grid
+// 2^-s on which the level's finite, positive mass abs (< 2^e) stays below
 // 2^51, half the headroom, so rounding every value onto the grid keeps
-// Σ|hi|·2^s within it. ok is false when no admissible grid serves.
-func hiShift(abs float64) (s int, ok bool) {
-	if !(abs > 0) || math.IsInf(abs, 0) {
-		return 0, false
-	}
+// Σ|hi|·2^s within it — each rounding adds at most half a grid step, and
+// a level holds far fewer than 2^51 values.
+func hiShift(abs float64) int {
 	_, e := math.Frexp(abs)
-	s = min(51-e, maxLimbShift)
-	return s, s >= -maxLimbShift
+	return min(51-e, maxLimbShift)
 }
 
 // shiftOf returns s for a power of two 2^s.
@@ -108,165 +102,193 @@ func shiftOf(scale float64) int {
 }
 
 // split is the error-free split of v onto the grid 2^-s (scale 2^s, inv
-// 2^-s): hi is v rounded to the nearest multiple, lo the remainder. Both
-// are exact where the certificate holds — |v|·2^s ≤ 2^52 keeps the
+// 2^-s): hi is v rounded to the nearest multiple, rest the remainder. Both
+// are exact where the certificate holds — |v|·2^s < 2^51 keeps the
 // rounded integer exact, and v and hi agree in their leading bits, so
 // the subtraction is exact (Sterbenz).
-func split(v, scale, inv float64) (hi, lo float64) {
+func split(v, scale, inv float64) (hi, rest float64) {
 	hi = math.RoundToEven(v*scale) * inv
 	return hi, v - hi
 }
 
+// level is one limb of a channel as Certify decides it: its grid and the
+// mass it was decided on.
+type level struct {
+	shift      int
+	abs        float64
+	scale, inv float64
+}
+
 // Certify derives the limbs of a composite with chans channels from the
 // contributions of a set, in the order given: the decisions read float
-// sums of |v|, so a caller that must reach the same decision again
-// (a pyramid fold, Extend) passes the same order. A channel first tries
-// one limb on the finest grid its values need; failing that, two limbs,
-// the hi grid from hiShift; failing both it stays uncertified. Channels
-// without contributions are certified with scale 1. The slices of l are
-// reused.
-func (l *Limbs) Certify(chans int, contribs []Contrib) {
-	if cap(l.cert) < chans {
-		l.cert = make([]limbState, chans)
-	}
-	cert := l.cert[:chans]
-	clear(cert)
-	l.sums.Abs = zeroed(l.sums.Abs, chans)
-	l.sums.Hi = zeroed(l.sums.Hi, chans)
-	l.sums.Lo = zeroed(l.sums.Lo, chans)
-	abs := l.sums.Abs
-	for _, cb := range contribs {
-		if fb := fracBits(cb.V); fb > cert[cb.Ch].shift {
-			cert[cb.Ch].shift = fb
-		}
-		abs[cb.Ch] += math.Abs(cb.V)
-	}
-
-	// One limb where the values share a grid within the headroom; else
-	// two, verified in one pass over the contributions for every channel
-	// that needs them: each value must split exactly and both halves fit.
-	pending := false
-	for ch := range cert {
-		c := &cert[ch]
-		c.plain = c.shift <= maxLimbShift && abs[ch]*math.Ldexp(1, c.shift) <= maxScaledSum
-		if !c.plain {
-			c.hiShift, c.two = hiShift(abs[ch])
-			pending = pending || c.two
-		}
-	}
-	if pending {
+// sums of |v|, so a caller that must reach the same decision again (a
+// pyramid fold, Extend) passes the same order. Each level of a channel —
+// its contributions, then each level's rests — is one limb on its finest
+// grid when that holds the level's mass within the headroom, and is split
+// onto the grid hiShift picks otherwise, one pass over the contributions
+// per level. Channels without contributions get scale 1. Certify fails,
+// leaving l as it was, on a value no chain holds: one whose grid is finer
+// than 2^-1022 (NaN, ±Inf, values next to the denormals) or a mass that
+// overflows.
+func (l *Limbs) Certify(chans int, contribs []Contrib) error {
+	chain := make([][]level, chans)
+	cur := make([]level, chans)
+	done := make([]bool, chans)
+	for pending := chans; pending > 0; {
+		clear(cur)
 		for _, cb := range contribs {
-			c := &cert[cb.Ch]
-			if !c.two {
+			if done[cb.Ch] {
 				continue
 			}
-			hi, lo := split(cb.V, math.Ldexp(1, c.hiShift), math.Ldexp(1, -c.hiShift))
-			if hi+lo != cb.V || math.IsNaN(hi) || math.IsInf(hi, 0) {
-				c.two = false
+			v := cb.V
+			for _, lv := range chain[cb.Ch] {
+				_, v = split(v, lv.scale, lv.inv)
+			}
+			c := &cur[cb.Ch]
+			c.shift = max(c.shift, fracBits(v))
+			c.abs += math.Abs(v)
+		}
+		for ch, c := range cur {
+			if done[ch] {
 				continue
 			}
-			l.sums.Hi[cb.Ch] += math.Abs(hi)
-			l.sums.Lo[cb.Ch] += math.Abs(lo)
-			if fb := fracBits(lo); fb > c.loShift {
-				c.loShift = fb
+			if c.shift > maxLimbShift || math.IsInf(c.abs, 0) {
+				return fmt.Errorf("agg: channel %d has a value no limb holds (NaN, ±Inf, or finer than 2^-%d)", ch, maxLimbShift)
 			}
+			if c.abs*math.Ldexp(1, c.shift) <= maxScaledSum {
+				done[ch] = true
+				pending--
+			} else if c.shift = hiShift(c.abs); len(chain[ch]) > 0 && c.shift <= chain[ch][len(chain[ch])-1].shift {
+				// A rest is at most half its level's grid step, so the next
+				// grid is finer by about 51 − log2(values) bits.
+				return fmt.Errorf("agg: channel %d does not converge to a limb chain", ch)
+			}
+			c.scale, c.inv = math.Ldexp(1, c.shift), math.Ldexp(1, -c.shift)
+			chain[ch] = append(chain[ch], c)
 		}
 	}
 
 	eff := chans
-	for ch := range cert {
-		c := &cert[ch]
-		c.two = c.two && c.loShift <= maxLimbShift &&
-			l.sums.Hi[ch]*math.Ldexp(1, c.hiShift) <= maxScaledSum &&
-			l.sums.Lo[ch]*math.Ldexp(1, c.loShift) <= maxScaledSum
-		if c.two {
-			eff++
-		} else {
-			l.sums.Hi[ch], l.sums.Lo[ch] = 0, 0
-		}
+	for _, c := range chain {
+		eff += len(c) - 1
 	}
-	l.Scale = resized(l.Scale, eff)
-	l.Inv = resized(l.Inv, eff)
-	if cap(l.Lo) < chans {
-		l.Lo = make([]int32, chans)
-	}
-	l.Lo = l.Lo[:chans]
-	l.Exact = true
-	lo := chans
-	for ch, c := range cert {
+	l.Scale, l.Inv = make([]float64, eff), make([]float64, eff)
+	l.Lo, l.owner = make([]int32, chans), make([]int32, eff-chans)
+	l.sums = make(LimbSums, eff)
+	next := chans
+	for ch, c := range chain {
 		l.Lo[ch] = -1
-		switch {
-		case c.plain:
-			l.setShift(ch, c.shift)
-		case c.two:
-			l.setShift(ch, c.hiShift)
-			l.setShift(lo, c.loShift)
-			l.Lo[ch] = int32(lo)
-			lo++
-		default:
-			l.Scale[ch], l.Inv[ch] = 0, 0
-			l.Exact = false
+		for j, lv := range c {
+			k := ch
+			if j > 0 {
+				k = next
+				if j == 1 {
+					l.Lo[ch] = int32(k)
+				}
+				l.owner[k-chans] = int32(ch)
+				next++
+			}
+			l.Scale[k], l.Inv[k], l.sums[k] = lv.scale, lv.inv, lv.abs
 		}
 	}
+	return nil
 }
 
-func (l *Limbs) setShift(k, s int) {
-	l.Scale[k], l.Inv[k] = math.Ldexp(1, s), math.Ldexp(1, -s)
+// NewLimbs rebuilds a certificate's limbs from their scales and each
+// channel's first extra limb (-1 for none), as Certify lays them out, for
+// a caller that stored them (a pyramid file). It checks that every scale
+// is a power of two a limb may take and that the extra limbs are laid out
+// as Certify lays them: contiguous per channel, the channels' runs in
+// channel order, right after the channels.
+func NewLimbs(scale []float64, lo []int32) (Limbs, error) {
+	chans := len(lo)
+	if len(scale) < chans {
+		return Limbs{}, fmt.Errorf("agg: %d limbs for %d channels", len(scale), chans)
+	}
+	l := Limbs{Scale: scale, Inv: make([]float64, len(scale)), Lo: lo, owner: make([]int32, len(scale)-chans)}
+	for k, v := range scale {
+		if frac, e := math.Frexp(v); frac != 0.5 || e-1 < -maxLimbShift || e-1 > maxLimbShift {
+			return Limbs{}, fmt.Errorf("agg: limb %d scale %g is not an admissible power of two", k, v)
+		}
+		l.Inv[k] = math.Ldexp(1, -shiftOf(v))
+	}
+	// Each channel with extra limbs owns those from its first up to the
+	// next such channel's first, the last one those up to the end.
+	end := len(scale)
+	for ch := chans - 1; ch >= 0; ch-- {
+		if lo[ch] < 0 {
+			continue
+		}
+		if int(lo[ch]) < chans || int(lo[ch]) >= end {
+			return Limbs{}, fmt.Errorf("agg: first extra limb %d of channel %d out of place", lo[ch], ch)
+		}
+		for k := int(lo[ch]); k < end; k++ {
+			l.owner[k-chans] = int32(ch)
+		}
+		end = int(lo[ch])
+	}
+	if end != chans {
+		return Limbs{}, fmt.Errorf("agg: %d extra limbs, %d in use", len(scale)-chans, len(scale)-end)
+	}
+	return l, nil
+}
+
+// Layout returns the limbs without the certificate's running sums: a
+// value that shares l's slices, which no method writes to.
+func (l *Limbs) Layout() Limbs {
+	return Limbs{Scale: l.Scale, Inv: l.Inv, Lo: l.Lo, owner: l.owner}
 }
 
 // Sums returns a copy of the running sums the last Certify decided on.
-func (l *Limbs) Sums() LimbSums {
-	return LimbSums{
-		Abs: append([]float64(nil), l.sums.Abs...),
-		Hi:  append([]float64(nil), l.sums.Hi...),
-		Lo:  append([]float64(nil), l.sums.Lo...),
+func (l *Limbs) Sums() LimbSums { return slices.Clone(l.sums) }
+
+// next returns the limb that follows limb k in channel ch's chain, or -1
+// at its end.
+func (l *Limbs) next(ch, k int) int {
+	chans := len(l.Lo)
+	if k < chans {
+		return int(l.Lo[ch])
 	}
+	if k++; k < len(l.Scale) && int(l.owner[k-chans]) == ch {
+		return k
+	}
+	return -1
 }
 
 // Extend reports whether Certify, run over a set's contributions and
 // then raw, would decide what it decided over the set alone — every
 // scale and every split unchanged — given sums, the running sums it read
-// over the set (Sums). If so it returns the sums extended by raw. Only
-// exact limbs extend.
+// over the set (Sums). If so it returns the sums extended by raw.
 func (l *Limbs) Extend(sums LimbSums, raw []Contrib) (LimbSums, bool) {
-	if !l.Exact {
-		return LimbSums{}, false
-	}
-	ext := LimbSums{
-		Abs: append([]float64(nil), sums.Abs...),
-		Hi:  append([]float64(nil), sums.Hi...),
-		Lo:  append([]float64(nil), sums.Lo...),
-	}
+	ext := slices.Clone(sums)
 	for _, cb := range raw {
-		ext.Abs[cb.Ch] += math.Abs(cb.V)
-		lo := l.Lo[cb.Ch]
-		if lo < 0 {
-			// A one-limb channel keeps its grid while no value is finer.
-			if fracBits(cb.V) > shiftOf(l.Scale[cb.Ch]) {
-				return LimbSums{}, false
+		v := cb.V
+		for k := cb.Ch; ; {
+			ext[k] += math.Abs(v)
+			next := l.next(cb.Ch, k)
+			if next < 0 {
+				// A chain's last limb keeps its grid while no value is finer.
+				if fracBits(v) > shiftOf(l.Scale[k]) {
+					return nil, false
+				}
+				break
 			}
-			continue
+			_, v = split(v, l.Scale[k], l.Inv[k])
+			k = next
 		}
-		hi, rest := split(cb.V, l.Scale[cb.Ch], l.Inv[cb.Ch])
-		if hi+rest != cb.V || math.IsNaN(hi) || math.IsInf(hi, 0) || fracBits(rest) > shiftOf(l.Scale[lo]) {
-			return LimbSums{}, false
-		}
-		ext.Hi[cb.Ch] += math.Abs(hi)
-		ext.Lo[cb.Ch] += math.Abs(rest)
 	}
-	for ch, lo := range l.Lo {
-		if lo < 0 {
-			if !(ext.Abs[ch]*l.Scale[ch] <= maxScaledSum) {
-				return LimbSums{}, false
+	for ch := range l.Lo {
+		for k := ch; k >= 0; k = l.next(ch, k) {
+			// A split level cannot turn into a last limb — its grid and mass
+			// only grow — but must pick the same grid again; the last limb
+			// must keep its headroom.
+			if l.next(ch, k) >= 0 {
+				if math.Ldexp(1, hiShift(ext[k])) != l.Scale[k] {
+					return nil, false
+				}
+			} else if !(ext[k]*l.Scale[k] <= maxScaledSum) {
+				return nil, false
 			}
-			continue
-		}
-		// One limb cannot come back: its grid and the mass only grow. Two
-		// must pick the same hi grid again, both halves within headroom.
-		s, ok := hiShift(ext.Abs[ch])
-		if !ok || math.Ldexp(1, s) != l.Scale[ch] ||
-			!(ext.Hi[ch]*l.Scale[ch] <= maxScaledSum) || !(ext.Lo[ch]*l.Scale[lo] <= maxScaledSum) {
-			return LimbSums{}, false
 		}
 	}
 	return ext, true
@@ -276,26 +298,34 @@ func (l *Limbs) Extend(sums LimbSums, raw []Contrib) (LimbSums, bool) {
 func (l *Limbs) Eff() int { return len(l.Scale) }
 
 // Split rewrites the contributions cbs[start:] — one object's, as
-// AppendContribs emitted them — into limbs: each one on a two-limb
-// channel becomes its hi part, and its lo part is appended behind them.
-// It returns the extended slice.
+// AppendContribs emitted them — into limbs: each one on a channel of more
+// than one limb becomes its first limb's part, and its parts on the extra
+// limbs are appended behind them, coarse to fine. It returns the extended
+// slice.
 func (l *Limbs) Split(cbs []Contrib, start int) []Contrib {
 	if len(l.Scale) == len(l.Lo) {
 		return cbs
 	}
-	for k, end := start, len(cbs); k < end; k++ {
-		if lo := l.Lo[cbs[k].Ch]; lo >= 0 {
-			hi, rest := split(cbs[k].V, l.Scale[cbs[k].Ch], l.Inv[cbs[k].Ch])
-			cbs[k].V = hi
-			cbs = append(cbs, Contrib{Ch: int(lo), V: rest})
+	for i, end := start, len(cbs); i < end; i++ {
+		ch := cbs[i].Ch
+		k := l.next(ch, ch)
+		if k < 0 {
+			continue
 		}
+		hi, rest := split(cbs[i].V, l.Scale[ch], l.Inv[ch])
+		cbs[i].V = hi
+		for next := l.next(ch, k); next >= 0; k, next = next, l.next(ch, next) {
+			hi, rest = split(rest, l.Scale[k], l.Inv[k])
+			cbs = append(cbs, Contrib{Ch: k, V: hi})
+		}
+		cbs = append(cbs, Contrib{Ch: k, V: rest})
 	}
 	return cbs
 }
 
-// Fold collapses a limb vector into channels: each two-limb channel's lo
-// limb is added onto its hi limb, one rounding of the exact sum. It
-// returns src itself when no channel has two limbs.
+// Fold collapses a limb vector into channels: each extra limb is added
+// onto its channel, coarse to fine. It returns src itself when every
+// channel is one limb.
 func (l *Limbs) Fold(dst, src []float64) []float64 {
 	c := len(l.Lo)
 	if len(l.Scale) == c {
@@ -303,56 +333,40 @@ func (l *Limbs) Fold(dst, src []float64) []float64 {
 	}
 	dst = dst[:c]
 	copy(dst, src[:c])
-	for ch, lo := range l.Lo {
-		if lo >= 0 {
-			dst[ch] += src[lo]
-		}
+	for i, ch := range l.owner {
+		dst[ch] += src[c+i]
 	}
 	return dst
 }
 
 // FoldCounts is Fold for limb totals given as int64 counts of each
 // limb's grid — the incremental sweep's form: each count times its power
-// of two is the exact float limb value, and the two limbs of a channel
-// are added once. dst must have room for every channel.
+// of two is the exact float limb value, and the limbs of a channel are
+// added as Fold adds them. dst must have room for every channel.
 func (l *Limbs) FoldCounts(dst []float64, tot []int64) []float64 {
-	dst = dst[:len(l.Lo)]
+	c := len(l.Lo)
+	dst = dst[:c]
 	for ch := range dst {
 		dst[ch] = float64(tot[ch]) * l.Inv[ch]
 	}
-	for ch, lo := range l.Lo {
-		if lo >= 0 {
-			dst[ch] += float64(tot[lo]) * l.Inv[lo]
-		}
+	for i, ch := range l.owner {
+		dst[ch] += float64(tot[c+i]) * l.Inv[c+i]
 	}
 	return dst
 }
 
-// ExactSum returns the channel sums of the contributions of one set:
-// every channel they certify as its correctly rounded exact sum, the
-// others summed in the order given — the value every evaluator of a
-// search forms for the set.
-func ExactSum(chans int, contribs []Contrib) []float64 {
+// ExactSum returns the channel sums of the contributions of one set in
+// the limbs they certify (see Limbs) — the value every evaluator of a
+// search forms for the set under that certificate. It fails where Certify
+// does.
+func ExactSum(chans int, contribs []Contrib) ([]float64, error) {
 	var l Limbs
-	l.Certify(chans, contribs)
+	if err := l.Certify(chans, contribs); err != nil {
+		return nil, err
+	}
 	ch := make([]float64, l.Eff())
-	for _, cb := range l.Split(append([]Contrib(nil), contribs...), 0) {
+	for _, cb := range l.Split(slices.Clone(contribs), 0) {
 		ch[cb.Ch] += cb.V
 	}
-	return l.Fold(make([]float64, chans), ch)
-}
-
-// zeroed returns v resized to n, all zero.
-func zeroed(v []float64, n int) []float64 {
-	v = resized(v, n)
-	clear(v)
-	return v
-}
-
-// resized returns v with length n, reusing its capacity.
-func resized(v []float64, n int) []float64 {
-	if cap(v) >= n {
-		return v[:n]
-	}
-	return make([]float64, n)
+	return l.Fold(make([]float64, chans), ch), nil
 }

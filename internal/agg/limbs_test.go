@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -62,7 +63,9 @@ func roundedSum(vs []float64) float64 {
 // channel's ExactSum is the correctly rounded exact sum of its values,
 // in whatever order they come, and whether they are summed as float
 // limbs or as int64 counts of each limb's grid (the incremental sweep's
-// form). Values next to the denormals leave the channel uncertified.
+// form). Full-mantissa reals spread over 1e-12…1e12 take a chain of three
+// limbs or more: their sum is the same in every order and form, and
+// within one ulp of the rounded exact sum.
 func TestExactSumIsRoundedExactSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	draws := []func() float64{
@@ -72,8 +75,9 @@ func TestExactSumIsRoundedExactSum(t *testing.T) {
 		func() float64 { return 1 + rng.Float64()*499 },
 		func() float64 { return math.Max(5e-5, rng.Float64()*10) },
 		func() float64 { return rng.NormFloat64() * 1e6 },
+		func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(25)-12)) },
 	}
-	const chans = 6
+	const chans, spread = 7, 6
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(5000)
 		var cbs []Contrib
@@ -86,35 +90,95 @@ func TestExactSumIsRoundedExactSum(t *testing.T) {
 			}
 		}
 		var l Limbs
-		l.Certify(chans, cbs)
-		if !l.Exact {
-			t.Fatalf("trial %d (n=%d): limbs %v do not certify", trial, n, l.Scale)
+		if err := l.Certify(chans, cbs); err != nil {
+			t.Fatalf("trial %d (n=%d): %v", trial, n, err)
 		}
-		got := ExactSum(chans, cbs)
+		if n >= 20 && limbsOf(&l, spread) < 3 {
+			t.Fatalf("trial %d (n=%d): the spread channel takes %d limbs, want at least 3", trial, n, limbsOf(&l, spread))
+		}
+		got, err := ExactSum(chans, cbs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rng.Shuffle(len(cbs), func(i, j int) { cbs[i], cbs[j] = cbs[j], cbs[i] })
-		shuffled := ExactSum(chans, cbs)
+		shuffled, err := ExactSum(chans, cbs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		counts := make([]int64, l.Eff())
 		for _, cb := range l.Split(append([]Contrib(nil), cbs...), 0) {
 			counts[cb.Ch] += int64(cb.V * l.Scale[cb.Ch])
 		}
-		limbs := make([]float64, l.Eff())
-		for k, c := range counts {
-			limbs[k] = float64(c) * l.Inv[k]
-		}
-		asInts := l.Fold(make([]float64, chans), limbs)
+		asInts := l.FoldCounts(make([]float64, chans), counts)
 		for ch := range draws {
 			want := roundedSum(vals[ch])
-			for _, s := range [][]float64{got, shuffled, asInts} {
-				if math.Float64bits(s[ch]) != math.Float64bits(want) {
-					t.Fatalf("trial %d (n=%d) channel %d: %v, the rounded exact sum is %v (sums %v %v %v)",
-						trial, n, ch, s[ch], want, got[ch], shuffled[ch], asInts[ch])
+			for _, s := range [][]float64{shuffled, asInts} {
+				if math.Float64bits(s[ch]) != math.Float64bits(got[ch]) {
+					t.Fatalf("trial %d (n=%d) channel %d: sums %v %v %v differ", trial, n, ch, got[ch], shuffled[ch], asInts[ch])
 				}
+			}
+			if limbsOf(&l, ch) > 2 {
+				if got[ch] < math.Nextafter(want, math.Inf(-1)) || got[ch] > math.Nextafter(want, math.Inf(1)) {
+					t.Fatalf("trial %d (n=%d) channel %d: %v, more than one ulp from the exact sum %v", trial, n, ch, got[ch], want)
+				}
+			} else if math.Float64bits(got[ch]) != math.Float64bits(want) {
+				t.Fatalf("trial %d (n=%d) channel %d: %v, the rounded exact sum is %v", trial, n, ch, got[ch], want)
 			}
 		}
 	}
+	for _, v := range []float64{5e-324, math.NaN(), math.Inf(-1)} {
+		if err := new(Limbs).Certify(1, []Contrib{{V: 3}, {V: v}}); err == nil {
+			t.Errorf("%g certified", v)
+		}
+	}
+}
+
+// limbsOf returns the number of limbs channel ch is summed in.
+func limbsOf(l *Limbs, ch int) int {
+	n := 0
+	for k := ch; k >= 0; k = l.next(ch, k) {
+		n++
+	}
+	return n
+}
+
+// TestNewLimbsRebuildsTheLayout: limbs rebuilt from a certificate's
+// scales and first extra limbs fold like the certificate's, and a layout
+// Certify would not produce is refused.
+func TestNewLimbsRebuildsTheLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var cbs []Contrib
+	for i := 0; i < 300; i++ {
+		cbs = append(cbs,
+			Contrib{Ch: 0, V: rng.NormFloat64() * math.Pow(10, float64(rng.Intn(25)-12))},
+			Contrib{Ch: 1, V: 1},
+			Contrib{Ch: 2, V: 0.1 * float64(rng.Intn(100))})
+	}
 	var l Limbs
-	l.Certify(1, []Contrib{{V: 3}, {V: 5e-324}})
-	if l.Exact || l.Scale[0] != 0 {
-		t.Fatalf("a denormal certified: %+v", l)
+	if err := l.Certify(3, cbs); err != nil {
+		t.Fatal(err)
+	}
+	if limbsOf(&l, 0) < 3 || limbsOf(&l, 1) != 1 || limbsOf(&l, 2) != 2 {
+		t.Fatalf("limbs per channel %d %d %d, want ≥3, 1, 2", limbsOf(&l, 0), limbsOf(&l, 1), limbsOf(&l, 2))
+	}
+	r, err := NewLimbs(l.Scale, l.Lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]float64, l.Eff())
+	for i := range src {
+		src[i] = rng.Float64()
+	}
+	if a, b := l.Fold(make([]float64, 3), src), r.Fold(make([]float64, 3), src); !slices.Equal(a, b) {
+		t.Fatalf("rebuilt limbs fold %v, the certificate %v", b, a)
+	}
+	bad := [][]int32{{l.Lo[2], -1, l.Lo[0]}, {-1, -1, l.Lo[2]}, {l.Lo[0], -1, int32(l.Eff())}}
+	for _, lo := range bad {
+		if _, err := NewLimbs(l.Scale, lo); err == nil {
+			t.Errorf("layout %v accepted for %d limbs", lo, l.Eff())
+		}
+	}
+	if _, err := NewLimbs([]float64{1, 0}, []int32{1}); err == nil {
+		t.Error("a zero scale accepted")
 	}
 }

@@ -181,10 +181,12 @@ func EmptyCandidate(space geom.Rect) geom.Point {
 }
 
 // PointRepresentation computes F(p) exactly: the representation of the set
-// of rectangles strictly covering p, every channel its contributions
-// certify the correctly rounded exact sum (agg.ExactSum) — the value every
-// evaluator of a search forms. O(n); used by tests and the empty
-// candidate.
+// of rectangles strictly covering p, every channel summed in the limbs the
+// set certifies (agg.ExactSum) — the value every evaluator of a search
+// forms, to the last ulp where a channel needs three limbs or more. O(n);
+// used by tests and the empty candidate. The covering set's values must
+// certify (attr.Dataset.Validate admits only such values); it panics
+// otherwise.
 func PointRepresentation(rects []RectObject, f *agg.Composite, p geom.Point) []float64 {
 	var cbs []agg.Contrib
 	for _, r := range rects {
@@ -192,7 +194,11 @@ func PointRepresentation(rects []RectObject, f *agg.Composite, p geom.Point) []f
 			cbs = f.AppendContribs(r.Obj, cbs)
 		}
 	}
+	sums, err := agg.ExactSum(f.Channels(), cbs)
+	if err != nil {
+		panic(err)
+	}
 	out := make([]float64, f.Dims())
-	f.FinalizeExact(agg.ExactSum(f.Channels(), cbs), out)
+	f.FinalizeExact(sums, out)
 	return out
 }

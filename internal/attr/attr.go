@@ -5,7 +5,9 @@
 package attr
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"asrs/internal/geom"
 )
@@ -152,25 +154,62 @@ type Dataset struct {
 	Objects []Object
 }
 
-// Validate checks that every object has exactly one value per schema
-// attribute and that categorical values are in range.
+// ErrInvalid is wrapped by every error Validate returns.
+var ErrInvalid = errors.New("attr: invalid dataset")
+
+// The magnitudes a nonzero numeric value may have: [minNumeric,
+// maxNumeric). Every value a composite sums is exactly representable in
+// the exact limbs of agg.Limbs, whose grids are powers of two 2^-s with
+// |s| ≤ 1022:
+//
+//   - A normal float v with |v| ≥ 2^-970 has its 53-bit significand end
+//     at or above 2^-970-52 = 2^-1022: v is a multiple of 2^-1022, so its
+//     fraction bits number at most 1022 and every grid a limb takes for it
+//     keeps both 2^s and 2^-s normal. Below that bound, the denormals
+//     included, a value's bits can reach past 2^-1022.
+//   - A channel sums at most one value per object, and int32 master ids
+//     address fewer than 2^31 objects, so Σ|v| < 2^31·2^960 = 2^991: every
+//     channel mass and every limb sum stays finite, far below 2^1024, and
+//     the coarsest grid a limb picks for it, about 2^940, is normal too.
+const (
+	minNumeric = 0x1p-970
+	maxNumeric = 0x1p960
+)
+
+// Validate checks every object against the schema (Schema.Check). Its
+// errors wrap ErrInvalid and name the object.
 func (d *Dataset) Validate() error {
 	if d.Schema == nil {
-		return fmt.Errorf("attr: dataset has nil schema")
+		return fmt.Errorf("%w: nil schema", ErrInvalid)
 	}
-	n := d.Schema.Len()
 	for i := range d.Objects {
-		o := &d.Objects[i]
-		if len(o.Values) != n {
-			return fmt.Errorf("attr: object %d has %d values, schema has %d attributes", i, len(o.Values), n)
+		if err := d.Schema.Check(&d.Objects[i]); err != nil {
+			return fmt.Errorf("%w: object %d: %v", ErrInvalid, i, err)
 		}
-		for j := 0; j < n; j++ {
-			a := d.Schema.At(j)
-			if a.Kind == Categorical {
-				if c := o.Values[j].Cat; c < 0 || c >= len(a.Domain) {
-					return fmt.Errorf("attr: object %d attribute %q has categorical index %d outside domain [0,%d)", i, a.Name, c, len(a.Domain))
-				}
+	}
+	return nil
+}
+
+// Check reports why o cannot be an object of the schema, naming the
+// attribute at fault, or returns nil: o needs exactly one value per
+// attribute, a finite location, categorical values inside their domains
+// and numeric values that are 0 or of magnitude in [2^-970, 2^960) (see
+// minNumeric).
+func (s *Schema) Check(o *Object) error {
+	if len(o.Values) != len(s.attrs) {
+		return fmt.Errorf("%d values, schema has %d attributes", len(o.Values), len(s.attrs))
+	}
+	if math.IsNaN(o.Loc.X) || math.IsInf(o.Loc.X, 0) || math.IsNaN(o.Loc.Y) || math.IsInf(o.Loc.Y, 0) {
+		return fmt.Errorf("location (%g, %g) is not finite", o.Loc.X, o.Loc.Y)
+	}
+	for j, a := range s.attrs {
+		v := o.Values[j]
+		if a.Kind == Categorical {
+			if v.Cat < 0 || v.Cat >= len(a.Domain) {
+				return fmt.Errorf("attribute %q has categorical index %d outside domain [0,%d)", a.Name, v.Cat, len(a.Domain))
 			}
+		} else if m := math.Abs(v.Num); m != 0 && !(minNumeric <= m && m < maxNumeric) {
+			return fmt.Errorf("attribute %q value %g is neither 0 nor of magnitude in [2^-970, 2^960)", a.Name, v.Num)
 		}
 	}
 	return nil

@@ -1,6 +1,9 @@
 package attr_test
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"asrs/internal/attr"
@@ -99,6 +102,37 @@ func TestDatasetValidate(t *testing.T) {
 	}}
 	if err := oob.Validate(); err == nil {
 		t.Error("out-of-domain categorical accepted")
+	}
+}
+
+// TestValidateAdmissibleValues pins the edges of what a composite may
+// sum: locations must be finite, and a numeric value 0 or of magnitude
+// in [2^-970, 2^960). A refusal wraps ErrInvalid and names the object
+// and the attribute.
+func TestValidateAdmissibleValues(t *testing.T) {
+	s := testSchema(t)
+	obj := func(x, v float64) *attr.Dataset {
+		return &attr.Dataset{Schema: s, Objects: []attr.Object{
+			{Loc: geom.Point{X: 1, Y: 2}, Values: []attr.Value{attr.CatValue(0), attr.NumValue(1)}},
+			{Loc: geom.Point{X: x, Y: 2}, Values: []attr.Value{attr.CatValue(1), attr.NumValue(v)}},
+		}}
+	}
+	lo, hi := math.Ldexp(1, -970), math.Ldexp(1, 960)
+	for _, v := range []float64{0, math.Copysign(0, -1), lo, -lo, math.Nextafter(hi, 0), -math.Nextafter(hi, 0), 0.1, math.MaxInt64} {
+		if err := obj(3, v).Validate(); err != nil {
+			t.Errorf("%g refused: %v", v, err)
+		}
+	}
+	for _, v := range []float64{math.Nextafter(lo, 0), -5e-324, 1e-320, hi, -hi, math.Inf(1), math.NaN()} {
+		err := obj(3, v).Validate()
+		if !errors.Is(err, attr.ErrInvalid) || !strings.Contains(err.Error(), "object 1") || !strings.Contains(err.Error(), `"price"`) {
+			t.Errorf("%g: err = %v, want ErrInvalid naming object 1 and \"price\"", v, err)
+		}
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(-1)} {
+		if err := obj(x, 1).Validate(); !errors.Is(err, attr.ErrInvalid) || !strings.Contains(err.Error(), "object 1") {
+			t.Errorf("location x=%g: err = %v, want ErrInvalid naming object 1", x, err)
+		}
 	}
 }
 

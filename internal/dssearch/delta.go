@@ -33,26 +33,23 @@ import (
 // The base is never written to: queries of the previous epoch keep
 // reading it while the next epoch folds.
 //
-// Bit-identity with BuildPyramid(combined, f) is held by three gates;
-// when one refuses, the fold returns nothing and the caller rebuilds —
-// the only fallback:
+// Bit-identity with BuildPyramid(combined, f) holds by construction:
 //
-//   - order: every evaluator sums a certified corpus's limbs exactly, in
-//     any order, so anchor ties are admitted (seed first, then dataset
-//     order) — where the rebuild's sort puts tied objects the other way
-//     round, swapping them only relabels ids. Only an anchor the merge
-//     cannot place (a NaN coordinate) refuses.
-//   - certificate: the base's running sums (Σ|v| per channel, Σ|hi| and
-//     Σ|lo| per two-limb channel) are extended by the delta's values in
-//     dataset order, which is how the rebuild accumulates them, so the
-//     outcome the rebuild would reach is known exactly
-//     (agg.Limbs.Extend). While it is the base's own, the base's limbs
-//     are reused as they are. When it moves — a finer grid, a hi grid
-//     following the channel's grown mass — the fold certifies the
-//     dataset's values again (recertify) and refuses only if the new
-//     outcome is not exact.
-//   - an exact base: without it the rebuild leaves the master in dataset
-//     order and there is no anchor order to merge into.
+//   - order: every evaluator sums the limbs exactly, in any order, so
+//     anchor ties are admitted (seed first, then dataset order) — where
+//     the rebuild's sort puts tied objects the other way round, swapping
+//     them only relabels ids. Validated locations are finite, so every
+//     anchor has its place.
+//   - certificate: the base's running sums (Σ|v| per limb) are extended
+//     by the delta's values in dataset order, which is how the rebuild
+//     accumulates them, so the outcome the rebuild would reach is known
+//     exactly (agg.Limbs.Extend). While it is the base's own, the base's
+//     limbs are reused as they are. When it moves — a finer grid, a split
+//     grid following the channel's grown mass, one more limb — the fold
+//     certifies the dataset's values again (recertify).
+//
+// Only a base of no objects, which has no anchor order to merge into, is
+// rebuilt instead.
 //
 // Levels are patched in the base's bin grid: an appended anchor outside
 // the grid lands in an edge bin (satLevel.binOf). A fresh build would lay
@@ -74,9 +71,7 @@ type DeltaStats struct {
 // base.n objects of combined must be the base dataset's objects
 // (locations are checked; values are trusted to be equal, the base's
 // contributions are reused for them). Answers through the returned
-// pyramid are bit-identical to BuildPyramid(combined, f): the fold is
-// gated on its exactness certificates and otherwise falls back to the
-// classic build.
+// pyramid are bit-identical to BuildPyramid(combined, f).
 func BuildPyramidDelta(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaStats, error) {
 	if base == nil {
 		return nil, nil, fmt.Errorf("dssearch: delta build requires a base pyramid")
@@ -107,11 +102,12 @@ func BuildPyramidDelta(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaS
 // followed by validated objects (the Engine's epoch views).
 func FoldPyramid(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaStats, error) {
 	stats := &DeltaStats{Appended: len(combined.Objects) - base.n}
-	if p := base.fold(combined); p != nil {
-		stats.Folded = true
-		return p, stats, nil
+	if base.n == 0 || len(combined.Objects) < base.n {
+		p, err := BuildPyramid(combined, base.f)
+		return p, stats, err
 	}
-	p, err := BuildPyramid(combined, base.f)
+	p, err := base.fold(combined)
+	stats.Folded = err == nil
 	return p, stats, err
 }
 
@@ -130,13 +126,13 @@ func (p *Pyramid) rawDataset(extra int) []agg.Contrib {
 // decided on: kept from the build or carried by a fold, else — a loaded
 // pyramid — re-derived by certifying the dataset's values again, in
 // dataset order.
-func (p *Pyramid) certSums() agg.LimbSums {
+func (p *Pyramid) certSums() (agg.LimbSums, error) {
 	if p.cert != nil {
-		return *p.cert
+		return p.cert, nil
 	}
 	var l agg.Limbs
-	l.Certify(p.core.chans, p.rawDataset(0))
-	return l.Sums()
+	err := l.Certify(p.core.chans, p.rawDataset(0))
+	return l.Sums(), err
 }
 
 // deltaRows are the appended objects' flattened rows in dataset order
@@ -173,11 +169,15 @@ func (base *Pyramid) flattenDelta(objs []attr.Object) *deltaRows {
 // certifyDelta extends the base's certificate sums by the appended rows
 // and, when the certificate a rebuild would compute is the base's own,
 // fills in the rows' limb form and returns the new sums.
-func (base *Pyramid) certifyDelta(rows *deltaRows) (*agg.LimbSums, bool) {
+func (base *Pyramid) certifyDelta(rows *deltaRows) (agg.LimbSums, bool, error) {
 	l := &base.core.limbs
-	sums, ok := l.Extend(base.certSums(), rows.raw)
+	sums, err := base.certSums()
+	if err != nil {
+		return nil, false, err
+	}
+	sums, ok := l.Extend(sums, rows.raw)
 	if !ok {
-		return nil, false
+		return nil, false, nil
 	}
 	// Split under the base's limbs, exactly as flattenContribs does.
 	rows.cOff = make([]int32, 1, len(rows.rawOff))
@@ -186,23 +186,20 @@ func (base *Pyramid) certifyDelta(rows *deltaRows) (*agg.LimbSums, bool) {
 		rows.con = l.Split(append(rows.con, rows.raw[rows.rawOff[j]:rows.rawOff[j+1]]...), start)
 		rows.cOff = append(rows.cOff, int32(len(rows.con)))
 	}
-	return &sums, true
+	return sums, true, nil
 }
 
 // recertify is the fold's slow lane, taken when the appended values
-// move the certificate (a finer grid, a hi grid following the channel's
-// grown mass, …): it certifies the dataset's values plus the appended
-// ones, in dataset order like a rebuild, and splits every row under the
-// outcome, in folded master order. Still no sort. nil when the outcome
-// is not exact: the rebuild would not sort at all.
-func (base *Pyramid) recertify(rows *deltaRows, ents []deltaEnt) (*tables, *agg.LimbSums) {
+// move the certificate (a finer grid, a split grid following the
+// channel's grown mass, …): it certifies the dataset's values plus the
+// appended ones, in dataset order like a rebuild, and splits every row
+// under the outcome, in folded master order. Still no sort.
+func (base *Pyramid) recertify(rows *deltaRows, ents []deltaEnt) (*tables, error) {
 	c := base.core
 	t := &tables{f: c.f, chans: c.chans}
-	t.limbs.Certify(c.chans, append(base.rawDataset(len(rows.raw)), rows.raw...))
-	if !t.limbs.Exact {
-		return nil, nil
+	if err := t.limbs.Certify(c.chans, append(base.rawDataset(len(rows.raw)), rows.raw...)); err != nil {
+		return nil, err
 	}
-	sums := t.limbs.Sums()
 
 	t.cOff = make([]int32, 1, base.n+len(ents)+1)
 	row := func(raw []agg.Contrib) {
@@ -224,7 +221,7 @@ func (base *Pyramid) recertify(rows *deltaRows, ents []deltaEnt) (*tables, *agg.
 	}
 	baseRows(int32(base.n))
 	t.freeze()
-	return t, &sums
+	return t, nil
 }
 
 // deltaEnt is one appended object placed in the folded master order.
@@ -237,9 +234,9 @@ type deltaEnt struct {
 
 // placeDelta sorts the appended objects by anchor (ties by dataset
 // index) and finds their merge positions in the base's master order,
-// seed first on ties; ok=false when the order gate refuses.
-func (base *Pyramid) placeDelta(objs []attr.Object) (ents []deltaEnt, ok bool) {
-	ents = make([]deltaEnt, len(objs))
+// seed first on ties.
+func (base *Pyramid) placeDelta(objs []attr.Object) []deltaEnt {
+	ents := make([]deltaEnt, len(objs))
 	for j := range ents {
 		ents[j] = deltaEnt{row: int32(j), loc: objs[j].Loc}
 	}
@@ -250,23 +247,8 @@ func (base *Pyramid) placeDelta(objs []attr.Object) (ents []deltaEnt, ok bool) {
 		e := &ents[t]
 		e.pos = int32(sort.Search(base.n, func(i int) bool { return anchorLess(e.loc, base.anchor(int32(i))) }))
 		e.id = e.pos + int32(t)
-		// The merged predecessor: the previous appended object when it
-		// shares the slot, else the base object below the slot.
-		var prev geom.Point
-		switch {
-		case t > 0 && ents[t-1].pos == e.pos:
-			prev = ents[t-1].loc
-		case e.pos > 0:
-			prev = base.anchor(e.pos - 1)
-		default:
-			continue
-		}
-		// Written so that a NaN coordinate refuses.
-		if !anchorLess(prev, e.loc) && prev != e.loc {
-			return nil, false
-		}
 	}
-	return ents, true
+	return ents
 }
 
 // spliceOffs merges CSR offset arrays: the base's rows in order, with
@@ -302,34 +284,35 @@ func spliceVals[T any](bOff []int32, b []T, dOff []int32, d []T, ents []deltaEnt
 	return append(out, b[next:]...)
 }
 
-// fold patches a copy of the base into the pyramid of combined, or
-// returns nil when a gate refuses (see the file comment).
-func (base *Pyramid) fold(combined *attr.Dataset) *Pyramid {
+// fold patches a copy of the base, which holds objects, into the pyramid
+// of combined (see the file comment). It fails only where a rebuild
+// would: on values that do not certify.
+func (base *Pyramid) fold(combined *attr.Dataset) (*Pyramid, error) {
 	c := base.core
 	n0, n := base.n, len(combined.Objects)
-	if n0 == 0 || n < n0 || !c.limbs.Exact {
-		return nil
-	}
 	delta := combined.Objects[n0:]
-	ents, ok := base.placeDelta(delta)
-	if !ok {
-		return nil
-	}
+	ents := base.placeDelta(delta)
 	rows := base.flattenDelta(delta)
 
 	// The fast lane keeps the base's limbs (shared, read-only) over the
 	// spliced contribution tables.
 	var core *tables
-	sums, sameCert := base.certifyDelta(rows)
-	if sameCert {
+	sums, sameCert, err := base.certifyDelta(rows)
+	switch {
+	case err != nil:
+		return nil, err
+	case sameCert:
 		core = &tables{
 			f: c.f, chans: c.chans,
-			limbs:    agg.Limbs{Scale: c.limbs.Scale, Inv: c.limbs.Inv, Lo: c.limbs.Lo, Exact: true},
+			limbs:    c.limbs.Layout(),
 			cOff:     spliceOffs(c.cOff, rows.cOff, ents),
 			contribs: spliceVals(c.cOff, c.contribs, rows.cOff, rows.con, ents),
 		}
-	} else if core, sums = base.recertify(rows, ents); core == nil {
-		return nil
+	default:
+		if core, err = base.recertify(rows, ents); err != nil {
+			return nil, err
+		}
+		sums = core.limbs.Sums()
 	}
 	if base.mmSlots > 0 {
 		core.mOff = spliceOffs(c.mOff, rows.mOff, ents)
@@ -376,7 +359,7 @@ func (base *Pyramid) fold(combined *attr.Dataset) *Pyramid {
 		for _, l := range base.lvls {
 			p.lvls = append(p.lvls, l.patch(p, ents, newID))
 		}
-		return p
+		return p, nil
 	}
 	xs := make([]float64, n)
 	ys := make([]float64, n)
@@ -385,7 +368,7 @@ func (base *Pyramid) fold(combined *attr.Dataset) *Pyramid {
 		xs[id], ys[id] = loc.X, loc.Y
 	}
 	p.raiseLevels(xs, ys)
-	return p
+	return p, nil
 }
 
 // mergeYAsc merges the appended ids into the base's y-ascending id

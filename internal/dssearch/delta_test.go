@@ -25,44 +25,30 @@ func uniqueLocs(rng *rand.Rand, ds *attr.Dataset) {
 
 // TestDeltaFoldBitIdentical is the delta-pyramid property test: for
 // every composite kind the pyramid tests cover (integer-exact, dyadic,
-// decimal two-limb, min/max) plus a certification-failing composite,
-// over several seeds and split points, a pyramid produced by folding
-// the appended tail into the prefix pyramid answers bit-identically —
-// region, distance, point and representation — to a from-scratch
-// rebuild over the combined dataset AND to the unassisted oracle. The
-// fold must actually take the fast path for every certified composite,
-// anchor ties included, and must refuse it for uncertified composites.
+// decimal two-limb, min/max, three-limb chains), over several seeds and
+// split points, a pyramid produced by folding the appended tail into the
+// prefix pyramid answers bit-identically — region, distance, point and
+// representation — to a from-scratch rebuild over the combined dataset
+// AND to the unassisted oracle. The fold must take place for every
+// composite, anchor ties included.
 func TestDeltaFoldBitIdentical(t *testing.T) {
 	for _, seed := range []int64{7, 1801, 90210} {
 		rng := rand.New(rand.NewSource(seed))
 		kinds := []struct {
-			name     string
-			num      func() float64
-			withMM   bool
-			snap     bool // keep the lattice-snapped (tied) locations
-			wantFold int  // 1 = must fold, 0 = must not, -1 = either
+			name   string
+			num    func() float64
+			withMM bool
+			snap   bool // keep the lattice-snapped (tied) locations
 		}{
-			{"integer", func() float64 { return float64(rng.Intn(11) - 5) }, false, false, 1},
-			{"dyadic", func() float64 { return float64(rng.Intn(41)) * 0.25 }, false, false, 1},
-			{"decimal", func() float64 { return 0.1 * float64(1+rng.Intn(99)) }, false, false, 1},
-			{"minmax", func() float64 { return float64(rng.Intn(2001)) * 0.5 }, true, false, 1},
-			// Denormal tails on both signs defeat two limbs too: the
-			// fold must refuse and take the classic rebuild (which for
-			// such composites never sorts at all).
-			{"uncertified", func() float64 {
-				switch rng.Intn(10) {
-				case 0:
-					return 5e-324
-				case 5:
-					return -5e-324
-				default:
-					return rng.NormFloat64()
-				}
-			}, false, false, 0},
+			{"integer", func() float64 { return float64(rng.Intn(11) - 5) }, false, false},
+			{"dyadic", func() float64 { return float64(rng.Intn(41)) * 0.25 }, false, false},
+			{"decimal", func() float64 { return 0.1 * float64(1+rng.Intn(99)) }, false, false},
+			{"minmax", func() float64 { return float64(rng.Intn(2001)) * 0.5 }, true, false},
+			{"three-limb", func() float64 { return spreadValue(rng) }, true, false},
 			// Lattice-snapped locations carry anchor ties: every limb
 			// sums exactly in any order, so tied objects may sit either
 			// way round and the fold admits them.
-			{"decimal_ties", func() float64 { return 0.1 * float64(1+rng.Intn(99)) }, false, true, 1},
+			{"decimal_ties", func() float64 { return 0.1 * float64(1+rng.Intn(99)) }, false, true},
 		}
 		for _, kind := range kinds {
 			n := 150 + rng.Intn(200)
@@ -80,8 +66,8 @@ func TestDeltaFoldBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%d k=%d: delta: %v", kind.name, seed, k, err)
 				}
-				if kind.wantFold >= 0 && stats.Folded != (kind.wantFold == 1) {
-					t.Fatalf("%s/%d k=%d: Folded=%v, want %v", kind.name, seed, k, stats.Folded, kind.wantFold == 1)
+				if !stats.Folded {
+					t.Fatalf("%s/%d k=%d: the delta did not fold", kind.name, seed, k)
 				}
 				rebuilt, err := BuildPyramid(ds, f)
 				if err != nil {
@@ -182,23 +168,22 @@ func assertSameAnswers(t *testing.T, tag string, ds *attr.Dataset, f *agg.Compos
 // the patch: anchors below master position 0 and above n-1, outside the
 // base's bin grid on both axes (edge-bin clamp), a value that moves a
 // channel's grid (the recertify lane), an anchor tie (admitted: limb sums
-// are order-free) and a value no certificate admits (a fallback that
-// leaves an unsorted pyramid, after which the chain goes on rebuilding).
-// Across the chain the granularity ladder must both hold (levels
-// patched, the recertified epoch's included) and move (levels raised
-// anew).
+// are order-free) and two values that spread the channel over a chain of
+// three limbs (the recertify lane again). Every delta folds. Across the
+// chain the granularity ladder must both hold (levels patched, the
+// recertified epochs' included) and move (levels raised anew).
 func TestDeltaFoldChain(t *testing.T) {
 	const stepBelow, stepAbove = 5, 9 // anchors outside the hull
 	var (
-		stepShift    = 21 // a value finer than the channel's grid
-		stepFallback = 66 // the first delta that must fall back
-		steps        = 72
+		stepShift  = 21 // a value finer than the channel's grid
+		stepSpread = 64 // a value 1e12 large, then one 1e-12 small
+		steps      = 72
 	)
 	if testing.Short() {
 		// The same script over a third of the folds: under -race the full
 		// chain takes over a minute, nearly all of it in the per-epoch
 		// rebuilds and soundness checks the detector has nothing to see in.
-		stepShift, stepFallback, steps = 13, 18, 24
+		stepShift, stepSpread, steps = 13, 16, 24
 	}
 	kinds := []struct {
 		name   string
@@ -220,7 +205,7 @@ func TestDeltaFoldChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		objs := seed.Objects
-		folds, patched, raised := 0, 0, 0
+		patched, raised := 0, 0
 		for step := 0; step < steps; step++ {
 			d := 1 + rng.Intn(6)
 			if step%6 == 3 {
@@ -233,9 +218,8 @@ func TestDeltaFoldChain(t *testing.T) {
 					Values: []attr.Value{{Cat: rng.Intn(3)}, {Num: kind.num(rng)}},
 				}
 			}
-			// An existing location again, folded in; later a denormal,
-			// the first fallback.
-			stepTie, stepUncertified := stepFallback-6, stepFallback
+			// An existing location again, folded in.
+			stepTie := stepSpread - 4
 			switch step {
 			case stepBelow:
 				delta[0].Loc = geom.Point{X: -40, Y: 130}
@@ -245,10 +229,11 @@ func TestDeltaFoldChain(t *testing.T) {
 				delta[0].Loc = objs[17].Loc
 			case stepShift:
 				delta[0].Values[1].Num = kind.finer
-			case stepUncertified:
-				delta[0].Values[1].Num = 5e-324
+			case stepSpread:
+				delta[0].Values[1].Num = math.Pi * 1e12
+			case stepSpread + 1:
+				delta[0].Values[1].Num = math.Pi * 1e-12
 			}
-			wantFold := step < stepFallback
 			combined := &attr.Dataset{Schema: seed.Schema, Objects: append(append([]attr.Object(nil), objs...), delta...)}
 			tag := fmt.Sprintf("%s step %d (n=%d, d=%d)", kind.name, step, len(objs), d)
 
@@ -256,16 +241,16 @@ func TestDeltaFoldChain(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
-			if stats.Folded != wantFold || stats.Appended != d {
-				t.Fatalf("%s: Folded=%v Appended=%d, want %v and %d", tag, stats.Folded, stats.Appended, wantFold, d)
+			if !stats.Folded || stats.Appended != d {
+				t.Fatalf("%s: Folded=%v Appended=%d, want a fold of %d", tag, stats.Folded, stats.Appended, d)
 			}
-			if stats.Folded {
-				folds++
-				if slices.Equal(levelGrids(cur.n), levelGrids(next.n)) {
-					patched++
-				} else {
-					raised++
-				}
+			if step > stepSpread && !chained(&next.core.limbs) {
+				t.Fatalf("%s: limbs %v, lo %v: no chain of three", tag, next.core.limbs.Scale, next.core.limbs.Lo)
+			}
+			if slices.Equal(levelGrids(cur.n), levelGrids(next.n)) {
+				patched++
+			} else {
+				raised++
 			}
 			rebuilt, err := BuildPyramid(combined, f)
 			if err != nil {
@@ -276,9 +261,8 @@ func TestDeltaFoldChain(t *testing.T) {
 			assertSoundPyramid(t, tag, next, rebuilt)
 			cur, objs = next, combined.Objects
 		}
-		if folds < stepFallback-2 || patched == 0 || raised == 0 {
-			t.Fatalf("%s: %d folds (%d patched their levels, %d raised them anew); want at least %d, and both kinds",
-				kind.name, folds, patched, raised, stepFallback-2)
+		if patched == 0 || raised == 0 {
+			t.Fatalf("%s: %d folds patched their levels, %d raised them anew; want both kinds", kind.name, patched, raised)
 		}
 	}
 }
@@ -353,7 +337,7 @@ func assertSoundPyramid(t *testing.T, tag string, p, rebuilt *Pyramid) {
 	t.Helper()
 	c, r := p.core, rebuilt.core
 	if !slices.Equal(c.limbs.Scale, r.limbs.Scale) || !slices.Equal(c.limbs.Inv, r.limbs.Inv) ||
-		!slices.Equal(c.limbs.Lo, r.limbs.Lo) || c.limbs.Exact != r.limbs.Exact {
+		!slices.Equal(c.limbs.Lo, r.limbs.Lo) {
 		t.Fatalf("%s: folded limbs %v differ from the rebuild's %v", tag, c.limbs.Scale, r.limbs.Scale)
 	}
 	unique := true

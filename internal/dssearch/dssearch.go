@@ -15,9 +15,9 @@
 // goroutine that asked for the search.
 //
 // Per-query state is concentrated in the aggregation layer of sat.go: the
-// master rectangle array (sorted for certified composites), flattened
-// limb contributions, and the anchor-bin levels that refinement and
-// id collection walk on sorted masters. Every Discretize fills its grid
+// master rectangle array sorted by anchor, flattened limb contributions,
+// and the anchor-bin levels that refinement and id collection walk. Every
+// Discretize fills its grid
 // the same way — one difference-array pass over the space's rectangles
 // (grid.go). Rectangle subsets flow through the kernel heap as 4-byte id
 // slices recycled through the searcher's free list, so the steady state
@@ -176,7 +176,7 @@ func (s *Stats) Add(o Stats) {
 // (but may solve many sub-spaces, as GI-DS does). A Searcher runs on the
 // goroutine that calls it and must not be shared between goroutines.
 type Searcher struct {
-	rects []asp.RectObject // master array; sorted by (MinX, MinY) for certified composites
+	rects []asp.RectObject // master array, sorted by (MinX, MinY)
 	space geom.Rect        // the master's MBR
 	query asp.Query
 	opt   Options
@@ -202,17 +202,22 @@ type Searcher struct {
 }
 
 // NewSearcher validates inputs and builds the aggregation layer over an
-// arbitrary ASP instance. The rects slice is only read; if the master
-// order needs resorting (certified composites), a copy is sorted
-// instead. A search for an a×b region over a dataset goes through
-// NewRegionSearcher, which is also the only way to bind a pyramid.
+// arbitrary ASP instance; it fails when the objects' values do not
+// certify (agg.Limbs). The rects slice is only read; if it is not sorted
+// by anchor, a copy is sorted instead. A search for an a×b region over a
+// dataset goes through NewRegionSearcher, which is also the only way to
+// bind a pyramid.
 func NewSearcher(rects []asp.RectObject, q asp.Query, opt Options) (*Searcher, error) {
 	opt, err := opt.checked(q)
 	if err != nil {
 		return nil, err
 	}
 	tab := opt.Slabs.get()
-	return newSearcher(tab, buildTables(tab, rects, q.F, false), q, opt, nil), nil
+	master, err := buildTables(tab, rects, q.F, false)
+	if err != nil {
+		return nil, err
+	}
+	return newSearcher(tab, master, q, opt, nil), nil
 }
 
 // NewRegionSearcher is the searcher of an ASRS request: the a×b
@@ -249,7 +254,10 @@ func NewRegionSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options)
 		if err != nil {
 			return nil, err
 		}
-		return newSearcher(tab, buildTables(tab, rects, q.F, true), q, opt, nil), nil
+		if master, err = buildTables(tab, rects, q.F, true); err != nil {
+			return nil, err
+		}
+		return newSearcher(tab, master, q, opt, nil), nil
 	}
 	tab.wmin, tab.wmax, tab.hmin, tab.hmax = facts.wmin, facts.wmax, facts.hmin, facts.hmax
 	return newSearcher(tab, master, q, opt, &facts), nil
@@ -320,20 +328,16 @@ func (s *Searcher) ensureScratch() {
 		t.gridNCol, t.gridNRow, t.gridEff, t.gridF = ncol, nrow, eff, f
 	}
 	s.grid = t.grid
-	incrCap := 0
-	if t.limbs.Exact {
-		incrCap = 2048 // the largest sweep the incremental evaluator takes
-	}
 	// A recycled solver is rebound to the query (same composite, new
 	// target/weights) and the limbs, and keeps all its scratch. NewSized
-	// cannot fail: the query was validated at construction.
-	if t.sw == nil || t.swCap != incrCap || t.swEff != eff || !t.sw.SetQuery(s.query) {
-		t.sw, _ = sweep.NewSized(s.query, &t.limbs, incrCap)
-		t.swCap, t.swEff = incrCap, eff
+	// cannot fail: the query was validated at construction. 2048 is the
+	// largest sweep the incremental evaluator takes.
+	if t.sw == nil || t.swEff != eff || !t.sw.SetQuery(s.query) {
+		t.sw, _ = sweep.NewSized(s.query, &t.limbs, 2048)
+		t.swEff = eff
 	}
 	s.sw = t.sw
 	s.sw.SetLimbs(&t.limbs)
-	s.sw.SetIncremental(t.limbs.Exact)
 	s.sw.SetStripCost(stripCostModel())
 	// One float slab: the incumbent's representation, then the mini-sweep
 	// base vector.
@@ -465,22 +469,19 @@ func (s *Searcher) SolveWithin(space geom.Rect, seedLB float64) {
 
 // AppendWindowIDs appends the master ids of every rectangle whose open
 // interior intersects the closed space (only those can cover a candidate
-// point in the space) and returns dst. On sorted masters the candidates
-// come from a binary-searched window rather than a full scan; when an
-// anchor-bin level is available (bound pyramid, or lazily built) and the
-// window is much larger than the space's 2D anchor box, the ids are
-// collected from the level's bins instead (appendBinIDs), so the result
-// slice is identical either way.
+// point in the space) and returns dst. The candidates come from a
+// binary-searched window rather than a full scan; when an anchor-bin
+// level is available (bound pyramid, or lazily built) and the window is
+// much larger than the space's 2D anchor box, the ids are collected from
+// the level's bins instead (appendBinIDs), so the result slice is
+// identical either way.
 func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 	master := s.rects
 	t := s.tab
-	lo, hi := 0, len(master)
-	if t.limbs.Exact {
-		lo, hi = t.window(space.MinX, space.MaxX)
-		if len(t.lvls) > 0 {
-			if out, ok := s.appendBinIDs(space, dst, lo, hi); ok {
-				return out
-			}
+	lo, hi := t.window(space.MinX, space.MaxX)
+	if len(t.lvls) > 0 {
+		if out, ok := s.appendBinIDs(space, dst, lo, hi); ok {
+			return out
 		}
 	}
 	for i := lo; i < hi; i++ {
@@ -681,16 +682,11 @@ func (s *Searcher) swept(it kernel.Item) bool {
 // into a recycled slice sized by the binary-searched window.
 func (s *Searcher) childIds(parent []int32, space geom.Rect) []int32 {
 	t := s.tab
-	lo, hi := 0, len(parent)
-	if t.limbs.Exact {
-		x0 := space.MinX - t.wmax
-		lo = sort.Search(len(parent), func(k int) bool { return t.minXs[parent[k]] > x0 })
-		if h := sort.Search(len(parent), func(k int) bool { return t.minXs[parent[k]] >= space.MaxX }); h < hi {
-			hi = h
-		}
-		if lo > hi {
-			lo = hi
-		}
+	x0 := space.MinX - t.wmax
+	lo := sort.Search(len(parent), func(k int) bool { return t.minXs[parent[k]] > x0 })
+	hi := sort.Search(len(parent), func(k int) bool { return t.minXs[parent[k]] >= space.MaxX })
+	if lo > hi {
+		lo = hi
 	}
 	out := s.getIds(hi - lo)
 	master := s.rects
@@ -814,22 +810,13 @@ func (s *Searcher) miniSweep(dirty []cellInfo, ids []int32) {
 }
 
 // PointRepresentation computes F(p) over the master set, restricted to
-// the binary-searched MinX window when the master is sorted: the limb
-// contributions of the covering rectangles, summed in master order and
-// folded once — every certified channel the correctly rounded exact sum,
-// as the grid fill and the sweeps form it and asp.PointRepresentation
-// does; an uncertified one summed in dataset order.
+// the binary-searched MinX window: the limb contributions of the covering
+// rectangles, summed in master order and folded once — the value the grid
+// fill and the sweeps form.
 func (s *Searcher) PointRepresentation(p geom.Point) []float64 {
 	t := s.tab
-	lo, hi := 0, len(s.rects)
-	if t.limbs.Exact {
-		lo, hi = t.windowLo(p.X-t.wmax), t.windowHi(p.X)
-		if lo > hi {
-			lo = hi
-		}
-	}
 	ch := make([]float64, t.limbs.Eff())
-	for i := lo; i < hi; i++ {
+	for i, hi := t.windowLo(p.X-t.wmax), t.windowHi(p.X); i < hi; i++ {
 		if s.rects[i].Rect.ContainsOpen(p) {
 			for _, cb := range t.rectContribs(int32(i)) {
 				ch[cb.Ch] += cb.V
@@ -857,8 +844,8 @@ func (s *Searcher) Err() error { return s.err }
 func (s *Searcher) SeedBest(r asp.Result) { s.best = r }
 
 // Rects returns the searcher's master rectangle array (read-only; the
-// order may differ from the constructor argument when the incremental
-// layer sorted it).
+// order may differ from the constructor argument, which the layer sorts
+// by anchor).
 func (s *Searcher) Rects() []asp.RectObject { return s.rects }
 
 // Space returns the search space of the whole instance: the minimum

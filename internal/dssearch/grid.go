@@ -43,44 +43,15 @@ type gridBuffers struct {
 	foldFull []float64
 	foldPart []float64
 
-	refineBase    []float64
 	refineCh      []float64
 	refinePartial []int32
 
 	rowSum     []float64 // integRow's running sum along one row
 	dirtyCells []int32   // pass 1 output: flat indices (cellIdx) of the dirty cells, row-major
-
-	// Unsorted masters only: per position in the space's id list, the
-	// classification fillRects made of that rectangle, kept for pass 2
-	// and the centre probes of the same Discretize.
-	spans []idSpan
 }
 
-// idSpan is one rectangle's classification against the cell grid, as
-// fillRects makes it: the inclusive ranges of columns and rows whose open
-// interior meets the rectangle's (c0 > c1 or r0 > r1: none), and inside
-// them the ranges the rectangle covers whole (fc0 > fc1 or fr0 > fr1:
-// none). A cell is fully covered when it is in both full ranges and
-// partially covered when it is in both overlap ranges otherwise. Cell
-// edges being non-decreasing, asking the ranges about cell (c, r) is
-// asking the rectangle itself: c0 ≤ c ≤ c1 ⇔ xe[c+1] > MinX ∧ xe[c] < MaxX,
-// and inside that range fc0 ≤ c ≤ fc1 ⇔ xe[c] ≥ MinX ∧ xe[c+1] ≤ MaxX;
-// rows alike.
-type idSpan struct {
-	c0, c1, r0, r1     int16
-	fc0, fc1, fr0, fr1 int16
-}
-
-// setSpan records the classification of the k-th id.
-func (g *gridBuffers) setSpan(k, c0, c1, r0, r1, fc0, fc1, fr0, fr1 int) {
-	g.spans[k] = idSpan{
-		c0: int16(c0), c1: int16(c1), r0: int16(r0), r1: int16(r1),
-		fc0: int16(fc0), fc1: int16(fc1), fr0: int16(fr0), fr1: int16(fr1),
-	}
-}
-
-// maxGridDim bounds NCol and NRow so that every cell range, the
-// one-past-the-end values of overlapRange included, fits idSpan's int16.
+// maxGridDim bounds NCol and NRow so that every flat cell index of the
+// padded (ncol+1)×(nrow+1) grid fits the int32 of dirtyCells.
 const maxGridDim = math.MaxInt16 - 1
 
 // newGridBuffers builds the buffers of an ncol×nrow grid for the
@@ -97,7 +68,7 @@ func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
 		dirtyCells: make([]int32, 0, ncol*nrow),
 	}
 	pad := (nrow + 1) * (ncol + 1)
-	slab := make([]float64, 0, 2*pad*g.chans+pad+2*nrow*ncol*g.mmSlots+(ncol+1)+(nrow+1)+3*g.dims+2*g.lchans+2*g.chans+ncol*g.chans)
+	slab := make([]float64, 0, 2*pad*g.chans+pad+2*nrow*ncol*g.mmSlots+(ncol+1)+(nrow+1)+3*g.dims+2*g.lchans+g.chans+ncol*g.chans)
 	carve := func(n int) []float64 {
 		slab = slab[:len(slab)+n]
 		return slab[len(slab)-n:]
@@ -116,7 +87,6 @@ func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
 	g.hi = carve(g.dims)
 	g.foldFull = carve(g.lchans)
 	g.foldPart = carve(g.lchans)
-	g.refineBase = carve(g.chans)
 	g.refineCh = carve(g.chans)
 	g.rowSum = carve(ncol * g.chans)
 	return g
@@ -277,10 +247,10 @@ func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, b
 	g.reset()
 	s.fillRects(space, ids, cw, chh)
 	s.cleanPass(cw, chh)
-	dirty := s.boundPass(clip, ids)
+	dirty := s.boundPass(clip)
 
 	drop := 2*cw < s.acc.DX && 2*chh < s.acc.DY
-	s.probeCellCenters(dirty, clip, ids)
+	s.probeCellCenters(dirty, clip)
 	return dirty, drop
 }
 
@@ -351,7 +321,7 @@ func sameBits(a, b []float64) bool {
 // boundPass is pass 2 of Function Discretize: it bounds the dirty cells
 // cleanPass listed and returns those whose lower bound stays under the
 // pruning threshold.
-func (s *Searcher) boundPass(clip geom.Rect, ids []int32) []cellInfo {
+func (s *Searcher) boundPass(clip geom.Rect) []cellInfo {
 	g := s.grid
 	tab := s.tab
 	query := &s.query
@@ -376,7 +346,7 @@ func (s *Searcher) boundPass(clip geom.Rect, ids []int32) []cellInfo {
 		lb := query.LowerBoundInt(g.lo, g.hi, s.isInt)
 		cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
 		if lb < thresh && !s.opt.DisableRefinement {
-			cost := s.refineCost(cell, len(ids))
+			cost := s.refineCost(cell)
 			if scanBudget >= cost {
 				scanBudget -= cost
 				// Interval bounds admit unachievable mixtures (Equation
@@ -389,7 +359,7 @@ func (s *Searcher) boundPass(clip geom.Rect, ids []int32) []cellInfo {
 				// so cells over the gate skip the scan outright — the
 				// same outcome the scan's own bail would reach.
 				if g.diffCnt[idx] <= refineMaxPartial {
-					if rlb, ok := s.refineCellLB(c, r, cell, clip, ids, cellFull); ok {
+					if rlb, ok := s.refineCellLB(cell, clip, cellFull); ok {
 						s.Stats.RefinedCells++
 						if rlb > lb {
 							lb = rlb
@@ -411,34 +381,20 @@ func (s *Searcher) boundPass(clip geom.Rect, ids []int32) []cellInfo {
 	return dirty
 }
 
-// cellAt recovers the column and row of a cell from its extent, which
-// must have been cut from the current edges. Collapsed edges can give
-// several cells one extent; they then share one classification too
-// (idSpan asks about nothing but the cell's edges), so any of them serves.
-func (g *gridBuffers) cellAt(cell geom.Rect) (c, r int) {
-	for g.xe[c] != cell.MinX || g.xe[c+1] != cell.MaxX {
-		c++
-	}
-	for g.ye[r] != cell.MinY || g.ye[r+1] != cell.MaxY {
-		r++
-	}
-	return c, r
-}
-
 // fillRects is the difference-array fill: each rectangle is classified
 // against the cell grid once (overlap range, fully-covered sub-range,
 // partial ring) and its contributions range-added.
 //
 // The cell ranges are decided by exact edge comparisons (overlapRange);
-// all that varies is where the comparison walks start. On sorted masters
-// ids ascend in MinX, so a rectangle's column range starts at or right
-// of its predecessor's and the walks resume there; rows, and columns on
-// unsorted masters, start from a reciprocal-multiply guess.
+// all that varies is where the comparison walks start. Ids ascend in
+// MinX, so a rectangle's column range starts at or right of its
+// predecessor's and the walks resume there; rows start from a
+// reciprocal-multiply guess.
 func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 	g := s.grid
 	tab := s.tab
 	master := s.rects
-	perW, perH := 1/cw, 1/chh
+	perH := 1 / chh
 	// A rectangle that contains the space fully covers every cell — two
 	// thirds of a deep space's rectangles do — provided the outermost
 	// cells have width: on a collapsed edge cell "contains" stops
@@ -446,18 +402,8 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 	ncol, nrow := g.ncol, g.nrow
 	x0, xn, y0, yn := g.xe[0], g.xe[ncol], g.ye[0], g.ye[nrow]
 	wide := x0 < g.xe[1] && g.xe[ncol-1] < xn && y0 < g.ye[1] && g.ye[nrow-1] < yn
-	// On an unsorted master pass 2 and the centre probes have no window
-	// to find a cell's rectangles in; they walk these classifications
-	// instead of comparing every rectangle against every cell they visit.
-	record := !tab.limbs.Exact
-	if record {
-		if cap(g.spans) < len(ids) {
-			g.spans = make([]idSpan, len(ids), max(len(ids), 2*cap(g.spans)))
-		}
-		g.spans = g.spans[:len(ids)]
-	}
 	c0, c1 := 0, 0
-	for k, id := range ids {
+	for _, id := range ids {
 		contribs := tab.rectContribs(id)
 		var mm []agg.MMContrib
 		if g.mmSlots > 0 {
@@ -467,21 +413,12 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 		if wide && r.MinX <= x0 && r.MaxX >= xn && r.MinY <= y0 && r.MaxY >= yn {
 			g.rangeAdd(g.diffFull, contribs, 0, 0, ncol-1, nrow-1)
 			c0, c1 = 0, ncol-1
-			if record {
-				g.setSpan(k, 0, ncol-1, 0, nrow-1, 0, ncol-1, 0, nrow-1)
-			}
 			continue
-		}
-		if !tab.limbs.Exact {
-			c0, c1 = int((r.MinX-space.MinX)*perW), int((r.MaxX-space.MinX)*perW)
 		}
 		// Columns whose open interior intersects the rect interior.
 		c0, c1 = overlapRange(r.MinX, r.MaxX, c0, c1, g.xe)
 		r0, r1 := overlapRange(r.MinY, r.MaxY, int((r.MinY-space.MinY)*perH), int((r.MaxY-space.MinY)*perH), g.ye)
 		if c0 > c1 || r0 > r1 {
-			if record {
-				g.setSpan(k, 1, 0, 0, 0, 0, 0, 0, 0) // c0 > c1: overlaps no cell
-			}
 			continue
 		}
 		// Fully covered sub-range: every point of the cell interior is
@@ -489,9 +426,6 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 		// interiors; see DESIGN.md "Coverage semantics").
 		fc0, fc1 := fullRange(c0, c1, r.MinX, r.MaxX, g.xe)
 		fr0, fr1 := fullRange(r0, r1, r.MinY, r.MaxY, g.ye)
-		if record {
-			g.setSpan(k, c0, c1, r0, r1, fc0, fc1, fr0, fr1)
-		}
 
 		if fc0 <= fc1 && fr0 <= fr1 {
 			g.rangeAdd(g.diffFull, contribs, fc0, fr0, fc1, fr1)
@@ -513,7 +447,7 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 // d_opt converge early on flat distance landscapes, which is what lets
 // Equation 1 prune aggressively on workloads like F2 where many regions
 // are near-ties.
-func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32) {
+func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect) {
 	const probes = 4
 	if len(dirty) == 0 {
 		return
@@ -543,38 +477,17 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int3
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
 		clear(ch)
-		if t.limbs.Exact {
-			// The rectangles covering p form a binary-searched window of
-			// the master order: MinX ∈ (p.X − wmax, p.X). The clip clause
-			// restricts the window to the space's chain-filtered subset
-			// (a probe point in a boundary cell can poke an ulp outside
-			// the clip; see Item.Clip).
-			lo := t.windowLo(p.X - t.wmax)
-			hi := t.windowHi(p.X)
-			for id := lo; id < hi; id++ {
-				rc := &master[id].Rect
-				if rc.ContainsOpen(p) &&
-					rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
-					rc.MinY < clip.MaxY && clip.MinY < rc.MaxY {
-					for _, cb := range t.rectContribs(int32(id)) {
-						ch[cb.Ch] += cb.V
-					}
-				}
-			}
-		} else {
-			// A centre lies within its cell's closed extent, so only the
-			// rectangles the table has overlapping the cell can contain it;
-			// those are asked exactly, in id order.
-			c, r := g.cellAt(dirty[di].rect)
-			c16, r16 := int16(c), int16(r)
-			for k, sp := range g.spans[:len(ids)] {
-				if c16 < sp.c0 || c16 > sp.c1 || r16 < sp.r0 || r16 > sp.r1 {
-					continue
-				}
-				if id := ids[k]; master[id].Rect.ContainsOpen(p) {
-					for _, cb := range t.rectContribs(id) {
-						ch[cb.Ch] += cb.V
-					}
+		// The rectangles covering p form a binary-searched window of the
+		// master order: MinX ∈ (p.X − wmax, p.X). The clip clause restricts
+		// the window to the space's chain-filtered subset (a probe point in
+		// a boundary cell can poke an ulp outside the clip; see Item.Clip).
+		for id, hi := t.windowLo(p.X-t.wmax), t.windowHi(p.X); id < hi; id++ {
+			rc := &master[id].Rect
+			if rc.ContainsOpen(p) &&
+				rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
+				rc.MinY < clip.MaxY && clip.MinY < rc.MaxY {
+				for _, cb := range t.rectContribs(int32(id)) {
+					ch[cb.Ch] += cb.V
 				}
 			}
 		}
@@ -627,9 +540,8 @@ func overlapRange(lo, hi float64, s0, s1 int, edges []float64) (int, int) {
 }
 
 // Gates for the subset-enumeration refinement. Each refined cell is
-// charged the candidate rectangles of its cell (the space's rectangle
-// list, or the cell's binary-searched window on sorted masters) against
-// one discretize's total scan budget; once exhausted, remaining cells
+// charged the candidate rectangles of its cell (its binary-searched
+// window) against one discretize's total scan budget; once exhausted, remaining cells
 // keep their interval bound (sound, just looser). Cells with many
 // partial rectangles skip the enumeration (O(2^#partial)).
 const (
@@ -639,11 +551,8 @@ const (
 
 // refineCost returns the number of rectangles a refineCellLB call for
 // this cell is charged in the budget accounting.
-func (s *Searcher) refineCost(cell geom.Rect, nIds int) int {
+func (s *Searcher) refineCost(cell geom.Rect) int {
 	t := s.tab
-	if !t.limbs.Exact {
-		return nIds
-	}
 	lo := t.windowLo(cell.MinX - t.wmax)
 	hi := t.windowHi(cell.MaxX)
 	if hi < lo {
@@ -655,96 +564,67 @@ func (s *Searcher) refineCost(cell geom.Rect, nIds int) int {
 // refineCellLB computes an exact lower bound for a dirty cell by
 // enumerating every completion of the full covering set with a subset of
 // the partial rectangles. Returns ok=false when the cell exceeds the
-// enumeration gates. cellFull is the cell's full-cover channel totals
-// from the grid fill. On a sorted master every grid sum is exact, so
-// cellFull is the enumeration base as it stands (bit-identical to
-// re-accumulating the containing rectangles) and only the partial
-// rectangles are looked for, in the ring of the cell's 2D anchor-bin box
-// — a fraction of the 1D master window, whose x-range spans the full y
-// extent. The budget accounting (refineCost) charges the window all the
-// same: which cells get refined must not depend on how the bins happen
-// to be laid out. On an unsorted master the base is re-accumulated from
-// the classifications fillRects recorded.
-func (s *Searcher) refineCellLB(c, r int, cell, clip geom.Rect, ids []int32, cellFull []float64) (float64, bool) {
+// enumeration gates. cellFull is the cell's full-cover limb totals
+// from the grid fill. Every grid sum is exact, so cellFull is the
+// enumeration base as it stands (bit-identical to re-accumulating the
+// containing rectangles) and only the partial rectangles are looked for,
+// in the ring of the cell's 2D anchor-bin box — a fraction of the 1D
+// master window, whose x-range spans the full y extent. The budget
+// accounting (refineCost) charges the window all the same: which cells
+// get refined must not depend on how the bins happen to be laid out.
+func (s *Searcher) refineCellLB(cell, clip geom.Rect, cellFull []float64) (float64, bool) {
 	g := s.grid
 	t := s.tab
 	master := s.rects
 	query := &s.query
-	var base []float64
 	partial := g.refinePartial[:0]
-	if t.limbs.Exact {
-		t.ensureLevels(master)
-		l := t.pickLevel(master, cell)
-		base = cellFull
-		// All possibly-overlapping anchors have MinX ∈ (cell.MinX − wmax,
-		// cell.MaxX) and MinY ∈ (cell.MinY − hmax, cell.MaxY); each bin
-		// row of that box is a contiguous CSR run. Bins certainly inside
-		// the cell's full-cover box hold only rectangles that closed-
-		// contain the cell — already summed into cellFull (if in the
-		// subset) or excluded everywhere (if not) — so the scan skips
-		// that interior and walks only the ring where partials can live.
-		xo0, xo1 := l.xBinLE(master, cell.MinX-t.wmax, true), l.xBinGT(master, cell.MaxX, true)
-		yo0, yo1 := l.yBinLE(master, cell.MinY-t.hmax, true), l.yBinGT(master, cell.MaxY, true)
-		fi0, fi1 := l.xBinGT(master, cell.MaxX-t.wmin, false), l.xBinLE(master, cell.MinX, false)
-		fj0, fj1 := l.yBinGT(master, cell.MaxY-t.hmin, false), l.yBinLE(master, cell.MinY, false)
-		scan := func(lo, hi, row int) bool {
-			if lo >= hi {
-				return true
-			}
-			for _, id := range l.binIds[l.binStart[row+lo]:l.binStart[row+hi]] {
-				r := &master[id].Rect
-				if !(r.MinX < clip.MaxX && clip.MinX < r.MaxX &&
-					r.MinY < clip.MaxY && clip.MinY < r.MaxY) {
-					continue // outside the space's chain-filtered subset
-				}
-				if !(r.MinX < cell.MaxX && cell.MinX < r.MaxX && r.MinY < cell.MaxY && cell.MinY < r.MaxY) {
-					continue // interior does not meet the cell interior
-				}
-				if r.ContainsRect(cell) {
-					continue // already summed into cellFull by the fill
-				}
-				partial = append(partial, id)
-				if len(partial) > refineMaxPartial {
-					return false
-				}
-			}
+	t.ensureLevels(master)
+	l := t.pickLevel(master, cell)
+	// All possibly-overlapping anchors have MinX ∈ (cell.MinX − wmax,
+	// cell.MaxX) and MinY ∈ (cell.MinY − hmax, cell.MaxY); each bin row of
+	// that box is a contiguous CSR run. Bins certainly inside the cell's
+	// full-cover box hold only rectangles that closed-contain the cell —
+	// already summed into cellFull (if in the subset) or excluded
+	// everywhere (if not) — so the scan skips that interior and walks only
+	// the ring where partials can live.
+	xo0, xo1 := l.xBinLE(master, cell.MinX-t.wmax, true), l.xBinGT(master, cell.MaxX, true)
+	yo0, yo1 := l.yBinLE(master, cell.MinY-t.hmax, true), l.yBinGT(master, cell.MaxY, true)
+	fi0, fi1 := l.xBinGT(master, cell.MaxX-t.wmin, false), l.xBinLE(master, cell.MinX, false)
+	fj0, fj1 := l.yBinGT(master, cell.MaxY-t.hmin, false), l.yBinLE(master, cell.MinY, false)
+	scan := func(lo, hi, row int) bool {
+		if lo >= hi {
 			return true
 		}
-		for bj := yo0; bj < yo1; bj++ {
-			row := bj * l.gx
-			ok := true
-			if bj >= fj0 && bj < fj1 && fi0 < fi1 {
-				ok = scan(xo0, min(fi0, xo1), row) && scan(max(xo0, fi1), xo1, row)
-			} else {
-				ok = scan(xo0, xo1, row)
+		for _, id := range l.binIds[l.binStart[row+lo]:l.binStart[row+hi]] {
+			r := &master[id].Rect
+			if !(r.MinX < clip.MaxX && clip.MinX < r.MaxX &&
+				r.MinY < clip.MaxY && clip.MinY < r.MaxY) {
+				continue // outside the space's chain-filtered subset
 			}
-			if !ok {
-				g.refinePartial = partial[:0]
-				return 0, false
+			if !(r.MinX < cell.MaxX && cell.MinX < r.MaxX && r.MinY < cell.MaxY && cell.MinY < r.MaxY) {
+				continue // interior does not meet the cell interior
+			}
+			if r.ContainsRect(cell) {
+				continue // already summed into cellFull by the fill
+			}
+			partial = append(partial, id)
+			if len(partial) > refineMaxPartial {
+				return false
 			}
 		}
-	} else {
-		base = g.refineBase[:g.chans]
-		clear(base)
-		// Fully covering rectangles sum into the base and partial ones are
-		// listed, both in id order — the order the grid fill accumulates
-		// in, which the channels that failed the certificate are held to.
-		c16, r16 := int16(c), int16(r)
-		for k, sp := range g.spans[:len(ids)] {
-			if c16 < sp.c0 || c16 > sp.c1 || r16 < sp.r0 || r16 > sp.r1 {
-				continue
-			}
-			if sp.fc0 <= c16 && c16 <= sp.fc1 && sp.fr0 <= r16 && r16 <= sp.fr1 {
-				for _, cb := range t.rectContribs(ids[k]) {
-					base[cb.Ch] += cb.V
-				}
-				continue
-			}
-			partial = append(partial, ids[k])
-			if len(partial) > refineMaxPartial {
-				g.refinePartial = partial[:0]
-				return 0, false
-			}
+		return true
+	}
+	for bj := yo0; bj < yo1; bj++ {
+		row := bj * l.gx
+		ok := true
+		if bj >= fj0 && bj < fj1 && fi0 < fi1 {
+			ok = scan(xo0, min(fi0, xo1), row) && scan(max(xo0, fi1), xo1, row)
+		} else {
+			ok = scan(xo0, xo1, row)
+		}
+		if !ok {
+			g.refinePartial = partial[:0]
+			return 0, false
 		}
 	}
 	g.refinePartial = partial[:0]
@@ -752,7 +632,7 @@ func (s *Searcher) refineCellLB(c, r int, cell, clip geom.Rect, ids []int32, cel
 	best := math.Inf(1)
 	ch := g.refineCh[:g.chans]
 	for mask := 0; mask < 1<<len(partial); mask++ {
-		copy(ch, base)
+		copy(ch, cellFull)
 		for i := range partial {
 			if mask&(1<<i) == 0 {
 				continue
@@ -761,9 +641,9 @@ func (s *Searcher) refineCellLB(c, r int, cell, clip geom.Rect, ids []int32, cel
 				ch[cb.Ch] += cb.V
 			}
 		}
-		// ch is a limb vector (base and contributions carry a two-limb
-		// channel's hi and lo planes apart); fold before finalizing or
-		// the lo planes would be dropped from the bound.
+		// ch is a limb vector (base and contributions carry a channel's
+		// limbs apart); fold before finalizing or the extra limbs would be
+		// dropped from the bound.
 		query.F.FinalizeExact(t.limbs.Fold(g.foldFull, ch), g.rep)
 		if d := query.Distance(g.rep); d < best {
 			best = d

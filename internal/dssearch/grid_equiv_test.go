@@ -44,7 +44,7 @@ func equivCases() []equivCase {
 			schema: []attr.Attribute{{Name: "day", Kind: attr.Categorical, Domain: []string{"mo", "tu", "we", "th", "fr", "sa", "su"}}},
 			specs:  []agg.Spec{{Kind: agg.Distribution, Attr: "day"}},
 			values: func(rng *rand.Rand, _ int) []attr.Value { return []attr.Value{{Cat: rng.Intn(7)}} },
-			regime: func(t *tables) bool { return t.limbs.Exact && t.limbs.Eff() == t.chans },
+			regime: func(t *tables) bool { return t.limbs.Eff() == t.chans },
 		},
 		{
 			// F2 over decimal tenths: not dyadic, so the sums ride two
@@ -55,28 +55,22 @@ func equivCases() []equivCase {
 			values: func(rng *rand.Rand, _ int) []attr.Value {
 				return []attr.Value{{Num: float64(rng.Intn(101)) / 10}, {Num: 1 + float64(rng.Intn(5000))/10}}
 			},
-			regime: func(t *tables) bool { return t.limbs.Exact && t.limbs.Eff() > t.chans },
+			regime: func(t *tables) bool { return t.limbs.Eff() > t.chans && !chained(&t.limbs) },
 		},
 		{
-			// F2 salted with denormals and a negative zero: the sum
-			// channels fail both certificates and the master keeps its
-			// input order (no monotone columns, no windows, no levels).
-			name:   "failing-channel",
+			// F2 over visits spread from 1e-12 to 1e12 and a negative
+			// zero: the visits sums ride chains of three limbs.
+			name:   "three-limb",
 			schema: f2Schema,
 			specs:  f2Specs,
 			values: func(rng *rand.Rand, i int) []attr.Value {
-				v := rng.NormFloat64() * 40
-				switch i % 9 {
-				case 0:
-					v = 5e-324
-				case 4:
-					v = -5e-324
-				case 7:
+				v := spreadValue(rng)
+				if i%9 == 7 {
 					v = math.Copysign(0, -1)
 				}
 				return []attr.Value{{Num: rng.NormFloat64()}, {Num: v}}
 			},
-			regime: func(t *tables) bool { return !t.limbs.Exact },
+			regime: func(t *tables) bool { return chained(&t.limbs) },
 		},
 		{
 			// F2 over dyadic values (rating quarters, visits halves): every
@@ -88,7 +82,7 @@ func equivCases() []equivCase {
 			values: func(rng *rand.Rand, _ int) []attr.Value {
 				return []attr.Value{{Num: float64(rng.Intn(41)) * 0.25}, {Num: 1 + float64(rng.Intn(999))*0.5}}
 			},
-			regime: func(t *tables) bool { return t.limbs.Exact && t.limbs.Eff() == t.chans && t.f.MinMaxSlots() > 0 },
+			regime: func(t *tables) bool { return t.limbs.Eff() == t.chans && t.f.MinMaxSlots() > 0 },
 		},
 	}
 }
@@ -121,12 +115,11 @@ func sameResult(a, b asp.Result) bool {
 // the drop flag and every work counter must agree bit for bit, on
 // lattice-aligned edges, zero-extent rectangles, sub-ulp sliver spaces
 // and ancestor clips, from mini-sweep-sized spaces up to the
-// thousands-of-rectangles roots of a search. Pass 2 finds a cell's
-// rectangles in the anchor-bin ring on the sorted masters and in the
-// classification table on the unsorted one (failing-channel) — for every
+// thousands-of-rectangles roots of a search, in one, two and three limbs.
+// Pass 2 finds a cell's rectangles in the anchor-bin ring — for every
 // dirty cell of every grid, collapsed edge cells of the sliver spaces
 // included — and must give the per-cell scan's bound, bail-out and probe
-// incumbent either way.
+// incumbent.
 func TestDiscretizeMatchesReference(t *testing.T) {
 	const rootIds = 2048 // a space this full is a windowed search's root
 	for _, tc := range equivCases() {

@@ -16,9 +16,8 @@ import (
 // production did not rewrite: mmUpdate and fullRange. The refinement
 // compares every rectangle of the space against the cell itself and
 // re-accumulates its base (refRefineCellLB) — the oracle for the
-// anchor-bin ring production walks on sorted masters and for the
-// per-Discretize classification table it walks on unsorted ones, which
-// the centre probes (refProbeCellCenters) are held to as well.
+// anchor-bin ring production walks; the centre probes
+// (refProbeCellCenters) are held to the window scan.
 
 func (g *gridBuffers) refReset() {
 	clear(g.diffFull)
@@ -162,7 +161,7 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 			lb := query.LowerBoundInt(g.lo, g.hi, s.isInt)
 			cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
 			if lb < thresh && !s.opt.DisableRefinement {
-				cost := s.refineCost(cell, len(ids))
+				cost := s.refineCost(cell)
 				if scanBudget >= cost {
 					scanBudget -= cost
 					// Interval bounds admit unachievable mixtures (Equation
@@ -197,7 +196,7 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 	s.dirty = dirty
 
 	drop := 2*cw < s.acc.DX && 2*chh < s.acc.DY
-	s.refProbeCellCenters(dirty, clip, ids)
+	s.refProbeCellCenters(dirty, clip)
 	return dirty, drop
 }
 
@@ -295,13 +294,13 @@ func refOverlapRange(lo, hi, min, step float64, edges []float64) (int, int) {
 }
 
 // refProbeCellCenters is probeCellCenters with every candidate rectangle
-// asked on its own (on unsorted masters: all of ids per probe). It evaluates the centers of the most promising surviving
-// dirty cells as genuine candidate points. This does not affect
-// exactness — any point's distance is a valid incumbent — but it makes
-// d_opt converge early on flat distance landscapes, which is what lets
-// Equation 1 prune aggressively on workloads like F2 where many regions
-// are near-ties.
-func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32) {
+// of the window asked on its own. It evaluates the centers of the most
+// promising surviving dirty cells as genuine candidate points. This does
+// not affect exactness — any point's distance is a valid incumbent — but
+// it makes d_opt converge early on flat distance landscapes, which is
+// what lets Equation 1 prune aggressively on workloads like F2 where many
+// regions are near-ties.
+func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect) {
 	const probes = 4
 	if len(dirty) == 0 {
 		return
@@ -331,30 +330,19 @@ func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, ids []i
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
 		clear(ch)
-		if t.limbs.Exact {
-			// The rectangles covering p form a binary-searched window of
-			// the master order: MinX ∈ (p.X − wmax, p.X). The clip clause
-			// restricts the window to the space's chain-filtered subset
-			// (a probe point in a boundary cell can poke an ulp outside
-			// the clip; see Item.Clip).
-			lo := t.windowLo(p.X - t.wmax)
-			hi := t.windowHi(p.X)
-			for id := lo; id < hi; id++ {
-				rc := &master[id].Rect
-				if rc.ContainsOpen(p) &&
-					rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
-					rc.MinY < clip.MaxY && clip.MinY < rc.MaxY {
-					for _, cb := range t.rectContribs(int32(id)) {
-						ch[cb.Ch] += cb.V
-					}
-				}
-			}
-		} else {
-			for _, id := range ids {
-				if master[id].Rect.ContainsOpen(p) {
-					for _, cb := range t.rectContribs(id) {
-						ch[cb.Ch] += cb.V
-					}
+		// The rectangles covering p form a binary-searched window of the
+		// master order: MinX ∈ (p.X − wmax, p.X). The clip clause restricts
+		// the window to the space's chain-filtered subset (a probe point in
+		// a boundary cell can poke an ulp outside the clip; see Item.Clip).
+		lo := t.windowLo(p.X - t.wmax)
+		hi := t.windowHi(p.X)
+		for id := lo; id < hi; id++ {
+			rc := &master[id].Rect
+			if rc.ContainsOpen(p) &&
+				rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
+				rc.MinY < clip.MaxY && clip.MinY < rc.MaxY {
+				for _, cb := range t.rectContribs(int32(id)) {
+					ch[cb.Ch] += cb.V
 				}
 			}
 		}
@@ -378,8 +366,7 @@ func (s *Searcher) refRefineCellLB(cell geom.Rect, ids []int32) (float64, bool) 
 	t := s.tab
 	master := s.rects
 	query := &s.query
-	base := g.refineBase[:g.chans]
-	clear(base)
+	base := make([]float64, g.chans)
 	partial := g.refinePartial[:0]
 	for _, id := range ids {
 		r := master[id].Rect
@@ -413,9 +400,9 @@ func (s *Searcher) refRefineCellLB(cell geom.Rect, ids []int32) (float64, bool) 
 				ch[cb.Ch] += cb.V
 			}
 		}
-		// ch is a limb vector (base and contributions carry a two-limb
-		// channel's hi and lo planes apart); fold before finalizing or
-		// the lo planes would be dropped from the bound.
+		// ch is a limb vector (base and contributions carry a channel's
+		// limbs apart); fold before finalizing or the extra limbs would be
+		// dropped from the bound.
 		query.F.FinalizeExact(t.limbs.Fold(g.foldFull, ch), g.rep)
 		if d := query.Distance(g.rep); d < best {
 			best = d

@@ -60,13 +60,13 @@ type Pyramid struct {
 	core             *tables     // frozen canonical aggregation core (master order)
 	order            []int32     // master position -> dataset object index
 	xAscIds, yAscIds []int32     // master ids sorted by anchor x / y (accuracy)
-	lvls             []*satLevel // anchor-bin hierarchy, finest first (none unless the master is sorted)
+	lvls             []*satLevel // anchor-bin hierarchy, finest first
 
 	// Delta-fold state (delta.go): the certificate's running sums over
 	// the dataset, which a fold extends by the appended objects; nil on a
 	// loaded pyramid until a fold needs them (derived from the dataset
 	// then).
-	cert *agg.LimbSums
+	cert agg.LimbSums
 
 	// Shape facts remembered per (a, b) (shape.go): like Index.lbPool the
 	// memo is the pyramid's only mutable state. An epoch's fold is a new
@@ -105,7 +105,10 @@ func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
 		}
 	}
 	core := &tables{}
-	master := buildTables(core, synth, f, true)
+	master, err := buildTables(core, synth, f, true)
+	if err != nil {
+		return nil, err
+	}
 	core.freeze()
 
 	// Recover the sort permutation via object identity.
@@ -118,8 +121,7 @@ func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
 		order[i] = idxOf[master[i].Obj]
 	}
 
-	sums := core.limbs.Sums()
-	p := &Pyramid{ds: ds, f: f, n: n, mmSlots: f.MinMaxSlots(), core: core, order: order, cert: &sums}
+	p := &Pyramid{ds: ds, f: f, n: n, mmSlots: f.MinMaxSlots(), core: core, order: order, cert: core.limbs.Sums()}
 
 	xs := make([]float64, n)
 	ys := make([]float64, n)
@@ -156,11 +158,8 @@ func levelGrids(n int) []int {
 }
 
 // raiseLevels builds the hierarchy from scratch over the stored anchors
-// xs/ys (master order). Only a sorted master's searches read levels.
+// xs/ys (master order).
 func (p *Pyramid) raiseLevels(xs, ys []float64) {
-	if !p.core.limbs.Exact {
-		return
-	}
 	for _, g := range levelGrids(p.n) {
 		l := &satLevel{}
 		buildSATLevel(l, g, xs, ys)
@@ -223,8 +222,7 @@ func (p *Pyramid) Levels() int { return len(p.lvls) }
 func (p *Pyramid) bindCore(t *tables) {
 	c := p.core
 	t.f, t.chans = c.f, c.chans
-	// The exported limbs only: t keeps its own certificate scratch.
-	t.limbs.Scale, t.limbs.Inv, t.limbs.Lo, t.limbs.Exact = c.limbs.Scale, c.limbs.Inv, c.limbs.Lo, c.limbs.Exact
+	t.limbs = c.limbs.Layout()
 	t.cOff, t.contribs = c.cOff, c.contribs
 	t.mOff, t.mms = c.mOff, c.mms
 	t.lvls = append(t.lvls[:0], p.lvls...)
@@ -308,16 +306,16 @@ func minGapMergedIds(master []asp.RectObject, ids []int32, yAxis bool) float64 {
 // PyramidSnapshot is the exported, codec-friendly image of a Pyramid:
 // what the dataset does not hold. internal/persist encodes and decodes
 // it; PyramidFromSnapshot validates it and re-derives the rest — the
-// limb inverses and the one flag from the scales, the contribution and
-// min/max tables from the objects, each level's count plane from its
-// bins.
+// limb inverses and owners from the scales (agg.NewLimbs), the
+// contribution and min/max tables from the objects, each level's count
+// plane from its bins.
 type PyramidSnapshot struct {
 	N       int
 	Chans   int
 	MMSlots int
 
-	// Scale is every limb's power of two (agg.Limbs.Scale, 0 for an
-	// uncertified channel) and Lo every channel's lo limb or -1.
+	// Scale is every limb's power of two (agg.Limbs.Scale) and Lo every
+	// channel's first extra limb or -1.
 	Scale []float64
 	Lo    []int32
 
@@ -362,8 +360,8 @@ func (p *Pyramid) Snapshot() *PyramidSnapshot {
 // mismatched file must produce an error, never a panic) and re-deriving
 // what it does not carry: the contribution tables are flattened from
 // ds.Objects[Order[i]] and split under the snapshot's limbs. Those limbs
-// are trusted to certify ds — like ReadIndex, the dataset identity is
-// part of the file's contract.
+// are trusted to certify ds: the dataset identity is part of the file's
+// contract.
 func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot) (*Pyramid, error) {
 	if ds == nil || f == nil || s == nil {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot requires dataset, composite and data")
@@ -378,9 +376,12 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 	if s.MMSlots != f.MinMaxSlots() {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot has %d min/max slots, composite has %d", s.MMSlots, f.MinMaxSlots())
 	}
-	limbs, err := snapshotLimbs(s.Chans, s.Scale, s.Lo)
+	if len(s.Lo) != s.Chans {
+		return nil, fmt.Errorf("dssearch: pyramid snapshot has %d lo slots for %d channels", len(s.Lo), s.Chans)
+	}
+	limbs, err := agg.NewLimbs(s.Scale, s.Lo)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dssearch: pyramid snapshot: %w", err)
 	}
 	if len(s.Order) != n || len(s.XAscIds) != n || len(s.YAscIds) != n {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot id arrays inconsistent")
@@ -444,46 +445,10 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 		l.sumCounts()
 		p.lvls = append(p.lvls, l)
 	}
-	if limbs.Exact && len(p.lvls) == 0 {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot has a sorted master but carries no anchor-bin levels")
+	if len(p.lvls) == 0 {
+		return nil, fmt.Errorf("dssearch: pyramid snapshot carries no anchor-bin levels")
 	}
 	return p, nil
-}
-
-// snapshotLimbs rebuilds the limbs of a snapshot, checking that every
-// scale is 0 or an admissible power of two and that the lo limbs are
-// laid out as Certify lays them out: one per two-limb channel, in
-// channel order, right after the channels.
-func snapshotLimbs(chans int, scale []float64, lo []int32) (agg.Limbs, error) {
-	if len(lo) != chans || len(scale) < chans || len(scale) > 2*chans {
-		return agg.Limbs{}, fmt.Errorf("dssearch: pyramid snapshot has %d limbs and %d lo slots for %d channels", len(scale), len(lo), chans)
-	}
-	l := agg.Limbs{Scale: scale, Inv: make([]float64, len(scale)), Lo: lo, Exact: true}
-	for k, v := range scale {
-		if v == 0 {
-			l.Exact = false
-			continue
-		}
-		frac, e := math.Frexp(v)
-		if frac != 0.5 || e-1 < -1022 || e-1 > 1022 {
-			return agg.Limbs{}, fmt.Errorf("dssearch: pyramid snapshot limb %d scale %g is not an admissible power of two", k, v)
-		}
-		l.Inv[k] = math.Ldexp(1, 1-e)
-	}
-	next := int32(chans)
-	for ch, sh := range lo {
-		if sh < 0 {
-			continue
-		}
-		if sh != next || scale[ch] == 0 || scale[sh] == 0 {
-			return agg.Limbs{}, fmt.Errorf("dssearch: pyramid snapshot lo limb %d of channel %d out of place", sh, ch)
-		}
-		next++
-	}
-	if int(next) != len(scale) {
-		return agg.Limbs{}, fmt.Errorf("dssearch: pyramid snapshot has %d lo limbs, %d in use", len(scale)-chans, int(next)-chans)
-	}
-	return l, nil
 }
 
 // checkPermutation verifies ids is a permutation of [0, n).

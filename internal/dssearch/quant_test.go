@@ -26,8 +26,7 @@ func quantSearcher(t *testing.T, rects []asp.RectObject, f *agg.Composite) *Sear
 
 // TestCertificatePerChannel: channels are certified individually —
 // dyadic reals as one limb on their finest grid, decimal-grid (base-10)
-// channels as two limbs (so the whole composite is exact and sorts) —
-// and the split into limbs is error-free.
+// channels as two limbs — and the split into limbs is error-free.
 func TestCertificatePerChannel(t *testing.T) {
 	schema, err := attr.NewSchema(
 		attr.Attribute{Name: "dyadic", Kind: attr.Numeric},
@@ -71,11 +70,6 @@ func TestCertificatePerChannel(t *testing.T) {
 	if l.Scale[0] != 4 || l.Inv[0] != 0.25 {
 		t.Errorf("dyadic scale = %g/%g, want 4/0.25", l.Scale[0], l.Inv[0])
 	}
-	// With every channel certified the composite is exact: the master
-	// sorts and the windows come on.
-	if !l.Exact {
-		t.Fatal("decimal+dyadic composite should be exact")
-	}
 	// The split is error-free: for every contribution on a two-limb
 	// channel, the rewritten hi part plus its lo part must equal the
 	// original contribution value bit-for-bit.
@@ -112,8 +106,8 @@ func TestCertificatePerChannel(t *testing.T) {
 
 // TestCertificateDenormalAndHeadroom: channels whose values span more
 // than one limb's headroom take two, on grids as fine as the normal
-// range allows; denormals, NaN, Inf and spreads beyond two limbs fall
-// back.
+// range allows, and spreads beyond two limbs a chain of three; a
+// searcher over denormals, NaN or Inf, which no grid holds, is refused.
 func TestCertificateDenormalAndHeadroom(t *testing.T) {
 	schema, err := attr.NewSchema(attr.Attribute{Name: "v", Kind: attr.Numeric})
 	if err != nil {
@@ -123,7 +117,7 @@ func TestCertificateDenormalAndHeadroom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(vals []float64) *agg.Limbs {
+	reduce := func(vals []float64) []asp.RectObject {
 		objs := make([]attr.Object, len(vals))
 		rects := make([]asp.RectObject, len(vals))
 		for i, v := range vals {
@@ -131,18 +125,20 @@ func TestCertificateDenormalAndHeadroom(t *testing.T) {
 			objs[i] = attr.Object{Loc: geom.Point{X: x, Y: x}, Values: []attr.Value{{Num: v}}}
 			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: x - 1, MaxX: x, MaxY: x}, Obj: &objs[i]}
 		}
-		return &quantSearcher(t, rects, f).tab.limbs
+		return rects
 	}
-	for _, v := range []float64{5e-324, math.NaN(), math.Inf(1)} {
-		if l := build([]float64{0.5, v}); l.Scale[0] != 0 || l.Exact {
-			t.Errorf("a channel holding %g must fail both certificates", v)
+	build := func(vals []float64) *agg.Limbs { return &quantSearcher(t, reduce(vals), f).tab.limbs }
+	// A tail finer than 2^-1022 under a large head, denormals, NaN, Inf.
+	for _, v := range []float64{math.Ldexp(1, -1060), 5e-324, math.NaN(), math.Inf(1)} {
+		if _, err := NewSearcher(reduce([]float64{16, v}), asp.Query{F: f, Target: []float64{0}}, Options{}); err == nil {
+			t.Errorf("a channel holding %g certified", v)
 		}
 	}
 	// A tiny dyadic value forces a fine grid; a large one then blows the
 	// one-limb headroom — but two limbs split the spread across their hi
 	// and lo planes and serve the channel exactly.
 	for _, tiny := range []float64{math.Ldexp(1, -50), math.Ldexp(1, -100), math.Ldexp(1, -1000)} {
-		if l := build([]float64{tiny, 16}); l.Lo[0] < 0 || !l.Exact {
+		if l := build([]float64{tiny, 16}); l.Lo[0] < 0 || chained(l) {
 			t.Errorf("a %g beside 16 should take two limbs", tiny)
 		}
 	}
@@ -156,10 +152,14 @@ func TestCertificateDenormalAndHeadroom(t *testing.T) {
 	if l := build([]float64{5.000000000000001e-05, 7.3, 0.1, 9.999999999999998}); l.Lo[0] < 0 || l.Scale[l.Lo[0]] <= math.Ldexp(1, 62) {
 		t.Errorf("full-mantissa reals should take two limbs with a lo grid finer than 2^-62 (lo %d, scales %v)", l.Lo[0], l.Scale)
 	}
-	// Spreads beyond even two limbs — a denormal-scale tail under a large
-	// head — must still fall back to the classic path.
-	if l := build([]float64{math.Ldexp(1, -1060), 16}); l.Scale[0] != 0 {
-		t.Error("beyond-two-limb spread must fail both certificates")
+	// Full-mantissa reals spread over 1e-12…1e12: a chain of three.
+	rng := rand.New(rand.NewSource(9))
+	spread := make([]float64, 60)
+	for i := range spread {
+		spread[i] = spreadValue(rng)
+	}
+	if l := build(spread); !chained(l) {
+		t.Errorf("spread reals should take a chain of three limbs (scales %v, lo %v)", l.Scale, l.Lo)
 	}
 }
 
@@ -212,45 +212,6 @@ func realSchemaF2(t *testing.T) *agg.Composite {
 		t.Fatal(err)
 	}
 	return f
-}
-
-// TestUnquantizableTakesOldPath: a composite whose every channel fails
-// both certificates silently keeps the seed behavior — no sort, original
-// master order. Denormal tails on both signs defeat two limbs on every
-// sum channel.
-func TestUnquantizableTakesOldPath(t *testing.T) {
-	schema, err := attr.NewSchema(attr.Attribute{Name: "v", Kind: attr.Numeric})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := agg.New(schema, agg.Spec{Kind: agg.Sum, Attr: "v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	objs := make([]attr.Object, 60)
-	rects := make([]asp.RectObject, 60)
-	for i := range rects {
-		x, y := rng.Float64()*10, rng.Float64()*10
-		v := rng.NormFloat64()
-		switch i % 10 {
-		case 0:
-			v = 5e-324 // denormal-adjacent
-		case 5:
-			v = -5e-324
-		}
-		objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{{Num: v}}}
-		rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: y - 1, MaxX: x, MaxY: y}, Obj: &objs[i]}
-	}
-	s := quantSearcher(t, rects, f)
-	if s.tab.limbs.Exact {
-		t.Fatalf("unquantizable composite must fall back: %+v", s.tab.limbs.Scale)
-	}
-	for i := range rects {
-		if s.rects[i].Obj != rects[i].Obj {
-			t.Fatal("master order changed for an unquantizable composite")
-		}
-	}
 }
 
 // TestSearchEquivalenceRealValued runs whole searches over the

@@ -15,17 +15,17 @@ import (
 // This file implements the per-query aggregation layer of DS-Search: one
 // `tables` value is built per Searcher and owns
 //
-//   - the master rectangle array, sorted by (MinX, MinY) when every
-//     channel is certified, so that every space's relevant rectangles
-//     form a binary-searchable contiguous window;
+//   - the master rectangle array, sorted by (MinX, MinY), so that every
+//     space's relevant rectangles form a binary-searchable contiguous
+//     window;
 //   - the flattened per-rectangle limb contributions (AppendContribs
 //     evaluated and split once per query instead of once per
 //     discretization);
 //   - the GPS-accuracy computation (Definition 7), derived from the
 //     sorted coordinate arrays by a merge walk instead of re-sorting the
 //     edge multiset per query;
-//   - on sorted masters, the anchor-bin levels: CSR per-bin id lists over
-//     a grid of (MinX, MinY) anchors, with a prefix-summed count plane.
+//   - the anchor-bin levels: CSR per-bin id lists over a grid of
+//     (MinX, MinY) anchors, with a prefix-summed count plane.
 //     A dirty cell's refinement finds its partial rectangles in the ring
 //     of the cell's 2D anchor box instead of the 1D MinX window, and
 //     AppendWindowIDs collects a space's ids the same way (DESIGN.md §2).
@@ -37,22 +37,15 @@ import (
 // query, in one O(n) pass (shape.go), converting the per-query
 // O(R log R) setup into amortized shared state (DESIGN.md §6).
 //
-// Sorting is gated by the limbs' certificate (agg.Limbs): every channel
-// sums as one or two exact limbs, each on a power-of-two grid with its
-// total scaled mass within 2^52, so every float partial sum the
-// difference-array fill can form is exact and every channel's value over
-// a set is the correctly rounded exact sum, whatever the order. One flag
-// comes out, limbs.Exact: the master may be sorted, and the incremental
-// mini-sweep may carry every limb as a scaled int64. Integer channels
-// pass with scale 1, dyadic reals with their finest grid, decimal and
-// full-mantissa reals with two limbs.
-//
-// A composite with a channel no certificate admits — NaN/Inf, values
-// next to the denormals, a spread two limbs cannot hold — keeps its
-// master in input order, so every float sum of that channel is formed in
-// the order the seed algorithm forms it; pass 2 then finds a cell's
-// rectangles in the per-Discretize classification table (grid.go)
-// instead of a window.
+// Sorting is what the limbs (agg.Limbs) buy: every channel sums in exact
+// limbs, each on a power-of-two grid with its total scaled mass within
+// 2^52, so every float partial sum the difference-array fill can form is
+// exact and a channel's value over a set is a function of its exact limb
+// sums, whatever the order — and the incremental mini-sweep may carry
+// every limb as a scaled int64. Integer channels pass with scale 1, dyadic
+// reals with their finest grid, decimal and full-mantissa reals with two
+// limbs, reals spread wider with as many as their mass needs. The values a
+// dataset admits (attr.Dataset.Validate) always certify.
 
 // ---- Anchor-bin levels ----
 
@@ -324,9 +317,7 @@ type tables struct {
 	chans int // channels (f.Channels())
 
 	// limbs is the certificate (see the file note): contributions are
-	// flattened in its limb layout, and limbs.Exact — every channel
-	// certified — is also "the master order is (MinX, MinY)", which
-	// makes windows and the anchor-bin levels usable.
+	// flattened in its limb layout.
 	limbs agg.Limbs
 
 	wmin, wmax float64 // range of rect widths (MaxX-MinX) over the master set
@@ -375,7 +366,7 @@ type tables struct {
 	gridNCol, gridNRow, gridEff int
 	gridF                       *agg.Composite
 	sw                          *sweep.Solver
-	swCap, swEff                int
+	swEff                       int
 	scratchF                    []float64
 	scratchCells                []cellInfo
 	scratchRects                []asp.RectObject
@@ -401,7 +392,7 @@ func (t *tables) reset() {
 		t.shared = false
 		t.cOff, t.contribs = nil, nil
 		t.mOff, t.mms = nil, nil
-		t.limbs.Scale, t.limbs.Inv, t.limbs.Lo = nil, nil, nil
+		t.limbs = agg.Limbs{}
 		return
 	}
 	t.cOff = t.cOff[:0]
@@ -412,9 +403,10 @@ func (t *tables) reset() {
 
 // buildTables constructs the layer over master for the composite f.
 // When own is true the master slice may be re-sorted in place; otherwise
-// a sorted copy is made if sorting is called for. It returns the master
-// actually used (== the input unless a copy was needed).
-func buildTables(t *tables, master []asp.RectObject, f *agg.Composite, own bool) []asp.RectObject {
+// a sorted copy is made if it is not sorted yet. It returns the master
+// actually used (== the input unless a copy was needed), or the error of
+// contributions that do not certify.
+func buildTables(t *tables, master []asp.RectObject, f *agg.Composite, own bool) ([]asp.RectObject, error) {
 	t.f = f
 	t.chans = f.Channels()
 
@@ -432,14 +424,14 @@ func buildTables(t *tables, master []asp.RectObject, f *agg.Composite, own bool)
 	// certificate reads.
 	t.measureExtents(master)
 	t.flattenContribs(master, nil)
-	t.limbs.Certify(t.chans, t.contribs)
+	if err := t.limbs.Certify(t.chans, t.contribs); err != nil {
+		return nil, err
+	}
 
-	// Certified composites get the sorted master (and with it the window
-	// and probe machinery). Sorting reorders float summation, which is
-	// harmless exactly when every sum is order-free — what the certificate
-	// guarantees.
+	// Sorting reorders float summation, which the certificate makes
+	// harmless: every limb sum is order-free.
 	resorted := false
-	if t.limbs.Exact && !sort.SliceIsSorted(master, func(a, b int) bool {
+	if !sort.SliceIsSorted(master, func(a, b int) bool {
 		ra, rb := &master[a].Rect, &master[b].Rect
 		if ra.MinX != rb.MinX {
 			return ra.MinX < rb.MinX
@@ -463,7 +455,7 @@ func buildTables(t *tables, master []asp.RectObject, f *agg.Composite, own bool)
 		t.flattenContribs(master, &t.limbs)
 	}
 	t.fillMinXs(master)
-	return master
+	return master, nil
 }
 
 // fillMinXs (re)derives the sorted-order MinX array into the owned slab.
@@ -541,8 +533,9 @@ func (t *tables) rectMM(id int32) []agg.MMContrib {
 // accuracy computes the Definition 7 GPS accuracies: the minimum
 // separation of the distinct x (resp. y) edge coordinates. The edge
 // multiset {MinX} ∪ {MaxX} is enumerated in sorted order by merging two
-// sorted halves, so the result is bit-identical to sorting the combined
-// multiset (geom.ComputeAccuracy) at half the sort work and none of the
+// sorted halves — the MinX half is the sorted master's own order — so the
+// result is bit-identical to sorting the combined multiset
+// (geom.ComputeAccuracy) at a fraction of the sort work and none of the
 // allocation.
 func (t *tables) accuracy(master []asp.RectObject) geom.Accuracy {
 	t.axs = t.axs[:0]
@@ -550,9 +543,6 @@ func (t *tables) accuracy(master []asp.RectObject) geom.Accuracy {
 	for i := range master {
 		t.axs = append(t.axs, master[i].Rect.MinX)
 		t.bxs = append(t.bxs, master[i].Rect.MaxX)
-	}
-	if !t.limbs.Exact {
-		sort.Float64s(t.axs)
 	}
 	sort.Float64s(t.bxs)
 	dx := minGapMerged(t.axs, t.bxs)
@@ -629,8 +619,8 @@ func satGrid(n int) int {
 	return g
 }
 
-// ensureLevels lazily provides the anchor-bin hierarchy of a sorted
-// master. With a pyramid bound the levels were aliased at construction
+// ensureLevels lazily provides the anchor-bin hierarchy of the master.
+// With a pyramid bound the levels were aliased at construction
 // and this is a no-op; otherwise one query-level grid is built over the
 // master anchors on first demand. Many queries never refine a cell, so
 // the build cost is deferred to the first that does.

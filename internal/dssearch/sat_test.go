@@ -1,58 +1,78 @@
 package dssearch
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/attr"
 	"asrs/internal/geom"
+	"asrs/internal/sweep"
 )
 
-// TestSATNotUsableForUnsplittableChannels: composites whose
-// contributions defeat both one limb and two (denormal tails on both
-// signs) must keep the original master order, and with it raise no
-// anchor-bin level.
-func TestSATNotUsableForUnsplittableChannels(t *testing.T) {
+// spreadValue draws a full-mantissa real between 1e-12 and 1e12 in
+// magnitude: a few dozen of them sum in a chain of three limbs or more.
+func spreadValue(rng *rand.Rand) float64 {
+	return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(25)-12))
+}
+
+// chained reports whether some channel of l sums in three limbs or more:
+// more extra limbs than channels that have one.
+func chained(l *agg.Limbs) bool {
+	extra := 0
+	for _, lo := range l.Lo {
+		if lo >= 0 {
+			extra++
+		}
+	}
+	return l.Eff()-len(l.Lo) > extra
+}
+
+// TestThreeLimbMasterSorts: a composite whose sums take a chain of three
+// limbs gets the sorted master like every other, and its search answers
+// the sweep baseline's distance bit for bit.
+func TestThreeLimbMasterSorts(t *testing.T) {
 	schema, err := attr.NewSchema(attr.Attribute{Name: "v", Kind: attr.Numeric})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := agg.New(schema, agg.Spec{Kind: agg.Sum, Attr: "v"})
+	f, err := agg.New(schema, agg.Spec{Kind: agg.Sum, Attr: "v"}, agg.Spec{Kind: agg.Average, Attr: "v"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	objs := make([]attr.Object, 50)
-	rects := make([]asp.RectObject, 50)
-	for i := range rects {
-		x, y := rng.Float64()*10, rng.Float64()*10
-		v := rng.NormFloat64()
-		switch i % 8 {
-		case 0:
-			v = 5e-324
-		case 3:
-			v = -5e-324
+	for trial := 0; trial < 4; trial++ {
+		objs := make([]attr.Object, 120)
+		rects := make([]asp.RectObject, len(objs))
+		for i := range rects {
+			x, y := rng.Float64()*10, rng.Float64()*10
+			objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{{Num: spreadValue(rng)}}}
+			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: y - 1, MaxX: x, MaxY: y}, Obj: &objs[i]}
 		}
-		objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{{Num: v}}}
-		rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: y - 1, MaxX: x, MaxY: y}, Obj: &objs[i]}
-	}
-	q := asp.Query{F: f, Target: []float64{0}}
-	s, err := NewSearcher(rects, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.tab.limbs.Exact {
-		t.Fatalf("unsplittable composite must not sort: scales %v", s.tab.limbs.Scale)
-	}
-	for i := range rects {
-		if s.rects[i].Obj != rects[i].Obj {
-			t.Fatal("master order changed for an unsplittable composite")
+		q := asp.Query{F: f, Target: []float64{spreadValue(rng), spreadValue(rng)}}
+		s, err := NewSearcher(rects, q, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	s.Solve()
-	if len(s.tab.lvls) > 0 {
-		t.Fatal("a search over an unsorted master built an anchor-bin level")
+		if !chained(&s.tab.limbs) {
+			t.Fatalf("trial %d: limbs %v, lo %v: no chain of three", trial, s.tab.limbs.Scale, s.tab.limbs.Lo)
+		}
+		if !sort.SliceIsSorted(s.rects, func(a, b int) bool {
+			ra, rb := s.rects[a].Rect, s.rects[b].Rect
+			return ra.MinX < rb.MinX || (ra.MinX == rb.MinX && ra.MinY < rb.MinY)
+		}) {
+			t.Fatalf("trial %d: the master is not sorted by anchor", trial)
+		}
+		got := s.Solve()
+		sw, err := sweep.New(rects, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sw.Solve(); math.Float64bits(got.Dist) != math.Float64bits(want.Dist) {
+			t.Fatalf("trial %d: distance %v, the sweep's %v", trial, got.Dist, want.Dist)
+		}
 	}
 }

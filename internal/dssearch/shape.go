@@ -56,7 +56,7 @@ func (p *Pyramid) rememberFacts(k shapeKey, f shapeFacts) {
 
 // deriveFacts computes a shape's facts from its materialized master.
 func (p *Pyramid) deriveFacts(master []asp.RectObject) shapeFacts {
-	if p.core.limbs.Exact && !masterSortedNoCollapse(master) {
+	if !masterSortedNoCollapse(master) {
 		return shapeFacts{}
 	}
 	var t tables

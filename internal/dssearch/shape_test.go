@@ -20,7 +20,10 @@ func classicFacts(t *testing.T, ds *attr.Dataset, q asp.Query, a, b float64) sha
 		t.Fatal(err)
 	}
 	var tab tables
-	master := buildTables(&tab, rects, q.F, true)
+	master, err := buildTables(&tab, rects, q.F, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return shapeFacts{
 		ok:   true,
 		wmin: tab.wmin, wmax: tab.wmax, hmin: tab.hmin, hmax: tab.hmax,
@@ -52,8 +55,8 @@ func sameFacts(x, y shapeFacts) bool {
 }
 
 // TestShapeFacts holds the pyramid's per-shape memo to the per-query
-// derivations it replaces. On a sorted and an unsorted core, for shapes
-// that bind and — two anchors an ulp apart under an extent that absorbs
+// derivations it replaces. On a core of one limb a channel and one of
+// three-limb chains, for shapes that bind and — two anchors an ulp apart under an extent that absorbs
 // the ulp — one that collapses: what a bound searcher holds (extents,
 // accuracy, space) equals tables.accuracy, measureExtents and asp.Space
 // over the classic build bit for bit; the verdict is
@@ -63,22 +66,12 @@ func sameFacts(x, y shapeFacts) bool {
 func TestShapeFacts(t *testing.T) {
 	rng := rand.New(rand.NewSource(2020))
 	kinds := []struct {
-		name   string
-		num    func() float64
-		sorted bool
+		name  string
+		num   func() float64
+		chain bool
 	}{
-		{"sorted", func() float64 { return float64(rng.Intn(11) - 5) }, true},
-		// Denormal tails on both signs fail both certificates: the master
-		// stays in dataset order, where no order can collapse.
-		{"unsorted", func() float64 {
-			switch rng.Intn(10) {
-			case 0:
-				return 5e-324
-			case 5:
-				return -5e-324
-			}
-			return rng.NormFloat64()
-		}, false},
+		{"one-limb", func() float64 { return float64(rng.Intn(11) - 5) }, false},
+		{"three-limb", func() float64 { return spreadValue(rng) }, true},
 	}
 	for _, kind := range kinds {
 		ds, f := pyramidDataset(t, rng, 200, kind.num, false)
@@ -89,8 +82,8 @@ func TestShapeFacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.core.limbs.Exact != kind.sorted {
-			t.Fatalf("%s: core sorted=%v", kind.name, p.core.limbs.Exact)
+		if chained(&p.core.limbs) != kind.chain {
+			t.Fatalf("%s: core limbs %v, lo %v", kind.name, p.core.limbs.Scale, p.core.limbs.Lo)
 		}
 		target := make([]float64, f.Dims())
 		target[0] = 3
@@ -102,8 +95,8 @@ func TestShapeFacts(t *testing.T) {
 			{0.37, 0.91, false},
 			{0.5, 8, false},
 			{1e-13, 1e-13, false}, // sub-ulp: zero-extent rectangles, anchors untouched
-			{9, 8, kind.sorted},
-			{400, 400, kind.sorted},
+			{9, 8, true},
+			{400, 400, true},
 		}
 		for _, sh := range shapes {
 			a, b := sh.a, sh.b
@@ -113,7 +106,7 @@ func TestShapeFacts(t *testing.T) {
 				o := &ds.Objects[oi]
 				master[i] = asp.RectObject{Rect: asp.AnchorTR.RectFor(o.Loc, a, b), Obj: o}
 			}
-			if verdict := !p.core.limbs.Exact || masterSortedNoCollapse(master); verdict == sh.collapses {
+			if verdict := masterSortedNoCollapse(master); verdict == sh.collapses {
 				t.Fatalf("%s %gx%g: the translated master keeps the pyramid's order: %v; the test wants collapse=%v", kind.name, a, b, verdict, sh.collapses)
 			}
 			_, wantRes, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{Workers: 1})

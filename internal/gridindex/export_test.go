@@ -29,6 +29,14 @@ func (x *Index) RangeLowerBound(q asp.Query, a, b float64, i0, i1, j0, j1 int) f
 	return x.rangeLowerBound(q, a, b, cellRange{i0: int32(i0), i1: int32(i1), j0: int32(j0), j1: int32(j1)}, sc)
 }
 
+// RegionChannels writes into out the channel totals of objects located in
+// cells [l, r) × [b, t): the exact limb totals of regionLimbs, folded.
+func (x *Index) RegionChannels(l, r, b, t int, out []float64) {
+	limbs := make([]float64, x.eff)
+	x.regionLimbs(l, r, b, t, limbs)
+	copy(out, x.limbs.Fold(out, limbs))
+}
+
 // SolveVisiting is Solve, calling visit with every cell the best-first
 // loop takes, in order.
 func SolveVisiting(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options, visit func(i, j int)) (asp.Result, Stats, error) {

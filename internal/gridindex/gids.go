@@ -263,15 +263,16 @@ func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, q 
 }
 
 // lbScratch bundles the per-query scratch of the cell lower bounds —
-// channel vectors, bound vectors, min/max slots and the integer-dim flags
-// — carved from one slab allocation, and the range heap. Scratches
-// recycle through the index's pool, so steady-state GI-DS queries
-// reallocate nothing here.
+// limb and channel vectors, bound vectors, min/max slots and the
+// integer-dim flags — carved from one slab allocation, and the range
+// heap. Scratches recycle through the index's pool, so steady-state GI-DS
+// queries reallocate nothing here.
 type lbScratch struct {
-	full, big, part []float64
-	lo, hi          []float64
-	mmMin, mmMax    []float64
-	isInt           []bool
+	fullL, partL []float64 // limbs
+	full, part   []float64 // channels
+	lo, hi       []float64
+	mmMin, mmMax []float64
+	isInt        []bool
 
 	heap *kernel.Heap[cellRange]
 }
@@ -281,15 +282,16 @@ func (x *Index) getLBScratch() *lbScratch {
 		return sc
 	}
 	dims := x.f.Dims()
-	slab := make([]float64, 3*x.chans+2*dims+2*x.mmSlots)
+	slab := make([]float64, 2*x.eff+2*x.chans+2*dims+2*x.mmSlots)
 	carve := func(n int) []float64 {
 		out := slab[:n:n]
 		slab = slab[n:]
 		return out
 	}
 	return &lbScratch{
+		fullL: carve(x.eff),
+		partL: carve(x.eff),
 		full:  carve(x.chans),
-		big:   carve(x.chans),
 		part:  carve(x.chans),
 		lo:    carve(dims),
 		hi:    carve(dims),
@@ -360,22 +362,18 @@ func axisSpan(origin, w float64, n, i0, i1 int, ext float64) span {
 
 // spanLowerBound is the §5.3 bound of the candidate regions whose bl
 // corner lies in the buckets with these column and row spans. Ranges may
-// reach outside the grid: there is nothing there, and RegionChannels and
+// reach outside the grid: there is nothing there, and regionLimbs and
 // RingMinMax clamp.
 func (x *Index) spanLowerBound(q asp.Query, cols, rows span, sc *lbScratch) float64 {
-	x.RegionChannels(cols.il, cols.ir, rows.il, rows.ir, sc.full)
-	x.RegionChannels(cols.ol, cols.or, rows.ol, rows.or, sc.big)
-	for ch := 0; ch < x.chans; ch++ {
-		// The partial set is the bounding region minus the bounded
-		// one, so its channel totals are exactly big−full. Values
-		// may be legitimately negative (the sumNeg channel of fS);
-		// only float residue from the telescoped sums is clamped.
-		v := sc.big[ch] - sc.full[ch]
-		if v < 0 && v > -1e-9 {
-			v = 0
-		}
-		sc.part[ch] = v
+	x.regionLimbs(cols.il, cols.ir, rows.il, rows.ir, sc.fullL)
+	x.regionLimbs(cols.ol, cols.or, rows.ol, rows.or, sc.partL)
+	// The partial set is the bounding region minus the bounded one, so
+	// its limb totals are exactly big−full.
+	for k, v := range sc.fullL {
+		sc.partL[k] -= v
 	}
+	full := x.limbs.Fold(sc.full, sc.fullL)
+	part := x.limbs.Fold(sc.part, sc.partL)
 	if x.mmSlots > 0 {
 		for s := 0; s < x.mmSlots; s++ {
 			sc.mmMin[s] = math.Inf(1)
@@ -383,7 +381,7 @@ func (x *Index) spanLowerBound(q asp.Query, cols, rows span, sc *lbScratch) floa
 		}
 		x.RingMinMax(cols.ol, cols.or, rows.ol, rows.or, cols.il, cols.ir, rows.il, rows.ir, sc.mmMin, sc.mmMax)
 	}
-	x.f.FinalizeBounds(sc.full, sc.part, sc.mmMin, sc.mmMax, sc.lo, sc.hi)
+	x.f.FinalizeBounds(full, part, sc.mmMin, sc.mmMax, sc.lo, sc.hi)
 	return q.LowerBoundInt(sc.lo, sc.hi, sc.isInt)
 }
 

@@ -182,32 +182,51 @@ func TestCellLowerBoundsSound(t *testing.T) {
 	}
 }
 
-// TestGIDSMatchesSweep: GI-DS must return the exact optimum on random
-// instances, for several granularities.
+// TestGIDSMatchesSweep: GI-DS must return the sweep's optimum, bit for
+// bit, on random instances, for several granularities — and on a lattice
+// of zeros with one object of value −1e−10, whose Sum a cell bound that
+// clamped small negative totals to 0 would bound above the optimum.
 func TestGIDSMatchesSweep(t *testing.T) {
+	type instance struct {
+		ds   *attr.Dataset
+		q    asp.Query
+		a, b float64
+	}
 	rng := rand.New(rand.NewSource(5))
+	var cases []instance
 	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(60)
-		ds := dataset.Random(n, 50, rng.Int63())
+		ds := dataset.Random(1+rng.Intn(60), 50, rng.Int63())
 		f := testComposite(t, ds)
 		a := 2 + rng.Float64()*12
 		b := 2 + rng.Float64()*12
-		rects, _ := asp.Reduce(ds, a, b, asp.AnchorTR)
-		q := randomTarget(f, rng)
-		sw, _ := sweep.New(rects, q)
-		want := sw.Solve()
+		cases = append(cases, instance{ds, randomTarget(f, rng), a, b})
+	}
+	lattice := &attr.Dataset{Schema: attr.MustSchema(attr.Attribute{Name: "v", Kind: attr.Numeric})}
+	for i := 0; i < 100; i++ {
+		lattice.Objects = append(lattice.Objects, attr.Object{Loc: geom.Point{X: float64(i%10) * 10, Y: float64(i/10) * 10}, Values: []attr.Value{{Num: 0}}})
+	}
+	lattice.Objects = append(lattice.Objects, attr.Object{Loc: geom.Point{X: 45, Y: 45}, Values: []attr.Value{{Num: -1e-10}}})
+	sum := agg.MustNew(lattice.Schema, agg.Spec{Kind: agg.Sum, Attr: "v"})
+	cases = append(cases, instance{lattice, asp.Query{F: sum, Target: []float64{-1e-10}, W: []float64{1}}, 3, 3})
 
-		for _, g := range []int{4, 16} {
-			idx, err := gridindex.New(ds, f, g, g)
+	for i, c := range cases {
+		rects, _ := asp.Reduce(c.ds, c.a, c.b, asp.AnchorTR)
+		sw, err := sweep.New(rects, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sw.Solve()
+		for _, g := range []int{4, 8, 16} {
+			idx, err := gridindex.New(c.ds, c.q.F, g, g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, stats, err := gridindex.Solve(idx, ds, q, a, b, nil, dssearch.Options{NCol: 10, NRow: 10})
+			got, stats, err := gridindex.Solve(idx, c.ds, c.q, c.a, c.b, nil, dssearch.Options{NCol: 10, NRow: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(got.Dist-want.Dist) > 1e-9 {
-				t.Fatalf("trial %d g=%d: GI-DS %g vs sweep %g (stats %+v)", trial, g, got.Dist, want.Dist, stats)
+			if math.Float64bits(got.Dist) != math.Float64bits(want.Dist) {
+				t.Fatalf("instance %d g=%d: GI-DS %g vs sweep %g (stats %+v)", i, g, got.Dist, want.Dist, stats)
 			}
 			if stats.Cells != g*g {
 				t.Fatalf("cells considered %d, want %d", stats.Cells, g*g)

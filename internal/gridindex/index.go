@@ -9,8 +9,10 @@
 // compile the same information into the composite aggregator's channel
 // vectors (per-value counts for fD; count/sum/positive/negative sums for
 // fA and fS), which additionally supports selection functions γ because
-// channels apply γ at build time. Per-cell minima and maxima of fA
-// attributes are kept separately (min/max do not telescope through
+// channels apply γ at build time, and sum them in the exact limbs the
+// dataset certifies (agg.Limbs), so that every table and every
+// inclusion–exclusion difference is exact. Per-cell minima and maxima of
+// fA attributes are kept separately (min/max do not telescope through
 // inclusion–exclusion, so the ring of boundary cells is scanned directly).
 package gridindex
 
@@ -26,6 +28,9 @@ import (
 	"asrs/internal/geom"
 )
 
+// The index has no file format: it is a few O(grid) passes over the
+// dataset, rebuilt wherever the dataset is.
+
 // Index is an immutable grid index over a dataset for one composite
 // aggregator. Build once with New; safe for concurrent readers.
 type Index struct {
@@ -36,8 +41,12 @@ type Index struct {
 	chans   int
 	mmSlots int
 
-	// suffix[(j*(sx+1)+i)*chans+ch] = Σ channels of objects located in
-	// cells (i', j') with i' ≥ i and j' ≥ j. This is the paper's attribute
+	// limbs is the dataset's certificate, decided over its contributions
+	// in dataset order as BuildPyramid decides it; eff is its limb count.
+	limbs agg.Limbs
+	eff   int
+	// suffix[(j*(sx+1)+i)*eff+k] = Σ limb k of objects located in cells
+	// (i', j') with i' ≥ i and j' ≥ j. This is the paper's attribute
 	// summary table for cell g(i,j) (§5.2, Fig 6).
 	suffix []float64
 	// cellMin/cellMax[(j*sx+i)*mmSlots+s]: per-single-cell min/max of the
@@ -55,6 +64,11 @@ type Index struct {
 
 // New builds the index with granularity sx×sy over the dataset bounds
 // (§7.3 evaluates 64×64, 128×128 and 256×256).
+//
+// Every entry of a limb's tables is an integer multiple of its grid below
+// 2^52 in magnitude, and so is every sum of entries the suffix recurrence
+// and Lemma 8 form, their partial sums staying below 2^53: exact in
+// float64, whatever the binning order.
 func New(ds *attr.Dataset, f *agg.Composite, sx, sy int) (*Index, error) {
 	if sx < 1 || sy < 1 {
 		return nil, fmt.Errorf("gridindex: granularity must be positive, got %dx%d", sx, sy)
@@ -92,7 +106,18 @@ func New(ds *attr.Dataset, f *agg.Composite, sx, sy int) (*Index, error) {
 		mmSlots: f.MinMaxSlots(),
 		objects: len(ds.Objects),
 	}
-	idx.suffix = make([]float64, (sx+1)*(sy+1)*idx.chans)
+	// The contributions in dataset order, object oi's at raw[off[oi]:off[oi+1]].
+	raw := make([]agg.Contrib, 0, len(ds.Objects)+len(ds.Objects)/4)
+	off := make([]int32, 1, len(ds.Objects)+1)
+	for oi := range ds.Objects {
+		raw = f.AppendContribs(&ds.Objects[oi], raw)
+		off = append(off, int32(len(raw)))
+	}
+	if err := idx.limbs.Certify(idx.chans, raw); err != nil {
+		return nil, err
+	}
+	idx.eff = idx.limbs.Eff()
+	idx.suffix = make([]float64, (sx+1)*(sy+1)*idx.eff)
 	if idx.mmSlots > 0 {
 		idx.cellMin = make([]float64, sx*sy*idx.mmSlots)
 		idx.cellMax = make([]float64, sx*sy*idx.mmSlots)
@@ -102,15 +127,15 @@ func New(ds *attr.Dataset, f *agg.Composite, sx, sy int) (*Index, error) {
 		}
 	}
 
-	// Bin object channel contributions into cells. The per-cell totals are
+	// Bin object limb contributions into cells. The per-cell totals are
 	// staged into the suffix array at (i, j) and then telescoped.
 	var cbuf []agg.Contrib
 	var mbuf []agg.MMContrib
 	for oi := range ds.Objects {
 		o := &ds.Objects[oi]
 		ci, cj := idx.cellOf(o.Loc)
-		at := (cj*(sx+1) + ci) * idx.chans
-		cbuf = f.AppendContribs(o, cbuf[:0])
+		at := (cj*(sx+1) + ci) * idx.eff
+		cbuf = idx.limbs.Split(append(cbuf[:0], raw[off[oi]:off[oi+1]]...), 0)
 		for _, cb := range cbuf {
 			idx.suffix[at+cb.Ch] += cb.V
 		}
@@ -131,12 +156,12 @@ func New(ds *attr.Dataset, f *agg.Composite, sx, sy int) (*Index, error) {
 	// S(i+1,j+1).
 	for j := sy - 1; j >= 0; j-- {
 		for i := sx - 1; i >= 0; i-- {
-			at := (j*(sx+1) + i) * idx.chans
-			right := (j*(sx+1) + i + 1) * idx.chans
-			up := ((j+1)*(sx+1) + i) * idx.chans
-			diag := ((j+1)*(sx+1) + i + 1) * idx.chans
-			for ch := 0; ch < idx.chans; ch++ {
-				idx.suffix[at+ch] += idx.suffix[right+ch] + idx.suffix[up+ch] - idx.suffix[diag+ch]
+			at := (j*(sx+1) + i) * idx.eff
+			right := (j*(sx+1) + i + 1) * idx.eff
+			up := ((j+1)*(sx+1) + i) * idx.eff
+			diag := ((j+1)*(sx+1) + i + 1) * idx.eff
+			for k := 0; k < idx.eff; k++ {
+				idx.suffix[at+k] += idx.suffix[right+k] + idx.suffix[up+k] - idx.suffix[diag+k]
 			}
 		}
 	}
@@ -186,8 +211,9 @@ func (x *Index) CellRect(i, j int) geom.Rect {
 	}
 }
 
-// suffixAt returns the summary table vector at suffix position (i, j),
-// clamping out-of-range positions to the zero table at the far edge.
+// suffixAt returns the summary table's limb vector at suffix position
+// (i, j), clamping out-of-range positions to the zero table at the far
+// edge.
 func (x *Index) suffixAt(i, j int) []float64 {
 	if i < 0 {
 		i = 0
@@ -201,14 +227,14 @@ func (x *Index) suffixAt(i, j int) []float64 {
 	if j > x.sy {
 		j = x.sy
 	}
-	at := (j*(x.sx+1) + i) * x.chans
-	return x.suffix[at : at+x.chans]
+	at := (j*(x.sx+1) + i) * x.eff
+	return x.suffix[at : at+x.eff]
 }
 
-// RegionChannels writes into out the channel totals of objects located in
-// cells [l, r) × [b, t) via Lemma 8 inclusion–exclusion. Empty ranges
-// yield zeros.
-func (x *Index) RegionChannels(l, r, b, t int, out []float64) {
+// regionLimbs writes into out the limb totals of objects located in cells
+// [l, r) × [b, t) via Lemma 8 inclusion–exclusion, exactly (see New).
+// Empty ranges yield zeros.
+func (x *Index) regionLimbs(l, r, b, t int, out []float64) {
 	if l < 0 {
 		l = 0
 	}
@@ -231,12 +257,8 @@ func (x *Index) RegionChannels(l, r, b, t int, out []float64) {
 	rb := x.suffixAt(r, b)
 	lt := x.suffixAt(l, t)
 	rt := x.suffixAt(r, t)
-	for ch := 0; ch < x.chans; ch++ {
-		v := lb[ch] - rb[ch] - lt[ch] + rt[ch]
-		if v < 0 && v > -1e-9 {
-			v = 0 // cancel float residue from the telescoped sums
-		}
-		out[ch] = v
+	for k := range out {
+		out[k] = lb[k] - rb[k] - lt[k] + rt[k]
 	}
 }
 
@@ -286,15 +308,16 @@ func (x *Index) RingMinMax(l, r, b, t, il, ir, ib, it int, mmMin, mmMax []float6
 // SizeBytes models the storage footprint of the index the way the paper
 // accounts for it (Table 1): one pointer per cell into a pool of
 // hash-consed attribute summary tables (identical tables are stored once,
-// Fig 6), where each stored table costs 16 bytes per non-zero entry. The
-// per-cell min/max slots are charged at 16 bytes per fA slot.
+// Fig 6), where each stored table costs 16 bytes per non-zero channel
+// entry. The per-cell min/max slots are charged at 16 bytes per fA slot.
 func (x *Index) SizeBytes() int {
 	unique := make(map[uint64]int)
 	var tableBytes int
 	buf := make([]byte, 8)
+	fold := make([]float64, x.chans)
 	for j := 0; j <= x.sy; j++ {
 		for i := 0; i <= x.sx; i++ {
-			vec := x.suffixAt(i, j)
+			vec := x.limbs.Fold(fold, x.suffixAt(i, j))
 			h := fnv.New64a()
 			nonzero := 0
 			for _, v := range vec {

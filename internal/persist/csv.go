@@ -1,8 +1,8 @@
-// Package persist provides durable formats for the library's two big
+// Package persist provides durable formats for the library's big
 // artifacts: datasets (a self-describing CSV dialect for interchange with
-// real POI/check-in exports) and grid indices (a compact binary format so
-// the §5 index can be built once and memory-mapped style loaded by query
-// services).
+// real POI/check-in exports), aggregate pyramids (a compact checksummed
+// binary format, so a pyramid is built once and loaded by query services)
+// and the ingest path's object codec and snapshots.
 package persist
 
 import (
@@ -87,7 +87,8 @@ func WriteCSV(w io.Writer, ds *attr.Dataset) error {
 }
 
 // ReadCSV parses a dataset written by WriteCSV (or hand-authored in the
-// same dialect).
+// same dialect). A row the schema refuses (attr.Schema.Check) fails the
+// read, naming the row.
 func ReadCSV(r io.Reader) (*attr.Dataset, error) {
 	br := bufio.NewReader(r)
 	line, err := readLine(br)
@@ -184,13 +185,13 @@ func ReadCSV(r io.Reader) (*attr.Dataset, error) {
 				values[i] = attr.NumValue(v)
 			}
 		}
-		objects = append(objects, attr.Object{Loc: geom.Point{X: x, Y: y}, Values: values})
+		o := attr.Object{Loc: geom.Point{X: x, Y: y}, Values: values}
+		if err := schema.Check(&o); err != nil {
+			return nil, fmt.Errorf("persist: row %d: %w: %v", rowNum, attr.ErrInvalid, err)
+		}
+		objects = append(objects, o)
 	}
-	ds := &attr.Dataset{Schema: schema, Objects: objects}
-	if err := ds.Validate(); err != nil {
-		return nil, fmt.Errorf("persist: loaded dataset invalid: %w", err)
-	}
-	return ds, nil
+	return &attr.Dataset{Schema: schema, Objects: objects}, nil
 }
 
 func readLine(br *bufio.Reader) (string, error) {

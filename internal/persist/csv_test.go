@@ -2,6 +2,7 @@ package persist_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -97,6 +98,19 @@ func TestReadCSVErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := persist.ReadCSV(strings.NewReader(c.src)); err == nil {
 			t.Errorf("%s: expected error", c.name)
+		}
+	}
+}
+
+// TestReadCSVRefusesInadmissibleRows: a row whose location is not
+// finite, or whose numeric value no exact limb holds, fails the read,
+// and the error names the row.
+func TestReadCSVRefusesInadmissibleRows(t *testing.T) {
+	head := "# asrs-dataset v1\n# attr c numeric\nx,y,c\n1,2,3\n4,5,6.5\n"
+	for _, row := range []string{"NaN,2,3", "1,+Inf,3", "1,2,1e-320"} {
+		_, err := persist.ReadCSV(strings.NewReader(head + row + "\n"))
+		if !errors.Is(err, attr.ErrInvalid) || !strings.Contains(err.Error(), "row 4") {
+			t.Errorf("row %q: err = %v, want ErrInvalid naming row 4", row, err)
 		}
 	}
 }

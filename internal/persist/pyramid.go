@@ -29,23 +29,24 @@ import (
 //	u64 fnv-64a of every byte after the magic
 //
 // The file stores nothing the dataset already holds. What it stores is
-// the limbs' certificate — each limb's power-of-two scale (0 for an
-// uncertified channel) and each channel's lo limb (-1 for none) — the
-// master order with the two anchor id orders, and the levels, each its
-// anchor bins and threshold arrays. What it does not is re-derived at
-// load (dssearch.PyramidFromSnapshot): the limb inverses and the one
-// exact flag from the scales, the contribution and min/max tables by
-// flattening ds.Objects[order[i]] and splitting under the stored scales,
-// a level's count plane as the prefix sums of its binStart.
+// the limbs' certificate — each limb's power-of-two scale and each
+// channel's first extra limb (-1 for none) — the master order with the
+// two anchor id orders, and the levels, each its anchor bins and
+// threshold arrays. What it does not is re-derived at load
+// (dssearch.PyramidFromSnapshot): the limb inverses and owners from the
+// scales, the contribution and min/max tables by flattening
+// ds.Objects[order[i]] and splitting under the stored scales, a level's
+// count plane as the prefix sums of its binStart. A scale that is not a
+// power of two a limb may take — the 0 earlier builds wrote for a channel
+// they could not certify among them — makes the file ErrCorrupt.
 //
 // A file of another version — version 1 carried summed-area planes per
 // level, version 2 the contribution and min/max tables and per-channel
 // certificate flags — is reported as ErrCorrupt, so
 // asrs.LoadOrBuildPyramidFile quarantines and rebuilds it like any other
 // unusable artifact. The composite aggregator is re-bound by the caller
-// and verified via structural fingerprint; like ReadIndex, the dataset
-// identity and the composite's selection functions are part of the
-// file's contract.
+// and verified via structural fingerprint; the dataset identity and the
+// composite's selection functions are part of the file's contract.
 
 var pyramidMagic = [8]byte{'A', 'S', 'R', 'S', 'P', 'Y', 'R', '1'}
 
@@ -217,7 +218,7 @@ func ReadPyramid(r io.Reader, ds *attr.Dataset, f *agg.Composite) (*dssearch.Pyr
 	if int(n) != len(ds.Objects) {
 		return nil, mismatchf("pyramid covers %d objects, dataset has %d", n, len(ds.Objects))
 	}
-	if int(chans) != f.Channels() || int(mmSlots) != f.MinMaxSlots() || eff < chans || eff > 2*chans {
+	if int(chans) != f.Channels() || int(mmSlots) != f.MinMaxSlots() || eff < chans {
 		return nil, mismatchf("pyramid channel layout mismatch (chans=%d eff=%d mm=%d)", chans, eff, mmSlots)
 	}
 	s := &dssearch.PyramidSnapshot{N: int(n), Chans: int(chans), MMSlots: int(mmSlots)}

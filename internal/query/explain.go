@@ -22,14 +22,12 @@ type ExplainChannel struct {
 	Weight float64 `json:"weight"`
 }
 
-// ExplainFill is the predicted aggregation fill path, from the limb
-// certificate probe (dssearch.ProbeCertificate).
+// ExplainFill is what the limb certificate probe
+// (dssearch.ProbeCertificate) finds: the composite's channels and the
+// exact limbs every search over the dataset sums them in.
 type ExplainFill struct {
-	Path     string `json:"path"`
-	Channels int    `json:"channels"`
-	Plain    int    `json:"plain"`
-	TwoFloat int    `json:"two_float"`
-	Fallback int    `json:"fallback"`
+	Channels int `json:"channels"`
+	Limbs    int `json:"limbs"`
 }
 
 // ExplainReport is the inspectable plan: what EXPLAIN returns instead
@@ -65,13 +63,13 @@ type ExplainReport struct {
 	Strategy string `json:"strategy"`
 	// Route is "engine" or "router".
 	Route string `json:"route"`
-	// Fill is the certificate probe's path prediction (find form).
+	// Fill is the certificate probe's limb count (find form).
 	Fill *ExplainFill `json:"fill,omitempty"`
 }
 
 // Report builds the EXPLAIN report for a plan against a dataset
 // snapshot. routed selects the Route label; ds drives the certificate
-// probe (nil skips it — the report then has no fill prediction).
+// probe (nil skips it — the report then has no fill).
 func (pl *Plan) Report(ds *asrs.Dataset, routed bool) ExplainReport {
 	rep := ExplainReport{Canonical: pl.Canonical, Route: "engine"}
 	if routed {
@@ -120,13 +118,8 @@ func (pl *Plan) Report(ds *asrs.Dataset, routed bool) ExplainReport {
 		rep.Strategy = "single"
 	}
 	if ds != nil {
-		probe := dssearch.ProbeCertificate(ds, pl.Comp)
-		rep.Fill = &ExplainFill{
-			Path:     probe.Path(),
-			Channels: probe.Channels,
-			Plain:    probe.Plain,
-			TwoFloat: probe.TwoFloat,
-			Fallback: probe.Fallback,
+		if probe, err := dssearch.ProbeCertificate(ds, pl.Comp); err == nil {
+			rep.Fill = &ExplainFill{Channels: probe.Channels, Limbs: probe.Limbs}
 		}
 	}
 	return rep

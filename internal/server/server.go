@@ -661,8 +661,14 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		insert = s.router.Insert
 	}
 	if err := insert(objs); err != nil {
-		if errors.Is(err, asrs.ErrEngineClosed) {
+		switch {
+		case errors.Is(err, asrs.ErrEngineClosed):
 			s.writeDraining(w)
+			return
+		case errors.Is(err, asrs.ErrInvalidObject):
+			// Refused before anything was staged: the request's fault.
+			s.nBadReqs.Add(1)
+			writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
 			return
 		}
 		// The append did not acknowledge, so nothing was staged: the

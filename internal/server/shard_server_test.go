@@ -4,9 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io/fs"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -58,6 +62,81 @@ func newShardServer(t *testing.T, cfg server.Config, breaker shard.BreakerConfig
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { closeAndCheckLeaks(t, s, ts, before) })
 	return s, ts, rt, ds, f
+}
+
+// TestInsertRefusedObjectIsBadRequest: an object the schema refuses — a
+// JSON-valid 1e-320, which no exact limb holds — makes an insert a 400
+// bad_request, counted in bad_requests, on the engine and the router
+// insert paths alike, and leaves every WAL as it was: the router refuses
+// the batch before any shard stages its share of it.
+func TestInsertRefusedObjectIsBadRequest(t *testing.T) {
+	ds, f := shardCorpus(t)
+	dir := t.TempDir()
+	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: filepath.Join(dir, "engine")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := shard.New(ds, shard.Config{
+		Shards:     3,
+		Composites: map[string]*asrs.Composite{"q": f},
+		Names:      []string{"q"},
+		WALRoot:    filepath.Join(dir, "shards"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	if err := cat.WarmAll(); err != nil {
+		t.Fatal(err)
+	}
+	wals := func() map[string]string {
+		files := map[string]string{}
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			files[path] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	for _, cfg := range []server.Config{{Engine: eng}, {Router: shard.NewRouter(cat, shard.RouterOptions{})}} {
+		cfg.Composites = map[string]*asrs.Composite{"q": f}
+		s, err := server.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		before := wals()
+		resp, body := postJSON(t, ts.URL+"/v1/insert", server.Insert{Objects: []server.InsertObject{
+			{X: 5, Y: 5, Values: map[string]any{"cat": "a", "val": 1.5}},
+			{X: 95, Y: 95, Values: map[string]any{"cat": "b", "val": 1e-320}},
+		}})
+		var wr server.Response
+		if err := json.Unmarshal(body, &wr); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || wr.Code != server.CodeBadRequest {
+			t.Fatalf("router=%v: status %d code %q (%s), want 400 bad_request", cfg.Router != nil, resp.StatusCode, wr.Code, body)
+		}
+		if st := getStats(t, ts.URL); st.BadRequests != 1 {
+			t.Fatalf("router=%v: bad_requests = %d, want 1", cfg.Router != nil, st.BadRequests)
+		}
+		if !maps.Equal(before, wals()) {
+			t.Fatalf("router=%v: a refused insert changed the WAL", cfg.Router != nil)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		_ = s.Shutdown(ctx)
+		cancel()
+		ts.Close()
+	}
+	if n := len(eng.IngestedObjects()); n != 0 {
+		t.Fatalf("the engine staged %d objects", n)
+	}
 }
 
 // TestServerRouterEndToEnd: a router-mode server must answer extent

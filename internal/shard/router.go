@@ -148,8 +148,12 @@ func (r *Router) Catalog() *Catalog { return r.cat }
 // Insert routes a batch of objects to their owning shards (half-open
 // slab assignment) and appends each group through the shard engine's
 // durable ingest path. The batch is atomic per shard, not across
-// shards; the first error aborts the remaining groups.
+// shards; the first error aborts the remaining groups. An object the
+// schema refuses refuses the whole batch before any shard stages it.
 func (r *Router) Insert(objs []asrs.Object) error {
+	if err := (&asrs.Dataset{Schema: r.cat.Seed().Schema, Objects: objs}).Validate(); err != nil {
+		return fmt.Errorf("shard: insert: %w", err)
+	}
 	groups := make(map[int][]asrs.Object)
 	for _, o := range objs {
 		i := r.cat.ShardFor(o.Loc.X)

@@ -12,33 +12,45 @@ import (
 	"asrs/internal/geom"
 )
 
-// baseComposites are the exactness classes a base vector meets: integer
-// channels, dyadic reals (one limb each) and full-mantissa reals down to
-// POISyn's smallest ratings (two limbs, the lo grid finer than 2^-62) all
-// sum exactly, may take the incremental sweep and must come back bit for
-// bit; a channel salted with denormals certifies in no form, base + Σ is
-// one more summation order of the classic walk and only closeness can be
-// asked.
+// baseComposites are the limb layouts a base vector meets: integer
+// channels, dyadic reals (one limb each), full-mantissa reals down to
+// POISyn's smallest ratings (two limbs, the lo grid finer than 2^-62) and
+// full-mantissa reals spread over 1e-12…1e12 (a chain of three). All sum
+// exactly, take the incremental sweep and must come back bit for bit.
 var baseComposites = []struct {
-	name  string
-	exact bool
-	num   func(rng *rand.Rand) (visits, rating float64)
+	name string
+	num  func(rng *rand.Rand) (visits, rating float64)
 }{
-	{"integer", true, func(rng *rand.Rand) (float64, float64) {
+	{"integer", func(rng *rand.Rand) (float64, float64) {
 		return float64(rng.Intn(9) - 4), float64(rng.Intn(6))
 	}},
-	{"certified", true, func(rng *rand.Rand) (float64, float64) {
+	{"certified", func(rng *rand.Rand) (float64, float64) {
 		return float64(rng.Intn(999))*0.5 - 200, float64(rng.Intn(41)) * 0.25
 	}},
-	{"two-limb", true, func(rng *rand.Rand) (float64, float64) {
+	{"two-limb", func(rng *rand.Rand) (float64, float64) {
 		return 1 + rng.Float64()*499, smallRating(rng)
 	}},
-	{"uncertified", false, func(rng *rand.Rand) (float64, float64) {
-		if rng.Intn(8) == 0 {
-			return 5e-324, rng.Float64() * 5
-		}
-		return rng.NormFloat64() * 100, rng.Float64() * 5
+	{"three-limb", func(rng *rand.Rand) (float64, float64) {
+		return spreadValue(rng), rng.Float64() * 5
 	}},
+}
+
+// spreadValue draws a full-mantissa real between 1e-12 and 1e12 in
+// magnitude: a few hundred of them sum in a chain of three limbs.
+func spreadValue(rng *rand.Rand) float64 {
+	return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(25)-12))
+}
+
+// chained reports whether some channel of l sums in three limbs or more:
+// more extra limbs than channels that have one.
+func chained(l *agg.Limbs) bool {
+	extra := 0
+	for _, lo := range l.Lo {
+		if lo >= 0 {
+			extra++
+		}
+	}
+	return l.Eff()-len(l.Lo) > extra
 }
 
 // baseSpaces: an ordinary space, then a zero-width, a zero-height and a
@@ -98,8 +110,7 @@ func baseFixture(rng *rand.Rand, space geom.Rect, num func(*rand.Rand) (float64,
 // TestSolveWithinBaseMatchesUnfolded: sweeping only the rectangles with an
 // edge inside the space, on the summed limb contributions of those that
 // contain it strictly, is sweeping them all — point, distance and
-// representation bit for bit wherever limb sums are exact, through the
-// classic walk, the flat incremental pass and the Fenwick walk, capped
+// representation bit for bit, through the classic walk, the flat incremental pass and the Fenwick walk, capped
 // and uncapped, on degenerate spaces too. Rectangles sharing an edge
 // coordinate with the space stay swept.
 func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
@@ -142,12 +153,14 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 				cbuf = f.AppendContribs(r.Obj, cbuf)
 			}
 			limbs := &agg.Limbs{}
-			limbs.Certify(f.Channels(), cbuf)
-			if limbs.Exact != comp.exact {
-				t.Fatalf("%s: limbs %v, want exact=%v", comp.name, limbs.Scale, comp.exact)
+			if err := limbs.Certify(f.Channels(), cbuf); err != nil {
+				t.Fatal(err)
 			}
 			if comp.name == "two-limb" && slices.Max(limbs.Scale) <= math.Ldexp(1, 62) {
 				t.Fatalf("%s: no lo grid finer than 2^-62: %v", comp.name, limbs.Scale)
+			}
+			if (comp.name == "three-limb") != chained(limbs) {
+				t.Fatalf("%s: limbs %v, lo %v", comp.name, limbs.Scale, limbs.Lo)
 			}
 			var edged []asp.RectObject
 			base := make([]float64, limbs.Eff())
@@ -165,9 +178,6 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 			}
 
 			for _, m := range modes {
-				if m.incremental && !comp.exact {
-					continue
-				}
 				newSolver := func() *Solver {
 					s, err := New(nil, q)
 					if err != nil {
@@ -187,22 +197,10 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 					t.Fatalf("%s: unfolded sweep found nothing", label)
 				}
 				unfolded.Stats = Stats{}
-				caps := []float64{math.Inf(1), want.Dist * 2, want.Dist, math.Nextafter(want.Dist, math.Inf(-1))}
-				if !comp.exact {
-					// A cap within rounding of the optimum may fall between
-					// the two summation orders.
-					caps = []float64{math.Inf(1), want.Dist * 2, want.Dist / 2}
-				}
-				for _, c := range caps {
+				for _, c := range []float64{math.Inf(1), want.Dist * 2, want.Dist, math.Nextafter(want.Dist, math.Inf(-1))} {
 					want, wok := unfolded.SolveWithinCapped(space, c)
 					got, gok := folded.SolveWithinCapped(space, c)
-					if comp.exact {
-						expectSame(t, label, want, got, wok, gok)
-					} else if wok != gok || math.Abs(want.Dist-got.Dist) > 1e-9*math.Max(1, math.Abs(want.Dist)) {
-						// Inf-Inf is NaN, which compares false: two untouched
-						// sentinels pass.
-						t.Fatalf("%s: cap %g: %g (%v) vs %g (%v)", label, c, want.Dist, wok, got.Dist, gok)
-					}
+					expectSame(t, label, want, got, wok, gok)
 				}
 				if us, fs := unfolded.Stats, folded.Stats; us != fs {
 					t.Fatalf("%s: the two sweeps walked different strips or intervals: %+v vs %+v", label, us, fs)

@@ -97,20 +97,23 @@ func TestFlatStripBitIdentical(t *testing.T) {
 }
 
 // realKinds are the values of the real-valued fixtures: dyadic steps
-// (rating quarters, visits halves: every channel one limb) and
-// full-mantissa reals down to POISyn's smallest ratings (two limbs, the
-// lo grid finer than 2^-62).
+// (rating quarters, visits halves: every channel one limb), full-mantissa
+// reals down to POISyn's smallest ratings (two limbs, the lo grid finer
+// than 2^-62) and visits spread over 1e-12…1e12 (a chain of three).
 var realKinds = []struct {
-	name string
-	num  func(rng *rand.Rand) (rating, visits float64)
-	fine bool // some lo limb's grid is finer than 2^-62
+	name        string
+	num         func(rng *rand.Rand) (rating, visits float64)
+	fine, chain bool // some extra limb's grid is finer than 2^-62; some channel takes three limbs
 }{
 	{"dyadic", func(rng *rand.Rand) (float64, float64) {
 		return float64(rng.Intn(41)) * 0.25, float64(rng.Intn(999))*0.5 - 200
-	}, false},
+	}, false, false},
 	{"two-limb", func(rng *rand.Rand) (float64, float64) {
 		return smallRating(rng), 1 + rng.Float64()*499
-	}, true},
+	}, true, false},
+	{"three-limb", func(rng *rand.Rand) (float64, float64) {
+		return smallRating(rng), spreadValue(rng)
+	}, true, true},
 }
 
 // smallRating draws a rating in (0, 10] as POISyn's reach down to 5e-5:
@@ -157,14 +160,13 @@ func realFixture(t *testing.T, rng *rand.Rand, n int, num func(*rand.Rand) (floa
 	return rects, asp.Query{F: f, Target: []float64{3000, 10}}
 }
 
-// checkLimbs fails unless a solver that has solved certified its own
-// limbs exactly, with a lo grid finer than 2^-62 where the kind asks for
-// one.
-func checkLimbs(t *testing.T, s *Solver, fine bool) {
+// checkLimbs fails unless a solver's limbs have an extra limb finer than
+// 2^-62 and a chain of three where the kind asks for them.
+func checkLimbs(t *testing.T, s *Solver, fine, chain bool) {
 	t.Helper()
 	l := s.limbs
-	if l == nil || !l.Exact {
-		t.Fatal("the fixture did not certify")
+	if chain != chained(l) {
+		t.Fatalf("limbs %v, lo %v: want a chain of three: %v", l.Scale, l.Lo, chain)
 	}
 	finest := 0.0
 	for _, sc := range l.Scale[len(l.Lo):] {
@@ -182,7 +184,7 @@ func shiftOf(scale float64) int {
 }
 
 // TestFlatStripFixedPoint: the int64 instantiation rides the same
-// evaluators; real channels as one limb or two must come back
+// evaluators; real channels as one limb, two or three must come back
 // bit-identical to the classic walk over float limbs in every mode.
 func TestFlatStripFixedPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
@@ -195,7 +197,7 @@ func TestFlatStripFixedPoint(t *testing.T) {
 			}
 			space := asp.Space(rects)
 			want, wok := classic.SolveWithin(space)
-			checkLimbs(t, classic, kind.fine)
+			checkLimbs(t, classic, kind.fine, kind.chain)
 			for _, mc := range stripModeCases {
 				s, err := New(rects, q)
 				if err != nil {
@@ -283,12 +285,14 @@ func TestStripModeCounters(t *testing.T) {
 }
 
 // TestStripPoolModes: a pre-sized solver (slab scratch, the production
-// path) agrees with classic across modes after Rebind, and its pre-sized
-// dif/run scratch survives reuse across solves.
+// path) summing in the limbs of both sets agrees with classic across
+// modes after Rebind, and its pre-sized dif/run scratch survives reuse
+// across solves.
 func TestStripPoolModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	rects, q := incrFixture(t, rng, incrMinRects+100)
 	rects2, _ := incrFixture(t, rng, incrMinRects+70)
+	limbs := limbsOver(t, q.F, rects, rects2)
 	classic, err := New(rects, q)
 	if err != nil {
 		t.Fatal(err)
@@ -302,11 +306,10 @@ func TestStripPoolModes(t *testing.T) {
 	want, wok := classic.SolveWithin(space)
 	want2, wok2 := classic2.SolveWithin(space2)
 	for _, mc := range stripModeCases {
-		s, err := NewSized(q, nil, 512)
+		s, err := NewSized(q, limbs, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetIncremental(true)
 		mc.prep(s)
 		s.Rebind(rects)
 		got, gok := s.SolveWithin(space)
@@ -316,6 +319,22 @@ func TestStripPoolModes(t *testing.T) {
 		got2, gok2 := s.SolveWithin(space2)
 		expectSame(t, "pool-rebind/"+mc.name, want2, got2, wok2, gok2)
 	}
+}
+
+// limbsOver certifies f's contributions over the rectangle sets, in turn.
+func limbsOver(t *testing.T, f *agg.Composite, sets ...[]asp.RectObject) *agg.Limbs {
+	t.Helper()
+	var raw []agg.Contrib
+	for _, set := range sets {
+		for _, r := range set {
+			raw = f.AppendContribs(r.Obj, raw)
+		}
+	}
+	var l agg.Limbs
+	if err := l.Certify(f.Channels(), raw); err != nil {
+		t.Fatal(err)
+	}
+	return &l
 }
 
 // TestSolveWithinCappedBitIdentical pins the capped evaluation

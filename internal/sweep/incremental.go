@@ -47,14 +47,11 @@ import (
 //     marched with the difference array, so even this regime does one
 //     walk per range rather than one per interval.
 //
-// The mode is enabled by SetIncremental and runs only where every limb
-// sums exactly (agg.Limbs.Exact; without limbs the caller vouches that
-// every channel is integer-valued), because both evaluators sum
-// contributions in a different order than the classic walk. Each limb is
-// carried as a scaled int64 — a count of its grid 2^-s — so every
-// intermediate is exact, and the power-of-two conversion back plus the
-// one fold per channel at evaluation reproduce the classic walk's floats
-// bit for bit.
+// Both evaluators sum contributions in another order than the classic
+// walk, which the limbs make harmless (agg.Limbs): each limb is carried as
+// a scaled int64 — a count of its grid 2^-s — so every intermediate is
+// exact, and the power-of-two conversion back plus the one fold per
+// channel at evaluation reproduce the classic walk's floats bit for bit.
 
 // incrMinRects gates the incremental path: below it the classic scan's
 // lower constant factor wins.
@@ -127,11 +124,9 @@ type incrState struct {
 }
 
 // SetIncremental switches the solver between the classic per-strip
-// rescan and the incremental delta sweep for large inputs. The sweep runs
-// only under exact limbs — or, with none installed, over integer-valued
-// channels, which the caller vouches for — and answers bit-identically to
-// the classic walk there (see the package note above). Solvers not built
-// by NewSized get an unbounded size cap.
+// rescan and the incremental delta sweep for large inputs, which answers
+// bit-identically to the classic walk (see the package note above).
+// Solvers not built by NewSized get an unbounded size cap.
 func (s *Solver) SetIncremental(on bool) {
 	s.incremental = on
 	if s.incrCap == 0 {
@@ -294,14 +289,11 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		remFill[se]++
 	}
 
-	limbs := s.eff()
+	limbs := s.limbs.Eff()
 	// A limb value is carried as a count of its grid 2^-s: exact under
 	// the limbs' certificate (a power-of-two product of a value on the
-	// grid). Without limbs every channel is its own count.
-	var scale []float64
-	if s.limbs != nil {
-		scale = s.limbs.Scale
-	}
+	// grid).
+	scale := s.limbs.Scale
 	maintainTree := s.stripPlan(ns, k, limbs)
 	if maintainTree {
 		inc.bit.Reset(k, limbs)
@@ -311,10 +303,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	// strip: scaled like the contributions apply folds in, so both
 	// evaluators' totals carry it.
 	for c, v := range s.base {
-		if scale != nil {
-			v *= scale[c]
-		}
-		d := int64(v)
+		d := int64(v * scale[c])
 		inc.dif.RangeAdd(0, k-1, c, d)
 		if maintainTree {
 			inc.bit.RangeAdd(0, k-1, c, d)
@@ -342,11 +331,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	apply := func(id int32, sign int64) {
 		l, r := int(inc.li[id]), int(inc.ri[id])
 		for _, cb := range s.contribs(int(id)) {
-			v := cb.V
-			if scale != nil {
-				v *= scale[cb.Ch]
-			}
-			d := sign * int64(v)
+			d := sign * int64(cb.V*scale[cb.Ch])
 			inc.dif.RangeAdd(l, r, cb.Ch, d)
 			if maintainTree {
 				inc.bit.RangeAdd(l, r, cb.Ch, d)
@@ -363,15 +348,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	// certificate, and every inverse is a power of two.)
 	evalAt := func(j int32, y float64, tot []int64) {
 		s.Stats.Intervals++
-		chans := s.fold
-		if s.limbs != nil {
-			chans = s.limbs.FoldCounts(chans, tot)
-		} else {
-			for c := range chans {
-				chans[c] = float64(tot[c])
-			}
-		}
-		s.query.F.FinalizeExact(chans, rep)
+		s.query.F.FinalizeExact(s.limbs.FoldCounts(s.fold, tot), rep)
 		bnd := best.Dist
 		if s.evalCap < bnd {
 			bnd = s.evalCap

@@ -128,7 +128,7 @@ func TestIncrementalSweepSolve(t *testing.T) {
 
 // TestIncrementalSweepFixedPoint: real-valued composites ride the int64
 // Fenwick tree as scaled limbs — one per channel on a dyadic grid, two
-// for full-mantissa reals — and the answer — distance, point,
+// for full-mantissa reals, three for reals spread over 1e-12…1e12 — and the answer — distance, point,
 // representation bits — must match the classic rescan exactly (every
 // limb sum is exact, so the different accumulation orders agree, and each
 // channel folds once).
@@ -149,7 +149,7 @@ func TestIncrementalSweepFixedPoint(t *testing.T) {
 			space := asp.Space(rects)
 			cr, cok := classic.SolveWithin(space)
 			ir, iok := incr.SolveWithin(space)
-			checkLimbs(t, incr, kind.fine)
+			checkLimbs(t, incr, kind.fine, kind.chain)
 			expectSame(t, fmt.Sprintf("%s trial %d", kind.name, trial), cr, ir, cok, iok)
 		}
 	}
@@ -166,11 +166,10 @@ func TestIncrementalSweepSteadyStateAllocs(t *testing.T) {
 	rects2, _ := incrFixture(t, rng, incrMinRects+60)
 	space := geom.Rect{MinX: 5, MinY: 5, MaxX: 95, MaxY: 95}
 	for _, mc := range stripModeCases {
-		s, err := NewSized(q, nil, 512)
+		s, err := NewSized(q, limbsOver(t, q.F, rects, rects2), 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetIncremental(true)
 		mc.prep(s)
 		sets := [][]asp.RectObject{rects, rects2}
 		i := 0

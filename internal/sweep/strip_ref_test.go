@@ -139,10 +139,10 @@ func (s *Solver) refScanStrip(ym float64, space geom.Rect, acc *agg.Accumulator,
 }
 
 // TestScanStripFlatMatchesAccumulator: the classic sweep over flattened
-// contributions, every channel one float limb (SetLimbs(nil)), returns
-// the object-accumulator sweep's answer — distance, point,
-// representation — bit for bit, on a real-valued composite whose sums
-// round and whose selectors reject part of the objects, over whole,
+// limb contributions returns the object-accumulator sweep's answer —
+// distance, point, representation — bit for bit, on a composite of
+// dyadic values (one limb a channel, so the accumulator's float sums are
+// exact too) whose selectors reject part of the objects, over whole,
 // random, zero-width and zero-height spaces, with and without an
 // evaluation cap, through one solver rebound from trial to trial (a stale
 // table would answer for the previous rectangles).
@@ -174,7 +174,7 @@ func TestScanStripFlatMatchesAccumulator(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				x, y = float64(rng.Intn(20))*5, float64(rng.Intn(20))*5
 			}
-			objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{{Num: rng.Float64() * 10}, {Num: rng.NormFloat64() * 300}}}
+			objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{{Num: float64(rng.Intn(41)) * 0.25}, {Num: float64(rng.Intn(2401)-1200) * 0.5}}}
 			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - w, MinY: y - h, MaxX: x, MaxY: y}, Obj: &objs[i]}
 		}
 		q := asp.Query{F: f, Target: []float64{500 * rng.Float64(), 10 * rng.Float64(), float64(rng.Intn(8))}, Norm: agg.Norm(trial % 2)}
@@ -182,9 +182,9 @@ func TestScanStripFlatMatchesAccumulator(t *testing.T) {
 			if s, err = New(rects, q); err != nil {
 				t.Fatal(err)
 			}
-			s.SetLimbs(nil)
 		} else {
 			s.query = q
+			s.SetLimbs(limbsOver(t, f, rects))
 			s.Rebind(rects)
 		}
 		x, y := float64(rng.Intn(20))*5, float64(rng.Intn(20))*5
@@ -214,13 +214,14 @@ func TestRebindOrderMatchesSortSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	f := agg.MustNew(attr.MustSchema(attr.Attribute{Name: "v", Kind: attr.Numeric}), agg.Spec{Kind: agg.Sum, Attr: "v"})
 	q := asp.Query{F: f, Target: []float64{0}}
+	o := &attr.Object{Values: []attr.Value{{Num: 1}}}
 	for trial := 0; trial < 300; trial++ {
 		n := rng.Intn(700)
 		rects := make([]asp.RectObject, n)
 		grid := 1 + rng.Intn(40) // few distinct coordinates: many ties
 		for i := range rects {
 			x := float64(rng.Intn(grid))
-			rects[i].Rect = geom.Rect{MinX: x, MinY: 0, MaxX: x + float64(rng.Intn(grid)), MaxY: 1}
+			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x, MinY: 0, MaxX: x + float64(rng.Intn(grid)), MaxY: 1}, Obj: o}
 		}
 		s, err := New(rects, q)
 		if err != nil {

@@ -39,12 +39,10 @@ type Solver struct {
 	// spaces about to be solved (RebindWithBase); nil means none.
 	base []float64
 
-	// limbs is the layout channels are summed in (agg.Limbs): nil sums
-	// every channel as one float limb, as its contributions come. A solver
-	// built by New certifies its own (own) for every set it is bound to.
-	limbs   *agg.Limbs
-	own     agg.Limbs
-	certify bool
+	// limbs is the layout channels are summed in (agg.Limbs); a solver
+	// built by New sums in its own, own.
+	limbs *agg.Limbs
+	own   agg.Limbs
 
 	byMinX []int // rect indices sorted by Rect.MinX
 	byMaxX []int // rect indices sorted by Rect.MaxX
@@ -89,12 +87,11 @@ type Solver struct {
 }
 
 // New prepares a solver over the given rectangle objects, summing their
-// channels in the limbs they certify (agg.Limbs.Certify): every certified
-// channel of every candidate is the correctly rounded exact sum, so New's
-// answers are what DS-Search answers, bit for bit. It certifies every set
-// it is bound to, at the first solve; SetLimbs installs a caller's limbs
-// instead. The pre-sorted edge orders are shared across strips so each
-// strip costs O(n).
+// channels in the limbs they certify (agg.Limbs.Certify) over them in the
+// order given — what DS-Search certifies over a dataset's reduction, so
+// New's answers are what DS-Search answers, bit for bit. It fails when
+// their values do not certify. The pre-sorted edge orders are shared
+// across strips so each strip costs O(n).
 func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -103,30 +100,38 @@ func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 		query:   q,
 		rep:     make([]float64, q.F.Dims()),
 		evalCap: math.Inf(1),
-		certify: true,
 	}
+	var raw []agg.Contrib
+	for i := range rects {
+		raw = q.F.AppendContribs(rects[i].Obj, raw)
+	}
+	if err := s.own.Certify(q.F.Channels(), raw); err != nil {
+		return nil, err
+	}
+	s.SetLimbs(&s.own)
 	s.Rebind(rects)
 	return s, nil
 }
 
 // NewSized returns an unbound solver for the query, summing in the limbs
-// l (nil: one float limb per channel), whose sorted edges and strips are
-// pre-sized for 2048 rectangles. The incremental sweep engages for inputs
-// up to incrCap rectangles; its scratch grows with the sweeps it runs,
-// doubling, and is kept. It must be Rebind-ed before use.
+// l, whose sorted edges and strips are pre-sized for 2048 rectangles. The
+// incremental sweep engages for inputs up to incrCap rectangles (none for
+// 0); its scratch grows with the sweeps it runs, doubling, and is kept. It
+// must be Rebind-ed before use.
 func NewSized(q asp.Query, l *agg.Limbs, incrCap int) (*Solver, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	const presort = 2048
 	s := &Solver{
-		query:   q,
-		rep:     make([]float64, q.F.Dims()),
-		byMinX:  make([]int, 0, presort),
-		byMaxX:  make([]int, 0, presort),
-		ys:      make([]float64, 0, presort),
-		evalCap: math.Inf(1),
-		incrCap: incrCap,
+		query:       q,
+		rep:         make([]float64, q.F.Dims()),
+		byMinX:      make([]int, 0, presort),
+		byMaxX:      make([]int, 0, presort),
+		ys:          make([]float64, 0, presort),
+		evalCap:     math.Inf(1),
+		incremental: incrCap > 0,
+		incrCap:     incrCap,
 	}
 	s.SetLimbs(l)
 	return s, nil
@@ -147,20 +152,13 @@ func (s *Solver) SetQuery(q asp.Query) bool {
 	return true
 }
 
-// SetLimbs installs the limbs channels are summed in (nil: one float limb
-// per channel, as contributions come) and stops New's own certification.
-// The limbs must certify every set the solver is bound to — a caller's
-// limbs over a superset do — and are retained: they must not change while
-// the solver is in use.
+// SetLimbs installs the limbs channels are summed in, sizing the strip
+// accumulator to them. The limbs must certify every set the solver is
+// bound to — a caller's limbs over a superset do — and are retained: they
+// must not change while the solver is in use.
 func (s *Solver) SetLimbs(l *agg.Limbs) {
-	s.certify, s.flatOK = false, false
-	s.useLimbs(l)
-}
-
-// useLimbs sums in l from now on, sizing the strip accumulator to it.
-func (s *Solver) useLimbs(l *agg.Limbs) {
-	s.limbs = l
-	eff, chans := s.eff(), s.query.F.Channels()
+	s.limbs, s.flatOK = l, false
+	eff, chans := l.Eff(), s.query.F.Channels()
 	if cap(s.acc) < eff {
 		s.acc = make([]float64, eff)
 	}
@@ -168,23 +166,6 @@ func (s *Solver) useLimbs(l *agg.Limbs) {
 		s.fold = make([]float64, chans)
 	}
 	s.acc, s.fold = s.acc[:eff], s.fold[:chans]
-}
-
-// eff returns the number of limbs channels are summed in.
-func (s *Solver) eff() int {
-	if s.limbs == nil {
-		return s.query.F.Channels()
-	}
-	return s.limbs.Eff()
-}
-
-// channels folds a limb vector into the channel vector FinalizeExact
-// reads.
-func (s *Solver) channels(v []float64) []float64 {
-	if s.limbs == nil {
-		return v
-	}
-	return s.limbs.Fold(s.fold, v)
 }
 
 // Rebind points the solver at a new rectangle set, reusing all scratch
@@ -195,15 +176,15 @@ func (s *Solver) Rebind(rects []asp.RectObject) { s.RebindWithBase(rects, nil) }
 
 // RebindWithBase is Rebind for a caller that has factored out the
 // rectangles covering every candidate of the spaces it is about to solve:
-// rects holds only the others, and base (the installed limbs' layout, nil
-// for none; read, never retained past the next rebind) the summed limb
+// rects holds only the others, and base (in the installed limbs, nil for
+// none; read, never retained past the next rebind) the summed limb
 // contributions of the covering ones. No edge of a covering rectangle
 // delimits a strip or an interval, so the candidates are those of
 // sweeping all the rectangles and every one is scored on base plus what
 // the sweep accumulates: the classic walk starts each strip's accumulator
 // from base, the incremental sweep range-adds it across all intervals.
-// Where limb sums are exact the answer is that of the unfactored sweep
-// bit for bit; elsewhere base + Σ is one more summation order. The caller
+// Limb sums being exact, the answer is that of the unfactored sweep bit
+// for bit. The caller
 // vouches for the covering — for SolveWithin over a space, rectangles
 // whose open interior contains the closed space.
 func (s *Solver) RebindWithBase(rects []asp.RectObject, base []float64) {
@@ -237,32 +218,13 @@ func cmpLess(x, y float64) int {
 
 // flatten evaluates every bound rectangle's contributions (selectors
 // included) into the solver's retained table, split into the installed
-// limbs. A solver built by New certifies its own first: the raw
-// contributions are the one-limb table, and are flattened again into
-// limbs if a channel takes two.
+// limbs.
 func (s *Solver) flatten() {
-	if s.certify {
-		s.useLimbs(nil)
-		s.flattenLimbs()
-		s.own.Certify(s.query.F.Channels(), s.flat)
-		s.useLimbs(&s.own)
-		if s.own.Eff() == len(s.own.Lo) {
-			return
-		}
-	}
-	s.flattenLimbs()
-}
-
-// flattenLimbs is flatten under the installed limbs.
-func (s *Solver) flattenLimbs() {
 	s.flat = s.flat[:0]
 	s.flatOff = append(s.flatOff[:0], 0)
 	for i := range s.rects {
 		start := len(s.flat)
-		s.flat = s.query.F.AppendContribs(s.rects[i].Obj, s.flat)
-		if s.limbs != nil {
-			s.flat = s.limbs.Split(s.flat, start)
-		}
+		s.flat = s.limbs.Split(s.query.F.AppendContribs(s.rects[i].Obj, s.flat), start)
 		s.flatOff = append(s.flatOff, int32(len(s.flat)))
 	}
 	s.flatOK = true
@@ -352,8 +314,7 @@ func (s *Solver) SolveWithin(space geom.Rect) (asp.Result, bool) {
 	best := asp.Result{Dist: math.Inf(1)}
 	found := false
 
-	if s.incremental && (s.limbs == nil || s.limbs.Exact) &&
-		len(s.rects) >= incrMinRects && len(s.rects) <= s.incrCap &&
+	if s.incremental && len(s.rects) >= incrMinRects && len(s.rects) <= s.incrCap &&
 		len(ys) >= 2 && space.MinY != space.MaxY && space.MinX != space.MaxX {
 		found = s.solveWithinIncremental(space, &best)
 		return best, found
@@ -427,7 +388,7 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, best *asp.Result) bool {
 		} else {
 			xm = (l + r) / 2
 		}
-		s.query.F.FinalizeExact(s.channels(acc), rep)
+		s.query.F.FinalizeExact(s.limbs.Fold(s.fold, acc), rep)
 		bnd := best.Dist
 		if s.evalCap < bnd {
 			bnd = s.evalCap

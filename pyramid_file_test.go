@@ -2,9 +2,13 @@ package asrs_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +16,7 @@ import (
 
 	"asrs"
 	"asrs/internal/dataset"
+	"asrs/internal/dssearch"
 )
 
 func pyrFileFixture(t *testing.T) (*asrs.Dataset, *asrs.Composite) {
@@ -132,6 +137,152 @@ func checkOldVersionRebuilt(t *testing.T, version uint32) {
 	}
 	if _, status, err = asrs.LoadOrBuildPyramidFile(path, ds, f); err != nil || status != asrs.PyramidLoaded {
 		t.Fatalf("boot after the rebuild: status=%v err=%v, want loaded", status, err)
+	}
+}
+
+// TestPyramidFileScaleZeroIsRebuilt: a file that stores a limb scale of
+// 0 — the mark earlier builds left on a channel they could not certify —
+// reads as corrupt, and a boot that finds it sets it aside and comes up on
+// a rebuilt pyramid.
+func TestPyramidFileScaleZeroIsRebuilt(t *testing.T) {
+	ds, f := pyrFileFixture(t)
+	p, err := asrs.BuildPyramid(ds, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := asrs.WritePyramid(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	old := buf.Bytes()
+	// magic, version, fingerprint length and bytes, five u32 header words,
+	// then the scales; the fnv-64a of everything after the magic closes
+	// the file.
+	fp := binary.LittleEndian.Uint32(old[12:16])
+	scale := 16 + int(fp) + 20
+	binary.LittleEndian.PutUint64(old[scale+8:], math.Float64bits(0)) // the second channel's scale
+	h := fnv.New64a()
+	h.Write(old[8 : len(old)-8])
+	binary.LittleEndian.PutUint64(old[len(old)-8:], h.Sum64())
+
+	if _, err := asrs.ReadPyramid(bytes.NewReader(old), ds, f); !errors.Is(err, asrs.ErrPyramidCorrupt) {
+		t.Fatalf("ReadPyramid of a scale-0 file: err = %v, want ErrPyramidCorrupt", err)
+	}
+	path := filepath.Join(t.TempDir(), "pyr.bin")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, status, err := asrs.LoadOrBuildPyramidFile(path, ds, f)
+	if err != nil || status != asrs.PyramidRebuilt || got == nil {
+		t.Fatalf("boot on a scale-0 file: status=%v err=%v, want rebuilt", status, err)
+	}
+	if kept, err := filepath.Glob(path + ".corrupt-*"); err != nil || len(kept) != 1 {
+		t.Fatalf("want the scale-0 file kept as one .corrupt-* sibling, found %v (err %v)", kept, err)
+	}
+}
+
+// TestPyramidBytesPinned: the pyramid files of the zoo's composites —
+// POISyn's F2 at 5 000 objects, its three sums two limbs each, and
+// Tweet's F1 at 20 000 — are byte for byte those of the build that
+// summed a channel in at most two limbs.
+func TestPyramidBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		ds    *asrs.Dataset
+		specs []asrs.AggSpec
+		sha   string
+	}{
+		{"poisyn-5k-f2", dataset.POISyn(5000, 42), []asrs.AggSpec{{Kind: asrs.Sum, Attr: "visits"}, {Kind: asrs.Average, Attr: "rating"}},
+			"a67a584267cb407287807fc51233fe2241807ea195e84d89bea15f88ea84751f"},
+		{"tweet-20k-f1", dataset.Tweet(20000, 42), []asrs.AggSpec{{Kind: asrs.Distribution, Attr: "day"}},
+			"6326adfaf1fa5c8f6338087fbb6408e3b8dfd13cff40c98ffffde73a6633460c"},
+	} {
+		f, err := asrs.NewComposite(c.ds.Schema, c.specs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := asrs.BuildPyramid(c.ds, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := asrs.WritePyramid(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != c.sha {
+			t.Errorf("%s: pyramid file sha256 %x, want %s", c.name, sum, c.sha)
+		}
+	}
+}
+
+// TestThreeLimbEndToEnd: a composite whose sums take chains of three
+// limbs — values spread from 1e-12 to 1e12 — has a pyramid that
+// round-trips through its file, folds an insert, and answers through
+// either, and without one, Float64bits-equal to SearchBaseline.
+func TestThreeLimbEndToEnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	ds := dataset.Random(400, 100, 8)
+	for i := range ds.Objects {
+		ds.Objects[i].Values[1].Num = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(25)-12))
+	}
+	f, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Sum, Attr: "val"}, asrs.AggSpec{Kind: asrs.Average, Attr: "val"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four channels can split (the count cannot): more extra limbs than
+	// that means some channel takes three.
+	if probe, err := dssearch.ProbeCertificate(ds, f); err != nil || probe.Limbs-probe.Channels <= 4 {
+		t.Fatalf("probe %+v (%v): no chain of three limbs", probe, err)
+	}
+	p, err := asrs.BuildPyramid(ds, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := asrs.WritePyramid(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := asrs.ReadPyramid(bytes.NewReader(buf.Bytes()), ds, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if _, err := asrs.WritePyramid(&again, loaded); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatalf("the loaded pyramid writes other bytes (err %v)", err)
+	}
+
+	eng, err := asrs.NewEngine(&asrs.Dataset{Schema: ds.Schema, Objects: ds.Objects[:300]}, asrs.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range [][]float64{{3e11, 2}, {-4e-3, 7e-7}, {0, 1e10}} {
+		req := asrs.QueryRequest{Query: asrs.Query{F: f, Target: target}, A: 9, B: 7}
+		if got := eng.Query(req); got.Err != nil {
+			t.Fatal(got.Err)
+		}
+		want := asrs.SearchBaseline(ds, req)
+		if want.Err != nil {
+			t.Fatal(want.Err)
+		}
+		for _, pyr := range []*asrs.Pyramid{nil, p, loaded} {
+			r := req
+			r.Options = &asrs.Options{Pyramid: pyr}
+			got, _ := asrs.Answer(ds, nil, r)
+			if got.Err != nil || math.Float64bits(got.Results[0].Dist) != math.Float64bits(want.Results[0].Dist) {
+				t.Fatalf("target %v, pyramid %v: %+v (%v), the baseline %v", target, pyr != nil, got.Results, got.Err, want.Results[0].Dist)
+			}
+		}
+	}
+	if err := eng.InsertBatch(ds.Objects[300:]); err != nil {
+		t.Fatal(err)
+	}
+	req := asrs.QueryRequest{Query: asrs.Query{F: f, Target: []float64{3e11, 2}}, A: 9, B: 7}
+	got, want := eng.Query(req), asrs.SearchBaseline(ds, req)
+	if got.Err != nil || math.Float64bits(got.Results[0].Dist) != math.Float64bits(want.Results[0].Dist) {
+		t.Fatalf("after the insert: %+v (%v), the baseline %v", got.Results, got.Err, want.Results[0].Dist)
+	}
+	if st := eng.Stats(); st.PyramidFolds != 1 {
+		t.Fatalf("pyramid folds %d, want the insert folded", st.PyramidFolds)
 	}
 }
 

@@ -21,12 +21,11 @@ import (
 // plus per-composite index and pyramid caches — and the pyramid is the
 // previous epoch's with the appended tail folded in
 // (dssearch.FoldPyramid): the tail is flattened, certified and sorted on
-// its own, spliced into copies of the base's arrays, and added to the
-// SAT planes as one prefix-summed delta grid. That is O(d log n) work
-// plus a few linear copies of int32/int64 arrays — no sort, flatten or
-// certificate pass over the n old objects — and bit-identical to a
-// from-scratch rebuild, which remains the fallback when the fold's
-// exactness gates refuse. Queries in flight keep their captured view;
+// its own and spliced into copies of the base's arrays. That is
+// O(d log n) work plus a few linear copies of int32 arrays — no sort,
+// flatten or certificate pass over the n old objects unless the tail
+// moves the certificate — and bit-identical to a from-scratch rebuild.
+// Queries in flight keep their captured view;
 // they answer against the epoch that was current when they arrived.
 //
 // Durability (IngestOptions.WALDir set):
@@ -137,6 +136,13 @@ func (e *Engine) initIngest() error {
 		})
 	if err != nil {
 		return fmt.Errorf("asrs: replaying ingest WAL: %w", err)
+	}
+	// Epoch views fold staged objects unchecked, as InsertBatch validated
+	// them; a log written by a build that admitted more must not reach a
+	// view.
+	if err := (&attr.Dataset{Schema: e.ds.Schema, Objects: staged}).Validate(); err != nil {
+		l.Close()
+		return fmt.Errorf("asrs: recovered ingest: %w", err)
 	}
 	// Gap checks: a WAL truncated past the snapshot watermark (or reset
 	// underneath it) has dropped acknowledged inserts; starting anyway

@@ -10,6 +10,8 @@ import (
 
 	"asrs"
 	"asrs/internal/dataset"
+	"asrs/internal/persist"
+	"asrs/internal/wal"
 )
 
 // streamFixture splits the batch fixture's corpus into a seed prefix and
@@ -449,11 +451,10 @@ func TestConcurrentInsertQueryCompact(t *testing.T) {
 }
 
 // TestPyramidFoldStats: Stats tells folds from rebuilds, by count and by
-// time. The first pyramid is a full build; an insert of certifiable
-// objects is folded into it; an insert carrying a value no certificate
-// admits (a denormal) makes the fold's gate refuse, which counts as a
-// fallback and as rebuild time — and answers stay those of a fresh
-// engine throughout.
+// time. The first pyramid is a full build; inserts are folded into it,
+// their time counted as fold time; an insert carrying a value no limb
+// holds (a denormal) is refused whole and changes nothing — and answers
+// stay those of a fresh engine throughout.
 func TestPyramidFoldStats(t *testing.T) {
 	full := dataset.Random(260, 100, 3)
 	for i := range full.Objects {
@@ -493,12 +494,42 @@ func TestPyramidFoldStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := check("folded", 240, 1, 0)
+	v := full.Objects[240].Values[1].Num
 	full.Objects[240].Values[1].Num = 5e-324
+	if err := eng.InsertBatch(full.Objects[240:260]); !errors.Is(err, asrs.ErrInvalidObject) {
+		t.Fatalf("a denormal insert: err = %v, want ErrInvalidObject", err)
+	}
+	check("refused", 240, 1, 0)
+	full.Objects[240].Values[1].Num = v
 	if err := eng.InsertBatch(full.Objects[240:260]); err != nil {
 		t.Fatal(err)
 	}
-	after := check("fallback", 260, 1, 1)
-	if !(after.PyramidRebuildMs > before.PyramidRebuildMs) || after.PyramidFoldMs != before.PyramidFoldMs {
-		t.Fatalf("fallback time went to the wrong counter: before %+v, after %+v", before, after)
+	after := check("folded again", 260, 2, 0)
+	if !(after.PyramidFoldMs > before.PyramidFoldMs) || after.PyramidRebuildMs != before.PyramidRebuildMs {
+		t.Fatalf("fold time went to the wrong counter: before %+v, after %+v", before, after)
+	}
+}
+
+// TestRecoveryRefusesInadmissibleObjects: a WAL record holding an object
+// Validate refuses — here a denormal, which logs written before such
+// values were refused may hold — makes recovery fail, naming the value,
+// instead of staging an object no epoch's pyramid could sum.
+func TestRecoveryRefusesInadmissibleObjects(t *testing.T) {
+	ds := dataset.Random(40, 50, 5)
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{}, func(uint64, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := asrs.Object{Loc: asrs.Point{X: 1, Y: 2}, Values: []asrs.Value{{Cat: 0}, {Num: 5e-324}}}
+	if _, err := l.Append(persist.EncodeObjects(ds.Schema, []asrs.Object{obj})); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = asrs.NewEngine(ds, asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir}})
+	if !errors.Is(err, asrs.ErrInvalidObject) {
+		t.Fatalf("recovery over a denormal: err = %v, want ErrInvalidObject", err)
 	}
 }
