@@ -1,6 +1,7 @@
 package dssearch
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -212,6 +213,53 @@ func realSchemaF2(t *testing.T) *agg.Composite {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// TestUnquantizableTakesOldPath: a composite whose every channel fails
+// every certificate has no path of its own any more — denormal tails on
+// both signs fit no exact limb, so the dataset is refused at validation
+// and a searcher over it is refused too, on both constructors, without
+// reordering the caller's rectangles.
+func TestUnquantizableTakesOldPath(t *testing.T) {
+	schema, err := attr.NewSchema(attr.Attribute{Name: "v", Kind: attr.Numeric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := agg.New(schema, agg.Spec{Kind: agg.Sum, Attr: "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	objs := make([]attr.Object, 60)
+	rects := make([]asp.RectObject, 60)
+	for i := range rects {
+		x, y := rng.Float64()*10, rng.Float64()*10
+		v := rng.NormFloat64()
+		switch i % 10 {
+		case 0:
+			v = 5e-324 // denormal-adjacent
+		case 5:
+			v = -5e-324
+		}
+		objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{{Num: v}}}
+		rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: y - 1, MaxX: x, MaxY: y}, Obj: &objs[i]}
+	}
+	ds := &attr.Dataset{Schema: schema, Objects: objs}
+	if err := ds.Validate(); !errors.Is(err, attr.ErrInvalid) {
+		t.Fatalf("a dataset of denormals validated: %v", err)
+	}
+	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
+	if s, err := NewSearcher(rects, q, Options{}); err == nil {
+		t.Fatalf("unquantizable composite certified: %+v", s.tab.limbs.Scale)
+	}
+	for i := range rects {
+		if rects[i].Obj != &objs[i] {
+			t.Fatal("a refused searcher reordered the caller's rectangles")
+		}
+	}
+	if _, err := NewRegionSearcher(ds, 1, 1, q, Options{}); err == nil {
+		t.Fatal("a region searcher over unquantizable objects was built")
+	}
 }
 
 // TestSearchEquivalenceRealValued runs whole searches over the
