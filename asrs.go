@@ -154,10 +154,10 @@ type (
 	Index = gridindex.Index
 	// Pyramid is the persistent per-composite aggregate pyramid: the
 	// dataset-level aggregation layer (canonical master order, channel
-	// contributions, exactness certificates, the hierarchy of anchor-bin
-	// levels) built once per (dataset, composite) and bound by every
-	// query instead of rebuilt (DESIGN.md §6). Engines build and cache
-	// one per composite automatically.
+	// contributions, exactness certificates, the anchor-bin level) built
+	// once per (dataset, composite) and bound by every query instead of
+	// rebuilt (DESIGN.md §6). Engines build and cache one per composite
+	// automatically.
 	Pyramid = dssearch.Pyramid
 	// IndexStats reports the work of one GI-DS run.
 	IndexStats = gridindex.Stats

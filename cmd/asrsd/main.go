@@ -195,12 +195,11 @@ func loadOrBuildPyramid(eng *asrs.Engine, path string, f *asrs.Composite) error 
 	}
 	switch status {
 	case asrs.PyramidBuilt:
-		log.Printf("pyramid: built and saved %s (%d objects, %d levels)", path, p.Objects(), p.Levels())
+		log.Printf("pyramid: built and saved %s (%d objects)", path, p.Objects())
 	case asrs.PyramidRebuilt:
-		log.Printf("pyramid: WARNING: %s was corrupt; quarantined and rebuilt (%d objects, %d levels)",
-			path, p.Objects(), p.Levels())
+		log.Printf("pyramid: WARNING: %s was corrupt; quarantined and rebuilt (%d objects)", path, p.Objects())
 	default:
-		log.Printf("pyramid: loaded %s (%d objects, %d levels)", path, p.Objects(), p.Levels())
+		log.Printf("pyramid: loaded %s (%d objects)", path, p.Objects())
 	}
 	return eng.SetPyramid(p)
 }

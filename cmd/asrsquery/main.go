@@ -87,11 +87,11 @@ func loadOrBuildPyramid(path string, ds *asrs.Dataset, f *asrs.Composite) (*asrs
 	}
 	switch status {
 	case asrs.PyramidBuilt:
-		infof("pyramid:        built and saved to %s (%d objects, %d levels)\n", path, p.Objects(), p.Levels())
+		infof("pyramid:        built and saved to %s (%d objects)\n", path, p.Objects())
 	case asrs.PyramidRebuilt:
-		infof("pyramid:        WARNING: %s was corrupt; quarantined and rebuilt (%d objects, %d levels)\n", path, p.Objects(), p.Levels())
+		infof("pyramid:        WARNING: %s was corrupt; quarantined and rebuilt (%d objects)\n", path, p.Objects())
 	default:
-		infof("pyramid:        loaded from %s (%d objects, %d levels)\n", path, p.Objects(), p.Levels())
+		infof("pyramid:        loaded from %s (%d objects)\n", path, p.Objects())
 	}
 	return p, nil
 }

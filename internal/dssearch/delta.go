@@ -23,10 +23,10 @@ import (
 //     arrays (contributions, min/max contributions, the order
 //     permutation) at their merge positions — bulk copies of the base's
 //     runs in between;
-//   - id-remapped: every array that NAMES master ids (yAscIds, each
+//   - id-remapped: every array that NAMES master ids (yAscIds, the
 //     level's binIds and threshold arrays) is rewritten through the
 //     monotone old-id → new-id shift in one pass, with the d new ids
-//     merged in; a level's count plane is re-derived from its offsets.
+//     merged in; the level's count plane is re-derived from its offsets.
 //
 // So a fold costs O(d log n) comparisons plus a few linear copies, where
 // the rebuild costs a sort, a flatten and a certificate pass over all n.
@@ -51,14 +51,14 @@ import (
 // Only a base of no objects, which has no anchor order to merge into, is
 // rebuilt instead.
 //
-// Levels are patched in the base's bin grid: an appended anchor outside
+// The level is patched in the base's bin grid: an appended anchor outside
 // the grid lands in an edge bin (satLevel.binOf). A fresh build would lay
 // the grid over the grown hull instead; both are valid levels of the same
 // corpus and name the same rectangles, because the threshold arrays
 // certify through actual anchor coordinates and the ring scan is exact.
-// Only when the granularity ladder a fresh build would choose
-// (levelGrids) differs from the base's are the levels raised anew; a
-// moved certificate changes scales, not bins.
+// Only when the granularity a fresh build would choose (levelGrid)
+// differs from the base's is the level raised anew; a moved certificate
+// changes scales, not bins.
 
 // DeltaStats reports what a delta build did.
 type DeltaStats struct {
@@ -348,17 +348,10 @@ func (base *Pyramid) fold(combined *attr.Dataset) (*Pyramid, error) {
 	}
 	p.yAscIds = base.mergeYAsc(ents, newID)
 
-	// Patch the base's levels while the granularity ladder of a fresh
-	// build stands.
-	grids := levelGrids(n)
-	patch := len(grids) == len(base.lvls)
-	for i := 0; patch && i < len(grids); i++ {
-		patch = base.lvls[i].gx == grids[i]
-	}
-	if patch {
-		for _, l := range base.lvls {
-			p.lvls = append(p.lvls, l.patch(p, ents, newID))
-		}
+	// Patch the base's level while the granularity of a fresh build
+	// stands.
+	if base.lvl.gx == levelGrid(n) {
+		p.lvl = base.lvl.patch(p, ents, newID)
 		return p, nil
 	}
 	xs := make([]float64, n)
@@ -367,7 +360,7 @@ func (base *Pyramid) fold(combined *attr.Dataset) (*Pyramid, error) {
 		loc := p.anchor(int32(id))
 		xs[id], ys[id] = loc.X, loc.Y
 	}
-	p.raiseLevels(xs, ys)
+	p.raiseLevel(xs, ys)
 	return p, nil
 }
 

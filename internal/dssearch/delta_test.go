@@ -170,8 +170,8 @@ func assertSameAnswers(t *testing.T, tag string, ds *attr.Dataset, f *agg.Compos
 // channel's grid (the recertify lane), an anchor tie (admitted: limb sums
 // are order-free) and two values that spread the channel over a chain of
 // three limbs (the recertify lane again). Every delta folds. Across the
-// chain the granularity ladder must both hold (levels patched, the
-// recertified epochs' included) and move (levels raised anew).
+// chain the level's granularity must both hold (the level patched, the
+// recertified epochs' included) and move (the level raised anew).
 func TestDeltaFoldChain(t *testing.T) {
 	const stepBelow, stepAbove = 5, 9 // anchors outside the hull
 	var (
@@ -247,7 +247,7 @@ func TestDeltaFoldChain(t *testing.T) {
 			if step > stepSpread && !chained(&next.core.limbs) {
 				t.Fatalf("%s: limbs %v, lo %v: no chain of three", tag, next.core.limbs.Scale, next.core.limbs.Lo)
 			}
-			if slices.Equal(levelGrids(cur.n), levelGrids(next.n)) {
+			if levelGrid(cur.n) == levelGrid(next.n) {
 				patched++
 			} else {
 				raised++
@@ -262,7 +262,7 @@ func TestDeltaFoldChain(t *testing.T) {
 			cur, objs = next, combined.Objects
 		}
 		if patched == 0 || raised == 0 {
-			t.Fatalf("%s: %d folds patched their levels, %d raised them anew; want both kinds", kind.name, patched, raised)
+			t.Fatalf("%s: %d folds patched their level, %d raised it anew; want both kinds", kind.name, patched, raised)
 		}
 	}
 }
@@ -329,7 +329,7 @@ func filled(n int, v float64) []float64 {
 // alone let a stale count or threshold slip through whenever the search
 // happens not to lean on it. The limbs must be the rebuild's, and the
 // core and the id orders too when the order is unique (tied objects may
-// sit either way round). Each level must describe one assignment of
+// sit either way round). The level must describe one assignment of
 // anchors to bins consistently: whatever grid it keeps, its CSR lists,
 // count plane and threshold arrays are re-derived here from the anchors
 // and compared.
@@ -350,66 +350,62 @@ func assertSoundPyramid(t *testing.T, tag string, p, rebuilt *Pyramid) {
 		slices.Equal(c.mOff, r.mOff) && slices.Equal(c.mms, r.mms)) {
 		t.Fatalf("%s: folded core or id orders differ from the rebuild's", tag)
 	}
-	if got, want := len(p.lvls), len(rebuilt.lvls); got != want {
-		t.Fatalf("%s: %d levels, rebuild has %d", tag, got, want)
+	l := p.lvl
+	g := l.gx
+	if g != rebuilt.lvl.gx {
+		t.Fatalf("%s: level g=%d, rebuild has g=%d", tag, g, rebuilt.lvl.gx)
 	}
-	for li, l := range p.lvls {
-		g := l.gx
-		if g != rebuilt.lvls[li].gx {
-			t.Fatalf("%s level %d: g=%d, rebuild has g=%d", tag, li, g, rebuilt.lvls[li].gx)
+	fail := func(what string) { t.Helper(); t.Fatalf("%s level (g=%d): %s", tag, g, what) }
+	if len(l.binStart) != g*g+1 || l.binStart[0] != 0 || int(l.binStart[g*g]) != p.n || len(l.binIds) != p.n {
+		fail("CSR bounds")
+	}
+	// The bins, from the anchors: master ids ascend, so appending in id
+	// order gives each bin's list as the level must hold it.
+	bins := make([][]int32, g*g)
+	inf, ninf := math.Inf(1), math.Inf(-1)
+	colMax, colMin := filled(g, ninf), filled(g, inf)
+	rowMax, rowMin := filled(g, ninf), filled(g, inf)
+	for id := int32(0); int(id) < p.n; id++ {
+		loc := p.anchor(id)
+		bi, bj := l.binOf(loc.X, loc.Y)
+		bins[bj*g+bi] = append(bins[bj*g+bi], id)
+		colMax[bi], colMin[bi] = max(colMax[bi], loc.X), min(colMin[bi], loc.X)
+		rowMax[bj], rowMin[bj] = max(rowMax[bj], loc.Y), min(rowMin[bj], loc.Y)
+	}
+	w := g + 1
+	cnt := make([]int32, w*w)
+	for b, ids := range bins {
+		if !slices.Equal(l.binIds[l.binStart[b]:l.binStart[b+1]], ids) {
+			fail(fmt.Sprintf("bin %d does not hold the ids anchored in it", b))
 		}
-		fail := func(what string) { t.Helper(); t.Fatalf("%s level %d (g=%d): %s", tag, li, g, what) }
-		if len(l.binStart) != g*g+1 || l.binStart[0] != 0 || int(l.binStart[g*g]) != p.n || len(l.binIds) != p.n {
-			fail("CSR bounds")
+		cnt[(b/g+1)*w+b%g+1] = int32(len(ids))
+	}
+	for j := 1; j <= g; j++ {
+		for i := 1; i <= g; i++ {
+			cnt[j*w+i] += cnt[j*w+i-1] + cnt[(j-1)*w+i] - cnt[(j-1)*w+i-1]
 		}
-		// The bins, from the anchors: master ids ascend, so appending in
-		// id order gives each bin's list as the level must hold it.
-		bins := make([][]int32, g*g)
-		inf, ninf := math.Inf(1), math.Inf(-1)
-		colMax, colMin := filled(g, ninf), filled(g, inf)
-		rowMax, rowMin := filled(g, ninf), filled(g, inf)
-		for id := int32(0); int(id) < p.n; id++ {
-			loc := p.anchor(id)
-			bi, bj := l.binOf(loc.X, loc.Y)
-			bins[bj*g+bi] = append(bins[bj*g+bi], id)
-			colMax[bi], colMin[bi] = max(colMax[bi], loc.X), min(colMin[bi], loc.X)
-			rowMax[bj], rowMin[bj] = max(rowMax[bj], loc.Y), min(rowMin[bj], loc.Y)
+	}
+	if !slices.Equal(cnt, l.cnt) {
+		fail("count plane is not the prefix sums of the bin sizes")
+	}
+	// Threshold runs, by value: ids may differ where anchors tie.
+	val := func(id int32, y bool, empty float64) float64 {
+		if id < 0 {
+			return empty
 		}
-		w := g + 1
-		cnt := make([]int32, w*w)
-		for b, ids := range bins {
-			if !slices.Equal(l.binIds[l.binStart[b]:l.binStart[b+1]], ids) {
-				fail(fmt.Sprintf("bin %d does not hold the ids anchored in it", b))
-			}
-			cnt[(b/g+1)*w+b%g+1] = int32(len(ids))
+		if y {
+			return p.anchor(id).Y
 		}
-		for j := 1; j <= g; j++ {
-			for i := 1; i <= g; i++ {
-				cnt[j*w+i] += cnt[j*w+i-1] + cnt[(j-1)*w+i] - cnt[(j-1)*w+i-1]
-			}
-		}
-		if !slices.Equal(cnt, l.cnt) {
-			fail("count plane is not the prefix sums of the bin sizes")
-		}
-		// Threshold runs, by value: ids may differ where anchors tie.
-		val := func(id int32, y bool, empty float64) float64 {
-			if id < 0 {
-				return empty
-			}
-			if y {
-				return p.anchor(id).Y
-			}
-			return p.anchor(id).X
-		}
-		up, down := ninf, inf
-		upY, downY := ninf, inf
-		for i := 0; i < g; i++ {
-			up, upY = max(up, colMax[i]), max(upY, rowMax[i])
-			down, downY = min(down, colMin[g-1-i]), min(downY, rowMin[g-1-i])
-			if val(l.xMaxUpTo[i], false, ninf) != up || val(l.yMaxUpTo[i], true, ninf) != upY ||
-				val(l.xMinFrom[g-1-i], false, inf) != down || val(l.yMinFrom[g-1-i], true, inf) != downY {
-				fail(fmt.Sprintf("threshold run at bin %d", i))
-			}
+		return p.anchor(id).X
+	}
+	up, down := ninf, inf
+	upY, downY := ninf, inf
+	for i := 0; i < g; i++ {
+		up, upY = max(up, colMax[i]), max(upY, rowMax[i])
+		down, downY = min(down, colMin[g-1-i]), min(downY, rowMin[g-1-i])
+		if val(l.xMaxUpTo[i], false, ninf) != up || val(l.yMaxUpTo[i], true, ninf) != upY ||
+			val(l.xMinFrom[g-1-i], false, inf) != down || val(l.yMinFrom[g-1-i], true, inf) != downY {
+			fail(fmt.Sprintf("threshold run at bin %d", i))
 		}
 	}
 }

@@ -16,7 +16,7 @@
 //
 // Per-query state is concentrated in the aggregation layer of sat.go: the
 // master rectangle array sorted by anchor, flattened limb contributions,
-// and the anchor-bin levels that refinement and id collection walk. Every
+// and the anchor-bin level that refinement and id collection walk. Every
 // Discretize fills its grid
 // the same way — one difference-array pass over the space's rectangles
 // (grid.go). Rectangle subsets flow through the kernel heap as 4-byte id
@@ -80,7 +80,7 @@ type Options struct {
 	// and composite, binds the searcher (NewRegionSearcher) to the
 	// persistent dataset-level aggregate pyramid instead of rebuilding the
 	// per-query aggregation layer: master order, contributions, limbs
-	// and anchor-bin levels are aliased, leaving one O(n)
+	// and the anchor-bin level are aliased, leaving one O(n)
 	// pass per query (DESIGN.md §6). Answers are bit-identical to the
 	// unassisted path; the binding silently falls back to the classic
 	// build when it cannot guarantee that (another dataset or composite,
@@ -338,7 +338,6 @@ func (s *Searcher) ensureScratch() {
 	}
 	s.sw = t.sw
 	s.sw.SetLimbs(&t.limbs)
-	s.sw.SetStripCost(stripCostModel())
 	// One float slab: the incumbent's representation, then the mini-sweep
 	// base vector.
 	dims, cells := f.Dims(), ncol*nrow
@@ -479,7 +478,7 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 	master := s.rects
 	t := s.tab
 	lo, hi := t.window(space.MinX, space.MaxX)
-	if len(t.lvls) > 0 {
+	if t.lvl != nil {
 		if out, ok := s.appendBinIDs(space, dst, lo, hi); ok {
 			return out
 		}
@@ -495,7 +494,7 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 }
 
 // appendBinIDs is the bin-backed id collection of AppendWindowIDs: it
-// walks the space's anchor box on the best level — the 2D region that
+// walks the space's anchor box on the level — the 2D region that
 // can hold anchors of intersecting rectangles — instead of the 1D MinX
 // window, whose x-range spans the full y extent. ok=false means the
 // window scan over [lo, hi) is expected to be no slower (small windows,
@@ -510,7 +509,7 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int32, bool) {
 	t := s.tab
 	master := s.rects
-	l := t.pickLevel(master, space)
+	l := t.lvl
 	i0 := l.xBinLE(master, space.MinX-t.wmax, true)
 	i1 := l.xBinGT(master, space.MaxX, true)
 	j0 := l.yBinLE(master, space.MinY-t.hmax, true)

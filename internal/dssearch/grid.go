@@ -578,8 +578,8 @@ func (s *Searcher) refineCellLB(cell, clip geom.Rect, cellFull []float64) (float
 	master := s.rects
 	query := &s.query
 	partial := g.refinePartial[:0]
-	t.ensureLevels(master)
-	l := t.pickLevel(master, cell)
+	t.ensureLevel(master)
+	l := t.lvl
 	// All possibly-overlapping anchors have MinX ∈ (cell.MinX − wmax,
 	// cell.MaxX) and MinY ∈ (cell.MinY − hmax, cell.MaxY); each bin row of
 	// that box is a contiguous CSR run. Bins certainly inside the cell's

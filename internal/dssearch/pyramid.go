@@ -38,7 +38,7 @@ import (
 // the pyramid's master order is produced by the *same* sort over the
 // *same* initial order (translation is monotone, so the comparator
 // outcomes — and with them the unstable sort's permutation — are
-// identical), and the levels' id-anchored threshold arrays bound the
+// identical), and the level's id-anchored threshold arrays bound the
 // translated per-query anchors through actual rectangle coordinates
 // rather than bin geometry. The single case translation can break — two
 // distinct anchor x coordinates collapsing onto one float (a sub-ulp
@@ -57,10 +57,10 @@ type Pyramid struct {
 	n       int
 	mmSlots int
 
-	core             *tables     // frozen canonical aggregation core (master order)
-	order            []int32     // master position -> dataset object index
-	xAscIds, yAscIds []int32     // master ids sorted by anchor x / y (accuracy)
-	lvls             []*satLevel // anchor-bin hierarchy, finest first
+	core             *tables   // frozen canonical aggregation core (master order)
+	order            []int32   // master position -> dataset object index
+	xAscIds, yAscIds []int32   // master ids sorted by anchor x / y (accuracy)
+	lvl              *satLevel // the anchor-bin level (levelGrid)
 
 	// Delta-fold state (delta.go): the certificate's running sums over
 	// the dataset, which a fold extends by the appended objects; nil on a
@@ -131,40 +131,26 @@ func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
 	}
 	p.xAscIds = sortedIdsByValue(xs)
 	p.yAscIds = sortedIdsByValue(ys)
-	p.raiseLevels(xs, ys)
+	p.raiseLevel(xs, ys)
 	return p, nil
 }
 
-// levelGrids returns the bin granularities of the hierarchy a fresh
-// build raises over n anchors, finest first. The persistent hierarchy
-// can afford finer levels than the per-query grid: ring-scan work shrinks
-// linearly with the bin width, and pickLevel chooses per walk.
-func levelGrids(n int) []int {
+// levelGrid returns the bin granularity of the level a fresh build raises
+// over n anchors. The pyramid affords a finer grid than the per-query
+// one: ring-scan work shrinks linearly with the bin width.
+func levelGrid(n int) int {
 	g := satGrid(n)
 	for 2*g <= 256 && g*g < n {
 		g *= 2
 	}
-	var grids []int
-	for {
-		grids = append(grids, g)
-		if g <= 8 {
-			return grids
-		}
-		g /= 2
-		if g < 8 {
-			g = 8
-		}
-	}
+	return g
 }
 
-// raiseLevels builds the hierarchy from scratch over the stored anchors
-// xs/ys (master order).
-func (p *Pyramid) raiseLevels(xs, ys []float64) {
-	for _, g := range levelGrids(p.n) {
-		l := &satLevel{}
-		buildSATLevel(l, g, xs, ys)
-		p.lvls = append(p.lvls, l)
-	}
+// raiseLevel builds the level from scratch over the stored anchors xs/ys
+// (master order).
+func (p *Pyramid) raiseLevel(xs, ys []float64) {
+	p.lvl = &satLevel{}
+	buildSATLevel(p.lvl, levelGrid(p.n), xs, ys)
 }
 
 // freeze trims a pyramid's core to what binds alias for the pyramid's
@@ -213,9 +199,6 @@ func (p *Pyramid) Composite() *agg.Composite { return p.f }
 // Objects returns the master cardinality.
 func (p *Pyramid) Objects() int { return p.n }
 
-// Levels returns the number of resolutions in the anchor-bin hierarchy.
-func (p *Pyramid) Levels() int { return len(p.lvls) }
-
 // bindCore aliases the pyramid's frozen aggregation core into a
 // recycled tables value and marks it shared so reset() drops (never
 // truncates) the aliased slices.
@@ -225,7 +208,7 @@ func (p *Pyramid) bindCore(t *tables) {
 	t.limbs = c.limbs.Layout()
 	t.cOff, t.contribs = c.cOff, c.contribs
 	t.mOff, t.mms = c.mOff, c.mms
-	t.lvls = append(t.lvls[:0], p.lvls...)
+	t.lvl = p.lvl
 	t.shared = true
 	t.pyr = p
 }
@@ -307,7 +290,7 @@ func minGapMergedIds(master []asp.RectObject, ids []int32, yAxis bool) float64 {
 // what the dataset does not hold. internal/persist encodes and decodes
 // it; PyramidFromSnapshot validates it and re-derives the rest — the
 // limb inverses and owners from the scales (agg.NewLimbs), the
-// contribution and min/max tables from the objects, each level's count
+// contribution and min/max tables from the objects, the level's count
 // plane from its bins.
 type PyramidSnapshot struct {
 	N       int
@@ -322,10 +305,10 @@ type PyramidSnapshot struct {
 	Order            []int32
 	XAscIds, YAscIds []int32
 
-	Levels []PyramidLevelSnapshot
+	Level PyramidLevelSnapshot
 }
 
-// PyramidLevelSnapshot is one anchor-bin resolution.
+// PyramidLevelSnapshot is the anchor-bin level.
 type PyramidLevelSnapshot struct {
 	G                  int
 	BW, BH             float64
@@ -337,22 +320,19 @@ type PyramidLevelSnapshot struct {
 // Snapshot exports the pyramid's serializable image. The returned
 // slices alias the pyramid — treat as read-only.
 func (p *Pyramid) Snapshot() *PyramidSnapshot {
-	c := p.core
-	s := &PyramidSnapshot{
+	c, l := p.core, p.lvl
+	return &PyramidSnapshot{
 		N: p.n, Chans: c.chans, MMSlots: p.mmSlots,
 		Scale: c.limbs.Scale, Lo: c.limbs.Lo,
 		Order:   p.order,
 		XAscIds: p.xAscIds, YAscIds: p.yAscIds,
-	}
-	for _, l := range p.lvls {
-		s.Levels = append(s.Levels, PyramidLevelSnapshot{
+		Level: PyramidLevelSnapshot{
 			G: l.gx, BW: l.bw, BH: l.bh,
 			BinStart: l.binStart, BinIds: l.binIds,
 			XMaxUpTo: l.xMaxUpTo, XMinFrom: l.xMinFrom,
 			YMaxUpTo: l.yMaxUpTo, YMinFrom: l.yMinFrom,
-		})
+		},
 	}
-	return s
 }
 
 // PyramidFromSnapshot reconstructs a pyramid over (ds, f) from a
@@ -410,44 +390,38 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 	if n > 0 {
 		origin = geom.Point{X: p.anchor(s.XAscIds[0]).X, Y: p.anchor(s.YAscIds[0]).Y}
 	}
-	for li := range s.Levels {
-		ls := &s.Levels[li]
-		g := ls.G
-		if g < 1 || g > 1<<14 {
-			return nil, fmt.Errorf("dssearch: pyramid snapshot level %d granularity %d out of range", li, g)
+	ls := &s.Level
+	g := ls.G
+	if g < 1 || g > 1<<14 {
+		return nil, fmt.Errorf("dssearch: pyramid snapshot level granularity %d out of range", g)
+	}
+	if len(ls.BinStart) != g*g+1 || len(ls.BinIds) != n ||
+		len(ls.XMaxUpTo) != g || len(ls.XMinFrom) != g ||
+		len(ls.YMaxUpTo) != g || len(ls.YMinFrom) != g {
+		return nil, fmt.Errorf("dssearch: pyramid snapshot level arrays inconsistent")
+	}
+	if err := checkOffsets(ls.BinStart, g*g, n); err != nil {
+		return nil, fmt.Errorf("dssearch: pyramid snapshot level bins: %w", err)
+	}
+	for _, id := range ls.BinIds {
+		if id < 0 || int(id) >= n {
+			return nil, fmt.Errorf("dssearch: pyramid snapshot level bin id %d out of range", id)
 		}
-		if len(ls.BinStart) != g*g+1 || len(ls.BinIds) != n ||
-			len(ls.XMaxUpTo) != g || len(ls.XMinFrom) != g ||
-			len(ls.YMaxUpTo) != g || len(ls.YMinFrom) != g {
-			return nil, fmt.Errorf("dssearch: pyramid snapshot level %d arrays inconsistent", li)
-		}
-		if err := checkOffsets(ls.BinStart, g*g, n); err != nil {
-			return nil, fmt.Errorf("dssearch: pyramid snapshot level %d bins: %w", li, err)
-		}
-		for _, id := range ls.BinIds {
-			if id < 0 || int(id) >= n {
-				return nil, fmt.Errorf("dssearch: pyramid snapshot level %d bin id %d out of range", li, id)
+	}
+	for _, arr := range [][]int32{ls.XMaxUpTo, ls.XMinFrom, ls.YMaxUpTo, ls.YMinFrom} {
+		for _, id := range arr {
+			if int(id) >= n {
+				return nil, fmt.Errorf("dssearch: pyramid snapshot level threshold id %d out of range", id)
 			}
 		}
-		for _, arr := range [][]int32{ls.XMaxUpTo, ls.XMinFrom, ls.YMaxUpTo, ls.YMinFrom} {
-			for _, id := range arr {
-				if int(id) >= n {
-					return nil, fmt.Errorf("dssearch: pyramid snapshot level %d threshold id %d out of range", li, id)
-				}
-			}
-		}
-		l := &satLevel{
-			gx: g, gy: g, bw: ls.BW, bh: ls.BH, bx0: origin.X, by0: origin.Y,
-			binStart: ls.BinStart, binIds: ls.BinIds,
-			xMaxUpTo: ls.XMaxUpTo, xMinFrom: ls.XMinFrom,
-			yMaxUpTo: ls.YMaxUpTo, yMinFrom: ls.YMinFrom,
-		}
-		l.sumCounts()
-		p.lvls = append(p.lvls, l)
 	}
-	if len(p.lvls) == 0 {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot carries no anchor-bin levels")
+	p.lvl = &satLevel{
+		gx: g, gy: g, bw: ls.BW, bh: ls.BH, bx0: origin.X, by0: origin.Y,
+		binStart: ls.BinStart, binIds: ls.BinIds,
+		xMaxUpTo: ls.XMaxUpTo, xMinFrom: ls.XMinFrom,
+		yMaxUpTo: ls.YMaxUpTo, yMinFrom: ls.YMinFrom,
 	}
+	p.lvl.sumCounts()
 	return p, nil
 }
 

@@ -24,7 +24,7 @@ import (
 //   - the GPS-accuracy computation (Definition 7), derived from the
 //     sorted coordinate arrays by a merge walk instead of re-sorting the
 //     edge multiset per query;
-//   - the anchor-bin levels: CSR per-bin id lists over a grid of
+//   - the anchor-bin level: CSR per-bin id lists over a grid of
 //     (MinX, MinY) anchors, with a prefix-summed count plane.
 //     A dirty cell's refinement finds its partial rectangles in the ring
 //     of the cell's 2D anchor box instead of the 1D MinX window, and
@@ -32,7 +32,7 @@ import (
 //
 // When Options.Pyramid carries the dataset-level aggregate pyramid
 // (pyramid.go), the whole layer is *bound* instead of built: the master
-// order, contributions, limbs and levels are aliased from the persistent
+// order, contributions, limbs and level are aliased from the persistent
 // per-composite structure and only the rectangles are materialized per
 // query, in one O(n) pass (shape.go), converting the per-query
 // O(R log R) setup into amortized shared state (DESIGN.md §6).
@@ -47,12 +47,12 @@ import (
 // limbs, reals spread wider with as many as their mass needs. The values a
 // dataset admits (attr.Dataset.Validate) always certify.
 
-// ---- Anchor-bin levels ----
+// ---- The anchor-bin level ----
 
-// satLevel is one resolution of the anchor-bin hierarchy: CSR per-bin id
-// lists over a g×g grid of rectangle anchors, the summed-area table of
-// the bin sizes (the count plane), and the conservative threshold arrays
-// that map coordinate predicates to bin ranges.
+// satLevel is the anchor-bin level: CSR per-bin id lists over a g×g grid
+// of rectangle anchors, the summed-area table of the bin sizes (the count
+// plane), and the conservative threshold arrays that map coordinate
+// predicates to bin ranges.
 //
 // The threshold arrays are *id-anchored*: xMaxUpTo[i] is the master id
 // whose anchor attains the maximum anchor x over bin columns [0, i]
@@ -66,12 +66,11 @@ import (
 // argmin. Lookups are O(log g) binary searches, and every
 // interior/exterior claim they certify is conservative; the readers test
 // each anchor of the bins left uncertain exactly, so what they collect
-// depends only on the true predicate sets, not on the bin geometry or
-// level choice.
+// depends only on the true predicate sets, not on the bin geometry.
 type satLevel struct {
 	gx, gy   int
-	bw, bh   float64 // bin extents in stored space (level selection only)
-	bx0, by0 float64 // bin grid origin in stored space (binning only, see binOf)
+	bw, bh   float64 // bin extents in stored space (binning only, see binOf)
+	bx0, by0 float64 // bin grid origin in stored space (binning only)
 
 	binStart []int32 // gx*gy+1 CSR offsets
 	binIds   []int32 // master ids grouped by bin, ascending within a bin
@@ -310,8 +309,8 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64) {
 }
 
 // tables is the per-query aggregation layer described above, built by
-// newSearcher. With a pyramid bound the level slices alias the persistent
-// per-composite structure (shared == true).
+// newSearcher. With a pyramid bound the core slices and the level alias
+// the persistent per-composite structure (shared == true).
 type tables struct {
 	f     *agg.Composite
 	chans int // channels (f.Channels())
@@ -336,10 +335,10 @@ type tables struct {
 	// Accuracy scratch (kept for slab reuse).
 	axs, bxs []float64
 
-	// Anchor-bin hierarchy. With a pyramid bound, lvls aliases the
-	// pyramid's prebuilt levels (fine -> coarse); otherwise ensureLevels
-	// lazily builds the single query-level ownLvl. minYs is build scratch.
-	lvls   []*satLevel
+	// The anchor-bin level. With a pyramid bound, lvl is the pyramid's;
+	// otherwise ensureLevel lazily builds the query-level ownLvl. minYs is
+	// build scratch.
+	lvl    *satLevel
 	ownLvl satLevel
 	minYs  []float64
 
@@ -384,7 +383,7 @@ type tables struct {
 // slice's capacity (the quantization-certificate and level slabs ride
 // the SlabCache across queries on the same composite).
 func (t *tables) reset() {
-	t.lvls = t.lvls[:0]
+	t.lvl = nil
 	t.pyr = nil
 	t.minXs = nil // a view of minXsBuf
 	if t.shared {
@@ -605,9 +604,9 @@ func (t *tables) window(x0, x1 float64) (int, int) {
 	return lo, hi
 }
 
-// ---- Level management ----
+// ---- Level granularity ----
 
-// satGrid picks the bin granularity for n anchors.
+// satGrid picks the bin granularity of a query-level grid over n anchors.
 func satGrid(n int) int {
 	g := int(math.Sqrt(float64(n)))
 	if g < 8 {
@@ -619,13 +618,13 @@ func satGrid(n int) int {
 	return g
 }
 
-// ensureLevels lazily provides the anchor-bin hierarchy of the master.
-// With a pyramid bound the levels were aliased at construction
-// and this is a no-op; otherwise one query-level grid is built over the
-// master anchors on first demand. Many queries never refine a cell, so
-// the build cost is deferred to the first that does.
-func (t *tables) ensureLevels(master []asp.RectObject) {
-	if len(t.lvls) > 0 {
+// ensureLevel lazily provides the anchor-bin level of the master. With a
+// pyramid bound the level was aliased at construction and this is a
+// no-op; otherwise a query-level grid is built over the master anchors on
+// first demand. Many queries never refine a cell, so the build cost is
+// deferred to the first that does.
+func (t *tables) ensureLevel(master []asp.RectObject) {
+	if t.lvl != nil {
 		return
 	}
 	n := len(master)
@@ -637,61 +636,7 @@ func (t *tables) ensureLevels(master []asp.RectObject) {
 		t.minYs = append(t.minYs, master[i].Rect.MinY)
 	}
 	buildSATLevel(&t.ownLvl, satGrid(n), t.minXs, t.minYs)
-	t.lvls = append(t.lvls[:0], &t.ownLvl)
-}
-
-// spaceDensity estimates the anchor density of the space's anchor box —
-// the (MinX, MinY) region that can hold anchors of rectangles touching
-// the space — by reading the finest level's count plane (an O(1)
-// four-corner lookup). Using the measured local count instead of the
-// global average matters on clustered corpora, where the interesting
-// spaces sit at densities orders of magnitude above the mean.
-func (t *tables) spaceDensity(master []asp.RectObject, space geom.Rect) float64 {
-	l := t.lvls[0]
-	i0 := l.xBinLE(master, space.MinX-t.wmax, true)
-	i1 := l.xBinGT(master, space.MaxX, true)
-	j0 := l.yBinLE(master, space.MinY-t.hmax, true)
-	j1 := l.yBinGT(master, space.MaxY, true)
-	if i0 >= i1 || j0 >= j1 {
-		return 0
-	}
-	cnt := l.countRegion(i0, i1, j0, j1)
-	area := float64(i1-i0) * l.bw * float64(j1-j0) * l.bh
-	if !(area > 0) {
-		return 0
-	}
-	return float64(cnt) / area
-}
-
-// levelCost estimates the work of scanning the ring of a space's anchor
-// box at this level: the ring is a band of ~one bin around the box, so
-// it holds ≈ ρ·(bw·boxH + bh·boxW) anchors (ρ = local anchor density)
-// spread over ≈ boxH/bh + boxW/bw bins. The constants weight an anchor
-// test against a bin visit (an anchor test compares a rectangle; a bin
-// visit is two loads).
-func (t *tables) levelCost(l *satLevel, rho float64, space geom.Rect) float64 {
-	boxW := space.Width() + t.wmax - t.wmin + 2*l.bw
-	boxH := space.Height() + t.hmax - t.hmin + 2*l.bh
-	ringAnchors := rho * 2 * (l.bw*boxH + l.bh*boxW)
-	ringBins := 2 * (boxH/l.bh + boxW/l.bw)
-	return 2*ringAnchors + 0.3*ringBins
-}
-
-// pickLevel selects the resolution at which a space's anchor box is
-// walked: the level whose estimated ring work is smallest. Any level
-// yields the same ids — the threshold certification is conservative and
-// the ring scan exact — so this is purely a performance choice, and it
-// depends only on deterministic quantities.
-func (t *tables) pickLevel(master []asp.RectObject, space geom.Rect) *satLevel {
-	rho := t.spaceDensity(master, space)
-	best := t.lvls[0]
-	bestCost := t.levelCost(best, rho, space)
-	for _, l := range t.lvls[1:] {
-		if c := t.levelCost(l, rho, space); c < bestCost {
-			best, bestCost = l, c
-		}
-	}
-	return best
+	t.lvl = &t.ownLvl
 }
 
 // resizeInt32 returns a slice of length n reusing capacity.

@@ -1,30 +1,26 @@
 package fenwick_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"asrs/internal/fenwick"
 )
 
-// diffAgainstTree drives a Diff1D and a Tree1D with the same randomized
-// range-adds — including out-of-range ends that exercise the clamping,
-// empty ranges, single-position ranges, and duplicate positions — and
-// checks every position's point value matches bit for bit under both
-// the prefix-march (StepInto/Advance) and the PointInto read paths.
-func diffAgainstTree[T fenwick.Value](t *testing.T, seed int64, draw func(*rand.Rand) T, eq func(a, b T) bool) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
+// TestDiff1DMatchesTreeInt64 drives an Int64Diff1D and an Int64Tree1D
+// with the same randomized range-adds — including out-of-range ends that
+// exercise the clamping, empty ranges, single-position ranges, and
+// duplicate positions — and checks every position's point value matches
+// under both the prefix-march (StepInto/Advance) and the from-zero read
+// paths.
+func TestDiff1DMatchesTreeInt64(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(80)
 		chans := 1 + rng.Intn(4)
-		var dif fenwick.Diff1D[T]
+		var dif fenwick.Int64Diff1D
 		dif.Reset(n, chans)
-		tree := fenwick.New1D[T](n, chans)
-		if dif.Len() != tree.Len() {
-			t.Fatalf("trial %d: Len %d vs %d", trial, dif.Len(), tree.Len())
-		}
+		tree := newTree(n, chans)
 		ops := rng.Intn(120)
 		for o := 0; o < ops; o++ {
 			// Ends beyond the array in both directions; l > r happens
@@ -32,20 +28,20 @@ func diffAgainstTree[T fenwick.Value](t *testing.T, seed int64, draw func(*rand.
 			l := rng.Intn(n+6) - 3
 			r := rng.Intn(n+6) - 3
 			ch := rng.Intn(chans)
-			d := draw(rng)
+			d := int64(rng.Intn(2001) - 1000)
 			dif.RangeAdd(l, r, ch, d)
 			tree.RangeAdd(l, r, ch, d)
 		}
-		want := make([]T, chans)
-		got := make([]T, chans)
-		acc := make([]T, chans)
+		want := make([]int64, chans)
+		got := make([]int64, chans)
+		acc := make([]int64, chans)
 		prev := -1
 		for i := 0; i < n; i++ {
 			tree.PointInto(i, want)
-			dif.PointInto(i, got)
+			pointInto(&dif, i, got)
 			for c := range want {
-				if !eq(want[c], got[c]) {
-					t.Fatalf("trial %d pos %d ch %d: PointInto %v vs tree %v", trial, i, c, got[c], want[c])
+				if want[c] != got[c] {
+					t.Fatalf("trial %d pos %d ch %d: from zero %v vs tree %v", trial, i, c, got[c], want[c])
 				}
 			}
 			// The march path, with occasional multi-position Advance
@@ -59,28 +55,12 @@ func diffAgainstTree[T fenwick.Value](t *testing.T, seed int64, draw func(*rand.
 			}
 			prev = i
 			for c := range want {
-				if !eq(want[c], acc[c]) {
+				if want[c] != acc[c] {
 					t.Fatalf("trial %d pos %d ch %d: march %v vs tree %v", trial, i, c, acc[c], want[c])
 				}
 			}
 		}
 	}
-}
-
-func TestDiff1DMatchesTreeInt64(t *testing.T) {
-	diffAgainstTree[int64](t, 61,
-		func(rng *rand.Rand) int64 { return int64(rng.Intn(2001) - 1000) },
-		func(a, b int64) bool { return a == b })
-}
-
-// Float64 instantiation: deltas are integer-valued floats (the only
-// regime the sweep enables the path for), so the different summation
-// orders of the tree and the prefix march are all exact — the match is
-// required to be bit-identical, not approximate.
-func TestDiff1DMatchesTreeFloat64(t *testing.T) {
-	diffAgainstTree[float64](t, 67,
-		func(rng *rand.Rand) float64 { return float64(rng.Intn(2001) - 1000) },
-		func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
 }
 
 // TestDiff1DEdges pins the boundary semantics: probes before any delta
@@ -96,7 +76,7 @@ func TestDiff1DEdges(t *testing.T) {
 	d.RangeAdd(5, 2, 0, 100) // empty: no-op
 	out := make([]int64, 2)
 	for i := 0; i < 10; i++ {
-		d.PointInto(i, out)
+		pointInto(&d, i, out)
 		want0 := int64(0)
 		if i >= 3 && i <= 6 {
 			want0 = 5
@@ -128,7 +108,7 @@ func TestDiff1DResetReuse(t *testing.T) {
 	d.Reset(4, 2)
 	out := make([]int64, 2)
 	for i := 0; i < 4; i++ {
-		d.PointInto(i, out)
+		pointInto(&d, i, out)
 		if out[0] != 0 || out[1] != 0 {
 			t.Fatalf("stale data after Reset at %d: %v", i, out)
 		}
@@ -136,7 +116,7 @@ func TestDiff1DResetReuse(t *testing.T) {
 	d.Reset(16, 3)
 	out = make([]int64, 3)
 	for i := 0; i < 16; i++ {
-		d.PointInto(i, out)
+		pointInto(&d, i, out)
 		for c, v := range out {
 			if v != 0 {
 				t.Fatalf("stale data after regrow at %d ch %d: %d", i, c, v)

@@ -14,7 +14,7 @@ import (
 // contract under fuzz is the error taxonomy's: every input either
 // decodes or returns an error wrapping ErrCorrupt or ErrMismatch —
 // never a panic, never an unclassified error, regardless of how the
-// length-prefixed sections are mangled. The seed corpus is a format-3
+// length-prefixed sections are mangled. The seed corpus is a format-4
 // file and its interesting boundaries: the valid file, truncations at
 // section edges, and targeted corruptions of the guard fields.
 //
@@ -48,13 +48,13 @@ func FuzzReadPyramid(f *testing.F) {
 	f.Add(flip(len(valid)-1, 0x01)) // checksum flip
 	f.Add(flip(len(valid)/3, 0x10)) // body flip caught by checksum
 
-	// The counts n, chans, eff, mmSlots, nLevels end the header; the
-	// limb scales follow.
-	hdr := 8 + 4 + 4 + len(comp.Fingerprint()) + 5*4
+	// The counts n, chans, eff, mmSlots end the header; the limb scales
+	// follow.
+	hdr := 8 + 4 + 4 + len(comp.Fingerprint()) + 4*4
 	f.Add(valid[:hdr])        // torn after the header
 	f.Add(valid[:hdr+4])      // torn inside the limb scales
-	f.Add(flip(hdr-20, 0x01)) // n off by one: not this dataset
-	f.Add(flip(hdr-12, 0x40)) // eff beyond two limbs per channel
+	f.Add(flip(hdr-16, 0x01)) // n off by one: not this dataset
+	f.Add(flip(hdr-8, 0x40))  // eff beyond two limbs per channel
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadPyramid(bytes.NewReader(data), ds, comp)

@@ -17,40 +17,41 @@ import (
 // Binary pyramid format (little endian):
 //
 //	magic "ASRSPYR1"
-//	u32 version (currently 3)
+//	u32 version (currently 4)
 //	u32 len(fingerprint), fingerprint bytes
-//	u32 n, chans, eff, mmSlots, nLevels
+//	u32 n, chans, eff, mmSlots
 //	f64   scale[eff]
 //	i32   lo[chans]
 //	i32   order[n], xAscIds[n], yAscIds[n]
-//	per level: u32 g; f64 bw, bh;
-//	           i32 binStart[g²+1], binIds[n],
-//	           xMaxUpTo[g], xMinFrom[g], yMaxUpTo[g], yMinFrom[g]
+//	u32 g; f64 bw, bh
+//	i32   binStart[g²+1], binIds[n],
+//	      xMaxUpTo[g], xMinFrom[g], yMaxUpTo[g], yMinFrom[g]
 //	u64 fnv-64a of every byte after the magic
 //
 // The file stores nothing the dataset already holds. What it stores is
 // the limbs' certificate — each limb's power-of-two scale and each
 // channel's first extra limb (-1 for none) — the master order with the
-// two anchor id orders, and the levels, each its anchor bins and
-// threshold arrays. What it does not is re-derived at load
+// two anchor id orders, and the anchor-bin level: its bins and threshold
+// arrays. What it does not is re-derived at load
 // (dssearch.PyramidFromSnapshot): the limb inverses and owners from the
 // scales, the contribution and min/max tables by flattening
-// ds.Objects[order[i]] and splitting under the stored scales, a level's
+// ds.Objects[order[i]] and splitting under the stored scales, the level's
 // count plane as the prefix sums of its binStart. A scale that is not a
 // power of two a limb may take — the 0 earlier builds wrote for a channel
 // they could not certify among them — makes the file ErrCorrupt.
 //
 // A file of another version — version 1 carried summed-area planes per
 // level, version 2 the contribution and min/max tables and per-channel
-// certificate flags — is reported as ErrCorrupt, so
-// asrs.LoadOrBuildPyramidFile quarantines and rebuilds it like any other
-// unusable artifact. The composite aggregator is re-bound by the caller
-// and verified via structural fingerprint; the dataset identity and the
-// composite's selection functions are part of the file's contract.
+// certificate flags, version 3 a ladder of levels — is reported as
+// ErrCorrupt, so asrs.LoadOrBuildPyramidFile quarantines and rebuilds it
+// like any other unusable artifact. The composite aggregator is re-bound
+// by the caller and verified via structural fingerprint; the dataset
+// identity and the composite's selection functions are part of the
+// file's contract.
 
 var pyramidMagic = [8]byte{'A', 'S', 'R', 'S', 'P', 'Y', 'R', '1'}
 
-const pyramidVersion = 3
+const pyramidVersion = 4
 
 // Error taxonomy for pyramid files. Every ReadPyramid/LoadPyramid
 // failure wraps exactly one of these, so callers can decide the
@@ -117,26 +118,17 @@ func WritePyramid(w io.Writer, p *dssearch.Pyramid) (int64, error) {
 	if _, err := hw.Write(fp); err != nil {
 		return hw.n, err
 	}
-	for _, v := range []uint32{uint32(s.N), uint32(s.Chans), uint32(len(s.Scale)), uint32(s.MMSlots), uint32(len(s.Levels))} {
+	for _, v := range []uint32{uint32(s.N), uint32(s.Chans), uint32(len(s.Scale)), uint32(s.MMSlots)} {
 		if err := write(v); err != nil {
 			return hw.n, err
 		}
 	}
-	for _, v := range []any{s.Scale, s.Lo, s.Order, s.XAscIds, s.YAscIds} {
+	l := &s.Level
+	for _, v := range []any{s.Scale, s.Lo, s.Order, s.XAscIds, s.YAscIds,
+		uint32(l.G), l.BW, l.BH, l.BinStart, l.BinIds,
+		l.XMaxUpTo, l.XMinFrom, l.YMaxUpTo, l.YMinFrom} {
 		if err := write(v); err != nil {
 			return hw.n, err
-		}
-	}
-	for li := range s.Levels {
-		l := &s.Levels[li]
-		if err := write(uint32(l.G)); err != nil {
-			return hw.n, err
-		}
-		for _, v := range []any{l.BW, l.BH, l.BinStart, l.BinIds,
-			l.XMaxUpTo, l.XMinFrom, l.YMaxUpTo, l.YMinFrom} {
-			if err := write(v); err != nil {
-				return hw.n, err
-			}
 		}
 	}
 	sum := hw.h.Sum64()
@@ -202,16 +194,15 @@ func ReadPyramid(r io.Reader, ds *attr.Dataset, f *agg.Composite) (*dssearch.Pyr
 		return nil, mismatchf("composite mismatch: pyramid built for %q, got %q", fp, got)
 	}
 
-	var n, chans, eff, mmSlots, nLevels uint32
-	for _, p := range []*uint32{&n, &chans, &eff, &mmSlots, &nLevels} {
+	var n, chans, eff, mmSlots uint32
+	for _, p := range []*uint32{&n, &chans, &eff, &mmSlots} {
 		if err := read(p); err != nil {
 			return nil, corruptf("reading pyramid header: %w", err)
 		}
 	}
 	const maxN = 1 << 28
-	if n > maxN || chans > 1<<20 || eff > 1<<21 || mmSlots > 1<<16 || nLevels > 64 {
-		return nil, corruptf("implausible pyramid header n=%d chans=%d eff=%d mm=%d levels=%d",
-			n, chans, eff, mmSlots, nLevels)
+	if n > maxN || chans > 1<<20 || eff > 1<<21 || mmSlots > 1<<16 {
+		return nil, corruptf("implausible pyramid header n=%d chans=%d eff=%d mm=%d", n, chans, eff, mmSlots)
 	}
 	// Early structural checks double as allocation guards: a corrupted
 	// length field must fail here, before it can size a giant slice.
@@ -232,32 +223,30 @@ func ReadPyramid(r io.Reader, ds *attr.Dataset, f *agg.Composite) (*dssearch.Pyr
 			return nil, corruptf("reading pyramid limbs/orders: %w", err)
 		}
 	}
-	for li := 0; li < int(nLevels); li++ {
-		var g uint32
-		if err := read(&g); err != nil {
-			return nil, corruptf("reading level %d granularity: %w", li, err)
+	var g uint32
+	if err := read(&g); err != nil {
+		return nil, corruptf("reading level granularity: %w", err)
+	}
+	// BuildPyramid never emits a level beyond 256 bins per side; the guard
+	// is deliberately far below the format's theoretical range so a
+	// corrupted granularity field fails here, before it can size a giant
+	// bin table (the checksum only runs at the end).
+	if g == 0 || g > 1024 {
+		return nil, corruptf("implausible level granularity %d", g)
+	}
+	l := &s.Level
+	l.G = int(g)
+	l.BinStart = make([]int32, g*g+1)
+	l.BinIds = make([]int32, n)
+	l.XMaxUpTo = make([]int32, g)
+	l.XMinFrom = make([]int32, g)
+	l.YMaxUpTo = make([]int32, g)
+	l.YMinFrom = make([]int32, g)
+	for _, v := range []any{&l.BW, &l.BH, l.BinStart, l.BinIds,
+		l.XMaxUpTo, l.XMinFrom, l.YMaxUpTo, l.YMinFrom} {
+		if err := read(v); err != nil {
+			return nil, corruptf("reading level: %w", err)
 		}
-		// BuildPyramid never emits levels beyond 256 bins per side; the
-		// guard is deliberately far below the format's theoretical range
-		// so a corrupted granularity field fails here, before it can size
-		// a giant bin table (the checksum only runs at the end).
-		if g == 0 || g > 1024 {
-			return nil, corruptf("implausible level %d granularity %d", li, g)
-		}
-		l := dssearch.PyramidLevelSnapshot{G: int(g)}
-		l.BinStart = make([]int32, g*g+1)
-		l.BinIds = make([]int32, n)
-		l.XMaxUpTo = make([]int32, g)
-		l.XMinFrom = make([]int32, g)
-		l.YMaxUpTo = make([]int32, g)
-		l.YMinFrom = make([]int32, g)
-		for _, v := range []any{&l.BW, &l.BH, l.BinStart, l.BinIds,
-			l.XMaxUpTo, l.XMinFrom, l.YMaxUpTo, l.YMinFrom} {
-			if err := read(v); err != nil {
-				return nil, corruptf("reading level %d: %w", li, err)
-			}
-		}
-		s.Levels = append(s.Levels, l)
 	}
 	want := hr.h.Sum64()
 	var sum uint64

@@ -80,8 +80,8 @@ func answer(t *testing.T, ds *attr.Dataset, f *agg.Composite, p *dssearch.Pyrami
 	return region, res
 }
 
-// TestPyramidRoundTrip: a format-3 file stores the limbs, the orders and
-// the levels and nothing the dataset holds; the pyramid loaded from it —
+// TestPyramidRoundTrip: a format-4 file stores the limbs, the orders and
+// the one level and nothing the dataset holds; the pyramid loaded from it —
 // its contribution tables flattened again from the objects — answers
 // queries bit-identically to the in-memory original: region, point and
 // the bits of distance and representation, over several shapes.
@@ -96,12 +96,12 @@ func TestPyramidRoundTrip(t *testing.T) {
 		t.Fatalf("WritePyramid reported %d bytes, wrote %d", n, buf.Len())
 	}
 	s := p.Snapshot()
-	ids := 3*s.N + len(s.Lo) + 5
-	for _, l := range s.Levels {
-		ids += len(l.BinStart) + len(l.BinIds) + 4*l.G
-	}
-	if want := 8 + 4 + 4 + len(f.Fingerprint()) + 4*ids + 8*len(s.Scale) + 20*len(s.Levels) + 8; buf.Len() != want {
-		t.Fatalf("file is %d bytes, want %d: the limbs, the orders and the levels", buf.Len(), want)
+	l := &s.Level
+	head := 8 + 4 + 4 + len(f.Fingerprint()) + 4*4
+	limbs := 8*len(s.Scale) + 4*len(s.Lo)
+	level := 4 + 8 + 8 + 4*(len(l.BinStart)+len(l.BinIds)+4*l.G)
+	if want := head + limbs + 4*3*s.N + level + 8; buf.Len() != want {
+		t.Fatalf("file is %d bytes, want %d: the limbs, the orders and the level", buf.Len(), want)
 	}
 	if slices.Max(s.Scale) <= math.Ldexp(1, 62) {
 		t.Fatalf("no lo grid finer than 2^-62 in the fixture: %v", s.Scale)
@@ -126,7 +126,7 @@ func TestPyramidRoundTrip(t *testing.T) {
 }
 
 // TestPyramidTruncated: every truncation of the file — inside the
-// header, the limbs, an id order, a level — must read
+// header, the limbs, an id order, the level — must read
 // as ErrCorrupt (the class a boot quarantines and rebuilds), never as a
 // panic or an unclassified error.
 func TestPyramidTruncated(t *testing.T) {

@@ -135,8 +135,8 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 		prep        func(s *Solver)
 	}{
 		{"classic", false, func(*Solver) {}},
-		{"flat", true, func(s *Solver) { s.SetStripMode(StripFlatOnly) }},
-		{"fenwick", true, func(s *Solver) { s.SetStripCost(treeCost) }},
+		{"flat", true, func(s *Solver) { s.stripMode = stripFlat }},
+		{"fenwick", true, func(s *Solver) { s.stripMode = stripTree }},
 	}
 	rng := rand.New(rand.NewSource(97))
 	for _, comp := range baseComposites {
@@ -184,7 +184,7 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 						t.Fatal(err)
 					}
 					s.SetLimbs(limbs)
-					s.SetIncremental(m.incremental)
+					s.setIncremental(m.incremental)
 					m.prep(s)
 					return s
 				}

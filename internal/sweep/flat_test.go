@@ -11,28 +11,25 @@ import (
 	"asrs/internal/geom"
 )
 
-// treeCost is a valid cost model skewed so far toward the tree that
-// StripAuto maintains it and seeds every dirty range from it.
-var treeCost = StripCost{TreeUpdate: 0.01, TreeProbe: 0.01, FlatStep: 50, DiffUpdate: 0.01}
+// setIncremental switches a solver between the classic per-strip rescan
+// and the incremental delta sweep; a solver not built by NewSized gets an
+// unbounded size cap.
+func (s *Solver) setIncremental(on bool) {
+	s.incremental = on
+	if s.incrCap == 0 {
+		s.incrCap = int(^uint(0) >> 1)
+	}
+}
 
-// stripModes enumerates every evaluator the selection can pick — the
-// flat pass forced by mode, the seeded tree walk forced by the skewed
-// cost model — plus a deliberately invalid cost model (must fall back to
-// the default, not change answers).
+// stripModeCases enumerates the rule and the two evaluators it can pick,
+// each forced: the flat pass, and the tree walk seeding every dirty range.
 var stripModeCases = []struct {
 	name string
 	prep func(s *Solver)
 }{
-	{"auto", func(s *Solver) { s.SetStripMode(StripAuto) }},
-	{"flat-only", func(s *Solver) { s.SetStripMode(StripFlatOnly) }},
-	{"auto-invalid-cost", func(s *Solver) {
-		s.SetStripMode(StripAuto)
-		s.SetStripCost(StripCost{TreeUpdate: -1})
-	}},
-	{"auto-skewed-cost", func(s *Solver) {
-		s.SetStripMode(StripAuto)
-		s.SetStripCost(treeCost)
-	}},
+	{"auto", func(s *Solver) { s.stripMode = stripAuto }},
+	{"flat-only", func(s *Solver) { s.stripMode = stripFlat }},
+	{"tree-only", func(s *Solver) { s.stripMode = stripTree }},
 }
 
 // expectSame fails unless two results match bit for bit.
@@ -57,10 +54,9 @@ func expectSame(t *testing.T, label string, want, got asp.Result, wok, gok bool)
 	}
 }
 
-// TestFlatStripBitIdentical: every strip mode — flat merge pass, seeded
-// Fenwick, auto under default, invalid, and adversarially skewed cost
-// models — returns the classic rescan's
-// answer bit for bit on the integer-valued float64 instantiation. The
+// TestFlatStripBitIdentical: every strip mode — the rule, the flat merge
+// pass forced and the seeded Fenwick walk forced — returns the classic
+// rescan's answer bit for bit on integer-valued channels. The
 // fixture snaps a third of the points to a coarse grid, so duplicate
 // edge positions (deduplicated into shared interval boundaries) and the
 // clamped first/last intervals (probes before/after all interior
@@ -86,7 +82,7 @@ func TestFlatStripBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.SetIncremental(true)
+				s.setIncremental(true)
 				mc.prep(s)
 				got, gok := s.SolveWithin(space)
 				expectSame(t, mc.name, want, got, wok, gok)
@@ -203,7 +199,7 @@ func TestFlatStripFixedPoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.SetIncremental(true)
+				s.setIncremental(true)
 				mc.prep(s)
 				got, gok := s.SolveWithin(space)
 				expectSame(t, kind.name+"/"+mc.name, want, got, wok, gok)
@@ -238,7 +234,7 @@ func TestFlatStripDegenerateSpaces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.SetIncremental(true)
+			s.setIncremental(true)
 			mc.prep(s)
 			got, gok := s.SolveWithin(space)
 			expectSame(t, mc.name, want, got, wok, gok)
@@ -247,34 +243,33 @@ func TestFlatStripDegenerateSpaces(t *testing.T) {
 	}
 }
 
-// TestStripModeCounters: the mode and the cost model pin the evaluator,
-// and the Stats counters must say so — FlatOnly touches no Fenwick strip
-// and the tree-skewed model no flat strip; Auto accounts every dirty
-// strip to exactly one side.
+// TestStripModeCounters: a forced mode pins the evaluator, and the Stats
+// counters must say so — the flat mode touches no Fenwick strip and the
+// tree mode no flat strip; the rule accounts every dirty strip to exactly
+// one side.
 func TestStripModeCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	rects, q := incrFixture(t, rng, incrMinRects+150)
 	space := asp.Space(rects)
-	run := func(m StripMode, c StripCost) Stats {
+	run := func(m stripMode) Stats {
 		s, err := New(rects, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetIncremental(true)
-		s.SetStripMode(m)
-		s.SetStripCost(c)
+		s.setIncremental(true)
+		s.stripMode = m
 		s.SolveWithin(space)
 		return s.Stats
 	}
-	flat := run(StripFlatOnly, DefaultStripCost())
+	flat := run(stripFlat)
 	if flat.FlatStrips == 0 || flat.FenwickStrips != 0 {
 		t.Fatalf("flat-only: %+v", flat)
 	}
-	fen := run(StripAuto, treeCost)
+	fen := run(stripTree)
 	if fen.FenwickStrips == 0 || fen.FlatStrips != 0 {
-		t.Fatalf("tree-skewed auto: %+v", fen)
+		t.Fatalf("tree-only: %+v", fen)
 	}
-	auto := run(StripAuto, DefaultStripCost())
+	auto := run(stripAuto)
 	if auto.FlatStrips+auto.FenwickStrips == 0 {
 		t.Fatalf("auto accounted no strips: %+v", auto)
 	}
@@ -356,7 +351,7 @@ func TestSolveWithinCappedBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.SetIncremental(incremental)
+				s.setIncremental(incremental)
 				mc.prep(s)
 				name := mc.name
 				if !incremental {

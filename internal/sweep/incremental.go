@@ -24,14 +24,14 @@ import (
 // the strict `d < best` improvement test. The answer (distance and
 // point) is therefore bit-identical to the classic scan's.
 //
-// Two evaluators resolve a strip's dirty intervals, selected by a cost
-// model (see stripPlan below); both carry the interval channel totals
+// Two evaluators resolve a strip's dirty intervals, selected by a fixed
+// cost rule (see stripPlan below); both carry the interval channel totals
 // as scaled int64, so their sums are exact integers and bit-identical
 // to each other under any selection:
 //
 //   - The flat strip evaluator (the dense-regime default): entering and
 //     leaving rectangles update a plain difference array
-//     (fenwick.Diff1D, two writes per contribution), and the strip's
+//     (fenwick.Int64Diff1D, two writes per contribution), and the strip's
 //     point queries are answered in ONE branch-light merge pass — a
 //     running prefix sum over the sorted deltas and a second sorted
 //     cursor over the dirty interval ranges, both advancing
@@ -39,7 +39,7 @@ import (
 //     tree walk: the pass is a linear scan over a flat array.
 //
 //   - The Fenwick evaluator (the sparse-update regime): a
-//     range-add/point-query fenwick.Tree1D answers O(log k) point
+//     range-add/point-query fenwick.Int64Tree1D answers O(log k) point
 //     queries, which wins when a strip touches a few narrow intervals
 //     far into a wide strip — there the flat pass would march across
 //     thousands of untouched deltas to seed its prefix. With the tree
@@ -57,54 +57,34 @@ import (
 // lower constant factor wins.
 const incrMinRects = 48
 
-// StripMode selects the strip evaluator of the incremental sweep. All
-// modes return bit-identical answers (the interval totals are exact
-// int64 sums either way); the mode is purely a performance choice.
-type StripMode int
-
+// The weights of the strip-evaluator rule (DESIGN.md §8); only their
+// ratios matter. A flat prefix step is a sequential load-add the
+// prefetcher hides, priced below one unit; a Fenwick RangeAdd level is
+// two tree traversals of strided, cache-hostile read-modify-writes, paid
+// per contribution per log2(k) level; a PointInto level reads scattered
+// rows but folds whole channel vectors; a difference-array update is two
+// scattered writes, paid once per contribution instead of per level. The
+// inputs they weigh are deterministic shape counts, so a solve always
+// makes the same choice, and no choice can change an answer.
 const (
-	// StripAuto picks per solve — and, when the Fenwick tree is live,
-	// per strip — using the installed StripCost model. The default.
-	StripAuto StripMode = iota
-	// StripFlatOnly always uses the flat merge pass (no tree is
-	// maintained at all).
-	StripFlatOnly
+	treeUpdate = 2.5  // one Fenwick RangeAdd, per contribution per level
+	treeProbe  = 1.0  // one Fenwick PointInto seed, per channel per level
+	flatStep   = 0.35 // one flat-pass step, per channel per interval
+	diffUpdate = 2.0  // one difference-array write pair, per contribution
 )
 
-// StripCost is the per-unit cost model behind the strip-evaluator
-// selection. The weights are relative (only ratios matter) and must
-// depend on nothing but the input shape — the selection then depends
-// only on deterministic quantities, keeping the answer trajectory
-// reproducible. internal/dssearch seeds the model from its profiled
-// constants; standalone solvers get DefaultStripCost.
-type StripCost struct {
-	// TreeUpdate is one Fenwick RangeAdd, per contribution per log2(k)
-	// level (two tree traversals of cache-hostile strided adds).
-	TreeUpdate float64
-	// TreeProbe is one Fenwick PointInto seed, per channel per log2(k)
-	// level.
-	TreeProbe float64
-	// FlatStep is one step of the flat merge pass, per channel per
-	// interval marched (a sequential load-add the hardware prefetches).
-	FlatStep float64
-	// DiffUpdate is one difference-array write pair, per contribution.
-	DiffUpdate float64
-}
+// stripMode pins the strip evaluator of the incremental sweep. Solvers
+// run stripAuto, the rule; the other two are test seams that force one
+// evaluator each so both can be held to the classic scan. Every mode
+// answers bit-identically (the interval totals are exact int64 sums
+// either way).
+type stripMode int
 
-// DefaultStripCost returns the package's built-in weights: tree
-// operations cost a few times their flat counterparts per touched
-// element, and the flat step is priced below one add-per-channel to
-// reflect its sequential access pattern.
-func DefaultStripCost() StripCost {
-	return StripCost{TreeUpdate: 2, TreeProbe: 1, FlatStep: 0.35, DiffUpdate: 2}
-}
-
-// valid reports whether every weight is positive and finite (a zero
-// model would make the selection degenerate).
-func (c StripCost) valid() bool {
-	ok := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
-	return ok(c.TreeUpdate) && ok(c.TreeProbe) && ok(c.FlatStep) && ok(c.DiffUpdate)
-}
+const (
+	stripAuto stripMode = iota
+	stripFlat           // the flat merge pass only; no tree maintained
+	stripTree           // the tree maintained, every dirty range seeded from it
+)
 
 // incrState is the reusable scratch of the incremental sweep.
 type incrState struct {
@@ -123,32 +103,7 @@ type incrState struct {
 	run      []int64    // running prefix accumulator of the flat pass
 }
 
-// SetIncremental switches the solver between the classic per-strip
-// rescan and the incremental delta sweep for large inputs, which answers
-// bit-identically to the classic walk (see the package note above).
-// Solvers not built by NewSized get an unbounded size cap.
-func (s *Solver) SetIncremental(on bool) {
-	s.incremental = on
-	if s.incrCap == 0 {
-		s.incrCap = int(^uint(0) >> 1)
-	}
-}
-
-// SetStripMode selects the strip evaluator (see StripMode). Answers are
-// bit-identical in every mode.
-func (s *Solver) SetStripMode(m StripMode) { s.stripMode = m }
-
-// SetStripCost installs the cost model driving StripAuto's selection.
-// Invalid models (non-positive or infinite weights) fall back to
-// DefaultStripCost.
-func (s *Solver) SetStripCost(c StripCost) {
-	if !c.valid() {
-		c = DefaultStripCost()
-	}
-	s.stripCost = c
-}
-
-// stripPlan is the per-solve structural decision of StripAuto: whether
+// stripPlan is the per-solve structural decision of the rule: whether
 // the Fenwick tree is worth maintaining at all. Every quantity it needs
 // — which rectangles enter and leave at each strip, and which interval
 // spans they dirty — is known exactly before the strip loop runs, so
@@ -157,18 +112,11 @@ func (s *Solver) SetStripCost(c StripCost) {
 // Contribution counts per object are not known here; the limb count is
 // the proxy (a rect contributes to at most every limb once).
 func (s *Solver) stripPlan(ns, k, limbs int) (maintainTree bool) {
+	if s.stripMode != stripAuto {
+		return s.stripMode == stripTree
+	}
 	inc := &s.inc
-	if s.stripMode == StripFlatOnly {
-		return false
-	}
-	cost := s.stripCost
-	if !cost.valid() {
-		cost = DefaultStripCost()
-	}
-	logK := math.Log2(float64(k) + 1)
-	if logK < 1 {
-		logK = 1
-	}
+	logK := log2K(k)
 	cf := float64(limbs)
 	var flatTotal, treeTotal float64
 	for si := 0; si < ns; si++ {
@@ -199,11 +147,16 @@ func (s *Solver) stripPlan(ns, k, limbs int) (maintainTree bool) {
 		// Both evaluators pay the dirty-interval marching and the
 		// difference-array writes; they differ in tree maintenance +
 		// per-range seeds versus the march from position 0.
-		common := float64(dirty)*cf*cost.FlatStep + float64(events)*cf*cost.DiffUpdate
-		flatTotal += common + float64(lastDirty+1)*cf*cost.FlatStep
-		treeTotal += common + float64(events)*cf*logK*cost.TreeUpdate + float64(ranges)*cf*logK*cost.TreeProbe
+		common := float64(dirty)*cf*flatStep + float64(events)*cf*diffUpdate
+		flatTotal += common + float64(lastDirty+1)*cf*flatStep
+		treeTotal += common + float64(events)*cf*logK*treeUpdate + float64(ranges)*cf*logK*treeProbe
 	}
 	return treeTotal < flatTotal
+}
+
+// log2K is the depth of a Fenwick tree over k positions, at least 1.
+func log2K(k int) float64 {
+	return max(math.Log2(float64(k)+1), 1)
 }
 
 // solveWithinIncremental walks the strips of s.ys (deduplicated
@@ -316,14 +269,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	chI := inc.chI[:limbs]
 	run := inc.run[:limbs]
 	rep := s.rep
-	cost := s.stripCost
-	if !cost.valid() {
-		cost = DefaultStripCost()
-	}
-	logK := math.Log2(float64(k) + 1)
-	if logK < 1 {
-		logK = 1
-	}
+	logK := log2K(k)
 
 	// apply folds one entering/leaving rectangle into the difference
 	// array (two writes per contribution) and, when live, the Fenwick
@@ -413,8 +359,8 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		// from position 0 to lastDirty, versus one tree seed per merged
 		// range (the within-range marching is common to both). With no
 		// tree live the flat pass is the only evaluator.
-		useFlat := !maintainTree ||
-			float64(lastDirty+1)*cost.FlatStep < float64(len(merged))*logK*cost.TreeProbe
+		useFlat := !maintainTree || s.stripMode == stripAuto &&
+			float64(lastDirty+1)*flatStep < float64(len(merged))*logK*treeProbe
 		if useFlat {
 			// The flat merge pass: one running prefix sum over the
 			// sorted deltas (cursor 1) and the merged dirty ranges

@@ -82,7 +82,7 @@ func TestIncrementalSweepBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		incr.SetIncremental(true)
+		incr.setIncremental(true)
 		for si, space := range spaces {
 			cr, cok := classic.SolveWithin(space)
 			ir, iok := incr.SolveWithin(space)
@@ -118,7 +118,7 @@ func TestIncrementalSweepSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	incr.SetIncremental(true)
+	incr.setIncremental(true)
 	cr := classic.Solve()
 	ir := incr.Solve()
 	if cr.Dist != ir.Dist || cr.Point != ir.Point {
@@ -145,7 +145,7 @@ func TestIncrementalSweepFixedPoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			incr.SetIncremental(true)
+			incr.setIncremental(true)
 			space := asp.Space(rects)
 			cr, cok := classic.SolveWithin(space)
 			ir, iok := incr.SolveWithin(space)

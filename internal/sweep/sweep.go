@@ -64,18 +64,16 @@ type Solver struct {
 	flatOff []int32 // rect i contributes flat[flatOff[i]:flatOff[i+1]]
 	flatOK  bool
 
-	// incremental selects the Fenwick-backed delta sweep for large
-	// inputs (see incremental.go); inc is its reusable scratch, and
-	// incrCap bounds the input size it engages for.
+	// incremental selects the delta sweep for large inputs (see
+	// incremental.go); inc is its reusable scratch, and incrCap bounds the
+	// input size it engages for.
 	incremental bool
 	incrCap     int
 	inc         incrState
 
-	// stripMode/stripCost drive the incremental sweep's strip-evaluator
-	// selection (flat merge pass vs. Fenwick walks; see StripMode). The
-	// zero values mean StripAuto with DefaultStripCost.
-	stripMode StripMode
-	stripCost StripCost
+	// stripMode pins the incremental sweep's strip evaluator for tests;
+	// the zero value is the rule (see stripMode).
+	stripMode stripMode
 
 	// evalCap bounds candidate distance evaluation (SolveWithinCapped):
 	// DistanceUnder marches against min(local best, evalCap), so

@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,9 +99,43 @@ func TestPyramidFileVersion1IsRebuilt(t *testing.T) { checkOldVersionRebuilt(t, 
 // which stored the contribution and min/max tables the dataset holds.
 func TestPyramidFileVersion2IsRebuilt(t *testing.T) { checkOldVersionRebuilt(t, 2) }
 
+// TestPyramidFileVersion3IsRebuilt: so is a file of format version 3,
+// which stored a ladder of anchor-bin levels behind a level count. The
+// file is laid out as version 3 laid it out, with five copies of the
+// current level, and boots as a rebuild.
+func TestPyramidFileVersion3IsRebuilt(t *testing.T) {
+	ds, f, cur := currentPyramidFile(t)
+	// Version 4: magic, version, fingerprint length and bytes, the counts
+	// n, chans, eff and mmSlots, the limbs and the three id orders, then
+	// the level up to the checksum. Version 3 put a level count after the
+	// counts and the levels one after the other.
+	counts := 16 + int(binary.LittleEndian.Uint32(cur[12:16])) + 16
+	word := func(at int) int { return int(binary.LittleEndian.Uint32(cur[at:])) }
+	n, chans, eff := word(counts-16), word(counts-12), word(counts-8)
+	level := counts + 8*eff + 4*chans + 4*3*n
+	old := binary.LittleEndian.AppendUint32(slices.Clone(cur[:counts]), 5)
+	old = append(old, cur[counts:level]...)
+	for range 5 {
+		old = append(old, cur[level:len(cur)-8]...)
+	}
+	binary.LittleEndian.PutUint32(old[8:12], 3)
+	h := fnv.New64a()
+	h.Write(old[8:])
+	checkRebuilt(t, ds, f, binary.LittleEndian.AppendUint64(old, h.Sum64()), "version-3")
+}
+
 // checkOldVersionRebuilt writes a current file under an older version
 // word and boots on it.
 func checkOldVersionRebuilt(t *testing.T, version uint32) {
+	ds, f, old := currentPyramidFile(t)
+	binary.LittleEndian.PutUint32(old[8:12], version) // the u32 after the 8-byte magic
+	checkRebuilt(t, ds, f, old, fmt.Sprintf("version-%d", version))
+}
+
+// currentPyramidFile returns the fixture and its pyramid file, pinning
+// the format version the old-file tests step from.
+func currentPyramidFile(t *testing.T) (*asrs.Dataset, *asrs.Composite, []byte) {
+	t.Helper()
 	ds, f := pyrFileFixture(t)
 	p, err := asrs.BuildPyramid(ds, f)
 	if err != nil {
@@ -109,31 +145,34 @@ func checkOldVersionRebuilt(t *testing.T, version uint32) {
 	if _, err := asrs.WritePyramid(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	old := buf.Bytes()
-	if got := binary.LittleEndian.Uint32(old[8:12]); got != 3 {
-		t.Fatalf("current format version is %d; this test pins the step to 3", got)
+	if got := binary.LittleEndian.Uint32(buf.Bytes()[8:12]); got != 4 {
+		t.Fatalf("current format version is %d; these tests pin the step to 4", got)
 	}
-	binary.LittleEndian.PutUint32(old[8:12], version) // the u32 after the 8-byte magic
+	return ds, f, buf.Bytes()
+}
 
+// checkRebuilt requires an unusable file to read as corrupt, and a boot
+// that finds it to keep it as one .corrupt-* sibling and come up on a
+// rebuilt pyramid, whose file the next boot loads.
+func checkRebuilt(t *testing.T, ds *asrs.Dataset, f *asrs.Composite, old []byte, what string) {
+	t.Helper()
 	if _, err := asrs.ReadPyramid(bytes.NewReader(old), ds, f); !errors.Is(err, asrs.ErrPyramidCorrupt) {
-		t.Fatalf("ReadPyramid of a version-%d header: err = %v, want ErrPyramidCorrupt", version, err)
+		t.Fatalf("ReadPyramid of a %s file: err = %v, want ErrPyramidCorrupt", what, err)
 	}
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pyr.bin")
+	path := filepath.Join(t.TempDir(), "pyr.bin")
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, status, err := asrs.LoadOrBuildPyramidFile(path, ds, f)
 	if err != nil || status != asrs.PyramidRebuilt || got == nil {
-		t.Fatalf("boot on a version-%d file: status=%v err=%v, want rebuilt", version, status, err)
+		t.Fatalf("boot on a %s file: status=%v err=%v, want rebuilt", what, status, err)
 	}
 	kept, err := filepath.Glob(path + ".corrupt-*")
 	if err != nil || len(kept) != 1 {
-		t.Fatalf("want the version-%d file kept as one .corrupt-* sibling, found %v (err %v)", version, kept, err)
+		t.Fatalf("want the %s file kept as one .corrupt-* sibling, found %v (err %v)", what, kept, err)
 	}
 	if b, err := os.ReadFile(kept[0]); err != nil || !bytes.Equal(b, old) {
-		t.Fatalf("quarantined file differs from the version-%d file (err %v)", version, err)
+		t.Fatalf("quarantined file differs from the %s file (err %v)", what, err)
 	}
 	if _, status, err = asrs.LoadOrBuildPyramidFile(path, ds, f); err != nil || status != asrs.PyramidLoaded {
 		t.Fatalf("boot after the rebuild: status=%v err=%v, want loaded", status, err)
@@ -145,57 +184,36 @@ func checkOldVersionRebuilt(t *testing.T, version uint32) {
 // reads as corrupt, and a boot that finds it sets it aside and comes up on
 // a rebuilt pyramid.
 func TestPyramidFileScaleZeroIsRebuilt(t *testing.T) {
-	ds, f := pyrFileFixture(t)
-	p, err := asrs.BuildPyramid(ds, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := asrs.WritePyramid(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	old := buf.Bytes()
-	// magic, version, fingerprint length and bytes, five u32 header words,
+	ds, f, old := currentPyramidFile(t)
+	// magic, version, fingerprint length and bytes, four u32 header words,
 	// then the scales; the fnv-64a of everything after the magic closes
 	// the file.
 	fp := binary.LittleEndian.Uint32(old[12:16])
-	scale := 16 + int(fp) + 20
+	scale := 16 + int(fp) + 16
 	binary.LittleEndian.PutUint64(old[scale+8:], math.Float64bits(0)) // the second channel's scale
 	h := fnv.New64a()
 	h.Write(old[8 : len(old)-8])
 	binary.LittleEndian.PutUint64(old[len(old)-8:], h.Sum64())
-
-	if _, err := asrs.ReadPyramid(bytes.NewReader(old), ds, f); !errors.Is(err, asrs.ErrPyramidCorrupt) {
-		t.Fatalf("ReadPyramid of a scale-0 file: err = %v, want ErrPyramidCorrupt", err)
-	}
-	path := filepath.Join(t.TempDir(), "pyr.bin")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, status, err := asrs.LoadOrBuildPyramidFile(path, ds, f)
-	if err != nil || status != asrs.PyramidRebuilt || got == nil {
-		t.Fatalf("boot on a scale-0 file: status=%v err=%v, want rebuilt", status, err)
-	}
-	if kept, err := filepath.Glob(path + ".corrupt-*"); err != nil || len(kept) != 1 {
-		t.Fatalf("want the scale-0 file kept as one .corrupt-* sibling, found %v (err %v)", kept, err)
-	}
+	checkRebuilt(t, ds, f, old, "scale-0")
 }
 
 // TestPyramidBytesPinned: the pyramid files of the zoo's composites —
 // POISyn's F2 at 5 000 objects, its three sums two limbs each, and
-// Tweet's F1 at 20 000 — are byte for byte those of the build that
-// summed a channel in at most two limbs.
+// Tweet's F1 at 20 000 — are byte for byte those of the first format-4
+// build, the one that kept a single anchor-bin level. (Format 3's ladders
+// of five and six levels wrote 268 903 and 1 077 784 bytes for them.)
 func TestPyramidBytesPinned(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		ds    *asrs.Dataset
 		specs []asrs.AggSpec
+		size  int
 		sha   string
 	}{
 		{"poisyn-5k-f2", dataset.POISyn(5000, 42), []asrs.AggSpec{{Kind: asrs.Sum, Attr: "visits"}, {Kind: asrs.Average, Attr: "rating"}},
-			"a67a584267cb407287807fc51233fe2241807ea195e84d89bea15f88ea84751f"},
+			160811, "43b6bd12723853f0e03a31d1271a8489fc7726e28e47b9250fa99993e982f365"},
 		{"tweet-20k-f1", dataset.Tweet(20000, 42), []asrs.AggSpec{{Kind: asrs.Distribution, Attr: "day"}},
-			"6326adfaf1fa5c8f6338087fbb6408e3b8dfd13cff40c98ffffde73a6633460c"},
+			586396, "2223df7a87d30443b04a372e805ab0e461de44a45037c4ca781624f87e66d4b8"},
 	} {
 		f, err := asrs.NewComposite(c.ds.Schema, c.specs...)
 		if err != nil {
@@ -208,6 +226,9 @@ func TestPyramidBytesPinned(t *testing.T) {
 		var buf bytes.Buffer
 		if _, err := asrs.WritePyramid(&buf, p); err != nil {
 			t.Fatal(err)
+		}
+		if buf.Len() != c.size {
+			t.Errorf("%s: pyramid file is %d bytes, want %d", c.name, buf.Len(), c.size)
 		}
 		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != c.sha {
 			t.Errorf("%s: pyramid file sha256 %x, want %s", c.name, sum, c.sha)
