@@ -604,11 +604,8 @@ func (e *Engine) countResponse(resp *QueryResponse) {
 }
 
 // answer runs one request against the captured epoch view v under its
-// resolved context: it resolves the options, binds the view's caches — the
-// pyramid, and for an un-windowed request the grid index — and hands the
-// rest to Answer. A streamed round (query.Stream.Next) arrives here as the
-// single-best request its accumulated exclusions ask for and takes the
-// same path, which is why one-shot and streamed rows are the same rows.
+// resolved context: it binds the request (bind) and hands the rest to
+// Answer.
 func (e *Engine) answer(ctx context.Context, v *engineView, req QueryRequest) QueryResponse {
 	// An already-dead request (deadline passed while it queued for a slot)
 	// must not pay index lookup and searcher construction for an answer
@@ -619,24 +616,110 @@ func (e *Engine) answer(ctx context.Context, v *engineView, req QueryRequest) Qu
 	}
 	start := time.Now()
 	defer func() { e.lat.observe(time.Since(start)) }()
+	idx, req, err := e.bind(ctx, v, req)
+	if err != nil {
+		return QueryResponse{Err: err}
+	}
+	resp, stats := Answer(v.ds, idx, req)
+	e.nIndexedExcl.Add(int64(stats.ExcludingRuns))
+	return resp
+}
+
+// bind resolves a request's options on the captured view v and binds the
+// view's caches: the pyramid, and for an un-windowed request the grid
+// index.
+func (e *Engine) bind(ctx context.Context, v *engineView, req QueryRequest) (*Index, QueryRequest, error) {
 	opt := e.options(v, req)
 	if opt.Ctx == nil {
 		opt.Ctx = ctx
 	}
 	req.Options = &opt
-	var idx *Index
-	if req.Within == nil {
+	if req.Within != nil {
 		// Only un-windowed requests can use the index (see Answer), and an
 		// epoch that serves windowed traffic alone — a shard under ingest —
 		// must not pay an index build per epoch for nothing.
-		var err error
-		if idx, err = e.indexFor(v, req.Query.F); err != nil {
+		return nil, req, nil
+	}
+	idx, err := e.indexFor(v, req.Query.F)
+	return idx, req, err
+}
+
+// Rounds is one request's greedy rounds run one call at a time — the lazy
+// form of a one-shot top-k that query.Stream.Next drives — on the epoch
+// the engine served when they were opened, whatever is inserted meanwhile.
+// The first Round opens the request's search on that epoch, the driver a
+// one-shot request's rounds run in (Answer): with the grid index, a GI-DS
+// session every later round resumes. So one-shot and streamed rows are
+// the same rows. Each round takes one execution slot and gives it back;
+// between rounds Rounds holds no slot and no searcher, only the session's
+// carried bounds, which Close recycles. Rounds runs on one goroutine.
+type Rounds struct {
+	e    *Engine
+	v    *engineView
+	ctx  context.Context
+	n    int
+	open bool
+	d    driver
+}
+
+// Rounds captures the current epoch for at most n rounds of one request
+// under ctx.
+func (e *Engine) Rounds(ctx context.Context, n int) *Rounds {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return &Rounds{e: e, v: e.currentView(), ctx: ctx, n: n}
+}
+
+// Dataset is the captured epoch's corpus (treat as read-only): the one a
+// stream represents its targets and filters against.
+func (r *Rounds) Dataset() *Dataset { return r.v.ds }
+
+// Round answers one round: req is the single-best request under the
+// exclusions so far. Every call passes the first call's request, with an
+// Exclude that extends the last call's (one that does not starts the
+// search over); req.Ctx is ignored — the rounds run under the context
+// they were opened with. Each round counts as one query in Stats.
+func (r *Rounds) Round(req QueryRequest) QueryResponse {
+	e := r.e
+	resp := e.slotted(r.ctx, func() QueryResponse { return r.round(req) })
+	e.nQueries.Add(1)
+	e.countResponse(&resp)
+	return resp
+}
+
+// round runs one round in an execution slot.
+func (r *Rounds) round(req QueryRequest) QueryResponse {
+	e := r.e
+	if cerr := r.ctx.Err(); cerr != nil {
+		return QueryResponse{Err: cerr}
+	}
+	start := time.Now()
+	defer func() { e.lat.observe(time.Since(start)) }()
+	if !r.open {
+		idx, req, err := e.bind(r.ctx, r.v, req)
+		if err != nil {
 			return QueryResponse{Err: err}
 		}
+		r.d, r.open = openDriver(r.v.ds, idx, req, r.n), true
 	}
-	resp, stats := Answer(v.ds, idx, req)
-	e.nIndexedExcl.Add(int64(stats.ExcludingRuns))
-	return resp
+	defer r.d.release()
+	runs := r.d.stats.ExcludingRuns
+	region, res, err := r.d.round(req.Exclude)
+	e.nIndexedExcl.Add(int64(r.d.stats.ExcludingRuns - runs))
+	if err != nil {
+		return QueryResponse{Err: err}
+	}
+	return QueryResponse{Regions: []Rect{region}, Results: []Result{res}}
+}
+
+// Close recycles what the rounds carry; Round must not be called
+// afterwards. Rounds dropped without Close leak nothing.
+func (r *Rounds) Close() {
+	if r.open {
+		r.d.close()
+		r.open = false
+	}
 }
 
 // QueryBatch answers a batch of requests. The response slice is

@@ -89,6 +89,12 @@ func (e *Engine) lead(ctx context.Context, v *engineView, req QueryRequest, key 
 // search takes an execution slot, runs the request and gives the slot
 // back. The latency histogram starts in answer, after the wait.
 func (e *Engine) search(ctx context.Context, v *engineView, req QueryRequest) QueryResponse {
+	return e.slotted(ctx, func() QueryResponse { return e.answer(ctx, v, req) })
+}
+
+// slotted runs a search in an execution slot: it queues for one under ctx
+// and gives it back when run returns.
+func (e *Engine) slotted(ctx context.Context, run func() QueryResponse) QueryResponse {
 	start := time.Now()
 	waited, err := e.slots.acquire(ctx)
 	if waited {
@@ -109,7 +115,7 @@ func (e *Engine) search(ctx context.Context, v *engineView, req QueryRequest) Qu
 		// late to be joined or to join. Let them run first.
 		runtime.Gosched()
 	}
-	return e.answer(ctx, v, req)
+	return run()
 }
 
 // slots admits at most a fixed number of holders at once; the rest wait

@@ -37,8 +37,17 @@ func (x *Index) RegionChannels(l, r, b, t int, out []float64) {
 	copy(out, x.limbs.Fold(out, limbs))
 }
 
+// Solve is one round of a fresh Session: GI-DS from scratch, the oracle
+// resumed rounds are held to.
+func Solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options) (asp.Result, Stats, error) {
+	return SolveVisiting(idx, ds, q, a, b, exclude, opt, nil)
+}
+
 // SolveVisiting is Solve, calling visit with every cell the best-first
 // loop takes, in order.
 func SolveVisiting(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options, visit func(i, j int)) (asp.Result, Stats, error) {
-	return solve(idx, ds, q, a, b, exclude, opt, visit)
+	s := Open(idx, ds, q, a, b, opt, 1)
+	defer s.Close()
+	s.visit = visit
+	return s.Solve(exclude)
 }

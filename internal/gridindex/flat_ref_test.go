@@ -33,7 +33,10 @@ func solveFlat(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude 
 		sc := idx.getLBScratch()
 		defer idx.putLBScratch(sc)
 		var st Stats
-		pending := idx.strips(space, q, a, b, sc, &st)
+		pending := idx.strips(nil, space, q, a, b, sc, &st)
+		if len(pending) == 2 && pending[1].lb < pending[0].lb {
+			pending[0], pending[1] = pending[1], pending[0]
+		}
 		lbs := idx.CellLowerBounds(q, a, b)
 		order := make([]int, len(lbs))
 		for k := range order {
@@ -97,7 +100,7 @@ func TestLazyCellOrderMatchesFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		var lazy, flat []cell
-		got, st, err := solve(idx, ds, q, a, b, excl, dssearch.Options{}, func(i, j int) { lazy = append(lazy, cell{i, j}) })
+		got, st, err := SolveVisiting(idx, ds, q, a, b, excl, dssearch.Options{}, func(i, j int) { lazy = append(lazy, cell{i, j}) })
 		if err != nil {
 			t.Fatal(err)
 		}

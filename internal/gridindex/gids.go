@@ -19,7 +19,9 @@ import (
 // grid, and a range is split into quarters, each bounded, only when the
 // loop reaches its bound. The two margin strips the reduction adds left
 // of and below the indexed bounds are bounded the same way and take
-// their place in that order.
+// their place in that order. The rounds of a top-k are one Session: each
+// round after the first resumes from the heap, the strips and the answers
+// the round before left.
 
 // Stats reports the work of one GI-DS run. CellsSearched/Cells is the
 // "ratio of cells searched" column of Table 1.
@@ -34,7 +36,8 @@ type Stats struct {
 	ExcludingRuns  int // completed runs that searched under a non-empty exclusion list
 	// LeftMarginLB and BottomMarginLB are the lower bounds of the two
 	// margin strips (+Inf for a strip the space does not have). They do
-	// not depend on the exclusions: the rounds of a top-k share them.
+	// not depend on the exclusions: a session bounds the strips at its
+	// first round, and every round it resumes reports the same two.
 	LeftMarginLB, BottomMarginLB float64
 	DS                           dssearch.Stats
 }
@@ -81,27 +84,116 @@ func rangeFirst(x, y cellRange) bool {
 }
 
 // margin is one of the two strips no cell buckets, under the minimum
-// bound of the virtual cells that tile it (marginBounds).
+// bound of the virtual cells that tile it (marginBounds) — or, in a
+// session's later rounds, under its key.
 type margin struct {
 	rect geom.Rect
 	lb   float64
 }
 
-// Solve runs GI-DS for an a×b query over the index, which must have been
-// built over ds: the searcher is that of the request
-// (dssearch.NewRegionSearcher: the bl-corner bucketing of §5.3 assumes its
-// top-right-corner reduction). opt.Delta > 0 selects the approximate
-// variant (app-GIDS).
+// candidate is a feasible answer a searched cell or strip improved the
+// incumbent to; owner is the cell's row-major number, or −1 and −2 for
+// the session's first and second strip.
+type candidate struct {
+	owner int
+	res   asp.Result
+}
+
+// Session is the GI-DS rounds of one request — one index, dataset, query
+// and size — under exclusions that grow round by round, as a top-k's do.
+// Its first round is Algorithm 2 from scratch. A later round resumes from
+// what the one before left instead of starting over, because exclusions
+// only grow: a round's feasible answer points are a subset of the last
+// round's, so a lower bound on a cell's feasible minimum stays one, and a
+// feasible answer stays feasible at the same distance. What a round
+// leaves is
 //
-// The heap starts with one range, the whole grid. Popping a range of more
-// than one cell splits it (split); popping a single cell searches it. The
-// reduction extends the candidate space left of and below the indexed
-// bounds by (a, b). No cell buckets those two margin strips; each carries
-// a bound of its own and is searched whole, in order: every step of the
-// best-first loop takes the pending strip with the smaller bound if that
-// bound is at most the heap top's — a strip goes before a range of equal
-// bound — and else pops the heap, and the search ends at the first strip
-// or range taken whose bound cannot beat the incumbent.
+//   - the range heap, whole: the unpopped ranges, the quarters a split
+//     bounded at or above the threshold, the range that stopped the loop,
+//     and every cell searched, pushed back under its key;
+//   - the two strips, bounded once per session, each under its key;
+//   - the candidates: the answer each searched cell or strip improved the
+//     incumbent to.
+//
+// Searching a cell or strip moves the incumbent from before to after. Its
+// key is the larger of after.Dist/(1+δ) and the bound it was taken at:
+// every point of it was either found, at ≥ after.Dist, or pruned against
+// an incumbent between after and before, at ≥ after.Dist/(1+δ). A cell
+// the exclusions swallow is not pushed back, and a swallowed strip takes
+// key +Inf. A round drops the candidates its exclusions forbid and seeds
+// its incumbent with the kernel.Better-least of the empty covering set and
+// the rest. The loop, its order and its stopping rule are a fresh
+// round's, so an exact round's distance is the one a fresh session's
+// round under the same exclusions answers, bit for bit (with δ > 0 it is
+// within 1+δ of the optimum), and its point may be another of equally
+// distant ones.
+//
+// A round whose exclusions do not extend the last round's (checked by
+// prefix) starts over, as does a round after an error. Nothing is carried
+// when at most one round was announced, when a shared cap tightens the
+// inner pruning (opt.SharedCap) or when the inner search is not exact
+// (opt.DisableSafetyNet): a key would not be a bound there. A Session
+// holds no searcher between rounds, only its range heap and bound vectors,
+// from the index's scratch pool, which Close returns; a session dropped
+// without Close leaks nothing. It runs on one goroutine.
+type Session struct {
+	idx   *Index
+	ds    *attr.Dataset
+	q     asp.Query
+	a, b  float64
+	opt   dssearch.Options
+	carry bool
+
+	sc      *lbScratch // bound vectors and the range heap
+	started bool       // the carried state below is valid
+	excl    []geom.Rect
+	margins [2]margin // the strips, left before bottom (strips)
+	nm      int
+	cands   []candidate
+
+	leftLB, bottomLB float64
+	visit            func(i, j int)
+}
+
+// Open opens the GI-DS rounds of an a×b query over the index, which must
+// have been built over ds; rounds is how many the caller may run (what
+// the rounds carry is kept only if a second can follow). The session is
+// returned by value, so that a caller can hold it without an allocation;
+// it is used through a pointer, and not copied once a round has run.
+func Open(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, opt dssearch.Options, rounds int) Session {
+	return Session{
+		idx: idx, ds: ds, q: q, a: a, b: b, opt: opt,
+		carry: rounds > 1 && opt.SharedCap == nil && !opt.DisableSafetyNet,
+	}
+}
+
+// Close returns the session's scratch to the index's pool; the session
+// must not be used afterwards.
+func (s *Session) Close() {
+	if s.sc != nil {
+		s.idx.putLBScratch(s.sc)
+		s.sc = nil
+	}
+	s.started = false
+}
+
+// Solve runs one round of GI-DS for the session's a×b query over the
+// index: the best answer whose region overlaps none of exclude, resumed
+// from the round before when exclude extends its list. The searcher is
+// that of the request (dssearch.NewRegionSearcher: the bl-corner
+// bucketing of §5.3 assumes its top-right-corner reduction). opt.Delta > 0
+// selects the approximate variant (app-GIDS).
+//
+// A fresh round's heap starts with one range, the whole grid. Popping a
+// range of more than one cell splits it (split); popping a single cell
+// searches it. The reduction extends the candidate space left of and
+// below the indexed bounds by (a, b). No cell buckets those two margin
+// strips; each carries a bound of its own and is searched whole, in
+// order: every step of the best-first loop takes the pending strip with
+// the smaller bound if that bound is at most the heap top's — a strip goes
+// before a range of equal bound — and else pops the heap, and the search
+// ends at the first strip or range taken whose bound cannot beat the
+// incumbent.
 //
 // exclude lists rectangles the answer region may not overlap (beyond a
 // shared boundary); an empty list is Algorithm 2 as published. Each
@@ -112,17 +204,14 @@ type margin struct {
 // so every point of a piece of it: the loop's order and stopping rule
 // stand as they are. A wholly forbidden cell has no piece and is passed
 // over.
-func Solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options) (asp.Result, Stats, error) {
-	return solve(idx, ds, q, a, b, exclude, opt, nil)
-}
-
-// solve is Solve, calling visit, when non-nil, with every cell the loop
-// takes, in the order it takes them.
-func solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options, visit func(i, j int)) (asp.Result, Stats, error) {
+func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
+	idx, q, a, b, opt := s.idx, s.q, s.a, s.b, s.opt
 	if idx.f != q.F {
 		return asp.Result{}, Stats{}, fmt.Errorf("gridindex: index was built for a different composite aggregator")
 	}
-	searcher, err := dssearch.NewRegionSearcher(ds, a, b, q, opt)
+	resume := s.resumes(exclude)
+	s.started = false // set again once this round completes
+	searcher, err := dssearch.NewRegionSearcher(s.ds, a, b, q, opt)
 	if err != nil {
 		return asp.Result{}, Stats{}, err
 	}
@@ -133,22 +222,45 @@ func solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []ge
 	space := searcher.Space()
 	emptyP := asp.EmptyCandidate(space)
 	emptyRep := searcher.PointRepresentation(emptyP)
-	searcher.SeedBest(asp.Result{Point: emptyP, Dist: q.Distance(emptyRep), Rep: emptyRep})
+	incumbent := asp.Result{Point: emptyP, Dist: q.Distance(emptyRep), Rep: emptyRep}
 
 	if len(searcher.Rects()) > 0 {
 		forbidden := dssearch.ForbiddenBoxes(exclude, a, b)
-		sc := idx.getLBScratch()
-		defer idx.putLBScratch(sc)
-		stats.Cells = idx.sx * idx.sy
-		pending := idx.strips(space, q, a, b, sc, &stats)
-
-		// Lines 2–4, lazily: the whole grid under its bound.
+		if s.sc == nil {
+			s.sc = idx.getLBScratch()
+		}
+		sc := s.sc
 		h := sc.heap
-		h.Reset()
-		whole := cellRange{i1: int32(idx.sx), j1: int32(idx.sy)}
-		whole.lb = idx.rangeLowerBound(q, a, b, whole, sc)
-		stats.Bounded++
-		h.Push(whole)
+		stats.Cells = idx.sx * idx.sy
+		if resume {
+			// Drop what the new exclusions forbid; the rest seeds the
+			// incumbent.
+			kept := s.cands[:0]
+			for _, c := range s.cands {
+				if allowed(c.res.Point, forbidden) {
+					kept = append(kept, c)
+					if kernel.Better(c.res, incumbent) {
+						incumbent = c.res
+					}
+				}
+			}
+			clear(s.cands[len(kept):])
+			s.cands = kept
+		} else {
+			s.begin(space, &stats)
+		}
+		stats.LeftMarginLB, stats.BottomMarginLB = s.leftLB, s.bottomLB
+		searcher.SeedBest(incumbent)
+
+		// The strips in the order they are taken in: by bound, the left
+		// one first at equal bounds.
+		var order [2]int
+		pending := order[:s.nm]
+		if s.nm == 2 && s.margins[1].lb < s.margins[0].lb {
+			order[0] = 1
+		} else {
+			order[1] = 1
+		}
 
 		// Lines 5–7: best-first refinement. Rectangle id subsets per piece
 		// of a cell come from the searcher's binary-searched master window,
@@ -160,31 +272,41 @@ func solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []ge
 			if opt.Delta > 0 {
 				thresh /= 1 + opt.Delta
 			}
-			if len(pending) > 0 && (h.Len() == 0 || pending[0].lb <= h.Peek().lb) {
-				m := pending[0]
+			if len(pending) > 0 && (h.Len() == 0 || s.margins[pending[0]].lb <= h.Peek().lb) {
+				k := pending[0]
+				m := &s.margins[k]
 				if m.lb >= thresh {
 					break
 				}
 				pending = pending[1:]
 				pieces = dssearch.AppendPieces(pieces[:0], m.rect, forbidden)
+				before := searcher.Best()
 				for _, p := range pieces {
 					stats.MarginRuns++
 					stats.Pieces++
 					searcher.SolveWithin(p, m.lb)
 				}
+				if len(pieces) == 0 {
+					m.lb = math.Inf(1)
+				} else {
+					m.lb = s.settle(-1-k, m.lb, before, searcher.Best())
+				}
 				continue
 			}
 			top := h.Pop()
 			if top.lb >= thresh {
+				if s.carry {
+					h.Push(top)
+				}
 				break
 			}
 			if top.cells() > 1 {
-				stats.Bounded += idx.split(h, top, thresh, q, a, b, sc)
+				stats.Bounded += idx.split(h, top, thresh, s.carry, q, a, b, sc)
 				continue
 			}
 			i, j := int(top.i0), int(top.j0)
-			if visit != nil {
-				visit(i, j)
+			if s.visit != nil {
+				s.visit(i, j)
 			}
 			pieces = dssearch.AppendPieces(pieces[:0], idx.CellRect(i, j), forbidden)
 			if len(pieces) == 0 {
@@ -192,17 +314,32 @@ func solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []ge
 				continue
 			}
 			stats.CellsSearched++
+			before := searcher.Best()
 			for _, p := range pieces {
 				stats.Pieces++
 				sub = searcher.AppendWindowIDs(p, sub[:0])
 				searcher.SolveWithinIDs(p, top.lb, sub)
 			}
+			if s.carry {
+				top.lb = s.settle(j*idx.sx+i, top.lb, before, searcher.Best())
+				h.Push(top)
+			}
 		}
 		stats.MarginsSkipped = len(pending)
+		if !s.carry {
+			idx.putLBScratch(sc)
+			s.sc = nil
+		}
+	} else {
+		searcher.SeedBest(incumbent)
 	}
 	if err := searcher.Err(); err != nil {
 		stats.DS = searcher.Stats
 		return asp.Result{}, stats, err
+	}
+	if s.carry {
+		s.started = true
+		s.excl = append(s.excl[:0], exclude...)
 	}
 
 	best := searcher.Best()
@@ -215,35 +352,94 @@ func solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []ge
 	return best, stats, nil
 }
 
-// strips returns the margin strips of the space in the order they are
-// taken in: by bound, the left one first at equal bounds. A space that
-// does not reach past the bounds on a side (an extent below one ulp of
-// the coordinates) has no strip there. The bounds of the strips it has
-// are recorded in stats.
-func (x *Index) strips(space geom.Rect, q asp.Query, a, b float64, sc *lbScratch, stats *Stats) []margin {
+// resumes reports whether a round under exclude can resume the carried
+// state: the last round completed and exclude extends its exclusions.
+func (s *Session) resumes(exclude []geom.Rect) bool {
+	if !s.started || len(exclude) < len(s.excl) {
+		return false
+	}
+	for i, r := range s.excl {
+		if exclude[i] != r {
+			return false
+		}
+	}
+	return true
+}
+
+// begin starts the carried state over: the strips bounded, the heap
+// holding the whole grid under its bound (lines 2–4, lazily), no
+// candidates.
+func (s *Session) begin(space geom.Rect, stats *Stats) {
+	idx, sc := s.idx, s.sc
+	s.nm = len(idx.strips(s.margins[:0], space, s.q, s.a, s.b, sc, stats))
+	s.leftLB, s.bottomLB = stats.LeftMarginLB, stats.BottomMarginLB
+	h := sc.heap
+	h.Reset()
+	whole := cellRange{i1: int32(idx.sx), j1: int32(idx.sy)}
+	whole.lb = idx.rangeLowerBound(s.q, s.a, s.b, whole, sc)
+	stats.Bounded++
+	h.Push(whole)
+	clear(s.cands)
+	s.cands = s.cands[:0]
+}
+
+// strips appends to dst the margin strips of the space, the left one
+// before the bottom one, each under its bound, and records the bounds in
+// stats. A space that does not reach past the bounds on a side (an extent
+// below one ulp of the coordinates) has no strip there.
+func (x *Index) strips(dst []margin, space geom.Rect, q asp.Query, a, b float64, sc *lbScratch, stats *Stats) []margin {
 	bounds := x.bounds
 	left, bottom := x.marginBounds(q, a, b, sc)
-	pending := make([]margin, 0, 2)
 	if r := (geom.Rect{MinX: space.MinX, MinY: space.MinY, MaxX: bounds.MinX, MaxY: space.MaxY}); r.IsValid() && !r.IsEmpty() {
-		pending = append(pending, margin{r, left})
+		dst = append(dst, margin{r, left})
 		stats.LeftMarginLB = left
 	}
 	if r := (geom.Rect{MinX: bounds.MinX, MinY: space.MinY, MaxX: space.MaxX, MaxY: bounds.MinY}); r.IsValid() && !r.IsEmpty() {
-		pending = append(pending, margin{r, bottom})
+		dst = append(dst, margin{r, bottom})
 		stats.BottomMarginLB = bottom
 	}
-	if len(pending) == 2 && pending[1].lb < pending[0].lb {
-		pending[0], pending[1] = pending[1], pending[0]
+	return dst
+}
+
+// settle returns the key of a cell or strip searched from under bound lb,
+// the incumbent moving from before to after, and keeps after as the
+// owner's candidate if the search improved the incumbent (see Session).
+func (s *Session) settle(owner int, lb float64, before, after asp.Result) float64 {
+	key := after.Dist
+	if s.opt.Delta > 0 {
+		key /= 1 + s.opt.Delta
 	}
-	return pending
+	if kernel.Better(after, before) {
+		i := 0
+		for i < len(s.cands) && s.cands[i].owner != owner {
+			i++
+		}
+		if i == len(s.cands) {
+			s.cands = append(s.cands, candidate{owner: owner})
+		}
+		s.cands[i].res = after
+	}
+	return max(lb, key)
+}
+
+// allowed reports whether an answer point lies in none of the open
+// forbidden boxes.
+func allowed(p geom.Point, forbidden []geom.Rect) bool {
+	for _, f := range forbidden {
+		if f.ContainsOpen(p) {
+			return false
+		}
+	}
+	return true
 }
 
 // split bounds the quarters of a range of more than one cell — it is
 // halved at its midpoint along each axis longer than one cell — pushes
-// those below the threshold and returns how many it bounded. A quarter
-// takes the larger of its own bound and its parent's: both bound every
-// candidate in it, and the bounds the loop pops then never decrease.
-func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, q asp.Query, a, b float64, sc *lbScratch) int {
+// those below the threshold, or all of them when keep is set, and returns
+// how many it bounded. A quarter takes the larger of its own bound and
+// its parent's: both bound every candidate in it, and the bounds the loop
+// pops then never decrease.
+func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, keep bool, q asp.Query, a, b float64, sc *lbScratch) int {
 	im, jm := (r.i0+r.i1)/2, (r.j0+r.j1)/2
 	n := 0
 	for _, rows := range [2][2]int32{{r.j0, jm}, {jm, r.j1}} {
@@ -254,7 +450,7 @@ func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, q 
 			c := cellRange{i0: cols[0], i1: cols[1], j0: rows[0], j1: rows[1]}
 			c.lb = max(x.rangeLowerBound(q, a, b, c, sc), r.lb)
 			n++
-			if c.lb < thresh {
+			if keep || c.lb < thresh {
 				h.Push(c)
 			}
 		}
@@ -266,7 +462,8 @@ func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, q 
 // limb and channel vectors, bound vectors, min/max slots and the
 // integer-dim flags — carved from one slab allocation, and the range
 // heap. Scratches recycle through the index's pool, so steady-state GI-DS
-// queries reallocate nothing here.
+// queries reallocate nothing here; a session's range heap is what it
+// carries between rounds.
 type lbScratch struct {
 	fullL, partL []float64 // limbs
 	full, part   []float64 // channels

@@ -9,9 +9,9 @@ import (
 )
 
 // Binding is the executor's view of a serving backend. The frontend
-// sits above both the single engine and the shard router unchanged:
-// each round of the lazy executor is one Binding.Query call, and the
-// binding decides how it runs (engine dispatch or scatter–gather).
+// sits above both the single engine and the shard router unchanged: a
+// stream's rounds are one Rounds, opened by Exec, and the binding decides
+// how each runs (a resumed engine search or a scatter–gather pass).
 type Binding interface {
 	// Query answers one engine-shaped request. Coverage is nil on
 	// unsharded backends.
@@ -19,6 +19,9 @@ type Binding interface {
 	// QueryBatch answers a client-built batch, index-aligned with reqs;
 	// each request runs under its own Ctx, else ctx.
 	QueryBatch(ctx context.Context, reqs []asrs.QueryRequest) ([]asrs.QueryResponse, []*wire.Coverage)
+	// Rounds opens the rounds of one stream, at most n of them, under ctx
+	// and captures the snapshot they answer on.
+	Rounds(ctx context.Context, n int) Rounds
 	// Dataset is the current epoch's logical corpus — the snapshot
 	// region targets and post-filters are represented against.
 	Dataset() *asrs.Dataset
@@ -28,6 +31,20 @@ type Binding interface {
 	// Routed reports whether answers come from a shard router (EXPLAIN
 	// surfaces it).
 	Routed() bool
+}
+
+// Rounds is one stream's rounds on one backend snapshot.
+type Rounds interface {
+	// Dataset is the snapshot's corpus: the one the stream represents its
+	// region targets and post-filters against.
+	Dataset() *asrs.Dataset
+	// Round answers the stream's single-best request under the exclusions
+	// so far; every call passes the first call's request with a longer
+	// Exclude.
+	Round(req asrs.QueryRequest) (asrs.QueryResponse, *wire.Coverage)
+	// Close recycles what the rounds carry between calls. A stream
+	// abandoned without it leaks nothing.
+	Close()
 }
 
 // EngineBinding serves plans from a single asrs.Engine.
@@ -44,6 +61,19 @@ func (b EngineBinding) Query(ctx context.Context, req asrs.QueryRequest) (asrs.Q
 // epoch view (Engine.QueryBatchCtx).
 func (b EngineBinding) QueryBatch(ctx context.Context, reqs []asrs.QueryRequest) ([]asrs.QueryResponse, []*wire.Coverage) {
 	return b.E.QueryBatchCtx(ctx, reqs), make([]*wire.Coverage, len(reqs))
+}
+
+// Rounds implements Binding: the engine's rounds (asrs.Engine.Rounds) on
+// the epoch current now, each round one execution slot, every round after
+// the first resuming the search the one before left.
+func (b EngineBinding) Rounds(ctx context.Context, n int) Rounds {
+	return engineRounds{b.E.Rounds(ctx, n)}
+}
+
+type engineRounds struct{ *asrs.Rounds }
+
+func (r engineRounds) Round(req asrs.QueryRequest) (asrs.QueryResponse, *wire.Coverage) {
+	return r.Rounds.Round(req), nil
 }
 
 // Dataset implements Binding.
@@ -82,6 +112,26 @@ func (b RouterBinding) QueryBatch(ctx context.Context, reqs []asrs.QueryRequest)
 	}
 	return out, covs
 }
+
+// Rounds implements Binding: one scatter–gather pass per round, each on
+// the catalog's current shards.
+func (b RouterBinding) Rounds(ctx context.Context, n int) Rounds {
+	return routerRounds{b: b, ctx: ctx, ds: b.Dataset()}
+}
+
+type routerRounds struct {
+	b   RouterBinding
+	ctx context.Context
+	ds  *asrs.Dataset
+}
+
+func (r routerRounds) Dataset() *asrs.Dataset { return r.ds }
+
+func (r routerRounds) Round(req asrs.QueryRequest) (asrs.QueryResponse, *wire.Coverage) {
+	return r.b.Query(r.ctx, req)
+}
+
+func (r routerRounds) Close() {}
 
 // Dataset implements Binding.
 func (b RouterBinding) Dataset() *asrs.Dataset { return b.R.Catalog().CurrentDataset() }

@@ -26,18 +26,20 @@ type Row struct {
 // definition of a top-k — a single-best search under the accumulated
 // exclusion set, the round's region appended, the same stop rule — kept
 // apart because it interleaves post-filters (a rejected region still
-// joins the exclusions) and row flushes between rounds. Each round is
-// the single-best request its exclusions ask for, answered by the same
-// driver a one-shot top-k's rounds go through (asrs.Answer, or the
-// router's scatter pass), which is why an unfiltered stream's rows —
-// regions included — are the one-shot answer's.
+// joins the exclusions) and row flushes between rounds. Its rounds are
+// one Binding.Rounds: on an engine, the search a one-shot top-k's rounds
+// run in (asrs.Answer's driver), each round resuming the one before; on a
+// router, one scatter pass per round. That is why an unfiltered stream's
+// rows — regions included — are the one-shot answer's.
 //
-// A Stream is single-goroutine; it holds no locks and no background
-// work. Abandoning it mid-iteration leaks nothing.
+// A Stream is single-goroutine; it holds no locks, no background work
+// and, between rounds, no execution slot. Abandoning it mid-iteration
+// leaks nothing.
 type Stream struct {
 	ctx context.Context
 	pl  *Plan
 	b   Binding
+	r   Rounds // nil for maximize plans
 	ds  *asrs.Dataset
 
 	base    asrs.QueryRequest // single-round skeleton (TopK forced to 0)
@@ -60,19 +62,24 @@ type boundFilter struct {
 }
 
 // Exec binds a plan to a backend and returns the lazy stream. The
-// dataset snapshot (region targets, filter representations) is taken
-// once here, so every round and every filter evaluation sees one
-// coherent epoch.
+// stream's rounds are opened here, and with them the dataset snapshot
+// (region targets, filter representations) is taken once, so every
+// round and every filter evaluation sees one coherent epoch (on an
+// engine; a router's rounds each search its shards as they are).
 func Exec(ctx context.Context, pl *Plan, b Binding) (*Stream, error) {
 	if pl.Explain {
 		return nil, planErrf("explain plans report, they do not execute")
 	}
-	s := &Stream{ctx: ctx, pl: pl, b: b, ds: b.Dataset()}
+	s := &Stream{ctx: ctx, pl: pl, b: b}
 	if pl.Max != nil {
+		s.ds = b.Dataset()
 		return s, nil
 	}
+	s.r = b.Rounds(ctx, pl.rounds())
+	s.ds = s.r.Dataset()
 	req, err := pl.Request(s.ds)
 	if err != nil {
+		s.r.Close()
 		return nil, err
 	}
 	pl.ApplyOptions(&req, b.SearchOptions())
@@ -106,26 +113,22 @@ func (s *Stream) Next() (Row, bool) {
 	for s.emitted < k && s.rounds < budget {
 		req := s.base
 		req.Exclude = append([]asrs.Rect(nil), s.excl...)
-		req.Ctx = s.ctx
 		s.rounds++
-		resp, cov := s.b.Query(s.ctx, req)
+		resp, cov := s.r.Round(req)
 		s.mergeCoverage(cov)
 		if resp.Err != nil {
 			if errors.Is(resp.Err, asrs.ErrNoFeasibleRegion) && s.emitted > 0 {
 				// The window ran out of non-overlapping candidates:
 				// asrs.Greedy's stop rule, returning the answers so far.
-				s.done = true
-				return Row{}, false
+				return s.end(nil)
 			}
-			s.err = resp.Err
-			return Row{}, false
+			return s.end(resp.Err)
 		}
 		region, res := resp.Best()
 		if asrs.OverlapsAny(region, s.excl[len(s.base.Exclude):]) {
 			// The space is used up and the round fell back on a region it
 			// had answered before: asrs.Greedy's other stop rule.
-			s.done = true
-			return Row{}, false
+			return s.end(nil)
 		}
 		// The region joins the exclusion set whether or not a filter
 		// accepts it — the greedy sequence is defined over candidates,
@@ -138,9 +141,20 @@ func (s *Stream) Next() (Row, bool) {
 		if s.pl.DiverseBy > 0 {
 			s.reps = append(s.reps, res.Rep)
 		}
+		if s.emitted == k {
+			s.r.Close() // no round follows the last row
+		}
 		return Row{Rank: s.emitted, Region: region, Result: res}, true
 	}
+	return s.end(nil)
+}
+
+// end ends the stream, with err as its terminal error, and closes its
+// rounds.
+func (s *Stream) end(err error) (Row, bool) {
 	s.done = true
+	s.err = err
+	s.r.Close()
 	return Row{}, false
 }
 

@@ -16,9 +16,18 @@ type countingBinding struct {
 	calls int
 }
 
-func (b *countingBinding) Query(ctx context.Context, req asrs.QueryRequest) (asrs.QueryResponse, *wire.Coverage) {
-	b.calls++
-	return b.Binding.Query(ctx, req)
+func (b *countingBinding) Rounds(ctx context.Context, n int) query.Rounds {
+	return countingRounds{b.Binding.Rounds(ctx, n), &b.calls}
+}
+
+type countingRounds struct {
+	query.Rounds
+	calls *int
+}
+
+func (r countingRounds) Round(req asrs.QueryRequest) (asrs.QueryResponse, *wire.Coverage) {
+	*r.calls++
+	return r.Rounds.Round(req)
 }
 
 // TestStreamLaziness: a top-k stream spends exactly one backend round

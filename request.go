@@ -92,7 +92,10 @@ var (
 // Any other failure, and infeasibility of the first round, fails the
 // request. Answers are sized by the rounds run, never by k. The Engine's
 // one-shot top-k, the router's straddling top-k and SearchBaseline all
-// run through it; query.Stream.Next is its lazy form.
+// run through it; query.Stream.Next is its lazy form. round is free to
+// carry state from one call to the next — Answer hands it the rounds of
+// one search session, each resuming the last — so the calls come in
+// order, each under the exclusions before it plus one region.
 func Greedy(k int, exclude []Rect, round func(exclude []Rect) (Rect, Result, error)) ([]Rect, []Result, error) {
 	excl := exclude[:len(exclude):len(exclude)] // rounds append their regions to a copy
 	var regions []Rect
@@ -130,8 +133,10 @@ func OverlapsAny(region Rect, earlier []Rect) bool {
 // Answer is the one search driver: it answers a request over a dataset
 // with the Greedy rounds of one of the paper's two algorithms, picked
 // from what it is given. With a grid index for the query's composite and
-// no extent, every round is a GI-DS run (Algorithm 2), its margins and
-// cells cut around what the round must avoid; otherwise the rounds are
+// no extent, the rounds are one GI-DS session (Algorithm 2,
+// gridindex.Session): its margins and cells are cut around what a round
+// must avoid, and every round after the first resumes from the cell
+// bounds and answers the one before left. Otherwise the rounds are
 // DS-Search (Algorithm 1) on one searcher over the whole space or the
 // extent's anchor window — the index enumerates whole-corpus cells and
 // knows nothing about extents, while the window already narrows the
@@ -139,35 +144,80 @@ func OverlapsAny(region Rect, earlier []Rect) bool {
 // regions the two may pick different ones. The returned stats sum the
 // rounds (only DS is filled without an index).
 func Answer(ds *Dataset, idx *Index, req QueryRequest) (QueryResponse, IndexStats) {
-	var opt Options
+	d := openDriver(ds, idx, req, max(req.TopK, 1))
+	defer d.close()
+	regions, results, err := Greedy(req.TopK, req.Exclude, d.round)
+	return QueryResponse{Regions: regions, Results: results, Err: err}, d.stats
+}
+
+// driver is the search state of one request's rounds, opened once per
+// request: a GI-DS session, or the DS-Search request its rounds share.
+// Answer runs its rounds back to back; an Engine's Rounds runs one per
+// call and releases the DS-Search searcher between them.
+type driver struct {
+	ds      *Dataset
+	req     QueryRequest
+	opt     Options
+	indexed bool
+	gids    gridindex.Session
+	plain   *dssearch.Request // opened by the first un-indexed round
+	stats   IndexStats
+	held    SearchStats // the work of the searchers released so far
+}
+
+// openDriver opens the rounds of req over ds, at most n of them; idx, if
+// non-nil, must be the index for the query's composite over ds.
+func openDriver(ds *Dataset, idx *Index, req QueryRequest, n int) driver {
+	d := driver{ds: ds, req: req}
 	if req.Options != nil {
-		opt = *req.Options
+		d.opt = *req.Options
 	}
-	if opt.Ctx == nil {
-		opt.Ctx = req.Ctx
+	if d.opt.Ctx == nil {
+		d.opt.Ctx = req.Ctx
 	}
-	var stats IndexStats
-	var round func([]Rect) (Rect, Result, error)
 	if idx != nil && req.Within == nil {
-		round = func(excl []Rect) (Rect, Result, error) {
-			res, st, err := gridindex.Solve(idx, ds, req.Query, req.A, req.B, excl, opt)
-			stats.Add(st)
-			return asp.AnchorTR.RegionFor(res.Point, req.A, req.B), res, err
-		}
-	} else {
-		r, err := dssearch.Open(ds, req.A, req.B, req.Query, req.Within, opt)
-		if err != nil {
-			return QueryResponse{Err: err}, stats
-		}
-		defer r.Close()
-		round = func(excl []Rect) (Rect, Result, error) {
-			region, res, err := r.Best(excl)
-			stats.DS = r.Stats()
-			return region, res, err
-		}
+		d.indexed = true
+		d.gids = gridindex.Open(idx, ds, req.Query, req.A, req.B, d.opt, n)
 	}
-	regions, results, err := Greedy(req.TopK, req.Exclude, round)
-	return QueryResponse{Regions: regions, Results: results, Err: err}, stats
+	return d
+}
+
+// round answers one round: the best region overlapping none of excl.
+func (d *driver) round(excl []Rect) (Rect, Result, error) {
+	if d.indexed {
+		res, st, err := d.gids.Solve(excl)
+		d.stats.Add(st)
+		return asp.AnchorTR.RegionFor(res.Point, d.req.A, d.req.B), res, err
+	}
+	if d.plain == nil {
+		r, err := dssearch.Open(d.ds, d.req.A, d.req.B, d.req.Query, d.req.Within, d.opt)
+		if err != nil {
+			return Rect{}, Result{}, err
+		}
+		d.plain = r
+	}
+	region, res, err := d.plain.Best(excl)
+	d.stats.DS = d.held
+	d.stats.DS.Add(d.plain.Stats())
+	return region, res, err
+}
+
+// release hands the DS-Search searcher's slabs back; the next round binds
+// a new one. A GI-DS session holds no searcher between rounds.
+func (d *driver) release() {
+	if d.plain != nil {
+		d.held.Add(d.plain.Stats())
+		d.plain.Close()
+		d.plain = nil
+	}
+}
+
+// close releases everything the rounds hold.
+func (d *driver) close() {
+	d.release()
+	if d.indexed {
+		d.gids.Close()
+	}
 }
 
 // SearchBaseline answers a request with the O(n²) sweep-line baseline

@@ -126,3 +126,88 @@ func TestTopKOneShotEqualsStream(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamRoundsStayOnExecEpoch: a stream's rounds answer on the epoch
+// query.Exec captured, the one its target and filters were represented
+// against, whatever is inserted between Next calls. After the first row,
+// every object inside the second and third rows' regions is inserted a
+// second time — their visit sums double, so a round on the newer corpus
+// answers elsewhere — and the stream must still return the rows a top-3
+// over the Exec-time dataset returns: regions and distances, bit for bit.
+// With the grid index and without it.
+func TestStreamRoundsStayOnExecEpoch(t *testing.T) {
+	ds := dataset.POISyn(2500, 42)
+	ua, ub := dataset.QueryUnit(ds.Bounds())
+	a, b := 30*ua, 30*ub
+	visits := ds.Schema.Index("visits")
+	vmax := dataset.MaxWindowStat(ds, a, b, func(o *asrs.Object) float64 { return o.Values[visits].Num })
+	src := fmt.Sprintf("find top 3 size %v x %v similar to target(%v,%v) under %v*sum(visits) + 0.1*avg(rating) norm l1",
+		a, b, 7.5, 0.8*vmax, 1/vmax)
+	plan, err := query.NewPlanner(ds.Schema, nil).ParseAndPlan(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, grid := range []int{32, 0} {
+		opt := asrs.EngineOptions{IndexGranularity: grid}
+		eng, err := asrs.NewEngine(ds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The rows of the Exec-time corpus, from an engine that never
+		// sees an insert.
+		still, err := asrs.NewEngine(ds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := plan.Request(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := still.Query(req)
+		if want.Err != nil || len(want.Regions) != 3 {
+			t.Fatalf("grid %d: top-3 answered %d rows, err %v", grid, len(want.Regions), want.Err)
+		}
+		var dup []asrs.Object
+		for _, o := range ds.Objects {
+			for _, r := range want.Regions[1:] {
+				if r.ContainsOpen(o.Loc) {
+					dup = append(dup, o)
+				}
+			}
+		}
+		if len(dup) == 0 {
+			t.Fatalf("grid %d: rows 2 and 3 hold no object to insert again", grid)
+		}
+
+		st, err := query.Exec(context.Background(), plan, query.EngineBinding{E: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Regions {
+			row, ok := st.Next()
+			if !ok {
+				t.Fatalf("grid %d: stream ended after %d rows: %v", grid, i, st.Err())
+			}
+			if row.Region != want.Regions[i] || math.Float64bits(row.Result.Dist) != math.Float64bits(want.Results[i].Dist) {
+				t.Fatalf("grid %d: row %d streamed %v at distance %v, the Exec-time corpus answers %v at %v",
+					grid, i+1, row.Region, row.Result.Dist, want.Regions[i], want.Results[i].Dist)
+			}
+			if i == 0 {
+				if err := eng.InsertBatch(dup); err != nil {
+					t.Fatal(err)
+				}
+				if n := len(eng.CurrentDataset().Objects); n != len(ds.Objects)+len(dup) {
+					t.Fatalf("grid %d: %d objects after the insert, want %d", grid, n, len(ds.Objects)+len(dup))
+				}
+			}
+		}
+		// The newer corpus does answer otherwise, or the test proves nothing.
+		newer, err := plan.Request(eng.CurrentDataset())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now := eng.Query(newer); now.Err != nil || now.Regions[1] == want.Regions[1] {
+			t.Fatalf("grid %d: the grown corpus answers row 2 at %v (err %v), as the Exec-time one did", grid, now.Regions, now.Err)
+		}
+	}
+}
