@@ -199,6 +199,20 @@ func (p *Pyramid) Composite() *agg.Composite { return p.f }
 // Objects returns the master cardinality.
 func (p *Pyramid) Objects() int { return p.n }
 
+// AppendObjectsInX appends to dst the objects of the pyramid's dataset
+// whose x lies strictly inside (lo, hi), in master order. The master is
+// sorted by location (x, then y), so they are one contiguous run of it,
+// found by binary search; the appended objects are sorted the same way.
+func (p *Pyramid) AppendObjectsInX(dst []attr.Object, lo, hi float64) []attr.Object {
+	x := func(i int) float64 { return p.ds.Objects[p.order[i]].Loc.X }
+	i := sort.Search(p.n, func(i int) bool { return x(i) > lo })
+	j := sort.Search(p.n, func(j int) bool { return x(j) >= hi })
+	for ; i < j; i++ {
+		dst = append(dst, p.ds.Objects[p.order[i]])
+	}
+	return dst
+}
+
 // bindCore aliases the pyramid's frozen aggregation core into a
 // recycled tables value and marks it shared so reset() drops (never
 // truncates) the aliased slices.

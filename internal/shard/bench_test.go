@@ -1,0 +1,104 @@
+package shard_test
+
+import (
+	"context"
+	"runtime"
+	"testing"
+	"time"
+	"unsafe"
+
+	"asrs"
+	"asrs/internal/agg"
+	"asrs/internal/dataset"
+	"asrs/internal/shard"
+)
+
+// BenchmarkRoutedStraddle times straddling extent queries over a 4-shard
+// catalog after inserts into every shard (each shard's epoch is a folded
+// pyramid): ms/op, B/op and allocs/op. It fails on any distance that
+// differs from one merged engine's windowed answer, and when a
+// steady-state straddling query allocates as much as one copy of the
+// merged object slice — what the bands cost when they were filtered from
+// a merged copy of the corpus.
+func BenchmarkRoutedStraddle(b *testing.B) {
+	ds := dataset.Random(20000, 100, 41)
+	f := agg.MustNew(ds.Schema,
+		agg.Spec{Kind: agg.Distribution, Attr: "cat"},
+		agg.Spec{Kind: agg.Sum, Attr: "val"},
+	)
+	q := asrs.Query{F: f, Target: []float64{1, 2, 1, 5}}
+	cat, err := shard.New(ds, shard.Config{
+		Shards:     4,
+		Composites: map[string]*asrs.Composite{"q": f},
+		Names:      []string{"q"},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cat.Close()
+	rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}})
+	if err := rt.Insert(dataset.Random(400, 100, 42).Objects); err != nil {
+		b.Fatal(err)
+	}
+	merged := cat.CurrentDataset()
+	oracle, err := asrs.NewEngine(merged, asrs.EngineOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer oracle.Close()
+
+	const a, h = 1.5, 1.5
+	extents := []asrs.Rect{
+		{MinX: 10, MinY: 10, MaxX: 60, MaxY: 30},
+		{MinX: 30, MinY: 50, MaxX: 90, MaxY: 65},
+		{MinX: 20, MinY: 70, MaxX: 80, MaxY: 95},
+	}
+	want := make([]float64, len(extents))
+	for i := range extents {
+		resp := oracle.Query(asrs.QueryRequest{Query: q, A: a, B: h, Within: &extents[i]})
+		if resp.Err != nil {
+			b.Fatal(resp.Err)
+		}
+		want[i] = resp.Results[0].Dist
+	}
+	query := func(i int) {
+		resp := rt.Query(context.Background(), shard.Request{Query: q, A: a, B: h, Extent: &extents[i]})
+		if resp.Err != nil {
+			b.Fatal(resp.Err)
+		}
+		if len(resp.Coverage.Searched) <= 2 {
+			b.Fatalf("extent %v searched %v: it does not straddle", extents[i], resp.Coverage.Searched)
+		}
+		if !sameBits(resp.Results[0].Dist, want[i]) {
+			b.Fatalf("extent %v: routed dist %v, merged %v", extents[i], resp.Results[0].Dist, want[i])
+		}
+	}
+
+	// Steady state: every epoch, pyramid and slab is in place after one
+	// pass.
+	for i := range extents {
+		query(i)
+	}
+	const passes = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for p := 0; p < passes; p++ {
+		for i := range extents {
+			query(i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := (after.TotalAlloc - before.TotalAlloc) / uint64(passes*len(extents))
+	corpusCopy := uint64(len(merged.Objects)) * uint64(unsafe.Sizeof(asrs.Object{}))
+	if perQuery >= corpusCopy {
+		b.Fatalf("a steady-state straddling query allocates %d B, one copy of the merged objects is %d B", perQuery, corpusCopy)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for n := 0; n < b.N; n++ {
+		query(n % len(extents))
+	}
+	b.ReportMetric(float64(time.Since(start).Microseconds())/1e3/float64(b.N), "ms/op")
+}

@@ -101,6 +101,17 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
+// closed reports, without taking a probe, whether the breaker admits
+// traffic freely: it is closed or disabled.
+func (b *Breaker) closed() bool {
+	if b.cfg.Disable {
+		return true
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state == "closed"
+}
+
 // Success records a request that completed healthily.
 func (b *Breaker) Success() {
 	if b.cfg.Disable {

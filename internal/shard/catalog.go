@@ -70,9 +70,8 @@ type Catalog struct {
 }
 
 // New splits the dataset into shards. The seed dataset is retained (and
-// must not be mutated) — band corpora and query-by-example targets are
-// served from it in original object order, which is what keeps sharded
-// accumulation bit-compatible with a merged-corpus run.
+// must not be mutated): each shard's seed slab is a slice of it, and
+// CurrentDataset leads with it for query-by-example targets.
 func New(ds *asrs.Dataset, cfg Config) (*Catalog, error) {
 	if ds == nil || ds.Schema == nil {
 		return nil, fmt.Errorf("shard: catalog requires a dataset with a schema")
@@ -166,27 +165,24 @@ func (c *Catalog) Seed() *asrs.Dataset { return c.seed }
 // overrides (mirroring Engine.SearchOptions).
 func (c *Catalog) SearchOptions() asrs.Options { return c.cfg.Engine.Search }
 
-// CurrentObjects returns the live merged corpus: the seed objects in
-// original order, then each shard's ingested objects in shard order.
-// This is the canonical merged order for band corpora and
-// query-by-example targets (DESIGN.md §11).
-func (c *Catalog) CurrentObjects() []asrs.Object {
+// CurrentDataset returns the live merged corpus, the one query-by-example
+// targets are represented against: the seed objects in original order,
+// then each shard's ingested objects in shard order. A shard whose
+// breaker is closed is read through its load, so inserts it recovered
+// from its WAL count before any query touched it; any other shard
+// contributes what it has loaded, if anything.
+func (c *Catalog) CurrentDataset() *asrs.Dataset {
 	out := c.seed.Objects
 	var extra []asrs.Object
 	for _, sh := range c.shards {
-		if eng := sh.Loaded(); eng != nil {
+		if eng := sh.epoch(sh.breaker.closed()); eng != nil {
 			extra = append(extra, eng.IngestedObjects()...)
 		}
 	}
 	if len(extra) > 0 {
 		out = append(append(make([]asrs.Object, 0, len(out)+len(extra)), out...), extra...)
 	}
-	return out
-}
-
-// CurrentDataset wraps CurrentObjects with the schema.
-func (c *Catalog) CurrentDataset() *asrs.Dataset {
-	return &asrs.Dataset{Schema: c.seed.Schema, Objects: c.CurrentObjects()}
+	return &asrs.Dataset{Schema: c.seed.Schema, Objects: out}
 }
 
 // WarmAll forces every shard's engine (index, pyramids, WAL recovery)

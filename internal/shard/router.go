@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"asrs"
+	"asrs/internal/dssearch"
 	"asrs/internal/faultinject"
 	"asrs/internal/kernel"
 )
@@ -129,6 +130,9 @@ type RouterOptions struct {
 type Router struct {
 	cat *Catalog
 	opt RouterOptions
+
+	mu    sync.Mutex
+	slabs map[*asrs.Composite]*dssearch.SlabCache // band searches' scratch
 }
 
 // NewRouter builds a router over the catalog and (re)arms each shard's
@@ -139,7 +143,7 @@ func NewRouter(cat *Catalog, opt RouterOptions) *Router {
 		cfg.Seed = cfg.Seed + int64(i)*7919
 		sh.breaker = NewBreaker(cfg)
 	}
-	return &Router{cat: cat, opt: opt}
+	return &Router{cat: cat, opt: opt, slabs: make(map[*asrs.Composite]*dssearch.SlabCache)}
 }
 
 // Catalog returns the routed catalog.
@@ -235,18 +239,21 @@ func (r *Router) Answer(ctx context.Context, req asrs.QueryRequest, pol PartialP
 // defaultExtent is the whole-corpus extent: the object hull expanded by
 // 2a/2b per side, which contains every anchor whose region can cover an
 // object (anchors live within a/b below-left of the object) and leaves
-// room for empty-coverage anchors beside the hull.
+// room for empty-coverage anchors beside the hull. The hull is scanned
+// over each shard's current epoch in place (Shard.objects), with no
+// merged copy.
 func (r *Router) defaultExtent(a, b float64) asrs.Rect {
-	objs := r.cat.CurrentObjects()
-	if len(objs) == 0 {
-		return asrs.Rect{MinX: 0, MinY: 0, MaxX: 2 * a, MaxY: 2 * b}
-	}
 	e := asrs.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
-	for _, o := range objs {
-		e.MinX = math.Min(e.MinX, o.Loc.X)
-		e.MinY = math.Min(e.MinY, o.Loc.Y)
-		e.MaxX = math.Max(e.MaxX, o.Loc.X)
-		e.MaxY = math.Max(e.MaxY, o.Loc.Y)
+	for _, sh := range r.cat.Shards() {
+		for _, o := range sh.objects(sh.breaker.closed()) {
+			e.MinX = math.Min(e.MinX, o.Loc.X)
+			e.MinY = math.Min(e.MinY, o.Loc.Y)
+			e.MaxX = math.Max(e.MaxX, o.Loc.X)
+			e.MaxY = math.Max(e.MaxY, o.Loc.Y)
+		}
+	}
+	if e.MinX > e.MaxX {
+		return asrs.Rect{MinX: 0, MinY: 0, MaxX: 2 * a, MaxY: 2 * b}
 	}
 	e.MinX -= 2 * a
 	e.MaxX += 2 * a
@@ -258,7 +265,8 @@ func (r *Router) defaultExtent(a, b float64) asrs.Rect {
 // subOptions resolves the search options one sub-search runs with:
 // the request's override or the catalog's engine template, stripped of
 // any cross-corpus bindings (each shard binds its own pyramid and slab
-// cache; a band search binds none), with the shared cap installed.
+// cache; a band search binds the router's slab cache), with the shared
+// cap installed.
 func (r *Router) subOptions(req asrs.QueryRequest, cap *kernel.ExtCap) asrs.Options {
 	opt := r.cat.cfg.Engine.Search
 	if req.Options != nil {
@@ -268,6 +276,20 @@ func (r *Router) subOptions(req asrs.QueryRequest, cap *kernel.ExtCap) asrs.Opti
 	opt.Slabs = nil
 	opt.SharedCap = cap
 	return opt
+}
+
+// bandSlabs returns the router's slab cache for band searches on the
+// composite, so they recycle their tables, grid, sweep solver and id
+// slices across queries as a shard engine's searches do.
+func (r *Router) bandSlabs(f *asrs.Composite) *dssearch.SlabCache {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	sc, ok := r.slabs[f]
+	if !ok {
+		sc = &dssearch.SlabCache{}
+		r.slabs[f] = sc
+	}
+	return sc
 }
 
 // budgetCtx carves one sub-search's deadline from the request's
@@ -354,7 +376,7 @@ func (r *Router) classify(ctx context.Context, o *subOutcome, err error) {
 		o.fatal = ctx.Err()
 	default:
 		if br == nil {
-			// Band sub-searches run on the router's own corpus slice:
+			// Band sub-searches run on a corpus the router read itself:
 			// failing one is not a shard fault and cannot be skipped
 			// without a silent coverage gap.
 			o.fatal = err
@@ -415,7 +437,7 @@ func (r *Router) containedQuery(ctx context.Context, sh *Shard, e asrs.Rect, req
 
 // subTask is one scatter target: a shard's slab sub-extent (engine
 // backed) or a cut-boundary band (searched engine-less over the band's
-// corpus slice).
+// corpus, which the band's first round reads from the shards' epochs).
 type subTask struct {
 	name string
 	sh   *Shard
@@ -446,28 +468,16 @@ func (r *Router) straddlingQuery(ctx context.Context, e asrs.Rect, req asrs.Quer
 		}
 		tasks = append(tasks, subTask{name: sh.Name(), sh: sh, win: win})
 	}
-	merged := r.cat.CurrentObjects()
 	for _, c := range r.cat.Cuts() {
 		if !(e.MinX < c && c < e.MaxX) {
 			continue
 		}
-		win := asrs.Rect{
-			MinX: math.Max(e.MinX, c-req.A), MinY: e.MinY,
-			MaxX: math.Min(e.MaxX, c+req.A), MaxY: e.MaxY,
-		}
-		// Only objects with x strictly inside the band window can have
-		// anchor rectangles reaching its anchor window (corpus
-		// independence, DESIGN.md §11); the slice keeps merged order.
-		var objs []asrs.Object
-		for _, o := range merged {
-			if win.MinX < o.Loc.X && o.Loc.X < win.MaxX {
-				objs = append(objs, o)
-			}
-		}
 		tasks = append(tasks, subTask{
 			name: fmt.Sprintf("band@%g", c),
-			win:  win,
-			band: &asrs.Dataset{Schema: r.cat.Seed().Schema, Objects: objs},
+			win: asrs.Rect{
+				MinX: math.Max(e.MinX, c-req.A), MinY: e.MinY,
+				MaxX: math.Min(e.MaxX, c+req.A), MaxY: e.MaxY,
+			},
 		})
 	}
 
@@ -487,6 +497,25 @@ func (r *Router) straddlingQuery(ctx context.Context, e asrs.Rect, req asrs.Quer
 		return region, best, err
 	})
 	return Response{Regions: regions, Results: results, Coverage: finishCoverage(cov, searched, skipped), Err: err}
+}
+
+// bandCorpus reads a band's corpus: the objects with x strictly inside
+// the band window, the only ones whose anchor rectangles can reach its
+// anchor window (corpus independence, DESIGN.md §11). Each shard whose
+// slab meets the window gives one run of its current epoch, read through
+// the load its sub-search performs when this round's breaker admitted
+// it (Shard.appendInX). Slabs are disjoint and in x order, so runs
+// concatenated in slab order are sorted as a master is, and the band's
+// search sorts nothing.
+func (r *Router) bandCorpus(win asrs.Rect, f *asrs.Composite, admitted []bool) *asrs.Dataset {
+	var objs []asrs.Object
+	for _, sh := range r.cat.Shards() {
+		if sh.hi <= win.MinX || win.MaxX <= sh.lo {
+			continue
+		}
+		objs = sh.appendInX(objs, f, win.MinX, win.MaxX, admitted[sh.index])
+	}
+	return &asrs.Dataset{Schema: r.cat.Seed().Schema, Objects: objs}
 }
 
 func finishCoverage(cov Coverage, searched map[string]bool, skipped map[string]string) Coverage {
@@ -511,13 +540,19 @@ func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req asrs.Que
 		sharedCap = kernel.NewExtCap()
 	}
 	outs := make([]subOutcome, len(tasks))
+	admitted := make([]bool, len(r.cat.Shards()))
+	for i, t := range tasks {
+		outs[i].name, outs[i].shard = t.name, t.sh
+		if t.sh != nil {
+			if admitted[t.sh.index] = t.sh.breaker.Allow(); !admitted[t.sh.index] {
+				outs[i].skipReason = "breaker_open"
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for i := range tasks {
-		t := tasks[i]
-		o := &outs[i]
-		o.name, o.shard = t.name, t.sh
-		if t.sh != nil && !t.sh.breaker.Allow() {
-			o.skipReason = "breaker_open"
+		t, o := &tasks[i], &outs[i]
+		if o.skipReason != "" {
 			continue
 		}
 		wg.Add(1)
@@ -526,12 +561,18 @@ func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req asrs.Que
 			err := guardPanics(func() error {
 				// One single-best windowed request per sub-search: a shard's
 				// engine answers it from its own caches, a band the library's
-				// driver straight over the band's corpus slice.
+				// driver straight over the band's corpus on the router's slabs.
 				opt := r.subOptions(req, sharedCap)
 				sub := req
 				sub.TopK, sub.Exclude, sub.Within, sub.Options = 0, excl, &t.win, &opt
 				var resp asrs.QueryResponse
 				if t.sh == nil {
+					if t.band == nil {
+						// Read once, by the first round; later rounds search the
+						// same corpus. The rounds run one after another.
+						t.band = r.bandCorpus(t.win, req.Query.F, admitted)
+					}
+					opt.Slabs = r.bandSlabs(req.Query.F)
 					bctx, cancel := r.budgetCtx(ctx)
 					defer cancel()
 					sub.Ctx = bctx

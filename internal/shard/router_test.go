@@ -267,6 +267,30 @@ func TestRoutedNilExtent(t *testing.T) {
 	if !sameRep(resp.Results[0].Rep, oresp.Results[0].Rep) {
 		t.Fatalf("nil-extent rep %v vs oracle %v", resp.Results[0].Rep, oresp.Results[0].Rep)
 	}
+
+	// Inserts beyond the seed hull widen the whole-corpus extent: a
+	// cluster of nine at (−30, 130) is the only region of count 9.
+	var extra []asrs.Object
+	for i := 0; i < 9; i++ {
+		extra = append(extra, obj(-30+float64(i%3)*0.5, 130+float64(i/3)*0.5, i))
+	}
+	if err := rt.Insert(extra); err != nil {
+		t.Fatal(err)
+	}
+	count := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Count})
+	qCount := asrs.Query{F: count, Target: []float64{9}}
+	oracle, err = asrs.NewEngine(cat.CurrentDataset(), asrs.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oresp = oracle.Query(asrs.QueryRequest{Query: qCount, A: 6, B: 6})
+	resp = rt.Query(context.Background(), shard.Request{Query: qCount, A: 6, B: 6})
+	if oresp.Err != nil || resp.Err != nil {
+		t.Fatalf("after inserts beyond the hull: routed %v, oracle %v", resp.Err, oresp.Err)
+	}
+	if oresp.Results[0].Dist != 0 || !sameBits(resp.Results[0].Dist, oresp.Results[0].Dist) || !sameRep(resp.Results[0].Rep, oresp.Results[0].Rep) {
+		t.Fatalf("after inserts beyond the hull: routed %+v, oracle %+v", resp.Results[0], oresp.Results[0])
+	}
 }
 
 // TestRouterEdgeCases pins the boundary behaviors: a zero-width extent

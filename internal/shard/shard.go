@@ -118,6 +118,51 @@ func (s *Shard) Engine() (*asrs.Engine, error) {
 	return eng, nil
 }
 
+// epoch returns the engine whose current epoch the router reads for this
+// shard: loaded on demand when load is set (the load a sub-search
+// performs), else only if already loaded. Nil means the shard holds its
+// seed slab alone: unloaded, or unable to load — the failure is the
+// sub-search's to charge to the breaker.
+func (s *Shard) epoch(load bool) *asrs.Engine {
+	if !load {
+		return s.Loaded()
+	}
+	eng, err := s.Engine()
+	if err != nil {
+		return nil
+	}
+	return eng
+}
+
+// objects returns the objects of the shard's current epoch (see epoch),
+// or its seed slab.
+func (s *Shard) objects(load bool) []asrs.Object {
+	if eng := s.epoch(load); eng != nil {
+		return eng.CurrentDataset().Objects
+	}
+	return s.seed.Objects
+}
+
+// appendInX appends to dst the objects of the shard's current epoch (see
+// epoch) whose x lies strictly inside (lo, hi). With a pyramid for f they
+// come from its master, a sorted run found by binary search; a shard
+// without one — pyramids disabled, or only its seed slab — is scanned.
+func (s *Shard) appendInX(dst []asrs.Object, f *asrs.Composite, lo, hi float64, load bool) []asrs.Object {
+	objs := s.seed.Objects
+	if eng := s.epoch(load); eng != nil {
+		if p, err := eng.Pyramid(f); err == nil && p != nil {
+			return p.AppendObjectsInX(dst, lo, hi)
+		}
+		objs = eng.CurrentDataset().Objects
+	}
+	for _, o := range objs {
+		if lo < o.Loc.X && o.Loc.X < hi {
+			dst = append(dst, o)
+		}
+	}
+	return dst
+}
+
 // Close releases the shard's engine (WAL handles) if loaded.
 func (s *Shard) Close() error {
 	s.mu.Lock()
