@@ -385,8 +385,9 @@ func BenchmarkTopKRounds(b *testing.B) {
 // what the best-first order over cells and strips is held to (§5). Cell
 // ranges bounded: 233, where every one of the 4 096 cells was bounded
 // before the loop split ranges lazily; it fails above 233. Margin runs:
-// 1, reported. And it fails on a distance plain DS-Search does not
-// answer.
+// 1, and dirty cells bounded inside the cells searched, reported (the
+// first grid of a cell is sized to its rectangles, DESIGN.md §5). And it
+// fails on a distance plain DS-Search does not answer.
 func BenchmarkF1Indexed(b *testing.B) {
 	ds := tweetDS(20000)
 	qa, qb := sizeK(ds, 8)
@@ -422,7 +423,7 @@ func BenchmarkF1Indexed(b *testing.B) {
 	if plain.Err != nil {
 		b.Fatal(plain.Err)
 	}
-	discretizations, marginRuns, bounded := 0, 0, 0
+	discretizations, marginRuns, bounded, dirty := 0, 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -439,10 +440,12 @@ func BenchmarkF1Indexed(b *testing.B) {
 		discretizations += stats.DS.Discretizations
 		marginRuns += stats.MarginRuns
 		bounded += stats.Bounded
+		dirty += stats.DS.DirtyCells
 	}
 	perQuery := float64(discretizations) / float64(b.N)
 	b.ReportMetric(perQuery, "discretizations/query")
 	b.ReportMetric(float64(marginRuns)/float64(b.N), "margin_runs/query")
+	b.ReportMetric(float64(dirty)/float64(b.N), "dirty_cells/query")
 	ranges := float64(bounded) / float64(b.N)
 	b.ReportMetric(ranges, "bounded/query")
 	if perQuery > 100 {
@@ -450,6 +453,40 @@ func BenchmarkF1Indexed(b *testing.B) {
 	}
 	if ranges > 233 {
 		b.Fatalf("%v cell ranges bounded per query, want at most 233", ranges)
+	}
+}
+
+// BenchmarkPaperScaleDS is the count tripwire of the paper-scale run
+// (asrsquery -dataset poisyn -n 100000 -k 10 -algo ds): F2 on POISyn
+// 100k, a 10-unit region, plain DS-Search. The generator clamps its
+// clusters to the bounds, so hundreds of rectangles share edge
+// coordinates, and a space straddling such a line keeps them edged at any
+// width: counting edged rectangles alone, the terminal rule halved those
+// spaces down to slivers for 10 992 discretizations. Counting distinct
+// edge coordinates it sweeps them (DESIGN.md §3): 105. It fails above
+// 1 000 discretizations, and on a distance GI-DS (grid 128, checked once,
+// untimed) does not answer.
+func BenchmarkPaperScaleDS(b *testing.B) {
+	ds, q, qa, qb := poisyn.at(b, 100000, 10)
+	opt := asrs.Options{Workers: 1}
+	idx, err := asrs.NewIndex(ds, q.F, 128, 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want, _ := answer(b, ds, idx, q, qa, qb, opt)
+	discretizations := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, stats := answer(b, ds, nil, q, qa, qb, opt)
+		if math.Float64bits(d) != math.Float64bits(want) {
+			b.Fatalf("DS-Search answered %v, GI-DS %v", d, want)
+		}
+		discretizations += stats.DS.Discretizations
+	}
+	perOp := float64(discretizations) / float64(b.N)
+	b.ReportMetric(perOp, "discretizations/op")
+	if perOp > 1000 {
+		b.Fatalf("%v discretizations per search, want at most 1 000", perOp)
 	}
 }
 

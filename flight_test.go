@@ -224,6 +224,12 @@ func TestFlightPerEpoch(t *testing.T) {
 // cancelled mid-search reports its own error while its joiner goes on to
 // search and answers correctly; a cancelled joiner returns at once and
 // disturbs neither the leader nor the other joiners.
+//
+// The leader is cancelled while its first kernel item is held, so the
+// kernel's context check before the second item is what stops it: the
+// fixture's search must run more than one item, which the test asserts
+// rather than assumes (a search that ends in its first item finishes
+// before any cancel can land).
 func TestFlightDeadlines(t *testing.T) {
 	ds, _, reqs := flightFixture(t, 1)
 	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{Search: asrs.Options{Workers: 1}})
@@ -234,7 +240,9 @@ func TestFlightDeadlines(t *testing.T) {
 	if want.Err != nil {
 		t.Fatal(want.Err)
 	}
-	holdSearches(t, 20*time.Millisecond)
+	if _, st := asrs.Answer(ds, nil, reqs[0]); st.DS.Discretizations < 2 {
+		t.Fatalf("the fixture search runs %d discretizations: a cancel cannot land between its items", st.DS.Discretizations)
+	}
 	run := func(wg *sync.WaitGroup, ctx context.Context, out *asrs.QueryResponse) {
 		wg.Add(1)
 		go func() {
@@ -244,16 +252,22 @@ func TestFlightDeadlines(t *testing.T) {
 	}
 
 	t.Run("leader cancelled", func(t *testing.T) {
+		// One hold far longer than the waits below: the cancel lands
+		// inside the leader's first item. The hold is lifted once the
+		// leader has returned, and the joiner searches unheld.
+		holdSearches(t, 500*time.Millisecond)
 		before := eng.Stats()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		var wg sync.WaitGroup
+		var led, wg sync.WaitGroup
 		var leader, joiner asrs.QueryResponse
-		run(&wg, ctx, &leader)
+		run(&led, ctx, &leader)
 		waitFlights(t, eng, 1, 0)
 		run(&wg, context.Background(), &joiner)
 		waitFlights(t, eng, 1, 1)
 		cancel()
+		led.Wait()
+		faultinject.Deactivate()
 		wg.Wait()
 		if !errors.Is(leader.Err, context.Canceled) {
 			t.Fatalf("leader Err = %v, want context.Canceled", leader.Err)
@@ -266,6 +280,7 @@ func TestFlightDeadlines(t *testing.T) {
 	})
 
 	t.Run("joiner cancelled", func(t *testing.T) {
+		holdSearches(t, 20*time.Millisecond)
 		before := eng.Stats()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()

@@ -47,7 +47,10 @@ type Options struct {
 	// within one space of work and surfaces context.Canceled /
 	// context.DeadlineExceeded from the front door.
 	Ctx context.Context
-	// NCol, NRow control the discretization grid (paper default 30×30).
+	// NCol, NRow control the discretization grid: 30×30 by default, the
+	// paper's tuning for whole-space searches. A GI-DS index cell's first
+	// discretization takes a smaller grid sized to its rectangles, capped
+	// at NCol×NRow (Searcher.SolveCell).
 	NCol, NRow int
 	// Delta is the approximation parameter δ of §6. Zero gives the exact
 	// algorithm; δ>0 returns a region within (1+δ) of the optimum.
@@ -187,6 +190,7 @@ type Searcher struct {
 
 	best asp.Result
 	err  error // first cancellation error; later solves become no-ops
+	cell bool  // the solve under way is SolveCell's: its seed space takes a sized grid
 
 	// Search scratch, built at the first processed space (ensureScratch)
 	// from the slabs the tables value retains across queries.
@@ -330,10 +334,9 @@ func (s *Searcher) ensureScratch() {
 	s.grid = t.grid
 	// A recycled solver is rebound to the query (same composite, new
 	// target/weights) and the limbs, and keeps all its scratch. NewSized
-	// cannot fail: the query was validated at construction. 2048 is the
-	// largest sweep the incremental evaluator takes.
+	// cannot fail: the query was validated at construction.
 	if t.sw == nil || t.swEff != eff || !t.sw.SetQuery(s.query) {
-		t.sw, _ = sweep.NewSized(s.query, &t.limbs, 2048)
+		t.sw, _ = sweep.NewSized(s.query, &t.limbs, sweepReach)
 		t.swEff = eff
 	}
 	s.sw = t.sw
@@ -462,7 +465,7 @@ func (s *Searcher) emptyResult(space geom.Rect) asp.Result {
 // optimum).
 func (s *Searcher) SolveWithin(space geom.Rect, seedLB float64) {
 	ids := s.AppendWindowIDs(space, s.getIds(len(s.rects)))
-	s.SolveWithinIDs(space, seedLB, ids)
+	s.solveWithinIDs(space, seedLB, ids)
 	s.putIds(ids)
 }
 
@@ -568,12 +571,12 @@ func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int
 	return dst, true
 }
 
-// SolveWithinIDs is SolveWithin for callers that already know the master
+// solveWithinIDs is SolveWithin for callers that already know the master
 // ids relevant to the space (GI-DS narrows them per index cell). ids
 // must contain, in ascending order, every id whose rectangle interior
 // intersects the space; the slice is only read and never retained past
 // the call.
-func (s *Searcher) SolveWithinIDs(space geom.Rect, seedLB float64, ids []int32) {
+func (s *Searcher) solveWithinIDs(space geom.Rect, seedLB float64, ids []int32) {
 	if !space.IsValid() || len(s.rects) == 0 || s.err != nil {
 		return
 	}
@@ -605,33 +608,109 @@ func (s *Searcher) SolveWithinIDs(space geom.Rect, seedLB float64, ids []int32) 
 	s.Stats.MaxHeapSize = max(s.Stats.MaxHeapSize, maxHeap)
 }
 
-// sweepCutoff is the number of rectangles with an edge inside a space at
-// or below which the space is solved directly by the exact sweep instead
-// of further discretize/split rounds: an O(m²) sweep on m rectangles this
-// small is cheaper than even one more grid pass and terminates the whole
-// subtree. Rectangles that contain the space are not counted — the sweep
-// does not pay for them (miniSweep) — and they are what a deep space
-// mostly holds: an a×b rectangle is larger than the spaces the search
-// ends in, so shrinking a space sheds edges, not overlapping rectangles.
-const sweepCutoff = 160
+// SolveCell is SolveWithin for a space entered with an index bound —
+// a GI-DS index cell or margin strip, or a piece of one. Its first
+// discretization takes a grid sized to its rectangles (cellGrid) instead
+// of NCol×NRow; the spaces it splits into take NCol×NRow again. The
+// answer is the one SolveWithin gives: a discretization is exact at any
+// grid. ids must contain, in ascending order, every id whose rectangle
+// interior intersects the space (AppendWindowIDs); the slice is only read
+// and never retained past the call.
+func (s *Searcher) SolveCell(space geom.Rect, seedLB float64, ids []int32) {
+	s.cell = true
+	s.solveWithinIDs(space, seedLB, ids)
+	s.cell = false
+}
+
+// The terminal rule's constants. sweepCutoff is the number of rectangles
+// with an edge inside a space at or below which the space is solved
+// directly by the exact sweep instead of further discretize/split rounds:
+// an O(m²) sweep on m rectangles this small is cheaper than even one more
+// grid pass and terminates the whole subtree. Rectangles that contain the
+// space are not counted — the sweep does not pay for them (miniSweep) —
+// and they are what a deep space mostly holds: an a×b rectangle is larger
+// than the spaces the search ends in, so shrinking a space sheds edges,
+// not overlapping rectangles.
+//
+// Edges that lie on one line are not shed by shrinking: a space that
+// straddles a line hundreds of rectangles end on keeps them at any width
+// (every generator clamps its clusters to the bounds), and the search
+// would halve it down to widths of 1e-13. What a sweep pays for is
+// distinct edge coordinates, so a space whose inner edges take at most
+// sweepLines distinct y values — at most sweepLines+1 strips — is swept
+// whatever its rectangle count, and one whose inner edges take at most
+// sweepLines distinct x values is swept when its edged rectangles fit
+// the incremental sweep (sweepReach).
+const (
+	sweepCutoff = 160
+	sweepLines  = 4
+	sweepReach  = 2048
+)
 
 // sweepable is the terminal rule: at most sweepCutoff of the space's
-// rectangles have an edge inside it. A rectangle has none when the space
-// lies in its open interior: it then covers every point of the closed
-// space, and no edge of it can delimit a strip or an interval of a sweep
-// over the space. One that shares an edge coordinate with the space
-// counts as edged.
+// rectangles have an edge inside it, or their edges are degenerate
+// (degenerate). A rectangle has none when the space lies in its open
+// interior: it then covers every point of the closed space, and no edge
+// of it can delimit a strip or an interval of a sweep over the space. One
+// that shares an edge coordinate with the space counts as edged.
 func (s *Searcher) sweepable(space geom.Rect, ids []int32) bool {
 	master := s.rects
 	edged := 0
 	for _, id := range ids {
 		if !master[id].Rect.ContainsRectOpen(space) {
 			if edged++; edged > sweepCutoff {
-				return false
+				return s.degenerate(space, ids)
 			}
 		}
 	}
 	return true
+}
+
+// degenerate is the terminal rule's second clause, asked only of spaces
+// over the cutoff: in one pass over the ids, the distinct edge
+// coordinates strictly inside the space, per axis, counted up to the
+// first past sweepLines.
+func (s *Searcher) degenerate(space geom.Rect, ids []int32) bool {
+	master := s.rects
+	var xs, ys edgeLines
+	edged := 0
+	for _, id := range ids {
+		r := &master[id].Rect
+		if r.ContainsRectOpen(space) {
+			continue
+		}
+		edged++
+		xs.add(r.MinX, space.MinX, space.MaxX)
+		xs.add(r.MaxX, space.MinX, space.MaxX)
+		ys.add(r.MinY, space.MinY, space.MaxY)
+		ys.add(r.MaxY, space.MinY, space.MaxY)
+		if ys.n > sweepLines && (xs.n > sweepLines || edged > sweepReach) {
+			return false
+		}
+	}
+	return true
+}
+
+// edgeLines collects distinct coordinates, up to one past sweepLines.
+type edgeLines struct {
+	v [sweepLines]float64
+	n int
+}
+
+// add counts c if it lies strictly inside (lo, hi) and is new.
+func (l *edgeLines) add(c, lo, hi float64) {
+	if l.n > sweepLines || !(lo < c && c < hi) {
+		return
+	}
+	for _, v := range l.v[:l.n] {
+		if v == c {
+			return
+		}
+	}
+	if l.n < sweepLines {
+		l.v[l.n] = c
+	}
+	l.n++
 }
 
 // processSpace discretizes one space against the incumbent, prunes, and
@@ -645,6 +724,7 @@ func (s *Searcher) processSpace(it kernel.Item, incumbent asp.Result, emit func(
 		return
 	}
 	s.Stats.Discretizations++
+	s.grid.shape(s.gridFor(it))
 	dirty, drop := s.discretize(it.Space, it.Clip, it.Ids)
 	if len(dirty) == 0 {
 		return
@@ -664,6 +744,16 @@ func (s *Searcher) processSpace(it kernel.Item, incumbent asp.Result, emit func(
 	s.Stats.Splits++
 	s.push(emit, g1, lb1, it)
 	s.push(emit, g2, lb2, it)
+}
+
+// gridFor is the grid a space is discretized at: NCol×NRow, but for
+// SolveCell's seed — the one item of its solve whose ids the caller owns —
+// a grid sized to its rectangles (cellGrid).
+func (s *Searcher) gridFor(it kernel.Item) (ncol, nrow int) {
+	if s.cell && !it.Pooled {
+		return cellGrid(len(it.Ids), s.opt.NCol), cellGrid(len(it.Ids), s.opt.NRow)
+	}
+	return s.opt.NCol, s.opt.NRow
 }
 
 // swept applies the terminal rule to a space: if it is sweepable, one

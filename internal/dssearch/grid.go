@@ -92,6 +92,41 @@ func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
 	return g
 }
 
+// shape reslices the buffers to an ncol×nrow grid, at most the size they
+// were built for: every buffer keeps its capacity, and the row strides
+// follow g.ncol, so a smaller grid is the leading part of each.
+func (g *gridBuffers) shape(ncol, nrow int) {
+	if ncol == g.ncol && nrow == g.nrow {
+		return
+	}
+	g.ncol, g.nrow = ncol, nrow
+	pad := (nrow + 1) * (ncol + 1)
+	g.diffFull = g.diffFull[:pad*g.chans]
+	g.diffPart = g.diffPart[:pad*g.chans]
+	g.diffCnt = g.diffCnt[:pad]
+	g.mmMin = g.mmMin[:nrow*ncol*g.mmSlots]
+	g.mmMax = g.mmMax[:nrow*ncol*g.mmSlots]
+	g.xe = g.xe[:ncol+1]
+	g.ye = g.ye[:nrow+1]
+	g.rowSum = g.rowSum[:ncol*g.chans]
+}
+
+// Index-cell grids: the first discretization of a space GI-DS enters with
+// an index bound (Searcher.SolveCell) takes an n×n grid sized to its m
+// rectangles, n = round(√(m/cellGridRects)) clamped to [cellGridMin, the
+// configured size] — about cellGridRects rectangles per cell instead of
+// the 900 cells the paper tunes for whole-space searches (DESIGN.md §5).
+const (
+	cellGridRects = 4
+	cellGridMin   = 4
+)
+
+// cellGrid is the sized grid dimension for m rectangles under limit.
+func cellGrid(m, limit int) int {
+	n := int(math.Round(math.Sqrt(float64(m) / cellGridRects)))
+	return min(limit, max(cellGridMin, n))
+}
+
 // reset prepares the buffers for one fill: zeroed difference arrays and
 // the min/max fold identities.
 func (g *gridBuffers) reset() {

@@ -9,6 +9,7 @@ import (
 	"asrs/internal/asp"
 	"asrs/internal/attr"
 	"asrs/internal/geom"
+	"asrs/internal/kernel"
 )
 
 // equivCase is one composite of TestDiscretizeMatchesReference with the
@@ -119,7 +120,10 @@ func sameResult(a, b asp.Result) bool {
 // Pass 2 finds a cell's rectangles in the anchor-bin ring — for every
 // dirty cell of every grid, collapsed edge cells of the sliver spaces
 // included — and must give the per-cell scan's bound, bail-out and probe
-// incumbent.
+// incumbent. Every space is discretized twice: at the configured grid,
+// and at the grid production sizes for a GI-DS cell's seed (gridFor),
+// which the reference is run at too; the sized grids must hit the floor
+// (cellGridMin), sizes between and the cap (the configured size).
 func TestDiscretizeMatchesReference(t *testing.T) {
 	const rootIds = 2048 // a space this full is a windowed search's root
 	for _, tc := range equivCases() {
@@ -127,6 +131,7 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 			f := tc.composite(t)
 			rng := rand.New(rand.NewSource(2024))
 			rootSpaces, memoHits := 0, 0
+			var floor, middle, capped int
 			for trial := 0; trial < 36; trial++ {
 				n := 200 + rng.Intn(500)
 				if trial%9 == 8 {
@@ -175,7 +180,9 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					{MinX: 5, MinY: 40 - 1e-13, MaxX: 95, MaxY: 40 + 1e-13},
 				}
 				spaces[3].MaxX, spaces[3].MaxY = spaces[3].MinX+rw*0.3+1, spaces[3].MinY+rh*0.3+1 // mostly whole-space covers
-				for si, space := range spaces {
+				for k := range 2 * len(spaces) {
+					si, cell := k/2, k%2 == 1
+					space := spaces[si]
 					clip := space
 					if si%2 == 1 { // an ancestor clip tighter than the space (kernel.Item.Clip)
 						clip.MaxX = space.MaxX - space.Width()*1e-13
@@ -185,6 +192,21 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					if len(ids) >= rootIds {
 						rootSpaces++
 					}
+					sNew.cell = cell
+					gc, gr := sNew.gridFor(kernel.Item{Ids: ids})
+					sNew.cell = false
+					if cell {
+						switch raw := int(math.Round(math.Sqrt(float64(len(ids)) / cellGridRects))); {
+						case raw < cellGridMin && cellGridMin < ncol:
+							floor++
+						case raw > ncol:
+							capped++
+						case raw > cellGridMin && raw < ncol:
+							middle++
+						}
+					}
+					sNew.grid.shape(gc, gr)
+					sRef.grid.shape(gc, gr)
 					// A loose incumbent keeps every dirty cell alive; a tight
 					// one sends most of them through refinement and pruning.
 					seed := sNew.emptyResult(space)
@@ -193,7 +215,7 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					}
 					fail := func(format string, args ...any) {
 						t.Helper()
-						t.Fatalf("trial %d space %d (%dx%d grid, %d ids): "+format, append([]any{trial, si, ncol, nrow, len(ids)}, args...)...)
+						t.Fatalf("trial %d space %d (%dx%d grid, %d ids): "+format, append([]any{trial, si, gc, gr, len(ids)}, args...)...)
 					}
 
 					// Reference, with the state between its scans kept.
@@ -209,7 +231,7 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 
 					// Production, step by step, for the same state.
 					g := sNew.grid
-					cw, chh := space.Width()/float64(ncol), space.Height()/float64(nrow)
+					cw, chh := space.Width()/float64(gc), space.Height()/float64(gr)
 					g.setEdges(space, cw, chh)
 					sNew.beginItem(seed)
 					g.reset()
@@ -268,6 +290,9 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 			}
 			if memoHits == 0 {
 				t.Fatal("the clean-cell memo never hit")
+			}
+			if floor == 0 || middle == 0 || capped == 0 {
+				t.Fatalf("sized grids: %d at the floor, %d between, %d at the cap; want each", floor, middle, capped)
 			}
 		})
 	}

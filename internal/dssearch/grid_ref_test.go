@@ -90,7 +90,7 @@ func integ2D(v []float64, w, h, chans int) {
 // the dirty ones. afterPass1, when non-nil, runs between the scans.
 func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 func()) ([]cellInfo, bool) {
 	if s.grid == nil {
-		// Acquired lazily at first use: GI-DS runs SolveWithinIDs once
+		// Acquired lazily at first use: GI-DS runs SolveCell once
 		// per index cell, and cells at or below the sweep cutoff never
 		// discretize at all.
 		s.grid = newGridBuffers(s.opt.NCol, s.opt.NRow, s.query.F, s.tab.limbs.Eff())

@@ -263,8 +263,9 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 		}
 
 		// Lines 5–7: best-first refinement. Rectangle id subsets per piece
-		// of a cell come from the searcher's binary-searched master window,
-		// not a linear scan.
+		// of a cell or strip come from the searcher's binary-searched master
+		// window, not a linear scan, and each piece is searched as a cell
+		// (SolveCell: a first grid sized to its rectangles).
 		var pieces []geom.Rect
 		var sub []int32
 		for (len(pending) > 0 || h.Len() > 0) && searcher.Err() == nil {
@@ -284,7 +285,8 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 				for _, p := range pieces {
 					stats.MarginRuns++
 					stats.Pieces++
-					searcher.SolveWithin(p, m.lb)
+					sub = searcher.AppendWindowIDs(p, sub[:0])
+					searcher.SolveCell(p, m.lb, sub)
 				}
 				if len(pieces) == 0 {
 					m.lb = math.Inf(1)
@@ -318,7 +320,7 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 			for _, p := range pieces {
 				stats.Pieces++
 				sub = searcher.AppendWindowIDs(p, sub[:0])
-				searcher.SolveWithinIDs(p, top.lb, sub)
+				searcher.SolveCell(p, top.lb, sub)
 			}
 			if s.carry {
 				top.lb = s.settle(j*idx.sx+i, top.lb, before, searcher.Best())
