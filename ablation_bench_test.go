@@ -1,7 +1,7 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out beyond
 // the paper's pseudocode: the subset-enumeration refinement of dirty-cell
-// lower bounds and the mini-sweep safety net. Both knobs preserve
-// exactness; these benches quantify what they buy (or cost).
+// lower bounds, which preserves exactness (this bench quantifies what it
+// buys), and the grid granularity.
 package asrs_test
 
 import (
@@ -33,24 +33,6 @@ func BenchmarkAblationRefinement(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, _, _, err := asrs.Search(ds, qa, qb, q, asrs.Options{DisableRefinement: disabled})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAblationSafetyNet(b *testing.B) {
-	ds, q, qa, qb := ablationWorkload(b)
-	for _, disabled := range []bool{false, true} {
-		name := "safetynet=on"
-		if disabled {
-			name = "safetynet=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, _, _, err := asrs.Search(ds, qa, qb, q, asrs.Options{DisableSafetyNet: disabled})
 				if err != nil {
 					b.Fatal(err)
 				}

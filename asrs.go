@@ -77,9 +77,6 @@ type (
 	Point = geom.Point
 	// Rect is an axis-parallel rectangle.
 	Rect = geom.Rect
-	// Accuracy holds the GPS horizontal/vertical accuracies (Definition 7)
-	// used by DS-Search's drop condition.
-	Accuracy = geom.Accuracy
 )
 
 // Attribute model.
@@ -146,7 +143,7 @@ type (
 	// default reduction), its distance, and its representation.
 	Result = asp.Result
 	// Options configures DS-Search (grid granularity, approximation δ,
-	// accuracy override, cancellation).
+	// cancellation, an aggregate pyramid to bind).
 	Options = dssearch.Options
 	// SearchStats reports the work DS-Search performed.
 	SearchStats = dssearch.Stats

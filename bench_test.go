@@ -463,8 +463,9 @@ func BenchmarkF1Indexed(b *testing.B) {
 // coordinates, and a space straddling such a line keeps them edged at any
 // width: counting edged rectangles alone, the terminal rule halved those
 // spaces down to slivers for 10 992 discretizations. Counting distinct
-// edge coordinates it sweeps them (DESIGN.md §3): 105. It fails above
-// 1 000 discretizations, and on a distance GI-DS (grid 128, checked once,
+// edge coordinates it sweeps them (DESIGN.md §3): 105, and 78 since the
+// clause counts up to 15 distinct y edges. It fails above 1 000
+// discretizations, and on a distance GI-DS (grid 128, checked once,
 // untimed) does not answer.
 func BenchmarkPaperScaleDS(b *testing.B) {
 	ds, q, qa, qb := poisyn.at(b, 100000, 10)
@@ -487,6 +488,59 @@ func BenchmarkPaperScaleDS(b *testing.B) {
 	b.ReportMetric(perOp, "discretizations/op")
 	if perOp > 1000 {
 		b.Fatalf("%v discretizations per search, want at most 1 000", perOp)
+	}
+}
+
+// BenchmarkPaperScaleDSLattice is the tripwire of the terminal rule's y
+// clause (DESIGN.md §3): 20 000 objects of dataset.Random on a 100×100
+// integer lattice, a = b = 7.5, one F2 target (sum and average of val),
+// plain DS-Search. Every edge coordinate is a whole number, so a space
+// under 15 units high holds at most 15 distinct y edges and is swept
+// before it is gridded. It reports discretizations/op — 1 214; 2 228
+// while the clause stopped at 4 lines beside the paper's drop condition,
+// 5 327 with the clause at 4 and no drop condition — and fails above
+// 1.5× 1 214 or on a distance GI-DS (grid 64, checked once, untimed)
+// does not answer.
+func BenchmarkPaperScaleDSLattice(b *testing.B) {
+	const disc = 1214
+	const qa, qb = 7.5, 7.5
+	ds := dataset.Random(20000, 100, 7)
+	for i := range ds.Objects {
+		l := &ds.Objects[i].Loc
+		l.X, l.Y = math.Round(l.X), math.Round(l.Y)
+	}
+	f, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Sum, Attr: "val"}, asrs.AggSpec{Kind: asrs.Average, Attr: "val"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := ds.Objects[rand.New(rand.NewSource(3)).Intn(len(ds.Objects))].Loc
+	target := asrs.Represent(ds, f, asrs.Rect{MinX: o.X - qa/2, MinY: o.Y - qb/2, MaxX: o.X + qa/2, MaxY: o.Y + qb/2})
+	for j := range target {
+		target[j] = math.Trunc(target[j]*1.1) + 0.5
+	}
+	q, err := asrs.QueryFromTarget(f, target, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := asrs.Options{Workers: 1}
+	idx, err := asrs.NewIndex(ds, f, 64, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want, _ := answer(b, ds, idx, q, qa, qb, opt)
+	discretizations := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, stats := answer(b, ds, nil, q, qa, qb, opt)
+		if math.Float64bits(d) != math.Float64bits(want) {
+			b.Fatalf("DS-Search answered %v, GI-DS %v", d, want)
+		}
+		discretizations += stats.DS.Discretizations
+	}
+	perOp := float64(discretizations) / float64(b.N)
+	b.ReportMetric(perOp, "discretizations/op")
+	if perOp > 1.5*disc {
+		b.Fatalf("%v discretizations per search, want at most %v", perOp, 1.5*disc)
 	}
 }
 

@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("search effort:       %d discretizations, %d cells pruned\n",
 		stats.Discretizations, stats.PrunedCells)
 	if *debug {
-		// The safety-net mini-sweeps pick a strip evaluator per dirty
+		// The terminal rule's mini-sweeps pick a strip evaluator per dirty
 		// strip — a flat prefix scan for dense strips, Fenwick tree walks
 		// for sparse ones. The choice is a measured-cost decision and
 		// never changes the answer (DESIGN.md §8).

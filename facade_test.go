@@ -100,22 +100,3 @@ func TestFacadeCountAggregator(t *testing.T) {
 		t.Fatalf("fC MER %g != OE %g", res.Rep[0], oe.Weight)
 	}
 }
-
-func TestFacadeAccuracyOverride(t *testing.T) {
-	ds := dataset.Random(30, 40, 94)
-	f, _ := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "cat"})
-	q, _ := asrs.QueryFromTarget(f, []float64{1, 1, 1}, nil)
-	// A coarse accuracy forces early drops; the safety net keeps the
-	// answer exact.
-	_, coarse, _, err := asrs.Search(ds, 6, 6, q, asrs.Options{Accuracy: asrs.Accuracy{DX: 1, DY: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, exact, _, err := asrs.Search(ds, 6, 6, q, asrs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(coarse.Dist-exact.Dist) > 1e-9 {
-		t.Fatalf("coarse accuracy changed the answer: %g vs %g", coarse.Dist, exact.Dist)
-	}
-}

@@ -370,7 +370,7 @@ func (c *Composite) Fingerprint() string {
 // exploit this: the nearest *achievable* value to the query inside
 // [lo, hi] is an integer, which removes the fractional slack of the
 // continuous Equation 1 gap and lets cells at the optimum's boundary be
-// pruned at lb == d_opt instead of splitting to GPS accuracy.
+// pruned at lb == d_opt instead of splitting on.
 func (c *Composite) IntegerDims() []bool {
 	out := make([]bool, c.dims)
 	for i := range c.specs {

@@ -23,10 +23,10 @@ import (
 //     arrays (contributions, min/max contributions, the order
 //     permutation) at their merge positions — bulk copies of the base's
 //     runs in between;
-//   - id-remapped: every array that NAMES master ids (yAscIds, the
-//     level's binIds and threshold arrays) is rewritten through the
-//     monotone old-id → new-id shift in one pass, with the d new ids
-//     merged in; the level's count plane is re-derived from its offsets.
+//   - id-remapped: every array that NAMES master ids (the level's binIds
+//     and threshold arrays) is rewritten through the monotone old-id →
+//     new-id shift in one pass, with the d new ids merged in; the level's
+//     count plane is re-derived from its offsets.
 //
 // So a fold costs O(d log n) comparisons plus a few linear copies, where
 // the rebuild costs a sort, a flatten and a certificate pass over all n.
@@ -322,8 +322,7 @@ func (base *Pyramid) fold(combined *attr.Dataset) (*Pyramid, error) {
 	p := &Pyramid{
 		ds: combined, f: base.f, n: n, mmSlots: base.mmSlots,
 		core: core, cert: sums,
-		order:   make([]int32, 0, n),
-		xAscIds: make([]int32, n),
+		order: make([]int32, 0, n),
 	}
 	next := int32(0)
 	for _, e := range ents {
@@ -332,11 +331,6 @@ func (base *Pyramid) fold(combined *attr.Dataset) (*Pyramid, error) {
 		p.order = append(p.order, int32(n0)+e.row)
 	}
 	p.order = append(p.order, base.order[next:]...)
-	// The master is sorted by (x, y), so ascending x with ties by id is
-	// the identity.
-	for id := range p.xAscIds {
-		p.xAscIds[id] = int32(id)
-	}
 
 	newID := make([]int32, n0) // base master id -> folded master id
 	t := 0
@@ -346,7 +340,6 @@ func (base *Pyramid) fold(combined *attr.Dataset) (*Pyramid, error) {
 		}
 		newID[id] = int32(id + t)
 	}
-	p.yAscIds = base.mergeYAsc(ents, newID)
 
 	// Patch the base's level while the granularity of a fresh build
 	// stands.
@@ -362,33 +355,6 @@ func (base *Pyramid) fold(combined *attr.Dataset) (*Pyramid, error) {
 	}
 	p.raiseLevel(xs, ys)
 	return p, nil
-}
-
-// mergeYAsc merges the appended ids into the base's y-ascending id
-// order (ties by id), remapping the base's ids on the way.
-func (base *Pyramid) mergeYAsc(ents []deltaEnt, newID []int32) []int32 {
-	byY := slices.Clone(ents)
-	slices.SortFunc(byY, func(a, b deltaEnt) int {
-		return cmp.Or(cmp.Compare(a.loc.Y, b.loc.Y), cmp.Compare(a.id, b.id))
-	})
-	out := make([]int32, 0, base.n+len(ents))
-	rest := base.yAscIds
-	for i := range byY {
-		e := &byY[i]
-		k := sort.Search(len(rest), func(i int) bool {
-			y := base.anchor(rest[i]).Y
-			return y > e.loc.Y || (y == e.loc.Y && newID[rest[i]] > e.id)
-		})
-		for _, id := range rest[:k] {
-			out = append(out, newID[id])
-		}
-		out = append(out, e.id)
-		rest = rest[k:]
-	}
-	for _, id := range rest {
-		out = append(out, newID[id])
-	}
-	return out
 }
 
 // patch returns the level of the folded pyramid p that keeps l's bin

@@ -328,8 +328,8 @@ func filled(n int, v float64) []float64 {
 // assertSoundPyramid checks a folded pyramid structurally — answers
 // alone let a stale count or threshold slip through whenever the search
 // happens not to lean on it. The limbs must be the rebuild's, and the
-// core and the id orders too when the order is unique (tied objects may
-// sit either way round). The level must describe one assignment of
+// core and the order too when the order is unique (tied objects may sit
+// either way round). The level must describe one assignment of
 // anchors to bins consistently: whatever grid it keeps, its CSR lists,
 // count plane and threshold arrays are re-derived here from the anchors
 // and compared.
@@ -345,10 +345,9 @@ func assertSoundPyramid(t *testing.T, tag string, p, rebuilt *Pyramid) {
 		unique = unique && anchorLess(p.anchor(int32(id-1)), p.anchor(int32(id)))
 	}
 	if unique && !(slices.Equal(p.order, rebuilt.order) &&
-		slices.Equal(p.xAscIds, rebuilt.xAscIds) && slices.Equal(p.yAscIds, rebuilt.yAscIds) &&
 		slices.Equal(c.cOff, r.cOff) && slices.Equal(c.contribs, r.contribs) &&
 		slices.Equal(c.mOff, r.mOff) && slices.Equal(c.mms, r.mms)) {
-		t.Fatalf("%s: folded core or id orders differ from the rebuild's", tag)
+		t.Fatalf("%s: folded core or order differ from the rebuild's", tag)
 	}
 	l := p.lvl
 	g := l.gx

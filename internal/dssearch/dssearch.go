@@ -7,8 +7,8 @@
 // DS-Search repeatedly discretizes a space into an n_row×n_col grid,
 // evaluates clean cells exactly, lower-bounds dirty cells via Equation 1,
 // prunes, and splits the surviving dirty cells into two MBR sub-spaces
-// until each space either satisfies the GPS-accuracy drop condition
-// (Definition 8) or runs out of unpruned dirty cells. Spaces are processed
+// until each space either meets the terminal rule, which sweeps it exactly
+// (sweepable), or runs out of unpruned dirty cells. Spaces are processed
 // best-first from a min-heap keyed by lower bound.
 //
 // The best-first loop itself is internal/kernel's, run serially on the
@@ -59,18 +59,10 @@ type Options struct {
 	// (DESIGN.md §4). The field stays until bench/, which sets it, can
 	// change (ROADMAP, signatures to release).
 	Workers int
-	// Accuracy overrides the GPS accuracies (Definition 7) used by the
-	// drop condition. Zero values are computed from the rectangle edges.
-	Accuracy geom.Accuracy
-	// DisableSafetyNet turns off the exactness safety net (the mini-sweep
-	// run on drop-satisfied spaces that still hold unpruned dirty cells;
-	// see DESIGN.md §3). With the net disabled the search matches the
-	// paper's pseudocode exactly but inherits its Theorem 2 caveat.
-	DisableSafetyNet bool
 	// DisableRefinement turns off the exact subset-enumeration
 	// refinement of dirty-cell lower bounds (DESIGN.md §3). With it off,
 	// cells at the boundary of the optimal region can only be resolved by
-	// splitting down to the drop condition — the ablation benchmarks
+	// splitting down to the terminal rule — the ablation benchmarks
 	// quantify the cost. Results stay exact either way.
 	DisableRefinement bool
 	// Slabs, when non-nil, recycles the per-query table slabs (sorted
@@ -140,8 +132,8 @@ type Stats struct {
 	CleanEvals      int // clean cells finalized anew; the rest repeated their predecessor's totals
 	DirtyCells      int // dirty cells bounded
 	PrunedCells     int // dirty cells pruned by Equation 1
-	MiniSweeps      int // safety-net sweeps run
-	MiniSweepRects  int // rectangles handed to safety-net sweeps
+	MiniSweeps      int // terminal-rule sweeps run
+	MiniSweepRects  int // rectangles handed to terminal-rule sweeps
 	SweepBaseRects  int // rectangles containing a swept space, folded into the sweep's base vector instead
 	FlatStrips      int // mini-sweep strips resolved by the flat prefix scan
 	FenwickStrips   int // mini-sweep strips resolved by Fenwick tree walks
@@ -183,7 +175,6 @@ type Searcher struct {
 	space geom.Rect        // the master's MBR
 	query asp.Query
 	opt   Options
-	acc   geom.Accuracy
 	isInt []bool  // integer representation dims (fD counts)
 	tab   *tables // per-query aggregation layer (sat.go)
 	Stats Stats
@@ -199,7 +190,6 @@ type Searcher struct {
 	swSub  []asp.RectObject // mini-sweep rect scratch (materialized from ids)
 	swBase []float64        // mini-sweep base vector scratch, in limbs
 	dirty  []cellInfo       // discretize output scratch
-	one    [1]cellInfo      // single-cell scratch for degenerate sweeps
 	cur    asp.Result       // incumbent of the space being processed; Rep aliases rep
 	rep    []float64        // owned backing store for cur.Rep
 	ids    [][]int32        // free list of recycled id slices
@@ -277,29 +267,13 @@ func (o Options) checked(q asp.Query) (Options, error) {
 }
 
 // newSearcher assembles a searcher over a built (facts == nil) or bound
-// aggregation layer; a bound shape's accuracy and space come from its
-// facts instead of a walk over the master.
+// aggregation layer; a bound shape's space comes from its facts instead
+// of a walk over the master.
 func newSearcher(tab *tables, master []asp.RectObject, q asp.Query, opt Options, facts *shapeFacts) *Searcher {
-	acc := opt.Accuracy
-	if acc.DX <= 0 || acc.DY <= 0 {
-		var computed geom.Accuracy
-		if facts != nil {
-			computed = facts.acc
-		} else {
-			computed = tab.accuracy(master)
-		}
-		if acc.DX <= 0 {
-			acc.DX = computed.DX
-		}
-		if acc.DY <= 0 {
-			acc.DY = computed.DY
-		}
-	}
 	s := &Searcher{
 		rects: master,
 		query: q,
 		opt:   opt,
-		acc:   acc,
 		isInt: q.F.IntegerDims(),
 		tab:   tab,
 	}
@@ -637,13 +611,22 @@ func (s *Searcher) SolveCell(space geom.Rect, seedLB float64, ids []int32) {
 // (every generator clamps its clusters to the bounds), and the search
 // would halve it down to widths of 1e-13. What a sweep pays for is
 // distinct edge coordinates, so a space whose inner edges take at most
-// sweepLines distinct y values — at most sweepLines+1 strips — is swept
+// sweepYLines distinct y values — at most sweepYLines+1 strips — is swept
 // whatever its rectangle count, and one whose inner edges take at most
-// sweepLines distinct x values is swept when its edged rectangles fit
+// sweepXLines distinct x values is swept when its edged rectangles fit
 // the incremental sweep (sweepReach).
+//
+// sweepYLines is 15 so that the y clause takes every space the paper's
+// drop condition (Definition 8) stopped: one in which two grid rows fit
+// between the two closest distinct y edges of the corpus (the GPS
+// accuracy DY of Definition 7). With at most DefaultNRow = 30 rows such a
+// space is under 15·DY high, so its inner edges take at most 15 distinct
+// y values, and it is swept, exactly, before it is gridded (DESIGN.md §3).
+// Larger grids, which only benchmarks and tests set, may grid it longer.
 const (
 	sweepCutoff = 160
-	sweepLines  = 4
+	sweepXLines = 4
+	sweepYLines = 15
 	sweepReach  = 2048
 )
 
@@ -669,7 +652,7 @@ func (s *Searcher) sweepable(space geom.Rect, ids []int32) bool {
 // degenerate is the terminal rule's second clause, asked only of spaces
 // over the cutoff: in one pass over the ids, the distinct edge
 // coordinates strictly inside the space, per axis, counted up to the
-// first past sweepLines.
+// first past the axis' limit.
 func (s *Searcher) degenerate(space geom.Rect, ids []int32) bool {
 	master := s.rects
 	var xs, ys edgeLines
@@ -680,26 +663,27 @@ func (s *Searcher) degenerate(space geom.Rect, ids []int32) bool {
 			continue
 		}
 		edged++
-		xs.add(r.MinX, space.MinX, space.MaxX)
-		xs.add(r.MaxX, space.MinX, space.MaxX)
-		ys.add(r.MinY, space.MinY, space.MaxY)
-		ys.add(r.MaxY, space.MinY, space.MaxY)
-		if ys.n > sweepLines && (xs.n > sweepLines || edged > sweepReach) {
+		xs.add(r.MinX, space.MinX, space.MaxX, sweepXLines)
+		xs.add(r.MaxX, space.MinX, space.MaxX, sweepXLines)
+		ys.add(r.MinY, space.MinY, space.MaxY, sweepYLines)
+		ys.add(r.MaxY, space.MinY, space.MaxY, sweepYLines)
+		if ys.n > sweepYLines && (xs.n > sweepXLines || edged > sweepReach) {
 			return false
 		}
 	}
 	return true
 }
 
-// edgeLines collects distinct coordinates, up to one past sweepLines.
+// edgeLines collects distinct coordinates, up to one past a limit of at
+// most sweepYLines.
 type edgeLines struct {
-	v [sweepLines]float64
+	v [sweepYLines]float64
 	n int
 }
 
 // add counts c if it lies strictly inside (lo, hi) and is new.
-func (l *edgeLines) add(c, lo, hi float64) {
-	if l.n > sweepLines || !(lo < c && c < hi) {
+func (l *edgeLines) add(c, lo, hi float64, limit int) {
+	if l.n > limit || !(lo < c && c < hi) {
 		return
 	}
 	for _, v := range l.v[:l.n] {
@@ -707,16 +691,16 @@ func (l *edgeLines) add(c, lo, hi float64) {
 			return
 		}
 	}
-	if l.n < sweepLines {
+	if l.n < limit {
 		l.v[l.n] = c
 	}
 	l.n++
 }
 
 // processSpace discretizes one space against the incumbent, prunes, and
-// either stops (drop condition / nothing left), runs the safety net, or
-// splits and emits the two sub-spaces. The space's best candidate is left
-// in s.cur.
+// either stops (nothing left) or splits and emits the two sub-spaces; a
+// space the terminal rule takes is swept instead. The space's best
+// candidate is left in s.cur.
 func (s *Searcher) processSpace(it kernel.Item, incumbent asp.Result, emit func(kernel.Item)) {
 	s.ensureScratch()
 	s.beginItem(incumbent)
@@ -725,14 +709,8 @@ func (s *Searcher) processSpace(it kernel.Item, incumbent asp.Result, emit func(
 	}
 	s.Stats.Discretizations++
 	s.grid.shape(s.gridFor(it))
-	dirty, drop := s.discretize(it.Space, it.Clip, it.Ids)
+	dirty := s.discretize(it.Space, it.Clip, it.Ids)
 	if len(dirty) == 0 {
-		return
-	}
-	if drop {
-		if !s.opt.DisableSafetyNet {
-			s.miniSweep(dirty, it.Ids)
-		}
 		return
 	}
 	if len(dirty) == 1 {
@@ -759,11 +737,10 @@ func (s *Searcher) gridFor(it kernel.Item) (ncol, nrow int) {
 // swept applies the terminal rule to a space: if it is sweepable, one
 // mini-sweep solves it and swept reports true.
 func (s *Searcher) swept(it kernel.Item) bool {
-	if s.opt.DisableSafetyNet || !s.sweepable(it.Space, it.Ids) {
+	if !s.sweepable(it.Space, it.Ids) {
 		return false
 	}
-	s.one[0] = cellInfo{rect: it.Space}
-	s.miniSweep(s.one[:], it.Ids)
+	s.miniSweep(it.Space, it.Ids)
 	return true
 }
 
@@ -790,7 +767,7 @@ func (s *Searcher) childIds(parent []int32, space geom.Rect) []int32 {
 }
 
 // push emits a child space, guarding against non-shrinking children
-// (which would never satisfy the drop condition) by bisecting instead.
+// (which would never meet the terminal rule) by bisecting instead.
 //
 // A child the terminal rule would sweep once popped is swept here
 // instead: it costs the same now, and what it finds is at once the
@@ -843,19 +820,15 @@ func (s *Searcher) push(emit func(kernel.Item), child geom.Rect, lb float64, par
 	queue(child)
 }
 
-// miniSweep runs the Base algorithm restricted to the MBR of the surviving
-// dirty cells; see DESIGN.md §3 "Exactness safety net". The rectangles
-// that contain the MBR cover every candidate the sweep enumerates and add
-// the same vector to each: their limb contributions are summed once, in
-// id order like the grid fill's, into a base the solver starts from, and
-// only the rectangles with an edge inside are swept. The solver sums in
-// the tables' limbs and is rebound in place, so steady-state sweeps reuse
-// all of their scratch.
-func (s *Searcher) miniSweep(dirty []cellInfo, ids []int32) {
-	mbr := geom.EmptyRect()
-	for _, c := range dirty {
-		mbr = mbr.Union(c.rect)
-	}
+// miniSweep runs the Base algorithm restricted to one space — one the
+// terminal rule takes, or one of zero area (DESIGN.md §3). The rectangles
+// that contain the space cover every candidate the sweep enumerates and
+// add the same vector to each: their limb contributions are summed once,
+// in id order like the grid fill's, into a base the solver starts from,
+// and only the rectangles with an edge inside are swept. The solver sums
+// in the tables' limbs and is rebound in place, so steady-state sweeps
+// reuse all of their scratch.
+func (s *Searcher) miniSweep(space geom.Rect, ids []int32) {
 	master := s.rects
 	tab := s.tab
 	s.swSub = s.swSub[:0]
@@ -864,12 +837,12 @@ func (s *Searcher) miniSweep(dirty []cellInfo, ids []int32) {
 	covering := 0
 	for _, id := range ids {
 		r := &master[id].Rect
-		if r.ContainsRectOpen(mbr) {
+		if r.ContainsRectOpen(space) {
 			for _, cb := range tab.rectContribs(id) {
 				base[cb.Ch] += cb.V
 			}
 			covering++
-		} else if r.MinX < mbr.MaxX && mbr.MinX < r.MaxX && r.MinY < mbr.MaxY && mbr.MinY < r.MaxY {
+		} else if r.MinX < space.MaxX && space.MinX < r.MaxX && r.MinY < space.MaxY && space.MinY < r.MaxY {
 			s.swSub = append(s.swSub, master[id])
 		}
 	}
@@ -886,7 +859,7 @@ func (s *Searcher) miniSweep(dirty []cellInfo, ids []int32) {
 	// open at cur.Dist), so those candidates may abandon their distance
 	// march early. The returned result can then be the +Inf sentinel,
 	// which improve() rejects like any other loser.
-	if r, ok := s.sw.SolveWithinCapped(mbr, s.cur.Dist); ok && r.Rep != nil {
+	if r, ok := s.sw.SolveWithinCapped(space, s.cur.Dist); ok && r.Rep != nil {
 		s.improve(r.Dist, r.Point, r.Rep)
 	}
 	s.Stats.FlatStrips += s.sw.Stats.FlatStrips - before.FlatStrips

@@ -219,8 +219,9 @@ func TestEmptyAndTinyInstances(t *testing.T) {
 }
 
 // TestCoincidentObjects: fully degenerate arrangement (all objects at one
-// point). The accuracy becomes +Inf, the drop condition fires immediately
-// and the safety net must still produce the exact answer.
+// point, all rectangles one). Its 8 rectangles are under the terminal
+// rule's cutoff, so the first space is swept, and the sweep must produce
+// the exact answer.
 func TestCoincidentObjects(t *testing.T) {
 	ds := dataset.Random(8, 20, 15)
 	for i := range ds.Objects {

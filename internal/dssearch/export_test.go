@@ -64,6 +64,6 @@ func (h *DiscretizeHarness) Crossing() int {
 // the number of surviving dirty cells.
 func (h *DiscretizeHarness) Run() int {
 	h.s.beginItem(h.best)
-	dirty, _ := h.s.discretize(h.Space, h.Space, h.Ids)
+	dirty := h.s.discretize(h.Space, h.Space, h.Ids)
 	return len(dirty)
 }

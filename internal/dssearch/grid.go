@@ -260,22 +260,20 @@ func (g *gridBuffers) cellIdx(c, r int) int { return r*(g.ncol+1) + c }
 // discretize implements Function Discretize (paper §4.3): it grids the
 // space, classifies cells, evaluates clean cells exactly (updating the
 // incumbent), bounds dirty cells, and returns the dirty cells whose lower
-// bound survives the pruning threshold, plus whether the space satisfies
-// the drop condition (Definition 8). The returned slice is the searcher's
-// scratch, valid until the next discretize call.
+// bound survives the pruning threshold. The returned slice is the
+// searcher's scratch, valid until the next discretize call.
 //
 // Cell totals come from the per-rectangle difference-array fill
 // (fillRects), integrated row by row inside pass 1.
-func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, bool) {
+func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) []cellInfo {
 	g := s.grid
 	ncol, nrow := g.ncol, g.nrow
 	cw := space.Width() / float64(ncol)
 	chh := space.Height() / float64(nrow)
 	if cw <= 0 || chh <= 0 {
 		// Degenerate (zero-area) space: fall back to an exact line sweep.
-		s.one[0] = cellInfo{rect: space}
-		s.miniSweep(s.one[:], ids)
-		return nil, true
+		s.miniSweep(space, ids)
+		return nil
 	}
 	g.setEdges(space, cw, chh)
 
@@ -283,10 +281,8 @@ func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) ([]cellInfo, b
 	s.fillRects(space, ids, cw, chh)
 	s.cleanPass(cw, chh)
 	dirty := s.boundPass(clip)
-
-	drop := 2*cw < s.acc.DX && 2*chh < s.acc.DY
 	s.probeCellCenters(dirty, clip)
-	return dirty, drop
+	return dirty
 }
 
 // cleanPass is pass 1 of Function Discretize: clean cells refine the

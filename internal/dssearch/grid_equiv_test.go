@@ -223,7 +223,7 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					var refGrids [5][]float64
 					sRef.beginItem(seed)
 					refBefore := sRef.Stats
-					refDirty, refDrop := sRef.refDiscretize(space, clip, ids, func() {
+					refDirty := sRef.refDiscretize(space, clip, ids, func() {
 						refMid = asp.Result{Point: sRef.cur.Point, Dist: sRef.cur.Dist, Rep: append([]float64(nil), sRef.cur.Rep...)}
 						refGrids = gridCells(sRef.grid)
 					})
@@ -260,9 +260,9 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					// Production, as one call.
 					sNew.beginItem(seed)
 					newBefore := sNew.Stats
-					newDirty, newDrop := sNew.discretize(space, clip, ids)
-					if newDrop != refDrop || len(newDirty) != len(refDirty) {
-						fail("drop=%v with %d dirty cells, reference drop=%v with %d", newDrop, len(newDirty), refDrop, len(refDirty))
+					newDirty := sNew.discretize(space, clip, ids)
+					if len(newDirty) != len(refDirty) {
+						fail("%d dirty cells, reference %d", len(newDirty), len(refDirty))
 					}
 					for i := range newDirty {
 						if newDirty[i].rect != refDirty[i].rect || math.Float64bits(newDirty[i].lb) != math.Float64bits(refDirty[i].lb) {

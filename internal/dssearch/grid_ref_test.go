@@ -88,7 +88,7 @@ func integ2D(v []float64, w, h, chans int) {
 // refDiscretize is Function Discretize as two full scans of the grid:
 // every clean cell finalized on its own, then every cell revisited for
 // the dirty ones. afterPass1, when non-nil, runs between the scans.
-func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 func()) ([]cellInfo, bool) {
+func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 func()) []cellInfo {
 	if s.grid == nil {
 		// Acquired lazily at first use: GI-DS runs SolveCell once
 		// per index cell, and cells at or below the sweep cutoff never
@@ -102,9 +102,8 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 	chh := space.Height() / float64(nrow)
 	if cw <= 0 || chh <= 0 {
 		// Degenerate (zero-area) space: fall back to an exact line sweep.
-		s.one[0] = cellInfo{rect: space}
-		s.miniSweep(s.one[:], ids)
-		return nil, true
+		s.miniSweep(space, ids)
+		return nil
 	}
 	g.setEdges(space, cw, chh)
 
@@ -194,10 +193,8 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 		}
 	}
 	s.dirty = dirty
-
-	drop := 2*cw < s.acc.DX && 2*chh < s.acc.DY
 	s.refProbeCellCenters(dirty, clip)
-	return dirty, drop
+	return dirty
 }
 
 // refFillGridDiff clears everything, fills and integrates.

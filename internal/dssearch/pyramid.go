@@ -2,7 +2,6 @@ package dssearch
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -24,8 +23,8 @@ import (
 // anchor-bin partition are all functions of
 // (dataset, composite) alone — only the rectangle materialization
 // depends on the query's (a, b), one O(n) pass, and with it a few facts
-// of O(1) size (width/height ranges, accuracy, space, whether the order
-// survived the translation) that the first query of a shape derives and
+// of O(1) size (width/height ranges, space, whether the order survived
+// the translation) that the first query of a shape derives and
 // the pyramid remembers (shape.go). Binding a pyramid to a Searcher
 // therefore replaces the per-query O(R log R) sort, the O(contribs)
 // flatten/certify passes and the O(R + g²) level build with aliased
@@ -57,10 +56,9 @@ type Pyramid struct {
 	n       int
 	mmSlots int
 
-	core             *tables   // frozen canonical aggregation core (master order)
-	order            []int32   // master position -> dataset object index
-	xAscIds, yAscIds []int32   // master ids sorted by anchor x / y (accuracy)
-	lvl              *satLevel // the anchor-bin level (levelGrid)
+	core  *tables   // frozen canonical aggregation core (master order)
+	order []int32   // master position -> dataset object index
+	lvl   *satLevel // the anchor-bin level (levelGrid)
 
 	// Delta-fold state (delta.go): the certificate's running sums over
 	// the dataset, which a fold extends by the appended objects; nil on a
@@ -129,8 +127,6 @@ func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
 		xs[i] = master[i].Rect.MinX
 		ys[i] = master[i].Rect.MinY
 	}
-	p.xAscIds = sortedIdsByValue(xs)
-	p.yAscIds = sortedIdsByValue(ys)
 	p.raiseLevel(xs, ys)
 	return p, nil
 }
@@ -155,11 +151,11 @@ func (p *Pyramid) raiseLevel(xs, ys []float64) {
 
 // freeze trims a pyramid's core to what binds alias for the pyramid's
 // life: the tables at their exact lengths, without the slack their
-// appends left or the build's accuracy and MinX scratch.
+// appends left or the build's MinX scratch.
 func (t *tables) freeze() {
 	t.cOff, t.contribs = slices.Clone(t.cOff), slices.Clone(t.contribs)
 	t.mOff, t.mms = slices.Clone(t.mOff), slices.Clone(t.mms)
-	t.axs, t.bxs, t.minXs, t.minXsBuf = nil, nil, nil, nil
+	t.minXs, t.minXsBuf = nil, nil
 }
 
 // anchor returns the stored anchor (the object location) of master id.
@@ -168,22 +164,6 @@ func (p *Pyramid) anchor(id int32) geom.Point { return p.ds.Objects[p.order[id]]
 // anchorLess is the master comparator over stored anchors.
 func anchorLess(a, b geom.Point) bool {
 	return a.X < b.X || (a.X == b.X && a.Y < b.Y)
-}
-
-// sortedIdsByValue returns the indices of vs in ascending value order
-// (ties by index, fully deterministic).
-func sortedIdsByValue(vs []float64) []int32 {
-	ids := make([]int32, len(vs))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if vs[ids[a]] != vs[ids[b]] {
-			return vs[ids[a]] < vs[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
 }
 
 // Matches reports whether the pyramid was built for exactly this
@@ -247,57 +227,6 @@ func masterSortedNoCollapse(master []asp.RectObject) bool {
 	return true
 }
 
-// accuracyIds computes the Definition 7 GPS accuracies for a bound
-// master via the pyramid's presorted id orders: the MinX sequence in
-// xAscIds order is sorted (translation is monotone) and the MaxX
-// sequence likewise, so the edge-multiset merge walk runs with no
-// per-query sorting at all — bit-identical to tables.accuracy, which
-// sorts the same multisets before the same merge.
-func (p *Pyramid) accuracyIds(master []asp.RectObject) geom.Accuracy {
-	dx := minGapMergedIds(master, p.xAscIds, false)
-	dy := minGapMergedIds(master, p.yAscIds, true)
-	return geom.Accuracy{DX: dx, DY: dy}
-}
-
-// minGapMergedIds is minGapMerged over the virtual sequences
-// A = {master[ids[k]].MinX} and B = {master[ids[k]].MaxX} (or the Y
-// variants), both ascending because ids is sorted by the corresponding
-// anchor coordinate.
-func minGapMergedIds(master []asp.RectObject, ids []int32, yAxis bool) float64 {
-	minGap := math.Inf(1)
-	prev := math.NaN()
-	ai, bi := 0, 0
-	n := len(ids)
-	coord := func(k int, upper bool) float64 {
-		r := &master[ids[k]].Rect
-		if yAxis {
-			if upper {
-				return r.MaxY
-			}
-			return r.MinY
-		}
-		if upper {
-			return r.MaxX
-		}
-		return r.MinX
-	}
-	for ai < n || bi < n {
-		var v float64
-		if bi >= n || (ai < n && coord(ai, false) <= coord(bi, true)) {
-			v = coord(ai, false)
-			ai++
-		} else {
-			v = coord(bi, true)
-			bi++
-		}
-		if d := v - prev; !math.IsNaN(prev) && d > 0 && d < minGap {
-			minGap = d
-		}
-		prev = v
-	}
-	return minGap
-}
-
 // ---- Serialization snapshot ----
 
 // PyramidSnapshot is the exported, codec-friendly image of a Pyramid:
@@ -316,16 +245,16 @@ type PyramidSnapshot struct {
 	Scale []float64
 	Lo    []int32
 
-	Order            []int32
-	XAscIds, YAscIds []int32
+	Order []int32
 
 	Level PyramidLevelSnapshot
 }
 
-// PyramidLevelSnapshot is the anchor-bin level.
+// PyramidLevelSnapshot is the anchor-bin level: its g×g bins of BW×BH
+// from the origin (X0, Y0), stored as a fold left them (delta.go).
 type PyramidLevelSnapshot struct {
 	G                  int
-	BW, BH             float64
+	BW, BH, X0, Y0     float64
 	BinStart, BinIds   []int32
 	XMaxUpTo, XMinFrom []int32
 	YMaxUpTo, YMinFrom []int32
@@ -338,10 +267,9 @@ func (p *Pyramid) Snapshot() *PyramidSnapshot {
 	return &PyramidSnapshot{
 		N: p.n, Chans: c.chans, MMSlots: p.mmSlots,
 		Scale: c.limbs.Scale, Lo: c.limbs.Lo,
-		Order:   p.order,
-		XAscIds: p.xAscIds, YAscIds: p.yAscIds,
+		Order: p.order,
 		Level: PyramidLevelSnapshot{
-			G: l.gx, BW: l.bw, BH: l.bh,
+			G: l.gx, BW: l.bw, BH: l.bh, X0: l.bx0, Y0: l.by0,
 			BinStart: l.binStart, BinIds: l.binIds,
 			XMaxUpTo: l.xMaxUpTo, XMinFrom: l.xMinFrom,
 			YMaxUpTo: l.yMaxUpTo, YMinFrom: l.yMinFrom,
@@ -377,17 +305,8 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 	if err != nil {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot: %w", err)
 	}
-	if len(s.Order) != n || len(s.XAscIds) != n || len(s.YAscIds) != n {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot id arrays inconsistent")
-	}
 	if err := checkPermutation(s.Order, n); err != nil {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot order: %w", err)
-	}
-	if err := checkPermutation(s.XAscIds, n); err != nil {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot x id order: %w", err)
-	}
-	if err := checkPermutation(s.YAscIds, n); err != nil {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot y id order: %w", err)
 	}
 
 	core := &tables{f: f, chans: s.Chans, limbs: limbs}
@@ -396,13 +315,7 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 
 	p := &Pyramid{
 		ds: ds, f: f, n: n, mmSlots: s.MMSlots,
-		core: core, order: s.Order, xAscIds: s.XAscIds, yAscIds: s.YAscIds,
-	}
-	// The file does not carry the bin grid origin: a level is only ever
-	// saved as built, with its origin at the hull's lower-left corner.
-	var origin geom.Point
-	if n > 0 {
-		origin = geom.Point{X: p.anchor(s.XAscIds[0]).X, Y: p.anchor(s.YAscIds[0]).Y}
+		core: core, order: s.Order,
 	}
 	ls := &s.Level
 	g := ls.G
@@ -430,7 +343,7 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 		}
 	}
 	p.lvl = &satLevel{
-		gx: g, gy: g, bw: ls.BW, bh: ls.BH, bx0: origin.X, by0: origin.Y,
+		gx: g, gy: g, bw: ls.BW, bh: ls.BH, bx0: ls.X0, by0: ls.Y0,
 		binStart: ls.BinStart, binIds: ls.BinIds,
 		xMaxUpTo: ls.XMaxUpTo, xMinFrom: ls.XMinFrom,
 		yMaxUpTo: ls.YMaxUpTo, yMinFrom: ls.YMinFrom,

@@ -125,41 +125,6 @@ func TestPyramidAnswersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPyramidAccuracyBitIdentical: the pyramid's sort-free accuracy
-// merge walks produce bit-identical GPS accuracies to the classic
-// sorted-multiset computation.
-func TestPyramidAccuracyBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	ds, f := pyramidDataset(t, rng, 300, func() float64 { return float64(rng.Intn(7)) }, false)
-	p, err := BuildPyramid(ds, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ab := range [][2]float64{{7, 3}, {0.1, 0.25}, {123.456, 9.5}} {
-		a, b := ab[0], ab[1]
-		rects, err := asp.Reduce(ds, a, b, asp.AnchorTR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		classic, err := NewSearcher(rects, asp.Query{F: f, Target: make([]float64, f.Dims())}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pyr, err := NewRegionSearcher(ds, a, b, asp.Query{F: f, Target: make([]float64, f.Dims())}, Options{Pyramid: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pyr.tab.pyr != p {
-			t.Fatal("pyramid did not bind")
-		}
-		if math.Float64bits(classic.acc.DX) != math.Float64bits(pyr.acc.DX) ||
-			math.Float64bits(classic.acc.DY) != math.Float64bits(pyr.acc.DY) {
-			t.Fatalf("a=%g b=%g: accuracy (%v,%v) != classic (%v,%v)",
-				a, b, pyr.acc.DX, pyr.acc.DY, classic.acc.DX, classic.acc.DY)
-		}
-	}
-}
-
 // TestPyramidBindRejections: binds that cannot guarantee bit-identity
 // must fall back, never mis-bind — another dataset holding equal objects
 // (the pyramid's order and contributions describe its own object array),

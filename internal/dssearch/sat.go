@@ -8,7 +8,6 @@ import (
 	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/attr"
-	"asrs/internal/geom"
 	"asrs/internal/sweep"
 )
 
@@ -21,9 +20,6 @@ import (
 //   - the flattened per-rectangle limb contributions (AppendContribs
 //     evaluated and split once per query instead of once per
 //     discretization);
-//   - the GPS-accuracy computation (Definition 7), derived from the
-//     sorted coordinate arrays by a merge walk instead of re-sorting the
-//     edge multiset per query;
 //   - the anchor-bin level: CSR per-bin id lists over a grid of
 //     (MinX, MinY) anchors, with a prefix-summed count plane.
 //     A dirty cell's refinement finds its partial rectangles in the ring
@@ -332,9 +328,6 @@ type tables struct {
 	mOff     []int32
 	mms      []agg.MMContrib
 
-	// Accuracy scratch (kept for slab reuse).
-	axs, bxs []float64
-
 	// The anchor-bin level. With a pyramid bound, lvl is the pyramid's;
 	// otherwise ensureLevel lazily builds the query-level ownLvl. minYs is
 	// build scratch.
@@ -410,13 +403,11 @@ func buildTables(t *tables, master []asp.RectObject, f *agg.Composite, own bool)
 	t.chans = f.Channels()
 
 	if cap(t.cOff) < len(master)+1 {
-		// Pre-size the slab arrays: the flatten/accuracy passes would
-		// otherwise each pay ~2x their final size in append-doubling
-		// churn, which dominates the per-query allocation profile.
+		// Pre-size the slab arrays: the flatten pass would otherwise pay
+		// ~2x their final size in append-doubling churn, which dominates
+		// the per-query allocation profile.
 		t.cOff = make([]int32, 0, len(master)+1)
 		t.contribs = make([]agg.Contrib, 0, len(master)+len(master)/4)
-		t.axs = make([]float64, 0, len(master))
-		t.bxs = make([]float64, 0, len(master))
 	}
 
 	// Extent ranges, and the raw contributions in input order, which the
@@ -527,58 +518,6 @@ func (t *tables) rectContribs(id int32) []agg.Contrib {
 // rectMM returns master[id]'s flattened min/max contributions.
 func (t *tables) rectMM(id int32) []agg.MMContrib {
 	return t.mms[t.mOff[id]:t.mOff[id+1]]
-}
-
-// accuracy computes the Definition 7 GPS accuracies: the minimum
-// separation of the distinct x (resp. y) edge coordinates. The edge
-// multiset {MinX} ∪ {MaxX} is enumerated in sorted order by merging two
-// sorted halves — the MinX half is the sorted master's own order — so the
-// result is bit-identical to sorting the combined multiset
-// (geom.ComputeAccuracy) at a fraction of the sort work and none of the
-// allocation.
-func (t *tables) accuracy(master []asp.RectObject) geom.Accuracy {
-	t.axs = t.axs[:0]
-	t.bxs = t.bxs[:0]
-	for i := range master {
-		t.axs = append(t.axs, master[i].Rect.MinX)
-		t.bxs = append(t.bxs, master[i].Rect.MaxX)
-	}
-	sort.Float64s(t.bxs)
-	dx := minGapMerged(t.axs, t.bxs)
-	t.axs = t.axs[:0]
-	t.bxs = t.bxs[:0]
-	for i := range master {
-		t.axs = append(t.axs, master[i].Rect.MinY)
-		t.bxs = append(t.bxs, master[i].Rect.MaxY)
-	}
-	sort.Float64s(t.axs)
-	sort.Float64s(t.bxs)
-	dy := minGapMerged(t.axs, t.bxs)
-	return geom.Accuracy{DX: dx, DY: dy}
-}
-
-// minGapMerged returns the smallest positive gap between consecutive
-// values of the merged sorted sequences a and b (+Inf when no positive
-// gap exists).
-func minGapMerged(a, b []float64) float64 {
-	min := math.Inf(1)
-	prev := math.NaN()
-	ai, bi := 0, 0
-	for ai < len(a) || bi < len(b) {
-		var v float64
-		if bi >= len(b) || (ai < len(a) && a[ai] <= b[bi]) {
-			v = a[ai]
-			ai++
-		} else {
-			v = b[bi]
-			bi++
-		}
-		if d := v - prev; !math.IsNaN(prev) && d > 0 && d < min {
-			min = d
-		}
-		prev = v
-	}
-	return min
 }
 
 // windowLo returns the first master index whose MinX exceeds x

@@ -77,24 +77,3 @@ func TestDisableRefinementStillExact(t *testing.T) {
 		}
 	}
 }
-
-// TestDisableSafetyNetUsuallyExact: with the paper's bare pseudocode
-// (no safety net) the answer still matches on generic instances — the
-// net exists for the adversarial corner cases, and disabling it must not
-// crash or loop.
-func TestDisableSafetyNetRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 10; trial++ {
-		ds := dataset.Random(1+rng.Intn(30), 40, rng.Int63())
-		rects, _ := asp.Reduce(ds, 6, 6, asp.AnchorTR)
-		q := selectiveQuery(t, ds, rng)
-		s, _ := dssearch.NewSearcher(rects, q, dssearch.Options{NCol: 10, NRow: 10, DisableSafetyNet: true})
-		got := s.Solve()
-		sw, _ := sweep.New(rects, q)
-		want := sw.Solve()
-		// The optimum from clean cells alone can only be ≥ the true one.
-		if got.Dist < want.Dist-1e-9 {
-			t.Fatalf("trial %d: impossible better-than-exact %g < %g", trial, got.Dist, want.Dist)
-		}
-	}
-}

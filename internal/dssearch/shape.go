@@ -16,13 +16,12 @@ import (
 
 // shapeFacts is everything about a shape that is O(1) in size but O(n)
 // to derive from (pyramid, a, b): whether the translated anchors still
-// realize the pyramid's order, the width/height ranges, the Definition 7
-// accuracy and the space (the master's MBR). When ok is false the rest
-// is unset: the shape does not bind and its queries build classically.
+// realize the pyramid's order, the width/height ranges and the space
+// (the master's MBR). When ok is false the rest is unset: the shape does
+// not bind and its queries build classically.
 type shapeFacts struct {
 	ok                     bool
 	wmin, wmax, hmin, hmax float64
-	acc                    geom.Accuracy
 	space                  geom.Rect
 }
 
@@ -64,7 +63,6 @@ func (p *Pyramid) deriveFacts(master []asp.RectObject) shapeFacts {
 	return shapeFacts{
 		ok:   true,
 		wmin: t.wmin, wmax: t.wmax, hmin: t.hmin, hmax: t.hmax,
-		acc:   p.accuracyIds(master),
 		space: asp.Space(master),
 	}
 }

@@ -27,7 +27,6 @@ func classicFacts(t *testing.T, ds *attr.Dataset, q asp.Query, a, b float64) sha
 	return shapeFacts{
 		ok:   true,
 		wmin: tab.wmin, wmax: tab.wmax, hmin: tab.hmin, hmax: tab.hmax,
-		acc:   tab.accuracy(master),
 		space: asp.Space(master),
 	}
 }
@@ -37,15 +36,14 @@ func searcherFacts(s *Searcher) shapeFacts {
 	return shapeFacts{
 		ok:   true,
 		wmin: s.tab.wmin, wmax: s.tab.wmax, hmin: s.tab.hmin, hmax: s.tab.hmax,
-		acc:   s.acc,
 		space: s.space,
 	}
 }
 
 func sameFacts(x, y shapeFacts) bool {
-	bits := func(f shapeFacts) [10]uint64 {
-		vs := [10]float64{f.wmin, f.wmax, f.hmin, f.hmax, f.acc.DX, f.acc.DY, f.space.MinX, f.space.MinY, f.space.MaxX, f.space.MaxY}
-		var out [10]uint64
+	bits := func(f shapeFacts) [8]uint64 {
+		vs := [8]float64{f.wmin, f.wmax, f.hmin, f.hmax, f.space.MinX, f.space.MinY, f.space.MaxX, f.space.MaxY}
+		var out [8]uint64
 		for i, v := range vs {
 			out[i] = math.Float64bits(v)
 		}
@@ -58,8 +56,8 @@ func sameFacts(x, y shapeFacts) bool {
 // derivations it replaces. On a core of one limb a channel and one of
 // three-limb chains, for shapes that bind and — two anchors an ulp apart under an extent that absorbs
 // the ulp — one that collapses: what a bound searcher holds (extents,
-// accuracy, space) equals tables.accuracy, measureExtents and asp.Space
-// over the classic build bit for bit; the verdict is
+// space) equals measureExtents and asp.Space over the classic build bit
+// for bit; the verdict is
 // masterSortedNoCollapse's; a collapsing shape falls back and answers as
 // the pyramid-less path does; and the second query of a shape derives
 // nothing.
@@ -181,9 +179,9 @@ func TestShapeFactsMemoBounded(t *testing.T) {
 }
 
 // TestShapeFactsFoldedEpoch: an epoch's fold is a new pyramid with a memo
-// of its own. Inserts that open a smaller coordinate gap change a shape's
-// accuracy, and the folded pyramid reports the new one while the base,
-// which learned the shape before the fold, keeps reporting its own.
+// of its own. An insert outside the corpus's hull grows a shape's space,
+// and the folded pyramid reports the new one while the base, which
+// learned the shape before the fold, keeps reporting its own.
 func TestShapeFactsFoldedEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ds, f := pyramidDataset(t, rng, 40, func() float64 { return float64(rng.Intn(5)) }, false)
@@ -197,7 +195,7 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 	}
 	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
 	const a, b = 5, 7
-	accuracy := func(ds *attr.Dataset, p *Pyramid) geom.Accuracy {
+	space := func(ds *attr.Dataset, p *Pyramid) geom.Rect {
 		s, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p})
 		if err != nil {
 			t.Fatal(err)
@@ -205,13 +203,14 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 		if s.tab.pyr != p {
 			t.Fatal("pyramid did not bind")
 		}
-		return s.acc
+		return s.space
 	}
-	if got := accuracy(ds, base); got != (geom.Accuracy{DX: 1, DY: 1}) {
-		t.Fatalf("base accuracy %+v, want 1 on both axes (even anchors, odd extents)", got)
+	baseSpace := geom.Rect{MinX: -a, MinY: -b, MaxX: 78, MaxY: 78}
+	if got := space(ds, base); got != baseSpace {
+		t.Fatalf("base space %+v, want %+v (anchors 0…78, a×b rectangles)", got, baseSpace)
 	}
 	insert := ds.Objects[0]
-	insert.Loc = geom.Point{X: 20.25, Y: 30.5}
+	insert.Loc = geom.Point{X: 90.25, Y: -10.5}
 	combined := &attr.Dataset{Schema: ds.Schema, Objects: append(append([]attr.Object(nil), ds.Objects...), insert)}
 	folded, stats, err := BuildPyramidDelta(base, combined)
 	if err != nil {
@@ -220,11 +219,12 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 	if !stats.Folded {
 		t.Fatal("distinct anchors under an integer composite should fold")
 	}
-	if got, want := accuracy(combined, folded), classicFacts(t, combined, q, a, b).acc; got != want || got != (geom.Accuracy{DX: 0.25, DY: 0.5}) {
-		t.Fatalf("folded accuracy %+v, classic %+v, want the insert's gaps 0.25 and 0.5", got, want)
+	grown := geom.Rect{MinX: -a, MinY: -10.5 - b, MaxX: 90.25, MaxY: 78}
+	if got, want := space(combined, folded), classicFacts(t, combined, q, a, b).space; got != want || got != grown {
+		t.Fatalf("folded space %+v, classic %+v, want the insert's %+v", got, want, grown)
 	}
-	if got := accuracy(ds, base); got != (geom.Accuracy{DX: 1, DY: 1}) {
-		t.Fatalf("base accuracy after the fold %+v, want it unchanged", got)
+	if got := space(ds, base); got != baseSpace {
+		t.Fatalf("base space after the fold %+v, want it unchanged", got)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // TestTerminalSweepRule: a cluster of 450 objects (every fifth a duplicate
 // location) inside an 0.8a×0.8b box puts hundreds of reduction rectangles
 // over every space near the optimum, however small — counting overlapping
-// rectangles, such a space could only end at the drop condition — while
-// the rectangles with an edge inside it thin out with the space. The rule
+// rectangles, such a space could only end at the paper's drop condition —
+// while the rectangles with an edge inside it thin out with the space. The rule
 // that counts those sweeps the space as soon as they are few: same
 // distance as SearchBaseline, with and without the pyramid, in 7 and 8
 // discretizations where the overlap-counting rule took 1 668 and 1 514,
@@ -122,10 +122,13 @@ func TestReleasedSlabsLetTheDatasetGo(t *testing.T) {
 // discretizations a search on the real composite, whose plain search
 // then even missed the optimum: 283.28 for 92.60). Counting distinct edge
 // coordinates, it sweeps a sliver's few strips — or, across a vertical
-// line, its few columns — at once: at most 23 discretizations a search,
-// where the rule without its x clause takes 37 on the corpus and without
-// its y clause 44 on the corpus transposed. Plain DS-Search and GI-DS
-// answer SearchBaseline's distance bit for bit, within a ceiling of 30.
+// line, its few columns — at once: at most 11 discretizations a search
+// (23 while the y clause stopped at 4 lines, when the rule without its x
+// clause took 37 on the corpus). The rule without its y clause takes 36
+// on the corpus transposed; without its x clause it now takes the same
+// 11, because a sliver across a vertical line is swept by its y lines.
+// Plain DS-Search and GI-DS answer SearchBaseline's distance bit for bit,
+// within a ceiling of 30.
 func TestCollinearEdgesAreSwept(t *testing.T) {
 	const a, b = 8.0, 8.0
 	rng := rand.New(rand.NewSource(7))
@@ -202,4 +205,73 @@ func TestCollinearEdgesAreSwept(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLatticeSpacesAreSwept: on an integer lattice every edge coordinate
+// is a whole number, so a space under 15 units high holds at most 15
+// distinct y edges and the terminal rule sweeps it (sweepYLines). These
+// are the spaces the paper's drop condition (Definition 8) used to stop
+// once two grid rows fit between two lattice lines; 3 000 objects on a
+// 40×40 lattice, a = b = 6.5, six queries: plain DS-Search and GI-DS
+// answer SearchBaseline's distance bit for bit, and the six plain
+// searches discretize at most 400 spaces in all. They take 314; with the
+// y clause at 4 lines they take 1 521, and with the drop condition beside
+// it, as before, 749.
+func TestLatticeSpacesAreSwept(t *testing.T) {
+	const a, b = 6.5, 6.5
+	ds := dataset.Random(3000, 40, 7)
+	for i := range ds.Objects {
+		l := &ds.Objects[i].Loc
+		l.X, l.Y = math.Round(l.X), math.Round(l.Y)
+	}
+	total := 0
+	for i, req := range latticeQueries(ds, a, b) {
+		want := asrs.SearchBaseline(ds, req)
+		if want.Err != nil {
+			t.Fatal(want.Err)
+		}
+		idx, err := asrs.NewIndex(ds, req.Query.F, 16, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ix := range []*asrs.Index{nil, idx} {
+			got, stats := asrs.Answer(ds, ix, req)
+			if got.Err != nil {
+				t.Fatal(got.Err)
+			}
+			if d, wd := got.Results[0].Dist, want.Results[0].Dist; math.Float64bits(d) != math.Float64bits(wd) {
+				t.Fatalf("query %d, index=%v: distance %v, the baseline's %v", i, ix != nil, d, wd)
+			}
+			if ix == nil {
+				total += stats.DS.Discretizations
+			}
+		}
+	}
+	if total > 400 {
+		t.Fatalf("%d discretizations over the six plain searches, want at most 400", total)
+	}
+}
+
+// latticeQueries draws six a×b queries over ds (rng seed 3), each the
+// representation of the window around a random object, scaled by 1.1 and
+// offset so that no region matches it exactly: even ones an F1 target on
+// cat, odd ones an F2 target, the sum and the average of val.
+func latticeQueries(ds *attr.Dataset, a, b float64) []asrs.QueryRequest {
+	f1 := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
+	f2 := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Sum, Attr: "val"}, agg.Spec{Kind: agg.Average, Attr: "val"})
+	rng := rand.New(rand.NewSource(3))
+	reqs := make([]asrs.QueryRequest, 6)
+	for i := range reqs {
+		f := f1
+		if i%2 == 1 {
+			f = f2
+		}
+		o := ds.Objects[rng.Intn(len(ds.Objects))].Loc
+		target := asrs.Represent(ds, f, geom.Rect{MinX: o.X - a/2, MinY: o.Y - b/2, MaxX: o.X + a/2, MaxY: o.Y + b/2})
+		for j := range target {
+			target[j] = math.Trunc(target[j]*1.1) + 0.5
+		}
+		reqs[i] = asrs.QueryRequest{Query: asp.Query{F: f, Target: target}, A: a, B: b, Options: &asrs.Options{Workers: 1}}
+	}
+	return reqs
 }

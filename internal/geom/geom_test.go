@@ -1,7 +1,6 @@
 package geom_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -140,67 +139,6 @@ func TestIntersectProperty(t *testing.T) {
 		i := a.Intersect(b)
 		if i.IsValid() && (!a.ContainsRect(i) || !b.ContainsRect(i)) {
 			t.Fatalf("intersection %v escapes %v ∩ %v", i, a, b)
-		}
-	}
-}
-
-func TestComputeAccuracy(t *testing.T) {
-	rects := []geom.Rect{
-		{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1},
-		{MinX: 0.25, MinY: 3, MaxX: 1.25, MaxY: 4},
-	}
-	acc := geom.ComputeAccuracy(rects)
-	if acc.DX != 0.25 {
-		t.Fatalf("DX = %g, want 0.25", acc.DX)
-	}
-	if acc.DY != 1 {
-		t.Fatalf("DY = %g, want 1", acc.DY)
-	}
-}
-
-func TestComputeAccuracyDegenerate(t *testing.T) {
-	acc := geom.ComputeAccuracy([]geom.Rect{{MinX: 1, MinY: 1, MaxX: 1, MaxY: 1}})
-	if !math.IsInf(acc.DX, 1) || !math.IsInf(acc.DY, 1) {
-		t.Fatalf("degenerate accuracy = %v, want +Inf", acc)
-	}
-	clamped := acc.Clamp(0.5, 0.25)
-	if clamped.DX != 0.5 || clamped.DY != 0.25 {
-		t.Fatalf("clamp = %v", clamped)
-	}
-}
-
-func TestComputeAccuracyFromPoints(t *testing.T) {
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 10}}
-	acc := geom.ComputeAccuracyFromPoints(pts, 3, 4)
-	// x values: {0, -3, 10, 7} → min gap 3; y values: {0, -4, 10, 6} → 4.
-	if acc.DX != 3 || acc.DY != 4 {
-		t.Fatalf("accuracy = %v", acc)
-	}
-}
-
-// TestAccuracyIsMinSeparation (property): no two distinct edge coordinates
-// are closer than the reported accuracy.
-func TestAccuracyIsMinSeparation(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(20)
-		rects := make([]geom.Rect, n)
-		for i := range rects {
-			x, y := rng.Float64()*100, rng.Float64()*100
-			rects[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + 5, MaxY: y + 5}
-		}
-		acc := geom.ComputeAccuracy(rects)
-		var xs []float64
-		for _, r := range rects {
-			xs = append(xs, r.MinX, r.MaxX)
-		}
-		for i := range xs {
-			for j := range xs {
-				d := math.Abs(xs[i] - xs[j])
-				if d > 0 && d < acc.DX-1e-12 {
-					t.Fatalf("gap %g < DX %g", d, acc.DX)
-				}
-			}
 		}
 	}
 }

@@ -130,9 +130,8 @@ type candidate struct {
 //
 // A round whose exclusions do not extend the last round's (checked by
 // prefix) starts over, as does a round after an error. Nothing is carried
-// when at most one round was announced, when a shared cap tightens the
-// inner pruning (opt.SharedCap) or when the inner search is not exact
-// (opt.DisableSafetyNet): a key would not be a bound there. A Session
+// when at most one round was announced or when a shared cap tightens the
+// inner pruning (opt.SharedCap): a key would not be a bound there. A Session
 // holds no searcher between rounds, only its range heap and bound vectors,
 // from the index's scratch pool, which Close returns; a session dropped
 // without Close leaks nothing. It runs on one goroutine.
@@ -163,7 +162,7 @@ type Session struct {
 func Open(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, opt dssearch.Options, rounds int) Session {
 	return Session{
 		idx: idx, ds: ds, q: q, a: a, b: b, opt: opt,
-		carry: rounds > 1 && opt.SharedCap == nil && !opt.DisableSafetyNet,
+		carry: rounds > 1 && opt.SharedCap == nil,
 	}
 }
 

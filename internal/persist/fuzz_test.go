@@ -14,7 +14,7 @@ import (
 // contract under fuzz is the error taxonomy's: every input either
 // decodes or returns an error wrapping ErrCorrupt or ErrMismatch —
 // never a panic, never an unclassified error, regardless of how the
-// length-prefixed sections are mangled. The seed corpus is a format-4
+// length-prefixed sections are mangled. The seed corpus is a format-5
 // file and its interesting boundaries: the valid file, truncations at
 // section edges, and targeted corruptions of the guard fields.
 //
@@ -55,6 +55,12 @@ func FuzzReadPyramid(f *testing.F) {
 	f.Add(valid[:hdr+4])      // torn inside the limb scales
 	f.Add(flip(hdr-16, 0x01)) // n off by one: not this dataset
 	f.Add(flip(hdr-8, 0x40))  // eff beyond two limbs per channel
+
+	// The level header follows the limbs and the order: g, then the bin
+	// extents and the grid origin.
+	level := hdr + 8*len(p.Snapshot().Scale) + 4*comp.Channels() + 4*len(ds.Objects)
+	f.Add(valid[:level+4+3*8])     // torn inside the origin
+	f.Add(flip(level+4+2*8, 0x80)) // origin flip caught by checksum
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadPyramid(bytes.NewReader(data), ds, comp)

@@ -80,7 +80,7 @@ func answer(t *testing.T, ds *attr.Dataset, f *agg.Composite, p *dssearch.Pyrami
 	return region, res
 }
 
-// TestPyramidRoundTrip: a format-4 file stores the limbs, the orders and
+// TestPyramidRoundTrip: a format-5 file stores the limbs, the order and
 // the one level and nothing the dataset holds; the pyramid loaded from it —
 // its contribution tables flattened again from the objects — answers
 // queries bit-identically to the in-memory original: region, point and
@@ -99,9 +99,9 @@ func TestPyramidRoundTrip(t *testing.T) {
 	l := &s.Level
 	head := 8 + 4 + 4 + len(f.Fingerprint()) + 4*4
 	limbs := 8*len(s.Scale) + 4*len(s.Lo)
-	level := 4 + 8 + 8 + 4*(len(l.BinStart)+len(l.BinIds)+4*l.G)
-	if want := head + limbs + 4*3*s.N + level + 8; buf.Len() != want {
-		t.Fatalf("file is %d bytes, want %d: the limbs, the orders and the level", buf.Len(), want)
+	level := 4 + 4*8 + 4*(len(l.BinStart)+len(l.BinIds)+4*l.G)
+	if want := head + limbs + 4*s.N + level + 8; buf.Len() != want {
+		t.Fatalf("file is %d bytes, want %d: the limbs, the order and the level", buf.Len(), want)
 	}
 	if slices.Max(s.Scale) <= math.Ldexp(1, 62) {
 		t.Fatalf("no lo grid finer than 2^-62 in the fixture: %v", s.Scale)
@@ -125,8 +125,56 @@ func TestPyramidRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPyramidFoldedLevelRoundTrips: a fold keeps its base's bin grid
+// (dssearch/delta.go), so the level of a pyramid folded over inserts below
+// and left of the base's hull has an origin that is not its anchors'
+// minimum. The file stores the origin: the loaded pyramid has the folded
+// one's level, origin included, writes the same bytes and answers the
+// same, bit for bit.
+func TestPyramidFoldedLevelRoundTrips(t *testing.T) {
+	ds, f, base := pyrFixture(t, 12)
+	extra := make([]attr.Object, 5)
+	for i := range extra {
+		extra[i] = ds.Objects[i]
+		extra[i].Loc = geom.Point{X: -10 - float64(i), Y: -20 + float64(i)}
+	}
+	combined := &attr.Dataset{Schema: ds.Schema, Objects: append(slices.Clone(ds.Objects), extra...)}
+	folded, stats, err := dssearch.BuildPyramidDelta(base, combined)
+	if err != nil || !stats.Folded {
+		t.Fatalf("fold: %+v, %v; want the inserts folded", stats, err)
+	}
+	want := folded.Snapshot().Level
+	if b := base.Snapshot().Level; want.G != b.G || want.X0 != b.X0 || want.Y0 != b.Y0 || want.X0 <= -14 || want.Y0 <= -20 {
+		t.Fatalf("folded level g=%d at (%v, %v), base g=%d at (%v, %v): want the base's grid, above the inserts' minimum (-14, -20)",
+			want.G, want.X0, want.Y0, b.G, b.X0, b.Y0)
+	}
+	var buf bytes.Buffer
+	if _, err := WritePyramid(&buf, folded); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadPyramid(bytes.NewReader(buf.Bytes()), combined, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Snapshot().Level; got.X0 != want.X0 || got.Y0 != want.Y0 || got.BW != want.BW || got.BH != want.BH {
+		t.Fatalf("loaded level origin (%v, %v) bins %vx%v, folded (%v, %v) bins %vx%v",
+			got.X0, got.Y0, got.BW, got.BH, want.X0, want.Y0, want.BW, want.BH)
+	}
+	var again bytes.Buffer
+	if _, err := WritePyramid(&again, loaded); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatalf("the loaded pyramid writes other bytes (err %v)", err)
+	}
+	for _, ab := range [][2]float64{{6, 7}, {30, 25}} {
+		wantRegion, wantRes := answer(t, combined, f, folded, ab[0], ab[1])
+		gotRegion, got := answer(t, combined, f, loaded, ab[0], ab[1])
+		if gotRegion != wantRegion || math.Float64bits(got.Dist) != math.Float64bits(wantRes.Dist) || got.Point != wantRes.Point {
+			t.Fatalf("%v: loaded pyramid answered %v@%v, the folded one %v@%v", ab, got.Dist, got.Point, wantRes.Dist, wantRes.Point)
+		}
+	}
+}
+
 // TestPyramidTruncated: every truncation of the file — inside the
-// header, the limbs, an id order, the level — must read
+// header, the limbs, the order, the level — must read
 // as ErrCorrupt (the class a boot quarantines and rebuilds), never as a
 // panic or an unclassified error.
 func TestPyramidTruncated(t *testing.T) {

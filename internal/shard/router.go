@@ -112,13 +112,13 @@ type RouterOptions struct {
 	// (DESIGN.md §11); it is the oracle side of the property tests, which
 	// set it through export_test.go.
 	disableBoundShare bool
-	// BudgetFraction is the fraction of the request's remaining deadline
-	// each sub-search may spend, so one slow shard cannot starve the
-	// gather of its siblings' answers. Defaults to 0.5; values outside
-	// (0, 1] select the default. Without a request deadline there is no
-	// per-shard budget.
-	BudgetFraction float64
 }
+
+// budgetFraction is the fraction of the request's remaining deadline each
+// sub-search may spend, so one slow shard cannot starve the gather of its
+// siblings' answers. Without a request deadline there is no per-shard
+// budget.
+const budgetFraction = 0.5
 
 // Router answers extent queries over a shard catalog. Extents contained
 // in one shard's closed slab route to that shard alone — bit-identical
@@ -299,15 +299,11 @@ func (r *Router) budgetCtx(ctx context.Context) (context.Context, context.Cancel
 	if !ok {
 		return ctx, func() {}
 	}
-	frac := r.opt.BudgetFraction
-	if frac <= 0 || frac > 1 {
-		frac = 0.5
-	}
 	rem := time.Until(dl)
 	if rem <= 0 {
 		return ctx, func() {}
 	}
-	return context.WithDeadline(ctx, time.Now().Add(time.Duration(float64(rem)*frac)))
+	return context.WithDeadline(ctx, time.Now().Add(time.Duration(float64(rem)*budgetFraction)))
 }
 
 // guardPanics runs fn converting panics — real worker bugs or the

@@ -5,8 +5,9 @@
 // complexity is O(n²) for arbitrary composite aggregators, which is the
 // bound the paper derives for sweep-line approaches (§4.1).
 //
-// The same machinery restricted to a small sub-space serves as the
-// exactness safety net of DS-Search (DESIGN.md §3).
+// The same machinery restricted to a small sub-space is DS-Search's
+// terminal step: the spaces its terminal rule takes are swept (DESIGN.md
+// §3).
 package sweep
 
 import (
@@ -47,7 +48,7 @@ type Solver struct {
 	byMinX []int // rect indices sorted by Rect.MinX
 	byMaxX []int // rect indices sorted by Rect.MaxX
 
-	// Reusable per-solve scratch: DS-Search's safety net runs thousands
+	// Reusable per-solve scratch: DS-Search's terminal rule runs thousands
 	// of mini-sweeps per query through one Rebind-ed solver, so the strip
 	// coordinates, limb accumulator and representation buffers persist
 	// here instead of being allocated per call.

@@ -2,6 +2,7 @@ package asrs_test
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -102,9 +103,10 @@ func TestPyramidFileVersion2IsRebuilt(t *testing.T) { checkOldVersionRebuilt(t, 
 // TestPyramidFileVersion3IsRebuilt: so is a file of format version 3,
 // which stored a ladder of anchor-bin levels behind a level count. The
 // file is laid out as version 3 laid it out, with five copies of the
-// current level, and boots as a rebuild.
+// format-4 level, and boots as a rebuild.
 func TestPyramidFileVersion3IsRebuilt(t *testing.T) {
 	ds, f, cur := currentPyramidFile(t)
+	cur = formatFour(ds, cur)
 	// Version 4: magic, version, fingerprint length and bytes, the counts
 	// n, chans, eff and mmSlots, the limbs and the three id orders, then
 	// the level up to the checksum. Version 3 put a level count after the
@@ -119,9 +121,57 @@ func TestPyramidFileVersion3IsRebuilt(t *testing.T) {
 		old = append(old, cur[level:len(cur)-8]...)
 	}
 	binary.LittleEndian.PutUint32(old[8:12], 3)
+	checkRebuilt(t, ds, f, sealed(old), "version-3")
+}
+
+// TestPyramidFileVersion4IsRebuilt: so is a file of format version 4,
+// which stored the master ids sorted by anchor x and by anchor y — read
+// only by the GPS accuracy — and no bin grid origin. The file is the one
+// a format-4 build wrote (TestPyramidBytesPinned holds formatFour to
+// that build's bytes), and boots as a rebuild.
+func TestPyramidFileVersion4IsRebuilt(t *testing.T) {
+	ds, f, cur := currentPyramidFile(t)
+	checkRebuilt(t, ds, f, formatFour(ds, cur), "version-4")
+}
+
+// formatFour lays a current file out as format 4 wrote it: after the
+// master order, the master ids sorted by anchor x and by anchor y, ties
+// by id; in the level header, no bin grid origin.
+func formatFour(ds *asrs.Dataset, cur []byte) []byte {
+	word := func(at int) int { return int(binary.LittleEndian.Uint32(cur[at:])) }
+	counts := 16 + word(12) + 16
+	n, chans, eff := word(counts-16), word(counts-12), word(counts-8)
+	order := counts + 8*eff + 4*chans
+	level := order + 4*n
+	anchor := func(id int32) asrs.Point { return ds.Objects[word(order+4*int(id))].Loc }
+	old := slices.Clone(cur[:level])
+	for _, coord := range []func(asrs.Point) float64{
+		func(p asrs.Point) float64 { return p.X },
+		func(p asrs.Point) float64 { return p.Y },
+	} {
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		slices.SortFunc(ids, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(coord(anchor(a)), coord(anchor(b))), cmp.Compare(a, b))
+		})
+		for _, id := range ids {
+			old = binary.LittleEndian.AppendUint32(old, uint32(id))
+		}
+	}
+	old = append(old, cur[level:level+4+2*8]...)      // g, bw, bh
+	old = append(old, cur[level+4+4*8:len(cur)-8]...) // the bins and thresholds
+	binary.LittleEndian.PutUint32(old[8:12], 4)
+	return sealed(old)
+}
+
+// sealed appends the checksum that closes a pyramid file: the fnv-64a of
+// everything after the magic.
+func sealed(b []byte) []byte {
 	h := fnv.New64a()
-	h.Write(old[8:])
-	checkRebuilt(t, ds, f, binary.LittleEndian.AppendUint64(old, h.Sum64()), "version-3")
+	h.Write(b[8:])
+	return binary.LittleEndian.AppendUint64(b, h.Sum64())
 }
 
 // checkOldVersionRebuilt writes a current file under an older version
@@ -145,8 +195,8 @@ func currentPyramidFile(t *testing.T) (*asrs.Dataset, *asrs.Composite, []byte) {
 	if _, err := asrs.WritePyramid(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint32(buf.Bytes()[8:12]); got != 4 {
-		t.Fatalf("current format version is %d; these tests pin the step to 4", got)
+	if got := binary.LittleEndian.Uint32(buf.Bytes()[8:12]); got != 5 {
+		t.Fatalf("current format version is %d; these tests pin the step to 5", got)
 	}
 	return ds, f, buf.Bytes()
 }
@@ -191,29 +241,29 @@ func TestPyramidFileScaleZeroIsRebuilt(t *testing.T) {
 	fp := binary.LittleEndian.Uint32(old[12:16])
 	scale := 16 + int(fp) + 16
 	binary.LittleEndian.PutUint64(old[scale+8:], math.Float64bits(0)) // the second channel's scale
-	h := fnv.New64a()
-	h.Write(old[8 : len(old)-8])
-	binary.LittleEndian.PutUint64(old[len(old)-8:], h.Sum64())
-	checkRebuilt(t, ds, f, old, "scale-0")
+	checkRebuilt(t, ds, f, sealed(old[:len(old)-8]), "scale-0")
 }
 
 // TestPyramidBytesPinned: the pyramid files of the zoo's composites —
 // POISyn's F2 at 5 000 objects, its three sums two limbs each, and
-// Tweet's F1 at 20 000 — are byte for byte those of the first format-4
-// build, the one that kept a single anchor-bin level. (Format 3's ladders
-// of five and six levels wrote 268 903 and 1 077 784 bytes for them.)
+// Tweet's F1 at 20 000 — are byte for byte those of the first format-5
+// build, which dropped the two id orders (8 bytes an object) and stored
+// the bin grid origin (16 bytes). Laid out as format 4 (formatFour), they
+// are byte for byte the files of the first format-4 build, which wrote
+// 160 811 and 586 396 bytes. (Format 3's ladders of five and six levels
+// wrote 268 903 and 1 077 784.)
 func TestPyramidBytesPinned(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		ds    *asrs.Dataset
-		specs []asrs.AggSpec
-		size  int
-		sha   string
+		name      string
+		ds        *asrs.Dataset
+		specs     []asrs.AggSpec
+		size      int
+		sha, sha4 string
 	}{
 		{"poisyn-5k-f2", dataset.POISyn(5000, 42), []asrs.AggSpec{{Kind: asrs.Sum, Attr: "visits"}, {Kind: asrs.Average, Attr: "rating"}},
-			160811, "43b6bd12723853f0e03a31d1271a8489fc7726e28e47b9250fa99993e982f365"},
+			120827, "7de58f47b56f0b066d46777cf114e4f48a936f63efdec8cab81106a4f3b69f85", "43b6bd12723853f0e03a31d1271a8489fc7726e28e47b9250fa99993e982f365"},
 		{"tweet-20k-f1", dataset.Tweet(20000, 42), []asrs.AggSpec{{Kind: asrs.Distribution, Attr: "day"}},
-			586396, "2223df7a87d30443b04a372e805ab0e461de44a45037c4ca781624f87e66d4b8"},
+			426412, "8b848985378a218a5cb51ae7e9b6275683f973b87650547a4d94732a7f31ebcb", "2223df7a87d30443b04a372e805ab0e461de44a45037c4ca781624f87e66d4b8"},
 	} {
 		f, err := asrs.NewComposite(c.ds.Schema, c.specs...)
 		if err != nil {
@@ -232,6 +282,9 @@ func TestPyramidBytesPinned(t *testing.T) {
 		}
 		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != c.sha {
 			t.Errorf("%s: pyramid file sha256 %x, want %s", c.name, sum, c.sha)
+		}
+		if sum := sha256.Sum256(formatFour(c.ds, buf.Bytes())); hex.EncodeToString(sum[:]) != c.sha4 {
+			t.Errorf("%s: laid out as format 4, sha256 %x, want the format-4 build's %s", c.name, sum, c.sha4)
 		}
 	}
 }
