@@ -372,10 +372,39 @@ func LoadPyramidFile(path string, ds *Dataset, f *Composite) (*Pyramid, error) {
 //     deployment error, so it stays fatal.
 //
 // status lets callers log build latency versus a warm load and alert
-// on rebuilds. Both CLI front ends (asrsquery -pyramid, asrsd
-// -pyramid) ride this helper.
+// on rebuilds. asrsquery -pyramid rides this helper; a daemon that
+// serves several composites of one corpus uses the Engine's method of
+// the same name, whose builds share the corpus's geometry.
 func LoadOrBuildPyramidFile(path string, ds *Dataset, f *Composite) (p *Pyramid, status PyramidLoad, err error) {
-	p, err = persist.LoadPyramid(path, ds, f)
+	return loadOrBuildPyramidFile(path, ds, f, func() (*Pyramid, error) { return dssearch.BuildPyramid(ds, f) })
+}
+
+// LoadOrBuildPyramidFile is the package function of the same name over
+// the engine's seed corpus, with the pyramid installed in the engine: a
+// loaded one as SetPyramid installs it, a built one made by the engine
+// itself, on the seed epoch's geometry — so every composite after the
+// first pays for its own core only, not for a sort and a level of its
+// own. The engine must still be on its seed epoch, as at boot.
+func (e *Engine) LoadOrBuildPyramidFile(path string, f *Composite) (*Pyramid, PyramidLoad, error) {
+	v := e.view.Load()
+	if v.ds != e.ds {
+		return nil, 0, fmt.Errorf("asrs: pyramid file %s describes the seed corpus; the engine serves a later epoch", path)
+	}
+	p, status, err := loadOrBuildPyramidFile(path, e.ds, f, func() (*Pyramid, error) {
+		if e.opt.DisablePyramid {
+			return dssearch.BuildPyramid(e.ds, f)
+		}
+		return e.pyramidFor(v, f)
+	})
+	if err != nil || status != PyramidLoaded {
+		return p, status, err
+	}
+	p, err = e.install(p)
+	return p, status, err
+}
+
+func loadOrBuildPyramidFile(path string, ds *Dataset, f *Composite, build func() (*Pyramid, error)) (*Pyramid, PyramidLoad, error) {
+	p, err := persist.LoadPyramid(path, ds, f)
 	switch {
 	case err == nil:
 		return p, PyramidLoaded, nil
@@ -384,13 +413,13 @@ func LoadOrBuildPyramidFile(path string, ds *Dataset, f *Composite) (p *Pyramid,
 		if qerr != nil {
 			return nil, 0, fmt.Errorf("asrs: pyramid %s corrupt and unquarantinable: %w", path, qerr)
 		}
-		p, berr := buildAndSavePyramid(path, ds, f)
+		p, berr := buildAndSavePyramid(path, build)
 		if berr != nil {
 			return nil, 0, fmt.Errorf("asrs: rebuilding after corrupt pyramid (quarantined at %s): %w", qpath, berr)
 		}
 		return p, PyramidRebuilt, nil
 	case errors.Is(err, fs.ErrNotExist):
-		p, berr := buildAndSavePyramid(path, ds, f)
+		p, berr := buildAndSavePyramid(path, build)
 		if berr != nil {
 			return nil, 0, berr
 		}
@@ -402,8 +431,8 @@ func LoadOrBuildPyramidFile(path string, ds *Dataset, f *Composite) (p *Pyramid,
 	}
 }
 
-func buildAndSavePyramid(path string, ds *Dataset, f *Composite) (*Pyramid, error) {
-	p, err := dssearch.BuildPyramid(ds, f)
+func buildAndSavePyramid(path string, build func() (*Pyramid, error)) (*Pyramid, error) {
+	p, err := build()
 	if err != nil {
 		return nil, err
 	}

@@ -187,9 +187,10 @@ func buildServing(dsName string, n int, seed int64) (*asrs.Dataset, map[string]*
 }
 
 // loadOrBuildPyramid installs the on-disk pyramid for (ds, f) into the
-// engine, building and saving the file when it does not exist yet.
+// engine, building it through the engine — on the corpus's one geometry —
+// and saving the file when it does not exist yet.
 func loadOrBuildPyramid(eng *asrs.Engine, path string, f *asrs.Composite) error {
-	p, status, err := asrs.LoadOrBuildPyramidFile(path, eng.Dataset(), f)
+	p, status, err := eng.LoadOrBuildPyramidFile(path, f)
 	if err != nil {
 		return err
 	}
@@ -201,7 +202,7 @@ func loadOrBuildPyramid(eng *asrs.Engine, path string, f *asrs.Composite) error 
 	default:
 		log.Printf("pyramid: loaded %s (%d objects)", path, p.Objects())
 	}
-	return eng.SetPyramid(p)
+	return nil
 }
 
 // pyramidPath derives the per-composite pyramid file from the -pyramid

@@ -100,6 +100,7 @@ type Engine struct {
 	nFoldFallbacks atomic.Int64
 	foldNanos      atomic.Int64
 	rebuildNanos   atomic.Int64
+	nGeoFolds      atomic.Int64
 
 	// Serving counters (atomic; snapshot via Stats). Queries counts every
 	// answered request, single or batched.
@@ -242,16 +243,31 @@ type pyramidEntry struct {
 	done atomic.Bool
 }
 
+// geometryEntry builds, folds or adopts an epoch's geometry exactly once;
+// done flips once it is set, so the next epoch can harvest it as its fold
+// base without waiting inside once.
+type geometryEntry struct {
+	once sync.Once
+	g    *dssearch.Geometry
+	err  error
+	done atomic.Bool
+}
+
 // engineView is one immutable epoch of the engine's logical dataset:
 // the seed corpus plus the first deltaLen ingested objects, with the
-// per-composite caches bound to exactly that dataset. The maps are
+// caches bound to exactly that dataset: one geometry (the master order
+// and anchor-bin level every composite's pyramid shares) and the
+// per-composite indexes and pyramids. The maps, basePyrs and baseGeo are
 // guarded by Engine.mu; entries build under their own once. basePyrs
 // holds completed pyramids inherited from the previous epoch, consumed
-// (and released) by the first delta fold per composite. flights holds the
-// searches in progress on this epoch, by dedupKey (flight.go).
+// (and released) by the first delta fold per composite, and baseGeo the
+// previous epoch's geometry, consumed by the geometry's fold. flights
+// holds the searches in progress on this epoch, by dedupKey (flight.go).
 type engineView struct {
 	ds       *Dataset
 	deltaLen int
+	geo      geometryEntry
+	baseGeo  *dssearch.Geometry
 	indexes  map[*Composite]*indexEntry
 	pyramids map[*Composite]*pyramidEntry
 	basePyrs map[*Composite]*Pyramid
@@ -347,11 +363,15 @@ func (e *Engine) materializeView() *engineView {
 		pyramids: make(map[*Composite]*pyramidEntry),
 		flights:  make(map[string]*flight),
 	}
-	// Harvest fold bases: completed pyramids of the previous epoch win
-	// (largest prefix), else whatever base it inherited and never used.
-	// An in-flight build is simply not harvested — the new epoch
-	// rebuilds from scratch for that composite, answers unchanged.
+	// Harvest fold bases: the completed geometry and pyramids of the
+	// previous epoch win (largest prefix), else whatever base it inherited
+	// and never used. An in-flight build is simply not harvested — the
+	// new epoch builds that one from scratch, answers unchanged.
 	e.mu.Lock()
+	nv.baseGeo = v.baseGeo
+	if v.geo.done.Load() && v.geo.err == nil {
+		nv.baseGeo = v.geo.g
+	}
 	nv.basePyrs = make(map[*Composite]*Pyramid, len(v.pyramids)+len(v.basePyrs))
 	for f, p := range v.basePyrs {
 		nv.basePyrs[f] = p
@@ -416,14 +436,35 @@ func (e *Engine) Pyramid(f *Composite) (*Pyramid, error) {
 	return e.pyramidFor(e.currentView(), f)
 }
 
-// pyramidFor returns the view's cached pyramid for the composite. When
+// geometryFor returns the view's geometry, building it on first use:
+// folded from the previous epoch's (dssearch.FoldGeometry) when the view
+// inherited one, else sorted afresh. The view's dataset is the base's
+// plus objects InsertBatch validated, so the fold checks nothing. The
+// base is released as soon as the fold lands.
+func (e *Engine) geometryFor(v *engineView) (*dssearch.Geometry, error) {
+	v.geo.once.Do(func() {
+		e.mu.Lock()
+		base := v.baseGeo
+		v.baseGeo = nil
+		e.mu.Unlock()
+		if base != nil {
+			v.geo.g = dssearch.FoldGeometry(base, v.ds)
+			e.nGeoFolds.Add(1)
+		} else {
+			v.geo.g, v.geo.err = dssearch.BuildGeometry(v.ds)
+		}
+		v.geo.done.Store(true)
+	})
+	return v.geo.g, v.geo.err
+}
+
+// pyramidFor returns the view's cached pyramid for the composite, built
+// on the view's geometry, so a composite pays for its own core only. When
 // the view inherited the previous epoch's pyramid for this composite,
-// the build is a delta fold (dssearch.FoldPyramid): the inserted tail is
-// spliced into a copy of the base, bit-identical to a from-scratch
-// rebuild (which only a base of no objects takes instead). The view's
-// dataset is the base's plus objects InsertBatch
-// validated, so the fold's O(n) precondition checks are skipped. The
-// base is released as soon as the build lands.
+// the build is a delta fold (dssearch.FoldPyramid): the inserted tail's
+// rows are spliced into a copy of the base's core, bit-identical to a
+// from-scratch rebuild (which only a base of no objects takes instead).
+// The base is released as soon as the build lands.
 func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {
 	if e.opt.DisablePyramid {
 		return nil, nil
@@ -438,9 +479,13 @@ func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {
 	ent.once.Do(func() {
 		start := time.Now()
 		spent := &e.rebuildNanos
-		if ent.base != nil {
+		g, err := e.geometryFor(v)
+		switch {
+		case err != nil:
+			ent.err = err
+		case ent.base != nil:
 			var stats *dssearch.DeltaStats
-			ent.p, stats, ent.err = dssearch.FoldPyramid(ent.base, v.ds)
+			ent.p, stats, ent.err = dssearch.FoldPyramid(ent.base, g)
 			if ent.err == nil && stats.Folded {
 				e.nFolds.Add(1)
 				spent = &e.foldNanos
@@ -451,8 +496,8 @@ func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {
 			e.mu.Lock()
 			delete(v.basePyrs, f)
 			e.mu.Unlock()
-		} else {
-			ent.p, ent.err = dssearch.BuildPyramid(v.ds, f)
+		default:
+			ent.p, ent.err = dssearch.BuildPyramidOn(g, f)
 		}
 		spent.Add(int64(time.Since(start)))
 		ent.done.Store(true)
@@ -467,23 +512,39 @@ func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {
 // after WAL recovery staged objects — the current epoch is the seed
 // corpus itself, so a pyramid persisted for the seed installs cleanly
 // and later epochs fold the recovered inserts into it.
+//
+// The epoch's geometry is the first installed pyramid's when none was
+// built yet; a pyramid whose order and level equal the epoch's geometry
+// is installed on it, so the composites of a loaded epoch share one
+// geometry (and one memo of shape facts) as built ones do.
 func (e *Engine) SetPyramid(p *Pyramid) error {
+	_, err := e.install(p)
+	return err
+}
+
+// install is SetPyramid, returning the pyramid as installed.
+func (e *Engine) install(p *Pyramid) (*Pyramid, error) {
 	if p == nil {
-		return fmt.Errorf("asrs: nil pyramid")
+		return nil, fmt.Errorf("asrs: nil pyramid")
 	}
 	v := e.view.Load()
 	// The cache key is the pyramid's own composite, so only dataset
 	// identity needs verifying here.
 	if !p.Matches(v.ds, p.Composite()) {
-		return fmt.Errorf("asrs: pyramid was built for a different dataset")
+		return nil, fmt.Errorf("asrs: pyramid was built for a different dataset")
 	}
+	v.geo.once.Do(func() {
+		v.geo.g = p.Geometry()
+		v.geo.done.Store(true)
+	})
+	p, _ = p.OnGeometry(v.geo.g)
 	ent := &pyramidEntry{p: p}
 	ent.once.Do(func() {}) // mark built
 	ent.done.Store(true)
 	e.mu.Lock()
 	v.pyramids[p.Composite()] = ent
 	e.mu.Unlock()
-	return nil
+	return p, nil
 }
 
 // Warm eagerly builds (or finishes building) the engine's cached grid

@@ -1,6 +1,9 @@
 package asrs
 
-import "context"
+import (
+	"context"
+	"fmt"
+)
 
 // Flights reports the QueryCtx searches in flight on the engine's current
 // epoch view and the requests waiting to copy their answers.
@@ -13,6 +16,11 @@ func (e *Engine) Flights() (flights, joiners int) {
 	}
 	return len(v.flights), joiners
 }
+
+// GeometryFolds reports how many epoch geometries the engine folded from
+// the previous epoch's: one per epoch, whichever composites the epoch
+// builds pyramids for.
+func (e *Engine) GeometryFolds() int64 { return e.nGeoFolds.Load() }
 
 // SlotState reports the engine's free execution slots and the searches
 // queued for one.
@@ -31,4 +39,15 @@ func (s *Slots) State() (free, queued int) {
 	s.s.mu.Lock()
 	defer s.s.mu.Unlock()
 	return s.s.free, len(s.s.queue)
+}
+
+// SelfChecked is the error of a request whose rounds' answers failed
+// their self-check (dssearch.Searcher.Settle): every answer a search hands
+// out is re-evaluated at its point, and the distance must be the one the
+// search ranked it by.
+func SelfChecked(st IndexStats) error {
+	if n := st.DS.SelfCheckMisses; n != 0 {
+		return fmt.Errorf("asrs: %d answers re-evaluated to another distance", n)
+	}
+	return nil
 }

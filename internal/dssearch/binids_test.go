@@ -29,7 +29,7 @@ func TestBinIDsMatchWindowFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.tab.pyr != p || s.tab.lvl != p.lvl {
+	if s.tab.pyr != p || s.tab.lvl != p.geo.lvl {
 		t.Fatal("the pyramid did not bind its level")
 	}
 	tab, master := s.tab, s.rects

@@ -18,35 +18,40 @@ import (
 // position in anchor order). Appending d objects to a dataset of n
 // changes them in two ways, and the fold does exactly those:
 //
-//   - spliced: the d objects are flattened and certified on their own,
-//     sorted by anchor, and their rows are inserted into the base's CSR
-//     arrays (contributions, min/max contributions, the order
-//     permutation) at their merge positions — bulk copies of the base's
-//     runs in between;
+//   - spliced: the d objects are placed in the master order and their
+//     rows are inserted into the base's CSR arrays (contributions,
+//     min/max contributions, the order permutation) at their merge
+//     positions — bulk copies of the base's runs in between;
 //   - id-remapped: every array that NAMES master ids (the level's binIds
 //     and threshold arrays) is rewritten through the monotone old-id →
 //     new-id shift in one pass, with the d new ids merged in; the level's
 //     count plane is re-derived from its offsets.
 //
-// So a fold costs O(d log n) comparisons plus a few linear copies, where
-// the rebuild costs a sort, a flatten and a certificate pass over all n.
-// The base is never written to: queries of the previous epoch keep
-// reading it while the next epoch folds.
+// The order and the level belong to the Geometry, which every composite
+// of an epoch shares: FoldGeometry places the delta, splices the order
+// and patches the level once per epoch; FoldPyramid then places the
+// delta in the base's order again — O(d log d + d log n) — and splices
+// one composite's rows. So a fold costs O(d log n)
+// comparisons plus a few linear copies, once for the geometry and once
+// per composite's core, where the rebuild costs a sort, a flatten and a
+// certificate pass over all n. The base is never written to: queries of
+// the previous epoch keep reading it while the next epoch folds.
 //
 // Bit-identity with BuildPyramid(combined, f) holds by construction:
 //
-//   - order: every evaluator sums the limbs exactly, in any order, so
-//     anchor ties are admitted (seed first, then dataset order) — where
-//     the rebuild's sort puts tied objects the other way round, swapping
-//     them only relabels ids. Validated locations are finite, so every
-//     anchor has its place.
+//   - order: the base's order is the (x, y, index) order of its objects,
+//     and every appended object has a larger index than every base
+//     object, so merging the delta, sorted the same way, after the base's
+//     objects on location ties yields the rebuild's order exactly.
+//     Validated locations are finite, so every anchor has its place.
 //   - certificate: the base's running sums (Σ|v| per limb) are extended
 //     by the delta's values in dataset order, which is how the rebuild
 //     accumulates them, so the outcome the rebuild would reach is known
 //     exactly (agg.Limbs.Extend). While it is the base's own, the base's
 //     limbs are reused as they are. When it moves — a finer grid, a split
 //     grid following the channel's grown mass, one more limb — the fold
-//     certifies the dataset's values again (recertify).
+//     builds the core again on the folded geometry (BuildPyramidOn):
+//     still no sort.
 //
 // Only a base of no objects, which has no anchor order to merge into, is
 // rebuilt instead.
@@ -68,7 +73,7 @@ type DeltaStats struct {
 
 // BuildPyramidDelta builds the pyramid for combined — a dataset that
 // extends the base pyramid's dataset with appended objects. The first
-// base.n objects of combined must be the base dataset's objects
+// base.Objects() objects of combined must be the base dataset's objects
 // (locations are checked; values are trusted to be equal, the base's
 // contributions are reused for them). Answers through the returned
 // pyramid are bit-identical to BuildPyramid(combined, f).
@@ -82,42 +87,90 @@ func BuildPyramidDelta(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaS
 	if err := combined.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if n := len(combined.Objects); n < base.n {
-		return nil, nil, fmt.Errorf("dssearch: delta build: combined dataset has %d objects, base pyramid covers %d", n, base.n)
+	b := base.geo
+	if n := len(combined.Objects); n < b.n {
+		return nil, nil, fmt.Errorf("dssearch: delta build: combined dataset has %d objects, base pyramid covers %d", n, b.n)
 	}
-	if combined.Schema != base.ds.Schema {
+	if combined.Schema != b.ds.Schema {
 		return nil, nil, fmt.Errorf("dssearch: delta build: combined dataset has a different schema")
 	}
-	for i := 0; i < base.n; i++ {
-		if combined.Objects[i].Loc != base.ds.Objects[i].Loc {
+	for i := 0; i < b.n; i++ {
+		if combined.Objects[i].Loc != b.ds.Objects[i].Loc {
 			return nil, nil, fmt.Errorf("dssearch: delta build: object %d moved (%v != %v); combined must extend the base dataset",
-				i, combined.Objects[i].Loc, base.ds.Objects[i].Loc)
+				i, combined.Objects[i].Loc, b.ds.Objects[i].Loc)
 		}
 	}
-	return FoldPyramid(base, combined)
+	return FoldPyramid(base, FoldGeometry(b, combined))
 }
 
-// FoldPyramid is BuildPyramidDelta without the O(n) precondition checks,
-// for callers that assembled combined themselves as the base's dataset
-// followed by validated objects (the Engine's epoch views).
-func FoldPyramid(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaStats, error) {
-	stats := &DeltaStats{Appended: len(combined.Objects) - base.n}
-	if base.n == 0 || len(combined.Objects) < base.n {
-		p, err := BuildPyramid(combined, base.f)
+// FoldGeometry returns the geometry of combined — base's dataset
+// followed by validated objects, which is not checked — by patching base
+// (see the file comment). A base of no objects is not patched:
+// combined's geometry is built instead.
+func FoldGeometry(base *Geometry, combined *attr.Dataset) *Geometry {
+	n0, n := base.n, len(combined.Objects)
+	if n0 == 0 || n < n0 {
+		return newGeometry(combined)
+	}
+	ents := base.place(combined.Objects[n0:])
+	g := &Geometry{ds: combined, n: n, order: make([]int32, 0, n)}
+	next := int32(0)
+	for _, e := range ents {
+		g.order = append(g.order, base.order[next:e.pos]...)
+		next = e.pos
+		g.order = append(g.order, int32(n0)+e.row)
+	}
+	g.order = append(g.order, base.order[next:]...)
+
+	// Patch the base's level while the granularity of a fresh build
+	// stands.
+	if base.lvl.gx == levelGrid(n) {
+		newID := make([]int32, n0) // base master id -> folded master id
+		t := 0
+		for id := range newID {
+			for t < len(ents) && int(ents[t].pos) <= id {
+				t++
+			}
+			newID[id] = int32(id + t)
+		}
+		g.lvl = base.lvl.patch(g, ents, newID)
+	} else {
+		xs := make([]float64, n)
+		ys := make([]float64, n)
+		for id := range xs {
+			loc := g.anchor(int32(id))
+			xs[id], ys[id] = loc.X, loc.Y
+		}
+		g.raiseLevel(xs, ys)
+	}
+	return g
+}
+
+// FoldPyramid is the pyramid of one composite on g, the geometry of a
+// dataset that extends base's (FoldGeometry, or BuildGeometry over the
+// grown dataset), made by splicing the appended objects' rows into a copy
+// of base's core. g's dataset is trusted to be base's followed by
+// validated objects (the Engine's epoch views; BuildPyramidDelta checks).
+// Where there is nothing to merge into — a base of no objects — the core
+// is built on g instead (BuildPyramidOn) and Folded is false.
+func FoldPyramid(base *Pyramid, g *Geometry) (*Pyramid, *DeltaStats, error) {
+	b := base.geo
+	stats := &DeltaStats{Appended: g.n - b.n}
+	if b.n == 0 || g.n < b.n {
+		p, err := BuildPyramidOn(g, base.f)
 		return p, stats, err
 	}
-	p, err := base.fold(combined)
+	p, err := base.fold(g, b.place(g.ds.Objects[b.n:]))
 	stats.Folded = err == nil
 	return p, stats, err
 }
 
 // rawDataset returns the contributions of the pyramid's dataset in
-// dataset order — the sequence BuildPyramid certified — with room for
-// extra more.
-func (p *Pyramid) rawDataset(extra int) []agg.Contrib {
-	dst := make([]agg.Contrib, 0, len(p.core.contribs)+extra)
-	for i := range p.ds.Objects {
-		dst = p.f.AppendContribs(&p.ds.Objects[i], dst)
+// dataset order — the sequence BuildPyramid certified.
+func (p *Pyramid) rawDataset() []agg.Contrib {
+	dst := make([]agg.Contrib, 0, len(p.core.contribs))
+	for i := range p.geo.ds.Objects {
+		dst = p.f.AppendContribs(&p.geo.ds.Objects[i], dst)
 	}
 	return dst
 }
@@ -131,7 +184,7 @@ func (p *Pyramid) certSums() (agg.LimbSums, error) {
 		return p.cert, nil
 	}
 	var l agg.Limbs
-	err := l.Certify(p.core.chans, p.rawDataset(0))
+	err := l.Certify(p.core.chans, p.rawDataset())
 	return l.Sums(), err
 }
 
@@ -189,41 +242,6 @@ func (base *Pyramid) certifyDelta(rows *deltaRows) (agg.LimbSums, bool, error) {
 	return sums, true, nil
 }
 
-// recertify is the fold's slow lane, taken when the appended values
-// move the certificate (a finer grid, a split grid following the
-// channel's grown mass, …): it certifies the dataset's values plus the
-// appended ones, in dataset order like a rebuild, and splits every row
-// under the outcome, in folded master order. Still no sort.
-func (base *Pyramid) recertify(rows *deltaRows, ents []deltaEnt) (*tables, error) {
-	c := base.core
-	t := &tables{f: c.f, chans: c.chans}
-	if err := t.limbs.Certify(c.chans, append(base.rawDataset(len(rows.raw)), rows.raw...)); err != nil {
-		return nil, err
-	}
-
-	t.cOff = make([]int32, 1, base.n+len(ents)+1)
-	row := func(raw []agg.Contrib) {
-		start := len(t.contribs)
-		t.contribs = t.limbs.Split(append(t.contribs, raw...), start)
-		t.cOff = append(t.cOff, int32(len(t.contribs)))
-	}
-	var buf []agg.Contrib
-	next := int32(0)
-	baseRows := func(upto int32) {
-		for ; next < upto; next++ {
-			buf = c.f.AppendContribs(&base.ds.Objects[base.order[next]], buf[:0])
-			row(buf)
-		}
-	}
-	for _, e := range ents {
-		baseRows(e.pos)
-		row(rows.raw[rows.rawOff[e.row]:rows.rawOff[e.row+1]])
-	}
-	baseRows(int32(base.n))
-	t.freeze()
-	return t, nil
-}
-
 // deltaEnt is one appended object placed in the folded master order.
 type deltaEnt struct {
 	row int32 // its row in deltaRows; dataset index base.n+row
@@ -232,20 +250,20 @@ type deltaEnt struct {
 	loc geom.Point
 }
 
-// placeDelta sorts the appended objects by anchor (ties by dataset
-// index) and finds their merge positions in the base's master order,
-// seed first on ties.
-func (base *Pyramid) placeDelta(objs []attr.Object) []deltaEnt {
+// place sorts the appended objects by anchor (ties by dataset index) and
+// finds their merge positions in g's master order, g's objects first on
+// ties.
+func (g *Geometry) place(objs []attr.Object) []deltaEnt {
 	ents := make([]deltaEnt, len(objs))
 	for j := range ents {
 		ents[j] = deltaEnt{row: int32(j), loc: objs[j].Loc}
 	}
 	slices.SortFunc(ents, func(a, b deltaEnt) int {
-		return cmp.Or(cmp.Compare(a.loc.X, b.loc.X), cmp.Compare(a.loc.Y, b.loc.Y), cmp.Compare(a.row, b.row))
+		return compareAnchors(anchorKey{a.loc.X, a.loc.Y, a.row}, anchorKey{b.loc.X, b.loc.Y, b.row})
 	})
 	for t := range ents {
 		e := &ents[t]
-		e.pos = int32(sort.Search(base.n, func(i int) bool { return anchorLess(e.loc, base.anchor(int32(i))) }))
+		e.pos = int32(sort.Search(g.n, func(i int) bool { return anchorLess(e.loc, g.anchor(int32(i))) }))
 		e.id = e.pos + int32(t)
 	}
 	return ents
@@ -284,83 +302,39 @@ func spliceVals[T any](bOff []int32, b []T, dOff []int32, d []T, ents []deltaEnt
 	return append(out, b[next:]...)
 }
 
-// fold patches a copy of the base, which holds objects, into the pyramid
-// of combined (see the file comment). It fails only where a rebuild
-// would: on values that do not certify.
-func (base *Pyramid) fold(combined *attr.Dataset) (*Pyramid, error) {
+// fold splices the rows of the objects g appends to base's dataset,
+// placed by ents, into a copy of base's core (see the file comment). It
+// fails only where a rebuild would: on values that do not certify.
+func (base *Pyramid) fold(g *Geometry, ents []deltaEnt) (*Pyramid, error) {
 	c := base.core
-	n0, n := base.n, len(combined.Objects)
-	delta := combined.Objects[n0:]
-	ents := base.placeDelta(delta)
-	rows := base.flattenDelta(delta)
+	rows := base.flattenDelta(g.ds.Objects[base.geo.n:])
 
 	// The fast lane keeps the base's limbs (shared, read-only) over the
-	// spliced contribution tables.
-	var core *tables
+	// spliced contribution tables; the slow lane builds the core again.
 	sums, sameCert, err := base.certifyDelta(rows)
 	switch {
 	case err != nil:
 		return nil, err
-	case sameCert:
-		core = &tables{
-			f: c.f, chans: c.chans,
-			limbs:    c.limbs.Layout(),
-			cOff:     spliceOffs(c.cOff, rows.cOff, ents),
-			contribs: spliceVals(c.cOff, c.contribs, rows.cOff, rows.con, ents),
-		}
-	default:
-		if core, err = base.recertify(rows, ents); err != nil {
-			return nil, err
-		}
-		sums = core.limbs.Sums()
+	case !sameCert:
+		return BuildPyramidOn(g, base.f)
+	}
+	core := &tables{
+		f: c.f, chans: c.chans,
+		limbs:    c.limbs.Layout(),
+		cOff:     spliceOffs(c.cOff, rows.cOff, ents),
+		contribs: spliceVals(c.cOff, c.contribs, rows.cOff, rows.con, ents),
 	}
 	if base.mmSlots > 0 {
 		core.mOff = spliceOffs(c.mOff, rows.mOff, ents)
 		core.mms = spliceVals(c.mOff, c.mms, rows.mOff, rows.mms, ents)
 	}
-
-	p := &Pyramid{
-		ds: combined, f: base.f, n: n, mmSlots: base.mmSlots,
-		core: core, cert: sums,
-		order: make([]int32, 0, n),
-	}
-	next := int32(0)
-	for _, e := range ents {
-		p.order = append(p.order, base.order[next:e.pos]...)
-		next = e.pos
-		p.order = append(p.order, int32(n0)+e.row)
-	}
-	p.order = append(p.order, base.order[next:]...)
-
-	newID := make([]int32, n0) // base master id -> folded master id
-	t := 0
-	for id := range newID {
-		for t < len(ents) && int(ents[t].pos) <= id {
-			t++
-		}
-		newID[id] = int32(id + t)
-	}
-
-	// Patch the base's level while the granularity of a fresh build
-	// stands.
-	if base.lvl.gx == levelGrid(n) {
-		p.lvl = base.lvl.patch(p, ents, newID)
-		return p, nil
-	}
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for id := range xs {
-		loc := p.anchor(int32(id))
-		xs[id], ys[id] = loc.X, loc.Y
-	}
-	p.raiseLevel(xs, ys)
-	return p, nil
+	return &Pyramid{geo: g, f: base.f, mmSlots: base.mmSlots, core: core, cert: sums}, nil
 }
 
-// patch returns the level of the folded pyramid p that keeps l's bin
+// patch returns the level of the folded geometry geo that keeps l's bin
 // grid: l's arrays with the base's ids remapped and the appended
 // objects' ids merged into their bins.
-func (l *satLevel) patch(p *Pyramid, ents []deltaEnt, newID []int32) *satLevel {
+func (l *satLevel) patch(geo *Geometry, ents []deltaEnt, newID []int32) *satLevel {
 	g := l.gx
 	nl := &satLevel{gx: l.gx, gy: l.gy, bw: l.bw, bh: l.bh, bx0: l.bx0, by0: l.by0}
 
@@ -422,7 +396,7 @@ func (l *satLevel) patch(p *Pyramid, ents []deltaEnt, newID []int32) *satLevel {
 	}
 	claim := func(run []int32, from, step int, id int32, beats func(cur geom.Point) bool) {
 		for i := from; i >= 0 && i < len(run); i += step {
-			if cur := run[i]; cur >= 0 && !beats(p.anchor(cur)) {
+			if cur := run[i]; cur >= 0 && !beats(geo.anchor(cur)) {
 				return
 			}
 			run[i] = id

@@ -15,8 +15,7 @@ import (
 )
 
 // uniqueLocs re-draws every object location from the continuous square,
-// making anchor ties (practically) impossible, so a fold's master order
-// is the rebuild's outright (assertSoundPyramid).
+// making anchor ties (practically) impossible.
 func uniqueLocs(rng *rand.Rand, ds *attr.Dataset) {
 	for i := range ds.Objects {
 		ds.Objects[i].Loc = geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
@@ -29,8 +28,9 @@ func uniqueLocs(rng *rand.Rand, ds *attr.Dataset) {
 // split points, a pyramid produced by folding the appended tail into the
 // prefix pyramid answers bit-identically — region, distance, point and
 // representation — to a from-scratch rebuild over the combined dataset
-// AND to the unassisted oracle. The fold must take place for every
-// composite, anchor ties included.
+// AND to the unassisted oracle, and is the rebuild's structurally
+// (assertSoundPyramid). The fold must take place for every composite,
+// anchor ties included.
 func TestDeltaFoldBitIdentical(t *testing.T) {
 	for _, seed := range []int64{7, 1801, 90210} {
 		rng := rand.New(rand.NewSource(seed))
@@ -45,9 +45,8 @@ func TestDeltaFoldBitIdentical(t *testing.T) {
 			{"decimal", func() float64 { return 0.1 * float64(1+rng.Intn(99)) }, false, false},
 			{"minmax", func() float64 { return float64(rng.Intn(2001)) * 0.5 }, true, false},
 			{"three-limb", func() float64 { return spreadValue(rng) }, true, false},
-			// Lattice-snapped locations carry anchor ties: every limb
-			// sums exactly in any order, so tied objects may sit either
-			// way round and the fold admits them.
+			// Lattice-snapped locations carry anchor ties, which the
+			// fold orders as the rebuild does: by dataset index.
 			{"decimal_ties", func() float64 { return 0.1 * float64(1+rng.Intn(99)) }, false, true},
 		}
 		for _, kind := range kinds {
@@ -73,6 +72,14 @@ func TestDeltaFoldBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%d k=%d: rebuild: %v", kind.name, seed, k, err)
 				}
+				assertSoundPyramid(t, fmt.Sprintf("%s/%d k=%d", kind.name, seed, k), folded, rebuilt)
+				// A composite's core folds onto any geometry of the
+				// combined dataset, not only the one folded from its base's.
+				onBuilt, stats, err := FoldPyramid(base, rebuilt.geo)
+				if err != nil || !stats.Folded {
+					t.Fatalf("%s/%d k=%d: fold onto the rebuilt geometry: folded=%v, err %v", kind.name, seed, k, stats.Folded, err)
+				}
+				assertSoundPyramid(t, fmt.Sprintf("%s/%d k=%d on the rebuilt geometry", kind.name, seed, k), onBuilt, rebuilt)
 
 				target := make([]float64, f.Dims())
 				for i := range target {
@@ -167,11 +174,12 @@ func assertSameAnswers(t *testing.T, tag string, ds *attr.Dataset, f *agg.Compos
 // rebuild and the unassisted oracle. Scripted deltas cover the edges of
 // the patch: anchors below master position 0 and above n-1, outside the
 // base's bin grid on both axes (edge-bin clamp), a value that moves a
-// channel's grid (the recertify lane), an anchor tie (admitted: limb sums
-// are order-free) and two values that spread the channel over a chain of
-// three limbs (the recertify lane again). Every delta folds. Across the
+// channel's grid (the slow lane: the core built again on the folded
+// geometry), an anchor tie (placed after the base's object, as the
+// rebuild orders it) and two values that spread the channel over a chain
+// of three limbs (the slow lane again). Every delta folds. Across the
 // chain the level's granularity must both hold (the level patched, the
-// recertified epochs' included) and move (the level raised anew).
+// slow lane's epochs' included) and move (the level raised anew).
 func TestDeltaFoldChain(t *testing.T) {
 	const stepBelow, stepAbove = 5, 9 // anchors outside the hull
 	var (
@@ -247,7 +255,7 @@ func TestDeltaFoldChain(t *testing.T) {
 			if step > stepSpread && !chained(&next.core.limbs) {
 				t.Fatalf("%s: limbs %v, lo %v: no chain of three", tag, next.core.limbs.Scale, next.core.limbs.Lo)
 			}
-			if levelGrid(cur.n) == levelGrid(next.n) {
+			if levelGrid(cur.geo.n) == levelGrid(next.geo.n) {
 				patched++
 			} else {
 				raised++
@@ -327,32 +335,30 @@ func filled(n int, v float64) []float64 {
 
 // assertSoundPyramid checks a folded pyramid structurally — answers
 // alone let a stale count or threshold slip through whenever the search
-// happens not to lean on it. The limbs must be the rebuild's, and the
-// core and the order too when the order is unique (tied objects may sit
-// either way round). The level must describe one assignment of
-// anchors to bins consistently: whatever grid it keeps, its CSR lists,
-// count plane and threshold arrays are re-derived here from the anchors
-// and compared.
-func assertSoundPyramid(t *testing.T, tag string, p, rebuilt *Pyramid) {
+// happens not to lean on it. The limbs, the core and the order must be
+// the rebuild's, ties included: both order them by dataset index. The
+// level must describe one assignment of anchors to bins consistently:
+// whatever grid it keeps, its CSR lists, count plane and threshold
+// arrays are re-derived here from the anchors and compared.
+func assertSoundPyramid(t *testing.T, tag string, pyr, rebuilt *Pyramid) {
 	t.Helper()
-	c, r := p.core, rebuilt.core
+	c, r := pyr.core, rebuilt.core
 	if !slices.Equal(c.limbs.Scale, r.limbs.Scale) || !slices.Equal(c.limbs.Inv, r.limbs.Inv) ||
 		!slices.Equal(c.limbs.Lo, r.limbs.Lo) {
 		t.Fatalf("%s: folded limbs %v differ from the rebuild's %v", tag, c.limbs.Scale, r.limbs.Scale)
 	}
-	unique := true
-	for id := 1; id < p.n; id++ {
-		unique = unique && anchorLess(p.anchor(int32(id-1)), p.anchor(int32(id)))
+	p := pyr.geo
+	if !slices.Equal(p.order, rebuilt.geo.order) {
+		t.Fatalf("%s: folded order differs from the rebuild's", tag)
 	}
-	if unique && !(slices.Equal(p.order, rebuilt.order) &&
-		slices.Equal(c.cOff, r.cOff) && slices.Equal(c.contribs, r.contribs) &&
-		slices.Equal(c.mOff, r.mOff) && slices.Equal(c.mms, r.mms)) {
-		t.Fatalf("%s: folded core or order differ from the rebuild's", tag)
+	if !slices.Equal(c.cOff, r.cOff) || !slices.Equal(c.contribs, r.contribs) ||
+		!slices.Equal(c.mOff, r.mOff) || !slices.Equal(c.mms, r.mms) {
+		t.Fatalf("%s: folded core differs from the rebuild's", tag)
 	}
 	l := p.lvl
 	g := l.gx
-	if g != rebuilt.lvl.gx {
-		t.Fatalf("%s: level g=%d, rebuild has g=%d", tag, g, rebuilt.lvl.gx)
+	if g != rebuilt.geo.lvl.gx {
+		t.Fatalf("%s: level g=%d, rebuild has g=%d", tag, g, rebuilt.geo.lvl.gx)
 	}
 	fail := func(what string) { t.Helper(); t.Fatalf("%s level (g=%d): %s", tag, g, what) }
 	if len(l.binStart) != g*g+1 || l.binStart[0] != 0 || int(l.binStart[g*g]) != p.n || len(l.binIds) != p.n {

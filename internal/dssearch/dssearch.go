@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -143,6 +144,7 @@ type Stats struct {
 	HeapPushes      int
 	MaxHeapSize     int
 	Steals          int // always 0: a search has no workers to steal between; bench/ still reads the field
+	SelfCheckMisses int // answers whose re-evaluated distance differed from the one the search ranked them by (Settle); always 0
 }
 
 // Add folds another stats record into s (the rounds of a top-k).
@@ -164,6 +166,7 @@ func (s *Stats) Add(o Stats) {
 	s.CenterProbes += o.CenterProbes
 	s.HeapPushes += o.HeapPushes
 	s.MaxHeapSize = max(s.MaxHeapSize, o.MaxHeapSize)
+	s.SelfCheckMisses += o.SelfCheckMisses
 }
 
 // Searcher runs DS-Search over a fixed set of rectangle objects and a
@@ -222,7 +225,7 @@ func NewSearcher(rects []asp.RectObject, q asp.Query, opt Options) (*Searcher, e
 // retained buffer — one pass, no reduction, no permuting copy; a slab
 // that already holds the pyramid's objects in its order only moves each
 // rectangle's minimum corner — and the shape's O(n)-derived facts come
-// from the pyramid's memo (Pyramid.shape).
+// from the geometry's memo (Pyramid.shape).
 // Else, or when the shape's anchors collapse, the dataset is reduced and
 // the layer built per query. Answers are bit-identical on both paths.
 func NewRegionSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Searcher, error) {
@@ -419,9 +422,24 @@ func (s *Searcher) Solve() asp.Result {
 	if len(s.rects) > 0 {
 		s.SolveWithin(s.space, 0)
 	}
-	s.best.Rep = s.PointRepresentation(s.best.Point)
-	s.best.Dist = s.query.Distance(s.best.Rep)
+	s.best = s.Settle(s.best)
 	return s.best
+}
+
+// Settle returns an answer with its representation evaluated afresh at
+// its point, the form a front door hands out. The distance it carries is
+// re-evaluated too, and compared first with the one the search ranked the
+// answer by: the two are the same float by construction, and a mismatch —
+// a search that took an answer for better than it is — is counted in
+// Stats.SelfCheckMisses.
+func (s *Searcher) Settle(r asp.Result) asp.Result {
+	rep := s.PointRepresentation(r.Point)
+	dist := s.query.Distance(rep)
+	if math.Float64bits(dist) != math.Float64bits(r.Dist) {
+		s.Stats.SelfCheckMisses++
+	}
+	r.Rep, r.Dist = rep, dist
+	return r
 }
 
 // emptyResult evaluates the empty covering set outside space.

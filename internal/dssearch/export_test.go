@@ -1,6 +1,9 @@
 package dssearch
 
 import (
+	"unsafe"
+
+	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/attr"
 	"asrs/internal/geom"
@@ -66,4 +69,13 @@ func (h *DiscretizeHarness) Run() int {
 	h.s.beginItem(h.best)
 	dirty := h.s.discretize(h.Space, h.Space, h.Ids)
 	return len(dirty)
+}
+
+// CoreBytes is the memory the pyramid's core holds: its contribution and
+// min/max tables, the part of a pyramid that belongs to its composite
+// alone.
+func (p *Pyramid) CoreBytes() int {
+	c := p.core
+	return 4*cap(c.cOff) + int(unsafe.Sizeof(agg.Contrib{}))*cap(c.contribs) +
+		4*cap(c.mOff) + int(unsafe.Sizeof(agg.MMContrib{}))*cap(c.mms)
 }

@@ -4,29 +4,30 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/attr"
-	"asrs/internal/geom"
 )
 
 // Pyramid is the persistent per-composite aggregate pyramid: the whole
-// per-query aggregation layer of sat.go, hoisted to the dataset level
-// and built exactly once per (dataset, composite) pair.
+// per-query aggregation layer of sat.go, hoisted to the dataset level.
+// It is a pointer to the dataset's Geometry — the master order and the
+// anchor-bin level, shared by every composite of the epoch — plus the
+// composite's core: the contribution and min/max tables in master order,
+// their limbs and the certificate's running sums.
 //
 // The hoist is possible because, under the default top-right-corner
 // reduction, every rectangle's anchor (MinX, MinY) is the object's
-// location translated by the constant (-a, -b): the master sort order,
-// the flattened limb contributions, the limbs' certificate and the
-// anchor-bin partition are all functions of
-// (dataset, composite) alone — only the rectangle materialization
-// depends on the query's (a, b), one O(n) pass, and with it a few facts
-// of O(1) size (width/height ranges, space, whether the order survived
-// the translation) that the first query of a shape derives and
-// the pyramid remembers (shape.go). Binding a pyramid to a Searcher
-// therefore replaces the per-query O(R log R) sort, the O(contribs)
+// location translated by the constant (-a, -b): the master order and the
+// anchor-bin partition are functions of the locations alone, and the
+// flattened limb contributions and the certificate of (dataset,
+// composite) alone — only the rectangle materialization depends on the
+// query's (a, b), one O(n) pass, and with it a few facts of O(1) size
+// (width/height ranges, space, whether the order survived the
+// translation) that the first query of a shape derives and the geometry
+// remembers (shape.go). Binding a pyramid to a Searcher therefore
+// replaces the per-query O(R log R) sort, the O(contribs)
 // flatten/certify passes and the O(R + g²) level build with aliased
 // reads of shared immutable state (DESIGN.md §6). What the pyramid holds
 // that the dataset holds too — the contribution and min/max tables — is
@@ -34,161 +35,129 @@ import (
 // under the stored limbs (PyramidFromSnapshot).
 //
 // Bit-identity with the unassisted path is preserved by construction:
-// the pyramid's master order is produced by the *same* sort over the
-// *same* initial order (translation is monotone, so the comparator
-// outcomes — and with them the unstable sort's permutation — are
-// identical), and the level's id-anchored threshold arrays bound the
-// translated per-query anchors through actual rectangle coordinates
-// rather than bin geometry. The single case translation can break — two
-// distinct anchor x coordinates collapsing onto one float (a sub-ulp
-// event that changes the tie structure the sort saw) — is detected when
-// a shape is first bound, remembered with its facts, and falls back to
-// the classic per-query build, so answers never depend on the pyramid
-// being bindable.
+// the master order is the total (x, y, index) order, which the per-query
+// sort of (MinX, MinY, input index) reproduces (translation is monotone,
+// so every comparison comes out the same), and the level's id-anchored
+// threshold arrays bound the translated per-query anchors through actual
+// rectangle coordinates rather than bin geometry. The single case
+// translation can break — two distinct anchor coordinates collapsing onto
+// one float — is detected when a shape is first bound, remembered with
+// its facts, and falls back to the classic per-query build, so answers
+// never depend on the pyramid being bindable.
 //
-// A Pyramid is immutable after construction, but for the memo of shape
-// facts below, and safe for any number of concurrent binds; the Engine
-// caches one per composite, and internal/persist gives it a durable
-// on-disk form.
+// A Pyramid is immutable and safe for any number of concurrent binds; the
+// Engine caches one per composite, and internal/persist gives it a
+// durable on-disk form.
 type Pyramid struct {
-	ds      *attr.Dataset
+	geo     *Geometry
 	f       *agg.Composite
-	n       int
 	mmSlots int
 
-	core  *tables   // frozen canonical aggregation core (master order)
-	order []int32   // master position -> dataset object index
-	lvl   *satLevel // the anchor-bin level (levelGrid)
+	core *tables // frozen canonical aggregation core (master order)
 
 	// Delta-fold state (delta.go): the certificate's running sums over
 	// the dataset, which a fold extends by the appended objects; nil on a
 	// loaded pyramid until a fold needs them (derived from the dataset
 	// then).
 	cert agg.LimbSums
-
-	// Shape facts remembered per (a, b) (shape.go): like Index.lbPool the
-	// memo is the pyramid's only mutable state. An epoch's fold is a new
-	// pyramid with an empty memo.
-	factsMu      sync.Mutex
-	facts        map[shapeKey]shapeFacts
-	factsDerived int // derivations so far (tests)
 }
 
-// BuildPyramid constructs the pyramid for one composite over a dataset.
-// The dataset must not be mutated afterwards while the pyramid serves
-// it (the same contract as Engine and Index).
+// BuildPyramid constructs the pyramid for one composite over a dataset:
+// its geometry (BuildGeometry) and the composite's core on it
+// (BuildPyramidOn). The dataset must not be mutated afterwards while the
+// pyramid serves it (the same contract as Engine and Index).
 func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("dssearch: pyramid requires a dataset")
+	if f == nil {
+		return nil, fmt.Errorf("dssearch: pyramid requires a composite aggregator")
+	}
+	g, err := BuildGeometry(ds)
+	if err != nil {
+		return nil, err
+	}
+	return BuildPyramidOn(g, f)
+}
+
+// BuildPyramidOn builds the core of one composite on a dataset's
+// geometry: the objects are flattened once, in dataset order, which is
+// the order the certificate is decided in, and the rows are laid out in
+// the geometry's master order from that one flatten. No sort, no level.
+func BuildPyramidOn(g *Geometry, f *agg.Composite) (*Pyramid, error) {
+	if g == nil {
+		return nil, fmt.Errorf("dssearch: pyramid requires a geometry")
 	}
 	if f == nil {
 		return nil, fmt.Errorf("dssearch: pyramid requires a composite aggregator")
 	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	n := len(ds.Objects)
-
-	// Degenerate location-anchored rectangles stand in for the reduced
-	// master: their (MinX, MinY) are the object locations, i.e. the
-	// anchors of every real reduction up to translation, so buildTables
-	// runs the exact per-query code path — flatten, certify, sort — and
-	// its outputs ARE the shared core.
-	synth := make([]asp.RectObject, n)
-	for i := range ds.Objects {
-		o := &ds.Objects[i]
-		synth[i] = asp.RectObject{
-			Rect: geom.Rect{MinX: o.Loc.X, MinY: o.Loc.Y, MaxX: o.Loc.X, MaxY: o.Loc.Y},
-			Obj:  o,
-		}
-	}
-	core := &tables{}
-	master, err := buildTables(core, synth, f, true)
-	if err != nil {
+	core := &tables{f: f, chans: f.Channels()}
+	objs := g.ds.Objects
+	if err := core.flatten(len(objs), func(i int) *attr.Object { return &objs[i] }, g.order); err != nil {
 		return nil, err
 	}
 	core.freeze()
-
-	// Recover the sort permutation via object identity.
-	idxOf := make(map[*attr.Object]int32, n)
-	for i := range ds.Objects {
-		idxOf[&ds.Objects[i]] = int32(i)
-	}
-	order := make([]int32, n)
-	for i := range master {
-		order[i] = idxOf[master[i].Obj]
-	}
-
-	p := &Pyramid{ds: ds, f: f, n: n, mmSlots: f.MinMaxSlots(), core: core, order: order, cert: core.limbs.Sums()}
-
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range master {
-		xs[i] = master[i].Rect.MinX
-		ys[i] = master[i].Rect.MinY
-	}
-	p.raiseLevel(xs, ys)
-	return p, nil
-}
-
-// levelGrid returns the bin granularity of the level a fresh build raises
-// over n anchors. The pyramid affords a finer grid than the per-query
-// one: ring-scan work shrinks linearly with the bin width.
-func levelGrid(n int) int {
-	g := satGrid(n)
-	for 2*g <= 256 && g*g < n {
-		g *= 2
-	}
-	return g
-}
-
-// raiseLevel builds the level from scratch over the stored anchors xs/ys
-// (master order).
-func (p *Pyramid) raiseLevel(xs, ys []float64) {
-	p.lvl = &satLevel{}
-	buildSATLevel(p.lvl, levelGrid(p.n), xs, ys)
+	return &Pyramid{geo: g, f: f, mmSlots: f.MinMaxSlots(), core: core, cert: core.limbs.Sums()}, nil
 }
 
 // freeze trims a pyramid's core to what binds alias for the pyramid's
 // life: the tables at their exact lengths, without the slack their
-// appends left or the build's MinX scratch.
+// appends left or the build's scratch.
 func (t *tables) freeze() {
-	t.cOff, t.contribs = slices.Clone(t.cOff), slices.Clone(t.contribs)
-	t.mOff, t.mms = slices.Clone(t.mOff), slices.Clone(t.mms)
+	t.cOff, t.contribs = trim(t.cOff), trim(t.contribs)
+	t.mOff, t.mms = trim(t.mOff), trim(t.mms)
+	t.rawOff, t.raw = nil, nil
 	t.minXs, t.minXsBuf = nil, nil
 }
 
-// anchor returns the stored anchor (the object location) of master id.
-func (p *Pyramid) anchor(id int32) geom.Point { return p.ds.Objects[p.order[id]].Loc }
+// trim returns s at its exact length, copying only when it has slack.
+func trim[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return slices.Clone(s)
+}
 
-// anchorLess is the master comparator over stored anchors.
-func anchorLess(a, b geom.Point) bool {
-	return a.X < b.X || (a.X == b.X && a.Y < b.Y)
+// Geometry returns the geometry the pyramid's core is laid out on.
+func (p *Pyramid) Geometry() *Geometry { return p.geo }
+
+// OnGeometry returns the pyramid with its core on g, when g describes the
+// pyramid's dataset in the same order with the same level — what a
+// pyramid loaded from a file does to share the epoch's geometry with the
+// engine's other composites. Otherwise it returns p and false.
+func (p *Pyramid) OnGeometry(g *Geometry) (*Pyramid, bool) {
+	if g == p.geo {
+		return p, true
+	}
+	if !p.geo.sameAs(g) {
+		return p, false
+	}
+	q := *p
+	q.geo = g
+	return &q, true
 }
 
 // Matches reports whether the pyramid was built for exactly this
 // dataset and composite (pointer identity, the same contract as the
 // Engine's index cache).
 func (p *Pyramid) Matches(ds *attr.Dataset, f *agg.Composite) bool {
-	return p != nil && p.ds == ds && p.f == f
+	return p != nil && p.geo.ds == ds && p.f == f
 }
 
 // Composite returns the composite the pyramid serves.
 func (p *Pyramid) Composite() *agg.Composite { return p.f }
 
 // Objects returns the master cardinality.
-func (p *Pyramid) Objects() int { return p.n }
+func (p *Pyramid) Objects() int { return p.geo.n }
 
 // AppendObjectsInX appends to dst the objects of the pyramid's dataset
 // whose x lies strictly inside (lo, hi), in master order. The master is
 // sorted by location (x, then y), so they are one contiguous run of it,
 // found by binary search; the appended objects are sorted the same way.
 func (p *Pyramid) AppendObjectsInX(dst []attr.Object, lo, hi float64) []attr.Object {
-	x := func(i int) float64 { return p.ds.Objects[p.order[i]].Loc.X }
-	i := sort.Search(p.n, func(i int) bool { return x(i) > lo })
-	j := sort.Search(p.n, func(j int) bool { return x(j) >= hi })
+	g := p.geo
+	x := func(i int) float64 { return g.anchor(int32(i)).X }
+	i := sort.Search(g.n, func(i int) bool { return x(i) > lo })
+	j := sort.Search(g.n, func(j int) bool { return x(j) >= hi })
 	for ; i < j; i++ {
-		dst = append(dst, p.ds.Objects[p.order[i]])
+		dst = append(dst, g.ds.Objects[g.order[i]])
 	}
 	return dst
 }
@@ -202,7 +171,7 @@ func (p *Pyramid) bindCore(t *tables) {
 	t.limbs = c.limbs.Layout()
 	t.cOff, t.contribs = c.cOff, c.contribs
 	t.mOff, t.mms = c.mOff, c.mms
-	t.lvl = p.lvl
+	t.lvl = p.geo.lvl
 	t.shared = true
 	t.pyr = p
 }
@@ -263,11 +232,11 @@ type PyramidLevelSnapshot struct {
 // Snapshot exports the pyramid's serializable image. The returned
 // slices alias the pyramid — treat as read-only.
 func (p *Pyramid) Snapshot() *PyramidSnapshot {
-	c, l := p.core, p.lvl
+	c, l := p.core, p.geo.lvl
 	return &PyramidSnapshot{
-		N: p.n, Chans: c.chans, MMSlots: p.mmSlots,
+		N: p.geo.n, Chans: c.chans, MMSlots: p.mmSlots,
 		Scale: c.limbs.Scale, Lo: c.limbs.Lo,
-		Order: p.order,
+		Order: p.geo.order,
 		Level: PyramidLevelSnapshot{
 			G: l.gx, BW: l.bw, BH: l.bh, X0: l.bx0, Y0: l.by0,
 			BinStart: l.binStart, BinIds: l.binIds,
@@ -283,7 +252,10 @@ func (p *Pyramid) Snapshot() *PyramidSnapshot {
 // what it does not carry: the contribution tables are flattened from
 // ds.Objects[Order[i]] and split under the snapshot's limbs. Those limbs
 // are trusted to certify ds: the dataset identity is part of the file's
-// contract.
+// contract. An order that is a permutation but not the (x, y, index)
+// order — a file written while location ties were left to an unstable
+// sort — is refused like any other inconsistency, so the caller rebuilds
+// the file rather than folding onto it.
 func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot) (*Pyramid, error) {
 	if ds == nil || f == nil || s == nil {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot requires dataset, composite and data")
@@ -308,15 +280,10 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 	if err := checkPermutation(s.Order, n); err != nil {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot order: %w", err)
 	}
-
-	core := &tables{f: f, chans: s.Chans, limbs: limbs}
-	core.flattenObjects(n, func(id int) *attr.Object { return &ds.Objects[s.Order[id]] }, &core.limbs)
-	core.freeze()
-
-	p := &Pyramid{
-		ds: ds, f: f, n: n, mmSlots: s.MMSlots,
-		core: core, order: s.Order,
+	if !inCanonicalOrder(ds, s.Order) {
+		return nil, fmt.Errorf("dssearch: pyramid snapshot order is not the (x, y, index) order")
 	}
+
 	ls := &s.Level
 	g := ls.G
 	if g < 1 || g > 1<<14 {
@@ -342,14 +309,21 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 			}
 		}
 	}
-	p.lvl = &satLevel{
-		gx: g, gy: g, bw: ls.BW, bh: ls.BH, bx0: ls.X0, by0: ls.Y0,
-		binStart: ls.BinStart, binIds: ls.BinIds,
-		xMaxUpTo: ls.XMaxUpTo, xMinFrom: ls.XMinFrom,
-		yMaxUpTo: ls.YMaxUpTo, yMinFrom: ls.YMinFrom,
+	geo := &Geometry{
+		ds: ds, n: n, order: s.Order,
+		lvl: &satLevel{
+			gx: g, gy: g, bw: ls.BW, bh: ls.BH, bx0: ls.X0, by0: ls.Y0,
+			binStart: ls.BinStart, binIds: ls.BinIds,
+			xMaxUpTo: ls.XMaxUpTo, xMinFrom: ls.XMinFrom,
+			yMaxUpTo: ls.YMaxUpTo, yMinFrom: ls.YMinFrom,
+		},
 	}
-	p.lvl.sumCounts()
-	return p, nil
+	geo.lvl.sumCounts()
+
+	core := &tables{f: f, chans: s.Chans, limbs: limbs}
+	core.flattenSplit(n, func(id int) *attr.Object { return &ds.Objects[s.Order[id]] })
+	core.freeze()
+	return &Pyramid{geo: geo, f: f, mmSlots: s.MMSlots, core: core}, nil
 }
 
 // checkPermutation verifies ids is a permutation of [0, n).

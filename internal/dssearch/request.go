@@ -117,8 +117,7 @@ func (r *Request) Best(exclude []geom.Rect) (geom.Rect, asp.Result, error) {
 	if s.best.Point == seed.Point && s.best.Rep == nil {
 		return geom.Rect{}, asp.Result{}, ErrNoFeasibleRegion
 	}
-	s.best.Rep = s.PointRepresentation(s.best.Point)
-	s.best.Dist = s.query.Distance(s.best.Rep)
+	s.best = s.Settle(s.best)
 	return asp.AnchorTR.RegionFor(s.best.Point, r.a, r.b), s.best, nil
 }
 

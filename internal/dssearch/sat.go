@@ -2,6 +2,7 @@ package dssearch
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -14,9 +15,9 @@ import (
 // This file implements the per-query aggregation layer of DS-Search: one
 // `tables` value is built per Searcher and owns
 //
-//   - the master rectangle array, sorted by (MinX, MinY), so that every
-//     space's relevant rectangles form a binary-searchable contiguous
-//     window;
+//   - the master rectangle array, sorted by (MinX, MinY) with ties in
+//     input order, so that every space's relevant rectangles form a
+//     binary-searchable contiguous window;
 //   - the flattened per-rectangle limb contributions (AppendContribs
 //     evaluated and split once per query instead of once per
 //     discretization);
@@ -28,9 +29,9 @@ import (
 //
 // When Options.Pyramid carries the dataset-level aggregate pyramid
 // (pyramid.go), the whole layer is *bound* instead of built: the master
-// order, contributions, limbs and level are aliased from the persistent
-// per-composite structure and only the rectangles are materialized per
-// query, in one O(n) pass (shape.go), converting the per-query
+// order and the level are read from its geometry, the contributions and
+// limbs aliased from its core, and only the rectangles are materialized
+// per query, in one O(n) pass (shape.go), converting the per-query
 // O(R log R) setup into amortized shared state (DESIGN.md §6).
 //
 // Sorting is what the limbs (agg.Limbs) buy: every channel sums in exact
@@ -328,6 +329,14 @@ type tables struct {
 	mOff     []int32
 	mms      []agg.MMContrib
 
+	// Build scratch (flatten, buildTables): the contributions in input
+	// order as AppendContribs emits them, and the master order's sort
+	// keys and permutation.
+	rawOff []int32
+	raw    []agg.Contrib
+	keys   []anchorKey
+	perm   []int32
+
 	// The anchor-bin level. With a pyramid bound, lvl is the pyramid's;
 	// otherwise ensureLevel lazily builds the query-level ownLvl. minYs is
 	// build scratch.
@@ -401,51 +410,68 @@ func (t *tables) reset() {
 func buildTables(t *tables, master []asp.RectObject, f *agg.Composite, own bool) ([]asp.RectObject, error) {
 	t.f = f
 	t.chans = f.Channels()
-
-	if cap(t.cOff) < len(master)+1 {
-		// Pre-size the slab arrays: the flatten pass would otherwise pay
-		// ~2x their final size in append-doubling churn, which dominates
-		// the per-query allocation profile.
-		t.cOff = make([]int32, 0, len(master)+1)
-		t.contribs = make([]agg.Contrib, 0, len(master)+len(master)/4)
-	}
-
-	// Extent ranges, and the raw contributions in input order, which the
-	// certificate reads.
 	t.measureExtents(master)
-	t.flattenContribs(master, nil)
-	if err := t.limbs.Certify(t.chans, t.contribs); err != nil {
+	perm := t.sortPerm(master)
+	if err := t.flatten(len(master), func(i int) *attr.Object { return master[i].Obj }, perm); err != nil {
 		return nil, err
 	}
-
-	// Sorting reorders float summation, which the certificate makes
-	// harmless: every limb sum is order-free.
-	resorted := false
-	if !sort.SliceIsSorted(master, func(a, b int) bool {
-		ra, rb := &master[a].Rect, &master[b].Rect
-		if ra.MinX != rb.MinX {
-			return ra.MinX < rb.MinX
-		}
-		return ra.MinY < rb.MinY
-	}) {
-		if !own {
-			master = append([]asp.RectObject(nil), master...)
-		}
-		sort.Slice(master, func(a, b int) bool {
-			ra, rb := &master[a].Rect, &master[b].Rect
-			if ra.MinX != rb.MinX {
-				return ra.MinX < rb.MinX
+	if perm != nil {
+		if own {
+			permute(master, perm)
+		} else {
+			sorted := make([]asp.RectObject, len(master))
+			for i, j := range perm {
+				sorted[i] = master[j]
 			}
-			return ra.MinY < rb.MinY
-		})
-		resorted = true
-	}
-	if resorted || t.limbs.Eff() > t.chans {
-		// Realign with the new order, and split into limbs.
-		t.flattenContribs(master, &t.limbs)
+			master = sorted
+		}
 	}
 	t.fillMinXs(master)
 	return master, nil
+}
+
+// sortPerm returns the permutation that sorts master into the master
+// order — (MinX, MinY, input index), the order BuildGeometry sorts
+// anchors in — or nil when master is in that order already.
+func (t *tables) sortPerm(master []asp.RectObject) []int32 {
+	if slices.IsSortedFunc(master, func(a, b asp.RectObject) int {
+		return compareAnchors(anchorKey{a.Rect.MinX, a.Rect.MinY, 0}, anchorKey{b.Rect.MinX, b.Rect.MinY, 0})
+	}) {
+		return nil
+	}
+	t.keys = t.keys[:0]
+	for i := range master {
+		r := &master[i].Rect
+		t.keys = append(t.keys, anchorKey{r.MinX, r.MinY, int32(i)})
+	}
+	t.perm = sortAnchors(t.keys, t.perm)
+	return t.perm
+}
+
+// permute reorders master in place so that master[i] is the old
+// master[perm[i]], walking each cycle of perm once. perm is marked while
+// it is walked and restored.
+func permute(master []asp.RectObject, perm []int32) {
+	for i := range perm {
+		if perm[i] < 0 {
+			continue
+		}
+		first := master[i]
+		j := i
+		for {
+			k := int(perm[j])
+			perm[j] = ^perm[j]
+			if k == i {
+				master[j] = first
+				break
+			}
+			master[j] = master[k]
+			j = k
+		}
+	}
+	for i := range perm {
+		perm[i] = ^perm[i]
+	}
 }
 
 // fillMinXs (re)derives the sorted-order MinX array into the owned slab.
@@ -482,31 +508,89 @@ func (t *tables) measureExtents(master []asp.RectObject) {
 	}
 }
 
-// flattenContribs (re)fills the per-rect contribution tables in master
-// order, split into the limbs l (nil: raw, as AppendContribs emits them).
-func (t *tables) flattenContribs(master []asp.RectObject, l *agg.Limbs) {
-	t.flattenObjects(len(master), func(i int) *attr.Object { return master[i].Obj }, l)
+// flatten fills the contribution tables of the objects obj(0..n-1) in
+// master order — row i is obj(perm[i]), or obj(i) for a nil perm — from
+// one AppendContribs pass in input order: the limbs are certified over
+// the contributions in that order (Limbs.Certify sums floats in the
+// order given), and the master rows are the input rows permuted and split
+// into the limbs. Every limb sum is order-free, so the reordering is
+// harmless.
+func (t *tables) flatten(n int, obj func(int) *attr.Object, perm []int32) error {
+	t.rawOff = append(reserve(t.rawOff, n+1), 0)
+	t.raw = t.raw[:0]
+	for i := 0; i < n; i++ {
+		t.raw = t.f.AppendContribs(obj(i), t.raw)
+		if i == 0 && cap(t.raw) < n*len(t.raw) {
+			// Room for n rows the size of the first.
+			t.raw = append(make([]agg.Contrib, 0, n*len(t.raw)), t.raw...)
+		}
+		t.rawOff = append(t.rawOff, int32(len(t.raw)))
+	}
+	if err := t.limbs.Certify(t.chans, t.raw); err != nil {
+		return err
+	}
+	row := func(i int) int {
+		if perm == nil {
+			return i
+		}
+		return int(perm[i])
+	}
+	split := t.limbs.Eff() > t.chans
+	if perm == nil && !split {
+		// The input rows are the master rows: keep them.
+		t.cOff, t.rawOff = t.rawOff, t.cOff
+		t.contribs, t.raw = t.raw, t.contribs
+	} else {
+		t.cOff = append(reserve(t.cOff, n+1), 0)
+		t.contribs = reserve(t.contribs, len(t.raw))
+		for i := 0; i < n; i++ {
+			start := len(t.contribs)
+			r := row(i)
+			t.contribs = append(t.contribs, t.raw[t.rawOff[r]:t.rawOff[r+1]]...)
+			if split {
+				t.contribs = t.limbs.Split(t.contribs, start)
+			}
+			t.cOff = append(t.cOff, int32(len(t.contribs)))
+		}
+	}
+	t.flattenMM(n, func(i int) *attr.Object { return obj(row(i)) })
+	return nil
 }
 
-// flattenObjects is flattenContribs over the objects obj(0..n-1).
-func (t *tables) flattenObjects(n int, obj func(int) *attr.Object, l *agg.Limbs) {
+// reserve returns s emptied, with room for n elements: s's own memory, or
+// a new array of exactly n.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// flattenSplit fills the contribution tables of the objects obj(0..n-1),
+// in that order, split under the tables' limbs, which are taken as given:
+// a loaded pyramid's (PyramidFromSnapshot).
+func (t *tables) flattenSplit(n int, obj func(int) *attr.Object) {
 	t.cOff = append(t.cOff[:0], 0)
 	t.contribs = t.contribs[:0]
 	for i := 0; i < n; i++ {
 		start := len(t.contribs)
-		t.contribs = t.f.AppendContribs(obj(i), t.contribs)
-		if l != nil {
-			t.contribs = l.Split(t.contribs, start)
-		}
+		t.contribs = t.limbs.Split(t.f.AppendContribs(obj(i), t.contribs), start)
 		t.cOff = append(t.cOff, int32(len(t.contribs)))
 	}
-	if t.f.MinMaxSlots() > 0 {
-		t.mOff = append(t.mOff[:0], 0)
-		t.mms = t.mms[:0]
-		for i := 0; i < n; i++ {
-			t.mms = t.f.AppendMM(obj(i), t.mms)
-			t.mOff = append(t.mOff, int32(len(t.mms)))
-		}
+	t.flattenMM(n, obj)
+}
+
+// flattenMM fills the min/max contribution tables of the objects
+// obj(0..n-1), in that order.
+func (t *tables) flattenMM(n int, obj func(int) *attr.Object) {
+	if t.f.MinMaxSlots() == 0 {
+		return
+	}
+	t.mOff = append(reserve(t.mOff, n+1), 0)
+	t.mms = t.mms[:0]
+	for i := 0; i < n; i++ {
+		t.mms = t.f.AppendMM(obj(i), t.mms)
+		t.mOff = append(t.mOff, int32(len(t.mms)))
 	}
 }
 

@@ -12,13 +12,15 @@ import (
 // pyramid order, or, in a slab that holds the pyramid's objects already,
 // two floats rewritten per rectangle — plus the facts below, which the
 // shape's first query derives and every later one reads from the
-// pyramid's memo.
+// geometry's memo.
 
 // shapeFacts is everything about a shape that is O(1) in size but O(n)
-// to derive from (pyramid, a, b): whether the translated anchors still
-// realize the pyramid's order, the width/height ranges and the space
-// (the master's MBR). When ok is false the rest is unset: the shape does
-// not bind and its queries build classically.
+// to derive from (geometry, a, b): whether the translated anchors still
+// realize the geometry's order, the width/height ranges and the space
+// (the master's MBR). None of it depends on the composite, so every
+// composite's pyramid of an epoch reads the one memo of its geometry.
+// When ok is false the rest is unset: the shape does not bind and its
+// queries build classically.
 type shapeFacts struct {
 	ok                     bool
 	wmin, wmax, hmin, hmax float64
@@ -33,28 +35,28 @@ type shapeKey [2]uint64
 // and its map is dropped whenever it fills.
 const maxShapeFacts = 64
 
-func (p *Pyramid) knownFacts(k shapeKey) (shapeFacts, bool) {
-	p.factsMu.Lock()
-	defer p.factsMu.Unlock()
-	f, ok := p.facts[k]
+func (g *Geometry) knownFacts(k shapeKey) (shapeFacts, bool) {
+	g.factsMu.Lock()
+	defer g.factsMu.Unlock()
+	f, ok := g.facts[k]
 	return f, ok
 }
 
-func (p *Pyramid) rememberFacts(k shapeKey, f shapeFacts) {
-	p.factsMu.Lock()
-	defer p.factsMu.Unlock()
-	if len(p.facts) >= maxShapeFacts {
-		p.facts = nil
+func (g *Geometry) rememberFacts(k shapeKey, f shapeFacts) {
+	g.factsMu.Lock()
+	defer g.factsMu.Unlock()
+	if len(g.facts) >= maxShapeFacts {
+		g.facts = nil
 	}
-	if p.facts == nil {
-		p.facts = make(map[shapeKey]shapeFacts)
+	if g.facts == nil {
+		g.facts = make(map[shapeKey]shapeFacts)
 	}
-	p.facts[k] = f
-	p.factsDerived++
+	g.facts[k] = f
+	g.factsDerived++
 }
 
 // deriveFacts computes a shape's facts from its materialized master.
-func (p *Pyramid) deriveFacts(master []asp.RectObject) shapeFacts {
+func deriveFacts(master []asp.RectObject) shapeFacts {
 	if !masterSortedNoCollapse(master) {
 		return shapeFacts{}
 	}
@@ -68,12 +70,12 @@ func (p *Pyramid) deriveFacts(master []asp.RectObject) shapeFacts {
 }
 
 // shape materializes the a×b master in pyramid order into t.masterBuf,
-// and its MinX column into t.minXsBuf (both resliced to p.n), straight
-// from the objects: bit-identical to reducing the dataset and permuting
-// the reduction, in one pass and with no intermediate copy. The anchor
-// puts each object exactly at its rectangle's top-right corner
-// (geom.RectFromTR), so when the slab's master already holds this
-// pyramid's objects in this order — the dataset and order array its last
+// and its MinX column into t.minXsBuf (both resliced to the geometry's
+// n), straight from the objects: bit-identical to reducing the dataset
+// and permuting the reduction, in one pass and with no intermediate copy.
+// The anchor puts each object exactly at its rectangle's top-right
+// corner (geom.RectFromTR), so when the slab's master already holds this
+// geometry's objects in this order — the dataset and order array its last
 // full pass bound — the pass only moves each rectangle's minimum corner
 // to (MaxX−a, MaxY−b): the same floats, with no object read and no
 // pointer stored. It returns the shape's facts, derived from the master
@@ -82,37 +84,38 @@ func (p *Pyramid) deriveFacts(master []asp.RectObject) shapeFacts {
 // anchor collapse under this (a, b): the caller then falls back to the
 // classic build. A shape known to collapse returns before the pass.
 func (p *Pyramid) shape(a, b float64, t *tables) shapeFacts {
+	g := p.geo
 	k := shapeKey{math.Float64bits(a), math.Float64bits(b)}
-	facts, known := p.knownFacts(k)
+	facts, known := g.knownFacts(k)
 	if known && !facts.ok {
 		return facts
 	}
-	if cap(t.masterBuf) < p.n {
-		t.masterBuf = make([]asp.RectObject, p.n)
+	if cap(t.masterBuf) < g.n {
+		t.masterBuf = make([]asp.RectObject, g.n)
 	}
-	if cap(t.minXsBuf) < p.n {
-		t.minXsBuf = make([]float64, p.n)
+	if cap(t.minXsBuf) < g.n {
+		t.minXsBuf = make([]float64, g.n)
 	}
-	master, minXs := t.masterBuf[:p.n], t.minXsBuf[:p.n]
+	master, minXs := t.masterBuf[:g.n], t.minXsBuf[:g.n]
 	t.masterBuf, t.minXsBuf = master, minXs
-	if t.masterDS == p.ds && len(t.masterOrder) == len(p.order) && (p.n == 0 || &t.masterOrder[0] == &p.order[0]) {
+	if t.masterDS == g.ds && len(t.masterOrder) == len(g.order) && (g.n == 0 || &t.masterOrder[0] == &g.order[0]) {
 		for i := range master {
 			r := &master[i].Rect
 			r.MinX, r.MinY = r.MaxX-a, r.MaxY-b
 			minXs[i] = r.MinX
 		}
 	} else {
-		for i, oi := range p.order {
-			o := &p.ds.Objects[oi]
+		for i, oi := range g.order {
+			o := &g.ds.Objects[oi]
 			r := asp.AnchorTR.RectFor(o.Loc, a, b)
 			master[i] = asp.RectObject{Rect: r, Obj: o}
 			minXs[i] = r.MinX
 		}
-		t.masterDS, t.masterOrder = p.ds, p.order
+		t.masterDS, t.masterOrder = g.ds, g.order
 	}
 	if !known {
-		facts = p.deriveFacts(master)
-		p.rememberFacts(k, facts)
+		facts = deriveFacts(master)
+		g.rememberFacts(k, facts)
 	}
 	return facts
 }

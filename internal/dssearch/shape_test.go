@@ -3,6 +3,7 @@ package dssearch
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -99,8 +100,8 @@ func TestShapeFacts(t *testing.T) {
 		for _, sh := range shapes {
 			a, b := sh.a, sh.b
 			want := classicFacts(t, ds, q, a, b)
-			master := make([]asp.RectObject, p.n)
-			for i, oi := range p.order {
+			master := make([]asp.RectObject, p.geo.n)
+			for i, oi := range p.geo.order {
 				o := &ds.Objects[oi]
 				master[i] = asp.RectObject{Rect: asp.AnchorTR.RectFor(o.Loc, a, b), Obj: o}
 			}
@@ -112,12 +113,12 @@ func TestShapeFacts(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := 0; round < 2; round++ {
-				before := p.factsDerived
+				before := p.geo.factsDerived
 				s, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if derived := p.factsDerived - before; derived != 1-round {
+				if derived := p.geo.factsDerived - before; derived != 1-round {
 					t.Fatalf("%s %gx%g query %d: %d derivations, want %d", kind.name, a, b, round+1, derived, 1-round)
 				}
 				if bound := s.tab.pyr == p; bound == sh.collapses {
@@ -126,7 +127,7 @@ func TestShapeFacts(t *testing.T) {
 				if got := searcherFacts(s); !sameFacts(got, want) {
 					t.Fatalf("%s %gx%g query %d: searcher holds %+v, the classic derivations give %+v", kind.name, a, b, round+1, got, want)
 				}
-				memo, known := p.knownFacts(shapeKey{math.Float64bits(a), math.Float64bits(b)})
+				memo, known := p.geo.knownFacts(shapeKey{math.Float64bits(a), math.Float64bits(b)})
 				if !known || memo.ok == sh.collapses || memo.ok && !sameFacts(memo, want) {
 					t.Fatalf("%s %gx%g: memo holds %+v (known=%v), want %+v", kind.name, a, b, memo, known, want)
 				}
@@ -163,25 +164,28 @@ func TestShapeFactsMemoBounded(t *testing.T) {
 		if _, ok := p.Prepare(2+float64(i+1)/16, 3); !ok {
 			t.Fatal("Prepare failed")
 		}
-		if n := len(p.facts); n > maxShapeFacts {
+		if n := len(p.geo.facts); n > maxShapeFacts {
 			t.Fatalf("memo holds %d shapes, bound %d", n, maxShapeFacts)
 		}
 	}
-	if _, known := p.knownFacts(shapeKey{math.Float64bits(2), math.Float64bits(3)}); known {
+	if _, known := p.geo.knownFacts(shapeKey{math.Float64bits(2), math.Float64bits(3)}); known {
 		t.Fatal("the first shape outlived three fillings of the memo")
 	}
 	if again, ok := p.Prepare(2, 3); !ok || !sameFacts(again.facts, first.facts) {
 		t.Fatalf("re-derived facts %+v differ from the first derivation %+v", again.facts, first.facts)
 	}
-	if p.factsDerived != 3*maxShapeFacts+2 {
-		t.Fatalf("%d derivations for %d distinct bindings", p.factsDerived, 3*maxShapeFacts+2)
+	if p.geo.factsDerived != 3*maxShapeFacts+2 {
+		t.Fatalf("%d derivations for %d distinct bindings", p.geo.factsDerived, 3*maxShapeFacts+2)
 	}
 }
 
-// TestShapeFactsFoldedEpoch: an epoch's fold is a new pyramid with a memo
-// of its own. An insert outside the corpus's hull grows a shape's space,
-// and the folded pyramid reports the new one while the base, which
-// learned the shape before the fold, keeps reporting its own.
+// TestShapeFactsFoldedEpoch: an epoch's fold is a new geometry with a
+// memo of its own. An insert outside the corpus's hull grows a shape's
+// space, and the folded pyramid reports the new one while the base,
+// which learned the shape before the fold, keeps reporting its own. An
+// insert that collapses onto a neighbour's anchor under the shape ends
+// the shape's binding on the next fold, and its queries answer as the
+// pyramid-less path does.
 func TestShapeFactsFoldedEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ds, f := pyramidDataset(t, rng, 40, func() float64 { return float64(rng.Intn(5)) }, false)
@@ -225,6 +229,38 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 	}
 	if got := space(ds, base); got != baseSpace {
 		t.Fatalf("base space after the fold %+v, want it unchanged", got)
+	}
+
+	// x = 5e-324 translates onto the anchor of the object at x = 0
+	// (5e-324 − a and −a are one float); below it, the pair is out of
+	// order.
+	zero := slices.IndexFunc(ds.Objects, func(o attr.Object) bool { return o.Loc.X == 0 })
+	insert.Loc = geom.Point{X: math.SmallestNonzeroFloat64, Y: ds.Objects[zero].Loc.Y - 1}
+	again := &attr.Dataset{Schema: ds.Schema, Objects: append(append([]attr.Object(nil), combined.Objects...), insert)}
+	collapsed, _, err := BuildPyramidDelta(folded, again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewRegionSearcher(again, a, b, q, Options{Pyramid: collapsed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.tab.pyr != nil {
+		t.Fatal("a collapsed shape bound the pyramid")
+	}
+	if facts, known := collapsed.geo.knownFacts(shapeKey{math.Float64bits(a), math.Float64bits(b)}); !known || facts.ok {
+		t.Fatalf("memo holds %+v (known=%v); want the collapse remembered", facts, known)
+	}
+	_, want, _, err := SolveASRS(again, a, b, q, nil, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, _, err := SolveASRS(again, a, b, q, nil, nil, Options{Pyramid: collapsed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Dist) != math.Float64bits(want.Dist) || got.Point != want.Point {
+		t.Fatalf("%v at %v through the collapsed pyramid, %v at %v without", got.Dist, got.Point, want.Dist, want.Point)
 	}
 }
 
@@ -270,8 +306,8 @@ func TestShapeFactsConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if p.factsDerived < 8 || len(p.facts) != 8 {
-		t.Fatalf("%d derivations, %d shapes remembered; want at least 8 and exactly 8", p.factsDerived, len(p.facts))
+	if p.geo.factsDerived < 8 || len(p.geo.facts) != 8 {
+		t.Fatalf("%d derivations, %d shapes remembered; want at least 8 and exactly 8", p.geo.factsDerived, len(p.geo.facts))
 	}
 }
 
@@ -297,7 +333,7 @@ func TestShapeRebind(t *testing.T) {
 		slabs := &SlabCache{}
 		bind := func(ds *attr.Dataset, p *Pyramid, a, b float64, rebind bool) {
 			t.Helper()
-			if n := len(slabs.free); rebind != (n == 1 && slabs.free[0].masterDS == ds && &slabs.free[0].masterOrder[0] == &p.order[0]) {
+			if n := len(slabs.free); rebind != (n == 1 && slabs.free[0].masterDS == ds && &slabs.free[0].masterOrder[0] == &p.geo.order[0]) {
 				t.Fatalf("%gx%g: %d recycled slabs; want the slab tagged with this dataset and order: %v", a, b, n, rebind)
 			}
 			cold, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p})
@@ -313,12 +349,12 @@ func TestShapeRebind(t *testing.T) {
 			}
 			for i := range cold.rects {
 				c, w := cold.rects[i], warm.rects[i]
-				if c.Obj != w.Obj || c.Obj != &ds.Objects[p.order[i]] || !sameRectBits(c.Rect, w.Rect) ||
+				if c.Obj != w.Obj || c.Obj != &ds.Objects[p.geo.order[i]] || !sameRectBits(c.Rect, w.Rect) ||
 					math.Float64bits(cold.tab.minXs[i]) != math.Float64bits(warm.tab.minXs[i]) {
 					t.Fatalf("%gx%g master[%d]: warm %v (%p), cold %v (%p)", a, b, i, w.Rect, w.Obj, c.Rect, c.Obj)
 				}
 			}
-			if warm.tab.masterDS != ds || &warm.tab.masterOrder[0] != &p.order[0] {
+			if warm.tab.masterDS != ds || &warm.tab.masterOrder[0] != &p.geo.order[0] {
 				t.Fatalf("%gx%g: the slab is not tagged with the dataset and order it holds", a, b)
 			}
 			warm.Release()
@@ -343,7 +379,7 @@ func TestShapeRebind(t *testing.T) {
 			extra[i] = attr.Object{Loc: geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, Values: ds.Objects[i].Values}
 		}
 		combined := &attr.Dataset{Schema: ds.Schema, Objects: append(append([]attr.Object(nil), ds.Objects...), extra...)}
-		folded, _, err := FoldPyramid(p, combined)
+		folded, _, err := FoldPyramid(p, FoldGeometry(p.geo, combined))
 		if err != nil {
 			t.Fatal(err)
 		}

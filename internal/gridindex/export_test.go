@@ -1,6 +1,8 @@
 package gridindex
 
 import (
+	"fmt"
+
 	"asrs/internal/asp"
 	"asrs/internal/attr"
 	"asrs/internal/dssearch"
@@ -44,10 +46,24 @@ func Solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []ge
 }
 
 // SolveVisiting is Solve, calling visit with every cell the best-first
-// loop takes, in order.
+// loop takes, in order. A round whose answer failed its self-check
+// (dssearch.Searcher.Settle) is an error here, so every test that solves
+// through it fails on one.
 func SolveVisiting(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options, visit func(i, j int)) (asp.Result, Stats, error) {
 	s := Open(idx, ds, q, a, b, opt, 1)
 	defer s.Close()
 	s.visit = visit
-	return s.Solve(exclude)
+	res, st, err := s.Solve(exclude)
+	if err == nil {
+		err = SelfChecked(st)
+	}
+	return res, st, err
+}
+
+// SelfChecked is the error of a round whose answer failed its self-check.
+func SelfChecked(st Stats) error {
+	if n := st.DS.SelfCheckMisses; n != 0 {
+		return fmt.Errorf("gridindex: %d answers re-evaluated to another distance", n)
+	}
+	return nil
 }

@@ -343,9 +343,7 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 		s.excl = append(s.excl[:0], exclude...)
 	}
 
-	best := searcher.Best()
-	best.Rep = searcher.PointRepresentation(best.Point)
-	best.Dist = q.Distance(best.Rep)
+	best := searcher.Settle(searcher.Best())
 	stats.DS = searcher.Stats
 	if len(exclude) > 0 {
 		stats.ExcludingRuns = 1

@@ -133,6 +133,9 @@ func TestResumedRoundsMatchRestarted(t *testing.T) {
 					excl := own
 					check := func(round int, excl []geom.Rect) asp.Result {
 						got, st, err := s.Solve(excl)
+						if err == nil {
+							err = gridindex.SelfChecked(st)
+						}
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -38,7 +38,7 @@ type Config struct {
 	Names      []string
 	// PyramidBase, when non-empty, persists each shard's pyramids at
 	// PyramidPath(PyramidBase, shard, i, name). Corrupt files are
-	// quarantined and rebuilt per shard (asrs.LoadOrBuildPyramidFile)
+	// quarantined and rebuilt per shard (Engine.LoadOrBuildPyramidFile)
 	// without blocking siblings.
 	PyramidBase string
 	// WALRoot, when non-empty, gives each shard a durable ingest WAL at

@@ -57,7 +57,8 @@ func (s *Shard) Loaded() *asrs.Engine {
 // NewEngine over the slab corpus (recovering the shard's WAL when
 // configured), then pyramid binding for every composite — corrupt
 // pyramid files are quarantined and rebuilt by
-// asrs.LoadOrBuildPyramidFile, shard-locally — and only then
+// Engine.LoadOrBuildPyramidFile, shard-locally, on the slab's one
+// geometry — and only then
 // index/pyramid warming. A failure leaves the shard
 // unloaded (the next call retries) and is the caller's to classify into
 // the breaker.
@@ -83,24 +84,20 @@ func (s *Shard) Engine() (*asrs.Engine, error) {
 	// Install every composite's pyramid before warming any: the files
 	// describe the seed slab, which is the engine's epoch only until the
 	// first Warm materialises the epoch that holds the WAL-recovered
-	// inserts — after that SetPyramid would refuse them.
+	// inserts — after that the engine would refuse them.
 	for i, name := range cfg.Names {
 		f := cfg.Composites[name]
 		if f == nil || cfg.PyramidBase == "" {
 			continue
 		}
 		path := PyramidPath(cfg.PyramidBase, s.name, i, name)
-		p, status, perr := asrs.LoadOrBuildPyramidFile(path, eng.Dataset(), f)
+		_, status, perr := eng.LoadOrBuildPyramidFile(path, f)
 		if perr != nil {
 			eng.Close()
 			return nil, fmt.Errorf("shard %s: pyramid %s: %w", s.name, path, perr)
 		}
 		if status == asrs.PyramidRebuilt {
 			s.cat.logf("shard %s: pyramid %s was corrupt: quarantined and rebuilt", s.name, path)
-		}
-		if serr := eng.SetPyramid(p); serr != nil {
-			eng.Close()
-			return nil, fmt.Errorf("shard %s: pyramid %s: %w", s.name, path, serr)
 		}
 	}
 	for _, name := range cfg.Names {

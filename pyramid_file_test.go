@@ -244,6 +244,45 @@ func TestPyramidFileScaleZeroIsRebuilt(t *testing.T) {
 	checkRebuilt(t, ds, f, sealed(old[:len(old)-8]), "scale-0")
 }
 
+// TestPyramidFileTiesOutOfIndexOrderIsRebuilt: a file whose master order
+// lists two objects at one location against their dataset order — as a
+// file written while location ties were left to an unstable sort may —
+// reads as corrupt, and a boot that finds it sets it aside and comes up
+// on a rebuilt pyramid.
+func TestPyramidFileTiesOutOfIndexOrderIsRebuilt(t *testing.T) {
+	ds, f := pyrFileFixture(t)
+	ds.Objects[7].Loc = ds.Objects[3].Loc
+	p, err := asrs.BuildPyramid(ds, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := asrs.WritePyramid(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	old := buf.Bytes()
+	word := func(at int) int { return int(binary.LittleEndian.Uint32(old[at:])) }
+	counts := 16 + word(12) + 16
+	n, chans, eff := word(counts-16), word(counts-12), word(counts-8)
+	order := counts + 8*eff + 4*chans
+	at := func(obj int) int {
+		for id := 0; id < n; id++ {
+			if word(order+4*id) == obj {
+				return order + 4*id
+			}
+		}
+		t.Fatalf("object %d not in the master order", obj)
+		return 0
+	}
+	i, j := at(3), at(7)
+	if j-i != 4 {
+		t.Fatalf("objects 3 and 7 share a location but are not adjacent in the master order (%d, %d)", i, j)
+	}
+	binary.LittleEndian.PutUint32(old[i:], 7)
+	binary.LittleEndian.PutUint32(old[j:], 3)
+	checkRebuilt(t, ds, f, sealed(old[:len(old)-8]), "ties-out-of-index-order")
+}
+
 // TestPyramidBytesPinned: the pyramid files of the zoo's composites —
 // POISyn's F2 at 5 000 objects, its three sums two limbs each, and
 // Tweet's F1 at 20 000 — are byte for byte those of the first format-5
@@ -414,5 +453,62 @@ func TestSaveLoadPyramidFileAnswers(t *testing.T) {
 	}
 	if r1 != r2 || math.Float64bits(res1.Dist) != math.Float64bits(res2.Dist) || res1.Point != res2.Point {
 		t.Fatalf("answers diverge: %v/%+v vs %v/%+v", r1, res1, r2, res2)
+	}
+}
+
+// TestEngineLoadOrBuildSharesGeometry boots an engine of two composites
+// twice over the same files, as the daemon does: the first boot builds
+// both pyramids through the engine, the second loads both files. Either
+// way the two installed pyramids hold one geometry, the engine's, and the
+// files the engine built are the bytes of standalone builds.
+func TestEngineLoadOrBuildSharesGeometry(t *testing.T) {
+	ds := dataset.SingaporeScaled(2000, 7)
+	category, err1 := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "category"})
+	poi, err2 := asrs.NewComposite(ds.Schema,
+		asrs.AggSpec{Kind: asrs.Distribution, Attr: "category"},
+		asrs.AggSpec{Kind: asrs.Count},
+	)
+	if err := errors.Join(err1, err2); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	composites := []*asrs.Composite{category, poi}
+	for boot, want := range []asrs.PyramidLoad{asrs.PyramidBuilt, asrs.PyramidLoaded} {
+		eng, err := asrs.NewEngine(ds, asrs.EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var geo *dssearch.Geometry
+		for i, f := range composites {
+			path := filepath.Join(dir, fmt.Sprintf("p%d", i))
+			p, status, err := eng.LoadOrBuildPyramidFile(path, f)
+			if err != nil || status != want {
+				t.Fatalf("boot %d composite %d: status %v, err %v; want %v", boot, i, status, err, want)
+			}
+			installed, err := eng.Pyramid(f)
+			if err != nil || installed != p {
+				t.Fatalf("boot %d composite %d: the engine serves another pyramid than it returned (err %v)", boot, i, err)
+			}
+			if geo == nil {
+				geo = p.Geometry()
+			} else if p.Geometry() != geo {
+				t.Fatalf("boot %d: the composites' pyramids hold two geometries", boot)
+			}
+			alone, err := asrs.BuildPyramid(ds, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var a, b bytes.Buffer
+			if _, err := asrs.WritePyramid(&a, p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := asrs.WritePyramid(&b, alone); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("boot %d composite %d: the engine's pyramid writes other bytes than a standalone build", boot, i)
+			}
+		}
+		eng.Close()
 	}
 }

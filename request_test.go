@@ -119,8 +119,11 @@ func TestRequestShapes(t *testing.T) {
 						for _, cfgIdx := range []*asrs.Index{nil, idx} {
 							for _, cfgPyr := range []*asrs.Pyramid{nil, pyr} {
 								req.Options = &asrs.Options{Pyramid: cfgPyr}
-								got, _ := asrs.Answer(ds, cfgIdx, req)
+								got, st := asrs.Answer(ds, cfgIdx, req)
 								cfg := fmt.Sprintf("%s index=%v pyramid=%v", shape, cfgIdx != nil, cfgPyr != nil)
+								if err := asrs.SelfChecked(st); err != nil {
+									t.Fatalf("%s: %v", cfg, err)
+								}
 								if msg := or.check(got); msg != "" {
 									t.Fatalf("%s: %s", cfg, msg)
 								}

@@ -18,10 +18,12 @@ import (
 // append one WAL record (when durable), and stage the objects in memory.
 // The first query after an insert pays for the new epoch: it
 // materializes a fresh immutable view — one copy of the object array
-// plus per-composite index and pyramid caches — and the pyramid is the
-// previous epoch's with the appended tail folded in
-// (dssearch.FoldPyramid): the tail is flattened, certified and sorted on
-// its own and spliced into copies of the base's arrays. That is
+// plus the epoch's geometry and per-composite index and pyramid caches.
+// The geometry is the previous epoch's with the appended tail folded in
+// once (dssearch.FoldGeometry: the tail sorted on its own and merged into
+// the master order, the anchor-bin level patched), and each composite's
+// pyramid is the previous epoch's with the tail's rows flattened,
+// certified and spliced in on it (dssearch.FoldPyramid). That is
 // O(d log n) work plus a few linear copies of int32 arrays — no sort,
 // flatten or certificate pass over the n old objects unless the tail
 // moves the certificate — and bit-identical to a from-scratch rebuild.

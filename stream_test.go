@@ -3,6 +3,7 @@ package asrs_test
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -531,5 +532,99 @@ func TestRecoveryRefusesInadmissibleObjects(t *testing.T) {
 	_, err = asrs.NewEngine(ds, asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir}})
 	if !errors.Is(err, asrs.ErrInvalidObject) {
 		t.Fatalf("recovery over a denormal: err = %v, want ErrInvalidObject", err)
+	}
+}
+
+// TestCompositesShareGeometry: a Singapore engine serving two composites
+// holds one geometry — the master order and the anchor-bin level — per
+// epoch, and lays both composites' pyramids on it: the seed epoch's is
+// sorted once, the next epoch's folded once from it, whichever composite
+// asks first. Every answer through either pyramid is Float64bits-equal to
+// the answer through a standalone BuildPyramid of that epoch's corpus.
+// The inserts include an object at an existing location, so the fold has
+// a tie to place.
+func TestCompositesShareGeometry(t *testing.T) {
+	ds := dataset.SingaporeScaled(3000, 42)
+	category, err1 := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "category"})
+	poi, err2 := asrs.NewComposite(ds.Schema,
+		asrs.AggSpec{Kind: asrs.Distribution, Attr: "category"},
+		asrs.AggSpec{Kind: asrs.Count},
+	)
+	if err := errors.Join(err1, err2); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	epoch := func(tag string, composites ...*asrs.Composite) any {
+		t.Helper()
+		cur := eng.CurrentDataset()
+		var geo any
+		for _, f := range composites {
+			p, err := eng.Pyramid(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if geo == nil {
+				geo = p.Geometry()
+			} else if any(p.Geometry()) != geo {
+				t.Fatalf("%s: the composites' pyramids hold two geometries", tag)
+			}
+			alone, err := asrs.BuildPyramid(cur, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range dataset.SingaporeDistricts() {
+				q, err := asrs.QueryFromRegion(cur, f, nil, d.Rect)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := asrs.QueryRequest{Query: q, A: d.Rect.Width(), B: d.Rect.Height(), TopK: 2}
+				req.Options = &asrs.Options{Pyramid: p}
+				got, _ := asrs.Answer(cur, nil, req)
+				req.Options = &asrs.Options{Pyramid: alone}
+				want, _ := asrs.Answer(cur, nil, req)
+				if got.Err != nil || want.Err != nil || len(got.Results) != len(want.Results) {
+					t.Fatalf("%s %s: %d rows (err %v) through the engine's pyramid, %d (err %v) through a standalone one",
+						tag, d.Name, len(got.Results), got.Err, len(want.Results), want.Err)
+				}
+				for i := range want.Results {
+					if math.Float64bits(got.Results[i].Dist) != math.Float64bits(want.Results[i].Dist) || got.Regions[i] != want.Regions[i] {
+						t.Fatalf("%s %s row %d: %v at %v through the engine's pyramid, %v at %v through a standalone one",
+							tag, d.Name, i+1, got.Results[i].Dist, got.Regions[i], want.Results[i].Dist, want.Regions[i])
+					}
+				}
+			}
+		}
+		return geo
+	}
+
+	seedGeo := epoch("seed", category, poi)
+	if folds, st := eng.GeometryFolds(), eng.Stats(); folds != 0 || st.PyramidFolds != 0 {
+		t.Fatalf("seed epoch: %d geometry folds, %d pyramid folds; want none", folds, st.PyramidFolds)
+	}
+
+	rng := rand.New(rand.NewSource(36))
+	inserts := make([]asrs.Object, 40)
+	for i := range inserts {
+		src := ds.Objects[rng.Intn(len(ds.Objects))]
+		src.Loc.X += (rng.Float64() - 0.5) * 0.01
+		src.Loc.Y += (rng.Float64() - 0.5) * 0.01
+		inserts[i] = src
+	}
+	inserts[7].Loc = ds.Objects[123].Loc
+	if err := eng.InsertBatch(inserts); err != nil {
+		t.Fatal(err)
+	}
+	// The second composite asks first: the epoch's geometry folds once,
+	// for whichever composite needs it.
+	if geo := epoch("after inserts", poi, category); geo == seedGeo {
+		t.Fatal("the epoch after the inserts kept the seed's geometry")
+	}
+	if folds, st := eng.GeometryFolds(), eng.Stats(); folds != 1 || st.PyramidFolds != 2 {
+		t.Fatalf("after inserts: %d geometry folds, %d pyramid folds; want 1 and 2", folds, st.PyramidFolds)
 	}
 }
