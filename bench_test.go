@@ -463,8 +463,10 @@ func BenchmarkF1Indexed(b *testing.B) {
 // coordinates, and a space straddling such a line keeps them edged at any
 // width: counting edged rectangles alone, the terminal rule halved those
 // spaces down to slivers for 10 992 discretizations. Counting distinct
-// edge coordinates it sweeps them (DESIGN.md §3): 105, and 78 since the
-// clause counts up to 15 distinct y edges. It fails above 1 000
+// edge coordinates it sweeps them (DESIGN.md §3): 105, 78 once the clause
+// counted up to 15 distinct y edges, and 174 since dirty cells keep
+// Equation 1's bound (subset-enumeration refinement pruned the rest). It
+// fails above 1 000
 // discretizations, and on a distance GI-DS (grid 128, checked once,
 // untimed) does not answer.
 func BenchmarkPaperScaleDS(b *testing.B) {
@@ -496,11 +498,11 @@ func BenchmarkPaperScaleDS(b *testing.B) {
 // integer lattice, a = b = 7.5, one F2 target (sum and average of val),
 // plain DS-Search. Every edge coordinate is a whole number, so a space
 // under 15 units high holds at most 15 distinct y edges and is swept
-// before it is gridded. It reports discretizations/op — 1 214; 2 228
-// while the clause stopped at 4 lines beside the paper's drop condition,
-// 5 327 with the clause at 4 and no drop condition — and fails above
-// 1.5× 1 214 or on a distance GI-DS (grid 64, checked once, untimed)
-// does not answer.
+// before it is gridded. It reports discretizations/op — 1 213; 1 214
+// while subset-enumeration refinement ran, 2 228 while the clause stopped
+// at 4 lines beside the paper's drop condition, 5 327 with the clause at 4
+// and no drop condition — and fails above 1.5× 1 214 or on a distance
+// GI-DS (grid 64, checked once, untimed) does not answer.
 func BenchmarkPaperScaleDSLattice(b *testing.B) {
 	const disc = 1214
 	const qa, qb = 7.5, 7.5

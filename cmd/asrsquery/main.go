@@ -102,8 +102,8 @@ func loadOrBuildPyramid(path string, ds *asrs.Dataset, f *asrs.Composite) (*asrs
 func debugStats(stats asrs.SearchStats) {
 	infof("discretizations: %d, splits: %d, bisections: %d\n",
 		stats.Discretizations, stats.Splits, stats.Bisections)
-	infof("cells: %d clean, %d dirty (%d pruned, %d refined, %d center probes)\n",
-		stats.CleanCells, stats.DirtyCells, stats.PrunedCells, stats.RefinedCells, stats.CenterProbes)
+	infof("cells: %d clean, %d dirty (%d pruned, %d center probes)\n",
+		stats.CleanCells, stats.DirtyCells, stats.PrunedCells, stats.CenterProbes)
 	if stats.CleanCells > 0 {
 		// The clean-cell memo's bet is that clean cells come in runs of
 		// identical totals; this is how often it paid.

@@ -29,8 +29,8 @@ func TestBinIDsMatchWindowFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.tab.pyr != p || s.tab.lvl != p.geo.lvl {
-		t.Fatal("the pyramid did not bind its level")
+	if s.tab.pyr != p {
+		t.Fatal("the pyramid did not bind")
 	}
 	tab, master := s.tab, s.rects
 	filter := func(space geom.Rect, lo, hi int) []int32 {
@@ -79,7 +79,7 @@ func TestBinIDsMatchWindowFilter(t *testing.T) {
 				x0, y0 := 5*float64(rng.Intn(20)), 5*float64(rng.Intn(20))
 				r = geom.Rect{MinX: x0, MinY: y0, MaxX: x0 + 5 - a, MaxY: y0 + 5 - b}
 			case "bin borders":
-				l := tab.lvl
+				l := tab.pyr.geo.lvl
 				k, m := rng.Intn(l.gx), rng.Intn(l.gy)
 				x0 := l.bx0 + float64(k)*l.bw - a + tab.wmax
 				y0 := l.by0 + float64(m)*l.bh - b + tab.hmax

@@ -60,7 +60,8 @@ import (
 // the grid lands in an edge bin (satLevel.binOf). A fresh build would lay
 // the grid over the grown hull instead; both are valid levels of the same
 // corpus and name the same rectangles, because the threshold arrays
-// certify through actual anchor coordinates and the ring scan is exact.
+// certify through actual anchor coordinates and appendBinIDs tests the
+// anchors of uncertain bins exactly.
 // Only when the granularity a fresh build would choose (levelGrid)
 // differs from the base's is the level raised anew; a moved certificate
 // changes scales, not bins.

@@ -16,12 +16,12 @@
 //
 // Per-query state is concentrated in the aggregation layer of sat.go: the
 // master rectangle array sorted by anchor, flattened limb contributions,
-// and the anchor-bin level that refinement and id collection walk. Every
-// Discretize fills its grid
-// the same way — one difference-array pass over the space's rectangles
-// (grid.go). Rectangle subsets flow through the kernel heap as 4-byte id
-// slices recycled through the searcher's free list, so the steady state
-// allocates almost nothing per space.
+// and, with a pyramid bound, the anchor-bin level id collection walks.
+// Every Discretize fills its grid the same way — one difference-array
+// pass over the space's rectangles (grid.go). Rectangle subsets flow
+// through the kernel heap as 4-byte id slices recycled through the
+// searcher's free list, so the steady state allocates almost nothing per
+// space.
 package dssearch
 
 import (
@@ -60,27 +60,21 @@ type Options struct {
 	// (DESIGN.md §4). The field stays until bench/, which sets it, can
 	// change (ROADMAP, signatures to release).
 	Workers int
-	// DisableRefinement turns off the exact subset-enumeration
-	// refinement of dirty-cell lower bounds (DESIGN.md §3). With it off,
-	// cells at the boundary of the optimal region can only be resolved by
-	// splitting down to the terminal rule — the ablation benchmarks
-	// quantify the cost. Results stay exact either way.
-	DisableRefinement bool
 	// Slabs, when non-nil, recycles the per-query table slabs (sorted
-	// coordinate arrays, contribution tables, anchor bins, discretization
-	// grid, sweep solver, id slices) across searches. Callers that set
+	// coordinate arrays, contribution tables, discretization grid, sweep
+	// solver, id slices) across searches. Callers that set
 	// it must call Searcher.Release (Request.Close does) when the search
 	// is done.
 	Slabs *SlabCache
 	// Pyramid, when non-nil and built for exactly the request's dataset
 	// and composite, binds the searcher (NewRegionSearcher) to the
 	// persistent dataset-level aggregate pyramid instead of rebuilding the
-	// per-query aggregation layer: master order, contributions, limbs
-	// and the anchor-bin level are aliased, leaving one O(n)
-	// pass per query (DESIGN.md §6). Answers are bit-identical to the
-	// unassisted path; the binding silently falls back to the classic
-	// build when it cannot guarantee that (another dataset or composite,
-	// or anchor collapse under translation).
+	// per-query aggregation layer: master order, contributions and limbs
+	// are aliased, leaving one O(n) pass per query, and id collection
+	// walks the pyramid's anchor-bin level (DESIGN.md §6). Answers are
+	// bit-identical to the unassisted path; the binding silently falls
+	// back to the classic build when it cannot guarantee that (another
+	// dataset or composite, or anchor collapse under translation).
 	Pyramid *Pyramid
 	// SharedCap, when non-nil, attaches a cross-search shared pruning
 	// cap to every bound this search creates: each improvement publishes
@@ -138,8 +132,7 @@ type Stats struct {
 	SweepBaseRects  int // rectangles containing a swept space, folded into the sweep's base vector instead
 	FlatStrips      int // mini-sweep strips resolved by the flat prefix scan
 	FenwickStrips   int // mini-sweep strips resolved by Fenwick tree walks
-	RefinedCells    int // dirty cells tightened by subset enumeration
-	RefinePruned    int // dirty cells pruned only after refinement
+	RefinedCells    int // always 0: subset-enumeration refinement is gone; bench/ still reads the field
 	CenterProbes    int // dirty-cell centers evaluated as candidates
 	HeapPushes      int
 	MaxHeapSize     int
@@ -161,8 +154,6 @@ func (s *Stats) Add(o Stats) {
 	s.SweepBaseRects += o.SweepBaseRects
 	s.FlatStrips += o.FlatStrips
 	s.FenwickStrips += o.FenwickStrips
-	s.RefinedCells += o.RefinedCells
-	s.RefinePruned += o.RefinePruned
 	s.CenterProbes += o.CenterProbes
 	s.HeapPushes += o.HeapPushes
 	s.MaxHeapSize = max(s.MaxHeapSize, o.MaxHeapSize)
@@ -464,16 +455,15 @@ func (s *Searcher) SolveWithin(space geom.Rect, seedLB float64) {
 // AppendWindowIDs appends the master ids of every rectangle whose open
 // interior intersects the closed space (only those can cover a candidate
 // point in the space) and returns dst. The candidates come from a
-// binary-searched window rather than a full scan; when an anchor-bin
-// level is available (bound pyramid, or lazily built) and the window is
-// much larger than the space's 2D anchor box, the ids are collected from
-// the level's bins instead (appendBinIDs), so the result slice is
-// identical either way.
+// binary-searched window rather than a full scan; when a pyramid is
+// bound and the window is much larger than the space's 2D anchor box,
+// the ids are collected from the pyramid's anchor-bin level instead
+// (appendBinIDs), and the result slice is identical either way.
 func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 	master := s.rects
 	t := s.tab
 	lo, hi := t.window(space.MinX, space.MaxX)
-	if t.lvl != nil {
+	if t.pyr != nil {
 		if out, ok := s.appendBinIDs(space, dst, lo, hi); ok {
 			return out
 		}
@@ -504,10 +494,10 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int32, bool) {
 	t := s.tab
 	master := s.rects
-	l := t.lvl
-	i0 := l.xBinLE(master, space.MinX-t.wmax, true)
+	l := t.pyr.geo.lvl
+	i0 := l.xBinLT(master, space.MinX-t.wmax)
 	i1 := l.xBinGT(master, space.MaxX, true)
-	j0 := l.yBinLE(master, space.MinY-t.hmax, true)
+	j0 := l.yBinLT(master, space.MinY-t.hmax)
 	j1 := l.yBinGT(master, space.MaxY, true)
 	if i0 >= i1 || j0 >= j1 {
 		return dst, true // no anchor can intersect: empty result
@@ -528,9 +518,9 @@ func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int
 	// Certainly-intersecting bins (every id marked, CSR runs are
 	// contiguous per row) versus boundary bins (exact test).
 	ci0 := l.xBinGT(master, space.MinX-t.wmin, false)
-	ci1 := l.xBinLE(master, space.MaxX, true)
+	ci1 := l.xBinLT(master, space.MaxX)
 	cj0 := l.yBinGT(master, space.MinY-t.hmin, false)
-	cj1 := l.yBinLE(master, space.MaxY, true)
+	cj1 := l.yBinLT(master, space.MaxY)
 	for bj := j0; bj < j1; bj++ {
 		row := bj * l.gx
 		inJ := bj >= cj0 && bj < cj1

@@ -109,10 +109,10 @@ func newGeometry(ds *attr.Dataset) *Geometry {
 }
 
 // levelGrid returns the bin granularity of the level a fresh build raises
-// over n anchors. The pyramid affords a finer grid than the per-query
-// one: ring-scan work shrinks linearly with the bin width.
+// over n anchors: ⌊√n⌋ clamped to [8, 128], then doubled while g² < n,
+// up to 256 bins a side.
 func levelGrid(n int) int {
-	g := satGrid(n)
+	g := min(max(int(math.Sqrt(float64(n))), 8), 128)
 	for 2*g <= 256 && g*g < n {
 		g *= 2
 	}

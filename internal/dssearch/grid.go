@@ -43,8 +43,7 @@ type gridBuffers struct {
 	foldFull []float64
 	foldPart []float64
 
-	refineCh      []float64
-	refinePartial []int32
+	probeCh []float64 // probeCellCenters' limb totals at a probe point
 
 	rowSum     []float64 // integRow's running sum along one row
 	dirtyCells []int32   // pass 1 output: flat indices (cellIdx) of the dirty cells, row-major
@@ -87,7 +86,7 @@ func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
 	g.hi = carve(g.dims)
 	g.foldFull = carve(g.lchans)
 	g.foldPart = carve(g.lchans)
-	g.refineCh = carve(g.chans)
+	g.probeCh = carve(g.chans)
 	g.rowSum = carve(ncol * g.chans)
 	return g
 }
@@ -280,7 +279,7 @@ func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) []cellInfo {
 	g.reset()
 	s.fillRects(space, ids, cw, chh)
 	s.cleanPass(cw, chh)
-	dirty := s.boundPass(clip)
+	dirty := s.boundPass()
 	s.probeCellCenters(dirty, clip)
 	return dirty
 }
@@ -352,20 +351,18 @@ func sameBits(a, b []float64) bool {
 // boundPass is pass 2 of Function Discretize: it bounds the dirty cells
 // cleanPass listed and returns those whose lower bound stays under the
 // pruning threshold.
-func (s *Searcher) boundPass(clip geom.Rect) []cellInfo {
+func (s *Searcher) boundPass() []cellInfo {
 	g := s.grid
 	tab := s.tab
 	query := &s.query
 	dirty := s.dirty[:0]
 	thresh := s.threshold()
-	scanBudget := refineScanBudget
 	s.Stats.DirtyCells += len(g.dirtyCells)
 	for _, di := range g.dirtyCells {
 		idx := int(di)
 		r := idx / (g.ncol + 1)
 		c := idx - r*(g.ncol+1)
-		cellFull := g.diffFull[idx*g.chans : (idx+1)*g.chans]
-		full := tab.limbs.Fold(g.foldFull, cellFull)
+		full := tab.limbs.Fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
 		part := tab.limbs.Fold(g.foldPart, g.diffPart[idx*g.chans:(idx+1)*g.chans])
 		var mmMin, mmMax []float64
 		if g.mmSlots > 0 {
@@ -376,32 +373,6 @@ func (s *Searcher) boundPass(clip geom.Rect) []cellInfo {
 		query.F.FinalizeBounds(full, part, mmMin, mmMax, g.lo, g.hi)
 		lb := query.LowerBoundInt(g.lo, g.hi, s.isInt)
 		cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
-		if lb < thresh && !s.opt.DisableRefinement {
-			cost := s.refineCost(cell)
-			if scanBudget >= cost {
-				scanBudget -= cost
-				// Interval bounds admit unachievable mixtures (Equation
-				// 1's slack); for cells with few partial rectangles an
-				// exact minimum over all subset completions is affordable
-				// and prunes the boundary-of-optimum tail. Sound: the
-				// achievable covering sets are a subset of the enumerated
-				// ones. The cell's partial-cover count is exactly the
-				// size of the partial set the enumeration would collect,
-				// so cells over the gate skip the scan outright — the
-				// same outcome the scan's own bail would reach.
-				if g.diffCnt[idx] <= refineMaxPartial {
-					if rlb, ok := s.refineCellLB(cell, clip, cellFull); ok {
-						s.Stats.RefinedCells++
-						if rlb > lb {
-							lb = rlb
-						}
-						if lb >= thresh {
-							s.Stats.RefinePruned++
-						}
-					}
-				}
-			}
-		}
 		if lb < thresh {
 			dirty = append(dirty, cellInfo{rect: cell, lb: lb})
 		} else {
@@ -504,7 +475,7 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect) {
 	t := s.tab
 	master := s.rects
 	query := &s.query
-	ch := g.refineCh[:g.chans]
+	ch := g.probeCh[:g.chans]
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
 		clear(ch)
@@ -568,119 +539,6 @@ func overlapRange(lo, hi float64, s0, s1 int, edges []float64) (int, int) {
 		i1--
 	}
 	return i0, i1
-}
-
-// Gates for the subset-enumeration refinement. Each refined cell is
-// charged the candidate rectangles of its cell (its binary-searched
-// window) against one discretize's total scan budget; once exhausted, remaining cells
-// keep their interval bound (sound, just looser). Cells with many
-// partial rectangles skip the enumeration (O(2^#partial)).
-const (
-	refineScanBudget = 6 << 20 // rectangle visits per discretize
-	refineMaxPartial = 6
-)
-
-// refineCost returns the number of rectangles a refineCellLB call for
-// this cell is charged in the budget accounting.
-func (s *Searcher) refineCost(cell geom.Rect) int {
-	t := s.tab
-	lo := t.windowLo(cell.MinX - t.wmax)
-	hi := t.windowHi(cell.MaxX)
-	if hi < lo {
-		hi = lo
-	}
-	return hi - lo
-}
-
-// refineCellLB computes an exact lower bound for a dirty cell by
-// enumerating every completion of the full covering set with a subset of
-// the partial rectangles. Returns ok=false when the cell exceeds the
-// enumeration gates. cellFull is the cell's full-cover limb totals
-// from the grid fill. Every grid sum is exact, so cellFull is the
-// enumeration base as it stands (bit-identical to re-accumulating the
-// containing rectangles) and only the partial rectangles are looked for,
-// in the ring of the cell's 2D anchor-bin box — a fraction of the 1D
-// master window, whose x-range spans the full y extent. The budget
-// accounting (refineCost) charges the window all the same: which cells
-// get refined must not depend on how the bins happen to be laid out.
-func (s *Searcher) refineCellLB(cell, clip geom.Rect, cellFull []float64) (float64, bool) {
-	g := s.grid
-	t := s.tab
-	master := s.rects
-	query := &s.query
-	partial := g.refinePartial[:0]
-	t.ensureLevel(master)
-	l := t.lvl
-	// All possibly-overlapping anchors have MinX ∈ (cell.MinX − wmax,
-	// cell.MaxX) and MinY ∈ (cell.MinY − hmax, cell.MaxY); each bin row of
-	// that box is a contiguous CSR run. Bins certainly inside the cell's
-	// full-cover box hold only rectangles that closed-contain the cell —
-	// already summed into cellFull (if in the subset) or excluded
-	// everywhere (if not) — so the scan skips that interior and walks only
-	// the ring where partials can live.
-	xo0, xo1 := l.xBinLE(master, cell.MinX-t.wmax, true), l.xBinGT(master, cell.MaxX, true)
-	yo0, yo1 := l.yBinLE(master, cell.MinY-t.hmax, true), l.yBinGT(master, cell.MaxY, true)
-	fi0, fi1 := l.xBinGT(master, cell.MaxX-t.wmin, false), l.xBinLE(master, cell.MinX, false)
-	fj0, fj1 := l.yBinGT(master, cell.MaxY-t.hmin, false), l.yBinLE(master, cell.MinY, false)
-	scan := func(lo, hi, row int) bool {
-		if lo >= hi {
-			return true
-		}
-		for _, id := range l.binIds[l.binStart[row+lo]:l.binStart[row+hi]] {
-			r := &master[id].Rect
-			if !(r.MinX < clip.MaxX && clip.MinX < r.MaxX &&
-				r.MinY < clip.MaxY && clip.MinY < r.MaxY) {
-				continue // outside the space's chain-filtered subset
-			}
-			if !(r.MinX < cell.MaxX && cell.MinX < r.MaxX && r.MinY < cell.MaxY && cell.MinY < r.MaxY) {
-				continue // interior does not meet the cell interior
-			}
-			if r.ContainsRect(cell) {
-				continue // already summed into cellFull by the fill
-			}
-			partial = append(partial, id)
-			if len(partial) > refineMaxPartial {
-				return false
-			}
-		}
-		return true
-	}
-	for bj := yo0; bj < yo1; bj++ {
-		row := bj * l.gx
-		ok := true
-		if bj >= fj0 && bj < fj1 && fi0 < fi1 {
-			ok = scan(xo0, min(fi0, xo1), row) && scan(max(xo0, fi1), xo1, row)
-		} else {
-			ok = scan(xo0, xo1, row)
-		}
-		if !ok {
-			g.refinePartial = partial[:0]
-			return 0, false
-		}
-	}
-	g.refinePartial = partial[:0]
-
-	best := math.Inf(1)
-	ch := g.refineCh[:g.chans]
-	for mask := 0; mask < 1<<len(partial); mask++ {
-		copy(ch, cellFull)
-		for i := range partial {
-			if mask&(1<<i) == 0 {
-				continue
-			}
-			for _, cb := range t.rectContribs(partial[i]) {
-				ch[cb.Ch] += cb.V
-			}
-		}
-		// ch is a limb vector (base and contributions carry a channel's
-		// limbs apart); fold before finalizing or the extra limbs would be
-		// dropped from the bound.
-		query.F.FinalizeExact(t.limbs.Fold(g.foldFull, ch), g.rep)
-		if d := query.Distance(g.rep); d < best {
-			best = d
-		}
-	}
-	return best, true
 }
 
 // fullRange shrinks [c0, c1] to the cells entirely inside [lo, hi]

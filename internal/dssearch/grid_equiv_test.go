@@ -112,15 +112,14 @@ func sameResult(a, b asp.Result) bool {
 // seeded edge walks, row-streamed integration, the clean-cell memo, the
 // dirty-cell list — to the straightforward forms of grid_ref_test.go:
 // the grids every pass reads, the incumbent after pass 1, the surviving
-// dirty cells (order, extents, bounds), the incumbent after the probes,
-// the drop flag and every work counter must agree bit for bit, on
+// dirty cells (order, extents, bounds), the incumbent after the probes
+// and every work counter must agree bit for bit, on
 // lattice-aligned edges, zero-extent rectangles, sub-ulp sliver spaces
 // and ancestor clips, from mini-sweep-sized spaces up to the
 // thousands-of-rectangles roots of a search, in one, two and three limbs.
-// Pass 2 finds a cell's rectangles in the anchor-bin ring — for every
-// dirty cell of every grid, collapsed edge cells of the sliver spaces
-// included — and must give the per-cell scan's bound, bail-out and probe
-// incumbent. Every space is discretized twice: at the configured grid,
+// Pass 2 must give the reference's bound for every dirty cell of every
+// grid, collapsed edge cells of the sliver spaces included, and the
+// probes its incumbent. Every space is discretized twice: at the configured grid,
 // and at the grid production sizes for a GI-DS cell's seed (gridFor),
 // which the reference is run at too; the sized grids must hit the floor
 // (cellGridMin), sizes between and the cap (the configured size).
@@ -208,7 +207,7 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					sNew.grid.shape(gc, gr)
 					sRef.grid.shape(gc, gr)
 					// A loose incumbent keeps every dirty cell alive; a tight
-					// one sends most of them through refinement and pruning.
+					// one prunes most of them.
 					seed := sNew.emptyResult(space)
 					if (trial+si)%2 == 1 {
 						seed.Dist *= 0.35
@@ -308,8 +307,6 @@ func delta(after, before Stats) Stats {
 		PrunedCells:     after.PrunedCells - before.PrunedCells,
 		MiniSweeps:      after.MiniSweeps - before.MiniSweeps,
 		MiniSweepRects:  after.MiniSweepRects - before.MiniSweepRects,
-		RefinedCells:    after.RefinedCells - before.RefinedCells,
-		RefinePruned:    after.RefinePruned - before.RefinePruned,
 		CenterProbes:    after.CenterProbes - before.CenterProbes,
 	}
 }

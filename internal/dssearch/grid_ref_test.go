@@ -13,10 +13,7 @@ import (
 // scans of the grid with every clean cell finalized on its own — as the
 // oracle the production loops of grid.go are held to bit for bit
 // (TestDiscretizeMatchesReference). It shares with production only what
-// production did not rewrite: mmUpdate and fullRange. The refinement
-// compares every rectangle of the space against the cell itself and
-// re-accumulates its base (refRefineCellLB) — the oracle for the
-// anchor-bin ring production walks; the centre probes
+// production did not rewrite: mmUpdate and fullRange. The centre probes
 // (refProbeCellCenters) are held to the window scan.
 
 func (g *gridBuffers) refReset() {
@@ -140,7 +137,6 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 	// Pass 2: bound and filter dirty cells.
 	dirty := s.dirty[:0]
 	thresh := s.threshold()
-	scanBudget := refineScanBudget
 	for r := 0; r < nrow; r++ {
 		for c := 0; c < ncol; c++ {
 			idx := g.cellIdx(c, r)
@@ -159,32 +155,6 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 			query.F.FinalizeBounds(full, part, mmMin, mmMax, g.lo, g.hi)
 			lb := query.LowerBoundInt(g.lo, g.hi, s.isInt)
 			cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
-			if lb < thresh && !s.opt.DisableRefinement {
-				cost := s.refineCost(cell)
-				if scanBudget >= cost {
-					scanBudget -= cost
-					// Interval bounds admit unachievable mixtures (Equation
-					// 1's slack); for cells with few partial rectangles an
-					// exact minimum over all subset completions is affordable
-					// and prunes the boundary-of-optimum tail. Sound: the
-					// achievable covering sets are a subset of the enumerated
-					// ones. The cell's partial-cover count is exactly the
-					// size of the partial set the enumeration would collect,
-					// so cells over the gate skip the scan outright — the
-					// same outcome the scan's own bail would reach.
-					if g.diffCnt[idx] <= refineMaxPartial {
-						if rlb, ok := s.refRefineCellLB(cell, ids); ok {
-							s.Stats.RefinedCells++
-							if rlb > lb {
-								lb = rlb
-							}
-							if lb >= thresh {
-								s.Stats.RefinePruned++
-							}
-						}
-					}
-				}
-			}
 			if lb < thresh {
 				dirty = append(dirty, cellInfo{rect: cell, lb: lb})
 			} else {
@@ -323,7 +293,7 @@ func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect) {
 	t := s.tab
 	master := s.rects
 	query := &s.query
-	ch := g.refineCh[:g.chans]
+	ch := g.probeCh[:g.chans]
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
 		clear(ch)
@@ -349,61 +319,4 @@ func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect) {
 		}
 	}
 	s.Stats.CenterProbes += len(idx)
-}
-
-// refRefineCellLB is refineCellLB with the per-cell scan: every id of the
-// space is compared against the cell, the fully covering rectangles are
-// re-accumulated into the base and the partial ones listed, both in id
-// order. It computes an exact lower bound for a dirty cell by enumerating
-// every completion of the full covering set with a subset of the partial
-// rectangles, and returns ok=false when the cell exceeds the enumeration
-// gates. (ids is the space's chain-filtered subset, so no clip is asked.)
-func (s *Searcher) refRefineCellLB(cell geom.Rect, ids []int32) (float64, bool) {
-	g := s.grid
-	t := s.tab
-	master := s.rects
-	query := &s.query
-	base := make([]float64, g.chans)
-	partial := g.refinePartial[:0]
-	for _, id := range ids {
-		r := master[id].Rect
-		// Only rectangles whose interior meets the cell interior matter.
-		if !(r.MinX < cell.MaxX && cell.MinX < r.MaxX && r.MinY < cell.MaxY && cell.MinY < r.MaxY) {
-			continue
-		}
-		if r.ContainsRect(cell) {
-			for _, cb := range t.rectContribs(id) {
-				base[cb.Ch] += cb.V
-			}
-			continue
-		}
-		partial = append(partial, id)
-		if len(partial) > refineMaxPartial {
-			g.refinePartial = partial[:0]
-			return 0, false
-		}
-	}
-	g.refinePartial = partial[:0]
-
-	best := math.Inf(1)
-	ch := g.refineCh[:g.chans]
-	for mask := 0; mask < 1<<len(partial); mask++ {
-		copy(ch, base)
-		for i := range partial {
-			if mask&(1<<i) == 0 {
-				continue
-			}
-			for _, cb := range t.rectContribs(partial[i]) {
-				ch[cb.Ch] += cb.V
-			}
-		}
-		// ch is a limb vector (base and contributions carry a channel's
-		// limbs apart); fold before finalizing or the extra limbs would be
-		// dropped from the bound.
-		query.F.FinalizeExact(t.limbs.Fold(g.foldFull, ch), g.rep)
-		if d := query.Distance(g.rep); d < best {
-			best = d
-		}
-	}
-	return best, true
 }

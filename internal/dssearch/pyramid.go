@@ -171,7 +171,6 @@ func (p *Pyramid) bindCore(t *tables) {
 	t.limbs = c.limbs.Layout()
 	t.cOff, t.contribs = c.cOff, c.contribs
 	t.mOff, t.mms = c.mOff, c.mms
-	t.lvl = p.geo.lvl
 	t.shared = true
 	t.pyr = p
 }

@@ -21,11 +21,10 @@ import (
 //   - the flattened per-rectangle limb contributions (AppendContribs
 //     evaluated and split once per query instead of once per
 //     discretization);
-//   - the anchor-bin level: CSR per-bin id lists over a grid of
-//     (MinX, MinY) anchors, with a prefix-summed count plane.
-//     A dirty cell's refinement finds its partial rectangles in the ring
-//     of the cell's 2D anchor box instead of the 1D MinX window, and
-//     AppendWindowIDs collects a space's ids the same way (DESIGN.md §2).
+//   - with a pyramid bound, its anchor-bin level: CSR per-bin id lists
+//     over a grid of (MinX, MinY) anchors, with a prefix-summed count
+//     plane, from which AppendWindowIDs collects a space's ids in its 2D
+//     anchor box instead of the 1D MinX window (DESIGN.md §2).
 //
 // When Options.Pyramid carries the dataset-level aggregate pyramid
 // (pyramid.go), the whole layer is *bound* instead of built: the master
@@ -77,19 +76,13 @@ type satLevel struct {
 	yMaxUpTo, yMinFrom []int32 // len gy, id-anchored prefix extremes (y)
 }
 
-// xBinLE returns the largest h in [0, gx] such that every anchor in bin
-// columns [0, h) certainly has MinX ≤ x (or MinX < x when strict).
-func (l *satLevel) xBinLE(master []asp.RectObject, x float64, strict bool) int {
+// xBinLT returns the largest h in [0, gx] such that every anchor in bin
+// columns [0, h) certainly has MinX < x.
+func (l *satLevel) xBinLT(master []asp.RectObject, x float64) int {
 	return sort.Search(l.gx, func(i int) bool {
 		id := l.xMaxUpTo[i]
-		if id < 0 {
-			return false // empty prefix: vacuously below any threshold
-		}
-		v := master[id].Rect.MinX
-		if strict {
-			return v >= x
-		}
-		return v > x
+		// An empty prefix is vacuously below any threshold.
+		return id >= 0 && master[id].Rect.MinX >= x
 	})
 }
 
@@ -109,18 +102,11 @@ func (l *satLevel) xBinGT(master []asp.RectObject, x float64, orEq bool) int {
 	})
 }
 
-// yBinLE / yBinGT mirror the x variants over bin rows and MinY.
-func (l *satLevel) yBinLE(master []asp.RectObject, y float64, strict bool) int {
+// yBinLT / yBinGT mirror the x variants over bin rows and MinY.
+func (l *satLevel) yBinLT(master []asp.RectObject, y float64) int {
 	return sort.Search(l.gy, func(i int) bool {
 		id := l.yMaxUpTo[i]
-		if id < 0 {
-			return false
-		}
-		v := master[id].Rect.MinY
-		if strict {
-			return v >= y
-		}
-		return v > y
+		return id >= 0 && master[id].Rect.MinY >= y
 	})
 }
 
@@ -306,8 +292,8 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64) {
 }
 
 // tables is the per-query aggregation layer described above, built by
-// newSearcher. With a pyramid bound the core slices and the level alias
-// the persistent per-composite structure (shared == true).
+// newSearcher. With a pyramid bound the core slices alias the
+// persistent per-composite structure (shared == true).
 type tables struct {
 	f     *agg.Composite
 	chans int // channels (f.Channels())
@@ -337,16 +323,10 @@ type tables struct {
 	keys   []anchorKey
 	perm   []int32
 
-	// The anchor-bin level. With a pyramid bound, lvl is the pyramid's;
-	// otherwise ensureLevel lazily builds the query-level ownLvl. minYs is
-	// build scratch.
-	lvl    *satLevel
-	ownLvl satLevel
-	minYs  []float64
-
 	// shared marks slices aliased from a Pyramid: reset must drop them
 	// instead of truncating, or later classic builds would append into
-	// the pyramid's read-only memory.
+	// the pyramid's read-only memory. pyr is the bound pyramid, nil on
+	// the one-shot path; its anchor-bin level backs appendBinIDs.
 	shared bool
 	pyr    *Pyramid
 
@@ -382,10 +362,9 @@ type tables struct {
 }
 
 // reset prepares a recycled tables value for a new query, keeping every
-// slice's capacity (the quantization-certificate and level slabs ride
-// the SlabCache across queries on the same composite).
+// slice's capacity (the quantization-certificate slabs ride the
+// SlabCache across queries on the same composite).
 func (t *tables) reset() {
-	t.lvl = nil
 	t.pyr = nil
 	t.minXs = nil // a view of minXsBuf
 	if t.shared {
@@ -627,41 +606,6 @@ func (t *tables) window(x0, x1 float64) (int, int) {
 	return lo, hi
 }
 
-// ---- Level granularity ----
-
-// satGrid picks the bin granularity of a query-level grid over n anchors.
-func satGrid(n int) int {
-	g := int(math.Sqrt(float64(n)))
-	if g < 8 {
-		g = 8
-	}
-	if g > 128 {
-		g = 128
-	}
-	return g
-}
-
-// ensureLevel lazily provides the anchor-bin level of the master. With a
-// pyramid bound the level was aliased at construction and this is a
-// no-op; otherwise a query-level grid is built over the master anchors on
-// first demand. Many queries never refine a cell, so the build cost is
-// deferred to the first that does.
-func (t *tables) ensureLevel(master []asp.RectObject) {
-	if t.lvl != nil {
-		return
-	}
-	n := len(master)
-	if cap(t.minYs) < n {
-		t.minYs = make([]float64, 0, n)
-	}
-	t.minYs = t.minYs[:0]
-	for i := range master {
-		t.minYs = append(t.minYs, master[i].Rect.MinY)
-	}
-	buildSATLevel(&t.ownLvl, satGrid(n), t.minXs, t.minYs)
-	t.lvl = &t.ownLvl
-}
-
 // resizeInt32 returns a slice of length n reusing capacity.
 func resizeInt32(v []int32, n int) []int32 {
 	if cap(v) >= n {
@@ -673,8 +617,8 @@ func resizeInt32(v []int32, n int) []int32 {
 // ---- Slab cache ----
 
 // SlabCache recycles the per-query table slabs (sorted coordinate
-// arrays, contribution tables, anchor bins, the discretization grid, the
-// sweep solver, id slices) across searches. An Engine holds one per
+// arrays, contribution tables, the discretization grid, the sweep
+// solver, id slices) across searches. An Engine holds one per
 // composite so that steady-state serving rebuilds table *contents* each
 // query but reallocates nothing. Safe for concurrent use; the zero value
 // is ready.

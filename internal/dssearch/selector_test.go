@@ -56,24 +56,3 @@ func TestSelectorsEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-// TestDisableRefinementStillExact: the ablation knob changes work, not
-// answers.
-func TestDisableRefinementStillExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 10; trial++ {
-		ds := dataset.Random(1+rng.Intn(30), 40, rng.Int63())
-		rects, _ := asp.Reduce(ds, 6, 6, asp.AnchorTR)
-		q := selectiveQuery(t, ds, rng)
-		on, _ := dssearch.NewSearcher(rects, q, dssearch.Options{NCol: 10, NRow: 10})
-		off, _ := dssearch.NewSearcher(rects, q, dssearch.Options{NCol: 10, NRow: 10, DisableRefinement: true})
-		a := on.Solve()
-		b := off.Solve()
-		if math.Abs(a.Dist-b.Dist) > 1e-9 {
-			t.Fatalf("trial %d: refinement changed the answer: %g vs %g", trial, a.Dist, b.Dist)
-		}
-		if off.Stats.RefinedCells != 0 {
-			t.Fatalf("refinement ran while disabled: %+v", off.Stats)
-		}
-	}
-}

@@ -24,9 +24,6 @@ func TestStatsAccounting(t *testing.T) {
 	if st.PrunedCells > st.DirtyCells {
 		t.Fatalf("pruned %d > dirty %d", st.PrunedCells, st.DirtyCells)
 	}
-	if st.RefinePruned > st.RefinedCells {
-		t.Fatalf("refine-pruned %d > refined %d", st.RefinePruned, st.RefinedCells)
-	}
 	if st.Splits > st.Discretizations {
 		t.Fatalf("splits %d > discretizations %d", st.Splits, st.Discretizations)
 	}
