@@ -17,6 +17,7 @@
 //	asrsquery -dataset singapore -json                  # machine-readable output (the asrsd wire schema)
 //	asrsquery -dataset singapore -q 'find top 3 similar to region(103.827,1.298,103.843,1.310) under @category excluding example'
 //	asrsquery -dataset tweet -q 'explain find size 2 x 2 similar to target(0,0,0,0,0,1,1) under dist(day)'
+//	asrsquery -dataset tweet -n 20000 -cpuprofile cpu.pprof  # then: go tool pprof cpu.pprof
 package main
 
 import (
@@ -25,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"asrs"
@@ -47,17 +49,18 @@ func main() {
 		jsonOut = flag.Bool("json", false, "emit the answer as JSON in the asrsd wire schema (one format for CLI and daemon)")
 		qText   = flag.String("q", "", "run a query-language expression over the chosen dataset instead of the canned query (see README \"Query language\"; 'explain …' prints the plan report). Results stream as they are found; with -json each row is one NDJSON line, the same rows POST /v1/search would send")
 		debug   = flag.Bool("debug", false, "print search work counters, including the mini-sweep strip-evaluator selection (flat prefix scan vs Fenwick walks; DESIGN.md §8)")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the search to this file: what the elapsed time covers, not the corpus or pyramid build")
 	)
 	flag.Parse()
 
 	if *qText != "" {
-		if err := runExpr(*dsName, *n, *seed, *qText, *jsonOut); err != nil {
+		if err := runExpr(*dsName, *n, *seed, *qText, *jsonOut, *cpuProf); err != nil {
 			fmt.Fprintln(os.Stderr, "asrsquery:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if err := run(*dsName, *n, *k, *algo, *grid, *delta, *seed, *pyrPath, *jsonOut, *debug); err != nil {
+	if err := run(*dsName, *n, *k, *algo, *grid, *delta, *seed, *pyrPath, *jsonOut, *debug, *cpuProf); err != nil {
 		fmt.Fprintln(os.Stderr, "asrsquery:", err)
 		os.Exit(1)
 	}
@@ -70,6 +73,32 @@ func emitJSON(resp asrs.QueryResponse, elapsed time.Duration) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(wire.ResponseWire(resp, elapsed))
+}
+
+// startCPUProfile starts a CPU profile written to path, or nothing for an
+// empty path. The returned stop ends the profile and closes the file; it
+// is safe to call more than once.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	done := false
+	return func() error {
+		if done {
+			return nil
+		}
+		done = true
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // infof prints an informational line: to stdout normally, to stderr in
@@ -137,7 +166,7 @@ func indexStats(grid int, stats asrs.IndexStats, debug bool) {
 // §7.6 case study, query by example with the example region excluded —
 // and answers it: DS-Search and GI-DS through the library's one driver
 // (with and without an index), the baseline through its own sweep.
-func run(dsName string, n, k int, algo string, grid int, delta float64, seed int64, pyrPath string, jsonOut, debug bool) error {
+func run(dsName string, n, k int, algo string, grid int, delta float64, seed int64, pyrPath string, jsonOut, debug bool, cpuProf string) error {
 	if jsonOut {
 		infoOut = os.Stderr
 	}
@@ -181,6 +210,11 @@ func run(dsName string, n, k int, algo string, grid int, delta float64, seed int
 	}
 	req.Options = &opt
 
+	stopProf, err := startCPUProfile(cpuProf)
+	if err != nil {
+		return err
+	}
+	defer stopProf()
 	start := time.Now()
 	var resp asrs.QueryResponse
 	switch algo {
@@ -208,6 +242,9 @@ func run(dsName string, n, k int, algo string, grid int, delta float64, seed int
 	default:
 		return fmt.Errorf("unknown algorithm %q", algo)
 	}
+	if err := stopProf(); err != nil {
+		return err
+	}
 	if jsonOut {
 		return emitJSON(resp, time.Since(start))
 	}
@@ -229,7 +266,7 @@ func run(dsName string, n, k int, algo string, grid int, delta float64, seed int
 // runExpr serves a query-language expression from the CLI: the same
 // parse → plan → lazy-stream pipeline as POST /v1/search, over a local
 // engine. Rows print as each greedy round finishes.
-func runExpr(dsName string, n int, seed int64, src string, jsonOut bool) error {
+func runExpr(dsName string, n int, seed int64, src string, jsonOut bool, cpuProf string) error {
 	if jsonOut {
 		infoOut = os.Stderr
 	}
@@ -269,6 +306,11 @@ func runExpr(dsName string, n int, seed int64, src string, jsonOut bool) error {
 	}
 
 	infof("dataset=%s n=%d canonical=%q\n", dsName, len(ds.Objects), pl.Canonical)
+	stopProf, err := startCPUProfile(cpuProf)
+	if err != nil {
+		return err
+	}
+	defer stopProf()
 	start := time.Now()
 	st, err := query.Exec(context.Background(), pl, query.EngineBinding{E: eng})
 	if err != nil {
@@ -297,6 +339,9 @@ func runExpr(dsName string, n int, seed int64, src string, jsonOut bool) error {
 		fmt.Printf("#%d region %v  dist %.4f\n", row.Rank, row.Region, row.Result.Dist)
 	}
 	if err := st.Err(); err != nil {
+		return err
+	}
+	if err := stopProf(); err != nil {
 		return err
 	}
 	if jsonOut {

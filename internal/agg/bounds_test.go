@@ -174,3 +174,71 @@ func TestComponentsAndChannels(t *testing.T) {
 		t.Fatal("schema accessor")
 	}
 }
+
+// TestLowerBoundIntUnderMatchesLowerBoundInt pins the early-exit bound's
+// contract as TestDistanceUnderMatchesDistance pins DistanceUnder's: on
+// random boxes, with integer dimensions on and off and weights absent,
+// positive or of either sign, ok must equal LowerBoundInt(...) < bound
+// for every bound, and a kept value must be bit-identical to
+// LowerBoundInt.
+func TestLowerBoundIntUnderMatchesLowerBoundInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 600; trial++ {
+		n := 1 + rng.Intn(12)
+		q, lo, hi := make([]float64, n), make([]float64, n), make([]float64, n)
+		var isInt []bool
+		if trial%2 == 1 {
+			isInt = make([]bool, n)
+		}
+		for i := range q {
+			q[i] = rng.NormFloat64() * 10
+			a, b := rng.NormFloat64()*10, rng.NormFloat64()*10
+			if isInt != nil && rng.Intn(2) == 0 {
+				isInt[i] = true
+				a, b = math.Round(a), math.Round(b)
+			}
+			lo[i], hi[i] = min(a, b), max(a, b)
+		}
+		var w []float64
+		switch trial / 2 % 3 {
+		case 1:
+			w = make([]float64, n)
+			for i := range w {
+				w[i] = rng.Float64() * 3
+			}
+		case 2:
+			// Negative weights break L1 monotonicity: the shortcut must
+			// turn itself off and still answer exactly.
+			w = make([]float64, n)
+			for i := range w {
+				w[i] = rng.NormFloat64()
+			}
+		}
+		for _, norm := range []agg.Norm{agg.L1, agg.L2} {
+			lb := agg.LowerBoundInt(norm, q, lo, hi, w, isInt)
+			bounds := []float64{
+				lb, math.Nextafter(lb, math.Inf(1)), math.Nextafter(lb, math.Inf(-1)),
+				lb * 0.5, lb * 2, lb + 1, lb - 1, 0, -1, 1e-160,
+				math.Inf(1), math.Inf(-1), math.NaN(),
+			}
+			for _, bound := range bounds {
+				got, ok := agg.LowerBoundIntUnder(norm, q, lo, hi, w, isInt, bound)
+				if want := lb < bound; ok != want {
+					t.Fatalf("trial %d %v LowerBoundIntUnder(bound=%v) ok=%v, want %v (lb=%v)", trial, norm, bound, ok, want, lb)
+				}
+				if ok && math.Float64bits(got) != math.Float64bits(lb) {
+					t.Fatalf("trial %d %v LowerBoundIntUnder(bound=%v) = %v, want bit-identical %v", trial, norm, bound, got, lb)
+				}
+				if !ok && !math.IsNaN(got) && got > lb {
+					t.Fatalf("trial %d %v LowerBoundIntUnder(bound=%v) early value %v exceeds the bound %v", trial, norm, bound, got, lb)
+				}
+			}
+		}
+	}
+	// A zero bound under 1e-170: the bound's square underflows to 0, so
+	// it must not stop the sum.
+	got, ok := agg.LowerBoundIntUnder(agg.L2, []float64{0}, []float64{0}, []float64{0}, nil, nil, 1e-170)
+	if !ok || got != 0 {
+		t.Fatalf("LowerBoundIntUnder at a zero bound under 1e-170 = %v, %v; want 0, true", got, ok)
+	}
+}

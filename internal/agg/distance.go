@@ -85,14 +85,10 @@ func DistanceUnder(norm Norm, u, v, w []float64, bound float64) (float64, bool) 
 	switch norm {
 	case L2:
 		// Squared terms are non-negative for any weight sign; comparing
-		// against bound² keeps the march in the squared domain. A
-		// non-positive or NaN bound simply never triggers the early exit
-		// (b2 ≥ 0 with the inherited comparison semantics), and the final
-		// predicate below stays authoritative.
-		b2 := bound * bound
-		if !(bound > 0) {
-			b2 = math.Inf(1)
-		}
+		// against bound² keeps the march in the squared domain
+		// (squaredStop), and the final predicate below stays
+		// authoritative.
+		b2 := squaredStop(bound)
 		for i := range u {
 			d := u[i] - v[i]
 			if w != nil {
@@ -109,11 +105,9 @@ func DistanceUnder(norm Norm, u, v, w []float64, bound float64) (float64, bool) 
 		// The negative-weight check must run before the march, not inside
 		// it: once any later term can be negative, a partial sum reaching
 		// bound proves nothing about the final one.
-		for _, wi := range w {
-			if wi < 0 {
-				d := Distance(norm, u, v, w)
-				return d, d < bound
-			}
+		if hasNegative(w) {
+			d := Distance(norm, u, v, w)
+			return d, d < bound
 		}
 		for i := range u {
 			d := math.Abs(u[i] - v[i])
@@ -135,27 +129,7 @@ func DistanceUnder(norm Norm, u, v, w []float64, bound float64) (float64, bool) 
 // applied inside the Euclidean sum; both are valid lower bounds because the
 // per-dimension deviation is minimized independently.
 func LowerBound(norm Norm, q, lo, hi, w []float64) float64 {
-	var acc float64
-	switch norm {
-	case L2:
-		for i := range q {
-			g := gap(q[i], lo[i], hi[i])
-			if w != nil {
-				g *= w[i]
-			}
-			acc += g * g
-		}
-		return math.Sqrt(acc)
-	default:
-		for i := range q {
-			g := gap(q[i], lo[i], hi[i])
-			if w != nil {
-				g *= w[i]
-			}
-			acc += g
-		}
-		return acc
-	}
+	return LowerBoundInt(norm, q, lo, hi, w, nil)
 }
 
 // gap returns the distance from q to the interval [lo, hi] (0 when inside).
@@ -198,40 +172,74 @@ func intGap(q, lo, hi float64) float64 {
 // snaps to the nearest integer in [lo, hi]. A nil isInt degrades to
 // LowerBound.
 func LowerBoundInt(norm Norm, q, lo, hi, w []float64, isInt []bool) float64 {
-	if isInt == nil {
-		return LowerBound(norm, q, lo, hi, w)
+	lb, _ := LowerBoundIntUnder(norm, q, lo, hi, w, isInt, math.Inf(1))
+	return lb
+}
+
+// LowerBoundIntUnder reports whether LowerBoundInt(norm, q, lo, hi, w,
+// isInt) < bound, and returns that bound when it is. It is DistanceUnder's
+// argument applied to Equation 1: the terms are summed in LowerBoundInt's
+// order, so a completed pass returns a bit-identical value, and the sum is
+// abandoned once the accumulator alone rules the bound out — every
+// remaining term is non-negative (squared under L2; under L1 a negative
+// weight turns the shortcut off). When ok is false the returned value is
+// only a lower bound on LowerBoundInt. Pass 2 of Function Discretize
+// bounds its dirty cells through it with the pruning threshold as bound.
+func LowerBoundIntUnder(norm Norm, q, lo, hi, w []float64, isInt []bool, bound float64) (float64, bool) {
+	l2 := norm == L2
+	stop := math.Inf(1)
+	switch {
+	case l2:
+		stop = squaredStop(bound)
+	case !hasNegative(w):
+		stop = bound
 	}
 	var acc float64
-	switch norm {
-	case L2:
-		for i := range q {
-			var g float64
-			if isInt[i] {
-				g = intGap(q[i], lo[i], hi[i])
-			} else {
-				g = gap(q[i], lo[i], hi[i])
-			}
-			if w != nil {
-				g *= w[i]
-			}
-			acc += g * g
+	for i := range q {
+		var g float64
+		if isInt != nil && isInt[i] {
+			g = intGap(q[i], lo[i], hi[i])
+		} else {
+			g = gap(q[i], lo[i], hi[i])
 		}
-		return math.Sqrt(acc)
-	default:
-		for i := range q {
-			var g float64
-			if isInt[i] {
-				g = intGap(q[i], lo[i], hi[i])
-			} else {
-				g = gap(q[i], lo[i], hi[i])
-			}
-			if w != nil {
-				g *= w[i]
-			}
-			acc += g
+		if w != nil {
+			g *= w[i]
 		}
-		return acc
+		if l2 {
+			g *= g
+		}
+		acc += g
+		if acc >= stop {
+			break
+		}
 	}
+	if l2 {
+		acc = math.Sqrt(acc)
+	}
+	return acc, acc < bound
+}
+
+// squaredStop is the value a running sum of squares may stop at under
+// bound: once it reaches bound², its square root does too. That takes
+// √fl(b·b) = b, which holds for a binary64 b whose square neither
+// overflows nor underflows; a bound too small for that, a non-positive or
+// a NaN one never stops the sum (the caller's final comparison decides),
+// and one whose square overflows stops only at +Inf.
+func squaredStop(bound float64) float64 {
+	if bound > 0x1p-500 {
+		return bound * bound
+	}
+	return math.Inf(1)
+}
+
+// hasNegative reports whether any weight is negative.
+func hasNegative(w []float64) bool {
+	for _, wi := range w {
+		if wi < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // UnitWeights returns a weight vector of n ones.

@@ -188,7 +188,7 @@ func TestDistanceUnderMatchesDistance(t *testing.T) {
 		for _, norm := range []agg.Norm{agg.L1, agg.L2} {
 			d := agg.Distance(norm, u, v, w)
 			bounds := []float64{
-				d, d * 0.5, d * 2, d + 1, d - 1, 0, -1,
+				d, d * 0.5, d * 2, d + 1, d - 1, 0, -1, 1e-160,
 				math.Inf(1), math.Inf(-1), math.NaN(),
 			}
 			for _, bound := range bounds {
@@ -204,5 +204,10 @@ func TestDistanceUnderMatchesDistance(t *testing.T) {
 				}
 			}
 		}
+	}
+	// A zero distance under 1e-170: the bound's square underflows to 0, so it
+	// must not stop the sum.
+	if d, ok := agg.DistanceUnder(agg.L2, []float64{1}, []float64{1}, nil, 1e-170); !ok || d != 0 {
+		t.Fatalf("DistanceUnder at a zero distance under 1e-170 = %v, %v; want 0, true", d, ok)
 	}
 }

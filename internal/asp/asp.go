@@ -72,6 +72,13 @@ func (q *Query) LowerBoundInt(lo, hi []float64, isInt []bool) float64 {
 	return agg.LowerBoundInt(q.Norm, q.Target, lo, hi, q.W, isInt)
 }
 
+// LowerBoundIntUnder reports whether LowerBoundInt(lo, hi, isInt) <
+// bound, returning the bit-exact bound when it is (see
+// agg.LowerBoundIntUnder).
+func (q *Query) LowerBoundIntUnder(lo, hi []float64, isInt []bool, bound float64) (float64, bool) {
+	return agg.LowerBoundIntUnder(q.Norm, q.Target, lo, hi, q.W, isInt, bound)
+}
+
 // Result is a solution to an ASP instance: the best point found, its
 // distance, and its aggregate representation.
 type Result struct {

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
@@ -755,16 +754,10 @@ func (s *Searcher) swept(it kernel.Item) bool {
 // childIds filters the parent's ids down to those intersecting space,
 // into a recycled slice sized by the binary-searched window.
 func (s *Searcher) childIds(parent []int32, space geom.Rect) []int32 {
-	t := s.tab
-	x0 := space.MinX - t.wmax
-	lo := sort.Search(len(parent), func(k int) bool { return t.minXs[parent[k]] > x0 })
-	hi := sort.Search(len(parent), func(k int) bool { return t.minXs[parent[k]] >= space.MaxX })
-	if lo > hi {
-		lo = hi
-	}
-	out := s.getIds(hi - lo)
+	window := s.tab.idWindow(parent, space.MinX, space.MaxX)
+	out := s.getIds(len(window))
 	master := s.rects
-	for _, id := range parent[lo:hi] {
+	for _, id := range window {
 		r := &master[id].Rect
 		if r.MinX < space.MaxX && space.MinX < r.MaxX &&
 			r.MinY < space.MaxY && space.MinY < r.MaxY {

@@ -36,8 +36,10 @@ type DiscretizeHarness struct {
 // NewDiscretizeHarness solves the instance once, so the incumbent every
 // Run starts from is the one a search holds while it closes in on the
 // optimum, and grows a space around the answer point until it holds
-// wantIds rectangles.
-func NewDiscretizeHarness(rects []asp.RectObject, q asp.Query, a, b float64, wantIds int) (*DiscretizeHarness, error) {
+// wantIds rectangles. With cell set the space is discretized as a GI-DS
+// cell's seed (SolveCell): at the grid sized to its ids (cellGrid)
+// instead of NCol×NRow.
+func NewDiscretizeHarness(rects []asp.RectObject, q asp.Query, a, b float64, wantIds int, cell bool) (*DiscretizeHarness, error) {
 	s, err := NewSearcher(rects, q, Options{Workers: 1})
 	if err != nil {
 		return nil, err
@@ -48,6 +50,9 @@ func NewDiscretizeHarness(rects []asp.RectObject, q asp.Query, a, b float64, wan
 	for m := 0.01; len(h.Ids) < wantIds && m < 8; m += 0.01 {
 		h.Space = geom.Rect{MinX: p.X - m*a, MinY: p.Y - m*b, MaxX: p.X + m*a, MaxY: p.Y + m*b}
 		h.Ids = s.AppendWindowIDs(h.Space, h.Ids[:0])
+	}
+	if cell {
+		s.grid.shape(cellGrid(len(h.Ids), s.opt.NCol), cellGrid(len(h.Ids), s.opt.NRow))
 	}
 	return h, nil
 }
@@ -62,6 +67,9 @@ func (h *DiscretizeHarness) Crossing() int {
 	}
 	return n
 }
+
+// Grid returns the grid the space is discretized at.
+func (h *DiscretizeHarness) Grid() (ncol, nrow int) { return h.s.grid.ncol, h.s.grid.nrow }
 
 // Run discretizes the space once from the solved incumbent and returns
 // the number of surviving dirty cells.

@@ -15,7 +15,7 @@ type cellInfo struct {
 }
 
 // gridBuffers holds the reusable scratch memory of Function Discretize:
-// 2D difference arrays for the full- and partial-cover channel grids, a
+// 2D difference arrays for the full-cover and overlap channel grids, a
 // partial-cover counter grid, per-cell min/max slots for average
 // aggregators and the precomputed cell edge coordinates. A Searcher owns
 // one, recycled with its tables through the SlabCache.
@@ -26,9 +26,10 @@ type gridBuffers struct {
 	mmSlots    int
 	dims       int
 
-	diffFull []float64 // (nrow+1)*(ncol+1)*chans difference array
-	diffPart []float64 // same layout
+	diffFull []float64 // (nrow+1)*(ncol+1)*chans difference array: rectangles covering a cell
+	diffPart []float64 // same layout: rectangles overlapping a cell; a cell's partial covers are diffPart − diffFull
 	diffCnt  []float64 // (nrow+1)*(ncol+1) partial-cover counts
+	dense    []float64 // limb sums of the rectangles covering the whole grid
 	mmMin    []float64 // nrow*ncol*mmSlots
 	mmMax    []float64
 
@@ -67,7 +68,7 @@ func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
 		dirtyCells: make([]int32, 0, ncol*nrow),
 	}
 	pad := (nrow + 1) * (ncol + 1)
-	slab := make([]float64, 0, 2*pad*g.chans+pad+2*nrow*ncol*g.mmSlots+(ncol+1)+(nrow+1)+3*g.dims+2*g.lchans+g.chans+ncol*g.chans)
+	slab := make([]float64, 0, 2*pad*g.chans+pad+g.chans+2*nrow*ncol*g.mmSlots+(ncol+1)+(nrow+1)+3*g.dims+2*g.lchans+g.chans+ncol*g.chans)
 	carve := func(n int) []float64 {
 		slab = slab[:len(slab)+n]
 		return slab[len(slab)-n:]
@@ -75,6 +76,7 @@ func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
 	g.diffFull = carve(pad * g.chans)
 	g.diffPart = carve(pad * g.chans)
 	g.diffCnt = carve(pad)
+	g.dense = carve(g.chans)
 	if g.mmSlots > 0 {
 		g.mmMin = carve(nrow * ncol * g.mmSlots)
 		g.mmMax = carve(nrow * ncol * g.mmSlots)
@@ -127,11 +129,12 @@ func cellGrid(m, limit int) int {
 }
 
 // reset prepares the buffers for one fill: zeroed difference arrays and
-// the min/max fold identities.
+// whole-grid sums, and the min/max fold identities.
 func (g *gridBuffers) reset() {
 	clear(g.diffFull)
 	clear(g.diffPart)
 	clear(g.diffCnt)
+	clear(g.dense)
 	for i := range g.mmMin {
 		g.mmMin[i] = math.Inf(1)
 		g.mmMax[i] = math.Inf(-1)
@@ -156,20 +159,36 @@ func (g *gridBuffers) rangeAdd(diff []float64, contribs []agg.Contrib, c0, r0, c
 	}
 }
 
-// rangeAddCnt bumps the partial-cover counter grid over a cell range.
-func (g *gridBuffers) rangeAddCnt(c0, r0, c1, r1 int) {
+// rangeAddCnt adds v to the partial-cover counter grid over a cell range.
+func (g *gridBuffers) rangeAddCnt(v float64, c0, r0, c1, r1 int) {
 	w := g.ncol + 1
-	g.diffCnt[r0*w+c0]++
-	g.diffCnt[r0*w+c1+1]--
-	g.diffCnt[(r1+1)*w+c0]--
-	g.diffCnt[(r1+1)*w+c1+1]++
+	g.diffCnt[r0*w+c0] += v
+	g.diffCnt[r0*w+c1+1] -= v
+	g.diffCnt[(r1+1)*w+c0] -= v
+	g.diffCnt[(r1+1)*w+c1+1] += v
 }
 
-// mmUpdate folds the min/max contributions into every cell of the range.
-func (g *gridBuffers) mmUpdate(mm []agg.MMContrib, c0, r0, c1, r1 int) {
+// mmRing folds the min/max contributions into the cells of the overlap
+// range [c0,c1] × [r0,r1] that the full range [fc0,fc1] × [fr0,fr1] (empty
+// when fc0 > fc1 or fr0 > fr1) leaves: the partially covered cells, as up
+// to four rectangles.
+func (g *gridBuffers) mmRing(mm []agg.MMContrib, c0, r0, c1, r1, fc0, fr0, fc1, fr1 int) {
 	if len(mm) == 0 {
 		return
 	}
+	if fc0 > fc1 || fr0 > fr1 {
+		g.mmUpdate(mm, c0, r0, c1, r1)
+		return
+	}
+	g.mmUpdate(mm, c0, r0, c1, fr0-1) // bottom rows
+	g.mmUpdate(mm, c0, fr1+1, c1, r1) // top rows
+	g.mmUpdate(mm, c0, fr0, fc0-1, fr1)
+	g.mmUpdate(mm, fc1+1, fr0, c1, fr1)
+}
+
+// mmUpdate folds the min/max contributions into every cell of the
+// (possibly empty) range.
+func (g *gridBuffers) mmUpdate(mm []agg.MMContrib, c0, r0, c1, r1 int) {
 	for r := r0; r <= r1; r++ {
 		base := (r*g.ncol + c0) * g.mmSlots
 		for c := c0; c <= c1; c++ {
@@ -280,7 +299,7 @@ func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) []cellInfo {
 	s.fillRects(space, ids, cw, chh)
 	s.cleanPass(cw, chh)
 	dirty := s.boundPass()
-	s.probeCellCenters(dirty, clip)
+	s.probeCellCenters(dirty, clip, ids)
 	return dirty
 }
 
@@ -351,6 +370,13 @@ func sameBits(a, b []float64) bool {
 // boundPass is pass 2 of Function Discretize: it bounds the dirty cells
 // cleanPass listed and returns those whose lower bound stays under the
 // pruning threshold.
+//
+// A dirty cell's partial-cover limbs are its overlap limbs less its
+// full-cover limbs (fillRects), subtracted in place: both are exact limb
+// sums, so the difference is the exact sum of the partial covers, the
+// same bits a fill of the partial covers alone gives. The bound stops
+// summing once it reaches the threshold (agg.LowerBoundIntUnder): a kept
+// cell's bound is LowerBoundInt's to the bit, and a pruned one needs none.
 func (s *Searcher) boundPass() []cellInfo {
 	g := s.grid
 	tab := s.tab
@@ -360,20 +386,26 @@ func (s *Searcher) boundPass() []cellInfo {
 	s.Stats.DirtyCells += len(g.dirtyCells)
 	for _, di := range g.dirtyCells {
 		idx := int(di)
-		r := idx / (g.ncol + 1)
-		c := idx - r*(g.ncol+1)
-		full := tab.limbs.Fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
-		part := tab.limbs.Fold(g.foldPart, g.diffPart[idx*g.chans:(idx+1)*g.chans])
+		fullLimbs := g.diffFull[idx*g.chans:][:g.chans]
+		partLimbs := g.diffPart[idx*g.chans:][:len(fullLimbs)]
+		for i, v := range fullLimbs {
+			partLimbs[i] -= v
+		}
+		full := tab.limbs.Fold(g.foldFull, fullLimbs)
+		part := tab.limbs.Fold(g.foldPart, partLimbs)
 		var mmMin, mmMax []float64
 		if g.mmSlots > 0 {
-			mi := (r*g.ncol + c) * g.mmSlots
+			// The min/max grid has no pad column: cell (c, r) sits r places
+			// before its padded index.
+			mi := (idx - idx/(g.ncol+1)) * g.mmSlots
 			mmMin = g.mmMin[mi : mi+g.mmSlots]
 			mmMax = g.mmMax[mi : mi+g.mmSlots]
 		}
 		query.F.FinalizeBounds(full, part, mmMin, mmMax, g.lo, g.hi)
-		lb := query.LowerBoundInt(g.lo, g.hi, s.isInt)
-		cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
-		if lb < thresh {
+		if lb, ok := query.LowerBoundIntUnder(g.lo, g.hi, s.isInt, thresh); ok {
+			r := idx / (g.ncol + 1)
+			c := idx - r*(g.ncol+1)
+			cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
 			dirty = append(dirty, cellInfo{rect: cell, lb: lb})
 		} else {
 			s.Stats.PrunedCells++
@@ -384,8 +416,15 @@ func (s *Searcher) boundPass() []cellInfo {
 }
 
 // fillRects is the difference-array fill: each rectangle is classified
-// against the cell grid once (overlap range, fully-covered sub-range,
-// partial ring) and its contributions range-added.
+// against the cell grid once (overlap range, fully-covered sub-range) and
+// its contributions range-added twice — over the overlap range into
+// diffPart and over the full range into diffFull — while the partial-cover
+// count takes +1 over the first and −1 over the second. A cell's partial
+// covers are then diffPart − diffFull (boundPass), exact because every
+// partial sum of a limb is (agg.Limbs). Rectangles that cover the whole
+// grid are summed into g.dense, added to both grids once at the end. The
+// min/max slots of average aggregators cannot be subtracted, so they fold
+// only into the partially covered ring (mmRing).
 //
 // The cell ranges are decided by exact edge comparisons (overlapRange);
 // all that varies is where the comparison walks start. Ids ascend in
@@ -404,16 +443,15 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 	ncol, nrow := g.ncol, g.nrow
 	x0, xn, y0, yn := g.xe[0], g.xe[ncol], g.ye[0], g.ye[nrow]
 	wide := x0 < g.xe[1] && g.xe[ncol-1] < xn && y0 < g.ye[1] && g.ye[nrow-1] < yn
+	dense := g.dense
 	c0, c1 := 0, 0
 	for _, id := range ids {
 		contribs := tab.rectContribs(id)
-		var mm []agg.MMContrib
-		if g.mmSlots > 0 {
-			mm = tab.rectMM(id)
-		}
 		r := &master[id].Rect
 		if wide && r.MinX <= x0 && r.MaxX >= xn && r.MinY <= y0 && r.MaxY >= yn {
-			g.rangeAdd(g.diffFull, contribs, 0, 0, ncol-1, nrow-1)
+			for _, cb := range contribs {
+				dense[cb.Ch] += cb.V
+			}
 			c0, c1 = 0, ncol-1
 			continue
 		}
@@ -429,17 +467,19 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 		fc0, fc1 := fullRange(c0, c1, r.MinX, r.MaxX, g.xe)
 		fr0, fr1 := fullRange(r0, r1, r.MinY, r.MaxY, g.ye)
 
+		g.rangeAdd(g.diffPart, contribs, c0, r0, c1, r1)
+		g.rangeAddCnt(1, c0, r0, c1, r1)
 		if fc0 <= fc1 && fr0 <= fr1 {
 			g.rangeAdd(g.diffFull, contribs, fc0, fr0, fc1, fr1)
-			// Partial ring: the overlap range minus the full range, as up
-			// to four rectangles.
-			s.applyPartial(contribs, mm, c0, r0, c1, fr0-1) // bottom rows
-			s.applyPartial(contribs, mm, c0, fr1+1, c1, r1) // top rows
-			s.applyPartial(contribs, mm, c0, fr0, fc0-1, fr1)
-			s.applyPartial(contribs, mm, fc1+1, fr0, c1, fr1)
-		} else {
-			s.applyPartial(contribs, mm, c0, r0, c1, r1)
+			g.rangeAddCnt(-1, fc0, fr0, fc1, fr1)
 		}
+		if g.mmSlots > 0 {
+			g.mmRing(tab.rectMM(id), c0, r0, c1, r1, fc0, fr0, fc1, fr1)
+		}
+	}
+	for ch, v := range dense {
+		g.diffFull[ch] += v
+		g.diffPart[ch] += v
 	}
 }
 
@@ -449,7 +489,13 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 // d_opt converge early on flat distance landscapes, which is what lets
 // Equation 1 prune aggressively on workloads like F2 where many regions
 // are near-ties.
-func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect) {
+//
+// A probe reads the space's own ids, not the master: every rectangle
+// meeting the clip is among them (kernel.Item.Ids), and they ascend in
+// MinX, so the ones that can cover p are the binary-searched run with
+// MinX ∈ (p.X − wmax, p.X) — the master window's rectangles that meet the
+// clip, in the same order, summed to the same bits.
+func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32) {
 	const probes = 4
 	if len(dirty) == 0 {
 		return
@@ -479,16 +525,14 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect) {
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
 		clear(ch)
-		// The rectangles covering p form a binary-searched window of the
-		// master order: MinX ∈ (p.X − wmax, p.X). The clip clause restricts
-		// the window to the space's chain-filtered subset (a probe point in
-		// a boundary cell can poke an ulp outside the clip; see Item.Clip).
-		for id, hi := t.windowLo(p.X-t.wmax), t.windowHi(p.X); id < hi; id++ {
+		// The clip clause keeps the ids that meet the clip (a probe point
+		// in a boundary cell can poke an ulp outside it; see Item.Clip).
+		for _, id := range t.idWindow(ids, p.X, p.X) {
 			rc := &master[id].Rect
 			if rc.ContainsOpen(p) &&
 				rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
 				rc.MinY < clip.MaxY && clip.MinY < rc.MaxY {
-				for _, cb := range t.rectContribs(int32(id)) {
+				for _, cb := range t.rectContribs(id) {
 					ch[cb.Ch] += cb.V
 				}
 			}
@@ -499,17 +543,6 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect) {
 		}
 	}
 	s.Stats.CenterProbes += len(idx)
-}
-
-// applyPartial marks a (possibly empty) cell range as partially covered.
-func (s *Searcher) applyPartial(contribs []agg.Contrib, mm []agg.MMContrib, c0, r0, c1, r1 int) {
-	if c0 > c1 || r0 > r1 {
-		return
-	}
-	g := s.grid
-	g.rangeAdd(g.diffPart, contribs, c0, r0, c1, r1)
-	g.rangeAddCnt(c0, r0, c1, r1)
-	g.mmUpdate(mm, c0, r0, c1, r1)
 }
 
 // overlapRange returns the inclusive range [i0, i1] of cells whose open

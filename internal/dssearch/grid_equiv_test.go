@@ -3,6 +3,7 @@ package dssearch
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"asrs/internal/agg"
@@ -90,12 +91,22 @@ func equivCases() []equivCase {
 
 // gridCells copies out what the passes read of the grids: full, partial
 // and count values and the min/max slots of every cell (pads excluded).
-func gridCells(g *gridBuffers) (out [5][]float64) {
+// With overlap set the grid is production's, whose diffPart holds each
+// cell's overlap limbs, and a cell's partial limbs are read as overlap −
+// full, as boundPass reads them; the reference's diffPart holds the
+// partial limbs themselves.
+func gridCells(g *gridBuffers, overlap bool) (out [5][]float64) {
 	for r := 0; r < g.nrow; r++ {
 		for c := 0; c < g.ncol; c++ {
 			idx := g.cellIdx(c, r)
-			out[0] = append(out[0], g.diffFull[idx*g.chans:(idx+1)*g.chans]...)
-			out[1] = append(out[1], g.diffPart[idx*g.chans:(idx+1)*g.chans]...)
+			full := g.diffFull[idx*g.chans : (idx+1)*g.chans]
+			out[0] = append(out[0], full...)
+			for i, v := range g.diffPart[idx*g.chans : (idx+1)*g.chans] {
+				if overlap {
+					v -= full[i]
+				}
+				out[1] = append(out[1], v)
+			}
 			out[2] = append(out[2], g.diffCnt[idx])
 		}
 	}
@@ -131,6 +142,7 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(2024))
 			rootSpaces, memoHits := 0, 0
 			var floor, middle, capped int
+			probedEdge := 0 // probed rectangles of the ancestor-clip and sliver spaces
 			for trial := 0; trial < 36; trial++ {
 				n := 200 + rng.Intn(500)
 				if trial%9 == 8 {
@@ -224,7 +236,17 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					refBefore := sRef.Stats
 					refDirty := sRef.refDiscretize(space, clip, ids, func() {
 						refMid = asp.Result{Point: sRef.cur.Point, Dist: sRef.cur.Dist, Rep: append([]float64(nil), sRef.cur.Rep...)}
-						refGrids = gridCells(sRef.grid)
+						refGrids = gridCells(sRef.grid, false)
+					}, func(id int32) {
+						// The invariant production's probes rely on: every
+						// rectangle the master window yields is one of the
+						// space's ids.
+						if _, found := slices.BinarySearch(ids, id); !found {
+							fail("a centre probe counts master id %d, which is not among the space's ids", id)
+						}
+						if si%2 == 1 || si == 4 {
+							probedEdge++
+						}
 					})
 					refDirty = append([]cellInfo(nil), refDirty...)
 
@@ -236,7 +258,7 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 					g.reset()
 					sNew.fillRects(space, ids, cw, chh)
 					sNew.cleanPass(cw, chh)
-					newGrids := gridCells(g)
+					newGrids := gridCells(g, true)
 					for k, name := range [5]string{"full", "part", "cnt", "mmMin", "mmMax"} {
 						if len(newGrids[k]) != len(refGrids[k]) {
 							fail("%s grid: %d values, reference %d", name, len(newGrids[k]), len(refGrids[k]))
@@ -286,6 +308,9 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 			}
 			if rootSpaces == 0 {
 				t.Fatalf("no space of at least %d rectangles was exercised", rootIds)
+			}
+			if probedEdge == 0 {
+				t.Fatal("no centre probe of an ancestor-clip or sliver space counted a rectangle")
 			}
 			if memoHits == 0 {
 				t.Fatal("the clean-cell memo never hit")

@@ -9,12 +9,14 @@ import (
 
 // This file keeps the straightforward form of Function Discretize's
 // inner loops — clear everything, float-seeded edge walks, four-corner
-// range adds, a two-sweep 2D prefix sum over the padded arrays, two full
-// scans of the grid with every clean cell finalized on its own — as the
-// oracle the production loops of grid.go are held to bit for bit
-// (TestDiscretizeMatchesReference). It shares with production only what
-// production did not rewrite: mmUpdate and fullRange. The centre probes
-// (refProbeCellCenters) are held to the window scan.
+// range adds of the full range and of the partial ring as up to four
+// pieces, a two-sweep 2D prefix sum over the padded arrays, two full
+// scans of the grid with every clean cell finalized on its own and bounded
+// by the whole LowerBoundInt — as the oracle the production loops of
+// grid.go are held to bit for bit (TestDiscretizeMatchesReference). It
+// shares with production only what production did not rewrite: mmUpdate
+// and fullRange. The centre probes (refProbeCellCenters) scan the master
+// window, where production reads the space's ids.
 
 func (g *gridBuffers) refReset() {
 	clear(g.diffFull)
@@ -84,8 +86,10 @@ func integ2D(v []float64, w, h, chans int) {
 
 // refDiscretize is Function Discretize as two full scans of the grid:
 // every clean cell finalized on its own, then every cell revisited for
-// the dirty ones. afterPass1, when non-nil, runs between the scans.
-func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 func()) []cellInfo {
+// the dirty ones. afterPass1, when non-nil, runs between the scans;
+// probed, when non-nil, is called with every rectangle a centre probe
+// counts.
+func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 func(), probed func(id int32)) []cellInfo {
 	if s.grid == nil {
 		// Acquired lazily at first use: GI-DS runs SolveCell once
 		// per index cell, and cells at or below the sweep cutoff never
@@ -163,7 +167,7 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 		}
 	}
 	s.dirty = dirty
-	s.refProbeCellCenters(dirty, clip)
+	s.refProbeCellCenters(dirty, clip, probed)
 	return dirty
 }
 
@@ -267,7 +271,7 @@ func refOverlapRange(lo, hi, min, step float64, edges []float64) (int, int) {
 // it makes d_opt converge early on flat distance landscapes, which is
 // what lets Equation 1 prune aggressively on workloads like F2 where many
 // regions are near-ties.
-func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect) {
+func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, probed func(id int32)) {
 	const probes = 4
 	if len(dirty) == 0 {
 		return
@@ -310,6 +314,9 @@ func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect) {
 				rc.MinY < clip.MaxY && clip.MinY < rc.MaxY {
 				for _, cb := range t.rectContribs(int32(id)) {
 					ch[cb.Ch] += cb.V
+				}
+				if probed != nil {
+					probed(int32(id))
 				}
 			}
 		}

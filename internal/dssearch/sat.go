@@ -606,6 +606,16 @@ func (t *tables) window(x0, x1 float64) (int, int) {
 	return lo, hi
 }
 
+// idWindow is window over an id list that ascends in MinX (a space's
+// ids): the run of ids whose MinX lies in (x0 − wmax, x1), which holds
+// every one whose rectangle's open x-range meets (x0, x1).
+func (t *tables) idWindow(ids []int32, x0, x1 float64) []int32 {
+	x0 -= t.wmax
+	lo := sort.Search(len(ids), func(k int) bool { return t.minXs[ids[k]] > x0 })
+	hi := sort.Search(len(ids), func(k int) bool { return t.minXs[ids[k]] >= x1 })
+	return ids[min(lo, hi):hi]
+}
+
 // resizeInt32 returns a slice of length n reusing capacity.
 func resizeInt32(v []int32, n int) []int32 {
 	if cap(v) >= n {

@@ -69,10 +69,30 @@ func deriveFacts(master []asp.RectObject) shapeFacts {
 	}
 }
 
+// masterHeadroom sets the spare capacity a slab's master and MinX buffers
+// are regrown with, n/masterHeadroom past the n objects of the bind: a
+// buffer outgrown once belongs to a growing corpus, whose every epoch
+// binds a few more objects than the last, and buffers of exactly n would
+// be reallocated by each. A first allocation takes exactly n.
+const masterHeadroom = 8
+
+// grow reslices buf to n, reallocating it when it is too small (see
+// masterHeadroom).
+func grow[T any](buf []T, n int) []T {
+	switch {
+	case cap(buf) >= n:
+		return buf[:n]
+	case cap(buf) == 0:
+		return make([]T, n)
+	}
+	return make([]T, n, n+n/masterHeadroom)
+}
+
 // shape materializes the a×b master in pyramid order into t.masterBuf,
 // and its MinX column into t.minXsBuf (both resliced to the geometry's
-// n), straight from the objects: bit-identical to reducing the dataset
-// and permuting the reduction, in one pass and with no intermediate copy.
+// n, regrown with masterHeadroom when too small), straight from the
+// objects: bit-identical to reducing the dataset and permuting the
+// reduction, in one pass and with no intermediate copy.
 // The anchor puts each object exactly at its rectangle's top-right
 // corner (geom.RectFromTR), so when the slab's master already holds this
 // geometry's objects in this order — the dataset and order array its last
@@ -90,13 +110,7 @@ func (p *Pyramid) shape(a, b float64, t *tables) shapeFacts {
 	if known && !facts.ok {
 		return facts
 	}
-	if cap(t.masterBuf) < g.n {
-		t.masterBuf = make([]asp.RectObject, g.n)
-	}
-	if cap(t.minXsBuf) < g.n {
-		t.minXsBuf = make([]float64, g.n)
-	}
-	master, minXs := t.masterBuf[:g.n], t.minXsBuf[:g.n]
+	master, minXs := grow(t.masterBuf, g.n), grow(t.minXsBuf, g.n)
 	t.masterBuf, t.minXsBuf = master, minXs
 	if t.masterDS == g.ds && len(t.masterOrder) == len(g.order) && (g.n == 0 || &t.masterOrder[0] == &g.order[0]) {
 		for i := range master {
