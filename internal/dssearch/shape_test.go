@@ -392,3 +392,50 @@ func sameRectBits(x, y geom.Rect) bool {
 	return math.Float64bits(x.MinX) == math.Float64bits(y.MinX) && math.Float64bits(x.MinY) == math.Float64bits(y.MinY) &&
 		math.Float64bits(x.MaxX) == math.Float64bits(y.MaxX) && math.Float64bits(x.MaxY) == math.Float64bits(y.MaxY)
 }
+
+// TestShapeRegrowsWithHeadroom: a slab's master and MinX buffers take
+// exactly n on their first bind; once a growing corpus outgrows them they
+// are regrown with masterHeadroom spare, so the next epochs' binds — a
+// few objects more each — reuse them instead of reallocating.
+func TestShapeRegrowsWithHeadroom(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ds, f := pyramidDataset(t, rng, 320, func() float64 { return float64(rng.Intn(9)) * 0.5 }, false)
+	p, err := BuildPyramid(ds, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tab tables
+	bind := func(p *Pyramid, wantCap int) {
+		t.Helper()
+		if facts := p.shape(6, 5, &tab); !facts.ok {
+			t.Fatal("the shape did not bind")
+		}
+		if len(tab.masterBuf) != p.geo.n || len(tab.minXsBuf) != p.geo.n {
+			t.Fatalf("%d objects bound into buffers of %d and %d", p.geo.n, len(tab.masterBuf), len(tab.minXsBuf))
+		}
+		if cap(tab.masterBuf) != wantCap || cap(tab.minXsBuf) != wantCap {
+			t.Fatalf("%d objects: buffer capacities %d and %d, want %d", p.geo.n, cap(tab.masterBuf), cap(tab.minXsBuf), wantCap)
+		}
+	}
+	grown := func(p *Pyramid, k int) *Pyramid {
+		t.Helper()
+		objs := append([]attr.Object(nil), p.geo.ds.Objects...)
+		for i := 0; i < k; i++ {
+			objs = append(objs, attr.Object{Loc: geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, Values: objs[i].Values})
+		}
+		folded, _, err := FoldPyramid(p, FoldGeometry(p.geo, &attr.Dataset{Schema: ds.Schema, Objects: objs}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return folded
+	}
+	bind(p, 320)
+	p = grown(p, 16)
+	bind(p, 336+336/masterHeadroom)
+	master := &tab.masterBuf[0]
+	p = grown(p, 16)
+	bind(p, 336+336/masterHeadroom)
+	if &tab.masterBuf[0] != master {
+		t.Fatal("a bind within the headroom reallocated the master")
+	}
+}
