@@ -4,6 +4,7 @@
 package asrs_test
 
 import (
+	"math"
 	"testing"
 
 	"asrs"
@@ -149,5 +150,35 @@ func TestQueryRegionOutsideData(t *testing.T) {
 	}
 	if res.Dist != 0 {
 		t.Fatalf("empty-region query should be satisfiable with distance 0, got %g", res.Dist)
+	}
+}
+
+// TestInfiniteExtentRefused: an answer extent that is not finite is
+// refused like one that is not positive, by the one-shot search, the
+// baseline oracle and an engine with its index and pyramid. An infinite
+// width used to answer the region [-Inf,NaN]x[19.5,21.5] at distance 7.5.
+func TestInfiniteExtentRefused(t *testing.T) {
+	ds, f := demoDataset()
+	q, err := asrs.QueryFromTarget(f, []float64{3, 0, 4.5}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	for _, ab := range [][2]float64{{inf, 2}, {2, inf}, {math.NaN(), 2}} {
+		a, b := ab[0], ab[1]
+		if region, res, _, err := asrs.Search(ds, a, b, q, asrs.Options{}); err == nil {
+			t.Errorf("%g x %g: Search answered %v at distance %v", a, b, region, res.Dist)
+		}
+		req := asrs.QueryRequest{Query: q, A: a, B: b}
+		if resp := asrs.SearchBaseline(ds, req); resp.Err == nil {
+			t.Errorf("%g x %g: SearchBaseline answered %+v", a, b, resp)
+		}
+		if resp := eng.Query(req); resp.Err == nil {
+			t.Errorf("%g x %g: the engine answered %+v", a, b, resp)
+		}
 	}
 }

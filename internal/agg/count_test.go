@@ -69,10 +69,16 @@ func TestCountEndToEnd(t *testing.T) {
 		rects, _ := asp.Reduce(ds, 7, 7, asp.AnchorTR)
 		sw, _ := sweep.New(rects, q)
 		want := sw.Solve()
-		s, _ := dssearch.NewSearcher(rects, q, dssearch.Options{NCol: 10, NRow: 10})
+		s, err := dssearch.NewRegionSearcher(ds, 7, 7, q, dssearch.Options{NCol: 10, NRow: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := s.Solve()
 		if math.Abs(got.Dist-want.Dist) > 1e-9 {
 			t.Fatalf("trial %d: fC end-to-end: %g vs %g", trial, got.Dist, want.Dist)
+		}
+		if n := s.Stats.SelfCheckMisses; n != 0 {
+			t.Fatalf("trial %d: %d answers failed their self-check", trial, n)
 		}
 	}
 }

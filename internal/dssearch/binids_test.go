@@ -29,14 +29,13 @@ func TestBinIDsMatchWindowFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.tab.pyr != p {
+	if s.lvl != p.geo.lvl {
 		t.Fatal("the pyramid did not bind")
 	}
-	tab, master := s.tab, s.rects
 	filter := func(space geom.Rect, lo, hi int) []int32 {
 		var out []int32
 		for i := lo; i < hi; i++ {
-			r := &master[i].Rect
+			r := s.rect(int32(i))
 			if r.MinX < space.MaxX && space.MinX < r.MaxX && r.MinY < space.MaxY && space.MinY < r.MaxY {
 				out = append(out, int32(i))
 			}
@@ -46,7 +45,7 @@ func TestBinIDsMatchWindowFilter(t *testing.T) {
 	var engaged, words int
 	check := func(kind string, space geom.Rect) {
 		t.Helper()
-		lo, hi := tab.window(space.MinX, space.MaxX)
+		lo, hi := s.window(space.MinX, space.MaxX)
 		want := filter(space, lo, hi)
 		got, ok := s.appendBinIDs(space, nil, lo, hi)
 		if !ok {
@@ -79,10 +78,10 @@ func TestBinIDsMatchWindowFilter(t *testing.T) {
 				x0, y0 := 5*float64(rng.Intn(20)), 5*float64(rng.Intn(20))
 				r = geom.Rect{MinX: x0, MinY: y0, MaxX: x0 + 5 - a, MaxY: y0 + 5 - b}
 			case "bin borders":
-				l := tab.pyr.geo.lvl
+				l := s.lvl
 				k, m := rng.Intn(l.gx), rng.Intn(l.gy)
-				x0 := l.bx0 + float64(k)*l.bw - a + tab.wmax
-				y0 := l.by0 + float64(m)*l.bh - b + tab.hmax
+				x0 := l.bx0 + float64(k)*l.bw - a + s.wmax
+				y0 := l.by0 + float64(m)*l.bh - b + s.hmax
 				r = geom.Rect{MinX: x0, MinY: y0, MaxX: l.bx0 + float64(k+1)*l.bw - a, MaxY: l.by0 + float64(m+1)*l.bh - b}
 				if !r.IsValid() {
 					r = geom.Rect{MinX: x0, MinY: y0, MaxX: x0, MaxY: y0}

@@ -19,8 +19,8 @@ import (
 // changes them in two ways, and the fold does exactly those:
 //
 //   - spliced: the d objects are placed in the master order and their
-//     rows are inserted into the base's CSR arrays (contributions,
-//     min/max contributions, the order permutation) at their merge
+//     rows are inserted into the base's arrays (contributions, min/max
+//     contributions, the order permutation, the anchors) at their merge
 //     positions — bulk copies of the base's runs in between;
 //   - id-remapped: every array that NAMES master ids (the level's binIds
 //     and threshold arrays) is rewritten through the monotone old-id →
@@ -29,7 +29,7 @@ import (
 //
 // The order and the level belong to the Geometry, which every composite
 // of an epoch shares: FoldGeometry places the delta, splices the order
-// and patches the level once per epoch; FoldPyramid then places the
+// and the anchors and patches the level once per epoch; FoldPyramid then places the
 // delta in the base's order again — O(d log d + d log n) — and splices
 // one composite's rows. So a fold costs O(d log n)
 // comparisons plus a few linear copies, once for the geometry and once
@@ -114,14 +114,17 @@ func FoldGeometry(base *Geometry, combined *attr.Dataset) *Geometry {
 		return newGeometry(combined)
 	}
 	ents := base.place(combined.Objects[n0:])
-	g := &Geometry{ds: combined, n: n, order: make([]int32, 0, n)}
+	g := &Geometry{ds: combined, n: n, order: make([]int32, 0, n), pts: make([]geom.Point, 0, n)}
 	next := int32(0)
 	for _, e := range ents {
 		g.order = append(g.order, base.order[next:e.pos]...)
+		g.pts = append(g.pts, base.pts[next:e.pos]...)
 		next = e.pos
 		g.order = append(g.order, int32(n0)+e.row)
+		g.pts = append(g.pts, e.loc)
 	}
 	g.order = append(g.order, base.order[next:]...)
+	g.pts = append(g.pts, base.pts[next:]...)
 
 	// Patch the base's level while the granularity of a fresh build
 	// stands.
@@ -136,13 +139,7 @@ func FoldGeometry(base *Geometry, combined *attr.Dataset) *Geometry {
 		}
 		g.lvl = base.lvl.patch(g, ents, newID)
 	} else {
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for id := range xs {
-			loc := g.anchor(int32(id))
-			xs[id], ys[id] = loc.X, loc.Y
-		}
-		g.raiseLevel(xs, ys)
+		g.raiseLevel()
 	}
 	return g
 }
@@ -264,7 +261,7 @@ func (g *Geometry) place(objs []attr.Object) []deltaEnt {
 	})
 	for t := range ents {
 		e := &ents[t]
-		e.pos = int32(sort.Search(g.n, func(i int) bool { return anchorLess(e.loc, g.anchor(int32(i))) }))
+		e.pos = int32(sort.Search(g.n, func(i int) bool { return anchorLess(e.loc, g.pts[i]) }))
 		e.id = e.pos + int32(t)
 	}
 	return ents
@@ -397,7 +394,7 @@ func (l *satLevel) patch(geo *Geometry, ents []deltaEnt, newID []int32) *satLeve
 	}
 	claim := func(run []int32, from, step int, id int32, beats func(cur geom.Point) bool) {
 		for i := from; i >= 0 && i < len(run); i += step {
-			if cur := run[i]; cur >= 0 && !beats(geo.anchor(cur)) {
+			if cur := run[i]; cur >= 0 && !beats(geo.pts[cur]) {
 				return
 			}
 			run[i] = id

@@ -371,7 +371,7 @@ func assertSoundPyramid(t *testing.T, tag string, pyr, rebuilt *Pyramid) {
 	colMax, colMin := filled(g, ninf), filled(g, inf)
 	rowMax, rowMin := filled(g, ninf), filled(g, inf)
 	for id := int32(0); int(id) < p.n; id++ {
-		loc := p.anchor(id)
+		loc := p.pts[id]
 		bi, bj := l.binOf(loc.X, loc.Y)
 		bins[bj*g+bi] = append(bins[bj*g+bi], id)
 		colMax[bi], colMin[bi] = max(colMax[bi], loc.X), min(colMin[bi], loc.X)
@@ -399,9 +399,9 @@ func assertSoundPyramid(t *testing.T, tag string, pyr, rebuilt *Pyramid) {
 			return empty
 		}
 		if y {
-			return p.anchor(id).Y
+			return p.pts[id].Y
 		}
-		return p.anchor(id).X
+		return p.pts[id].X
 	}
 	up, down := ninf, inf
 	upY, downY := ninf, inf

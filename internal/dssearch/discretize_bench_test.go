@@ -48,11 +48,7 @@ func BenchmarkDiscretize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rects, err := asp.Reduce(ds, qa, qb, asp.AnchorTR)
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := dssearch.NewDiscretizeHarness(rects, q, qa, qb, c.ids, c.cell)
+			h, err := dssearch.NewDiscretizeHarness(b, ds, q, qa, qb, c.ids, c.cell)
 			if err != nil {
 				b.Fatal(err)
 			}

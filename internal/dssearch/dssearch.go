@@ -15,8 +15,9 @@
 // goroutine that asked for the search.
 //
 // Per-query state is concentrated in the aggregation layer of sat.go: the
-// master rectangle array sorted by anchor, flattened limb contributions,
-// and, with a pyramid bound, the anchor-bin level id collection walks.
+// master — the dataset's anchors sorted by location, read as rectangles
+// through the query's (a, b) — flattened limb contributions, and, with a
+// pyramid bound, the anchor-bin level id collection walks.
 // Every Discretize fills its grid the same way — one difference-array
 // pass over the space's rectangles (grid.go). Rectangle subsets flow
 // through the kernel heap as 4-byte id slices recycled through the
@@ -30,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
@@ -67,13 +69,12 @@ type Options struct {
 	Slabs *SlabCache
 	// Pyramid, when non-nil and built for exactly the request's dataset
 	// and composite, binds the searcher (NewRegionSearcher) to the
-	// persistent dataset-level aggregate pyramid instead of rebuilding the
-	// per-query aggregation layer: master order, contributions and limbs
-	// are aliased, leaving one O(n) pass per query, and id collection
-	// walks the pyramid's anchor-bin level (DESIGN.md §6). Answers are
-	// bit-identical to the unassisted path; the binding silently falls
-	// back to the classic build when it cannot guarantee that (another
-	// dataset or composite, or anchor collapse under translation).
+	// persistent dataset-level aggregate pyramid instead of laying out the
+	// per-query aggregation layer: anchors, order, contributions and limbs
+	// are aliased, so a bind is O(1) once the shape's facts are known, and
+	// id collection walks the pyramid's anchor-bin level (DESIGN.md §6).
+	// A pyramid of another dataset or composite is ignored. Answers are
+	// bit-identical to the unassisted path, which lays out the same order.
 	Pyramid *Pyramid
 	// SharedCap, when non-nil, attaches a cross-search shared pruning
 	// cap to every bound this search creates: each improvement publishes
@@ -159,13 +160,23 @@ func (s *Stats) Add(o Stats) {
 	s.SelfCheckMisses += o.SelfCheckMisses
 }
 
-// Searcher runs DS-Search over a fixed set of rectangle objects and a
-// query. Construct with NewSearcher; one Searcher is good for one query
-// (but may solve many sub-spaces, as GI-DS does). A Searcher runs on the
-// goroutine that calls it and must not be shared between goroutines.
+// Searcher runs DS-Search over the a×b reduction of a dataset and a
+// query. Construct with NewRegionSearcher; one Searcher is good for one
+// query (but may solve many sub-spaces, as GI-DS does). A Searcher runs
+// on the goroutine that calls it and must not be shared between
+// goroutines.
 type Searcher struct {
-	rects []asp.RectObject // master array, sorted by (MinX, MinY)
-	space geom.Rect        // the master's MBR
+	// The master: rectangle id is geom.RectFromTR(pts[id], a, b), the a×b
+	// rectangle of the object at anchor pts[id] (Definition 5). The
+	// anchors are in the (x, y, index) order, so MinX = pts[id].X − a
+	// never decreases with id.
+	pts        []geom.Point
+	order      []int32       // master id -> index into objs
+	objs       []attr.Object // the dataset's objects
+	lvl        *satLevel     // the bound pyramid's anchor-bin level; nil without one
+	a, b       float64
+	shapeFacts // the shape's extents and space (shape.go)
+
 	query asp.Query
 	opt   Options
 	isInt []bool  // integer representation dims (fD counts)
@@ -188,66 +199,53 @@ type Searcher struct {
 	ids    [][]int32        // free list of recycled id slices
 }
 
-// NewSearcher validates inputs and builds the aggregation layer over an
-// arbitrary ASP instance; it fails when the objects' values do not
-// certify (agg.Limbs). The rects slice is only read; if it is not sorted
-// by anchor, a copy is sorted instead. A search for an a×b region over a
-// dataset goes through NewRegionSearcher, which is also the only way to
-// bind a pyramid.
-func NewSearcher(rects []asp.RectObject, q asp.Query, opt Options) (*Searcher, error) {
-	opt, err := opt.checked(q)
-	if err != nil {
-		return nil, err
+// CheckExtent is the error of an a×b answer extent that is not positive
+// and finite; nil for one that is.
+func CheckExtent(a, b float64) error {
+	if !(a > 0) || !(b > 0) || math.IsInf(a, 1) || math.IsInf(b, 1) {
+		return fmt.Errorf("dssearch: region extent must be positive and finite, got %g x %g", a, b)
 	}
-	tab := opt.Slabs.get()
-	master, err := buildTables(tab, rects, q.F, false)
-	if err != nil {
-		return nil, err
-	}
-	return newSearcher(tab, master, q, opt, nil), nil
+	return nil
 }
 
 // NewRegionSearcher is the searcher of an ASRS request: the a×b
 // top-right-corner reduction of ds (Definition 5: the answer point is the
-// region's bottom-left corner) under the cheapest aggregation layer the
-// options allow. A pyramid built for (ds, q.F) is bound: the master is
-// materialized in pyramid order straight from the objects into the slab's
-// retained buffer — one pass, no reduction, no permuting copy; a slab
-// that already holds the pyramid's objects in its order only moves each
-// rectangle's minimum corner — and the shape's O(n)-derived facts come
-// from the geometry's memo (Pyramid.shape).
-// Else, or when the shape's anchors collapse, the dataset is reduced and
-// the layer built per query. Answers are bit-identical on both paths.
+// region's bottom-left corner). A pyramid built for (ds, q.F) is bound:
+// its anchors, order, level and core are aliased and the shape's facts
+// read from the geometry's memo (shape.go), so nothing is built per
+// query. Else the slab lays out the same master from ds (tables.layOut).
+// Answers are bit-identical either way.
 func NewRegionSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Searcher, error) {
-	if !(a > 0) || !(b > 0) {
-		return nil, fmt.Errorf("dssearch: region extent must be positive, got %g x %g", a, b)
+	if err := CheckExtent(a, b); err != nil {
+		return nil, err
 	}
+	return newSearcher(ds, a, b, q, opt)
+}
+
+// newSearcher is NewRegionSearcher for any finite a, b ≥ 0: the tests
+// also search zero-extent rectangles.
+func newSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Searcher, error) {
 	opt, err := opt.checked(q)
 	if err != nil {
 		return nil, err
 	}
 	tab := opt.Slabs.get()
-	var master []asp.RectObject
-	var facts shapeFacts
+	s := &Searcher{objs: ds.Objects, a: a, b: b, query: q, opt: opt, isInt: q.F.IntegerDims(), tab: tab}
 	if p := opt.Pyramid; p.Matches(ds, q.F) {
-		if facts = p.shape(a, b, tab); facts.ok {
-			master = tab.masterBuf
-			p.bindCore(tab)
-			tab.minXs = tab.minXsBuf
-		}
-	}
-	if !facts.ok {
-		rects, err := asp.Reduce(ds, a, b, asp.AnchorTR)
-		if err != nil {
+		p.bindCore(tab)
+		g := p.geo
+		s.pts, s.order, s.lvl = g.pts, g.order, g.lvl
+		s.shapeFacts = g.shapeFacts(a, b)
+	} else {
+		if err := tab.layOut(ds, q.F); err != nil {
 			return nil, err
 		}
-		if master, err = buildTables(tab, rects, q.F, true); err != nil {
-			return nil, err
-		}
-		return newSearcher(tab, master, q, opt, nil), nil
+		s.pts, s.order = tab.pts, tab.order
+		s.shapeFacts = deriveFacts(s.pts, a, b)
 	}
-	tab.wmin, tab.wmax, tab.hmin, tab.hmax = facts.wmin, facts.wmax, facts.hmin, facts.hmax
-	return newSearcher(tab, master, q, opt, &facts), nil
+	// Recycled id slices from a previous query using the same slab cache.
+	s.ids, tab.idFree = tab.idFree, nil
+	return s, nil
 }
 
 // checked resolves the defaults and validates the options and the query.
@@ -259,25 +257,39 @@ func (o Options) checked(q asp.Query) (Options, error) {
 	return o, q.Validate()
 }
 
-// newSearcher assembles a searcher over a built (facts == nil) or bound
-// aggregation layer; a bound shape's space comes from its facts instead
-// of a walk over the master.
-func newSearcher(tab *tables, master []asp.RectObject, q asp.Query, opt Options, facts *shapeFacts) *Searcher {
-	s := &Searcher{
-		rects: master,
-		query: q,
-		opt:   opt,
-		isInt: q.F.IntegerDims(),
-		tab:   tab,
+// rect returns master rectangle id.
+func (s *Searcher) rect(id int32) geom.Rect { return geom.RectFromTR(s.pts[id], s.a, s.b) }
+
+// windowLo returns the first master id whose MinX exceeds x.
+func (s *Searcher) windowLo(x float64) int {
+	return sort.Search(len(s.pts), func(i int) bool { return s.pts[i].X-s.a > x })
+}
+
+// windowHi returns the first master id whose MinX is >= x.
+func (s *Searcher) windowHi(x float64) int {
+	return sort.Search(len(s.pts), func(i int) bool { return s.pts[i].X-s.a >= x })
+}
+
+// window returns the [lo, hi) master id range that must contain every
+// rectangle whose open interior intersects the open x-range (x0, x1):
+// such a rectangle has MinX < x1 and MaxX > x0, hence MinX > x0 - wmax.
+func (s *Searcher) window(x0, x1 float64) (int, int) {
+	lo := s.windowLo(x0 - s.wmax)
+	hi := s.windowHi(x1)
+	if lo > hi {
+		lo = hi
 	}
-	if facts != nil {
-		s.space = facts.space
-	} else {
-		s.space = asp.Space(master)
-	}
-	// Recycled id slices from a previous query using the same slab cache.
-	s.ids, tab.idFree = tab.idFree, nil
-	return s
+	return lo, hi
+}
+
+// idWindow is window over an id list that ascends in MinX (a space's
+// ids): the run of ids whose MinX lies in (x0 − wmax, x1), which holds
+// every one whose rectangle's open x-range meets (x0, x1).
+func (s *Searcher) idWindow(ids []int32, x0, x1 float64) []int32 {
+	x0 -= s.wmax
+	lo := sort.Search(len(ids), func(k int) bool { return s.pts[ids[k]].X-s.a > x0 })
+	hi := sort.Search(len(ids), func(k int) bool { return s.pts[ids[k]].X-s.a >= x1 })
+	return ids[min(lo, hi):hi]
 }
 
 // ensureScratch builds the search scratch at the first processed space:
@@ -409,7 +421,7 @@ func (s *Searcher) improve(dist float64, p geom.Point, rep []float64) {
 // objects plus the empty-cover candidate outside it.
 func (s *Searcher) Solve() asp.Result {
 	s.best = s.emptyResult(s.space)
-	if len(s.rects) > 0 {
+	if len(s.pts) > 0 {
 		s.SolveWithin(s.space, 0)
 	}
 	s.best = s.Settle(s.best)
@@ -446,7 +458,7 @@ func (s *Searcher) emptyResult(space geom.Rect) asp.Result {
 // initialized s.best (Solve does; gridindex seeds it with its own running
 // optimum).
 func (s *Searcher) SolveWithin(space geom.Rect, seedLB float64) {
-	ids := s.AppendWindowIDs(space, s.getIds(len(s.rects)))
+	ids := s.AppendWindowIDs(space, s.getIds(len(s.pts)))
 	s.solveWithinIDs(space, seedLB, ids)
 	s.putIds(ids)
 }
@@ -459,16 +471,14 @@ func (s *Searcher) SolveWithin(space geom.Rect, seedLB float64) {
 // the ids are collected from the pyramid's anchor-bin level instead
 // (appendBinIDs), and the result slice is identical either way.
 func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
-	master := s.rects
-	t := s.tab
-	lo, hi := t.window(space.MinX, space.MaxX)
-	if t.pyr != nil {
+	lo, hi := s.window(space.MinX, space.MaxX)
+	if s.lvl != nil {
 		if out, ok := s.appendBinIDs(space, dst, lo, hi); ok {
 			return out
 		}
 	}
 	for i := lo; i < hi; i++ {
-		r := &master[i].Rect
+		r := s.rect(int32(i))
 		if r.MinX < space.MaxX && space.MinX < r.MaxX &&
 			r.MinY < space.MaxY && space.MinY < r.MaxY {
 			dst = append(dst, int32(i))
@@ -492,12 +502,11 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 // stays small.
 func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int32, bool) {
 	t := s.tab
-	master := s.rects
-	l := t.pyr.geo.lvl
-	i0 := l.xBinLT(master, space.MinX-t.wmax)
-	i1 := l.xBinGT(master, space.MaxX, true)
-	j0 := l.yBinLT(master, space.MinY-t.hmax)
-	j1 := l.yBinGT(master, space.MaxY, true)
+	pts, l := s.pts, s.lvl
+	i0 := l.xBinLT(pts, s.a, space.MinX-s.wmax)
+	i1 := l.xBinGT(pts, s.a, space.MaxX, true)
+	j0 := l.yBinLT(pts, s.b, space.MinY-s.hmax)
+	j1 := l.yBinGT(pts, s.b, space.MaxY, true)
 	if i0 >= i1 || j0 >= j1 {
 		return dst, true // no anchor can intersect: empty result
 	}
@@ -516,10 +525,10 @@ func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int
 	clear(marks)
 	// Certainly-intersecting bins (every id marked, CSR runs are
 	// contiguous per row) versus boundary bins (exact test).
-	ci0 := l.xBinGT(master, space.MinX-t.wmin, false)
-	ci1 := l.xBinLT(master, space.MaxX)
-	cj0 := l.yBinGT(master, space.MinY-t.hmin, false)
-	cj1 := l.yBinLT(master, space.MaxY)
+	ci0 := l.xBinGT(pts, s.a, space.MinX-s.wmin, false)
+	ci1 := l.xBinLT(pts, s.a, space.MaxX)
+	cj0 := l.yBinGT(pts, s.b, space.MinY-s.hmin, false)
+	cj1 := l.yBinLT(pts, s.b, space.MaxY)
 	for bj := j0; bj < j1; bj++ {
 		row := bj * l.gx
 		inJ := bj >= cj0 && bj < cj1
@@ -535,7 +544,7 @@ func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int
 				}
 			}
 			for _, id := range l.binIds[l.binStart[row+bi]:l.binStart[row+bi+1]] {
-				r := &master[id].Rect
+				r := s.rect(id)
 				if r.MinX < space.MaxX && space.MinX < r.MaxX &&
 					r.MinY < space.MaxY && space.MinY < r.MaxY {
 					k := int(id) - lo
@@ -558,7 +567,7 @@ func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int
 // intersects the space; the slice is only read and never retained past
 // the call.
 func (s *Searcher) solveWithinIDs(space geom.Rect, seedLB float64, ids []int32) {
-	if !space.IsValid() || len(s.rects) == 0 || s.err != nil {
+	if !space.IsValid() || len(s.pts) == 0 || s.err != nil {
 		return
 	}
 	ctx := s.opt.Ctx
@@ -644,10 +653,9 @@ const (
 // of it can delimit a strip or an interval of a sweep over the space. One
 // that shares an edge coordinate with the space counts as edged.
 func (s *Searcher) sweepable(space geom.Rect, ids []int32) bool {
-	master := s.rects
 	edged := 0
 	for _, id := range ids {
-		if !master[id].Rect.ContainsRectOpen(space) {
+		if !s.rect(id).ContainsRectOpen(space) {
 			if edged++; edged > sweepCutoff {
 				return s.degenerate(space, ids)
 			}
@@ -661,11 +669,10 @@ func (s *Searcher) sweepable(space geom.Rect, ids []int32) bool {
 // coordinates strictly inside the space, per axis, counted up to the
 // first past the axis' limit.
 func (s *Searcher) degenerate(space geom.Rect, ids []int32) bool {
-	master := s.rects
 	var xs, ys edgeLines
 	edged := 0
 	for _, id := range ids {
-		r := &master[id].Rect
+		r := s.rect(id)
 		if r.ContainsRectOpen(space) {
 			continue
 		}
@@ -754,11 +761,10 @@ func (s *Searcher) swept(it kernel.Item) bool {
 // childIds filters the parent's ids down to those intersecting space,
 // into a recycled slice sized by the binary-searched window.
 func (s *Searcher) childIds(parent []int32, space geom.Rect) []int32 {
-	window := s.tab.idWindow(parent, space.MinX, space.MaxX)
+	window := s.idWindow(parent, space.MinX, space.MaxX)
 	out := s.getIds(len(window))
-	master := s.rects
 	for _, id := range window {
-		r := &master[id].Rect
+		r := s.rect(id)
 		if r.MinX < space.MaxX && space.MinX < r.MaxX &&
 			r.MinY < space.MaxY && space.MinY < r.MaxY {
 			out = append(out, id)
@@ -830,21 +836,20 @@ func (s *Searcher) push(emit func(kernel.Item), child geom.Rect, lb float64, par
 // in the tables' limbs and is rebound in place, so steady-state sweeps
 // reuse all of their scratch.
 func (s *Searcher) miniSweep(space geom.Rect, ids []int32) {
-	master := s.rects
 	tab := s.tab
 	s.swSub = s.swSub[:0]
 	base := s.swBase
 	clear(base)
 	covering := 0
 	for _, id := range ids {
-		r := &master[id].Rect
+		r := s.rect(id)
 		if r.ContainsRectOpen(space) {
 			for _, cb := range tab.rectContribs(id) {
 				base[cb.Ch] += cb.V
 			}
 			covering++
 		} else if r.MinX < space.MaxX && space.MinX < r.MaxX && r.MinY < space.MaxY && space.MinY < r.MaxY {
-			s.swSub = append(s.swSub, master[id])
+			s.swSub = append(s.swSub, asp.RectObject{Rect: r, Obj: &s.objs[s.order[id]]})
 		}
 	}
 	s.Stats.MiniSweeps++
@@ -879,8 +884,8 @@ func (s *Searcher) miniSweep(space geom.Rect, ids []int32) {
 func (s *Searcher) PointRepresentation(p geom.Point) []float64 {
 	t := s.tab
 	ch := make([]float64, t.limbs.Eff())
-	for i, hi := t.windowLo(p.X-t.wmax), t.windowHi(p.X); i < hi; i++ {
-		if s.rects[i].Rect.ContainsOpen(p) {
+	for i, hi := s.windowLo(p.X-s.wmax), s.windowHi(p.X); i < hi; i++ {
+		if s.rect(int32(i)).ContainsOpen(p) {
 			for _, cb := range t.rectContribs(int32(i)) {
 				ch[cb.Ch] += cb.V
 			}
@@ -906,20 +911,19 @@ func (s *Searcher) Err() error { return s.err }
 // running optimum through successive DS-Search invocations).
 func (s *Searcher) SeedBest(r asp.Result) { s.best = r }
 
-// Rects returns the searcher's master rectangle array (read-only; the
-// order may differ from the constructor argument, which the layer sorts
-// by anchor).
-func (s *Searcher) Rects() []asp.RectObject { return s.rects }
+// Objects returns the number of rectangles in the master.
+func (s *Searcher) Objects() int { return len(s.pts) }
 
 // Space returns the search space of the whole instance: the minimum
 // bounding rectangle of the master rectangles (asp.Space).
 func (s *Searcher) Space() geom.Rect { return s.space }
 
 // ReduceForSearch performs the ASP reduction of a search (Definition 5,
-// top-right-corner anchor). No search calls it (NewRegionSearcher reduces
-// only when it has nothing to bind); bench/trace.go samples a workload's
-// rectangles through it, which is also why the composite and options
-// arguments, now ignored, stay (ROADMAP, signatures to release).
+// top-right-corner anchor). No search calls it: a searcher reads its
+// rectangles from the anchors and (a, b), materializing only a swept
+// space's. bench/trace.go samples a workload's rectangles through it,
+// which is also why the composite and options arguments, now ignored,
+// stay (ROADMAP, signatures to release).
 func ReduceForSearch(ds *attr.Dataset, a, b float64, _ *agg.Composite, _ Options) ([]asp.RectObject, error) {
 	return asp.Reduce(ds, a, b, asp.AnchorTR)
 }

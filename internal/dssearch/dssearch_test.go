@@ -63,7 +63,7 @@ func TestDSSearchMatchesSweep(t *testing.T) {
 		sw, _ := sweep.New(rects, q)
 		want := sw.Solve()
 
-		s, err := dssearch.NewSearcher(rects, q, dssearch.Options{NCol: 10, NRow: 10})
+		s, err := dssearch.NewShapeSearcher(t, ds, a, b, q, dssearch.Options{NCol: 10, NRow: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestDSSearchGranularities(t *testing.T) {
 	sw, _ := sweep.New(rects, q)
 	want := sw.Solve().Dist
 	for _, g := range []int{2, 5, 10, 30, 50} {
-		s, err := dssearch.NewSearcher(rects, q, dssearch.Options{NCol: g, NRow: g})
+		s, err := dssearch.NewShapeSearcher(t, ds, 9, 7, q, dssearch.Options{NCol: g, NRow: g})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestApproximateGuarantee(t *testing.T) {
 		sw, _ := sweep.New(rects, q)
 		opt := sw.Solve().Dist
 		for _, delta := range []float64{0.1, 0.2, 0.4} {
-			s, err := dssearch.NewSearcher(rects, q, dssearch.Options{NCol: 10, NRow: 10, Delta: delta})
+			s, err := dssearch.NewShapeSearcher(t, ds, 8, 8, q, dssearch.Options{NCol: 10, NRow: 10, Delta: delta})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,23 +152,27 @@ func TestSolveASRSRoundTrip(t *testing.T) {
 }
 
 // TestAnchorsAgree: the optimum distance is independent of the reduction
-// anchor (searches always reduce with the top-right corner; the others
-// are reduced here and handed to a searcher directly).
+// anchor. DS-Search answers the top-right reduction, the one every search
+// makes; the sweep answers the reductions of the other four anchors.
 func TestAnchorsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ds := dataset.Random(35, 40, 17)
 	q := randomQuery(t, ds, rng)
-	var dists []float64
-	for _, an := range []asp.Anchor{asp.AnchorTR, asp.AnchorTL, asp.AnchorBR, asp.AnchorBL, asp.AnchorCenter} {
+	s, err := dssearch.NewShapeSearcher(t, ds, 7, 6, q, dssearch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dists := []float64{s.Solve().Dist}
+	for _, an := range []asp.Anchor{asp.AnchorTL, asp.AnchorBR, asp.AnchorBL, asp.AnchorCenter} {
 		rects, err := asp.Reduce(ds, 7, 6, an)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := dssearch.NewSearcher(rects, q, dssearch.Options{})
+		sw, err := sweep.New(rects, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dists = append(dists, s.Solve().Dist)
+		dists = append(dists, sw.Solve().Dist)
 	}
 	for i := 1; i < len(dists); i++ {
 		if math.Abs(dists[i]-dists[0]) > 1e-9 {
@@ -179,17 +183,41 @@ func TestAnchorsAgree(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	ds := dataset.Random(5, 10, 8)
-	rects, _ := asp.Reduce(ds, 2, 2, asp.AnchorTR)
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Sum, Attr: "val"})
 	q := asp.Query{F: f, Target: []float64{0}}
-	if _, err := dssearch.NewSearcher(rects, q, dssearch.Options{Delta: -1}); err == nil {
+	if _, err := dssearch.NewRegionSearcher(ds, 2, 2, q, dssearch.Options{Delta: -1}); err == nil {
 		t.Error("negative delta accepted")
 	}
-	if _, err := dssearch.NewSearcher(rects, q, dssearch.Options{NCol: 1, NRow: 5}); err == nil {
+	if _, err := dssearch.NewRegionSearcher(ds, 2, 2, q, dssearch.Options{NCol: 1, NRow: 5}); err == nil {
 		t.Error("1-column grid accepted")
 	}
-	if _, err := dssearch.NewSearcher(rects, asp.Query{F: f, Target: []float64{0, 1}}, dssearch.Options{}); err == nil {
+	if _, err := dssearch.NewRegionSearcher(ds, 2, 2, asp.Query{F: f, Target: []float64{0, 1}}, dssearch.Options{}); err == nil {
 		t.Error("bad query accepted")
+	}
+}
+
+// TestExtentMustBeFinite: an extent that is not positive and finite is
+// refused by every constructor, alone or beside a valid one. An infinite
+// one used to answer: a region [-Inf,NaN] wide at a finite distance.
+func TestExtentMustBeFinite(t *testing.T) {
+	ds := dataset.Random(20, 10, 8)
+	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Sum, Attr: "val"})
+	q := asp.Query{F: f, Target: []float64{0}}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, ab := range [][2]float64{{inf, 2}, {2, inf}, {inf, inf}, {nan, 2}, {2, nan}, {-inf, 2}, {0, 2}, {2, -1}} {
+		a, b := ab[0], ab[1]
+		if dssearch.CheckExtent(a, b) == nil {
+			t.Errorf("%g x %g: CheckExtent accepts it", a, b)
+		}
+		if _, err := dssearch.NewRegionSearcher(ds, a, b, q, dssearch.Options{}); err == nil {
+			t.Errorf("%g x %g: NewRegionSearcher accepts it", a, b)
+		}
+		if region, res, _, err := dssearch.SolveASRS(ds, a, b, q, nil, nil, dssearch.Options{}); err == nil {
+			t.Errorf("%g x %g: answered %v at distance %v", a, b, region, res.Dist)
+		}
+	}
+	if err := dssearch.CheckExtent(math.MaxFloat64, math.SmallestNonzeroFloat64); err != nil {
+		t.Errorf("a finite positive extent is refused: %v", err)
 	}
 }
 
@@ -198,7 +226,7 @@ func TestEmptyAndTinyInstances(t *testing.T) {
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
 	q := asp.Query{F: f, Target: []float64{0, 0, 0}}
 
-	s, err := dssearch.NewSearcher(nil, q, dssearch.Options{})
+	s, err := dssearch.NewShapeSearcher(t, &attr.Dataset{Schema: ds.Schema}, 3, 3, q, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +237,7 @@ func TestEmptyAndTinyInstances(t *testing.T) {
 	one := dataset.Random(1, 10, 13)
 	rects, _ := asp.Reduce(one, 3, 3, asp.AnchorTR)
 	q2 := randomQuery(t, one, rand.New(rand.NewSource(14)))
-	s2, _ := dssearch.NewSearcher(rects, q2, dssearch.Options{})
+	s2, _ := dssearch.NewShapeSearcher(t, one, 3, 3, q2, dssearch.Options{})
 	got := s2.Solve()
 	sw, _ := sweep.New(rects, q2)
 	want := sw.Solve()
@@ -230,7 +258,7 @@ func TestCoincidentObjects(t *testing.T) {
 	rects, _ := asp.Reduce(ds, 4, 3, asp.AnchorTR)
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
 	q := asp.Query{F: f, Target: []float64{8, 0, 0}, W: agg.UnitWeights(3)}
-	s, _ := dssearch.NewSearcher(rects, q, dssearch.Options{})
+	s, _ := dssearch.NewShapeSearcher(t, ds, 4, 3, q, dssearch.Options{})
 	got := s.Solve()
 	want := asp.BruteForce(rects, q)
 	if math.Abs(got.Dist-want.Dist) > 1e-9 {
@@ -250,7 +278,7 @@ func TestDuplicatePoints(t *testing.T) {
 	q := randomQuery(t, ds, rng)
 	sw, _ := sweep.New(rects, q)
 	want := sw.Solve()
-	s, _ := dssearch.NewSearcher(rects, q, dssearch.Options{})
+	s, _ := dssearch.NewShapeSearcher(t, ds, 5, 5, q, dssearch.Options{})
 	got := s.Solve()
 	if math.Abs(got.Dist-want.Dist) > 1e-9 {
 		t.Fatalf("duplicates: %g vs %g", got.Dist, want.Dist)
@@ -268,7 +296,7 @@ func TestL2Norm(t *testing.T) {
 		q.Norm = agg.L2
 		sw, _ := sweep.New(rects, q)
 		want := sw.Solve()
-		s, _ := dssearch.NewSearcher(rects, q, dssearch.Options{})
+		s, _ := dssearch.NewShapeSearcher(t, ds, 7, 7, q, dssearch.Options{})
 		got := s.Solve()
 		if math.Abs(got.Dist-want.Dist) > 1e-9 {
 			t.Fatalf("trial %d L2: %g vs %g", trial, got.Dist, want.Dist)
@@ -286,9 +314,9 @@ func TestSeededSearcher(t *testing.T) {
 	sw, _ := sweep.New(rects, q)
 	want := sw.Solve()
 
-	s, _ := dssearch.NewSearcher(rects, q, dssearch.Options{})
+	s, _ := dssearch.NewShapeSearcher(t, ds, 6, 6, q, dssearch.Options{})
 	s.SeedBest(asp.Result{Point: geom.Point{X: -1e9, Y: -1e9}, Dist: math.Inf(1)})
-	s.SolveWithin(asp.Space(rects), 0)
+	s.SolveWithin(s.Space(), 0)
 	if got := s.Best(); math.Abs(got.Dist-want.Dist) > 1e-9 {
 		t.Fatalf("seeded: %g vs %g", got.Dist, want.Dist)
 	}

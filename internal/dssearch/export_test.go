@@ -1,6 +1,8 @@
 package dssearch
 
 import (
+	"fmt"
+	"testing"
 	"unsafe"
 
 	"asrs/internal/agg"
@@ -11,7 +13,9 @@ import (
 
 // SolveASRS answers one single-best request through the package front
 // door — whole space or extent, one round under the exclusions — for the
-// tests that check what a round answers rather than how rounds chain.
+// tests that check what a round answers rather than how rounds chain. A
+// round whose answer failed its self-check (Searcher.Settle) is an error
+// here, so every test that solves through it fails on one.
 func SolveASRS(ds *attr.Dataset, a, b float64, q asp.Query, within *geom.Rect, exclude []geom.Rect, opt Options) (geom.Rect, asp.Result, Stats, error) {
 	r, err := Open(ds, a, b, q, within, opt)
 	if err != nil {
@@ -19,7 +23,66 @@ func SolveASRS(ds *attr.Dataset, a, b float64, q asp.Query, within *geom.Rect, e
 	}
 	defer r.Close()
 	region, res, err := r.Best(exclude)
-	return region, res, r.Stats(), err
+	st := r.Stats()
+	if err == nil {
+		err = selfChecked(st)
+	}
+	return region, res, st, err
+}
+
+// selfChecked is the error of a search whose answers failed their
+// self-check.
+func selfChecked(st Stats) error {
+	if n := st.SelfCheckMisses; n != 0 {
+		return fmt.Errorf("dssearch: %d answers re-evaluated to another distance at their point", n)
+	}
+	return nil
+}
+
+// NewShapeSearcher is the searcher of the w×h top-right reduction of ds
+// for any finite w, h ≥ 0 — zero-extent rectangles included, which
+// NewRegionSearcher refuses. Every answer the searcher settles is
+// self-checked: the test fails at its end if one re-evaluated to another
+// distance.
+func NewShapeSearcher(tb testing.TB, ds *attr.Dataset, w, h float64, q asp.Query, opt Options) (*Searcher, error) {
+	s, err := newSearcher(ds, w, h, q, opt)
+	if err == nil {
+		tb.Cleanup(func() {
+			if err := selfChecked(s.Stats); err != nil {
+				tb.Error(err)
+			}
+		})
+	}
+	return s, err
+}
+
+// RetainedBytes sums the capacities a released searcher's slab retains,
+// in bytes, over every slab the cache holds: the memory a SlabCache keeps
+// between searches.
+func (c *SlabCache) RetainedBytes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, t := range c.free {
+		n += t.retainedBytes()
+	}
+	return n
+}
+
+// retainedBytes sums the capacities t holds, in bytes.
+func (t *tables) retainedBytes() int {
+	n := 4*(cap(t.cOff)+cap(t.mOff)+cap(t.order)+cap(t.rawOff)) +
+		int(unsafe.Sizeof(agg.Contrib{}))*(cap(t.contribs)+cap(t.raw)) +
+		int(unsafe.Sizeof(agg.MMContrib{}))*cap(t.mms) +
+		int(unsafe.Sizeof(geom.Point{}))*cap(t.pts) +
+		int(unsafe.Sizeof(anchorKey{}))*cap(t.keys) +
+		8*(cap(t.scratchF)+cap(t.idBits)) +
+		int(unsafe.Sizeof(cellInfo{}))*cap(t.scratchCells) +
+		int(unsafe.Sizeof(asp.RectObject{}))*cap(t.scratchRects)
+	for _, ids := range t.idFree {
+		n += 4 * cap(ids)
+	}
+	return n
 }
 
 // DiscretizeHarness drives Function Discretize on one searcher from the
@@ -33,14 +96,14 @@ type DiscretizeHarness struct {
 	Ids   []int32
 }
 
-// NewDiscretizeHarness solves the instance once, so the incumbent every
-// Run starts from is the one a search holds while it closes in on the
-// optimum, and grows a space around the answer point until it holds
-// wantIds rectangles. With cell set the space is discretized as a GI-DS
-// cell's seed (SolveCell): at the grid sized to its ids (cellGrid)
-// instead of NCol×NRow.
-func NewDiscretizeHarness(rects []asp.RectObject, q asp.Query, a, b float64, wantIds int, cell bool) (*DiscretizeHarness, error) {
-	s, err := NewSearcher(rects, q, Options{Workers: 1})
+// NewDiscretizeHarness solves the a×b instance of ds once, so the
+// incumbent every Run starts from is the one a search holds while it
+// closes in on the optimum, and grows a space around the answer point
+// until it holds wantIds rectangles. With cell set the space is
+// discretized as a GI-DS cell's seed (SolveCell): at the grid sized to its
+// ids (cellGrid) instead of NCol×NRow.
+func NewDiscretizeHarness(tb testing.TB, ds *attr.Dataset, q asp.Query, a, b float64, wantIds int, cell bool) (*DiscretizeHarness, error) {
+	s, err := NewShapeSearcher(tb, ds, a, b, q, Options{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +124,7 @@ func NewDiscretizeHarness(rects []asp.RectObject, q asp.Query, a, b float64, wan
 func (h *DiscretizeHarness) Crossing() int {
 	n := 0
 	for _, id := range h.Ids {
-		if !h.s.rects[id].Rect.ContainsRect(h.Space) {
+		if !h.s.rect(id).ContainsRect(h.Space) {
 			n++
 		}
 	}

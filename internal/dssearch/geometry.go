@@ -11,8 +11,8 @@ import (
 	"asrs/internal/geom"
 )
 
-// Geometry is the composite-free half of a pyramid: the master order of a
-// dataset's anchors and the anchor-bin level over them. Under the
+// Geometry is the composite-free half of a pyramid: a dataset's anchors
+// in the master order and the anchor-bin level over them. Under the
 // top-right reduction every rectangle is its object's location shifted by
 // (−a, −b) (Definition 5), so both depend on the object locations alone —
 // not on the query and not on the composite. A dataset epoch has one
@@ -21,11 +21,10 @@ import (
 // points to it (DESIGN.md §6).
 //
 // The master order is total: anchors by x, then y, then dataset index.
-// The per-query build sorts its rectangles in the same order (buildTables:
-// MinX, MinY, input index), and translation by (−a, −b) preserves every
-// comparison the sort makes unless two distinct coordinates collapse onto
-// one float, which binding a shape detects (shape.go). So a bound and an
-// unbound search see the same master, ties included.
+// A search reads rectangle id as geom.RectFromTR(pts[id], a, b): the
+// anchors are the master, and no shape is materialized (shape.go). A
+// one-shot search lays out the same order in its slab (tables.layOut),
+// so a bound and an unbound search see the same master, ties included.
 //
 // A Geometry is immutable after construction, but for the memo of shape
 // facts, which are composite-free too and so are shared by every
@@ -33,8 +32,9 @@ import (
 type Geometry struct {
 	ds    *attr.Dataset
 	n     int
-	order []int32   // master position -> dataset object index
-	lvl   *satLevel // the anchor-bin level (levelGrid)
+	order []int32      // master position -> dataset object index
+	pts   []geom.Point // master position -> anchor (the object's location); derived, never stored
+	lvl   *satLevel    // the anchor-bin level (levelGrid)
 
 	// Shape facts remembered per (a, b) (shape.go): the geometry's only
 	// mutable state. An epoch's fold is a new geometry with an empty memo.
@@ -65,17 +65,6 @@ func compareAnchors(a, b anchorKey) int {
 	return cmp.Compare(a.i, b.i)
 }
 
-// sortAnchors sorts keys into the master order and writes the resulting
-// permutation into perm (resized to len(keys)).
-func sortAnchors(keys []anchorKey, perm []int32) []int32 {
-	slices.SortFunc(keys, compareAnchors)
-	perm = resizeInt32(perm, len(keys))
-	for i := range keys {
-		perm[i] = keys[i].i
-	}
-	return perm
-}
-
 // BuildGeometry sorts a dataset's anchors once and raises the anchor-bin
 // level over them. The dataset must not be mutated afterwards while the
 // geometry serves it.
@@ -91,20 +80,10 @@ func BuildGeometry(ds *attr.Dataset) (*Geometry, error) {
 
 // newGeometry is BuildGeometry over a validated dataset.
 func newGeometry(ds *attr.Dataset) *Geometry {
-	n := len(ds.Objects)
-	keys := make([]anchorKey, n)
-	for i := range ds.Objects {
-		loc := ds.Objects[i].Loc
-		keys[i] = anchorKey{loc.X, loc.Y, int32(i)}
-	}
-	g := &Geometry{ds: ds, n: n}
-	g.order = sortAnchors(keys, nil)
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range keys {
-		xs[i], ys[i] = keys[i].x, keys[i].y
-	}
-	g.raiseLevel(xs, ys)
+	var t tables
+	t.layAnchors(ds.Objects)
+	g := &Geometry{ds: ds, n: len(ds.Objects), order: t.order, pts: t.pts}
+	g.raiseLevel()
 	return g
 }
 
@@ -119,15 +98,11 @@ func levelGrid(n int) int {
 	return g
 }
 
-// raiseLevel builds the level from scratch over the stored anchors xs/ys
-// (master order).
-func (g *Geometry) raiseLevel(xs, ys []float64) {
+// raiseLevel builds the level from scratch over the anchors.
+func (g *Geometry) raiseLevel() {
 	g.lvl = &satLevel{}
-	buildSATLevel(g.lvl, levelGrid(g.n), xs, ys)
+	buildSATLevel(g.lvl, levelGrid(g.n), g.pts)
 }
-
-// anchor returns the stored anchor (the object location) of master id.
-func (g *Geometry) anchor(id int32) geom.Point { return g.ds.Objects[g.order[id]].Loc }
 
 // anchorLess is the master comparator over stored anchors, without the
 // index tie-break.
@@ -135,11 +110,11 @@ func anchorLess(a, b geom.Point) bool {
 	return a.X < b.X || (a.X == b.X && a.Y < b.Y)
 }
 
-// inCanonicalOrder reports whether order lists ds's objects in the
-// (x, y, index) order.
-func inCanonicalOrder(ds *attr.Dataset, order []int32) bool {
+// inCanonicalOrder reports whether order lists the anchors pts (in
+// order's order) in the (x, y, index) order.
+func inCanonicalOrder(pts []geom.Point, order []int32) bool {
 	for i := 1; i < len(order); i++ {
-		a, b := ds.Objects[order[i-1]].Loc, ds.Objects[order[i]].Loc
+		a, b := pts[i-1], pts[i]
 		if compareAnchors(anchorKey{a.X, a.Y, order[i-1]}, anchorKey{b.X, b.Y, order[i]}) > 0 {
 			return false
 		}

@@ -434,7 +434,6 @@ func (s *Searcher) boundPass() []cellInfo {
 func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 	g := s.grid
 	tab := s.tab
-	master := s.rects
 	perH := 1 / chh
 	// A rectangle that contains the space fully covers every cell — two
 	// thirds of a deep space's rectangles do — provided the outermost
@@ -447,7 +446,7 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 	c0, c1 := 0, 0
 	for _, id := range ids {
 		contribs := tab.rectContribs(id)
-		r := &master[id].Rect
+		r := s.rect(id)
 		if wide && r.MinX <= x0 && r.MaxX >= xn && r.MinY <= y0 && r.MaxY >= yn {
 			for _, cb := range contribs {
 				dense[cb.Ch] += cb.V
@@ -519,7 +518,6 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int3
 	}
 	g := s.grid
 	t := s.tab
-	master := s.rects
 	query := &s.query
 	ch := g.probeCh[:g.chans]
 	for _, di := range idx {
@@ -527,8 +525,8 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int3
 		clear(ch)
 		// The clip clause keeps the ids that meet the clip (a probe point
 		// in a boundary cell can poke an ulp outside it; see Item.Clip).
-		for _, id := range t.idWindow(ids, p.X, p.X) {
-			rc := &master[id].Rect
+		for _, id := range s.idWindow(ids, p.X, p.X) {
+			rc := s.rect(id)
 			if rc.ContainsOpen(p) &&
 				rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
 				rc.MinY < clip.MaxY && clip.MinY < rc.MaxY {

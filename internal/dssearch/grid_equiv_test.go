@@ -151,15 +151,14 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 				rw := []float64{7.5, 5, 12.3, 0}[trial%4] // 0: zero-extent rectangles
 				rh := []float64{6, 5, 0.7, 0}[trial%4]
 				objs := make([]attr.Object, n)
-				rects := make([]asp.RectObject, n)
-				for i := range rects {
+				for i := range objs {
 					x, y := rng.Float64()*100, rng.Float64()*100
 					if rng.Intn(2) == 0 { // rect edges collide with each other and with cell edges
 						x, y = float64(rng.Intn(20))*5, float64(rng.Intn(20))*5
 					}
 					objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: tc.values(rng, i)}
-					rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - rw, MinY: y - rh, MaxX: x, MaxY: y}, Obj: &objs[i]}
 				}
+				ds := &attr.Dataset{Objects: objs}
 				target := make([]float64, f.Dims())
 				weights := make([]float64, f.Dims())
 				for d := range target {
@@ -169,11 +168,11 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 				q := asp.Query{F: f, Target: target, W: weights, Norm: agg.Norm(trial % 2)}
 				ncol, nrow := 2+rng.Intn(29), 2+rng.Intn(29)
 				opt := Options{NCol: ncol, NRow: nrow, Workers: 1}
-				sNew, err := NewSearcher(rects, q, opt)
+				sNew, err := NewShapeSearcher(t, ds, rw, rh, q, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sRef, err := NewSearcher(rects, q, opt)
+				sRef, err := NewShapeSearcher(t, ds, rw, rh, q, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +183,7 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 				sRef.ensureScratch()
 
 				spaces := []geom.Rect{
-					asp.Space(rects),
+					sNew.Space(),
 					{MinX: 10, MinY: 5, MaxX: 70, MaxY: 65},
 					{MinX: rng.Float64() * 40, MinY: rng.Float64() * 40, MaxX: 60 + rng.Float64()*40, MaxY: 60 + rng.Float64()*40},
 					{MinX: 30 + rng.Float64()*30, MinY: 30 + rng.Float64()*30},
@@ -350,17 +349,15 @@ func TestCleanCellCandidateIsInsideCell(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 200 + rng.Intn(200)
 		objs := make([]attr.Object, n)
-		rects := make([]asp.RectObject, n)
-		for i := range rects {
+		for i := range objs {
 			x, y := rng.Float64()*100, float64(rng.Intn(20))*5
 			objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: tc.values(rng, i)}
-			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 7.5, MinY: y - 5, MaxX: x, MaxY: y}, Obj: &objs[i]}
 		}
 		target := make([]float64, f.Dims())
 		for d := range target {
 			target[d] = float64(rng.Intn(12))
 		}
-		s, err := NewSearcher(rects, asp.Query{F: f, Target: target}, Options{Workers: 1})
+		s, err := NewShapeSearcher(t, &attr.Dataset{Objects: objs}, 7.5, 5, asp.Query{F: f, Target: target}, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

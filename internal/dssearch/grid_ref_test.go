@@ -184,14 +184,13 @@ func (s *Searcher) refFillGridDiff(space geom.Rect, ids []int32, cw, chh float64
 func (s *Searcher) refFillRects(space geom.Rect, ids []int32, cw, chh float64) {
 	g := s.grid
 	tab := s.tab
-	master := s.rects
 	for _, id := range ids {
 		contribs := tab.rectContribs(id)
 		var mm []agg.MMContrib
 		if g.mmSlots > 0 {
 			mm = tab.rectMM(id)
 		}
-		r := master[id].Rect
+		r := s.rect(id)
 		// Columns whose open interior intersects the rect interior.
 		c0, c1 := refOverlapRange(r.MinX, r.MaxX, space.MinX, cw, g.xe)
 		r0, r1 := refOverlapRange(r.MinY, r.MaxY, space.MinY, chh, g.ye)
@@ -295,7 +294,6 @@ func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, probed 
 	}
 	g := s.grid
 	t := s.tab
-	master := s.rects
 	query := &s.query
 	ch := g.probeCh[:g.chans]
 	for _, di := range idx {
@@ -305,10 +303,10 @@ func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, probed 
 		// master order: MinX ∈ (p.X − wmax, p.X). The clip clause restricts
 		// the window to the space's chain-filtered subset (a probe point in
 		// a boundary cell can poke an ulp outside the clip; see Item.Clip).
-		lo := t.windowLo(p.X - t.wmax)
-		hi := t.windowHi(p.X)
+		lo := s.windowLo(p.X - s.wmax)
+		hi := s.windowHi(p.X)
 		for id := lo; id < hi; id++ {
-			rc := &master[id].Rect
+			rc := s.rect(int32(id))
 			if rc.ContainsOpen(p) &&
 				rc.MinX < clip.MaxX && clip.MinX < rc.MaxX &&
 				rc.MinY < clip.MaxY && clip.MinY < rc.MaxY {

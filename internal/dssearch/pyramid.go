@@ -6,44 +6,40 @@ import (
 	"sort"
 
 	"asrs/internal/agg"
-	"asrs/internal/asp"
 	"asrs/internal/attr"
+	"asrs/internal/geom"
 )
 
 // Pyramid is the persistent per-composite aggregate pyramid: the whole
 // per-query aggregation layer of sat.go, hoisted to the dataset level.
-// It is a pointer to the dataset's Geometry — the master order and the
-// anchor-bin level, shared by every composite of the epoch — plus the
-// composite's core: the contribution and min/max tables in master order,
-// their limbs and the certificate's running sums.
+// It is a pointer to the dataset's Geometry — the anchors in master
+// order and the anchor-bin level, shared by every composite of the
+// epoch — plus the composite's core: the contribution and min/max tables
+// in master order, their limbs and the certificate's running sums.
 //
 // The hoist is possible because, under the default top-right-corner
-// reduction, every rectangle's anchor (MinX, MinY) is the object's
-// location translated by the constant (-a, -b): the master order and the
-// anchor-bin partition are functions of the locations alone, and the
-// flattened limb contributions and the certificate of (dataset,
-// composite) alone — only the rectangle materialization depends on the
-// query's (a, b), one O(n) pass, and with it a few facts of O(1) size
-// (width/height ranges, space, whether the order survived the
-// translation) that the first query of a shape derives and the geometry
+// reduction, every rectangle is the object's location shifted by the
+// constant (-a, -b): the master order and the anchor-bin partition are
+// functions of the locations alone, and the flattened limb contributions
+// and the certificate of (dataset, composite) alone. Nothing of a query's
+// (a, b) is materialized — a search reads rectangle id from anchor id
+// and the shape — but a few facts of O(1) size (width/height ranges,
+// space) that the first query of a shape derives and the geometry
 // remembers (shape.go). Binding a pyramid to a Searcher therefore
 // replaces the per-query O(R log R) sort, the O(contribs)
 // flatten/certify passes and the O(R + g²) level build with aliased
-// reads of shared immutable state (DESIGN.md §6). What the pyramid holds
-// that the dataset holds too — the contribution and min/max tables — is
-// not persisted: a loaded pyramid flattens them again from the objects
-// under the stored limbs (PyramidFromSnapshot).
+// reads of shared immutable state, in O(1) once the shape's facts are
+// known (DESIGN.md §6). What the pyramid holds that the dataset holds
+// too — the anchors and the contribution and min/max tables — is not
+// persisted: a loaded pyramid derives them again from the objects under
+// the stored order and limbs (PyramidFromSnapshot).
 //
-// Bit-identity with the unassisted path is preserved by construction:
-// the master order is the total (x, y, index) order, which the per-query
-// sort of (MinX, MinY, input index) reproduces (translation is monotone,
-// so every comparison comes out the same), and the level's id-anchored
-// threshold arrays bound the translated per-query anchors through actual
-// rectangle coordinates rather than bin geometry. The single case
-// translation can break — two distinct anchor coordinates collapsing onto
-// one float — is detected when a shape is first bound, remembered with
-// its facts, and falls back to the classic per-query build, so answers
-// never depend on the pyramid being bindable.
+// Bit-identity with the unassisted path holds by construction: a
+// one-shot search lays out the same (x, y, index) order in its slab
+// (tables.layOut) and reads rectangles the same way, and the level's
+// id-anchored threshold arrays bound the translated per-query anchors
+// through actual rectangle coordinates rather than bin geometry, so what
+// its readers collect is set-exact.
 //
 // A Pyramid is immutable and safe for any number of concurrent binds; the
 // Engine caches one per composite, and internal/persist gives it a
@@ -104,7 +100,6 @@ func (t *tables) freeze() {
 	t.cOff, t.contribs = trim(t.cOff), trim(t.contribs)
 	t.mOff, t.mms = trim(t.mOff), trim(t.mms)
 	t.rawOff, t.raw = nil, nil
-	t.minXs, t.minXsBuf = nil, nil
 }
 
 // trim returns s at its exact length, copying only when it has slack.
@@ -153,9 +148,8 @@ func (p *Pyramid) Objects() int { return p.geo.n }
 // found by binary search; the appended objects are sorted the same way.
 func (p *Pyramid) AppendObjectsInX(dst []attr.Object, lo, hi float64) []attr.Object {
 	g := p.geo
-	x := func(i int) float64 { return g.anchor(int32(i)).X }
-	i := sort.Search(g.n, func(i int) bool { return x(i) > lo })
-	j := sort.Search(g.n, func(j int) bool { return x(j) >= hi })
+	i := sort.Search(g.n, func(i int) bool { return g.pts[i].X > lo })
+	j := sort.Search(g.n, func(j int) bool { return g.pts[j].X >= hi })
 	for ; i < j; i++ {
 		dst = append(dst, g.ds.Objects[g.order[i]])
 	}
@@ -172,27 +166,6 @@ func (p *Pyramid) bindCore(t *tables) {
 	t.cOff, t.contribs = c.cOff, c.contribs
 	t.mOff, t.mms = c.mOff, c.mms
 	t.shared = true
-	t.pyr = p
-}
-
-// masterSortedNoCollapse verifies that the translated master realizes
-// the pyramid's canonical order: (MinX, MinY) must be non-decreasing,
-// and anchors may coincide only for rectangles that are bitwise equal
-// (equal-location objects). Translation is monotone, so a violation can
-// only come from distinct coordinates collapsing onto one float — the
-// sub-ulp event where the per-query sort could have arranged ties
-// differently than the pyramid did.
-func masterSortedNoCollapse(master []asp.RectObject) bool {
-	for i := 1; i < len(master); i++ {
-		a, b := &master[i-1].Rect, &master[i].Rect
-		if a.MinX > b.MinX || (a.MinX == b.MinX && a.MinY > b.MinY) {
-			return false
-		}
-		if a.MinX == b.MinX && a.MinY == b.MinY && (a.MaxX != b.MaxX || a.MaxY != b.MaxY) {
-			return false
-		}
-	}
-	return true
 }
 
 // ---- Serialization snapshot ----
@@ -200,9 +173,9 @@ func masterSortedNoCollapse(master []asp.RectObject) bool {
 // PyramidSnapshot is the exported, codec-friendly image of a Pyramid:
 // what the dataset does not hold. internal/persist encodes and decodes
 // it; PyramidFromSnapshot validates it and re-derives the rest — the
-// limb inverses and owners from the scales (agg.NewLimbs), the
-// contribution and min/max tables from the objects, the level's count
-// plane from its bins.
+// limb inverses and owners from the scales (agg.NewLimbs), the anchors
+// and the contribution and min/max tables from the objects, the level's
+// count plane from its bins.
 type PyramidSnapshot struct {
 	N       int
 	Chans   int
@@ -248,8 +221,9 @@ func (p *Pyramid) Snapshot() *PyramidSnapshot {
 // PyramidFromSnapshot reconstructs a pyramid over (ds, f) from a
 // decoded snapshot, validating structural consistency (a corrupt or
 // mismatched file must produce an error, never a panic) and re-deriving
-// what it does not carry: the contribution tables are flattened from
-// ds.Objects[Order[i]] and split under the snapshot's limbs. Those limbs
+// what it does not carry: the anchors are read and the contribution
+// tables flattened from ds.Objects[Order[i]], split under the
+// snapshot's limbs. Those limbs
 // are trusted to certify ds: the dataset identity is part of the file's
 // contract. An order that is a permutation but not the (x, y, index)
 // order — a file written while location ties were left to an unstable
@@ -279,7 +253,11 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 	if err := checkPermutation(s.Order, n); err != nil {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot order: %w", err)
 	}
-	if !inCanonicalOrder(ds, s.Order) {
+	pts := make([]geom.Point, n)
+	for i, oi := range s.Order {
+		pts[i] = ds.Objects[oi].Loc
+	}
+	if !inCanonicalOrder(pts, s.Order) {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot order is not the (x, y, index) order")
 	}
 
@@ -309,7 +287,7 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 		}
 	}
 	geo := &Geometry{
-		ds: ds, n: n, order: s.Order,
+		ds: ds, n: n, order: s.Order, pts: pts,
 		lvl: &satLevel{
 			gx: g, gy: g, bw: ls.BW, bh: ls.BH, bx0: ls.X0, by0: ls.Y0,
 			binStart: ls.BinStart, binIds: ls.BinIds,

@@ -142,7 +142,7 @@ func TestPyramidBindRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.tab.pyr == p
+		return s.lvl == p.geo.lvl
 	}
 	if !bound(ds, q) {
 		t.Fatal("the pyramid's own dataset and composite should bind")

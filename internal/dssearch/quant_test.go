@@ -13,12 +13,13 @@ import (
 	"asrs/internal/sweep"
 )
 
-// quantSearcher builds a Searcher over the given objects/composite and
-// returns it with its tables for certificate inspection.
-func quantSearcher(t *testing.T, rects []asp.RectObject, f *agg.Composite) *Searcher {
+// quantSearcher builds a Searcher over the 1×1 reduction of the given
+// objects and composite and returns it with its tables for certificate
+// inspection.
+func quantSearcher(t *testing.T, objs []attr.Object, f *agg.Composite) *Searcher {
 	t.Helper()
 	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
-	s, err := NewSearcher(rects, q, Options{})
+	s, err := NewShapeSearcher(t, &attr.Dataset{Objects: objs}, 1, 1, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,16 +47,14 @@ func TestCertificatePerChannel(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	objs := make([]attr.Object, 40)
-	rects := make([]asp.RectObject, 40)
 	for i := range objs {
 		x, y := rng.Float64()*10, rng.Float64()*10
 		objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{
 			{Num: float64(rng.Intn(41)-20) * 0.25}, // quarters: certificate passes
 			{Num: 0.1 * float64(1+rng.Intn(9))},    // tenths: not dyadic, fails
 		}}
-		rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: y - 1, MaxX: x, MaxY: y}, Obj: &objs[i]}
 	}
-	s := quantSearcher(t, rects, f)
+	s := quantSearcher(t, objs, f)
 	tab := s.tab
 	l := &tab.limbs
 	// Channel layout: fS(dyadic)=0..2, fS(decimal)=3..5, fC=6.
@@ -75,8 +74,8 @@ func TestCertificatePerChannel(t *testing.T) {
 	// channel, the rewritten hi part plus its lo part must equal the
 	// original contribution value bit-for-bit.
 	var orig []agg.Contrib
-	for id := int32(0); int(id) < len(s.rects); id++ {
-		orig = f.AppendContribs(s.rects[id].Obj, orig[:0])
+	for id := int32(0); int(id) < s.Objects(); id++ {
+		orig = f.AppendContribs(&s.objs[s.order[id]], orig[:0])
 		cbs := tab.rectContribs(id)
 		shadow := func(sh int32) float64 {
 			for j := range cbs {
@@ -118,20 +117,19 @@ func TestCertificateDenormalAndHeadroom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduce := func(vals []float64) []asp.RectObject {
+	objects := func(vals []float64) []attr.Object {
 		objs := make([]attr.Object, len(vals))
-		rects := make([]asp.RectObject, len(vals))
 		for i, v := range vals {
 			x := float64(i)
 			objs[i] = attr.Object{Loc: geom.Point{X: x, Y: x}, Values: []attr.Value{{Num: v}}}
-			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: x - 1, MaxX: x, MaxY: x}, Obj: &objs[i]}
 		}
-		return rects
+		return objs
 	}
-	build := func(vals []float64) *agg.Limbs { return &quantSearcher(t, reduce(vals), f).tab.limbs }
+	build := func(vals []float64) *agg.Limbs { return &quantSearcher(t, objects(vals), f).tab.limbs }
 	// A tail finer than 2^-1022 under a large head, denormals, NaN, Inf.
 	for _, v := range []float64{math.Ldexp(1, -1060), 5e-324, math.NaN(), math.Inf(1)} {
-		if _, err := NewSearcher(reduce([]float64{16, v}), asp.Query{F: f, Target: []float64{0}}, Options{}); err == nil {
+		ds := &attr.Dataset{Objects: objects([]float64{16, v})}
+		if _, err := NewShapeSearcher(t, ds, 1, 1, asp.Query{F: f, Target: []float64{0}}, Options{}); err == nil {
 			t.Errorf("a channel holding %g certified", v)
 		}
 	}
@@ -164,14 +162,13 @@ func TestCertificateDenormalAndHeadroom(t *testing.T) {
 	}
 }
 
-// quantRects builds randomized uniform-size rect objects over a
-// two-numeric-attribute schema with dyadic values (rating quarters in
-// [0,10], visits halves in [1,500]), mirroring the POIQuant workload.
-// width/height <= 0 produce degenerate zero-extent rectangles.
-func quantRects(rng *rand.Rand, n int, w, h float64) []asp.RectObject {
+// quantObjects builds randomized objects over a two-numeric-attribute
+// schema with dyadic values (rating quarters in [0,10], visits halves in
+// [1,500]), mirroring the POIQuant workload; half of them lie on a
+// lattice of step 5.
+func quantObjects(rng *rand.Rand, n int) []attr.Object {
 	objs := make([]attr.Object, n)
-	rects := make([]asp.RectObject, n)
-	for i := range rects {
+	for i := range objs {
 		x := rng.Float64() * 100
 		y := rng.Float64() * 100
 		if rng.Intn(2) == 0 {
@@ -185,16 +182,12 @@ func quantRects(rng *rand.Rand, n int, w, h float64) []asp.RectObject {
 				{Num: 1 + float64(rng.Intn(999))*0.5},
 			},
 		}
-		rects[i] = asp.RectObject{
-			Rect: geom.Rect{MinX: x - w, MinY: y - h, MaxX: x, MaxY: y},
-			Obj:  &objs[i],
-		}
 	}
-	return rects
+	return objs
 }
 
 // realSchemaF2 compiles the F2-shaped composite (fS + fA) against the
-// two-numeric-attribute schema used by quantRects. Its fA component
+// two-numeric-attribute schema used by quantObjects. Its fA component
 // carries a min/max slot.
 func realSchemaF2(t *testing.T) *agg.Composite {
 	t.Helper()
@@ -218,8 +211,8 @@ func realSchemaF2(t *testing.T) *agg.Composite {
 // TestUnquantizableTakesOldPath: a composite whose every channel fails
 // every certificate has no path of its own any more — denormal tails on
 // both signs fit no exact limb, so the dataset is refused at validation
-// and a searcher over it is refused too, on both constructors, without
-// reordering the caller's rectangles.
+// and a searcher over it is refused too, at any extent, without
+// reordering the caller's objects.
 func TestUnquantizableTakesOldPath(t *testing.T) {
 	schema, err := attr.NewSchema(attr.Attribute{Name: "v", Kind: attr.Numeric})
 	if err != nil {
@@ -231,8 +224,8 @@ func TestUnquantizableTakesOldPath(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	objs := make([]attr.Object, 60)
-	rects := make([]asp.RectObject, 60)
-	for i := range rects {
+	locs := make([]geom.Point, 60)
+	for i := range objs {
 		x, y := rng.Float64()*10, rng.Float64()*10
 		v := rng.NormFloat64()
 		switch i % 10 {
@@ -242,19 +235,19 @@ func TestUnquantizableTakesOldPath(t *testing.T) {
 			v = -5e-324
 		}
 		objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{{Num: v}}}
-		rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: y - 1, MaxX: x, MaxY: y}, Obj: &objs[i]}
+		locs[i] = objs[i].Loc
 	}
 	ds := &attr.Dataset{Schema: schema, Objects: objs}
 	if err := ds.Validate(); !errors.Is(err, attr.ErrInvalid) {
 		t.Fatalf("a dataset of denormals validated: %v", err)
 	}
 	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
-	if s, err := NewSearcher(rects, q, Options{}); err == nil {
+	if s, err := NewShapeSearcher(t, ds, 0, 0, q, Options{}); err == nil {
 		t.Fatalf("unquantizable composite certified: %+v", s.tab.limbs.Scale)
 	}
-	for i := range rects {
-		if rects[i].Obj != &objs[i] {
-			t.Fatal("a refused searcher reordered the caller's rectangles")
+	for i := range objs {
+		if objs[i].Loc != locs[i] {
+			t.Fatal("a refused searcher reordered the caller's objects")
 		}
 	}
 	if _, err := NewRegionSearcher(ds, 1, 1, q, Options{}); err == nil {
@@ -272,14 +265,14 @@ func TestSearchEquivalenceRealValued(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	slabs := &SlabCache{}
 	for trial := 0; trial < 6; trial++ {
-		rects := quantRects(rng, 400+rng.Intn(400), 9, 8)
+		ds := &attr.Dataset{Objects: quantObjects(rng, 400+rng.Intn(400))}
 		target := make([]float64, f.Dims())
 		target[0] = 5000
 		target[1] = 10
 		q := asp.Query{F: f, Target: target}
 
 		solve := func() asp.Result {
-			s, err := NewSearcher(rects, q, Options{Slabs: slabs})
+			s, err := NewShapeSearcher(t, ds, 9, 8, q, Options{Slabs: slabs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,6 +287,10 @@ func TestSearchEquivalenceRealValued(t *testing.T) {
 			if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
 				t.Fatalf("trial %d: rerun rep[%d] %v != %v", trial, i, got.Rep[i], want.Rep[i])
 			}
+		}
+		rects, err := asp.Reduce(ds, 9, 8, asp.AnchorTR)
+		if err != nil {
+			t.Fatal(err)
 		}
 		sw, err := sweep.New(rects, q)
 		if err != nil {

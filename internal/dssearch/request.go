@@ -54,8 +54,8 @@ type Request struct {
 // share (NewRegionSearcher). A nil within searches the whole space. The
 // caller must Close the request.
 func Open(ds *attr.Dataset, a, b float64, q asp.Query, within *geom.Rect, opt Options) (*Request, error) {
-	if !(a > 0) || !(b > 0) {
-		return nil, fmt.Errorf("dssearch: region extent must be positive, got %g x %g", a, b)
+	if err := CheckExtent(a, b); err != nil {
+		return nil, err
 	}
 	if within != nil {
 		if !within.IsValid() {
@@ -96,7 +96,7 @@ func (r *Request) Best(exclude []geom.Rect) (geom.Rect, asp.Result, error) {
 	}
 	s.best = seed
 	r.pieces = AppendPieces(r.pieces[:0], r.space, ForbiddenBoxes(exclude, r.a, r.b))
-	if len(s.rects) > 0 {
+	if len(s.pts) > 0 {
 		for _, p := range r.pieces {
 			s.SolveWithin(p, 0)
 		}

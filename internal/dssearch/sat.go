@@ -9,29 +9,37 @@ import (
 	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/attr"
+	"asrs/internal/geom"
 	"asrs/internal/sweep"
 )
 
 // This file implements the per-query aggregation layer of DS-Search: one
-// `tables` value is built per Searcher and owns
+// `tables` value is taken per Searcher and holds
 //
-//   - the master rectangle array, sorted by (MinX, MinY) with ties in
-//     input order, so that every space's relevant rectangles form a
-//     binary-searchable contiguous window;
-//   - the flattened per-rectangle limb contributions (AppendContribs
-//     evaluated and split once per query instead of once per
+//   - the flattened per-rectangle limb contributions in master order
+//     (AppendContribs evaluated and split once, not once per
 //     discretization);
-//   - with a pyramid bound, its anchor-bin level: CSR per-bin id lists
-//     over a grid of (MinX, MinY) anchors, with a prefix-summed count
-//     plane, from which AppendWindowIDs collects a space's ids in its 2D
-//     anchor box instead of the 1D MinX window (DESIGN.md §2).
+//   - for a one-shot search, the master itself: the dataset's anchors in
+//     the (x, y, index) order with the order permutation (layOut), so
+//     that every space's relevant rectangles form a binary-searchable
+//     contiguous window.
+//
+// A rectangle is its anchor: under the top-right reduction rectangle id
+// is geom.RectFromTR(pts[id], a, b) (Definition 5), so its MinX is
+// pts[id].X − a, the very float a reduction forms, and non-decreasing in
+// master order like the anchors' x. The searcher reads every rectangle,
+// window and threshold that way from the anchors and the query's (a, b);
+// no shape is materialized.
 //
 // When Options.Pyramid carries the dataset-level aggregate pyramid
-// (pyramid.go), the whole layer is *bound* instead of built: the master
-// order and the level are read from its geometry, the contributions and
-// limbs aliased from its core, and only the rectangles are materialized
-// per query, in one O(n) pass (shape.go), converting the per-query
-// O(R log R) setup into amortized shared state (DESIGN.md §6).
+// (pyramid.go), the whole layer is *bound* instead of built: the anchors,
+// the order and the anchor-bin level — CSR per-bin id lists over a grid
+// of the anchors, from which AppendWindowIDs collects a space's ids in
+// its 2D anchor box instead of the 1D MinX window (DESIGN.md §2) — are
+// read from its geometry, and the contributions and limbs aliased from
+// its core. A bind is O(1) once the shape's facts are known (shape.go),
+// converting the per-query O(R log R) setup into amortized shared state
+// (DESIGN.md §6).
 //
 // Sorting is what the limbs (agg.Limbs) buy: every channel sums in exact
 // limbs, each on a power-of-two grid with its total scaled mass within
@@ -54,12 +62,11 @@ import (
 // whose anchor attains the maximum anchor x over bin columns [0, i]
 // (-1 while empty), and xMinFrom[i] the id attaining the minimum over
 // columns [i, g). Queries compare the id's actual per-query coordinate
-// (master[id].Rect.MinX) rather than stored bin geometry, which makes a
+// (MinX = pts[id].X − a) rather than stored bin geometry, which makes a
 // level valid for any rigid translation of the anchor set: the
 // dataset-level pyramid stores bins over object locations, and the same
-// arrays bound the translated per-query anchors (MinX = x − a) exactly,
-// because translation by a constant is monotone and preserves argmax /
-// argmin. Lookups are O(log g) binary searches, and every
+// arrays bound the translated per-query anchors exactly, because
+// translation by a constant is monotone and preserves argmax / argmin. Lookups are O(log g) binary searches, and every
 // interior/exterior claim they certify is conservative; the readers test
 // each anchor of the bins left uncertain exactly, so what they collect
 // depends only on the true predicate sets, not on the bin geometry.
@@ -77,50 +84,50 @@ type satLevel struct {
 }
 
 // xBinLT returns the largest h in [0, gx] such that every anchor in bin
-// columns [0, h) certainly has MinX < x.
-func (l *satLevel) xBinLT(master []asp.RectObject, x float64) int {
+// columns [0, h) certainly has MinX = x − a < v.
+func (l *satLevel) xBinLT(pts []geom.Point, a, v float64) int {
 	return sort.Search(l.gx, func(i int) bool {
 		id := l.xMaxUpTo[i]
 		// An empty prefix is vacuously below any threshold.
-		return id >= 0 && master[id].Rect.MinX >= x
+		return id >= 0 && pts[id].X-a >= v
 	})
 }
 
 // xBinGT returns the smallest h in [0, gx] such that every anchor in
-// bin columns [h, gx) certainly has MinX > x (or MinX ≥ x when orEq).
-func (l *satLevel) xBinGT(master []asp.RectObject, x float64, orEq bool) int {
+// bin columns [h, gx) certainly has MinX > v (or MinX ≥ v when orEq).
+func (l *satLevel) xBinGT(pts []geom.Point, a, v float64, orEq bool) int {
 	return sort.Search(l.gx, func(i int) bool {
 		id := l.xMinFrom[i]
 		if id < 0 {
 			return true // empty suffix: vacuously above any threshold
 		}
-		v := master[id].Rect.MinX
+		m := pts[id].X - a
 		if orEq {
-			return v >= x
+			return m >= v
 		}
-		return v > x
+		return m > v
 	})
 }
 
-// yBinLT / yBinGT mirror the x variants over bin rows and MinY.
-func (l *satLevel) yBinLT(master []asp.RectObject, y float64) int {
+// yBinLT / yBinGT mirror the x variants over bin rows and MinY = y − b.
+func (l *satLevel) yBinLT(pts []geom.Point, b, v float64) int {
 	return sort.Search(l.gy, func(i int) bool {
 		id := l.yMaxUpTo[i]
-		return id >= 0 && master[id].Rect.MinY >= y
+		return id >= 0 && pts[id].Y-b >= v
 	})
 }
 
-func (l *satLevel) yBinGT(master []asp.RectObject, y float64, orEq bool) int {
+func (l *satLevel) yBinGT(pts []geom.Point, b, v float64, orEq bool) int {
 	return sort.Search(l.gy, func(i int) bool {
 		id := l.yMinFrom[i]
 		if id < 0 {
 			return true
 		}
-		v := master[id].Rect.MinY
+		m := pts[id].Y - b
 		if orEq {
-			return v >= y
+			return m >= v
 		}
-		return v > y
+		return m > v
 	})
 }
 
@@ -177,27 +184,27 @@ func (l *satLevel) binOf(x, y float64) (bi, bj int) {
 	return bi, bj
 }
 
-// buildSATLevel fills l with a g×g bin grid over the stored anchor
-// coordinates xs/ys (aligned with master ids 0..n-1), its count plane
-// and the id-anchored threshold arrays. Slabs are reused across builds.
-func buildSATLevel(l *satLevel, g int, xs, ys []float64) {
-	n := len(xs)
+// buildSATLevel fills l with a g×g bin grid over the stored anchors pts
+// (aligned with master ids 0..n-1), its count plane and the id-anchored
+// threshold arrays.
+func buildSATLevel(l *satLevel, g int, pts []geom.Point) {
+	n := len(pts)
 	l.gx, l.gy = g, g
 
 	bx0, by0 := math.Inf(1), math.Inf(1)
 	bx1, by1 := math.Inf(-1), math.Inf(-1)
-	for i := 0; i < n; i++ {
-		if xs[i] < bx0 {
-			bx0 = xs[i]
+	for _, p := range pts {
+		if p.X < bx0 {
+			bx0 = p.X
 		}
-		if xs[i] > bx1 {
-			bx1 = xs[i]
+		if p.X > bx1 {
+			bx1 = p.X
 		}
-		if ys[i] < by0 {
-			by0 = ys[i]
+		if p.Y < by0 {
+			by0 = p.Y
 		}
-		if ys[i] > by1 {
-			by1 = ys[i]
+		if p.Y > by1 {
+			by1 = p.Y
 		}
 	}
 	l.bx0, l.by0 = bx0, by0
@@ -216,8 +223,8 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64) {
 	for i := range l.binStart {
 		l.binStart[i] = 0
 	}
-	for i := 0; i < n; i++ {
-		bi, bj := l.binOf(xs[i], ys[i])
+	for _, p := range pts {
+		bi, bj := l.binOf(p.X, p.Y)
 		l.binStart[bj*g+bi+1]++
 	}
 	for b := 0; b < nb; b++ {
@@ -225,8 +232,8 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64) {
 	}
 	l.binIds = resizeInt32(l.binIds, n)
 	fill := append([]int32(nil), l.binStart[:nb]...)
-	for i := 0; i < n; i++ {
-		bi, bj := l.binOf(xs[i], ys[i])
+	for i, p := range pts {
+		bi, bj := l.binOf(p.X, p.Y)
 		b := bj*g + bi
 		l.binIds[fill[b]] = int32(i)
 		fill[b]++
@@ -246,54 +253,54 @@ func buildSATLevel(l *satLevel, g int, xs, ys []float64) {
 	for i := 0; i < g; i++ {
 		colMax[i], colMin[i], rowMax[i], rowMin[i] = -1, -1, -1, -1
 	}
-	for i := 0; i < n; i++ {
-		bi, bj := l.binOf(xs[i], ys[i])
-		if colMax[bi] < 0 || xs[i] > xs[colMax[bi]] {
+	for i, p := range pts {
+		bi, bj := l.binOf(p.X, p.Y)
+		if colMax[bi] < 0 || p.X > pts[colMax[bi]].X {
 			colMax[bi] = int32(i)
 		}
-		if colMin[bi] < 0 || xs[i] < xs[colMin[bi]] {
+		if colMin[bi] < 0 || p.X < pts[colMin[bi]].X {
 			colMin[bi] = int32(i)
 		}
-		if rowMax[bj] < 0 || ys[i] > ys[rowMax[bj]] {
+		if rowMax[bj] < 0 || p.Y > pts[rowMax[bj]].Y {
 			rowMax[bj] = int32(i)
 		}
-		if rowMin[bj] < 0 || ys[i] < ys[rowMin[bj]] {
+		if rowMin[bj] < 0 || p.Y < pts[rowMin[bj]].Y {
 			rowMin[bj] = int32(i)
 		}
 	}
 	run := int32(-1)
 	for i := 0; i < g; i++ {
-		if colMax[i] >= 0 && (run < 0 || xs[colMax[i]] > xs[run]) {
+		if colMax[i] >= 0 && (run < 0 || pts[colMax[i]].X > pts[run].X) {
 			run = colMax[i]
 		}
 		colMax[i] = run
 	}
 	run = -1
 	for i := g - 1; i >= 0; i-- {
-		if colMin[i] >= 0 && (run < 0 || xs[colMin[i]] < xs[run]) {
+		if colMin[i] >= 0 && (run < 0 || pts[colMin[i]].X < pts[run].X) {
 			run = colMin[i]
 		}
 		colMin[i] = run
 	}
 	run = -1
 	for i := 0; i < g; i++ {
-		if rowMax[i] >= 0 && (run < 0 || ys[rowMax[i]] > ys[run]) {
+		if rowMax[i] >= 0 && (run < 0 || pts[rowMax[i]].Y > pts[run].Y) {
 			run = rowMax[i]
 		}
 		rowMax[i] = run
 	}
 	run = -1
 	for i := g - 1; i >= 0; i-- {
-		if rowMin[i] >= 0 && (run < 0 || ys[rowMin[i]] < ys[run]) {
+		if rowMin[i] >= 0 && (run < 0 || pts[rowMin[i]].Y < pts[run].Y) {
 			run = rowMin[i]
 		}
 		rowMin[i] = run
 	}
 }
 
-// tables is the per-query aggregation layer described above, built by
-// newSearcher. With a pyramid bound the core slices alias the
-// persistent per-composite structure (shared == true).
+// tables is the per-query aggregation layer described above. With a
+// pyramid bound the core slices alias the persistent per-composite
+// structure (shared == true).
 type tables struct {
 	f     *agg.Composite
 	chans int // channels (f.Channels())
@@ -302,47 +309,34 @@ type tables struct {
 	// flattened in its limb layout.
 	limbs agg.Limbs
 
-	wmin, wmax float64 // range of rect widths (MaxX-MinX) over the master set
-	hmin, hmax float64
-
-	minXs    []float64 // master[i].Rect.MinX, aligned with master order
-	minXsBuf []float64 // owned backing slab for minXs
-
-	// Flattened limb contributions: master[i] contributes
+	// Flattened limb contributions: master id i contributes
 	// contribs[cOff[i]:cOff[i+1]]; likewise mm contributions.
 	cOff     []int32
 	contribs []agg.Contrib
 	mOff     []int32
 	mms      []agg.MMContrib
 
-	// Build scratch (flatten, buildTables): the contributions in input
-	// order as AppendContribs emits them, and the master order's sort
-	// keys and permutation.
+	// A one-shot search's master (layOut): the anchors in master order and
+	// master id -> dataset index. A bound search reads its geometry's.
+	pts   []geom.Point
+	order []int32
+
+	// Build scratch (flatten, layOut): the contributions in input order as
+	// AppendContribs emits them, and the master order's sort keys.
 	rawOff []int32
 	raw    []agg.Contrib
 	keys   []anchorKey
-	perm   []int32
 
 	// shared marks slices aliased from a Pyramid: reset must drop them
-	// instead of truncating, or later classic builds would append into
-	// the pyramid's read-only memory. pyr is the bound pyramid, nil on
-	// the one-shot path; its anchor-bin level backs appendBinIDs.
+	// instead of truncating, or later builds would append into the
+	// pyramid's read-only memory.
 	shared bool
-	pyr    *Pyramid
 
 	// Retained heavy per-query scratch, recycled across queries through
-	// the SlabCache: the master a pyramid bind materializes, the
-	// discretization grid, the sweep solver and the search buffers
-	// (Searcher.ensureScratch). Keys record the shape they were built for.
-	// masterDS and masterOrder record what masterBuf holds — the objects
-	// masterDS.Objects[masterOrder[i]], put there by the last full pass of
-	// a bind — so that a bind of the same objects in the same order only
-	// moves the rectangles (Pyramid.shape). They name the dataset and the
-	// order array, never the pyramid, which a slab would keep alive past
-	// its epoch.
-	masterBuf                   []asp.RectObject
-	masterDS                    *attr.Dataset
-	masterOrder                 []int32
+	// the SlabCache: the discretization grid, the sweep solver and the
+	// search buffers (Searcher.ensureScratch). Keys record the shape they
+	// were built for. None of it refers to a dataset or a pyramid, so a
+	// cached slab keeps no epoch alive.
 	grid                        *gridBuffers
 	gridNCol, gridNRow, gridEff int
 	gridF                       *agg.Composite
@@ -361,12 +355,9 @@ type tables struct {
 	idFree [][]int32
 }
 
-// reset prepares a recycled tables value for a new query, keeping every
-// slice's capacity (the quantization-certificate slabs ride the
-// SlabCache across queries on the same composite).
+// reset empties a tables value for the next query, keeping every owned
+// slice's capacity and dropping the slices aliased from a pyramid.
 func (t *tables) reset() {
-	t.pyr = nil
-	t.minXs = nil // a view of minXsBuf
 	if t.shared {
 		// Aliased pyramid memory: drop, never truncate.
 		t.shared = false
@@ -381,110 +372,47 @@ func (t *tables) reset() {
 	t.mms = t.mms[:0]
 }
 
-// buildTables constructs the layer over master for the composite f.
-// When own is true the master slice may be re-sorted in place; otherwise
-// a sorted copy is made if it is not sorted yet. It returns the master
-// actually used (== the input unless a copy was needed), or the error of
-// contributions that do not certify.
-func buildTables(t *tables, master []asp.RectObject, f *agg.Composite, own bool) ([]asp.RectObject, error) {
-	t.f = f
-	t.chans = f.Channels()
-	t.measureExtents(master)
-	perm := t.sortPerm(master)
-	if err := t.flatten(len(master), func(i int) *attr.Object { return master[i].Obj }, perm); err != nil {
-		return nil, err
+// layOut builds the one-shot layer of ds for f into the slab: the anchors
+// in BuildGeometry's master order (layAnchors; a shard band's corpus
+// arrives in it and is not sorted) and the core's rows in that order,
+// from one flatten (BuildPyramidOn's). It has no level. It fails on
+// values that do not certify.
+func (t *tables) layOut(ds *attr.Dataset, f *agg.Composite) error {
+	objs := ds.Objects
+	t.f, t.chans = f, f.Channels()
+	var perm []int32
+	if !t.layAnchors(objs) {
+		perm = t.order
 	}
-	if perm != nil {
-		if own {
-			permute(master, perm)
-		} else {
-			sorted := make([]asp.RectObject, len(master))
-			for i, j := range perm {
-				sorted[i] = master[j]
-			}
-			master = sorted
-		}
-	}
-	t.fillMinXs(master)
-	return master, nil
+	return t.flatten(len(objs), func(i int) *attr.Object { return &objs[i] }, perm)
 }
 
-// sortPerm returns the permutation that sorts master into the master
-// order — (MinX, MinY, input index), the order BuildGeometry sorts
-// anchors in — or nil when master is in that order already.
-func (t *tables) sortPerm(master []asp.RectObject) []int32 {
-	if slices.IsSortedFunc(master, func(a, b asp.RectObject) int {
-		return compareAnchors(anchorKey{a.Rect.MinX, a.Rect.MinY, 0}, anchorKey{b.Rect.MinX, b.Rect.MinY, 0})
+// layAnchors fills t.order (master id -> index into objs) and t.pts (the
+// anchors in master order) with objs' master order, sorted over (x, y,
+// index) keys in t.keys, and reports whether objs were in that order
+// already, which is not sorted again.
+func (t *tables) layAnchors(objs []attr.Object) (sorted bool) {
+	n := len(objs)
+	t.order, t.pts = resizeInt32(t.order, n), reserve(t.pts, n)
+	if slices.IsSortedFunc(objs, func(a, b attr.Object) int {
+		return compareAnchors(anchorKey{a.Loc.X, a.Loc.Y, 0}, anchorKey{b.Loc.X, b.Loc.Y, 0})
 	}) {
-		return nil
-	}
-	t.keys = t.keys[:0]
-	for i := range master {
-		r := &master[i].Rect
-		t.keys = append(t.keys, anchorKey{r.MinX, r.MinY, int32(i)})
-	}
-	t.perm = sortAnchors(t.keys, t.perm)
-	return t.perm
-}
-
-// permute reorders master in place so that master[i] is the old
-// master[perm[i]], walking each cycle of perm once. perm is marked while
-// it is walked and restored.
-func permute(master []asp.RectObject, perm []int32) {
-	for i := range perm {
-		if perm[i] < 0 {
-			continue
+		for i := range objs {
+			t.order[i] = int32(i)
+			t.pts = append(t.pts, objs[i].Loc)
 		}
-		first := master[i]
-		j := i
-		for {
-			k := int(perm[j])
-			perm[j] = ^perm[j]
-			if k == i {
-				master[j] = first
-				break
-			}
-			master[j] = master[k]
-			j = k
-		}
+		return true
 	}
-	for i := range perm {
-		perm[i] = ^perm[i]
+	t.keys = reserve(t.keys, n)
+	for i := range objs {
+		t.keys = append(t.keys, anchorKey{objs[i].Loc.X, objs[i].Loc.Y, int32(i)})
 	}
-}
-
-// fillMinXs (re)derives the sorted-order MinX array into the owned slab.
-func (t *tables) fillMinXs(master []asp.RectObject) {
-	t.minXsBuf = t.minXsBuf[:0]
-	for i := range master {
-		t.minXsBuf = append(t.minXsBuf, master[i].Rect.MinX)
+	slices.SortFunc(t.keys, compareAnchors)
+	for i, k := range t.keys {
+		t.order[i] = k.i
+		t.pts = append(t.pts, geom.Point{X: k.x, Y: k.y})
 	}
-	t.minXs = t.minXsBuf
-}
-
-// measureExtents records the width/height ranges of the master set.
-func (t *tables) measureExtents(master []asp.RectObject) {
-	t.wmin, t.wmax = math.Inf(1), math.Inf(-1)
-	t.hmin, t.hmax = math.Inf(1), math.Inf(-1)
-	for i := range master {
-		r := &master[i].Rect
-		if w := r.MaxX - r.MinX; true {
-			if w < t.wmin {
-				t.wmin = w
-			}
-			if w > t.wmax {
-				t.wmax = w
-			}
-		}
-		if h := r.MaxY - r.MinY; true {
-			if h < t.hmin {
-				t.hmin = h
-			}
-			if h > t.hmax {
-				t.hmax = h
-			}
-		}
-	}
+	return false
 }
 
 // flatten fills the contribution tables of the objects obj(0..n-1) in
@@ -583,39 +511,6 @@ func (t *tables) rectMM(id int32) []agg.MMContrib {
 	return t.mms[t.mOff[id]:t.mOff[id+1]]
 }
 
-// windowLo returns the first master index whose MinX exceeds x
-// (binary search over the sorted minXs).
-func (t *tables) windowLo(x float64) int {
-	return sort.Search(len(t.minXs), func(i int) bool { return t.minXs[i] > x })
-}
-
-// windowHi returns the first master index whose MinX is >= x.
-func (t *tables) windowHi(x float64) int {
-	return sort.SearchFloat64s(t.minXs, x)
-}
-
-// window returns the [lo, hi) master index range that must contain every
-// rectangle whose open interior intersects the open x-range (x0, x1):
-// such a rectangle has MinX < x1 and MaxX > x0, hence MinX > x0 - wmax.
-func (t *tables) window(x0, x1 float64) (int, int) {
-	lo := t.windowLo(x0 - t.wmax)
-	hi := t.windowHi(x1)
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
-// idWindow is window over an id list that ascends in MinX (a space's
-// ids): the run of ids whose MinX lies in (x0 − wmax, x1), which holds
-// every one whose rectangle's open x-range meets (x0, x1).
-func (t *tables) idWindow(ids []int32, x0, x1 float64) []int32 {
-	x0 -= t.wmax
-	lo := sort.Search(len(ids), func(k int) bool { return t.minXs[ids[k]] > x0 })
-	hi := sort.Search(len(ids), func(k int) bool { return t.minXs[ids[k]] >= x1 })
-	return ids[min(lo, hi):hi]
-}
-
 // resizeInt32 returns a slice of length n reusing capacity.
 func resizeInt32(v []int32, n int) []int32 {
 	if cap(v) >= n {
@@ -637,8 +532,7 @@ type SlabCache struct {
 	free []*tables
 }
 
-// get returns a recycled tables value (reset, capacities kept) or a
-// fresh one.
+// get returns a recycled tables value (capacities kept) or a fresh one.
 func (c *SlabCache) get() *tables {
 	if c == nil {
 		return &tables{}
@@ -648,17 +542,18 @@ func (c *SlabCache) get() *tables {
 	if n := len(c.free); n > 0 {
 		t := c.free[n-1]
 		c.free = c.free[:n-1]
-		t.reset()
 		return t
 	}
 	return &tables{}
 }
 
-// put hands a tables value back for reuse.
+// put hands a tables value back for reuse, reset: a cached slab holds no
+// slice of the pyramid it was bound to.
 func (c *SlabCache) put(t *tables) {
 	if c == nil || t == nil {
 		return
 	}
+	t.reset()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.free) < 4 {

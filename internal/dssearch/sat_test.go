@@ -3,7 +3,6 @@ package dssearch
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"asrs/internal/agg"
@@ -46,27 +45,32 @@ func TestThreeLimbMasterSorts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4; trial++ {
 		objs := make([]attr.Object, 120)
-		rects := make([]asp.RectObject, len(objs))
-		for i := range rects {
+		for i := range objs {
 			x, y := rng.Float64()*10, rng.Float64()*10
 			objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{{Num: spreadValue(rng)}}}
-			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 1, MinY: y - 1, MaxX: x, MaxY: y}, Obj: &objs[i]}
 		}
+		ds := &attr.Dataset{Objects: objs}
 		q := asp.Query{F: f, Target: []float64{spreadValue(rng), spreadValue(rng)}}
-		s, err := NewSearcher(rects, q, Options{})
+		s, err := NewShapeSearcher(t, ds, 1, 1, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !chained(&s.tab.limbs) {
 			t.Fatalf("trial %d: limbs %v, lo %v: no chain of three", trial, s.tab.limbs.Scale, s.tab.limbs.Lo)
 		}
-		if !sort.SliceIsSorted(s.rects, func(a, b int) bool {
-			ra, rb := s.rects[a].Rect, s.rects[b].Rect
-			return ra.MinX < rb.MinX || (ra.MinX == rb.MinX && ra.MinY < rb.MinY)
-		}) {
+		if !inCanonicalOrder(s.pts, s.order) {
 			t.Fatalf("trial %d: the master is not sorted by anchor", trial)
 		}
+		for id, oi := range s.order {
+			if s.pts[id] != objs[oi].Loc {
+				t.Fatalf("trial %d: master id %d is anchored at %v, its object at %v", trial, id, s.pts[id], objs[oi].Loc)
+			}
+		}
 		got := s.Solve()
+		rects, err := asp.Reduce(ds, 1, 1, asp.AnchorTR)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sw, err := sweep.New(rects, q)
 		if err != nil {
 			t.Fatal(err)

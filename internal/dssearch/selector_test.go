@@ -46,7 +46,7 @@ func TestSelectorsEndToEnd(t *testing.T) {
 		q := selectiveQuery(t, ds, rng)
 		sw, _ := sweep.New(rects, q)
 		want := sw.Solve()
-		s, err := dssearch.NewSearcher(rects, q, dssearch.Options{NCol: 10, NRow: 10})
+		s, err := dssearch.NewShapeSearcher(t, ds, 7, 9, q, dssearch.Options{NCol: 10, NRow: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,26 +3,23 @@ package dssearch
 import (
 	"math"
 
-	"asrs/internal/asp"
 	"asrs/internal/geom"
 )
 
-// A query shape is an answer size (a, b) over one pyramid. Binding a
-// shape costs one pass over the corpus — the a×b master materialized in
-// pyramid order, or, in a slab that holds the pyramid's objects already,
-// two floats rewritten per rectangle — plus the facts below, which the
-// shape's first query derives and every later one reads from the
-// geometry's memo.
+// A query shape is an answer size (a, b) over one geometry. Nothing of a
+// shape is materialized: a search reads rectangle id as
+// geom.RectFromTR(pts[id], a, b) from the geometry's anchors, so binding
+// a shape costs only the facts below, which the shape's first query
+// derives in one pass over the anchors and every later one reads from
+// the geometry's memo. One order serves every shape: the anchors' (x, y,
+// index) order, in which x − a and y − b are non-decreasing for any
+// (a, b), so every binary search over MinX runs over it unchanged.
 
 // shapeFacts is everything about a shape that is O(1) in size but O(n)
-// to derive from (geometry, a, b): whether the translated anchors still
-// realize the geometry's order, the width/height ranges and the space
+// to derive from (anchors, a, b): the width/height ranges and the space
 // (the master's MBR). None of it depends on the composite, so every
 // composite's pyramid of an epoch reads the one memo of its geometry.
-// When ok is false the rest is unset: the shape does not bind and its
-// queries build classically.
 type shapeFacts struct {
-	ok                     bool
 	wmin, wmax, hmin, hmax float64
 	space                  geom.Rect
 }
@@ -55,102 +52,61 @@ func (g *Geometry) rememberFacts(k shapeKey, f shapeFacts) {
 	g.factsDerived++
 }
 
-// deriveFacts computes a shape's facts from its materialized master.
-func deriveFacts(master []asp.RectObject) shapeFacts {
-	if !masterSortedNoCollapse(master) {
-		return shapeFacts{}
-	}
-	var t tables
-	t.measureExtents(master)
-	return shapeFacts{
-		ok:   true,
-		wmin: t.wmin, wmax: t.wmax, hmin: t.hmin, hmax: t.hmax,
-		space: asp.Space(master),
-	}
-}
-
-// masterHeadroom sets the spare capacity a slab's master and MinX buffers
-// are regrown with, n/masterHeadroom past the n objects of the bind: a
-// buffer outgrown once belongs to a growing corpus, whose every epoch
-// binds a few more objects than the last, and buffers of exactly n would
-// be reallocated by each. A first allocation takes exactly n.
-const masterHeadroom = 8
-
-// grow reslices buf to n, reallocating it when it is too small (see
-// masterHeadroom).
-func grow[T any](buf []T, n int) []T {
-	switch {
-	case cap(buf) >= n:
-		return buf[:n]
-	case cap(buf) == 0:
-		return make([]T, n)
-	}
-	return make([]T, n, n+n/masterHeadroom)
-}
-
-// shape materializes the a×b master in pyramid order into t.masterBuf,
-// and its MinX column into t.minXsBuf (both resliced to the geometry's
-// n, regrown with masterHeadroom when too small), straight from the
-// objects: bit-identical to reducing the dataset and permuting the
-// reduction, in one pass and with no intermediate copy.
-// The anchor puts each object exactly at its rectangle's top-right
-// corner (geom.RectFromTR), so when the slab's master already holds this
-// geometry's objects in this order — the dataset and order array its last
-// full pass bound — the pass only moves each rectangle's minimum corner
-// to (MaxX−a, MaxY−b): the same floats, with no object read and no
-// pointer stored. It returns the shape's facts, derived from the master
-// by the first caller of a shape (concurrent first callers each derive
-// the same values) and remembered. Facts that are not ok signal an
-// anchor collapse under this (a, b): the caller then falls back to the
-// classic build. A shape known to collapse returns before the pass.
-func (p *Pyramid) shape(a, b float64, t *tables) shapeFacts {
-	g := p.geo
+// shapeFacts returns the facts of the a×b shape, derived by the first
+// caller of a shape (concurrent first callers each derive the same
+// values) and remembered.
+func (g *Geometry) shapeFacts(a, b float64) shapeFacts {
 	k := shapeKey{math.Float64bits(a), math.Float64bits(b)}
 	facts, known := g.knownFacts(k)
-	if known && !facts.ok {
-		return facts
-	}
-	master, minXs := grow(t.masterBuf, g.n), grow(t.minXsBuf, g.n)
-	t.masterBuf, t.minXsBuf = master, minXs
-	if t.masterDS == g.ds && len(t.masterOrder) == len(g.order) && (g.n == 0 || &t.masterOrder[0] == &g.order[0]) {
-		for i := range master {
-			r := &master[i].Rect
-			r.MinX, r.MinY = r.MaxX-a, r.MaxY-b
-			minXs[i] = r.MinX
-		}
-	} else {
-		for i, oi := range g.order {
-			o := &g.ds.Objects[oi]
-			r := asp.AnchorTR.RectFor(o.Loc, a, b)
-			master[i] = asp.RectObject{Rect: r, Obj: o}
-			minXs[i] = r.MinX
-		}
-		t.masterDS, t.masterOrder = g.ds, g.order
-	}
 	if !known {
-		facts = deriveFacts(master)
+		facts = deriveFacts(g.pts, a, b)
 		g.rememberFacts(k, facts)
 	}
 	return facts
 }
 
-// Prepared is what is left of a shape bound into memory of its own: the
-// shape's facts. No search binds one (NewRegionSearcher materializes into
-// the slab's retained buffers); Prepare is what bench/trace.go times as
-// the cost of one bind and what shape_test.go reads a shape's facts
-// through (ROADMAP, signatures to release).
+// deriveFacts computes a shape's facts from the anchors in master order:
+// the extents and the MBR of the rectangles RectFromTR(p, a, b), from the
+// floats a reduction forms.
+func deriveFacts(pts []geom.Point, a, b float64) shapeFacts {
+	f := shapeFacts{
+		wmin: math.Inf(1), wmax: math.Inf(-1),
+		hmin: math.Inf(1), hmax: math.Inf(-1),
+		space: geom.EmptyRect(),
+	}
+	for _, p := range pts {
+		r := geom.RectFromTR(p, a, b)
+		w, h := r.MaxX-r.MinX, r.MaxY-r.MinY
+		if w < f.wmin {
+			f.wmin = w
+		}
+		if w > f.wmax {
+			f.wmax = w
+		}
+		if h < f.hmin {
+			f.hmin = h
+		}
+		if h > f.hmax {
+			f.hmax = h
+		}
+		f.space.ExpandToInclude(r.BL())
+		f.space.ExpandToInclude(r.TR())
+	}
+	return f
+}
+
+// Prepared is a shape's facts. No search binds one (a bind reads the
+// geometry's memo); Prepare is what bench/trace.go times as the cost of
+// one bind and what shape_test.go reads a shape's facts through (ROADMAP,
+// signatures to release).
 type Prepared struct{ facts shapeFacts }
 
-// Prepare materializes the shape of an a×b query into fresh memory.
-// ok=false signals an anchor collapse under this particular (a, b): such
-// a shape does not bind and its queries build classically.
+// Prepare derives or reads the facts of an a×b shape. ok is false only
+// for a nil pyramid or an extent that is not positive and finite: every
+// other shape binds.
 func (p *Pyramid) Prepare(a, b float64) (*Prepared, bool) {
-	if p == nil || a <= 0 || b <= 0 {
+	if p == nil || CheckExtent(a, b) != nil {
 		return nil, false
 	}
-	facts := p.shape(a, b, &tables{})
-	if !facts.ok {
-		return nil, false
-	}
-	return &Prepared{facts: facts}, true
+	return &Prepared{facts: p.geo.shapeFacts(a, b)}, true
 }

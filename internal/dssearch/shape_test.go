@@ -10,35 +10,24 @@ import (
 	"asrs/internal/asp"
 	"asrs/internal/attr"
 	"asrs/internal/geom"
+	"asrs/internal/sweep"
 )
 
-// classicFacts derives a shape's facts the per-query way: reduce, build
-// the tables, walk the master.
-func classicFacts(t *testing.T, ds *attr.Dataset, q asp.Query, a, b float64) shapeFacts {
+// classicFacts derives a shape's facts from the reduction: the extents
+// and the MBR (asp.Space) of asp.Reduce's rectangles.
+func classicFacts(t *testing.T, ds *attr.Dataset, a, b float64) shapeFacts {
 	t.Helper()
 	rects, err := asp.Reduce(ds, a, b, asp.AnchorTR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tab tables
-	master, err := buildTables(&tab, rects, q.F, true)
-	if err != nil {
-		t.Fatal(err)
+	f := shapeFacts{wmin: math.Inf(1), wmax: math.Inf(-1), hmin: math.Inf(1), hmax: math.Inf(-1), space: asp.Space(rects)}
+	for _, r := range rects {
+		w, h := r.Rect.Width(), r.Rect.Height()
+		f.wmin, f.wmax = min(f.wmin, w), max(f.wmax, w)
+		f.hmin, f.hmax = min(f.hmin, h), max(f.hmax, h)
 	}
-	return shapeFacts{
-		ok:   true,
-		wmin: tab.wmin, wmax: tab.wmax, hmin: tab.hmin, hmax: tab.hmax,
-		space: asp.Space(master),
-	}
-}
-
-// searcherFacts reads back what a searcher was built with.
-func searcherFacts(s *Searcher) shapeFacts {
-	return shapeFacts{
-		ok:   true,
-		wmin: s.tab.wmin, wmax: s.tab.wmax, hmin: s.tab.hmin, hmax: s.tab.hmax,
-		space: s.space,
-	}
+	return f
 }
 
 func sameFacts(x, y shapeFacts) bool {
@@ -50,18 +39,48 @@ func sameFacts(x, y shapeFacts) bool {
 		}
 		return out
 	}
-	return x.ok == y.ok && bits(x) == bits(y)
+	return bits(x) == bits(y)
 }
 
-// TestShapeFacts holds the pyramid's per-shape memo to the per-query
-// derivations it replaces. On a core of one limb a channel and one of
-// three-limb chains, for shapes that bind and — two anchors an ulp apart under an extent that absorbs
-// the ulp — one that collapses: what a bound searcher holds (extents,
-// space) equals measureExtents and asp.Space over the classic build bit
-// for bit; the verdict is
-// masterSortedNoCollapse's; a collapsing shape falls back and answers as
-// the pyramid-less path does; and the second query of a shape derives
-// nothing.
+// collapses reports whether the a×b rectangles of g's anchors, in master
+// order, fall out of (MinX, MinY) order or meet at one anchor while their
+// objects' locations differ: two distinct coordinates translated onto one
+// float.
+func collapses(g *Geometry, a, b float64) bool {
+	for i := 1; i < g.n; i++ {
+		p, q := geom.RectFromTR(g.pts[i-1], a, b), geom.RectFromTR(g.pts[i], a, b)
+		if p.MinX > q.MinX || p.MinX == q.MinX && p.MinY > q.MinY ||
+			p.MinX == q.MinX && p.MinY == q.MinY && g.pts[i-1] != g.pts[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// baselineDist is the a×b answer distance of the sweep baseline, the one
+// asrs.SearchBaseline computes over the whole space.
+func baselineDist(t *testing.T, ds *attr.Dataset, a, b float64, q asp.Query) float64 {
+	t.Helper()
+	rects, err := asp.Reduce(ds, a, b, asp.AnchorTR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := sweep.New(rects, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sw.Solve().Dist
+}
+
+// TestShapeFacts holds the pyramid's per-shape memo to the derivations
+// over the reduction it replaces. On a core of one limb a channel and one
+// of three-limb chains, for shapes whose translated anchors keep their
+// order and — two anchors an ulp apart under an extent that absorbs the
+// ulp — shapes whose anchors collapse: what a bound searcher holds
+// (extents, space) equals classicFacts bit for bit; every shape binds,
+// collapsing ones included; its answer is the sweep baseline's distance
+// bit for bit and the pyramid-less path's point; and the second query of
+// a shape derives nothing.
 func TestShapeFacts(t *testing.T) {
 	rng := rand.New(rand.NewSource(2020))
 	kinds := []struct {
@@ -99,18 +118,16 @@ func TestShapeFacts(t *testing.T) {
 		}
 		for _, sh := range shapes {
 			a, b := sh.a, sh.b
-			want := classicFacts(t, ds, q, a, b)
-			master := make([]asp.RectObject, p.geo.n)
-			for i, oi := range p.geo.order {
-				o := &ds.Objects[oi]
-				master[i] = asp.RectObject{Rect: asp.AnchorTR.RectFor(o.Loc, a, b), Obj: o}
-			}
-			if verdict := masterSortedNoCollapse(master); verdict == sh.collapses {
-				t.Fatalf("%s %gx%g: the translated master keeps the pyramid's order: %v; the test wants collapse=%v", kind.name, a, b, verdict, sh.collapses)
+			want := classicFacts(t, ds, a, b)
+			if got := collapses(p.geo, a, b); got != sh.collapses {
+				t.Fatalf("%s %gx%g: the translated anchors collapse: %v; the test wants %v", kind.name, a, b, got, sh.collapses)
 			}
 			_, wantRes, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if base := baselineDist(t, ds, a, b, q); math.Float64bits(wantRes.Dist) != math.Float64bits(base) {
+				t.Fatalf("%s %gx%g: %v without the pyramid, %v by the sweep baseline", kind.name, a, b, wantRes.Dist, base)
 			}
 			for round := 0; round < 2; round++ {
 				before := p.geo.factsDerived
@@ -121,14 +138,14 @@ func TestShapeFacts(t *testing.T) {
 				if derived := p.geo.factsDerived - before; derived != 1-round {
 					t.Fatalf("%s %gx%g query %d: %d derivations, want %d", kind.name, a, b, round+1, derived, 1-round)
 				}
-				if bound := s.tab.pyr == p; bound == sh.collapses {
-					t.Fatalf("%s %gx%g query %d: pyramid bound=%v, collapse=%v", kind.name, a, b, round+1, bound, sh.collapses)
+				if s.lvl != p.geo.lvl {
+					t.Fatalf("%s %gx%g query %d: the pyramid did not bind", kind.name, a, b, round+1)
 				}
-				if got := searcherFacts(s); !sameFacts(got, want) {
-					t.Fatalf("%s %gx%g query %d: searcher holds %+v, the classic derivations give %+v", kind.name, a, b, round+1, got, want)
+				if !sameFacts(s.shapeFacts, want) {
+					t.Fatalf("%s %gx%g query %d: searcher holds %+v, the reduction gives %+v", kind.name, a, b, round+1, s.shapeFacts, want)
 				}
 				memo, known := p.geo.knownFacts(shapeKey{math.Float64bits(a), math.Float64bits(b)})
-				if !known || memo.ok == sh.collapses || memo.ok && !sameFacts(memo, want) {
+				if !known || !sameFacts(memo, want) {
 					t.Fatalf("%s %gx%g: memo holds %+v (known=%v), want %+v", kind.name, a, b, memo, known, want)
 				}
 				_, got, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{Workers: 1, Pyramid: p})
@@ -139,8 +156,8 @@ func TestShapeFacts(t *testing.T) {
 					t.Fatalf("%s %gx%g query %d: %v at %v through the pyramid, %v at %v without", kind.name, a, b, round+1, got.Dist, got.Point, wantRes.Dist, wantRes.Point)
 				}
 			}
-			if prep, ok := p.Prepare(a, b); ok == sh.collapses || ok && !sameFacts(prep.facts, want) {
-				t.Fatalf("%s %gx%g: Prepare ok=%v, collapse=%v", kind.name, a, b, ok, sh.collapses)
+			if prep, ok := p.Prepare(a, b); !ok || !sameFacts(prep.facts, want) {
+				t.Fatalf("%s %gx%g: Prepare ok=%v", kind.name, a, b, ok)
 			}
 		}
 	}
@@ -183,9 +200,9 @@ func TestShapeFactsMemoBounded(t *testing.T) {
 // memo of its own. An insert outside the corpus's hull grows a shape's
 // space, and the folded pyramid reports the new one while the base,
 // which learned the shape before the fold, keeps reporting its own. An
-// insert that collapses onto a neighbour's anchor under the shape ends
-// the shape's binding on the next fold, and its queries answer as the
-// pyramid-less path does.
+// insert that collapses onto a neighbour's anchor under the shape still
+// binds on the next fold, and its queries answer the sweep baseline's
+// distance and the pyramid-less path's point.
 func TestShapeFactsFoldedEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ds, f := pyramidDataset(t, rng, 40, func() float64 { return float64(rng.Intn(5)) }, false)
@@ -204,7 +221,7 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.tab.pyr != p {
+		if s.lvl != p.geo.lvl {
 			t.Fatal("pyramid did not bind")
 		}
 		return s.space
@@ -224,7 +241,7 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 		t.Fatal("distinct anchors under an integer composite should fold")
 	}
 	grown := geom.Rect{MinX: -a, MinY: -10.5 - b, MaxX: 90.25, MaxY: 78}
-	if got, want := space(combined, folded), classicFacts(t, combined, q, a, b).space; got != want || got != grown {
+	if got, want := space(combined, folded), classicFacts(t, combined, a, b).space; got != want || got != grown {
 		t.Fatalf("folded space %+v, classic %+v, want the insert's %+v", got, want, grown)
 	}
 	if got := space(ds, base); got != baseSpace {
@@ -233,7 +250,7 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 
 	// x = 5e-324 translates onto the anchor of the object at x = 0
 	// (5e-324 − a and −a are one float); below it, the pair is out of
-	// order.
+	// (MinX, MinY) order.
 	zero := slices.IndexFunc(ds.Objects, func(o attr.Object) bool { return o.Loc.X == 0 })
 	insert.Loc = geom.Point{X: math.SmallestNonzeroFloat64, Y: ds.Objects[zero].Loc.Y - 1}
 	again := &attr.Dataset{Schema: ds.Schema, Objects: append(append([]attr.Object(nil), combined.Objects...), insert)}
@@ -241,15 +258,11 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewRegionSearcher(again, a, b, q, Options{Pyramid: collapsed})
-	if err != nil {
-		t.Fatal(err)
+	if !collapses(collapsed.geo, a, b) {
+		t.Fatal("the insert does not collapse under the shape")
 	}
-	if s.tab.pyr != nil {
-		t.Fatal("a collapsed shape bound the pyramid")
-	}
-	if facts, known := collapsed.geo.knownFacts(shapeKey{math.Float64bits(a), math.Float64bits(b)}); !known || facts.ok {
-		t.Fatalf("memo holds %+v (known=%v); want the collapse remembered", facts, known)
+	if got, want := space(again, collapsed), classicFacts(t, again, a, b).space; got != want {
+		t.Fatalf("collapsed space %+v, classic %+v", got, want)
 	}
 	_, want, _, err := SolveASRS(again, a, b, q, nil, nil, Options{})
 	if err != nil {
@@ -258,6 +271,9 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 	_, got, _, err := SolveASRS(again, a, b, q, nil, nil, Options{Pyramid: collapsed})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if base := baselineDist(t, again, a, b, q); math.Float64bits(got.Dist) != math.Float64bits(base) {
+		t.Fatalf("%v through the collapsed pyramid, %v by the sweep baseline", got.Dist, base)
 	}
 	if math.Float64bits(got.Dist) != math.Float64bits(want.Dist) || got.Point != want.Point {
 		t.Fatalf("%v at %v through the collapsed pyramid, %v at %v without", got.Dist, got.Point, want.Dist, want.Point)
@@ -279,7 +295,7 @@ func TestShapeFactsConcurrent(t *testing.T) {
 	want := make([]shapeFacts, len(shapes))
 	for i := range shapes {
 		shapes[i] = [2]float64{0.3 + 0.05*float64(i), 0.7}
-		want[i] = classicFacts(t, ds, q, shapes[i][0], shapes[i][1])
+		want[i] = classicFacts(t, ds, shapes[i][0], shapes[i][1])
 		if i < 4 {
 			if _, ok := p.Prepare(shapes[i][0], shapes[i][1]); !ok {
 				t.Fatal("Prepare failed")
@@ -298,8 +314,8 @@ func TestShapeFactsConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := searcherFacts(s); s.tab.pyr != p || !sameFacts(got, want[i]) {
-					t.Errorf("shape %d round %d: bound=%v, searcher holds %+v, want %+v", i, round, s.tab.pyr == p, got, want[i])
+				if got := s.shapeFacts; s.lvl != p.geo.lvl || !sameFacts(got, want[i]) {
+					t.Errorf("shape %d round %d: bound=%v, searcher holds %+v, want %+v", i, round, s.lvl == p.geo.lvl, got, want[i])
 				}
 				s.Release()
 			}
@@ -312,13 +328,10 @@ func TestShapeFactsConcurrent(t *testing.T) {
 }
 
 // TestShapeRebind: one SlabCache binds (a1, b1), then (a2, b2), then
-// (a1, b1) again. The second and third binds find the slab tagged with the
-// pyramid's dataset and order and only move each rectangle's minimum
-// corner; every master equals a cold bind's — rectangles bit for bit,
-// object pointers identical, the MinX column too — and every answer the
-// pyramid-less path's. After an insert and its fold the pyramid's order
-// array is new, so the next bind takes the full pass: pointers into the
-// new epoch's objects, the tag renamed.
+// (a1, b1) again, and every answer is the pyramid-less path's. A released
+// slab keeps no slice of the pyramid. After an insert and its fold the
+// next binds read the new epoch: every rectangle is the reduction's of
+// the new dataset's object, bit for bit, and names that object.
 func TestShapeRebind(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, withMM := range []bool{false, true} {
@@ -331,33 +344,25 @@ func TestShapeRebind(t *testing.T) {
 		target[0] = 7
 		q := asp.Query{F: f, Target: target}
 		slabs := &SlabCache{}
-		bind := func(ds *attr.Dataset, p *Pyramid, a, b float64, rebind bool) {
+		bind := func(ds *attr.Dataset, p *Pyramid, a, b float64) {
 			t.Helper()
-			if n := len(slabs.free); rebind != (n == 1 && slabs.free[0].masterDS == ds && &slabs.free[0].masterOrder[0] == &p.geo.order[0]) {
-				t.Fatalf("%gx%g: %d recycled slabs; want the slab tagged with this dataset and order: %v", a, b, n, rebind)
-			}
-			cold, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p})
+			s, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p, Slabs: slabs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p, Slabs: slabs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cold.tab.pyr != p || warm.tab.pyr != p {
+			if s.lvl != p.geo.lvl {
 				t.Fatalf("%gx%g: the pyramid did not bind", a, b)
 			}
-			for i := range cold.rects {
-				c, w := cold.rects[i], warm.rects[i]
-				if c.Obj != w.Obj || c.Obj != &ds.Objects[p.geo.order[i]] || !sameRectBits(c.Rect, w.Rect) ||
-					math.Float64bits(cold.tab.minXs[i]) != math.Float64bits(warm.tab.minXs[i]) {
-					t.Fatalf("%gx%g master[%d]: warm %v (%p), cold %v (%p)", a, b, i, w.Rect, w.Obj, c.Rect, c.Obj)
+			for id := range s.pts {
+				o := &ds.Objects[p.geo.order[id]]
+				if r := s.rect(int32(id)); !sameRectBits(r, asp.AnchorTR.RectFor(o.Loc, a, b)) || &s.objs[s.order[id]] != o {
+					t.Fatalf("%gx%g master[%d]: %v of %p, the reduction's %v of %p", a, b, id, r, &s.objs[s.order[id]], asp.AnchorTR.RectFor(o.Loc, a, b), o)
 				}
 			}
-			if warm.tab.masterDS != ds || &warm.tab.masterOrder[0] != &p.geo.order[0] {
-				t.Fatalf("%gx%g: the slab is not tagged with the dataset and order it holds", a, b)
+			s.Release()
+			if n := len(slabs.free); n != 1 || slabs.free[0].contribs != nil || slabs.free[0].shared {
+				t.Fatalf("%gx%g: %d released slabs; the last still aliases the pyramid's core", a, b, n)
 			}
-			warm.Release()
 			_, want, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -370,9 +375,9 @@ func TestShapeRebind(t *testing.T) {
 				t.Fatalf("%gx%g: %v at %v through the slab, %v at %v without a pyramid", a, b, got.Dist, got.Point, want.Dist, want.Point)
 			}
 		}
-		bind(ds, p, 6, 5, false)
-		bind(ds, p, 2.75, 9, true)
-		bind(ds, p, 6, 5, true)
+		bind(ds, p, 6, 5)
+		bind(ds, p, 2.75, 9)
+		bind(ds, p, 6, 5)
 
 		extra := make([]attr.Object, 20)
 		for i := range extra {
@@ -383,8 +388,8 @@ func TestShapeRebind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bind(combined, folded, 6, 5, false)
-		bind(combined, folded, 6, 5, true)
+		bind(combined, folded, 6, 5)
+		bind(combined, folded, 6, 5)
 	}
 }
 
@@ -393,49 +398,30 @@ func sameRectBits(x, y geom.Rect) bool {
 		math.Float64bits(x.MaxX) == math.Float64bits(y.MaxX) && math.Float64bits(x.MaxY) == math.Float64bits(y.MaxY)
 }
 
-// TestShapeRegrowsWithHeadroom: a slab's master and MinX buffers take
-// exactly n on their first bind; once a growing corpus outgrows them they
-// are regrown with masterHeadroom spare, so the next epochs' binds — a
-// few objects more each — reuse them instead of reallocating.
-func TestShapeRegrowsWithHeadroom(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	ds, f := pyramidDataset(t, rng, 320, func() float64 { return float64(rng.Intn(9)) * 0.5 }, false)
-	p, err := BuildPyramid(ds, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tab tables
-	bind := func(p *Pyramid, wantCap int) {
+// TestBoundSlabRetainsNoMaster: a bound search's released slab keeps what
+// its search needed — the grid, the sweep, id lists — and no array of the
+// master: doubling the corpus grows it by less than 8 bytes an object (a
+// materialized master and its MinX column took 48).
+func TestBoundSlabRetainsNoMaster(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	retained := func(n int) int {
 		t.Helper()
-		if facts := p.shape(6, 5, &tab); !facts.ok {
-			t.Fatal("the shape did not bind")
-		}
-		if len(tab.masterBuf) != p.geo.n || len(tab.minXsBuf) != p.geo.n {
-			t.Fatalf("%d objects bound into buffers of %d and %d", p.geo.n, len(tab.masterBuf), len(tab.minXsBuf))
-		}
-		if cap(tab.masterBuf) != wantCap || cap(tab.minXsBuf) != wantCap {
-			t.Fatalf("%d objects: buffer capacities %d and %d, want %d", p.geo.n, cap(tab.masterBuf), cap(tab.minXsBuf), wantCap)
-		}
-	}
-	grown := func(p *Pyramid, k int) *Pyramid {
-		t.Helper()
-		objs := append([]attr.Object(nil), p.geo.ds.Objects...)
-		for i := 0; i < k; i++ {
-			objs = append(objs, attr.Object{Loc: geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, Values: objs[i].Values})
-		}
-		folded, _, err := FoldPyramid(p, FoldGeometry(p.geo, &attr.Dataset{Schema: ds.Schema, Objects: objs}))
+		ds, f := pyramidDataset(t, rng, n, func() float64 { return float64(rng.Intn(5)) }, false)
+		p, err := BuildPyramid(ds, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return folded
+		target := make([]float64, f.Dims())
+		target[0] = 7
+		slabs := &SlabCache{}
+		if _, _, _, err := SolveASRS(ds, 6, 5, asp.Query{F: f, Target: target}, nil, nil, Options{Pyramid: p, Slabs: slabs}); err != nil {
+			t.Fatal(err)
+		}
+		return slabs.RetainedBytes()
 	}
-	bind(p, 320)
-	p = grown(p, 16)
-	bind(p, 336+336/masterHeadroom)
-	master := &tab.masterBuf[0]
-	p = grown(p, 16)
-	bind(p, 336+336/masterHeadroom)
-	if &tab.masterBuf[0] != master {
-		t.Fatal("a bind within the headroom reallocated the master")
+	const n = 4000
+	small, large := retained(n), retained(2*n)
+	if grown := large - small; grown >= 8*n {
+		t.Fatalf("the slab of a bound search retains %d bytes at n = %d and %d at %d: %.1f bytes an added object", small, n, large, 2*n, float64(grown)/n)
 	}
 }

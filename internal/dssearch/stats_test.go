@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"asrs/internal/asp"
 	"asrs/internal/dataset"
 	"asrs/internal/dssearch"
 )
@@ -13,9 +12,8 @@ import (
 func TestStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(120))
 	ds := dataset.Random(300, 60, 121)
-	rects, _ := asp.Reduce(ds, 8, 8, asp.AnchorTR)
 	q := randomQuery(t, ds, rng)
-	s, err := dssearch.NewSearcher(rects, q, dssearch.Options{})
+	s, err := dssearch.NewShapeSearcher(t, ds, 8, 8, q, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +36,8 @@ func TestStatsAccounting(t *testing.T) {
 // TestDefaultGranularityApplied: zero options get the paper's 30×30.
 func TestDefaultGranularityApplied(t *testing.T) {
 	ds := dataset.Random(10, 20, 122)
-	rects, _ := asp.Reduce(ds, 4, 4, asp.AnchorTR)
 	q := randomQuery(t, ds, rand.New(rand.NewSource(123)))
-	s, err := dssearch.NewSearcher(rects, q, dssearch.Options{})
+	s, err := dssearch.NewShapeSearcher(t, ds, 4, 4, q, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

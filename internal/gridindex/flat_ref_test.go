@@ -28,7 +28,7 @@ func solveFlat(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude 
 	emptyP := asp.EmptyCandidate(space)
 	emptyRep := searcher.PointRepresentation(emptyP)
 	searcher.SeedBest(asp.Result{Point: emptyP, Dist: q.Distance(emptyRep), Rep: emptyRep})
-	if len(searcher.Rects()) > 0 {
+	if searcher.Objects() > 0 {
 		forbidden := dssearch.ForbiddenBoxes(exclude, a, b)
 		sc := idx.getLBScratch()
 		defer idx.putLBScratch(sc)

@@ -223,7 +223,7 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 	emptyRep := searcher.PointRepresentation(emptyP)
 	incumbent := asp.Result{Point: emptyP, Dist: q.Distance(emptyRep), Rep: emptyRep}
 
-	if len(searcher.Rects()) > 0 {
+	if searcher.Objects() > 0 {
 		forbidden := dssearch.ForbiddenBoxes(exclude, a, b)
 		if s.sc == nil {
 			s.sc = idx.getLBScratch()

@@ -230,6 +230,9 @@ func (d *driver) close() {
 // options are ignored. Intended for validation and benchmarking: it is
 // the oracle the differential tests hold every search configuration to.
 func SearchBaseline(ds *Dataset, req QueryRequest) QueryResponse {
+	if err := dssearch.CheckExtent(req.A, req.B); err != nil {
+		return QueryResponse{Err: err}
+	}
 	rects, err := asp.Reduce(ds, req.A, req.B, asp.AnchorTR)
 	if err != nil {
 		return QueryResponse{Err: err}
