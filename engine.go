@@ -514,8 +514,9 @@ func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {
 // and later epochs fold the recovered inserts into it.
 //
 // The epoch's geometry is the first installed pyramid's when none was
-// built yet; a pyramid whose order and level equal the epoch's geometry
-// is installed on it, so the composites of a loaded epoch share one
+// built yet; a pyramid whose order equals the epoch's geometry's (the
+// level is raised over the anchors in that order, so it is equal too) is
+// installed on it, so the composites of a loaded epoch share one
 // geometry (and one memo of shape facts) as built ones do.
 func (e *Engine) SetPyramid(p *Pyramid) error {
 	_, err := e.install(p)

@@ -1,7 +1,6 @@
 package dssearch
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,29 +10,26 @@ import (
 	"asrs/internal/geom"
 )
 
-// Delta fold: producing the pyramid of a grown dataset by patching a
-// copy of the base pyramid instead of re-deriving it (DESIGN.md §10).
+// Delta fold: producing the pyramid of a grown dataset by splicing the
+// appended objects into copies of the base pyramid's arrays instead of
+// re-deriving them (DESIGN.md §10).
 //
 // A pyramid is a handful of flat arrays indexed by master id (the
 // position in anchor order). Appending d objects to a dataset of n
-// changes them in two ways, and the fold does exactly those:
+// places them in the master order, and their rows are inserted into the
+// base's arrays (contributions, min/max contributions, the order
+// permutation, the anchors) at their merge positions — bulk copies of
+// the base's runs in between.
 //
-//   - spliced: the d objects are placed in the master order and their
-//     rows are inserted into the base's arrays (contributions, min/max
-//     contributions, the order permutation, the anchors) at their merge
-//     positions — bulk copies of the base's runs in between;
-//   - id-remapped: every array that NAMES master ids (the level's binIds
-//     and threshold arrays) is rewritten through the monotone old-id →
-//     new-id shift in one pass, with the d new ids merged in; the level's
-//     count plane is re-derived from its offsets.
-//
-// The order and the level belong to the Geometry, which every composite
+// The order and the anchors belong to the Geometry, which every composite
 // of an epoch shares: FoldGeometry places the delta, splices the order
-// and the anchors and patches the level once per epoch; FoldPyramid then places the
-// delta in the base's order again — O(d log d + d log n) — and splices
-// one composite's rows. So a fold costs O(d log n)
-// comparisons plus a few linear copies, once for the geometry and once
-// per composite's core, where the rebuild costs a sort, a flatten and a
+// and the anchors and raises the anchor-bin level over the folded
+// anchors (raiseLevel, as a build does: the level is a function of the
+// anchors) once per epoch; FoldPyramid then places the delta in the
+// base's order again — O(d log d + d log n) — and splices one
+// composite's rows. So a fold costs O(d log n) comparisons, a few linear
+// copies and one O(n + g²) level raise per epoch, plus one copy per
+// composite's core, where the rebuild costs a sort, a flatten and a
 // certificate pass over all n. The base is never written to: queries of
 // the previous epoch keep reading it while the next epoch folds.
 //
@@ -44,6 +40,8 @@ import (
 //     object, so merging the delta, sorted the same way, after the base's
 //     objects on location ties yields the rebuild's order exactly.
 //     Validated locations are finite, so every anchor has its place.
+//   - level: raised over the folded anchors, which are the rebuild's, so
+//     it is the rebuild's level.
 //   - certificate: the base's running sums (Σ|v| per limb) are extended
 //     by the delta's values in dataset order, which is how the rebuild
 //     accumulates them, so the outcome the rebuild would reach is known
@@ -55,20 +53,10 @@ import (
 //
 // Only a base of no objects, which has no anchor order to merge into, is
 // rebuilt instead.
-//
-// The level is patched in the base's bin grid: an appended anchor outside
-// the grid lands in an edge bin (satLevel.binOf). A fresh build would lay
-// the grid over the grown hull instead; both are valid levels of the same
-// corpus and name the same rectangles, because the threshold arrays
-// certify through actual anchor coordinates and appendBinIDs tests the
-// anchors of uncertain bins exactly.
-// Only when the granularity a fresh build would choose (levelGrid)
-// differs from the base's is the level raised anew; a moved certificate
-// changes scales, not bins.
 
 // DeltaStats reports what a delta build did.
 type DeltaStats struct {
-	Folded   bool // the base was patched (vs full rebuild fallback)
+	Folded   bool // the base's rows were spliced (vs full rebuild fallback)
 	Appended int  // objects beyond the base pyramid
 }
 
@@ -105,18 +93,18 @@ func BuildPyramidDelta(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaS
 }
 
 // FoldGeometry returns the geometry of combined — base's dataset
-// followed by validated objects, which is not checked — by patching base
-// (see the file comment). A base of no objects is not patched:
-// combined's geometry is built instead.
+// followed by validated objects, which is not checked — by splicing the
+// appended anchors into base's order and raising the level over the
+// result (see the file comment). A base of no objects is not spliced
+// into: combined's geometry is built instead.
 func FoldGeometry(base *Geometry, combined *attr.Dataset) *Geometry {
 	n0, n := base.n, len(combined.Objects)
 	if n0 == 0 || n < n0 {
 		return newGeometry(combined)
 	}
-	ents := base.place(combined.Objects[n0:])
 	g := &Geometry{ds: combined, n: n, order: make([]int32, 0, n), pts: make([]geom.Point, 0, n)}
 	next := int32(0)
-	for _, e := range ents {
+	for _, e := range base.place(combined.Objects[n0:]) {
 		g.order = append(g.order, base.order[next:e.pos]...)
 		g.pts = append(g.pts, base.pts[next:e.pos]...)
 		next = e.pos
@@ -125,22 +113,7 @@ func FoldGeometry(base *Geometry, combined *attr.Dataset) *Geometry {
 	}
 	g.order = append(g.order, base.order[next:]...)
 	g.pts = append(g.pts, base.pts[next:]...)
-
-	// Patch the base's level while the granularity of a fresh build
-	// stands.
-	if base.lvl.gx == levelGrid(n) {
-		newID := make([]int32, n0) // base master id -> folded master id
-		t := 0
-		for id := range newID {
-			for t < len(ents) && int(ents[t].pos) <= id {
-				t++
-			}
-			newID[id] = int32(id + t)
-		}
-		g.lvl = base.lvl.patch(g, ents, newID)
-	} else {
-		g.raiseLevel()
-	}
+	g.raiseLevel()
 	return g
 }
 
@@ -244,7 +217,6 @@ func (base *Pyramid) certifyDelta(rows *deltaRows) (agg.LimbSums, bool, error) {
 type deltaEnt struct {
 	row int32 // its row in deltaRows; dataset index base.n+row
 	pos int32 // base master ids below pos precede it, pos and above follow
-	id  int32 // its master id in the folded pyramid
 	loc geom.Point
 }
 
@@ -262,7 +234,6 @@ func (g *Geometry) place(objs []attr.Object) []deltaEnt {
 	for t := range ents {
 		e := &ents[t]
 		e.pos = int32(sort.Search(g.n, func(i int) bool { return anchorLess(e.loc, g.pts[i]) }))
-		e.id = e.pos + int32(t)
 	}
 	return ents
 }
@@ -327,87 +298,4 @@ func (base *Pyramid) fold(g *Geometry, ents []deltaEnt) (*Pyramid, error) {
 		core.mms = spliceVals(c.mOff, c.mms, rows.mOff, rows.mms, ents)
 	}
 	return &Pyramid{geo: g, f: base.f, mmSlots: base.mmSlots, core: core, cert: sums}, nil
-}
-
-// patch returns the level of the folded geometry geo that keeps l's bin
-// grid: l's arrays with the base's ids remapped and the appended
-// objects' ids merged into their bins.
-func (l *satLevel) patch(geo *Geometry, ents []deltaEnt, newID []int32) *satLevel {
-	g := l.gx
-	nl := &satLevel{gx: l.gx, gy: l.gy, bw: l.bw, bh: l.bh, bx0: l.bx0, by0: l.by0}
-
-	// The appended objects in bin order (row-major), ascending id within
-	// a bin.
-	type binned struct {
-		e      *deltaEnt
-		bi, bj int
-	}
-	bs := make([]binned, len(ents))
-	for t := range ents {
-		bi, bj := l.binOf(ents[t].loc.X, ents[t].loc.Y)
-		bs[t] = binned{&ents[t], bi, bj}
-	}
-	slices.SortFunc(bs, func(a, b binned) int {
-		return cmp.Or(cmp.Compare(a.bj, b.bj), cmp.Compare(a.bi, b.bi), cmp.Compare(a.e.id, b.e.id))
-	})
-
-	// CSR bins: offsets shift by the appended objects in earlier bins;
-	// ids are remapped run by run, each appended id merged into its bin.
-	nl.binStart = make([]int32, len(l.binStart))
-	k := 0
-	for b := range nl.binStart {
-		for k < len(bs) && bs[k].bj*g+bs[k].bi < b {
-			k++
-		}
-		nl.binStart[b] = l.binStart[b] + int32(k)
-	}
-	nl.binIds = make([]int32, 0, len(l.binIds)+len(bs))
-	next := int32(0) // next base entry of l.binIds
-	for _, d := range bs {
-		b := d.bj*g + d.bi
-		seg := l.binIds[max(next, l.binStart[b]):l.binStart[b+1]]
-		upto := l.binStart[b+1] - int32(len(seg)) +
-			int32(sort.Search(len(seg), func(i int) bool { return newID[seg[i]] > d.e.id }))
-		for _, id := range l.binIds[next:upto] {
-			nl.binIds = append(nl.binIds, newID[id])
-		}
-		nl.binIds = append(nl.binIds, d.e.id)
-		next = upto
-	}
-	for _, id := range l.binIds[next:] {
-		nl.binIds = append(nl.binIds, newID[id])
-	}
-	nl.sumCounts()
-
-	// Threshold arrays: remap, then let each appended anchor claim the
-	// part of a prefix-max / suffix-min run it beats. Along a run the
-	// extreme is monotone, so the first bin that holds out ends the walk.
-	remap := func(run []int32) []int32 {
-		out := make([]int32, len(run))
-		for i, id := range run {
-			out[i] = -1
-			if id >= 0 {
-				out[i] = newID[id]
-			}
-		}
-		return out
-	}
-	claim := func(run []int32, from, step int, id int32, beats func(cur geom.Point) bool) {
-		for i := from; i >= 0 && i < len(run); i += step {
-			if cur := run[i]; cur >= 0 && !beats(geo.pts[cur]) {
-				return
-			}
-			run[i] = id
-		}
-	}
-	nl.xMaxUpTo, nl.xMinFrom = remap(l.xMaxUpTo), remap(l.xMinFrom)
-	nl.yMaxUpTo, nl.yMinFrom = remap(l.yMaxUpTo), remap(l.yMinFrom)
-	for _, d := range bs {
-		loc := d.e.loc
-		claim(nl.xMaxUpTo, d.bi, +1, d.e.id, func(cur geom.Point) bool { return loc.X > cur.X })
-		claim(nl.xMinFrom, d.bi, -1, d.e.id, func(cur geom.Point) bool { return loc.X < cur.X })
-		claim(nl.yMaxUpTo, d.bj, +1, d.e.id, func(cur geom.Point) bool { return loc.Y > cur.Y })
-		claim(nl.yMinFrom, d.bj, -1, d.e.id, func(cur geom.Point) bool { return loc.Y < cur.Y })
-	}
-	return nl
 }

@@ -172,14 +172,13 @@ func assertSameAnswers(t *testing.T, tag string, ds *attr.Dataset, f *agg.Compos
 // other — the pyramid of epoch k is only ever the fold of epoch k-1's,
 // as in a serving engine — and pins every epoch against a from-scratch
 // rebuild and the unassisted oracle. Scripted deltas cover the edges of
-// the patch: anchors below master position 0 and above n-1, outside the
-// base's bin grid on both axes (edge-bin clamp), a value that moves a
-// channel's grid (the slow lane: the core built again on the folded
-// geometry), an anchor tie (placed after the base's object, as the
-// rebuild orders it) and two values that spread the channel over a chain
-// of three limbs (the slow lane again). Every delta folds. Across the
-// chain the level's granularity must both hold (the level patched, the
-// slow lane's epochs' included) and move (the level raised anew).
+// the splice: anchors below master position 0 and above n-1, outside the
+// base's hull on both axes, a value that moves a channel's grid (the
+// slow lane: the core built again on the folded geometry), an anchor tie
+// (placed after the base's object, as the rebuild orders it) and two
+// values that spread the channel over a chain of three limbs (the slow
+// lane again). Every delta folds, and every epoch's level is a fresh
+// raise over its anchors (assertSoundPyramid).
 func TestDeltaFoldChain(t *testing.T) {
 	const stepBelow, stepAbove = 5, 9 // anchors outside the hull
 	var (
@@ -213,7 +212,6 @@ func TestDeltaFoldChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		objs := seed.Objects
-		patched, raised := 0, 0
 		for step := 0; step < steps; step++ {
 			d := 1 + rng.Intn(6)
 			if step%6 == 3 {
@@ -255,11 +253,6 @@ func TestDeltaFoldChain(t *testing.T) {
 			if step > stepSpread && !chained(&next.core.limbs) {
 				t.Fatalf("%s: limbs %v, lo %v: no chain of three", tag, next.core.limbs.Scale, next.core.limbs.Lo)
 			}
-			if levelGrid(cur.geo.n) == levelGrid(next.geo.n) {
-				patched++
-			} else {
-				raised++
-			}
 			rebuilt, err := BuildPyramid(combined, f)
 			if err != nil {
 				t.Fatalf("%s: rebuild: %v", tag, err)
@@ -269,14 +262,11 @@ func TestDeltaFoldChain(t *testing.T) {
 			assertSoundPyramid(t, tag, next, rebuilt)
 			cur, objs = next, combined.Objects
 		}
-		if patched == 0 || raised == 0 {
-			t.Fatalf("%s: %d folds patched their level, %d raised it anew; want both kinds", kind.name, patched, raised)
-		}
 	}
 }
 
 // TestDeltaFoldLeavesBaseAlone runs epoch-k queries on a pyramid while
-// two epoch-k+1 folds patch copies of it: under -race any write to the
+// two epoch-k+1 folds splice copies of it: under -race any write to the
 // shared base is a failure, and the queries' answers must not move.
 func TestDeltaFoldLeavesBaseAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -324,22 +314,11 @@ func TestDeltaFoldLeavesBaseAlone(t *testing.T) {
 	wg.Wait()
 }
 
-// filled returns n copies of v.
-func filled(n int, v float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
 // assertSoundPyramid checks a folded pyramid structurally — answers
 // alone let a stale count or threshold slip through whenever the search
 // happens not to lean on it. The limbs, the core and the order must be
 // the rebuild's, ties included: both order them by dataset index. The
-// level must describe one assignment of anchors to bins consistently:
-// whatever grid it keeps, its CSR lists, count plane and threshold
-// arrays are re-derived here from the anchors and compared.
+// level must be a fresh raise over the folded anchors, field for field.
 func assertSoundPyramid(t *testing.T, tag string, pyr, rebuilt *Pyramid) {
 	t.Helper()
 	c, r := pyr.core, rebuilt.core
@@ -355,62 +334,31 @@ func assertSoundPyramid(t *testing.T, tag string, pyr, rebuilt *Pyramid) {
 		!slices.Equal(c.mOff, r.mOff) || !slices.Equal(c.mms, r.mms) {
 		t.Fatalf("%s: folded core differs from the rebuild's", tag)
 	}
-	l := p.lvl
-	g := l.gx
-	if g != rebuilt.geo.lvl.gx {
-		t.Fatalf("%s: level g=%d, rebuild has g=%d", tag, g, rebuilt.geo.lvl.gx)
+	fresh := &Geometry{n: p.n, pts: slices.Clone(p.pts)}
+	fresh.raiseLevel()
+	assertSameLevel(t, tag+": folded level vs a fresh raise", p.lvl, fresh.lvl)
+}
+
+// assertSameLevel requires two levels to be equal field for field: the
+// grid, the bins, the count plane and the threshold arrays.
+func assertSameLevel(t *testing.T, tag string, got, want *satLevel) {
+	t.Helper()
+	grid := func(l *satLevel) [6]uint64 {
+		return [6]uint64{uint64(l.gx), uint64(l.gy), math.Float64bits(l.bw), math.Float64bits(l.bh),
+			math.Float64bits(l.bx0), math.Float64bits(l.by0)}
 	}
-	fail := func(what string) { t.Helper(); t.Fatalf("%s level (g=%d): %s", tag, g, what) }
-	if len(l.binStart) != g*g+1 || l.binStart[0] != 0 || int(l.binStart[g*g]) != p.n || len(l.binIds) != p.n {
-		fail("CSR bounds")
-	}
-	// The bins, from the anchors: master ids ascend, so appending in id
-	// order gives each bin's list as the level must hold it.
-	bins := make([][]int32, g*g)
-	inf, ninf := math.Inf(1), math.Inf(-1)
-	colMax, colMin := filled(g, ninf), filled(g, inf)
-	rowMax, rowMin := filled(g, ninf), filled(g, inf)
-	for id := int32(0); int(id) < p.n; id++ {
-		loc := p.pts[id]
-		bi, bj := l.binOf(loc.X, loc.Y)
-		bins[bj*g+bi] = append(bins[bj*g+bi], id)
-		colMax[bi], colMin[bi] = max(colMax[bi], loc.X), min(colMin[bi], loc.X)
-		rowMax[bj], rowMin[bj] = max(rowMax[bj], loc.Y), min(rowMin[bj], loc.Y)
-	}
-	w := g + 1
-	cnt := make([]int32, w*w)
-	for b, ids := range bins {
-		if !slices.Equal(l.binIds[l.binStart[b]:l.binStart[b+1]], ids) {
-			fail(fmt.Sprintf("bin %d does not hold the ids anchored in it", b))
-		}
-		cnt[(b/g+1)*w+b%g+1] = int32(len(ids))
-	}
-	for j := 1; j <= g; j++ {
-		for i := 1; i <= g; i++ {
-			cnt[j*w+i] += cnt[j*w+i-1] + cnt[(j-1)*w+i] - cnt[(j-1)*w+i-1]
-		}
-	}
-	if !slices.Equal(cnt, l.cnt) {
-		fail("count plane is not the prefix sums of the bin sizes")
-	}
-	// Threshold runs, by value: ids may differ where anchors tie.
-	val := func(id int32, y bool, empty float64) float64 {
-		if id < 0 {
-			return empty
-		}
-		if y {
-			return p.pts[id].Y
-		}
-		return p.pts[id].X
-	}
-	up, down := ninf, inf
-	upY, downY := ninf, inf
-	for i := 0; i < g; i++ {
-		up, upY = max(up, colMax[i]), max(upY, rowMax[i])
-		down, downY = min(down, colMin[g-1-i]), min(downY, rowMin[g-1-i])
-		if val(l.xMaxUpTo[i], false, ninf) != up || val(l.yMaxUpTo[i], true, ninf) != upY ||
-			val(l.xMinFrom[g-1-i], false, inf) != down || val(l.yMinFrom[g-1-i], true, inf) != downY {
-			fail(fmt.Sprintf("threshold run at bin %d", i))
+	for _, c := range []struct {
+		what  string
+		equal bool
+	}{
+		{"grid", grid(got) == grid(want)},
+		{"bins", slices.Equal(got.binStart, want.binStart) && slices.Equal(got.binIds, want.binIds)},
+		{"count plane", slices.Equal(got.cnt, want.cnt)},
+		{"thresholds", slices.Equal(got.xMaxUpTo, want.xMaxUpTo) && slices.Equal(got.xMinFrom, want.xMinFrom) &&
+			slices.Equal(got.yMaxUpTo, want.yMaxUpTo) && slices.Equal(got.yMinFrom, want.yMinFrom)},
+	} {
+		if !c.equal {
+			t.Fatalf("%s: the %s differ", tag, c.what)
 		}
 	}
 }

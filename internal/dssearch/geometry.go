@@ -16,9 +16,13 @@ import (
 // top-right reduction every rectangle is its object's location shifted by
 // (−a, −b) (Definition 5), so both depend on the object locations alone —
 // not on the query and not on the composite. A dataset epoch has one
-// Geometry, built by one sort (BuildGeometry) or folded from the previous
-// epoch's (FoldGeometry), and every composite's pyramid on that epoch
+// Geometry, built by one sort (BuildGeometry), folded from the previous
+// epoch's (FoldGeometry) or loaded under a stored order
+// (PyramidFromSnapshot), and every composite's pyramid on that epoch
 // points to it (DESIGN.md §6).
+//
+// The level is a function of the anchors: each of the three raises it
+// over its anchors (raiseLevel), and nothing patches or stores it.
 //
 // The master order is total: anchors by x, then y, then dataset index.
 // A search reads rectangle id as geom.RectFromTR(pts[id], a, b): the
@@ -34,7 +38,7 @@ type Geometry struct {
 	n     int
 	order []int32      // master position -> dataset object index
 	pts   []geom.Point // master position -> anchor (the object's location); derived, never stored
-	lvl   *satLevel    // the anchor-bin level (levelGrid)
+	lvl   *satLevel    // the anchor-bin level over pts (raiseLevel); derived, never stored
 
 	// Shape facts remembered per (a, b) (shape.go): the geometry's only
 	// mutable state. An epoch's fold is a new geometry with an empty memo.
@@ -98,10 +102,10 @@ func levelGrid(n int) int {
 	return g
 }
 
-// raiseLevel builds the level from scratch over the anchors.
+// raiseLevel builds the level over the anchors: the one producer of a
+// level, at build, fold and load alike.
 func (g *Geometry) raiseLevel() {
-	g.lvl = &satLevel{}
-	buildSATLevel(g.lvl, levelGrid(g.n), g.pts)
+	g.lvl = buildSATLevel(levelGrid(g.n), g.pts)
 }
 
 // anchorLess is the master comparator over stored anchors, without the
@@ -122,19 +126,8 @@ func inCanonicalOrder(pts []geom.Point, order []int32) bool {
 	return true
 }
 
-// sameAs reports whether o describes g's dataset with the same order and
-// the same level, bit for bit.
+// sameAs reports whether o describes g's dataset in the same order. The
+// level is raised over the anchors in that order, so it is the same too.
 func (g *Geometry) sameAs(o *Geometry) bool {
-	return o != nil && g.ds == o.ds && slices.Equal(g.order, o.order) && g.lvl.equal(o.lvl)
-}
-
-// equal reports whether two levels are the same bins over the same grid.
-func (l *satLevel) equal(o *satLevel) bool {
-	bits := func(l *satLevel) [4]uint64 {
-		return [4]uint64{math.Float64bits(l.bw), math.Float64bits(l.bh), math.Float64bits(l.bx0), math.Float64bits(l.by0)}
-	}
-	return l.gx == o.gx && l.gy == o.gy && bits(l) == bits(o) &&
-		slices.Equal(l.binStart, o.binStart) && slices.Equal(l.binIds, o.binIds) &&
-		slices.Equal(l.xMaxUpTo, o.xMaxUpTo) && slices.Equal(l.xMinFrom, o.xMinFrom) &&
-		slices.Equal(l.yMaxUpTo, o.yMaxUpTo) && slices.Equal(l.yMinFrom, o.yMinFrom)
+	return o != nil && g.ds == o.ds && slices.Equal(g.order, o.order)
 }

@@ -29,10 +29,12 @@ import (
 // replaces the per-query O(R log R) sort, the O(contribs)
 // flatten/certify passes and the O(R + g²) level build with aliased
 // reads of shared immutable state, in O(1) once the shape's facts are
-// known (DESIGN.md §6). What the pyramid holds that the dataset holds
-// too — the anchors and the contribution and min/max tables — is not
-// persisted: a loaded pyramid derives them again from the objects under
-// the stored order and limbs (PyramidFromSnapshot).
+// known (DESIGN.md §6). What the pyramid derives from the dataset and
+// the order — the anchors, the level over them and the contribution and
+// min/max tables — is not persisted: a loaded pyramid derives it again
+// from the objects under the stored order and limbs
+// (PyramidFromSnapshot). The order is stored because sorting costs more
+// than reading it.
 //
 // Bit-identity with the unassisted path holds by construction: a
 // one-shot search lays out the same (x, y, index) order in its slab
@@ -114,7 +116,7 @@ func trim[T any](s []T) []T {
 func (p *Pyramid) Geometry() *Geometry { return p.geo }
 
 // OnGeometry returns the pyramid with its core on g, when g describes the
-// pyramid's dataset in the same order with the same level — what a
+// pyramid's dataset in the same order — what a
 // pyramid loaded from a file does to share the epoch's geometry with the
 // engine's other composites. Otherwise it returns p and false.
 func (p *Pyramid) OnGeometry(g *Geometry) (*Pyramid, bool) {
@@ -171,11 +173,11 @@ func (p *Pyramid) bindCore(t *tables) {
 // ---- Serialization snapshot ----
 
 // PyramidSnapshot is the exported, codec-friendly image of a Pyramid:
-// what the dataset does not hold. internal/persist encodes and decodes
-// it; PyramidFromSnapshot validates it and re-derives the rest — the
-// limb inverses and owners from the scales (agg.NewLimbs), the anchors
-// and the contribution and min/max tables from the objects, the level's
-// count plane from its bins.
+// what the dataset does not hold and is dear to derive. internal/persist
+// encodes and decodes it; PyramidFromSnapshot validates it and re-derives
+// the rest — the limb inverses and owners from the scales
+// (agg.NewLimbs), the anchors and the contribution and min/max tables
+// from the objects, the level from the anchors.
 type PyramidSnapshot struct {
 	N       int
 	Chans   int
@@ -187,34 +189,16 @@ type PyramidSnapshot struct {
 	Lo    []int32
 
 	Order []int32
-
-	Level PyramidLevelSnapshot
-}
-
-// PyramidLevelSnapshot is the anchor-bin level: its g×g bins of BW×BH
-// from the origin (X0, Y0), stored as a fold left them (delta.go).
-type PyramidLevelSnapshot struct {
-	G                  int
-	BW, BH, X0, Y0     float64
-	BinStart, BinIds   []int32
-	XMaxUpTo, XMinFrom []int32
-	YMaxUpTo, YMinFrom []int32
 }
 
 // Snapshot exports the pyramid's serializable image. The returned
 // slices alias the pyramid — treat as read-only.
 func (p *Pyramid) Snapshot() *PyramidSnapshot {
-	c, l := p.core, p.geo.lvl
+	c := p.core
 	return &PyramidSnapshot{
 		N: p.geo.n, Chans: c.chans, MMSlots: p.mmSlots,
 		Scale: c.limbs.Scale, Lo: c.limbs.Lo,
 		Order: p.geo.order,
-		Level: PyramidLevelSnapshot{
-			G: l.gx, BW: l.bw, BH: l.bh, X0: l.bx0, Y0: l.by0,
-			BinStart: l.binStart, BinIds: l.binIds,
-			XMaxUpTo: l.xMaxUpTo, XMinFrom: l.xMinFrom,
-			YMaxUpTo: l.yMaxUpTo, YMinFrom: l.yMinFrom,
-		},
 	}
 }
 
@@ -223,7 +207,7 @@ func (p *Pyramid) Snapshot() *PyramidSnapshot {
 // mismatched file must produce an error, never a panic) and re-deriving
 // what it does not carry: the anchors are read and the contribution
 // tables flattened from ds.Objects[Order[i]], split under the
-// snapshot's limbs. Those limbs
+// snapshot's limbs, and the level is raised over the anchors. Those limbs
 // are trusted to certify ds: the dataset identity is part of the file's
 // contract. An order that is a permutation but not the (x, y, index)
 // order — a file written while location ties were left to an unstable
@@ -260,42 +244,8 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 	if !inCanonicalOrder(pts, s.Order) {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot order is not the (x, y, index) order")
 	}
-
-	ls := &s.Level
-	g := ls.G
-	if g < 1 || g > 1<<14 {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot level granularity %d out of range", g)
-	}
-	if len(ls.BinStart) != g*g+1 || len(ls.BinIds) != n ||
-		len(ls.XMaxUpTo) != g || len(ls.XMinFrom) != g ||
-		len(ls.YMaxUpTo) != g || len(ls.YMinFrom) != g {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot level arrays inconsistent")
-	}
-	if err := checkOffsets(ls.BinStart, g*g, n); err != nil {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot level bins: %w", err)
-	}
-	for _, id := range ls.BinIds {
-		if id < 0 || int(id) >= n {
-			return nil, fmt.Errorf("dssearch: pyramid snapshot level bin id %d out of range", id)
-		}
-	}
-	for _, arr := range [][]int32{ls.XMaxUpTo, ls.XMinFrom, ls.YMaxUpTo, ls.YMinFrom} {
-		for _, id := range arr {
-			if int(id) >= n {
-				return nil, fmt.Errorf("dssearch: pyramid snapshot level threshold id %d out of range", id)
-			}
-		}
-	}
-	geo := &Geometry{
-		ds: ds, n: n, order: s.Order, pts: pts,
-		lvl: &satLevel{
-			gx: g, gy: g, bw: ls.BW, bh: ls.BH, bx0: ls.X0, by0: ls.Y0,
-			binStart: ls.BinStart, binIds: ls.BinIds,
-			xMaxUpTo: ls.XMaxUpTo, xMinFrom: ls.XMinFrom,
-			yMaxUpTo: ls.YMaxUpTo, yMinFrom: ls.YMinFrom,
-		},
-	}
-	geo.lvl.sumCounts()
+	geo := &Geometry{ds: ds, n: n, order: s.Order, pts: pts}
+	geo.raiseLevel()
 
 	core := &tables{f: f, chans: s.Chans, limbs: limbs}
 	core.flattenSplit(n, func(id int) *attr.Object { return &ds.Objects[s.Order[id]] })
@@ -314,25 +264,6 @@ func checkPermutation(ids []int32, n int) error {
 			return fmt.Errorf("not a permutation of [0,%d)", n)
 		}
 		seen[id] = true
-	}
-	return nil
-}
-
-// checkOffsets verifies off is a monotone CSR offset array of n ranges
-// covering [0, total].
-func checkOffsets(off []int32, n, total int) error {
-	if len(off) != n+1 {
-		return fmt.Errorf("offset array length %d, want %d", len(off), n+1)
-	}
-	if n >= 0 && len(off) > 0 {
-		if off[0] != 0 || int(off[n]) != total {
-			return fmt.Errorf("offset bounds [%d,%d], want [0,%d]", off[0], off[n], total)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if off[i] > off[i+1] {
-			return fmt.Errorf("offsets not monotone at %d", i)
-		}
 	}
 	return nil
 }

@@ -20,6 +20,22 @@ var ErrExtentTooSmall = errors.New("dssearch: extent smaller than the a×b query
 // excluded rectangle.
 var ErrNoFeasibleRegion = errors.New("dssearch: no feasible region within the extent")
 
+// CheckWithin is the error of a Within extent that is not a finite
+// rectangle with min ≤ max on both axes; nil for one that is. An
+// infinite side would make the anchor window infinite, and a search over
+// it would answer a region at -Inf.
+func CheckWithin(within geom.Rect) error {
+	for _, v := range [...]float64{within.MinX, within.MinY, within.MaxX, within.MaxY} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return fmt.Errorf("dssearch: extent must be finite, got %+v", within)
+		}
+	}
+	if !within.IsValid() {
+		return fmt.Errorf("dssearch: invalid extent %+v", within)
+	}
+	return nil
+}
+
 // AnchorWindow maps a Within extent to the rectangle of feasible ASP
 // answer points. Under the top-right anchor the answer point is the
 // region's bottom-left corner (RegionFor: region = [x, x+a] × [y, y+b]),
@@ -58,8 +74,8 @@ func Open(ds *attr.Dataset, a, b float64, q asp.Query, within *geom.Rect, opt Op
 		return nil, err
 	}
 	if within != nil {
-		if !within.IsValid() {
-			return nil, fmt.Errorf("dssearch: invalid extent %+v", *within)
+		if err := CheckWithin(*within); err != nil {
+			return nil, err
 		}
 		if !AnchorWindow(*within, a, b).IsValid() {
 			return nil, ErrExtentTooSmall

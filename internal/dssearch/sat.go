@@ -73,7 +73,7 @@ import (
 type satLevel struct {
 	gx, gy   int
 	bw, bh   float64 // bin extents in stored space (binning only, see binOf)
-	bx0, by0 float64 // bin grid origin in stored space (binning only)
+	bx0, by0 float64 // bin grid origin: the anchors' minimum (binning only)
 
 	binStart []int32 // gx*gy+1 CSR offsets
 	binIds   []int32 // master ids grouped by bin, ascending within a bin
@@ -148,8 +148,7 @@ func (l *satLevel) countRegion(i0, i1, j0, j1 int) int {
 // so a bin row's running count is a difference of two offsets.
 func (l *satLevel) sumCounts() {
 	w := l.gx + 1
-	l.cnt = resizeInt32(l.cnt, w*(l.gy+1))
-	clear(l.cnt[:w])
+	l.cnt = make([]int32, w*(l.gy+1))
 	for j := 1; j <= l.gy; j++ {
 		row, below := l.cnt[j*w:][:w], l.cnt[(j-1)*w:][:w]
 		start := l.binStart[(j-1)*l.gx:][:w]
@@ -159,13 +158,13 @@ func (l *satLevel) sumCounts() {
 	}
 }
 
-// binOf maps a stored anchor to its bin column and row: a uniform grid
-// of bw×bh bins from the origin (bx0, by0), anchors outside it clamped
-// into the edge bins. Nothing a level answers depends on WHICH bin an
-// anchor sits in — only on binIds/binStart, the count plane and the
-// threshold arrays describing one and the same assignment — so a level
-// patched by a delta fold (delta.go) keeps its base's grid even after
-// the corpus has outgrown it.
+// binOf maps a stored anchor of the level to its bin column and row: a
+// uniform grid of bw×bh bins from the origin (bx0, by0), the anchors'
+// minimum. An anchor whose quotient lands off the grid — the maximum, or
+// one carried there by rounding or overflow — is clamped into an edge
+// bin. Nothing a level answers depends
+// on WHICH bin an anchor sits in — only on binIds/binStart, the count
+// plane and the threshold arrays describing one and the same assignment.
 func (l *satLevel) binOf(x, y float64) (bi, bj int) {
 	bi = int((x - l.bx0) / l.bw)
 	if bi < 0 {
@@ -184,12 +183,12 @@ func (l *satLevel) binOf(x, y float64) (bi, bj int) {
 	return bi, bj
 }
 
-// buildSATLevel fills l with a g×g bin grid over the stored anchors pts
+// buildSATLevel returns a g×g bin grid over the stored anchors pts
 // (aligned with master ids 0..n-1), its count plane and the id-anchored
-// threshold arrays.
-func buildSATLevel(l *satLevel, g int, pts []geom.Point) {
+// threshold arrays. Geometry.raiseLevel is its one caller.
+func buildSATLevel(g int, pts []geom.Point) *satLevel {
 	n := len(pts)
-	l.gx, l.gy = g, g
+	l := &satLevel{gx: g, gy: g}
 
 	bx0, by0 := math.Inf(1), math.Inf(1)
 	bx1, by1 := math.Inf(-1), math.Inf(-1)
@@ -217,39 +216,36 @@ func buildSATLevel(l *satLevel, g int, pts []geom.Point) {
 		l.bh = 1
 	}
 
-	// CSR bins via counting sort (stable: ids ascend within each bin).
+	// CSR bins by counting sort: each bin's count, then the running sum
+	// of the counts as the bin's end, then the ids placed last to first,
+	// each moving its bin's end back a slot — so the ids ascend within a
+	// bin, and every end comes to rest at its bin's start.
 	nb := g * g
-	l.binStart = resizeInt32(l.binStart, nb+1)
-	for i := range l.binStart {
-		l.binStart[i] = 0
-	}
+	l.binStart = make([]int32, nb+1)
 	for _, p := range pts {
 		bi, bj := l.binOf(p.X, p.Y)
-		l.binStart[bj*g+bi+1]++
+		l.binStart[bj*g+bi]++
 	}
-	for b := 0; b < nb; b++ {
-		l.binStart[b+1] += l.binStart[b]
+	end := int32(0)
+	for b, c := range l.binStart[:nb] {
+		end += c
+		l.binStart[b] = end
 	}
-	l.binIds = resizeInt32(l.binIds, n)
-	fill := append([]int32(nil), l.binStart[:nb]...)
-	for i, p := range pts {
-		bi, bj := l.binOf(p.X, p.Y)
+	l.binStart[nb] = end
+	l.binIds = make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		bi, bj := l.binOf(pts[i].X, pts[i].Y)
 		b := bj*g + bi
-		l.binIds[fill[b]] = int32(i)
-		fill[b]++
+		l.binStart[b]--
+		l.binIds[l.binStart[b]] = int32(i)
 	}
 	l.sumCounts()
 
 	// Id-anchored threshold arrays: per-column / per-row extreme anchor,
 	// then prefix-max / suffix-min runs.
-	l.xMaxUpTo = resizeInt32(l.xMaxUpTo, g)
-	l.xMinFrom = resizeInt32(l.xMinFrom, g)
-	l.yMaxUpTo = resizeInt32(l.yMaxUpTo, g)
-	l.yMinFrom = resizeInt32(l.yMinFrom, g)
-	colMax := l.xMaxUpTo
-	colMin := l.xMinFrom
-	rowMax := l.yMaxUpTo
-	rowMin := l.yMinFrom
+	colMax, colMin := make([]int32, g), make([]int32, g)
+	rowMax, rowMin := make([]int32, g), make([]int32, g)
+	l.xMaxUpTo, l.xMinFrom, l.yMaxUpTo, l.yMinFrom = colMax, colMin, rowMax, rowMin
 	for i := 0; i < g; i++ {
 		colMax[i], colMin[i], rowMax[i], rowMin[i] = -1, -1, -1, -1
 	}
@@ -296,6 +292,7 @@ func buildSATLevel(l *satLevel, g int, pts []geom.Point) {
 		}
 		rowMin[i] = run
 	}
+	return l
 }
 
 // tables is the per-query aggregation layer described above. With a

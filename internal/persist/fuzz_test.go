@@ -14,7 +14,7 @@ import (
 // contract under fuzz is the error taxonomy's: every input either
 // decodes or returns an error wrapping ErrCorrupt or ErrMismatch —
 // never a panic, never an unclassified error, regardless of how the
-// length-prefixed sections are mangled. The seed corpus is a format-5
+// length-prefixed sections are mangled. The seed corpus is a format-6
 // file and its interesting boundaries: the valid file, truncations at
 // section edges, and targeted corruptions of the guard fields.
 //
@@ -56,11 +56,10 @@ func FuzzReadPyramid(f *testing.F) {
 	f.Add(flip(hdr-16, 0x01)) // n off by one: not this dataset
 	f.Add(flip(hdr-8, 0x40))  // eff beyond two limbs per channel
 
-	// The level header follows the limbs and the order: g, then the bin
-	// extents and the grid origin.
-	level := hdr + 8*len(p.Snapshot().Scale) + 4*comp.Channels() + 4*len(ds.Objects)
-	f.Add(valid[:level+4+3*8])     // torn inside the origin
-	f.Add(flip(level+4+2*8, 0x80)) // origin flip caught by checksum
+	// The master order follows the limbs and ends the payload.
+	order := hdr + 8*len(p.Snapshot().Scale) + 4*comp.Channels()
+	f.Add(valid[:order+2])                   // torn inside the first id
+	f.Add(valid[:order+4*len(ds.Objects)/2]) // torn halfway through the order
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadPyramid(bytes.NewReader(data), ds, comp)

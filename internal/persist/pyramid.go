@@ -17,43 +17,41 @@ import (
 // Binary pyramid format (little endian):
 //
 //	magic "ASRSPYR1"
-//	u32 version (currently 5)
+//	u32 version (currently 6)
 //	u32 len(fingerprint), fingerprint bytes
 //	u32 n, chans, eff, mmSlots
 //	f64   scale[eff]
 //	i32   lo[chans]
 //	i32   order[n]
-//	u32 g; f64 bw, bh, x0, y0
-//	i32   binStart[g²+1], binIds[n],
-//	      xMaxUpTo[g], xMinFrom[g], yMaxUpTo[g], yMinFrom[g]
 //	u64 fnv-64a of every byte after the magic
 //
-// The file stores nothing the dataset already holds. What it stores is
-// the limbs' certificate — each limb's power-of-two scale and each
-// channel's first extra limb (-1 for none) — the master order, and the
-// anchor-bin level: its bin grid, bins and threshold arrays. What it does
-// not is re-derived at load (dssearch.PyramidFromSnapshot): the limb
-// inverses and owners from the scales, the contribution and min/max
-// tables by flattening ds.Objects[order[i]] and splitting under the
-// stored scales, the level's count plane as the prefix sums of its
-// binStart. A scale that is not a
-// power of two a limb may take — the 0 earlier builds wrote for a channel
-// they could not certify among them — makes the file ErrCorrupt.
+// The file stores what the dataset does not hold and a boot cannot
+// afford to derive: the limbs' certificate — each limb's power-of-two
+// scale and each channel's first extra limb (-1 for none) — and the
+// master order, which costs a sort over n to recompute and 4 bytes an
+// object to read. Everything else is re-derived at load
+// (dssearch.PyramidFromSnapshot): the anchors from the objects in the
+// stored order, the anchor-bin level over them (a function of the
+// anchors), the limb inverses and owners from the scales, the
+// contribution and min/max tables by flattening ds.Objects[order[i]] and
+// splitting under the stored scales. A scale that is not a power of two
+// a limb may take — the 0 earlier builds wrote for a channel they could
+// not certify among them — makes the file ErrCorrupt.
 //
 // A file of another version — version 1 carried summed-area planes per
 // level, version 2 the contribution and min/max tables and per-channel
 // certificate flags, version 3 a ladder of levels, version 4 the master
 // ids sorted by anchor x and by anchor y, which only the GPS accuracy
-// read, and no bin grid origin — is reported as ErrCorrupt, so
-// asrs.LoadOrBuildPyramidFile quarantines and rebuilds it like any other
-// unusable artifact. The composite aggregator is re-bound by the caller
-// and verified via structural fingerprint; the dataset
-// identity and the composite's selection functions are part of the
-// file's contract.
+// read, version 5 the anchor-bin level with its bin grid origin — is
+// reported as ErrCorrupt, so asrs.LoadOrBuildPyramidFile quarantines and
+// rebuilds it like any other unusable artifact. The composite aggregator
+// is re-bound by the caller and verified via structural fingerprint; the
+// dataset identity and the composite's selection functions are part of
+// the file's contract.
 
 var pyramidMagic = [8]byte{'A', 'S', 'R', 'S', 'P', 'Y', 'R', '1'}
 
-const pyramidVersion = 5
+const pyramidVersion = 6
 
 // Error taxonomy for pyramid files. Every ReadPyramid/LoadPyramid
 // failure wraps exactly one of these, so callers can decide the
@@ -125,10 +123,7 @@ func WritePyramid(w io.Writer, p *dssearch.Pyramid) (int64, error) {
 			return hw.n, err
 		}
 	}
-	l := &s.Level
-	for _, v := range []any{s.Scale, s.Lo, s.Order,
-		uint32(l.G), l.BW, l.BH, l.X0, l.Y0, l.BinStart, l.BinIds,
-		l.XMaxUpTo, l.XMinFrom, l.YMaxUpTo, l.YMinFrom} {
+	for _, v := range []any{s.Scale, s.Lo, s.Order} {
 		if err := write(v); err != nil {
 			return hw.n, err
 		}
@@ -221,31 +216,6 @@ func ReadPyramid(r io.Reader, ds *attr.Dataset, f *agg.Composite) (*dssearch.Pyr
 	for _, v := range []any{s.Scale, s.Lo, s.Order} {
 		if err := read(v); err != nil {
 			return nil, corruptf("reading pyramid limbs/order: %w", err)
-		}
-	}
-	var g uint32
-	if err := read(&g); err != nil {
-		return nil, corruptf("reading level granularity: %w", err)
-	}
-	// BuildPyramid never emits a level beyond 256 bins per side; the guard
-	// is deliberately far below the format's theoretical range so a
-	// corrupted granularity field fails here, before it can size a giant
-	// bin table (the checksum only runs at the end).
-	if g == 0 || g > 1024 {
-		return nil, corruptf("implausible level granularity %d", g)
-	}
-	l := &s.Level
-	l.G = int(g)
-	l.BinStart = make([]int32, g*g+1)
-	l.BinIds = make([]int32, n)
-	l.XMaxUpTo = make([]int32, g)
-	l.XMinFrom = make([]int32, g)
-	l.YMaxUpTo = make([]int32, g)
-	l.YMinFrom = make([]int32, g)
-	for _, v := range []any{&l.BW, &l.BH, &l.X0, &l.Y0, l.BinStart, l.BinIds,
-		l.XMaxUpTo, l.XMinFrom, l.YMaxUpTo, l.YMinFrom} {
-		if err := read(v); err != nil {
-			return nil, corruptf("reading level: %w", err)
 		}
 	}
 	want := hr.h.Sum64()

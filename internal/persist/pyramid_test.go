@@ -80,9 +80,10 @@ func answer(t *testing.T, ds *attr.Dataset, f *agg.Composite, p *dssearch.Pyrami
 	return region, res
 }
 
-// TestPyramidRoundTrip: a format-5 file stores the limbs, the order and
-// the one level and nothing the dataset holds; the pyramid loaded from it —
-// its contribution tables flattened again from the objects — answers
+// TestPyramidRoundTrip: a format-6 file stores the limbs and the order
+// and nothing the dataset holds or the anchors determine; the pyramid
+// loaded from it — its contribution tables flattened again from the
+// objects, its level raised again over the anchors — answers
 // queries bit-identically to the in-memory original: region, point and
 // the bits of distance and representation, over several shapes.
 func TestPyramidRoundTrip(t *testing.T) {
@@ -96,12 +97,10 @@ func TestPyramidRoundTrip(t *testing.T) {
 		t.Fatalf("WritePyramid reported %d bytes, wrote %d", n, buf.Len())
 	}
 	s := p.Snapshot()
-	l := &s.Level
 	head := 8 + 4 + 4 + len(f.Fingerprint()) + 4*4
 	limbs := 8*len(s.Scale) + 4*len(s.Lo)
-	level := 4 + 4*8 + 4*(len(l.BinStart)+len(l.BinIds)+4*l.G)
-	if want := head + limbs + 4*s.N + level + 8; buf.Len() != want {
-		t.Fatalf("file is %d bytes, want %d: the limbs, the order and the level", buf.Len(), want)
+	if want := head + limbs + 4*s.N + 8; buf.Len() != want {
+		t.Fatalf("file is %d bytes, want %d: the limbs and the order", buf.Len(), want)
 	}
 	if slices.Max(s.Scale) <= math.Ldexp(1, 62) {
 		t.Fatalf("no lo grid finer than 2^-62 in the fixture: %v", s.Scale)
@@ -125,12 +124,11 @@ func TestPyramidRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPyramidFoldedLevelRoundTrips: a fold keeps its base's bin grid
-// (dssearch/delta.go), so the level of a pyramid folded over inserts below
-// and left of the base's hull has an origin that is not its anchors'
-// minimum. The file stores the origin: the loaded pyramid has the folded
-// one's level, origin included, writes the same bytes and answers the
-// same, bit for bit.
+// TestPyramidFoldedLevelRoundTrips: a pyramid folded over inserts below
+// and left of its base's hull — whose level the fold raised over the
+// grown anchors — written and read back, writes the same bytes again and
+// answers Float64bits-equal to the folded one: region, point, distance
+// and representation.
 func TestPyramidFoldedLevelRoundTrips(t *testing.T) {
 	ds, f, base := pyrFixture(t, 12)
 	extra := make([]attr.Object, 5)
@@ -143,11 +141,6 @@ func TestPyramidFoldedLevelRoundTrips(t *testing.T) {
 	if err != nil || !stats.Folded {
 		t.Fatalf("fold: %+v, %v; want the inserts folded", stats, err)
 	}
-	want := folded.Snapshot().Level
-	if b := base.Snapshot().Level; want.G != b.G || want.X0 != b.X0 || want.Y0 != b.Y0 || want.X0 <= -14 || want.Y0 <= -20 {
-		t.Fatalf("folded level g=%d at (%v, %v), base g=%d at (%v, %v): want the base's grid, above the inserts' minimum (-14, -20)",
-			want.G, want.X0, want.Y0, b.G, b.X0, b.Y0)
-	}
 	var buf bytes.Buffer
 	if _, err := WritePyramid(&buf, folded); err != nil {
 		t.Fatal(err)
@@ -156,25 +149,27 @@ func TestPyramidFoldedLevelRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := loaded.Snapshot().Level; got.X0 != want.X0 || got.Y0 != want.Y0 || got.BW != want.BW || got.BH != want.BH {
-		t.Fatalf("loaded level origin (%v, %v) bins %vx%v, folded (%v, %v) bins %vx%v",
-			got.X0, got.Y0, got.BW, got.BH, want.X0, want.Y0, want.BW, want.BH)
-	}
 	var again bytes.Buffer
 	if _, err := WritePyramid(&again, loaded); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
 		t.Fatalf("the loaded pyramid writes other bytes (err %v)", err)
 	}
-	for _, ab := range [][2]float64{{6, 7}, {30, 25}} {
-		wantRegion, wantRes := answer(t, combined, f, folded, ab[0], ab[1])
+	for _, ab := range [][2]float64{{6, 7}, {0.9, 1.3}, {30, 25}} {
+		wantRegion, want := answer(t, combined, f, folded, ab[0], ab[1])
 		gotRegion, got := answer(t, combined, f, loaded, ab[0], ab[1])
-		if gotRegion != wantRegion || math.Float64bits(got.Dist) != math.Float64bits(wantRes.Dist) || got.Point != wantRes.Point {
-			t.Fatalf("%v: loaded pyramid answered %v@%v, the folded one %v@%v", ab, got.Dist, got.Point, wantRes.Dist, wantRes.Point)
+		if gotRegion != wantRegion || math.Float64bits(got.Dist) != math.Float64bits(want.Dist) || got.Point != want.Point {
+			t.Fatalf("%v: loaded pyramid answered %v@%v (region %v), the folded one %v@%v (region %v)",
+				ab, got.Dist, got.Point, gotRegion, want.Dist, want.Point, wantRegion)
+		}
+		for i := range want.Rep {
+			if math.Float64bits(got.Rep[i]) != math.Float64bits(want.Rep[i]) {
+				t.Fatalf("%v: loaded pyramid's rep[%d] %v, the folded one's %v", ab, i, got.Rep[i], want.Rep[i])
+			}
 		}
 	}
 }
 
 // TestPyramidTruncated: every truncation of the file — inside the
-// header, the limbs, the order, the level — must read
+// header, the limbs, the order, the checksum — must read
 // as ErrCorrupt (the class a boot quarantines and rebuilds), never as a
 // panic or an unclassified error.
 func TestPyramidTruncated(t *testing.T) {

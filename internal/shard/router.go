@@ -219,8 +219,8 @@ func (r *Router) Answer(ctx context.Context, req asrs.QueryRequest, pol PartialP
 	var e asrs.Rect
 	if req.Within != nil {
 		e = *req.Within
-		if !e.IsValid() {
-			return Response{Err: fmt.Errorf("shard: invalid extent %v", e)}
+		if err := dssearch.CheckWithin(e); err != nil {
+			return Response{Err: err}
 		}
 	} else {
 		e = r.defaultExtent(req.A, req.B)

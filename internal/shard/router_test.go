@@ -314,6 +314,22 @@ func TestRouterEdgeCases(t *testing.T) {
 		}
 	})
 
+	t.Run("non-finite-extent", func(t *testing.T) {
+		cat := newCatalog(t, ds, f, 2)
+		rt := shard.NewRouter(cat, shard.RouterOptions{})
+		inf := math.Inf(1)
+		for _, extent := range []asrs.Rect{
+			{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf},
+			{MinX: 0, MinY: 0, MaxX: inf, MaxY: 100},
+			{MinX: 0, MinY: math.NaN(), MaxX: 100, MaxY: 100},
+		} {
+			e := extent
+			if resp := rt.Query(context.Background(), shard.Request{Query: q, A: a, B: b, Extent: &e}); resp.Err == nil {
+				t.Fatalf("extent %v answered %v, want an error", e, resp.Regions)
+			}
+		}
+	})
+
 	t.Run("extent-ending-on-cut-is-contained", func(t *testing.T) {
 		cat := newCatalog(t, ds, f, 2)
 		rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}})

@@ -106,7 +106,7 @@ func TestPyramidFileVersion2IsRebuilt(t *testing.T) { checkOldVersionRebuilt(t, 
 // format-4 level, and boots as a rebuild.
 func TestPyramidFileVersion3IsRebuilt(t *testing.T) {
 	ds, f, cur := currentPyramidFile(t)
-	cur = formatFour(ds, cur)
+	cur = formatFour(ds, formatFive(ds, cur))
 	// Version 4: magic, version, fingerprint length and bytes, the counts
 	// n, chans, eff and mmSlots, the limbs and the three id orders, then
 	// the level up to the checksum. Version 3 put a level count after the
@@ -131,10 +131,112 @@ func TestPyramidFileVersion3IsRebuilt(t *testing.T) {
 // that build's bytes), and boots as a rebuild.
 func TestPyramidFileVersion4IsRebuilt(t *testing.T) {
 	ds, f, cur := currentPyramidFile(t)
-	checkRebuilt(t, ds, f, formatFour(ds, cur), "version-4")
+	checkRebuilt(t, ds, f, formatFour(ds, formatFive(ds, cur)), "version-4")
 }
 
-// formatFour lays a current file out as format 4 wrote it: after the
+// TestPyramidFileVersion5IsRebuilt: so is a file of format version 5,
+// which stored the anchor-bin level — its bin grid and origin, CSR bins
+// and threshold arrays — after the master order. The file is the one a
+// format-5 build wrote (TestPyramidBytesPinned holds formatFive to that
+// build's bytes), and boots as a rebuild.
+func TestPyramidFileVersion5IsRebuilt(t *testing.T) {
+	ds, f, cur := currentPyramidFile(t)
+	checkRebuilt(t, ds, f, formatFive(ds, cur), "version-5")
+}
+
+// formatFive lays a format-6 file out as format 5 wrote it: after the
+// master order, the anchor-bin level a build raised over the anchors in
+// that order — g = ⌊√n⌋ clamped to [8, 128], doubled while g² < n up to
+// 256; bins of the anchors' extent over g from their minimum, the maximum
+// clamped into the last bin; CSR bins, ascending ids within a bin; the
+// id-anchored prefix-max and suffix-min runs of the bin columns' x and
+// the bin rows' y.
+func formatFive(ds *asrs.Dataset, cur []byte) []byte {
+	word := func(at int) int { return int(binary.LittleEndian.Uint32(cur[at:])) }
+	counts := 16 + word(12) + 16
+	n, chans, eff := word(counts-16), word(counts-12), word(counts-8)
+	order := counts + 8*eff + 4*chans
+	pts := make([]asrs.Point, n)
+	for i := range pts {
+		pts[i] = ds.Objects[word(order+4*i)].Loc
+	}
+	g := min(max(int(math.Sqrt(float64(n))), 8), 128)
+	for 2*g <= 256 && g*g < n {
+		g *= 2
+	}
+	lo := asrs.Point{X: math.Inf(1), Y: math.Inf(1)}
+	hi := asrs.Point{X: math.Inf(-1), Y: math.Inf(-1)}
+	for _, p := range pts {
+		lo = asrs.Point{X: min(lo.X, p.X), Y: min(lo.Y, p.Y)}
+		hi = asrs.Point{X: max(hi.X, p.X), Y: max(hi.Y, p.Y)}
+	}
+	extent := func(lo, hi float64) float64 {
+		if w := (hi - lo) / float64(g); w > 0 {
+			return w
+		}
+		return 1
+	}
+	bw, bh := extent(lo.X, hi.X), extent(lo.Y, hi.Y)
+	bin := func(v, lo, w float64) int { return max(min(int((v-lo)/w), g-1), 0) }
+	bins := make([][]int32, g*g)
+	cols, rows := make([][]int32, g), make([][]int32, g)
+	for id, p := range pts {
+		i, j := bin(p.X, lo.X, bw), bin(p.Y, lo.Y, bh)
+		bins[j*g+i] = append(bins[j*g+i], int32(id))
+		cols[i] = append(cols[i], int32(id))
+		rows[j] = append(rows[j], int32(id))
+	}
+	// run is the id-anchored run over the lines from first in steps of
+	// step: the first id attaining the running extreme, kept while no
+	// later line's id beats it, -1 while the lines seen are empty.
+	run := func(lines [][]int32, first, step int, beats func(a, b int32) bool) []int32 {
+		out := make([]int32, g)
+		best := int32(-1)
+		for i := first; i >= 0 && i < g; i += step {
+			line := int32(-1)
+			for _, id := range lines[i] {
+				if line < 0 || beats(id, line) {
+					line = id
+				}
+			}
+			if line >= 0 && (best < 0 || beats(line, best)) {
+				best = line
+			}
+			out[i] = best
+		}
+		return out
+	}
+	x := func(a, b int32) bool { return pts[a].X > pts[b].X }
+	xLow := func(a, b int32) bool { return pts[a].X < pts[b].X }
+	y := func(a, b int32) bool { return pts[a].Y > pts[b].Y }
+	yLow := func(a, b int32) bool { return pts[a].Y < pts[b].Y }
+
+	old := slices.Clone(cur[:order+4*n])
+	old = binary.LittleEndian.AppendUint32(old, uint32(g))
+	for _, v := range []float64{bw, bh, lo.X, lo.Y} {
+		old = binary.LittleEndian.AppendUint64(old, math.Float64bits(v))
+	}
+	start := int32(0)
+	old = binary.LittleEndian.AppendUint32(old, 0)
+	for _, ids := range bins {
+		start += int32(len(ids))
+		old = binary.LittleEndian.AppendUint32(old, uint32(start))
+	}
+	for _, ids := range bins {
+		for _, id := range ids {
+			old = binary.LittleEndian.AppendUint32(old, uint32(id))
+		}
+	}
+	for _, r := range [][]int32{run(cols, 0, 1, x), run(cols, g-1, -1, xLow), run(rows, 0, 1, y), run(rows, g-1, -1, yLow)} {
+		for _, id := range r {
+			old = binary.LittleEndian.AppendUint32(old, uint32(id))
+		}
+	}
+	binary.LittleEndian.PutUint32(old[8:12], 5)
+	return sealed(old)
+}
+
+// formatFour lays a format-5 file out as format 4 wrote it: after the
 // master order, the master ids sorted by anchor x and by anchor y, ties
 // by id; in the level header, no bin grid origin.
 func formatFour(ds *asrs.Dataset, cur []byte) []byte {
@@ -195,8 +297,8 @@ func currentPyramidFile(t *testing.T) (*asrs.Dataset, *asrs.Composite, []byte) {
 	if _, err := asrs.WritePyramid(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint32(buf.Bytes()[8:12]); got != 5 {
-		t.Fatalf("current format version is %d; these tests pin the step to 5", got)
+	if got := binary.LittleEndian.Uint32(buf.Bytes()[8:12]); got != 6 {
+		t.Fatalf("current format version is %d; these tests pin the step to 6", got)
 	}
 	return ds, f, buf.Bytes()
 }
@@ -285,24 +387,27 @@ func TestPyramidFileTiesOutOfIndexOrderIsRebuilt(t *testing.T) {
 
 // TestPyramidBytesPinned: the pyramid files of the zoo's composites —
 // POISyn's F2 at 5 000 objects, its three sums two limbs each, and
-// Tweet's F1 at 20 000 — are byte for byte those of the first format-5
-// build, which dropped the two id orders (8 bytes an object) and stored
-// the bin grid origin (16 bytes). Laid out as format 4 (formatFour), they
-// are byte for byte the files of the first format-4 build, which wrote
-// 160 811 and 586 396 bytes. (Format 3's ladders of five and six levels
-// wrote 268 903 and 1 077 784.)
+// Tweet's F1 at 20 000 — are byte for byte those of the first format-6
+// build, which dropped the anchor-bin level (raised again at load). Laid
+// out as format 5 (formatFive), they are byte for byte the files of the
+// last format-5 build, which wrote 120 827 and 426 412 bytes; laid out
+// further as format 4 (formatFour), those of the first format-4 build,
+// which wrote 160 811 and 586 396. (Format 3's ladders of five and six
+// levels wrote 268 903 and 1 077 784.)
 func TestPyramidBytesPinned(t *testing.T) {
 	for _, c := range []struct {
-		name      string
-		ds        *asrs.Dataset
-		specs     []asrs.AggSpec
-		size      int
-		sha, sha4 string
+		name            string
+		ds              *asrs.Dataset
+		specs           []asrs.AggSpec
+		size            int
+		sha, sha5, sha4 string
 	}{
 		{"poisyn-5k-f2", dataset.POISyn(5000, 42), []asrs.AggSpec{{Kind: asrs.Sum, Attr: "visits"}, {Kind: asrs.Average, Attr: "rating"}},
-			120827, "7de58f47b56f0b066d46777cf114e4f48a936f63efdec8cab81106a4f3b69f85", "43b6bd12723853f0e03a31d1271a8489fc7726e28e47b9250fa99993e982f365"},
+			20147, "81229b638c7a101d0b36bd979ae9ec13e13a82d3214cf795a92d5a63cba5bd75",
+			"7de58f47b56f0b066d46777cf114e4f48a936f63efdec8cab81106a4f3b69f85", "43b6bd12723853f0e03a31d1271a8489fc7726e28e47b9250fa99993e982f365"},
 		{"tweet-20k-f1", dataset.Tweet(20000, 42), []asrs.AggSpec{{Kind: asrs.Distribution, Attr: "day"}},
-			426412, "8b848985378a218a5cb51ae7e9b6275683f973b87650547a4d94732a7f31ebcb", "2223df7a87d30443b04a372e805ab0e461de44a45037c4ca781624f87e66d4b8"},
+			80132, "8431211628df0c1b0ca83acb09fa454bb4caa767e48f2c42d8a3477e79177e30",
+			"8b848985378a218a5cb51ae7e9b6275683f973b87650547a4d94732a7f31ebcb", "2223df7a87d30443b04a372e805ab0e461de44a45037c4ca781624f87e66d4b8"},
 	} {
 		f, err := asrs.NewComposite(c.ds.Schema, c.specs...)
 		if err != nil {
@@ -322,7 +427,11 @@ func TestPyramidBytesPinned(t *testing.T) {
 		if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != c.sha {
 			t.Errorf("%s: pyramid file sha256 %x, want %s", c.name, sum, c.sha)
 		}
-		if sum := sha256.Sum256(formatFour(c.ds, buf.Bytes())); hex.EncodeToString(sum[:]) != c.sha4 {
+		five := formatFive(c.ds, buf.Bytes())
+		if sum := sha256.Sum256(five); hex.EncodeToString(sum[:]) != c.sha5 {
+			t.Errorf("%s: laid out as format 5, sha256 %x, want the format-5 build's %s", c.name, sum, c.sha5)
+		}
+		if sum := sha256.Sum256(formatFour(c.ds, five)); hex.EncodeToString(sum[:]) != c.sha4 {
 			t.Errorf("%s: laid out as format 4, sha256 %x, want the format-4 build's %s", c.name, sum, c.sha4)
 		}
 	}

@@ -250,6 +250,8 @@ func SearchBaseline(ds *Dataset, req QueryRequest) QueryResponse {
 		seed.Point = asp.EmptyCandidate(space)
 		seed.Rep = asp.PointRepresentation(rects, req.Query.F, seed.Point)
 		seed.Dist = req.Query.Distance(seed.Rep)
+	} else if err := dssearch.CheckWithin(*req.Within); err != nil {
+		return QueryResponse{Err: err}
 	} else if space = dssearch.AnchorWindow(*req.Within, req.A, req.B); !space.IsValid() {
 		return QueryResponse{Err: ErrExtentTooSmall}
 	}

@@ -387,3 +387,42 @@ func TestIndexedSearchOnDegenerateBounds(t *testing.T) {
 		})
 	}
 }
+
+// TestNonFiniteWithinIsRefused: a Within extent with an infinite or NaN
+// side is refused by every front door that takes one — SearchWithin (the
+// one driver), Engine.Query and SearchBaseline — instead of being
+// searched as an infinite anchor window, which answered a region at -Inf
+// at distance 0. JSON and the query language admit only finite numbers,
+// so only the library can pass one.
+func TestNonFiniteWithinIsRefused(t *testing.T) {
+	ds, f := demoDataset()
+	q, err := asrs.QueryFromTarget(f, []float64{0, 0, 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	inf, nan := math.Inf(1), math.NaN()
+	for _, within := range []asrs.Rect{
+		{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf},
+		{MinX: 0, MinY: 0, MaxX: inf, MaxY: 40},
+		{MinX: -inf, MinY: 0, MaxX: 60, MaxY: 40},
+		{MinX: 0, MinY: nan, MaxX: 60, MaxY: 40},
+	} {
+		region, res, _, err := asrs.SearchWithin(ds, 2, 2, q, within, nil, asrs.Options{})
+		if err == nil {
+			t.Errorf("SearchWithin over %v answered %v at distance %v, want an error", within, region, res.Dist)
+		}
+		w := within
+		req := asrs.QueryRequest{Query: q, A: 2, B: 2, Within: &w}
+		if got := eng.Query(req); got.Err == nil {
+			t.Errorf("Engine.Query over %v answered %v, want an error", within, got.Regions)
+		}
+		if got := asrs.SearchBaseline(ds, req); got.Err == nil {
+			t.Errorf("SearchBaseline over %v answered %v, want an error", within, got.Regions)
+		}
+	}
+}
