@@ -241,9 +241,14 @@ func SearchWithin(ds *Dataset, a, b float64, q Query, within Rect, exclude []Rec
 
 // NewIndex builds a grid index with granularity sx×sy over the dataset for
 // the composite aggregator f (§5). The index is reusable across queries
-// that share f.
+// that share f. It bins the core of the dataset's pyramid for f, which it
+// builds (BuildPyramid) and drops; an Engine bins the pyramid it caches.
 func NewIndex(ds *Dataset, f *Composite, sx, sy int) (*Index, error) {
-	return gridindex.New(ds, f, sx, sy)
+	p, err := dssearch.BuildPyramid(ds, f)
+	if err != nil {
+		return nil, err
+	}
+	return gridindex.New(p, sx, sy)
 }
 
 // BuildPyramid constructs the persistent aggregate pyramid for one

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"asrs/internal/dssearch"
+	"asrs/internal/gridindex"
 	"asrs/internal/kernel"
 	"asrs/internal/wal"
 )
@@ -408,7 +409,9 @@ func (e *Engine) Index(f *Composite) (*Index, error) {
 }
 
 // indexFor returns the view's cached grid index for the composite,
-// building it over the view's (combined) dataset on first use.
+// building it on first use by binning the view's pyramid for the
+// composite (pyramidFor). Without pyramids, it bins a core built on the
+// view's geometry for the index alone, which is not cached.
 func (e *Engine) indexFor(v *engineView, f *Composite) (*Index, error) {
 	g := e.opt.IndexGranularity
 	if g == 0 {
@@ -422,7 +425,20 @@ func (e *Engine) indexFor(v *engineView, f *Composite) (*Index, error) {
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
-		ent.idx, ent.err = NewIndex(v.ds, f, g, g)
+		var p *Pyramid
+		var err error
+		if e.opt.DisablePyramid {
+			var geo *dssearch.Geometry
+			if geo, err = e.geometryFor(v); err == nil {
+				p, err = dssearch.BuildPyramidOn(geo, f)
+			}
+		} else {
+			p, err = e.pyramidFor(v, f)
+		}
+		if err == nil {
+			ent.idx, err = gridindex.New(p, g, g)
+		}
+		ent.err = err
 	})
 	return ent.idx, ent.err
 }

@@ -2,7 +2,6 @@ package dssearch
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"asrs/internal/agg"
@@ -26,7 +25,8 @@ import (
 // and the anchors and raises the anchor-bin level over the folded
 // anchors (raiseLevel, as a build does: the level is a function of the
 // anchors) once per epoch; FoldPyramid then places the delta in the
-// base's order again — O(d log d + d log n) — and splices one
+// base's order again — a radix sort of the d appended anchors and d
+// binary searches — and splices one
 // composite's rows. So a fold costs O(d log n) comparisons, a few linear
 // copies and one O(n + g²) level raise per epoch, plus one copy per
 // composite's core, where the rebuild costs a sort, a flatten and a
@@ -102,7 +102,8 @@ func FoldGeometry(base *Geometry, combined *attr.Dataset) *Geometry {
 	if n0 == 0 || n < n0 {
 		return newGeometry(combined)
 	}
-	g := &Geometry{ds: combined, n: n, order: make([]int32, 0, n), pts: make([]geom.Point, 0, n)}
+	g := &Geometry{ds: combined, n: n, order: make([]int32, 0, n), pts: make([]geom.Point, 0, n),
+		bounds: expandBounds(base.bounds, combined.Objects[n0:])}
 	next := int32(0)
 	for _, e := range base.place(combined.Objects[n0:]) {
 		g.order = append(g.order, base.order[next:e.pos]...)
@@ -224,15 +225,13 @@ type deltaEnt struct {
 // finds their merge positions in g's master order, g's objects first on
 // ties.
 func (g *Geometry) place(objs []attr.Object) []deltaEnt {
+	var s anchorSort
+	order := make([]int32, len(objs))
+	s.order(objs, order)
 	ents := make([]deltaEnt, len(objs))
-	for j := range ents {
-		ents[j] = deltaEnt{row: int32(j), loc: objs[j].Loc}
-	}
-	slices.SortFunc(ents, func(a, b deltaEnt) int {
-		return compareAnchors(anchorKey{a.loc.X, a.loc.Y, a.row}, anchorKey{b.loc.X, b.loc.Y, b.row})
-	})
-	for t := range ents {
+	for t, j := range order {
 		e := &ents[t]
+		*e = deltaEnt{row: j, loc: objs[j].Loc}
 		e.pos = int32(sort.Search(g.n, func(i int) bool { return anchorLess(e.loc, g.pts[i]) }))
 	}
 	return ents

@@ -75,7 +75,7 @@ func (t *tables) retainedBytes() int {
 		int(unsafe.Sizeof(agg.Contrib{}))*(cap(t.contribs)+cap(t.raw)) +
 		int(unsafe.Sizeof(agg.MMContrib{}))*cap(t.mms) +
 		int(unsafe.Sizeof(geom.Point{}))*cap(t.pts) +
-		int(unsafe.Sizeof(anchorKey{}))*cap(t.keys) +
+		8*cap(t.sorter.keys) + 4*cap(t.sorter.idx) +
 		8*(cap(t.scratchF)+cap(t.idBits)) +
 		int(unsafe.Sizeof(cellInfo{}))*cap(t.scratchCells) +
 		int(unsafe.Sizeof(asp.RectObject{}))*cap(t.scratchRects)

@@ -40,6 +40,11 @@ type Geometry struct {
 	pts   []geom.Point // master position -> anchor (the object's location); derived, never stored
 	lvl   *satLevel    // the anchor-bin level over pts (raiseLevel); derived, never stored
 
+	// bounds is the dataset's bounding box, ds.Bounds() bit for bit: the
+	// objects expanded into it in dataset order (expandBounds) — by a
+	// fold from the base's box through the appended objects only.
+	bounds geom.Rect
+
 	// Shape facts remembered per (a, b) (shape.go): the geometry's only
 	// mutable state. An epoch's fold is a new geometry with an empty memo.
 	factsMu      sync.Mutex
@@ -69,6 +74,95 @@ func compareAnchors(a, b anchorKey) int {
 	return cmp.Compare(a.i, b.i)
 }
 
+// orderedBits maps a coordinate to an unsigned integer that orders as
+// the coordinate does under compareAnchors: −0 is taken as +0 (the two
+// compare equal), a negative float's bits are inverted and a positive
+// float's get the sign bit set.
+func orderedBits(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b == 1<<63 {
+		b = 0
+	}
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// anchorSort is the master order's sort and its scratch, kept across
+// sorts: a stable LSD radix sort in 8-bit digits, over the digits of y
+// first and then those of x, from the input order — so x decides, then
+// y, then the input index, which is compareAnchors' order. Each anchor's
+// key (orderedBits of y through the y passes, of x, read in between by
+// input index, through the x passes) moves with its input index.
+type anchorSort struct {
+	keys []uint64        // 2n: the keys, and the passes' second buffer
+	idx  []int32         // 2n: their input indexes, likewise
+	hist *[16][256]int32 // the passes' digit counts, then their slots
+}
+
+// order sets order[i] to the input index of the i-th of objs in the
+// master order (order has len(objs) slots) and reports whether objs were
+// in that order already, which is not sorted again. The digit histograms
+// of all sixteen passes are counted in one pass over the objects, and a
+// pass whose digit is the same for every key, which would keep the order
+// as it is, is skipped.
+func (s *anchorSort) order(objs []attr.Object, order []int32) (sorted bool) {
+	n := len(objs)
+	sorted = true
+	for i := 1; i < n && sorted; i++ {
+		sorted = !anchorLess(objs[i].Loc, objs[i-1].Loc)
+	}
+	if sorted {
+		for i := range order {
+			order[i] = int32(i)
+		}
+		return true
+	}
+	if cap(s.keys) < 2*n {
+		s.keys, s.idx = make([]uint64, 2*n), make([]int32, 2*n)
+	}
+	if s.hist == nil {
+		s.hist = new([16][256]int32)
+	}
+	hist := s.hist
+	*hist = [16][256]int32{}
+	keys, idx, dkeys, didx := s.keys[:n], s.idx[:n], s.keys[n:2*n], s.idx[n:2*n]
+	for i := range objs {
+		y, x := orderedBits(objs[i].Loc.Y), orderedBits(objs[i].Loc.X)
+		keys[i], idx[i] = y, int32(i)
+		for d := 0; d < 8; d++ {
+			hist[d][byte(y>>(8*d))]++
+			hist[8+d][byte(x>>(8*d))]++
+		}
+	}
+	for p := range hist {
+		if p == 8 {
+			for j, i := range idx {
+				keys[j] = orderedBits(objs[i].Loc.X)
+			}
+		}
+		h, shift := &hist[p], uint(p&7)*8
+		if h[byte(keys[0]>>shift)] == int32(n) {
+			continue
+		}
+		at := int32(0)
+		for d, c := range h {
+			h[d] = at
+			at += c
+		}
+		for j, k := range keys {
+			d := byte(k >> shift)
+			dkeys[h[d]], didx[h[d]] = k, idx[j]
+			h[d]++
+		}
+		keys, dkeys = dkeys, keys
+		idx, didx = didx, idx
+	}
+	copy(order, idx)
+	return false
+}
+
 // BuildGeometry sorts a dataset's anchors once and raises the anchor-bin
 // level over them. The dataset must not be mutated afterwards while the
 // geometry serves it.
@@ -86,10 +180,25 @@ func BuildGeometry(ds *attr.Dataset) (*Geometry, error) {
 func newGeometry(ds *attr.Dataset) *Geometry {
 	var t tables
 	t.layAnchors(ds.Objects)
-	g := &Geometry{ds: ds, n: len(ds.Objects), order: t.order, pts: t.pts}
+	g := &Geometry{ds: ds, n: len(ds.Objects), order: t.order, pts: t.pts, bounds: expandBounds(geom.EmptyRect(), ds.Objects)}
 	g.raiseLevel()
 	return g
 }
+
+// expandBounds returns r expanded to include every object's location, in
+// the objects' order: what geom.BoundingBox does from the empty box,
+// which is what ds.Bounds() returns. Which of two equal extremes ends up
+// in the box — −0 or +0 — is the first one met.
+func expandBounds(r geom.Rect, objs []attr.Object) geom.Rect {
+	for i := range objs {
+		r.ExpandToInclude(objs[i].Loc)
+	}
+	return r
+}
+
+// Bounds returns the bounding box of the geometry's dataset, ds.Bounds()
+// bit for bit, computed once per epoch.
+func (g *Geometry) Bounds() geom.Rect { return g.bounds }
 
 // levelGrid returns the bin granularity of the level a fresh build raises
 // over n anchors: ⌊√n⌋ clamped to [8, 128], then doubled while g² < n,

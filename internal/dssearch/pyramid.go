@@ -26,15 +26,17 @@ import (
 // and the shape — but a few facts of O(1) size (width/height ranges,
 // space) that the first query of a shape derives and the geometry
 // remembers (shape.go). Binding a pyramid to a Searcher therefore
-// replaces the per-query O(R log R) sort, the O(contribs)
+// replaces the per-query radix sort, the O(contribs)
 // flatten/certify passes and the O(R + g²) level build with aliased
 // reads of shared immutable state, in O(1) once the shape's facts are
 // known (DESIGN.md §6). What the pyramid derives from the dataset and
 // the order — the anchors, the level over them and the contribution and
 // min/max tables — is not persisted: a loaded pyramid derives it again
 // from the objects under the stored order and limbs
-// (PyramidFromSnapshot). The order is stored because sorting costs more
-// than reading it.
+// (PyramidFromSnapshot). The order is stored because a load that reads
+// it skips the epoch's sort; with the radix sort (anchorSort) a
+// BuildGeometry costs about what reading a whole file costs (DESIGN.md
+// §6, "Why the order stays").
 //
 // Bit-identity with the unassisted path holds by construction: a
 // one-shot search lays out the same (x, y, index) order in its slab
@@ -44,7 +46,8 @@ import (
 // its readers collect is set-exact.
 //
 // A Pyramid is immutable and safe for any number of concurrent binds; the
-// Engine caches one per composite, and internal/persist gives it a
+// Engine caches one per composite, its grid index bins the core
+// (gridindex.New, through EachRow), and internal/persist gives it a
 // durable on-disk form.
 type Pyramid struct {
 	geo     *Geometry
@@ -158,6 +161,24 @@ func (p *Pyramid) AppendObjectsInX(dst []attr.Object, lo, hi float64) []attr.Obj
 	return dst
 }
 
+// Limbs returns the limb layout the core's contributions are split in:
+// the certificate of the pyramid's dataset, which a rebuild would decide.
+func (p *Pyramid) Limbs() agg.Limbs { return p.core.limbs.Layout() }
+
+// EachRow calls fn with every object's anchor, its channel contributions
+// split in the pyramid's limbs and its min/max contributions, in master
+// order. The slices alias the pyramid: fn must not write to or keep them.
+func (p *Pyramid) EachRow(fn func(loc geom.Point, contribs []agg.Contrib, mms []agg.MMContrib)) {
+	c := p.core
+	for id, loc := range p.geo.pts {
+		var mms []agg.MMContrib
+		if p.mmSlots > 0 {
+			mms = c.rectMM(int32(id))
+		}
+		fn(loc, c.rectContribs(int32(id)), mms)
+	}
+}
+
 // bindCore aliases the pyramid's frozen aggregation core into a
 // recycled tables value and marks it shared so reset() drops (never
 // truncates) the aliased slices.
@@ -244,7 +265,7 @@ func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot)
 	if !inCanonicalOrder(pts, s.Order) {
 		return nil, fmt.Errorf("dssearch: pyramid snapshot order is not the (x, y, index) order")
 	}
-	geo := &Geometry{ds: ds, n: n, order: s.Order, pts: pts}
+	geo := &Geometry{ds: ds, n: n, order: s.Order, pts: pts, bounds: expandBounds(geom.EmptyRect(), ds.Objects)}
 	geo.raiseLevel()
 
 	core := &tables{f: f, chans: s.Chans, limbs: limbs}

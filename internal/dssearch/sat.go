@@ -2,7 +2,6 @@ package dssearch
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -38,7 +37,7 @@ import (
 // its 2D anchor box instead of the 1D MinX window (DESIGN.md §2) — are
 // read from its geometry, and the contributions and limbs aliased from
 // its core. A bind is O(1) once the shape's facts are known (shape.go),
-// converting the per-query O(R log R) setup into amortized shared state
+// converting the per-query sort and flatten into amortized shared state
 // (DESIGN.md §6).
 //
 // Sorting is what the limbs (agg.Limbs) buy: every channel sums in exact
@@ -319,10 +318,10 @@ type tables struct {
 	order []int32
 
 	// Build scratch (flatten, layOut): the contributions in input order as
-	// AppendContribs emits them, and the master order's sort keys.
+	// AppendContribs emits them, and the master order's sort.
 	rawOff []int32
 	raw    []agg.Contrib
-	keys   []anchorKey
+	sorter anchorSort
 
 	// shared marks slices aliased from a Pyramid: reset must drop them
 	// instead of truncating, or later builds would append into the
@@ -385,31 +384,18 @@ func (t *tables) layOut(ds *attr.Dataset, f *agg.Composite) error {
 }
 
 // layAnchors fills t.order (master id -> index into objs) and t.pts (the
-// anchors in master order) with objs' master order, sorted over (x, y,
-// index) keys in t.keys, and reports whether objs were in that order
+// anchors in master order) with objs' master order (anchorSort, its
+// scratch kept in t.sorter), and reports whether objs were in that order
 // already, which is not sorted again.
 func (t *tables) layAnchors(objs []attr.Object) (sorted bool) {
 	n := len(objs)
-	t.order, t.pts = resizeInt32(t.order, n), reserve(t.pts, n)
-	if slices.IsSortedFunc(objs, func(a, b attr.Object) int {
-		return compareAnchors(anchorKey{a.Loc.X, a.Loc.Y, 0}, anchorKey{b.Loc.X, b.Loc.Y, 0})
-	}) {
-		for i := range objs {
-			t.order[i] = int32(i)
-			t.pts = append(t.pts, objs[i].Loc)
-		}
-		return true
+	t.order = resizeInt32(t.order, n)
+	sorted = t.sorter.order(objs, t.order)
+	t.pts = reserve(t.pts, n)
+	for _, oi := range t.order {
+		t.pts = append(t.pts, objs[oi].Loc)
 	}
-	t.keys = reserve(t.keys, n)
-	for i := range objs {
-		t.keys = append(t.keys, anchorKey{objs[i].Loc.X, objs[i].Loc.Y, int32(i)})
-	}
-	slices.SortFunc(t.keys, compareAnchors)
-	for i, k := range t.keys {
-		t.order[i] = k.i
-		t.pts = append(t.pts, geom.Point{X: k.x, Y: k.y})
-	}
-	return false
+	return sorted
 }
 
 // flatten fills the contribution tables of the objects obj(0..n-1) in

@@ -70,7 +70,7 @@ func TestGIDSExcludingMatchesPlain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, err := gridindex.New(ds, q.F, tc.grid, tc.grid)
+			idx, err := gridindex.Build(ds, q.F, tc.grid, tc.grid)
 			if err != nil {
 				t.Fatal(err)
 			}

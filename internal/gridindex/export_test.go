@@ -3,11 +3,22 @@ package gridindex
 import (
 	"fmt"
 
+	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/attr"
 	"asrs/internal/dssearch"
 	"asrs/internal/geom"
 )
+
+// Build is New over the pyramid BuildPyramid builds for ds and f: the
+// index of a dataset, as asrs.NewIndex builds it.
+func Build(ds *attr.Dataset, f *agg.Composite, sx, sy int) (*Index, error) {
+	p, err := dssearch.BuildPyramid(ds, f)
+	if err != nil {
+		return nil, err
+	}
+	return New(p, sx, sy)
+}
 
 // CellLowerBounds returns the §5.3 bound of every index cell — a range of
 // one cell — in row-major order (j*sx+i): the flat pass the search

@@ -96,7 +96,7 @@ func TestLazyCellOrderMatchesFlat(t *testing.T) {
 	type cell struct{ i, j int }
 	run := func(t *testing.T, name string, ds *attr.Dataset, q asp.Query, a, b float64, excl []geom.Rect, grid int, sameOrder bool) {
 		t.Helper()
-		idx, err := New(ds, q.F, grid, grid)
+		idx, err := Build(ds, q.F, grid, grid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestLemma8(t *testing.T) {
 	ds := dataset.Random(300, 80, 2)
 	f := testComposite(t, ds)
 	const sx, sy = 13, 9
-	idx, err := gridindex.New(ds, f, sx, sy)
+	idx, err := gridindex.Build(ds, f, sx, sy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCellLowerBoundsSound(t *testing.T) {
 	ds := dataset.Random(120, 60, 4)
 	f := testComposite(t, ds)
 	const g = 8
-	idx, err := gridindex.New(ds, f, g, g)
+	idx, err := gridindex.Build(ds, f, g, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestGIDSMatchesSweep(t *testing.T) {
 		}
 		want := sw.Solve()
 		for _, g := range []int{4, 8, 16} {
-			idx, err := gridindex.New(c.ds, c.q.F, g, g)
+			idx, err := gridindex.Build(c.ds, c.q.F, g, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +244,7 @@ func TestGIDSPrunes(t *testing.T) {
 	// Target the empty region: distance 0 is found immediately, so cells
 	// with any object nearby are pruned.
 	q := asp.Query{F: f, Target: make([]float64, f.Dims()), W: agg.UnitWeights(f.Dims())}
-	idx, _ := gridindex.New(ds, f, 32, 32)
+	idx, _ := gridindex.Build(ds, f, 32, 32)
 	_, stats, err := gridindex.Solve(idx, ds, q, a, b, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestGIDSApproxGuarantee(t *testing.T) {
 		q := randomTarget(f, rng)
 		sw, _ := sweep.New(rects, q)
 		opt := sw.Solve().Dist
-		idx, _ := gridindex.New(ds, f, 8, 8)
+		idx, _ := gridindex.Build(ds, f, 8, 8)
 		for _, delta := range []float64{0.1, 0.3} {
 			got, _, err := gridindex.Solve(idx, ds, q, a, b, nil, dssearch.Options{Delta: delta})
 			if err != nil {
@@ -281,22 +281,25 @@ func TestGIDSApproxGuarantee(t *testing.T) {
 func TestIndexValidation(t *testing.T) {
 	ds := dataset.Random(10, 10, 12)
 	f := testComposite(t, ds)
-	if _, err := gridindex.New(ds, f, 0, 4); err == nil {
+	if _, err := gridindex.Build(ds, f, 0, 4); err == nil {
 		t.Error("zero granularity accepted")
 	}
-	if _, err := gridindex.New(ds, nil, 4, 4); err == nil {
+	if _, err := gridindex.Build(ds, nil, 4, 4); err == nil {
 		t.Error("nil composite accepted")
 	}
 	bad := &attr.Dataset{Schema: ds.Schema, Objects: []attr.Object{{Loc: geom.Point{}, Values: nil}}}
-	if _, err := gridindex.New(bad, f, 4, 4); err == nil {
+	if _, err := gridindex.Build(bad, f, 4, 4); err == nil {
 		t.Error("invalid dataset accepted")
+	}
+	if _, err := gridindex.New(nil, 4, 4); err == nil {
+		t.Error("nil pyramid accepted")
 	}
 }
 
 func TestSolveValidation(t *testing.T) {
 	ds := dataset.Random(10, 10, 13)
 	f := testComposite(t, ds)
-	idx, _ := gridindex.New(ds, f, 4, 4)
+	idx, _ := gridindex.Build(ds, f, 4, 4)
 	other := testComposite(t, ds)
 	q2 := randomTarget(other, rand.New(rand.NewSource(2)))
 	if _, _, err := gridindex.Solve(idx, ds, q2, 2, 2, nil, dssearch.Options{}); err == nil {
@@ -307,7 +310,7 @@ func TestSolveValidation(t *testing.T) {
 func TestEmptyDatasetIndex(t *testing.T) {
 	ds := &attr.Dataset{Schema: dataset.Random(1, 1, 1).Schema}
 	f := testComposite(t, ds)
-	idx, err := gridindex.New(ds, f, 4, 4)
+	idx, err := gridindex.Build(ds, f, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +329,7 @@ func TestIndexSizeGrowsWithGranularity(t *testing.T) {
 	f := testComposite(t, ds)
 	var prev int
 	for _, g := range []int{8, 16, 32} {
-		idx, _ := gridindex.New(ds, f, g, g)
+		idx, _ := gridindex.Build(ds, f, g, g)
 		size := idx.SizeBytes()
 		if size <= prev {
 			t.Fatalf("granularity %d: size %d not larger than %d", g, size, prev)
@@ -338,7 +341,7 @@ func TestIndexSizeGrowsWithGranularity(t *testing.T) {
 func TestCellRect(t *testing.T) {
 	ds := dataset.Random(50, 64, 15)
 	f := testComposite(t, ds)
-	idx, _ := gridindex.New(ds, f, 8, 8)
+	idx, _ := gridindex.Build(ds, f, 8, 8)
 	union := geom.EmptyRect()
 	for j := 0; j < 8; j++ {
 		for i := 0; i < 8; i++ {

@@ -24,12 +24,12 @@ import (
 	"sync"
 
 	"asrs/internal/agg"
-	"asrs/internal/attr"
+	"asrs/internal/dssearch"
 	"asrs/internal/geom"
 )
 
-// The index has no file format: it is a few O(grid) passes over the
-// dataset, rebuilt wherever the dataset is.
+// The index has no file format: it is a few O(grid) passes over a
+// pyramid's core, rebuilt wherever the pyramid is.
 
 // Index is an immutable grid index over a dataset for one composite
 // aggregator. Build once with New; safe for concurrent readers.
@@ -41,8 +41,8 @@ type Index struct {
 	chans   int
 	mmSlots int
 
-	// limbs is the dataset's certificate, decided over its contributions
-	// in dataset order as BuildPyramid decides it; eff is its limb count.
+	// limbs is the dataset's certificate, the pyramid's (the one a
+	// BuildPyramid of the dataset decides); eff is its limb count.
 	limbs agg.Limbs
 	eff   int
 	// suffix[(j*(sx+1)+i)*eff+k] = Σ limb k of objects located in cells
@@ -62,32 +62,36 @@ type Index struct {
 	lbPool sync.Pool
 }
 
-// New builds the index with granularity sx×sy over the dataset bounds
-// (§7.3 evaluates 64×64, 128×128 and 256×256).
+// New builds the index with granularity sx×sy over the bounds of the
+// pyramid's dataset (§7.3 evaluates 64×64, 128×128 and 256×256) for the
+// pyramid's composite. It bins the pyramid's core: each object's anchor,
+// its contributions already split in the pyramid's limbs and its min/max
+// contributions, so the index flattens and certifies nothing of its own.
 //
 // Every entry of a limb's tables is an integer multiple of its grid below
 // 2^52 in magnitude, and so is every sum of entries the suffix recurrence
 // and Lemma 8 form, their partial sums staying below 2^53: exact in
-// float64, whatever the binning order.
-func New(ds *attr.Dataset, f *agg.Composite, sx, sy int) (*Index, error) {
+// float64, whatever the binning order. Min and max are the same values
+// in any order — only which of a −0 and a +0 in one cell is kept can
+// differ — so the tables equal those of binning the objects in dataset
+// order.
+func New(p *dssearch.Pyramid, sx, sy int) (*Index, error) {
 	if sx < 1 || sy < 1 {
 		return nil, fmt.Errorf("gridindex: granularity must be positive, got %dx%d", sx, sy)
 	}
-	if f == nil {
-		return nil, fmt.Errorf("gridindex: nil composite aggregator")
+	if p == nil {
+		return nil, fmt.Errorf("gridindex: nil pyramid")
 	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
+	f := p.Composite()
 	bounds := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1} // no objects: any finite cell geometry will do
-	if len(ds.Objects) > 0 {
+	if p.Objects() > 0 {
 		// GI-DS covers the candidate space with the cells and the two
 		// margin strips left of and below bounds.Min: the minimum must be
 		// the corpus's own. An axis the corpus does not extend along (one
 		// object, objects on a line) gets a positive extent anchored there,
 		// so that cell geometry stays finite; every cell past the first
 		// column or row is empty.
-		bounds = ds.Bounds()
+		bounds = p.Geometry().Bounds()
 		if bounds.MaxX == bounds.MinX {
 			bounds.MaxX += unitAt(bounds.MinX)
 		}
@@ -104,17 +108,8 @@ func New(ds *attr.Dataset, f *agg.Composite, sx, sy int) (*Index, error) {
 		chh:     bounds.Height() / float64(sy),
 		chans:   f.Channels(),
 		mmSlots: f.MinMaxSlots(),
-		objects: len(ds.Objects),
-	}
-	// The contributions in dataset order, object oi's at raw[off[oi]:off[oi+1]].
-	raw := make([]agg.Contrib, 0, len(ds.Objects)+len(ds.Objects)/4)
-	off := make([]int32, 1, len(ds.Objects)+1)
-	for oi := range ds.Objects {
-		raw = f.AppendContribs(&ds.Objects[oi], raw)
-		off = append(off, int32(len(raw)))
-	}
-	if err := idx.limbs.Certify(idx.chans, raw); err != nil {
-		return nil, err
+		limbs:   p.Limbs(),
+		objects: p.Objects(),
 	}
 	idx.eff = idx.limbs.Eff()
 	idx.suffix = make([]float64, (sx+1)*(sy+1)*idx.eff)
@@ -127,31 +122,24 @@ func New(ds *attr.Dataset, f *agg.Composite, sx, sy int) (*Index, error) {
 		}
 	}
 
-	// Bin object limb contributions into cells. The per-cell totals are
-	// staged into the suffix array at (i, j) and then telescoped.
-	var cbuf []agg.Contrib
-	var mbuf []agg.MMContrib
-	for oi := range ds.Objects {
-		o := &ds.Objects[oi]
-		ci, cj := idx.cellOf(o.Loc)
+	// Bin the core's rows into cells. The per-cell totals are staged into
+	// the suffix array at (i, j) and then telescoped.
+	p.EachRow(func(loc geom.Point, contribs []agg.Contrib, mms []agg.MMContrib) {
+		ci, cj := idx.cellOf(loc)
 		at := (cj*(sx+1) + ci) * idx.eff
-		cbuf = idx.limbs.Split(append(cbuf[:0], raw[off[oi]:off[oi+1]]...), 0)
-		for _, cb := range cbuf {
+		for _, cb := range contribs {
 			idx.suffix[at+cb.Ch] += cb.V
 		}
-		if idx.mmSlots > 0 {
-			mbuf = f.AppendMM(o, mbuf[:0])
-			mat := (cj*idx.sx + ci) * idx.mmSlots
-			for _, m := range mbuf {
-				if m.V < idx.cellMin[mat+m.Slot] {
-					idx.cellMin[mat+m.Slot] = m.V
-				}
-				if m.V > idx.cellMax[mat+m.Slot] {
-					idx.cellMax[mat+m.Slot] = m.V
-				}
+		mat := (cj*sx + ci) * idx.mmSlots
+		for _, m := range mms {
+			if m.V < idx.cellMin[mat+m.Slot] {
+				idx.cellMin[mat+m.Slot] = m.V
+			}
+			if m.V > idx.cellMax[mat+m.Slot] {
+				idx.cellMax[mat+m.Slot] = m.V
 			}
 		}
-	}
+	})
 	// Suffix accumulation: S(i,j) = cell(i,j) + S(i+1,j) + S(i,j+1) −
 	// S(i+1,j+1).
 	for j := sy - 1; j >= 0; j-- {

@@ -103,7 +103,7 @@ func TestMarginBoundsSound(t *testing.T) {
 				a, b := ab[0], ab[1]
 				name := fmt.Sprintf("%s/grid=%d/%gx%g", kind.name, grid, a, b)
 				ds := marginCorpus(rng, 12+rng.Intn(30), kind.num)
-				idx, err := gridindex.New(ds, f, grid, grid)
+				idx, err := gridindex.Build(ds, f, grid, grid)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -187,7 +187,7 @@ func TestMarginOrder(t *testing.T) {
 	}
 	objs = append(objs, at(1, 50, 2))
 	ds := &attr.Dataset{Schema: marginSchema, Objects: objs}
-	idx, err := gridindex.New(ds, f, 8, 8)
+	idx, err := gridindex.Build(ds, f, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

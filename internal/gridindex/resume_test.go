@@ -95,7 +95,7 @@ func TestResumedRoundsMatchRestarted(t *testing.T) {
 	for _, c := range resumeCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			ds, q, a, b := c.ds, c.q, c.a, c.b
-			idx, err := gridindex.New(ds, q.F, c.grid, c.grid)
+			idx, err := gridindex.Build(ds, q.F, c.grid, c.grid)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,7 +40,7 @@ func TestGIDSSelectiveGamma(t *testing.T) {
 		sw, _ := sweep.New(rects, q)
 		want := sw.Solve()
 
-		idx, err := gridindex.New(ds, f, 12, 12)
+		idx, err := gridindex.Build(ds, f, 12, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestGIDSCountComposite(t *testing.T) {
 	q := asp.Query{F: f, Target: []float64{1e9}}
 	a, b := 10.0, 10.0
 	rects, _ := asp.Reduce(ds, a, b, asp.AnchorTR)
-	idx, _ := gridindex.New(ds, f, 16, 16)
+	idx, _ := gridindex.Build(ds, f, 16, 16)
 	got, _, err := gridindex.Solve(idx, ds, q, a, b, nil, dssearch.Options{})
 	if err != nil {
 		t.Fatal(err)
