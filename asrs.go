@@ -56,10 +56,7 @@
 package asrs
 
 import (
-	"errors"
-	"fmt"
 	"io"
-	"io/fs"
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
@@ -149,7 +146,7 @@ type (
 	SearchStats = dssearch.Stats
 	// Index is a grid index over a dataset for one composite aggregator.
 	Index = gridindex.Index
-	// Pyramid is the persistent per-composite aggregate pyramid: the
+	// Pyramid is the per-composite aggregate pyramid: the
 	// dataset-level aggregation layer (canonical master order, channel
 	// contributions, exactness certificates, the anchor-bin level) built
 	// once per (dataset, composite) and bound by every query instead of
@@ -251,10 +248,9 @@ func NewIndex(ds *Dataset, f *Composite, sx, sy int) (*Index, error) {
 	return gridindex.New(p, sx, sy)
 }
 
-// BuildPyramid constructs the persistent aggregate pyramid for one
-// composite over a dataset (DESIGN.md §6). Engines build pyramids
-// lazily on their own; use this (with WritePyramid/ReadPyramid) to
-// build one offline and ship it to query services.
+// BuildPyramid constructs the aggregate pyramid for one composite over a
+// dataset (DESIGN.md §6), to bind through Options.Pyramid or install with
+// Engine.SetPyramid. Engines build their own, at Warm or on first use.
 func BuildPyramid(ds *Dataset, f *Composite) (*Pyramid, error) {
 	return dssearch.BuildPyramid(ds, f)
 }
@@ -289,163 +285,12 @@ func WriteDatasetCSV(w io.Writer, ds *Dataset) error { return persist.WriteCSV(w
 // hand-authored in the same dialect.
 func ReadDatasetCSV(r io.Reader) (*Dataset, error) { return persist.ReadCSV(r) }
 
-// WritePyramid serializes an aggregate pyramid to a compact
-// checksummed binary format; load it back with ReadPyramid. Returns the
-// byte count written.
-func WritePyramid(w io.Writer, p *Pyramid) (int64, error) { return persist.WritePyramid(w, p) }
-
-// ReadPyramid loads a pyramid written by WritePyramid, re-binding it to
-// the dataset and composite it was built with (fingerprint- and
-// checksum-verified; corrupt or mismatched files error out cleanly).
-// Install it into an Engine with Engine.SetPyramid. The dataset identity
-// and the composite's selection functions are part of the file's
-// contract.
-func ReadPyramid(r io.Reader, ds *Dataset, f *Composite) (*Pyramid, error) {
-	return persist.ReadPyramid(r, ds, f)
-}
-
-// ErrPyramidCorrupt and ErrPyramidMismatch classify pyramid-file
-// failures (re-exported from internal/persist): corrupt means the
-// bytes are damaged — torn write, truncation, checksum failure — and
-// the artifact is rebuildable; mismatch means the file decodes but was
-// built for a different composite or dataset, a deployment error that
-// rebuilding would hide. LoadOrBuildPyramidFile quarantines and
-// rebuilds on the former and hard-fails on the latter.
-var (
-	ErrPyramidCorrupt  = persist.ErrCorrupt
-	ErrPyramidMismatch = persist.ErrMismatch
-)
-
 // ErrInvalidObject is wrapped by every error Dataset.Validate returns — an
 // object without one value per attribute, a categorical value outside its
 // domain, a location that is not finite, a numeric value that is neither
 // 0 nor of magnitude in [2^-970, 2^960) — and so by the refusals of
 // NewEngine, InsertBatch and ReadDatasetCSV.
 var ErrInvalidObject = attr.ErrInvalid
-
-// PyramidLoad reports how LoadOrBuildPyramidFile obtained its pyramid.
-type PyramidLoad int
-
-const (
-	// PyramidLoaded: the on-disk file verified and loaded.
-	PyramidLoaded PyramidLoad = iota
-	// PyramidBuilt: no file existed; built fresh and saved.
-	PyramidBuilt
-	// PyramidRebuilt: the file was corrupt; it was quarantined
-	// (timestamped .corrupt-* sibling) and the pyramid rebuilt and
-	// re-saved.
-	PyramidRebuilt
-)
-
-func (s PyramidLoad) String() string {
-	switch s {
-	case PyramidLoaded:
-		return "loaded"
-	case PyramidBuilt:
-		return "built"
-	case PyramidRebuilt:
-		return "rebuilt"
-	}
-	return fmt.Sprintf("PyramidLoad(%d)", int(s))
-}
-
-// SavePyramidFile atomically persists a pyramid: temp file + fsync +
-// rename, plus a checksummed sidecar manifest. A crash at any instant
-// leaves either the old complete file or the new complete file at
-// path — never a torn one.
-func SavePyramidFile(path string, p *Pyramid) error { return persist.SavePyramid(path, p) }
-
-// LoadPyramidFile reads a pyramid saved by SavePyramidFile (or by
-// LoadOrBuildPyramidFile). Damaged files error with ErrPyramidCorrupt,
-// wrong-identity files with ErrPyramidMismatch; a missing file reports
-// fs.ErrNotExist.
-func LoadPyramidFile(path string, ds *Dataset, f *Composite) (*Pyramid, error) {
-	return persist.LoadPyramid(path, ds, f)
-}
-
-// LoadOrBuildPyramidFile binds the on-disk pyramid for (ds, f):
-//
-//   - the file exists and verifies → (pyramid, PyramidLoaded, nil);
-//   - no file → build, save atomically, (pyramid, PyramidBuilt, nil);
-//   - the file is corrupt (torn write, bit rot, truncation) → move it
-//     aside to a timestamped .corrupt-* sibling, rebuild, re-save,
-//     (pyramid, PyramidRebuilt, nil). The damaged bytes are preserved
-//     for postmortem and the process comes up healthy;
-//   - the file decodes but belongs to a different dataset/composite →
-//     (nil, 0, error wrapping ErrPyramidMismatch). That is a stale or
-//     misrouted artifact; rebuilding silently would hide the
-//     deployment error, so it stays fatal.
-//
-// status lets callers log build latency versus a warm load and alert
-// on rebuilds. asrsquery -pyramid rides this helper; a daemon that
-// serves several composites of one corpus uses the Engine's method of
-// the same name, whose builds share the corpus's geometry.
-func LoadOrBuildPyramidFile(path string, ds *Dataset, f *Composite) (p *Pyramid, status PyramidLoad, err error) {
-	return loadOrBuildPyramidFile(path, ds, f, func() (*Pyramid, error) { return dssearch.BuildPyramid(ds, f) })
-}
-
-// LoadOrBuildPyramidFile is the package function of the same name over
-// the engine's seed corpus, with the pyramid installed in the engine: a
-// loaded one as SetPyramid installs it, a built one made by the engine
-// itself, on the seed epoch's geometry — so every composite after the
-// first pays for its own core only, not for a sort and a level of its
-// own. The engine must still be on its seed epoch, as at boot.
-func (e *Engine) LoadOrBuildPyramidFile(path string, f *Composite) (*Pyramid, PyramidLoad, error) {
-	v := e.view.Load()
-	if v.ds != e.ds {
-		return nil, 0, fmt.Errorf("asrs: pyramid file %s describes the seed corpus; the engine serves a later epoch", path)
-	}
-	p, status, err := loadOrBuildPyramidFile(path, e.ds, f, func() (*Pyramid, error) {
-		if e.opt.DisablePyramid {
-			return dssearch.BuildPyramid(e.ds, f)
-		}
-		return e.pyramidFor(v, f)
-	})
-	if err != nil || status != PyramidLoaded {
-		return p, status, err
-	}
-	p, err = e.install(p)
-	return p, status, err
-}
-
-func loadOrBuildPyramidFile(path string, ds *Dataset, f *Composite, build func() (*Pyramid, error)) (*Pyramid, PyramidLoad, error) {
-	p, err := persist.LoadPyramid(path, ds, f)
-	switch {
-	case err == nil:
-		return p, PyramidLoaded, nil
-	case errors.Is(err, persist.ErrCorrupt):
-		qpath, qerr := persist.Quarantine(path)
-		if qerr != nil {
-			return nil, 0, fmt.Errorf("asrs: pyramid %s corrupt and unquarantinable: %w", path, qerr)
-		}
-		p, berr := buildAndSavePyramid(path, build)
-		if berr != nil {
-			return nil, 0, fmt.Errorf("asrs: rebuilding after corrupt pyramid (quarantined at %s): %w", qpath, berr)
-		}
-		return p, PyramidRebuilt, nil
-	case errors.Is(err, fs.ErrNotExist):
-		p, berr := buildAndSavePyramid(path, build)
-		if berr != nil {
-			return nil, 0, berr
-		}
-		return p, PyramidBuilt, nil
-	default:
-		// Mismatch, permissions, I/O: surface it. Overwriting an artifact
-		// we cannot even read would destroy the evidence.
-		return nil, 0, fmt.Errorf("asrs: loading pyramid %s: %w", path, err)
-	}
-}
-
-func buildAndSavePyramid(path string, build func() (*Pyramid, error)) (*Pyramid, error) {
-	p, err := build()
-	if err != nil {
-		return nil, err
-	}
-	if err := persist.SavePyramid(path, p); err != nil {
-		return nil, fmt.Errorf("asrs: saving pyramid %s: %w", path, err)
-	}
-	return p, nil
-}
 
 // UnitWeights returns a weight vector of n ones.
 func UnitWeights(n int) []float64 { return agg.UnitWeights(n) }

@@ -10,7 +10,6 @@
 // Usage:
 //
 //	asrsd -dataset singapore -addr :8080
-//	asrsd -dataset singapore -n 100000 -pyramid sg.pyr   # warm-load (build+save on first run)
 //	asrsd -dataset tweet -n 200000 -queue 512
 //	asrsd -dataset singapore -wal-dir /var/lib/asrs/wal  # durable streaming ingest
 //	asrsd -dataset singapore -shards 4                   # multi-shard serving (scatter–gather router)
@@ -38,8 +37,11 @@
 // x-slab shards, each its own engine/pyramid/WAL fault domain behind a
 // circuit breaker; extent queries route to one shard when possible and
 // scatter–gather otherwise. The listener opens before the shards warm —
-// /readyz reports 503 "warming" until they have — and a corrupt shard
-// pyramid is quarantined and rebuilt without blocking siblings.
+// /readyz reports 503 "warming" until they have — and a shard that fails
+// to load is isolated by its breaker without blocking siblings.
+//
+// Every boot builds each composite's aggregate pyramid in memory (Warm);
+// no pyramid is stored. -pyramid is inert.
 //
 // SIGTERM/SIGINT starts a graceful drain: /readyz flips to 503, new
 // queries are refused, and in-flight searches get a grace period before
@@ -75,7 +77,7 @@ func main() {
 		_          = flag.Int("workers", 0, "inert: each search runs on its request's goroutine; kept for scripts that pass it")
 		grid       = flag.Int("grid", 64, "grid index granularity (0 disables GI-DS)")
 		queue      = flag.Int("queue", server.DefaultMaxInFlight, "admission bound: max in-flight requests before 429 load shedding")
-		pyrPath    = flag.String("pyramid", "", "aggregate-pyramid file: loaded at startup, or built and saved on first run; secondary composites persist beside it as <path>.<name>")
+		_          = flag.String("pyramid", "", "inert: every boot builds its pyramids in memory; kept for scripts that pass it")
 		timeout    = flag.Duration("timeout", server.DefaultTimeout, "default per-query deadline")
 		maxTimeout = flag.Duration("max-timeout", server.DefaultMaxTimeout, "upper clamp on client-chosen timeout_ms")
 		grace      = flag.Duration("grace", 30*time.Second, "drain grace period after SIGTERM before in-flight searches are cancelled")
@@ -93,7 +95,7 @@ func main() {
 	if err := run(runConfig{
 		addr: *addr, dsName: *dsName, n: *n, seed: *seed,
 		grid: *grid, queue: *queue,
-		pyrPath: *pyrPath, timeout: *timeout, maxTimeout: *maxTimeout,
+		timeout: *timeout, maxTimeout: *maxTimeout,
 		grace: *grace, verbose: *verbose, walDir: *walDir, walSync: *walSync,
 		compactAt: *compactAt, shards: *shards, shardCuts: *shardCuts,
 		partial: *partial, shardLazy: *shardLazy,
@@ -110,7 +112,6 @@ type runConfig struct {
 	seed                int64
 	grid                int
 	queue               int
-	pyrPath             string
 	timeout, maxTimeout time.Duration
 	grace               time.Duration
 	verbose             bool
@@ -138,8 +139,8 @@ func parseCuts(s string) ([]float64, error) {
 	return cuts, nil
 }
 
-// buildServing constructs the dataset and its composite registry. The
-// first name returned is the primary composite (-pyramid applies to it).
+// buildServing constructs the dataset and its composite registry, the
+// composite names in warm order.
 func buildServing(dsName string, n int, seed int64) (*asrs.Dataset, map[string]*asrs.Composite, []string, error) {
 	switch dsName {
 	case "singapore":
@@ -184,36 +185,6 @@ func buildServing(dsName string, n int, seed int64) (*asrs.Dataset, map[string]*
 		return ds, map[string]*asrs.Composite{"f2": f2}, []string{"f2"}, nil
 	}
 	return nil, nil, nil, fmt.Errorf("unknown dataset %q", dsName)
-}
-
-// loadOrBuildPyramid installs the on-disk pyramid for (ds, f) into the
-// engine, building it through the engine — on the corpus's one geometry —
-// and saving the file when it does not exist yet.
-func loadOrBuildPyramid(eng *asrs.Engine, path string, f *asrs.Composite) error {
-	p, status, err := eng.LoadOrBuildPyramidFile(path, f)
-	if err != nil {
-		return err
-	}
-	switch status {
-	case asrs.PyramidBuilt:
-		log.Printf("pyramid: built and saved %s (%d objects)", path, p.Objects())
-	case asrs.PyramidRebuilt:
-		log.Printf("pyramid: WARNING: %s was corrupt; quarantined and rebuilt (%d objects)", path, p.Objects())
-	default:
-		log.Printf("pyramid: loaded %s (%d objects)", path, p.Objects())
-	}
-	return nil
-}
-
-// pyramidPath derives the per-composite pyramid file from the -pyramid
-// flag: the primary composite owns the path as given, secondary
-// composites get "<path>.<name>" beside it — every registered composite
-// is persisted, so a warm boot pays zero pyramid builds.
-func pyramidPath(base string, i int, name string) string {
-	if i == 0 {
-		return base
-	}
-	return base + "." + name
 }
 
 // Connection-level timeouts. Admission (MaxInFlight) is taken in the
@@ -272,18 +243,17 @@ func run(rc runConfig) error {
 	var cat *shard.Catalog // shard mode
 	if sharded {
 		// Per-shard engines own their fault domains: WALs under
-		// <wal-dir>/<shard-name>, pyramids at <pyramid>.<shard-name>.
+		// <wal-dir>/<shard-name>.
 		engOpts.Ingest.WALDir = ""
 		cat, err = shard.New(ds, shard.Config{
-			Shards:      rc.shards,
-			Cuts:        cuts,
-			Engine:      engOpts,
-			Composites:  composites,
-			Names:       names,
-			PyramidBase: rc.pyrPath,
-			WALRoot:     rc.walDir,
-			Lazy:        true, // warmed in the background after listen
-			Logf:        log.Printf,
+			Shards:     rc.shards,
+			Cuts:       cuts,
+			Engine:     engOpts,
+			Composites: composites,
+			Names:      names,
+			WALRoot:    rc.walDir,
+			Lazy:       true, // warmed in the background after listen
+			Logf:       log.Printf,
 		})
 		if err != nil {
 			return err
@@ -309,13 +279,6 @@ func run(rc runConfig) error {
 			// acknowledged insert is staged for the first epoch view.
 			log.Printf("ingest: WAL %s (sync=%s), recovered %d ingested objects",
 				rc.walDir, syncPolicy, len(eng.IngestedObjects()))
-		}
-		if rc.pyrPath != "" {
-			for i, name := range names {
-				if err := loadOrBuildPyramid(eng, pyramidPath(rc.pyrPath, i, name), composites[name]); err != nil {
-					return err
-				}
-			}
 		}
 		for _, name := range names {
 			start := time.Now()

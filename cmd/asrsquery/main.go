@@ -13,7 +13,7 @@
 //	asrsquery -dataset tweet -algo base -n 3000         # sweep-line baseline
 //	asrsquery -dataset tweet -algo gids -grid 128       # grid-index accelerated
 //	asrsquery -dataset singapore -algo gids -grid 64 -debug # Orchard → ? through GI-DS cut around the example, with its counters
-//	asrsquery -dataset tweet -pyramid tweet.pyr         # bind the aggregate pyramid (built+saved on first use)
+//	asrsquery -dataset tweet -pyramid on                # bind an aggregate pyramid built before the clock starts
 //	asrsquery -dataset singapore -json                  # machine-readable output (the asrsd wire schema)
 //	asrsquery -dataset singapore -q 'find top 3 similar to region(103.827,1.298,103.843,1.310) under @category excluding example'
 //	asrsquery -dataset tweet -q 'explain find size 2 x 2 similar to target(0,0,0,0,0,1,1) under dist(day)'
@@ -45,7 +45,7 @@ func main() {
 		delta   = flag.Float64("delta", 0, "approximation parameter δ (0 = exact)")
 		seed    = flag.Int64("seed", 42, "dataset seed")
 		_       = flag.Int("workers", 0, "inert: the search runs on one goroutine; kept for scripts that pass it")
-		pyrPath = flag.String("pyramid", "", "aggregate-pyramid file: load the per-composite pyramid from this path instead of rebuilding the query's aggregation layer (the file is built and saved on first use); answers are identical either way")
+		pyrPath = flag.String("pyramid", "", "any non-empty value binds the composite's aggregate pyramid, built in memory before the clock starts, instead of laying out the query's aggregation layer in the search (the value is not read as a path; nothing is stored); answers are identical either way")
 		jsonOut = flag.Bool("json", false, "emit the answer as JSON in the asrsd wire schema (one format for CLI and daemon)")
 		qText   = flag.String("q", "", "run a query-language expression over the chosen dataset instead of the canned query (see README \"Query language\"; 'explain …' prints the plan report). Results stream as they are found; with -json each row is one NDJSON line, the same rows POST /v1/search would send")
 		debug   = flag.Bool("debug", false, "print search work counters, including the mini-sweep strip-evaluator selection (flat prefix scan vs Fenwick walks; DESIGN.md §8)")
@@ -106,24 +106,6 @@ func startCPUProfile(path string) (stop func() error, err error) {
 var infoOut = os.Stdout
 
 func infof(format string, args ...any) { fmt.Fprintf(infoOut, format, args...) }
-
-// loadOrBuildPyramid binds the on-disk pyramid for (ds, f), building and
-// saving it when the file does not exist yet.
-func loadOrBuildPyramid(path string, ds *asrs.Dataset, f *asrs.Composite) (*asrs.Pyramid, error) {
-	p, status, err := asrs.LoadOrBuildPyramidFile(path, ds, f)
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case asrs.PyramidBuilt:
-		infof("pyramid:        built and saved to %s (%d objects)\n", path, p.Objects())
-	case asrs.PyramidRebuilt:
-		infof("pyramid:        WARNING: %s was corrupt; quarantined and rebuilt (%d objects)\n", path, p.Objects())
-	default:
-		infof("pyramid:        loaded from %s (%d objects)\n", path, p.Objects())
-	}
-	return p, nil
-}
 
 // debugStats prints the per-search work counters: how the space was
 // processed, and which evaluator the strip cost model picked per dirty
@@ -204,9 +186,10 @@ func run(dsName string, n, k int, algo string, grid int, delta float64, seed int
 
 	opt := asrs.Options{Delta: delta}
 	if pyrPath != "" && algo != "base" {
-		if opt.Pyramid, err = loadOrBuildPyramid(pyrPath, ds, req.Query.F); err != nil {
+		if opt.Pyramid, err = asrs.BuildPyramid(ds, req.Query.F); err != nil {
 			return err
 		}
+		infof("pyramid:        built (%d objects)\n", opt.Pyramid.Objects())
 	}
 	req.Options = &opt
 

@@ -297,7 +297,7 @@ func NewEngine(ds *Dataset, opt EngineOptions) (*Engine, error) {
 	}
 	e.slots.free = e.parallelism()
 	// Epoch zero IS the seed dataset (same pointer), so pyramids built
-	// or loaded for the seed — SetPyramid after a LoadPyramidFile —
+	// for the seed — by Warm, or apart and installed with SetPyramid —
 	// match it by identity even when recovery staged objects: those fold
 	// in at first query, with the seed pyramid as the merge base.
 	e.view.Store(&engineView{
@@ -521,34 +521,28 @@ func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {
 	return ent.p, ent.err
 }
 
-// SetPyramid installs a prebuilt pyramid (typically loaded from disk
-// via ReadPyramid) into the engine's cache, so queries bind it instead
-// of triggering a fresh build. The pyramid must have been built for the
-// current epoch's dataset and the composite it reports. At boot — even
-// after WAL recovery staged objects — the current epoch is the seed
-// corpus itself, so a pyramid persisted for the seed installs cleanly
-// and later epochs fold the recovered inserts into it.
+// SetPyramid installs a pyramid built apart from the engine (BuildPyramid)
+// into its cache, so queries bind it instead of triggering a build. The
+// pyramid must have been built for the current epoch's dataset and the
+// composite it reports. At boot — even after WAL recovery staged objects
+// — the current epoch is the seed corpus itself, so a pyramid built for
+// the seed installs cleanly and later epochs fold the recovered inserts
+// into it.
 //
 // The epoch's geometry is the first installed pyramid's when none was
 // built yet; a pyramid whose order equals the epoch's geometry's (the
 // level is raised over the anchors in that order, so it is equal too) is
-// installed on it, so the composites of a loaded epoch share one
-// geometry (and one memo of shape facts) as built ones do.
+// installed on it, so the composites of an epoch share one geometry (and
+// one memo of shape facts) however their pyramids were built.
 func (e *Engine) SetPyramid(p *Pyramid) error {
-	_, err := e.install(p)
-	return err
-}
-
-// install is SetPyramid, returning the pyramid as installed.
-func (e *Engine) install(p *Pyramid) (*Pyramid, error) {
 	if p == nil {
-		return nil, fmt.Errorf("asrs: nil pyramid")
+		return fmt.Errorf("asrs: nil pyramid")
 	}
 	v := e.view.Load()
 	// The cache key is the pyramid's own composite, so only dataset
 	// identity needs verifying here.
 	if !p.Matches(v.ds, p.Composite()) {
-		return nil, fmt.Errorf("asrs: pyramid was built for a different dataset")
+		return fmt.Errorf("asrs: pyramid was built for a different dataset")
 	}
 	v.geo.once.Do(func() {
 		v.geo.g = p.Geometry()
@@ -561,14 +555,14 @@ func (e *Engine) install(p *Pyramid) (*Pyramid, error) {
 	e.mu.Lock()
 	v.pyramids[p.Composite()] = ent
 	e.mu.Unlock()
-	return p, nil
+	return nil
 }
 
 // Warm eagerly builds (or finishes building) the engine's cached grid
 // index and aggregate pyramid for a composite, so the first real query
-// pays neither build. Serving daemons call it per composite at startup —
-// typically after SetPyramid installed a pyramid loaded from disk, in
-// which case only the index build remains.
+// pays neither build. Serving daemons call it per composite at boot: the
+// first composite's pyramid sorts the epoch's geometry, every later one
+// builds only its own core on it.
 func (e *Engine) Warm(f *Composite) error {
 	if f == nil {
 		return fmt.Errorf("asrs: warm requires a composite")
@@ -611,7 +605,7 @@ func (e *Engine) options(v *engineView, req QueryRequest) Options {
 		opt.Slabs = sc
 	}
 	if opt.Pyramid == nil {
-		// Bind the persistent per-composite pyramid: every query then
+		// Bind the epoch's per-composite pyramid: every query then
 		// aliases the dataset-level aggregation layer instead of
 		// rebuilding it (a build failure just means unassisted queries).
 		if p, err := e.pyramidFor(v, req.Query.F); err == nil && p != nil {

@@ -1,7 +1,6 @@
 package asrs_test
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -125,20 +124,13 @@ func TestBatchGroupingMatchesSingleQueries(t *testing.T) {
 	}
 }
 
-// TestEnginePyramidRoundTripServing: a pyramid serialized, reloaded and
-// installed with SetPyramid serves bit-identical answers to the
-// engine-built one.
+// TestEnginePyramidRoundTripServing: a pyramid built apart from the
+// engine (BuildPyramid) and installed with SetPyramid serves answers
+// bit-identical to the pyramid the engine builds itself, and so does a
+// second engine booted over the same corpus, as after a restart.
 func TestEnginePyramidRoundTripServing(t *testing.T) {
 	ds, f, reqs := batchFixture(t, 6, 44)
-	built, err := asrs.BuildPyramid(ds, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := asrs.WritePyramid(&buf, built); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := asrs.ReadPyramid(&buf, ds, f)
+	apart, err := asrs.BuildPyramid(ds, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,17 +138,29 @@ func TestEnginePyramidRoundTripServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engLoaded, err := asrs.NewEngine(ds, asrs.EngineOptions{BatchParallelism: 1})
+	engInstalled, err := asrs.NewEngine(ds, asrs.EngineOptions{BatchParallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engLoaded.SetPyramid(loaded); err != nil {
+	if err := engInstalled.SetPyramid(apart); err != nil {
+		t.Fatal(err)
+	}
+	engRebooted, err := asrs.NewEngine(ds, asrs.EngineOptions{BatchParallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := engRebooted.Warm(f); err != nil {
 		t.Fatal(err)
 	}
 	a := engBuilt.QueryBatch(reqs)
-	b := engLoaded.QueryBatch(reqs)
+	b := engInstalled.QueryBatch(reqs)
+	c := engRebooted.QueryBatch(reqs)
 	for i := range a {
-		respEqual(t, "loaded-pyramid", i, a[i], b[i])
+		respEqual(t, "installed-pyramid", i, a[i], b[i])
+		respEqual(t, "rebooted-engine", i, a[i], c[i])
+	}
+	if p, err := engInstalled.Pyramid(f); err != nil || p != apart {
+		t.Fatalf("the engine serves another pyramid than the installed one (err %v)", err)
 	}
 }
 

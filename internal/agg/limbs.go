@@ -194,45 +194,6 @@ func (l *Limbs) Certify(chans int, contribs []Contrib) error {
 	return nil
 }
 
-// NewLimbs rebuilds a certificate's limbs from their scales and each
-// channel's first extra limb (-1 for none), as Certify lays them out, for
-// a caller that stored them (a pyramid file). It checks that every scale
-// is a power of two a limb may take and that the extra limbs are laid out
-// as Certify lays them: contiguous per channel, the channels' runs in
-// channel order, right after the channels.
-func NewLimbs(scale []float64, lo []int32) (Limbs, error) {
-	chans := len(lo)
-	if len(scale) < chans {
-		return Limbs{}, fmt.Errorf("agg: %d limbs for %d channels", len(scale), chans)
-	}
-	l := Limbs{Scale: scale, Inv: make([]float64, len(scale)), Lo: lo, owner: make([]int32, len(scale)-chans)}
-	for k, v := range scale {
-		if frac, e := math.Frexp(v); frac != 0.5 || e-1 < -maxLimbShift || e-1 > maxLimbShift {
-			return Limbs{}, fmt.Errorf("agg: limb %d scale %g is not an admissible power of two", k, v)
-		}
-		l.Inv[k] = math.Ldexp(1, -shiftOf(v))
-	}
-	// Each channel with extra limbs owns those from its first up to the
-	// next such channel's first, the last one those up to the end.
-	end := len(scale)
-	for ch := chans - 1; ch >= 0; ch-- {
-		if lo[ch] < 0 {
-			continue
-		}
-		if int(lo[ch]) < chans || int(lo[ch]) >= end {
-			return Limbs{}, fmt.Errorf("agg: first extra limb %d of channel %d out of place", lo[ch], ch)
-		}
-		for k := int(lo[ch]); k < end; k++ {
-			l.owner[k-chans] = int32(ch)
-		}
-		end = int(lo[ch])
-	}
-	if end != chans {
-		return Limbs{}, fmt.Errorf("agg: %d extra limbs, %d in use", len(scale)-chans, len(scale)-end)
-	}
-	return l, nil
-}
-
 // Layout returns the limbs without the certificate's running sums: a
 // value that shares l's slices, which no method writes to.
 func (l *Limbs) Layout() Limbs {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -140,45 +139,4 @@ func limbsOf(l *Limbs, ch int) int {
 		n++
 	}
 	return n
-}
-
-// TestNewLimbsRebuildsTheLayout: limbs rebuilt from a certificate's
-// scales and first extra limbs fold like the certificate's, and a layout
-// Certify would not produce is refused.
-func TestNewLimbsRebuildsTheLayout(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var cbs []Contrib
-	for i := 0; i < 300; i++ {
-		cbs = append(cbs,
-			Contrib{Ch: 0, V: rng.NormFloat64() * math.Pow(10, float64(rng.Intn(25)-12))},
-			Contrib{Ch: 1, V: 1},
-			Contrib{Ch: 2, V: 0.1 * float64(rng.Intn(100))})
-	}
-	var l Limbs
-	if err := l.Certify(3, cbs); err != nil {
-		t.Fatal(err)
-	}
-	if limbsOf(&l, 0) < 3 || limbsOf(&l, 1) != 1 || limbsOf(&l, 2) != 2 {
-		t.Fatalf("limbs per channel %d %d %d, want ≥3, 1, 2", limbsOf(&l, 0), limbsOf(&l, 1), limbsOf(&l, 2))
-	}
-	r, err := NewLimbs(l.Scale, l.Lo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := make([]float64, l.Eff())
-	for i := range src {
-		src[i] = rng.Float64()
-	}
-	if a, b := l.Fold(make([]float64, 3), src), r.Fold(make([]float64, 3), src); !slices.Equal(a, b) {
-		t.Fatalf("rebuilt limbs fold %v, the certificate %v", b, a)
-	}
-	bad := [][]int32{{l.Lo[2], -1, l.Lo[0]}, {-1, -1, l.Lo[2]}, {l.Lo[0], -1, int32(l.Eff())}}
-	for _, lo := range bad {
-		if _, err := NewLimbs(l.Scale, lo); err == nil {
-			t.Errorf("layout %v accepted for %d limbs", lo, l.Eff())
-		}
-	}
-	if _, err := NewLimbs([]float64{1, 0}, []int32{1}); err == nil {
-		t.Error("a zero scale accepted")
-	}
 }

@@ -10,6 +10,7 @@ package chaos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"os/signal"
@@ -23,6 +24,7 @@ import (
 	"asrs/internal/dataset"
 	"asrs/internal/faultinject"
 	"asrs/internal/kernel"
+	"asrs/internal/persist"
 )
 
 // chaosCorpus builds the chaos fixture once: a small corpus (chaos
@@ -167,94 +169,119 @@ func TestEngineChaosSeeds(t *testing.T) {
 	t.Logf("chaos: %d fault-free queries compared bit-identical, %d faulted with typed errors", compared, faulted)
 }
 
-// TestPersistChaosSeeds replays pyramid save/load under 20 seeded IO
-// fault schedules. Contract: a failed save leaves the previous
-// complete file loadable (or no file at all); a successful save loads
-// back; injected load faults surface typed.
+// TestPersistChaosSeeds replays an ingest compaction — the one durable
+// write, the ingest snapshot — under 20 seeded IO fault schedules over
+// its write, fsyncs and rename. Contract: a compaction that fails does so
+// typed and leaves the previous complete snapshot or the new one, never a
+// torn file; one that succeeds leaves the new one; and whatever its fate,
+// a reboot over the directory recovers every acknowledged insert. The
+// schedules must reach every regime, among them an fsync failure that
+// leaves the old snapshot: the snapshot is fsynced before the rename
+// publishes it.
 func TestPersistChaosSeeds(t *testing.T) {
-	ds, f, _, _ := fixture(t)
-	pyr, _, err := asrs.LoadOrBuildPyramidFile(filepath.Join(t.TempDir(), "oracle.bin"), ds, f)
-	if err != nil {
-		t.Fatal(err)
+	ds, _, _, _ := fixture(t)
+	pool := insertPool(20, 61)
+	snapped := func(dir string) int {
+		t.Helper()
+		objs, _, err := persist.LoadIngestSnapshot(filepath.Join(dir, "ingest.snap"), ds.Schema)
+		if err != nil {
+			t.Fatalf("snapshot unreadable after a compaction: %v", err)
+		}
+		return len(objs)
 	}
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pyr.bin")
-	if err := asrs.SavePyramidFile(path, pyr); err != nil {
-		t.Fatal(err)
-	}
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	regimes := map[string]int{}
 	for seed := int64(1); seed <= 20; seed++ {
+		dir := t.TempDir()
+		opt := asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir, CompactAt: -1}}
+		eng, err := asrs.NewEngine(ds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.InsertBatch(pool[:10]); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.InsertBatch(pool[10:]); err != nil {
+			t.Fatal(err)
+		}
 		plan := faultinject.NewPlan(seed,
-			faultinject.Spec{Point: "persist.save.write", Action: faultinject.ActShortWrite, MaxEvery: 6},
-			faultinject.Spec{Point: "persist.save.sync", Action: faultinject.ActError, MaxEvery: 8},
-			faultinject.Spec{Point: "persist.save.rename", Action: faultinject.ActError, MaxEvery: 8},
+			faultinject.Spec{Point: "compact.save", Action: faultinject.ActShortWrite, MaxEvery: 6},
+			faultinject.Spec{Point: "persist.save.sync", Action: faultinject.ActError, MaxEvery: 6},
+			faultinject.Spec{Point: "persist.save.rename", Action: faultinject.ActError, MaxEvery: 6},
 		)
 		faultinject.Activate(plan)
-		serr := asrs.SavePyramidFile(path, pyr)
-		fired := plan.Fired()
+		cerr := eng.Compact()
 		faultinject.Deactivate()
 
-		if serr != nil {
-			if !errors.Is(serr, faultinject.ErrInjected) {
-				t.Fatalf("seed %d: untyped save error %v", seed, serr)
+		n := snapped(dir)
+		switch {
+		case cerr == nil:
+			if plan.Fired() != 0 || n != 20 {
+				t.Fatalf("seed %d: compaction succeeded after %d faults, snapshot holds %d objects", seed, plan.Fired(), n)
 			}
-			if fired == 0 {
-				t.Fatalf("seed %d: save failed with no fault fired: %v", seed, serr)
+			regimes["success"]++
+		case !errors.Is(cerr, faultinject.ErrInjected):
+			t.Fatalf("seed %d: untyped compaction error %v", seed, cerr)
+		case plan.FiredAt("compact.save") > 0 || plan.FiredAt("persist.save.rename") > 0:
+			if n != 10 {
+				t.Fatalf("seed %d: a write or rename fault published a snapshot of %d objects", seed, n)
 			}
+			regimes["write or rename"]++
+		case n == 10:
+			regimes["fsync, old kept"]++
+		default:
+			regimes["fsync, new published"]++
 		}
-		// Old-or-new: whatever the save's fate, the destination must
-		// hold a COMPLETE loadable pyramid (the old bytes on failure,
-		// either on success — both encode the same pyramid here).
-		got, rerr := os.ReadFile(path)
-		if rerr != nil {
-			t.Fatalf("seed %d: destination unreadable after save attempt: %v", seed, rerr)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
 		}
-		if len(got) != len(good) {
-			t.Fatalf("seed %d: destination torn: %d bytes, want %d", seed, len(got), len(good))
+		again, err := asrs.NewEngine(ds, opt)
+		if err != nil {
+			t.Fatalf("seed %d: reboot: %v", seed, err)
 		}
-		if _, lerr := asrs.LoadPyramidFile(path, ds, f); lerr != nil {
-			t.Fatalf("seed %d: destination unloadable after save attempt: %v", seed, lerr)
+		objsBitsEqual(t, fmt.Sprintf("seed %d reboot", seed), again.IngestedObjects(), pool)
+		again.Close()
+	}
+	for _, r := range []string{"success", "write or rename", "fsync, old kept"} {
+		if regimes[r] == 0 {
+			t.Fatalf("no seed reached the %q regime: %v", r, regimes)
 		}
 	}
-
-	// Injected read faults: typed errors, never panics, file untouched.
-	for seed := int64(1); seed <= 6; seed++ {
-		faultinject.Activate(faultinject.NewPlan(seed,
-			faultinject.Spec{Point: "persist.load.read", Action: faultinject.ActError, MaxEvery: 4}))
-		_, lerr := asrs.LoadPyramidFile(path, ds, f)
-		fired := faultinject.Fired()
-		faultinject.Deactivate()
-		if fired > 0 && lerr == nil {
-			t.Fatalf("seed %d: read fault fired but load succeeded", seed)
-		}
-		if lerr != nil && !errors.Is(lerr, faultinject.ErrInjected) {
-			t.Fatalf("seed %d: untyped load error %v", seed, lerr)
-		}
-	}
+	t.Logf("compaction regimes over 20 seeds: %v", regimes)
 }
 
 // TestSigtermDrainWithConcurrentSave delivers a real SIGTERM while
-// concurrent queries are in flight and a pyramid save is running
-// concurrently — the asrsd shutdown scenario. Contract: the drain
-// completes (in-flight queries get real answers, not errors), and the
-// pyramid file is never torn — afterwards it holds a complete
-// old-or-new image that loads cleanly.
+// concurrent queries are in flight and an ingest compaction is running
+// concurrently, held in its fsyncs — the asrsd shutdown scenario.
+// Contract: the drain completes (in-flight queries get real answers, not
+// errors), the compaction fsyncs the snapshot and its directory and
+// succeeds, and a reboot over the directory finds every insert in the
+// snapshot.
 func TestSigtermDrainWithConcurrentSave(t *testing.T) {
-	ds, f, reqs, want := fixture(t)
-	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{})
+	ds, _, reqs, _ := fixture(t)
+	tail := insertPool(40, 62)
+	oracle, err := asrs.NewEngine(combinedDataset(ds, tail), asrs.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := make([]float64, len(reqs))
+	for i, req := range reqs {
+		resp := oracle.Query(req)
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		want[i] = resp.Results[0].Dist
+	}
 
 	dir := t.TempDir()
-	path := filepath.Join(dir, "pyr.bin")
-	pyr, _, err := asrs.LoadOrBuildPyramidFile(path, ds, f)
+	opt := asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir, CompactAt: -1}}
+	eng, err := asrs.NewEngine(ds, opt)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.InsertBatch(tail); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,9 +304,13 @@ func TestSigtermDrainWithConcurrentSave(t *testing.T) {
 		}(i, req)
 	}
 
-	// Concurrent save racing the signal and the drain.
-	saveErr := make(chan error, 1)
-	go func() { saveErr <- asrs.SavePyramidFile(path, pyr) }()
+	// Concurrent compaction racing the signal and the drain, each of its
+	// fsyncs slowed so the signal lands while it is under way.
+	plan := faultinject.NewPlan(1, faultinject.Spec{Point: "persist.save.sync", Action: faultinject.ActSleep, MaxEvery: 1, Delay: 20 * time.Millisecond})
+	faultinject.Activate(plan)
+	defer faultinject.Deactivate()
+	compactErr := make(chan error, 1)
+	go func() { compactErr <- eng.Compact() }()
 
 	// Deliver a REAL SIGTERM to this process.
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
@@ -302,12 +333,27 @@ func TestSigtermDrainWithConcurrentSave(t *testing.T) {
 			t.Fatalf("drained query %d answered %v, want %v", out.i, out.resp.Results[0].Dist, want[out.i])
 		}
 	}
-	if err := <-saveErr; err != nil {
-		t.Fatalf("concurrent save failed: %v", err)
+	if err := <-compactErr; err != nil {
+		t.Fatalf("concurrent compaction failed: %v", err)
+	}
+	faultinject.Deactivate()
+	if syncs := plan.FiredAt("persist.save.sync"); syncs != 2 {
+		t.Fatalf("the compaction fsynced %d times, want the snapshot and its directory", syncs)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	// Old-or-new, never torn: the file must load cleanly.
-	if _, err := asrs.LoadPyramidFile(path, ds, f); err != nil {
-		t.Fatalf("pyramid torn after SIGTERM drain: %v", err)
+	// The snapshot holds every insert, and a reboot recovers them.
+	snap, _, err := persist.LoadIngestSnapshot(filepath.Join(dir, "ingest.snap"), ds.Schema)
+	if err != nil {
+		t.Fatalf("snapshot unreadable after the drain: %v", err)
 	}
+	objsBitsEqual(t, "snapshot", snap, tail)
+	again, err := asrs.NewEngine(ds, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	objsBitsEqual(t, "reboot", again.IngestedObjects(), tail)
 }

@@ -3,13 +3,8 @@ package chaos
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -230,113 +225,5 @@ func TestShardTrippedSiblingIsolation(t *testing.T) {
 		if !found {
 			t.Fatalf("best-effort coverage %v missing surviving shard %s", resp.Coverage.Searched, name)
 		}
-	}
-}
-
-// TestShardCorruptPyramidQuarantine: corrupting one shard's pyramid
-// file on disk must not block siblings — the sick shard quarantines the
-// damaged bytes, rebuilds shard-locally (with the operational log
-// line), and every shard keeps answering bit-identically.
-func TestShardCorruptPyramidQuarantine(t *testing.T) {
-	ds := dataset.Random(50, 100, 99)
-	f := agg.MustNew(ds.Schema,
-		agg.Spec{Kind: agg.Distribution, Attr: "cat"},
-		agg.Spec{Kind: agg.Sum, Attr: "val"},
-	)
-	q := asrs.Query{F: f, Target: []float64{1, 2, 1, 5}}
-	base := filepath.Join(t.TempDir(), "pyr")
-	cfg := shard.Config{
-		Shards:      2,
-		Composites:  map[string]*asrs.Composite{"q": f},
-		Names:       []string{"q"},
-		PyramidBase: base,
-	}
-	cat, err := shard.New(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.WarmAll(); err != nil {
-		t.Fatal(err)
-	}
-	cut := cat.Cuts()[0]
-	e0 := asrs.Rect{MinX: 0, MinY: 0, MaxX: cut, MaxY: 100}
-	e1 := asrs.Rect{MinX: cut, MinY: 0, MaxX: 100, MaxY: 100}
-	rt := shard.NewRouter(cat, shard.RouterOptions{})
-	var want [2]float64
-	for i, e := range []asrs.Rect{e0, e1} {
-		ext := e
-		resp := rt.Query(context.Background(), shard.Request{Query: q, A: 7, B: 7, Extent: &ext})
-		if resp.Err != nil {
-			t.Fatal(resp.Err)
-		}
-		want[i] = resp.Results[0].Dist
-	}
-	if err := cat.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Bit-rot shard-0's pyramid mid-file.
-	p0 := shard.PyramidPath(base, "shard-0", 0, "q")
-	raw, err := os.ReadFile(p0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := len(raw) / 2; i < len(raw)/2+8 && i < len(raw); i++ {
-		raw[i] ^= 0xFF
-	}
-	if err := os.WriteFile(p0, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var logs []string
-	cfg.Logf = func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-	}
-	cat2, err := shard.New(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cat2.Close()
-	rt2 := shard.NewRouter(cat2, shard.RouterOptions{})
-
-	// The healthy sibling loads and answers first — the corrupt shard
-	// must not be in its path at all.
-	ext := e1
-	resp := rt2.Query(context.Background(), shard.Request{Query: q, A: 7, B: 7, Extent: &ext})
-	if resp.Err != nil {
-		t.Fatalf("healthy sibling blocked by corrupt shard-0 pyramid: %v", resp.Err)
-	}
-	if math.Float64bits(resp.Results[0].Dist) != math.Float64bits(want[1]) {
-		t.Fatalf("sibling answer drifted: %v vs %v", resp.Results[0].Dist, want[1])
-	}
-	mu.Lock()
-	quarantined := strings.Contains(strings.Join(logs, "\n"), "quarantined and rebuilt")
-	mu.Unlock()
-	if quarantined {
-		t.Fatal("quarantine fired before the corrupt shard was ever touched")
-	}
-
-	// The corrupt shard quarantines, rebuilds, and answers identically.
-	ext = e0
-	resp = rt2.Query(context.Background(), shard.Request{Query: q, A: 7, B: 7, Extent: &ext})
-	if resp.Err != nil {
-		t.Fatalf("corrupt shard did not recover: %v", resp.Err)
-	}
-	if math.Float64bits(resp.Results[0].Dist) != math.Float64bits(want[0]) {
-		t.Fatalf("post-quarantine answer drifted: %v vs %v", resp.Results[0].Dist, want[0])
-	}
-	mu.Lock()
-	joined := strings.Join(logs, "\n")
-	mu.Unlock()
-	if !strings.Contains(joined, "shard-0") || !strings.Contains(joined, "quarantined and rebuilt") {
-		t.Fatalf("missing quarantine log line; got logs:\n%s", joined)
-	}
-	// The damaged bytes survive for postmortem.
-	m, err := filepath.Glob(p0 + ".corrupt-*")
-	if err != nil || len(m) == 0 {
-		t.Fatalf("no quarantined artifact beside %s (err %v)", p0, err)
 	}
 }

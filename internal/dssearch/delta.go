@@ -137,29 +137,6 @@ func FoldPyramid(base *Pyramid, g *Geometry) (*Pyramid, *DeltaStats, error) {
 	return p, stats, err
 }
 
-// rawDataset returns the contributions of the pyramid's dataset in
-// dataset order — the sequence BuildPyramid certified.
-func (p *Pyramid) rawDataset() []agg.Contrib {
-	dst := make([]agg.Contrib, 0, len(p.core.contribs))
-	for i := range p.geo.ds.Objects {
-		dst = p.f.AppendContribs(&p.geo.ds.Objects[i], dst)
-	}
-	return dst
-}
-
-// certSums returns the running sums the pyramid's certificate was
-// decided on: kept from the build or carried by a fold, else — a loaded
-// pyramid — re-derived by certifying the dataset's values again, in
-// dataset order.
-func (p *Pyramid) certSums() (agg.LimbSums, error) {
-	if p.cert != nil {
-		return p.cert, nil
-	}
-	var l agg.Limbs
-	err := l.Certify(p.core.chans, p.rawDataset())
-	return l.Sums(), err
-}
-
 // deltaRows are the appended objects' flattened rows in dataset order
 // (row j belongs to combined.Objects[base.n+j]): raw as AppendContribs
 // emits them, and — once certifyDelta has passed — split under the
@@ -194,15 +171,11 @@ func (base *Pyramid) flattenDelta(objs []attr.Object) *deltaRows {
 // certifyDelta extends the base's certificate sums by the appended rows
 // and, when the certificate a rebuild would compute is the base's own,
 // fills in the rows' limb form and returns the new sums.
-func (base *Pyramid) certifyDelta(rows *deltaRows) (agg.LimbSums, bool, error) {
+func (base *Pyramid) certifyDelta(rows *deltaRows) (agg.LimbSums, bool) {
 	l := &base.core.limbs
-	sums, err := base.certSums()
-	if err != nil {
-		return nil, false, err
-	}
-	sums, ok := l.Extend(sums, rows.raw)
+	sums, ok := l.Extend(base.cert, rows.raw)
 	if !ok {
-		return nil, false, nil
+		return nil, false
 	}
 	// Split under the base's limbs, exactly as flattenContribs does.
 	rows.cOff = make([]int32, 1, len(rows.rawOff))
@@ -211,7 +184,7 @@ func (base *Pyramid) certifyDelta(rows *deltaRows) (agg.LimbSums, bool, error) {
 		rows.con = l.Split(append(rows.con, rows.raw[rows.rawOff[j]:rows.rawOff[j+1]]...), start)
 		rows.cOff = append(rows.cOff, int32(len(rows.con)))
 	}
-	return sums, true, nil
+	return sums, true
 }
 
 // deltaEnt is one appended object placed in the folded master order.
@@ -279,11 +252,8 @@ func (base *Pyramid) fold(g *Geometry, ents []deltaEnt) (*Pyramid, error) {
 
 	// The fast lane keeps the base's limbs (shared, read-only) over the
 	// spliced contribution tables; the slow lane builds the core again.
-	sums, sameCert, err := base.certifyDelta(rows)
-	switch {
-	case err != nil:
-		return nil, err
-	case !sameCert:
+	sums, sameCert := base.certifyDelta(rows)
+	if !sameCert {
 		return BuildPyramidOn(g, base.f)
 	}
 	core := &tables{

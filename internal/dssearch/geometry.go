@@ -16,13 +16,12 @@ import (
 // top-right reduction every rectangle is its object's location shifted by
 // (−a, −b) (Definition 5), so both depend on the object locations alone —
 // not on the query and not on the composite. A dataset epoch has one
-// Geometry, built by one sort (BuildGeometry), folded from the previous
-// epoch's (FoldGeometry) or loaded under a stored order
-// (PyramidFromSnapshot), and every composite's pyramid on that epoch
+// Geometry, built by one sort (BuildGeometry) or folded from the previous
+// epoch's (FoldGeometry), and every composite's pyramid on that epoch
 // points to it (DESIGN.md §6).
 //
-// The level is a function of the anchors: each of the three raises it
-// over its anchors (raiseLevel), and nothing patches or stores it.
+// The level is a function of the anchors: both raise it over their
+// anchors (raiseLevel), and nothing patches or stores it.
 //
 // The master order is total: anchors by x, then y, then dataset index.
 // A search reads rectangle id as geom.RectFromTR(pts[id], a, b): the
@@ -200,6 +199,10 @@ func expandBounds(r geom.Rect, objs []attr.Object) geom.Rect {
 // bit for bit, computed once per epoch.
 func (g *Geometry) Bounds() geom.Rect { return g.bounds }
 
+// Order returns the master order: master position -> dataset object
+// index. The slice aliases the geometry: treat it as read-only.
+func (g *Geometry) Order() []int32 { return g.order }
+
 // levelGrid returns the bin granularity of the level a fresh build raises
 // over n anchors: ⌊√n⌋ clamped to [8, 128], then doubled while g² < n,
 // up to 256 bins a side.
@@ -212,7 +215,7 @@ func levelGrid(n int) int {
 }
 
 // raiseLevel builds the level over the anchors: the one producer of a
-// level, at build, fold and load alike.
+// level, at build and fold alike.
 func (g *Geometry) raiseLevel() {
 	g.lvl = buildSATLevel(levelGrid(g.n), g.pts)
 }
@@ -221,18 +224,6 @@ func (g *Geometry) raiseLevel() {
 // index tie-break.
 func anchorLess(a, b geom.Point) bool {
 	return a.X < b.X || (a.X == b.X && a.Y < b.Y)
-}
-
-// inCanonicalOrder reports whether order lists the anchors pts (in
-// order's order) in the (x, y, index) order.
-func inCanonicalOrder(pts []geom.Point, order []int32) bool {
-	for i := 1; i < len(order); i++ {
-		a, b := pts[i-1], pts[i]
-		if compareAnchors(anchorKey{a.X, a.Y, order[i-1]}, anchorKey{b.X, b.Y, order[i]}) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // sameAs reports whether o describes g's dataset in the same order. The

@@ -10,7 +10,7 @@ import (
 	"asrs/internal/geom"
 )
 
-// Pyramid is the persistent per-composite aggregate pyramid: the whole
+// Pyramid is the per-composite aggregate pyramid of a dataset: the whole
 // per-query aggregation layer of sat.go, hoisted to the dataset level.
 // It is a pointer to the dataset's Geometry — the anchors in master
 // order and the anchor-bin level, shared by every composite of the
@@ -29,14 +29,10 @@ import (
 // replaces the per-query radix sort, the O(contribs)
 // flatten/certify passes and the O(R + g²) level build with aliased
 // reads of shared immutable state, in O(1) once the shape's facts are
-// known (DESIGN.md §6). What the pyramid derives from the dataset and
-// the order — the anchors, the level over them and the contribution and
-// min/max tables — is not persisted: a loaded pyramid derives it again
-// from the objects under the stored order and limbs
-// (PyramidFromSnapshot). The order is stored because a load that reads
-// it skips the epoch's sort; with the radix sort (anchorSort) a
-// BuildGeometry costs about what reading a whole file costs (DESIGN.md
-// §6, "Why the order stays").
+// known (DESIGN.md §6). Nothing of it is stored: every boot builds it
+// from the objects, since with the radix sort (anchorSort) a
+// BuildGeometry costs about what reading a stored order cost (DESIGN.md
+// §6, "Why the order is not stored").
 //
 // Bit-identity with the unassisted path holds by construction: a
 // one-shot search lays out the same (x, y, index) order in its slab
@@ -46,9 +42,8 @@ import (
 // its readers collect is set-exact.
 //
 // A Pyramid is immutable and safe for any number of concurrent binds; the
-// Engine caches one per composite, its grid index bins the core
-// (gridindex.New, through EachRow), and internal/persist gives it a
-// durable on-disk form.
+// Engine caches one per composite and its grid index bins the core
+// (gridindex.New, through EachRow).
 type Pyramid struct {
 	geo     *Geometry
 	f       *agg.Composite
@@ -57,9 +52,7 @@ type Pyramid struct {
 	core *tables // frozen canonical aggregation core (master order)
 
 	// Delta-fold state (delta.go): the certificate's running sums over
-	// the dataset, which a fold extends by the appended objects; nil on a
-	// loaded pyramid until a fold needs them (derived from the dataset
-	// then).
+	// the dataset, which a fold extends by the appended objects.
 	cert agg.LimbSums
 }
 
@@ -119,9 +112,9 @@ func trim[T any](s []T) []T {
 func (p *Pyramid) Geometry() *Geometry { return p.geo }
 
 // OnGeometry returns the pyramid with its core on g, when g describes the
-// pyramid's dataset in the same order — what a
-// pyramid loaded from a file does to share the epoch's geometry with the
-// engine's other composites. Otherwise it returns p and false.
+// pyramid's dataset in the same order — what a pyramid built apart from
+// an engine (Engine.SetPyramid) does to share the epoch's geometry with
+// the engine's other composites. Otherwise it returns p and false.
 func (p *Pyramid) OnGeometry(g *Geometry) (*Pyramid, bool) {
 	if g == p.geo {
 		return p, true
@@ -189,102 +182,4 @@ func (p *Pyramid) bindCore(t *tables) {
 	t.cOff, t.contribs = c.cOff, c.contribs
 	t.mOff, t.mms = c.mOff, c.mms
 	t.shared = true
-}
-
-// ---- Serialization snapshot ----
-
-// PyramidSnapshot is the exported, codec-friendly image of a Pyramid:
-// what the dataset does not hold and is dear to derive. internal/persist
-// encodes and decodes it; PyramidFromSnapshot validates it and re-derives
-// the rest — the limb inverses and owners from the scales
-// (agg.NewLimbs), the anchors and the contribution and min/max tables
-// from the objects, the level from the anchors.
-type PyramidSnapshot struct {
-	N       int
-	Chans   int
-	MMSlots int
-
-	// Scale is every limb's power of two (agg.Limbs.Scale) and Lo every
-	// channel's first extra limb or -1.
-	Scale []float64
-	Lo    []int32
-
-	Order []int32
-}
-
-// Snapshot exports the pyramid's serializable image. The returned
-// slices alias the pyramid — treat as read-only.
-func (p *Pyramid) Snapshot() *PyramidSnapshot {
-	c := p.core
-	return &PyramidSnapshot{
-		N: p.geo.n, Chans: c.chans, MMSlots: p.mmSlots,
-		Scale: c.limbs.Scale, Lo: c.limbs.Lo,
-		Order: p.geo.order,
-	}
-}
-
-// PyramidFromSnapshot reconstructs a pyramid over (ds, f) from a
-// decoded snapshot, validating structural consistency (a corrupt or
-// mismatched file must produce an error, never a panic) and re-deriving
-// what it does not carry: the anchors are read and the contribution
-// tables flattened from ds.Objects[Order[i]], split under the
-// snapshot's limbs, and the level is raised over the anchors. Those limbs
-// are trusted to certify ds: the dataset identity is part of the file's
-// contract. An order that is a permutation but not the (x, y, index)
-// order — a file written while location ties were left to an unstable
-// sort — is refused like any other inconsistency, so the caller rebuilds
-// the file rather than folding onto it.
-func PyramidFromSnapshot(ds *attr.Dataset, f *agg.Composite, s *PyramidSnapshot) (*Pyramid, error) {
-	if ds == nil || f == nil || s == nil {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot requires dataset, composite and data")
-	}
-	n := s.N
-	if n != len(ds.Objects) {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot covers %d objects, dataset has %d", n, len(ds.Objects))
-	}
-	if s.Chans != f.Channels() {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot has %d channels, composite has %d", s.Chans, f.Channels())
-	}
-	if s.MMSlots != f.MinMaxSlots() {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot has %d min/max slots, composite has %d", s.MMSlots, f.MinMaxSlots())
-	}
-	if len(s.Lo) != s.Chans {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot has %d lo slots for %d channels", len(s.Lo), s.Chans)
-	}
-	limbs, err := agg.NewLimbs(s.Scale, s.Lo)
-	if err != nil {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot: %w", err)
-	}
-	if err := checkPermutation(s.Order, n); err != nil {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot order: %w", err)
-	}
-	pts := make([]geom.Point, n)
-	for i, oi := range s.Order {
-		pts[i] = ds.Objects[oi].Loc
-	}
-	if !inCanonicalOrder(pts, s.Order) {
-		return nil, fmt.Errorf("dssearch: pyramid snapshot order is not the (x, y, index) order")
-	}
-	geo := &Geometry{ds: ds, n: n, order: s.Order, pts: pts, bounds: expandBounds(geom.EmptyRect(), ds.Objects)}
-	geo.raiseLevel()
-
-	core := &tables{f: f, chans: s.Chans, limbs: limbs}
-	core.flattenSplit(n, func(id int) *attr.Object { return &ds.Objects[s.Order[id]] })
-	core.freeze()
-	return &Pyramid{geo: geo, f: f, mmSlots: s.MMSlots, core: core}, nil
-}
-
-// checkPermutation verifies ids is a permutation of [0, n).
-func checkPermutation(ids []int32, n int) error {
-	if len(ids) != n {
-		return fmt.Errorf("length %d, want %d", len(ids), n)
-	}
-	seen := make([]bool, n)
-	for _, id := range ids {
-		if id < 0 || int(id) >= n || seen[id] {
-			return fmt.Errorf("not a permutation of [0,%d)", n)
-		}
-		seen[id] = true
-	}
-	return nil
 }

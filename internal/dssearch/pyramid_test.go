@@ -194,32 +194,3 @@ func TestPyramidSlabReuse(t *testing.T) {
 		}
 	}
 }
-
-// TestPyramidLoadedLevelEqualsBuilt: the level is not stored, so a
-// pyramid loaded from its snapshot raises it again over the anchors of
-// the stored order — and gets the built pyramid's level, field for
-// field, and a folded pyramid's level when loaded from that.
-func TestPyramidLoadedLevelEqualsBuilt(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	ds, f := pyramidDataset(t, rng, 300, func() float64 { return float64(rng.Intn(9)) }, false)
-	prefix := &attr.Dataset{Schema: ds.Schema, Objects: ds.Objects[:200]}
-	base, err := BuildPyramid(prefix, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	folded, _, err := BuildPyramidDelta(base, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		ds   *attr.Dataset
-		p    *Pyramid
-	}{{"built", prefix, base}, {"folded", ds, folded}} {
-		loaded, err := PyramidFromSnapshot(c.ds, f, c.p.Snapshot())
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		assertSameLevel(t, c.name+": loaded level vs the pyramid's", loaded.geo.lvl, c.p.geo.lvl)
-	}
-}

@@ -456,20 +456,6 @@ func reserve[T any](s []T, n int) []T {
 	return s[:0]
 }
 
-// flattenSplit fills the contribution tables of the objects obj(0..n-1),
-// in that order, split under the tables' limbs, which are taken as given:
-// a loaded pyramid's (PyramidFromSnapshot).
-func (t *tables) flattenSplit(n int, obj func(int) *attr.Object) {
-	t.cOff = append(t.cOff[:0], 0)
-	t.contribs = t.contribs[:0]
-	for i := 0; i < n; i++ {
-		start := len(t.contribs)
-		t.contribs = t.limbs.Split(t.f.AppendContribs(obj(i), t.contribs), start)
-		t.cOff = append(t.cOff, int32(len(t.contribs)))
-	}
-	t.flattenMM(n, obj)
-}
-
 // flattenMM fills the min/max contribution tables of the objects
 // obj(0..n-1), in that order.
 func (t *tables) flattenMM(n int, obj func(int) *attr.Object) {

@@ -12,6 +12,18 @@ import (
 	"asrs/internal/sweep"
 )
 
+// inCanonicalOrder reports whether order lists the anchors pts (in
+// order's order) in the (x, y, index) order.
+func inCanonicalOrder(pts []geom.Point, order []int32) bool {
+	for i := 1; i < len(order); i++ {
+		a, b := pts[i-1], pts[i]
+		if compareAnchors(anchorKey{a.X, a.Y, order[i-1]}, anchorKey{b.X, b.Y, order[i]}) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // spreadValue draws a full-mantissa real between 1e-12 and 1e12 in
 // magnitude: a few dozen of them sum in a chain of three limbs or more.
 func spreadValue(rng *rand.Rand) float64 {

@@ -11,7 +11,7 @@ import (
 func TestDisabledNoop(t *testing.T) {
 	Deactivate()
 	for i := 0; i < 100; i++ {
-		if _, ok := Check("persist.save.write"); ok {
+		if _, ok := Check("compact.save"); ok {
 			t.Fatal("Check fired with no plan installed")
 		}
 	}

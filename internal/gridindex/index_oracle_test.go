@@ -1,7 +1,6 @@
 package gridindex_test
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,7 +13,6 @@ import (
 	"asrs/internal/dssearch"
 	"asrs/internal/geom"
 	"asrs/internal/gridindex"
-	"asrs/internal/persist"
 )
 
 // checkAgainstReference holds idx, an index of ds for f at g×g, to the
@@ -84,8 +82,7 @@ func insertBlocks(ds *attr.Dataset, count, size int, seed int64) [][]attr.Object
 
 // TestIndexMatchesFlatteningBuilder: an index that bins a pyramid's core
 // has the tables of the dataset-flattening builder, bit for bit, whether
-// the pyramid was built, loaded from its file or folded after insert
-// blocks, and so does an Engine's index with pyramids and without them,
+// the pyramid was built or folded after insert blocks, and so does an Engine's index with pyramids and without them,
 // before and after inserts — at grids 16, 64 and 128.
 func TestIndexMatchesFlatteningBuilder(t *testing.T) {
 	for _, c := range oracleCorpora() {
@@ -95,19 +92,11 @@ func TestIndexMatchesFlatteningBuilder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var file bytes.Buffer
-			if _, err := persist.WritePyramid(&file, built); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := persist.ReadPyramid(&file, c.ds, f)
-			if err != nil {
-				t.Fatal(err)
-			}
 			pyramids := []struct {
 				name string
 				p    *dssearch.Pyramid
 				ds   *attr.Dataset
-			}{{"built", built, c.ds}, {"loaded", loaded, c.ds}}
+			}{{"built", built, c.ds}}
 			folded, grown := built, c.ds
 			for b, block := range blocks {
 				grown = &attr.Dataset{Schema: grown.Schema, Objects: append(append([]attr.Object(nil), grown.Objects...), block...)}

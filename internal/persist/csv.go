@@ -1,8 +1,7 @@
 // Package persist provides durable formats for the library's big
 // artifacts: datasets (a self-describing CSV dialect for interchange with
-// real POI/check-in exports), aggregate pyramids (a compact checksummed
-// binary format, so a pyramid is built once and loaded by query services)
-// and the ingest path's object codec and snapshots.
+// real POI/check-in exports) and the ingest path's object codec and
+// snapshots. Aggregate pyramids are not stored: every boot builds them.
 package persist
 
 import (

@@ -10,75 +10,10 @@ import (
 	"asrs/internal/geom"
 )
 
-// FuzzReadPyramid throws arbitrary bytes at the pyramid decoder. The
-// contract under fuzz is the error taxonomy's: every input either
-// decodes or returns an error wrapping ErrCorrupt or ErrMismatch —
-// never a panic, never an unclassified error, regardless of how the
-// length-prefixed sections are mangled. The seed corpus is a format-6
-// file and its interesting boundaries: the valid file, truncations at
-// section edges, and targeted corruptions of the guard fields.
-//
-// Run locally with:
-//
-//	go test -run '^$' -fuzz FuzzReadPyramid -fuzztime 30s ./internal/persist
-func FuzzReadPyramid(f *testing.F) {
-	ds, comp, p := pyrFixture(f, 99)
-	var buf bytes.Buffer
-	if _, err := WritePyramid(&buf, p); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add(valid[:8])            // magic only
-	f.Add(valid[:12])           // magic + version
-	f.Add(valid[:len(valid)/2]) // torn mid-body
-	f.Add(valid[:len(valid)-4]) // torn inside the checksum
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
-
-	flip := func(off int, x byte) []byte {
-		b := append([]byte(nil), valid...)
-		b[off] ^= x
-		return b
-	}
-	f.Add(flip(0, 0x01))            // broken magic
-	f.Add(flip(8, 0x7f))            // absurd version
-	f.Add(flip(12, 0xff))           // huge fingerprint length
-	f.Add(flip(len(valid)-1, 0x01)) // checksum flip
-	f.Add(flip(len(valid)/3, 0x10)) // body flip caught by checksum
-
-	// The counts n, chans, eff, mmSlots end the header; the limb scales
-	// follow.
-	hdr := 8 + 4 + 4 + len(comp.Fingerprint()) + 4*4
-	f.Add(valid[:hdr])        // torn after the header
-	f.Add(valid[:hdr+4])      // torn inside the limb scales
-	f.Add(flip(hdr-16, 0x01)) // n off by one: not this dataset
-	f.Add(flip(hdr-8, 0x40))  // eff beyond two limbs per channel
-
-	// The master order follows the limbs and ends the payload.
-	order := hdr + 8*len(p.Snapshot().Scale) + 4*comp.Channels()
-	f.Add(valid[:order+2])                   // torn inside the first id
-	f.Add(valid[:order+4*len(ds.Objects)/2]) // torn halfway through the order
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadPyramid(bytes.NewReader(data), ds, comp)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrMismatch) {
-				t.Fatalf("unclassified decode error: %v", err)
-			}
-			return
-		}
-		if got == nil {
-			t.Fatal("nil pyramid with nil error")
-		}
-	})
-}
-
 // FuzzReadSnapshot throws arbitrary bytes at the ASRSNAP1 ingest
 // snapshot decoder (header, schema fingerprint, object payload with its
 // mixed uvarint/fixed64 attribute encoding, trailing checksum). The
-// contract matches FuzzReadPyramid's: every input either decodes — and
+// contract is the error taxonomy's: every input either decodes — and
 // then round-trips bit-exactly through re-encode — or fails with an
 // error wrapping ErrCorrupt or ErrMismatch; never a panic, never an
 // unclassified error, never an out-of-domain categorical index.

@@ -1,13 +1,10 @@
 package persist
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
-	"path/filepath"
-	"time"
 
 	"asrs/internal/agg"
 	"asrs/internal/attr"
@@ -15,56 +12,40 @@ import (
 	"asrs/internal/faultinject"
 )
 
-// Crash-safe pyramid store. WritePyramid/ReadPyramid (pyramid.go) are
-// the pure codec over an io.Writer/Reader; SavePyramid/LoadPyramid own
-// the file-level durability contract on top of it:
+// Error taxonomy of the durable artifacts (the ingest snapshot, the
+// object codec). Every decode failure wraps exactly one of these, so
+// callers decide the serviceable action with errors.Is:
 //
-//   - SavePyramid never exposes a partial file at the destination path.
-//     The bytes go to a same-directory temp file, are fsynced, and land
-//     via atomic rename; the directory is fsynced so the rename itself
-//     survives a crash. A crash at ANY instant leaves either the old
-//     complete file or the new complete file — never a torn one.
-//   - A sidecar manifest (ManifestPath) records the byte size and
-//     fnv-64a sum of the data file. LoadPyramid uses it as a cheap
-//     pre-decode integrity check that catches truncation without
-//     parsing; the decode-time checksum inside the format remains
-//     authoritative, so a stale or missing manifest (crash between the
-//     two renames, or files copied without the sidecar) degrades to a
-//     full decode rather than a false rejection.
-//   - Quarantine moves a corrupt file (and its manifest) aside with a
-//     timestamped suffix instead of deleting it, preserving the
-//     evidence for postmortem while unblocking rebuild. See
-//     asrs.LoadOrBuildPyramidFile for the quarantine-and-rebuild
-//     policy, and DESIGN.md §9 for where each failpoint cuts.
+//   - ErrCorrupt: the BYTES are bad — torn write, truncation, bit rot,
+//     checksum or structural-guard failure.
+//   - ErrMismatch: the bytes decode but were written under another
+//     schema — a deployment error, not damage.
+var (
+	ErrCorrupt  = errors.New("persisted state corrupt")
+	ErrMismatch = errors.New("persisted state does not match schema")
+)
 
-// pyramidManifestFormat versions the sidecar schema.
-const pyramidManifestFormat = "asrs-pyramid-manifest/1"
-
-// pyramidManifest is the sidecar's JSON schema.
-type pyramidManifest struct {
-	Format string `json:"format"`
-	Size   int64  `json:"size"`
-	FNV64a string `json:"fnv64a"`
+// corruptf builds an ErrCorrupt-tagged error; args may include a %w
+// cause of their own.
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("persist: "+format+": %w", append(args, ErrCorrupt)...)
 }
 
-// ManifestPath returns the sidecar manifest path for a pyramid file.
-func ManifestPath(path string) string { return path + ".manifest" }
+// mismatchf builds an ErrMismatch-tagged error.
+func mismatchf(format string, args ...any) error {
+	return fmt.Errorf("persist: "+format+": %w", append(args, ErrMismatch)...)
+}
 
 // faultWriter interposes a write-path failpoint on every write:
 // ActError fails outright, ActShortWrite lets a prefix through and then
-// fails — the torn-write simulation. The point name defaults to
-// persist.save.write; the ingest-snapshot path sets compact.save.
+// fails — the torn-write simulation.
 type faultWriter struct {
 	w     io.Writer
 	point string
 }
 
 func (fw *faultWriter) Write(p []byte) (int, error) {
-	point := fw.point
-	if point == "" {
-		point = "persist.save.write"
-	}
-	if f, ok := faultinject.Check(point); ok {
+	if f, ok := faultinject.Check(fw.point); ok {
 		switch f.Action {
 		case faultinject.ActShortWrite:
 			n := f.Bytes
@@ -80,23 +61,6 @@ func (fw *faultWriter) Write(p []byte) (int, error) {
 		}
 	}
 	return fw.w.Write(p)
-}
-
-// faultReader interposes the persist.load.read failpoint on every read.
-type faultReader struct {
-	r io.Reader
-}
-
-func (fr *faultReader) Read(p []byte) (int, error) {
-	if f, ok := faultinject.Check("persist.load.read"); ok {
-		switch f.Action {
-		case faultinject.ActSleep:
-			f.Sleep()
-		default:
-			return 0, f.Err()
-		}
-	}
-	return fr.r.Read(p)
 }
 
 // syncFile flushes a file's contents to stable storage, honoring the
@@ -132,208 +96,15 @@ func rename(oldpath, newpath string) error {
 	return os.Rename(oldpath, newpath)
 }
 
-// SavePyramid atomically persists a pyramid to path with a checksummed
-// sidecar manifest. On any error the destination still holds whatever
-// complete file it held before (possibly none); temp files are cleaned
-// up best-effort.
+// SavePyramid writes nothing and returns nil: a pyramid is built at boot
+// and never stored (DESIGN.md §6).
 //
-// The write order narrows the crash windows deliberately:
+// Deprecated: kept for callers that still compile against it.
+func SavePyramid(path string, p *dssearch.Pyramid) error { return nil }
+
+// LoadPyramid builds the pyramid of (ds, f); path is not read.
 //
-//  1. remove the old manifest — from here to step 5 the manifest is
-//     absent, which LoadPyramid treats as "decode and verify", never
-//     as corruption;
-//  2. write + fsync the data temp file, hashing the bytes as they go;
-//  3. rename it over path (atomic), fsync the directory;
-//  4. write + fsync the manifest temp file;
-//  5. rename it over ManifestPath(path), fsync the directory.
-//
-// A crash before 3 leaves the old file intact; between 3 and 5 leaves
-// the new file valid but unmanifested. No ordering exposes a manifest
-// that vouches for bytes not yet on disk.
-func SavePyramid(path string, p *dssearch.Pyramid) (err error) {
-	if p == nil {
-		return fmt.Errorf("persist: SavePyramid: nil pyramid")
-	}
-	dir := filepath.Dir(path)
-
-	if err := os.Remove(ManifestPath(path)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("persist: removing stale manifest: %w", err)
-	}
-
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("persist: creating temp pyramid file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-
-	hw := &hashingWriter{w: &faultWriter{w: tmp}, h: fnv.New64a()}
-	size, err := WritePyramid(hw, p)
-	if err != nil {
-		return fmt.Errorf("persist: writing pyramid: %w", err)
-	}
-	if err = syncFile(tmp); err != nil {
-		return fmt.Errorf("persist: syncing pyramid: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("persist: closing pyramid temp: %w", err)
-	}
-	if err = rename(tmpName, path); err != nil {
-		return fmt.Errorf("persist: publishing pyramid: %w", err)
-	}
-	if err = syncDir(dir); err != nil {
-		return fmt.Errorf("persist: syncing directory: %w", err)
-	}
-
-	man := pyramidManifest{
-		Format: pyramidManifestFormat,
-		Size:   size,
-		FNV64a: fmt.Sprintf("%016x", hw.h.Sum64()),
-	}
-	if err = saveManifest(path, man); err != nil {
-		// The data file is already complete and self-checking; a failed
-		// manifest only costs the fast pre-check on load.
-		return fmt.Errorf("persist: writing manifest: %w", err)
-	}
-	return nil
-}
-
-// saveManifest writes the sidecar with the same tmp+fsync+rename
-// discipline as the data file.
-func saveManifest(path string, man pyramidManifest) (err error) {
-	dir := filepath.Dir(path)
-	manPath := ManifestPath(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(manPath)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-	enc, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return err
-	}
-	if _, err = (&faultWriter{w: tmp}).Write(append(enc, '\n')); err != nil {
-		return err
-	}
-	if err = syncFile(tmp); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = rename(tmpName, manPath); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// LoadPyramid reads a pyramid saved by SavePyramid, re-binding it to
-// the dataset and composite. Integrity failures (truncation, torn
-// bytes, checksum) return errors wrapping ErrCorrupt; identity
-// failures (wrong composite or dataset) wrap ErrMismatch. A missing
-// file returns an os.IsNotExist-classifiable error.
-//
-// The manifest, when present AND matching the file's byte size, is
-// verified first: a size or checksum disagreement fails fast as
-// ErrCorrupt without decoding. A manifest whose size disagrees with
-// the file on disk is treated as stale (crash between the data and
-// manifest renames) and ignored — the decode-time checksum is
-// authoritative.
+// Deprecated: call dssearch.BuildPyramid.
 func LoadPyramid(path string, ds *attr.Dataset, f *agg.Composite) (*dssearch.Pyramid, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-
-	if man, ok := loadManifest(path); ok {
-		fi, err := fh.Stat()
-		if err != nil {
-			return nil, fmt.Errorf("persist: stat pyramid: %w", err)
-		}
-		if fi.Size() == man.Size {
-			h := fnv.New64a()
-			if _, err := io.Copy(h, &faultReader{r: fh}); err != nil {
-				return nil, corruptf("pre-verifying pyramid: %w", err)
-			}
-			if got := fmt.Sprintf("%016x", h.Sum64()); got != man.FNV64a {
-				return nil, corruptf("manifest checksum mismatch (manifest %s, file %s)", man.FNV64a, got)
-			}
-			if _, err := fh.Seek(0, io.SeekStart); err != nil {
-				return nil, fmt.Errorf("persist: rewinding pyramid: %w", err)
-			}
-		}
-	}
-
-	return ReadPyramid(&faultReader{r: fh}, ds, f)
-}
-
-// loadManifest reads the sidecar; any problem (absent, unreadable,
-// wrong format) reports !ok — the manifest is an accelerator, never a
-// gate.
-func loadManifest(path string) (pyramidManifest, bool) {
-	b, err := os.ReadFile(ManifestPath(path))
-	if err != nil {
-		return pyramidManifest{}, false
-	}
-	var man pyramidManifest
-	if json.Unmarshal(b, &man) != nil || man.Format != pyramidManifestFormat || man.Size <= 0 {
-		return pyramidManifest{}, false
-	}
-	return man, true
-}
-
-// QuarantinePath returns where Quarantine moves a corrupt file, using
-// the given UnixNano timestamp for uniqueness.
-func QuarantinePath(path string, ts int64) string {
-	return fmt.Sprintf("%s.corrupt-%d", path, ts)
-}
-
-// quarantineNow is the quarantine clock, injectable so tests can force
-// timestamp collisions deterministically.
-var quarantineNow = time.Now
-
-// Quarantine moves a corrupt pyramid file (and its manifest, if any)
-// aside with a timestamped .corrupt-* suffix, returning the new path
-// of the data file. The evidence is preserved for postmortem; the
-// original path is freed for a rebuild. Missing files are not errors —
-// quarantining an already-moved file is idempotent.
-//
-// Two corruptions can land inside one clock tick (repeated rebuilds of
-// a path on a failing disk, or a coarse clock), and os.Rename silently
-// REPLACES an existing destination — which would destroy the earlier
-// evidence. Colliding timestamps therefore get a monotonic ".N" suffix:
-// the first free of <path>.corrupt-<ts>, <path>.corrupt-<ts>.1, … wins.
-func Quarantine(path string) (string, error) {
-	ts := quarantineNow().UnixNano()
-	base := QuarantinePath(path, ts)
-	qpath := base
-	for n := 1; ; n++ {
-		if _, err := os.Lstat(qpath); os.IsNotExist(err) {
-			break
-		}
-		qpath = fmt.Sprintf("%s.%d", base, n)
-	}
-	if err := os.Rename(path, qpath); err != nil {
-		if os.IsNotExist(err) {
-			return "", nil
-		}
-		return "", fmt.Errorf("persist: quarantining %s: %w", path, err)
-	}
-	// Best-effort for the sidecar: it may not exist, and its loss does
-	// not reduce the postmortem value of the data bytes.
-	os.Rename(ManifestPath(path), qpath+".manifest")
-	syncDir(filepath.Dir(path))
-	return qpath, nil
+	return dssearch.BuildPyramid(ds, f)
 }

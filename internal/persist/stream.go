@@ -38,9 +38,8 @@ import (
 //	  numeric     → u64 float bits
 //
 // The schema itself is NOT serialized — the caller re-binds the same
-// schema on decode (the dataset identity contract of ReadPyramid), and
-// the snapshot header carries a structural fingerprint to catch a
-// mismatched binding before values are misread.
+// schema on decode, and the snapshot header carries a structural
+// fingerprint to catch a mismatched binding before values are misread.
 
 // maxStreamObjects bounds one payload's object count so a corrupted
 // count field fails before it can size a giant allocation.
@@ -165,12 +164,14 @@ var snapMagic = [8]byte{'A', 'S', 'R', 'S', 'N', 'A', 'P', '1'}
 
 const snapVersion = 1
 
-// SaveIngestSnapshot atomically persists the ingested-object snapshot
-// with the same temp+fsync+rename discipline as SavePyramid: a crash at
-// any instant leaves either the previous complete snapshot or the new
-// one at path, never a torn file. The compact.save failpoint cuts the
-// write path (ActShortWrite tears the temp file, which never becomes
-// visible).
+// SaveIngestSnapshot atomically persists the ingested-object snapshot:
+// the bytes go to a same-directory temp file, are fsynced, and land by
+// atomic rename, and the directory is fsynced so the rename survives a
+// crash. A crash at any instant leaves either the previous complete
+// snapshot or the new one at path, never a torn file. The compact.save
+// failpoint cuts the write (ActShortWrite tears the temp file, which
+// never becomes visible); persist.save.sync and persist.save.rename cut
+// the fsyncs and the rename.
 func SaveIngestSnapshot(path string, schema *attr.Schema, objs []attr.Object, appliedLSN uint64) (err error) {
 	if schema == nil {
 		return fmt.Errorf("persist: SaveIngestSnapshot requires a schema")

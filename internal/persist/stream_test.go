@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"asrs/internal/attr"
 	"asrs/internal/faultinject"
@@ -196,61 +195,6 @@ func TestIngestSnapshotCrashAtomic(t *testing.T) {
 	for _, e := range ents {
 		if e.Name() != "ingest.snap" {
 			t.Fatalf("temp file leaked: %s", e.Name())
-		}
-	}
-}
-
-// TestQuarantineTimestampCollision pins the injectable-clock contract:
-// when two corruptions land in the same clock reading, the second
-// quarantine must NOT overwrite the first's evidence — it gets a
-// monotonic suffix.
-func TestQuarantineTimestampCollision(t *testing.T) {
-	fixed := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	old := quarantineNow
-	quarantineNow = func() time.Time { return fixed }
-	defer func() { quarantineNow = old }()
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pyr.bin")
-	write := func(body string) {
-		t.Helper()
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	write("first corruption")
-	q1, err := Quarantine(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q1 != QuarantinePath(path, fixed.UnixNano()) {
-		t.Fatalf("first quarantine path %q", q1)
-	}
-
-	write("second corruption")
-	q2, err := Quarantine(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2 == q1 {
-		t.Fatalf("colliding quarantine reused %q", q2)
-	}
-	write("third corruption")
-	q3, err := Quarantine(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// All three pieces of evidence survive, byte-for-byte.
-	for q, want := range map[string]string{
-		q1: "first corruption",
-		q2: "second corruption",
-		q3: "third corruption",
-	} {
-		b, err := os.ReadFile(q)
-		if err != nil || string(b) != want {
-			t.Fatalf("evidence at %q: %q, %v (want %q)", q, b, err, want)
 		}
 	}
 }

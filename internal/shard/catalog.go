@@ -1,12 +1,12 @@
 // Package shard promotes one-engine serving to a resilient multi-shard
 // tier: a Catalog splits a corpus into region-extent shards, each owning
-// its own asrs.Engine, pyramid file and grid indexes as an independent
+// its own asrs.Engine, pyramids and grid indexes as an independent
 // fault domain; a Router answers extent queries either from the single
 // shard that contains the extent (bit-identical to a merged-corpus run
 // by construction) or by scatter–gather across slab sub-extents and
 // boundary bands with a cross-shard shared pruning bound. Per-shard
-// circuit breakers, deadline budgets and quarantine-on-corruption keep
-// the blast radius of a sick shard to that shard. See DESIGN.md §11.
+// circuit breakers and deadline budgets keep the blast radius of a sick
+// shard to that shard. See DESIGN.md §11.
 package shard
 
 import (
@@ -31,15 +31,12 @@ type Config struct {
 	// Engine is the per-shard engine option template. Ingest.WALDir is
 	// overridden per shard when WALRoot is set.
 	Engine asrs.EngineOptions
-	// Composites registers the servable composites (warmed per shard;
-	// pyramid files when PyramidBase is set). Names orders them; the
-	// first name is primary.
+	// Composites registers the servable composites, warmed per shard in
+	// the order Names gives.
 	Composites map[string]*asrs.Composite
 	Names      []string
-	// PyramidBase, when non-empty, persists each shard's pyramids at
-	// PyramidPath(PyramidBase, shard, i, name). Corrupt files are
-	// quarantined and rebuilt per shard (Engine.LoadOrBuildPyramidFile)
-	// without blocking siblings.
+	// PyramidBase is never read: every shard builds its pyramids when it
+	// loads, and none is stored. The field stays because callers set it.
 	PyramidBase string
 	// WALRoot, when non-empty, gives each shard a durable ingest WAL at
 	// <WALRoot>/<shard-name>.
@@ -50,8 +47,8 @@ type Config struct {
 	// in the background unless -shard-lazy. The field stays because
 	// callers set it.
 	Lazy bool
-	// Logf, when non-nil, receives operational one-liners (pyramid
-	// quarantine warnings, lazy-load timings).
+	// Logf, when non-nil, receives operational one-liners (load
+	// timings).
 	Logf func(format string, args ...any)
 }
 
@@ -203,18 +200,6 @@ func (c *Catalog) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)
 	}
-}
-
-// PyramidPath derives one shard's per-composite pyramid file from the
-// base path: the primary composite owns "<base>.<shard>", secondary
-// composites persist beside it as "<base>.<shard>.<name>" (mirroring
-// the single-engine daemon's layout one level down).
-func PyramidPath(base, shardName string, i int, composite string) string {
-	p := base + "." + shardName
-	if i > 0 {
-		p += "." + composite
-	}
-	return p
 }
 
 // walDir derives one shard's WAL directory.

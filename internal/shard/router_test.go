@@ -445,12 +445,10 @@ func TestRouterInsertRouting(t *testing.T) {
 }
 
 // TestShardReloadTwoCompositesAfterCrash: a shard with two registered
-// composites, persisted pyramids and un-compacted WAL records must come
-// back after a crash. The pyramid files describe the seed slab, so every
-// one of them has to be installed before the first Warm materialises
-// the epoch holding the recovered inserts (bench/README finding 2: the
-// second composite's SetPyramid used to fail with "pyramid was built for
-// a different dataset" and the shard stayed unloaded).
+// composites and un-compacted WAL records must come back after a crash,
+// both composites answering over the recovered inserts (bench/README
+// finding 2: when pyramids were stored, the second composite's stored
+// pyramid described the seed slab and the shard stayed unloaded).
 func TestShardReloadTwoCompositesAfterCrash(t *testing.T) {
 	checkLeaks(t)
 	ds, f, q := corpus(t, 80, 23)
@@ -458,12 +456,11 @@ func TestShardReloadTwoCompositesAfterCrash(t *testing.T) {
 	qCount := asrs.Query{F: counts, Target: []float64{4}}
 	dir := t.TempDir()
 	cfg := shard.Config{
-		Shards:      2,
-		Composites:  map[string]*asrs.Composite{"q": f, "n": counts},
-		Names:       []string{"q", "n"},
-		PyramidBase: dir + "/pyr",
-		WALRoot:     dir + "/wal",
-		Engine:      asrs.EngineOptions{Ingest: asrs.IngestOptions{CompactAt: -1}},
+		Shards:     2,
+		Composites: map[string]*asrs.Composite{"q": f, "n": counts},
+		Names:      []string{"q", "n"},
+		WALRoot:    dir + "/wal",
+		Engine:     asrs.EngineOptions{Ingest: asrs.IngestOptions{CompactAt: -1}},
 	}
 	cat, err := shard.New(ds, cfg)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // Shard is one fault domain: a contiguous x-slab of the corpus served
-// by its own asrs.Engine with private grid indexes, pyramid files and
+// by its own asrs.Engine with private grid indexes, pyramids and
 // (optionally) a private ingest WAL. Construction is lazy unless the
 // catalog warms it; a failed load is retryable and charged to the
 // shard's breaker, never to siblings.
@@ -55,11 +55,8 @@ func (s *Shard) Loaded() *asrs.Engine {
 
 // Engine returns the shard's engine, constructing it on first use:
 // NewEngine over the slab corpus (recovering the shard's WAL when
-// configured), then pyramid binding for every composite — corrupt
-// pyramid files are quarantined and rebuilt by
-// Engine.LoadOrBuildPyramidFile, shard-locally, on the slab's one
-// geometry — and only then
-// index/pyramid warming. A failure leaves the shard
+// configured), then Warm for every composite, which builds its pyramid on
+// the slab's one geometry and its grid index. A failure leaves the shard
 // unloaded (the next call retries) and is the caller's to classify into
 // the breaker.
 func (s *Shard) Engine() (*asrs.Engine, error) {
@@ -80,25 +77,6 @@ func (s *Shard) Engine() (*asrs.Engine, error) {
 	eng, err := asrs.NewEngine(s.seed, opt)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: engine: %w", s.name, err)
-	}
-	// Install every composite's pyramid before warming any: the files
-	// describe the seed slab, which is the engine's epoch only until the
-	// first Warm materialises the epoch that holds the WAL-recovered
-	// inserts — after that the engine would refuse them.
-	for i, name := range cfg.Names {
-		f := cfg.Composites[name]
-		if f == nil || cfg.PyramidBase == "" {
-			continue
-		}
-		path := PyramidPath(cfg.PyramidBase, s.name, i, name)
-		_, status, perr := eng.LoadOrBuildPyramidFile(path, f)
-		if perr != nil {
-			eng.Close()
-			return nil, fmt.Errorf("shard %s: pyramid %s: %w", s.name, path, perr)
-		}
-		if status == asrs.PyramidRebuilt {
-			s.cat.logf("shard %s: pyramid %s was corrupt: quarantined and rebuilt", s.name, path)
-		}
 	}
 	for _, name := range cfg.Names {
 		f := cfg.Composites[name]
