@@ -336,6 +336,13 @@ func BenchmarkCaseStudy(b *testing.B) {
 // grid index (every round a GI-DS run, rounds
 // 2 and 3 cut around the earlier answers) and with indexing off (plain
 // DS-Search over space minus exclusions). The same distances either way.
+//
+// With the grid index it also counts, once and untimed, the cells rounds
+// 2 and 3 search (asrs.Answer at k = 1, 2, 3 on the engine's index and
+// pyramid, differenced), which repeat exactly: 12 and 10, as a swept
+// cell keeps its exact minimum and is searched again only once a round
+// excludes that point (DESIGN.md §5, "Resumed rounds"). It fails above
+// topKRoundsCells cells in rounds 2–3.
 func BenchmarkTopKRounds(b *testing.B) {
 	ds, q, qa, qb := poisyn.at(b, 5000, 30)
 	req := asrs.QueryRequest{Query: q, A: qa, B: qb, TopK: 3}
@@ -361,6 +368,13 @@ func BenchmarkTopKRounds(b *testing.B) {
 					b.Fatalf("row %d at distance %v, the other configuration answered %v", i, r.Dist, want[i].Dist)
 				}
 			}
+			var round2, round3 int
+			if g > 0 {
+				round2, round3 = topKRoundCells(b, eng, ds, req)
+				if round2+round3 > topKRoundsCells {
+					b.Fatalf("rounds 2 and 3 searched %d and %d cells, more than %d together", round2, round3, topKRoundsCells)
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -369,8 +383,43 @@ func BenchmarkTopKRounds(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(eng.Stats().IndexedExclusionRounds)/float64(b.N+1), "indexed-excl-rounds/op")
+			if g > 0 {
+				b.ReportMetric(float64(round2), "round2-cells")
+				b.ReportMetric(float64(round3), "round3-cells")
+			}
 		})
 	}
+}
+
+// topKRoundsCells is BenchmarkTopKRounds' ceiling on the cells rounds 2
+// and 3 of its request search together.
+const topKRoundsCells = 22
+
+// topKRoundCells returns the cells rounds 2 and 3 of a top-3 request
+// search, from asrs.Answer's stats at k = 1, 2, 3 on the engine's index
+// and pyramid.
+func topKRoundCells(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.QueryRequest) (round2, round3 int) {
+	b.Helper()
+	idx, err := eng.Index(req.Query.F)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pyr, err := eng.Pyramid(req.Query.F)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cells [4]int
+	for k := 1; k <= 3; k++ {
+		r := req
+		r.TopK = k
+		r.Options = &asrs.Options{Workers: 1, Pyramid: pyr}
+		resp, st := asrs.Answer(ds, idx, r)
+		if resp.Err != nil {
+			b.Fatal(resp.Err)
+		}
+		cells[k] = st.CellsSearched
+	}
+	return cells[2] - cells[1], cells[3] - cells[2]
 }
 
 // BenchmarkF1Indexed is the count tripwire of an indexed query's

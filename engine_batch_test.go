@@ -229,19 +229,18 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 			indexed.Query(req)
 		}
 	})
-	// Measured 52 KiB, all of it the kernel runs of the cells searched (a
-	// thousand small allocations); 429 KiB with a reduction and a permuted
-	// copy per query, and 96 KiB more than now while every query grew a
-	// 4 096-entry heap and a bound array of its own.
+	// Measured 5–7 KiB: the kernel runs of the cells discretized. A cell
+	// the terminal rule sweeps sets up no run, and a piece's ids live in
+	// the index's pooled scratch.
 	if bytes > bytesBudget {
 		t.Fatalf("steady-state indexed queries: %.0f bytes/query (budget %d)", bytes, bytesBudget)
 	}
 	// A top-1 request opens a GI-DS session that can have no second round:
 	// it records nothing, and the session and its driver live on the
-	// stack, so the query allocates what one fresh GI-DS run did before
-	// sessions (414.8–415 allocs/query).
-	if allocs > 415 {
-		t.Fatalf("steady-state indexed queries: %.1f allocs/query, more than the 415 of a fresh GI-DS run", allocs)
+	// stack. A swept cell is swept without a kernel run (SolveCell), so a
+	// query allocates 72.6 times.
+	if allocs > 73 {
+		t.Fatalf("steady-state indexed queries: %.1f allocs/query, more than 73", allocs)
 	}
 	t.Logf("steady-state indexed queries: %.1f allocs/query, %.0f bytes/query", allocs, bytes)
 }

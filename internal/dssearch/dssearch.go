@@ -185,7 +185,7 @@ type Searcher struct {
 
 	best asp.Result
 	err  error // first cancellation error; later solves become no-ops
-	cell bool  // the solve under way is SolveCell's: its seed space takes a sized grid
+	cell bool  // the kernel run under way is SolveCell's: its seed space takes a sized grid
 
 	// Search scratch, built at the first processed space (ensureScratch)
 	// from the slabs the tables value retains across queries.
@@ -458,8 +458,11 @@ func (s *Searcher) emptyResult(space geom.Rect) asp.Result {
 // initialized s.best (Solve does; gridindex seeds it with its own running
 // optimum).
 func (s *Searcher) SolveWithin(space geom.Rect, seedLB float64) {
+	if !space.IsValid() || len(s.pts) == 0 || s.err != nil {
+		return
+	}
 	ids := s.AppendWindowIDs(space, s.getIds(len(s.pts)))
-	s.solveWithinIDs(space, seedLB, ids)
+	s.run(space, seedLB, ids)
 	s.putIds(ids)
 }
 
@@ -561,23 +564,14 @@ func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int
 	return dst, true
 }
 
-// solveWithinIDs is SolveWithin for callers that already know the master
-// ids relevant to the space (GI-DS narrows them per index cell). ids
-// must contain, in ascending order, every id whose rectangle interior
-// intersects the space; the slice is only read and never retained past
-// the call.
-func (s *Searcher) solveWithinIDs(space geom.Rect, seedLB float64, ids []int32) {
-	if !space.IsValid() || len(s.pts) == 0 || s.err != nil {
-		return
-	}
-	ctx := s.opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// run is one kernel run from a seed space. ids must contain, in
+// ascending order, every id whose rectangle interior intersects the
+// space; the slice is only read and never retained past the call.
+func (s *Searcher) run(space geom.Rect, seedLB float64, ids []int32) {
 	bound := kernel.NewBound(s.opt.Delta, s.best)
 	bound.SetExternal(s.opt.SharedCap)
 	seed := kernel.Item{Space: space, Clip: space, LB: seedLB, Ids: ids}
-	pushes, maxHeap, err := kernel.RunCtx(ctx, []kernel.Item{seed}, bound,
+	pushes, maxHeap, err := kernel.RunCtx(s.ctx(), []kernel.Item{seed}, bound,
 		func(_ int, it kernel.Item, incumbent asp.Result, emit func(kernel.Item)) asp.Result {
 			s.processSpace(it, incumbent, emit)
 			if it.Pooled {
@@ -598,18 +592,82 @@ func (s *Searcher) solveWithinIDs(space geom.Rect, seedLB float64, ids []int32) 
 	s.Stats.MaxHeapSize = max(s.Stats.MaxHeapSize, maxHeap)
 }
 
+// ctx is the search's context, Background when Options has none.
+func (s *Searcher) ctx() context.Context {
+	if s.opt.Ctx == nil {
+		return context.Background()
+	}
+	return s.opt.Ctx
+}
+
 // SolveCell is SolveWithin for a space entered with an index bound —
-// a GI-DS index cell or margin strip, or a piece of one. Its first
-// discretization takes a grid sized to its rectangles (cellGrid) instead
-// of NCol×NRow; the spaces it splits into take NCol×NRow again. The
-// answer is the one SolveWithin gives: a discretization is exact at any
-// grid. ids must contain, in ascending order, every id whose rectangle
-// interior intersects the space (AppendWindowIDs); the slice is only read
-// and never retained past the call.
-func (s *Searcher) SolveCell(space geom.Rect, seedLB float64, ids []int32) {
+// a GI-DS index cell or margin strip, or a piece of one. It asks the
+// terminal rule of the space once. A space the rule takes is swept at
+// once, with no kernel run to set up, the way the kernel would process
+// it: the termination test first (Equation 1's threshold, a shared cap
+// folded in as kernel.Bound does), then the context and the panic
+// boundary (kernel.Step), and the sweep capped at the incumbent, whose
+// improvement is published to the shared cap. Any other space is a
+// kernel run whose first discretization takes a grid sized to its
+// rectangles (cellGrid) instead of NCol×NRow; the spaces it splits into
+// take NCol×NRow again. The incumbent (Best) ends where SolveWithin
+// leaves it: a discretization is exact at any grid.
+//
+// With exact set, a space the rule takes is swept without the cap, and
+// SolveCell returns the least of its candidates — the minimum over every
+// answer point of the space — and true. The termination test does not
+// stop that sweep, but a space it would stop is not swept once the
+// context is done: there is only the minimum to lose. SolveCell returns
+// false for a space searched any other way or not at all, and for a
+// sweep that found no candidate or was cut short (Err). ids must
+// contain, in ascending order, every id whose rectangle interior
+// intersects the space (AppendWindowIDs); the slice is only read and
+// never retained past the call.
+func (s *Searcher) SolveCell(space geom.Rect, seedLB float64, ids []int32, exact bool) (asp.Result, bool) {
+	if !space.IsValid() || len(s.pts) == 0 || s.err != nil {
+		return asp.Result{}, false
+	}
+	if s.sweepable(space, ids) {
+		return s.sweepCell(space, seedLB, ids, exact)
+	}
 	s.cell = true
-	s.solveWithinIDs(space, seedLB, ids)
+	s.run(space, seedLB, ids)
 	s.cell = false
+	return asp.Result{}, false
+}
+
+// sweepCell is SolveCell for a space the terminal rule takes.
+func (s *Searcher) sweepCell(space geom.Rect, seedLB float64, ids []int32, exact bool) (asp.Result, bool) {
+	// The shared cap takes the incumbent and every improvement, as a
+	// kernel run's bound publishes them (SetExternal, Offer).
+	ext := s.opt.SharedCap
+	if ext != nil {
+		ext.Publish(s.best.Dist)
+	}
+	if seedLB >= kernel.Threshold(s.best.Dist, s.opt.Delta, ext) &&
+		(!exact || s.ctx().Err() != nil) {
+		return asp.Result{}, false
+	}
+	capDist := s.best.Dist
+	if exact {
+		capDist = math.Inf(1)
+	}
+	var r asp.Result
+	var ok bool
+	if s.err = kernel.Step(s.ctx(), func() {
+		s.ensureScratch()
+		r, ok = s.sweepUnder(space, ids, capDist)
+	}); s.err != nil || !ok {
+		return asp.Result{}, false
+	}
+	// The sweep's representation is its own, fresh: the incumbent may
+	// hold it.
+	if kernel.Better(r, s.best) {
+		if s.best = r; ext != nil {
+			ext.Publish(r.Dist)
+		}
+	}
+	return r, exact
 }
 
 // The terminal rule's constants. sweepCutoff is the number of rectangles
@@ -718,7 +776,8 @@ func (l *edgeLines) add(c, lo, hi float64, limit int) {
 func (s *Searcher) processSpace(it kernel.Item, incumbent asp.Result, emit func(kernel.Item)) {
 	s.ensureScratch()
 	s.beginItem(incumbent)
-	if s.swept(it) {
+	// SolveCell asked the terminal rule of its seed already.
+	if !s.cellSeed(it) && s.swept(it) {
 		return
 	}
 	s.Stats.Discretizations++
@@ -738,11 +797,14 @@ func (s *Searcher) processSpace(it kernel.Item, incumbent asp.Result, emit func(
 	s.push(emit, g2, lb2, it)
 }
 
+// cellSeed reports whether it is the seed of SolveCell's kernel run: the
+// one item of the run whose ids the caller owns.
+func (s *Searcher) cellSeed(it kernel.Item) bool { return s.cell && !it.Pooled }
+
 // gridFor is the grid a space is discretized at: NCol×NRow, but for
-// SolveCell's seed — the one item of its solve whose ids the caller owns —
-// a grid sized to its rectangles (cellGrid).
+// SolveCell's seed a grid sized to its rectangles (cellGrid).
 func (s *Searcher) gridFor(it kernel.Item) (ncol, nrow int) {
-	if s.cell && !it.Pooled {
+	if s.cellSeed(it) {
 		return cellGrid(len(it.Ids), s.opt.NCol), cellGrid(len(it.Ids), s.opt.NRow)
 	}
 	return s.opt.NCol, s.opt.NRow
@@ -828,14 +890,28 @@ func (s *Searcher) push(emit func(kernel.Item), child geom.Rect, lb float64, par
 }
 
 // miniSweep runs the Base algorithm restricted to one space — one the
-// terminal rule takes, or one of zero area (DESIGN.md §3). The rectangles
-// that contain the space cover every candidate the sweep enumerates and
-// add the same vector to each: their limb contributions are summed once,
-// in id order like the grid fill's, into a base the solver starts from,
-// and only the rectangles with an edge inside are swept. The solver sums
-// in the tables' limbs and is rebound in place, so steady-state sweeps
-// reuse all of their scratch.
+// terminal rule takes, or one of zero area (DESIGN.md §3) — against the
+// incumbent of the space being processed. The incumbent's distance caps
+// candidate evaluation: improve() discards anything scoring above it
+// (ties included — the cap is open at cur.Dist), so those candidates may
+// abandon their distance march early.
 func (s *Searcher) miniSweep(space geom.Rect, ids []int32) {
+	if r, ok := s.sweepUnder(space, ids, s.cur.Dist); ok {
+		s.improve(r.Dist, r.Point, r.Rep)
+	}
+}
+
+// sweepUnder is the mini-sweep of a space under an evaluation cap
+// (sweep.Solver.SolveWithinCapped; +Inf for none): the least candidate
+// of the space scoring at most capDist, in a representation of its own,
+// and false when there is none. The rectangles that contain the space
+// cover every candidate the sweep enumerates and add the same vector to
+// each: their limb contributions are summed once, in id order like the
+// grid fill's, into a base the solver starts from, and only the
+// rectangles with an edge inside are swept. The solver sums in the
+// tables' limbs and is rebound in place, so steady-state sweeps reuse all
+// of their scratch.
+func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (asp.Result, bool) {
 	tab := s.tab
 	s.swSub = s.swSub[:0]
 	base := s.swBase
@@ -860,14 +936,9 @@ func (s *Searcher) miniSweep(space geom.Rect, ids []int32) {
 	// serves many searches); fold only this sweep's strip-evaluator deltas
 	// into the search stats.
 	before := s.sw.Stats
-	// The incumbent's distance caps candidate evaluation: improve()
-	// discards anything scoring above it (ties included — the cap is
-	// open at cur.Dist), so those candidates may abandon their distance
-	// march early. The returned result can then be the +Inf sentinel,
-	// which improve() rejects like any other loser.
-	if r, ok := s.sw.SolveWithinCapped(space, s.cur.Dist); ok && r.Rep != nil {
-		s.improve(r.Dist, r.Point, r.Rep)
-	}
+	// A capped sweep can return its +Inf sentinel: nothing scored under
+	// the cap.
+	r, ok := s.sw.SolveWithinCapped(space, capDist)
 	s.Stats.FlatStrips += s.sw.Stats.FlatStrips - before.FlatStrips
 	s.Stats.FenwickStrips += s.sw.Stats.FenwickStrips - before.FenwickStrips
 	// The scratch is recycled across queries with the slabs, and the next
@@ -875,6 +946,7 @@ func (s *Searcher) miniSweep(space geom.Rect, ids []int32) {
 	// left in it would keep this query's dataset alive — under ingest a
 	// whole past view per stale pointer.
 	clear(s.swSub)
+	return r, ok && r.Rep != nil
 }
 
 // PointRepresentation computes F(p) over the master set, restricted to

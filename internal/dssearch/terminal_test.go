@@ -1,6 +1,8 @@
 package dssearch_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -14,6 +16,7 @@ import (
 	"asrs/internal/dataset"
 	"asrs/internal/dssearch"
 	"asrs/internal/geom"
+	"asrs/internal/kernel"
 )
 
 // TestTerminalSweepRule: a cluster of 450 objects (every fifth a duplicate
@@ -274,4 +277,103 @@ func latticeQueries(ds *attr.Dataset, a, b float64) []asrs.QueryRequest {
 		reqs[i] = asrs.QueryRequest{Query: asp.Query{F: f, Target: target}, A: a, B: b, Options: &asrs.Options{Workers: 1}}
 	}
 	return reqs
+}
+
+// TestSweptCellUnderSharedCap: a GI-DS piece the terminal rule takes is
+// swept without a kernel run, and under a shared cap it behaves as that
+// run's bound would. It publishes the incumbent and what it finds, a
+// sibling's cap below its bound prunes it, and a cap equal to its bound
+// does not (the cap folds in open), so the sweep finds the optimum.
+func TestSweptCellUnderSharedCap(t *testing.T) {
+	const a, b = 12.0, 9.0
+	ds := dataset.Random(40, 100, 5)
+	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
+	q := asp.Query{F: f, Target: []float64{2, 1, 1}}
+	plain, err := dssearch.NewShapeSearcher(t, ds, a, b, q, dssearch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := plain.Solve().Dist
+	inf := asp.Result{Dist: math.Inf(1)}
+
+	for _, tc := range []struct {
+		name    string
+		cap     float64 // a sibling's publication; +Inf for none
+		lb      float64 // the piece's bound
+		swept   bool
+		wantCap float64
+	}{
+		{"fresh cap", math.Inf(1), 0, true, opt},
+		{"cap at the bound", opt, opt, true, opt},
+		{"cap below the bound", opt / 2, opt, false, opt / 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := kernel.NewExtCap()
+			c.Publish(tc.cap)
+			s, err := dssearch.NewShapeSearcher(t, ds, a, b, q, dssearch.Options{SharedCap: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SeedBest(inf)
+			space := s.Space()
+			if _, exact := s.SolveCell(space, tc.lb, s.AppendWindowIDs(space, nil), false); exact {
+				t.Fatal("a capped sweep reported an exact minimum")
+			}
+			if s.Err() != nil {
+				t.Fatal(s.Err())
+			}
+			wantBest, sweeps := math.Inf(1), 0
+			if tc.swept {
+				wantBest, sweeps = opt, 1
+			}
+			if st := s.Stats; st.Discretizations != 0 || st.HeapPushes != 0 || st.MiniSweeps != sweeps {
+				t.Fatalf("%d discretizations, %d heap pushes, %d sweeps; want %d sweeps and no kernel run",
+					st.Discretizations, st.HeapPushes, st.MiniSweeps, sweeps)
+			}
+			if s.Best().Dist != wantBest {
+				t.Fatalf("incumbent at %v, want %v", s.Best().Dist, wantBest)
+			}
+			if got := c.Load(); got != tc.wantCap {
+				t.Fatalf("cap at %v, want %v", got, tc.wantCap)
+			}
+		})
+	}
+}
+
+// TestExactSweepAfterDeadline: an exact sweep (SolveCell's record) is not
+// stopped by the termination test, but a late deadline only costs it the
+// record when that test would have stopped the piece: the search's answer
+// is settled and no error surfaces. A piece the test spares fails with the
+// context's error, as a kernel run would.
+func TestExactSweepAfterDeadline(t *testing.T) {
+	const a, b = 12.0, 9.0
+	ds := dataset.Random(40, 100, 5)
+	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
+	q := asp.Query{F: f, Target: []float64{2, 1, 1}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		lb   float64
+		err  error
+	}{
+		{"pruned", 5, nil},
+		{"spared", 0, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := dssearch.NewShapeSearcher(t, ds, a, b, q, dssearch.Options{Ctx: ctx})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SeedBest(asp.Result{Dist: 5})
+			space := s.Space()
+			ids := s.AppendWindowIDs(space, nil)
+			if _, exact := s.SolveCell(space, tc.lb, ids, true); exact || !errors.Is(s.Err(), tc.err) {
+				t.Fatalf("exact = %v, err = %v; want no record and %v", exact, s.Err(), tc.err)
+			}
+			if s.Stats.MiniSweeps != 0 {
+				t.Fatalf("%d sweeps after the deadline", s.Stats.MiniSweeps)
+			}
+		})
+	}
 }

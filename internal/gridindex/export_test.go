@@ -71,6 +71,26 @@ func SolveVisiting(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, excl
 	return res, st, err
 }
 
+// Visit sets the hook the session's best-first loop calls with every
+// cell it takes, in order.
+func (s *Session) Visit(visit func(i, j int)) { s.visit = visit }
+
+// Record is a candidate a session holds: the cell (row-major, j*sx+i) or
+// strip (−1 for the first, −2 for the second) and its answer.
+type Record struct {
+	Owner int
+	Res   asp.Result
+}
+
+// Records returns the candidates the session holds.
+func (s *Session) Records() []Record {
+	out := make([]Record, len(s.cands))
+	for i, c := range s.cands {
+		out[i] = Record{c.owner, c.res}
+	}
+	return out
+}
+
 // SelfChecked is the error of a round whose answer failed its self-check.
 func SelfChecked(st Stats) error {
 	if n := st.DS.SelfCheckMisses; n != 0 {

@@ -34,6 +34,7 @@ type Stats struct {
 	MarginsSkipped int // margin strips never searched: the search ended below their bound
 	Pieces         int // sub-rectangles actually searched: margin runs plus every piece of every searched cell
 	ExcludingRuns  int // completed runs that searched under a non-empty exclusion list
+	Recorded       int // cells and strips searched whose exact minimum a carrying session recorded (Session)
 	// LeftMarginLB and BottomMarginLB are the lower bounds of the two
 	// margin strips (+Inf for a strip the space does not have). They do
 	// not depend on the exclusions: a session bounds the strips at its
@@ -52,6 +53,7 @@ func (s *Stats) Add(o Stats) {
 	s.MarginsSkipped += o.MarginsSkipped
 	s.Pieces += o.Pieces
 	s.ExcludingRuns += o.ExcludingRuns
+	s.Recorded += o.Recorded
 	s.LeftMarginLB, s.BottomMarginLB = o.LeftMarginLB, o.BottomMarginLB
 	s.DS.Add(o.DS)
 }
@@ -91,9 +93,10 @@ type margin struct {
 	lb   float64
 }
 
-// candidate is a feasible answer a searched cell or strip improved the
-// incumbent to; owner is the cell's row-major number, or −1 and −2 for
-// the session's first and second strip.
+// candidate is a feasible answer a searched cell or strip holds: its
+// exact minimum, or the answer a search improved the incumbent to; owner
+// is the cell's row-major number, or −1 and −2 for the session's first
+// and second strip.
 type candidate struct {
 	owner int
 	res   asp.Result
@@ -112,21 +115,32 @@ type candidate struct {
 //     bounded at or above the threshold, the range that stopped the loop,
 //     and every cell searched, pushed back under its key;
 //   - the two strips, bounded once per session, each under its key;
-//   - the candidates: the answer each searched cell or strip improved the
-//     incumbent to.
+//   - the candidates: per searched cell or strip, its exact minimum or
+//     the answer its search improved the incumbent to.
 //
-// Searching a cell or strip moves the incumbent from before to after. Its
-// key is the larger of after.Dist/(1+δ) and the bound it was taken at:
-// every point of it was either found, at ≥ after.Dist, or pruned against
-// an incumbent between after and before, at ≥ after.Dist/(1+δ). A cell
+// A cell or strip whose every piece the terminal rule sweeps whole is
+// swept without the incumbent's cap (dssearch.Searcher.SolveCell, exact),
+// and the session records what the sweeps find: the least of its points,
+// the minimum over the cell's feasible answers. Its key is the larger of
+// that minimum and the bound it was taken at, and the point is its
+// candidate. Any other search — a piece discretized — moves the incumbent
+// from before to after, and the key is the larger of after.Dist/(1+δ) and
+// the bound: every point was either found, at ≥ after.Dist, or pruned
+// against an incumbent between after and before, at ≥ after.Dist/(1+δ).
+// The candidate is after, if the search improved the incumbent. A cell
 // the exclusions swallow is not pushed back, and a swallowed strip takes
-// key +Inf. A round drops the candidates its exclusions forbid and seeds
-// its incumbent with the kernel.Better-least of the empty covering set and
-// the rest. The loop, its order and its stopping rule are a fresh
-// round's, so an exact round's distance is the one a fresh session's
-// round under the same exclusions answers, bit for bit (with δ > 0 it is
-// within 1+δ of the optimum), and its point may be another of equally
-// distant ones.
+// key +Inf.
+//
+// A round drops the candidates the boxes of its new exclusions forbid and
+// seeds its incumbent with the kernel.Better-least of the empty covering
+// set and the rest. Every key is then at or above the threshold while its
+// cell's candidate stands, so a cell is searched again — on its pieces
+// under the new boxes — only once a box has forbidden the point it holds,
+// and a cell searched holds no candidate. The loop, its order and its
+// stopping rule are a fresh round's, so an exact round's distance is the
+// one a fresh session's round under the same exclusions answers, bit for
+// bit (with δ > 0 it is within 1+δ of the optimum), and its point may be
+// another of equally distant ones.
 //
 // A round whose exclusions do not extend the last round's (checked by
 // prefix) starts over, as does a round after an error. Nothing is carried
@@ -232,11 +246,13 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 		h := sc.heap
 		stats.Cells = idx.sx * idx.sy
 		if resume {
-			// Drop what the new exclusions forbid; the rest seeds the
-			// incumbent.
+			// Drop what the new exclusions forbid — every candidate kept
+			// so far avoids the boxes of the old ones — and seed the
+			// incumbent with the rest.
+			added := forbidden[len(s.excl):]
 			kept := s.cands[:0]
 			for _, c := range s.cands {
-				if allowed(c.res.Point, forbidden) {
+				if allowed(c.res.Point, added) {
 					kept = append(kept, c)
 					if kernel.Better(c.res, incumbent) {
 						incumbent = c.res
@@ -261,12 +277,8 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 			order[1] = 1
 		}
 
-		// Lines 5–7: best-first refinement. Rectangle id subsets per piece
-		// of a cell or strip come from the searcher's binary-searched master
-		// window, not a linear scan, and each piece is searched as a cell
-		// (SolveCell: a first grid sized to its rectangles).
+		// Lines 5–7: best-first refinement.
 		var pieces []geom.Rect
-		var sub []int32
 		for (len(pending) > 0 || h.Len() > 0) && searcher.Err() == nil {
 			thresh := searcher.Best().Dist
 			if opt.Delta > 0 {
@@ -280,17 +292,11 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 				}
 				pending = pending[1:]
 				pieces = dssearch.AppendPieces(pieces[:0], m.rect, forbidden)
-				before := searcher.Best()
-				for _, p := range pieces {
-					stats.MarginRuns++
-					stats.Pieces++
-					sub = searcher.AppendWindowIDs(p, sub[:0])
-					searcher.SolveCell(p, m.lb, sub)
-				}
+				stats.MarginRuns += len(pieces)
 				if len(pieces) == 0 {
 					m.lb = math.Inf(1)
 				} else {
-					m.lb = s.settle(-1-k, m.lb, before, searcher.Best())
+					m.lb = s.search(searcher, -1-k, m.lb, pieces, &stats)
 				}
 				continue
 			}
@@ -315,14 +321,8 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 				continue
 			}
 			stats.CellsSearched++
-			before := searcher.Best()
-			for _, p := range pieces {
-				stats.Pieces++
-				sub = searcher.AppendWindowIDs(p, sub[:0])
-				searcher.SolveCell(p, top.lb, sub)
-			}
-			if s.carry {
-				top.lb = s.settle(j*idx.sx+i, top.lb, before, searcher.Best())
+			if key := s.search(searcher, j*idx.sx+i, top.lb, pieces, &stats); s.carry {
+				top.lb = key
 				h.Push(top)
 			}
 		}
@@ -400,23 +400,42 @@ func (x *Index) strips(dst []margin, space geom.Rect, q asp.Query, a, b float64,
 	return dst
 }
 
-// settle returns the key of a cell or strip searched from under bound lb,
-// the incumbent moving from before to after, and keeps after as the
-// owner's candidate if the search improved the incumbent (see Session).
-func (s *Session) settle(owner int, lb float64, before, after asp.Result) float64 {
+// search searches the pieces of a cell or strip taken under bound lb,
+// each as a cell (SolveCell: a first grid sized to its rectangles), with
+// rectangle ids from the searcher's binary-searched window, and returns
+// its key in a carrying session, where it records the owner's candidate
+// (see Session): the least of the pieces' minima when every piece was
+// swept whole, else the incumbent's move from before to after. Pieces
+// are swept exact only while the cell can still be recorded; those after
+// the first that cannot be take the capped, pruned search.
+func (s *Session) search(searcher *dssearch.Searcher, owner int, lb float64, pieces []geom.Rect, stats *Stats) float64 {
+	sc := s.sc
+	before := searcher.Best()
+	exact := s.carry
+	least := asp.Result{Dist: math.Inf(1)}
+	for _, p := range pieces {
+		stats.Pieces++
+		sc.ids = searcher.AppendWindowIDs(p, sc.ids[:0])
+		r, ok := searcher.SolveCell(p, lb, sc.ids, exact)
+		if exact = exact && ok; exact && kernel.Better(r, least) {
+			least = r
+		}
+	}
+	if !s.carry {
+		return lb
+	}
+	if exact {
+		stats.Recorded++
+		s.cands = append(s.cands, candidate{owner, least})
+		return max(lb, least.Dist)
+	}
+	after := searcher.Best()
+	if kernel.Better(after, before) {
+		s.cands = append(s.cands, candidate{owner, after})
+	}
 	key := after.Dist
 	if s.opt.Delta > 0 {
 		key /= 1 + s.opt.Delta
-	}
-	if kernel.Better(after, before) {
-		i := 0
-		for i < len(s.cands) && s.cands[i].owner != owner {
-			i++
-		}
-		if i == len(s.cands) {
-			s.cands = append(s.cands, candidate{owner: owner})
-		}
-		s.cands[i].res = after
 	}
 	return max(lb, key)
 }
@@ -459,10 +478,10 @@ func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, ke
 
 // lbScratch bundles the per-query scratch of the cell lower bounds —
 // limb and channel vectors, bound vectors, min/max slots and the
-// integer-dim flags — carved from one slab allocation, and the range
-// heap. Scratches recycle through the index's pool, so steady-state GI-DS
-// queries reallocate nothing here; a session's range heap is what it
-// carries between rounds.
+// integer-dim flags — carved from one slab allocation, the range heap and
+// the rectangle ids of the piece being searched. Scratches recycle
+// through the index's pool, so steady-state GI-DS queries reallocate
+// nothing here; a session's range heap is what it carries between rounds.
 type lbScratch struct {
 	fullL, partL []float64 // limbs
 	full, part   []float64 // channels
@@ -471,6 +490,7 @@ type lbScratch struct {
 	isInt        []bool
 
 	heap *kernel.Heap[cellRange]
+	ids  []int32
 }
 
 func (x *Index) getLBScratch() *lbScratch {

@@ -59,10 +59,22 @@ func (b *Bound) SetExternal(c *ExtCap) {
 // Threshold is Equation 1's cutoff, d_opt or d_opt/(1+δ). A cap folds in
 // open, as nextafter(cap/(1+δ), +Inf): it prunes only spaces strictly
 // worse than a sibling's answer, so the gathered minimum stays exact.
-func (b *Bound) Threshold() float64 {
-	d := b.best.Dist / b.div
-	if b.ext != nil {
-		if c := math.Nextafter(b.ext.Load()/b.div, math.Inf(1)); c < d {
+func (b *Bound) Threshold() float64 { return threshold(b.best.Dist, b.div, b.ext) }
+
+// Threshold is Bound.Threshold for a search that holds its incumbent's
+// distance dist, its δ and its cap (nil for none) without a Bound.
+func Threshold(dist, delta float64, ext *ExtCap) float64 {
+	div := 1.0
+	if delta > 0 {
+		div += delta
+	}
+	return threshold(dist, div, ext)
+}
+
+func threshold(dist, div float64, ext *ExtCap) float64 {
+	d := dist / div
+	if ext != nil {
+		if c := math.Nextafter(ext.Load()/div, math.Inf(1)); c < d {
 			d = c
 		}
 	}

@@ -95,3 +95,22 @@ func TestBoundExternalThresholdDelta(t *testing.T) {
 		t.Fatalf("threshold = %v, want %v", got, want)
 	}
 }
+
+// TestThresholdMatchesBound: the cutoff of a search that holds no Bound is
+// the one a Bound with the same incumbent, δ and cap computes.
+func TestThresholdMatchesBound(t *testing.T) {
+	for _, delta := range []float64{0, 0.25} {
+		for _, capd := range []float64{math.Inf(1), 12, 6, 3} {
+			b := NewBound(delta, asp.Result{Dist: 9})
+			c := NewExtCap()
+			c.Publish(capd)
+			b.SetExternal(c)
+			if got, want := Threshold(9, delta, c), b.Threshold(); got != want {
+				t.Fatalf("δ=%v cap=%v: Threshold = %v, the bound's %v", delta, capd, got, want)
+			}
+		}
+		if got, want := Threshold(9, delta, nil), NewBound(delta, asp.Result{Dist: 9}).Threshold(); got != want {
+			t.Fatalf("δ=%v, no cap: Threshold = %v, the bound's %v", delta, got, want)
+		}
+	}
+}

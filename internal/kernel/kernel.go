@@ -65,11 +65,9 @@ func RunCtx(ctx context.Context, seeds []Item, bound *Bound, process ProcessFunc
 		}
 		children = children[:0]
 		var best asp.Result
-		best, err = runItem(process, h.Pop(), bound.Best(), emit)
-		// A stall between processing and merge: only latency may move.
-		if f, ok := faultinject.Check("kernel.barrier.slow"); ok && f.Action == faultinject.ActSleep {
-			f.Sleep()
-		}
+		it := h.Pop()
+		err = guard(func() { best = process(0, it, bound.Best(), emit) })
+		stall()
 		if err != nil {
 			for _, c := range children {
 				release(c)
@@ -94,8 +92,21 @@ func RunCtx(ctx context.Context, seeds []Item, bound *Bound, process ProcessFunc
 	return pushes, maxHeap, err
 }
 
-// runItem processes one item behind the panic boundary.
-func runItem(process ProcessFunc, it Item, incumbent asp.Result, emit func(Item)) (best asp.Result, err error) {
+// Step runs one space outside a run — one its caller solves at once and
+// that needs no heap — under the checks a run makes around an item: the
+// context first, then process behind the panic boundary and the run's
+// failpoints. It returns the context's error or a *PanicError.
+func Step(ctx context.Context, process func()) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	err := guard(process)
+	stall()
+	return err
+}
+
+// guard runs one item's processing behind the panic boundary.
+func guard(process func()) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: debug.Stack()}
@@ -104,5 +115,14 @@ func runItem(process ProcessFunc, it Item, incumbent asp.Result, emit func(Item)
 	if f, ok := faultinject.Check("kernel.process.panic"); ok && f.Action == faultinject.ActPanic {
 		panic(f.PanicValue())
 	}
-	return process(0, it, incumbent, emit), nil
+	process()
+	return nil
+}
+
+// stall is the stall between an item's processing and its merge: only
+// latency may move.
+func stall() {
+	if f, ok := faultinject.Check("kernel.barrier.slow"); ok && f.Action == faultinject.ActSleep {
+		f.Sleep()
+	}
 }

@@ -188,3 +188,29 @@ func TestSlowBarrierKeepsAnswer(t *testing.T) {
 }
 
 func unitSpace() geom.Rect { return geom.Rect{MinX: 0, MaxX: 1, MinY: 0, MaxY: 1} }
+
+// Step makes a run's checks around one item: a cancelled context stops it
+// before the item runs, a panic — its own or the kernel.process.panic
+// failpoint's — comes back as a *PanicError, and an item that returns
+// leaves no error.
+func TestStepChecksLikeARun(t *testing.T) {
+	ran := 0
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Step(ctx, func() { ran++ }); !errors.Is(err, context.Canceled) || ran != 0 {
+		t.Fatalf("cancelled: err = %v after %d runs, want context.Canceled before any", err, ran)
+	}
+	if err := Step(context.Background(), func() { ran++ }); err != nil || ran != 1 {
+		t.Fatalf("err = %v after %d runs, want nil after 1", err, ran)
+	}
+	var pe *PanicError
+	if err := Step(context.Background(), func() { panic("boom") }); !errors.As(err, &pe) || pe.Value != "boom" {
+		t.Fatalf("err = %v, want the item's *PanicError", err)
+	}
+	defer faultinject.Deactivate()
+	faultinject.Activate(faultinject.NewPlan(3,
+		faultinject.Spec{Point: "kernel.process.panic", Action: faultinject.ActPanic, MaxEvery: 1}))
+	if err := Step(context.Background(), func() { ran++ }); !errors.As(err, &pe) || ran != 1 {
+		t.Fatalf("armed failpoint: err = %v after %d runs, want a *PanicError before the item", err, ran)
+	}
+}
