@@ -148,7 +148,7 @@ type (
 	Index = gridindex.Index
 	// Pyramid is the per-composite aggregate pyramid: the
 	// dataset-level aggregation layer (canonical master order, channel
-	// contributions, exactness certificates, the anchor-bin level) built
+	// contributions, exactness certificates) built
 	// once per (dataset, composite) and bound by every query instead of
 	// rebuilt (DESIGN.md §6). Engines build and cache one per composite
 	// automatically.

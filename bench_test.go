@@ -435,8 +435,12 @@ func topKRoundCells(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.Q
 // ranges bounded: 233, where every one of the 4 096 cells was bounded
 // before the loop split ranges lazily; it fails above 233. Margin runs:
 // 1, and dirty cells bounded inside the cells searched, reported (the
-// first grid of a cell is sized to its rectangles, DESIGN.md §5). And it
-// fails on a distance plain DS-Search does not answer.
+// first grid of a cell is sized to its rectangles, DESIGN.md §5). Cell
+// ids: 3 253, the rectangle ids the index's cells hand the searcher's
+// filter over every piece searched, where the pieces' full-height MinX
+// windows hold 28 112; it fails above 3 253 and at 0, when the pieces'
+// ids no longer come from the cells. And it fails on a distance plain
+// DS-Search does not answer.
 func BenchmarkF1Indexed(b *testing.B) {
 	ds := tweetDS(20000)
 	qa, qb := sizeK(ds, 8)
@@ -472,7 +476,7 @@ func BenchmarkF1Indexed(b *testing.B) {
 	if plain.Err != nil {
 		b.Fatal(plain.Err)
 	}
-	discretizations, marginRuns, bounded, dirty := 0, 0, 0, 0
+	discretizations, marginRuns, bounded, dirty, cellIDs := 0, 0, 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -490,6 +494,7 @@ func BenchmarkF1Indexed(b *testing.B) {
 		marginRuns += stats.MarginRuns
 		bounded += stats.Bounded
 		dirty += stats.DS.DirtyCells
+		cellIDs += stats.CellIDs
 	}
 	perQuery := float64(discretizations) / float64(b.N)
 	b.ReportMetric(perQuery, "discretizations/query")
@@ -497,11 +502,16 @@ func BenchmarkF1Indexed(b *testing.B) {
 	b.ReportMetric(float64(dirty)/float64(b.N), "dirty_cells/query")
 	ranges := float64(bounded) / float64(b.N)
 	b.ReportMetric(ranges, "bounded/query")
+	ids := float64(cellIDs) / float64(b.N)
+	b.ReportMetric(ids, "cell_ids/query")
 	if perQuery > 100 {
 		b.Fatalf("%v discretizations per query, want at most 100", perQuery)
 	}
 	if ranges > 233 {
 		b.Fatalf("%v cell ranges bounded per query, want at most 233", ranges)
+	}
+	if ids > 3253 || ids == 0 {
+		b.Fatalf("%v ids handed from the index's cells per query, want 1 to 3 253", ids)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"asrs/internal/dataset"
 	"asrs/internal/faultinject"
 	"asrs/internal/server"
+	"asrs/internal/wire"
 )
 
 // TestHTTPServerTimeouts: the daemon's http.Server closes a connection
@@ -60,7 +61,7 @@ func TestHTTPServerTimeouts(t *testing.T) {
 	faultinject.Activate(faultinject.NewPlan(1,
 		faultinject.Spec{Point: "server.dispatch.slow", Action: faultinject.ActSleep, MaxEvery: 1, Delay: 3 * headerLimit}))
 	defer faultinject.Deactivate()
-	body, err := json.Marshal(server.Query{Composite: "cat", A: 20, B: 20, Target: []float64{2, 2, 2}})
+	body, err := json.Marshal(wire.Query{Composite: "cat", A: 20, B: 20, Target: []float64{2, 2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

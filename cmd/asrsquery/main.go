@@ -129,16 +129,17 @@ func debugStats(stats asrs.SearchStats) {
 // indexStats prints the GI-DS cell counters; with debug also how many
 // cell ranges the best-first loop bounded, how the searched area was cut
 // — pieces actually handed to DS-Search (margin strips and cells, each
-// cut around the exclusions) and cells passed over because exclusions
-// forbid them whole — and where the two margin strips stood in the
+// cut around the exclusions), the rectangle ids the index's cells handed
+// their filter, and cells passed over because exclusions forbid them
+// whole — and where the two margin strips stood in the
 // best-first order: their lower bounds, and how many the search ended
 // without reaching.
 func indexStats(grid int, stats asrs.IndexStats, debug bool) {
 	infof("index: %dx%d, %d/%d cells searched\n", grid, grid, stats.CellsSearched, stats.Cells)
 	if debug {
 		infof("index ranges bounded: %d\n", stats.Bounded)
-		infof("index pieces: %d searched (%d on the margins), %d cells wholly excluded\n",
-			stats.Pieces, stats.MarginRuns, stats.CellsExcluded)
+		infof("index pieces: %d searched (%d on the margins), %d cells wholly excluded; %d ids from their cells\n",
+			stats.Pieces, stats.MarginRuns, stats.CellsExcluded, stats.CellIDs)
 		infof("margin strips: lower bound %g left, %g bottom; %d never searched\n",
 			stats.LeftMarginLB, stats.BottomMarginLB, stats.MarginsSkipped)
 	}

@@ -257,8 +257,8 @@ type geometryEntry struct {
 // engineView is one immutable epoch of the engine's logical dataset:
 // the seed corpus plus the first deltaLen ingested objects, with the
 // caches bound to exactly that dataset: one geometry (the master order
-// and anchor-bin level every composite's pyramid shares) and the
-// per-composite indexes and pyramids. The maps, basePyrs and baseGeo are
+// every composite's pyramid shares) and the per-composite indexes and
+// pyramids. The maps, basePyrs and baseGeo are
 // guarded by Engine.mu; entries build under their own once. basePyrs
 // holds completed pyramids inherited from the previous epoch, consumed
 // (and released) by the first delta fold per composite, and baseGeo the

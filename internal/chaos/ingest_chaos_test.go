@@ -17,6 +17,7 @@ import (
 	"asrs/internal/dataset"
 	"asrs/internal/faultinject"
 	"asrs/internal/server"
+	"asrs/internal/wire"
 )
 
 // Ingest chaos: kill-and-replay schedules over the streaming-ingest
@@ -315,12 +316,12 @@ func TestIngestServerKillAndRequery(t *testing.T) {
 	// Ingest over the wire in batches; every ack is a durability promise.
 	for i := 0; i < len(pool); i += 10 {
 		batch := pool[i : i+10]
-		wire := make([]server.InsertObject, len(batch))
+		objs := make([]wire.InsertObject, len(batch))
 		for j, o := range batch {
-			wire[j] = server.InsertObject{X: o.Loc.X, Y: o.Loc.Y,
+			objs[j] = wire.InsertObject{X: o.Loc.X, Y: o.Loc.Y,
 				Values: map[string]any{"rating": o.Values[0].Num, "visits": o.Values[1].Num}}
 		}
-		resp, body := post(ts.URL+"/v1/insert", server.Insert{Objects: wire})
+		resp, body := post(ts.URL+"/v1/insert", wire.Insert{Objects: objs})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("insert %d: status %d, body %s", i, resp.StatusCode, body)
 		}
@@ -355,17 +356,17 @@ func TestIngestServerKillAndRequery(t *testing.T) {
 		if want.Err != nil {
 			t.Fatal(want.Err)
 		}
-		excl := make([]server.Rect, len(req.Exclude))
+		excl := make([]wire.Rect, len(req.Exclude))
 		for j, r := range req.Exclude {
-			excl[j] = server.RectWire(r)
+			excl[j] = wire.RectWire(r)
 		}
-		wq := server.Query{Composite: "f2", A: req.A, B: req.B,
+		wq := wire.Query{Composite: "f2", A: req.A, B: req.B,
 			Target: req.Query.Target, TopK: req.TopK, Exclude: excl}
 		resp, body := post(ts2.URL+"/v1/query", wq)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: status %d, body %s", i, resp.StatusCode, body)
 		}
-		var wr server.Response
+		var wr wire.Response
 		if err := json.Unmarshal(body, &wr); err != nil {
 			t.Fatal(err)
 		}

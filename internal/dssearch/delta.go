@@ -21,15 +21,12 @@ import (
 // the base's runs in between.
 //
 // The order and the anchors belong to the Geometry, which every composite
-// of an epoch shares: FoldGeometry places the delta, splices the order
-// and the anchors and raises the anchor-bin level over the folded
-// anchors (raiseLevel, as a build does: the level is a function of the
-// anchors) once per epoch; FoldPyramid then places the delta in the
-// base's order again — a radix sort of the d appended anchors and d
-// binary searches — and splices one
-// composite's rows. So a fold costs O(d log n) comparisons, a few linear
-// copies and one O(n + g²) level raise per epoch, plus one copy per
-// composite's core, where the rebuild costs a sort, a flatten and a
+// of an epoch shares: FoldGeometry places the delta and splices the order
+// and the anchors once per epoch; FoldPyramid then places the delta in
+// the base's order again — a radix sort of the d appended anchors and d
+// binary searches — and splices one composite's rows. So a fold costs
+// O(d log n) comparisons and a few linear copies per epoch, plus one copy
+// per composite's core, where the rebuild costs a sort, a flatten and a
 // certificate pass over all n. The base is never written to: queries of
 // the previous epoch keep reading it while the next epoch folds.
 //
@@ -40,8 +37,6 @@ import (
 //     object, so merging the delta, sorted the same way, after the base's
 //     objects on location ties yields the rebuild's order exactly.
 //     Validated locations are finite, so every anchor has its place.
-//   - level: raised over the folded anchors, which are the rebuild's, so
-//     it is the rebuild's level.
 //   - certificate: the base's running sums (Σ|v| per limb) are extended
 //     by the delta's values in dataset order, which is how the rebuild
 //     accumulates them, so the outcome the rebuild would reach is known
@@ -94,9 +89,8 @@ func BuildPyramidDelta(base *Pyramid, combined *attr.Dataset) (*Pyramid, *DeltaS
 
 // FoldGeometry returns the geometry of combined — base's dataset
 // followed by validated objects, which is not checked — by splicing the
-// appended anchors into base's order and raising the level over the
-// result (see the file comment). A base of no objects is not spliced
-// into: combined's geometry is built instead.
+// appended anchors into base's order (see the file comment). A base of
+// no objects is not spliced into: combined's geometry is built instead.
 func FoldGeometry(base *Geometry, combined *attr.Dataset) *Geometry {
 	n0, n := base.n, len(combined.Objects)
 	if n0 == 0 || n < n0 {
@@ -114,7 +108,6 @@ func FoldGeometry(base *Geometry, combined *attr.Dataset) *Geometry {
 	}
 	g.order = append(g.order, base.order[next:]...)
 	g.pts = append(g.pts, base.pts[next:]...)
-	g.raiseLevel()
 	return g
 }
 

@@ -64,8 +64,8 @@ var pyramidSink *dssearch.Pyramid
 // category composite's pyramid is built (untimed), then the poi
 // composite's on the same geometry, which is what is timed and counted.
 // It fails if that build allocates 2 B/object beyond its core and the one
-// flatten the core is permuted from — as an int32 order or an int32 level
-// id array of its own would (4 B/object each).
+// flatten the core is permuted from — as an int32 order of its own would
+// (4 B/object).
 func BenchmarkPyramidBuild(b *testing.B) {
 	b.Run("tweet-slab", func(b *testing.B) {
 		ds, f := tweetSlab(b, 15000)
@@ -115,7 +115,7 @@ func BenchmarkPyramidBuild(b *testing.B) {
 		n := len(ds.Objects)
 		extra := int(after.TotalAlloc-before.TotalAlloc) - 2*p.CoreBytes()
 		if extra >= 2*n {
-			b.Fatalf("the second composite's build allocates %d B beyond its core and flatten (%.1f B/object): an order or a level of its own",
+			b.Fatalf("the second composite's build allocates %d B beyond its core and flatten (%.1f B/object): an order of its own",
 				extra, float64(extra)/float64(n))
 		}
 

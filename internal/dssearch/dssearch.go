@@ -16,8 +16,7 @@
 //
 // Per-query state is concentrated in the aggregation layer of sat.go: the
 // master — the dataset's anchors sorted by location, read as rectangles
-// through the query's (a, b) — flattened limb contributions, and, with a
-// pyramid bound, the anchor-bin level id collection walks.
+// through the query's (a, b) — and flattened limb contributions.
 // Every Discretize fills its grid the same way — one difference-array
 // pass over the space's rectangles (grid.go). Rectangle subsets flow
 // through the kernel heap as 4-byte id slices recycled through the
@@ -71,8 +70,8 @@ type Options struct {
 	// and composite, binds the searcher (NewRegionSearcher) to the
 	// persistent dataset-level aggregate pyramid instead of laying out the
 	// per-query aggregation layer: anchors, order, contributions and limbs
-	// are aliased, so a bind is O(1) once the shape's facts are known, and
-	// id collection walks the pyramid's anchor-bin level (DESIGN.md §6).
+	// are aliased, so a bind is O(1) once the shape's facts are known
+	// (DESIGN.md §6).
 	// A pyramid of another dataset or composite is ignored. Answers are
 	// bit-identical to the unassisted path, which lays out the same order.
 	Pyramid *Pyramid
@@ -173,7 +172,6 @@ type Searcher struct {
 	pts        []geom.Point
 	order      []int32       // master id -> index into objs
 	objs       []attr.Object // the dataset's objects
-	lvl        *satLevel     // the bound pyramid's anchor-bin level; nil without one
 	a, b       float64
 	shapeFacts // the shape's extents and space (shape.go)
 
@@ -211,7 +209,7 @@ func CheckExtent(a, b float64) error {
 // NewRegionSearcher is the searcher of an ASRS request: the a×b
 // top-right-corner reduction of ds (Definition 5: the answer point is the
 // region's bottom-left corner). A pyramid built for (ds, q.F) is bound:
-// its anchors, order, level and core are aliased and the shape's facts
+// its anchors, order and core are aliased and the shape's facts
 // read from the geometry's memo (shape.go), so nothing is built per
 // query. Else the slab lays out the same master from ds (tables.layOut).
 // Answers are bit-identical either way.
@@ -234,7 +232,7 @@ func newSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Sea
 	if p := opt.Pyramid; p.Matches(ds, q.F) {
 		p.bindCore(tab)
 		g := p.geo
-		s.pts, s.order, s.lvl = g.pts, g.order, g.lvl
+		s.pts, s.order = g.pts, g.order
 		s.shapeFacts = g.shapeFacts(a, b)
 	} else {
 		if err := tab.layOut(ds, q.F); err != nil {
@@ -469,90 +467,38 @@ func (s *Searcher) SolveWithin(space geom.Rect, seedLB float64) {
 // AppendWindowIDs appends the master ids of every rectangle whose open
 // interior intersects the closed space (only those can cover a candidate
 // point in the space) and returns dst. The candidates come from a
-// binary-searched window rather than a full scan; when a pyramid is
-// bound and the window is much larger than the space's 2D anchor box,
-// the ids are collected from the pyramid's anchor-bin level instead
-// (appendBinIDs), and the result slice is identical either way.
+// binary-searched window of MinX rather than a full scan.
 func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 	lo, hi := s.window(space.MinX, space.MaxX)
-	if s.lvl != nil {
-		if out, ok := s.appendBinIDs(space, dst, lo, hi); ok {
-			return out
-		}
-	}
 	for i := lo; i < hi; i++ {
-		r := s.rect(int32(i))
-		if r.MinX < space.MaxX && space.MinX < r.MaxX &&
-			r.MinY < space.MaxY && space.MinY < r.MaxY {
+		if s.meets(int32(i), space) {
 			dst = append(dst, int32(i))
 		}
 	}
 	return dst
 }
 
-// appendBinIDs is the bin-backed id collection of AppendWindowIDs: it
-// walks the space's anchor box on the level — the 2D region that
-// can hold anchors of intersecting rectangles — instead of the 1D MinX
-// window, whose x-range spans the full y extent. ok=false means the
-// window scan over [lo, hi) is expected to be no slower (small windows,
-// or boxes covering most of the window).
-//
-// Every id the box yields intersects the space and so lies in the window:
-// the ids are marked in a bitmap of the window, one bit per id, and a
-// word scan emits them ascending, each once — O(ids + window/64) where
-// sorting them was O(ids log ids). The bin path engages only when the
-// window is at least twice the box's anchors and bins, so the bitmap
-// stays small.
-func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int32, bool) {
-	t := s.tab
-	pts, l := s.pts, s.lvl
-	i0 := l.xBinLT(pts, s.a, space.MinX-s.wmax)
-	i1 := l.xBinGT(pts, s.a, space.MaxX, true)
-	j0 := l.yBinLT(pts, s.b, space.MinY-s.hmax)
-	j1 := l.yBinGT(pts, s.b, space.MaxY, true)
-	if i0 >= i1 || j0 >= j1 {
-		return dst, true // no anchor can intersect: empty result
-	}
-	// Estimated work: anchors in the box (count plane) plus bin visits,
-	// versus the 1D window scan.
-	box := l.countRegion(i0, i1, j0, j1)
-	bins := (i1 - i0) * (j1 - j0)
-	if hi-lo < 2*(box+bins) {
-		return dst, false
-	}
+// AppendCellIDs appends to dst what AppendWindowIDs appends for the
+// space, collected from runs of candidate ids instead of the whole MinX
+// window: every id of the window whose rectangle meets the space must be
+// in one of the runs — the id lists of the grid index cells the space's
+// anchor box reaches (gridindex). The ids kept are marked in a bitmap of
+// the window, one bit per id, and a word scan emits them ascending and
+// each once: O(candidates + window/64), where sorting them would be
+// O(ids log ids).
+func (s *Searcher) AppendCellIDs(space geom.Rect, runs [][]int32, dst []int32) []int32 {
+	lo, hi := s.window(space.MinX, space.MaxX)
 	words := (hi - lo + 63) >> 6
+	t := s.tab
 	if cap(t.idBits) < words {
 		t.idBits = make([]uint64, words)
 	}
 	marks := t.idBits[:words]
 	clear(marks)
-	// Certainly-intersecting bins (every id marked, CSR runs are
-	// contiguous per row) versus boundary bins (exact test).
-	ci0 := l.xBinGT(pts, s.a, space.MinX-s.wmin, false)
-	ci1 := l.xBinLT(pts, s.a, space.MaxX)
-	cj0 := l.yBinGT(pts, s.b, space.MinY-s.hmin, false)
-	cj1 := l.yBinLT(pts, s.b, space.MaxY)
-	for bj := j0; bj < j1; bj++ {
-		row := bj * l.gx
-		inJ := bj >= cj0 && bj < cj1
-		for bi := i0; bi < i1; bi++ {
-			if inJ && bi >= ci0 && bi < ci1 {
-				if ci0 < ci1 {
-					for _, id := range l.binIds[l.binStart[row+ci0]:l.binStart[row+ci1]] {
-						k := int(id) - lo
-						marks[k>>6] |= 1 << (k & 63)
-					}
-					bi = ci1 - 1
-					continue
-				}
-			}
-			for _, id := range l.binIds[l.binStart[row+bi]:l.binStart[row+bi+1]] {
-				r := s.rect(id)
-				if r.MinX < space.MaxX && space.MinX < r.MaxX &&
-					r.MinY < space.MaxY && space.MinY < r.MaxY {
-					k := int(id) - lo
-					marks[k>>6] |= 1 << (k & 63)
-				}
+	for _, run := range runs {
+		for _, id := range run {
+			if k := int(id) - lo; uint(k) < uint(hi-lo) && s.meets(id, space) {
+				marks[k>>6] |= 1 << (k & 63)
 			}
 		}
 	}
@@ -561,7 +507,15 @@ func (s *Searcher) appendBinIDs(space geom.Rect, dst []int32, lo, hi int) ([]int
 			dst = append(dst, int32(lo+w<<6+bits.TrailingZeros64(word)))
 		}
 	}
-	return dst, true
+	return dst
+}
+
+// meets reports whether rectangle id's open interior intersects the
+// closed space.
+func (s *Searcher) meets(id int32, space geom.Rect) bool {
+	r := s.rect(id)
+	return r.MinX < space.MaxX && space.MinX < r.MaxX &&
+		r.MinY < space.MaxY && space.MinY < r.MaxY
 }
 
 // run is one kernel run from a seed space. ids must contain, in
@@ -621,8 +575,8 @@ func (s *Searcher) ctx() context.Context {
 // false for a space searched any other way or not at all, and for a
 // sweep that found no candidate or was cut short (Err). ids must
 // contain, in ascending order, every id whose rectangle interior
-// intersects the space (AppendWindowIDs); the slice is only read and
-// never retained past the call.
+// intersects the space (AppendWindowIDs, AppendCellIDs); the slice is
+// only read and never retained past the call.
 func (s *Searcher) SolveCell(space geom.Rect, seedLB float64, ids []int32, exact bool) (asp.Result, bool) {
 	if !space.IsValid() || len(s.pts) == 0 || s.err != nil {
 		return asp.Result{}, false

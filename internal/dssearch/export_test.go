@@ -150,3 +150,9 @@ func (p *Pyramid) CoreBytes() int {
 	return 4*cap(c.cOff) + int(unsafe.Sizeof(agg.Contrib{}))*cap(c.contribs) +
 		4*cap(c.mOff) + int(unsafe.Sizeof(agg.MMContrib{}))*cap(c.mms)
 }
+
+// boundTo reports whether the searcher reads p's anchors: whether the
+// pyramid bound.
+func (s *Searcher) boundTo(p *Pyramid) bool {
+	return unsafe.SliceData(s.pts) == unsafe.SliceData(p.geo.pts)
+}

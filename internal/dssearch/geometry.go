@@ -12,16 +12,12 @@ import (
 )
 
 // Geometry is the composite-free half of a pyramid: a dataset's anchors
-// in the master order and the anchor-bin level over them. Under the
-// top-right reduction every rectangle is its object's location shifted by
-// (−a, −b) (Definition 5), so both depend on the object locations alone —
-// not on the query and not on the composite. A dataset epoch has one
-// Geometry, built by one sort (BuildGeometry) or folded from the previous
-// epoch's (FoldGeometry), and every composite's pyramid on that epoch
-// points to it (DESIGN.md §6).
-//
-// The level is a function of the anchors: both raise it over their
-// anchors (raiseLevel), and nothing patches or stores it.
+// in the master order. Under the top-right reduction every rectangle is
+// its object's location shifted by (−a, −b) (Definition 5), so the order
+// depends on the object locations alone — not on the query and not on
+// the composite. A dataset epoch has one Geometry, built by one sort
+// (BuildGeometry) or folded from the previous epoch's (FoldGeometry), and
+// every composite's pyramid on that epoch points to it (DESIGN.md §6).
 //
 // The master order is total: anchors by x, then y, then dataset index.
 // A search reads rectangle id as geom.RectFromTR(pts[id], a, b): the
@@ -37,7 +33,6 @@ type Geometry struct {
 	n     int
 	order []int32      // master position -> dataset object index
 	pts   []geom.Point // master position -> anchor (the object's location); derived, never stored
-	lvl   *satLevel    // the anchor-bin level over pts (raiseLevel); derived, never stored
 
 	// bounds is the dataset's bounding box, ds.Bounds() bit for bit: the
 	// objects expanded into it in dataset order (expandBounds) — by a
@@ -162,9 +157,8 @@ func (s *anchorSort) order(objs []attr.Object, order []int32) (sorted bool) {
 	return false
 }
 
-// BuildGeometry sorts a dataset's anchors once and raises the anchor-bin
-// level over them. The dataset must not be mutated afterwards while the
-// geometry serves it.
+// BuildGeometry sorts a dataset's anchors once. The dataset must not be
+// mutated afterwards while the geometry serves it.
 func BuildGeometry(ds *attr.Dataset) (*Geometry, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("dssearch: geometry requires a dataset")
@@ -179,9 +173,7 @@ func BuildGeometry(ds *attr.Dataset) (*Geometry, error) {
 func newGeometry(ds *attr.Dataset) *Geometry {
 	var t tables
 	t.layAnchors(ds.Objects)
-	g := &Geometry{ds: ds, n: len(ds.Objects), order: t.order, pts: t.pts, bounds: expandBounds(geom.EmptyRect(), ds.Objects)}
-	g.raiseLevel()
-	return g
+	return &Geometry{ds: ds, n: len(ds.Objects), order: t.order, pts: t.pts, bounds: expandBounds(geom.EmptyRect(), ds.Objects)}
 }
 
 // expandBounds returns r expanded to include every object's location, in
@@ -203,31 +195,13 @@ func (g *Geometry) Bounds() geom.Rect { return g.bounds }
 // index. The slice aliases the geometry: treat it as read-only.
 func (g *Geometry) Order() []int32 { return g.order }
 
-// levelGrid returns the bin granularity of the level a fresh build raises
-// over n anchors: ⌊√n⌋ clamped to [8, 128], then doubled while g² < n,
-// up to 256 bins a side.
-func levelGrid(n int) int {
-	g := min(max(int(math.Sqrt(float64(n))), 8), 128)
-	for 2*g <= 256 && g*g < n {
-		g *= 2
-	}
-	return g
-}
-
-// raiseLevel builds the level over the anchors: the one producer of a
-// level, at build and fold alike.
-func (g *Geometry) raiseLevel() {
-	g.lvl = buildSATLevel(levelGrid(g.n), g.pts)
-}
-
 // anchorLess is the master comparator over stored anchors, without the
 // index tie-break.
 func anchorLess(a, b geom.Point) bool {
 	return a.X < b.X || (a.X == b.X && a.Y < b.Y)
 }
 
-// sameAs reports whether o describes g's dataset in the same order. The
-// level is raised over the anchors in that order, so it is the same too.
+// sameAs reports whether o describes g's dataset in the same order.
 func (g *Geometry) sameAs(o *Geometry) bool {
 	return o != nil && g.ds == o.ds && slices.Equal(g.order, o.order)
 }

@@ -13,37 +13,34 @@ import (
 // Pyramid is the per-composite aggregate pyramid of a dataset: the whole
 // per-query aggregation layer of sat.go, hoisted to the dataset level.
 // It is a pointer to the dataset's Geometry — the anchors in master
-// order and the anchor-bin level, shared by every composite of the
-// epoch — plus the composite's core: the contribution and min/max tables
-// in master order, their limbs and the certificate's running sums.
+// order, shared by every composite of the epoch — plus the composite's
+// core: the contribution and min/max tables in master order, their limbs
+// and the certificate's running sums.
 //
 // The hoist is possible because, under the default top-right-corner
 // reduction, every rectangle is the object's location shifted by the
-// constant (-a, -b): the master order and the anchor-bin partition are
-// functions of the locations alone, and the flattened limb contributions
+// constant (-a, -b): the master order is a function of the locations
+// alone, and the flattened limb contributions
 // and the certificate of (dataset, composite) alone. Nothing of a query's
 // (a, b) is materialized — a search reads rectangle id from anchor id
 // and the shape — but a few facts of O(1) size (width/height ranges,
 // space) that the first query of a shape derives and the geometry
 // remembers (shape.go). Binding a pyramid to a Searcher therefore
-// replaces the per-query radix sort, the O(contribs)
-// flatten/certify passes and the O(R + g²) level build with aliased
-// reads of shared immutable state, in O(1) once the shape's facts are
-// known (DESIGN.md §6). Nothing of it is stored: every boot builds it
+// replaces the per-query radix sort and the O(contribs) flatten/certify
+// passes with aliased reads of shared immutable state, in O(1) once the
+// shape's facts are known (DESIGN.md §6). Nothing of it is stored: every boot builds it
 // from the objects, since with the radix sort (anchorSort) a
 // BuildGeometry costs about what reading a stored order cost (DESIGN.md
 // §6, "Why the order is not stored").
 //
 // Bit-identity with the unassisted path holds by construction: a
 // one-shot search lays out the same (x, y, index) order in its slab
-// (tables.layOut) and reads rectangles the same way, and the level's
-// id-anchored threshold arrays bound the translated per-query anchors
-// through actual rectangle coordinates rather than bin geometry, so what
-// its readers collect is set-exact.
+// (tables.layOut) and reads rectangles the same way.
 //
 // A Pyramid is immutable and safe for any number of concurrent binds; the
 // Engine caches one per composite and its grid index bins the core
-// (gridindex.New, through EachRow).
+// (gridindex.New, through EachRow), master ids included: the index's
+// cells are the one binning of the anchors a GI-DS search reads.
 type Pyramid struct {
 	geo     *Geometry
 	f       *agg.Composite
@@ -74,7 +71,7 @@ func BuildPyramid(ds *attr.Dataset, f *agg.Composite) (*Pyramid, error) {
 // BuildPyramidOn builds the core of one composite on a dataset's
 // geometry: the objects are flattened once, in dataset order, which is
 // the order the certificate is decided in, and the rows are laid out in
-// the geometry's master order from that one flatten. No sort, no level.
+// the geometry's master order from that one flatten. No sort.
 func BuildPyramidOn(g *Geometry, f *agg.Composite) (*Pyramid, error) {
 	if g == nil {
 		return nil, fmt.Errorf("dssearch: pyramid requires a geometry")

@@ -1,8 +1,6 @@
 package dssearch
 
 import (
-	"math"
-	"sort"
 	"sync"
 
 	"asrs/internal/agg"
@@ -31,14 +29,11 @@ import (
 // no shape is materialized.
 //
 // When Options.Pyramid carries the dataset-level aggregate pyramid
-// (pyramid.go), the whole layer is *bound* instead of built: the anchors,
-// the order and the anchor-bin level — CSR per-bin id lists over a grid
-// of the anchors, from which AppendWindowIDs collects a space's ids in
-// its 2D anchor box instead of the 1D MinX window (DESIGN.md §2) — are
-// read from its geometry, and the contributions and limbs aliased from
-// its core. A bind is O(1) once the shape's facts are known (shape.go),
-// converting the per-query sort and flatten into amortized shared state
-// (DESIGN.md §6).
+// (pyramid.go), the whole layer is *bound* instead of built: the anchors
+// and the order are read from its geometry, and the contributions and
+// limbs aliased from its core. A bind is O(1) once the shape's facts are
+// known (shape.go), converting the per-query sort and flatten into
+// amortized shared state (DESIGN.md §6).
 //
 // Sorting is what the limbs (agg.Limbs) buy: every channel sums in exact
 // limbs, each on a power-of-two grid with its total scaled mass within
@@ -49,250 +44,6 @@ import (
 // reals with their finest grid, decimal and full-mantissa reals with two
 // limbs, reals spread wider with as many as their mass needs. The values a
 // dataset admits (attr.Dataset.Validate) always certify.
-
-// ---- The anchor-bin level ----
-
-// satLevel is the anchor-bin level: CSR per-bin id lists over a g×g grid
-// of rectangle anchors, the summed-area table of the bin sizes (the count
-// plane), and the conservative threshold arrays that map coordinate
-// predicates to bin ranges.
-//
-// The threshold arrays are *id-anchored*: xMaxUpTo[i] is the master id
-// whose anchor attains the maximum anchor x over bin columns [0, i]
-// (-1 while empty), and xMinFrom[i] the id attaining the minimum over
-// columns [i, g). Queries compare the id's actual per-query coordinate
-// (MinX = pts[id].X − a) rather than stored bin geometry, which makes a
-// level valid for any rigid translation of the anchor set: the
-// dataset-level pyramid stores bins over object locations, and the same
-// arrays bound the translated per-query anchors exactly, because
-// translation by a constant is monotone and preserves argmax / argmin. Lookups are O(log g) binary searches, and every
-// interior/exterior claim they certify is conservative; the readers test
-// each anchor of the bins left uncertain exactly, so what they collect
-// depends only on the true predicate sets, not on the bin geometry.
-type satLevel struct {
-	gx, gy   int
-	bw, bh   float64 // bin extents in stored space (binning only, see binOf)
-	bx0, by0 float64 // bin grid origin: the anchors' minimum (binning only)
-
-	binStart []int32 // gx*gy+1 CSR offsets
-	binIds   []int32 // master ids grouped by bin, ascending within a bin
-	cnt      []int32 // (gx+1)*(gy+1) prefix sums of the bin sizes, derived from binStart
-
-	xMaxUpTo, xMinFrom []int32 // len gx, id-anchored prefix extremes (x)
-	yMaxUpTo, yMinFrom []int32 // len gy, id-anchored prefix extremes (y)
-}
-
-// xBinLT returns the largest h in [0, gx] such that every anchor in bin
-// columns [0, h) certainly has MinX = x − a < v.
-func (l *satLevel) xBinLT(pts []geom.Point, a, v float64) int {
-	return sort.Search(l.gx, func(i int) bool {
-		id := l.xMaxUpTo[i]
-		// An empty prefix is vacuously below any threshold.
-		return id >= 0 && pts[id].X-a >= v
-	})
-}
-
-// xBinGT returns the smallest h in [0, gx] such that every anchor in
-// bin columns [h, gx) certainly has MinX > v (or MinX ≥ v when orEq).
-func (l *satLevel) xBinGT(pts []geom.Point, a, v float64, orEq bool) int {
-	return sort.Search(l.gx, func(i int) bool {
-		id := l.xMinFrom[i]
-		if id < 0 {
-			return true // empty suffix: vacuously above any threshold
-		}
-		m := pts[id].X - a
-		if orEq {
-			return m >= v
-		}
-		return m > v
-	})
-}
-
-// yBinLT / yBinGT mirror the x variants over bin rows and MinY = y − b.
-func (l *satLevel) yBinLT(pts []geom.Point, b, v float64) int {
-	return sort.Search(l.gy, func(i int) bool {
-		id := l.yMaxUpTo[i]
-		return id >= 0 && pts[id].Y-b >= v
-	})
-}
-
-func (l *satLevel) yBinGT(pts []geom.Point, b, v float64, orEq bool) int {
-	return sort.Search(l.gy, func(i int) bool {
-		id := l.yMinFrom[i]
-		if id < 0 {
-			return true
-		}
-		m := pts[id].Y - b
-		if orEq {
-			return m >= v
-		}
-		return m > v
-	})
-}
-
-// countRegion returns the number of anchors in bins [i0,i1)×[j0,j1)
-// via a four-corner lookup on the count plane.
-func (l *satLevel) countRegion(i0, i1, j0, j1 int) int {
-	i0, j0 = max(i0, 0), max(j0, 0)
-	i1, j1 = min(i1, l.gx), min(j1, l.gy)
-	if i0 >= i1 || j0 >= j1 {
-		return 0
-	}
-	w := l.gx + 1
-	return int(l.cnt[j1*w+i1] - l.cnt[j0*w+i1] - l.cnt[j1*w+i0] + l.cnt[j0*w+i0])
-}
-
-// sumCounts derives the count plane from the CSR offsets: cnt[j*(gx+1)+i]
-// is the number of anchors in bins [0,i)×[0,j). Bins are stored row-major,
-// so a bin row's running count is a difference of two offsets.
-func (l *satLevel) sumCounts() {
-	w := l.gx + 1
-	l.cnt = make([]int32, w*(l.gy+1))
-	for j := 1; j <= l.gy; j++ {
-		row, below := l.cnt[j*w:][:w], l.cnt[(j-1)*w:][:w]
-		start := l.binStart[(j-1)*l.gx:][:w]
-		for i := range row {
-			row[i] = below[i] + start[i] - start[0]
-		}
-	}
-}
-
-// binOf maps a stored anchor of the level to its bin column and row: a
-// uniform grid of bw×bh bins from the origin (bx0, by0), the anchors'
-// minimum. An anchor whose quotient lands off the grid — the maximum, or
-// one carried there by rounding or overflow — is clamped into an edge
-// bin. Nothing a level answers depends
-// on WHICH bin an anchor sits in — only on binIds/binStart, the count
-// plane and the threshold arrays describing one and the same assignment.
-func (l *satLevel) binOf(x, y float64) (bi, bj int) {
-	bi = int((x - l.bx0) / l.bw)
-	if bi < 0 {
-		bi = 0
-	}
-	if bi >= l.gx {
-		bi = l.gx - 1
-	}
-	bj = int((y - l.by0) / l.bh)
-	if bj < 0 {
-		bj = 0
-	}
-	if bj >= l.gy {
-		bj = l.gy - 1
-	}
-	return bi, bj
-}
-
-// buildSATLevel returns a g×g bin grid over the stored anchors pts
-// (aligned with master ids 0..n-1), its count plane and the id-anchored
-// threshold arrays. Geometry.raiseLevel is its one caller.
-func buildSATLevel(g int, pts []geom.Point) *satLevel {
-	n := len(pts)
-	l := &satLevel{gx: g, gy: g}
-
-	bx0, by0 := math.Inf(1), math.Inf(1)
-	bx1, by1 := math.Inf(-1), math.Inf(-1)
-	for _, p := range pts {
-		if p.X < bx0 {
-			bx0 = p.X
-		}
-		if p.X > bx1 {
-			bx1 = p.X
-		}
-		if p.Y < by0 {
-			by0 = p.Y
-		}
-		if p.Y > by1 {
-			by1 = p.Y
-		}
-	}
-	l.bx0, l.by0 = bx0, by0
-	l.bw = (bx1 - bx0) / float64(g)
-	l.bh = (by1 - by0) / float64(g)
-	if !(l.bw > 0) {
-		l.bw = 1
-	}
-	if !(l.bh > 0) {
-		l.bh = 1
-	}
-
-	// CSR bins by counting sort: each bin's count, then the running sum
-	// of the counts as the bin's end, then the ids placed last to first,
-	// each moving its bin's end back a slot — so the ids ascend within a
-	// bin, and every end comes to rest at its bin's start.
-	nb := g * g
-	l.binStart = make([]int32, nb+1)
-	for _, p := range pts {
-		bi, bj := l.binOf(p.X, p.Y)
-		l.binStart[bj*g+bi]++
-	}
-	end := int32(0)
-	for b, c := range l.binStart[:nb] {
-		end += c
-		l.binStart[b] = end
-	}
-	l.binStart[nb] = end
-	l.binIds = make([]int32, n)
-	for i := n - 1; i >= 0; i-- {
-		bi, bj := l.binOf(pts[i].X, pts[i].Y)
-		b := bj*g + bi
-		l.binStart[b]--
-		l.binIds[l.binStart[b]] = int32(i)
-	}
-	l.sumCounts()
-
-	// Id-anchored threshold arrays: per-column / per-row extreme anchor,
-	// then prefix-max / suffix-min runs.
-	colMax, colMin := make([]int32, g), make([]int32, g)
-	rowMax, rowMin := make([]int32, g), make([]int32, g)
-	l.xMaxUpTo, l.xMinFrom, l.yMaxUpTo, l.yMinFrom = colMax, colMin, rowMax, rowMin
-	for i := 0; i < g; i++ {
-		colMax[i], colMin[i], rowMax[i], rowMin[i] = -1, -1, -1, -1
-	}
-	for i, p := range pts {
-		bi, bj := l.binOf(p.X, p.Y)
-		if colMax[bi] < 0 || p.X > pts[colMax[bi]].X {
-			colMax[bi] = int32(i)
-		}
-		if colMin[bi] < 0 || p.X < pts[colMin[bi]].X {
-			colMin[bi] = int32(i)
-		}
-		if rowMax[bj] < 0 || p.Y > pts[rowMax[bj]].Y {
-			rowMax[bj] = int32(i)
-		}
-		if rowMin[bj] < 0 || p.Y < pts[rowMin[bj]].Y {
-			rowMin[bj] = int32(i)
-		}
-	}
-	run := int32(-1)
-	for i := 0; i < g; i++ {
-		if colMax[i] >= 0 && (run < 0 || pts[colMax[i]].X > pts[run].X) {
-			run = colMax[i]
-		}
-		colMax[i] = run
-	}
-	run = -1
-	for i := g - 1; i >= 0; i-- {
-		if colMin[i] >= 0 && (run < 0 || pts[colMin[i]].X < pts[run].X) {
-			run = colMin[i]
-		}
-		colMin[i] = run
-	}
-	run = -1
-	for i := 0; i < g; i++ {
-		if rowMax[i] >= 0 && (run < 0 || pts[rowMax[i]].Y > pts[run].Y) {
-			run = rowMax[i]
-		}
-		rowMax[i] = run
-	}
-	run = -1
-	for i := g - 1; i >= 0; i-- {
-		if rowMin[i] >= 0 && (run < 0 || pts[rowMin[i]].Y < pts[run].Y) {
-			run = rowMin[i]
-		}
-		rowMin[i] = run
-	}
-	return l
-}
 
 // tables is the per-query aggregation layer described above. With a
 // pyramid bound the core slices alias the persistent per-composite
@@ -342,7 +93,7 @@ type tables struct {
 	scratchCells                []cellInfo
 	scratchRects                []asp.RectObject
 
-	// idBits is the bitmap appendBinIDs marks a space's ids in, one bit
+	// idBits is the bitmap AppendCellIDs marks a space's ids in, one bit
 	// per id of the MinX window.
 	idBits []uint64
 
@@ -371,8 +122,8 @@ func (t *tables) reset() {
 // layOut builds the one-shot layer of ds for f into the slab: the anchors
 // in BuildGeometry's master order (layAnchors; a shard band's corpus
 // arrives in it and is not sorted) and the core's rows in that order,
-// from one flatten (BuildPyramidOn's). It has no level. It fails on
-// values that do not certify.
+// from one flatten (BuildPyramidOn's). It fails on values that do not
+// certify.
 func (t *tables) layOut(ds *attr.Dataset, f *agg.Composite) error {
 	objs := ds.Objects
 	t.f, t.chans = f, f.Channels()

@@ -138,7 +138,7 @@ func TestShapeFacts(t *testing.T) {
 				if derived := p.geo.factsDerived - before; derived != 1-round {
 					t.Fatalf("%s %gx%g query %d: %d derivations, want %d", kind.name, a, b, round+1, derived, 1-round)
 				}
-				if s.lvl != p.geo.lvl {
+				if !s.boundTo(p) {
 					t.Fatalf("%s %gx%g query %d: the pyramid did not bind", kind.name, a, b, round+1)
 				}
 				if !sameFacts(s.shapeFacts, want) {
@@ -221,7 +221,7 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.lvl != p.geo.lvl {
+		if !s.boundTo(p) {
 			t.Fatal("pyramid did not bind")
 		}
 		return s.space
@@ -314,8 +314,8 @@ func TestShapeFactsConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := s.shapeFacts; s.lvl != p.geo.lvl || !sameFacts(got, want[i]) {
-					t.Errorf("shape %d round %d: bound=%v, searcher holds %+v, want %+v", i, round, s.lvl == p.geo.lvl, got, want[i])
+				if got := s.shapeFacts; !s.boundTo(p) || !sameFacts(got, want[i]) {
+					t.Errorf("shape %d round %d: bound=%v, searcher holds %+v, want %+v", i, round, s.boundTo(p), got, want[i])
 				}
 				s.Release()
 			}
@@ -350,7 +350,7 @@ func TestShapeRebind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.lvl != p.geo.lvl {
+			if !s.boundTo(p) {
 				t.Fatalf("%gx%g: the pyramid did not bind", a, b)
 			}
 			for id := range s.pts {

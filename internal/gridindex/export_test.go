@@ -98,3 +98,27 @@ func SelfChecked(st Stats) error {
 	}
 	return nil
 }
+
+// CellIDs returns what a session's search hands SolveCell for the piece p
+// of an a×b query: the ids of the cells p's anchor box reaches
+// (cellRuns), kept by the searcher where they meet p (AppendCellIDs) and
+// appended to dst, and how many ids the cells held.
+func (x *Index) CellIDs(s *dssearch.Searcher, p geom.Rect, a, b float64, dst []int32) ([]int32, int) {
+	runs, n := x.cellRuns(nil, p, a, b)
+	return s.AppendCellIDs(p, runs, dst), n
+}
+
+// Cell returns the column and row a location is binned in.
+func (x *Index) Cell(p geom.Point) (int, int) { return x.col(p.X), x.row(p.Y) }
+
+// Strips returns the margin strips a session of an a×b query over the
+// space searches, the left one before the bottom one.
+func (x *Index) Strips(q asp.Query, a, b float64, space geom.Rect) []geom.Rect {
+	sc := x.getLBScratch()
+	defer x.putLBScratch(sc)
+	var out []geom.Rect
+	for _, m := range x.strips(nil, space, q, a, b, sc, &Stats{}) {
+		out = append(out, m.rect)
+	}
+	return out
+}

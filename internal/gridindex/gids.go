@@ -35,6 +35,7 @@ type Stats struct {
 	Pieces         int // sub-rectangles actually searched: margin runs plus every piece of every searched cell
 	ExcludingRuns  int // completed runs that searched under a non-empty exclusion list
 	Recorded       int // cells and strips searched whose exact minimum a carrying session recorded (Session)
+	CellIDs        int // rectangle ids the index's cells handed the searcher's filter, over every piece searched (cellRuns)
 	// LeftMarginLB and BottomMarginLB are the lower bounds of the two
 	// margin strips (+Inf for a strip the space does not have). They do
 	// not depend on the exclusions: a session bounds the strips at its
@@ -54,6 +55,7 @@ func (s *Stats) Add(o Stats) {
 	s.Pieces += o.Pieces
 	s.ExcludingRuns += o.ExcludingRuns
 	s.Recorded += o.Recorded
+	s.CellIDs += o.CellIDs
 	s.LeftMarginLB, s.BottomMarginLB = o.LeftMarginLB, o.BottomMarginLB
 	s.DS.Add(o.DS)
 }
@@ -402,12 +404,14 @@ func (x *Index) strips(dst []margin, space geom.Rect, q asp.Query, a, b float64,
 
 // search searches the pieces of a cell or strip taken under bound lb,
 // each as a cell (SolveCell: a first grid sized to its rectangles), with
-// rectangle ids from the searcher's binary-searched window, and returns
-// its key in a carrying session, where it records the owner's candidate
-// (see Session): the least of the pieces' minima when every piece was
-// swept whole, else the incumbent's move from before to after. Pieces
-// are swept exact only while the cell can still be recorded; those after
-// the first that cannot be take the capped, pruned search.
+// the rectangle ids of the index cells the piece's anchor box reaches
+// (cellRuns), kept by the searcher where they meet the piece
+// (AppendCellIDs: the ids AppendWindowIDs collects), and returns its key
+// in a carrying session, where it records the owner's candidate (see
+// Session): the least of the pieces' minima when every piece was swept
+// whole, else the incumbent's move from before to after. Pieces are swept
+// exact only while the cell can still be recorded; those after the first
+// that cannot be take the capped, pruned search.
 func (s *Session) search(searcher *dssearch.Searcher, owner int, lb float64, pieces []geom.Rect, stats *Stats) float64 {
 	sc := s.sc
 	before := searcher.Best()
@@ -415,7 +419,10 @@ func (s *Session) search(searcher *dssearch.Searcher, owner int, lb float64, pie
 	least := asp.Result{Dist: math.Inf(1)}
 	for _, p := range pieces {
 		stats.Pieces++
-		sc.ids = searcher.AppendWindowIDs(p, sc.ids[:0])
+		var n int
+		sc.runs, n = s.idx.cellRuns(sc.runs[:0], p, s.a, s.b)
+		stats.CellIDs += n
+		sc.ids = searcher.AppendCellIDs(p, sc.runs, sc.ids[:0])
 		r, ok := searcher.SolveCell(p, lb, sc.ids, exact)
 		if exact = exact && ok; exact && kernel.Better(r, least) {
 			least = r
@@ -478,10 +485,11 @@ func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, ke
 
 // lbScratch bundles the per-query scratch of the cell lower bounds —
 // limb and channel vectors, bound vectors, min/max slots and the
-// integer-dim flags — carved from one slab allocation, the range heap and
-// the rectangle ids of the piece being searched. Scratches recycle
-// through the index's pool, so steady-state GI-DS queries reallocate
-// nothing here; a session's range heap is what it carries between rounds.
+// integer-dim flags — carved from one slab allocation, the range heap,
+// and the cells' id lists and the rectangle ids of the piece being
+// searched. Scratches recycle through the index's pool, so steady-state
+// GI-DS queries reallocate nothing here; a session's range heap is what
+// it carries between rounds.
 type lbScratch struct {
 	fullL, partL []float64 // limbs
 	full, part   []float64 // channels
@@ -490,6 +498,7 @@ type lbScratch struct {
 	isInt        []bool
 
 	heap *kernel.Heap[cellRange]
+	runs [][]int32
 	ids  []int32
 }
 

@@ -53,6 +53,12 @@ type Index struct {
 	// s-th fA component's attribute among selected objects in the cell.
 	cellMin []float64
 	cellMax []float64
+	// cellIds[cellStart[c]:cellStart[c+1]] are the master ids (positions
+	// in the pyramid's anchor order) of the objects located in cell
+	// c = j*sx+i, ascending: the rectangle ids a GI-DS piece collects
+	// (cellRuns).
+	cellStart []int32
+	cellIds   []int32
 
 	objects int
 
@@ -66,7 +72,8 @@ type Index struct {
 // pyramid's dataset (§7.3 evaluates 64×64, 128×128 and 256×256) for the
 // pyramid's composite. It bins the pyramid's core: each object's anchor,
 // its contributions already split in the pyramid's limbs and its min/max
-// contributions, so the index flattens and certifies nothing of its own.
+// contributions, so the index flattens and certifies nothing of its own,
+// and its master id, which the cell's id list takes.
 //
 // Every entry of a limb's tables is an integer multiple of its grid below
 // 2^52 in magnitude, and so is every sum of entries the suffix recurrence
@@ -123,9 +130,14 @@ func New(p *dssearch.Pyramid, sx, sy int) (*Index, error) {
 	}
 
 	// Bin the core's rows into cells. The per-cell totals are staged into
-	// the suffix array at (i, j) and then telescoped.
+	// the suffix array at (i, j) and then telescoped; each row's cell is
+	// kept for the id lists, and each cell's size counted.
+	cells := make([]int32, 0, p.Objects())
+	idx.cellStart = make([]int32, sx*sy+1)
 	p.EachRow(func(loc geom.Point, contribs []agg.Contrib, mms []agg.MMContrib) {
-		ci, cj := idx.cellOf(loc)
+		ci, cj := idx.col(loc.X), idx.row(loc.Y)
+		cells = append(cells, int32(cj*sx+ci))
+		idx.cellStart[cj*sx+ci]++
 		at := (cj*(sx+1) + ci) * idx.eff
 		for _, cb := range contribs {
 			idx.suffix[at+cb.Ch] += cb.V
@@ -140,6 +152,22 @@ func New(p *dssearch.Pyramid, sx, sy int) (*Index, error) {
 			}
 		}
 	})
+	// The id lists by counting sort: the running sum of the cell sizes as
+	// each cell's end, then the ids placed last to first, each moving its
+	// cell's end back a slot — so the ids ascend within a cell, and every
+	// end comes to rest at its cell's start.
+	end := int32(0)
+	for c, k := range idx.cellStart[:sx*sy] {
+		end += k
+		idx.cellStart[c] = end
+	}
+	idx.cellStart[sx*sy] = end
+	idx.cellIds = make([]int32, len(cells))
+	for id := len(cells) - 1; id >= 0; id-- {
+		c := cells[id]
+		idx.cellStart[c]--
+		idx.cellIds[idx.cellStart[c]] = int32(id)
+	}
 	// Suffix accumulation: S(i,j) = cell(i,j) + S(i+1,j) + S(i,j+1) −
 	// S(i+1,j+1).
 	for j := sy - 1; j >= 0; j-- {
@@ -161,23 +189,44 @@ func New(p *dssearch.Pyramid, sx, sy int) (*Index, error) {
 // enough that the cell edges along the axis stay distinct floats.
 func unitAt(v float64) float64 { return math.Max(1, math.Abs(v)*0x1p-40) }
 
-// cellOf maps a location to its cell, clamping boundary points inward.
-func (x *Index) cellOf(p geom.Point) (int, int) {
-	i := int((p.X - x.bounds.MinX) / x.cw)
-	j := int((p.Y - x.bounds.MinY) / x.chh)
-	if i < 0 {
-		i = 0
+// col and row map a coordinate to its column and row, clamping boundary
+// points inward. Both are non-decreasing in the coordinate — a rounded
+// difference, a quotient by a positive width and the clamp each are.
+func (x *Index) col(v float64) int { return bucket((v-x.bounds.MinX)/x.cw, x.sx) }
+
+func (x *Index) row(v float64) int { return bucket((v-x.bounds.MinY)/x.chh, x.sy) }
+
+// bucket truncates a quotient into [0, n): clamped as a float first, so
+// that a quotient past the int range or NaN clamps instead of converting.
+func bucket(q float64, n int) int {
+	if !(q > 0) {
+		return 0
 	}
-	if i >= x.sx {
-		i = x.sx - 1
+	if q >= float64(n) {
+		return n - 1
 	}
-	if j < 0 {
-		j = 0
+	return int(q)
+}
+
+// cellRuns appends to runs, one per row, the id lists of the cells whose
+// objects' a×b rectangles can meet the closed piece p, and returns runs
+// and the number of ids they hold. Such an anchor has p.MinX < x and
+// x − a < p.MaxX in float, which gives x ≤ fl(p.MaxX + a) but not
+// x < fl(p.MaxX + a): the far edge is padded one cell, to the column of
+// fl(p.MaxX + a) itself, where an anchor on the column's lower edge can
+// meet p. Rows likewise. col and row keep the order of coordinates, so
+// those columns and rows hold every anchor that can meet p.
+func (x *Index) cellRuns(runs [][]int32, p geom.Rect, a, b float64) ([][]int32, int) {
+	i0, i1 := x.col(p.MinX), x.col(p.MaxX+a)
+	j0, j1 := x.row(p.MinY), x.row(p.MaxY+b)
+	n := 0
+	for j := j0; j <= j1; j++ {
+		if run := x.cellIds[x.cellStart[j*x.sx+i0]:x.cellStart[j*x.sx+i1+1]]; len(run) > 0 {
+			runs = append(runs, run)
+			n += len(run)
+		}
 	}
-	if j >= x.sy {
-		j = x.sy - 1
-	}
-	return i, j
+	return runs, n
 }
 
 // Granularity returns (sx, sy).

@@ -50,7 +50,7 @@ func ReferenceIndex(ds *attr.Dataset, f *agg.Composite, sx, sy int) (*Index, err
 	}
 	for oi := range ds.Objects {
 		o := &ds.Objects[oi]
-		ci, cj := idx.cellOf(o.Loc)
+		ci, cj := idx.col(o.Loc.X), idx.row(o.Loc.Y)
 		at := (cj*(sx+1) + ci) * idx.eff
 		for _, cb := range idx.limbs.Split(append([]agg.Contrib(nil), raw[off[oi]:off[oi+1]]...), 0) {
 			idx.suffix[at+cb.Ch] += cb.V

@@ -6,22 +6,6 @@ import (
 	"asrs/internal/wire"
 )
 
-// The error taxonomy (stable codes + retryable bits + status mapping)
-// lives in internal/wire; these aliases keep the serving code and its
-// tests on their historical names. See internal/wire/errors.go for the
-// full table.
-const (
-	CodeBadRequest       = wire.CodeBadRequest
-	CodeNoFeasible       = wire.CodeNoFeasible
-	CodeOverloaded       = wire.CodeOverloaded
-	CodeDraining         = wire.CodeDraining
-	CodeCanceled         = wire.CodeCanceled
-	CodeShardUnavailable = wire.CodeShardUnavailable
-	CodeDeadline         = wire.CodeDeadline
-	CodeInternalPanic    = wire.CodeInternalPanic
-	CodeInternal         = wire.CodeInternal
-)
-
 // classify maps an answer's error to its HTTP status, wire code and
 // retryable bit, and counts a 504: every front door counts its timeouts
 // here.

@@ -13,11 +13,12 @@ import (
 	"asrs"
 	"asrs/internal/faultinject"
 	"asrs/internal/server"
+	"asrs/internal/wire"
 )
 
-func decodeResponse(t *testing.T, body []byte) server.Response {
+func decodeResponse(t *testing.T, body []byte) wire.Response {
 	t.Helper()
-	var wr server.Response
+	var wr wire.Response
 	if err := json.Unmarshal(body, &wr); err != nil {
 		t.Fatalf("decoding response %s: %v", body, err)
 	}
@@ -53,7 +54,7 @@ func TestDispatchPanicFailpointIsolated(t *testing.T) {
 		t.Fatalf("status = %d, body %s, want 500", resp.StatusCode, body)
 	}
 	wr := decodeResponse(t, body)
-	if wr.Code != server.CodeInternalPanic || wr.Retryable {
+	if wr.Code != wire.CodeInternalPanic || wr.Retryable {
 		t.Fatalf("code=%q retryable=%v, want internal_panic/terminal", wr.Code, wr.Retryable)
 	}
 
@@ -91,9 +92,9 @@ func TestQueryPanicOutsideKernel(t *testing.T) {
 	}
 
 	armed.Store(true)
-	resp, body := postJSON(t, ts.URL+"/v1/query", server.Query{Composite: "boom", A: reqs[0].A, B: reqs[0].B, Target: []float64{3}})
+	resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{Composite: "boom", A: reqs[0].A, B: reqs[0].B, Target: []float64{3}})
 	armed.Store(false)
-	if wr := decodeResponse(t, body); resp.StatusCode != http.StatusInternalServerError || wr.Code != server.CodeInternalPanic {
+	if wr := decodeResponse(t, body); resp.StatusCode != http.StatusInternalServerError || wr.Code != wire.CodeInternalPanic {
 		t.Fatalf("panicking query: status %d code %q, want 500 internal_panic", resp.StatusCode, wr.Code)
 	}
 	if st := getStats(t, ts.URL); st.InFlight != 0 {
@@ -142,7 +143,7 @@ func TestKernelPanicSurfacesThrough(t *testing.T) {
 		t.Fatalf("status = %d, body %s, want 500", resp.StatusCode, body)
 	}
 	wr := decodeResponse(t, body)
-	if wr.Code != server.CodeInternalPanic || wr.Retryable {
+	if wr.Code != wire.CodeInternalPanic || wr.Retryable {
 		t.Fatalf("code=%q retryable=%v, want internal_panic/terminal", wr.Code, wr.Retryable)
 	}
 
@@ -191,7 +192,7 @@ func TestShedCarriesRetryAfterAndBrownout(t *testing.T) {
 				t.Errorf("429 Retry-After = %q, want integer >= 1", ra)
 			}
 			wr := decodeResponse(t, body)
-			if wr.Code != server.CodeOverloaded || !wr.Retryable {
+			if wr.Code != wire.CodeOverloaded || !wr.Retryable {
 				t.Errorf("shed code=%q retryable=%v, want overloaded/retryable", wr.Code, wr.Retryable)
 			}
 			mu.Lock()
@@ -217,14 +218,14 @@ func TestShedCarriesRetryAfterAndBrownout(t *testing.T) {
 
 	// A degraded server sheds inserts first, before admission, with the
 	// same Retry-After contract.
-	iresp, ibody := postJSON(t, ts.URL+"/v1/insert", server.Insert{Objects: []server.InsertObject{{}}})
+	iresp, ibody := postJSON(t, ts.URL+"/v1/insert", wire.Insert{Objects: []wire.InsertObject{{}}})
 	if iresp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("insert under brownout = %d, body %s — want 429", iresp.StatusCode, ibody)
 	}
 	if secs, err := strconv.Atoi(iresp.Header.Get("Retry-After")); err != nil || secs < 1 {
 		t.Fatalf("shed insert Retry-After = %q, want integer >= 1", iresp.Header.Get("Retry-After"))
 	}
-	if wr := decodeResponse(t, ibody); wr.Code != server.CodeOverloaded || !wr.Retryable {
+	if wr := decodeResponse(t, ibody); wr.Code != wire.CodeOverloaded || !wr.Retryable {
 		t.Fatalf("shed insert code=%q retryable=%v, want overloaded/retryable", wr.Code, wr.Retryable)
 	}
 

@@ -14,6 +14,7 @@ import (
 	"asrs"
 	"asrs/internal/dataset"
 	"asrs/internal/server"
+	"asrs/internal/wire"
 )
 
 // BenchmarkServeHotSet is the serving instrument for the case the
@@ -95,7 +96,7 @@ func BenchmarkServeHotSet(b *testing.B) {
 							b.Error(err)
 							return
 						}
-						var wr server.Response
+						var wr wire.Response
 						err = json.NewDecoder(resp.Body).Decode(&wr)
 						resp.Body.Close()
 						if err != nil || resp.StatusCode != http.StatusOK {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"asrs"
+	"asrs/internal/wire"
 )
 
 // insertFixture builds a server over a small two-attribute corpus
@@ -82,14 +83,14 @@ func postInsert(t *testing.T, url string, body any) (*http.Response, []byte) {
 // visible to queries issued after the ack.
 func TestInsertEndpointEndToEnd(t *testing.T) {
 	_, ts, eng := insertFixture(t, Config{})
-	resp, body := postInsert(t, ts.URL, Insert{Objects: []InsertObject{
+	resp, body := postInsert(t, ts.URL, wire.Insert{Objects: []wire.InsertObject{
 		{X: 2.0, Y: 2.5, Values: map[string]any{"category": "Restaurant", "price": 0.0}},
 		{X: 2.2, Y: 2.7, Values: map[string]any{"category": "Apartment", "price": 1.75}},
 	}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var ack InsertResponse
+	var ack wire.InsertResponse
 	if err := json.Unmarshal(body, &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestInsertEndpointEndToEnd(t *testing.T) {
 	}
 
 	// Second insert advances the running total.
-	resp, body = postInsert(t, ts.URL, Insert{Objects: []InsertObject{
+	resp, body = postInsert(t, ts.URL, wire.Insert{Objects: []wire.InsertObject{
 		{X: 3.0, Y: 3.0, Values: map[string]any{"category": "Supermarket", "price": 0.0}},
 	}})
 	if resp.StatusCode != http.StatusOK {
@@ -123,8 +124,8 @@ func TestInsertEndpointEndToEnd(t *testing.T) {
 
 	// The inserted objects answer queries: a query-by-example over the
 	// region the inserts landed in must see them (the epoch advanced).
-	q := Query{Composite: "poi", A: 1.0, B: 1.0,
-		Region: &Rect{MinX: 1.8, MinY: 2.3, MaxX: 2.4, MaxY: 2.9}}
+	q := wire.Query{Composite: "poi", A: 1.0, B: 1.0,
+		Region: &wire.Rect{MinX: 1.8, MinY: 2.3, MaxX: 2.4, MaxY: 2.9}}
 	raw, _ := json.Marshal(q)
 	qresp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(raw))
 	if err != nil {
@@ -147,16 +148,16 @@ func TestInsertEndpointValidation(t *testing.T) {
 		name string
 		body any
 	}{
-		{"empty", Insert{}},
-		{"missing_attr", Insert{Objects: []InsertObject{
+		{"empty", wire.Insert{}},
+		{"missing_attr", wire.Insert{Objects: []wire.InsertObject{
 			{X: 1, Y: 1, Values: map[string]any{"category": "Apartment"}}}}},
-		{"unknown_attr", Insert{Objects: []InsertObject{
+		{"unknown_attr", wire.Insert{Objects: []wire.InsertObject{
 			{X: 1, Y: 1, Values: map[string]any{"category": "Apartment", "rating": 5.0}}}}},
-		{"bad_label", Insert{Objects: []InsertObject{
+		{"bad_label", wire.Insert{Objects: []wire.InsertObject{
 			{X: 1, Y: 1, Values: map[string]any{"category": "Castle", "price": 1.0}}}}},
-		{"number_for_categorical", Insert{Objects: []InsertObject{
+		{"number_for_categorical", wire.Insert{Objects: []wire.InsertObject{
 			{X: 1, Y: 1, Values: map[string]any{"category": 2.0, "price": 1.0}}}}},
-		{"string_for_numeric", Insert{Objects: []InsertObject{
+		{"string_for_numeric", wire.Insert{Objects: []wire.InsertObject{
 			{X: 1, Y: 1, Values: map[string]any{"category": "Apartment", "price": "cheap"}}}}},
 	}
 	for _, c := range cases {
@@ -164,11 +165,11 @@ func TestInsertEndpointValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status = %d, body %s", c.name, resp.StatusCode, body)
 		}
-		var wr Response
+		var wr wire.Response
 		if err := json.Unmarshal(body, &wr); err != nil {
 			t.Fatal(err)
 		}
-		if wr.Code != CodeBadRequest || wr.Retryable {
+		if wr.Code != wire.CodeBadRequest || wr.Retryable {
 			t.Fatalf("%s: code %q retryable %v, want bad_request/false", c.name, wr.Code, wr.Retryable)
 		}
 	}
@@ -188,17 +189,17 @@ func TestInsertShedsUnderBrownout(t *testing.T) {
 	if s.ladder.Level() == 0 {
 		t.Fatal("ladder did not step down")
 	}
-	resp, body := postInsert(t, ts.URL, Insert{Objects: []InsertObject{
+	resp, body := postInsert(t, ts.URL, wire.Insert{Objects: []wire.InsertObject{
 		{X: 2, Y: 2, Values: map[string]any{"category": "Apartment", "price": 1.0}},
 	}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("brownout insert: status = %d, body %s", resp.StatusCode, body)
 	}
-	var wr Response
+	var wr wire.Response
 	if err := json.Unmarshal(body, &wr); err != nil {
 		t.Fatal(err)
 	}
-	if wr.Code != CodeOverloaded || !wr.Retryable {
+	if wr.Code != wire.CodeOverloaded || !wr.Retryable {
 		t.Fatalf("brownout insert: code %q retryable %v, want overloaded/true", wr.Code, wr.Retryable)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
@@ -209,7 +210,7 @@ func TestInsertShedsUnderBrownout(t *testing.T) {
 	}
 
 	// Queries are NOT shed by brownout alone (only by a full queue).
-	q := Query{Composite: "poi", A: 1, B: 1, Target: []float64{1, 0, 0, 3}}
+	q := wire.Query{Composite: "poi", A: 1, B: 1, Target: []float64{1, 0, 0, 3}}
 	raw, _ := json.Marshal(q)
 	qresp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(raw))
 	if err != nil {
@@ -230,17 +231,17 @@ func TestInsertRefusedWhileDraining(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postInsert(t, ts.URL, Insert{Objects: []InsertObject{
+	resp, body := postInsert(t, ts.URL, wire.Insert{Objects: []wire.InsertObject{
 		{X: 2, Y: 2, Values: map[string]any{"category": "Apartment", "price": 1.0}},
 	}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining insert: status = %d, body %s", resp.StatusCode, body)
 	}
-	var wr Response
+	var wr wire.Response
 	if err := json.Unmarshal(body, &wr); err != nil {
 		t.Fatal(err)
 	}
-	if wr.Code != CodeDraining || !wr.Retryable {
+	if wr.Code != wire.CodeDraining || !wr.Retryable {
 		t.Fatalf("draining insert: code %q retryable %v, want draining/true", wr.Code, wr.Retryable)
 	}
 	if got := len(eng.IngestedObjects()); got != 0 {

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"runtime/debug"
 	"time"
+
+	"asrs/internal/wire"
 )
 
 // recoverMiddleware converts a handler panic into a 500 instead of
@@ -16,7 +18,7 @@ func recoverMiddleware(next http.Handler) http.Handler {
 		defer func() {
 			if v := recover(); v != nil {
 				log.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
-				writeError(w, http.StatusInternalServerError, CodeInternalPanic, false, "internal error")
+				writeError(w, http.StatusInternalServerError, wire.CodeInternalPanic, false, "internal error")
 			}
 		}()
 		next.ServeHTTP(w, r)

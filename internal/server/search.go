@@ -33,19 +33,19 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var sq wire.Search
 	if err := readBody(w, r, &sq); err != nil {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "invalid request body: %v", err)
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "invalid request body: %v", err)
 		return
 	}
 	pl, err := s.planner.ParseAndPlan(sq.Q)
 	if err != nil {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "%v", err)
 		return
 	}
 	backend, err := s.binding(sq.Partial)
 	if err != nil {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "%v", err)
 		return
 	}
 
@@ -54,25 +54,20 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Deadline resolution matches buildRequest: the query's own timeout
-	// clause, clamped by the operator's ceiling, under the serving
+	// Deadline resolution is buildRequest's (timeoutFor) over the
+	// request's timeout_ms, else the query's own timeout clause, with the
+	// default also held to the operator's ceiling, under the serving
 	// context so drain cancellation reaches every round.
 	if sq.TimeoutMS < 0 || pl.TimeoutMS < 0 {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "timeout_ms must be non-negative")
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "timeout_ms must be non-negative")
 		return
 	}
-	timeout := s.cfg.Timeout
-	if pl.TimeoutMS > 0 {
-		timeout = time.Duration(pl.TimeoutMS) * time.Millisecond
-	}
+	ms := pl.TimeoutMS
 	if sq.TimeoutMS > 0 {
-		timeout = time.Duration(sq.TimeoutMS) * time.Millisecond
+		ms = sq.TimeoutMS
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(s.base, timeout)
+	ctx, cancel := context.WithTimeout(s.base, min(s.timeoutFor(ms), s.cfg.MaxTimeout))
 	defer cancel()
 	stopWatch := context.AfterFunc(r.Context(), cancel)
 	defer stopWatch()
@@ -80,7 +75,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	st, err := query.Exec(ctx, pl, backend)
 	if err != nil {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "%v", err)
 		return
 	}
 

@@ -65,7 +65,7 @@ func TestSearchMatchesQueryEndpoint(t *testing.T) {
 		t.Fatalf("expected 2 result rows + done row, got %+v", rows)
 	}
 
-	hresp, body := postJSON(t, ts.URL+"/v1/query", server.Query{
+	hresp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{
 		Composite:     "poi",
 		Region:        &wire.Rect{MinX: orchard.MinX, MinY: orchard.MinY, MaxX: orchard.MaxX, MaxY: orchard.MaxY},
 		ExcludeRegion: true,
@@ -181,6 +181,36 @@ func TestSearchBadQuery(t *testing.T) {
 		var er wire.Response
 		if err := json.Unmarshal(body, &er); err != nil || er.Code != wire.CodeBadRequest {
 			t.Errorf("q=%q: error body %s", q, body)
+		}
+	}
+}
+
+// TestTimeoutPastNanosecondRange: a timeout_ms whose nanoseconds pass
+// 2⁶³ is clamped to MaxTimeout like any other large value, on every front
+// door — converted before the clamp it wrapped to a negative duration,
+// and the request failed at once with code "deadline".
+func TestTimeoutPastNanosecondRange(t *testing.T) {
+	_, ts, _ := newTestServer(t, server.Config{})
+	const huge = math.MaxInt64/int64(time.Millisecond) + 1 // 9 223 372 036 855
+	orchard := dataset.SingaporeDistricts()[0].Rect
+	region := &wire.Rect{MinX: orchard.MinX, MinY: orchard.MinY, MaxX: orchard.MaxX, MaxY: orchard.MaxY}
+	for _, ms := range []int64{huge, math.MaxInt64} {
+		q := wire.Query{Composite: "poi", Region: region, ExcludeRegion: true, TimeoutMS: ms}
+		if resp, body := postJSON(t, ts.URL+"/v1/query", q); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/query timeout_ms=%d: status %d, body %s", ms, resp.StatusCode, body)
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/batch", wire.Batch{Queries: []wire.Query{q}})
+		var batch wire.BatchResponse
+		if err := json.Unmarshal(body, &batch); resp.StatusCode != http.StatusOK || err != nil ||
+			len(batch.Responses) != 1 || batch.Responses[0].Error != "" {
+			t.Fatalf("/v1/batch timeout_ms=%d: status %d, body %s", ms, resp.StatusCode, body)
+		}
+		rows, _, sresp := postSearch(t, ts.URL, wire.Search{
+			Q:         `find similar to region(103.827,1.298,103.843,1.310) under @poi excluding example`,
+			TimeoutMS: ms,
+		})
+		if sresp.StatusCode != http.StatusOK || len(rows) != 2 || !rows[1].Done || rows[1].Error != "" {
+			t.Fatalf("/v1/search timeout_ms=%d: status %d, rows %+v", ms, sresp.StatusCode, rows)
 		}
 	}
 }

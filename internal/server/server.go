@@ -17,6 +17,7 @@ import (
 	"asrs/internal/faultinject"
 	"asrs/internal/query"
 	"asrs/internal/shard"
+	"asrs/internal/wire"
 )
 
 // Defaults for Config zero values.
@@ -219,7 +220,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // buildRequest compiles a wire query into an engine request and the
 // binding that answers it. The returned cancel func releases the
 // deadline timer and must be called once the response is delivered.
-func (s *Server) buildRequest(wq Query) (query.Binding, asrs.QueryRequest, context.CancelFunc, error) {
+func (s *Server) buildRequest(wq wire.Query) (query.Binding, asrs.QueryRequest, context.CancelFunc, error) {
 	backend, err := s.binding(wq.Partial)
 	if err != nil {
 		return nil, asrs.QueryRequest{}, nil, err
@@ -228,7 +229,7 @@ func (s *Server) buildRequest(wq Query) (query.Binding, asrs.QueryRequest, conte
 	if !ok {
 		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("unknown composite %q", wq.Composite)
 	}
-	norm, err := ParseNorm(wq.Norm)
+	norm, err := wire.ParseNorm(wq.Norm)
 	if err != nil {
 		return nil, asrs.QueryRequest{}, nil, err
 	}
@@ -236,13 +237,13 @@ func (s *Server) buildRequest(wq Query) (query.Binding, asrs.QueryRequest, conte
 	var q asrs.Query
 	exclude := make([]asrs.Rect, 0, len(wq.Exclude)+1)
 	for _, r := range wq.Exclude {
-		exclude = append(exclude, RectLib(r))
+		exclude = append(exclude, wire.RectLib(r))
 	}
 	switch {
 	case wq.Region != nil && wq.Target != nil:
 		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("set either target or region, not both")
 	case wq.Region != nil:
-		rq := RectLib(*wq.Region)
+		rq := wire.RectLib(*wq.Region)
 		if a == 0 {
 			a = rq.Width()
 		}
@@ -278,7 +279,7 @@ func (s *Server) buildRequest(wq Query) (query.Binding, asrs.QueryRequest, conte
 	}
 	req := asrs.QueryRequest{Query: q, A: a, B: b, TopK: wq.TopK, Exclude: exclude}
 	if wq.Extent != nil {
-		ext := RectLib(*wq.Extent)
+		ext := wire.RectLib(*wq.Extent)
 		if !ext.IsValid() {
 			return nil, asrs.QueryRequest{}, nil, fmt.Errorf("invalid extent: min must not exceed max")
 		}
@@ -297,16 +298,24 @@ func (s *Server) buildRequest(wq Query) (query.Binding, asrs.QueryRequest, conte
 	if wq.TimeoutMS < 0 {
 		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("timeout_ms must be non-negative, got %d", wq.TimeoutMS)
 	}
-	timeout := s.cfg.Timeout
-	if wq.TimeoutMS > 0 {
-		timeout = time.Duration(wq.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	ctx, cancel := context.WithTimeout(s.base, timeout)
+	ctx, cancel := context.WithTimeout(s.base, s.timeoutFor(wq.TimeoutMS))
 	req.Ctx = ctx
 	return backend, req, cancel, nil
+}
+
+// timeoutFor is the deadline a request's timeout_ms asks for: the
+// server's default for 0, else the value clamped to MaxTimeout. The
+// clamp compares milliseconds before converting them: a timeout_ms of
+// 2⁶³ ns or more would wrap to a negative duration, a deadline already
+// past.
+func (s *Server) timeoutFor(ms int64) time.Duration {
+	if ms == 0 {
+		return s.cfg.Timeout
+	}
+	if ms > s.cfg.MaxTimeout.Milliseconds() {
+		return s.cfg.MaxTimeout
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // binding resolves a request's partial-result policy — its own (router
@@ -336,8 +345,8 @@ func (s *Server) binding(partial string) (query.Binding, error) {
 // reply renders one answer for the wire and returns its HTTP status.
 // Coverage always rides along, failures included — partial best_effort
 // answers are only trustworthy with their skip list.
-func (s *Server) reply(resp asrs.QueryResponse, cov *Coverage, start time.Time) (Response, int) {
-	out := ResponseWire(resp, time.Since(start))
+func (s *Server) reply(resp asrs.QueryResponse, cov *wire.Coverage, start time.Time) (wire.Response, int) {
+	out := wire.ResponseWire(resp, time.Since(start))
 	out.Coverage = cov
 	status, _, _ := s.classify(resp.Err)
 	return out, status
@@ -353,7 +362,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError writes a failure response with its taxonomy code and
 // retryable bit (see errors.go).
 func writeError(w http.ResponseWriter, status int, code string, retryable bool, format string, args ...any) {
-	writeJSON(w, status, Response{Error: fmt.Sprintf(format, args...), Code: code, Retryable: retryable})
+	writeJSON(w, status, wire.Response{Error: fmt.Sprintf(format, args...), Code: code, Retryable: retryable})
 }
 
 // writeDraining writes the draining 503. It carries the same jittered
@@ -363,7 +372,7 @@ func writeError(w http.ResponseWriter, status int, code string, retryable bool, 
 // lockstep.
 func (s *Server) writeDraining(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-	writeError(w, http.StatusServiceUnavailable, CodeDraining, true, "server is draining")
+	writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, true, "server is draining")
 }
 
 // enter is every front door's admission, run once per request before
@@ -441,7 +450,7 @@ func (s *Server) admit(w http.ResponseWriter, n int) bool {
 			// back roughly when the work they were shed behind clears,
 			// and never in lockstep. Never zero.
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-			writeError(w, http.StatusTooManyRequests, CodeOverloaded, true, "server at capacity (%d in flight)", s.cfg.MaxInFlight)
+			writeError(w, http.StatusTooManyRequests, wire.CodeOverloaded, true, "server at capacity (%d in flight)", s.cfg.MaxInFlight)
 			return false
 		}
 	}
@@ -475,16 +484,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer leave(1)
-	var wq Query
+	var wq wire.Query
 	if err := readBody(w, r, &wq); err != nil {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "invalid request body: %v", err)
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "invalid request body: %v", err)
 		return
 	}
 	backend, req, cancel, err := s.buildRequest(wq)
 	if err != nil {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "%v", err)
 		return
 	}
 	defer cancel()
@@ -524,20 +533,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	took := 1
 	defer func() { leave(took) }()
-	var wb Batch
+	var wb wire.Batch
 	if err := readBody(w, r, &wb); err != nil {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "invalid request body: %v", err)
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "invalid request body: %v", err)
 		return
 	}
 	if len(wb.Queries) == 0 {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "batch requires at least one query")
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "batch requires at least one query")
 		return
 	}
 	if len(wb.Queries) > s.cfg.MaxInFlight {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "batch of %d exceeds the admission bound (%d)", len(wb.Queries), s.cfg.MaxInFlight)
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "batch of %d exceeds the admission bound (%d)", len(wb.Queries), s.cfg.MaxInFlight)
 		return
 	}
 	if extra := len(wb.Queries) - 1; extra > 0 {
@@ -548,14 +557,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	reqs := make([]asrs.QueryRequest, len(wb.Queries))
-	resps := make([]Response, len(wb.Queries))
+	resps := make([]wire.Response, len(wb.Queries))
 	backends := make([]query.Binding, len(wb.Queries)) // nil: answered 400
 	cancels := make([]context.CancelFunc, 0, len(wb.Queries))
 	for i, wq := range wb.Queries {
 		backend, req, cancel, err := s.buildRequest(wq)
 		if err != nil {
 			s.nBadReqs.Add(1)
-			resps[i] = Response{Error: err.Error(), Code: CodeBadRequest, Status: http.StatusBadRequest}
+			resps[i] = wire.Response{Error: err.Error(), Code: wire.CodeBadRequest, Status: http.StatusBadRequest}
 			continue
 		}
 		defer cancel()
@@ -602,7 +611,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(cancels) > 0 { // a batch of 400s searched nothing
 		s.ewma.Observe(time.Since(start))
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{
+	writeJSON(w, http.StatusOK, wire.BatchResponse{
 		Responses: resps,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
 	})
@@ -630,7 +639,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		s.nShed.Add(1)
 		s.ladder.note(true)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeError(w, http.StatusTooManyRequests, CodeOverloaded, true,
+		writeError(w, http.StatusTooManyRequests, wire.CodeOverloaded, true,
 			"server degraded (brownout level %d); inserts are shed first", level)
 		return
 	}
@@ -639,21 +648,21 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer leave(1)
-	var wi Insert
+	var wi wire.Insert
 	if err := readBody(w, r, &wi); err != nil {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "invalid request body: %v", err)
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "invalid request body: %v", err)
 		return
 	}
 	if len(wi.Objects) == 0 {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "insert requires at least one object")
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "insert requires at least one object")
 		return
 	}
 	objs, err := s.decodeInsertObjects(wi.Objects)
 	if err != nil {
 		s.nBadReqs.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "%v", err)
 		return
 	}
 	insert := s.insertBatch
@@ -668,16 +677,16 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, asrs.ErrInvalidObject):
 			// Refused before anything was staged: the request's fault.
 			s.nBadReqs.Add(1)
-			writeError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
+			writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "%v", err)
 			return
 		}
 		// The append did not acknowledge, so nothing was staged: the
 		// client may retry (e.g. after a transient disk error) without
 		// risking duplication on this server.
-		writeError(w, http.StatusInternalServerError, CodeInternal, false, "insert failed: %v", err)
+		writeError(w, http.StatusInternalServerError, wire.CodeInternal, false, "insert failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, InsertResponse{
+	writeJSON(w, http.StatusOK, wire.InsertResponse{
 		Ingested:      len(objs),
 		TotalIngested: s.totalIngested(),
 		ElapsedMS:     float64(time.Since(start).Microseconds()) / 1e3,
@@ -704,7 +713,7 @@ func (s *Server) totalIngested() int64 {
 // decodeInsertObjects converts wire objects to library objects against
 // the serving schema: every attribute must be present, categorical
 // values arrive as domain labels, numeric values as numbers.
-func (s *Server) decodeInsertObjects(in []InsertObject) ([]asrs.Object, error) {
+func (s *Server) decodeInsertObjects(in []wire.InsertObject) ([]asrs.Object, error) {
 	schema := s.schema
 	n := schema.Len()
 	out := make([]asrs.Object, len(in))

@@ -21,6 +21,7 @@ import (
 	"asrs/internal/dataset"
 	"asrs/internal/faultinject"
 	"asrs/internal/server"
+	"asrs/internal/wire"
 )
 
 // newTestServer builds a server over the shared corpus with the given
@@ -85,8 +86,8 @@ func getStats(t *testing.T, url string) server.Stats {
 
 // wireFor converts an engine request from the shared corpus into its
 // wire form (targets are already materialized there).
-func wireFor(req asrs.QueryRequest) server.Query {
-	return server.Query{
+func wireFor(req asrs.QueryRequest) wire.Query {
+	return wire.Query{
 		Composite: "poi",
 		A:         req.A,
 		B:         req.B,
@@ -110,7 +111,7 @@ func TestServerQueryEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var wr server.Response
+	var wr wire.Response
 	if err := json.Unmarshal(body, &wr); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestServerQueryEndToEnd(t *testing.T) {
 	if math.Float64bits(wr.Results[0].Dist) != math.Float64bits(want.Results[0].Dist) {
 		t.Fatalf("served dist %v != engine dist %v", wr.Results[0].Dist, want.Results[0].Dist)
 	}
-	if got := server.RectLib(wr.Results[0].Region); got != want.Regions[0] {
+	if got := wire.RectLib(wr.Results[0].Region); got != want.Regions[0] {
 		t.Fatalf("served region %+v != engine region %+v", got, want.Regions[0])
 	}
 
@@ -171,7 +172,7 @@ func TestServerConcurrentClientsBitIdentical(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			var wr server.Response
+			var wr wire.Response
 			if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
 				errs[i] = err
 				return
@@ -238,7 +239,7 @@ func TestCoalescerBitIdentical(t *testing.T) {
 					return
 				}
 				defer resp.Body.Close()
-				var wr server.Response
+				var wr wire.Response
 				if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil || resp.StatusCode != http.StatusOK {
 					t.Errorf("request %d: status %d, %v %s", i, resp.StatusCode, err, wr.Error)
 					return
@@ -300,7 +301,7 @@ func TestServerBatchEndpoint(t *testing.T) {
 	}
 	_, ts, eng := newTestServer(t, server.Config{Composites: map[string]*asrs.Composite{"boom": boom}})
 
-	batch := server.Batch{Queries: []server.Query{
+	batch := wire.Batch{Queries: []wire.Query{
 		wireFor(reqs[0]),
 		{Composite: "nope", A: 1, B: 1, Target: []float64{1}},
 		wireFor(reqs[1]),
@@ -312,7 +313,7 @@ func TestServerBatchEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var br server.BatchResponse
+	var br wire.BatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestServerBatchEndpoint(t *testing.T) {
 	if br.Responses[1].Error == "" || br.Responses[1].Status != http.StatusBadRequest {
 		t.Fatalf("unknown composite in slot 1: error %q status %d, want 400", br.Responses[1].Error, br.Responses[1].Status)
 	}
-	if m := br.Responses[3]; m.Code != server.CodeInternalPanic || m.Status != http.StatusInternalServerError {
+	if m := br.Responses[3]; m.Code != wire.CodeInternalPanic || m.Status != http.StatusInternalServerError {
 		t.Fatalf("panicking member in slot 3: code %q status %d, want internal_panic/500", m.Code, m.Status)
 	}
 	for slot, reqIdx := range map[int]int{0: 0, 2: 1} {
@@ -349,13 +350,13 @@ func TestServerQueryByExample(t *testing.T) {
 	ds, _, _ := corpus(t)
 	bounds := ds.Bounds()
 	a, b := bounds.Width()/16, bounds.Height()/16
-	ex := server.Rect{
+	ex := wire.Rect{
 		MinX: bounds.MinX + bounds.Width()*0.4,
 		MinY: bounds.MinY + bounds.Height()*0.4,
 	}
 	ex.MaxX, ex.MaxY = ex.MinX+a, ex.MinY+b
 
-	resp, body := postJSON(t, ts.URL+"/v1/query", server.Query{
+	resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{
 		Composite:     "poi",
 		Region:        &ex,
 		ExcludeRegion: true,
@@ -363,12 +364,12 @@ func TestServerQueryByExample(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var wr server.Response
+	var wr wire.Response
 	if err := json.Unmarshal(body, &wr); err != nil {
 		t.Fatal(err)
 	}
-	got := server.RectLib(wr.Results[0].Region)
-	if got.IntersectsOpen(server.RectLib(ex)) {
+	got := wire.RectLib(wr.Results[0].Region)
+	if got.IntersectsOpen(wire.RectLib(ex)) {
 		t.Fatalf("answer %+v overlaps the excluded example %+v", got, ex)
 	}
 	if math.Abs(got.Width()-a) > 1e-9 || math.Abs(got.Height()-b) > 1e-9 {
@@ -402,7 +403,7 @@ func TestServerDeadline504(t *testing.T) {
 		tgt[i] = 1e6
 	}
 	bounds := ds.Bounds()
-	doomed := server.Query{
+	doomed := wire.Query{
 		Composite: "poi",
 		A:         bounds.Width() / 4,
 		B:         bounds.Height() / 4,
@@ -412,7 +413,7 @@ func TestServerDeadline504(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var doomedStatus, peerStatus int
-	var peer server.Response
+	var peer wire.Response
 	go func() {
 		defer wg.Done()
 		resp, _ := postJSON(t, ts.URL+"/v1/query", doomed)
@@ -444,16 +445,16 @@ func TestServerBadRequests(t *testing.T) {
 	tgt := make([]float64, f.Dims())
 	cases := []struct {
 		name string
-		q    server.Query
+		q    wire.Query
 	}{
-		{"unknown composite", server.Query{Composite: "nope", A: 1, B: 1, Target: tgt}},
-		{"no target or region", server.Query{Composite: "poi", A: 1, B: 1}},
-		{"both target and region", server.Query{Composite: "poi", A: 1, B: 1, Target: tgt, Region: &server.Rect{MaxX: 1, MaxY: 1}}},
-		{"bad norm", server.Query{Composite: "poi", A: 1, B: 1, Target: tgt, Norm: "l3"}},
-		{"wrong target dims", server.Query{Composite: "poi", A: 1, B: 1, Target: []float64{1}}},
-		{"zero extent", server.Query{Composite: "poi", Target: tgt}},
-		{"negative delta", server.Query{Composite: "poi", A: 1, B: 1, Target: tgt, Delta: -1}},
-		{"negative timeout", server.Query{Composite: "poi", A: 1, B: 1, Target: tgt, TimeoutMS: -5}},
+		{"unknown composite", wire.Query{Composite: "nope", A: 1, B: 1, Target: tgt}},
+		{"no target or region", wire.Query{Composite: "poi", A: 1, B: 1}},
+		{"both target and region", wire.Query{Composite: "poi", A: 1, B: 1, Target: tgt, Region: &wire.Rect{MaxX: 1, MaxY: 1}}},
+		{"bad norm", wire.Query{Composite: "poi", A: 1, B: 1, Target: tgt, Norm: "l3"}},
+		{"wrong target dims", wire.Query{Composite: "poi", A: 1, B: 1, Target: []float64{1}}},
+		{"zero extent", wire.Query{Composite: "poi", Target: tgt}},
+		{"negative delta", wire.Query{Composite: "poi", A: 1, B: 1, Target: tgt, Delta: -1}},
+		{"negative timeout", wire.Query{Composite: "poi", A: 1, B: 1, Target: tgt, TimeoutMS: -5}},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/query", tc.q)
@@ -473,15 +474,15 @@ func TestServerBadRequests(t *testing.T) {
 func TestBatchFeedsServiceEWMA(t *testing.T) {
 	_, ts, _ := newTestServer(t, server.Config{})
 	_, _, reqs := corpus(t)
-	bad := server.Query{Composite: "nope", A: 1, B: 1, Target: []float64{1}}
-	resp, body := postJSON(t, ts.URL+"/v1/batch", server.Batch{Queries: []server.Query{bad, bad}})
+	bad := wire.Query{Composite: "nope", A: 1, B: 1, Target: []float64{1}}
+	resp, body := postJSON(t, ts.URL+"/v1/batch", wire.Batch{Queries: []wire.Query{bad, bad}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("all-400 batch: status = %d, body %s", resp.StatusCode, body)
 	}
 	if st := getStats(t, ts.URL); st.ServiceEWMAMS != 0 {
 		t.Fatalf("service_ewma_ms = %v after a batch that searched nothing, want 0", st.ServiceEWMAMS)
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/batch", server.Batch{Queries: []server.Query{wireFor(reqs[0]), wireFor(reqs[1])}})
+	resp, body = postJSON(t, ts.URL+"/v1/batch", wire.Batch{Queries: []wire.Query{wireFor(reqs[0]), wireFor(reqs[1])}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -575,7 +576,7 @@ func TestServerDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query after drain = %d, want 503", resp.StatusCode)
 	}
-	var wr server.Response
+	var wr wire.Response
 	if err := json.Unmarshal(body, &wr); err != nil {
 		t.Fatal(err)
 	}
@@ -705,24 +706,24 @@ func TestServerTopKBound(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	q := server.Query{Composite: "cat", A: 20, B: 20, Target: []float64{2, 2, 2},
-		Extent: &server.Rect{MaxX: 100, MaxY: 100}, TopK: asrs.MaxTopK + 1}
+	q := wire.Query{Composite: "cat", A: 20, B: 20, Target: []float64{2, 2, 2},
+		Extent: &wire.Rect{MaxX: 100, MaxY: 100}, TopK: asrs.MaxTopK + 1}
 
 	resp, body := postJSON(t, ts.URL+"/v1/query", q)
-	var single server.Response
+	var single wire.Response
 	if err := json.Unmarshal(body, &single); err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusBadRequest || single.Code != server.CodeBadRequest {
+	if resp.StatusCode != http.StatusBadRequest || single.Code != wire.CodeBadRequest {
 		t.Fatalf("/v1/query top_k %d: status %d, body %s; want 400 bad_request", q.TopK, resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/batch", server.Batch{Queries: []server.Query{q}})
-	var batch server.BatchResponse
+	resp, body = postJSON(t, ts.URL+"/v1/batch", wire.Batch{Queries: []wire.Query{q}})
+	var batch wire.BatchResponse
 	if err := json.Unmarshal(body, &batch); err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK || len(batch.Responses) != 1 ||
-		batch.Responses[0].Status != http.StatusBadRequest || batch.Responses[0].Code != server.CodeBadRequest {
+		batch.Responses[0].Status != http.StatusBadRequest || batch.Responses[0].Code != wire.CodeBadRequest {
 		t.Fatalf("/v1/batch top_k %d: status %d, body %s; want a 400 bad_request member", q.TopK, resp.StatusCode, body)
 	}
 	if st := eng.Stats(); st.Queries != 0 {
@@ -763,7 +764,7 @@ func TestLoneClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	handler := s.Handler()
-	body, err := json.Marshal(server.Query{Composite: "cat", A: 10, B: 10, Target: []float64{1.5, 2.5, 3.5}})
+	body, err := json.Marshal(wire.Query{Composite: "cat", A: 10, B: 10, Target: []float64{1.5, 2.5, 3.5}})
 	if err != nil {
 		t.Fatal(err)
 	}

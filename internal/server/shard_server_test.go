@@ -20,6 +20,7 @@ import (
 	"asrs/internal/faultinject"
 	"asrs/internal/server"
 	"asrs/internal/shard"
+	"asrs/internal/wire"
 )
 
 // shardCorpus is the small routed-serving fixture: a random corpus, its
@@ -112,15 +113,15 @@ func TestInsertRefusedObjectIsBadRequest(t *testing.T) {
 		}
 		ts := httptest.NewServer(s.Handler())
 		before := wals()
-		resp, body := postJSON(t, ts.URL+"/v1/insert", server.Insert{Objects: []server.InsertObject{
+		resp, body := postJSON(t, ts.URL+"/v1/insert", wire.Insert{Objects: []wire.InsertObject{
 			{X: 5, Y: 5, Values: map[string]any{"cat": "a", "val": 1.5}},
 			{X: 95, Y: 95, Values: map[string]any{"cat": "b", "val": 1e-320}},
 		}})
-		var wr server.Response
+		var wr wire.Response
 		if err := json.Unmarshal(body, &wr); err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusBadRequest || wr.Code != server.CodeBadRequest {
+		if resp.StatusCode != http.StatusBadRequest || wr.Code != wire.CodeBadRequest {
 			t.Fatalf("router=%v: status %d code %q (%s), want 400 bad_request", cfg.Router != nil, resp.StatusCode, wr.Code, body)
 		}
 		if st := getStats(t, ts.URL); st.BadRequests != 1 {
@@ -156,8 +157,8 @@ func TestServerRouterEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		we := server.RectWire(e)
-		resp, body := postJSON(t, ts.URL+"/v1/query", server.Query{
+		we := wire.RectWire(e)
+		resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{
 			Composite: "q", A: 7, B: 7,
 			Target: append([]float64(nil), q.Target...),
 			Extent: &we,
@@ -165,7 +166,7 @@ func TestServerRouterEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("extent %+v: status = %d, body %s", e, resp.StatusCode, body)
 		}
-		var wr server.Response
+		var wr wire.Response
 		if err := json.Unmarshal(body, &wr); err != nil {
 			t.Fatal(err)
 		}
@@ -187,14 +188,14 @@ func TestServerRouterEndToEnd(t *testing.T) {
 	}
 
 	// Inserts route by x through the shard engines' ingest path.
-	resp, body := postJSON(t, ts.URL+"/v1/insert", server.Insert{Objects: []server.InsertObject{
+	resp, body := postJSON(t, ts.URL+"/v1/insert", wire.Insert{Objects: []wire.InsertObject{
 		{X: 5, Y: 5, Values: map[string]any{"cat": "a", "val": 3.5}},
 		{X: 95, Y: 95, Values: map[string]any{"cat": "b", "val": -1.0}},
 	}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert status = %d, body %s", resp.StatusCode, body)
 	}
-	var ir server.InsertResponse
+	var ir wire.InsertResponse
 	if err := json.Unmarshal(body, &ir); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestServerRouterEndToEnd(t *testing.T) {
 	}
 
 	// partial is a sharded-server knob with a closed vocabulary.
-	resp, _ = postJSON(t, ts.URL+"/v1/query", server.Query{
+	resp, _ = postJSON(t, ts.URL+"/v1/query", wire.Query{
 		Composite: "q", A: 7, B: 7, Target: append([]float64(nil), q.Target...),
 		Partial: "bogus",
 	})
@@ -224,18 +225,18 @@ func TestServerRouterBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	we := server.RectWire(e)
+	we := wire.RectWire(e)
 	policies := []string{"", "best_effort", "bogus", "strict", ""}
-	var wb server.Batch
+	var wb wire.Batch
 	for _, p := range policies {
-		wb.Queries = append(wb.Queries, server.Query{Composite: "q", A: 7, B: 7,
+		wb.Queries = append(wb.Queries, wire.Query{Composite: "q", A: 7, B: 7,
 			Target: append([]float64(nil), q.Target...), Extent: &we, Partial: p})
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/batch", wb)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var br server.BatchResponse
+	var br wire.BatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +287,8 @@ func TestServerEngineExtent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	we := server.RectWire(e)
-	resp, body := postJSON(t, ts.URL+"/v1/query", server.Query{
+	we := wire.RectWire(e)
+	resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{
 		Composite: "q", A: 7, B: 7,
 		Target: append([]float64(nil), q.Target...),
 		Extent: &we,
@@ -295,7 +296,7 @@ func TestServerEngineExtent(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var wr server.Response
+	var wr wire.Response
 	if err := json.Unmarshal(body, &wr); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestServerEngineExtent(t *testing.T) {
 		t.Fatalf("engine-mode response has coverage %+v", wr.Coverage)
 	}
 
-	resp, _ = postJSON(t, ts.URL+"/v1/query", server.Query{
+	resp, _ = postJSON(t, ts.URL+"/v1/query", wire.Query{
 		Composite: "q", A: 7, B: 7, Target: append([]float64(nil), q.Target...),
 		Partial: "strict",
 	})
@@ -332,9 +333,9 @@ func TestServerShardUnavailable(t *testing.T) {
 	))
 
 	q := []float64{1, 2, 1, 5}
-	straddler := server.Rect{MinX: 2, MinY: 2, MaxX: 98, MaxY: 98}
+	straddler := wire.Rect{MinX: 2, MinY: 2, MaxX: 98, MaxY: 98}
 	for _, partial := range []string{"strict", "best_effort"} {
-		resp, body := postJSON(t, ts.URL+"/v1/query", server.Query{
+		resp, body := postJSON(t, ts.URL+"/v1/query", wire.Query{
 			Composite: "q", A: 7, B: 7,
 			Target:  append([]float64(nil), q...),
 			Extent:  &straddler,
@@ -343,7 +344,7 @@ func TestServerShardUnavailable(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("%s: status = %d, body %s", partial, resp.StatusCode, body)
 		}
-		var wr server.Response
+		var wr wire.Response
 		if err := json.Unmarshal(body, &wr); err != nil {
 			t.Fatal(err)
 		}

@@ -21,13 +21,12 @@ import (
 // plus the epoch's geometry and per-composite index and pyramid caches.
 // The geometry is the previous epoch's with the appended tail folded in
 // once (dssearch.FoldGeometry: the tail sorted on its own and merged into
-// the master order, the anchor-bin level raised over the merged
-// anchors), and each composite's pyramid is the previous epoch's with
-// the tail's rows flattened, certified and spliced in on it
+// the master order), and each composite's pyramid is the previous
+// epoch's with the tail's rows flattened, certified and spliced in on it
 // (dssearch.FoldPyramid). That is O(d log n) work plus a few linear
-// copies and one level raise — no sort,
-// flatten or certificate pass over the n old objects unless the tail
-// moves the certificate — and bit-identical to a from-scratch rebuild.
+// copies — no sort, flatten or certificate pass over the n old objects
+// unless the tail moves the certificate — and bit-identical to a
+// from-scratch rebuild.
 // Queries in flight keep their captured view;
 // they answer against the epoch that was current when they arrived.
 //

@@ -536,10 +536,9 @@ func TestRecoveryRefusesInadmissibleObjects(t *testing.T) {
 }
 
 // TestCompositesShareGeometry: a Singapore engine serving two composites
-// holds one geometry — the master order and the anchor-bin level — per
-// epoch, and lays both composites' pyramids on it: the seed epoch's is
-// sorted once, the next epoch's folded once from it, whichever composite
-// asks first. Every answer through either pyramid is Float64bits-equal to
+// holds one geometry — the master order — per epoch, and lays both
+// composites' pyramids on it: the seed epoch's is sorted once, the next
+// epoch's folded once from it, whichever composite asks first. Every answer through either pyramid is Float64bits-equal to
 // the answer through a standalone BuildPyramid of that epoch's corpus.
 // The inserts include an object at an existing location, so the fold has
 // a tie to place.
