@@ -287,9 +287,9 @@ func ReadDatasetCSV(r io.Reader) (*Dataset, error) { return persist.ReadCSV(r) }
 
 // ErrInvalidObject is wrapped by every error Dataset.Validate returns — an
 // object without one value per attribute, a categorical value outside its
-// domain, a location that is not finite, a numeric value that is neither
-// 0 nor of magnitude in [2^-970, 2^960) — and so by the refusals of
-// NewEngine, InsertBatch and ReadDatasetCSV.
+// domain, a location coordinate not of magnitude below 2^1022, a numeric
+// value that is neither 0 nor of magnitude in [2^-970, 2^960) — and so by
+// the refusals of NewEngine, InsertBatch and ReadDatasetCSV.
 var ErrInvalidObject = attr.ErrInvalid
 
 // UnitWeights returns a weight vector of n ones.

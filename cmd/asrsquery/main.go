@@ -45,7 +45,7 @@ func main() {
 		delta   = flag.Float64("delta", 0, "approximation parameter δ (0 = exact)")
 		seed    = flag.Int64("seed", 42, "dataset seed")
 		_       = flag.Int("workers", 0, "inert: the search runs on one goroutine; kept for scripts that pass it")
-		pyrPath = flag.String("pyramid", "", "any non-empty value binds the composite's aggregate pyramid, built in memory before the clock starts, instead of laying out the query's aggregation layer in the search (the value is not read as a path; nothing is stored); answers are identical either way")
+		pyrPath = flag.String("pyramid", "", "any non-empty value binds the composite's aggregate pyramid, built in memory before the clock starts, instead of the search building a one-shot pyramid of its own (the value is not read as a path; nothing is stored); answers are identical either way")
 		jsonOut = flag.Bool("json", false, "emit the answer as JSON in the asrsd wire schema (one format for CLI and daemon)")
 		qText   = flag.String("q", "", "run a query-language expression over the chosen dataset instead of the canned query (see README \"Query language\"; 'explain …' prints the plan report). Results stream as they are found; with -json each row is one NDJSON line, the same rows POST /v1/search would send")
 		debug   = flag.Bool("debug", false, "print search work counters, including the mini-sweep strip-evaluator selection (flat prefix scan vs Fenwick walks; DESIGN.md §8)")

@@ -34,10 +34,11 @@ type EngineOptions struct {
 	// runtime.GOMAXPROCS(0).
 	BatchParallelism int
 	// DisablePyramid turns off the lazily built per-composite aggregate
-	// pyramid (the dataset-level SAT hierarchy every query binds instead
-	// of rebuilding its aggregation layer; DESIGN.md §6). Answers are
-	// bit-identical either way; the switch exists for ablation and as
-	// the oracle side of the pyramid property tests.
+	// pyramid (the dataset-level aggregation layer every query reads;
+	// DESIGN.md §6): the engine caches none, and each search builds a
+	// one-shot pyramid of its own. Answers are bit-identical either way;
+	// the switch exists for ablation and as the oracle side of the
+	// pyramid property tests.
 	DisablePyramid bool
 	// DisableBatchGrouping is inert: the batch grouping pass it switched
 	// off is gone (a batch's members join identical searches in flight
@@ -578,17 +579,14 @@ func (e *Engine) Warm(f *Composite) error {
 }
 
 // options resolves a request's effective search options and attaches the
-// engine's per-composite slab cache, so the per-query search tables
-// (sorted coordinate arrays, contribution tables, anchor bins,
-// discretization grids, the limbs' certificate vectors, id arenas) are
-// recycled across queries instead of
-// reallocated. The cache is engine-level (it survives epoch changes —
-// a recycled tables value retains only capacities, every content is
-// rebuilt per query) and keyed by the composite: queries on the same
-// composite re-derive their scales into the retained slabs, so reuse is
-// safe across concurrent queries and across epochs. The pyramid binding
-// comes from the captured view, keeping the dataset and the aggregation
-// layer of one query coherent.
+// engine's per-composite slab cache, so the search scratch
+// (discretization grids, sweep solvers, scratch buffers, id slices) is
+// recycled across queries instead of reallocated. The cache is
+// engine-level (it survives epoch changes — a slab retains only
+// capacities and refers to no dataset or pyramid) and keyed by the
+// composite, so reuse is safe across concurrent queries and across
+// epochs. The pyramid comes from the captured view, keeping the dataset
+// and the aggregation layer of one query coherent.
 func (e *Engine) options(v *engineView, req QueryRequest) Options {
 	opt := e.opt.Search
 	if req.Options != nil {
@@ -605,9 +603,10 @@ func (e *Engine) options(v *engineView, req QueryRequest) Options {
 		opt.Slabs = sc
 	}
 	if opt.Pyramid == nil {
-		// Bind the epoch's per-composite pyramid: every query then
-		// aliases the dataset-level aggregation layer instead of
-		// rebuilding it (a build failure just means unassisted queries).
+		// Bind the epoch's per-composite pyramid: every query then reads
+		// the dataset-level aggregation layer instead of building a
+		// one-shot pyramid of its own, which is what a search does
+		// without one (DisablePyramid, or a failed build).
 		if p, err := e.pyramidFor(v, req.Query.F); err == nil && p != nil {
 			opt.Pyramid = p
 		}

@@ -176,6 +176,13 @@ const (
 	maxNumeric = 0x1p960
 )
 
+// maxLocation bounds a location's coordinates: |x| and |y| are below
+// 2^1022, so the bounding box of every admitted corpus has a finite width
+// and height, below 2^1023, and so have the grid index's cells, a share
+// of the box each (DESIGN.md §5). A corpus spread wider had a box of
+// infinite width and an index of infinite cells, which bounded nothing.
+const maxLocation = 0x1p1022
+
 // Validate checks every object against the schema (Schema.Check). Its
 // errors wrap ErrInvalid and name the object.
 func (d *Dataset) Validate() error {
@@ -192,15 +199,15 @@ func (d *Dataset) Validate() error {
 
 // Check reports why o cannot be an object of the schema, naming the
 // attribute at fault, or returns nil: o needs exactly one value per
-// attribute, a finite location, categorical values inside their domains
-// and numeric values that are 0 or of magnitude in [2^-970, 2^960) (see
-// minNumeric).
+// attribute, a location whose coordinates are of magnitude below 2^1022
+// (see maxLocation), categorical values inside their domains and numeric
+// values that are 0 or of magnitude in [2^-970, 2^960) (see minNumeric).
 func (s *Schema) Check(o *Object) error {
 	if len(o.Values) != len(s.attrs) {
 		return fmt.Errorf("%d values, schema has %d attributes", len(o.Values), len(s.attrs))
 	}
-	if math.IsNaN(o.Loc.X) || math.IsInf(o.Loc.X, 0) || math.IsNaN(o.Loc.Y) || math.IsInf(o.Loc.Y, 0) {
-		return fmt.Errorf("location (%g, %g) is not finite", o.Loc.X, o.Loc.Y)
+	if !(math.Abs(o.Loc.X) < maxLocation && math.Abs(o.Loc.Y) < maxLocation) {
+		return fmt.Errorf("location (%g, %g) is not of magnitude below 2^1022", o.Loc.X, o.Loc.Y)
 	}
 	for j, a := range s.attrs {
 		v := o.Values[j]

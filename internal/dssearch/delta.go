@@ -191,9 +191,8 @@ type deltaEnt struct {
 // finds their merge positions in g's master order, g's objects first on
 // ties.
 func (g *Geometry) place(objs []attr.Object) []deltaEnt {
-	var s anchorSort
 	order := make([]int32, len(objs))
-	s.order(objs, order)
+	anchorSort(objs, order)
 	ents := make([]deltaEnt, len(objs))
 	for t, j := range order {
 		e := &ents[t]
@@ -249,15 +248,15 @@ func (base *Pyramid) fold(g *Geometry, ents []deltaEnt) (*Pyramid, error) {
 	if !sameCert {
 		return BuildPyramidOn(g, base.f)
 	}
-	core := &tables{
+	folded := &core{
 		f: c.f, chans: c.chans,
 		limbs:    c.limbs.Layout(),
 		cOff:     spliceOffs(c.cOff, rows.cOff, ents),
 		contribs: spliceVals(c.cOff, c.contribs, rows.cOff, rows.con, ents),
 	}
 	if base.mmSlots > 0 {
-		core.mOff = spliceOffs(c.mOff, rows.mOff, ents)
-		core.mms = spliceVals(c.mOff, c.mms, rows.mOff, rows.mms, ents)
+		folded.mOff = spliceOffs(c.mOff, rows.mOff, ents)
+		folded.mms = spliceVals(c.mOff, c.mms, rows.mOff, rows.mms, ents)
 	}
-	return &Pyramid{geo: g, f: base.f, mmSlots: base.mmSlots, core: core, cert: sums}, nil
+	return &Pyramid{geo: g, f: base.f, mmSlots: base.mmSlots, core: folded, cert: sums}, nil
 }

@@ -14,9 +14,10 @@
 // The best-first loop itself is internal/kernel's, run serially on the
 // goroutine that asked for the search.
 //
-// Per-query state is concentrated in the aggregation layer of sat.go: the
-// master — the dataset's anchors sorted by location, read as rectangles
-// through the query's (a, b) — and flattened limb contributions.
+// A search reads one aggregation layer, a pyramid (sat.go, pyramid.go):
+// the master — the dataset's anchors sorted by location, read as
+// rectangles through the query's (a, b) — and flattened limb
+// contributions.
 // Every Discretize fills its grid the same way — one difference-array
 // pass over the space's rectangles (grid.go). Rectangle subsets flow
 // through the kernel heap as 4-byte id slices recycled through the
@@ -60,20 +61,19 @@ type Options struct {
 	// (DESIGN.md §4). The field stays until bench/, which sets it, can
 	// change (ROADMAP, signatures to release).
 	Workers int
-	// Slabs, when non-nil, recycles the per-query table slabs (sorted
-	// coordinate arrays, contribution tables, discretization grid, sweep
-	// solver, id slices) across searches. Callers that set
-	// it must call Searcher.Release (Request.Close does) when the search
-	// is done.
+	// Slabs, when non-nil, recycles the search slabs (discretization
+	// grid, sweep solver, scratch buffers, id slices) across searches.
+	// Callers that set it must call Searcher.Release (Request.Close does)
+	// when the search is done.
 	Slabs *SlabCache
 	// Pyramid, when non-nil and built for exactly the request's dataset
-	// and composite, binds the searcher (NewRegionSearcher) to the
-	// persistent dataset-level aggregate pyramid instead of laying out the
-	// per-query aggregation layer: anchors, order, contributions and limbs
-	// are aliased, so a bind is O(1) once the shape's facts are known
-	// (DESIGN.md §6).
-	// A pyramid of another dataset or composite is ignored. Answers are
-	// bit-identical to the unassisted path, which lays out the same order.
+	// and composite, is the aggregation layer the searcher
+	// (NewRegionSearcher) reads: anchors, order, contributions and limbs
+	// are shared, so a bind is O(1) once the shape's facts are known
+	// (DESIGN.md §6). A pyramid of another dataset or composite is
+	// ignored, and so is a nil one: the searcher then builds a one-shot
+	// pyramid over the request's dataset. Answers are bit-identical
+	// either way.
 	Pyramid *Pyramid
 	// SharedCap, when non-nil, attaches a cross-search shared pruning
 	// cap to every bound this search creates: each improvement publishes
@@ -177,8 +177,9 @@ type Searcher struct {
 
 	query asp.Query
 	opt   Options
-	isInt []bool  // integer representation dims (fD counts)
-	tab   *tables // per-query aggregation layer (sat.go)
+	isInt []bool // integer representation dims (fD counts)
+	core  *core  // the pyramid's aggregation core (sat.go)
+	slab  *slab  // search scratch, recycled through Options.Slabs
 	Stats Stats
 
 	best asp.Result
@@ -186,7 +187,7 @@ type Searcher struct {
 	cell bool  // the kernel run under way is SolveCell's: its seed space takes a sized grid
 
 	// Search scratch, built at the first processed space (ensureScratch)
-	// from the slabs the tables value retains across queries.
+	// from what the slab retains across queries.
 	grid   *gridBuffers
 	sw     *sweep.Solver
 	swSub  []asp.RectObject // mini-sweep rect scratch (materialized from ids)
@@ -209,9 +210,9 @@ func CheckExtent(a, b float64) error {
 // NewRegionSearcher is the searcher of an ASRS request: the a×b
 // top-right-corner reduction of ds (Definition 5: the answer point is the
 // region's bottom-left corner). A pyramid built for (ds, q.F) is bound:
-// its anchors, order and core are aliased and the shape's facts
-// read from the geometry's memo (shape.go), so nothing is built per
-// query. Else the slab lays out the same master from ds (tables.layOut).
+// its anchors, order and core are shared and the shape's facts read from
+// the geometry's memo (shape.go), so nothing is built per query. Else the
+// searcher builds a one-shot pyramid over ds, with the same master.
 // Answers are bit-identical either way.
 func NewRegionSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Searcher, error) {
 	if err := CheckExtent(a, b); err != nil {
@@ -227,22 +228,22 @@ func newSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Sea
 	if err != nil {
 		return nil, err
 	}
-	tab := opt.Slabs.get()
-	s := &Searcher{objs: ds.Objects, a: a, b: b, query: q, opt: opt, isInt: q.F.IntegerDims(), tab: tab}
-	if p := opt.Pyramid; p.Matches(ds, q.F) {
-		p.bindCore(tab)
-		g := p.geo
-		s.pts, s.order = g.pts, g.order
-		s.shapeFacts = g.shapeFacts(a, b)
+	p := opt.Pyramid
+	var facts shapeFacts
+	if p.Matches(ds, q.F) {
+		facts = p.geo.shapeFacts(a, b)
 	} else {
-		if err := tab.layOut(ds, q.F); err != nil {
+		// A one-shot pyramid: no other search reads its memo.
+		if p, err = BuildPyramidOn(newGeometry(ds), q.F); err != nil {
 			return nil, err
 		}
-		s.pts, s.order = tab.pts, tab.order
-		s.shapeFacts = deriveFacts(s.pts, a, b)
+		facts = deriveFacts(p.geo.pts, a, b)
 	}
+	sl := opt.Slabs.get()
+	s := &Searcher{pts: p.geo.pts, order: p.geo.order, objs: ds.Objects, a: a, b: b, shapeFacts: facts,
+		query: q, opt: opt, isInt: q.F.IntegerDims(), core: p.core, slab: sl}
 	// Recycled id slices from a previous query using the same slab cache.
-	s.ids, tab.idFree = tab.idFree, nil
+	s.ids, sl.idFree = sl.idFree, nil
 	return s, nil
 }
 
@@ -292,8 +293,8 @@ func (s *Searcher) idWindow(ids []int32, x0, x1 float64) []int32 {
 
 // ensureScratch builds the search scratch at the first processed space:
 // the discretization grid, the sweep solver and the incumbent, dirty-cell
-// and mini-sweep buffers. The slabs are *retained on the tables value*
-// and recycled through the SlabCache, so the queries on one composite
+// and mini-sweep buffers. They are *retained on the slab* and recycled
+// through the SlabCache, so the queries on one composite
 // reuse them query after query instead of reallocating them (the
 // batch-bench alloc assertion pins this).
 func (s *Searcher) ensureScratch() {
@@ -301,8 +302,8 @@ func (s *Searcher) ensureScratch() {
 		return
 	}
 	f := s.query.F
-	t := s.tab
-	eff := t.limbs.Eff()
+	t, limbs := s.slab, &s.core.limbs
+	eff := limbs.Eff()
 	ncol, nrow := s.opt.NCol, s.opt.NRow
 	if t.grid == nil || t.gridNCol != ncol || t.gridNRow != nrow || t.gridEff != eff || t.gridF != f {
 		t.grid = newGridBuffers(ncol, nrow, f, eff)
@@ -313,11 +314,11 @@ func (s *Searcher) ensureScratch() {
 	// target/weights) and the limbs, and keeps all its scratch. NewSized
 	// cannot fail: the query was validated at construction.
 	if t.sw == nil || t.swEff != eff || !t.sw.SetQuery(s.query) {
-		t.sw, _ = sweep.NewSized(s.query, &t.limbs, sweepReach)
+		t.sw, _ = sweep.NewSized(s.query, limbs, sweepReach)
 		t.swEff = eff
 	}
 	s.sw = t.sw
-	s.sw.SetLimbs(&t.limbs)
+	s.sw.SetLimbs(limbs)
 	// One float slab: the incumbent's representation, then the mini-sweep
 	// base vector.
 	dims, cells := f.Dims(), ncol*nrow
@@ -342,22 +343,22 @@ func (s *Searcher) ensureScratch() {
 // incremental update, a grid buffer partially filled), and the scratch
 // is rebound — not rebuilt — on reuse. Dropping the slabs costs one
 // rebuild on the composite's next query; recycling poisoned scratch could
-// silently perturb it. The shared caches the tables merely alias (the
-// engine pyramid) are read-only during search and stay valid.
+// silently perturb it. The pyramid the search read is read-only during
+// search and stays valid.
 func (s *Searcher) Release() {
-	if s.tab == nil || s.opt.Slabs == nil {
+	if s.slab == nil || s.opt.Slabs == nil {
 		return
 	}
 	var pe *kernel.PanicError
 	if errors.As(s.err, &pe) {
-		s.tab = nil
+		s.slab = nil
 		return
 	}
-	t := s.tab
+	t := s.slab
 	t.idFree = s.ids[:min(len(s.ids), 64)]
 	s.ids = nil
 	s.opt.Slabs.put(t)
-	s.tab = nil
+	s.slab = nil
 }
 
 // getIds returns a recycled id slice with capacity >= n (length 0) — the
@@ -489,7 +490,7 @@ func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 func (s *Searcher) AppendCellIDs(space geom.Rect, runs [][]int32, dst []int32) []int32 {
 	lo, hi := s.window(space.MinX, space.MaxX)
 	words := (hi - lo + 63) >> 6
-	t := s.tab
+	t := s.slab
 	if cap(t.idBits) < words {
 		t.idBits = make([]uint64, words)
 	}
@@ -863,10 +864,10 @@ func (s *Searcher) miniSweep(space geom.Rect, ids []int32) {
 // each: their limb contributions are summed once, in id order like the
 // grid fill's, into a base the solver starts from, and only the
 // rectangles with an edge inside are swept. The solver sums in the
-// tables' limbs and is rebound in place, so steady-state sweeps reuse all
+// core's limbs and is rebound in place, so steady-state sweeps reuse all
 // of their scratch.
 func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (asp.Result, bool) {
-	tab := s.tab
+	c := s.core
 	s.swSub = s.swSub[:0]
 	base := s.swBase
 	clear(base)
@@ -874,7 +875,7 @@ func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (as
 	for _, id := range ids {
 		r := s.rect(id)
 		if r.ContainsRectOpen(space) {
-			for _, cb := range tab.rectContribs(id) {
+			for _, cb := range c.rectContribs(id) {
 				base[cb.Ch] += cb.V
 			}
 			covering++
@@ -908,7 +909,7 @@ func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (as
 // rectangles, summed in master order and folded once — the value the grid
 // fill and the sweeps form.
 func (s *Searcher) PointRepresentation(p geom.Point) []float64 {
-	t := s.tab
+	t := s.core
 	ch := make([]float64, t.limbs.Eff())
 	for i, hi := s.windowLo(p.X-s.wmax), s.windowHi(p.X); i < hi; i++ {
 		if s.rect(int32(i)).ContainsOpen(p) {

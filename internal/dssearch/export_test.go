@@ -70,13 +70,8 @@ func (c *SlabCache) RetainedBytes() int {
 }
 
 // retainedBytes sums the capacities t holds, in bytes.
-func (t *tables) retainedBytes() int {
-	n := 4*(cap(t.cOff)+cap(t.mOff)+cap(t.order)+cap(t.rawOff)) +
-		int(unsafe.Sizeof(agg.Contrib{}))*(cap(t.contribs)+cap(t.raw)) +
-		int(unsafe.Sizeof(agg.MMContrib{}))*cap(t.mms) +
-		int(unsafe.Sizeof(geom.Point{}))*cap(t.pts) +
-		8*cap(t.sorter.keys) + 4*cap(t.sorter.idx) +
-		8*(cap(t.scratchF)+cap(t.idBits)) +
+func (t *slab) retainedBytes() int {
+	n := 8*(cap(t.scratchF)+cap(t.idBits)) +
 		int(unsafe.Sizeof(cellInfo{}))*cap(t.scratchCells) +
 		int(unsafe.Sizeof(asp.RectObject{}))*cap(t.scratchRects)
 	for _, ids := range t.idFree {

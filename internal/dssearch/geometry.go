@@ -22,8 +22,8 @@ import (
 // The master order is total: anchors by x, then y, then dataset index.
 // A search reads rectangle id as geom.RectFromTR(pts[id], a, b): the
 // anchors are the master, and no shape is materialized (shape.go). A
-// one-shot search lays out the same order in its slab (tables.layOut),
-// so a bound and an unbound search see the same master, ties included.
+// search given no pyramid sorts its dataset into a geometry of its own
+// (newGeometry), so every search sees the same master, ties included.
 //
 // A Geometry is immutable after construction, but for the memo of shape
 // facts, which are composite-free too and so are shared by every
@@ -83,25 +83,18 @@ func orderedBits(v float64) uint64 {
 	return b | 1<<63
 }
 
-// anchorSort is the master order's sort and its scratch, kept across
-// sorts: a stable LSD radix sort in 8-bit digits, over the digits of y
-// first and then those of x, from the input order — so x decides, then
-// y, then the input index, which is compareAnchors' order. Each anchor's
-// key (orderedBits of y through the y passes, of x, read in between by
-// input index, through the x passes) moves with its input index.
-type anchorSort struct {
-	keys []uint64        // 2n: the keys, and the passes' second buffer
-	idx  []int32         // 2n: their input indexes, likewise
-	hist *[16][256]int32 // the passes' digit counts, then their slots
-}
-
-// order sets order[i] to the input index of the i-th of objs in the
+// anchorSort sets order[i] to the input index of the i-th of objs in the
 // master order (order has len(objs) slots) and reports whether objs were
-// in that order already, which is not sorted again. The digit histograms
+// in that order already, which is not sorted again. It is a stable LSD
+// radix sort in 8-bit digits, over the digits of y first and then those
+// of x, from the input order — so x decides, then y, then the input
+// index, which is compareAnchors' order. Each anchor's key (orderedBits
+// of y through the y passes, of x, read in between by input index,
+// through the x passes) moves with its input index. The digit histograms
 // of all sixteen passes are counted in one pass over the objects, and a
 // pass whose digit is the same for every key, which would keep the order
 // as it is, is skipped.
-func (s *anchorSort) order(objs []attr.Object, order []int32) (sorted bool) {
+func anchorSort(objs []attr.Object, order []int32) (sorted bool) {
 	n := len(objs)
 	sorted = true
 	for i := 1; i < n && sorted; i++ {
@@ -113,15 +106,11 @@ func (s *anchorSort) order(objs []attr.Object, order []int32) (sorted bool) {
 		}
 		return true
 	}
-	if cap(s.keys) < 2*n {
-		s.keys, s.idx = make([]uint64, 2*n), make([]int32, 2*n)
-	}
-	if s.hist == nil {
-		s.hist = new([16][256]int32)
-	}
-	hist := s.hist
-	*hist = [16][256]int32{}
-	keys, idx, dkeys, didx := s.keys[:n], s.idx[:n], s.keys[n:2*n], s.idx[n:2*n]
+	// The keys and their input indexes, each beside the passes' second
+	// buffer, and the passes' digit counts, then their slots.
+	allKeys, allIdx := make([]uint64, 2*n), make([]int32, 2*n)
+	hist := new([16][256]int32)
+	keys, idx, dkeys, didx := allKeys[:n], allIdx[:n], allKeys[n:], allIdx[n:]
 	for i := range objs {
 		y, x := orderedBits(objs[i].Loc.Y), orderedBits(objs[i].Loc.X)
 		keys[i], idx[i] = y, int32(i)
@@ -169,11 +158,18 @@ func BuildGeometry(ds *attr.Dataset) (*Geometry, error) {
 	return newGeometry(ds), nil
 }
 
-// newGeometry is BuildGeometry over a validated dataset.
+// newGeometry is BuildGeometry without the validation: a search given no
+// pyramid builds its one-shot geometry with it, and its flatten refuses
+// what does not certify.
 func newGeometry(ds *attr.Dataset) *Geometry {
-	var t tables
-	t.layAnchors(ds.Objects)
-	return &Geometry{ds: ds, n: len(ds.Objects), order: t.order, pts: t.pts, bounds: expandBounds(geom.EmptyRect(), ds.Objects)}
+	objs := ds.Objects
+	order := make([]int32, len(objs))
+	anchorSort(objs, order)
+	pts := make([]geom.Point, len(objs))
+	for id, oi := range order {
+		pts[id] = objs[oi].Loc
+	}
+	return &Geometry{ds: ds, n: len(objs), order: order, pts: pts, bounds: expandBounds(geom.EmptyRect(), objs)}
 }
 
 // expandBounds returns r expanded to include every object's location, in

@@ -18,7 +18,7 @@ type cellInfo struct {
 // 2D difference arrays for the full-cover and overlap channel grids, a
 // partial-cover counter grid, per-cell min/max slots for average
 // aggregators and the precomputed cell edge coordinates. A Searcher owns
-// one, recycled with its tables through the SlabCache.
+// one, recycled with its slab through the SlabCache.
 type gridBuffers struct {
 	ncol, nrow int
 	chans      int // grid channel stride: the limb count (agg.Limbs)
@@ -317,7 +317,7 @@ func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) []cellInfo {
 // incumbent point exactly as a cell-by-cell evaluation would.
 func (s *Searcher) cleanPass(cw, chh float64) {
 	g := s.grid
-	tab := s.tab
+	tab := s.core
 	query := &s.query
 	chans := g.chans
 	dirty := g.dirtyCells[:0]
@@ -379,7 +379,7 @@ func sameBits(a, b []float64) bool {
 // cell's bound is LowerBoundInt's to the bit, and a pruned one needs none.
 func (s *Searcher) boundPass() []cellInfo {
 	g := s.grid
-	tab := s.tab
+	tab := s.core
 	query := &s.query
 	dirty := s.dirty[:0]
 	thresh := s.threshold()
@@ -433,7 +433,7 @@ func (s *Searcher) boundPass() []cellInfo {
 // reciprocal-multiply guess.
 func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 	g := s.grid
-	tab := s.tab
+	tab := s.core
 	perH := 1 / chh
 	// A rectangle that contains the space fully covers every cell — two
 	// thirds of a deep space's rectangles do — provided the outermost
@@ -517,7 +517,7 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int3
 		}
 	}
 	g := s.grid
-	t := s.tab
+	t := s.core
 	query := &s.query
 	ch := g.probeCh[:g.chans]
 	for _, di := range idx {

@@ -20,7 +20,7 @@ type equivCase struct {
 	schema []attr.Attribute
 	specs  []agg.Spec
 	values func(rng *rand.Rand, i int) []attr.Value
-	regime func(t *tables) bool
+	regime func(t *core) bool
 }
 
 func (tc equivCase) composite(t *testing.T) *agg.Composite {
@@ -46,7 +46,7 @@ func equivCases() []equivCase {
 			schema: []attr.Attribute{{Name: "day", Kind: attr.Categorical, Domain: []string{"mo", "tu", "we", "th", "fr", "sa", "su"}}},
 			specs:  []agg.Spec{{Kind: agg.Distribution, Attr: "day"}},
 			values: func(rng *rand.Rand, _ int) []attr.Value { return []attr.Value{{Cat: rng.Intn(7)}} },
-			regime: func(t *tables) bool { return t.limbs.Eff() == t.chans },
+			regime: func(t *core) bool { return t.limbs.Eff() == t.chans },
 		},
 		{
 			// F2 over decimal tenths: not dyadic, so the sums ride two
@@ -57,7 +57,7 @@ func equivCases() []equivCase {
 			values: func(rng *rand.Rand, _ int) []attr.Value {
 				return []attr.Value{{Num: float64(rng.Intn(101)) / 10}, {Num: 1 + float64(rng.Intn(5000))/10}}
 			},
-			regime: func(t *tables) bool { return t.limbs.Eff() > t.chans && !chained(&t.limbs) },
+			regime: func(t *core) bool { return t.limbs.Eff() > t.chans && !chained(&t.limbs) },
 		},
 		{
 			// F2 over visits spread from 1e-12 to 1e12 and a negative
@@ -72,7 +72,7 @@ func equivCases() []equivCase {
 				}
 				return []attr.Value{{Num: rng.NormFloat64()}, {Num: v}}
 			},
-			regime: func(t *tables) bool { return chained(&t.limbs) },
+			regime: func(t *core) bool { return chained(&t.limbs) },
 		},
 		{
 			// F2 over dyadic values (rating quarters, visits halves): every
@@ -84,7 +84,7 @@ func equivCases() []equivCase {
 			values: func(rng *rand.Rand, _ int) []attr.Value {
 				return []attr.Value{{Num: float64(rng.Intn(41)) * 0.25}, {Num: 1 + float64(rng.Intn(999))*0.5}}
 			},
-			regime: func(t *tables) bool { return t.limbs.Eff() == t.chans && t.f.MinMaxSlots() > 0 },
+			regime: func(t *core) bool { return t.limbs.Eff() == t.chans && t.f.MinMaxSlots() > 0 },
 		},
 	}
 }
@@ -176,8 +176,8 @@ func TestDiscretizeMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !tc.regime(sNew.tab) {
-					t.Fatalf("trial %d: composite landed in the wrong regime: %+v", trial, sNew.tab.limbs.Scale)
+				if !tc.regime(sNew.core) {
+					t.Fatalf("trial %d: composite landed in the wrong regime: %+v", trial, sNew.core.limbs.Scale)
 				}
 				sNew.ensureScratch()
 				sRef.ensureScratch()

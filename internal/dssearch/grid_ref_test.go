@@ -94,7 +94,7 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 		// Acquired lazily at first use: GI-DS runs SolveCell once
 		// per index cell, and cells at or below the sweep cutoff never
 		// discretize at all.
-		s.grid = newGridBuffers(s.opt.NCol, s.opt.NRow, s.query.F, s.tab.limbs.Eff())
+		s.grid = newGridBuffers(s.opt.NCol, s.opt.NRow, s.query.F, s.core.limbs.Eff())
 	}
 	g := s.grid
 	query := &s.query
@@ -108,7 +108,7 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 	}
 	g.setEdges(space, cw, chh)
 
-	tab := s.tab
+	tab := s.core
 	s.refFillGridDiff(space, ids, cw, chh)
 
 	// Pass 1: clean cells refine the incumbent so that pass 2 prunes
@@ -183,7 +183,7 @@ func (s *Searcher) refFillGridDiff(space geom.Rect, ids []int32, cw, chh float64
 // a Floor.
 func (s *Searcher) refFillRects(space geom.Rect, ids []int32, cw, chh float64) {
 	g := s.grid
-	tab := s.tab
+	tab := s.core
 	for _, id := range ids {
 		contribs := tab.rectContribs(id)
 		var mm []agg.MMContrib
@@ -293,7 +293,7 @@ func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, probed 
 		}
 	}
 	g := s.grid
-	t := s.tab
+	t := s.core
 	query := &s.query
 	ch := g.probeCh[:g.chans]
 	for _, di := range idx {

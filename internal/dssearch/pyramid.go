@@ -10,35 +10,31 @@ import (
 	"asrs/internal/geom"
 )
 
-// Pyramid is the per-composite aggregate pyramid of a dataset: the whole
-// per-query aggregation layer of sat.go, hoisted to the dataset level.
-// It is a pointer to the dataset's Geometry — the anchors in master
-// order, shared by every composite of the epoch — plus the composite's
-// core: the contribution and min/max tables in master order, their limbs
-// and the certificate's running sums.
+// Pyramid is the per-composite aggregate pyramid of a dataset: the
+// aggregation layer every search reads (sat.go). It is a pointer to the
+// dataset's Geometry — the anchors in master order, shared by every
+// composite of the epoch — plus the composite's core: the contribution
+// and min/max tables in master order, their limbs and the certificate's
+// running sums.
 //
-// The hoist is possible because, under the default top-right-corner
-// reduction, every rectangle is the object's location shifted by the
-// constant (-a, -b): the master order is a function of the locations
-// alone, and the flattened limb contributions
-// and the certificate of (dataset, composite) alone. Nothing of a query's
-// (a, b) is materialized — a search reads rectangle id from anchor id
-// and the shape — but a few facts of O(1) size (width/height ranges,
-// space) that the first query of a shape derives and the geometry
-// remembers (shape.go). Binding a pyramid to a Searcher therefore
-// replaces the per-query radix sort and the O(contribs) flatten/certify
-// passes with aliased reads of shared immutable state, in O(1) once the
-// shape's facts are known (DESIGN.md §6). Nothing of it is stored: every boot builds it
-// from the objects, since with the radix sort (anchorSort) a
-// BuildGeometry costs about what reading a stored order cost (DESIGN.md
-// §6, "Why the order is not stored").
+// Under the default top-right-corner reduction every rectangle is the
+// object's location shifted by the constant (-a, -b): the master order
+// is a function of the locations alone, and the flattened limb
+// contributions and the certificate of (dataset, composite) alone.
+// Nothing of a query's (a, b) is materialized — a search reads rectangle
+// id from anchor id and the shape — but a few facts of O(1) size
+// (width/height ranges, space) that the first query of a shape derives
+// and the geometry remembers (shape.go). A search given a matching
+// pyramid therefore reads shared immutable state, in O(1) once the
+// shape's facts are known; a search given none builds a one-shot pyramid
+// over its dataset, the radix sort and the flatten a cached one amortizes
+// (DESIGN.md §6). Nothing of it is stored: every boot builds it from the
+// objects, since with the radix sort (anchorSort) a BuildGeometry costs
+// about what reading a stored order cost (DESIGN.md §6, "Why the order
+// is not stored").
 //
-// Bit-identity with the unassisted path holds by construction: a
-// one-shot search lays out the same (x, y, index) order in its slab
-// (tables.layOut) and reads rectangles the same way.
-//
-// A Pyramid is immutable and safe for any number of concurrent binds; the
-// Engine caches one per composite and its grid index bins the core
+// A Pyramid is immutable and safe for any number of concurrent searches;
+// the Engine caches one per composite and its grid index bins the core
 // (gridindex.New, through EachRow), master ids included: the index's
 // cells are the one binning of the anchors a GI-DS search reads.
 type Pyramid struct {
@@ -46,7 +42,7 @@ type Pyramid struct {
 	f       *agg.Composite
 	mmSlots int
 
-	core *tables // frozen canonical aggregation core (master order)
+	core *core // frozen aggregation core (master order)
 
 	// Delta-fold state (delta.go): the certificate's running sums over
 	// the dataset, which a fold extends by the appended objects.
@@ -79,22 +75,20 @@ func BuildPyramidOn(g *Geometry, f *agg.Composite) (*Pyramid, error) {
 	if f == nil {
 		return nil, fmt.Errorf("dssearch: pyramid requires a composite aggregator")
 	}
-	core := &tables{f: f, chans: f.Channels()}
-	objs := g.ds.Objects
-	if err := core.flatten(len(objs), func(i int) *attr.Object { return &objs[i] }, g.order); err != nil {
+	c := &core{f: f, chans: f.Channels()}
+	if err := c.flatten(g.ds.Objects, g.order); err != nil {
 		return nil, err
 	}
-	core.freeze()
-	return &Pyramid{geo: g, f: f, mmSlots: f.MinMaxSlots(), core: core, cert: core.limbs.Sums()}, nil
+	c.freeze()
+	return &Pyramid{geo: g, f: f, mmSlots: f.MinMaxSlots(), core: c, cert: c.limbs.Sums()}, nil
 }
 
-// freeze trims a pyramid's core to what binds alias for the pyramid's
+// freeze trims a pyramid's core to what searches read for the pyramid's
 // life: the tables at their exact lengths, without the slack their
-// appends left or the build's scratch.
-func (t *tables) freeze() {
+// appends left.
+func (t *core) freeze() {
 	t.cOff, t.contribs = trim(t.cOff), trim(t.contribs)
 	t.mOff, t.mms = trim(t.mOff), trim(t.mms)
-	t.rawOff, t.raw = nil, nil
 }
 
 // trim returns s at its exact length, copying only when it has slack.
@@ -167,16 +161,4 @@ func (p *Pyramid) EachRow(fn func(loc geom.Point, contribs []agg.Contrib, mms []
 		}
 		fn(loc, c.rectContribs(int32(id)), mms)
 	}
-}
-
-// bindCore aliases the pyramid's frozen aggregation core into a
-// recycled tables value and marks it shared so reset() drops (never
-// truncates) the aliased slices.
-func (p *Pyramid) bindCore(t *tables) {
-	c := p.core
-	t.f, t.chans = c.f, c.chans
-	t.limbs = c.limbs.Layout()
-	t.cOff, t.contribs = c.cOff, c.contribs
-	t.mOff, t.mms = c.mOff, c.mms
-	t.shared = true
 }

@@ -157,10 +157,9 @@ func TestPyramidBindRejections(t *testing.T) {
 	}
 }
 
-// TestPyramidSlabReuse: queries recycled through one SlabCache with a
-// pyramid bound must not leak pyramid-owned memory into later classic
-// builds (the shared-slice reset contract), and repeated queries reuse
-// the retained scratch without changing answers.
+// TestPyramidSlabReuse: searches that read a given pyramid and searches
+// that build their own recycle one SlabCache in turn, and reusing the
+// retained scratch changes no answer.
 func TestPyramidSlabReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds, f := pyramidDataset(t, rng, 120, func() float64 { return float64(rng.Intn(9)) }, false)
@@ -178,8 +177,8 @@ func TestPyramidSlabReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 4; round++ {
-		// Alternate pyramid-bound and classic queries through the same
-		// slab cache.
+		// Alternate given and one-shot pyramids through the same slab
+		// cache.
 		var opt Options
 		opt.Slabs = slabs
 		if round%2 == 0 {

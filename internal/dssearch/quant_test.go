@@ -55,7 +55,7 @@ func TestCertificatePerChannel(t *testing.T) {
 		}}
 	}
 	s := quantSearcher(t, objs, f)
-	tab := s.tab
+	tab := s.core
 	l := &tab.limbs
 	// Channel layout: fS(dyadic)=0..2, fS(decimal)=3..5, fC=6.
 	if l.Scale[0] == 0 || l.Lo[0] >= 0 {
@@ -125,7 +125,7 @@ func TestCertificateDenormalAndHeadroom(t *testing.T) {
 		}
 		return objs
 	}
-	build := func(vals []float64) *agg.Limbs { return &quantSearcher(t, objects(vals), f).tab.limbs }
+	build := func(vals []float64) *agg.Limbs { return &quantSearcher(t, objects(vals), f).core.limbs }
 	// A tail finer than 2^-1022 under a large head, denormals, NaN, Inf.
 	for _, v := range []float64{math.Ldexp(1, -1060), 5e-324, math.NaN(), math.Inf(1)} {
 		ds := &attr.Dataset{Objects: objects([]float64{16, v})}
@@ -243,7 +243,7 @@ func TestUnquantizableTakesOldPath(t *testing.T) {
 	}
 	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
 	if s, err := NewShapeSearcher(t, ds, 0, 0, q, Options{}); err == nil {
-		t.Fatalf("unquantizable composite certified: %+v", s.tab.limbs.Scale)
+		t.Fatalf("unquantizable composite certified: %+v", s.core.limbs.Scale)
 	}
 	for i := range objs {
 		if objs[i].Loc != locs[i] {

@@ -26,17 +26,10 @@ func comparisonOrder(objs []attr.Object) []int32 {
 	return order
 }
 
-// CheckAnchorOrder holds every route to the master order over objs — the
-// geometry's sort, a fresh slab's layout and the fold's placement of a
-// delta — to comparisonOrder.
+// CheckAnchorOrder holds both routes to the master order over objs —
+// the geometry's sort and the fold's placement of a delta — to
+// comparisonOrder.
 func CheckAnchorOrder(tb testing.TB, name string, objs []attr.Object) {
-	tb.Helper()
-	checkAnchorOrder(tb, name, objs, new(tables))
-}
-
-// checkAnchorOrder is CheckAnchorOrder with the slab given: reuse may
-// hold an earlier corpus's scratch.
-func checkAnchorOrder(tb testing.TB, name string, objs []attr.Object, reuse *tables) {
 	tb.Helper()
 	want := comparisonOrder(objs)
 	g := newGeometry(&attr.Dataset{Objects: objs})
@@ -48,10 +41,6 @@ func checkAnchorOrder(tb testing.TB, name string, objs []attr.Object, reuse *tab
 			math.Float64bits(g.pts[id].Y) != math.Float64bits(objs[oi].Loc.Y) {
 			tb.Fatalf("%s: master id %d is anchored at %v, its object at %v", name, id, g.pts[id], objs[oi].Loc)
 		}
-	}
-	reuse.layAnchors(objs)
-	if !slices.Equal(reuse.order, want) {
-		tb.Fatalf("%s: a reused slab's order differs from compareAnchors' at %d", name, firstDiff(reuse.order, want))
 	}
 	empty := &Geometry{}
 	for t, e := range empty.place(objs) {
@@ -134,10 +123,8 @@ func TestRadixOrderMatchesCompareAnchors(t *testing.T) {
 		{"extremes", random(300, pick(1e308, -1e308, math.MaxFloat64, -math.MaxFloat64, 1e-308, 0, -1))},
 		{"spread", random(2000, func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(600)-300)) })},
 	}
-	var reuse tables
-	reuse.layAnchors(random(3000, rng.Float64))
 	for _, c := range cases {
-		checkAnchorOrder(t, c.name, c.objs, &reuse)
+		CheckAnchorOrder(t, c.name, c.objs)
 	}
 }
 
@@ -154,9 +141,8 @@ func TestRadixOrderSortedInput(t *testing.T) {
 	for i, oi := range order {
 		sorted[i] = objs[oi]
 	}
-	var s anchorSort
 	got := make([]int32, len(sorted))
-	if !s.order(sorted, got) {
+	if !anchorSort(sorted, got) {
 		t.Fatal("sorted input was not recognized as sorted")
 	}
 	for i, oi := range got {
@@ -164,10 +150,10 @@ func TestRadixOrderSortedInput(t *testing.T) {
 			t.Fatalf("sorted input reordered: master id %d is object %d", i, oi)
 		}
 	}
-	if s.keys != nil {
-		t.Fatal("sorted input allocated sort keys")
+	if allocs := testing.AllocsPerRun(10, func() { anchorSort(sorted, got) }); allocs != 0 {
+		t.Fatalf("sorted input allocated %v times", allocs)
 	}
-	if s.order(objs, got) {
+	if anchorSort(objs, got) {
 		t.Fatal("unsorted input reported sorted")
 	}
 }

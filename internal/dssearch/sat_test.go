@@ -67,8 +67,8 @@ func TestThreeLimbMasterSorts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !chained(&s.tab.limbs) {
-			t.Fatalf("trial %d: limbs %v, lo %v: no chain of three", trial, s.tab.limbs.Scale, s.tab.limbs.Lo)
+		if !chained(&s.core.limbs) {
+			t.Fatalf("trial %d: limbs %v, lo %v: no chain of three", trial, s.core.limbs.Scale, s.core.limbs.Lo)
 		}
 		if !inCanonicalOrder(s.pts, s.order) {
 			t.Fatalf("trial %d: the master is not sorted by anchor", trial)

@@ -229,9 +229,6 @@ func (x *Index) cellRuns(runs [][]int32, p geom.Rect, a, b float64) ([][]int32, 
 	return runs, n
 }
 
-// Granularity returns (sx, sy).
-func (x *Index) Granularity() (int, int) { return x.sx, x.sy }
-
 // Bounds returns the indexed extent.
 func (x *Index) Bounds() geom.Rect { return x.bounds }
 

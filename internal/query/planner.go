@@ -42,14 +42,6 @@ func NewPlanner(schema *asrs.Schema, named map[string]*asrs.Composite) *Planner 
 	return &Planner{schema: schema, named: named, interned: map[string]*asrs.Composite{}}
 }
 
-// InternedComposites reports how many distinct inline composites the
-// planner has compiled (observability; the interner only grows).
-func (p *Planner) InternedComposites() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.interned)
-}
-
 // compiledExpr is one expression resolved against the schema: its
 // interned composite, per-dimension weights (nil = all ones), and the
 // channel breakdown for EXPLAIN.
@@ -113,28 +105,31 @@ func (p *Planner) compileExpr(e Expr) (compiledExpr, error) {
 	}
 
 	var (
-		specs   []asrs.AggSpec
-		weights []float64
-		allOne  = true
-		keys    []string
+		specs    []asrs.AggSpec
+		weights  []float64
+		allOne   = true
+		keys     []string
+		channels []ExplainChannel
 	)
 	for _, t := range terms {
 		if t.Coef < 0 {
 			return compiledExpr{}, planErrf("negative weight %g on %s (weights must be non-negative)", t.Coef, t.Atom.canon())
 		}
-		spec, dims, kindName, err := p.compileAtom(t.Atom)
+		spec, dims, err := p.compileAtom(t.Atom)
 		if err != nil {
 			return compiledExpr{}, err
 		}
 		specs = append(specs, spec)
 		keys = append(keys, t.Atom.canon())
+		channels = append(channels, ExplainChannel{
+			Atom: t.Atom.canon(), Kind: t.Atom.Fn, Attr: t.Atom.Attr, Dims: dims, Weight: t.Coef,
+		})
 		for i := 0; i < dims; i++ {
 			weights = append(weights, t.Coef)
 		}
 		if t.Coef != 1 {
 			allOne = false
 		}
-		_ = kindName
 	}
 	key := ""
 	for i, k := range keys {
@@ -147,54 +142,36 @@ func (p *Planner) compileExpr(e Expr) (compiledExpr, error) {
 	if err != nil {
 		return compiledExpr{}, err
 	}
-	ce := compiledExpr{comp: comp, key: key, specs: specs}
+	ce := compiledExpr{comp: comp, key: key, specs: specs, channels: channels}
 	if !allOne {
 		ce.weights = weights
-	}
-	off := 0
-	for i, t := range terms {
-		dims := atomDims(p.schema, t.Atom)
-		ce.channels = append(ce.channels, ExplainChannel{
-			Atom: keys[i], Kind: t.Atom.Fn, Attr: t.Atom.Attr, Dims: dims, Weight: t.Coef,
-		})
-		off += dims
 	}
 	return ce, nil
 }
 
-// atomDims returns the representation dims an atom contributes (the
-// atom must already have type-checked).
-func atomDims(schema *asrs.Schema, a Atom) int {
-	if a.Fn == "dist" {
-		if attr, ok := schema.Lookup(a.Attr); ok {
-			return attr.DomainSize()
-		}
-	}
-	return 1
-}
-
-// compileAtom type-checks one atom into its aggregation spec.
-func (p *Planner) compileAtom(a Atom) (asrs.AggSpec, int, string, error) {
+// compileAtom type-checks one atom into its aggregation spec and the
+// representation dims it contributes.
+func (p *Planner) compileAtom(a Atom) (asrs.AggSpec, int, error) {
 	var spec asrs.AggSpec
 	dims := 1
 	switch a.Fn {
 	case "dist":
 		attr, ok := p.schema.Lookup(a.Attr)
 		if !ok {
-			return spec, 0, "", planErrf("unknown attribute %q in %s", a.Attr, a.canon())
+			return spec, 0, planErrf("unknown attribute %q in %s", a.Attr, a.canon())
 		}
 		if attr.Kind != asrs.Categorical {
-			return spec, 0, "", planErrf("dist(%s) requires a categorical attribute, %q is numeric", a.Attr, a.Attr)
+			return spec, 0, planErrf("dist(%s) requires a categorical attribute, %q is numeric", a.Attr, a.Attr)
 		}
 		spec = asrs.AggSpec{Kind: asrs.Distribution, Attr: a.Attr}
 		dims = attr.DomainSize()
 	case "sum", "avg":
 		attr, ok := p.schema.Lookup(a.Attr)
 		if !ok {
-			return spec, 0, "", planErrf("unknown attribute %q in %s", a.Attr, a.canon())
+			return spec, 0, planErrf("unknown attribute %q in %s", a.Attr, a.canon())
 		}
 		if attr.Kind != asrs.Numeric {
-			return spec, 0, "", planErrf("%s(%s) requires a numeric attribute, %q is categorical", a.Fn, a.Attr, a.Attr)
+			return spec, 0, planErrf("%s(%s) requires a numeric attribute, %q is categorical", a.Fn, a.Attr, a.Attr)
 		}
 		kind := asrs.Sum
 		if a.Fn == "avg" {
@@ -204,16 +181,16 @@ func (p *Planner) compileAtom(a Atom) (asrs.AggSpec, int, string, error) {
 	case "count":
 		spec = asrs.AggSpec{Kind: asrs.Count, Attr: a.Attr}
 	default:
-		return spec, 0, "", planErrf("unknown aggregate %q", a.Fn)
+		return spec, 0, planErrf("unknown aggregate %q", a.Fn)
 	}
 	if a.Where != nil {
 		sel, err := p.compileWhere(a)
 		if err != nil {
-			return spec, 0, "", err
+			return spec, 0, err
 		}
 		spec.Select = sel
 	}
-	return spec, dims, a.Fn, nil
+	return spec, dims, nil
 }
 
 // compileWhere resolves an atom's selection predicate to a selector.

@@ -66,7 +66,9 @@ func newShardServer(t *testing.T, cfg server.Config, breaker shard.BreakerConfig
 }
 
 // TestInsertRefusedObjectIsBadRequest: an object the schema refuses — a
-// JSON-valid 1e-320, which no exact limb holds — makes an insert a 400
+// JSON-valid 1e-320, which no exact limb holds, or a location at x =
+// 9e307, beyond the bound that keeps a corpus's bounding box finite —
+// makes an insert a 400
 // bad_request, counted in bad_requests, on the engine and the router
 // insert paths alike, and leaves every WAL as it was: the router refuses
 // the batch before any shard stages its share of it.
@@ -113,19 +115,24 @@ func TestInsertRefusedObjectIsBadRequest(t *testing.T) {
 		}
 		ts := httptest.NewServer(s.Handler())
 		before := wals()
-		resp, body := postJSON(t, ts.URL+"/v1/insert", wire.Insert{Objects: []wire.InsertObject{
-			{X: 5, Y: 5, Values: map[string]any{"cat": "a", "val": 1.5}},
+		for i, refused := range []wire.InsertObject{
 			{X: 95, Y: 95, Values: map[string]any{"cat": "b", "val": 1e-320}},
-		}})
-		var wr wire.Response
-		if err := json.Unmarshal(body, &wr); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusBadRequest || wr.Code != wire.CodeBadRequest {
-			t.Fatalf("router=%v: status %d code %q (%s), want 400 bad_request", cfg.Router != nil, resp.StatusCode, wr.Code, body)
-		}
-		if st := getStats(t, ts.URL); st.BadRequests != 1 {
-			t.Fatalf("router=%v: bad_requests = %d, want 1", cfg.Router != nil, st.BadRequests)
+			{X: 9e307, Y: 95, Values: map[string]any{"cat": "b", "val": 1.5}},
+		} {
+			resp, body := postJSON(t, ts.URL+"/v1/insert", wire.Insert{Objects: []wire.InsertObject{
+				{X: 5, Y: 5, Values: map[string]any{"cat": "a", "val": 1.5}},
+				refused,
+			}})
+			var wr wire.Response
+			if err := json.Unmarshal(body, &wr); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || wr.Code != wire.CodeBadRequest {
+				t.Fatalf("router=%v: status %d code %q (%s), want 400 bad_request", cfg.Router != nil, resp.StatusCode, wr.Code, body)
+			}
+			if st := getStats(t, ts.URL); st.BadRequests != int64(i+1) {
+				t.Fatalf("router=%v: bad_requests = %d, want %d", cfg.Router != nil, st.BadRequests, i+1)
+			}
 		}
 		if !maps.Equal(before, wals()) {
 			t.Fatalf("router=%v: a refused insert changed the WAL", cfg.Router != nil)

@@ -279,8 +279,9 @@ func (r *Router) subOptions(req asrs.QueryRequest, cap *kernel.ExtCap) asrs.Opti
 }
 
 // bandSlabs returns the router's slab cache for band searches on the
-// composite, so they recycle their tables, grid, sweep solver and id
-// slices across queries as a shard engine's searches do.
+// composite, so they recycle their grid, sweep solver, scratch buffers
+// and id slices across queries as a shard engine's searches do. A band
+// search has no pyramid: it builds a one-shot one over its band's corpus.
 func (r *Router) bandSlabs(f *asrs.Composite) *dssearch.SlabCache {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -388,6 +388,72 @@ func TestIndexedSearchOnDegenerateBounds(t *testing.T) {
 	}
 }
 
+// TestCorpusWiderThanTheFloatRange: objects at x = ±9e307 gave a corpus
+// whose bounding box is wider than the largest float; the grid index's
+// cells were infinite, and a top-2's second row came out at distance 2
+// (the empty covering set) where SearchBaseline answers 0. A coordinate
+// of magnitude 2^1022 or more is refused at every door — Validate,
+// NewIndex, InsertBatch — and a corpus reaching just below the bound on
+// both sides is answered as SearchBaseline answers it: by Answer with the
+// index and without a pyramid, and by an engine after the insert.
+func TestCorpusWiderThanTheFloatRange(t *testing.T) {
+	schema := asrs.MustSchema(asrs.Attribute{Name: "kind", Kind: asrs.Categorical, Domain: []string{"a", "b"}})
+	obj := func(x float64, k int) asrs.Object {
+		return asrs.Object{Loc: asrs.Point{X: x, Y: 0}, Values: []asrs.Value{{Cat: k}}}
+	}
+	base := []asrs.Object{obj(0, 0), obj(0.5, 1), obj(3, 0), obj(3.5, 1)}
+	base[1].Loc.Y, base[2].Loc.Y, base[3].Loc.Y = 0.5, 3, 3.2
+	f, err := asrs.NewComposite(schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "kind"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := asrs.QueryFromTarget(f, []float64{1, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := asrs.QueryRequest{Query: q, A: 1, B: 1, TopK: 2}
+	for _, far := range []float64{9e307, 0x1p1022, math.Nextafter(0x1p1022, 0)} {
+		name := fmt.Sprintf("±%g", far)
+		wide := []asrs.Object{obj(far, 0), obj(-far, 1)}
+		corpus := &asrs.Dataset{Schema: schema, Objects: append(append([]asrs.Object(nil), base...), wide...)}
+		admitted := far < 0x1p1022
+		eng, err := asrs.NewEngine(&asrs.Dataset{Schema: schema, Objects: base}, asrs.EngineOptions{IndexGranularity: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		insertErr := eng.InsertBatch(wide)
+		_, indexErr := asrs.NewIndex(corpus, f, 64, 64)
+		for door, err := range map[string]error{"Validate": corpus.Validate(), "InsertBatch": insertErr, "NewIndex": indexErr} {
+			if admitted != (err == nil) || !admitted && !errors.Is(err, asrs.ErrInvalidObject) {
+				t.Fatalf("%s: %s: %v", name, door, err)
+			}
+		}
+		served := &asrs.Dataset{Schema: schema, Objects: base}
+		got := map[string]asrs.QueryResponse{"Engine": eng.Query(req)}
+		if admitted {
+			served = corpus
+			idx, _ := asrs.NewIndex(corpus, f, 64, 64)
+			got["Answer with the index"], _ = asrs.Answer(corpus, idx, req)
+			got["Answer without a pyramid"], _ = asrs.Answer(corpus, nil, req)
+		}
+		want := asrs.SearchBaseline(served, req)
+		if want.Err != nil || len(want.Results) != 2 || want.Results[1].Dist != 0 {
+			t.Fatalf("%s: the baseline answers %v (%v): the corpus was built to hold the target twice", name, want.Results, want.Err)
+		}
+		for how, resp := range got {
+			if resp.Err != nil || len(resp.Results) != 2 {
+				t.Fatalf("%s: %s: %v (%v)", name, how, resp.Results, resp.Err)
+			}
+			for i, r := range resp.Results {
+				if math.Float64bits(r.Dist) != math.Float64bits(want.Results[i].Dist) {
+					t.Fatalf("%s: %s answers row %d at %v in %v, SearchBaseline %v in %v", name, how, i+1, r.Dist, resp.Regions[i], want.Results[i].Dist, want.Regions[i])
+				}
+			}
+		}
+	}
+}
+
 // TestNonFiniteWithinIsRefused: a Within extent with an infinite or NaN
 // side is refused by every front door that takes one — SearchWithin (the
 // one driver), Engine.Query and SearchBaseline — instead of being
