@@ -531,10 +531,9 @@ func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {
 // into it.
 //
 // The epoch's geometry is the first installed pyramid's when none was
-// built yet; a pyramid whose order equals the epoch's geometry's (the
-// level is raised over the anchors in that order, so it is equal too) is
-// installed on it, so the composites of an epoch share one geometry (and
-// one memo of shape facts) however their pyramids were built.
+// built yet; a pyramid whose order equals the epoch's geometry's is
+// installed on it, so the composites of an epoch share one geometry
+// however their pyramids were built.
 func (e *Engine) SetPyramid(p *Pyramid) error {
 	if p == nil {
 		return fmt.Errorf("asrs: nil pyramid")

@@ -69,11 +69,10 @@ type Options struct {
 	// Pyramid, when non-nil and built for exactly the request's dataset
 	// and composite, is the aggregation layer the searcher
 	// (NewRegionSearcher) reads: anchors, order, contributions and limbs
-	// are shared, so a bind is O(1) once the shape's facts are known
-	// (DESIGN.md §6). A pyramid of another dataset or composite is
-	// ignored, and so is a nil one: the searcher then builds a one-shot
-	// pyramid over the request's dataset. Answers are bit-identical
-	// either way.
+	// are shared, so a bind is O(1) (DESIGN.md §6). A pyramid of another
+	// dataset or composite is ignored, and so is a nil one: the searcher
+	// then builds a one-shot pyramid over the request's dataset. Answers
+	// are bit-identical either way.
 	Pyramid *Pyramid
 	// SharedCap, when non-nil, attaches a cross-search shared pruning
 	// cap to every bound this search creates: each improvement publishes
@@ -167,13 +166,13 @@ func (s *Stats) Add(o Stats) {
 type Searcher struct {
 	// The master: rectangle id is geom.RectFromTR(pts[id], a, b), the a×b
 	// rectangle of the object at anchor pts[id] (Definition 5). The
-	// anchors are in the (x, y, index) order, so MinX = pts[id].X − a
-	// never decreases with id.
-	pts        []geom.Point
-	order      []int32       // master id -> index into objs
-	objs       []attr.Object // the dataset's objects
-	a, b       float64
-	shapeFacts // the shape's extents and space (shape.go)
+	// anchors are in the (x, y, index) order, so neither MaxX = pts[id].X
+	// nor MinX = pts[id].X − a decreases with id.
+	pts   []geom.Point
+	order []int32       // master id -> index into objs
+	objs  []attr.Object // the dataset's objects
+	a, b  float64
+	space geom.Rect // the reduction's space (reductionSpace)
 
 	query asp.Query
 	opt   Options
@@ -198,11 +197,17 @@ type Searcher struct {
 	ids    [][]int32        // free list of recycled id slices
 }
 
+// MaxExtent bounds an answer's width and height: an extent must be below
+// it. With locations below 2^1022 (attr.Schema.Check), every x − a, the
+// empty covering set's point and its region stay finite (DESIGN.md §5).
+const MaxExtent = 0x1p1020
+
 // CheckExtent is the error of an a×b answer extent that is not positive
-// and finite; nil for one that is.
+// and below MaxExtent; nil for one that is. Every door that takes an
+// answer size calls it.
 func CheckExtent(a, b float64) error {
-	if !(a > 0) || !(b > 0) || math.IsInf(a, 1) || math.IsInf(b, 1) {
-		return fmt.Errorf("dssearch: region extent must be positive and finite, got %g x %g", a, b)
+	if !(a > 0 && a < MaxExtent) || !(b > 0 && b < MaxExtent) {
+		return fmt.Errorf("dssearch: region extent must be positive and below %g, got %g x %g", MaxExtent, a, b)
 	}
 	return nil
 }
@@ -210,8 +215,8 @@ func CheckExtent(a, b float64) error {
 // NewRegionSearcher is the searcher of an ASRS request: the a×b
 // top-right-corner reduction of ds (Definition 5: the answer point is the
 // region's bottom-left corner). A pyramid built for (ds, q.F) is bound:
-// its anchors, order and core are shared and the shape's facts read from
-// the geometry's memo (shape.go), so nothing is built per query. Else the
+// its anchors, order and core are shared and the space is read off the
+// geometry's bounds (shape.go), so nothing is built per query. Else the
 // searcher builds a one-shot pyramid over ds, with the same master.
 // Answers are bit-identical either way.
 func NewRegionSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Searcher, error) {
@@ -229,18 +234,13 @@ func newSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Sea
 		return nil, err
 	}
 	p := opt.Pyramid
-	var facts shapeFacts
-	if p.Matches(ds, q.F) {
-		facts = p.geo.shapeFacts(a, b)
-	} else {
-		// A one-shot pyramid: no other search reads its memo.
+	if !p.Matches(ds, q.F) {
 		if p, err = BuildPyramidOn(newGeometry(ds), q.F); err != nil {
 			return nil, err
 		}
-		facts = deriveFacts(p.geo.pts, a, b)
 	}
 	sl := opt.Slabs.get()
-	s := &Searcher{pts: p.geo.pts, order: p.geo.order, objs: ds.Objects, a: a, b: b, shapeFacts: facts,
+	s := &Searcher{pts: p.geo.pts, order: p.geo.order, objs: ds.Objects, a: a, b: b, space: reductionSpace(p.geo.bounds, a, b),
 		query: q, opt: opt, isInt: q.F.IntegerDims(), core: p.core, slab: sl}
 	// Recycled id slices from a previous query using the same slab cache.
 	s.ids, sl.idFree = sl.idFree, nil
@@ -259,9 +259,10 @@ func (o Options) checked(q asp.Query) (Options, error) {
 // rect returns master rectangle id.
 func (s *Searcher) rect(id int32) geom.Rect { return geom.RectFromTR(s.pts[id], s.a, s.b) }
 
-// windowLo returns the first master id whose MinX exceeds x.
+// windowLo returns the first master id whose MaxX (its anchor's x)
+// exceeds x.
 func (s *Searcher) windowLo(x float64) int {
-	return sort.Search(len(s.pts), func(i int) bool { return s.pts[i].X-s.a > x })
+	return sort.Search(len(s.pts), func(i int) bool { return s.pts[i].X > x })
 }
 
 // windowHi returns the first master id whose MinX is >= x.
@@ -269,24 +270,18 @@ func (s *Searcher) windowHi(x float64) int {
 	return sort.Search(len(s.pts), func(i int) bool { return s.pts[i].X-s.a >= x })
 }
 
-// window returns the [lo, hi) master id range that must contain every
-// rectangle whose open interior intersects the open x-range (x0, x1):
-// such a rectangle has MinX < x1 and MaxX > x0, hence MinX > x0 - wmax.
+// window returns the [lo, hi) master id range of exactly the rectangles
+// whose open x-range meets the open x-range (x0, x1): MaxX > x0 and
+// MinX < x1. Both tests are monotone in master order.
 func (s *Searcher) window(x0, x1 float64) (int, int) {
-	lo := s.windowLo(x0 - s.wmax)
-	hi := s.windowHi(x1)
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
+	lo, hi := s.windowLo(x0), s.windowHi(x1)
+	return min(lo, hi), hi
 }
 
-// idWindow is window over an id list that ascends in MinX (a space's
-// ids): the run of ids whose MinX lies in (x0 − wmax, x1), which holds
-// every one whose rectangle's open x-range meets (x0, x1).
+// idWindow is window over an ascending id list (a space's ids): the run
+// of ids whose rectangle's open x-range meets (x0, x1).
 func (s *Searcher) idWindow(ids []int32, x0, x1 float64) []int32 {
-	x0 -= s.wmax
-	lo := sort.Search(len(ids), func(k int) bool { return s.pts[ids[k]].X-s.a > x0 })
+	lo := sort.Search(len(ids), func(k int) bool { return s.pts[ids[k]].X > x0 })
 	hi := sort.Search(len(ids), func(k int) bool { return s.pts[ids[k]].X-s.a >= x1 })
 	return ids[min(lo, hi):hi]
 }
@@ -467,8 +462,8 @@ func (s *Searcher) SolveWithin(space geom.Rect, seedLB float64) {
 
 // AppendWindowIDs appends the master ids of every rectangle whose open
 // interior intersects the closed space (only those can cover a candidate
-// point in the space) and returns dst. The candidates come from a
-// binary-searched window of MinX rather than a full scan.
+// point in the space) and returns dst. The candidates come from the
+// binary-searched x window (window) rather than a full scan.
 func (s *Searcher) AppendWindowIDs(space geom.Rect, dst []int32) []int32 {
 	lo, hi := s.window(space.MinX, space.MaxX)
 	for i := lo; i < hi; i++ {
@@ -905,13 +900,14 @@ func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (as
 }
 
 // PointRepresentation computes F(p) over the master set, restricted to
-// the binary-searched MinX window: the limb contributions of the covering
-// rectangles, summed in master order and folded once — the value the grid
-// fill and the sweeps form.
+// the binary-searched window of the rectangles whose open x-range holds
+// p.X: the limb contributions of the covering rectangles, summed in
+// master order and folded once — the value the grid fill and the sweeps
+// form.
 func (s *Searcher) PointRepresentation(p geom.Point) []float64 {
 	t := s.core
 	ch := make([]float64, t.limbs.Eff())
-	for i, hi := s.windowLo(p.X-s.wmax), s.windowHi(p.X); i < hi; i++ {
+	for i, hi := s.window(p.X, p.X); i < hi; i++ {
 		if s.rect(int32(i)).ContainsOpen(p) {
 			for _, cb := range t.rectContribs(int32(i)) {
 				ch[cb.Ch] += cb.V

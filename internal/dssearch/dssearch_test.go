@@ -196,15 +196,17 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestExtentMustBeFinite: an extent that is not positive and finite is
-// refused by every constructor, alone or beside a valid one. An infinite
-// one used to answer: a region [-Inf,NaN] wide at a finite distance.
+// TestExtentMustBeFinite: an extent that is not positive and below
+// MaxExtent is refused by every constructor, alone or beside a valid one.
+// An infinite one used to answer: a region [-Inf,NaN] wide at a finite
+// distance.
 func TestExtentMustBeFinite(t *testing.T) {
 	ds := dataset.Random(20, 10, 8)
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Sum, Attr: "val"})
 	q := asp.Query{F: f, Target: []float64{0}}
 	inf, nan := math.Inf(1), math.NaN()
-	for _, ab := range [][2]float64{{inf, 2}, {2, inf}, {inf, inf}, {nan, 2}, {2, nan}, {-inf, 2}, {0, 2}, {2, -1}} {
+	for _, ab := range [][2]float64{{inf, 2}, {2, inf}, {inf, inf}, {nan, 2}, {2, nan}, {-inf, 2}, {0, 2}, {2, -1},
+		{dssearch.MaxExtent, 2}, {2, dssearch.MaxExtent}, {math.MaxFloat64, 2}} {
 		a, b := ab[0], ab[1]
 		if dssearch.CheckExtent(a, b) == nil {
 			t.Errorf("%g x %g: CheckExtent accepts it", a, b)
@@ -216,7 +218,7 @@ func TestExtentMustBeFinite(t *testing.T) {
 			t.Errorf("%g x %g: answered %v at distance %v", a, b, region, res.Dist)
 		}
 	}
-	if err := dssearch.CheckExtent(math.MaxFloat64, math.SmallestNonzeroFloat64); err != nil {
+	if err := dssearch.CheckExtent(math.Nextafter(dssearch.MaxExtent, 0), math.SmallestNonzeroFloat64); err != nil {
 		t.Errorf("a finite positive extent is refused: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"asrs/internal/attr"
 	"asrs/internal/geom"
@@ -25,9 +24,7 @@ import (
 // search given no pyramid sorts its dataset into a geometry of its own
 // (newGeometry), so every search sees the same master, ties included.
 //
-// A Geometry is immutable after construction, but for the memo of shape
-// facts, which are composite-free too and so are shared by every
-// composite's pyramid of the epoch.
+// A Geometry is immutable after construction.
 type Geometry struct {
 	ds    *attr.Dataset
 	n     int
@@ -36,14 +33,9 @@ type Geometry struct {
 
 	// bounds is the dataset's bounding box, ds.Bounds() bit for bit: the
 	// objects expanded into it in dataset order (expandBounds) — by a
-	// fold from the base's box through the appended objects only.
+	// fold from the base's box through the appended objects only. A
+	// shape's space is read off it (reductionSpace).
 	bounds geom.Rect
-
-	// Shape facts remembered per (a, b) (shape.go): the geometry's only
-	// mutable state. An epoch's fold is a new geometry with an empty memo.
-	factsMu      sync.Mutex
-	facts        map[shapeKey]shapeFacts
-	factsDerived int // derivations so far (tests)
 }
 
 // anchorKey is one anchor with its input index: a sort key of the master

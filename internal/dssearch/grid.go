@@ -491,9 +491,9 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 //
 // A probe reads the space's own ids, not the master: every rectangle
 // meeting the clip is among them (kernel.Item.Ids), and they ascend in
-// MinX, so the ones that can cover p are the binary-searched run with
-// MinX ∈ (p.X − wmax, p.X) — the master window's rectangles that meet the
-// clip, in the same order, summed to the same bits.
+// master order, so the ones that can cover p are the binary-searched run
+// with MinX < p.X < MaxX (idWindow) — the master window's rectangles that
+// meet the clip, in the same order, summed to the same bits.
 func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int32) {
 	const probes = 4
 	if len(dirty) == 0 {

@@ -300,11 +300,10 @@ func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, probed 
 		p := dirty[di].rect.Center()
 		clear(ch)
 		// The rectangles covering p form a binary-searched window of the
-		// master order: MinX ∈ (p.X − wmax, p.X). The clip clause restricts
-		// the window to the space's chain-filtered subset (a probe point in
-		// a boundary cell can poke an ulp outside the clip; see Item.Clip).
-		lo := s.windowLo(p.X - s.wmax)
-		hi := s.windowHi(p.X)
+		// master order: MinX < p.X < MaxX. The clip clause restricts the
+		// window to the space's chain-filtered subset (a probe point in a
+		// boundary cell can poke an ulp outside the clip; see Item.Clip).
+		lo, hi := s.window(p.X, p.X)
 		for id := lo; id < hi; id++ {
 			rc := s.rect(int32(id))
 			if rc.ContainsOpen(p) &&

@@ -21,14 +21,13 @@ import (
 // object's location shifted by the constant (-a, -b): the master order
 // is a function of the locations alone, and the flattened limb
 // contributions and the certificate of (dataset, composite) alone.
-// Nothing of a query's (a, b) is materialized — a search reads rectangle
-// id from anchor id and the shape — but a few facts of O(1) size
-// (width/height ranges, space) that the first query of a shape derives
-// and the geometry remembers (shape.go). A search given a matching
-// pyramid therefore reads shared immutable state, in O(1) once the
-// shape's facts are known; a search given none builds a one-shot pyramid
-// over its dataset, the radix sort and the flatten a cached one amortizes
-// (DESIGN.md §6). Nothing of it is stored: every boot builds it from the
+// Nothing of a query's (a, b) is materialized or remembered: a search
+// reads rectangle id from anchor id and the shape, seeks its windows on
+// the anchors' x and reads the reduction's space off the geometry's
+// bounds (shape.go). A search given a matching pyramid therefore binds
+// shared immutable state in O(1); a search given none builds a one-shot
+// pyramid over its dataset, the radix sort and the flatten a cached one
+// amortizes (DESIGN.md §6). Nothing of it is stored: every boot builds it from the
 // objects, since with the radix sort (anchorSort) a BuildGeometry costs
 // about what reading a stored order cost (DESIGN.md §6, "Why the order
 // is not stored").

@@ -74,7 +74,7 @@ type slab struct {
 	scratchRects                []asp.RectObject
 
 	// idBits is the bitmap AppendCellIDs marks a space's ids in, one bit
-	// per id of the MinX window.
+	// per id of the x window.
 	idBits []uint64
 
 	// Recycled id slices handed back by a released Searcher (slab reuse

@@ -1,6 +1,7 @@
 package dssearch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -13,33 +14,16 @@ import (
 	"asrs/internal/sweep"
 )
 
-// classicFacts derives a shape's facts from the reduction: the extents
-// and the MBR (asp.Space) of asp.Reduce's rectangles.
-func classicFacts(t *testing.T, ds *attr.Dataset, a, b float64) shapeFacts {
-	t.Helper()
-	rects, err := asp.Reduce(ds, a, b, asp.AnchorTR)
-	if err != nil {
-		t.Fatal(err)
+// classicSpace is the space of the a×b reduction as asp.Space forms it:
+// the MBR of the rectangles geom.RectFromTR(o.Loc, a, b), expanded in
+// dataset order. Built by hand rather than by asp.Reduce, which refuses
+// the zero extent the tests also search.
+func classicSpace(ds *attr.Dataset, a, b float64) geom.Rect {
+	rects := make([]asp.RectObject, len(ds.Objects))
+	for i := range ds.Objects {
+		rects[i] = asp.RectObject{Rect: geom.RectFromTR(ds.Objects[i].Loc, a, b), Obj: &ds.Objects[i]}
 	}
-	f := shapeFacts{wmin: math.Inf(1), wmax: math.Inf(-1), hmin: math.Inf(1), hmax: math.Inf(-1), space: asp.Space(rects)}
-	for _, r := range rects {
-		w, h := r.Rect.Width(), r.Rect.Height()
-		f.wmin, f.wmax = min(f.wmin, w), max(f.wmax, w)
-		f.hmin, f.hmax = min(f.hmin, h), max(f.hmax, h)
-	}
-	return f
-}
-
-func sameFacts(x, y shapeFacts) bool {
-	bits := func(f shapeFacts) [8]uint64 {
-		vs := [8]float64{f.wmin, f.wmax, f.hmin, f.hmax, f.space.MinX, f.space.MinY, f.space.MaxX, f.space.MaxY}
-		var out [8]uint64
-		for i, v := range vs {
-			out[i] = math.Float64bits(v)
-		}
-		return out
-	}
-	return bits(x) == bits(y)
+	return asp.Space(rects)
 }
 
 // collapses reports whether the a×b rectangles of g's anchors, in master
@@ -72,15 +56,15 @@ func baselineDist(t *testing.T, ds *attr.Dataset, a, b float64, q asp.Query) flo
 	return sw.Solve().Dist
 }
 
-// TestShapeFacts holds the pyramid's per-shape memo to the derivations
-// over the reduction it replaces. On a core of one limb a channel and one
-// of three-limb chains, for shapes whose translated anchors keep their
-// order and — two anchors an ulp apart under an extent that absorbs the
-// ulp — shapes whose anchors collapse: what a bound searcher holds
-// (extents, space) equals classicFacts bit for bit; every shape binds,
-// collapsing ones included; its answer is the sweep baseline's distance
-// bit for bit and the pyramid-less path's point; and the second query of
-// a shape derives nothing.
+// TestShapeFacts holds what a bound searcher reads of a shape to the
+// reduction it replaces. On a core of one limb a channel and one of
+// three-limb chains, for shapes whose translated anchors keep their order
+// and — two anchors an ulp apart under an extent that absorbs the ulp —
+// shapes whose anchors collapse: the searcher's space, read off the
+// geometry's bounds, is asp.Space's bit for bit, and so is Prepare's;
+// every shape binds, collapsing ones included; and its answer is the
+// sweep baseline's distance bit for bit and the pyramid-less path's
+// point.
 func TestShapeFacts(t *testing.T) {
 	rng := rand.New(rand.NewSource(2020))
 	kinds := []struct {
@@ -118,7 +102,7 @@ func TestShapeFacts(t *testing.T) {
 		}
 		for _, sh := range shapes {
 			a, b := sh.a, sh.b
-			want := classicFacts(t, ds, a, b)
+			want := classicSpace(ds, a, b)
 			if got := collapses(p.geo, a, b); got != sh.collapses {
 				t.Fatalf("%s %gx%g: the translated anchors collapse: %v; the test wants %v", kind.name, a, b, got, sh.collapses)
 			}
@@ -129,80 +113,104 @@ func TestShapeFacts(t *testing.T) {
 			if base := baselineDist(t, ds, a, b, q); math.Float64bits(wantRes.Dist) != math.Float64bits(base) {
 				t.Fatalf("%s %gx%g: %v without the pyramid, %v by the sweep baseline", kind.name, a, b, wantRes.Dist, base)
 			}
-			for round := 0; round < 2; round++ {
-				before := p.geo.factsDerived
-				s, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if derived := p.geo.factsDerived - before; derived != 1-round {
-					t.Fatalf("%s %gx%g query %d: %d derivations, want %d", kind.name, a, b, round+1, derived, 1-round)
-				}
-				if !s.boundTo(p) {
-					t.Fatalf("%s %gx%g query %d: the pyramid did not bind", kind.name, a, b, round+1)
-				}
-				if !sameFacts(s.shapeFacts, want) {
-					t.Fatalf("%s %gx%g query %d: searcher holds %+v, the reduction gives %+v", kind.name, a, b, round+1, s.shapeFacts, want)
-				}
-				memo, known := p.geo.knownFacts(shapeKey{math.Float64bits(a), math.Float64bits(b)})
-				if !known || !sameFacts(memo, want) {
-					t.Fatalf("%s %gx%g: memo holds %+v (known=%v), want %+v", kind.name, a, b, memo, known, want)
-				}
-				_, got, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{Workers: 1, Pyramid: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float64bits(got.Dist) != math.Float64bits(wantRes.Dist) || got.Point != wantRes.Point {
-					t.Fatalf("%s %gx%g query %d: %v at %v through the pyramid, %v at %v without", kind.name, a, b, round+1, got.Dist, got.Point, wantRes.Dist, wantRes.Point)
-				}
+			s, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if prep, ok := p.Prepare(a, b); !ok || !sameFacts(prep.facts, want) {
+			if !s.boundTo(p) {
+				t.Fatalf("%s %gx%g: the pyramid did not bind", kind.name, a, b)
+			}
+			if !sameRectBits(s.space, want) {
+				t.Fatalf("%s %gx%g: searcher holds space %v, the reduction's is %v", kind.name, a, b, s.space, want)
+			}
+			if prep, ok := p.Prepare(a, b); !ok || !sameRectBits(prep.space, want) {
 				t.Fatalf("%s %gx%g: Prepare ok=%v", kind.name, a, b, ok)
+			}
+			_, got, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{Workers: 1, Pyramid: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.Dist) != math.Float64bits(wantRes.Dist) || got.Point != wantRes.Point {
+				t.Fatalf("%s %gx%g: %v at %v through the pyramid, %v at %v without", kind.name, a, b, got.Dist, got.Point, wantRes.Dist, wantRes.Point)
 			}
 		}
 	}
 }
 
-// TestShapeFactsMemoBounded: a client that never repeats a shape cannot
-// grow the memo past its bound, and what the memo forgot is derived again
-// to the same values.
-func TestShapeFactsMemoBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	ds, f := pyramidDataset(t, rng, 60, func() float64 { return float64(rng.Intn(5)) }, false)
-	p, err := BuildPyramid(ds, f)
+// TestShapeSpaceSignedZeros: a corpus whose extreme coordinates are −0
+// and +0, met in dataset order in the opposite order to the master's,
+// and one at ±5e−324. A searcher's space — bound to a pyramid or over a
+// one-shot one, at the zero extent the tests search and at positive
+// ones — is asp.Space's bit for bit, which keeps the zero the dataset
+// meets first; and a corpus of no objects has the empty space.
+func TestShapeSpaceSignedZeros(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ds, f := pyramidDataset(t, rng, 30, func() float64 { return float64(rng.Intn(4)) }, false)
+	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
+	negZero := math.Copysign(0, -1)
+	tiny := math.SmallestNonzeroFloat64
+	for _, c := range []struct {
+		name string
+		low  bool // the corners are the corpus's minima, else its maxima
+		pts  [4]geom.Point
+	}{
+		// Each extreme is −0 for the object met first in dataset order
+		// and +0 for the one met first in the master's.
+		{"zero-minima", true, [4]geom.Point{{X: negZero, Y: 0.5}, {X: 0, Y: 0.25}, {X: 0.5, Y: negZero}, {X: 0.25, Y: 0}}},
+		{"zero-maxima", false, [4]geom.Point{{X: negZero, Y: -0.25}, {X: 0, Y: -0.5}, {X: -0.25, Y: negZero}, {X: -0.5, Y: 0}}},
+		{"subnormal-minima", true, [4]geom.Point{{X: -tiny, Y: tiny}, {X: tiny, Y: -tiny}, {X: 1, Y: 1}, {X: 1, Y: 1}}},
+		{"subnormal-maxima", false, [4]geom.Point{{X: tiny, Y: -tiny}, {X: -tiny, Y: tiny}, {X: -1, Y: -1}, {X: -1, Y: -1}}},
+	} {
+		// The rest of the corpus lies above the corners (minima) or below
+		// them.
+		for i := range ds.Objects {
+			x, y := 1+rng.Float64()*50, 1+rng.Float64()*50
+			if !c.low {
+				x, y = -x, -y
+			}
+			ds.Objects[i].Loc = geom.Point{X: x, Y: y}
+		}
+		for i, pt := range c.pts {
+			ds.Objects[i].Loc = pt
+		}
+		p, err := BuildPyramid(ds, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ab := range [][2]float64{{0, 0}, {tiny, tiny}, {1, 2.5}, {1e300, 1e300}} {
+			a, b := ab[0], ab[1]
+			want := classicSpace(ds, a, b)
+			for _, pyr := range []*Pyramid{p, nil} {
+				s, err := newSearcher(ds, a, b, q, Options{Pyramid: pyr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameRectBits(s.space, want) {
+					t.Fatalf("%s %gx%g pyramid=%v: space %v (bits %s), asp.Space %v (bits %s)", c.name, a, b, pyr != nil,
+						s.space, rectBits(s.space), want, rectBits(want))
+				}
+			}
+		}
+	}
+	s, err := NewRegionSearcher(&attr.Dataset{Schema: ds.Schema}, 2, 3, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, ok := p.Prepare(2, 3)
-	if !ok {
-		t.Fatal("Prepare failed")
-	}
-	for i := 0; i < 3*maxShapeFacts; i++ {
-		if _, ok := p.Prepare(2+float64(i+1)/16, 3); !ok {
-			t.Fatal("Prepare failed")
-		}
-		if n := len(p.geo.facts); n > maxShapeFacts {
-			t.Fatalf("memo holds %d shapes, bound %d", n, maxShapeFacts)
-		}
-	}
-	if _, known := p.geo.knownFacts(shapeKey{math.Float64bits(2), math.Float64bits(3)}); known {
-		t.Fatal("the first shape outlived three fillings of the memo")
-	}
-	if again, ok := p.Prepare(2, 3); !ok || !sameFacts(again.facts, first.facts) {
-		t.Fatalf("re-derived facts %+v differ from the first derivation %+v", again.facts, first.facts)
-	}
-	if p.geo.factsDerived != 3*maxShapeFacts+2 {
-		t.Fatalf("%d derivations for %d distinct bindings", p.geo.factsDerived, 3*maxShapeFacts+2)
+	if got := s.space; !sameRectBits(got, geom.EmptyRect()) {
+		t.Fatalf("no objects: space %v, want the empty rectangle", got)
 	}
 }
 
-// TestShapeFactsFoldedEpoch: an epoch's fold is a new geometry with a
-// memo of its own. An insert outside the corpus's hull grows a shape's
-// space, and the folded pyramid reports the new one while the base,
-// which learned the shape before the fold, keeps reporting its own. An
-// insert that collapses onto a neighbour's anchor under the shape still
-// binds on the next fold, and its queries answer the sweep baseline's
-// distance and the pyramid-less path's point.
+func rectBits(r geom.Rect) string {
+	return fmt.Sprintf("%x/%x/%x/%x", math.Float64bits(r.MinX), math.Float64bits(r.MinY), math.Float64bits(r.MaxX), math.Float64bits(r.MaxY))
+}
+
+// TestShapeFactsFoldedEpoch: an epoch's fold is a new geometry with
+// bounds of its own. An insert outside the corpus's hull grows a shape's
+// space, and the folded pyramid reports the new one while the base keeps
+// reporting its own. An insert that collapses onto a neighbour's anchor
+// under the shape still binds on the next fold, and its queries answer
+// the sweep baseline's distance and the pyramid-less path's point.
 func TestShapeFactsFoldedEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ds, f := pyramidDataset(t, rng, 40, func() float64 { return float64(rng.Intn(5)) }, false)
@@ -241,7 +249,7 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 		t.Fatal("distinct anchors under an integer composite should fold")
 	}
 	grown := geom.Rect{MinX: -a, MinY: -10.5 - b, MaxX: 90.25, MaxY: 78}
-	if got, want := space(combined, folded), classicFacts(t, combined, a, b).space; got != want || got != grown {
+	if got, want := space(combined, folded), classicSpace(combined, a, b); !sameRectBits(got, want) || got != grown {
 		t.Fatalf("folded space %+v, classic %+v, want the insert's %+v", got, want, grown)
 	}
 	if got := space(ds, base); got != baseSpace {
@@ -261,7 +269,7 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 	if !collapses(collapsed.geo, a, b) {
 		t.Fatal("the insert does not collapse under the shape")
 	}
-	if got, want := space(again, collapsed), classicFacts(t, again, a, b).space; got != want {
+	if got, want := space(again, collapsed), classicSpace(again, a, b); !sameRectBits(got, want) {
 		t.Fatalf("collapsed space %+v, classic %+v", got, want)
 	}
 	_, want, _, err := SolveASRS(again, a, b, q, nil, nil, Options{})
@@ -280,9 +288,9 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 	}
 }
 
-// TestShapeFactsConcurrent binds four shapes the memo knows and four it
-// does not from eight goroutines at once (run under -race): every
-// searcher holds the classic derivations.
+// TestShapeFactsConcurrent binds eight shapes to one pyramid from eight
+// goroutines at once, three times each, through one SlabCache (run under
+// -race): every searcher binds and holds its shape's asp.Space.
 func TestShapeFactsConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	ds, f := pyramidDataset(t, rng, 120, func() float64 { return float64(rng.Intn(7)) }, false)
@@ -292,15 +300,10 @@ func TestShapeFactsConcurrent(t *testing.T) {
 	}
 	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
 	shapes := make([][2]float64, 8)
-	want := make([]shapeFacts, len(shapes))
+	want := make([]geom.Rect, len(shapes))
 	for i := range shapes {
 		shapes[i] = [2]float64{0.3 + 0.05*float64(i), 0.7}
-		want[i] = classicFacts(t, ds, shapes[i][0], shapes[i][1])
-		if i < 4 {
-			if _, ok := p.Prepare(shapes[i][0], shapes[i][1]); !ok {
-				t.Fatal("Prepare failed")
-			}
-		}
+		want[i] = classicSpace(ds, shapes[i][0], shapes[i][1])
 	}
 	slabs := &SlabCache{}
 	var wg sync.WaitGroup
@@ -314,17 +317,14 @@ func TestShapeFactsConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := s.shapeFacts; !s.boundTo(p) || !sameFacts(got, want[i]) {
-					t.Errorf("shape %d round %d: bound=%v, searcher holds %+v, want %+v", i, round, s.boundTo(p), got, want[i])
+				if got := s.space; !s.boundTo(p) || !sameRectBits(got, want[i]) {
+					t.Errorf("shape %d round %d: bound=%v, searcher holds %v, want %v", i, round, s.boundTo(p), got, want[i])
 				}
 				s.Release()
 			}
 		}(i)
 	}
 	wg.Wait()
-	if p.geo.factsDerived < 8 || len(p.geo.facts) != 8 {
-		t.Fatalf("%d derivations, %d shapes remembered; want at least 8 and exactly 8", p.geo.factsDerived, len(p.geo.facts))
-	}
 }
 
 // TestShapeRebind: one SlabCache binds (a1, b1), then (a2, b2), then

@@ -54,17 +54,27 @@ func cellIDCorpora() []struct {
 }
 
 // checkCellIDs holds the ids the index hands a piece, once the searcher
-// filters them, to AppendWindowIDs for the piece, id for id, behind a
-// caller's prefix. It returns whether an id kept was anchored in a column
-// or row only the one-cell pad of the far edges reaches.
+// filters them, and the ids of the piece's window (AppendWindowIDs) to a
+// scan of every master id under the open-interior test, id for id,
+// behind a caller's prefix. It returns whether an id kept was anchored in
+// a column or row only the one-cell pad of the far edges reaches.
 func checkCellIDs(t testing.TB, idx *gridindex.Index, s *dssearch.Searcher, anchor func(id int32) geom.Point, a, b float64, p geom.Rect, what string) (padded bool) {
 	t.Helper()
 	prefix := []int32{-1, -2}
-	want := s.AppendWindowIDs(p, slices.Clone(prefix))
+	want := slices.Clone(prefix)
+	for id := range int32(s.Objects()) {
+		r := geom.RectFromTR(anchor(id), a, b)
+		if r.MinX < p.MaxX && p.MinX < r.MaxX && r.MinY < p.MaxY && p.MinY < r.MaxY {
+			want = append(want, id)
+		}
+	}
+	window := s.AppendWindowIDs(p, slices.Clone(prefix))
 	got, n := idx.CellIDs(s, p, a, b, slices.Clone(prefix))
-	if !slices.Equal(got, want) {
-		t.Fatalf("%s %v (%g×%g): the cells' ids filter to %d ids, the window to %d\ncells  %v\nwindow %v",
-			what, p, a, b, len(got)-len(prefix), len(want)-len(prefix), got, want)
+	for how, ids := range map[string][]int32{"cells'": got, "window's": window} {
+		if !slices.Equal(ids, want) {
+			t.Fatalf("%s %v (%g×%g): the %s ids are %d, the scan's %d\n%s %v\nscan %v",
+				what, p, a, b, how, len(ids)-len(prefix), len(want)-len(prefix), how, ids, want)
+		}
 	}
 	if n < len(got)-len(prefix) {
 		t.Fatalf("%s %v: the cells held %d ids, %d were kept", what, p, n, len(got)-len(prefix))
@@ -82,8 +92,9 @@ func checkCellIDs(t testing.TB, idx *gridindex.Index, s *dssearch.Searcher, anch
 }
 
 // TestCellIDsMatchWindowFilter holds the rectangle ids GI-DS collects
-// from the index's cells (cellRuns, AppendCellIDs) to the plain filter
-// of the piece's MinX window, on every kind of piece a session searches:
+// from the index's cells (cellRuns, AppendCellIDs) and the plain filter
+// of the piece's x window to a scan of the master, on every kind of piece
+// a session searches:
 // whole cells, cells cut by the forbidden boxes of exclusions, both
 // margin strips whole and cut, and pieces whose far edges lie on a
 // rectangle's edge or one ulp past it — where x − a < MaxX holds for an
@@ -169,15 +180,19 @@ func TestCellIDsMatchWindowFilter(t *testing.T) {
 }
 
 // FuzzCellIDs holds the ids the index's cells hand a piece, once
-// filtered, to AppendWindowIDs over fuzzed anchors (uniform or on a
-// lattice, anywhere in the float range), shapes, grids and pieces: the
-// piece given, the cell its corner is binned in, and both margin strips.
+// filtered, and AppendWindowIDs to a brute-force scan of the master over
+// fuzzed anchors (uniform or on a lattice, anywhere in the float range),
+// shapes, grids and pieces: the piece given, the cell its corner is
+// binned in, and both margin strips. The fifth seed is four anchors in
+// [0, 4] under a = b = 1e17, where x0 − wmax once rounded onto every
+// MinX and the window came back empty.
 // go test -run '^$' -fuzz FuzzCellIDs -fuzztime 30s ./internal/gridindex
 func FuzzCellIDs(f *testing.F) {
 	f.Add(int64(1), uint8(40), 0.0, 100.0, false, 2.5, 1.5, 10.0, 20.0, 5.0, 5.0, uint8(8), uint8(8))
 	f.Add(int64(2), uint8(200), 1e15, 4096.0, true, 0.125, 7.0, 1e15, 1e15, 300.0, 1.0, uint8(64), uint8(3))
 	f.Add(int64(3), uint8(90), -500.0, 40.0, true, 5.0, 0.3125, -480.0, -470.0, 0.0, 12.0, uint8(64), uint8(64))
 	f.Add(int64(4), uint8(7), -1e300, 1e300, false, 1e299, 3e299, 0.0, -1e300, 1e300, 0.0, uint8(2), uint8(5))
+	f.Add(int64(5), uint8(4), 0.0, 4.0, true, 1e17, 1e17, 0.5, 0.5, 3.0, 3.0, uint8(16), uint8(16))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, origin, span float64, lattice bool, a, b, px, py, pw, ph float64, sx, sy uint8) {
 		if n == 0 || sx == 0 || sy == 0 || dssearch.CheckExtent(a, b) != nil {
 			t.Skip()

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"asrs"
+	"asrs/internal/dssearch"
 )
 
 // targetPart is one similar clause's contribution to the request
@@ -117,8 +118,8 @@ func (p *Planner) ParseAndPlan(src string) (*Plan, error) {
 func (p *Planner) planMaximize(ast *AST, pl *Plan) (*Plan, error) {
 	m := ast.Maximize
 	mp := &MaxPlan{Fn: m.Fn, Attr: m.Attr, AttrIdx: -1, A: m.A, B: m.B}
-	if m.A <= 0 || m.B <= 0 {
-		return nil, planErrf("maximize size must be positive, got %g x %g", m.A, m.B)
+	if err := dssearch.CheckExtent(m.A, m.B); err != nil {
+		return nil, planErrf("maximize size: %v", err)
 	}
 	if m.Fn == "sum" {
 		idx := p.schema.Index(m.Attr)
@@ -238,8 +239,8 @@ func (p *Planner) planFind(ast *AST, pl *Plan) (*Plan, error) {
 			return nil, planErrf("size is required unless the query has exactly one example region")
 		}
 	}
-	if a <= 0 || b <= 0 {
-		return nil, planErrf("answer size must be positive, got %g x %g", a, b)
+	if err := dssearch.CheckExtent(a, b); err != nil {
+		return nil, planErrf("answer size: %v", err)
 	}
 	pl.A, pl.B = a, b
 

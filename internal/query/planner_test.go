@@ -29,6 +29,7 @@ func TestPlanErrors(t *testing.T) {
 		`find size 2 x 2 similar to target(1) under sum(val) and similar to target(1,2,3) under @named`, // @name in a conjunction
 		`find similar to target(1) under sum(val)`,                                                      // no size and no example region
 		`find size -1 x 2 similar to target(1) under sum(val)`,                                          // non-positive size
+		`find size 1.5e308 x 2 similar to target(1) under sum(val)`,                                     // size beyond dssearch.MaxExtent
 		`find top 2 similar to region(5,5,1,1) under sum(val)`,                                          // inverted example region
 		`find similar to region(0,0,2,2) under sum(val) excluding region(3,3,1,1)`,                      // inverted exclude
 		`find similar to region(0,0,2,2) under sum(val) within region(9,9,1,1)`,                         // inverted within
@@ -37,6 +38,7 @@ func TestPlanErrors(t *testing.T) {
 		`find similar to target(1) size 2 x 2 under -2*sum(val)`,                                        // negative coefficient
 		`maximize sum(cat) size 1 x 1`,                                                                  // categorical under maximize sum
 		`maximize sum(nosuch) size 1 x 1`,
+		`maximize count() size 1 x 1.5e308`, // size beyond dssearch.MaxExtent
 	}
 	for _, src := range cases {
 		_, err := p.ParseAndPlan(src)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"asrs"
+	"asrs/internal/dssearch"
 	"asrs/internal/faultinject"
 	"asrs/internal/query"
 	"asrs/internal/shard"
@@ -268,8 +269,8 @@ func (s *Server) buildRequest(wq wire.Query) (query.Binding, asrs.QueryRequest, 
 		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("query requires a target or an example region")
 	}
 	q.Norm = norm
-	if a <= 0 || b <= 0 {
-		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("region size must be positive, got %g x %g", a, b)
+	if err := dssearch.CheckExtent(a, b); err != nil {
+		return nil, asrs.QueryRequest{}, nil, err
 	}
 	if wq.TopK < 0 || wq.TopK > asrs.MaxTopK {
 		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("top_k must be between 0 and %d, got %d", asrs.MaxTopK, wq.TopK)

@@ -19,6 +19,7 @@ import (
 
 	"asrs"
 	"asrs/internal/dataset"
+	"asrs/internal/dssearch"
 	"asrs/internal/faultinject"
 	"asrs/internal/server"
 	"asrs/internal/wire"
@@ -685,11 +686,13 @@ func TestServerStalledBodiesReleaseAdmission(t *testing.T) {
 	}
 }
 
-// TestServerTopKBound: top_k arrives from outside the program, so both
-// struct front doors refuse more than asrs.MaxTopK — the bound the query
-// language applies to `top k` — with 400 bad_request before any search is
-// started, and at the bound a 50-object corpus answers with the rows that
-// exist: a top-k is sized by the rounds that ran, not by k.
+// TestServerTopKBound: top_k and the answer size arrive from outside the
+// program, so both struct front doors refuse more than asrs.MaxTopK — the
+// bound the query language applies to `top k` — and a size at or beyond
+// dssearch.MaxExtent with 400 bad_request before any search is started
+// (a size of 1.5e308 used to be searched into a region with infinite
+// corners), and at the top_k bound a 50-object corpus answers with the
+// rows that exist: a top-k is sized by the rounds that ran, not by k.
 func TestServerTopKBound(t *testing.T) {
 	ds := dataset.Random(50, 100, 5)
 	f, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "cat"})
@@ -708,30 +711,36 @@ func TestServerTopKBound(t *testing.T) {
 	defer ts.Close()
 	q := wire.Query{Composite: "cat", A: 20, B: 20, Target: []float64{2, 2, 2},
 		Extent: &wire.Rect{MaxX: 100, MaxY: 100}, TopK: asrs.MaxTopK + 1}
+	oversize := q
+	oversize.TopK, oversize.A, oversize.B, oversize.Extent = 1, 1.5e308, 1.5e308, nil
+	wide := oversize
+	wide.A, wide.B = 20, dssearch.MaxExtent
 
-	resp, body := postJSON(t, ts.URL+"/v1/query", q)
 	var single wire.Response
-	if err := json.Unmarshal(body, &single); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || single.Code != wire.CodeBadRequest {
-		t.Fatalf("/v1/query top_k %d: status %d, body %s; want 400 bad_request", q.TopK, resp.StatusCode, body)
-	}
-	resp, body = postJSON(t, ts.URL+"/v1/batch", wire.Batch{Queries: []wire.Query{q}})
-	var batch wire.BatchResponse
-	if err := json.Unmarshal(body, &batch); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || len(batch.Responses) != 1 ||
-		batch.Responses[0].Status != http.StatusBadRequest || batch.Responses[0].Code != wire.CodeBadRequest {
-		t.Fatalf("/v1/batch top_k %d: status %d, body %s; want a 400 bad_request member", q.TopK, resp.StatusCode, body)
+	for _, q := range []wire.Query{q, oversize, wide} {
+		resp, body := postJSON(t, ts.URL+"/v1/query", q)
+		if err := json.Unmarshal(body, &single); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || single.Code != wire.CodeBadRequest {
+			t.Fatalf("/v1/query top_k %d, %g x %g: status %d, body %s; want 400 bad_request", q.TopK, q.A, q.B, resp.StatusCode, body)
+		}
+		resp, body = postJSON(t, ts.URL+"/v1/batch", wire.Batch{Queries: []wire.Query{q}})
+		var batch wire.BatchResponse
+		if err := json.Unmarshal(body, &batch); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(batch.Responses) != 1 ||
+			batch.Responses[0].Status != http.StatusBadRequest || batch.Responses[0].Code != wire.CodeBadRequest {
+			t.Fatalf("/v1/batch top_k %d, %g x %g: status %d, body %s; want a 400 bad_request member", q.TopK, q.A, q.B, resp.StatusCode, body)
+		}
 	}
 	if st := eng.Stats(); st.Queries != 0 {
-		t.Fatalf("oversize top_k reached the engine: %+v", st)
+		t.Fatalf("an oversize top_k or size reached the engine: %+v", st)
 	}
 
 	q.TopK = asrs.MaxTopK
-	resp, body = postJSON(t, ts.URL+"/v1/query", q)
+	resp, body := postJSON(t, ts.URL+"/v1/query", q)
 	if err := json.Unmarshal(body, &single); err != nil {
 		t.Fatal(err)
 	}

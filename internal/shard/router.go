@@ -213,8 +213,8 @@ func (r *Router) Answer(ctx context.Context, req asrs.QueryRequest, pol PartialP
 	if pol != Strict && pol != BestEffort {
 		return Response{Err: fmt.Errorf("shard: unknown partial policy %q", pol)}
 	}
-	if !(req.A > 0) || !(req.B > 0) {
-		return Response{Err: fmt.Errorf("shard: region dimensions must be positive, got %g x %g", req.A, req.B)}
+	if err := dssearch.CheckExtent(req.A, req.B); err != nil {
+		return Response{Err: err}
 	}
 	var e asrs.Rect
 	if req.Within != nil {
