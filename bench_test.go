@@ -439,8 +439,11 @@ func topKRoundCells(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.Q
 // ids: 3 253, the rectangle ids the index's cells hand the searcher's
 // filter over every piece searched, where the pieces' full-height MinX
 // windows hold 28 112; it fails above 3 253 and at 0, when the pieces'
-// ids no longer come from the cells. And it fails on a distance plain
-// DS-Search does not answer.
+// ids no longer come from the cells. Sweep intervals scored: 668, 248
+// strips skipped by their Lemma 5 bound, where the sweeps scored every
+// dirty strip's intervals: 5 034 (DESIGN.md §8); it fails above 668, and
+// at no strip skipped. And it fails on a distance plain DS-Search does
+// not answer.
 func BenchmarkF1Indexed(b *testing.B) {
 	ds := tweetDS(20000)
 	qa, qb := sizeK(ds, 8)
@@ -476,7 +479,7 @@ func BenchmarkF1Indexed(b *testing.B) {
 	if plain.Err != nil {
 		b.Fatal(plain.Err)
 	}
-	discretizations, marginRuns, bounded, dirty, cellIDs := 0, 0, 0, 0, 0
+	discretizations, marginRuns, bounded, dirty, cellIDs, scored, pruned := 0, 0, 0, 0, 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -495,6 +498,8 @@ func BenchmarkF1Indexed(b *testing.B) {
 		bounded += stats.Bounded
 		dirty += stats.DS.DirtyCells
 		cellIDs += stats.CellIDs
+		scored += stats.DS.SweepScored
+		pruned += stats.DS.PrunedStrips
 	}
 	perQuery := float64(discretizations) / float64(b.N)
 	b.ReportMetric(perQuery, "discretizations/query")
@@ -504,6 +509,9 @@ func BenchmarkF1Indexed(b *testing.B) {
 	b.ReportMetric(ranges, "bounded/query")
 	ids := float64(cellIDs) / float64(b.N)
 	b.ReportMetric(ids, "cell_ids/query")
+	sweepScored, prunedStrips := float64(scored)/float64(b.N), float64(pruned)/float64(b.N)
+	b.ReportMetric(sweepScored, "sweep_scored/query")
+	b.ReportMetric(prunedStrips, "pruned_strips/query")
 	if perQuery > 100 {
 		b.Fatalf("%v discretizations per query, want at most 100", perQuery)
 	}
@@ -512,6 +520,9 @@ func BenchmarkF1Indexed(b *testing.B) {
 	}
 	if ids > 3253 || ids == 0 {
 		b.Fatalf("%v ids handed from the index's cells per query, want 1 to 3 253", ids)
+	}
+	if sweepScored > 668 || prunedStrips == 0 {
+		b.Fatalf("%v sweep intervals scored and %v strips skipped by their bound per query, want at most 668 and some", sweepScored, prunedStrips)
 	}
 }
 

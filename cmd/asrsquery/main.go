@@ -108,8 +108,9 @@ var infoOut = os.Stdout
 func infof(format string, args ...any) { fmt.Fprintf(infoOut, format, args...) }
 
 // debugStats prints the per-search work counters: how the space was
-// processed, and which evaluator the strip cost model picked per dirty
-// strip of the mini-sweeps.
+// processed, which evaluator the strip cost model picked per dirty strip
+// of the mini-sweeps, and how many intervals they scored and strips their
+// bound skipped.
 func debugStats(stats asrs.SearchStats) {
 	infof("discretizations: %d, splits: %d, bisections: %d\n",
 		stats.Discretizations, stats.Splits, stats.Bisections)
@@ -123,6 +124,7 @@ func debugStats(stats asrs.SearchStats) {
 	}
 	infof("mini-sweeps: %d over %d rects (+%d containing the swept space, folded into its base vector); strip evaluator: %d flat, %d fenwick\n",
 		stats.MiniSweeps, stats.MiniSweepRects, stats.SweepBaseRects, stats.FlatStrips, stats.FenwickStrips)
+	infof("mini-sweep intervals scored: %d; strips skipped by their bound: %d\n", stats.SweepScored, stats.PrunedStrips)
 	infof("heap: %d pushes (max %d)\n", stats.HeapPushes, stats.MaxHeapSize)
 }
 

@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"syscall"
 	"testing"
@@ -82,6 +83,7 @@ func fixture(t *testing.T) (*asrs.Dataset, *asrs.Composite, []asrs.QueryRequest,
 			chaosCorpus.err = err
 			return
 		}
+		defer eng.Close()
 		want := make([]float64, len(reqs))
 		for i, req := range reqs {
 			resp := eng.Query(req)
@@ -98,6 +100,27 @@ func fixture(t *testing.T) (*asrs.Dataset, *asrs.Composite, []asrs.QueryRequest,
 		t.Fatal(chaosCorpus.err)
 	}
 	return chaosCorpus.ds, chaosCorpus.f, chaosCorpus.reqs, chaosCorpus.want
+}
+
+// checkLeaks ends a test with a goroutine-leak check: its clean-up, which
+// runs after every clean-up registered later, waits up to 10 s for
+// runtime.NumGoroutine to settle back to its count from before the test
+// built anything, and prints every stack otherwise — a goroutine left
+// over is one an engine, a router or a shard leaked.
+func checkLeaks(t *testing.T) {
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines after clean-up, %d before the test:\n%s",
+					runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
 }
 
 // typedErr reports whether an error belongs to the taxonomy the fault
@@ -117,8 +140,10 @@ func typedErr(err error) bool {
 // slow kernel merges). Per query: bracket with Fired() — if no fault fired
 // on its path, the answer must be bit-identical to the oracle; if the
 // query failed, the error must be typed. The process surviving all 24
-// schedules IS the no-process-death assertion.
+// schedules IS the no-process-death assertion. Every engine is closed,
+// and the test ends with a goroutine-leak check.
 func TestEngineChaosSeeds(t *testing.T) {
+	checkLeaks(t)
 	ds, _, reqs, want := fixture(t)
 
 	compared, faulted := 0, 0
@@ -127,6 +152,7 @@ func TestEngineChaosSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { eng.Close() })
 		// Seed-varied rates: low seeds arm aggressive panics (every
 		// query dies), high seeds sparse ones (most queries survive
 		// untouched and must stay bit-identical).

@@ -381,8 +381,10 @@ func TestIngestServerKillAndRequery(t *testing.T) {
 // and compactions race under sparse seeded ingest faults. Contract:
 // only typed errors, and after the faults lift, a final compaction,
 // clean close and recovery hold exactly the acked objects and answer
-// like a from-scratch rebuild.
+// like a from-scratch rebuild. It closes the engines it builds and ends
+// with a goroutine-leak check.
 func TestIngestChaosConcurrent(t *testing.T) {
+	checkLeaks(t)
 	ds, _, reqs, _ := fixture(t)
 	pool := insertPool(120, 904)
 	ing := asrs.IngestOptions{WALDir: t.TempDir(), Sync: asrs.SyncNever, SegmentBytes: 1024, CompactAt: -1}
@@ -446,6 +448,7 @@ func TestIngestChaosConcurrent(t *testing.T) {
 	fired := plan.Fired()
 	faultinject.Deactivate()
 	if t.Failed() {
+		eng.Close()
 		return
 	}
 	if fired == 0 {
@@ -468,6 +471,7 @@ func TestIngestChaosConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer oracle.Close()
 	for i, req := range reqs {
 		wr, rr := oracle.Query(req), rec.Query(req)
 		if wr.Err != nil || rr.Err != nil {

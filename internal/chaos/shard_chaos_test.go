@@ -78,8 +78,10 @@ func routedTypedErr(err error) bool {
 // process never dies; every failure is typed; any query that saw no
 // fault fire and lost no shard answers bit-identically to the
 // merged-corpus oracle; a best-effort answer's coverage names the
-// skipped shards.
+// skipped shards. Every catalog is closed, and the test ends with a
+// goroutine-leak check.
 func TestShardChaosSeeds(t *testing.T) {
+	checkLeaks(t)
 	ds, f, reqs, want := shardFixture(t)
 	t.Cleanup(faultinject.Deactivate)
 

@@ -130,6 +130,8 @@ type Stats struct {
 	SweepBaseRects  int // rectangles containing a swept space, folded into the sweep's base vector instead
 	FlatStrips      int // mini-sweep strips resolved by the flat prefix scan
 	FenwickStrips   int // mini-sweep strips resolved by Fenwick tree walks
+	SweepScored     int // mini-sweep intervals folded and scored, every walk
+	PrunedStrips    int // mini-sweep strips skipped unscored: their Lemma 5 bound could not beat the sweep's
 	RefinedCells    int // always 0: subset-enumeration refinement is gone; bench/ still reads the field
 	CenterProbes    int // dirty-cell centers evaluated as candidates
 	HeapPushes      int
@@ -152,6 +154,8 @@ func (s *Stats) Add(o Stats) {
 	s.SweepBaseRects += o.SweepBaseRects
 	s.FlatStrips += o.FlatStrips
 	s.FenwickStrips += o.FenwickStrips
+	s.SweepScored += o.SweepScored
+	s.PrunedStrips += o.PrunedStrips
 	s.CenterProbes += o.CenterProbes
 	s.HeapPushes += o.HeapPushes
 	s.MaxHeapSize = max(s.MaxHeapSize, o.MaxHeapSize)
@@ -884,13 +888,16 @@ func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (as
 	s.sw.RebindWithBase(s.swSub, base)
 	// The solver's counters accumulate across rebinds (a recycled solver
 	// serves many searches); fold only this sweep's strip-evaluator deltas
-	// into the search stats.
+	// and scoring deltas into the search stats.
 	before := s.sw.Stats
 	// A capped sweep can return its +Inf sentinel: nothing scored under
 	// the cap.
 	r, ok := s.sw.SolveWithinCapped(space, capDist)
-	s.Stats.FlatStrips += s.sw.Stats.FlatStrips - before.FlatStrips
-	s.Stats.FenwickStrips += s.sw.Stats.FenwickStrips - before.FenwickStrips
+	after := &s.sw.Stats
+	s.Stats.FlatStrips += after.FlatStrips - before.FlatStrips
+	s.Stats.FenwickStrips += after.FenwickStrips - before.FenwickStrips
+	s.Stats.SweepScored += after.Scored - before.Scored
+	s.Stats.PrunedStrips += after.PrunedStrips - before.PrunedStrips
 	// The scratch is recycled across queries with the slabs, and the next
 	// sweeps rewrite only as much of it as they are large. Object pointers
 	// left in it would keep this query's dataset alive — under ingest a

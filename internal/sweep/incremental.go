@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"asrs/internal/agg"
 	"asrs/internal/fenwick"
 	"asrs/internal/geom"
 
@@ -52,6 +53,17 @@ import (
 // a scaled int64 — a count of its grid 2^-s — so every intermediate is
 // exact, and the power-of-two conversion back plus the one fold per
 // channel at evaluation reproduce the classic walk's floats bit for bit.
+//
+// A dirty strip is bounded before either evaluator scores it (Lemma 5,
+// as the grid bounds a dirty cell): every interval of the strip is
+// covered by the base and the active rectangles spanning all k intervals
+// (the full vector) plus some of the other active rectangles (the part
+// vector), so when the strip's Equation 1 bound reaches min(best,
+// evalCap) no interval of it can pass the strict improvement test, and
+// the strip is skipped. The answer is the same bit for bit: a skipped
+// interval is one DistanceUnder would have rejected, and the bound only
+// falls, so an interval a skipped strip leaves untouched has failed the
+// later strips' test as well (DESIGN.md §8).
 
 // incrMinRects gates the incremental path: below it the classic scan's
 // lower constant factor wins.
@@ -101,6 +113,17 @@ type incrState struct {
 	ranges   [][2]int32 // dirty interval ranges of the current strip
 	chI      []int64    // scaled limb scratch (point value / tree seed)
 	run      []int64    // running prefix accumulator of the flat pass
+
+	// The strip bound's inputs: the scaled limb totals of the current
+	// strip's spanning set (the base and every active rectangle covering
+	// all k intervals) and of its other active rectangles, kept by apply;
+	// their channel folds and representation bounds; and each Average
+	// slot's min/max over the rectangles a strip can hold partially.
+	full, part       []int64
+	foldFull, foldPt []float64
+	lo, hi           []float64
+	mmMin, mmMax     []float64
+	mm               []agg.MMContrib
 }
 
 // stripPlan is the per-solve structural decision of the rule: whether
@@ -201,6 +224,8 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		inc.addStart[i] = 0
 		inc.remStart[i] = 0
 	}
+	mmSlots := s.query.F.MinMaxSlots()
+	inc.boundScratch(s.limbs.Eff(), len(s.fold), len(s.rep), mmSlots)
 	for i := range s.rects {
 		r := &s.rects[i].Rect
 		// Covered intervals: MinX <= xs[j] && MaxX >= xs[j+1].
@@ -217,6 +242,15 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		}
 		inc.li[i], inc.ri[i] = li, ri
 		inc.sa[i], inc.se[i] = int32(sa), int32(se)
+		if mmSlots > 0 && (li != 0 || int(ri) != k-1) {
+			// A rectangle that spans every interval is full wherever it is
+			// active; only the others reach a strip's partial set.
+			inc.mm = s.query.F.AppendMM(s.rects[i].Obj, inc.mm[:0])
+			for _, m := range inc.mm {
+				inc.mmMin[m.Slot] = min(inc.mmMin[m.Slot], m.V)
+				inc.mmMax[m.Slot] = max(inc.mmMax[m.Slot], m.V)
+			}
+		}
 		inc.addStart[sa+1]++
 		inc.remStart[se+1]++
 	}
@@ -261,6 +295,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		if maintainTree {
 			inc.bit.RangeAdd(0, k-1, c, d)
 		}
+		inc.full[c] = d
 	}
 	if cap(inc.chI) < limbs {
 		inc.chI = make([]int64, limbs)
@@ -276,14 +311,28 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	// tree, recording the dirtied span.
 	apply := func(id int32, sign int64) {
 		l, r := int(inc.li[id]), int(inc.ri[id])
+		set := inc.part
+		if l == 0 && r == k-1 {
+			set = inc.full
+		}
 		for _, cb := range s.contribs(int(id)) {
 			d := sign * int64(cb.V*scale[cb.Ch])
 			inc.dif.RangeAdd(l, r, cb.Ch, d)
 			if maintainTree {
 				inc.bit.RangeAdd(l, r, cb.Ch, d)
 			}
+			set[cb.Ch] += d
 		}
 		inc.ranges = append(inc.ranges, [2]int32{inc.li[id], inc.ri[id]})
+	}
+
+	// bound is what a candidate must score under to matter: the best so
+	// far, or the caller's cap when that is lower. It only falls.
+	bound := func() float64 {
+		if s.evalCap < best.Dist {
+			return s.evalCap
+		}
+		return best.Dist
 	}
 
 	// evalAt scores the interval j of the strip at height y given its
@@ -291,15 +340,13 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	// the totals are int64 sums of the same deltas, so the floats below —
 	// and with them the answer — cannot depend on which structure
 	// produced them. (Exact: |scaled| stays within 2^53 under the
-	// certificate, and every inverse is a power of two.)
+	// certificate, and every inverse is a power of two.) Only strips whose
+	// bound is under bound() get here.
 	evalAt := func(j int32, y float64, tot []int64) {
 		s.Stats.Intervals++
+		s.Stats.Scored++
 		s.query.F.FinalizeExact(s.limbs.FoldCounts(s.fold, tot), rep)
-		bnd := best.Dist
-		if s.evalCap < bnd {
-			bnd = s.evalCap
-		}
-		if d, ok := s.query.DistanceUnder(rep, bnd); ok {
+		if d, ok := s.query.DistanceUnder(rep, bound()); ok {
 			best.Dist = d
 			best.Point = geom.Point{X: (xs[j] + xs[j+1]) / 2, Y: y}
 			best.Rep = append(best.Rep[:0], rep...)
@@ -320,6 +367,15 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 			// Every interval is a fresh candidate in the first strip.
 			inc.ranges = append(inc.ranges[:0], [2]int32{0, int32(k - 1)})
 		} else if len(inc.ranges) == 0 {
+			continue
+		}
+		// Every interval of the strip holds the full set and some of the
+		// part set: a strip whose Lemma 5 bound reaches the bound has no
+		// candidate that could pass the strict improvement test. Its
+		// deltas are applied; only its scoring is skipped.
+		if bnd := bound(); !math.IsInf(bnd, 1) && s.stripOutOfReach(bnd) {
+			s.Stats.PrunedStrips++
+			found = true
 			continue
 		}
 		// Merge the dirty ranges so intervals are visited ascending —
@@ -393,6 +449,51 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		}
 	}
 	return found
+}
+
+// boundScratch sizes the strip bound's scratch for limbs limb totals,
+// chans channels, dims representation dimensions and mmSlots Average
+// slots, and resets the totals and the min/max identities.
+func (inc *incrState) boundScratch(limbs, chans, dims, mmSlots int) {
+	if cap(inc.full) < limbs {
+		inc.full = make([]int64, limbs)
+		inc.part = make([]int64, limbs)
+	}
+	inc.full, inc.part = inc.full[:limbs], inc.part[:limbs]
+	clear(inc.full)
+	clear(inc.part)
+	if cap(inc.foldFull) < chans {
+		inc.foldFull = make([]float64, chans)
+		inc.foldPt = make([]float64, chans)
+	}
+	if cap(inc.lo) < dims {
+		inc.lo = make([]float64, dims)
+		inc.hi = make([]float64, dims)
+	}
+	inc.lo, inc.hi = inc.lo[:dims], inc.hi[:dims]
+	if cap(inc.mmMin) < mmSlots {
+		inc.mmMin = make([]float64, mmSlots)
+		inc.mmMax = make([]float64, mmSlots)
+	}
+	inc.mmMin, inc.mmMax = inc.mmMin[:mmSlots], inc.mmMax[:mmSlots]
+	for i := range inc.mmMin {
+		inc.mmMin[i], inc.mmMax[i] = math.Inf(1), math.Inf(-1)
+	}
+}
+
+// stripOutOfReach reports whether the current strip's Lemma 5 bound is
+// at least bnd: its covering sets lie between the full set and the full
+// set with every part rectangle added, so each interval's representation
+// lies in the bounds FinalizeBounds forms from the two folds — the
+// arithmetic of the grid's pass 2 (boundPass), whose soundness carries
+// over — and its distance is at least the bound.
+func (s *Solver) stripOutOfReach(bnd float64) bool {
+	inc := &s.inc
+	full := s.limbs.FoldCounts(inc.foldFull, inc.full)
+	part := s.limbs.FoldCounts(inc.foldPt, inc.part)
+	s.query.F.FinalizeBounds(full, part, inc.mmMin, inc.mmMax, inc.lo, inc.hi)
+	_, under := s.query.LowerBoundIntUnder(inc.lo, inc.hi, s.isInt, bnd)
+	return !under
 }
 
 // resizeI32 returns a slice of length n, reusing capacity when possible

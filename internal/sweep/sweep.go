@@ -29,6 +29,12 @@ type Stats struct {
 	// range walks.
 	FlatStrips    int
 	FenwickStrips int
+	// Scored counts the intervals whose representation was folded and
+	// scored against the bound, in every walk; PrunedStrips the dirty
+	// strips of the incremental sweep skipped unscored because their
+	// Lemma 5 bound could not beat it.
+	Scored       int
+	PrunedStrips int
 }
 
 // Solver runs the Base algorithm. The zero value is not usable; construct
@@ -56,6 +62,9 @@ type Solver struct {
 	acc  []float64 // a strip's limb totals
 	fold []float64 // their channel fold
 	rep  []float64
+	// isInt flags the representation's integer dimensions (the strip
+	// bound's integrality, Composite.IntegerDims).
+	isInt []bool
 
 	// Every rectangle's limb contributions, flattened once per Rebind at
 	// the first strip walk (flatten): a strip adds and removes each active
@@ -98,6 +107,7 @@ func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 	s := &Solver{
 		query:   q,
 		rep:     make([]float64, q.F.Dims()),
+		isInt:   q.F.IntegerDims(),
 		evalCap: math.Inf(1),
 	}
 	var raw []agg.Contrib
@@ -125,6 +135,7 @@ func NewSized(q asp.Query, l *agg.Limbs, incrCap int) (*Solver, error) {
 	s := &Solver{
 		query:       q,
 		rep:         make([]float64, q.F.Dims()),
+		isInt:       q.F.IntegerDims(),
 		byMinX:      make([]int, 0, presort),
 		byMaxX:      make([]int, 0, presort),
 		ys:          make([]float64, 0, presort),
@@ -381,6 +392,7 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, best *asp.Result) bool {
 			return
 		}
 		changed = false
+		s.Stats.Scored++
 		var xm float64
 		if l == r {
 			xm = l
