@@ -84,7 +84,7 @@ func main() {
 		verbose    = flag.Bool("verbose", false, "log one line per request")
 		walDir     = flag.String("wal-dir", "", "streaming-ingest WAL directory: POST /v1/insert becomes durable and acknowledged inserts survive a crash (empty = memory-only ingest); in shard mode each shard gets <wal-dir>/<shard-name>")
 		walSync    = flag.String("wal-sync", "always", "WAL sync policy: always (fsync per insert), batch (fsync per insert batch), never (OS flushes)")
-		compactAt  = flag.Int("compact-at", 0, "staged inserts before background compaction folds the WAL into a snapshot (0 = default, negative = never)")
+		_          = flag.Int("compact-at", 0, "inert: the WAL is the only durable form of ingested objects and nothing compacts it; kept for scripts that pass it")
 		shards     = flag.Int("shards", 0, "split the corpus into this many equal-population x-slab shards behind the scatter–gather router (0 = single-engine mode)")
 		shardCuts  = flag.String("shard-cuts", "", "explicit comma-separated interior shard cut x-coordinates, strictly ascending (overrides -shards; k cuts make k+1 shards)")
 		partial    = flag.String("partial", "", "default partial-result policy for routed queries: strict (fail when a needed shard is down) or best_effort (answer from survivors, report skips); shard mode only")
@@ -97,7 +97,7 @@ func main() {
 		grid: *grid, queue: *queue,
 		timeout: *timeout, maxTimeout: *maxTimeout,
 		grace: *grace, verbose: *verbose, walDir: *walDir, walSync: *walSync,
-		compactAt: *compactAt, shards: *shards, shardCuts: *shardCuts,
+		shards: *shards, shardCuts: *shardCuts,
 		partial: *partial, shardLazy: *shardLazy,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "asrsd:", err)
@@ -116,7 +116,6 @@ type runConfig struct {
 	grace               time.Duration
 	verbose             bool
 	walDir, walSync     string
-	compactAt           int
 	shards              int
 	shardCuts, partial  string
 	shardLazy           bool
@@ -222,9 +221,8 @@ func run(rc runConfig) error {
 	engOpts := asrs.EngineOptions{
 		IndexGranularity: rc.grid,
 		Ingest: asrs.IngestOptions{
-			WALDir:    rc.walDir,
-			Sync:      syncPolicy,
-			CompactAt: rc.compactAt,
+			WALDir: rc.walDir,
+			Sync:   syncPolicy,
 		},
 	}
 	cuts, err := parseCuts(rc.shardCuts)
@@ -275,10 +273,10 @@ func run(rc runConfig) error {
 			return err
 		}
 		if rc.walDir != "" {
-			// NewEngine already replayed snapshot + WAL; every previously
+			// NewEngine already replayed the WAL; every previously
 			// acknowledged insert is staged for the first epoch view.
 			log.Printf("ingest: WAL %s (sync=%s), recovered %d ingested objects",
-				rc.walDir, syncPolicy, len(eng.IngestedObjects()))
+				rc.walDir, syncPolicy, eng.Stats().Ingested)
 		}
 		for _, name := range names {
 			start := time.Now()
@@ -338,29 +336,13 @@ func run(rc runConfig) error {
 		drainErr = err
 	}
 	// Engines close after the serving layer has drained: no insert can
-	// be in flight. A final compaction folds each WAL into its ingest
-	// snapshot so the next boot replays (almost) nothing; skipping it on
-	// error is safe — recovery replays the WAL instead.
+	// be in flight, and Close syncs each WAL.
 	if eng != nil {
-		if rc.walDir != "" {
-			if err := eng.Compact(); err != nil {
-				log.Printf("ingest: final compaction failed (recovery will replay the WAL): %v", err)
-			}
-		}
 		if err := eng.Close(); err != nil && drainErr == nil {
 			drainErr = err
 		}
 	}
 	if cat != nil {
-		if rc.walDir != "" {
-			for _, sh := range cat.Shards() {
-				if e := sh.Loaded(); e != nil {
-					if err := e.Compact(); err != nil {
-						log.Printf("ingest: %s final compaction failed (recovery will replay the WAL): %v", sh.Name(), err)
-					}
-				}
-			}
-		}
 		if err := cat.Close(); err != nil && drainErr == nil {
 			drainErr = err
 		}

@@ -84,16 +84,10 @@ type Engine struct {
 	ingestMu     sync.Mutex
 	staged       []Object
 	wlog         *wal.Log
-	lastLSN      uint64 // last acknowledged WAL LSN
-	snapCount    int    // staged objects covered by the durable snapshot
-	snapLSN      uint64 // the snapshot's applied-LSN watermark
 	ingestClosed bool
 	stagedLen    atomic.Int64
-	compacting   atomic.Bool
 
-	nIngested    atomic.Int64
-	nCompactions atomic.Int64
-	nCompactErrs atomic.Int64
+	nIngested atomic.Int64
 
 	// Epoch-pyramid accounting: delta folds that patched their base, folds
 	// a gate refused (answered by a full rebuild), and the time spent in
@@ -164,9 +158,10 @@ type EngineStats struct {
 	// Ingested counts objects appended since the seed corpus (including
 	// objects recovered from the WAL at boot).
 	Ingested int64 `json:"ingested"`
-	// Compactions counts completed ingest compactions; CompactionErrors
-	// counts background compactions that failed (retried at the next
-	// trigger).
+	// Compactions and CompactionErrors are always 0: the WAL is the only
+	// durable form of ingested objects, and nothing compacts it. The
+	// fields stay until bench/, which reads them, can change (ROADMAP,
+	// signatures to release).
 	Compactions      int64 `json:"compactions"`
 	CompactionErrors int64 `json:"compaction_errors"`
 	// PyramidFolds counts epoch pyramids produced by the delta fold
@@ -212,8 +207,6 @@ func (e *Engine) Stats() EngineStats {
 		Indexes:                ni,
 		Pyramids:               np,
 		Ingested:               e.nIngested.Load(),
-		Compactions:            e.nCompactions.Load(),
-		CompactionErrors:       e.nCompactErrs.Load(),
 		PyramidFolds:           e.nFolds.Load(),
 		PyramidFoldFallbacks:   e.nFoldFallbacks.Load(),
 		PyramidFoldMs:          float64(e.foldNanos.Load()) / 1e6,

@@ -195,41 +195,43 @@ func TestEngineChaosSeeds(t *testing.T) {
 	t.Logf("chaos: %d fault-free queries compared bit-identical, %d faulted with typed errors", compared, faulted)
 }
 
-// TestPersistChaosSeeds replays an ingest compaction — the one durable
-// write, the ingest snapshot — under 20 seeded IO fault schedules over
-// its write, fsyncs and rename. Contract: a compaction that fails does so
-// typed and leaves the previous complete snapshot or the new one, never a
-// torn file; one that succeeds leaves the new one; and whatever its fate,
-// a reboot over the directory recovers every acknowledged insert. The
-// schedules must reach every regime, among them an fsync failure that
-// leaves the old snapshot: the snapshot is fsynced before the rename
-// publishes it.
+// TestPersistChaosSeeds replays the ingest snapshot writer — the one
+// durable format beside the WAL that boot reads, left by builds that
+// compacted their WAL — under 20 seeded IO fault schedules over its
+// write, fsyncs and rename, in a directory whose WAL holds every insert,
+// as such a build's did. Contract: a save that fails does so typed and
+// leaves the previous complete snapshot or the new one, never a torn
+// file; one that succeeds leaves the new one; and whatever its fate, a
+// boot over the directory recovers every acknowledged insert exactly
+// once. The schedules must reach every regime, among them an fsync
+// failure that leaves the old snapshot: the snapshot is fsynced before
+// the rename publishes it.
 func TestPersistChaosSeeds(t *testing.T) {
 	ds, _, _, _ := fixture(t)
 	pool := insertPool(20, 61)
-	snapped := func(dir string) int {
+	snapped := func(path string) int {
 		t.Helper()
-		objs, _, err := persist.LoadIngestSnapshot(filepath.Join(dir, "ingest.snap"), ds.Schema)
+		objs, _, err := persist.LoadIngestSnapshot(path, ds.Schema)
 		if err != nil {
-			t.Fatalf("snapshot unreadable after a compaction: %v", err)
+			t.Fatalf("snapshot unreadable after a save: %v", err)
 		}
 		return len(objs)
 	}
 	regimes := map[string]int{}
 	for seed := int64(1); seed <= 20; seed++ {
 		dir := t.TempDir()
-		opt := asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir, CompactAt: -1}}
+		opt := asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir}}
 		eng, err := asrs.NewEngine(ds, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.InsertBatch(pool[:10]); err != nil {
+		// LSN 1 is the log's schema record, LSN 2 holds pool[:10], LSN 3
+		// the rest.
+		if err := errors.Join(eng.InsertBatch(pool[:10]), eng.InsertBatch(pool[10:]), eng.Close()); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.InsertBatch(pool[10:]); err != nil {
+		path := filepath.Join(dir, "ingest.snap")
+		if err := persist.SaveIngestSnapshot(path, ds.Schema, pool[:10], 2); err != nil {
 			t.Fatal(err)
 		}
 		plan := faultinject.NewPlan(seed,
@@ -238,18 +240,18 @@ func TestPersistChaosSeeds(t *testing.T) {
 			faultinject.Spec{Point: "persist.save.rename", Action: faultinject.ActError, MaxEvery: 6},
 		)
 		faultinject.Activate(plan)
-		cerr := eng.Compact()
+		serr := persist.SaveIngestSnapshot(path, ds.Schema, pool, 3)
 		faultinject.Deactivate()
 
-		n := snapped(dir)
+		n := snapped(path)
 		switch {
-		case cerr == nil:
+		case serr == nil:
 			if plan.Fired() != 0 || n != 20 {
-				t.Fatalf("seed %d: compaction succeeded after %d faults, snapshot holds %d objects", seed, plan.Fired(), n)
+				t.Fatalf("seed %d: save succeeded after %d faults, snapshot holds %d objects", seed, plan.Fired(), n)
 			}
 			regimes["success"]++
-		case !errors.Is(cerr, faultinject.ErrInjected):
-			t.Fatalf("seed %d: untyped compaction error %v", seed, cerr)
+		case !errors.Is(serr, faultinject.ErrInjected):
+			t.Fatalf("seed %d: untyped save error %v", seed, serr)
 		case plan.FiredAt("compact.save") > 0 || plan.FiredAt("persist.save.rename") > 0:
 			if n != 10 {
 				t.Fatalf("seed %d: a write or rename fault published a snapshot of %d objects", seed, n)
@@ -259,9 +261,6 @@ func TestPersistChaosSeeds(t *testing.T) {
 			regimes["fsync, old kept"]++
 		default:
 			regimes["fsync, new published"]++
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
 		}
 		again, err := asrs.NewEngine(ds, opt)
 		if err != nil {
@@ -275,39 +274,46 @@ func TestPersistChaosSeeds(t *testing.T) {
 			t.Fatalf("no seed reached the %q regime: %v", r, regimes)
 		}
 	}
-	t.Logf("compaction regimes over 20 seeds: %v", regimes)
+	t.Logf("snapshot save regimes over 20 seeds: %v", regimes)
 }
 
 // TestSigtermDrainWithConcurrentSave delivers a real SIGTERM while
-// concurrent queries are in flight and an ingest compaction is running
-// concurrently, held in its fsyncs — the asrsd shutdown scenario.
-// Contract: the drain completes (in-flight queries get real answers, not
-// errors), the compaction fsyncs the snapshot and its directory and
-// succeeds, and a reboot over the directory finds every insert in the
-// snapshot.
+// concurrent queries are in flight and a durable insert is being saved
+// concurrently, held in its WAL fsync — the asrsd shutdown scenario.
+// Contract: the drain completes (in-flight queries get real answers,
+// not errors, over the corpus before or after the insert), the insert
+// is acknowledged, Close fsyncs the log, the directory holds WAL
+// segments and nothing else, and a reboot over it recovers every
+// insert.
 func TestSigtermDrainWithConcurrentSave(t *testing.T) {
 	ds, _, reqs, _ := fixture(t)
 	tail := insertPool(40, 62)
-	oracle, err := asrs.NewEngine(combinedDataset(ds, tail), asrs.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, len(reqs))
-	for i, req := range reqs {
-		resp := oracle.Query(req)
-		if resp.Err != nil {
-			t.Fatal(resp.Err)
+	early, late := tail[:30], tail[30:]
+	answers := func(objs []asrs.Object) []float64 {
+		t.Helper()
+		oracle, err := asrs.NewEngine(combinedDataset(ds, objs), asrs.EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		want[i] = resp.Results[0].Dist
+		want := make([]float64, len(reqs))
+		for i, req := range reqs {
+			resp := oracle.Query(req)
+			if resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			want[i] = resp.Results[0].Dist
+		}
+		return want
 	}
+	before, after := answers(early), answers(tail)
 
 	dir := t.TempDir()
-	opt := asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir, CompactAt: -1}}
+	opt := asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir}}
 	eng, err := asrs.NewEngine(ds, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.InsertBatch(tail); err != nil {
+	if err := eng.InsertBatch(early); err != nil {
 		t.Fatal(err)
 	}
 
@@ -330,13 +336,13 @@ func TestSigtermDrainWithConcurrentSave(t *testing.T) {
 		}(i, req)
 	}
 
-	// Concurrent compaction racing the signal and the drain, each of its
-	// fsyncs slowed so the signal lands while it is under way.
-	plan := faultinject.NewPlan(1, faultinject.Spec{Point: "persist.save.sync", Action: faultinject.ActSleep, MaxEvery: 1, Delay: 20 * time.Millisecond})
+	// A concurrent insert racing the signal and the drain, each WAL
+	// fsync slowed so the signal lands while it is under way.
+	plan := faultinject.NewPlan(1, faultinject.Spec{Point: "wal.append.sync", Action: faultinject.ActSleep, MaxEvery: 1, Delay: 20 * time.Millisecond})
 	faultinject.Activate(plan)
 	defer faultinject.Deactivate()
-	compactErr := make(chan error, 1)
-	go func() { compactErr <- eng.Compact() }()
+	insertErr := make(chan error, 1)
+	go func() { insertErr <- eng.InsertBatch(late) }()
 
 	// Deliver a REAL SIGTERM to this process.
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
@@ -355,27 +361,32 @@ func TestSigtermDrainWithConcurrentSave(t *testing.T) {
 		if out.resp.Err != nil {
 			t.Fatalf("drained query %d failed: %v", out.i, out.resp.Err)
 		}
-		if math.Float64bits(out.resp.Results[0].Dist) != math.Float64bits(want[out.i]) {
-			t.Fatalf("drained query %d answered %v, want %v", out.i, out.resp.Results[0].Dist, want[out.i])
+		got := math.Float64bits(out.resp.Results[0].Dist)
+		if got != math.Float64bits(before[out.i]) && got != math.Float64bits(after[out.i]) {
+			t.Fatalf("drained query %d answered %v, want %v or %v", out.i, out.resp.Results[0].Dist, before[out.i], after[out.i])
 		}
 	}
-	if err := <-compactErr; err != nil {
-		t.Fatalf("concurrent compaction failed: %v", err)
-	}
-	faultinject.Deactivate()
-	if syncs := plan.FiredAt("persist.save.sync"); syncs != 2 {
-		t.Fatalf("the compaction fsynced %d times, want the snapshot and its directory", syncs)
+	if err := <-insertErr; err != nil {
+		t.Fatalf("concurrent insert failed: %v", err)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The snapshot holds every insert, and a reboot recovers them.
-	snap, _, err := persist.LoadIngestSnapshot(filepath.Join(dir, "ingest.snap"), ds.Schema)
-	if err != nil {
-		t.Fatalf("snapshot unreadable after the drain: %v", err)
+	faultinject.Deactivate()
+	if syncs := plan.FiredAt("wal.append.sync"); syncs != 2 {
+		t.Fatalf("the log fsynced %d times, want the insert's record and Close", syncs)
 	}
-	objsBitsEqual(t, "snapshot", snap, tail)
+
+	// The WAL is the only file, and a reboot recovers every insert.
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if ok, _ := filepath.Match("wal-*.seg", e.Name()); !ok {
+			t.Fatalf("the drained WAL directory holds %q", e.Name())
+		}
+	}
 	again, err := asrs.NewEngine(ds, opt)
 	if err != nil {
 		t.Fatal(err)

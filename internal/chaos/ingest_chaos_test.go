@@ -95,15 +95,13 @@ func combinedDataset(ds *asrs.Dataset, tail []asrs.Object) *asrs.Dataset {
 
 // TestIngestKillAndReplaySeeds drives the full crash matrix under 8
 // seeded fault schedules: injected append/sync failures (refused
-// inserts), injected compaction failures (snapshot short writes,
-// truncation errors — the crash-between-rename-and-truncate window),
-// forced segment rotation (tiny SegmentBytes), and on odd seeds a torn
-// tail written at the "kill" point. After each crash the engine
-// recovers and must hold exactly the acked objects and answer
-// bit-identically to a from-scratch rebuild — on even seeds at a
-// second engine configuration (parallel batches) too. The matrix runs
-// under both acknowledging sync policies: a batch refused under either
-// must never come back.
+// inserts), forced segment rotation (tiny SegmentBytes), and on odd
+// seeds a torn tail written at the "kill" point. After each crash the
+// engine recovers and must hold exactly the acked objects and answer
+// bit-identically to a from-scratch rebuild — on even seeds at a second
+// engine configuration (parallel batches) too. The matrix runs under
+// both acknowledging sync policies: a batch refused under either must
+// never come back.
 func TestIngestKillAndReplaySeeds(t *testing.T) {
 	for _, policy := range []asrs.SyncPolicy{asrs.SyncAlways, asrs.SyncBatch} {
 		t.Run(policy.String(), func(t *testing.T) { killAndReplaySeeds(t, policy) })
@@ -115,12 +113,9 @@ func killAndReplaySeeds(t *testing.T, policy asrs.SyncPolicy) {
 	pool := insertPool(160, 901)
 
 	ackedTotal, refused := 0, 0
-	var appendFaults, compactFaults uint64
+	var appendFaults uint64
 	for seed := int64(1); seed <= 8; seed++ {
-		ing := asrs.IngestOptions{
-			WALDir: t.TempDir(), Sync: policy,
-			SegmentBytes: 512, CompactAt: -1,
-		}
+		ing := asrs.IngestOptions{WALDir: t.TempDir(), Sync: policy, SegmentBytes: 512}
 		eng, err := asrs.NewEngine(ds, asrs.EngineOptions{Ingest: ing})
 		if err != nil {
 			t.Fatal(err)
@@ -130,8 +125,6 @@ func killAndReplaySeeds(t *testing.T, policy asrs.SyncPolicy) {
 				MaxEvery: 1 << (2 + seed%3)},
 			faultinject.Spec{Point: "wal.append.sync", Action: faultinject.ActError,
 				MaxEvery: 1 << (3 + seed%3)},
-			faultinject.Spec{Point: "compact.save", Action: faultinject.ActShortWrite, MaxEvery: 3},
-			faultinject.Spec{Point: "compact.truncate", Action: faultinject.ActError, MaxEvery: 2},
 		)
 		faultinject.Activate(plan)
 		rng := rand.New(rand.NewSource(seed * 7919))
@@ -151,14 +144,8 @@ func killAndReplaySeeds(t *testing.T, policy asrs.SyncPolicy) {
 				acked = append(acked, batch...)
 			}
 			i += n
-			if rng.Intn(3) == 0 {
-				if cerr := eng.Compact(); cerr != nil && !typedErr(cerr) {
-					t.Fatalf("seed %d: untyped compaction error %v", seed, cerr)
-				}
-			}
 		}
 		appendFaults += plan.FiredAt("wal.append.write") + plan.FiredAt("wal.append.sync")
-		compactFaults += plan.FiredAt("compact.save") + plan.FiredAt("compact.truncate")
 		faultinject.Deactivate()
 		ackedTotal += len(acked)
 
@@ -218,14 +205,14 @@ func killAndReplaySeeds(t *testing.T, policy asrs.SyncPolicy) {
 			}
 		}
 	}
-	// The schedule spread must produce acks, refusals, and both fault
-	// families, or the matrix is asserting nothing.
-	if ackedTotal == 0 || refused == 0 || appendFaults == 0 || compactFaults == 0 {
-		t.Fatalf("degenerate ingest chaos run: %d acked, %d refused, %d append faults, %d compact faults",
-			ackedTotal, refused, appendFaults, compactFaults)
+	// The schedule spread must produce acks, refusals and faults, or the
+	// matrix is asserting nothing.
+	if ackedTotal == 0 || refused == 0 || appendFaults == 0 {
+		t.Fatalf("degenerate ingest chaos run: %d acked, %d refused, %d append faults",
+			ackedTotal, refused, appendFaults)
 	}
-	t.Logf("ingest chaos: %d inserts acked and recovered, %d refused typed (append faults %d, compact faults %d)",
-		ackedTotal, refused, appendFaults, compactFaults)
+	t.Logf("ingest chaos: %d inserts acked and recovered, %d refused typed (append faults %d)",
+		ackedTotal, refused, appendFaults)
 }
 
 // TestIngestReplayFaultTyped: an IO fault during recovery surfaces as
@@ -234,7 +221,7 @@ func killAndReplaySeeds(t *testing.T, policy asrs.SyncPolicy) {
 func TestIngestReplayFaultTyped(t *testing.T) {
 	ds, _, _, _ := fixture(t)
 	pool := insertPool(20, 902)
-	ing := asrs.IngestOptions{WALDir: t.TempDir(), Sync: asrs.SyncAlways, CompactAt: -1}
+	ing := asrs.IngestOptions{WALDir: t.TempDir(), Sync: asrs.SyncAlways}
 
 	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{Ingest: ing})
 	if err != nil {
@@ -280,7 +267,7 @@ func TestIngestReplayFaultTyped(t *testing.T) {
 func TestIngestServerKillAndRequery(t *testing.T) {
 	ds, f, reqs, _ := fixture(t)
 	pool := insertPool(60, 903)
-	ing := asrs.IngestOptions{WALDir: t.TempDir(), Sync: asrs.SyncAlways, SegmentBytes: 512, CompactAt: -1}
+	ing := asrs.IngestOptions{WALDir: t.TempDir(), Sync: asrs.SyncAlways, SegmentBytes: 512}
 
 	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{Ingest: ing})
 	if err != nil {
@@ -328,7 +315,7 @@ func TestIngestServerKillAndRequery(t *testing.T) {
 	}
 
 	// "SIGKILL": close the listener and abandon server and engine —
-	// no drain, no Compact, no Close.
+	// no drain, no Close.
 	ts.Close()
 
 	rec, err := asrs.NewEngine(ds, asrs.EngineOptions{Ingest: ing})
@@ -378,16 +365,16 @@ func TestIngestServerKillAndRequery(t *testing.T) {
 }
 
 // TestIngestChaosConcurrent is the -race schedule: inserts, queries
-// and compactions race under sparse seeded ingest faults. Contract:
-// only typed errors, and after the faults lift, a final compaction,
-// clean close and recovery hold exactly the acked objects and answer
-// like a from-scratch rebuild. It closes the engines it builds and ends
+// and batches race under sparse seeded ingest faults. Contract: only
+// typed errors, and after the faults lift, a clean close and recovery
+// hold exactly the acked objects and answer like a from-scratch
+// rebuild. It closes the engines it builds and ends
 // with a goroutine-leak check.
 func TestIngestChaosConcurrent(t *testing.T) {
 	checkLeaks(t)
 	ds, _, reqs, _ := fixture(t)
 	pool := insertPool(120, 904)
-	ing := asrs.IngestOptions{WALDir: t.TempDir(), Sync: asrs.SyncNever, SegmentBytes: 1024, CompactAt: -1}
+	ing := asrs.IngestOptions{WALDir: t.TempDir(), Sync: asrs.SyncNever, SegmentBytes: 1024}
 	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{
 		Ingest: ing, BatchParallelism: 2,
 	})
@@ -397,8 +384,6 @@ func TestIngestChaosConcurrent(t *testing.T) {
 
 	plan := faultinject.NewPlan(42,
 		faultinject.Spec{Point: "wal.append.write", Action: faultinject.ActShortWrite, MaxEvery: 16},
-		faultinject.Spec{Point: "compact.save", Action: faultinject.ActShortWrite, MaxEvery: 4},
-		faultinject.Spec{Point: "compact.truncate", Action: faultinject.ActError, MaxEvery: 3},
 	)
 	faultinject.Activate(plan)
 
@@ -438,10 +423,6 @@ func TestIngestChaosConcurrent(t *testing.T) {
 					return
 				}
 			}
-			if err := eng.Compact(); err != nil && !typedErr(err) {
-				t.Errorf("untyped concurrent compaction error %v", err)
-				return
-			}
 		}
 	}()
 	wg.Wait()
@@ -455,9 +436,6 @@ func TestIngestChaosConcurrent(t *testing.T) {
 		t.Fatal("degenerate concurrent schedule: no fault fired")
 	}
 
-	if err := eng.Compact(); err != nil {
-		t.Fatalf("fault-free final compaction failed: %v", err)
-	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}

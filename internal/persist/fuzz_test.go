@@ -73,7 +73,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 		// A decodable snapshot must survive a re-encode/decode round trip
-		// value-exactly (bit-level on floats) — the compaction path's
+		// value-exactly (bit-level on floats) — the snapshot's
 		// durability contract. Byte equality is NOT required: the decoder
 		// tolerates non-minimal uvarints that re-encode canonically.
 		got2, lsn2, err2 := DecodeIngestSnapshot(schema, EncodeIngestSnapshot(schema, got, lsn))

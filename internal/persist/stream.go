@@ -18,17 +18,19 @@ import (
 // (DESIGN.md §10).
 //
 // A WAL record is one EncodeObjects payload — the objects of one
-// Insert/InsertBatch call. The ingest snapshot holds the ingested
-// objects already folded durable by compaction (NEVER the seed corpus,
-// which the caller reconstructs deterministically) together with the
-// applied-LSN watermark, so recovery is
+// Insert/InsertBatch call — or the log's schema record. The WAL is the
+// engine's only durable form of ingested objects; an ingest snapshot is
+// what builds that compacted their WAL left beside it, and the engine
+// still reads one at boot but never writes one. A snapshot holds ingested objects (NEVER the seed
+// corpus, which the caller reconstructs deterministically) together
+// with the applied-LSN watermark, so recovery is
 //
 //	seed ++ snapshot objects ++ replay of WAL records with LSN > appliedLSN.
 //
 // Putting the watermark INSIDE the snapshot makes the snapshot rename
-// the single atomic commit point of compaction: there is no ordering
-// of crashes in which the watermark vouches for objects that are not
-// in the file it arrived with.
+// the single atomic commit point of a save: there is no ordering of
+// crashes in which the watermark vouches for objects that are not in
+// the file it arrived with.
 
 // Object codec (little endian):
 //
@@ -38,8 +40,9 @@ import (
 //	  numeric     → u64 float bits
 //
 // The schema itself is NOT serialized — the caller re-binds the same
-// schema on decode, and the snapshot header carries a structural
-// fingerprint to catch a mismatched binding before values are misread.
+// schema on decode, and the WAL's schema record and the snapshot header
+// carry a structural fingerprint to catch a mismatched binding before
+// values are misread.
 
 // maxStreamObjects bounds one payload's object count so a corrupted
 // count field fails before it can size a giant allocation.
@@ -136,8 +139,8 @@ func DecodeObjects(schema *attr.Schema, data []byte) ([]attr.Object, error) {
 }
 
 // SchemaFingerprint is a structural fingerprint of a schema — attribute
-// names, kinds and domains — used to catch a snapshot decoded against
-// the wrong schema. Like the composite fingerprint, it cannot see
+// names, kinds and domains — used to catch a WAL or snapshot decoded
+// against the wrong schema. Like the composite fingerprint, it cannot see
 // selection functions; structural equality is the contract.
 func SchemaFingerprint(s *attr.Schema) string {
 	h := fnv.New64a()
@@ -152,6 +155,39 @@ func SchemaFingerprint(s *attr.Schema) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// A schema record is the one WAL record that holds no objects: the
+// fingerprint of the schema the log's object records are encoded under.
+// Object records carry bare categorical domain indexes, so without it a
+// boot under a schema with a renamed attribute or a renamed or reordered
+// domain would replay every record into the wrong labels. The engine
+// appends one to a log it opens without one, and every later boot checks
+// it (DESIGN.md §10).
+//
+//	u32 schemaRecordTag | fingerprint bytes
+//
+// The tag is above maxStreamObjects, so no object payload begins with it,
+// and a build that predates schema records refuses the log as corrupt
+// rather than misreading it.
+const schemaRecordTag = math.MaxUint32
+
+// EncodeSchemaRecord encodes the schema record of schema.
+func EncodeSchemaRecord(schema *attr.Schema) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, schemaRecordTag)
+	return append(buf, SchemaFingerprint(schema)...)
+}
+
+// CheckSchemaRecord reports whether payload is a schema record. If it
+// is, a fingerprint other than schema's wraps ErrMismatch.
+func CheckSchemaRecord(schema *attr.Schema, payload []byte) (bool, error) {
+	if len(payload) < 4 || binary.LittleEndian.Uint32(payload) != schemaRecordTag {
+		return false, nil
+	}
+	if fp, got := string(payload[4:]), SchemaFingerprint(schema); fp != got {
+		return true, mismatchf("WAL written under schema %q, opening under %s", fp, got)
+	}
+	return true, nil
+}
+
 // Ingest snapshot format (little endian):
 //
 //	magic "ASRSNAP1"
@@ -164,7 +200,9 @@ var snapMagic = [8]byte{'A', 'S', 'R', 'S', 'N', 'A', 'P', '1'}
 
 const snapVersion = 1
 
-// SaveIngestSnapshot atomically persists the ingested-object snapshot:
+// SaveIngestSnapshot atomically persists an ingested-object snapshot
+// (the engine no longer calls it; it stays for tools and tests that
+// build the state directories earlier builds left):
 // the bytes go to a same-directory temp file, are fsynced, and land by
 // atomic rename, and the directory is fsynced so the rename survives a
 // crash. A crash at any instant leaves either the previous complete
@@ -209,10 +247,10 @@ func SaveIngestSnapshot(path string, schema *attr.Schema, objs []attr.Object, ap
 }
 
 // LoadIngestSnapshot reads a snapshot saved by SaveIngestSnapshot. A
-// missing file is NOT an error — it is the empty snapshot (no
-// compaction has committed yet), reported as (nil, 0, nil). Damage
-// wraps ErrCorrupt; a snapshot written under a structurally different
-// schema wraps ErrMismatch.
+// missing file is NOT an error — it is the empty snapshot (the state
+// directory of any build that never compacted), reported as
+// (nil, 0, nil). Damage wraps ErrCorrupt; a snapshot written under a
+// structurally different schema wraps ErrMismatch.
 func LoadIngestSnapshot(path string, schema *attr.Schema) ([]attr.Object, uint64, error) {
 	if schema == nil {
 		return nil, 0, fmt.Errorf("persist: LoadIngestSnapshot requires a schema")

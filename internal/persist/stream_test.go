@@ -96,6 +96,40 @@ func TestObjectCodecDamage(t *testing.T) {
 	}
 }
 
+// TestSchemaRecord: a schema record is told apart from every object
+// payload, checks against its own schema and refuses another schema's
+// with ErrMismatch, and an object decoder (an earlier build's replay)
+// refuses it as corrupt.
+func TestSchemaRecord(t *testing.T) {
+	schema, objs := streamFixture(t, 9, 8)
+	reordered, err := attr.NewSchema(
+		attr.Attribute{Name: "cat", Kind: attr.Categorical, Domain: []string{"b", "a", "c"}},
+		attr.Attribute{Name: "visits", Kind: attr.Numeric},
+		attr.Attribute{Name: "rating", Kind: attr.Numeric},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 9} {
+		if ok, err := CheckSchemaRecord(schema, EncodeObjects(schema, objs[:n])); ok || err != nil {
+			t.Fatalf("a payload of %d objects read as a schema record (err %v)", n, err)
+		}
+	}
+	rec := EncodeSchemaRecord(schema)
+	if ok, err := CheckSchemaRecord(schema, rec); !ok || err != nil {
+		t.Fatalf("own schema record: ok=%v err=%v", ok, err)
+	}
+	if ok, err := CheckSchemaRecord(reordered, rec); !ok || !errors.Is(err, ErrMismatch) {
+		t.Fatalf("reordered domain: ok=%v err=%v, want ErrMismatch", ok, err)
+	}
+	if ok, err := CheckSchemaRecord(schema, rec[:4]); !ok || !errors.Is(err, ErrMismatch) {
+		t.Fatalf("record without a fingerprint: ok=%v err=%v, want ErrMismatch", ok, err)
+	}
+	if _, err := DecodeObjects(schema, rec); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeObjects on a schema record: %v, want ErrCorrupt", err)
+	}
+}
+
 func TestIngestSnapshotRoundTrip(t *testing.T) {
 	schema, objs := streamFixture(t, 64, 7)
 	path := filepath.Join(t.TempDir(), "ingest.snap")
@@ -167,7 +201,7 @@ func TestIngestSnapshotTaxonomy(t *testing.T) {
 
 // TestIngestSnapshotCrashAtomic: with compact.save armed, the save
 // fails typed and the destination still holds the previous complete
-// snapshot — the compaction commit never tears.
+// snapshot — a save never tears.
 func TestIngestSnapshotCrashAtomic(t *testing.T) {
 	schema, objs := streamFixture(t, 40, 9)
 	dir := t.TempDir()

@@ -209,6 +209,17 @@ func TestServerRouterEndToEnd(t *testing.T) {
 	if ir.Ingested != 2 || ir.TotalIngested != 2 {
 		t.Fatalf("insert ack = %+v, want 2/2", ir)
 	}
+	// Each end shard took one object, and /stats counts it.
+	st = getStats(t, ts.URL)
+	for i, si := range st.Shards.Shards {
+		want := 0
+		if i == 0 || i == len(st.Shards.Shards)-1 {
+			want = 1
+		}
+		if si.Ingested != want || si.Engine == nil || si.Engine.Ingested != int64(want) {
+			t.Fatalf("stats.shards[%d] = %+v, want %d ingested", i, si, want)
+		}
+	}
 
 	// partial is a sharded-server knob with a closed vocabulary.
 	resp, _ = postJSON(t, ts.URL+"/v1/query", wire.Query{

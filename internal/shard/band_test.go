@@ -303,7 +303,6 @@ func TestBandReadsRecoveredInserts(t *testing.T) {
 	cfg := shard.Config{
 		Shards:     2,
 		WALRoot:    t.TempDir(),
-		Engine:     asrs.EngineOptions{Ingest: asrs.IngestOptions{CompactAt: -1}},
 		Composites: map[string]*asrs.Composite{"n": count},
 		Names:      []string{"n"},
 	}

@@ -648,8 +648,8 @@ func (r *Router) Stats() RouterStats {
 		}
 		if eng := sh.Loaded(); eng != nil {
 			info.Loaded = true
-			info.Ingested = len(eng.IngestedObjects())
 			es := eng.Stats()
+			info.Ingested = int(es.Ingested)
 			info.Engine = &es
 		}
 		st.Shards = append(st.Shards, info)

@@ -445,10 +445,10 @@ func TestRouterInsertRouting(t *testing.T) {
 }
 
 // TestShardReloadTwoCompositesAfterCrash: a shard with two registered
-// composites and un-compacted WAL records must come back after a crash,
-// both composites answering over the recovered inserts (bench/README
-// finding 2: when pyramids were stored, the second composite's stored
-// pyramid described the seed slab and the shard stayed unloaded).
+// composites and WAL records must come back after a crash, both
+// composites answering over the recovered inserts (bench/README finding
+// 2: when pyramids were stored, the second composite's stored pyramid
+// described the seed slab and the shard stayed unloaded).
 func TestShardReloadTwoCompositesAfterCrash(t *testing.T) {
 	checkLeaks(t)
 	ds, f, q := corpus(t, 80, 23)
@@ -460,7 +460,6 @@ func TestShardReloadTwoCompositesAfterCrash(t *testing.T) {
 		Composites: map[string]*asrs.Composite{"q": f, "n": counts},
 		Names:      []string{"q", "n"},
 		WALRoot:    dir + "/wal",
-		Engine:     asrs.EngineOptions{Ingest: asrs.IngestOptions{CompactAt: -1}},
 	}
 	cat, err := shard.New(ds, cfg)
 	if err != nil {
@@ -472,8 +471,8 @@ func TestShardReloadTwoCompositesAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged := cat.CurrentDataset()
-	// Closing syncs and releases the WALs without compacting them: what
-	// the next boot finds is what a SIGKILL after the last ack leaves.
+	// Closing syncs and releases the WALs: what the next boot finds is
+	// what a SIGKILL after the last ack leaves.
 	if err := cat.Close(); err != nil {
 		t.Fatal(err)
 	}

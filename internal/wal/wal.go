@@ -15,7 +15,7 @@
 // segments are contiguous by construction and a missing segment is
 // detectable from the names alone.
 //
-// Recovery semantics mirror the pyramid store's taxonomy:
+// Recovery semantics:
 //
 //   - A damaged frame in the FINAL segment is a torn tail — the crash
 //     interrupted the last append. Open truncates the segment at the
@@ -33,6 +33,7 @@
 package wal
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -118,26 +119,24 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 type Options struct {
 	// SegmentBytes rotates to a fresh segment once the active one
 	// reaches this size (<=0 selects DefaultSegmentBytes). Rotation
-	// bounds both replay-restart granularity and how much TruncateBefore
-	// can reclaim.
+	// bounds one file's size; nothing ever deletes a segment.
 	SegmentBytes int64
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
 }
 
-// Log is an open write-ahead log. Append/Sync/TruncateBefore/Close are
-// safe for concurrent use.
+// Log is an open write-ahead log. Append/Sync/Close are safe for
+// concurrent use.
 type Log struct {
 	dir string
 	opt Options
 
-	mu       sync.Mutex
-	f        *os.File // active segment
-	size     int64    // bytes in the active segment
-	firstLSN uint64   // first LSN of the active segment
-	nextLSN  uint64   // LSN the next append receives
-	closed   bool
-	sticky   error // unrecoverable append failure; poisons the log
+	mu      sync.Mutex
+	f       *os.File // active segment
+	size    int64    // bytes in the active segment
+	nextLSN uint64   // LSN the next append receives
+	closed  bool
+	sticky  error // unrecoverable append failure; poisons the log
 }
 
 // segName formats a segment file name from its first LSN.
@@ -206,7 +205,7 @@ func Open(dir string, opt Options, fn func(lsn uint64, payload []byte) error) (*
 		return nil, fmt.Errorf("wal: listing segments: %w", err)
 	}
 
-	l := &Log{dir: dir, opt: opt, nextLSN: 1, firstLSN: 1}
+	l := &Log{dir: dir, opt: opt, nextLSN: 1}
 	if len(segs) == 0 {
 		if err := l.openActive(segName(1), true); err != nil {
 			return nil, err
@@ -227,7 +226,6 @@ func Open(dir string, opt Options, fn func(lsn uint64, payload []byte) error) (*
 		}
 		next = seg.firstLSN + uint64(count)
 		if final {
-			l.firstLSN = seg.firstLSN
 			l.nextLSN = next
 			l.size = keep
 			if err := l.openActive(seg.name, false); err != nil {
@@ -249,7 +247,9 @@ func replaySegment(path string, firstLSN uint64, final bool, fn func(lsn uint64,
 	}
 	defer f.Close()
 
-	r := &faultReader{r: f}
+	// Buffered: a record costs two reads (frame header, payload), and a
+	// log of single-object inserts is mostly records of a few dozen bytes.
+	r := bufio.NewReaderSize(&faultReader{r: f}, 64<<10)
 	var (
 		off    int64
 		header [frameHeader]byte
@@ -350,7 +350,7 @@ func (l *Log) openActive(name string, create bool) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a rename/create/remove inside it is
+// syncDir fsyncs a directory so a segment created inside it is
 // durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -360,9 +360,6 @@ func syncDir(dir string) error {
 	defer d.Close()
 	return d.Sync()
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // NextLSN returns the LSN the next append will receive.
 func (l *Log) NextLSN() uint64 {
@@ -484,44 +481,8 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: sealing segment: %w", err)
 	}
 	l.f = nil
-	l.firstLSN = l.nextLSN
 	l.size = 0
-	return l.openActive(segName(l.firstLSN), true)
-}
-
-// TruncateBefore deletes sealed segments every record of which has
-// LSN < lsn — the compaction low-water-mark advance. The active segment
-// is never deleted, so the call reclaims space without ever touching
-// the append path. Idempotent; crash-safe (a partially applied
-// truncation just leaves more segments for the next one).
-func (l *Log) TruncateBefore(lsn uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return fmt.Errorf("wal: listing segments: %w", err)
-	}
-	removed := false
-	for i, seg := range segs {
-		if seg.firstLSN == l.firstLSN {
-			break // never the active segment
-		}
-		// A sealed segment's records end where the next segment begins.
-		if i+1 >= len(segs) || segs[i+1].firstLSN > lsn {
-			break
-		}
-		if err := os.Remove(filepath.Join(l.dir, seg.name)); err != nil {
-			return fmt.Errorf("wal: removing %s: %w", seg.name, err)
-		}
-		removed = true
-	}
-	if removed {
-		return syncDir(l.dir)
-	}
-	return nil
+	return l.openActive(segName(l.nextLSN), true)
 }
 
 // Close flushes (unless SyncNever) and closes the log. Further calls

@@ -66,7 +66,10 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRotationAndTruncateBefore(t *testing.T) {
+// TestRotation: a small SegmentBytes rotates the log into a chain of
+// segments, and a reopen replays every record of the chain in LSN order
+// and keeps appending after it.
+func TestRotation(t *testing.T) {
 	dir := t.TempDir()
 	l, _, _ := collect(t, dir, Options{Sync: SyncNever, SegmentBytes: 64})
 	n := 40
@@ -82,32 +85,21 @@ func TestRotationAndTruncateBefore(t *testing.T) {
 	if len(segs) < 3 {
 		t.Fatalf("expected rotation to produce several segments, got %d", len(segs))
 	}
-
-	// Drop everything below LSN 20: sealed segments wholly before it go,
-	// the one containing 20 and the active one stay.
-	if err := l.TruncateBefore(20); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, lsns, _ := collect(t, dir, Options{Sync: SyncNever, SegmentBytes: 64})
+	l2, lsns, payloads := collect(t, dir, Options{Sync: SyncNever, SegmentBytes: 64})
 	defer l2.Close()
-	if len(lsns) == 0 {
-		t.Fatal("no records after truncation")
+	if len(lsns) != n {
+		t.Fatalf("replayed %d records over %d segments, want %d", len(lsns), len(segs), n)
 	}
-	if lsns[0] >= 20 {
-		t.Fatalf("truncation dropped too much: oldest LSN %d", lsns[0])
+	for i, lsn := range lsns {
+		if want := fmt.Sprintf("rotating-record-%03d", i); lsn != uint64(i+1) || string(payloads[i]) != want {
+			t.Fatalf("record %d: lsn %d payload %q, want %d %q", i, lsn, payloads[i], i+1, want)
+		}
 	}
-	if lsns[len(lsns)-1] != uint64(n) {
-		t.Fatalf("newest LSN %d, want %d", lsns[len(lsns)-1], n)
-	}
-	// Idempotent; truncating past the end never deletes the active segment.
-	if err := l2.TruncateBefore(10_000); err != nil {
-		t.Fatal(err)
-	}
-	if segs, _ := listSegments(dir); len(segs) == 0 {
-		t.Fatal("active segment deleted")
+	if lsn, err := l2.Append([]byte("after")); err != nil || lsn != uint64(n+1) {
+		t.Fatalf("append after reopen: lsn %d err %v", lsn, err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 
 	"asrs/internal/attr"
-	"asrs/internal/faultinject"
 	"asrs/internal/persist"
 	"asrs/internal/wal"
 )
@@ -39,17 +38,18 @@ import (
 //     back either), SyncNever leaves flushing to the OS (a crash may
 //     lose the tail; replay still never yields a torn or reordered
 //     state).
-//   - Background compaction folds the staged objects into an ingest
-//     snapshot (persist.SaveIngestSnapshot: temp + fsync + rename, the
-//     applied-LSN watermark INSIDE the file) and only then truncates
-//     the WAL below the watermark. A crash at any instant — mid-append,
-//     mid-snapshot, between rename and truncate — recovers to
-//     seed ++ snapshot ++ replay(lsn > watermark): every acknowledged
-//     insert survives, none is applied twice.
-//   - Recovery happens in NewEngine: it loads the snapshot, replays the
-//     WAL, and refuses to start if the WAL has been truncated past the
-//     snapshot's watermark (a gap would silently drop acknowledged
-//     writes).
+//   - The WAL is the only durable form of ingested objects: nothing
+//     rewrites, renames or deletes what it holds.
+//   - The WAL holds one schema record, the fingerprint of the schema
+//     its objects are encoded under; NewEngine appends it to a log that
+//     has none, and refuses a log whose fingerprint is another schema's.
+//   - Recovery happens in NewEngine: it replays the WAL. A directory
+//     an earlier build wrote may also hold an ingest snapshot
+//     (ingest.snap, with its applied-LSN watermark inside); recovery
+//     loads it first, skips the records at or below the watermark, and
+//     refuses to start if the WAL has a gap after the watermark (a gap
+//     would silently drop acknowledged writes). Nothing writes a
+//     snapshot.
 
 // WAL sync policies, re-exported for EngineOptions.
 type SyncPolicy = wal.SyncPolicy
@@ -82,41 +82,21 @@ type IngestOptions struct {
 	// SegmentBytes caps one WAL segment before rotation
 	// (default wal.DefaultSegmentBytes).
 	SegmentBytes int64
-	// CompactAt triggers background compaction once this many staged
-	// objects are not yet covered by the ingest snapshot. 0 selects the
-	// default (8192); negative disables automatic compaction (explicit
-	// Compact calls still work).
-	CompactAt int
 }
 
-// defaultCompactAt is the automatic compaction threshold when
-// IngestOptions.CompactAt is zero.
-const defaultCompactAt = 8192
-
-// ingestSnapName is the snapshot file inside WALDir.
-const ingestSnapName = "ingest.snap"
-
-func (e *Engine) snapPath() string {
-	return filepath.Join(e.opt.Ingest.WALDir, ingestSnapName)
-}
-
-func (e *Engine) compactAt() int {
-	if e.opt.Ingest.CompactAt == 0 {
-		return defaultCompactAt
-	}
-	return e.opt.Ingest.CompactAt
-}
-
-// initIngest recovers durable ingest state (snapshot + WAL replay) and
-// opens the log for appending. Called by NewEngine when WALDir is set.
+// initIngest recovers durable ingest state (an earlier build's
+// snapshot, if any, then WAL replay) and opens the log for appending.
+// Called by NewEngine when WALDir is set.
 func (e *Engine) initIngest() error {
 	dir := e.opt.Ingest.WALDir
-	staged, appliedLSN, err := persist.LoadIngestSnapshot(e.snapPath(), e.ds.Schema)
+	// ingest.snap is only ever read: builds that compacted the WAL left
+	// it, and its objects precede the records above its watermark.
+	staged, appliedLSN, err := persist.LoadIngestSnapshot(filepath.Join(dir, "ingest.snap"), e.ds.Schema)
 	if err != nil {
 		return fmt.Errorf("asrs: loading ingest snapshot: %w", err)
 	}
-	snapObjs := len(staged) // the snapshot's own objects; replay only appends after them
 	firstReplayed := uint64(0)
+	tagged := false
 	policy := e.opt.Ingest.Sync
 	if policy == SyncBatch {
 		policy = SyncAlways // one record per batch: Append's fsync is the batch's
@@ -125,6 +105,10 @@ func (e *Engine) initIngest() error {
 		func(lsn uint64, payload []byte) error {
 			if firstReplayed == 0 {
 				firstReplayed = lsn
+			}
+			if ok, err := persist.CheckSchemaRecord(e.ds.Schema, payload); ok {
+				tagged = true
+				return err
 			}
 			if lsn <= appliedLSN {
 				return nil // already durable in the snapshot
@@ -157,12 +141,17 @@ func (e *Engine) initIngest() error {
 		l.Close()
 		return fmt.Errorf("asrs: ingest WAL next LSN %d is behind the snapshot watermark %d: the log was reset underneath the snapshot", next, appliedLSN)
 	}
+	// A log without a schema record (a new directory, or one an earlier
+	// build wrote) gets one now, so every later boot checks the schema.
+	if !tagged {
+		if _, err := l.Append(persist.EncodeSchemaRecord(e.ds.Schema)); err != nil {
+			l.Close()
+			return fmt.Errorf("asrs: writing the WAL's schema record: %w", err)
+		}
+	}
 	e.wlog = l
 	e.staged = staged
 	e.stagedLen.Store(int64(len(staged)))
-	e.lastLSN = l.NextLSN() - 1
-	e.snapCount = snapObjs
-	e.snapLSN = appliedLSN
 	e.nIngested.Store(int64(len(staged)))
 	return nil
 }
@@ -195,27 +184,20 @@ func (e *Engine) InsertBatch(objs []Object) error {
 		return ErrEngineClosed
 	}
 	if e.wlog != nil {
-		payload := persist.EncodeObjects(e.ds.Schema, objs)
-		lsn, err := e.wlog.Append(payload)
-		if err != nil {
+		if _, err := e.wlog.Append(persist.EncodeObjects(e.ds.Schema, objs)); err != nil {
 			e.ingestMu.Unlock()
 			return fmt.Errorf("asrs: insert: %w", err)
 		}
-		e.lastLSN = lsn
 	}
 	for i := range objs {
 		o := objs[i]
 		o.Values = append([]Value(nil), o.Values...)
 		e.staged = append(e.staged, o)
 	}
-	pending := len(e.staged) - e.snapCount
 	e.stagedLen.Store(int64(len(e.staged)))
 	e.ingestMu.Unlock()
 
 	e.nIngested.Add(int64(len(objs)))
-	if e.wlog != nil && e.compactAt() > 0 && pending >= e.compactAt() {
-		e.compactAsync()
-	}
 	return nil
 }
 
@@ -228,75 +210,6 @@ func (e *Engine) IngestedObjects() []Object {
 	out := make([]Object, len(e.staged))
 	copy(out, e.staged)
 	return out
-}
-
-// compactAsync runs one compaction in the background, coalescing
-// concurrent triggers. Errors are counted (Stats) and retried at the
-// next trigger.
-func (e *Engine) compactAsync() {
-	if !e.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer e.compacting.Store(false)
-		if err := e.Compact(); err != nil {
-			e.nCompactErrs.Add(1)
-		}
-	}()
-}
-
-// Compact folds the staged objects into the durable ingest snapshot and
-// truncates the WAL below the snapshot's watermark. The snapshot rename
-// is the single commit point: a crash before it leaves the previous
-// snapshot + full WAL (replay recovers everything), a crash after it
-// but before the truncation leaves an over-long WAL whose already-
-// covered records replay as no-ops. Safe to call concurrently with
-// inserts and queries; a no-op when nothing new is staged or the engine
-// is not durable.
-func (e *Engine) Compact() error {
-	if e.wlog == nil {
-		return nil
-	}
-	e.ingestMu.Lock()
-	if e.ingestClosed {
-		e.ingestMu.Unlock()
-		return ErrEngineClosed
-	}
-	k := len(e.staged)
-	lsn := e.lastLSN
-	prevCount, prevLSN := e.snapCount, e.snapLSN
-	staged := e.staged[:k:k]
-	e.ingestMu.Unlock()
-	if k == prevCount && lsn == prevLSN {
-		return nil
-	}
-
-	// (k, lsn) is a consistent pair — both were advanced under ingestMu
-	// by the same inserts — and staged[:k] is stable: the slice only
-	// ever grows by append.
-	if err := persist.SaveIngestSnapshot(e.snapPath(), e.ds.Schema, staged, lsn); err != nil {
-		return fmt.Errorf("asrs: compacting ingest: %w", err)
-	}
-	if f, ok := faultinject.Check("compact.truncate"); ok {
-		if f.Action == faultinject.ActSleep {
-			f.Sleep()
-		} else {
-			return f.Err()
-		}
-	}
-	if err := e.wlog.TruncateBefore(lsn + 1); err != nil {
-		return fmt.Errorf("asrs: truncating ingest WAL: %w", err)
-	}
-	e.ingestMu.Lock()
-	if k > e.snapCount {
-		e.snapCount = k
-	}
-	if lsn > e.snapLSN {
-		e.snapLSN = lsn
-	}
-	e.ingestMu.Unlock()
-	e.nCompactions.Add(1)
-	return nil
 }
 
 // Close ends ingest: it rejects further inserts and closes the WAL

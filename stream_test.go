@@ -1,7 +1,9 @@
 package asrs_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -183,11 +185,11 @@ func TestInsertValidationAndClose(t *testing.T) {
 // TestIngestDurableRecovery: acknowledged inserts survive an abrupt stop
 // (the engine is abandoned, never closed) and a reopened engine answers
 // bit-identically to a fresh engine over the combined corpus — through
-// a WAL-only restart, a compacted restart, and a snapshot+tail restart.
+// a restart, and through a second one after more inserts.
 func TestIngestDurableRecovery(t *testing.T) {
 	full, seedDS, inserts, reqs := streamFixture(t, 6, 123, 90)
 	dir := t.TempDir()
-	ing := asrs.IngestOptions{WALDir: dir, Sync: asrs.SyncAlways, CompactAt: -1}
+	ing := asrs.IngestOptions{WALDir: dir, Sync: asrs.SyncAlways}
 	opt := asrs.EngineOptions{Ingest: ing, Search: asrs.Options{Workers: 1}}
 
 	eng, err := asrs.NewEngine(seedDS, opt)
@@ -211,16 +213,10 @@ func TestIngestDurableRecovery(t *testing.T) {
 	}
 	objectsEqual(t, "recovery-1", re1.IngestedObjects(), inserts[:40])
 
-	// Compact, insert a tail that stays WAL-only, crash again: recovery
-	// must stitch snapshot + replayed tail.
-	if err := re1.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	// Insert a tail after the recovered records, crash again: recovery
+	// must replay both.
 	if err := re1.InsertBatch(inserts[40:70]); err != nil {
 		t.Fatal(err)
-	}
-	if st := re1.Stats(); st.Compactions != 1 {
-		t.Fatalf("Stats.Compactions = %d, want 1", st.Compactions)
 	}
 	re1 = nil
 
@@ -242,8 +238,8 @@ func TestIngestDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A reopen with a foreign seed schema must refuse the snapshot/WAL
-	// rather than serve garbage.
+	// A reopen with a foreign seed schema must refuse the WAL rather
+	// than serve garbage.
 	foreign := asrs.MustSchema(
 		asrs.Attribute{Name: "kind", Kind: asrs.Categorical, Domain: []string{"x", "y"}},
 		asrs.Attribute{Name: "score", Kind: asrs.Numeric},
@@ -252,35 +248,250 @@ func TestIngestDurableRecovery(t *testing.T) {
 		{Loc: asrs.Point{X: 1, Y: 2}, Values: []asrs.Value{{Cat: 0}, {Num: 3}}},
 	}}
 	if _, err := asrs.NewEngine(other, opt); err == nil {
-		t.Fatal("recovery accepted a different schema's snapshot")
+		t.Fatal("recovery accepted a different schema's WAL")
 	}
 }
 
-// TestIngestRecoveredSnapshotAfterWALGap: truncating the WAL past the
-// snapshot watermark (dropping acknowledged records) must refuse to
-// boot instead of silently serving a hole.
-func TestIngestRecoveredSnapshotAfterWALGap(t *testing.T) {
-	_, seedDS, inserts, _ := streamFixture(t, 2, 7, 30)
-	dir := t.TempDir()
-	opt := asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir, CompactAt: -1}}
-	eng, err := asrs.NewEngine(seedDS, opt)
+// TestIngestRefusesAnotherSchema: a WAL's object records hold bare
+// categorical domain indexes, so a boot under a schema of the same shape
+// with a reordered or renamed domain, or a renamed attribute, would
+// replay "red" as "blue". The log's schema record refuses each such boot
+// with persist.ErrMismatch. A log an earlier build wrote holds no schema
+// record; the first boot adds one, and every boot after it is checked.
+// A refused boot leaves the log as it was: the original schema still
+// recovers the insert.
+func TestIngestRefusesAnotherSchema(t *testing.T) {
+	schemaOf := func(name string, domain ...string) *asrs.Dataset {
+		s := asrs.MustSchema(
+			asrs.Attribute{Name: name, Kind: asrs.Categorical, Domain: domain},
+			asrs.Attribute{Name: "score", Kind: asrs.Numeric},
+		)
+		return &asrs.Dataset{Schema: s, Objects: []asrs.Object{
+			{Loc: asrs.Point{X: 0, Y: 0}, Values: []asrs.Value{{Cat: 1}, {Num: 1}}},
+		}}
+	}
+	orig := schemaOf("cat", "red", "blue")
+	others := []struct {
+		name string
+		ds   *asrs.Dataset
+	}{
+		{"reordered domain", schemaOf("cat", "blue", "red")},
+		{"renamed label", schemaOf("cat", "red", "green")},
+		{"renamed attribute", schemaOf("color", "red", "blue")},
+	}
+	red := []asrs.Object{{Loc: asrs.Point{X: 1, Y: 2}, Values: []asrs.Value{{Cat: 0}, {Num: 3}}}}
+	for _, earlier := range []bool{false, true} {
+		dir := t.TempDir()
+		opt := asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir}}
+		if earlier {
+			l, err := wal.Open(dir, wal.Options{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(persist.EncodeObjects(orig.Schema, red)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng, err := asrs.NewEngine(orig, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !earlier {
+			if err := eng.InsertBatch(red); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range others {
+			eng, err := asrs.NewEngine(o.ds, opt)
+			if !errors.Is(err, persist.ErrMismatch) {
+				if err == nil {
+					eng.Close()
+				}
+				t.Fatalf("earlier build %v, %s: boot returned %v, want persist.ErrMismatch", earlier, o.name, err)
+			}
+		}
+		eng, err = asrs.NewEngine(orig, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objectsEqual(t, fmt.Sprintf("earlier build %v", earlier), eng.IngestedObjects(), red)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestIngestWALIsTheOnlyFile: the WAL is the only durable form of
+// ingested objects. 65 batches of 128 objects — 8 320, more than the
+// 8 192 staged objects at which ingest once folded the WAL into a
+// snapshot — then a query and Close leave a directory of wal-*.seg
+// files alone, holding the log's schema record and each batch's record
+// once: 8 framing bytes plus the payload each.
+func TestIngestWALIsTheOnlyFile(t *testing.T) {
+	ds := dataset.Random(200, 100, 3)
+	extra := dataset.Random(65*128, 100, 4).Objects
+	f, err := asrs.NewComposite(ds.Schema, asrs.AggSpec{Kind: asrs.Distribution, Attr: "cat"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.InsertBatch(inserts[:10]); err != nil {
+	dir := t.TempDir()
+	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Compact(); err != nil {
-		t.Fatal(err)
+	want := 8 + int64(len(persist.EncodeSchemaRecord(ds.Schema)))
+	for i := 0; i < len(extra); i += 128 {
+		batch := extra[i : i+128]
+		if err := eng.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		want += 8 + int64(len(persist.EncodeObjects(ds.Schema, batch)))
 	}
-	if err := eng.InsertBatch(inserts[10:20]); err != nil {
-		t.Fatal(err)
+	req := asrs.QueryRequest{Query: asrs.Query{F: f, Target: []float64{2, 1, 2}}, A: 8, B: 8}
+	if resp := eng.Query(req); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if st := eng.Stats(); st.Compactions != 0 || st.CompactionErrors != 0 {
+		t.Fatalf("Stats reports %d compactions and %d compaction errors; nothing compacts", st.Compactions, st.CompactionErrors)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got int64
+	for _, e := range ents {
+		if ok, _ := filepath.Match("wal-*.seg", e.Name()); !ok {
+			t.Fatalf("WAL directory holds %q beside its segments", e.Name())
+		}
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += info.Size()
+	}
+	if got != want {
+		t.Fatalf("segments hold %d bytes, want %d: each record once", got, want)
+	}
+}
+
+// earlierBuildDir writes the state directory a build that compacted its
+// WAL would have left: records of 10 objects each through LSN w+m in a
+// WAL of small segments, and an ingest snapshot of the first w records
+// at watermark w. With truncated set, the sealed segments holding only
+// records at or below w are deleted, as that build's truncation did.
+func earlierBuildDir(t *testing.T, schema *asrs.Schema, objs []asrs.Object, w int, truncated bool) string {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{SegmentBytes: 256}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(objs); i += 10 {
+		if _, err := l.Append(persist.EncodeObjects(schema, objs[i:i+10])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.SaveIngestSnapshot(filepath.Join(dir, "ingest.snap"), schema, objs[:10*w], uint64(w)); err != nil {
+		t.Fatal(err)
+	}
+	if truncated {
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		removed := 0
+		for i := 0; i+1 < len(segs); i++ {
+			var next uint64
+			if _, err := fmt.Sscanf(filepath.Base(segs[i+1]), "wal-%016x.seg", &next); err != nil {
+				t.Fatal(err)
+			}
+			if next > uint64(w)+1 {
+				break
+			}
+			if err := os.Remove(segs[i]); err != nil {
+				t.Fatal(err)
+			}
+			removed++
+		}
+		if removed == 0 {
+			t.Fatal("no sealed segment lies wholly at or below the watermark")
+		}
+	}
+	return dir
+}
+
+// TestIngestRecoversEarlierSnapshot: a state directory left by a build
+// that compacted its WAL — an ingest snapshot at watermark W beside a
+// WAL holding records 1…W+m, whole or with the segments below W+1
+// deleted — boots to exactly seed ++ snapshot ++ records W+1…W+m, and
+// answers like a fresh engine over that corpus. Later inserts go to the
+// WAL alone: the snapshot stays byte-identical, and the next boot
+// recovers them after it.
+func TestIngestRecoversEarlierSnapshot(t *testing.T) {
+	full, seedDS, inserts, reqs := streamFixture(t, 4, 77, 90)
+	const w, m = 5, 2 // records of 10 objects
+	for _, truncated := range []bool{false, true} {
+		t.Run(fmt.Sprintf("truncated=%v", truncated), func(t *testing.T) {
+			dir := earlierBuildDir(t, full.Schema, inserts[:10*(w+m)], w, truncated)
+			snapPath := filepath.Join(dir, "ingest.snap")
+			snap, err := os.ReadFile(snapPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir, SegmentBytes: 256}}
+			eng, err := asrs.NewEngine(seedDS, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			objectsEqual(t, "boot", eng.IngestedObjects(), inserts[:10*(w+m)])
+			if err := eng.InsertBatch(inserts[10*(w+m):]); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if after, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(after, snap) {
+				t.Fatalf("inserts rewrote the snapshot (err %v)", err)
+			}
+
+			again, err := asrs.NewEngine(seedDS, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer again.Close()
+			objectsEqual(t, "reboot", again.IngestedObjects(), inserts)
+			oracle, err := asrs.NewEngine(full, asrs.EngineOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range reqs {
+				respEqual(t, "reboot", i, again.Query(reqs[i]), oracle.Query(reqs[i]))
+			}
+		})
+	}
+}
+
+// TestIngestRecoveredSnapshotAfterWALGap: a WAL reset underneath an
+// earlier build's snapshot watermark (dropping acknowledged records)
+// must refuse to boot instead of silently serving a hole.
+func TestIngestRecoveredSnapshotAfterWALGap(t *testing.T) {
+	_, seedDS, inserts, _ := streamFixture(t, 2, 7, 30)
+	dir := earlierBuildDir(t, seedDS.Schema, inserts[:20], 1, false)
+	opt := asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: dir}}
 	// Simulate the forbidden state: wipe the WAL but keep the snapshot,
-	// then re-create a log whose LSNs restart below the watermark.
+	// so the re-created log's LSNs restart below the watermark.
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if err != nil {
 		t.Fatal(err)
@@ -295,17 +506,16 @@ func TestIngestRecoveredSnapshotAfterWALGap(t *testing.T) {
 	}
 }
 
-// TestDeltaFoldRacesCompaction pins the delta fold-in against the
-// compaction swap-in under the race detector: one goroutine drives
-// insert→query pairs so nearly every query materializes a fresh epoch
-// and folds the tail into the previous pyramid, while another loops
-// Compact (snapshot rename + WAL truncation). Stats must show BOTH
-// paths actually ran — folds and compactions — and the settled engine
-// answers bit-identically to a rebuild.
-func TestDeltaFoldRacesCompaction(t *testing.T) {
+// TestDeltaFoldRacesQueries pins the delta fold-in under the race
+// detector: one goroutine drives insert→query pairs so nearly every
+// query materializes a fresh epoch and folds the tail into the previous
+// pyramid, while another loops queries over whatever epoch is current
+// until the inserter finishes. Stats must show the fold actually ran,
+// and the settled engine answers bit-identically to a rebuild.
+func TestDeltaFoldRacesQueries(t *testing.T) {
 	full, seedDS, inserts, reqs := streamFixture(t, 4, 57, 120)
 	eng, err := asrs.NewEngine(seedDS, asrs.EngineOptions{
-		Ingest: asrs.IngestOptions{WALDir: t.TempDir(), Sync: asrs.SyncNever, CompactAt: -1},
+		Ingest: asrs.IngestOptions{WALDir: t.TempDir(), Sync: asrs.SyncNever},
 		Search: asrs.Options{Workers: 2},
 	})
 	if err != nil {
@@ -337,18 +547,16 @@ func TestDeltaFoldRacesCompaction(t *testing.T) {
 		}
 	}()
 	go func() {
-		// Compact continuously until the inserter finishes: a fixed
-		// iteration count could drain before anything is staged (a no-op
-		// Compact is uncounted), leaving the race unexercised.
+		// Query until the inserter finishes, so reads overlap every fold.
 		defer wg.Done()
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			if err := eng.Compact(); err != nil {
-				t.Errorf("compact: %v", err)
+			if resp := eng.Query(reqs[i%len(reqs)]); resp.Err != nil {
+				t.Errorf("query: %v", resp.Err)
 				return
 			}
 		}
@@ -357,16 +565,9 @@ func TestDeltaFoldRacesCompaction(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	// The staged tail is non-empty unless a concurrent Compact already
-	// covered it, so after this call Compactions >= 1 either way.
-	if err := eng.Compact(); err != nil {
-		t.Fatal(err)
-	}
 
-	st := eng.Stats()
-	if st.PyramidFolds == 0 || st.Compactions == 0 {
-		t.Fatalf("degenerate race schedule: %d folds, %d compactions — the two paths never overlapped",
-			st.PyramidFolds, st.Compactions)
+	if st := eng.Stats(); st.PyramidFolds == 0 {
+		t.Fatal("no epoch folded its pyramid: the fold never raced the queries")
 	}
 	combined := &asrs.Dataset{Schema: full.Schema, Objects: append(append([]asrs.Object(nil), seedDS.Objects...), inserts...)}
 	oracle, err := asrs.NewEngine(combined, asrs.EngineOptions{Search: asrs.Options{Workers: 1}})
@@ -374,22 +575,22 @@ func TestDeltaFoldRacesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range reqs {
-		respEqual(t, "fold-vs-compact", i, eng.Query(reqs[i]), oracle.Query(reqs[i]))
+		respEqual(t, "fold-vs-query", i, eng.Query(reqs[i]), oracle.Query(reqs[i]))
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestConcurrentInsertQueryCompact hammers inserts, queries, batches and
-// compactions concurrently (run with -race), then checks the settled
-// engine answers bit-identically to a fresh engine over exactly the
-// objects it acknowledged.
-func TestConcurrentInsertQueryCompact(t *testing.T) {
+// TestConcurrentInsertQuery hammers inserts, queries and batches
+// concurrently (run with -race), then checks the settled engine answers
+// bit-identically to a fresh engine over exactly the objects it
+// acknowledged.
+func TestConcurrentInsertQuery(t *testing.T) {
 	full, seedDS, inserts, reqs := streamFixture(t, 4, 31, 120)
 	dir := t.TempDir()
 	eng, err := asrs.NewEngine(seedDS, asrs.EngineOptions{
-		Ingest:           asrs.IngestOptions{WALDir: dir, Sync: asrs.SyncNever, CompactAt: 25},
+		Ingest:           asrs.IngestOptions{WALDir: dir, Sync: asrs.SyncNever},
 		BatchParallelism: 2,
 		Search:           asrs.Options{Workers: 2},
 	})
@@ -424,10 +625,6 @@ func TestConcurrentInsertQueryCompact(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			eng.QueryBatch(reqs)
-			if err := eng.Compact(); err != nil {
-				t.Errorf("compact: %v", err)
-				return
-			}
 		}
 	}()
 	wg.Wait()
@@ -448,7 +645,6 @@ func TestConcurrentInsertQueryCompact(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = full
 }
 
 // TestPyramidFoldStats: Stats tells folds from rebuilds, by count and by
@@ -625,5 +821,38 @@ func TestCompositesShareGeometry(t *testing.T) {
 	}
 	if folds, st := eng.GeometryFolds(), eng.Stats(); folds != 1 || st.PyramidFolds != 2 {
 		t.Fatalf("after inserts: %d geometry folds, %d pyramid folds; want 1 and 2", folds, st.PyramidFolds)
+	}
+}
+
+// BenchmarkIngestRecovery times a boot that replays a WAL of 100 000
+// single-object Tweet inserts: the log's most record-dense shape, one
+// 29-byte record per object (8 framing bytes, a 4-byte count and the
+// 17-byte object).
+func BenchmarkIngestRecovery(b *testing.B) {
+	seed := dataset.Tweet(1000, 1)
+	extra := dataset.Tweet(100000, 2).Objects
+	opt := asrs.EngineOptions{Ingest: asrs.IngestOptions{WALDir: b.TempDir(), Sync: asrs.SyncNever}}
+	eng, err := asrs.NewEngine(seed, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range extra {
+		if err := eng.Insert(extra[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := asrs.NewEngine(seed, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := eng.Stats().Ingested; n != int64(len(extra)) {
+			b.Fatalf("recovered %d objects, want %d", n, len(extra))
+		}
+		eng.Close()
 	}
 }
