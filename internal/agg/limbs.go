@@ -258,6 +258,44 @@ func (l *Limbs) Extend(sums LimbSums, raw []Contrib) (LimbSums, bool) {
 // Eff returns the number of limbs.
 func (l *Limbs) Eff() int { return len(l.Scale) }
 
+// SameLayout reports whether o lays channels out in l's limbs: the same
+// grids, chained the same way.
+func (l *Limbs) SameLayout(o *Limbs) bool {
+	return slices.Equal(l.Scale, o.Scale) && slices.Equal(l.Lo, o.Lo) && slices.Equal(l.owner, o.owner)
+}
+
+// RoundsOnce reports whether every channel has at most two limbs. Each
+// channel's value over a set is then the correctly rounded exact sum of
+// its contributions, whichever such layout certified them — so sets
+// whose rows were split by different certificates of one layout sum to
+// what their own certificate would give them.
+func (l *Limbs) RoundsOnce() bool {
+	// A channel's extra limbs are one run of owner.
+	for i := 1; i < len(l.owner); i++ {
+		if l.owner[i] == l.owner[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// Holds reports whether limb contributions already split in l — any
+// number of objects' — keep every limb within its headroom, Σ|v|·2^s ≤
+// 2^52: what a certificate guarantees of the set it was decided on, and
+// all that the exactness of every partial sum asks (see Limbs).
+func (l *Limbs) Holds(cbs []Contrib) bool {
+	abs := make([]float64, len(l.Scale))
+	for _, cb := range cbs {
+		abs[cb.Ch] += math.Abs(cb.V)
+	}
+	for k, a := range abs {
+		if !(a*l.Scale[k] <= maxScaledSum) {
+			return false
+		}
+	}
+	return true
+}
+
 // Split rewrites the contributions cbs[start:] — one object's, as
 // AppendContribs emitted them — into limbs: each one on a channel of more
 // than one limb becomes its first limb's part, and its parts on the extra

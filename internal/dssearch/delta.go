@@ -116,12 +116,13 @@ func FoldGeometry(base *Geometry, combined *attr.Dataset) *Geometry {
 // grown dataset), made by splicing the appended objects' rows into a copy
 // of base's core. g's dataset is trusted to be base's followed by
 // validated objects (the Engine's epoch views; BuildPyramidDelta checks).
-// Where there is nothing to merge into — a base of no objects — the core
-// is built on g instead (BuildPyramidOn) and Folded is false.
+// Where there is nothing to merge into — a base of no objects — or no
+// certificate to extend — a joined base (JoinPyramids) — the core is
+// built on g instead (BuildPyramidOn) and Folded is false.
 func FoldPyramid(base *Pyramid, g *Geometry) (*Pyramid, *DeltaStats, error) {
 	b := base.geo
 	stats := &DeltaStats{Appended: g.n - b.n}
-	if b.n == 0 || g.n < b.n {
+	if b.n == 0 || g.n < b.n || base.cert == nil {
 		p, err := BuildPyramidOn(g, base.f)
 		return p, stats, err
 	}

@@ -173,8 +173,6 @@ type Searcher struct {
 	// anchors are in the (x, y, index) order, so neither MaxX = pts[id].X
 	// nor MinX = pts[id].X − a decreases with id.
 	pts   []geom.Point
-	order []int32       // master id -> index into objs
-	objs  []attr.Object // the dataset's objects
 	a, b  float64
 	space geom.Rect // the reduction's space (reductionSpace)
 
@@ -191,14 +189,15 @@ type Searcher struct {
 
 	// Search scratch, built at the first processed space (ensureScratch)
 	// from what the slab retains across queries.
-	grid   *gridBuffers
-	sw     *sweep.Solver
-	swSub  []asp.RectObject // mini-sweep rect scratch (materialized from ids)
-	swBase []float64        // mini-sweep base vector scratch, in limbs
-	dirty  []cellInfo       // discretize output scratch
-	cur    asp.Result       // incumbent of the space being processed; Rep aliases rep
-	rep    []float64        // owned backing store for cur.Rep
-	ids    [][]int32        // free list of recycled id slices
+	grid    *gridBuffers
+	sw      *sweep.Solver
+	swRects []geom.Rect // mini-sweep scratch: the swept rectangles (materialized from ids)
+	swIds   []int32     // and their master ids, their rows of the core
+	swBase  []float64   // mini-sweep base vector scratch, in limbs
+	dirty   []cellInfo  // discretize output scratch
+	cur     asp.Result  // incumbent of the space being processed; Rep aliases rep
+	rep     []float64   // owned backing store for cur.Rep
+	ids     [][]int32   // free list of recycled id slices
 }
 
 // MaxExtent bounds an answer's width and height: an extent must be below
@@ -244,7 +243,7 @@ func newSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Sea
 		}
 	}
 	sl := opt.Slabs.get()
-	s := &Searcher{pts: p.geo.pts, order: p.geo.order, objs: ds.Objects, a: a, b: b, space: reductionSpace(p.geo.bounds, a, b),
+	s := &Searcher{pts: p.geo.pts, a: a, b: b, space: reductionSpace(p.geo.bounds, a, b),
 		query: q, opt: opt, isInt: q.F.IntegerDims(), core: p.core, slab: sl}
 	// Recycled id slices from a previous query using the same slab cache.
 	s.ids, sl.idFree = sl.idFree, nil
@@ -310,14 +309,15 @@ func (s *Searcher) ensureScratch() {
 	}
 	s.grid = t.grid
 	// A recycled solver is rebound to the query (same composite, new
-	// target/weights) and the limbs, and keeps all its scratch. NewSized
-	// cannot fail: the query was validated at construction.
+	// target/weights) and to the core's limbs and rows, and keeps all its
+	// scratch. NewSized cannot fail: the query was validated at
+	// construction.
 	if t.sw == nil || t.swEff != eff || !t.sw.SetQuery(s.query) {
-		t.sw, _ = sweep.NewSized(s.query, limbs, sweepReach)
+		t.sw, _ = sweep.NewSized(s.query, sweepReach)
 		t.swEff = eff
 	}
 	s.sw = t.sw
-	s.sw.SetLimbs(limbs)
+	s.sw.Bind(limbs, s.core.rows())
 	// One float slab: the incumbent's representation, then the mini-sweep
 	// base vector.
 	dims, cells := f.Dims(), ncol*nrow
@@ -325,12 +325,13 @@ func (s *Searcher) ensureScratch() {
 	if nf := dims + eff; len(t.scratchF) < nf || len(t.scratchCells) < cells || len(t.scratchRects) < swCap {
 		t.scratchF = make([]float64, nf)
 		t.scratchCells = make([]cellInfo, cells)
-		t.scratchRects = make([]asp.RectObject, swCap)
+		t.scratchRects = make([]geom.Rect, swCap)
+		t.scratchIds = make([]int32, swCap)
 	}
 	s.rep = t.scratchF[:0:dims]
 	s.swBase = t.scratchF[dims : dims+eff]
 	s.dirty = t.scratchCells[:0:cells]
-	s.swSub = t.scratchRects[:0:swCap]
+	s.swRects, s.swIds = t.scratchRects[:0:swCap], t.scratchIds[:0:swCap]
 }
 
 // Release hands the searcher's slab memory back to Options.Slabs for
@@ -862,12 +863,13 @@ func (s *Searcher) miniSweep(space geom.Rect, ids []int32) {
 // cover every candidate the sweep enumerates and add the same vector to
 // each: their limb contributions are summed once, in id order like the
 // grid fill's, into a base the solver starts from, and only the
-// rectangles with an edge inside are swept. The solver sums in the
-// core's limbs and is rebound in place, so steady-state sweeps reuse all
-// of their scratch.
+// rectangles with an edge inside are swept. The solver is bound to the
+// core's limbs and rows (ensureScratch) and reads each swept rectangle's
+// row where the core holds it, by master id; it is rebound in place, so
+// steady-state sweeps reuse all of their scratch.
 func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (asp.Result, bool) {
 	c := s.core
-	s.swSub = s.swSub[:0]
+	s.swRects, s.swIds = s.swRects[:0], s.swIds[:0]
 	base := s.swBase
 	clear(base)
 	covering := 0
@@ -879,13 +881,13 @@ func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (as
 			}
 			covering++
 		} else if r.MinX < space.MaxX && space.MinX < r.MaxX && r.MinY < space.MaxY && space.MinY < r.MaxY {
-			s.swSub = append(s.swSub, asp.RectObject{Rect: r, Obj: &s.objs[s.order[id]]})
+			s.swRects, s.swIds = append(s.swRects, r), append(s.swIds, id)
 		}
 	}
 	s.Stats.MiniSweeps++
-	s.Stats.MiniSweepRects += len(s.swSub)
+	s.Stats.MiniSweepRects += len(s.swRects)
 	s.Stats.SweepBaseRects += covering
-	s.sw.RebindWithBase(s.swSub, base)
+	s.sw.Rebind(s.swRects, s.swIds, base)
 	// The solver's counters accumulate across rebinds (a recycled solver
 	// serves many searches); fold only this sweep's strip-evaluator deltas
 	// and scoring deltas into the search stats.
@@ -898,11 +900,6 @@ func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (as
 	s.Stats.FenwickStrips += after.FenwickStrips - before.FenwickStrips
 	s.Stats.SweepScored += after.Scored - before.Scored
 	s.Stats.PrunedStrips += after.PrunedStrips - before.PrunedStrips
-	// The scratch is recycled across queries with the slabs, and the next
-	// sweeps rewrite only as much of it as they are large. Object pointers
-	// left in it would keep this query's dataset alive — under ingest a
-	// whole past view per stale pointer.
-	clear(s.swSub)
 	return r, ok && r.Rep != nil
 }
 

@@ -130,18 +130,112 @@ func (p *Pyramid) Composite() *agg.Composite { return p.f }
 // Objects returns the master cardinality.
 func (p *Pyramid) Objects() int { return p.geo.n }
 
-// AppendObjectsInX appends to dst the objects of the pyramid's dataset
-// whose x lies strictly inside (lo, hi), in master order. The master is
-// sorted by location (x, then y), so they are one contiguous run of it,
-// found by binary search; the appended objects are sorted the same way.
-func (p *Pyramid) AppendObjectsInX(dst []attr.Object, lo, hi float64) []attr.Object {
-	g := p.geo
-	i := sort.Search(g.n, func(i int) bool { return g.pts[i].X > lo })
-	j := sort.Search(g.n, func(j int) bool { return g.pts[j].X >= hi })
-	for ; i < j; i++ {
-		dst = append(dst, g.ds.Objects[g.order[i]])
+// JoinPyramids returns the dataset of the objects of ps's datasets whose
+// x lies strictly inside (lo, hi) — a router band's corpus — and its
+// pyramid. ps are one composite's pyramids over neighbouring x-slabs:
+// their anchors are x-disjoint and they come in x order. Each one's run
+// of anchors inside (lo, hi), found by binary search, is copied in master
+// order, so the joined master order is the identity and nothing is
+// sorted; the bounds are expanded in that order, as newGeometry does.
+//
+// The core is the runs' rows, copied (copied is true), when the runs
+// share one limb layout of at most two limbs a channel
+// (agg.Limbs.RoundsOnce) whose headroom the copied rows keep
+// (agg.Limbs.Holds). A channel's value over any set is then the correctly
+// rounded exact sum of its contributions, which is what the joined
+// dataset's own certificate gives it, so the pyramid answers what
+// BuildPyramid over the dataset answers, bit for bit. Otherwise — longer
+// chains, layouts that differ, rows past the headroom — the core is built
+// on the joined geometry (BuildPyramidOn: one flatten, no sort), as
+// FoldPyramid builds it when a certificate moves.
+//
+// Copied rows carry no certificate sums: a fold over a joined pyramid
+// (FoldPyramid) builds its core.
+func JoinPyramids(ps []*Pyramid, lo, hi float64) (ds *attr.Dataset, p *Pyramid, copied bool, err error) {
+	if len(ps) == 0 {
+		return nil, nil, false, fmt.Errorf("dssearch: a join requires a pyramid")
 	}
-	return dst
+	// The layout is the first run's (a pyramid without anchors in the
+	// window adds no rows), and same says every run's is that one.
+	f, layout, same := ps[0].f, &ps[0].core.limbs, true
+	type run struct {
+		p    *Pyramid
+		i, j int // master ids [i, j) of p
+	}
+	runs := make([]run, 0, len(ps))
+	n, nc, nm := 0, 0, 0
+	for _, q := range ps {
+		if q.f != f {
+			return nil, nil, false, fmt.Errorf("dssearch: joined pyramids serve different composites")
+		}
+		g, c := q.geo, q.core
+		i := sort.Search(g.n, func(i int) bool { return g.pts[i].X > lo })
+		j := max(i, sort.Search(g.n, func(j int) bool { return g.pts[j].X >= hi }))
+		if i == j {
+			continue
+		}
+		if k := len(runs); k > 0 {
+			if last := runs[k-1]; !(last.p.geo.pts[last.j-1].X < g.pts[i].X) {
+				return nil, nil, false, fmt.Errorf("dssearch: joined pyramids are not x-disjoint in x order")
+			}
+		} else {
+			layout = &c.limbs
+		}
+		same = same && c.limbs.SameLayout(layout)
+		runs = append(runs, run{q, i, j})
+		n += j - i
+		nc += int(c.cOff[j] - c.cOff[i])
+		if q.mmSlots > 0 {
+			nm += int(c.mOff[j] - c.mOff[i])
+		}
+	}
+
+	objs := make([]attr.Object, 0, n)
+	g := &Geometry{n: n, order: make([]int32, n), pts: make([]geom.Point, 0, n)}
+	for _, r := range runs {
+		rg := r.p.geo
+		for _, oi := range rg.order[r.i:r.j] {
+			objs = append(objs, rg.ds.Objects[oi])
+		}
+		g.pts = append(g.pts, rg.pts[r.i:r.j]...)
+	}
+	for id := range g.order {
+		g.order[id] = int32(id)
+	}
+	ds = &attr.Dataset{Schema: ps[0].geo.ds.Schema, Objects: objs}
+	g.ds, g.bounds = ds, expandBounds(geom.EmptyRect(), objs)
+
+	if same && layout.RoundsOnce() {
+		mmSlots := f.MinMaxSlots()
+		c := &core{f: f, chans: f.Channels(), limbs: layout.Layout(),
+			cOff: make([]int32, 1, n+1), contribs: make([]agg.Contrib, 0, nc)}
+		if mmSlots > 0 {
+			c.mOff, c.mms = make([]int32, 1, n+1), make([]agg.MMContrib, 0, nm)
+		}
+		for _, r := range runs {
+			rc := r.p.core
+			c.cOff, c.contribs = appendRows(c.cOff, c.contribs, rc.cOff[r.i:r.j+1], rc.contribs)
+			if mmSlots > 0 {
+				c.mOff, c.mms = appendRows(c.mOff, c.mms, rc.mOff[r.i:r.j+1], rc.mms)
+			}
+		}
+		if c.limbs.Holds(c.contribs) {
+			return ds, &Pyramid{geo: g, f: f, mmSlots: mmSlots, core: c}, true, nil
+		}
+	}
+	p, err = BuildPyramidOn(g, f)
+	return ds, p, false, err
+}
+
+// appendRows appends the rows of a CSR table (vals, offsets off — one run
+// of the table's rows and the offset that ends it) to dst and its offsets
+// dstOff, moving the offsets to where the rows land.
+func appendRows[T any](dstOff []int32, dst []T, off []int32, vals []T) ([]int32, []T) {
+	shift := int32(len(dst)) - off[0]
+	for _, o := range off[1:] {
+		dstOff = append(dstOff, o+shift)
+	}
+	return dstOff, append(dst, vals[off[0]:off[len(off)-1]]...)
 }
 
 // Limbs returns the limb layout the core's contributions are split in:

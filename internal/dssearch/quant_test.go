@@ -74,8 +74,9 @@ func TestCertificatePerChannel(t *testing.T) {
 	// channel, the rewritten hi part plus its lo part must equal the
 	// original contribution value bit-for-bit.
 	var orig []agg.Contrib
+	order := newGeometry(&attr.Dataset{Objects: objs}).order // the one-shot pyramid's master
 	for id := int32(0); int(id) < s.Objects(); id++ {
-		orig = f.AppendContribs(&s.objs[s.order[id]], orig[:0])
+		orig = f.AppendContribs(&objs[order[id]], orig[:0])
 		cbs := tab.rectContribs(id)
 		shadow := func(sh int32) float64 {
 			for j := range cbs {

@@ -4,8 +4,8 @@ import (
 	"sync"
 
 	"asrs/internal/agg"
-	"asrs/internal/asp"
 	"asrs/internal/attr"
+	"asrs/internal/geom"
 	"asrs/internal/sweep"
 )
 
@@ -14,9 +14,14 @@ import (
 // flattened per-rectangle limb contributions in master order
 // (AppendContribs evaluated and split once, not once per discretization)
 // and their limbs. Every search reads one: the Engine's cached pyramid
-// when Options.Pyramid matches the request, else a one-shot pyramid the
-// searcher builds over the request's dataset (newSearcher) — one radix
-// sort and one flatten, after which it is read the same way.
+// when Options.Pyramid matches the request — or a router band's, joined
+// from its shards' (JoinPyramids) — else a one-shot pyramid the searcher
+// builds over the request's dataset (newSearcher): one radix sort and one
+// flatten, after which it is read the same way. The grid fill, the point
+// representations and the terminal rule's mini-sweeps all sum the core's
+// rows: the sweep solver is bound to them (core.rows) and reads a swept
+// rectangle's row by its master id, so nothing past a pyramid's build
+// evaluates a composite over an object.
 //
 // A rectangle is its anchor: under the top-right reduction rectangle id
 // is geom.RectFromTR(pts[id], a, b) (Definition 5), so its MinX is
@@ -71,7 +76,8 @@ type slab struct {
 	swEff                       int
 	scratchF                    []float64
 	scratchCells                []cellInfo
-	scratchRects                []asp.RectObject
+	scratchRects                []geom.Rect
+	scratchIds                  []int32
 
 	// idBits is the bitmap AppendCellIDs marks a space's ids in, one bit
 	// per id of the x window.
@@ -130,6 +136,12 @@ func (t *core) rectContribs(id int32) []agg.Contrib {
 	return t.contribs[t.cOff[id]:t.cOff[id+1]]
 }
 
+// rows returns the core's tables in the row form a sweep solver binds:
+// master id i's row is row i.
+func (t *core) rows() sweep.Rows {
+	return sweep.Rows{Off: t.cOff, C: t.contribs, MOff: t.mOff, MM: t.mms}
+}
+
 // rectMM returns master[id]'s flattened min/max contributions.
 func (t *core) rectMM(id int32) []agg.MMContrib {
 	return t.mms[t.mOff[id]:t.mOff[id+1]]
@@ -162,14 +174,14 @@ func (c *SlabCache) get() *slab {
 }
 
 // put hands a slab back for reuse. Its solver is detached from the limbs
-// it summed in, which are the core's: a cached slab holds nothing of the
-// pyramid it served.
+// and rows it read, which are the core's: a cached slab holds nothing of
+// the pyramid it served.
 func (c *SlabCache) put(t *slab) {
 	if c == nil || t == nil {
 		return
 	}
 	if t.sw != nil {
-		t.sw.SetLimbs(&noLimbs)
+		t.sw.Bind(&noLimbs, sweep.Rows{})
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

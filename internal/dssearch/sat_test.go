@@ -70,10 +70,11 @@ func TestThreeLimbMasterSorts(t *testing.T) {
 		if !chained(&s.core.limbs) {
 			t.Fatalf("trial %d: limbs %v, lo %v: no chain of three", trial, s.core.limbs.Scale, s.core.limbs.Lo)
 		}
-		if !inCanonicalOrder(s.pts, s.order) {
+		order := newGeometry(ds).order // the one-shot pyramid's master
+		if !inCanonicalOrder(s.pts, order) {
 			t.Fatalf("trial %d: the master is not sorted by anchor", trial)
 		}
-		for id, oi := range s.order {
+		for id, oi := range order {
 			if s.pts[id] != objs[oi].Loc {
 				t.Fatalf("trial %d: master id %d is anchored at %v, its object at %v", trial, id, s.pts[id], objs[oi].Loc)
 			}

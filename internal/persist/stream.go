@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"asrs/internal/attr"
 	"asrs/internal/geom"
@@ -78,20 +79,35 @@ func EncodeObjects(schema *attr.Schema, objs []attr.Object) []byte {
 // categorical indexes, trailing garbage) fail wrapping ErrCorrupt;
 // decoding never panics.
 func DecodeObjects(schema *attr.Schema, data []byte) ([]attr.Object, error) {
+	objs, _, err := DecodeAppend(nil, nil, schema, data)
+	return objs, err
+}
+
+// DecodeAppend is DecodeObjects appending the decoded objects to dst,
+// each one's values carved from the spare capacity of arena. When that
+// runs short, a new arena of twice the old one's capacity, or of the
+// payload's need if more, takes over; the values carved before stay
+// where they are. It returns the grown slices, and dst and arena as they
+// were on an error. A replay of many small records (an Engine's boot over
+// its WAL) so pays no allocation per record.
+func DecodeAppend(dst []attr.Object, arena []attr.Value, schema *attr.Schema, data []byte) ([]attr.Object, []attr.Value, error) {
 	if schema == nil {
-		return nil, fmt.Errorf("persist: DecodeObjects requires a schema")
+		return dst, arena, fmt.Errorf("persist: DecodeObjects requires a schema")
 	}
 	if len(data) < 4 {
-		return nil, corruptf("object payload truncated before count")
+		return dst, arena, corruptf("object payload truncated before count")
 	}
 	count := binary.LittleEndian.Uint32(data)
 	data = data[4:]
 	if count > maxStreamObjects {
-		return nil, corruptf("implausible object count %d", count)
+		return dst, arena, corruptf("implausible object count %d", count)
 	}
 	nAttr := schema.Len()
-	objs := make([]attr.Object, 0, count)
-	vals := make([]attr.Value, int(count)*nAttr)
+	objs := slices.Grow(dst, int(count))
+	vals := arena
+	if need := int(count) * nAttr; cap(vals)-len(vals) < need {
+		vals = make([]attr.Value, 0, max(need, 2*cap(vals)))
+	}
 	u64 := func() (uint64, bool) {
 		if len(data) < 8 {
 			return 0, false
@@ -105,27 +121,29 @@ func DecodeObjects(schema *attr.Schema, data []byte) ([]attr.Object, error) {
 		x, ok1 := u64()
 		y, ok2 := u64()
 		if !ok1 || !ok2 {
-			return nil, corruptf("object %d truncated at location", i)
+			return dst, arena, corruptf("object %d truncated at location", i)
 		}
 		o.Loc = geom.Point{X: math.Float64frombits(x), Y: math.Float64frombits(y)}
-		o.Values, vals = vals[:nAttr:nAttr], vals[nAttr:]
+		at := len(vals)
+		vals = vals[:at+nAttr]
+		o.Values = vals[at : at+nAttr : at+nAttr]
 		for j := 0; j < nAttr; j++ {
 			a := schema.At(j)
 			if a.Kind == attr.Categorical {
 				c, n := binary.Uvarint(data)
 				if n <= 0 {
-					return nil, corruptf("object %d truncated at attribute %q", i, a.Name)
+					return dst, arena, corruptf("object %d truncated at attribute %q", i, a.Name)
 				}
 				data = data[n:]
 				if c >= uint64(len(a.Domain)) {
-					return nil, corruptf("object %d attribute %q has categorical index %d outside domain [0,%d)",
+					return dst, arena, corruptf("object %d attribute %q has categorical index %d outside domain [0,%d)",
 						i, a.Name, c, len(a.Domain))
 				}
 				o.Values[j] = attr.CatValue(int(c))
 			} else {
 				v, ok := u64()
 				if !ok {
-					return nil, corruptf("object %d truncated at attribute %q", i, a.Name)
+					return dst, arena, corruptf("object %d truncated at attribute %q", i, a.Name)
 				}
 				o.Values[j] = attr.NumValue(math.Float64frombits(v))
 			}
@@ -133,9 +151,9 @@ func DecodeObjects(schema *attr.Schema, data []byte) ([]attr.Object, error) {
 		objs = append(objs, o)
 	}
 	if len(data) != 0 {
-		return nil, corruptf("%d trailing bytes after %d objects", len(data), count)
+		return dst, arena, corruptf("%d trailing bytes after %d objects", len(data), count)
 	}
-	return objs, nil
+	return objs, vals, nil
 }
 
 // SchemaFingerprint is a structural fingerprint of a schema — attribute

@@ -96,6 +96,38 @@ func TestObjectCodecDamage(t *testing.T) {
 	}
 }
 
+// TestDecodeAppendArena: payloads decoded one after another into one
+// object slice, their values carved from one arena that outgrows its
+// capacity several times, are what DecodeObjects decodes from each — the
+// objects decoded first included, after every later decode — and a
+// damaged payload leaves the slice and the arena as they were.
+func TestDecodeAppendArena(t *testing.T) {
+	schema, objs := streamFixture(t, 40, 7)
+	var staged []attr.Object
+	arena := make([]attr.Value, 0, 2)
+	for lo, n := 0, 1; lo < len(objs); lo, n = lo+n, n%5+1 {
+		hi := min(lo+n, len(objs))
+		var err error
+		if staged, arena, err = DecodeAppend(staged, arena, schema, EncodeObjects(schema, objs[lo:hi])); err != nil {
+			t.Fatal(err)
+		}
+		if !objectsEqual(staged, objs[:hi]) {
+			t.Fatalf("after objects [%d, %d): the decoded objects diverged", lo, hi)
+		}
+	}
+	if cap(arena) < 2*3 {
+		t.Fatalf("the arena kept capacity %d: it never grew", cap(arena))
+	}
+	payload := EncodeObjects(schema, objs[:3])
+	got, left, err := DecodeAppend(staged, arena, schema, payload[:len(payload)-1])
+	if !errors.Is(err, ErrCorrupt) || len(got) != len(staged) || len(left) != len(arena) || &left[:1][0] != &arena[:1][0] {
+		t.Fatalf("a torn payload: err %v, %d objects and %d values back, want ErrCorrupt and %d and %d as they were", err, len(got), len(left), len(staged), len(arena))
+	}
+	if !objectsEqual(got, objs) {
+		t.Fatal("a torn payload changed the objects decoded before it")
+	}
+}
+
 // TestSchemaRecord: a schema record is told apart from every object
 // payload, checks against its own schema and refuses another schema's
 // with ErrMismatch, and an object decoder (an earlier build's replay)

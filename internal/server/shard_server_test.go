@@ -152,14 +152,20 @@ func TestInsertRefusedObjectIsBadRequest(t *testing.T) {
 // distance bits as a merged-corpus windowed search, report full shard
 // coverage, expose the per-shard /stats breakdown, and route inserts.
 func TestServerRouterEndToEnd(t *testing.T) {
-	_, ts, _, ds, f := newShardServer(t, server.Config{}, shard.BreakerConfig{})
+	_, ts, rt, ds, f := newShardServer(t, server.Config{}, shard.BreakerConfig{})
 	q := asrs.Query{F: f, Target: []float64{1, 2, 1, 5}}
 	extents := []asrs.Rect{
 		{MinX: 2, MinY: 2, MaxX: 98, MaxY: 98}, // straddles every cut
 		{MinX: 1, MinY: 1, MaxX: 30, MaxY: 99}, // contained left
 		{MinX: 20, MinY: 10, MaxX: 80, MaxY: 90},
 	}
+	bands := 0
 	for _, e := range extents {
+		for _, c := range rt.Catalog().Cuts() {
+			if e.MinX < c && c < e.MaxX {
+				bands++
+			}
+		}
 		_, want, _, err := asrs.SearchWithin(ds, 7, 7, q, e, nil, asrs.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -188,10 +194,14 @@ func TestServerRouterEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The per-shard stats breakdown rides on /stats in router mode.
+	// The per-shard stats breakdown rides on /stats in router mode, and
+	// so does how each straddling query's bands were read.
 	st := getStats(t, ts.URL)
 	if st.Shards == nil || len(st.Shards.Shards) != 3 {
 		t.Fatalf("stats.shards = %+v, want 3 shards", st.Shards)
+	}
+	if bands == 0 || st.Shards.BandJoins+st.Shards.BandBuilds != int64(bands) {
+		t.Fatalf("stats.shards: %d bands joined and %d built, the queries read %d", st.Shards.BandJoins, st.Shards.BandBuilds, bands)
 	}
 
 	// Inserts route by x through the shard engines' ingest path.

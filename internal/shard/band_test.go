@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,6 +52,50 @@ func checkStraddle(t *testing.T, rt *shard.Router, merged *asrs.Dataset, q asrs.
 	got := resp.Results[0]
 	if !sameBits(got.Dist, want.Dist) || !sameRep(got.Rep, want.Rep) {
 		t.Fatalf("extent %v: routed dist %v rep %v, merged dist %v rep %v", e, got.Dist, got.Rep, want.Dist, want.Rep)
+	}
+}
+
+// checkStraddlePaths is checkStraddle that also holds the way each band
+// was read to the join rule (Router.bandCorpus, dssearch.JoinPyramids): a
+// band whose shards all serve pyramids for the composite, those with
+// objects in the band in one limb layout of at most two limbs a channel,
+// is joined with their rows copied, and every other band's core is built
+// from its objects. The bands here are narrow, so joined rows keep their
+// headroom.
+func checkStraddlePaths(t *testing.T, rt *shard.Router, merged *asrs.Dataset, q asrs.Query, a, b float64, e asrs.Rect) {
+	t.Helper()
+	before := rt.Stats()
+	checkStraddle(t, rt, merged, q, a, b, e)
+	after := rt.Stats()
+	wantJoins, bands := 0, bandWindows(rt.Catalog(), e, a)
+	for _, win := range bands {
+		var layouts []agg.Limbs
+		for _, sh := range rt.Catalog().Shards() {
+			lo, hi := sh.Slab()
+			if !(lo < win.MaxX && win.MinX < hi) {
+				continue
+			}
+			eng := sh.Loaded()
+			p, err := eng.Pyramid(q.F)
+			if err != nil || p == nil {
+				layouts = nil
+				break
+			}
+			if slices.ContainsFunc(eng.CurrentDataset().Objects, func(o asrs.Object) bool { return win.MinX < o.Loc.X && o.Loc.X < win.MaxX }) {
+				layouts = append(layouts, p.Limbs())
+			}
+		}
+		joins := len(layouts) > 0 && layouts[0].RoundsOnce()
+		for i := range layouts {
+			joins = joins && layouts[i].SameLayout(&layouts[0])
+		}
+		if joins {
+			wantJoins++
+		}
+	}
+	joins, builds := after.BandJoins-before.BandJoins, after.BandBuilds-before.BandBuilds
+	if joins != int64(wantJoins) || builds != int64(len(bands)-wantJoins) {
+		t.Fatalf("extent %v: %d bands joined and %d built, want %d and %d", e, joins, builds, wantJoins, len(bands)-wantJoins)
 	}
 }
 
@@ -109,7 +154,10 @@ func slabObjects(cat *shard.Catalog, n int) []asrs.Object {
 
 // TestBandDifferential holds straddling queries to the merged-corpus
 // windowed answer, bit for bit, where a band's corpus is read in each of
-// its ways, and every band's corpus to the merged corpus's window slice.
+// its ways — joined from the shards' pyramids with their rows copied, or
+// built from objects the join gathered or a scan read — and holds the way
+// each band took, and every band's corpus to the merged corpus's window
+// slice.
 func TestBandDifferential(t *testing.T) {
 	checkLeaks(t)
 
@@ -129,7 +177,7 @@ func TestBandDifferential(t *testing.T) {
 				}
 				widest = max(widest, n)
 			}
-			checkStraddle(t, rt, ds, q, a, b, e)
+			checkStraddlePaths(t, rt, ds, q, a, b, e)
 			checkBandCorpus(t, rt, ds, f, e, a, true)
 		}
 		if widest < 3 {
@@ -153,13 +201,13 @@ func TestBandDifferential(t *testing.T) {
 			rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}})
 			a, b := 7.0, 7.0
 			e := asrs.Rect{MinX: 2, MinY: 2, MaxX: 98, MaxY: 98}
-			checkStraddle(t, rt, ds, q, a, b, e)
+			checkStraddlePaths(t, rt, ds, q, a, b, e)
 			for round := 0; round < 2; round++ {
 				if err := rt.Insert(slabObjects(cat, 6)); err != nil {
 					t.Fatal(err)
 				}
 				merged := cat.CurrentDataset()
-				checkStraddle(t, rt, merged, q, a, b, e)
+				checkStraddlePaths(t, rt, merged, q, a, b, e)
 				checkBandCorpus(t, rt, merged, f, e, a, !noPyr)
 			}
 			for _, sh := range cat.Shards() {
@@ -215,14 +263,14 @@ func edgesAndCuts(t *testing.T, noPyr bool) {
 		{F: count, Target: []float64{5}},
 		{F: f, Target: []float64{1, 2, 1, 5}},
 	} {
-		checkStraddle(t, rt, ds, query, a, b, e)
+		checkStraddlePaths(t, rt, ds, query, a, b, e)
 		checkBandCorpus(t, rt, ds, query.F, e, a, !noPyr)
 	}
 	if err := rt.Insert([]asrs.Object{obj(50, 43.5, 1), obj(58, 41.5, 2), obj(45, 42.5, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	merged := cat.CurrentDataset()
-	checkStraddle(t, rt, merged, asrs.Query{F: count, Target: []float64{6}}, a, b, e)
+	checkStraddlePaths(t, rt, merged, asrs.Query{F: count, Target: []float64{6}}, a, b, e)
 	checkBandCorpus(t, rt, merged, count, e, a, !noPyr)
 }
 
@@ -376,4 +424,45 @@ func TestBandConcurrentQueries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestBandShardIngestJoins: straddling queries made the shard-ingest
+// workload's way — the Tweet corpus and its day composite on four shards
+// with a WAL, inserts between the queries, answers a fortieth of the
+// corpus wide — join every band from
+// the shards' pyramids: none is built, and every answer is the merged
+// corpus's.
+func TestBandShardIngestJoins(t *testing.T) {
+	checkLeaks(t)
+	ds := dataset.Tweet(6000, 42)
+	day := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "day"})
+	cat, err := shard.New(ds, shard.Config{
+		Shards:     4,
+		WALRoot:    t.TempDir(),
+		Composites: map[string]*asrs.Composite{"day": day},
+		Names:      []string{"day"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}})
+	bounds := ds.Bounds()
+	a, b := bounds.Width()/40, bounds.Height()/40
+	extra := dataset.Tweet(60, 43).Objects
+	q := asrs.Query{F: day, Target: []float64{9, 9, 9, 9, 9, 4, 4}}
+	bands := 0
+	for i, c := range cat.Cuts() {
+		for _, half := range []float64{0.05, 0.2} {
+			if err := rt.Insert(extra[10*i : 10*i+10]); err != nil {
+				t.Fatal(err)
+			}
+			e := asrs.Rect{MinX: c - half*bounds.Width(), MinY: bounds.MinY + bounds.Height()/4, MaxX: c + half*bounds.Width(), MaxY: bounds.MaxY}
+			checkStraddle(t, rt, cat.CurrentDataset(), q, a, b, e)
+			bands += len(bandWindows(cat, e, a))
+		}
+	}
+	if st := rt.Stats(); st.BandJoins != int64(bands) || st.BandBuilds != 0 {
+		t.Fatalf("%d bands joined and %d built, want all %d joined", st.BandJoins, st.BandBuilds, bands)
+	}
 }

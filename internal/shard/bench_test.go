@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"asrs"
 	"asrs/internal/agg"
@@ -15,11 +14,12 @@ import (
 
 // BenchmarkRoutedStraddle times straddling extent queries over a 4-shard
 // catalog after inserts into every shard (each shard's epoch is a folded
-// pyramid): ms/op, B/op and allocs/op. It fails on any distance that
-// differs from one merged engine's windowed answer, and when a
-// steady-state straddling query allocates as much as one copy of the
-// merged object slice — what the bands cost when they were filtered from
-// a merged copy of the corpus.
+// pyramid): ms/op, B/op, allocs/op and band_joins/op, the bands joined
+// from the shards' pyramids with their rows copied. It fails on any
+// distance that differs from one merged engine's windowed answer, and
+// when a steady-state straddling query allocates more than maxQueryBytes:
+// joined bands copy their shards' runs and rows (about 225 KB a query),
+// where bands built from their objects take about 650 KB.
 func BenchmarkRoutedStraddle(b *testing.B) {
 	ds := dataset.Random(20000, 100, 41)
 	f := agg.MustNew(ds.Schema,
@@ -88,17 +88,18 @@ func BenchmarkRoutedStraddle(b *testing.B) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	perQuery := (after.TotalAlloc - before.TotalAlloc) / uint64(passes*len(extents))
-	corpusCopy := uint64(len(merged.Objects)) * uint64(unsafe.Sizeof(asrs.Object{}))
-	if perQuery >= corpusCopy {
-		b.Fatalf("a steady-state straddling query allocates %d B, one copy of the merged objects is %d B", perQuery, corpusCopy)
+	const maxQueryBytes = 320 << 10
+	if perQuery := (after.TotalAlloc - before.TotalAlloc) / uint64(passes*len(extents)); perQuery > maxQueryBytes {
+		b.Fatalf("a steady-state straddling query allocates %d B, more than %d B", perQuery, maxQueryBytes)
 	}
 
 	b.ReportAllocs()
+	joins := rt.Stats().BandJoins
 	b.ResetTimer()
 	start := time.Now()
 	for n := 0; n < b.N; n++ {
 		query(n % len(extents))
 	}
 	b.ReportMetric(float64(time.Since(start).Microseconds())/1e3/float64(b.N), "ms/op")
+	b.ReportMetric(float64(rt.Stats().BandJoins-joins)/float64(b.N), "band_joins/op")
 }

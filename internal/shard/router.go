@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asrs"
@@ -133,6 +134,10 @@ type Router struct {
 
 	mu    sync.Mutex
 	slabs map[*asrs.Composite]*dssearch.SlabCache // band searches' scratch
+
+	// How band corpora were read (bandCorpus): pyramids joined with the
+	// shards' rows copied, and cores built from objects.
+	bandJoins, bandBuilds atomic.Int64
 }
 
 // NewRouter builds a router over the catalog and (re)arms each shard's
@@ -281,7 +286,8 @@ func (r *Router) subOptions(req asrs.QueryRequest, cap *kernel.ExtCap) asrs.Opti
 // bandSlabs returns the router's slab cache for band searches on the
 // composite, so they recycle their grid, sweep solver, scratch buffers
 // and id slices across queries as a shard engine's searches do. A band
-// search has no pyramid: it builds a one-shot one over its band's corpus.
+// search reads the pyramid its corpus was joined with, or builds a
+// one-shot one over the corpus (bandCorpus).
 func (r *Router) bandSlabs(f *asrs.Composite) *dssearch.SlabCache {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -434,12 +440,14 @@ func (r *Router) containedQuery(ctx context.Context, sh *Shard, e asrs.Rect, req
 
 // subTask is one scatter target: a shard's slab sub-extent (engine
 // backed) or a cut-boundary band (searched engine-less over the band's
-// corpus, which the band's first round reads from the shards' epochs).
+// corpus and pyramid, which the band's first round reads from the
+// shards' epochs).
 type subTask struct {
 	name string
 	sh   *Shard
 	win  asrs.Rect
 	band *asrs.Dataset
+	pyr  *asrs.Pyramid // nil: the band's search builds a one-shot pyramid
 }
 
 // straddlingQuery scatter–gathers an extent spanning several slabs:
@@ -496,23 +504,51 @@ func (r *Router) straddlingQuery(ctx context.Context, e asrs.Rect, req asrs.Quer
 	return Response{Regions: regions, Results: results, Coverage: finishCoverage(cov, searched, skipped), Err: err}
 }
 
-// bandCorpus reads a band's corpus: the objects with x strictly inside
-// the band window, the only ones whose anchor rectangles can reach its
-// anchor window (corpus independence, DESIGN.md §11). Each shard whose
-// slab meets the window gives one run of its current epoch, read through
-// the load its sub-search performs when this round's breaker admitted
-// it (Shard.appendInX). Slabs are disjoint and in x order, so runs
-// concatenated in slab order are sorted as a master is, and the band's
-// search sorts nothing.
-func (r *Router) bandCorpus(win asrs.Rect, f *asrs.Composite, admitted []bool) *asrs.Dataset {
-	var objs []asrs.Object
+// bandCorpus reads a band's corpus and its pyramid: the objects with x
+// strictly inside the band window, the only ones whose anchor rectangles
+// can reach its anchor window (corpus independence, DESIGN.md §11). Each
+// shard whose slab meets the window is read at its current epoch, through
+// the load its sub-search performs when this round's breaker admitted it
+// (Shard.epoch). When every one of them has a pyramid for f, the band's
+// is joined from theirs (dssearch.JoinPyramids): each one's run of the
+// window, copied with its rows. Otherwise — a shard that holds only its
+// seed slab, or serves without pyramids — the shards are scanned and the
+// pyramid is nil: the band's search builds a one-shot one, which sorts
+// the scanned objects. Slabs are disjoint and in x order, so a join's
+// runs concatenated in slab order are sorted as a master is, and a join
+// sorts nothing.
+func (r *Router) bandCorpus(win asrs.Rect, f *asrs.Composite, admitted []bool) (*asrs.Dataset, *asrs.Pyramid) {
+	var met []*Shard
 	for _, sh := range r.cat.Shards() {
-		if sh.hi <= win.MinX || win.MaxX <= sh.lo {
-			continue
+		if sh.lo < win.MaxX && win.MinX < sh.hi {
+			met = append(met, sh)
 		}
-		objs = sh.appendInX(objs, f, win.MinX, win.MaxX, admitted[sh.index])
 	}
-	return &asrs.Dataset{Schema: r.cat.Seed().Schema, Objects: objs}
+	engs := make([]*asrs.Engine, len(met))
+	ps := make([]*asrs.Pyramid, 0, len(met))
+	for i, sh := range met {
+		if engs[i] = sh.epoch(admitted[sh.index]); engs[i] != nil {
+			if p, err := engs[i].Pyramid(f); err == nil && p != nil {
+				ps = append(ps, p)
+			}
+		}
+	}
+	if len(ps) == len(met) {
+		if ds, p, copied, err := dssearch.JoinPyramids(ps, win.MinX, win.MaxX); err == nil {
+			if copied {
+				r.bandJoins.Add(1)
+			} else {
+				r.bandBuilds.Add(1)
+			}
+			return ds, p
+		}
+	}
+	var objs []asrs.Object
+	for i, sh := range met {
+		objs = sh.appendInX(objs, engs[i], win.MinX, win.MaxX)
+	}
+	r.bandBuilds.Add(1)
+	return &asrs.Dataset{Schema: r.cat.Seed().Schema, Objects: objs}, nil
 }
 
 func finishCoverage(cov Coverage, searched map[string]bool, skipped map[string]string) Coverage {
@@ -567,9 +603,9 @@ func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req asrs.Que
 					if t.band == nil {
 						// Read once, by the first round; later rounds search the
 						// same corpus. The rounds run one after another.
-						t.band = r.bandCorpus(t.win, req.Query.F, admitted)
+						t.band, t.pyr = r.bandCorpus(t.win, req.Query.F, admitted)
 					}
-					opt.Slabs = r.bandSlabs(req.Query.F)
+					opt.Pyramid, opt.Slabs = t.pyr, r.bandSlabs(req.Query.F)
 					bctx, cancel := r.budgetCtx(ctx)
 					defer cancel()
 					sub.Ctx = bctx
@@ -630,7 +666,8 @@ func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req asrs.Que
 // own serving counters when loaded.
 func (r *Router) Stats() RouterStats {
 	shards := r.cat.Shards()
-	st := RouterStats{Cuts: r.cat.Cuts(), Shards: make([]ShardInfo, 0, len(shards))}
+	st := RouterStats{Cuts: r.cat.Cuts(), Shards: make([]ShardInfo, 0, len(shards)),
+		BandJoins: r.bandJoins.Load(), BandBuilds: r.bandBuilds.Load()}
 	for _, sh := range shards {
 		info := ShardInfo{
 			Name:        sh.Name(),
@@ -674,4 +711,11 @@ type ShardInfo struct {
 type RouterStats struct {
 	Cuts   []float64   `json:"cuts,omitempty"`
 	Shards []ShardInfo `json:"shards"`
+	// BandJoins counts the straddling queries' bands whose pyramid was
+	// joined from the shards' with their rows copied, BandBuilds those
+	// whose core was built from the band's objects: a join whose rows
+	// could not be copied, or a corpus scanned from a shard without a
+	// pyramid.
+	BandJoins  int64 `json:"band_joins"`
+	BandBuilds int64 `json:"band_builds"`
 }

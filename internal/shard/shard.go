@@ -118,16 +118,13 @@ func (s *Shard) objects(load bool) []asrs.Object {
 	return s.seed.Objects
 }
 
-// appendInX appends to dst the objects of the shard's current epoch (see
-// epoch) whose x lies strictly inside (lo, hi). With a pyramid for f they
-// come from its master, a sorted run found by binary search; a shard
-// without one — pyramids disabled, or only its seed slab — is scanned.
-func (s *Shard) appendInX(dst []asrs.Object, f *asrs.Composite, lo, hi float64, load bool) []asrs.Object {
+// appendInX appends to dst the objects of eng's current epoch — of the
+// shard's seed slab for a nil eng — whose x lies strictly inside (lo,
+// hi), scanned in dataset order: a band's corpus that cannot be joined
+// from the shards' pyramids (Router.bandCorpus).
+func (s *Shard) appendInX(dst []asrs.Object, eng *asrs.Engine, lo, hi float64) []asrs.Object {
 	objs := s.seed.Objects
-	if eng := s.epoch(load); eng != nil {
-		if p, err := eng.Pyramid(f); err == nil && p != nil {
-			return p.AppendObjectsInX(dst, lo, hi)
-		}
+	if eng != nil {
 		objs = eng.CurrentDataset().Objects
 	}
 	for _, o := range objs {

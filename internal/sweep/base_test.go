@@ -183,14 +183,13 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s.SetLimbs(limbs)
 					s.setIncremental(m.incremental)
 					m.prep(s)
 					return s
 				}
 				unfolded, folded := newSolver(), newSolver()
-				unfolded.Rebind(all)
-				folded.RebindWithBase(edged, base)
+				bindObjects(unfolded, limbs, all, nil)
+				bindObjects(folded, limbs, edged, base)
 				label := comp.name + "/" + m.name
 				want, wok := unfolded.SolveWithin(space)
 				if !wok {
@@ -211,8 +210,8 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 						t.Fatalf("%s: evaluator not exercised: %+v", label, st)
 					}
 				}
-				// A plain Rebind drops the base.
-				folded.Rebind(all)
+				// A rebind without a base drops it.
+				bindObjects(folded, limbs, all, nil)
 				got, gok := folded.SolveWithin(space)
 				expectSame(t, label+"/rebound", want, got, wok, gok)
 			}

@@ -144,8 +144,7 @@ func TestStripBoundBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		classic.SetLimbs(limbs)
-		classic.Rebind(all)
+		bindObjects(classic, limbs, all, nil)
 		opt, ok := classic.SolveWithin(space)
 		if !ok {
 			t.Fatal("classic sweep found nothing")
@@ -160,10 +159,9 @@ func TestStripBoundBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.SetLimbs(limbs)
 			s.setIncremental(true)
 			mc.prep(s)
-			s.RebindWithBase(edged, base)
+			bindObjects(s, limbs, edged, base)
 			for ci, c := range caps {
 				want, wok := classic.SolveWithinCapped(space, c)
 				before := s.Stats.PrunedStrips

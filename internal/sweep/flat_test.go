@@ -301,22 +301,42 @@ func TestStripPoolModes(t *testing.T) {
 	want, wok := classic.SolveWithin(space)
 	want2, wok2 := classic2.SolveWithin(space2)
 	for _, mc := range stripModeCases {
-		s, err := NewSized(q, limbs, 512)
+		s, err := NewSized(q, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mc.prep(s)
-		s.Rebind(rects)
+		bindObjects(s, limbs, rects, nil)
 		got, gok := s.SolveWithin(space)
 		expectSame(t, "pool/"+mc.name, want, got, wok, gok)
 		// Rebind to a different set: scratch reuse must not leak state.
-		s.Rebind(rects2)
+		bindObjects(s, limbs, rects2, nil)
 		got2, gok2 := s.SolveWithin(space2)
 		expectSame(t, "pool-rebind/"+mc.name, want2, got2, wok2, gok2)
 	}
 }
 
 // limbsOver certifies f's contributions over the rectangle sets, in turn.
+// rowsOf returns rects in the row form a solver binds: a table of their
+// rows flattened in the limbs l, and their rectangles and row ids (row i
+// for rects[i]).
+func rowsOf(f *agg.Composite, l *agg.Limbs, rects []asp.RectObject) (Rows, []geom.Rect, []int32) {
+	geo, ids := make([]geom.Rect, len(rects)), make([]int32, len(rects))
+	for i := range rects {
+		geo[i], ids[i] = rects[i].Rect, int32(i)
+	}
+	return FlattenRows(rects, f, l), geo, ids
+}
+
+// bindObjects binds s to rects over base, summing in the limbs l: their
+// rows flattened in l into a table of their own, as New flattens its
+// objects.
+func bindObjects(s *Solver, l *agg.Limbs, rects []asp.RectObject, base []float64) {
+	tab, geo, ids := rowsOf(s.query.F, l, rects)
+	s.Bind(l, tab)
+	s.Rebind(geo, ids, base)
+}
+
 func limbsOver(t *testing.T, f *agg.Composite, sets ...[]asp.RectObject) *agg.Limbs {
 	t.Helper()
 	var raw []agg.Contrib

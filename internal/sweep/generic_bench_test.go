@@ -56,13 +56,18 @@ func BenchmarkSweepGeneric(b *testing.B) {
 	}
 	var limbs agg.Limbs
 	limbs.Certify(q.F.Channels(), cbs)
-	s, err := sweep.NewSized(q, &limbs, 0)
+	s, err := sweep.NewSized(q, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	s.Bind(&limbs, sweep.FlattenRows(sub, q.F, &limbs))
+	geo, ids := make([]geom.Rect, len(sub)), make([]int32, len(sub))
+	for i := range sub {
+		geo[i], ids[i] = sub[i].Rect, int32(i)
+	}
 	capDist := math.Inf(1)
 	run := func() {
-		s.Rebind(sub)
+		s.Rebind(geo, ids, nil)
 		sweepSink, _ = s.SolveWithinCapped(space, capDist)
 	}
 	run() // first use sizes the solver's scratch and finds the space's optimum

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"asrs/internal/agg"
 	"asrs/internal/fenwick"
 	"asrs/internal/geom"
 
@@ -123,7 +122,6 @@ type incrState struct {
 	foldFull, foldPt []float64
 	lo, hi           []float64
 	mmMin, mmMax     []float64
-	mm               []agg.MMContrib
 }
 
 // stripPlan is the per-solve structural decision of the rule: whether
@@ -195,7 +193,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	// the space, plus the space edges.
 	xs := append(inc.xs[:0], space.MinX, space.MaxX)
 	for i := range s.rects {
-		r := &s.rects[i].Rect
+		r := &s.rects[i]
 		if r.MinX > space.MinX && r.MinX < space.MaxX {
 			xs = append(xs, r.MinX)
 		}
@@ -227,7 +225,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	mmSlots := s.query.F.MinMaxSlots()
 	inc.boundScratch(s.limbs.Eff(), len(s.fold), len(s.rep), mmSlots)
 	for i := range s.rects {
-		r := &s.rects[i].Rect
+		r := &s.rects[i]
 		// Covered intervals: MinX <= xs[j] && MaxX >= xs[j+1].
 		li := int32(sort.SearchFloat64s(xs, r.MinX))
 		ri := int32(sort.Search(k, func(j int) bool { return xs[j+1] > r.MaxX })) - 1
@@ -245,8 +243,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		if mmSlots > 0 && (li != 0 || int(ri) != k-1) {
 			// A rectangle that spans every interval is full wherever it is
 			// active; only the others reach a strip's partial set.
-			inc.mm = s.query.F.AppendMM(s.rects[i].Obj, inc.mm[:0])
-			for _, m := range inc.mm {
+			for _, m := range s.mms(i) {
 				inc.mmMin[m.Slot] = min(inc.mmMin[m.Slot], m.V)
 				inc.mmMax[m.Slot] = max(inc.mmMax[m.Slot], m.V)
 			}

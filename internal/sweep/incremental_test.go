@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"asrs/internal/agg"
@@ -166,15 +167,21 @@ func TestIncrementalSweepSteadyStateAllocs(t *testing.T) {
 	rects2, _ := incrFixture(t, rng, incrMinRects+60)
 	space := geom.Rect{MinX: 5, MinY: 5, MaxX: 95, MaxY: 95}
 	for _, mc := range stripModeCases {
-		s, err := NewSized(q, limbsOver(t, q.F, rects, rects2), 512)
+		// One table holds both sets' rows, as a pyramid's core holds every
+		// set a search sweeps.
+		limbs := limbsOver(t, q.F, rects, rects2)
+		tab, geo, ids := rowsOf(q.F, limbs, append(slices.Clone(rects), rects2...))
+		s, err := NewSized(q, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.Bind(limbs, tab)
 		mc.prep(s)
-		sets := [][]asp.RectObject{rects, rects2}
+		sets := [][2]int{{0, len(rects)}, {len(rects), len(geo)}}
 		i := 0
 		solve := func() {
-			s.Rebind(sets[i%2])
+			set := sets[i%2]
+			s.Rebind(geo[set[0]:set[1]], ids[set[0]:set[1]], nil)
 			i++
 			if _, ok := s.SolveWithin(space); !ok {
 				t.Fatal("nothing found")

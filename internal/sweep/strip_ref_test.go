@@ -19,15 +19,17 @@ import (
 // selectors anew — as the oracle scanStrip is held to bit for bit
 // (TestScanStripFlatMatchesAccumulator).
 
-// refSolveWithin is SolveWithin's classic strip loop over refScanStrip.
-func (s *Solver) refSolveWithin(space geom.Rect) (asp.Result, bool) {
+// refSolveWithin is SolveWithin's classic strip loop over refScanStrip,
+// reading the bound rectangles' objects from objs (objs[i] is bound
+// rectangle i).
+func (s *Solver) refSolveWithin(objs []asp.RectObject, space geom.Rect) (asp.Result, bool) {
 	ys := []float64{space.MinY, space.MaxY}
 	for _, r := range s.rects {
-		if r.Rect.MinY > space.MinY && r.Rect.MinY < space.MaxY {
-			ys = append(ys, r.Rect.MinY)
+		if r.MinY > space.MinY && r.MinY < space.MaxY {
+			ys = append(ys, r.MinY)
 		}
-		if r.Rect.MaxY > space.MinY && r.Rect.MaxY < space.MaxY {
-			ys = append(ys, r.Rect.MaxY)
+		if r.MaxY > space.MinY && r.MaxY < space.MaxY {
+			ys = append(ys, r.MaxY)
 		}
 	}
 	sort.Float64s(ys)
@@ -40,12 +42,12 @@ func (s *Solver) refSolveWithin(space geom.Rect) (asp.Result, bool) {
 		if ys[si+1] <= ys[si] {
 			continue
 		}
-		if s.refScanStrip((ys[si]+ys[si+1])/2, space, acc, rep, &best) {
+		if s.refScanStrip(objs, (ys[si]+ys[si+1])/2, space, acc, rep, &best) {
 			found = true
 		}
 	}
 	if space.MinY == space.MaxY {
-		if s.refScanStrip(space.MinY, space, acc, rep, &best) {
+		if s.refScanStrip(objs, space.MinY, space, acc, rep, &best) {
 			found = true
 		}
 	}
@@ -53,10 +55,10 @@ func (s *Solver) refSolveWithin(space geom.Rect) (asp.Result, bool) {
 }
 
 // refScanStrip is the strip walk over the object accumulator.
-func (s *Solver) refScanStrip(ym float64, space geom.Rect, acc *agg.Accumulator, rep []float64, best *asp.Result) bool {
+func (s *Solver) refScanStrip(objs []asp.RectObject, ym float64, space geom.Rect, acc *agg.Accumulator, rep []float64, best *asp.Result) bool {
 	acc.Reset()
 	active := func(i int) bool {
-		r := s.rects[i].Rect
+		r := s.rects[i]
 		return r.MinY < ym && ym < r.MaxY
 	}
 	found := false
@@ -87,9 +89,9 @@ func (s *Solver) refScanStrip(ym float64, space geom.Rect, acc *agg.Accumulator,
 	}
 	if space.MinX == space.MaxX {
 		for _, i := range ins {
-			r := s.rects[i].Rect
+			r := s.rects[i]
 			if r.MinX < space.MinX && space.MinX < r.MaxX && active(i) {
-				acc.Add(s.rects[i].Obj)
+				acc.Add(objs[i].Obj)
 			}
 		}
 		evaluate(space.MaxX)
@@ -100,13 +102,13 @@ func (s *Solver) refScanStrip(ym float64, space geom.Rect, acc *agg.Accumulator,
 		takeIn := false
 		switch {
 		case ii >= len(ins):
-			x = s.rects[outs[oi]].Rect.MaxX
+			x = s.rects[outs[oi]].MaxX
 		case oi >= len(outs):
-			x = s.rects[ins[ii]].Rect.MinX
+			x = s.rects[ins[ii]].MinX
 			takeIn = true
 		default:
-			xi := s.rects[ins[ii]].Rect.MinX
-			xo := s.rects[outs[oi]].Rect.MaxX
+			xi := s.rects[ins[ii]].MinX
+			xo := s.rects[outs[oi]].MaxX
 			if xi < xo {
 				x, takeIn = xi, true
 			} else {
@@ -122,12 +124,12 @@ func (s *Solver) refScanStrip(ym float64, space geom.Rect, acc *agg.Accumulator,
 		}
 		if takeIn {
 			if active(ins[ii]) {
-				acc.Add(s.rects[ins[ii]].Obj)
+				acc.Add(objs[ins[ii]].Obj)
 			}
 			ii++
 		} else {
 			if active(outs[oi]) {
-				acc.Remove(s.rects[outs[oi]].Obj)
+				acc.Remove(objs[outs[oi]].Obj)
 			}
 			oi++
 		}
@@ -184,8 +186,7 @@ func TestScanStripFlatMatchesAccumulator(t *testing.T) {
 			}
 		} else {
 			s.query = q
-			s.SetLimbs(limbsOver(t, f, rects))
-			s.Rebind(rects)
+			bindObjects(s, limbsOver(t, f, rects), rects, nil)
 		}
 		x, y := float64(rng.Intn(20))*5, float64(rng.Intn(20))*5
 		spaces := []geom.Rect{
@@ -198,7 +199,7 @@ func TestScanStripFlatMatchesAccumulator(t *testing.T) {
 		for si, space := range spaces {
 			for _, capDist := range []float64{math.Inf(1), 3} {
 				s.evalCap = capDist
-				want, wok := s.refSolveWithin(space)
+				want, wok := s.refSolveWithin(rects, space)
 				got, gok := s.SolveWithin(space)
 				s.evalCap = math.Inf(1)
 				expectSame(t, fmt.Sprintf("trial %d space %d cap %v", trial, si, capDist), want, got, wok, gok)

@@ -8,6 +8,13 @@
 // The same machinery restricted to a small sub-space is DS-Search's
 // terminal step: the spaces its terminal rule takes are swept (DESIGN.md
 // §3).
+//
+// A solver reads its rectangles' aggregates in row form (Rows): each
+// rectangle's limb contributions and min/max contributions, evaluated
+// once and read by every strip. DS-Search binds its pyramid's core, which
+// holds every object's row, and hands a sweep the swept rectangles with
+// their rows' ids; New, the oracle, flattens its objects into a table of
+// its own. No sweep evaluates a composite over an object.
 package sweep
 
 import (
@@ -40,14 +47,19 @@ type Stats struct {
 // Solver runs the Base algorithm. The zero value is not usable; construct
 // with New or NewSized.
 type Solver struct {
-	rects []asp.RectObject
+	// rects are the bound rectangles, and rows[i] is rectangle i's row in
+	// the table tab: its limb contributions and min/max contributions.
+	rects []geom.Rect
+	rows  []int32
+	tab   Rows
 	query asp.Query
 	// base is the limb vector of a set that covers every candidate of the
-	// spaces about to be solved (RebindWithBase); nil means none.
+	// spaces about to be solved (Rebind); nil means none.
 	base []float64
 
-	// limbs is the layout channels are summed in (agg.Limbs); a solver
-	// built by New sums in its own, own.
+	// limbs is the layout channels are summed in (agg.Limbs), the one the
+	// table's rows are split in; a solver built by New sums in its own,
+	// own.
 	limbs *agg.Limbs
 	own   agg.Limbs
 
@@ -65,14 +77,6 @@ type Solver struct {
 	// isInt flags the representation's integer dimensions (the strip
 	// bound's integrality, Composite.IntegerDims).
 	isInt []bool
-
-	// Every rectangle's limb contributions, flattened once per Rebind at
-	// the first strip walk (flatten): a strip adds and removes each active
-	// rectangle once, a sweep has about two strips per rectangle, and the
-	// incremental sweep applies each rectangle twice.
-	flat    []agg.Contrib
-	flatOff []int32 // rect i contributes flat[flatOff[i]:flatOff[i+1]]
-	flatOK  bool
 
 	// incremental selects the delta sweep for large inputs (see
 	// incremental.go); inc is its reusable scratch, and incrCap bounds the
@@ -98,8 +102,10 @@ type Solver struct {
 // channels in the limbs they certify (agg.Limbs.Certify) over them in the
 // order given — what DS-Search certifies over a dataset's reduction, so
 // New's answers are what DS-Search answers, bit for bit. It fails when
-// their values do not certify. The pre-sorted edge orders are shared
-// across strips so each strip costs O(n).
+// their values do not certify. The objects are flattened once into a
+// table of their own, in the row form a pyramid's core holds (Rows), and
+// the pre-sorted edge orders are shared across strips so each strip costs
+// O(n).
 func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -117,17 +123,54 @@ func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 	if err := s.own.Certify(q.F.Channels(), raw); err != nil {
 		return nil, err
 	}
-	s.SetLimbs(&s.own)
-	s.Rebind(rects)
+	s.Bind(&s.own, FlattenRows(rects, q.F, &s.own))
+	geo, ids := make([]geom.Rect, len(rects)), make([]int32, len(rects))
+	for i := range rects {
+		geo[i], ids[i] = rects[i].Rect, int32(i)
+	}
+	s.Rebind(geo, ids, nil)
 	return s, nil
 }
 
-// NewSized returns an unbound solver for the query, summing in the limbs
-// l, whose sorted edges and strips are pre-sized for 2048 rectangles. The
-// incremental sweep engages for inputs up to incrCap rectangles (none for
-// 0); its scratch grows with the sweeps it runs, doubling, and is kept. It
-// must be Rebind-ed before use.
-func NewSized(q asp.Query, l *agg.Limbs, incrCap int) (*Solver, error) {
+// Rows is a table of rectangles' rows: row r holds the limb
+// contributions C[Off[r]:Off[r+1]], split in the limbs the solver sums
+// in, and the min/max contributions MM[MOff[r]:MOff[r+1]] (MOff is empty
+// for a composite without min/max slots). DS-Search binds its pyramid's
+// core, which holds every object's row in master order (dssearch's
+// core); New flattens its objects into one of its own.
+type Rows struct {
+	Off  []int32
+	C    []agg.Contrib
+	MOff []int32
+	MM   []agg.MMContrib
+}
+
+// FlattenRows evaluates the rows of rects, row i for rects[i]: each
+// object's contributions (selectors included) split in the limbs l, and
+// its min/max contributions.
+func FlattenRows(rects []asp.RectObject, f *agg.Composite, l *agg.Limbs) Rows {
+	t := Rows{Off: make([]int32, 1, len(rects)+1)}
+	for i := range rects {
+		start := len(t.C)
+		t.C = l.Split(f.AppendContribs(rects[i].Obj, t.C), start)
+		t.Off = append(t.Off, int32(len(t.C)))
+	}
+	if f.MinMaxSlots() > 0 {
+		t.MOff = make([]int32, 1, len(rects)+1)
+		for i := range rects {
+			t.MM = f.AppendMM(rects[i].Obj, t.MM)
+			t.MOff = append(t.MOff, int32(len(t.MM)))
+		}
+	}
+	return t
+}
+
+// NewSized returns an unbound solver for the query, whose sorted edges
+// and strips are pre-sized for 2048 rectangles. The incremental sweep
+// engages for inputs up to incrCap rectangles (none for 0); its scratch
+// grows with the sweeps it runs, doubling, and is kept. It must be Bind-
+// and Rebind-ed before use.
+func NewSized(q asp.Query, incrCap int) (*Solver, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -143,7 +186,6 @@ func NewSized(q asp.Query, l *agg.Limbs, incrCap int) (*Solver, error) {
 		incremental: incrCap > 0,
 		incrCap:     incrCap,
 	}
-	s.SetLimbs(l)
 	return s, nil
 }
 
@@ -162,12 +204,13 @@ func (s *Solver) SetQuery(q asp.Query) bool {
 	return true
 }
 
-// SetLimbs installs the limbs channels are summed in, sizing the strip
-// accumulator to them. The limbs must certify every set the solver is
-// bound to — a caller's limbs over a superset do — and are retained: they
+// Bind installs the limbs channels are summed in and the table of rows
+// the bound rectangles read, sizing the strip accumulator to the limbs.
+// The rows must be split in l, and l must certify every set the solver is
+// bound to — a caller's limbs over a superset do. Both are retained: they
 // must not change while the solver is in use.
-func (s *Solver) SetLimbs(l *agg.Limbs) {
-	s.limbs, s.flatOK = l, false
+func (s *Solver) Bind(l *agg.Limbs, tab Rows) {
+	s.limbs, s.tab = l, tab
 	eff, chans := l.Eff(), s.query.F.Channels()
 	if cap(s.acc) < eff {
 		s.acc = make([]float64, eff)
@@ -179,28 +222,26 @@ func (s *Solver) SetLimbs(l *agg.Limbs) {
 }
 
 // Rebind points the solver at a new rectangle set, reusing all scratch
-// (sorted-edge orders, strip buffers, accumulator). The query is
-// unchanged; the rects slice is only read, never retained past the next
-// Rebind. Stats keep accumulating across rebinds.
-func (s *Solver) Rebind(rects []asp.RectObject) { s.RebindWithBase(rects, nil) }
-
-// RebindWithBase is Rebind for a caller that has factored out the
+// (sorted-edge orders, strip buffers, accumulator): rectangle i is
+// rects[i], and its contributions are row rows[i] of the bound table. The
+// query is unchanged; the slices are only read, never retained past the
+// next Rebind. Stats keep accumulating across rebinds.
+//
+// base, when non-nil, is for a caller that has factored out the
 // rectangles covering every candidate of the spaces it is about to solve:
-// rects holds only the others, and base (in the installed limbs, nil for
-// none; read, never retained past the next rebind) the summed limb
-// contributions of the covering ones. No edge of a covering rectangle
-// delimits a strip or an interval, so the candidates are those of
-// sweeping all the rectangles and every one is scored on base plus what
-// the sweep accumulates: the classic walk starts each strip's accumulator
-// from base, the incremental sweep range-adds it across all intervals.
-// Limb sums being exact, the answer is that of the unfactored sweep bit
-// for bit. The caller
-// vouches for the covering — for SolveWithin over a space, rectangles
-// whose open interior contains the closed space.
-func (s *Solver) RebindWithBase(rects []asp.RectObject, base []float64) {
-	s.rects = rects
+// rects holds only the others, and base (in the installed limbs; read,
+// never retained past the next rebind) the summed limb contributions of
+// the covering ones. No edge of a covering rectangle delimits a strip or
+// an interval, so the candidates are those of sweeping all the rectangles
+// and every one is scored on base plus what the sweep accumulates: the
+// classic walk starts each strip's accumulator from base, the incremental
+// sweep range-adds it across all intervals. Limb sums being exact, the
+// answer is that of the unfactored sweep bit for bit. The caller vouches
+// for the covering — for SolveWithin over a space, rectangles whose open
+// interior contains the closed space.
+func (s *Solver) Rebind(rects []geom.Rect, rows []int32, base []float64) {
+	s.rects, s.rows = rects, rows
 	s.base = base
-	s.flatOK = false
 	s.byMinX = resizeInts(s.byMinX, len(rects))
 	s.byMaxX = resizeInts(s.byMaxX, len(rects))
 	for i := range rects {
@@ -211,8 +252,8 @@ func (s *Solver) RebindWithBase(rects []asp.RectObject, base []float64) {
 	// allocations, and puts equal keys in the same order — the order
 	// rectangles sharing an edge coordinate are added in, which real-valued
 	// sums can see (TestRebindOrderMatchesSortSlice).
-	slices.SortFunc(s.byMinX, func(a, b int) int { return cmpLess(rects[a].Rect.MinX, rects[b].Rect.MinX) })
-	slices.SortFunc(s.byMaxX, func(a, b int) int { return cmpLess(rects[a].Rect.MaxX, rects[b].Rect.MaxX) })
+	slices.SortFunc(s.byMinX, func(a, b int) int { return cmpLess(rects[a].MinX, rects[b].MinX) })
+	slices.SortFunc(s.byMaxX, func(a, b int) int { return cmpLess(rects[a].MaxX, rects[b].MaxX) })
 }
 
 // cmpLess is the three-way comparison whose "< 0" is exactly x < y.
@@ -226,23 +267,16 @@ func cmpLess(x, y float64) int {
 	return 0
 }
 
-// flatten evaluates every bound rectangle's contributions (selectors
-// included) into the solver's retained table, split into the installed
-// limbs.
-func (s *Solver) flatten() {
-	s.flat = s.flat[:0]
-	s.flatOff = append(s.flatOff[:0], 0)
-	for i := range s.rects {
-		start := len(s.flat)
-		s.flat = s.limbs.Split(s.query.F.AppendContribs(s.rects[i].Obj, s.flat), start)
-		s.flatOff = append(s.flatOff, int32(len(s.flat)))
-	}
-	s.flatOK = true
+// contribs returns rect i's limb contributions, its row of the table.
+func (s *Solver) contribs(i int) []agg.Contrib {
+	r := s.rows[i]
+	return s.tab.C[s.tab.Off[r]:s.tab.Off[r+1]]
 }
 
-// contribs returns rect i's flattened limb contributions.
-func (s *Solver) contribs(i int) []agg.Contrib {
-	return s.flat[s.flatOff[i]:s.flatOff[i+1]]
+// mms returns rect i's min/max contributions, its row of the table.
+func (s *Solver) mms(i int) []agg.MMContrib {
+	r := s.rows[i]
+	return s.tab.MM[s.tab.MOff[r]:s.tab.MOff[r+1]]
 }
 
 // resizeInts returns a slice of length n, reusing capacity when possible.
@@ -256,7 +290,11 @@ func resizeInts(v []int, n int) []int {
 // Solve finds the minimum-distance point over the whole plane, including
 // the empty covering set.
 func (s *Solver) Solve() asp.Result {
-	space := asp.Space(s.rects)
+	space := geom.EmptyRect()
+	for _, r := range s.rects {
+		space.ExpandToInclude(r.BL())
+		space.ExpandToInclude(r.TR())
+	}
 	best := s.emptyResult(space)
 	if len(s.rects) == 0 {
 		return best
@@ -303,18 +341,15 @@ func (s *Solver) SolveWithin(space geom.Rect) (asp.Result, bool) {
 	if !space.IsValid() {
 		return asp.Result{}, false
 	}
-	if !s.flatOK {
-		s.flatten()
-	}
 	// Horizontal strips: distinct y edge coordinates clipped to the space,
 	// plus the space's own extent.
 	ys := append(s.ys[:0], space.MinY, space.MaxY)
 	for _, r := range s.rects {
-		if r.Rect.MinY > space.MinY && r.Rect.MinY < space.MaxY {
-			ys = append(ys, r.Rect.MinY)
+		if r.MinY > space.MinY && r.MinY < space.MaxY {
+			ys = append(ys, r.MinY)
 		}
-		if r.Rect.MaxY > space.MinY && r.Rect.MaxY < space.MaxY {
-			ys = append(ys, r.Rect.MaxY)
+		if r.MaxY > space.MinY && r.MaxY < space.MaxY {
+			ys = append(ys, r.MaxY)
 		}
 	}
 	sort.Float64s(ys)
@@ -365,7 +400,7 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, best *asp.Result) bool {
 	// Merge-walk the two pre-sorted edge lists, keeping only rects active
 	// in this strip (open coverage in y).
 	active := func(i int) bool {
-		r := s.rects[i].Rect
+		r := s.rects[i]
 		return r.MinY < ym && ym < r.MaxY
 	}
 	found := false
@@ -416,7 +451,7 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, best *asp.Result) bool {
 		// before the covering set assembles), so assemble the open
 		// covering set at the column directly and evaluate once.
 		for _, i := range ins {
-			r := s.rects[i].Rect
+			r := s.rects[i]
 			if r.MinX < space.MinX && space.MinX < r.MaxX && active(i) {
 				s.add(acc, i)
 			}
@@ -429,13 +464,13 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, best *asp.Result) bool {
 		takeIn := false
 		switch {
 		case ii >= len(ins):
-			x = s.rects[outs[oi]].Rect.MaxX
+			x = s.rects[outs[oi]].MaxX
 		case oi >= len(outs):
-			x = s.rects[ins[ii]].Rect.MinX
+			x = s.rects[ins[ii]].MinX
 			takeIn = true
 		default:
-			xi := s.rects[ins[ii]].Rect.MinX
-			xo := s.rects[outs[oi]].Rect.MaxX
+			xi := s.rects[ins[ii]].MinX
+			xo := s.rects[outs[oi]].MaxX
 			// Process removals first at equal coordinates so that a point
 			// exactly between a closing and an opening edge is attributed
 			// the open-interval set on each side correctly.

@@ -340,19 +340,26 @@ func (l *Log) openActive(name string, create bool) error {
 		f.Close()
 		return fmt.Errorf("wal: seeking active segment: %w", err)
 	}
-	l.f = f
 	if create {
 		if err := syncDir(l.dir); err != nil {
 			f.Close()
 			return err
 		}
 	}
+	l.f = f
 	return nil
 }
 
 // syncDir fsyncs a directory so a segment created inside it is
-// durable.
+// durable, honoring the wal.dir.sync failpoint.
 func syncDir(dir string) error {
+	if f, ok := faultinject.Check("wal.dir.sync"); ok {
+		if f.Action == faultinject.ActSleep {
+			f.Sleep()
+		} else {
+			return fmt.Errorf("wal: directory sync: %w", f.Err())
+		}
+	}
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -470,19 +477,30 @@ func (l *Log) Sync() error {
 
 // rotateLocked seals the active segment (fsync unless SyncNever — a
 // sealed segment is immutable history and must not lose acked group
-// commits) and opens a fresh one named by the next LSN.
+// commits) and opens a fresh one named by the next LSN. A failed fsync
+// leaves the active segment as it was, for the next append to retry; a
+// failure past it — the seal's close, or opening the fresh segment and
+// making its name durable — leaves no segment to append to, and poisons
+// the log at once.
 func (l *Log) rotateLocked() error {
 	if l.opt.Sync != SyncNever {
 		if err := l.syncLocked(); err != nil {
 			return err
 		}
 	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: sealing segment: %w", err)
-	}
+	err := l.f.Close()
 	l.f = nil
 	l.size = 0
-	return l.openActive(segName(l.nextLSN), true)
+	if err != nil {
+		err = fmt.Errorf("wal: sealing segment: %w", err)
+	} else {
+		err = l.openActive(segName(l.nextLSN), true)
+	}
+	if err != nil {
+		l.sticky = fmt.Errorf("wal: rotation failed, reopen the log: %w", err)
+		return l.sticky
+	}
+	return nil
 }
 
 // Close flushes (unless SyncNever) and closes the log. Further calls

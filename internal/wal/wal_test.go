@@ -103,6 +103,51 @@ func TestRotation(t *testing.T) {
 	}
 }
 
+// TestRotationDirSyncFaultPoisons: a rotation whose fresh segment's name
+// cannot be made durable (the wal.dir.sync failpoint) leaves no segment
+// to append to. The append that rotated fails unacknowledged, the log is
+// poisoned at once — the next append returns the same error instead of
+// writing to a closed or absent file — and a reopen replays exactly the
+// acknowledged records and appends after them.
+func TestRotationDirSyncFaultPoisons(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _ := collect(t, dir, Options{Sync: SyncAlways, SegmentBytes: 64})
+	var acked []string
+	for i := 0; i < 4; i++ { // 4 frames of 16 bytes fill the segment
+		p := fmt.Sprintf("acked-%02d", i)
+		if _, err := l.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, p)
+	}
+	plan := faultinject.NewPlan(3, faultinject.Spec{Point: "wal.dir.sync", Action: faultinject.ActError, MaxEvery: 1})
+	faultinject.Activate(plan)
+	_, err := l.Append([]byte("rotating"))
+	faultinject.Deactivate()
+	if !errors.Is(err, faultinject.ErrInjected) || plan.FiredAt("wal.dir.sync") != 1 {
+		t.Fatalf("rotating append: err %v after %d directory sync faults, want ErrInjected after 1", err, plan.FiredAt("wal.dir.sync"))
+	}
+	if _, again := l.Append([]byte("after")); again != err {
+		t.Fatalf("append after the failed rotation: %v, want the sticky %v", again, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("closing a poisoned log: %v", err)
+	}
+	l2, lsns, payloads := collect(t, dir, Options{Sync: SyncAlways, SegmentBytes: 64})
+	defer l2.Close()
+	if len(payloads) != len(acked) {
+		t.Fatalf("reopen replayed %d records %q, want the %d acknowledged", len(payloads), payloads, len(acked))
+	}
+	for i, p := range payloads {
+		if lsns[i] != uint64(i+1) || string(p) != acked[i] {
+			t.Fatalf("record %d: lsn %d payload %q, want %d %q", i, lsns[i], p, i+1, acked[i])
+		}
+	}
+	if lsn, err := l2.Append([]byte("after-reopen")); err != nil || lsn != uint64(len(acked)+1) {
+		t.Fatalf("append after reopen: lsn %d err %v", lsn, err)
+	}
+}
+
 func TestTornTailTruncated(t *testing.T) {
 	for _, tear := range []struct {
 		name  string

@@ -97,6 +97,7 @@ func (e *Engine) initIngest() error {
 	}
 	firstReplayed := uint64(0)
 	tagged := false
+	var arena []attr.Value // the replayed objects' values (persist.DecodeAppend)
 	policy := e.opt.Ingest.Sync
 	if policy == SyncBatch {
 		policy = SyncAlways // one record per batch: Append's fsync is the batch's
@@ -113,12 +114,9 @@ func (e *Engine) initIngest() error {
 			if lsn <= appliedLSN {
 				return nil // already durable in the snapshot
 			}
-			objs, derr := persist.DecodeObjects(e.ds.Schema, payload)
-			if derr != nil {
-				return derr
-			}
-			staged = append(staged, objs...)
-			return nil
+			var derr error
+			staged, arena, derr = persist.DecodeAppend(staged, arena, e.ds.Schema, payload)
+			return derr
 		})
 	if err != nil {
 		return fmt.Errorf("asrs: replaying ingest WAL: %w", err)
