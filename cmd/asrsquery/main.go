@@ -31,6 +31,7 @@ import (
 
 	"asrs"
 	"asrs/internal/dataset"
+	"asrs/internal/gridindex"
 	"asrs/internal/query"
 	"asrs/internal/wire"
 )
@@ -49,7 +50,7 @@ func main() {
 		jsonOut = flag.Bool("json", false, "emit the answer as JSON in the asrsd wire schema (one format for CLI and daemon)")
 		qText   = flag.String("q", "", "run a query-language expression over the chosen dataset instead of the canned query (see README \"Query language\"; 'explain …' prints the plan report). Results stream as they are found; with -json each row is one NDJSON line, the same rows POST /v1/search would send")
 		debug   = flag.Bool("debug", false, "print search work counters, including the mini-sweep strip-evaluator selection (flat prefix scan vs Fenwick walks; DESIGN.md §8)")
-		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the search to this file: what the elapsed time covers, not the corpus or pyramid build")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the search to this file: what the elapsed time covers, not the corpus, pyramid or index build")
 	)
 	flag.Parse()
 
@@ -195,6 +196,22 @@ func run(dsName string, n, k int, algo string, grid int, delta float64, seed int
 		infof("pyramid:        built (%d objects)\n", opt.Pyramid.Objects())
 	}
 	req.Options = &opt
+	// The index is built before the clock starts, as a serving engine
+	// builds it before the queries it serves: binned from the bound
+	// pyramid, or from one asrs.NewIndex builds.
+	var idx *asrs.Index
+	if algo == "gids" {
+		build := time.Now()
+		if opt.Pyramid != nil {
+			idx, err = gridindex.New(opt.Pyramid, grid, grid)
+		} else {
+			idx, err = asrs.NewIndex(ds, req.Query.F, grid, grid)
+		}
+		if err != nil {
+			return err
+		}
+		infof("index build:    %v\n", time.Since(build).Round(time.Millisecond))
+	}
 
 	stopProf, err := startCPUProfile(cpuProf)
 	if err != nil {
@@ -205,12 +222,6 @@ func run(dsName string, n, k int, algo string, grid int, delta float64, seed int
 	var resp asrs.QueryResponse
 	switch algo {
 	case "ds", "gids":
-		var idx *asrs.Index
-		if algo == "gids" {
-			if idx, err = asrs.NewIndex(ds, req.Query.F, grid, grid); err != nil {
-				return err
-			}
-		}
 		var stats asrs.IndexStats
 		if resp, stats = asrs.Answer(ds, idx, req); resp.Err != nil {
 			return resp.Err

@@ -33,12 +33,13 @@ type EngineOptions struct {
 	// of a QueryBatch; the rest queue in arrival order. Values <= 0 select
 	// runtime.GOMAXPROCS(0).
 	BatchParallelism int
-	// DisablePyramid turns off the lazily built per-composite aggregate
-	// pyramid (the dataset-level aggregation layer every query reads;
-	// DESIGN.md §6): the engine caches none, and each search builds a
-	// one-shot pyramid of its own. Answers are bit-identical either way;
-	// the switch exists for ablation and as the oracle side of the
-	// pyramid property tests.
+	// DisablePyramid stops the engine's own searches from binding the
+	// per-composite aggregate pyramid (the dataset-level aggregation layer
+	// every query reads; DESIGN.md §6): each search builds a one-shot
+	// pyramid of its own. The epoch pyramid is still built where something
+	// else reads it — Pyramid (a router's bands join it), the grid index,
+	// Warm. Answers are bit-identical either way; the switch exists for
+	// ablation and as the oracle side of the pyramid property tests.
 	DisablePyramid bool
 	// DisableBatchGrouping is inert: the batch grouping pass it switched
 	// off is gone (a batch's members join identical searches in flight
@@ -106,8 +107,10 @@ type Engine struct {
 	nErrors    atomic.Int64
 	nCancelled atomic.Int64
 	// nIndexedExcl counts GI-DS rounds that ran under a non-empty
-	// exclusion list (EngineStats.IndexedExclusionRounds).
+	// exclusion list (EngineStats.IndexedExclusionRounds), nSelfCheck the
+	// answers whose self-check missed (EngineStats.SelfCheckMisses).
 	nIndexedExcl atomic.Int64
+	nSelfCheck   atomic.Int64
 	// Searches that queued for an execution slot, and their total wait.
 	nSlotWaits    atomic.Int64
 	slotWaitNanos atomic.Int64
@@ -144,6 +147,11 @@ type EngineStats struct {
 	// 2…k of a top-k, and every round of a request that excludes
 	// something itself. Zero with indexing off or windowed traffic only.
 	IndexedExclusionRounds int64 `json:"indexed_exclusion_rounds"`
+	// SelfCheckMisses counts answers of executed searches and rounds whose
+	// distance, re-evaluated at the answer's point, differed from the one
+	// the search ranked them by (dssearch's Settle). The answer is served
+	// all the same; any count other than 0 is a defect.
+	SelfCheckMisses int64 `json:"self_check_misses"`
 	// SlotWaits counts searches that found every execution slot taken and
 	// queued for one; SlotWaitMs is their cumulative wait.
 	// Together with the latency percentiles (which start when a search
@@ -202,6 +210,7 @@ func (e *Engine) Stats() EngineStats {
 		Errors:                 e.nErrors.Load(),
 		Cancelled:              e.nCancelled.Load(),
 		IndexedExclusionRounds: e.nIndexedExcl.Load(),
+		SelfCheckMisses:        e.nSelfCheck.Load(),
 		SlotWaits:              e.nSlotWaits.Load(),
 		SlotWaitMs:             float64(e.slotWaitNanos.Load()) / 1e6,
 		Indexes:                ni,
@@ -404,8 +413,7 @@ func (e *Engine) Index(f *Composite) (*Index, error) {
 
 // indexFor returns the view's cached grid index for the composite,
 // building it on first use by binning the view's pyramid for the
-// composite (pyramidFor). Without pyramids, it bins a core built on the
-// view's geometry for the index alone, which is not cached.
+// composite (pyramidFor).
 func (e *Engine) indexFor(v *engineView, f *Composite) (*Index, error) {
 	g := e.opt.IndexGranularity
 	if g == 0 {
@@ -419,16 +427,7 @@ func (e *Engine) indexFor(v *engineView, f *Composite) (*Index, error) {
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
-		var p *Pyramid
-		var err error
-		if e.opt.DisablePyramid {
-			var geo *dssearch.Geometry
-			if geo, err = e.geometryFor(v); err == nil {
-				p, err = dssearch.BuildPyramidOn(geo, f)
-			}
-		} else {
-			p, err = e.pyramidFor(v, f)
-		}
+		p, err := e.pyramidFor(v, f)
 		if err == nil {
 			ent.idx, err = gridindex.New(p, g, g)
 		}
@@ -438,8 +437,8 @@ func (e *Engine) indexFor(v *engineView, f *Composite) (*Index, error) {
 }
 
 // Pyramid returns the engine's cached aggregate pyramid for the
-// composite, building it on first use (nil, nil when pyramids are
-// disabled). Concurrent callers for the same composite share one build.
+// composite, building it on first use, DisablePyramid or not.
+// Concurrent callers for the same composite share one build.
 // Like Index, the cache is keyed by composite identity — treat
 // composites as long-lived singletons.
 func (e *Engine) Pyramid(f *Composite) (*Pyramid, error) {
@@ -476,9 +475,6 @@ func (e *Engine) geometryFor(v *engineView) (*dssearch.Geometry, error) {
 // from-scratch rebuild (which only a base of no objects takes instead).
 // The base is released as soon as the build lands.
 func (e *Engine) pyramidFor(v *engineView, f *Composite) (*Pyramid, error) {
-	if e.opt.DisablePyramid {
-		return nil, nil
-	}
 	e.mu.Lock()
 	ent, ok := v.pyramids[f]
 	if !ok {
@@ -594,7 +590,7 @@ func (e *Engine) options(v *engineView, req QueryRequest) Options {
 		e.mu.Unlock()
 		opt.Slabs = sc
 	}
-	if opt.Pyramid == nil {
+	if opt.Pyramid == nil && !e.opt.DisablePyramid {
 		// Bind the epoch's per-composite pyramid: every query then reads
 		// the dataset-level aggregation layer instead of building a
 		// one-shot pyramid of its own, which is what a search does
@@ -685,6 +681,7 @@ func (e *Engine) answer(ctx context.Context, v *engineView, req QueryRequest) Qu
 	}
 	resp, stats := Answer(v.ds, idx, req)
 	e.nIndexedExcl.Add(int64(stats.ExcludingRuns))
+	e.nSelfCheck.Add(int64(stats.DS.SelfCheckMisses))
 	return resp
 }
 
@@ -767,9 +764,10 @@ func (r *Rounds) round(req QueryRequest) QueryResponse {
 		r.d, r.open = openDriver(r.v.ds, idx, req, r.n), true
 	}
 	defer r.d.release()
-	runs := r.d.stats.ExcludingRuns
+	runs, misses := r.d.stats.ExcludingRuns, r.d.stats.DS.SelfCheckMisses
 	region, res, err := r.d.round(req.Exclude)
 	e.nIndexedExcl.Add(int64(r.d.stats.ExcludingRuns - runs))
+	e.nSelfCheck.Add(int64(r.d.stats.DS.SelfCheckMisses - misses))
 	if err != nil {
 		return QueryResponse{Err: err}
 	}

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,7 +159,8 @@ func TestShardChaosSeeds(t *testing.T) {
 // deterministically: with one shard's breaker held open, queries
 // contained in the sibling slabs answer bit-identically to the merged
 // oracle, a strict straddler fails typed, and a best-effort straddler
-// answers with coverage naming exactly the tripped shard.
+// answers with coverage naming exactly the tripped shard and the bands
+// its slab meets, which a round that did not admit it leaves unsearched.
 func TestShardTrippedSiblingIsolation(t *testing.T) {
 	ds, f, _, _ := shardFixture(t)
 	q := asrs.Query{F: f, Target: []float64{1, 2, 1, 5}}
@@ -197,26 +199,40 @@ func TestShardTrippedSiblingIsolation(t *testing.T) {
 		}
 	}
 
-	// Straddling strict: typed retryable failure naming the tripped shard.
+	// The skips a straddler over the tripped shard reports: the shard,
+	// and both bands at its cuts, naming it.
 	e := asrs.Rect{MinX: 2, MinY: 2, MaxX: 98, MaxY: 98}
+	want := map[string]string{tripped.Name(): "breaker_open"}
+	for _, c := range cat.Cuts() {
+		want[fmt.Sprintf("band@%g", c)] = tripped.Name()
+	}
+	checkSkips := func(tag string, skipped []shard.SkippedShard) {
+		t.Helper()
+		if len(skipped) != len(want) {
+			t.Fatalf("%s skip list %+v, want %v", tag, skipped, want)
+		}
+		for _, s := range skipped {
+			if want[s.Shard] != s.Reason {
+				t.Fatalf("%s skip list %+v, want %v", tag, skipped, want)
+			}
+		}
+	}
+
+	// Straddling strict: typed retryable failure naming the tripped shard.
 	resp := rt.Query(context.Background(), shard.Request{Query: q, A: 7, B: 7, Extent: &e, Policy: shard.Strict})
 	var ue *shard.UnavailableError
 	if !errors.As(resp.Err, &ue) {
 		t.Fatalf("strict straddler over tripped shard: %v", resp.Err)
 	}
-	if len(ue.Skipped) != 1 || ue.Skipped[0].Shard != tripped.Name() || ue.Skipped[0].Reason != "breaker_open" {
-		t.Fatalf("strict skip list %+v, want exactly %s/breaker_open", ue.Skipped, tripped.Name())
-	}
+	checkSkips("strict", ue.Skipped)
 
 	// Straddling best-effort: an answer, with coverage naming exactly
-	// the tripped shard.
+	// the tripped shard and its bands.
 	resp = rt.Query(context.Background(), shard.Request{Query: q, A: 7, B: 7, Extent: &e, Policy: shard.BestEffort})
 	if resp.Err != nil {
 		t.Fatalf("best-effort straddler failed outright: %v", resp.Err)
 	}
-	if len(resp.Coverage.Skipped) != 1 || resp.Coverage.Skipped[0].Shard != tripped.Name() {
-		t.Fatalf("best-effort coverage skipped %+v, want exactly [%s]", resp.Coverage.Skipped, tripped.Name())
-	}
+	checkSkips("best-effort", resp.Coverage.Skipped)
 	for _, name := range []string{"shard-0", "shard-2"} {
 		found := false
 		for _, s := range resp.Coverage.Searched {

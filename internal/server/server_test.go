@@ -142,6 +142,22 @@ func TestServerQueryEndToEnd(t *testing.T) {
 	if len(stats.Composites) != 1 || stats.Composites[0] != "poi" {
 		t.Fatalf("composites = %v", stats.Composites)
 	}
+	// Every answer served was re-evaluated at its point and matched, and
+	// /stats says so.
+	raw, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Body.Close()
+	var doc struct {
+		Engine map[string]json.RawMessage `json:"engine"`
+	}
+	if err := json.NewDecoder(raw.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(doc.Engine["self_check_misses"]); got != "0" {
+		t.Fatalf("stats engine.self_check_misses = %q, want 0", got)
+	}
 }
 
 // TestServerConcurrentClientsBitIdentical: N concurrent HTTP clients

@@ -200,8 +200,13 @@ func TestServerRouterEndToEnd(t *testing.T) {
 	if st.Shards == nil || len(st.Shards.Shards) != 3 {
 		t.Fatalf("stats.shards = %+v, want 3 shards", st.Shards)
 	}
-	if bands == 0 || st.Shards.BandJoins+st.Shards.BandBuilds != int64(bands) {
-		t.Fatalf("stats.shards: %d bands joined and %d built, the queries read %d", st.Shards.BandJoins, st.Shards.BandBuilds, bands)
+	if bands == 0 || st.Shards.BandJoins+st.Shards.BandBuilds != int64(bands) || st.Shards.BandSkips != 0 {
+		t.Fatalf("stats.shards: %d bands joined, %d built and %d skipped, the queries read %d", st.Shards.BandJoins, st.Shards.BandBuilds, st.Shards.BandSkips, bands)
+	}
+	for _, si := range st.Shards.Shards {
+		if si.Engine == nil || si.Engine.SelfCheckMisses != 0 || si.Engine.Indexes != 0 {
+			t.Fatalf("stats.shards: %s engine %+v, want loaded with no self-check miss and no grid index", si.Name, si.Engine)
+		}
 	}
 
 	// Inserts route by x through the shard engines' ingest path.

@@ -57,11 +57,11 @@ func checkStraddle(t *testing.T, rt *shard.Router, merged *asrs.Dataset, q asrs.
 
 // checkStraddlePaths is checkStraddle that also holds the way each band
 // was read to the join rule (Router.bandCorpus, dssearch.JoinPyramids): a
-// band whose shards all serve pyramids for the composite, those with
-// objects in the band in one limb layout of at most two limbs a channel,
-// is joined with their rows copied, and every other band's core is built
-// from its objects. The bands here are narrow, so joined rows keep their
-// headroom.
+// band whose shards with objects in the band share one limb layout of at
+// most two limbs a channel is joined with their rows copied, every other
+// band's core is built on the joined geometry, and no band of a fault-free
+// straddle is skipped. The bands here are narrow, so joined rows keep
+// their headroom.
 func checkStraddlePaths(t *testing.T, rt *shard.Router, merged *asrs.Dataset, q asrs.Query, a, b float64, e asrs.Rect) {
 	t.Helper()
 	before := rt.Stats()
@@ -77,9 +77,8 @@ func checkStraddlePaths(t *testing.T, rt *shard.Router, merged *asrs.Dataset, q 
 			}
 			eng := sh.Loaded()
 			p, err := eng.Pyramid(q.F)
-			if err != nil || p == nil {
-				layouts = nil
-				break
+			if err != nil {
+				t.Fatal(err)
 			}
 			if slices.ContainsFunc(eng.CurrentDataset().Objects, func(o asrs.Object) bool { return win.MinX < o.Loc.X && o.Loc.X < win.MaxX }) {
 				layouts = append(layouts, p.Limbs())
@@ -93,17 +92,16 @@ func checkStraddlePaths(t *testing.T, rt *shard.Router, merged *asrs.Dataset, q 
 			wantJoins++
 		}
 	}
-	joins, builds := after.BandJoins-before.BandJoins, after.BandBuilds-before.BandBuilds
-	if joins != int64(wantJoins) || builds != int64(len(bands)-wantJoins) {
-		t.Fatalf("extent %v: %d bands joined and %d built, want %d and %d", e, joins, builds, wantJoins, len(bands)-wantJoins)
+	joins, builds, skips := after.BandJoins-before.BandJoins, after.BandBuilds-before.BandBuilds, after.BandSkips-before.BandSkips
+	if joins != int64(wantJoins) || builds != int64(len(bands)-wantJoins) || skips != 0 {
+		t.Fatalf("extent %v: %d bands joined, %d built and %d skipped, want %d, %d and 0", e, joins, builds, skips, wantJoins, len(bands)-wantJoins)
 	}
 }
 
 // checkBandCorpus holds every band of a straddling query over e to the
 // merged corpus: exactly the objects with x strictly inside the band
-// window, each once. With sorted set, the band must also come out sorted
-// by location, as a master is.
-func checkBandCorpus(t *testing.T, rt *shard.Router, merged *asrs.Dataset, f *asrs.Composite, e asrs.Rect, a float64, sorted bool) {
+// window, each once, sorted by location as a master is.
+func checkBandCorpus(t *testing.T, rt *shard.Router, merged *asrs.Dataset, f *asrs.Composite, e asrs.Rect, a float64) {
 	t.Helper()
 	key := func(o asrs.Object) string {
 		return fmt.Sprintf("%x/%x/%v", math.Float64bits(o.Loc.X), math.Float64bits(o.Loc.Y), o.Values)
@@ -124,7 +122,7 @@ func checkBandCorpus(t *testing.T, rt *shard.Router, merged *asrs.Dataset, f *as
 				t.Fatalf("band %v: object %s counted %+d against the merged corpus", win, k, -n)
 			}
 		}
-		if sorted && !sort.SliceIsSorted(band, func(i, j int) bool {
+		if !sort.SliceIsSorted(band, func(i, j int) bool {
 			return band[i].Loc.X < band[j].Loc.X || (band[i].Loc.X == band[j].Loc.X && band[i].Loc.Y < band[j].Loc.Y)
 		}) {
 			t.Fatalf("band %v: corpus not sorted by location", win)
@@ -153,11 +151,12 @@ func slabObjects(cat *shard.Catalog, n int) []asrs.Object {
 }
 
 // TestBandDifferential holds straddling queries to the merged-corpus
-// windowed answer, bit for bit, where a band's corpus is read in each of
-// its ways — joined from the shards' pyramids with their rows copied, or
-// built from objects the join gathered or a scan read — and holds the way
-// each band took, and every band's corpus to the merged corpus's window
-// slice.
+// windowed answer, bit for bit, where a band's pyramid is joined from the
+// shards' with their rows copied or with its core built on the joined
+// geometry, and holds the way each band took, and every band's corpus to
+// the merged corpus's window slice. Shards with DisablePyramid join their
+// bands too: the flag only stops their own searches from binding the
+// epoch pyramid.
 func TestBandDifferential(t *testing.T) {
 	checkLeaks(t)
 
@@ -178,7 +177,7 @@ func TestBandDifferential(t *testing.T) {
 				widest = max(widest, n)
 			}
 			checkStraddlePaths(t, rt, ds, q, a, b, e)
-			checkBandCorpus(t, rt, ds, f, e, a, true)
+			checkBandCorpus(t, rt, ds, f, e, a)
 		}
 		if widest < 3 {
 			t.Fatalf("no band met three shards (widest met %d)", widest)
@@ -208,14 +207,10 @@ func TestBandDifferential(t *testing.T) {
 				}
 				merged := cat.CurrentDataset()
 				checkStraddlePaths(t, rt, merged, q, a, b, e)
-				checkBandCorpus(t, rt, merged, f, e, a, !noPyr)
+				checkBandCorpus(t, rt, merged, f, e, a)
 			}
 			for _, sh := range cat.Shards() {
-				st := sh.Loaded().Stats()
-				if noPyr && st.Pyramids != 0 {
-					t.Fatalf("%s built %d pyramids with pyramids disabled", sh.Name(), st.Pyramids)
-				}
-				if !noPyr && st.PyramidFolds < 2 {
+				if st := sh.Loaded().Stats(); st.PyramidFolds < 2 {
 					t.Fatalf("%s folded %d epoch pyramids, want 2", sh.Name(), st.PyramidFolds)
 				}
 			}
@@ -264,23 +259,86 @@ func edgesAndCuts(t *testing.T, noPyr bool) {
 		{F: f, Target: []float64{1, 2, 1, 5}},
 	} {
 		checkStraddlePaths(t, rt, ds, query, a, b, e)
-		checkBandCorpus(t, rt, ds, query.F, e, a, !noPyr)
+		checkBandCorpus(t, rt, ds, query.F, e, a)
 	}
 	if err := rt.Insert([]asrs.Object{obj(50, 43.5, 1), obj(58, 41.5, 2), obj(45, 42.5, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	merged := cat.CurrentDataset()
 	checkStraddlePaths(t, rt, merged, asrs.Query{F: count, Target: []float64{6}}, a, b, e)
-	checkBandCorpus(t, rt, merged, count, e, a, !noPyr)
+	checkBandCorpus(t, rt, merged, count, e, a)
+	// Integer channels share one layout: every band's rows are copied,
+	// DisablePyramid or not.
+	if st := rt.Stats(); st.BandJoins == 0 || st.BandBuilds != 0 {
+		t.Fatalf("%d bands joined and %d built, want every band joined with its rows copied", st.BandJoins, st.BandBuilds)
+	}
+}
+
+// checkSurvivors holds a best-effort straddling query over e, with the
+// lost shard unable to load, to the band rule: the shard is skipped on
+// load, so is every band whose window meets its slab (naming the shard),
+// and the answer is the kernel.Better-minimum of the merged corpus's
+// windowed answers over the survivors' sub-extents — the other shards'
+// and the other bands' windows.
+func checkSurvivors(t *testing.T, rt *shard.Router, merged *asrs.Dataset, q asrs.Query, a, b float64, e asrs.Rect, lost *shard.Shard) {
+	t.Helper()
+	cat := rt.Catalog()
+	before := rt.Stats().BandSkips
+	resp := rt.Query(context.Background(), shard.Request{Query: q, A: a, B: b, Extent: &e, Policy: shard.BestEffort})
+	if resp.Err != nil {
+		t.Fatalf("extent %v: %v", e, resp.Err)
+	}
+	lo, hi := lost.Slab()
+	var wins []asrs.Rect
+	want := map[string]string{lost.Name(): "load:"}
+	for _, c := range cat.Cuts() {
+		if !(e.MinX < c && c < e.MaxX) {
+			continue
+		}
+		win := asrs.Rect{MinX: math.Max(e.MinX, c-a), MinY: e.MinY, MaxX: math.Min(e.MaxX, c+a), MaxY: e.MaxY}
+		if lo < win.MaxX && win.MinX < hi {
+			want[fmt.Sprintf("band@%g", c)] = lost.Name()
+		} else {
+			wins = append(wins, win)
+		}
+	}
+	for _, sh := range cat.Shards() {
+		lo, hi := sh.Slab()
+		if sh != lost && math.Max(e.MinX, lo) <= math.Min(e.MaxX, hi) {
+			wins = append(wins, asrs.Rect{MinX: math.Max(e.MinX, lo), MinY: e.MinY, MaxX: math.Min(e.MaxX, hi), MaxY: e.MaxY})
+		}
+	}
+	if len(resp.Coverage.Skipped) != len(want) {
+		t.Fatalf("extent %v: skipped %+v, want %v", e, resp.Coverage.Skipped, want)
+	}
+	for _, s := range resp.Coverage.Skipped {
+		if why, ok := want[s.Shard]; !ok || !strings.HasPrefix(s.Reason, why) {
+			t.Fatalf("extent %v: skipped %+v, want %v", e, resp.Coverage.Skipped, want)
+		}
+	}
+	if got := rt.Stats().BandSkips - before; got != int64(len(want)-1) {
+		t.Fatalf("extent %v: %d bands skipped, want %d", e, got, len(want)-1)
+	}
+	var best asrs.Result
+	found := false
+	for _, w := range wins {
+		if _, res, _, err := asrs.SearchWithin(merged, a, b, q, w, nil, asrs.Options{}); err == nil && (!found || kernel.Better(res, best)) {
+			best, found = res, true
+		}
+	}
+	got := resp.Results[0]
+	if !found || !sameBits(got.Dist, best.Dist) || !sameRep(got.Rep, best.Rep) {
+		t.Fatalf("extent %v: best-effort dist %v rep %v, surviving sub-extents' minimum %v rep %v", e, got.Dist, got.Rep, best.Dist, best.Rep)
+	}
 }
 
 // TestBandBestEffortUnloadableShard: with one shard unable to load, a
-// best-effort straddling query answers from the other shards and every
-// band, which reads the lost shard's seed slab — the Better-minimum of
-// the merged corpus's windowed answers over exactly those sub-extents.
+// best-effort straddling query answers from the other shards and from
+// the bands its slab does not meet; the bands it meets are skipped and
+// named, as the shard is.
 func TestBandBestEffortUnloadableShard(t *testing.T) {
 	checkLeaks(t)
-	ds, f, q := corpus(t, 90, 34)
+	ds, _, q := corpus(t, 90, 34)
 	root := t.TempDir()
 	// A file where shard-1's WAL directory belongs: its engine cannot open.
 	if err := os.WriteFile(filepath.Join(root, "shard-1"), nil, 0o644); err != nil {
@@ -289,7 +347,7 @@ func TestBandBestEffortUnloadableShard(t *testing.T) {
 	cat, err := shard.New(ds, shard.Config{
 		Shards:     3,
 		WALRoot:    root,
-		Composites: map[string]*asrs.Composite{"q": f},
+		Composites: map[string]*asrs.Composite{"q": q.F},
 		Names:      []string{"q"},
 	})
 	if err != nil {
@@ -308,36 +366,64 @@ func TestBandBestEffortUnloadableShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged := &asrs.Dataset{Schema: ds.Schema, Objects: append(append([]asrs.Object(nil), ds.Objects...), extra...)}
-
-	a, b := 9.0, 9.0
 	for _, e := range []asrs.Rect{{MinX: 2, MinY: 2, MaxX: 98, MaxY: 98}, {MinX: 20, MinY: 10, MaxX: 80, MaxY: 90}} {
-		resp := rt.Query(context.Background(), shard.Request{Query: q, A: a, B: b, Extent: &e, Policy: shard.BestEffort})
-		if resp.Err != nil {
-			t.Fatalf("extent %v: %v", e, resp.Err)
-		}
-		if len(resp.Coverage.Skipped) != 1 || resp.Coverage.Skipped[0].Shard != lost.Name() || !strings.HasPrefix(resp.Coverage.Skipped[0].Reason, "load:") {
-			t.Fatalf("extent %v: skipped %+v, want exactly %s on load", e, resp.Coverage.Skipped, lost.Name())
-		}
-		wins := bandWindows(cat, e, a)
-		for _, sh := range cat.Shards() {
-			lo, hi := sh.Slab()
-			if sh != lost && math.Max(e.MinX, lo) <= math.Min(e.MaxX, hi) {
-				wins = append(wins, asrs.Rect{MinX: math.Max(e.MinX, lo), MinY: e.MinY, MaxX: math.Min(e.MaxX, hi), MaxY: e.MaxY})
-			}
-		}
-		var want asrs.Result
-		found := false
-		for _, w := range wins {
-			if _, res, _, err := asrs.SearchWithin(merged, a, b, q, w, nil, asrs.Options{}); err == nil && (!found || kernel.Better(res, want)) {
-				want, found = res, true
-			}
-		}
-		got := resp.Results[0]
-		if !found || !sameBits(got.Dist, want.Dist) || !sameRep(got.Rep, want.Rep) {
-			t.Fatalf("extent %v: best-effort dist %v rep %v, surviving sub-extents' minimum %v rep %v", e, got.Dist, got.Rep, want.Dist, want.Rep)
-		}
-		checkBandCorpus(t, rt, merged, f, e, a, false)
+		checkSurvivors(t, rt, merged, q, 9, 9, e, lost)
 	}
+}
+
+// TestBandLostShardSkipped: a shard that cannot load at a second boot —
+// its WAL directory replaced by a file — leaves the band at its cut
+// unsearched under best_effort, reported as skipped and naming the
+// shard, and the answer is the survivors'. Read over the lost shard's
+// seed slab instead, the band would answer from a shard the coverage
+// calls skipped, without the inserts its WAL holds: here a cluster
+// across the cut that only a region straddling it covers in full.
+func TestBandLostShardSkipped(t *testing.T) {
+	checkLeaks(t)
+	ds := dataset.Random(60, 100, 36)
+	for i := 0; i < 6; i++ {
+		ds.Objects = append(ds.Objects, obj(49.5, 50+float64(i)*0.3, i), obj(50.5, 50+float64(i)*0.3, i))
+	}
+	count := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Count})
+	root := t.TempDir()
+	cfg := shard.Config{
+		Cuts:       []float64{50},
+		WALRoot:    root,
+		Composites: map[string]*asrs.Composite{"n": count},
+		Names:      []string{"n"},
+	}
+	cat, err := shard.New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}})
+	var extra []asrs.Object
+	for i := 0; i < 6; i++ {
+		extra = append(extra, obj(50.7, 50+float64(i)*0.3, i))
+	}
+	if err := rt.Insert(extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "shard-1")
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cat, err = shard.New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	rt = shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}})
+	merged := &asrs.Dataset{Schema: ds.Schema, Objects: append(append([]asrs.Object(nil), ds.Objects...), extra...)}
+	q := asrs.Query{F: count, Target: []float64{18}}
+	checkSurvivors(t, rt, merged, q, 4, 4, asrs.Rect{MinX: 30, MinY: 30, MaxX: 70, MaxY: 70}, cat.Shards()[1])
 }
 
 // TestBandReadsRecoveredInserts: the first straddling query after a

@@ -14,12 +14,13 @@ import (
 
 // BenchmarkRoutedStraddle times straddling extent queries over a 4-shard
 // catalog after inserts into every shard (each shard's epoch is a folded
-// pyramid): ms/op, B/op, allocs/op and band_joins/op, the bands joined
-// from the shards' pyramids with their rows copied. It fails on any
-// distance that differs from one merged engine's windowed answer, and
-// when a steady-state straddling query allocates more than maxQueryBytes:
-// joined bands copy their shards' runs and rows (about 225 KB a query),
-// where bands built from their objects take about 650 KB.
+// pyramid): ms/op, B/op, allocs/op, band_joins/op (the bands joined from
+// the shards' pyramids with their rows copied) and band_skips/op. It fails
+// on any distance that differs from one merged engine's windowed answer,
+// when one of these fault-free straddles skips a band or builds a band's
+// core, and when a steady-state straddling query allocates more than
+// maxQueryBytes: joined bands copy their shards' runs and rows (about
+// 225 KB a query), where bands built from their objects took about 650 KB.
 func BenchmarkRoutedStraddle(b *testing.B) {
 	ds := dataset.Random(20000, 100, 41)
 	f := agg.MustNew(ds.Schema,
@@ -94,12 +95,17 @@ func BenchmarkRoutedStraddle(b *testing.B) {
 	}
 
 	b.ReportAllocs()
-	joins := rt.Stats().BandJoins
+	prev := rt.Stats()
 	b.ResetTimer()
 	start := time.Now()
 	for n := 0; n < b.N; n++ {
 		query(n % len(extents))
 	}
 	b.ReportMetric(float64(time.Since(start).Microseconds())/1e3/float64(b.N), "ms/op")
-	b.ReportMetric(float64(rt.Stats().BandJoins-joins)/float64(b.N), "band_joins/op")
+	st := rt.Stats()
+	b.ReportMetric(float64(st.BandJoins-prev.BandJoins)/float64(b.N), "band_joins/op")
+	b.ReportMetric(float64(st.BandSkips-prev.BandSkips)/float64(b.N), "band_skips/op")
+	if st.BandSkips != 0 || st.BandBuilds != 0 {
+		b.Fatalf("fault-free straddles skipped %d bands and built %d, want every band joined", st.BandSkips, st.BandBuilds)
+	}
 }

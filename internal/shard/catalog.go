@@ -1,12 +1,12 @@
 // Package shard promotes one-engine serving to a resilient multi-shard
 // tier: a Catalog splits a corpus into region-extent shards, each owning
-// its own asrs.Engine, pyramids and grid indexes as an independent
-// fault domain; a Router answers extent queries either from the single
-// shard that contains the extent (bit-identical to a merged-corpus run
-// by construction) or by scatter–gather across slab sub-extents and
-// boundary bands with a cross-shard shared pruning bound. Per-shard
-// circuit breakers and deadline budgets keep the blast radius of a sick
-// shard to that shard. See DESIGN.md §11.
+// its own asrs.Engine and pyramids as an independent fault domain; a
+// Router answers extent queries through one scatter runner, either from
+// the single shard that contains the extent (bit-identical to a
+// merged-corpus run by construction) or by scatter–gather across slab
+// sub-extents and boundary bands with a cross-shard shared pruning
+// bound. Per-shard circuit breakers and deadline budgets keep the blast
+// radius of a sick shard to that shard. See DESIGN.md §11.
 package shard
 
 import (
@@ -41,11 +41,11 @@ type Config struct {
 	// WALRoot, when non-empty, gives each shard a durable ingest WAL at
 	// <WALRoot>/<shard-name>.
 	WALRoot string
-	// Lazy is never read: a shard's engine (index + pyramid + WAL
-	// recovery) is always built on the first Shard.Engine call, whatever
-	// this says, and eager loading is the caller's WarmAll — asrsd warms
-	// in the background unless -shard-lazy. The field stays because
-	// callers set it.
+	// Lazy is never read: a shard's engine (pyramids + WAL recovery) is
+	// always built on the first Shard.Engine call, whatever this says,
+	// and eager loading is the caller's WarmAll — asrsd warms in the
+	// background unless -shard-lazy. The field stays because callers set
+	// it.
 	Lazy bool
 	// Logf, when non-nil, receives operational one-liners (load
 	// timings).
@@ -92,14 +92,16 @@ func New(ds *asrs.Dataset, cfg Config) (*Catalog, error) {
 		if i < len(cuts) {
 			hi = cuts[i]
 		}
+		seed := &asrs.Dataset{Schema: ds.Schema, Objects: parts[i]}
 		sh := &Shard{
-			cat:     c,
-			index:   i,
-			name:    fmt.Sprintf("shard-%d", i),
-			lo:      lo,
-			hi:      hi,
-			seed:    &asrs.Dataset{Schema: ds.Schema, Objects: parts[i]},
-			breaker: NewBreaker(BreakerConfig{}),
+			cat:        c,
+			index:      i,
+			name:       fmt.Sprintf("shard-%d", i),
+			lo:         lo,
+			hi:         hi,
+			seed:       seed,
+			seedBounds: seed.Bounds(),
+			breaker:    NewBreaker(BreakerConfig{}),
 		}
 		c.shards = append(c.shards, sh)
 	}
@@ -182,7 +184,7 @@ func (c *Catalog) CurrentDataset() *asrs.Dataset {
 	return &asrs.Dataset{Schema: c.seed.Schema, Objects: out}
 }
 
-// WarmAll forces every shard's engine (index, pyramids, WAL recovery)
+// WarmAll forces every shard's engine (pyramids, WAL recovery)
 // eagerly, in slab order. The first failure is returned but remaining
 // shards still warm — one bad shard must not block siblings.
 func (c *Catalog) WarmAll() error {

@@ -16,6 +16,6 @@ func (r *Router) BandCorpus(win asrs.Rect, f *asrs.Composite) *asrs.Dataset {
 	for i := range admitted {
 		admitted[i] = true
 	}
-	ds, _ := r.bandCorpus(win, f, admitted)
+	ds, _, _, _ := r.bandCorpus(win, f, admitted)
 	return ds
 }

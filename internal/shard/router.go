@@ -45,7 +45,7 @@ type Request struct {
 	Exclude []asrs.Rect
 	// Extent restricts answers to regions contained in the closed
 	// rectangle. Nil means the whole corpus: the router substitutes the
-	// object hull expanded by 2a/2b per side, which contains every
+	// corpus's bounds expanded by 2a/2b per side, which contain every
 	// candidate anchor.
 	Extent *asrs.Rect
 	// Policy is the partial-result policy (default Strict).
@@ -121,13 +121,14 @@ type RouterOptions struct {
 // budget.
 const budgetFraction = 0.5
 
-// Router answers extent queries over a shard catalog. Extents contained
-// in one shard's closed slab route to that shard alone — bit-identical
-// to a merged-corpus engine by corpus independence of the windowed
-// search. Straddling extents scatter per-slab sub-extents plus
-// cut-boundary bands and gather the kernel.Better-minimum, sharing a
-// monotone best-so-far cap across sub-searches so a shard that already
-// found a tight answer prunes its siblings' spaces (DESIGN.md §11).
+// Router answers extent queries over a shard catalog, every one through
+// one scatter runner (scatter). Extents contained in one shard's closed
+// slab are a scatter of that shard alone — bit-identical to a
+// merged-corpus engine by corpus independence of the windowed search.
+// Straddling extents scatter per-slab sub-extents plus cut-boundary bands
+// and gather the kernel.Better-minimum, sharing a monotone best-so-far
+// cap across sub-searches so a shard that already found a tight answer
+// prunes its siblings' spaces (DESIGN.md §11).
 type Router struct {
 	cat *Catalog
 	opt RouterOptions
@@ -136,8 +137,9 @@ type Router struct {
 	slabs map[*asrs.Composite]*dssearch.SlabCache // band searches' scratch
 
 	// How band corpora were read (bandCorpus): pyramids joined with the
-	// shards' rows copied, and cores built from objects.
-	bandJoins, bandBuilds atomic.Int64
+	// shards' rows copied, joined with their cores built, and bands left
+	// unsearched for a shard the round could not read.
+	bandJoins, bandBuilds, bandSkips atomic.Int64
 }
 
 // NewRouter builds a router over the catalog and (re)arms each shard's
@@ -228,34 +230,32 @@ func (r *Router) Answer(ctx context.Context, req asrs.QueryRequest, pol PartialP
 			return Response{Err: err}
 		}
 	} else {
-		e = r.defaultExtent(req.A, req.B)
+		e = r.defaultExtent(req.Query.F, req.A, req.B)
 	}
 	if e.Width() < req.A || e.Height() < req.B {
 		return Response{Err: asrs.ErrExtentTooSmall}
 	}
-	for _, sh := range r.cat.Shards() {
-		if sh.lo <= e.MinX && e.MaxX <= sh.hi {
-			return r.containedQuery(ctx, sh, e, req)
-		}
-	}
-	return r.straddlingQuery(ctx, e, req, pol)
+	return r.route(ctx, r.tasks(e, req.A), req, pol)
 }
 
-// defaultExtent is the whole-corpus extent: the object hull expanded by
-// 2a/2b per side, which contains every anchor whose region can cover an
-// object (anchors live within a/b below-left of the object) and leaves
-// room for empty-coverage anchors beside the hull. The hull is scanned
-// over each shard's current epoch in place (Shard.objects), with no
-// merged copy.
-func (r *Router) defaultExtent(a, b float64) asrs.Rect {
+// defaultExtent is the whole-corpus extent: the corpus's bounds expanded
+// by 2a/2b per side, which contain every anchor whose region can cover an
+// object (anchors live within a/b below-left of the object) and leave
+// room for empty-coverage anchors beside them. No object is scanned: a
+// shard with an engine — loaded as its sub-search loads it when its
+// breaker is closed — gives its epoch geometry's bounds, any other its
+// seed slab's, computed when the catalog was built.
+func (r *Router) defaultExtent(f *asrs.Composite, a, b float64) asrs.Rect {
 	e := asrs.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
 	for _, sh := range r.cat.Shards() {
-		for _, o := range sh.objects(sh.breaker.closed()) {
-			e.MinX = math.Min(e.MinX, o.Loc.X)
-			e.MinY = math.Min(e.MinY, o.Loc.Y)
-			e.MaxX = math.Max(e.MaxX, o.Loc.X)
-			e.MaxY = math.Max(e.MaxY, o.Loc.Y)
+		hull := sh.seedBounds
+		if eng := sh.epoch(sh.breaker.closed()); eng != nil {
+			// A pyramid that cannot build fails the shard's sub-search.
+			if p, err := eng.Pyramid(f); err == nil {
+				hull = p.Geometry().Bounds()
+			}
 		}
+		e = e.Union(hull)
 	}
 	if e.MinX > e.MaxX {
 		return asrs.Rect{MinX: 0, MinY: 0, MaxX: 2 * a, MaxY: 2 * b}
@@ -267,11 +267,11 @@ func (r *Router) defaultExtent(a, b float64) asrs.Rect {
 	return e
 }
 
-// subOptions resolves the search options one sub-search runs with:
+// subOptions resolves the search options a pinned sub-search runs with:
 // the request's override or the catalog's engine template, stripped of
 // any cross-corpus bindings (each shard binds its own pyramid and slab
-// cache; a band search binds the router's slab cache), with the shared
-// cap installed.
+// cache; a band search binds its joined pyramid and the router's slab
+// cache), with the shared cap installed.
 func (r *Router) subOptions(req asrs.QueryRequest, cap *kernel.ExtCap) asrs.Options {
 	opt := r.cat.cfg.Engine.Search
 	if req.Options != nil {
@@ -286,8 +286,7 @@ func (r *Router) subOptions(req asrs.QueryRequest, cap *kernel.ExtCap) asrs.Opti
 // bandSlabs returns the router's slab cache for band searches on the
 // composite, so they recycle their grid, sweep solver, scratch buffers
 // and id slices across queries as a shard engine's searches do. A band
-// search reads the pyramid its corpus was joined with, or builds a
-// one-shot one over the corpus (bandCorpus).
+// search reads the pyramid its corpus was joined with (bandCorpus).
 func (r *Router) bandSlabs(f *asrs.Composite) *dssearch.SlabCache {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -346,11 +345,9 @@ func fireShardFaults() {
 type subOutcome struct {
 	name       string
 	shard      *Shard // nil for band sub-searches
-	region     asrs.Rect
-	res        asrs.Result
-	found      bool
-	infeasible bool   // completed healthily with no feasible region
-	skipReason string // shard fault: why this shard was skipped
+	resp       asrs.QueryResponse
+	found      bool   // completed with an answer (else healthily with none)
+	skipReason string // shard fault: why this shard (or band) was skipped
 	fatal      error  // non-shard failure: fails the request under any policy
 }
 
@@ -373,7 +370,6 @@ func (r *Router) classify(ctx context.Context, o *subOutcome, err error) {
 		if br != nil {
 			br.Success()
 		}
-		o.infeasible = true
 	case ctx.Err() != nil:
 		// The request itself is dead; nothing shard-specific to record.
 		o.fatal = ctx.Err()
@@ -402,153 +398,134 @@ func isPanic(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// containedQuery answers an extent contained in one shard's closed slab
-// from that shard alone — the full request (TopK, excludes) passes
-// through, so the answer carries every bit of a merged-corpus run.
-func (r *Router) containedQuery(ctx context.Context, sh *Shard, e asrs.Rect, req asrs.QueryRequest) Response {
-	cov := Coverage{Shards: len(r.cat.Shards())}
-	if !sh.breaker.Allow() {
-		cov.Skipped = []SkippedShard{{Shard: sh.Name(), Reason: "breaker_open"}}
-		return Response{Coverage: cov, Err: &UnavailableError{Skipped: cov.Skipped}}
-	}
-	o := subOutcome{name: sh.Name(), shard: sh}
-	var resp asrs.QueryResponse
-	err := guardPanics(func() error {
-		fireShardFaults()
-		eng, lerr := sh.Engine()
-		if lerr != nil {
-			return lerr
-		}
-		bctx, cancel := r.budgetCtx(ctx)
-		defer cancel()
-		opt := r.subOptions(req, nil)
-		req.Within, req.Options = &e, &opt
-		resp = eng.QueryCtx(bctx, req)
-		return resp.Err
-	})
-	r.classify(ctx, &o, err)
-	switch {
-	case o.fatal != nil:
-		return Response{Coverage: cov, Err: o.fatal}
-	case o.skipReason != "":
-		cov.Skipped = []SkippedShard{{Shard: o.name, Reason: o.skipReason}}
-		return Response{Coverage: cov, Err: &UnavailableError{Skipped: cov.Skipped}}
-	}
-	cov.Searched = []string{o.name}
-	return Response{Regions: resp.Regions, Results: resp.Results, Coverage: cov, Err: resp.Err}
-}
-
 // subTask is one scatter target: a shard's slab sub-extent (engine
 // backed) or a cut-boundary band (searched engine-less over the band's
-// corpus and pyramid, which the band's first round reads from the
-// shards' epochs).
+// corpus and pyramid, which the band's first searched round joins from
+// the shards' epochs).
 type subTask struct {
 	name string
 	sh   *Shard
 	win  asrs.Rect
 	band *asrs.Dataset
-	pyr  *asrs.Pyramid // nil: the band's search builds a one-shot pyramid
+	pyr  *asrs.Pyramid
 }
 
-// straddlingQuery scatter–gathers an extent spanning several slabs:
-// per-shard sub-extents V_i = E ∩ slab_i answer regions inside one
-// slab, and for every interior cut c a band B_c = E ∩ [c-a, c+a]×ℝ
-// answers the regions straddling that cut (their bottom-left anchors
-// lie within a of the cut, so the band's anchor window contains them).
-// Every candidate region of E lies in some sub-extent, each sub-extent
-// is inside E, and each sub-search returns its kernel.Better-minimum —
-// so the gathered minimum equals the merged-corpus windowed answer.
-// TopK is asrs.Greedy — the single-engine greedy rounds — with one
-// scatter–gather pass as its round.
-func (r *Router) straddlingQuery(ctx context.Context, e asrs.Rect, req asrs.QueryRequest, pol PartialPolicy) Response {
+// tasks splits an extent into its sub-searches. An extent contained in
+// one shard's closed slab is that shard's alone. An extent spanning
+// several slabs is per-shard sub-extents V_i = E ∩ slab_i, which answer
+// regions inside one slab, and for every interior cut c a band B_c = E ∩
+// [c-a, c+a]×ℝ, which answers the regions straddling that cut (their
+// bottom-left anchors lie within a of the cut, so the band's anchor
+// window contains them). Every candidate region of E lies in some
+// sub-extent, each sub-extent is inside E, and each sub-search returns
+// its kernel.Better-minimum — so the gathered minimum equals the
+// merged-corpus windowed answer.
+func (r *Router) tasks(e asrs.Rect, a float64) []subTask {
 	shards := r.cat.Shards()
+	for _, sh := range shards {
+		if sh.lo <= e.MinX && e.MaxX <= sh.hi {
+			return []subTask{{name: sh.Name(), sh: sh, win: e}}
+		}
+	}
 	tasks := make([]subTask, 0, 2*len(shards))
 	for _, sh := range shards {
-		win := asrs.Rect{
-			MinX: math.Max(e.MinX, sh.lo), MinY: e.MinY,
-			MaxX: math.Min(e.MaxX, sh.hi), MaxY: e.MaxY,
+		if win := e.Intersect(asrs.Rect{MinX: sh.lo, MinY: e.MinY, MaxX: sh.hi, MaxY: e.MaxY}); win.MinX <= win.MaxX {
+			tasks = append(tasks, subTask{name: sh.Name(), sh: sh, win: win})
 		}
-		if win.MinX > win.MaxX {
-			continue
-		}
-		tasks = append(tasks, subTask{name: sh.Name(), sh: sh, win: win})
 	}
 	for _, c := range r.cat.Cuts() {
-		if !(e.MinX < c && c < e.MaxX) {
-			continue
+		if e.MinX < c && c < e.MaxX {
+			win := e.Intersect(asrs.Rect{MinX: c - a, MinY: e.MinY, MaxX: c + a, MaxY: e.MaxY})
+			tasks = append(tasks, subTask{name: fmt.Sprintf("band@%g", c), win: win})
 		}
-		tasks = append(tasks, subTask{
-			name: fmt.Sprintf("band@%g", c),
-			win: asrs.Rect{
-				MinX: math.Max(e.MinX, c-req.A), MinY: e.MinY,
-				MaxX: math.Min(e.MaxX, c+req.A), MaxY: e.MaxY,
-			},
-		})
 	}
+	return tasks
+}
 
-	cov := Coverage{Shards: len(shards)}
+// route answers a request from its tasks. One task — a contained extent —
+// is one scatter whose one call carries the whole request (top-k,
+// exclusions), so the answer is the shard's own, every bit of a
+// merged-corpus run. Several are asrs.Greedy — the single-engine greedy
+// rounds — with one scatter–gather pass of the single-best request as
+// its round. The coverage is the rounds' together.
+func (r *Router) route(ctx context.Context, tasks []subTask, req asrs.QueryRequest, pol PartialPolicy) Response {
 	searched := map[string]bool{}
 	skipped := map[string]string{}
-	regions, results, err := asrs.Greedy(req.TopK, req.Exclude, func(excl []asrs.Rect) (asrs.Rect, asrs.Result, error) {
-		region, best, roundCov, err := r.scatterRound(ctx, tasks, req, pol, excl)
-		for _, n := range roundCov.Searched {
+	round := func(sub asrs.QueryRequest) ([]subOutcome, error) {
+		outs := r.scatter(ctx, tasks, sub)
+		cov, err := gather(outs, pol)
+		for _, n := range cov.Searched {
 			searched[n] = true
 		}
-		for _, s := range roundCov.Skipped {
+		for _, s := range cov.Skipped {
 			if _, dup := skipped[s.Shard]; !dup {
 				skipped[s.Shard] = s.Reason
 			}
 		}
-		return region, best, err
-	})
-	return Response{Regions: regions, Results: results, Coverage: finishCoverage(cov, searched, skipped), Err: err}
+		return outs, err
+	}
+	var resp Response
+	if len(tasks) == 1 {
+		outs, err := round(req)
+		if err == nil {
+			o := &outs[0].resp
+			resp.Regions, resp.Results, err = o.Regions, o.Results, o.Err
+		}
+		resp.Err = err
+	} else {
+		resp.Regions, resp.Results, resp.Err = asrs.Greedy(req.TopK, req.Exclude, func(excl []asrs.Rect) (asrs.Rect, asrs.Result, error) {
+			sub := req
+			sub.TopK, sub.Exclude = 0, excl
+			outs, err := round(sub)
+			if err != nil {
+				return asrs.Rect{}, asrs.Result{}, err
+			}
+			return best(outs)
+		})
+	}
+	resp.Coverage = finishCoverage(Coverage{Shards: len(r.cat.Shards())}, searched, skipped)
+	return resp
 }
 
 // bandCorpus reads a band's corpus and its pyramid: the objects with x
 // strictly inside the band window, the only ones whose anchor rectangles
-// can reach its anchor window (corpus independence, DESIGN.md §11). Each
-// shard whose slab meets the window is read at its current epoch, through
-// the load its sub-search performs when this round's breaker admitted it
-// (Shard.epoch). When every one of them has a pyramid for f, the band's
-// is joined from theirs (dssearch.JoinPyramids): each one's run of the
-// window, copied with its rows. Otherwise — a shard that holds only its
-// seed slab, or serves without pyramids — the shards are scanned and the
-// pyramid is nil: the band's search builds a one-shot one, which sorts
-// the scanned objects. Slabs are disjoint and in x order, so a join's
+// can reach its anchor window (corpus independence, DESIGN.md §11). The
+// band's pyramid is joined from the epoch pyramids of the shards whose
+// slabs meet the window (dssearch.JoinPyramids): each one's run of the
+// window, copied with its rows. A shard is read through the load its
+// sub-search performs, and only when this round's breaker admitted it; a
+// shard not admitted, or unable to load, is returned as lost and the
+// band is not searched. Slabs are disjoint and in x order, so a join's
 // runs concatenated in slab order are sorted as a master is, and a join
 // sorts nothing.
-func (r *Router) bandCorpus(win asrs.Rect, f *asrs.Composite, admitted []bool) (*asrs.Dataset, *asrs.Pyramid) {
-	var met []*Shard
+func (r *Router) bandCorpus(win asrs.Rect, f *asrs.Composite, admitted []bool) (ds *asrs.Dataset, p *asrs.Pyramid, lost *Shard, err error) {
+	var ps []*asrs.Pyramid
 	for _, sh := range r.cat.Shards() {
-		if sh.lo < win.MaxX && win.MinX < sh.hi {
-			met = append(met, sh)
+		if !(sh.lo < win.MaxX && win.MinX < sh.hi) {
+			continue
 		}
-	}
-	engs := make([]*asrs.Engine, len(met))
-	ps := make([]*asrs.Pyramid, 0, len(met))
-	for i, sh := range met {
-		if engs[i] = sh.epoch(admitted[sh.index]); engs[i] != nil {
-			if p, err := engs[i].Pyramid(f); err == nil && p != nil {
-				ps = append(ps, p)
-			}
+		if !admitted[sh.index] {
+			return nil, nil, sh, nil
 		}
-	}
-	if len(ps) == len(met) {
-		if ds, p, copied, err := dssearch.JoinPyramids(ps, win.MinX, win.MaxX); err == nil {
-			if copied {
-				r.bandJoins.Add(1)
-			} else {
-				r.bandBuilds.Add(1)
-			}
-			return ds, p
+		eng, err := sh.Engine()
+		if err != nil {
+			return nil, nil, sh, nil
 		}
+		if p, err = eng.Pyramid(f); err != nil {
+			return nil, nil, nil, err
+		}
+		ps = append(ps, p)
 	}
-	var objs []asrs.Object
-	for i, sh := range met {
-		objs = sh.appendInX(objs, engs[i], win.MinX, win.MaxX)
+	ds, p, copied, err := dssearch.JoinPyramids(ps, win.MinX, win.MaxX)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	r.bandBuilds.Add(1)
-	return &asrs.Dataset{Schema: r.cat.Seed().Schema, Objects: objs}, nil
+	if copied {
+		r.bandJoins.Add(1)
+	} else {
+		r.bandBuilds.Add(1)
+	}
+	return ds, p, nil, nil
 }
 
 func finishCoverage(cov Coverage, searched map[string]bool, skipped map[string]string) Coverage {
@@ -565,9 +542,16 @@ func finishCoverage(cov Coverage, searched map[string]bool, skipped map[string]s
 	return cov
 }
 
-// scatterRound runs one scatter–gather pass and returns the
-// kernel.Better-minimum across the sub-searches.
-func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req asrs.QueryRequest, pol PartialPolicy, excl []asrs.Rect) (asrs.Rect, asrs.Result, Coverage, error) {
+// scatter runs one sub-search of req per task, each under its task's
+// window, concurrently — the one runner of every routed request, so
+// admission, the shard.search.* failpoints, the deadline budget, the
+// panic guard and the classification exist once — and returns their
+// classified outcomes. A sub-search pins its Options only when it must:
+// under the straddle's shared cap, whose answer is not the request's
+// own, or when the request brought its own (δ). Any other shard
+// sub-search is the request as a client would send it, and joins an
+// identical search in flight on its shard (Engine.QueryCtx).
+func (r *Router) scatter(ctx context.Context, tasks []subTask, req asrs.QueryRequest) []subOutcome {
 	var sharedCap *kernel.ExtCap
 	if len(tasks) > 1 && r.subOptions(req, nil).Delta == 0 && !r.opt.disableBoundShare {
 		sharedCap = kernel.NewExtCap()
@@ -591,53 +575,64 @@ func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req asrs.Que
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := guardPanics(func() error {
-				// One single-best windowed request per sub-search: a shard's
-				// engine answers it from its own caches, a band the library's
-				// driver straight over the band's corpus on the router's slabs.
+			sub := req
+			sub.Within = &t.win
+			if t.sh == nil || sharedCap != nil || req.Options != nil {
 				opt := r.subOptions(req, sharedCap)
-				sub := req
-				sub.TopK, sub.Exclude, sub.Within, sub.Options = 0, excl, &t.win, &opt
-				var resp asrs.QueryResponse
-				if t.sh == nil {
-					if t.band == nil {
-						// Read once, by the first round; later rounds search the
-						// same corpus. The rounds run one after another.
-						t.band, t.pyr = r.bandCorpus(t.win, req.Query.F, admitted)
-					}
-					opt.Pyramid, opt.Slabs = t.pyr, r.bandSlabs(req.Query.F)
-					bctx, cancel := r.budgetCtx(ctx)
-					defer cancel()
-					sub.Ctx = bctx
-					resp, _ = asrs.Answer(t.band, nil, sub)
-				} else {
+				sub.Options = &opt
+			}
+			err := guardPanics(func() error {
+				if t.sh != nil {
 					fireShardFaults()
-					eng, lerr := t.sh.Engine()
-					if lerr != nil {
-						return lerr
+					eng, err := t.sh.Engine()
+					if err != nil {
+						return err
 					}
 					bctx, cancel := r.budgetCtx(ctx)
 					defer cancel()
-					resp = eng.QueryCtx(bctx, sub)
+					o.resp = eng.QueryCtx(bctx, sub)
+					return o.resp.Err
 				}
-				o.region, o.res = resp.Best()
-				return resp.Err
+				if t.band == nil {
+					// Read once, by the first round that can; later rounds
+					// search the same corpus. The rounds run one after another.
+					var lost *Shard
+					var err error
+					if t.band, t.pyr, lost, err = r.bandCorpus(t.win, req.Query.F, admitted); lost != nil {
+						o.skipReason = lost.Name()
+						r.bandSkips.Add(1)
+						return nil
+					} else if err != nil {
+						return err
+					}
+				}
+				sub.Options.Pyramid, sub.Options.Slabs = t.pyr, r.bandSlabs(req.Query.F)
+				bctx, cancel := r.budgetCtx(ctx)
+				defer cancel()
+				sub.Ctx = bctx
+				o.resp, _ = asrs.Answer(t.band, nil, sub)
+				return o.resp.Err
 			})
-			r.classify(ctx, o, err)
+			if o.skipReason == "" {
+				r.classify(ctx, o, err)
+			}
 		}()
 	}
 	wg.Wait()
+	return outs
+}
 
+// gather folds a scatter's outcomes into its coverage and fails it on a
+// fatal sub-search, or on a skip its policy does not allow: under Strict
+// any, under BestEffort the loss of every shard.
+func gather(outs []subOutcome, pol PartialPolicy) (Coverage, error) {
 	var cov Coverage
-	var best asrs.Result
-	var bestRegion asrs.Rect
-	found := false
 	completed := 0
 	for i := range outs {
 		o := &outs[i]
 		switch {
 		case o.fatal != nil:
-			return asrs.Rect{}, asrs.Result{}, cov, o.fatal
+			return cov, o.fatal
 		case o.skipReason != "":
 			cov.Skipped = append(cov.Skipped, SkippedShard{Shard: o.name, Reason: o.skipReason})
 		default:
@@ -647,18 +642,30 @@ func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req asrs.Que
 				completed++
 			}
 			cov.Searched = append(cov.Searched, o.name)
-			if o.found && (!found || kernel.Better(o.res, best)) {
-				best, bestRegion, found = o.res, o.region, true
-			}
 		}
 	}
 	if len(cov.Skipped) > 0 && (pol == Strict || completed == 0) {
-		return asrs.Rect{}, asrs.Result{}, cov, &UnavailableError{Skipped: cov.Skipped}
+		return cov, &UnavailableError{Skipped: cov.Skipped}
+	}
+	return cov, nil
+}
+
+// best returns the kernel.Better-minimum across a scatter's answers.
+func best(outs []subOutcome) (asrs.Rect, asrs.Result, error) {
+	var bestRes asrs.Result
+	var bestRegion asrs.Rect
+	found := false
+	for i := range outs {
+		if o := &outs[i]; o.found {
+			if region, res := o.resp.Best(); !found || kernel.Better(res, bestRes) {
+				bestRes, bestRegion, found = res, region, true
+			}
+		}
 	}
 	if !found {
-		return asrs.Rect{}, asrs.Result{}, cov, asrs.ErrNoFeasibleRegion
+		return asrs.Rect{}, asrs.Result{}, asrs.ErrNoFeasibleRegion
 	}
-	return bestRegion, best, cov, nil
+	return bestRegion, bestRes, nil
 }
 
 // Stats snapshots the catalog for /stats: slab bounds (nil = unbounded;
@@ -667,7 +674,7 @@ func (r *Router) scatterRound(ctx context.Context, tasks []subTask, req asrs.Que
 func (r *Router) Stats() RouterStats {
 	shards := r.cat.Shards()
 	st := RouterStats{Cuts: r.cat.Cuts(), Shards: make([]ShardInfo, 0, len(shards)),
-		BandJoins: r.bandJoins.Load(), BandBuilds: r.bandBuilds.Load()}
+		BandJoins: r.bandJoins.Load(), BandBuilds: r.bandBuilds.Load(), BandSkips: r.bandSkips.Load()}
 	for _, sh := range shards {
 		info := ShardInfo{
 			Name:        sh.Name(),
@@ -713,9 +720,11 @@ type RouterStats struct {
 	Shards []ShardInfo `json:"shards"`
 	// BandJoins counts the straddling queries' bands whose pyramid was
 	// joined from the shards' with their rows copied, BandBuilds those
-	// whose core was built from the band's objects: a join whose rows
-	// could not be copied, or a corpus scanned from a shard without a
-	// pyramid.
+	// joined with their core built on the joined geometry (the rows could
+	// not be copied), and BandSkips the bands a round left unsearched
+	// because a shard their window meets was not admitted or could not
+	// load.
 	BandJoins  int64 `json:"band_joins"`
 	BandBuilds int64 `json:"band_builds"`
+	BandSkips  int64 `json:"band_skips"`
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/dataset"
+	"asrs/internal/faultinject"
 	"asrs/internal/shard"
 )
 
@@ -140,6 +143,58 @@ func TestRoutedContainedBitIdentity(t *testing.T) {
 						t.Fatalf("trial %d ns=%d shard %d k=%d: result %+v vs oracle %+v", trial, ns, si, i, r, o)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestRoutedContainedJoinsInFlight: a contained request that brings no
+// options of its own reaches its shard as a client's request would, so
+// two identical ones in flight together cost one shard search — the
+// second joins the first's (Engine.QueryCtx) — and both answer what the
+// request answers alone, every row.
+func TestRoutedContainedJoinsInFlight(t *testing.T) {
+	checkLeaks(t)
+	ds, f, q := corpus(t, 80, 19)
+	cat := newCatalog(t, ds, f, 2)
+	rt := shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}})
+	sh := cat.Shards()[0]
+	_, hi := sh.Slab()
+	e := asrs.Rect{MinX: 1, MinY: 1, MaxX: hi - 1, MaxY: 99}
+	req := shard.Request{Query: q, A: 6, B: 6, TopK: 2, Extent: &e}
+	want := rt.Query(context.Background(), req)
+	if want.Err != nil {
+		t.Fatal(want.Err)
+	}
+	before := sh.Loaded().Stats()
+	// Every kernel item stalls, so the first search is still in flight
+	// when the second request arrives.
+	faultinject.Activate(faultinject.NewPlan(1,
+		faultinject.Spec{Point: "kernel.barrier.slow", Action: faultinject.ActSleep, MaxEvery: 1, Delay: 50 * time.Millisecond}))
+	t.Cleanup(faultinject.Deactivate)
+	resps := make([]shard.Response, 2)
+	var wg sync.WaitGroup
+	for i := range resps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i] = rt.Query(context.Background(), req)
+		}()
+	}
+	wg.Wait()
+	faultinject.Deactivate()
+	st := sh.Loaded().Stats()
+	if searched, joined := st.LatencyCount-before.LatencyCount, st.DedupHits-before.DedupHits; searched != 1 || joined != 1 {
+		t.Fatalf("two identical contained requests: %d shard searches and %d joined, want 1 and 1", searched, joined)
+	}
+	for i, resp := range resps {
+		if resp.Err != nil || len(resp.Regions) != len(want.Regions) {
+			t.Fatalf("request %d: %d regions, err %v; alone %d", i, len(resp.Regions), resp.Err, len(want.Regions))
+		}
+		for k := range resp.Regions {
+			r, w := resp.Results[k], want.Results[k]
+			if !sameRect(resp.Regions[k], want.Regions[k]) || !sameBits(r.Dist, w.Dist) || !sameRep(r.Rep, w.Rep) {
+				t.Fatalf("request %d row %d: %v %+v, alone %v %+v", i, k, resp.Regions[k], r, want.Regions[k], w)
 			}
 		}
 	}
@@ -382,8 +437,13 @@ func TestRouterEdgeCases(t *testing.T) {
 					t.Fatalf("UnavailableError names no shards")
 				}
 				for _, s := range ue.Skipped {
-					if s.Reason != "breaker_open" {
-						t.Fatalf("skip reason %q, want breaker_open", s.Reason)
+					// A band is skipped naming a shard its window meets.
+					want := "breaker_open"
+					if strings.HasPrefix(s.Shard, "band@") {
+						want = "shard-0"
+					}
+					if s.Reason != want {
+						t.Fatalf("%s skipped for %q, want %s", s.Shard, s.Reason, want)
 					}
 				}
 			}

@@ -10,10 +10,10 @@ import (
 )
 
 // Shard is one fault domain: a contiguous x-slab of the corpus served
-// by its own asrs.Engine with private grid indexes, pyramids and
-// (optionally) a private ingest WAL. Construction is lazy unless the
-// catalog warms it; a failed load is retryable and charged to the
-// shard's breaker, never to siblings.
+// by its own asrs.Engine with private pyramids and (optionally) a
+// private ingest WAL. Construction is lazy unless the catalog warms it;
+// a failed load is retryable and charged to the shard's breaker, never
+// to siblings.
 type Shard struct {
 	cat   *Catalog
 	index int
@@ -22,9 +22,10 @@ type Shard struct {
 	// Objects are owned half-open: x in [lo, hi).
 	lo, hi float64
 	// seed is this shard's slice of the catalog seed corpus, in the seed
-	// dataset's original relative order.
-	seed    *asrs.Dataset
-	breaker *Breaker
+	// dataset's original relative order; seedBounds is its bounding box.
+	seed       *asrs.Dataset
+	seedBounds asrs.Rect
+	breaker    *Breaker
 
 	mu  sync.Mutex
 	eng *asrs.Engine
@@ -55,10 +56,11 @@ func (s *Shard) Loaded() *asrs.Engine {
 
 // Engine returns the shard's engine, constructing it on first use:
 // NewEngine over the slab corpus (recovering the shard's WAL when
-// configured), then Warm for every composite, which builds its pyramid on
-// the slab's one geometry and its grid index. A failure leaves the shard
-// unloaded (the next call retries) and is the caller's to classify into
-// the breaker.
+// configured), then every composite's pyramid, on the slab's one
+// geometry. It builds no grid index: every routed sub-search is windowed,
+// and a windowed request never reads one (an un-windowed call builds it
+// lazily). A failure leaves the shard unloaded (the next call retries)
+// and is the caller's to classify into the breaker.
 func (s *Shard) Engine() (*asrs.Engine, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -83,7 +85,7 @@ func (s *Shard) Engine() (*asrs.Engine, error) {
 		if f == nil {
 			continue
 		}
-		if werr := eng.Warm(f); werr != nil {
+		if _, werr := eng.Pyramid(f); werr != nil {
 			eng.Close()
 			return nil, fmt.Errorf("shard %s: warm %s: %w", s.name, name, werr)
 		}
@@ -107,32 +109,6 @@ func (s *Shard) epoch(load bool) *asrs.Engine {
 		return nil
 	}
 	return eng
-}
-
-// objects returns the objects of the shard's current epoch (see epoch),
-// or its seed slab.
-func (s *Shard) objects(load bool) []asrs.Object {
-	if eng := s.epoch(load); eng != nil {
-		return eng.CurrentDataset().Objects
-	}
-	return s.seed.Objects
-}
-
-// appendInX appends to dst the objects of eng's current epoch — of the
-// shard's seed slab for a nil eng — whose x lies strictly inside (lo,
-// hi), scanned in dataset order: a band's corpus that cannot be joined
-// from the shards' pyramids (Router.bandCorpus).
-func (s *Shard) appendInX(dst []asrs.Object, eng *asrs.Engine, lo, hi float64) []asrs.Object {
-	objs := s.seed.Objects
-	if eng != nil {
-		objs = eng.CurrentDataset().Objects
-	}
-	for _, o := range objs {
-		if lo < o.Loc.X && o.Loc.X < hi {
-			dst = append(dst, o)
-		}
-	}
-	return dst
 }
 
 // Close releases the shard's engine (WAL handles) if loaded.
