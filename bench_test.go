@@ -340,9 +340,13 @@ func BenchmarkCaseStudy(b *testing.B) {
 // With the grid index it also counts, once and untimed, the cells rounds
 // 2 and 3 search (asrs.Answer at k = 1, 2, 3 on the engine's index and
 // pyramid, differenced), which repeat exactly: 12 and 10, as a swept
-// cell keeps its exact minimum and is searched again only once a round
+// cell keeps its minimum and is searched again only once a round
 // excludes that point (DESIGN.md §5, "Resumed rounds"). It fails above
-// topKRoundsCells cells in rounds 2–3.
+// topKRoundsCells cells in rounds 2–3. It counts the sweep intervals the
+// top-3 scores and the cells it records above the record cap, and fails
+// above topKRoundsScored intervals. The sub-benchmark top-64 times and
+// counts a top-64 of the same request, whose record cap is looser for
+// longer, and fails above topK64Scored.
 func BenchmarkTopKRounds(b *testing.B) {
 	ds, q, qa, qb := poisyn.at(b, 5000, 30)
 	req := asrs.QueryRequest{Query: q, A: qa, B: qb, TopK: 3}
@@ -369,11 +373,13 @@ func BenchmarkTopKRounds(b *testing.B) {
 				}
 			}
 			var round2, round3 int
+			var st asrs.IndexStats
 			if g > 0 {
 				round2, round3 = topKRoundCells(b, eng, ds, req)
 				if round2+round3 > topKRoundsCells {
 					b.Fatalf("rounds 2 and 3 searched %d and %d cells, more than %d together", round2, round3, topKRoundsCells)
 				}
+				st = topKCounts(b, eng, ds, req, topKRoundsScored)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -386,19 +392,47 @@ func BenchmarkTopKRounds(b *testing.B) {
 			if g > 0 {
 				b.ReportMetric(float64(round2), "round2-cells")
 				b.ReportMetric(float64(round3), "round3-cells")
+				b.ReportMetric(float64(st.DS.SweepScored), "sweep-scored/op")
+				b.ReportMetric(float64(st.RecordedAbove), "above-cap-records/op")
 			}
 		})
 	}
+	b.Run("top-64", func(b *testing.B) {
+		eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: 64, Search: asrs.Options{Workers: 1}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Warm(q.F); err != nil {
+			b.Fatal(err)
+		}
+		deep := req
+		deep.TopK = 64
+		st := topKCounts(b, eng, ds, deep, topK64Scored)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if resp := eng.Query(deep); resp.Err != nil {
+				b.Fatal(resp.Err)
+			}
+		}
+		b.ReportMetric(float64(st.DS.SweepScored), "sweep-scored/op")
+		b.ReportMetric(float64(st.RecordedAbove), "above-cap-records/op")
+	})
 }
 
-// topKRoundsCells is BenchmarkTopKRounds' ceiling on the cells rounds 2
-// and 3 of its request search together.
-const topKRoundsCells = 22
+// BenchmarkTopKRounds' ceilings: on the cells rounds 2 and 3 of its
+// top-3 search together, and on the sweep intervals its top-3 and top-64
+// score.
+const (
+	topKRoundsCells  = 22
+	topKRoundsScored = 20200
+	topK64Scored     = 369800
+)
 
-// topKRoundCells returns the cells rounds 2 and 3 of a top-3 request
-// search, from asrs.Answer's stats at k = 1, 2, 3 on the engine's index
-// and pyramid.
-func topKRoundCells(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.QueryRequest) (round2, round3 int) {
+// topKCounts returns the stats of req answered once by asrs.Answer on the
+// engine's index and pyramid, and fails when its sweeps score more than
+// ceiling intervals.
+func topKCounts(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.QueryRequest, ceiling int) asrs.IndexStats {
 	b.Helper()
 	idx, err := eng.Index(req.Query.F)
 	if err != nil {
@@ -408,16 +442,27 @@ func topKRoundCells(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.Q
 	if err != nil {
 		b.Fatal(err)
 	}
+	req.Options = &asrs.Options{Workers: 1, Pyramid: pyr}
+	resp, st := asrs.Answer(ds, idx, req)
+	if resp.Err != nil {
+		b.Fatal(resp.Err)
+	}
+	if st.DS.SweepScored > ceiling {
+		b.Fatalf("a top-%d scored %d sweep intervals, more than %d", req.TopK, st.DS.SweepScored, ceiling)
+	}
+	return st
+}
+
+// topKRoundCells returns the cells rounds 2 and 3 of a top-3 request
+// search, from asrs.Answer's stats at k = 1, 2, 3 on the engine's index
+// and pyramid (topKCounts).
+func topKRoundCells(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.QueryRequest) (round2, round3 int) {
+	b.Helper()
 	var cells [4]int
 	for k := 1; k <= 3; k++ {
 		r := req
 		r.TopK = k
-		r.Options = &asrs.Options{Workers: 1, Pyramid: pyr}
-		resp, st := asrs.Answer(ds, idx, r)
-		if resp.Err != nil {
-			b.Fatal(resp.Err)
-		}
-		cells[k] = st.CellsSearched
+		cells[k] = topKCounts(b, eng, ds, r, math.MaxInt).CellsSearched
 	}
 	return cells[2] - cells[1], cells[3] - cells[2]
 }

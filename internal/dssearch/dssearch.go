@@ -568,22 +568,26 @@ func (s *Searcher) ctx() context.Context {
 // take NCol×NRow again. The incumbent (Best) ends where SolveWithin
 // leaves it: a discretization is exact at any grid.
 //
-// With exact set, a space the rule takes is swept without the cap, and
-// SolveCell returns the least of its candidates — the minimum over every
-// answer point of the space — and true. The termination test does not
-// stop that sweep, but a space it would stop is not swept once the
-// context is done: there is only the minimum to lose. SolveCell returns
-// false for a space searched any other way or not at all, and for a
-// sweep that found no candidate or was cut short (Err). ids must
-// contain, in ascending order, every id whose rectangle interior
-// intersects the space (AppendWindowIDs, AppendCellIDs); the slice is
-// only read and never retained past the call.
-func (s *Searcher) SolveCell(space geom.Rect, seedLB float64, ids []int32, exact bool) (asp.Result, bool) {
+// A record cap at or above the incumbent makes the call a recording one:
+// a space the rule takes is swept under that cap instead of the
+// incumbent's, and SolveCell returns true with the least candidate that
+// scores at or under it — the minimum over every answer point of the
+// space whenever that minimum is at most the cap — or, when nothing in the
+// space does, with a result of distance +Inf and no representation. A cap
+// of +Inf records the exact minimum; one below the incumbent (−Inf) asks
+// for no record. The termination test does not stop a recording sweep,
+// but a space it would stop is not swept once the context is done: there
+// is only the record to lose. SolveCell returns false for a space searched
+// any other way or not at all, for a sweep cut short (Err), and for a call
+// that records nothing. ids must contain, in ascending order, every id
+// whose rectangle interior intersects the space (AppendWindowIDs,
+// AppendCellIDs); the slice is only read and never retained past the call.
+func (s *Searcher) SolveCell(space geom.Rect, seedLB float64, ids []int32, record float64) (asp.Result, bool) {
 	if !space.IsValid() || len(s.pts) == 0 || s.err != nil {
 		return asp.Result{}, false
 	}
 	if s.sweepable(space, ids) {
-		return s.sweepCell(space, seedLB, ids, exact)
+		return s.sweepCell(space, seedLB, ids, record)
 	}
 	s.cell = true
 	s.run(space, seedLB, ids)
@@ -592,21 +596,19 @@ func (s *Searcher) SolveCell(space geom.Rect, seedLB float64, ids []int32, exact
 }
 
 // sweepCell is SolveCell for a space the terminal rule takes.
-func (s *Searcher) sweepCell(space geom.Rect, seedLB float64, ids []int32, exact bool) (asp.Result, bool) {
+func (s *Searcher) sweepCell(space geom.Rect, seedLB float64, ids []int32, record float64) (asp.Result, bool) {
 	// The shared cap takes the incumbent and every improvement, as a
 	// kernel run's bound publishes them (SetExternal, Offer).
 	ext := s.opt.SharedCap
 	if ext != nil {
 		ext.Publish(s.best.Dist)
 	}
+	recording := record >= s.best.Dist
 	if seedLB >= kernel.Threshold(s.best.Dist, s.opt.Delta, ext) &&
-		(!exact || s.ctx().Err() != nil) {
+		(!recording || s.ctx().Err() != nil) {
 		return asp.Result{}, false
 	}
-	capDist := s.best.Dist
-	if exact {
-		capDist = math.Inf(1)
-	}
+	capDist := max(s.best.Dist, record)
 	var r asp.Result
 	var ok bool
 	if s.err = kernel.Step(s.ctx(), func() {
@@ -617,12 +619,12 @@ func (s *Searcher) sweepCell(space geom.Rect, seedLB float64, ids []int32, exact
 	}
 	// The sweep's representation is its own, fresh: the incumbent may
 	// hold it.
-	if kernel.Better(r, s.best) {
+	if r.Rep != nil && kernel.Better(r, s.best) {
 		if s.best = r; ext != nil {
 			ext.Publish(r.Dist)
 		}
 	}
-	return r, exact
+	return r, recording
 }
 
 // The terminal rule's constants. sweepCutoff is the number of rectangles
@@ -851,7 +853,7 @@ func (s *Searcher) push(emit func(kernel.Item), child geom.Rect, lb float64, par
 // (ties included — the cap is open at cur.Dist), so those candidates may
 // abandon their distance march early.
 func (s *Searcher) miniSweep(space geom.Rect, ids []int32) {
-	if r, ok := s.sweepUnder(space, ids, s.cur.Dist); ok {
+	if r, ok := s.sweepUnder(space, ids, s.cur.Dist); ok && r.Rep != nil {
 		s.improve(r.Dist, r.Point, r.Rep)
 	}
 }
@@ -859,7 +861,9 @@ func (s *Searcher) miniSweep(space geom.Rect, ids []int32) {
 // sweepUnder is the mini-sweep of a space under an evaluation cap
 // (sweep.Solver.SolveWithinCapped; +Inf for none): the least candidate
 // of the space scoring at most capDist, in a representation of its own,
-// and false when there is none. The rectangles that contain the space
+// or, when the space has candidates but none scores at most capDist, a
+// result of distance +Inf and no representation; false when the space
+// has no candidate at all. The rectangles that contain the space
 // cover every candidate the sweep enumerates and add the same vector to
 // each: their limb contributions are summed once, in id order like the
 // grid fill's, into a base the solver starts from, and only the
@@ -892,7 +896,7 @@ func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (as
 	// serves many searches); fold only this sweep's strip-evaluator deltas
 	// and scoring deltas into the search stats.
 	before := s.sw.Stats
-	// A capped sweep can return its +Inf sentinel: nothing scored under
+	// A capped sweep returns its +Inf sentinel when nothing scored under
 	// the cap.
 	r, ok := s.sw.SolveWithinCapped(space, capDist)
 	after := &s.sw.Stats
@@ -900,7 +904,7 @@ func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (as
 	s.Stats.FenwickStrips += after.FenwickStrips - before.FenwickStrips
 	s.Stats.SweepScored += after.Scored - before.Scored
 	s.Stats.PrunedStrips += after.PrunedStrips - before.PrunedStrips
-	return r, ok && r.Rep != nil
+	return r, ok
 }
 
 // PointRepresentation computes F(p) over the master set, restricted to

@@ -316,7 +316,7 @@ func TestSweptCellUnderSharedCap(t *testing.T) {
 			}
 			s.SeedBest(inf)
 			space := s.Space()
-			if _, exact := s.SolveCell(space, tc.lb, s.AppendWindowIDs(space, nil), false); exact {
+			if _, exact := s.SolveCell(space, tc.lb, s.AppendWindowIDs(space, nil), math.Inf(-1)); exact {
 				t.Fatal("a capped sweep reported an exact minimum")
 			}
 			if s.Err() != nil {
@@ -368,12 +368,60 @@ func TestExactSweepAfterDeadline(t *testing.T) {
 			s.SeedBest(asp.Result{Dist: 5})
 			space := s.Space()
 			ids := s.AppendWindowIDs(space, nil)
-			if _, exact := s.SolveCell(space, tc.lb, ids, true); exact || !errors.Is(s.Err(), tc.err) {
+			if _, exact := s.SolveCell(space, tc.lb, ids, math.Inf(1)); exact || !errors.Is(s.Err(), tc.err) {
 				t.Fatalf("exact = %v, err = %v; want no record and %v", exact, s.Err(), tc.err)
 			}
 			if s.Stats.MiniSweeps != 0 {
 				t.Fatalf("%d sweeps after the deadline", s.Stats.MiniSweeps)
 			}
 		})
+	}
+}
+
+// TestRecordCap: a recording sweep of a piece (SolveCell with a record cap
+// at or above the incumbent) tells the piece's minimum from "swept,
+// nothing at or under the cap". A cap of +Inf returns the exact minimum;
+// a cap equal to it returns the same point at the same distance; a cap
+// below it returns a swept piece with no candidate (distance +Inf, no
+// representation), and leaves the incumbent alone. A cap below the
+// incumbent records nothing: the sweep is the incumbent's.
+func TestRecordCap(t *testing.T) {
+	const a, b = 12.0, 9.0
+	ds := dataset.Random(40, 100, 5)
+	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
+	q := asp.Query{F: f, Target: []float64{2, 1, 1}}
+	solve := func(incumbent, record float64) (asp.Result, bool, *dssearch.Searcher) {
+		t.Helper()
+		s, err := dssearch.NewShapeSearcher(t, ds, a, b, q, dssearch.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SeedBest(asp.Result{Dist: incumbent})
+		space := s.Space()
+		r, ok := s.SolveCell(space, 0, s.AppendWindowIDs(space, nil), record)
+		if s.Err() != nil {
+			t.Fatal(s.Err())
+		}
+		if s.Stats.MiniSweeps != 1 || s.Stats.Discretizations != 0 {
+			t.Fatalf("record %v: %d sweeps, %d discretizations; want the piece swept once", record, s.Stats.MiniSweeps, s.Stats.Discretizations)
+		}
+		return r, ok, s
+	}
+	least, ok, _ := solve(0, math.Inf(1))
+	if !ok || least.Rep == nil || least.Dist <= 0 {
+		t.Fatalf("an uncapped record returned %v at %v (ok %v), want the piece's minimum", least.Dist, least.Point, ok)
+	}
+	if r, ok, _ := solve(0, least.Dist); !ok || r.Rep == nil || math.Float64bits(r.Dist) != math.Float64bits(least.Dist) || r.Point != least.Point {
+		t.Fatalf("a record capped at the minimum %v returned %v at %v (ok %v), want %v at %v", least.Dist, r.Dist, r.Point, ok, least.Dist, least.Point)
+	}
+	r, ok, s := solve(0, least.Dist/2)
+	if !ok || r.Rep != nil || !math.IsInf(r.Dist, 1) {
+		t.Fatalf("a record capped under the minimum returned %v at %v (ok %v), want a swept piece with no candidate", r.Dist, r.Point, ok)
+	}
+	if s.Best().Dist != 0 {
+		t.Fatalf("a record with no candidate moved the incumbent to %v", s.Best().Dist)
+	}
+	if _, ok, s := solve(math.Inf(1), math.Inf(-1)); ok || s.Best().Dist != least.Dist {
+		t.Fatalf("a cap under the incumbent recorded (ok %v), or the sweep left the incumbent at %v, not %v", ok, s.Best().Dist, least.Dist)
 	}
 }

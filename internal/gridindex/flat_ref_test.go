@@ -58,7 +58,7 @@ func solveFlat(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude 
 				pending = pending[1:]
 				for _, p := range dssearch.AppendPieces(pieces[:0], m.rect, forbidden) {
 					sub = searcher.AppendWindowIDs(p, sub[:0])
-					searcher.SolveCell(p, m.lb, sub, false)
+					searcher.SolveCell(p, m.lb, sub, math.Inf(-1))
 				}
 				continue
 			}
@@ -72,7 +72,7 @@ func solveFlat(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude 
 			pieces = dssearch.AppendPieces(pieces[:0], idx.CellRect(i, j), forbidden)
 			for _, p := range pieces {
 				sub = searcher.AppendWindowIDs(p, sub[:0])
-				searcher.SolveCell(p, lbs[k], sub, false)
+				searcher.SolveCell(p, lbs[k], sub, math.Inf(-1))
 			}
 		}
 	}

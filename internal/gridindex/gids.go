@@ -1,8 +1,10 @@
 package gridindex
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"asrs/internal/asp"
 	"asrs/internal/attr"
@@ -34,7 +36,8 @@ type Stats struct {
 	MarginsSkipped int // margin strips never searched: the search ended below their bound
 	Pieces         int // sub-rectangles actually searched: margin runs plus every piece of every searched cell
 	ExcludingRuns  int // completed runs that searched under a non-empty exclusion list
-	Recorded       int // cells and strips searched whose exact minimum a carrying session recorded (Session)
+	Recorded       int // cells and strips a carrying session recorded (Session): their minimum, or that nothing in them is at or under the record cap
+	RecordedAbove  int // of those, the ones recorded above the cap, with no candidate
 	CellIDs        int // rectangle ids the index's cells handed the searcher's filter, over every piece searched (cellRuns)
 	// LeftMarginLB and BottomMarginLB are the lower bounds of the two
 	// margin strips (+Inf for a strip the space does not have). They do
@@ -55,6 +58,7 @@ func (s *Stats) Add(o Stats) {
 	s.Pieces += o.Pieces
 	s.ExcludingRuns += o.ExcludingRuns
 	s.Recorded += o.Recorded
+	s.RecordedAbove += o.RecordedAbove
 	s.CellIDs += o.CellIDs
 	s.LeftMarginLB, s.BottomMarginLB = o.LeftMarginLB, o.BottomMarginLB
 	s.DS.Add(o.DS)
@@ -96,9 +100,9 @@ type margin struct {
 }
 
 // candidate is a feasible answer a searched cell or strip holds: its
-// exact minimum, or the answer a search improved the incumbent to; owner
-// is the cell's row-major number, or −1 and −2 for the session's first
-// and second strip.
+// minimum, recorded at or under the record cap, or the answer a search
+// improved the incumbent to; owner is the cell's row-major number, or −1
+// and −2 for the session's first and second strip.
 type candidate struct {
 	owner int
 	res   asp.Result
@@ -117,32 +121,41 @@ type candidate struct {
 //     bounded at or above the threshold, the range that stopped the loop,
 //     and every cell searched, pushed back under its key;
 //   - the two strips, bounded once per session, each under its key;
-//   - the candidates: per searched cell or strip, its exact minimum or
-//     the answer its search improved the incumbent to.
+//   - the candidates: per searched cell or strip, its minimum when that
+//     is at most the record cap, or the answer its search improved the
+//     incumbent to;
+//   - the picks, the candidates the record cap is drawn from (bound).
 //
 // A cell or strip whose every piece the terminal rule sweeps whole is
-// swept without the incumbent's cap (dssearch.Searcher.SolveCell, exact),
-// and the session records what the sweeps find: the least of its points,
-// the minimum over the cell's feasible answers. Its key is the larger of
-// that minimum and the bound it was taken at, and the point is its
-// candidate. Any other search — a piece discretized — moves the incumbent
-// from before to after, and the key is the larger of after.Dist/(1+δ) and
-// the bound: every point was either found, at ≥ after.Dist, or pruned
-// against an incumbent between after and before, at ≥ after.Dist/(1+δ).
-// The candidate is after, if the search improved the incumbent. A cell
-// the exclusions swallow is not pushed back, and a swallowed strip takes
-// key +Inf.
+// swept under the record cap U instead of the incumbent's
+// (dssearch.Searcher.SolveCell), U an upper bound on the distance the
+// session's last announced round answers (bound), and the session
+// records what the sweeps find. When some point of it is at or under U,
+// the least of them is the minimum over the cell's feasible answers: its
+// key is the larger of that minimum and the bound it was taken at, and
+// the point is its candidate. Otherwise every point is above U: its key
+// is the larger of the bound and the float after U, and it holds no
+// candidate. Both keys are lower bounds whatever U is. U decides only how
+// much a sweep scores and whether a later round takes the cell again: a
+// round that answers at most U does not. Any other search — a piece
+// discretized — moves the incumbent from before to after, and the key is
+// the larger of after.Dist/(1+δ) and the bound: every point was either
+// found, at ≥ after.Dist, or pruned against an incumbent between after
+// and before, at ≥ after.Dist/(1+δ). The candidate is after, if the
+// search improved the incumbent. A cell the exclusions swallow is not
+// pushed back, and a swallowed strip takes key +Inf.
 //
 // A round drops the candidates the boxes of its new exclusions forbid and
 // seeds its incumbent with the kernel.Better-least of the empty covering
 // set and the rest. Every key is then at or above the threshold while its
 // cell's candidate stands, so a cell is searched again — on its pieces
 // under the new boxes — only once a box has forbidden the point it holds,
-// and a cell searched holds no candidate. The loop, its order and its
-// stopping rule are a fresh round's, so an exact round's distance is the
-// one a fresh session's round under the same exclusions answers, bit for
-// bit (with δ > 0 it is within 1+δ of the optimum), and its point may be
-// another of equally distant ones.
+// or, recorded above U, once the threshold passes U; and a cell searched
+// holds no candidate. The loop, its order and its stopping rule are a
+// fresh round's, so an exact round's distance is the one a fresh
+// session's round under the same exclusions answers, bit for bit (with
+// δ > 0 it is within 1+δ of the optimum), and its point may be another
+// of equally distant ones.
 //
 // A round whose exclusions do not extend the last round's (checked by
 // prefix) starts over, as does a round after an error. Nothing is carried
@@ -158,13 +171,17 @@ type Session struct {
 	a, b  float64
 	opt   dssearch.Options
 	carry bool
+	// rounds is how many rounds Open announced, done how many completed.
+	rounds, done int
 
-	sc      *lbScratch // bound vectors and the range heap
+	sc      *lbScratch // bound vectors, the range heap and the picks (bound)
 	started bool       // the carried state below is valid
 	excl    []geom.Rect
 	margins [2]margin // the strips, left before bottom (strips)
 	nm      int
 	cands   []candidate
+	outside float64 // the distance of the empty covering set outside the space
+	limit   float64 // the record cap U (bound)
 
 	leftLB, bottomLB float64
 	visit            func(i, j int)
@@ -178,7 +195,8 @@ type Session struct {
 func Open(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, opt dssearch.Options, rounds int) Session {
 	return Session{
 		idx: idx, ds: ds, q: q, a: a, b: b, opt: opt,
-		carry: rounds > 1 && opt.SharedCap == nil,
+		carry:  rounds > 1 && opt.SharedCap == nil,
+		rounds: rounds,
 	}
 }
 
@@ -247,10 +265,11 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 		sc := s.sc
 		h := sc.heap
 		stats.Cells = idx.sx * idx.sy
+		s.outside = incumbent.Dist
 		if resume {
 			// Drop what the new exclusions forbid — every candidate kept
 			// so far avoids the boxes of the old ones — and seed the
-			// incumbent with the rest.
+			// incumbent with the least of the rest.
 			added := forbidden[len(s.excl):]
 			kept := s.cands[:0]
 			for _, c := range s.cands {
@@ -263,6 +282,7 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 			}
 			clear(s.cands[len(kept):])
 			s.cands = kept
+			s.limit = s.repick(added)
 		} else {
 			s.begin(space, &stats)
 		}
@@ -342,6 +362,7 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 	}
 	if s.carry {
 		s.started = true
+		s.done++
 		s.excl = append(s.excl[:0], exclude...)
 	}
 
@@ -382,6 +403,10 @@ func (s *Session) begin(space geom.Rect, stats *Stats) {
 	h.Push(whole)
 	clear(s.cands)
 	s.cands = s.cands[:0]
+	if s.carry {
+		s.sc.picks.reset(2*s.a, 2*s.b)
+	}
+	s.limit = s.outside
 }
 
 // strips appends to dst the margin strips of the space, the left one
@@ -407,15 +432,16 @@ func (x *Index) strips(dst []margin, space geom.Rect, q asp.Query, a, b float64,
 // the rectangle ids of the index cells the piece's anchor box reaches
 // (cellRuns), kept by the searcher where they meet the piece
 // (AppendCellIDs: the ids AppendWindowIDs collects), and returns its key
-// in a carrying session, where it records the owner's candidate (see
-// Session): the least of the pieces' minima when every piece was swept
-// whole, else the incumbent's move from before to after. Pieces are swept
-// exact only while the cell can still be recorded; those after the first
-// that cannot be take the capped, pruned search.
+// in a carrying session, where it records the owner (see Session): by
+// the least of the pieces' points at or under the record cap, or as
+// above it, when every piece was swept whole; else by the incumbent's
+// move from before to after. Pieces are swept under the record cap only
+// while the cell can still be recorded; those after the first that
+// cannot be take the capped, pruned search.
 func (s *Session) search(searcher *dssearch.Searcher, owner int, lb float64, pieces []geom.Rect, stats *Stats) float64 {
 	sc := s.sc
 	before := searcher.Best()
-	exact := s.carry
+	recording := s.carry
 	least := asp.Result{Dist: math.Inf(1)}
 	for _, p := range pieces {
 		stats.Pieces++
@@ -423,28 +449,189 @@ func (s *Session) search(searcher *dssearch.Searcher, owner int, lb float64, pie
 		sc.runs, n = s.idx.cellRuns(sc.runs[:0], p, s.a, s.b)
 		stats.CellIDs += n
 		sc.ids = searcher.AppendCellIDs(p, sc.runs, sc.ids[:0])
-		r, ok := searcher.SolveCell(p, lb, sc.ids, exact)
-		if exact = exact && ok; exact && kernel.Better(r, least) {
+		record := math.Inf(-1)
+		if recording {
+			record = s.limit
+		}
+		r, ok := searcher.SolveCell(p, lb, sc.ids, record)
+		if recording = recording && ok; recording && r.Rep != nil && kernel.Better(r, least) {
 			least = r
 		}
 	}
 	if !s.carry {
 		return lb
 	}
-	if exact {
+	if recording {
 		stats.Recorded++
-		s.cands = append(s.cands, candidate{owner, least})
+		if least.Rep == nil {
+			stats.RecordedAbove++
+			return max(lb, math.Nextafter(s.limit, math.Inf(1)))
+		}
+		s.add(candidate{owner, least})
 		return max(lb, least.Dist)
 	}
 	after := searcher.Best()
 	if kernel.Better(after, before) {
-		s.cands = append(s.cands, candidate{owner, after})
+		s.add(candidate{owner, after})
 	}
 	key := after.Dist
 	if s.opt.Delta > 0 {
 		key /= 1 + s.opt.Delta
 	}
 	return max(lb, key)
+}
+
+// add holds a candidate; one under the record cap is offered to the
+// picks (bound), which may lower it.
+func (s *Session) add(c candidate) {
+	s.cands = append(s.cands, c)
+	if c.res.Dist < s.limit {
+		s.sc.picks.offer(c.res)
+		s.limit = s.bound()
+	}
+}
+
+// bound is the record cap U: an upper bound on the distance the session's
+// last announced round answers, when each round to come adds its
+// answer's region to the exclusions, as a top-k's do. The outside region
+// bounds it, as no exclusion forbids it. So does the need-th best of any
+// candidates no two of which share an open 2a×2b box, need the rounds
+// still to run: a region forbids the answer points in the open 2a×2b box
+// around its own answer point (dssearch.ForbiddenBoxes), which holds at
+// most one of them, so the need−1 regions the rounds before the last add
+// leave one of them feasible. The session keeps such candidates as its
+// picks, the best it is offered (pickSet.offer): a candidate as it comes
+// in under U, and at the start of a round those the picks it forbade had
+// kept out (repick). Past need of them the worst go. A conflict that
+// rounding hides only lowers U, which a record needs nothing of.
+func (s *Session) bound() float64 {
+	need := max(s.rounds-s.done, 1)
+	ps := &s.sc.picks
+	for len(ps.picks) > need {
+		ps.remove(ps.worst())
+	}
+	if len(ps.picks) < need {
+		return s.outside
+	}
+	return ps.picks[ps.worst()].dist
+}
+
+// repick starts a resumed round's picks: those its added boxes forbid
+// go, and the candidates that shared a box with one of them are offered
+// again, best first.
+func (s *Session) repick(added []geom.Rect) float64 {
+	ps := &s.sc.picks
+	gone := ps.gone[:0]
+	for j := 0; j < len(ps.picks); {
+		if p := ps.picks[j].p; !allowed(p, added) {
+			gone = append(gone, p)
+			ps.remove(j)
+		} else {
+			j++
+		}
+	}
+	ps.gone = gone
+	// The open box within 2a and 2b of a point holds at most four points
+	// no two of which share a 2a×2b box, so while four per pick gone
+	// cannot bring the picks to need, U stays the outside distance.
+	if need := max(s.rounds-s.done, 1); len(ps.picks)+4*len(gone) < need {
+		return s.outside
+	}
+	near := ps.near[:0]
+	for _, g := range gone {
+		for i := range s.cands {
+			if c := &s.cands[i].res; math.Abs(c.Point.X-g.X) < ps.w && math.Abs(c.Point.Y-g.Y) < ps.h && c.Dist < s.outside {
+				near = append(near, *c)
+			}
+		}
+	}
+	slices.SortFunc(near, func(x, y asp.Result) int {
+		if kernel.Better(x, y) {
+			return -1
+		}
+		if kernel.Better(y, x) {
+			return 1
+		}
+		return 0
+	})
+	for _, r := range near {
+		ps.offer(r)
+	}
+	clear(near)
+	ps.near = near[:0]
+	return s.bound()
+}
+
+// pickSet is a session's picks (bound), in x order, w×h the box two
+// picks may not share.
+type pickSet struct {
+	w, h  float64
+	picks []pick
+
+	gone []geom.Point // repick's scratch
+	near []asp.Result
+}
+
+// pick is a point picked, at its distance.
+type pick struct {
+	dist float64
+	p    geom.Point
+}
+
+func (q *pick) res() asp.Result { return asp.Result{Dist: q.dist, Point: q.p} }
+
+// reset empties the set.
+func (ps *pickSet) reset(w, h float64) {
+	ps.w, ps.h = w, h
+	ps.picks = ps.picks[:0]
+}
+
+// offer picks r when it shares no box with a pick, or when it shares
+// one with a single pick it is kernel.Better than, in that pick's place:
+// the picks stay pairwise apart.
+func (ps *pickSet) offer(r asp.Result) {
+	j, n := ps.meet(r)
+	switch {
+	case n == 0:
+	case n == 1 && kernel.Better(r, ps.picks[j].res()):
+		ps.remove(j)
+	default:
+		return
+	}
+	ps.picks = slices.Insert(ps.picks, ps.at(r.Point.X), pick{r.Dist, r.Point})
+}
+
+// at is the index of the first pick whose x is at least x.
+func (ps *pickSet) at(x float64) int {
+	i, _ := slices.BinarySearchFunc(ps.picks, x, func(q pick, x float64) int { return cmp.Compare(q.p.X, x) })
+	return i
+}
+
+// meet returns how many picks share an open w×h box with r, counted up
+// to two, and the index of the last one counted.
+func (ps *pickSet) meet(r asp.Result) (j, n int) {
+	for i := ps.at(r.Point.X - ps.w); i < len(ps.picks) && ps.picks[i].p.X < r.Point.X+ps.w; i++ {
+		if q := ps.picks[i].p; math.Abs(r.Point.X-q.X) < ps.w && math.Abs(r.Point.Y-q.Y) < ps.h {
+			if j, n = i, n+1; n == 2 {
+				break
+			}
+		}
+	}
+	return j, n
+}
+
+// remove drops the pick j.
+func (ps *pickSet) remove(j int) { ps.picks = slices.Delete(ps.picks, j, j+1) }
+
+// worst returns the index of the kernel.Better-last pick.
+func (ps *pickSet) worst() int {
+	w := 0
+	for i := 1; i < len(ps.picks); i++ {
+		if kernel.Better(ps.picks[w].res(), ps.picks[i].res()) {
+			w = i
+		}
+	}
+	return w
 }
 
 // allowed reports whether an answer point lies in none of the open
@@ -500,6 +687,9 @@ type lbScratch struct {
 	heap *kernel.Heap[cellRange]
 	runs [][]int32
 	ids  []int32
+
+	picks pickSet // a carrying session's (Session.bound)
+
 }
 
 func (x *Index) getLBScratch() *lbScratch {

@@ -104,8 +104,10 @@ func resumeCases(t *testing.T) []resumeCase {
 // (fewer ranges bounded and fewer cells searched than by the fresh
 // rounds); the loop must have met swallowed cells and margins both
 // searched and skipped; resumed rounds must have searched again a cell
-// whose candidate a box cut out of it; and the dense case's resumed rounds
-// must have both recorded swept cells and discretized others.
+// whose candidate a box cut out of it; the rounds must have recorded
+// cells above the record cap (Session), which holds no candidate; and the
+// dense case's resumed rounds must have both recorded swept cells and
+// discretized others.
 func TestResumedRoundsMatchRestarted(t *testing.T) {
 	k := 8
 	if testing.Short() {
@@ -113,7 +115,7 @@ func TestResumedRoundsMatchRestarted(t *testing.T) {
 	}
 	var excluded, marginRuns, marginsSkipped int
 	var resumedBounded, freshBounded, resumedCells, freshCells int
-	var researched, cut, mixRecorded, mixDiscretized int
+	var researched, cut, mixRecorded, mixDiscretized, above int
 	for _, c := range resumeCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			ds, q, a, b := c.ds, c.q, c.a, c.b
@@ -198,6 +200,7 @@ func TestResumedRoundsMatchRestarted(t *testing.T) {
 						if st.Pieces != pieces+st.MarginRuns {
 							t.Fatalf("%s round %d searched %d pieces, the cells taken have %d and the strips %d", tag, round, st.Pieces, pieces, st.MarginRuns)
 						}
+						above += st.RecordedAbove
 						if c.mix && records != nil {
 							mixRecorded += st.Recorded
 							mixDiscretized += st.DS.Discretizations
@@ -255,10 +258,11 @@ func TestResumedRoundsMatchRestarted(t *testing.T) {
 	if excluded == 0 || marginRuns == 0 || marginsSkipped == 0 {
 		t.Fatalf("the rounds never met %d swallowed cells, %d margin runs, %d margins skipped; want all three", excluded, marginRuns, marginsSkipped)
 	}
-	t.Logf("resumed rounds searched %d cells again whose candidate was excluded, %d of them cut; the dense case recorded %d and discretized %d times",
-		researched, cut, mixRecorded, mixDiscretized)
-	if cut == 0 || mixRecorded == 0 || mixDiscretized == 0 {
-		t.Fatalf("resumed rounds searched %d cut cells again; the dense case recorded %d cells and discretized %d times; want all three", cut, mixRecorded, mixDiscretized)
+	t.Logf("resumed rounds searched %d cells again whose candidate was excluded, %d of them cut; %d cells were recorded above the cap; the dense case recorded %d and discretized %d times",
+		researched, cut, above, mixRecorded, mixDiscretized)
+	if cut == 0 || above == 0 || mixRecorded == 0 || mixDiscretized == 0 {
+		t.Fatalf("resumed rounds searched %d cut cells again; %d cells were recorded above the cap; the dense case recorded %d cells and discretized %d times; want all four",
+			cut, above, mixRecorded, mixDiscretized)
 	}
 	t.Logf("%d cells swallowed, %d margin runs, %d margins skipped; rounds 2+ bounded %d ranges and searched %d cells resumed, %d and %d fresh",
 		excluded, marginRuns, marginsSkipped, resumedBounded, resumedCells, freshBounded, freshCells)

@@ -203,6 +203,9 @@ func TestServerRouterEndToEnd(t *testing.T) {
 	if bands == 0 || st.Shards.BandJoins+st.Shards.BandBuilds != int64(bands) || st.Shards.BandSkips != 0 {
 		t.Fatalf("stats.shards: %d bands joined, %d built and %d skipped, the queries read %d", st.Shards.BandJoins, st.Shards.BandBuilds, st.Shards.BandSkips, bands)
 	}
+	if st.Shards.SelfCheckMisses != 0 {
+		t.Fatalf("stats.shards: %d band answers failed their self-check", st.Shards.SelfCheckMisses)
+	}
 	for _, si := range st.Shards.Shards {
 		if si.Engine == nil || si.Engine.SelfCheckMisses != 0 || si.Engine.Indexes != 0 {
 			t.Fatalf("stats.shards: %s engine %+v, want loaded with no self-check miss and no grid index", si.Name, si.Engine)

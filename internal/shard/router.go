@@ -140,6 +140,10 @@ type Router struct {
 	// shards' rows copied, joined with their cores built, and bands left
 	// unsearched for a shard the round could not read.
 	bandJoins, bandBuilds, bandSkips atomic.Int64
+	// bandMisses sums the band searches' self-check misses
+	// (SearchStats.SelfCheckMisses): answers whose re-evaluated distance
+	// differed.
+	bandMisses atomic.Int64
 }
 
 // NewRouter builds a router over the catalog and (re)arms each shard's
@@ -610,7 +614,9 @@ func (r *Router) scatter(ctx context.Context, tasks []subTask, req asrs.QueryReq
 				bctx, cancel := r.budgetCtx(ctx)
 				defer cancel()
 				sub.Ctx = bctx
-				o.resp, _ = asrs.Answer(t.band, nil, sub)
+				var st asrs.IndexStats
+				o.resp, st = asrs.Answer(t.band, nil, sub)
+				r.bandMisses.Add(int64(st.DS.SelfCheckMisses))
 				return o.resp.Err
 			})
 			if o.skipReason == "" {
@@ -674,7 +680,8 @@ func best(outs []subOutcome) (asrs.Rect, asrs.Result, error) {
 func (r *Router) Stats() RouterStats {
 	shards := r.cat.Shards()
 	st := RouterStats{Cuts: r.cat.Cuts(), Shards: make([]ShardInfo, 0, len(shards)),
-		BandJoins: r.bandJoins.Load(), BandBuilds: r.bandBuilds.Load(), BandSkips: r.bandSkips.Load()}
+		BandJoins: r.bandJoins.Load(), BandBuilds: r.bandBuilds.Load(), BandSkips: r.bandSkips.Load(),
+		SelfCheckMisses: r.bandMisses.Load()}
 	for _, sh := range shards {
 		info := ShardInfo{
 			Name:        sh.Name(),
@@ -727,4 +734,8 @@ type RouterStats struct {
 	BandJoins  int64 `json:"band_joins"`
 	BandBuilds int64 `json:"band_builds"`
 	BandSkips  int64 `json:"band_skips"`
+	// SelfCheckMisses counts the band searches' answers whose distance,
+	// re-evaluated at their point, differed (a shard's own searches count
+	// theirs in its engine's stats). It must read 0.
+	SelfCheckMisses int64 `json:"self_check_misses"`
 }
