@@ -264,6 +264,8 @@ func (c *Composite) FinalizeExact(ch []float64, out []float64) {
 // vectors of the full and partial sets and the min/max partial values for
 // each fA slot (mmMin[i] = +Inf, mmMax[i] = -Inf when the slot saw no
 // partial object). This generalizes Lemma 5 to all three aggregators.
+// The searches form the same intervals inside a compiled BoundPlan; this
+// is kept as the plan's oracle.
 func (c *Composite) FinalizeBounds(full, partial, mmMin, mmMax []float64, lo, hi []float64) {
 	for i := range c.specs {
 		s := &c.specs[i]
@@ -366,11 +368,12 @@ func (c *Composite) Fingerprint() string {
 }
 
 // IntegerDims reports which representation dimensions only take integer
-// values (the count dimensions of fD components). Lower-bound computations
-// exploit this: the nearest *achievable* value to the query inside
-// [lo, hi] is an integer, which removes the fractional slack of the
-// continuous Equation 1 gap and lets cells at the optimum's boundary be
-// pruned at lb == d_opt instead of splitting on.
+// values (the count dimensions of fD and fC components), the isInt of
+// LowerBoundInt; a BoundPlan reads the same from the kinds. Lower-bound
+// computations exploit this: the nearest *achievable* value to the query
+// inside [lo, hi] is an integer, which removes the fractional slack of
+// the continuous Equation 1 gap and lets cells at the optimum's boundary
+// be pruned at lb == d_opt instead of splitting on.
 func (c *Composite) IntegerDims() []bool {
 	out := make([]bool, c.dims)
 	for i := range c.specs {

@@ -183,8 +183,8 @@ func LowerBoundInt(norm Norm, q, lo, hi, w []float64, isInt []bool) float64 {
 // abandoned once the accumulator alone rules the bound out — every
 // remaining term is non-negative (squared under L2; under L1 a negative
 // weight turns the shortcut off). When ok is false the returned value is
-// only a lower bound on LowerBoundInt. Pass 2 of Function Discretize
-// bounds its dirty cells through it with the pruning threshold as bound.
+// only a lower bound on LowerBoundInt. No search calls it: the searches
+// bound through a compiled BoundPlan, and this is that plan's oracle.
 func LowerBoundIntUnder(norm Norm, q, lo, hi, w []float64, isInt []bool, bound float64) (float64, bool) {
 	l2 := norm == L2
 	stop := math.Inf(1)

@@ -60,25 +60,6 @@ func (q *Query) DistanceUnder(rep []float64, bound float64) (float64, bool) {
 	return agg.DistanceUnder(q.Norm, rep, q.Target, q.W, bound)
 }
 
-// LowerBound returns the Equation 1 lower bound for representations
-// confined to [lo, hi].
-func (q *Query) LowerBound(lo, hi []float64) float64 {
-	return agg.LowerBound(q.Norm, q.Target, lo, hi, q.W)
-}
-
-// LowerBoundInt is LowerBound with integer-dimension awareness; isInt
-// should be q.F.IntegerDims() (cached by callers in hot loops).
-func (q *Query) LowerBoundInt(lo, hi []float64, isInt []bool) float64 {
-	return agg.LowerBoundInt(q.Norm, q.Target, lo, hi, q.W, isInt)
-}
-
-// LowerBoundIntUnder reports whether LowerBoundInt(lo, hi, isInt) <
-// bound, returning the bit-exact bound when it is (see
-// agg.LowerBoundIntUnder).
-func (q *Query) LowerBoundIntUnder(lo, hi []float64, isInt []bool, bound float64) (float64, bool) {
-	return agg.LowerBoundIntUnder(q.Norm, q.Target, lo, hi, q.W, isInt, bound)
-}
-
 // Result is a solution to an ASP instance: the best point found, its
 // distance, and its aggregate representation.
 type Result struct {

@@ -23,7 +23,9 @@ var discretizeSink int
 // discretization hot-coalesce mostly runs: a GI-DS cell's seed space of
 // ≈ 1 200 rectangles at its sized grid (17×17), on Singapore 50k's
 // category composite under a W/32 query. The steady state must not
-// allocate:
+// allocate, and each shape must keep exactly its pinned number of dirty
+// cells (want: F1 30, F2 19, cell-seed 18), so that a fill or a bound
+// that moves one cell fails here and not only in a replay:
 //
 //	go test -run '^$' -bench Discretize -benchmem ./internal/dssearch/
 func BenchmarkDiscretize(b *testing.B) {
@@ -34,10 +36,11 @@ func BenchmarkDiscretize(b *testing.B) {
 		query  func(ds *attr.Dataset, a, b float64) (asp.Query, error)
 		ids    int  // rectangles the space grows to hold
 		cell   bool // discretized as a GI-DS cell's seed, at its sized grid
+		want   int  // dirty cells a call keeps
 	}{
-		{"F1", func() *attr.Dataset { return dataset.Tweet(20000, 42) }, 16, dataset.F1, 300, false},
-		{"F2", func() *attr.Dataset { return dataset.POISyn(5000, 42) }, 30, dataset.F2, 300, false},
-		{"cell-seed", func() *attr.Dataset { return dataset.SingaporeScaled(50000, 42) }, 1000.0 / 32, categoryQuery, 1200, true},
+		{"F1", func() *attr.Dataset { return dataset.Tweet(20000, 42) }, 16, dataset.F1, 300, false, 30},
+		{"F2", func() *attr.Dataset { return dataset.POISyn(5000, 42) }, 30, dataset.F2, 300, false, 19},
+		{"cell-seed", func() *attr.Dataset { return dataset.SingaporeScaled(50000, 42) }, 1000.0 / 32, categoryQuery, 1200, true, 18},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -61,6 +64,9 @@ func BenchmarkDiscretize(b *testing.B) {
 			b.StopTimer()
 			if allocs := testing.AllocsPerRun(10, func() { discretizeSink = h.Run() }); allocs != 0 {
 				b.Fatalf("discretize allocates %.0f times per call, want 0", allocs)
+			}
+			if discretizeSink != c.want {
+				b.Fatalf("discretize keeps %d dirty cells, want %d", discretizeSink, c.want)
 			}
 			ncol, _ := h.Grid()
 			b.ReportMetric(float64(ncol), "grid")

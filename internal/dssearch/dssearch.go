@@ -178,9 +178,8 @@ type Searcher struct {
 
 	query asp.Query
 	opt   Options
-	isInt []bool // integer representation dims (fD counts)
-	core  *core  // the pyramid's aggregation core (sat.go)
-	slab  *slab  // search scratch, recycled through Options.Slabs
+	core  *core // the pyramid's aggregation core (sat.go)
+	slab  *slab // search scratch and the compiled bound, recycled through Options.Slabs
 	Stats Stats
 
 	best asp.Result
@@ -243,8 +242,9 @@ func newSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Sea
 		}
 	}
 	sl := opt.Slabs.get()
+	sl.bound.Compile(q.F, q.Norm, q.Target, q.W)
 	s := &Searcher{pts: p.geo.pts, a: a, b: b, space: reductionSpace(p.geo.bounds, a, b),
-		query: q, opt: opt, isInt: q.F.IntegerDims(), core: p.core, slab: sl}
+		query: q, opt: opt, core: p.core, slab: sl}
 	// Recycled id slices from a previous query using the same slab cache.
 	s.ids, sl.idFree = sl.idFree, nil
 	return s, nil

@@ -15,20 +15,22 @@ type cellInfo struct {
 }
 
 // gridBuffers holds the reusable scratch memory of Function Discretize:
-// 2D difference arrays for the full-cover and overlap channel grids, a
-// partial-cover counter grid, per-cell min/max slots for average
-// aggregators and the precomputed cell edge coordinates. A Searcher owns
-// one, recycled with its slab through the SlabCache.
+// 2D difference arrays for the full-cover and overlap grids, per-cell
+// min/max slots for average aggregators and the precomputed cell edge
+// coordinates. A cell's vector in either grid is its limb sums followed
+// by one count slot, the number of rectangles covering (diffFull) or
+// overlapping (diffPart) it. A Searcher owns one, recycled with its slab
+// through the SlabCache.
 type gridBuffers struct {
 	ncol, nrow int
-	chans      int // grid channel stride: the limb count (agg.Limbs)
+	limbs      int // the limb count (agg.Limbs.Eff); slot limbs of a cell's vector is its count
+	chans      int // grid vector stride: limbs + 1
 	lchans     int // channel count (f.Channels())
 	mmSlots    int
 	dims       int
 
 	diffFull []float64 // (nrow+1)*(ncol+1)*chans difference array: rectangles covering a cell
 	diffPart []float64 // same layout: rectangles overlapping a cell; a cell's partial covers are diffPart − diffFull
-	diffCnt  []float64 // (nrow+1)*(ncol+1) partial-cover counts
 	dense    []float64 // limb sums of the rectangles covering the whole grid
 	mmMin    []float64 // nrow*ncol*mmSlots
 	mmMax    []float64
@@ -37,8 +39,6 @@ type gridBuffers struct {
 	ye []float64
 
 	rep []float64
-	lo  []float64
-	hi  []float64
 
 	// Fold scratch: channel views of limb cell vectors (agg.Limbs.Fold).
 	foldFull []float64
@@ -55,28 +55,28 @@ type gridBuffers struct {
 const maxGridDim = math.MaxInt16 - 1
 
 // newGridBuffers builds the buffers of an ncol×nrow grid for the
-// composite f, eff being the grid channel stride (the limb count). The
-// float buffers are carved from one slab.
+// composite f summed in eff limbs. The float buffers are carved from one
+// slab.
 func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
 	g := &gridBuffers{
 		ncol:       ncol,
 		nrow:       nrow,
-		chans:      eff,
+		limbs:      eff,
+		chans:      eff + 1,
 		lchans:     f.Channels(),
 		mmSlots:    f.MinMaxSlots(),
 		dims:       f.Dims(),
 		dirtyCells: make([]int32, 0, ncol*nrow),
 	}
 	pad := (nrow + 1) * (ncol + 1)
-	slab := make([]float64, 0, 2*pad*g.chans+pad+g.chans+2*nrow*ncol*g.mmSlots+(ncol+1)+(nrow+1)+3*g.dims+2*g.lchans+g.chans+ncol*g.chans)
+	slab := make([]float64, 0, 2*pad*g.chans+2*g.limbs+2*nrow*ncol*g.mmSlots+(ncol+1)+(nrow+1)+g.dims+2*g.lchans+ncol*g.chans)
 	carve := func(n int) []float64 {
 		slab = slab[:len(slab)+n]
 		return slab[len(slab)-n:]
 	}
 	g.diffFull = carve(pad * g.chans)
 	g.diffPart = carve(pad * g.chans)
-	g.diffCnt = carve(pad)
-	g.dense = carve(g.chans)
+	g.dense = carve(g.limbs)
 	if g.mmSlots > 0 {
 		g.mmMin = carve(nrow * ncol * g.mmSlots)
 		g.mmMax = carve(nrow * ncol * g.mmSlots)
@@ -84,11 +84,9 @@ func newGridBuffers(ncol, nrow int, f *agg.Composite, eff int) *gridBuffers {
 	g.xe = carve(ncol + 1)
 	g.ye = carve(nrow + 1)
 	g.rep = carve(g.dims)
-	g.lo = carve(g.dims)
-	g.hi = carve(g.dims)
 	g.foldFull = carve(g.lchans)
 	g.foldPart = carve(g.lchans)
-	g.probeCh = carve(g.chans)
+	g.probeCh = carve(g.limbs)
 	g.rowSum = carve(ncol * g.chans)
 	return g
 }
@@ -104,7 +102,6 @@ func (g *gridBuffers) shape(ncol, nrow int) {
 	pad := (nrow + 1) * (ncol + 1)
 	g.diffFull = g.diffFull[:pad*g.chans]
 	g.diffPart = g.diffPart[:pad*g.chans]
-	g.diffCnt = g.diffCnt[:pad]
 	g.mmMin = g.mmMin[:nrow*ncol*g.mmSlots]
 	g.mmMax = g.mmMax[:nrow*ncol*g.mmSlots]
 	g.xe = g.xe[:ncol+1]
@@ -133,7 +130,6 @@ func cellGrid(m, limit int) int {
 func (g *gridBuffers) reset() {
 	clear(g.diffFull)
 	clear(g.diffPart)
-	clear(g.diffCnt)
 	clear(g.dense)
 	for i := range g.mmMin {
 		g.mmMin[i] = math.Inf(1)
@@ -141,10 +137,11 @@ func (g *gridBuffers) reset() {
 	}
 }
 
-// rangeAdd applies the sparse contributions to the 2D difference array
-// diff over cell rows [r0,r1] × cols [c0,c1] (inclusive, assumed valid).
-// Closing corners past the last column or row land in the pad, which no
-// cell's prefix sum includes.
+// rangeAdd applies the sparse contributions of one rectangle, and a 1 to
+// the count slot, to the 2D difference array diff over cell rows [r0,r1]
+// × cols [c0,c1] (inclusive, assumed valid). Closing corners past the
+// last column or row land in the pad, which no cell's prefix sum
+// includes.
 func (g *gridBuffers) rangeAdd(diff []float64, contribs []agg.Contrib, c0, r0, c1, r1 int) {
 	w := g.ncol + 1
 	a := (r0*w + c0) * g.chans
@@ -157,15 +154,11 @@ func (g *gridBuffers) rangeAdd(diff []float64, contribs []agg.Contrib, c0, r0, c
 		diff[c+cb.Ch] -= cb.V
 		diff[d+cb.Ch] += cb.V
 	}
-}
-
-// rangeAddCnt adds v to the partial-cover counter grid over a cell range.
-func (g *gridBuffers) rangeAddCnt(v float64, c0, r0, c1, r1 int) {
-	w := g.ncol + 1
-	g.diffCnt[r0*w+c0] += v
-	g.diffCnt[r0*w+c1+1] -= v
-	g.diffCnt[(r1+1)*w+c0] -= v
-	g.diffCnt[(r1+1)*w+c1+1] += v
+	n := g.limbs
+	diff[a+n]++
+	diff[b+n]--
+	diff[c+n]--
+	diff[d+n]++
 }
 
 // mmRing folds the min/max contributions into the cells of the overlap
@@ -212,7 +205,6 @@ func (g *gridBuffers) mmUpdate(mm []agg.MMContrib, c0, r0, c1, r1 int) {
 func (g *gridBuffers) integrateRow(r int) {
 	integRow(g.diffFull, g.rowSum, r, g.ncol, g.chans)
 	integRow(g.diffPart, g.rowSum, r, g.ncol, g.chans)
-	integRow(g.diffCnt, g.rowSum, r, g.ncol, 1)
 }
 
 // integRow is one row of a 2D prefix sum over a (ncol+1)-cell-wide,
@@ -235,17 +227,6 @@ func integRow(v, sum []float64, r, ncol, chans int) {
 		return
 	}
 	below := v[(r-1)*stride:][:n]
-	if chans == 1 {
-		// A lag of one element would chain every addition through a
-		// store; carry the sum in a register instead.
-		run := row[0]
-		row[0] += below[0]
-		for i := 1; i < len(row); i++ {
-			run += row[i]
-			row[i] = run + below[i]
-		}
-		return
-	}
 	copy(sum, row[:chans])
 	for ch := range row[:chans] {
 		row[ch] += below[ch]
@@ -307,7 +288,9 @@ func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) []cellInfo {
 // incumbent so that pass 2 prunes against the tightest d_opt, and the
 // dirty cells are listed in g.dirtyCells (row-major) for pass 2 to walk.
 // The grids arrive holding the difference arrays of fillRects; each row
-// is integrated just before it is evaluated.
+// is integrated just before it is evaluated. A cell is dirty when more
+// rectangles overlap it than cover it: its two count slots differ (both
+// are exact integer sums).
 //
 // Clean cells come in runs covered by the same rectangles (a covering
 // set changes only where a rectangle edge crosses), so a cell whose
@@ -319,20 +302,21 @@ func (s *Searcher) cleanPass(cw, chh float64) {
 	g := s.grid
 	tab := s.core
 	query := &s.query
-	chans := g.chans
+	chans, n := g.chans, g.limbs
 	dirty := g.dirtyCells[:0]
 	var last []float64 // totals of the cell g.rep and dist were computed from
 	var dist float64
 	for r := 0; r < g.nrow; r++ {
 		g.integrateRow(r)
 		row := g.cellIdx(0, r)
-		for c, partials := range g.diffCnt[row : row+g.ncol] {
+		for c := range g.ncol {
 			idx := row + c
-			if partials != 0 {
+			full := g.diffFull[idx*chans:][:chans]
+			if g.diffPart[idx*chans+n] != full[n] {
 				dirty = append(dirty, int32(idx))
 				continue
 			}
-			full := g.diffFull[idx*chans:][:chans]
+			full = full[:n]
 			if last == nil || !sameBits(full, last) {
 				s.Stats.CleanEvals++
 				query.F.FinalizeExact(tab.limbs.Fold(g.foldFull, full), g.rep)
@@ -374,19 +358,19 @@ func sameBits(a, b []float64) bool {
 // A dirty cell's partial-cover limbs are its overlap limbs less its
 // full-cover limbs (fillRects), subtracted in place: both are exact limb
 // sums, so the difference is the exact sum of the partial covers, the
-// same bits a fill of the partial covers alone gives. The bound stops
-// summing once it reaches the threshold (agg.LowerBoundIntUnder): a kept
-// cell's bound is LowerBoundInt's to the bit, and a pruned one needs none.
+// same bits a fill of the partial covers alone gives. The bound is the
+// query's compiled plan (agg.BoundPlan), which stops summing once it
+// reaches the threshold: a kept cell's bound is Equation 1's to the bit,
+// and a pruned one needs none.
 func (s *Searcher) boundPass() []cellInfo {
 	g := s.grid
 	tab := s.core
-	query := &s.query
 	dirty := s.dirty[:0]
 	thresh := s.threshold()
 	s.Stats.DirtyCells += len(g.dirtyCells)
 	for _, di := range g.dirtyCells {
 		idx := int(di)
-		fullLimbs := g.diffFull[idx*g.chans:][:g.chans]
+		fullLimbs := g.diffFull[idx*g.chans:][:g.limbs]
 		partLimbs := g.diffPart[idx*g.chans:][:len(fullLimbs)]
 		for i, v := range fullLimbs {
 			partLimbs[i] -= v
@@ -401,8 +385,7 @@ func (s *Searcher) boundPass() []cellInfo {
 			mmMin = g.mmMin[mi : mi+g.mmSlots]
 			mmMax = g.mmMax[mi : mi+g.mmSlots]
 		}
-		query.F.FinalizeBounds(full, part, mmMin, mmMax, g.lo, g.hi)
-		if lb, ok := query.LowerBoundIntUnder(g.lo, g.hi, s.isInt, thresh); ok {
+		if lb, ok := s.slab.bound.Under(full, part, mmMin, mmMax, thresh); ok {
 			r := idx / (g.ncol + 1)
 			c := idx - r*(g.ncol+1)
 			cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
@@ -417,14 +400,15 @@ func (s *Searcher) boundPass() []cellInfo {
 
 // fillRects is the difference-array fill: each rectangle is classified
 // against the cell grid once (overlap range, fully-covered sub-range) and
-// its contributions range-added twice — over the overlap range into
-// diffPart and over the full range into diffFull — while the partial-cover
-// count takes +1 over the first and −1 over the second. A cell's partial
-// covers are then diffPart − diffFull (boundPass), exact because every
-// partial sum of a limb is (agg.Limbs). Rectangles that cover the whole
-// grid are summed into g.dense, added to both grids once at the end. The
-// min/max slots of average aggregators cannot be subtracted, so they fold
-// only into the partially covered ring (mmRing).
+// its contributions and a count of one range-added twice — over the
+// overlap range into diffPart and over the full range into diffFull. A
+// cell's partial covers are then diffPart − diffFull (boundPass), exact
+// because every partial sum of a limb is (agg.Limbs), and their number is
+// the difference of the count slots (cleanPass). Rectangles that cover
+// the whole grid are summed into g.dense, added to both grids once at the
+// end; they leave both count slots alone, as they change no difference.
+// The min/max slots of average aggregators cannot be subtracted, so they
+// fold only into the partially covered ring (mmRing).
 //
 // The cell ranges are decided by exact edge comparisons (overlapRange);
 // all that varies is where the comparison walks start. Ids ascend in
@@ -467,10 +451,8 @@ func (s *Searcher) fillRects(space geom.Rect, ids []int32, cw, chh float64) {
 		fr0, fr1 := fullRange(r0, r1, r.MinY, r.MaxY, g.ye)
 
 		g.rangeAdd(g.diffPart, contribs, c0, r0, c1, r1)
-		g.rangeAddCnt(1, c0, r0, c1, r1)
 		if fc0 <= fc1 && fr0 <= fr1 {
 			g.rangeAdd(g.diffFull, contribs, fc0, fr0, fc1, fr1)
-			g.rangeAddCnt(-1, fc0, fr0, fc1, fr1)
 		}
 		if g.mmSlots > 0 {
 			g.mmRing(tab.rectMM(id), c0, r0, c1, r1, fc0, fr0, fc1, fr1)
@@ -519,7 +501,7 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int3
 	g := s.grid
 	t := s.core
 	query := &s.query
-	ch := g.probeCh[:g.chans]
+	ch := g.probeCh
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
 		clear(ch)

@@ -89,25 +89,32 @@ func equivCases() []equivCase {
 	}
 }
 
-// gridCells copies out what the passes read of the grids: full, partial
-// and count values and the min/max slots of every cell (pads excluded).
-// With overlap set the grid is production's, whose diffPart holds each
-// cell's overlap limbs, and a cell's partial limbs are read as overlap −
-// full, as boundPass reads them; the reference's diffPart holds the
-// partial limbs themselves.
+// gridCells copies out what the passes read of the grids: full and
+// partial limbs, partial-cover counts and the min/max slots of every cell
+// (pads excluded). With overlap set the grid is production's, whose
+// diffPart holds each cell's overlap limbs and count, and a cell's partial
+// limbs and count are read as overlap − full, as boundPass and cleanPass
+// read them; the reference's diffPart holds the partial limbs and count
+// themselves.
 func gridCells(g *gridBuffers, overlap bool) (out [5][]float64) {
+	n := g.limbs
 	for r := 0; r < g.nrow; r++ {
 		for c := 0; c < g.ncol; c++ {
 			idx := g.cellIdx(c, r)
-			full := g.diffFull[idx*g.chans : (idx+1)*g.chans]
-			out[0] = append(out[0], full...)
-			for i, v := range g.diffPart[idx*g.chans : (idx+1)*g.chans] {
+			full := g.diffFull[idx*g.chans:][:g.chans]
+			out[0] = append(out[0], full[:n]...)
+			part := g.diffPart[idx*g.chans:][:g.chans]
+			for i, v := range part[:n] {
 				if overlap {
 					v -= full[i]
 				}
 				out[1] = append(out[1], v)
 			}
-			out[2] = append(out[2], g.diffCnt[idx])
+			cnt := part[n]
+			if overlap {
+				cnt -= full[n]
+			}
+			out[2] = append(out[2], cnt)
 		}
 	}
 	out[3] = append(out[3], g.mmMin...)

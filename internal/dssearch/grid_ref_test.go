@@ -11,9 +11,12 @@ import (
 // inner loops — clear everything, float-seeded edge walks, four-corner
 // range adds of the full range and of the partial ring as up to four
 // pieces, a two-sweep 2D prefix sum over the padded arrays, two full
-// scans of the grid with every clean cell finalized on its own and bounded
-// by the whole LowerBoundInt — as the oracle the production loops of
-// grid.go are held to bit for bit (TestDiscretizeMatchesReference). It
+// scans of the grid with every clean cell finalized on its own and every
+// dirty one bounded by FinalizeBounds and the whole LowerBoundInt — as the
+// oracle the production loops of grid.go are held to bit for bit
+// (TestDiscretizeMatchesReference). Its diffPart holds the partial covers
+// themselves, their number in the count slot; diffFull's count slot stays
+// 0. It
 // shares with production only what production did not rewrite: mmUpdate
 // and fullRange. The centre probes (refProbeCellCenters) scan the master
 // window, where production reads the space's ids.
@@ -21,7 +24,6 @@ import (
 func (g *gridBuffers) refReset() {
 	clear(g.diffFull)
 	clear(g.diffPart)
-	clear(g.diffCnt)
 	for i := range g.mmMin {
 		g.mmMin[i] = math.Inf(1)
 		g.mmMax[i] = math.Inf(-1)
@@ -43,13 +45,13 @@ func (g *gridBuffers) refRangeAdd(diff []float64, contribs []agg.Contrib, c0, r0
 	}
 }
 
-// refRangeAddCnt is refRangeAdd for the counter grid.
+// refRangeAddCnt is refRangeAdd for the count slot of the partial grid.
 func (g *gridBuffers) refRangeAddCnt(c0, r0, c1, r1 int) {
-	w := g.ncol + 1
-	g.diffCnt[r0*w+c0]++
-	g.diffCnt[r0*w+c1+1]--
-	g.diffCnt[(r1+1)*w+c0]--
-	g.diffCnt[(r1+1)*w+c1+1]++
+	w, n := g.ncol+1, g.limbs
+	g.diffPart[(r0*w+c0)*g.chans+n]++
+	g.diffPart[(r0*w+c1+1)*g.chans+n]--
+	g.diffPart[((r1+1)*w+c0)*g.chans+n]--
+	g.diffPart[((r1+1)*w+c1+1)*g.chans+n]++
 }
 
 // refIntegrate is the two-sweep 2D prefix sum over the whole padded
@@ -59,7 +61,6 @@ func (g *gridBuffers) refIntegrate() {
 	h := g.nrow + 1
 	integ2D(g.diffFull, w, h, g.chans)
 	integ2D(g.diffPart, w, h, g.chans)
-	integ2D(g.diffCnt, w, h, 1)
 }
 
 func integ2D(v []float64, w, h, chans int) {
@@ -110,17 +111,18 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 
 	tab := s.core
 	s.refFillGridDiff(space, ids, cw, chh)
+	partials := func(idx int) float64 { return g.diffPart[idx*g.chans+g.limbs] }
 
 	// Pass 1: clean cells refine the incumbent so that pass 2 prunes
 	// against the tightest d_opt.
 	for r := 0; r < nrow; r++ {
 		for c := 0; c < ncol; c++ {
 			idx := g.cellIdx(c, r)
-			if g.diffCnt[idx] != 0 {
+			if partials(idx) != 0 {
 				continue
 			}
 			s.Stats.CleanCells++
-			full := tab.limbs.Fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
+			full := tab.limbs.Fold(g.foldFull, g.diffFull[idx*g.chans:][:g.limbs])
 			query.F.FinalizeExact(full, g.rep)
 			if d := query.Distance(g.rep); d <= s.cur.Dist {
 				// Only a centre strictly inside the cell is a candidate
@@ -141,23 +143,25 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 	// Pass 2: bound and filter dirty cells.
 	dirty := s.dirty[:0]
 	thresh := s.threshold()
+	lo, hi := make([]float64, g.dims), make([]float64, g.dims)
+	isInt := query.F.IntegerDims()
 	for r := 0; r < nrow; r++ {
 		for c := 0; c < ncol; c++ {
 			idx := g.cellIdx(c, r)
-			if g.diffCnt[idx] == 0 {
+			if partials(idx) == 0 {
 				continue
 			}
 			s.Stats.DirtyCells++
-			full := tab.limbs.Fold(g.foldFull, g.diffFull[idx*g.chans:(idx+1)*g.chans])
-			part := tab.limbs.Fold(g.foldPart, g.diffPart[idx*g.chans:(idx+1)*g.chans])
+			full := tab.limbs.Fold(g.foldFull, g.diffFull[idx*g.chans:][:g.limbs])
+			part := tab.limbs.Fold(g.foldPart, g.diffPart[idx*g.chans:][:g.limbs])
 			var mmMin, mmMax []float64
 			if g.mmSlots > 0 {
 				mi := (r*ncol + c) * g.mmSlots
 				mmMin = g.mmMin[mi : mi+g.mmSlots]
 				mmMax = g.mmMax[mi : mi+g.mmSlots]
 			}
-			query.F.FinalizeBounds(full, part, mmMin, mmMax, g.lo, g.hi)
-			lb := query.LowerBoundInt(g.lo, g.hi, s.isInt)
+			query.F.FinalizeBounds(full, part, mmMin, mmMax, lo, hi)
+			lb := agg.LowerBoundInt(query.Norm, query.Target, lo, hi, query.W, isInt)
 			cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
 			if lb < thresh {
 				dirty = append(dirty, cellInfo{rect: cell, lb: lb})
@@ -295,7 +299,7 @@ func (s *Searcher) refProbeCellCenters(dirty []cellInfo, clip geom.Rect, probed 
 	g := s.grid
 	t := s.core
 	query := &s.query
-	ch := g.probeCh[:g.chans]
+	ch := g.probeCh
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
 		clear(ch)

@@ -65,8 +65,8 @@ type core struct {
 }
 
 // slab is a search's heavy scratch, recycled across searches through the
-// SlabCache: the discretization grid, the sweep solver and the search
-// buffers (Searcher.ensureScratch). Keys record the shape they were built
+// SlabCache: the discretization grid, the sweep solver, the query's
+// compiled bound and the search buffers (Searcher.ensureScratch). Keys record the shape they were built
 // for.
 type slab struct {
 	grid                        *gridBuffers
@@ -78,6 +78,7 @@ type slab struct {
 	scratchCells                []cellInfo
 	scratchRects                []geom.Rect
 	scratchIds                  []int32
+	bound                       agg.BoundPlan // the searcher's query, compiled (newSearcher)
 
 	// idBits is the bitmap AppendCellIDs marks a space's ids in, one bit
 	// per id of the x window.

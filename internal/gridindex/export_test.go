@@ -37,9 +37,9 @@ func (x *Index) CellLowerBounds(q asp.Query, a, b float64) []float64 {
 // before any parent's bound is folded in. Columns and rows below 0 are
 // the virtual cells that tile the margin strips.
 func (x *Index) RangeLowerBound(q asp.Query, a, b float64, i0, i1, j0, j1 int) float64 {
-	sc := x.getLBScratch()
+	sc := x.getLBScratch(q)
 	defer x.putLBScratch(sc)
-	return x.rangeLowerBound(q, a, b, cellRange{i0: int32(i0), i1: int32(i1), j0: int32(j0), j1: int32(j1)}, sc)
+	return x.rangeLowerBound(a, b, cellRange{i0: int32(i0), i1: int32(i1), j0: int32(j0), j1: int32(j1)}, sc)
 }
 
 // RegionChannels writes into out the channel totals of objects located in
@@ -114,10 +114,10 @@ func (x *Index) Cell(p geom.Point) (int, int) { return x.col(p.X), x.row(p.Y) }
 // Strips returns the margin strips a session of an a×b query over the
 // space searches, the left one before the bottom one.
 func (x *Index) Strips(q asp.Query, a, b float64, space geom.Rect) []geom.Rect {
-	sc := x.getLBScratch()
+	sc := x.getLBScratch(q)
 	defer x.putLBScratch(sc)
 	var out []geom.Rect
-	for _, m := range x.strips(nil, space, q, a, b, sc, &Stats{}) {
+	for _, m := range x.strips(nil, space, a, b, sc, &Stats{}) {
 		out = append(out, m.rect)
 	}
 	return out

@@ -30,10 +30,10 @@ func solveFlat(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude 
 	searcher.SeedBest(asp.Result{Point: emptyP, Dist: q.Distance(emptyRep), Rep: emptyRep})
 	if searcher.Objects() > 0 {
 		forbidden := dssearch.ForbiddenBoxes(exclude, a, b)
-		sc := idx.getLBScratch()
+		sc := idx.getLBScratch(q)
 		defer idx.putLBScratch(sc)
 		var st Stats
-		pending := idx.strips(nil, space, q, a, b, sc, &st)
+		pending := idx.strips(nil, space, a, b, sc, &st)
 		if len(pending) == 2 && pending[1].lb < pending[0].lb {
 			pending[0], pending[1] = pending[1], pending[0]
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"asrs/internal/agg"
 	"asrs/internal/asp"
 	"asrs/internal/attr"
 	"asrs/internal/dssearch"
@@ -260,7 +261,7 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 	if searcher.Objects() > 0 {
 		forbidden := dssearch.ForbiddenBoxes(exclude, a, b)
 		if s.sc == nil {
-			s.sc = idx.getLBScratch()
+			s.sc = idx.getLBScratch(q)
 		}
 		sc := s.sc
 		h := sc.heap
@@ -330,7 +331,7 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 				break
 			}
 			if top.cells() > 1 {
-				stats.Bounded += idx.split(h, top, thresh, s.carry, q, a, b, sc)
+				stats.Bounded += idx.split(h, top, thresh, s.carry, a, b, sc)
 				continue
 			}
 			i, j := int(top.i0), int(top.j0)
@@ -393,12 +394,12 @@ func (s *Session) resumes(exclude []geom.Rect) bool {
 // candidates.
 func (s *Session) begin(space geom.Rect, stats *Stats) {
 	idx, sc := s.idx, s.sc
-	s.nm = len(idx.strips(s.margins[:0], space, s.q, s.a, s.b, sc, stats))
+	s.nm = len(idx.strips(s.margins[:0], space, s.a, s.b, sc, stats))
 	s.leftLB, s.bottomLB = stats.LeftMarginLB, stats.BottomMarginLB
 	h := sc.heap
 	h.Reset()
 	whole := cellRange{i1: int32(idx.sx), j1: int32(idx.sy)}
-	whole.lb = idx.rangeLowerBound(s.q, s.a, s.b, whole, sc)
+	whole.lb = idx.rangeLowerBound(s.a, s.b, whole, sc)
 	stats.Bounded++
 	h.Push(whole)
 	clear(s.cands)
@@ -413,9 +414,9 @@ func (s *Session) begin(space geom.Rect, stats *Stats) {
 // before the bottom one, each under its bound, and records the bounds in
 // stats. A space that does not reach past the bounds on a side (an extent
 // below one ulp of the coordinates) has no strip there.
-func (x *Index) strips(dst []margin, space geom.Rect, q asp.Query, a, b float64, sc *lbScratch, stats *Stats) []margin {
+func (x *Index) strips(dst []margin, space geom.Rect, a, b float64, sc *lbScratch, stats *Stats) []margin {
 	bounds := x.bounds
-	left, bottom := x.marginBounds(q, a, b, sc)
+	left, bottom := x.marginBounds(a, b, sc)
 	if r := (geom.Rect{MinX: space.MinX, MinY: space.MinY, MaxX: bounds.MinX, MaxY: space.MaxY}); r.IsValid() && !r.IsEmpty() {
 		dst = append(dst, margin{r, left})
 		stats.LeftMarginLB = left
@@ -651,7 +652,7 @@ func allowed(p geom.Point, forbidden []geom.Rect) bool {
 // how many it bounded. A quarter takes the larger of its own bound and
 // its parent's: both bound every candidate in it, and the bounds the loop
 // pops then never decrease.
-func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, keep bool, q asp.Query, a, b float64, sc *lbScratch) int {
+func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, keep bool, a, b float64, sc *lbScratch) int {
 	im, jm := (r.i0+r.i1)/2, (r.j0+r.j1)/2
 	n := 0
 	for _, rows := range [2][2]int32{{r.j0, jm}, {jm, r.j1}} {
@@ -660,7 +661,7 @@ func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, ke
 				continue
 			}
 			c := cellRange{i0: cols[0], i1: cols[1], j0: rows[0], j1: rows[1]}
-			c.lb = max(x.rangeLowerBound(q, a, b, c, sc), r.lb)
+			c.lb = max(x.rangeLowerBound(a, b, c, sc), r.lb)
 			n++
 			if keep || c.lb < thresh {
 				h.Push(c)
@@ -671,18 +672,17 @@ func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, ke
 }
 
 // lbScratch bundles the per-query scratch of the cell lower bounds —
-// limb and channel vectors, bound vectors, min/max slots and the
-// integer-dim flags — carved from one slab allocation, the range heap,
-// and the cells' id lists and the rectangle ids of the piece being
-// searched. Scratches recycle through the index's pool, so steady-state
-// GI-DS queries reallocate nothing here; a session's range heap is what
-// it carries between rounds.
+// limb and channel vectors and min/max slots, carved from one slab
+// allocation, and the query's compiled bound — the range heap, and the
+// cells' id lists and the rectangle ids of the piece being searched.
+// Scratches recycle through the index's pool, so steady-state GI-DS
+// queries reallocate nothing here; a session's range heap is what it
+// carries between rounds.
 type lbScratch struct {
 	fullL, partL []float64 // limbs
 	full, part   []float64 // channels
-	lo, hi       []float64
 	mmMin, mmMax []float64
-	isInt        []bool
+	bound        agg.BoundPlan // the query's, compiled by getLBScratch
 
 	heap *kernel.Heap[cellRange]
 	runs [][]int32
@@ -692,29 +692,29 @@ type lbScratch struct {
 
 }
 
-func (x *Index) getLBScratch() *lbScratch {
-	if sc, ok := x.lbPool.Get().(*lbScratch); ok && sc != nil {
-		return sc
+// getLBScratch takes a scratch from the pool, or builds one, and
+// compiles q's bound into it; q must be over the index's composite.
+func (x *Index) getLBScratch(q asp.Query) *lbScratch {
+	sc, ok := x.lbPool.Get().(*lbScratch)
+	if !ok || sc == nil {
+		slab := make([]float64, 2*x.eff+2*x.chans+2*x.mmSlots)
+		carve := func(n int) []float64 {
+			out := slab[:n:n]
+			slab = slab[n:]
+			return out
+		}
+		sc = &lbScratch{
+			fullL: carve(x.eff),
+			partL: carve(x.eff),
+			full:  carve(x.chans),
+			part:  carve(x.chans),
+			mmMin: carve(x.mmSlots),
+			mmMax: carve(x.mmSlots),
+			heap:  kernel.NewHeap(rangeFirst),
+		}
 	}
-	dims := x.f.Dims()
-	slab := make([]float64, 2*x.eff+2*x.chans+2*dims+2*x.mmSlots)
-	carve := func(n int) []float64 {
-		out := slab[:n:n]
-		slab = slab[n:]
-		return out
-	}
-	return &lbScratch{
-		fullL: carve(x.eff),
-		partL: carve(x.eff),
-		full:  carve(x.chans),
-		part:  carve(x.chans),
-		lo:    carve(dims),
-		hi:    carve(dims),
-		mmMin: carve(x.mmSlots),
-		mmMax: carve(x.mmSlots),
-		isInt: x.f.IntegerDims(),
-		heap:  kernel.NewHeap(rangeFirst),
-	}
+	sc.bound.Compile(q.F, q.Norm, q.Target, q.W)
+	return sc
 }
 
 func (x *Index) putLBScratch(sc *lbScratch) { x.lbPool.Put(sc) }
@@ -723,8 +723,8 @@ func (x *Index) putLBScratch(sc *lbScratch) { x.lbPool.Put(sc) }
 // corner lies in any cell of r: bounded region ⊆ every such candidate
 // region ⊆ bounding region, evaluated with Lemma 8 and Equation 1. For a
 // single cell it is that cell's bound.
-func (x *Index) rangeLowerBound(q asp.Query, a, b float64, r cellRange, sc *lbScratch) float64 {
-	return x.spanLowerBound(q, x.colSpan(int(r.i0), int(r.i1), a), x.rowSpan(int(r.j0), int(r.j1), b), sc)
+func (x *Index) rangeLowerBound(a, b float64, r cellRange, sc *lbScratch) float64 {
+	return x.spanLowerBound(x.colSpan(int(r.i0), int(r.i1), a), x.rowSpan(int(r.j0), int(r.j1), b), sc)
 }
 
 // span holds, along one axis, the §5.3 cell ranges of the candidate
@@ -776,10 +776,10 @@ func axisSpan(origin, w float64, n, i0, i1 int, ext float64) span {
 }
 
 // spanLowerBound is the §5.3 bound of the candidate regions whose bl
-// corner lies in the buckets with these column and row spans. Ranges may
-// reach outside the grid: there is nothing there, and regionLimbs and
-// RingMinMax clamp.
-func (x *Index) spanLowerBound(q asp.Query, cols, rows span, sc *lbScratch) float64 {
+// corner lies in the buckets with these column and row spans, under the
+// query compiled into sc. Ranges may reach outside the grid: there is
+// nothing there, and regionLimbs and RingMinMax clamp.
+func (x *Index) spanLowerBound(cols, rows span, sc *lbScratch) float64 {
 	x.regionLimbs(cols.il, cols.ir, rows.il, rows.ir, sc.fullL)
 	x.regionLimbs(cols.ol, cols.or, rows.ol, rows.or, sc.partL)
 	// The partial set is the bounding region minus the bounded one, so
@@ -796,8 +796,7 @@ func (x *Index) spanLowerBound(q asp.Query, cols, rows span, sc *lbScratch) floa
 		}
 		x.RingMinMax(cols.ol, cols.or, rows.ol, rows.or, cols.il, cols.ir, rows.il, rows.ir, sc.mmMin, sc.mmMax)
 	}
-	x.f.FinalizeBounds(full, part, sc.mmMin, sc.mmMax, sc.lo, sc.hi)
-	return q.LowerBoundInt(sc.lo, sc.hi, sc.isInt)
+	return sc.bound.Bound(full, part, sc.mmMin, sc.mmMax)
 }
 
 // marginBounds lower-bounds the two margin strips of an a×b query: the
@@ -818,7 +817,7 @@ func (x *Index) spanLowerBound(q asp.Query, cols, rows span, sc *lbScratch) floa
 // inside range is emptied, which every region further left satisfies (the
 // bounding range is governed by the bucket's near edge and stands).
 // Without the cap the formula's own range is empty there. Rows likewise.
-func (x *Index) marginBounds(q asp.Query, a, b float64, sc *lbScratch) (left, bottom float64) {
+func (x *Index) marginBounds(a, b float64, sc *lbScratch) (left, bottom float64) {
 	nx := int(math.Min(math.Ceil(a/x.cw), float64(x.sx)))
 	ny := int(math.Min(math.Ceil(b/x.chh), float64(x.sy)))
 	left, bottom = math.Inf(1), math.Inf(1)
@@ -832,11 +831,11 @@ func (x *Index) marginBounds(q asp.Query, a, b float64, sc *lbScratch) (left, bo
 			if i == -nx {
 				cols.ir = cols.il
 			}
-			left = math.Min(left, x.spanLowerBound(q, cols, rows, sc))
+			left = math.Min(left, x.spanLowerBound(cols, rows, sc))
 		}
 		if j < 0 {
 			for i := 0; i < x.sx; i++ {
-				bottom = math.Min(bottom, x.spanLowerBound(q, x.colSpan(i, i+1, a), rows, sc))
+				bottom = math.Min(bottom, x.spanLowerBound(x.colSpan(i, i+1, a), rows, sc))
 			}
 		}
 	}

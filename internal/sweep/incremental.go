@@ -116,11 +116,10 @@ type incrState struct {
 	// The strip bound's inputs: the scaled limb totals of the current
 	// strip's spanning set (the base and every active rectangle covering
 	// all k intervals) and of its other active rectangles, kept by apply;
-	// their channel folds and representation bounds; and each Average
-	// slot's min/max over the rectangles a strip can hold partially.
+	// their channel folds; and each Average slot's min/max over the
+	// rectangles a strip can hold partially.
 	full, part       []int64
 	foldFull, foldPt []float64
-	lo, hi           []float64
 	mmMin, mmMax     []float64
 }
 
@@ -223,7 +222,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		inc.remStart[i] = 0
 	}
 	mmSlots := s.query.F.MinMaxSlots()
-	inc.boundScratch(s.limbs.Eff(), len(s.fold), len(s.rep), mmSlots)
+	inc.boundScratch(s.limbs.Eff(), len(s.fold), mmSlots)
 	for i := range s.rects {
 		r := &s.rects[i]
 		// Covered intervals: MinX <= xs[j] && MaxX >= xs[j+1].
@@ -449,9 +448,9 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 }
 
 // boundScratch sizes the strip bound's scratch for limbs limb totals,
-// chans channels, dims representation dimensions and mmSlots Average
-// slots, and resets the totals and the min/max identities.
-func (inc *incrState) boundScratch(limbs, chans, dims, mmSlots int) {
+// chans channels and mmSlots Average slots, and resets the totals and the
+// min/max identities.
+func (inc *incrState) boundScratch(limbs, chans, mmSlots int) {
 	if cap(inc.full) < limbs {
 		inc.full = make([]int64, limbs)
 		inc.part = make([]int64, limbs)
@@ -463,11 +462,6 @@ func (inc *incrState) boundScratch(limbs, chans, dims, mmSlots int) {
 		inc.foldFull = make([]float64, chans)
 		inc.foldPt = make([]float64, chans)
 	}
-	if cap(inc.lo) < dims {
-		inc.lo = make([]float64, dims)
-		inc.hi = make([]float64, dims)
-	}
-	inc.lo, inc.hi = inc.lo[:dims], inc.hi[:dims]
 	if cap(inc.mmMin) < mmSlots {
 		inc.mmMin = make([]float64, mmSlots)
 		inc.mmMax = make([]float64, mmSlots)
@@ -481,15 +475,14 @@ func (inc *incrState) boundScratch(limbs, chans, dims, mmSlots int) {
 // stripOutOfReach reports whether the current strip's Lemma 5 bound is
 // at least bnd: its covering sets lie between the full set and the full
 // set with every part rectangle added, so each interval's representation
-// lies in the bounds FinalizeBounds forms from the two folds — the
-// arithmetic of the grid's pass 2 (boundPass), whose soundness carries
-// over — and its distance is at least the bound.
+// lies in the bounds Equation 1 takes from the two folds — the compiled
+// bound of the grid's pass 2 (boundPass), whose soundness carries over —
+// and its distance is at least the bound.
 func (s *Solver) stripOutOfReach(bnd float64) bool {
 	inc := &s.inc
 	full := s.limbs.FoldCounts(inc.foldFull, inc.full)
 	part := s.limbs.FoldCounts(inc.foldPt, inc.part)
-	s.query.F.FinalizeBounds(full, part, inc.mmMin, inc.mmMax, inc.lo, inc.hi)
-	_, under := s.query.LowerBoundIntUnder(inc.lo, inc.hi, s.isInt, bnd)
+	_, under := s.bound.Under(full, part, inc.mmMin, inc.mmMax, bnd)
 	return !under
 }
 

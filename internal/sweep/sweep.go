@@ -74,9 +74,9 @@ type Solver struct {
 	acc  []float64 // a strip's limb totals
 	fold []float64 // their channel fold
 	rep  []float64
-	// isInt flags the representation's integer dimensions (the strip
-	// bound's integrality, Composite.IntegerDims).
-	isInt []bool
+	// bound is the query's Equation 1 bound, compiled (the strip bound,
+	// stripOutOfReach); SetQuery recompiles it in place.
+	bound agg.BoundPlan
 
 	// incremental selects the delta sweep for large inputs (see
 	// incremental.go); inc is its reusable scratch, and incrCap bounds the
@@ -113,9 +113,9 @@ func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 	s := &Solver{
 		query:   q,
 		rep:     make([]float64, q.F.Dims()),
-		isInt:   q.F.IntegerDims(),
 		evalCap: math.Inf(1),
 	}
+	s.bound.Compile(q.F, q.Norm, q.Target, q.W)
 	var raw []agg.Contrib
 	for i := range rects {
 		raw = q.F.AppendContribs(rects[i].Obj, raw)
@@ -178,7 +178,6 @@ func NewSized(q asp.Query, incrCap int) (*Solver, error) {
 	s := &Solver{
 		query:       q,
 		rep:         make([]float64, q.F.Dims()),
-		isInt:       q.F.IntegerDims(),
 		byMinX:      make([]int, 0, presort),
 		byMaxX:      make([]int, 0, presort),
 		ys:          make([]float64, 0, presort),
@@ -186,6 +185,7 @@ func NewSized(q asp.Query, incrCap int) (*Solver, error) {
 		incremental: incrCap > 0,
 		incrCap:     incrCap,
 	}
+	s.bound.Compile(q.F, q.Norm, q.Target, q.W)
 	return s, nil
 }
 
@@ -195,12 +195,14 @@ func NewSized(q asp.Query, incrCap int) (*Solver, error) {
 // did. A query over a different composite returns false and leaves the
 // solver untouched — the caller must rebuild. This is what lets a slab
 // cache recycle a solver across the queries on one composite: per-query
-// state is just the target/weights/norm.
+// state is just the target/weights/norm, and the bound compiled from
+// them, recompiled into its own storage.
 func (s *Solver) SetQuery(q asp.Query) bool {
 	if q.F != s.query.F {
 		return false
 	}
 	s.query = q
+	s.bound.Compile(q.F, q.Norm, q.Target, q.W)
 	return true
 }
 

@@ -166,7 +166,10 @@ type driver struct {
 }
 
 // openDriver opens the rounds of req over ds, at most n of them; idx, if
-// non-nil, must be the index for the query's composite over ds.
+// non-nil, must be the index for the query's composite over ds. A request
+// of more than one round that brings no slab cache gets one of its own,
+// so that its rounds share one search scratch: a GI-DS round binds a new
+// searcher, and an Engine releases the DS-Search one between rounds.
 func openDriver(ds *Dataset, idx *Index, req QueryRequest, n int) driver {
 	d := driver{ds: ds, req: req}
 	if req.Options != nil {
@@ -174,6 +177,9 @@ func openDriver(ds *Dataset, idx *Index, req QueryRequest, n int) driver {
 	}
 	if d.opt.Ctx == nil {
 		d.opt.Ctx = req.Ctx
+	}
+	if d.opt.Slabs == nil && n > 1 {
+		d.opt.Slabs = &dssearch.SlabCache{}
 	}
 	if idx != nil && req.Within == nil {
 		d.indexed = true

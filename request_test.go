@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -657,5 +658,63 @@ func TestNonFiniteWithinIsRefused(t *testing.T) {
 		if got := asrs.SearchBaseline(ds, req); got.Err == nil {
 			t.Errorf("SearchBaseline over %v answered %v, want an error", within, got.Regions)
 		}
+	}
+}
+
+// TestAnswerRecyclesSlabsAcrossRounds holds a request without
+// Options.Slabs to the search scratch of one: Answer gives such a request
+// one slab cache for its rounds, so a GI-DS top-10 — a searcher per round
+// — builds its discretization grid, sweep solver and buffers once, not
+// ten times. Its bytes per request must stay within 16 KiB of the same
+// request handed a fresh slab cache of its own, and its answers must be
+// that request's.
+func TestAnswerRecyclesSlabsAcrossRounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting under -short")
+	}
+	ds := dataset.POISyn(5000, 42)
+	qa, qb := sizeK(ds, 30)
+	q, err := dataset.F2(ds, qa, qb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := asrs.NewIndex(ds, q.F, 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pyr, err := asrs.BuildPyramid(ds, q.F)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(slabs *dssearch.SlabCache) asrs.QueryResponse {
+		req := asrs.QueryRequest{Query: q, A: qa, B: qb, TopK: 10, Options: &asrs.Options{Workers: 1, Pyramid: pyr, Slabs: slabs}}
+		resp, _ := asrs.Answer(ds, idx, req)
+		if resp.Err != nil || len(resp.Results) != 10 {
+			t.Fatalf("top-10 answered %d rows, err %v", len(resp.Results), resp.Err)
+		}
+		return resp
+	}
+	bytesPer := func(run func()) float64 {
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const n = 3
+		for range n {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	var none, own asrs.QueryResponse
+	noneBytes := bytesPer(func() { none = answer(nil) })
+	ownBytes := bytesPer(func() { own = answer(&dssearch.SlabCache{}) })
+	for i := range own.Results {
+		if math.Float64bits(none.Results[i].Dist) != math.Float64bits(own.Results[i].Dist) || none.Regions[i] != own.Regions[i] {
+			t.Fatalf("row %d: %v at %v without a slab cache, %v at %v with one", i, none.Results[i].Dist, none.Regions[i], own.Results[i].Dist, own.Regions[i])
+		}
+	}
+	t.Logf("top-10 through Answer: %.0f bytes/request without Options.Slabs, %.0f with a fresh cache", noneBytes, ownBytes)
+	if noneBytes > ownBytes+16<<10 {
+		t.Fatalf("a request without Options.Slabs allocates %.0f bytes, %.0f more than with a slab cache of its own", noneBytes, noneBytes-ownBytes)
 	}
 }
