@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"asrs"
+	"asrs/internal/agg"
 	"asrs/internal/dataset"
 )
 
@@ -346,7 +347,11 @@ func BenchmarkCaseStudy(b *testing.B) {
 // top-3 scores and the cells it records above the record cap, and fails
 // above topKRoundsScored intervals. The sub-benchmark top-64 times and
 // counts a top-64 of the same request, whose record cap is looser for
-// longer, and fails above topK64Scored.
+// longer, and fails above topK64Scored. The indexed top-3 also reports
+// the limb columns its sweeps carry, the query's score compiled against
+// the pyramid's limbs (agg.ScorePlan), and fails unless F2's two
+// dimensions read topKRoundsColumns of its limbs: a Sum's negative and
+// positive parts only bound a strip.
 func BenchmarkTopKRounds(b *testing.B) {
 	ds, q, qa, qb := poisyn.at(b, 5000, 30)
 	req := asrs.QueryRequest{Query: q, A: qa, B: qb, TopK: 3}
@@ -359,6 +364,13 @@ func BenchmarkTopKRounds(b *testing.B) {
 			}
 			if err := eng.Warm(q.F); err != nil {
 				b.Fatal(err)
+			}
+			var columns, limbs int
+			if g > 0 {
+				columns, limbs = scoreColumns(b, eng, q)
+				if columns != topKRoundsColumns {
+					b.Fatalf("the sweeps carry %d of %d limbs, want %d", columns, limbs, topKRoundsColumns)
+				}
 			}
 			resp := eng.Query(req) // fills the slab cache
 			if resp.Err != nil || len(resp.Results) != 3 {
@@ -394,6 +406,8 @@ func BenchmarkTopKRounds(b *testing.B) {
 				b.ReportMetric(float64(round3), "round3-cells")
 				b.ReportMetric(float64(st.DS.SweepScored), "sweep-scored/op")
 				b.ReportMetric(float64(st.RecordedAbove), "above-cap-records/op")
+				b.ReportMetric(float64(columns), "sweep-columns")
+				b.ReportMetric(float64(limbs), "limbs")
 			}
 		})
 	}
@@ -422,12 +436,28 @@ func BenchmarkTopKRounds(b *testing.B) {
 
 // BenchmarkTopKRounds' ceilings: on the cells rounds 2 and 3 of its
 // top-3 search together, and on the sweep intervals its top-3 and top-64
-// score.
+// score; and the limb columns its sweeps carry, exactly.
 const (
-	topKRoundsCells  = 22
-	topKRoundsScored = 20200
-	topK64Scored     = 369800
+	topKRoundsCells   = 22
+	topKRoundsScored  = 20200
+	topK64Scored      = 369800
+	topKRoundsColumns = 5
 )
+
+// scoreColumns returns the columns q's score reads over the limbs of the
+// engine's pyramid for q.F — what every sweep of q carries — and the
+// number of those limbs.
+func scoreColumns(b *testing.B, eng *asrs.Engine, q asrs.Query) (columns, limbs int) {
+	b.Helper()
+	p, err := eng.Pyramid(q.F)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := p.Limbs()
+	var plan agg.ScorePlan
+	plan.Compile(q.F, &l, q.Norm, q.Target, q.W)
+	return plan.Columns(), l.Eff()
+}
 
 // topKCounts returns the stats of req answered once by asrs.Answer on the
 // engine's index and pyramid, and fails when its sweeps score more than

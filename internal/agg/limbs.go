@@ -338,22 +338,6 @@ func (l *Limbs) Fold(dst, src []float64) []float64 {
 	return dst
 }
 
-// FoldCounts is Fold for limb totals given as int64 counts of each
-// limb's grid — the incremental sweep's form: each count times its power
-// of two is the exact float limb value, and the limbs of a channel are
-// added as Fold adds them. dst must have room for every channel.
-func (l *Limbs) FoldCounts(dst []float64, tot []int64) []float64 {
-	c := len(l.Lo)
-	dst = dst[:c]
-	for ch := range dst {
-		dst[ch] = float64(tot[ch]) * l.Inv[ch]
-	}
-	for i, ch := range l.owner {
-		dst[ch] += float64(tot[c+i]) * l.Inv[c+i]
-	}
-	return dst
-}
-
 // ExactSum returns the channel sums of the contributions of one set in
 // the limbs they certify (see Limbs) — the value every evaluator of a
 // search forms for the set under that certificate. It fails where Certify

@@ -51,15 +51,6 @@ func (q *Query) Distance(rep []float64) float64 {
 	return agg.Distance(q.Norm, rep, q.Target, q.W)
 }
 
-// DistanceUnder reports whether the weighted distance from rep to the
-// query target is strictly below bound, returning the bit-exact
-// distance when it is (see agg.DistanceUnder). Candidate scans use it
-// with the incumbent best as bound so losing candidates exit after a
-// dimension or two.
-func (q *Query) DistanceUnder(rep []float64, bound float64) (float64, bool) {
-	return agg.DistanceUnder(q.Norm, rep, q.Target, q.W, bound)
-}
-
 // Result is a solution to an ASP instance: the best point found, its
 // distance, and its aggregate representation.
 type Result struct {

@@ -292,16 +292,18 @@ func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) []cellInfo {
 // rectangles overlap it than cover it: its two count slots differ (both
 // are exact integer sums).
 //
-// Clean cells come in runs covered by the same rectangles (a covering
-// set changes only where a rectangle edge crosses), so a cell whose
-// limb totals repeat the last evaluated cell's bit for bit reuses
-// its representation and distance — both are pure functions of those
-// bits. The incumbent test still runs for every cell, so ties move the
-// incumbent point exactly as a cell-by-cell evaluation would.
+// A clean cell is scored from its limb totals by the query's compiled
+// score (the sweep solver's, agg.ScorePlan), which reads only the limbs
+// the distance does. Clean cells come in runs covered by the same
+// rectangles (a covering set changes only where a rectangle edge
+// crosses), so a cell whose limb totals repeat the last evaluated cell's
+// bit for bit reuses its representation and distance — both are pure
+// functions of those bits. The incumbent test still runs for every cell,
+// so ties move the incumbent point exactly as a cell-by-cell evaluation
+// would.
 func (s *Searcher) cleanPass(cw, chh float64) {
 	g := s.grid
-	tab := s.core
-	query := &s.query
+	score := s.sw.Score()
 	chans, n := g.chans, g.limbs
 	dirty := g.dirtyCells[:0]
 	var last []float64 // totals of the cell g.rep and dist were computed from
@@ -319,8 +321,7 @@ func (s *Searcher) cleanPass(cw, chh float64) {
 			full = full[:n]
 			if last == nil || !sameBits(full, last) {
 				s.Stats.CleanEvals++
-				query.F.FinalizeExact(tab.limbs.Fold(g.foldFull, full), g.rep)
-				dist = query.Distance(g.rep)
+				dist = score.Distance(full, g.rep)
 				last = full
 			}
 			if dist <= s.cur.Dist {
@@ -500,7 +501,7 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int3
 	}
 	g := s.grid
 	t := s.core
-	query := &s.query
+	score := s.sw.Score()
 	ch := g.probeCh
 	for _, di := range idx {
 		p := dirty[di].rect.Center()
@@ -517,8 +518,7 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int3
 				}
 			}
 		}
-		query.F.FinalizeExact(t.limbs.Fold(g.foldFull, ch), g.rep)
-		if d := query.Distance(g.rep); d <= s.cur.Dist {
+		if d := score.Distance(ch, g.rep); d <= s.cur.Dist {
 			s.improve(d, p, g.rep)
 		}
 	}

@@ -25,9 +25,10 @@ import (
 // point) is therefore bit-identical to the classic scan's.
 //
 // Two evaluators resolve a strip's dirty intervals, selected by a fixed
-// cost rule (see stripPlan below); both carry the interval channel totals
-// as scaled int64, so their sums are exact integers and bit-identical
-// to each other under any selection:
+// cost rule (see stripPlan below); both carry the interval totals of the
+// limbs the query's score reads — its columns (agg.ScorePlan) — as
+// scaled int64, so their sums are exact integers and bit-identical to
+// each other under any selection:
 //
 //   - The flat strip evaluator (the dense-regime default): entering and
 //     leaving rectangles update a plain difference array
@@ -48,10 +49,12 @@ import (
 //     walk per range rather than one per interval.
 //
 // Both evaluators sum contributions in another order than the classic
-// walk, which the limbs make harmless (agg.Limbs): each limb is carried as
-// a scaled int64 — a count of its grid 2^-s — so every intermediate is
-// exact, and the power-of-two conversion back plus the one fold per
-// channel at evaluation reproduce the classic walk's floats bit for bit.
+// walk, which the limbs make harmless (agg.Limbs): each column is carried
+// as a scaled int64 — a count of its limb's grid 2^-s — so every
+// intermediate is exact, and the power-of-two conversion back plus the
+// one fold per channel at evaluation reproduce the classic walk's floats
+// bit for bit. A limb the score does not read (a Sum's negative and
+// positive parts) has no column: it reaches only the strip bound's totals.
 //
 // A dirty strip is bounded before either evaluator scores it (Lemma 5,
 // as the grid bounds a dirty cell): every interval of the strip is
@@ -60,7 +63,7 @@ import (
 // vector), so when the strip's Equation 1 bound reaches min(best,
 // evalCap) no interval of it can pass the strict improvement test, and
 // the strip is skipped. The answer is the same bit for bit: a skipped
-// interval is one DistanceUnder would have rejected, and the bound only
+// interval is one the score would have rejected, and the bound only
 // falls, so an interval a skipped strip leaves untouched has failed the
 // later strips' test as well (DESIGN.md §8).
 
@@ -110,15 +113,17 @@ type incrState struct {
 	remIds   []int32
 	fill     []int32
 	ranges   [][2]int32 // dirty interval ranges of the current strip
-	chI      []int64    // scaled limb scratch (point value / tree seed)
+	chI      []int64    // scaled column scratch (point value / tree seed)
 	run      []int64    // running prefix accumulator of the flat pass
+	ymid     []float64  // each strip's midpoint height
 
-	// The strip bound's inputs: the scaled limb totals of the current
-	// strip's spanning set (the base and every active rectangle covering
-	// all k intervals) and of its other active rectangles, kept by apply;
-	// their channel folds; and each Average slot's min/max over the
-	// rectangles a strip can hold partially.
-	full, part       []int64
+	// The strip bound's inputs: the limb totals of the current strip's
+	// spanning set (the base and every active rectangle covering all k
+	// intervals) and of its other active rectangles, kept by apply (exact
+	// float sums, as every limb sum is); their channel folds; and each
+	// Average slot's min/max over the rectangles a strip can hold
+	// partially.
+	full, part       []float64
 	foldFull, foldPt []float64
 	mmMin, mmMax     []float64
 }
@@ -129,15 +134,15 @@ type incrState struct {
 // spans they dirty — is known exactly before the strip loop runs, so
 // the decision is made once from measured counts (delta count × probe
 // span versus the flat pass's march length), not guessed per strip.
-// Contribution counts per object are not known here; the limb count is
-// the proxy (a rect contributes to at most every limb once).
-func (s *Solver) stripPlan(ns, k, limbs int) (maintainTree bool) {
+// Contribution counts per object are not known here; the column count is
+// the proxy (a rect contributes to at most every column once).
+func (s *Solver) stripPlan(ns, k, cols int) (maintainTree bool) {
 	if s.stripMode != stripAuto {
 		return s.stripMode == stripTree
 	}
 	inc := &s.inc
 	logK := log2K(k)
-	cf := float64(limbs)
+	cf := float64(cols)
 	var flatTotal, treeTotal float64
 	for si := 0; si < ns; si++ {
 		events := int(inc.remStart[si+1]-inc.remStart[si]) + int(inc.addStart[si+1]-inc.addStart[si])
@@ -186,7 +191,14 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	inc := &s.inc
 	ys := s.ys
 	ns := len(ys) - 1
-	ym := func(si int) float64 { return (ys[si] + ys[si+1]) / 2 }
+	// Each strip's midpoint, non-decreasing in the strip index.
+	if cap(inc.ymid) < ns {
+		inc.ymid = make([]float64, ns, max(ns, 2*cap(inc.ymid)))
+	}
+	ymid := inc.ymid[:ns]
+	for si := range ymid {
+		ymid[si] = (ys[si] + ys[si+1]) / 2
+	}
 
 	// Interval boundaries: distinct edge x-coordinates strictly inside
 	// the space, plus the space edges.
@@ -222,17 +234,16 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		inc.remStart[i] = 0
 	}
 	mmSlots := s.query.F.MinMaxSlots()
-	inc.boundScratch(s.limbs.Eff(), len(s.fold), mmSlots)
+	inc.boundScratch(s.limbs.Eff(), len(s.limbs.Lo), mmSlots)
 	for i := range s.rects {
 		r := &s.rects[i]
 		// Covered intervals: MinX <= xs[j] && MaxX >= xs[j+1].
-		li := int32(sort.SearchFloat64s(xs, r.MinX))
-		ri := int32(sort.Search(k, func(j int) bool { return xs[j+1] > r.MaxX })) - 1
+		li := int32(firstAtLeast(xs, r.MinX))
+		ri := int32(firstAbove(xs[1:], r.MaxX)) - 1
 		// Active strips: the contiguous run where MinY < ym < MaxY
-		// (identical to the classic active() predicate; ym is
-		// non-decreasing in the strip index).
-		sa := sort.Search(ns, func(si int) bool { return ym(si) > r.MinY })
-		se := sort.Search(ns, func(si int) bool { return ym(si) >= r.MaxY })
+		// (identical to the classic active() predicate).
+		sa := firstAbove(ymid, r.MinY)
+		se := firstAtLeast(ymid, r.MaxY)
 		if int(li) > int(ri) || sa >= se {
 			inc.li[i], inc.ri[i] = 1, 0 // inactive
 			continue
@@ -272,52 +283,67 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		remFill[se]++
 	}
 
-	limbs := s.limbs.Eff()
+	// The evaluators carry the score's columns only; colOf maps each limb
+	// to its column (-1: read by the strip bound alone). When the columns
+	// are the limbs, as on a composite of one-limb Distributions, a limb
+	// is its own column and no contribution is looked up.
+	score := &s.score
+	cols, colOf, ident := score.Columns(), score.ColumnOf(), score.Identity()
 	// A limb value is carried as a count of its grid 2^-s: exact under
 	// the limbs' certificate (a power-of-two product of a value on the
 	// grid).
 	scale := s.limbs.Scale
-	maintainTree := s.stripPlan(ns, k, limbs)
+	maintainTree := s.stripPlan(ns, k, cols)
 	if maintainTree {
-		inc.bit.Reset(k, limbs)
+		inc.bit.Reset(k, cols)
 	}
-	inc.dif.Reset(k, limbs)
+	inc.dif.Reset(k, cols)
 	// The base is one more covering set, spanning every interval of every
 	// strip: scaled like the contributions apply folds in, so both
 	// evaluators' totals carry it.
 	for c, v := range s.base {
-		d := int64(v * scale[c])
-		inc.dif.RangeAdd(0, k-1, c, d)
-		if maintainTree {
-			inc.bit.RangeAdd(0, k-1, c, d)
+		inc.full[c] = v
+		if col := colOf[c]; col >= 0 {
+			d := int64(v * scale[c])
+			inc.dif.RangeAdd(0, k-1, int(col), d)
+			if maintainTree {
+				inc.bit.RangeAdd(0, k-1, int(col), d)
+			}
 		}
-		inc.full[c] = d
 	}
-	if cap(inc.chI) < limbs {
-		inc.chI = make([]int64, limbs)
-		inc.run = make([]int64, limbs)
+	if cap(inc.chI) < cols {
+		inc.chI = make([]int64, cols)
+		inc.run = make([]int64, cols)
 	}
-	chI := inc.chI[:limbs]
-	run := inc.run[:limbs]
+	chI := inc.chI[:cols]
+	run := inc.run[:cols]
 	rep := s.rep
 	logK := log2K(k)
 
 	// apply folds one entering/leaving rectangle into the difference
 	// array (two writes per contribution) and, when live, the Fenwick
-	// tree, recording the dirtied span.
+	// tree, recording the dirtied span; every limb, read or not, goes to
+	// the strip bound's totals.
 	apply := func(id int32, sign int64) {
 		l, r := int(inc.li[id]), int(inc.ri[id])
 		set := inc.part
 		if l == 0 && r == k-1 {
 			set = inc.full
 		}
+		fsign := float64(sign)
 		for _, cb := range s.contribs(int(id)) {
-			d := sign * int64(cb.V*scale[cb.Ch])
-			inc.dif.RangeAdd(l, r, cb.Ch, d)
-			if maintainTree {
-				inc.bit.RangeAdd(l, r, cb.Ch, d)
+			set[cb.Ch] += fsign * cb.V
+			col := cb.Ch
+			if !ident {
+				if col = int(colOf[col]); col < 0 {
+					continue
+				}
 			}
-			set[cb.Ch] += d
+			d := sign * int64(cb.V*scale[cb.Ch])
+			inc.dif.RangeAdd(l, r, col, d)
+			if maintainTree {
+				inc.bit.RangeAdd(l, r, col, d)
+			}
 		}
 		inc.ranges = append(inc.ranges, [2]int32{inc.li[id], inc.ri[id]})
 	}
@@ -332,17 +358,17 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	}
 
 	// evalAt scores the interval j of the strip at height y given its
-	// exact scaled limb totals. Identical arithmetic in every evaluator:
-	// the totals are int64 sums of the same deltas, so the floats below —
-	// and with them the answer — cannot depend on which structure
-	// produced them. (Exact: |scaled| stays within 2^53 under the
-	// certificate, and every inverse is a power of two.) Only strips whose
-	// bound is under bound() get here.
+	// exact scaled column totals, through the compiled score. Identical
+	// arithmetic in every evaluator: the totals are int64 sums of the same
+	// deltas, so the floats the plan forms from them — and with them the
+	// answer — cannot depend on which structure produced them. (Exact:
+	// |scaled| stays within 2^53 under the certificate, and every inverse
+	// is a power of two.) Only strips whose bound is under bound() get
+	// here.
 	evalAt := func(j int32, y float64, tot []int64) {
 		s.Stats.Intervals++
 		s.Stats.Scored++
-		s.query.F.FinalizeExact(s.limbs.FoldCounts(s.fold, tot), rep)
-		if d, ok := s.query.DistanceUnder(rep, bound()); ok {
+		if d, ok := score.UnderCounts(tot, rep, bound()); ok {
 			best.Dist = d
 			best.Point = geom.Point{X: (xs[j] + xs[j+1]) / 2, Y: y}
 			best.Rep = append(best.Rep[:0], rep...)
@@ -393,11 +419,11 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 			inc.ranges[nm] = inc.ranges[i]
 		}
 		merged := inc.ranges[:nm+1]
-		y := ym(si)
+		y := ymid[si]
 		// march steps a dirty range's totals from interval j-1 to j and
-		// scores j — unless no limb moved: j is then under j-1's covering
-		// set, scores j-1's distance, and that already failed (or set) the
-		// strict improvement test, as in the classic walk.
+		// scores j — unless no column moved: j then has j-1's
+		// representation, scores j-1's distance, and that already failed
+		// (or set) the strict improvement test, as in the classic walk.
 		march := func(j int32, tot []int64) {
 			if inc.dif.StepInto(int(j), tot) {
 				evalAt(j, y, tot)
@@ -452,8 +478,8 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 // min/max identities.
 func (inc *incrState) boundScratch(limbs, chans, mmSlots int) {
 	if cap(inc.full) < limbs {
-		inc.full = make([]int64, limbs)
-		inc.part = make([]int64, limbs)
+		inc.full = make([]float64, limbs)
+		inc.part = make([]float64, limbs)
 	}
 	inc.full, inc.part = inc.full[:limbs], inc.part[:limbs]
 	clear(inc.full)
@@ -480,10 +506,40 @@ func (inc *incrState) boundScratch(limbs, chans, mmSlots int) {
 // and its distance is at least the bound.
 func (s *Solver) stripOutOfReach(bnd float64) bool {
 	inc := &s.inc
-	full := s.limbs.FoldCounts(inc.foldFull, inc.full)
-	part := s.limbs.FoldCounts(inc.foldPt, inc.part)
+	full := s.limbs.Fold(inc.foldFull, inc.full)
+	part := s.limbs.Fold(inc.foldPt, inc.part)
 	_, under := s.bound.Under(full, part, inc.mmMin, inc.mmMax, bnd)
 	return !under
+}
+
+// firstAtLeast returns the first index i of the ascending vs with vs[i] ≥
+// v, or len(vs): sort.SearchFloat64s without the closure.
+func firstAtLeast(vs []float64, v float64) int {
+	i, j := 0, len(vs)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if vs[h] < v {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// firstAbove returns the first index i of the ascending vs with vs[i] >
+// v, or len(vs).
+func firstAbove(vs []float64, v float64) int {
+	i, j := 0, len(vs)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if vs[h] <= v {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // resizeI32 returns a slice of length n, reusing capacity when possible

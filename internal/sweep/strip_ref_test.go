@@ -80,7 +80,7 @@ func (s *Solver) refScanStrip(objs []asp.RectObject, ym float64, space geom.Rect
 		if s.evalCap < bnd {
 			bnd = s.evalCap
 		}
-		if d, ok := s.query.DistanceUnder(rep, bnd); ok {
+		if d, ok := agg.DistanceUnder(s.query.Norm, rep, s.query.Target, s.query.W, bnd); ok {
 			best.Dist = d
 			best.Point = geom.Point{X: xm, Y: ym}
 			best.Rep = append(best.Rep[:0], rep...)

@@ -70,13 +70,15 @@ type Solver struct {
 	// of mini-sweeps per query through one Rebind-ed solver, so the strip
 	// coordinates, limb accumulator and representation buffers persist
 	// here instead of being allocated per call.
-	ys   []float64
-	acc  []float64 // a strip's limb totals
-	fold []float64 // their channel fold
-	rep  []float64
+	ys  []float64
+	acc []float64 // a strip's limb totals
+	rep []float64
 	// bound is the query's Equation 1 bound, compiled (the strip bound,
-	// stripOutOfReach); SetQuery recompiles it in place.
+	// stripOutOfReach); score is its Equation 1 distance, compiled against
+	// the bound limbs (every scored interval). SetQuery and Bind recompile
+	// them in place.
 	bound agg.BoundPlan
+	score agg.ScorePlan
 
 	// incremental selects the delta sweep for large inputs (see
 	// incremental.go); inc is its reusable scratch, and incrCap bounds the
@@ -90,7 +92,7 @@ type Solver struct {
 	stripMode stripMode
 
 	// evalCap bounds candidate distance evaluation (SolveWithinCapped):
-	// DistanceUnder marches against min(local best, evalCap), so
+	// the score plan marches against min(local best, evalCap), so
 	// candidates provably unable to matter to the caller exit after a
 	// dimension or two. +Inf (the constructors' value) disables it.
 	evalCap float64
@@ -203,25 +205,40 @@ func (s *Solver) SetQuery(q asp.Query) bool {
 	}
 	s.query = q
 	s.bound.Compile(q.F, q.Norm, q.Target, q.W)
+	s.compileScore()
 	return true
 }
 
 // Bind installs the limbs channels are summed in and the table of rows
-// the bound rectangles read, sizing the strip accumulator to the limbs.
-// The rows must be split in l, and l must certify every set the solver is
-// bound to — a caller's limbs over a superset do. Both are retained: they
-// must not change while the solver is in use.
+// the bound rectangles read, sizing the strip accumulator to the limbs and
+// compiling the query's score against them. The rows must be split in l,
+// and l must certify every set the solver is bound to — a caller's limbs
+// over a superset do. Both are retained: they must not change while the
+// solver is in use. An empty layout detaches the solver (a cached slab's);
+// it must be bound again before use.
 func (s *Solver) Bind(l *agg.Limbs, tab Rows) {
 	s.limbs, s.tab = l, tab
-	eff, chans := l.Eff(), s.query.F.Channels()
+	eff := l.Eff()
 	if cap(s.acc) < eff {
 		s.acc = make([]float64, eff)
 	}
-	if cap(s.fold) < chans {
-		s.fold = make([]float64, chans)
-	}
-	s.acc, s.fold = s.acc[:eff], s.fold[:chans]
+	s.acc = s.acc[:eff]
+	s.compileScore()
 }
+
+// compileScore compiles the query's score against the bound limbs, when
+// the solver is bound to a layout of the composite's channels.
+func (s *Solver) compileScore() {
+	if s.limbs != nil && len(s.limbs.Lo) == s.query.F.Channels() {
+		s.score.Compile(s.query.F, s.limbs, s.query.Norm, s.query.Target, s.query.W)
+	}
+}
+
+// Score returns the query's compiled score over the bound limbs: what
+// every walk scores an interval by, and what a caller summing cells in
+// the same limbs may score them by. It is the solver's, recompiled in
+// place by SetQuery and Bind.
+func (s *Solver) Score() *agg.ScorePlan { return &s.score }
 
 // Rebind points the solver at a new rectangle set, reusing all scratch
 // (sorted-edge orders, strip buffers, accumulator): rectangle i is
@@ -390,7 +407,8 @@ func (s *Solver) SolveWithin(space geom.Rect) (asp.Result, bool) {
 // scanStrip sweeps the x-intervals of the strip at height ym, updating
 // best. Returns true if at least one candidate was evaluated. The strip's
 // limb totals start from the base and follow the covering set as the walk
-// adds and removes rectangles; each scored interval folds them once.
+// adds and removes rectangles; each scored interval is scored from them
+// by the compiled plan, which folds only the limbs it reads.
 func (s *Solver) scanStrip(ym float64, space geom.Rect, best *asp.Result) bool {
 	acc, rep := s.acc, s.rep
 	if s.base != nil {
@@ -436,12 +454,11 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, best *asp.Result) bool {
 		} else {
 			xm = (l + r) / 2
 		}
-		s.query.F.FinalizeExact(s.limbs.Fold(s.fold, acc), rep)
 		bnd := best.Dist
 		if s.evalCap < bnd {
 			bnd = s.evalCap
 		}
-		if d, ok := s.query.DistanceUnder(rep, bnd); ok {
+		if d, ok := s.score.Under(acc, rep, bnd); ok {
 			best.Dist = d
 			best.Point = geom.Point{X: xm, Y: ym}
 			best.Rep = append(best.Rep[:0], rep...)
