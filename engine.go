@@ -73,8 +73,7 @@ type Engine struct {
 	view   atomic.Pointer[engineView]
 	viewMu sync.Mutex
 
-	mu    sync.Mutex
-	slabs map[*Composite]*dssearch.SlabCache
+	mu sync.Mutex
 
 	// slots bounds the searches the engine runs at once (flight.go).
 	slots slots
@@ -293,11 +292,7 @@ func NewEngine(ds *Dataset, opt EngineOptions) (*Engine, error) {
 	if opt.IndexGranularity < 0 {
 		return nil, fmt.Errorf("asrs: negative index granularity %d", opt.IndexGranularity)
 	}
-	e := &Engine{
-		ds:    ds,
-		opt:   opt,
-		slabs: make(map[*Composite]*dssearch.SlabCache),
-	}
+	e := &Engine{ds: ds, opt: opt}
 	e.slots.free = e.parallelism()
 	// Epoch zero IS the seed dataset (same pointer), so pyramids built
 	// for the seed — by Warm, or apart and installed with SetPyramid —
@@ -566,29 +561,15 @@ func (e *Engine) Warm(f *Composite) error {
 	return nil
 }
 
-// options resolves a request's effective search options and attaches the
-// engine's per-composite slab cache, so the search scratch
-// (discretization grids, sweep solvers, scratch buffers, id slices) is
-// recycled across queries instead of reallocated. The cache is
-// engine-level (it survives epoch changes — a slab retains only
-// capacities and refers to no dataset or pyramid) and keyed by the
-// composite, so reuse is safe across concurrent queries and across
-// epochs. The pyramid comes from the captured view, keeping the dataset
-// and the aggregation layer of one query coherent.
+// options resolves a request's effective search options and binds the
+// captured view's pyramid, keeping the dataset and the aggregation layer
+// of one query coherent: the request's plan is compiled against it
+// (Answer). The search scratch needs no binding: every search takes it
+// from the process's one free list and hands it back.
 func (e *Engine) options(v *engineView, req QueryRequest) Options {
 	opt := e.opt.Search
 	if req.Options != nil {
 		opt = *req.Options
-	}
-	if opt.Slabs == nil {
-		e.mu.Lock()
-		sc, ok := e.slabs[req.Query.F]
-		if !ok {
-			sc = &dssearch.SlabCache{}
-			e.slabs[req.Query.F] = sc
-		}
-		e.mu.Unlock()
-		opt.Slabs = sc
 	}
 	if opt.Pyramid == nil && !e.opt.DisablePyramid {
 		// Bind the epoch's per-composite pyramid: every query then reads

@@ -237,8 +237,10 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	}
 	// A top-1 request opens a GI-DS session that can have no second round:
 	// it records nothing, and the session and its driver live on the
-	// stack. A swept cell is swept without a kernel run (SolveCell), so a
-	// query allocates 71.6 times (72.6 while every searcher allocated its
+	// stack. A swept cell is swept without a kernel run (SolveCell), and
+	// the query's plan and scratch come from the free list, so a query
+	// allocates 70.6 times (71.6 while every released searcher's panic
+	// check allocated, 72.6 while every searcher allocated its
 	// integer-dimension flags instead of compiling its bound into its
 	// slab).
 	if allocs > 73 {

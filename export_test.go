@@ -3,6 +3,8 @@ package asrs
 import (
 	"context"
 	"fmt"
+
+	"asrs/internal/dssearch"
 )
 
 // Flights reports the QueryCtx searches in flight on the engine's current
@@ -51,3 +53,33 @@ func SelfChecked(st IndexStats) error {
 	}
 	return nil
 }
+
+// RoundPlan is what one round of a request read: the plan its driver
+// compiled, the plan of the GI-DS session or DS-Search request the round
+// ran in, and the pyramid the compiled plan reads.
+type RoundPlan struct {
+	Compiled, Read *dssearch.Plan
+	Pyramid        *Pyramid
+}
+
+// AnswerPlans is Answer, returning with the response what each of its
+// rounds read.
+func AnswerPlans(ds *Dataset, idx *Index, req QueryRequest) (QueryResponse, []RoundPlan) {
+	d := openDriver(ds, idx, req, max(req.TopK, 1))
+	defer d.close()
+	var plans []RoundPlan
+	regions, results, err := Greedy(req.TopK, req.Exclude, func(excl []Rect) (Rect, Result, error) {
+		region, res, err := d.round(excl)
+		rp := RoundPlan{Compiled: d.plan, Read: d.gids.Plan(), Pyramid: d.plan.Pyramid()}
+		if !d.indexed {
+			rp.Read = d.plain.Plan()
+		}
+		plans = append(plans, rp)
+		return region, res, err
+	})
+	return QueryResponse{Regions: regions, Results: results, Err: err}, plans
+}
+
+// Plan returns the plan the rounds' driver compiled when the first round
+// opened it, nil before and after Close.
+func (r *Rounds) Plan() *dssearch.Plan { return r.d.plan }

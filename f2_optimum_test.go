@@ -2,6 +2,7 @@ package asrs_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"asrs"
@@ -65,6 +66,68 @@ func TestF2OptimumOnClampedEdge(t *testing.T) {
 	for name, got := range map[string]float64{"DS-Search": plain.Dist, "GI-DS": gids.Dist} {
 		if math.Float64bits(got) != math.Float64bits(base.Dist) {
 			t.Errorf("%s answers %v, the baseline %v", name, got, base.Dist)
+		}
+	}
+}
+
+// TestExampleRegionsFoundAtZero: a query by example (QueryFromRegion)
+// whose example region is not excluded finds an answer at distance
+// exactly 0 — the example itself is one. Represent sums the example's
+// covering set exactly, as every search sums one; summed in float in
+// dataset order, a real-valued channel's value can differ from the
+// search's in its last bits, and the example then lies at a distance
+// that is not 0. Held on POISyn under F2 (Sum(visits) + Average(rating))
+// and on values spread over 24 decades, whose sums take chains of three
+// limbs (TestThreeLimbEndToEnd's corpus), with and without a grid index.
+func TestExampleRegionsFoundAtZero(t *testing.T) {
+	poi := dataset.POISyn(2000, 42)
+	f2, err := asrs.NewComposite(poi.Schema,
+		asrs.AggSpec{Kind: asrs.Sum, Attr: "visits"},
+		asrs.AggSpec{Kind: asrs.Average, Attr: "rating"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(30))
+	spread := dataset.Random(400, 100, 8)
+	for i := range spread.Objects {
+		spread.Objects[i].Values[1].Num = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(25)-12))
+	}
+	chain, err := asrs.NewComposite(spread.Schema, asrs.AggSpec{Kind: asrs.Sum, Attr: "val"}, asrs.AggSpec{Kind: asrs.Average, Attr: "val"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qa, qb := sizeK(poi, 30)
+	for _, c := range []struct {
+		name string
+		ds   *asrs.Dataset
+		f    *asrs.Composite
+		w    []float64
+		a, b float64
+	}{
+		{"poisyn-f2", poi, f2, []float64{1e-3, 0.1}, qa, qb},
+		{"three-limb", spread, chain, nil, 9, 7},
+	} {
+		idx, err := asrs.NewIndex(c.ds, c.f, 32, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 40; k++ {
+			o := c.ds.Objects[k*len(c.ds.Objects)/40].Loc
+			example := asrs.Rect{MinX: o.X - c.a/2, MinY: o.Y - c.b/2, MaxX: o.X + c.a/2, MaxY: o.Y + c.b/2}
+			q, err := asrs.QueryFromRegion(c.ds, c.f, c.w, example)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := asrs.QueryRequest{Query: q, A: example.Width(), B: example.Height()}
+			for _, ix := range []*asrs.Index{nil, idx} {
+				resp, _ := asrs.Answer(c.ds, ix, req)
+				if resp.Err != nil {
+					t.Fatal(resp.Err)
+				}
+				if d := resp.Results[0].Dist; d != 0 {
+					t.Fatalf("%s example %d %v (indexed %v): best distance %v, want 0", c.name, k, example, ix != nil, d)
+				}
+			}
 		}
 	}
 }

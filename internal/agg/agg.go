@@ -314,17 +314,28 @@ func (c *Composite) FinalizeBounds(full, partial, mmMin, mmMax []float64, lo, hi
 
 // Representation computes F(r) directly over a dataset: the aggregate
 // representation of the set of objects strictly inside region r (open
-// containment, consistent with the covers relation of Lemma 1).
+// containment, consistent with the covers relation of Lemma 1). The
+// channels are summed exactly (ExactSum), as every search sums a covering
+// set, so a search for the representation of a region finds that region
+// at distance 0. Values that do not certify, which no search accepts
+// (attr.Dataset.Validate), are summed in float in dataset order instead.
 func (c *Composite) Representation(ds *attr.Dataset, r Region) []float64 {
-	acc := NewAccumulator(c)
+	var cbs []Contrib
 	for i := range ds.Objects {
 		o := &ds.Objects[i]
 		if r.Contains(o.Loc.X, o.Loc.Y) {
-			acc.Add(o)
+			cbs = c.AppendContribs(o, cbs)
+		}
+	}
+	sums, err := ExactSum(c.Channels(), cbs)
+	if err != nil {
+		sums = make([]float64, c.Channels())
+		for _, cb := range cbs {
+			sums[cb.Ch] += cb.V
 		}
 	}
 	out := make([]float64, c.dims)
-	acc.Representation(out)
+	c.FinalizeExact(sums, out)
 	return out
 }
 

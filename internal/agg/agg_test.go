@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asrs/internal/agg"
+	"asrs/internal/asp"
 	"asrs/internal/attr"
 	"asrs/internal/geom"
 )
@@ -127,33 +128,48 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestAccumulatorAddRemove(t *testing.T) {
+// setRep is the representation of a set of objects, each one's
+// rectangle covering the origin: its covering set, summed as a search
+// sums one (asp.PointRepresentation).
+func setRep(f *agg.Composite, objs []attr.Object) []float64 {
+	rects := make([]asp.RectObject, len(objs))
+	for i := range objs {
+		rects[i] = asp.RectObject{Rect: geom.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}, Obj: &objs[i]}
+	}
+	return asp.PointRepresentation(rects, f, geom.Point{})
+}
+
+// setChannels is the exact channel sums of a set of objects (ExactSum).
+func setChannels(t *testing.T, f *agg.Composite, objs []attr.Object) []float64 {
+	t.Helper()
+	var cbs []agg.Contrib
+	for i := range objs {
+		cbs = f.AppendContribs(&objs[i], cbs)
+	}
+	ch, err := agg.ExactSum(f.Channels(), cbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch
+}
+
+// TestSetRepresentation: the representation of Example 2's objects, of
+// all but the 1.5-priced apartment, and of none.
+func TestSetRepresentation(t *testing.T) {
 	s := paperSchema(t)
 	f := paperComposite(t, s)
 	objs := paperObjects()
-	acc := agg.NewAccumulator(f)
-	for i := range objs {
-		acc.Add(&objs[i])
+	if rep := setRep(f, objs); !vecEq(rep, []float64{2, 1, 1, 1, 1.75}, 1e-12) {
+		t.Fatalf("every object: %v", rep)
 	}
-	rep := make([]float64, f.Dims())
-	acc.Representation(rep)
-	if !vecEq(rep, []float64{2, 1, 1, 1, 1.75}, 1e-12) {
-		t.Fatalf("after adds: %v", rep)
+	// Without the 1.5-priced apartment the distribution drops to
+	// (1,1,1,1) and the average becomes 2.
+	rest := append([]attr.Object{objs[0]}, objs[2:]...)
+	if rep := setRep(f, rest); !vecEq(rep, []float64{1, 1, 1, 1, 2}, 1e-12) {
+		t.Fatalf("without the second apartment: %v", rep)
 	}
-	// Remove the 1.5-priced apartment: distribution drops to (1,1,1,1),
-	// average becomes 2.
-	acc.Remove(&objs[1])
-	acc.Representation(rep)
-	if !vecEq(rep, []float64{1, 1, 1, 1, 2}, 1e-12) {
-		t.Fatalf("after remove: %v", rep)
-	}
-	if acc.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", acc.Len())
-	}
-	acc.Reset()
-	acc.Representation(rep)
-	if !vecEq(rep, []float64{0, 0, 0, 0, 0}, 0) {
-		t.Fatalf("after reset: %v", rep)
+	if rep := setRep(f, nil); !vecEq(rep, []float64{0, 0, 0, 0, 0}, 0) {
+		t.Fatalf("no object: %v", rep)
 	}
 }
 
@@ -167,15 +183,9 @@ func TestFinalizeBoundsSoundness(t *testing.T) {
 	fullSet := objs[:2]
 	partialSet := objs[2:]
 
-	fullAcc := agg.NewAccumulator(f)
-	for i := range fullSet {
-		fullAcc.Add(&fullSet[i])
-	}
-	partAcc := agg.NewAccumulator(f)
 	mmMin, mmMax := f.InfMM()
 	var mbuf []agg.MMContrib
 	for i := range partialSet {
-		partAcc.Add(&partialSet[i])
 		mbuf = f.AppendMM(&partialSet[i], mbuf[:0])
 		for _, m := range mbuf {
 			if m.V < mmMin[m.Slot] {
@@ -188,20 +198,16 @@ func TestFinalizeBoundsSoundness(t *testing.T) {
 	}
 	lo := make([]float64, f.Dims())
 	hi := make([]float64, f.Dims())
-	f.FinalizeBounds(fullAcc.Channels(), partAcc.Channels(), mmMin, mmMax, lo, hi)
+	f.FinalizeBounds(setChannels(t, f, fullSet), setChannels(t, f, partialSet), mmMin, mmMax, lo, hi)
 
-	rep := make([]float64, f.Dims())
 	for mask := 0; mask < 1<<len(partialSet); mask++ {
-		acc := agg.NewAccumulator(f)
-		for i := range fullSet {
-			acc.Add(&fullSet[i])
-		}
+		set := append([]attr.Object(nil), fullSet...)
 		for i := range partialSet {
 			if mask&(1<<i) != 0 {
-				acc.Add(&partialSet[i])
+				set = append(set, partialSet[i])
 			}
 		}
-		acc.Representation(rep)
+		rep := setRep(f, set)
 		for d := 0; d < f.Dims(); d++ {
 			if rep[d] < lo[d]-1e-9 || rep[d] > hi[d]+1e-9 {
 				t.Fatalf("mask %b dim %d: rep %g outside [%g, %g]", mask, d, rep[d], lo[d], hi[d])

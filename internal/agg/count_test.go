@@ -69,7 +69,11 @@ func TestCountEndToEnd(t *testing.T) {
 		rects, _ := asp.Reduce(ds, 7, 7, asp.AnchorTR)
 		sw, _ := sweep.New(rects, q)
 		want := sw.Solve()
-		s, err := dssearch.NewRegionSearcher(ds, 7, 7, q, dssearch.Options{NCol: 10, NRow: 10})
+		pl, err := dssearch.Compile(ds, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := dssearch.NewRegionSearcher(pl, 7, 7, dssearch.Options{NCol: 10, NRow: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

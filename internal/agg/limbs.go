@@ -347,9 +347,15 @@ func ExactSum(chans int, contribs []Contrib) ([]float64, error) {
 	if err := l.Certify(chans, contribs); err != nil {
 		return nil, err
 	}
+	// Limb sums are exact in any order: each contribution is split and
+	// summed on its own, so the set is not copied.
 	ch := make([]float64, l.Eff())
-	for _, cb := range l.Split(slices.Clone(contribs), 0) {
-		ch[cb.Ch] += cb.V
+	var parts []Contrib
+	for _, cb := range contribs {
+		parts = l.Split(append(parts[:0], cb), 0)
+		for _, p := range parts {
+			ch[p.Ch] += p.V
+		}
 	}
 	return l.Fold(make([]float64, chans), ch), nil
 }

@@ -5,6 +5,25 @@ import (
 	"slices"
 )
 
+// Plan is one query compiled against its composite and the limbs a
+// search sums channels in: its Equation 1 bound (Bound), which bounds
+// every partial cover a search meets — a grid's dirty cell, a sweep's
+// strip, an index's range of cells — and its score (Score), which scores
+// every candidate. A search compiles its request's query into one plan
+// and hands it to every evaluator, each of which only reads it.
+type Plan struct {
+	Bound BoundPlan
+	Score ScorePlan
+}
+
+// Compile compiles the query (norm, target q, weights w; nil w means
+// unit weights) over the composite summed in the limbs l into p, reusing
+// p's storage (BoundPlan.Compile, ScorePlan.Compile).
+func (p *Plan) Compile(c *Composite, l *Limbs, norm Norm, q, w []float64) {
+	p.Bound.Compile(c, norm, q, w)
+	p.Score.Compile(c, l, norm, q, w)
+}
+
 // BoundPlan is one query's Equation 1 bound compiled against its
 // composite: for every representation dimension, in order, the channel
 // (and min/max slot) its [lo, hi] is formed from, the query's target there
@@ -26,9 +45,10 @@ import (
 // A plan is reused across queries by compiling into it again; Compile
 // keeps its storage, so a recycled plan allocates nothing.
 type BoundPlan struct {
-	terms []boundTerm
-	l2    bool // L2: terms are squared, the sum's square root returned
-	neg   bool // some weight is negative: under L1 the sum never stops early
+	terms   []boundTerm
+	l2      bool // L2: terms are squared, the sum's square root returned
+	neg     bool // some weight is negative: under L1 the sum never stops early
+	mmSlots int  // the composite's min/max slots, the length of Under's mmMin and mmMax
 }
 
 // boundTerm is one representation dimension of a plan.
@@ -49,6 +69,7 @@ func (p *BoundPlan) Compile(c *Composite, norm Norm, q, w []float64) {
 	p.terms = slices.Grow(p.terms[:0], c.dims)
 	p.l2 = norm == L2
 	p.neg = hasNegative(w)
+	p.mmSlots = c.MinMaxSlots()
 	for i := range c.specs {
 		s := &c.specs[i]
 		for d := 0; d < s.dims; d++ {
@@ -65,6 +86,9 @@ func (p *BoundPlan) Compile(c *Composite, norm Norm, q, w []float64) {
 		}
 	}
 }
+
+// MinMaxSlots returns the number of min/max slots Under reads.
+func (p *BoundPlan) MinMaxSlots() int { return p.mmSlots }
 
 // Bound is Under with no threshold: the whole Equation 1 bound.
 func (p *BoundPlan) Bound(full, partial, mmMin, mmMax []float64) float64 {
@@ -244,6 +268,9 @@ func (p *ScorePlan) appendChain(l *Limbs, ch int) {
 		p.cols = append(p.cols, scoreCol{limb: int32(k), inv: l.Inv[k]})
 	}
 }
+
+// Dims returns the length of the representation the plan writes.
+func (p *ScorePlan) Dims() int { return len(p.terms) }
 
 // Columns returns the number of columns the plan reads.
 func (p *ScorePlan) Columns() int { return len(p.cols) }

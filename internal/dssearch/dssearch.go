@@ -61,18 +61,13 @@ type Options struct {
 	// (DESIGN.md §4). The field stays until bench/, which sets it, can
 	// change (ROADMAP, signatures to release).
 	Workers int
-	// Slabs, when non-nil, recycles the search slabs (discretization
-	// grid, sweep solver, scratch buffers, id slices) across searches.
-	// Callers that set it must call Searcher.Release (Request.Close does)
-	// when the search is done.
-	Slabs *SlabCache
 	// Pyramid, when non-nil and built for exactly the request's dataset
-	// and composite, is the aggregation layer the searcher
-	// (NewRegionSearcher) reads: anchors, order, contributions and limbs
-	// are shared, so a bind is O(1) (DESIGN.md §6). A pyramid of another
-	// dataset or composite is ignored, and so is a nil one: the searcher
-	// then builds a one-shot pyramid over the request's dataset. Answers
-	// are bit-identical either way.
+	// and composite, is the aggregation layer the request's plan is
+	// compiled against (Compile) and its searchers read: anchors, order,
+	// contributions and limbs are shared, so a bind is O(1) (DESIGN.md
+	// §6). A pyramid of another dataset or composite is ignored, and so is
+	// a nil one: the plan then builds a one-shot pyramid over the
+	// request's dataset. Answers are bit-identical either way.
 	Pyramid *Pyramid
 	// SharedCap, when non-nil, attaches a cross-search shared pruning
 	// cap to every bound this search creates: each improvement publishes
@@ -177,9 +172,10 @@ type Searcher struct {
 	space geom.Rect // the reduction's space (reductionSpace)
 
 	query asp.Query
+	plan  *Plan // the request's query, compiled: the bound and score every evaluator reads
 	opt   Options
-	core  *core // the pyramid's aggregation core (sat.go)
-	slab  *slab // search scratch and the compiled bound, recycled through Options.Slabs
+	core  *core // the plan's pyramid's aggregation core (sat.go)
+	slab  *slab // search scratch, recycled through the free list (plan.go)
 	Stats Stats
 
 	best asp.Result
@@ -215,48 +211,40 @@ func CheckExtent(a, b float64) error {
 }
 
 // NewRegionSearcher is the searcher of an ASRS request: the a×b
-// top-right-corner reduction of ds (Definition 5: the answer point is the
-// region's bottom-left corner). A pyramid built for (ds, q.F) is bound:
-// its anchors, order and core are shared and the space is read off the
-// geometry's bounds (shape.go), so nothing is built per query. Else the
-// searcher builds a one-shot pyramid over ds, with the same master.
-// Answers are bit-identical either way.
-func NewRegionSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Searcher, error) {
+// top-right-corner reduction (Definition 5: the answer point is the
+// region's bottom-left corner) of the dataset the plan was compiled over.
+// It reads the plan's pyramid — its anchors, order and core are shared
+// and the space is read off the geometry's bounds (shape.go), so nothing
+// is built per searcher — and the plan's bound and score. The plan must
+// outlive the searcher.
+func NewRegionSearcher(pl *Plan, a, b float64, opt Options) (*Searcher, error) {
 	if err := CheckExtent(a, b); err != nil {
 		return nil, err
 	}
-	return newSearcher(ds, a, b, q, opt)
+	return newSearcher(pl, a, b, opt)
 }
 
 // newSearcher is NewRegionSearcher for any finite a, b ≥ 0: the tests
-// also search zero-extent rectangles.
-func newSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Searcher, error) {
-	opt, err := opt.checked(q)
-	if err != nil {
+// also search zero-extent rectangles. It takes the released slab that
+// fits the search's grid, if there is one.
+func newSearcher(pl *Plan, a, b float64, opt Options) (*Searcher, error) {
+	opt = opt.withDefaults()
+	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	p := opt.Pyramid
-	if !p.Matches(ds, q.F) {
-		if p, err = BuildPyramidOn(newGeometry(ds), q.F); err != nil {
-			return nil, err
-		}
-	}
-	sl := opt.Slabs.get()
-	sl.bound.Compile(q.F, q.Norm, q.Target, q.W)
+	p := pl.pyr
 	s := &Searcher{pts: p.geo.pts, a: a, b: b, space: reductionSpace(p.geo.bounds, a, b),
-		query: q, opt: opt, core: p.core, slab: sl}
-	// Recycled id slices from a previous query using the same slab cache.
-	s.ids, sl.idFree = sl.idFree, nil
+		query: pl.q, plan: pl, opt: opt, core: p.core}
+	s.slab = takeSlab(s.gridShape())
+	s.ids, s.slab.idFree = s.slab.idFree, nil
 	return s, nil
 }
 
-// checked resolves the defaults and validates the options and the query.
-func (o Options) checked(q asp.Query) (Options, error) {
-	o = o.withDefaults()
-	if err := o.validate(); err != nil {
-		return o, err
-	}
-	return o, q.Validate()
+// gridShape is the shape of the searcher's NCol×NRow grid.
+func (s *Searcher) gridShape() gridShape {
+	f := s.query.F
+	return gridShape{ncol: s.opt.NCol, nrow: s.opt.NRow, limbs: s.core.limbs.Eff(),
+		chans: f.Channels(), mmSlots: f.MinMaxSlots(), dims: f.Dims()}
 }
 
 // rect returns master rectangle id.
@@ -291,36 +279,30 @@ func (s *Searcher) idWindow(ids []int32, x0, x1 float64) []int32 {
 
 // ensureScratch builds the search scratch at the first processed space:
 // the discretization grid, the sweep solver and the incumbent, dirty-cell
-// and mini-sweep buffers. They are *retained on the slab* and recycled
-// through the SlabCache, so the queries on one composite
-// reuse them query after query instead of reallocating them (the
-// batch-bench alloc assertion pins this).
+// and mini-sweep buffers. They are *retained on the slab*, which the free
+// list hands from search to search, so steady-state queries reuse them
+// instead of reallocating them (the batch-bench alloc assertion pins
+// this).
 func (s *Searcher) ensureScratch() {
 	if s.grid != nil {
 		return
 	}
-	f := s.query.F
 	t, limbs := s.slab, &s.core.limbs
-	eff := limbs.Eff()
-	ncol, nrow := s.opt.NCol, s.opt.NRow
-	if t.grid == nil || t.gridNCol != ncol || t.gridNRow != nrow || t.gridEff != eff || t.gridF != f {
-		t.grid = newGridBuffers(ncol, nrow, f, eff)
-		t.gridNCol, t.gridNRow, t.gridEff, t.gridF = ncol, nrow, eff, f
+	if shape := s.gridShape(); t.grid == nil || t.shape != shape {
+		t.grid = newGridBuffers(shape.ncol, shape.nrow, s.query.F, shape.limbs)
+		t.shape = shape
 	}
 	s.grid = t.grid
-	// A recycled solver is rebound to the query (same composite, new
-	// target/weights) and to the core's limbs and rows, and keeps all its
-	// scratch. NewSized cannot fail: the query was validated at
-	// construction.
-	if t.sw == nil || t.swEff != eff || !t.sw.SetQuery(s.query) {
-		t.sw, _ = sweep.NewSized(s.query, sweepReach)
-		t.swEff = eff
+	// The solver holds no query: it is bound to the core's limbs and rows
+	// and to the plan, and keeps all its scratch.
+	if t.sw == nil {
+		t.sw = sweep.NewSized(sweepReach)
 	}
 	s.sw = t.sw
-	s.sw.Bind(limbs, s.core.rows())
+	s.sw.Bind(limbs, s.core.rows(), &s.plan.c)
 	// One float slab: the incumbent's representation, then the mini-sweep
 	// base vector.
-	dims, cells := f.Dims(), ncol*nrow
+	eff, dims, cells := limbs.Eff(), s.query.F.Dims(), s.opt.NCol*s.opt.NRow
 	const swCap = 1024
 	if nf := dims + eff; len(t.scratchF) < nf || len(t.scratchCells) < cells || len(t.scratchRects) < swCap {
 		t.scratchF = make([]float64, nf)
@@ -334,31 +316,37 @@ func (s *Searcher) ensureScratch() {
 	s.swRects, s.swIds = t.scratchRects[:0:swCap], t.scratchIds[:0:swCap]
 }
 
-// Release hands the searcher's slab memory back to Options.Slabs for
-// reuse by later queries. The searcher must not be used afterwards.
-// A no-op when no slab cache was configured.
+// Release hands the searcher's slab back to the free list for later
+// searches. The searcher must not be used afterwards; its plan is the
+// caller's, and outlives it.
 //
 // A search that died in a kernel panic does NOT recycle: the panic may
 // have interrupted it mid-mutation (a sweep solver half way through an
 // incremental update, a grid buffer partially filled), and the scratch
-// is rebound — not rebuilt — on reuse. Dropping the slabs costs one
-// rebuild on the composite's next query; recycling poisoned scratch could
-// silently perturb it. The pyramid the search read is read-only during
-// search and stays valid.
+// is rebound — not rebuilt — on reuse. Dropping the slab costs one
+// rebuild on a later search; recycling poisoned scratch could silently
+// perturb it. The pyramid the search read is read-only during search and
+// stays valid.
 func (s *Searcher) Release() {
-	if s.slab == nil || s.opt.Slabs == nil {
-		return
-	}
-	var pe *kernel.PanicError
-	if errors.As(s.err, &pe) {
-		s.slab = nil
-		return
-	}
 	t := s.slab
+	if t == nil {
+		return
+	}
+	s.slab = nil
+	if s.err != nil { // errors.As's target escapes: ask only on an error
+		if pe := (*kernel.PanicError)(nil); errors.As(s.err, &pe) {
+			return
+		}
+	}
 	t.idFree = s.ids[:min(len(s.ids), 64)]
 	s.ids = nil
-	s.opt.Slabs.put(t)
-	s.slab = nil
+	if t.sw != nil {
+		// A released slab holds nothing of the pyramid or the plan.
+		t.sw.Bind(&noLimbs, sweep.Rows{}, nil)
+	}
+	scratch.Lock()
+	defer scratch.Unlock()
+	scratch.slabs = append(scratch.slabs, t)
 }
 
 // getIds returns a recycled id slice with capacity >= n (length 0) — the
@@ -926,6 +914,9 @@ func (s *Searcher) PointRepresentation(p geom.Point) []float64 {
 	s.query.F.FinalizeExact(t.limbs.Fold(make([]float64, t.chans), ch), out)
 	return out
 }
+
+// Plan returns the plan the searcher reads.
+func (s *Searcher) Plan() *Plan { return s.plan }
 
 // Best returns the current best result (valid during and after a solve;
 // used by the grid-index driver to thread d_opt across cells).

@@ -185,13 +185,13 @@ func TestOptionsValidation(t *testing.T) {
 	ds := dataset.Random(5, 10, 8)
 	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Sum, Attr: "val"})
 	q := asp.Query{F: f, Target: []float64{0}}
-	if _, err := dssearch.NewRegionSearcher(ds, 2, 2, q, dssearch.Options{Delta: -1}); err == nil {
+	if _, err := dssearch.NewSearcher(ds, 2, 2, q, dssearch.Options{Delta: -1}); err == nil {
 		t.Error("negative delta accepted")
 	}
-	if _, err := dssearch.NewRegionSearcher(ds, 2, 2, q, dssearch.Options{NCol: 1, NRow: 5}); err == nil {
+	if _, err := dssearch.NewSearcher(ds, 2, 2, q, dssearch.Options{NCol: 1, NRow: 5}); err == nil {
 		t.Error("1-column grid accepted")
 	}
-	if _, err := dssearch.NewRegionSearcher(ds, 2, 2, asp.Query{F: f, Target: []float64{0, 1}}, dssearch.Options{}); err == nil {
+	if _, err := dssearch.NewSearcher(ds, 2, 2, asp.Query{F: f, Target: []float64{0, 1}}, dssearch.Options{}); err == nil {
 		t.Error("bad query accepted")
 	}
 }
@@ -211,7 +211,7 @@ func TestExtentMustBeFinite(t *testing.T) {
 		if dssearch.CheckExtent(a, b) == nil {
 			t.Errorf("%g x %g: CheckExtent accepts it", a, b)
 		}
-		if _, err := dssearch.NewRegionSearcher(ds, a, b, q, dssearch.Options{}); err == nil {
+		if _, err := dssearch.NewSearcher(ds, a, b, q, dssearch.Options{}); err == nil {
 			t.Errorf("%g x %g: NewRegionSearcher accepts it", a, b)
 		}
 		if region, res, _, err := dssearch.SolveASRS(ds, a, b, q, nil, nil, dssearch.Options{}); err == nil {

@@ -12,12 +12,18 @@ import (
 )
 
 // SolveASRS answers one single-best request through the package front
-// door — whole space or extent, one round under the exclusions — for the
-// tests that check what a round answers rather than how rounds chain. A
-// round whose answer failed its self-check (Searcher.Settle) is an error
-// here, so every test that solves through it fails on one.
+// door — the request's plan compiled against opt.Pyramid (Compile), then
+// whole space or extent, one round under the exclusions — for the tests
+// that check what a round answers rather than how rounds chain. A round
+// whose answer failed its self-check (Searcher.Settle) is an error here,
+// so every test that solves through it fails on one.
 func SolveASRS(ds *attr.Dataset, a, b float64, q asp.Query, within *geom.Rect, exclude []geom.Rect, opt Options) (geom.Rect, asp.Result, Stats, error) {
-	r, err := Open(ds, a, b, q, within, opt)
+	pl, err := Compile(ds, q, opt.Pyramid)
+	if err != nil {
+		return geom.Rect{}, asp.Result{}, Stats{}, err
+	}
+	defer pl.Release()
+	r, err := Open(pl, a, b, within, opt)
 	if err != nil {
 		return geom.Rect{}, asp.Result{}, Stats{}, err
 	}
@@ -41,11 +47,15 @@ func selfChecked(st Stats) error {
 
 // NewShapeSearcher is the searcher of the w×h top-right reduction of ds
 // for any finite w, h ≥ 0 — zero-extent rectangles included, which
-// NewRegionSearcher refuses. Every answer the searcher settles is
-// self-checked: the test fails at its end if one re-evaluated to another
-// distance.
+// NewRegionSearcher refuses — on a plan of its own (Compile against
+// opt.Pyramid). Every answer the searcher settles is self-checked: the
+// test fails at its end if one re-evaluated to another distance.
 func NewShapeSearcher(tb testing.TB, ds *attr.Dataset, w, h float64, q asp.Query, opt Options) (*Searcher, error) {
-	s, err := newSearcher(ds, w, h, q, opt)
+	pl, err := Compile(ds, q, opt.Pyramid)
+	if err != nil {
+		return nil, err
+	}
+	s, err := newSearcher(pl, w, h, opt)
 	if err == nil {
 		tb.Cleanup(func() {
 			if err := selfChecked(s.Stats); err != nil {
@@ -56,14 +66,35 @@ func NewShapeSearcher(tb testing.TB, ds *attr.Dataset, w, h float64, q asp.Query
 	return s, err
 }
 
-// RetainedBytes sums the capacities a released searcher's slab retains,
-// in bytes, over every slab the cache holds: the memory a SlabCache keeps
-// between searches.
-func (c *SlabCache) RetainedBytes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// NewSearcher is NewRegionSearcher on a plan of its own, compiled against
+// opt.Pyramid: the searcher of one request.
+func NewSearcher(ds *attr.Dataset, a, b float64, q asp.Query, opt Options) (*Searcher, error) {
+	pl, err := Compile(ds, q, opt.Pyramid)
+	if err != nil {
+		return nil, err
+	}
+	return NewRegionSearcher(pl, a, b, opt)
+}
+
+// ResetScratch empties the free list, so that what a test releases next
+// is all it holds.
+func ResetScratch() {
+	scratch.Lock()
+	defer scratch.Unlock()
+	clear(scratch.slabs)
+	scratch.slabs = scratch.slabs[:0]
+	clear(scratch.plans)
+	scratch.plans = scratch.plans[:0]
+}
+
+// ReleasedBytes sums the capacities the released slabs retain, in bytes,
+// over every slab the free list holds: the search scratch kept between
+// searches.
+func ReleasedBytes() int {
+	scratch.Lock()
+	defer scratch.Unlock()
 	n := 0
-	for _, t := range c.free {
+	for _, t := range scratch.slabs {
 		n += t.retainedBytes()
 	}
 	return n

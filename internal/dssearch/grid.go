@@ -20,7 +20,7 @@ type cellInfo struct {
 // coordinates. A cell's vector in either grid is its limb sums followed
 // by one count slot, the number of rectangles covering (diffFull) or
 // overlapping (diffPart) it. A Searcher owns one, recycled with its slab
-// through the SlabCache.
+// through the free list.
 type gridBuffers struct {
 	ncol, nrow int
 	limbs      int // the limb count (agg.Limbs.Eff); slot limbs of a cell's vector is its count
@@ -292,8 +292,8 @@ func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) []cellInfo {
 // rectangles overlap it than cover it: its two count slots differ (both
 // are exact integer sums).
 //
-// A clean cell is scored from its limb totals by the query's compiled
-// score (the sweep solver's, agg.ScorePlan), which reads only the limbs
+// A clean cell is scored from its limb totals by the request plan's
+// score (Plan, agg.ScorePlan), which reads only the limbs
 // the distance does. Clean cells come in runs covered by the same
 // rectangles (a covering set changes only where a rectangle edge
 // crosses), so a cell whose limb totals repeat the last evaluated cell's
@@ -303,7 +303,7 @@ func (s *Searcher) discretize(space, clip geom.Rect, ids []int32) []cellInfo {
 // would.
 func (s *Searcher) cleanPass(cw, chh float64) {
 	g := s.grid
-	score := s.sw.Score()
+	score := &s.plan.c.Score
 	chans, n := g.chans, g.limbs
 	dirty := g.dirtyCells[:0]
 	var last []float64 // totals of the cell g.rep and dist were computed from
@@ -360,7 +360,7 @@ func sameBits(a, b []float64) bool {
 // full-cover limbs (fillRects), subtracted in place: both are exact limb
 // sums, so the difference is the exact sum of the partial covers, the
 // same bits a fill of the partial covers alone gives. The bound is the
-// query's compiled plan (agg.BoundPlan), which stops summing once it
+// request plan's (Plan, agg.BoundPlan), which stops summing once it
 // reaches the threshold: a kept cell's bound is Equation 1's to the bit,
 // and a pruned one needs none.
 func (s *Searcher) boundPass() []cellInfo {
@@ -386,7 +386,7 @@ func (s *Searcher) boundPass() []cellInfo {
 			mmMin = g.mmMin[mi : mi+g.mmSlots]
 			mmMax = g.mmMax[mi : mi+g.mmSlots]
 		}
-		if lb, ok := s.slab.bound.Under(full, part, mmMin, mmMax, thresh); ok {
+		if lb, ok := s.plan.c.Bound.Under(full, part, mmMin, mmMax, thresh); ok {
 			r := idx / (g.ncol + 1)
 			c := idx - r*(g.ncol+1)
 			cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
@@ -501,7 +501,7 @@ func (s *Searcher) probeCellCenters(dirty []cellInfo, clip geom.Rect, ids []int3
 	}
 	g := s.grid
 	t := s.core
-	score := s.sw.Score()
+	score := &s.plan.c.Score
 	ch := g.probeCh
 	for _, di := range idx {
 		p := dirty[di].rect.Center()

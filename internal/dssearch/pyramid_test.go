@@ -138,7 +138,7 @@ func TestPyramidBindRejections(t *testing.T) {
 	}
 	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
 	bound := func(ds *attr.Dataset, q asp.Query) bool {
-		s, err := NewRegionSearcher(ds, 3, 4, q, Options{Pyramid: p})
+		s, err := NewSearcher(ds, 3, 4, q, Options{Pyramid: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,8 +158,8 @@ func TestPyramidBindRejections(t *testing.T) {
 }
 
 // TestPyramidSlabReuse: searches that read a given pyramid and searches
-// that build their own recycle one SlabCache in turn, and reusing the
-// retained scratch changes no answer.
+// that build their own recycle the free list's slabs in turn, and reusing
+// the retained scratch changes no answer.
 func TestPyramidSlabReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds, f := pyramidDataset(t, rng, 120, func() float64 { return float64(rng.Intn(9)) }, false)
@@ -169,7 +169,6 @@ func TestPyramidSlabReuse(t *testing.T) {
 	}
 	target := make([]float64, f.Dims())
 	target[0] = 3
-	slabs := &SlabCache{}
 	q := asp.Query{F: f, Target: target}
 
 	_, want, _, err := SolveASRS(ds, 6, 5, q, nil, nil, Options{})
@@ -177,10 +176,8 @@ func TestPyramidSlabReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 4; round++ {
-		// Alternate given and one-shot pyramids through the same slab
-		// cache.
+		// Alternate given and one-shot pyramids.
 		var opt Options
-		opt.Slabs = slabs
 		if round%2 == 0 {
 			opt.Pyramid = p
 		}

@@ -251,7 +251,7 @@ func TestUnquantizableTakesOldPath(t *testing.T) {
 			t.Fatal("a refused searcher reordered the caller's objects")
 		}
 	}
-	if _, err := NewRegionSearcher(ds, 1, 1, q, Options{}); err == nil {
+	if _, err := NewSearcher(ds, 1, 1, q, Options{}); err == nil {
 		t.Fatal("a region searcher over unquantizable objects was built")
 	}
 }
@@ -264,7 +264,6 @@ func TestUnquantizableTakesOldPath(t *testing.T) {
 func TestSearchEquivalenceRealValued(t *testing.T) {
 	f := realSchemaF2(t)
 	rng := rand.New(rand.NewSource(1234))
-	slabs := &SlabCache{}
 	for trial := 0; trial < 6; trial++ {
 		ds := &attr.Dataset{Objects: quantObjects(rng, 400+rng.Intn(400))}
 		target := make([]float64, f.Dims())
@@ -273,7 +272,7 @@ func TestSearchEquivalenceRealValued(t *testing.T) {
 		q := asp.Query{F: f, Target: target}
 
 		solve := func() asp.Result {
-			s, err := NewShapeSearcher(t, ds, 9, 8, q, Options{Slabs: slabs})
+			s, err := NewShapeSearcher(t, ds, 9, 8, q, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

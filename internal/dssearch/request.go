@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"asrs/internal/asp"
-	"asrs/internal/attr"
 	"asrs/internal/geom"
 	"asrs/internal/kernel"
 )
@@ -66,22 +65,34 @@ type Request struct {
 	pieces   []geom.Rect
 }
 
-// Open validates a request's shape and builds the searcher its rounds
-// share (NewRegionSearcher). A nil within searches the whole space. The
-// caller must Close the request.
-func Open(ds *attr.Dataset, a, b float64, q asp.Query, within *geom.Rect, opt Options) (*Request, error) {
+// CheckRequest is the error of a request no search can take: an a×b
+// extent CheckExtent refuses, a within extent CheckWithin refuses or
+// smaller than a×b, or options no searcher takes. It reads no data, so a
+// request driver checks it before it builds or compiles anything.
+func CheckRequest(a, b float64, within *geom.Rect, opt Options) error {
 	if err := CheckExtent(a, b); err != nil {
-		return nil, err
+		return err
 	}
 	if within != nil {
 		if err := CheckWithin(*within); err != nil {
-			return nil, err
+			return err
 		}
 		if !AnchorWindow(*within, a, b).IsValid() {
-			return nil, ErrExtentTooSmall
+			return ErrExtentTooSmall
 		}
 	}
-	s, err := NewRegionSearcher(ds, a, b, q, opt)
+	return opt.withDefaults().validate()
+}
+
+// Open validates a request's shape (CheckRequest) and builds the searcher
+// its rounds share (NewRegionSearcher) on the request's plan. A nil
+// within searches the whole space. The caller must Close the request
+// before it releases the plan.
+func Open(pl *Plan, a, b float64, within *geom.Rect, opt Options) (*Request, error) {
+	if err := CheckRequest(a, b, within, opt); err != nil {
+		return nil, err
+	}
+	s, err := NewRegionSearcher(pl, a, b, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -137,9 +148,12 @@ func (r *Request) Best(exclude []geom.Rect) (geom.Rect, asp.Result, error) {
 	return asp.AnchorTR.RegionFor(s.best.Point, r.a, r.b), s.best, nil
 }
 
+// Plan returns the plan the request's searcher reads.
+func (r *Request) Plan() *Plan { return r.s.plan }
+
 // Stats reports the work of the rounds so far.
 func (r *Request) Stats() Stats { return r.s.Stats }
 
-// Close hands the searcher's slab memory back to Options.Slabs; the
-// request must not be used afterwards.
+// Close hands the searcher's slab back to the free list (Searcher.Release);
+// the request must not be used afterwards.
 func (r *Request) Close() { r.s.Release() }

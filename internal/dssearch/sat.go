@@ -1,8 +1,6 @@
 package dssearch
 
 import (
-	"sync"
-
 	"asrs/internal/agg"
 	"asrs/internal/attr"
 	"asrs/internal/geom"
@@ -16,7 +14,7 @@ import (
 // and their limbs. Every search reads one: the Engine's cached pyramid
 // when Options.Pyramid matches the request — or a router band's, joined
 // from its shards' (JoinPyramids) — else a one-shot pyramid the searcher
-// builds over the request's dataset (newSearcher): one radix sort and one
+// builds over the request's dataset (Compile): one radix sort and one
 // flatten, after which it is read the same way. The grid fill, the point
 // representations and the terminal rule's mini-sweeps all sum the core's
 // rows: the sweep solver is bound to them (core.rows) and reads a swept
@@ -41,9 +39,9 @@ import (
 // dataset admits (attr.Dataset.Validate) always certify.
 //
 // The search scratch — the discretization grid, the sweep solver and the
-// buffers — is a slab, recycled across searches through the SlabCache.
-// A slab refers to no dataset and no pyramid, so a cached slab keeps no
-// epoch alive.
+// buffers — is a slab, recycled across searches through the process's one
+// free list (plan.go). A released slab refers to no dataset, pyramid or
+// plan, so it keeps no epoch alive.
 
 // core is a pyramid's frozen aggregation layer: one composite's limb
 // contributions and min/max contributions over a geometry, in master
@@ -65,29 +63,30 @@ type core struct {
 }
 
 // slab is a search's heavy scratch, recycled across searches through the
-// SlabCache: the discretization grid, the sweep solver, the query's
-// compiled bound and the search buffers (Searcher.ensureScratch). Keys record the shape they were built
-// for.
+// free list: the discretization grid, the sweep solver and the search
+// buffers (Searcher.ensureScratch). It holds no query: shape records what
+// its grid was built for.
 type slab struct {
-	grid                        *gridBuffers
-	gridNCol, gridNRow, gridEff int
-	gridF                       *agg.Composite
-	sw                          *sweep.Solver
-	swEff                       int
-	scratchF                    []float64
-	scratchCells                []cellInfo
-	scratchRects                []geom.Rect
-	scratchIds                  []int32
-	bound                       agg.BoundPlan // the searcher's query, compiled (newSearcher)
+	grid         *gridBuffers
+	shape        gridShape
+	sw           *sweep.Solver
+	scratchF     []float64
+	scratchCells []cellInfo
+	scratchRects []geom.Rect
+	scratchIds   []int32
 
 	// idBits is the bitmap AppendCellIDs marks a space's ids in, one bit
 	// per id of the x window.
 	idBits []uint64
 
-	// Recycled id slices handed back by a released Searcher (slab reuse
-	// across Engine queries).
+	// Recycled id slices handed back by a released Searcher.
 	idFree [][]int32
 }
+
+// gridShape is what a discretization grid's buffers are sized by: the
+// grid, the limbs, and the composite's channels, min/max slots and
+// representation dimensions.
+type gridShape struct{ ncol, nrow, limbs, chans, mmSlots, dims int }
 
 // flatten fills the contribution tables of objs in master order — row
 // i is objs[order[i]] — from one AppendContribs pass in input order: the
@@ -147,49 +146,3 @@ func (t *core) rows() sweep.Rows {
 func (t *core) rectMM(id int32) []agg.MMContrib {
 	return t.mms[t.mOff[id]:t.mOff[id+1]]
 }
-
-// ---- Slab cache ----
-
-// SlabCache recycles the search slabs (the discretization grid, the
-// sweep solver, the scratch buffers, id slices) across searches. An
-// Engine holds one per composite so that steady-state serving reallocates
-// none of them. Safe for concurrent use; the zero value is ready.
-type SlabCache struct {
-	mu   sync.Mutex
-	free []*slab
-}
-
-// get returns a recycled slab (capacities kept) or a fresh one.
-func (c *SlabCache) get() *slab {
-	if c == nil {
-		return &slab{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := len(c.free); n > 0 {
-		t := c.free[n-1]
-		c.free = c.free[:n-1]
-		return t
-	}
-	return &slab{}
-}
-
-// put hands a slab back for reuse. Its solver is detached from the limbs
-// and rows it read, which are the core's: a cached slab holds nothing of
-// the pyramid it served.
-func (c *SlabCache) put(t *slab) {
-	if c == nil || t == nil {
-		return
-	}
-	if t.sw != nil {
-		t.sw.Bind(&noLimbs, sweep.Rows{})
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.free) < 4 {
-		c.free = append(c.free, t)
-	}
-}
-
-// noLimbs is the empty layout a cached slab's solver is left on.
-var noLimbs agg.Limbs

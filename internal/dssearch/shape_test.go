@@ -113,7 +113,7 @@ func TestShapeFacts(t *testing.T) {
 			if base := baselineDist(t, ds, a, b, q); math.Float64bits(wantRes.Dist) != math.Float64bits(base) {
 				t.Fatalf("%s %gx%g: %v without the pyramid, %v by the sweep baseline", kind.name, a, b, wantRes.Dist, base)
 			}
-			s, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p})
+			s, err := NewSearcher(ds, a, b, q, Options{Pyramid: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestShapeSpaceSignedZeros(t *testing.T) {
 			a, b := ab[0], ab[1]
 			want := classicSpace(ds, a, b)
 			for _, pyr := range []*Pyramid{p, nil} {
-				s, err := newSearcher(ds, a, b, q, Options{Pyramid: pyr})
+				s, err := NewShapeSearcher(t, ds, a, b, q, Options{Pyramid: pyr})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -192,7 +192,7 @@ func TestShapeSpaceSignedZeros(t *testing.T) {
 			}
 		}
 	}
-	s, err := NewRegionSearcher(&attr.Dataset{Schema: ds.Schema}, 2, 3, q, Options{})
+	s, err := NewSearcher(&attr.Dataset{Schema: ds.Schema}, 2, 3, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 	q := asp.Query{F: f, Target: make([]float64, f.Dims())}
 	const a, b = 5, 7
 	space := func(ds *attr.Dataset, p *Pyramid) geom.Rect {
-		s, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p})
+		s, err := NewSearcher(ds, a, b, q, Options{Pyramid: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,8 +289,8 @@ func TestShapeFactsFoldedEpoch(t *testing.T) {
 }
 
 // TestShapeFactsConcurrent binds eight shapes to one pyramid from eight
-// goroutines at once, three times each, through one SlabCache (run under
-// -race): every searcher binds and holds its shape's asp.Space.
+// goroutines at once, three times each, through the one free list (run
+// under -race): every searcher binds and holds its shape's asp.Space.
 func TestShapeFactsConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	ds, f := pyramidDataset(t, rng, 120, func() float64 { return float64(rng.Intn(7)) }, false)
@@ -305,14 +305,13 @@ func TestShapeFactsConcurrent(t *testing.T) {
 		shapes[i] = [2]float64{0.3 + 0.05*float64(i), 0.7}
 		want[i] = classicSpace(ds, shapes[i][0], shapes[i][1])
 	}
-	slabs := &SlabCache{}
 	var wg sync.WaitGroup
 	for i := range shapes {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
-				s, err := NewRegionSearcher(ds, shapes[i][0], shapes[i][1], q, Options{Pyramid: p, Slabs: slabs})
+				s, err := NewSearcher(ds, shapes[i][0], shapes[i][1], q, Options{Pyramid: p})
 				if err != nil {
 					t.Error(err)
 					return
@@ -327,9 +326,10 @@ func TestShapeFactsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShapeRebind: one SlabCache binds (a1, b1), then (a2, b2), then
-// (a1, b1) again, and every answer is the pyramid-less path's. Each
-// search hands its one slab back to the cache. After an insert and its
+// TestShapeRebind: the free list's one slab binds (a1, b1), then (a2,
+// b2), then (a1, b1) again, and every answer is the pyramid-less path's.
+// Each search hands its one slab back to the list, so every bind reuses
+// the slab the previous shape or epoch released. After an insert and its
 // fold the next binds read the new epoch: every rectangle is the
 // reduction's of the new dataset's object, bit for bit, and names that
 // object.
@@ -344,10 +344,13 @@ func TestShapeRebind(t *testing.T) {
 		target := make([]float64, f.Dims())
 		target[0] = 7
 		q := asp.Query{F: f, Target: target}
-		slabs := &SlabCache{}
+		// One slab serves every bind below: it carries from shape to
+		// shape and across the fold into the next epoch.
+		ResetScratch()
+		var one *slab
 		bind := func(ds *attr.Dataset, p *Pyramid, a, b float64) {
 			t.Helper()
-			s, err := NewRegionSearcher(ds, a, b, q, Options{Pyramid: p, Slabs: slabs})
+			s, err := NewSearcher(ds, a, b, q, Options{Pyramid: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,14 +364,19 @@ func TestShapeRebind(t *testing.T) {
 				}
 			}
 			s.Release()
-			if n := len(slabs.free); n != 1 {
+			if n := len(scratch.slabs); n != 1 {
 				t.Fatalf("%gx%g: %d released slabs, want 1", a, b, n)
+			}
+			if one == nil {
+				one = scratch.slabs[0]
+			} else if scratch.slabs[0] != one {
+				t.Fatalf("%gx%g: the search took a new slab, not the one the last bind released", a, b)
 			}
 			_, want, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, got, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{Pyramid: p, Slabs: slabs})
+			_, got, _, err := SolveASRS(ds, a, b, q, nil, nil, Options{Pyramid: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -421,11 +429,11 @@ func TestBoundSlabRetainsNoMaster(t *testing.T) {
 			}
 			target := make([]float64, f.Dims())
 			target[0] = 7
-			slabs := &SlabCache{}
-			if _, _, _, err := SolveASRS(ds, 6, 5, asp.Query{F: f, Target: target}, nil, nil, Options{Pyramid: p, Slabs: slabs}); err != nil {
+			ResetScratch()
+			if _, _, _, err := SolveASRS(ds, 6, 5, asp.Query{F: f, Target: target}, nil, nil, Options{Pyramid: p}); err != nil {
 				t.Fatal(err)
 			}
-			return slabs.RetainedBytes()
+			return ReleasedBytes()
 		}
 		const n = 4000
 		small, large := retained(n), retained(2*n)

@@ -91,19 +91,17 @@ func TestTerminalSweepRule(t *testing.T) {
 // — a stale tail used to hold on to whole past views (10 MiB of
 // shard-ingest's peak RSS).
 func TestReleasedSlabsLetTheDatasetGo(t *testing.T) {
-	var slabs dssearch.SlabCache
 	collected := make(chan struct{})
 	func() {
 		ds := dataset.Random(400, 40, 31)
 		runtime.SetFinalizer(&ds.Objects[0], func(*attr.Object) { close(collected) })
 		f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
 		q := asp.Query{F: f, Target: []float64{9, 9, 9}}
-		_, _, st, err := dssearch.SolveASRS(ds, 6, 6, q, nil, nil, dssearch.Options{Workers: 1, Slabs: &slabs})
+		_, _, st, err := dssearch.SolveASRS(ds, 6, 6, q, nil, nil, dssearch.Options{Workers: 1})
 		if err != nil || st.MiniSweepRects == 0 {
 			t.Fatalf("no mini-sweep ran (err %v, stats %+v)", err, st)
 		}
 	}()
-	defer runtime.KeepAlive(&slabs)
 	for i := 0; i < 10; i++ {
 		runtime.GC()
 		select {
@@ -112,7 +110,7 @@ func TestReleasedSlabsLetTheDatasetGo(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatal("the slab cache still references the dataset of a closed search")
+	t.Fatal("the free list still references the dataset of a closed search")
 }
 
 // TestCollinearEdgesAreSwept: a cluster clamped to the corner of its

@@ -127,7 +127,7 @@ func TestCellIDsMatchWindowFilter(t *testing.T) {
 			cw, ch := bounds.Width()/float64(sx), bounds.Height()/float64(sy)
 			for _, k := range [][2]float64{{0.3, 0.45}, {1, 1}, {2.5, 0.7}, {7, 3}, {1.5 * float64(sx), 1.2 * float64(sy)}} {
 				a, b := k[0]*cw, k[1]*ch
-				s, err := dssearch.NewRegionSearcher(c.ds, a, b, q, dssearch.Options{Pyramid: pyr})
+				s, err := dssearch.NewRegionSearcher(gridindex.Compile(t, c.ds, q, dssearch.Options{Pyramid: pyr}), a, b, dssearch.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -222,7 +222,7 @@ func FuzzCellIDs(f *testing.F) {
 			t.Fatal(err)
 		}
 		q := asp.Query{F: f, Target: make([]float64, f.Dims())}
-		s, err := dssearch.NewRegionSearcher(ds, a, b, q, dssearch.Options{Pyramid: pyr})
+		s, err := dssearch.NewRegionSearcher(gridindex.Compile(t, ds, q, dssearch.Options{Pyramid: pyr}), a, b, dssearch.Options{})
 		if err != nil {
 			t.Skip()
 		}

@@ -2,6 +2,7 @@ package gridindex
 
 import (
 	"fmt"
+	"testing"
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
@@ -37,9 +38,29 @@ func (x *Index) CellLowerBounds(q asp.Query, a, b float64) []float64 {
 // before any parent's bound is folded in. Columns and rows below 0 are
 // the virtual cells that tile the margin strips.
 func (x *Index) RangeLowerBound(q asp.Query, a, b float64, i0, i1, j0, j1 int) float64 {
-	sc := x.getLBScratch(q)
+	sc := x.getLBScratch()
 	defer x.putLBScratch(sc)
-	return x.rangeLowerBound(a, b, cellRange{i0: int32(i0), i1: int32(i1), j0: int32(j0), j1: int32(j1)}, sc)
+	return x.rangeLowerBound(a, b, cellRange{i0: int32(i0), i1: int32(i1), j0: int32(j0), j1: int32(j1)}, boundOf(q), sc)
+}
+
+// boundOf is q's Equation 1 bound, compiled.
+func boundOf(q asp.Query) *agg.BoundPlan {
+	var p agg.BoundPlan
+	p.Compile(q.F, q.Norm, q.Target, q.W)
+	return &p
+}
+
+// Compile is the plan of a request over ds, as the search driver compiles
+// it: against opt.Pyramid when it was built for ds, else a one-shot one.
+// It is released when the test ends.
+func Compile(tb testing.TB, ds *attr.Dataset, q asp.Query, opt dssearch.Options) *dssearch.Plan {
+	tb.Helper()
+	pl, err := dssearch.Compile(ds, q, opt.Pyramid)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(pl.Release)
+	return pl
 }
 
 // RegionChannels writes into out the channel totals of objects located in
@@ -61,9 +82,16 @@ func Solve(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []ge
 // (dssearch.Searcher.Settle) is an error here, so every test that solves
 // through it fails on one.
 func SolveVisiting(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options, visit func(i, j int)) (asp.Result, Stats, error) {
-	s := Open(idx, ds, q, a, b, opt, 1)
+	pl, err := dssearch.Compile(ds, q, opt.Pyramid)
+	if err != nil {
+		return asp.Result{}, Stats{}, err
+	}
+	defer pl.Release()
+	s := Open(idx, pl, a, b, opt, 1)
 	defer s.Close()
-	s.visit = visit
+	if visit != nil {
+		s.Visit(visit)
+	}
 	res, st, err := s.Solve(exclude)
 	if err == nil {
 		err = SelfChecked(st)
@@ -73,7 +101,15 @@ func SolveVisiting(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, excl
 
 // Visit sets the hook the session's best-first loop calls with every
 // cell it takes, in order.
-func (s *Session) Visit(visit func(i, j int)) { s.visit = visit }
+func (s *Session) Visit(visit func(i, j int)) {
+	s.visit = func(i, j int, _ *dssearch.Searcher) { visit(i, j) }
+}
+
+// VisitSearcher sets the hook the session's best-first loop calls with
+// the searcher of the round, at every cell it takes.
+func (s *Session) VisitSearcher(visit func(*dssearch.Searcher)) {
+	s.visit = func(_, _ int, searcher *dssearch.Searcher) { visit(searcher) }
+}
 
 // Record is a candidate a session holds: the cell (row-major, j*sx+i) or
 // strip (−1 for the first, −2 for the second) and its answer.
@@ -114,10 +150,10 @@ func (x *Index) Cell(p geom.Point) (int, int) { return x.col(p.X), x.row(p.Y) }
 // Strips returns the margin strips a session of an a×b query over the
 // space searches, the left one before the bottom one.
 func (x *Index) Strips(q asp.Query, a, b float64, space geom.Rect) []geom.Rect {
-	sc := x.getLBScratch(q)
+	sc := x.getLBScratch()
 	defer x.putLBScratch(sc)
 	var out []geom.Rect
-	for _, m := range x.strips(nil, space, a, b, sc, &Stats{}) {
+	for _, m := range x.strips(nil, space, a, b, boundOf(q), sc, &Stats{}) {
 		out = append(out, m.rect)
 	}
 	return out

@@ -19,7 +19,12 @@ import (
 // a stable sort of the row-major bounds — with the margin strips placed
 // among them by the same rule, and each cell taken is reported to visit.
 func solveFlat(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude []geom.Rect, opt dssearch.Options, visit func(i, j int)) (asp.Result, error) {
-	searcher, err := dssearch.NewRegionSearcher(ds, a, b, q, opt)
+	pl, err := dssearch.Compile(ds, q, opt.Pyramid)
+	if err != nil {
+		return asp.Result{}, err
+	}
+	defer pl.Release()
+	searcher, err := dssearch.NewRegionSearcher(pl, a, b, opt)
 	if err != nil {
 		return asp.Result{}, err
 	}
@@ -30,10 +35,10 @@ func solveFlat(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, exclude 
 	searcher.SeedBest(asp.Result{Point: emptyP, Dist: q.Distance(emptyRep), Rep: emptyRep})
 	if searcher.Objects() > 0 {
 		forbidden := dssearch.ForbiddenBoxes(exclude, a, b)
-		sc := idx.getLBScratch(q)
+		sc := idx.getLBScratch()
 		defer idx.putLBScratch(sc)
 		var st Stats
-		pending := idx.strips(nil, space, a, b, sc, &st)
+		pending := idx.strips(nil, space, a, b, pl.Bound(), sc, &st)
 		if len(pending) == 2 && pending[1].lb < pending[0].lb {
 			pending[0], pending[1] = pending[1], pending[0]
 		}

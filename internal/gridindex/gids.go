@@ -8,7 +8,6 @@ import (
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
-	"asrs/internal/attr"
 	"asrs/internal/dssearch"
 	"asrs/internal/geom"
 	"asrs/internal/kernel"
@@ -109,8 +108,8 @@ type candidate struct {
 	res   asp.Result
 }
 
-// Session is the GI-DS rounds of one request — one index, dataset, query
-// and size — under exclusions that grow round by round, as a top-k's do.
+// Session is the GI-DS rounds of one request — one index, plan and size —
+// under exclusions that grow round by round, as a top-k's do.
 // Its first round is Algorithm 2 from scratch. A later round resumes from
 // what the one before left instead of starting over, because exclusions
 // only grow: a round's feasible answer points are a subset of the last
@@ -167,8 +166,7 @@ type candidate struct {
 // without Close leaks nothing. It runs on one goroutine.
 type Session struct {
 	idx   *Index
-	ds    *attr.Dataset
-	q     asp.Query
+	plan  *dssearch.Plan
 	a, b  float64
 	opt   dssearch.Options
 	carry bool
@@ -185,21 +183,28 @@ type Session struct {
 	limit   float64 // the record cap U (bound)
 
 	leftLB, bottomLB float64
-	visit            func(i, j int)
+	// visit, when set, is called with every cell the best-first loop
+	// takes and the round's searcher (the tests' window on the loop).
+	visit func(i, j int, searcher *dssearch.Searcher)
 }
 
 // Open opens the GI-DS rounds of an a×b query over the index, which must
-// have been built over ds; rounds is how many the caller may run (what
-// the rounds carry is kept only if a second can follow). The session is
+// have been built over the dataset the plan was compiled over; rounds is
+// how many the caller may run (what the rounds carry is kept only if a
+// second can follow). Every round's searcher reads the plan, and so does
+// every cell bound: the plan must outlive the session. The session is
 // returned by value, so that a caller can hold it without an allocation;
 // it is used through a pointer, and not copied once a round has run.
-func Open(idx *Index, ds *attr.Dataset, q asp.Query, a, b float64, opt dssearch.Options, rounds int) Session {
+func Open(idx *Index, pl *dssearch.Plan, a, b float64, opt dssearch.Options, rounds int) Session {
 	return Session{
-		idx: idx, ds: ds, q: q, a: a, b: b, opt: opt,
+		idx: idx, plan: pl, a: a, b: b, opt: opt,
 		carry:  rounds > 1 && opt.SharedCap == nil,
 		rounds: rounds,
 	}
 }
+
+// Plan returns the plan the session's searchers and cell bounds read.
+func (s *Session) Plan() *dssearch.Plan { return s.plan }
 
 // Close returns the session's scratch to the index's pool; the session
 // must not be used afterwards.
@@ -214,9 +219,9 @@ func (s *Session) Close() {
 // Solve runs one round of GI-DS for the session's a×b query over the
 // index: the best answer whose region overlaps none of exclude, resumed
 // from the round before when exclude extends its list. The searcher is
-// that of the request (dssearch.NewRegionSearcher: the bl-corner
-// bucketing of §5.3 assumes its top-right-corner reduction). opt.Delta > 0
-// selects the approximate variant (app-GIDS).
+// that of the request, on its plan (dssearch.NewRegionSearcher: the
+// bl-corner bucketing of §5.3 assumes its top-right-corner reduction).
+// opt.Delta > 0 selects the approximate variant (app-GIDS).
 //
 // A fresh round's heap starts with one range, the whole grid. Popping a
 // range of more than one cell splits it (split); popping a single cell
@@ -239,13 +244,13 @@ func (s *Session) Close() {
 // stand as they are. A wholly forbidden cell has no piece and is passed
 // over.
 func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
-	idx, q, a, b, opt := s.idx, s.q, s.a, s.b, s.opt
+	idx, q, a, b, opt := s.idx, s.plan.Query(), s.a, s.b, s.opt
 	if idx.f != q.F {
 		return asp.Result{}, Stats{}, fmt.Errorf("gridindex: index was built for a different composite aggregator")
 	}
 	resume := s.resumes(exclude)
 	s.started = false // set again once this round completes
-	searcher, err := dssearch.NewRegionSearcher(s.ds, a, b, q, opt)
+	searcher, err := dssearch.NewRegionSearcher(s.plan, a, b, opt)
 	if err != nil {
 		return asp.Result{}, Stats{}, err
 	}
@@ -261,7 +266,7 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 	if searcher.Objects() > 0 {
 		forbidden := dssearch.ForbiddenBoxes(exclude, a, b)
 		if s.sc == nil {
-			s.sc = idx.getLBScratch(q)
+			s.sc = idx.getLBScratch()
 		}
 		sc := s.sc
 		h := sc.heap
@@ -331,12 +336,12 @@ func (s *Session) Solve(exclude []geom.Rect) (asp.Result, Stats, error) {
 				break
 			}
 			if top.cells() > 1 {
-				stats.Bounded += idx.split(h, top, thresh, s.carry, a, b, sc)
+				stats.Bounded += idx.split(h, top, thresh, s.carry, a, b, s.plan.Bound(), sc)
 				continue
 			}
 			i, j := int(top.i0), int(top.j0)
 			if s.visit != nil {
-				s.visit(i, j)
+				s.visit(i, j, searcher)
 			}
 			pieces = dssearch.AppendPieces(pieces[:0], idx.CellRect(i, j), forbidden)
 			if len(pieces) == 0 {
@@ -393,13 +398,13 @@ func (s *Session) resumes(exclude []geom.Rect) bool {
 // holding the whole grid under its bound (lines 2–4, lazily), no
 // candidates.
 func (s *Session) begin(space geom.Rect, stats *Stats) {
-	idx, sc := s.idx, s.sc
-	s.nm = len(idx.strips(s.margins[:0], space, s.a, s.b, sc, stats))
+	idx, sc, bound := s.idx, s.sc, s.plan.Bound()
+	s.nm = len(idx.strips(s.margins[:0], space, s.a, s.b, bound, sc, stats))
 	s.leftLB, s.bottomLB = stats.LeftMarginLB, stats.BottomMarginLB
 	h := sc.heap
 	h.Reset()
 	whole := cellRange{i1: int32(idx.sx), j1: int32(idx.sy)}
-	whole.lb = idx.rangeLowerBound(s.a, s.b, whole, sc)
+	whole.lb = idx.rangeLowerBound(s.a, s.b, whole, bound, sc)
 	stats.Bounded++
 	h.Push(whole)
 	clear(s.cands)
@@ -414,9 +419,9 @@ func (s *Session) begin(space geom.Rect, stats *Stats) {
 // before the bottom one, each under its bound, and records the bounds in
 // stats. A space that does not reach past the bounds on a side (an extent
 // below one ulp of the coordinates) has no strip there.
-func (x *Index) strips(dst []margin, space geom.Rect, a, b float64, sc *lbScratch, stats *Stats) []margin {
+func (x *Index) strips(dst []margin, space geom.Rect, a, b float64, bound *agg.BoundPlan, sc *lbScratch, stats *Stats) []margin {
 	bounds := x.bounds
-	left, bottom := x.marginBounds(a, b, sc)
+	left, bottom := x.marginBounds(a, b, bound, sc)
 	if r := (geom.Rect{MinX: space.MinX, MinY: space.MinY, MaxX: bounds.MinX, MaxY: space.MaxY}); r.IsValid() && !r.IsEmpty() {
 		dst = append(dst, margin{r, left})
 		stats.LeftMarginLB = left
@@ -652,7 +657,7 @@ func allowed(p geom.Point, forbidden []geom.Rect) bool {
 // how many it bounded. A quarter takes the larger of its own bound and
 // its parent's: both bound every candidate in it, and the bounds the loop
 // pops then never decrease.
-func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, keep bool, a, b float64, sc *lbScratch) int {
+func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, keep bool, a, b float64, bound *agg.BoundPlan, sc *lbScratch) int {
 	im, jm := (r.i0+r.i1)/2, (r.j0+r.j1)/2
 	n := 0
 	for _, rows := range [2][2]int32{{r.j0, jm}, {jm, r.j1}} {
@@ -661,7 +666,7 @@ func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, ke
 				continue
 			}
 			c := cellRange{i0: cols[0], i1: cols[1], j0: rows[0], j1: rows[1]}
-			c.lb = max(x.rangeLowerBound(a, b, c, sc), r.lb)
+			c.lb = max(x.rangeLowerBound(a, b, c, bound, sc), r.lb)
 			n++
 			if keep || c.lb < thresh {
 				h.Push(c)
@@ -673,8 +678,9 @@ func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, ke
 
 // lbScratch bundles the per-query scratch of the cell lower bounds —
 // limb and channel vectors and min/max slots, carved from one slab
-// allocation, and the query's compiled bound — the range heap, and the
-// cells' id lists and the rectangle ids of the piece being searched.
+// allocation — the range heap, and the cells' id lists and the rectangle
+// ids of the piece being searched. It holds no query: a bound reads the
+// request's plan (spanLowerBound).
 // Scratches recycle through the index's pool, so steady-state GI-DS
 // queries reallocate nothing here; a session's range heap is what it
 // carries between rounds.
@@ -682,7 +688,6 @@ type lbScratch struct {
 	fullL, partL []float64 // limbs
 	full, part   []float64 // channels
 	mmMin, mmMax []float64
-	bound        agg.BoundPlan // the query's, compiled by getLBScratch
 
 	heap *kernel.Heap[cellRange]
 	runs [][]int32
@@ -692,9 +697,8 @@ type lbScratch struct {
 
 }
 
-// getLBScratch takes a scratch from the pool, or builds one, and
-// compiles q's bound into it; q must be over the index's composite.
-func (x *Index) getLBScratch(q asp.Query) *lbScratch {
+// getLBScratch takes a scratch from the pool, or builds one.
+func (x *Index) getLBScratch() *lbScratch {
 	sc, ok := x.lbPool.Get().(*lbScratch)
 	if !ok || sc == nil {
 		slab := make([]float64, 2*x.eff+2*x.chans+2*x.mmSlots)
@@ -713,7 +717,6 @@ func (x *Index) getLBScratch(q asp.Query) *lbScratch {
 			heap:  kernel.NewHeap(rangeFirst),
 		}
 	}
-	sc.bound.Compile(q.F, q.Norm, q.Target, q.W)
 	return sc
 }
 
@@ -723,8 +726,8 @@ func (x *Index) putLBScratch(sc *lbScratch) { x.lbPool.Put(sc) }
 // corner lies in any cell of r: bounded region ⊆ every such candidate
 // region ⊆ bounding region, evaluated with Lemma 8 and Equation 1. For a
 // single cell it is that cell's bound.
-func (x *Index) rangeLowerBound(a, b float64, r cellRange, sc *lbScratch) float64 {
-	return x.spanLowerBound(x.colSpan(int(r.i0), int(r.i1), a), x.rowSpan(int(r.j0), int(r.j1), b), sc)
+func (x *Index) rangeLowerBound(a, b float64, r cellRange, bound *agg.BoundPlan, sc *lbScratch) float64 {
+	return x.spanLowerBound(x.colSpan(int(r.i0), int(r.i1), a), x.rowSpan(int(r.j0), int(r.j1), b), bound, sc)
 }
 
 // span holds, along one axis, the §5.3 cell ranges of the candidate
@@ -776,10 +779,10 @@ func axisSpan(origin, w float64, n, i0, i1 int, ext float64) span {
 }
 
 // spanLowerBound is the §5.3 bound of the candidate regions whose bl
-// corner lies in the buckets with these column and row spans, under the
-// query compiled into sc. Ranges may reach outside the grid: there is
-// nothing there, and regionLimbs and RingMinMax clamp.
-func (x *Index) spanLowerBound(cols, rows span, sc *lbScratch) float64 {
+// corner lies in the buckets with these column and row spans, by the
+// request plan's bound, in sc's vectors. Ranges may reach outside the
+// grid: there is nothing there, and regionLimbs and RingMinMax clamp.
+func (x *Index) spanLowerBound(cols, rows span, bound *agg.BoundPlan, sc *lbScratch) float64 {
 	x.regionLimbs(cols.il, cols.ir, rows.il, rows.ir, sc.fullL)
 	x.regionLimbs(cols.ol, cols.or, rows.ol, rows.or, sc.partL)
 	// The partial set is the bounding region minus the bounded one, so
@@ -796,7 +799,7 @@ func (x *Index) spanLowerBound(cols, rows span, sc *lbScratch) float64 {
 		}
 		x.RingMinMax(cols.ol, cols.or, rows.ol, rows.or, cols.il, cols.ir, rows.il, rows.ir, sc.mmMin, sc.mmMax)
 	}
-	return sc.bound.Bound(full, part, sc.mmMin, sc.mmMax)
+	return bound.Bound(full, part, sc.mmMin, sc.mmMax)
 }
 
 // marginBounds lower-bounds the two margin strips of an a×b query: the
@@ -817,7 +820,7 @@ func (x *Index) spanLowerBound(cols, rows span, sc *lbScratch) float64 {
 // inside range is emptied, which every region further left satisfies (the
 // bounding range is governed by the bucket's near edge and stands).
 // Without the cap the formula's own range is empty there. Rows likewise.
-func (x *Index) marginBounds(a, b float64, sc *lbScratch) (left, bottom float64) {
+func (x *Index) marginBounds(a, b float64, bound *agg.BoundPlan, sc *lbScratch) (left, bottom float64) {
 	nx := int(math.Min(math.Ceil(a/x.cw), float64(x.sx)))
 	ny := int(math.Min(math.Ceil(b/x.chh), float64(x.sy)))
 	left, bottom = math.Inf(1), math.Inf(1)
@@ -831,11 +834,11 @@ func (x *Index) marginBounds(a, b float64, sc *lbScratch) (left, bottom float64)
 			if i == -nx {
 				cols.ir = cols.il
 			}
-			left = math.Min(left, x.spanLowerBound(cols, rows, sc))
+			left = math.Min(left, x.spanLowerBound(cols, rows, bound, sc))
 		}
 		if j < 0 {
 			for i := 0; i < x.sx; i++ {
-				bottom = math.Min(bottom, x.spanLowerBound(x.colSpan(i, i+1, a), rows, sc))
+				bottom = math.Min(bottom, x.spanLowerBound(x.colSpan(i, i+1, a), rows, bound, sc))
 			}
 		}
 	}

@@ -161,7 +161,7 @@ func TestResumedRoundsMatchRestarted(t *testing.T) {
 						own = append(own, *c.also)
 					}
 					tag := fmt.Sprintf("δ=%v/%s", delta, caller.name)
-					s := gridindex.Open(idx, ds, q, a, b, dssearch.Options{Delta: delta}, k+1)
+					s := gridindex.Open(idx, gridindex.Compile(t, ds, q, dssearch.Options{}), a, b, dssearch.Options{Delta: delta}, k+1)
 					excl := own
 					check := func(round int, excl []geom.Rect) asp.Result {
 						// A resumed round holds the candidates the last one
@@ -302,7 +302,7 @@ func TestResumedRoundCancelled(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := &switchCtx{Context: context.Background()}
-			s := gridindex.Open(idx, ds, q, a, b, dssearch.Options{Ctx: ctx}, 3)
+			s := gridindex.Open(idx, gridindex.Compile(t, ds, q, dssearch.Options{}), a, b, dssearch.Options{Ctx: ctx}, 3)
 			defer s.Close()
 			first, _, err := s.Solve(nil)
 			if err != nil {

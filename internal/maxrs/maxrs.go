@@ -186,7 +186,13 @@ func DS(points []Point, a, b float64, opt dssearch.Options) (Result, dssearch.St
 		}
 	}
 	q := asp.Query{F: f, Target: []float64{posSum + 1}}
-	req, err := dssearch.Open(ds, a, b, q, nil, opt)
+	// The dataset is this call's own: no pyramid can match it.
+	pl, err := dssearch.Compile(ds, q, nil)
+	if err != nil {
+		return Result{}, dssearch.Stats{}, err
+	}
+	defer pl.Release()
+	req, err := dssearch.Open(pl, a, b, nil, opt)
 	if err != nil {
 		return Result{}, dssearch.Stats{}, err
 	}

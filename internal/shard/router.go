@@ -51,7 +51,7 @@ type Request struct {
 	// Policy is the partial-result policy (default Strict).
 	Policy PartialPolicy
 	// Options overrides the per-sub-search options (workers, delta, …).
-	// Pyramid and Slabs bindings are discarded: each shard binds its own.
+	// A Pyramid binding is discarded: each shard binds its own.
 	Options *asrs.Options
 }
 
@@ -133,9 +133,6 @@ type Router struct {
 	cat *Catalog
 	opt RouterOptions
 
-	mu    sync.Mutex
-	slabs map[*asrs.Composite]*dssearch.SlabCache // band searches' scratch
-
 	// How band corpora were read (bandCorpus): pyramids joined with the
 	// shards' rows copied, joined with their cores built, and bands left
 	// unsearched for a shard the round could not read.
@@ -154,7 +151,7 @@ func NewRouter(cat *Catalog, opt RouterOptions) *Router {
 		cfg.Seed = cfg.Seed + int64(i)*7919
 		sh.breaker = NewBreaker(cfg)
 	}
-	return &Router{cat: cat, opt: opt, slabs: make(map[*asrs.Composite]*dssearch.SlabCache)}
+	return &Router{cat: cat, opt: opt}
 }
 
 // Catalog returns the routed catalog.
@@ -208,8 +205,8 @@ func (r *Router) Query(ctx context.Context, req Request) Response {
 
 // Answer answers one request in the library's own form under a partial
 // policy ("" selects Strict). Within is the routing key; nil means the
-// whole corpus (see Request.Extent). Pyramid and Slabs bindings of the
-// request's Options are discarded: each shard binds its own.
+// whole corpus (see Request.Extent). A Pyramid binding of the request's
+// Options is discarded: each shard binds its own.
 func (r *Router) Answer(ctx context.Context, req asrs.QueryRequest, pol PartialPolicy) Response {
 	if req.Ctx != nil {
 		ctx = req.Ctx
@@ -273,33 +270,16 @@ func (r *Router) defaultExtent(f *asrs.Composite, a, b float64) asrs.Rect {
 
 // subOptions resolves the search options a pinned sub-search runs with:
 // the request's override or the catalog's engine template, stripped of
-// any cross-corpus bindings (each shard binds its own pyramid and slab
-// cache; a band search binds its joined pyramid and the router's slab
-// cache), with the shared cap installed.
+// the cross-corpus pyramid binding (each shard binds its own; a band
+// search binds its joined pyramid), with the shared cap installed.
 func (r *Router) subOptions(req asrs.QueryRequest, cap *kernel.ExtCap) asrs.Options {
 	opt := r.cat.cfg.Engine.Search
 	if req.Options != nil {
 		opt = *req.Options
 	}
 	opt.Pyramid = nil
-	opt.Slabs = nil
 	opt.SharedCap = cap
 	return opt
-}
-
-// bandSlabs returns the router's slab cache for band searches on the
-// composite, so they recycle their grid, sweep solver, scratch buffers
-// and id slices across queries as a shard engine's searches do. A band
-// search reads the pyramid its corpus was joined with (bandCorpus).
-func (r *Router) bandSlabs(f *asrs.Composite) *dssearch.SlabCache {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sc, ok := r.slabs[f]
-	if !ok {
-		sc = &dssearch.SlabCache{}
-		r.slabs[f] = sc
-	}
-	return sc
 }
 
 // budgetCtx carves one sub-search's deadline from the request's
@@ -610,7 +590,7 @@ func (r *Router) scatter(ctx context.Context, tasks []subTask, req asrs.QueryReq
 						return err
 					}
 				}
-				sub.Options.Pyramid, sub.Options.Slabs = t.pyr, r.bandSlabs(req.Query.F)
+				sub.Options.Pyramid = t.pyr
 				bctx, cancel := r.budgetCtx(ctx)
 				defer cancel()
 				sub.Ctx = bctx

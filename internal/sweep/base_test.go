@@ -188,8 +188,8 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 					return s
 				}
 				unfolded, folded := newSolver(), newSolver()
-				bindObjects(unfolded, limbs, all, nil)
-				bindObjects(folded, limbs, edged, base)
+				bindObjects(unfolded, q, limbs, all, nil)
+				bindObjects(folded, q, limbs, edged, base)
 				label := comp.name + "/" + m.name
 				want, wok := unfolded.SolveWithin(space)
 				if !wok {
@@ -211,7 +211,7 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 					}
 				}
 				// A rebind without a base drops it.
-				bindObjects(folded, limbs, all, nil)
+				bindObjects(folded, q, limbs, all, nil)
 				got, gok := folded.SolveWithin(space)
 				expectSame(t, label+"/rebound", want, got, wok, gok)
 			}

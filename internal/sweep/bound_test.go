@@ -71,20 +71,6 @@ func boundFixture(rng *rand.Rand, space geom.Rect, n int) []asp.RectObject {
 	return rects
 }
 
-// repAt is the representation of the rectangles whose open interior
-// holds p: the point's covering set.
-func repAt(f *agg.Composite, rects []asp.RectObject, p geom.Point) []float64 {
-	acc := agg.NewAccumulator(f)
-	for _, r := range rects {
-		if r.Rect.ContainsOpen(p) {
-			acc.Add(r.Obj)
-		}
-	}
-	rep := make([]float64, f.Dims())
-	acc.Representation(rep)
-	return rep
-}
-
 // expectSameBits fails unless two results have the same distance and
 // point, bit for bit, and the same representation.
 func expectSameBits(t *testing.T, label string, want, got asp.Result, wok, gok bool) {
@@ -132,7 +118,7 @@ func TestStripBoundBitIdentical(t *testing.T) {
 		probe := func() geom.Point {
 			return geom.Point{X: space.MinX + rng.Float64()*space.Width(), Y: space.MinY + rng.Float64()*space.Height()}
 		}
-		target := repAt(f, all, probe())
+		target := asp.PointRepresentation(all, f, probe())
 		w := make([]float64, len(target))
 		for d := range target {
 			target[d] += float64(rng.Intn(3)-1) * 0.5
@@ -144,14 +130,14 @@ func TestStripBoundBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bindObjects(classic, limbs, all, nil)
+		bindObjects(classic, q, limbs, all, nil)
 		opt, ok := classic.SolveWithin(space)
 		if !ok {
 			t.Fatal("classic sweep found nothing")
 		}
 		worst := opt.Dist
 		for i := 0; i < 20; i++ {
-			worst = math.Max(worst, q.Distance(repAt(f, all, probe())))
+			worst = math.Max(worst, q.Distance(asp.PointRepresentation(all, f, probe())))
 		}
 		caps := []float64{math.Inf(1), opt.Dist + (worst-opt.Dist)/2, opt.Dist}
 		for _, mc := range stripModeCases {
@@ -161,7 +147,7 @@ func TestStripBoundBitIdentical(t *testing.T) {
 			}
 			s.setIncremental(true)
 			mc.prep(s)
-			bindObjects(s, limbs, edged, base)
+			bindObjects(s, q, limbs, edged, base)
 			for ci, c := range caps {
 				want, wok := classic.SolveWithinCapped(space, c)
 				before := s.Stats.PrunedStrips

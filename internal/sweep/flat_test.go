@@ -301,16 +301,13 @@ func TestStripPoolModes(t *testing.T) {
 	want, wok := classic.SolveWithin(space)
 	want2, wok2 := classic2.SolveWithin(space2)
 	for _, mc := range stripModeCases {
-		s, err := NewSized(q, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := NewSized(512)
 		mc.prep(s)
-		bindObjects(s, limbs, rects, nil)
+		bindObjects(s, q, limbs, rects, nil)
 		got, gok := s.SolveWithin(space)
 		expectSame(t, "pool/"+mc.name, want, got, wok, gok)
 		// Rebind to a different set: scratch reuse must not leak state.
-		bindObjects(s, limbs, rects2, nil)
+		bindObjects(s, q, limbs, rects2, nil)
 		got2, gok2 := s.SolveWithin(space2)
 		expectSame(t, "pool-rebind/"+mc.name, want2, got2, wok2, gok2)
 	}
@@ -328,13 +325,20 @@ func rowsOf(f *agg.Composite, l *agg.Limbs, rects []asp.RectObject) (Rows, []geo
 	return FlattenRows(rects, f, l), geo, ids
 }
 
-// bindObjects binds s to rects over base, summing in the limbs l: their
-// rows flattened in l into a table of their own, as New flattens its
-// objects.
-func bindObjects(s *Solver, l *agg.Limbs, rects []asp.RectObject, base []float64) {
-	tab, geo, ids := rowsOf(s.query.F, l, rects)
-	s.Bind(l, tab)
+// bindObjects binds s to rects over base and to q, summing in the limbs
+// l: their rows flattened in l into a table of their own, as New flattens
+// its objects, and q compiled against l.
+func bindObjects(s *Solver, q asp.Query, l *agg.Limbs, rects []asp.RectObject, base []float64) {
+	tab, geo, ids := rowsOf(q.F, l, rects)
+	s.Bind(l, tab, planOf(q, l))
 	s.Rebind(geo, ids, base)
+}
+
+// planOf is q compiled against the limbs l.
+func planOf(q asp.Query, l *agg.Limbs) *agg.Plan {
+	var p agg.Plan
+	p.Compile(q.F, l, q.Norm, q.Target, q.W)
+	return &p
 }
 
 func limbsOver(t *testing.T, f *agg.Composite, sets ...[]asp.RectObject) *agg.Limbs {

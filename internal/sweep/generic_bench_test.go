@@ -56,11 +56,10 @@ func BenchmarkSweepGeneric(b *testing.B) {
 	}
 	var limbs agg.Limbs
 	limbs.Certify(q.F.Channels(), cbs)
-	s, err := sweep.NewSized(q, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Bind(&limbs, sweep.FlattenRows(sub, q.F, &limbs))
+	var plan agg.Plan
+	plan.Compile(q.F, &limbs, q.Norm, q.Target, q.W)
+	s := sweep.NewSized(0)
+	s.Bind(&limbs, sweep.FlattenRows(sub, q.F, &limbs), &plan)
 	geo, ids := make([]geom.Rect, len(sub)), make([]int32, len(sub))
 	for i := range sub {
 		geo[i], ids[i] = sub[i].Rect, int32(i)

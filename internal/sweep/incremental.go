@@ -233,7 +233,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		inc.addStart[i] = 0
 		inc.remStart[i] = 0
 	}
-	mmSlots := s.query.F.MinMaxSlots()
+	mmSlots := s.plan.Bound.MinMaxSlots()
 	inc.boundScratch(s.limbs.Eff(), len(s.limbs.Lo), mmSlots)
 	for i := range s.rects {
 		r := &s.rects[i]
@@ -287,7 +287,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	// to its column (-1: read by the strip bound alone). When the columns
 	// are the limbs, as on a composite of one-limb Distributions, a limb
 	// is its own column and no contribution is looked up.
-	score := &s.score
+	score := &s.plan.Score
 	cols, colOf, ident := score.Columns(), score.ColumnOf(), score.Identity()
 	// A limb value is carried as a count of its grid 2^-s: exact under
 	// the limbs' certificate (a power-of-two product of a value on the
@@ -508,7 +508,7 @@ func (s *Solver) stripOutOfReach(bnd float64) bool {
 	inc := &s.inc
 	full := s.limbs.Fold(inc.foldFull, inc.full)
 	part := s.limbs.Fold(inc.foldPt, inc.part)
-	_, under := s.bound.Under(full, part, inc.mmMin, inc.mmMax, bnd)
+	_, under := s.plan.Bound.Under(full, part, inc.mmMin, inc.mmMax, bnd)
 	return !under
 }
 

@@ -171,11 +171,8 @@ func TestIncrementalSweepSteadyStateAllocs(t *testing.T) {
 		// set a search sweeps.
 		limbs := limbsOver(t, q.F, rects, rects2)
 		tab, geo, ids := rowsOf(q.F, limbs, append(slices.Clone(rects), rects2...))
-		s, err := NewSized(q, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Bind(limbs, tab)
+		s := NewSized(512)
+		s.Bind(limbs, tab, planOf(q, limbs))
 		mc.prep(s)
 		sets := [][2]int{{0, len(rects)}, {len(rects), len(geo)}}
 		i := 0

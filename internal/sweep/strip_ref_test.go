@@ -13,16 +13,16 @@ import (
 	"asrs/internal/geom"
 )
 
-// This file keeps the classic strip in the form it had before its
-// contributions were flattened — every crossing hands the rectangle's
-// object to Accumulator.Add/Remove, which evaluates the composite's
-// selectors anew — as the oracle scanStrip is held to bit for bit
-// (TestScanStripFlatMatchesAccumulator).
+// This file keeps the classic strip walk in a form that reads nothing
+// flattened — every interval's covering set is summed afresh at its point
+// (asp.PointRepresentation), evaluating the composite's selectors over
+// the rectangles' objects — as the oracle scanStrip is held to bit for
+// bit (TestScanStripFlatMatchesAccumulator).
 
-// refSolveWithin is SolveWithin's classic strip loop over refScanStrip,
-// reading the bound rectangles' objects from objs (objs[i] is bound
-// rectangle i).
-func (s *Solver) refSolveWithin(objs []asp.RectObject, space geom.Rect) (asp.Result, bool) {
+// refSolveWithin is SolveWithin's classic strip loop over refScanStrip
+// for the query q the solver is bound to, reading the bound rectangles'
+// objects from objs (objs[i] is bound rectangle i).
+func (s *Solver) refSolveWithin(q asp.Query, objs []asp.RectObject, space geom.Rect) (asp.Result, bool) {
 	ys := []float64{space.MinY, space.MaxY}
 	for _, r := range s.rects {
 		if r.MinY > space.MinY && r.MinY < space.MaxY {
@@ -36,30 +36,30 @@ func (s *Solver) refSolveWithin(objs []asp.RectObject, space geom.Rect) (asp.Res
 	ys = dedup(ys)
 	best := asp.Result{Dist: math.Inf(1)}
 	found := false
-	acc := agg.NewAccumulator(s.query.F)
-	rep := make([]float64, s.query.F.Dims())
 	for si := 0; si+1 < len(ys); si++ {
 		if ys[si+1] <= ys[si] {
 			continue
 		}
-		if s.refScanStrip(objs, (ys[si]+ys[si+1])/2, space, acc, rep, &best) {
+		if s.refScanStrip(q, objs, (ys[si]+ys[si+1])/2, space, &best) {
 			found = true
 		}
 	}
 	if space.MinY == space.MaxY {
-		if s.refScanStrip(objs, space.MinY, space, acc, rep, &best) {
+		if s.refScanStrip(q, objs, space.MinY, space, &best) {
 			found = true
 		}
 	}
 	return best, found
 }
 
-// refScanStrip is the strip walk over the object accumulator.
-func (s *Solver) refScanStrip(objs []asp.RectObject, ym float64, space geom.Rect, acc *agg.Accumulator, rep []float64, best *asp.Result) bool {
-	acc.Reset()
-	active := func(i int) bool {
-		r := s.rects[i]
-		return r.MinY < ym && ym < r.MaxY
+// refScanStrip is the strip walk, each interval scored at its point from
+// the objects covering it.
+func (s *Solver) refScanStrip(q asp.Query, objs []asp.RectObject, ym float64, space geom.Rect, best *asp.Result) bool {
+	var strip []asp.RectObject // the objects active in the strip
+	for _, o := range objs {
+		if o.Rect.MinY < ym && ym < o.Rect.MaxY {
+			strip = append(strip, o)
+		}
 	}
 	found := false
 	ins, outs := s.byMinX, s.byMaxX
@@ -75,12 +75,12 @@ func (s *Solver) refScanStrip(objs []asp.RectObject, ym float64, space geom.Rect
 		if l != r {
 			xm = (l + r) / 2
 		}
-		acc.Representation(rep)
+		rep := asp.PointRepresentation(strip, q.F, geom.Point{X: xm, Y: ym})
 		bnd := best.Dist
 		if s.evalCap < bnd {
 			bnd = s.evalCap
 		}
-		if d, ok := agg.DistanceUnder(s.query.Norm, rep, s.query.Target, s.query.W, bnd); ok {
+		if d, ok := agg.DistanceUnder(q.Norm, rep, q.Target, q.W, bnd); ok {
 			best.Dist = d
 			best.Point = geom.Point{X: xm, Y: ym}
 			best.Rep = append(best.Rep[:0], rep...)
@@ -88,12 +88,6 @@ func (s *Solver) refScanStrip(objs []asp.RectObject, ym float64, space geom.Rect
 		found = true
 	}
 	if space.MinX == space.MaxX {
-		for _, i := range ins {
-			r := s.rects[i]
-			if r.MinX < space.MinX && space.MinX < r.MaxX && active(i) {
-				acc.Add(objs[i].Obj)
-			}
-		}
 		evaluate(space.MaxX)
 		return found
 	}
@@ -123,14 +117,8 @@ func (s *Solver) refScanStrip(objs []asp.RectObject, ym float64, space geom.Rect
 			break
 		}
 		if takeIn {
-			if active(ins[ii]) {
-				acc.Add(objs[ins[ii]].Obj)
-			}
 			ii++
 		} else {
-			if active(outs[oi]) {
-				acc.Remove(objs[outs[oi]].Obj)
-			}
 			oi++
 		}
 	}
@@ -141,13 +129,13 @@ func (s *Solver) refScanStrip(objs []asp.RectObject, ym float64, space geom.Rect
 }
 
 // TestScanStripFlatMatchesAccumulator: the classic sweep over flattened
-// limb contributions returns the object-accumulator sweep's answer —
-// distance, point, representation — bit for bit, on a composite of
-// dyadic values (one limb a channel, so the accumulator's float sums are
-// exact too) whose selectors reject part of the objects, over whole,
-// random, zero-width and zero-height spaces, with and without an
-// evaluation cap, through one solver rebound from trial to trial (a stale
-// table would answer for the previous rectangles).
+// limb contributions returns the answer of the walk that sums each
+// interval's covering objects afresh — distance, point, representation —
+// bit for bit, on a composite of dyadic values whose selectors reject
+// part of the objects, over whole, random, zero-width and zero-height
+// spaces, with and without an evaluation cap, through one solver rebound
+// from trial to trial (a stale table would answer for the previous
+// rectangles).
 func TestScanStripFlatMatchesAccumulator(t *testing.T) {
 	schema, err := attr.NewSchema(
 		attr.Attribute{Name: "rating", Kind: attr.Numeric},
@@ -185,8 +173,7 @@ func TestScanStripFlatMatchesAccumulator(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			s.query = q
-			bindObjects(s, limbsOver(t, f, rects), rects, nil)
+			bindObjects(s, q, limbsOver(t, f, rects), rects, nil)
 		}
 		x, y := float64(rng.Intn(20))*5, float64(rng.Intn(20))*5
 		spaces := []geom.Rect{
@@ -199,7 +186,7 @@ func TestScanStripFlatMatchesAccumulator(t *testing.T) {
 		for si, space := range spaces {
 			for _, capDist := range []float64{math.Inf(1), 3} {
 				s.evalCap = capDist
-				want, wok := s.refSolveWithin(rects, space)
+				want, wok := s.refSolveWithin(q, rects, space)
 				got, gok := s.SolveWithin(space)
 				s.evalCap = math.Inf(1)
 				expectSame(t, fmt.Sprintf("trial %d space %d cap %v", trial, si, capDist), want, got, wok, gok)
@@ -238,6 +225,67 @@ func TestRebindOrderMatchesSortSlice(t *testing.T) {
 			if s.byMinX[i] != byMinX[i] || s.byMaxX[i] != byMaxX[i] {
 				t.Fatalf("trial %d (n=%d): position %d holds rects %d/%d, sort.Slice put %d/%d there", trial, n, i, s.byMinX[i], s.byMaxX[i], byMinX[i], byMaxX[i])
 			}
+		}
+	}
+}
+
+// TestSolveOnBoundSolver: Solve on a solver that NewSized built and Bind
+// gave its plan — no query of its own — answers what New's solver does,
+// bit for bit, the empty covering set included: targets of 0 make it the
+// answer (an empty Average scores 0), and an instance with no rectangles
+// has no other.
+func TestSolveOnBoundSolver(t *testing.T) {
+	schema, err := attr.NewSchema(
+		attr.Attribute{Name: "rating", Kind: attr.Numeric},
+		attr.Attribute{Name: "visits", Kind: attr.Numeric},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := agg.New(schema,
+		agg.Spec{Kind: agg.Sum, Attr: "visits"},
+		agg.Spec{Kind: agg.Average, Attr: "rating"},
+		agg.Spec{Kind: agg.Count},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(60)
+		if trial%5 == 0 { // under both norms, with and without a zero target
+			n = 0
+		}
+		objs := make([]attr.Object, n)
+		rects := make([]asp.RectObject, n)
+		for i := range rects {
+			x, y := rng.Float64()*50, rng.Float64()*50
+			objs[i] = attr.Object{Loc: geom.Point{X: x, Y: y}, Values: []attr.Value{{Num: float64(rng.Intn(41)) * 0.25}, {Num: float64(rng.Intn(200))}}}
+			rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - 6, MinY: y - 4, MaxX: x, MaxY: y}, Obj: &objs[i]}
+		}
+		target := []float64{0, 0, 0}
+		if trial%2 == 1 {
+			target = []float64{100 * rng.Float64(), 5 * rng.Float64(), float64(rng.Intn(4))}
+		}
+		q := asp.Query{F: f, Target: target, Norm: agg.Norm(trial / 2 % 2)}
+		s, err := New(rects, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.Solve()
+		if n == 0 {
+			// The empty set's representation, finalized from zero channels.
+			rep := make([]float64, f.Dims())
+			f.FinalizeExact(make([]float64, f.Channels()), rep)
+			if d := q.Distance(rep); math.Float64bits(d) != math.Float64bits(want.Dist) {
+				t.Fatalf("trial %d: the empty set scores %v, its finalized representation %v", trial, want.Dist, d)
+			}
+		}
+		for _, incrCap := range []int{0, 1 << 20} {
+			b := NewSized(incrCap)
+			bindObjects(b, q, limbsOver(t, f, rects), rects, nil)
+			got := b.Solve()
+			expectSameBits(t, fmt.Sprintf("trial %d (n=%d) incrCap %d", trial, n, incrCap), want, got, true, true)
 		}
 	}
 }

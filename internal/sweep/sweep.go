@@ -52,16 +52,19 @@ type Solver struct {
 	rects []geom.Rect
 	rows  []int32
 	tab   Rows
-	query asp.Query
 	// base is the limb vector of a set that covers every candidate of the
 	// spaces about to be solved (Rebind); nil means none.
 	base []float64
 
-	// limbs is the layout channels are summed in (agg.Limbs), the one the
-	// table's rows are split in; a solver built by New sums in its own,
-	// own.
-	limbs *agg.Limbs
-	own   agg.Limbs
+	// limbs is the layout channels are summed in, the one the table's rows
+	// are split in, and plan the query compiled against it: its bound is
+	// the strip bound (stripOutOfReach), its score what every interval —
+	// and the empty covering set — is scored by. Both are the caller's
+	// (Bind); a solver built by New reads its own.
+	limbs   *agg.Limbs
+	plan    *agg.Plan
+	own     agg.Limbs
+	ownPlan agg.Plan
 
 	byMinX []int // rect indices sorted by Rect.MinX
 	byMaxX []int // rect indices sorted by Rect.MaxX
@@ -73,12 +76,6 @@ type Solver struct {
 	ys  []float64
 	acc []float64 // a strip's limb totals
 	rep []float64
-	// bound is the query's Equation 1 bound, compiled (the strip bound,
-	// stripOutOfReach); score is its Equation 1 distance, compiled against
-	// the bound limbs (every scored interval). SetQuery and Bind recompile
-	// them in place.
-	bound agg.BoundPlan
-	score agg.ScorePlan
 
 	// incremental selects the delta sweep for large inputs (see
 	// incremental.go); inc is its reusable scratch, and incrCap bounds the
@@ -112,12 +109,7 @@ func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Solver{
-		query:   q,
-		rep:     make([]float64, q.F.Dims()),
-		evalCap: math.Inf(1),
-	}
-	s.bound.Compile(q.F, q.Norm, q.Target, q.W)
+	s := &Solver{evalCap: math.Inf(1)}
 	var raw []agg.Contrib
 	for i := range rects {
 		raw = q.F.AppendContribs(rects[i].Obj, raw)
@@ -125,7 +117,8 @@ func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 	if err := s.own.Certify(q.F.Channels(), raw); err != nil {
 		return nil, err
 	}
-	s.Bind(&s.own, FlattenRows(rects, q.F, &s.own))
+	s.ownPlan.Compile(q.F, &s.own, q.Norm, q.Target, q.W)
+	s.Bind(&s.own, FlattenRows(rects, q.F, &s.own), &s.ownPlan)
 	geo, ids := make([]geom.Rect, len(rects)), make([]int32, len(rects))
 	for i := range rects {
 		geo[i], ids[i] = rects[i].Rect, int32(i)
@@ -167,19 +160,14 @@ func FlattenRows(rects []asp.RectObject, f *agg.Composite, l *agg.Limbs) Rows {
 	return t
 }
 
-// NewSized returns an unbound solver for the query, whose sorted edges
-// and strips are pre-sized for 2048 rectangles. The incremental sweep
-// engages for inputs up to incrCap rectangles (none for 0); its scratch
-// grows with the sweeps it runs, doubling, and is kept. It must be Bind-
-// and Rebind-ed before use.
-func NewSized(q asp.Query, incrCap int) (*Solver, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
+// NewSized returns an unbound solver whose sorted edges and strips are
+// pre-sized for 2048 rectangles. The incremental sweep engages for inputs
+// up to incrCap rectangles (none for 0); its scratch grows with the
+// sweeps it runs, doubling, and is kept. It must be Bind- and Rebind-ed
+// before use.
+func NewSized(incrCap int) *Solver {
 	const presort = 2048
-	s := &Solver{
-		query:       q,
-		rep:         make([]float64, q.F.Dims()),
+	return &Solver{
 		byMinX:      make([]int, 0, presort),
 		byMaxX:      make([]int, 0, presort),
 		ys:          make([]float64, 0, presort),
@@ -187,58 +175,27 @@ func NewSized(q asp.Query, incrCap int) (*Solver, error) {
 		incremental: incrCap > 0,
 		incrCap:     incrCap,
 	}
-	s.bound.Compile(q.F, q.Norm, q.Target, q.W)
-	return s, nil
 }
 
-// SetQuery rebinds the solver to a new query that shares the current
-// query's composite aggregator (same channel layout, so the accumulator
-// and every pre-sized scratch slab stay valid) and reports whether it
-// did. A query over a different composite returns false and leaves the
-// solver untouched — the caller must rebuild. This is what lets a slab
-// cache recycle a solver across the queries on one composite: per-query
-// state is just the target/weights/norm, and the bound compiled from
-// them, recompiled into its own storage.
-func (s *Solver) SetQuery(q asp.Query) bool {
-	if q.F != s.query.F {
-		return false
-	}
-	s.query = q
-	s.bound.Compile(q.F, q.Norm, q.Target, q.W)
-	s.compileScore()
-	return true
-}
-
-// Bind installs the limbs channels are summed in and the table of rows
-// the bound rectangles read, sizing the strip accumulator to the limbs and
-// compiling the query's score against them. The rows must be split in l,
-// and l must certify every set the solver is bound to — a caller's limbs
-// over a superset do. Both are retained: they must not change while the
-// solver is in use. An empty layout detaches the solver (a cached slab's);
-// it must be bound again before use.
-func (s *Solver) Bind(l *agg.Limbs, tab Rows) {
-	s.limbs, s.tab = l, tab
-	eff := l.Eff()
-	if cap(s.acc) < eff {
-		s.acc = make([]float64, eff)
-	}
-	s.acc = s.acc[:eff]
-	s.compileScore()
-}
-
-// compileScore compiles the query's score against the bound limbs, when
-// the solver is bound to a layout of the composite's channels.
-func (s *Solver) compileScore() {
-	if s.limbs != nil && len(s.limbs.Lo) == s.query.F.Channels() {
-		s.score.Compile(s.query.F, s.limbs, s.query.Norm, s.query.Target, s.query.W)
+// Bind installs the limbs channels are summed in, the table of rows the
+// bound rectangles read and the query compiled against those limbs (p),
+// sizing the strip accumulator to the limbs and the representation to
+// the query. The rows must be split in l, and l must certify every set
+// the solver is bound to — a caller's limbs over a superset do. All three
+// are retained and only read: they must not change while the solver is
+// in use. A nil plan detaches the solver (a released slab's); it must be
+// bound again before use.
+func (s *Solver) Bind(l *agg.Limbs, tab Rows, p *agg.Plan) {
+	s.limbs, s.tab, s.plan = l, tab, p
+	s.acc = resize(s.acc, l.Eff())
+	if p != nil {
+		s.rep = resize(s.rep, p.Score.Dims())
 	}
 }
 
-// Score returns the query's compiled score over the bound limbs: what
-// every walk scores an interval by, and what a caller summing cells in
-// the same limbs may score them by. It is the solver's, recompiled in
-// place by SetQuery and Bind.
-func (s *Solver) Score() *agg.ScorePlan { return &s.score }
+// Plan returns the plan the solver is bound to: the one it scores
+// intervals and bounds strips by.
+func (s *Solver) Plan() *agg.Plan { return s.plan }
 
 // Rebind points the solver at a new rectangle set, reusing all scratch
 // (sorted-edge orders, strip buffers, accumulator): rectangle i is
@@ -261,8 +218,8 @@ func (s *Solver) Score() *agg.ScorePlan { return &s.score }
 func (s *Solver) Rebind(rects []geom.Rect, rows []int32, base []float64) {
 	s.rects, s.rows = rects, rows
 	s.base = base
-	s.byMinX = resizeInts(s.byMinX, len(rects))
-	s.byMaxX = resizeInts(s.byMaxX, len(rects))
+	s.byMinX = resize(s.byMinX, len(rects))
+	s.byMaxX = resize(s.byMaxX, len(rects))
 	for i := range rects {
 		s.byMinX[i] = i
 		s.byMaxX[i] = i
@@ -298,12 +255,12 @@ func (s *Solver) mms(i int) []agg.MMContrib {
 	return s.tab.MM[s.tab.MOff[r]:s.tab.MOff[r+1]]
 }
 
-// resizeInts returns a slice of length n, reusing capacity when possible.
-func resizeInts(v []int, n int) []int {
+// resize returns a slice of length n, reusing capacity when possible.
+func resize[T any](v []T, n int) []T {
 	if cap(v) >= n {
 		return v[:n]
 	}
-	return make([]int, n)
+	return make([]T, n)
 }
 
 // Solve finds the minimum-distance point over the whole plane, including
@@ -324,12 +281,12 @@ func (s *Solver) Solve() asp.Result {
 	return best
 }
 
-// emptyResult evaluates the empty covering set at a point outside space.
+// emptyResult scores the empty covering set — a zero limb vector — at a
+// point outside space.
 func (s *Solver) emptyResult(space geom.Rect) asp.Result {
-	p := asp.EmptyCandidate(space)
-	rep := make([]float64, s.query.F.Dims())
-	s.query.F.FinalizeExact(make([]float64, s.query.F.Channels()), rep)
-	return asp.Result{Point: p, Dist: s.query.Distance(rep), Rep: rep}
+	rep := make([]float64, s.plan.Score.Dims())
+	d := s.plan.Score.Distance(make([]float64, s.limbs.Eff()), rep)
+	return asp.Result{Point: asp.EmptyCandidate(space), Dist: d, Rep: rep}
 }
 
 // SolveWithinCapped is SolveWithin with a caller-side relevance cap:
@@ -458,7 +415,7 @@ func (s *Solver) scanStrip(ym float64, space geom.Rect, best *asp.Result) bool {
 		if s.evalCap < bnd {
 			bnd = s.evalCap
 		}
-		if d, ok := s.score.Under(acc, rep, bnd); ok {
+		if d, ok := s.plan.Score.Under(acc, rep, bnd); ok {
 			best.Dist = d
 			best.Point = geom.Point{X: xm, Y: ym}
 			best.Rep = append(best.Rep[:0], rep...)

@@ -151,13 +151,15 @@ func Answer(ds *Dataset, idx *Index, req QueryRequest) (QueryResponse, IndexStat
 }
 
 // driver is the search state of one request's rounds, opened once per
-// request: a GI-DS session, or the DS-Search request its rounds share.
-// Answer runs its rounds back to back; an Engine's Rounds runs one per
-// call and releases the DS-Search searcher between them.
+// request: the request's plan, and a GI-DS session or the DS-Search
+// request its rounds share. Answer runs its rounds back to back; an
+// Engine's Rounds runs one per call and releases the DS-Search searcher
+// between them.
 type driver struct {
-	ds      *Dataset
 	req     QueryRequest
 	opt     Options
+	plan    *dssearch.Plan
+	err     error // why the request has no plan: every round fails with it
 	indexed bool
 	gids    gridindex.Session
 	plain   *dssearch.Request // opened by the first un-indexed round
@@ -166,37 +168,47 @@ type driver struct {
 }
 
 // openDriver opens the rounds of req over ds, at most n of them; idx, if
-// non-nil, must be the index for the query's composite over ds. A request
-// of more than one round that brings no slab cache gets one of its own,
-// so that its rounds share one search scratch: a GI-DS round binds a new
-// searcher, and an Engine releases the DS-Search one between rounds.
+// non-nil, must be the index for the query's composite over ds. It
+// resolves the pyramid the rounds read — Options.Pyramid when it was
+// built for ds and the query's composite, else one built over ds — and
+// compiles the query against it once (dssearch.Compile): every searcher
+// of every round, its sweep solver and the GI-DS cell bounds read that
+// one plan. Search scratch comes from the process's free list, whose
+// slabs a round hands back when its searcher is released.
 func openDriver(ds *Dataset, idx *Index, req QueryRequest, n int) driver {
-	d := driver{ds: ds, req: req}
+	d := driver{req: req}
 	if req.Options != nil {
 		d.opt = *req.Options
 	}
 	if d.opt.Ctx == nil {
 		d.opt.Ctx = req.Ctx
 	}
-	if d.opt.Slabs == nil && n > 1 {
-		d.opt.Slabs = &dssearch.SlabCache{}
+	// A request no search can take fails before a pyramid is built for it.
+	if d.err = dssearch.CheckRequest(req.A, req.B, req.Within, d.opt); d.err != nil {
+		return d
+	}
+	if d.plan, d.err = dssearch.Compile(ds, req.Query, d.opt.Pyramid); d.err != nil {
+		return d
 	}
 	if idx != nil && req.Within == nil {
 		d.indexed = true
-		d.gids = gridindex.Open(idx, ds, req.Query, req.A, req.B, d.opt, n)
+		d.gids = gridindex.Open(idx, d.plan, req.A, req.B, d.opt, n)
 	}
 	return d
 }
 
 // round answers one round: the best region overlapping none of excl.
 func (d *driver) round(excl []Rect) (Rect, Result, error) {
+	if d.err != nil {
+		return Rect{}, Result{}, d.err
+	}
 	if d.indexed {
 		res, st, err := d.gids.Solve(excl)
 		d.stats.Add(st)
 		return asp.AnchorTR.RegionFor(res.Point, d.req.A, d.req.B), res, err
 	}
 	if d.plain == nil {
-		r, err := dssearch.Open(d.ds, d.req.A, d.req.B, d.req.Query, d.req.Within, d.opt)
+		r, err := dssearch.Open(d.plan, d.req.A, d.req.B, d.req.Within, d.opt)
 		if err != nil {
 			return Rect{}, Result{}, err
 		}
@@ -208,7 +220,7 @@ func (d *driver) round(excl []Rect) (Rect, Result, error) {
 	return region, res, err
 }
 
-// release hands the DS-Search searcher's slabs back; the next round binds
+// release hands the DS-Search searcher's slab back; the next round binds
 // a new one. A GI-DS session holds no searcher between rounds.
 func (d *driver) release() {
 	if d.plain != nil {
@@ -218,12 +230,14 @@ func (d *driver) release() {
 	}
 }
 
-// close releases everything the rounds hold.
+// close releases everything the rounds hold, the plan last.
 func (d *driver) close() {
 	d.release()
 	if d.indexed {
 		d.gids.Close()
 	}
+	d.plan.Release()
+	d.plan = nil
 }
 
 // SearchBaseline answers a request with the O(n²) sweep-line baseline

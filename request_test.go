@@ -661,13 +661,15 @@ func TestNonFiniteWithinIsRefused(t *testing.T) {
 	}
 }
 
-// TestAnswerRecyclesSlabsAcrossRounds holds a request without
-// Options.Slabs to the search scratch of one: Answer gives such a request
-// one slab cache for its rounds, so a GI-DS top-10 — a searcher per round
-// — builds its discretization grid, sweep solver and buffers once, not
-// ten times. Its bytes per request must stay within 16 KiB of the same
-// request handed a fresh slab cache of its own, and its answers must be
-// that request's.
+// TestAnswerRecyclesSlabsAcrossRounds holds a request's rounds to the
+// search scratch of the free list and to one pyramid: a GI-DS top-10 — a
+// searcher per round — takes each round's discretization grid, sweep
+// solver and buffers from the slabs released before it, so after a first
+// request it builds none of them, and its plan's storage is recycled
+// too: with the pyramid given it allocates at most 64 KiB (3.25 MB while
+// every round built its own scratch, 0.40 MB with a slab cache per
+// request). Without a pyramid it builds one, not one per round: it
+// allocates less than one and a half builds more, and answers alike.
 func TestAnswerRecyclesSlabsAcrossRounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
@@ -686,35 +688,154 @@ func TestAnswerRecyclesSlabsAcrossRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answer := func(slabs *dssearch.SlabCache) asrs.QueryResponse {
-		req := asrs.QueryRequest{Query: q, A: qa, B: qb, TopK: 10, Options: &asrs.Options{Workers: 1, Pyramid: pyr, Slabs: slabs}}
+	answer := func(p *asrs.Pyramid) asrs.QueryResponse {
+		req := asrs.QueryRequest{Query: q, A: qa, B: qb, TopK: 10, Options: &asrs.Options{Workers: 1, Pyramid: p}}
 		resp, _ := asrs.Answer(ds, idx, req)
 		if resp.Err != nil || len(resp.Results) != 10 {
 			t.Fatalf("top-10 answered %d rows, err %v", len(resp.Results), resp.Err)
 		}
 		return resp
 	}
-	bytesPer := func(run func()) float64 {
+	var given, oneShot asrs.QueryResponse
+	givenBytes := bytesPer(func() { given = answer(pyr) })
+	oneShotBytes := bytesPer(func() { oneShot = answer(nil) })
+	buildBytes := bytesPer(func() {
+		if _, err := asrs.BuildPyramid(ds, q.F); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for i := range given.Results {
+		if math.Float64bits(given.Results[i].Dist) != math.Float64bits(oneShot.Results[i].Dist) || given.Regions[i] != oneShot.Regions[i] {
+			t.Fatalf("row %d: %v at %v with the pyramid given, %v at %v with a one-shot one", i, given.Results[i].Dist, given.Regions[i], oneShot.Results[i].Dist, oneShot.Regions[i])
+		}
+	}
+	t.Logf("top-10 through Answer: %.0f bytes/request with the pyramid given, %.0f with a one-shot one; a build takes %.0f", givenBytes, oneShotBytes, buildBytes)
+	if givenBytes > 64<<10 {
+		t.Fatalf("a request with the pyramid given allocates %.0f bytes, more than 64 KiB", givenBytes)
+	}
+	if oneShotBytes-givenBytes > 1.5*buildBytes {
+		t.Fatalf("a request without a pyramid allocates %.0f bytes, %.0f more than one with it, whose build takes %.0f", oneShotBytes, oneShotBytes-givenBytes, buildBytes)
+	}
+}
+
+// TestRefusedRequestBuildsNoPyramid: a request no search can take — bad
+// options, a within extent smaller than the region — fails before its
+// driver builds a pyramid or compiles anything: it allocates less than a
+// tenth of a build.
+func TestRefusedRequestBuildsNoPyramid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting under -short")
+	}
+	ds := dataset.POISyn(5000, 42)
+	qa, qb := sizeK(ds, 30)
+	q, err := dataset.F2(ds, qa, qb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildBytes := bytesPer(func() {
+		if _, err := asrs.BuildPyramid(ds, q.F); err != nil {
+			t.Fatal(err)
+		}
+	})
+	small := asrs.Rect{MinX: 0, MinY: 0, MaxX: qa / 2, MaxY: qb}
+	for _, c := range []struct {
+		name string
+		req  asrs.QueryRequest
+	}{
+		{"negative delta", asrs.QueryRequest{Query: q, A: qa, B: qb, Options: &asrs.Options{Delta: -1}}},
+		{"1-column grid", asrs.QueryRequest{Query: q, A: qa, B: qb, Options: &asrs.Options{NCol: 1}}},
+		{"within smaller than the region", asrs.QueryRequest{Query: q, A: qa, B: qb, Within: &small}},
+	} {
+		got := bytesPer(func() {
+			if resp, _ := asrs.Answer(ds, nil, c.req); resp.Err == nil {
+				t.Fatalf("%s: answered", c.name)
+			}
+		})
+		if got > buildBytes/10 {
+			t.Fatalf("%s: the refused request allocates %.0f bytes; a build takes %.0f", c.name, got, buildBytes)
+		}
+	}
+}
+
+// bytesPer is the bytes one run of run allocates, averaged over three
+// runs after a first.
+func bytesPer(run func()) float64 {
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const n = 3
+	for range n {
 		run()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		const n = 3
-		for range n {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / n
 	}
-	var none, own asrs.QueryResponse
-	noneBytes := bytesPer(func() { none = answer(nil) })
-	ownBytes := bytesPer(func() { own = answer(&dssearch.SlabCache{}) })
-	for i := range own.Results {
-		if math.Float64bits(none.Results[i].Dist) != math.Float64bits(own.Results[i].Dist) || none.Regions[i] != own.Regions[i] {
-			t.Fatalf("row %d: %v at %v without a slab cache, %v at %v with one", i, none.Results[i].Dist, none.Regions[i], own.Results[i].Dist, own.Regions[i])
-		}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
+// TestRequestCompilesOnePlan: a request's driver resolves one pyramid and
+// compiles the query against it once, and every round reads that plan —
+// the GI-DS session's searchers and cell bounds, or the DS-Search
+// request's searcher (gridindex's TestSessionReadsItsPlan and dssearch's
+// TestSearchReadsItsPlan hold each searcher and its sweep solver to the
+// plan they were handed). Held plain and on a 64×64 grid, top-1 and
+// top-3, through Answer with the pyramid given and without one, and
+// streamed through Engine.Rounds, whose plan reads the epoch's pyramid.
+func TestRequestCompilesOnePlan(t *testing.T) {
+	ds, f, reqs := batchFixture(t, 2, 55)
+	req := reqs[0]
+	pyr, err := asrs.BuildPyramid(ds, f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("top-10 through Answer: %.0f bytes/request without Options.Slabs, %.0f with a fresh cache", noneBytes, ownBytes)
-	if noneBytes > ownBytes+16<<10 {
-		t.Fatalf("a request without Options.Slabs allocates %.0f bytes, %.0f more than with a slab cache of its own", noneBytes, noneBytes-ownBytes)
+	for _, g := range []int{0, 64} {
+		var idx *asrs.Index
+		if g > 0 {
+			if idx, err = asrs.NewIndex(ds, f, g, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range []int{1, 3} {
+			for _, given := range []*asrs.Pyramid{pyr, nil} {
+				r := req
+				r.TopK, r.Options = k, &asrs.Options{Pyramid: given}
+				resp, plans := asrs.AnswerPlans(ds, idx, r)
+				if resp.Err != nil || len(plans) != k {
+					t.Fatalf("grid %d top-%d: %d rounds, err %v", g, k, len(plans), resp.Err)
+				}
+				for i, rp := range plans {
+					if rp.Compiled == nil || rp.Compiled != plans[0].Compiled || rp.Read != rp.Compiled || rp.Pyramid != plans[0].Pyramid {
+						t.Fatalf("grid %d top-%d pyramid given %v, round %d: compiled %p reading %p, read %p; round 0 compiled %p reading %p",
+							g, k, given != nil, i, rp.Compiled, rp.Pyramid, rp.Read, plans[0].Compiled, plans[0].Pyramid)
+					}
+				}
+				if p := plans[0].Pyramid; given != nil && p != given || p == nil {
+					t.Fatalf("grid %d top-%d pyramid given %v: the plan reads %p", g, k, given != nil, p)
+				}
+			}
+		}
+		eng, err := asrs.NewEngine(ds, asrs.EngineOptions{IndexGranularity: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch, err := eng.Pyramid(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := eng.Rounds(context.Background(), 3)
+		r := req
+		var first *dssearch.Plan
+		for i := 0; i < 3; i++ {
+			resp := rounds.Round(r)
+			if resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			if i == 0 {
+				first = rounds.Plan()
+			}
+			if pl := rounds.Plan(); pl == nil || pl != first || pl.Pyramid() != epoch {
+				t.Fatalf("grid %d, streamed round %d: plan %p, round 0's %p", g, i, pl, first)
+			}
+			r.Exclude = append(r.Exclude, resp.Regions[0])
+		}
+		rounds.Close()
 	}
 }
