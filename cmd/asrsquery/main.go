@@ -49,7 +49,7 @@ func main() {
 		pyrPath = flag.String("pyramid", "", "any non-empty value binds the composite's aggregate pyramid, built in memory before the clock starts, instead of the search building a one-shot pyramid of its own (the value is not read as a path; nothing is stored); answers are identical either way")
 		jsonOut = flag.Bool("json", false, "emit the answer as JSON in the asrsd wire schema (one format for CLI and daemon)")
 		qText   = flag.String("q", "", "run a query-language expression over the chosen dataset instead of the canned query (see README \"Query language\"; 'explain …' prints the plan report). Results stream as they are found; with -json each row is one NDJSON line, the same rows POST /v1/search would send")
-		debug   = flag.Bool("debug", false, "print search work counters, including the mini-sweep strip-evaluator selection (flat prefix scan vs Fenwick walks; DESIGN.md §8)")
+		debug   = flag.Bool("debug", false, "print search work counters: cells, the terminal rule's mini-sweeps and the strips and intervals they scored (DESIGN.md §8), the heap")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the search to this file: what the elapsed time covers, not the corpus, pyramid or index build")
 	)
 	flag.Parse()
@@ -123,8 +123,8 @@ func debugStats(stats asrs.SearchStats) {
 		infof("clean cells evaluated: %d (%.1f%% of clean; the rest repeated the previous cell's totals)\n",
 			stats.CleanEvals, 100*float64(stats.CleanEvals)/float64(stats.CleanCells))
 	}
-	infof("mini-sweeps: %d over %d rects (+%d containing the swept space, folded into its base vector); strip evaluator: %d flat, %d fenwick\n",
-		stats.MiniSweeps, stats.MiniSweepRects, stats.SweepBaseRects, stats.FlatStrips, stats.FenwickStrips)
+	infof("mini-sweeps: %d over %d rects (+%d containing the swept space, folded into its base vector); strips scored: %d\n",
+		stats.MiniSweeps, stats.MiniSweepRects, stats.SweepBaseRects, stats.FlatStrips)
 	infof("mini-sweep intervals scored: %d; strips skipped by their bound: %d\n", stats.SweepScored, stats.PrunedStrips)
 	infof("heap: %d pushes (max %d)\n", stats.HeapPushes, stats.MaxHeapSize)
 }

@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	debug := flag.Bool("debug", false, "print search work counters, including the mini-sweep strip-evaluator selection")
+	debug := flag.Bool("debug", false, "print search work counters, including the mini-sweeps and the strips they scored")
 	flag.Parse()
 	// A schema with one categorical and one numeric attribute.
 	schema := asrs.MustSchema(
@@ -73,11 +73,10 @@ func main() {
 	fmt.Printf("search effort:       %d discretizations, %d cells pruned\n",
 		stats.Discretizations, stats.PrunedCells)
 	if *debug {
-		// The terminal rule's mini-sweeps pick a strip evaluator per dirty
-		// strip — a flat prefix scan for dense strips, Fenwick tree walks
-		// for sparse ones. The choice is a measured-cost decision and
-		// never changes the answer (DESIGN.md §8).
-		fmt.Printf("mini-sweeps:         %d over %d rects; strips: %d flat, %d fenwick\n",
-			stats.MiniSweeps, stats.MiniSweepRects, stats.FlatStrips, stats.FenwickStrips)
+		// The terminal rule's mini-sweeps: how many ran, over how many
+		// rectangles, and how many dirty strips their flat pass scored
+		// (DESIGN.md §8).
+		fmt.Printf("mini-sweeps:         %d over %d rects; %d strips scored\n",
+			stats.MiniSweeps, stats.MiniSweepRects, stats.FlatStrips)
 	}
 }

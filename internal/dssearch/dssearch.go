@@ -123,8 +123,8 @@ type Stats struct {
 	MiniSweeps      int // terminal-rule sweeps run
 	MiniSweepRects  int // rectangles handed to terminal-rule sweeps
 	SweepBaseRects  int // rectangles containing a swept space, folded into the sweep's base vector instead
-	FlatStrips      int // mini-sweep strips resolved by the flat prefix scan
-	FenwickStrips   int // mini-sweep strips resolved by Fenwick tree walks
+	FlatStrips      int // mini-sweep strips scored by the incremental sweep's flat pass
+	FenwickStrips   int // always 0: the Fenwick strip evaluator is gone; bench/ still reads the field
 	SweepScored     int // mini-sweep intervals folded and scored, every walk
 	PrunedStrips    int // mini-sweep strips skipped unscored: their Lemma 5 bound could not beat the sweep's
 	RefinedCells    int // always 0: subset-enumeration refinement is gone; bench/ still reads the field
@@ -148,7 +148,6 @@ func (s *Stats) Add(o Stats) {
 	s.MiniSweepRects += o.MiniSweepRects
 	s.SweepBaseRects += o.SweepBaseRects
 	s.FlatStrips += o.FlatStrips
-	s.FenwickStrips += o.FenwickStrips
 	s.SweepScored += o.SweepScored
 	s.PrunedStrips += o.PrunedStrips
 	s.CenterProbes += o.CenterProbes
@@ -881,15 +880,14 @@ func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (as
 	s.Stats.SweepBaseRects += covering
 	s.sw.Rebind(s.swRects, s.swIds, base)
 	// The solver's counters accumulate across rebinds (a recycled solver
-	// serves many searches); fold only this sweep's strip-evaluator deltas
-	// and scoring deltas into the search stats.
+	// serves many searches); fold only this sweep's strip and scoring
+	// deltas into the search stats.
 	before := s.sw.Stats
 	// A capped sweep returns its +Inf sentinel when nothing scored under
 	// the cap.
 	r, ok := s.sw.SolveWithinCapped(space, capDist)
 	after := &s.sw.Stats
 	s.Stats.FlatStrips += after.FlatStrips - before.FlatStrips
-	s.Stats.FenwickStrips += after.FenwickStrips - before.FenwickStrips
 	s.Stats.SweepScored += after.Scored - before.Scored
 	s.Stats.PrunedStrips += after.PrunedStrips - before.PrunedStrips
 	return r, ok

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"asrs/internal/agg"
 	"asrs/internal/asp"
@@ -162,8 +163,9 @@ type candidate struct {
 // when at most one round was announced or when a shared cap tightens the
 // inner pruning (opt.SharedCap): a key would not be a bound there. A Session
 // holds no searcher between rounds, only its range heap and bound vectors,
-// from the index's scratch pool, which Close returns; a session dropped
-// without Close leaks nothing. It runs on one goroutine.
+// taken from the process's free list (lbFree), which Close returns them
+// to; a session dropped without Close leaks nothing. It runs on one
+// goroutine.
 type Session struct {
 	idx   *Index
 	plan  *dssearch.Plan
@@ -206,7 +208,7 @@ func Open(idx *Index, pl *dssearch.Plan, a, b float64, opt dssearch.Options, rou
 // Plan returns the plan the session's searchers and cell bounds read.
 func (s *Session) Plan() *dssearch.Plan { return s.plan }
 
-// Close returns the session's scratch to the index's pool; the session
+// Close returns the session's scratch to the free list; the session
 // must not be used afterwards.
 func (s *Session) Close() {
 	if s.sc != nil {
@@ -677,14 +679,14 @@ func (x *Index) split(h *kernel.Heap[cellRange], r cellRange, thresh float64, ke
 }
 
 // lbScratch bundles the per-query scratch of the cell lower bounds —
-// limb and channel vectors and min/max slots, carved from one slab
-// allocation — the range heap, and the cells' id lists and the rectangle
-// ids of the piece being searched. It holds no query: a bound reads the
-// request's plan (spanLowerBound).
-// Scratches recycle through the index's pool, so steady-state GI-DS
-// queries reallocate nothing here; a session's range heap is what it
-// carries between rounds.
+// limb and channel vectors and min/max slots, carved from one slab — the
+// range heap, and the cells' id lists and the rectangle ids of the piece
+// being searched. It holds no query: a bound reads the request's plan
+// (spanLowerBound). Scratches recycle through lbFree, so steady-state
+// GI-DS queries reallocate nothing here; a session's range heap is what
+// it carries between rounds.
 type lbScratch struct {
+	slab         []float64 // backs the six vectors below
 	fullL, partL []float64 // limbs
 	full, part   []float64 // channels
 	mmMin, mmMax []float64
@@ -697,30 +699,53 @@ type lbScratch struct {
 
 }
 
-// getLBScratch takes a scratch from the pool, or builds one.
-func (x *Index) getLBScratch() *lbScratch {
-	sc, ok := x.lbPool.Get().(*lbScratch)
-	if !ok || sc == nil {
-		slab := make([]float64, 2*x.eff+2*x.chans+2*x.mmSlots)
-		carve := func(n int) []float64 {
-			out := slab[:n:n]
-			slab = slab[n:]
-			return out
-		}
-		sc = &lbScratch{
-			fullL: carve(x.eff),
-			partL: carve(x.eff),
-			full:  carve(x.chans),
-			part:  carve(x.chans),
-			mmMin: carve(x.mmSlots),
-			mmMax: carve(x.mmSlots),
-			heap:  kernel.NewHeap(rangeFirst),
-		}
+// lbFree is the process's one free list of GI-DS scratch, which every
+// index takes from: the scratches closed sessions and finished rounds
+// hand back. Like dssearch's free list of search scratch it keeps
+// everything handed back, so it never holds more scratches than sessions
+// ran at once, and it is a list under a mutex, not a sync.Pool, which
+// every garbage collection empties: a steady state would rebuild its
+// scratch after each.
+var lbFree struct {
+	sync.Mutex
+	list []*lbScratch
+}
+
+// getLBScratch takes a scratch from the free list, or builds one, and
+// sizes its vectors to the index's limbs, channels and min/max slots.
+func (x *Index) getLBScratch() (sc *lbScratch) {
+	lbFree.Lock()
+	if n := len(lbFree.list); n > 0 {
+		sc = lbFree.list[n-1]
+		lbFree.list[n-1] = nil
+		lbFree.list = lbFree.list[:n-1]
 	}
+	lbFree.Unlock()
+	if sc == nil {
+		sc = &lbScratch{heap: kernel.NewHeap(rangeFirst)}
+	}
+	need := 2*x.eff + 2*x.chans + 2*x.mmSlots
+	if cap(sc.slab) < need {
+		sc.slab = make([]float64, need)
+	}
+	slab := sc.slab[:need]
+	carve := func(n int) []float64 {
+		out := slab[:n:n]
+		slab = slab[n:]
+		return out
+	}
+	sc.fullL, sc.partL = carve(x.eff), carve(x.eff)
+	sc.full, sc.part = carve(x.chans), carve(x.chans)
+	sc.mmMin, sc.mmMax = carve(x.mmSlots), carve(x.mmSlots)
 	return sc
 }
 
-func (x *Index) putLBScratch(sc *lbScratch) { x.lbPool.Put(sc) }
+// putLBScratch hands a scratch back to the free list.
+func (x *Index) putLBScratch(sc *lbScratch) {
+	lbFree.Lock()
+	defer lbFree.Unlock()
+	lbFree.list = append(lbFree.list, sc)
+}
 
 // rangeLowerBound is the §5.3 bound of the candidate regions whose bl
 // corner lies in any cell of r: bounded region ⊆ every such candidate

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
 
 	"asrs/internal/agg"
 	"asrs/internal/dssearch"
@@ -61,11 +60,6 @@ type Index struct {
 	cellIds   []int32
 
 	objects int
-
-	// lbPool recycles the cell lower-bound scratch (lbScratch) across
-	// queries and workers; an Index is immutable once built, so pooling
-	// is its only mutable state and is safe for concurrent readers.
-	lbPool sync.Pool
 }
 
 // New builds the index with granularity sx×sy over the bounds of the

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -85,7 +86,7 @@ func expectSameBits(t *testing.T, label string, want, got asp.Result, wok, gok b
 
 // TestStripBoundBitIdentical holds the bounded incremental sweep to the
 // classic scan, which bounds nothing: distance and point bit for bit,
-// through the rule and both strip evaluators forced, on fD, count, fA and signed fS at once,
+// on fD, count, fA and signed fS at once,
 // on a base vector of the rectangles containing the space, uncapped,
 // capped between the optimum and a worse candidate, and capped exactly at
 // the optimum, where the tie must still score. The targets are a
@@ -140,28 +141,25 @@ func TestStripBoundBitIdentical(t *testing.T) {
 			worst = math.Max(worst, q.Distance(asp.PointRepresentation(all, f, probe())))
 		}
 		caps := []float64{math.Inf(1), opt.Dist + (worst-opt.Dist)/2, opt.Dist}
-		for _, mc := range stripModeCases {
-			s, err := New(nil, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.setIncremental(true)
-			mc.prep(s)
-			bindObjects(s, q, limbs, edged, base)
-			for ci, c := range caps {
-				want, wok := classic.SolveWithinCapped(space, c)
-				before := s.Stats.PrunedStrips
-				got, gok := s.SolveWithinCapped(space, c)
-				expectSameBits(t, mc.name, want, got, wok, gok)
-				if ci > 0 {
-					cappedPruned += s.Stats.PrunedStrips - before
-				}
-			}
-			if s.Stats.FlatStrips+s.Stats.FenwickStrips == 0 {
-				t.Fatalf("%s: the incremental sweep did not run", mc.name)
-			}
-			pruned += s.Stats.PrunedStrips
+		s, err := New(nil, q)
+		if err != nil {
+			t.Fatal(err)
 		}
+		s.setIncremental(true)
+		bindObjects(s, q, limbs, edged, base)
+		for ci, c := range caps {
+			want, wok := classic.SolveWithinCapped(space, c)
+			before := s.Stats.PrunedStrips
+			got, gok := s.SolveWithinCapped(space, c)
+			expectSameBits(t, fmt.Sprintf("trial %d cap %d", trial, ci), want, got, wok, gok)
+			if ci > 0 {
+				cappedPruned += s.Stats.PrunedStrips - before
+			}
+		}
+		if s.Stats.FlatStrips == 0 {
+			t.Fatalf("trial %d: the incremental sweep did not run", trial)
+		}
+		pruned += s.Stats.PrunedStrips
 	}
 	if pruned == 0 || cappedPruned == 0 {
 		t.Fatalf("%d strips pruned, %d of them under a cap: the bound was not exercised", pruned, cappedPruned)
@@ -204,19 +202,16 @@ func TestStripBoundPrunes(t *testing.T) {
 	}
 	q := asp.Query{F: f, Target: []float64{1}}
 	space := asp.Space(rects)
-	for _, mc := range stripModeCases {
-		s, err := New(rects, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.setIncremental(true)
-		mc.prep(s)
-		got, ok := s.SolveWithin(space)
-		if want := (geom.Point{X: 1.5, Y: 1.5}); !ok || got.Dist != 0 || got.Point != want {
-			t.Fatalf("%s: %v@%v, want 0@%v", mc.name, got.Dist, got.Point, want)
-		}
-		if st := s.Stats; st.PrunedStrips != st.Strips-2 {
-			t.Fatalf("%s: %d of %d strips pruned, want all but the lowest two", mc.name, st.PrunedStrips, st.Strips)
-		}
+	s, err := New(rects, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.setIncremental(true)
+	got, ok := s.SolveWithin(space)
+	if want := (geom.Point{X: 1.5, Y: 1.5}); !ok || got.Dist != 0 || got.Point != want {
+		t.Fatalf("%v@%v, want 0@%v", got.Dist, got.Point, want)
+	}
+	if st := s.Stats; st.PrunedStrips != st.Strips-2 {
+		t.Fatalf("%d of %d strips pruned, want all but the lowest two", st.PrunedStrips, st.Strips)
 	}
 }

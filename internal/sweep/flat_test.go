@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,17 +20,6 @@ func (s *Solver) setIncremental(on bool) {
 	if s.incrCap == 0 {
 		s.incrCap = int(^uint(0) >> 1)
 	}
-}
-
-// stripModeCases enumerates the rule and the two evaluators it can pick,
-// each forced: the flat pass, and the tree walk seeding every dirty range.
-var stripModeCases = []struct {
-	name string
-	prep func(s *Solver)
-}{
-	{"auto", func(s *Solver) { s.stripMode = stripAuto }},
-	{"flat-only", func(s *Solver) { s.stripMode = stripFlat }},
-	{"tree-only", func(s *Solver) { s.stripMode = stripTree }},
 }
 
 // expectSame fails unless two results match bit for bit.
@@ -54,42 +44,91 @@ func expectSame(t *testing.T, label string, want, got asp.Result, wok, gok bool)
 	}
 }
 
-// TestFlatStripBitIdentical: every strip mode — the rule, the flat merge
-// pass forced and the seeded Fenwick walk forced — returns the classic
-// rescan's answer bit for bit on integer-valued channels. The
-// fixture snaps a third of the points to a coarse grid, so duplicate
-// edge positions (deduplicated into shared interval boundaries) and the
-// clamped first/last intervals (probes before/after all interior
-// deltas) are all exercised.
+// TestFlatStripBitIdentical: the flat merge pass returns the classic
+// rescan's answer bit for bit on integer-valued channels. The fixture
+// snaps a third of the points to a coarse grid, so duplicate edge
+// positions (deduplicated into shared interval boundaries) and the
+// clamped first/last intervals (probes before/after all interior deltas)
+// are all exercised; the sparse shape marches across some two thousand
+// intervals to reach each strip's one or two dirty ones.
 func TestFlatStripBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
+	type input struct {
+		rects  []asp.RectObject
+		q      asp.Query
+		spaces []geom.Rect
+	}
+	var inputs []input
 	for trial := 0; trial < 20; trial++ {
-		n := incrMinRects + rng.Intn(180)
-		rects, q := incrFixture(t, rng, n)
-		spaces := []geom.Rect{
+		rects, q := incrFixture(t, rng, incrMinRects+rng.Intn(180))
+		inputs = append(inputs, input{rects, q, []geom.Rect{
 			asp.Space(rects),
 			{MinX: 10, MinY: 10, MaxX: 60, MaxY: 70},
 			{MinX: rng.Float64() * 50, MinY: rng.Float64() * 50, MaxX: 50 + rng.Float64()*50, MaxY: 50 + rng.Float64()*50},
-		}
-		classic, err := New(rects, q)
+		}})
+	}
+	rects, q := sparseFixture(t, rng)
+	inputs = append(inputs, input{rects, q, []geom.Rect{sparseSpace, asp.Space(rects)}})
+	for i, in := range inputs {
+		classic, err := New(in.rects, in.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for si, space := range spaces {
+		s, err := New(in.rects, in.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.setIncremental(true)
+		for si, space := range in.spaces {
 			want, wok := classic.SolveWithin(space)
-			for _, mc := range stripModeCases {
-				s, err := New(rects, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.setIncremental(true)
-				mc.prep(s)
-				got, gok := s.SolveWithin(space)
-				expectSame(t, mc.name, want, got, wok, gok)
-				_ = si
-			}
+			got, gok := s.SolveWithin(space)
+			expectSame(t, fmt.Sprintf("input %d space %d", i, si), want, got, wok, gok)
+		}
+		if s.Stats.FlatStrips == 0 {
+			t.Fatalf("input %d: the incremental sweep did not run", i)
 		}
 	}
+}
+
+// sparseSpace is the space sparseFixture's rectangles are drawn over.
+var sparseSpace = geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
+
+// sparseFixture is the regime a dirty strip's flat pass pays most for:
+// 1 200 rectangles over sparseSpace. 800 narrow columns span its height:
+// they enter at the first strip and never leave, but put some 1 600
+// interval boundaries across its left 90 %. Beside them, 400 small
+// rectangles at its right end, one or two quarter-wide intervals each,
+// have distinct y edges, so every strip boundary moves one of them: each
+// dirty strip's one or two dirty intervals lie some 1 600 intervals from
+// its left end. The composite is incrComposite over small integers; the
+// target is the representation at a random point, each dimension moved by
+// a half, so no interval scores 0 and the columns, active in every strip,
+// keep each strip's bound under any cap above the optimum.
+func sparseFixture(tb testing.TB, rng *rand.Rand) ([]asp.RectObject, asp.Query) {
+	tb.Helper()
+	f := incrComposite(tb)
+	var rects []asp.RectObject
+	add := func(r geom.Rect) {
+		o := &attr.Object{
+			Loc:    geom.Point{X: r.MaxX, Y: r.MaxY},
+			Values: []attr.Value{{Cat: rng.Intn(4)}, {Num: float64(rng.Intn(9) - 4)}},
+		}
+		rects = append(rects, asp.RectObject{Rect: r, Obj: o})
+	}
+	for range 800 {
+		x := rng.Float64() * 88
+		add(geom.Rect{MinX: x, MinY: -1, MaxX: x + 0.5 + rng.Float64()*1.5, MaxY: 101})
+	}
+	for range 400 {
+		x, y := 95+0.25*float64(rng.Intn(16)), rng.Float64()*95
+		add(geom.Rect{MinX: x, MinY: y, MaxX: x + 0.25*float64(1+rng.Intn(2)), MaxY: y + 0.5 + rng.Float64()*4.5})
+	}
+	probe := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+	target := asp.PointRepresentation(rects, f, probe)
+	for d := range target {
+		target[d] += 0.5
+	}
+	return rects, asp.Query{F: f, Target: target}
 }
 
 // realKinds are the values of the real-valued fixtures: dyadic steps
@@ -179,9 +218,9 @@ func shiftOf(scale float64) int {
 	return e - 1
 }
 
-// TestFlatStripFixedPoint: the int64 instantiation rides the same
-// evaluators; real channels as one limb, two or three must come back
-// bit-identical to the classic walk over float limbs in every mode.
+// TestFlatStripFixedPoint: real channels as one limb, two or three ride
+// the flat pass as scaled int64 columns and must come back bit-identical
+// to the classic walk over float limbs.
 func TestFlatStripFixedPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, kind := range realKinds {
@@ -194,18 +233,15 @@ func TestFlatStripFixedPoint(t *testing.T) {
 			space := asp.Space(rects)
 			want, wok := classic.SolveWithin(space)
 			checkLimbs(t, classic, kind.fine, kind.chain)
-			for _, mc := range stripModeCases {
-				s, err := New(rects, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.setIncremental(true)
-				mc.prep(s)
-				got, gok := s.SolveWithin(space)
-				expectSame(t, kind.name+"/"+mc.name, want, got, wok, gok)
-				if s.Stats.FlatStrips+s.Stats.FenwickStrips == 0 {
-					t.Fatalf("%s/%s: the incremental sweep did not run", kind.name, mc.name)
-				}
+			s, err := New(rects, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.setIncremental(true)
+			got, gok := s.SolveWithin(space)
+			expectSame(t, kind.name, want, got, wok, gok)
+			if s.Stats.FlatStrips == 0 {
+				t.Fatalf("%s: the incremental sweep did not run", kind.name)
 			}
 		}
 	}
@@ -214,7 +250,7 @@ func TestFlatStripFixedPoint(t *testing.T) {
 // TestFlatStripDegenerateSpaces: zero-width strips in both axes — a
 // zero-height space falls through to the classic line scan, and spaces
 // narrower than any rectangle leave a single interval — must agree
-// with the classic rescan in every mode.
+// with the classic rescan.
 func TestFlatStripDegenerateSpaces(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	rects, q := incrFixture(t, rng, incrMinRects+40)
@@ -227,62 +263,21 @@ func TestFlatStripDegenerateSpaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, err := New(rects, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.setIncremental(true)
 	for si, space := range spaces {
 		want, wok := classic.SolveWithin(space)
-		for _, mc := range stripModeCases {
-			s, err := New(rects, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.setIncremental(true)
-			mc.prep(s)
-			got, gok := s.SolveWithin(space)
-			expectSame(t, mc.name, want, got, wok, gok)
-			_ = si
-		}
-	}
-}
-
-// TestStripModeCounters: a forced mode pins the evaluator, and the Stats
-// counters must say so — the flat mode touches no Fenwick strip and the
-// tree mode no flat strip; the rule accounts every dirty strip to exactly
-// one side.
-func TestStripModeCounters(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	rects, q := incrFixture(t, rng, incrMinRects+150)
-	space := asp.Space(rects)
-	run := func(m stripMode) Stats {
-		s, err := New(rects, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.setIncremental(true)
-		s.stripMode = m
-		s.SolveWithin(space)
-		return s.Stats
-	}
-	flat := run(stripFlat)
-	if flat.FlatStrips == 0 || flat.FenwickStrips != 0 {
-		t.Fatalf("flat-only: %+v", flat)
-	}
-	fen := run(stripTree)
-	if fen.FenwickStrips == 0 || fen.FlatStrips != 0 {
-		t.Fatalf("tree-only: %+v", fen)
-	}
-	auto := run(stripAuto)
-	if auto.FlatStrips+auto.FenwickStrips == 0 {
-		t.Fatalf("auto accounted no strips: %+v", auto)
-	}
-	if auto.FlatStrips+auto.FenwickStrips != flat.FlatStrips {
-		t.Fatalf("auto strip accounting %d+%d != %d dirty strips",
-			auto.FlatStrips, auto.FenwickStrips, flat.FlatStrips)
+		got, gok := s.SolveWithin(space)
+		expectSame(t, fmt.Sprintf("space %d", si), want, got, wok, gok)
 	}
 }
 
 // TestStripPoolModes: a pre-sized solver (slab scratch, the production
-// path) summing in the limbs of both sets agrees with classic across
-// modes after Rebind, and its pre-sized dif/run scratch survives reuse
-// across solves.
+// path) summing in the limbs of both sets agrees with classic after
+// Rebind, and its pre-sized dif/run scratch survives reuse across solves.
 func TestStripPoolModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	rects, q := incrFixture(t, rng, incrMinRects+100)
@@ -300,16 +295,16 @@ func TestStripPoolModes(t *testing.T) {
 	space2 := asp.Space(rects2)
 	want, wok := classic.SolveWithin(space)
 	want2, wok2 := classic2.SolveWithin(space2)
-	for _, mc := range stripModeCases {
-		s := NewSized(512)
-		mc.prep(s)
-		bindObjects(s, q, limbs, rects, nil)
-		got, gok := s.SolveWithin(space)
-		expectSame(t, "pool/"+mc.name, want, got, wok, gok)
-		// Rebind to a different set: scratch reuse must not leak state.
-		bindObjects(s, q, limbs, rects2, nil)
-		got2, gok2 := s.SolveWithin(space2)
-		expectSame(t, "pool-rebind/"+mc.name, want2, got2, wok2, gok2)
+	s := NewSized(512)
+	bindObjects(s, q, limbs, rects, nil)
+	got, gok := s.SolveWithin(space)
+	expectSame(t, "pool", want, got, wok, gok)
+	// Rebind to a different set: scratch reuse must not leak state.
+	bindObjects(s, q, limbs, rects2, nil)
+	got2, gok2 := s.SolveWithin(space2)
+	expectSame(t, "pool-rebind", want2, got2, wok2, gok2)
+	if s.Stats.FlatStrips == 0 {
+		t.Fatal("the incremental sweep did not run")
 	}
 }
 
@@ -357,34 +352,33 @@ func limbsOver(t *testing.T, f *agg.Composite, sets ...[]asp.RectObject) *agg.Li
 }
 
 // TestSolveWithinCappedBitIdentical pins the capped evaluation
-// contract on both the classic scan and every incremental strip mode:
+// contract on both the classic scan and the incremental sweep, the
+// sparse shape among its inputs:
 // any cap at or above the space's optimum returns SolveWithin's result
 // bit for bit (the open cap keeps exact ties evaluable), a cap below it
 // returns the untouched +Inf sentinel with a nil Rep, and running a
 // capped solve must not leak the cap into a following uncapped solve.
 func TestSolveWithinCappedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 12; trial++ {
-		n := incrMinRects + rng.Intn(160)
-		rects, q := incrFixture(t, rng, n)
+	for trial := 0; trial <= 12; trial++ {
+		var rects []asp.RectObject
+		var q asp.Query
+		if trial < 12 {
+			rects, q = incrFixture(t, rng, incrMinRects+rng.Intn(160))
+		} else {
+			rects, q = sparseFixture(t, rng)
+		}
 		space := asp.Space(rects)
 		solvers := map[string]*Solver{}
-		for _, incremental := range []bool{false, true} {
-			for _, mc := range stripModeCases {
-				s, err := New(rects, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.setIncremental(incremental)
-				mc.prep(s)
-				name := mc.name
-				if !incremental {
-					name = "classic/" + mc.name
-				}
-				solvers[name] = s
+		for name, incremental := range map[string]bool{"classic": false, "incremental": true} {
+			s, err := New(rects, q)
+			if err != nil {
+				t.Fatal(err)
 			}
+			s.setIncremental(incremental)
+			solvers[name] = s
 		}
-		ref := solvers["classic/auto"]
+		ref := solvers["classic"]
 		want, wok := ref.SolveWithin(space)
 		if !wok {
 			t.Fatalf("trial %d: reference solve found nothing", trial)

@@ -1,11 +1,11 @@
 package sweep
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
 
-	"asrs/internal/fenwick"
 	"asrs/internal/geom"
 
 	"asrs/internal/asp"
@@ -24,87 +24,43 @@ import (
 // the strict `d < best` improvement test. The answer (distance and
 // point) is therefore bit-identical to the classic scan's.
 //
-// Two evaluators resolve a strip's dirty intervals, selected by a fixed
-// cost rule (see stripPlan below); both carry the interval totals of the
-// limbs the query's score reads — its columns (agg.ScorePlan) — as
-// scaled int64, so their sums are exact integers and bit-identical to
-// each other under any selection:
+// A strip's dirty intervals are resolved by one flat pass: entering and
+// leaving rectangles update a difference array (diffArray, two writes per
+// contribution), and the strip's point values are read in ONE
+// branch-light merge pass — a running prefix sum over the deltas and a
+// second sorted cursor over the dirty interval ranges, both advancing
+// monotonically left to right. A dirty strip's pass costs at most O(k)
+// steps for its k ≤ 2n+1 intervals, the per-strip order of the classic
+// walk (DESIGN.md §8).
 //
-//   - The flat strip evaluator (the dense-regime default): entering and
-//     leaving rectangles update a plain difference array
-//     (fenwick.Int64Diff1D, two writes per contribution), and the strip's
-//     point queries are answered in ONE branch-light merge pass — a
-//     running prefix sum over the sorted deltas and a second sorted
-//     cursor over the dirty interval ranges, both advancing
-//     monotonically left to right. No pointer chasing, no per-probe
-//     tree walk: the pass is a linear scan over a flat array.
+// The pass carries the interval totals of the limbs the query's score
+// reads — its columns (agg.ScorePlan) — as scaled int64: each column is a
+// count of its limb's grid 2^-s, so every intermediate is exact, and the
+// power-of-two conversion back plus the one fold per channel at
+// evaluation reproduce the classic walk's floats bit for bit, whatever
+// order the contributions were summed in (agg.Limbs). A limb the score
+// does not read (a Sum's negative and positive parts) has no column: it
+// reaches only the strip bound's totals.
 //
-//   - The Fenwick evaluator (the sparse-update regime): a
-//     range-add/point-query fenwick.Int64Tree1D answers O(log k) point
-//     queries, which wins when a strip touches a few narrow intervals
-//     far into a wide strip — there the flat pass would march across
-//     thousands of untouched deltas to seed its prefix. With the tree
-//     live, each merged dirty range is seeded by one tree walk and then
-//     marched with the difference array, so even this regime does one
-//     walk per range rather than one per interval.
-//
-// Both evaluators sum contributions in another order than the classic
-// walk, which the limbs make harmless (agg.Limbs): each column is carried
-// as a scaled int64 — a count of its limb's grid 2^-s — so every
-// intermediate is exact, and the power-of-two conversion back plus the
-// one fold per channel at evaluation reproduce the classic walk's floats
-// bit for bit. A limb the score does not read (a Sum's negative and
-// positive parts) has no column: it reaches only the strip bound's totals.
-//
-// A dirty strip is bounded before either evaluator scores it (Lemma 5,
-// as the grid bounds a dirty cell): every interval of the strip is
-// covered by the base and the active rectangles spanning all k intervals
-// (the full vector) plus some of the other active rectangles (the part
-// vector), so when the strip's Equation 1 bound reaches min(best,
-// evalCap) no interval of it can pass the strict improvement test, and
-// the strip is skipped. The answer is the same bit for bit: a skipped
-// interval is one the score would have rejected, and the bound only
-// falls, so an interval a skipped strip leaves untouched has failed the
-// later strips' test as well (DESIGN.md §8).
+// A dirty strip is bounded before it is scored (Lemma 5, as the grid
+// bounds a dirty cell): every interval of the strip is covered by the
+// base and the active rectangles spanning all k intervals (the full
+// vector) plus some of the other active rectangles (the part vector), so
+// when the strip's Equation 1 bound reaches min(best, evalCap) no
+// interval of it can pass the strict improvement test, and the strip is
+// skipped. The answer is the same bit for bit: a skipped interval is one
+// the score would have rejected, and the bound only falls, so an
+// interval a skipped strip leaves untouched has failed the later strips'
+// test as well (DESIGN.md §8).
 
 // incrMinRects gates the incremental path: below it the classic scan's
 // lower constant factor wins.
 const incrMinRects = 48
 
-// The weights of the strip-evaluator rule (DESIGN.md §8); only their
-// ratios matter. A flat prefix step is a sequential load-add the
-// prefetcher hides, priced below one unit; a Fenwick RangeAdd level is
-// two tree traversals of strided, cache-hostile read-modify-writes, paid
-// per contribution per log2(k) level; a PointInto level reads scattered
-// rows but folds whole channel vectors; a difference-array update is two
-// scattered writes, paid once per contribution instead of per level. The
-// inputs they weigh are deterministic shape counts, so a solve always
-// makes the same choice, and no choice can change an answer.
-const (
-	treeUpdate = 2.5  // one Fenwick RangeAdd, per contribution per level
-	treeProbe  = 1.0  // one Fenwick PointInto seed, per channel per level
-	flatStep   = 0.35 // one flat-pass step, per channel per interval
-	diffUpdate = 2.0  // one difference-array write pair, per contribution
-)
-
-// stripMode pins the strip evaluator of the incremental sweep. Solvers
-// run stripAuto, the rule; the other two are test seams that force one
-// evaluator each so both can be held to the classic scan. Every mode
-// answers bit-identically (the interval totals are exact int64 sums
-// either way).
-type stripMode int
-
-const (
-	stripAuto stripMode = iota
-	stripFlat           // the flat merge pass only; no tree maintained
-	stripTree           // the tree maintained, every dirty range seeded from it
-)
-
 // incrState is the reusable scratch of the incremental sweep.
 type incrState struct {
 	xs       []float64 // distinct interval boundaries, incl. space edges
-	bit      fenwick.Int64Tree1D
-	dif      fenwick.Int64Diff1D
+	dif      diffArray
 	li, ri   []int32 // per-rect inclusive interval span (li>ri: inactive)
 	sa, se   []int32 // per-rect active strip run [sa, se)
 	addStart []int32 // CSR: rect ids activating at each strip
@@ -113,7 +69,6 @@ type incrState struct {
 	remIds   []int32
 	fill     []int32
 	ranges   [][2]int32 // dirty interval ranges of the current strip
-	chI      []int64    // scaled column scratch (point value / tree seed)
 	run      []int64    // running prefix accumulator of the flat pass
 	ymid     []float64  // each strip's midpoint height
 
@@ -128,60 +83,72 @@ type incrState struct {
 	mmMin, mmMax     []float64
 }
 
-// stripPlan is the per-solve structural decision of the rule: whether
-// the Fenwick tree is worth maintaining at all. Every quantity it needs
-// — which rectangles enter and leave at each strip, and which interval
-// spans they dirty — is known exactly before the strip loop runs, so
-// the decision is made once from measured counts (delta count × probe
-// span versus the flat pass's march length), not guessed per strip.
-// Contribution counts per object are not known here; the column count is
-// the proxy (a rect contributes to at most every column once).
-func (s *Solver) stripPlan(ns, k, cols int) (maintainTree bool) {
-	if s.stripMode != stripAuto {
-		return s.stripMode == stripTree
-	}
-	inc := &s.inc
-	logK := log2K(k)
-	cf := float64(cols)
-	var flatTotal, treeTotal float64
-	for si := 0; si < ns; si++ {
-		events := int(inc.remStart[si+1]-inc.remStart[si]) + int(inc.addStart[si+1]-inc.addStart[si])
-		if events == 0 && si != 0 {
-			continue
-		}
-		// Exact dirty geometry of this strip from the event spans.
-		lastDirty, dirty := int32(-1), 0
-		scan := func(ids []int32) {
-			for _, id := range ids {
-				if inc.ri[id] > lastDirty {
-					lastDirty = inc.ri[id]
-				}
-				dirty += int(inc.ri[id]-inc.li[id]) + 1
-			}
-		}
-		scan(inc.remIds[inc.remStart[si]:inc.remStart[si+1]])
-		scan(inc.addIds[inc.addStart[si]:inc.addStart[si+1]])
-		ranges := events // upper bound on merged dirty ranges
-		if si == 0 {
-			// The first strip evaluates every interval.
-			lastDirty, dirty, ranges = int32(k-1), k, 1
-		}
-		if dirty > k {
-			dirty = k
-		}
-		// Both evaluators pay the dirty-interval marching and the
-		// difference-array writes; they differ in tree maintenance +
-		// per-range seeds versus the march from position 0.
-		common := float64(dirty)*cf*flatStep + float64(events)*cf*diffUpdate
-		flatTotal += common + float64(lastDirty+1)*cf*flatStep
-		treeTotal += common + float64(events)*cf*logK*treeUpdate + float64(ranges)*cf*logK*treeProbe
-	}
-	return treeTotal < flatTotal
+// diffArray is a range-add / point-read array over n positions, each
+// carrying chans int64 channels: a range add is two writes, and point
+// values are read by marching a running prefix accumulator across
+// positions in ascending order. The zero value is not usable; reset
+// before use.
+type diffArray struct {
+	n, chans int
+	// data[p*chans+c] is the delta entering at position p: the point
+	// value at position j is Σ_{p<=j} data[p*chans+c]. Entry n absorbs
+	// the closing delta of ranges ending at n-1.
+	data []int64
 }
 
-// log2K is the depth of a Fenwick tree over k positions, at least 1.
-func log2K(k int) float64 {
-	return max(math.Log2(float64(k)+1), 1)
+// reset re-dimensions the array to n positions × chans channels and
+// zeroes it, reusing the backing array when it fits and at least doubling
+// it when not. Dimensions that cannot hold a position or a channel are a
+// caller bug.
+func (d *diffArray) reset(n, chans int) {
+	if n < 1 || chans < 1 {
+		panic(fmt.Sprintf("sweep: invalid difference array %dx%d", n, chans))
+	}
+	need := (n + 1) * chans
+	if cap(d.data) >= need {
+		d.data = d.data[:need]
+		clear(d.data)
+	} else {
+		d.data = make([]int64, need, max(need, 2*cap(d.data)))
+	}
+	d.n, d.chans = n, chans
+}
+
+// rangeAdd adds delta to channel ch of every position in [l, r]
+// (inclusive). Out-of-range ends are clamped; empty ranges are no-ops.
+func (d *diffArray) rangeAdd(l, r, ch int, delta int64) {
+	l, r = max(l, 0), min(r, d.n-1)
+	if l > r {
+		return
+	}
+	d.data[l*d.chans+ch] += delta
+	d.data[(r+1)*d.chans+ch] -= delta
+}
+
+// step folds position pos's delta row into acc (length chans): if acc
+// held the point value at pos-1, it now holds the value at pos. It
+// reports whether any channel moved.
+func (d *diffArray) step(pos int, acc []int64) (moved bool) {
+	base := pos * d.chans
+	for c := range acc {
+		v := d.data[base+c]
+		acc[c] += v
+		moved = moved || v != 0
+	}
+	return moved
+}
+
+// advance marches acc from the point value at position from to the value
+// at position to (from == -1: acc holds zeros, the value before position
+// 0), as step does for each position in (from, to]; from >= to is a
+// no-op.
+func (d *diffArray) advance(from, to int, acc []int64) {
+	for p := from + 1; p <= to; p++ {
+		base := p * d.chans
+		for c := range acc {
+			acc[c] += d.data[base+c]
+		}
+	}
 }
 
 // solveWithinIncremental walks the strips of s.ys (deduplicated
@@ -283,47 +250,33 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		remFill[se]++
 	}
 
-	// The evaluators carry the score's columns only; colOf maps each limb
-	// to its column (-1: read by the strip bound alone). When the columns
-	// are the limbs, as on a composite of one-limb Distributions, a limb
-	// is its own column and no contribution is looked up.
+	// The pass carries the score's columns only; colOf maps each limb to
+	// its column (-1: read by the strip bound alone). When the columns are
+	// the limbs, as on a composite of one-limb Distributions, a limb is its
+	// own column and no contribution is looked up.
 	score := &s.plan.Score
 	cols, colOf, ident := score.Columns(), score.ColumnOf(), score.Identity()
 	// A limb value is carried as a count of its grid 2^-s: exact under
 	// the limbs' certificate (a power-of-two product of a value on the
 	// grid).
 	scale := s.limbs.Scale
-	maintainTree := s.stripPlan(ns, k, cols)
-	if maintainTree {
-		inc.bit.Reset(k, cols)
-	}
-	inc.dif.Reset(k, cols)
+	inc.dif.reset(k, cols)
 	// The base is one more covering set, spanning every interval of every
-	// strip: scaled like the contributions apply folds in, so both
-	// evaluators' totals carry it.
+	// strip: scaled like the contributions apply folds in, so the totals
+	// carry it.
 	for c, v := range s.base {
 		inc.full[c] = v
 		if col := colOf[c]; col >= 0 {
-			d := int64(v * scale[c])
-			inc.dif.RangeAdd(0, k-1, int(col), d)
-			if maintainTree {
-				inc.bit.RangeAdd(0, k-1, int(col), d)
-			}
+			inc.dif.rangeAdd(0, k-1, int(col), int64(v*scale[c]))
 		}
 	}
-	if cap(inc.chI) < cols {
-		inc.chI = make([]int64, cols)
-		inc.run = make([]int64, cols)
-	}
-	chI := inc.chI[:cols]
-	run := inc.run[:cols]
+	inc.run = resize(inc.run, cols)
+	run := inc.run
 	rep := s.rep
-	logK := log2K(k)
 
 	// apply folds one entering/leaving rectangle into the difference
-	// array (two writes per contribution) and, when live, the Fenwick
-	// tree, recording the dirtied span; every limb, read or not, goes to
-	// the strip bound's totals.
+	// array (two writes per contribution), recording the dirtied span;
+	// every limb, read or not, goes to the strip bound's totals.
 	apply := func(id int32, sign int64) {
 		l, r := int(inc.li[id]), int(inc.ri[id])
 		set := inc.part
@@ -339,11 +292,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 					continue
 				}
 			}
-			d := sign * int64(cb.V*scale[cb.Ch])
-			inc.dif.RangeAdd(l, r, col, d)
-			if maintainTree {
-				inc.bit.RangeAdd(l, r, col, d)
-			}
+			inc.dif.rangeAdd(l, r, col, sign*int64(cb.V*scale[cb.Ch]))
 		}
 		inc.ranges = append(inc.ranges, [2]int32{inc.li[id], inc.ri[id]})
 	}
@@ -358,17 +307,16 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	}
 
 	// evalAt scores the interval j of the strip at height y given its
-	// exact scaled column totals, through the compiled score. Identical
-	// arithmetic in every evaluator: the totals are int64 sums of the same
-	// deltas, so the floats the plan forms from them — and with them the
-	// answer — cannot depend on which structure produced them. (Exact:
-	// |scaled| stays within 2^53 under the certificate, and every inverse
-	// is a power of two.) Only strips whose bound is under bound() get
-	// here.
-	evalAt := func(j int32, y float64, tot []int64) {
+	// exact scaled column totals, through the compiled score: the totals
+	// are int64 sums, so the floats the plan forms from them — and with
+	// them the answer — cannot depend on the order the deltas came in.
+	// (Exact: |scaled| stays within 2^53 under the certificate, and every
+	// inverse is a power of two.) Only strips whose bound is under bound()
+	// get here.
+	evalAt := func(j int32, y float64) {
 		s.Stats.Intervals++
 		s.Stats.Scored++
-		if d, ok := score.UnderCounts(tot, rep, bound()); ok {
+		if d, ok := score.UnderCounts(run, rep, bound()); ok {
 			best.Dist = d
 			best.Point = geom.Point{X: (xs[j] + xs[j+1]) / 2, Y: y}
 			best.Rep = append(best.Rep[:0], rep...)
@@ -418,56 +366,28 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 			nm++
 			inc.ranges[nm] = inc.ranges[i]
 		}
-		merged := inc.ranges[:nm+1]
+		// The flat merge pass: one running prefix sum over the deltas
+		// (cursor 1) and the merged dirty ranges (cursor 2), both advancing
+		// monotonically. Deltas of untouched gaps are folded in without
+		// evaluation. Within a range, an interval where no column moved has
+		// the one before's representation, scores its distance, and that
+		// already failed (or set) the strict improvement test, as in the
+		// classic walk.
+		s.Stats.FlatStrips++
+		clear(run)
 		y := ymid[si]
-		// march steps a dirty range's totals from interval j-1 to j and
-		// scores j — unless no column moved: j then has j-1's
-		// representation, scores j-1's distance, and that already failed
-		// (or set) the strict improvement test, as in the classic walk.
-		march := func(j int32, tot []int64) {
-			if inc.dif.StepInto(int(j), tot) {
-				evalAt(j, y, tot)
-			} else {
-				s.Stats.Intervals++
-			}
-		}
-		lastDirty := merged[len(merged)-1][1]
-
-		// Read-path selection for this strip: marching the flat prefix
-		// from position 0 to lastDirty, versus one tree seed per merged
-		// range (the within-range marching is common to both). With no
-		// tree live the flat pass is the only evaluator.
-		useFlat := !maintainTree || s.stripMode == stripAuto &&
-			float64(lastDirty+1)*flatStep < float64(len(merged))*logK*treeProbe
-		if useFlat {
-			// The flat merge pass: one running prefix sum over the
-			// sorted deltas (cursor 1) and the merged dirty ranges
-			// (cursor 2), both advancing monotonically. Deltas of
-			// untouched gaps are folded in without evaluation.
-			s.Stats.FlatStrips++
-			for c := range run {
-				run[c] = 0
-			}
-			pos := int32(-1)
-			for _, cur := range merged {
-				inc.dif.Advance(int(pos), int(cur[0]), run)
-				evalAt(cur[0], y, run)
-				for j := cur[0] + 1; j <= cur[1]; j++ {
-					march(j, run)
-				}
-				pos = cur[1]
-			}
-		} else {
-			// Sparse regime: seed each merged range with one tree walk,
-			// then march within the range on the difference array.
-			s.Stats.FenwickStrips++
-			for _, cur := range merged {
-				inc.bit.PointInto(int(cur[0]), chI)
-				evalAt(cur[0], y, chI)
-				for j := cur[0] + 1; j <= cur[1]; j++ {
-					march(j, chI)
+		pos := int32(-1)
+		for _, cur := range inc.ranges[:nm+1] {
+			inc.dif.advance(int(pos), int(cur[0]), run)
+			evalAt(cur[0], y)
+			for j := cur[0] + 1; j <= cur[1]; j++ {
+				if inc.dif.step(int(j), run) {
+					evalAt(j, y)
+				} else {
+					s.Stats.Intervals++
 				}
 			}
+			pos = cur[1]
 		}
 	}
 	return found

@@ -13,25 +13,33 @@ import (
 	"asrs/internal/geom"
 )
 
-// incrFixture builds an integer-valued workload (fD + fS over small
-// integers) large enough to clear incrMinRects, with coordinate
-// collisions so edge ordering corner cases get exercised.
-func incrFixture(t *testing.T, rng *rand.Rand, n int) ([]asp.RectObject, asp.Query) {
-	t.Helper()
+// incrComposite is the integer-valued composite of the incremental
+// fixtures: fD over four categories and fS over a numeric value.
+func incrComposite(tb testing.TB) *agg.Composite {
+	tb.Helper()
 	schema, err := attr.NewSchema(
 		attr.Attribute{Name: "cat", Kind: attr.Categorical, Domain: []string{"a", "b", "c", "d"}},
 		attr.Attribute{Name: "val", Kind: attr.Numeric},
 	)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	f, err := agg.New(schema,
 		agg.Spec{Kind: agg.Distribution, Attr: "cat"},
 		agg.Spec{Kind: agg.Sum, Attr: "val"},
 	)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return f
+}
+
+// incrFixture builds an integer-valued workload (incrComposite over small
+// integers) large enough to clear incrMinRects, with coordinate
+// collisions so edge ordering corner cases get exercised.
+func incrFixture(t *testing.T, rng *rand.Rand, n int) ([]asp.RectObject, asp.Query) {
+	t.Helper()
+	f := incrComposite(t)
 	objs := make([]attr.Object, n)
 	rects := make([]asp.RectObject, n)
 	w := 4 + rng.Float64()*8
@@ -61,7 +69,7 @@ func incrFixture(t *testing.T, rng *rand.Rand, n int) ([]asp.RectObject, asp.Que
 }
 
 // TestIncrementalSweepBitIdentical: for integer-valued composites the
-// Fenwick-backed incremental sweep must return the exact same answer —
+// incremental sweep must return the exact same answer —
 // distance, point and representation — as the classic per-strip rescan,
 // over randomized inputs and spaces (the skip rule only elides
 // re-evaluations that cannot win the strict improvement test).
@@ -128,7 +136,7 @@ func TestIncrementalSweepSolve(t *testing.T) {
 }
 
 // TestIncrementalSweepFixedPoint: real-valued composites ride the int64
-// Fenwick tree as scaled limbs — one per channel on a dyadic grid, two
+// difference array as scaled limbs — one per channel on a dyadic grid, two
 // for full-mantissa reals, three for reals spread over 1e-12…1e12 — and the answer — distance, point,
 // representation bits — must match the classic rescan exactly (every
 // limb sum is exact, so the different accumulation orders agree, and each
@@ -166,32 +174,29 @@ func TestIncrementalSweepSteadyStateAllocs(t *testing.T) {
 	rects, q := incrFixture(t, rng, incrMinRects+100)
 	rects2, _ := incrFixture(t, rng, incrMinRects+60)
 	space := geom.Rect{MinX: 5, MinY: 5, MaxX: 95, MaxY: 95}
-	for _, mc := range stripModeCases {
-		// One table holds both sets' rows, as a pyramid's core holds every
-		// set a search sweeps.
-		limbs := limbsOver(t, q.F, rects, rects2)
-		tab, geo, ids := rowsOf(q.F, limbs, append(slices.Clone(rects), rects2...))
-		s := NewSized(512)
-		s.Bind(limbs, tab, planOf(q, limbs))
-		mc.prep(s)
-		sets := [][2]int{{0, len(rects)}, {len(rects), len(geo)}}
-		i := 0
-		solve := func() {
-			set := sets[i%2]
-			s.Rebind(geo[set[0]:set[1]], ids[set[0]:set[1]], nil)
-			i++
-			if _, ok := s.SolveWithin(space); !ok {
-				t.Fatal("nothing found")
-			}
+	// One table holds both sets' rows, as a pyramid's core holds every
+	// set a search sweeps.
+	limbs := limbsOver(t, q.F, rects, rects2)
+	tab, geo, ids := rowsOf(q.F, limbs, append(slices.Clone(rects), rects2...))
+	s := NewSized(512)
+	s.Bind(limbs, tab, planOf(q, limbs))
+	sets := [][2]int{{0, len(rects)}, {len(rects), len(geo)}}
+	i := 0
+	solve := func() {
+		set := sets[i%2]
+		s.Rebind(geo[set[0]:set[1]], ids[set[0]:set[1]], nil)
+		i++
+		if _, ok := s.SolveWithin(space); !ok {
+			t.Fatal("nothing found")
 		}
-		solve()
-		solve()
-		before := s.Stats
-		if allocs := testing.AllocsPerRun(10, solve); allocs > 1 {
-			t.Fatalf("%s: a rebound incremental sweep allocates %v times, want the answer's representation only", mc.name, allocs)
-		}
-		if s.Stats.FlatStrips+s.Stats.FenwickStrips == before.FlatStrips+before.FenwickStrips {
-			t.Fatalf("%s: the incremental sweep did not run", mc.name)
-		}
+	}
+	solve()
+	solve()
+	before := s.Stats
+	if allocs := testing.AllocsPerRun(10, solve); allocs > 1 {
+		t.Fatalf("a rebound incremental sweep allocates %v times, want the answer's representation only", allocs)
+	}
+	if s.Stats.FlatStrips == before.FlatStrips {
+		t.Fatal("the incremental sweep did not run")
 	}
 }

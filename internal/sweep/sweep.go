@@ -31,11 +31,9 @@ import (
 type Stats struct {
 	Strips    int // horizontal strips examined
 	Intervals int // candidate x-intervals enumerated (a strip scores one only where the covering set moved)
-	// Strip-evaluator selection counters of the incremental sweep:
-	// dirty strips resolved by the flat merge pass vs. by Fenwick-seeded
-	// range walks.
-	FlatStrips    int
-	FenwickStrips int
+	// FlatStrips counts the dirty strips the incremental sweep's flat
+	// merge pass scored.
+	FlatStrips int
 	// Scored counts the intervals whose representation was folded and
 	// scored against the bound, in every walk; PrunedStrips the dirty
 	// strips of the incremental sweep skipped unscored because their
@@ -83,10 +81,6 @@ type Solver struct {
 	incremental bool
 	incrCap     int
 	inc         incrState
-
-	// stripMode pins the incremental sweep's strip evaluator for tests;
-	// the zero value is the rule (see stripMode).
-	stripMode stripMode
 
 	// evalCap bounds candidate distance evaluation (SolveWithinCapped):
 	// the score plan marches against min(local best, evalCap), so

@@ -718,6 +718,48 @@ func TestAnswerRecyclesSlabsAcrossRounds(t *testing.T) {
 	}
 }
 
+// TestAnswerScratchSurvivesGC: the scratch a request's rounds recycle —
+// dssearch's slabs and plans, and the GI-DS session's range heap, bound
+// vectors and id lists — is kept across a garbage collection, so a POISyn
+// 5k F2 top-10 through Answer with the pyramid given allocates within 8
+// KiB as much when a collection runs before each request as when none
+// does (82 707 B against 27 232 B while the GI-DS scratch sat in a
+// sync.Pool, which every collection empties).
+func TestAnswerScratchSurvivesGC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting under -short")
+	}
+	ds := dataset.POISyn(5000, 42)
+	qa, qb := sizeK(ds, 30)
+	q, err := dataset.F2(ds, qa, qb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := asrs.NewIndex(ds, q.F, 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pyr, err := asrs.BuildPyramid(ds, q.F)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func() {
+		req := asrs.QueryRequest{Query: q, A: qa, B: qb, TopK: 10, Options: &asrs.Options{Pyramid: pyr}}
+		if resp, _ := asrs.Answer(ds, idx, req); resp.Err != nil || len(resp.Results) != 10 {
+			t.Fatalf("top-10 answered %d rows, err %v", len(resp.Results), resp.Err)
+		}
+	}
+	plain := bytesPer(answer)
+	collected := bytesPer(func() {
+		runtime.GC()
+		answer()
+	})
+	t.Logf("top-10 through Answer: %.0f bytes/request, %.0f with a collection before each", plain, collected)
+	if collected-plain > 8<<10 {
+		t.Fatalf("a request after a collection allocates %.0f bytes, %.0f more than one without", collected, collected-plain)
+	}
+}
+
 // TestRefusedRequestBuildsNoPyramid: a request no search can take — bad
 // options, a within extent smaller than the region — fails before its
 // driver builds a pyramid or compiles anything: it allocates less than a
