@@ -322,7 +322,21 @@ func (e *Engine) Dataset() *Dataset { return e.ds }
 // queries answer against (treat as read-only). Callers compiling
 // query-by-example targets should use it rather than Dataset, so the
 // example region's representation reflects ingested objects too.
-func (e *Engine) CurrentDataset() *Dataset { return e.currentView().ds }
+func (e *Engine) CurrentDataset() *Dataset { return e.Epoch().Dataset() }
+
+// Epoch is a handle on one epoch view (its corpus, pyramids and searches in
+// flight), unchanged by later inserts and kept in memory while held. Engine
+// calls take the current one; a shard router pins one for a whole request.
+type Epoch struct {
+	e *Engine
+	v *engineView
+}
+
+// Epoch returns a handle on the current epoch, every staged insert folded in.
+func (e *Engine) Epoch() Epoch { return Epoch{e, e.currentView()} }
+
+// Dataset is the epoch's corpus (treat as read-only).
+func (p Epoch) Dataset() *Dataset { return p.v.ds }
 
 // currentView returns the epoch view covering every insert staged so
 // far, materializing a new epoch if inserts arrived since the last one.
@@ -436,9 +450,10 @@ func (e *Engine) indexFor(v *engineView, f *Composite) (*Index, error) {
 // Concurrent callers for the same composite share one build.
 // Like Index, the cache is keyed by composite identity — treat
 // composites as long-lived singletons.
-func (e *Engine) Pyramid(f *Composite) (*Pyramid, error) {
-	return e.pyramidFor(e.currentView(), f)
-}
+func (e *Engine) Pyramid(f *Composite) (*Pyramid, error) { return e.Epoch().Pyramid(f) }
+
+// Pyramid is Engine.Pyramid on the epoch.
+func (p Epoch) Pyramid(f *Composite) (*Pyramid, error) { return p.e.pyramidFor(p.v, f) }
 
 // geometryFor returns the view's geometry, building it on first use:
 // folded from the previous epoch's (dssearch.FoldGeometry) when the view
@@ -606,9 +621,14 @@ func (e *Engine) Query(req QueryRequest) QueryResponse {
 // in arrival order. Both waits end with the request's own context, and
 // nothing is kept once a search has ended.
 func (e *Engine) QueryCtx(ctx context.Context, req QueryRequest) QueryResponse {
-	resp := e.fly(requestCtx(ctx, &req), e.currentView(), req)
-	e.nQueries.Add(1)
-	e.countResponse(&resp)
+	return e.Epoch().QueryCtx(ctx, req)
+}
+
+// QueryCtx is Engine.QueryCtx on the epoch, joining searches in flight on it.
+func (p Epoch) QueryCtx(ctx context.Context, req QueryRequest) QueryResponse {
+	resp := p.e.fly(requestCtx(ctx, &req), p.v, req)
+	p.e.nQueries.Add(1)
+	p.e.countResponse(&resp)
 	return resp
 }
 
@@ -705,11 +725,14 @@ type Rounds struct {
 
 // Rounds captures the current epoch for at most n rounds of one request
 // under ctx.
-func (e *Engine) Rounds(ctx context.Context, n int) *Rounds {
+func (e *Engine) Rounds(ctx context.Context, n int) *Rounds { return e.Epoch().Rounds(ctx, n) }
+
+// Rounds is Engine.Rounds on the epoch.
+func (p Epoch) Rounds(ctx context.Context, n int) *Rounds {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Rounds{e: e, v: e.currentView(), ctx: ctx, n: n}
+	return &Rounds{e: p.e, v: p.v, ctx: ctx, n: n}
 }
 
 // Dataset is the captured epoch's corpus (treat as read-only): the one a

@@ -14,7 +14,6 @@
 package dataset
 
 import (
-	"math"
 	"math/rand"
 
 	"asrs/internal/attr"
@@ -174,23 +173,6 @@ func POISyn(n int, seed int64) *attr.Dataset {
 		objs[i] = attr.Object{Loc: pts[i], Values: []attr.Value{attr.NumValue(rating), attr.NumValue(visits)}}
 	}
 	return &attr.Dataset{Schema: schema, Objects: objs}
-}
-
-// POIQuant is POISyn with both numeric attributes snapped to dyadic
-// grids: ratings to quarter-point steps (half-star review scales) and
-// visit counts to half steps. Real-world numeric attributes frequently
-// live on such binary-fraction grids (half/quarter steps, float32-
-// sourced feeds), and they are exactly the values the limb certificate
-// (DESIGN.md §2) sums as one limb per channel — this is the benchmark
-// workload for the real-valued composite fast path.
-func POIQuant(n int, seed int64) *attr.Dataset {
-	ds := POISyn(n, seed)
-	for i := range ds.Objects {
-		o := &ds.Objects[i]
-		o.Values[0] = attr.NumValue(math.Round(o.Values[0].Num/0.25) * 0.25)
-		o.Values[1] = attr.NumValue(math.Round(o.Values[1].Num/0.5) * 0.5)
-	}
-	return ds
 }
 
 // Random generates a small generic dataset for property-based tests: m

@@ -165,8 +165,8 @@ func TestCertificateDenormalAndHeadroom(t *testing.T) {
 
 // quantObjects builds randomized objects over a two-numeric-attribute
 // schema with dyadic values (rating quarters in [0,10], visits halves in
-// [1,500]), mirroring the POIQuant workload; half of them lie on a
-// lattice of step 5.
+// [1,500]): POISyn's values snapped to dyadic grids; half of them lie on
+// a lattice of step 5.
 func quantObjects(rng *rand.Rand, n int) []attr.Object {
 	objs := make([]attr.Object, n)
 	for i := range objs {

@@ -203,9 +203,6 @@ func Activate(p *Plan) { active.Store(p) }
 // zero-cost no-op path.
 func Deactivate() { active.Store(nil) }
 
-// Active returns the installed plan (nil when none).
-func Active() *Plan { return active.Load() }
-
 // Fired returns the active plan's total fire count, 0 when no plan is
 // installed. Chaos tests bracket each unit of work with Fired() to
 // decide whether its answer is eligible for oracle comparison.

@@ -113,28 +113,14 @@ func (b RouterBinding) QueryBatch(ctx context.Context, reqs []asrs.QueryRequest)
 	return out, covs
 }
 
-// Rounds implements Binding: one scatter–gather pass per round, each on
-// the catalog's current shards.
-func (b RouterBinding) Rounds(ctx context.Context, n int) Rounds {
-	return routerRounds{b: b, ctx: ctx, ds: b.Dataset()}
+// Rounds implements Binding: one router session (shard.Session), whose
+// rounds are scatter–gather passes on the shard epochs it pinned.
+func (b RouterBinding) Rounds(ctx context.Context, n int) Rounds { return b.R.Open(ctx, b.Policy) }
+
+// Dataset implements Binding: the merged corpus of a session's views.
+func (b RouterBinding) Dataset() *asrs.Dataset {
+	return b.R.Open(context.TODO(), b.Policy).Dataset()
 }
-
-type routerRounds struct {
-	b   RouterBinding
-	ctx context.Context
-	ds  *asrs.Dataset
-}
-
-func (r routerRounds) Dataset() *asrs.Dataset { return r.ds }
-
-func (r routerRounds) Round(req asrs.QueryRequest) (asrs.QueryResponse, *wire.Coverage) {
-	return r.b.Query(r.ctx, req)
-}
-
-func (r routerRounds) Close() {}
-
-// Dataset implements Binding.
-func (b RouterBinding) Dataset() *asrs.Dataset { return b.R.Catalog().CurrentDataset() }
 
 // SearchOptions implements Binding.
 func (b RouterBinding) SearchOptions() asrs.Options { return b.R.Catalog().SearchOptions() }

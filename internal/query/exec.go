@@ -29,8 +29,9 @@ type Row struct {
 // joins the exclusions) and row flushes between rounds. Its rounds are
 // one Binding.Rounds: on an engine, the search a one-shot top-k's rounds
 // run in (asrs.Answer's driver), each round resuming the one before; on a
-// router, one scatter pass per round. That is why an unfiltered stream's
-// rows — regions included — are the one-shot answer's.
+// router, the session a one-shot request's rounds run in (shard.Session),
+// one scatter pass per round. That is why an unfiltered stream's rows —
+// regions included — are the one-shot answer's.
 //
 // A Stream is single-goroutine; it holds no locks, no background work
 // and, between rounds, no execution slot. Abandoning it mid-iteration
@@ -64,8 +65,8 @@ type boundFilter struct {
 // Exec binds a plan to a backend and returns the lazy stream. The
 // stream's rounds are opened here, and with them the dataset snapshot
 // (region targets, filter representations) is taken once, so every
-// round and every filter evaluation sees one coherent epoch (on an
-// engine; a router's rounds each search its shards as they are).
+// round and every filter evaluation sees one coherent epoch: the
+// engine's, or on a router each shard's epoch the session pinned.
 func Exec(ctx context.Context, pl *Plan, b Binding) (*Stream, error) {
 	if pl.Explain {
 		return nil, planErrf("explain plans report, they do not execute")

@@ -205,7 +205,7 @@ func TestBandDifferential(t *testing.T) {
 				if err := rt.Insert(slabObjects(cat, 6)); err != nil {
 					t.Fatal(err)
 				}
-				merged := cat.CurrentDataset()
+				merged := sessionDataset(rt)
 				checkStraddlePaths(t, rt, merged, q, a, b, e)
 				checkBandCorpus(t, rt, merged, f, e, a)
 			}
@@ -264,7 +264,7 @@ func edgesAndCuts(t *testing.T, noPyr bool) {
 	if err := rt.Insert([]asrs.Object{obj(50, 43.5, 1), obj(58, 41.5, 2), obj(45, 42.5, 3)}); err != nil {
 		t.Fatal(err)
 	}
-	merged := cat.CurrentDataset()
+	merged := sessionDataset(rt)
 	checkStraddlePaths(t, rt, merged, asrs.Query{F: count, Target: []float64{6}}, a, b, e)
 	checkBandCorpus(t, rt, merged, count, e, a)
 	// Integer channels share one layout: every band's rows are copied,
@@ -453,7 +453,7 @@ func TestBandReadsRecoveredInserts(t *testing.T) {
 	if err := rt.Insert(extra); err != nil {
 		t.Fatal(err)
 	}
-	merged := cat.CurrentDataset()
+	merged := sessionDataset(rt)
 	if err := cat.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestBandConcurrentQueries(t *testing.T) {
 	if err := rt.Insert(slabObjects(cat, 4)); err != nil {
 		t.Fatal(err)
 	}
-	merged := cat.CurrentDataset()
+	merged := sessionDataset(rt)
 	a, b := 6.0, 6.0
 	extents := []asrs.Rect{{MinX: 2, MinY: 2, MaxX: 98, MaxY: 98}, {MinX: 20, MinY: 10, MaxX: 80, MaxY: 70}, {MinX: 5, MinY: 30, MaxX: 95, MaxY: 60}}
 	want := make([]asrs.Result, len(extents))
@@ -544,7 +544,7 @@ func TestBandShardIngestJoins(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := asrs.Rect{MinX: c - half*bounds.Width(), MinY: bounds.MinY + bounds.Height()/4, MaxX: c + half*bounds.Width(), MaxY: bounds.MaxY}
-			checkStraddle(t, rt, cat.CurrentDataset(), q, a, b, e)
+			checkStraddle(t, rt, sessionDataset(rt), q, a, b, e)
 			bands += len(bandWindows(cat, e, a))
 		}
 	}

@@ -67,8 +67,8 @@ type Catalog struct {
 }
 
 // New splits the dataset into shards. The seed dataset is retained (and
-// must not be mutated): each shard's seed slab is a slice of it, and
-// CurrentDataset leads with it for query-by-example targets.
+// must not be mutated): each shard's seed slab is a slice of it, and a
+// session's Dataset leads with it for query-by-example targets.
 func New(ds *asrs.Dataset, cfg Config) (*Catalog, error) {
 	if ds == nil || ds.Schema == nil {
 		return nil, fmt.Errorf("shard: catalog requires a dataset with a schema")
@@ -156,33 +156,10 @@ func (c *Catalog) Shards() []*Shard { return c.shards }
 // Cuts returns the interior cut x-coordinates.
 func (c *Catalog) Cuts() []float64 { return c.cuts }
 
-// Seed returns the merged seed dataset in original object order.
-func (c *Catalog) Seed() *asrs.Dataset { return c.seed }
-
 // SearchOptions returns the catalog's engine-template search options —
 // the defaults a serving layer starts from when pinning per-request
 // overrides (mirroring Engine.SearchOptions).
 func (c *Catalog) SearchOptions() asrs.Options { return c.cfg.Engine.Search }
-
-// CurrentDataset returns the live merged corpus, the one query-by-example
-// targets are represented against: the seed objects in original order,
-// then each shard's ingested objects in shard order. A shard whose
-// breaker is closed is read through its load, so inserts it recovered
-// from its WAL count before any query touched it; any other shard
-// contributes what it has loaded, if anything.
-func (c *Catalog) CurrentDataset() *asrs.Dataset {
-	out := c.seed.Objects
-	var extra []asrs.Object
-	for _, sh := range c.shards {
-		if eng := sh.epoch(sh.breaker.closed()); eng != nil {
-			extra = append(extra, eng.IngestedObjects()...)
-		}
-	}
-	if len(extra) > 0 {
-		out = append(append(make([]asrs.Object, 0, len(out)+len(extra)), out...), extra...)
-	}
-	return &asrs.Dataset{Schema: c.seed.Schema, Objects: out}
-}
 
 // WarmAll forces every shard's engine (pyramids, WAL recovery)
 // eagerly, in slab order. The first failure is returned but remaining

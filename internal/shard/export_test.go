@@ -1,6 +1,10 @@
 package shard
 
-import "asrs"
+import (
+	"context"
+
+	"asrs"
+)
 
 // WithoutBoundShare returns the options with the cross-shard shared
 // pruning cap turned off: the oracle side of the router property tests.
@@ -16,6 +20,6 @@ func (r *Router) BandCorpus(win asrs.Rect, f *asrs.Composite) *asrs.Dataset {
 	for i := range admitted {
 		admitted[i] = true
 	}
-	ds, _, _, _ := r.bandCorpus(win, f, admitted)
+	ds, _, _, _ := r.Open(context.Background(), "").bandCorpus(win, f, admitted)
 	return ds
 }

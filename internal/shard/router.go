@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -163,7 +164,7 @@ func (r *Router) Catalog() *Catalog { return r.cat }
 // shards; the first error aborts the remaining groups. An object the
 // schema refuses refuses the whole batch before any shard stages it.
 func (r *Router) Insert(objs []asrs.Object) error {
-	if err := (&asrs.Dataset{Schema: r.cat.Seed().Schema, Objects: objs}).Validate(); err != nil {
+	if err := (&asrs.Dataset{Schema: r.cat.seed.Schema, Objects: objs}).Validate(); err != nil {
 		return fmt.Errorf("shard: insert: %w", err)
 	}
 	groups := make(map[int][]asrs.Object)
@@ -204,55 +205,136 @@ func (r *Router) Query(ctx context.Context, req Request) Response {
 }
 
 // Answer answers one request in the library's own form under a partial
-// policy ("" selects Strict). Within is the routing key; nil means the
-// whole corpus (see Request.Extent). A Pyramid binding of the request's
-// Options is discarded: each shard binds its own.
+// policy ("" selects Strict), in a session of its own. Within is the
+// routing key; nil means the whole corpus (see Request.Extent). A Pyramid
+// binding of the request's Options is discarded: each shard binds its own.
 func (r *Router) Answer(ctx context.Context, req asrs.QueryRequest, pol PartialPolicy) Response {
 	if req.Ctx != nil {
 		ctx = req.Ctx
 	}
+	s := r.Open(ctx, pol)
+	defer s.Close()
+	return s.answer(req)
+}
+
+// Session is one routed request: it pins a shard's epoch view the first
+// time the request reads the shard, and every sub-search, band join,
+// default extent and Dataset of the request reads that view. Its first
+// round fixes the sub-searches, so each band is joined once, and a top-k's
+// rounds, one-shot or streamed, answer on one object set (DESIGN.md §11).
+// Rounds run one after another. An open session holds its views in memory.
+type Session struct {
+	r     *Router
+	ctx   context.Context
+	pol   PartialPolicy
+	mu    sync.Mutex
+	views []asrs.Epoch // by shard index, zero until pinned
+	tasks []subTask    // nil until the first round
+}
+
+// Open opens a session under ctx (nil is none) and a partial policy (""
+// selects Strict).
+func (r *Router) Open(ctx context.Context, pol PartialPolicy) *Session {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	req.Ctx = nil // sub-searches run under per-shard budgets carved from ctx
 	if pol == "" {
 		pol = Strict
 	}
-	if pol != Strict && pol != BestEffort {
-		return Response{Err: fmt.Errorf("shard: unknown partial policy %q", pol)}
+	return &Session{r: r, ctx: ctx, pol: pol, views: make([]asrs.Epoch, len(r.cat.shards))}
+}
+
+// Close lets go of the session's views and band corpora; no round follows.
+func (s *Session) Close() { s.views, s.tasks = nil, nil }
+
+// pin is the one read of a shard's epoch for a request: the session's view,
+// else the engine's current epoch, pinned now. With load the engine is
+// loaded (a sub-search charges a load error to the breaker; other reads
+// ignore it), else read only if loaded; nil means the seed slab alone.
+func (s *Session) pin(sh *Shard, load bool) (*asrs.Epoch, error) {
+	eng := sh.Loaded()
+	if load {
+		var err error
+		if eng, err = sh.Engine(); err != nil {
+			return nil, err
+		}
 	}
-	if err := dssearch.CheckExtent(req.A, req.B); err != nil {
-		return Response{Err: err}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ep := &s.views[sh.index]
+	if *ep == (asrs.Epoch{}) {
+		if eng == nil {
+			return nil, nil
+		}
+		*ep = eng.Epoch()
 	}
-	var e asrs.Rect
-	if req.Within != nil {
-		e = *req.Within
-		if err := dssearch.CheckWithin(e); err != nil {
+	return ep, nil
+}
+
+// Dataset is the session's merged corpus, which a stream represents its
+// targets and filters against: the seed objects, then each view's inserts
+// in shard order. A shard whose breaker is closed is pinned through its
+// load, so the inserts it recovers from its WAL count.
+func (s *Session) Dataset() *asrs.Dataset {
+	seed := s.r.cat.seed
+	objs := slices.Clip(seed.Objects) // appending copies, never writes the seed
+	for _, sh := range s.r.cat.shards {
+		if ep, _ := s.pin(sh, sh.breaker.closed()); ep != nil {
+			objs = append(objs, ep.Dataset().Objects[len(sh.seed.Objects):]...)
+		}
+	}
+	return &asrs.Dataset{Schema: seed.Schema, Objects: objs}
+}
+
+// Round answers a stream's single-best request under the exclusions so
+// far: the first call's request with a longer Exclude (Ctx ignored).
+func (s *Session) Round(req asrs.QueryRequest) (asrs.QueryResponse, *Coverage) {
+	resp := s.answer(req)
+	return asrs.QueryResponse{Regions: resp.Regions, Results: resp.Results, Err: resp.Err}, &resp.Coverage
+}
+
+// answer answers req on the session's views; the first call that
+// validates fixes the sub-searches.
+func (s *Session) answer(req asrs.QueryRequest) Response {
+	req.Ctx = nil // sub-searches run under per-shard budgets carved from s.ctx
+	if s.pol != Strict && s.pol != BestEffort {
+		return Response{Err: fmt.Errorf("shard: unknown partial policy %q", s.pol)}
+	}
+	if s.tasks == nil {
+		if err := dssearch.CheckExtent(req.A, req.B); err != nil {
 			return Response{Err: err}
 		}
-	} else {
-		e = r.defaultExtent(req.Query.F, req.A, req.B)
+		var e asrs.Rect
+		if req.Within != nil {
+			e = *req.Within
+			if err := dssearch.CheckWithin(e); err != nil {
+				return Response{Err: err}
+			}
+		} else {
+			e = s.defaultExtent(req.Query.F, req.A, req.B)
+		}
+		if e.Width() < req.A || e.Height() < req.B {
+			return Response{Err: asrs.ErrExtentTooSmall}
+		}
+		s.tasks = s.r.tasks(e, req.A)
 	}
-	if e.Width() < req.A || e.Height() < req.B {
-		return Response{Err: asrs.ErrExtentTooSmall}
-	}
-	return r.route(ctx, r.tasks(e, req.A), req, pol)
+	return s.route(req)
 }
 
 // defaultExtent is the whole-corpus extent: the corpus's bounds expanded
 // by 2a/2b per side, which contain every anchor whose region can cover an
 // object (anchors live within a/b below-left of the object) and leave
 // room for empty-coverage anchors beside them. No object is scanned: a
-// shard with an engine — loaded as its sub-search loads it when its
-// breaker is closed — gives its epoch geometry's bounds, any other its
-// seed slab's, computed when the catalog was built.
-func (r *Router) defaultExtent(f *asrs.Composite, a, b float64) asrs.Rect {
+// shard with a view — pinned through its load when its breaker is closed
+// — gives its epoch geometry's bounds, any other its seed slab's,
+// computed when the catalog was built.
+func (s *Session) defaultExtent(f *asrs.Composite, a, b float64) asrs.Rect {
 	e := asrs.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
-	for _, sh := range r.cat.Shards() {
+	for _, sh := range s.r.cat.Shards() {
 		hull := sh.seedBounds
-		if eng := sh.epoch(sh.breaker.closed()); eng != nil {
+		if ep, _ := s.pin(sh, sh.breaker.closed()); ep != nil {
 			// A pyramid that cannot build fails the shard's sub-search.
-			if p, err := eng.Pyramid(f); err == nil {
+			if p, err := ep.Pyramid(f); err == nil {
 				hull = p.Geometry().Bounds()
 			}
 		}
@@ -385,7 +467,7 @@ func isPanic(err error) bool {
 // subTask is one scatter target: a shard's slab sub-extent (engine
 // backed) or a cut-boundary band (searched engine-less over the band's
 // corpus and pyramid, which the band's first searched round joins from
-// the shards' epochs).
+// the session's views).
 type subTask struct {
 	name string
 	sh   *Shard
@@ -411,7 +493,7 @@ func (r *Router) tasks(e asrs.Rect, a float64) []subTask {
 			return []subTask{{name: sh.Name(), sh: sh, win: e}}
 		}
 	}
-	tasks := make([]subTask, 0, 2*len(shards))
+	tasks := make([]subTask, 0, len(shards)+len(r.cat.cuts))
 	for _, sh := range shards {
 		if win := e.Intersect(asrs.Rect{MinX: sh.lo, MinY: e.MinY, MaxX: sh.hi, MaxY: e.MaxY}); win.MinX <= win.MaxX {
 			tasks = append(tasks, subTask{name: sh.Name(), sh: sh, win: win})
@@ -432,12 +514,12 @@ func (r *Router) tasks(e asrs.Rect, a float64) []subTask {
 // merged-corpus run. Several are asrs.Greedy — the single-engine greedy
 // rounds — with one scatter–gather pass of the single-best request as
 // its round. The coverage is the rounds' together.
-func (r *Router) route(ctx context.Context, tasks []subTask, req asrs.QueryRequest, pol PartialPolicy) Response {
+func (s *Session) route(req asrs.QueryRequest) Response {
 	searched := map[string]bool{}
 	skipped := map[string]string{}
 	round := func(sub asrs.QueryRequest) ([]subOutcome, error) {
-		outs := r.scatter(ctx, tasks, sub)
-		cov, err := gather(outs, pol)
+		outs := s.scatter(sub)
+		cov, err := gather(outs, s.pol)
 		for _, n := range cov.Searched {
 			searched[n] = true
 		}
@@ -449,7 +531,7 @@ func (r *Router) route(ctx context.Context, tasks []subTask, req asrs.QueryReque
 		return outs, err
 	}
 	var resp Response
-	if len(tasks) == 1 {
+	if len(s.tasks) == 1 {
 		outs, err := round(req)
 		if err == nil {
 			o := &outs[0].resp
@@ -467,35 +549,35 @@ func (r *Router) route(ctx context.Context, tasks []subTask, req asrs.QueryReque
 			return best(outs)
 		})
 	}
-	resp.Coverage = finishCoverage(Coverage{Shards: len(r.cat.Shards())}, searched, skipped)
+	resp.Coverage = finishCoverage(Coverage{Shards: len(s.r.cat.Shards())}, searched, skipped)
 	return resp
 }
 
 // bandCorpus reads a band's corpus and its pyramid: the objects with x
 // strictly inside the band window, the only ones whose anchor rectangles
 // can reach its anchor window (corpus independence, DESIGN.md §11). The
-// band's pyramid is joined from the epoch pyramids of the shards whose
-// slabs meet the window (dssearch.JoinPyramids): each one's run of the
-// window, copied with its rows. A shard is read through the load its
-// sub-search performs, and only when this round's breaker admitted it; a
-// shard not admitted, or unable to load, is returned as lost and the
-// band is not searched. Slabs are disjoint and in x order, so a join's
-// runs concatenated in slab order are sorted as a master is, and a join
-// sorts nothing.
-func (r *Router) bandCorpus(win asrs.Rect, f *asrs.Composite, admitted []bool) (ds *asrs.Dataset, p *asrs.Pyramid, lost *Shard, err error) {
+// band's pyramid is joined from the pyramids of the session's views of
+// the shards whose slabs meet the window (dssearch.JoinPyramids): each
+// one's run of the window, copied with its rows. A shard is pinned through
+// the load its sub-search performs, and only when this round's breaker
+// admitted it; a shard not admitted, or unable to load, is returned as
+// lost and the band is not searched. Slabs are disjoint and in x order, so
+// a join's runs concatenated in slab order are sorted as a master is, and
+// a join sorts nothing.
+func (s *Session) bandCorpus(win asrs.Rect, f *asrs.Composite, admitted []bool) (ds *asrs.Dataset, p *asrs.Pyramid, lost *Shard, err error) {
 	var ps []*asrs.Pyramid
-	for _, sh := range r.cat.Shards() {
+	for _, sh := range s.r.cat.Shards() {
 		if !(sh.lo < win.MaxX && win.MinX < sh.hi) {
 			continue
 		}
 		if !admitted[sh.index] {
 			return nil, nil, sh, nil
 		}
-		eng, err := sh.Engine()
+		ep, err := s.pin(sh, true)
 		if err != nil {
 			return nil, nil, sh, nil
 		}
-		if p, err = eng.Pyramid(f); err != nil {
+		if p, err = ep.Pyramid(f); err != nil {
 			return nil, nil, nil, err
 		}
 		ps = append(ps, p)
@@ -505,9 +587,9 @@ func (r *Router) bandCorpus(win asrs.Rect, f *asrs.Composite, admitted []bool) (
 		return nil, nil, nil, err
 	}
 	if copied {
-		r.bandJoins.Add(1)
+		s.r.bandJoins.Add(1)
 	} else {
-		r.bandBuilds.Add(1)
+		s.r.bandBuilds.Add(1)
 	}
 	return ds, p, nil, nil
 }
@@ -534,14 +616,15 @@ func finishCoverage(cov Coverage, searched map[string]bool, skipped map[string]s
 // under the straddle's shared cap, whose answer is not the request's
 // own, or when the request brought its own (δ). Any other shard
 // sub-search is the request as a client would send it, and joins an
-// identical search in flight on its shard (Engine.QueryCtx).
-func (r *Router) scatter(ctx context.Context, tasks []subTask, req asrs.QueryRequest) []subOutcome {
+// identical search in flight on its shard's pinned view (Epoch.QueryCtx).
+func (s *Session) scatter(req asrs.QueryRequest) []subOutcome {
+	tasks := s.tasks
 	var sharedCap *kernel.ExtCap
-	if len(tasks) > 1 && r.subOptions(req, nil).Delta == 0 && !r.opt.disableBoundShare {
+	if len(tasks) > 1 && s.r.subOptions(req, nil).Delta == 0 && !s.r.opt.disableBoundShare {
 		sharedCap = kernel.NewExtCap()
 	}
 	outs := make([]subOutcome, len(tasks))
-	admitted := make([]bool, len(r.cat.Shards()))
+	admitted := make([]bool, len(s.r.cat.Shards()))
 	for i, t := range tasks {
 		outs[i].name, outs[i].shard = t.name, t.sh
 		if t.sh != nil {
@@ -562,19 +645,19 @@ func (r *Router) scatter(ctx context.Context, tasks []subTask, req asrs.QueryReq
 			sub := req
 			sub.Within = &t.win
 			if t.sh == nil || sharedCap != nil || req.Options != nil {
-				opt := r.subOptions(req, sharedCap)
+				opt := s.r.subOptions(req, sharedCap)
 				sub.Options = &opt
 			}
 			err := guardPanics(func() error {
 				if t.sh != nil {
 					fireShardFaults()
-					eng, err := t.sh.Engine()
+					ep, err := s.pin(t.sh, true)
 					if err != nil {
 						return err
 					}
-					bctx, cancel := r.budgetCtx(ctx)
+					bctx, cancel := s.r.budgetCtx(s.ctx)
 					defer cancel()
-					o.resp = eng.QueryCtx(bctx, sub)
+					o.resp = ep.QueryCtx(bctx, sub)
 					return o.resp.Err
 				}
 				if t.band == nil {
@@ -582,25 +665,25 @@ func (r *Router) scatter(ctx context.Context, tasks []subTask, req asrs.QueryReq
 					// search the same corpus. The rounds run one after another.
 					var lost *Shard
 					var err error
-					if t.band, t.pyr, lost, err = r.bandCorpus(t.win, req.Query.F, admitted); lost != nil {
+					if t.band, t.pyr, lost, err = s.bandCorpus(t.win, req.Query.F, admitted); lost != nil {
 						o.skipReason = lost.Name()
-						r.bandSkips.Add(1)
+						s.r.bandSkips.Add(1)
 						return nil
 					} else if err != nil {
 						return err
 					}
 				}
 				sub.Options.Pyramid = t.pyr
-				bctx, cancel := r.budgetCtx(ctx)
+				bctx, cancel := s.r.budgetCtx(s.ctx)
 				defer cancel()
 				sub.Ctx = bctx
 				var st asrs.IndexStats
 				o.resp, st = asrs.Answer(t.band, nil, sub)
-				r.bandMisses.Add(int64(st.DS.SelfCheckMisses))
+				s.r.bandMisses.Add(int64(st.DS.SelfCheckMisses))
 				return o.resp.Err
 			})
 			if o.skipReason == "" {
-				r.classify(ctx, o, err)
+				s.r.classify(s.ctx, o, err)
 			}
 		}()
 	}

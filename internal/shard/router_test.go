@@ -65,6 +65,12 @@ func checkLeaks(t *testing.T) {
 	})
 }
 
+// sessionDataset is the merged corpus of a routed request opened now:
+// the oracle corpus of the router tests.
+func sessionDataset(rt *shard.Router) *asrs.Dataset {
+	return rt.Open(context.Background(), "").Dataset()
+}
+
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
@@ -334,7 +340,7 @@ func TestRoutedNilExtent(t *testing.T) {
 	}
 	count := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Count})
 	qCount := asrs.Query{F: count, Target: []float64{9}}
-	oracle, err = asrs.NewEngine(cat.CurrentDataset(), asrs.EngineOptions{})
+	oracle, err = asrs.NewEngine(sessionDataset(rt), asrs.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +469,7 @@ func TestRouterInsertRouting(t *testing.T) {
 	if err := rt.Insert(extra); err != nil {
 		t.Fatal(err)
 	}
-	merged := cat.CurrentDataset()
+	merged := sessionDataset(rt)
 	if len(merged.Objects) != len(ds.Objects)+len(extra) {
 		t.Fatalf("merged corpus has %d objects, want %d", len(merged.Objects), len(ds.Objects)+len(extra))
 	}
@@ -530,7 +536,7 @@ func TestShardReloadTwoCompositesAfterCrash(t *testing.T) {
 	if err := rt.Insert(extra); err != nil {
 		t.Fatal(err)
 	}
-	merged := cat.CurrentDataset()
+	merged := sessionDataset(rt)
 	// Closing syncs and releases the WALs: what the next boot finds is
 	// what a SIGKILL after the last ack leaves.
 	if err := cat.Close(); err != nil {
@@ -545,10 +551,10 @@ func TestShardReloadTwoCompositesAfterCrash(t *testing.T) {
 	if err := cat.WarmAll(); err != nil {
 		t.Fatalf("reload after crash: %v", err)
 	}
-	if got := len(cat.CurrentDataset().Objects); got != len(merged.Objects) {
+	rt = shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}})
+	if got := len(sessionDataset(rt).Objects); got != len(merged.Objects) {
 		t.Fatalf("reloaded corpus has %d objects, want %d", got, len(merged.Objects))
 	}
-	rt = shard.NewRouter(cat, shard.RouterOptions{Breaker: shard.BreakerConfig{Disable: true}})
 	extent := asrs.Rect{MinX: 3, MinY: 3, MaxX: 97, MaxY: 97}
 	for name, query := range map[string]asrs.Query{"q": q, "n": qCount} {
 		_, want, _, err := asrs.SearchWithin(merged, 6, 6, query, extent, nil, asrs.Options{})

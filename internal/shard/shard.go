@@ -43,9 +43,6 @@ func (s *Shard) Slab() (lo, hi float64) { return s.lo, s.hi }
 // Breaker exposes the shard's circuit breaker.
 func (s *Shard) Breaker() *Breaker { return s.breaker }
 
-// Seed returns the shard's slice of the catalog seed corpus.
-func (s *Shard) Seed() *asrs.Dataset { return s.seed }
-
 // Loaded returns the engine if it has been constructed, else nil —
 // without triggering a load.
 func (s *Shard) Loaded() *asrs.Engine {
@@ -93,22 +90,6 @@ func (s *Shard) Engine() (*asrs.Engine, error) {
 	s.eng = eng
 	s.cat.logf("shard %s: loaded %d objects in %s", s.name, len(s.seed.Objects), time.Since(start).Round(time.Millisecond))
 	return eng, nil
-}
-
-// epoch returns the engine whose current epoch the router reads for this
-// shard: loaded on demand when load is set (the load a sub-search
-// performs), else only if already loaded. Nil means the shard holds its
-// seed slab alone: unloaded, or unable to load — the failure is the
-// sub-search's to charge to the breaker.
-func (s *Shard) epoch(load bool) *asrs.Engine {
-	if !load {
-		return s.Loaded()
-	}
-	eng, err := s.Engine()
-	if err != nil {
-		return nil
-	}
-	return eng
 }
 
 // Close releases the shard's engine (WAL handles) if loaded.
