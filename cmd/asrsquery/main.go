@@ -299,7 +299,7 @@ func runExpr(dsName string, n int, seed int64, src string, jsonOut bool, cpuProf
 	if pl.Explain {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(pl.Report(eng.CurrentDataset(), false))
+		return enc.Encode(pl.Report(eng.Epoch().Dataset(), false))
 	}
 
 	infof("dataset=%s n=%d canonical=%q\n", dsName, len(ds.Objects), pl.Canonical)

@@ -314,15 +314,8 @@ func NewEngine(ds *Dataset, opt EngineOptions) (*Engine, error) {
 }
 
 // Dataset returns the seed dataset (treat as read-only). Objects
-// ingested since boot are NOT included; see IngestedObjects.
+// ingested since boot are NOT included; see Epoch and IngestedObjects.
 func (e *Engine) Dataset() *Dataset { return e.ds }
-
-// CurrentDataset returns the current logical dataset — the seed corpus
-// plus every object ingested so far — as the immutable epoch snapshot
-// queries answer against (treat as read-only). Callers compiling
-// query-by-example targets should use it rather than Dataset, so the
-// example region's representation reflects ingested objects too.
-func (e *Engine) CurrentDataset() *Dataset { return e.Epoch().Dataset() }
 
 // Epoch is a handle on one epoch view (its corpus, pyramids and searches in
 // flight), unchanged by later inserts and kept in memory while held. Engine
@@ -335,7 +328,9 @@ type Epoch struct {
 // Epoch returns a handle on the current epoch, every staged insert folded in.
 func (e *Engine) Epoch() Epoch { return Epoch{e, e.currentView()} }
 
-// Dataset is the epoch's corpus (treat as read-only).
+// Dataset is the epoch's corpus, the seed plus every object ingested
+// before it (treat as read-only): a query-by-example target represented on
+// it matches a search on the same epoch.
 func (p Epoch) Dataset() *Dataset { return p.v.ds }
 
 // currentView returns the epoch view covering every insert staged so
@@ -804,13 +799,18 @@ func (e *Engine) QueryBatch(reqs []QueryRequest) []QueryResponse {
 // batches and single requests share one CPU budget. A member whose
 // search panics fails alone, with a *kernel.PanicError.
 func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []QueryResponse {
+	return e.Epoch().QueryBatchCtx(ctx, reqs)
+}
+
+// QueryBatchCtx is Engine.QueryBatchCtx on the epoch.
+func (p Epoch) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []QueryResponse {
+	e, v := p.e, p.v
 	out := make([]QueryResponse, len(reqs))
 	if len(reqs) == 0 {
 		return out
 	}
 	e.nBatches.Add(1)
 	e.nQueries.Add(int64(len(reqs)))
-	v := e.currentView()
 	var wg sync.WaitGroup
 	for i := range reqs {
 		wg.Add(1)

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"asrs"
 	"asrs/internal/wire"
@@ -40,8 +41,8 @@ type Stream struct {
 	ctx context.Context
 	pl  *Plan
 	b   Binding
-	r   Rounds // nil for maximize plans
-	ds  *asrs.Dataset
+	r   Rounds
+	ds  *asrs.Dataset // nil unless the plan represents a region (Plan.corpus)
 
 	base    asrs.QueryRequest // single-round skeleton (TopK forced to 0)
 	excl    []asrs.Rect
@@ -63,21 +64,22 @@ type boundFilter struct {
 }
 
 // Exec binds a plan to a backend and returns the lazy stream. The
-// stream's rounds are opened here, and with them the dataset snapshot
-// (region targets, filter representations) is taken once, so every
-// round and every filter evaluation sees one coherent epoch: the
-// engine's, or on a router each shard's epoch the session pinned.
+// stream's rounds are opened here, and with them the snapshot is captured
+// once, so every round and every filter evaluation sees one coherent
+// epoch: the engine's, or on a router each shard's epoch the session
+// pinned. Its corpus is read only for a plan that represents a region on
+// it (Plan.corpus): a routed stream that represents none loads only the
+// shards its rounds search.
 func Exec(ctx context.Context, pl *Plan, b Binding) (*Stream, error) {
 	if pl.Explain {
 		return nil, planErrf("explain plans report, they do not execute")
 	}
-	s := &Stream{ctx: ctx, pl: pl, b: b}
+	s := &Stream{ctx: ctx, pl: pl, b: b, r: b.Rounds(ctx, pl.rounds())}
+	s.ds = pl.corpus(s.r)
 	if pl.Max != nil {
-		s.ds = b.Dataset()
+		s.r.Close() // the maximize form reads the corpus alone
 		return s, nil
 	}
-	s.r = b.Rounds(ctx, pl.rounds())
-	s.ds = s.r.Dataset()
 	req, err := pl.Request(s.ds)
 	if err != nil {
 		s.r.Close()
@@ -88,13 +90,7 @@ func Exec(ctx context.Context, pl *Plan, b Binding) (*Stream, error) {
 	s.base = req
 	s.excl = req.Exclude
 	for _, f := range pl.Filters {
-		bf := boundFilter{f: f}
-		if f.place.lit != nil {
-			bf.target = f.place.lit
-		} else {
-			bf.target = asrs.Represent(s.ds, f.place.comp, *f.place.region)
-		}
-		s.filters = append(s.filters, bf)
+		s.filters = append(s.filters, boundFilter{f: f, target: f.place.vector(s.ds)})
 	}
 	return s, nil
 }
@@ -204,6 +200,22 @@ func (s *Stream) maxrs() (Row, bool) {
 	return Row{Rank: 1, Region: res.Region, Result: asrs.Result{Point: res.Corner, Dist: res.Weight}}, true
 }
 
+// Answer answers a find plan in one call — /v1/query, a routed /v1/batch
+// member — on one snapshot of b, the one Rounds captures: its example
+// region is represented on that snapshot's corpus, and its search reads
+// that snapshot's views. On an engine it joins an identical search in
+// flight on that epoch.
+func Answer(ctx context.Context, pl *Plan, b Binding) (asrs.QueryResponse, *wire.Coverage) {
+	r := b.Rounds(ctx, pl.K())
+	defer r.Close()
+	req, err := pl.Request(pl.corpus(r))
+	if err != nil {
+		return asrs.QueryResponse{Err: err}, nil
+	}
+	pl.ApplyOptions(&req, b.SearchOptions())
+	return r.Answer(req)
+}
+
 // Err returns the stream's terminal error, if any.
 func (s *Stream) Err() error { return s.err }
 
@@ -229,31 +241,15 @@ func (s *Stream) mergeCoverage(cov *wire.Coverage) {
 		s.cov.Shards = cov.Shards
 	}
 	for _, name := range cov.Searched {
-		if !containsStr(s.cov.Searched, name) {
+		if !slices.Contains(s.cov.Searched, name) {
 			s.cov.Searched = append(s.cov.Searched, name)
 		}
 	}
 	for _, sk := range cov.Skipped {
-		dup := false
-		for _, have := range s.cov.Skipped {
-			if have.Shard == sk.Shard && have.Reason == sk.Reason {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(s.cov.Skipped, sk) {
 			s.cov.Skipped = append(s.cov.Skipped, sk)
 		}
 	}
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // Collect drains the stream into slices (the eager convenience used by

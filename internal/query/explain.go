@@ -92,7 +92,7 @@ func (pl *Plan) Report(ds *asrs.Dataset, routed bool) ExplainReport {
 	rep.Channels = pl.channels
 	rep.Norm = normName(pl.Norm)
 	for _, part := range pl.targets {
-		rep.Targets = append(rep.Targets, part.canon)
+		rep.Targets = append(rep.Targets, part.place.canon())
 	}
 	rep.A, rep.B = pl.A, pl.B
 	if pl.TopK > 1 {

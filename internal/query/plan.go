@@ -1,10 +1,13 @@
 package query
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"asrs"
 	"asrs/internal/dssearch"
+	"asrs/internal/wire"
 )
 
 // targetPart is one similar clause's contribution to the request
@@ -18,7 +21,7 @@ type targetPart struct {
 	region *asrs.Rect
 	comp   *asrs.Composite
 	dims   int
-	canon  string // the place's canonical rendering, for EXPLAIN
+	place  Place // its source, rendered by EXPLAIN
 }
 
 // Filter is one streamed post-filter: a dissimilarity predicate the
@@ -209,54 +212,23 @@ func (p *Planner) planFind(ast *AST, pl *Plan) (*Plan, error) {
 
 	// Target assembly: one part per clause, in the same canonical order.
 	for i, c := range sims {
-		part := targetPart{comp: exprs[i].comp, canon: c.Place.canon()}
-		dims := exprs[i].comp.Dims()
-		part.dims = dims
-		switch {
-		case c.Place.Region != nil:
-			r := rectLib(*c.Place.Region)
-			if !r.IsValid() {
-				return nil, planErrf("invalid example region %s: min must not exceed max", c.Place.canon())
-			}
-			part.region = &r
-		default:
-			if len(c.Place.Target) != dims {
-				return nil, planErrf("target vector has %d dims, %s produces %d", len(c.Place.Target), exprs[i].key, dims)
-			}
-			part.lit = c.Place.Target
-		}
-		pl.targets = append(pl.targets, part)
+		pl.targets = append(pl.targets, newPart(exprs[i].comp, c.Place))
 	}
 
 	// Answer size: explicit, or derived from the single example region
-	// (the query-by-example default, matching the wire schema).
-	a, b := ast.A, ast.B
-	if a == 0 && b == 0 {
-		if len(sims) == 1 && sims[0].Place.Region != nil {
-			r := sims[0].Place.Region
-			a, b = r.MaxX-r.MinX, r.MaxY-r.MinY
-		} else {
+	// (the query-by-example default).
+	pl.A, pl.B = ast.A, ast.B
+	if pl.A == 0 && pl.B == 0 {
+		if len(sims) != 1 || sims[0].Place.Region == nil {
 			return nil, planErrf("size is required unless the query has exactly one example region")
 		}
+		pl.A, pl.B = pl.targets[0].region.Width(), pl.targets[0].region.Height()
 	}
-	if err := dssearch.CheckExtent(a, b); err != nil {
-		return nil, planErrf("answer size: %v", err)
-	}
-	pl.A, pl.B = a, b
-
-	if ast.TopK > maxTopK {
-		return nil, planErrf("top %d exceeds the bound %d", ast.TopK, maxTopK)
-	}
-	pl.TopK = ast.TopK
-	if ast.Delta < 0 {
-		return nil, planErrf("delta must be non-negative, got %g", ast.Delta)
-	}
-	pl.Delta = ast.Delta
+	pl.TopK, pl.Delta, pl.TimeoutMS = ast.TopK, ast.Delta, ast.TimeoutMS
 	if ast.DiverseBy < 0 {
 		return nil, planErrf("diverse by must be non-negative, got %g", ast.DiverseBy)
 	}
 	pl.DiverseBy = ast.DiverseBy
-	pl.TimeoutMS = ast.TimeoutMS
 
 	// Exclusions: explicit rects in canonical order, then (under
 	// "excluding example") every example region in clause order — the
@@ -265,29 +237,20 @@ func (p *Planner) planFind(ast *AST, pl *Plan) (*Plan, error) {
 	excl := append([]Rect4(nil), ast.Exclude...)
 	sort.Slice(excl, func(i, j int) bool { return lessRect4(excl[i], excl[j]) })
 	for _, r := range excl {
-		lr := rectLib(r)
-		if !lr.IsValid() {
-			return nil, planErrf("invalid exclusion %s: min must not exceed max", r.canon())
-		}
-		pl.Exclude = append(pl.Exclude, lr)
+		pl.Exclude = append(pl.Exclude, rectLib(r))
 	}
 	if ast.ExcludeExample {
-		n := 0
 		for _, part := range pl.targets {
 			if part.region != nil {
 				pl.exampleExcludes = append(pl.exampleExcludes, *part.region)
-				n++
 			}
 		}
-		if n == 0 {
+		if len(pl.exampleExcludes) == 0 {
 			return nil, planErrf("excluding example requires at least one example region")
 		}
 	}
 	if ast.Within != nil {
 		w := rectLib(*ast.Within)
-		if !w.IsValid() {
-			return nil, planErrf("invalid within extent: min must not exceed max")
-		}
 		pl.Within = &w
 	}
 
@@ -300,21 +263,7 @@ func (p *Planner) planFind(ast *AST, pl *Plan) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		f := Filter{Comp: ce.comp, Weights: ce.weights, By: c.By, canon: c.canon()}
-		f.place = targetPart{comp: ce.comp, dims: ce.comp.Dims(), canon: c.Place.canon()}
-		switch {
-		case c.Place.Region != nil:
-			r := rectLib(*c.Place.Region)
-			if !r.IsValid() {
-				return nil, planErrf("invalid example region %s: min must not exceed max", c.Place.canon())
-			}
-			f.place.region = &r
-		default:
-			if len(c.Place.Target) != ce.comp.Dims() {
-				return nil, planErrf("target vector has %d dims, %s produces %d", len(c.Place.Target), ce.key, ce.comp.Dims())
-			}
-			f.place.lit = c.Place.Target
-		}
+		f := Filter{Comp: ce.comp, Weights: ce.weights, By: c.By, place: newPart(ce.comp, c.Place), canon: c.canon()}
 		pl.Filters = append(pl.Filters, f)
 	}
 
@@ -332,7 +281,121 @@ func (p *Planner) planFind(ast *AST, pl *Plan) (*Plan, error) {
 	if pl.ScanCap > 0 && pl.ScanCap < pl.K() {
 		return nil, planErrf("scan %d is below top %d", pl.ScanCap, pl.K())
 	}
+	if err := pl.check(); err != nil {
+		return nil, err
+	}
 	return pl, nil
+}
+
+// PlanWire compiles a wire body — /v1/query's, a /v1/batch member's — to
+// the plan its query text would compile to: the registered composite, the
+// norm, a literal target or an example region (represented, as every
+// region target is, on the snapshot the request searches), a and b each
+// defaulting to the region's side, the exclusions in body order and then
+// the region under exclude_region, the extent, top_k, δ and the timeout,
+// held to the rules every plan is held to (check).
+func (p *Planner) PlanWire(wq wire.Query) (*Plan, error) {
+	comp, ok := p.named[wq.Composite]
+	if !ok {
+		return nil, planErrf("unknown composite %q", wq.Composite)
+	}
+	norm, err := wire.ParseNorm(wq.Norm)
+	if err != nil {
+		return nil, planErrf("%v", err)
+	}
+	pl := &Plan{Comp: comp, CompKey: "@" + wq.Composite, Weights: wq.Weights, Norm: norm,
+		A: wq.A, B: wq.B, TopK: wq.TopK, Delta: wq.Delta, TimeoutMS: wq.TimeoutMS}
+	part := newPart(comp, Place{Region: (*Rect4)(wq.Region), Target: wq.Target})
+	switch {
+	case wq.Region != nil && wq.Target != nil:
+		return nil, planErrf("set either target or region, not both")
+	case wq.Region != nil:
+		pl.A = cmp.Or(pl.A, part.region.Width())
+		pl.B = cmp.Or(pl.B, part.region.Height())
+		if wq.ExcludeRegion {
+			pl.exampleExcludes = []asrs.Rect{*part.region}
+		}
+	case wq.Target == nil:
+		return nil, planErrf("query requires a target or an example region")
+	}
+	pl.targets = []targetPart{part}
+	for _, r := range wq.Exclude {
+		pl.Exclude = append(pl.Exclude, wire.RectLib(r))
+	}
+	if wq.Extent != nil {
+		w := wire.RectLib(*wq.Extent)
+		pl.Within = &w
+	}
+	if err := pl.check(); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// newPart is one place's part under comp: its literal vector, or its
+// example region.
+func newPart(comp *asrs.Composite, place Place) targetPart {
+	part := targetPart{comp: comp, dims: comp.Dims(), place: place, lit: place.Target}
+	if place.Region != nil {
+		r := rectLib(*place.Region)
+		part.region = &r
+	}
+	return part
+}
+
+// check holds a find plan, compiled from query text or from a wire body,
+// to the rules both share: an admissible answer size, top_k within its
+// bound, δ and the timeout non-negative, well-formed rectangles, and
+// literal vectors and weights of their composite's dims.
+func (pl *Plan) check() error {
+	if err := dssearch.CheckExtent(pl.A, pl.B); err != nil {
+		return planErrf("answer size: %v", err)
+	}
+	if pl.TopK < 0 || pl.TopK > maxTopK {
+		return planErrf("top %d is outside [0, %d]", pl.TopK, maxTopK)
+	}
+	if pl.Delta < 0 {
+		return planErrf("delta must be non-negative, got %g", pl.Delta)
+	}
+	if pl.TimeoutMS < 0 {
+		return planErrf("timeout must be non-negative, got %d ms", pl.TimeoutMS)
+	}
+	parts := slices.Clone(pl.targets)
+	for _, f := range pl.Filters {
+		parts = append(parts, f.place)
+	}
+	for _, part := range parts {
+		if part.region != nil && !part.region.IsValid() {
+			return planErrf("invalid example region %s: min must not exceed max", part.place.canon())
+		}
+		if part.region == nil && len(part.lit) != part.dims {
+			return planErrf("target vector has %d dims, its composite produces %d", len(part.lit), part.dims)
+		}
+	}
+	for _, r := range pl.Exclude {
+		if !r.IsValid() {
+			return planErrf("invalid exclusion %v: min must not exceed max", r)
+		}
+	}
+	if pl.Within != nil && !pl.Within.IsValid() {
+		return planErrf("invalid within extent: min must not exceed max")
+	}
+	if pl.Weights != nil && len(pl.Weights) != pl.Comp.Dims() {
+		return planErrf("%d weights, the composite produces %d dims", len(pl.Weights), pl.Comp.Dims())
+	}
+	return nil
+}
+
+// corpus is the corpus of the snapshot r captured when the plan represents
+// a region on it — an example-region target, a post-filter (which
+// represents every candidate), the maximize form (which reads every
+// object) — and nil otherwise: on a router the read pins and loads every
+// shard, which a request that represents no region must not pay.
+func (pl *Plan) corpus(r Rounds) *asrs.Dataset {
+	if pl.Max != nil || len(pl.Filters) > 0 || slices.ContainsFunc(pl.targets, func(p targetPart) bool { return p.region != nil }) {
+		return r.Dataset()
+	}
+	return nil
 }
 
 // Request compiles the plan against a dataset snapshot into the
@@ -346,11 +409,7 @@ func (pl *Plan) Request(ds *asrs.Dataset) (asrs.QueryRequest, error) {
 	if pl.Max != nil {
 		return asrs.QueryRequest{}, planErrf("maximize plans have no engine request form")
 	}
-	target, err := pl.target(ds)
-	if err != nil {
-		return asrs.QueryRequest{}, err
-	}
-	q, err := asrs.QueryFromTarget(pl.Comp, target, pl.Weights)
+	q, err := asrs.QueryFromTarget(pl.Comp, pl.target(ds), pl.Weights)
 	if err != nil {
 		return asrs.QueryRequest{}, planErrf("%v", err)
 	}
@@ -369,19 +428,24 @@ func (pl *Plan) Request(ds *asrs.Dataset) (asrs.QueryRequest, error) {
 }
 
 // target assembles the request target from the plan's parts.
-func (pl *Plan) target(ds *asrs.Dataset) ([]float64, error) {
-	if len(pl.targets) == 1 && pl.targets[0].lit != nil {
-		return pl.targets[0].lit, nil
+func (pl *Plan) target(ds *asrs.Dataset) []float64 {
+	if len(pl.targets) == 1 {
+		return pl.targets[0].vector(ds)
 	}
 	var out []float64
 	for _, part := range pl.targets {
-		if part.lit != nil {
-			out = append(out, part.lit...)
-			continue
-		}
-		out = append(out, asrs.Represent(ds, part.comp, *part.region)...)
+		out = append(out, part.vector(ds)...)
 	}
-	return out, nil
+	return out
+}
+
+// vector is the part's target: its literal vector, or its example region
+// represented on ds.
+func (part targetPart) vector(ds *asrs.Dataset) []float64 {
+	if part.region == nil {
+		return part.lit
+	}
+	return asrs.Represent(ds, part.comp, *part.region)
 }
 
 // ApplyOptions pins per-request options onto req exactly as the wire

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"time"
@@ -50,15 +49,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if pl.Explain {
-		writeJSON(w, http.StatusOK, pl.Report(backend.Dataset(), backend.Routed()))
+		// The report's limb probe reads the corpus of a snapshot of its own.
+		snap := backend.Rounds(r.Context(), 0)
+		writeJSON(w, http.StatusOK, pl.Report(snap.Dataset(), s.router != nil))
+		snap.Close()
 		return
 	}
 
-	// Deadline resolution is buildRequest's (timeoutFor) over the
-	// request's timeout_ms, else the query's own timeout clause, with the
-	// default also held to the operator's ceiling, under the serving
-	// context so drain cancellation reaches every round.
-	if sq.TimeoutMS < 0 || pl.TimeoutMS < 0 {
+	// The request's timeout_ms, else the query's own timeout clause,
+	// resolved as every front door resolves it (deadline).
+	if sq.TimeoutMS < 0 {
 		s.nBadReqs.Add(1)
 		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "timeout_ms must be non-negative")
 		return
@@ -67,10 +67,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if sq.TimeoutMS > 0 {
 		ms = sq.TimeoutMS
 	}
-	ctx, cancel := context.WithTimeout(s.base, min(s.timeoutFor(ms), s.cfg.MaxTimeout))
+	ctx, cancel := s.deadline(r, ms)
 	defer cancel()
-	stopWatch := context.AfterFunc(r.Context(), cancel)
-	defer stopWatch()
 
 	st, err := query.Exec(ctx, pl, backend)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"asrs"
-	"asrs/internal/dssearch"
 	"asrs/internal/faultinject"
 	"asrs/internal/query"
 	"asrs/internal/shard"
@@ -153,6 +152,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = DefaultMaxTimeout
 	}
+	cfg.Timeout = min(cfg.Timeout, cfg.MaxTimeout) // one ceiling for every deadline
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:    cfg,
@@ -165,8 +165,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.ready.Store(!cfg.StartUnready)
 	s.ladder = newLadder()
-	b, _ := s.binding("") // the empty policy always binds
-	s.schema = b.Dataset().Schema
+	// The seed's schema: reading it opens no snapshot, so a lazy shard
+	// stays unloaded until a request needs it.
+	if s.router != nil {
+		s.schema = s.router.Catalog().Schema()
+	} else {
+		s.schema = s.eng.Dataset().Schema
+	}
 	s.planner = query.NewPlanner(s.schema, cfg.Composites)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
@@ -218,113 +223,43 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// buildRequest compiles a wire query into an engine request and the
-// binding that answers it. The returned cancel func releases the
-// deadline timer and must be called once the response is delivered.
-func (s *Server) buildRequest(wq wire.Query) (query.Binding, asrs.QueryRequest, context.CancelFunc, error) {
+// compile compiles a wire body (/v1/query, a /v1/batch member) through
+// the planner, as /v1/search compiles its text, and resolves the binding
+// its partial policy selects.
+func (s *Server) compile(wq wire.Query) (query.Binding, *query.Plan, error) {
 	backend, err := s.binding(wq.Partial)
 	if err != nil {
-		return nil, asrs.QueryRequest{}, nil, err
+		return nil, nil, err
 	}
-	f, ok := s.cfg.Composites[wq.Composite]
-	if !ok {
-		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("unknown composite %q", wq.Composite)
-	}
-	norm, err := wire.ParseNorm(wq.Norm)
-	if err != nil {
-		return nil, asrs.QueryRequest{}, nil, err
-	}
-	a, b := wq.A, wq.B
-	var q asrs.Query
-	exclude := make([]asrs.Rect, 0, len(wq.Exclude)+1)
-	for _, r := range wq.Exclude {
-		exclude = append(exclude, wire.RectLib(r))
-	}
-	switch {
-	case wq.Region != nil && wq.Target != nil:
-		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("set either target or region, not both")
-	case wq.Region != nil:
-		rq := wire.RectLib(*wq.Region)
-		if a == 0 {
-			a = rq.Width()
-		}
-		if b == 0 {
-			b = rq.Height()
-		}
-		// The current logical dataset (seed + ingested), so an example
-		// region's representation includes objects inserted into it.
-		q, err = asrs.QueryFromRegion(backend.Dataset(), f, wq.Weights, rq)
-		if err != nil {
-			return nil, asrs.QueryRequest{}, nil, err
-		}
-		if wq.ExcludeRegion {
-			exclude = append(exclude, rq)
-		}
-	case wq.Target != nil:
-		q, err = asrs.QueryFromTarget(f, wq.Target, wq.Weights)
-		if err != nil {
-			return nil, asrs.QueryRequest{}, nil, err
-		}
-	default:
-		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("query requires a target or an example region")
-	}
-	q.Norm = norm
-	if err := dssearch.CheckExtent(a, b); err != nil {
-		return nil, asrs.QueryRequest{}, nil, err
-	}
-	if wq.TopK < 0 || wq.TopK > asrs.MaxTopK {
-		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("top_k must be between 0 and %d, got %d", asrs.MaxTopK, wq.TopK)
-	}
-	if wq.Delta < 0 {
-		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("delta must be non-negative, got %g", wq.Delta)
-	}
-	req := asrs.QueryRequest{Query: q, A: a, B: b, TopK: wq.TopK, Exclude: exclude}
-	if wq.Extent != nil {
-		ext := wire.RectLib(*wq.Extent)
-		if !ext.IsValid() {
-			return nil, asrs.QueryRequest{}, nil, fmt.Errorf("invalid extent: min must not exceed max")
-		}
-		req.Within = &ext
-	}
-	if wq.Delta > 0 {
-		// Pinning per-request options opts this query out of joining a
-		// search in flight (a δ-approximate answer must never be shared
-		// with an exact request); it still queues for a core. Start from
-		// the engine's defaults so only δ changes — the operator's worker
-		// bound and grid settings must survive the pin.
-		opt := backend.SearchOptions()
-		opt.Delta = wq.Delta
-		req.Options = &opt
-	}
-	if wq.TimeoutMS < 0 {
-		return nil, asrs.QueryRequest{}, nil, fmt.Errorf("timeout_ms must be non-negative, got %d", wq.TimeoutMS)
-	}
-	ctx, cancel := context.WithTimeout(s.base, s.timeoutFor(wq.TimeoutMS))
-	req.Ctx = ctx
-	return backend, req, cancel, nil
+	pl, err := s.planner.PlanWire(wq)
+	return backend, pl, err
 }
 
-// timeoutFor is the deadline a request's timeout_ms asks for: the
-// server's default for 0, else the value clamped to MaxTimeout. The
-// clamp compares milliseconds before converting them: a timeout_ms of
-// 2⁶³ ns or more would wrap to a negative duration, a deadline already
-// past.
-func (s *Server) timeoutFor(ms int64) time.Duration {
-	if ms == 0 {
-		return s.cfg.Timeout
-	}
+// deadline is a request's context: the serving context (drain) under the
+// server's default deadline for a timeout_ms of 0 (ms ≥ 0), else the value
+// clamped to MaxTimeout, milliseconds compared before converting — 2⁶³ ns
+// or more would wrap to a deadline already past. A client going away
+// (r.Context()) cancels it too, so abandoned work frees its core and
+// admission token instead of running out its deadline. cancel releases
+// both once the answer is delivered.
+func (s *Server) deadline(r *http.Request, ms int64) (context.Context, context.CancelFunc) {
+	d := s.cfg.Timeout
 	if ms > s.cfg.MaxTimeout.Milliseconds() {
-		return s.cfg.MaxTimeout
+		d = s.cfg.MaxTimeout
+	} else if ms > 0 {
+		d = time.Duration(ms) * time.Millisecond
 	}
-	return time.Duration(ms) * time.Millisecond
+	ctx, cancel := context.WithTimeout(s.base, d)
+	stop := context.AfterFunc(r.Context(), cancel)
+	return ctx, func() { stop(); cancel() }
 }
 
 // binding resolves a request's partial-result policy — its own (router
 // mode only), else the server default, else strict — to the backend that
 // answers it: every /v1/query, /v1/batch member and /v1/search round goes
-// through the binding, which also names the live logical corpus and the
-// serving default search options. It is the one place that knows which
-// mode the server is in.
+// through the binding, which also opens the snapshot a request answers on
+// and names the serving default search options. It is the one place that
+// knows which mode the server is in.
 func (s *Server) binding(partial string) (query.Binding, error) {
 	policy := shard.PartialPolicy(partial)
 	switch policy {
@@ -470,13 +405,14 @@ func (s *Server) release(n int) {
 	}
 }
 
-// handleQuery serves POST /v1/query: admit, decode, compile, then search
-// on this goroutine through the binding — the call every /v1/search round
-// makes — and respond. A panic is the handler's own (recoverMiddleware
-// answers it with 500 internal_panic; the deferred leave still runs). A
-// deadline is honoured where the engine honours it — the slot queue, the
-// join wait, the entry check before a search and each space the kernel
-// pops — so a 504 is written at the search's next cancellation point.
+// handleQuery serves POST /v1/query: admit, decode, compile, then answer
+// on this goroutine on one snapshot the binding opens, the one its example
+// region is represented on (query.Answer), and respond. A panic is the
+// handler's own (recoverMiddleware answers it with 500 internal_panic; the
+// deferred leave still runs). A deadline is honoured where the engine
+// honours it — the slot queue, the join wait, the entry check before a
+// search and each space the kernel pops — so a 504 is written at the
+// search's next cancellation point.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.nReceived.Add(1)
@@ -491,20 +427,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "invalid request body: %v", err)
 		return
 	}
-	backend, req, cancel, err := s.buildRequest(wq)
+	backend, pl, err := s.compile(wq)
 	if err != nil {
 		s.nBadReqs.Add(1)
 		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, false, "%v", err)
 		return
 	}
+	ctx, cancel := s.deadline(r, pl.TimeoutMS)
 	defer cancel()
-	// A disconnected client cancels its search: the request context is
-	// derived from the serving context (drain), but net/http signals the
-	// client going away through r.Context() — propagate that into the
-	// search so abandoned work frees its core and admission token
-	// instead of running out its full deadline.
-	stopWatch := context.AfterFunc(r.Context(), cancel)
-	defer stopWatch()
 
 	// Chaos hooks: a slow request (deadline pressure) and a panicking one.
 	if f, ok := faultinject.Check("server.dispatch.slow"); ok && f.Action == faultinject.ActSleep {
@@ -513,16 +443,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if f, ok := faultinject.Check("server.dispatch.panic"); ok && f.Action == faultinject.ActPanic {
 		panic(f.PanicValue())
 	}
-	resp, cov := backend.Query(req.Ctx, req)
+	resp, cov := query.Answer(ctx, pl, backend)
 	out, status := s.reply(resp, cov, start)
 	s.ewma.Observe(time.Since(start))
 	writeJSON(w, status, out)
 }
 
 // handleBatch serves POST /v1/batch: an explicit client-built batch,
-// answered through the binding's QueryBatch — in engine mode the members
-// in flight together on one epoch view, each under its own per-query
-// deadline; routed, one member at a time.
+// answered through the binding's QueryBatch — in engine mode the members'
+// targets and searches on one epoch, in flight together, each under its
+// own per-query deadline; routed, one member at a time.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.nReceived.Add(1)
@@ -557,59 +487,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		took += extra
 	}
 
-	reqs := make([]asrs.QueryRequest, len(wb.Queries))
+	// The members that compile, in index order: at[k] is member k's index.
+	var at []int
+	var plans []*query.Plan
+	var ctxs []context.Context
+	var backends []query.Binding
 	resps := make([]wire.Response, len(wb.Queries))
-	backends := make([]query.Binding, len(wb.Queries)) // nil: answered 400
-	cancels := make([]context.CancelFunc, 0, len(wb.Queries))
 	for i, wq := range wb.Queries {
-		backend, req, cancel, err := s.buildRequest(wq)
+		backend, pl, err := s.compile(wq)
 		if err != nil {
 			s.nBadReqs.Add(1)
 			resps[i] = wire.Response{Error: err.Error(), Code: wire.CodeBadRequest, Status: http.StatusBadRequest}
 			continue
 		}
+		ctx, cancel := s.deadline(r, pl.TimeoutMS)
 		defer cancel()
-		cancels = append(cancels, cancel)
-		reqs[i], backends[i] = req, backend
+		at, plans, ctxs, backends = append(at, i), append(plans, pl), append(ctxs, ctx), append(backends, backend)
 	}
-	// Like handleQuery, a disconnected client cancels its queries —
-	// each per-query context individually, since those take precedence
-	// over the batch-level context inside the engine.
-	stopWatch := context.AfterFunc(r.Context(), func() {
-		for _, c := range cancels {
-			c()
-		}
-	})
-	defer stopWatch()
 	// Members are answered in index order, one QueryBatch per run of them
 	// on the same binding: the whole batch in engine mode, and a new run
 	// at each change of partial policy on a sharded server.
-	var run []int
-	flush := func() {
-		if len(run) == 0 {
-			return
+	for lo := 0; lo < len(at); {
+		hi := lo + 1
+		for hi < len(at) && backends[hi] == backends[lo] {
+			hi++
 		}
-		sub := make([]asrs.QueryRequest, len(run))
-		for k, i := range run {
-			sub[k] = reqs[i]
+		out, covs := backends[lo].QueryBatch(ctxs[lo:hi], plans[lo:hi])
+		for k := lo; k < hi; k++ {
+			resps[at[k]], resps[at[k]].Status = s.reply(out[k-lo], covs[k-lo], start)
 		}
-		out, covs := backends[run[0]].QueryBatch(s.base, sub)
-		for k, i := range run {
-			resps[i], resps[i].Status = s.reply(out[k], covs[k], start)
-		}
-		run = nil
+		lo = hi
 	}
-	for i, backend := range backends {
-		if backend == nil {
-			continue
-		}
-		if len(run) > 0 && backend != backends[run[0]] {
-			flush()
-		}
-		run = append(run, i)
-	}
-	flush()
-	if len(cancels) > 0 { // a batch of 400s searched nothing
+	if len(at) > 0 { // a batch of 400s searched nothing
 		s.ewma.Observe(time.Since(start))
 	}
 	writeJSON(w, http.StatusOK, wire.BatchResponse{

@@ -80,7 +80,7 @@ func checkStraddlePaths(t *testing.T, rt *shard.Router, merged *asrs.Dataset, q 
 			if err != nil {
 				t.Fatal(err)
 			}
-			if slices.ContainsFunc(eng.CurrentDataset().Objects, func(o asrs.Object) bool { return win.MinX < o.Loc.X && o.Loc.X < win.MaxX }) {
+			if slices.ContainsFunc(eng.Epoch().Dataset().Objects, func(o asrs.Object) bool { return win.MinX < o.Loc.X && o.Loc.X < win.MaxX }) {
 				layouts = append(layouts, p.Limbs())
 			}
 		}

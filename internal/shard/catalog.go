@@ -156,6 +156,10 @@ func (c *Catalog) Shards() []*Shard { return c.shards }
 // Cuts returns the interior cut x-coordinates.
 func (c *Catalog) Cuts() []float64 { return c.cuts }
 
+// Schema is the serving schema, the seed corpus's: reading it loads no
+// shard.
+func (c *Catalog) Schema() *asrs.Schema { return c.seed.Schema }
+
 // SearchOptions returns the catalog's engine-template search options —
 // the defaults a serving layer starts from when pinning per-request
 // overrides (mirroring Engine.SearchOptions).

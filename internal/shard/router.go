@@ -271,10 +271,10 @@ func (s *Session) pin(sh *Shard, load bool) (*asrs.Epoch, error) {
 	return ep, nil
 }
 
-// Dataset is the session's merged corpus, which a stream represents its
-// targets and filters against: the seed objects, then each view's inserts
-// in shard order. A shard whose breaker is closed is pinned through its
-// load, so the inserts it recovers from its WAL count.
+// Dataset is the session's merged corpus, which a request represents its
+// region targets and filters against: the seed objects, then each view's
+// inserts in shard order. A shard whose breaker is closed is pinned
+// through its load, so the inserts it recovers from its WAL count.
 func (s *Session) Dataset() *asrs.Dataset {
 	seed := s.r.cat.seed
 	objs := slices.Clip(seed.Objects) // appending copies, never writes the seed
@@ -292,6 +292,10 @@ func (s *Session) Round(req asrs.QueryRequest) (asrs.QueryResponse, *Coverage) {
 	resp := s.answer(req)
 	return asrs.QueryResponse{Regions: resp.Regions, Results: resp.Results, Err: resp.Err}, &resp.Coverage
 }
+
+// Answer answers a one-shot request, top-k included, on the session's
+// views: Round's call, which runs a whole request as Router.Answer does.
+func (s *Session) Answer(req asrs.QueryRequest) (asrs.QueryResponse, *Coverage) { return s.Round(req) }
 
 // answer answers req on the session's views; the first call that
 // validates fixes the sub-searches.

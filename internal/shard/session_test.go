@@ -2,6 +2,8 @@ package shard_test
 
 import (
 	"context"
+	"fmt"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -145,4 +147,36 @@ func TestRoutedTopKReadsOneSnapshot(t *testing.T) {
 	}
 	checkRows(t, pre, q, resp.Regions, resp.Results)
 	checkInsertMoves(t, rt, q, 3, resp.Results)
+}
+
+// TestContainedStreamLoadsOnlyItsShard: a stream that represents no region
+// (a literal target, no post-filter) never reads its session's merged
+// corpus, so a top-2 within shard-0's slab loads shard-0 alone — reading
+// the corpus would pin and load every shard.
+func TestContainedStreamLoadsOnlyItsShard(t *testing.T) {
+	checkLeaks(t)
+	ds, f, _ := corpus(t, 400, 62)
+	rt := shard.NewRouter(newCatalog(t, ds, f, 3), shard.RouterOptions{})
+	cut := rt.Catalog().Cuts()[0]
+	pl, err := query.NewPlanner(ds.Schema, map[string]*asrs.Composite{"q": f}).ParseAndPlan(fmt.Sprintf(
+		"find top 2 size 4 x 4 similar to target(1,2,1,5) under @q within region(0,0,%s,100)",
+		strconv.FormatFloat(cut, 'g', -1, 64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := query.Exec(context.Background(), pl, query.RouterBinding{R: rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Collect(); err != nil || st.Emitted() != 2 {
+		t.Fatalf("%d rows, %v", st.Emitted(), err)
+	}
+	if got := st.Coverage().Searched; len(got) != 1 || got[0] != "shard-0" {
+		t.Fatalf("searched %v, want [shard-0]", got)
+	}
+	for _, sh := range rt.Catalog().Shards()[1:] {
+		if sh.Loaded() != nil {
+			t.Fatalf("%s loaded by a stream that searched shard-0 alone", sh.Name())
+		}
+	}
 }

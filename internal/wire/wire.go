@@ -30,7 +30,9 @@ type Point struct {
 
 // Query is one similarity-query request. The target representation
 // comes either from Target directly (the "virtual region" usage) or is
-// computed from an example Region; exactly one must be set.
+// computed from an example Region; exactly one must be set. The server
+// compiles it to the plan /v1/search compiles query text to
+// (query.Planner.PlanWire).
 type Query struct {
 	// Composite names the serving composite aggregator (the daemon's
 	// registry key; GET /stats lists the registered names).
@@ -42,7 +44,8 @@ type Query struct {
 	// Target is the aggregate representation to match.
 	Target []float64 `json:"target,omitempty"`
 	// Region is the query-by-example alternative: the server computes
-	// Target from the objects inside it.
+	// Target from the objects inside it, on the snapshot the query
+	// searches (an insert that lands meanwhile reaches neither).
 	Region *Rect `json:"region,omitempty"`
 	// ExcludeRegion excludes the example Region from the answer set
 	// (without it, an example region is its own zero-distance answer).

@@ -756,7 +756,7 @@ func TestCompositesShareGeometry(t *testing.T) {
 
 	epoch := func(tag string, composites ...*asrs.Composite) any {
 		t.Helper()
-		cur := eng.CurrentDataset()
+		cur := eng.Epoch().Dataset()
 		var geo any
 		for _, f := range composites {
 			p, err := eng.Pyramid(f)

@@ -38,7 +38,7 @@ func TestTopKOneShotEqualsStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			req, err := plan.Request(eng.CurrentDataset())
+			req, err := plan.Request(eng.Epoch().Dataset())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestTopKOneShotEqualsStream(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				req, err := plan.Request(eng.CurrentDataset())
+				req, err := plan.Request(eng.Epoch().Dataset())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,13 +196,13 @@ func TestStreamRoundsStayOnExecEpoch(t *testing.T) {
 				if err := eng.InsertBatch(dup); err != nil {
 					t.Fatal(err)
 				}
-				if n := len(eng.CurrentDataset().Objects); n != len(ds.Objects)+len(dup) {
+				if n := len(eng.Epoch().Dataset().Objects); n != len(ds.Objects)+len(dup) {
 					t.Fatalf("grid %d: %d objects after the insert, want %d", grid, n, len(ds.Objects)+len(dup))
 				}
 			}
 		}
 		// The newer corpus does answer otherwise, or the test proves nothing.
-		newer, err := plan.Request(eng.CurrentDataset())
+		newer, err := plan.Request(eng.Epoch().Dataset())
 		if err != nil {
 			t.Fatal(err)
 		}
