@@ -345,9 +345,12 @@ func BenchmarkCaseStudy(b *testing.B) {
 // excludes that point (DESIGN.md §5, "Resumed rounds"). It fails above
 // topKRoundsCells cells in rounds 2–3. It counts the sweep intervals the
 // top-3 scores and the cells it records above the record cap, and fails
-// above topKRoundsScored intervals. The sub-benchmark top-64 times and
-// counts a top-64 of the same request, whose record cap is looser for
-// longer, and fails above topK64Scored. The indexed top-3 also reports
+// above topKRoundsScored intervals; and the mini-sweeps whose space bound
+// reached their cap, skipped unswept (7; DESIGN.md §8), and fails at none.
+// The sub-benchmark top-64 times and counts a top-64 of the same request,
+// whose record cap is looser for longer, and fails above topK64Scored
+// (368 364 intervals, 93 sweeps bounded; 369 772 while every swept space
+// was swept). The indexed top-3 also reports
 // the limb columns its sweeps carry, the query's score compiled against
 // the pyramid's limbs (agg.ScorePlan), and fails unless F2's two
 // dimensions read topKRoundsColumns of its limbs: a Sum's negative and
@@ -392,6 +395,9 @@ func BenchmarkTopKRounds(b *testing.B) {
 					b.Fatalf("rounds 2 and 3 searched %d and %d cells, more than %d together", round2, round3, topKRoundsCells)
 				}
 				st = topKCounts(b, eng, ds, req, topKRoundsScored)
+				if st.DS.SweepsBounded == 0 {
+					b.Fatal("no mini-sweep of the top-3 was bounded unswept")
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -405,6 +411,7 @@ func BenchmarkTopKRounds(b *testing.B) {
 				b.ReportMetric(float64(round2), "round2-cells")
 				b.ReportMetric(float64(round3), "round3-cells")
 				b.ReportMetric(float64(st.DS.SweepScored), "sweep-scored/op")
+				b.ReportMetric(float64(st.DS.SweepsBounded), "sweeps-bounded/op")
 				b.ReportMetric(float64(st.RecordedAbove), "above-cap-records/op")
 				b.ReportMetric(float64(columns), "sweep-columns")
 				b.ReportMetric(float64(limbs), "limbs")
@@ -430,6 +437,7 @@ func BenchmarkTopKRounds(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(st.DS.SweepScored), "sweep-scored/op")
+		b.ReportMetric(float64(st.DS.SweepsBounded), "sweeps-bounded/op")
 		b.ReportMetric(float64(st.RecordedAbove), "above-cap-records/op")
 	})
 }
@@ -440,7 +448,7 @@ func BenchmarkTopKRounds(b *testing.B) {
 const (
 	topKRoundsCells   = 22
 	topKRoundsScored  = 20200
-	topK64Scored      = 369800
+	topK64Scored      = 368400
 	topKRoundsColumns = 5
 )
 
@@ -514,11 +522,12 @@ func topKRoundCells(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.Q
 // ids: 3 253, the rectangle ids the index's cells hand the searcher's
 // filter over every piece searched, where the pieces' full-height MinX
 // windows hold 28 112; it fails above 3 253 and at 0, when the pieces'
-// ids no longer come from the cells. Sweep intervals scored: 668, 248
+// ids no longer come from the cells. Sweep intervals scored: 668, 16
 // strips skipped by their Lemma 5 bound, where the sweeps scored every
 // dirty strip's intervals: 5 034 (DESIGN.md §8); it fails above 668, and
-// at no strip skipped. And it fails on a distance plain DS-Search does
-// not answer.
+// at no strip skipped. Mini-sweeps skipped unswept by their space's
+// bound: 2, reported (248 strips were skipped while those two were
+// swept). And it fails on a distance plain DS-Search does not answer.
 func BenchmarkF1Indexed(b *testing.B) {
 	ds := tweetDS(20000)
 	qa, qb := sizeK(ds, 8)
@@ -554,7 +563,7 @@ func BenchmarkF1Indexed(b *testing.B) {
 	if plain.Err != nil {
 		b.Fatal(plain.Err)
 	}
-	discretizations, marginRuns, bounded, dirty, cellIDs, scored, pruned := 0, 0, 0, 0, 0, 0, 0
+	discretizations, marginRuns, bounded, dirty, cellIDs, scored, pruned, skipped := 0, 0, 0, 0, 0, 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -575,6 +584,7 @@ func BenchmarkF1Indexed(b *testing.B) {
 		cellIDs += stats.CellIDs
 		scored += stats.DS.SweepScored
 		pruned += stats.DS.PrunedStrips
+		skipped += stats.DS.SweepsBounded
 	}
 	perQuery := float64(discretizations) / float64(b.N)
 	b.ReportMetric(perQuery, "discretizations/query")
@@ -587,6 +597,7 @@ func BenchmarkF1Indexed(b *testing.B) {
 	sweepScored, prunedStrips := float64(scored)/float64(b.N), float64(pruned)/float64(b.N)
 	b.ReportMetric(sweepScored, "sweep_scored/query")
 	b.ReportMetric(prunedStrips, "pruned_strips/query")
+	b.ReportMetric(float64(skipped)/float64(b.N), "sweeps_bounded/query")
 	if perQuery > 100 {
 		b.Fatalf("%v discretizations per query, want at most 100", perQuery)
 	}

@@ -109,9 +109,9 @@ var infoOut = os.Stdout
 func infof(format string, args ...any) { fmt.Fprintf(infoOut, format, args...) }
 
 // debugStats prints the per-search work counters: how the space was
-// processed, which evaluator the strip cost model picked per dirty strip
-// of the mini-sweeps, and how many intervals they scored and strips their
-// bound skipped.
+// processed, how many mini-sweeps their space's bound skipped and how
+// many strips the rest scored, and how many intervals they scored and
+// strips their bound skipped.
 func debugStats(stats asrs.SearchStats) {
 	infof("discretizations: %d, splits: %d, bisections: %d\n",
 		stats.Discretizations, stats.Splits, stats.Bisections)
@@ -123,8 +123,8 @@ func debugStats(stats asrs.SearchStats) {
 		infof("clean cells evaluated: %d (%.1f%% of clean; the rest repeated the previous cell's totals)\n",
 			stats.CleanEvals, 100*float64(stats.CleanEvals)/float64(stats.CleanCells))
 	}
-	infof("mini-sweeps: %d over %d rects (+%d containing the swept space, folded into its base vector); strips scored: %d\n",
-		stats.MiniSweeps, stats.MiniSweepRects, stats.SweepBaseRects, stats.FlatStrips)
+	infof("mini-sweeps: %d over %d rects (+%d containing the swept space, folded into its base vector), %d bounded unswept; strips scored: %d\n",
+		stats.MiniSweeps, stats.MiniSweepRects, stats.SweepBaseRects, stats.SweepsBounded, stats.FlatStrips)
 	infof("mini-sweep intervals scored: %d; strips skipped by their bound: %d\n", stats.SweepScored, stats.PrunedStrips)
 	infof("heap: %d pushes (max %d)\n", stats.HeapPushes, stats.MaxHeapSize)
 }

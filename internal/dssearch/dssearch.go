@@ -120,7 +120,8 @@ type Stats struct {
 	CleanEvals      int // clean cells finalized anew; the rest repeated their predecessor's totals
 	DirtyCells      int // dirty cells bounded
 	PrunedCells     int // dirty cells pruned by Equation 1
-	MiniSweeps      int // terminal-rule sweeps run
+	MiniSweeps      int // terminal-rule sweeps run, bounded ones included
+	SweepsBounded   int // mini-sweeps skipped unbuilt: their space's Equation 1 bound reached the sweep's cap
 	MiniSweepRects  int // rectangles handed to terminal-rule sweeps
 	SweepBaseRects  int // rectangles containing a swept space, folded into the sweep's base vector instead
 	FlatStrips      int // mini-sweep strips scored by the incremental sweep's flat pass
@@ -145,6 +146,7 @@ func (s *Stats) Add(o Stats) {
 	s.DirtyCells += o.DirtyCells
 	s.PrunedCells += o.PrunedCells
 	s.MiniSweeps += o.MiniSweeps
+	s.SweepsBounded += o.SweepsBounded
 	s.MiniSweepRects += o.MiniSweepRects
 	s.SweepBaseRects += o.SweepBaseRects
 	s.FlatStrips += o.FlatStrips
@@ -188,10 +190,17 @@ type Searcher struct {
 	swRects []geom.Rect // mini-sweep scratch: the swept rectangles (materialized from ids)
 	swIds   []int32     // and their master ids, their rows of the core
 	swBase  []float64   // mini-sweep base vector scratch, in limbs
+	swPart  []float64   // and the swept rectangles' limb totals,
+	swMin   []float64   // with each Average slot's minimum
+	swMax   []float64   // and maximum over them
 	dirty   []cellInfo  // discretize output scratch
 	cur     asp.Result  // incumbent of the space being processed; Rep aliases rep
 	rep     []float64   // owned backing store for cur.Rep
 	ids     [][]int32   // free list of recycled id slices
+
+	// ruleAsked, when set, is called with every space the terminal rule is
+	// asked of (export_test.go).
+	ruleAsked func(space geom.Rect)
 }
 
 // MaxExtent bounds an answer's width and height: an extent must be below
@@ -300,17 +309,19 @@ func (s *Searcher) ensureScratch() {
 	s.sw = t.sw
 	s.sw.Bind(limbs, s.core.rows(), &s.plan.c)
 	// One float slab: the incumbent's representation, then the mini-sweep
-	// base vector.
+	// base and part vectors and the part's min/max slots.
 	eff, dims, cells := limbs.Eff(), s.query.F.Dims(), s.opt.NCol*s.opt.NRow
+	mm := s.query.F.MinMaxSlots()
 	const swCap = 1024
-	if nf := dims + eff; len(t.scratchF) < nf || len(t.scratchCells) < cells || len(t.scratchRects) < swCap {
+	if nf := dims + 2*eff + 2*mm; len(t.scratchF) < nf || len(t.scratchCells) < cells || len(t.scratchRects) < swCap {
 		t.scratchF = make([]float64, nf)
 		t.scratchCells = make([]cellInfo, cells)
 		t.scratchRects = make([]geom.Rect, swCap)
 		t.scratchIds = make([]int32, swCap)
 	}
 	s.rep = t.scratchF[:0:dims]
-	s.swBase = t.scratchF[dims : dims+eff]
+	f := t.scratchF[dims:]
+	s.swBase, s.swPart, s.swMin, s.swMax = f[:eff], f[eff:2*eff], f[2*eff:][:mm], f[2*eff+mm:][:mm]
 	s.dirty = t.scratchCells[:0:cells]
 	s.swRects, s.swIds = t.scratchRects[:0:swCap], t.scratchIds[:0:swCap]
 }
@@ -655,6 +666,9 @@ const (
 // of it can delimit a strip or an interval of a sweep over the space. One
 // that shares an edge coordinate with the space counts as edged.
 func (s *Searcher) sweepable(space geom.Rect, ids []int32) bool {
+	if s.ruleAsked != nil {
+		s.ruleAsked(space)
+	}
 	edged := 0
 	for _, id := range ids {
 		if !s.rect(id).ContainsRectOpen(space) {
@@ -720,8 +734,10 @@ func (l *edgeLines) add(c, lo, hi float64, limit int) {
 func (s *Searcher) processSpace(it kernel.Item, incumbent asp.Result, emit func(kernel.Item)) {
 	s.ensureScratch()
 	s.beginItem(incumbent)
-	// SolveCell asked the terminal rule of its seed already.
-	if !s.cellSeed(it) && s.swept(it) {
+	// The terminal rule depends on the space and its ids alone, and it was
+	// asked of every space but SolveWithin's seed before the space was
+	// queued: by push of a child, by SolveCell of its seed.
+	if !it.Pooled && !s.cell && s.swept(it) {
 		return
 	}
 	s.Stats.Discretizations++
@@ -858,11 +874,23 @@ func (s *Searcher) miniSweep(space geom.Rect, ids []int32) {
 // core's limbs and rows (ensureScratch) and reads each swept rectangle's
 // row where the core holds it, by master id; it is rebound in place, so
 // steady-state sweeps reuse all of their scratch.
+//
+// The same pass sums the swept rectangles into a part vector, with each
+// Average slot's min and max over them: every candidate is covered by
+// the base and some of the swept rectangles, so the space is bounded as
+// one cell of a grid is (sweep.Solver.Reaches), and a finite cap the
+// bound reaches — past the open cap the sweep scores under — leaves the
+// sweep nothing to find: its +Inf result is returned unswept
+// (Stats.SweepsBounded; DESIGN.md §8).
 func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (asp.Result, bool) {
 	c := s.core
 	s.swRects, s.swIds = s.swRects[:0], s.swIds[:0]
-	base := s.swBase
+	base, part := s.swBase, s.swPart
 	clear(base)
+	clear(part)
+	for i := range s.swMin {
+		s.swMin[i], s.swMax[i] = math.Inf(1), math.Inf(-1)
+	}
 	covering := 0
 	for _, id := range ids {
 		r := s.rect(id)
@@ -873,11 +901,24 @@ func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (as
 			covering++
 		} else if r.MinX < space.MaxX && space.MinX < r.MaxX && r.MinY < space.MaxY && space.MinY < r.MaxY {
 			s.swRects, s.swIds = append(s.swRects, r), append(s.swIds, id)
+			for _, cb := range c.rectContribs(id) {
+				part[cb.Ch] += cb.V
+			}
+			if len(s.swMin) > 0 {
+				for _, m := range c.rectMM(id) {
+					s.swMin[m.Slot] = min(s.swMin[m.Slot], m.V)
+					s.swMax[m.Slot] = max(s.swMax[m.Slot], m.V)
+				}
+			}
 		}
 	}
 	s.Stats.MiniSweeps++
 	s.Stats.MiniSweepRects += len(s.swRects)
 	s.Stats.SweepBaseRects += covering
+	if capDist < math.Inf(1) && s.sw.Reaches(base, part, s.swMin, s.swMax, math.Nextafter(capDist, math.Inf(1))) {
+		s.Stats.SweepsBounded++
+		return asp.Result{Dist: math.Inf(1)}, true
+	}
 	s.sw.Rebind(s.swRects, s.swIds, base)
 	// The solver's counters accumulate across rebinds (a recycled solver
 	// serves many searches); fold only this sweep's strip and scoring

@@ -182,3 +182,11 @@ func (p *Pyramid) CoreBytes() int {
 func (s *Searcher) boundTo(p *Pyramid) bool {
 	return unsafe.SliceData(s.pts) == unsafe.SliceData(p.geo.pts)
 }
+
+// RuleTests makes the searcher count, per space, how many times the
+// terminal rule is asked of it (sweepable), into the map it returns.
+func (s *Searcher) RuleTests() map[geom.Rect]int {
+	tests := map[geom.Rect]int{}
+	s.ruleAsked = func(space geom.Rect) { tests[space]++ }
+	return tests
+}

@@ -423,3 +423,36 @@ func TestRecordCap(t *testing.T) {
 		t.Fatalf("a cap under the incumbent recorded (ok %v), or the sweep left the incumbent at %v, not %v", ok, s.Best().Dist, least.Dist)
 	}
 }
+
+// TestTerminalRuleOncePerSpace: the terminal rule depends on a space and
+// its ids alone, so it is asked of each space once — of a child by push
+// before it is queued, of SolveWithin's seed when it is popped, of
+// SolveCell's seed before its run — and never again when a queued space
+// is popped. Plain Solve and a SolveCell run over the whole space, on a
+// corpus whose searches split and pop queued spaces.
+func TestTerminalRuleOncePerSpace(t *testing.T) {
+	ds := dataset.Random(3000, 100, 61)
+	f := agg.MustNew(ds.Schema, agg.Spec{Kind: agg.Distribution, Attr: "cat"})
+	q := asp.Query{F: f, Target: []float64{14, 9, 11}}
+	for _, cell := range []bool{false, true} {
+		s, err := dssearch.NewShapeSearcher(t, ds, 5, 5, q, dssearch.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tests := s.RuleTests()
+		if cell {
+			s.SeedBest(asp.Result{Dist: math.Inf(1)})
+			s.SolveCell(s.Space(), 0, s.AppendWindowIDs(s.Space(), nil), math.Inf(-1))
+		} else {
+			s.Solve()
+		}
+		if st := s.Stats; st.HeapPushes < 4 || st.Discretizations < 4 {
+			t.Fatalf("cell=%v: %d pushes and %d discretizations: too few queued spaces were popped to tell", cell, st.HeapPushes, st.Discretizations)
+		}
+		for space, n := range tests {
+			if n != 1 {
+				t.Fatalf("cell=%v: the terminal rule was asked %d times of the space %v", cell, n, space)
+			}
+		}
+	}
+}

@@ -75,12 +75,10 @@ type incrState struct {
 	// The strip bound's inputs: the limb totals of the current strip's
 	// spanning set (the base and every active rectangle covering all k
 	// intervals) and of its other active rectangles, kept by apply (exact
-	// float sums, as every limb sum is); their channel folds; and each
-	// Average slot's min/max over the rectangles a strip can hold
-	// partially.
-	full, part       []float64
-	foldFull, foldPt []float64
-	mmMin, mmMax     []float64
+	// float sums, as every limb sum is), and each Average slot's min/max
+	// over the rectangles a strip can hold partially.
+	full, part   []float64
+	mmMin, mmMax []float64
 }
 
 // diffArray is a range-add / point-read array over n positions, each
@@ -201,7 +199,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		inc.remStart[i] = 0
 	}
 	mmSlots := s.plan.Bound.MinMaxSlots()
-	inc.boundScratch(s.limbs.Eff(), len(s.limbs.Lo), mmSlots)
+	inc.boundScratch(s.limbs.Eff(), mmSlots)
 	for i := range s.rects {
 		r := &s.rects[i]
 		// Covered intervals: MinX <= xs[j] && MaxX >= xs[j+1].
@@ -343,7 +341,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		// part set: a strip whose Lemma 5 bound reaches the bound has no
 		// candidate that could pass the strict improvement test. Its
 		// deltas are applied; only its scoring is skipped.
-		if bnd := bound(); !math.IsInf(bnd, 1) && s.stripOutOfReach(bnd) {
+		if bnd := bound(); !math.IsInf(bnd, 1) && s.Reaches(inc.full, inc.part, inc.mmMin, inc.mmMax, bnd) {
 			s.Stats.PrunedStrips++
 			found = true
 			continue
@@ -393,10 +391,10 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	return found
 }
 
-// boundScratch sizes the strip bound's scratch for limbs limb totals,
-// chans channels and mmSlots Average slots, and resets the totals and the
-// min/max identities.
-func (inc *incrState) boundScratch(limbs, chans, mmSlots int) {
+// boundScratch sizes the strip bound's scratch for limbs limb totals and
+// mmSlots Average slots, and resets the totals and the min/max
+// identities.
+func (inc *incrState) boundScratch(limbs, mmSlots int) {
 	if cap(inc.full) < limbs {
 		inc.full = make([]float64, limbs)
 		inc.part = make([]float64, limbs)
@@ -404,10 +402,6 @@ func (inc *incrState) boundScratch(limbs, chans, mmSlots int) {
 	inc.full, inc.part = inc.full[:limbs], inc.part[:limbs]
 	clear(inc.full)
 	clear(inc.part)
-	if cap(inc.foldFull) < chans {
-		inc.foldFull = make([]float64, chans)
-		inc.foldPt = make([]float64, chans)
-	}
 	if cap(inc.mmMin) < mmSlots {
 		inc.mmMin = make([]float64, mmSlots)
 		inc.mmMax = make([]float64, mmSlots)
@@ -418,17 +412,20 @@ func (inc *incrState) boundScratch(limbs, chans, mmSlots int) {
 	}
 }
 
-// stripOutOfReach reports whether the current strip's Lemma 5 bound is
-// at least bnd: its covering sets lie between the full set and the full
-// set with every part rectangle added, so each interval's representation
-// lies in the bounds Equation 1 takes from the two folds — the compiled
-// bound of the grid's pass 2 (boundPass), whose soundness carries over —
-// and its distance is at least the bound.
-func (s *Solver) stripOutOfReach(bnd float64) bool {
-	inc := &s.inc
-	full := s.limbs.Fold(inc.foldFull, inc.full)
-	part := s.limbs.Fold(inc.foldPt, inc.part)
-	_, under := s.plan.Bound.Under(full, part, inc.mmMin, inc.mmMax, bnd)
+// Reaches reports whether the Lemma 5 bound of a cover reaches bnd: full
+// and part are limb totals in the bound limbs — of the set every point of
+// the cover holds and of the set it may hold some of — and mmMin, mmMax
+// each Average slot's minimum and maximum over the part set (+Inf and −Inf
+// for none). Every covering set between full and full ∪ part has its
+// representation in the box Equation 1 takes from the two folds — the
+// compiled bound of the grid's pass 2, whose soundness carries over — so
+// when Reaches reports true, no point of the cover scores under bnd. A
+// strip of the incremental sweep is bounded so before it is scored, and
+// DS-Search bounds a whole swept space so before it sweeps it.
+func (s *Solver) Reaches(full, part, mmMin, mmMax []float64, bnd float64) bool {
+	full = s.limbs.Fold(s.foldFull, full)
+	part = s.limbs.Fold(s.foldPart, part)
+	_, under := s.plan.Bound.Under(full, part, mmMin, mmMax, bnd)
 	return !under
 }
 

@@ -21,8 +21,10 @@ import (
 
 // refSolveWithin is SolveWithin's classic strip loop over refScanStrip
 // for the query q the solver is bound to, reading the bound rectangles'
-// objects from objs (objs[i] is bound rectangle i).
+// objects from objs (objs[i] is bound rectangle i) in the edge orders the
+// classic walk sorts.
 func (s *Solver) refSolveWithin(q asp.Query, objs []asp.RectObject, space geom.Rect) (asp.Result, bool) {
+	s.edgeOrders()
 	ys := []float64{space.MinY, space.MaxY}
 	for _, r := range s.rects {
 		if r.MinY > space.MinY && r.MinY < space.MaxY {
@@ -195,7 +197,8 @@ func TestScanStripFlatMatchesAccumulator(t *testing.T) {
 	}
 }
 
-// TestRebindOrderMatchesSortSlice: Rebind's edge orders are the
+// TestRebindOrderMatchesSortSlice: the edge orders the classic walk sorts
+// after a Rebind, read once Solve has walked its strips, are the
 // permutations sort.Slice produced, ties included — rectangles that share
 // an edge coordinate enter and leave the accumulator in that order.
 func TestRebindOrderMatchesSortSlice(t *testing.T) {
@@ -214,6 +217,10 @@ func TestRebindOrderMatchesSortSlice(t *testing.T) {
 		s, err := New(rects, q)
 		if err != nil {
 			t.Fatal(err)
+		}
+		s.Solve()
+		if len(s.byMinX) != n || len(s.byMaxX) != n {
+			t.Fatalf("trial %d: the classic walk left edge orders of %d and %d rects, want %d", trial, len(s.byMinX), len(s.byMaxX), n)
 		}
 		byMinX, byMaxX := make([]int, n), make([]int, n)
 		for i := range rects {

@@ -64,8 +64,11 @@ type Solver struct {
 	own     agg.Limbs
 	ownPlan agg.Plan
 
-	byMinX []int // rect indices sorted by Rect.MinX
-	byMaxX []int // rect indices sorted by Rect.MaxX
+	// byMinX and byMaxX hold the rect indices sorted by Rect.MinX and by
+	// Rect.MaxX once the classic walk has sorted them (edgeOrders); Rebind
+	// empties them, and only the classic walk reads them.
+	byMinX []int
+	byMaxX []int
 
 	// Reusable per-solve scratch: DS-Search's terminal rule runs thousands
 	// of mini-sweeps per query through one Rebind-ed solver, so the strip
@@ -74,6 +77,9 @@ type Solver struct {
 	ys  []float64
 	acc []float64 // a strip's limb totals
 	rep []float64
+	// foldFull and foldPart are Reaches' channel folds of its two limb
+	// vectors.
+	foldFull, foldPart []float64
 
 	// incremental selects the delta sweep for large inputs (see
 	// incremental.go); inc is its reusable scratch, and incrCap bounds the
@@ -97,8 +103,8 @@ type Solver struct {
 // New's answers are what DS-Search answers, bit for bit. It fails when
 // their values do not certify. The objects are flattened once into a
 // table of their own, in the row form a pyramid's core holds (Rows), and
-// the pre-sorted edge orders are shared across strips so each strip costs
-// O(n).
+// the edge orders, sorted once, are shared across strips so each strip
+// costs O(n).
 func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -182,6 +188,7 @@ func NewSized(incrCap int) *Solver {
 func (s *Solver) Bind(l *agg.Limbs, tab Rows, p *agg.Plan) {
 	s.limbs, s.tab, s.plan = l, tab, p
 	s.acc = resize(s.acc, l.Eff())
+	s.foldFull, s.foldPart = resize(s.foldFull, len(l.Lo)), resize(s.foldPart, len(l.Lo))
 	if p != nil {
 		s.rep = resize(s.rep, p.Score.Dims())
 	}
@@ -192,7 +199,7 @@ func (s *Solver) Bind(l *agg.Limbs, tab Rows, p *agg.Plan) {
 func (s *Solver) Plan() *agg.Plan { return s.plan }
 
 // Rebind points the solver at a new rectangle set, reusing all scratch
-// (sorted-edge orders, strip buffers, accumulator): rectangle i is
+// (edge orders, strip buffers, accumulator): rectangle i is
 // rects[i], and its contributions are row rows[i] of the bound table. The
 // query is unchanged; the slices are only read, never retained past the
 // next Rebind. Stats keep accumulating across rebinds.
@@ -212,6 +219,17 @@ func (s *Solver) Plan() *agg.Plan { return s.plan }
 func (s *Solver) Rebind(rects []geom.Rect, rows []int32, base []float64) {
 	s.rects, s.rows = rects, rows
 	s.base = base
+	s.byMinX, s.byMaxX = s.byMinX[:0], s.byMaxX[:0]
+}
+
+// edgeOrders sorts the edge orders of the bound rectangles, the first
+// time the classic walk needs them after a Rebind: the incremental sweep
+// never reads them.
+func (s *Solver) edgeOrders() {
+	rects := s.rects
+	if len(s.byMinX) == len(rects) {
+		return
+	}
 	s.byMinX = resize(s.byMinX, len(rects))
 	s.byMaxX = resize(s.byMaxX, len(rects))
 	for i := range rects {
@@ -335,6 +353,7 @@ func (s *Solver) SolveWithin(space geom.Rect) (asp.Result, bool) {
 		return best, found
 	}
 
+	s.edgeOrders()
 	for si := 0; si+1 < len(ys); si++ {
 		ym := (ys[si] + ys[si+1]) / 2
 		if ys[si+1] <= ys[si] {
