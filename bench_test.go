@@ -345,12 +345,15 @@ func BenchmarkCaseStudy(b *testing.B) {
 // excludes that point (DESIGN.md §5, "Resumed rounds"). It fails above
 // topKRoundsCells cells in rounds 2–3. It counts the sweep intervals the
 // top-3 scores and the cells it records above the record cap, and fails
-// above topKRoundsScored intervals; and the mini-sweeps whose space bound
-// reached their cap, skipped unswept (7; DESIGN.md §8), and fails at none.
+// above topKRoundsScored intervals (19 914; 20 148 while sweeps of under
+// 48 rectangles took the classic walk); and the mini-sweeps whose space
+// bound reached their cap, skipped unswept (7; DESIGN.md §8), and fails at
+// none.
 // The sub-benchmark top-64 times and counts a top-64 of the same request,
 // whose record cap is looser for longer, and fails above topK64Scored
-// (368 364 intervals, 93 sweeps bounded; 369 772 while every swept space
-// was swept). The indexed top-3 also reports
+// (313 201 intervals, 93 sweeps bounded; 368 364 while sweeps of under 48
+// rectangles took the classic walk, 369 772 while every swept space was
+// swept). The indexed top-3 also reports
 // the limb columns its sweeps carry, the query's score compiled against
 // the pyramid's limbs (agg.ScorePlan), and fails unless F2's two
 // dimensions read topKRoundsColumns of its limbs: a Sum's negative and
@@ -447,8 +450,8 @@ func BenchmarkTopKRounds(b *testing.B) {
 // score; and the limb columns its sweeps carry, exactly.
 const (
 	topKRoundsCells   = 22
-	topKRoundsScored  = 20200
-	topK64Scored      = 368400
+	topKRoundsScored  = 19950
+	topK64Scored      = 313250
 	topKRoundsColumns = 5
 )
 

@@ -13,7 +13,6 @@ package agg
 
 import (
 	"fmt"
-	"math"
 
 	"asrs/internal/attr"
 )
@@ -175,9 +174,6 @@ func (c *Composite) MinMaxSlots() int { return c.mmSlots }
 // Schema returns the schema the composite was compiled against.
 func (c *Composite) Schema() *attr.Schema { return c.schema }
 
-// Components returns the number of (f, A, γ) components.
-func (c *Composite) Components() int { return len(c.specs) }
-
 // Contrib is one sparse channel contribution of an object.
 type Contrib struct {
 	Ch int
@@ -259,59 +255,6 @@ func (c *Composite) FinalizeExact(ch []float64, out []float64) {
 	}
 }
 
-// FinalizeBounds computes representation bounds lo/hi for a point whose
-// covering set S satisfies full ⊆ S ⊆ full ∪ partial, given the channel
-// vectors of the full and partial sets and the min/max partial values for
-// each fA slot (mmMin[i] = +Inf, mmMax[i] = -Inf when the slot saw no
-// partial object). This generalizes Lemma 5 to all three aggregators.
-// The searches form the same intervals inside a compiled BoundPlan; this
-// is kept as the plan's oracle.
-func (c *Composite) FinalizeBounds(full, partial, mmMin, mmMax []float64, lo, hi []float64) {
-	for i := range c.specs {
-		s := &c.specs[i]
-		switch s.kind {
-		case Distribution:
-			for d := 0; d < s.dims; d++ {
-				f := full[s.chOff+d]
-				lo[s.dimOff+d] = f
-				hi[s.dimOff+d] = f + partial[s.chOff+d]
-			}
-		case Average:
-			sum, cnt := full[s.chOff+avgChSum], full[s.chOff+avgChCount]
-			pcnt := partial[s.chOff+avgChCount]
-			var base float64
-			if cnt > 0 {
-				base = sum / cnt
-			} else {
-				base = 0 // empty selection is representable, F value 0
-			}
-			l, h := base, base
-			if pcnt > 0 {
-				m, M := mmMin[s.mmSlot], mmMax[s.mmSlot]
-				// Adding any sub-multiset of values in [m, M] to a multiset
-				// with mean `base` keeps the mean within [min(base,m),
-				// max(base,M)]; with an empty full set the mean is either 0
-				// (nothing added) or within [m, M].
-				if m < l {
-					l = m
-				}
-				if M > h {
-					h = M
-				}
-			}
-			lo[s.dimOff], hi[s.dimOff] = l, h
-		case Sum:
-			f := full[s.chOff+sumChSum]
-			lo[s.dimOff] = f + partial[s.chOff+sumChNeg]
-			hi[s.dimOff] = f + partial[s.chOff+sumChPos]
-		case Count:
-			f := full[s.chOff]
-			lo[s.dimOff] = f
-			hi[s.dimOff] = f + partial[s.chOff]
-		}
-	}
-}
-
 // Representation computes F(r) directly over a dataset: the aggregate
 // representation of the set of objects strictly inside region r (open
 // containment, consistent with the covers relation of Lemma 1). The
@@ -354,58 +297,4 @@ type OpenRect struct {
 // Contains implements Region.
 func (r OpenRect) Contains(x, y float64) bool {
 	return r.MinX < x && x < r.MaxX && r.MinY < y && y < r.MaxY
-}
-
-// Fingerprint returns a stable structural description of the composite:
-// one "kind:attr:dims" token per component. Persistence formats embed it
-// to detect composite/index mismatches at load time. Selection functions
-// are opaque and cannot be fingerprinted — loading an index built with a
-// different γ for the same structure is undetectable (documented in the
-// persistence API).
-func (c *Composite) Fingerprint() string {
-	var sb []byte
-	for i := range c.specs {
-		s := &c.specs[i]
-		if i > 0 {
-			sb = append(sb, ';')
-		}
-		name := ""
-		if s.attrIdx >= 0 {
-			name = c.schema.At(s.attrIdx).Name
-		}
-		sb = append(sb, fmt.Sprintf("%s:%s:%d", s.kind, name, s.dims)...)
-	}
-	return string(sb)
-}
-
-// IntegerDims reports which representation dimensions only take integer
-// values (the count dimensions of fD and fC components), the isInt of
-// LowerBoundInt; a BoundPlan reads the same from the kinds. Lower-bound
-// computations exploit this: the nearest *achievable* value to the query
-// inside [lo, hi] is an integer, which removes the fractional slack of
-// the continuous Equation 1 gap and lets cells at the optimum's boundary
-// be pruned at lb == d_opt instead of splitting on.
-func (c *Composite) IntegerDims() []bool {
-	out := make([]bool, c.dims)
-	for i := range c.specs {
-		s := &c.specs[i]
-		if s.kind == Distribution || s.kind == Count {
-			for d := 0; d < s.dims; d++ {
-				out[s.dimOff+d] = true
-			}
-		}
-	}
-	return out
-}
-
-// InfMM returns freshly initialized (mmMin, mmMax) slot vectors: +Inf/-Inf
-// identities for min/max.
-func (c *Composite) InfMM() (mmMin, mmMax []float64) {
-	mmMin = make([]float64, c.mmSlots)
-	mmMax = make([]float64, c.mmSlots)
-	for i := range mmMin {
-		mmMin[i] = math.Inf(1)
-		mmMax[i] = math.Inf(-1)
-	}
-	return mmMin, mmMax
 }

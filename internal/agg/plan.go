@@ -39,8 +39,8 @@ func (p *Plan) Compile(c *Composite, l *Limbs, norm Norm, q, w []float64) {
 // LowerBoundInt's (intGap on the integer dims of fD and fC, gap on the
 // rest), with q − ⌊q⌋ and ⌈q⌉ − q computed once here instead of per call,
 // and the terms are summed in the same order under the same early stop. A
-// nil weight vector compiles to weights of 1, and g·1 = g exactly. The
-// oracle test (TestBoundPlanMatchesOracle) holds it to that pair.
+// nil weight vector compiles to weights of 1, and g·1 = g exactly.
+// TestBoundPlanMatchesOracle holds it to that pair (oracle_test.go).
 //
 // A plan is reused across queries by compiling into it again; Compile
 // keeps its storage, so a recycled plan allocates nothing.
@@ -188,8 +188,8 @@ func (t *boundTerm) intGap(lo, hi float64) float64 {
 // distance and ok bit are, bit for bit, those of the three passes it
 // replaces — fold every channel, FinalizeExact, DistanceUnder — and rep
 // is the whole representation whenever ok is true. A nil weight vector
-// compiles to weights of 1, and x·1 = x exactly. The oracle test
-// (TestScorePlanMatchesOracle) holds it to those passes.
+// compiles to weights of 1, and x·1 = x exactly. TestScorePlanMatchesOracle
+// holds it to those passes (export_test.go, oracle_test.go).
 //
 // A plan is reused across queries and layouts by compiling into it
 // again; Compile keeps its storage, so a recycled plan allocates nothing.

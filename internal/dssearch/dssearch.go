@@ -124,7 +124,7 @@ type Stats struct {
 	SweepsBounded   int // mini-sweeps skipped unbuilt: their space's Equation 1 bound reached the sweep's cap
 	MiniSweepRects  int // rectangles handed to terminal-rule sweeps
 	SweepBaseRects  int // rectangles containing a swept space, folded into the sweep's base vector instead
-	FlatStrips      int // mini-sweep strips scored by the incremental sweep's flat pass
+	FlatStrips      int // mini-sweep strips scored: every mini-sweep runs the flat pass
 	FenwickStrips   int // always 0: the Fenwick strip evaluator is gone; bench/ still reads the field
 	SweepScored     int // mini-sweep intervals folded and scored, every walk
 	PrunedStrips    int // mini-sweep strips skipped unscored: their Lemma 5 bound could not beat the sweep's
@@ -304,7 +304,7 @@ func (s *Searcher) ensureScratch() {
 	// The solver holds no query: it is bound to the core's limbs and rows
 	// and to the plan, and keeps all its scratch.
 	if t.sw == nil {
-		t.sw = sweep.NewSized(sweepReach)
+		t.sw = sweep.NewSized()
 	}
 	s.sw = t.sw
 	s.sw.Bind(limbs, s.core.rows(), &s.plan.c)
@@ -642,8 +642,8 @@ func (s *Searcher) sweepCell(space geom.Rect, seedLB float64, ids []int32, recor
 // distinct edge coordinates, so a space whose inner edges take at most
 // sweepYLines distinct y values — at most sweepYLines+1 strips — is swept
 // whatever its rectangle count, and one whose inner edges take at most
-// sweepXLines distinct x values is swept when its edged rectangles fit
-// the incremental sweep (sweepReach).
+// sweepXLines distinct x values is swept when it has at most sweepReach
+// edged rectangles, a cap on what the entries and exits of its strips cost.
 //
 // sweepYLines is 15 so that the y clause takes every space the paper's
 // drop condition (Definition 8) stopped: one in which two grid rows fit

@@ -12,14 +12,15 @@ import (
 // range adds of the full range and of the partial ring as up to four
 // pieces, a two-sweep 2D prefix sum over the padded arrays, two full
 // scans of the grid with every clean cell finalized on its own and every
-// dirty one bounded by FinalizeBounds and the whole LowerBoundInt — as the
-// oracle the production loops of grid.go are held to bit for bit
-// (TestDiscretizeMatchesReference). Its diffPart holds the partial covers
-// themselves, their number in the count slot; diffFull's count slot stays
-// 0. It
-// shares with production only what production did not rewrite: mmUpdate
-// and fullRange. The centre probes (refProbeCellCenters) scan the master
-// window, where production reads the space's ids.
+// dirty one bounded by the whole Equation 1 bound of a BoundPlan compiled
+// afresh, with no threshold (agg's TestBoundPlanMatchesOracle holds the
+// plan to the uncompiled bound) — as the oracle the production loops of
+// grid.go are held to bit for bit (TestDiscretizeMatchesReference). Its
+// diffPart holds the partial covers themselves, their number in the count
+// slot; diffFull's count slot stays 0. It shares with production only
+// what production did not rewrite: mmUpdate and fullRange. The centre
+// probes (refProbeCellCenters) scan the master window, where production
+// reads the space's ids.
 
 func (g *gridBuffers) refReset() {
 	clear(g.diffFull)
@@ -143,8 +144,8 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 	// Pass 2: bound and filter dirty cells.
 	dirty := s.dirty[:0]
 	thresh := s.threshold()
-	lo, hi := make([]float64, g.dims), make([]float64, g.dims)
-	isInt := query.F.IntegerDims()
+	var bound agg.BoundPlan
+	bound.Compile(query.F, query.Norm, query.Target, query.W)
 	for r := 0; r < nrow; r++ {
 		for c := 0; c < ncol; c++ {
 			idx := g.cellIdx(c, r)
@@ -160,8 +161,7 @@ func (s *Searcher) refDiscretize(space, clip geom.Rect, ids []int32, afterPass1 
 				mmMin = g.mmMin[mi : mi+g.mmSlots]
 				mmMax = g.mmMax[mi : mi+g.mmSlots]
 			}
-			query.F.FinalizeBounds(full, part, mmMin, mmMax, lo, hi)
-			lb := agg.LowerBoundInt(query.Norm, query.Target, lo, hi, query.W, isInt)
+			lb := bound.Bound(full, part, mmMin, mmMax)
 			cell := geom.Rect{MinX: g.xe[c], MinY: g.ye[r], MaxX: g.xe[c+1], MaxY: g.ye[r+1]}
 			if lb < thresh {
 				dirty = append(dirty, cellInfo{rect: cell, lb: lb})

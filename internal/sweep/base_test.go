@@ -16,7 +16,7 @@ import (
 // channels, dyadic reals (one limb each), full-mantissa reals down to
 // POISyn's smallest ratings (two limbs, the lo grid finer than 2^-62) and
 // full-mantissa reals spread over 1e-12…1e12 (a chain of three). All sum
-// exactly, take the incremental sweep and must come back bit for bit.
+// exactly and must come back bit for bit.
 var baseComposites = []struct {
 	name string
 	num  func(rng *rand.Rand) (visits, rating float64)
@@ -110,9 +110,9 @@ func baseFixture(rng *rand.Rand, space geom.Rect, num func(*rand.Rand) (float64,
 // TestSolveWithinBaseMatchesUnfolded: sweeping only the rectangles with an
 // edge inside the space, on the summed limb contributions of those that
 // contain it strictly, is sweeping them all — point, distance and
-// representation bit for bit, through the classic walk and the incremental sweep's flat pass, capped
-// and uncapped, on degenerate spaces too. Rectangles sharing an edge
-// coordinate with the space stay swept.
+// representation bit for bit, through New's classic walk and a production
+// solver's flat pass, capped and uncapped, on degenerate spaces too.
+// Rectangles sharing an edge coordinate with the space stay swept.
 func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 	schema, err := attr.NewSchema(
 		attr.Attribute{Name: "visits", Kind: attr.Numeric},
@@ -129,16 +129,11 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := []struct {
-		name        string
-		incremental bool
-	}{{"classic", false}, {"incremental", true}}
 	rng := rand.New(rand.NewSource(97))
 	for _, comp := range baseComposites {
 		for trial := 0; trial < 8; trial++ {
 			space := baseSpaces[trial%len(baseSpaces)]
-			// Under and over incrMinRects swept rectangles.
-			all := baseFixture(rng, space, comp.num, []int{incrMinRects + 80, 30}[trial/len(baseSpaces)%2])
+			all := baseFixture(rng, space, comp.num, []int{128, 30}[trial/len(baseSpaces)%2])
 			q := asp.Query{F: f, Target: []float64{rng.Float64() * 400, rng.Float64() * 5, float64(20 + rng.Intn(80))}}
 
 			// The limbs of the whole set serve both solvers, as a search's
@@ -172,19 +167,23 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 				t.Fatal("fixture has no containing rectangle")
 			}
 
-			for _, m := range modes {
+			// A solver New built runs the classic walk whatever it is
+			// rebound to; one NewSized built (production) runs the flat pass.
+			for _, m := range []string{"New", "production"} {
 				newSolver := func() *Solver {
+					if m == "production" {
+						return NewSized()
+					}
 					s, err := New(nil, q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					s.setIncremental(m.incremental)
 					return s
 				}
 				unfolded, folded := newSolver(), newSolver()
 				bindObjects(unfolded, q, limbs, all, nil)
 				bindObjects(folded, q, limbs, edged, base)
-				label := comp.name + "/" + m.name
+				label := comp.name + "/" + m
 				want, wok := unfolded.SolveWithin(space)
 				if !wok {
 					t.Fatalf("%s: unfolded sweep found nothing", label)
@@ -198,11 +197,8 @@ func TestSolveWithinBaseMatchesUnfolded(t *testing.T) {
 				if us, fs := unfolded.Stats, folded.Stats; us != fs {
 					t.Fatalf("%s: the two sweeps walked different strips or intervals: %+v vs %+v", label, us, fs)
 				}
-				degenerate := space.MinX == space.MaxX || space.MinY == space.MaxY
-				if m.incremental && !degenerate && len(edged) >= incrMinRects {
-					if folded.Stats.FlatStrips == 0 {
-						t.Fatalf("%s: the flat pass was not exercised: %+v", label, folded.Stats)
-					}
+				if (m == "production") != (folded.Stats.FlatStrips > 0) {
+					t.Fatalf("%s: the flat pass ran in the wrong solver: %+v", label, folded.Stats)
 				}
 				// A rebind without a base drops it.
 				bindObjects(folded, q, limbs, all, nil)

@@ -84,8 +84,8 @@ func expectSameBits(t *testing.T, label string, want, got asp.Result, wok, gok b
 	}
 }
 
-// TestStripBoundBitIdentical holds the bounded incremental sweep to the
-// classic scan, which bounds nothing: distance and point bit for bit,
+// TestStripBoundBitIdentical holds a production solver's bounded flat pass
+// to New's classic walk, which bounds nothing: distance and point bit for bit,
 // on fD, count, fA and signed fS at once,
 // on a base vector of the rectangles containing the space, uncapped,
 // capped between the optimum and a worse candidate, and capped exactly at
@@ -102,7 +102,7 @@ func TestStripBoundBitIdentical(t *testing.T) {
 	var pruned, cappedPruned int
 	for trial := 0; trial < 60; trial++ {
 		space := spaces[trial%len(spaces)]
-		all := boundFixture(rng, space, incrMinRects+rng.Intn(150))
+		all := boundFixture(rng, space, 1+rng.Intn(200))
 		limbs := limbsOver(t, f, all)
 		var edged []asp.RectObject
 		base := make([]float64, limbs.Eff())
@@ -141,11 +141,7 @@ func TestStripBoundBitIdentical(t *testing.T) {
 			worst = math.Max(worst, q.Distance(asp.PointRepresentation(all, f, probe())))
 		}
 		caps := []float64{math.Inf(1), opt.Dist + (worst-opt.Dist)/2, opt.Dist}
-		s, err := New(nil, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.setIncremental(true)
+		s := NewSized()
 		bindObjects(s, q, limbs, edged, base)
 		for ci, c := range caps {
 			want, wok := classic.SolveWithinCapped(space, c)
@@ -157,7 +153,7 @@ func TestStripBoundBitIdentical(t *testing.T) {
 			}
 		}
 		if s.Stats.FlatStrips == 0 {
-			t.Fatalf("trial %d: the incremental sweep did not run", trial)
+			t.Fatalf("trial %d: the flat pass did not run", trial)
 		}
 		pruned += s.Stats.PrunedStrips
 	}
@@ -195,18 +191,14 @@ func TestStripBoundPrunes(t *testing.T) {
 	add(0, 0, 10, 1)
 	add(0, 1, 10, 2)
 	add(3, 1, 10, 2)
-	for y := 2.0; len(rects) < incrMinRects+4; y++ {
+	for y := 2.0; y < 6; y++ {
 		for range 3 {
 			add(0, y, 10, y+1)
 		}
 	}
 	q := asp.Query{F: f, Target: []float64{1}}
 	space := asp.Space(rects)
-	s, err := New(rects, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.setIncremental(true)
+	s := production(t, rects, q)
 	got, ok := s.SolveWithin(space)
 	if want := (geom.Point{X: 1.5, Y: 1.5}); !ok || got.Dist != 0 || got.Point != want {
 		t.Fatalf("%v@%v, want 0@%v", got.Dist, got.Point, want)

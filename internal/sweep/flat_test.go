@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"asrs/internal/agg"
@@ -12,14 +13,70 @@ import (
 	"asrs/internal/geom"
 )
 
-// setIncremental switches a solver between the classic per-strip rescan
-// and the incremental delta sweep; a solver not built by NewSized gets an
-// unbounded size cap.
-func (s *Solver) setIncremental(on bool) {
-	s.incremental = on
-	if s.incrCap == 0 {
-		s.incrCap = int(^uint(0) >> 1)
+// incrComposite is the integer-valued composite of the flat-pass
+// fixtures: fD over four categories and fS over a numeric value.
+func incrComposite(tb testing.TB) *agg.Composite {
+	tb.Helper()
+	schema, err := attr.NewSchema(
+		attr.Attribute{Name: "cat", Kind: attr.Categorical, Domain: []string{"a", "b", "c", "d"}},
+		attr.Attribute{Name: "val", Kind: attr.Numeric},
+	)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	f, err := agg.New(schema,
+		agg.Spec{Kind: agg.Distribution, Attr: "cat"},
+		agg.Spec{Kind: agg.Sum, Attr: "val"},
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// incrFixture builds an integer-valued workload of n rectangles
+// (incrComposite over small integers) over [0, 100]², a third of them
+// snapped to a lattice of step 4, so edge ordering corner cases get
+// exercised.
+func incrFixture(t *testing.T, rng *rand.Rand, n int) ([]asp.RectObject, asp.Query) {
+	t.Helper()
+	f := incrComposite(t)
+	objs := make([]attr.Object, n)
+	rects := make([]asp.RectObject, n)
+	w := 4 + rng.Float64()*8
+	h := 3 + rng.Float64()*8
+	for i := range rects {
+		x := rng.Float64() * 100
+		y := rng.Float64() * 100
+		if rng.Intn(3) == 0 {
+			x = float64(rng.Intn(25)) * 4
+			y = float64(rng.Intn(25)) * 4
+		}
+		objs[i] = attr.Object{
+			Loc: geom.Point{X: x, Y: y},
+			Values: []attr.Value{
+				{Cat: rng.Intn(4)},
+				{Num: float64(rng.Intn(9) - 4)},
+			},
+		}
+		rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - w, MinY: y - h, MaxX: x, MaxY: y}, Obj: &objs[i]}
+	}
+	target := make([]float64, f.Dims())
+	for i := range target {
+		target[i] = float64(rng.Intn(20))
+	}
+	q := asp.Query{F: f, Target: target}
+	return rects, q
+}
+
+// production returns a solver built as DS-Search and GI-DS build theirs
+// (NewSized), bound to rects and q and summing in the limbs New certifies
+// over them: it sweeps every space by the flat pass.
+func production(tb testing.TB, rects []asp.RectObject, q asp.Query) *Solver {
+	tb.Helper()
+	s := NewSized()
+	bindObjects(s, q, limbsOver(tb, q.F, rects), rects, nil)
+	return s
 }
 
 // expectSame fails unless two results match bit for bit.
@@ -44,13 +101,11 @@ func expectSame(t *testing.T, label string, want, got asp.Result, wok, gok bool)
 	}
 }
 
-// TestFlatStripBitIdentical: the flat merge pass returns the classic
-// rescan's answer bit for bit on integer-valued channels. The fixture
-// snaps a third of the points to a coarse grid, so duplicate edge
-// positions (deduplicated into shared interval boundaries) and the
-// clamped first/last intervals (probes before/after all interior deltas)
-// are all exercised; the sparse shape marches across some two thousand
-// intervals to reach each strip's one or two dirty ones.
+// TestFlatStripBitIdentical: where the flat pass marches furthest — one
+// set past 2 048 rectangles and the sparse shape, whose dirty strips walk
+// across some two thousand intervals to reach their one or two dirty ones
+// — a production solver returns the answer of New's classic walk bit for
+// bit, in a sub-space and over the whole plane (Solve).
 func TestFlatStripBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	type input struct {
@@ -58,34 +113,25 @@ func TestFlatStripBitIdentical(t *testing.T) {
 		q      asp.Query
 		spaces []geom.Rect
 	}
-	var inputs []input
-	for trial := 0; trial < 20; trial++ {
-		rects, q := incrFixture(t, rng, incrMinRects+rng.Intn(180))
-		inputs = append(inputs, input{rects, q, []geom.Rect{
-			asp.Space(rects),
-			{MinX: 10, MinY: 10, MaxX: 60, MaxY: 70},
-			{MinX: rng.Float64() * 50, MinY: rng.Float64() * 50, MaxX: 50 + rng.Float64()*50, MaxY: 50 + rng.Float64()*50},
-		}})
-	}
-	rects, q := sparseFixture(t, rng)
-	inputs = append(inputs, input{rects, q, []geom.Rect{sparseSpace, asp.Space(rects)}})
-	for i, in := range inputs {
+	rects, q := incrFixture(t, rng, 2049+rng.Intn(20))
+	sparse, sq := sparseFixture(t, rng)
+	for i, in := range []input{
+		{rects, q, []geom.Rect{{MinX: 10, MinY: 10, MaxX: 60, MaxY: 70}}},
+		{sparse, sq, []geom.Rect{sparseSpace}},
+	} {
 		classic, err := New(in.rects, in.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(in.rects, in.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.setIncremental(true)
+		s := production(t, in.rects, in.q)
 		for si, space := range in.spaces {
 			want, wok := classic.SolveWithin(space)
 			got, gok := s.SolveWithin(space)
-			expectSame(t, fmt.Sprintf("input %d space %d", i, si), want, got, wok, gok)
+			expectSameBits(t, fmt.Sprintf("input %d (n=%d) space %d", i, len(in.rects), si), want, got, wok, gok)
 		}
-		if s.Stats.FlatStrips == 0 {
-			t.Fatalf("input %d: the incremental sweep did not run", i)
+		expectSameBits(t, fmt.Sprintf("input %d (n=%d) Solve", i, len(in.rects)), classic.Solve(), s.Solve(), true, true)
+		if s.Stats.FlatStrips == 0 || classic.Stats.FlatStrips != 0 {
+			t.Fatalf("input %d: flat strips %d production, %d classic: want the flat pass in production only", i, s.Stats.FlatStrips, classic.Stats.FlatStrips)
 		}
 	}
 }
@@ -218,93 +264,113 @@ func shiftOf(scale float64) int {
 	return e - 1
 }
 
-// TestFlatStripFixedPoint: real channels as one limb, two or three ride
-// the flat pass as scaled int64 columns and must come back bit-identical
-// to the classic walk over float limbs.
+// TestFlatStripFixedPoint: on sets of 1 to 47 rectangles, too few for
+// every kind's limbs to take the shape it names, real channels ride a
+// production solver's flat pass as scaled int64 columns and must come back
+// bit-identical to New's classic walk over float limbs.
 func TestFlatStripFixedPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, kind := range realKinds {
-		for trial := 0; trial < 10; trial++ {
-			rects, q := realFixture(t, rng, incrMinRects+rng.Intn(120), kind.num)
+		for trial := 0; trial < 11; trial++ {
+			n := 1 + rng.Intn(47)
+			rects, q := realFixture(t, rng, n, kind.num)
 			classic, err := New(rects, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			space := asp.Space(rects)
 			want, wok := classic.SolveWithin(space)
-			checkLimbs(t, classic, kind.fine, kind.chain)
-			s, err := New(rects, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.setIncremental(true)
+			s := production(t, rects, q)
 			got, gok := s.SolveWithin(space)
-			expectSame(t, kind.name, want, got, wok, gok)
+			expectSameBits(t, fmt.Sprintf("%s trial %d (n=%d)", kind.name, trial, n), want, got, wok, gok)
 			if s.Stats.FlatStrips == 0 {
-				t.Fatalf("%s: the incremental sweep did not run", kind.name)
+				t.Fatalf("%s trial %d: the flat pass did not run", kind.name, trial)
 			}
 		}
 	}
 }
 
-// TestFlatStripDegenerateSpaces: zero-width strips in both axes — a
-// zero-height space falls through to the classic line scan, and spaces
-// narrower than any rectangle leave a single interval — must agree
-// with the classic rescan.
+// TestFlatStripDegenerateSpaces: a zero-height space is one strip of the
+// flat pass, the line at its height, and a zero-width one is one interval,
+// the column at its x; with near-degenerate and tiny spaces, they must
+// agree with New's classic walk bit for bit. Some columns and lines lie
+// on the fixture's lattice, where rectangles end: a rectangle with an edge
+// on a column or a line does not cover it.
 func TestFlatStripDegenerateSpaces(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	rects, q := incrFixture(t, rng, incrMinRects+40)
-	spaces := []geom.Rect{
-		{MinX: 5, MinY: 50, MaxX: 95, MaxY: 50},     // zero height: classic line strip
-		{MinX: 50, MinY: 5, MaxX: 50.001, MaxY: 95}, // near-degenerate width
-		{MinX: 49, MinY: 49, MaxX: 51, MaxY: 51},    // tiny interior window
-	}
-	classic, err := New(rects, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(rects, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.setIncremental(true)
-	for si, space := range spaces {
-		want, wok := classic.SolveWithin(space)
-		got, gok := s.SolveWithin(space)
-		expectSame(t, fmt.Sprintf("space %d", si), want, got, wok, gok)
+	for trial := 0; trial < 12; trial++ {
+		rects, q := incrFixture(t, rng, 1+rng.Intn([]int{10, 200}[trial%2]))
+		spaces := []geom.Rect{
+			{MinX: 5, MinY: 50, MaxX: 95, MaxY: 50},     // zero height
+			{MinX: 48, MinY: 5, MaxX: 48, MaxY: 95},     // zero width, on the lattice
+			{MinX: 5, MinY: 48, MaxX: 95, MaxY: 48},     // zero height, on the lattice
+			{MinX: 50, MinY: 50, MaxX: 50, MaxY: 50},    // a point
+			{MinX: 48, MinY: 48, MaxX: 48, MaxY: 48},    // a point on the lattice
+			{MinX: 50, MinY: 5, MaxX: 50.001, MaxY: 95}, // near-degenerate width
+			{MinX: 49, MinY: 49, MaxX: 51, MaxY: 51},    // tiny interior window
+		}
+		// One rectangle per lattice line has an edge on it.
+		for _, r := range []geom.Rect{{MinX: 48, MinY: 0, MaxX: 60, MaxY: 100}, {MinX: 30, MinY: 0, MaxX: 48, MaxY: 100},
+			{MinX: 0, MinY: 48, MaxX: 100, MaxY: 70}, {MinX: 0, MinY: 30, MaxX: 100, MaxY: 48}} {
+			rects = append(rects, asp.RectObject{Rect: r, Obj: rects[0].Obj})
+		}
+		classic, err := New(rects, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := production(t, rects, q)
+		for si, space := range spaces {
+			want, wok := classic.SolveWithin(space)
+			got, gok := s.SolveWithin(space)
+			if !wok {
+				t.Fatalf("trial %d space %d: the classic walk found nothing", trial, si)
+			}
+			expectSameBits(t, fmt.Sprintf("trial %d space %d", trial, si), want, got, wok, gok)
+		}
 	}
 }
 
-// TestStripPoolModes: a pre-sized solver (slab scratch, the production
-// path) summing in the limbs of both sets agrees with classic after
-// Rebind, and its pre-sized dif/run scratch survives reuse across solves.
-func TestStripPoolModes(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	rects, q := incrFixture(t, rng, incrMinRects+100)
-	rects2, _ := incrFixture(t, rng, incrMinRects+70)
+// pooledSet is one rectangle set of a pooled solver's table: rows lo to
+// hi, and the answer New's classic walk gives over the whole plane.
+type pooledSet struct {
+	rects  []asp.RectObject
+	lo, hi int
+	want   asp.Result
+}
+
+// pooled returns a production solver bound to one table of two sets'
+// rows, as a pyramid's core holds every set a search sweeps, summing in
+// the limbs of both — one set past 2 048 rectangles, one of a few — and
+// a rebind to either set.
+func pooled(t *testing.T, rng *rand.Rand) (*Solver, []pooledSet, func(pooledSet)) {
+	t.Helper()
+	rects, q := incrFixture(t, rng, 2049+rng.Intn(20))
+	rects2, _ := incrFixture(t, rng, 1+rng.Intn(40))
 	limbs := limbsOver(t, q.F, rects, rects2)
-	classic, err := New(rects, q)
-	if err != nil {
-		t.Fatal(err)
+	tab, geo, ids := rowsOf(q.F, limbs, append(slices.Clone(rects), rects2...))
+	s := NewSized()
+	s.Bind(limbs, tab, planOf(q, limbs))
+	sets := []pooledSet{{rects: rects, hi: len(rects)}, {rects: rects2, lo: len(rects), hi: len(geo)}}
+	for i := range sets {
+		classic, err := New(sets[i].rects, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[i].want = classic.Solve()
 	}
-	classic2, err := New(rects2, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	space := asp.Space(rects)
-	space2 := asp.Space(rects2)
-	want, wok := classic.SolveWithin(space)
-	want2, wok2 := classic2.SolveWithin(space2)
-	s := NewSized(512)
-	bindObjects(s, q, limbs, rects, nil)
-	got, gok := s.SolveWithin(space)
-	expectSame(t, "pool", want, got, wok, gok)
-	// Rebind to a different set: scratch reuse must not leak state.
-	bindObjects(s, q, limbs, rects2, nil)
-	got2, gok2 := s.SolveWithin(space2)
-	expectSame(t, "pool-rebind", want2, got2, wok2, gok2)
-	if s.Stats.FlatStrips == 0 {
-		t.Fatal("the incremental sweep did not run")
+	return s, sets, func(set pooledSet) { s.Rebind(geo[set.lo:set.hi], ids[set.lo:set.hi], nil) }
+}
+
+// TestStripPoolModes: a pooled production solver agrees with New's
+// classic walk on each set after Rebind, bit for bit, rebound back and
+// forth so that scratch reuse cannot leak state.
+func TestStripPoolModes(t *testing.T) {
+	s, sets, rebind := pooled(t, rand.New(rand.NewSource(89)))
+	for round := range 2 {
+		for i, set := range sets {
+			rebind(set)
+			expectSameBits(t, fmt.Sprintf("round %d set %d (n=%d)", round, i, len(set.rects)), set.want, s.Solve(), true, true)
+		}
 	}
 }
 
@@ -336,8 +402,8 @@ func planOf(q asp.Query, l *agg.Limbs) *agg.Plan {
 	return &p
 }
 
-func limbsOver(t *testing.T, f *agg.Composite, sets ...[]asp.RectObject) *agg.Limbs {
-	t.Helper()
+func limbsOver(tb testing.TB, f *agg.Composite, sets ...[]asp.RectObject) *agg.Limbs {
+	tb.Helper()
 	var raw []agg.Contrib
 	for _, set := range sets {
 		for _, r := range set {
@@ -346,14 +412,14 @@ func limbsOver(t *testing.T, f *agg.Composite, sets ...[]asp.RectObject) *agg.Li
 	}
 	var l agg.Limbs
 	if err := l.Certify(f.Channels(), raw); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return &l
 }
 
 // TestSolveWithinCappedBitIdentical pins the capped evaluation
-// contract on both the classic scan and the incremental sweep, the
-// sparse shape among its inputs:
+// contract on both New's classic walk and a production solver's flat
+// pass, the sparse shape among its inputs:
 // any cap at or above the space's optimum returns SolveWithin's result
 // bit for bit (the open cap keeps exact ties evaluable), a cap below it
 // returns the untouched +Inf sentinel with a nil Rep, and running a
@@ -364,21 +430,16 @@ func TestSolveWithinCappedBitIdentical(t *testing.T) {
 		var rects []asp.RectObject
 		var q asp.Query
 		if trial < 12 {
-			rects, q = incrFixture(t, rng, incrMinRects+rng.Intn(160))
+			rects, q = incrFixture(t, rng, 1+rng.Intn(200))
 		} else {
 			rects, q = sparseFixture(t, rng)
 		}
 		space := asp.Space(rects)
-		solvers := map[string]*Solver{}
-		for name, incremental := range map[string]bool{"classic": false, "incremental": true} {
-			s, err := New(rects, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.setIncremental(incremental)
-			solvers[name] = s
+		ref, err := New(rects, q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ref := solvers["classic"]
+		solvers := map[string]*Solver{"classic": ref, "production": production(t, rects, q)}
 		want, wok := ref.SolveWithin(space)
 		if !wok {
 			t.Fatalf("trial %d: reference solve found nothing", trial)

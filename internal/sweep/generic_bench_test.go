@@ -14,8 +14,8 @@ import (
 
 var sweepSink asp.Result
 
-// BenchmarkSweepGeneric times a pre-sized solver rebound to one rectangle
-// set, summing in the limbs of the whole set as a search does, against an
+// BenchmarkSweepGeneric times a solver rebound to one rectangle set,
+// summing in the limbs of the whole set as a search does, against an
 // incumbent a hair better than anything the space holds, as most sweeps
 // of a search near its optimum find it (a sweep that does improve on its
 // cap returns a representation it allocates). The steady state of either
@@ -23,17 +23,19 @@ var sweepSink asp.Result
 //
 //	go test -run '^$' -bench SweepGeneric -benchmem ./internal/sweep/
 //
-// classic is the classic strip walk — what SearchBaseline runs, and
-// DS-Search below the incremental sweep's incrMinRects — on a real-valued
-// composite: the ≈ 150 rectangles of a small space (dssearch's
-// sweepCutoff is 160) of POISyn's F2 (sum of visits + average rating,
-// three of its channels two limbs).
+// classic is the classic strip walk of a solver New built — what
+// SearchBaseline runs — on a real-valued composite: the ≈ 150 rectangles
+// of a small space (dssearch's sweepCutoff is 160) of POISyn's F2 (sum of
+// visits + average rating, three of its channels two limbs).
 //
-// incremental is the incremental sweep's flat pass, a NewSized(2048)
-// solver as DS-Search sizes it, on the sparse shape (SparseFixture): 1 200
-// rectangles whose every dirty strip holds one or two dirty intervals
-// some 1 600 intervals from its left end, the regime where the pass
-// marches farthest for what it scores.
+// incremental is the flat pass of a NewSized solver, the one every
+// DS-Search and GI-DS mini-sweep runs, on the sparse shape
+// (SparseFixture): 1 200 rectangles whose every dirty strip holds one or
+// two dirty intervals some 1 600 intervals from its left end, the regime
+// where the pass marches farthest for what it scores. classic-sparse is
+// the classic walk on the same shape: the walk a production sweep of
+// that many rectangles ran before every production sweep took the flat
+// pass.
 func BenchmarkSweepGeneric(b *testing.B) {
 	b.Run("classic", func(b *testing.B) {
 		ds := dataset.POISyn(5000, 42)
@@ -61,29 +63,48 @@ func BenchmarkSweepGeneric(b *testing.B) {
 				}
 			}
 		}
-		benchRebound(b, sweep.NewSized(0), rects, sub, q, space)
+		benchRebound(b, classicSolver(b, q), rects, sub, q, space)
 	})
 	b.Run("incremental", func(b *testing.B) {
 		rects, q := sweep.SparseFixture(b, rand.New(rand.NewSource(7)))
-		s := sweep.NewSized(2048)
+		s := sweep.NewSized()
 		benchRebound(b, s, rects, rects, q, sweep.SparseSpace)
 		if s.Stats.FlatStrips == 0 {
-			b.Fatal("the incremental sweep did not run")
+			b.Fatal("the flat pass did not run")
+		}
+	})
+	b.Run("classic-sparse", func(b *testing.B) {
+		rects, q := sweep.SparseFixture(b, rand.New(rand.NewSource(7)))
+		s := classicSolver(b, q)
+		benchRebound(b, s, rects, rects, q, sweep.SparseSpace)
+		if s.Stats.FlatStrips != 0 {
+			b.Fatal("the flat pass ran")
 		}
 	})
 }
 
-// benchRebound times s rebound to the rectangles sub and sweeping space,
-// its limbs certified over all, under a cap a hair below the space's
-// optimum. It fails when the steady state allocates.
-func benchRebound(b *testing.B, s *sweep.Solver, all, sub []asp.RectObject, q asp.Query, space geom.Rect) {
+// classicSolver is a solver New built for q over no rectangles: rebound,
+// it runs the classic walk.
+func classicSolver(b *testing.B, q asp.Query) *sweep.Solver {
+	s, err := sweep.New(nil, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// bindRects binds s to the rectangles sub and to q, summing in the limbs
+// certified over all, and returns sub's rectangles and row ids, which it
+// rebinds s to.
+func bindRects(tb testing.TB, s *sweep.Solver, all, sub []asp.RectObject, q asp.Query) ([]geom.Rect, []int32) {
+	tb.Helper()
 	var cbs []agg.Contrib
 	for _, r := range all {
 		cbs = q.F.AppendContribs(r.Obj, cbs)
 	}
 	var limbs agg.Limbs
 	if err := limbs.Certify(q.F.Channels(), cbs); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var plan agg.Plan
 	plan.Compile(q.F, &limbs, q.Norm, q.Target, q.W)
@@ -92,6 +113,15 @@ func benchRebound(b *testing.B, s *sweep.Solver, all, sub []asp.RectObject, q as
 	for i := range sub {
 		geo[i], ids[i] = sub[i].Rect, int32(i)
 	}
+	s.Rebind(geo, ids, nil)
+	return geo, ids
+}
+
+// benchRebound times s rebound to the rectangles sub and sweeping space,
+// its limbs certified over all, under a cap a hair below the space's
+// optimum. It fails when the steady state allocates.
+func benchRebound(b *testing.B, s *sweep.Solver, all, sub []asp.RectObject, q asp.Query, space geom.Rect) {
+	geo, ids := bindRects(b, s, all, sub, q)
 	capDist := math.Inf(1)
 	run := func() {
 		s.Rebind(geo, ids, nil)

@@ -11,11 +11,12 @@ import (
 	"asrs/internal/asp"
 )
 
-// The incremental sweep replaces the classic per-strip rescan with a
-// delta walk over the candidate x-intervals. The intervals of a space
-// are the gaps between consecutive distinct edge coordinates and are
-// shared by every strip; a rectangle covers a fixed inclusive interval
-// span and is active over a contiguous strip run. Walking strips
+// The incremental sweep, run by every solver NewSized builds, replaces
+// the classic per-strip rescan with a delta walk over the candidate
+// x-intervals. The intervals of a space are the gaps between consecutive
+// distinct edge coordinates and are shared by every strip; a rectangle
+// covers a fixed inclusive interval span and is active over a contiguous
+// strip run. Walking strips
 // bottom-up, only the rectangles entering or leaving at the strip
 // boundary change any interval's covering set, and only the intervals
 // those deltas touch are re-evaluated: an untouched interval has the
@@ -52,10 +53,6 @@ import (
 // the score would have rejected, and the bound only falls, so an
 // interval a skipped strip leaves untouched has failed the later strips'
 // test as well (DESIGN.md §8).
-
-// incrMinRects gates the incremental path: below it the classic scan's
-// lower constant factor wins.
-const incrMinRects = 48
 
 // incrState is the reusable scratch of the incremental sweep.
 type incrState struct {
@@ -151,17 +148,21 @@ func (d *diffArray) advance(from, to int, acc []int64) {
 
 // solveWithinIncremental walks the strips of s.ys (deduplicated
 // ascending, exactly as SolveWithin built them) updating best in place;
-// it reports whether any candidate was evaluated.
+// it reports whether any candidate was evaluated. A degenerate space is
+// one strip or one interval of the pass, as the classic walk takes it.
 func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (found bool) {
 	inc := &s.inc
 	ys := s.ys
-	ns := len(ys) - 1
-	// Each strip's midpoint, non-decreasing in the strip index.
+	ns := max(len(ys)-1, 1)
+	// Each strip's midpoint, non-decreasing in the strip index. A
+	// zero-height space's one strip is the line at its height, holding the
+	// rectangles whose open y-extent contains it.
 	if cap(inc.ymid) < ns {
 		inc.ymid = make([]float64, ns, max(ns, 2*cap(inc.ymid)))
 	}
 	ymid := inc.ymid[:ns]
-	for si := range ymid {
+	ymid[0] = ys[0]
+	for si := 0; si+1 < len(ys); si++ {
 		ymid[si] = (ys[si] + ys[si+1]) / 2
 	}
 
@@ -179,11 +180,15 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	}
 	sort.Float64s(xs)
 	xs = dedup(xs)
+	// A zero-width space's one interval is its column x, both its bounds:
+	// its midpoint (x+x)/2 is x exactly, a certified coordinate being far
+	// from overflow.
+	column := len(xs) == 1
+	if column {
+		xs = append(xs, xs[0])
+	}
 	inc.xs = xs
 	k := len(xs) - 1 // interval count
-	if k < 1 {
-		return false
-	}
 
 	// Per-rect interval spans and activation strip runs, bucketed into
 	// CSR event lists (counting sort by strip).
@@ -205,6 +210,9 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		// Covered intervals: MinX <= xs[j] && MaxX >= xs[j+1].
 		li := int32(firstAtLeast(xs, r.MinX))
 		ri := int32(firstAbove(xs[1:], r.MaxX)) - 1
+		if column && (r.MinX == xs[0] || r.MaxX == xs[0]) {
+			li, ri = 1, 0 // an edge on the column: its open x-extent misses it
+		}
 		// Active strips: the contiguous run where MinY < ym < MaxY
 		// (identical to the classic active() predicate).
 		sa := firstAbove(ymid, r.MinY)

@@ -2,82 +2,23 @@ package sweep
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
-	"asrs/internal/agg"
 	"asrs/internal/asp"
-	"asrs/internal/attr"
 	"asrs/internal/geom"
 )
 
-// incrComposite is the integer-valued composite of the incremental
-// fixtures: fD over four categories and fS over a numeric value.
-func incrComposite(tb testing.TB) *agg.Composite {
-	tb.Helper()
-	schema, err := attr.NewSchema(
-		attr.Attribute{Name: "cat", Kind: attr.Categorical, Domain: []string{"a", "b", "c", "d"}},
-		attr.Attribute{Name: "val", Kind: attr.Numeric},
-	)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	f, err := agg.New(schema,
-		agg.Spec{Kind: agg.Distribution, Attr: "cat"},
-		agg.Spec{Kind: agg.Sum, Attr: "val"},
-	)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return f
-}
-
-// incrFixture builds an integer-valued workload (incrComposite over small
-// integers) large enough to clear incrMinRects, with coordinate
-// collisions so edge ordering corner cases get exercised.
-func incrFixture(t *testing.T, rng *rand.Rand, n int) ([]asp.RectObject, asp.Query) {
-	t.Helper()
-	f := incrComposite(t)
-	objs := make([]attr.Object, n)
-	rects := make([]asp.RectObject, n)
-	w := 4 + rng.Float64()*8
-	h := 3 + rng.Float64()*8
-	for i := range rects {
-		x := rng.Float64() * 100
-		y := rng.Float64() * 100
-		if rng.Intn(3) == 0 {
-			x = float64(rng.Intn(25)) * 4
-			y = float64(rng.Intn(25)) * 4
-		}
-		objs[i] = attr.Object{
-			Loc: geom.Point{X: x, Y: y},
-			Values: []attr.Value{
-				{Cat: rng.Intn(4)},
-				{Num: float64(rng.Intn(9) - 4)},
-			},
-		}
-		rects[i] = asp.RectObject{Rect: geom.Rect{MinX: x - w, MinY: y - h, MaxX: x, MaxY: y}, Obj: &objs[i]}
-	}
-	target := make([]float64, f.Dims())
-	for i := range target {
-		target[i] = float64(rng.Intn(20))
-	}
-	q := asp.Query{F: f, Target: target}
-	return rects, q
-}
-
-// TestIncrementalSweepBitIdentical: for integer-valued composites the
-// incremental sweep must return the exact same answer —
-// distance, point and representation — as the classic per-strip rescan,
-// over randomized inputs and spaces (the skip rule only elides
-// re-evaluations that cannot win the strict improvement test).
+// TestIncrementalSweepBitIdentical: for integer-valued composites a
+// production solver's flat pass returns the answer of New's classic walk —
+// distance, point and representation — bit for bit in random sub-spaces,
+// on sets from one rectangle up. The fixture snaps a third of the points
+// to a coarse grid, so duplicate edge positions (deduplicated into shared
+// interval boundaries) and the clamped first/last intervals are exercised.
 func TestIncrementalSweepBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 25; trial++ {
-		n := incrMinRects + rng.Intn(200)
-		rects, q := incrFixture(t, rng, n)
+	for trial := 0; trial < 45; trial++ {
+		rects, q := incrFixture(t, rng, 1+rng.Intn([]int{12, 60, 250}[trial%3]))
 		spaces := []geom.Rect{
 			asp.Space(rects),
 			{MinX: 10, MinY: 10, MaxX: 60, MaxY: 70},
@@ -87,104 +28,80 @@ func TestIncrementalSweepBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		incr, err := New(rects, q)
+		s := production(t, rects, q)
+		for si, space := range spaces {
+			want, wok := classic.SolveWithin(space)
+			got, gok := s.SolveWithin(space)
+			expectSameBits(t, fmt.Sprintf("trial %d (n=%d) space %d", trial, len(rects), si), want, got, wok, gok)
+		}
+		if s.Stats.FlatStrips == 0 || classic.Stats.FlatStrips != 0 {
+			t.Fatalf("trial %d: flat strips %d production, %d classic: want the flat pass in production only", trial, s.Stats.FlatStrips, classic.Stats.FlatStrips)
+		}
+	}
+}
+
+// TestIncrementalSweepSolve: the full-plane Solve agrees too, on sets
+// from one rectangle up (it exercises the empty covering set around the
+// flat pass).
+func TestIncrementalSweepSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 12; trial++ {
+		rects, q := incrFixture(t, rng, 1+rng.Intn([]int{12, 60, 250}[trial%3]))
+		classic, err := New(rects, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		incr.setIncremental(true)
-		for si, space := range spaces {
-			cr, cok := classic.SolveWithin(space)
-			ir, iok := incr.SolveWithin(space)
-			if cok != iok {
-				t.Fatalf("trial %d space %d: found %v vs %v", trial, si, cok, iok)
-			}
-			if !cok {
-				continue
-			}
-			if cr.Dist != ir.Dist || cr.Point != ir.Point {
-				t.Fatalf("trial %d space %d: classic %g@%v, incremental %g@%v",
-					trial, si, cr.Dist, cr.Point, ir.Dist, ir.Point)
-			}
-			for d := range cr.Rep {
-				if math.Float64bits(cr.Rep[d]) != math.Float64bits(ir.Rep[d]) {
-					t.Fatalf("trial %d space %d: rep[%d] %v vs %v", trial, si, d, cr.Rep[d], ir.Rep[d])
-				}
-			}
-		}
+		expectSameBits(t, fmt.Sprintf("trial %d (n=%d)", trial, len(rects)), classic.Solve(), production(t, rects, q).Solve(), true, true)
 	}
 }
 
-// TestIncrementalSweepSolve: the full-plane Solve agrees too (exercises
-// rebinds and the empty-cover candidate around the incremental core).
-func TestIncrementalSweepSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	rects, q := incrFixture(t, rng, incrMinRects+60)
-	classic, err := New(rects, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incr, err := New(rects, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incr.setIncremental(true)
-	cr := classic.Solve()
-	ir := incr.Solve()
-	if cr.Dist != ir.Dist || cr.Point != ir.Point {
-		t.Fatalf("classic %g@%v, incremental %g@%v", cr.Dist, cr.Point, ir.Dist, ir.Point)
-	}
-}
-
-// TestIncrementalSweepFixedPoint: real-valued composites ride the int64
-// difference array as scaled limbs — one per channel on a dyadic grid, two
-// for full-mantissa reals, three for reals spread over 1e-12…1e12 — and the answer — distance, point,
-// representation bits — must match the classic rescan exactly (every
-// limb sum is exact, so the different accumulation orders agree, and each
-// channel folds once).
+// TestIncrementalSweepFixedPoint: real-valued composites ride a production
+// solver's int64 difference array as scaled limbs — one per channel on a
+// dyadic grid, two for full-mantissa reals, three for reals spread over
+// 1e-12…1e12, one set of those past 2 048 rectangles — and the answer
+// (distance, point, representation bits) must match New's classic walk
+// exactly: every limb sum is exact, so the different accumulation orders
+// agree, and each channel folds once.
 func TestIncrementalSweepFixedPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, kind := range realKinds {
-		for trial := 0; trial < 15; trial++ {
-			rects, q := realFixture(t, rng, incrMinRects+rng.Intn(150), kind.num)
+		for trial := 0; trial <= 10; trial++ {
+			n := 48 + rng.Intn(150)
+			if trial == 10 {
+				if !kind.chain {
+					continue
+				}
+				n = 2049 + rng.Intn(20)
+			}
+			rects, q := realFixture(t, rng, n, kind.num)
 			classic, err := New(rects, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			incr, err := New(rects, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			incr.setIncremental(true)
+			checkLimbs(t, classic, kind.fine, kind.chain)
 			space := asp.Space(rects)
-			cr, cok := classic.SolveWithin(space)
-			ir, iok := incr.SolveWithin(space)
-			checkLimbs(t, incr, kind.fine, kind.chain)
-			expectSame(t, fmt.Sprintf("%s trial %d", kind.name, trial), cr, ir, cok, iok)
+			want, wok := classic.SolveWithin(space)
+			s := production(t, rects, q)
+			got, gok := s.SolveWithin(space)
+			expectSameBits(t, fmt.Sprintf("%s trial %d (n=%d)", kind.name, trial, n), want, got, wok, gok)
+			if s.Stats.FlatStrips == 0 {
+				t.Fatalf("%s trial %d: the flat pass did not run", kind.name, trial)
+			}
 		}
 	}
 }
 
-// TestIncrementalSweepSteadyStateAllocs: a pre-sized solver rebound to a new
-// rectangle set sweeps it incrementally out of the scratch it already
-// holds; all it allocates is the answer's representation. (Sorting each
-// strip's dirty ranges through sort.Slice allocated per dirty strip on
-// top: 200 times for sweeps like these.)
+// TestIncrementalSweepSteadyStateAllocs: a pooled production solver
+// rebound to a new rectangle set sweeps it out of the scratch it already
+// holds; all it allocates is the answer's representation (sorting a
+// strip's dirty ranges through sort.Slice would allocate once per dirty
+// strip).
 func TestIncrementalSweepSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	rects, q := incrFixture(t, rng, incrMinRects+100)
-	rects2, _ := incrFixture(t, rng, incrMinRects+60)
-	space := geom.Rect{MinX: 5, MinY: 5, MaxX: 95, MaxY: 95}
-	// One table holds both sets' rows, as a pyramid's core holds every
-	// set a search sweeps.
-	limbs := limbsOver(t, q.F, rects, rects2)
-	tab, geo, ids := rowsOf(q.F, limbs, append(slices.Clone(rects), rects2...))
-	s := NewSized(512)
-	s.Bind(limbs, tab, planOf(q, limbs))
-	sets := [][2]int{{0, len(rects)}, {len(rects), len(geo)}}
+	s, sets, rebind := pooled(t, rand.New(rand.NewSource(101)))
+	space := geom.Rect{MinX: 30, MinY: 30, MaxX: 70, MaxY: 70}
 	i := 0
 	solve := func() {
-		set := sets[i%2]
-		s.Rebind(geo[set[0]:set[1]], ids[set[0]:set[1]], nil)
+		rebind(sets[i%2])
 		i++
 		if _, ok := s.SolveWithin(space); !ok {
 			t.Fatal("nothing found")
@@ -194,9 +111,9 @@ func TestIncrementalSweepSteadyStateAllocs(t *testing.T) {
 	solve()
 	before := s.Stats
 	if allocs := testing.AllocsPerRun(10, solve); allocs > 1 {
-		t.Fatalf("a rebound incremental sweep allocates %v times, want the answer's representation only", allocs)
+		t.Fatalf("a rebound flat pass allocates %v times, want the answer's representation only", allocs)
 	}
 	if s.Stats.FlatStrips == before.FlatStrips {
-		t.Fatal("the incremental sweep did not run")
+		t.Fatal("the flat pass did not run")
 	}
 }

@@ -82,7 +82,7 @@ func (s *Solver) refScanStrip(q asp.Query, objs []asp.RectObject, ym float64, sp
 		if s.evalCap < bnd {
 			bnd = s.evalCap
 		}
-		if d, ok := agg.DistanceUnder(q.Norm, rep, q.Target, q.W, bnd); ok {
+		if d := q.Distance(rep); d < bnd {
 			best.Dist = d
 			best.Point = geom.Point{X: xm, Y: ym}
 			best.Rep = append(best.Rep[:0], rep...)
@@ -236,8 +236,8 @@ func TestRebindOrderMatchesSortSlice(t *testing.T) {
 	}
 }
 
-// TestSolveOnBoundSolver: Solve on a solver that NewSized built and Bind
-// gave its plan — no query of its own — answers what New's solver does,
+// TestSolveOnBoundSolver: Solve on a production solver — NewSized built
+// it, and Bind gave it its plan — no query of its own — answers what New's solver does,
 // bit for bit, the empty covering set included: targets of 0 make it the
 // answer (an empty Average scores 0), and an instance with no rectangles
 // has no other.
@@ -288,11 +288,7 @@ func TestSolveOnBoundSolver(t *testing.T) {
 				t.Fatalf("trial %d: the empty set scores %v, its finalized representation %v", trial, want.Dist, d)
 			}
 		}
-		for _, incrCap := range []int{0, 1 << 20} {
-			b := NewSized(incrCap)
-			bindObjects(b, q, limbsOver(t, f, rects), rects, nil)
-			got := b.Solve()
-			expectSameBits(t, fmt.Sprintf("trial %d (n=%d) incrCap %d", trial, n, incrCap), want, got, true, true)
-		}
+		got := production(t, rects, q).Solve()
+		expectSameBits(t, fmt.Sprintf("trial %d (n=%d)", trial, n), want, got, true, true)
 	}
 }

@@ -5,9 +5,10 @@
 // complexity is O(n²) for arbitrary composite aggregators, which is the
 // bound the paper derives for sweep-line approaches (§4.1).
 //
-// The same machinery restricted to a small sub-space is DS-Search's
-// terminal step: the spaces its terminal rule takes are swept (DESIGN.md
-// §3).
+// The same enumeration restricted to a sub-space is DS-Search's terminal
+// step (DESIGN.md §3), swept by the flat pass (incremental.go) of a
+// solver NewSized builds, whatever its size; the classic strip walk runs
+// only on solvers New builds: the Base algorithm and the flat pass's oracle.
 //
 // A solver reads its rectangles' aggregates in row form (Rows): each
 // rectangle's limb contributions and min/max contributions, evaluated
@@ -31,8 +32,8 @@ import (
 type Stats struct {
 	Strips    int // horizontal strips examined
 	Intervals int // candidate x-intervals enumerated (a strip scores one only where the covering set moved)
-	// FlatStrips counts the dirty strips the incremental sweep's flat
-	// merge pass scored.
+	// FlatStrips counts the dirty strips the flat pass scored: every
+	// scored strip of a solver NewSized built, none of New's.
 	FlatStrips int
 	// Scored counts the intervals whose representation was folded and
 	// scored against the bound, in every walk; PrunedStrips the dirty
@@ -43,7 +44,7 @@ type Stats struct {
 }
 
 // Solver runs the Base algorithm. The zero value is not usable; construct
-// with New or NewSized.
+// with New (the classic walk) or NewSized (the flat pass).
 type Solver struct {
 	// rects are the bound rectangles, and rows[i] is rectangle i's row in
 	// the table tab: its limb contributions and min/max contributions.
@@ -64,6 +65,10 @@ type Solver struct {
 	own     agg.Limbs
 	ownPlan agg.Plan
 
+	// classic says the solver runs the classic strip walk (scanStrip): New
+	// sets it. Every other solver runs the flat pass.
+	classic bool
+
 	// byMinX and byMaxX hold the rect indices sorted by Rect.MinX and by
 	// Rect.MaxX once the classic walk has sorted them (edgeOrders); Rebind
 	// empties them, and only the classic walk reads them.
@@ -81,12 +86,8 @@ type Solver struct {
 	// vectors.
 	foldFull, foldPart []float64
 
-	// incremental selects the delta sweep for large inputs (see
-	// incremental.go); inc is its reusable scratch, and incrCap bounds the
-	// input size it engages for.
-	incremental bool
-	incrCap     int
-	inc         incrState
+	// inc is the flat pass's reusable scratch (incremental.go).
+	inc incrState
 
 	// evalCap bounds candidate distance evaluation (SolveWithinCapped):
 	// the score plan marches against min(local best, evalCap), so
@@ -102,14 +103,14 @@ type Solver struct {
 // order given — what DS-Search certifies over a dataset's reduction, so
 // New's answers are what DS-Search answers, bit for bit. It fails when
 // their values do not certify. The objects are flattened once into a
-// table of their own, in the row form a pyramid's core holds (Rows), and
-// the edge orders, sorted once, are shared across strips so each strip
-// costs O(n).
+// table of their own, in the row form a pyramid's core holds (Rows). The
+// solver runs the classic strip walk: the edge orders, sorted once per
+// bound rectangle set, are shared across strips so each strip costs O(n).
 func New(rects []asp.RectObject, q asp.Query) (*Solver, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Solver{evalCap: math.Inf(1)}
+	s := &Solver{evalCap: math.Inf(1), classic: true}
 	var raw []agg.Contrib
 	for i := range rects {
 		raw = q.F.AppendContribs(rects[i].Obj, raw)
@@ -160,21 +161,12 @@ func FlattenRows(rects []asp.RectObject, f *agg.Composite, l *agg.Limbs) Rows {
 	return t
 }
 
-// NewSized returns an unbound solver whose sorted edges and strips are
-// pre-sized for 2048 rectangles. The incremental sweep engages for inputs
-// up to incrCap rectangles (none for 0); its scratch grows with the
-// sweeps it runs, doubling, and is kept. It must be Bind- and Rebind-ed
-// before use.
-func NewSized(incrCap int) *Solver {
-	const presort = 2048
-	return &Solver{
-		byMinX:      make([]int, 0, presort),
-		byMaxX:      make([]int, 0, presort),
-		ys:          make([]float64, 0, presort),
-		evalCap:     math.Inf(1),
-		incremental: incrCap > 0,
-		incrCap:     incrCap,
-	}
+// NewSized returns an unbound solver that sweeps every space by the flat
+// pass, its strip heights pre-sized for 2048 rectangles; its scratch grows
+// with the sweeps it runs, doubling, and is kept. It must be Bind- and
+// Rebind-ed before use.
+func NewSized() *Solver {
+	return &Solver{ys: make([]float64, 0, 2048), evalCap: math.Inf(1)}
 }
 
 // Bind installs the limbs channels are summed in, the table of rows the
@@ -211,8 +203,8 @@ func (s *Solver) Plan() *agg.Plan { return s.plan }
 // the covering ones. No edge of a covering rectangle delimits a strip or
 // an interval, so the candidates are those of sweeping all the rectangles
 // and every one is scored on base plus what the sweep accumulates: the
-// classic walk starts each strip's accumulator from base, the incremental
-// sweep range-adds it across all intervals. Limb sums being exact, the
+// classic walk starts each strip's accumulator from base, the flat pass
+// range-adds it across all intervals. Limb sums being exact, the
 // answer is that of the unfactored sweep bit for bit. The caller vouches
 // for the covering — for SolveWithin over a space, rectangles whose open
 // interior contains the closed space.
@@ -223,8 +215,8 @@ func (s *Solver) Rebind(rects []geom.Rect, rows []int32, base []float64) {
 }
 
 // edgeOrders sorts the edge orders of the bound rectangles, the first
-// time the classic walk needs them after a Rebind: the incremental sweep
-// never reads them.
+// time the classic walk needs them after a Rebind: the flat pass never
+// reads them.
 func (s *Solver) edgeOrders() {
 	rects := s.rects
 	if len(s.byMinX) == len(rects) {
@@ -324,7 +316,8 @@ func (s *Solver) SolveWithinCapped(space geom.Rect, capDist float64) (asp.Result
 // SolveWithin finds the minimum-distance point whose location lies in the
 // closed rectangle space, considering only open disjoint regions of the
 // arrangement (the candidates the paper enumerates). It returns ok=false
-// when the space is invalid or degenerate.
+// only when the space is invalid: a zero-width space is one column of
+// candidates, a zero-height one a line.
 func (s *Solver) SolveWithin(space geom.Rect) (asp.Result, bool) {
 	if !space.IsValid() {
 		return asp.Result{}, false
@@ -345,14 +338,11 @@ func (s *Solver) SolveWithin(space geom.Rect) (asp.Result, bool) {
 	s.ys = ys
 
 	best := asp.Result{Dist: math.Inf(1)}
-	found := false
-
-	if s.incremental && len(s.rects) >= incrMinRects && len(s.rects) <= s.incrCap &&
-		len(ys) >= 2 && space.MinY != space.MaxY && space.MinX != space.MaxX {
-		found = s.solveWithinIncremental(space, &best)
+	if !s.classic {
+		found := s.solveWithinIncremental(space, &best)
 		return best, found
 	}
-
+	found := false
 	s.edgeOrders()
 	for si := 0; si+1 < len(ys); si++ {
 		ym := (ys[si] + ys[si+1]) / 2

@@ -3,6 +3,7 @@ package sweep_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"asrs/internal/agg"
@@ -123,26 +124,58 @@ func TestSolveWithinRestriction(t *testing.T) {
 	}
 }
 
-// TestSolveWithinDegenerateSpaces exercises zero-width and zero-height
-// spaces.
+// TestSolveWithinDegenerateSpaces: a zero-width space is one column of
+// candidates, a zero-height one a line and a point space one candidate.
+// New's classic walk and a production solver (NewSized: the flat pass)
+// must each find a candidate there, agree bit for bit, and return the
+// representation asp.PointRepresentation sums at their point. Two
+// rectangles have an edge on the column x = 3, and two on the line y = 7:
+// their open extents do not contain it, so they cover no candidate there.
+// An invalid space finds nothing.
 func TestSolveWithinDegenerateSpaces(t *testing.T) {
 	ds := dataset.Random(10, 20, 5)
 	rects, _ := asp.Reduce(ds, 5, 5, asp.AnchorTR)
+	for i, r := range []geom.Rect{
+		{MinX: 3, MinY: 0, MaxX: 9, MaxY: 20}, {MinX: -2, MinY: 0, MaxX: 3, MaxY: 20},
+		{MinX: 0, MinY: 7, MaxX: 20, MaxY: 15}, {MinX: 0, MinY: 1, MaxX: 20, MaxY: 7},
+	} {
+		rects = append(rects, asp.RectObject{Rect: r, Obj: &ds.Objects[i]})
+	}
 	rng := rand.New(rand.NewSource(1))
 	q := randomQuery(t, ds, rng)
-	s, _ := sweep.New(rects, q)
-
-	if res, ok := s.SolveWithin(geom.Rect{MinX: 3, MinY: 0, MaxX: 3, MaxY: 20}); ok {
-		if res.Point.X != 3 {
-			t.Fatalf("zero-width space returned x=%g", res.Point.X)
+	classic, err := sweep.New(rects, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := sweep.NewSized()
+	bindRects(t, flat, rects, rects, q)
+	for _, space := range []geom.Rect{
+		{MinX: 3, MinY: 0, MaxX: 3, MaxY: 20}, // zero width
+		{MinX: 0, MinY: 7, MaxX: 20, MaxY: 7}, // zero height
+		{MinX: 3, MinY: 7, MaxX: 3, MaxY: 7},  // a point
+	} {
+		want, wok := classic.SolveWithin(space)
+		got, gok := flat.SolveWithin(space)
+		if !wok || !gok {
+			t.Fatalf("space %v: found %v (New), %v (production), want both", space, wok, gok)
+		}
+		if !space.ContainsClosed(want.Point) {
+			t.Fatalf("space %v: point %v outside it", space, want.Point)
+		}
+		rep := asp.PointRepresentation(rects, q.F, want.Point)
+		for _, pair := range [][2][]float64{
+			{{want.Dist, want.Point.X, want.Point.Y}, {got.Dist, got.Point.X, got.Point.Y}},
+			{want.Rep, got.Rep}, {rep, got.Rep}, {{q.Distance(rep)}, {got.Dist}},
+		} {
+			if !slices.EqualFunc(pair[0], pair[1], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatalf("space %v: %v vs %v (New %g@%v, production %g@%v)", space, pair[0], pair[1], want.Dist, want.Point, got.Dist, got.Point)
+			}
 		}
 	}
-	if res, ok := s.SolveWithin(geom.Rect{MinX: 0, MinY: 7, MaxX: 20, MaxY: 7}); ok {
-		if res.Point.Y != 7 {
-			t.Fatalf("zero-height space returned y=%g", res.Point.Y)
-		}
+	if _, ok := classic.SolveWithin(geom.Rect{MinX: 5, MinY: 5, MaxX: 4, MaxY: 6}); ok {
+		t.Fatal("invalid space should return ok=false")
 	}
-	if _, ok := s.SolveWithin(geom.Rect{MinX: 5, MinY: 5, MaxX: 4, MaxY: 6}); ok {
+	if _, ok := flat.SolveWithin(geom.Rect{MinX: 5, MinY: 5, MaxX: 4, MaxY: 6}); ok {
 		t.Fatal("invalid space should return ok=false")
 	}
 }
