@@ -450,6 +450,15 @@ func (e *Engine) Pyramid(f *Composite) (*Pyramid, error) { return e.Epoch().Pyra
 // Pyramid is Engine.Pyramid on the epoch.
 func (p Epoch) Pyramid(f *Composite) (*Pyramid, error) { return p.e.pyramidFor(p.v, f) }
 
+// Bounds is the bounding box of the epoch's corpus, read off its geometry.
+func (p Epoch) Bounds() (Rect, error) {
+	g, err := p.e.geometryFor(p.v)
+	if err != nil {
+		return Rect{}, err
+	}
+	return g.Bounds(), nil
+}
+
 // geometryFor returns the view's geometry, building it on first use:
 // folded from the previous epoch's (dssearch.FoldGeometry) when the view
 // inherited one, else sorted afresh. The view's dataset is the base's
@@ -700,8 +709,8 @@ func (e *Engine) bind(ctx context.Context, v *engineView, req QueryRequest) (*In
 	return idx, req, err
 }
 
-// Rounds is one request's greedy rounds run one call at a time — the lazy
-// form of a one-shot top-k that query.Stream.Next drives — on the epoch
+// Rounds is one request's greedy rounds run one call at a time — the
+// rounds a query.Stream's asrs.Candidates pulls one per Next — on the epoch
 // the engine served when they were opened, whatever is inserted meanwhile.
 // The first Round opens the request's search on that epoch, the driver a
 // one-shot request's rounds run in (Answer): with the grid index, a GI-DS

@@ -2,8 +2,6 @@ package query
 
 import (
 	"context"
-	"errors"
-	"slices"
 
 	"asrs"
 	"asrs/internal/wire"
@@ -23,16 +21,16 @@ type Row struct {
 // Stream is a lazy result iterator: each Next issues at most the
 // backend work needed for ONE more answer (one greedy round per
 // candidate), so the first result is on the wire before later rounds
-// have run at all. It is the lazy form of asrs.Greedy, the one eager
-// definition of a top-k — a single-best search under the accumulated
-// exclusion set, the round's region appended, the same stop rule — kept
-// apart because it interleaves post-filters (a rejected region still
-// joins the exclusions) and row flushes between rounds. Its rounds are
-// one Binding.Rounds: on an engine, the search a one-shot top-k's rounds
-// run in (asrs.Answer's driver), each round resuming the one before; on a
-// router, the session a one-shot request's rounds run in (shard.Session),
-// one scatter pass per round. That is why an unfiltered stream's rows —
-// regions included — are the one-shot answer's.
+// have run at all. It pulls asrs.Candidates, asrs.Greedy's lazy form and
+// the one top-k loop with both stop rules, and keeps only its own work:
+// post-filters (a rejected region still joins the exclusions), the scan
+// budget, row numbering, and closing the rounds after the last row; a
+// filtered stream whose rounds run dry ends without error, even with zero
+// rows. Its rounds are one Binding.Rounds: on an engine, the search a
+// one-shot top-k's rounds run in (asrs.Answer's driver); on a router, the
+// session a one-shot request's rounds run in (shard.Session), whose
+// coverage is the request's so far. So an unfiltered stream's rows —
+// regions included — and its coverage are the one-shot answer's.
 //
 // A Stream is single-goroutine; it holds no locks, no background work
 // and, between rounds, no execution slot. Abandoning it mid-iteration
@@ -44,8 +42,8 @@ type Stream struct {
 	r   Rounds
 	ds  *asrs.Dataset // nil unless the plan represents a region (Plan.corpus)
 
-	base    asrs.QueryRequest // single-round skeleton (TopK forced to 0)
-	excl    []asrs.Rect
+	base    asrs.QueryRequest // the single-best request every round answers
+	cands   asrs.Candidates
 	filters []boundFilter
 	reps    [][]float64 // accepted representations (diversity chain)
 
@@ -69,7 +67,7 @@ type boundFilter struct {
 // epoch: the engine's, or on a router each shard's epoch the session
 // pinned. Its corpus is read only for a plan that represents a region on
 // it (Plan.corpus): a routed stream that represents none loads only the
-// shards its rounds search.
+// shards its rounds search. No round runs before the first Next.
 func Exec(ctx context.Context, pl *Plan, b Binding) (*Stream, error) {
 	if pl.Explain {
 		return nil, planErrf("explain plans report, they do not execute")
@@ -88,7 +86,7 @@ func Exec(ctx context.Context, pl *Plan, b Binding) (*Stream, error) {
 	pl.ApplyOptions(&req, b.SearchOptions())
 	req.TopK = 0
 	s.base = req
-	s.excl = req.Exclude
+	s.cands = asrs.NewCandidates(req.Exclude)
 	for _, f := range pl.Filters {
 		s.filters = append(s.filters, boundFilter{f: f, target: f.place.vector(s.ds)})
 	}
@@ -96,8 +94,8 @@ func Exec(ctx context.Context, pl *Plan, b Binding) (*Stream, error) {
 }
 
 // Next returns the next accepted answer. ok=false means the stream
-// ended: all k answers emitted, the greedy sequence ran dry, the scan
-// cap was hit, or an error occurred (check Err).
+// ended: all k answers emitted, the greedy sequence ended, the scan cap
+// was hit, or an error occurred (check Err).
 func (s *Stream) Next() (Row, bool) {
 	if s.done || s.err != nil {
 		return Row{}, false
@@ -106,31 +104,11 @@ func (s *Stream) Next() (Row, bool) {
 		return s.maxrs()
 	}
 	k := s.pl.K()
-	budget := s.pl.rounds()
-	for s.emitted < k && s.rounds < budget {
-		req := s.base
-		req.Exclude = append([]asrs.Rect(nil), s.excl...)
-		s.rounds++
-		resp, cov := s.r.Round(req)
-		s.mergeCoverage(cov)
-		if resp.Err != nil {
-			if errors.Is(resp.Err, asrs.ErrNoFeasibleRegion) && s.emitted > 0 {
-				// The window ran out of non-overlapping candidates:
-				// asrs.Greedy's stop rule, returning the answers so far.
-				return s.end(nil)
-			}
-			return s.end(resp.Err)
+	for s.emitted < k && s.rounds < s.pl.rounds() {
+		region, res, ok := s.cands.Next(s.round)
+		if !ok {
+			return s.end(s.cands.Err())
 		}
-		region, res := resp.Best()
-		if asrs.OverlapsAny(region, s.excl[len(s.base.Exclude):]) {
-			// The space is used up and the round fell back on a region it
-			// had answered before: asrs.Greedy's other stop rule.
-			return s.end(nil)
-		}
-		// The region joins the exclusion set whether or not a filter
-		// accepts it — the greedy sequence is defined over candidates,
-		// and re-finding a rejected region would loop forever.
-		s.excl = append(s.excl, region)
 		if !s.accept(region, res) {
 			continue
 		}
@@ -144,6 +122,18 @@ func (s *Stream) Next() (Row, bool) {
 		return Row{Rank: s.emitted, Region: region, Result: res}, true
 	}
 	return s.end(nil)
+}
+
+// round runs one backend round: the single-best request under the greedy
+// sequence's exclusions so far.
+func (s *Stream) round(excl []asrs.Rect) (asrs.Rect, asrs.Result, error) {
+	req := s.base
+	req.Exclude = excl
+	s.rounds++
+	resp, cov := s.r.Round(req)
+	s.cov = cov // the session's coverage so far; nil on an engine
+	region, res := resp.Best()
+	return region, res, resp.Err
 }
 
 // end ends the stream, with err as its terminal error, and closes its
@@ -225,32 +215,9 @@ func (s *Stream) Emitted() int { return s.emitted }
 // Rounds returns how many backend rounds the stream has spent.
 func (s *Stream) Rounds() int { return s.rounds }
 
-// Coverage returns the merged shard coverage across all rounds (nil on
-// unsharded backends).
+// Coverage returns the shard coverage of the rounds run so far, the last
+// its session reported (nil on unsharded backends).
 func (s *Stream) Coverage() *wire.Coverage { return s.cov }
-
-// mergeCoverage unions one round's coverage into the stream's.
-func (s *Stream) mergeCoverage(cov *wire.Coverage) {
-	if cov == nil {
-		return
-	}
-	if s.cov == nil {
-		s.cov = &wire.Coverage{Shards: cov.Shards}
-	}
-	if cov.Shards > s.cov.Shards {
-		s.cov.Shards = cov.Shards
-	}
-	for _, name := range cov.Searched {
-		if !slices.Contains(s.cov.Searched, name) {
-			s.cov.Searched = append(s.cov.Searched, name)
-		}
-	}
-	for _, sk := range cov.Skipped {
-		if !slices.Contains(s.cov.Skipped, sk) {
-			s.cov.Skipped = append(s.cov.Skipped, sk)
-		}
-	}
-}
 
 // Collect drains the stream into slices (the eager convenience used by
 // tests and the CLI; servers iterate Next directly to stream).

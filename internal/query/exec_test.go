@@ -282,3 +282,32 @@ func TestExecRejectsExplain(t *testing.T) {
 		t.Fatal("Exec accepted an explain plan")
 	}
 }
+
+// TestStreamFilteredRunsDry: a stream whose post-filter rejects every
+// candidate until its window runs out of them ends as asrs.Greedy ends a
+// sequence that ran dry after a candidate: with zero rows and no error.
+func TestStreamFilteredRunsDry(t *testing.T) {
+	ds, _ := corpus(t, 40, 3)
+	eng, err := asrs.NewEngine(ds, asrs.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := query.NewPlanner(ds.Schema, nil)
+	// No region is 1e9 away from the target, and the extent holds only a
+	// few 8x8 candidates: the window runs dry well before the scan cap.
+	pl, err := p.ParseAndPlan(`find top 2 size 8 x 8 similar to target(1,2,1,5) under dist(cat) + sum(val) and dissimilar to target(1,2,1,5) under dist(cat) + sum(val) by 1e9 within region(10,10,19,19) scan 16`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := query.Exec(context.Background(), pl, query.EngineBinding{E: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions, _, err := st.Collect()
+	if err != nil || len(regions) != 0 {
+		t.Fatalf("%d rows, err %v; want 0 rows and no error", len(regions), err)
+	}
+	if r := st.Rounds(); r < 2 || r >= 16 {
+		t.Fatalf("%d rounds: the window did not run dry after a candidate", r)
+	}
+}

@@ -122,14 +122,15 @@ type RouterOptions struct {
 // budget.
 const budgetFraction = 0.5
 
-// Router answers extent queries over a shard catalog, every one through
-// one scatter runner (scatter). Extents contained in one shard's closed
-// slab are a scatter of that shard alone — bit-identical to a
-// merged-corpus engine by corpus independence of the windowed search.
-// Straddling extents scatter per-slab sub-extents plus cut-boundary bands
-// and gather the kernel.Better-minimum, sharing a monotone best-so-far
-// cap across sub-searches so a shard that already found a tight answer
-// prunes its siblings' spaces (DESIGN.md §11).
+// Router answers extent queries over a shard catalog, every one as
+// asrs.Greedy's rounds, each round one pass of one scatter runner
+// (scatter). Extents contained in one shard's closed slab are a scatter of
+// that shard alone — bit-identical to a merged-corpus engine by corpus
+// independence of the windowed search. Straddling extents scatter
+// per-slab sub-extents plus cut-boundary bands and gather the
+// kernel.Better-minimum, sharing a monotone best-so-far cap across
+// sub-searches so a shard that already found a tight answer prunes its
+// siblings' spaces (DESIGN.md §11).
 type Router struct {
 	cat *Catalog
 	opt RouterOptions
@@ -222,7 +223,9 @@ func (r *Router) Answer(ctx context.Context, req asrs.QueryRequest, pol PartialP
 // default extent and Dataset of the request reads that view. Its first
 // round fixes the sub-searches, so each band is joined once, and a top-k's
 // rounds, one-shot or streamed, answer on one object set (DESIGN.md §11).
-// Rounds run one after another. An open session holds its views in memory.
+// It keeps the request's searched and skipped sub-searches across its
+// calls, so each answers with the request's coverage so far. Rounds run
+// one after another. An open session holds its views in memory.
 type Session struct {
 	r     *Router
 	ctx   context.Context
@@ -230,6 +233,9 @@ type Session struct {
 	mu    sync.Mutex
 	views []asrs.Epoch // by shard index, zero until pinned
 	tasks []subTask    // nil until the first round
+
+	searched map[string]bool   // sub-searches completed in some round
+	skipped  map[string]string // sub-searches skipped, with the first reason
 }
 
 // Open opens a session under ctx (nil is none) and a partial policy (""
@@ -241,7 +247,8 @@ func (r *Router) Open(ctx context.Context, pol PartialPolicy) *Session {
 	if pol == "" {
 		pol = Strict
 	}
-	return &Session{r: r, ctx: ctx, pol: pol, views: make([]asrs.Epoch, len(r.cat.shards))}
+	return &Session{r: r, ctx: ctx, pol: pol, views: make([]asrs.Epoch, len(r.cat.shards)),
+		searched: map[string]bool{}, skipped: map[string]string{}}
 }
 
 // Close lets go of the session's views and band corpora; no round follows.
@@ -287,7 +294,8 @@ func (s *Session) Dataset() *asrs.Dataset {
 }
 
 // Round answers a stream's single-best request under the exclusions so
-// far: the first call's request with a longer Exclude (Ctx ignored).
+// far: the first call's request with a longer Exclude (Ctx ignored). The
+// coverage is the session's so far, this round's included.
 func (s *Session) Round(req asrs.QueryRequest) (asrs.QueryResponse, *Coverage) {
 	resp := s.answer(req)
 	return asrs.QueryResponse{Regions: resp.Regions, Results: resp.Results, Err: resp.Err}, &resp.Coverage
@@ -315,7 +323,7 @@ func (s *Session) answer(req asrs.QueryRequest) Response {
 				return Response{Err: err}
 			}
 		} else {
-			e = s.defaultExtent(req.Query.F, req.A, req.B)
+			e = s.defaultExtent(req.A, req.B)
 		}
 		if e.Width() < req.A || e.Height() < req.B {
 			return Response{Err: asrs.ErrExtentTooSmall}
@@ -330,16 +338,16 @@ func (s *Session) answer(req asrs.QueryRequest) Response {
 // object (anchors live within a/b below-left of the object) and leave
 // room for empty-coverage anchors beside them. No object is scanned: a
 // shard with a view — pinned through its load when its breaker is closed
-// — gives its epoch geometry's bounds, any other its seed slab's,
-// computed when the catalog was built.
-func (s *Session) defaultExtent(f *asrs.Composite, a, b float64) asrs.Rect {
+// — gives its epoch's bounds (asrs.Epoch.Bounds, which no composite
+// enters), any other its seed slab's, computed when the catalog was built.
+func (s *Session) defaultExtent(a, b float64) asrs.Rect {
 	e := asrs.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
 	for _, sh := range s.r.cat.Shards() {
 		hull := sh.seedBounds
 		if ep, _ := s.pin(sh, sh.breaker.closed()); ep != nil {
-			// A pyramid that cannot build fails the shard's sub-search.
-			if p, err := ep.Pyramid(f); err == nil {
-				hull = p.Geometry().Bounds()
+			// A geometry that cannot build fails the shard's sub-search.
+			if bounds, err := ep.Bounds(); err == nil {
+				hull = bounds
 			}
 		}
 		e = e.Union(hull)
@@ -512,48 +520,23 @@ func (r *Router) tasks(e asrs.Rect, a float64) []subTask {
 	return tasks
 }
 
-// route answers a request from its tasks. One task — a contained extent —
-// is one scatter whose one call carries the whole request (top-k,
-// exclusions), so the answer is the shard's own, every bit of a
-// merged-corpus run. Several are asrs.Greedy — the single-engine greedy
-// rounds — with one scatter–gather pass of the single-best request as
-// its round. The coverage is the rounds' together.
+// route answers a request from its tasks: asrs.Greedy, the one top-k
+// loop, with one scatter–gather pass of the single-best request as its
+// round, whatever the tasks — a contained extent's one shard, or a
+// straddle's shards and bands. Its coverage is the session's (coverage),
+// so a stream's rounds report what the same request run one-shot reports.
 func (s *Session) route(req asrs.QueryRequest) Response {
-	searched := map[string]bool{}
-	skipped := map[string]string{}
-	round := func(sub asrs.QueryRequest) ([]subOutcome, error) {
-		outs := s.scatter(sub)
-		cov, err := gather(outs, s.pol)
-		for _, n := range cov.Searched {
-			searched[n] = true
-		}
-		for _, s := range cov.Skipped {
-			if _, dup := skipped[s.Shard]; !dup {
-				skipped[s.Shard] = s.Reason
-			}
-		}
-		return outs, err
-	}
 	var resp Response
-	if len(s.tasks) == 1 {
-		outs, err := round(req)
-		if err == nil {
-			o := &outs[0].resp
-			resp.Regions, resp.Results, err = o.Regions, o.Results, o.Err
+	resp.Regions, resp.Results, resp.Err = asrs.Greedy(req.TopK, req.Exclude, func(excl []asrs.Rect) (asrs.Rect, asrs.Result, error) {
+		sub := req
+		sub.TopK, sub.Exclude = 0, excl
+		outs := s.scatter(sub)
+		if err := s.gather(outs); err != nil {
+			return asrs.Rect{}, asrs.Result{}, err
 		}
-		resp.Err = err
-	} else {
-		resp.Regions, resp.Results, resp.Err = asrs.Greedy(req.TopK, req.Exclude, func(excl []asrs.Rect) (asrs.Rect, asrs.Result, error) {
-			sub := req
-			sub.TopK, sub.Exclude = 0, excl
-			outs, err := round(sub)
-			if err != nil {
-				return asrs.Rect{}, asrs.Result{}, err
-			}
-			return best(outs)
-		})
-	}
-	resp.Coverage = finishCoverage(Coverage{Shards: len(s.r.cat.Shards())}, searched, skipped)
+		return best(outs)
+	})
+	resp.Coverage = s.coverage()
 	return resp
 }
 
@@ -598,14 +581,18 @@ func (s *Session) bandCorpus(win asrs.Rect, f *asrs.Composite, admitted []bool) 
 	return ds, p, nil, nil
 }
 
-func finishCoverage(cov Coverage, searched map[string]bool, skipped map[string]string) Coverage {
-	for n := range searched {
-		if _, bad := skipped[n]; !bad {
+// coverage is the request's coverage so far: every sub-search some round
+// completed and none skipped under Searched, and every one some round
+// skipped under Skipped, once, with the reason of its first skip.
+func (s *Session) coverage() Coverage {
+	cov := Coverage{Shards: len(s.r.cat.shards)}
+	for n := range s.searched {
+		if _, bad := s.skipped[n]; !bad {
 			cov.Searched = append(cov.Searched, n)
 		}
 	}
 	sort.Strings(cov.Searched)
-	for n, why := range skipped {
+	for n, why := range s.skipped {
 		cov.Skipped = append(cov.Skipped, SkippedShard{Shard: n, Reason: why})
 	}
 	sort.Slice(cov.Skipped, func(i, j int) bool { return cov.Skipped[i].Shard < cov.Skipped[j].Shard })
@@ -695,32 +682,35 @@ func (s *Session) scatter(req asrs.QueryRequest) []subOutcome {
 	return outs
 }
 
-// gather folds a scatter's outcomes into its coverage and fails it on a
-// fatal sub-search, or on a skip its policy does not allow: under Strict
-// any, under BestEffort the loss of every shard.
-func gather(outs []subOutcome, pol PartialPolicy) (Coverage, error) {
-	var cov Coverage
+// gather folds a scatter's outcomes into the session's coverage and fails
+// the round on a fatal sub-search, or on a skip its policy does not allow:
+// under Strict any, under BestEffort the loss of every shard.
+func (s *Session) gather(outs []subOutcome) error {
+	var skipped []SkippedShard
 	completed := 0
 	for i := range outs {
 		o := &outs[i]
 		switch {
 		case o.fatal != nil:
-			return cov, o.fatal
+			return o.fatal
 		case o.skipReason != "":
-			cov.Skipped = append(cov.Skipped, SkippedShard{Shard: o.name, Reason: o.skipReason})
+			skipped = append(skipped, SkippedShard{Shard: o.name, Reason: o.skipReason})
+			if _, dup := s.skipped[o.name]; !dup {
+				s.skipped[o.name] = o.skipReason
+			}
 		default:
 			if o.shard != nil {
 				// Bands don't count: they only cover cut-adjacent regions,
 				// so an answer with every shard lost is no answer.
 				completed++
 			}
-			cov.Searched = append(cov.Searched, o.name)
+			s.searched[o.name] = true
 		}
 	}
-	if len(cov.Skipped) > 0 && (pol == Strict || completed == 0) {
-		return cov, &UnavailableError{Skipped: cov.Skipped}
+	if len(skipped) > 0 && (s.pol == Strict || completed == 0) {
+		return &UnavailableError{Skipped: skipped}
 	}
-	return cov, nil
+	return nil
 }
 
 // best returns the kernel.Better-minimum across a scatter's answers.

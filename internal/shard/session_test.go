@@ -3,15 +3,20 @@ package shard_test
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"asrs"
 	"asrs/internal/dataset"
+	"asrs/internal/faultinject"
 	"asrs/internal/query"
 	"asrs/internal/shard"
+	"asrs/internal/wire"
 )
 
 // The epoch tests' straddling top-k: 2 000 objects on four shards, an
@@ -108,19 +113,19 @@ func TestRoutedStreamReadsOneSnapshot(t *testing.T) {
 	checkInsertMoves(t, rt, q, 2, results)
 }
 
-// insertCtx is a request context whose Deadline — which the router reads
-// once per sub-search, to carve the sub-search's budget — inserts a batch
-// on the read after the first round's last: between rounds 1 and 2.
-type insertCtx struct {
+// hookCtx is a request context whose Deadline — which the router reads
+// once per sub-search, after the sub-search pinned its view, to carve the
+// sub-search's budget — runs hook on read number at.
+type hookCtx struct {
 	context.Context
-	firstRound int32
-	reads      atomic.Int32
-	insert     func()
+	at    int32
+	reads atomic.Int32
+	hook  func()
 }
 
-func (c *insertCtx) Deadline() (time.Time, bool) {
-	if c.reads.Add(1) == c.firstRound+1 {
-		c.insert()
+func (c *hookCtx) Deadline() (time.Time, bool) {
+	if c.reads.Add(1) == c.at {
+		c.hook()
 	}
 	return time.Time{}, false
 }
@@ -131,9 +136,10 @@ func (c *insertCtx) Deadline() (time.Time, bool) {
 func TestRoutedTopKReadsOneSnapshot(t *testing.T) {
 	checkLeaks(t)
 	rt, pre, q, extra := snapshotRouters(t)
-	// Round 1 is one sub-search per shard and per band.
-	ctx := &insertCtx{Context: context.Background(), firstRound: 4 + 3}
-	ctx.insert = func() {
+	// Round 1 is one sub-search per shard and per band: the insert runs
+	// on round 2's first read.
+	ctx := &hookCtx{Context: context.Background(), at: 4 + 3 + 1}
+	ctx.hook = func() {
 		if err := rt.Insert(extra); err != nil {
 			t.Error(err)
 		}
@@ -142,7 +148,7 @@ func TestRoutedTopKReadsOneSnapshot(t *testing.T) {
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
-	if reads := ctx.reads.Load(); reads <= ctx.firstRound {
+	if reads := ctx.reads.Load(); reads < ctx.at {
 		t.Fatalf("%d sub-searches, so the insert never ran between rounds", reads)
 	}
 	checkRows(t, pre, q, resp.Regions, resp.Results)
@@ -177,6 +183,130 @@ func TestContainedStreamLoadsOnlyItsShard(t *testing.T) {
 	for _, sh := range rt.Catalog().Shards()[1:] {
 		if sh.Loaded() != nil {
 			t.Fatalf("%s loaded by a stream that searched shard-0 alone", sh.Name())
+		}
+	}
+}
+
+// TestRoutedCoverageIsTheSessions: a best_effort straddling top-3 that
+// loses shard-1 from round 2 on — its engine released once every round-1
+// sub-search has pinned its view, and its reload failing
+// (shard.load.fail) — answers the same rows one-shot (query.Answer) and
+// streamed (query.Exec), with the same coverage: shard-1 skipped once,
+// for the reason round 2 gave (round 3 finds its threshold-1 breaker
+// open), and not searched, though round 1 searched it.
+func TestRoutedCoverageIsTheSessions(t *testing.T) {
+	checkLeaks(t)
+	ds, f, _ := corpus(t, snapN, 58)
+	pl, err := query.NewPlanner(ds.Schema, map[string]*asrs.Composite{"q": f}).ParseAndPlan(
+		"find top 3 size 5 x 5 similar to target(1,2,1,5) under @q within region(2,2,98,98)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		regions []asrs.Rect
+		results []asrs.Result
+		cov     *wire.Coverage
+	}
+	answer := func(streamed bool) run {
+		t.Helper()
+		ropt := shard.RouterOptions{Breaker: shard.BreakerConfig{FailureThreshold: 1, BaseBackoff: time.Hour, MaxBackoff: time.Hour}}
+		cat := newCatalog(t, ds, f, 4)
+		rt := shard.NewRouter(cat, ropt.WithoutBoundShare())
+		// Round 1 is one sub-search per shard and per band: the fault
+		// arms on its last read.
+		ctx := &hookCtx{Context: context.Background(), at: 4 + 3, hook: func() {
+			cat.Shards()[1].Close()
+			faultinject.Activate(faultinject.NewPlan(1,
+				faultinject.Spec{Point: "shard.load.fail", Action: faultinject.ActError, MaxEvery: 1}))
+		}}
+		defer faultinject.Deactivate()
+		b := query.RouterBinding{R: rt, Policy: shard.BestEffort}
+		if !streamed {
+			resp, cov := query.Answer(ctx, pl, b)
+			if resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			return run{resp.Regions, resp.Results, cov}
+		}
+		st, err := query.Exec(ctx, pl, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions, results, err := st.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run{regions, results, st.Coverage()}
+	}
+	one, str := answer(false), answer(true)
+	if len(one.regions) != 3 || len(str.regions) != 3 {
+		t.Fatalf("one-shot %d rows, streamed %d, want 3 and 3", len(one.regions), len(str.regions))
+	}
+	for i := range one.regions {
+		if !sameRect(one.regions[i], str.regions[i]) || !sameBits(one.results[i].Dist, str.results[i].Dist) {
+			t.Fatalf("row %d: one-shot %v dist %v, streamed %v dist %v", i+1,
+				one.regions[i], one.results[i].Dist, str.regions[i], str.results[i].Dist)
+		}
+	}
+	if !reflect.DeepEqual(one.cov, str.cov) {
+		t.Fatalf("coverage: one-shot %+v, streamed %+v", one.cov, str.cov)
+	}
+	if slices.Contains(one.cov.Searched, "shard-1") {
+		t.Fatalf("shard-1 under searched: %+v", one.cov)
+	}
+	if sk := one.cov.Skipped; len(sk) != 1 || sk[0].Shard != "shard-1" || !strings.HasPrefix(sk[0].Reason, "load:") {
+		t.Fatalf("skipped %+v, want shard-1 once, for its load", sk)
+	}
+}
+
+// TestRoutedContainedTopKIsTheShards: a contained top-3 is asrs.Greedy
+// over one-shard scatter passes, one-shot and streamed, and answers what
+// the owning shard's engine answers for the windowed top-3 itself: every
+// row's region and distance, bit for bit, and the row count.
+func TestRoutedContainedTopKIsTheShards(t *testing.T) {
+	checkLeaks(t)
+	ds, f, q := corpus(t, 400, 63)
+	rt := shard.NewRouter(newCatalog(t, ds, f, 3), shard.RouterOptions{})
+	sh := rt.Catalog().Shards()[1]
+	lo, hi := sh.Slab()
+	e := asrs.Rect{MinX: lo + 0.5, MinY: 4, MaxX: hi - 0.5, MaxY: 96}
+	pl, err := query.NewPlanner(ds.Schema, map[string]*asrs.Composite{"q": f}).ParseAndPlan(fmt.Sprintf(
+		"find top 3 size 5 x 5 similar to target(1,2,1,5) under @q within region(%s,%s,%s,%s)",
+		strconv.FormatFloat(e.MinX, 'g', -1, 64), strconv.FormatFloat(e.MinY, 'g', -1, 64),
+		strconv.FormatFloat(e.MaxX, 'g', -1, 64), strconv.FormatFloat(e.MaxY, 'g', -1, 64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := query.RouterBinding{R: rt}
+	one, _ := query.Answer(context.Background(), pl, b)
+	if one.Err != nil {
+		t.Fatal(one.Err)
+	}
+	st, err := query.Exec(context.Background(), pl, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions, results, err := st.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sh.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := eng.QueryCtx(context.Background(), asrs.QueryRequest{Query: q, A: 5, B: 5, TopK: 3, Within: &e})
+	if want.Err != nil || len(want.Regions) != 3 {
+		t.Fatalf("the shard answers %d rows, %v", len(want.Regions), want.Err)
+	}
+	for _, got := range []asrs.QueryResponse{one, {Regions: regions, Results: results}} {
+		if len(got.Regions) != len(want.Regions) {
+			t.Fatalf("%d rows, the shard answers %d", len(got.Regions), len(want.Regions))
+		}
+		for i := range got.Regions {
+			if !sameRect(got.Regions[i], want.Regions[i]) || !sameBits(got.Results[i].Dist, want.Results[i].Dist) {
+				t.Fatalf("row %d: %v dist %v, the shard answers %v dist %v", i+1,
+					got.Regions[i], got.Results[i].Dist, want.Regions[i], want.Results[i].Dist)
+			}
 		}
 	}
 }

@@ -79,48 +79,76 @@ var (
 	ErrNoFeasibleRegion = dssearch.ErrNoFeasibleRegion
 )
 
-// Greedy is the one eager definition of a top-k (an extension beyond the
+// Greedy is the one definition of a top-k (an extension beyond the
 // paper): up to k non-overlapping regions in increasing distance order —
 // the best region, then the best region overlapping none before it, and
-// so on — each found by one call of round under the exclusions so far
-// (the caller's own, typically the example region, apply to every
-// round). The stop rule: a round that finds no feasible region after at
-// least one answer ends the sequence without error, and so does a round
-// whose region overlaps an earlier one — an un-windowed round always has
-// an answer, the empty region outside the space, which no exclusion
-// forbids: once the space is used up it comes back round after round.
-// Any other failure, and infeasibility of the first round, fails the
-// request. Answers are sized by the rounds run, never by k. The Engine's
-// one-shot top-k, the router's straddling top-k and SearchBaseline all
-// run through it; query.Stream.Next is its lazy form. round is free to
-// carry state from one call to the next — Answer hands it the rounds of
-// one search session, each resuming the last — so the calls come in
-// order, each under the exclusions before it plus one region.
+// so on. It drives its lazy form, Candidates, to max(k, 1) regions, and
+// ends where Candidates' stop rules end it. Answers are sized by the rounds run, never
+// by k. Every top-k runs through it: Answer's, SearchBaseline's, every
+// routed request's (shard.Session) and, through Candidates, a stream's
+// (query.Stream).
 func Greedy(k int, exclude []Rect, round func(exclude []Rect) (Rect, Result, error)) ([]Rect, []Result, error) {
-	excl := exclude[:len(exclude):len(exclude)] // rounds append their regions to a copy
+	c := NewCandidates(exclude)
 	var regions []Rect
 	var results []Result
 	for len(regions) < max(k, 1) {
-		region, res, err := round(excl)
-		if errors.Is(err, ErrNoFeasibleRegion) && len(regions) > 0 {
+		region, res, ok := c.Next(round)
+		if !ok {
 			break
 		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if OverlapsAny(region, regions) {
-			break
-		}
-		regions = append(regions, region)
-		results = append(results, res)
-		excl = append(excl, region)
+		regions, results = append(regions, region), append(results, res)
+	}
+	if c.err != nil {
+		return nil, nil, c.err
 	}
 	return regions, results, nil
 }
 
+// Candidates is Greedy's lazy form, one round per Next: each round finds
+// the best region under the caller's exclusions (typically the example
+// region) and every candidate so far, in the order found; a candidate the
+// caller rejects (a stream's post-filter) has still joined them. The stop
+// rules: infeasibility after at least one candidate ends the sequence
+// without error, and so does a region that overlaps an earlier candidate —
+// an un-windowed round always has an answer, the empty region outside the
+// space, which no exclusion forbids, so once the space is used up it comes
+// back round after round. Any other failure, and infeasibility of the
+// first round, ends it with that error (Err).
+type Candidates struct {
+	excl []Rect // the caller's exclusions, then every candidate so far
+	n    int    // the caller's exclusions
+	err  error
+}
+
+// NewCandidates opens the sequence under exclude; no round runs yet.
+func NewCandidates(exclude []Rect) Candidates {
+	return Candidates{excl: exclude[:len(exclude):len(exclude)], n: len(exclude)} // rounds append to a copy
+}
+
+// Next runs one round, round(the exclusions so far), and returns its
+// candidate; after ok=false the sequence is over and Next is not called
+// again. Every call passes the same round, which may carry state from one
+// call to the next (Answer's resumes one search session). round is called,
+// never kept, so it does not escape with the sequence.
+func (c *Candidates) Next(round func(exclude []Rect) (Rect, Result, error)) (Rect, Result, bool) {
+	region, res, err := round(c.excl)
+	switch {
+	case errors.Is(err, ErrNoFeasibleRegion) && len(c.excl) > c.n:
+	case err != nil:
+		c.err = err
+	case !OverlapsAny(region, c.excl[c.n:]):
+		c.excl = append(c.excl, region)
+		return region, res, true
+	}
+	return Rect{}, Result{}, false
+}
+
+// Err returns the error that ended the sequence; nil after a stop rule.
+func (c *Candidates) Err() error { return c.err }
+
 // OverlapsAny reports whether region overlaps one of earlier beyond a
-// shared boundary: the test that ends a greedy sequence, here and in its
-// lazy form.
+// shared boundary: the test by which a greedy sequence (Candidates) ends
+// on a region it found before.
 func OverlapsAny(region Rect, earlier []Rect) bool {
 	for _, e := range earlier {
 		if region.IntersectsOpen(e) {
