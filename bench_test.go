@@ -348,12 +348,15 @@ func BenchmarkCaseStudy(b *testing.B) {
 // above topKRoundsScored intervals (19 914; 20 148 while sweeps of under
 // 48 rectangles took the classic walk); and the mini-sweeps whose space
 // bound reached their cap, skipped unswept (7; DESIGN.md §8), and fails at
-// none.
+// none. It counts the prefix rows the sweeps' flat passes fold
+// (sweep-stepped/op: 31 510, where 49 942 were stepped while each dirty
+// strip marched from position 0 instead of seeking past whole blocks) and
+// fails above topKRoundsStepped.
 // The sub-benchmark top-64 times and counts a top-64 of the same request,
 // whose record cap is looser for longer, and fails above topK64Scored
 // (313 201 intervals, 93 sweeps bounded; 368 364 while sweeps of under 48
 // rectangles took the classic walk, 369 772 while every swept space was
-// swept). The indexed top-3 also reports
+// swept) or topK64Stepped prefix rows (491 230; 609 350 before the seek). The indexed top-3 also reports
 // the limb columns its sweeps carry, the query's score compiled against
 // the pyramid's limbs (agg.ScorePlan), and fails unless F2's two
 // dimensions read topKRoundsColumns of its limbs: a Sum's negative and
@@ -397,7 +400,7 @@ func BenchmarkTopKRounds(b *testing.B) {
 				if round2+round3 > topKRoundsCells {
 					b.Fatalf("rounds 2 and 3 searched %d and %d cells, more than %d together", round2, round3, topKRoundsCells)
 				}
-				st = topKCounts(b, eng, ds, req, topKRoundsScored)
+				st = topKCounts(b, eng, ds, req, topKRoundsScored, topKRoundsStepped)
 				if st.DS.SweepsBounded == 0 {
 					b.Fatal("no mini-sweep of the top-3 was bounded unswept")
 				}
@@ -414,6 +417,7 @@ func BenchmarkTopKRounds(b *testing.B) {
 				b.ReportMetric(float64(round2), "round2-cells")
 				b.ReportMetric(float64(round3), "round3-cells")
 				b.ReportMetric(float64(st.DS.SweepScored), "sweep-scored/op")
+				b.ReportMetric(float64(st.DS.Stepped), "sweep-stepped/op")
 				b.ReportMetric(float64(st.DS.SweepsBounded), "sweeps-bounded/op")
 				b.ReportMetric(float64(st.RecordedAbove), "above-cap-records/op")
 				b.ReportMetric(float64(columns), "sweep-columns")
@@ -431,7 +435,7 @@ func BenchmarkTopKRounds(b *testing.B) {
 		}
 		deep := req
 		deep.TopK = 64
-		st := topKCounts(b, eng, ds, deep, topK64Scored)
+		st := topKCounts(b, eng, ds, deep, topK64Scored, topK64Stepped)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -440,18 +444,22 @@ func BenchmarkTopKRounds(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(st.DS.SweepScored), "sweep-scored/op")
+		b.ReportMetric(float64(st.DS.Stepped), "sweep-stepped/op")
 		b.ReportMetric(float64(st.DS.SweepsBounded), "sweeps-bounded/op")
 		b.ReportMetric(float64(st.RecordedAbove), "above-cap-records/op")
 	})
 }
 
 // BenchmarkTopKRounds' ceilings: on the cells rounds 2 and 3 of its
-// top-3 search together, and on the sweep intervals its top-3 and top-64
-// score; and the limb columns its sweeps carry, exactly.
+// top-3 search together, on the sweep intervals its top-3 and top-64
+// score and on the prefix rows their flat passes fold; and the limb
+// columns its sweeps carry, exactly.
 const (
 	topKRoundsCells   = 22
 	topKRoundsScored  = 19950
 	topK64Scored      = 313250
+	topKRoundsStepped = 31600
+	topK64Stepped     = 491500
 	topKRoundsColumns = 5
 )
 
@@ -472,8 +480,8 @@ func scoreColumns(b *testing.B, eng *asrs.Engine, q asrs.Query) (columns, limbs 
 
 // topKCounts returns the stats of req answered once by asrs.Answer on the
 // engine's index and pyramid, and fails when its sweeps score more than
-// ceiling intervals.
-func topKCounts(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.QueryRequest, ceiling int) asrs.IndexStats {
+// ceiling intervals or fold more than stepCeiling prefix rows.
+func topKCounts(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.QueryRequest, ceiling, stepCeiling int) asrs.IndexStats {
 	b.Helper()
 	idx, err := eng.Index(req.Query.F)
 	if err != nil {
@@ -491,6 +499,9 @@ func topKCounts(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.Query
 	if st.DS.SweepScored > ceiling {
 		b.Fatalf("a top-%d scored %d sweep intervals, more than %d", req.TopK, st.DS.SweepScored, ceiling)
 	}
+	if st.DS.Stepped > stepCeiling {
+		b.Fatalf("a top-%d's sweeps folded %d prefix rows, more than %d", req.TopK, st.DS.Stepped, stepCeiling)
+	}
 	return st
 }
 
@@ -503,7 +514,7 @@ func topKRoundCells(b *testing.B, eng *asrs.Engine, ds *asrs.Dataset, req asrs.Q
 	for k := 1; k <= 3; k++ {
 		r := req
 		r.TopK = k
-		cells[k] = topKCounts(b, eng, ds, r, math.MaxInt).CellsSearched
+		cells[k] = topKCounts(b, eng, ds, r, math.MaxInt, math.MaxInt).CellsSearched
 	}
 	return cells[2] - cells[1], cells[3] - cells[2]
 }

@@ -110,8 +110,9 @@ func infof(format string, args ...any) { fmt.Fprintf(infoOut, format, args...) }
 
 // debugStats prints the per-search work counters: how the space was
 // processed, how many mini-sweeps their space's bound skipped and how
-// many strips the rest scored, and how many intervals they scored and
-// strips their bound skipped.
+// many strips the rest scored, how many intervals they scored and
+// strips their bound skipped, and how many rows their flat passes folded
+// into the running prefix (seeks included).
 func debugStats(stats asrs.SearchStats) {
 	infof("discretizations: %d, splits: %d, bisections: %d\n",
 		stats.Discretizations, stats.Splits, stats.Bisections)
@@ -125,7 +126,7 @@ func debugStats(stats asrs.SearchStats) {
 	}
 	infof("mini-sweeps: %d over %d rects (+%d containing the swept space, folded into its base vector), %d bounded unswept; strips scored: %d\n",
 		stats.MiniSweeps, stats.MiniSweepRects, stats.SweepBaseRects, stats.SweepsBounded, stats.FlatStrips)
-	infof("mini-sweep intervals scored: %d; strips skipped by their bound: %d\n", stats.SweepScored, stats.PrunedStrips)
+	infof("mini-sweep intervals scored: %d; strips skipped by their bound: %d; prefix rows folded: %d\n", stats.SweepScored, stats.PrunedStrips, stats.Stepped)
 	infof("heap: %d pushes (max %d)\n", stats.HeapPushes, stats.MaxHeapSize)
 }
 

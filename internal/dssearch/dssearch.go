@@ -128,6 +128,7 @@ type Stats struct {
 	FenwickStrips   int // always 0: the Fenwick strip evaluator is gone; bench/ still reads the field
 	SweepScored     int // mini-sweep intervals folded and scored, every walk
 	PrunedStrips    int // mini-sweep strips skipped unscored: their Lemma 5 bound could not beat the sweep's
+	Stepped         int // rows mini-sweeps' flat passes folded into their running prefix, seeks included (sweep.Stats.Stepped)
 	RefinedCells    int // always 0: subset-enumeration refinement is gone; bench/ still reads the field
 	CenterProbes    int // dirty-cell centers evaluated as candidates
 	HeapPushes      int
@@ -152,6 +153,7 @@ func (s *Stats) Add(o Stats) {
 	s.FlatStrips += o.FlatStrips
 	s.SweepScored += o.SweepScored
 	s.PrunedStrips += o.PrunedStrips
+	s.Stepped += o.Stepped
 	s.CenterProbes += o.CenterProbes
 	s.HeapPushes += o.HeapPushes
 	s.MaxHeapSize = max(s.MaxHeapSize, o.MaxHeapSize)
@@ -931,6 +933,7 @@ func (s *Searcher) sweepUnder(space geom.Rect, ids []int32, capDist float64) (as
 	s.Stats.FlatStrips += after.FlatStrips - before.FlatStrips
 	s.Stats.SweepScored += after.Scored - before.Scored
 	s.Stats.PrunedStrips += after.PrunedStrips - before.PrunedStrips
+	s.Stats.Stepped += after.Stepped - before.Stepped
 	return r, ok
 }
 

@@ -291,46 +291,50 @@ func (x *Index) regionLimbs(l, r, b, t int, out []float64) {
 }
 
 // RingMinMax folds the per-cell minima/maxima of cells in
-// [l,r)×[b,t) \ [il,ir)×[ib,it) into mmMin/mmMax.
+// [l,r)×[b,t) \ [il,ir)×[ib,it) into mmMin/mmMax. The outer box is
+// clamped to the grid; the hole need not lie inside it, and an empty one
+// takes nothing out. Each slot is folded over the rows bottom up, each
+// row left to right as a run of cells — two runs, split around the hole's
+// columns, in a row the hole covers — so a slot sees the cells in the
+// order of a cell-by-cell scan, and a strict comparison keeps the first
+// of equal values (−0 or +0) that scan would keep: the slots come out the
+// same bits.
 func (x *Index) RingMinMax(l, r, b, t, il, ir, ib, it int, mmMin, mmMax []float64) {
-	if x.mmSlots == 0 {
+	m := x.mmSlots
+	l, r = min(max(l, 0), x.sx), min(max(r, 0), x.sx)
+	b, t = min(max(b, 0), x.sy), min(max(t, 0), x.sy)
+	if m == 0 || l >= r {
 		return
 	}
-	clampI := func(v int) int {
-		if v < 0 {
-			return 0
-		}
-		if v > x.sx {
-			return x.sx
-		}
-		return v
-	}
-	clampJ := func(v int) int {
-		if v < 0 {
-			return 0
-		}
-		if v > x.sy {
-			return x.sy
-		}
-		return v
-	}
-	l, r, b, t = clampI(l), clampI(r), clampJ(b), clampJ(t)
-	for j := b; j < t; j++ {
-		for i := l; i < r; i++ {
-			if i >= il && i < ir && j >= ib && j < it {
-				continue
+	// The hole's columns inside [l, r): a row the hole covers is the runs
+	// [l, hl) and [hr, r), any other row the run [l, r).
+	hl, hr := max(il, l), min(ir, r)
+	for s := range m {
+		lo, hi := mmMin[s], mmMax[s]
+		for j := b; j < t; j++ {
+			c0, c1 := (j*x.sx+l)*m+s, (j*x.sx+r)*m
+			if j >= ib && j < it && hl < hr {
+				lo, hi = x.foldRun(lo, hi, c0, (j*x.sx+hl)*m, m)
+				c0 = (j*x.sx+hr)*m + s
 			}
-			at := (j*x.sx + i) * x.mmSlots
-			for s := 0; s < x.mmSlots; s++ {
-				if v := x.cellMin[at+s]; v < mmMin[s] {
-					mmMin[s] = v
-				}
-				if v := x.cellMax[at+s]; v > mmMax[s] {
-					mmMax[s] = v
-				}
-			}
+			lo, hi = x.foldRun(lo, hi, c0, c1, m)
+		}
+		mmMin[s], mmMax[s] = lo, hi
+	}
+}
+
+// foldRun folds the cell minima and maxima at offsets from, from+step, …
+// below to into lo and hi, in that order.
+func (x *Index) foldRun(lo, hi float64, from, to, step int) (float64, float64) {
+	for at := from; at < to; at += step {
+		if v := x.cellMin[at]; v < lo {
+			lo = v
+		}
+		if v := x.cellMax[at]; v > hi {
+			hi = v
 		}
 	}
+	return lo, hi
 }
 
 // SizeBytes models the storage footprint of the index the way the paper

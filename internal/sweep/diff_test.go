@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -9,7 +10,7 @@ import (
 // march from zero.
 func pointInto(d *diffArray, i int, out []int64) {
 	clear(out)
-	d.advance(-1, i, out)
+	d.seek(-1, i, out)
 }
 
 // naiveAdd adds delta to channel ch of every position of ref (n positions
@@ -24,7 +25,7 @@ func naiveAdd(ref []int64, n, chans, l, r, ch int, delta int64) {
 // array with the same randomized range-adds — out-of-range ends that
 // exercise the clamping, empty ranges, single-position ranges, duplicate
 // positions and deltas of twenty bits — and checks every position's
-// point value under both the prefix march (step/advance, with
+// point value under both the prefix march (step/seek, with
 // multi-position jumps as the sweep's flat pass makes) and the from-zero
 // read.
 func TestDiffArrayMatchesNaive(t *testing.T) {
@@ -50,7 +51,7 @@ func TestDiffArrayMatchesNaive(t *testing.T) {
 			want := ref[i*chans : (i+1)*chans]
 			pointInto(&dif, i, got)
 			if rng.Intn(3) == 0 && i > prev+1 {
-				dif.advance(prev, i, acc)
+				dif.seek(prev, i, acc)
 			} else {
 				for p := prev + 1; p <= i; p++ {
 					dif.step(p, acc)
@@ -97,12 +98,12 @@ func TestDiffArrayEdges(t *testing.T) {
 	if d.step(1, acc) || !d.step(3, acc) || acc[0] != 5 {
 		t.Fatalf("step: %v", acc)
 	}
-	// advance with from >= to must be a no-op.
+	// seek with from >= to must be a no-op.
 	acc = []int64{11, 22}
-	d.advance(5, 5, acc)
-	d.advance(7, 3, acc)
+	d.seek(5, 5, acc)
+	d.seek(7, 3, acc)
 	if acc[0] != 11 || acc[1] != 22 {
-		t.Fatalf("no-op advance mutated acc: %v", acc)
+		t.Fatalf("no-op seek mutated acc: %v", acc)
 	}
 }
 
@@ -164,5 +165,48 @@ func TestDiffArrayPanics(t *testing.T) {
 			var d diffArray
 			d.reset(dims[0], dims[1])
 		}()
+	}
+}
+
+// TestDiffArraySeekMatchesStepping: a seek from any position to any later
+// one — across block edges, within one block, from before position 0 and
+// onto the spill entry n — leaves the accumulator where stepping each
+// position leaves it, and folds no more rows than it steps over, for
+// every n from 1 (one position, a block of one) up past a few blocks, and
+// for n whose last block is partial, so the spill entry shares it.
+func TestDiffArraySeekMatchesStepping(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for n := 1; n <= 40; n++ {
+		chans := 1 + n%3
+		var d diffArray
+		d.reset(n, chans)
+		for range 3 * n {
+			l, r := rng.Intn(n+2)-1, rng.Intn(n+2)-1
+			d.rangeAdd(l, r, rng.Intn(chans), int64(rng.Intn(1<<20)-1<<19))
+		}
+		for from := -1; from <= n; from++ {
+			start := make([]int64, chans)
+			d.seek(-1, from, start)
+			for to := from; to <= n; to++ {
+				want := append([]int64(nil), start...)
+				for p := from + 1; p <= to; p++ {
+					d.step(p, want)
+				}
+				got := append([]int64(nil), start...)
+				folds := d.seek(from, to, got)
+				if slices.Compare(got, want) != 0 {
+					t.Fatalf("n=%d (block %d): seek %d→%d gave %v, stepping %v", n, d.bw, from, to, got, want)
+				}
+				if folds > to-from || folds > 2*d.bw+n/d.bw {
+					t.Fatalf("n=%d (block %d): seek %d→%d folded %d rows", n, d.bw, from, to, folds)
+				}
+			}
+		}
+		// The spill entry's value is zero: every range closed by then.
+		end := make([]int64, chans)
+		d.seek(-1, n, end)
+		if slices.ContainsFunc(end, func(v int64) bool { return v != 0 }) {
+			t.Fatalf("n=%d: the spill entry holds %v, want zeros", n, end)
+		}
 	}
 }

@@ -469,3 +469,80 @@ func TestSolveWithinCappedBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// masterFixture is n a×b rectangles in master order — anchors ascending
+// in x, so MinX = x − a and MaxX = x each ascend — with a third of the
+// anchors on a lattice of step a, where one rectangle's MinX is another's
+// MaxX, over incrComposite.
+func masterFixture(t *testing.T, rng *rand.Rand, n int) ([]asp.RectObject, asp.Query) {
+	t.Helper()
+	rects, q := incrFixture(t, rng, n)
+	const a, b = 4, 6
+	for i := range rects {
+		x, y := rects[i].Obj.Loc.X, rects[i].Obj.Loc.Y
+		if rng.Intn(3) == 0 {
+			x = float64(rng.Intn(25)) * a
+		}
+		rects[i].Obj.Loc.X = x
+		rects[i].Rect = geom.Rect{MinX: x - a, MinY: y - b, MaxX: x, MaxY: y}
+	}
+	slices.SortStableFunc(rects, func(p, q asp.RectObject) int { return cmpLess(p.Rect.MaxX, q.Rect.MaxX) })
+	return rects, q
+}
+
+// negZero is −0, a zero-width space's bound whose sign its column keeps.
+var negZero = math.Copysign(0, -1)
+
+// TestFlatPassMasterOrderMatchesShuffled: the flat pass answers the same
+// bits on rectangles in master order, whose MinX and MaxX runs it merges
+// as they come, and on the same rectangles shuffled, whose runs it sorts
+// first — and the classic walk's answer — in spaces of positive area,
+// zero width and zero height, with edges shared between one rectangle's
+// MinX and another's MaxX, on and off the spaces' lines, and a column
+// between a −0 and a +0 bound, where the column's x is the space's MinX
+// to the sign.
+func TestFlatPassMasterOrderMatchesShuffled(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for trial := 0; trial < 16; trial++ {
+		rects, q := masterFixture(t, rng, 2+rng.Intn([]int{12, 300}[trial%2]))
+		var inc incrState
+		geo := make([]geom.Rect, len(rects))
+		for i := range rects {
+			geo[i] = rects[i].Rect
+		}
+		if byMin, byMax := inc.xOrders(geo); !slices.IsSorted(byMin) || !slices.IsSorted(byMax) {
+			t.Fatalf("trial %d: master order was not taken as its own x order", trial)
+		}
+		// Shuffled until the MinX run no longer ascends, so the sort runs.
+		shuffled := slices.Clone(rects)
+		for range 20 {
+			if !slices.IsSortedFunc(shuffled, func(p, q asp.RectObject) int { return cmpLess(p.Rect.MinX, q.Rect.MinX) }) {
+				break
+			}
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		}
+		classic, err := New(rects, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		master, mixed := production(t, rects, q), production(t, shuffled, q)
+		spaces := []geom.Rect{
+			{MinX: 10, MinY: 10, MaxX: 60, MaxY: 70},
+			{MinX: 20, MinY: 5, MaxX: 48, MaxY: 95},     // edges on the lattice
+			{MinX: 48, MinY: 5, MaxX: 48, MaxY: 95},     // zero width, on the lattice
+			{MinX: 50, MinY: 5, MaxX: 50, MaxY: 95},     // zero width
+			{MinX: 5, MinY: 50, MaxX: 95, MaxY: 50},     // zero height
+			{MinX: 44, MinY: 48, MaxX: 44, MaxY: 48},    // a point on the lattice
+			{MinX: negZero, MinY: 5, MaxX: 0, MaxY: 95}, // zero width at −0 … +0: the column is −0
+			{MinX: 0, MinY: 5, MaxX: negZero, MaxY: 95}, // and at +0 … −0, +0
+			asp.Space(rects),
+		}
+		for si, space := range spaces {
+			want, wok := classic.SolveWithin(space)
+			got, gok := master.SolveWithin(space)
+			expectSameBits(t, fmt.Sprintf("trial %d space %d master order", trial, si), want, got, wok, gok)
+			got, gok = mixed.SolveWithin(space)
+			expectSameBits(t, fmt.Sprintf("trial %d space %d shuffled", trial, si), want, got, wok, gok)
+		}
+	}
+}

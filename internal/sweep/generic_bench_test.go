@@ -68,9 +68,12 @@ func BenchmarkSweepGeneric(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		rects, q := sweep.SparseFixture(b, rand.New(rand.NewSource(7)))
 		s := sweep.NewSized()
-		benchRebound(b, s, rects, rects, q, sweep.SparseSpace)
+		stepped := benchRebound(b, s, rects, rects, q, sweep.SparseSpace)
 		if s.Stats.FlatStrips == 0 {
 			b.Fatal("the flat pass did not run")
+		}
+		if stepped > sparseStepped {
+			b.Fatalf("the flat pass folded %d prefix rows, more than %d", stepped, sparseStepped)
 		}
 	})
 	b.Run("classic-sparse", func(b *testing.B) {
@@ -82,6 +85,12 @@ func BenchmarkSweepGeneric(b *testing.B) {
 		}
 	})
 }
+
+// sparseStepped bounds the prefix rows a flat pass of the sparse shape
+// folds (Stats.Stepped): 41 613 when each strip seeks past whole blocks
+// of ⌈√k⌉ positions to its dirty intervals, 1 289 613 when it marched
+// from position 0.
+const sparseStepped = 42000
 
 // classicSolver is a solver New built for q over no rectangles: rebound,
 // it runs the classic walk.
@@ -120,7 +129,7 @@ func bindRects(tb testing.TB, s *sweep.Solver, all, sub []asp.RectObject, q asp.
 // benchRebound times s rebound to the rectangles sub and sweeping space,
 // its limbs certified over all, under a cap a hair below the space's
 // optimum. It fails when the steady state allocates.
-func benchRebound(b *testing.B, s *sweep.Solver, all, sub []asp.RectObject, q asp.Query, space geom.Rect) {
+func benchRebound(b *testing.B, s *sweep.Solver, all, sub []asp.RectObject, q asp.Query, space geom.Rect) (stepped int) {
 	geo, ids := bindRects(b, s, all, sub, q)
 	capDist := math.Inf(1)
 	run := func() {
@@ -138,8 +147,10 @@ func benchRebound(b *testing.B, s *sweep.Solver, all, sub []asp.RectObject, q as
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 		b.Fatalf("a rebound sweep allocates %.0f times, want 0", allocs)
 	}
-	strips := s.Stats.Strips
+	strips, stepped := s.Stats.Strips, s.Stats.Stepped
 	run()
 	b.ReportMetric(float64(len(sub)), "rects")
 	b.ReportMetric(float64(s.Stats.Strips-strips), "strips/op")
+	b.ReportMetric(float64(s.Stats.Stepped-stepped), "stepped/op")
+	return s.Stats.Stepped - stepped
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"asrs/internal/geom"
 
@@ -27,12 +26,19 @@ import (
 //
 // A strip's dirty intervals are resolved by one flat pass: entering and
 // leaving rectangles update a difference array (diffArray, two writes per
-// contribution), and the strip's point values are read in ONE
-// branch-light merge pass — a running prefix sum over the deltas and a
-// second sorted cursor over the dirty interval ranges, both advancing
-// monotonically left to right. A dirty strip's pass costs at most O(k)
-// steps for its k ≤ 2n+1 intervals, the per-strip order of the classic
-// walk (DESIGN.md §8).
+// contribution and two to the totals of blocks of ⌈√k⌉ positions), and
+// the strip's point values are read in ONE branch-light merge pass — a
+// running prefix sum over the deltas and a second sorted cursor over the
+// dirty interval ranges, both advancing monotonically left to right. The
+// prefix seeks across the gaps between dirty ranges a block at a time,
+// so a dirty strip's pass costs O(√k) folds per dirty range plus its
+// ranges' lengths, and never more than O(k) for its k ≤ 2n+1 intervals,
+// the per-strip order of the classic walk (DESIGN.md §8).
+//
+// The setup is linear in the rectangles but for the y edges' sort: the
+// interval boundaries and each rectangle's interval span come off one
+// merge of the MinX and MaxX runs (xSpans), each of which is already
+// ascending in the master order DS-Search hands a sweep.
 //
 // The pass carries the interval totals of the limbs the query's score
 // reads — its columns (agg.ScorePlan) — as scaled int64: each column is a
@@ -69,6 +75,10 @@ type incrState struct {
 	run      []int64    // running prefix accumulator of the flat pass
 	ymid     []float64  // each strip's midpoint height
 
+	// byMin and byMax are the rects in MinX and in MaxX order: the
+	// identity for rects in master order, else sorted (xOrders).
+	byMin, byMax []int32
+
 	// The strip bound's inputs: the limb totals of the current strip's
 	// spanning set (the base and every active rectangle covering all k
 	// intervals) and of its other active rectangles, kept by apply (exact
@@ -79,34 +89,61 @@ type incrState struct {
 }
 
 // diffArray is a range-add / point-read array over n positions, each
-// carrying chans int64 channels: a range add is two writes, and point
-// values are read by marching a running prefix accumulator across
-// positions in ascending order. The zero value is not usable; reset
-// before use.
+// carrying chans int64 channels: a range add is two writes to the delta
+// rows and two to their blocks' totals, and point values are read by
+// moving a running prefix accumulator across positions in ascending
+// order, a whole block at a time where the move spans one. The zero value
+// is not usable; reset before use.
 type diffArray struct {
 	n, chans int
 	// data[p*chans+c] is the delta entering at position p: the point
 	// value at position j is Σ_{p<=j} data[p*chans+c]. Entry n absorbs
 	// the closing delta of ranges ending at n-1.
 	data []int64
+	// bw = ⌈√n⌉ is the block width, and blk[b*chans+c] the total of
+	// channel c's deltas at positions b*bw … b*bw+bw−1, the spill entry
+	// included: a seek folds a block's deltas in one row (seek).
+	bw  int
+	blk []int64
 }
 
 // reset re-dimensions the array to n positions × chans channels and
-// zeroes it, reusing the backing array when it fits and at least doubling
-// it when not. Dimensions that cannot hold a position or a channel are a
-// caller bug.
+// zeroes it, reusing the backing arrays when they fit and at least
+// doubling them when not. Dimensions that cannot hold a position or a
+// channel are a caller bug.
 func (d *diffArray) reset(n, chans int) {
 	if n < 1 || chans < 1 {
 		panic(fmt.Sprintf("sweep: invalid difference array %dx%d", n, chans))
 	}
-	need := (n + 1) * chans
-	if cap(d.data) >= need {
-		d.data = d.data[:need]
-		clear(d.data)
-	} else {
-		d.data = make([]int64, need, max(need, 2*cap(d.data)))
-	}
 	d.n, d.chans = n, chans
+	d.bw = int(math.Ceil(math.Sqrt(float64(n))))
+	d.data = zeroed(d.data, (n+1)*chans)
+	d.blk = zeroed(d.blk, (n/d.bw+1)*chans)
+}
+
+// zeroed returns v resized to n zeros, reusing its capacity when it fits
+// and at least doubling it when not.
+func zeroed(v []int64, n int) []int64 {
+	if cap(v) >= n {
+		v = v[:n]
+		clear(v)
+		return v
+	}
+	return make([]int64, n, max(n, 2*cap(v)))
+}
+
+// edge is the offsets of a position's delta row in data and of its
+// block's totals in blk.
+type edge struct{ row, blk int }
+
+// edgeAt returns position p's edge.
+func (d *diffArray) edgeAt(p int) edge { return edge{p * d.chans, p / d.bw * d.chans} }
+
+// add adds delta to channel ch of the delta row at e and to its block's
+// total.
+func (d *diffArray) add(e edge, ch int, delta int64) {
+	d.data[e.row+ch] += delta
+	d.blk[e.blk+ch] += delta
 }
 
 // rangeAdd adds delta to channel ch of every position in [l, r]
@@ -116,32 +153,57 @@ func (d *diffArray) rangeAdd(l, r, ch int, delta int64) {
 	if l > r {
 		return
 	}
-	d.data[l*d.chans+ch] += delta
-	d.data[(r+1)*d.chans+ch] -= delta
+	d.add(d.edgeAt(l), ch, delta)
+	d.add(d.edgeAt(r+1), ch, -delta)
 }
 
 // step folds position pos's delta row into acc (length chans): if acc
 // held the point value at pos-1, it now holds the value at pos. It
 // reports whether any channel moved.
 func (d *diffArray) step(pos int, acc []int64) (moved bool) {
-	base := pos * d.chans
-	for c := range acc {
-		v := d.data[base+c]
+	var any int64
+	for c, v := range d.data[pos*d.chans : pos*d.chans+len(acc)] {
 		acc[c] += v
-		moved = moved || v != 0
+		any |= v
 	}
-	return moved
+	return any != 0
 }
 
-// advance marches acc from the point value at position from to the value
-// at position to (from == -1: acc holds zeros, the value before position
-// 0), as step does for each position in (from, to]; from >= to is a
-// no-op.
-func (d *diffArray) advance(from, to int, acc []int64) {
-	for p := from + 1; p <= to; p++ {
-		base := p * d.chans
-		for c := range acc {
-			acc[c] += d.data[base+c]
+// seek moves acc from the point value at position from to the value at
+// position to (from == -1: acc holds zeros, the value before position 0;
+// to may be n, the spill entry, whose value is zero), as step does for
+// each position in (from, to], and returns the rows it folded: the delta
+// rows up to the end of from+1's block (none when from+1 starts a block
+// that ends by to), the totals of every block the move then spans whole,
+// and the delta rows of to's block up to to — fewer than 2·bw + n/bw
+// rows. from >= to is a no-op. The sums are int64 and exact, so acc ends
+// as stepping leaves it, whatever rows it was folded from.
+func (d *diffArray) seek(from, to int, acc []int64) (folds int) {
+	p, bw := from+1, d.bw
+	if p > to {
+		return 0
+	}
+	if p%bw != 0 || p+bw-1 > to {
+		end := min(to, p/bw*bw+bw-1)
+		d.fold(d.data, p, end, acc)
+		folds = end - p + 1
+		p = end + 1
+	}
+	if whole := (to + 1 - p) / bw; whole > 0 {
+		d.fold(d.blk, p/bw, p/bw+whole-1, acc)
+		folds += whole
+		p += whole * bw
+	}
+	d.fold(d.data, p, to, acc)
+	return folds + max(to-p+1, 0)
+}
+
+// fold adds rows lo … hi of rows (chans wide) into acc.
+func (d *diffArray) fold(rows []int64, lo, hi int, acc []int64) {
+	for r := lo; r <= hi; r++ {
+		row := rows[r*d.chans : r*d.chans+len(acc)]
+		for c, v := range row {
+			acc[c] += v
 		}
 	}
 }
@@ -166,35 +228,15 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		ymid[si] = (ys[si] + ys[si+1]) / 2
 	}
 
-	// Interval boundaries: distinct edge x-coordinates strictly inside
-	// the space, plus the space edges.
-	xs := append(inc.xs[:0], space.MinX, space.MaxX)
-	for i := range s.rects {
-		r := &s.rects[i]
-		if r.MinX > space.MinX && r.MinX < space.MaxX {
-			xs = append(xs, r.MinX)
-		}
-		if r.MaxX > space.MinX && r.MaxX < space.MaxX {
-			xs = append(xs, r.MaxX)
-		}
-	}
-	sort.Float64s(xs)
-	xs = dedup(xs)
-	// A zero-width space's one interval is its column x, both its bounds:
-	// its midpoint (x+x)/2 is x exactly, a certified coordinate being far
-	// from overflow.
-	column := len(xs) == 1
-	if column {
-		xs = append(xs, xs[0])
-	}
-	inc.xs = xs
-	k := len(xs) - 1 // interval count
+	// Interval boundaries and each rectangle's interval span, off one
+	// merge of the MinX and MaxX runs.
+	k := inc.xSpans(s.rects, space)
+	xs := inc.xs
+	column := space.MinX == space.MaxX
 
-	// Per-rect interval spans and activation strip runs, bucketed into
-	// CSR event lists (counting sort by strip).
+	// Per-rect activation strip runs, bucketed into CSR event lists
+	// (counting sort by strip).
 	n := len(s.rects)
-	inc.li = resizeI32(inc.li, n)
-	inc.ri = resizeI32(inc.ri, n)
 	inc.sa = resizeI32(inc.sa, n)
 	inc.se = resizeI32(inc.se, n)
 	inc.addStart = resizeI32(inc.addStart, ns+2)
@@ -207,9 +249,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 	inc.boundScratch(s.limbs.Eff(), mmSlots)
 	for i := range s.rects {
 		r := &s.rects[i]
-		// Covered intervals: MinX <= xs[j] && MaxX >= xs[j+1].
-		li := int32(firstAtLeast(xs, r.MinX))
-		ri := int32(firstAbove(xs[1:], r.MaxX)) - 1
+		li, ri := inc.li[i], inc.ri[i]
 		if column && (r.MinX == xs[0] || r.MaxX == xs[0]) {
 			li, ri = 1, 0 // an edge on the column: its open x-extent misses it
 		}
@@ -290,6 +330,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 			set = inc.full
 		}
 		fsign := float64(sign)
+		lo, hi := inc.dif.edgeAt(l), inc.dif.edgeAt(r+1)
 		for _, cb := range s.contribs(int(id)) {
 			set[cb.Ch] += fsign * cb.V
 			col := cb.Ch
@@ -298,7 +339,9 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 					continue
 				}
 			}
-			inc.dif.rangeAdd(l, r, col, sign*int64(cb.V*scale[cb.Ch]))
+			delta := sign * int64(cb.V*scale[cb.Ch])
+			inc.dif.add(lo, col, delta)
+			inc.dif.add(hi, col, -delta)
 		}
 		inc.ranges = append(inc.ranges, [2]int32{inc.li[id], inc.ri[id]})
 	}
@@ -384,7 +427,7 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		y := ymid[si]
 		pos := int32(-1)
 		for _, cur := range inc.ranges[:nm+1] {
-			inc.dif.advance(int(pos), int(cur[0]), run)
+			s.Stats.Stepped += inc.dif.seek(int(pos), int(cur[0]), run) + int(cur[1]-cur[0])
 			evalAt(cur[0], y)
 			for j := cur[0] + 1; j <= cur[1]; j++ {
 				if inc.dif.step(int(j), run) {
@@ -397,6 +440,95 @@ func (s *Solver) solveWithinIncremental(space geom.Rect, best *asp.Result) (foun
 		}
 	}
 	return found
+}
+
+// xSpans builds the interval boundaries of space over rects in inc.xs —
+// space.MinX, the distinct edge x's strictly inside the space ascending,
+// space.MaxX (a zero-width space's column x = space.MinX twice: its one
+// interval's midpoint (x+x)/2 is x exactly, a certified coordinate being
+// far from overflow) — and returns the interval count k. It writes each
+// rectangle's span of covered intervals, those j with MinX ≤ xs[j] and
+// xs[j+1] ≤ MaxX, into inc.li and inc.ri (li > ri: none).
+//
+// The boundaries are one merge of the MinX run and the MaxX run
+// (xOrders), deduplicated as it goes, and each rectangle's span is read
+// off the merge as its two edges pass: an edge at or left of the space is
+// boundary 0, one inside is the boundary it merged into, and one at or
+// right of the space is boundary k. The boundaries are the sorted,
+// deduplicated edges inside the space, and each span is the one a binary
+// search of them gives, so no bit of the answer depends on the merge.
+func (inc *incrState) xSpans(rects []geom.Rect, space geom.Rect) (k int) {
+	n := len(rects)
+	inc.li, inc.ri = resizeI32(inc.li, n), resizeI32(inc.ri, n)
+	byMin, byMax := inc.xOrders(rects)
+	xs := append(inc.xs[:0], space.MinX)
+	a, b := 0, 0
+	for a < n || b < n {
+		isMin := b == n || (a < n && rects[byMin[a]].MinX <= rects[byMax[b]].MaxX)
+		var v float64
+		if isMin {
+			v = rects[byMin[a]].MinX
+		} else {
+			v = rects[byMax[b]].MaxX
+		}
+		p := int32(0)
+		if v > space.MinX {
+			if v >= space.MaxX {
+				break // this edge and every one after it lie at or right of the space
+			}
+			if v != xs[len(xs)-1] {
+				xs = append(xs, v)
+			}
+			p = int32(len(xs) - 1)
+		}
+		if isMin {
+			inc.li[byMin[a]] = p
+			a++
+		} else {
+			inc.ri[byMax[b]] = p - 1
+			b++
+		}
+	}
+	if space.MinX == space.MaxX {
+		xs = append(xs, space.MinX) // the column, as given: a −0 stays −0
+	} else {
+		xs = append(xs, space.MaxX)
+	}
+	inc.xs = xs
+	k = len(xs) - 1
+	for ; a < n; a++ {
+		inc.li[byMin[a]] = int32(k)
+	}
+	for ; b < n; b++ {
+		inc.ri[byMax[b]] = int32(k - 1)
+	}
+	return k
+}
+
+// xOrders returns the rects' indices in MinX order and in MaxX order.
+// DS-Search and GI-DS rebind their rectangles in master order, where
+// MinX = x − a and MaxX = x each ascend with the anchor's x: one pass
+// checks each run, and a run found ascending is its own order. A run that
+// is not is sorted.
+func (inc *incrState) xOrders(rects []geom.Rect) (byMin, byMax []int32) {
+	n := len(rects)
+	byMin, byMax = resizeI32(inc.byMin, n), resizeI32(inc.byMax, n)
+	inc.byMin, inc.byMax = byMin, byMax
+	minUp, maxUp := true, true
+	for i := range rects {
+		byMin[i], byMax[i] = int32(i), int32(i)
+		if i > 0 {
+			minUp = minUp && rects[i-1].MinX <= rects[i].MinX
+			maxUp = maxUp && rects[i-1].MaxX <= rects[i].MaxX
+		}
+	}
+	if !minUp {
+		slices.SortFunc(byMin, func(i, j int32) int { return cmpLess(rects[i].MinX, rects[j].MinX) })
+	}
+	if !maxUp {
+		slices.SortFunc(byMax, func(i, j int32) int { return cmpLess(rects[i].MaxX, rects[j].MaxX) })
+	}
+	return byMin, byMax
 }
 
 // boundScratch sizes the strip bound's scratch for limbs limb totals and

@@ -41,6 +41,10 @@ type Stats struct {
 	// Lemma 5 bound could not beat it.
 	Scored       int
 	PrunedStrips int
+	// Stepped counts the rows the flat pass folds into its running prefix
+	// sum: a delta row per interval stepped or sought across, and a block
+	// total per block a seek crosses whole (diffArray.seek).
+	Stepped int
 }
 
 // Solver runs the Base algorithm. The zero value is not usable; construct
@@ -194,7 +198,10 @@ func (s *Solver) Plan() *agg.Plan { return s.plan }
 // (edge orders, strip buffers, accumulator): rectangle i is
 // rects[i], and its contributions are row rows[i] of the bound table. The
 // query is unchanged; the slices are only read, never retained past the
-// next Rebind. Stats keep accumulating across rebinds.
+// next Rebind. Stats keep accumulating across rebinds. Rectangles in
+// master order, whose MinX and MaxX each ascend, give the flat pass its
+// x boundaries by a merge alone; any other order costs it a sort of each
+// run that does not ascend (xOrders), and the same answer.
 //
 // base, when non-nil, is for a caller that has factored out the
 // rectangles covering every candidate of the spaces it is about to solve:
